@@ -16,8 +16,10 @@
 //! spawn cost (~50 µs with `std::thread::scope`) that dominates µs-scale
 //! cached queries. Waiting submitters *help*: while a fan-out waits for
 //! its straggler tasks it drains other queued jobs, so nested fan-outs
-//! (shards on the outside, chunks on the inside) cannot deadlock a
-//! fixed-size pool.
+//! (tree levels on the outside, chunks on the inside) cannot deadlock a
+//! fixed-size pool. And a submitter never waits on helpers that have not
+//! started: once its tasks are all claimed it takes those jobs back out of
+//! the queue.
 
 use pd_common::sync::Mutex;
 use std::collections::VecDeque;
@@ -56,7 +58,10 @@ fn threads_from_env(value: Option<&str>) -> usize {
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
+    /// Each job is tagged with the fan-out that queued it (the address of
+    /// its `TaskGroup`), so the submitter can take its own unstarted
+    /// helpers back.
+    queue: Mutex<VecDeque<(usize, Job)>>,
     /// Signaled when jobs are queued (workers sleep on this).
     available: Condvar,
     shutdown: AtomicBool,
@@ -64,7 +69,7 @@ struct PoolShared {
 
 impl PoolShared {
     fn pop(&self) -> Option<Job> {
-        self.queue.lock().pop_front()
+        self.queue.lock().pop_front().map(|(_, job)| job)
     }
 }
 
@@ -156,6 +161,7 @@ impl WorkerPool {
             done: Condvar::new(),
         };
 
+        let tag = std::ptr::addr_of!(group) as usize;
         {
             let mut queue = self.shared.queue.lock();
             for _ in 0..helpers {
@@ -166,14 +172,16 @@ impl WorkerPool {
                 // (`Box<dyn FnOnce + Send + '_>` -> `'static`); the vtable and
                 // layout are unchanged. The borrows of `group` and `run` it
                 // captures live on this stack frame, and this function cannot
-                // return before every queued helper job has finished: the
-                // wait loops below block until `group.remaining == 0`, and
-                // `helper_job` decrements `remaining` only after its last use
-                // of those borrows. A panic on this thread is caught by the
+                // return before every queued helper job has finished or been
+                // dropped unrun: the wait loops below block until
+                // `group.remaining == 0`, `helper_job` decrements `remaining`
+                // only after its last use of those borrows, and the reclaim
+                // step decrements it only for jobs it removed from the queue
+                // (dropping a job touches neither borrow). A panic on this thread is caught by the
                 // `catch_unwind` below, so no unwind can pop the frame while
                 // a helper still borrows from it.
                 let job: Job = unsafe { std::mem::transmute(job) };
-                queue.push_back(job);
+                queue.push_back((tag, job));
             }
         }
         self.shared.available.notify_all();
@@ -187,7 +195,22 @@ impl WorkerPool {
             group.record_panic(payload);
         }
 
-        // Wait for the helpers. A submitter running *on a pool worker*
+        // The cursor is exhausted (or the group failed): a helper job still
+        // sitting in the queue could only count itself off. Take those back
+        // rather than wait for some worker to get around to popping them —
+        // that wait stalls this fan-out behind whatever the workers are
+        // busy with, and under nested fan-outs it is how a worker ends up
+        // stealing a sibling's whole subtree while its own work sits
+        // unclaimed.
+        let reclaimed = {
+            let mut queue = self.shared.queue.lock();
+            let queued = queue.len();
+            queue.retain(|(owner, _)| *owner != tag);
+            queued - queue.len()
+        };
+        *group.remaining.lock() -= reclaimed;
+
+        // Wait for the helpers that did start. A submitter running *on a pool worker*
         // (a nested fan-out) must keep draining queued jobs while it
         // waits — every blocked worker doubling as a worker is what makes
         // the fixed-size pool deadlock-free. An external submitter (a
@@ -295,7 +318,7 @@ fn worker_loop(shared: &PoolShared) {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Some(job) = queue.pop_front() {
+                if let Some((_, job)) = queue.pop_front() {
                     break job;
                 }
                 queue = shared.available.wait(queue).unwrap_or_else(|e| e.into_inner());
@@ -409,6 +432,37 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1000);
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
+    }
+
+    #[test]
+    fn a_submitter_does_not_wait_on_helpers_that_never_started() {
+        // The pool's only worker is stuck in a long task of another
+        // fan-out. A second fan-out does all of its own tasks itself; its
+        // queued helper never started, so it must take the helper back and
+        // return — not wait for the worker to come round and pop it.
+        let pool = WorkerPool::new(0);
+        let busy = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run_tasks(2, 2, |i| {
+                    busy.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(400));
+                    Ok(i)
+                })
+                .unwrap();
+            });
+            // Both that submitter and the worker are now inside a task.
+            while busy.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            let started = std::time::Instant::now();
+            assert_eq!(pool.run_tasks(2, 4, Ok).unwrap(), vec![0, 1, 2, 3]);
+            assert!(
+                started.elapsed() < Duration::from_millis(200),
+                "waited {:?} for a helper that had nothing to do",
+                started.elapsed()
+            );
+        });
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! robustness machinery (typed errors, hedged replica racing, budget
 //! expiry) is exercised against genuine transport wreckage, not mocks.
 //!
-//! Chaos only has effect over [`crate::Transport::Rpc`]: the in-process
-//! cluster has no wire to sabotage, and its directives are never drawn.
+//! Chaos only has effect on worker processes: a tree of in-memory nodes
+//! has no wire to sabotage (and must never be able to exit its driver), so
+//! the driver draws directives over process names only.
 
 use pd_common::rng::Rng;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -99,7 +100,7 @@ impl Decode for ChaosDirective {
 /// scheduling, so equal seeds and query sequences inject equal faults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosModel {
-    /// Seed for every draw; independent of the load/failure streams.
+    /// Seed for every draw; independent of the failure stream.
     pub seed: u64,
     /// Per-(query, node) probability of a mid-query process kill.
     pub kill_probability: f64,

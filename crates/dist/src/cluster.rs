@@ -1,83 +1,64 @@
-//! Sharded query execution with concurrent fan-out, shard-result caching
-//! and modeled server load (§4).
+//! The §4 cluster driver: the root of the computation tree.
 //!
 //! §4: *"In a first step the server importing the data splits it into X
 //! partitions. [...] such a query can be 'parallelized over rows' by
 //! sending the query to all machines, each machine executing it on its
-//! part of the data, and then merging the results."* — [`Cluster::query`]
-//! does exactly that, and the fan-out is *actually concurrent*: shard
-//! subqueries run as tasks on the shared [`pd_core::scheduler`] worker
-//! pool (the same pool the per-shard chunk scans use — waiting fan-outs
-//! help drain the queue, so the nesting cannot deadlock). Partials are
-//! folded in fixed shard order and every aggregation state merges
-//! associatively (float sums are exact superaccumulators), so the merged
-//! result is bit-identical to the single-store engine at any shard count,
-//! thread count or cache configuration.
+//! part of the data, and then merging the results."* — [`Cluster::build`]
+//! splits the table into contiguous shards and builds a tree of
+//! [`crate::node::Node`]s over them; [`Cluster::query`] parses once, fans
+//! the analyzed query out to the tree's frontier, folds the partials in
+//! fixed order and finalizes. Every aggregation state merges associatively
+//! (float sums are exact superaccumulators), so the result is bit-identical
+//! to the single-store engine at any shard count, tree depth, thread count
+//! or cache configuration. Where the nodes live is the [`Transport`]; the
+//! node code, the pruning, the caches, the failover rule and this driver
+//! are the same either way, and every number in a [`QueryOutcome`] is
+//! measured.
 //!
-//! §4 also describes why replication matters: *"it is quite common that
-//! single machines can temporarily become slow [...] we send the query to
-//! both machines holding a partition and take the answer arriving first."*
-//! [`LoadModel`] draws those slow-downs per subquery; with
-//! [`ClusterConfig::replication`] the faster of two draws wins. Going
-//! beyond stragglers, [`FailureModel`] injects *failures*: a primary
-//! killed mid-fan-out falls back to its replication peer (recorded in
-//! [`QueryOutcome::failovers`]), or fails the query when replication is
-//! off. All draws derive from seeded per-(query, shard, replica) streams,
-//! so every outcome — delays, failures, failovers — is reproducible
-//! regardless of worker scheduling.
-//!
-//! Robustness over RPC is budgeted end to end. Every query spends one
-//! [`RpcConfig::budget`] across the whole tree (each node decrements it by
-//! its own queue delay before fanning out, and an exhausted budget is a
-//! typed [`pd_common::RpcError::Deadline`], not a hang). Slow primaries
-//! are *hedged*: after a delay derived from the observed queue-delay p95
-//! the replica is raced in parallel and the first answer wins
-//! ([`QueryOutcome::hedges`]). [`AdmissionConfig`] bounds how many queries
-//! run concurrently — excess load is shed with a typed
-//! [`pd_common::RpcError::Overloaded`] *before* it can pile onto already
-//! saturated workers (the limit halves while the observed queue p95 sits
-//! above the saturation threshold). And [`FailureModel::chaos`] drives the
-//! seeded rpc-level fault injector ([`crate::ChaosModel`]) used by the
-//! chaos harness: kills, resets, torn frames and delays, aimable at any
-//! tree node including merge servers.
+//! What the driver adds around the tree: [`FailureModel`] kills primaries
+//! by seeded per-(query, shard) draws (a replica answers, or the query
+//! fails when replication is off) and carries the rpc-level
+//! [`crate::ChaosModel`]; one [`RpcConfig::budget`] is spent end to end
+//! (an exhausted budget is a typed [`pd_common::RpcError::Deadline`], not
+//! a hang); slow primary *processes* are hedged after a delay derived from
+//! the observed queue-delay p95 ([`QueryOutcome::hedges`]); and
+//! [`AdmissionConfig`] sheds excess load with a typed
+//! [`pd_common::RpcError::Overloaded`] *before* it can pile onto saturated
+//! workers (the limit halves while the observed queue p95 sits above the
+//! saturation threshold).
 
 use crate::chaos::ChaosModel;
-use crate::process::{resolve_worker_bin, ProcessTree, TreeConfig, WorkerAddr};
-use crate::shard_cache::{query_signature, ShardCache, ShardEntry};
+use crate::process::{shard_table, Tree, WorkerAddr};
+use crate::rpc::QueryRequest;
 use pd_common::rng::Rng;
 use pd_common::sync::Mutex;
-use pd_common::{Error, RpcError, Value};
-use pd_core::{
-    execute_partial, finalize, scheduler, BuildOptions, CachePolicy, DataStore, ExecContext,
-    PartialResult, QueryResult, ResultCache, ScanStats, TieredCache,
-};
+use pd_common::{Error, RpcError, Schema, Value};
+use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{analyze, parse_query, AnalyzedQuery};
+use pd_sql::{analyze, parse_query};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Where the computation tree's nodes live.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Transport {
-    /// Every shard executes inside the driver's address space (tasks on
-    /// the shared worker pool); merge "hops" are latency arithmetic.
+    /// Every node is built inside the driver's address space and reached
+    /// by reference: no frame, no serialization, no queue. Leaves scan and
+    /// mixers fan out as tasks on the shared worker pool.
     #[default]
     InProcess,
     /// The paper's real topology: one `pd-dist-worker` OS process per
     /// shard replica plus spawned merge servers, talking the
     /// [`crate::rpc`] protocol over Unix sockets ([`WorkerAddr::Unix`])
     /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), with optionally
-    /// compressed frames. Subquery latencies and queue delays in
-    /// [`QueryOutcome`] are then *measured*, not drawn from the seeded
-    /// [`LoadModel`], and a worker that exhausts the query's
+    /// compressed frames. A worker that exhausts the query's
     /// [`RpcConfig::budget`] fails over exactly like a [`FailureModel`]
-    /// kill. Queries travel as
-    /// decoded restrictions, so any tree node pre-skips subtrees whose
-    /// shard metadata cannot match ([`pd_core::ScanStats::subtrees_pruned`]).
+    /// kill. Workers summarize their shard at load, so any tree node
+    /// pre-skips subtrees whose shard metadata cannot match
+    /// ([`pd_core::ScanStats::subtrees_pruned`]).
     Rpc(RpcConfig),
 }
 
@@ -92,8 +73,7 @@ pub struct RpcConfig {
     /// each node decrements the remaining budget by its own queue delay
     /// before fanning out, an exhausted budget is a typed
     /// [`pd_common::RpcError::Deadline`], and the driver enforces it
-    /// absolutely at the root. (Replaces the old fixed per-hop deadline,
-    /// which multiplied by tree depth.)
+    /// absolutely at the root.
     pub budget: Duration,
     /// Socket shape the workers listen on: `Unix` (single box) or
     /// `Tcp { host }` with one ephemeral port per worker.
@@ -142,37 +122,6 @@ impl TreeShape {
     }
 }
 
-/// Random per-subquery slow-downs modeling busy / blocked servers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadModel {
-    /// Probability that a server is "heavily loaded" (a few ms extra).
-    pub busy_probability: f64,
-    /// Probability that a server is "blocked, e.g., by a disk read of
-    /// another process" (tens to hundreds of ms extra).
-    pub blocked_probability: f64,
-    /// RNG seed; equal configurations draw identical delay streams.
-    pub seed: u64,
-}
-
-impl Default for LoadModel {
-    fn default() -> Self {
-        LoadModel { busy_probability: 0.0, blocked_probability: 0.0, seed: 0 }
-    }
-}
-
-impl LoadModel {
-    /// One server's extra delay for one subquery.
-    fn draw(&self, rng: &mut Rng) -> Duration {
-        if self.blocked_probability > 0.0 && rng.chance(self.blocked_probability) {
-            Duration::from_micros(rng.range_u64(30_000, 150_000))
-        } else if self.busy_probability > 0.0 && rng.chance(self.busy_probability) {
-            Duration::from_micros(rng.range_u64(1_000, 6_000))
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
 /// Deterministic, seeded failure injection for shard primaries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FailureModel {
@@ -182,23 +131,28 @@ pub struct FailureModel {
     /// Shard indices whose primary *always* fails — the deterministic
     /// kill switch for failover tests.
     pub kill_primaries: Vec<usize>,
-    /// Seed for the failure draws; independent of the load-model stream.
+    /// Seed for the failure draws.
     pub seed: u64,
-    /// Rpc-level fault injection (RPC transport only): seeded draws of
+    /// Rpc-level fault injection (worker processes only): seeded draws of
     /// process kills, connection resets, torn reply frames and delays,
-    /// targeting *any* tree node by name — merge servers included. The
+    /// targeting *any* worker by name — merge servers included. The
     /// inactive default injects nothing.
     pub chaos: ChaosModel,
 }
 
 impl FailureModel {
+    /// Drawn from a per-(seed, query, shard) stream, never from wall clock
+    /// or scheduling.
     fn primary_fails(&self, qid: u64, shard: usize) -> bool {
         if self.kill_primaries.contains(&shard) {
             return true;
         }
-        self.primary_fail_probability > 0.0
-            && stream(self.seed, qid, shard as u64, ROLE_FAILURE)
-                .chance(self.primary_fail_probability)
+        if self.primary_fail_probability <= 0.0 {
+            return false;
+        }
+        let mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
+        let mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard as u64);
+        Rng::seed_from_u64(mix).chance(self.primary_fail_probability)
     }
 }
 
@@ -228,38 +182,35 @@ impl Default for AdmissionConfig {
 pub struct ClusterConfig {
     /// Number of data shards (the paper's X partitions).
     pub shards: usize,
-    /// Send every subquery to a primary *and* a replica, taking the faster
-    /// answer (§4's straggler mitigation) and surviving primary failures.
+    /// Give every leaf a replica: a primary that is killed, faulted or
+    /// (as a process) straggling is answered by its replica instead (§4's
+    /// straggler mitigation).
     pub replication: bool,
     /// Import options for each shard's store.
     pub build: BuildOptions,
     /// Total byte budget for the uncompressed cache layer, split across
     /// shards (the compressed layer gets half of that again).
     pub cache_budget: usize,
-    /// Server load fluctuation model.
-    pub load: LoadModel,
     /// Primary-failure injection model.
     pub failures: FailureModel,
-    /// Computation-tree shape for the merge-latency model.
+    /// Computation-tree shape: how many children a merge server owns.
     pub tree: TreeShape,
-    /// Worker threads for the shard fan-out and each shard's chunk scan
-    /// (0 = `EXEC_THREADS` / available parallelism).
+    /// Worker threads for each leaf's chunk scan and each in-memory
+    /// fan-out (0 = `EXEC_THREADS` / available parallelism).
     pub threads: usize,
-    /// Capacity (entries) of the shard-level result caching; 0 disables
-    /// it. In-process this is the root's per-(signature, shard) cache;
-    /// over RPC it is the capacity of **every tree node's own result
-    /// cache** (leaf and merge-server processes alike), so a warm
-    /// drill-down answers from the nearest node that remembers the
-    /// signature — with zero child hops below it.
+    /// Capacity (entries) of **every tree node's own result cache** — leaf
+    /// and merge server alike, on either transport; 0 disables them. A
+    /// warm drill-down answers from the nearest node that remembers the
+    /// signature, with zero child hops below it.
     pub shard_cache: usize,
-    /// Where the computation tree runs: in the driver's address space or
-    /// split across worker processes.
+    /// Where the tree's nodes live: in the driver's address space or one
+    /// worker process each.
     pub transport: Transport,
     /// Driver-side admission control: shed queries beyond the in-flight
     /// budget with a typed [`pd_common::RpcError::Overloaded`].
     pub admission: AdmissionConfig,
     /// Use chunk-granular metadata (per-chunk zone maps shipped in the
-    /// `Loaded` acks) for RPC-tree pruning and leaf scan seeding. On by
+    /// `Loaded` acks) for edge pruning and leaf scan seeding. On by
     /// default; turning it off falls back to shard-granular pruning only.
     /// Results are bit-identical either way — only the work moves.
     pub chunk_pruning: bool,
@@ -272,7 +223,6 @@ impl Default for ClusterConfig {
             replication: true,
             build: BuildOptions::default(),
             cache_budget: 256 << 20,
-            load: LoadModel::default(),
             failures: FailureModel::default(),
             tree: TreeShape::default(),
             threads: 0,
@@ -284,34 +234,26 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One shard: a store plus its caches.
-struct Shard {
-    store: DataStore,
-    ctx: ExecContext,
-}
-
-/// The §4 single-datacenter model: X shards + a computation tree.
+/// The §4 single-datacenter model: X shards + a computation tree, driven
+/// from its root.
 pub struct Cluster {
-    /// In-process shards (empty under [`Transport::Rpc`]).
-    shards: Vec<Shard>,
-    /// The live worker-process tree (RPC transport only).
-    tree: Option<ProcessTree>,
+    /// The live tree. `None` once an append or rebuild failed part-way:
+    /// the shards may hold different data, so nothing is served until
+    /// [`Cluster::rebuild`] succeeds.
+    tree: Option<Tree>,
+    /// Schema of the data the tree serves; appends must match it.
+    schema: Schema,
     config: ClusterConfig,
-    shard_cache: Option<ShardCache>,
-    /// Monotonically increasing rebuild epoch. Every `Load`/`Attach`/
-    /// `Query` over RPC carries it; a worker that sees it advance drops
-    /// its result cache — the distributed form of the root cache's
-    /// rebuild invalidation.
-    epoch: AtomicU64,
-    /// Per-query sequence number: the deterministic axis of every load /
-    /// failure draw (draws depend on (seed, query, shard, replica), never
-    /// on worker scheduling).
+    /// Monotonically increasing rebuild epoch, carried by every message to
+    /// a node; a node that sees it advance drops its result cache.
+    epoch: u64,
+    /// Per-query sequence number: the deterministic axis of every failure
+    /// and chaos draw (draws depend on (seed, query, shard), never on
+    /// scheduling).
     queries: AtomicU64,
-    /// Per-shard `(total queue delay, samples)` measured by worker
-    /// processes — the observation stream that replaces [`LoadModel`]
-    /// draws under the RPC transport.
+    /// Per-shard `(total queue delay, samples)` as the nodes measured it.
     observed_queue: Mutex<Vec<(Duration, u64)>>,
-    /// The most recent worker queue-delay samples (capped ring of
+    /// The most recent queue-delay samples (capped ring of
     /// `(when observed, delay)`), feeding two adaptive policies: the hedge
     /// delay (p95-derived — hedge as soon as a primary looks slower than
     /// the cluster's recent tail) and the admission saturation check.
@@ -322,7 +264,7 @@ pub struct Cluster {
     /// Queries currently admitted (only tracked when admission control is
     /// on).
     in_flight: AtomicU64,
-    /// Queries shed by admission control since construction / rebuild.
+    /// Queries shed by admission control since construction.
     sheds: AtomicU64,
 }
 
@@ -355,105 +297,62 @@ impl Drop for AdmitPermit<'_> {
 pub struct AppendOutcome {
     /// Rows appended across all shards.
     pub rows: u64,
-    /// Serialized `Append` request bytes shipped to workers (primaries and
-    /// replicas). 0 in-process — nothing crosses a wire.
+    /// Serialized `Append` request bytes shipped to worker processes
+    /// (primaries and replicas); 0 when no leaf is behind a wire.
     pub bytes_shipped: u64,
 }
 
-/// What one distributed query cost.
+/// What one distributed query cost. Every duration is measured wall time.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub result: QueryResult,
     /// Scan statistics summed over all shards.
     pub stats: ScanStats,
-    /// Modeled end-to-end latency: slowest subquery + tree merge time.
+    /// End to end: the whole fan-out (slowest subquery plus every merge
+    /// level above it), then the root's finalize.
     pub latency: Duration,
-    /// Modeled per-shard subquery latencies.
+    /// Per shard: the subquery as its parent saw it — wall clock around
+    /// the hop, transport, queueing and failover included (zero for a
+    /// shard beneath a pruned edge or a merge node's cache hit).
     pub subquery_latencies: Vec<Duration>,
-    /// Shards whose primary failed and whose replica answered.
+    /// Shards whose primary failed and whose replica computed the answer.
     pub failovers: Vec<usize>,
-    /// Shards whose primary outlived the hedge delay and was raced against
-    /// its replica (RPC transport; whichever answer arrived first won).
-    /// Always empty in-process, where replication is modeled as the faster
-    /// of two load draws instead.
+    /// Shards whose primary process outlived the hedge delay and was raced
+    /// against its replica process (whichever answer arrived first won).
     pub hedges: Vec<usize>,
-    /// Shards served from the driver root's shard-level result cache
-    /// (in-process transport).
+    /// Shards whose contribution came out of a node's result cache — the
+    /// leaf's own or a merge server's above it — without reaching the
+    /// shard's store.
     pub shard_cache_hits: usize,
-    /// Per-shard *measured* time the subquery spent queued inside worker
-    /// processes (leaf + every merge server above it). All zeros for the
-    /// in-process transport, whose queueing is invisible inside the shared
-    /// pool.
+    /// Per shard: time the subquery spent queued inside worker processes
+    /// (leaf + every merge server above it); an in-memory edge has no
+    /// queue and contributes zero.
     pub queue_delays: Vec<Duration>,
 }
 
 impl QueryOutcome {
-    /// Tree nodes (worker processes — leaves or merge servers) that
-    /// answered this query from their own result cache, aggregated up the
-    /// tree (RPC transport; always 0 in-process, where the root's
-    /// [`ShardCache`] plays that role and reports
-    /// [`QueryOutcome::shard_cache_hits`]). Derived from the aggregated
-    /// [`ScanStats`], the single source of truth the workers report into.
+    /// Tree nodes (leaves or merge servers) that answered this query from
+    /// their own result cache, aggregated up the tree. One merge-server
+    /// hit covers every shard beneath it, so this is at most
+    /// [`QueryOutcome::shard_cache_hits`]. Derived from the aggregated
+    /// [`ScanStats`], the single source of truth the nodes report into.
     pub fn worker_cache_hits(&self) -> usize {
         self.stats.worker_cache_hits
     }
 }
 
-/// One shard's answer, as produced by a fan-out task. All shared-state
-/// mutation (stats accounting, cache admission) happens later, on the
-/// driver, in shard order.
-enum ShardAnswer {
-    /// Served from the shard-level result cache.
-    Cached(Arc<ShardEntry>),
-    /// Freshly computed (primary or replica). `compute` is the measured
-    /// scan time (help-stolen time excluded) — the recompute cost the
-    /// shard cache scores admission by.
-    Computed { partial: PartialResult, stats: ScanStats, compute: Duration },
-}
-
-struct SubqueryScan {
-    answer: ShardAnswer,
-    latency: Duration,
-    failover: bool,
-}
-
-const ROLE_PRIMARY: u64 = 0;
-const ROLE_REPLICA: u64 = 1;
-const ROLE_FAILURE: u64 = 2;
-
-/// A deterministic per-(seed, query, shard, role) RNG stream.
-fn stream(seed: u64, qid: u64, shard: u64, role: u64) -> Rng {
-    let mut mix = seed;
-    mix = mix.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
-    mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard);
-    mix = mix.wrapping_mul(0x94D0_49BB_1331_11EB).wrapping_add(role);
-    Rng::seed_from_u64(mix)
-}
-
 impl Cluster {
-    /// Split `table` into contiguous row ranges and import each shard.
-    ///
-    /// Contiguous ranges (not round-robin) preserve the "implicit
-    /// clustering" of appended log records that the paper's partitioning
-    /// benefits from.
+    /// Split `table` into shards and build the tree over them
+    /// ([`Tree::build`]).
     pub fn build(table: &Table, config: &ClusterConfig) -> pd_common::Result<Cluster> {
         let epoch = 1u64;
-        let (shards, tree) = match &config.transport {
-            Transport::InProcess => (Self::build_shards(table, config)?, None),
-            Transport::Rpc(rpc) => (Vec::new(), Some(Self::build_tree(table, config, rpc, epoch)?)),
-        };
-        let shard_count = tree.as_ref().map_or(shards.len(), ProcessTree::shard_count);
+        let tree = Tree::build(table, config, epoch)?;
+        let shard_count = tree.shard_count();
         Ok(Cluster {
-            shards,
-            tree,
-            // Per-shard caching over RPC is the workers' job: every tree
-            // node holds its own result cache (capacity shipped at
-            // Load/Attach), so the root — which only sees subtree merges —
-            // does not duplicate it.
-            shard_cache: (config.shard_cache > 0 && config.transport == Transport::InProcess)
-                .then(|| ShardCache::new(config.shard_cache)),
+            tree: Some(tree),
+            schema: table.schema().clone(),
             config: config.clone(),
-            epoch: AtomicU64::new(epoch),
+            epoch,
             queries: AtomicU64::new(0),
             observed_queue: Mutex::new(vec![(Duration::ZERO, 0); shard_count]),
             recent_queue: Mutex::new(VecDeque::with_capacity(RECENT_QUEUE_CAP)),
@@ -462,114 +361,21 @@ impl Cluster {
         })
     }
 
-    /// How many shards `table` splits into under `config`.
-    fn split_count(table: &Table, config: &ClusterConfig) -> usize {
-        config.shards.clamp(1, table.len().max(1))
-    }
-
-    /// Shard `s`'s contiguous sub-table — the *same* row assignment for
-    /// both transports, so switching transports can never re-partition
-    /// the data.
-    fn shard_table(table: &Table, s: usize, shard_count: usize) -> pd_common::Result<Table> {
-        let n = table.len();
-        let lo = n * s / shard_count;
-        let hi = n * (s + 1) / shard_count;
-        let mut sub = Table::new(table.schema().clone());
-        for r in lo..hi {
-            sub.push_row(table.row(r))?;
-        }
-        Ok(sub)
-    }
-
-    fn per_shard_budget(config: &ClusterConfig, shard_count: usize) -> usize {
-        (config.cache_budget / shard_count.max(1)).max(1 << 16)
-    }
-
-    fn build_shards(table: &Table, config: &ClusterConfig) -> pd_common::Result<Vec<Shard>> {
-        let shard_count = Self::split_count(table, config);
-        let per_shard_budget = Self::per_shard_budget(config, shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            // Build then drop each sub-table: the in-process path never
-            // holds more than one shard's row copy at a time.
-            let sub = Self::shard_table(table, s, shard_count)?;
-            let store = DataStore::build(&sub, &config.build)?;
-            let ctx = ExecContext {
-                sketch_m: 0,
-                threads: config.threads,
-                result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-                tiered: Some(Arc::new(TieredCache::new(
-                    CachePolicy::Arc,
-                    per_shard_budget,
-                    per_shard_budget / 2,
-                ))),
-                kernels: Default::default(),
-            };
-            shards.push(Shard { store, ctx });
-        }
-        Ok(shards)
-    }
-
-    /// Spawn the worker-process tree for the same shard split.
-    fn build_tree(
-        table: &Table,
-        config: &ClusterConfig,
-        rpc: &RpcConfig,
-        epoch: u64,
-    ) -> pd_common::Result<ProcessTree> {
-        let shard_count = Self::split_count(table, config);
-        let tree_config = TreeConfig {
-            worker_bin: resolve_worker_bin(rpc.worker_bin.as_deref())?,
-            budget: rpc.budget,
-            replication: config.replication,
-            fanout: config.tree.fanout,
-            threads: config.threads,
-            cache_budget_per_shard: Self::per_shard_budget(config, shard_count),
-            cache_entries: config.shard_cache,
-            epoch,
-            addr: rpc.addr.clone(),
-            compress: rpc.compress,
-            chunk_pruning: config.chunk_pruning,
-        };
-        // Sub-tables are produced one at a time: each is shipped to its
-        // worker pair and dropped before the next is materialized.
-        ProcessTree::build(
-            shard_count,
-            |s| Self::shard_table(table, s, shard_count),
-            &config.build,
-            &tree_config,
-        )
-    }
-
     /// Re-import every shard from `table` (the §5 "table rebuild": new
-    /// data, fresh per-shard caches) and invalidate every result cache
-    /// whose partials refer to the old stores: the root's shard cache
-    /// directly, the workers' own caches through the **epoch bump** — any
-    /// node that sees the new epoch (at `Load`/`Attach` of the respawned
-    /// tree, or in the next `Query` should a process ever survive a
-    /// rebuild) drops its cache. Over RPC the whole worker tree is
-    /// respawned — the old processes hold the old data.
-    ///
-    /// This is the *full* refresh: every row is re-shipped and re-imported
-    /// even if only a fraction changed. For append-only growth, prefer
-    /// [`Cluster::append`] — it bumps the same epoch but ships only the
-    /// new rows as dictionary deltas into the live stores, no respawn.
+    /// data, a fresh tree — worker processes are respawned) under a bumped
+    /// epoch, so no node can ever serve a partial cached against the old
+    /// stores. Also the way back from a failed [`Cluster::append`]. Every
+    /// row is re-imported even if only a fraction changed; for append-only
+    /// growth prefer [`Cluster::append`], which bumps the same epoch but
+    /// ships only the new rows.
     pub fn rebuild(&mut self, table: &Table) -> pd_common::Result<()> {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        match &self.config.transport {
-            Transport::InProcess => self.shards = Self::build_shards(table, &self.config)?,
-            Transport::Rpc(rpc) => {
-                // Drop (and kill) the old tree before spawning its successor.
-                self.tree = None;
-                self.tree = Some(Self::build_tree(table, &self.config, rpc, epoch)?);
-            }
-        }
-        if let Some(cache) = &self.shard_cache {
-            cache.invalidate();
-        }
-        let shard_count = self.shard_count();
-        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); shard_count];
-        // A respawned tree starts with empty executor queues: stale
+        // Drop (and kill) the old tree before building its successor.
+        self.tree = None;
+        self.tree = Some(Tree::build(table, &self.config, self.epoch + 1)?);
+        self.epoch += 1;
+        self.schema = table.schema().clone();
+        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); self.shard_count()];
+        // A fresh tree starts with empty executor queues: stale
         // saturation / hedge estimates from the old processes would shed
         // or hedge against load that no longer exists.
         self.recent_queue.lock().clear();
@@ -578,75 +384,63 @@ impl Cluster {
 
     /// Stream `delta`'s rows into the live cluster — the incremental
     /// alternative to [`Cluster::rebuild`]. The delta is split across
-    /// shards by the same contiguous-range rule as the original import,
-    /// encoded per shard as a self-contained dictionary-delta table
-    /// ([`pd_encoding::TableDelta`]: delta-local sorted dictionaries plus
-    /// codes — the receiver resolves them against its resident
-    /// dictionaries, appending only genuinely new values, so **every
-    /// existing global id stays stable** and folded partials across old
-    /// and new chunks stay bit-identical), and applied in place:
+    /// shards by the import's contiguous-range rule, encoded per shard as a
+    /// self-contained dictionary-delta table ([`pd_encoding::TableDelta`]:
+    /// the receiver resolves it against its resident dictionaries,
+    /// appending only genuinely new values, so **every existing global id
+    /// stays stable** and folded partials across old and new chunks stay
+    /// bit-identical), applied in place by every leaf
+    /// ([`crate::node::Node::append`]), and the merge levels are re-wired
+    /// at the new epoch; nothing is respawned.
     ///
-    /// - in-process, each shard's store absorbs its slice directly;
-    /// - over RPC, `Append` frames go to every shard's primary *and*
-    ///   replica, the refreshed [`crate::meta::ShardMeta`] acks re-wire
-    ///   the merge levels bottom-up, and no process is respawned.
-    ///
-    /// The epoch bumps exactly as a rebuild would, so every cache layer
-    /// (root shard cache, worker caches, leaf chunk-result caches)
-    /// invalidates by the same rule. Requires `&mut self`: queries borrow
-    /// the cluster shared, so no query can observe a half-applied append
-    /// (an RPC-side failure mid-append leaves shards at different data;
-    /// recover with [`Cluster::rebuild`]).
+    /// The epoch bumps as a rebuild's would, so every cache layer
+    /// invalidates by the same rule — but only once every shard has
+    /// applied its slice. Requires `&mut self`: no query can observe a
+    /// half-applied append. A delta whose schema is not the cluster's is
+    /// rejected before anything changes. An error *after* the first shard
+    /// was touched leaves shards (or a primary and its replica) at
+    /// different data: the tree is dropped, and [`Cluster::query`] refuses
+    /// to serve until [`Cluster::rebuild`] succeeds.
     pub fn append(&mut self, delta: &Table) -> pd_common::Result<AppendOutcome> {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let shard_count = self.shard_count();
-        let rows = delta.len() as u64;
-        let field_count = delta.schema().fields().len();
-        let shard_delta = |s: usize| -> pd_common::Result<Option<TableDelta>> {
-            let sub = Self::shard_table(delta, s, shard_count)?;
-            if sub.is_empty() {
-                return Ok(None);
-            }
-            let columns: Vec<&[Value]> = (0..field_count).map(|i| sub.column(i)).collect();
-            TableDelta::from_columns(sub.schema().clone(), &columns).map(Some)
-        };
-        let bytes_shipped = if let Some(tree) = self.tree.as_mut() {
-            let mut deltas = Vec::with_capacity(shard_count);
-            for s in 0..shard_count {
-                deltas.push(shard_delta(s)?);
-            }
-            tree.append(&deltas, epoch)?
-        } else {
-            for s in 0..shard_count {
-                let Some(table_delta) = shard_delta(s)? else { continue };
-                let shard = &mut self.shards[s];
-                shard.store.append_delta(&table_delta)?;
-                // The shard's resident caches describe the pre-append
-                // store (the in-process counterpart of the leaf worker's
-                // cache drop).
-                if let Some(results) = &shard.ctx.result_cache {
-                    results.clear();
-                }
-                if let Some(tiered) = &shard.ctx.tiered {
-                    tiered.clear();
-                }
-            }
-            0
-        };
-        if let Some(cache) = &self.shard_cache {
-            cache.invalidate();
+        let tree = self.tree.as_mut().ok_or_else(needs_rebuild)?;
+        if delta.schema() != &self.schema {
+            return Err(Error::Schema("append: delta schema does not match the cluster's".into()));
         }
-        // Unlike a rebuild, the worker processes (and their executor
-        // queues) survive, so the observed queue / saturation estimates
-        // still describe the live cluster — they are kept.
-        Ok(AppendOutcome { rows, bytes_shipped })
+        let shard_count = tree.shard_count();
+        let field_count = self.schema.fields().len();
+        let mut deltas = Vec::with_capacity(shard_count);
+        for s in 0..shard_count {
+            let sub = shard_table(delta, s, shard_count)?;
+            deltas.push(if sub.is_empty() {
+                None
+            } else {
+                let columns: Vec<&[Value]> = (0..field_count).map(|i| sub.column(i)).collect();
+                Some(TableDelta::from_columns(self.schema.clone(), &columns)?)
+            });
+        }
+        // From here on a failure may have touched some shards and not
+        // others.
+        match tree.append(deltas, self.epoch + 1) {
+            Ok(bytes_shipped) => {
+                self.epoch += 1;
+                // Unlike a rebuild, worker processes (and their executor
+                // queues) survive, so the observed queue / saturation
+                // estimates still describe the live cluster — they are
+                // kept.
+                Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped })
+            }
+            Err(e) => {
+                self.tree = None;
+                Err(e)
+            }
+        }
     }
 
     /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append` frames) shipped to the worker tree since it was last
-    /// (re)spawned. Always 0 in-process, where no bytes cross a wire.
+    /// `Append` frames) shipped to worker processes since the tree was
+    /// last (re)built; 0 when no node is behind a wire.
     pub fn shipped_bytes(&self) -> u64 {
-        self.tree.as_ref().map_or(0, ProcessTree::shipped_bytes)
+        self.tree.as_ref().map_or(0, Tree::shipped_bytes)
     }
 
     /// Swap the rpc-level fault injection model. Chaos draws depend only
@@ -686,10 +480,9 @@ impl Cluster {
         Ok(AdmitPermit { in_flight: Some(&self.in_flight) })
     }
 
-    /// p95 of the recent worker queue-delay samples; `None` before any
-    /// RPC query has reported (or after every sample has aged past
-    /// [`RECENT_QUEUE_TTL`] — an idle cluster is a cold cluster, not a
-    /// saturated one).
+    /// p95 of the recent queue-delay samples; `None` before any query has
+    /// reported (or after every sample has aged past [`RECENT_QUEUE_TTL`]
+    /// — an idle cluster is a cold cluster, not a saturated one).
     ///
     /// Percentile rank: with fewer than 20 samples a nearest-rank "p95"
     /// *is* the sample max — one outlier would then drive the hedge delay
@@ -727,20 +520,20 @@ impl Cluster {
         base.clamp(Duration::from_millis(25), (budget / 2).max(Duration::from_millis(25)))
     }
 
-    /// The current rebuild epoch (starts at 1; [`Cluster::rebuild`] bumps
-    /// it). Carried by every RPC message so workers can invalidate.
+    /// The current rebuild epoch (starts at 1; every successful
+    /// [`Cluster::rebuild`] and [`Cluster::append`] bumps it). Carried by
+    /// every message to a node so it can invalidate.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.epoch
     }
 
     pub fn shard_count(&self) -> usize {
-        self.tree.as_ref().map_or(self.shards.len(), ProcessTree::shard_count)
+        self.tree.as_ref().map_or(0, Tree::shard_count)
     }
 
-    /// Mean measured queue delay per shard (RPC transport; all zeros
-    /// before any query, and always for in-process execution). This is the
-    /// observed counterpart of the seeded [`LoadModel`]: real per-process
-    /// queueing, reported up the tree by the workers themselves.
+    /// Mean measured queue delay per shard, reported up the tree by the
+    /// nodes themselves (all zeros before any query, and for shards behind
+    /// in-memory edges, which have no queue).
     pub fn observed_queue_delays(&self) -> Vec<Duration> {
         self.observed_queue
             .lock()
@@ -755,122 +548,42 @@ impl Cluster {
             .collect()
     }
 
-    /// Test knob (RPC transport): make shard `shard`'s primary worker
-    /// sleep before every answer, so it outlives the hedge delay and the
-    /// §4 replica race runs against a *real* straggling process.
+    /// Test knob (worker processes only): make shard `shard`'s primary
+    /// worker sleep before every answer, so it outlives the hedge delay
+    /// and the §4 replica race runs against a *real* straggling process.
     pub fn inject_worker_delay(&self, shard: usize, delay: Duration) -> pd_common::Result<()> {
-        let tree = self.tree.as_ref().ok_or_else(|| {
-            pd_common::Error::Data("worker delays require the rpc transport".into())
-        })?;
-        tree.delay_primary(shard, delay)
+        self.tree.as_ref().ok_or_else(needs_rebuild)?.delay_primary(shard, delay)
     }
 
-    /// `(hits, misses)` of the shard-level result cache so far.
+    /// `(hits, misses)` so far, summed over the node result caches the
+    /// driver can reach in its own address space (`(0, 0)` for a tree of
+    /// worker processes, whose caches live in the workers).
     pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.shard_cache.as_ref().map_or((0, 0), ShardCache::stats)
+        self.tree.as_ref().map_or((0, 0), Tree::cache_stats)
     }
 
     /// Run `sql` over every shard — concurrently — and merge the partial
-    /// results in fixed shard order. Under [`Transport::Rpc`] the fan-out,
-    /// merge levels and failover all happen across worker processes; the
-    /// result is bit-identical either way.
+    /// results in fixed order. The driver is the root of the tree: it
+    /// fans out to the frontier (leaves or merge servers), folds the
+    /// answers associatively and finalizes. Failure injection
+    /// ([`FailureModel`]) decides *here* which primaries are dead for this
+    /// query; the kill list travels down so each leaf's parent skips the
+    /// primary — the same failover code a deadline expiry triggers.
     pub fn query(&self, sql: &str) -> pd_common::Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
         let _permit = self.admit()?;
+        let tree = self.tree.as_ref().ok_or_else(needs_rebuild)?;
         let analyzed = analyze(&parse_query(sql)?)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(tree) = &self.tree {
-            return self.query_tree(tree, qid, &analyzed);
-        }
-        let signature = self.shard_cache.as_ref().map(|_| {
-            let sketch_m = self.shards.first().map_or(4096, |s| s.ctx.sketch_m());
-            query_signature(&analyzed, sketch_m)
-        });
-
-        // Fan out: one task per shard on the shared worker pool. Tasks
-        // only read shared state (stores, cache gets); results come back
-        // in shard order.
-        let threads = self.effective_threads();
-        let scans = scheduler::run_tasks(threads, self.shards.len(), |s| {
-            self.subquery(s, qid, &analyzed, signature.as_deref())
-        })?;
-
-        // Driver-side fold in fixed shard order: stats accounting, cache
-        // admission and the merge are deterministic under any scheduling.
-        let mut merged = PartialResult::default();
-        let mut stats = ScanStats::default();
-        let mut subquery_latencies = Vec::with_capacity(self.shards.len());
-        let mut failovers = Vec::new();
-        let mut shard_cache_hits = 0;
-        for (s, scan) in scans.into_iter().enumerate() {
-            subquery_latencies.push(scan.latency);
-            if scan.failover {
-                failovers.push(s);
-            }
-            match scan.answer {
-                ShardAnswer::Cached(entry) => {
-                    shard_cache_hits += 1;
-                    stats += &entry.cached_stats();
-                    merged.merge_ref(&entry.partial)?;
-                }
-                ShardAnswer::Computed { partial, stats: shard_stats, compute } => {
-                    stats += &shard_stats;
-                    match (&self.shard_cache, &signature) {
-                        (Some(cache), Some(signature)) => {
-                            let entry = Arc::new(ShardEntry::new(partial, &shard_stats));
-                            cache.put_costed(signature, s, entry.clone(), compute);
-                            merged.merge_ref(&entry.partial)?;
-                        }
-                        _ => merged.merge(partial)?,
-                    }
-                }
-            }
-        }
-
-        // End-to-end: the slowest subquery dominates; each tree level adds
-        // a merge hop.
-        let slowest = subquery_latencies.iter().max().copied().unwrap_or(Duration::ZERO);
-        let merge_overhead =
-            Duration::from_micros(200) * self.config.tree.depth(self.shards.len()) as u32;
-        let finalize_started = Instant::now();
-        let result = finalize(&analyzed, merged)?;
-        let latency = slowest + merge_overhead + finalize_started.elapsed();
-        stats.elapsed = latency;
-
-        let queue_delays = vec![Duration::ZERO; subquery_latencies.len()];
-        Ok(QueryOutcome {
-            result,
-            stats,
-            latency,
-            subquery_latencies,
-            failovers,
-            hedges: Vec::new(),
-            shard_cache_hits,
-            queue_delays,
-        })
-    }
-
-    /// One distributed query over the worker-process tree: the driver is
-    /// the root — it fans out to the frontier (leaves or merge servers),
-    /// folds the answers associatively and finalizes. Failure injection
-    /// ([`FailureModel`]) decides *here* which primaries are dead for this
-    /// query; the kill list travels down so each leaf's parent skips the
-    /// primary — the same failover code a deadline expiry triggers.
-    fn query_tree(
-        &self,
-        tree: &ProcessTree,
-        qid: u64,
-        analyzed: &AnalyzedQuery,
-    ) -> pd_common::Result<QueryOutcome> {
         let shard_count = tree.shard_count();
         let killed: Vec<u64> = (0..shard_count)
             .filter(|&s| self.config.failures.primary_fails(qid, s))
             .map(|s| s as u64)
             .collect();
         if !killed.is_empty() && !self.config.replication {
-            // Match the in-process contract: a killed primary without a
-            // replica fails the query, naming the shard.
+            // A killed primary without a replica fails the query, naming
+            // the shard.
             let s = killed[0];
             return Err(pd_common::Error::Data(format!(
                 "shard {s}: primary replica failed mid-query and replication is disabled"
@@ -878,24 +591,27 @@ impl Cluster {
         }
 
         // Hedge delay from the observed queue tail; zero disables racing
-        // entirely when there are no replicas to race.
-        let budget = match &self.config.transport {
-            Transport::Rpc(rpc) => rpc.budget,
-            Transport::InProcess => Duration::from_secs(30),
-        };
-        let hedge_micros = if self.config.replication {
-            u64::try_from(self.hedge_delay(budget).as_micros()).unwrap_or(u64::MAX)
+        // entirely when there are no replica processes to race.
+        let hedge_micros = if tree.hedges() {
+            u64::try_from(self.hedge_delay(tree.budget()).as_micros()).unwrap_or(u64::MAX)
         } else {
             0
         };
-        let chaos = self.config.failures.chaos.draw(qid, tree.node_names());
+        let request = QueryRequest {
+            query: analyzed,
+            budget: tree.budget(),
+            hedge_micros,
+            killed,
+            epoch: self.epoch,
+            chaos: self.config.failures.chaos.draw(qid, tree.node_names()),
+            chunk_pruning: self.config.chunk_pruning,
+        };
 
         let fan_out_started = Instant::now();
-        let answer = tree.query(analyzed, killed, self.epoch(), hedge_micros, chaos)?;
-        // Measured end-to-end fan-out: leaf hops *and* every merge-server
-        // fold, response serialization and root-hop transport above them —
-        // time the per-shard reports (stamped by each leaf's immediate
-        // parent) cannot see at depth ≥ 2.
+        let answer = tree.query(&request)?;
+        // The whole fan-out: leaf hops *and* every merge-node fold and
+        // root-hop transport above them — time the per-shard reports
+        // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.
         let fan_out_elapsed = fan_out_started.elapsed();
 
         // Index the per-shard observations the tree reported up.
@@ -903,6 +619,7 @@ impl Cluster {
         let mut queue_delays = vec![Duration::ZERO; shard_count];
         let mut failovers = Vec::new();
         let mut hedges = Vec::new();
+        let mut shard_cache_hits = 0;
         for report in &answer.reports {
             let s = report.shard as usize;
             if s >= shard_count {
@@ -918,6 +635,7 @@ impl Cluster {
             if report.hedged {
                 hedges.push(s);
             }
+            shard_cache_hits += usize::from(report.cache_hit);
         }
         failovers.sort_unstable();
         hedges.sort_unstable();
@@ -943,10 +661,7 @@ impl Cluster {
 
         let finalize_started = Instant::now();
         let mut stats = answer.stats;
-        let result = finalize(analyzed, answer.partial)?;
-        // Measured end-to-end: the whole fan-out (slowest subquery plus
-        // every real merge level above it), then the root's finalize. No
-        // modeled merge overhead anywhere.
+        let result = finalize(&request.query, answer.partial)?;
         let latency = fan_out_elapsed + finalize_started.elapsed();
         stats.elapsed = latency;
 
@@ -957,90 +672,25 @@ impl Cluster {
             subquery_latencies,
             failovers,
             hedges,
-            shard_cache_hits: 0,
+            shard_cache_hits,
             queue_delays,
         })
     }
+}
 
-    /// One shard's subquery: shard-cache lookup, then primary execution
-    /// with replica failover.
-    fn subquery(
-        &self,
-        s: usize,
-        qid: u64,
-        analyzed: &AnalyzedQuery,
-        signature: Option<&str>,
-    ) -> pd_common::Result<SubqueryScan> {
-        if let (Some(cache), Some(signature)) = (&self.shard_cache, signature) {
-            if let Some(entry) = cache.get(signature, s) {
-                // The root already holds this shard's partial: no scan, no
-                // server round trip, no load-model exposure.
-                return Ok(SubqueryScan {
-                    answer: ShardAnswer::Cached(entry),
-                    latency: Duration::ZERO,
-                    failover: false,
-                });
-            }
-        }
-
-        let shard = &self.shards[s];
-        let failover = self.config.failures.primary_fails(qid, s);
-        if failover && !self.config.replication {
-            return Err(pd_common::Error::Data(format!(
-                "shard {s}: primary replica failed mid-query and replication is disabled"
-            )));
-        }
-
-        // Wall-clock compute, minus any time this thread spent helping
-        // *other* queued tasks while its own chunk fan-out waited — a
-        // shard's modeled latency must not absorb foreign subqueries.
-        let started = Instant::now();
-        let stolen_before = scheduler::stolen_time();
-        let (partial, shard_stats) = execute_partial(&shard.store, analyzed, &shard.ctx)?;
-        let stolen = scheduler::stolen_time().saturating_sub(stolen_before);
-        let compute = started.elapsed().saturating_sub(stolen);
-
-        // Load-model delays: with replication both replicas get the query
-        // and the faster answer wins; a dead primary means the replica's
-        // answer is the only one.
-        let load = &self.config.load;
-        let primary_delay = load.draw(&mut stream(load.seed, qid, s as u64, ROLE_PRIMARY));
-        let replica_delay = load.draw(&mut stream(load.seed, qid, s as u64, ROLE_REPLICA));
-        let server_delay = if failover {
-            replica_delay
-        } else if self.config.replication {
-            primary_delay.min(replica_delay)
-        } else {
-            primary_delay
-        };
-
-        let latency = compute + self.io_time(&shard_stats) + server_delay;
-        Ok(SubqueryScan {
-            answer: ShardAnswer::Computed { partial, stats: shard_stats, compute },
-            latency,
-            failover,
-        })
-    }
-
-    fn effective_threads(&self) -> usize {
-        // Shard contexts carry `config.threads`; delegating keeps the
-        // 0-means-default resolution in one place (`pd_core`).
-        self.shards.first().map_or(1, |s| s.ctx.effective_threads())
-    }
-
-    /// Modeled time to move a subquery's bytes: disk reads at ~200 MB/s,
-    /// decompression at ~1 GB/s (the Figure 5 relation).
-    fn io_time(&self, stats: &ScanStats) -> Duration {
-        let disk = stats.disk_bytes as f64 / (200.0 * 1024.0 * 1024.0);
-        let decompress = stats.decompressed_bytes as f64 / (1024.0 * 1024.0 * 1024.0);
-        Duration::from_secs_f64(disk + decompress)
-    }
+/// The error of a cluster whose last mutation failed part-way.
+fn needs_rebuild() -> Error {
+    Error::Data(
+        "cluster: an append or rebuild failed part-way and left no consistent tree; \
+         call Cluster::rebuild"
+            .into(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pd_core::query;
+    use pd_core::{query, DataStore};
     use pd_data::{generate_logs, LogsSpec};
 
     fn logs_cluster(shards: usize, replication: bool) -> (Table, Cluster) {
@@ -1127,6 +777,23 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_delta_changes_nothing() {
+        // The delta's schema is checked before any shard or the epoch is
+        // touched: the cluster keeps its epoch, its caches and its answers.
+        let (_, mut cluster) = logs_cluster(3, true);
+        let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 5";
+        let before = cluster.query(sql).unwrap();
+        let mut alien = Table::new(pd_common::Schema::of(&[("k", pd_common::DataType::Str)]));
+        alien.push_row(pd_common::Row(vec![Value::from("x")])).unwrap();
+        let err = cluster.append(&alien).unwrap_err();
+        assert!(matches!(err, Error::Schema(_)), "typed rejection: {err}");
+        assert_eq!(cluster.epoch(), 1, "a rejected delta must not advance the epoch");
+        let after = cluster.query(sql).unwrap();
+        assert_eq!(after.result, before.result);
+        assert_eq!(after.shard_cache_hits, 3, "nothing was invalidated");
+    }
+
+    #[test]
     fn epochs_advance_monotonically_across_append_and_rebuild() {
         // Interleave appends, rebuilds and queries: the epoch must tick
         // once per mutation (never stall, never jump), and each query must
@@ -1191,49 +858,6 @@ mod tests {
         assert_eq!(TreeShape { fanout: 4 }.depth(1024), 5);
         assert_eq!(TreeShape { fanout: 64 }.depth(1024), 2);
         assert_eq!(TreeShape { fanout: 16 }.depth(1), 0);
-    }
-
-    #[test]
-    fn replication_tames_the_tail() {
-        // Replication takes the faster of two load-model draws, so far
-        // fewer queries land in the "blocked" regime (≥ 30 ms modeled
-        // delay). Compare tail *frequencies* against a threshold real
-        // compute time cannot reach on this tiny table (per-query compute
-        // is microseconds; blocked draws are 30–150 ms), so wall-clock
-        // jitter cannot flip the assertion. The shard cache is disabled:
-        // this test re-issues one query, and cache hits bypass the load
-        // model entirely.
-        let load = LoadModel { busy_probability: 0.2, blocked_probability: 0.3, seed: 9 };
-        let table = generate_logs(&LogsSpec::scaled(1_000));
-        let build = BuildOptions::production(&["country"]);
-        let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 3";
-        let blocked_tail = |replication: bool| -> usize {
-            let cluster = Cluster::build(
-                &table,
-                &ClusterConfig {
-                    shards: 4,
-                    replication,
-                    build: build.clone(),
-                    load,
-                    shard_cache: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            (0..200)
-                .filter(|_| cluster.query(sql).unwrap().latency >= Duration::from_millis(25))
-                .count()
-        };
-        let unreplicated = blocked_tail(false);
-        let replicated = blocked_tail(true);
-        // The replicated cluster draws the *same* primary delays (same
-        // (seed, query, shard, role) streams) and can only improve on them
-        // by taking the replica when faster, so the gap is deterministic:
-        // P(blocked) ≈ 76% per query unreplicated vs ≈ 31% replicated.
-        assert!(
-            replicated + 40 < unreplicated,
-            "replication must shrink the blocked tail: {replicated} vs {unreplicated} of 200"
-        );
     }
 
     #[test]
@@ -1359,43 +983,5 @@ mod tests {
             }
         }
         assert_eq!(cluster.queue_p95(), Some(Duration::from_millis(95)));
-    }
-
-    #[test]
-    fn load_draws_are_reproducible_across_clusters() {
-        // Delays depend on (seed, query, shard, replica) only, never on
-        // worker scheduling or wall clock. Classify each subquery as
-        // blocked (modeled draws of 30–150 ms) or not: real compute on
-        // this tiny table is orders of magnitude below the 25 ms line, so
-        // the classification is exactly the model's.
-        let load = LoadModel { busy_probability: 0.2, blocked_probability: 0.3, seed: 77 };
-        let table = generate_logs(&LogsSpec::scaled(500));
-        let build = BuildOptions::production(&["country"]);
-        let run = || -> Vec<bool> {
-            let cluster = Cluster::build(
-                &table,
-                &ClusterConfig {
-                    shards: 4,
-                    replication: false,
-                    build: build.clone(),
-                    load,
-                    shard_cache: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut blocked = Vec::new();
-            for _ in 0..20 {
-                let outcome =
-                    cluster.query("SELECT COUNT(*) FROM logs WHERE country = 'DE'").unwrap();
-                blocked.extend(
-                    outcome.subquery_latencies.iter().map(|d| *d >= Duration::from_millis(25)),
-                );
-            }
-            blocked
-        };
-        let a = run();
-        assert_eq!(a, run(), "equal seeds and query sequences draw equal delays");
-        assert!(a.iter().any(|&b| b), "probability 0.3 over 80 draws must block some");
     }
 }

@@ -2,54 +2,63 @@
 //!
 //! PowerDrill parallelizes a query over many machines by splitting the data
 //! into shards, running the *same* group-by plan on every shard, and
-//! merging the mergeable group states up a computation tree. This crate
-//! implements that single-datacenter setup — including, since the process
-//! split, the paper's *actual* topology: shard servers and merge servers
-//! as separate OS processes behind an RPC boundary. The mapping to §4:
+//! merging the mergeable group states up a computation tree. The paper's
+//! tree is uniform — every server, leaf or mixer, does the same thing to
+//! the query it is handed and does not care where its children live — and
+//! so is this crate: one [`Node`] type answers every query, and a parent
+//! reaches a child over one of two edge kinds ([`rpc::Link`]): a reference
+//! to a node in the same address space, or a socket to a `pd-dist-worker`
+//! process holding one. The mapping to §4:
 //!
 //! | paper §4                          | here                                  |
 //! |-----------------------------------|---------------------------------------|
-//! | X data partitions on leaf servers | [`Cluster`]'s shards: independent [`pd_core::DataStore`]s over contiguous row ranges — in-process, or imported by spawned `pd-dist-worker` processes ([`Transport::Rpc`]) |
-//! | the query sent to all machines, executed concurrently | in-process: one task per shard on the shared [`pd_core::scheduler`] pool; rpc: concurrent framed messages ([`rpc`]) over Unix sockets *or* TCP ([`WorkerAddr`]), optionally compressed (`pd-compress`, negotiated per connection), carrying the decoded [`pd_sql::AnalyzedQuery`] — no SQL re-parse on any hop |
-//! | partial results merged up the tree | real intermediate **merge servers** ([`worker`]): each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before any network hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver is the root |
-//! | "take the answer arriving first" replication | per-shard replica processes, **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); a killed ([`FailureModel`]) or faulted primary fails over through the same path ([`QueryOutcome::failovers`]), and every query spends one [`RpcConfig::budget`] end to end |
-//! | servers being "temporarily slow" | in-process: seeded [`LoadModel`] draws; rpc: **measured** — workers funnel requests through one executor and report real queue delays ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]) |
-//! | reuse of previously computed answers | [`shard_cache`]: in-process, the root caches each shard's partial; over rpc, **every tree node** (leaf and merge-server process) holds a [`shard_cache::WorkerCache`] of its own partials keyed by the same normalized signature, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`] |
+//! | X data partitions on leaf servers | leaf [`Node`]s: independent [`pd_core::DataStore`]s over contiguous row ranges, built in the driver's address space ([`Transport::InProcess`]) or imported by spawned worker processes ([`Transport::Rpc`]) |
+//! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message per socket child ([`rpc`]) over Unix sockets *or* TCP ([`WorkerAddr`]), optionally compressed (`pd-compress`, negotiated per connection) — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
+//! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) is the root |
+//! | "take the answer arriving first" replication | every leaf has a replica link; a killed ([`FailureModel`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
+//! | servers being "temporarily slow" | **measured**: worker processes funnel requests through one executor and report real queue delays up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]); [`ChaosModel`] delays make processes straggle on purpose |
+//! | reuse of previously computed answers | [`shard_cache`]: **every tree node** holds a [`shard_cache::WorkerCache`] of its own partials keyed by the normalized query signature, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
 //!
 //! Partial results, restrictions, group-by keys and float superaccumulator
 //! states cross the process boundary in the dependency-free
 //! [`pd_common::wire`] format, bit-identically — so the distributed
 //! equivalence matrix (`tests/engine_equivalence.rs`) asserts exact
-//! `assert_eq!` (floats included) against the single-store engine on *both*
-//! transports, at every shard count and tree depth, warm or cold, with or
-//! without failovers.
+//! `assert_eq!` (floats included) against the single-store engine over
+//! *both* edge kinds, at every shard count and tree depth, warm or cold,
+//! with or without failovers.
 //!
 //! Modules:
 //!
-//! - [`cluster`] — shards, concurrent fan-out, replication/failover,
-//!   admission control, load/failure/chaos models, and the [`Transport`]
-//!   switch;
-//! - [`rpc`] — wire protocol: framed requests/responses, deadline
-//!   budgets, typed [`pd_common::RpcError`] faults, the shared
-//!   child-querying / hedged-racing logic;
+//! - [`cluster`] — the driver: shard split, admission control,
+//!   failure/chaos models, append/rebuild under the epoch, and the
+//!   [`Transport`] switch;
+//! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
+//!   fold), its result cache and epoch, `Node::query` / `Node::append`;
+//! - [`rpc`] — the edges: [`rpc::Link`] (in-memory or socket) and the
+//!   shared child-querying / failover / hedged-racing logic above it;
+//!   the wire protocol: framed requests/responses, deadline budgets,
+//!   typed [`pd_common::RpcError`] faults;
+//! - [`process`] — the tree as its driver holds it ([`Tree`]): building
+//!   leaves and merge levels out of local nodes or spawned worker
+//!   processes, re-wiring after an append, teardown on drop;
+//! - [`worker`] — the `pd-dist-worker` process around one node: argv,
+//!   sockets, the single-executor queue with measured delays, chaos wire
+//!   sabotage;
 //! - [`chaos`] — the seeded rpc-level fault injector behind the chaos
 //!   test harness;
-//! - [`worker`] — the `pd-dist-worker` process: leaf server (`Load`) or
-//!   merge server (`Attach`), single-executor queue with measured delays;
-//! - [`process`] — driver-side tree construction: spawning, loading and
-//!   wiring worker processes, teardown on drop;
-//! - [`shard_cache`] — result caching at every tree level: the root's
-//!   per-shard cache and the worker processes' own [`shard_cache::WorkerCache`];
+//! - [`meta`] — shard summaries and the layered pruning evaluator;
+//! - [`shard_cache`] — the per-node result cache and its signature;
 //! - [`workload`] — drill-down click streams shaped like the §6 production
 //!   traffic, and [`run_production`] to replay them and report the
-//!   skipped / cached / scanned split and Figure 5's latency-vs-disk-bytes
-//!   relation.
+//!   skipped / cached / scanned split and Figure 5's
+//!   latency-vs-disk-bytes relation.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod cluster;
 pub mod meta;
+pub mod node;
 pub mod process;
 pub mod rpc;
 pub mod shard_cache;
@@ -58,12 +67,13 @@ pub mod workload;
 
 pub use chaos::{ChaosDirective, ChaosFault, ChaosModel};
 pub use cluster::{
-    AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, FailureModel, LoadModel, QueryOutcome,
-    RpcConfig, Transport, TreeShape,
+    AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, FailureModel, QueryOutcome, RpcConfig,
+    Transport, TreeShape,
 };
 pub use meta::{ColumnMeta, ShardMeta};
-pub use process::{ProcessTree, ReapGuard, WorkerAddr};
-pub use shard_cache::{query_signature, CachedSubtree, ShardCache, ShardEntry, WorkerCache};
+pub use node::Node;
+pub use process::{ReapGuard, Tree, WorkerAddr};
+pub use shard_cache::{query_signature, CachedSubtree, WorkerCache};
 pub use workload::{
     run_append_while_serving, run_production, AppendServeReport, Click, DrillDownWorkload,
     ProductionReport, WorkloadSpec,

@@ -1,13 +1,14 @@
-//! Driver-side management of the process-split computation tree.
+//! The computation tree as its driver holds it.
 //!
-//! [`ProcessTree::build`] turns a sharded table into the paper's §4
-//! topology, for real: one `pd-dist-worker` OS process per shard replica
-//! (two per shard under replication — the "send the query to both machines
-//! holding a partition" pair), plus one process per intermediate merge
-//! server whenever the shard count exceeds the [`crate::TreeShape`]
-//! fanout. The driver itself is the root: it queries the frontier (the
-//! top-most tree level), folds the answers with the same associative
-//! merge every other level uses, and finalizes.
+//! [`Tree::build`] turns a table into the paper's §4 topology: one leaf
+//! per shard, plus one merge server per `fanout` children whenever a level
+//! exceeds the [`crate::TreeShape`] fanout. The driver itself is the root:
+//! it queries the frontier (the top-most level), folds the answers with
+//! the merge every other level uses, and finalizes. Every node is a
+//! [`Node`]; where it lives is the tree's only variable — in the driver's
+//! address space, reached by reference, or ([`Transport::Rpc`]) one
+//! `pd-dist-worker` OS process per node (two per shard under replication),
+//! reached over sockets.
 //!
 //! Workers listen on Unix sockets in a private temp directory
 //! ([`WorkerAddr::Unix`]) or on ephemeral TCP ports ([`WorkerAddr::Tcp`],
@@ -19,8 +20,9 @@
 //! outlive its cluster, and a red test must not poison later suites with
 //! orphan processes.
 
-use crate::chaos::ChaosDirective;
+use crate::cluster::{ClusterConfig, RpcConfig, Transport};
 use crate::meta::ShardMeta;
+use crate::node::{Node, NodeSpec};
 use crate::rpc::{
     backoff_sleep, encode_frame, fan_out, Addr, AppendRequest, AttachRequest, ChildHandle,
     ChildSpec, LoadRequest, QueryRequest, Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP,
@@ -28,13 +30,12 @@ use crate::rpc::{
 };
 use pd_common::rng::Rng;
 use pd_common::{fx_hash64, Error, Result};
-use pd_core::BuildOptions;
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::AnalyzedQuery;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which socket shape spawned workers listen on.
@@ -79,13 +80,6 @@ impl ReapGuard {
         self.cleanup.push(path);
     }
 
-    /// Disarm the guard and hand the child back (the caller now owns
-    /// reaping it — and the registered paths stay put).
-    pub fn disarm(mut self) -> Child {
-        self.cleanup.clear();
-        self.child.take().expect("armed guard")
-    }
-
     /// Has the child already exited? Non-blocking; `None` while running.
     pub fn try_wait(&mut self) -> Option<std::process::ExitStatus> {
         self.child.as_mut().and_then(|c| c.try_wait().ok().flatten())
@@ -104,40 +98,6 @@ impl Drop for ReapGuard {
             let _ = std::fs::remove_file(path);
         }
     }
-}
-
-/// Everything the tree builder needs beyond the shard tables.
-#[derive(Debug, Clone)]
-pub struct TreeConfig {
-    pub worker_bin: PathBuf,
-    /// Time budget for one whole query through the tree: decremented by
-    /// every node's queueing delay on the way down, enforced absolutely
-    /// by every caller on the way up.
-    pub budget: Duration,
-    /// Spawn a replica process per shard and fail primaries over to it.
-    pub replication: bool,
-    /// Children per merge server (the [`crate::TreeShape`] fanout).
-    pub fanout: usize,
-    /// Worker threads per leaf's chunk scan (0 = auto).
-    pub threads: usize,
-    /// Uncompressed-cache byte budget per shard.
-    pub cache_budget_per_shard: usize,
-    /// Capacity (signatures) of every tree node's own result cache —
-    /// leaves and merge servers alike; 0 disables worker-side caching.
-    pub cache_entries: usize,
-    /// Rebuild epoch the tree is built at; shipped in every `Load` and
-    /// `Attach` so the workers' cache-invalidation contract starts
-    /// aligned with the driver.
-    pub epoch: u64,
-    /// Socket shape workers listen on.
-    pub addr: WorkerAddr,
-    /// Compress RPC frames (negotiated per connection, applied down the
-    /// whole tree).
-    pub compress: bool,
-    /// Use the chunk-granular metadata layers (per-chunk zone maps) for
-    /// edge pruning and leaf scan seeding; off, pruning is shard-granular
-    /// only. Results are identical either way.
-    pub chunk_pruning: bool,
 }
 
 /// Locate the worker binary: an explicit path, the `PD_DIST_WORKER_BIN`
@@ -167,162 +127,405 @@ pub fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf> {
     ))
 }
 
-/// A live computation tree of worker processes.
-pub struct ProcessTree {
+/// A live computation tree as its driver (the root) holds it: the frontier
+/// to query, and the leaves to append to.
+pub struct Tree {
+    /// The top tree level, queried (and failed over) by the driver root.
+    frontier: Vec<ChildHandle>,
+    nodes: Placement,
+    config: ClusterConfig,
+}
+
+/// Where the nodes beneath the frontier live — the one thing the two
+/// transports differ in.
+enum Placement {
+    /// Leaves in shard order; the mixers above them are owned by the
+    /// frontier's handles.
+    Local(Vec<Arc<Node>>),
+    Workers(Workers),
+}
+
+/// The worker processes of a process-split tree.
+struct Workers {
+    worker_bin: PathBuf,
+    /// Socket shape workers listen on.
+    addr: WorkerAddr,
+    /// Compress RPC frames (negotiated per connection, applied down the
+    /// whole tree).
+    compress: bool,
     dir: PathBuf,
     processes: Vec<ReapGuard>,
     /// All worker addresses ever handed out, for shutdown.
     addrs: Vec<Addr>,
-    /// The top tree level, queried (and failed over) by the driver root.
-    frontier: Vec<ChildHandle>,
-    /// Per shard: the primary's address, for control messages (delay
-    /// injection) that must reach a specific process.
-    leaf_primaries: Vec<Addr>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
     names: Vec<String>,
-    /// The leaf level's child specs (shard, addresses, current metadata),
-    /// retained so an in-place [`ProcessTree::append`] can refresh the
-    /// per-shard metas and re-wire the merge levels without a respawn.
+    /// The leaf level's child specs (shard, addresses, current metadata):
+    /// where appends go, and what re-wiring stacks the merge levels on.
     leaf_specs: Vec<ChildSpec>,
     /// Merge servers per level (bottom-up): address + tree name. Appends
     /// re-`Attach` each one so its pruning metas and epoch track the data.
     merge_levels: Vec<Vec<(Addr, String)>>,
-    /// Cumulative serialized bytes of data-bearing requests (`Load` and
-    /// `Append` frames) shipped to workers — the cost an incremental
-    /// append is measured against a full respawn by.
+    /// Cumulative serialized bytes of `Load` and `Append` frames shipped —
+    /// the cost an incremental append is measured against a respawn by.
     bytes_shipped: u64,
-    fanout: usize,
-    cache_entries: usize,
-    budget: Duration,
-    compress: bool,
-    chunk_pruning: bool,
 }
 
 static TREE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl ProcessTree {
-    /// Spawn and wire the whole tree: load one worker (pair) per shard
-    /// (sub-tables come from `shard_table` one at a time and are dropped
-    /// after shipping), then stack merge servers until one level fits the
-    /// fanout.
-    pub fn build(
-        shard_count: usize,
-        shard_table: impl Fn(usize) -> Result<Table>,
-        build: &BuildOptions,
-        config: &TreeConfig,
-    ) -> Result<Self> {
+/// Group `level` into subtrees of `fanout` children, one `mixer` each, until
+/// one level fits the fanout; returns that top level. `mixer` gets the
+/// level's height (≥ 1), the group's index in it, and the group.
+fn stack_levels<C>(
+    mut level: Vec<C>,
+    fanout: usize,
+    mut mixer: impl FnMut(u64, usize, Vec<C>) -> Result<C>,
+) -> Result<Vec<C>> {
+    let mut height = 1u64;
+    while level.len() > fanout {
+        let mut next = Vec::with_capacity(level.len().div_ceil(fanout));
+        let mut rest = level.into_iter().peekable();
+        while rest.peek().is_some() {
+            let group: Vec<C> = rest.by_ref().take(fanout).collect();
+            next.push(mixer(height, next.len(), group)?);
+        }
+        level = next;
+        height += 1;
+    }
+    Ok(level)
+}
+
+impl Tree {
+    /// Split `table` into contiguous row ranges (not round-robin: that
+    /// preserves the "implicit clustering" of appended log records the
+    /// paper's partitioning benefits from) and build the tree at `epoch`:
+    /// one leaf (pair) per shard — sub-tables are produced one at a time
+    /// and dropped once imported or shipped — then merge levels until one
+    /// fits the fanout. The one place [`ClusterConfig::transport`] matters.
+    pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
+        let shard_count = config.shards.clamp(1, table.len().max(1));
+        let cache_budget = (config.cache_budget / shard_count).max(1 << 16);
+        let nodes = match &config.transport {
+            Transport::InProcess => Placement::Local(Vec::with_capacity(shard_count)),
+            Transport::Rpc(rpc) => Placement::Workers(Workers::new(rpc)?),
+        };
+        let mut tree = Tree { frontier: Vec::new(), nodes, config: config.clone() };
+        for shard in 0..shard_count {
+            let sub = shard_table(table, shard, shard_count)?;
+            match &mut tree.nodes {
+                // A local leaf keeps no shard summary: summarizing is three
+                // more passes over the rows, and no edge in this address
+                // space needs a proof the leaf's own chunk dictionaries
+                // find anyway.
+                Placement::Local(leaves) => leaves.push(Arc::new(Node::leaf(
+                    shard as u64,
+                    &sub,
+                    &config.build,
+                    cache_budget,
+                    None,
+                    node_spec(config, format!("l{shard}p"), epoch),
+                )?)),
+                Placement::Workers(workers) => {
+                    workers.load_leaf(shard, sub, config, cache_budget, epoch)?
+                }
+            }
+        }
+        tree.rewire(epoch)?;
+        Ok(tree)
+    }
+
+    /// Stack the merge levels on the current leaves, bottom-up, at `epoch`,
+    /// and take the top level as the frontier. A mixer is always made
+    /// afresh — a local one constructed, a process one (re-)`Attach`ed,
+    /// which is a total role reset — so its cache and pruning metas can
+    /// never describe the data of an older epoch.
+    fn rewire(&mut self, epoch: u64) -> Result<()> {
+        let config = &self.config;
+        let fanout = config.tree.fanout.max(2);
+        self.frontier = match &mut self.nodes {
+            Placement::Local(leaves) => {
+                let level = leaves
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, leaf)| {
+                        ChildHandle::local(Arc::clone(leaf), Some(shard as u64), config.replication)
+                    })
+                    .collect();
+                stack_levels(level, fanout, |height, i, group| {
+                    let spec = node_spec(config, format!("m{height}_{i}"), epoch);
+                    Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
+                })?
+            }
+            Placement::Workers(workers) => {
+                let compress = workers.compress;
+                stack_levels(workers.leaf_specs.clone(), fanout, |height, i, group| {
+                    workers.attach_mixer(height, i, group, config.shard_cache, epoch)
+                })?
+                .into_iter()
+                .map(|spec| ChildHandle::new(spec, compress))
+                .collect()
+            }
+        };
+        Ok(())
+    }
+
+    pub fn shard_count(&self) -> usize {
+        match &self.nodes {
+            Placement::Local(leaves) => leaves.len(),
+            Placement::Workers(workers) => workers.leaf_specs.len(),
+        }
+    }
+
+    fn workers(&self) -> Option<&Workers> {
+        match &self.nodes {
+            Placement::Local(_) => None,
+            Placement::Workers(workers) => Some(workers),
+        }
+    }
+
+    /// Cumulative serialized bytes of data-bearing requests (`Load` +
+    /// `Append`) shipped into the tree since it was built; 0 when no node
+    /// is behind a wire.
+    pub fn shipped_bytes(&self) -> u64 {
+        self.workers().map_or(0, |w| w.bytes_shipped)
+    }
+
+    /// Whether leaf primaries have replica *processes* worth racing.
+    pub fn hedges(&self) -> bool {
+        self.config.replication && self.workers().is_some()
+    }
+
+    /// The end-to-end budget of one query through this tree.
+    pub fn budget(&self) -> Duration {
+        match &self.config.transport {
+            Transport::InProcess => RpcConfig::default().budget,
+            Transport::Rpc(rpc) => rpc.budget,
+        }
+    }
+
+    /// Summed `(hits, misses)` of the node result caches reachable in this
+    /// address space.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.frontier
+            .iter()
+            .map(ChildHandle::cache_stats)
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    }
+
+    /// Stream new rows into the live tree. `deltas[shard]` is that shard's
+    /// dictionary-delta table (`None` = unchanged: nothing is applied; the
+    /// epoch rule makes the leaf drop its caches at its next query). Each
+    /// delta reaches every copy of the shard (a process tree's primary
+    /// *and* replica — or failover would travel back in time), and the
+    /// merge levels are then re-wired so parent-side pruning and the epoch
+    /// track the appended data. Returns the request bytes shipped.
+    pub fn append(&mut self, deltas: Vec<Option<TableDelta>>, epoch: u64) -> Result<u64> {
+        let mut shipped = 0u64;
+        for (shard, delta) in deltas.into_iter().enumerate() {
+            let Some(delta) = delta else { continue };
+            let append = AppendRequest { shard: shard as u64, delta, epoch };
+            match &mut self.nodes {
+                Placement::Local(leaves) => {
+                    leaves[shard].append(&append)?;
+                }
+                Placement::Workers(workers) => shipped += workers.append(append)?,
+            }
+        }
+        self.rewire(epoch)?;
+        Ok(shipped)
+    }
+
+    /// Every worker process's node name, in spawn order — the targets a
+    /// [`crate::ChaosModel`] draws faults over. Empty for a local tree:
+    /// chaos is wire sabotage, and a local node must never be able to exit
+    /// the driver.
+    pub fn node_names(&self) -> &[String] {
+        self.workers().map_or(&[], |w| &w.names)
+    }
+
+    /// Run one query through the tree: fan out to the frontier, fold in
+    /// frontier order.
+    pub fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
+        fan_out(&self.frontier, request)
+    }
+
+    /// Test knob: make shard `shard`'s primary worker process sleep before
+    /// every answer — the controlled way to drive a deadline expiry.
+    pub fn delay_primary(&self, shard: usize, delay: Duration) -> Result<()> {
+        let workers = self
+            .workers()
+            .ok_or_else(|| Error::Data("worker delays require worker processes".into()))?;
+        let Some(ChildSpec::Leaf { primary, .. }) = workers.leaf_specs.get(shard) else {
+            return Err(Error::Data(format!("no such shard {shard}")));
+        };
+        let request = Request::Delay { micros: delay.as_micros() as u64 };
+        workers.call(primary, &request, STARTUP_TIMEOUT, "delay").map(|_| ())
+    }
+}
+
+/// What every node of a tree built from `config` is told besides its name.
+fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> NodeSpec {
+    NodeSpec { name, cache_entries: config.shard_cache, epoch, threads: config.threads }
+}
+
+/// Shard `s`'s contiguous slice of `table` under an `shard_count`-way split
+/// — the *same* row assignment for both transports and for appended
+/// deltas, so neither can ever re-partition the data.
+pub(crate) fn shard_table(table: &Table, s: usize, shard_count: usize) -> Result<Table> {
+    let n = table.len();
+    let lo = n * s / shard_count;
+    let hi = n * (s + 1) / shard_count;
+    let mut sub = Table::new(table.schema().clone());
+    for r in lo..hi {
+        sub.push_row(table.row(r))?;
+    }
+    Ok(sub)
+}
+
+impl Workers {
+    fn new(rpc: &RpcConfig) -> Result<Workers> {
         let dir = std::env::temp_dir().join(format!(
             "pd-tree-{}-{}",
             std::process::id(),
             TREE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir)?;
-        let mut tree = ProcessTree {
+        Ok(Workers {
+            worker_bin: resolve_worker_bin(rpc.worker_bin.as_deref())?,
+            addr: rpc.addr.clone(),
+            compress: rpc.compress,
             dir,
             processes: Vec::new(),
             addrs: Vec::new(),
-            frontier: Vec::new(),
-            leaf_primaries: Vec::new(),
             names: Vec::new(),
             leaf_specs: Vec::new(),
             merge_levels: Vec::new(),
             bytes_shipped: 0,
-            fanout: config.fanout.max(2),
-            cache_entries: config.cache_entries,
-            budget: config.budget,
-            compress: config.compress,
-            chunk_pruning: config.chunk_pruning,
-        };
-        tree.populate(shard_count, shard_table, build, config)?;
-        Ok(tree)
+        })
     }
 
-    fn populate(
-        &mut self,
-        shard_count: usize,
-        shard_table: impl Fn(usize) -> Result<Table>,
-        build: &BuildOptions,
-        config: &TreeConfig,
-    ) -> Result<()> {
-        // Leaves: one loaded worker per shard replica. The primary's Load
-        // ack carries the shard's metadata summary, which every parent up
-        // the tree uses to prune non-matching subtrees.
-        let mut level: Vec<ChildSpec> = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let table = shard_table(shard)?;
-            let mut load = Request::Load(Box::new(LoadRequest {
-                shard: shard as u64,
-                schema: table.schema().clone(),
-                rows: table.iter_rows().collect(),
-                build: build.clone(),
-                threads: config.threads as u64,
-                cache_budget: config.cache_budget_per_shard as u64,
-                cache_entries: config.cache_entries as u64,
-                epoch: config.epoch,
-                name: format!("l{shard}p"),
-            }));
-            drop(table);
-            let (primary, meta) = self.spawn_worker(config, &format!("l{shard}p"), &load)?;
-            let meta = meta
-                .ok_or_else(|| Error::Data(format!("shard {shard}: load ack carried no meta")))?;
-            self.leaf_primaries.push(primary.clone());
-            let replica = if config.replication {
-                // Same shard bytes, its own name — retagged in place so
-                // the shipped rows are not cloned per replica.
-                if let Request::Load(l) = &mut load {
-                    l.name = format!("l{shard}r");
-                }
-                Some(self.spawn_worker(config, &format!("l{shard}r"), &load)?.0)
-            } else {
-                None
-            };
-            level.push(ChildSpec::Leaf { shard: shard as u64, primary, replica, meta });
-        }
-        self.leaf_specs = level.clone();
+    /// One request/response exchange with the worker at `addr`, over a
+    /// connection of its own.
+    fn call(
+        &self,
+        addr: &Addr,
+        request: &Request,
+        timeout: Duration,
+        what: &str,
+    ) -> Result<Option<ShardMeta>> {
+        expect_ack(RpcClient::new(addr.clone(), self.compress).call(request, timeout)?, what)
+    }
 
-        // Merge levels: while one server cannot own the whole level, group
-        // it into subtrees of `fanout` children each. Each node's spec
-        // accumulates the shard summaries beneath it, so pruning works at
-        // any depth.
-        let fanout = self.fanout;
-        let mut height = 1u64;
-        while level.len() > fanout {
-            let mut next = Vec::with_capacity(level.len().div_ceil(fanout));
-            let mut servers = Vec::with_capacity(next.capacity());
-            for (i, group) in level.chunks(fanout).enumerate() {
-                let metas: Vec<ShardMeta> =
-                    group.iter().flat_map(|c| c.metas().iter().cloned()).collect();
-                let name = format!("m{height}_{i}");
-                let attach = Request::Attach(AttachRequest {
-                    children: group.to_vec(),
-                    compress: config.compress,
-                    cache_entries: config.cache_entries as u64,
-                    epoch: config.epoch,
-                    name: name.clone(),
-                });
-                let (addr, _) = self.spawn_worker(config, &name, &attach)?;
-                servers.push((addr.clone(), name));
-                next.push(ChildSpec::Node { addr, height, metas });
+    /// Spawn and load shard `shard`'s worker (pair). The primary's Load ack
+    /// carries the shard's metadata summary, which every parent up the
+    /// tree uses to prune non-matching subtrees.
+    fn load_leaf(
+        &mut self,
+        shard: usize,
+        table: Table,
+        config: &ClusterConfig,
+        cache_budget: usize,
+        epoch: u64,
+    ) -> Result<()> {
+        let mut load = Request::Load(Box::new(LoadRequest {
+            shard: shard as u64,
+            schema: table.schema().clone(),
+            rows: table.iter_rows().collect(),
+            build: config.build.clone(),
+            threads: config.threads as u64,
+            cache_budget: cache_budget as u64,
+            cache_entries: config.shard_cache as u64,
+            epoch,
+            name: format!("l{shard}p"),
+        }));
+        drop(table);
+        let (primary, meta) = self.spawn_worker(&format!("l{shard}p"), &load)?;
+        let meta =
+            meta.ok_or_else(|| Error::Data(format!("shard {shard}: load ack carried no meta")))?;
+        let replica = if config.replication {
+            // Same shard bytes, its own name — retagged in place so the
+            // shipped rows are not cloned per replica.
+            if let Request::Load(l) = &mut load {
+                l.name = format!("l{shard}r");
             }
-            self.merge_levels.push(servers);
-            level = next;
-            height += 1;
-        }
-        self.frontier =
-            level.into_iter().map(|spec| ChildHandle::new(spec, config.compress)).collect();
+            Some(self.spawn_worker(&format!("l{shard}r"), &load)?.0)
+        } else {
+            None
+        };
+        self.leaf_specs.push(ChildSpec::Leaf { shard: shard as u64, primary, replica, meta });
         Ok(())
+    }
+
+    /// Make merge server `i` of level `height` own `children`: spawned the
+    /// first time the level is wired, re-`Attach`ed (same process, same
+    /// name, refreshed metas and epoch) ever after. Each node's spec
+    /// accumulates the shard summaries beneath it, so pruning works at any
+    /// depth.
+    fn attach_mixer(
+        &mut self,
+        height: u64,
+        i: usize,
+        children: Vec<ChildSpec>,
+        cache_entries: usize,
+        epoch: u64,
+    ) -> Result<ChildSpec> {
+        let metas: Vec<ShardMeta> =
+            children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
+        let level = (height - 1) as usize;
+        let existing = self.merge_levels.get(level).and_then(|servers| servers.get(i)).cloned();
+        let name = existing.as_ref().map_or_else(|| format!("m{height}_{i}"), |(_, n)| n.clone());
+        let attach = Request::Attach(AttachRequest {
+            children,
+            compress: self.compress,
+            cache_entries: cache_entries as u64,
+            epoch,
+            name: name.clone(),
+        });
+        let addr = match existing {
+            Some((addr, _)) => {
+                self.call(&addr, &attach, LOAD_TIMEOUT, "re-attach")?;
+                addr
+            }
+            None => {
+                let (addr, _) = self.spawn_worker(&name, &attach)?;
+                if self.merge_levels.len() <= level {
+                    self.merge_levels.push(Vec::new());
+                }
+                self.merge_levels[level].push((addr.clone(), name));
+                addr
+            }
+        };
+        Ok(ChildSpec::Node { addr, height, metas })
+    }
+
+    /// Ship one shard's delta to its primary and replica; the primary's
+    /// ack refreshes the shard's metadata. Returns the bytes shipped.
+    fn append(&mut self, append: AppendRequest) -> Result<u64> {
+        let shard = append.shard as usize;
+        let request = Request::Append(Box::new(append));
+        let frame_len = encode_frame(&request, self.compress)?.len() as u64;
+        let Some(ChildSpec::Leaf { primary, replica, .. }) = self.leaf_specs.get(shard) else {
+            return Err(Error::Data("append: leaf level holds a non-leaf spec".into()));
+        };
+        let refreshed = self
+            .call(primary, &request, LOAD_TIMEOUT, "append")?
+            .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
+        let mut shipped = frame_len;
+        if let Some(replica) = replica {
+            self.call(replica, &request, LOAD_TIMEOUT, "append")?;
+            shipped += frame_len;
+        }
+        if let ChildSpec::Leaf { meta, .. } = &mut self.leaf_specs[shard] {
+            *meta = refreshed;
+        }
+        self.bytes_shipped += shipped;
+        Ok(shipped)
     }
 
     /// Spawn one worker named `name`, wait for it to answer `Ping`, then
     /// send its role-assignment request (`Load` / `Attach`). Returns the
     /// worker's address and, for a `Load`, the shard metadata it reported.
-    fn spawn_worker(
-        &mut self,
-        config: &TreeConfig,
-        name: &str,
-        role: &Request,
-    ) -> Result<(Addr, Option<ShardMeta>)> {
+    fn spawn_worker(&mut self, name: &str, role: &Request) -> Result<(Addr, Option<ShardMeta>)> {
         // Decide the address story once: a unix worker listens where the
         // driver says; a tcp worker binds port 0 and reports back through
         // its announce file.
@@ -330,8 +533,8 @@ impl ProcessTree {
             At(Addr),
             Announced(PathBuf),
         }
-        let mut command = Command::new(&config.worker_bin);
-        let spawned = match &config.addr {
+        let mut command = Command::new(&self.worker_bin);
+        let spawned = match &self.addr {
             WorkerAddr::Unix => {
                 let path = self.dir.join(format!("{name}.sock"));
                 // A stale socket path from a dead worker would make the
@@ -360,7 +563,7 @@ impl ProcessTree {
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
-            .map_err(|e| Error::Data(format!("spawn {}: {e}", config.worker_bin.display())))?;
+            .map_err(|e| Error::Data(format!("spawn {}: {e}", self.worker_bin.display())))?;
         let mut guard = ReapGuard::new(child);
         let addr = match &spawned {
             Spawned::At(addr) => {
@@ -377,156 +580,20 @@ impl ProcessTree {
         self.names.push(name.to_string());
         self.processes.push(guard);
         self.addrs.push(addr.clone());
-        let mut client = RpcClient::new(addr.clone(), config.compress);
+        let mut client = RpcClient::new(addr.clone(), self.compress);
         client.connect_with_retry(STARTUP_TIMEOUT)?;
         expect_ack(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping").map(|_| ())?;
         let meta = expect_ack(client.call(role, LOAD_TIMEOUT)?, "role assignment")?;
         if matches!(role, Request::Load(_)) {
             // Data-bearing shipping cost: what an append path is compared
             // against. (Attach frames are wiring, not data.)
-            self.bytes_shipped += encode_frame(role, config.compress)?.len() as u64;
+            self.bytes_shipped += encode_frame(role, self.compress)?.len() as u64;
         }
         Ok((addr, meta))
     }
-
-    pub fn shard_count(&self) -> usize {
-        self.leaf_primaries.len()
-    }
-
-    /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append`) shipped into the tree since it was built.
-    pub fn shipped_bytes(&self) -> u64 {
-        self.bytes_shipped
-    }
-
-    /// Stream new rows into the live tree — the in-place alternative to a
-    /// full respawn. `deltas[shard]` is the dictionary-delta table for
-    /// that shard (`None` = shard unchanged: nothing is shipped; the epoch
-    /// rule makes the leaf drop its caches at its next query). Each delta
-    /// goes to the shard's primary *and* replica (both must serve the new
-    /// rows or failover would travel back in time), the primary's ack
-    /// refreshes the shard's metadata, and every merge server is then
-    /// re-`Attach`ed bottom-up so parent-side pruning and the epoch track
-    /// the appended data. Returns the serialized request bytes shipped.
-    pub fn append(&mut self, deltas: &[Option<TableDelta>], epoch: u64) -> Result<u64> {
-        if deltas.len() != self.leaf_specs.len() {
-            return Err(Error::Data(format!(
-                "append carries {} shard deltas for {} shards",
-                deltas.len(),
-                self.leaf_specs.len()
-            )));
-        }
-        let mut shipped = 0u64;
-        for (shard, delta) in deltas.iter().enumerate() {
-            let Some(delta) = delta else { continue };
-            let request = Request::Append(Box::new(AppendRequest {
-                shard: shard as u64,
-                delta: delta.clone(),
-                epoch,
-            }));
-            let frame_len = encode_frame(&request, self.compress)?.len() as u64;
-            let ChildSpec::Leaf { primary, replica, meta, .. } = &mut self.leaf_specs[shard] else {
-                return Err(Error::Data("append: leaf level holds a non-leaf spec".into()));
-            };
-            let mut client = RpcClient::new(primary.clone(), self.compress);
-            client.connect_with_retry(STARTUP_TIMEOUT)?;
-            let refreshed = expect_ack(client.call(&request, LOAD_TIMEOUT)?, "append")?
-                .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
-            shipped += frame_len;
-            if let Some(replica) = replica {
-                let mut client = RpcClient::new(replica.clone(), self.compress);
-                client.connect_with_retry(STARTUP_TIMEOUT)?;
-                expect_ack(client.call(&request, LOAD_TIMEOUT)?, "append")?;
-                shipped += frame_len;
-            }
-            *meta = refreshed;
-        }
-        self.reattach(epoch)?;
-        self.bytes_shipped += shipped;
-        Ok(shipped)
-    }
-
-    /// Re-wire the merge levels bottom-up from the current leaf specs:
-    /// every merge server gets a fresh `Attach` (same children grouping,
-    /// same tree name, refreshed metas, new epoch — a total role reset,
-    /// so its cache is dropped with the wiring), and the driver's
-    /// frontier handles are rebuilt from the top level.
-    fn reattach(&mut self, epoch: u64) -> Result<()> {
-        let mut level = self.leaf_specs.clone();
-        for (li, servers) in self.merge_levels.iter().enumerate() {
-            let height = (li + 1) as u64;
-            let mut next = Vec::with_capacity(servers.len());
-            for ((addr, name), group) in servers.iter().zip(level.chunks(self.fanout)) {
-                let metas: Vec<ShardMeta> =
-                    group.iter().flat_map(|c| c.metas().iter().cloned()).collect();
-                let attach = Request::Attach(AttachRequest {
-                    children: group.to_vec(),
-                    compress: self.compress,
-                    cache_entries: self.cache_entries as u64,
-                    epoch,
-                    name: name.clone(),
-                });
-                let mut client = RpcClient::new(addr.clone(), self.compress);
-                client.connect_with_retry(STARTUP_TIMEOUT)?;
-                expect_ack(client.call(&attach, LOAD_TIMEOUT)?, "re-attach").map(|_| ())?;
-                next.push(ChildSpec::Node { addr: addr.clone(), height, metas });
-            }
-            level = next;
-        }
-        self.frontier =
-            level.into_iter().map(|spec| ChildHandle::new(spec, self.compress)).collect();
-        Ok(())
-    }
-
-    /// Every tree node's name, in spawn order — the targets a
-    /// [`crate::ChaosModel`] draws faults over.
-    pub fn node_names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Run one query through the tree: fan out to the frontier, fold in
-    /// frontier order. `killed` carries this query's [`crate::FailureModel`]
-    /// primary kills down to whichever level parents each leaf; `epoch` is
-    /// the driver's current rebuild epoch, which every node checks against
-    /// its result cache before answering; `hedge_micros` is the hedge
-    /// delay for leaf replica races (0 = sequential failover); `chaos`
-    /// carries this query's injected faults down the whole tree.
-    pub fn query(
-        &self,
-        analyzed: &AnalyzedQuery,
-        killed: Vec<u64>,
-        epoch: u64,
-        hedge_micros: u64,
-        chaos: Vec<ChaosDirective>,
-    ) -> Result<SubtreeAnswer> {
-        let request = QueryRequest {
-            query: analyzed.clone(),
-            budget: self.budget,
-            hedge_micros,
-            killed,
-            epoch,
-            chaos,
-            chunk_pruning: self.chunk_pruning,
-        };
-        fan_out(&self.frontier, &request)
-    }
-
-    /// Test knob: make shard `shard`'s primary worker sleep before every
-    /// answer — the controlled way to drive a deadline expiry.
-    pub fn delay_primary(&self, shard: usize, delay: Duration) -> Result<()> {
-        let addr = self.leaf_primaries.get(shard).ok_or_else(|| {
-            Error::Data(format!("no such shard {shard} (have {})", self.leaf_primaries.len()))
-        })?;
-        let mut client = RpcClient::new(addr.clone(), self.compress);
-        expect_ack(
-            client.call(&Request::Delay { micros: delay.as_micros() as u64 }, STARTUP_TIMEOUT)?,
-            "delay",
-        )
-        .map(|_| ())
-    }
 }
 
-impl Drop for ProcessTree {
+impl Drop for Workers {
     fn drop(&mut self) {
         // Polite first: a Shutdown request lets workers exit cleanly.
         for addr in &self.addrs {

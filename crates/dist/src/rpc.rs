@@ -1,4 +1,12 @@
-//! The RPC boundary of the §4 computation tree.
+//! The edges of the §4 computation tree, and the RPC boundary behind one
+//! kind of them.
+//!
+//! **Edges.** A node reaches a child through a [`Link`]: a direct
+//! reference to a [`Node`] in the same address space, or a socket to a
+//! worker process holding one. [`ChildHandle`] and [`fan_out`] — metadata
+//! pre-skip, replica failover, report stamping, the fold — are written
+//! once above the link and run unchanged over both kinds. The rest of this
+//! module is what only the socket kind needs.
 //!
 //! **Transport.** Frames travel over a socket-shape-agnostic [`Stream`]:
 //! `unix:<path>` sockets for the single-box process split, `tcp:<host:port>`
@@ -61,11 +69,12 @@
 
 use crate::chaos::ChaosDirective;
 use crate::meta::{self, ShardMeta};
+use crate::node::Node;
 use pd_common::rng::Rng;
 use pd_common::wire::{self, Decode, Encode, FrameHeader, Reader};
 use pd_common::{fx_hash64, Error, Result, Row, RpcError, Schema};
 use pd_compress::{Codec, CodecKind};
-use pd_core::{BuildOptions, PartialResult, ScanStats};
+use pd_core::{scheduler, BuildOptions, PartialResult, ScanStats};
 use pd_encoding::TableDelta;
 use pd_sql::AnalyzedQuery;
 use std::io::{Read, Write};
@@ -337,7 +346,7 @@ pub struct LoadRequest {
     pub schema: Schema,
     pub rows: Vec<Row>,
     pub build: BuildOptions,
-    /// Worker thread count for chunk scans (0 = auto, as in-process).
+    /// Worker thread count for chunk scans (0 = auto).
     pub threads: u64,
     /// This shard's share of the uncompressed-cache byte budget.
     pub cache_budget: u64,
@@ -984,10 +993,6 @@ impl RpcClient {
         }
     }
 
-    pub fn addr(&self) -> &Addr {
-        &self.addr
-    }
-
     /// A token that can cancel this client's in-flight call from another
     /// thread. Valid across reconnects: the slot tracks the live stream.
     pub fn cancel_token(&self) -> CancelToken {
@@ -1093,28 +1098,95 @@ impl RpcClient {
     }
 }
 
-// --- shared fan-out (driver root and merge servers) ------------------------
+// --- edges: how any node reaches a child ------------------------------------
 
-/// A child the current node queries: its spec plus lazily connected
-/// clients. Clients sit behind mutexes so a `&self` fan-out can run one
-/// thread per child (concurrent queries to the *same* child serialize,
-/// which is exactly a per-connection queue).
+/// One way to reach a child node. Everything above a link — pruning,
+/// failover, report stamping, the fold — is the same code for both kinds.
+pub enum Link {
+    /// A worker process behind a socket. The mutex serializes one
+    /// request/response pair per connection, so a `&self` fan-out can run
+    /// one thread per child (concurrent queries to the *same* child
+    /// serialize, which is exactly a per-connection queue).
+    Socket(pd_common::sync::Mutex<RpcClient>),
+    /// A node in this address space: no frame, no serialization, no queue.
+    Local(Arc<Node>),
+}
+
+impl Link {
+    fn socket(addr: Addr, compress: bool) -> Link {
+        Link::Socket(pd_common::sync::Mutex::new(RpcClient::new(addr, compress)))
+    }
+
+    /// Ask the child behind this link, classifying the reply for the
+    /// failover logic (see [`LeafOutcome`]).
+    fn ask(&self, request: &QueryRequest, timeout: Duration) -> LeafOutcome {
+        match self {
+            Link::Socket(client) => {
+                let message = Request::Query(Box::new(request.clone()));
+                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
+                classify(client.lock().call(&message, timeout))
+            }
+            Link::Local(node) => match node.query(request, Duration::ZERO) {
+                Ok(answer) => LeafOutcome::Answer(answer),
+                Err(e @ Error::Rpc(_)) => LeafOutcome::Failed(e),
+                Err(e) => LeafOutcome::Fatal(e),
+            },
+        }
+    }
+}
+
+/// A child the current node queries: the shard summaries beneath the edge
+/// plus the link(s) that reach it.
 pub struct ChildHandle {
-    pub spec: ChildSpec,
-    primary: pd_common::sync::Mutex<RpcClient>,
-    replica: Option<pd_common::sync::Mutex<RpcClient>>,
+    /// `Some(shard)`: a leaf server (with its replica, the §4
+    /// "answer-first-wins" pair) — failover and report stamping apply.
+    /// `None`: a deeper merge node.
+    shard: Option<u64>,
+    /// Every shard summary beneath this edge. Empty means *unknown* (a
+    /// local leaf keeps none): the edge is never pruned.
+    metas: Vec<ShardMeta>,
+    primary: Link,
+    replica: Option<Link>,
 }
 
 impl ChildHandle {
+    /// A child in a worker process (clients connect lazily).
     pub fn new(spec: ChildSpec, compress: bool) -> ChildHandle {
-        let (primary, replica) = match &spec {
-            ChildSpec::Leaf { primary, replica, .. } => (primary.clone(), replica.clone()),
-            ChildSpec::Node { addr, .. } => (addr.clone(), None),
-        };
+        match spec {
+            ChildSpec::Leaf { shard, primary, replica, meta } => ChildHandle {
+                shard: Some(shard),
+                metas: vec![meta],
+                primary: Link::socket(primary, compress),
+                replica: replica.map(|addr| Link::socket(addr, compress)),
+            },
+            ChildSpec::Node { addr, metas, .. } => ChildHandle {
+                shard: None,
+                metas,
+                primary: Link::socket(addr, compress),
+                replica: None,
+            },
+        }
+    }
+
+    /// A child in this address space. `shard` marks a leaf; a `replicated`
+    /// leaf's replica link is a second reference to the same node — one
+    /// address space holds one copy of the bytes — so a killed primary
+    /// fails over through the same code a socket pair uses.
+    pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
         ChildHandle {
-            spec,
-            primary: pd_common::sync::Mutex::new(RpcClient::new(primary, compress)),
-            replica: replica.map(|r| pd_common::sync::Mutex::new(RpcClient::new(r, compress))),
+            shard,
+            metas: Vec::new(),
+            replica: (replicated && shard.is_some()).then(|| Link::Local(Arc::clone(&node))),
+            primary: Link::Local(node),
+        }
+    }
+
+    /// `(hits, misses)` of the result caches beneath this edge that live in
+    /// this address space (`(0, 0)` behind a socket).
+    pub fn cache_stats(&self) -> (u64, u64) {
+        match &self.primary {
+            Link::Local(node) => node.cache_stats(),
+            Link::Socket(_) => (0, 0),
         }
     }
 
@@ -1122,15 +1194,13 @@ impl ChildHandle {
     /// child proves no row can match, synthesize the empty answer locally
     /// — full skip accounting, one `subtrees_pruned` for the edge that
     /// never carried the query, a zero-latency report per shard — and
-    /// spend no network hop at all. With chunk pruning enabled the proof
-    /// is chunk-granular, so the chunks beneath the edge are additionally
-    /// annotated as [`ScanStats::chunks_pruned_remote`] (they still land
-    /// in `chunks_skipped` — the annotation records *where* the proof
+    /// spend no hop at all. A chunk-granular proof additionally annotates
+    /// the chunks as [`ScanStats::chunks_pruned_remote`] (*where* the proof
     /// happened, outside the skip/cache/scan balance).
     fn pruned_answer(&self, count_chunks: bool) -> SubtreeAnswer {
         let mut answer = SubtreeAnswer::empty();
         answer.stats.subtrees_pruned = 1;
-        for meta in self.spec.metas() {
+        for meta in &self.metas {
             answer.stats.rows_total += meta.rows;
             answer.stats.rows_skipped += meta.rows;
             answer.stats.chunks_total += meta.chunks as usize;
@@ -1151,23 +1221,20 @@ impl ChildHandle {
     }
 
     /// Query this child, applying the §4 failover rule at leaves: a killed
-    /// or unresponsive primary is replaced by its replica — raced in
-    /// parallel after the hedge delay, first answer wins. Without a
-    /// replica any transport failure is fatal for the query. An
-    /// *application* error from a live worker (a `Response::Err`)
-    /// propagates instead — the worker answered, so a deterministic error
-    /// would only repeat on the replica. The report's latency is
-    /// *measured* — the parent's wall clock around the call, transport
-    /// and hedging included.
+    /// or unresponsive primary is replaced by its replica — over sockets
+    /// raced in parallel after the hedge delay, first answer wins. Without
+    /// a replica any transport failure is fatal for the query; an
+    /// *application* error from a live node always is. The report's
+    /// latency is *measured* — the parent's wall clock around the call,
+    /// transport and hedging included.
     fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
-        // The prune precedes the kill/failover logic deliberately,
-        // mirroring the shard-cache precedent: an answer that never needs
-        // the server treats a dead primary as a non-event (no failover
-        // recorded). Killed shards without replication are still rejected
-        // at the root before any fan-out begins.
-        let metas = self.spec.metas();
-        let dead = !metas.is_empty()
-            && metas.iter().all(|m| {
+        // The prune precedes the kill/failover logic deliberately: an
+        // answer that never needs the server treats a dead primary as a
+        // non-event (no failover recorded). Killed shards without
+        // replication are still rejected at the root before any fan-out
+        // begins.
+        let dead = !self.metas.is_empty()
+            && self.metas.iter().all(|m| {
                 if request.chunk_pruning {
                     // Full layered check: shard zone map → blooms → how
                     // many chunks survive. Zero live chunks prune the
@@ -1181,171 +1248,153 @@ impl ChildHandle {
             return Ok(self.pruned_answer(request.chunk_pruning));
         }
         let started = Instant::now();
-        let message = Request::Query(Box::new(request.clone()));
         let budget = request.budget;
-        match &self.spec {
-            ChildSpec::Node { addr, .. } => {
-                // A merge server inherits the whole remaining budget — it
-                // decrements and forwards it, so no height scaling is
-                // needed: the budget *is* the end-to-end clock.
-                // pd-analysis: allow(lock-order) -- the client mutex serializes one request/response pair per connection; the guard must span the call
-                match unpack(self.primary.lock().call(&message, budget)?)? {
-                    Some(answer) => Ok(answer),
-                    None => Err(Error::Data(format!("rpc: merge server {addr} sent no answer"))),
-                }
+        let Some(shard) = self.shard else {
+            // A merge node inherits the whole remaining budget — it
+            // decrements and forwards it, so no height scaling is needed:
+            // the budget *is* the end-to-end clock. A `Malformed` NAK from
+            // a node with no replica to retry is as fatal as any fault.
+            return match self.primary.ask(request, budget) {
+                LeafOutcome::Answer(answer) => Ok(answer),
+                LeafOutcome::Failed(e) | LeafOutcome::Fatal(e) => Err(e),
+            };
+        };
+        let killed = request.killed.contains(&shard);
+        let hedged = AtomicBool::new(false);
+        let outcome = match (&self.primary, &self.replica) {
+            // Only socket pairs race: there a straggler costs one hedge
+            // delay instead of its whole budget. An in-memory replica is
+            // the same node — nothing to race.
+            (Link::Socket(primary), Some(Link::Socket(replica)))
+                if !killed && request.hedge_micros > 0 =>
+            {
+                race(primary, replica, request, &hedged, shard)
             }
-            ChildSpec::Leaf { shard, .. } => {
-                let shard = *shard;
-                let killed = request.killed.contains(&shard);
-                let hedged = AtomicBool::new(false);
-                let outcome = match (&self.replica, killed) {
-                    // FailureModel kill without a replica: rejected at
-                    // the root already, but guard the direct path too.
-                    (None, true) => Err(no_replica_fail(
-                        shard,
-                        Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())),
-                    )),
-                    // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                    (None, false) => match classify(self.primary.lock().call(&message, budget)) {
-                        LeafOutcome::Answer(answer) => Ok((answer, false)),
-                        LeafOutcome::Fatal(e) => Err(e),
-                        LeafOutcome::Failed(e) => Err(no_replica_fail(shard, e)),
-                    },
-                    // A killed primary is simply never contacted — the
-                    // replica serves alone, same as a lost race.
-                    (Some(replica), true) => {
-                        // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                        match classify(replica.lock().call(&message, budget)) {
+            // Otherwise one copy after the other, the replica living on
+            // whatever budget remains. A killed primary is simply never
+            // contacted.
+            (primary, replica) => {
+                let first = if killed {
+                    let gone = RpcError::PeerGone("primary killed mid-query".into());
+                    LeafOutcome::Failed(Error::Rpc(gone))
+                } else {
+                    primary.ask(request, budget)
+                };
+                match (first, replica) {
+                    (LeafOutcome::Answer(answer), _) => Ok((answer, false)),
+                    (LeafOutcome::Fatal(e), _) => Err(e),
+                    (LeafOutcome::Failed(e), None) => Err(no_replica_fail(shard, e)),
+                    (LeafOutcome::Failed(pe), Some(replica)) => {
+                        match replica.ask(request, budget.saturating_sub(started.elapsed())) {
                             LeafOutcome::Answer(answer) => Ok((answer, true)),
                             LeafOutcome::Fatal(e) => Err(e),
-                            LeafOutcome::Failed(e) => Err(both_failed(
-                                shard,
-                                Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())),
-                                e,
-                            )),
+                            LeafOutcome::Failed(re) => Err(both_failed(shard, pe, re)),
                         }
                     }
-                    // Hedging disabled: the old sequential failover, with
-                    // the replica living on whatever budget remains.
-                    (Some(replica), false) if request.hedge_micros == 0 => {
-                        // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                        match classify(self.primary.lock().call(&message, budget)) {
-                            LeafOutcome::Answer(answer) => Ok((answer, false)),
-                            LeafOutcome::Fatal(e) => Err(e),
-                            LeafOutcome::Failed(pe) => {
-                                let left = budget.saturating_sub(started.elapsed());
-                                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                                match classify(replica.lock().call(&message, left)) {
-                                    LeafOutcome::Answer(answer) => Ok((answer, true)),
-                                    LeafOutcome::Fatal(e) => Err(e),
-                                    LeafOutcome::Failed(re) => Err(both_failed(shard, pe, re)),
-                                }
-                            }
-                        }
-                    }
-                    (Some(replica), false) => self.race(replica, &message, request, &hedged, shard),
-                };
-                let (mut answer, failover) = outcome?;
-                let elapsed = started.elapsed();
-                let hedged = hedged.load(Ordering::Relaxed);
-                for report in &mut answer.reports {
-                    report.latency = elapsed;
-                    report.failover = failover;
-                    report.hedged = hedged;
                 }
-                Ok(answer)
             }
+        };
+        let (mut answer, failover) = outcome?;
+        let elapsed = started.elapsed();
+        let hedged = hedged.load(Ordering::Relaxed);
+        for report in &mut answer.reports {
+            report.latency = elapsed;
+            // A cached partial needed no server, so whichever copy held it
+            // records no failover — the same rule a merge node's cache hit
+            // and a pruned edge already follow.
+            report.failover = failover && !report.cache_hit;
+            report.hedged = hedged;
         }
-    }
-
-    /// The hedged replica race. The primary is asked immediately; if it
-    /// has neither answered nor failed within the hedge delay, the
-    /// replica is launched *in parallel* and the first answer wins — the
-    /// loser's socket is shut down so its thread unblocks right away. A
-    /// primary that fails *fast* (refused connect, reset) skips the wait
-    /// and fails over immediately; one that fails *slow* loses the race
-    /// it is already in. Returns `(answer, answered_by_replica)`.
-    fn race(
-        &self,
-        replica: &pd_common::sync::Mutex<RpcClient>,
-        message: &Request,
-        request: &QueryRequest,
-        hedged: &AtomicBool,
-        shard: u64,
-    ) -> Result<(SubtreeAnswer, bool)> {
-        let budget = request.budget;
-        let hedge = Duration::from_micros(request.hedge_micros);
-        let primary_token = self.primary.lock().cancel_token();
-        let replica_token = replica.lock().cancel_token();
-        let (outcome_tx, outcome_rx) = mpsc::channel::<(bool, LeafOutcome)>();
-        let (primary_done_tx, primary_done_rx) = mpsc::channel::<bool>();
-        std::thread::scope(|scope| {
-            let primary_tx = outcome_tx.clone();
-            scope.spawn(move || {
-                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                let outcome = classify(self.primary.lock().call(message, budget));
-                let answered = matches!(outcome, LeafOutcome::Answer(_));
-                let _ = primary_done_tx.send(answered);
-                let _ = primary_tx.send((false, outcome));
-            });
-            let replica_tx = outcome_tx;
-            scope.spawn(move || {
-                match primary_done_rx.recv_timeout(hedge) {
-                    // The primary answered inside the hedge window — the
-                    // common, healthy case: no replica call at all.
-                    Ok(true) => return,
-                    // The primary failed fast: immediate failover, not a
-                    // hedge (the race was never close).
-                    Ok(false) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
-                    // Hedge fires: the primary is still out there.
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        hedged.store(true, Ordering::Relaxed);
-                    }
-                }
-                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                let outcome = classify(replica.lock().call(message, budget));
-                let _ = replica_tx.send((true, outcome));
-            });
-            let mut failures: Vec<(bool, Error)> = Vec::new();
-            while let Ok((is_replica, outcome)) = outcome_rx.recv() {
-                match outcome {
-                    LeafOutcome::Answer(answer) => {
-                        // First answer wins; unblock the loser now.
-                        if is_replica {
-                            primary_token.cancel();
-                        } else {
-                            replica_token.cancel();
-                        }
-                        return Ok((answer, is_replica));
-                    }
-                    LeafOutcome::Fatal(e) => {
-                        primary_token.cancel();
-                        replica_token.cancel();
-                        return Err(e);
-                    }
-                    LeafOutcome::Failed(e) => failures.push((is_replica, e)),
-                }
-            }
-            // Both copies sent a Failed (the channel closed with no
-            // Answer): combine, preferring the primary's typed variant.
-            let primary_err = failures
-                .iter()
-                .position(|(is_replica, _)| !is_replica)
-                .map(|i| failures.remove(i).1)
-                .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("primary never ran".into())));
-            let replica_err = failures
-                .pop()
-                .map(|(_, e)| e)
-                .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("replica never ran".into())));
-            Err(both_failed(shard, primary_err, replica_err))
-        })
+        Ok(answer)
     }
 }
 
-/// How a leaf reply steers the race: an answer wins; a *transport*
-/// failure (typed fault, torn frame, dead socket) lets the other copy
-/// win; a deterministic application error aborts the race — the replica
-/// would only repeat it.
+/// The hedged replica race. The primary is asked immediately; if it has
+/// neither answered nor failed within the hedge delay, the replica is
+/// launched *in parallel* and the first answer wins — the loser's socket
+/// is shut down so its thread unblocks right away. A primary that fails
+/// *fast* (refused connect, reset) skips the wait and fails over
+/// immediately; one that fails *slow* loses the race it is already in.
+/// Returns `(answer, answered_by_replica)`.
+fn race(
+    primary: &pd_common::sync::Mutex<RpcClient>,
+    replica: &pd_common::sync::Mutex<RpcClient>,
+    request: &QueryRequest,
+    hedged: &AtomicBool,
+    shard: u64,
+) -> Result<(SubtreeAnswer, bool)> {
+    let budget = request.budget;
+    let hedge = Duration::from_micros(request.hedge_micros);
+    let message = &Request::Query(Box::new(request.clone()));
+    let primary_token = primary.lock().cancel_token();
+    let replica_token = replica.lock().cancel_token();
+    let (outcome_tx, outcome_rx) = mpsc::channel::<(bool, LeafOutcome)>();
+    let (primary_done_tx, primary_done_rx) = mpsc::channel::<bool>();
+    std::thread::scope(|scope| {
+        let primary_tx = outcome_tx.clone();
+        scope.spawn(move || {
+            // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
+            let outcome = classify(primary.lock().call(message, budget));
+            let answered = matches!(outcome, LeafOutcome::Answer(_));
+            let _ = primary_done_tx.send(answered);
+            let _ = primary_tx.send((false, outcome));
+        });
+        let replica_tx = outcome_tx;
+        scope.spawn(move || {
+            match primary_done_rx.recv_timeout(hedge) {
+                // The primary answered inside the hedge window — the
+                // common, healthy case: no replica call at all.
+                Ok(true) => return,
+                // The primary failed fast: immediate failover, not a
+                // hedge (the race was never close).
+                Ok(false) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
+                // Hedge fires: the primary is still out there.
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    hedged.store(true, Ordering::Relaxed);
+                }
+            }
+            // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
+            let outcome = classify(replica.lock().call(message, budget));
+            let _ = replica_tx.send((true, outcome));
+        });
+        let mut failures: Vec<(bool, Error)> = Vec::new();
+        while let Ok((is_replica, outcome)) = outcome_rx.recv() {
+            match outcome {
+                LeafOutcome::Answer(answer) => {
+                    // First answer wins; unblock the loser now.
+                    if is_replica {
+                        primary_token.cancel();
+                    } else {
+                        replica_token.cancel();
+                    }
+                    return Ok((answer, is_replica));
+                }
+                LeafOutcome::Fatal(e) => {
+                    primary_token.cancel();
+                    replica_token.cancel();
+                    return Err(e);
+                }
+                LeafOutcome::Failed(e) => failures.push((is_replica, e)),
+            }
+        }
+        // Both copies sent a Failed (the channel closed with no
+        // Answer): combine, preferring the primary's typed variant.
+        let primary_err = failures
+            .iter()
+            .position(|(is_replica, _)| !is_replica)
+            .map(|i| failures.remove(i).1)
+            .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("primary never ran".into())));
+        let replica_err = failures
+            .pop()
+            .map(|(_, e)| e)
+            .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("replica never ran".into())));
+        Err(both_failed(shard, primary_err, replica_err))
+    })
+}
+
+/// How a child's reply steers failover: an answer wins; a *transport*
+/// failure lets the other copy win; a deterministic application error
+/// aborts — the replica would only repeat it.
 enum LeafOutcome {
     Answer(SubtreeAnswer),
     Failed(Error),
@@ -1361,7 +1410,7 @@ fn classify(result: Result<Response>) -> LeafOutcome {
         ))),
         Ok(Response::Fault(fault)) => LeafOutcome::Failed(Error::Rpc(fault)),
         Ok(Response::Ok | Response::Loaded(_)) => {
-            LeafOutcome::Fatal(Error::Data("leaf acked a query without an answer".into()))
+            LeafOutcome::Fatal(Error::Data("node acked a query without an answer".into()))
         }
         Err(e) => LeafOutcome::Failed(e),
     }
@@ -1397,32 +1446,28 @@ fn retag(e: Error, message: String) -> Error {
     }
 }
 
-/// Split a well-formed response into answer / application error; a bare
-/// ack to a query is a protocol violation, and a `Malformed` NAK from a
-/// node with no replica to retry is fatal.
-fn unpack(response: Response) -> Result<Option<SubtreeAnswer>> {
-    match response {
-        Response::Answer(answer) => Ok(Some(*answer)),
-        Response::Err(message) => Err(Error::Data(message)),
-        Response::Fault(fault) => Err(Error::Rpc(fault)),
-        Response::Malformed(message) => {
-            Err(Error::Data(format!("rpc: peer rejected the request frame: {message}")))
-        }
-        Response::Ok | Response::Loaded(_) => Ok(None),
-    }
-}
-
 /// Fan a query out to every child concurrently and fold the answers in
-/// fixed child order — the same associative merge the in-process cluster
-/// uses, so the tree shape cannot change the result. Children pruned by
-/// shard metadata never spawn a network hop (their synthesized skip
-/// answers fold in the same order).
+/// fixed child order — every level uses this same associative merge, so
+/// the tree shape cannot change the result. In-memory children run as
+/// tasks on the shared [`pd_core::scheduler`] pool — the pool their chunk
+/// scans nest on, where a waiting fan-out helps drain the queue — because
+/// a per-query thread spawn would cost more than a warm hop does; socket
+/// children block on I/O, so each gets a scoped thread.
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
-    let answers: Vec<Result<SubtreeAnswer>> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            children.iter().map(|child| scope.spawn(move || child.query(request))).collect();
-        handles.into_iter().map(|h| h.join().expect("child query thread panicked")).collect()
-    });
+    let answers: Vec<Result<SubtreeAnswer>> = match children.first().map(|c| &c.primary) {
+        Some(Link::Local(node)) => {
+            scheduler::run_tasks(
+                node.threads(),
+                children.len(),
+                |i| Ok(children[i].query(request)),
+            )?
+        }
+        _ => std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                children.iter().map(|child| scope.spawn(move || child.query(request))).collect();
+            handles.into_iter().map(|h| h.join().expect("child query thread panicked")).collect()
+        }),
+    };
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
         let answer = answer?;
@@ -1659,16 +1704,17 @@ mod tests {
             },
             false,
         );
-        let request = QueryRequest {
-            query: analyzed("SELECT COUNT(*) FROM t WHERE k = 'absent'"),
+        let request = |sql: &str, chunk_pruning: bool| QueryRequest {
+            query: analyzed(sql),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
             killed: Vec::new(),
             epoch: 1,
             chaos: Vec::new(),
-            chunk_pruning: false,
+            chunk_pruning,
         };
-        let answer = fan_out(std::slice::from_ref(&handle), &request).unwrap();
+        let absent = request("SELECT COUNT(*) FROM t WHERE k = 'absent'", false);
+        let answer = fan_out(std::slice::from_ref(&handle), &absent).unwrap();
         assert_eq!(answer.stats.subtrees_pruned, 1);
         assert_eq!(answer.stats.rows_total, rows);
         assert_eq!(answer.stats.rows_skipped, rows);
@@ -1677,16 +1723,7 @@ mod tests {
         assert!(answer.partial.groups.is_empty());
         // A restriction that *may* match must reach for the socket — and
         // fail, because nothing listens there.
-        let request = QueryRequest {
-            query: analyzed("SELECT COUNT(*) FROM t WHERE k = 'x'"),
-            budget: Duration::from_millis(50),
-            hedge_micros: 0,
-            killed: Vec::new(),
-            epoch: 1,
-            chaos: Vec::new(),
-            chunk_pruning: true,
-        };
-        let err = handle.query(&request).unwrap_err();
+        let err = handle.query(&request("SELECT COUNT(*) FROM t WHERE k = 'x'", true)).unwrap_err();
         assert!(
             matches!(err, Error::Rpc(RpcError::ConnRefused(_))),
             "a dead-address leaf with no replica fails typed: {err}"

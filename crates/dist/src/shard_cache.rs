@@ -4,22 +4,17 @@
 //! subqueries: a mouse click refreshes many charts, and every chart except
 //! the one being filtered re-issues a query the tree has answered before.
 //! The chunk-result cache (§6, [`pd_core::ResultCache`]) exploits this per
-//! fully-active chunk *inside* one shard; this module adds the distributed
-//! counterparts, both keyed by the same normalized [`query_signature`]:
+//! fully-active chunk *inside* one shard; [`WorkerCache`] is the
+//! distributed counterpart, keyed by the normalized [`query_signature`]:
+//! every [`crate::node::Node`] owns one — a leaf caches its shard's
+//! [`pd_core::PartialResult`], a merge server the *folded subtree* partial
+//! — so a warm drill-down answers from the topmost cache that has the
+//! signature, with **zero child hops** below it. Invalidation is the
+//! rebuild epoch carried by every `Load`/`Attach`/`Append`/`Query`
+//! ([`crate::rpc`]): a node drops its cache the moment it sees the epoch
+//! advance.
 //!
-//! - [`ShardCache`] — the driver root's per-shard cache of partial
-//!   results, used by the in-process transport where the root sees every
-//!   shard's partial directly;
-//! - [`WorkerCache`] — one node's own cache inside a `pd-dist-worker`
-//!   process: a leaf caches the shard's [`pd_core::PartialResult`], a
-//!   merge server caches the *folded subtree* partial. A warm drill-down
-//!   over RPC therefore answers from the topmost cache that has the
-//!   signature, with **zero child hops** below it. Invalidation is the
-//!   rebuild epoch carried by every `Load`/`Attach`/`Query`
-//!   ([`crate::rpc`]): a node drops its cache the moment it sees the
-//!   epoch advance.
-//!
-//! Two properties make both caches safe:
+//! Two properties make the cache safe:
 //!
 //! - partials are *pre-finalize* states ([`pd_core::PartialResult`]), so
 //!   the signature deliberately excludes `HAVING` / `ORDER BY` / `LIMIT` —
@@ -29,12 +24,10 @@
 //!   to rescanning the shard (or re-folding the subtree). Capacity
 //!   eviction can therefore change [`pd_core::ScanStats`], never results.
 //!
-//! Admission/eviction bookkeeping reuses [`pd_core::BoundedCache`] — the
-//! same cost-aware bounded machinery as the chunk-result cache. Callers
-//! that observed how long the partial took to compute use the `put_costed`
-//! variants, scoring entries by `bytes × recompute ns`
-//! ([`pd_core::cost_score`]) so a full cache keeps the partials that are
-//! most expensive to regenerate.
+//! Admission/eviction reuses [`pd_core::BoundedCache`], the chunk-result
+//! cache's cost-aware machinery: a node scores an entry by `bytes ×
+//! recompute ns` ([`pd_core::cost_score`]), so a full cache keeps the
+//! partials that are most expensive to regenerate.
 
 use crate::rpc::{ShardReport, SubtreeAnswer};
 use pd_core::{cost_score, BoundedCache, PartialResult, ScanStats};
@@ -54,88 +47,6 @@ pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
         analyzed.filter.as_ref().map(Expr::canonical).unwrap_or_default(),
         sketch_m,
     )
-}
-
-/// One shard's cached contribution to a query.
-pub struct ShardEntry {
-    /// The shard's mergeable group states.
-    pub partial: PartialResult,
-    /// Shard shape at computation time, for hit-side stats synthesis.
-    rows_total: u64,
-    chunks_total: usize,
-}
-
-impl ShardEntry {
-    pub fn new(partial: PartialResult, stats: &ScanStats) -> ShardEntry {
-        ShardEntry { partial, rows_total: stats.rows_total, chunks_total: stats.chunks_total }
-    }
-
-    /// The stats a cache hit reports: every row of the shard was served
-    /// from a cached result — nothing scanned, nothing read from disk.
-    pub fn cached_stats(&self) -> ScanStats {
-        ScanStats {
-            chunks_total: self.chunks_total,
-            chunks_cached: self.chunks_total,
-            rows_total: self.rows_total,
-            rows_cached: self.rows_total,
-            ..Default::default()
-        }
-    }
-}
-
-/// The root-side cache of per-shard partial results.
-pub struct ShardCache {
-    entries: BoundedCache<(String, usize), Arc<ShardEntry>>,
-}
-
-impl ShardCache {
-    /// Cache at most `capacity` (signature, shard) partials.
-    pub fn new(capacity: usize) -> ShardCache {
-        ShardCache { entries: BoundedCache::new(capacity) }
-    }
-
-    pub fn get(&self, signature: &str, shard: usize) -> Option<Arc<ShardEntry>> {
-        self.entries.get(&(signature.to_owned(), shard))
-    }
-
-    pub fn put(&self, signature: &str, shard: usize, entry: Arc<ShardEntry>) {
-        self.entries.put((signature.to_owned(), shard), entry);
-    }
-
-    /// [`put`](ShardCache::put) with an observed recompute cost: the entry
-    /// is scored by `partial bytes × recompute ns`, so when the cache is
-    /// full the cheapest-to-regenerate partial is the one displaced (or the
-    /// incoming one rejected).
-    pub fn put_costed(
-        &self,
-        signature: &str,
-        shard: usize,
-        entry: Arc<ShardEntry>,
-        recompute: Duration,
-    ) {
-        let cost = cost_score(entry.partial.approx_bytes(), recompute);
-        self.entries.put_costed((signature.to_owned(), shard), entry, cost);
-    }
-
-    /// Invalidate everything — required whenever a shard's store is
-    /// rebuilt, since cached partials refer to the old data.
-    pub fn invalidate(&self) {
-        self.entries.clear();
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        self.entries.stats()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// One tree node's cached answer for a signature: the partial it would
@@ -196,8 +107,8 @@ impl CachedSubtree {
     }
 }
 
-/// A worker-process node's own result cache (leaf or merge server), keyed
-/// by [`query_signature`] alone — the node *is* its subtree, so no shard
+/// A tree node's own result cache (leaf or merge server), keyed by
+/// [`query_signature`] alone — the node *is* its subtree, so no shard
 /// index is needed.
 pub struct WorkerCache {
     entries: BoundedCache<String, Arc<CachedSubtree>>,
@@ -299,38 +210,6 @@ mod tests {
         ] {
             assert_ne!(base, signature(other), "{other}");
         }
-    }
-
-    #[test]
-    fn entries_are_per_shard() {
-        let cache = ShardCache::new(8);
-        let entry = Arc::new(ShardEntry::new(PartialResult::default(), &ScanStats::default()));
-        cache.put("sig", 0, entry);
-        assert!(cache.get("sig", 0).is_some());
-        assert!(cache.get("sig", 1).is_none());
-        cache.invalidate();
-        assert!(cache.get("sig", 0).is_none());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cached_stats_report_everything_as_cached() {
-        let stats = ScanStats {
-            chunks_total: 7,
-            chunks_scanned: 5,
-            chunks_skipped: 2,
-            rows_total: 700,
-            rows_scanned: 500,
-            rows_skipped: 200,
-            ..Default::default()
-        };
-        let entry = ShardEntry::new(PartialResult::default(), &stats);
-        let hit = entry.cached_stats();
-        assert_eq!(hit.rows_total, 700);
-        assert_eq!(hit.rows_cached, 700);
-        assert_eq!(hit.rows_scanned, 0);
-        assert_eq!(hit.chunks_cached, 7);
-        assert_eq!(hit.disk_bytes, 0);
     }
 
     #[test]

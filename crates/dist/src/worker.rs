@@ -1,78 +1,57 @@
-//! The worker process: one node of the §4 computation tree.
+//! The worker process: one [`Node`] of the §4 computation tree behind a
+//! socket.
 //!
 //! `pd-dist-worker --listen <unix:path | tcp:host:port>` binds a socket in
 //! either shape and serves the [`crate::rpc`] protocol. With
 //! `--listen tcp:host:0` the OS picks the port; `--announce <file>` makes
 //! the worker write its resolved address there (atomically, via rename) so
-//! the spawner can find it. What kind of node the worker becomes is
-//! decided by the driver after startup:
-//!
-//! - a [`Request::Load`] turns it into a **leaf server**: it imports the
-//!   shipped rows with the shipped [`pd_core::BuildOptions`] (building
-//!   exactly the store the in-process cluster would), summarizes the shard
-//!   into a [`crate::meta::ShardMeta`] (answered as [`Response::Loaded`],
-//!   so parents can pre-skip it later), and answers queries by executing
-//!   the shipped [`pd_sql::AnalyzedQuery`] — no SQL parsing on any hop;
-//! - a [`Request::Attach`] turns it into a **merge server** ("mixer"): it
-//!   owns a subtree of children, fans queries out to them, folds their
-//!   partials with the same associative merge the root uses, applies the
-//!   replica-failover rule to its leaf children, and **prunes children
-//!   whose shard metadata cannot match the query's restriction** before
-//!   spending any network hop;
-//! - a [`Request::Append`] streams new rows into an existing **leaf**
-//!   in place: the worker applies the dictionary-delta table to its
-//!   resident store (existing codes stay stable, new codes append),
-//!   re-derives the shard summary for the new chunks only, drops every
-//!   resident cache layer, adopts the shipped epoch, and acks with the
-//!   refreshed [`crate::meta::ShardMeta`] — no respawn, no re-import.
-//!
-//! Either role owns a [`crate::shard_cache::WorkerCache`] (capacity
-//! shipped in `Load`/`Attach`): repeated queries with the same normalized
-//! signature answer from the node's cached partial — a leaf skips its
-//! scan, a merge server skips its *entire subtree fan-out* — with the hit
-//! recorded in [`pd_core::ScanStats::worker_cache_hits`] and every shard
-//! report flagged `cache_hit`. Invalidation is the **rebuild epoch**: the
-//! driver bumps it on [`crate::Cluster::rebuild`], every `Load`/`Attach`/
-//! `Query` carries it, and a node that sees the epoch move drops its
-//! cache before doing anything else.
+//! the spawner can find it. What the node *does* is [`crate::node`]'s
+//! business — the same code an in-memory tree runs; this module is only
+//! what is genuinely a process's: argv, sockets, the executor queue, and
+//! wire sabotage. The driver assigns the role after startup — a
+//! [`Request::Load`] makes the process a leaf (it summarizes the shipped
+//! rows into a [`ShardMeta`], imports them, and acks with the summary so
+//! parents can pre-skip the shard), a [`Request::Attach`] a merge server
+//! over the listed children, and a [`Request::Append`] streams rows into
+//! an existing leaf in place. Each assignment *replaces* the node outright
+//! — a repurposed worker can never answer from a shadowed store, a stale
+//! child list or the previous role's cache.
 //!
 //! **Compression mirror.** The worker has no compression config of its
 //! own: it compresses a response exactly when the request frame advertised
 //! `FRAME_FLAG_COMPRESS_OK`, and (as a merge server) compresses frames to
-//! its children when the `Attach` said to — the per-connection negotiation
-//! travels down the tree with the wiring.
+//! its children when the `Attach` said to.
 //!
 //! **Measured queue delays.** Connections are accepted and read on their
 //! own threads, but all requests funnel through a single executor thread.
 //! The time a request spends between arrival and execution is this
-//! process's *real* queue delay — measured with a monotonic clock inside
-//! one process, no cross-process clock games — and it rides up the tree in
-//! every [`ShardReport`]: a merge server adds its own queueing to each of
-//! its shards' reports. That observation stream is what replaces the
-//! seeded [`crate::LoadModel`] draws when the cluster runs over RPC. The
-//! `Delay` test knob deliberately lives *outside* this pipeline: the
-//! artificial sleep happens on the delayed query's own connection thread,
-//! after execution and before the reply — it is service time of that
-//! query alone (the caller still sees a worker that blows its deadline),
-//! and it never inflates the measured queue delay of unrelated requests
-//! behind it.
+//! process's *real* queue delay — one monotonic clock inside one process —
+//! and it is handed to [`Node::query`], which charges it against the
+//! query's budget and reports it up the tree. The `Delay` test knob
+//! deliberately lives *outside* this pipeline: the artificial sleep
+//! happens on the delayed query's own connection thread, after execution
+//! and before the reply — service time of that query alone, never queue
+//! delay of the requests behind it.
+//!
+//! **Chaos.** Injected faults ([`crate::chaos`]) are matched against this
+//! node's name *around* the call into the node: a `Kill` exits the process
+//! before any reply byte, `Reset` / `Torn` wreck the reply on the
+//! connection thread, `Delay` adds to its lag. The node itself never sees
+//! them — which is why a node running inside the driver cannot be made to
+//! exit it.
 
 use crate::chaos::ChaosFault;
-use crate::meta::{self, ShardMeta};
+use crate::meta::ShardMeta;
+use crate::node::{Node, NodeSpec};
 use crate::rpc::{
-    encode_frame, fan_out, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener,
-    LoadRequest, QueryRequest, Request, Response, ShardReport, Stream, SubtreeAnswer,
+    encode_frame, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener, Request,
+    Response, Stream,
 };
-use crate::shard_cache::{query_signature, CachedSubtree, WorkerCache};
-use pd_common::{Error, Result, RpcError, Value};
-use pd_core::{
-    execute_partial_seeded, CachePolicy, DataStore, ExecContext, ResultCache, TieredCache,
-};
+use pd_common::{Error, Result};
 use pd_data::Table;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Entry point for the `pd-dist-worker` binary: parse the listen address,
@@ -114,43 +93,13 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// A leaf's executable state.
-struct LeafStore {
-    shard: u64,
-    store: DataStore,
-    ctx: ExecContext,
-    /// The shard's own metadata (the same object the `Loaded` ack ships):
-    /// queries with chunk pruning enabled seed their scan with the
-    /// per-chunk verdicts instead of re-deriving them per query plan.
-    meta: ShardMeta,
-}
-
-/// What this worker currently is. `Load` and `Attach` are role
-/// assignments from the driver; each one *replaces* the previous role
-/// outright — a repurposed worker must never answer from a shadowed
-/// store or a stale child list.
+/// What the executor thread owns: the node this process currently is
+/// (`None` until the driver assigns a role) and the `Delay` knob.
 #[derive(Default)]
-struct Role {
-    leaf: Option<LeafStore>,
-    children: Option<Vec<ChildHandle>>,
-    /// This node's own result cache (`None` = disabled by the driver).
-    cache: Option<WorkerCache>,
-    /// Rebuild epoch of the data this node serves; a query from a
-    /// different epoch drops the cache (its partials describe old data).
-    epoch: u64,
-    /// This node's tree-wide name (`l0p`, `m1_0`, ...), assigned with the
-    /// role — the key chaos directives are matched against.
-    name: String,
+struct Served {
+    node: Option<Node>,
     /// Test knob: artificial delay before query answers reach the wire.
     delay: Duration,
-}
-
-impl Role {
-    /// Install a fresh role's cache + epoch (shared by `Load`/`Attach`).
-    fn reset_cache(&mut self, cache_entries: u64, epoch: u64) {
-        self.cache = (cache_entries > 0).then(|| WorkerCache::new(cache_entries as usize));
-        self.epoch = epoch;
-    }
 }
 
 /// How a response should reach the wire: after `lag` sleep (the `Delay`
@@ -201,7 +150,7 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
     }
     let (queue, requests) = mpsc::channel::<Work>();
 
-    // The single executor owns the role outright: requests run strictly in
+    // The single executor owns the node outright: requests run strictly in
     // arrival order (the gap between enqueue and dequeue is this process's
     // queue delay), and nothing else ever touches the state — connection
     // threads only feed the queue. The artificial `Delay` is handed back
@@ -211,12 +160,11 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
     std::thread::Builder::new()
         .name("pd-worker-exec".into())
         .spawn(move || {
-            let mut role = Role::default();
+            let mut served = Served::default();
             for work in requests {
                 let queued = work.enqueued.elapsed();
-                let is_query = matches!(work.request, Request::Query(_));
                 let mut mode = ReplyMode::default();
-                let response = handle(&mut role, work.request, queued, &mut mode).unwrap_or_else(
+                let response = handle(&mut served, work.request, queued, &mut mode).unwrap_or_else(
                     |e| match e {
                         // Typed robustness failures cross the wire as
                         // `Fault` so the parent's policy can dispatch on
@@ -225,9 +173,6 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
                         e => Response::Err(e.to_string()),
                     },
                 );
-                if is_query {
-                    mode.lag += role.delay;
-                }
                 let _ = work.reply.send((response, mode));
             }
         })
@@ -312,85 +257,66 @@ fn connection_loop(mut stream: Stream, queue: mpsc::Sender<Work>) {
 }
 
 fn handle(
-    role: &mut Role,
+    served: &mut Served,
     request: Request,
     queued: Duration,
     mode: &mut ReplyMode,
 ) -> Result<Response> {
     match request {
         Request::Load(load) => {
-            let (cache_entries, epoch) = (load.cache_entries, load.epoch);
-            role.name = load.name.clone();
-            let (leaf, meta) = build_leaf(*load)?;
-            role.leaf = Some(leaf);
-            // A role assignment is total: a worker repurposed from merge
-            // server to leaf must not keep (and silently prefer or leak)
-            // its old child wiring, and any cached partials describe the
-            // previous role's data.
-            role.children = None;
-            role.reset_cache(cache_entries, epoch);
-            Ok(Response::Loaded(Box::new(meta)))
+            let load = *load;
+            // The worker's own account of its data — value sets and
+            // extremes from the exact rows it serves — is what makes
+            // parent-side pruning sound.
+            let meta = ShardMeta::summarize(load.shard, &load.schema, &load.rows);
+            let mut table = Table::new(load.schema);
+            for row in load.rows {
+                table.push_row(row)?;
+            }
+            let spec = NodeSpec {
+                name: load.name,
+                cache_entries: load.cache_entries as usize,
+                epoch: load.epoch,
+                threads: load.threads as usize,
+            };
+            let node = Node::leaf(
+                load.shard,
+                &table,
+                &load.build,
+                load.cache_budget as usize,
+                Some(meta),
+                spec,
+            )?;
+            let meta = node.meta();
+            served.node = Some(node);
+            loaded(meta)
         }
         Request::Attach(attach) => {
             let compress = attach.compress;
-            role.name = attach.name;
-            role.children =
-                Some(attach.children.into_iter().map(|c| ChildHandle::new(c, compress)).collect());
-            // Same totality the other way: the old leaf store would shadow
-            // the freshly attached subtree.
-            role.leaf = None;
-            role.reset_cache(attach.cache_entries, attach.epoch);
-            Ok(Response::Ok)
-        }
-        Request::Append(append) => {
-            let Some(leaf) = role.leaf.as_mut() else {
-                return Err(Error::Data("Append sent to a worker that is not a leaf".into()));
+            let children =
+                attach.children.into_iter().map(|c| ChildHandle::new(c, compress)).collect();
+            let spec = NodeSpec {
+                name: attach.name,
+                cache_entries: attach.cache_entries as usize,
+                epoch: attach.epoch,
+                // Socket children each block a scoped thread of their own.
+                threads: 1,
             };
-            if append.shard != leaf.shard {
-                return Err(Error::Data(format!(
-                    "Append for shard {} sent to leaf {}",
-                    append.shard, leaf.shard
-                )));
-            }
-            let old_chunks = leaf.store.chunk_count();
-            leaf.store.append_delta(&append.delta)?;
-            // Re-derive the shard summary in place: the new chunks' zone
-            // maps and the column blooms absorb exactly the delta rows, so
-            // parent-side pruning stays sound without a re-summarize scan
-            // of the resident data.
-            let columns = append.delta.materialized_columns();
-            let slices: Vec<&[Value]> = columns.iter().map(|c| c.as_slice()).collect();
-            let part = leaf.store.partitioning();
-            let new_chunk_rows: Vec<usize> =
-                (old_chunks..part.chunk_count()).map(|c| part.chunk_range(c).len()).collect();
-            let schema = leaf.store.schema().clone();
-            leaf.meta.absorb_delta(&schema, &slices, &new_chunk_rows);
-            // Every resident cache layer describes the pre-append data:
-            // drop chunk results and tiered entries, invalidate the
-            // subtree cache, and adopt the new epoch so queries carrying
-            // it are served fresh.
-            if let Some(results) = &leaf.ctx.result_cache {
-                results.clear();
-            }
-            if let Some(tiered) = &leaf.ctx.tiered {
-                tiered.clear();
-            }
-            let meta = leaf.meta.clone();
-            if let Some(cache) = &role.cache {
-                cache.invalidate();
-            }
-            role.epoch = append.epoch;
-            Ok(Response::Loaded(Box::new(meta)))
-        }
-        Request::Delay { micros } => {
-            role.delay = Duration::from_micros(micros);
+            served.node = Some(Node::mixer(children, spec));
             Ok(Response::Ok)
         }
-        Request::Query(mut query) => {
+        Request::Append(append) => loaded(assigned(served)?.append(&append)?),
+        Request::Delay { micros } => {
+            served.delay = Duration::from_micros(micros);
+            Ok(Response::Ok)
+        }
+        Request::Query(query) => {
+            mode.lag += served.delay;
             // Chaos first: injected faults must hit cache hits and budget
             // expiries too — the sabotage is the wire's, not the plan's.
+            let name = served.node.as_ref().map_or("", Node::name);
             for directive in &query.chaos {
-                if directive.node == role.name {
+                if directive.node == name {
                     match directive.fault {
                         // A mid-query crash: no reply byte ever leaves.
                         ChaosFault::Kill => std::process::exit(9),
@@ -400,131 +326,23 @@ fn handle(
                     }
                 }
             }
-            // Decrement the budget by the time this request sat in our
-            // queue. Spent budgets fail typed and *immediately* — children
-            // are never asked to run a query nobody is waiting for.
-            let budget = query.budget.saturating_sub(queued);
-            if budget.is_zero() {
-                return Err(Error::Rpc(RpcError::Deadline(format!(
-                    "{}: budget spent after {queued:?} queued",
-                    role.name
-                ))));
-            }
-            query.budget = budget;
-            if query.epoch != role.epoch {
-                // The driver rebuilt the data since this node's cache was
-                // filled: every cached partial is stale. (Freshly respawned
-                // trees get the new epoch at Load/Attach, so this path is
-                // the guarantee for any node that survives a rebuild.)
-                if let Some(cache) = &role.cache {
-                    cache.invalidate();
-                }
-                role.epoch = query.epoch;
-            }
-            let signature = role.cache.as_ref().map(|_| {
-                let sketch_m = role.leaf.as_ref().map_or(0, |leaf| leaf.ctx.sketch_m());
-                query_signature(&query.query, sketch_m)
-            });
-            if let (Some(cache), Some(signature)) = (&role.cache, &signature) {
-                if let Some(entry) = cache.get(signature) {
-                    // The nearest-cache answer: identical partial, zero
-                    // child hops, every row beneath accounted as cached.
-                    return Ok(Response::Answer(Box::new(entry.to_answer(queued))));
-                }
-            }
-            let started = std::time::Instant::now();
-            let answer = if let Some(leaf) = &role.leaf {
-                execute_leaf(leaf, &query, queued)?
-            } else if let Some(children) = &role.children {
-                let mut answer = fan_out(children, &query)?;
-                for report in &mut answer.reports {
-                    // This merge server's own queueing delays every shard
-                    // beneath it.
-                    report.queue += queued;
-                }
-                answer
-            } else {
-                return Err(Error::Data(
-                    "worker has neither a store (Load) nor children (Attach)".into(),
-                ));
-            };
-            if let (Some(cache), Some(signature)) = (&role.cache, &signature) {
-                // Admission is cost-aware: what this node just spent
-                // computing the subtree answer (scan or fan-out + fold) is
-                // exactly what a future miss would spend again.
-                cache.put_costed(
-                    signature,
-                    Arc::new(CachedSubtree::capture(&answer)),
-                    started.elapsed(),
-                );
-            }
-            Ok(Response::Answer(Box::new(answer)))
+            Ok(Response::Answer(Box::new(assigned(served)?.query(&query, queued)?)))
         }
         Request::Ping => Ok(Response::Ok),
         Request::Shutdown => Ok(Response::Ok), // handled inline; unreachable via queue
     }
 }
 
-/// Import the shipped shard and summarize it. The store and context mirror
-/// what `Cluster::build_shards` constructs in-process, so the process
-/// split changes *where* the shard lives, not what it computes. The
-/// returned [`ShardMeta`] is the worker's own account of its data — value
-/// sets and extremes from the exact rows it serves, chunk count from the
-/// store it built — which is what makes parent-side pruning sound.
-fn build_leaf(load: LoadRequest) -> Result<(LeafStore, ShardMeta)> {
-    let mut meta = ShardMeta::summarize(load.shard, &load.schema, &load.rows);
-    let mut table = Table::new(load.schema);
-    for row in load.rows {
-        table.push_row(row)?;
-    }
-    let store = DataStore::build(&table, &load.build)?;
-    meta.chunks = store.chunk_count() as u64;
-    // The chunk-granular layers come from the *built* store: its
-    // partitioning says which imported rows each chunk scan would visit,
-    // so the per-chunk zone maps (and the blooms for degraded columns)
-    // describe exactly the data every query-time verdict must hold for.
-    let columns: Vec<&[Value]> =
-        (0..table.schema().fields().len()).map(|i| table.column(i)).collect();
-    meta.summarize_chunks(table.schema(), &columns, store.partitioning());
-    meta.build_blooms(table.schema(), &columns);
-    let ctx = ExecContext {
-        sketch_m: 0,
-        threads: load.threads as usize,
-        result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-        tiered: Some(Arc::new(TieredCache::new(
-            CachePolicy::Arc,
-            load.cache_budget as usize,
-            load.cache_budget as usize / 2,
-        ))),
-        kernels: Default::default(),
-    };
-    Ok((LeafStore { shard: load.shard, store, ctx, meta: meta.clone() }, meta))
+fn assigned(served: &Served) -> Result<&Node> {
+    served.node.as_ref().ok_or_else(|| {
+        Error::Data("worker has neither a store (Load) nor children (Attach)".into())
+    })
 }
 
-fn execute_leaf(leaf: &LeafStore, query: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
-    let started = Instant::now();
-    // Seed the scan with the metadata verdicts the parent already pruned
-    // by: chunks the zone maps prove dead are skipped without consulting
-    // the dictionaries, and the sound-verdict lattice composes the rest
-    // with the local analysis (`seed.and(local)` — never less precise).
-    let seeds = (query.chunk_pruning && !leaf.meta.chunk_metas.is_empty())
-        .then(|| meta::chunk_verdicts(&query.query.restriction, &leaf.meta));
-    let (partial, stats) =
-        execute_partial_seeded(&leaf.store, &query.query, &leaf.ctx, seeds.as_deref())?;
-    Ok(SubtreeAnswer {
-        partial,
-        stats,
-        reports: vec![ShardReport {
-            shard: leaf.shard,
-            // The parent overwrites latency with its own wall-clock
-            // observation; the compute time is the fallback.
-            latency: started.elapsed(),
-            queue: queued,
-            failover: false,
-            hedged: false,
-            cache_hit: false,
-        }],
-    })
+/// The ack of a `Load` / `Append`: the leaf's (refreshed) shard summary.
+fn loaded(meta: Option<ShardMeta>) -> Result<Response> {
+    let meta = meta.ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
+    Ok(Response::Loaded(Box::new(meta)))
 }
 
 #[cfg(test)]

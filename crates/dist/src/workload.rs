@@ -156,8 +156,9 @@ impl DrillDownWorkload {
 pub struct QueryRecord {
     pub sql: String,
     pub stats: ScanStats,
+    /// Measured end-to-end wall time ([`crate::QueryOutcome::latency`]).
     pub latency: Duration,
-    /// Shards served from the shard-level result cache.
+    /// Shards served from a tree node's result cache.
     pub shard_cache_hits: usize,
 }
 
@@ -191,7 +192,7 @@ impl ProductionReport {
         100.0 * self.totals().scanned_fraction()
     }
 
-    /// Total shard subqueries answered from the shard-level result cache.
+    /// Total shard subqueries answered from a tree node's result cache.
     pub fn shard_cache_hits(&self) -> usize {
         self.queries.iter().map(|q| q.shard_cache_hits).sum()
     }
@@ -205,9 +206,9 @@ impl ProductionReport {
             / self.queries.len() as f64
     }
 
-    /// Figure 5 buckets: `(bucket, avg latency, query count)` where bucket
-    /// 0 holds disk-free queries and bucket `k` holds queries loading at
-    /// least `2^(k-1)` bytes.
+    /// Figure 5 buckets: `(bucket, avg measured latency, query count)`
+    /// where bucket 0 holds disk-free queries and bucket `k` holds queries
+    /// loading at least `2^(k-1)` (modeled) bytes.
     pub fn figure5_buckets(&self) -> Vec<(u32, Duration, usize)> {
         let mut sums: std::collections::BTreeMap<u32, (Duration, usize)> =
             std::collections::BTreeMap::new();
@@ -443,7 +444,7 @@ mod tests {
 
     #[test]
     fn drilldown_workload_hits_shard_cache_with_unchanged_results() {
-        // The acceptance property of the shard-level cache: a drill-down
+        // The acceptance property of the node result caches: a drill-down
         // replay records cache hits, and every query's result is
         // bit-identical to the same replay with the cache disabled.
         let table = generate_logs(&LogsSpec::scaled(2_500));

@@ -1,0 +1,387 @@
+//! Seeded property tests for the result cache every tree node owns —
+//! leaf or merge server, reached over an in-memory edge or a socket. The
+//! node code is the same either way, so each property runs over both edge
+//! kinds through identical assertions:
+//!
+//! 1. re-issuing an identical query answers from the caches nearest the
+//!    root and returns bit-identical results;
+//! 2. a rebuild or an append (the epoch bump) invalidates every node's
+//!    cache — no stale partials, ever;
+//! 3. capacity eviction can change `ScanStats`, never results.
+//!
+//! Plus the epoch rule straight at the wire protocol, and one property of
+//! the whole local tree: random shapes with appends interleaved between
+//! queries always answer like a single store over the same prefix.
+
+use pd_common::rng::Rng;
+use pd_common::{DataType, Row, Schema, Value};
+use pd_core::{query, BuildOptions, DataStore};
+use pd_data::Table;
+use pd_dist::{Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape};
+use std::path::PathBuf;
+use std::time::Duration;
+
+fn worker_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_pd-dist-worker"))
+}
+
+/// The two edge kinds: every node in this address space, or one worker
+/// process per node behind unix sockets.
+fn edge_kinds() -> [(&'static str, Transport); 2] {
+    let rpc = RpcConfig {
+        worker_bin: Some(worker_bin()),
+        budget: Duration::from_secs(30),
+        ..Default::default()
+    };
+    [("local", Transport::InProcess), ("socket", Transport::Rpc(rpc))]
+}
+
+/// A random table shaped like the equivalence-suite tables: two string
+/// dimensions, an int and a float measure.
+fn random_table(rng: &mut Rng, rows: usize) -> Table {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("g", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+    ]);
+    let mut table = Table::new(schema);
+    for _ in 0..rows {
+        table
+            .push_row(Row(vec![
+                Value::from(["red", "green", "blue", "grey"][rng.range_usize(0, 4)]),
+                Value::from(format!("g{:02}", rng.range_usize(0, 10))),
+                Value::Int(rng.range_i64_inclusive(-40, 40)),
+                Value::Float(rng.range_i64_inclusive(-8, 8) as f64 * 0.25),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// A random drill-down-shaped query over that schema.
+fn random_query(rng: &mut Rng) -> String {
+    let key = *rng.pick(&["k", "g"]);
+    let agg = *rng.pick(&[
+        "COUNT(*) as c",
+        "COUNT(*) as c, SUM(n) as s",
+        "COUNT(*) as c, SUM(x) as s",
+        "COUNT(*) as c, MIN(n) as mn, MAX(n) as mx",
+    ]);
+    let filter = match rng.range_usize(0, 4) {
+        0 => String::new(),
+        1 => " WHERE k = 'red'".to_owned(),
+        2 => format!(" WHERE g = 'g{:02}'", rng.range_usize(0, 10)),
+        _ => " WHERE n > 0".to_owned(),
+    };
+    format!("SELECT {key}, {agg} FROM data{filter} GROUP BY {key} ORDER BY c DESC LIMIT 10")
+}
+
+fn cluster(
+    table: &Table,
+    shards: usize,
+    fanout: usize,
+    cache: usize,
+    transport: &Transport,
+) -> Cluster {
+    Cluster::build(
+        table,
+        &ClusterConfig {
+            shards,
+            replication: false,
+            shard_cache: cache,
+            build: BuildOptions::basic(),
+            tree: TreeShape { fanout },
+            transport: transport.clone(),
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Width of the tree's frontier (the level the driver root queries).
+fn frontier_width(shards: usize, fanout: usize) -> usize {
+    let mut width = shards.max(1);
+    while width > fanout {
+        width = width.div_ceil(fanout);
+    }
+    width
+}
+
+fn assert_balanced(outcome: &QueryOutcome, label: &str) {
+    assert_eq!(
+        outcome.stats.rows_skipped + outcome.stats.rows_cached + outcome.stats.rows_scanned,
+        outcome.stats.rows_total,
+        "{label}: accounting must balance"
+    );
+}
+
+#[test]
+fn identical_queries_hit_the_nearest_caches() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e01);
+        for case in 0..8 {
+            let rows = rng.range_usize(40, 200);
+            let table = random_table(&mut rng, rows);
+            let shards = rng.range_usize(1, 6);
+            let fanout = *rng.pick(&[2usize, 16]);
+            let cluster = cluster(&table, shards, fanout, 64, &transport);
+            let sql = random_query(&mut rng);
+            let label = format!("{kind} case {case} (shards {shards}, fanout {fanout}): {sql}");
+            let cold = cluster.query(&sql).unwrap();
+            assert_eq!(cold.shard_cache_hits, 0, "{label}: first execution computes");
+            assert_eq!(cold.worker_cache_hits(), 0, "{label}");
+            let mut node_hits = 0;
+            for repeat in 0..3 {
+                let warm = cluster.query(&sql).unwrap();
+                assert_eq!(warm.result, cold.result, "{label} repeat {repeat}: bit-identical");
+                assert_eq!(warm.stats.rows_scanned, 0, "{label}: zero scans on a warm pass");
+                assert_eq!(warm.stats.disk_bytes, 0, "{label}: cached partials load nothing");
+                assert_balanced(&warm, &label);
+                if warm.stats.subtrees_pruned == 0 {
+                    // Nothing pruned: the frontier's caches answer, and
+                    // their hits cover every shard.
+                    assert_eq!(warm.shard_cache_hits, shards, "{label} repeat {repeat}");
+                    assert_eq!(warm.worker_cache_hits(), frontier_width(shards, fanout));
+                    assert_eq!(warm.stats.rows_cached, warm.stats.rows_total, "{label}");
+                }
+                node_hits += warm.worker_cache_hits() as u64;
+            }
+            // Presentation-only variations share the cached partials: the
+            // signature excludes ORDER BY / LIMIT / HAVING.
+            let limited = cluster.query(&sql.replace("LIMIT 10", "LIMIT 1")).unwrap();
+            assert_eq!(limited.stats.rows_scanned, 0, "{label}: LIMIT does not change the partial");
+            assert!(limited.result.rows.len() <= 1);
+            node_hits += limited.worker_cache_hits() as u64;
+            // The driver can count the hits of caches in its own address
+            // space; a worker's cache reports through the outcome only.
+            let (hits, misses) = cluster.shard_cache_stats();
+            if kind == "local" {
+                assert_eq!(hits, node_hits, "{label}: every hit is some node's");
+                assert!(misses >= shards as u64, "{label}: the cold pass missed at every leaf");
+            } else {
+                assert_eq!((hits, misses), (0, 0), "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rebuild_and_append_invalidate_every_node_cache() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e02);
+        for case in 0..4 {
+            let before = random_table(&mut rng, 120);
+            let after = random_table(&mut rng, 97); // different data AND row count
+            let extra = random_table(&mut rng, 30);
+            // Unrestricted, so no edge is ever pruned.
+            let sql = "SELECT k, COUNT(*) as c FROM data GROUP BY k ORDER BY c DESC";
+            let fanout = [2, 16][case % 2];
+            let label = format!("{kind} case {case} fanout {fanout}");
+            let mut cluster = cluster(&before, 3, fanout, 64, &transport);
+            let old = cluster.query(sql).unwrap();
+            assert_eq!(cluster.query(sql).unwrap().shard_cache_hits, 3, "{label}: warm");
+            assert_eq!(cluster.epoch(), 1);
+
+            cluster.rebuild(&after).unwrap();
+            assert_eq!(cluster.epoch(), 2, "{label}: rebuild bumps the epoch");
+            let fresh = cluster.query(sql).unwrap();
+            assert_eq!(fresh.shard_cache_hits, 0, "{label}: rebuild must invalidate");
+            assert_eq!(fresh.worker_cache_hits(), 0, "{label}");
+            assert_eq!(fresh.stats.rows_total, 97, "{label}: stats reflect the new table");
+            let store = DataStore::build(&after, &BuildOptions::basic()).unwrap();
+            assert_eq!(fresh.result, query(&store, sql).unwrap().0, "{label}: no stale partials");
+            assert_ne!(fresh.result, old.result, "{label}: the data actually changed");
+            assert_eq!(cluster.query(sql).unwrap().shard_cache_hits, 3, "{label}: warm again");
+
+            cluster.append(&extra).unwrap();
+            assert_eq!(cluster.epoch(), 3, "{label}: append bumps the epoch");
+            let appended = cluster.query(sql).unwrap();
+            assert_eq!(appended.shard_cache_hits, 0, "{label}: append must invalidate");
+            assert_eq!(appended.stats.rows_total, 127, "{label}");
+            assert_ne!(appended.result, fresh.result, "{label}: the appended rows count");
+            let rewarm = cluster.query(sql).unwrap();
+            assert_eq!(rewarm.result, appended.result, "{label}");
+            assert_eq!(rewarm.shard_cache_hits, 3, "{label}: the new epoch caches afresh");
+        }
+    }
+}
+
+#[test]
+fn capacity_eviction_changes_stats_never_results() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e03);
+        for case in 0..3 {
+            let table = random_table(&mut rng, 150);
+            let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+            let fanout = [2, 16][case % 2];
+            // Three trees over the same data: roomy caches, starved caches
+            // (1 entry per node, so alternating signatures thrash forever)
+            // and no caches at all.
+            let roomy = cluster(&table, 3, fanout, 256, &transport);
+            let starved = cluster(&table, 3, fanout, 1, &transport);
+            let none = cluster(&table, 3, fanout, 0, &transport);
+            // A query mix with repeats, so the roomy caches actually hit.
+            let queries: Vec<String> = (0..6).map(|_| random_query(&mut rng)).collect();
+            let mut order: Vec<usize> = (0..18).map(|i| i % queries.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.range_usize(0, i + 1));
+            }
+            let (mut roomy_hits, mut starved_hits) = (0, 0);
+            for (step, &q) in order.iter().enumerate() {
+                let sql = &queries[q];
+                let label = format!("{kind} case {case} step {step}: {sql}");
+                let (expect, _) = query(&store, sql).unwrap();
+                let a = roomy.query(sql).unwrap();
+                let b = starved.query(sql).unwrap();
+                let c = none.query(sql).unwrap();
+                assert_eq!(a.result, expect, "{label}");
+                assert_eq!(b.result, expect, "{label}: eviction changed a result");
+                assert_eq!(c.result, expect, "{label}: caching changed a result");
+                assert_eq!(c.shard_cache_hits + c.worker_cache_hits(), 0, "{label}");
+                roomy_hits += a.shard_cache_hits;
+                starved_hits += b.shard_cache_hits;
+                for outcome in [&a, &b, &c] {
+                    assert_balanced(outcome, &label);
+                }
+            }
+            assert!(roomy_hits > 0, "{kind} case {case}: the roomy caches must see repeats");
+            assert!(
+                starved_hits <= roomy_hits,
+                "{kind} case {case}: starving the caches cannot add hits \
+                 ({starved_hits} > {roomy_hits})"
+            );
+            assert_eq!(none.shard_cache_stats(), (0, 0));
+        }
+    }
+}
+
+#[test]
+fn epoch_bump_drops_a_worker_cache() {
+    // Straight at the protocol: one leaf worker, queried with explicit
+    // epochs. The cache serves repeats within an epoch and is dropped the
+    // moment the epoch moves — the per-node form of rebuild invalidation.
+    use pd_data::{generate_logs, LogsSpec};
+    use pd_dist::rpc::{Addr, LoadRequest, QueryRequest, Request, Response, RpcClient};
+    use pd_dist::ReapGuard;
+    use pd_sql::{analyze, parse_query};
+
+    let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("w.sock");
+    let worker = ReapGuard::new(
+        std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
+    );
+    let addr = Addr::Unix(socket);
+
+    let table = generate_logs(&LogsSpec::scaled(400));
+    let mut client = RpcClient::new(addr, false);
+    client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    let load = Request::Load(Box::new(LoadRequest {
+        shard: 0,
+        schema: table.schema().clone(),
+        rows: table.iter_rows().collect(),
+        build: BuildOptions::basic(),
+        threads: 1,
+        cache_budget: 1 << 20,
+        cache_entries: 8,
+        epoch: 5,
+        name: "l0p".into(),
+    }));
+    assert!(matches!(client.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
+
+    let analyzed =
+        analyze(&parse_query("SELECT country, COUNT(*) c FROM logs GROUP BY country").unwrap())
+            .unwrap();
+    let mut ask = |epoch: u64| {
+        let request = Request::Query(Box::new(QueryRequest {
+            query: analyzed.clone(),
+            budget: Duration::from_secs(30),
+            hedge_micros: 0,
+            killed: Vec::new(),
+            epoch,
+            chaos: Vec::new(),
+            chunk_pruning: true,
+        }));
+        match client.call(&request, Duration::from_secs(30)).unwrap() {
+            Response::Answer(answer) => answer,
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    };
+
+    let cold = ask(5);
+    assert!(!cold.reports[0].cache_hit);
+    assert_eq!(cold.stats.worker_cache_hits, 0);
+
+    let warm = ask(5);
+    assert!(warm.reports[0].cache_hit, "same epoch, same signature: a hit");
+    assert_eq!(warm.stats.worker_cache_hits, 1);
+    assert_eq!(warm.partial, cold.partial, "the cached partial is bit-identical");
+    assert_eq!(warm.stats.rows_cached, warm.stats.rows_total);
+
+    let after_bump = ask(6);
+    assert!(
+        !after_bump.reports[0].cache_hit,
+        "an advanced epoch must drop the cache before answering"
+    );
+    assert_eq!(after_bump.partial, cold.partial, "same data, so same recomputed partial");
+
+    let warm_again = ask(6);
+    assert!(warm_again.reports[0].cache_hit, "the new epoch caches afresh");
+
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Random local trees — shards 1–6, fanout 2–4 (so merge levels come and
+/// go), node caches off or tiny — with appends interleaved between
+/// queries: after every step, every answer equals a `BuildOptions::basic()`
+/// single store over the same prefix of rows, and the accounting balances.
+#[test]
+fn local_trees_with_interleaved_appends_match_a_single_store() {
+    let mut rng = Rng::seed_from_u64(0x05ca_1e04);
+    for case in 0..16 {
+        let total = rng.range_usize(60, 240);
+        let table = random_table(&mut rng, total);
+        let shards = rng.range_usize(1, 7);
+        let fanout = rng.range_usize(2, 5);
+        let cache = *rng.pick(&[0usize, 8]);
+        let mut build = BuildOptions::production(&["k", "g"]);
+        if let Some(spec) = &mut build.partition {
+            spec.max_chunk_rows = 16;
+        }
+        let prefix = |hi: usize| table.select_rows(&(0..hi).collect::<Vec<_>>());
+        let mut served = rng.range_usize(20, total / 2);
+        let mut cluster = Cluster::build(
+            &prefix(served),
+            &ClusterConfig {
+                shards,
+                shard_cache: cache,
+                tree: TreeShape { fanout },
+                build,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let queries: Vec<String> = (0..4).map(|_| random_query(&mut rng)).collect();
+        for step in 0..6 {
+            let store = DataStore::build(&prefix(served), &BuildOptions::basic()).unwrap();
+            // Twice each: the repeat meets whatever the caches kept.
+            for sql in queries.iter().chain(&queries) {
+                let label = format!(
+                    "case {case} (shards {shards}, fanout {fanout}, cache {cache}) step {step} \
+                     @ {served} rows: {sql}"
+                );
+                let outcome = cluster.query(sql).unwrap();
+                assert_eq!(outcome.result, query(&store, sql).unwrap().0, "{label}");
+                assert_eq!(outcome.stats.rows_total, served as u64, "{label}");
+                assert_balanced(&outcome, &label);
+            }
+            let batch = rng.range_usize(0, 12).min(total - served);
+            let rows: Vec<usize> = (served..served + batch).collect();
+            let appended = cluster.append(&table.select_rows(&rows)).unwrap();
+            assert_eq!(appended.rows, batch as u64);
+            served += batch;
+        }
+    }
+}

@@ -668,6 +668,46 @@ fn append_streams_deltas_into_the_live_tree() {
 }
 
 #[test]
+fn a_half_applied_append_refuses_queries_until_rebuild() {
+    // Shard 1's only process dies (a chaos kill fires on the next query),
+    // then an append arrives: shard 0 applies its slice, shard 1 cannot.
+    // The shards now hold different data, so the cluster must stop serving
+    // — a typed refusal naming the way out — until a rebuild succeeds.
+    let table = generate_logs(&LogsSpec::scaled(600));
+    let slice = |lo: usize, hi: usize| {
+        let rows: Vec<usize> = (lo..hi).collect();
+        table.select_rows(&rows)
+    };
+    let mut cluster = Cluster::build(
+        &slice(0, 500),
+        &ClusterConfig {
+            shards: 2,
+            replication: false,
+            build: build_options(),
+            transport: rpc(Duration::from_secs(5)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let sql = "SELECT COUNT(*) FROM logs";
+    cluster.query(sql).unwrap();
+    cluster.set_chaos(pd_dist::ChaosModel { kill_nodes: vec!["l1p".into()], ..Default::default() });
+    cluster.query(sql).unwrap_err();
+    cluster.set_chaos(pd_dist::ChaosModel::default());
+
+    let epoch = cluster.epoch();
+    cluster.append(&slice(500, 600)).unwrap_err();
+    assert_eq!(cluster.epoch(), epoch, "a failed append establishes no epoch");
+    let refused = cluster.query(sql).unwrap_err().to_string();
+    assert!(refused.contains("rebuild"), "the refusal names the way out: {refused}");
+    assert!(cluster.append(&slice(500, 600)).is_err(), "nor does it take more appends");
+
+    cluster.rebuild(&slice(0, 600)).unwrap();
+    let store = DataStore::build(&slice(0, 600), &BuildOptions::basic()).unwrap();
+    assert_eq!(cluster.query(sql).unwrap().result, query(&store, sql).unwrap().0);
+}
+
+#[test]
 fn rebuild_respawns_the_tree_with_new_data() {
     let table = generate_logs(&LogsSpec::scaled(400));
     let mut cluster = Cluster::build(

@@ -2,13 +2,19 @@
 //! the primary/replica scheme riding out stragglers.
 //!
 //! ```bash
+//! cargo build --release -p pd-dist --bin pd-dist-worker   # for the straggler part
 //! cargo run --release --example distributed
 //! ```
 
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::{Cluster, ClusterConfig, DrillDownWorkload, LoadModel, WorkloadSpec};
+use powerdrill::dist::process::resolve_worker_bin;
+use powerdrill::dist::{
+    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, FailureModel, RpcConfig, Transport,
+    WorkloadSpec,
+};
 use powerdrill::sql::{distributed_plan, parse_query};
 use powerdrill::BuildOptions;
+use std::time::Duration;
 
 fn main() -> powerdrill::Result<()> {
     let rows = std::env::var("PD_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(200_000);
@@ -21,12 +27,7 @@ fn main() -> powerdrill::Result<()> {
     }
     let cluster = Cluster::build(
         &table,
-        &ClusterConfig {
-            shards: 8,
-            build,
-            load: LoadModel { busy_probability: 0.25, blocked_probability: 0.05, seed: 1 },
-            ..Default::default()
-        },
+        &ClusterConfig { shards: 8, build: build.clone(), ..Default::default() },
     )?;
 
     // Show the paper's §4 SQL rewrite for a query.
@@ -40,7 +41,7 @@ fn main() -> powerdrill::Result<()> {
     let outcome = cluster.query(sql)?;
     println!("\n{}", outcome.result.render());
     println!(
-        "modeled end-to-end latency {:?} | slowest shard {:?} | fastest shard {:?}",
+        "measured end-to-end latency {:?} | slowest shard {:?} | fastest shard {:?}",
         outcome.latency,
         outcome.subquery_latencies.iter().max().unwrap(),
         outcome.subquery_latencies.iter().min().unwrap(),
@@ -64,5 +65,54 @@ fn main() -> powerdrill::Result<()> {
         100.0 * total.cached_fraction(),
         100.0 * total.scanned_fraction()
     );
+    drop(cluster);
+
+    // §4's stragglers, for real: a tree of worker processes in which every
+    // process answers late with probability 0.15 (a seeded chaos delay of
+    // 40–120 ms). Without replicas the slowest shard sets the latency; with
+    // them, a primary that outlives the hedge delay is raced against its
+    // replica and the first answer wins.
+    let Ok(worker_bin) = resolve_worker_bin(None) else {
+        println!("\nNOTE: pd-dist-worker binary not found (build it or set PD_DIST_WORKER_BIN); skipping the straggler part");
+        return Ok(());
+    };
+    println!("\nstragglers in a 4-shard tree of worker processes (measured, 40 queries each):");
+    let stragglers = ChaosModel {
+        seed: 1,
+        delay_probability: 0.15,
+        delay_range: (Duration::from_millis(40), Duration::from_millis(120)),
+        ..Default::default()
+    };
+    for replication in [false, true] {
+        let cluster = Cluster::build(
+            &table,
+            &ClusterConfig {
+                shards: 4,
+                replication,
+                build: build.clone(),
+                shard_cache: 0, // every query does its work
+                failures: FailureModel { chaos: stragglers.clone(), ..Default::default() },
+                transport: Transport::Rpc(RpcConfig {
+                    worker_bin: Some(worker_bin.clone()),
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        )?;
+        let mut latencies = Vec::with_capacity(40);
+        let mut hedged = 0;
+        for _ in 0..40 {
+            let outcome = cluster.query(sql)?;
+            hedged += outcome.hedges.len();
+            latencies.push(outcome.latency);
+        }
+        latencies.sort();
+        println!(
+            "  {:<19} p50 {:>10.3?}   p95 {:>10.3?}   {hedged} replica races",
+            if replication { "primary + replica:" } else { "primary only:" },
+            latencies[latencies.len() / 2],
+            latencies[latencies.len() * 95 / 100],
+        );
+    }
     Ok(())
 }

@@ -378,19 +378,23 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
     }
 }
 
-/// The transport axis: the same bit-identity must hold when the
-/// computation tree is **split across OS processes** — spawned
-/// `pd-dist-worker` leaves (and, at fanout 2, real intermediate merge
-/// servers) exchanging serialized partials over the RPC boundary, over
-/// Unix sockets *and* loopback TCP, with frame compression off and on.
+/// The edge-kind axis: a tree node reaches its children over in-memory
+/// edges (`local`: every node in this address space) or over sockets to
+/// spawned `pd-dist-worker` processes (Unix, loopback TCP, TCP with
+/// compressed frames). The node code is the same, so **every assertion is
+/// the same** for all four: results bit-identical to the single store,
+/// skipped + cached + scanned = total, one latency and one queue delay per
+/// shard, and warm passes served entirely from the nodes' result caches.
 /// Matrix: {shards 1/2/4} × {tree depth ≤1 / 2 (fanout 16 / 2)} ×
-/// {in-process, unix, tcp, tcp+compressed} × {result caching off / on}.
-/// Each combination runs a cold and a warm pass (the warm pass serves
-/// from the workers' own result caches when caching is on — observable
-/// in `worker_cache_hits`, with *nothing* scanned anywhere), and at 4
-/// shards a **rebuild-then-requery** pass proves the epoch invalidation:
-/// after `Cluster::rebuild` with different data, every answer is the new
-/// data's, cold then warm again.
+/// {local, unix, tcp, tcp+z} × {result caching off / on}, each with a cold
+/// and a warm pass, and at 4 shards a **rebuild-then-requery** pass that
+/// proves the epoch invalidation: after `Cluster::rebuild` with different
+/// data, every answer is the new data's, cold then warm again.
+///
+/// Across edge kinds the cache observations must agree too: wherever no
+/// edge was pruned (only workers keep the shard summaries pruning needs),
+/// `shard_cache_hits` and `worker_cache_hits()` are equal for every
+/// (shards, fanout, cache, pass, query).
 ///
 /// Exact `assert_eq!`, floats included: group keys, float sums
 /// (superaccumulator limbs) and sketches cross the wire bit-identically
@@ -400,7 +404,7 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
 /// shape, the wire codec nor any cache may change *anything* about any
 /// result row.
 #[test]
-fn transport_axis_is_bit_identical_across_process_split() {
+fn edge_kind_axis_is_bit_identical_and_caches_alike() {
     use powerdrill::data::{generate_logs, LogsSpec};
     use powerdrill::dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
     use std::time::Duration;
@@ -436,22 +440,22 @@ fn transport_axis_is_bit_identical_across_process_split() {
     };
     for shards in [1usize, 2, 4] {
         // fanout 16 keeps every leaf directly under the root (depth ≤ 1);
-        // fanout 2 forces an intermediate merge-server level at 4 shards
+        // fanout 2 forces an intermediate merge level at 4 shards
         // (depth 2: leaves → mixers → root).
         for fanout in [16usize, 2] {
             for cache in [0usize, 128] {
-                let transports = [
-                    ("in-process", Transport::InProcess),
+                let edge_kinds = [
+                    ("local", Transport::InProcess),
                     ("unix", rpc(WorkerAddr::Unix, false)),
                     ("tcp", rpc(WorkerAddr::loopback(), false)),
                     ("tcp+z", rpc(WorkerAddr::loopback(), true)),
                 ];
-                for (transport_name, transport) in transports {
-                    let label = format!(
-                        "shards={shards} fanout={fanout} cache={cache} \
-                         transport={transport_name}"
-                    );
-                    let in_process = transport == Transport::InProcess;
+                // Per edge kind, per (pass, query): (shard hits, node hits,
+                // edges pruned).
+                let mut observed = Vec::new();
+                for (kind, transport) in edge_kinds {
+                    let label =
+                        format!("shards={shards} fanout={fanout} cache={cache} edges={kind}");
                     let config = ClusterConfig {
                         shards,
                         replication: false,
@@ -464,6 +468,7 @@ fn transport_axis_is_bit_identical_across_process_split() {
                     };
                     let mut cluster = Cluster::build(&table, &config).unwrap();
                     assert_eq!(cluster.shard_count(), shards, "{label}");
+                    let mut hits = Vec::new();
                     for pass in 0..2 {
                         for (sql, want) in MATRIX_QUERIES.iter().zip(&expected) {
                             let outcome = cluster.query(sql).unwrap();
@@ -478,44 +483,42 @@ fn transport_axis_is_bit_identical_across_process_split() {
                             assert_eq!(outcome.subquery_latencies.len(), shards, "{label}");
                             assert_eq!(outcome.queue_delays.len(), shards, "{label}");
                             assert!(outcome.failovers.is_empty(), "{label}");
+                            assert!(outcome.hedges.is_empty(), "{label}");
                             if cache == 0 {
                                 assert_eq!(outcome.shard_cache_hits, 0, "{label}");
                                 assert_eq!(outcome.worker_cache_hits(), 0, "{label}");
                             } else if pass == 1 {
                                 // Warm + caching: every non-pruned subtree
-                                // answers from a cache — in-process at the
-                                // root, over RPC inside the workers — so
-                                // nothing is scanned anywhere.
+                                // answers from a node's cache, so nothing
+                                // is scanned anywhere.
                                 assert_eq!(
                                     outcome.stats.rows_scanned, 0,
                                     "{label} warm: no scan may survive a cached pass: {sql}"
                                 );
-                                if in_process {
-                                    assert_eq!(outcome.worker_cache_hits(), 0, "{label}");
-                                } else {
-                                    assert_eq!(outcome.shard_cache_hits, 0, "{label}");
-                                }
                             }
+                            hits.push((
+                                outcome.shard_cache_hits,
+                                outcome.worker_cache_hits(),
+                                outcome.stats.subtrees_pruned,
+                            ));
                         }
                         if cache > 0 && pass == 1 {
                             // The unrestricted first query prunes nothing,
                             // so its warm hits are exactly the cache layer
-                            // closest to the root: every shard at the
-                            // in-process root, every frontier node over RPC.
+                            // closest to the root — the frontier nodes —
+                            // and they cover every shard.
                             let outcome = cluster.query(MATRIX_QUERIES[0]).unwrap();
                             let frontier = frontier_width(shards, fanout);
-                            if in_process {
-                                assert_eq!(outcome.shard_cache_hits, shards, "{label}");
-                            } else {
-                                assert_eq!(outcome.worker_cache_hits(), frontier, "{label}");
-                            }
+                            assert_eq!(outcome.worker_cache_hits(), frontier, "{label}");
+                            assert_eq!(outcome.shard_cache_hits, shards, "{label}");
                         }
                     }
+                    observed.push((kind, hits));
                     if shards == 4 {
-                        // Rebuild-then-requery: the epoch bump (and, over
-                        // RPC, the respawned tree) must retire every cached
-                        // partial — the answers are the new data's, cold
-                        // and then warm again.
+                        // Rebuild-then-requery: the epoch bump (and the
+                        // fresh tree) must retire every cached partial —
+                        // the answers are the new data's, cold and then
+                        // warm again.
                         cluster.rebuild(&rebuilt_table).unwrap();
                         for pass in 0..2 {
                             for (sql, want) in MATRIX_QUERIES[..3].iter().zip(&rebuilt_expected) {
@@ -531,6 +534,22 @@ fn transport_axis_is_bit_identical_across_process_split() {
                                     );
                                 }
                             }
+                        }
+                    }
+                }
+                let (reference_kind, reference) = &observed[0];
+                for (kind, hits) in &observed[1..] {
+                    for (i, (got, want)) in hits.iter().zip(reference).enumerate() {
+                        if got.2 == 0 && want.2 == 0 {
+                            assert_eq!(
+                                (got.0, got.1),
+                                (want.0, want.1),
+                                "shards={shards} fanout={fanout} cache={cache}: {kind} and \
+                                 {reference_kind} edges must report the same cache hits \
+                                 (pass {}, query {})",
+                                i / MATRIX_QUERIES.len(),
+                                i % MATRIX_QUERIES.len()
+                            );
                         }
                     }
                 }
@@ -594,12 +613,12 @@ fn chunk_pruning_axis_is_bit_identical_on_and_off() {
     };
     for chunk_pruning in [true, false] {
         let transports = [
-            ("in-process", Transport::InProcess),
+            ("local", Transport::InProcess),
             ("unix", rpc(WorkerAddr::Unix, false)),
             ("tcp+z", rpc(WorkerAddr::loopback(), true)),
         ];
         for (transport_name, transport) in transports {
-            let label = format!("pruning={chunk_pruning} transport={transport_name}");
+            let label = format!("pruning={chunk_pruning} edges={transport_name}");
             let cluster = Cluster::build(
                 &table,
                 &ClusterConfig {
