@@ -3,7 +3,7 @@
 //! makes a "fast path" slower than the materializing baseline fails the
 //! bench run itself.
 //!
-//! Three claims:
+//! Four claims:
 //!
 //! 1. run-aware counting over run-heavy codes (`for_each_run`) beats the
 //!    row-at-a-time loop (`for_each`) — strictly;
@@ -13,7 +13,12 @@
 //!    the dense-float path keeps the flat-array loop);
 //! 3. the dictionary→f64 table is built once per (column, chunk) and
 //!    *not* once per aggregate — `SUM(x) + AVG(x)` costs exactly
-//!    `chunk_count` builds (asserted via `pd_core::float_table_builds`).
+//!    `chunk_count` builds (asserted via `pd_core::float_table_builds`);
+//! 4. a row mask built from the restriction's resolved dictionary ids
+//!    beats the same predicate written so that only the expression
+//!    evaluator can answer it (one `Value` and one `eval_expr` per
+//!    chunk-dictionary entry) — by at least 5×, for a `timestamp` window
+//!    and for a `date(timestamp)` equality on its virtual field.
 
 use pd_bench::{logs_table, measure_stats, rows_from_env_or, Bench};
 use pd_core::{execute, BuildOptions, DataStore, ExecContext, KernelConfig};
@@ -109,4 +114,57 @@ fn main() {
     };
     timed_global("global_sum_materializing", KernelConfig::materializing());
     timed_global("global_sum_runs", KernelConfig::default());
+
+    // 4. Masks in the code domain vs the value domain, same store, same
+    // rows selected. The opaque spellings keep the column on both sides of
+    // the comparison, or inside a call: `expr op literal` would not do —
+    // the restriction normalizer makes `timestamp + 0` a virtual field and
+    // resolves that to ids just the same.
+    let (lo, hi) = table
+        .column(0)
+        .iter()
+        .filter_map(|v| v.as_int())
+        .fold((i64::MAX, i64::MIN), |(lo, hi), ts| (lo.min(ts), hi.max(ts)));
+    let (from, to) = (lo + (hi - lo) / 4, hi - (hi - lo) / 4);
+    let day = {
+        let first_day =
+            parse_query("SELECT date(timestamp) d FROM data GROUP BY d ORDER BY d ASC LIMIT 1");
+        let (result, _) =
+            execute(&store, &analyze(&first_day.unwrap()).unwrap(), &ctx(KernelConfig::default()))
+                .unwrap();
+        result.rows[0].0[0].render().into_owned()
+    };
+    let masked = |name: &str, predicate: &str| {
+        let sql = format!("SELECT COUNT(*) c FROM data WHERE {predicate}");
+        let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+        let run = || execute(&store, &analyzed, &ctx(KernelConfig::default())).unwrap().0;
+        let answer = run(); // also materializes the virtual field, once
+        let stats = measure_stats(10, || {
+            black_box(run());
+        });
+        pd_bench::json_line("kernel_compressed", name, stats, &[]);
+        println!("{name:<42} {:>12}", pd_bench::fmt_duration(stats.min));
+        (answer, stats.min)
+    };
+    for (name, ids, opaque) in [
+        (
+            "mask_window",
+            format!("timestamp >= {from} AND timestamp < {to}"),
+            format!("timestamp >= {from} + 0 * timestamp AND timestamp < {to} + 0 * timestamp"),
+        ),
+        (
+            "mask_date",
+            format!("date(timestamp) = '{day}'"),
+            format!("contains(date(timestamp), '{day}')"),
+        ),
+    ] {
+        let (ids_answer, ids_time) = masked(&format!("{name}_ids"), &ids);
+        let (opaque_answer, opaque_time) = masked(&format!("{name}_opaque"), &opaque);
+        assert_eq!(ids_answer, opaque_answer, "both spellings select the same rows: {ids}");
+        assert!(
+            ids_time * 5 <= opaque_time,
+            "an id-domain mask must beat value tabulation 5x on `{ids}`: \
+             {ids_time:?} vs {opaque_time:?}"
+        );
+    }
 }

@@ -26,6 +26,18 @@ impl BitVec {
         v
     }
 
+    /// A bit vector of `len` bits over already-packed words (bit `i` is bit
+    /// `i % 64` of word `i / 64`) — how mask builders emit 64 rows per
+    /// store instead of one [`BitVec::push`] per row. Bits at positions
+    /// `>= len` in the final word are cleared. Panics unless `words` holds
+    /// exactly `len.div_ceil(64)` words.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count does not match {len} bits");
+        let mut v = BitVec { words, len };
+        v.clear_tail();
+        v
+    }
+
     pub fn with_capacity(bits: usize) -> Self {
         BitVec { words: Vec::with_capacity(bits.div_ceil(64)), len: 0 }
     }
@@ -192,6 +204,16 @@ mod tests {
         let zeros = BitVec::filled(130, false);
         assert_eq!(zeros.count_ones(), 0);
         assert!(zeros.none());
+    }
+
+    #[test]
+    fn from_words_matches_pushed_bits_and_clears_the_tail() {
+        let pushed: BitVec = (0..70).map(|i| i % 3 == 0).collect();
+        let dirty_tail = pushed.words()[1] | (u64::MAX << 6);
+        let packed = BitVec::from_words(vec![pushed.words()[0], dirty_tail], 70);
+        assert_eq!(packed, pushed);
+        assert_eq!(packed.count_ones(), pushed.count_ones());
+        assert!(BitVec::from_words(Vec::new(), 0).is_empty());
     }
 
     #[test]

@@ -182,14 +182,28 @@ impl StoredColumn {
         self.chunks.iter().map(|c| codec.compress(&c.to_bytes()).len()).sum()
     }
 
-    /// Resolve a set of literal values to their global-ids (sorted,
-    /// deduplicated; absent values dropped) — the first step of §2.4's
-    /// skipping decision.
-    pub fn global_ids_of(&self, values: &[Value]) -> Vec<u32> {
-        let mut ids: Vec<u32> = values.iter().filter_map(|v| self.dict.id_of(v)).collect();
+    /// Resolve a set of literal values to the global-ids of the entries
+    /// SQL-equal to one of them (sorted, deduplicated; absent values
+    /// dropped) — the first step of §2.4's skipping decision. `None` when a
+    /// literal cannot be resolved exactly
+    /// ([`GlobalDict::resolves_exactly`]): the set is then unknown, not
+    /// empty.
+    pub fn global_ids_of(&self, values: &[Value]) -> Option<Vec<u32>> {
+        let mut ids: Vec<u32> = Vec::with_capacity(values.len());
+        for v in values {
+            match (self.dict.data_type(), v) {
+                // SQL equality compares Int with Float by `==`, under which
+                // integer zero equals both float zeros — two entries.
+                (DataType::Float, Value::Int(0)) => ids.extend(
+                    [0.0, -0.0].into_iter().filter_map(|z| self.dict.id_of(&Value::Float(z))),
+                ),
+                _ if !self.dict.resolves_exactly(v) => return None,
+                _ => ids.extend(self.dict.id_of(v)),
+            }
+        }
         ids.sort_unstable();
         ids.dedup();
-        ids
+        Some(ids)
     }
 }
 
@@ -267,13 +281,31 @@ mod tests {
     fn global_ids_of_drops_absent_values() {
         let (vals, p) = figure1_column();
         let col = StoredColumn::build(&vals, &p, &BuildOptions::basic()).unwrap();
-        let ids = col.global_ids_of(&[
-            Value::from("la redoute"),
-            Value::from("voyages sncf"), // note: paper's dictionary stores "voyages snfc"
-            Value::from("ebay"),
-        ]);
+        let ids = col
+            .global_ids_of(&[
+                Value::from("la redoute"),
+                Value::from("voyages sncf"), // note: paper's dictionary stores "voyages snfc"
+                Value::from("ebay"),
+            ])
+            .unwrap();
         // Two present values; the absent one is dropped.
         assert_eq!(ids.len(), 2);
+    }
+
+    #[test]
+    fn global_ids_of_follows_sql_equality_across_numeric_types() {
+        let p = Partitioning::single_chunk(3);
+        let floats = [Value::Float(-0.0), Value::Float(0.0), Value::Float(2.0)];
+        let col = StoredColumn::build(&floats, &p, &BuildOptions::basic()).unwrap();
+        // Integer zero equals both float zeros; other integers name one entry.
+        assert_eq!(col.global_ids_of(&[Value::Int(0)]), Some(vec![0, 1]));
+        assert_eq!(col.global_ids_of(&[Value::Int(2), Value::Float(0.0)]), Some(vec![1, 2]));
+        let ints = [Value::Int(0), Value::Int(5), Value::Int(i64::MAX)];
+        let col = StoredColumn::build(&ints, &p, &BuildOptions::basic()).unwrap();
+        assert_eq!(col.global_ids_of(&[Value::Float(5.0), Value::Float(5.5)]), Some(vec![1]));
+        // Not "absent": several integers may equal a float this large.
+        assert_eq!(col.global_ids_of(&[Value::Int(5), Value::Float(1e30)]), None);
+        assert_eq!(col.global_ids_of(&[Value::Float(f64::NAN)]), None);
     }
 
     #[test]

@@ -18,12 +18,21 @@
 //! group contents and chunk-skipping statistics do not depend on the
 //! thread count.
 //!
-//! Row filtering compiles the `WHERE` expression *per chunk* into a packed
-//! [`pd_common::BitVec`] mask: any predicate subtree touching a single
-//! column is tabulated once per chunk-dictionary entry (at most `n`
-//! evaluations for a chunk with `n` distinct values) and then costs one
-//! array lookup per row; only genuinely multi-column subtrees fall back to
-//! per-row evaluation.
+//! Row filtering stays in the **code domain**. The `WHERE` tree is compiled
+//! once per query: every leaf the restriction normalizer turns into `IN` or
+//! a range over one field (a column or a materialized virtual field) is
+//! resolved to global-ids by the resolver the skip pass uses
+//! ([`crate::skip`]), so a verdict and a mask cannot disagree about a
+//! leaf. Per `Partial` chunk those ids become chunk-ids through the chunk
+//! dictionary and the packed [`pd_common::BitVec`] mask is integer
+//! compares over the row codes, 64 rows per word — no value is
+//! materialized. Only leaves the resolver declines (a range on a tailed or
+//! trie dictionary, calls such as `contains(..)`) tabulate over the chunk
+//! dictionary's values (one evaluation per distinct value), and only
+//! genuinely multi-column subtrees evaluate per row. A conjunct that holds
+//! for a whole chunk drops out of that chunk's `AND`; an all-false mask
+//! yields the empty payload without running a kernel; an all-true mask
+//! runs the kernels unmasked.
 //!
 //! [`execute_partial`] returns mergeable group states — the building block
 //! the distributed layer (§4) combines up its computation tree —
@@ -33,7 +42,9 @@ use crate::cache::{CachedChunk, ChunkGroups, ResultCache, TieredCache};
 use crate::column::StoredColumn;
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
-use crate::kernels::{self, ChunkAcc, GroupShape, KernelConfig, DENSE_GROUP_LIMIT};
+use crate::kernels::{
+    self, ChunkAcc, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT,
+};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
@@ -41,6 +52,7 @@ use pd_common::{BitVec, DataType, Error, FloatSum, FxHashMap, HeapSize, Result, 
 use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, Expr, OutputCol, RowContext,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -372,24 +384,29 @@ pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<Quer
         rows = kept;
     }
 
-    // Deterministic base order (by full row), then the explicit ORDER BY
-    // keys via a stable sort so ties keep the base order.
-    rows.sort();
-    if !analyzed.order_by.is_empty() {
-        rows.sort_by(|a, b| {
-            for &(idx, desc) in &analyzed.order_by {
-                let ord = a.0[idx].cmp(&b.0[idx]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
+    // One total order: the explicit ORDER BY keys, ties broken by the full
+    // row, so the output never depends on group-map iteration order. With
+    // a LIMIT, first select the rows that survive it and sort only those.
+    let order = |a: &Row, b: &Row| {
+        for &(idx, desc) in &analyzed.order_by {
+            let ord = a.0[idx].cmp(&b.0[idx]);
+            let ord = if desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
             }
-            std::cmp::Ordering::Equal
-        });
-    }
+        }
+        a.cmp(b)
+    };
     if let Some(limit) = analyzed.limit {
-        rows.truncate(limit);
+        if limit < rows.len() {
+            if limit > 0 {
+                rows.select_nth_unstable_by(limit - 1, order);
+            }
+            rows.truncate(limit);
+        }
     }
+    // Rows that compare equal are equal in every column: unstable is exact.
+    rows.sort_unstable_by(order);
     Ok(QueryResult { columns: names, rows })
 }
 
@@ -442,12 +459,6 @@ struct Plan {
     signature: String,
     /// Distinct columns touched, with names (for cells/IO accounting).
     touched: Vec<(Arc<str>, Arc<StoredColumn>)>,
-}
-
-pub(crate) struct FilterPlan {
-    pub(crate) expr: Expr,
-    /// Columns referenced by the filter: (name, column).
-    pub(crate) cols: Vec<(String, Arc<StoredColumn>)>,
 }
 
 /// One scanned chunk's contribution, produced by a worker.
@@ -512,11 +523,11 @@ impl<'a> Fold<'a> {
     fn absorb(&mut self, stats: &mut ScanStats, i: usize, scan: ChunkScan) -> Result<()> {
         let (c, filtered) = self.tasks[i];
         let rows = self.store.chunk_rows(c) as u64;
-        let payload: ChunkPayloadRef = match scan {
+        let payload: ChunkPayload = match scan {
             ChunkScan::Cached(hit) => {
                 stats.chunks_cached += 1;
                 stats.rows_cached += rows;
-                ChunkPayloadRef::Shared(hit)
+                ChunkPayload::Shared(hit)
             }
             ChunkScan::Computed { payload, compute } => {
                 self.plan.account_scan(stats, self.ctx, c, rows);
@@ -524,36 +535,52 @@ impl<'a> Fold<'a> {
                     (Some(rc), false) => {
                         let shared = Arc::new(payload);
                         rc.put_costed(&self.plan.signature, c as u32, shared.clone(), compute);
-                        ChunkPayloadRef::Shared(shared)
+                        ChunkPayload::Shared(shared)
                     }
-                    _ => ChunkPayloadRef::Owned(payload),
+                    _ => ChunkPayload::Owned(payload),
                 }
             }
         };
-        match &*payload {
-            CachedChunk::Groups(groups) => fold(&mut self.id_groups, groups)?,
-            CachedChunk::DenseSingleCount(counts) => {
-                let key_col = &self.plan.key_cols[0];
-                let chunk_dict = &key_col.chunks[c].dict;
-                if self.use_dense_fold {
-                    let global = self
-                        .dense_counts
-                        .get_or_insert_with(|| vec![0u64; key_col.dict.len() as usize]);
-                    for (cid, &n) in counts.iter().enumerate() {
-                        if n > 0 {
-                            global[chunk_dict.global_id_of(cid as u32) as usize] += n;
-                        }
-                    }
-                } else {
-                    for (cid, &n) in counts.iter().enumerate() {
-                        if n > 0 {
-                            merge_count(
-                                &mut self.id_groups,
-                                chunk_dict.global_id_of(cid as u32),
-                                n,
-                            )?;
-                        }
-                    }
+        match payload {
+            // A computed payload nobody else holds folds by value; only a
+            // payload the cache shares is cloned, and then only the states
+            // of groups this fold has not seen yet.
+            ChunkPayload::Owned(CachedChunk::Groups(groups)) => {
+                let owned = groups.into_iter().map(|(key, states)| (key, Cow::Owned(states)));
+                fold(&mut self.id_groups, owned)
+            }
+            ChunkPayload::Owned(CachedChunk::DenseSingleCount(counts)) => {
+                self.absorb_counts(c, &counts)
+            }
+            ChunkPayload::Shared(shared) => match &*shared {
+                CachedChunk::Groups(groups) => {
+                    let borrowed = groups
+                        .iter()
+                        .map(|(key, states)| (key.clone(), Cow::Borrowed(&states[..])));
+                    fold(&mut self.id_groups, borrowed)
+                }
+                CachedChunk::DenseSingleCount(counts) => self.absorb_counts(c, counts),
+            },
+        }
+    }
+
+    /// Add chunk `c`'s single-key counts (indexed by chunk-id) through the
+    /// chunk dictionary.
+    fn absorb_counts(&mut self, c: usize, counts: &[u64]) -> Result<()> {
+        let key_col = &self.plan.key_cols[0];
+        let chunk_dict = &key_col.chunks[c].dict;
+        if self.use_dense_fold {
+            let global =
+                self.dense_counts.get_or_insert_with(|| vec![0u64; key_col.dict.len() as usize]);
+            for (cid, &n) in counts.iter().enumerate() {
+                if n > 0 {
+                    global[chunk_dict.global_id_of(cid as u32) as usize] += n;
+                }
+            }
+        } else {
+            for (cid, &n) in counts.iter().enumerate() {
+                if n > 0 {
+                    merge_count(&mut self.id_groups, chunk_dict.global_id_of(cid as u32), n)?;
                 }
             }
         }
@@ -589,20 +616,9 @@ fn merge_count(
     Ok(())
 }
 
-enum ChunkPayloadRef {
+enum ChunkPayload {
     Owned(CachedChunk),
     Shared(Arc<CachedChunk>),
-}
-
-impl std::ops::Deref for ChunkPayloadRef {
-    type Target = CachedChunk;
-
-    fn deref(&self) -> &CachedChunk {
-        match self {
-            ChunkPayloadRef::Owned(g) => g,
-            ChunkPayloadRef::Shared(g) => g,
-        }
-    }
 }
 
 impl Plan {
@@ -671,15 +687,15 @@ impl Plan {
         let filter = match &analyzed.filter {
             None => None,
             Some(expr) => {
+                // What a scan touches is the columns the filter names,
+                // however its leaves end up being evaluated.
                 let mut names = Vec::new();
                 expr.referenced_columns(&mut names);
-                let mut cols = Vec::with_capacity(names.len());
-                for n in &names {
-                    let col = store.column(n)?;
-                    touch(n.clone(), &col);
-                    cols.push((n.clone(), col));
+                for n in names {
+                    let col = store.column(&n)?;
+                    touch(n, &col);
                 }
-                Some(FilterPlan { expr: expr.clone(), cols })
+                Some(FilterPlan::compile(store, expr)?)
             }
         };
 
@@ -860,7 +876,14 @@ impl Plan {
         // Tabulate the row filter into a packed mask once per chunk; the
         // kernels below consume the mask instead of evaluating per row.
         let mask: Option<BitVec> = match (filtered, &self.filter) {
-            (true, Some(plan)) => Some(kernels::filter_mask(plan, c, rows)?),
+            (true, Some(plan)) => match kernels::filter_mask(plan, c, rows)? {
+                // No row survives: the chunk contributes no group.
+                Mask::Empty => return Ok(CachedChunk::Groups(Vec::new())),
+                // Every row survives: scan unmasked, so the run-aware
+                // paths apply.
+                Mask::All => None,
+                Mask::Rows(bits) => Some(bits),
+            },
             _ => None,
         };
 
@@ -1029,14 +1052,17 @@ fn require_arg_type(func: AggFunc, col: &Option<Arc<StoredColumn>>) -> Result<Da
         .ok_or_else(|| Error::Internal(format!("{}(*) is only valid for COUNT", func.name())))
 }
 
-fn fold(result: &mut FxHashMap<Box<[u32]>, Vec<AggState>>, groups: &ChunkGroups) -> Result<()> {
-    for (key, states) in groups.iter() {
-        match result.entry(key.clone()) {
+fn fold<'a>(
+    result: &mut FxHashMap<Box<[u32]>, Vec<AggState>>,
+    groups: impl Iterator<Item = (Box<[u32]>, Cow<'a, [AggState]>)>,
+) -> Result<()> {
+    for (key, states) in groups {
+        match result.entry(key) {
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states.clone());
+                e.insert(states.into_owned());
             }
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                for (a, b) in e.get_mut().iter_mut().zip(states) {
+                for (a, b) in e.get_mut().iter_mut().zip(states.iter()) {
                     a.merge(b)?;
                 }
             }
@@ -1089,6 +1115,55 @@ mod tests {
         assert_eq!(a.groups.len(), 2);
         let key: Box<[Value]> = vec![Value::from("x")].into_boxed_slice();
         assert_eq!(a.groups[&key], vec![AggState::Count(5)]);
+    }
+
+    #[test]
+    fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
+        // Many groups share an ORDER BY key, so which of them survive the
+        // LIMIT is decided by the whole-row tie-break — the selection must
+        // agree with sorting everything, row for row.
+        let mut partial = PartialResult::default();
+        for i in 0..60u64 {
+            partial.groups.insert(
+                vec![Value::from(format!("k{:02}", i * 37 % 60))].into_boxed_slice(),
+                vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i64)],
+            );
+        }
+        for order in ["c DESC", "c ASC", "c DESC, s ASC", "s DESC, k DESC", "k ASC"] {
+            for having in ["", " HAVING c > 0"] {
+                let full = format!(
+                    "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k{having} ORDER BY {order}"
+                );
+                let analyzed = analyze(&parse_query(&full).unwrap()).unwrap();
+                // The definition: base order by whole row, then a stable
+                // sort on the ORDER BY keys.
+                let unlimited = finalize(&analyzed, partial.clone()).unwrap().rows;
+                let mut want = unlimited.clone();
+                want.sort();
+                want.sort_by(|a, b| {
+                    analyzed
+                        .order_by
+                        .iter()
+                        .map(|&(idx, desc)| {
+                            let ord = a.0[idx].cmp(&b.0[idx]);
+                            if desc {
+                                ord.reverse()
+                            } else {
+                                ord
+                            }
+                        })
+                        .find(|ord| ord.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                assert_eq!(unlimited, want, "{full}");
+                for limit in [0usize, 1, 7, 10, 44, 45, 59, 60, 61] {
+                    let limited =
+                        analyze(&parse_query(&format!("{full} LIMIT {limit}")).unwrap()).unwrap();
+                    let got = finalize(&limited, partial.clone()).unwrap().rows;
+                    assert_eq!(got, want[..limit.min(want.len())], "{full} LIMIT {limit}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,18 @@
 //! Everything in this module operates on the raw `u32` element codes of a
 //! chunk — never on [`Value`]s — so the hot loops are array arithmetic:
 //!
-//! - [`filter_mask`] compiles a `WHERE` tree against one chunk into a
-//!   packed [`BitVec`]: single-column subtrees are tabulated once per
-//!   chunk-dictionary entry and evaluated with one lookup per row, `AND` /
-//!   `OR` / `NOT` combine whole masks word-wise, and only genuinely
-//!   multi-column subtrees fall back to per-row evaluation.
+//! - [`filter_mask`] evaluates a `WHERE` tree, compiled once per query into
+//!   a [`FilterPlan`], over one chunk into a packed [`BitVec`]. A leaf the
+//!   skip pass's resolver turned into global-ids (`IN`, `=`, ranges on
+//!   sorted dictionaries, over a column or a virtual field) costs two
+//!   `partition_point`s or a short merge on the chunk dictionary's sorted
+//!   global-ids, then one integer compare per row code, 64 rows per word;
+//!   leaves the resolver declines are tabulated once per chunk-dictionary
+//!   entry through `eval_expr` (the only place a filter materializes
+//!   values, and only for the columns such a leaf reads); `AND` / `OR` /
+//!   `NOT` combine whole masks word-wise, with subtrees that are constant
+//!   on the chunk folded away; only genuinely multi-column subtrees fall
+//!   back to per-row evaluation.
 //! - [`count_single`] / [`count_fused`] are the paper's
 //!   `counts[elements[row]]++` loop, for one key and for two keys fused
 //!   into a single flat array index — no per-row group map, no `Value`
@@ -23,13 +30,17 @@
 //! monomorphized loop, so the element representation (const / bit-set / u8
 //! / u16 / u32) costs no per-row branch.
 
-use crate::column::ColumnChunk;
+use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
-use crate::exec::{AggKind, AggPlan, AggState, FilterPlan};
+use crate::datastore::DataStore;
+use crate::exec::{AggKind, AggPlan, AggState};
+use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{fx_hash64, BitVec, Error, FloatSum, FxHashMap, Result, Value};
 use pd_encoding::CodesView;
-use pd_sql::{eval_expr, truthy, Expr, RowContext};
+use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Per-chunk dense-grouping limit: products of key-dictionary sizes up to
 /// this use a flat array; larger products fall back to a hash map.
@@ -110,209 +121,408 @@ macro_rules! with_codes {
 // Filter masks
 // ---------------------------------------------------------------------------
 
-/// Compile `plan` against chunk `chunk` and tabulate it into a row mask.
-///
-/// Bit `r` is set iff row `r` satisfies the filter.
-pub(crate) fn filter_mask(plan: &FilterPlan, chunk: usize, rows: usize) -> Result<BitVec> {
-    // Cache each filter column's chunk-dictionary values once: predicates
-    // are then evaluated at most once per distinct value, not per row.
-    let caches: Vec<Vec<Value>> = plan
-        .cols
-        .iter()
-        .map(|(_, col)| {
-            let ch = &col.chunks[chunk];
-            (0..ch.dict.len()).map(|cid| col.dict.value(ch.dict.global_id_of(cid))).collect()
-        })
-        .collect();
-    let pred = compile_pred(&plan.expr, plan, &caches)?;
-    pred_mask(&pred, plan, &caches, chunk, rows, None)
+/// A `WHERE` tree compiled once per query (by `Plan::prepare`), evaluated
+/// once per `Partial` chunk by [`filter_mask`].
+pub(crate) struct FilterPlan {
+    root: Pred,
+    /// Base columns read by the leaves the resolver declined
+    /// ([`Pred::Table`], [`Pred::RowEval`]), by name — the only columns
+    /// whose chunk-dictionary values a mask ever materializes.
+    value_cols: Vec<(String, Arc<StoredColumn>)>,
 }
 
-/// A filter subtree compiled against one chunk.
 enum Pred {
     Const(bool),
-    /// Truth table over one column's chunk-ids.
-    Table {
-        col: usize,
-        table: Vec<bool>,
-    },
     And(Vec<Pred>),
     Or(Vec<Pred>),
     Not(Box<Pred>),
+    /// A restriction leaf in the id domain: per chunk, integer work on the
+    /// chunk dictionary's sorted global-ids and the row codes.
+    Ids(ResolvedLeaf),
+    /// A single-column leaf the resolver declined: a truth table over
+    /// `value_cols[col]`'s chunk-dictionary values, one `eval_expr` each.
+    Table {
+        col: usize,
+        expr: Expr,
+    },
     /// Multi-column subtree: evaluate per row.
     RowEval(Expr),
 }
 
-fn compile_pred(expr: &Expr, plan: &FilterPlan, caches: &[Vec<Value>]) -> Result<Pred> {
+impl FilterPlan {
+    /// Compile `filter` against `store`.
+    ///
+    /// `AND` / `OR` / `NOT` structure comes from the expression (the
+    /// normalized [`Restriction`] carries no expression for what it calls
+    /// opaque); each leaf goes through the same normalization and the same
+    /// resolver ([`skip::resolve_leaf`]) the chunk verdicts use, and stays
+    /// in the value domain only if the resolver declines it.
+    pub(crate) fn compile(store: &DataStore, filter: &Expr) -> Result<FilterPlan> {
+        let mut value_cols = Vec::new();
+        let root = compile_pred(store, filter, &mut value_cols)?;
+        Ok(FilterPlan { root, value_cols })
+    }
+}
+
+fn compile_pred(
+    store: &DataStore,
+    expr: &Expr,
+    value_cols: &mut Vec<(String, Arc<StoredColumn>)>,
+) -> Result<Pred> {
     use pd_sql::{BinaryOp, UnaryOp};
-    match expr {
-        Expr::Binary { op: BinaryOp::And, lhs, rhs } => {
-            Ok(Pred::And(vec![compile_pred(lhs, plan, caches)?, compile_pred(rhs, plan, caches)?]))
-        }
-        Expr::Binary { op: BinaryOp::Or, lhs, rhs } => {
-            Ok(Pred::Or(vec![compile_pred(lhs, plan, caches)?, compile_pred(rhs, plan, caches)?]))
-        }
-        Expr::Unary { op: UnaryOp::Not, expr } => {
-            Ok(Pred::Not(Box::new(compile_pred(expr, plan, caches)?)))
-        }
-        other => {
+    let mut compile = |e: &Expr| compile_pred(store, e, value_cols);
+    Ok(match expr {
+        Expr::Binary { op: BinaryOp::And, lhs, rhs } => join(true, [compile(lhs)?, compile(rhs)?]),
+        Expr::Binary { op: BinaryOp::Or, lhs, rhs } => join(false, [compile(lhs)?, compile(rhs)?]),
+        Expr::Unary { op: UnaryOp::Not, expr } => Pred::Not(Box::new(compile(expr)?)),
+        leaf => {
+            if let Some(resolved) = skip::resolve_leaf(store, &Restriction::from_expr(leaf))? {
+                return Ok(Pred::Ids(resolved));
+            }
             let mut names = Vec::new();
-            other.referenced_columns(&mut names);
-            match names.len() {
-                0 => {
-                    let empty: &[(&str, Value)] = &[];
-                    Ok(Pred::Const(truthy(&eval_expr(other, empty)?)))
+            leaf.referenced_columns(&mut names);
+            let mut slots = Vec::with_capacity(names.len());
+            for name in &names {
+                slots.push(match value_cols.iter().position(|(n, _)| n == name) {
+                    Some(slot) => slot,
+                    None => {
+                        value_cols.push((name.clone(), store.column(name)?));
+                        value_cols.len() - 1
+                    }
+                });
+            }
+            match slots[..] {
+                [] => {
+                    let no_columns: &[(&str, Value)] = &[];
+                    Pred::Const(truthy(&eval_expr(leaf, no_columns)?))
                 }
-                1 => {
-                    let col = plan
-                        .cols
-                        .iter()
-                        .position(|(n, _)| *n == names[0])
-                        .expect("filter columns were collected from this expression");
-                    // Tabulate the predicate over the column's chunk values.
-                    let table: Vec<bool> = caches[col]
-                        .iter()
-                        .map(|v| {
-                            let ctx: &[(&str, Value)] = &[(names[0].as_str(), v.clone())];
-                            Ok::<bool, Error>(truthy(&eval_expr(other, ctx)?))
-                        })
-                        .collect::<Result<_>>()?;
-                    Ok(Pred::Table { col, table })
-                }
-                _ => Ok(Pred::RowEval(other.clone())),
+                [col] => Pred::Table { col, expr: leaf.clone() },
+                _ => Pred::RowEval(leaf.clone()),
             }
         }
+    })
+}
+
+/// `l AND r` (`and`) or `l OR r` as one flat child list — `a AND b AND c`
+/// parses left-deep — with the per-row children last, so that every other
+/// child narrows the rows they are evaluated on.
+fn join(and: bool, sides: [Pred; 2]) -> Pred {
+    let mut children = Vec::new();
+    for side in sides {
+        match (and, side) {
+            (true, Pred::And(nested)) | (false, Pred::Or(nested)) => children.extend(nested),
+            (_, other) => children.push(other),
+        }
+    }
+    children.sort_by_key(has_row_eval);
+    if and {
+        Pred::And(children)
+    } else {
+        Pred::Or(children)
+    }
+}
+
+/// The rows of one chunk that satisfy the filter. The two constant shapes
+/// are what lets the caller short-circuit: no kernel runs over `Empty`, and
+/// `All` runs the kernels unmasked (run-aware paths included).
+pub(crate) enum Mask {
+    Empty,
+    All,
+    /// Bit `r` is set iff row `r` satisfies the filter.
+    Rows(BitVec),
+}
+
+impl Mask {
+    fn constant(all: bool) -> Mask {
+        if all {
+            Mask::All
+        } else {
+            Mask::Empty
+        }
+    }
+}
+
+/// Evaluate `plan` over chunk `chunk` (`rows` rows).
+pub(crate) fn filter_mask(plan: &FilterPlan, chunk: usize, rows: usize) -> Result<Mask> {
+    let values = plan.value_cols.iter().map(|_| OnceCell::new()).collect();
+    let cx = ChunkCx { plan, chunk, rows, values };
+    Ok(match cx.mask(&plan.root, None)? {
+        Mask::Rows(bits) if bits.none() => Mask::Empty,
+        Mask::Rows(bits) if bits.all() => Mask::All,
+        mask => mask,
+    })
+}
+
+/// One chunk's evaluation state.
+struct ChunkCx<'a> {
+    plan: &'a FilterPlan,
+    chunk: usize,
+    rows: usize,
+    /// Per `plan.value_cols` entry, the chunk dictionary translated to
+    /// values — built on first use, so a chunk whose id-domain conjuncts
+    /// already decided it never calls `dict.value()`.
+    values: Vec<OnceCell<Vec<Value>>>,
+}
+
+impl ChunkCx<'_> {
+    fn values(&self, col: usize) -> &[Value] {
+        self.values[col].get_or_init(|| {
+            let column = &self.plan.value_cols[col].1;
+            column.chunks[self.chunk].dict.iter().map(|gid| column.dict.value(gid)).collect()
+        })
+    }
+
+    /// Evaluate `pred` into a mask.
+    ///
+    /// `scope` is the set of rows whose bits the caller will actually use
+    /// (`None`: all of them): an `AND` passes its accumulated mask down so
+    /// expensive `RowEval` subtrees run only on rows that survived the
+    /// cheaper siblings (the per-row short-circuit of a row-at-a-time
+    /// evaluator, recovered in mask form). The result describes the rows in
+    /// `scope` only — `All` means all of *those*, and other bits of `Rows`
+    /// are unspecified; every scope provider intersects the child result
+    /// with that scope.
+    fn mask(&self, pred: &Pred, scope: Option<&BitVec>) -> Result<Mask> {
+        Ok(match pred {
+            Pred::Const(b) => Mask::constant(*b),
+            Pred::Ids(leaf) => ids_mask(leaf, self.chunk),
+            Pred::Table { col, expr } => {
+                let (name, column) = &self.plan.value_cols[*col];
+                let table: Vec<bool> = self
+                    .values(*col)
+                    .iter()
+                    .map(|v| {
+                        let ctx: &[(&str, Value)] = &[(name.as_str(), v.clone())];
+                        Ok(truthy(&eval_expr(expr, ctx)?))
+                    })
+                    .collect::<Result<_>>()?;
+                table_mask(column.chunks[self.chunk].codes(), &table)
+            }
+            Pred::And(children) => {
+                // Rows of the scope that satisfied every child so far
+                // (`None`: all of them).
+                let mut acc: Option<BitVec> = None;
+                // Per-row children come last (see `join`), so they
+                // see the narrowest possible scope. A child that is `All`
+                // on this chunk — a conjunct whose own verdict is Full —
+                // drops out.
+                for c in children {
+                    match self.mask(c, acc.as_ref().or(scope))? {
+                        Mask::Empty => return Ok(Mask::Empty),
+                        Mask::All => {}
+                        Mask::Rows(mut child) => {
+                            if let Some(outer) = acc.as_ref().or(scope) {
+                                child.and_assign(outer);
+                            }
+                            if child.none() {
+                                return Ok(Mask::Empty);
+                            }
+                            acc = Some(child);
+                        }
+                    }
+                }
+                acc.map_or(Mask::All, Mask::Rows)
+            }
+            Pred::Or(children) => {
+                // Rows some child satisfied so far (`None`: none yet).
+                let mut acc: Option<BitVec> = None;
+                let accept = |acc: &mut Option<BitVec>, rows: BitVec| match acc {
+                    Some(acc) => acc.or_assign(&rows),
+                    None => *acc = Some(rows),
+                };
+                for c in children {
+                    if !has_row_eval(c) {
+                        match self.mask(c, scope)? {
+                            Mask::Empty => {}
+                            Mask::All => return Ok(Mask::All),
+                            Mask::Rows(child) => accept(&mut acc, child),
+                        }
+                        continue;
+                    }
+                    // Per-row disjuncts (ordered last) only evaluate rows
+                    // no earlier sibling already satisfied (and that are in
+                    // scope) — the other half of the per-row short-circuit.
+                    let mut remaining = match scope {
+                        Some(s) => s.clone(),
+                        None => BitVec::filled(self.rows, true),
+                    };
+                    if let Some(satisfied) = &acc {
+                        let mut unsatisfied = satisfied.clone();
+                        unsatisfied.negate();
+                        remaining.and_assign(&unsatisfied);
+                    }
+                    if remaining.none() {
+                        break;
+                    }
+                    match self.mask(c, Some(&remaining))? {
+                        Mask::Empty => {}
+                        Mask::All => accept(&mut acc, remaining),
+                        Mask::Rows(mut child) => {
+                            child.and_assign(&remaining);
+                            accept(&mut acc, child);
+                        }
+                    }
+                }
+                acc.map_or(Mask::Empty, Mask::Rows)
+            }
+            Pred::Not(inner) => match self.mask(inner, scope)? {
+                Mask::Empty => Mask::All,
+                Mask::All => Mask::Empty,
+                Mask::Rows(mut bits) => {
+                    bits.negate();
+                    Mask::Rows(bits)
+                }
+            },
+            Pred::RowEval(expr) => {
+                let mut bits = BitVec::filled(self.rows, false);
+                let mut test = |row: usize| -> Result<()> {
+                    if truthy(&eval_expr(expr, &FilterRowContext { cx: self, row })?) {
+                        bits.set(row, true);
+                    }
+                    Ok(())
+                };
+                match scope {
+                    None => (0..self.rows).try_for_each(&mut test)?,
+                    Some(s) => s.iter_ones().try_for_each(&mut test)?,
+                }
+                Mask::Rows(bits)
+            }
+        })
     }
 }
 
 /// Does this subtree contain a per-row evaluation leaf?
 fn has_row_eval(pred: &Pred) -> bool {
     match pred {
-        Pred::Const(_) | Pred::Table { .. } => false,
+        Pred::Const(_) | Pred::Ids(_) | Pred::Table { .. } => false,
         Pred::And(children) | Pred::Or(children) => children.iter().any(has_row_eval),
         Pred::Not(inner) => has_row_eval(inner),
         Pred::RowEval(_) => true,
     }
 }
 
-/// Evaluate `pred` into a mask.
-///
-/// `scope` is the set of rows whose bits the caller will actually use: an
-/// `AND` passes its accumulated mask down so expensive `RowEval` subtrees
-/// run only on rows that survived the cheaper siblings (the per-row
-/// short-circuit of a row-at-a-time evaluator, recovered in mask form).
-/// Outside `scope` the returned bits are unspecified — every scope
-/// provider intersects the child result with that scope.
-fn pred_mask(
-    pred: &Pred,
-    plan: &FilterPlan,
-    caches: &[Vec<Value>],
-    chunk: usize,
-    rows: usize,
-    scope: Option<&BitVec>,
-) -> Result<BitVec> {
-    Ok(match pred {
-        Pred::Const(b) => BitVec::filled(rows, *b),
-        Pred::Table { col, table } => {
-            let view = plan.cols[*col].1.chunks[chunk].codes();
-            with_codes!(view, |get| (0..rows).map(|r| table[get(r) as usize]).collect())
+/// An id-domain leaf on one chunk: the resolved global-ids become chunk-ids
+/// through the chunk dictionary's sorted global-ids, and a row matches iff
+/// its code is one of them. No value is looked at.
+fn ids_mask(leaf: &ResolvedLeaf, chunk: usize) -> Mask {
+    let ch = &leaf.col.chunks[chunk];
+    let gids = ch.dict.global_ids();
+    match &leaf.ids {
+        LeafIds::Range { lo, hi } => {
+            let a = gids.partition_point(|g| g < lo);
+            let b = gids.partition_point(|g| g < hi).max(a);
+            interval_mask(ch.codes(), gids.len(), a, b, false)
         }
-        Pred::And(children) => {
-            let mut mask = match scope {
-                Some(s) => s.clone(),
-                None => BitVec::filled(rows, true),
-            };
-            // Tabulated (cheap) children first, so per-row subtrees see
-            // the narrowest possible scope.
-            let (cheap, costly): (Vec<&Pred>, Vec<&Pred>) =
-                children.iter().partition(|c| !has_row_eval(c));
-            for c in cheap.into_iter().chain(costly) {
-                if mask.none() {
-                    break;
-                }
-                let child = pred_mask(c, plan, caches, chunk, rows, Some(&mask))?;
-                mask.and_assign(&child);
-            }
-            mask
-        }
-        Pred::Or(children) => {
-            let mut mask = BitVec::filled(rows, false);
-            // Cheap disjuncts first; per-row disjuncts then only evaluate
-            // rows no cheap sibling already satisfied (and that are in
-            // scope) — the other half of the per-row short-circuit.
-            let (cheap, costly): (Vec<&Pred>, Vec<&Pred>) =
-                children.iter().partition(|c| !has_row_eval(c));
-            for c in &cheap {
-                if mask.all() {
-                    break;
-                }
-                mask.or_assign(&pred_mask(c, plan, caches, chunk, rows, scope)?);
-            }
-            for c in costly {
-                let mut remaining = match scope {
-                    Some(s) => s.clone(),
-                    None => BitVec::filled(rows, true),
-                };
-                let mut satisfied = mask.clone();
-                satisfied.negate();
-                remaining.and_assign(&satisfied);
-                if remaining.none() {
-                    break;
-                }
-                // Bits outside `remaining` are unspecified in the child
-                // result; clear them before accumulating.
-                let mut child = pred_mask(c, plan, caches, chunk, rows, Some(&remaining))?;
-                child.and_assign(&remaining);
-                mask.or_assign(&child);
-            }
-            mask
-        }
-        Pred::Not(inner) => {
-            let mut mask = pred_mask(inner, plan, caches, chunk, rows, scope)?;
-            mask.negate();
-            mask
-        }
-        Pred::RowEval(expr) => match scope {
-            None => {
-                let mut mask = BitVec::with_capacity(rows);
-                for row in 0..rows {
-                    let ctx = FilterRowContext { plan, caches, chunk, row };
-                    mask.push(truthy(&eval_expr(expr, &ctx)?));
-                }
-                mask
-            }
-            Some(s) => {
-                let mut mask = BitVec::filled(rows, false);
-                for row in s.iter_ones() {
-                    let ctx = FilterRowContext { plan, caches, chunk, row };
-                    if truthy(&eval_expr(expr, &ctx)?) {
-                        mask.set(row, true);
+        LeafIds::In { ids, negated } => {
+            // Chunk-ids of the resolved ids this chunk holds, ascending:
+            // binary searches when the id set is much the smaller side, a
+            // merge of the two sorted lists otherwise.
+            let mut hits: Vec<usize> = Vec::new();
+            if ids.len() * 8 < gids.len() {
+                hits.extend(
+                    ids.iter().filter_map(|id| ch.dict.chunk_id_of(*id)).map(|c| c as usize),
+                );
+            } else {
+                let mut wanted = ids.iter().peekable();
+                for (cid, gid) in gids.iter().enumerate() {
+                    while wanted.next_if(|id| *id < gid).is_some() {}
+                    if wanted.peek() == Some(&gid) {
+                        hits.push(cid);
                     }
                 }
-                mask
+            }
+            let Some((&first, &last)) = hits.first().zip(hits.last()) else {
+                return Mask::constant(*negated);
+            };
+            if last - first + 1 == hits.len() {
+                // One id, or neighbours in this chunk: `code == cid` is the
+                // one-wide interval.
+                interval_mask(ch.codes(), gids.len(), first, last + 1, *negated)
+            } else {
+                let mut table = vec![*negated; gids.len()];
+                for cid in hits {
+                    table[cid] = !*negated;
+                }
+                table_mask(ch.codes(), &table)
+            }
+        }
+    }
+}
+
+/// Rows whose code lies in the chunk-id interval `[a, b)` of a chunk
+/// dictionary with `n` entries — or, `negated`, outside it.
+fn interval_mask(codes: CodesView<'_>, n: usize, a: usize, b: usize, negated: bool) -> Mask {
+    // Every chunk-id occurs in some row, so the mask is constant exactly
+    // when the interval is empty or covers the dictionary.
+    if a == b {
+        return Mask::constant(negated);
+    }
+    if a == 0 && b == n {
+        return Mask::constant(!negated);
+    }
+    let (a, width) = (a as u32, (b - a) as u32);
+    code_mask(codes, |code| (code.wrapping_sub(a) < width) != negated)
+}
+
+/// Rows whose code's `table` entry is set.
+fn table_mask(codes: CodesView<'_>, table: &[bool]) -> Mask {
+    if !table.contains(&true) {
+        return Mask::Empty;
+    }
+    if !table.contains(&false) {
+        return Mask::All;
+    }
+    code_mask(codes, |code| table[code as usize])
+}
+
+/// Tabulate `keep(code)` over a chunk's codes, one 64-row word at a time.
+fn code_mask(codes: CodesView<'_>, keep: impl Fn(u32) -> bool) -> Mask {
+    fn pack<T: Copy + Into<u32>>(codes: &[T], keep: impl Fn(u32) -> bool) -> Mask {
+        let words = codes
+            .chunks(64)
+            .map(|rows| {
+                rows.iter()
+                    .enumerate()
+                    .fold(0u64, |word, (i, &code)| word | (keep(code.into()) as u64) << i)
+            })
+            .collect();
+        Mask::Rows(BitVec::from_words(words, codes.len()))
+    }
+    match codes {
+        CodesView::Const { .. } => Mask::constant(keep(0)),
+        // Two codes: the mask is the bit-set itself, its complement, or
+        // constant.
+        CodesView::Bits(bits) => match (keep(0), keep(1)) {
+            (false, false) => Mask::Empty,
+            (true, true) => Mask::All,
+            (false, true) => Mask::Rows(bits.clone()),
+            (true, false) => {
+                let mut flipped = bits.clone();
+                flipped.negate();
+                Mask::Rows(flipped)
             }
         },
-    })
+        CodesView::U8(v) => pack(v, keep),
+        CodesView::U16(v) => pack(v, keep),
+        CodesView::U32(v) => pack(v, keep),
+    }
 }
 
 /// Row context for multi-column filter subtrees.
 struct FilterRowContext<'a> {
-    plan: &'a FilterPlan,
-    caches: &'a [Vec<Value>],
-    chunk: usize,
+    cx: &'a ChunkCx<'a>,
     row: usize,
 }
 
 impl RowContext for FilterRowContext<'_> {
     fn column(&self, name: &str) -> Result<Value> {
-        let idx = self
-            .plan
-            .cols
+        let cols = &self.cx.plan.value_cols;
+        let idx = cols
             .iter()
             .position(|(n, _)| n == name)
             .ok_or_else(|| Error::Schema(format!("unknown column `{name}`")))?;
-        let chunk = &self.plan.cols[idx].1.chunks[self.chunk];
-        Ok(self.caches[idx][chunk.elements.get(self.row) as usize].clone())
+        let code = cols[idx].1.chunks[self.cx.chunk].elements.get(self.row);
+        Ok(self.cx.values(idx)[code as usize].clone())
     }
 }
 
@@ -964,6 +1174,228 @@ mod tests {
 
     fn elements(ids: &[u32], distinct: u32) -> Elements {
         Elements::encode(ids, distinct, ElementsMode::Optimized)
+    }
+
+    // -- Filter masks: searched against the row-at-a-time evaluator -------
+
+    use crate::options::{BuildOptions, PartitionSpec};
+    use pd_common::rng::Rng;
+    use pd_common::{DataType, Row, Schema};
+    use pd_data::Table;
+    use pd_sql::{parse_query, BinaryOp};
+    use std::collections::BTreeSet;
+
+    const MASK_ROWS: usize = 900;
+
+    /// Columns chosen by code representation: `one` is constant (`const`),
+    /// `two` two-valued (`bits`), `s` / `x` low-cardinality (`u8`), `n` has
+    /// more than 256 values per chunk (`u16`); a `basic()` build stores
+    /// every one of them as `u32`. `x` holds both zeros and a NaN; `ts`
+    /// spans ten days for the virtual fields.
+    fn mask_table() -> Table {
+        let schema = Schema::of(&[
+            ("one", DataType::Str),
+            ("two", DataType::Str),
+            ("s", DataType::Str),
+            ("n", DataType::Int),
+            ("x", DataType::Float),
+            ("ts", DataType::Int),
+        ]);
+        let xs = [-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 1e30, f64::NAN];
+        let mut t = Table::new(schema);
+        for i in 0..MASK_ROWS as i64 {
+            t.push_row(Row(vec![
+                Value::from("only"),
+                Value::from(["a", "b"][(i * i % 7 % 2) as usize]),
+                Value::from(format!("s{:02}", i * 5 % 12)),
+                Value::Int(i * 7 % 601 - 300),
+                Value::Float(xs[(i * 11 % xs.len() as i64) as usize]),
+                Value::Int(1_325_376_000 + i * 977),
+            ]))
+            .unwrap();
+        }
+        t
+    }
+
+    fn random_leaf(rng: &mut Rng) -> String {
+        let cmp = |rng: &mut Rng| *rng.pick(&["<", "<=", ">", ">=", "=", "!="]);
+        // Present, absent and out-of-range literals; Int against Float and
+        // Float against Int, integral and not, both zeros, and floats no
+        // integer stands for.
+        let s_lit = |rng: &mut Rng| format!("'s{:02}'", rng.range_usize(0, 14));
+        let n_lit = |rng: &mut Rng| match rng.range_usize(0, 10) {
+            0 => "4.5".to_owned(),
+            1 => "5.0".to_owned(),
+            2 => "-0.0".to_owned(),
+            3 => "0.0".to_owned(),
+            4 => "1e30".to_owned(),
+            5 => "9007199254740992.0".to_owned(),
+            6 => "1000".to_owned(),
+            _ => rng.range_i64_inclusive(-320, 320).to_string(),
+        };
+        let x_lit = |rng: &mut Rng| {
+            (*rng.pick(&["0", "1", "2", "0.0", "-0.0", "0.7", "1e30", "3"])).to_owned()
+        };
+        match rng.range_usize(0, 16) {
+            0 => format!("s {} {}", cmp(rng), s_lit(rng)),
+            1 => format!("{} {} s", s_lit(rng), cmp(rng)),
+            2 => {
+                let not = *rng.pick(&["", "NOT "]);
+                let list: Vec<String> = (0..rng.range_usize(1, 5)).map(|_| s_lit(rng)).collect();
+                format!("s {not}IN ({})", list.join(", "))
+            }
+            3 | 4 => format!("n {} {}", cmp(rng), n_lit(rng)),
+            5 => format!("{} {} n", n_lit(rng), cmp(rng)),
+            6 => format!("n {}IN ({}, {})", rng.pick(&["", "NOT "]), n_lit(rng), n_lit(rng)),
+            7 | 8 => format!("x {} {}", cmp(rng), x_lit(rng)),
+            9 => format!("x {}IN ({}, {})", rng.pick(&["", "NOT "]), x_lit(rng), x_lit(rng)),
+            10 => format!("one {} 'only'", rng.pick(&["=", "!=", "<", ">="])),
+            11 => format!("two {} '{}'", cmp(rng), rng.pick(&["a", "b", "c"])),
+            // Virtual-field leaves.
+            12 => format!("hour(ts) {} {}", cmp(rng), rng.range_usize(0, 25)),
+            13 => format!(
+                "date(ts) {}IN ('2012-01-0{}', '2012-01-0{}')",
+                rng.pick(&["", "NOT "]),
+                rng.range_usize(1, 10),
+                rng.range_usize(0, 10)
+            ),
+            // Opaque single-column leaves, then two-column ones.
+            14 => (*rng.pick(&["contains(s, '1')", "n * 2 > n + 3"])).to_owned(),
+            _ => (*rng.pick(&["n > x", "contains(s, two)", "n + ts > 1325376500"])).to_owned(),
+        }
+    }
+
+    fn random_filter(rng: &mut Rng, depth: usize) -> String {
+        if depth == 0 || rng.chance(0.3) {
+            return random_leaf(rng);
+        }
+        let (l, r) = (random_filter(rng, depth - 1), random_filter(rng, depth - 1));
+        match rng.range_usize(0, 5) {
+            0 | 1 => format!("({l} AND {r})"),
+            2 | 3 => format!("({l} OR {r})"),
+            _ => format!("NOT ({l} {} {r})", rng.pick(&["AND", "OR"])),
+        }
+    }
+
+    fn parse_filter(where_sql: &str) -> Expr {
+        parse_query(&format!("SELECT COUNT(*) FROM t WHERE {where_sql}"))
+            .unwrap()
+            .where_clause
+            .unwrap()
+    }
+
+    /// The oracle: `eval_expr` per row over the stored values.
+    fn reference_mask(store: &DataStore, filter: &Expr, chunk: usize) -> Vec<bool> {
+        struct StoredRow<'a> {
+            store: &'a DataStore,
+            chunk: usize,
+            row: usize,
+        }
+        impl RowContext for StoredRow<'_> {
+            fn column(&self, name: &str) -> Result<Value> {
+                Ok(self.store.column(name)?.value_at(self.chunk, self.row))
+            }
+        }
+        (0..store.chunk_rows(chunk))
+            .map(|row| truthy(&eval_expr(filter, &StoredRow { store, chunk, row }).unwrap()))
+            .collect()
+    }
+
+    fn assert_masks_match_reference(store: &DataStore, filter: &Expr, label: &str) {
+        let plan = FilterPlan::compile(store, filter).unwrap();
+        for chunk in 0..store.chunk_count() {
+            let rows = store.chunk_rows(chunk);
+            let want = reference_mask(store, filter, chunk);
+            let got: Vec<bool> = match filter_mask(&plan, chunk, rows).unwrap() {
+                Mask::Empty => vec![false; rows],
+                Mask::All => vec![true; rows],
+                Mask::Rows(bits) => {
+                    assert!(!bits.none() && !bits.all(), "constant masks are normalized: {label}");
+                    bits.iter().collect()
+                }
+            };
+            let differs = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert_eq!(differs, None, "chunk {chunk}, first differing row: {label}");
+        }
+    }
+
+    #[test]
+    fn filter_masks_equal_the_per_row_evaluator_on_every_code_representation() {
+        let table = mask_table();
+        let spec = PartitionSpec::new(&["s"], 450);
+        let stores = [
+            ("basic", DataStore::build(&table, &BuildOptions::basic()).unwrap()),
+            ("optcols", DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap()),
+            // Trie dictionaries: string ranges take the value fallback.
+            ("reordered", DataStore::build(&table, &BuildOptions::reordered(spec)).unwrap()),
+        ];
+        let mut reprs = BTreeSet::new();
+        for (_, store) in &stores {
+            for name in store.column_names() {
+                reprs.extend(
+                    store.column(&name).unwrap().chunks.iter().map(|c| c.elements.repr_name()),
+                );
+            }
+        }
+        assert_eq!(
+            reprs.into_iter().collect::<Vec<_>>(),
+            ["bitset", "const", "u16", "u32", "u8"],
+            "the table must exercise every representation"
+        );
+
+        let mut rng = Rng::seed_from_u64(0x5eed_0016);
+        for case in 0..400 {
+            let sql = random_filter(&mut rng, 3);
+            let filter = parse_filter(&sql);
+            for (name, store) in &stores {
+                assert_masks_match_reference(store, &filter, &format!("case {case} {name}: {sql}"));
+            }
+        }
+    }
+
+    #[test]
+    fn unresolvable_float_literals_fall_back_to_values_in_masks() {
+        // The three cases an `as i64` cast gets wrong, plus the NaN bound
+        // SQL text cannot spell: none may reach the id domain, and every
+        // mask must still equal the evaluator.
+        let table = mask_table();
+        let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+        let n_vs = |op: BinaryOp, v: f64| Expr::Binary {
+            op,
+            lhs: Box::new(Expr::column("n")),
+            rhs: Box::new(Expr::Literal(Value::Float(v))),
+        };
+        for v in [1e30, -1e30, f64::NAN, -f64::NAN, f64::INFINITY, 9_007_199_254_740_992.0, -0.0] {
+            for op in [BinaryOp::Eq, BinaryOp::Ne, BinaryOp::Lt, BinaryOp::Le, BinaryOp::Ge] {
+                let filter = n_vs(op, v);
+                let plan = FilterPlan::compile(&store, &filter).unwrap();
+                assert!(
+                    matches!(plan.root, Pred::Table { .. }),
+                    "{filter} must not resolve to ids"
+                );
+                assert_masks_match_reference(&store, &filter, &filter.to_string());
+            }
+        }
+        // ... while ordinary literals do resolve.
+        let plan = FilterPlan::compile(&store, &n_vs(BinaryOp::Ge, 4.5)).unwrap();
+        assert!(matches!(plan.root, Pred::Ids(_)));
+        assert!(plan.value_cols.is_empty(), "id leaves read no values");
+    }
+
+    #[test]
+    fn only_declined_leaves_materialize_values() {
+        let table = mask_table();
+        let spec = PartitionSpec::new(&["s"], 450);
+        let store = DataStore::build(&table, &BuildOptions::reordered(spec)).unwrap();
+        let cols = |sql: &str| -> Vec<String> {
+            let plan = FilterPlan::compile(&store, &parse_filter(sql)).unwrap();
+            plan.value_cols.into_iter().map(|(name, _)| name).collect()
+        };
+        assert!(cols("n >= 3 AND n < 90 AND date(ts) = '2012-01-02' AND s != 's03'").is_empty());
+        // A string range on a trie dictionary and a call are declined; the
+        // id leaf beside them still reads nothing.
+        assert_eq!(cols("s >= 's05' AND n > 3"), ["s"]);
+        assert_eq!(cols("n > 3 AND (contains(s, '1') OR n > x)"), ["s", "n", "x"]);
     }
 
     #[test]

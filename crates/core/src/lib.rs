@@ -20,7 +20,8 @@
 //! - [`exec`] — the query executor (dense-array group-by, aggregation
 //!   states, HAVING/ORDER/LIMIT), with partial execution + merge for the
 //!   distributed layer; the per-chunk inner loops are the dictionary-code
-//!   kernels of `kernels` (filter masks as packed bit vectors, flat
+//!   kernels of `kernels` (filter masks as packed bit vectors built from
+//!   the restriction's resolved dictionary ids, flat
 //!   counts/sums arrays over raw `u32` codes);
 //! - [`scheduler`] — the persistent morsel-driven worker pool that scans
 //!   active chunks in parallel ([`ExecContext::threads`], default =

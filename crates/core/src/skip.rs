@@ -10,10 +10,20 @@
 //!   chunks which are fully active");
 //! - [`ChunkActivity::Partial`] — some rows may match; the chunk is scanned
 //!   with a row-level filter.
+//!
+//! The resolution of a restriction leaf — its literals looked up in the
+//! global dictionary, §2.4's first step — serves two consumers: the verdict
+//! here, and the row mask of a `Partial` chunk (`kernels::filter_mask`),
+//! which turns the same resolved ids into chunk-ids and never looks at a
+//! value. Both go through `resolve_leaf`. A verdict may err toward
+//! `Partial`; a mask may not err at all, so the resolver answers only where
+//! id semantics equal the row filter's bit for bit and declines otherwise.
 
+use crate::column::StoredColumn;
 use crate::datastore::DataStore;
-use pd_common::{FxHashMap, Result};
+use pd_common::Result;
 use pd_sql::Restriction;
+use std::sync::Arc;
 
 /// Three-valued chunk verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,43 +61,108 @@ impl ChunkActivity {
     }
 }
 
-/// Pre-resolved restriction: literal values translated to sorted global-id
-/// lists per field (done once per query, not per chunk).
-pub struct ResolvedRestriction {
-    node: ResolvedNode,
+/// An `In` / `Range` restriction leaf with its literals translated into
+/// the field's global-id space — once per query, through
+/// [`resolve_leaf`], for both consumers: the chunk verdict below and the
+/// row mask (`kernels::filter_mask`). Because they share the resolution, a
+/// verdict and a mask cannot disagree about what a leaf means.
+pub(crate) struct ResolvedLeaf {
+    /// The field's stored column (a base column or a materialized virtual
+    /// field, §5).
+    pub(crate) col: Arc<StoredColumn>,
+    pub(crate) ids: LeafIds,
 }
 
+/// What a leaf's literals came to in the global-id domain. Exact: a row
+/// satisfies the leaf iff its global-id is in the set / interval (negated
+/// for `NOT IN`).
+pub(crate) enum LeafIds {
+    /// Sorted global-ids of the literals that exist in the dictionary.
+    /// Absent literals match no row, so they are simply dropped: `IN` over
+    /// only absent literals matches nothing, `NOT IN` everything.
+    In { ids: Vec<u32>, negated: bool },
+    /// Half-open global-id interval `[lo, hi)`: the extension range
+    /// restriction (value order == id order in sorted dictionaries).
+    Range { lo: u32, hi: u32 },
+}
+
+/// Resolve one restriction leaf against `store`, materializing the virtual
+/// field it names if need be (§5: restrictions on materialized expressions
+/// skip chunks through the expression's own chunk dictionaries).
+///
+/// `None` — for anything that is not an `In` / `Range` leaf, and for a leaf
+/// the dictionary cannot answer *exactly*: a range on a trie or tailed
+/// dictionary, a bound of another type, a float literal no integer stands
+/// for (`GlobalDict::resolves_exactly`). The skip pass then scans
+/// ("maybe") and the mask falls back to evaluating values.
+pub(crate) fn resolve_leaf(store: &DataStore, leaf: &Restriction) -> Result<Option<ResolvedLeaf>> {
+    Ok(match leaf {
+        Restriction::In { field, values, negated } => {
+            let col = store.column_for_expr(field)?;
+            col.global_ids_of(values)
+                .map(|ids| ResolvedLeaf { col, ids: LeafIds::In { ids, negated: *negated } })
+        }
+        Restriction::Range { field, min, max } => {
+            let col = store.column_for_expr(field)?;
+            col.dict
+                .range_ids(min.as_ref(), max.as_ref())
+                .map(|(lo, hi)| ResolvedLeaf { col, ids: LeafIds::Range { lo, hi } })
+        }
+        _ => None,
+    })
+}
+
+impl ResolvedLeaf {
+    /// Verdict for chunk `c`, from the chunk dictionary alone.
+    fn activity(&self, c: usize) -> ChunkActivity {
+        let dict = &self.col.chunks[c].dict;
+        match &self.ids {
+            LeafIds::Range { lo, hi } => {
+                let (Some(cmin), Some(cmax)) = (dict.min_global_id(), dict.max_global_id()) else {
+                    return ChunkActivity::Skip; // empty chunk
+                };
+                if *lo >= *hi || cmax < *lo || cmin >= *hi {
+                    ChunkActivity::Skip
+                } else if cmin >= *lo && cmax < *hi {
+                    ChunkActivity::Full
+                } else {
+                    ChunkActivity::Partial
+                }
+            }
+            LeafIds::In { ids, negated } => {
+                // A chunk whose dictionary avoids all the ids has no row IN
+                // them (and every row NOT IN them); one entirely inside
+                // them the reverse.
+                let (outside, inside) = if *negated {
+                    (ChunkActivity::Full, ChunkActivity::Skip)
+                } else {
+                    (ChunkActivity::Skip, ChunkActivity::Full)
+                };
+                if !dict.contains_any(ids) {
+                    outside
+                } else if dict.subset_of(ids) {
+                    inside
+                } else {
+                    ChunkActivity::Partial
+                }
+            }
+        }
+    }
+}
+
+/// A restriction with every leaf resolved (once per query, not per chunk).
 enum ResolvedNode {
     True,
     And(Vec<ResolvedNode>),
     Or(Vec<ResolvedNode>),
-    In {
-        /// Index into the fields list.
-        field: usize,
-        /// Sorted global-ids of the restriction's literals that exist in
-        /// the dictionary.
-        ids: Vec<u32>,
-        /// Did every literal resolve? (If not, `NOT IN` can never be Full
-        /// by subset reasoning alone — absent literals match no row, which
-        /// only *helps* `NOT IN`, so this flag is unused there; it is kept
-        /// for clarity.)
-        negated: bool,
-    },
-    /// Half-open global-id interval `[lo, hi)`: the extension range
-    /// restriction (value order == id order in sorted dictionaries).
-    Range {
-        field: usize,
-        lo: u32,
-        hi: u32,
-    },
+    Leaf(ResolvedLeaf),
     Opaque,
 }
 
-/// The per-query skipping context: resolved restriction + the stored
-/// columns it touches.
+/// The per-query skipping context: the resolved restriction, plus any
+/// verdicts a metadata layer already proved.
 pub struct SkipAnalysis {
-    resolved: ResolvedRestriction,
-    columns: Vec<std::sync::Arc<crate::column::StoredColumn>>,
+    resolved: ResolvedNode,
     /// Externally supplied verdicts (one per chunk), typically computed by
     /// a tree parent from shard metadata and shipped down with the query.
     /// Each seed must be *sound* for the same restriction: a `Skip` seed is
@@ -98,8 +173,7 @@ pub struct SkipAnalysis {
 
 impl SkipAnalysis {
     /// Resolve `restriction` against `store`, materializing any virtual
-    /// fields it references (§5: restrictions on materialized expressions
-    /// skip chunks through the expression's own chunk dictionaries).
+    /// fields it references.
     pub fn prepare(store: &DataStore, restriction: &Restriction) -> Result<SkipAnalysis> {
         SkipAnalysis::prepare_seeded(store, restriction, None)
     }
@@ -112,10 +186,7 @@ impl SkipAnalysis {
         restriction: &Restriction,
         seeds: Option<Vec<ChunkActivity>>,
     ) -> Result<SkipAnalysis> {
-        let mut columns = Vec::new();
-        let mut index: FxHashMap<String, usize> = FxHashMap::default();
-        let node = resolve(store, restriction, &mut columns, &mut index)?;
-        Ok(SkipAnalysis { resolved: ResolvedRestriction { node }, columns, seeds })
+        Ok(SkipAnalysis { resolved: resolve(store, restriction)?, seeds })
     }
 
     /// Verdict for chunk `c`.
@@ -126,9 +197,9 @@ impl SkipAnalysis {
             if *seed == ChunkActivity::Skip {
                 return ChunkActivity::Skip;
             }
-            return seed.and(evaluate(&self.resolved.node, &self.columns, c));
+            return seed.and(evaluate(&self.resolved, c));
         }
-        evaluate(&self.resolved.node, &self.columns, c)
+        evaluate(&self.resolved, c)
     }
 
     /// Verdicts for every chunk.
@@ -137,105 +208,33 @@ impl SkipAnalysis {
     }
 }
 
-fn resolve(
-    store: &DataStore,
-    restriction: &Restriction,
-    columns: &mut Vec<std::sync::Arc<crate::column::StoredColumn>>,
-    index: &mut FxHashMap<String, usize>,
-) -> Result<ResolvedNode> {
+fn resolve(store: &DataStore, restriction: &Restriction) -> Result<ResolvedNode> {
     Ok(match restriction {
         Restriction::True => ResolvedNode::True,
         Restriction::Opaque => ResolvedNode::Opaque,
-        Restriction::And(children) => ResolvedNode::And(
-            children.iter().map(|r| resolve(store, r, columns, index)).collect::<Result<_>>()?,
-        ),
-        Restriction::Or(children) => ResolvedNode::Or(
-            children.iter().map(|r| resolve(store, r, columns, index)).collect::<Result<_>>()?,
-        ),
-        Restriction::In { field, values, negated } => {
-            let idx = resolve_column(store, field, columns, index)?;
-            let ids = columns[idx].global_ids_of(values);
-            ResolvedNode::In { field: idx, ids, negated: *negated }
+        Restriction::And(children) => {
+            ResolvedNode::And(children.iter().map(|r| resolve(store, r)).collect::<Result<_>>()?)
         }
-        Restriction::Range { field, min, max } => {
-            let idx = resolve_column(store, field, columns, index)?;
-            match columns[idx].dict.range_ids(min.as_ref(), max.as_ref()) {
-                // Trie dictionaries / type mismatches cannot rank bounds:
-                // fall back to scanning (the row filter still applies).
-                None => ResolvedNode::Opaque,
-                Some((lo, hi)) => ResolvedNode::Range { field: idx, lo, hi },
-            }
+        Restriction::Or(children) => {
+            ResolvedNode::Or(children.iter().map(|r| resolve(store, r)).collect::<Result<_>>()?)
         }
+        // A leaf the dictionary cannot answer exactly is scanned: the row
+        // filter still applies.
+        leaf => resolve_leaf(store, leaf)?.map_or(ResolvedNode::Opaque, ResolvedNode::Leaf),
     })
 }
 
-fn resolve_column(
-    store: &DataStore,
-    field: &pd_sql::Expr,
-    columns: &mut Vec<std::sync::Arc<crate::column::StoredColumn>>,
-    index: &mut FxHashMap<String, usize>,
-) -> Result<usize> {
-    let key = field.canonical();
-    if let Some(&i) = index.get(&key) {
-        return Ok(i);
-    }
-    let col = store.column_for_expr(field)?;
-    columns.push(col);
-    index.insert(key, columns.len() - 1);
-    Ok(columns.len() - 1)
-}
-
-fn evaluate(
-    node: &ResolvedNode,
-    columns: &[std::sync::Arc<crate::column::StoredColumn>],
-    c: usize,
-) -> ChunkActivity {
+fn evaluate(node: &ResolvedNode, c: usize) -> ChunkActivity {
     match node {
         ResolvedNode::True => ChunkActivity::Full,
         ResolvedNode::Opaque => ChunkActivity::Partial,
-        ResolvedNode::And(children) => children
-            .iter()
-            .map(|n| evaluate(n, columns, c))
-            .fold(ChunkActivity::Full, ChunkActivity::and),
-        ResolvedNode::Or(children) => children
-            .iter()
-            .map(|n| evaluate(n, columns, c))
-            .fold(ChunkActivity::Skip, ChunkActivity::or),
-        ResolvedNode::Range { field, lo, hi } => {
-            let dict = &columns[*field].chunks[c].dict;
-            let (Some(cmin), Some(cmax)) = (dict.min_global_id(), dict.max_global_id()) else {
-                return ChunkActivity::Skip; // empty chunk
-            };
-            if *lo >= *hi || cmax < *lo || cmin >= *hi {
-                ChunkActivity::Skip
-            } else if cmin >= *lo && cmax < *hi {
-                ChunkActivity::Full
-            } else {
-                ChunkActivity::Partial
-            }
+        ResolvedNode::And(children) => {
+            children.iter().map(|n| evaluate(n, c)).fold(ChunkActivity::Full, ChunkActivity::and)
         }
-        ResolvedNode::In { field, ids, negated } => {
-            let dict = &columns[*field].chunks[c].dict;
-            if !*negated {
-                if !dict.contains_any(ids) {
-                    ChunkActivity::Skip
-                } else if dict.subset_of(ids) {
-                    ChunkActivity::Full
-                } else {
-                    ChunkActivity::Partial
-                }
-            } else {
-                // NOT IN: a chunk whose dictionary avoids all the ids is
-                // fully active; one entirely inside them is skippable.
-                if !dict.contains_any(ids) {
-                    ChunkActivity::Full
-                } else if dict.subset_of(ids) {
-                    ChunkActivity::Skip
-                } else {
-                    ChunkActivity::Partial
-                }
-            }
+        ResolvedNode::Or(children) => {
+            children.iter().map(|n| evaluate(n, c)).fold(ChunkActivity::Skip, ChunkActivity::or)
         }
+        ResolvedNode::Leaf(leaf) => leaf.activity(c),
     }
 }
 
@@ -386,6 +385,54 @@ mod tests {
         // > 98.0 keeps only the last chunk.
         let v = verdicts(&s, "n > 98.0");
         assert_eq!(v.iter().filter(|a| **a != ChunkActivity::Skip).count(), 1, "{v:?}");
+    }
+
+    #[test]
+    fn float_literals_no_integer_stands_for_prove_nothing() {
+        use pd_sql::{analyze, BinaryOp, Expr};
+        // One value per chunk, so a wrong resolution shows as a wrong
+        // Full / Skip verdict and as a wrong count.
+        let past_exact = (1i64 << 53) + 1;
+        let schema = Schema::of(&[("n", DataType::Int)]);
+        let mut t = Table::new(schema);
+        for v in [-7, 0, 5, past_exact, i64::MAX] {
+            for _ in 0..4 {
+                t.push_row(Row(vec![Value::Int(v)])).unwrap();
+            }
+        }
+        let s =
+            DataStore::build(&t, &BuildOptions::optcols(PartitionSpec::new(&["n"], 4))).unwrap();
+        assert_eq!(s.chunk_count(), 5);
+
+        let count = |filter: Expr| -> (Vec<ChunkActivity>, Value) {
+            let mut q = analyze(&parse_query("SELECT COUNT(*) FROM t").unwrap()).unwrap();
+            q.restriction = Restriction::from_expr(&filter);
+            q.filter = Some(filter);
+            let verdicts = SkipAnalysis::prepare(&s, &q.restriction).unwrap().all(s.chunk_count());
+            let (result, _) = crate::exec::execute(&s, &q, &Default::default()).unwrap();
+            (verdicts, result.rows[0].0[0].clone())
+        };
+        let n_vs = |op: BinaryOp, v: f64| Expr::Binary {
+            op,
+            lhs: Box::new(Expr::column("n")),
+            rhs: Box::new(Expr::Literal(Value::Float(v))),
+        };
+        let undecided = vec![ChunkActivity::Partial; 5];
+
+        // `1e30 as i64` saturates to i64::MAX, which is in the dictionary;
+        // no integer equals 1e30.
+        assert_eq!(count(n_vs(BinaryOp::Eq, 1e30)), (undecided.clone(), Value::Int(0)));
+        // `NaN as i64` is 0; in the total order every number is below NaN.
+        assert_eq!(count(n_vs(BinaryOp::Ge, f64::NAN)), (undecided.clone(), Value::Int(0)));
+        assert_eq!(count(n_vs(BinaryOp::Lt, f64::NAN)), (undecided.clone(), Value::Int(20)));
+        // 2^53 + 1 *is* 2^53 once the filter casts it `as f64`; an integer
+        // lookup of 2^53 finds nothing.
+        assert_eq!(count(n_vs(BinaryOp::Eq, (1u64 << 53) as f64)), (undecided, Value::Int(4)));
+        // Ordinary float literals still skip.
+        let (verdicts, n) = count(n_vs(BinaryOp::Gt, 4.5));
+        assert_eq!(n, Value::Int(12));
+        assert_eq!(verdicts.iter().filter(|v| **v == ChunkActivity::Skip).count(), 2);
+        assert_eq!(verdicts.iter().filter(|v| **v == ChunkActivity::Full).count(), 3);
     }
 
     #[test]

@@ -105,6 +105,13 @@ impl ChunkDict {
         self.global_ids.iter().copied()
     }
 
+    /// The sorted global-ids, indexed by chunk-id. Row masks turn a
+    /// global-id interval into a chunk-id interval with two
+    /// `partition_point`s over this slice.
+    pub fn global_ids(&self) -> &[u32] {
+        &self.global_ids
+    }
+
     /// Serialize as delta varints (dense ascending ids compress to ~1
     /// byte each).
     pub fn to_bytes(&self) -> Vec<u8> {

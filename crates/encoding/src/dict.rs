@@ -278,7 +278,7 @@ impl TailedDict {
     fn tail_position(&self, value: &Value) -> Option<usize> {
         match (self.base.data_type(), value) {
             (DataType::Int, Value::Int(x)) => self.tail_int(*x),
-            (DataType::Int, Value::Float(f)) if f.fract() == 0.0 => self.tail_int(*f as i64),
+            (DataType::Int, Value::Float(f)) => float_as_int(*f).and_then(|x| self.tail_int(x)),
             (DataType::Float, Value::Float(f)) => self.tail_float(*f),
             (DataType::Float, Value::Int(x)) => self.tail_float(*x as f64),
             (DataType::Str, Value::Str(s)) => {
@@ -309,6 +309,18 @@ impl HeapSize for TailedDict {
             + self.tail.len() * std::mem::size_of::<Value>()
             + self.tail.iter().map(HeapSize::heap_bytes).sum::<usize>()
     }
+}
+
+/// 2^53: below it every integer is its own `f64`; from it on neighbouring
+/// `i64`s round to one float, so the row filter (which compares the
+/// integer side `as f64`) and an exact integer lookup stop agreeing.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// The integer a float literal names in an integer dictionary, if it names
+/// exactly one: integral and below 2^53 in magnitude. A bare `as i64` would
+/// saturate `1e30` to `i64::MAX` and turn NaN into `0`.
+fn float_as_int(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.abs() < EXACT_INT_LIMIT).then_some(v as i64)
 }
 
 /// A typed global dictionary.
@@ -365,12 +377,30 @@ impl GlobalDict {
         }
     }
 
+    /// Do id-domain answers about `literal` ([`GlobalDict::id_of`],
+    /// [`GlobalDict::lower_bound`], [`GlobalDict::range_ids`]) equal, bit for
+    /// bit, what the row filter's `values_equal` / `values_compare` decide
+    /// value by value? Only a `Float` literal against integer entries can
+    /// fail: the filter casts the integer side `as f64` and orders with
+    /// `total_cmp`, so a non-finite literal, one at or beyond 2^53, or
+    /// `-0.0` (ordered *below* integer zero) has no integer that stands for
+    /// it. Callers must then treat the literal as "maybe", not as absent.
+    pub fn resolves_exactly(&self, literal: &Value) -> bool {
+        match (self.data_type(), literal) {
+            (DataType::Int, Value::Float(v)) => {
+                v.abs() < EXACT_INT_LIMIT && !(*v == 0.0 && v.is_sign_negative())
+            }
+            _ => true,
+        }
+    }
+
     /// Rank of `value`, if present. A type mismatch simply yields `None`
-    /// (the restriction `country = 42` matches nothing).
+    /// (the restriction `country = 42` matches nothing), and so does a
+    /// float no integer entry can equal (`1e30`, NaN).
     pub fn id_of(&self, value: &Value) -> Option<u32> {
         match (self, value) {
             (GlobalDict::Int(d), Value::Int(v)) => d.id_of(*v),
-            (GlobalDict::Int(d), Value::Float(v)) if v.fract() == 0.0 => d.id_of(*v as i64),
+            (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.id_of(x)),
             (GlobalDict::Float(d), Value::Float(v)) => d.id_of(*v),
             (GlobalDict::Float(d), Value::Int(v)) => d.id_of(*v as f64),
             (GlobalDict::Str(d), Value::Str(v)) => d.id_of(v),
@@ -380,13 +410,15 @@ impl GlobalDict {
     }
 
     /// Rank of the first dictionary entry `>= value` (used by range
-    /// restrictions). A type mismatch yields `None`.
+    /// restrictions). A type mismatch yields `None`, as does a float bound
+    /// an integer dictionary cannot rank exactly
+    /// ([`GlobalDict::resolves_exactly`]).
     pub fn lower_bound(&self, value: &Value) -> Option<u32> {
         match (self, value) {
             (GlobalDict::Int(d), Value::Int(v)) => Some(d.lower_bound(*v)),
             (GlobalDict::Int(d), Value::Float(v)) => {
                 // First integer >= the float bound.
-                Some(d.lower_bound(v.ceil() as i64))
+                self.resolves_exactly(value).then(|| d.lower_bound(v.ceil() as i64))
             }
             (GlobalDict::Float(d), Value::Float(v)) => Some(d.lower_bound(*v)),
             (GlobalDict::Float(d), Value::Int(v)) => Some(d.lower_bound(*v as f64)),
@@ -916,6 +948,41 @@ mod tests {
         // x >= 20.0 includes it.
         let r = dict.range_ids(Some(&(Value::Float(20.0), true)), None);
         assert_eq!(r, Some((1, 3)));
+    }
+
+    #[test]
+    fn float_literals_never_saturate_into_int_dictionaries() {
+        let big = 1i64 << 53;
+        let (mut dict, _) =
+            build_dict(&[Value::Int(0), Value::Int(big + 1), Value::Int(i64::MAX)], false).unwrap();
+        for tailed in [false, true] {
+            // `1e30 as i64` is i64::MAX and `NaN as i64` is 0: neither may
+            // find those entries.
+            assert_eq!(dict.id_of(&Value::Float(1e30)), None, "tailed={tailed}");
+            assert_eq!(dict.id_of(&Value::Float(f64::NAN)), None, "tailed={tailed}");
+            assert_eq!(dict.id_of(&Value::Float(f64::INFINITY)), None, "tailed={tailed}");
+            // From 2^53 on the filter's `as f64` comparison and an integer
+            // lookup disagree (2^53 + 1 rounds to 2^53): not resolvable.
+            for v in [big as f64, -(big as f64), 1e30, f64::NAN, f64::NEG_INFINITY, -0.0] {
+                let v = Value::Float(v);
+                assert!(!dict.resolves_exactly(&v), "{v} tailed={tailed}");
+                assert_eq!(dict.lower_bound(&v), None, "{v} tailed={tailed}");
+                assert_eq!(dict.range_ids(Some(&(v.clone(), true)), None), None, "{v}");
+                assert_eq!(dict.range_ids(None, Some(&(v.clone(), false))), None, "{v}");
+            }
+            for v in [0.0, -0.5, 19.5, (big - 1) as f64] {
+                assert!(dict.resolves_exactly(&Value::Float(v)), "{v} tailed={tailed}");
+            }
+            assert_eq!(dict.id_of(&Value::Float(0.0)), Some(0));
+            dict.extend(&[Value::Int(7)]).unwrap();
+            assert_eq!(dict.id_of(&Value::Float(7.0)), Some(3));
+        }
+        // Same-type and Int-against-Float literals always resolve.
+        let (floats, _) = build_dict(&[Value::Float(-0.0), Value::Float(f64::NAN)], false).unwrap();
+        assert!(floats.resolves_exactly(&Value::Float(f64::NAN)));
+        assert!(floats.resolves_exactly(&Value::Int(i64::MAX)));
+        assert!(dict.resolves_exactly(&Value::Int(i64::MAX)));
+        assert!(dict.resolves_exactly(&Value::from("x")));
     }
 
     #[test]

@@ -47,8 +47,11 @@
 //! on how rows were chunked, threaded or sharded.
 //!
 //! The per-chunk inner loops are dictionary-code kernels
-//! (`pd_core::kernels`): `WHERE` clauses tabulate into packed bit-vector
-//! masks once per chunk, single-key `COUNT(*)` stays the paper's literal
+//! (`pd_core::kernels`): `WHERE` clauses become packed bit-vector masks
+//! once per chunk — built from the restriction's resolved dictionary ids
+//! by integer compares over the row codes wherever the skip pass could
+//! resolve the leaf, from values only where it could not — single-key
+//! `COUNT(*)` stays the paper's literal
 //! `counts[elements[row]]++` over raw codes (folded through the chunk
 //! dictionary without materializing per-group values), and two-key
 //! group-bys fuse into one flat array index.
