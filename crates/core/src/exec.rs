@@ -10,13 +10,15 @@
 //!
 //! Because every chunk is immutable and per-chunk group states are
 //! mergeable (the same property §4 uses to aggregate across machines),
-//! active chunks execute **in parallel**: the internal plan builds a work queue
-//! of chunk tasks and a [`crate::scheduler`] worker pool scans them on
-//! [`ExecContext::threads`] threads. Per-chunk results come back in chunk
-//! order and are folded sequentially, so parallel execution returns
-//! bit-identical results to sequential execution — float summation order,
-//! group contents and chunk-skipping statistics do not depend on the
-//! thread count.
+//! active chunks execute **in parallel**: the internal plan probes the
+//! chunk-result cache, builds a work queue of the chunk tasks that missed
+//! it, and a [`crate::scheduler`] worker pool scans them on
+//! [`ExecContext::threads`] threads — when the rows to scan are enough to
+//! repay waking a worker; a smaller scan stays on the calling thread.
+//! Per-chunk results are folded sequentially in chunk order either way, so
+//! parallel execution returns bit-identical results to sequential
+//! execution — float summation order, group contents and chunk-skipping
+//! statistics do not depend on the thread count.
 //!
 //! Row filtering stays in the **code domain**. The `WHERE` tree is compiled
 //! once per query: every leaf the restriction normalizer turns into `IN` or
@@ -94,6 +96,14 @@ impl ExecContext {
         }
     }
 }
+
+/// A scan is fanned out across the worker pool when at least this many
+/// rows miss the chunk-result cache. At the ~10 ns a row·query costs, this
+/// many rows are a third of a millisecond, and halving that repays a
+/// wake-up (30–300 µs on a small VM, depending on the minute); a few
+/// thousand rows do not, and whether they nearly do changes from run to
+/// run — which is what a benchmark then measures instead of the engine.
+const PARALLEL_SCAN_MIN_ROWS: usize = 32_768;
 
 /// Group counts at or above this use the parallel id→value translation
 /// (below it, fan-out overhead beats the dictionary lookups saved).
@@ -740,30 +750,39 @@ impl Plan {
             }
         }
 
+        // The chunk-result cache is probed here, on the driver: a hit costs
+        // a lookup, and what is left is the real size of the scan.
+        let mut scans: Vec<Option<ChunkScan>> =
+            tasks.iter().map(|&(c, filtered)| self.cached_chunk(ctx, c, filtered)).collect();
+        let misses: Vec<usize> = (0..tasks.len()).filter(|&i| scans[i].is_none()).collect();
+        let miss_rows: usize = misses.iter().map(|&i| store.chunk_rows(tasks[i].0)).sum();
+
         // Morsel-driven scan: workers pull chunk tasks off a shared queue,
-        // each producing that chunk's mergeable groups. Workers only *read*
-        // shared state (the result cache's get); every mutation — cache
-        // admission, tiered-cache touches, statistics — happens in the fold
-        // on the driver in chunk order, so cache eviction state and modeled
-        // I/O stay deterministic regardless of worker scheduling. With one
-        // worker the fold streams chunk by chunk (one payload live at a
-        // time, like the sequential seed); the parallel path buffers
-        // payloads until the ordered fold.
+        // each producing that chunk's mergeable groups. Workers only
+        // compute; every mutation — cache admission, tiered-cache touches,
+        // statistics — happens in the fold on the driver in chunk order, so
+        // cache eviction state and modeled I/O stay deterministic
+        // regardless of worker scheduling. Below the break-even of a
+        // hand-off, and with one worker, the fold streams chunk by chunk
+        // (one payload live at a time, like the sequential seed); the
+        // parallel path buffers payloads until the ordered fold.
         let mut folder = Fold::new(self, store, ctx, &tasks);
         let threads = ctx.effective_threads();
-        if threads <= 1 || tasks.len() <= 1 {
-            for (i, &(c, filtered)) in tasks.iter().enumerate() {
-                let scan = self.scan_chunk(store, ctx, c, filtered)?;
-                folder.absorb(&mut stats, i, scan)?;
-            }
-        } else {
-            let scans = scheduler::run_tasks(threads, tasks.len(), |i| {
-                let (c, filtered) = tasks[i];
+        if threads > 1 && misses.len() > 1 && miss_rows >= PARALLEL_SCAN_MIN_ROWS {
+            let computed = scheduler::run_tasks(threads, misses.len(), |j| {
+                let (c, filtered) = tasks[misses[j]];
                 self.scan_chunk(store, ctx, c, filtered)
             })?;
-            for (i, scan) in scans.into_iter().enumerate() {
-                folder.absorb(&mut stats, i, scan)?;
+            for (i, scan) in misses.iter().zip(computed) {
+                scans[*i] = Some(scan);
             }
+        }
+        for (i, scan) in scans.into_iter().enumerate() {
+            let scan = match scan {
+                Some(scan) => scan,
+                None => self.scan_chunk(store, ctx, tasks[i].0, tasks[i].1)?,
+            };
+            folder.absorb(&mut stats, i, scan)?;
         }
         let id_groups = folder.finish()?;
 
@@ -817,9 +836,16 @@ impl Plan {
             .collect()
     }
 
-    /// Scan one chunk: consult the chunk-result cache for fully active
-    /// chunks (read-only), compute groups otherwise. Cache admission and
-    /// I/O accounting happen later, on the driver, in chunk order.
+    /// The chunk-result cache's entry for a fully active chunk, if any
+    /// (read-only: admission and I/O accounting happen in the fold).
+    fn cached_chunk(&self, ctx: &ExecContext, c: usize, filtered: bool) -> Option<ChunkScan> {
+        if filtered {
+            return None;
+        }
+        ctx.result_cache.as_ref()?.get(&self.signature, c as u32).map(ChunkScan::Cached)
+    }
+
+    /// Compute one chunk's groups, timed for cost-aware cache admission.
     fn scan_chunk(
         &self,
         store: &DataStore,
@@ -827,13 +853,6 @@ impl Plan {
         c: usize,
         filtered: bool,
     ) -> Result<ChunkScan> {
-        if !filtered {
-            if let Some(rc) = &ctx.result_cache {
-                if let Some(hit) = rc.get(&self.signature, c as u32) {
-                    return Ok(ChunkScan::Cached(hit));
-                }
-            }
-        }
         let started = Instant::now();
         let payload = self.chunk_payload(store, ctx, c, filtered)?;
         Ok(ChunkScan::Computed { payload, compute: started.elapsed() })

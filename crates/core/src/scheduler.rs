@@ -20,6 +20,17 @@
 //! fixed-size pool. And a submitter never waits on helpers that have not
 //! started: once its tasks are all claimed it takes those jobs back out of
 //! the queue.
+//!
+//! Waking a sleeping worker is the dear part of a hand-off (a futex
+//! round trip each way, tens of microseconds on a small VM, and how long
+//! it takes varies from one call to the next), so only a fan-out that
+//! *knows* its work is worth one pays it: [`run_tasks`] wakes the pool,
+//! [`offer_tasks`] only queues its helper jobs. A fan-out of unknown cost —
+//! a mixer over in-memory children, any of which may answer from its cache
+//! in microseconds — offers; the leaf scan beneath it that finds rows to
+//! scan wakes, and the woken worker takes the *front* of the queue, which
+//! is the outermost offer: the coarsest split of the query. A query that
+//! is answered from caches never wakes anyone.
 
 use pd_common::sync::Mutex;
 use std::collections::VecDeque;
@@ -125,7 +136,8 @@ impl WorkerPool {
     }
 
     /// Run `n_tasks` tasks on up to `threads` workers (the calling thread
-    /// participates), returning the results in task order.
+    /// participates), returning the results in task order. Sleeping
+    /// workers are woken for the helper jobs.
     ///
     /// `run` is invoked exactly once per task index. Errors short-circuit:
     /// the first failing task's error is returned and the remaining queue
@@ -143,13 +155,50 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> pd_common::Result<T> + Sync,
     {
+        self.fan_out(threads, n_tasks, run, true)
+    }
+
+    /// [`WorkerPool::run_tasks`] without the wake-up: the helper jobs are
+    /// queued for whichever worker is, or is later, awake — a nested
+    /// `run_tasks` wakes the pool, and the front of the queue is the
+    /// outermost offer. If none comes, the caller runs every task itself
+    /// and takes the jobs back. For fan-outs that cannot tell beforehand
+    /// whether their tasks are worth a hand-off.
+    pub fn offer_tasks<T, F>(
+        &self,
+        threads: usize,
+        n_tasks: usize,
+        run: F,
+    ) -> pd_common::Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> pd_common::Result<T> + Sync,
+    {
+        self.fan_out(threads, n_tasks, run, false)
+    }
+
+    fn fan_out<T, F>(
+        &self,
+        threads: usize,
+        n_tasks: usize,
+        run: F,
+        wake: bool,
+    ) -> pd_common::Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> pd_common::Result<T> + Sync,
+    {
         let threads = threads.max(1).min(n_tasks.max(1));
         if threads <= 1 || n_tasks <= 1 {
             return (0..n_tasks).map(&run).collect();
         }
 
         let helpers = threads - 1;
-        self.ensure_workers(helpers);
+        if wake {
+            // An offer spawns nobody: whoever wakes the pool brings the
+            // workers, and until then the process may stay single-threaded.
+            self.ensure_workers(helpers);
+        }
         let group: TaskGroup<T> = TaskGroup {
             cursor: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
@@ -184,7 +233,9 @@ impl WorkerPool {
                 queue.push_back((tag, job));
             }
         }
-        self.shared.available.notify_all();
+        if wake {
+            self.shared.available.notify_all();
+        }
 
         // The caller is the first worker; its panics are caught so the
         // latch below always gets to run before any unwind escapes (the
@@ -214,10 +265,10 @@ impl WorkerPool {
         // (a nested fan-out) must keep draining queued jobs while it
         // waits — every blocked worker doubling as a worker is what makes
         // the fixed-size pool deadlock-free. An external submitter (a
-        // query's driver thread) just sleeps: at least one real worker
-        // exists (`ensure_workers`) and workers never sleep on groups, so
-        // queued jobs always make progress — and the driver never gets
-        // stuck inside some other query's long-running job.
+        // query's driver thread) just sleeps: what it waits for is running
+        // on a worker, and workers never sleep on groups, so those jobs
+        // always make progress — and the driver never gets stuck inside
+        // some other query's long-running job.
         if IS_POOL_WORKER.with(std::cell::Cell::get) {
             loop {
                 if *group.remaining.lock() == 0 {
@@ -408,6 +459,15 @@ where
     WorkerPool::global().run_tasks(threads, n_tasks, run)
 }
 
+/// [`run_tasks`] without waking the pool (see [`WorkerPool::offer_tasks`]).
+pub fn offer_tasks<T, F>(threads: usize, n_tasks: usize, run: F) -> pd_common::Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> pd_common::Result<T> + Sync,
+{
+    WorkerPool::global().offer_tasks(threads, n_tasks, run)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +523,38 @@ mod tests {
                 started.elapsed()
             );
         });
+    }
+
+    #[test]
+    fn an_offer_alone_spawns_and_wakes_nobody() {
+        let pool = WorkerPool::new(0);
+        let me = std::thread::current().id();
+        let ran_on = pool.offer_tasks(4, 16, |_| Ok(std::thread::current().id())).unwrap();
+        assert!(ran_on.iter().all(|id| *id == me), "nobody else was there to run a task");
+        assert_eq!(pool.worker_count(), 0, "an offer spawns no worker");
+        assert!(pool.shared.queue.lock().is_empty(), "the offer was not taken back");
+    }
+
+    #[test]
+    fn a_nested_wake_hands_the_outermost_offer_to_the_worker() {
+        // Two outer tasks are offered; each wakes the pool from inside. The
+        // worker takes the front of the queue — the outer offer — so both
+        // outer tasks are in flight at once (each waits to see the other).
+        let pool = WorkerPool::new(0);
+        let in_flight = AtomicUsize::new(0);
+        let out = pool
+            .offer_tasks(2, 2, |outer| {
+                in_flight.fetch_add(1, Ordering::SeqCst);
+                let inner = pool.run_tasks(2, 2, |i| Ok(outer * 10 + i))?;
+                let started = std::time::Instant::now();
+                while in_flight.load(Ordering::SeqCst) < 2 {
+                    assert!(started.elapsed() < Duration::from_secs(10), "nobody took the offer");
+                    std::thread::yield_now();
+                }
+                Ok(inner)
+            })
+            .unwrap();
+        assert_eq!(out, vec![vec![0, 1], vec![10, 11]]);
     }
 
     #[test]

@@ -1456,11 +1456,12 @@ fn retag(e: Error, message: String) -> Error {
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
     let answers: Vec<Result<SubtreeAnswer>> = match children.first().map(|c| &c.primary) {
         Some(Link::Local(node)) => {
-            scheduler::run_tasks(
-                node.threads(),
-                children.len(),
-                |i| Ok(children[i].query(request)),
-            )?
+            // Offered, not announced: a child may answer from its cache in
+            // microseconds; a leaf scan that finds rows to scan wakes the
+            // pool, and the woken worker takes the outermost offer.
+            scheduler::offer_tasks(node.threads(), children.len(), |i| {
+                Ok(children[i].query(request))
+            })?
         }
         _ => std::thread::scope(|scope| {
             let handles: Vec<_> =

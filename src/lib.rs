@@ -44,7 +44,13 @@
 //! are **bit-identical** at every setting: per-chunk partials are folded
 //! in chunk order and float sums use an exact superaccumulator
 //! ([`common::FloatSum`]), so even `SUM`/`AVG` over floats do not depend
-//! on how rows were chunked, threaded or sharded.
+//! on how rows were chunked, threaded or sharded. A hand-off has a price
+//! (waking a sleeping worker: tens of microseconds, and unevenly so), and
+//! only a scan that will repay it pays it: a store's scan goes to the pool
+//! when at least 32 768 rows miss the chunk-result cache, and stays on the
+//! calling thread below that; an in-process [`Cluster`] only *offers* its
+//! subtrees to the pool, and such a scan beneath is what wakes a worker
+//! to take the offer up — a query answered from caches wakes nobody.
 //!
 //! The per-chunk inner loops are dictionary-code kernels
 //! (`pd_core::kernels`): `WHERE` clauses become packed bit-vector masks

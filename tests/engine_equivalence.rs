@@ -202,31 +202,38 @@ const MATRIX_SCANS: [(u64, u64); 12] = [
 fn parallel_execution_is_bit_identical_to_sequential() {
     use powerdrill::data::{generate_logs, LogsSpec};
 
-    let table = generate_logs(&LogsSpec::scaled(4_000));
-    let mut options = BuildOptions::production(&["country", "table_name"]);
-    if let Some(spec) = &mut options.partition {
-        spec.max_chunk_rows = 150; // plenty of chunks to schedule
-    }
-    let store = DataStore::build(&table, &options).unwrap();
+    // The pinned 4 000-row store, and one large enough that every full
+    // scan is above the executor's fan-out break-even (a scan of fewer
+    // rows than that stays on the calling thread whatever `threads` says).
+    for (rows, chunk_rows, pinned) in [(4_000, 150, Some(MATRIX_SCANS)), (40_000, 1_000, None)] {
+        let table = generate_logs(&LogsSpec::scaled(rows));
+        let mut options = BuildOptions::production(&["country", "table_name"]);
+        if let Some(spec) = &mut options.partition {
+            spec.max_chunk_rows = chunk_rows; // plenty of chunks to schedule
+        }
+        let store = DataStore::build(&table, &options).unwrap();
 
-    for (sql, scans) in MATRIX_QUERIES.into_iter().zip(MATRIX_SCANS) {
-        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-        let sequential = ExecContext { threads: 1, ..Default::default() };
-        let (want, want_stats) = execute(&store, &analyzed, &sequential).unwrap();
-        assert_eq!((want_stats.rows_scanned, want_stats.cells_scanned), scans, "{sql}");
-        for threads in [2usize, 8] {
-            let ctx = ExecContext { threads, ..Default::default() };
-            let (got, stats) = execute(&store, &analyzed, &ctx).unwrap();
-            // Exact equality — not approximate: the chunk-order fold makes
-            // float summation independent of the thread count.
-            assert_eq!(got, want, "threads={threads}: {sql}");
-            assert_eq!(
-                stats.chunks_skipped, want_stats.chunks_skipped,
-                "skip decisions must not depend on threads: {sql}"
-            );
-            assert_eq!(stats.chunks_scanned, want_stats.chunks_scanned, "{sql}");
-            assert_eq!(stats.rows_scanned, want_stats.rows_scanned, "{sql}");
-            assert_eq!(stats.cells_scanned, want_stats.cells_scanned, "{sql}");
+        for (q, sql) in MATRIX_QUERIES.into_iter().enumerate() {
+            let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+            let sequential = ExecContext { threads: 1, ..Default::default() };
+            let (want, want_stats) = execute(&store, &analyzed, &sequential).unwrap();
+            if let Some(scans) = pinned {
+                assert_eq!((want_stats.rows_scanned, want_stats.cells_scanned), scans[q], "{sql}");
+            }
+            for threads in [2usize, 8] {
+                let ctx = ExecContext { threads, ..Default::default() };
+                let (got, stats) = execute(&store, &analyzed, &ctx).unwrap();
+                // Exact equality — not approximate: the chunk-order fold makes
+                // float summation independent of the thread count.
+                assert_eq!(got, want, "rows={rows} threads={threads}: {sql}");
+                assert_eq!(
+                    stats.chunks_skipped, want_stats.chunks_skipped,
+                    "skip decisions must not depend on threads: {sql}"
+                );
+                assert_eq!(stats.chunks_scanned, want_stats.chunks_scanned, "{sql}");
+                assert_eq!(stats.rows_scanned, want_stats.rows_scanned, "{sql}");
+                assert_eq!(stats.cells_scanned, want_stats.cells_scanned, "{sql}");
+            }
         }
     }
 }
@@ -468,6 +475,58 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Shards large enough that their scans wake the worker pool: a mixer only
+/// *offers* its in-memory children to the pool, and it is a leaf scan above
+/// the fan-out break-even that wakes a worker, which then takes the
+/// outermost offer. Whoever ends up running which subtree, cold (scanned)
+/// and warm (cached) answers equal the single store's, bit for bit.
+#[test]
+fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
+    use powerdrill::data::{generate_logs, LogsSpec};
+    use powerdrill::dist::{Cluster, ClusterConfig, TreeShape};
+
+    let table = generate_logs(&LogsSpec::scaled(140_000));
+    let mut build = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut build.partition {
+        spec.max_chunk_rows = 2_000;
+    }
+    let store = DataStore::build(&table, &build).unwrap();
+    let sequential = ExecContext { threads: 1, ..Default::default() };
+    let expected: Vec<QueryResult> = MATRIX_QUERIES
+        .iter()
+        .map(|sql| {
+            let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+            execute(&store, &analyzed, &sequential).unwrap().0
+        })
+        .collect();
+
+    for (shards, threads) in [(4usize, 2usize), (2, 4)] {
+        let config = ClusterConfig {
+            shards,
+            threads,
+            tree: TreeShape { fanout: 2 },
+            build: build.clone(),
+            ..Default::default()
+        };
+        let cluster = Cluster::build(&table, &config).unwrap();
+        for pass in 0..2 {
+            for (sql, want) in MATRIX_QUERIES.iter().zip(&expected) {
+                let outcome = cluster.query(sql).unwrap();
+                assert_eq!(
+                    outcome.result, *want,
+                    "shards={shards} threads={threads} pass={pass}: {sql}"
+                );
+                let stats = &outcome.stats;
+                assert_eq!(
+                    stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+                    stats.rows_total,
+                    "row accounting must balance: {sql}"
+                );
             }
         }
     }
