@@ -26,7 +26,8 @@ const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 /// one of these turns a slow peer into a stalled lock for every other thread.
 const BLOCKING_CALLS: &[&str] = &[
     "call",
-    "call_inner",
+    "call_frame",
+    "recv_within",
     "connect",
     "connect_with_retry",
     "connect_by",
@@ -34,7 +35,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "read_frame",
     "read_frame_negotiated",
     "read_frame_deadline",
-    "read_exact_deadline",
+    "write_all_deadline",
     "accept",
     "recv",
     "recv_timeout",

@@ -37,7 +37,8 @@ pub const DECODE_SURFACES: &[Surface] = &[
             "read_frame",
             "read_frame_negotiated",
             "read_frame_deadline",
-            "read_exact_deadline",
+            "read_some",
+            "read_more",
         ]),
     },
 ];

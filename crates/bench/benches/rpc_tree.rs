@@ -13,7 +13,12 @@
 //!    raw vs compressed (`pd-compress` Zippy): the §4 payload that flows
 //!    up the tree is dominated by `FloatSum` superaccumulator limbs,
 //!    which are mostly zero, so the ratio must come out ≥ 2× (asserted —
-//!    the bench-smoke CI job turns a regression into a red build).
+//!    the bench-smoke CI job turns a regression into a red build);
+//! 5. **replication tax** — a warm unix query over a replicated tree ÷ the
+//!    same tree unreplicated. A healthy pair's primary answers inside the
+//!    hedge window, so the replica is never contacted and no thread is
+//!    spawned: the pair may cost a timed wait per leaf, not a wake-up
+//!    (asserted ≤ 1.5×).
 //!
 //! The worker binary is resolved like the library does (explicit env /
 //! sibling of the executable); when it is not built the RPC columns are
@@ -22,7 +27,7 @@
 //! the cluster's `ProcessTree`, so a panicking measurement reaps its
 //! children on unwind instead of leaking them into later suites.
 
-use pd_bench::{fmt_duration, json_line, logs_table, measure_stats, TablePrinter};
+use pd_bench::{fmt_duration, json_line, logs_table, measure, measure_stats, TablePrinter};
 use pd_common::wire;
 use pd_compress::CodecKind;
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext};
@@ -298,6 +303,73 @@ fn main() {
             ],
         );
         json_line("rpc_tree", "shard_only_drilldown", shard_stats, &[]);
+    }
+
+    // What a healthy replica costs: the same 4-leaf unix tree with and
+    // without replication, warm. Nothing straggles, so no hedge fires and
+    // the replicated tree must do no more than wait for each primary's
+    // first byte with a timer armed. Batches of queries per sample, the
+    // two trees sampled alternately, so a noisy minute hits both.
+    if worker_available {
+        const BATCH: usize = 50;
+        let tree = |replication: bool| {
+            let config = ClusterConfig {
+                shards: 4,
+                replication,
+                shard_cache: 0,
+                threads: 1,
+                tree: TreeShape { fanout: 4 },
+                build: build.clone(),
+                transport: rpc(WorkerAddr::Unix, false),
+                ..Default::default()
+            };
+            let cluster = Cluster::build(&table, &config).expect("replication-tax cluster");
+            cluster.query(sql).expect("warm-up");
+            cluster
+        };
+        let (plain, replicated) = (tree(false), tree(true));
+        let batch = |cluster: &Cluster| {
+            for _ in 0..BATCH {
+                let outcome = cluster.query(sql).expect("warm query");
+                assert!(outcome.hedges.is_empty(), "nothing straggles: {:?}", outcome.hedges);
+                black_box(outcome);
+            }
+        };
+        let (mut plain_samples, mut replicated_samples) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            plain_samples.push(measure(|| batch(&plain)));
+            replicated_samples.push(measure(|| batch(&replicated)));
+        }
+        let stats = |mut samples: Vec<Duration>| {
+            samples.sort_unstable();
+            pd_bench::Stats { min: samples[0], median: samples[samples.len() / 2] }
+        };
+        let (plain_stats, replicated_stats) = (stats(plain_samples), stats(replicated_samples));
+        let per_query = |stats: pd_bench::Stats| stats.min / BATCH as u32;
+        let tax = replicated_stats.min.as_secs_f64() / plain_stats.min.as_secs_f64();
+        println!(
+            "\n=== replication tax (4 shards, unix, warm, best of 5 batches of {BATCH}) ===\n\
+             replicated {} vs unreplicated {} per query: {tax:.2}x",
+            fmt_duration(per_query(replicated_stats)),
+            fmt_duration(per_query(plain_stats)),
+        );
+        json_line(
+            "rpc_tree",
+            "replicated_warm_unix",
+            replicated_stats,
+            &[
+                ("batch", BATCH.to_string()),
+                ("unreplicated_min_ns", plain_stats.min.as_nanos().to_string()),
+                ("replication_tax", format!("{tax:.3}")),
+            ],
+        );
+        assert!(
+            tax <= 1.5,
+            "a healthy replicated pair must cost a timed wait, not a thread: \
+             replicated {} vs unreplicated {} per batch ({tax:.2}x)",
+            fmt_duration(replicated_stats.min),
+            fmt_duration(plain_stats.min),
+        );
     }
 
     // Hedged replica racing vs a real straggling primary process: shard

@@ -375,7 +375,7 @@ impl Cluster {
         self.epoch += 1;
         self.schema = table.schema().clone();
         *self.observed_queue.lock() = vec![(Duration::ZERO, 0); self.shard_count()];
-        // A fresh tree starts with empty executor queues: stale
+        // A fresh tree starts with nobody waiting at its workers: stale
         // saturation / hedge estimates from the old processes would shed
         // or hedge against load that no longer exists.
         self.recent_queue.lock().clear();
@@ -423,8 +423,8 @@ impl Cluster {
         match tree.append(deltas, self.epoch + 1) {
             Ok(bytes_shipped) => {
                 self.epoch += 1;
-                // Unlike a rebuild, worker processes (and their executor
-                // queues) survive, so the observed queue / saturation
+                // Unlike a rebuild, worker processes (and whoever waits
+                // at them) survive, so the observed queue / saturation
                 // estimates still describe the live cluster — they are
                 // kept.
                 Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped })

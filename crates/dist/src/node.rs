@@ -8,7 +8,7 @@
 //! process or a reference to another `Node`), fans the query out and folds
 //! their partials. Both own a [`WorkerCache`] keyed by the normalized query
 //! signature and an epoch that invalidates it. A `pd-dist-worker` process
-//! holds one `Node` behind its executor queue ([`crate::worker`]); a
+//! holds one `Node` behind its FIFO turnstile ([`crate::worker`]); a
 //! [`crate::Transport::InProcess`] cluster holds a whole tree of them.
 //! [`Node::query`] is the only query path either has.
 
@@ -37,7 +37,8 @@ pub struct NodeSpec {
     /// Rebuild epoch of the data beneath this node.
     pub epoch: u64,
     /// Width of this node's parallel work — a leaf's chunk scan, a mixer's
-    /// fan-out over in-memory children (0 = auto).
+    /// fan-out over in-memory children (0 = auto). A fan-out over socket
+    /// children has no width: it runs on the calling thread.
     pub threads: usize,
 }
 
@@ -170,8 +171,8 @@ impl Node {
 
     /// Answer one query: execute it (leaf) or fan it out and fold (mixer),
     /// unless this node's cache already holds the partial. `queued` is how
-    /// long the request waited before reaching this call — a worker's
-    /// executor queue; zero over an in-memory edge.
+    /// long the request waited before reaching this call — for its turn in
+    /// a worker process; zero over an in-memory edge.
     pub fn query(&self, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
         // The budget is the whole query's: decrement it by our own queue
         // delay, and fail typed and *immediately* once it is spent —

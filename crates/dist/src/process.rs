@@ -155,8 +155,11 @@ struct Workers {
     compress: bool,
     dir: PathBuf,
     processes: Vec<ReapGuard>,
-    /// All worker addresses ever handed out, for shutdown.
-    addrs: Vec<Addr>,
+    /// One control connection per worker, kept from its spawn: role
+    /// assignment, appends, re-attaches and the final shutdown all travel
+    /// over it (a fresh connection each would be a connect here and a new
+    /// connection thread there, per request).
+    control: Vec<(Addr, RpcClient)>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
     names: Vec<String>,
@@ -358,8 +361,10 @@ impl Tree {
         let Some(ChildSpec::Leaf { primary, .. }) = workers.leaf_specs.get(shard) else {
             return Err(Error::Data(format!("no such shard {shard}")));
         };
+        // A test knob behind `&self`: it pays for a connection of its own.
         let request = Request::Delay { micros: delay.as_micros() as u64 };
-        workers.call(primary, &request, STARTUP_TIMEOUT, "delay").map(|_| ())
+        let mut client = RpcClient::new(primary.clone(), workers.compress);
+        expect_ack(client.call(&request, STARTUP_TIMEOUT)?, "delay").map(|_| ())
     }
 }
 
@@ -396,7 +401,7 @@ impl Workers {
             compress: rpc.compress,
             dir,
             processes: Vec::new(),
-            addrs: Vec::new(),
+            control: Vec::new(),
             names: Vec::new(),
             leaf_specs: Vec::new(),
             merge_levels: Vec::new(),
@@ -404,16 +409,12 @@ impl Workers {
         })
     }
 
-    /// One request/response exchange with the worker at `addr`, over a
-    /// connection of its own.
-    fn call(
-        &self,
-        addr: &Addr,
-        request: &Request,
-        timeout: Duration,
-        what: &str,
-    ) -> Result<Option<ShardMeta>> {
-        expect_ack(RpcClient::new(addr.clone(), self.compress).call(request, timeout)?, what)
+    /// The control connection to the worker at `addr`.
+    fn control(&mut self, addr: &Addr) -> Result<&mut RpcClient> {
+        self.control
+            .iter_mut()
+            .find_map(|(a, client)| (a == addr).then_some(client))
+            .ok_or_else(|| Error::Internal(format!("no worker was spawned at {addr}")))
     }
 
     /// Spawn and load shard `shard`'s worker (pair). The primary's Load ack
@@ -483,7 +484,7 @@ impl Workers {
         });
         let addr = match existing {
             Some((addr, _)) => {
-                self.call(&addr, &attach, LOAD_TIMEOUT, "re-attach")?;
+                expect_ack(self.control(&addr)?.call(&attach, LOAD_TIMEOUT)?, "re-attach")?;
                 addr
             }
             None => {
@@ -498,26 +499,34 @@ impl Workers {
         Ok(ChildSpec::Node { addr, height, metas })
     }
 
-    /// Ship one shard's delta to its primary and replica; the primary's
-    /// ack refreshes the shard's metadata. Returns the bytes shipped.
+    /// Ship one shard's delta — encoded once — to its primary and replica,
+    /// both at work on it at the same time; the primary's ack refreshes
+    /// the shard's metadata. Returns the bytes shipped. An error may leave
+    /// an ack unread on a control connection: the cluster drops the tree on
+    /// any failed append, and the `Shutdown` that follows does not mind.
     fn append(&mut self, append: AppendRequest) -> Result<u64> {
         let shard = append.shard as usize;
-        let request = Request::Append(Box::new(append));
-        let frame_len = encode_frame(&request, self.compress)?.len() as u64;
+        let frame = encode_frame(&Request::Append(Box::new(append)), self.compress)?;
         let Some(ChildSpec::Leaf { primary, replica, .. }) = self.leaf_specs.get(shard) else {
             return Err(Error::Data("append: leaf level holds a non-leaf spec".into()));
         };
-        let refreshed = self
-            .call(primary, &request, LOAD_TIMEOUT, "append")?
-            .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
-        let mut shipped = frame_len;
-        if let Some(replica) = replica {
-            self.call(replica, &request, LOAD_TIMEOUT, "append")?;
-            shipped += frame_len;
+        let copies: Vec<Addr> = std::iter::once(primary).chain(replica).cloned().collect();
+        let deadline = Instant::now() + LOAD_TIMEOUT;
+        for addr in &copies {
+            self.control(addr)?.send(&frame, deadline)?;
         }
+        let mut refreshed = None;
+        for addr in &copies {
+            let meta = expect_ack(self.control(addr)?.recv(deadline)?, "append")?;
+            // The primary's (first) ack is the one kept.
+            refreshed = refreshed.or(meta);
+        }
+        let refreshed = refreshed
+            .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
         if let ChildSpec::Leaf { meta, .. } = &mut self.leaf_specs[shard] {
             *meta = refreshed;
         }
+        let shipped = (frame.len() * copies.len()) as u64;
         self.bytes_shipped += shipped;
         Ok(shipped)
     }
@@ -579,16 +588,18 @@ impl Workers {
         };
         self.names.push(name.to_string());
         self.processes.push(guard);
-        self.addrs.push(addr.clone());
         let mut client = RpcClient::new(addr.clone(), self.compress);
         client.connect_with_retry(STARTUP_TIMEOUT)?;
         expect_ack(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping").map(|_| ())?;
-        let meta = expect_ack(client.call(role, LOAD_TIMEOUT)?, "role assignment")?;
+        let frame = encode_frame(role, self.compress)?;
+        let reply = client.call_frame(&frame, Instant::now() + LOAD_TIMEOUT)?;
+        let meta = expect_ack(reply, "role assignment")?;
         if matches!(role, Request::Load(_)) {
             // Data-bearing shipping cost: what an append path is compared
             // against. (Attach frames are wiring, not data.)
-            self.bytes_shipped += encode_frame(role, self.compress)?.len() as u64;
+            self.bytes_shipped += frame.len() as u64;
         }
+        self.control.push((addr.clone(), client));
         Ok((addr, meta))
     }
 }
@@ -596,8 +607,7 @@ impl Workers {
 impl Drop for Workers {
     fn drop(&mut self) {
         // Polite first: a Shutdown request lets workers exit cleanly.
-        for addr in &self.addrs {
-            let mut client = RpcClient::new(addr.clone(), false);
+        for (_, client) in &mut self.control {
             let _ = client.call(&Request::Shutdown, Duration::from_millis(200));
         }
         // Then force: dropping the guards kills and reaps whatever is

@@ -43,29 +43,39 @@
 //!
 //! **Deadline budgets.** Every query request carries one *remaining time
 //! budget* for the whole query, not a per-hop deadline: each worker
-//! subtracts the time the request spent in its queue before fanning out,
+//! subtracts the time the request waited for its turn before fanning out,
 //! and answers a typed [`RpcError::Deadline`] fault the moment the budget
 //! is spent instead of letting children run a query nobody is waiting
-//! for. The *caller* enforces the same budget with absolute socket read
-//! deadlines, so a stalled or trickling peer expires on time either way.
+//! for. The *caller* enforces the same budget with one absolute deadline
+//! over every write and read of a fan-out, so a stalled or trickling peer
+//! expires on time either way.
 //!
-//! **Hedged replica racing.** A leaf pair is queried by racing: the
-//! primary is asked first, and if it has not answered within the hedge
-//! delay (derived by the driver from observed queue delays), the replica
-//! is launched *in parallel* — first answer wins, the loser's socket is
-//! shut down via [`CancelToken`]. A straggling primary therefore costs
-//! one hedge delay, not its whole budget, and every hedge doubles as
-//! replica cache warming. Failures are typed ([`RpcError`]): transport
-//! faults (`Deadline`, `PeerGone`, `Decode`, `ConnRefused`) let the other
-//! copy win, while application errors from a live worker propagate —
+//! **The hop.** A socket child is another process and already runs in
+//! parallel with its siblings, so a parent needs no thread to wait for it:
+//! [`fan_out`] encodes the query frame once, writes it to every live child
+//! in child order, then reads the replies in the same order and folds —
+//! all on the calling thread. An edge costs its bytes and two syscalls
+//! each way, not a thread wake-up.
+//!
+//! **Hedged replica racing.** A leaf pair's primary is asked with its
+//! siblings; its reply is then awaited for the hedge delay (derived by
+//! the driver from observed queue delays). A healthy primary answers
+//! inside it and the replica is never contacted. Only when the delay
+//! expires is the replica asked *in parallel*, on the one thread a fan-out
+//! may spawn — first answer wins, the loser's socket is shut down via
+//! [`CancelToken`]. A straggling primary therefore costs one hedge delay,
+//! not its whole budget, and every hedge doubles as replica cache
+//! warming. Failures are typed ([`RpcError`]): transport faults
+//! (`Deadline`, `PeerGone`, `Decode`, `ConnRefused`) let the other copy
+//! win, while application errors from a live worker propagate —
 //! deterministic, so a replica would only repeat them. Refused connects
 //! are retried with bounded exponential backoff and seeded jitter.
 //!
 //! **Corruption.** Both sides decode frames with [`pd_common::wire`]'s
 //! checked readers; compressed payloads additionally pass the codec's own
 //! validation. Truncated or corrupt frames produce a typed
-//! `RpcError::Decode`, which the racing path treats exactly like a
-//! timeout — fresh bytes are encoded for the other replica.
+//! `RpcError::Decode`, which the failover path treats exactly like a
+//! timeout — the other copy is asked.
 
 use crate::chaos::ChaosDirective;
 use crate::meta::{self, ShardMeta};
@@ -81,8 +91,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame's payload (decompressed or raw). A
@@ -91,9 +100,18 @@ use std::time::{Duration, Instant};
 /// corruption, not data.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
-/// Payloads below this never compress (the header byte and codec framing
-/// would eat the gain).
-const MIN_COMPRESS_BYTES: usize = 64;
+/// Payloads below this never compress: one TCP segment's payload (an
+/// ethernet MTU less IP and TCP headers, with room for options). A frame
+/// that fits one segment — or one `write` on a unix socket — travels no
+/// faster for being smaller, so compressing it buys nothing on the wire
+/// and costs both ends codec time on every edge (a 908 B partial: 6.6 µs
+/// to compress, 1.2 µs to inflate). Compression pays when it saves
+/// packets.
+const MIN_COMPRESS_BYTES: usize = 1400;
+
+/// How much the first `read` of a reply asks for: a typical partial and
+/// its header arrive in one syscall.
+const FIRST_READ_BYTES: usize = 4096;
 
 /// How long a parent waits for a freshly spawned worker to bind its
 /// socket and answer the first `Ping`.
@@ -880,52 +898,116 @@ fn budget_left(deadline: Instant) -> Result<Duration> {
     Ok(left)
 }
 
-/// `read_exact` against an *absolute* deadline. Socket read timeouts are
-/// per-syscall, so a peer trickling one byte per interval would reset a
-/// plain `read_exact`'s clock forever; here the remaining budget shrinks
-/// across syscalls and expiry is checked between them.
-fn read_exact_deadline(stream: &mut Stream, buf: &mut [u8], deadline: Instant) -> Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        stream.set_read_timeout(Some(budget_left(deadline)?))?;
-        let rest = buf
-            .get_mut(filled..)
-            .ok_or_else(|| Error::Internal("rpc: read cursor out of bounds".into()))?;
-        match stream.read(rest) {
+/// `write_all` against an *absolute* deadline: the socket's write timeout
+/// is armed with the whole remaining budget, and again — with what is
+/// left — only after a short write, so a peer draining one byte per
+/// interval still expires on time.
+fn write_all_deadline(stream: &mut Stream, mut bytes: &[u8], deadline: Instant) -> Result<()> {
+    while !bytes.is_empty() {
+        stream.set_write_timeout(Some(budget_left(deadline)?))?;
+        match stream.write(bytes) {
             Ok(0) => {
                 return Err(Error::Rpc(RpcError::PeerGone(
-                    "rpc: peer closed the connection mid-frame".into(),
+                    "rpc write: the connection accepts no more bytes".into(),
                 )))
             }
-            Ok(n) => filled += n,
+            Ok(n) => bytes = bytes.get(n..).unwrap_or_default(),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(Error::Rpc(io_fault("rpc read", &e))),
+            Err(e) => return Err(Error::Rpc(io_fault("rpc write", &e))),
         }
     }
     Ok(())
 }
 
-/// Read one response frame, enforcing `deadline` absolutely across the
-/// header read, the payload read and every syscall in between. Decode
-/// failures (version mismatch aside, which is already typed) surface as
-/// typed [`RpcError::Decode`] — torn bytes on the wire, not app errors.
-fn read_frame_deadline<T: Decode>(stream: &mut Stream, deadline: Instant) -> Result<T> {
+/// One `read`, retried across `EINTR`. EOF here is always mid-frame: the
+/// peer vanished.
+fn read_some(stream: &mut Stream, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "peer closed the connection mid-frame",
+                ))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
+    }
+}
+
+/// A further `read` of a frame whose previous read came up short: re-arm
+/// the socket's read timeout with what is left of the budget first.
+/// Socket timeouts are per-syscall, so without this a peer trickling one
+/// byte per interval would reset the clock forever.
+fn read_more(stream: &mut Stream, buf: &mut [u8], deadline: Instant) -> Result<usize> {
+    stream.set_read_timeout(Some(budget_left(deadline)?))?;
+    read_some(stream, buf).map_err(|e| Error::Rpc(io_fault("rpc read", &e)))
+}
+
+/// Read one response frame against an absolute `deadline`. The read
+/// timeout is armed once, and the first `read` asks for enough that a
+/// typical frame — header and body — arrives whole; only a frame that
+/// comes in pieces pays a re-arm per piece ([`read_more`]), which is what
+/// makes the deadline hold against a trickling peer.
+///
+/// `quiet` bounds the wait for the frame's *first byte*: `Ok(None)` when
+/// nothing at all arrived within it (and the deadline lies further out) —
+/// not one byte was consumed, so the stream is still in sync and the reply
+/// can be awaited again. Decode failures (version mismatch aside, which
+/// is already typed) surface as typed [`RpcError::Decode`] — torn bytes on
+/// the wire, not app errors.
+fn read_frame_deadline<T: Decode>(
+    stream: &mut Stream,
+    quiet: Duration,
+    deadline: Instant,
+) -> Result<Option<T>> {
     let typed_decode = |e: Error| match e {
         Error::Rpc(f) => Error::Rpc(f),
         other => Error::Rpc(RpcError::Decode(other.to_string())),
     };
-    let mut header_bytes = [0u8; FrameHeader::BYTES];
-    read_exact_deadline(stream, &mut header_bytes, deadline)?;
-    let header = FrameHeader::parse(header_bytes).map_err(typed_decode)?;
+    let cursor = || Error::Internal("rpc: read cursor out of bounds".into());
+    let left = budget_left(deadline)?;
+    let mut head = [0u8; FIRST_READ_BYTES];
+    stream.set_read_timeout(Some(quiet.min(left).max(Duration::from_micros(1))))?;
+    let mut filled = match read_some(stream, &mut head) {
+        Ok(n) => n,
+        Err(e) => {
+            let fault = io_fault("rpc read", &e);
+            if quiet < left && matches!(fault, RpcError::Deadline(_)) {
+                return Ok(None);
+            }
+            return Err(Error::Rpc(fault));
+        }
+    };
+    while filled < FrameHeader::BYTES {
+        filled += read_more(stream, head.get_mut(filled..).ok_or_else(cursor)?, deadline)?;
+    }
+    let header_bytes = head.first_chunk::<{ FrameHeader::BYTES }>().ok_or_else(cursor)?;
+    let header = FrameHeader::parse(*header_bytes).map_err(typed_decode)?;
     if header.len > MAX_FRAME_BYTES {
         return Err(Error::Rpc(RpcError::Decode(format!(
             "rpc: corrupt frame length {}",
             header.len
         ))));
     }
+    // Calls are strictly request/response: bytes past the frame's end
+    // belong to no reply this connection is owed.
+    let early = head.get(FrameHeader::BYTES..filled).ok_or_else(cursor)?;
     let mut body = vec![0u8; header.len as usize];
-    read_exact_deadline(stream, &mut body, deadline)?;
-    decode_body(header.flags, &body).map_err(typed_decode)
+    let Some(prefix) = body.get_mut(..early.len()) else {
+        return Err(Error::Rpc(RpcError::Decode(format!(
+            "rpc: {} bytes past the end of a {}-byte frame",
+            early.len() - body.len(),
+            header.len
+        ))));
+    };
+    prefix.copy_from_slice(early);
+    let mut have = early.len();
+    while have < body.len() {
+        have += read_more(stream, body.get_mut(have..).ok_or_else(cursor)?, deadline)?;
+    }
+    decode_body(header.flags, &body).map(Some).map_err(typed_decode)
 }
 
 // --- client ----------------------------------------------------------------
@@ -964,9 +1046,11 @@ impl CancelToken {
 }
 
 /// One parent→child connection, reconnecting on demand. Calls are strictly
-/// request/response; a timed-out call poisons the connection (a late
-/// answer would desynchronize framing), so the stream is dropped and the
-/// next call reconnects.
+/// request/response — one [`RpcClient::send`], then one
+/// [`RpcClient::recv`] — so a fan-out can put a frame on every child's
+/// wire before it waits for any reply. A failed or timed-out half poisons
+/// the connection (a late answer would desynchronize framing), so the
+/// stream is dropped and the next send reconnects.
 pub struct RpcClient {
     addr: Addr,
     stream: Option<Stream>,
@@ -1037,24 +1121,19 @@ impl RpcClient {
         }
     }
 
-    /// Send `request`, wait up to `timeout` for the response. Any failure
-    /// (connect, send, deadline expiry, corrupt frame) drops the
-    /// connection and surfaces as a typed `Err` — the caller's failover
-    /// decision dispatches on the [`RpcError`] variant.
-    pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
-        let result = self.call_inner(request, timeout);
+    /// Write one encoded frame ([`encode_frame`]), connecting first if
+    /// need be, all by `deadline`. Any failure drops the connection and
+    /// surfaces as a typed `Err` — the caller's failover decision
+    /// dispatches on the [`RpcError`] variant.
+    pub fn send(&mut self, frame: &[u8], deadline: Instant) -> Result<()> {
+        let result = self.send_inner(frame, deadline);
         if result.is_err() {
             self.drop_stream();
         }
         result
     }
 
-    fn call_inner(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
-        // One absolute deadline covers the whole call: the write budget
-        // and read budget are not additive, and the remaining budget
-        // shrinks across every syscall (see `read_exact_deadline`), so a
-        // stalled *or trickling* worker expires on time either way.
-        let deadline = Instant::now() + timeout.max(Duration::from_millis(1));
+    fn send_inner(&mut self, frame: &[u8], deadline: Instant) -> Result<()> {
         if self.stream.is_none() {
             self.connect_by(deadline)?;
         }
@@ -1062,9 +1141,45 @@ impl RpcClient {
             .stream
             .as_mut()
             .ok_or_else(|| Error::Internal("rpc: stream vanished after connect".into()))?;
-        stream.set_write_timeout(Some(budget_left(deadline)?))?;
-        write_frame(stream, request, self.compress)?;
-        read_frame_deadline::<Response>(stream, deadline)
+        write_all_deadline(stream, frame, deadline)
+    }
+
+    /// Read the reply to the frame last sent, by `deadline`. One absolute
+    /// deadline shared with the [`RpcClient::send`] before it covers the
+    /// whole exchange: the write budget and read budget are not additive,
+    /// and the remaining budget shrinks across every syscall of a frame
+    /// that arrives in pieces, so a stalled *or trickling* worker expires
+    /// on time either way. Any failure drops the connection.
+    pub fn recv(&mut self, deadline: Instant) -> Result<Response> {
+        self.recv_within(Duration::MAX, deadline)?
+            .ok_or_else(|| Error::Internal("rpc: an unbounded wait came back empty".into()))
+    }
+
+    /// [`RpcClient::recv`], but give up — `Ok(None)`, connection intact and
+    /// in sync — when not one byte of the reply has arrived within `quiet`.
+    /// This is the hedge timer: the reply can still be awaited afterwards.
+    pub fn recv_within(&mut self, quiet: Duration, deadline: Instant) -> Result<Option<Response>> {
+        let result = match self.stream.as_mut() {
+            Some(stream) => read_frame_deadline::<Response>(stream, quiet, deadline),
+            None => Err(Error::Rpc(RpcError::PeerGone("rpc: no request is in flight".into()))),
+        };
+        if result.is_err() {
+            self.drop_stream();
+        }
+        result
+    }
+
+    /// One exchange of an already-encoded frame: `send`, then `recv`.
+    pub fn call_frame(&mut self, frame: &[u8], deadline: Instant) -> Result<Response> {
+        self.send(frame, deadline)?;
+        self.recv(deadline)
+    }
+
+    /// Send `request`, wait up to `timeout` for the response: encode,
+    /// `send`, `recv`.
+    pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
+        let deadline = Instant::now() + timeout.max(Duration::from_millis(1));
+        self.call_frame(&encode_frame(request, self.compress)?, deadline)
     }
 
     /// Connect within the call deadline. Only a refused connect is
@@ -1103,13 +1218,20 @@ impl RpcClient {
 /// One way to reach a child node. Everything above a link — pruning,
 /// failover, report stamping, the fold — is the same code for both kinds.
 pub enum Link {
-    /// A worker process behind a socket. The mutex serializes one
-    /// request/response pair per connection, so a `&self` fan-out can run
-    /// one thread per child (concurrent queries to the *same* child
-    /// serialize, which is exactly a per-connection queue).
+    /// A worker process behind a socket. The mutex is the connection's
+    /// queue: a fan-out holds the guard from the write of its frame to the
+    /// read of the reply ([`Link::hold`]), so concurrent queries to the
+    /// *same* child take turns on the wire, one request/response pair at a
+    /// time.
     Socket(pd_common::sync::Mutex<RpcClient>),
     /// A node in this address space: no frame, no serialization, no queue.
     Local(Arc<Node>),
+}
+
+/// One copy of a child as one query holds it.
+enum Held<'a> {
+    Socket(MutexGuard<'a, RpcClient>),
+    Local(&'a Node),
 }
 
 impl Link {
@@ -1117,21 +1239,83 @@ impl Link {
         Link::Socket(pd_common::sync::Mutex::new(RpcClient::new(addr, compress)))
     }
 
-    /// Ask the child behind this link, classifying the reply for the
-    /// failover logic (see [`LeafOutcome`]).
-    fn ask(&self, request: &QueryRequest, timeout: Duration) -> LeafOutcome {
+    /// Take this copy for the span of one query. A socket's guard is held
+    /// across `send` *and* `recv` on purpose — the pair must not interleave
+    /// with another query's on the same connection. Deadlock-free because
+    /// every fan-out takes its guards in one total order — children by
+    /// index, a pair's primary before its replica — and takes them all
+    /// before it waits for any reply: whoever waits for a guard holds only
+    /// guards earlier in that order.
+    fn hold(&self) -> Held<'_> {
         match self {
-            Link::Socket(client) => {
-                let message = Request::Query(Box::new(request.clone()));
-                // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-                classify(client.lock().call(&message, timeout))
+            // pd-analysis: allow(lock-order) -- the connection's queue: the guard spans send and recv by design; taken in child-index order, primary before replica
+            Link::Socket(client) => Held::Socket(client.lock()),
+            Link::Local(node) => Held::Local(node),
+        }
+    }
+}
+
+impl Held<'_> {
+    /// Put the query on this copy's wire. Nothing to do in memory.
+    fn send(&mut self, ask: &mut Ask<'_>) -> Result<()> {
+        match self {
+            Held::Socket(client) => {
+                let deadline = ask.deadline;
+                let compress = client.compress;
+                client.send(ask.frame(compress)?, deadline)
             }
-            Link::Local(node) => match node.query(request, Duration::ZERO) {
+            Held::Local(_) => Ok(()),
+        }
+    }
+
+    /// This copy's reply to a query whose `send` went as `sent`,
+    /// classified for the failover logic (see [`LeafOutcome`]). An
+    /// in-memory node computes it here.
+    fn recv(&mut self, sent: Result<()>, ask: &Ask<'_>) -> LeafOutcome {
+        if let Err(e) = sent {
+            return LeafOutcome::Failed(e);
+        }
+        match self {
+            Held::Socket(client) => classify(client.recv(ask.deadline)),
+            Held::Local(node) => match node.query(ask.request, Duration::ZERO) {
                 Ok(answer) => LeafOutcome::Answer(answer),
                 Err(e @ Error::Rpc(_)) => LeafOutcome::Failed(e),
                 Err(e) => LeafOutcome::Fatal(e),
             },
         }
+    }
+}
+
+/// What one fan-out shares across its children: the query, one clock, and
+/// the frame that carries the query over sockets.
+struct Ask<'a> {
+    request: &'a QueryRequest,
+    started: Instant,
+    /// One absolute deadline for every write and read: the budget is the
+    /// whole query's. A merge node below inherits what remains of it — it
+    /// decrements and forwards it, so no height scaling is needed.
+    deadline: Instant,
+    /// The `Request::Query` frame, encoded (and, when worth it, compressed)
+    /// by the first socket link that sends it and reused by every other.
+    frame: Option<Vec<u8>>,
+}
+
+impl<'a> Ask<'a> {
+    fn new(request: &'a QueryRequest) -> Ask<'a> {
+        let started = Instant::now();
+        let deadline = started + request.budget.max(Duration::from_millis(1));
+        Ask { request, started, deadline, frame: None }
+    }
+
+    /// The encoded frame. `compress` is the sending connection's mode: one
+    /// node's connections all share it, and a frame says in its own header
+    /// how it is packed, so the first sender's choice serves every other.
+    fn frame(&mut self, compress: bool) -> Result<&[u8]> {
+        let frame = match self.frame.take() {
+            Some(frame) => frame,
+            None => encode_frame(&Request::Query(Box::new(self.request.clone())), compress)?,
+        };
+        Ok(self.frame.insert(frame))
     }
 }
 
@@ -1147,6 +1331,21 @@ pub struct ChildHandle {
     metas: Vec<ShardMeta>,
     primary: Link,
     replica: Option<Link>,
+}
+
+/// A child between the two phases of a fan-out: asked, not yet answered.
+enum InFlight<'a> {
+    /// The metadata answered for the child; no copy was contacted.
+    Pruned(SubtreeAnswer),
+    Asked {
+        /// `Some`: a leaf — the failover rule and report stamping apply.
+        shard: Option<u64>,
+        primary: Held<'a>,
+        replica: Option<Held<'a>>,
+        /// How putting the query on the primary's wire went. A killed
+        /// primary is never contacted: its send "fails" as the kill.
+        sent: Result<()>,
+    },
 }
 
 impl ChildHandle {
@@ -1220,14 +1419,11 @@ impl ChildHandle {
         answer
     }
 
-    /// Query this child, applying the §4 failover rule at leaves: a killed
-    /// or unresponsive primary is replaced by its replica — over sockets
-    /// raced in parallel after the hedge delay, first answer wins. Without
-    /// a replica any transport failure is fatal for the query; an
-    /// *application* error from a live node always is. The report's
-    /// latency is *measured* — the parent's wall clock around the call,
-    /// transport and hedging included.
-    fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
+    /// Phase one of a fan-out: answer from the metadata if it proves the
+    /// edge dead, else take the child's copies (see [`Link::hold`] for the
+    /// order) and put the query on the primary's wire.
+    fn begin<'a>(&'a self, ask: &mut Ask<'_>) -> InFlight<'a> {
+        let request = ask.request;
         // The prune precedes the kill/failover logic deliberately: an
         // answer that never needs the server treats a dead primary as a
         // non-event (no failover recorded). Killed shards without
@@ -1245,58 +1441,39 @@ impl ChildHandle {
                 }
             });
         if dead {
-            return Ok(self.pruned_answer(request.chunk_pruning));
+            return InFlight::Pruned(self.pruned_answer(request.chunk_pruning));
         }
-        let started = Instant::now();
-        let budget = request.budget;
-        let Some(shard) = self.shard else {
-            // A merge node inherits the whole remaining budget — it
-            // decrements and forwards it, so no height scaling is needed:
-            // the budget *is* the end-to-end clock. A `Malformed` NAK from
-            // a node with no replica to retry is as fatal as any fault.
-            return match self.primary.ask(request, budget) {
+        let mut primary = self.primary.hold();
+        let replica = self.replica.as_ref().map(Link::hold);
+        let sent = if self.shard.is_some_and(|shard| request.killed.contains(&shard)) {
+            Err(Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())))
+        } else {
+            primary.send(ask)
+        };
+        InFlight::Asked { shard: self.shard, primary, replica, sent }
+    }
+}
+
+impl InFlight<'_> {
+    /// Phase two of a fan-out: the child's answer. A leaf's reports are
+    /// stamped with what the parent *measured* — its wall clock from the
+    /// start of the fan-out to this answer in hand, transport, the wait
+    /// for earlier siblings' replies and hedging included.
+    fn finish(self, ask: &mut Ask<'_>) -> Result<SubtreeAnswer> {
+        let (shard, mut primary, replica, sent) = match self {
+            InFlight::Pruned(answer) => return Ok(answer),
+            InFlight::Asked { shard, primary, replica, sent } => (shard, primary, replica, sent),
+        };
+        let Some(shard) = shard else {
+            // A `Malformed` NAK from a merge node — no replica to retry —
+            // is as fatal as any fault.
+            return match primary.recv(sent, ask) {
                 LeafOutcome::Answer(answer) => Ok(answer),
                 LeafOutcome::Failed(e) | LeafOutcome::Fatal(e) => Err(e),
             };
         };
-        let killed = request.killed.contains(&shard);
-        let hedged = AtomicBool::new(false);
-        let outcome = match (&self.primary, &self.replica) {
-            // Only socket pairs race: there a straggler costs one hedge
-            // delay instead of its whole budget. An in-memory replica is
-            // the same node — nothing to race.
-            (Link::Socket(primary), Some(Link::Socket(replica)))
-                if !killed && request.hedge_micros > 0 =>
-            {
-                race(primary, replica, request, &hedged, shard)
-            }
-            // Otherwise one copy after the other, the replica living on
-            // whatever budget remains. A killed primary is simply never
-            // contacted.
-            (primary, replica) => {
-                let first = if killed {
-                    let gone = RpcError::PeerGone("primary killed mid-query".into());
-                    LeafOutcome::Failed(Error::Rpc(gone))
-                } else {
-                    primary.ask(request, budget)
-                };
-                match (first, replica) {
-                    (LeafOutcome::Answer(answer), _) => Ok((answer, false)),
-                    (LeafOutcome::Fatal(e), _) => Err(e),
-                    (LeafOutcome::Failed(e), None) => Err(no_replica_fail(shard, e)),
-                    (LeafOutcome::Failed(pe), Some(replica)) => {
-                        match replica.ask(request, budget.saturating_sub(started.elapsed())) {
-                            LeafOutcome::Answer(answer) => Ok((answer, true)),
-                            LeafOutcome::Fatal(e) => Err(e),
-                            LeafOutcome::Failed(re) => Err(both_failed(shard, pe, re)),
-                        }
-                    }
-                }
-            }
-        };
-        let (mut answer, failover) = outcome?;
-        let elapsed = started.elapsed();
-        let hedged = hedged.load(Ordering::Relaxed);
+        let (mut answer, failover, hedged) = settle(shard, primary, replica, sent, ask)?;
+        let elapsed = ask.started.elapsed();
         for report in &mut answer.reports {
             report.latency = elapsed;
             // A cached partial needed no server, so whichever copy held it
@@ -1309,87 +1486,121 @@ impl ChildHandle {
     }
 }
 
-/// The hedged replica race. The primary is asked immediately; if it has
-/// neither answered nor failed within the hedge delay, the replica is
-/// launched *in parallel* and the first answer wins — the loser's socket
-/// is shut down so its thread unblocks right away. A primary that fails
-/// *fast* (refused connect, reset) skips the wait and fails over
-/// immediately; one that fails *slow* loses the race it is already in.
-/// Returns `(answer, answered_by_replica)`.
-fn race(
-    primary: &pd_common::sync::Mutex<RpcClient>,
-    replica: &pd_common::sync::Mutex<RpcClient>,
-    request: &QueryRequest,
-    hedged: &AtomicBool,
+/// The §4 failover rule at one leaf: a killed or failed primary is replaced
+/// by its replica, one copy after the other, the replica living on whatever
+/// budget remains; over sockets a merely *slow* primary is raced by it
+/// ([`race`]). Without a replica any transport failure is fatal for the
+/// query; an *application* error from a live node always is. Returns
+/// `(answer, answered by the replica, hedged)`.
+fn settle(
     shard: u64,
-) -> Result<(SubtreeAnswer, bool)> {
-    let budget = request.budget;
-    let hedge = Duration::from_micros(request.hedge_micros);
-    let message = &Request::Query(Box::new(request.clone()));
-    let primary_token = primary.lock().cancel_token();
-    let replica_token = replica.lock().cancel_token();
-    let (outcome_tx, outcome_rx) = mpsc::channel::<(bool, LeafOutcome)>();
-    let (primary_done_tx, primary_done_rx) = mpsc::channel::<bool>();
-    std::thread::scope(|scope| {
-        let primary_tx = outcome_tx.clone();
-        scope.spawn(move || {
-            // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-            let outcome = classify(primary.lock().call(message, budget));
-            let answered = matches!(outcome, LeafOutcome::Answer(_));
-            let _ = primary_done_tx.send(answered);
-            let _ = primary_tx.send((false, outcome));
-        });
-        let replica_tx = outcome_tx;
-        scope.spawn(move || {
-            match primary_done_rx.recv_timeout(hedge) {
-                // The primary answered inside the hedge window — the
-                // common, healthy case: no replica call at all.
-                Ok(true) => return,
-                // The primary failed fast: immediate failover, not a
-                // hedge (the race was never close).
-                Ok(false) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
-                // Hedge fires: the primary is still out there.
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    hedged.store(true, Ordering::Relaxed);
+    mut primary: Held<'_>,
+    mut replica: Option<Held<'_>>,
+    sent: Result<()>,
+    ask: &mut Ask<'_>,
+) -> Result<(SubtreeAnswer, bool, bool)> {
+    let first = match (&mut primary, &mut replica, &sent) {
+        // Only socket pairs hedge: there a straggler costs one hedge delay
+        // instead of its whole budget. An in-memory replica is the same
+        // node — nothing to race.
+        (Held::Socket(primary), Some(Held::Socket(replica)), Ok(()))
+            if ask.request.hedge_micros > 0 =>
+        {
+            // The delay runs from the write; reading earlier siblings'
+            // replies has used some of it up.
+            let hedge_at = ask.started + Duration::from_micros(ask.request.hedge_micros);
+            let quiet = hedge_at.saturating_duration_since(Instant::now());
+            match primary.recv_within(quiet, ask.deadline) {
+                // Answered inside the hedge window — the common, healthy
+                // case: the replica is never contacted.
+                Ok(Some(response)) => classify(Ok(response)),
+                // Failed fast (refused connect, reset): immediate failover
+                // below, not a hedge — the race was never close.
+                Err(e) => LeafOutcome::Failed(e),
+                // The hedge fires: the primary is still out there.
+                Ok(None) => {
+                    let deadline = ask.deadline;
+                    let frame = ask.frame(replica.compress)?;
+                    let (answer, by_replica) = race(primary, replica, frame, deadline, shard)?;
+                    return Ok((answer, by_replica, true));
                 }
-            }
-            // pd-analysis: allow(lock-order) -- per-connection request/response serialization; the guard must span the call
-            let outcome = classify(replica.lock().call(message, budget));
-            let _ = replica_tx.send((true, outcome));
-        });
-        let mut failures: Vec<(bool, Error)> = Vec::new();
-        while let Ok((is_replica, outcome)) = outcome_rx.recv() {
-            match outcome {
-                LeafOutcome::Answer(answer) => {
-                    // First answer wins; unblock the loser now.
-                    if is_replica {
-                        primary_token.cancel();
-                    } else {
-                        replica_token.cancel();
-                    }
-                    return Ok((answer, is_replica));
-                }
-                LeafOutcome::Fatal(e) => {
-                    primary_token.cancel();
-                    replica_token.cancel();
-                    return Err(e);
-                }
-                LeafOutcome::Failed(e) => failures.push((is_replica, e)),
             }
         }
-        // Both copies sent a Failed (the channel closed with no
-        // Answer): combine, preferring the primary's typed variant.
-        let primary_err = failures
-            .iter()
-            .position(|(is_replica, _)| !is_replica)
-            .map(|i| failures.remove(i).1)
-            .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("primary never ran".into())));
-        let replica_err = failures
-            .pop()
-            .map(|(_, e)| e)
-            .unwrap_or_else(|| Error::Rpc(RpcError::PeerGone("replica never ran".into())));
-        Err(both_failed(shard, primary_err, replica_err))
-    })
+        _ => primary.recv(sent, ask),
+    };
+    match (first, replica) {
+        (LeafOutcome::Answer(answer), _) => Ok((answer, false, false)),
+        (LeafOutcome::Fatal(e), _) => Err(e),
+        (LeafOutcome::Failed(e), None) => Err(no_replica_fail(shard, e)),
+        (LeafOutcome::Failed(pe), Some(mut replica)) => {
+            let sent = replica.send(ask);
+            match replica.recv(sent, ask) {
+                LeafOutcome::Answer(answer) => Ok((answer, true, false)),
+                LeafOutcome::Fatal(e) => Err(e),
+                LeafOutcome::Failed(re) => Err(both_failed(shard, pe, re)),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Threads [`race`] spawned from this thread — the only spawn site a
+    /// fan-out has.
+    static HEDGE_SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The hedged replica race, entered only once the hedge delay has passed
+/// with the primary's reply still outstanding. The replica is asked on a
+/// thread of its own — the one thread a fan-out may spawn — while the
+/// caller keeps reading the primary; the first answer wins and shuts the
+/// loser's socket down so its reader unblocks right away. A primary that
+/// fails from here on loses the race it is already in. Returns
+/// `(answer, answered_by_replica)`.
+fn race(
+    primary: &mut RpcClient,
+    replica: &mut RpcClient,
+    frame: &[u8],
+    deadline: Instant,
+    shard: u64,
+) -> Result<(SubtreeAnswer, bool)> {
+    let primary_token = primary.cancel_token();
+    let replica_token = replica.cancel_token();
+    #[cfg(test)]
+    HEDGE_SPAWNS.with(|spawns| spawns.set(spawns.get() + 1));
+    let (first, second) = std::thread::scope(|scope| {
+        let hedge = scope.spawn(|| {
+            let outcome = classify(replica.call_frame(frame, deadline));
+            if matches!(outcome, LeafOutcome::Answer(_)) {
+                primary_token.cancel();
+            }
+            outcome
+        });
+        let first = classify(primary.recv(deadline));
+        if !matches!(first, LeafOutcome::Failed(_)) {
+            // The primary settled it (an answer, or an error the replica
+            // would only repeat): unblock the replica's reader now.
+            replica_token.cancel();
+        }
+        (first, hedge.join().expect("the hedge thread panicked"))
+    });
+    // Whoever settled the race shut the other's socket down — unusable
+    // from here on, even where its own call had completed first.
+    if !matches!(first, LeafOutcome::Failed(_)) {
+        replica.drop_stream();
+    }
+    if matches!(second, LeafOutcome::Answer(_)) {
+        primary.drop_stream();
+    }
+    match (first, second) {
+        (LeafOutcome::Answer(answer), _) => Ok((answer, false)),
+        (LeafOutcome::Fatal(e), _) => Err(e),
+        (LeafOutcome::Failed(_), LeafOutcome::Answer(answer)) => Ok((answer, true)),
+        (LeafOutcome::Failed(_), LeafOutcome::Fatal(e)) => Err(e),
+        // Both copies failed: combine, preferring the primary's typed
+        // variant.
+        (LeafOutcome::Failed(pe), LeafOutcome::Failed(re)) => Err(both_failed(shard, pe, re)),
+    }
 }
 
 /// How a child's reply steers failover: an answer wins; a *transport*
@@ -1451,8 +1662,13 @@ fn retag(e: Error, message: String) -> Error {
 /// the tree shape cannot change the result. In-memory children run as
 /// tasks on the shared [`pd_core::scheduler`] pool — the pool their chunk
 /// scans nest on, where a waiting fan-out helps drain the queue — because
-/// a per-query thread spawn would cost more than a warm hop does; socket
-/// children block on I/O, so each gets a scoped thread.
+/// a per-query thread spawn would cost more than a warm hop does. Socket
+/// children are other processes and run in parallel by themselves: the
+/// calling thread writes the one encoded frame to each in child order,
+/// then reads the replies in child order against the one deadline. No
+/// thread is spawned and none is woken on the healthy path; a reply
+/// larger than a socket buffer simply waits in its sender's `write` until
+/// its turn to be read.
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
     let answers: Vec<Result<SubtreeAnswer>> = match children.first().map(|c| &c.primary) {
         Some(Link::Local(node)) => {
@@ -1460,14 +1676,18 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
             // microseconds; a leaf scan that finds rows to scan wakes the
             // pool, and the woken worker takes the outermost offer.
             scheduler::offer_tasks(node.threads(), children.len(), |i| {
-                Ok(children[i].query(request))
+                let mut ask = Ask::new(request);
+                Ok(children[i].begin(&mut ask).finish(&mut ask))
             })?
         }
-        _ => std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                children.iter().map(|child| scope.spawn(move || child.query(request))).collect();
-            handles.into_iter().map(|h| h.join().expect("child query thread panicked")).collect()
-        }),
+        _ => {
+            let mut ask = Ask::new(request);
+            let flights: Vec<InFlight<'_>> =
+                children.iter().map(|child| child.begin(&mut ask)).collect();
+            // Every reply is read even after one failed: a connection left
+            // with a reply in flight would have to be dropped.
+            flights.into_iter().map(|flight| flight.finish(&mut ask)).collect()
+        }
     };
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
@@ -1724,12 +1944,167 @@ mod tests {
         assert!(answer.partial.groups.is_empty());
         // A restriction that *may* match must reach for the socket — and
         // fail, because nothing listens there.
-        let err = handle.query(&request("SELECT COUNT(*) FROM t WHERE k = 'x'", true)).unwrap_err();
+        let present = request("SELECT COUNT(*) FROM t WHERE k = 'x'", true);
+        let err = fan_out(std::slice::from_ref(&handle), &present).unwrap_err();
         assert!(
             matches!(err, Error::Rpc(RpcError::ConnRefused(_))),
             "a dead-address leaf with no replica fails typed: {err}"
         );
         assert!(err.to_string().contains("shard 3"), "{err}");
         assert!(err.to_string().contains("replication is disabled"), "{err}");
+    }
+
+    /// An in-thread stand-in for a leaf worker: serves exactly `conns`
+    /// connections on a loopback port, each on a thread of its own, handing
+    /// `reply` the stream and the server-wide ordinal of every `Query` it
+    /// reads. The handle joins once every connection has closed.
+    fn fake_leaf(
+        conns: usize,
+        reply: impl Fn(&mut Stream, usize) + Send + Sync + 'static,
+    ) -> (Addr, std::thread::JoinHandle<()>) {
+        let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let seen = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..conns {
+                    let mut stream = listener.accept().unwrap();
+                    let (reply, seen) = (&reply, &seen);
+                    scope.spawn(move || {
+                        while let Ok(Some(request)) = read_frame::<Request>(&mut stream) {
+                            assert!(matches!(request, Request::Query(_)), "{request:?}");
+                            let nth = seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            reply(&mut stream, nth);
+                        }
+                    });
+                }
+            });
+        });
+        (addr, server)
+    }
+
+    /// A leaf's answer whose `rows_total` says which copy gave it.
+    fn marked_answer(marker: u64) -> Response {
+        let mut answer = SubtreeAnswer::empty();
+        answer.stats.rows_total = marker;
+        answer.reports.push(ShardReport {
+            shard: 0,
+            latency: Duration::ZERO,
+            queue: Duration::ZERO,
+            failover: false,
+            hedged: false,
+            cache_hit: false,
+        });
+        Response::Answer(Box::new(answer))
+    }
+
+    fn count_all(hedge_micros: u64) -> QueryRequest {
+        QueryRequest {
+            query: analyzed("SELECT COUNT(*) FROM t"),
+            budget: Duration::from_secs(10),
+            hedge_micros,
+            killed: Vec::new(),
+            epoch: 1,
+            chaos: Vec::new(),
+            chunk_pruning: true,
+        }
+    }
+
+    #[test]
+    fn a_healthy_pair_spawns_nothing_and_a_stalled_primary_loses_the_race() {
+        // The primary answers its 1st and 3rd query at once; its 2nd it
+        // sits on until its socket is shut down under it, and says so.
+        let (cancelled_tx, cancelled_rx) = std::sync::mpsc::channel();
+        let cancelled_tx = pd_common::sync::Mutex::new(cancelled_tx);
+        let (primary, primary_server) = fake_leaf(2, move |stream, nth| {
+            if nth == 1 {
+                let shut = matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_));
+                cancelled_tx.lock().send(shut).unwrap();
+            } else {
+                write_frame(stream, &marked_answer(1), false).unwrap();
+            }
+        });
+        let (replica, replica_server) = fake_leaf(1, |stream, _| {
+            write_frame(stream, &marked_answer(2), false).unwrap();
+        });
+        let pair = [ChildHandle::new(
+            ChildSpec::Leaf { shard: 0, primary, replica: Some(replica), meta: sample_meta() },
+            false,
+        )];
+        let request = count_all(30_000);
+        let spawns = || HEDGE_SPAWNS.with(std::cell::Cell::get);
+        assert_eq!(spawns(), 0);
+
+        let healthy = fan_out(&pair, &request).unwrap();
+        assert_eq!(healthy.stats.rows_total, 1, "the primary answers");
+        assert!(!healthy.reports[0].hedged && !healthy.reports[0].failover);
+        assert_eq!(spawns(), 0, "a primary inside the hedge window costs no thread");
+
+        let raced = fan_out(&pair, &request).unwrap();
+        assert_eq!(raced.stats.rows_total, 2, "the replica answers for the stalled primary");
+        assert!(raced.reports[0].hedged && raced.reports[0].failover);
+        assert_eq!(spawns(), 1, "a fired hedge spawns the one replica reader");
+        assert!(
+            cancelled_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            "the loser's socket is shut down under it"
+        );
+
+        let next = fan_out(&pair, &request).unwrap();
+        assert_eq!(next.stats.rows_total, 1, "the same links serve the next query");
+        assert!(!next.reports[0].hedged && !next.reports[0].failover);
+        assert_eq!(spawns(), 1);
+
+        // Closing the links ends the fakes' connections.
+        drop(pair);
+        primary_server.join().unwrap();
+        replica_server.join().unwrap();
+    }
+
+    #[test]
+    fn a_quiet_wait_leaves_the_stream_in_sync() {
+        // The server answers only when told to; until then `recv_within`
+        // must come back empty-handed without eating a byte.
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let go_rx = pd_common::sync::Mutex::new(go_rx);
+        let (addr, server) = fake_leaf(1, move |stream, _| {
+            go_rx.lock().recv().unwrap();
+            write_frame(stream, &marked_answer(7), false).unwrap();
+        });
+        let mut client = RpcClient::new(addr, false);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let frame = encode_frame(&Request::Query(Box::new(count_all(0))), false).unwrap();
+        client.send(&frame, deadline).unwrap();
+        assert!(client.recv_within(Duration::from_millis(20), deadline).unwrap().is_none());
+        assert!(client.recv_within(Duration::from_millis(1), deadline).unwrap().is_none());
+        go_tx.send(()).unwrap();
+        assert_eq!(client.recv(deadline).unwrap(), marked_answer(7));
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_trickling_peer_expires_at_the_deadline() {
+        // One byte of a valid reply every 10 ms: each read succeeds, so a
+        // per-syscall timeout alone would never fire — the frame (~100
+        // bytes) would take a second. The absolute deadline must.
+        let (addr, server) = fake_leaf(1, |stream, _| {
+            let frame = encode_frame(&marked_answer(1), false).unwrap();
+            assert!(frame.len() >= 80, "{}", frame.len());
+            for byte in frame {
+                if stream.write_all(&[byte]).is_err() {
+                    return; // the client gave up, as it should
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let mut client = RpcClient::new(addr, false);
+        let budget = Duration::from_millis(150);
+        let started = Instant::now();
+        let err = client.call(&Request::Query(Box::new(count_all(0))), budget).unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(matches!(err, Error::Rpc(RpcError::Deadline(_))), "{err}");
+        assert!(elapsed >= budget, "expired early: {elapsed:?}");
+        assert!(elapsed < budget * 3, "a trickle must not stretch the deadline: {elapsed:?}");
+        server.join().unwrap();
     }
 }

@@ -7,8 +7,8 @@
 //! the worker write its resolved address there (atomically, via rename) so
 //! the spawner can find it. What the node *does* is [`crate::node`]'s
 //! business — the same code an in-memory tree runs; this module is only
-//! what is genuinely a process's: argv, sockets, the executor queue, and
-//! wire sabotage. The driver assigns the role after startup — a
+//! what is genuinely a process's: argv, sockets, the turnstile in front of
+//! the node, and wire sabotage. The driver assigns the role after startup — a
 //! [`Request::Load`] makes the process a leaf (it summarizes the shipped
 //! rows into a [`ShardMeta`], imports them, and acks with the summary so
 //! parents can pre-skip the shard), a [`Request::Attach`] a merge server
@@ -23,15 +23,19 @@
 //! its children when the `Attach` said to.
 //!
 //! **Measured queue delays.** Connections are accepted and read on their
-//! own threads, but all requests funnel through a single executor thread.
-//! The time a request spends between arrival and execution is this
-//! process's *real* queue delay — one monotonic clock inside one process —
-//! and it is handed to [`Node::query`], which charges it against the
-//! query's budget and reports it up the tree. The `Delay` test knob
-//! deliberately lives *outside* this pipeline: the artificial sleep
-//! happens on the delayed query's own connection thread, after execution
-//! and before the reply — service time of that query alone, never queue
-//! delay of the requests behind it.
+//! own threads, and a connection thread that has read a *complete* request
+//! runs it itself — no executor thread, no hand-off. What keeps the
+//! process serving one request at a time, in arrival order, is a FIFO
+//! [`Turnstile`]: the thread takes a ticket the moment its frame is whole
+//! and runs when the ticket comes up (a connection still trickling its
+//! frame in holds none, so it delays nobody). The time between taking the
+//! ticket and being called is this process's *real* queue delay — one
+//! monotonic clock inside one process — and it is handed to
+//! [`Node::query`], which charges it against the query's budget and
+//! reports it up the tree. The `Delay` test knob deliberately lives
+//! *outside* the turnstile: the artificial sleep happens after the ticket
+//! is given back and before the reply — service time of that query alone,
+//! never queue delay of the requests behind it.
 //!
 //! **Chaos.** Injected faults ([`crate::chaos`]) are matched against this
 //! node's name *around* the call into the node: a `Kill` exits the process
@@ -47,11 +51,12 @@ use crate::rpc::{
     encode_frame, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener, Request,
     Response, Stream,
 };
+use pd_common::sync::Mutex;
 use pd_common::{Error, Result};
 use pd_data::Table;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// Entry point for the `pd-dist-worker` binary: parse the listen address,
@@ -93,8 +98,9 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// What the executor thread owns: the node this process currently is
-/// (`None` until the driver assigns a role) and the `Delay` knob.
+/// What the process serves, one ticket holder at a time: the node it
+/// currently is (`None` until the driver assigns a role) and the `Delay`
+/// knob.
 #[derive(Default)]
 struct Served {
     node: Option<Node>,
@@ -111,8 +117,8 @@ struct ReplyMode {
     fault: Option<WireFault>,
 }
 
-/// Chaos sabotage applied by the *connection* thread, after execution:
-/// the executor stays correct, only this query's bytes are wrecked.
+/// Chaos sabotage applied after execution, once the ticket is given back:
+/// the node stays correct, only this query's bytes are wrecked.
 enum WireFault {
     /// Close the connection without replying.
     Reset,
@@ -120,10 +126,52 @@ enum WireFault {
     Torn,
 }
 
-struct Work {
-    request: Request,
-    reply: mpsc::Sender<(Response, ReplyMode)>,
-    enqueued: Instant,
+/// The FIFO gate in front of [`Served`]: tickets are handed out in arrival
+/// order and called one at a time, so requests execute exactly as a
+/// single executor thread would run them — on the threads that read them.
+#[derive(Default)]
+struct Turnstile {
+    /// `(next ticket to hand out, ticket being served)`.
+    tickets: Mutex<(u64, u64)>,
+    called: Condvar,
+    served: Mutex<Served>,
+}
+
+impl Turnstile {
+    /// Take a ticket, wait for it to be called, run `serve` on the state
+    /// and give the turn to the next ticket. `serve` is told how long the
+    /// ticket waited.
+    fn pass<T>(&self, serve: impl FnOnce(&mut Served, Duration) -> T) -> T {
+        let arrived = Instant::now();
+        let mut tickets = self.tickets.lock();
+        let mine = tickets.0;
+        tickets.0 += 1;
+        while tickets.1 != mine {
+            tickets = self.called.wait(tickets).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(tickets);
+        let _turn = Turn(self);
+        // Never contended — only the called ticket gets here — the lock is
+        // what hands `&mut Served` from one connection thread to the next.
+        let mut served = self.served.lock();
+        serve(&mut served, arrived.elapsed())
+    }
+}
+
+/// The called ticket's turn; dropping it calls the next ticket, so a
+/// request that panics cannot wedge the ones behind it.
+struct Turn<'a>(&'a Turnstile);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut tickets = self.0.tickets.lock();
+        tickets.1 += 1;
+        if tickets.1 != tickets.0 {
+            // Someone is waiting; which sleeper holds the next ticket is
+            // not known, so all look.
+            self.0.called.notify_all();
+        }
+    }
 }
 
 /// The temp file an announce is staged in before its atomic rename. The
@@ -148,52 +196,23 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
         std::fs::write(&tmp, local.to_string())?;
         std::fs::rename(&tmp, announce)?;
     }
-    let (queue, requests) = mpsc::channel::<Work>();
-
-    // The single executor owns the node outright: requests run strictly in
-    // arrival order (the gap between enqueue and dequeue is this process's
-    // queue delay), and nothing else ever touches the state — connection
-    // threads only feed the queue. The artificial `Delay` is handed back
-    // with the response and slept off on the connection thread: it is
-    // service time of that query only, never executor time that would
-    // inflate the measured queue delay of whatever sits behind it.
-    std::thread::Builder::new()
-        .name("pd-worker-exec".into())
-        .spawn(move || {
-            let mut served = Served::default();
-            for work in requests {
-                let queued = work.enqueued.elapsed();
-                let mut mode = ReplyMode::default();
-                let response = handle(&mut served, work.request, queued, &mut mode).unwrap_or_else(
-                    |e| match e {
-                        // Typed robustness failures cross the wire as
-                        // `Fault` so the parent's policy can dispatch on
-                        // the variant; anything else is an app error.
-                        Error::Rpc(fault) => Response::Fault(fault),
-                        e => Response::Err(e.to_string()),
-                    },
-                );
-                let _ = work.reply.send((response, mode));
-            }
-        })
-        .map_err(|e| Error::Data(format!("spawn executor: {e}")))?;
-
+    let turnstile = Arc::new(Turnstile::default());
     loop {
         let stream = listener.accept().map_err(|e| Error::Data(format!("accept: {e}")))?;
-        let queue = queue.clone();
+        let turnstile = Arc::clone(&turnstile);
         std::thread::Builder::new()
             .name("pd-worker-conn".into())
-            .spawn(move || connection_loop(stream, queue))
+            .spawn(move || connection_loop(stream, &turnstile))
             .map_err(|e| Error::Data(format!("spawn connection: {e}")))?;
     }
 }
 
-/// Read frames off one connection until EOF, routing requests through the
-/// executor queue. `Ping` answers inline (the startup handshake must not
-/// wait behind a long import); `Shutdown` acks and exits the process.
-/// Responses are compressed exactly when the request frame advertised
-/// that compressed replies are welcome.
-fn connection_loop(mut stream: Stream, queue: mpsc::Sender<Work>) {
+/// Read frames off one connection until EOF and serve them: each complete
+/// request passes the turnstile and runs on this thread. `Ping` answers
+/// inline (the startup handshake must not wait behind a long import);
+/// `Shutdown` acks and exits the process. Responses are compressed exactly
+/// when the request frame advertised that compressed replies are welcome.
+fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
     loop {
         let (request, compress_reply) = match read_frame_negotiated::<Request>(&mut stream) {
             Ok(Some(negotiated)) => negotiated,
@@ -218,16 +237,21 @@ fn connection_loop(mut stream: Stream, queue: mpsc::Sender<Work>) {
                 std::process::exit(0);
             }
             request => {
-                let (reply, response) = mpsc::channel();
-                if queue.send(Work { request, reply, enqueued: Instant::now() }).is_err() {
-                    return; // executor gone; process is doomed anyway
-                }
-                let Ok((response, mode)) = response.recv() else { return };
+                let mut mode = ReplyMode::default();
+                let response = turnstile
+                    .pass(|served, queued| handle(served, request, queued, &mut mode))
+                    .unwrap_or_else(|e| match e {
+                        // Typed robustness failures cross the wire as
+                        // `Fault` so the parent's policy can dispatch on
+                        // the variant; anything else is an app error.
+                        Error::Rpc(fault) => Response::Fault(fault),
+                        e => Response::Err(e.to_string()),
+                    });
                 if !mode.lag.is_zero() {
                     // The Delay test knob (plus chaos delays): this
                     // query's answer is late from the caller's point of
                     // view (the budget-expiry suite's "slow worker"), but
-                    // the executor is already free — the sleep is this
+                    // the turn has already passed on — the sleep is this
                     // connection's alone.
                     std::thread::sleep(mode.lag);
                 }
@@ -299,7 +323,9 @@ fn handle(
                 name: attach.name,
                 cache_entries: attach.cache_entries as usize,
                 epoch: attach.epoch,
-                // Socket children each block a scoped thread of their own.
+                // Socket children are other processes: the fan-out writes
+                // to each and then reads each on the thread that got here,
+                // so there is no width to choose.
                 threads: 1,
             };
             served.node = Some(Node::mixer(children, spec));
@@ -329,7 +355,7 @@ fn handle(
             Ok(Response::Answer(Box::new(assigned(served)?.query(&query, queued)?)))
         }
         Request::Ping => Ok(Response::Ok),
-        Request::Shutdown => Ok(Response::Ok), // handled inline; unreachable via queue
+        Request::Shutdown => Ok(Response::Ok), // handled inline; never passes the turnstile
     }
 }
 

@@ -43,6 +43,35 @@ const QUERIES: [&str; 3] = [
     "SELECT COUNT(*) FROM logs WHERE country = 'DE'",
 ];
 
+/// A bare worker process on a unix socket in a temp directory of its own,
+/// no role assigned. It sits in a [`pd_dist::ReapGuard`]: a panicking
+/// assertion kills and reaps it on unwind instead of leaking it into
+/// later suites. The caller removes the directory.
+fn raw_worker(tag: &str) -> (pd_dist::ReapGuard, pd_dist::rpc::Addr, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("pd-{tag}-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("w.sock");
+    let worker = pd_dist::ReapGuard::new(
+        std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
+    );
+    (worker, pd_dist::rpc::Addr::Unix(socket), dir)
+}
+
+/// The `Load` that makes a raw worker shard 0's uncached leaf over `table`.
+fn leaf_load(table: &Table, build: BuildOptions) -> pd_dist::rpc::Request {
+    pd_dist::rpc::Request::Load(Box::new(pd_dist::rpc::LoadRequest {
+        shard: 0,
+        schema: table.schema().clone(),
+        rows: table.iter_rows().collect(),
+        build,
+        threads: 1,
+        cache_budget: 1 << 20,
+        cache_entries: 0,
+        epoch: 1,
+        name: "l0p".into(),
+    }))
+}
+
 #[test]
 fn single_worker_process_answers_queries() {
     let table = generate_logs(&LogsSpec::scaled(600));
@@ -309,45 +338,21 @@ fn queue_delays_are_measured_not_modeled() {
     // One worker process, requests racing over *separate connections*. Two
     // claims, both only observation can make:
     //
-    // 1. a query that arrives while the single executor is busy with
+    // 1. a query that arrives while the worker's one turn is taken by
     //    *real* work (here: a heavy shard import) reports a queue delay
     //    reflecting that genuine service time;
     // 2. the artificial `Delay` knob is service time of the delayed query
     //    alone — the caller sees a late answer, but requests queued behind
     //    it do NOT report inflated queue delays, because the sleep happens
-    //    off the executor.
-    use pd_dist::rpc::{Addr, LoadRequest, QueryRequest, Request, Response, RpcClient};
-    use pd_dist::ReapGuard;
+    //    after the turn is given back.
+    use pd_dist::rpc::{Addr, QueryRequest, Request, Response, RpcClient};
     use pd_sql::{analyze, parse_query};
 
-    let dir = std::env::temp_dir().join(format!("pd-queue-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("w.sock");
-    // The raw spawn sits in a ReapGuard: if any assertion below panics,
-    // unwinding kills and reaps the worker instead of leaking it into
-    // later suites.
-    let worker = ReapGuard::new(
-        std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
-    );
-    let addr = Addr::Unix(socket);
-
-    let load_request = |table: &Table, build: BuildOptions| {
-        Request::Load(Box::new(LoadRequest {
-            shard: 0,
-            schema: table.schema().clone(),
-            rows: table.iter_rows().collect(),
-            build,
-            threads: 1,
-            cache_budget: 1 << 20,
-            cache_entries: 0,
-            epoch: 1,
-            name: "l0p".into(),
-        }))
-    };
+    let (worker, addr, dir) = raw_worker("queue");
     let table = generate_logs(&LogsSpec::scaled(200));
     let mut setup = RpcClient::new(addr.clone(), false);
     setup.connect_with_retry(Duration::from_secs(30)).unwrap();
-    let load = load_request(&table, BuildOptions::basic());
+    let load = leaf_load(&table, BuildOptions::basic());
     assert!(matches!(setup.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
 
     let analyzed = analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap();
@@ -394,14 +399,14 @@ fn queue_delays_are_measured_not_modeled() {
     assert_eq!(setup.call(&knob_off, Duration::from_secs(10)).unwrap(), Response::Ok);
 
     // Claim 1: a heavy re-import (tens of thousands of rows through the
-    // full production build pipeline) occupies the executor for a long
+    // full production build pipeline) holds the worker's turn for a long
     // stretch of real service time. Probe queries are fired continuously
     // while it ships and runs: whichever probe lands behind the import in
-    // the executor queue must *measure* that wait. (Probes before the
-    // import is even enqueued see an idle executor — hence the polling,
+    // the worker's queue must *measure* that wait. (Probes before the
+    // import has even arrived see an idle worker — hence the polling,
     // not a single staggered shot.)
     let big = generate_logs(&LogsSpec::scaled(30_000));
-    let heavy = load_request(&big, BuildOptions::production(&["country", "table_name"]));
+    let heavy = leaf_load(&big, BuildOptions::production(&["country", "table_name"]));
     let queued = std::thread::scope(|scope| {
         let loader = scope.spawn(|| {
             let mut client = RpcClient::new(addr.clone(), false);
@@ -728,4 +733,138 @@ fn rebuild_respawns_the_tree_with_new_data() {
     let after = cluster.query(sql).unwrap();
     assert_eq!(after.stats.rows_total, 800);
     assert_ne!(before.result, after.result, "rebuilt tree serves the new data");
+}
+
+#[test]
+fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
+    // The parent writes to both leaves, then reads them in child order.
+    // Shard 0's primary answers late (the `Delay` knob); shard 1 meanwhile
+    // has a reply far larger than a socket buffer (uncompressed, ≥ 1 MiB:
+    // one float-sum superaccumulator per distinct key) and sits in `write`
+    // until the parent gets to it. Nothing may deadlock, and the fold must
+    // come out as over a single store.
+    let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Float)]);
+    let mut table = Table::new(schema);
+    for i in 0..10_000i64 {
+        table.push_row(Row(vec![Value::Int(i), Value::Float(i as f64 * 0.25)])).unwrap();
+    }
+    let build = BuildOptions::basic();
+    let store = DataStore::build(&table, &build).unwrap();
+    let sql = "SELECT k, SUM(x) s FROM t GROUP BY k ORDER BY k ASC";
+
+    let half: Vec<usize> = (5_000..10_000).collect();
+    let shard1 = DataStore::build(&table.select_rows(&half), &build).unwrap();
+    let analyzed = pd_sql::analyze(&pd_sql::parse_query(sql).unwrap()).unwrap();
+    let (partial, _) =
+        pd_core::execute_partial(&shard1, &analyzed, &pd_core::ExecContext::default()).unwrap();
+    let reply_bytes = pd_common::wire::to_bytes(&partial).len();
+    assert!(reply_bytes >= 1 << 20, "shard 1's reply must dwarf a socket buffer: {reply_bytes}");
+
+    let cluster = Cluster::build(
+        &table,
+        &ClusterConfig {
+            shards: 2,
+            replication: false,
+            build,
+            shard_cache: 0,
+            transport: rpc_with(WorkerAddr::Unix, false),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let delay = Duration::from_millis(200);
+    cluster.inject_worker_delay(0, delay).unwrap();
+    let (expect, _) = query(&store, sql).unwrap();
+    let outcome = cluster.query(sql).unwrap();
+    assert_eq!(outcome.result, expect);
+    assert!(
+        outcome.subquery_latencies.iter().all(|latency| *latency >= delay),
+        "shard 1's reply was read after shard 0's: {:?}",
+        outcome.subquery_latencies
+    );
+}
+
+#[test]
+fn a_connection_stalled_mid_frame_holds_no_ticket() {
+    // One connection sends half a request and stops. It has no complete
+    // frame, so it has no place in the worker's queue: a query on another
+    // connection is served at once, with no queue delay to report. The
+    // stalled connection is then served as soon as its frame is whole.
+    use pd_dist::rpc::{encode_frame, read_frame, QueryRequest, Request, Response, RpcClient};
+    use std::io::Write;
+
+    let (worker, addr, dir) = raw_worker("ticket");
+    let mut client = RpcClient::new(addr.clone(), false);
+    client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    let load = leaf_load(&generate_logs(&LogsSpec::scaled(200)), BuildOptions::basic());
+    assert!(matches!(client.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
+
+    let query = Request::Query(Box::new(QueryRequest {
+        query: pd_sql::analyze(&pd_sql::parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
+        budget: Duration::from_secs(30),
+        hedge_micros: 0,
+        killed: Vec::new(),
+        epoch: 1,
+        chaos: Vec::new(),
+        chunk_pruning: true,
+    }));
+    let frame = encode_frame(&query, false).unwrap();
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    let mut stalled = addr.connect().unwrap();
+    stalled.write_all(head).unwrap();
+
+    let started = std::time::Instant::now();
+    let Response::Answer(answer) = client.call(&query, Duration::from_secs(10)).unwrap() else {
+        panic!("expected an answer");
+    };
+    assert!(
+        answer.reports[0].queue < Duration::from_millis(50),
+        "a half-sent frame on another connection is nobody's queue: {:?}",
+        answer.reports[0].queue
+    );
+    assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
+
+    stalled.write_all(tail).unwrap();
+    let late: Response = read_frame(&mut stalled).unwrap().unwrap();
+    assert!(matches!(late, Response::Answer(_)), "{late:?}");
+
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_callers_share_one_socket_tree() {
+    // Two threads query the same cluster at once. Each fan-out takes the
+    // connections it needs in child order and holds them until the replies
+    // are read, so the callers take turns edge by edge — both must finish,
+    // with the rows a single store gives.
+    let table = generate_logs(&LogsSpec::scaled(1_000));
+    let build = build_options();
+    let store = DataStore::build(&table, &build).unwrap();
+    let cluster = Cluster::build(
+        &table,
+        &ClusterConfig {
+            shards: 4,
+            replication: true,
+            build,
+            shard_cache: 0,
+            tree: TreeShape { fanout: 2 },
+            transport: rpc(Duration::from_secs(30)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let expect: Vec<_> = QUERIES.iter().map(|sql| query(&store, sql).unwrap().0).collect();
+    std::thread::scope(|scope| {
+        for caller in 0..2 {
+            let (cluster, expect) = (&cluster, &expect);
+            scope.spawn(move || {
+                for round in 0..30 {
+                    let i = (round + caller) % QUERIES.len();
+                    let outcome = cluster.query(QUERIES[i]).unwrap();
+                    assert_eq!(outcome.result, expect[i], "caller {caller}: {}", QUERIES[i]);
+                }
+            });
+        }
+    });
 }
