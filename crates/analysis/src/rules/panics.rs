@@ -20,8 +20,10 @@ pub struct Surface {
 
 /// The surfaces named by the contract. `wire.rs` and the two codec files are
 /// decode-or-encode throughout, so the whole file is held to the standard;
-/// `delta.rs`/`bloom.rs`/`rpc.rs` mix decode paths with construction-time
-/// code, so only the read-side functions are in scope.
+/// `delta.rs`/`bloom.rs`/`rpc.rs`/`meta.rs` mix decode paths with
+/// construction-time code, so only the read-side functions are in scope —
+/// among them the two that apply a wire-borne append to a shard summary
+/// (`absorb_into`, `absorb_append`).
 pub const DECODE_SURFACES: &[Surface] = &[
     Surface { path: "crates/common/src/wire.rs", fns: None },
     Surface { path: "crates/core/src/codec.rs", fns: None },
@@ -39,8 +41,10 @@ pub const DECODE_SURFACES: &[Surface] = &[
             "read_frame_deadline",
             "read_some",
             "read_more",
+            "absorb_into",
         ]),
     },
+    Surface { path: "crates/dist/src/meta.rs", fns: Some(&["decode", "absorb_append"]) },
 ];
 
 const PANIC_MACROS: &[&str] =

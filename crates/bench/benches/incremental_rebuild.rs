@@ -16,12 +16,20 @@
 //! append must ship **strictly fewer bytes** and complete **strictly
 //! faster** than the rebuild.
 //!
+//! A second, in-run ratio prices the process split itself: the same
+//! 80-row append on a 4-leaf + 2-merge-server unix tree and on the
+//! in-process tree over the same table (`append_tax_unix`, asserted). A
+//! leaf does the same work either way; what the ratio carries is the
+//! append's traffic — deltas out, receipts back, the parents' absorbs —
+//! so it stays small only while an append ships what it changes.
+//!
 //! Like `rpc_tree`, the worker binary is resolved via the library's own
 //! lookup; without it the bench prints a note and exits cleanly instead of
 //! failing (`cargo bench` does not build other crates' bin targets).
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure, Stats};
 use pd_core::BuildOptions;
+use pd_data::Table;
 use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 use std::hint::black_box;
 use std::time::Duration;
@@ -138,4 +146,90 @@ fn main() {
         ],
     );
     json_line("incremental_rebuild", "full_rebuild", rebuild_stats, &[]);
+
+    append_tax();
+}
+
+/// The most a socket tree's append may cost in units of the in-process
+/// tree's. Measured on a 2-vCPU box: 3.5–4.0 with receipts and in-place
+/// absorbs; 29–37 when every append acked a whole shard summary and
+/// re-attached both merge servers.
+const APPEND_TAX_BOUND: f64 = 8.0;
+
+/// Time the same small appends on a 4-leaf + 2-merge-server unix tree and
+/// on the in-process tree over the same table — alternating batches, the
+/// best batch of each side — and assert their ratio. The table does not
+/// shrink in quick mode: what an append costs a tree that ships summaries
+/// grows with the shards' chunk counts, so a small table would hide it.
+fn append_tax() {
+    let rows = 32_000;
+    const BATCHES: usize = 5;
+    const APPENDS_PER_BATCH: usize = 8;
+    const APPEND_ROWS: usize = 80;
+    let appends = BATCHES * APPENDS_PER_BATCH;
+    let full = logs_table(rows + appends * APPEND_ROWS);
+    let slice = |lo: usize, hi: usize| full.select_rows(&(lo..hi).collect::<Vec<_>>());
+    let deltas: Vec<Table> =
+        (0..appends).map(|i| slice(rows + i * APPEND_ROWS, rows + (i + 1) * APPEND_ROWS)).collect();
+
+    let mut build = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut build.partition {
+        spec.max_chunk_rows = (rows / 4 / 8).max(200);
+    }
+    let tree = |transport: Transport| {
+        let config = ClusterConfig {
+            shards: 4,
+            replication: false,
+            threads: 1,
+            tree: TreeShape { fanout: 2 },
+            build: build.clone(),
+            transport,
+            ..Default::default()
+        };
+        Cluster::build(&slice(0, rows), &config).expect("cluster")
+    };
+    let mut unix = tree(Transport::Rpc(RpcConfig::default()));
+    let mut local = tree(Transport::InProcess);
+
+    let mut best = [Duration::MAX; 2];
+    for batch in deltas.chunks(APPENDS_PER_BATCH) {
+        for (cluster, best) in [&mut unix, &mut local].into_iter().zip(&mut best) {
+            let took = measure(|| {
+                for delta in batch {
+                    black_box(cluster.append(delta).expect("append"));
+                }
+            });
+            *best = (*best).min(took / APPENDS_PER_BATCH as u32);
+        }
+    }
+    let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 10";
+    assert_eq!(
+        unix.query(sql).expect("unix query").result,
+        local.query(sql).expect("local query").result,
+        "both trees took the same appends"
+    );
+
+    let [unix_append, local_append] = best;
+    let tax = unix_append.as_secs_f64() / local_append.as_secs_f64().max(1e-9);
+    println!(
+        "=== append tax ({rows} rows, {APPEND_ROWS}-row appends, 4 leaves + 2 merge servers) ===\n\
+         unix tree  : {} per append\n\
+         in process : {} per append\n\
+         -> {tax:.1}x (bound {APPEND_TAX_BOUND}x)",
+        fmt_duration(unix_append),
+        fmt_duration(local_append),
+    );
+    json_line(
+        "incremental_rebuild",
+        "append_tax_unix",
+        Stats { min: unix_append, median: unix_append },
+        &[("local_ns", local_append.as_nanos().to_string()), ("tax", format!("{tax:.2}"))],
+    );
+    assert!(
+        tax < APPEND_TAX_BOUND,
+        "an {APPEND_ROWS}-row append on the unix tree must stay under {APPEND_TAX_BOUND}x the \
+         in-process tree's: {} vs {} ({tax:.1}x)",
+        fmt_duration(unix_append),
+        fmt_duration(local_append),
+    );
 }

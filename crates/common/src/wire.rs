@@ -47,7 +47,11 @@ use std::time::Duration;
 /// Version 5: the streaming-append protocol — `Append` requests carrying
 /// self-contained dictionary-delta tables (`pd_encoding::TableDelta`),
 /// applied in place by leaf workers without a respawn.
-pub const FRAME_VERSION: u8 = 5;
+/// Version 6: an `Append` is acked with a receipt (`Appended`: the new
+/// chunks' row counts) instead of the shard's whole summary, and merge
+/// servers take an `Absorb` request (deltas + receipts + epoch) in place
+/// of a re-`Attach`.
+pub const FRAME_VERSION: u8 = 6;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

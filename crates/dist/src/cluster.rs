@@ -297,8 +297,11 @@ impl Drop for AdmitPermit<'_> {
 pub struct AppendOutcome {
     /// Rows appended across all shards.
     pub rows: u64,
-    /// Serialized `Append` request bytes shipped to worker processes
-    /// (primaries and replicas); 0 when no leaf is behind a wire.
+    /// Serialized bytes of every request frame the append caused: each
+    /// shard's `Append` frame once per copy that took it (primary and
+    /// replica) plus each merge server's `Absorb` frame — everything the
+    /// append put on a wire except the few bytes of acks; 0 when no node
+    /// is behind a wire.
     pub bytes_shipped: u64,
 }
 
@@ -389,9 +392,13 @@ impl Cluster {
     /// the receiver resolves it against its resident dictionaries,
     /// appending only genuinely new values, so **every existing global id
     /// stays stable** and folded partials across old and new chunks stay
-    /// bit-identical), applied in place by every leaf
-    /// ([`crate::node::Node::append`]), and the merge levels are re-wired
-    /// at the new epoch; nothing is respawned.
+    /// bit-identical) and applied in place by every leaf
+    /// ([`crate::node::Node::append`]), which acks a receipt. Every parent
+    /// that prunes by a shard's summary then absorbs the same delta into
+    /// its own copy ([`crate::meta::ShardMeta::absorb_append`]) — over
+    /// sockets that is two round trips whatever the tree's size, all
+    /// shards and then all merge servers at work at once. Nothing is
+    /// respawned, re-wired or re-dialed.
     ///
     /// The epoch bumps as a rebuild's would, so every cache layer
     /// invalidates by the same rule — but only once every shard has
@@ -436,9 +443,9 @@ impl Cluster {
         }
     }
 
-    /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append` frames) shipped to worker processes since the tree was
-    /// last (re)built; 0 when no node is behind a wire.
+    /// Cumulative serialized bytes of data-bearing requests (`Load`,
+    /// `Append` and `Absorb` frames) shipped to worker processes since the
+    /// tree was last (re)built; 0 when no node is behind a wire.
     pub fn shipped_bytes(&self) -> u64 {
         self.tree.as_ref().map_or(0, Tree::shipped_bytes)
     }

@@ -33,14 +33,15 @@
 //!   failure/chaos models, append/rebuild under the epoch, and the
 //!   [`Transport`] switch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
-//!   fold), its result cache and epoch, `Node::query` / `Node::append`;
+//!   fold), its result cache and epoch, `Node::query` / `Node::append` /
+//!   `Node::absorb`;
 //! - [`rpc`] — the edges: [`rpc::Link`] (in-memory or socket) and the
 //!   shared child-querying / failover / hedged-racing logic above it;
 //!   the wire protocol: framed requests/responses, deadline budgets,
 //!   typed [`pd_common::RpcError`] faults;
 //! - [`process`] — the tree as its driver holds it ([`Tree`]): building
 //!   leaves and merge levels out of local nodes or spawned worker
-//!   processes, re-wiring after an append, teardown on drop;
+//!   processes, the two round trips of an append, teardown on drop;
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
 //!   sockets, the FIFO turnstile with its measured waits, chaos wire
 //!   sabotage;

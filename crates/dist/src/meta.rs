@@ -33,9 +33,9 @@
 //! applies per row.
 
 use pd_common::wire::{Decode, Encode, Reader};
-use pd_common::{DataType, Result, Row, Schema, Value};
+use pd_common::{DataType, Error, Result, Row, Schema, Value};
 use pd_core::{ChunkActivity, Partitioning};
-use pd_encoding::BloomFilter;
+use pd_encoding::{BloomFilter, TableDelta};
 use pd_sql::{eval_expr, values_compare, values_equal, Expr, Restriction};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -193,6 +193,44 @@ impl ShardMeta {
     /// The shard-level summary for a named column.
     pub fn column(&self, name: &str) -> Option<&ColumnMeta> {
         self.columns.iter().find(|c| c.name == name)
+    }
+
+    /// Absorb an append its leaf applied, as the leaf's receipt describes
+    /// it: `new_chunk_rows` are the row counts of the chunks the store cut
+    /// `delta`'s rows into. Everyone who holds this shard's summary — the
+    /// leaf, each merge server above it, the driver — runs this on their
+    /// own copy with the same two inputs; [`ShardMeta::absorb_delta`] is
+    /// deterministic in them (the blooms too: same values, same hashes), so
+    /// the copies stay equal without the summary ever travelling.
+    ///
+    /// Both inputs may have crossed a wire: a receipt or delta that does
+    /// not fit this summary is an `Err` that changes nothing.
+    pub fn absorb_append(&mut self, delta: &TableDelta, new_chunk_rows: &[u64]) -> Result<()> {
+        let same_columns = self.columns.len() == delta.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&delta.columns)
+                .all(|(mine, theirs)| mine.name == theirs.name);
+        if !same_columns {
+            return Err(Error::Data(format!(
+                "absorb: the delta's columns are not shard {}'s",
+                self.shard
+            )));
+        }
+        let total = new_chunk_rows.iter().try_fold(0u64, |sum, &rows| sum.checked_add(rows));
+        if total != Some(delta.rows) {
+            return Err(Error::Data(format!(
+                "absorb: the receipt's chunks do not hold exactly the delta's {} rows",
+                delta.rows
+            )));
+        }
+        // Each count is at most the delta's row count — a `Vec`'s length.
+        let chunk_lens: Vec<usize> = new_chunk_rows.iter().map(|&rows| rows as usize).collect();
+        let columns = delta.materialized_columns();
+        let slices: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
+        self.absorb_delta(&delta.schema, &slices, &chunk_lens);
+        Ok(())
     }
 
     /// Absorb an applied streaming delta: fold the delta's values into the

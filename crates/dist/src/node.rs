@@ -13,7 +13,10 @@
 //! [`Node::query`] is the only query path either has.
 
 use crate::meta::{self, ShardMeta};
-use crate::rpc::{fan_out, AppendRequest, ChildHandle, QueryRequest, ShardReport, SubtreeAnswer};
+use crate::rpc::{
+    absorb_into, fan_out, AbsorbRequest, AppendReceipt, AppendRequest, ChildHandle, QueryRequest,
+    ShardReport, SubtreeAnswer,
+};
 use crate::shard_cache::{query_signature, CachedSubtree, WorkerCache};
 use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError, Value};
@@ -231,10 +234,13 @@ impl Node {
 
     /// Apply a streaming delta in place (leaf only): extend the store's
     /// dictionaries (existing ids stay stable), encode the delta rows as
-    /// fresh chunks, refresh the shard summary for exactly those chunks,
+    /// fresh chunks, absorb exactly those chunks into the shard summary,
     /// drop every cache layer that describes the pre-append data and adopt
-    /// the epoch the append establishes. Returns the refreshed summary.
-    pub fn append(&self, append: &AppendRequest) -> Result<Option<ShardMeta>> {
+    /// the epoch the append establishes. Returns the receipt — how the
+    /// store chunked the delta — with which every parent absorbs the same
+    /// delta into its own copy of the summary ([`Node::absorb`]); the
+    /// summary itself stays here.
+    pub fn append(&self, append: &AppendRequest) -> Result<AppendReceipt> {
         let Role::Leaf(leaf) = &self.role else {
             return Err(Error::Data(format!("Append sent to {}, which is not a leaf", self.name)));
         };
@@ -248,16 +254,16 @@ impl Node {
         let old_chunks = leaf.store.chunk_count();
         leaf.store.append_delta(&append.delta)?;
         let Leaf { store, ctx, meta, .. } = &mut *leaf;
+        let receipt = AppendReceipt {
+            new_chunk_rows: (old_chunks..store.chunk_count())
+                .map(|c| store.chunk_rows(c) as u64)
+                .collect(),
+        };
         if let Some(meta) = meta {
             // The new chunks' zone maps and the column blooms absorb
-            // exactly the delta rows, so parent-side pruning stays sound
-            // without a re-summarize scan of the resident data.
-            let columns = append.delta.materialized_columns();
-            let slices: Vec<&[Value]> = columns.iter().map(|c| c.as_slice()).collect();
-            let part = store.partitioning();
-            let new_chunk_rows: Vec<usize> =
-                (old_chunks..part.chunk_count()).map(|c| part.chunk_range(c).len()).collect();
-            meta.absorb_delta(store.schema(), &slices, &new_chunk_rows);
+            // exactly the delta rows, so pruning stays sound without a
+            // re-summarize scan of the resident data.
+            meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
         }
         if let Some(results) = &ctx.result_cache {
             results.clear();
@@ -265,10 +271,26 @@ impl Node {
         if let Some(tiered) = &ctx.tiered {
             tiered.clear();
         }
-        let meta = meta.clone();
         drop(leaf);
         self.invalidate(append.epoch);
-        Ok(meta)
+        Ok(receipt)
+    }
+
+    /// Absorb appends the leaves beneath this merge server applied: bring
+    /// the children's shard summaries up to date in place, drop the cached
+    /// partials that describe the pre-append data and adopt the epoch. The
+    /// children's links are left alone — an append costs the tree no
+    /// connection.
+    pub fn absorb(&mut self, absorb: &AbsorbRequest) -> Result<()> {
+        let Role::Mixer(children) = &mut self.role else {
+            return Err(Error::Data(format!(
+                "Absorb sent to {}, which is not a merge server",
+                self.name
+            )));
+        };
+        absorb_into(children, &absorb.applied)?;
+        self.invalidate(absorb.epoch);
+        Ok(())
     }
 }
 
@@ -299,4 +321,116 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
             cache_hit: false,
         }],
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::meta::{chunk_verdicts, may_match, MAX_DISTINCT};
+    use pd_common::rng::Rng;
+    use pd_common::{DataType, Row, Schema};
+    use pd_encoding::TableDelta;
+    use pd_sql::{parse_query, Restriction};
+
+    fn restriction(where_sql: &str) -> Restriction {
+        let q = parse_query(&format!("SELECT COUNT(*) FROM t WHERE {where_sql}")).unwrap();
+        Restriction::from_expr(&q.where_clause.unwrap())
+    }
+
+    #[test]
+    fn a_parent_absorbing_receipts_keeps_its_copy_equal_to_the_leafs() {
+        // `term` starts 8 values under the distinct cap and every append
+        // brings new ones, so it crosses the cap — and gets its bloom —
+        // mid-run; `n` is degraded from the start; `k` stays exact.
+        const MAX_CHUNK_ROWS: usize = 40;
+        let schema =
+            Schema::of(&[("k", DataType::Str), ("term", DataType::Str), ("n", DataType::Int)]);
+        let mut rng = Rng::seed_from_u64(0x18ab_507b);
+        let mut next_term = 0usize;
+        // `count` rows as columns, the first `fresh_terms` of them with
+        // terms never seen before.
+        fn columns(
+            rng: &mut Rng,
+            next_term: &mut usize,
+            count: usize,
+            fresh_terms: usize,
+        ) -> Vec<Vec<Value>> {
+            let first_fresh = *next_term;
+            *next_term += fresh_terms;
+            let term = |i: usize, rng: &mut Rng| {
+                if i < fresh_terms {
+                    first_fresh + i
+                } else {
+                    rng.range_usize(0, *next_term)
+                }
+            };
+            vec![
+                (0..count).map(|_| Value::from(["a", "b", "c"][rng.range_usize(0, 3)])).collect(),
+                (0..count).map(|i| Value::from(format!("t{:03}", term(i, rng)))).collect(),
+                (0..count).map(|_| Value::Int(rng.range_i64_inclusive(0, 5_000))).collect(),
+            ]
+        }
+        let base = columns(&mut rng, &mut next_term, 400, MAX_DISTINCT - 8);
+        let table = Table::from_columns(schema.clone(), base).unwrap();
+        let base: Vec<Row> = table.iter_rows().collect();
+        let mut build = BuildOptions::production(&["k"]);
+        build.partition.as_mut().unwrap().max_chunk_rows = MAX_CHUNK_ROWS;
+        let leaf = Node::leaf(
+            0,
+            &table,
+            &build,
+            1 << 20,
+            Some(ShardMeta::summarize(0, &schema, &base)),
+            NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 },
+        )
+        .unwrap();
+        let mut parents = leaf.meta().unwrap();
+        assert!(parents.column("term").unwrap().values.is_some(), "under the cap at load");
+        assert!(parents.column("n").unwrap().values.is_none(), "degraded at load");
+
+        for step in 0..30u64 {
+            let count = rng.range_usize(1, 3 * MAX_CHUNK_ROWS + 1);
+            let fresh_terms = rng.range_usize(0, 3).min(count);
+            let batch = columns(&mut rng, &mut next_term, count, fresh_terms);
+            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
+            let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
+            let append = AppendRequest { shard: 0, delta, epoch: 2 + step };
+            let receipt = leaf.append(&append).unwrap();
+            assert_eq!(receipt.new_chunk_rows.len(), count.div_ceil(MAX_CHUNK_ROWS), "step {step}");
+            parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();
+
+            let leafs = leaf.meta().unwrap();
+            assert_eq!(parents, leafs, "step {step}: the copies diverged");
+            for _ in 0..12 {
+                let where_sql = match rng.range_usize(0, 4) {
+                    // Present (maybe only in the last delta) or never seen.
+                    0 => format!("term = 't{:03}'", rng.range_usize(0, next_term + 20)),
+                    1 => format!("n = {}", rng.range_i64_inclusive(0, 5_200)),
+                    2 => {
+                        let lo = rng.range_i64_inclusive(-100, 5_100);
+                        format!("n >= {lo} AND n < {}", lo + rng.range_i64_inclusive(1, 60))
+                    }
+                    _ => format!("k = 'c' AND term > 't{:03}'", rng.range_usize(0, next_term + 5)),
+                };
+                let r = restriction(&where_sql);
+                assert_eq!(may_match(&r, &parents), may_match(&r, &leafs), "{where_sql}");
+                assert_eq!(chunk_verdicts(&r, &parents), chunk_verdicts(&r, &leafs), "{where_sql}");
+            }
+        }
+        let term = parents.column("term").unwrap();
+        assert!(term.values.is_none(), "the run crossed the distinct cap");
+        assert!(parents.blooms.iter().any(|b| b.name == "term"), "and built the bloom on the way");
+        // A receipt that does not account for the delta's rows is refused,
+        // and changes nothing.
+        let before = parents.clone();
+        let delta = TableDelta::from_columns(
+            schema,
+            &[&[Value::from("a")], &[Value::from("t000")], &[Value::Int(1)]],
+        )
+        .unwrap();
+        assert!(parents.absorb_append(&delta, &[2]).is_err());
+        assert!(parents.absorb_append(&delta, &[]).is_err());
+        assert!(parents.absorb_append(&delta, &[u64::MAX, 2]).is_err());
+        assert_eq!(parents, before);
+    }
 }

@@ -24,9 +24,9 @@ use crate::cluster::{ClusterConfig, RpcConfig, Transport};
 use crate::meta::ShardMeta;
 use crate::node::{Node, NodeSpec};
 use crate::rpc::{
-    backoff_sleep, encode_frame, fan_out, Addr, AppendRequest, AttachRequest, ChildHandle,
-    ChildSpec, LoadRequest, QueryRequest, Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP,
-    LOAD_TIMEOUT, STARTUP_TIMEOUT,
+    absorb_into, backoff_sleep, encode_frame, fan_out, AbsorbRequest, Addr, AppendReceipt,
+    AppendRequest, AppliedDelta, AttachRequest, ChildHandle, ChildSpec, LoadRequest, QueryRequest,
+    Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
 use pd_common::{fx_hash64, Error, Result};
@@ -131,6 +131,8 @@ pub fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf> {
 /// to query, and the leaves to append to.
 pub struct Tree {
     /// The top tree level, queried (and failed over) by the driver root.
+    /// Wired once, at build: an append updates the handles' shard
+    /// summaries in place and leaves their connections alone.
     frontier: Vec<ChildHandle>,
     nodes: Placement,
     config: ClusterConfig,
@@ -155,23 +157,37 @@ struct Workers {
     compress: bool,
     dir: PathBuf,
     processes: Vec<ReapGuard>,
-    /// One control connection per worker, kept from its spawn: role
-    /// assignment, appends, re-attaches and the final shutdown all travel
-    /// over it (a fresh connection each would be a connect here and a new
-    /// connection thread there, per request).
+    /// One control connection per worker, in spawn order, kept from its
+    /// spawn: role assignment, appends, absorbs and the final shutdown all
+    /// travel over it (a fresh connection each would be a connect here and
+    /// a new connection thread there, per request).
     control: Vec<(Addr, RpcClient)>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
     names: Vec<String>,
-    /// The leaf level's child specs (shard, addresses, current metadata):
-    /// where appends go, and what re-wiring stacks the merge levels on.
-    leaf_specs: Vec<ChildSpec>,
-    /// Merge servers per level (bottom-up): address + tree name. Appends
-    /// re-`Attach` each one so its pruning metas and epoch track the data.
-    merge_levels: Vec<Vec<(Addr, String)>>,
-    /// Cumulative serialized bytes of `Load` and `Append` frames shipped —
-    /// the cost an incremental append is measured against a respawn by.
+    /// Each shard's leaf processes, in shard order: where appends go.
+    leaves: Vec<LeafPair>,
+    /// Every merge server, and the shards beneath it: who absorbs which
+    /// append.
+    mixers: Vec<Mixer>,
+    /// Cumulative serialized bytes of the frames that moved data: `Load`,
+    /// `Append` and `Absorb` — the cost an incremental append is measured
+    /// against a respawn by.
     bytes_shipped: u64,
+}
+
+/// A shard's processes, as indexes into [`Workers::control`].
+#[derive(Clone, Copy)]
+struct LeafPair {
+    primary: usize,
+    replica: Option<usize>,
+}
+
+/// A merge server's process (an index into [`Workers::control`]) and every
+/// shard in its subtree.
+struct Mixer {
+    worker: usize,
+    shards: Vec<u64>,
 }
 
 static TREE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -203,50 +219,30 @@ impl Tree {
     /// preserves the "implicit clustering" of appended log records the
     /// paper's partitioning benefits from) and build the tree at `epoch`:
     /// one leaf (pair) per shard — sub-tables are produced one at a time
-    /// and dropped once imported or shipped — then merge levels until one
-    /// fits the fanout. The one place [`ClusterConfig::transport`] matters.
+    /// and dropped once imported or shipped — then merge levels, bottom-up,
+    /// until one fits the fanout; that top level is the frontier. The one
+    /// place [`ClusterConfig::transport`] matters.
     pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
         let shard_count = config.shards.clamp(1, table.len().max(1));
         let cache_budget = (config.cache_budget / shard_count).max(1 << 16);
-        let nodes = match &config.transport {
-            Transport::InProcess => Placement::Local(Vec::with_capacity(shard_count)),
-            Transport::Rpc(rpc) => Placement::Workers(Workers::new(rpc)?),
-        };
-        let mut tree = Tree { frontier: Vec::new(), nodes, config: config.clone() };
-        for shard in 0..shard_count {
-            let sub = shard_table(table, shard, shard_count)?;
-            match &mut tree.nodes {
-                // A local leaf keeps no shard summary: summarizing is three
-                // more passes over the rows, and no edge in this address
-                // space needs a proof the leaf's own chunk dictionaries
-                // find anyway.
-                Placement::Local(leaves) => leaves.push(Arc::new(Node::leaf(
-                    shard as u64,
-                    &sub,
-                    &config.build,
-                    cache_budget,
-                    None,
-                    node_spec(config, format!("l{shard}p"), epoch),
-                )?)),
-                Placement::Workers(workers) => {
-                    workers.load_leaf(shard, sub, config, cache_budget, epoch)?
-                }
-            }
-        }
-        tree.rewire(epoch)?;
-        Ok(tree)
-    }
-
-    /// Stack the merge levels on the current leaves, bottom-up, at `epoch`,
-    /// and take the top level as the frontier. A mixer is always made
-    /// afresh — a local one constructed, a process one (re-)`Attach`ed,
-    /// which is a total role reset — so its cache and pruning metas can
-    /// never describe the data of an older epoch.
-    fn rewire(&mut self, epoch: u64) -> Result<()> {
-        let config = &self.config;
         let fanout = config.tree.fanout.max(2);
-        self.frontier = match &mut self.nodes {
-            Placement::Local(leaves) => {
+        let (frontier, nodes) = match &config.transport {
+            Transport::InProcess => {
+                let mut leaves = Vec::with_capacity(shard_count);
+                for shard in 0..shard_count {
+                    // A local leaf keeps no shard summary: summarizing is
+                    // three more passes over the rows, and no edge in this
+                    // address space needs a proof the leaf's own chunk
+                    // dictionaries find anyway.
+                    leaves.push(Arc::new(Node::leaf(
+                        shard as u64,
+                        &shard_table(table, shard, shard_count)?,
+                        &config.build,
+                        cache_budget,
+                        None,
+                        node_spec(config, format!("l{shard}p"), epoch),
+                    )?));
+                }
                 let level = leaves
                     .iter()
                     .enumerate()
@@ -254,28 +250,39 @@ impl Tree {
                         ChildHandle::local(Arc::clone(leaf), Some(shard as u64), config.replication)
                     })
                     .collect();
-                stack_levels(level, fanout, |height, i, group| {
+                let frontier = stack_levels(level, fanout, |height, i, group| {
                     let spec = node_spec(config, format!("m{height}_{i}"), epoch);
                     Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
-                })?
+                })?;
+                (frontier, Placement::Local(leaves))
             }
-            Placement::Workers(workers) => {
-                let compress = workers.compress;
-                stack_levels(workers.leaf_specs.clone(), fanout, |height, i, group| {
+            Transport::Rpc(rpc) => {
+                // Dropping `workers` on an early return reaps what was
+                // spawned so far.
+                let mut workers = Workers::new(rpc)?;
+                let mut level = Vec::with_capacity(shard_count);
+                for shard in 0..shard_count {
+                    let sub = shard_table(table, shard, shard_count)?;
+                    level.push(workers.load_leaf(shard, sub, config, cache_budget, epoch)?);
+                }
+                // Each shard's summary moves up with its spec — into the
+                // `Attach` of the parent that prunes with it, and on into
+                // the frontier's handles; the driver keeps no other copy.
+                let top = stack_levels(level, fanout, |height, i, group| {
                     workers.attach_mixer(height, i, group, config.shard_cache, epoch)
-                })?
-                .into_iter()
-                .map(|spec| ChildHandle::new(spec, compress))
-                .collect()
+                })?;
+                let compress = workers.compress;
+                let frontier = top.into_iter().map(|spec| ChildHandle::new(spec, compress));
+                (frontier.collect(), Placement::Workers(workers))
             }
         };
-        Ok(())
+        Ok(Tree { frontier, nodes, config: config.clone() })
     }
 
     pub fn shard_count(&self) -> usize {
         match &self.nodes {
             Placement::Local(leaves) => leaves.len(),
-            Placement::Workers(workers) => workers.leaf_specs.len(),
+            Placement::Workers(workers) => workers.leaves.len(),
         }
     }
 
@@ -286,9 +293,10 @@ impl Tree {
         }
     }
 
-    /// Cumulative serialized bytes of data-bearing requests (`Load` +
-    /// `Append`) shipped into the tree since it was built; 0 when no node
-    /// is behind a wire.
+    /// Cumulative serialized bytes of the request frames that moved data
+    /// into the tree since it was built — every `Load`, every `Append`
+    /// (once per copy of its shard) and every `Absorb`; 0 when no node is
+    /// behind a wire. Wiring (`Attach`) and queries are not data.
     pub fn shipped_bytes(&self) -> u64 {
         self.workers().map_or(0, |w| w.bytes_shipped)
     }
@@ -317,25 +325,30 @@ impl Tree {
 
     /// Stream new rows into the live tree. `deltas[shard]` is that shard's
     /// dictionary-delta table (`None` = unchanged: nothing is applied; the
-    /// epoch rule makes the leaf drop its caches at its next query). Each
-    /// delta reaches every copy of the shard (a process tree's primary
-    /// *and* replica — or failover would travel back in time), and the
-    /// merge levels are then re-wired so parent-side pruning and the epoch
-    /// track the appended data. Returns the request bytes shipped.
+    /// epoch rule makes its nodes drop their caches at their next query).
+    /// Each delta reaches every copy of the shard (a process tree's primary
+    /// *and* replica — or failover would travel back in time); each leaf
+    /// acks a receipt, and every parent that prunes by the shard's summary
+    /// — merge servers and this root — absorbs the same delta into its own
+    /// copy ([`crate::meta::ShardMeta::absorb_append`]). Nothing is
+    /// re-wired and no connection is dropped: a local mixer holds no
+    /// summaries and invalidates by the epoch in its next query. Returns
+    /// the bytes of every request frame the append caused.
     pub fn append(&mut self, deltas: Vec<Option<TableDelta>>, epoch: u64) -> Result<u64> {
-        let mut shipped = 0u64;
-        for (shard, delta) in deltas.into_iter().enumerate() {
-            let Some(delta) = delta else { continue };
-            let append = AppendRequest { shard: shard as u64, delta, epoch };
-            match &mut self.nodes {
-                Placement::Local(leaves) => {
-                    leaves[shard].append(&append)?;
+        let appends = deltas.into_iter().enumerate().filter_map(|(shard, delta)| {
+            Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
+        });
+        match &mut self.nodes {
+            Placement::Local(leaves) => {
+                for append in appends {
+                    leaves[append.shard as usize].append(&append)?;
                 }
-                Placement::Workers(workers) => shipped += workers.append(append)?,
+                Ok(0)
+            }
+            Placement::Workers(workers) => {
+                workers.append(appends.collect(), epoch, &mut self.frontier)
             }
         }
-        self.rewire(epoch)?;
-        Ok(shipped)
     }
 
     /// Every worker process's node name, in spawn order — the targets a
@@ -358,13 +371,13 @@ impl Tree {
         let workers = self
             .workers()
             .ok_or_else(|| Error::Data("worker delays require worker processes".into()))?;
-        let Some(ChildSpec::Leaf { primary, .. }) = workers.leaf_specs.get(shard) else {
+        let Some(leaf) = workers.leaves.get(shard) else {
             return Err(Error::Data(format!("no such shard {shard}")));
         };
         // A test knob behind `&self`: it pays for a connection of its own.
         let request = Request::Delay { micros: delay.as_micros() as u64 };
-        let mut client = RpcClient::new(primary.clone(), workers.compress);
-        expect_ack(client.call(&request, STARTUP_TIMEOUT)?, "delay").map(|_| ())
+        let mut client = RpcClient::new(workers.control[leaf.primary].0.clone(), workers.compress);
+        expect_ok(client.call(&request, STARTUP_TIMEOUT)?, "delay")
     }
 }
 
@@ -403,23 +416,16 @@ impl Workers {
             processes: Vec::new(),
             control: Vec::new(),
             names: Vec::new(),
-            leaf_specs: Vec::new(),
-            merge_levels: Vec::new(),
+            leaves: Vec::new(),
+            mixers: Vec::new(),
             bytes_shipped: 0,
         })
     }
 
-    /// The control connection to the worker at `addr`.
-    fn control(&mut self, addr: &Addr) -> Result<&mut RpcClient> {
-        self.control
-            .iter_mut()
-            .find_map(|(a, client)| (a == addr).then_some(client))
-            .ok_or_else(|| Error::Internal(format!("no worker was spawned at {addr}")))
-    }
-
     /// Spawn and load shard `shard`'s worker (pair). The primary's Load ack
     /// carries the shard's metadata summary, which every parent up the
-    /// tree uses to prune non-matching subtrees.
+    /// tree uses to prune non-matching subtrees; it leaves here inside the
+    /// returned spec.
     fn load_leaf(
         &mut self,
         shard: usize,
@@ -427,7 +433,7 @@ impl Workers {
         config: &ClusterConfig,
         cache_budget: usize,
         epoch: u64,
-    ) -> Result<()> {
+    ) -> Result<ChildSpec> {
         let mut load = Request::Load(Box::new(LoadRequest {
             shard: shard as u64,
             schema: table.schema().clone(),
@@ -440,28 +446,39 @@ impl Workers {
             name: format!("l{shard}p"),
         }));
         drop(table);
-        let (primary, meta) = self.spawn_worker(&format!("l{shard}p"), &load)?;
-        let meta =
-            meta.ok_or_else(|| Error::Data(format!("shard {shard}: load ack carried no meta")))?;
+        let (primary, ack) = self.spawn_worker(&format!("l{shard}p"), &load)?;
+        let meta = match ack {
+            Response::Loaded(meta) => *meta,
+            other => return Err(refusal(other, "load")),
+        };
         let replica = if config.replication {
             // Same shard bytes, its own name — retagged in place so the
             // shipped rows are not cloned per replica.
             if let Request::Load(l) = &mut load {
                 l.name = format!("l{shard}r");
             }
-            Some(self.spawn_worker(&format!("l{shard}r"), &load)?.0)
+            let (replica, ack) = self.spawn_worker(&format!("l{shard}r"), &load)?;
+            if !matches!(ack, Response::Loaded(_)) {
+                return Err(refusal(ack, "load"));
+            }
+            Some(replica)
         } else {
             None
         };
-        self.leaf_specs.push(ChildSpec::Leaf { shard: shard as u64, primary, replica, meta });
-        Ok(())
+        let addr = |worker: usize| self.control[worker].0.clone();
+        let spec = ChildSpec::Leaf {
+            shard: shard as u64,
+            primary: addr(primary),
+            replica: replica.map(addr),
+            meta,
+        };
+        self.leaves.push(LeafPair { primary, replica });
+        Ok(spec)
     }
 
-    /// Make merge server `i` of level `height` own `children`: spawned the
-    /// first time the level is wired, re-`Attach`ed (same process, same
-    /// name, refreshed metas and epoch) ever after. Each node's spec
-    /// accumulates the shard summaries beneath it, so pruning works at any
-    /// depth.
+    /// Spawn merge server `i` of level `height` over `children`. Each
+    /// node's spec accumulates the shard summaries beneath it, so pruning
+    /// works at any depth.
     fn attach_mixer(
         &mut self,
         height: u64,
@@ -472,9 +489,7 @@ impl Workers {
     ) -> Result<ChildSpec> {
         let metas: Vec<ShardMeta> =
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
-        let level = (height - 1) as usize;
-        let existing = self.merge_levels.get(level).and_then(|servers| servers.get(i)).cloned();
-        let name = existing.as_ref().map_or_else(|| format!("m{height}_{i}"), |(_, n)| n.clone());
+        let name = format!("m{height}_{i}");
         let attach = Request::Attach(AttachRequest {
             children,
             compress: self.compress,
@@ -482,59 +497,93 @@ impl Workers {
             epoch,
             name: name.clone(),
         });
-        let addr = match existing {
-            Some((addr, _)) => {
-                expect_ack(self.control(&addr)?.call(&attach, LOAD_TIMEOUT)?, "re-attach")?;
-                addr
-            }
-            None => {
-                let (addr, _) = self.spawn_worker(&name, &attach)?;
-                if self.merge_levels.len() <= level {
-                    self.merge_levels.push(Vec::new());
-                }
-                self.merge_levels[level].push((addr.clone(), name));
-                addr
-            }
-        };
-        Ok(ChildSpec::Node { addr, height, metas })
+        let (worker, ack) = self.spawn_worker(&name, &attach)?;
+        expect_ok(ack, "attach")?;
+        self.mixers.push(Mixer { worker, shards: metas.iter().map(|m| m.shard).collect() });
+        Ok(ChildSpec::Node { addr: self.control[worker].0.clone(), height, metas })
     }
 
-    /// Ship one shard's delta — encoded once — to its primary and replica,
-    /// both at work on it at the same time; the primary's ack refreshes
-    /// the shard's metadata. Returns the bytes shipped. An error may leave
-    /// an ack unread on a control connection: the cluster drops the tree on
-    /// any failed append, and the `Shutdown` that follows does not mind.
-    fn append(&mut self, append: AppendRequest) -> Result<u64> {
-        let shard = append.shard as usize;
-        let frame = encode_frame(&Request::Append(Box::new(append)), self.compress)?;
-        let Some(ChildSpec::Leaf { primary, replica, .. }) = self.leaf_specs.get(shard) else {
-            return Err(Error::Data("append: leaf level holds a non-leaf spec".into()));
-        };
-        let copies: Vec<Addr> = std::iter::once(primary).chain(replica).cloned().collect();
+    /// The wire phase of an append, two round trips whatever the tree's
+    /// size, each in the shape of a query fan-out: write to everyone, then
+    /// read from everyone, so all shards — and then all merge servers —
+    /// work at once.
+    ///
+    /// 1. Every shard's delta — encoded once — goes to its primary and its
+    ///    replica; each acks a receipt (a pair's must agree).
+    /// 2. Every merge server gets the deltas and receipts of the shards
+    ///    beneath it, plus the epoch; while they absorb, the driver absorbs
+    ///    the same into `frontier`, its own copies of the summaries.
+    ///
+    /// Returns the bytes of every frame written. An error may leave an ack
+    /// unread on a control connection: the cluster drops the tree on any
+    /// failed append, and the `Shutdown` that follows does not mind.
+    fn append(
+        &mut self,
+        appends: Vec<AppendRequest>,
+        epoch: u64,
+        frontier: &mut [ChildHandle],
+    ) -> Result<u64> {
         let deadline = Instant::now() + LOAD_TIMEOUT;
-        for addr in &copies {
-            self.control(addr)?.send(&frame, deadline)?;
+        let shipped_before = self.bytes_shipped;
+        for append in &appends {
+            let leaf = self.leaves.get(append.shard as usize).ok_or_else(|| {
+                Error::Internal(format!("append: no leaf holds shard {}", append.shard))
+            })?;
+            let frame = encode_frame(&Request::Append(Box::new(append.clone())), self.compress)?;
+            for worker in std::iter::once(leaf.primary).chain(leaf.replica) {
+                self.control[worker].1.send(&frame, deadline)?;
+                self.bytes_shipped += frame.len() as u64;
+            }
         }
-        let mut refreshed = None;
-        for addr in &copies {
-            let meta = expect_ack(self.control(addr)?.recv(deadline)?, "append")?;
-            // The primary's (first) ack is the one kept.
-            refreshed = refreshed.or(meta);
+        let mut applied = Vec::with_capacity(appends.len());
+        for AppendRequest { shard, delta, .. } in appends {
+            let LeafPair { primary, replica } = self.leaves[shard as usize];
+            let receipt = self.recv_receipt(primary, deadline)?;
+            if let Some(replica) = replica {
+                if self.recv_receipt(replica, deadline)? != receipt {
+                    return Err(Error::Data(format!(
+                        "shard {shard}: primary and replica chunked one append differently"
+                    )));
+                }
+            }
+            applied.push(AppliedDelta { shard, delta, receipt });
         }
-        let refreshed = refreshed
-            .ok_or_else(|| Error::Data(format!("shard {shard}: append ack carried no meta")))?;
-        if let ChildSpec::Leaf { meta, .. } = &mut self.leaf_specs[shard] {
-            *meta = refreshed;
+
+        let mut absorbing = Vec::with_capacity(self.mixers.len());
+        for mixer in &self.mixers {
+            let beneath: Vec<AppliedDelta> =
+                applied.iter().filter(|a| mixer.shards.contains(&a.shard)).cloned().collect();
+            if beneath.is_empty() {
+                // Nothing it prunes by changed; the epoch in its next
+                // query drops its cache.
+                continue;
+            }
+            let absorb = Request::Absorb(Box::new(AbsorbRequest { applied: beneath, epoch }));
+            let frame = encode_frame(&absorb, self.compress)?;
+            self.control[mixer.worker].1.send(&frame, deadline)?;
+            self.bytes_shipped += frame.len() as u64;
+            absorbing.push(mixer.worker);
         }
-        let shipped = (frame.len() * copies.len()) as u64;
-        self.bytes_shipped += shipped;
-        Ok(shipped)
+        absorb_into(frontier, &applied)?;
+        for worker in absorbing {
+            expect_ok(self.control[worker].1.recv(deadline)?, "absorb")?;
+        }
+        Ok(self.bytes_shipped - shipped_before)
+    }
+
+    /// A leaf's ack of the `Append` it was last sent.
+    fn recv_receipt(&mut self, worker: usize, deadline: Instant) -> Result<AppendReceipt> {
+        match self.control[worker].1.recv(deadline)? {
+            Response::Appended(receipt) => Ok(receipt),
+            other => Err(refusal(other, "append")),
+        }
     }
 
     /// Spawn one worker named `name`, wait for it to answer `Ping`, then
     /// send its role-assignment request (`Load` / `Attach`). Returns the
-    /// worker's address and, for a `Load`, the shard metadata it reported.
-    fn spawn_worker(&mut self, name: &str, role: &Request) -> Result<(Addr, Option<ShardMeta>)> {
+    /// worker's index in [`Workers::control`] and its reply to the
+    /// assignment.
+    fn spawn_worker(&mut self, name: &str, role: &Request) -> Result<(usize, Response)> {
         // Decide the address story once: a unix worker listens where the
         // driver says; a tcp worker binds port 0 and reports back through
         // its announce file.
@@ -590,17 +639,16 @@ impl Workers {
         self.processes.push(guard);
         let mut client = RpcClient::new(addr.clone(), self.compress);
         client.connect_with_retry(STARTUP_TIMEOUT)?;
-        expect_ack(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping").map(|_| ())?;
+        expect_ok(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping")?;
         let frame = encode_frame(role, self.compress)?;
         let reply = client.call_frame(&frame, Instant::now() + LOAD_TIMEOUT)?;
-        let meta = expect_ack(reply, "role assignment")?;
         if matches!(role, Request::Load(_)) {
             // Data-bearing shipping cost: what an append path is compared
             // against. (Attach frames are wiring, not data.)
             self.bytes_shipped += frame.len() as u64;
         }
-        self.control.push((addr.clone(), client));
-        Ok((addr, meta))
+        self.control.push((addr, client));
+        Ok((self.control.len() - 1, reply))
     }
 }
 
@@ -653,17 +701,24 @@ fn wait_for_announce(path: &Path, worker: &mut ReapGuard) -> Result<Addr> {
     }
 }
 
-fn expect_ack(response: Response, what: &str) -> Result<Option<ShardMeta>> {
+fn expect_ok(response: Response, what: &str) -> Result<()> {
     match response {
-        Response::Ok => Ok(None),
-        Response::Loaded(meta) => Ok(Some(*meta)),
-        Response::Err(message) => Err(Error::Data(format!("worker {what} failed: {message}"))),
-        Response::Fault(fault) => Err(Error::Rpc(fault)),
+        Response::Ok => Ok(()),
+        other => Err(refusal(other, what)),
+    }
+}
+
+/// The error of a worker that answered a `what` request with anything but
+/// its ack.
+fn refusal(response: Response, what: &str) -> Error {
+    match response {
+        Response::Err(message) => Error::Data(format!("worker {what} failed: {message}")),
+        Response::Fault(fault) => Error::Rpc(fault),
         Response::Malformed(message) => {
-            Err(Error::Data(format!("worker rejected the {what} frame: {message}")))
+            Error::Data(format!("worker rejected the {what} frame: {message}"))
         }
-        Response::Answer(_) => {
-            Err(Error::Data(format!("worker sent an answer to a {what} request")))
+        Response::Ok | Response::Loaded(_) | Response::Appended(_) | Response::Answer(_) => {
+            Error::Data(format!("worker sent the wrong kind of reply to a {what} request"))
         }
     }
 }

@@ -344,10 +344,16 @@ pub enum Request {
     Attach(AttachRequest),
     /// Apply a streaming delta in place (leaf only): extend the shard's
     /// dictionaries (existing ids stay stable), encode the delta rows as
-    /// fresh chunks, refresh the shard metadata for those chunks, and
+    /// fresh chunks, absorb them into the leaf's own shard summary, and
     /// adopt the new epoch — no respawn, no table reshipping. Acknowledged
-    /// with [`Response::Loaded`] carrying the refreshed [`ShardMeta`].
+    /// with [`Response::Appended`]: a receipt, never the summary.
     Append(Box<AppendRequest>),
+    /// Absorb appends the leaves beneath a merge server applied: bring its
+    /// copies of their summaries up to date in place
+    /// ([`ShardMeta::absorb_append`]), drop its result cache and adopt the
+    /// epoch. Its child connections are not touched. Acknowledged with
+    /// [`Response::Ok`].
+    Absorb(Box<AbsorbRequest>),
     /// Execute / fan out one query.
     Query(Box<QueryRequest>),
     /// Test knob: delay every subsequent query answer by this much (how
@@ -390,6 +396,37 @@ pub struct AppendRequest {
     pub delta: TableDelta,
     /// The epoch this append establishes; the worker adopts it and drops
     /// result caches under the usual epoch rule.
+    pub epoch: u64,
+}
+
+/// What a leaf acks an [`AppendRequest`] with: the one fact about the
+/// applied delta that a holder of the delta cannot derive from it — how the
+/// store cut the rows into chunks. With it, every holder of the shard's
+/// [`ShardMeta`] absorbs the delta exactly as the leaf did
+/// ([`ShardMeta::absorb_append`]), so no summary crosses a socket after the
+/// tree is built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppendReceipt {
+    /// Row counts of the chunks the store appended, in chunk order.
+    pub new_chunk_rows: Vec<u64>,
+}
+
+/// One shard's applied append: the delta its leaf applied and the receipt
+/// the leaf acked it with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AppliedDelta {
+    pub shard: u64,
+    pub delta: TableDelta,
+    pub receipt: AppendReceipt,
+}
+
+/// The appends applied beneath one merge server, and the epoch they
+/// establish.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AbsorbRequest {
+    /// One entry per shard beneath the node whose data changed.
+    pub applied: Vec<AppliedDelta>,
+    /// Same contract as [`AppendRequest::epoch`].
     pub epoch: u64,
 }
 
@@ -517,11 +554,13 @@ impl SubtreeAnswer {
 /// Worker → parent messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Ack for `Ping` / `Attach` / `Delay` / `Shutdown`.
+    /// Ack for `Ping` / `Attach` / `Absorb` / `Delay` / `Shutdown`.
     Ok,
-    /// Ack for `Load`: the built shard's metadata summary (row/chunk
-    /// totals, per-column value sets and extremes).
+    /// Ack for `Load` — and for nothing else: the built shard's metadata
+    /// summary (row/chunk totals, per-column value sets and extremes).
     Loaded(Box<ShardMeta>),
+    /// Ack for `Append`.
+    Appended(AppendReceipt),
     Answer(Box<SubtreeAnswer>),
     /// Application-level failure: the worker is alive and decoded the
     /// request, but executing it failed (plan error, missing role, ...).
@@ -548,6 +587,7 @@ const REQ_QUERY: u8 = 3;
 const REQ_DELAY: u8 = 4;
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_APPEND: u8 = 6;
+const REQ_ABSORB: u8 = 7;
 
 impl Encode for Request {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -588,6 +628,11 @@ impl Encode for Request {
                 append.shard.encode(out);
                 append.delta.encode(out);
                 append.epoch.encode(out);
+            }
+            Request::Absorb(absorb) => {
+                out.push(REQ_ABSORB);
+                absorb.applied.encode(out);
+                absorb.epoch.encode(out);
             }
             Request::Delay { micros } => {
                 out.push(REQ_DELAY);
@@ -634,9 +679,43 @@ impl Decode for Request {
                 delta: TableDelta::decode(r)?,
                 epoch: r.u64()?,
             })),
+            REQ_ABSORB => Request::Absorb(Box::new(AbsorbRequest {
+                applied: Vec::decode(r)?,
+                epoch: r.u64()?,
+            })),
             REQ_DELAY => Request::Delay { micros: r.u64()? },
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Data(format!("wire: invalid request tag {other}"))),
+        })
+    }
+}
+
+impl Encode for AppendReceipt {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.new_chunk_rows.encode(out);
+    }
+}
+
+impl Decode for AppendReceipt {
+    fn decode(r: &mut Reader<'_>) -> Result<AppendReceipt> {
+        Ok(AppendReceipt { new_chunk_rows: Vec::decode(r)? })
+    }
+}
+
+impl Encode for AppliedDelta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.shard.encode(out);
+        self.delta.encode(out);
+        self.receipt.encode(out);
+    }
+}
+
+impl Decode for AppliedDelta {
+    fn decode(r: &mut Reader<'_>) -> Result<AppliedDelta> {
+        Ok(AppliedDelta {
+            shard: r.u64()?,
+            delta: TableDelta::decode(r)?,
+            receipt: AppendReceipt::decode(r)?,
         })
     }
 }
@@ -726,6 +805,7 @@ const RESP_ERR: u8 = 2;
 const RESP_MALFORMED: u8 = 3;
 const RESP_LOADED: u8 = 4;
 const RESP_FAULT: u8 = 5;
+const RESP_APPENDED: u8 = 6;
 
 impl Encode for Response {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -734,6 +814,10 @@ impl Encode for Response {
             Response::Loaded(meta) => {
                 out.push(RESP_LOADED);
                 meta.encode(out);
+            }
+            Response::Appended(receipt) => {
+                out.push(RESP_APPENDED);
+                receipt.encode(out);
             }
             Response::Answer(answer) => {
                 out.push(RESP_ANSWER);
@@ -760,6 +844,7 @@ impl Decode for Response {
         Ok(match r.u8()? {
             RESP_OK => Response::Ok,
             RESP_LOADED => Response::Loaded(Box::new(ShardMeta::decode(r)?)),
+            RESP_APPENDED => Response::Appended(AppendReceipt::decode(r)?),
             RESP_ANSWER => Response::Answer(Box::new(SubtreeAnswer::decode(r)?)),
             RESP_ERR => Response::Err(String::decode(r)?),
             RESP_MALFORMED => Response::Malformed(String::decode(r)?),
@@ -1326,7 +1411,8 @@ pub struct ChildHandle {
     /// "answer-first-wins" pair) — failover and report stamping apply.
     /// `None`: a deeper merge node.
     shard: Option<u64>,
-    /// Every shard summary beneath this edge. Empty means *unknown* (a
+    /// Every shard summary beneath this edge, kept equal to the leaves'
+    /// own through appends by [`absorb_into`]. Empty means *unknown* (a
     /// local leaf keeps none): the edge is never pruned.
     metas: Vec<ShardMeta>,
     primary: Link,
@@ -1620,7 +1706,7 @@ fn classify(result: Result<Response>) -> LeafOutcome {
             format!("peer rejected the request frame: {message}"),
         ))),
         Ok(Response::Fault(fault)) => LeafOutcome::Failed(Error::Rpc(fault)),
-        Ok(Response::Ok | Response::Loaded(_)) => {
+        Ok(Response::Ok | Response::Loaded(_) | Response::Appended(_)) => {
             LeafOutcome::Fatal(Error::Data("node acked a query without an answer".into()))
         }
         Err(e) => LeafOutcome::Failed(e),
@@ -1699,6 +1785,26 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
     Ok(merged)
 }
 
+/// Bring the shard summaries beneath `children` up to date with appends
+/// their leaves applied — in place, by the absorb the leaf itself ran
+/// ([`ShardMeta::absorb_append`]), so every copy of a summary in the tree
+/// stays equal to the leaf's without one ever being shipped. The links are
+/// not touched: an append costs a parent no connection. A shard no edge
+/// here summarizes is an error — the sender's tree is not this one.
+pub fn absorb_into(children: &mut [ChildHandle], applied: &[AppliedDelta]) -> Result<()> {
+    for one in applied {
+        let meta = children
+            .iter_mut()
+            .flat_map(|child| child.metas.iter_mut())
+            .find(|meta| meta.shard == one.shard)
+            .ok_or_else(|| {
+                Error::Data(format!("absorb: no summary of shard {} beneath this node", one.shard))
+            })?;
+        meta.absorb_append(&one.delta, &one.receipt.new_chunk_rows)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1719,6 +1825,14 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
+        let delta = TableDelta::from_columns(
+            Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]),
+            &[
+                &[Value::from("a"), Value::from("b"), Value::from("a")],
+                &[Value::Int(1), Value::Int(2), Value::Int(3)],
+            ],
+        )
+        .unwrap();
         let requests = vec![
             Request::Ping,
             Request::Load(Box::new(LoadRequest {
@@ -1769,16 +1883,13 @@ mod tests {
                 ],
                 chunk_pruning: true,
             })),
-            Request::Append(Box::new(AppendRequest {
-                shard: 2,
-                delta: TableDelta::from_columns(
-                    Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]),
-                    &[
-                        &[Value::from("a"), Value::from("b"), Value::from("a")],
-                        &[Value::Int(1), Value::Int(2), Value::Int(3)],
-                    ],
-                )
-                .unwrap(),
+            Request::Append(Box::new(AppendRequest { shard: 2, delta: delta.clone(), epoch: 9 })),
+            Request::Absorb(Box::new(AbsorbRequest {
+                applied: vec![AppliedDelta {
+                    shard: 2,
+                    delta,
+                    receipt: AppendReceipt { new_chunk_rows: vec![2, 1] },
+                }],
                 epoch: 9,
             })),
             Request::Delay { micros: 5000 },
@@ -1812,6 +1923,7 @@ mod tests {
         for response in [
             Response::Ok,
             Response::Loaded(Box::new(sample_meta())),
+            Response::Appended(AppendReceipt { new_chunk_rows: vec![150, 150, 7] }),
             Response::Answer(Box::new(answer)),
             Response::Err("boom".into()),
             Response::Malformed("bad frame".into()),

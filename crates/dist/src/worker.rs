@@ -12,10 +12,13 @@
 //! [`Request::Load`] makes the process a leaf (it summarizes the shipped
 //! rows into a [`ShardMeta`], imports them, and acks with the summary so
 //! parents can pre-skip the shard), a [`Request::Attach`] a merge server
-//! over the listed children, and a [`Request::Append`] streams rows into
-//! an existing leaf in place. Each assignment *replaces* the node outright
+//! over the listed children. Each assignment *replaces* the node outright
 //! — a repurposed worker can never answer from a shadowed store, a stale
-//! child list or the previous role's cache.
+//! child list or the previous role's cache. Data then changes in place: a
+//! [`Request::Append`] streams rows into an existing leaf, which acks a
+//! receipt, and a [`Request::Absorb`] lets a merge server apply that same
+//! append to its copies of the summaries — neither replaces anything, and
+//! no connection is dropped.
 //!
 //! **Compression mirror.** The worker has no compression config of its
 //! own: it compresses a response exactly when the request frame advertised
@@ -311,9 +314,11 @@ fn handle(
                 Some(meta),
                 spec,
             )?;
-            let meta = node.meta();
+            let meta = node
+                .meta()
+                .ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
             served.node = Some(node);
-            loaded(meta)
+            Ok(Response::Loaded(Box::new(meta)))
         }
         Request::Attach(attach) => {
             let compress = attach.compress;
@@ -331,7 +336,11 @@ fn handle(
             served.node = Some(Node::mixer(children, spec));
             Ok(Response::Ok)
         }
-        Request::Append(append) => loaded(assigned(served)?.append(&append)?),
+        Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),
+        Request::Absorb(absorb) => {
+            served.node.as_mut().ok_or_else(unassigned)?.absorb(&absorb)?;
+            Ok(Response::Ok)
+        }
         Request::Delay { micros } => {
             served.delay = Duration::from_micros(micros);
             Ok(Response::Ok)
@@ -360,15 +369,11 @@ fn handle(
 }
 
 fn assigned(served: &Served) -> Result<&Node> {
-    served.node.as_ref().ok_or_else(|| {
-        Error::Data("worker has neither a store (Load) nor children (Attach)".into())
-    })
+    served.node.as_ref().ok_or_else(unassigned)
 }
 
-/// The ack of a `Load` / `Append`: the leaf's (refreshed) shard summary.
-fn loaded(meta: Option<ShardMeta>) -> Result<Response> {
-    let meta = meta.ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
-    Ok(Response::Loaded(Box::new(meta)))
+fn unassigned() -> Error {
+    Error::Data("worker has neither a store (Load) nor children (Attach)".into())
 }
 
 #[cfg(test)]

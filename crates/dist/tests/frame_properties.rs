@@ -9,8 +9,8 @@ use pd_common::{DataType, Row, RpcError, Schema, Value};
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, PartialResult, ScanStats};
 use pd_data::Table;
 use pd_dist::rpc::{
-    encode_frame, read_frame, read_frame_negotiated, AppendRequest, LoadRequest, QueryRequest,
-    Request, Response, ShardReport, SubtreeAnswer,
+    encode_frame, read_frame, read_frame_negotiated, AbsorbRequest, AppendReceipt, AppendRequest,
+    AppliedDelta, LoadRequest, QueryRequest, Request, Response, ShardReport, SubtreeAnswer,
 };
 use pd_dist::{ChaosDirective, ChaosFault};
 use pd_encoding::TableDelta;
@@ -49,23 +49,53 @@ fn real_partial() -> PartialResult {
     execute_partial(&store, &analyzed, &ctx).unwrap().0
 }
 
-/// A random (valid) dictionary-delta append: typed columns, no nulls —
-/// the codec's own strictness tests cover invalid shapes.
-fn random_append(rng: &mut Rng) -> Request {
+/// A random (valid) dictionary delta: typed columns, no nulls — the
+/// codec's own strictness tests cover invalid shapes.
+fn random_delta(rng: &mut Rng) -> TableDelta {
     let rows = rng.range_usize(1, 40);
     let schema = Schema::of(&[("k", DataType::Str), ("v", DataType::Int)]);
     let keys: Vec<Value> =
         (0..rows).map(|_| Value::from(format!("k{}", rng.range_u64(0, 12)))).collect();
     let vals: Vec<Value> = (0..rows).map(|_| Value::Int(rng.next_u64() as i64)).collect();
+    TableDelta::from_columns(schema, &[&keys, &vals]).unwrap()
+}
+
+fn random_append(rng: &mut Rng) -> Request {
     Request::Append(Box::new(AppendRequest {
         shard: rng.next_u64() % 64,
-        delta: TableDelta::from_columns(schema, &[&keys, &vals]).unwrap(),
+        delta: random_delta(rng),
         epoch: rng.next_u64(),
     }))
 }
 
+/// The receipt a leaf would ack `rows` appended rows with — or, one time
+/// in four, one no leaf would send: the codec carries either.
+fn random_receipt(rng: &mut Rng, rows: u64) -> AppendReceipt {
+    let new_chunk_rows = if rng.next_u64().is_multiple_of(4) {
+        (0..rng.range_usize(0, 5)).map(|_| rng.next_u64()).collect()
+    } else {
+        let first = rng.range_u64(0, rows + 1);
+        vec![first, rows - first]
+    };
+    AppendReceipt { new_chunk_rows }
+}
+
+/// What a merge server is told after an append: 0–3 shards' deltas with
+/// their receipts.
+fn random_absorb(rng: &mut Rng) -> Request {
+    let applied = (0..rng.range_usize(0, 4))
+        .map(|_| {
+            let delta = random_delta(rng);
+            let receipt = random_receipt(rng, delta.rows);
+            AppliedDelta { shard: rng.next_u64() % 64, delta, receipt }
+        })
+        .collect();
+    Request::Absorb(Box::new(AbsorbRequest { applied, epoch: rng.next_u64() }))
+}
+
 fn random_request(rng: &mut Rng, case: usize) -> Request {
-    match case % 5 {
+    match case % 6 {
+        5 => random_absorb(rng),
         4 => random_append(rng),
         0 => {
             let rows = (0..rng.range_usize(0, 40))
@@ -117,7 +147,11 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
 }
 
 fn random_response(rng: &mut Rng, partial: &PartialResult, case: usize) -> Response {
-    match case % 4 {
+    match case % 5 {
+        4 => {
+            let rows = rng.range_u64(0, 500);
+            Response::Appended(random_receipt(rng, rows))
+        }
         0 => {
             let reports = (0..rng.range_usize(0, 6))
                 .map(|_| ShardReport {
@@ -197,10 +231,11 @@ fn truncated_frames_error_and_never_panic() {
             }
         }
     }
-    // Append frames carry nested dictionary payloads with their own length
-    // prefixes — every truncation point must still error, never decode.
-    for case in 0..8 {
-        let request = random_append(&mut rng);
+    // Append and absorb frames carry nested dictionary payloads with their
+    // own length prefixes — every truncation point must still error, never
+    // decode.
+    for case in 0..12 {
+        let request = if case % 3 == 2 { random_absorb(&mut rng) } else { random_append(&mut rng) };
         for compress in [false, true] {
             let frame = encode_frame(&request, compress).unwrap();
             for cut in 0..frame.len() {

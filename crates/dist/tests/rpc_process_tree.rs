@@ -868,3 +868,134 @@ fn concurrent_callers_share_one_socket_tree() {
         }
     });
 }
+
+/// The 1 400-row log table the append tests stream: a 1 000-row base and
+/// twenty 20-row batches, the last of which carries a country and a user
+/// no earlier row has.
+fn base_and_twenty_batches() -> (Table, Vec<Table>) {
+    let table = generate_logs(&LogsSpec::scaled(1_400));
+    let slice = |lo: usize, hi: usize| table.select_rows(&(lo..hi).collect::<Vec<_>>());
+    let mut batches: Vec<Table> = (0..19).map(|i| slice(1_000 + 20 * i, 1_020 + 20 * i)).collect();
+    let (country, user) =
+        (table.schema().resolve("country").unwrap(), table.schema().resolve("user").unwrap());
+    let mut last = Table::new(table.schema().clone());
+    for mut row in slice(1_380, 1_400).iter_rows() {
+        row.0[country] = Value::from("ZZ");
+        row.0[user] = Value::from("user_in_the_last_batch");
+        last.push_row(row).unwrap();
+    }
+    batches.push(last);
+    (slice(0, 1_000), batches)
+}
+
+fn four_leaves_two_mixers(replication: bool, worker_bin: PathBuf) -> ClusterConfig {
+    ClusterConfig {
+        shards: 4,
+        replication,
+        build: build_options(),
+        tree: TreeShape { fanout: 2 },
+        transport: Transport::Rpc(RpcConfig {
+            worker_bin: Some(worker_bin),
+            budget: Duration::from_secs(30),
+            ..Default::default()
+        }),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn parents_prune_by_live_summaries_after_twenty_appends() {
+    // No summary is shipped after the build: every parent — both merge
+    // servers and the driver — absorbs each append into its own copy. A
+    // stale copy would show in one of two ways: rows that exist only in
+    // the newest delta pruned away (a wrong answer), or nothing pruned at
+    // all.
+    let (base, batches) = base_and_twenty_batches();
+    let mut cluster = Cluster::build(&base, &four_leaves_two_mixers(true, worker_bin())).unwrap();
+    let mut all = base;
+    for batch in &batches {
+        assert_eq!(cluster.append(batch).unwrap().rows, 20);
+        for row in batch.iter_rows() {
+            all.push_row(row).unwrap();
+        }
+    }
+    let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+    for sql in QUERIES {
+        let outcome = cluster.query(sql).unwrap();
+        assert_eq!(outcome.result, query(&store, sql).unwrap().0, "{sql}");
+        assert_eq!(outcome.stats.rows_total, 1_400, "{sql}");
+    }
+    // Exact value sets (country) and blooms (user is long past the
+    // distinct cap) both learned the last batch.
+    for sql in [
+        "SELECT COUNT(*) FROM logs WHERE country = 'ZZ'",
+        "SELECT COUNT(*) FROM logs WHERE user = 'user_in_the_last_batch'",
+    ] {
+        let outcome = cluster.query(sql).unwrap();
+        assert_eq!(outcome.result, query(&store, sql).unwrap().0, "{sql}");
+        assert_eq!(outcome.result.rows[0].0[0], Value::Int(20), "{sql}");
+    }
+    let nowhere = cluster.query("SELECT COUNT(*) FROM logs WHERE country = 'QQ'").unwrap();
+    assert_eq!(nowhere.stats.subtrees_pruned, 2, "both frontier edges prune at the root");
+    assert_eq!(nowhere.stats.rows_skipped, 1_400, "by summaries that count the appended rows");
+}
+
+/// Every socket open in a process whose `argv[0]` is `bin`, as
+/// `(pid, "socket:[inode]")`. The kernel numbers sockets as it creates
+/// them, so a connection closed and dialed again is a different entry.
+#[cfg(target_os = "linux")]
+fn open_sockets(bin: &std::path::Path) -> std::collections::BTreeSet<(u32, String)> {
+    let mut sockets = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir("/proc").unwrap().flatten() {
+        let Some(pid) = entry.file_name().to_str().and_then(|name| name.parse::<u32>().ok()) else {
+            continue;
+        };
+        let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) else { continue };
+        if cmdline.split(|b| *b == 0).next() != Some(bin.as_os_str().as_encoded_bytes()) {
+            continue;
+        }
+        for fd in std::fs::read_dir(entry.path().join("fd")).unwrap().flatten() {
+            if let Ok(target) = std::fs::read_link(fd.path()) {
+                let target = target.to_string_lossy().into_owned();
+                if target.starts_with("socket:") {
+                    sockets.insert((pid, target));
+                }
+            }
+        }
+    }
+    sockets
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn appends_open_and_close_no_connection() {
+    // The tree's workers run under a name of their own, so this test can
+    // tell their sockets from those of the suites running beside it. No
+    // replicas: a hedge fired on a loaded box dials one, rightly.
+    let dir = std::env::temp_dir().join(format!("pd-noconn-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bin = dir.join("pd-dist-worker-noconn");
+    std::os::unix::fs::symlink(worker_bin(), &bin).unwrap();
+
+    let (base, batches) = base_and_twenty_batches();
+    let mut cluster = Cluster::build(&base, &four_leaves_two_mixers(false, bin.clone())).unwrap();
+    // The first query dials every edge: root → mixers → leaves.
+    cluster.query(QUERIES[0]).unwrap();
+    let wired = open_sockets(&bin);
+    let processes: std::collections::BTreeSet<u32> = wired.iter().map(|(pid, _)| *pid).collect();
+    assert_eq!(processes.len(), 6, "four leaves and two merge servers: {wired:?}");
+    // Per worker a listener and a control connection; per edge one socket
+    // at the child, and one more at a parent that is itself a worker.
+    assert_eq!(wired.len(), 6 * 2 + 2 + 4 * 2, "{wired:?}");
+
+    for batch in &batches {
+        cluster.append(batch).unwrap();
+    }
+    let outcome = cluster.query(QUERIES[0]).unwrap();
+    assert_eq!(outcome.stats.rows_total, 1_400);
+    assert_eq!(open_sockets(&bin), wired, "an append re-dials nothing, anywhere in the tree");
+
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+}
