@@ -2,11 +2,24 @@
 //!
 //! Per active chunk, group-by evaluation "boils down to executing
 //! `counts[elements[row]]++`" over a dense array sized by the chunk
-//! dictionary, after which per-chunk results are folded into a hash table
-//! keyed by global values. The per-chunk loops live in `crate::kernels`
-//! (crate-private; its [`crate::KernelConfig`] knobs are re-exported) and
-//! operate on raw dictionary codes; this module owns planning, the chunk
-//! schedule and the fold.
+//! dictionary, after which per-chunk results are folded into one group
+//! table keyed by **global-ids**. The per-chunk loops live in
+//! `crate::kernels` (crate-private; its [`crate::KernelConfig`] knobs are
+//! re-exported) and operate on raw dictionary codes; this module owns
+//! planning, the chunk schedule, the fold and the ranking.
+//!
+//! The group table leaves the id domain as late as its consumer allows
+//! (§2.4 groups on ids; the trie dictionary of §3 is affordable because
+//! id→value is needed only for the rows a query returns). [`execute`]
+//! ranks it as it is — ids of a sorted dictionary order like their values
+//! — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
+//! `LIMIT` let through. [`execute_partial`] serves the distributed layer
+//! (§4), whose shards share no dictionary and so must merge by value: it
+//! translates each key column once, by one ordered dictionary walk
+//! ([`pd_encoding::GlobalDict::values_of`]), into a value-keyed
+//! [`PartialResult`]; [`finalize`] ranks the merged partial at the root.
+//! Both rankings are one routine, generic over what a key cell is, so
+//! `execute(q) == finalize(q, execute_partial(q))` row for row.
 //!
 //! Because every chunk is immutable and per-chunk group states are
 //! mergeable (the same property §4 uses to aggregate across machines),
@@ -38,7 +51,8 @@
 //!
 //! [`execute_partial`] returns mergeable group states — the building block
 //! the distributed layer (§4) combines up its computation tree —
-//! and [`finalize`] applies `HAVING` / `ORDER BY` / `LIMIT` at the root.
+//! and [`finalize`] applies `HAVING` / `ORDER BY` / `LIMIT` at the root,
+//! building rows only for the groups that survive them.
 
 use crate::cache::{CachedChunk, ChunkGroups, ResultCache, TieredCache};
 use crate::column::StoredColumn;
@@ -104,10 +118,6 @@ impl ExecContext {
 /// thousand rows do not, and whether they nearly do changes from run to
 /// run — which is what a benchmark then measures instead of the engine.
 const PARALLEL_SCAN_MIN_ROWS: usize = 32_768;
-
-/// Group counts at or above this use the parallel id→value translation
-/// (below it, fan-out overhead beats the dictionary lookups saved).
-const PARALLEL_TRANSLATE_MIN: usize = 4096;
 
 /// A finished query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,14 +326,20 @@ pub fn query(store: &DataStore, sql: &str) -> Result<(QueryResult, ScanStats)> {
 }
 
 /// Execute an analyzed query.
+///
+/// The group table stays in the global-id domain until `HAVING` /
+/// `ORDER BY` / `LIMIT` have chosen the surviving rows; only those are
+/// looked up in the key dictionaries. Row for row (floats by bits) this is
+/// `finalize(analyzed, execute_partial(..))`.
 pub fn execute(
     store: &DataStore,
     analyzed: &AnalyzedQuery,
     ctx: &ExecContext,
 ) -> Result<(QueryResult, ScanStats)> {
     let started = Instant::now();
-    let (partial, mut stats) = execute_partial(store, analyzed, ctx)?;
-    let result = finalize(analyzed, partial)?;
+    let plan = Plan::prepare_seeded(store, analyzed, ctx, None)?;
+    let (groups, mut stats) = plan.run(store, ctx)?;
+    let result = rank(analyzed, &IdKeys(&plan.key_cols), groups)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
 }
@@ -349,75 +365,237 @@ pub fn execute_partial_seeded(
     seeds: Option<&[ChunkActivity]>,
 ) -> Result<(PartialResult, ScanStats)> {
     let plan = Plan::prepare_seeded(store, analyzed, ctx, seeds)?;
-    plan.run(store, ctx)
+    let (groups, stats) = plan.run(store, ctx)?;
+    Ok((plan.value_keyed(groups), stats))
 }
 
 /// Apply HAVING / ORDER BY / LIMIT and project the output columns.
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
-    let names: Vec<String> = analyzed.output_names();
-    let mut rows: Vec<Row> = Vec::with_capacity(partial.groups.len());
+    rank(analyzed, &ValueKeys, partial.groups.into_iter().collect())
+}
 
-    if partial.groups.is_empty() && analyzed.keys.is_empty() {
+/// A group table as [`rank`] takes it: key cells `C` are global-ids
+/// ([`execute`]) or values ([`finalize`]).
+type Groups<C> = Vec<(Box<[C]>, Vec<AggState>)>;
+
+/// How [`rank`] reads a group table's key cells of type `C`.
+trait KeyCells<C> {
+    /// Does `C`'s own order on key column `i`'s cells equal [`Value::cmp`]
+    /// on the values they stand for?
+    fn value_ordered(&self, i: usize) -> bool;
+
+    /// Key column `i`'s `cells` as values, one per cell, in their order.
+    fn values<'a>(&self, i: usize, cells: impl Iterator<Item = &'a C>) -> Vec<Value>
+    where
+        C: 'a;
+}
+
+/// Keys that are values already (a merged [`PartialResult`]).
+struct ValueKeys;
+
+impl KeyCells<Value> for ValueKeys {
+    fn value_ordered(&self, _: usize) -> bool {
+        true
+    }
+
+    fn values<'a>(&self, _: usize, cells: impl Iterator<Item = &'a Value>) -> Vec<Value> {
+        cells.cloned().collect()
+    }
+}
+
+/// Keys that are global-ids into the key columns' dictionaries. Ids order
+/// like their values while a dictionary is sorted; one an append has
+/// tailed is compared by value.
+struct IdKeys<'a>(&'a [Arc<StoredColumn>]);
+
+impl KeyCells<u32> for IdKeys<'_> {
+    fn value_ordered(&self, i: usize) -> bool {
+        self.0[i].dict.is_value_ordered()
+    }
+
+    fn values<'a>(&self, i: usize, cells: impl Iterator<Item = &'a u32>) -> Vec<Value> {
+        ids_to_values(&self.0[i].dict, &cells.copied().collect::<Vec<u32>>())
+    }
+}
+
+/// The values of `ids` (any order, repeats allowed), one per id: one
+/// ordered dictionary walk over the distinct ids
+/// ([`pd_encoding::GlobalDict::values_of`]) instead of a lookup per id —
+/// for a trie, the difference between one DFS and a root-to-leaf walk per
+/// group.
+fn ids_to_values(dict: &pd_encoding::GlobalDict, ids: &[u32]) -> Vec<Value> {
+    let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
+    by_id.sort_unstable_by_key(|&at| ids[at as usize]);
+    let mut distinct: Vec<u32> = by_id.iter().map(|&at| ids[at as usize]).collect();
+    distinct.dedup();
+    let mut looked_up = dict.values_of(&distinct).into_iter();
+    let mut values = vec![Value::Null; ids.len()];
+    let mut previous: Option<usize> = None;
+    for &at in &by_id {
+        let at = at as usize;
+        values[at] = match previous {
+            Some(p) if ids[p] == ids[at] => values[p].clone(),
+            _ => looked_up.next().expect("one value per distinct id"),
+        };
+        previous = Some(at);
+    }
+    values
+}
+
+/// HAVING / ORDER BY / LIMIT over a group table, whatever domain its key
+/// cells are in: the one ranking routine behind [`execute`] (global-ids)
+/// and [`finalize`] (values — the root of a tree, whose shards do not
+/// share dictionaries).
+///
+/// Groups are ranked *by reference*. Only the aggregate cells HAVING or
+/// ORDER BY read are finalized for every group; key cells are compared as
+/// stored wherever that is the value order ([`KeyCells::value_ordered`])
+/// and become values for every group only if HAVING names the key or the
+/// stored order is not the values'. A [`Row`] is built — keys looked up,
+/// remaining aggregates finalized — for the groups that survive LIMIT, so
+/// a top-10 over thousands of groups names ten of them.
+///
+/// The order is total: the ORDER BY keys, ties broken by the whole row,
+/// cell by cell — the output never depends on group-table order, and it is
+/// the same order in both domains.
+fn rank<C: Ord>(
+    analyzed: &AnalyzedQuery,
+    domain: &impl KeyCells<C>,
+    groups: Groups<C>,
+) -> Result<QueryResult> {
+    let columns = analyzed.output_names();
+    let source = |idx: usize| analyzed.output[idx].1;
+
+    // HAVING names output columns; resolve them to positions once.
+    let mut having_refs: Vec<(String, usize)> = Vec::new();
+    if let Some(having) = &analyzed.having {
+        let mut names = Vec::new();
+        having.referenced_columns(&mut names);
+        for name in names {
+            let idx = columns
+                .iter()
+                .position(|c| *c == name)
+                .ok_or_else(|| Error::Schema(format!("unknown output column `{name}`")))?;
+            having_refs.push((name, idx));
+        }
+    }
+    let passes = |cell: &dyn Fn(usize) -> Value| -> Result<bool> {
+        match &analyzed.having {
+            Some(having) => {
+                Ok(truthy(&eval_expr(having, &OutputRow { refs: &having_refs, cell })?))
+            }
+            None => Ok(true),
+        }
+    };
+
+    if groups.is_empty() && analyzed.keys.is_empty() {
         // Global aggregation over zero rows still yields one row.
-        let row: Vec<Value> = analyzed
-            .output
-            .iter()
-            .map(|(_, src)| match src {
+        let row: Vec<Value> = (0..columns.len())
+            .map(|idx| match source(idx) {
                 OutputCol::Key(_) => Value::Null,
-                OutputCol::Agg(i) => empty_value(analyzed.aggs[*i].func),
+                OutputCol::Agg(i) => empty_value(analyzed.aggs[i].func),
             })
             .collect();
-        rows.push(Row(row));
-    } else {
-        for (key, states) in &partial.groups {
-            let row: Vec<Value> = analyzed
-                .output
-                .iter()
-                .map(|(_, src)| match src {
-                    OutputCol::Key(i) => key[*i].clone(),
-                    OutputCol::Agg(i) => states[*i].finalize(),
-                })
-                .collect();
-            rows.push(Row(row));
-        }
+        let keep = passes(&|idx| row[idx].clone())? && analyzed.limit != Some(0);
+        return Ok(QueryResult { columns, rows: if keep { vec![Row(row)] } else { Vec::new() } });
     }
 
-    // HAVING over output names.
-    if let Some(having) = &analyzed.having {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = NamedRowContext { names: &names, row: &row };
-            if truthy(&eval_expr(having, &ctx)?) {
-                kept.push(row);
+    // Columns the ranking reads for every group, finalized / looked up
+    // once: the aggregates HAVING or ORDER BY name; the keys HAVING names
+    // or whose cells do not order like their values.
+    let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
+    let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
+        .map(|i| {
+            let src = OutputCol::Agg(i);
+            let ordered_by = analyzed.order_by.iter().any(|&(idx, _)| source(idx) == src);
+            (ordered_by || having_reads(src))
+                .then(|| groups.iter().map(|(_, states)| states[i].finalize()).collect())
+        })
+        .collect();
+    let key_values: Vec<Option<Vec<Value>>> = (0..analyzed.keys.len())
+        .map(|i| {
+            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(i))
+                .then(|| domain.values(i, groups.iter().map(|(key, _)| &key[i])))
+        })
+        .collect();
+    let cell = |g: usize, idx: usize| -> Value {
+        match source(idx) {
+            OutputCol::Key(i) => {
+                key_values[i].as_ref().expect("HAVING's key columns are values")[g].clone()
+            }
+            OutputCol::Agg(i) => {
+                agg_cells[i].as_ref().expect("HAVING's aggregates are finalized")[g].clone()
             }
         }
-        rows = kept;
+    };
+    let cmp_cell = |a: usize, b: usize, idx: usize| match source(idx) {
+        OutputCol::Key(i) => match &key_values[i] {
+            Some(values) => values[a].cmp(&values[b]),
+            None => groups[a].0[i].cmp(&groups[b].0[i]),
+        },
+        OutputCol::Agg(i) => match &agg_cells[i] {
+            Some(cells) => cells[a].cmp(&cells[b]),
+            None => groups[a].1[i].finalize().cmp(&groups[b].1[i].finalize()),
+        },
+    };
+
+    let mut kept: Vec<usize> = Vec::with_capacity(groups.len());
+    for g in 0..groups.len() {
+        if passes(&|idx| cell(g, idx))? {
+            kept.push(g);
+        }
     }
 
-    // One total order: the explicit ORDER BY keys, ties broken by the full
-    // row, so the output never depends on group-map iteration order. With
-    // a LIMIT, first select the rows that survive it and sort only those.
-    let order = |a: &Row, b: &Row| {
+    // With a LIMIT, first select the groups that survive it and sort only
+    // those.
+    let order = |a: &usize, b: &usize| {
         for &(idx, desc) in &analyzed.order_by {
-            let ord = a.0[idx].cmp(&b.0[idx]);
+            let ord = cmp_cell(*a, *b, idx);
             let ord = if desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
         }
-        a.cmp(b)
+        (0..columns.len())
+            .map(|idx| cmp_cell(*a, *b, idx))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     };
     if let Some(limit) = analyzed.limit {
-        if limit < rows.len() {
+        if limit < kept.len() {
             if limit > 0 {
-                rows.select_nth_unstable_by(limit - 1, order);
+                kept.select_nth_unstable_by(limit - 1, order);
             }
-            rows.truncate(limit);
+            kept.truncate(limit);
         }
     }
-    // Rows that compare equal are equal in every column: unstable is exact.
-    rows.sort_unstable_by(order);
-    Ok(QueryResult { columns: names, rows })
+    // Groups that compare equal are equal in every output column: unstable
+    // is exact.
+    kept.sort_unstable_by(order);
+
+    // Only now do the survivors become rows, output column by column.
+    let cells: Vec<Vec<Value>> = (0..columns.len())
+        .map(|idx| match source(idx) {
+            OutputCol::Key(i) => match &key_values[i] {
+                Some(values) => kept.iter().map(|&g| values[g].clone()).collect(),
+                None => domain.values(i, kept.iter().map(|&g| &groups[g].0[i])),
+            },
+            OutputCol::Agg(i) => match &agg_cells[i] {
+                Some(cells) => kept.iter().map(|&g| cells[g].clone()).collect(),
+                None => kept.iter().map(|&g| groups[g].1[i].finalize()).collect(),
+            },
+        })
+        .collect();
+    let rows = transpose(cells, kept.len()).map(Row).collect();
+    Ok(QueryResult { columns, rows })
+}
+
+/// The `rows` rows of a table given column by column, cells moved out.
+fn transpose(columns: Vec<Vec<Value>>, rows: usize) -> impl Iterator<Item = Vec<Value>> {
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+    (0..rows).map(move |_| {
+        columns.iter_mut().map(|cells| cells.next().expect("one cell per row")).collect()
+    })
 }
 
 fn empty_value(func: AggFunc) -> Value {
@@ -427,19 +605,21 @@ fn empty_value(func: AggFunc) -> Value {
     }
 }
 
-/// Context resolving output-column names against a result row.
-struct NamedRowContext<'a> {
-    names: &'a [String],
-    row: &'a Row,
+/// HAVING's view of one output row: the columns it names, resolved to
+/// output positions once per query, read through `cell`.
+struct OutputRow<'a> {
+    refs: &'a [(String, usize)],
+    cell: &'a dyn Fn(usize) -> Value,
 }
 
-impl RowContext for NamedRowContext<'_> {
+impl RowContext for OutputRow<'_> {
     fn column(&self, name: &str) -> Result<Value> {
-        self.names
+        let (_, idx) = self
+            .refs
             .iter()
-            .position(|n| n == name)
-            .map(|i| self.row.0[i].clone())
-            .ok_or_else(|| Error::Schema(format!("unknown output column `{name}`")))
+            .find(|(n, _)| n == name)
+            .expect("every column HAVING names was resolved before the first row");
+        Ok((self.cell)(*idx))
     }
 }
 
@@ -597,16 +777,19 @@ impl<'a> Fold<'a> {
         Ok(())
     }
 
-    /// Merge any dense counts into the group map and return it.
-    fn finish(mut self) -> Result<FxHashMap<Box<[u32]>, Vec<AggState>>> {
-        if let Some(global) = self.dense_counts.take() {
-            for (gid, &n) in global.iter().enumerate() {
-                if n > 0 {
-                    merge_count(&mut self.id_groups, gid as u32, n)?;
-                }
-            }
+    /// The folded group table. Dense counts come out in ascending global-id
+    /// order without passing through the hash map: a plan folds either
+    /// `DenseSingleCount` payloads or hash groups, never both.
+    fn finish(self) -> Groups<u32> {
+        let mut groups: Groups<u32> = self.id_groups.into_iter().collect();
+        if let Some(global) = self.dense_counts {
+            debug_assert!(groups.is_empty(), "dense counts and hash groups in one fold");
+            let counted = global.iter().enumerate().filter(|(_, &n)| n > 0);
+            groups.extend(
+                counted.map(|(gid, &n)| (Box::from([gid as u32]), vec![AggState::Count(n)])),
+            );
         }
-        Ok(self.id_groups)
+        groups
     }
 }
 
@@ -724,8 +907,10 @@ impl Plan {
     }
 
     /// Scan the active chunks (in parallel when `ctx.threads != 1`) and
-    /// fold their group states in chunk order.
-    fn run(&self, store: &DataStore, ctx: &ExecContext) -> Result<(PartialResult, ScanStats)> {
+    /// fold their group states in chunk order. The group table comes back
+    /// keyed by global-ids: [`execute`] ranks it as it is, and only
+    /// [`Plan::value_keyed`] pays for values.
+    fn run(&self, store: &DataStore, ctx: &ExecContext) -> Result<(Groups<u32>, ScanStats)> {
         let mut stats = ScanStats {
             chunks_total: store.chunk_count(),
             rows_total: store.n_rows() as u64,
@@ -784,56 +969,28 @@ impl Plan {
             };
             folder.absorb(&mut stats, i, scan)?;
         }
-        let id_groups = folder.finish()?;
-
-        // Translate ids to values once per distinct id per key column —
-        // dictionary lookups (trie walks for string columns) are paid per
-        // result group, not per chunk-dictionary entry. Very-high-
-        // cardinality outputs fan the translation out across the worker
-        // pool (per-task memos; the group map is insertion-order
-        // independent and dictionaries are bijections, so the result is
-        // identical to the sequential walk).
-        let mut result = PartialResult::default();
-        if threads > 1 && id_groups.len() >= PARALLEL_TRANSLATE_MIN {
-            let entries: Vec<(Box<[u32]>, Vec<AggState>)> = id_groups.into_iter().collect();
-            let t = threads.min(entries.len().div_ceil(PARALLEL_TRANSLATE_MIN));
-            let per = entries.len().div_ceil(t);
-            let key_parts: Vec<Vec<Box<[Value]>>> = scheduler::run_tasks(t, t, |i| {
-                let lo = i * per;
-                let hi = ((i + 1) * per).min(entries.len());
-                let mut memos: Vec<FxHashMap<u32, Value>> =
-                    self.key_cols.iter().map(|_| FxHashMap::default()).collect();
-                Ok(entries[lo..hi]
-                    .iter()
-                    .map(|(ids, _)| self.translate_key(ids, &mut memos))
-                    .collect())
-            })?;
-            result.groups.reserve(entries.len());
-            let mut rest = entries.into_iter();
-            for key in key_parts.into_iter().flatten() {
-                let (_, states) = rest.next().expect("one key per entry");
-                result.groups.insert(key, states);
-            }
-        } else {
-            let mut memos: Vec<FxHashMap<u32, Value>> =
-                self.key_cols.iter().map(|_| FxHashMap::default()).collect();
-            for (ids, states) in id_groups {
-                let key = self.translate_key(&ids, &mut memos);
-                // Dictionaries are bijections, so distinct id tuples map to
-                // distinct value tuples: plain insert, no merge needed.
-                result.groups.insert(key, states);
-            }
-        }
-        Ok((result, stats))
+        Ok((folder.finish(), stats))
     }
 
-    /// Translate one group's key ids into values via per-column memos.
-    fn translate_key(&self, ids: &[u32], memos: &mut [FxHashMap<u32, Value>]) -> Box<[Value]> {
-        ids.iter()
-            .zip(&self.key_cols)
-            .zip(memos.iter_mut())
-            .map(|((&id, col), memo)| memo.entry(id).or_insert_with(|| col.dict.value(id)).clone())
-            .collect()
+    /// The value-keyed form of a folded group table, for a consumer that
+    /// does not share this store's dictionaries (a tree parent merging
+    /// shards): each key column's ids are translated by one ordered
+    /// dictionary walk ([`ids_to_values`]), not one lookup per group.
+    /// Dictionaries are bijections, so distinct id tuples stay distinct
+    /// keys.
+    fn value_keyed(&self, groups: Groups<u32>) -> PartialResult {
+        let columns: Vec<Vec<Value>> = (self.key_cols.iter().enumerate())
+            .map(|(i, col)| {
+                let ids: Vec<u32> = groups.iter().map(|(key, _)| key[i]).collect();
+                ids_to_values(&col.dict, &ids)
+            })
+            .collect();
+        let mut result = PartialResult::default();
+        result.groups.reserve(groups.len());
+        for (key, (_, states)) in transpose(columns, groups.len()).zip(groups) {
+            result.groups.insert(key.into_boxed_slice(), states);
+        }
+        result
     }
 
     /// The chunk-result cache's entry for a fully active chunk, if any

@@ -91,6 +91,16 @@ impl StrDict {
         }
     }
 
+    /// The strings with ranks `ids` (strictly ascending): indexing for the
+    /// sorted array, one ordered walk for the trie
+    /// ([`TrieDict::values_of`]).
+    pub fn values_of(&self, ids: &[u32]) -> Vec<String> {
+        match self {
+            StrDict::Sorted(d) => ids.iter().map(|&id| d.value(id).to_owned()).collect(),
+            StrDict::Trie(t) => t.values_of(ids),
+        }
+    }
+
     pub fn id_of(&self, value: &str) -> Option<u32> {
         match self {
             StrDict::Sorted(d) => d.id_of(value),
@@ -374,6 +384,29 @@ impl GlobalDict {
             GlobalDict::Float(d) => Value::Float(d.value(id)),
             GlobalDict::Str(d) => Value::Str(d.value(id)),
             GlobalDict::Tailed(t) => t.value(id),
+        }
+    }
+
+    /// The values with ranks `ids` — strictly ascending, all below `len()`
+    /// — in that order: what `ids.map(value)` returns, at the price of one
+    /// ordered pass over the dictionary instead of one lookup per id.
+    /// Array dictionaries index; a trie shares every prefix walk
+    /// ([`TrieDict::values_of`], which also panics on unsorted ids) — the
+    /// difference between translating a group table and walking the trie
+    /// once per group. Panics on an id out of bounds, like
+    /// [`GlobalDict::value`].
+    pub fn values_of(&self, ids: &[u32]) -> Vec<Value> {
+        match self {
+            GlobalDict::Int(d) => ids.iter().map(|&id| Value::Int(d.value(id))).collect(),
+            GlobalDict::Float(d) => ids.iter().map(|&id| Value::Float(d.value(id))).collect(),
+            GlobalDict::Str(d) => d.values_of(ids).into_iter().map(Value::Str).collect(),
+            GlobalDict::Tailed(t) => {
+                let base_len = t.base.len();
+                let (in_base, in_tail) = ids.split_at(ids.partition_point(|&id| id < base_len));
+                let mut values = t.base.values_of(in_base);
+                values.extend(in_tail.iter().map(|&id| t.tail[(id - base_len) as usize].clone()));
+                values
+            }
         }
     }
 

@@ -224,6 +224,68 @@ impl TrieDict {
         prefix.truncate(label_start);
     }
 
+    /// The strings with ranks `ids`, which must be strictly ascending and
+    /// below `len()` (panics otherwise), in that order.
+    ///
+    /// One DFS that descends only into children whose rank interval holds
+    /// a wanted id: every node on the way to some wanted string is parsed
+    /// once and shared prefixes are walked once, where `ids.len()` calls
+    /// of [`TrieDict::value`] each restart at the root.
+    pub fn values_of(&self, ids: &[u32]) -> Vec<String> {
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly ascending");
+        if let Some(&last) = ids.last() {
+            assert!(last < self.len, "global-id {last} out of bounds (len {})", self.len);
+        }
+        let mut out = Vec::with_capacity(ids.len());
+        if !ids.is_empty() {
+            self.collect(0, 0, ids, &mut Vec::with_capacity(64), &mut out);
+        }
+        out
+    }
+
+    /// Push the strings of the subtree at `pos` whose ranks are `ids`
+    /// (non-empty, ascending, all inside the subtree, whose first rank is
+    /// `first`).
+    fn collect(
+        &self,
+        pos: usize,
+        first: u32,
+        mut ids: &[u32],
+        prefix: &mut Vec<u8>,
+        out: &mut Vec<String>,
+    ) {
+        let node = Node::parse(&self.bytes, pos);
+        let label_start = prefix.len();
+        for k in 0..node.label_len {
+            prefix.push(node.label_nibble(k));
+        }
+        let mut rank = first;
+        if node.terminal {
+            if ids[0] == rank {
+                out.push(nibbles_to_string(prefix));
+                ids = &ids[1..];
+            }
+            rank += 1;
+        }
+        let mut child_pos = node.children_start;
+        for (nib, size, terminals) in node.children() {
+            if ids.is_empty() {
+                break;
+            }
+            let end = rank + terminals;
+            let wanted = ids.partition_point(|&id| id < end);
+            if wanted > 0 {
+                prefix.push(nib);
+                self.collect(child_pos, rank, &ids[..wanted], prefix, out);
+                prefix.pop();
+                ids = &ids[wanted..];
+            }
+            rank = end;
+            child_pos += size;
+        }
+        prefix.truncate(label_start);
+    }
+
     /// The raw encoded byte array (its length is the memory footprint the
     /// §3 experiment reports).
     pub fn as_bytes(&self) -> &[u8] {
@@ -482,6 +544,26 @@ mod tests {
             seen.push(s.to_owned());
         });
         assert_eq!(seen, sorted);
+    }
+
+    #[test]
+    fn values_of_walks_only_what_was_asked() {
+        // Terminals in the middle of a path, the empty string, a deep chain.
+        let sorted = ["", "a", "aa", "aaa", "aaaa", "ab", "b", "ba"];
+        let t = build(&sorted);
+        let all: Vec<u32> = (0..t.len()).collect();
+        assert_eq!(t.values_of(&all), sorted);
+        assert_eq!(t.values_of(&[]), Vec::<String>::new());
+        assert_eq!(t.values_of(&[0]), [""]);
+        assert_eq!(t.values_of(&[4, 7]), ["aaaa", "ba"]);
+        assert_eq!(t.values_of(&[1, 3, 5, 6]), ["a", "aaa", "ab", "b"]);
+        assert_eq!(TrieDict::from_sorted::<&str>(&[]).unwrap().values_of(&[]).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn values_of_bounds_checked() {
+        build(&["a", "b"]).values_of(&[1, 2]);
     }
 
     #[test]

@@ -152,3 +152,123 @@ fn packed_ints_round_trip() {
         assert_eq!(back, values);
     }
 }
+
+/// A random dictionary of each flavour — `Sorted`, `Trie`, `Int`, `Float`,
+/// and each of them `Tailed` by an extend with unseen values.
+fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, pd_encoding::GlobalDict)> {
+    let n = rng.range_usize(1, 160);
+    let strings = |rng: &mut Rng, n: usize, tag: &str| -> Vec<Value> {
+        (0..n)
+            .map(|_| {
+                // Shared prefixes, prefix chains and the empty string: the
+                // shapes a path-compressed trie treats differently.
+                let depth = rng.range_usize(0, 4);
+                let mut s = String::new();
+                for _ in 0..depth {
+                    let parts = ["logs.", "ads.", "a", "ab", "日本", "team_07."];
+                    s.push_str(parts[rng.range_usize(0, parts.len())]);
+                }
+                if rng.chance(0.8) {
+                    s.push_str(&format!("{tag}{}", rng.range_usize(0, 40)));
+                }
+                Value::from(s)
+            })
+            .collect()
+    };
+    let ints = |rng: &mut Rng, n: usize, lo: i64| -> Vec<Value> {
+        (0..n).map(|_| Value::Int(lo + rng.range_i64_inclusive(-500, 500))).collect()
+    };
+    let floats = |rng: &mut Rng, n: usize, scale: f64| -> Vec<Value> {
+        (0..n)
+            .map(|_| match rng.range_usize(0, 12) {
+                0 => Value::Float(-0.0),
+                1 => Value::Float(f64::NAN),
+                2 => Value::Float(f64::NEG_INFINITY),
+                _ => Value::Float(rng.range_i64_inclusive(-300, 300) as f64 * scale),
+            })
+            .collect()
+    };
+    let mut dicts = vec![
+        ("sorted", build_dict(&strings(rng, n, "t"), false).unwrap().0),
+        ("trie", build_dict(&strings(rng, n, "t"), true).unwrap().0),
+        ("int", build_dict(&ints(rng, n, 0), false).unwrap().0),
+        ("float", build_dict(&floats(rng, n, 0.5), false).unwrap().0),
+    ];
+    // The same four again, tailed by values an append would bring.
+    let m = rng.range_usize(1, 40);
+    let appended = [
+        ("tailed sorted", strings(rng, m, "new")),
+        ("tailed trie", strings(rng, m, "new")),
+        ("tailed int", ints(rng, m, -300)),
+        ("tailed float", floats(rng, m, 0.25)),
+    ];
+    for (base, (name, new_values)) in appended.into_iter().enumerate() {
+        let mut dict = dicts[base].1.clone();
+        dict.extend(&new_values).unwrap();
+        dicts.push((name, dict));
+    }
+    dicts
+}
+
+/// Sorted id subsets of `0..len`: empty, singletons (first, last, random),
+/// everything, a dense run, and random sparse picks.
+fn id_subsets(rng: &mut Rng, len: u32) -> Vec<Vec<u32>> {
+    let mut subsets = vec![Vec::new(), vec![0], vec![len - 1], (0..len).collect()];
+    subsets.push(vec![rng.range_u64(0, u64::from(len)) as u32]);
+    let from = rng.range_u64(0, u64::from(len)) as u32;
+    subsets.push((from..len.min(from + rng.range_u64(1, 24) as u32)).collect());
+    for keep in [0.05, 0.5, 0.9] {
+        subsets.push((0..len).filter(|_| rng.chance(keep)).collect());
+    }
+    let mut ends = vec![0, len - 1];
+    ends.dedup();
+    subsets.push(ends);
+    subsets
+}
+
+/// `values_of` is `value` mapped over the ids, for every dictionary flavour
+/// and every shape of sorted id subset.
+#[test]
+fn values_of_equals_value_per_id() {
+    let mut rng = Rng::seed_from_u64(0xd1c7_0007);
+    for case in 0..48 {
+        for (name, dict) in random_dicts(&mut rng) {
+            for ids in id_subsets(&mut rng, dict.len()) {
+                let want: Vec<Value> = ids.iter().map(|&id| dict.value(id)).collect();
+                assert_eq!(dict.values_of(&ids), want, "case {case} {name}: ids {ids:?}");
+            }
+        }
+    }
+}
+
+/// Id order is `Value::cmp` order whenever the dictionary says so — what
+/// lets a consumer rank groups on ids and look up only the winners — and
+/// a dictionary says so unless an append has tailed it, which does break
+/// the order (a tail that happens to continue its base in order is still
+/// reported unordered: the flag errs toward comparing values).
+#[test]
+fn id_order_is_value_order_when_value_ordered() {
+    let mut rng = Rng::seed_from_u64(0xd1c7_0008);
+    let mut tailed_out_of_order = 0;
+    for case in 0..48 {
+        for (name, dict) in random_dicts(&mut rng) {
+            let values = dict.values_of(&(0..dict.len()).collect::<Vec<u32>>());
+            let sorted = values.windows(2).all(|pair| pair[0] < pair[1]);
+            let tailed = matches!(dict, pd_encoding::GlobalDict::Tailed(_));
+            assert_eq!(dict.is_value_ordered(), !tailed, "case {case} {name}");
+            if dict.is_value_ordered() {
+                assert!(sorted, "case {case} {name}: ids must order like their values");
+            } else if !sorted {
+                tailed_out_of_order += 1;
+            }
+        }
+    }
+    assert!(tailed_out_of_order > 48, "tails must break id order: {tailed_out_of_order}");
+}
+
+/// The trie rejects what it cannot answer in one ordered walk.
+#[test]
+#[should_panic(expected = "strictly ascending")]
+fn trie_values_of_rejects_unsorted_ids() {
+    TrieDict::from_sorted(&["a", "b", "c"]).unwrap().values_of(&[2, 1]);
+}

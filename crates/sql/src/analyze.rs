@@ -163,20 +163,24 @@ fn resolve_output(expr: &Expr, query: &Query, output: &[(String, OutputCol)]) ->
     )))
 }
 
-/// Does `count(*)`-style call expression denote aggregate `a`?
-fn expr_matches_agg(expr: &Expr, a: &AggExpr) -> bool {
-    let Expr::Call { name, args } = expr else {
-        return false;
-    };
-    let func = match name.as_str() {
+/// The aggregate a call expression's (lower-cased) function name denotes.
+fn agg_func(name: &str) -> Option<AggFunc> {
+    Some(match name {
         "count" => AggFunc::Count,
         "sum" => AggFunc::Sum,
         "min" => AggFunc::Min,
         "max" => AggFunc::Max,
         "avg" => AggFunc::Avg,
-        _ => return false,
+        _ => return None,
+    })
+}
+
+/// Does `count(*)`-style call expression denote aggregate `a`?
+fn expr_matches_agg(expr: &Expr, a: &AggExpr) -> bool {
+    let Expr::Call { name, args } = expr else {
+        return false;
     };
-    if func != a.func || a.distinct {
+    if agg_func(name) != Some(a.func) || a.distinct {
         return false;
     }
     match (&a.arg, args.as_slice()) {
@@ -188,13 +192,28 @@ fn expr_matches_agg(expr: &Expr, a: &AggExpr) -> bool {
 
 /// Rewrite a HAVING expression so every reference to a select item becomes
 /// a bare `Column(output_name)` the executor can resolve against result
-/// rows.
+/// rows. HAVING sees the query's *output*: a column or an aggregate call
+/// that is no select item is rejected here — the executor finalizes only
+/// what the select list names, so it could only fail on it after the scan
+/// (and, on a tree, after every leaf has scanned and shipped).
 fn rewrite_having(expr: &Expr, query: &Query, output: &[(String, OutputCol)]) -> Result<Expr> {
     if let Ok(idx) = resolve_output(expr, query, output) {
         return Ok(Expr::Column(output[idx].0.clone()));
     }
     Ok(match expr {
-        Expr::Column(_) | Expr::Literal(_) => expr.clone(),
+        Expr::Literal(_) => expr.clone(),
+        Expr::Column(name) => {
+            return Err(Error::Schema(format!(
+                "HAVING column `{name}` is not an output column of the query (select it, or \
+                 filter on it in WHERE)"
+            )))
+        }
+        Expr::Call { name, .. } if agg_func(name).is_some() => {
+            return Err(Error::Schema(format!(
+                "HAVING aggregate `{expr}` does not match any select item (add it to the \
+                 select list)"
+            )))
+        }
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
             args: args.iter().map(|a| rewrite_having(a, query, output)).collect::<Result<_>>()?,
@@ -308,6 +327,38 @@ mod tests {
         );
         let a = analyzed("SELECT country, COUNT(*) as c FROM data GROUP BY country HAVING c > 5 AND country != 'ZZ'");
         assert_eq!(a.having.unwrap().to_string(), r#"((c > 5) AND (country != "ZZ"))"#);
+    }
+
+    #[test]
+    fn having_rejects_what_the_select_list_does_not_name() {
+        // Each of these used to pass analysis and fail in `finalize`, after
+        // the whole scan, as "unknown output column".
+        for (having, names) in [
+            ("SUM(latency) > 100", "sum(latency)"),
+            ("c > 1 AND MAX(latency) < 5", "max(latency)"),
+            ("latency > 100", "`latency`"),
+            ("length(user) > 3", "`user`"),
+            ("country IN ('DE', region)", "`region`"),
+        ] {
+            let sql =
+                format!("SELECT country, COUNT(*) AS c FROM data GROUP BY country HAVING {having}");
+            match analyze(&parse_query(&sql).unwrap()) {
+                Err(Error::Schema(msg)) => {
+                    assert!(msg.contains("HAVING") && msg.contains(names), "{sql}: {msg}")
+                }
+                other => panic!("{sql}: expected a schema error, got {other:?}"),
+            }
+        }
+        // Scalar calls over output columns, and aggregates the select list
+        // does name, still pass.
+        let a = analyzed(
+            "SELECT country, COUNT(*) AS c, SUM(latency) FROM data GROUP BY country \
+             HAVING length(country) = 2 AND SUM(latency) / c > 1.5",
+        );
+        assert_eq!(
+            a.having.unwrap().to_string(),
+            "((length(country) = 2) AND ((SUM(latency) / c) > 1.5))"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use powerdrill::baselines::{Backend, CsvBackend, IoModel};
 use powerdrill::common::rng::Rng;
-use powerdrill::core::execute;
+use powerdrill::core::{execute, execute_partial, finalize};
 use powerdrill::sql::{analyze, parse_query};
 use powerdrill::{
     BuildOptions, DataStore, DataType, ExecContext, PartitionSpec, PowerDrill, QueryResult, Row,
@@ -323,6 +323,166 @@ fn range_fallbacks_equal_the_basic_store() {
         );
     }
     agree(&store, &table, "after the append");
+}
+
+// ---------------------------------------------------------------------------
+// Late-materialization axis
+// ---------------------------------------------------------------------------
+
+/// `execute` keeps the group table in the global-id domain, ranks group
+/// references on ids and looks up only the rows HAVING / ORDER BY / LIMIT
+/// let through; `finalize ∘ execute_partial` — what a tree does, whose
+/// shards share no dictionary — translates every group and ranks values.
+/// Both must be the same rows in the same order, floats by bits
+/// (`Value`'s equality is `total_cmp`), and scan the same cells — at one
+/// thread and at the default (`EXEC_THREADS` in CI's concurrent job).
+fn assert_late_equals_early(store: &DataStore, sql: &str, label: &str) -> QueryResult {
+    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+    let mut answer = None;
+    for threads in [1usize, 0] {
+        let ctx = ExecContext { threads, ..Default::default() };
+        let (late, late_stats) = execute(store, &analyzed, &ctx).unwrap();
+        let (partial, early_stats) = execute_partial(store, &analyzed, &ctx).unwrap();
+        let early = finalize(&analyzed, partial).unwrap();
+        assert_eq!(late, early, "{label} threads={threads}: {sql}");
+        assert_eq!(
+            (late_stats.rows_scanned, late_stats.cells_scanned, late_stats.chunks_skipped),
+            (early_stats.rows_scanned, early_stats.cells_scanned, early_stats.chunks_skipped),
+            "{label} threads={threads}: {sql}"
+        );
+        if let Some(limit) = analyzed.limit {
+            assert!(late.rows.len() <= limit, "{label}: {sql}");
+        }
+        answer = Some(late);
+    }
+    answer.expect("two passes ran")
+}
+
+/// Queries whose answer is decided by the ranking itself: which key cells
+/// are compared (as ids or as values), which groups a tie-break lets
+/// through a LIMIT, what HAVING reads.
+const RANKING_QUERIES: [&str; 24] = [
+    // ORDER BY on the key, both directions: ids stand in for values.
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name ORDER BY table_name ASC LIMIT 10",
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name ORDER BY table_name DESC LIMIT 10",
+    // Many ties on a high-cardinality key: the whole-row tie-break decides
+    // who survives, ascending (hundreds of groups count 1) and descending.
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name ORDER BY c ASC LIMIT 10",
+    "SELECT user, COUNT(*) c FROM data GROUP BY user ORDER BY c DESC LIMIT 25",
+    // The tie-break meets an aggregate cell before the key cell; a key the
+    // select list omits (equal rows are interchangeable, never lost).
+    "SELECT COUNT(*) c, table_name FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10",
+    "SELECT COUNT(*) c FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10",
+    "SELECT COUNT(*) c, MAX(latency) mx FROM data GROUP BY country, user ORDER BY c ASC LIMIT 12",
+    // Aggregates the ranking never reads are finalized for survivors only.
+    "SELECT table_name, COUNT(*) c, AVG(latency) a, MIN(user) mn, SUM(latency) s FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10",
+    "SELECT table_name, COUNT(*) c, AVG(latency) a FROM data GROUP BY table_name ORDER BY a DESC, c ASC LIMIT 10",
+    // HAVING on an aggregate, on the key, on both, and on a scalar call.
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name HAVING c > 2 ORDER BY c DESC LIMIT 10",
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name HAVING table_name >= 'm' ORDER BY c DESC LIMIT 10",
+    "SELECT table_name, COUNT(*) c, SUM(latency) s FROM data GROUP BY table_name HAVING c > 1 AND contains(table_name, 'ads') ORDER BY s DESC",
+    "SELECT country, COUNT(*) c FROM data GROUP BY country HAVING length(country) = 2 AND c / 2 > 10 ORDER BY country DESC",
+    "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name HAVING c > 1000000",
+    // Two keys: mixed-direction ORDER BY over key and aggregate cells.
+    "SELECT country, table_name, COUNT(*) c FROM data GROUP BY country, table_name ORDER BY c DESC LIMIT 15",
+    "SELECT user, country, SUM(latency) s FROM data GROUP BY user, country ORDER BY country DESC, s ASC LIMIT 9",
+    "SELECT table_name, country, COUNT(*) c FROM data WHERE latency > 300.0 GROUP BY table_name, country HAVING country != 'US' ORDER BY table_name ASC, c DESC LIMIT 20",
+    // A Float key (ids order by total_cmp, like Value) and an Int key.
+    "SELECT latency, COUNT(*) c FROM data GROUP BY latency ORDER BY latency DESC LIMIT 7",
+    "SELECT latency, COUNT(*) c FROM data GROUP BY latency ORDER BY c DESC LIMIT 7",
+    "SELECT timestamp, MAX(latency) mx FROM data WHERE country = 'DE' GROUP BY timestamp ORDER BY mx DESC LIMIT 5",
+    // A virtual-field key.
+    "SELECT date(timestamp) d, COUNT(*) c, AVG(latency) a FROM data GROUP BY d ORDER BY c DESC LIMIT 4",
+    // Global aggregates: over every row, and the one row over zero rows
+    // that HAVING and LIMIT still apply to.
+    "SELECT COUNT(*) c, SUM(latency) s FROM data WHERE country = 'nowhere'",
+    "SELECT COUNT(*) c, SUM(latency) s FROM data WHERE country = 'nowhere' HAVING c > 0",
+    "SELECT COUNT(*) c, MIN(latency) mn FROM data ORDER BY c DESC LIMIT 0",
+];
+
+#[test]
+fn ranking_on_ids_equals_ranking_on_values() {
+    use powerdrill::data::{generate_logs, LogsSpec};
+    use powerdrill::encoding::TableDelta;
+
+    let table = generate_logs(&LogsSpec::scaled(4_000));
+    let head = table.select_rows(&(0..3_600).collect::<Vec<_>>());
+    let tail = table.select_rows(&(3_600..4_000).collect::<Vec<_>>());
+    let mut production = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut production.partition {
+        spec.max_chunk_rows = 150;
+    }
+
+    let check = |store: &DataStore, label: &str| {
+        for sql in MATRIX_QUERIES.iter().chain(&RANKING_QUERIES) {
+            assert_late_equals_early(store, sql, label);
+        }
+        // LIMIT at every boundary of the group count, and no LIMIT at all:
+        // `c DESC` over table names ties by the hundreds.
+        let base = "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name ORDER BY c DESC";
+        let groups = assert_late_equals_early(store, base, label).rows.len();
+        assert!(groups > 500, "{label}: a high-cardinality key is the point ({groups})");
+        for limit in [0, 1, groups - 1, groups, groups + 1] {
+            let limited = assert_late_equals_early(store, &format!("{base} LIMIT {limit}"), label);
+            assert_eq!(limited.rows.len(), limit.min(groups), "{label}: LIMIT {limit}");
+        }
+    };
+
+    // Sorted-array dictionaries, then the production build's tries.
+    check(&DataStore::build(&head, &BuildOptions::basic()).unwrap(), "basic");
+    let mut store = DataStore::build(&head, &production).unwrap();
+    assert!(store.column("table_name").unwrap().dict.is_value_ordered());
+    check(&store, "trie build");
+
+    // After an append the key dictionaries are tailed: ids no longer order
+    // like values, and the ranking must fall back to comparing values.
+    let columns: Vec<&[Value]> = (0..tail.schema().len()).map(|i| tail.column(i)).collect();
+    store
+        .append_delta(&TableDelta::from_columns(tail.schema().clone(), &columns).unwrap())
+        .unwrap();
+    for column in ["table_name", "latency", "timestamp"] {
+        assert!(
+            !store.column(column).unwrap().dict.is_value_ordered(),
+            "the append must tail `{column}`'s dictionary for this test to mean anything"
+        );
+    }
+    check(&store, "after the append");
+
+    // And the appended store answers like a fresh build of all the rows.
+    let rebuilt = DataStore::build(&table, &production).unwrap();
+    let ctx = ExecContext { threads: 1, ..Default::default() };
+    for sql in MATRIX_QUERIES.iter().chain(&RANKING_QUERIES) {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        let (got, _) = execute(&store, &analyzed, &ctx).unwrap();
+        let (want, _) = execute(&rebuilt, &analyzed, &ctx).unwrap();
+        assert_eq!(got, want, "appended vs rebuilt: {sql}");
+    }
+}
+
+#[test]
+fn ranking_on_ids_equals_ranking_on_values_for_random_queries() {
+    let mut rng = Rng::seed_from_u64(0x5eed_0005);
+    for case in 0..64 {
+        let table = random_table(&mut rng);
+        let sql = random_query(&mut rng);
+        // Besides the generator's tails: order by the key, and a HAVING on it.
+        let keyed = format!(
+            "{} ORDER BY {} LIMIT {}",
+            sql.split(" ORDER BY ").next().unwrap(),
+            rng.pick(&["k DESC", "g ASC", "g DESC, k ASC"]),
+            rng.range_usize(0, 6)
+        );
+        let keyed = if sql.contains("GROUP BY k, g") { keyed } else { sql.clone() };
+        for options in [
+            BuildOptions::basic(),
+            BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 16)),
+            BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)),
+        ] {
+            let store = DataStore::build(&table, &options).unwrap();
+            assert_late_equals_early(&store, &sql, &format!("case {case} {options:?}"));
+            assert_late_equals_early(&store, &keyed, &format!("case {case} {options:?}"));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
