@@ -20,8 +20,9 @@ pub struct Surface {
 
 /// The surfaces named by the contract. `wire.rs` and the two codec files are
 /// decode-or-encode throughout, so the whole file is held to the standard;
-/// `delta.rs`/`bloom.rs`/`rpc.rs`/`meta.rs` mix decode paths with
-/// construction-time code, so only the read-side functions are in scope —
+/// `delta.rs`/`bloom.rs`/`rpc.rs` (and its `frame.rs`/`fanout.rs`)/`meta.rs`
+/// mix decode paths with construction-time code, so only the read-side
+/// functions are in scope —
 /// among them the two that apply a wire-borne append to a shard summary
 /// (`absorb_into`, `absorb_append`).
 pub const DECODE_SURFACES: &[Surface] = &[
@@ -30,10 +31,10 @@ pub const DECODE_SURFACES: &[Surface] = &[
     Surface { path: "crates/sql/src/codec.rs", fns: None },
     Surface { path: "crates/encoding/src/delta.rs", fns: Some(&["decode", "validate"]) },
     Surface { path: "crates/encoding/src/bloom.rs", fns: Some(&["decode"]) },
+    Surface { path: "crates/dist/src/rpc.rs", fns: Some(&["decode"]) },
     Surface {
-        path: "crates/dist/src/rpc.rs",
+        path: "crates/dist/src/rpc/frame.rs",
         fns: Some(&[
-            "decode",
             "parse",
             "decode_body",
             "read_frame",
@@ -41,9 +42,9 @@ pub const DECODE_SURFACES: &[Surface] = &[
             "read_frame_deadline",
             "read_some",
             "read_more",
-            "absorb_into",
         ]),
     },
+    Surface { path: "crates/dist/src/rpc/fanout.rs", fns: Some(&["absorb_into"]) },
     Surface { path: "crates/dist/src/meta.rs", fns: Some(&["decode", "absorb_append"]) },
 ];
 

@@ -1,0 +1,301 @@
+//! The edges of the §4 computation tree.
+//!
+//! A node reaches a child through a [`Link`]: a direct reference to a
+//! [`Node`] in the same address space, or a socket to a worker process
+//! holding one. [`ChildHandle`] — metadata pre-skip, which copy is asked,
+//! report stamping — is written once above the link and runs unchanged over
+//! both kinds; a fan-out drives it in two phases, `begin` (prune, or put
+//! the query on the wire) and `finish` (the answer, failover included).
+//!
+//! **Restriction-aware queries.** A query crosses an edge as the *decoded*
+//! [`pd_sql::AnalyzedQuery`] — restriction tree, group-by keys, aggregates
+//! — not as SQL text. Leaves execute it directly (one parse at the root,
+//! none per hop), and every parent evaluates the restriction against its
+//! children's [`ShardMeta`] to **pre-skip subtrees whose shards cannot
+//! match**: no frame is sent, the shard's rows are accounted as skipped,
+//! and the prune is reported up in
+//! [`pd_core::ScanStats::subtrees_pruned`].
+
+use super::client::RpcClient;
+use super::fanout::{classify, settle, LeafOutcome};
+use super::frame::{encode_frame, Addr};
+use super::{ChildSpec, QueryRequest, Request, ShardReport, SubtreeAnswer};
+use crate::meta::{self, ShardMeta};
+use crate::node::Node;
+use pd_common::{Error, Result, RpcError};
+use std::sync::{Arc, MutexGuard};
+use std::time::{Duration, Instant};
+
+// --- edges: how any node reaches a child ------------------------------------
+
+/// One way to reach a child node. Everything above a link — pruning,
+/// failover, report stamping, the fold — is the same code for both kinds.
+pub enum Link {
+    /// A worker process behind a socket. The mutex is the connection's
+    /// queue: a fan-out holds the guard from the write of its frame to the
+    /// read of the reply ([`Link::hold`]), so concurrent queries to the
+    /// *same* child take turns on the wire, one request/response pair at a
+    /// time.
+    Socket(pd_common::sync::Mutex<RpcClient>),
+    /// A node in this address space: no frame, no serialization, no queue.
+    Local(Arc<Node>),
+}
+
+/// One copy of a child as one query holds it.
+pub(super) enum Held<'a> {
+    Socket(MutexGuard<'a, RpcClient>),
+    Local(&'a Node),
+}
+
+impl Link {
+    fn socket(addr: Addr, compress: bool) -> Link {
+        Link::Socket(pd_common::sync::Mutex::new(RpcClient::new(addr, compress)))
+    }
+
+    /// Take this copy for the span of one query. A socket's guard is held
+    /// across `send` *and* `recv` on purpose — the pair must not interleave
+    /// with another query's on the same connection. Deadlock-free because
+    /// every fan-out takes its guards in one total order — children by
+    /// index, a pair's primary before its replica — and takes them all
+    /// before it waits for any reply: whoever waits for a guard holds only
+    /// guards earlier in that order.
+    fn hold(&self) -> Held<'_> {
+        match self {
+            // pd-analysis: allow(lock-order) -- the connection's queue: the guard spans send and recv by design; taken in child-index order, primary before replica
+            Link::Socket(client) => Held::Socket(client.lock()),
+            Link::Local(node) => Held::Local(node),
+        }
+    }
+}
+
+impl Held<'_> {
+    /// Put the query on this copy's wire. Nothing to do in memory.
+    pub(super) fn send(&mut self, ask: &mut Ask<'_>) -> Result<()> {
+        match self {
+            Held::Socket(client) => {
+                let deadline = ask.deadline;
+                let compress = client.compress;
+                client.send(ask.frame(compress)?, deadline)
+            }
+            Held::Local(_) => Ok(()),
+        }
+    }
+
+    /// This copy's reply to a query whose `send` went as `sent`,
+    /// classified for the failover logic (see [`LeafOutcome`]). An
+    /// in-memory node computes it here.
+    pub(super) fn recv(&mut self, sent: Result<()>, ask: &Ask<'_>) -> LeafOutcome {
+        if let Err(e) = sent {
+            return LeafOutcome::Failed(e);
+        }
+        match self {
+            Held::Socket(client) => classify(client.recv(ask.deadline)),
+            Held::Local(node) => match node.query(ask.request, Duration::ZERO) {
+                Ok(answer) => LeafOutcome::Answer(answer),
+                Err(e @ Error::Rpc(_)) => LeafOutcome::Failed(e),
+                Err(e) => LeafOutcome::Fatal(e),
+            },
+        }
+    }
+}
+
+/// What one fan-out shares across its children: the query, one clock, and
+/// the frame that carries the query over sockets.
+pub(super) struct Ask<'a> {
+    pub(super) request: &'a QueryRequest,
+    pub(super) started: Instant,
+    /// One absolute deadline for every write and read: the budget is the
+    /// whole query's. A merge node below inherits what remains of it — it
+    /// decrements and forwards it, so no height scaling is needed.
+    pub(super) deadline: Instant,
+    /// The `Request::Query` frame, encoded (and, when worth it, compressed)
+    /// by the first socket link that sends it and reused by every other.
+    frame: Option<Vec<u8>>,
+}
+
+impl<'a> Ask<'a> {
+    pub(super) fn new(request: &'a QueryRequest) -> Ask<'a> {
+        let started = Instant::now();
+        let deadline = started + request.budget.max(Duration::from_millis(1));
+        Ask { request, started, deadline, frame: None }
+    }
+
+    /// The encoded frame. `compress` is the sending connection's mode: one
+    /// node's connections all share it, and a frame says in its own header
+    /// how it is packed, so the first sender's choice serves every other.
+    pub(super) fn frame(&mut self, compress: bool) -> Result<&[u8]> {
+        let frame = match self.frame.take() {
+            Some(frame) => frame,
+            None => encode_frame(&Request::Query(Box::new(self.request.clone())), compress)?,
+        };
+        Ok(self.frame.insert(frame))
+    }
+}
+
+/// A child the current node queries: the shard summaries beneath the edge
+/// plus the link(s) that reach it.
+pub struct ChildHandle {
+    /// `Some(shard)`: a leaf server (with its replica, the §4
+    /// "answer-first-wins" pair) — failover and report stamping apply.
+    /// `None`: a deeper merge node.
+    shard: Option<u64>,
+    /// Every shard summary beneath this edge, kept equal to the leaves'
+    /// own through appends by [`absorb_into`](super::absorb_into). Empty
+    /// means *unknown* (a local leaf keeps none): the edge is never pruned.
+    pub(super) metas: Vec<ShardMeta>,
+    pub(super) primary: Link,
+    replica: Option<Link>,
+}
+
+/// A child between the two phases of a fan-out: asked, not yet answered.
+pub(super) enum InFlight<'a> {
+    /// The metadata answered for the child; no copy was contacted.
+    Pruned(SubtreeAnswer),
+    Asked {
+        /// `Some`: a leaf — the failover rule and report stamping apply.
+        shard: Option<u64>,
+        primary: Held<'a>,
+        replica: Option<Held<'a>>,
+        /// How putting the query on the primary's wire went. A killed
+        /// primary is never contacted: its send "fails" as the kill.
+        sent: Result<()>,
+    },
+}
+
+impl ChildHandle {
+    /// A child in a worker process (clients connect lazily).
+    pub fn new(spec: ChildSpec, compress: bool) -> ChildHandle {
+        match spec {
+            ChildSpec::Leaf { shard, primary, replica, meta } => ChildHandle {
+                shard: Some(shard),
+                metas: vec![meta],
+                primary: Link::socket(primary, compress),
+                replica: replica.map(|addr| Link::socket(addr, compress)),
+            },
+            ChildSpec::Node { addr, metas, .. } => ChildHandle {
+                shard: None,
+                metas,
+                primary: Link::socket(addr, compress),
+                replica: None,
+            },
+        }
+    }
+
+    /// A child in this address space. `shard` marks a leaf; a `replicated`
+    /// leaf's replica link is a second reference to the same node — one
+    /// address space holds one copy of the bytes — so a killed primary
+    /// fails over through the same code a socket pair uses.
+    pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
+        ChildHandle {
+            shard,
+            metas: Vec::new(),
+            replica: (replicated && shard.is_some()).then(|| Link::Local(Arc::clone(&node))),
+            primary: Link::Local(node),
+        }
+    }
+
+    /// `(hits, misses)` of the result caches beneath this edge that live in
+    /// this address space (`(0, 0)` behind a socket).
+    pub fn cache_stats(&self) -> (u64, u64) {
+        match &self.primary {
+            Link::Local(node) => node.cache_stats(),
+            Link::Socket(_) => (0, 0),
+        }
+    }
+
+    /// The restriction pre-skip: when the shard metadata beneath this
+    /// child proves no row can match, synthesize the empty answer locally
+    /// — full skip accounting, one `subtrees_pruned` for the edge that
+    /// never carried the query, a zero-latency report per shard — and
+    /// spend no hop at all. A chunk-granular proof additionally annotates
+    /// the chunks as [`ScanStats::chunks_pruned_remote`] (*where* the proof
+    /// happened, outside the skip/cache/scan balance).
+    fn pruned_answer(&self, count_chunks: bool) -> SubtreeAnswer {
+        let mut answer = SubtreeAnswer::empty();
+        answer.stats.subtrees_pruned = 1;
+        for meta in &self.metas {
+            answer.stats.rows_total += meta.rows;
+            answer.stats.rows_skipped += meta.rows;
+            answer.stats.chunks_total += meta.chunks as usize;
+            answer.stats.chunks_skipped += meta.chunks as usize;
+            if count_chunks {
+                answer.stats.chunks_pruned_remote += meta.chunks as usize;
+            }
+            answer.reports.push(ShardReport {
+                shard: meta.shard,
+                latency: Duration::ZERO,
+                queue: Duration::ZERO,
+                failover: false,
+                hedged: false,
+                cache_hit: false,
+            });
+        }
+        answer
+    }
+
+    /// Phase one of a fan-out: answer from the metadata if it proves the
+    /// edge dead, else take the child's copies (see [`Link::hold`] for the
+    /// order) and put the query on the primary's wire.
+    pub(super) fn begin<'a>(&'a self, ask: &mut Ask<'_>) -> InFlight<'a> {
+        let request = ask.request;
+        // The prune precedes the kill/failover logic deliberately: an
+        // answer that never needs the server treats a dead primary as a
+        // non-event (no failover recorded). Killed shards without
+        // replication are still rejected at the root before any fan-out
+        // begins.
+        let dead = !self.metas.is_empty()
+            && self.metas.iter().all(|m| {
+                if request.chunk_pruning {
+                    // Full layered check: shard zone map → blooms → how
+                    // many chunks survive. Zero live chunks prune the
+                    // edge even when the shard envelope cannot.
+                    !meta::may_match(&request.query.restriction, m)
+                } else {
+                    !meta::shard_may_match(&request.query.restriction, m)
+                }
+            });
+        if dead {
+            return InFlight::Pruned(self.pruned_answer(request.chunk_pruning));
+        }
+        let mut primary = self.primary.hold();
+        let replica = self.replica.as_ref().map(Link::hold);
+        let sent = if self.shard.is_some_and(|shard| request.killed.contains(&shard)) {
+            Err(Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())))
+        } else {
+            primary.send(ask)
+        };
+        InFlight::Asked { shard: self.shard, primary, replica, sent }
+    }
+}
+
+impl InFlight<'_> {
+    /// Phase two of a fan-out: the child's answer. A leaf's reports are
+    /// stamped with what the parent *measured* — its wall clock from the
+    /// start of the fan-out to this answer in hand, transport, the wait
+    /// for earlier siblings' replies and hedging included.
+    pub(super) fn finish(self, ask: &mut Ask<'_>) -> Result<SubtreeAnswer> {
+        let (shard, mut primary, replica, sent) = match self {
+            InFlight::Pruned(answer) => return Ok(answer),
+            InFlight::Asked { shard, primary, replica, sent } => (shard, primary, replica, sent),
+        };
+        let Some(shard) = shard else {
+            // A `Malformed` NAK from a merge node — no replica to retry —
+            // is as fatal as any fault.
+            return match primary.recv(sent, ask) {
+                LeafOutcome::Answer(answer) => Ok(answer),
+                LeafOutcome::Failed(e) | LeafOutcome::Fatal(e) => Err(e),
+            };
+        };
+        let (mut answer, failover, hedged) = settle(shard, primary, replica, sent, ask)?;
+        let elapsed = ask.started.elapsed();
+        for report in &mut answer.reports {
+            report.latency = elapsed;
+            // A cached partial needed no server, so whichever copy held it
+            // records no failover — the same rule a merge node's cache hit
+            // and a pruned edge already follow.
+            report.failover = failover && !report.cache_hit;
+            report.hedged = hedged;
+        }
+        Ok(answer)
+    }
+}

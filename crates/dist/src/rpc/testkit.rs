@@ -1,0 +1,75 @@
+//! Shared fixtures of the rpc unit tests: a query, a shard summary, and an
+//! in-thread stand-in for a leaf worker.
+
+use super::*;
+use pd_common::{DataType, Value};
+use pd_sql::{analyze, parse_query};
+use std::time::Duration;
+
+pub(super) fn analyzed(sql: &str) -> AnalyzedQuery {
+    analyze(&parse_query(sql).unwrap()).unwrap()
+}
+
+pub(super) fn sample_meta() -> ShardMeta {
+    let schema = Schema::of(&[("k", DataType::Str)]);
+    let rows = vec![Row(vec![Value::from("x")]), Row(vec![Value::from("y")])];
+    let mut meta = ShardMeta::summarize(3, &schema, &rows);
+    meta.chunks = 1;
+    meta
+}
+
+/// An in-thread stand-in for a leaf worker: serves exactly `conns`
+/// connections on a loopback port, each on a thread of its own, handing
+/// `reply` the stream and the server-wide ordinal of every `Query` it
+/// reads. The handle joins once every connection has closed.
+pub(super) fn fake_leaf(
+    conns: usize,
+    reply: impl Fn(&mut Stream, usize) + Send + Sync + 'static,
+) -> (Addr, std::thread::JoinHandle<()>) {
+    let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let seen = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..conns {
+                let mut stream = listener.accept().unwrap();
+                let (reply, seen) = (&reply, &seen);
+                scope.spawn(move || {
+                    while let Ok(Some(request)) = read_frame::<Request>(&mut stream) {
+                        assert!(matches!(request, Request::Query(_)), "{request:?}");
+                        let nth = seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        reply(&mut stream, nth);
+                    }
+                });
+            }
+        });
+    });
+    (addr, server)
+}
+
+/// A leaf's answer whose `rows_total` says which copy gave it.
+pub(super) fn marked_answer(marker: u64) -> Response {
+    let mut answer = SubtreeAnswer::empty();
+    answer.stats.rows_total = marker;
+    answer.reports.push(ShardReport {
+        shard: 0,
+        latency: Duration::ZERO,
+        queue: Duration::ZERO,
+        failover: false,
+        hedged: false,
+        cache_hit: false,
+    });
+    Response::Answer(Box::new(answer))
+}
+
+pub(super) fn count_all(hedge_micros: u64) -> QueryRequest {
+    QueryRequest {
+        query: analyzed("SELECT COUNT(*) FROM t"),
+        budget: Duration::from_secs(10),
+        hedge_micros,
+        killed: Vec::new(),
+        epoch: 1,
+        chaos: Vec::new(),
+        chunk_pruning: true,
+    }
+}
