@@ -23,6 +23,7 @@ pub const CODEC_FILES: &[&str] = &[
     "crates/encoding/src/delta.rs",
     "crates/encoding/src/bloom.rs",
     "crates/dist/src/rpc.rs",
+    "crates/dist/src/chaos.rs",
 ];
 
 #[derive(Debug, PartialEq, Eq)]

@@ -31,7 +31,10 @@ use pd_bench::{fmt_duration, json_line, logs_table, measure, measure_stats, Tabl
 use pd_common::wire;
 use pd_compress::CodecKind;
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext};
-use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
+use pd_dist::{
+    ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
+    TreeShape, WorkerAddr,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -389,11 +392,14 @@ fn main() {
             transport: rpc(WorkerAddr::Unix, false),
             ..Default::default()
         };
-        let cluster = Cluster::build(&table, &config).expect("hedged cluster");
+        let mut cluster = Cluster::build(&table, &config).expect("hedged cluster");
         // One healthy query first: the hedge delay then derives from the
         // *measured* queue-delay tail instead of the cold-start fallback.
         cluster.query(sql).expect("healthy warm-up");
-        cluster.inject_worker_delay(0, straggle).expect("delay knob");
+        cluster.set_chaos(ChaosModel {
+            always: vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(straggle) }],
+            ..Default::default()
+        });
         let outcome = cluster.query(sql).expect("hedged query");
         assert!(
             outcome.hedges.contains(&0),

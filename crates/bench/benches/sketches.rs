@@ -1,8 +1,9 @@
 //! Count-distinct (§5) and cache-policy microbenchmarks.
 
+use pd_bench::residency::{CachePolicy, TieredCache};
 use pd_bench::Bench;
 use pd_common::fx_hash64;
-use pd_core::{CachePolicy, KmvSketch, TieredCache};
+use pd_core::KmvSketch;
 use std::hint::black_box;
 
 fn main() {

@@ -5,12 +5,15 @@
 //! all` reprints them all. Dataset size defaults to 500'000 rows (the paper
 //! used 5 million; set `PD_ROWS=5000000` to match). The `benches/` targets
 //! are plain binaries over [`harness::Bench`] — run them with
-//! `cargo bench -p pd-bench`.
+//! `cargo bench -p pd-bench`. [`residency`] is the one model kept for an
+//! experiment: the §3/§5 two-layer payload cache and its eviction policies,
+//! replayed against from outside the engine.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;
+pub mod residency;
 
 pub use harness::{
     fmt_duration, json_line, logs_table, mb, measure, measure_n, measure_stats, quick,

@@ -51,7 +51,12 @@ use std::time::Duration;
 /// chunks' row counts) instead of the shard's whole summary, and merge
 /// servers take an `Absorb` request (deltas + receipts + epoch) in place
 /// of a re-`Attach`.
-pub const FRAME_VERSION: u8 = 6;
+/// Version 7: everything on the wire is measured or acted on — `ScanStats`
+/// loses its two modeled byte counters and `Load` its residency budget;
+/// faults travel as one directive list (`QueryRequest` loses its kill
+/// list, `ChaosFault` gains `Unreachable`) and request tag 4 (`Delay`) is
+/// retired.
+pub const FRAME_VERSION: u8 = 7;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

@@ -159,8 +159,6 @@ impl Encode for ScanStats {
         self.chunks_pruned_remote.encode(out);
         self.worker_cache_hits.encode(out);
         self.cells_scanned.encode(out);
-        self.disk_bytes.encode(out);
-        self.decompressed_bytes.encode(out);
         self.elapsed.encode(out);
     }
 }
@@ -180,8 +178,6 @@ impl Decode for ScanStats {
             chunks_pruned_remote: usize::decode(r)?,
             worker_cache_hits: usize::decode(r)?,
             cells_scanned: r.u64()?,
-            disk_bytes: r.u64()?,
-            decompressed_bytes: r.u64()?,
             elapsed: std::time::Duration::decode(r)?,
         })
     }
@@ -325,8 +321,6 @@ mod tests {
             chunks_pruned_remote: 3,
             worker_cache_hits: 1,
             cells_scanned: 1500,
-            disk_bytes: 4096,
-            decompressed_bytes: 16384,
             elapsed: std::time::Duration::from_micros(1234),
         };
         let back: ScanStats = from_bytes(&to_bytes(&stats)).unwrap();

@@ -54,7 +54,7 @@
 //! and [`finalize`] applies `HAVING` / `ORDER BY` / `LIMIT` at the root,
 //! building rows only for the groups that survive them.
 
-use crate::cache::{CachedChunk, ChunkGroups, ResultCache, TieredCache};
+use crate::cache::{CachedChunk, ChunkGroups, ResultCache};
 use crate::column::StoredColumn;
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
@@ -83,8 +83,6 @@ pub struct ExecContext {
     pub threads: usize,
     /// Chunk-result cache for fully active chunks (§6).
     pub result_cache: Option<Arc<ResultCache>>,
-    /// Two-layer residency model for I/O accounting (§3, Figure 5).
-    pub tiered: Option<Arc<TieredCache>>,
     /// Compressed-domain kernel switches (both fast paths default on; every
     /// setting is bit-identical, see [`KernelConfig`]).
     pub kernels: KernelConfig,
@@ -647,8 +645,8 @@ struct Plan {
     skip: SkipAnalysis,
     /// Result-cache signature (table + keys + aggs + sketch size).
     signature: String,
-    /// Distinct columns touched, with names (for cells/IO accounting).
-    touched: Vec<(Arc<str>, Arc<StoredColumn>)>,
+    /// How many distinct columns a scan touches (for cell accounting).
+    touched: usize,
 }
 
 /// One scanned chunk's contribution, produced by a worker.
@@ -668,13 +666,13 @@ enum ChunkScan {
 
 /// The driver-side, chunk-ordered fold of scan payloads.
 ///
-/// Owns every shared-state mutation (cache admission, tiered-cache
-/// touches, statistics), keeping them deterministic under any worker
-/// scheduling. Groups accumulate in the global-id domain; dense single-key
-/// `COUNT(*)` payloads add into a global-id-indexed array when the key
-/// dictionary is proportionate to the scanned volume, and hash-fold
-/// otherwise (so a selective query over a store with an enormous global
-/// dictionary never allocates `dict.len()` slots for a handful of groups).
+/// Owns every shared-state mutation (cache admission, statistics), keeping
+/// them deterministic under any worker scheduling. Groups accumulate in the
+/// global-id domain; dense single-key `COUNT(*)` payloads add into a
+/// global-id-indexed array when the key dictionary is proportionate to the
+/// scanned volume, and hash-fold otherwise (so a selective query over a
+/// store with an enormous global dictionary never allocates `dict.len()`
+/// slots for a handful of groups).
 struct Fold<'a> {
     plan: &'a Plan,
     store: &'a DataStore,
@@ -720,7 +718,9 @@ impl<'a> Fold<'a> {
                 ChunkPayload::Shared(hit)
             }
             ChunkScan::Computed { payload, compute } => {
-                self.plan.account_scan(stats, self.ctx, c, rows);
+                stats.chunks_scanned += 1;
+                stats.rows_scanned += rows;
+                stats.cells_scanned += rows * self.plan.touched as u64;
                 match (&self.ctx.result_cache, filtered) {
                     (Some(rc), false) => {
                         let shared = Arc::new(payload);
@@ -821,17 +821,17 @@ impl Plan {
         ctx: &ExecContext,
         seeds: Option<&[ChunkActivity]>,
     ) -> Result<Plan> {
-        let mut touched: Vec<(Arc<str>, Arc<StoredColumn>)> = Vec::new();
-        let mut touch = |name: String, col: &Arc<StoredColumn>| {
-            if !touched.iter().any(|(n, _)| **n == *name) {
-                touched.push((Arc::from(name.as_str()), col.clone()));
+        let mut touched: Vec<String> = Vec::new();
+        let mut touch = |name: String| {
+            if !touched.contains(&name) {
+                touched.push(name);
             }
         };
 
         let mut key_cols = Vec::with_capacity(analyzed.keys.len());
         for key in &analyzed.keys {
             let col = store.column_for_expr(key)?;
-            touch(key.canonical(), &col);
+            touch(key.canonical());
             key_cols.push(col);
         }
 
@@ -840,7 +840,7 @@ impl Plan {
             let col = match &agg.arg {
                 Some(arg) => {
                     let col = store.column_for_expr(arg)?;
-                    touch(arg.canonical(), &col);
+                    touch(arg.canonical());
                     Some(col)
                 }
                 None => None,
@@ -885,8 +885,8 @@ impl Plan {
                 let mut names = Vec::new();
                 expr.referenced_columns(&mut names);
                 for n in names {
-                    let col = store.column(&n)?;
-                    touch(n, &col);
+                    store.column(&n)?; // an unknown column fails here
+                    touch(n);
                 }
                 Some(FilterPlan::compile(store, expr)?)
             }
@@ -903,7 +903,7 @@ impl Plan {
             ctx.sketch_m(),
         );
 
-        Ok(Plan { key_cols, aggs, filter, skip, signature, touched })
+        Ok(Plan { key_cols, aggs, filter, skip, signature, touched: touched.len() })
     }
 
     /// Scan the active chunks (in parallel when `ctx.threads != 1`) and
@@ -944,13 +944,12 @@ impl Plan {
 
         // Morsel-driven scan: workers pull chunk tasks off a shared queue,
         // each producing that chunk's mergeable groups. Workers only
-        // compute; every mutation — cache admission, tiered-cache touches,
-        // statistics — happens in the fold on the driver in chunk order, so
-        // cache eviction state and modeled I/O stay deterministic
-        // regardless of worker scheduling. Below the break-even of a
-        // hand-off, and with one worker, the fold streams chunk by chunk
-        // (one payload live at a time, like the sequential seed); the
-        // parallel path buffers payloads until the ordered fold.
+        // compute; every mutation — cache admission, statistics — happens
+        // in the fold on the driver in chunk order, so cache eviction state
+        // stays deterministic regardless of worker scheduling. Below the
+        // break-even of a hand-off, and with one worker, the fold streams
+        // chunk by chunk (one payload live at a time, like the sequential
+        // seed); the parallel path buffers payloads until the ordered fold.
         let mut folder = Fold::new(self, store, ctx, &tasks);
         let threads = ctx.effective_threads();
         if threads > 1 && misses.len() > 1 && miss_rows >= PARALLEL_SCAN_MIN_ROWS {
@@ -994,7 +993,7 @@ impl Plan {
     }
 
     /// The chunk-result cache's entry for a fully active chunk, if any
-    /// (read-only: admission and I/O accounting happen in the fold).
+    /// (read-only: admission happens in the fold).
     fn cached_chunk(&self, ctx: &ExecContext, c: usize, filtered: bool) -> Option<ChunkScan> {
         if filtered {
             return None;
@@ -1013,27 +1012,6 @@ impl Plan {
         let started = Instant::now();
         let payload = self.chunk_payload(store, ctx, c, filtered)?;
         Ok(ChunkScan::Computed { payload, compute: started.elapsed() })
-    }
-
-    /// Record scan costs for chunk `c`: cells touched and the modeled I/O
-    /// of bringing each touched column chunk into the uncompressed layer.
-    fn account_scan(&self, stats: &mut ScanStats, ctx: &ExecContext, c: usize, rows: u64) {
-        stats.chunks_scanned += 1;
-        stats.rows_scanned += rows;
-        stats.cells_scanned += rows * self.touched.len() as u64;
-        if let Some(tiered) = &ctx.tiered {
-            for (name, col) in &self.touched {
-                let chunk = &col.chunks[c];
-                let uncompressed = chunk.dict.heap_bytes() + chunk.elements.heap_bytes();
-                // Modeled compressed size: the paper's Zippy achieves ~4x on
-                // chunked payloads; the exact per-chunk compression is
-                // measured by the Table 3 experiment, not per access.
-                let compressed = (uncompressed / 4).max(1);
-                let cost = tiered.touch(&(name.clone(), c as u32), uncompressed, compressed);
-                stats.disk_bytes += cost.disk_bytes;
-                stats.decompressed_bytes += cost.decompressed_bytes;
-            }
-        }
     }
 
     /// Group one chunk. `filtered` says whether the row filter applies

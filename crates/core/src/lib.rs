@@ -30,9 +30,8 @@
 //!   layer's shard fan-out (waiting submitters help drain the queue, so
 //!   nested fan-outs cannot deadlock);
 //! - [`count_distinct`] — the §5 m-smallest-hashes sketch;
-//! - [`cache`] — LRU / 2Q / ARC eviction, the two-layer residency model and
-//!   the chunk-result cache (§5, §6);
-//! - [`stats`] — scan accounting (skipped / cached / scanned, disk bytes);
+//! - [`cache`] — the chunk-result cache and its cost-aware bounded map (§6);
+//! - [`stats`] — scan accounting (skipped / cached / scanned, cells);
 //! - [`memory`] — the per-query memory reports behind Tables 1–4.
 
 pub mod cache;
@@ -49,7 +48,7 @@ pub mod scheduler;
 pub mod skip;
 pub mod stats;
 
-pub use cache::{cost_score, BoundedCache, CachePolicy, ResultCache, TieredCache};
+pub use cache::{cost_score, BoundedCache, ResultCache};
 pub use kernels::KernelConfig;
 
 /// Dictionary→f64 translation tables built since process start (a

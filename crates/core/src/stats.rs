@@ -2,9 +2,9 @@
 //!
 //! The production section of the paper reports, over three months of
 //! queries: *"On average 92.41% of underlying records were skipped and
-//! 5.02% served from cached results, leaving only 2.66% to be scanned"*,
-//! plus the latency-vs-disk-bytes relation of Figure 5. [`ScanStats`]
-//! captures exactly those quantities per query and aggregates across
+//! 5.02% served from cached results, leaving only 2.66% to be scanned"*.
+//! [`ScanStats`] captures exactly those quantities per query — every one
+//! of them counted by the scan, none modeled — and aggregates across
 //! queries.
 
 use std::ops::AddAssign;
@@ -53,12 +53,6 @@ pub struct ScanStats {
     /// unit of the paper's title).
     pub cells_scanned: u64,
 
-    /// Modeled bytes read from disk (compressed payloads + dictionary
-    /// loads).
-    pub disk_bytes: u64,
-    /// Modeled bytes produced by decompression.
-    pub decompressed_bytes: u64,
-
     /// Wall-clock execution time (zero when aggregating unless added).
     pub elapsed: Duration,
 }
@@ -79,16 +73,10 @@ impl ScanStats {
         ratio(self.rows_scanned, self.rows_total)
     }
 
-    /// Did this query complete without touching (modeled) disk? §6 reports
-    /// that over 70% of production queries do.
-    pub fn disk_free(&self) -> bool {
-        self.disk_bytes == 0
-    }
-
     /// One-line summary in the paper's reporting style.
     pub fn summary(&self) -> String {
         format!(
-            "chunks {}/{} skipped, {} cached, {} scanned | rows: {:.2}% skipped, {:.2}% cached, {:.2}% scanned | {} cells | {} KiB disk",
+            "chunks {}/{} skipped, {} cached, {} scanned | rows: {:.2}% skipped, {:.2}% cached, {:.2}% scanned | {} cells",
             self.chunks_skipped,
             self.chunks_total,
             self.chunks_cached,
@@ -97,7 +85,6 @@ impl ScanStats {
             100.0 * self.cached_fraction(),
             100.0 * self.scanned_fraction(),
             self.cells_scanned,
-            self.disk_bytes / 1024,
         )
     }
 }
@@ -124,8 +111,6 @@ impl AddAssign<&ScanStats> for ScanStats {
         self.chunks_pruned_remote += rhs.chunks_pruned_remote;
         self.worker_cache_hits += rhs.worker_cache_hits;
         self.cells_scanned += rhs.cells_scanned;
-        self.disk_bytes += rhs.disk_bytes;
-        self.decompressed_bytes += rhs.decompressed_bytes;
         self.elapsed += rhs.elapsed;
     }
 }
@@ -152,7 +137,6 @@ mod tests {
     fn empty_stats_are_calm() {
         let s = ScanStats::default();
         assert_eq!(s.skipped_fraction(), 0.0);
-        assert!(s.disk_free());
         assert!(s.summary().contains("0.00%"));
     }
 
@@ -167,7 +151,6 @@ mod tests {
             rows_skipped: 90,
             rows_scanned: 10,
             cells_scanned: 30,
-            disk_bytes: 4096,
             elapsed: Duration::from_millis(5),
             ..Default::default()
         };
@@ -175,7 +158,7 @@ mod tests {
         total += &one;
         assert_eq!(total.chunks_total, 20);
         assert_eq!(total.rows_scanned, 20);
-        assert_eq!(total.disk_bytes, 8192);
+        assert_eq!(total.cells_scanned, 60);
         assert_eq!(total.elapsed, Duration::from_millis(10));
     }
 }

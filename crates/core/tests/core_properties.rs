@@ -1,15 +1,14 @@
 //! Randomized properties on the store's structural invariants:
 //! partitioning is a permutation into value-range boxes, skipping is sound
-//! (a skipped chunk contains no matching row), caches respect budgets, and
-//! aggregation states merge associatively. Driven by a seeded PRNG so
-//! failures reproduce exactly.
+//! (a skipped chunk contains no matching row), and aggregation states merge
+//! associatively. Driven by a seeded PRNG so failures reproduce exactly.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, FloatSum, Row, Schema, Value};
 use pd_core::exec::AggState;
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
-use pd_core::{BuildOptions, CachePolicy, DataStore, KmvSketch, PartitionSpec, TieredCache};
+use pd_core::{BuildOptions, DataStore, KmvSketch, PartitionSpec};
 use pd_sql::{eval_expr, parse_query, truthy, Restriction, RowContext};
 
 /// Row context over a store's reconstructed cell values.
@@ -88,30 +87,6 @@ fn partition_invariants() {
                     ranges[j]
                 );
             }
-        }
-    }
-}
-
-/// Cache layers never exceed their byte budgets, and every access cost is
-/// consistent (a hit costs nothing).
-#[test]
-fn cache_respects_budget() {
-    let mut rng = Rng::seed_from_u64(0xc04e_0002);
-    for _ in 0..64 {
-        let policy = [CachePolicy::Lru, CachePolicy::TwoQ, CachePolicy::Arc][rng.range_usize(0, 3)];
-        let budget = rng.range_usize(1_000, 20_000);
-        let cache = TieredCache::new(policy, budget, budget / 2);
-        for _ in 0..rng.range_usize(1, 300) {
-            let chunk = rng.range_u64(0, 64) as u32;
-            let size = rng.range_usize(1, 5_000);
-            let key = (std::sync::Arc::from("col"), chunk);
-            let cost = cache.touch(&key, size, size / 3 + 1);
-            if !cost.hit() {
-                assert_eq!(cost.decompressed_bytes as usize, size);
-            }
-            let (u, c) = cache.resident_bytes();
-            assert!(u <= budget, "uncompressed layer over budget: {u} > {budget}");
-            assert!(c <= budget / 2, "compressed layer over budget: {c}");
         }
     }
 }

@@ -15,10 +15,10 @@
 //! are the same either way, and every number in a [`QueryOutcome`] is
 //! measured.
 //!
-//! What the driver adds around the tree: [`FailureModel`] kills primaries
-//! by seeded per-(query, shard) draws (a replica answers, or the query
-//! fails when replication is off) and carries the rpc-level
-//! [`crate::ChaosModel`]; one [`RpcConfig::budget`] is spent end to end
+//! What the driver adds around the tree: it draws each query's faults from
+//! the seeded [`ChaosModel`] (an unreachable primary's replica answers, or
+//! the query fails when replication is off); one [`RpcConfig::budget`] is
+//! spent end to end
 //! (an exhausted budget is a typed [`pd_common::RpcError::Deadline`], not
 //! a hang); slow primary *processes* are hedged after a delay derived from
 //! the observed queue-delay p95 ([`QueryOutcome::hedges`]); and
@@ -30,7 +30,6 @@
 use crate::chaos::ChaosModel;
 use crate::process::{shard_table, Tree, WorkerAddr};
 use crate::rpc::QueryRequest;
-use pd_common::rng::Rng;
 use pd_common::sync::Mutex;
 use pd_common::{Error, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
@@ -55,10 +54,10 @@ pub enum Transport {
     /// [`crate::rpc`] protocol over Unix sockets ([`WorkerAddr::Unix`])
     /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), with optionally
     /// compressed frames. A worker that exhausts the query's
-    /// [`RpcConfig::budget`] fails over exactly like a [`FailureModel`]
-    /// kill. Workers summarize their shard at load, so any tree node
-    /// pre-skips subtrees whose shard metadata cannot match
-    /// ([`pd_core::ScanStats::subtrees_pruned`]).
+    /// [`RpcConfig::budget`] fails over exactly like an unreachable one
+    /// ([`crate::ChaosFault::Unreachable`]). Workers summarize their shard
+    /// at load, so any tree node pre-skips subtrees whose shard metadata
+    /// cannot match ([`pd_core::ScanStats::subtrees_pruned`]).
     Rpc(RpcConfig),
 }
 
@@ -122,40 +121,6 @@ impl TreeShape {
     }
 }
 
-/// Deterministic, seeded failure injection for shard primaries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FailureModel {
-    /// Per-(query, shard) probability that the primary replica dies
-    /// mid-subquery.
-    pub primary_fail_probability: f64,
-    /// Shard indices whose primary *always* fails — the deterministic
-    /// kill switch for failover tests.
-    pub kill_primaries: Vec<usize>,
-    /// Seed for the failure draws.
-    pub seed: u64,
-    /// Rpc-level fault injection (worker processes only): seeded draws of
-    /// process kills, connection resets, torn reply frames and delays,
-    /// targeting *any* worker by name — merge servers included. The
-    /// inactive default injects nothing.
-    pub chaos: ChaosModel,
-}
-
-impl FailureModel {
-    /// Drawn from a per-(seed, query, shard) stream, never from wall clock
-    /// or scheduling.
-    fn primary_fails(&self, qid: u64, shard: usize) -> bool {
-        if self.kill_primaries.contains(&shard) {
-            return true;
-        }
-        if self.primary_fail_probability <= 0.0 {
-            return false;
-        }
-        let mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(qid);
-        let mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(shard as u64);
-        Rng::seed_from_u64(mix).chance(self.primary_fail_probability)
-    }
-}
-
 /// Admission control at the driver: bound how many queries run at once
 /// instead of letting excess load pile onto saturated workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,17 +147,15 @@ impl Default for AdmissionConfig {
 pub struct ClusterConfig {
     /// Number of data shards (the paper's X partitions).
     pub shards: usize,
-    /// Give every leaf a replica: a primary that is killed, faulted or
-    /// (as a process) straggling is answered by its replica instead (§4's
-    /// straggler mitigation).
+    /// Give every leaf a replica: a primary that is unreachable, faulted
+    /// or (as a process) straggling is answered by its replica instead
+    /// (§4's straggler mitigation).
     pub replication: bool,
     /// Import options for each shard's store.
     pub build: BuildOptions,
-    /// Total byte budget for the uncompressed cache layer, split across
-    /// shards (the compressed layer gets half of that again).
-    pub cache_budget: usize,
-    /// Primary-failure injection model.
-    pub failures: FailureModel,
+    /// Fault injection: seeded or pinned faults, drawn per query. The
+    /// inactive default injects nothing.
+    pub chaos: ChaosModel,
     /// Computation-tree shape: how many children a merge server owns.
     pub tree: TreeShape,
     /// Worker threads for each leaf's chunk scan and each in-memory
@@ -222,8 +185,7 @@ impl Default for ClusterConfig {
             shards: 4,
             replication: true,
             build: BuildOptions::default(),
-            cache_budget: 256 << 20,
-            failures: FailureModel::default(),
+            chaos: ChaosModel::default(),
             tree: TreeShape::default(),
             threads: 0,
             shard_cache: 1024,
@@ -247,9 +209,8 @@ pub struct Cluster {
     /// Monotonically increasing rebuild epoch, carried by every message to
     /// a node; a node that sees it advance drops its result cache.
     epoch: u64,
-    /// Per-query sequence number: the deterministic axis of every failure
-    /// and chaos draw (draws depend on (seed, query, shard), never on
-    /// scheduling).
+    /// Per-query sequence number: the deterministic axis of every fault
+    /// draw (draws depend on (seed, query, node), never on scheduling).
     queries: AtomicU64,
     /// Per-shard `(total queue delay, samples)` as the nodes measured it.
     observed_queue: Mutex<Vec<(Duration, u64)>>,
@@ -450,11 +411,11 @@ impl Cluster {
         self.tree.as_ref().map_or(0, Tree::shipped_bytes)
     }
 
-    /// Swap the rpc-level fault injection model. Chaos draws depend only
-    /// on `(seed, query id, node name)`, so setting the same model on a
-    /// fresh cluster replays the same faults against the same queries.
+    /// Swap the fault injection model. Draws depend only on `(seed, query
+    /// id, node name)`, so setting the same model on a fresh cluster
+    /// replays the same faults against the same queries.
     pub fn set_chaos(&mut self, chaos: ChaosModel) {
-        self.config.failures.chaos = chaos;
+        self.config.chaos = chaos;
     }
 
     /// Queries shed by admission control so far.
@@ -555,13 +516,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Test knob (worker processes only): make shard `shard`'s primary
-    /// worker sleep before every answer, so it outlives the hedge delay
-    /// and the §4 replica race runs against a *real* straggling process.
-    pub fn inject_worker_delay(&self, shard: usize, delay: Duration) -> pd_common::Result<()> {
-        self.tree.as_ref().ok_or_else(needs_rebuild)?.delay_primary(shard, delay)
-    }
-
     /// `(hits, misses)` so far, summed over the node result caches the
     /// driver can reach in its own address space (`(0, 0)` for a tree of
     /// worker processes, whose caches live in the workers).
@@ -572,10 +526,11 @@ impl Cluster {
     /// Run `sql` over every shard — concurrently — and merge the partial
     /// results in fixed order. The driver is the root of the tree: it
     /// fans out to the frontier (leaves or merge servers), folds the
-    /// answers associatively and finalizes. Failure injection
-    /// ([`FailureModel`]) decides *here* which primaries are dead for this
-    /// query; the kill list travels down so each leaf's parent skips the
-    /// primary — the same failover code a deadline expiry triggers.
+    /// answers associatively and finalizes. This query's faults are drawn
+    /// *here*, once ([`ChaosModel::draw`]); the directives travel down with
+    /// the query, so a parent told its leaf primary is unreachable goes to
+    /// the replica through the same failover code a deadline expiry
+    /// triggers.
     pub fn query(&self, sql: &str) -> pd_common::Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
@@ -584,18 +539,6 @@ impl Cluster {
         let analyzed = analyze(&parse_query(sql)?)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
         let shard_count = tree.shard_count();
-        let killed: Vec<u64> = (0..shard_count)
-            .filter(|&s| self.config.failures.primary_fails(qid, s))
-            .map(|s| s as u64)
-            .collect();
-        if !killed.is_empty() && !self.config.replication {
-            // A killed primary without a replica fails the query, naming
-            // the shard.
-            let s = killed[0];
-            return Err(pd_common::Error::Data(format!(
-                "shard {s}: primary replica failed mid-query and replication is disabled"
-            )));
-        }
 
         // Hedge delay from the observed queue tail; zero disables racing
         // entirely when there are no replica processes to race.
@@ -608,9 +551,8 @@ impl Cluster {
             query: analyzed,
             budget: tree.budget(),
             hedge_micros,
-            killed,
             epoch: self.epoch,
-            chaos: self.config.failures.chaos.draw(qid, tree.node_names()),
+            chaos: self.config.chaos.draw(qid, tree.node_names(), shard_count),
             chunk_pruning: self.config.chunk_pruning,
         };
 

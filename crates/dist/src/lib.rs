@@ -15,7 +15,7 @@
 //! | X data partitions on leaf servers | leaf [`Node`]s: independent [`pd_core::DataStore`]s over contiguous row ranges, built in the driver's address space ([`Transport::InProcess`]) or imported by spawned worker processes ([`Transport::Rpc`]) |
 //! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message — encoded once, written to every socket child, the replies then read in child order, all on the calling thread ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]), optionally compressed (`pd-compress`, negotiated per connection) — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) is the root |
-//! | "take the answer arriving first" replication | every leaf has a replica link; a killed ([`FailureModel`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
+//! | "take the answer arriving first" replication | every leaf has a replica link; an unreachable ([`ChaosFault::Unreachable`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
 //! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]); [`ChaosModel`] delays make processes straggle on purpose |
 //! | reuse of previously computed answers | [`shard_cache`]: **every tree node** holds a [`shard_cache::WorkerCache`] of its own partials keyed by the normalized query signature, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
 //!
@@ -29,30 +29,31 @@
 //!
 //! Modules:
 //!
-//! - [`cluster`] — the driver: shard split, admission control,
-//!   failure/chaos models, append/rebuild under the epoch, and the
+//! - [`cluster`] — the driver: shard split, admission control, the
+//!   per-query fault draw, append/rebuild under the epoch, and the
 //!   [`Transport`] switch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
 //!   fold), its result cache and epoch, `Node::query` / `Node::append` /
 //!   `Node::absorb`;
-//! - [`rpc`] — the edges: [`rpc::Link`] (in-memory or socket) and the
-//!   shared child-querying / failover / hedged-racing logic above it;
-//!   the wire protocol: framed requests/responses, deadline budgets,
-//!   typed [`pd_common::RpcError`] faults;
+//! - [`rpc`] — the wire protocol's messages and codecs, and in its
+//!   children the framing and deadline I/O, the client connection, the
+//!   edges ([`rpc::Link`], in-memory or socket) and the shared fan-out /
+//!   failover / hedged-racing logic above them, with typed
+//!   [`pd_common::RpcError`] faults;
 //! - [`process`] — the tree as its driver holds it ([`Tree`]): building
 //!   leaves and merge levels out of local nodes or spawned worker
 //!   processes, the two round trips of an append, teardown on drop;
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
 //!   sockets, the FIFO turnstile with its measured waits, chaos wire
 //!   sabotage;
-//! - [`chaos`] — the seeded rpc-level fault injector behind the chaos
-//!   test harness;
+//! - [`chaos`] — the one seeded fault injector: edge-applied
+//!   unreachability on either edge kind, worker-applied wire sabotage;
 //! - [`meta`] — shard summaries and the layered pruning evaluator;
 //! - [`shard_cache`] — the per-node result cache and its signature;
 //! - [`workload`] — drill-down click streams shaped like the §6 production
 //!   traffic, and [`run_production`] to replay them and report the
-//!   skipped / cached / scanned split and Figure 5's
-//!   latency-vs-disk-bytes relation.
+//!   skipped / cached / scanned split and Figure 5's latency against
+//!   cells scanned.
 
 #![forbid(unsafe_code)]
 
@@ -68,8 +69,8 @@ pub mod workload;
 
 pub use chaos::{ChaosDirective, ChaosFault, ChaosModel};
 pub use cluster::{
-    AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, FailureModel, QueryOutcome, RpcConfig,
-    Transport, TreeShape,
+    AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport,
+    TreeShape,
 };
 pub use meta::{ColumnMeta, ShardMeta};
 pub use node::Node;

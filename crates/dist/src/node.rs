@@ -21,8 +21,7 @@ use crate::shard_cache::{query_signature, CachedSubtree, WorkerCache};
 use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError, Value};
 use pd_core::{
-    execute_partial_seeded, scheduler, BuildOptions, CachePolicy, DataStore, ExecContext,
-    ResultCache, TieredCache,
+    execute_partial_seeded, scheduler, BuildOptions, DataStore, ExecContext, ResultCache,
 };
 use pd_data::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +98,6 @@ impl Node {
         shard: u64,
         table: &Table,
         build: &BuildOptions,
-        cache_budget: usize,
         mut meta: Option<ShardMeta>,
         spec: NodeSpec,
     ) -> Result<Node> {
@@ -112,15 +110,9 @@ impl Node {
             meta.build_blooms(table.schema(), &columns);
         }
         let ctx = ExecContext {
-            sketch_m: 0,
             threads: spec.threads,
             result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-            tiered: Some(Arc::new(TieredCache::new(
-                CachePolicy::Arc,
-                cache_budget,
-                cache_budget / 2,
-            ))),
-            kernels: Default::default(),
+            ..Default::default()
         };
         let leaf = Leaf { shard, store, ctx, meta };
         Ok(Node::new(spec, leaf.ctx.sketch_m(), Role::Leaf(Box::new(RwLock::new(leaf)))))
@@ -268,9 +260,6 @@ impl Node {
         if let Some(results) = &ctx.result_cache {
             results.clear();
         }
-        if let Some(tiered) = &ctx.tiered {
-            tiered.clear();
-        }
         drop(leaf);
         self.invalidate(append.epoch);
         Ok(receipt)
@@ -379,7 +368,6 @@ mod tests {
             0,
             &table,
             &build,
-            1 << 20,
             Some(ShardMeta::summarize(0, &schema, &base)),
             NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 },
         )

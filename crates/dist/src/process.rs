@@ -20,6 +20,7 @@
 //! outlive its cluster, and a red test must not poison later suites with
 //! orphan processes.
 
+use crate::chaos::leaf_primary;
 use crate::cluster::{ClusterConfig, RpcConfig, Transport};
 use crate::meta::ShardMeta;
 use crate::node::{Node, NodeSpec};
@@ -224,7 +225,6 @@ impl Tree {
     /// place [`ClusterConfig::transport`] matters.
     pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
         let shard_count = config.shards.clamp(1, table.len().max(1));
-        let cache_budget = (config.cache_budget / shard_count).max(1 << 16);
         let fanout = config.tree.fanout.max(2);
         let (frontier, nodes) = match &config.transport {
             Transport::InProcess => {
@@ -238,9 +238,8 @@ impl Tree {
                         shard as u64,
                         &shard_table(table, shard, shard_count)?,
                         &config.build,
-                        cache_budget,
                         None,
-                        node_spec(config, format!("l{shard}p"), epoch),
+                        node_spec(config, leaf_primary(shard as u64), epoch),
                     )?));
                 }
                 let level = leaves
@@ -263,7 +262,7 @@ impl Tree {
                 let mut level = Vec::with_capacity(shard_count);
                 for shard in 0..shard_count {
                     let sub = shard_table(table, shard, shard_count)?;
-                    level.push(workers.load_leaf(shard, sub, config, cache_budget, epoch)?);
+                    level.push(workers.load_leaf(shard, sub, config, epoch)?);
                 }
                 // Each shard's summary moves up with its spec — into the
                 // `Attach` of the parent that prunes with it, and on into
@@ -352,9 +351,10 @@ impl Tree {
     }
 
     /// Every worker process's node name, in spawn order — the targets a
-    /// [`crate::ChaosModel`] draws faults over. Empty for a local tree:
-    /// chaos is wire sabotage, and a local node must never be able to exit
-    /// the driver.
+    /// [`crate::ChaosModel`] draws worker-applied faults over. Empty for a
+    /// local tree: those are wire sabotage, and a local node must never be
+    /// able to exit the driver. (Edge-applied faults target leaf primaries,
+    /// which the shard count names.)
     pub fn node_names(&self) -> &[String] {
         self.workers().map_or(&[], |w| &w.names)
     }
@@ -363,21 +363,6 @@ impl Tree {
     /// frontier order.
     pub fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
         fan_out(&self.frontier, request)
-    }
-
-    /// Test knob: make shard `shard`'s primary worker process sleep before
-    /// every answer — the controlled way to drive a deadline expiry.
-    pub fn delay_primary(&self, shard: usize, delay: Duration) -> Result<()> {
-        let workers = self
-            .workers()
-            .ok_or_else(|| Error::Data("worker delays require worker processes".into()))?;
-        let Some(leaf) = workers.leaves.get(shard) else {
-            return Err(Error::Data(format!("no such shard {shard}")));
-        };
-        // A test knob behind `&self`: it pays for a connection of its own.
-        let request = Request::Delay { micros: delay.as_micros() as u64 };
-        let mut client = RpcClient::new(workers.control[leaf.primary].0.clone(), workers.compress);
-        expect_ok(client.call(&request, STARTUP_TIMEOUT)?, "delay")
     }
 }
 
@@ -431,7 +416,6 @@ impl Workers {
         shard: usize,
         table: Table,
         config: &ClusterConfig,
-        cache_budget: usize,
         epoch: u64,
     ) -> Result<ChildSpec> {
         let mut load = Request::Load(Box::new(LoadRequest {
@@ -440,13 +424,12 @@ impl Workers {
             rows: table.iter_rows().collect(),
             build: config.build.clone(),
             threads: config.threads as u64,
-            cache_budget: cache_budget as u64,
             cache_entries: config.shard_cache as u64,
             epoch,
-            name: format!("l{shard}p"),
+            name: leaf_primary(shard as u64),
         }));
         drop(table);
-        let (primary, ack) = self.spawn_worker(&format!("l{shard}p"), &load)?;
+        let (primary, ack) = self.spawn_worker(&leaf_primary(shard as u64), &load)?;
         let meta = match ack {
             Response::Loaded(meta) => *meta,
             other => return Err(refusal(other, "load")),
@@ -529,7 +512,7 @@ impl Workers {
             let leaf = self.leaves.get(append.shard as usize).ok_or_else(|| {
                 Error::Internal(format!("append: no leaf holds shard {}", append.shard))
             })?;
-            let frame = encode_frame(&Request::Append(Box::new(append.clone())), self.compress)?;
+            let frame = encode_frame(append, self.compress)?;
             for worker in std::iter::once(leaf.primary).chain(leaf.replica) {
                 self.control[worker].1.send(&frame, deadline)?;
                 self.bytes_shipped += frame.len() as u64;

@@ -1,16 +1,9 @@
 //! The RPC boundary of the §4 computation tree: the messages that cross a
 //! tree edge and their codecs. The machinery around them lives in this
-//! module's children and is re-exported here:
-//!
-//! - `frame` — endpoints ([`Addr`], [`Stream`], [`Listener`]), the
-//!   `[FrameHeader][payload]` framing with negotiated compression, and
-//!   deadline-bound socket I/O;
-//! - `client` — [`RpcClient`], one reconnecting parent→child connection,
-//!   and the [`CancelToken`] that shuts a hedge loser down;
-//! - `link` — [`Link`] and [`ChildHandle`]: how any node reaches a child,
-//!   in memory or over a socket, and the metadata pre-skip in front of it;
-//! - `fanout` — [`fan_out`]: ask every child, settle each leaf pair
-//!   (failover, the hedged replica race), fold in child order.
+//! module's children and is re-exported here: `frame` (endpoints, framing,
+//! compression, deadline-bound socket I/O), `client` ([`RpcClient`],
+//! [`CancelToken`]), `link` ([`Link`], [`ChildHandle`]: how any node
+//! reaches a child) and `fanout` ([`fan_out`]: ask, settle, fold).
 //!
 //! **Deadline budgets.** Every query request carries one *remaining time
 //! budget* for the whole query, not a per-hop deadline: each worker
@@ -110,9 +103,6 @@ pub enum Request {
     Absorb(Box<AbsorbRequest>),
     /// Execute / fan out one query.
     Query(Box<QueryRequest>),
-    /// Test knob: delay every subsequent query answer by this much (how
-    /// the deadline-expiry failover suite makes a worker miss deadlines).
-    Delay { micros: u64 },
     /// Exit the worker process (acknowledged first).
     Shutdown,
 }
@@ -126,8 +116,6 @@ pub struct LoadRequest {
     pub build: BuildOptions,
     /// Worker thread count for chunk scans (0 = auto).
     pub threads: u64,
-    /// This shard's share of the uncompressed-cache byte budget.
-    pub cache_budget: u64,
     /// Capacity (signatures) of the leaf's own result cache; 0 disables.
     pub cache_entries: u64,
     /// Rebuild epoch of the shipped data. Queries carrying a different
@@ -249,17 +237,14 @@ pub struct QueryRequest {
     /// primary before racing the replica in parallel. `0` disables
     /// hedging (sequential primary-then-replica failover).
     pub hedge_micros: u64,
-    /// Shards whose primaries the [`crate::FailureModel`] killed for this
-    /// query: their parents skip the primary and go straight to the
-    /// replica, the same path a deadline expiry takes.
-    pub killed: Vec<u64>,
     /// The driver's current rebuild epoch. A node holding a cache from an
     /// older epoch drops it before answering — the distributed form of
     /// the root cache's rebuild invalidation.
     pub epoch: u64,
-    /// Chaos directives for this query, drawn once at the root from the
-    /// seeded [`crate::ChaosModel`] and forwarded whole down the tree;
-    /// each worker applies only the faults naming its own node.
+    /// This query's faults, drawn once at the root from the seeded
+    /// [`crate::ChaosModel`] and forwarded whole down the tree: a parent
+    /// reads the edge-applied ones naming its children, a worker the
+    /// worker-applied ones naming itself.
     pub chaos: Vec<ChaosDirective>,
     /// Whether parents may use the chunk-granular metadata layers
     /// ([`crate::meta::chunk_verdicts`]) to prune edges and leaves may
@@ -308,7 +293,7 @@ impl SubtreeAnswer {
 /// Worker → parent messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Ack for `Ping` / `Attach` / `Absorb` / `Delay` / `Shutdown`.
+    /// Ack for `Ping` / `Attach` / `Absorb` / `Shutdown`.
     Ok,
     /// Ack for `Load` — and for nothing else: the built shard's metadata
     /// summary (row/chunk totals, per-column value sets and extremes).
@@ -338,7 +323,7 @@ const REQ_PING: u8 = 0;
 const REQ_LOAD: u8 = 1;
 const REQ_ATTACH: u8 = 2;
 const REQ_QUERY: u8 = 3;
-const REQ_DELAY: u8 = 4;
+// 4 was `Delay` (a stateful test knob) until frame version 7.
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_APPEND: u8 = 6;
 const REQ_ABSORB: u8 = 7;
@@ -354,7 +339,6 @@ impl Encode for Request {
                 load.rows.encode(out);
                 load.build.encode(out);
                 load.threads.encode(out);
-                load.cache_budget.encode(out);
                 load.cache_entries.encode(out);
                 load.epoch.encode(out);
                 load.name.encode(out);
@@ -367,30 +351,12 @@ impl Encode for Request {
                 attach.epoch.encode(out);
                 attach.name.encode(out);
             }
-            Request::Query(query) => {
-                out.push(REQ_QUERY);
-                query.query.encode(out);
-                query.budget.encode(out);
-                query.hedge_micros.encode(out);
-                query.killed.encode(out);
-                query.epoch.encode(out);
-                query.chaos.encode(out);
-                query.chunk_pruning.encode(out);
-            }
-            Request::Append(append) => {
-                out.push(REQ_APPEND);
-                append.shard.encode(out);
-                append.delta.encode(out);
-                append.epoch.encode(out);
-            }
+            Request::Query(query) => query.encode(out),
+            Request::Append(append) => append.encode(out),
             Request::Absorb(absorb) => {
                 out.push(REQ_ABSORB);
                 absorb.applied.encode(out);
                 absorb.epoch.encode(out);
-            }
-            Request::Delay { micros } => {
-                out.push(REQ_DELAY);
-                micros.encode(out);
             }
             Request::Shutdown => out.push(REQ_SHUTDOWN),
         }
@@ -407,7 +373,6 @@ impl Decode for Request {
                 rows: Vec::<Row>::decode(r)?,
                 build: BuildOptions::decode(r)?,
                 threads: r.u64()?,
-                cache_budget: r.u64()?,
                 cache_entries: r.u64()?,
                 epoch: r.u64()?,
                 name: String::decode(r)?,
@@ -423,7 +388,6 @@ impl Decode for Request {
                 query: AnalyzedQuery::decode(r)?,
                 budget: Duration::decode(r)?,
                 hedge_micros: r.u64()?,
-                killed: Vec::decode(r)?,
                 epoch: r.u64()?,
                 chaos: Vec::decode(r)?,
                 chunk_pruning: bool::decode(r)?,
@@ -437,10 +401,35 @@ impl Decode for Request {
                 applied: Vec::decode(r)?,
                 epoch: r.u64()?,
             })),
-            REQ_DELAY => Request::Delay { micros: r.u64()? },
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Data(format!("wire: invalid request tag {other}"))),
         })
+    }
+}
+
+/// Encodes as the [`Request::Query`] that carries it: a sender holding a
+/// reference frames it as it is, without building — cloning the analyzed
+/// query and the directives into — a `Request` first.
+impl Encode for QueryRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(REQ_QUERY);
+        self.query.encode(out);
+        self.budget.encode(out);
+        self.hedge_micros.encode(out);
+        self.epoch.encode(out);
+        self.chaos.encode(out);
+        self.chunk_pruning.encode(out);
+    }
+}
+
+/// Encodes as the [`Request::Append`] that carries it (see
+/// [`QueryRequest`]'s `Encode`): the delta is not cloned to be sent.
+impl Encode for AppendRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(REQ_APPEND);
+        self.shard.encode(out);
+        self.delta.encode(out);
+        self.epoch.encode(out);
     }
 }
 
@@ -633,7 +622,6 @@ mod tests {
                 rows: vec![Row(vec![pd_common::Value::from("x")])],
                 build: BuildOptions::production(&["k"]),
                 threads: 2,
-                cache_budget: 1 << 20,
                 cache_entries: 64,
                 epoch: 3,
                 name: "l3p".into(),
@@ -661,12 +649,11 @@ mod tests {
                 query: analyzed("SELECT COUNT(*) FROM t WHERE k IN ('a','b')"),
                 budget: Duration::from_millis(250),
                 hedge_micros: 1500,
-                killed: vec![1, 3],
                 epoch: 7,
                 chaos: vec![
                     crate::chaos::ChaosDirective {
                         node: "l1p".into(),
-                        fault: crate::chaos::ChaosFault::Reset,
+                        fault: crate::chaos::ChaosFault::Unreachable,
                     },
                     crate::chaos::ChaosDirective {
                         node: "m1_0".into(),
@@ -684,13 +671,23 @@ mod tests {
                 }],
                 epoch: 9,
             })),
-            Request::Delay { micros: 5000 },
             Request::Shutdown,
         ];
         for request in requests {
-            let back: Request = wire::from_bytes(&wire::to_bytes(&request)).unwrap();
+            let bytes = wire::to_bytes(&request);
+            // A payload encoded from a reference is, byte for byte, the
+            // request that would carry it.
+            match &request {
+                Request::Query(query) => assert_eq!(wire::to_bytes(&**query), bytes),
+                Request::Append(append) => assert_eq!(wire::to_bytes(&**append), bytes),
+                _ => {}
+            }
+            let back: Request = wire::from_bytes(&bytes).unwrap();
             assert_eq!(back, request);
         }
+        // Tag 4 carried the `Delay` knob until frame version 7.
+        let retired = wire::from_bytes::<Request>(&[4, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+        assert!(retired.to_string().contains("invalid request tag 4"), "{retired}");
     }
 
     #[test]

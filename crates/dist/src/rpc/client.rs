@@ -13,8 +13,6 @@ use pd_common::{fx_hash64, Error, Result, RpcError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// --- client ----------------------------------------------------------------
-
 /// Exponential backoff with seeded full jitter: sleep somewhere in
 /// `[backoff/2, backoff]`, never past `left`, then double toward the cap.
 /// Shared by connect retries and announce-file polling — the fix for the

@@ -26,10 +26,10 @@ use pd_common::{Error, Result, RpcError};
 use pd_core::scheduler;
 use std::time::{Duration, Instant};
 
-/// The §4 failover rule at one leaf: a killed or failed primary is replaced
-/// by its replica, one copy after the other, the replica living on whatever
-/// budget remains; over sockets a merely *slow* primary is raced by it
-/// ([`race`]). Without a replica any transport failure is fatal for the
+/// The §4 failover rule at one leaf: an unreachable or failed primary is
+/// replaced by its replica, one copy after the other, the replica living
+/// on whatever budget remains; over sockets a merely *slow* primary is
+/// raced by it ([`race`]). Without a replica any transport failure is fatal for the
 /// query; an *application* error from a live node always is. Returns
 /// `(answer, answered by the replica, hedged)`.
 pub(super) fn settle(
@@ -286,7 +286,6 @@ mod tests {
             query: analyzed(sql),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
-            killed: Vec::new(),
             epoch: 1,
             chaos: Vec::new(),
             chunk_pruning,

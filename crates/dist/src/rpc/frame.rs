@@ -509,10 +509,10 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         let (mut a, mut b) = (Stream::Unix(a), Stream::Unix(b));
         write_frame(&mut a, &Request::Ping, false).unwrap();
-        write_frame(&mut a, &Request::Delay { micros: 9 }, true).unwrap();
+        write_frame(&mut a, &Request::Shutdown, true).unwrap();
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), Some(Request::Ping));
-        let (delay, accepts) = read_frame_negotiated::<Request>(&mut b).unwrap().unwrap();
-        assert_eq!(delay, Request::Delay { micros: 9 });
+        let (second, accepts) = read_frame_negotiated::<Request>(&mut b).unwrap().unwrap();
+        assert_eq!(second, Request::Shutdown);
         assert!(accepts, "compress-mode senders advertise compressed replies");
         drop(a);
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), None, "clean EOF");
@@ -547,7 +547,6 @@ mod tests {
             rows,
             build: BuildOptions::basic(),
             threads: 1,
-            cache_budget: 1 << 20,
             cache_entries: 0,
             epoch: 1,
             name: "l0p".into(),

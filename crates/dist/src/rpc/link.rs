@@ -19,21 +19,20 @@
 use super::client::RpcClient;
 use super::fanout::{classify, settle, LeafOutcome};
 use super::frame::{encode_frame, Addr};
-use super::{ChildSpec, QueryRequest, Request, ShardReport, SubtreeAnswer};
+use super::{ChildSpec, QueryRequest, ShardReport, SubtreeAnswer};
+use crate::chaos::primary_unreachable;
 use crate::meta::{self, ShardMeta};
 use crate::node::Node;
 use pd_common::{Error, Result, RpcError};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
-// --- edges: how any node reaches a child ------------------------------------
-
 /// One way to reach a child node. Everything above a link — pruning,
 /// failover, report stamping, the fold — is the same code for both kinds.
 pub enum Link {
     /// A worker process behind a socket. The mutex is the connection's
     /// queue: a fan-out holds the guard from the write of its frame to the
-    /// read of the reply ([`Link::hold`]), so concurrent queries to the
+    /// read of the reply (`Link::hold`), so concurrent queries to the
     /// *same* child take turns on the wire, one request/response pair at a
     /// time.
     Socket(pd_common::sync::Mutex<RpcClient>),
@@ -126,7 +125,7 @@ impl<'a> Ask<'a> {
     pub(super) fn frame(&mut self, compress: bool) -> Result<&[u8]> {
         let frame = match self.frame.take() {
             Some(frame) => frame,
-            None => encode_frame(&Request::Query(Box::new(self.request.clone())), compress)?,
+            None => encode_frame(self.request, compress)?,
         };
         Ok(self.frame.insert(frame))
     }
@@ -156,8 +155,8 @@ pub(super) enum InFlight<'a> {
         shard: Option<u64>,
         primary: Held<'a>,
         replica: Option<Held<'a>>,
-        /// How putting the query on the primary's wire went. A killed
-        /// primary is never contacted: its send "fails" as the kill.
+        /// How putting the query on the primary's wire went. An
+        /// unreachable primary is never contacted: its send "fails" so.
         sent: Result<()>,
     },
 }
@@ -183,8 +182,8 @@ impl ChildHandle {
 
     /// A child in this address space. `shard` marks a leaf; a `replicated`
     /// leaf's replica link is a second reference to the same node — one
-    /// address space holds one copy of the bytes — so a killed primary
-    /// fails over through the same code a socket pair uses.
+    /// address space holds one copy of the bytes — so an unreachable
+    /// primary fails over through the same code a socket pair uses.
     pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
         ChildHandle {
             shard,
@@ -238,11 +237,9 @@ impl ChildHandle {
     /// order) and put the query on the primary's wire.
     pub(super) fn begin<'a>(&'a self, ask: &mut Ask<'_>) -> InFlight<'a> {
         let request = ask.request;
-        // The prune precedes the kill/failover logic deliberately: an
-        // answer that never needs the server treats a dead primary as a
-        // non-event (no failover recorded). Killed shards without
-        // replication are still rejected at the root before any fan-out
-        // begins.
+        // The prune precedes the failover logic deliberately: an answer
+        // that never needs the server treats an unreachable primary as a
+        // non-event (no failover recorded, and no replica missed).
         let dead = !self.metas.is_empty()
             && self.metas.iter().all(|m| {
                 if request.chunk_pruning {
@@ -259,8 +256,10 @@ impl ChildHandle {
         }
         let mut primary = self.primary.hold();
         let replica = self.replica.as_ref().map(Link::hold);
-        let sent = if self.shard.is_some_and(|shard| request.killed.contains(&shard)) {
-            Err(Error::Rpc(RpcError::PeerGone("primary killed mid-query".into())))
+        // The one place an edge-applied fault is read — above the link, so
+        // it cuts an in-memory edge exactly as it cuts a socket.
+        let sent = if self.shard.is_some_and(|shard| primary_unreachable(&request.chaos, shard)) {
+            Err(Error::Rpc(RpcError::PeerGone("primary unreachable (injected)".into())))
         } else {
             primary.send(ask)
         };

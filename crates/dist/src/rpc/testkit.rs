@@ -67,7 +67,6 @@ pub(super) fn count_all(hedge_micros: u64) -> QueryRequest {
         query: analyzed("SELECT COUNT(*) FROM t"),
         budget: Duration::from_secs(10),
         hedge_micros,
-        killed: Vec::new(),
         epoch: 1,
         chaos: Vec::new(),
         chunk_pruning: true,

@@ -29,21 +29,22 @@
 //! own threads, and a connection thread that has read a *complete* request
 //! runs it itself — no executor thread, no hand-off. What keeps the
 //! process serving one request at a time, in arrival order, is a FIFO
-//! [`Turnstile`]: the thread takes a ticket the moment its frame is whole
+//! turnstile: the thread takes a ticket the moment its frame is whole
 //! and runs when the ticket comes up (a connection still trickling its
 //! frame in holds none, so it delays nobody). The time between taking the
 //! ticket and being called is this process's *real* queue delay — one
 //! monotonic clock inside one process — and it is handed to
 //! [`Node::query`], which charges it against the query's budget and
-//! reports it up the tree. The `Delay` test knob deliberately lives
-//! *outside* the turnstile: the artificial sleep happens after the ticket
-//! is given back and before the reply — service time of that query alone,
-//! never queue delay of the requests behind it.
+//! reports it up the tree.
 //!
-//! **Chaos.** Injected faults ([`crate::chaos`]) are matched against this
-//! node's name *around* the call into the node: a `Kill` exits the process
-//! before any reply byte, `Reset` / `Torn` wreck the reply on the
-//! connection thread, `Delay` adds to its lag. The node itself never sees
+//! **Chaos.** The worker-applied fault a query carries for this node (at
+//! most one: [`crate::chaos`]) is matched against the node's name *around*
+//! the call into the node — the only place one is read: a `Kill` exits the
+//! process before any reply byte, `Reset` / `Torn` wreck the reply on the
+//! connection thread, and a `Delay` sleeps there too, deliberately
+//! *outside* the turnstile — after the ticket is given back and before the
+//! reply: service time of that query alone, never queue delay of the
+//! requests behind it. The node itself never sees
 //! them — which is why a node running inside the driver cannot be made to
 //! exit it.
 
@@ -101,35 +102,7 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// What the process serves, one ticket holder at a time: the node it
-/// currently is (`None` until the driver assigns a role) and the `Delay`
-/// knob.
-#[derive(Default)]
-struct Served {
-    node: Option<Node>,
-    /// Test knob: artificial delay before query answers reach the wire.
-    delay: Duration,
-}
-
-/// How a response should reach the wire: after `lag` sleep (the `Delay`
-/// knob plus any chaos delay), and — under chaos — sabotaged instead of
-/// sent whole.
-#[derive(Default)]
-struct ReplyMode {
-    lag: Duration,
-    fault: Option<WireFault>,
-}
-
-/// Chaos sabotage applied after execution, once the ticket is given back:
-/// the node stays correct, only this query's bytes are wrecked.
-enum WireFault {
-    /// Close the connection without replying.
-    Reset,
-    /// Write half the reply frame, then close.
-    Torn,
-}
-
-/// The FIFO gate in front of [`Served`]: tickets are handed out in arrival
+/// The FIFO gate in front of the node: tickets are handed out in arrival
 /// order and called one at a time, so requests execute exactly as a
 /// single executor thread would run them — on the threads that read them.
 #[derive(Default)]
@@ -137,14 +110,16 @@ struct Turnstile {
     /// `(next ticket to hand out, ticket being served)`.
     tickets: Mutex<(u64, u64)>,
     called: Condvar,
-    served: Mutex<Served>,
+    /// The node this process currently is (`None` until the driver assigns
+    /// a role), served to one ticket holder at a time.
+    served: Mutex<Option<Node>>,
 }
 
 impl Turnstile {
     /// Take a ticket, wait for it to be called, run `serve` on the state
     /// and give the turn to the next ticket. `serve` is told how long the
     /// ticket waited.
-    fn pass<T>(&self, serve: impl FnOnce(&mut Served, Duration) -> T) -> T {
+    fn pass<T>(&self, serve: impl FnOnce(&mut Option<Node>, Duration) -> T) -> T {
         let arrived = Instant::now();
         let mut tickets = self.tickets.lock();
         let mine = tickets.0;
@@ -155,7 +130,7 @@ impl Turnstile {
         drop(tickets);
         let _turn = Turn(self);
         // Never contended — only the called ticket gets here — the lock is
-        // what hands `&mut Served` from one connection thread to the next.
+        // what hands the node from one connection thread to the next.
         let mut served = self.served.lock();
         serve(&mut served, arrived.elapsed())
     }
@@ -240,9 +215,9 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                 std::process::exit(0);
             }
             request => {
-                let mut mode = ReplyMode::default();
+                let mut fault = None;
                 let response = turnstile
-                    .pass(|served, queued| handle(served, request, queued, &mut mode))
+                    .pass(|served, queued| handle(served, request, queued, &mut fault))
                     .unwrap_or_else(|e| match e {
                         // Typed robustness failures cross the wire as
                         // `Fault` so the parent's policy can dispatch on
@@ -250,28 +225,29 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                         Error::Rpc(fault) => Response::Fault(fault),
                         e => Response::Err(e.to_string()),
                     });
-                if !mode.lag.is_zero() {
-                    // The Delay test knob (plus chaos delays): this
-                    // query's answer is late from the caller's point of
-                    // view (the budget-expiry suite's "slow worker"), but
-                    // the turn has already passed on — the sleep is this
-                    // connection's alone.
-                    std::thread::sleep(mode.lag);
-                }
-                match mode.fault {
-                    // Chaos reset: vanish without a reply — the parent
-                    // sees the connection die mid-conversation.
-                    Some(WireFault::Reset) => return,
-                    // Chaos torn frame: half the real reply, then gone —
-                    // the parent's decode sees truncated bytes.
-                    Some(WireFault::Torn) => {
+                // Sabotage happens here, once the ticket is given back: the
+                // node stays correct, only this query's reply is wrecked.
+                match fault {
+                    // This query's answer is late from the caller's point
+                    // of view (the budget-expiry suite's "slow worker"),
+                    // but the turn has already passed on — the sleep is
+                    // this connection's alone.
+                    Some(ChaosFault::Delay(lag)) => std::thread::sleep(lag),
+                    // Vanish without a reply — the parent sees the
+                    // connection die mid-conversation.
+                    Some(ChaosFault::Reset) => return,
+                    // Half the real reply, then gone — the parent's decode
+                    // sees truncated bytes.
+                    Some(ChaosFault::Torn) => {
                         if let Ok(frame) = encode_frame(&response, compress_reply) {
                             let _ = stream.write_all(&frame[..frame.len() / 2]);
                             let _ = stream.flush();
                         }
                         return;
                     }
-                    None => {}
+                    // A `Kill` exited before any reply existed; an
+                    // `Unreachable` is applied by the parent, at the edge.
+                    Some(ChaosFault::Kill | ChaosFault::Unreachable) | None => {}
                 }
                 if write_frame(&mut stream, &response, compress_reply).is_err() {
                     // Peer gave up (budget expiry or a hedge loss): drop
@@ -283,11 +259,14 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
     }
 }
 
+/// Serve one request on the node. `fault` comes back holding the
+/// worker-applied chaos fault a query carries for this node — the only place
+/// one is read; the caller applies it to the reply.
 fn handle(
-    served: &mut Served,
+    served: &mut Option<Node>,
     request: Request,
     queued: Duration,
-    mode: &mut ReplyMode,
+    fault: &mut Option<ChaosFault>,
 ) -> Result<Response> {
     match request {
         Request::Load(load) => {
@@ -306,18 +285,11 @@ fn handle(
                 epoch: load.epoch,
                 threads: load.threads as usize,
             };
-            let node = Node::leaf(
-                load.shard,
-                &table,
-                &load.build,
-                load.cache_budget as usize,
-                Some(meta),
-                spec,
-            )?;
+            let node = Node::leaf(load.shard, &table, &load.build, Some(meta), spec)?;
             let meta = node
                 .meta()
                 .ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
-            served.node = Some(node);
+            *served = Some(node);
             Ok(Response::Loaded(Box::new(meta)))
         }
         Request::Attach(attach) => {
@@ -333,43 +305,32 @@ fn handle(
                 // so there is no width to choose.
                 threads: 1,
             };
-            served.node = Some(Node::mixer(children, spec));
+            *served = Some(Node::mixer(children, spec));
             Ok(Response::Ok)
         }
         Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),
         Request::Absorb(absorb) => {
-            served.node.as_mut().ok_or_else(unassigned)?.absorb(&absorb)?;
-            Ok(Response::Ok)
-        }
-        Request::Delay { micros } => {
-            served.delay = Duration::from_micros(micros);
+            served.as_mut().ok_or_else(unassigned)?.absorb(&absorb)?;
             Ok(Response::Ok)
         }
         Request::Query(query) => {
-            mode.lag += served.delay;
             // Chaos first: injected faults must hit cache hits and budget
             // expiries too — the sabotage is the wire's, not the plan's.
-            let name = served.node.as_ref().map_or("", Node::name);
-            for directive in &query.chaos {
-                if directive.node == name {
-                    match directive.fault {
-                        // A mid-query crash: no reply byte ever leaves.
-                        ChaosFault::Kill => std::process::exit(9),
-                        ChaosFault::Delay(d) => mode.lag += d,
-                        ChaosFault::Reset => mode.fault = Some(WireFault::Reset),
-                        ChaosFault::Torn => mode.fault = Some(WireFault::Torn),
-                    }
-                }
+            let name = served.as_ref().map_or("", Node::name);
+            *fault = query.chaos.iter().find(|d| d.node == name).map(|d| d.fault);
+            if *fault == Some(ChaosFault::Kill) {
+                // A mid-query crash: no reply byte ever leaves.
+                std::process::exit(9);
             }
             Ok(Response::Answer(Box::new(assigned(served)?.query(&query, queued)?)))
         }
-        Request::Ping => Ok(Response::Ok),
-        Request::Shutdown => Ok(Response::Ok), // handled inline; never passes the turnstile
+        // Answered inline; neither passes the turnstile.
+        Request::Ping | Request::Shutdown => Ok(Response::Ok),
     }
 }
 
-fn assigned(served: &Served) -> Result<&Node> {
-    served.node.as_ref().ok_or_else(unassigned)
+fn assigned(served: &Option<Node>) -> Result<&Node> {
+    served.as_ref().ok_or_else(unassigned)
 }
 
 fn unassigned() -> Error {

@@ -37,12 +37,13 @@ const QUERIES: [&str; 4] = [
 fn chaos_model(seed: u64) -> ChaosModel {
     ChaosModel {
         seed,
+        unreachable_probability: 0.05,
         kill_probability: 0.05,
         reset_probability: 0.10,
         torn_probability: 0.10,
         delay_probability: 0.20,
         delay_range: (Duration::from_millis(1), Duration::from_millis(15)),
-        kill_nodes: Vec::new(),
+        always: Vec::new(),
     }
 }
 

@@ -107,7 +107,6 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 rows,
                 build: BuildOptions::basic(),
                 threads: rng.next_u64() % 4,
-                cache_budget: rng.next_u64() % (1 << 24),
                 cache_entries: rng.next_u64() % 256,
                 epoch: rng.next_u64(),
                 name: format!("l{}p", rng.next_u64() % 64),
@@ -123,10 +122,11 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
             let chaos = (0..rng.range_usize(0, 4))
                 .map(|_| ChaosDirective {
                     node: format!("m{}_{}", rng.next_u64() % 4, rng.next_u64() % 8),
-                    fault: match rng.range_usize(0, 4) {
+                    fault: match rng.range_usize(0, 5) {
                         0 => ChaosFault::Kill,
                         1 => ChaosFault::Reset,
                         2 => ChaosFault::Torn,
+                        3 => ChaosFault::Unreachable,
                         _ => ChaosFault::Delay(Duration::from_micros(rng.next_u64() % 1_000_000)),
                     },
                 })
@@ -135,13 +135,12 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 query: analyze(&parse_query(sql).unwrap()).unwrap(),
                 budget: Duration::from_nanos(rng.next_u64() % 1_000_000_000),
                 hedge_micros: rng.next_u64() % 1_000_000,
-                killed: (0..rng.range_usize(0, 5)).map(|_| rng.next_u64() % 8).collect(),
                 epoch: rng.next_u64(),
                 chaos,
                 chunk_pruning: rng.next_u64().is_multiple_of(2),
             }))
         }
-        2 => Request::Delay { micros: rng.next_u64() },
+        2 => Request::Shutdown,
         _ => Request::Ping,
     }
 }

@@ -20,6 +20,14 @@ fn rpc(budget: Duration) -> Transport {
     Transport::Rpc(RpcConfig { worker_bin: Some(worker_bin()), budget, ..Default::default() })
 }
 
+/// A model that applies `fault` to `node` on every query.
+fn pinned(node: &str, fault: pd_dist::ChaosFault) -> pd_dist::ChaosModel {
+    pd_dist::ChaosModel {
+        always: vec![pd_dist::ChaosDirective { node: node.into(), fault }],
+        ..Default::default()
+    }
+}
+
 fn rpc_with(addr: WorkerAddr, compress: bool) -> Transport {
     Transport::Rpc(RpcConfig {
         worker_bin: Some(worker_bin()),
@@ -65,7 +73,6 @@ fn leaf_load(table: &Table, build: BuildOptions) -> pd_dist::rpc::Request {
         rows: table.iter_rows().collect(),
         build,
         threads: 1,
-        cache_budget: 1 << 20,
         cache_entries: 0,
         epoch: 1,
         name: "l0p".into(),
@@ -341,11 +348,12 @@ fn queue_delays_are_measured_not_modeled() {
     // 1. a query that arrives while the worker's one turn is taken by
     //    *real* work (here: a heavy shard import) reports a queue delay
     //    reflecting that genuine service time;
-    // 2. the artificial `Delay` knob is service time of the delayed query
+    // 2. an injected chaos `Delay` is service time of the delayed query
     //    alone — the caller sees a late answer, but requests queued behind
     //    it do NOT report inflated queue delays, because the sleep happens
     //    after the turn is given back.
     use pd_dist::rpc::{Addr, QueryRequest, Request, Response, RpcClient};
+    use pd_dist::{ChaosDirective, ChaosFault};
     use pd_sql::{analyze, parse_query};
 
     let (worker, addr, dir) = raw_worker("queue");
@@ -356,19 +364,20 @@ fn queue_delays_are_measured_not_modeled() {
     assert!(matches!(setup.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
 
     let analyzed = analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap();
-    let query = Request::Query(Box::new(QueryRequest {
-        query: analyzed,
-        budget: Duration::from_secs(30),
-        hedge_micros: 0,
-        killed: Vec::new(),
-        epoch: 1,
-        chaos: Vec::new(),
-        chunk_pruning: true,
-    }));
-    let ask = |addr: Addr| -> (Duration, Duration) {
+    let query = |chaos: Vec<ChaosDirective>| {
+        Request::Query(Box::new(QueryRequest {
+            query: analyzed.clone(),
+            budget: Duration::from_secs(30),
+            hedge_micros: 0,
+            epoch: 1,
+            chaos,
+            chunk_pruning: true,
+        }))
+    };
+    let ask = |addr: Addr, query: &Request| -> (Duration, Duration) {
         let started = std::time::Instant::now();
         let mut client = RpcClient::new(addr, false);
-        match client.call(&query, Duration::from_secs(60)).unwrap() {
+        match client.call(query, Duration::from_secs(60)).unwrap() {
             Response::Answer(answer) => (answer.reports[0].queue, started.elapsed()),
             other => panic!("expected an answer, got {other:?}"),
         }
@@ -378,10 +387,10 @@ fn queue_delays_are_measured_not_modeled() {
     // delay, two concurrent queries each answer late, yet neither reports
     // the other's sleep as queueing.
     let delay = Duration::from_millis(250);
-    let knob = Request::Delay { micros: delay.as_micros() as u64 };
-    assert_eq!(setup.call(&knob, Duration::from_secs(10)).unwrap(), Response::Ok);
+    let delayed =
+        query(vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(delay) }]);
     let observed: Vec<(Duration, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| ask(addr.clone()))).collect();
+        let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| ask(addr.clone(), &delayed))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (queue, elapsed) in &observed {
@@ -395,8 +404,6 @@ fn queue_delays_are_measured_not_modeled() {
              inflate the measured queue delay of the request behind it: {observed:?}"
         );
     }
-    let knob_off = Request::Delay { micros: 0 };
-    assert_eq!(setup.call(&knob_off, Duration::from_secs(10)).unwrap(), Response::Ok);
 
     // Claim 1: a heavy re-import (tens of thousands of rows through the
     // full production build pipeline) holds the worker's turn for a long
@@ -405,6 +412,7 @@ fn queue_delays_are_measured_not_modeled() {
     // the worker's queue must *measure* that wait. (Probes before the
     // import has even arrived see an idle worker — hence the polling,
     // not a single staggered shot.)
+    let prompt = query(Vec::new());
     let big = generate_logs(&LogsSpec::scaled(30_000));
     let heavy = leaf_load(&big, BuildOptions::production(&["country", "table_name"]));
     let queued = std::thread::scope(|scope| {
@@ -417,7 +425,7 @@ fn queue_delays_are_measured_not_modeled() {
         });
         let mut best = Duration::ZERO;
         for _ in 0..2_000 {
-            let (queue, _) = ask(addr.clone());
+            let (queue, _) = ask(addr.clone(), &prompt);
             best = best.max(queue);
             if best >= Duration::from_millis(5) {
                 break;
@@ -487,7 +495,6 @@ fn role_reassignment_replaces_the_previous_role() {
             rows: table.iter_rows().collect(),
             build: BuildOptions::basic(),
             threads: 1,
-            cache_budget: 1 << 20,
             cache_entries: 8,
             epoch: 1,
             name: format!("l{shard}p"),
@@ -512,7 +519,6 @@ fn role_reassignment_replaces_the_previous_role() {
         query: analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
         budget: Duration::from_secs(30),
         hedge_micros: 0,
-        killed: Vec::new(),
         epoch: 1,
         chaos: Vec::new(),
         chunk_pruning: true,
@@ -632,10 +638,11 @@ fn append_streams_deltas_into_the_live_tree() {
             build: build_options(),
             tree: TreeShape { fanout: 2 },
             transport: rpc(Duration::from_secs(30)),
-            // Shard 0's primary is dead for every query: each answer below
-            // must come from its replica, which therefore must have
+            // Shard 0's primary is unreachable for every query — cut off,
+            // not killed: it must still take the appends. Each answer
+            // below must come from its replica, which therefore must have
             // absorbed the appends too.
-            failures: pd_dist::FailureModel { kill_primaries: vec![0], ..Default::default() },
+            chaos: pinned("l0p", pd_dist::ChaosFault::Unreachable),
             ..Default::default()
         },
     )
@@ -696,7 +703,7 @@ fn a_half_applied_append_refuses_queries_until_rebuild() {
     .unwrap();
     let sql = "SELECT COUNT(*) FROM logs";
     cluster.query(sql).unwrap();
-    cluster.set_chaos(pd_dist::ChaosModel { kill_nodes: vec!["l1p".into()], ..Default::default() });
+    cluster.set_chaos(pinned("l1p", pd_dist::ChaosFault::Kill));
     cluster.query(sql).unwrap_err();
     cluster.set_chaos(pd_dist::ChaosModel::default());
 
@@ -738,7 +745,7 @@ fn rebuild_respawns_the_tree_with_new_data() {
 #[test]
 fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     // The parent writes to both leaves, then reads them in child order.
-    // Shard 0's primary answers late (the `Delay` knob); shard 1 meanwhile
+    // Shard 0's primary answers late (a pinned chaos delay); shard 1 meanwhile
     // has a reply far larger than a socket buffer (uncompressed, ≥ 1 MiB:
     // one float-sum superaccumulator per distinct key) and sits in `write`
     // until the parent gets to it. Nothing may deadlock, and the fold must
@@ -760,6 +767,7 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     let reply_bytes = pd_common::wire::to_bytes(&partial).len();
     assert!(reply_bytes >= 1 << 20, "shard 1's reply must dwarf a socket buffer: {reply_bytes}");
 
+    let delay = Duration::from_millis(200);
     let cluster = Cluster::build(
         &table,
         &ClusterConfig {
@@ -768,12 +776,11 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
             build,
             shard_cache: 0,
             transport: rpc_with(WorkerAddr::Unix, false),
+            chaos: pinned("l0p", pd_dist::ChaosFault::Delay(delay)),
             ..Default::default()
         },
     )
     .unwrap();
-    let delay = Duration::from_millis(200);
-    cluster.inject_worker_delay(0, delay).unwrap();
     let (expect, _) = query(&store, sql).unwrap();
     let outcome = cluster.query(sql).unwrap();
     assert_eq!(outcome.result, expect);
@@ -803,7 +810,6 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
         query: pd_sql::analyze(&pd_sql::parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
         budget: Duration::from_secs(30),
         hedge_micros: 0,
-        killed: Vec::new(),
         epoch: 1,
         chaos: Vec::new(),
         chunk_pruning: true,

@@ -9,8 +9,7 @@
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::process::resolve_worker_bin;
 use powerdrill::dist::{
-    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, FailureModel, RpcConfig, Transport,
-    WorkloadSpec,
+    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, RpcConfig, Transport, WorkloadSpec,
 };
 use powerdrill::sql::{distributed_plan, parse_query};
 use powerdrill::BuildOptions;
@@ -91,7 +90,7 @@ fn main() -> powerdrill::Result<()> {
                 replication,
                 build: build.clone(),
                 shard_cache: 0, // every query does its work
-                failures: FailureModel { chaos: stragglers.clone(), ..Default::default() },
+                chaos: stragglers.clone(),
                 transport: Transport::Rpc(RpcConfig {
                     worker_bin: Some(worker_bin.clone()),
                     ..Default::default()

@@ -93,8 +93,8 @@ pub use pd_sql as sql;
 
 pub use pd_common::{DataType, Error, Result, Row, Schema, Value};
 pub use pd_core::{
-    query, BuildOptions, CachePolicy, DataStore, ExecContext, KernelConfig, PartitionSpec,
-    QueryResult, ResultCache, ScanStats, TieredCache,
+    query, BuildOptions, DataStore, ExecContext, KernelConfig, PartitionSpec, QueryResult,
+    ResultCache, ScanStats,
 };
 pub use pd_data::Table;
 pub use pd_dist::{Cluster, ClusterConfig};
@@ -111,17 +111,13 @@ pub struct PowerDrill {
 }
 
 impl PowerDrill {
-    /// Import `table` under `options`, with the chunk-result cache and the
-    /// two-layer residency cache enabled (256 MiB uncompressed / 128 MiB
-    /// compressed by default).
+    /// Import `table` under `options`, with the chunk-result cache enabled.
     pub fn import(table: &Table, options: &BuildOptions) -> Result<PowerDrill> {
         let store = DataStore::build(table, options)?;
+        // `threads` stays 0: one worker per available core.
         let ctx = ExecContext {
-            sketch_m: 0,
-            threads: 0, // auto: one worker per available core
             result_cache: Some(Arc::new(ResultCache::new(1 << 16))),
-            tiered: Some(Arc::new(TieredCache::new(CachePolicy::Arc, 256 << 20, 128 << 20))),
-            kernels: KernelConfig::default(),
+            ..Default::default()
         };
         Ok(PowerDrill { store, ctx })
     }

@@ -1,11 +1,12 @@
-//! Failure-injection tests for the §4 serving tree: a shard primary
-//! killed mid-fan-out must fail over to its replication peer with the
-//! *same* result (the replica holds the same partition), record the
-//! failover in the outcome, and — because failures are drawn from seeded
-//! per-(query, shard) streams — reproduce exactly across runs.
+//! Failure-injection tests for the §4 serving tree: a shard primary that
+//! is unreachable mid-fan-out must fail over to its replication peer with
+//! the *same* result (the replica holds the same partition), record the
+//! failover in the outcome, and — because faults are drawn from seeded
+//! per-(query, node) streams — reproduce exactly across runs.
 
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::{Cluster, ClusterConfig, FailureModel};
+use powerdrill::dist::chaos::leaf_primary;
+use powerdrill::dist::{ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig};
 use powerdrill::{BuildOptions, DataStore};
 
 const QUERIES: [&str; 4] = [
@@ -23,34 +24,42 @@ fn build_options() -> BuildOptions {
     build
 }
 
-fn cluster_with(failures: FailureModel, replication: bool, shards: usize) -> Cluster {
+/// The primaries of `shards`, unreachable on every query.
+fn unreachable(shards: &[usize]) -> ChaosModel {
+    let cut = |&shard: &usize| ChaosDirective {
+        node: leaf_primary(shard as u64),
+        fault: ChaosFault::Unreachable,
+    };
+    ChaosModel { always: shards.iter().map(cut).collect(), ..Default::default() }
+}
+
+/// `node` answers every query this late.
+fn straggling(node: &str, delay: std::time::Duration) -> ChaosModel {
+    let slow = ChaosDirective { node: node.into(), fault: ChaosFault::Delay(delay) };
+    ChaosModel { always: vec![slow], ..Default::default() }
+}
+
+fn cluster_with(chaos: ChaosModel, replication: bool, shards: usize) -> Cluster {
     let table = generate_logs(&LogsSpec::scaled(1_200));
     Cluster::build(
         &table,
-        &ClusterConfig {
-            shards,
-            replication,
-            failures,
-            build: build_options(),
-            ..Default::default()
-        },
+        &ClusterConfig { shards, replication, chaos, build: build_options(), ..Default::default() },
     )
     .unwrap()
 }
 
 #[test]
-fn killed_primary_fails_over_with_identical_results() {
+fn unreachable_primary_fails_over_with_identical_results() {
     let table = generate_logs(&LogsSpec::scaled(1_200));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
-    for kill in [vec![1usize], vec![0, 2], vec![0, 1, 2, 3]] {
-        let failures = FailureModel { kill_primaries: kill.clone(), ..Default::default() };
+    for cut in [vec![1usize], vec![0, 2], vec![0, 1, 2, 3]] {
         let cluster = Cluster::build(
             &table,
             &ClusterConfig {
                 shards: 4,
                 replication: true,
-                failures,
+                chaos: unreachable(&cut),
                 shard_cache: 0,
                 build: build.clone(),
                 ..Default::default()
@@ -60,10 +69,10 @@ fn killed_primary_fails_over_with_identical_results() {
         for sql in QUERIES {
             let (expect, _) = powerdrill::query(&store, sql).unwrap();
             let outcome = cluster.query(sql).unwrap();
-            assert_eq!(outcome.result, expect, "kill={kill:?}: {sql}");
+            assert_eq!(outcome.result, expect, "cut={cut:?}: {sql}");
             assert_eq!(
-                outcome.failovers, kill,
-                "every killed primary must be recorded as a failover: {sql}"
+                outcome.failovers, cut,
+                "every unreachable primary must be recorded as a failover: {sql}"
             );
             assert_eq!(
                 outcome.stats.rows_skipped + outcome.stats.rows_cached + outcome.stats.rows_scanned,
@@ -77,7 +86,7 @@ fn killed_primary_fails_over_with_identical_results() {
 #[test]
 fn failure_without_replication_fails_the_query() {
     let cluster = cluster_with(
-        FailureModel { kill_primaries: vec![2], ..Default::default() },
+        unreachable(&[2]),
         false, // no replica to fall back to
         4,
     );
@@ -87,9 +96,10 @@ fn failure_without_replication_fails_the_query() {
         message.contains("shard 2") && message.contains("replication"),
         "the error names the failed shard: {message}"
     );
-    // A query untouched by failures... does not exist: the kill switch is
-    // per shard, so every query dies. Dropping the kill restores service.
-    let healthy = cluster_with(FailureModel::default(), false, 4);
+    // A query untouched by failures... does not exist: the directive is
+    // pinned to every query, so every query dies. Dropping it restores
+    // service.
+    let healthy = cluster_with(ChaosModel::default(), false, 4);
     assert!(healthy.query(QUERIES[0]).is_ok());
 }
 
@@ -104,8 +114,8 @@ fn seeded_failures_are_reproducible_and_correct() {
             &ClusterConfig {
                 shards: 4,
                 replication: true,
-                failures: FailureModel {
-                    primary_fail_probability: 0.4,
+                chaos: ChaosModel {
+                    unreachable_probability: 0.4,
                     seed: 0xdead,
                     ..Default::default()
                 },
@@ -131,7 +141,7 @@ fn seeded_failures_are_reproducible_and_correct() {
     assert_eq!(a, b, "equal seeds and query sequences must fail over identically");
     let total: usize = a.iter().map(Vec::len).sum();
     assert!(total > 0, "probability 0.4 over 80 subqueries must inject failures");
-    assert!(total < 80, "...but not kill everything");
+    assert!(total < 80, "...but not cut everything");
 }
 
 // ---------------------------------------------------------------------------
@@ -150,13 +160,13 @@ fn rpc_transport(budget: std::time::Duration) -> powerdrill::dist::Transport {
 }
 
 /// A worker process that sleeps far past the hedge delay must produce the
-/// **identical** `QueryOutcome` rows as a `FailureModel` kill of the same
+/// **identical** `QueryOutcome` rows as an unreachable primary of the same
 /// shard — the hedged replica race answers from the replica process, which
 /// holds the same partition. Unlike the old per-hop deadline (which waited
 /// the *full* deadline before failing over), the hedge answers early: the
 /// straggler's recorded latency stays well under the query budget.
 #[test]
-fn straggling_primary_is_hedged_identically_to_a_kill() {
+fn straggling_primary_is_hedged_identically_to_an_unreachable_one() {
     use std::time::Duration;
 
     let table = generate_logs(&LogsSpec::scaled(800));
@@ -172,41 +182,35 @@ fn straggling_primary_is_hedged_identically_to_a_kill() {
     // fanout 16: the driver parents the leaves; fanout 2: an intermediate
     // merge server does — the failover must work at both levels.
     for fanout in [16usize, 2] {
-        let cluster_config = |failures: FailureModel| ClusterConfig {
+        let cluster_config = |chaos: ChaosModel| ClusterConfig {
             shards: 3,
             replication: true,
-            failures,
+            chaos,
             build: build.clone(),
             tree: powerdrill::dist::TreeShape { fanout },
             transport: rpc_transport(budget),
             ..Default::default()
         };
 
-        // Baseline: the existing failure-injection path (simulated kill).
-        let killed = Cluster::build(
-            &table,
-            &cluster_config(FailureModel {
-                kill_primaries: vec![slow_shard],
-                ..Default::default()
-            }),
-        )
-        .unwrap();
+        // Baseline: the primary is known to be gone — its parent never
+        // contacts it.
+        let cut = Cluster::build(&table, &cluster_config(unreachable(&[slow_shard]))).unwrap();
 
-        // The real thing: a healthy FailureModel, but shard 1's primary
+        // The real thing: every edge is up, but shard 1's primary
         // *process* sleeps far past the hedge delay.
-        let delayed = Cluster::build(&table, &cluster_config(FailureModel::default())).unwrap();
-        delayed.inject_worker_delay(slow_shard, Duration::from_secs(20)).unwrap();
+        let slow = straggling(&leaf_primary(slow_shard as u64), Duration::from_secs(20));
+        let delayed = Cluster::build(&table, &cluster_config(slow)).unwrap();
 
         for sql in &QUERIES[..2] {
             let (expect, _) = powerdrill::query(&store, sql).unwrap();
-            let from_kill = killed.query(sql).unwrap();
+            let from_cut = cut.query(sql).unwrap();
             let from_hedge = delayed.query(sql).unwrap();
-            assert_eq!(from_kill.result, expect, "fanout={fanout}: {sql}");
+            assert_eq!(from_cut.result, expect, "fanout={fanout}: {sql}");
             assert_eq!(
-                from_hedge.result, from_kill.result,
-                "fanout={fanout}: hedged failover and kill must produce identical rows: {sql}"
+                from_hedge.result, from_cut.result,
+                "fanout={fanout}: hedged failover and a cut edge must produce identical rows: {sql}"
             );
-            assert_eq!(from_kill.failovers, vec![slow_shard], "fanout={fanout}: {sql}");
+            assert_eq!(from_cut.failovers, vec![slow_shard], "fanout={fanout}: {sql}");
             assert!(
                 from_hedge.failovers.contains(&slow_shard),
                 "fanout={fanout}: the straggler's replica answer must be recorded as a \
@@ -219,7 +223,7 @@ fn straggling_primary_is_hedged_identically_to_a_kill() {
                 from_hedge.hedges
             );
             assert!(
-                !from_kill.hedges.contains(&slow_shard),
+                !from_cut.hedges.contains(&slow_shard),
                 "fanout={fanout}: a known-dead primary is failed over directly, not raced: {sql}"
             );
             assert!(
@@ -238,7 +242,7 @@ fn budget_expiry_without_replication_fails_the_query() {
     use std::time::Duration;
 
     let table = generate_logs(&LogsSpec::scaled(400));
-    let cluster = Cluster::build(
+    let mut cluster = Cluster::build(
         &table,
         &ClusterConfig {
             shards: 2,
@@ -250,7 +254,7 @@ fn budget_expiry_without_replication_fails_the_query() {
     )
     .unwrap();
     cluster.query(QUERIES[0]).unwrap(); // healthy first
-    cluster.inject_worker_delay(0, Duration::from_secs(20)).unwrap();
+    cluster.set_chaos(straggling("l0p", Duration::from_secs(20)));
     let err = cluster.query(QUERIES[0]).unwrap_err().to_string();
     assert!(
         err.contains("shard 0") && err.contains("replication"),
@@ -265,7 +269,6 @@ fn budget_expiry_without_replication_fails_the_query() {
 #[test]
 fn merge_server_kill_mid_query_is_a_clean_typed_error() {
     use powerdrill::common::RpcError;
-    use powerdrill::dist::ChaosModel;
     use powerdrill::Error;
     use std::time::Duration;
 
@@ -290,7 +293,10 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
     let (expect, _) = powerdrill::query(&store, sql).unwrap();
     assert_eq!(cluster.query(sql).unwrap().result, expect, "healthy tree first");
 
-    cluster.set_chaos(ChaosModel { kill_nodes: vec!["m1_0".into()], ..Default::default() });
+    cluster.set_chaos(ChaosModel {
+        always: vec![ChaosDirective { node: "m1_0".into(), fault: ChaosFault::Kill }],
+        ..Default::default()
+    });
     let err = cluster.query(sql).unwrap_err();
     assert!(
         matches!(err, Error::Rpc(RpcError::PeerGone(_) | RpcError::ConnRefused(_))),
@@ -312,10 +318,9 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
 
 #[test]
 fn failover_and_shard_cache_compose() {
-    // A cached shard partial needs no server at all, so a killed primary
-    // behind a cache hit is a non-event; a miss fails over as usual.
-    let cluster =
-        cluster_with(FailureModel { kill_primaries: vec![0], ..Default::default() }, true, 3);
+    // A cached shard partial needs no server at all, so an unreachable
+    // primary behind a cache hit is a non-event; a miss fails over as usual.
+    let cluster = cluster_with(unreachable(&[0]), true, 3);
     let sql = QUERIES[0];
     let cold = cluster.query(sql).unwrap();
     assert_eq!(cold.failovers, vec![0]);

@@ -872,6 +872,83 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
     }
 }
 
+/// The fault axis of the edge kinds: an edge-applied fault is read above
+/// the link, so the same [`ChaosModel`] — shard 1's primary unreachable on
+/// every query — must be the same event on an in-memory tree and on a tree
+/// of worker processes behind unix sockets: identical rows, the same
+/// `failovers`, balanced skipped + cached + scanned accounting — at either
+/// tree depth, cold and then warm from the node caches. (`failovers` is
+/// compared wherever neither tree pruned an edge: only workers keep the
+/// shard summaries pruning needs, and a pruned edge needs no server, so it
+/// records no failover.)
+///
+/// [`ChaosModel`]: powerdrill::dist::ChaosModel
+#[test]
+fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
+    use powerdrill::data::{generate_logs, LogsSpec};
+    use powerdrill::dist::{
+        ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
+        TreeShape,
+    };
+
+    let table = generate_logs(&LogsSpec::scaled(1_200));
+    let mut build = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut build.partition {
+        spec.max_chunk_rows = 150;
+    }
+    let store = DataStore::build(&table, &build).unwrap();
+    let unix = Transport::Rpc(RpcConfig {
+        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
+        ..Default::default()
+    });
+    for fanout in [16usize, 2] {
+        let tree = |transport: Transport| {
+            let cut = ChaosDirective { node: "l1p".into(), fault: ChaosFault::Unreachable };
+            let config = ClusterConfig {
+                shards: 4,
+                replication: true,
+                chaos: ChaosModel { always: vec![cut], ..Default::default() },
+                tree: TreeShape { fanout },
+                build: build.clone(),
+                transport,
+                ..Default::default()
+            };
+            Cluster::build(&table, &config).unwrap()
+        };
+        let trees = [("local", tree(Transport::InProcess)), ("unix", tree(unix.clone()))];
+        let mut compared = 0;
+        for pass in 0..2 {
+            for sql in MATRIX_QUERIES {
+                let (want, _) = powerdrill::query(&store, sql).unwrap();
+                let [local, unix] = trees.each_ref().map(|(kind, cluster)| {
+                    let label = format!("fanout={fanout} edges={kind} pass={pass}: {sql}");
+                    let outcome = cluster.query(sql).unwrap();
+                    assert_eq!(outcome.result, want, "{label}");
+                    let stats = &outcome.stats;
+                    assert_eq!(
+                        stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+                        stats.rows_total,
+                        "row accounting must balance: {label}"
+                    );
+                    assert!(outcome.hedges.is_empty(), "a cut edge is not raced: {label}");
+                    outcome
+                });
+                if local.stats.subtrees_pruned == 0 && unix.stats.subtrees_pruned == 0 {
+                    assert_eq!(local.failovers, unix.failovers, "fanout={fanout} {pass}: {sql}");
+                    compared += 1;
+                }
+                if pass == 0 && sql == MATRIX_QUERIES[0] {
+                    // Unrestricted and cold: nothing is pruned, no cache
+                    // answers, the replica serves shard 1.
+                    assert_eq!(local.failovers, vec![1], "fanout={fanout}");
+                    assert_eq!(unix.failovers, vec![1], "fanout={fanout}");
+                }
+            }
+        }
+        assert!(compared >= MATRIX_QUERIES.len(), "too few unpruned queries: {compared}");
+    }
+}
+
 /// The pruning axis: chunk-granular pruning (per-chunk zone maps, Bloom
 /// filters and virtual-field partial evaluation shipped in the Load acks)
 /// is pure work-avoidance — switching it off may only move scans around,

@@ -25,25 +25,25 @@ fn workspace_is_clean_under_pd_analysis() {
 
 /// The golden wire-fingerprint test (the wire-drift rule's `cargo test`
 /// face): every request/response tag and codec layout is pinned to
-/// `FRAME_VERSION` 6. If this fails you changed the wire format — that is
+/// `FRAME_VERSION` 7. If this fails you changed the wire format — that is
 /// only legal together with a version bump.
 #[test]
-fn wire_fingerprint_is_pinned_to_frame_version_6() {
+fn wire_fingerprint_is_pinned_to_frame_version_7() {
     let root = workspace_root();
     let live = pd_analysis::compute_fingerprint(root).expect("codec files lex");
     let golden = pd_analysis::load_baseline(root).expect("committed golden exists");
 
     assert_eq!(
         golden.frame_version,
-        Some(6),
-        "the committed golden records FRAME_VERSION {:?}, expected 6 — if you bumped the \
+        Some(7),
+        "the committed golden records FRAME_VERSION {:?}, expected 7 — if you bumped the \
          version on purpose, update this test's pin alongside the golden",
         golden.frame_version
     );
     assert_eq!(
         live.frame_version,
-        Some(6),
-        "crates/common/src/wire.rs declares FRAME_VERSION {:?}, expected 6 — a version bump \
+        Some(7),
+        "crates/common/src/wire.rs declares FRAME_VERSION {:?}, expected 7 — a version bump \
          must ship with a re-blessed golden (`cargo run -p pd-analysis -- --bless`) and an \
          updated pin here",
         live.frame_version
@@ -65,7 +65,6 @@ fn wire_fingerprint_is_pinned_to_frame_version_6() {
         ("REQ_LOAD", 1),
         ("REQ_ATTACH", 2),
         ("REQ_QUERY", 3),
-        ("REQ_DELAY", 4),
         ("REQ_SHUTDOWN", 5),
         ("REQ_APPEND", 6),
         ("REQ_ABSORB", 7),
