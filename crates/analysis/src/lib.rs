@@ -8,7 +8,7 @@
 //! | `decode-panic`    | hostile bytes never panic a decode surface (PR 3/4/7/9)  |
 //! | `wire-drift`      | codec changes require a `FRAME_VERSION` bump (PR 4–9)    |
 //! | `lock-order`      | no lock cycles, no locks held across rpc calls (PR 2/6)  |
-//! | `float-exactness` | float folds route through `FloatSum`/`DenseFloat` (PR 2/8)|
+//! | `float-exactness` | float folds route through `FloatSum`/`FloatColumn`      |
 //! | `unsafe-audit`    | every `unsafe` carries a `// SAFETY:` justification      |
 //!
 //! Escape hatch, per site: `// pd-analysis: allow(<rule>) -- <reason>` on the

@@ -2,7 +2,7 @@
 //! with raw `+` / `+=`.
 //!
 //! The engine's bit-identical-results guarantee (PR 2's Kulisch `FloatSum`,
-//! PR 8's `DenseFloat` double-double) holds only because every float
+//! the double-double `FloatColumn`) holds only because every float
 //! aggregation routes through those two types — raw `+` reassociates under
 //! sharding/threading and breaks `assert_eq!` on floats across topologies.
 //! This rule tracks which identifiers are provably `f64` (typed params,
@@ -16,9 +16,10 @@ use std::collections::{HashMap, HashSet};
 pub const RULE: &str = "float-exactness";
 
 /// The kernel/fold modules where float math is only legal via
-/// `FloatSum`/`DenseFloat`. `common/fsum.rs` is the primitive itself and
+/// `FloatSum`/`FloatColumn`. `common/fsum.rs` is the primitive itself and
 /// stays out of scope.
-pub const TARGET_FILES: &[&str] = &["crates/core/src/kernels.rs", "crates/core/src/exec.rs"];
+pub const TARGET_FILES: &[&str] =
+    &["crates/core/src/kernels.rs", "crates/core/src/exec.rs", "crates/core/src/groups.rs"];
 
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     if !TARGET_FILES.contains(&file.rel_path.as_str()) {
@@ -125,7 +126,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
                         line: tok.line,
                         message: format!(
                             "raw f64 `{op}` in a kernel/fold module — float accumulation must \
-                             route through FloatSum or DenseFloat to stay bit-identical across \
+                             route through FloatSum or FloatColumn to stay bit-identical across \
                              shard/thread topologies"
                         ),
                     });

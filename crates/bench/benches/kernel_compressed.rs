@@ -3,17 +3,17 @@
 //! makes a "fast path" slower than the materializing baseline fails the
 //! bench run itself.
 //!
-//! Five claims:
+//! Six claims:
 //!
 //! 1. run-aware counting over run-heavy codes (`for_each_run`) beats the
 //!    row-at-a-time loop (`for_each`) — strictly;
-//! 2. the dense-float double-double group-by beats the materializing
-//!    kernel end-to-end on a high-cardinality float `SUM`/`AVG` — strictly
-//!    (the materializing path demotes to hash groups at this cardinality,
-//!    the dense-float path keeps the flat-array loop);
+//! 2. the double-double float group-by beats the materializing kernel
+//!    end-to-end on a high-cardinality float `SUM`/`AVG` — strictly (16
+//!    bytes per group against an exact accumulator per group);
 //! 3. the dictionary→f64 table is built once per (column, chunk) and
-//!    *not* once per aggregate — `SUM(x) + AVG(x)` costs exactly
-//!    `chunk_count` builds (asserted via `pd_core::float_table_builds`);
+//!    *not* once per aggregate — `SUM(x) + AVG(x)` share one float-sum
+//!    slot, so they cost exactly `chunk_count` builds (asserted via
+//!    `pd_core::float_table_builds`);
 //! 4. a row mask built from the restriction's resolved dictionary ids
 //!    beats the same predicate written so that only the expression
 //!    evaluator can answer it (one `Value` and one `eval_expr` per
@@ -23,7 +23,12 @@
 //!    `execute` (groups ranked on dictionary ids, ten trie lookups) beats
 //!    `finalize(execute_partial(..))` on the same store (every group
 //!    translated, hashed by value and ranked as values — what a tree's
-//!    leaf and root do between them) by at least 1.5×, same rows.
+//!    leaf and root do between them) by at least 1.5×, same rows;
+//! 6. the `COUNT(*)`-only counts-array kernels (one key, and two keys
+//!    fused into one flat index) beat the general path — a group index per
+//!    row, then one loop per aggregate slot, which is what the
+//!    materializing configuration runs for the same query — strictly, now
+//!    that neither allocates per group.
 
 use pd_bench::{logs_table, measure_stats, rows_from_env_or, Bench};
 use pd_core::{
@@ -82,8 +87,8 @@ fn main() {
         }
     }
 
-    // 2..3. End-to-end: a high-cardinality float group-by, dense-float on
-    // vs fully materializing, same store, single thread.
+    // 2..3. End-to-end: a high-cardinality float group-by, double-double
+    // slots vs fully materializing, same store, single thread.
     let rows = rows_from_env_or(200_000);
     let table = logs_table(rows);
     let store = DataStore::build(&table, &BuildOptions::production(&["user", "country"])).unwrap();
@@ -109,9 +114,30 @@ fn main() {
     let dense = grouped("float_groupby_dense", KernelConfig::default());
     assert!(
         dense < materializing,
-        "dense-float group-by must beat the materializing kernel: \
+        "double-double group-by must beat the materializing kernel: \
          {dense:?} vs {materializing:?}"
     );
+
+    // 6. COUNT(*) only: the counts-array kernels vs the general path over
+    // the same chunks, for one key and for two.
+    for (name, keys) in [("count_one_key", "country"), ("count_two_keys", "country, user")] {
+        let sql = format!("SELECT {keys}, COUNT(*) c FROM data GROUP BY {keys}");
+        let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+        let [general, counts_array] = [
+            (format!("{name}_general"), KernelConfig::materializing()),
+            (format!("{name}_counts_array"), KernelConfig::default()),
+        ]
+        .map(|(case, kernels)| {
+            timed(&case, || {
+                black_box(execute(&store, &analyzed, &ctx(kernels)).unwrap());
+            })
+        });
+        assert!(
+            counts_array < general,
+            "the counts-array kernel must beat the general path on `{sql}`: \
+             {counts_array:?} vs {general:?}"
+        );
+    }
 
     // Run-aware end-to-end too, on the shape it targets: a global float
     // aggregate folds whole runs into the exact accumulator.

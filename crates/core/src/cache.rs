@@ -11,45 +11,10 @@
 //! manage; the model of those layers, for the §5 policy experiment, is
 //! `pd_bench::residency`.
 
+use crate::groups::GroupTable;
 use pd_common::sync::Mutex;
 use pd_common::FxHashMap;
 use std::sync::Arc;
-
-/// One cached group-by partial for a fully active chunk.
-///
-/// Keys are the **global-ids** of the group-by key columns (stable for the
-/// lifetime of a store): the executor folds chunks in the id domain and
-/// translates ids to [`pd_common::Value`]s only once per distinct result group, so a
-/// cached chunk costs no dictionary lookups at all on a hit.
-pub type ChunkGroups = Vec<(Box<[u32]>, Vec<crate::exec::AggState>)>;
-
-/// A chunk's cached (or freshly computed) group-by contribution.
-pub enum CachedChunk {
-    /// Generic per-group aggregation states.
-    Groups(ChunkGroups),
-    /// The paper's fast path, kept in its raw form: a single plain group-by
-    /// key and `COUNT(*)` only — counts indexed by **chunk-id**, no
-    /// per-group allocation at all. The fold adds these straight into a
-    /// global-id-indexed array via the chunk dictionary.
-    DenseSingleCount(Vec<u64>),
-}
-
-impl CachedChunk {
-    /// Approximate in-memory footprint, for cost-aware cache admission.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            CachedChunk::Groups(groups) => groups
-                .iter()
-                .map(|(key, states)| {
-                    std::mem::size_of::<(Box<[u32]>, Vec<crate::exec::AggState>)>()
-                        + key.len() * 4
-                        + states.iter().map(|s| s.approx_bytes()).sum::<usize>()
-                })
-                .sum(),
-            CachedChunk::DenseSingleCount(counts) => counts.len() * 8,
-        }
-    }
-}
 
 /// A thread-safe, capacity-bounded map with cost-aware admission and
 /// hit/miss accounting — the shared bookkeeping behind the §6 chunk-result
@@ -57,12 +22,12 @@ impl CachedChunk {
 /// ever drops entries, so a capacity bound can change *what is cached*,
 /// never *what a query returns*.
 ///
-/// Admission at capacity compares the incoming entry's cost (typically
-/// bytes × measured recompute ns, see [`cost_score`]) with the cheapest
+/// Admission at capacity compares the incoming entry's cost (bytes ×
+/// cells scanned to produce it, see [`cost_score`]) with the cheapest
 /// resident's: cheaper entries are rejected, costlier ones evict the
-/// cheapest resident. Entries inserted with the plain [`BoundedCache::put`]
-/// carry cost 0, where the policy degrades to exactly the old FIFO: among
-/// equal costs the victim is the oldest entry.
+/// cheapest resident; among equal costs the victim is the oldest entry. A
+/// cost is a function of the query and the data, never of a clock, so what
+/// a cache holds is a function of the query sequence.
 pub struct BoundedCache<K, V> {
     inner: Mutex<BoundedInner<K, V>>,
 }
@@ -101,14 +66,9 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         }
     }
 
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.get_borrowed(key)
-    }
-
-    /// [`BoundedCache::get`] keyed by any borrowed form of `K` (e.g.
-    /// `&str` for `String` keys), so lookup paths need not allocate a
-    /// throwaway owned key.
-    pub fn get_borrowed<Q>(&self, key: &Q) -> Option<V>
+    /// Look `key` up by any borrowed form of `K` (e.g. `&str` for `String`
+    /// keys), so lookup paths need not allocate a throwaway owned key.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
         K: std::borrow::Borrow<Q>,
         Q: std::hash::Hash + Eq + ?Sized,
@@ -126,14 +86,9 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         }
     }
 
-    /// Insert with cost 0 (pure FIFO admission among such entries).
-    pub fn put(&self, key: K, value: V) {
-        self.put_costed(key, value, 0)
-    }
-
     /// Insert with an admission cost: at capacity the incoming entry must
     /// cost at least as much as the cheapest resident, which it evicts.
-    pub fn put_costed(&self, key: K, value: V, cost: u64) {
+    pub fn put(&self, key: K, value: V, cost: u64) {
         let mut inner = self.inner.lock();
         if let Some((old_cost, stamp)) = inner.entries.get(&key).map(|e| (e.cost, e.stamp)) {
             // Same key: replace in place, keeping the insertion stamp.
@@ -189,45 +144,45 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
     }
 }
 
-/// The cost-aware admission score: approximate entry bytes × measured
-/// recompute nanoseconds. Saturating; never 0 for a real (non-empty,
-/// measured) entry, so such entries always outrank plain cost-0 inserts.
-pub fn cost_score(bytes: usize, recompute: std::time::Duration) -> u64 {
-    let ns = recompute.as_nanos().min(u64::MAX as u128) as u64;
-    (bytes as u64).max(1).saturating_mul(ns.max(1))
+/// The cost-aware admission score: approximate entry bytes × the cells a
+/// scan reads to recompute it. Saturating, and never 0.
+pub fn cost_score(bytes: usize, cells: u64) -> u64 {
+    (bytes as u64).max(1).saturating_mul(cells.max(1))
 }
 
-/// The §6 chunk-result cache: results of fully-active chunks, keyed by
-/// (query signature, chunk).
+/// The §6 chunk-result cache: the group tables of fully-active chunks,
+/// keyed by (query signature, chunk).
+///
+/// A payload is the chunk kernel's own group table (`crate::groups`) of
+/// **global-ids** (stable for the lifetime of a store): the fold adds a
+/// cached table exactly as it adds a computed one, and ids become
+/// [`pd_common::Value`]s only for the rows a query returns, so a hit costs
+/// no dictionary lookup at all.
 pub struct ResultCache {
-    entries: BoundedCache<(String, u32), Arc<CachedChunk>>,
+    entries: BoundedCache<(Arc<str>, u32), Arc<GroupTable<u32>>>,
 }
 
 impl ResultCache {
-    /// Cache at most `capacity` chunk results (FIFO bound).
+    /// Cache at most `capacity` chunk results.
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache { entries: BoundedCache::new(capacity) }
     }
 
-    pub fn get(&self, signature: &str, chunk: u32) -> Option<Arc<CachedChunk>> {
-        self.entries.get(&(signature.to_owned(), chunk))
+    pub(crate) fn get(&self, signature: &Arc<str>, chunk: u32) -> Option<Arc<GroupTable<u32>>> {
+        self.entries.get(&(signature.clone(), chunk))
     }
 
-    pub fn put(&self, signature: &str, chunk: u32, groups: Arc<CachedChunk>) {
-        self.entries.put((signature.to_owned(), chunk), groups);
-    }
-
-    /// [`ResultCache::put`] with cost-aware admission: the entry's score is
-    /// its approximate bytes × the measured time to recompute it.
-    pub fn put_costed(
+    /// Admit a chunk's table, scored by its bytes × the `cells` its scan
+    /// read.
+    pub(crate) fn put(
         &self,
-        signature: &str,
+        signature: &Arc<str>,
         chunk: u32,
-        groups: Arc<CachedChunk>,
-        recompute: std::time::Duration,
+        groups: Arc<GroupTable<u32>>,
+        cells: u64,
     ) {
-        let cost = cost_score(groups.approx_bytes(), recompute);
-        self.entries.put_costed((signature.to_owned(), chunk), groups, cost);
+        let cost = cost_score(groups.approx_bytes(), cells);
+        self.entries.put((signature.clone(), chunk), groups, cost);
     }
 
     /// `(hits, misses)` so far.
@@ -246,31 +201,36 @@ impl ResultCache {
 mod tests {
     use super::*;
 
+    fn empty_table() -> Arc<GroupTable<u32>> {
+        Arc::new(GroupTable::new(0, Vec::new(), Vec::new()))
+    }
+
     #[test]
     fn result_cache_round_trip_and_bound() {
         let rc = ResultCache::new(2);
-        let groups: Arc<CachedChunk> = Arc::new(CachedChunk::Groups(vec![]));
-        rc.put("sig", 0, groups.clone());
-        rc.put("sig", 1, groups.clone());
-        assert!(rc.get("sig", 0).is_some());
-        rc.put("sig", 2, groups); // evicts chunk 0 (FIFO)
-        assert!(rc.get("sig", 0).is_none());
-        assert!(rc.get("sig", 2).is_some());
-        let (hits, misses) = rc.stats();
-        assert_eq!((hits, misses), (2, 1));
+        let sig: Arc<str> = "sig".into();
+        rc.put(&sig, 0, empty_table(), 1);
+        rc.put(&sig, 1, empty_table(), 1);
+        assert!(rc.get(&sig, 0).is_some());
+        rc.put(&sig, 2, empty_table(), 1); // evicts chunk 0 (oldest of equal cost)
+        assert!(rc.get(&sig, 0).is_none());
+        assert!(rc.get(&sig, 2).is_some());
+        assert_eq!(rc.stats(), (2, 1));
     }
 
     #[test]
     fn distinct_signatures_do_not_collide() {
         let rc = ResultCache::new(8);
-        rc.put("q1", 0, Arc::new(CachedChunk::Groups(vec![])));
-        assert!(rc.get("q2", 0).is_none());
+        rc.put(&"q1".into(), 0, empty_table(), 1);
+        // Equal text is the same key, whichever allocation holds it.
+        assert!(rc.get(&"q1".into(), 0).is_some());
+        assert!(rc.get(&"q2".into(), 0).is_none());
     }
 
     #[test]
     fn bounded_cache_clear_invalidates_but_keeps_counters() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(4);
-        cache.put(1, 10);
+        cache.put(1, 10, 0);
         assert_eq!(cache.get(&1), Some(10));
         cache.clear();
         assert!(cache.is_empty());
@@ -281,13 +241,24 @@ mod tests {
     #[test]
     fn bounded_cache_put_is_idempotent_per_key() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
-        cache.put(1, 10);
-        cache.put(1, 11); // replaces value, no duplicate FIFO slot
-        cache.put(2, 20);
-        cache.put(3, 30); // evicts key 1 only
+        cache.put(1, 10, 0);
+        cache.put(1, 11, 0); // replaces value, no duplicate slot
+        cache.put(2, 20, 0);
+        cache.put(3, 30, 0); // evicts key 1 only
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1), None);
         assert_eq!(cache.get(&2), Some(20));
         assert_eq!(cache.get(&3), Some(30));
+    }
+
+    #[test]
+    fn admission_rejects_the_cheaper_and_evicts_the_cheapest() {
+        let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
+        cache.put(1, 10, cost_score(100, 50));
+        cache.put(2, 20, cost_score(10, 50));
+        cache.put(3, 30, cost_score(1, 1)); // cheaper than every resident
+        assert_eq!((cache.get(&3), cache.rejected()), (None, 1));
+        cache.put(4, 40, cost_score(10, 60)); // evicts key 2, the cheapest
+        assert_eq!((cache.get(&2), cache.get(&1), cache.get(&4)), (None, Some(10), Some(40)));
     }
 }

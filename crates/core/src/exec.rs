@@ -4,9 +4,12 @@
 //! `counts[elements[row]]++`" over a dense array sized by the chunk
 //! dictionary, after which per-chunk results are folded into one group
 //! table keyed by **global-ids**. The per-chunk loops live in
-//! `crate::kernels` (crate-private; its [`crate::KernelConfig`] knobs are
-//! re-exported) and operate on raw dictionary codes; this module owns
-//! planning, the chunk schedule, the fold and the ranking.
+//! `crate::kernels` (crate-private; its [`crate::KernelConfig`] switch is
+//! re-exported) and operate on raw dictionary codes; the table — columns of
+//! ids and typed aggregate states, the same shape from a chunk kernel
+//! through the chunk-result cache and the fold to the ranking — is
+//! `crate::groups`; this module owns planning, the chunk schedule and the
+//! ranking.
 //!
 //! The group table leaves the id domain as late as its consumer allows
 //! (§2.4 groups on ids; the trie dictionary of §3 is affordable because
@@ -16,10 +19,12 @@
 //! `LIMIT` let through. [`execute_partial`] serves the distributed layer
 //! (§4), whose shards share no dictionary and so must merge by value: it
 //! translates each key column once, by one ordered dictionary walk
-//! ([`pd_encoding::GlobalDict::values_of`]), into a value-keyed
-//! [`PartialResult`]; [`finalize`] ranks the merged partial at the root.
-//! Both rankings are one routine, generic over what a key cell is, so
-//! `execute(q) == finalize(q, execute_partial(q))` row for row.
+//! ([`pd_encoding::GlobalDict::values_of`]), and only then — once per
+//! final group — builds the [`AggState`]s of a value-keyed
+//! [`PartialResult`]; [`finalize`] reads the merged partial back into
+//! columns and ranks it at the root. Both rankings are one routine, generic
+//! over what a cell is, so `execute(q) == finalize(q, execute_partial(q))`
+//! row for row.
 //!
 //! Because every chunk is immutable and per-chunk group states are
 //! mergeable (the same property §4 uses to aggregate across machines),
@@ -54,21 +59,20 @@
 //! and [`finalize`] applies `HAVING` / `ORDER BY` / `LIMIT` at the root,
 //! building rows only for the groups that survive them.
 
-use crate::cache::{CachedChunk, ChunkGroups, ResultCache};
+use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
-use crate::kernels::{
-    self, ChunkAcc, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT,
-};
+use crate::groups::{AggRef, CellsOf, Column, GroupFold, GroupTable, SlotKind};
+use crate::kernels::{self, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, FloatSum, FxHashMap, HeapSize, Result, Row, Value};
+use pd_encoding::GlobalDict;
 use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, Expr, OutputCol, RowContext,
 };
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,8 +87,8 @@ pub struct ExecContext {
     pub threads: usize,
     /// Chunk-result cache for fully active chunks (§6).
     pub result_cache: Option<Arc<ResultCache>>,
-    /// Compressed-domain kernel switches (both fast paths default on; every
-    /// setting is bit-identical, see [`KernelConfig`]).
+    /// Which kernels scan a chunk (the fast paths by default; both
+    /// settings are bit-identical, see [`KernelConfig`]).
     pub kernels: KernelConfig,
 }
 
@@ -161,13 +165,15 @@ impl QueryResult {
     }
 }
 
-/// A mergeable aggregation state.
+/// A mergeable aggregation state, as the §4 computation tree carries it.
 ///
-/// Every variant merges associatively and commutatively — the property the
-/// §4 computation tree, the parallel chunk fold and the shard fan-out all
-/// rely on. Float sums use [`FloatSum`] (an exact superaccumulator), so
-/// even `SUM`/`AVG` over floats are bit-identical regardless of how rows
-/// were grouped into chunks, threads or shards.
+/// Inside a store a group's states are positions in the columns of
+/// `crate::groups`; an `AggState` exists from [`execute_partial`]'s last
+/// step to [`finalize`]'s first. Every variant merges associatively and
+/// commutatively — the property the tree and the shard fan-out rely on.
+/// Float sums use [`FloatSum`] (an exact superaccumulator), so even
+/// `SUM`/`AVG` over floats are bit-identical regardless of how rows were
+/// grouped into chunks, threads or shards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
     Count(u64),
@@ -284,7 +290,7 @@ impl PartialResult {
     }
 
     /// Approximate in-memory footprint of the group map, for cost-aware
-    /// cache admission (bytes × recompute ns).
+    /// cache admission (bytes × cells scanned).
     pub fn approx_bytes(&self) -> usize {
         let per_entry = std::mem::size_of::<(Box<[Value]>, Vec<AggState>)>() + 16;
         self.groups
@@ -295,24 +301,6 @@ impl PartialResult {
                     + states.iter().map(AggState::approx_bytes).sum::<usize>()
             })
             .sum()
-    }
-
-    /// Merge another partial by reference, leaving `other` reusable — the
-    /// shard-level result cache merges its cached partials this way.
-    pub fn merge_ref(&mut self, other: &PartialResult) -> Result<()> {
-        for (key, states) in &other.groups {
-            match self.groups.entry(key.clone()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states.clone());
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -337,7 +325,7 @@ pub fn execute(
     let started = Instant::now();
     let plan = Plan::prepare_seeded(store, analyzed, ctx, None)?;
     let (groups, mut stats) = plan.run(store, ctx)?;
-    let result = rank(analyzed, &IdKeys(&plan.key_cols), groups)?;
+    let result = rank(analyzed, &IdKeys(&plan), &groups, &plan.aggs)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
 }
@@ -369,50 +357,70 @@ pub fn execute_partial_seeded(
 
 /// Apply HAVING / ORDER BY / LIMIT and project the output columns.
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
-    rank(analyzed, &ValueKeys, partial.groups.into_iter().collect())
+    let (groups, aggs) =
+        GroupTable::from_partial(partial, analyzed.keys.len(), analyzed.aggs.len())?;
+    rank(analyzed, &ValueKeys, &groups, &aggs)
 }
 
-/// A group table as [`rank`] takes it: key cells `C` are global-ids
-/// ([`execute`]) or values ([`finalize`]).
-type Groups<C> = Vec<(Box<[C]>, Vec<AggState>)>;
-
-/// How [`rank`] reads a group table's key cells of type `C`.
+/// What [`rank`] needs to know about a group table's cells of type `C`:
+/// its key cells and the cells of its MIN/MAX columns.
 trait KeyCells<C> {
-    /// Does `C`'s own order on key column `i`'s cells equal [`Value::cmp`]
-    /// on the values they stand for?
-    fn value_ordered(&self, i: usize) -> bool;
+    /// Does `C`'s own order on these cells equal [`Value::cmp`] on the
+    /// values they stand for?
+    fn value_ordered(&self, of: CellsOf) -> bool;
 
-    /// Key column `i`'s `cells` as values, one per cell, in their order.
-    fn values<'a>(&self, i: usize, cells: impl Iterator<Item = &'a C>) -> Vec<Value>
+    /// The value `cell` stands for.
+    fn value(&self, of: CellsOf, cell: &C) -> Value;
+
+    /// `cells` as values, one per cell, in their order.
+    fn values<'a>(&self, of: CellsOf, cells: impl Iterator<Item = &'a C>) -> Vec<Value>
     where
-        C: 'a;
+        C: 'a,
+    {
+        cells.map(|cell| self.value(of, cell)).collect()
+    }
 }
 
-/// Keys that are values already (a merged [`PartialResult`]).
+/// Cells that are values already (a merged [`PartialResult`]).
 struct ValueKeys;
 
 impl KeyCells<Value> for ValueKeys {
-    fn value_ordered(&self, _: usize) -> bool {
+    fn value_ordered(&self, _: CellsOf) -> bool {
         true
     }
 
-    fn values<'a>(&self, _: usize, cells: impl Iterator<Item = &'a Value>) -> Vec<Value> {
-        cells.cloned().collect()
+    fn value(&self, _: CellsOf, cell: &Value) -> Value {
+        cell.clone()
     }
 }
 
-/// Keys that are global-ids into the key columns' dictionaries. Ids order
-/// like their values while a dictionary is sorted; one an append has
-/// tailed is compared by value.
-struct IdKeys<'a>(&'a [Arc<StoredColumn>]);
+/// Cells that are global-ids into the dictionaries of a plan's key and
+/// MIN/MAX argument columns. Ids order like their values while a
+/// dictionary is sorted; one an append has tailed is compared by value.
+struct IdKeys<'a>(&'a Plan);
+
+impl IdKeys<'_> {
+    fn dict(&self, of: CellsOf) -> &GlobalDict {
+        match of {
+            CellsOf::Key(i) => &self.0.key_cols[i].dict,
+            CellsOf::Slot(s) => {
+                &self.0.slots[s].col.as_ref().expect("MIN/MAX has an argument").dict
+            }
+        }
+    }
+}
 
 impl KeyCells<u32> for IdKeys<'_> {
-    fn value_ordered(&self, i: usize) -> bool {
-        self.0[i].dict.is_value_ordered()
+    fn value_ordered(&self, of: CellsOf) -> bool {
+        self.dict(of).is_value_ordered()
     }
 
-    fn values<'a>(&self, i: usize, cells: impl Iterator<Item = &'a u32>) -> Vec<Value> {
-        ids_to_values(&self.0[i].dict, &cells.copied().collect::<Vec<u32>>())
+    fn value(&self, of: CellsOf, id: &u32) -> Value {
+        self.dict(of).value(*id)
+    }
+
+    fn values<'a>(&self, of: CellsOf, cells: impl Iterator<Item = &'a u32>) -> Vec<Value> {
+        ids_to_values(self.dict(of), &cells.copied().collect::<Vec<u32>>())
     }
 }
 
@@ -421,16 +429,17 @@ impl KeyCells<u32> for IdKeys<'_> {
 /// ([`pd_encoding::GlobalDict::values_of`]) instead of a lookup per id —
 /// for a trie, the difference between one DFS and a root-to-leaf walk per
 /// group.
-fn ids_to_values(dict: &pd_encoding::GlobalDict, ids: &[u32]) -> Vec<Value> {
-    let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
-    by_id.sort_unstable_by_key(|&at| ids[at as usize]);
-    let mut distinct: Vec<u32> = by_id.iter().map(|&at| ids[at as usize]).collect();
+fn ids_to_values(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
+    // Positions ordered by id: each packed behind its id, sorted as integers.
+    let mut by_id: Vec<u64> = (0u64..).zip(ids).map(|(at, &id)| u64::from(id) << 32 | at).collect();
+    by_id.sort_unstable();
+    let mut distinct: Vec<u32> = by_id.iter().map(|packed| (packed >> 32) as u32).collect();
     distinct.dedup();
     let mut looked_up = dict.values_of(&distinct).into_iter();
     let mut values = vec![Value::Null; ids.len()];
     let mut previous: Option<usize> = None;
-    for &at in &by_id {
-        let at = at as usize;
+    for packed in by_id {
+        let at = packed as u32 as usize;
         values[at] = match previous {
             Some(p) if ids[p] == ids[at] => values[p].clone(),
             _ => looked_up.next().expect("one value per distinct id"),
@@ -440,12 +449,12 @@ fn ids_to_values(dict: &pd_encoding::GlobalDict, ids: &[u32]) -> Vec<Value> {
     values
 }
 
-/// HAVING / ORDER BY / LIMIT over a group table, whatever domain its key
+/// HAVING / ORDER BY / LIMIT over a group table, whatever domain its
 /// cells are in: the one ranking routine behind [`execute`] (global-ids)
 /// and [`finalize`] (values — the root of a tree, whose shards do not
-/// share dictionaries).
+/// share dictionaries). `aggs[i]` names the slots aggregate `i` reads.
 ///
-/// Groups are ranked *by reference*. Only the aggregate cells HAVING or
+/// Groups are ranked *by position*. Only the aggregate cells HAVING or
 /// ORDER BY read are finalized for every group; key cells are compared as
 /// stored wherever that is the value order ([`KeyCells::value_ordered`])
 /// and become values for every group only if HAVING names the key or the
@@ -456,10 +465,11 @@ fn ids_to_values(dict: &pd_encoding::GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// The order is total: the ORDER BY keys, ties broken by the whole row,
 /// cell by cell — the output never depends on group-table order, and it is
 /// the same order in both domains.
-fn rank<C: Ord>(
+fn rank<C: Ord + Clone>(
     analyzed: &AnalyzedQuery,
     domain: &impl KeyCells<C>,
-    groups: Groups<C>,
+    groups: &GroupTable<C>,
+    aggs: &[AggRef],
 ) -> Result<QueryResult> {
     let columns = analyzed.output_names();
     let source = |idx: usize| analyzed.output[idx].1;
@@ -486,12 +496,16 @@ fn rank<C: Ord>(
         }
     };
 
-    if groups.is_empty() && analyzed.keys.is_empty() {
+    if groups.len() == 0 {
+        if !analyzed.keys.is_empty() {
+            return Ok(QueryResult { columns, rows: Vec::new() });
+        }
         // Global aggregation over zero rows still yields one row.
         let row: Vec<Value> = (0..columns.len())
             .map(|idx| match source(idx) {
                 OutputCol::Key(_) => Value::Null,
-                OutputCol::Agg(i) => empty_value(analyzed.aggs[i].func),
+                OutputCol::Agg(i) if analyzed.aggs[i].func == AggFunc::Count => Value::Int(0),
+                OutputCol::Agg(_) => Value::Null,
             })
             .collect();
         let keep = passes(&|idx| row[idx].clone())? && analyzed.limit != Some(0);
@@ -501,19 +515,21 @@ fn rank<C: Ord>(
     // Columns the ranking reads for every group, finalized / looked up
     // once: the aggregates HAVING or ORDER BY name; the keys HAVING names
     // or whose cells do not order like their values.
+    let extreme = |s: usize, cell: &C| domain.value(CellsOf::Slot(s), cell);
+    let agg_cell = |i: usize, g: usize| groups.cell(aggs[i], g, &extreme);
     let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
             let src = OutputCol::Agg(i);
             let ordered_by = analyzed.order_by.iter().any(|&(idx, _)| source(idx) == src);
             (ordered_by || having_reads(src))
-                .then(|| groups.iter().map(|(_, states)| states[i].finalize()).collect())
+                .then(|| (0..groups.len()).map(|g| agg_cell(i, g)).collect())
         })
         .collect();
     let key_values: Vec<Option<Vec<Value>>> = (0..analyzed.keys.len())
         .map(|i| {
-            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(i))
-                .then(|| domain.values(i, groups.iter().map(|(key, _)| &key[i])))
+            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(CellsOf::Key(i)))
+                .then(|| domain.values(CellsOf::Key(i), groups.key(i).iter()))
         })
         .collect();
     let cell = |g: usize, idx: usize| -> Value {
@@ -529,11 +545,11 @@ fn rank<C: Ord>(
     let cmp_cell = |a: usize, b: usize, idx: usize| match source(idx) {
         OutputCol::Key(i) => match &key_values[i] {
             Some(values) => values[a].cmp(&values[b]),
-            None => groups[a].0[i].cmp(&groups[b].0[i]),
+            None => groups.key(i)[a].cmp(&groups.key(i)[b]),
         },
         OutputCol::Agg(i) => match &agg_cells[i] {
             Some(cells) => cells[a].cmp(&cells[b]),
-            None => groups[a].1[i].finalize().cmp(&groups[b].1[i].finalize()),
+            None => agg_cell(i, a).cmp(&agg_cell(i, b)),
         },
     };
 
@@ -576,31 +592,19 @@ fn rank<C: Ord>(
         .map(|idx| match source(idx) {
             OutputCol::Key(i) => match &key_values[i] {
                 Some(values) => kept.iter().map(|&g| values[g].clone()).collect(),
-                None => domain.values(i, kept.iter().map(|&g| &groups[g].0[i])),
+                None => domain.values(CellsOf::Key(i), kept.iter().map(|&g| &groups.key(i)[g])),
             },
             OutputCol::Agg(i) => match &agg_cells[i] {
                 Some(cells) => kept.iter().map(|&g| cells[g].clone()).collect(),
-                None => kept.iter().map(|&g| groups[g].1[i].finalize()).collect(),
+                None => kept.iter().map(|&g| agg_cell(i, g)).collect(),
             },
         })
         .collect();
-    let rows = transpose(cells, kept.len()).map(Row).collect();
+    let mut cells: Vec<_> = cells.into_iter().map(Vec::into_iter).collect();
+    let rows = (0..kept.len())
+        .map(|_| Row(cells.iter_mut().map(|col| col.next().expect("one cell per row")).collect()))
+        .collect();
     Ok(QueryResult { columns, rows })
-}
-
-/// The `rows` rows of a table given column by column, cells moved out.
-fn transpose(columns: Vec<Vec<Value>>, rows: usize) -> impl Iterator<Item = Vec<Value>> {
-    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-    (0..rows).map(move |_| {
-        columns.iter_mut().map(|cells| cells.next().expect("one cell per row")).collect()
-    })
-}
-
-fn empty_value(func: AggFunc) -> Value {
-    match func {
-        AggFunc::Count => Value::Int(0),
-        _ => Value::Null,
-    }
 }
 
 /// HAVING's view of one output row: the columns it names, resolved to
@@ -621,18 +625,9 @@ impl RowContext for OutputRow<'_> {
     }
 }
 
-/// What an aggregate needs per chunk.
-pub(crate) enum AggKind {
-    Count,
-    SumInt,
-    SumFloat,
-    MinMax { is_min: bool },
-    Avg,
-    Distinct { m: usize },
-}
-
-pub(crate) struct AggPlan {
-    pub(crate) kind: AggKind,
+/// One aggregate slot of a plan: what it accumulates, over which column.
+pub(crate) struct SlotPlan {
+    pub(crate) kind: SlotKind,
     /// Argument column (None for COUNT(*) / COUNT(x), which only counts).
     pub(crate) col: Option<Arc<StoredColumn>>,
 }
@@ -640,178 +635,86 @@ pub(crate) struct AggPlan {
 /// The prepared execution plan.
 struct Plan {
     key_cols: Vec<Arc<StoredColumn>>,
-    aggs: Vec<AggPlan>,
+    /// The aggregate slots a scan fills, each distinct (kind, column) once.
+    slots: Vec<SlotPlan>,
+    /// Per aggregate of the query, the slots it reads.
+    aggs: Vec<AggRef>,
     filter: Option<FilterPlan>,
     skip: SkipAnalysis,
     /// Result-cache signature (table + keys + aggs + sketch size).
-    signature: String,
+    signature: Arc<str>,
     /// How many distinct columns a scan touches (for cell accounting).
     touched: usize,
 }
 
-/// One scanned chunk's contribution, produced by a worker.
+/// One scanned chunk's contribution: a cache hit, or a table a worker
+/// computed.
 ///
-/// Workers never mutate shared state: a cache hit is returned as-is and a
-/// computed payload is handed back for the driver to admit into the cache
-/// (and account) in deterministic chunk order.
+/// Workers never mutate shared state: a computed table is handed back for
+/// the driver to admit into the cache (and account) in deterministic chunk
+/// order.
 enum ChunkScan {
-    Cached(Arc<CachedChunk>),
-    Computed {
-        payload: CachedChunk,
-        /// Measured wall time of the chunk scan, for cost-aware cache
-        /// admission (bytes × recompute ns).
-        compute: std::time::Duration,
-    },
+    Cached(Arc<GroupTable<u32>>),
+    Computed(GroupTable<u32>),
 }
 
-/// The driver-side, chunk-ordered fold of scan payloads.
+/// The driver-side, chunk-ordered fold of chunk tables.
 ///
 /// Owns every shared-state mutation (cache admission, statistics), keeping
-/// them deterministic under any worker scheduling. Groups accumulate in the
-/// global-id domain; dense single-key `COUNT(*)` payloads add into a
-/// global-id-indexed array when the key dictionary is proportionate to the
-/// scanned volume, and hash-fold otherwise (so a selective query over a
-/// store with an enormous global dictionary never allocates `dict.len()`
-/// slots for a handful of groups).
+/// them deterministic under any worker scheduling; the groups accumulate in
+/// a [`GroupFold`], cached and computed tables alike.
 struct Fold<'a> {
     plan: &'a Plan,
-    store: &'a DataStore,
-    ctx: &'a ExecContext,
-    tasks: &'a [(usize, bool)],
-    id_groups: FxHashMap<Box<[u32]>, Vec<AggState>>,
-    dense_counts: Option<Vec<u64>>,
-    use_dense_fold: bool,
+    cache: Option<&'a ResultCache>,
+    stats: ScanStats,
+    groups: GroupFold,
 }
 
 impl<'a> Fold<'a> {
-    fn new(
-        plan: &'a Plan,
-        store: &'a DataStore,
-        ctx: &'a ExecContext,
-        tasks: &'a [(usize, bool)],
-    ) -> Fold<'a> {
-        let active_rows: u64 = tasks.iter().map(|&(c, _)| store.chunk_rows(c) as u64).sum();
-        let use_dense_fold = plan
-            .key_cols
-            .first()
-            .is_some_and(|col| u64::from(col.dict.len()) <= (4 * active_rows).max(1024));
-        Fold {
-            plan,
-            store,
-            ctx,
-            tasks,
-            id_groups: FxHashMap::default(),
-            dense_counts: None,
-            use_dense_fold,
-        }
+    /// A fold of chunks holding `active_rows` rows in all, continuing
+    /// `stats`.
+    fn new(plan: &'a Plan, ctx: &'a ExecContext, active_rows: u64, stats: ScanStats) -> Fold<'a> {
+        // One key whose dictionary is proportionate to the scanned volume
+        // is indexed by global-id.
+        let direct = match &plan.key_cols[..] {
+            [col] if u64::from(col.dict.len()) <= (4 * active_rows).max(1024) => {
+                Some(col.dict.len() as usize)
+            }
+            _ => None,
+        };
+        let groups =
+            GroupFold::new(plan.key_cols.len(), plan.slots.iter().map(|slot| slot.kind), direct);
+        Fold { plan, cache: ctx.result_cache.as_deref(), stats, groups }
     }
 
-    /// Fold task `i`'s scan: account statistics, admit computed payloads
-    /// into the result cache, merge the groups.
-    fn absorb(&mut self, stats: &mut ScanStats, i: usize, scan: ChunkScan) -> Result<()> {
-        let (c, filtered) = self.tasks[i];
-        let rows = self.store.chunk_rows(c) as u64;
-        let payload: ChunkPayload = match scan {
+    /// Fold the scan of a task — chunk `c` of `rows` rows, `filtered` or
+    /// fully active: account statistics, admit a computed table into the
+    /// result cache, add the groups.
+    fn absorb(&mut self, c: usize, rows: u64, filtered: bool, scan: ChunkScan) {
+        let table = match scan {
             ChunkScan::Cached(hit) => {
-                stats.chunks_cached += 1;
-                stats.rows_cached += rows;
-                ChunkPayload::Shared(hit)
+                self.stats.chunks_cached += 1;
+                self.stats.rows_cached += rows;
+                hit
             }
-            ChunkScan::Computed { payload, compute } => {
-                stats.chunks_scanned += 1;
-                stats.rows_scanned += rows;
-                stats.cells_scanned += rows * self.plan.touched as u64;
-                match (&self.ctx.result_cache, filtered) {
-                    (Some(rc), false) => {
-                        let shared = Arc::new(payload);
-                        rc.put_costed(&self.plan.signature, c as u32, shared.clone(), compute);
-                        ChunkPayload::Shared(shared)
-                    }
-                    _ => ChunkPayload::Owned(payload),
+            ChunkScan::Computed(table) => {
+                let cells = rows * self.plan.touched as u64;
+                self.stats.chunks_scanned += 1;
+                self.stats.rows_scanned += rows;
+                self.stats.cells_scanned += cells;
+                let table = Arc::new(table);
+                if let (Some(rc), false) = (self.cache, filtered) {
+                    rc.put(&self.plan.signature, c as u32, table.clone(), cells);
                 }
+                table
             }
         };
-        match payload {
-            // A computed payload nobody else holds folds by value; only a
-            // payload the cache shares is cloned, and then only the states
-            // of groups this fold has not seen yet.
-            ChunkPayload::Owned(CachedChunk::Groups(groups)) => {
-                let owned = groups.into_iter().map(|(key, states)| (key, Cow::Owned(states)));
-                fold(&mut self.id_groups, owned)
-            }
-            ChunkPayload::Owned(CachedChunk::DenseSingleCount(counts)) => {
-                self.absorb_counts(c, &counts)
-            }
-            ChunkPayload::Shared(shared) => match &*shared {
-                CachedChunk::Groups(groups) => {
-                    let borrowed = groups
-                        .iter()
-                        .map(|(key, states)| (key.clone(), Cow::Borrowed(&states[..])));
-                    fold(&mut self.id_groups, borrowed)
-                }
-                CachedChunk::DenseSingleCount(counts) => self.absorb_counts(c, counts),
-            },
-        }
+        let cells = IdKeys(self.plan);
+        self.groups.absorb(&table, |s, a, b| match cells.value_ordered(CellsOf::Slot(s)) {
+            true => a.cmp(b),
+            false => cells.value(CellsOf::Slot(s), a).cmp(&cells.value(CellsOf::Slot(s), b)),
+        });
     }
-
-    /// Add chunk `c`'s single-key counts (indexed by chunk-id) through the
-    /// chunk dictionary.
-    fn absorb_counts(&mut self, c: usize, counts: &[u64]) -> Result<()> {
-        let key_col = &self.plan.key_cols[0];
-        let chunk_dict = &key_col.chunks[c].dict;
-        if self.use_dense_fold {
-            let global =
-                self.dense_counts.get_or_insert_with(|| vec![0u64; key_col.dict.len() as usize]);
-            for (cid, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    global[chunk_dict.global_id_of(cid as u32) as usize] += n;
-                }
-            }
-        } else {
-            for (cid, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    merge_count(&mut self.id_groups, chunk_dict.global_id_of(cid as u32), n)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The folded group table. Dense counts come out in ascending global-id
-    /// order without passing through the hash map: a plan folds either
-    /// `DenseSingleCount` payloads or hash groups, never both.
-    fn finish(self) -> Groups<u32> {
-        let mut groups: Groups<u32> = self.id_groups.into_iter().collect();
-        if let Some(global) = self.dense_counts {
-            debug_assert!(groups.is_empty(), "dense counts and hash groups in one fold");
-            let counted = global.iter().enumerate().filter(|(_, &n)| n > 0);
-            groups.extend(
-                counted.map(|(gid, &n)| (Box::from([gid as u32]), vec![AggState::Count(n)])),
-            );
-        }
-        groups
-    }
-}
-
-fn merge_count(
-    id_groups: &mut FxHashMap<Box<[u32]>, Vec<AggState>>,
-    gid: u32,
-    n: u64,
-) -> Result<()> {
-    match id_groups.entry(Box::from([gid])) {
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(vec![AggState::Count(n)]);
-        }
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            e.get_mut()[0].merge(&AggState::Count(n))?;
-        }
-    }
-    Ok(())
-}
-
-enum ChunkPayload {
-    Owned(CachedChunk),
-    Shared(Arc<CachedChunk>),
 }
 
 impl Plan {
@@ -835,6 +738,19 @@ impl Plan {
             key_cols.push(col);
         }
 
+        // Lower every aggregate to slots; aggregates that accumulate the
+        // same thing over the same column share one (AVG(x) is SUM(x) and
+        // COUNT(*), whether or not the query also asks for those).
+        let mut slots: Vec<SlotPlan> = Vec::new();
+        let mut slot = |kind: SlotKind, col: Option<&Arc<StoredColumn>>| -> usize {
+            let same = |s: &SlotPlan| {
+                s.kind == kind && s.col.as_ref().map(Arc::as_ptr) == col.map(Arc::as_ptr)
+            };
+            slots.iter().position(same).unwrap_or_else(|| {
+                slots.push(SlotPlan { kind, col: col.cloned() });
+                slots.len() - 1
+            })
+        };
         let mut aggs = Vec::with_capacity(analyzed.aggs.len());
         for agg in &analyzed.aggs {
             let col = match &agg.arg {
@@ -845,36 +761,33 @@ impl Plan {
                 }
                 None => None,
             };
-            let kind = if agg.distinct {
-                AggKind::Distinct { m: ctx.sketch_m() }
+            let col = col.as_ref();
+            aggs.push(if agg.distinct {
+                AggRef::Slot(slot(SlotKind::Distinct { m: ctx.sketch_m() }, col))
             } else {
                 match agg.func {
-                    AggFunc::Count => AggKind::Count,
-                    AggFunc::Sum => match require_arg_type(agg.func, &col)? {
-                        DataType::Int => AggKind::SumInt,
-                        DataType::Float => AggKind::SumFloat,
+                    // COUNT(x) counts rows (stores hold no NULLs).
+                    AggFunc::Count => AggRef::Slot(slot(SlotKind::Count, None)),
+                    AggFunc::Sum => match require_arg_type(agg.func, col)? {
+                        DataType::Int => AggRef::Slot(slot(SlotKind::SumInt, col)),
+                        DataType::Float => AggRef::Slot(slot(SlotKind::SumFloat, col)),
                         DataType::Str => {
                             return Err(Error::Type("SUM over a string column".into()))
                         }
                     },
                     AggFunc::Avg => {
-                        let t = require_arg_type(agg.func, &col)?;
-                        if t == DataType::Str {
+                        if require_arg_type(agg.func, col)? == DataType::Str {
                             return Err(Error::Type("AVG over a string column".into()));
                         }
-                        AggKind::Avg
+                        AggRef::Avg {
+                            sum: slot(SlotKind::SumFloat, col),
+                            count: slot(SlotKind::Count, None),
+                        }
                     }
-                    AggFunc::Min => AggKind::MinMax { is_min: true },
-                    AggFunc::Max => AggKind::MinMax { is_min: false },
+                    AggFunc::Min => AggRef::Slot(slot(SlotKind::Min, col)),
+                    AggFunc::Max => AggRef::Slot(slot(SlotKind::Max, col)),
                 }
-            };
-            // COUNT(x) counts rows (stores hold no NULLs): drop the column
-            // to keep the fast path.
-            let col = match kind {
-                AggKind::Count => None,
-                _ => col,
-            };
-            aggs.push(AggPlan { kind, col });
+            });
         }
 
         let filter = match &analyzed.filter {
@@ -895,22 +808,23 @@ impl Plan {
         let skip =
             SkipAnalysis::prepare_seeded(store, &analyzed.restriction, seeds.map(|s| s.to_vec()))?;
 
-        let signature = format!(
+        let signature: Arc<str> = format!(
             "{}|keys:{}|aggs:{}|m:{}",
             analyzed.table.as_deref().unwrap_or(""),
             analyzed.keys.iter().map(Expr::canonical).collect::<Vec<_>>().join(","),
             analyzed.aggs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
             ctx.sketch_m(),
-        );
-
-        Ok(Plan { key_cols, aggs, filter, skip, signature, touched: touched.len() })
+        )
+        .into();
+        let touched = touched.len();
+        Ok(Plan { key_cols, slots, aggs, filter, skip, signature, touched })
     }
 
     /// Scan the active chunks (in parallel when `ctx.threads != 1`) and
-    /// fold their group states in chunk order. The group table comes back
-    /// keyed by global-ids: [`execute`] ranks it as it is, and only
+    /// fold their group tables in chunk order. The table comes back keyed
+    /// by global-ids: [`execute`] ranks it as it is, and only
     /// [`Plan::value_keyed`] pays for values.
-    fn run(&self, store: &DataStore, ctx: &ExecContext) -> Result<(Groups<u32>, ScanStats)> {
+    fn run(&self, store: &DataStore, ctx: &ExecContext) -> Result<(GroupTable<u32>, ScanStats)> {
         let mut stats = ScanStats {
             chunks_total: store.chunk_count(),
             rows_total: store.n_rows() as u64,
@@ -935,104 +849,81 @@ impl Plan {
             }
         }
 
-        // The chunk-result cache is probed here, on the driver: a hit costs
-        // a lookup, and what is left is the real size of the scan.
-        let mut scans: Vec<Option<ChunkScan>> =
-            tasks.iter().map(|&(c, filtered)| self.cached_chunk(ctx, c, filtered)).collect();
+        // The chunk-result cache is probed here, on the driver (read-only:
+        // admission happens in the fold): a hit costs a lookup, and what
+        // is left is the real size of the scan.
+        let cached = |&(c, filtered): &(usize, bool)| match &ctx.result_cache {
+            Some(rc) if !filtered => rc.get(&self.signature, c as u32).map(ChunkScan::Cached),
+            _ => None,
+        };
+        let mut scans: Vec<Option<ChunkScan>> = tasks.iter().map(cached).collect();
         let misses: Vec<usize> = (0..tasks.len()).filter(|&i| scans[i].is_none()).collect();
         let miss_rows: usize = misses.iter().map(|&i| store.chunk_rows(tasks[i].0)).sum();
 
         // Morsel-driven scan: workers pull chunk tasks off a shared queue,
-        // each producing that chunk's mergeable groups. Workers only
-        // compute; every mutation — cache admission, statistics — happens
-        // in the fold on the driver in chunk order, so cache eviction state
-        // stays deterministic regardless of worker scheduling. Below the
+        // each producing that chunk's group table. Workers only compute;
+        // every mutation — cache admission, statistics — happens in the
+        // fold on the driver in chunk order, so cache eviction state stays
+        // deterministic regardless of worker scheduling. Below the
         // break-even of a hand-off, and with one worker, the fold streams
-        // chunk by chunk (one payload live at a time, like the sequential
-        // seed); the parallel path buffers payloads until the ordered fold.
-        let mut folder = Fold::new(self, store, ctx, &tasks);
+        // chunk by chunk (one table live at a time, like the sequential
+        // seed); the parallel path buffers tables until the ordered fold.
+        let scan = |i: usize| {
+            self.chunk_table(store, ctx, tasks[i].0, tasks[i].1).map(ChunkScan::Computed)
+        };
+        let active_rows = tasks.iter().map(|&(c, _)| store.chunk_rows(c) as u64).sum();
+        let mut folder = Fold::new(self, ctx, active_rows, stats);
         let threads = ctx.effective_threads();
         if threads > 1 && misses.len() > 1 && miss_rows >= PARALLEL_SCAN_MIN_ROWS {
-            let computed = scheduler::run_tasks(threads, misses.len(), |j| {
-                let (c, filtered) = tasks[misses[j]];
-                self.scan_chunk(store, ctx, c, filtered)
-            })?;
-            for (i, scan) in misses.iter().zip(computed) {
-                scans[*i] = Some(scan);
+            let computed = scheduler::run_tasks(threads, misses.len(), |j| scan(misses[j]))?;
+            for (i, table) in misses.iter().zip(computed) {
+                scans[*i] = Some(table);
             }
         }
-        for (i, scan) in scans.into_iter().enumerate() {
-            let scan = match scan {
-                Some(scan) => scan,
-                None => self.scan_chunk(store, ctx, tasks[i].0, tasks[i].1)?,
+        for (i, ready) in scans.into_iter().enumerate() {
+            let ready = match ready {
+                Some(ready) => ready,
+                None => scan(i)?,
             };
-            folder.absorb(&mut stats, i, scan)?;
+            let (c, filtered) = tasks[i];
+            folder.absorb(c, store.chunk_rows(c) as u64, filtered, ready);
         }
-        Ok((folder.finish(), stats))
+        Ok((folder.groups.finish(), folder.stats))
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
     /// does not share this store's dictionaries (a tree parent merging
-    /// shards): each key column's ids are translated by one ordered
-    /// dictionary walk ([`ids_to_values`]), not one lookup per group.
-    /// Dictionaries are bijections, so distinct id tuples stay distinct
-    /// keys.
-    fn value_keyed(&self, groups: Groups<u32>) -> PartialResult {
-        let columns: Vec<Vec<Value>> = (self.key_cols.iter().enumerate())
-            .map(|(i, col)| {
-                let ids: Vec<u32> = groups.iter().map(|(key, _)| key[i]).collect();
-                ids_to_values(&col.dict, &ids)
-            })
-            .collect();
-        let mut result = PartialResult::default();
-        result.groups.reserve(groups.len());
-        for (key, (_, states)) in transpose(columns, groups.len()).zip(groups) {
-            result.groups.insert(key.into_boxed_slice(), states);
-        }
-        result
-    }
-
-    /// The chunk-result cache's entry for a fully active chunk, if any
-    /// (read-only: admission happens in the fold).
-    fn cached_chunk(&self, ctx: &ExecContext, c: usize, filtered: bool) -> Option<ChunkScan> {
-        if filtered {
-            return None;
-        }
-        ctx.result_cache.as_ref()?.get(&self.signature, c as u32).map(ChunkScan::Cached)
-    }
-
-    /// Compute one chunk's groups, timed for cost-aware cache admission.
-    fn scan_chunk(
-        &self,
-        store: &DataStore,
-        ctx: &ExecContext,
-        c: usize,
-        filtered: bool,
-    ) -> Result<ChunkScan> {
-        let started = Instant::now();
-        let payload = self.chunk_payload(store, ctx, c, filtered)?;
-        Ok(ChunkScan::Computed { payload, compute: started.elapsed() })
+    /// shards): each column of ids is translated by one ordered dictionary
+    /// walk ([`ids_to_values`]), not one lookup per group. Dictionaries
+    /// are bijections, so distinct id tuples stay distinct keys.
+    fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
+        let cells = IdKeys(self);
+        groups.map_cells(|of, ids| ids_to_values(cells.dict(of), &ids)).into_partial(&self.aggs)
     }
 
     /// Group one chunk. `filtered` says whether the row filter applies
     /// (fully active chunks skip it by definition).
-    fn chunk_payload(
+    fn chunk_table(
         &self,
         store: &DataStore,
         ctx: &ExecContext,
         c: usize,
         filtered: bool,
-    ) -> Result<CachedChunk> {
+    ) -> Result<GroupTable<u32>> {
         let rows = store.chunk_rows(c);
         let key_chunks: Vec<_> = self.key_cols.iter().map(|col| &col.chunks[c]).collect();
-        let sizes: Vec<usize> = key_chunks.iter().map(|ch| ch.dict.len() as usize).collect();
+        let sizes: Vec<usize> =
+            key_chunks.iter().map(|ch| (ch.dict.len() as usize).max(1)).collect();
 
         // Tabulate the row filter into a packed mask once per chunk; the
         // kernels below consume the mask instead of evaluating per row.
         let mask: Option<BitVec> = match (filtered, &self.filter) {
             (true, Some(plan)) => match kernels::filter_mask(plan, c, rows)? {
                 // No row survives: the chunk contributes no group.
-                Mask::Empty => return Ok(CachedChunk::Groups(Vec::new())),
+                Mask::Empty => {
+                    let slots = self.slots.iter().map(|slot| Column::new(slot.kind)).collect();
+                    return Ok(GroupTable::new(0, vec![Vec::new(); key_chunks.len()], slots));
+                }
                 // Every row survives: scan unmasked, so the run-aware
                 // paths apply.
                 Mask::All => None,
@@ -1041,188 +932,64 @@ impl Plan {
             _ => None,
         };
 
+        let fast = ctx.kernels == KernelConfig::Compressed;
         let dense_capacity: Option<usize> = sizes.iter().try_fold(1usize, |acc, &n| {
-            let prod = acc.checked_mul(n.max(1))?;
+            let prod = acc.checked_mul(n)?;
             (prod <= DENSE_GROUP_LIMIT).then_some(prod)
         });
-        // Exact float accumulators are ~34 words each; without the
-        // double-double fast path, cap the dense over-allocation for them
-        // and hash-group instead. With it, dense slots cost 16 bytes and
-        // the full dense range stays profitable.
-        let float_heavy =
-            self.aggs.iter().any(|a| matches!(a.kind, AggKind::SumFloat | AggKind::Avg));
-        let dense_capacity = match dense_capacity {
-            Some(c) if float_heavy && !ctx.kernels.dense_float && c > DENSE_GROUP_LIMIT / 16 => {
-                None
-            }
-            other => other,
-        };
 
         // Fast paths: the paper's counts-array loop on raw codes — one or
-        // two keys, COUNT(*) only, flat arrays, no per-row group map. The
-        // single-key counts stay in their raw chunk-id form (the fold adds
-        // them through the chunk dictionary); the two-key fused counts
-        // become id-domain groups. A single key never needs the dense
-        // limit: its counts array is bounded by the chunk-dictionary size,
-        // which is at most the chunk's row count (the limit exists to stop
-        // *products* of key-dictionary sizes from exploding).
-        if self.aggs.len() == 1 && matches!(self.aggs[0].kind, AggKind::Count) {
-            if key_chunks.len() == 1 {
-                return Ok(CachedChunk::DenseSingleCount(kernels::count_single(
-                    key_chunks[0].codes(),
-                    sizes[0].max(1),
-                    mask.as_ref(),
-                    ctx.kernels.run_aware,
-                )));
-            }
-            if let (2, Some(capacity)) = (key_chunks.len(), dense_capacity) {
-                let counts = kernels::count_fused(
-                    key_chunks[0].codes(),
-                    key_chunks[1].codes(),
-                    sizes[1].max(1),
+        // two keys, COUNT(*) only, flat arrays, no per-row group index. A
+        // single key never needs the dense limit: its counts array is
+        // bounded by the chunk-dictionary size, which is at most the
+        // chunk's row count (the limit exists to stop *products* of
+        // key-dictionary sizes from exploding).
+        if let (true, [SlotPlan { kind: SlotKind::Count, .. }]) = (fast, &self.slots[..]) {
+            let counts = match (&key_chunks[..], dense_capacity) {
+                ([key], _) => Some(kernels::count_single(key.codes(), sizes[0], mask.as_ref())),
+                ([a, b], Some(capacity)) => Some(kernels::count_fused(
+                    a.codes(),
+                    b.codes(),
+                    sizes[1],
                     capacity,
                     mask.as_ref(),
-                );
-                return Ok(CachedChunk::Groups(self.dense_counts_to_groups(
-                    counts,
-                    &key_chunks,
-                    &sizes,
-                )));
+                )),
+                _ => None,
+            };
+            if let Some(mut counts) = counts {
+                let counted: Vec<u32> =
+                    (0..counts.len() as u32).filter(|&g| counts[g as usize] > 0).collect();
+                counts.retain(|&n| n > 0);
+                let keys = kernels::dense_keys(&counted, &key_chunks, &sizes);
+                return Ok(GroupTable::new(counted.len(), keys, vec![Column::Count(counts)]));
             }
         }
 
         // Pass A: group index per row (u32::MAX = filtered out).
         let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
 
-        let mut seen = vec![false; index.group_count];
-        for &g in &index.group_of_row {
-            if g != u32::MAX {
-                seen[g as usize] = true;
-            }
-        }
-
         // What pass B may assume about `group_of_row`: on the unmasked
         // dense path with zero keys every row is group 0, and with one key
         // a row's group is exactly its key code — both let run-aware
         // kernels consume `Elements` runs instead of rows.
-        let shape = match (mask.is_none() && dense_capacity.is_some(), key_chunks.len()) {
-            (true, 0) => GroupShape::AllRows,
-            (true, 1) => GroupShape::KeyCodes(key_chunks[0].codes()),
+        let shape = match (fast && mask.is_none() && dense_capacity.is_some(), &key_chunks[..]) {
+            (true, []) => GroupShape::AllRows,
+            (true, [key]) => GroupShape::KeyCodes(key.codes()),
             _ => GroupShape::General,
         };
 
-        // Memoize the dictionary→f64 table per (argument column, chunk):
-        // SUM(x) and AVG(x) in one query share one build.
-        let mut float_tables: Vec<Option<std::rc::Rc<Vec<f64>>>> = vec![None; self.aggs.len()];
-        for i in 0..self.aggs.len() {
-            if !matches!(self.aggs[i].kind, AggKind::SumFloat | AggKind::Avg) {
-                continue;
-            }
-            let col = self.aggs[i].col.as_ref().expect("float aggregate has an argument");
-            let found = self.aggs[..i]
-                .iter()
-                .zip(&float_tables)
-                .find(|(prev, table)| {
-                    table.is_some() && prev.col.as_ref().is_some_and(|p| Arc::ptr_eq(p, col))
-                })
-                .and_then(|(_, table)| table.clone());
-            float_tables[i] = Some(match found {
-                Some(shared) => shared,
-                None => std::rc::Rc::new(kernels::float_table(&self.aggs[i], &col.chunks[c])),
-            });
-        }
-
-        // Pass B: per-aggregate tight loops.
-        let mut accs: Vec<ChunkAcc> = Vec::with_capacity(self.aggs.len());
-        for (agg, table) in self.aggs.iter().zip(&float_tables) {
-            accs.push(ChunkAcc::run(
-                agg,
-                c,
-                index.group_count,
-                &index.group_of_row,
-                shape,
-                ctx.kernels,
-                table.as_ref().map(|t| t.as_slice()),
-            )?);
-        }
-
-        // Convert to global-id-domain groups (values are translated once,
-        // at the end of the whole scan).
-        let mut out: ChunkGroups = Vec::with_capacity(seen.iter().filter(|s| **s).count());
-        for g in 0..index.group_count {
-            if !seen[g] {
-                continue;
-            }
-            let key: Box<[u32]> = match &index.hash_keys {
-                None => decode_dense_gids(g, &key_chunks, &sizes),
-                Some(hash_keys) => hash_keys[g]
-                    .iter()
-                    .zip(&key_chunks)
-                    .map(|(&id, ch)| ch.dict.global_id_of(id))
-                    .collect(),
-            };
-            let states: Vec<AggState> = accs.iter().map(|acc| acc.state_of(g)).collect();
-            out.push((key, states));
-        }
-        Ok(CachedChunk::Groups(out))
-    }
-
-    /// Convert a dense flat counts array into id-domain groups.
-    fn dense_counts_to_groups(
-        &self,
-        counts: Vec<u64>,
-        key_chunks: &[&crate::column::ColumnChunk],
-        sizes: &[usize],
-    ) -> ChunkGroups {
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, n)| *n > 0)
-            .map(|(g, n)| (decode_dense_gids(g, key_chunks, sizes), vec![AggState::Count(n)]))
-            .collect()
+        // Pass B: per-slot tight loops.
+        let accumulate = |slot: &SlotPlan| {
+            kernels::accumulate(slot, c, index.group_count, &index.group_of_row, shape, fast)
+        };
+        let slots = self.slots.iter().map(accumulate).collect();
+        Ok(GroupTable::new(index.group_count, index.keys, slots))
     }
 }
 
-/// Decode the mixed-radix dense group index back into per-key global-ids
-/// (most-significant key first).
-fn decode_dense_gids(
-    g: usize,
-    key_chunks: &[&crate::column::ColumnChunk],
-    sizes: &[usize],
-) -> Box<[u32]> {
-    let mut ids = vec![0u32; key_chunks.len()];
-    let mut rem = g;
-    for (slot, &n) in ids.iter_mut().zip(sizes).rev() {
-        let n = n.max(1);
-        *slot = (rem % n) as u32;
-        rem /= n;
-    }
-    ids.iter().zip(key_chunks).map(|(&id, ch)| ch.dict.global_id_of(id)).collect()
-}
-
-fn require_arg_type(func: AggFunc, col: &Option<Arc<StoredColumn>>) -> Result<DataType> {
-    col.as_ref()
-        .map(|c| c.data_type())
+fn require_arg_type(func: AggFunc, col: Option<&Arc<StoredColumn>>) -> Result<DataType> {
+    col.map(|c| c.data_type())
         .ok_or_else(|| Error::Internal(format!("{}(*) is only valid for COUNT", func.name())))
-}
-
-fn fold<'a>(
-    result: &mut FxHashMap<Box<[u32]>, Vec<AggState>>,
-    groups: impl Iterator<Item = (Box<[u32]>, Cow<'a, [AggState]>)>,
-) -> Result<()> {
-    for (key, states) in groups {
-        match result.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states.into_owned());
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for (a, b) in e.get_mut().iter_mut().zip(states.iter()) {
-                    a.merge(b)?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -21,10 +21,11 @@
 //!   allocation.
 //! - [`group_codes`] computes the per-row group index for the general case
 //!   (dense mixed-radix when the key-dictionary product is small, a hash
-//!   table of code tuples otherwise).
-//! - [`ChunkAcc`] accumulates each aggregate over the group indices with a
-//!   per-aggregate tight loop, translating codes to values only once per
-//!   distinct chunk-dictionary entry.
+//!   table of code tuples otherwise) and every group's keys.
+//! - [`accumulate`] fills one aggregate slot's column
+//!   ([`crate::groups::Column`]) over the group indices with a per-slot
+//!   tight loop, translating codes to values only once per distinct
+//!   chunk-dictionary entry.
 //!
 //! Each kernel dispatches on [`CodesView`] once per chunk and then runs a
 //! monomorphized loop, so the element representation (const / bit-set / u8
@@ -33,9 +34,10 @@
 use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
-use crate::exec::{AggKind, AggPlan, AggState};
+use crate::exec::SlotPlan;
+use crate::groups::{Column, FloatColumn, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
-use pd_common::{fx_hash64, BitVec, Error, FloatSum, FxHashMap, Result, Value};
+use pd_common::{fx_hash64, BitVec, Error, FxHashMap, Result, Value};
 use pd_encoding::CodesView;
 use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
 use std::cell::OnceCell;
@@ -46,34 +48,29 @@ use std::sync::Arc;
 /// this use a flat array; larger products fall back to a hash map.
 pub(crate) const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
-/// A/B switches for the compressed-domain kernel fast paths.
-///
-/// Every path is asserted bit-identical to the materializing baseline —
-/// the switches exist so equivalence tests and benches can pin either
-/// side, not because results differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// Consume `Elements` runs directly in count/sum kernels: a run of
+/// Which kernels a scan runs. Both are asserted bit-identical — the switch
+/// exists so equivalence tests and benches can pin either side, not because
+/// results differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum KernelConfig {
+    /// The compressed-domain fast paths: the `COUNT(*)`-only counts-array
+    /// kernels, count/sum kernels that consume `Elements` runs (a run of
     /// length `n` with code `c` contributes `n × weight(c)` without
-    /// touching per-row codes.
-    pub run_aware: bool,
-    /// Accumulate dense float SUM/AVG into a per-group double-double
-    /// (16 bytes/slot instead of a ~280-byte [`FloatSum`]), converting to
-    /// the exact accumulator only for groups whose chunk-local sum is
-    /// provably exact; other groups fall back to a materializing re-pass.
-    pub dense_float: bool,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig { run_aware: true, dense_float: true }
-    }
+    /// touching per-row codes), and float sums in a per-group
+    /// double-double (16 bytes/slot, exact — see
+    /// `crate::groups::FloatColumn`).
+    #[default]
+    Compressed,
+    /// The materializing baseline, the test oracle: every query takes the
+    /// general group-index path, one add per row, float sums in one exact
+    /// accumulator per group.
+    Materializing,
 }
 
 impl KernelConfig {
     /// The materializing baseline: every fast path off.
     pub fn materializing() -> Self {
-        KernelConfig { run_aware: false, dense_float: false }
+        KernelConfig::Materializing
     }
 }
 
@@ -535,7 +532,6 @@ pub(crate) fn count_single(
     view: CodesView<'_>,
     distinct: usize,
     mask: Option<&BitVec>,
-    run_aware: bool,
 ) -> Vec<u64> {
     let rows = view.len();
     match mask {
@@ -546,19 +542,10 @@ pub(crate) fn count_single(
                 let ones = bits.count_ones() as u64;
                 vec![rows as u64 - ones, ones]
             }
-            _ if run_aware => {
+            _ => {
                 // Compressed-domain form: one add per run, not per row.
                 let mut counts = vec![0u64; distinct];
                 view.for_each_run(|code, n| counts[code as usize] += n as u64);
-                counts
-            }
-            _ => {
-                let mut counts = vec![0u64; distinct];
-                with_codes!(view, |get| {
-                    for row in 0..rows {
-                        counts[get(row) as usize] += 1;
-                    }
-                });
                 counts
             }
         },
@@ -606,20 +593,26 @@ pub(crate) fn count_fused(
 // Group-index computation (pass A of the general path)
 // ---------------------------------------------------------------------------
 
-/// Per-row group indices for one chunk. `u32::MAX` marks a filtered row.
+/// The groups of one chunk: every row's group and every group's keys.
 pub(crate) struct GroupIndex {
+    /// Per row, its group; `u32::MAX` marks a filtered row.
     pub group_of_row: Vec<u32>,
-    /// Number of group slots (dense capacity, or distinct hash keys).
+    /// How many groups there are; some row is in each.
     pub group_count: usize,
-    /// Code tuples per group id — `None` on the dense path, where ids
-    /// decode positionally.
-    pub hash_keys: Option<Vec<Box<[u32]>>>,
+    /// Per key column, the global-id each group has there.
+    pub keys: Vec<Vec<u32>>,
 }
 
 /// Compute group indices for `key_chunks` over `rows` rows.
 ///
 /// `dense_capacity` is the checked product of the key-dictionary sizes if
 /// it fits [`DENSE_GROUP_LIMIT`] — the caller computes it once per chunk.
+/// With it, a row's group is the mixed-radix number of its key codes
+/// (most-significant key first), renumbered in first-seen order when a mask
+/// or a second key can leave numbers unused: unmasked, one key's codes are
+/// the groups as they stand (every chunk-id occurs in its chunk) and zero
+/// keys make one group. Without it, groups are numbered by a hash table of
+/// code tuples.
 pub(crate) fn group_codes(
     key_chunks: &[&ColumnChunk],
     sizes: &[usize],
@@ -629,7 +622,7 @@ pub(crate) fn group_codes(
 ) -> GroupIndex {
     match dense_capacity {
         Some(capacity) => {
-            let group_of_row = match key_chunks.len() {
+            let mut group_of_row = match key_chunks.len() {
                 0 => match mask {
                     None => vec![0u32; rows],
                     Some(m) => (0..rows).map(|r| if m.get(r) { 0 } else { u32::MAX }).collect(),
@@ -638,11 +631,26 @@ pub(crate) fn group_codes(
                 2 => dense_two(key_chunks[0].codes(), key_chunks[1].codes(), sizes[1], rows, mask),
                 _ => dense_many(key_chunks, sizes, rows, mask),
             };
-            GroupIndex { group_of_row, group_count: capacity.max(1), hash_keys: None }
+            let mut numbers: Vec<u32> = Vec::new();
+            if mask.is_some() || key_chunks.len() > 1 {
+                let mut group_of = vec![u32::MAX; capacity];
+                for g in group_of_row.iter_mut().filter(|g| **g != u32::MAX) {
+                    let group = &mut group_of[*g as usize];
+                    if *group == u32::MAX {
+                        *group = numbers.len() as u32;
+                        numbers.push(*g);
+                    }
+                    *g = *group;
+                }
+            } else {
+                numbers.extend(0..capacity as u32);
+            }
+            let keys = dense_keys(&numbers, key_chunks, sizes);
+            GroupIndex { group_of_row, group_count: numbers.len(), keys }
         }
         None => {
             let mut map: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
-            let mut hash_keys: Vec<Box<[u32]>> = Vec::new();
+            let mut keys: Vec<Vec<u32>> = vec![Vec::new(); key_chunks.len()];
             let mut key_buf: Vec<u32> = vec![0; key_chunks.len()];
             let mut group_of_row: Vec<u32> = vec![u32::MAX; rows];
             for (row, slot) in group_of_row.iter_mut().enumerate() {
@@ -654,17 +662,39 @@ pub(crate) fn group_codes(
                 for (k, ch) in key_buf.iter_mut().zip(key_chunks) {
                     *k = ch.elements.get(row);
                 }
-                let next = map.len() as u32;
-                let idx = *map.entry(key_buf.clone().into_boxed_slice()).or_insert_with(|| {
-                    hash_keys.push(key_buf.clone().into_boxed_slice());
-                    next
-                });
-                *slot = idx;
+                *slot = match map.get(&key_buf[..]) {
+                    Some(&idx) => idx,
+                    None => {
+                        let next = map.len() as u32;
+                        map.insert(key_buf.clone().into_boxed_slice(), next);
+                        for ((col, ch), &k) in keys.iter_mut().zip(key_chunks).zip(&key_buf) {
+                            col.push(ch.dict.global_id_of(k));
+                        }
+                        next
+                    }
+                };
             }
-            let group_count = hash_keys.len().max(1);
-            GroupIndex { group_of_row, group_count, hash_keys: Some(hash_keys) }
+            GroupIndex { group_of_row, group_count: map.len(), keys }
         }
     }
+}
+
+/// Per key column, the global-ids of the mixed-radix group `numbers` over
+/// the chunk-dictionary `sizes` (most-significant key first): each digit
+/// is a chunk-id.
+pub(crate) fn dense_keys(
+    numbers: &[u32],
+    key_chunks: &[&ColumnChunk],
+    sizes: &[usize],
+) -> Vec<Vec<u32>> {
+    let mut stride = sizes.iter().product::<usize>();
+    (key_chunks.iter().zip(sizes))
+        .map(|(ch, &n)| {
+            stride /= n;
+            let gid = |&g: &u32| ch.dict.global_id_of((g as usize / stride % n) as u32);
+            numbers.iter().map(gid).collect()
+        })
+        .collect()
 }
 
 fn dense_one(view: CodesView<'_>, rows: usize, mask: Option<&BitVec>) -> Vec<u32> {
@@ -714,424 +744,142 @@ fn dense_many(
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate accumulators (pass B)
+// Aggregate slots (pass B)
 // ---------------------------------------------------------------------------
 
-/// Per-chunk accumulators for one aggregate.
+/// One aggregate slot's column over a chunk: the pass-B loop for `slot`
+/// over `group_of_row`, translating codes to values only once per distinct
+/// chunk-dictionary entry.
 ///
-/// Float sums accumulate into [`FloatSum`] superaccumulators so the chunk
-/// state is *exact* — the fold across chunks, threads and shards can then
-/// merge states in any grouping and still produce bit-identical results.
-pub(crate) enum ChunkAcc {
-    Count(Vec<u64>),
-    SumInt(Vec<i64>),
-    SumFloat(Vec<FloatSum>),
-    /// Dense-float fast path: double-double per group plus a materializing
-    /// fallback map for the (rare) groups whose sum wasn't provably exact.
-    SumFloatDense {
-        dd: DenseFloat,
-        fallback: FxHashMap<u32, FloatSum>,
-    },
-    /// Extreme chunk-id per group (chunk-id order == value order) plus the
-    /// owning chunk's translation tables.
-    MinMax {
-        best: Vec<u32>,
-        is_min: bool,
-        values: Vec<Value>,
-    },
-    Avg {
-        sum: Vec<FloatSum>,
-        count: Vec<u64>,
-    },
-    AvgDense {
-        dd: DenseFloat,
-        fallback: FxHashMap<u32, FloatSum>,
-        count: Vec<u64>,
-    },
-    Distinct(Vec<KmvSketch>),
-}
-
-impl ChunkAcc {
-    /// Run the pass-B loop for `agg` over `group_of_row`.
-    ///
-    /// `shape` describes structure the caller proved about `group_of_row`
-    /// (see [`GroupShape`]), `cfg` gates the fast paths, and `float_table`
-    /// is the memoized per-(column, chunk) dictionary→f64 table for
-    /// float-summing aggregates (built here when absent).
-    pub(crate) fn run(
-        agg: &AggPlan,
-        c: usize,
-        group_count: usize,
-        group_of_row: &[u32],
-        shape: GroupShape<'_>,
-        cfg: KernelConfig,
-        float_table_memo: Option<&[f64]>,
-    ) -> Result<ChunkAcc> {
-        let arg_chunk = agg.col.as_ref().map(|col| &col.chunks[c]);
-        Ok(match &agg.kind {
-            AggKind::Count => {
-                let mut counts = vec![0u64; group_count];
-                match shape {
-                    // No mask: every row counts, straight off the runs.
-                    GroupShape::AllRows if cfg.run_aware => counts[0] = group_of_row.len() as u64,
-                    GroupShape::KeyCodes(keys) if cfg.run_aware => {
-                        keys.for_each_run(|code, n| counts[code as usize] += n as u64)
-                    }
-                    _ => {
-                        for &g in group_of_row {
-                            if g != u32::MAX {
-                                counts[g as usize] += 1;
-                            }
-                        }
-                    }
+/// `shape` describes structure the caller proved about `group_of_row` (see
+/// [`GroupShape`]; the materializing baseline passes `General`). Float sums
+/// are exact in every path ([`FloatColumn`]) — the fold across chunks,
+/// threads and shards can then add them in any grouping and still produce
+/// bit-identical results; `fast` picks the double-double slots over one
+/// exact accumulator per slot.
+pub(crate) fn accumulate(
+    slot: &SlotPlan,
+    c: usize,
+    group_count: usize,
+    group_of_row: &[u32],
+    shape: GroupShape<'_>,
+    fast: bool,
+) -> Column<u32> {
+    let arg = slot.col.as_ref().map(|col| (col, &col.chunks[c]));
+    match slot.kind {
+        SlotKind::Count => {
+            let mut counts = vec![0u64; group_count];
+            match shape {
+                // No mask: every row counts, straight off the runs.
+                GroupShape::AllRows => counts[0] = group_of_row.len() as u64,
+                GroupShape::KeyCodes(keys) => {
+                    keys.for_each_run(|code, n| counts[code as usize] += n as u64)
                 }
-                ChunkAcc::Count(counts)
-            }
-            AggKind::SumInt => {
-                let col = agg.col.as_ref().expect("SUM has an argument");
-                let chunk = arg_chunk.expect("SUM has an argument");
-                // Tabulate the numeric value per chunk-id once.
-                let table: Vec<i64> = (0..chunk.dict.len())
-                    .map(|cid| match col.dict.value(chunk.dict.global_id_of(cid)) {
-                        Value::Int(v) => v,
-                        other => unreachable!("typed as Int, got {other}"),
-                    })
-                    .collect();
-                let mut sums = vec![0i64; group_count];
-                match shape {
-                    // Wrapping addition is associative mod 2^64, so a run
-                    // contributes `weight × n` bit-identically.
-                    GroupShape::AllRows if cfg.run_aware => {
-                        chunk.codes().for_each_run(|code, n| {
-                            sums[0] =
-                                sums[0].wrapping_add(table[code as usize].wrapping_mul(n as i64));
-                        });
-                    }
-                    GroupShape::KeyCodes(keys) if cfg.run_aware => {
-                        joint_runs(keys, chunk.codes(), |kc, ac, n| {
-                            sums[kc as usize] = sums[kc as usize]
-                                .wrapping_add(table[ac as usize].wrapping_mul(n as i64));
-                        });
-                    }
-                    _ => with_codes!(chunk.codes(), |get| {
-                        for (row, &g) in group_of_row.iter().enumerate() {
-                            if g != u32::MAX {
-                                sums[g as usize] =
-                                    sums[g as usize].wrapping_add(table[get(row) as usize]);
-                            }
-                        }
-                    }),
-                }
-                ChunkAcc::SumInt(sums)
-            }
-            AggKind::SumFloat => {
-                let chunk = arg_chunk.expect("SUM has an argument");
-                let table_own;
-                let table: &[f64] = match float_table_memo {
-                    Some(t) => t,
-                    None => {
-                        table_own = float_table(agg, chunk);
-                        &table_own
-                    }
-                };
-                match float_strategy(shape, cfg) {
-                    FloatPath::Runs => {
-                        // `FloatSum::add_repeated` is exact, so the run
-                        // form needs no fallback.
-                        let mut sums = vec![FloatSum::new(); group_count];
-                        match shape {
-                            GroupShape::AllRows => chunk.codes().for_each_run(|code, n| {
-                                sums[0].add_repeated(table[code as usize], n as u64)
-                            }),
-                            GroupShape::KeyCodes(keys) => {
-                                joint_runs(keys, chunk.codes(), |kc, ac, n| {
-                                    sums[kc as usize].add_repeated(table[ac as usize], n as u64)
-                                })
-                            }
-                            GroupShape::General => unreachable!("Runs needs structure"),
-                        }
-                        ChunkAcc::SumFloat(sums)
-                    }
-                    FloatPath::DoubleDouble => {
-                        let mut dd = DenseFloat::new(group_count);
-                        with_codes!(chunk.codes(), |get| {
-                            for (row, &g) in group_of_row.iter().enumerate() {
-                                if g != u32::MAX {
-                                    dd.add(g as usize, table[get(row) as usize]);
-                                }
-                            }
-                        });
-                        let fallback = dd.fallback(table, chunk.codes(), group_of_row);
-                        ChunkAcc::SumFloatDense { dd, fallback }
-                    }
-                    FloatPath::Materializing => {
-                        let mut sums = vec![FloatSum::new(); group_count];
-                        with_codes!(chunk.codes(), |get| {
-                            for (row, &g) in group_of_row.iter().enumerate() {
-                                if g != u32::MAX {
-                                    sums[g as usize].add(table[get(row) as usize]);
-                                }
-                            }
-                        });
-                        ChunkAcc::SumFloat(sums)
-                    }
-                }
-            }
-            AggKind::Avg => {
-                let chunk = arg_chunk.expect("AVG has an argument");
-                let table_own;
-                let table: &[f64] = match float_table_memo {
-                    Some(t) => t,
-                    None => {
-                        table_own = float_table(agg, chunk);
-                        &table_own
-                    }
-                };
-                let mut count = vec![0u64; group_count];
-                match float_strategy(shape, cfg) {
-                    FloatPath::Runs => {
-                        let mut sum = vec![FloatSum::new(); group_count];
-                        match shape {
-                            GroupShape::AllRows => chunk.codes().for_each_run(|code, n| {
-                                sum[0].add_repeated(table[code as usize], n as u64);
-                                count[0] += n as u64;
-                            }),
-                            GroupShape::KeyCodes(keys) => {
-                                joint_runs(keys, chunk.codes(), |kc, ac, n| {
-                                    sum[kc as usize].add_repeated(table[ac as usize], n as u64);
-                                    count[kc as usize] += n as u64;
-                                })
-                            }
-                            GroupShape::General => unreachable!("Runs needs structure"),
-                        }
-                        ChunkAcc::Avg { sum, count }
-                    }
-                    FloatPath::DoubleDouble => {
-                        let mut dd = DenseFloat::new(group_count);
-                        with_codes!(chunk.codes(), |get| {
-                            for (row, &g) in group_of_row.iter().enumerate() {
-                                if g != u32::MAX {
-                                    dd.add(g as usize, table[get(row) as usize]);
-                                    count[g as usize] += 1;
-                                }
-                            }
-                        });
-                        let fallback = dd.fallback(table, chunk.codes(), group_of_row);
-                        ChunkAcc::AvgDense { dd, fallback, count }
-                    }
-                    FloatPath::Materializing => {
-                        let mut sum = vec![FloatSum::new(); group_count];
-                        with_codes!(chunk.codes(), |get| {
-                            for (row, &g) in group_of_row.iter().enumerate() {
-                                if g != u32::MAX {
-                                    sum[g as usize].add(table[get(row) as usize]);
-                                    count[g as usize] += 1;
-                                }
-                            }
-                        });
-                        ChunkAcc::Avg { sum, count }
-                    }
-                }
-            }
-            AggKind::MinMax { is_min } => {
-                let col = agg.col.as_ref().expect("MIN/MAX has an argument");
-                let chunk = arg_chunk.expect("MIN/MAX has an argument");
-                // Translate the chunk dictionary to values once.
-                let values: Vec<Value> = (0..chunk.dict.len())
-                    .map(|cid| col.dict.value(chunk.dict.global_id_of(cid)))
-                    .collect();
-                let mut best = vec![u32::MAX; group_count];
-                if col.dict.is_value_ordered() {
-                    // Sorted global dictionary: chunk-id order is value
-                    // order, so extremes reduce to integer comparisons.
-                    with_codes!(chunk.codes(), |get| {
-                        for (row, &g) in group_of_row.iter().enumerate() {
-                            if g == u32::MAX {
-                                continue;
-                            }
-                            let id = get(row);
-                            let slot = &mut best[g as usize];
-                            if *slot == u32::MAX
-                                || (*is_min && id < *slot)
-                                || (!*is_min && id > *slot)
-                            {
-                                *slot = id;
-                            }
-                        }
-                    });
-                } else {
-                    // A tailed dictionary appends ids out of value order;
-                    // compare the translated values instead.
-                    with_codes!(chunk.codes(), |get| {
-                        for (row, &g) in group_of_row.iter().enumerate() {
-                            if g == u32::MAX {
-                                continue;
-                            }
-                            let id = get(row);
-                            let slot = &mut best[g as usize];
-                            let better = *slot == u32::MAX
-                                || (*is_min && values[id as usize] < values[*slot as usize])
-                                || (!*is_min && values[id as usize] > values[*slot as usize]);
-                            if better {
-                                *slot = id;
-                            }
-                        }
-                    });
-                }
-                ChunkAcc::MinMax { best, is_min: *is_min, values }
-            }
-            AggKind::Distinct { m } => {
-                let col = agg.col.as_ref().expect("COUNT DISTINCT has an argument");
-                let chunk = arg_chunk.expect("COUNT DISTINCT has an argument");
-                // Hash each distinct value once per chunk.
-                let hashes: Vec<u64> = (0..chunk.dict.len())
-                    .map(|cid| fx_hash64(&col.dict.value(chunk.dict.global_id_of(cid))))
-                    .collect();
-                let mut sketches = vec![KmvSketch::new(*m); group_count];
-                with_codes!(chunk.codes(), |get| {
-                    for (row, &g) in group_of_row.iter().enumerate() {
+                GroupShape::General => {
+                    for &g in group_of_row {
                         if g != u32::MAX {
-                            sketches[g as usize].offer(hashes[get(row) as usize]);
+                            counts[g as usize] += 1;
                         }
                     }
-                });
-                ChunkAcc::Distinct(sketches)
-            }
-        })
-    }
-
-    pub(crate) fn state_of(&self, g: usize) -> AggState {
-        match self {
-            ChunkAcc::Count(v) => AggState::Count(v[g]),
-            ChunkAcc::SumInt(v) => AggState::SumInt(v[g]),
-            ChunkAcc::SumFloat(v) => AggState::SumFloat(Box::new(v[g].clone())),
-            ChunkAcc::SumFloatDense { dd, fallback } => {
-                AggState::SumFloat(Box::new(dd.float_sum(g, fallback)))
-            }
-            ChunkAcc::MinMax { best, is_min, values } => {
-                let v = (best[g] != u32::MAX).then(|| values[best[g] as usize].clone());
-                if *is_min {
-                    AggState::Min(v)
-                } else {
-                    AggState::Max(v)
                 }
             }
-            ChunkAcc::Avg { sum, count } => {
-                AggState::Avg { sum: Box::new(sum[g].clone()), count: count[g] }
+            Column::Count(counts)
+        }
+        SlotKind::SumInt => {
+            let (col, chunk) = arg.expect("SUM has an argument");
+            // Tabulate the numeric value per chunk-id once.
+            let table: Vec<i64> = (chunk.dict.iter())
+                .map(|gid| match col.dict.value(gid) {
+                    Value::Int(v) => v,
+                    other => unreachable!("typed as Int, got {other}"),
+                })
+                .collect();
+            let mut sums = vec![0i64; group_count];
+            // Wrapping addition is associative mod 2^64, so a run
+            // contributes `weight × n` bit-identically.
+            let mut add = |g: usize, code: u32, n: usize| {
+                sums[g] = sums[g].wrapping_add(table[code as usize].wrapping_mul(n as i64));
+            };
+            match shape {
+                GroupShape::AllRows => chunk.codes().for_each_run(|code, n| add(0, code, n)),
+                GroupShape::KeyCodes(keys) => {
+                    joint_runs(keys, chunk.codes(), |kc, ac, n| add(kc as usize, ac, n))
+                }
+                GroupShape::General => {
+                    for_each_member(chunk.codes(), group_of_row, |g, code| add(g, code, 1))
+                }
             }
-            ChunkAcc::AvgDense { dd, fallback, count } => {
-                AggState::Avg { sum: Box::new(dd.float_sum(g, fallback)), count: count[g] }
+            Column::SumInt(sums)
+        }
+        SlotKind::SumFloat => {
+            let (col, chunk) = arg.expect("SUM has an argument");
+            let table = float_table(col, chunk);
+            let mut sums = FloatColumn::new(group_count, !fast);
+            match shape {
+                // A single global sum folds whole runs into its exact
+                // accumulator (`FloatSum::add_repeated`): no row is read.
+                GroupShape::AllRows => {
+                    let sum = sums.exact_mut(0);
+                    chunk
+                        .codes()
+                        .for_each_run(|code, n| sum.add_repeated(table[code as usize], n as u64));
+                }
+                _ => for_each_member(chunk.codes(), group_of_row, |g, code| {
+                    sums.add(g, table[code as usize])
+                }),
             }
-            ChunkAcc::Distinct(v) => AggState::Distinct(v[g].clone()),
+            Column::SumFloat(sums)
+        }
+        SlotKind::Min | SlotKind::Max => {
+            let is_min = slot.kind == SlotKind::Min;
+            let (col, chunk) = arg.expect("MIN/MAX has an argument");
+            // Sorted global dictionary: chunk-id order is value order, so
+            // extremes reduce to integer comparisons. A tailed dictionary
+            // appends ids out of value order; compare the chunk
+            // dictionary's values instead.
+            let values: Vec<Value> = match col.dict.is_value_ordered() {
+                true => Vec::new(),
+                false => chunk.dict.iter().map(|gid| col.dict.value(gid)).collect(),
+            };
+            let less = |a: u32, b: u32| match values.is_empty() {
+                true => a < b,
+                false => values[a as usize] < values[b as usize],
+            };
+            // Extreme chunk-id per group, `u32::MAX` before the first row.
+            let mut best = vec![u32::MAX; group_count];
+            for_each_member(chunk.codes(), group_of_row, |g, id| {
+                let held = best[g];
+                if held == u32::MAX || if is_min { less(id, held) } else { less(held, id) } {
+                    best[g] = id;
+                }
+            });
+            let gid = |&cid: &u32| (cid != u32::MAX).then(|| chunk.dict.global_id_of(cid));
+            Column::Extreme { is_min, best: best.iter().map(gid).collect() }
+        }
+        SlotKind::Distinct { m } => {
+            let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
+            // Hash each distinct value once per chunk.
+            let hashes: Vec<u64> =
+                chunk.dict.iter().map(|gid| fx_hash64(&col.dict.value(gid))).collect();
+            let mut sketches = vec![KmvSketch::new(m); group_count];
+            for_each_member(chunk.codes(), group_of_row, |g, code| {
+                sketches[g].offer(hashes[code as usize])
+            });
+            Column::Distinct { m, sketches }
         }
     }
 }
 
-/// Which float-sum loop to run for a given shape and configuration.
-enum FloatPath {
-    /// Exact `add_repeated` over runs (no fallback needed).
-    Runs,
-    /// Double-double per group with a per-group exactness proof.
-    DoubleDouble,
-    /// The baseline: a `FloatSum` per group slot, one `add` per row.
-    Materializing,
-}
-
-fn float_strategy(shape: GroupShape<'_>, cfg: KernelConfig) -> FloatPath {
-    match shape {
-        // A single global sum can't blow up on slot memory; the run form
-        // is strictly better than double-double there (exact, no re-pass).
-        GroupShape::AllRows if cfg.run_aware => FloatPath::Runs,
-        _ if cfg.dense_float => FloatPath::DoubleDouble,
-        GroupShape::KeyCodes(_) if cfg.run_aware => FloatPath::Runs,
-        _ => FloatPath::Materializing,
-    }
-}
-
-/// Per-group double-double accumulator (16 bytes/slot), with a running
-/// exactness proof per group.
-///
-/// Each add performs two branchless Knuth `two_sum`s; the residual of the
-/// second (`e2`) is zero iff the pair `(hi, lo)` still equals the exact
-/// chunk-local sum. A non-finite input or an overflow makes `e2`
-/// non-zero/NaN, so tainted groups are exactly the ones where the pair is
-/// not a proof — they get an exact [`FloatSum`] from a materializing
-/// re-pass instead. Untainted groups convert exactly: `hi + lo` *is* the
-/// sum, and adding both into a fresh accumulator reproduces the limbs a
-/// per-row accumulation would have produced, bit for bit.
-pub(crate) struct DenseFloat {
-    hi: Vec<f64>,
-    lo: Vec<f64>,
-    tainted: BitVec,
-    any_tainted: bool,
-}
-
+/// `f(group, code)` for every row of a chunk the mask let through.
 #[inline(always)]
-fn two_sum(a: f64, b: f64) -> (f64, f64) {
-    // pd-analysis: allow(float-exactness) -- this IS the double-double primitive: Knuth's TwoSum, whose raw adds are exactly compensated by `err`
-    let s = a + b;
-    let bv = s - a;
-    // pd-analysis: allow(float-exactness) -- error term of Knuth's TwoSum; exact by construction
-    let err = (a - (s - bv)) + (b - bv);
-    (s, err)
-}
-
-impl DenseFloat {
-    fn new(group_count: usize) -> DenseFloat {
-        DenseFloat {
-            hi: vec![0.0; group_count],
-            lo: vec![0.0; group_count],
-            tainted: BitVec::filled(group_count, false),
-            any_tainted: false,
-        }
-    }
-
-    #[inline(always)]
-    fn add(&mut self, g: usize, x: f64) {
-        let (s1, e1) = two_sum(self.hi[g], x);
-        let (s2, e2) = two_sum(self.lo[g], e1);
-        self.hi[g] = s1;
-        self.lo[g] = s2;
-        // NaN compares unequal, so non-finite inputs taint automatically;
-        // -0.0 == 0.0 keeps signed-zero residuals exact.
-        if e2 != 0.0 {
-            self.tainted.set(g, true);
-            self.any_tainted = true;
-        }
-    }
-
-    /// Materializing re-pass over only the tainted groups' rows.
-    fn fallback(
-        &self,
-        table: &[f64],
-        view: CodesView<'_>,
-        group_of_row: &[u32],
-    ) -> FxHashMap<u32, FloatSum> {
-        let mut map: FxHashMap<u32, FloatSum> = FxHashMap::default();
-        if !self.any_tainted {
-            return map;
-        }
-        with_codes!(view, |get| {
-            for (row, &g) in group_of_row.iter().enumerate() {
-                if g != u32::MAX && self.tainted.get(g as usize) {
-                    map.entry(g).or_default().add(table[get(row) as usize]);
-                }
+fn for_each_member(codes: CodesView<'_>, group_of_row: &[u32], mut f: impl FnMut(usize, u32)) {
+    with_codes!(codes, |get| {
+        for (row, &g) in group_of_row.iter().enumerate() {
+            if g != u32::MAX {
+                f(g as usize, get(row));
             }
-        });
-        map
-    }
-
-    /// The exact accumulator for group `g`.
-    fn float_sum(&self, g: usize, fallback: &FxHashMap<u32, FloatSum>) -> FloatSum {
-        if self.tainted.get(g) {
-            fallback.get(&(g as u32)).cloned().unwrap_or_default()
-        } else {
-            let mut fs = FloatSum::new();
-            fs.add(self.hi[g]);
-            fs.add(self.lo[g]);
-            fs
         }
-    }
+    })
 }
 
 /// Visit maximal runs over which *both* the key code and the argument code
@@ -1159,12 +907,9 @@ fn joint_runs(keys: CodesView<'_>, args: CodesView<'_>, mut f: impl FnMut(u32, u
 /// aggregate count).
 pub(crate) static FLOAT_TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-pub(crate) fn float_table(agg: &AggPlan, chunk: &ColumnChunk) -> Vec<f64> {
+fn float_table(col: &StoredColumn, chunk: &ColumnChunk) -> Vec<f64> {
     FLOAT_TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
-    let col = agg.col.as_ref().expect("aggregate has an argument");
-    (0..chunk.dict.len())
-        .map(|cid| col.dict.value(chunk.dict.global_id_of(cid)).numeric())
-        .collect()
+    chunk.dict.iter().map(|gid| col.dict.value(gid).numeric()).collect()
 }
 
 #[cfg(test)]
@@ -1407,10 +1152,8 @@ mod tests {
             for &id in &ids {
                 naive[id as usize] += 1;
             }
-            for run_aware in [false, true] {
-                let counts = count_single(e.codes(), distinct as usize, None, run_aware);
-                assert_eq!(counts, naive, "distinct={distinct} run_aware={run_aware}");
-            }
+            let counts = count_single(e.codes(), distinct as usize, None);
+            assert_eq!(counts, naive, "distinct={distinct}");
         }
     }
 
@@ -1419,7 +1162,7 @@ mod tests {
         let ids: Vec<u32> = (0..100).map(|i| i % 4).collect();
         let e = elements(&ids, 4);
         let mask: BitVec = (0..100).map(|i| i % 2 == 0).collect();
-        let counts = count_single(e.codes(), 4, Some(&mask), true);
+        let counts = count_single(e.codes(), 4, Some(&mask));
         let mut naive = vec![0u64; 4];
         for (i, &id) in ids.iter().enumerate() {
             if i % 2 == 0 {
@@ -1441,48 +1184,6 @@ mod tests {
         });
         let expect: Vec<(u32, u32)> = keys.iter().copied().zip(args.iter().copied()).collect();
         assert_eq!(rebuilt, expect);
-    }
-
-    #[test]
-    fn dense_float_untainted_matches_per_row_floatsum() {
-        // Values with exact double-double sums (powers of two scale).
-        let table = [1.5f64, -2.25, 1024.0, 0.125];
-        let group_of_row: Vec<u32> = (0..64).map(|i| i % 4).collect();
-        let codes: Vec<u32> = (0..64).map(|i| (i * 3) % 4).collect();
-        let view = elements(&codes, 4);
-        let mut dd = DenseFloat::new(4);
-        let mut reference = vec![FloatSum::new(); 4];
-        for (row, &g) in group_of_row.iter().enumerate() {
-            let x = table[view.get(row) as usize];
-            dd.add(g as usize, x);
-            reference[g as usize].add(x);
-        }
-        assert!(!dd.any_tainted);
-        let fallback = dd.fallback(&table, view.codes(), &group_of_row);
-        for (g, want) in reference.iter().enumerate() {
-            assert_eq!(dd.float_sum(g, &fallback), *want, "group {g}");
-        }
-    }
-
-    #[test]
-    fn dense_float_taints_on_nonfinite_and_falls_back_exactly() {
-        let table = [1e308f64, 1e308, f64::NAN, 0.5];
-        let group_of_row: Vec<u32> = vec![0, 0, 1, 2, 2];
-        let codes: Vec<u32> = vec![0, 1, 3, 2, 3]; // group 0 overflows, 2 sees NaN
-        let view = elements(&codes, 4);
-        let mut dd = DenseFloat::new(3);
-        let mut reference = vec![FloatSum::new(); 3];
-        for (row, &g) in group_of_row.iter().enumerate() {
-            let x = table[view.get(row) as usize];
-            dd.add(g as usize, x);
-            reference[g as usize].add(x);
-        }
-        assert!(dd.tainted.get(0), "overflowing group must taint");
-        assert!(dd.tainted.get(2), "NaN group must taint");
-        let fallback = dd.fallback(&table, view.codes(), &group_of_row);
-        for (g, want) in reference.iter().enumerate() {
-            assert_eq!(dd.float_sum(g, &fallback), *want, "group {g}");
-        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!   distributed layer; the per-chunk inner loops are the dictionary-code
 //!   kernels of `kernels` (filter masks as packed bit vectors built from
 //!   the restriction's resolved dictionary ids, flat
-//!   counts/sums arrays over raw `u32` codes);
+//!   counts/sums arrays over raw `u32` codes), and the groups are the
+//!   columns of `groups` — one table from a chunk kernel through the
+//!   chunk-result cache and the fold to the ranking;
 //! - [`scheduler`] — the persistent morsel-driven worker pool that scans
 //!   active chunks in parallel ([`ExecContext::threads`], default =
 //!   `EXEC_THREADS` or available parallelism) with results folded
@@ -40,6 +42,7 @@ pub mod column;
 pub mod count_distinct;
 pub mod datastore;
 pub mod exec;
+pub(crate) mod groups;
 pub(crate) mod kernels;
 pub mod memory;
 pub mod options;

@@ -2,17 +2,24 @@
 //! random tables whose key columns land on **every** `Elements`
 //! representation (const / bitset / u8 / u16 / u32 codes), random masks
 //! and float columns seeded with the adversarial values (NaN, ±0.0, ±inf,
-//! subnormals), the run-aware and dense-float kernels must return results
+//! subnormals), the run-aware and double-double kernels must return results
 //! **bit-identical** to the fully materializing kernels — `assert_eq!` on
 //! [`pd_core::QueryResult`], whose float comparison is `total_cmp` (so a
 //! flipped NaN payload or a `-0.0` vs `+0.0` would fail, not pass).
+//!
+//! Second half: properties of the group table those kernels fill — the
+//! fold is insensitive to the order and grouping in which chunk tables
+//! arrive, the id-domain ranking equals the value-domain one, and shared
+//! aggregate slots finalize like unshared ones.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{
-    execute, BuildOptions, DataStore, ExecContext, KernelConfig, PartitionSpec, QueryResult,
+    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KernelConfig,
+    PartitionSpec, QueryResult,
 };
 use pd_data::Table;
+use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query, AnalyzedQuery};
 
 /// Adversarial float palette: the values whose sums distinguish an exact
@@ -93,15 +100,8 @@ fn assert_all_configs_match(table: &Table, options: &BuildOptions, sqls: &[Strin
     for sql in sqls {
         let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
         let want = run(&store, &analyzed, KernelConfig::materializing());
-        for run_aware in [false, true] {
-            for dense_float in [false, true] {
-                let got = run(&store, &analyzed, KernelConfig { run_aware, dense_float });
-                assert_eq!(
-                    got, want,
-                    "{label} run_aware={run_aware} dense_float={dense_float}: {sql}"
-                );
-            }
-        }
+        let got = run(&store, &analyzed, KernelConfig::default());
+        assert_eq!(got, want, "{label}: {sql}");
     }
 }
 
@@ -189,6 +189,161 @@ fn sums_of_specials_alone_stay_bit_identical() {
             [BuildOptions::basic(), BuildOptions::reordered(PartitionSpec::new(&["k"], 4))]
         {
             assert_all_configs_match(&table, &options, &sqls, "specials-only");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Group-table properties
+// ---------------------------------------------------------------------------
+
+/// Three key columns of small cardinality, an int and a string measure,
+/// and a float measure one row in five of which taints a double-double:
+/// NaN, ±inf, `1e308` (two overflow), `-0.0`, and magnitudes 600 binades
+/// apart.
+fn grouped_table(rng: &mut Rng, rows: usize) -> Table {
+    const TAINTING: [f64; 8] =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, 1e308, -1e308, -0.0, 1e-300];
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("g", DataType::Str),
+        ("h", DataType::Int),
+        ("n", DataType::Int),
+        ("s", DataType::Str),
+        ("x", DataType::Float),
+        ("r", DataType::Int),
+    ]);
+    let mut table = Table::new(schema);
+    for _ in 0..rows {
+        let x = if rng.chance(0.2) { *rng.pick(&TAINTING) } else { random_float(rng, false) };
+        table
+            .push_row(Row(vec![
+                Value::from(format!("k{}", rng.range_usize(0, 7))),
+                Value::from(format!("g{}", rng.range_usize(0, 4))),
+                Value::Int(rng.range_i64_inclusive(0, 2)),
+                Value::Int(rng.range_i64_inclusive(-500, 500)),
+                Value::from(format!("s{:03}", rng.range_usize(0, 300))),
+                Value::Float(x),
+                Value::Int(rng.range_i64_inclusive(0, 99)),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// Every aggregate — `SUM(x)`, `AVG(x)` and `COUNT(*)` sharing slots — over
+/// 0, 1, 2 and 3 keys, unmasked and under a random mask.
+fn grouped_queries(rng: &mut Rng) -> Vec<String> {
+    let aggs = "COUNT(*) c, COUNT(s) cs, SUM(n) sn, SUM(x) sx, AVG(x) ax, AVG(n) an, \
+                MIN(n) mn, MAX(n) mxn, MIN(s) ms, MAX(s) mxs, MIN(x) mnx, MAX(x) mxx, \
+                COUNT(DISTINCT s) d";
+    let mut sqls = Vec::new();
+    for keys in ["", "k", "g, h", "k, g, h"] {
+        let select = if keys.is_empty() { aggs.to_owned() } else { format!("{keys}, {aggs}") };
+        let group_by = if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+        let t = rng.range_i64_inclusive(5, 95);
+        sqls.push(format!("SELECT {select} FROM data{group_by}"));
+        sqls.push(format!("SELECT {select} FROM data WHERE r < {t}{group_by}"));
+    }
+    // COUNT(*) alone: the counts-array kernels, one and two keys.
+    sqls.push("SELECT k, COUNT(*) c FROM data GROUP BY k ORDER BY c DESC LIMIT 3".into());
+    sqls.push("SELECT g, h, COUNT(*) c FROM data WHERE r < 50 GROUP BY g, h".into());
+    sqls
+}
+
+/// A store whose chunks are `batches` of `table`'s rows in that order: the
+/// first is built, the rest appended (so every later batch tails the
+/// dictionaries with the values it is first to bring).
+fn store_of_batches(table: &Table, batches: &[Vec<usize>]) -> DataStore {
+    let mut store = DataStore::build(&table.select_rows(&batches[0]), &BuildOptions::basic());
+    for batch in &batches[1..] {
+        let rows = table.select_rows(batch);
+        let columns: Vec<&[Value]> = (0..rows.schema().len()).map(|i| rows.column(i)).collect();
+        let delta = TableDelta::from_columns(rows.schema().clone(), &columns).unwrap();
+        store.as_mut().unwrap().append_delta(&delta).unwrap();
+    }
+    store.unwrap()
+}
+
+#[test]
+fn folds_of_chunk_tables_in_any_order_and_grouping_equal_the_materializing_result() {
+    let mut rng = Rng::seed_from_u64(0xae41_0004);
+    for case in 0..4 {
+        let rows = rng.range_usize(200, 500);
+        let table = grouped_table(&mut rng, rows);
+        let sqls = grouped_queries(&mut rng);
+
+        // The reference: one build, sorted dictionaries, materializing.
+        let chunked = BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 60));
+        let reference = DataStore::build(&table, &chunked).unwrap();
+        assert!(reference.chunk_count() > 3);
+
+        // The same rows as chunks in row order, in reverse, and shuffled
+        // into batches of random sizes.
+        let in_order: Vec<Vec<usize>> =
+            (0..rows).collect::<Vec<_>>().chunks(70).map(<[usize]>::to_vec).collect();
+        let reversed: Vec<Vec<usize>> = in_order.iter().rev().cloned().collect();
+        let mut shuffled: Vec<usize> = (0..rows).collect();
+        for i in (1..rows).rev() {
+            shuffled.swap(i, rng.range_usize(0, i + 1));
+        }
+        let mut random = Vec::new();
+        while !shuffled.is_empty() {
+            let take = rng.range_usize(1, 120).min(shuffled.len());
+            random.push(shuffled.split_off(shuffled.len() - take));
+        }
+        let stores = [
+            ("one build", reference),
+            ("in order", store_of_batches(&table, &in_order)),
+            ("reversed", store_of_batches(&table, &reversed)),
+            ("random groupings", store_of_batches(&table, &random)),
+        ];
+        let tailed = &stores[2].1;
+        assert!(
+            ["n", "s", "x"].iter().all(|c| !tailed.column(c).unwrap().dict.is_value_ordered()),
+            "appends must tail the MIN/MAX arguments' dictionaries"
+        );
+
+        for sql in &sqls {
+            let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+            let want = run(&stores[0].1, &analyzed, KernelConfig::materializing());
+            for (name, store) in &stores {
+                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
+                    let label = format!("case {case}, {name}, {kernels:?}: {sql}");
+                    assert_eq!(run(store, &analyzed, kernels), want, "{label}");
+                    // The value-keyed form of the same table, ranked as values.
+                    let ctx = ExecContext { threads: 1, kernels, ..Default::default() };
+                    let (partial, _) = execute_partial(store, &analyzed, &ctx).unwrap();
+                    assert_eq!(finalize(&analyzed, partial).unwrap(), want, "{label}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_slots_finalize_to_the_cells_of_unshared_ones() {
+    let mut rng = Rng::seed_from_u64(0xae41_0005);
+    let table = grouped_table(&mut rng, 400);
+    let chunked = BuildOptions::optcols(PartitionSpec::new(&["k"], 60));
+    let store = DataStore::build(&table, &chunked).unwrap();
+    for filter in ["", " WHERE r < 40"] {
+        let cells = |aggs: &str| {
+            let sql = format!("SELECT k, {aggs} FROM data{filter} GROUP BY k ORDER BY k ASC");
+            let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+            run(&store, &analyzed, KernelConfig::default()).rows
+        };
+        // One query whose SUM, AVG and COUNT share two slots ...
+        let shared = cells("SUM(x) sx, AVG(x) ax, COUNT(*) c, AVG(n) an, COUNT(n) cn");
+        // ... against one query per aggregate, sharing nothing.
+        for (at, agg) in
+            ["SUM(x) v", "AVG(x) v", "COUNT(*) v", "AVG(n) v", "COUNT(n) v"].into_iter().enumerate()
+        {
+            let alone = cells(agg);
+            assert_eq!(alone.len(), shared.len());
+            for (a, s) in alone.iter().zip(&shared) {
+                assert_eq!((&a.0[0], &a.0[1]), (&s.0[0], &s.0[at + 1]), "{agg}{filter}");
+            }
         }
     }
 }

@@ -192,8 +192,6 @@ impl Node {
                 return Ok(entry.to_answer(queued));
             }
         }
-        let started = Instant::now();
-        let stolen_before = scheduler::stolen_time();
         let answer = match &self.role {
             Role::Leaf(leaf) => execute_leaf(&leaf.read(), request, queued)?,
             Role::Mixer(children) => {
@@ -213,13 +211,10 @@ impl Node {
             }
         };
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
-            // Admission is cost-aware: what this node just spent computing
-            // the answer (scan, or fan-out + fold) is what a future miss
-            // would spend again. On the shared pool a waiting fan-out
-            // drains *foreign* tasks meanwhile; that time is not ours.
-            let stolen = scheduler::stolen_time().saturating_sub(stolen_before);
-            let recompute = started.elapsed().saturating_sub(stolen);
-            cache.put_costed(signature, Arc::new(CachedSubtree::capture(&answer)), recompute);
+            // Admission is cost-aware: the cells scanned beneath this node
+            // are what a future miss would scan again.
+            let cells = answer.stats.cells_scanned;
+            cache.put(signature, Arc::new(CachedSubtree::capture(&answer)), cells);
         }
         Ok(answer)
     }

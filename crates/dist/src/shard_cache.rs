@@ -25,9 +25,11 @@
 //!   eviction can therefore change [`pd_core::ScanStats`], never results.
 //!
 //! Admission/eviction reuses [`pd_core::BoundedCache`], the chunk-result
-//! cache's cost-aware machinery: a node scores an entry by `bytes ×
-//! recompute ns` ([`pd_core::cost_score`]), so a full cache keeps the
-//! partials that are most expensive to regenerate.
+//! cache's cost-aware machinery: a node scores an entry by `bytes × cells
+//! scanned beneath it` ([`pd_core::cost_score`]), so a full cache keeps the
+//! partials that are most expensive to regenerate — and, the score being a
+//! function of the query and the data, holds the same entries whenever the
+//! same queries arrive in the same order.
 
 use crate::rpc::{ShardReport, SubtreeAnswer};
 use pd_core::{cost_score, BoundedCache, PartialResult, ScanStats};
@@ -121,19 +123,15 @@ impl WorkerCache {
     }
 
     pub fn get(&self, signature: &str) -> Option<Arc<CachedSubtree>> {
-        self.entries.get_borrowed(signature)
+        self.entries.get(signature)
     }
 
-    pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>) {
-        self.entries.put(signature.to_owned(), entry);
-    }
-
-    /// [`put`](WorkerCache::put) with an observed recompute cost
-    /// (`partial bytes × recompute ns`), so capacity pressure evicts the
-    /// subtree answers that are cheapest to regenerate.
-    pub fn put_costed(&self, signature: &str, entry: Arc<CachedSubtree>, recompute: Duration) {
-        let cost = cost_score(entry.partial.approx_bytes(), recompute);
-        self.entries.put_costed(signature.to_owned(), entry, cost);
+    /// Admit an answer that took scanning `cells` cells to compute, scored
+    /// `partial bytes × cells`: capacity pressure evicts the subtree
+    /// answers that are cheapest to regenerate.
+    pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>, cells: u64) {
+        let cost = cost_score(entry.partial.approx_bytes(), cells);
+        self.entries.put(signature.to_owned(), entry, cost);
     }
 
     /// Drop everything — the epoch-advance reaction: cached partials
@@ -269,7 +267,7 @@ mod tests {
             stats: ScanStats::default(),
             reports: Vec::new(),
         };
-        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer)));
+        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer)), 1);
         assert!(cache.get("sig-a").is_some());
         assert!(cache.get("sig-b").is_none());
         assert_eq!(cache.stats(), (1, 1));

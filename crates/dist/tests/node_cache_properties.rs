@@ -7,7 +7,10 @@
 //!    root and returns bit-identical results;
 //! 2. a rebuild or an append (the epoch bump) invalidates every node's
 //!    cache — no stale partials, ever;
-//! 3. capacity eviction can change `ScanStats`, never results.
+//! 3. capacity eviction can change `ScanStats`, never results;
+//! 4. what the caches hold is a function of the query sequence: a replayed
+//!    session reproduces every outcome (in-memory edges only — a worker
+//!    process reports no `(hits, misses)`).
 //!
 //! Plus the epoch rule straight at the wire protocol, and one property of
 //! the whole local tree: random shapes with appends interleaved between
@@ -15,7 +18,7 @@
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
-use pd_core::{query, BuildOptions, DataStore};
+use pd_core::{query, BuildOptions, DataStore, PartitionSpec, ScanStats};
 use pd_data::Table;
 use pd_dist::{Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape};
 use std::path::PathBuf;
@@ -253,6 +256,56 @@ fn capacity_eviction_changes_stats_never_results() {
             );
             assert_eq!(none.shard_cache_stats(), (0, 0));
         }
+    }
+}
+
+#[test]
+fn cache_outcomes_are_a_function_of_the_query_sequence() {
+    // Admission scores an entry by bytes × cells scanned — no clock — so a
+    // replay of one session on a fresh tree must reproduce every hit, every
+    // miss and every eviction, whatever the thread count.
+    let mut rng = Rng::seed_from_u64(0x05ca_1e05);
+    let table = random_table(&mut rng, 600);
+    // A drill-down: 60 queries over 40 signatures, repeats included, through
+    // 16-entry node caches — more signatures than any node can hold.
+    let pool: Vec<String> = (0..40).map(|_| random_query(&mut rng)).collect();
+    let session: Vec<&String> = (0..60).map(|_| rng.pick(&pool)).collect();
+    let replay = |threads: usize| {
+        let tree = Cluster::build(
+            &table,
+            &ClusterConfig {
+                shards: 4,
+                replication: false,
+                shard_cache: 16,
+                threads,
+                build: BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 25)),
+                tree: TreeShape { fanout: 2 },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let trace: Vec<_> = session
+            .iter()
+            .map(|sql| {
+                let outcome = tree.query(sql).unwrap();
+                let stats = ScanStats { elapsed: Duration::ZERO, ..outcome.stats };
+                (stats, outcome.shard_cache_hits, outcome.result)
+            })
+            .collect();
+        (trace, tree.shard_cache_stats())
+    };
+    let (first, counters) = replay(1);
+    let hits: usize = first.iter().map(|(_, shard_hits, _)| shard_hits).sum();
+    let recomputed = (first.iter().zip(&session).enumerate())
+        .filter(|(at, ((stats, ..), sql))| session[..*at].contains(sql) && stats.rows_scanned > 0);
+    assert!(hits > 0, "the session repeats signatures the caches still hold");
+    assert!(recomputed.count() > 0, "and some they had to evict");
+    for threads in [1, 2] {
+        let (again, again_counters) = replay(threads);
+        for (at, (got, want)) in again.iter().zip(&first).enumerate() {
+            assert_eq!(got, want, "threads {threads}, query {at}: {}", session[at]);
+        }
+        assert_eq!(again_counters, counters, "threads {threads}: final (hits, misses)");
     }
 }
 

@@ -489,14 +489,14 @@ fn ranking_on_ids_equals_ranking_on_values_for_random_queries() {
 // Kernel fast-path axis
 // ---------------------------------------------------------------------------
 
-/// The compressed-domain kernel axis: run-aware aggregation over `Elements`
-/// runs and the dense-float double-double fast path are pure speed — every
-/// combination of [`KernelConfig`] flags, at every thread count, must be
-/// **bit-identical** (`assert_eq!`, floats included) to the fully
-/// materializing kernels. Global aggregates (no `GROUP BY`) exercise the
-/// whole-chunk run path; single-key dense group-bys exercise the key-run
-/// and double-double paths; masks and multi-key queries must fall back
-/// without changing a bit.
+/// The compressed-domain kernel axis: the counts-array kernels,
+/// run-aware aggregation over `Elements` runs and the double-double float
+/// slots are pure speed — [`KernelConfig`]'s default, at every thread
+/// count, must be **bit-identical** (`assert_eq!`, floats included) to the
+/// fully materializing kernels. Global aggregates (no `GROUP BY`) exercise
+/// the whole-chunk run path; single-key dense group-bys exercise the
+/// key-run and double-double paths; masks and multi-key queries must fall
+/// back without changing a bit.
 #[test]
 fn kernel_fast_paths_are_bit_identical_to_materializing() {
     use powerdrill::data::{generate_logs, LogsSpec};
@@ -531,26 +531,16 @@ fn kernel_fast_paths_are_bit_identical_to_materializing() {
                 ..Default::default()
             };
             let (want, want_stats) = execute(&store, &analyzed, &reference).unwrap();
-            for run_aware in [false, true] {
-                for dense_float in [false, true] {
-                    for threads in [1usize, 8] {
-                        let ctx = ExecContext {
-                            threads,
-                            kernels: KernelConfig { run_aware, dense_float },
-                            ..Default::default()
-                        };
-                        let (got, stats) = execute(&store, &analyzed, &ctx).unwrap();
-                        assert_eq!(
-                            got, want,
-                            "run_aware={run_aware} dense_float={dense_float} \
-                             threads={threads}: {sql}"
-                        );
-                        assert_eq!(
-                            (stats.rows_scanned, stats.cells_scanned),
-                            (want_stats.rows_scanned, want_stats.cells_scanned),
-                            "kernels must not change what is scanned: {sql}"
-                        );
-                    }
+            for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
+                for threads in [1usize, 8] {
+                    let ctx = ExecContext { threads, kernels, ..Default::default() };
+                    let (got, stats) = execute(&store, &analyzed, &ctx).unwrap();
+                    assert_eq!(got, want, "{kernels:?} threads={threads}: {sql}");
+                    assert_eq!(
+                        (stats.rows_scanned, stats.cells_scanned),
+                        (want_stats.rows_scanned, want_stats.cells_scanned),
+                        "kernels must not change what is scanned: {sql}"
+                    );
                 }
             }
         }
