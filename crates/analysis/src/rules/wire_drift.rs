@@ -24,6 +24,7 @@ pub const CODEC_FILES: &[&str] = &[
     "crates/encoding/src/bloom.rs",
     "crates/dist/src/rpc.rs",
     "crates/dist/src/chaos.rs",
+    "crates/dist/src/meta.rs",
 ];
 
 #[derive(Debug, PartialEq, Eq)]

@@ -125,6 +125,42 @@ fn wire_drift_comment_changes_do_not_drift() {
     assert!(wire_drift::check(&fp_of(&commented), &fp_of(CODEC_V5)).is_empty());
 }
 
+/// A codec shaped like `ShardMeta`'s: no tag constants, only the order in
+/// which fields are written and read.
+const META_CODEC: &str = "
+impl Encode for ChunkMeta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.rows.encode(out);
+        self.columns.encode(out);
+    }
+}
+impl Decode for ChunkMeta {
+    fn decode(r: &mut Reader<'_>) -> Result<ChunkMeta> {
+        Ok(ChunkMeta { rows: r.u64()?, columns: Vec::<ColumnMeta>::decode(r)? })
+    }
+}
+";
+
+#[test]
+fn wire_drift_covers_field_order_in_the_shard_meta_codecs() {
+    const META: &str = "crates/dist/src/meta.rs";
+    assert!(wire_drift::CODEC_FILES.contains(&META), "ShardMeta's codecs are fingerprinted");
+    let fp = |src: &str| {
+        let version = parse(WIRE, "pub const FRAME_VERSION: u8 = 5;\n");
+        wire_drift::fingerprint(&[&version, &parse(META, src)])
+    };
+    let golden = fp(META_CODEC);
+    assert_eq!(golden.lines.iter().filter(|l| l.starts_with("layout")).count(), 2);
+    let reordered = META_CODEC.replace(
+        "self.rows.encode(out);\n        self.columns.encode(out);",
+        "self.columns.encode(out);\n        self.rows.encode(out);",
+    );
+    assert_ne!(reordered, META_CODEC);
+    let findings = wire_drift::check(&fp(&reordered), &golden);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("Encode<ChunkMeta>"), "{}", findings[0].message);
+}
+
 #[test]
 fn wire_fingerprint_render_parse_round_trips() {
     let fp = fp_of(CODEC_V5);

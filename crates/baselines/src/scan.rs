@@ -9,8 +9,7 @@
 
 use crate::io_model::IoModel;
 use pd_common::{Error, FloatSum, FxHashMap, Result, Row, Value};
-use pd_core::exec::{finalize, AggState, PartialResult, QueryResult};
-use pd_core::KmvSketch;
+use pd_core::{finalize, AggState, KmvSketch, PartialResult, QueryResult};
 use pd_sql::{analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, RowContext};
 use std::time::{Duration, Instant};
 
@@ -53,7 +52,7 @@ pub fn scan_execute(
     io: &IoModel,
 ) -> Result<BackendRun> {
     let started = Instant::now();
-    let mut groups: FxHashMap<Box<[Value]>, Vec<AggState>> = FxHashMap::default();
+    let mut groups: FxHashMap<Vec<Value>, Vec<AggState>> = FxHashMap::default();
 
     for row in rows {
         let row = row?;
@@ -63,7 +62,7 @@ pub fn scan_execute(
                 continue;
             }
         }
-        let key: Box<[Value]> =
+        let key: Vec<Value> =
             analyzed.keys.iter().map(|k| eval_expr(k, &ctx)).collect::<Result<_>>()?;
         let states = match groups.get_mut(&key) {
             Some(s) => s,
@@ -85,7 +84,7 @@ pub fn scan_execute(
         }
     }
 
-    let result = finalize(analyzed, PartialResult { groups })?;
+    let result = finalize(analyzed, PartialResult::from_states(groups)?)?;
     let cpu_time = started.elapsed();
     Ok(BackendRun {
         result,

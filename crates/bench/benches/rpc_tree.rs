@@ -72,7 +72,7 @@ fn main() {
     println!(
         "dataset: {rows} rows; one shard's {}-group partial on the wire: {} bytes raw, \
          {} bytes compressed ({ratio:.1}x, compressed in {})",
-        partial.groups.len(),
+        partial.len(),
         wire_bytes.len(),
         compressed.len(),
         fmt_duration(compress_stats.median),

@@ -55,8 +55,12 @@ use std::time::Duration;
 /// loses its two modeled byte counters and `Load` its residency budget;
 /// faults travel as one directive list (`QueryRequest` loses its kill
 /// list, `ChaosFault` gains `Unreachable`) and request tag 4 (`Delay`) is
-/// retired.
-pub const FRAME_VERSION: u8 = 7;
+/// retired. Version 8: a partial result travels as the columns of its
+/// group table, groups in ascending key order (no per-group state
+/// records; a float-sum slot is a 16-byte pair, its 34-limb accumulator
+/// only when tainted), and two fields nothing read leave —
+/// `BuildOptions`' codec and `ChildSpec::Node`'s height.
+pub const FRAME_VERSION: u8 = 8;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a
@@ -358,6 +362,18 @@ impl<T: Decode> Decode for Option<T> {
             1 => Ok(Some(T::decode(r)?)),
             other => Err(Error::Data(format!("wire: invalid option tag {other}"))),
         }
+    }
+}
+
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Box<T>> {
+        Ok(Box::new(T::decode(r)?))
     }
 }
 

@@ -6,24 +6,33 @@
 //! [`Encode`] / [`Decode`] — and the encodings must preserve every state
 //! *bit-identically*, because the distributed equivalence suite asserts
 //! exact equality (floats included) between the process-split tree and the
-//! single-store engine:
+//! single-store engine. A partial travels as the columns of its group
+//! table (`crate::groups`), groups in their ascending key order, so equal
+//! tables are equal bytes and `encode(decode(b)) == b`:
 //!
-//! - group keys are [`Value`]s, whose floats travel as raw IEEE bits;
-//! - float sums are [`pd_common::FloatSum`] superaccumulators, whose fixed
-//!   34-limb arrays travel verbatim (see `pd_common::fsum`);
+//! - key columns are [`Value`]s, whose floats travel as raw IEEE bits;
+//! - a float-sum slot travels as its 16-byte double-double pair, and as
+//!   its [`pd_common::FloatSum`] superaccumulator (fixed 34-limb array,
+//!   verbatim, see `pd_common::fsum`) only once tainted;
 //! - count-distinct sketches travel as their retained hash sets, so a
 //!   merge above the wire equals a merge below it.
+//!
+//! Nothing read is trusted: a column's length is checked against the
+//! bytes that remain before anything is allocated for it, and the
+//! constructors of `crate::groups` hold the columns to the group count,
+//! the keys to their strict order and the aggregates to slots that exist —
+//! a typed [`Error::Data`], never a panic.
 //!
 //! [`BuildOptions`] is codable too: the driver ships each worker its shard
 //! rows *and* the import recipe, so a worker builds exactly the store the
 //! in-process cluster would have built.
 
 use crate::count_distinct::KmvSketch;
-use crate::exec::{AggState, PartialResult};
+use crate::groups::{AggRef, Column, FloatColumn, PartialResult};
 use crate::options::{BuildOptions, DictMode, PartitionSpec};
 use crate::stats::ScanStats;
 use pd_common::wire::{Decode, Encode, Reader};
-use pd_common::{Error, FloatSum, Result, Value};
+use pd_common::{Error, Result, Value};
 
 impl Encode for KmvSketch {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -48,100 +57,98 @@ impl Decode for KmvSketch {
     }
 }
 
-const AGG_COUNT: u8 = 0;
-const AGG_SUM_INT: u8 = 1;
-const AGG_SUM_FLOAT: u8 = 2;
-const AGG_MIN: u8 = 3;
-const AGG_MAX: u8 = 4;
-const AGG_AVG: u8 = 5;
-const AGG_DISTINCT: u8 = 6;
+const COLUMN_COUNT: u8 = 0;
+const COLUMN_SUM_INT: u8 = 1;
+const COLUMN_SUM_FLOAT: u8 = 2;
+const COLUMN_MIN: u8 = 3;
+const COLUMN_MAX: u8 = 4;
+const COLUMN_DISTINCT: u8 = 5;
 
-impl Encode for AggState {
+/// A state column: its kind, then its vectors — a float-sum column as
+/// every slot's 16-byte pair and, per slot, the exact accumulator it has
+/// only once tainted.
+impl Encode for Column<Value> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            AggState::Count(n) => {
-                out.push(AGG_COUNT);
-                n.encode(out);
+            Column::Count(counts) => {
+                out.push(COLUMN_COUNT);
+                counts.encode(out);
             }
-            AggState::SumInt(s) => {
-                out.push(AGG_SUM_INT);
-                s.encode(out);
+            Column::SumInt(sums) => {
+                out.push(COLUMN_SUM_INT);
+                sums.encode(out);
             }
-            AggState::SumFloat(s) => {
-                out.push(AGG_SUM_FLOAT);
-                s.encode(out);
+            Column::SumFloat(sums) => {
+                out.push(COLUMN_SUM_FLOAT);
+                let (hi, lo, exact) = sums.parts();
+                hi.encode(out);
+                lo.encode(out);
+                exact.encode(out);
             }
-            AggState::Min(v) => {
-                out.push(AGG_MIN);
-                v.encode(out);
+            Column::Extreme { is_min, best } => {
+                out.push(if *is_min { COLUMN_MIN } else { COLUMN_MAX });
+                best.encode(out);
             }
-            AggState::Max(v) => {
-                out.push(AGG_MAX);
-                v.encode(out);
-            }
-            AggState::Avg { sum, count } => {
-                out.push(AGG_AVG);
-                sum.encode(out);
-                count.encode(out);
-            }
-            AggState::Distinct(sketch) => {
-                out.push(AGG_DISTINCT);
-                sketch.encode(out);
+            Column::Distinct { m, sketches } => {
+                out.push(COLUMN_DISTINCT);
+                m.encode(out);
+                sketches.encode(out);
             }
         }
     }
 }
 
-impl Decode for AggState {
-    fn decode(r: &mut Reader<'_>) -> Result<AggState> {
+impl Decode for Column<Value> {
+    fn decode(r: &mut Reader<'_>) -> Result<Column<Value>> {
         Ok(match r.u8()? {
-            AGG_COUNT => AggState::Count(r.u64()?),
-            AGG_SUM_INT => AggState::SumInt(i64::decode(r)?),
-            AGG_SUM_FLOAT => AggState::SumFloat(Box::new(FloatSum::decode(r)?)),
-            AGG_MIN => AggState::Min(Option::<Value>::decode(r)?),
-            AGG_MAX => AggState::Max(Option::<Value>::decode(r)?),
-            AGG_AVG => {
-                let sum = Box::new(FloatSum::decode(r)?);
-                let count = r.u64()?;
-                AggState::Avg { sum, count }
+            COLUMN_COUNT => Column::Count(Vec::decode(r)?),
+            COLUMN_SUM_INT => Column::SumInt(Vec::decode(r)?),
+            COLUMN_SUM_FLOAT => {
+                let (hi, lo) = (Vec::decode(r)?, Vec::decode(r)?);
+                Column::SumFloat(FloatColumn::from_parts(hi, lo, Vec::decode(r)?)?)
             }
-            AGG_DISTINCT => AggState::Distinct(KmvSketch::decode(r)?),
-            other => return Err(Error::Data(format!("wire: invalid agg-state tag {other}"))),
+            COLUMN_MIN => Column::Extreme { is_min: true, best: Vec::decode(r)? },
+            COLUMN_MAX => Column::Extreme { is_min: false, best: Vec::decode(r)? },
+            COLUMN_DISTINCT => Column::Distinct { m: usize::decode(r)?, sketches: Vec::decode(r)? },
+            other => return Err(Error::Data(format!("wire: invalid state-column tag {other}"))),
         })
     }
 }
 
-/// Group map as `(key, states)` pairs. Map iteration order is arbitrary, so
-/// two equal partials may encode to different byte strings — but decoding
-/// always reproduces the *same map*, which is what equality (and the merge
-/// above the wire) is defined on.
-impl Encode for PartialResult {
+impl Encode for AggRef {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.groups.len() as u64).encode(out);
-        for (key, states) in &self.groups {
-            key.encode(out);
-            states.encode(out);
-        }
+        self.slot.encode(out);
+        self.count.encode(out);
     }
 }
 
+impl Decode for AggRef {
+    fn decode(r: &mut Reader<'_>) -> Result<AggRef> {
+        Ok(AggRef { slot: usize::decode(r)?, count: Option::decode(r)? })
+    }
+}
+
+/// The group table, column by column: the group count, the key columns,
+/// the state columns, then which slots each aggregate reads. Groups travel
+/// in their ascending key order, so equal partials are equal bytes.
+impl Encode for PartialResult {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (len, keys, slots, aggs) = self.columns();
+        (len as u64).encode(out);
+        keys.encode(out);
+        slots.encode(out);
+        aggs.encode(out);
+    }
+}
+
+/// Every column's own length is checked against the bytes that remain as
+/// it is read (`Vec`'s decoder), and `PartialResult::from_columns` holds
+/// the columns to the group count and the keys to their order.
 impl Decode for PartialResult {
     fn decode(r: &mut Reader<'_>) -> Result<PartialResult> {
         let len = r.u64()?;
-        let len = r.check_len(len, 2)?;
-        let mut result = PartialResult::default();
-        // Reserve at most what the remaining bytes could hold (a real
-        // group is ≥ 17 bytes: one empty key + one Count state): corrupt
-        // lengths must not drive table allocation.
-        result.groups.reserve(len.min(r.remaining() / 17));
-        for _ in 0..len {
-            let key = Box::<[Value]>::decode(r)?;
-            let states = Vec::<AggState>::decode(r)?;
-            if result.groups.insert(key, states).is_some() {
-                return Err(Error::Data("wire: duplicate group key in partial result".into()));
-            }
-        }
-        Ok(result)
+        let (keys, slots) = (Vec::decode(r)?, Vec::decode(r)?);
+        PartialResult::from_columns(len, keys, slots, Vec::decode(r)?)
     }
 }
 
@@ -208,14 +215,6 @@ impl Encode for BuildOptions {
             DictMode::Trie => 1,
         });
         self.reorder.encode(out);
-        out.push(match self.codec {
-            pd_compress::CodecKind::None => 0,
-            pd_compress::CodecKind::Rle => 1,
-            pd_compress::CodecKind::Zippy => 2,
-            pd_compress::CodecKind::Lzf => 3,
-            pd_compress::CodecKind::Deflate => 4,
-            pd_compress::CodecKind::Huffman => 5,
-        });
     }
 }
 
@@ -232,17 +231,7 @@ impl Decode for BuildOptions {
             1 => DictMode::Trie,
             other => return Err(Error::Data(format!("wire: invalid dict-mode tag {other}"))),
         };
-        let reorder = bool::decode(r)?;
-        let codec = match r.u8()? {
-            0 => pd_compress::CodecKind::None,
-            1 => pd_compress::CodecKind::Rle,
-            2 => pd_compress::CodecKind::Zippy,
-            3 => pd_compress::CodecKind::Lzf,
-            4 => pd_compress::CodecKind::Deflate,
-            5 => pd_compress::CodecKind::Huffman,
-            other => return Err(Error::Data(format!("wire: invalid codec tag {other}"))),
-        };
-        Ok(BuildOptions { partition, elements, dicts, reorder, codec })
+        Ok(BuildOptions { partition, elements, dicts, reorder: bool::decode(r)? })
     }
 }
 
@@ -251,47 +240,77 @@ mod tests {
     use super::*;
     use pd_common::wire::{from_bytes, to_bytes};
 
-    #[test]
-    fn agg_states_round_trip() {
-        let states = vec![
-            AggState::Count(7),
-            AggState::SumInt(i64::MIN),
-            AggState::SumFloat(Box::new(FloatSum::from(0.1))),
-            AggState::Min(Some(Value::Float(-0.0))),
-            AggState::Max(None),
-            AggState::Avg { sum: Box::new(FloatSum::from(2.5)), count: 3 },
-            AggState::Distinct(KmvSketch::from_parts(16, [3, 1, 2])),
-        ];
-        let back: Vec<AggState> = from_bytes(&to_bytes(&states)).unwrap();
-        assert_eq!(back, states);
+    /// Two keys, one slot of every kind (one float slot tainted), an AVG
+    /// over the float slot and the count.
+    fn slot(slot: usize) -> AggRef {
+        AggRef { slot, count: None }
+    }
+
+    fn sample_partial() -> PartialResult {
+        let mut sums = FloatColumn::new(2, false);
+        sums.add(0, 0.1);
+        sums.add(1, f64::NAN);
+        PartialResult::from_columns(
+            2,
+            vec![vec![Value::from("x"), Value::from("x")], vec![Value::Int(3), Value::Int(4)]],
+            vec![
+                Column::Count(vec![2, 5]),
+                Column::SumInt(vec![i64::MIN, -1]),
+                Column::SumFloat(sums),
+                Column::Extreme { is_min: true, best: vec![Some(Value::Float(-0.0)), None] },
+                Column::Extreme { is_min: false, best: vec![None, Some(Value::from("z"))] },
+                Column::Distinct {
+                    m: 16,
+                    sketches: vec![KmvSketch::from_parts(16, [3, 1, 2]), KmvSketch::new(16)],
+                },
+            ],
+            vec![slot(1), AggRef { slot: 2, count: Some(0) }, slot(5)],
+        )
+        .unwrap()
     }
 
     #[test]
-    fn partial_results_round_trip() {
-        let mut partial = PartialResult::default();
-        partial
-            .groups
-            .insert(Box::from([Value::from("x"), Value::Int(3)]), vec![AggState::Count(2)]);
-        partial.groups.insert(Box::from([]), vec![AggState::SumInt(-1)]);
-        let back: PartialResult = from_bytes(&to_bytes(&partial)).unwrap();
-        assert_eq!(back, partial);
-        // Empty partial (no groups at all).
-        let empty = PartialResult::default();
-        let back: PartialResult = from_bytes(&to_bytes(&empty)).unwrap();
-        assert_eq!(back, empty);
+    fn partial_results_round_trip_byte_for_byte() {
+        for partial in [sample_partial(), PartialResult::default()] {
+            let bytes = to_bytes(&partial);
+            let back: PartialResult = from_bytes(&bytes).unwrap();
+            assert_eq!(back, partial);
+            assert_eq!(to_bytes(&back), bytes);
+        }
     }
 
     #[test]
-    fn duplicate_group_keys_are_rejected() {
-        let mut partial = PartialResult::default();
-        partial.groups.insert(Box::from([Value::Int(1)]), vec![AggState::Count(1)]);
-        let bytes = to_bytes(&partial);
-        // Forge a 2-group frame containing the same group twice.
-        let mut forged = Vec::new();
-        2u64.encode(&mut forged);
-        forged.extend_from_slice(&bytes[8..]);
-        forged.extend_from_slice(&bytes[8..]);
-        assert!(from_bytes::<PartialResult>(&forged).is_err());
+    fn columns_that_break_the_table_are_rejected() {
+        let keys = |cells: [i64; 2]| vec![cells.map(Value::Int).to_vec()];
+        let counts = || vec![Column::Count(vec![1, 2])];
+        let reads = |agg: AggRef| vec![agg];
+        assert!(PartialResult::from_columns(2, keys([1, 2]), counts(), reads(slot(0))).is_ok());
+        let avg = AggRef { slot: 0, count: Some(0) };
+        for (what, broken) in [
+            ("ragged", PartialResult::from_columns(3, keys([1, 2]), counts(), reads(slot(0)))),
+            ("unsorted", PartialResult::from_columns(2, keys([2, 1]), counts(), reads(slot(0)))),
+            ("duplicate", PartialResult::from_columns(2, keys([1, 1]), counts(), reads(slot(0)))),
+            ("no keys", PartialResult::from_columns(2, Vec::new(), counts(), reads(slot(0)))),
+            ("no columns", PartialResult::from_columns(u64::MAX, Vec::new(), Vec::new(), vec![])),
+            (
+                "no such slot",
+                PartialResult::from_columns(2, keys([1, 2]), counts(), reads(slot(1))),
+            ),
+            ("avg of counts", PartialResult::from_columns(2, keys([1, 2]), counts(), reads(avg))),
+        ] {
+            assert!(matches!(broken, Err(Error::Data(_))), "{what}: {broken:?}");
+        }
+        // An exact sum sits on a tainted slot, one (possibly none) per pair.
+        let sum = || Some(Box::new(pd_common::FloatSum::from(1.0)));
+        let nan = f64::NAN;
+        assert!(FloatColumn::from_parts(vec![0.5, nan], vec![0.0; 2], vec![None, sum()]).is_ok());
+        for (hi, lo, exact) in [
+            (vec![0.5, nan], vec![0.0; 2], vec![sum(), None]),
+            (vec![nan, nan], vec![0.0; 2], vec![sum()]),
+            (vec![nan, nan], vec![0.0; 3], vec![None, None]),
+        ] {
+            assert!(FloatColumn::from_parts(hi, lo, exact).is_err());
+        }
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
 //! `LIMIT` let through. [`execute_partial`] serves the distributed layer
 //! (§4), whose shards share no dictionary and so must merge by value: it
-//! translates each key column once, by one ordered dictionary walk
-//! ([`pd_encoding::GlobalDict::values_of`]), and only then — once per
-//! final group — builds the [`AggState`]s of a value-keyed
-//! [`PartialResult`]; [`finalize`] reads the merged partial back into
-//! columns and ranks it at the root. Both rankings are one routine, generic
-//! over what a cell is, so `execute(q) == finalize(q, execute_partial(q))`
-//! row for row.
+//! puts the groups in key order and translates each key and MIN/MAX column
+//! once, by one ordered dictionary walk
+//! ([`pd_encoding::GlobalDict::values_of`]) — the same table, its cells
+//! now values, is the [`PartialResult`]. Partials merge up the tree as
+//! sorted runs of columns, and [`finalize`] ranks the root's table as it
+//! arrives. Both rankings are one routine, generic over what a cell is, so
+//! `execute(q) == finalize(q, execute_partial(q))` row for row.
 //!
 //! Because every chunk is immutable and per-chunk group states are
 //! mergeable (the same property §4 uses to aggregate across machines),
@@ -61,14 +61,15 @@
 
 use crate::cache::ResultCache;
 use crate::column::StoredColumn;
-use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
-use crate::groups::{AggRef, CellsOf, Column, GroupFold, GroupTable, SlotKind};
+use crate::groups::{
+    AggRef, Cell, CellsOf, Column, GroupFold, GroupTable, PartialResult, SlotKind,
+};
 use crate::kernels::{self, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
-use pd_common::{BitVec, DataType, Error, FloatSum, FxHashMap, HeapSize, Result, Row, Value};
+use pd_common::{BitVec, DataType, Error, Result, Row, Value};
 use pd_encoding::GlobalDict;
 use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, Expr, OutputCol, RowContext,
@@ -165,145 +166,6 @@ impl QueryResult {
     }
 }
 
-/// A mergeable aggregation state, as the §4 computation tree carries it.
-///
-/// Inside a store a group's states are positions in the columns of
-/// `crate::groups`; an `AggState` exists from [`execute_partial`]'s last
-/// step to [`finalize`]'s first. Every variant merges associatively and
-/// commutatively — the property the tree and the shard fan-out rely on.
-/// Float sums use [`FloatSum`] (an exact superaccumulator), so even
-/// `SUM`/`AVG` over floats are bit-identical regardless of how rows were
-/// grouped into chunks, threads or shards.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    Count(u64),
-    SumInt(i64),
-    /// Boxed: the superaccumulator is ~280 bytes and an enum is sized by
-    /// its largest variant — boxing keeps `Count`-only group states small.
-    SumFloat(Box<FloatSum>),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg {
-        sum: Box<FloatSum>,
-        count: u64,
-    },
-    Distinct(KmvSketch),
-}
-
-impl AggState {
-    /// Merge `other` into `self` (states must have equal variants).
-    pub fn merge(&mut self, other: &AggState) -> Result<()> {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumInt(a), AggState::SumInt(b)) => *a = a.wrapping_add(*b),
-            (AggState::SumFloat(a), AggState::SumFloat(b)) => a.merge(b),
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    match a {
-                        Some(av) if &*av <= bv => {}
-                        _ => *a = Some(bv.clone()),
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    match a {
-                        Some(av) if &*av >= bv => {}
-                        _ => *a = Some(bv.clone()),
-                    }
-                }
-            }
-            (AggState::Avg { sum: s1, count: c1 }, AggState::Avg { sum: s2, count: c2 }) => {
-                s1.merge(s2);
-                *c1 += c2;
-            }
-            (AggState::Distinct(a), AggState::Distinct(b)) => a.merge(b),
-            (a, b) => {
-                return Err(Error::Internal(format!(
-                    "cannot merge aggregation states {a:?} and {b:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Approximate in-memory footprint, for cost-aware cache admission.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let inline = std::mem::size_of::<AggState>();
-        inline
-            + match self {
-                AggState::SumFloat(_) => std::mem::size_of::<FloatSum>(),
-                AggState::Avg { .. } => std::mem::size_of::<FloatSum>(),
-                AggState::Min(v) | AggState::Max(v) => v.as_ref().map_or(0, |v| v.heap_bytes()),
-                // BTreeSet<u64> nodes: ~3 words per retained hash.
-                AggState::Distinct(s) => s.len() * 24,
-                _ => 0,
-            }
-    }
-
-    /// Produce the final output value.
-    pub fn finalize(&self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(*n as i64),
-            AggState::SumInt(s) => Value::Int(*s),
-            AggState::SumFloat(s) => Value::Float(s.value()),
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum.value() / *count as f64)
-                }
-            }
-            AggState::Distinct(sketch) => Value::Int(sketch.estimate().round() as i64),
-        }
-    }
-}
-
-/// Mergeable per-group states: the §4 unit of tree aggregation.
-///
-/// Equality is map equality over bit-exact states ([`Value`] compares
-/// floats with `total_cmp`, so NaN payloads and signed zeros distinguish)
-/// — the relation the wire round-trip property (`decode(encode(x)) == x`)
-/// is asserted under.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PartialResult {
-    pub groups: FxHashMap<Box<[Value]>, Vec<AggState>>,
-}
-
-impl PartialResult {
-    /// Merge another partial (same query shape) into this one.
-    pub fn merge(&mut self, other: PartialResult) -> Result<()> {
-        for (key, states) in other.groups {
-            match self.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(&states) {
-                        a.merge(b)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Approximate in-memory footprint of the group map, for cost-aware
-    /// cache admission (bytes × cells scanned).
-    pub fn approx_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<(Box<[Value]>, Vec<AggState>)>() + 16;
-        self.groups
-            .iter()
-            .map(|(k, states)| {
-                per_entry
-                    + k.heap_bytes()
-                    + states.iter().map(AggState::approx_bytes).sum::<usize>()
-            })
-            .sum()
-    }
-}
-
 /// Parse, analyze and execute a SQL string against a store.
 pub fn query(store: &DataStore, sql: &str) -> Result<(QueryResult, ScanStats)> {
     let parsed = parse_query(sql)?;
@@ -357,9 +219,8 @@ pub fn execute_partial_seeded(
 
 /// Apply HAVING / ORDER BY / LIMIT and project the output columns.
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
-    let (groups, aggs) =
-        GroupTable::from_partial(partial, analyzed.keys.len(), analyzed.aggs.len())?;
-    rank(analyzed, &ValueKeys, &groups, &aggs)
+    let (groups, aggs) = partial.for_query(analyzed.keys.len(), analyzed.aggs.len())?;
+    rank(analyzed, &ValueKeys, groups, aggs)
 }
 
 /// What [`rank`] needs to know about a group table's cells of type `C`:
@@ -465,7 +326,7 @@ fn ids_to_values(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// The order is total: the ORDER BY keys, ties broken by the whole row,
 /// cell by cell — the output never depends on group-table order, and it is
 /// the same order in both domains.
-fn rank<C: Ord + Clone>(
+fn rank<C: Cell>(
     analyzed: &AnalyzedQuery,
     domain: &impl KeyCells<C>,
     groups: &GroupTable<C>,
@@ -761,33 +622,27 @@ impl Plan {
                 }
                 None => None,
             };
-            let col = col.as_ref();
-            aggs.push(if agg.distinct {
-                AggRef::Slot(slot(SlotKind::Distinct { m: ctx.sketch_m() }, col))
-            } else {
-                match agg.func {
-                    // COUNT(x) counts rows (stores hold no NULLs).
-                    AggFunc::Count => AggRef::Slot(slot(SlotKind::Count, None)),
-                    AggFunc::Sum => match require_arg_type(agg.func, col)? {
-                        DataType::Int => AggRef::Slot(slot(SlotKind::SumInt, col)),
-                        DataType::Float => AggRef::Slot(slot(SlotKind::SumFloat, col)),
-                        DataType::Str => {
-                            return Err(Error::Type("SUM over a string column".into()))
-                        }
-                    },
-                    AggFunc::Avg => {
-                        if require_arg_type(agg.func, col)? == DataType::Str {
-                            return Err(Error::Type("AVG over a string column".into()));
-                        }
-                        AggRef::Avg {
-                            sum: slot(SlotKind::SumFloat, col),
-                            count: slot(SlotKind::Count, None),
-                        }
-                    }
-                    AggFunc::Min => AggRef::Slot(slot(SlotKind::Min, col)),
-                    AggFunc::Max => AggRef::Slot(slot(SlotKind::Max, col)),
+            let kind = match (agg.func, col.as_ref().map(|col| col.data_type())) {
+                (_, Some(_)) if agg.distinct => SlotKind::Distinct { m: ctx.sketch_m() },
+                // COUNT(x) counts rows (stores hold no NULLs).
+                (AggFunc::Count, _) => SlotKind::Count,
+                (AggFunc::Min, Some(_)) => SlotKind::Min,
+                (AggFunc::Max, Some(_)) => SlotKind::Max,
+                (AggFunc::Sum, Some(DataType::Int)) => SlotKind::SumInt,
+                (AggFunc::Sum | AggFunc::Avg, Some(DataType::Int | DataType::Float)) => {
+                    SlotKind::SumFloat
                 }
-            });
+                (func, Some(DataType::Str)) => {
+                    return Err(Error::Type(format!("{} over a string column", func.name())))
+                }
+                (func, None) => {
+                    let message = format!("{}(*) is only valid for COUNT", func.name());
+                    return Err(Error::Internal(message));
+                }
+            };
+            let state = slot(kind, col.as_ref().filter(|_| kind != SlotKind::Count));
+            let avg = agg.func == AggFunc::Avg && kind == SlotKind::SumFloat;
+            aggs.push(AggRef { slot: state, count: avg.then(|| slot(SlotKind::Count, None)) });
         }
 
         let filter = match &analyzed.filter {
@@ -893,12 +748,26 @@ impl Plan {
 
     /// The value-keyed form of a folded group table, for a consumer that
     /// does not share this store's dictionaries (a tree parent merging
-    /// shards): each column of ids is translated by one ordered dictionary
-    /// walk ([`ids_to_values`]), not one lookup per group. Dictionaries
-    /// are bijections, so distinct id tuples stay distinct keys.
-    fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
+    /// shards): the groups in ascending key order, each column of ids
+    /// translated by one ordered dictionary walk ([`ids_to_values`]), not
+    /// one lookup per group. Dictionaries are bijections, so distinct id
+    /// tuples stay distinct keys.
+    ///
+    /// While every key dictionary is sorted the order is found on the ids
+    /// (a one-key direct fold lists them ascending already); once one is
+    /// tailed the translated keys are sorted by value — which the sorted
+    /// base began, so the sort has a short tail to place.
+    fn value_keyed(&self, mut groups: GroupTable<u32>) -> PartialResult {
         let cells = IdKeys(self);
-        groups.map_cells(|of, ids| ids_to_values(cells.dict(of), &ids)).into_partial(&self.aggs)
+        let ordered_ids = self.key_cols.iter().all(|col| col.dict.is_value_ordered());
+        if ordered_ids {
+            groups.sort_keys();
+        }
+        let mut table = groups.map_cells(|of, ids| ids_to_values(cells.dict(of), &ids));
+        if !ordered_ids {
+            table.sort_keys();
+        }
+        PartialResult::new(table, self.aggs.clone())
     }
 
     /// Group one chunk. `filtered` says whether the row filter applies
@@ -987,105 +856,9 @@ impl Plan {
     }
 }
 
-fn require_arg_type(func: AggFunc, col: Option<&Arc<StoredColumn>>) -> Result<DataType> {
-    col.map(|c| c.data_type())
-        .ok_or_else(|| Error::Internal(format!("{}(*) is only valid for COUNT", func.name())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn agg_state_finalize_values() {
-        assert_eq!(AggState::Count(7).finalize(), Value::Int(7));
-        assert_eq!(AggState::SumInt(-3).finalize(), Value::Int(-3));
-        assert_eq!(AggState::SumFloat(Box::new(FloatSum::from(2.5))).finalize(), Value::Float(2.5));
-        assert_eq!(AggState::Min(None).finalize(), Value::Null);
-        assert_eq!(AggState::Max(Some(Value::from("z"))).finalize(), Value::from("z"));
-        assert_eq!(
-            AggState::Avg { sum: Box::new(FloatSum::from(10.0)), count: 4 }.finalize(),
-            Value::Float(2.5)
-        );
-        assert_eq!(
-            AggState::Avg { sum: Box::new(FloatSum::new()), count: 0 }.finalize(),
-            Value::Null
-        );
-    }
-
-    #[test]
-    fn agg_state_merge_mismatch_is_an_error() {
-        let mut a = AggState::Count(1);
-        assert!(a.merge(&AggState::SumInt(1)).is_err());
-        let mut m = AggState::Min(Some(Value::Int(5)));
-        m.merge(&AggState::Min(Some(Value::Int(3)))).unwrap();
-        assert_eq!(m.finalize(), Value::Int(3));
-        // Merging an empty Min keeps the present value.
-        m.merge(&AggState::Min(None)).unwrap();
-        assert_eq!(m.finalize(), Value::Int(3));
-    }
-
-    #[test]
-    fn partial_results_merge_group_wise() {
-        let mut a = PartialResult::default();
-        a.groups.insert(vec![Value::from("x")].into_boxed_slice(), vec![AggState::Count(2)]);
-        let mut b = PartialResult::default();
-        b.groups.insert(vec![Value::from("x")].into_boxed_slice(), vec![AggState::Count(3)]);
-        b.groups.insert(vec![Value::from("y")].into_boxed_slice(), vec![AggState::Count(1)]);
-        a.merge(b).unwrap();
-        assert_eq!(a.groups.len(), 2);
-        let key: Box<[Value]> = vec![Value::from("x")].into_boxed_slice();
-        assert_eq!(a.groups[&key], vec![AggState::Count(5)]);
-    }
-
-    #[test]
-    fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
-        // Many groups share an ORDER BY key, so which of them survive the
-        // LIMIT is decided by the whole-row tie-break — the selection must
-        // agree with sorting everything, row for row.
-        let mut partial = PartialResult::default();
-        for i in 0..60u64 {
-            partial.groups.insert(
-                vec![Value::from(format!("k{:02}", i * 37 % 60))].into_boxed_slice(),
-                vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i64)],
-            );
-        }
-        for order in ["c DESC", "c ASC", "c DESC, s ASC", "s DESC, k DESC", "k ASC"] {
-            for having in ["", " HAVING c > 0"] {
-                let full = format!(
-                    "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k{having} ORDER BY {order}"
-                );
-                let analyzed = analyze(&parse_query(&full).unwrap()).unwrap();
-                // The definition: base order by whole row, then a stable
-                // sort on the ORDER BY keys.
-                let unlimited = finalize(&analyzed, partial.clone()).unwrap().rows;
-                let mut want = unlimited.clone();
-                want.sort();
-                want.sort_by(|a, b| {
-                    analyzed
-                        .order_by
-                        .iter()
-                        .map(|&(idx, desc)| {
-                            let ord = a.0[idx].cmp(&b.0[idx]);
-                            if desc {
-                                ord.reverse()
-                            } else {
-                                ord
-                            }
-                        })
-                        .find(|ord| ord.is_ne())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                assert_eq!(unlimited, want, "{full}");
-                for limit in [0usize, 1, 7, 10, 44, 45, 59, 60, 61] {
-                    let limited =
-                        analyze(&parse_query(&format!("{full} LIMIT {limit}")).unwrap()).unwrap();
-                    let got = finalize(&limited, partial.clone()).unwrap().rows;
-                    assert_eq!(got, want[..limit.min(want.len())], "{full} LIMIT {limit}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn query_result_helpers() {

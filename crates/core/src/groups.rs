@@ -1,27 +1,36 @@
-//! The group table: the one representation of grouped aggregation states
-//! inside a store, and the only module that knows its layout.
+//! The group table: the one representation of grouped aggregation states,
+//! from a chunk kernel to the root of the computation tree, and the only
+//! module that knows its layout.
 //!
-//! §2.4 groups by `counts[elements[row]]++` into arrays indexed by ids, and
-//! §3 looks names up last. [`GroupTable`] is those arrays: one **key
-//! column** per `GROUP BY` expression and one typed **state column** per
-//! aggregate slot, group `g` being position `g` of every column. A chunk
-//! kernel fills a chunk-local table of global-ids; that table is the
-//! chunk-result cache's payload; [`GroupFold`] adds chunk tables into the
-//! store's table column by column; the executor's ranking reads columns.
-//! The cell type `K` is `u32` (global-ids) inside a store and
-//! [`Value`] where stores meet: [`GroupTable::into_partial`] is the one
-//! place an [`AggState`] is built — once per final group, for the
-//! computation tree — and [`GroupTable::from_partial`] the one place they
-//! are read back, at the root.
+//! §2.4 groups by `counts[elements[row]]++` into arrays indexed by ids, §3
+//! looks names up last and §4 merges partial results level by level.
+//! [`GroupTable`] is those arrays: one **key column** per `GROUP BY`
+//! expression and one typed **state column** per aggregate slot, group `g`
+//! being position `g` of every column.
+//!
+//! Inside a store a cell (`K`) is a `u32` global-id: a chunk kernel fills a
+//! chunk-local table; that table is the chunk-result cache's payload;
+//! [`GroupFold`] adds chunk tables into the store's table column by
+//! column; the executor's ranking reads columns. Where stores meet, a cell
+//! is a [`Value`]: a [`PartialResult`] is the same table, every key and
+//! MIN/MAX column translated once, its groups in **strictly ascending key
+//! order** (key tuples compared column by column in [`Value`]'s total
+//! order). The order is what makes the tree cheap: two partials merge like
+//! sorted runs ([`PartialResult::merge`] — nothing is hashed), equality is
+//! column equality, the wire form is deterministic, and the root ranks the
+//! columns as they arrive.
 //!
 //! `AVG` is not a column: the plan lowers it to a float-sum slot and a
-//! count slot ([`AggRef::Avg`]), which `SUM(x)` / `COUNT(*)` of the same
+//! count slot ([`AggRef::count`]), which `SUM(x)` / `COUNT(*)` of the same
 //! query share.
 
 use crate::count_distinct::KmvSketch;
-use crate::exec::{AggState, PartialResult};
 use pd_common::{Error, FloatSum, FxHashMap, HeapSize, Result, Value};
 use std::cmp::Ordering;
+
+/// What a group table's cells are: global-ids or values.
+pub(crate) trait Cell: Ord + Clone + HeapSize {}
+impl<T: Ord + Clone + HeapSize> Cell for T {}
 
 /// What one aggregate slot accumulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +43,12 @@ pub(crate) enum SlotKind {
     Distinct { m: usize },
 }
 
-/// Which slots a query's aggregate reads.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AggRef {
-    Slot(usize),
-    Avg { sum: usize, count: usize },
+/// The slots a query's aggregate reads: its state in `slot`, and for `AVG`
+/// the count slot the float sum in `slot` is divided by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AggRef {
+    pub(crate) slot: usize,
+    pub(crate) count: Option<usize>,
 }
 
 /// Which cells a domain question is about: key column `i`, or the MIN/MAX
@@ -53,6 +63,7 @@ pub(crate) enum CellsOf {
 pub(crate) type Extreme<'a, K> = dyn Fn(usize, &K) -> Value + 'a;
 
 /// One aggregate slot's states, one per group.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Column<K> {
     Count(Vec<u64>),
     SumInt(Vec<i64>),
@@ -69,7 +80,7 @@ pub(crate) enum Column<K> {
     },
 }
 
-impl<K: Clone> Column<K> {
+impl<K: Cell> Column<K> {
     /// A column of no groups.
     pub(crate) fn new(kind: SlotKind) -> Column<K> {
         match kind {
@@ -82,11 +93,32 @@ impl<K: Clone> Column<K> {
         }
     }
 
+    fn kind(&self) -> SlotKind {
+        match self {
+            Column::Count(_) => SlotKind::Count,
+            Column::SumInt(_) => SlotKind::SumInt,
+            Column::SumFloat(_) => SlotKind::SumFloat,
+            Column::Extreme { is_min: true, .. } => SlotKind::Min,
+            Column::Extreme { is_min: false, .. } => SlotKind::Max,
+            Column::Distinct { m, .. } => SlotKind::Distinct { m: *m },
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Count(v) => v.len(),
+            Column::SumInt(v) => v.len(),
+            Column::SumFloat(sums) => sums.hi.len(),
+            Column::Extreme { best, .. } => best.len(),
+            Column::Distinct { sketches, .. } => sketches.len(),
+        }
+    }
+
     fn grow(&mut self, len: usize) {
         match self {
             Column::Count(v) => v.resize(len, 0),
             Column::SumInt(v) => v.resize(len, 0),
-            Column::SumFloat(f) => f.grow(len),
+            Column::SumFloat(sums) => sums.grow(len),
             Column::Extreme { best, .. } => best.resize(len, None),
             Column::Distinct { m, sketches } => sketches.resize(len, KmvSketch::new(*m)),
         }
@@ -125,12 +157,10 @@ impl<K: Clone> Column<K> {
         match self {
             Column::Count(v) => permute(v, order),
             Column::SumInt(v) => permute(v, order),
-            Column::SumFloat(f) => {
-                permute(&mut f.hi, order);
-                permute(&mut f.lo, order);
-                if !f.exact.is_empty() {
-                    permute(&mut f.exact, order);
-                }
+            Column::SumFloat(FloatColumn { hi, lo, exact }) => {
+                permute(hi, order);
+                permute(lo, order);
+                permute(exact, order);
             }
             Column::Extreme { best, .. } => permute(best, order),
             Column::Distinct { sketches, .. } => permute(sketches, order),
@@ -141,10 +171,10 @@ impl<K: Clone> Column<K> {
         match self {
             Column::Count(v) => v.len() * 8,
             Column::SumInt(v) => v.len() * 8,
-            Column::SumFloat(f) => {
-                f.hi.len() * 16 + f.exact.iter().flatten().count() * size_of::<FloatSum>()
+            Column::SumFloat(sums) => {
+                sums.hi.len() * 24 + sums.exact.iter().flatten().count() * size_of::<FloatSum>()
             }
-            Column::Extreme { best, .. } => best.len() * size_of::<Option<K>>(),
+            Column::Extreme { best, .. } => best.iter().map(HeapSize::total_bytes).sum(),
             Column::Distinct { sketches, .. } => sketches.iter().map(HeapSize::total_bytes).sum(),
         }
     }
@@ -169,13 +199,15 @@ fn permute<T>(v: &mut Vec<T>, order: &[u32]) {
 /// there. The taint bit is `hi == NaN` (an untainted `hi` is finite, and a
 /// NaN makes every later residual NaN, so the hot loop needs no second
 /// branch); a tainted slot without an exact accumulator has seen no row.
+#[derive(Debug, Clone)]
 pub(crate) struct FloatColumn {
     hi: Vec<f64>,
     lo: Vec<f64>,
-    /// Per slot, its exact accumulator if it has one; empty until the
-    /// first taint sizes it to `hi`, so a column of pairs carries none.
-    exact: Vec<Option<Box<FloatSum>>>,
+    exact: ExactSums,
 }
+
+/// Per slot, its exact accumulator once tainted.
+pub(crate) type ExactSums = Vec<Option<Box<FloatSum>>>;
 
 #[inline(always)]
 fn two_sum(a: f64, b: f64) -> (f64, f64) {
@@ -192,15 +224,13 @@ impl FloatColumn {
     /// baseline) exact accumulators from the first add.
     pub(crate) fn new(len: usize, exact: bool) -> FloatColumn {
         let hi = if exact { f64::NAN } else { 0.0 };
-        FloatColumn { hi: vec![hi; len], lo: vec![0.0; len], exact: Vec::new() }
+        FloatColumn { hi: vec![hi; len], lo: vec![0.0; len], exact: vec![None; len] }
     }
 
     fn grow(&mut self, len: usize) {
         self.hi.resize(len, 0.0);
         self.lo.resize(len, 0.0);
-        if !self.exact.is_empty() {
-            self.exact.resize_with(len, || None);
-        }
+        self.exact.resize(len, None);
     }
 
     #[inline(always)]
@@ -221,26 +251,19 @@ impl FloatColumn {
     pub(crate) fn exact_mut(&mut self, g: usize) -> &mut FloatSum {
         let (hi, lo) = (self.hi[g], self.lo[g]);
         self.hi[g] = f64::NAN;
-        if self.exact.is_empty() {
-            self.exact.resize_with(self.hi.len(), || None);
-        }
         self.exact[g].get_or_insert_with(|| Box::new(pair_sum(hi, lo)))
-    }
-
-    fn exact(&self, g: usize) -> Option<&FloatSum> {
-        self.exact.get(g)?.as_deref()
     }
 
     /// Slot `g`'s sum as the exact accumulator a per-row accumulation
     /// would have produced, bit for bit.
     fn sum(&self, g: usize) -> FloatSum {
-        self.exact(g).cloned().unwrap_or_else(|| pair_sum(self.hi[g], self.lo[g]))
+        self.exact[g].as_deref().cloned().unwrap_or_else(|| pair_sum(self.hi[g], self.lo[g]))
     }
 
     /// Slot `g`'s sum rounded once: IEEE addition of an exact pair is the
     /// correctly rounded exact sum, which is what [`FloatSum::value`] is.
     fn value(&self, g: usize) -> f64 {
-        match self.exact(g) {
+        match &self.exact[g] {
             Some(sum) => sum.value(),
             None if self.hi[g].is_nan() => 0.0,
             // pd-analysis: allow(float-exactness) -- rounds the exact pair once; nothing is accumulated
@@ -251,7 +274,7 @@ impl FloatColumn {
     fn absorb(&mut self, from: &FloatColumn, map: &[u32]) {
         for (j, &to) in map.iter().enumerate() {
             let to = to as usize;
-            match from.exact(j) {
+            match &from.exact[j] {
                 Some(sum) => self.exact_mut(to).merge(sum),
                 None if from.hi[j].is_nan() => {}
                 None => {
@@ -260,6 +283,30 @@ impl FloatColumn {
                 }
             }
         }
+    }
+
+    /// The column as it crosses the wire: per slot its pair and, once
+    /// tainted, its exact accumulator.
+    pub(crate) fn parts(&self) -> (&Vec<f64>, &Vec<f64>, &ExactSums) {
+        (&self.hi, &self.lo, &self.exact)
+    }
+
+    /// A column from its decoded [`FloatColumn::parts`]: one length, and
+    /// an exact accumulator only on a tainted slot.
+    pub(crate) fn from_parts(hi: Vec<f64>, lo: Vec<f64>, exact: ExactSums) -> Result<FloatColumn> {
+        let tainted = |(sum, hi): (&Option<_>, &f64)| sum.is_none() || hi.is_nan();
+        if hi.len() != lo.len() || hi.len() != exact.len() || !exact.iter().zip(&hi).all(tainted) {
+            return Err(Error::Data("wire: float-sum column is inconsistent".into()));
+        }
+        Ok(FloatColumn { hi, lo, exact })
+    }
+}
+
+/// Columns are equal when every slot holds the same exact sum, whichever
+/// of them carries it as a pair.
+impl PartialEq for FloatColumn {
+    fn eq(&self, other: &FloatColumn) -> bool {
+        self.hi.len() == other.hi.len() && (0..self.hi.len()).all(|g| self.sum(g) == other.sum(g))
     }
 }
 
@@ -276,13 +323,21 @@ fn pair_sum(hi: f64, lo: f64) -> FloatSum {
 
 /// Grouped aggregation states, struct-of-arrays: group `g` is `keys[i][g]`
 /// for every key column and position `g` of every slot.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct GroupTable<K> {
     len: usize,
     keys: Vec<Vec<K>>,
     slots: Vec<Column<K>>,
 }
 
-impl<K: Clone> GroupTable<K> {
+/// No groups, no columns.
+impl<K> Default for GroupTable<K> {
+    fn default() -> GroupTable<K> {
+        GroupTable { len: 0, keys: Vec::new(), slots: Vec::new() }
+    }
+}
+
+impl<K: Cell> GroupTable<K> {
     /// `len` groups given column by column.
     pub(crate) fn new(len: usize, keys: Vec<Vec<K>>, slots: Vec<Column<K>>) -> GroupTable<K> {
         debug_assert!(keys.iter().all(|col| col.len() == len));
@@ -298,43 +353,29 @@ impl<K: Clone> GroupTable<K> {
         &self.keys[i]
     }
 
-    /// Group `i` becomes the old group `order[i]` (a permutation of the
-    /// groups).
-    pub(crate) fn reorder(&mut self, order: &[u32]) {
-        if order.iter().zip(0..).all(|(&g, i)| g == i) {
-            return;
-        }
-        self.keys.iter_mut().for_each(|cells| permute(cells, order));
-        self.slots.iter_mut().for_each(|slot| slot.reorder(order));
-    }
-
     /// Approximate in-memory footprint, for cost-aware cache admission.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.keys.len() * self.len * size_of::<K>()
-            + self.slots.iter().map(Column::approx_bytes).sum::<usize>()
+        let keys = self.keys.iter().flatten().map(HeapSize::total_bytes).sum::<usize>();
+        keys + self.slots.iter().map(Column::approx_bytes).sum::<usize>()
     }
 
     /// `agg`'s output cell for group `g`.
     pub(crate) fn cell(&self, agg: AggRef, g: usize, extreme: &Extreme<'_, K>) -> Value {
-        match agg {
-            AggRef::Avg { sum, count } => match (&self.slots[sum], &self.slots[count]) {
-                (_, Column::Count(n)) if n[g] == 0 => Value::Null,
-                (Column::SumFloat(sums), Column::Count(n)) => {
-                    Value::Float(sums.value(g) / n[g] as f64)
-                }
-                _ => unreachable!("AVG reads a float-sum slot and a count slot"),
+        match (&self.slots[agg.slot], agg.count.map(|count| &self.slots[count])) {
+            (Column::SumFloat(sums), Some(Column::Count(n))) => match n[g] {
+                0 => Value::Null,
+                n => Value::Float(sums.value(g) / n as f64),
             },
-            AggRef::Slot(s) => match &self.slots[s] {
-                Column::Count(n) => Value::Int(n[g] as i64),
-                Column::SumInt(sums) => Value::Int(sums[g]),
-                Column::SumFloat(sums) => Value::Float(sums.value(g)),
-                Column::Extreme { best, .. } => {
-                    best[g].as_ref().map_or(Value::Null, |cell| extreme(s, cell))
-                }
-                Column::Distinct { sketches, .. } => {
-                    Value::Int(sketches[g].estimate().round() as i64)
-                }
-            },
+            (_, Some(_)) => unreachable!("AVG reads a float-sum slot and a count slot"),
+            (Column::Count(n), None) => Value::Int(n[g] as i64),
+            (Column::SumInt(sums), None) => Value::Int(sums[g]),
+            (Column::SumFloat(sums), None) => Value::Float(sums.value(g)),
+            (Column::Extreme { best, .. }, None) => {
+                best[g].as_ref().map_or(Value::Null, |cell| extreme(agg.slot, cell))
+            }
+            (Column::Distinct { sketches, .. }, None) => {
+                Value::Int(sketches[g].estimate().round() as i64)
+            }
         }
     }
 
@@ -364,117 +405,291 @@ impl<K: Clone> GroupTable<K> {
             .collect();
         GroupTable { len: self.len, keys, slots }
     }
-}
 
-impl GroupTable<Value> {
-    /// The mergeable form the §4 computation tree carries: one
-    /// [`AggState`] per aggregate per group — built here and nowhere else.
-    pub(crate) fn into_partial(self, aggs: &[AggRef]) -> PartialResult {
-        let GroupTable { len, keys, slots } = self;
-        let state = |agg: &AggRef, g: usize| match *agg {
-            AggRef::Avg { sum, count } => match (&slots[sum], &slots[count]) {
-                (Column::SumFloat(sums), Column::Count(n)) => {
-                    AggState::Avg { sum: Box::new(sums.sum(g)), count: n[g] }
-                }
-                _ => unreachable!("AVG reads a float-sum slot and a count slot"),
-            },
-            AggRef::Slot(s) => match &slots[s] {
-                Column::Count(n) => AggState::Count(n[g]),
-                Column::SumInt(sums) => AggState::SumInt(sums[g]),
-                Column::SumFloat(sums) => AggState::SumFloat(Box::new(sums.sum(g))),
-                Column::Extreme { is_min: true, best } => AggState::Min(best[g].clone()),
-                Column::Extreme { is_min: false, best } => AggState::Max(best[g].clone()),
-                Column::Distinct { sketches, .. } => AggState::Distinct(sketches[g].clone()),
-            },
-        };
-        let mut result = PartialResult::default();
-        result.groups.reserve(len);
-        let mut keys: Vec<_> = keys.into_iter().map(Vec::into_iter).collect();
-        for g in 0..len {
-            let key = keys.iter_mut().map(|cells| cells.next().expect("one cell per group"));
-            result.groups.insert(key.collect(), aggs.iter().map(|agg| state(agg, g)).collect());
+    /// Add the slots of another table of this shape, whose group `j` is
+    /// this table's group `map[j]`; a group past the end is new.
+    /// `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
+    fn absorb(
+        &mut self,
+        slots: &[Column<K>],
+        map: &[u32],
+        order: impl Fn(usize, &K, &K) -> Ordering,
+    ) {
+        self.len = map.iter().fold(self.len, |len, &to| len.max(to as usize + 1));
+        for (s, (to, from)) in self.slots.iter_mut().zip(slots).enumerate() {
+            to.grow(self.len);
+            to.absorb(from, map, |a, b| order(s, a, b));
         }
-        result
     }
 
-    /// Read a merged partial of `n_keys` key columns and `n_aggs`
-    /// aggregates back into columns — the one consumer of [`AggState`]s.
-    pub(crate) fn from_partial(
-        partial: PartialResult,
-        n_keys: usize,
-        n_aggs: usize,
-    ) -> Result<(GroupTable<Value>, Vec<AggRef>)> {
-        let malformed = || Error::Internal("partial result does not match its query".into());
-        let len = partial.groups.len();
-        let mut keys: Vec<Vec<Value>> = (0..n_keys).map(|_| Vec::with_capacity(len)).collect();
+    /// The order of this table's group `a` and `other`'s group `b`: their
+    /// key tuples, column by column.
+    fn cmp_keys(&self, a: usize, other: &GroupTable<K>, b: usize) -> Ordering {
+        (self.keys.iter().zip(&other.keys))
+            .map(|(own, theirs)| own[a].cmp(&theirs[b]))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Are the groups in strictly ascending key order?
+    fn is_sorted(&self) -> bool {
+        (1..self.len).all(|g| self.cmp_keys(g - 1, self, g).is_lt())
+    }
+
+    /// Group `i` becomes the old group `order[i]` (a permutation of the
+    /// groups).
+    pub(crate) fn reorder(&mut self, order: &[u32]) {
+        if order.iter().zip(0..).all(|(&g, i)| g == i) {
+            return;
+        }
+        self.keys.iter_mut().for_each(|cells| permute(cells, order));
+        self.slots.iter_mut().for_each(|slot| slot.reorder(order));
+    }
+
+    /// List the groups in ascending key order. The sort is stable and
+    /// adaptive: keys in order already, or two ordered runs, cost a pass.
+    pub(crate) fn sort_keys(&mut self) {
+        let mut order: Vec<u32> = (0..self.len as u32).collect();
+        order.sort_by(|&a, &b| self.cmp_keys(a as usize, self, b as usize));
+        self.reorder(&order);
+    }
+
+    /// Add `other`'s groups to this table's. Both list theirs in strictly
+    /// ascending key order, and so does the result: one two-way walk finds
+    /// the groups they share, the rest are appended — an ordered run behind
+    /// an ordered run, which the sort merges in a pass.
+    fn merge_ordered(&mut self, other: GroupTable<K>) {
+        let held = self.len;
+        let (mut at, mut new) = (0, held);
+        let map: Vec<u32> = (0..other.len)
+            .map(|j| {
+                let ord = loop {
+                    if at == held {
+                        break Ordering::Greater;
+                    }
+                    match self.cmp_keys(at, &other, j) {
+                        Ordering::Less => at += 1,
+                        ord => break ord,
+                    }
+                };
+                if ord.is_ne() {
+                    new += 1;
+                }
+                (if ord.is_eq() { at } else { new - 1 }) as u32
+            })
+            .collect();
+        for (own, theirs) in self.keys.iter_mut().zip(other.keys) {
+            let fresh = theirs.into_iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
+            own.extend(fresh.map(|(cell, _)| cell));
+        }
+        self.absorb(&other.slots, &map, |_, a, b| a.cmp(b));
+        if self.len > held {
+            self.sort_keys();
+        }
+    }
+}
+
+/// One aggregate's state for one group, given row-wise: the input of
+/// [`PartialResult::from_states`], for producers that hold a group's
+/// states together — the row-at-a-time oracle and test generators. The
+/// engine never builds one; its states are positions in columns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    Count(u64),
+    SumInt(i64),
+    SumFloat(Box<FloatSum>),
+    Min(Option<Value>),
+    Max(Option<Value>),
+    Avg { sum: Box<FloatSum>, count: u64 },
+    Distinct(KmvSketch),
+}
+
+/// Mergeable per-group states, the §4 unit of tree aggregation: a group
+/// table of [`Value`] cells, its groups in strictly ascending key order,
+/// and per aggregate of its query the slots it reads.
+///
+/// Every column merges associatively and commutatively — counts and
+/// integer sums add (wrapping), a float slot is exact whether it is a
+/// double-double pair or a [`FloatSum`] superaccumulator, MIN / MAX keep
+/// the extreme [`Value`], sketches union — so a query's result is
+/// bit-identical however its rows were grouped into chunks, threads,
+/// shards or subtrees. Equality is column equality (floats by bits in
+/// keys, by exact sum in float slots).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PartialResult {
+    table: GroupTable<Value>,
+    aggs: Vec<AggRef>,
+}
+
+impl PartialResult {
+    /// `table`, whose groups are in strictly ascending key order, for a
+    /// query whose aggregates read the slots `aggs`.
+    pub(crate) fn new(table: GroupTable<Value>, aggs: Vec<AggRef>) -> PartialResult {
+        debug_assert!(table.is_sorted());
+        PartialResult { table, aggs }
+    }
+
+    /// The partial of groups given row-wise, each `(key, one state per
+    /// aggregate)`: the one consumer of [`AggState`]s. The first group
+    /// names the layout (`AVG` takes a sum slot and a count slot of its
+    /// own); a group of another layout, or a repeated key, is an error.
+    pub fn from_states(
+        groups: impl IntoIterator<Item = (Vec<Value>, Vec<AggState>)>,
+    ) -> Result<PartialResult> {
+        let malformed = |what: &str| Error::Internal(format!("group states {what}"));
+        let mut groups: Vec<_> = groups.into_iter().collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        if groups.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err(malformed("repeat a key"));
+        }
+        let Some((first_key, first_states)) = groups.first() else {
+            return Ok(PartialResult::default());
+        };
+        let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); first_key.len()];
         let mut slots: Vec<Column<Value>> = Vec::new();
         let mut aggs: Vec<AggRef> = Vec::new();
-        for (g, (key, states)) in partial.groups.into_iter().enumerate() {
-            if key.len() != n_keys || states.len() != n_aggs {
-                return Err(malformed());
+        for state in first_states {
+            let kind = match state {
+                AggState::Count(_) => SlotKind::Count,
+                AggState::SumInt(_) => SlotKind::SumInt,
+                AggState::SumFloat(_) | AggState::Avg { .. } => SlotKind::SumFloat,
+                AggState::Min(_) => SlotKind::Min,
+                AggState::Max(_) => SlotKind::Max,
+                AggState::Distinct(sketch) => SlotKind::Distinct { m: sketch.m() },
+            };
+            let avg = matches!(state, AggState::Avg { .. });
+            aggs.push(AggRef { slot: slots.len(), count: avg.then_some(slots.len() + 1) });
+            slots.push(Column::new(kind));
+            slots.extend(avg.then(|| Column::new(SlotKind::Count)));
+        }
+        let len = groups.len();
+        for (key, states) in groups {
+            if key.len() != keys.len() || states.len() != aggs.len() {
+                return Err(malformed("differ in shape"));
             }
-            keys.iter_mut().zip(key.into_vec()).for_each(|(col, cell)| col.push(cell));
-            if g == 0 {
-                // The first group's states name the layout.
-                for state in &states {
-                    let at = slots.len();
-                    let kind = match state {
-                        AggState::Count(_) => SlotKind::Count,
-                        AggState::SumInt(_) => SlotKind::SumInt,
-                        AggState::SumFloat(_) | AggState::Avg { .. } => SlotKind::SumFloat,
-                        AggState::Min(_) => SlotKind::Min,
-                        AggState::Max(_) => SlotKind::Max,
-                        AggState::Distinct(sketch) => SlotKind::Distinct { m: sketch.m() },
-                    };
-                    slots.push(Column::new(kind));
-                    aggs.push(if let AggState::Avg { .. } = state {
-                        slots.push(Column::new(SlotKind::Count));
-                        AggRef::Avg { sum: at, count: at + 1 }
-                    } else {
-                        AggRef::Slot(at)
-                    });
-                }
-            }
+            keys.iter_mut().zip(key).for_each(|(col, cell)| col.push(cell));
             for (agg, state) in aggs.iter().zip(states) {
-                let fits = match (*agg, state) {
-                    (AggRef::Avg { sum, count }, AggState::Avg { sum: s, count: n }) => {
-                        slots[sum].push_sum(s) && slots[count].push_count(n)
-                    }
-                    (AggRef::Slot(s), state) => slots[s].push(state),
+                let (state, count) = match state {
+                    AggState::Avg { sum, count } => (AggState::SumFloat(sum), Some(count)),
+                    state => (state, None),
+                };
+                let counted = match (agg.count, count) {
+                    (Some(slot), Some(n)) => slots[slot].push(AggState::Count(n)),
+                    (None, None) => true,
                     _ => false,
                 };
-                if !fits {
-                    return Err(malformed());
+                if !(counted && slots[agg.slot].push(state)) {
+                    return Err(malformed("differ in kind"));
                 }
             }
         }
-        Ok((GroupTable { len, keys, slots }, aggs))
+        Ok(PartialResult { table: GroupTable { len, keys, slots }, aggs })
+    }
+
+    /// The partial of decoded columns, every invariant checked: columns of
+    /// one length, groups in strictly ascending key order, aggregates that
+    /// name slots of their kind.
+    pub(crate) fn from_columns(
+        len: u64,
+        keys: Vec<Vec<Value>>,
+        slots: Vec<Column<Value>>,
+        aggs: Vec<AggRef>,
+    ) -> Result<PartialResult> {
+        let corrupt = |what: &str| Error::Data(format!("wire: partial result {what}"));
+        let lens = keys.iter().map(Vec::len).chain(slots.iter().map(Column::len));
+        if lens.map(|n| n as u64).any(|n| n != len) {
+            return Err(corrupt("has ragged columns"));
+        }
+        // Columns of `len` cells were decoded, or there is none: then only
+        // the order check stands between `len` and a loop that long, and it
+        // fails at the first pair of equal (empty) keys.
+        let len = usize::try_from(len).map_err(|_| corrupt("has ragged columns"))?;
+        let table = GroupTable { len, keys, slots };
+        if !table.is_sorted() {
+            return Err(corrupt("has unsorted or duplicate keys"));
+        }
+        let kind = |slot: usize| table.slots.get(slot).map(Column::kind);
+        let fits = |agg: &AggRef| match agg.count {
+            None => kind(agg.slot).is_some(),
+            Some(count) => {
+                kind(agg.slot) == Some(SlotKind::SumFloat) && kind(count) == Some(SlotKind::Count)
+            }
+        };
+        if !aggs.iter().all(fits) {
+            return Err(corrupt("names a slot it does not have"));
+        }
+        Ok(PartialResult { table, aggs })
+    }
+
+    /// What the wire carries: group count, key columns, slots, aggregates.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn columns(&self) -> (usize, &Vec<Vec<Value>>, &Vec<Column<Value>>, &Vec<AggRef>) {
+        (self.table.len, &self.table.keys, &self.table.slots, &self.aggs)
+    }
+
+    /// How many groups there are.
+    pub fn len(&self) -> usize {
+        self.table.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.table.len == 0
+    }
+
+    /// The table and its aggregates, for ranking as the answer of a query
+    /// with `n_keys` keys and `n_aggs` aggregates.
+    pub(crate) fn for_query(
+        &self,
+        n_keys: usize,
+        n_aggs: usize,
+    ) -> Result<(&GroupTable<Value>, &[AggRef])> {
+        if !self.is_empty() && (self.table.keys.len() != n_keys || self.aggs.len() != n_aggs) {
+            return Err(Error::Internal("partial result does not match its query".into()));
+        }
+        Ok((&self.table, &self.aggs))
+    }
+
+    /// Merge another partial of the same query into this one: an ordered
+    /// two-way merge of columns. A partial of no columns
+    /// ([`PartialResult::default`]) is the identity; partials of different
+    /// shapes do not merge.
+    pub fn merge(&mut self, other: PartialResult) -> Result<()> {
+        let shape = |p: &PartialResult| {
+            let kinds: Vec<SlotKind> = p.table.slots.iter().map(Column::kind).collect();
+            (p.table.keys.len(), kinds, p.aggs.clone())
+        };
+        if other.table == GroupTable::default() {
+            return Ok(());
+        }
+        if self.table == GroupTable::default() {
+            *self = other;
+        } else if shape(self) == shape(&other) {
+            self.table.merge_ordered(other.table);
+        } else {
+            return Err(Error::Internal("cannot merge partial results of different shapes".into()));
+        }
+        Ok(())
+    }
+
+    /// Approximate in-memory footprint, for cost-aware cache admission
+    /// (bytes × cells scanned).
+    pub fn approx_bytes(&self) -> usize {
+        self.table.approx_bytes()
     }
 }
 
-/// Appending one more group's state; `false` if it is of another kind.
 impl Column<Value> {
-    fn push_count(&mut self, n: u64) -> bool {
-        let Column::Count(counts) = self else { return false };
-        counts.push(n);
-        true
-    }
-
-    fn push_sum(&mut self, sum: Box<FloatSum>) -> bool {
-        let Column::SumFloat(sums) = self else { return false };
-        // Every slot of a column read from a partial is exact, so the
-        // three vectors grow in step.
-        sums.hi.push(f64::NAN);
-        sums.lo.push(0.0);
-        sums.exact.push(Some(sum));
-        true
-    }
-
+    /// Append one more group's state; `false` if it is of another kind.
+    /// A float sum given as a state is exact from the start.
     fn push(&mut self, state: AggState) -> bool {
         match (self, state) {
-            (column, AggState::Count(n)) => return column.push_count(n),
-            (column, AggState::SumFloat(sum)) => return column.push_sum(sum),
+            (Column::Count(counts), AggState::Count(n)) => counts.push(n),
             (Column::SumInt(sums), AggState::SumInt(n)) => sums.push(n),
+            (Column::SumFloat(sums), AggState::SumFloat(sum)) => {
+                sums.hi.push(f64::NAN);
+                sums.lo.push(0.0);
+                sums.exact.push(Some(sum));
+            }
             (Column::Extreme { is_min: true, best }, AggState::Min(v))
             | (Column::Extreme { is_min: false, best }, AggState::Max(v)) => best.push(v),
             (Column::Distinct { sketches, .. }, AggState::Distinct(s)) => sketches.push(s),
@@ -557,11 +772,7 @@ impl GroupFold {
                 }));
             }
         }
-        table.len = map.iter().fold(table.len, |len, &slot| len.max(slot as usize + 1));
-        for (s, (to, from)) in table.slots.iter_mut().zip(&chunk.slots).enumerate() {
-            to.grow(table.len);
-            to.absorb(from, map, |a, b| order(s, a, b));
-        }
+        table.absorb(&chunk.slots, map, order);
     }
 
     /// The folded table. A global-id index lists its groups in ascending
@@ -597,7 +808,7 @@ mod tests {
         let table = [1.5f64, -2.25, 1024.0, 0.125, 0.1, -0.0];
         let rows: Vec<(usize, f64)> = (0..96).map(|i| (i % 4, table[(i * 5) % 6])).collect();
         let (column, reference) = summed(&rows, 4);
-        assert!(column.exact.is_empty(), "no slot tainted");
+        assert!(column.exact.iter().all(Option::is_none), "no slot tainted");
         for (g, want) in reference.iter().enumerate() {
             assert_eq!(column.sum(g), *want, "group {g}");
             assert_eq!(column.value(g).to_bits(), want.value().to_bits(), "group {g}");
@@ -673,8 +884,118 @@ mod tests {
                 None => ([7, 2, 9], [31, 12, 20]),
             };
             assert_eq!(table.key(0), ids);
-            let counts = (0..3).map(|g| table.cell(AggRef::Slot(0), g, &|_, _| Value::Null));
+            let counts =
+                (0..3).map(|g| table.cell(AggRef { slot: 0, count: None }, g, &|_, _| Value::Null));
             assert_eq!(counts.collect::<Vec<_>>(), want.map(Value::Int));
         }
+    }
+
+    /// A partial's groups as `(key, one finalized cell per aggregate)`.
+    fn rows(partial: &PartialResult) -> Vec<(Vec<Value>, Vec<Value>)> {
+        let table = &partial.table;
+        (0..table.len)
+            .map(|g| {
+                let key = table.keys.iter().map(|col| col[g].clone()).collect();
+                let cell = |agg: &AggRef| table.cell(*agg, g, &|_, v: &Value| v.clone());
+                (key, partial.aggs.iter().map(cell).collect())
+            })
+            .collect()
+    }
+
+    fn counted(groups: &[(&str, u64)]) -> PartialResult {
+        let group = |&(key, n): &(&str, u64)| (vec![Value::from(key)], vec![AggState::Count(n)]);
+        PartialResult::from_states(groups.iter().map(group)).unwrap()
+    }
+
+    #[test]
+    fn states_become_columns_and_finalize_to_their_cells() {
+        let sum = |x: f64| Box::new(FloatSum::from(x));
+        let partial = PartialResult::from_states([
+            (
+                vec![Value::Int(2)],
+                vec![
+                    AggState::Count(7),
+                    AggState::SumInt(-3),
+                    AggState::SumFloat(sum(2.5)),
+                    AggState::Min(None),
+                    AggState::Max(Some(Value::from("z"))),
+                    AggState::Avg { sum: sum(10.0), count: 4 },
+                ],
+            ),
+            (
+                vec![Value::Int(1)],
+                vec![
+                    AggState::Count(0),
+                    AggState::SumInt(0),
+                    AggState::SumFloat(Box::new(FloatSum::new())),
+                    AggState::Min(Some(Value::Int(5))),
+                    AggState::Max(None),
+                    AggState::Avg { sum: Box::new(FloatSum::new()), count: 0 },
+                ],
+            ),
+        ])
+        .unwrap();
+        // Key order, not arrival order; AVG took two slots.
+        assert_eq!(partial.table.slots.len(), 7);
+        let (int, float, null) = (Value::Int, Value::Float, Value::Null);
+        let want = [
+            (vec![int(1)], vec![int(0), int(0), float(0.0), int(5), null.clone(), null.clone()]),
+            (vec![int(2)], vec![int(7), int(-3), float(2.5), null, Value::from("z"), float(2.5)]),
+        ];
+        assert_eq!(rows(&partial), want);
+    }
+
+    #[test]
+    fn malformed_states_are_errors() {
+        let group = |key: i64, state: AggState| (vec![Value::Int(key)], vec![state]);
+        let repeated = [group(1, AggState::Count(1)), group(1, AggState::Count(2))];
+        assert!(PartialResult::from_states(repeated).is_err());
+        let mixed = [group(1, AggState::Count(1)), group(2, AggState::SumInt(2))];
+        assert!(PartialResult::from_states(mixed).is_err());
+        let ragged = [group(1, AggState::Count(1)), (vec![], vec![AggState::Count(2)])];
+        assert!(PartialResult::from_states(ragged).is_err());
+        assert_eq!(PartialResult::from_states([]).unwrap(), PartialResult::default());
+    }
+
+    #[test]
+    fn merge_is_an_ordered_union_with_the_empty_partial_as_identity() {
+        let mut merged = PartialResult::default();
+        merged.merge(counted(&[("m", 2), ("x", 1)])).unwrap();
+        merged.merge(PartialResult::default()).unwrap();
+        // New groups before, between and after the held ones; one shared.
+        merged.merge(counted(&[("a", 5), ("n", 7), ("x", 3), ("z", 9)])).unwrap();
+        assert_eq!(merged, counted(&[("a", 5), ("m", 2), ("n", 7), ("x", 4), ("z", 9)]));
+        // A subset adds in place.
+        merged.merge(counted(&[("n", 1)])).unwrap();
+        assert_eq!(merged, counted(&[("a", 5), ("m", 2), ("n", 8), ("x", 4), ("z", 9)]));
+
+        let other_shape =
+            PartialResult::from_states([(vec![Value::from("a")], vec![AggState::SumInt(1)])]);
+        assert!(merged.merge(other_shape.unwrap()).is_err());
+    }
+
+    #[test]
+    fn merged_columns_keep_every_kind_of_state() {
+        let sketch = |hashes: &[u64]| AggState::Distinct(KmvSketch::from_parts(4, hashes.to_vec()));
+        let states = |key: &str, x: f64, v: i64, hashes: &[u64]| {
+            let states = vec![
+                AggState::Avg { sum: Box::new(FloatSum::from(x)), count: 1 },
+                AggState::Min(Some(Value::Int(v))),
+                AggState::Max(Some(Value::Int(v))),
+                sketch(hashes),
+            ];
+            (vec![Value::from(key), Value::Int(v % 2)], states)
+        };
+        let left = [states("a", 1e308, 4, &[1, 2]), states("c", 0.5, 1, &[9])];
+        let right = [states("a", 1e308, 2, &[2, 3]), states("b", 0.25, 7, &[5])];
+        let mut merged = PartialResult::from_states(left).unwrap();
+        merged.merge(PartialResult::from_states(right).unwrap()).unwrap();
+        let (int, text) = (Value::Int, Value::from);
+        let want = [
+            (vec![text("a"), int(0)], vec![Value::Float(f64::INFINITY), int(2), int(4), int(3)]),
+            (vec![text("b"), int(1)], vec![Value::Float(0.25), int(7), int(7), int(1)]),
+            (vec![text("c"), int(1)], vec![Value::Float(0.5), int(1), int(1), int(1)]),
+        ];
+        assert_eq!(rows(&merged), want);
     }
 }

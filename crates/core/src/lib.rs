@@ -65,9 +65,9 @@ pub use column::{ColumnChunk, StoredColumn};
 pub use count_distinct::KmvSketch;
 pub use datastore::DataStore;
 pub use exec::{
-    execute, execute_partial, execute_partial_seeded, finalize, query, AggState, ExecContext,
-    PartialResult, QueryResult,
+    execute, execute_partial, execute_partial_seeded, finalize, query, ExecContext, QueryResult,
 };
+pub use groups::{AggState, PartialResult};
 pub use memory::{report_for_query, ColumnMemory, MemoryReport};
 pub use options::{BuildOptions, DictMode, PartitionSpec};
 pub use partition::Partitioning;

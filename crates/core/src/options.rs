@@ -4,7 +4,6 @@
 //! constructor, so experiments can build the same dataset six ways and
 //! diff the memory reports.
 
-use pd_compress::CodecKind;
 use pd_encoding::ElementsMode;
 
 /// How string global-dictionaries are stored.
@@ -47,9 +46,6 @@ pub struct BuildOptions {
     /// Lexicographic row reordering by the partition field order (§3
     /// "Reordering Rows"). Ignored without a partition spec.
     pub reorder: bool,
-    /// Codec used by the compressed in-memory layer and the compressed-size
-    /// reports (Tables 3–4).
-    pub codec: CodecKind,
 }
 
 impl Default for BuildOptions {
@@ -66,7 +62,6 @@ impl BuildOptions {
             elements: ElementsMode::Basic,
             dicts: DictMode::Sorted,
             reorder: false,
-            codec: CodecKind::Zippy,
         }
     }
 

@@ -4,17 +4,27 @@
 //! 1. **Round trip**: `decode(encode(x)) == x` *bit-identically* for
 //!    [`PartialResult`] / [`FloatSum`] over seeded-PRNG-generated
 //!    aggregates — including NaN (with odd payloads), ±0.0 and subnormal
-//!    floats, empty group-by maps and empty (global-aggregation) keys.
-//!    Equality is exact: `Value` compares floats with `total_cmp` and
-//!    `FloatSum` compares raw limbs, so a single flipped bit fails.
+//!    floats, partials of no groups and empty (global-aggregation) keys —
+//!    and over partials the engine built (float slots still pairs beside
+//!    tainted ones). Equality is exact: `Value` compares floats with
+//!    `total_cmp` and `FloatSum` compares raw limbs, so a single flipped
+//!    bit fails. The round trip is byte-stable too: `encode(decode(b)) ==
+//!    b`.
 //! 2. **Corruption safety**: decoding truncated or bit-flipped frames
 //!    returns `Err` (or a different valid value, for flips that land in
-//!    payload bytes) — never a panic, never an absurd allocation.
+//!    payload bytes) — never a panic, never an absurd allocation; ragged
+//!    columns, unsorted or duplicate keys, unknown tags and lengths beyond
+//!    the frame are typed `Error::Data`.
 
 use pd_common::rng::Rng;
 use pd_common::wire::{from_bytes, to_bytes};
-use pd_common::{FloatSum, Value};
-use pd_core::{AggState, KmvSketch, PartialResult};
+use pd_common::{DataType, Error, FloatSum, Row, Schema, Value};
+use pd_core::{
+    execute_partial, AggState, BuildOptions, DataStore, ExecContext, KmvSketch, PartialResult,
+};
+use pd_data::Table;
+use pd_sql::{analyze, parse_query};
+use std::collections::BTreeMap;
 
 /// Floats that stress every encoding edge: NaNs with payloads, signed
 /// zeros, subnormals, the extremes, and ordinary values.
@@ -53,9 +63,22 @@ fn random_float_sum(rng: &mut Rng) -> FloatSum {
     sum
 }
 
-fn random_agg_state(rng: &mut Rng, kind: usize) -> AggState {
+/// What every group of one partial has in common: how many key cells, and
+/// per aggregate its kind and (for a sketch) its size.
+struct Shape {
+    key_width: usize,
+    aggs: Vec<(usize, usize)>,
+}
+
+fn random_shape(rng: &mut Rng) -> Shape {
+    let aggs = (0..rng.range_usize(1, 5)).map(|_| (rng.range_usize(0, 7), rng.range_usize(1, 64)));
+    let aggs = aggs.collect();
+    Shape { key_width: rng.range_usize(0, 3), aggs }
+}
+
+fn random_agg_state(rng: &mut Rng, (kind, m): (usize, usize)) -> AggState {
     match kind {
-        0 => AggState::Count(rng.next_u64()),
+        0 => AggState::Count(rng.next_u64() >> 2),
         1 => AggState::SumInt(rng.range_i64_inclusive(i64::MIN / 2, i64::MAX / 2)),
         2 => AggState::SumFloat(Box::new(random_float_sum(rng))),
         3 => AggState::Min(if rng.chance(0.2) { None } else { Some(random_value(rng)) }),
@@ -64,34 +87,64 @@ fn random_agg_state(rng: &mut Rng, kind: usize) -> AggState {
             sum: Box::new(random_float_sum(rng)),
             count: rng.range_u64(0, 1_000_000),
         },
-        _ => {
-            let m = rng.range_usize(1, 64);
-            AggState::Distinct(KmvSketch::from_parts(
-                m,
-                (0..rng.range_usize(0, 100)).map(|_| rng.next_u64()),
-            ))
-        }
+        _ => AggState::Distinct(KmvSketch::from_parts(
+            m,
+            (0..rng.range_usize(0, 100)).map(|_| rng.next_u64()),
+        )),
     }
 }
 
-/// A random partial with a consistent aggregate-column shape across
-/// groups, like real execution produces. Empty group maps and empty
-/// (global-aggregation) keys are both in-distribution.
-fn random_partial(rng: &mut Rng) -> PartialResult {
-    let mut partial = PartialResult::default();
-    let agg_kinds: Vec<usize> = (0..rng.range_usize(1, 5)).map(|_| rng.range_usize(0, 7)).collect();
-    let key_width = rng.range_usize(0, 3);
+/// A random partial of `shape`, built row-wise the way the oracle builds
+/// one. No groups at all and the one group of an empty (global) key are
+/// both in-distribution; some keys come from a domain small enough that two
+/// partials of one shape share groups.
+fn random_partial_of(rng: &mut Rng, shape: &Shape) -> PartialResult {
     let groups = if rng.chance(0.1) { 0 } else { rng.range_usize(1, 30) };
+    let mut rows: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
     for _ in 0..groups {
-        let key: Box<[Value]> = (0..key_width).map(|_| random_value(rng)).collect();
-        let states: Vec<AggState> =
-            agg_kinds.iter().map(|&kind| random_agg_state(rng, kind)).collect();
-        partial.groups.insert(key, states);
-        if key_width == 0 {
-            break; // only one global group can exist
-        }
+        let cell = |rng: &mut Rng| match rng.chance(0.5) {
+            true => Value::Int(rng.range_i64_inclusive(0, 6)),
+            false => random_value(rng),
+        };
+        let key = (0..shape.key_width).map(|_| cell(rng)).collect();
+        rows.insert(key, shape.aggs.iter().map(|&agg| random_agg_state(rng, agg)).collect());
     }
-    partial
+    PartialResult::from_states(rows).unwrap()
+}
+
+fn random_partial(rng: &mut Rng) -> PartialResult {
+    let shape = random_shape(rng);
+    random_partial_of(rng, &shape)
+}
+
+/// Partials as the engine makes them — float slots that are still pairs
+/// beside ones a NaN, an infinity or an overflow tainted, MIN/MAX cells,
+/// sketches — over one and over two keys.
+fn engine_partials() -> Vec<PartialResult> {
+    let schema = Schema::of(&[("k", DataType::Str), ("n", DataType::Int), ("x", DataType::Float)]);
+    let mut table = Table::new(schema);
+    let xs = [0.1, -0.0, 1e308, 1e308, f64::NAN, f64::NEG_INFINITY, 2.5, 1e-300];
+    for i in 0..400usize {
+        let x = if i % 7 < 3 { 0.25 * (i % 5) as f64 } else { xs[i % xs.len()] };
+        table
+            .push_row(Row(vec![
+                Value::from(format!("k{:02}", i % 13)),
+                Value::Int((i % 4) as i64),
+                Value::Float(x),
+            ]))
+            .unwrap();
+    }
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    ["k", "k, n"]
+        .map(|keys| {
+            let sql = format!(
+                "SELECT {keys}, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(k), COUNT(DISTINCT n) \
+                 FROM t GROUP BY {keys}"
+            );
+            let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+            execute_partial(&store, &analyzed, &ExecContext::default()).unwrap().0
+        })
+        .to_vec()
 }
 
 #[test]
@@ -110,10 +163,14 @@ fn float_sums_round_trip_bit_identically() {
 #[test]
 fn partial_results_round_trip_bit_identically() {
     let mut rng = Rng::seed_from_u64(0xc0de_c002);
-    for case in 0..200 {
-        let partial = random_partial(&mut rng);
-        let back: PartialResult = from_bytes(&to_bytes(&partial)).unwrap();
+    let generated = (0..200).map(|_| random_partial(&mut rng));
+    for (case, partial) in generated.chain(engine_partials()).enumerate() {
+        let bytes = to_bytes(&partial);
+        let back: PartialResult = from_bytes(&bytes).unwrap();
         assert_eq!(back, partial, "case {case}");
+        // Byte-stable: the groups travel in key order, the columns as they
+        // are — a decoded partial encodes to the bytes it came from.
+        assert_eq!(to_bytes(&back), bytes, "case {case}");
     }
 }
 
@@ -123,14 +180,10 @@ fn merging_decoded_partials_equals_merging_originals() {
     // with the associative fold.
     let mut rng = Rng::seed_from_u64(0xc0de_c003);
     for _ in 0..50 {
-        let a = random_partial(&mut rng);
-        let mut b = random_partial(&mut rng);
-        // Align b's aggregate shapes with a's where keys could collide:
-        // mismatched shapes are a merge error by contract, not a wire
-        // concern. Clear collisions instead.
-        for key in a.groups.keys() {
-            b.groups.remove(key);
-        }
+        // Two partials of one query: mismatched shapes are a merge error
+        // by contract, not a wire concern.
+        let shape = random_shape(&mut rng);
+        let (a, b) = (random_partial_of(&mut rng, &shape), random_partial_of(&mut rng, &shape));
         let mut direct = a.clone();
         direct.merge(b.clone()).unwrap();
         let mut via_wire: PartialResult = from_bytes(&to_bytes(&a)).unwrap();
@@ -142,8 +195,8 @@ fn merging_decoded_partials_equals_merging_originals() {
 #[test]
 fn truncated_frames_always_error() {
     let mut rng = Rng::seed_from_u64(0xc0de_c004);
-    for _ in 0..20 {
-        let partial = random_partial(&mut rng);
+    let generated: Vec<_> = (0..20).map(|_| random_partial(&mut rng)).collect();
+    for partial in generated.into_iter().chain(engine_partials()) {
         let bytes = to_bytes(&partial);
         // Every strict prefix must fail: the length prefixes demand more
         // bytes than remain, and `from_bytes` rejects trailing slack.
@@ -167,12 +220,9 @@ fn corrupt_frames_never_panic() {
     let mut rng = Rng::seed_from_u64(0xc0de_c005);
     let mut decoded_ok = 0u32;
     let mut decode_err = 0u32;
-    for _ in 0..40 {
-        let partial = random_partial(&mut rng);
+    let generated: Vec<_> = (0..38).map(|_| random_partial(&mut rng)).collect();
+    for partial in generated.into_iter().chain(engine_partials()) {
         let bytes = to_bytes(&partial);
-        if bytes.is_empty() {
-            continue;
-        }
         for _ in 0..50 {
             let mut corrupt = bytes.clone();
             let flips = rng.range_usize(1, 4);
@@ -189,6 +239,47 @@ fn corrupt_frames_never_panic() {
     // Sanity: the fuzz actually exercised both outcomes.
     assert!(decode_err > 0, "bit flips that corrupt structure must error");
     assert_eq!(decoded_ok + decode_err, 2_000, "every corruption was decoded exactly once");
+}
+
+#[test]
+fn malformed_tables_are_typed_errors() {
+    // Two groups, one key column, one count slot, byte by byte:
+    // [0] group count · [8] key columns · [16] cells in the column ·
+    // [24] Int 1 · [33] Int 2 · [42] slots · [50] kind · [51] counts in the
+    // column · [59] 10, 20 · [75] aggregates · [83] slot 0 · [91] no count.
+    let group = |key: i64, n: u64| (vec![Value::Int(key)], vec![AggState::Count(n)]);
+    let bytes = to_bytes(&PartialResult::from_states([group(1, 10), group(2, 20)]).unwrap());
+    assert_eq!(bytes.len(), 92);
+    assert!(from_bytes::<PartialResult>(&bytes).is_ok());
+    type Edit<'a> = &'a dyn Fn(&mut Vec<u8>);
+    let forged = |edit: Edit<'_>| {
+        let mut bytes = bytes.clone();
+        edit(&mut bytes);
+        from_bytes::<PartialResult>(&bytes)
+    };
+    let cases: [(&str, Edit<'_>); 8] = [
+        ("more groups than cells", &|b| b[0] = 3),
+        ("a key column one cell short", &|b| {
+            b[16] = 1;
+            b.drain(33..42);
+        }),
+        ("unsorted keys", &|b| {
+            let (first, second) = (b[24..33].to_vec(), b[33..42].to_vec());
+            b.splice(24..42, second.into_iter().chain(first));
+        }),
+        ("duplicate keys", &|b| b.copy_within(24..33, 33)),
+        ("an unknown column kind", &|b| b[50] = 9),
+        ("a length beyond the remaining bytes", &|b| b[51..59].fill(0xff)),
+        ("an aggregate over a slot that is not there", &|b| b[83] = 1),
+        ("an average over counts", &|b| {
+            b[91] = 1;
+            b.extend(0u64.to_le_bytes());
+        }),
+    ];
+    for (what, edit) in cases {
+        let outcome = forged(edit);
+        assert!(matches!(outcome, Err(Error::Data(_))), "{what}: {outcome:?}");
+    }
 }
 
 #[test]

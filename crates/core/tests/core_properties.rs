@@ -1,15 +1,18 @@
 //! Randomized properties on the store's structural invariants:
 //! partitioning is a permutation into value-range boxes, skipping is sound
-//! (a skipped chunk contains no matching row), and aggregation states merge
-//! associatively. Driven by a seeded PRNG so failures reproduce exactly.
+//! (a skipped chunk contains no matching row), and partial results merge
+//! associatively, commutatively and in key order. Driven by a seeded PRNG
+//! so failures reproduce exactly.
 
 use pd_common::rng::Rng;
+use pd_common::wire::{from_bytes, to_bytes};
 use pd_common::{DataType, FloatSum, Row, Schema, Value};
-use pd_core::exec::AggState;
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
-use pd_core::{BuildOptions, DataStore, KmvSketch, PartitionSpec};
-use pd_sql::{eval_expr, parse_query, truthy, Restriction, RowContext};
+use pd_core::{
+    finalize, AggState, BuildOptions, DataStore, KmvSketch, PartialResult, PartitionSpec,
+};
+use pd_sql::{analyze, eval_expr, parse_query, truthy, Restriction, RowContext};
 
 /// Row context over a store's reconstructed cell values.
 struct StoreRow<'a> {
@@ -91,53 +94,114 @@ fn partition_invariants() {
     }
 }
 
-/// AggState merging is associative and commutative for the algebraic
-/// aggregates (the property the §4 computation tree — and the parallel
-/// chunk scheduler's merge — relies on).
+/// `PartialResult::merge` is associative and commutative, keeps the groups
+/// in strict key order and has `Default` as its identity (the property the
+/// §4 computation tree — and a pruned edge's empty answer — rely on), over
+/// tables built row-wise by `from_states`: every kind of state, floats
+/// that no pair of doubles holds, keys that some parts share and others do
+/// not.
 #[test]
-fn agg_states_merge_associatively() {
+fn partial_results_merge_associatively_and_commutatively_in_key_order() {
     let mut rng = Rng::seed_from_u64(0xc04e_0003);
-    for _ in 0..64 {
-        let n = rng.range_usize(3, 60);
-        let values: Vec<i64> = (0..n).map(|_| rng.range_i64_inclusive(-100, 100)).collect();
-        let states: Vec<Vec<AggState>> = values
-            .iter()
-            .map(|&v| {
-                vec![
-                    AggState::Count(1),
-                    AggState::SumInt(v),
-                    AggState::SumFloat(Box::new(FloatSum::from(v as f64 * 0.5))),
-                    AggState::Min(Some(Value::Int(v))),
-                    AggState::Max(Some(Value::Int(v))),
-                    AggState::Avg { sum: Box::new(FloatSum::from(v as f64)), count: 1 },
-                ]
-            })
-            .collect();
-
-        // Left fold vs two-level tree fold.
-        let merge_all = |chunks: &[Vec<AggState>]| -> Vec<AggState> {
-            let mut acc = chunks[0].clone();
-            for s in &chunks[1..] {
-                for (a, b) in acc.iter_mut().zip(s) {
-                    a.merge(b).unwrap();
-                }
+    let floats = [0.5, -0.0, 1e308, -1e308, 1e-300, f64::INFINITY, f64::NAN, 3.25];
+    for case in 0..64 {
+        let key_width = rng.range_usize(0, 3);
+        let part = |rng: &mut Rng| {
+            let mut groups = std::collections::BTreeMap::new();
+            for _ in 0..rng.range_usize(0, 12) {
+                let key: Vec<Value> = (0..key_width)
+                    .map(|i| match i {
+                        0 => Value::from(format!("k{}", rng.range_usize(0, 8))),
+                        _ => Value::Int(rng.range_i64_inclusive(0, 2)),
+                    })
+                    .collect();
+                let v = rng.range_i64_inclusive(-100, 100);
+                let x = *rng.pick(&floats);
+                groups.insert(
+                    key,
+                    vec![
+                        AggState::Count(1),
+                        AggState::SumInt(v),
+                        AggState::SumFloat(Box::new(FloatSum::from(x))),
+                        AggState::Min(rng.chance(0.8).then_some(Value::Int(v))),
+                        AggState::Max(Some(Value::Float(x))),
+                        AggState::Avg { sum: Box::new(FloatSum::from(v as f64 * 0.1)), count: 1 },
+                        AggState::Distinct(KmvSketch::from_parts(4, [rng.next_u64() % 16])),
+                    ],
+                );
             }
+            PartialResult::from_states(groups).unwrap()
+        };
+        let parts: Vec<PartialResult> =
+            (0..rng.range_usize(2, 7)).map(|_| part(&mut rng)).collect();
+        let fold = |parts: &mut dyn Iterator<Item = &PartialResult>| {
+            let mut acc = PartialResult::default();
+            parts.for_each(|p| acc.merge(p.clone()).unwrap());
             acc
         };
-        let flat = merge_all(&states);
-        let mid = (values.len() / 2).max(1);
-        let left = merge_all(&states[..mid]);
-        let right = merge_all(&states[mid..]);
-        let mut tree = left;
-        for (a, b) in tree.iter_mut().zip(&right) {
-            a.merge(b).unwrap();
-        }
-        for (a, b) in flat.iter().zip(&tree) {
-            match (a.finalize(), b.finalize()) {
-                (Value::Float(x), Value::Float(y)) => {
-                    assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()));
-                }
-                (x, y) => assert_eq!(x, y),
+
+        let flat = fold(&mut parts.iter());
+        assert_eq!(fold(&mut parts.iter().rev()), flat, "case {case}: commutative");
+        let mid = parts.len() / 2;
+        let mut tree = fold(&mut parts[..mid].iter());
+        tree.merge(fold(&mut parts[mid..].iter())).unwrap();
+        assert_eq!(tree, flat, "case {case}: associative");
+
+        // Identity on either side, without a shape of its own.
+        let mut left = PartialResult::default();
+        left.merge(parts[0].clone()).unwrap();
+        let mut right = parts[0].clone();
+        right.merge(PartialResult::default()).unwrap();
+        assert_eq!((&left, &right), (&parts[0], &parts[0]), "case {case}: identity");
+
+        // The decoder verifies strict key order (and every column length).
+        let back: PartialResult = from_bytes(&to_bytes(&flat)).unwrap();
+        assert_eq!(back, flat, "case {case}: ordered");
+    }
+}
+
+/// Many groups share an ORDER BY key, so which of them survive the LIMIT
+/// is decided by the whole-row tie-break — the selection must agree with
+/// sorting everything, row for row.
+#[test]
+fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
+    let partial = PartialResult::from_states((0..60u64).map(|i| {
+        (
+            vec![Value::from(format!("k{:02}", i * 37 % 60))],
+            vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i64)],
+        )
+    }))
+    .unwrap();
+    for order in ["c DESC", "c ASC", "c DESC, s ASC", "s DESC, k DESC", "k ASC"] {
+        for having in ["", " HAVING c > 0"] {
+            let full = format!(
+                "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k{having} ORDER BY {order}"
+            );
+            let analyzed = analyze(&parse_query(&full).unwrap()).unwrap();
+            // The definition: base order by whole row, then a stable sort
+            // on the ORDER BY keys.
+            let unlimited = finalize(&analyzed, partial.clone()).unwrap().rows;
+            let mut want = unlimited.clone();
+            want.sort();
+            want.sort_by(|a, b| {
+                (analyzed.order_by.iter())
+                    .map(|&(idx, desc)| {
+                        let ord = a.0[idx].cmp(&b.0[idx]);
+                        if desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            assert_eq!(unlimited, want, "{full}");
+            for limit in [0usize, 1, 7, 10, 44, 45, 59, 60, 61] {
+                let limited =
+                    analyze(&parse_query(&format!("{full} LIMIT {limit}")).unwrap()).unwrap();
+                let got = finalize(&limited, partial.clone()).unwrap().rows;
+                assert_eq!(got, want[..limit.min(want.len())], "{full} LIMIT {limit}");
             }
         }
     }

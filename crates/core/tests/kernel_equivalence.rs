@@ -232,7 +232,8 @@ fn grouped_table(rng: &mut Rng, rows: usize) -> Table {
 }
 
 /// Every aggregate — `SUM(x)`, `AVG(x)` and `COUNT(*)` sharing slots — over
-/// 0, 1, 2 and 3 keys, unmasked and under a random mask.
+/// 0, 1, 2 and 3 keys, unmasked and under a random mask; high-cardinality
+/// keys; `COUNT(*)` alone.
 fn grouped_queries(rng: &mut Rng) -> Vec<String> {
     let aggs = "COUNT(*) c, COUNT(s) cs, SUM(n) sn, SUM(x) sx, AVG(x) ax, AVG(n) an, \
                 MIN(n) mn, MAX(n) mxn, MIN(s) ms, MAX(s) mxs, MIN(x) mnx, MAX(x) mxx, \
@@ -245,6 +246,10 @@ fn grouped_queries(rng: &mut Rng) -> Vec<String> {
         sqls.push(format!("SELECT {select} FROM data{group_by}"));
         sqls.push(format!("SELECT {select} FROM data WHERE r < {t}{group_by}"));
     }
+    // Keys whose dictionaries the appends tail: the value-keyed table is
+    // put in key order by value, ids no longer standing for it.
+    sqls.push("SELECT s, COUNT(*) c, SUM(x) sx, MAX(n) mx FROM data GROUP BY s".into());
+    sqls.push("SELECT n, k, COUNT(*) c, MIN(s) ms FROM data WHERE r < 70 GROUP BY n, k".into());
     // COUNT(*) alone: the counts-array kernels, one and two keys.
     sqls.push("SELECT k, COUNT(*) c FROM data GROUP BY k ORDER BY c DESC LIMIT 3".into());
     sqls.push("SELECT g, h, COUNT(*) c FROM data WHERE r < 50 GROUP BY g, h".into());

@@ -483,7 +483,7 @@ impl Workers {
         let (worker, ack) = self.spawn_worker(&name, &attach)?;
         expect_ok(ack, "attach")?;
         self.mixers.push(Mixer { worker, shards: metas.iter().map(|m| m.shard).collect() });
-        Ok(ChildSpec::Node { addr: self.control[worker].0.clone(), height, metas })
+        Ok(ChildSpec::Node { addr: self.control[worker].0.clone(), metas })
     }
 
     /// The wire phase of an append, two round trips whatever the tree's

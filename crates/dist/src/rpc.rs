@@ -203,11 +203,9 @@ pub enum ChildSpec {
         replica: Option<Addr>,
         meta: ShardMeta,
     },
-    /// `height` = levels of tree below this node (≥ 1), used to scale the
-    /// caller's timeout; `metas` = every shard in the subtree.
+    /// `metas` = every shard in the subtree.
     Node {
         addr: Addr,
-        height: u64,
         metas: Vec<ShardMeta>,
     },
 }
@@ -473,10 +471,9 @@ impl Encode for ChildSpec {
                 replica.encode(out);
                 meta.encode(out);
             }
-            ChildSpec::Node { addr, height, metas } => {
+            ChildSpec::Node { addr, metas } => {
                 out.push(1);
                 addr.encode(out);
-                height.encode(out);
                 metas.encode(out);
             }
         }
@@ -492,9 +489,7 @@ impl Decode for ChildSpec {
                 replica: Option::decode(r)?,
                 meta: ShardMeta::decode(r)?,
             },
-            1 => {
-                ChildSpec::Node { addr: Addr::decode(r)?, height: r.u64()?, metas: Vec::decode(r)? }
-            }
+            1 => ChildSpec::Node { addr: Addr::decode(r)?, metas: Vec::decode(r)? },
             other => return Err(Error::Data(format!("wire: invalid child-spec tag {other}"))),
         })
     }
@@ -636,7 +631,6 @@ mod tests {
                     },
                     ChildSpec::Node {
                         addr: Addr::Tcp("127.0.0.1:9000".into()),
-                        height: 2,
                         metas: vec![sample_meta(), sample_meta()],
                     },
                 ],

@@ -297,7 +297,7 @@ mod tests {
         assert_eq!(answer.stats.rows_skipped, rows);
         assert_eq!(answer.reports.len(), 1);
         assert_eq!(answer.reports[0].shard, 3);
-        assert!(answer.partial.groups.is_empty());
+        assert!(answer.partial.is_empty());
         // A restriction that *may* match must reach for the socket — and
         // fail, because nothing listens there.
         let present = request("SELECT COUNT(*) FROM t WHERE k = 'x'", true);

@@ -19,10 +19,13 @@
 //! - partials are *pre-finalize* states ([`pd_core::PartialResult`]), so
 //!   the signature deliberately excludes `HAVING` / `ORDER BY` / `LIMIT` —
 //!   drill-down queries differing only in presentation share entries;
-//! - every [`pd_core::AggState`] merges associatively (float sums are
-//!   exact superaccumulators), so serving a cached partial is bit-identical
-//!   to rescanning the shard (or re-folding the subtree). Capacity
-//!   eviction can therefore change [`pd_core::ScanStats`], never results.
+//! - every state column of a partial merges associatively and
+//!   commutatively (counts add, a float slot is exact whether it is a
+//!   double-double pair or a superaccumulator, MIN/MAX keep the extreme,
+//!   sketches union), so serving a cached partial is bit-identical to
+//!   rescanning the shard (or re-folding the subtree). Capacity eviction
+//!   can therefore change [`pd_core::ScanStats`], never results. An entry
+//!   is captured and served by copying columns, not per-group records.
 //!
 //! Admission/eviction reuses [`pd_core::BoundedCache`], the chunk-result
 //! cache's cost-aware machinery: a node scores an entry by `bytes × cells

@@ -747,13 +747,14 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     // The parent writes to both leaves, then reads them in child order.
     // Shard 0's primary answers late (a pinned chaos delay); shard 1 meanwhile
     // has a reply far larger than a socket buffer (uncompressed, ≥ 1 MiB:
-    // one float-sum superaccumulator per distinct key) and sits in `write`
-    // until the parent gets to it. Nothing may deadlock, and the fold must
-    // come out as over a single store.
-    let schema = Schema::of(&[("k", DataType::Int), ("x", DataType::Float)]);
+    // 5 000 distinct keys of 220 bytes each) and sits in `write` until the
+    // parent gets to it. Nothing may deadlock, and the fold must come out
+    // as over a single store.
+    let schema = Schema::of(&[("k", DataType::Str), ("x", DataType::Float)]);
     let mut table = Table::new(schema);
     for i in 0..10_000i64 {
-        table.push_row(Row(vec![Value::Int(i), Value::Float(i as f64 * 0.25)])).unwrap();
+        let key = Value::from(format!("{i:0>220}"));
+        table.push_row(Row(vec![key, Value::Float(i as f64 * 0.25)])).unwrap();
     }
     let build = BuildOptions::basic();
     let store = DataStore::build(&table, &build).unwrap();
