@@ -23,12 +23,20 @@
 //! append's traffic — deltas out, receipts back, the parents' absorbs —
 //! so it stays small only while an append ships what it changes.
 //!
+//! A third claim is an exact count, not a clock (`append_rescan`,
+//! asserted): on that unix tree, a 20-chart unrestricted click that follows
+//! a warm one and an 80-row append scans, over its 20 queries, at most
+//! 80 × 20 rows and finds at least 20 × the pre-append rows cached. The
+//! append dropped every node cache, so each chart reaches the leaves — and
+//! there folds the chunk results the warm click left, scanning the new
+//! chunks only: what an append costs its readers is what it changed.
+//!
 //! Like `rpc_tree`, the worker binary is resolved via the library's own
 //! lookup; without it the bench prints a note and exits cleanly instead of
 //! failing (`cargo bench` does not build other crates' bin targets).
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure, Stats};
-use pd_core::BuildOptions;
+use pd_core::{BuildOptions, ScanStats};
 use pd_data::Table;
 use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 use std::hint::black_box;
@@ -167,10 +175,13 @@ fn append_tax() {
     const APPENDS_PER_BATCH: usize = 8;
     const APPEND_ROWS: usize = 80;
     let appends = BATCHES * APPENDS_PER_BATCH;
-    let full = logs_table(rows + appends * APPEND_ROWS);
+    // One delta more than the tax takes: `append_rescan`'s.
+    let full = logs_table(rows + (appends + 1) * APPEND_ROWS);
     let slice = |lo: usize, hi: usize| full.select_rows(&(lo..hi).collect::<Vec<_>>());
-    let deltas: Vec<Table> =
-        (0..appends).map(|i| slice(rows + i * APPEND_ROWS, rows + (i + 1) * APPEND_ROWS)).collect();
+    let mut deltas: Vec<Table> = (0..=appends)
+        .map(|i| slice(rows + i * APPEND_ROWS, rows + (i + 1) * APPEND_ROWS))
+        .collect();
+    let rescan_delta = deltas.pop().expect("one more than the tax takes");
 
     let mut build = BuildOptions::production(&["country", "table_name"]);
     if let Some(spec) = &mut build.partition {
@@ -231,5 +242,85 @@ fn append_tax() {
          in-process tree's: {} vs {} ({tax:.1}x)",
         fmt_duration(unix_append),
         fmt_duration(local_append),
+    );
+
+    append_rescan(&mut unix, &rescan_delta);
+}
+
+/// The drill dashboard a click refreshes: 20 unrestricted charts over four
+/// dimensions (one an expression) and three global aggregates. Four are
+/// ORDER BY twins of their neighbour and share its cache signature.
+fn dashboard() -> Vec<String> {
+    let by_dim = [
+        ("country", "COUNT(*) as c", "c DESC"),
+        ("country", "COUNT(*) as c", "c ASC"),
+        ("country", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("country", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+        ("country", "MIN(latency) as mn, MAX(latency) as mx", "mx DESC"),
+        ("country", "COUNT(DISTINCT user) as u", "u DESC"),
+        ("table_name", "COUNT(*) as c", "c DESC"),
+        ("table_name", "COUNT(*) as c", "c ASC"),
+        ("table_name", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("user", "COUNT(*) as c", "c DESC"),
+        ("user", "COUNT(*) as c", "c ASC"),
+        ("user", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+        ("user", "COUNT(*) as c, MAX(latency) as mx", "mx DESC"),
+        ("date(timestamp)", "COUNT(*) as c", "c DESC"),
+        ("date(timestamp)", "COUNT(*) as c", "k ASC"),
+        ("date(timestamp)", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("date(timestamp)", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+    ];
+    let global = [
+        "COUNT(*) as c, SUM(latency) as s, MIN(latency) as mn, MAX(latency) as mx",
+        "COUNT(*) as c, AVG(latency) as a",
+        "COUNT(DISTINCT table_name) as t",
+    ];
+    let grouped = by_dim.iter().map(|(dim, aggs, order)| {
+        format!("SELECT {dim} as k, {aggs} FROM logs GROUP BY {dim} ORDER BY {order} LIMIT 10")
+    });
+    grouped.chain(global.iter().map(|aggs| format!("SELECT {aggs} FROM logs"))).collect()
+}
+
+/// Assert what a click rescans after an append, in rows: one warm click,
+/// one append, the same click again — summed over its 20 queries.
+fn append_rescan(unix: &mut Cluster, delta: &Table) {
+    let charts = dashboard();
+    let click = |cluster: &Cluster| {
+        let mut sum = ScanStats::default();
+        for sql in &charts {
+            sum += &cluster.query(sql).expect("chart").stats;
+        }
+        sum
+    };
+    let before_rows = click(unix).rows_total / charts.len() as u64;
+    unix.append(delta).expect("append");
+    let after = click(unix);
+    let (scanned, cached) = (after.rows_scanned, after.rows_cached);
+
+    let delta_rows = delta.len() as u64;
+    println!(
+        "=== append rescan (20-chart click after a {delta_rows}-row append onto {before_rows} rows) ===\n\
+         rows scanned : {scanned} (bound {})\n\
+         rows cached  : {cached} (bound {})",
+        delta_rows * charts.len() as u64,
+        before_rows * charts.len() as u64,
+    );
+    json_line(
+        "incremental_rebuild",
+        "append_rescan",
+        Stats { min: after.elapsed, median: after.elapsed },
+        &[("rows_scanned", scanned.to_string()), ("rows_cached", cached.to_string())],
+    );
+    assert!(
+        scanned <= delta_rows * charts.len() as u64,
+        "a click after an append must scan the appended rows only: {scanned} rows scanned over \
+         {} charts of a {delta_rows}-row append",
+        charts.len(),
+    );
+    assert!(
+        cached >= before_rows * charts.len() as u64,
+        "every chunk written before the append must answer from a cache: {cached} rows cached, \
+         {before_rows} resident before the append, {} charts",
+        charts.len(),
     );
 }

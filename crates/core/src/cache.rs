@@ -154,10 +154,23 @@ pub fn cost_score(bytes: usize, cells: u64) -> u64 {
 /// keyed by (query signature, chunk).
 ///
 /// A payload is the chunk kernel's own group table (`crate::groups`) of
-/// **global-ids** (stable for the lifetime of a store): the fold adds a
-/// cached table exactly as it adds a computed one, and ids become
-/// [`pd_common::Value`]s only for the rows a query returns, so a hit costs
-/// no dictionary lookup at all.
+/// **global-ids**: the fold adds a cached table exactly as it adds a
+/// computed one, and ids become [`pd_common::Value`]s only for the rows a
+/// query returns, so a hit costs no dictionary lookup at all.
+///
+/// # Lifetime
+///
+/// An entry is a function of the rows of its chunk and of the ids the
+/// dictionaries of the signature's columns give their values — nothing
+/// else (no restriction is in the key: only fully-active chunks are
+/// cached). It therefore outlives any change that leaves both alone, and
+/// [`crate::DataStore::append_delta`] does: delta rows land in fresh
+/// chunks, dictionaries only grow at the tail, materialized virtual fields
+/// are extended the same way. A change that rewrites chunk *c* must drop
+/// chunk *c*'s entries; one that renumbers a column's dictionary (a
+/// re-sort; a virtual field dropped and rebuilt) must drop every entry
+/// whose signature names that column. Nothing finer than [`Self::clear`]
+/// exists yet, because nothing rewrites a chunk yet.
 pub struct ResultCache {
     entries: BoundedCache<(Arc<str>, u32), Arc<GroupTable<u32>>>,
 }
@@ -190,8 +203,9 @@ impl ResultCache {
         self.entries.stats()
     }
 
-    /// Drop every cached chunk result (used when an in-place append makes
-    /// resident chunk results stale without a process respawn).
+    /// Drop every cached chunk result: for a holder whose store changed in
+    /// a way entries do not survive (see *Lifetime* above) — an append that
+    /// had to drop a virtual field, a cache about to serve another store.
     pub fn clear(&self) {
         self.entries.clear();
     }

@@ -9,7 +9,8 @@
 //! materializes arbitrary scalar expressions as *virtual fields* — stored
 //! exactly like base columns (same chunk boundaries, same dictionary
 //! machinery), keyed by the expression's canonical text, computed once and
-//! reused by later queries.
+//! reused by later queries. An append extends them in place, like base
+//! columns, by evaluating the expression over the delta rows only.
 
 use crate::column::StoredColumn;
 use crate::options::BuildOptions;
@@ -17,7 +18,7 @@ use crate::partition::{partition, Partitioning};
 use pd_common::sync::RwLock;
 use pd_common::{Error, HeapSize, Result, Schema, Value};
 use pd_data::Table;
-use pd_encoding::{build_dict, DictDelta, TableDelta};
+use pd_encoding::{build_dict, CodesView, DictDelta, TableDelta};
 use pd_sql::{eval_expr, Expr, RowContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,8 +30,15 @@ pub struct DataStore {
     partitioning: Partitioning,
     columns: BTreeMap<String, Arc<StoredColumn>>,
     /// Materialized virtual fields, keyed by canonical expression text.
-    virtuals: RwLock<BTreeMap<String, Arc<StoredColumn>>>,
+    virtuals: RwLock<BTreeMap<String, VirtualField>>,
     n_rows: usize,
+}
+
+/// A materialized virtual field: its column beside the expression that
+/// computes it, which is what lets an append extend the column.
+struct VirtualField {
+    expr: Expr,
+    column: Arc<StoredColumn>,
 }
 
 impl DataStore {
@@ -108,8 +116,18 @@ impl DataStore {
     /// arrival order (bounded by the build threshold); existing chunks and
     /// their element arrays are untouched, so results folded across old and
     /// new chunks are bit-identical to a full re-import of the concatenated
-    /// data. Materialized virtual fields are dropped (their chunk layout no
-    /// longer spans all rows) and rebuilt lazily on next access.
+    /// data. Materialized virtual fields grow the same way: the expression
+    /// is evaluated over the delta rows only, its dictionary extended, the
+    /// same fresh chunks appended — so anything keyed on a chunk and holding
+    /// global-ids (the chunk-result cache) stays valid for every old chunk.
+    /// A field that cannot be extended (the expression fails on a delta
+    /// row, or yields a value its dictionary cannot hold) is dropped
+    /// instead and rebuilt on next access, *with new ids*:
+    /// [`DataStore::virtual_names`] differing across the call says so.
+    ///
+    /// All or nothing: every check, and every virtual field's evaluation,
+    /// happens before the first column is touched, so an `Err` leaves the
+    /// store exactly as it was.
     ///
     /// Returns one [`DictDelta`] per schema field (in field order)
     /// describing exactly what each dictionary appended — the input for
@@ -120,9 +138,13 @@ impl DataStore {
         }
         delta.validate()?;
         let rows = delta.rows as usize;
+        let mut virtuals = self.virtuals.write();
+        let staged: Vec<Option<Vec<Value>>> =
+            virtuals.values().map(|field| field.delta_values(delta)).collect();
 
-        // New chunk boundaries: arrival order, capped at the import
-        // threshold so appended chunks stay prunable at the same grain.
+        // Nothing below fails. New chunk boundaries: arrival order, capped
+        // at the import threshold so appended chunks stay prunable at the
+        // same grain.
         let max_rows =
             self.options.partition.as_ref().map_or(usize::MAX, |s| s.max_chunk_rows).max(1);
         let mut chunk_lens = Vec::new();
@@ -132,24 +154,38 @@ impl DataStore {
             chunk_lens.push(take);
             remaining -= take;
         }
+        let options = &self.options;
+        let append = |column: &mut Arc<StoredColumn>, values: &[Value]| {
+            let column = Arc::make_mut(column);
+            // A validated delta of the store's schema holds each base
+            // column's type; a staged field's values were checked.
+            let global_ids = column.dict.extend(values).expect("values of the dictionary's type");
+            column.append_chunks(&global_ids, &chunk_lens, options);
+        };
 
         let mut dict_deltas = Vec::with_capacity(self.columns.len());
         for (field, column_delta) in self.schema.fields().iter().zip(&delta.columns) {
-            let arc = self.columns.get_mut(&field.name).expect("schemas are equal");
-            let column = Arc::make_mut(arc);
-            let values = column_delta.values();
+            let column = self.columns.get_mut(&field.name).expect("schemas are equal");
             let base_len = column.dict.len();
-            let global_ids = column.dict.extend(&values)?;
-            let appended: Vec<Value> =
-                (base_len..column.dict.len()).map(|id| column.dict.value(id)).collect();
-            column.append_chunks(&global_ids, &chunk_lens, &self.options);
+            append(column, &column_delta.values());
+            let appended = (base_len..column.dict.len()).map(|id| column.dict.value(id)).collect();
             dict_deltas.push(DictDelta { base_len, appended });
         }
-
+        // A field with nothing staged could not be extended: it goes.
+        *virtuals = std::mem::take(&mut *virtuals)
+            .into_iter()
+            .zip(staged)
+            .filter_map(|((key, mut field), values)| {
+                append(&mut field.column, &values?);
+                Some((key, field))
+            })
+            .collect();
         self.partitioning.append_identity_chunks(&chunk_lens);
-        // Virtual fields were materialized against the old chunk layout.
-        self.virtuals.write().clear();
         self.n_rows += rows;
+
+        let chunks = self.partitioning.chunk_count();
+        debug_assert!(self.columns.values().all(|column| column.chunks.len() == chunks));
+        debug_assert!(virtuals.values().all(|field| field.column.chunks.len() == chunks));
         Ok(dict_deltas)
     }
 
@@ -205,14 +241,14 @@ impl DataStore {
             return self.column(name);
         }
         let key = expr.canonical();
-        if let Some(col) = self.virtuals.read().get(&key) {
-            return Ok(col.clone());
+        if let Some(field) = self.virtuals.read().get(&key) {
+            return Ok(field.column.clone());
         }
-        let col = Arc::new(self.materialize(expr)?);
+        let field = VirtualField { expr: expr.clone(), column: Arc::new(self.materialize(expr)?) };
         let mut guard = self.virtuals.write();
         // A racing query may have materialized it concurrently; keep the
         // first one so Arc identities stay stable.
-        Ok(guard.entry(key).or_insert(col).clone())
+        Ok(guard.entry(key).or_insert(field).column.clone())
     }
 
     /// Evaluate `expr` for every row (in stored order) and encode the
@@ -225,27 +261,22 @@ impl DataStore {
         expr.referenced_columns(&mut referenced);
         let mut source_cols = Vec::with_capacity(referenced.len());
         for name in &referenced {
-            source_cols.push((name.clone(), self.column(name)?));
+            source_cols.push((name.as_str(), self.column(name)?));
         }
 
         let mut values = Vec::with_capacity(self.n_rows);
         for c in 0..self.chunk_count() {
-            // Cache each referenced column's chunk-dictionary values once:
-            // the evaluation below is then a dense array lookup per row.
-            let caches: Vec<Vec<Value>> = source_cols
+            let sources: Vec<SourceRun<'_>> = source_cols
                 .iter()
-                .map(|(_, col)| {
+                .map(|(name, col)| {
                     let chunk = &col.chunks[c];
-                    (0..chunk.dict.len())
+                    let values = (0..chunk.dict.len())
                         .map(|cid| col.dict.value(chunk.dict.global_id_of(cid)))
-                        .collect()
+                        .collect();
+                    SourceRun { name, values, codes: chunk.codes() }
                 })
                 .collect();
-            let rows = self.chunk_rows(c);
-            for row in 0..rows {
-                let ctx = MaterializeContext { columns: &source_cols, caches: &caches, c, row };
-                values.push(eval_expr(expr, &ctx)?);
-            }
+            eval_run(expr, &sources, self.chunk_rows(c), &mut values)?;
         }
         StoredColumn::build(&values, &self.partitioning, &self.options)
     }
@@ -264,26 +295,70 @@ impl DataStore {
     /// All stored bytes (base + virtual columns).
     pub fn total_bytes(&self) -> usize {
         self.columns.values().map(|c| c.heap_bytes()).sum::<usize>()
-            + self.virtuals.read().values().map(|c| c.heap_bytes()).sum::<usize>()
+            + self.virtuals.read().values().map(|f| f.column.heap_bytes()).sum::<usize>()
     }
 }
 
-struct MaterializeContext<'a> {
-    columns: &'a [(String, Arc<StoredColumn>)],
-    caches: &'a [Vec<Value>],
-    c: usize,
+impl VirtualField {
+    /// The field's values for the rows of `delta`, in arrival order. `None`
+    /// when the field cannot be extended by them: the expression fails on
+    /// a row, or a value is not of the type its dictionary holds.
+    fn delta_values(&self, delta: &TableDelta) -> Option<Vec<Value>> {
+        let mut referenced = Vec::new();
+        self.expr.referenced_columns(&mut referenced);
+        let sources: Vec<SourceRun<'_>> = referenced
+            .iter()
+            .map(|name| {
+                let column = delta.columns.iter().find(|column| column.name == *name)?;
+                let values = (0..column.dict.len()).map(|code| column.dict.value(code)).collect();
+                Some(SourceRun { name, values, codes: CodesView::U32(&column.codes) })
+            })
+            .collect::<Option<_>>()?;
+        let mut values = Vec::with_capacity(delta.rows as usize);
+        eval_run(&self.expr, &sources, delta.rows as usize, &mut values).ok()?;
+        let dtype = self.column.data_type();
+        values.iter().all(|v| v.data_type() == Some(dtype)).then_some(values)
+    }
+}
+
+/// One column an expression reads, over a run of rows: the run's distinct
+/// values and, per row, a code into them. A stored chunk (chunk dictionary
+/// and elements) and a delta column (delta dictionary and codes) both have
+/// this shape, so one evaluator serves a first materialization and an
+/// append.
+struct SourceRun<'a> {
+    name: &'a str,
+    values: Vec<Value>,
+    codes: CodesView<'a>,
+}
+
+/// Evaluate `expr` for each of the `rows` rows of `sources`, in order,
+/// onto `out`: a dense array lookup per referenced column per row.
+fn eval_run(
+    expr: &Expr,
+    sources: &[SourceRun<'_>],
+    rows: usize,
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    for row in 0..rows {
+        out.push(eval_expr(expr, &RunRow { sources, row })?);
+    }
+    Ok(())
+}
+
+struct RunRow<'a> {
+    sources: &'a [SourceRun<'a>],
     row: usize,
 }
 
-impl RowContext for MaterializeContext<'_> {
+impl RowContext for RunRow<'_> {
     fn column(&self, name: &str) -> Result<Value> {
-        let idx = self
-            .columns
+        let source = self
+            .sources
             .iter()
-            .position(|(n, _)| n == name)
+            .find(|source| source.name == name)
             .ok_or_else(|| Error::Schema(format!("unknown column `{name}`")))?;
-        let chunk = &self.columns[idx].1.chunks[self.c];
-        Ok(self.caches[idx][chunk.elements.get(self.row) as usize].clone())
+        Ok(source.values[source.codes.get(self.row) as usize].clone())
     }
 }
 
@@ -291,6 +366,7 @@ impl RowContext for MaterializeContext<'_> {
 mod tests {
     use super::*;
     use crate::options::PartitionSpec;
+    use pd_common::DataType;
     use pd_data::{generate_logs, LogsSpec};
     use pd_sql::parse_query;
 
@@ -457,14 +533,25 @@ mod tests {
         let before = store.column("country").unwrap();
         let old_chunks = store.chunk_count();
 
-        // Materialize a virtual field, then append: it must be dropped.
-        let q = parse_query("SELECT hour(timestamp) FROM t GROUP BY hour(timestamp)").unwrap();
-        store.column_for_expr(&q.group_by[0]).unwrap();
-        assert_eq!(store.virtual_names().len(), 1);
+        // Materialize two virtual fields, then append: both are extended in
+        // place (the delta brings hours the base has seen and dates it has
+        // not).
+        let q = parse_query("SELECT COUNT(*) FROM t GROUP BY hour(timestamp), date(timestamp)");
+        let exprs = q.unwrap().group_by;
+        let virtuals_before: Vec<_> =
+            exprs.iter().map(|e| store.column_for_expr(e).unwrap()).collect();
+        assert_eq!(store.virtual_names().len(), 2);
 
         let deltas = store.append_delta(&delta_of(&table, 1_500..2_000)).unwrap();
         assert_eq!(store.n_rows(), 2_000);
-        assert!(store.virtual_names().is_empty(), "virtuals must be invalidated");
+        assert_eq!(store.virtual_names(), ["date(timestamp)", "hour(timestamp)"]);
+        let virtuals: Vec<_> = exprs.iter().map(|e| store.column_for_expr(e).unwrap()).collect();
+        assert!(virtuals[1].dict.len() > virtuals_before[1].dict.len(), "new dates get tail ids");
+        for (now, was) in virtuals.iter().zip(&virtuals_before) {
+            for id in 0..was.dict.len() {
+                assert_eq!(now.dict.value(id), was.dict.value(id), "virtual id {id} moved");
+            }
+        }
         assert_eq!(deltas.len(), store.schema().fields().len());
 
         // Existing ids are untouched: the old dictionary is a prefix.
@@ -492,6 +579,12 @@ mod tests {
                     let idx = table.schema().resolve(&field.name).unwrap();
                     assert_eq!(col.value_at(c, i), table.column(idx)[src]);
                 }
+                // ... and read each virtual field's expression of their
+                // source row.
+                let ts = [("timestamp", table.column(0)[src].clone())];
+                for (expr, col) in exprs.iter().zip(&virtuals) {
+                    assert_eq!(col.value_at(c, i), eval_expr(expr, &ts[..]).unwrap());
+                }
             }
             seen += p.chunk_range(c).len();
         }
@@ -505,6 +598,69 @@ mod tests {
         let vals = [Value::Int(1)];
         let delta = TableDelta::from_columns(schema, &[&vals[..]]).unwrap();
         assert!(store.append_delta(&delta).is_err());
+    }
+
+    /// Every dictionary length of the store, base columns then virtual
+    /// fields.
+    fn dict_lens(store: &DataStore, virtuals: &[Expr]) -> Vec<u32> {
+        let base = store.column_names().into_iter().map(|n| store.column(&n).unwrap());
+        let virtuals = virtuals.iter().map(|e| store.column_for_expr(e).unwrap());
+        base.chain(virtuals).map(|col| col.dict.len()).collect()
+    }
+
+    #[test]
+    fn a_rejected_delta_changes_nothing_in_the_store() {
+        let table = generate_logs(&LogsSpec::scaled(2_000));
+        let base = table.select_rows(&(0..1_500).collect::<Vec<_>>());
+        let mut store = DataStore::build(&base, &production_options()).unwrap();
+        let date = parse_query("SELECT COUNT(*) FROM t GROUP BY date(timestamp)").unwrap().group_by;
+        store.column_for_expr(&date[0]).unwrap();
+        let before = (store.n_rows(), store.chunk_count(), dict_lens(&store, &date));
+
+        // Each of these brings new values for the first columns and is
+        // wrong only in its last: an append that stopped half way would
+        // have grown the dictionaries before it.
+        let good = delta_of(&table, 1_500..2_000);
+        let last = good.columns.len() - 1;
+        let mut bad_code = good.clone();
+        bad_code.columns[last].codes[7] = u32::MAX;
+        let mut short = good.clone();
+        short.columns[last].codes.pop();
+        let mut renamed = good.clone();
+        renamed.columns[last].name = "other".into();
+        for (what, delta) in [("code", bad_code), ("length", short), ("name", renamed)] {
+            assert!(store.append_delta(&delta).is_err(), "{what}");
+            let after = (store.n_rows(), store.chunk_count(), dict_lens(&store, &date));
+            assert_eq!(after, before, "{what}: a rejected delta must change nothing");
+            assert_eq!(store.virtual_names(), ["date(timestamp)"], "{what}");
+        }
+        store.append_delta(&good).unwrap();
+        assert_eq!(store.n_rows(), 2_000);
+    }
+
+    #[test]
+    fn a_virtual_field_that_cannot_be_extended_is_dropped_not_the_append() {
+        let table = generate_logs(&LogsSpec::scaled(2_000));
+        let base = table.select_rows(&(0..1_500).collect::<Vec<_>>());
+        let mut store = DataStore::build(&base, &production_options()).unwrap();
+        // An integer for every base row, a string for the delta's rows: the
+        // field's integer dictionary cannot take those.
+        let cut = table.column(0)[1_500..].iter().map(|v| v.as_int().unwrap()).min().unwrap();
+        assert!(table.column(0)[..1_500].iter().all(|v| v.as_int().unwrap() < cut));
+        let sql = format!(
+            "SELECT COUNT(*) FROM t GROUP BY if(timestamp >= {cut}, 'late', 0), hour(timestamp)"
+        );
+        let exprs = parse_query(&sql).unwrap().group_by;
+        assert_eq!(store.column_for_expr(&exprs[0]).unwrap().data_type(), DataType::Int);
+        store.column_for_expr(&exprs[1]).unwrap();
+
+        store.append_delta(&delta_of(&table, 1_500..2_000)).unwrap();
+        assert_eq!(store.n_rows(), 2_000);
+        assert_eq!(store.virtual_names(), ["hour(timestamp)"], "only the mixed field goes");
+        // Its rebuild sees both types and fails, as a first touch would.
+        assert!(store.column_for_expr(&exprs[0]).is_err());
+        let hours = store.column_for_expr(&exprs[1]).unwrap();
+        assert_eq!(hours.chunks.len(), store.chunk_count());
     }
 
     #[test]

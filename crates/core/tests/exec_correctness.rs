@@ -3,7 +3,10 @@
 //! §3 ladder, with and without the §6 result cache.
 
 use pd_common::{Row, Value};
-use pd_core::{execute, query, BuildOptions, DataStore, ExecContext, PartitionSpec, ResultCache};
+use pd_core::{
+    execute, execute_partial, finalize, query, BuildOptions, DataStore, ExecContext, KernelConfig,
+    PartitionSpec, ResultCache,
+};
 use pd_data::{generate_logs, LogsSpec, Table};
 use pd_sql::{analyze, eval_expr, parse_query, truthy, AggFunc, OutputCol, RowContext};
 use std::collections::HashMap;
@@ -357,6 +360,142 @@ fn result_cache_preserves_results_and_hits() {
     assert_eq!(stats2.rows_scanned + stats2.rows_cached + stats2.rows_skipped, stats2.rows_total);
     // And the result still matches the oracle.
     assert!(rows_eq(&second.rows, &oracle(&table, sql)));
+}
+
+/// The drill dashboard of the repo's benchmark: 20 charts over four
+/// dimensions (one of them an expression) and three global aggregates.
+fn drill_charts(where_clause: &str) -> Vec<String> {
+    let by_dim = [
+        ("country", "COUNT(*) as c", "c DESC"),
+        ("country", "COUNT(*) as c", "c ASC"),
+        ("country", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("country", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+        ("country", "MIN(latency) as mn, MAX(latency) as mx", "mx DESC"),
+        ("country", "COUNT(DISTINCT user) as u", "u DESC"),
+        ("table_name", "COUNT(*) as c", "c DESC"),
+        ("table_name", "COUNT(*) as c", "c ASC"),
+        ("table_name", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("user", "COUNT(*) as c", "c DESC"),
+        ("user", "COUNT(*) as c", "c ASC"),
+        ("user", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+        ("user", "COUNT(*) as c, MAX(latency) as mx", "mx DESC"),
+        ("date(timestamp)", "COUNT(*) as c", "c DESC"),
+        ("date(timestamp)", "COUNT(*) as c", "k ASC"),
+        ("date(timestamp)", "COUNT(*) as c, SUM(latency) as s", "s DESC"),
+        ("date(timestamp)", "COUNT(*) as c, AVG(latency) as a", "a DESC"),
+    ];
+    let global = [
+        "COUNT(*) as c, SUM(latency) as s, MIN(latency) as mn, MAX(latency) as mx",
+        "COUNT(*) as c, AVG(latency) as a",
+        "COUNT(DISTINCT table_name) as t",
+    ];
+    let grouped = by_dim.iter().map(|(dim, aggs, order)| {
+        format!(
+            "SELECT {dim} as k, {aggs} FROM logs{where_clause} GROUP BY {dim} \
+             ORDER BY {order} LIMIT 10"
+        )
+    });
+    grouped
+        .chain(global.iter().map(|aggs| format!("SELECT {aggs} FROM logs{where_clause}")))
+        .collect()
+}
+
+#[test]
+fn kept_caches_across_appends_match_a_rebuild() {
+    // One store takes 20 appends in place; four contexts — {fast, oracle
+    // kernels} × {execute, finalize ∘ execute_partial} — each keep one
+    // chunk-result cache across all of them, never cleared. After every
+    // append each must answer like a cacheless context on a store rebuilt
+    // from the same rows, bit for bit.
+    let table = generate_logs(&LogsSpec::scaled(3_000));
+    let user = |r: usize| table.column(4)[r].as_str().unwrap().to_owned();
+    let held_back = |r: &usize| {
+        !(750..2_750).contains(r) || ["user_00003", "user_00007"].contains(&user(*r).as_str())
+    };
+    let (rest, mut served): (Vec<usize>, Vec<usize>) = (0..table.len()).partition(held_back);
+    // Rows arrive alternately from the oldest and the newest left, so the
+    // new dates sort before *and* after the resident ones: a date
+    // dictionary rebuilt from scratch would renumber the old dates.
+    let (mut oldest, mut newest) = (rest.iter(), rest.iter().rev());
+    let arrivals: Vec<usize> = (0..rest.len())
+        .map(|i| *if i % 2 == 0 { oldest.next() } else { newest.next() }.unwrap())
+        .collect();
+
+    let options = BuildOptions::reordered(PartitionSpec::new(&["country", "table_name"], 250));
+    let mut store = DataStore::build(&table.select_rows(&served), &options).unwrap();
+    let contexts: Vec<(KernelConfig, bool, ExecContext)> =
+        [KernelConfig::Compressed, KernelConfig::materializing()]
+            .into_iter()
+            .flat_map(|kernels| [(kernels, false), (kernels, true)])
+            .map(|(kernels, via_partial)| {
+                let result_cache = Some(Arc::new(ResultCache::new(1 << 14)));
+                (
+                    kernels,
+                    via_partial,
+                    ExecContext { threads: 1, result_cache, kernels, ..Default::default() },
+                )
+            })
+            .collect();
+    let answer = |store: &DataStore, sql: &str, via_partial: bool, ctx: &ExecContext| {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        if via_partial {
+            let (partial, stats) = execute_partial(store, &analyzed, ctx).unwrap();
+            (finalize(&analyzed, partial).unwrap(), stats)
+        } else {
+            execute(store, &analyzed, ctx).unwrap()
+        }
+    };
+
+    let mut queries = drill_charts("");
+    for restriction in [
+        " WHERE country = 'DE'",
+        " WHERE user = 'user_00003'",
+        " WHERE date(timestamp) IN ('2011-10-01', '2011-12-30')",
+    ] {
+        queries.extend(drill_charts(restriction).into_iter().step_by(3));
+    }
+    // Warm every cache before the first append.
+    for (_, via_partial, ctx) in &contexts {
+        for sql in &queries {
+            answer(&store, sql, *via_partial, ctx);
+        }
+    }
+
+    let batch = arrivals.len().div_ceil(20);
+    for (round, rows) in arrivals.chunks(batch).enumerate() {
+        let delta = table.select_rows(rows);
+        let columns: Vec<&[Value]> = (0..delta.schema().len()).map(|i| delta.column(i)).collect();
+        let delta = pd_encoding::TableDelta::from_columns(delta.schema().clone(), &columns);
+        store.append_delta(&delta.unwrap()).unwrap();
+        served.extend(rows);
+        let rebuilt = DataStore::build(&table.select_rows(&served), &options).unwrap();
+
+        for (i, sql) in queries.iter().enumerate() {
+            let (want, _) = answer(&rebuilt, sql, false, &ExecContext::default());
+            for (kernels, via_partial, ctx) in &contexts {
+                let label = format!("round {round}, {kernels:?}, via partial {via_partial}: {sql}");
+                let (got, stats) = answer(&store, sql, *via_partial, ctx);
+                assert_eq!(got, want, "{label}");
+                assert_eq!(
+                    stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+                    stats.rows_total,
+                    "{label}"
+                );
+                if i < 20 {
+                    // Unrestricted: every old chunk answers from the cache
+                    // it filled before the append; at most the delta is
+                    // read (an ORDER BY twin finds that cached too).
+                    let old_rows = (served.len() - rows.len()) as u64;
+                    assert!(stats.rows_cached >= old_rows, "{label}: {}", stats.summary());
+                }
+            }
+        }
+    }
+    assert_eq!(served.len(), table.len());
+    // The appends tailed a base dictionary and a virtual field's.
+    let date = parse_query("SELECT COUNT(*) FROM logs GROUP BY date(timestamp)").unwrap();
+    assert!(!store.column("user").unwrap().dict.is_value_ordered());
+    assert!(!store.column_for_expr(&date.group_by[0]).unwrap().dict.is_value_ordered());
 }
 
 #[test]

@@ -222,8 +222,12 @@ impl Node {
     /// Apply a streaming delta in place (leaf only): extend the store's
     /// dictionaries (existing ids stay stable), encode the delta rows as
     /// fresh chunks, absorb exactly those chunks into the shard summary,
-    /// drop every cache layer that describes the pre-append data and adopt
-    /// the epoch the append establishes. Returns the receipt — how the
+    /// drop this node's cached partials — the shard's answer did change —
+    /// and adopt the epoch the append establishes. The leaf's chunk-result
+    /// cache is kept: old chunks are immutable and their ids stable, so the
+    /// next query folds the cached tables and scans only the new chunks
+    /// (it is cleared only if the store had to drop a virtual field, whose
+    /// rebuild renumbers that field's ids). Returns the receipt — how the
     /// store chunked the delta — with which every parent absorbs the same
     /// delta into its own copy of the summary ([`Node::absorb`]); the
     /// summary itself stays here.
@@ -239,6 +243,7 @@ impl Node {
             )));
         }
         let old_chunks = leaf.store.chunk_count();
+        let old_virtuals = leaf.store.virtual_names();
         leaf.store.append_delta(&append.delta)?;
         let Leaf { store, ctx, meta, .. } = &mut *leaf;
         let receipt = AppendReceipt {
@@ -252,7 +257,7 @@ impl Node {
             // re-summarize scan of the resident data.
             meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
         }
-        if let Some(results) = &ctx.result_cache {
+        if let (Some(results), true) = (&ctx.result_cache, store.virtual_names() != old_virtuals) {
             results.clear();
         }
         drop(leaf);
@@ -319,6 +324,55 @@ mod tests {
     fn restriction(where_sql: &str) -> Restriction {
         let q = parse_query(&format!("SELECT COUNT(*) FROM t WHERE {where_sql}")).unwrap();
         Restriction::from_expr(&q.where_clause.unwrap())
+    }
+
+    #[test]
+    fn an_append_keeps_the_chunk_results_unless_it_drops_a_virtual_field() {
+        let schema = Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]);
+        let rows = |ns: std::ops::Range<i64>| -> Vec<Vec<Value>> {
+            vec![
+                ns.clone().map(|n| Value::from(["a", "b", "c"][n as usize % 3])).collect(),
+                ns.map(Value::Int).collect(),
+            ]
+        };
+        let table = Table::from_columns(schema.clone(), rows(0..90)).unwrap();
+        let spec = NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 };
+        let leaf = Node::leaf(0, &table, &BuildOptions::basic(), None, spec).unwrap();
+        let ask = |sql: &str, epoch: u64| {
+            let request = QueryRequest {
+                query: pd_sql::analyze(&parse_query(sql).unwrap()).unwrap(),
+                budget: Duration::from_secs(30),
+                hedge_micros: 0,
+                epoch,
+                chaos: Vec::new(),
+                chunk_pruning: true,
+            };
+            leaf.query(&request, Duration::ZERO).map(|answer| answer.stats)
+        };
+        let append = |ns: std::ops::Range<i64>, epoch: u64| {
+            let batch = rows(ns);
+            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
+            let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
+            leaf.append(&AppendRequest { shard: 0, delta, epoch }).unwrap()
+        };
+        // An integer for every row so far; a string once `n` reaches 1000.
+        let by_size = "SELECT COUNT(*) as c FROM t GROUP BY if(n >= 1000, 'big', 0)";
+        let by_k = "SELECT k, COUNT(*) as c FROM t GROUP BY k";
+        ask(by_size, 1).unwrap();
+        assert_eq!(ask(by_k, 1).unwrap().rows_scanned, 90);
+
+        // The field is extended: the old chunk's result is still good.
+        append(90..100, 2);
+        let kept = ask(by_k, 2).unwrap();
+        assert_eq!((kept.chunks_cached, kept.rows_scanned, kept.worker_cache_hits), (1, 10, 0));
+        ask(by_size, 2).unwrap();
+
+        // The field cannot hold 'big' and is dropped: whatever was cached
+        // under its old ids goes, and so does everything else.
+        append(1_000..1_010, 3);
+        let cleared = ask(by_k, 3).unwrap();
+        assert_eq!((cleared.chunks_cached, cleared.rows_scanned), (0, 110));
+        assert!(ask(by_size, 3).is_err(), "the field is now of two types");
     }
 
     #[test]

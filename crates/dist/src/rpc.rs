@@ -97,7 +97,7 @@ pub enum Request {
     Append(Box<AppendRequest>),
     /// Absorb appends the leaves beneath a merge server applied: bring its
     /// copies of their summaries up to date in place
-    /// ([`ShardMeta::absorb_append`]), drop its result cache and adopt the
+    /// ([`ShardMeta::absorb_append`]), drop its node cache and adopt the
     /// epoch. Its child connections are not touched. Acknowledged with
     /// [`Response::Ok`].
     Absorb(Box<AbsorbRequest>),
@@ -119,7 +119,8 @@ pub struct LoadRequest {
     /// Capacity (signatures) of the leaf's own result cache; 0 disables.
     pub cache_entries: u64,
     /// Rebuild epoch of the shipped data. Queries carrying a different
-    /// epoch drop the worker's result cache before executing.
+    /// epoch drop the worker's node cache (its cached partials) before
+    /// executing.
     pub epoch: u64,
     /// This node's tree-wide name (`l0p`, `l0r`, ...) — the key chaos
     /// directives target, and the label failures report.
@@ -137,7 +138,8 @@ pub struct AppendRequest {
     pub shard: u64,
     pub delta: TableDelta,
     /// The epoch this append establishes; the worker adopts it and drops
-    /// result caches under the usual epoch rule.
+    /// its node cache under the usual epoch rule. The leaf's chunk results
+    /// stay: an append rewrites no chunk and renumbers no id.
     pub epoch: u64,
 }
 
@@ -235,9 +237,11 @@ pub struct QueryRequest {
     /// primary before racing the replica in parallel. `0` disables
     /// hedging (sequential primary-then-replica failover).
     pub hedge_micros: u64,
-    /// The driver's current rebuild epoch. A node holding a cache from an
-    /// older epoch drops it before answering — the distributed form of
-    /// the root cache's rebuild invalidation.
+    /// The driver's current rebuild epoch. A node holding a node cache
+    /// (cached partials) from an older epoch drops it before answering —
+    /// the distributed form of the root cache's rebuild invalidation. A
+    /// leaf's chunk results are not the epoch's to drop: they describe
+    /// chunks, and an epoch bump that keeps the store keeps its chunks.
     pub epoch: u64,
     /// This query's faults, drawn once at the root from the seeded
     /// [`crate::ChaosModel`] and forwarded whole down the tree: a parent

@@ -6,7 +6,9 @@
 //! 1. re-issuing an identical query answers from the caches nearest the
 //!    root and returns bit-identical results;
 //! 2. a rebuild or an append (the epoch bump) invalidates every node's
-//!    cache — no stale partials, ever;
+//!    cache — no stale partials, ever — while an append, which rewrites no
+//!    chunk, leaves the leaves' chunk results standing: the first query
+//!    after it scans the new chunks only;
 //! 3. capacity eviction can change `ScanStats`, never results;
 //! 4. what the caches hold is a function of the query sequence: a replayed
 //!    session reproduces every outcome (in-memory edges only — a worker
@@ -191,6 +193,7 @@ fn rebuild_and_append_invalidate_every_node_cache() {
             let fresh = cluster.query(sql).unwrap();
             assert_eq!(fresh.shard_cache_hits, 0, "{label}: rebuild must invalidate");
             assert_eq!(fresh.worker_cache_hits(), 0, "{label}");
+            assert_eq!(fresh.stats.chunks_cached, 0, "{label}: rebuilt leaves start cold");
             assert_eq!(fresh.stats.rows_total, 97, "{label}: stats reflect the new table");
             let store = DataStore::build(&after, &BuildOptions::basic()).unwrap();
             assert_eq!(fresh.result, query(&store, sql).unwrap().0, "{label}: no stale partials");
@@ -201,6 +204,12 @@ fn rebuild_and_append_invalidate_every_node_cache() {
             assert_eq!(cluster.epoch(), 3, "{label}: append bumps the epoch");
             let appended = cluster.query(sql).unwrap();
             assert_eq!(appended.shard_cache_hits, 0, "{label}: append must invalidate");
+            assert_eq!(appended.worker_cache_hits(), 0, "{label}");
+            // No node cache answered, yet only the appended chunks were
+            // read: the old ones fold from the leaves' chunk results.
+            assert!(appended.stats.chunks_cached > 0, "{label}: chunk results outlive the epoch");
+            assert_eq!(appended.stats.rows_scanned, 30, "{label}: the new chunks' rows only");
+            assert_balanced(&appended, &label);
             assert_eq!(appended.stats.rows_total, 127, "{label}");
             assert_ne!(appended.result, fresh.result, "{label}: the appended rows count");
             let rewarm = cluster.query(sql).unwrap();
@@ -414,7 +423,19 @@ fn local_trees_with_interleaved_appends_match_a_single_store() {
             },
         )
         .unwrap();
-        let queries: Vec<String> = (0..4).map(|_| random_query(&mut rng)).collect();
+        let mut queries: Vec<String> = (0..4).map(|_| random_query(&mut rng)).collect();
+        // Grouped by an expression, and filtered by one: virtual fields the
+        // leaves extend with every append (new `n`s get tail ids).
+        queries.push(
+            "SELECT n * 2 as d, COUNT(*) as c, SUM(x) as s FROM data GROUP BY n * 2 \
+             ORDER BY c DESC LIMIT 10"
+                .to_owned(),
+        );
+        queries.push(
+            "SELECT k, COUNT(*) as c, MAX(n) as mx FROM data WHERE upper(g) IN ('G03', 'G07') \
+             GROUP BY k ORDER BY c DESC LIMIT 10"
+                .to_owned(),
+        );
         for step in 0..6 {
             let store = DataStore::build(&prefix(served), &BuildOptions::basic()).unwrap();
             // Twice each: the repeat meets whatever the caches kept.
