@@ -229,9 +229,11 @@ fn main() {
     // cannot rank range bounds — every chunk reads Opaque and scans) nor
     // the shard envelope (the distinct set degrades past the cap and the
     // min/max straddles the window) can refute. Only the shipped per-chunk
-    // value-space zone maps prune here, so the layered cluster must scan
-    // strictly fewer rows than the shard-only pruner for a bit-identical
-    // result — measured over compressed TCP, the multi-host transport.
+    // value-space zone maps prune here, so the socket tree — measured over
+    // compressed TCP, the multi-host transport — must scan strictly fewer
+    // rows than its twin, the same shards in one address space, whose
+    // leaves keep no summary and find rows by their chunk dictionaries
+    // alone, for a bit-identical result.
     if worker_available {
         // Mid-envelope window over the `logs.<team>.<dataset>_<k>` names:
         // maps/revenue teams, with ads..youtube neighbours on both sides.
@@ -244,7 +246,7 @@ fn main() {
         if let Some(spec) = &mut drill_build.partition {
             spec.max_chunk_rows = (rows / 64).clamp(500, 50_000);
         }
-        let cluster_with = |chunk_pruning: bool| {
+        let cluster_over = |transport: Transport| {
             Cluster::build(
                 &table,
                 &ClusterConfig {
@@ -254,45 +256,44 @@ fn main() {
                     threads: 1,
                     tree: TreeShape { fanout: 4 },
                     build: drill_build.clone(),
-                    transport: rpc(WorkerAddr::loopback(), true),
-                    chunk_pruning,
+                    transport,
                     ..Default::default()
                 },
             )
             .expect("drill-down cluster")
         };
-        let layered = cluster_with(true);
-        let shard_only = cluster_with(false);
+        let layered = cluster_over(rpc(WorkerAddr::loopback(), true));
+        let unsummarized = cluster_over(Transport::InProcess);
         let layered_outcome = layered.query(drill).expect("layered drill-down");
-        let shard_outcome = shard_only.query(drill).expect("shard-only drill-down");
+        let twin_outcome = unsummarized.query(drill).expect("unsummarized drill-down");
         assert_eq!(
-            layered_outcome.result, shard_outcome.result,
+            layered_outcome.result, twin_outcome.result,
             "pruning may only move work, never change a row"
         );
         assert!(
-            layered_outcome.stats.rows_scanned < shard_outcome.stats.rows_scanned,
-            "chunk zone maps must cut the drill-down scan below the shard-only \
-             pruner: {} vs {} rows scanned",
+            layered_outcome.stats.rows_scanned < twin_outcome.stats.rows_scanned,
+            "chunk zone maps must cut the drill-down scan below what chunk \
+             dictionaries alone scan: {} vs {} rows scanned",
             layered_outcome.stats.rows_scanned,
-            shard_outcome.stats.rows_scanned,
+            twin_outcome.stats.rows_scanned,
         );
         let frames_not_sent = layered_outcome.stats.subtrees_pruned;
         let layered_stats = measure_stats(5, || {
             black_box(layered.query(drill).expect("layered drill-down"));
         });
-        let shard_stats = measure_stats(5, || {
-            black_box(shard_only.query(drill).expect("shard-only drill-down"));
+        let twin_stats = measure_stats(5, || {
+            black_box(unsummarized.query(drill).expect("unsummarized drill-down"));
         });
         println!(
             "\n=== chunk-pruned drill-down (4 shards, tcp+z; table_name in ['logs.m','logs.s')) ===\n\
              layered {} ({} of {} rows scanned, {} chunks pruned remotely, \
-             {frames_not_sent} frames not sent) vs shard-only {} ({} rows scanned)",
+             {frames_not_sent} frames not sent) vs unsummarized in-process {} ({} rows scanned)",
             fmt_duration(layered_stats.min),
             layered_outcome.stats.rows_scanned,
             layered_outcome.stats.rows_total,
             layered_outcome.stats.chunks_pruned_remote,
-            fmt_duration(shard_stats.min),
-            shard_outcome.stats.rows_scanned,
+            fmt_duration(twin_stats.min),
+            twin_outcome.stats.rows_scanned,
         );
         json_line(
             "rpc_tree",
@@ -300,12 +301,12 @@ fn main() {
             layered_stats,
             &[
                 ("rows_scanned", layered_outcome.stats.rows_scanned.to_string()),
-                ("rows_scanned_shard_only", shard_outcome.stats.rows_scanned.to_string()),
+                ("rows_scanned_unsummarized", twin_outcome.stats.rows_scanned.to_string()),
                 ("chunks_pruned_remote", layered_outcome.stats.chunks_pruned_remote.to_string()),
                 ("frames_not_sent", frames_not_sent.to_string()),
             ],
         );
-        json_line("rpc_tree", "shard_only_drilldown", shard_stats, &[]);
+        json_line("rpc_tree", "unsummarized_drilldown", twin_stats, &[]);
     }
 
     // What a healthy replica costs: the same 4-leaf unix tree with and

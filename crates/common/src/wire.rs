@@ -22,14 +22,13 @@
 //!   explicitly — see `pd_sql`'s codec.
 //!
 //! Implementations for foundation types (`u8`…`f64`, `bool`, `String`,
-//! `Option`, `Vec`, boxed slices, tuples, [`Duration`], [`Value`], [`Row`],
+//! `Option`, `Vec`, boxed slices, tuples, [`Duration`], [`Value`],
 //! [`Schema`]) live here; domain types implement [`Encode`] / [`Decode`] in
 //! their own crates ([`crate::FloatSum`] below in `fsum`, `PartialResult` /
-//! aggregation states in `pd_core::codec`, restrictions and expressions in
-//! `pd_sql::codec`).
+//! aggregation states in `pd_core::codec`, expressions and analyzed queries
+//! in `pd_sql::codec`, coded columns in `pd_encoding::delta`).
 
 use crate::error::{Error, Result, RpcError};
-use crate::row::Row;
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
 use std::time::Duration;
@@ -42,8 +41,8 @@ use std::time::Duration;
 /// deadline budgets + hedge delay + chaos directives + node names in the
 /// protocol messages, typed `Fault` responses, hedged flags in reports.
 /// Version 4: chunk-granular shard metadata (per-chunk zone maps +
-/// per-column Bloom filters) in `Load`/`Attach`, the `chunk_pruning` flag
-/// on queries, `chunks_pruned_remote` in scan stats.
+/// per-column Bloom filters) in `Load`/`Attach`, a per-query switch for
+/// pruning by it, `chunks_pruned_remote` in scan stats.
 /// Version 5: the streaming-append protocol — `Append` requests carrying
 /// self-contained dictionary-delta tables (`pd_encoding::TableDelta`),
 /// applied in place by leaf workers without a respawn.
@@ -60,7 +59,13 @@ use std::time::Duration;
 /// records; a float-sum slot is a 16-byte pair, its 34-limb accumulator
 /// only when tainted), and two fields nothing read leave —
 /// `BuildOptions`' codec and `ChildSpec::Node`'s height.
-pub const FRAME_VERSION: u8 = 8;
+/// Version 9: rows cross the wire one way — a `Load` carries the shard as
+/// the coded columns an `Append` carries (`pd_encoding::TableDelta`), so
+/// `Row` has no codec; `Load` and `Attach` share one node-spec layout; an
+/// analyzed query ships its filter only (the restriction is derived from
+/// it on decode); and a query loses version 4's switch — chunk-granular
+/// pruning is simply what parents and leaves do.
+pub const FRAME_VERSION: u8 = 9;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a
@@ -522,18 +527,6 @@ impl Decode for Schema {
     }
 }
 
-impl Encode for Row {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for Row {
-    fn decode(r: &mut Reader<'_>) -> Result<Row> {
-        Ok(Row(Vec::<Value>::decode(r)?))
-    }
-}
-
 /// [`RpcError`] crosses the process boundary inside `Response::Fault`
 /// frames: `[tag u8][message string]`, stable tags via `RpcError::tag`.
 impl Encode for RpcError {
@@ -631,7 +624,6 @@ mod tests {
         let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Str)]);
         let back: Schema = from_bytes(&to_bytes(&schema)).unwrap();
         assert_eq!(back.fields(), schema.fields());
-        round_trip(Row(vec![Value::Int(1), Value::Str("x".into())]));
     }
 
     #[test]

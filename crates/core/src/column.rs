@@ -7,7 +7,7 @@
 
 use crate::options::BuildOptions;
 use crate::partition::Partitioning;
-use pd_common::{DataType, Error, FxHashMap, HeapSize, Result, Value};
+use pd_common::{DataType, FxHashMap, HeapSize, Result, Value};
 use pd_compress::Codec;
 use pd_encoding::{build_dict, ChunkDict, Elements, GlobalDict};
 
@@ -76,8 +76,9 @@ impl StoredColumn {
         Ok(StoredColumn::from_global_ids(dict, &global_ids, partitioning, options))
     }
 
-    /// Encode from precomputed global-ids (used when the import pipeline
-    /// already built the dictionary for partitioning).
+    /// Encode from a dictionary and one global-id per row (already permuted
+    /// into the final row order) — what every base column of an import is
+    /// built from.
     pub fn from_global_ids(
         dict: GlobalDict,
         global_ids: &[u32],
@@ -211,23 +212,6 @@ impl HeapSize for StoredColumn {
     fn heap_bytes(&self) -> usize {
         self.total_bytes()
     }
-}
-
-/// Validate that a column's values are homogeneous and non-null before
-/// storage (defensive re-check used by virtual-field materialization).
-pub fn check_column_type(values: &[Value]) -> Result<DataType> {
-    let first = values.first().ok_or_else(|| Error::Data("empty column".into()))?;
-    let dtype =
-        first.data_type().ok_or_else(|| Error::Data("null values are not storable".into()))?;
-    for v in values {
-        if v.data_type() != Some(dtype) {
-            return Err(Error::Type(format!(
-                "mixed column types: {dtype} and {}",
-                v.data_type().map_or_else(|| "NULL".to_owned(), |t| t.to_string())
-            )));
-        }
-    }
-    Ok(dtype)
 }
 
 #[cfg(test)]
@@ -381,13 +365,5 @@ mod tests {
         }
         // u8 elements suffice for 37 distinct values.
         assert_eq!(col.chunks[0].elements.repr_name(), "u8");
-    }
-
-    #[test]
-    fn check_column_type_rejects_mixed() {
-        assert!(check_column_type(&[Value::Int(1), Value::from("x")]).is_err());
-        assert!(check_column_type(&[Value::Null]).is_err());
-        assert!(check_column_type(&[]).is_err());
-        assert_eq!(check_column_type(&[Value::Float(1.0)]).unwrap(), DataType::Float);
     }
 }

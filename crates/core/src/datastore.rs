@@ -1,9 +1,13 @@
 //! The import pipeline and column registry.
 //!
-//! `DataStore::build` performs the §2.2–2.3 import: dictionary-encode the
-//! partition fields, run the composite range partitioner, optionally
-//! reorder rows lexicographically within chunks (§3), then encode every
-//! column against the resulting chunk boundaries.
+//! The §2.2–2.3 import is four steps over dictionary codes: code every
+//! column once (a sorted dictionary plus one code per row — a
+//! [`TableDelta`], made by [`DataStore::build`] from a table or by whoever
+//! shipped the rows), run the composite range partitioner over the
+//! partition fields' codes, optionally reorder rows lexicographically
+//! within chunks (§3), then encode every column against the resulting
+//! chunk boundaries. [`DataStore::from_coded`] is the last three; an
+//! append ([`DataStore::append_delta`]) takes the same coded columns.
 //!
 //! §5 "Complex Expressions" lives here too: [`DataStore::column_for_expr`]
 //! materializes arbitrary scalar expressions as *virtual fields* — stored
@@ -16,9 +20,9 @@ use crate::column::StoredColumn;
 use crate::options::BuildOptions;
 use crate::partition::{partition, Partitioning};
 use pd_common::sync::RwLock;
-use pd_common::{Error, HeapSize, Result, Schema, Value};
+use pd_common::{DataType, Error, HeapSize, Result, Schema, Value};
 use pd_data::Table;
-use pd_encoding::{build_dict, CodesView, DictDelta, TableDelta};
+use pd_encoding::{build_dict, CodesView, ColumnDelta, GlobalDict, TableDelta};
 use pd_sql::{eval_expr, Expr, RowContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,67 +46,67 @@ struct VirtualField {
 }
 
 impl DataStore {
-    /// Import `table` under `options`.
+    /// Import `table` under `options`: code its columns once
+    /// ([`TableDelta::from_columns`]), then [`DataStore::from_coded`].
     pub fn build(table: &Table, options: &BuildOptions) -> Result<DataStore> {
-        let n_rows = table.len();
-        let schema = table.schema().clone();
+        let columns: Vec<&[Value]> = (0..table.schema().len()).map(|i| table.column(i)).collect();
+        DataStore::from_coded(TableDelta::from_columns(table.schema().clone(), &columns)?, options)
+    }
 
-        // 1. Dictionary-encode the partition fields (original row order).
-        let mut key_ids: Vec<Vec<u32>> = Vec::new();
-        let mut key_dicts: BTreeMap<String, (pd_encoding::GlobalDict, Vec<u32>)> = BTreeMap::new();
+    /// Import rows that are already dictionary-coded — the form in which a
+    /// shard's rows cross a wire — under `options`. The coded columns'
+    /// dictionaries become the store's global dictionaries as they stand
+    /// (a sorted dictionary's codes are the ranks an import assigns), so
+    /// nothing is looked up again.
+    pub fn from_coded(coded: TableDelta, options: &BuildOptions) -> Result<DataStore> {
+        coded.validate()?;
+        let TableDelta { schema, rows, columns } = coded;
+        let n_rows = rows as usize;
+
+        // 1. Partition on the partition fields' codes (original row order).
+        let mut keys: Vec<&[u32]> = Vec::new();
         if let Some(spec) = &options.partition {
             for field in &spec.fields {
-                let idx = schema.resolve(field)?;
-                let use_trie = options.dicts == crate::options::DictMode::Trie;
-                let (dict, ids) = build_dict(table.column(idx), use_trie)?;
-                key_ids.push(ids.clone());
-                key_dicts.insert(field.clone(), (dict, ids));
+                keys.push(&columns[schema.resolve(field)?].codes);
             }
         }
-
-        // 2. Partition.
-        let key_refs: Vec<&[u32]> = key_ids.iter().map(Vec::as_slice).collect();
         let max_rows = options.partition.as_ref().map_or(usize::MAX, |s| s.max_chunk_rows);
-        let mut partitioning = if key_refs.is_empty() || n_rows == 0 {
+        let mut partitioning = if keys.is_empty() {
             Partitioning::single_chunk(n_rows)
         } else {
-            partition(&key_refs, n_rows, max_rows)
+            partition(&keys, n_rows, max_rows)
         };
 
-        // 3. Optional §3 reorder: lexicographic by the partition field ids
+        // 2. Optional §3 reorder: lexicographic by the partition field ids
         //    within each chunk (stable on the original row index).
-        if options.reorder && !key_refs.is_empty() {
+        if options.reorder && !keys.is_empty() {
             for c in 0..partitioning.chunk_count() {
                 let range = partitioning.chunk_range(c);
                 partitioning.row_order[range].sort_by_key(|&r| {
-                    let mut key: Vec<u32> = key_refs.iter().map(|col| col[r as usize]).collect();
+                    let mut key: Vec<u32> = keys.iter().map(|col| col[r as usize]).collect();
                     key.push(r); // stable tie-break
                     key
                 });
             }
         }
 
-        // 4. Encode every column in the final row order.
-        let mut columns = BTreeMap::new();
-        for (idx, field) in schema.fields().iter().enumerate() {
-            let stored = if let Some((dict, ids)) = key_dicts.remove(&field.name) {
-                let permuted: Vec<u32> =
-                    partitioning.row_order.iter().map(|&r| ids[r as usize]).collect();
-                StoredColumn::from_global_ids(dict, &permuted, &partitioning, options)
-            } else {
-                let raw = table.column(idx);
-                let permuted: Vec<Value> =
-                    partitioning.row_order.iter().map(|&r| raw[r as usize].clone()).collect();
-                StoredColumn::build(&permuted, &partitioning, options)?
-            };
-            columns.insert(field.name.clone(), Arc::new(stored));
+        // 3. Encode every column in the final row order.
+        let use_trie = options.dicts == crate::options::DictMode::Trie;
+        let mut stored = BTreeMap::new();
+        for ColumnDelta { name, dict, codes } in columns {
+            let permuted: Vec<u32> =
+                partitioning.row_order.iter().map(|&r| codes[r as usize]).collect();
+            let dict =
+                if use_trie && dict.data_type() == DataType::Str { dict.optimize()? } else { dict };
+            let column = StoredColumn::from_global_ids(dict, &permuted, &partitioning, options);
+            stored.insert(name, Arc::new(column));
         }
 
         Ok(DataStore {
             schema,
             options: options.clone(),
             partitioning,
-            columns,
+            columns: stored,
             virtuals: RwLock::new(BTreeMap::new()),
             n_rows,
         })
@@ -111,8 +115,10 @@ impl DataStore {
     /// Apply a delta batch in place (§4 freshness without a re-import).
     ///
     /// Each column's global dictionary grows via [`pd_encoding::GlobalDict::extend`]
-    /// — every existing id stays stable, genuinely new values get appended
-    /// tail ids — and the delta rows are encoded as *fresh chunks* in
+    /// over the delta dictionary's *entries* — every existing id stays
+    /// stable, genuinely new values get appended tail ids in the delta
+    /// dictionary's (value) order, and no value is looked up once per row —
+    /// and the delta rows are encoded as *fresh chunks* in
     /// arrival order (bounded by the build threshold); existing chunks and
     /// their element arrays are untouched, so results folded across old and
     /// new chunks are bit-identical to a full re-import of the concatenated
@@ -128,19 +134,15 @@ impl DataStore {
     /// All or nothing: every check, and every virtual field's evaluation,
     /// happens before the first column is touched, so an `Err` leaves the
     /// store exactly as it was.
-    ///
-    /// Returns one [`DictDelta`] per schema field (in field order)
-    /// describing exactly what each dictionary appended — the input for
-    /// shard-metadata maintenance.
-    pub fn append_delta(&mut self, delta: &TableDelta) -> Result<Vec<DictDelta>> {
+    pub fn append_delta(&mut self, delta: &TableDelta) -> Result<()> {
         if delta.schema != self.schema {
             return Err(Error::Schema("delta schema does not match the store schema".into()));
         }
         delta.validate()?;
         let rows = delta.rows as usize;
         let mut virtuals = self.virtuals.write();
-        let staged: Vec<Option<Vec<Value>>> =
-            virtuals.values().map(|field| field.delta_values(delta)).collect();
+        let staged: Vec<Option<(GlobalDict, Vec<u32>)>> =
+            virtuals.values().map(|field| field.coded_delta(delta)).collect();
 
         // Nothing below fails. New chunk boundaries: arrival order, capped
         // at the import threshold so appended chunks stay prunable at the
@@ -155,28 +157,26 @@ impl DataStore {
             remaining -= take;
         }
         let options = &self.options;
-        let append = |column: &mut Arc<StoredColumn>, values: &[Value]| {
+        let append = |column: &mut Arc<StoredColumn>, dict: &GlobalDict, codes: &[u32]| {
             let column = Arc::make_mut(column);
             // A validated delta of the store's schema holds each base
-            // column's type; a staged field's values were checked.
-            let global_ids = column.dict.extend(values).expect("values of the dictionary's type");
+            // column's type; a staged field's type was checked.
+            let ids = column.dict.extend(&entries(dict)).expect("the dictionary's type");
+            let global_ids: Vec<u32> = codes.iter().map(|&code| ids[code as usize]).collect();
             column.append_chunks(&global_ids, &chunk_lens, options);
         };
 
-        let mut dict_deltas = Vec::with_capacity(self.columns.len());
-        for (field, column_delta) in self.schema.fields().iter().zip(&delta.columns) {
+        for (field, coded) in self.schema.fields().iter().zip(&delta.columns) {
             let column = self.columns.get_mut(&field.name).expect("schemas are equal");
-            let base_len = column.dict.len();
-            append(column, &column_delta.values());
-            let appended = (base_len..column.dict.len()).map(|id| column.dict.value(id)).collect();
-            dict_deltas.push(DictDelta { base_len, appended });
+            append(column, &coded.dict, &coded.codes);
         }
         // A field with nothing staged could not be extended: it goes.
         *virtuals = std::mem::take(&mut *virtuals)
             .into_iter()
             .zip(staged)
-            .filter_map(|((key, mut field), values)| {
-                append(&mut field.column, &values?);
+            .filter_map(|((key, mut field), coded)| {
+                let (dict, codes) = coded?;
+                append(&mut field.column, &dict, &codes);
                 Some((key, field))
             })
             .collect();
@@ -186,7 +186,7 @@ impl DataStore {
         let chunks = self.partitioning.chunk_count();
         debug_assert!(self.columns.values().all(|column| column.chunks.len() == chunks));
         debug_assert!(virtuals.values().all(|field| field.column.chunks.len() == chunks));
-        Ok(dict_deltas)
+        Ok(())
     }
 
     pub fn schema(&self) -> &Schema {
@@ -300,25 +300,32 @@ impl DataStore {
 }
 
 impl VirtualField {
-    /// The field's values for the rows of `delta`, in arrival order. `None`
-    /// when the field cannot be extended by them: the expression fails on
-    /// a row, or a value is not of the type its dictionary holds.
-    fn delta_values(&self, delta: &TableDelta) -> Option<Vec<Value>> {
+    /// The field's values for the rows of `delta`, coded like a delta's
+    /// base columns: a sorted dictionary and a code per row. `None` when
+    /// the field cannot be extended by them: the expression fails on a
+    /// row, or a value is not of the type its dictionary holds.
+    fn coded_delta(&self, delta: &TableDelta) -> Option<(GlobalDict, Vec<u32>)> {
         let mut referenced = Vec::new();
         self.expr.referenced_columns(&mut referenced);
         let sources: Vec<SourceRun<'_>> = referenced
             .iter()
             .map(|name| {
                 let column = delta.columns.iter().find(|column| column.name == *name)?;
-                let values = (0..column.dict.len()).map(|code| column.dict.value(code)).collect();
-                Some(SourceRun { name, values, codes: CodesView::U32(&column.codes) })
+                let codes = CodesView::U32(&column.codes);
+                Some(SourceRun { name, values: entries(&column.dict), codes })
             })
             .collect::<Option<_>>()?;
         let mut values = Vec::with_capacity(delta.rows as usize);
         eval_run(&self.expr, &sources, delta.rows as usize, &mut values).ok()?;
-        let dtype = self.column.data_type();
-        values.iter().all(|v| v.data_type() == Some(dtype)).then_some(values)
+        // Mixed types and nulls are refused by the coding itself.
+        let (dict, codes) = build_dict(&values, false).ok()?;
+        (dict.data_type() == self.column.data_type()).then_some((dict, codes))
     }
+}
+
+/// Every value of `dict`, in id order.
+fn entries(dict: &GlobalDict) -> Vec<Value> {
+    (0..dict.len()).map(|id| dict.value(id)).collect()
 }
 
 /// One column an expression reads, over a run of rows: the run's distinct
@@ -531,6 +538,7 @@ mod tests {
         let base = table.select_rows(&(0..1_500).collect::<Vec<_>>());
         let mut store = DataStore::build(&base, &options).unwrap();
         let before = store.column("country").unwrap();
+        let base_dict_lens = dict_lens(&store, &[]);
         let old_chunks = store.chunk_count();
 
         // Materialize two virtual fields, then append: both are extended in
@@ -542,7 +550,7 @@ mod tests {
             exprs.iter().map(|e| store.column_for_expr(e).unwrap()).collect();
         assert_eq!(store.virtual_names().len(), 2);
 
-        let deltas = store.append_delta(&delta_of(&table, 1_500..2_000)).unwrap();
+        store.append_delta(&delta_of(&table, 1_500..2_000)).unwrap();
         assert_eq!(store.n_rows(), 2_000);
         assert_eq!(store.virtual_names(), ["date(timestamp)", "hour(timestamp)"]);
         let virtuals: Vec<_> = exprs.iter().map(|e| store.column_for_expr(e).unwrap()).collect();
@@ -552,17 +560,22 @@ mod tests {
                 assert_eq!(now.dict.value(id), was.dict.value(id), "virtual id {id} moved");
             }
         }
-        assert_eq!(deltas.len(), store.schema().fields().len());
 
         // Existing ids are untouched: the old dictionary is a prefix.
         let after = store.column("country").unwrap();
         for id in 0..before.dict.len() {
             assert_eq!(after.dict.value(id), before.dict.value(id), "id {id} moved");
         }
-        let country_idx = store.schema().resolve("country").unwrap();
-        let field_delta = &deltas[country_idx];
-        assert_eq!(field_delta.base_len, before.dict.len());
-        assert_eq!(after.dict.len(), before.dict.len() + field_delta.appended.len() as u32);
+        // New values are resolved per delta-dictionary entry: their tail ids
+        // follow the delta dictionary's (value) order, not the rows'.
+        let mut longest_tail = 0;
+        for (name, was) in store.column_names().iter().zip(&base_dict_lens) {
+            let dict = &store.column(name).unwrap().dict;
+            let tail: Vec<Value> = (*was..dict.len()).map(|id| dict.value(id)).collect();
+            assert!(tail.windows(2).all(|pair| pair[0] < pair[1]), "{name}: {tail:?}");
+            longest_tail = longest_tail.max(tail.len());
+        }
+        assert!(longest_tail > 1, "some column must have tailed more than one value");
 
         // Appended rows live in fresh chunks, in arrival order.
         let p = store.partitioning();

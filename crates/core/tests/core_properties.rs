@@ -12,6 +12,8 @@ use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
     finalize, AggState, BuildOptions, DataStore, KmvSketch, PartialResult, PartitionSpec,
 };
+use pd_data::Table;
+use pd_encoding::TableDelta;
 use pd_sql::{analyze, eval_expr, parse_query, truthy, Restriction, RowContext};
 
 /// Row context over a store's reconstructed cell values.
@@ -299,4 +301,72 @@ fn sketch_merge_order_irrelevant() {
             assert_eq!(ab.estimate(), all.len() as f64);
         }
     }
+}
+
+/// Rows enter a store one way, as coded columns: the store a table builds
+/// is the store its coded columns build after crossing a wire — every rung
+/// of the ladder, every column, the partitioning and the byte count — and
+/// stays so through an append.
+#[test]
+fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
+    let mut rng = Rng::seed_from_u64(0xc04e_0006);
+    let schema = Schema::of(&[("s", DataType::Str), ("i", DataType::Int), ("f", DataType::Float)]);
+    let floats = [0.0, -0.0, f64::NAN, 1.5, -2.25, f64::INFINITY];
+    let mut batch = |rows: usize, strs: usize| -> Vec<Vec<Value>> {
+        vec![
+            (0..rows).map(|_| Value::from(format!("k{:02}", rng.range_usize(0, strs)))).collect(),
+            (0..rows).map(|_| Value::Int(rng.range_i64_inclusive(-40, 40))).collect(),
+            (0..rows).map(|_| Value::Float(floats[rng.range_usize(0, floats.len())])).collect(),
+        ]
+    };
+    let coded = |columns: &[Vec<Value>]| {
+        let slices: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
+        let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
+        from_bytes::<TableDelta>(&to_bytes(&delta)).unwrap()
+    };
+    let base = batch(600, 12);
+    // Values the base has and values it has not, in every column.
+    let mut tail = batch(90, 20);
+    tail[2].push(Value::Float(7.0));
+    tail[1].push(Value::Int(1_000));
+    tail[0].push(Value::from("zz"));
+    let table = Table::from_columns(schema.clone(), base.clone()).unwrap();
+
+    let spec = PartitionSpec::new(&["s", "i"], 64);
+    let mut production = BuildOptions::production(&["s", "i"]);
+    production.partition.as_mut().unwrap().max_chunk_rows = 50;
+    let ladder = [
+        ("basic", BuildOptions::basic()),
+        ("chunked", BuildOptions::chunked(spec.clone())),
+        ("optcols", BuildOptions::optcols(spec.clone())),
+        ("optdicts", BuildOptions::optdicts(spec.clone())),
+        ("reordered", BuildOptions::reordered(spec)),
+        ("production", production),
+    ];
+    let assert_same = |a: &DataStore, b: &DataStore, what: &str| {
+        assert_eq!(a.n_rows(), b.n_rows(), "{what}");
+        assert_eq!(a.partitioning(), b.partitioning(), "{what}: partitioning");
+        for name in a.column_names() {
+            assert_eq!(a.column(&name).unwrap(), b.column(&name).unwrap(), "{what}: `{name}`");
+        }
+        assert_eq!(a.total_bytes(), b.total_bytes(), "{what}: bytes");
+    };
+    for (rung, options) in &ladder {
+        let mut built = DataStore::build(&table, options).unwrap();
+        let mut from_coded = DataStore::from_coded(coded(&base), options).unwrap();
+        assert_same(&built, &from_coded, rung);
+        if *rung != "basic" {
+            assert!(built.chunk_count() > 4, "{rung}: the partitioner must have had work");
+        }
+        let delta = coded(&tail);
+        built.append_delta(&delta).unwrap();
+        from_coded.append_delta(&delta).unwrap();
+        assert_eq!(built.n_rows(), 691);
+        assert_same(&built, &from_coded, &format!("{rung} after an append"));
+    }
+
+    // A forged code never reaches a dictionary lookup.
+    let mut forged = coded(&base);
+    forged.columns[1].codes[3] = u32::MAX;
+    assert!(DataStore::from_coded(forged, &BuildOptions::basic()).is_err());
 }

@@ -28,13 +28,12 @@
 //! saturation threshold).
 
 use crate::chaos::ChaosModel;
-use crate::process::{shard_table, Tree, WorkerAddr};
+use crate::process::{shard_delta, Tree, WorkerAddr};
 use crate::rpc::QueryRequest;
 use pd_common::sync::Mutex;
-use pd_common::{Error, RpcError, Schema, Value};
+use pd_common::{Error, RpcError, Schema};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
-use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -55,9 +54,11 @@ pub enum Transport {
     /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), with optionally
     /// compressed frames. A worker that exhausts the query's
     /// [`RpcConfig::budget`] fails over exactly like an unreachable one
-    /// ([`crate::ChaosFault::Unreachable`]). Workers summarize their shard
-    /// at load, so any tree node pre-skips subtrees whose shard metadata
-    /// cannot match ([`pd_core::ScanStats::subtrees_pruned`]).
+    /// ([`crate::ChaosFault::Unreachable`]). A shard reaches its worker as
+    /// the coded columns an append ships ([`pd_encoding::TableDelta`]);
+    /// workers summarize them at load, so any tree node pre-skips subtrees
+    /// whose shard metadata cannot match
+    /// ([`pd_core::ScanStats::subtrees_pruned`]).
     Rpc(RpcConfig),
 }
 
@@ -172,11 +173,6 @@ pub struct ClusterConfig {
     /// Driver-side admission control: shed queries beyond the in-flight
     /// budget with a typed [`pd_common::RpcError::Overloaded`].
     pub admission: AdmissionConfig,
-    /// Use chunk-granular metadata (per-chunk zone maps shipped in the
-    /// `Loaded` acks) for edge pruning and leaf scan seeding. On by
-    /// default; turning it off falls back to shard-granular pruning only.
-    /// Results are bit-identical either way — only the work moves.
-    pub chunk_pruning: bool,
 }
 
 impl Default for ClusterConfig {
@@ -191,7 +187,6 @@ impl Default for ClusterConfig {
             shard_cache: 1024,
             transport: Transport::InProcess,
             admission: AdmissionConfig::default(),
-            chunk_pruning: true,
         }
     }
 }
@@ -348,8 +343,9 @@ impl Cluster {
 
     /// Stream `delta`'s rows into the live cluster — the incremental
     /// alternative to [`Cluster::rebuild`]. The delta is split across
-    /// shards by the import's contiguous-range rule, encoded per shard as a
-    /// self-contained dictionary-delta table ([`pd_encoding::TableDelta`]:
+    /// shards by the import's contiguous-range rule, coded per shard as the
+    /// self-contained columns a shard's first rows arrived in
+    /// ([`pd_encoding::TableDelta`]:
     /// the receiver resolves it against its resident dictionaries,
     /// appending only genuinely new values, so **every existing global id
     /// stays stable** and folded partials across old and new chunks stay
@@ -375,17 +371,9 @@ impl Cluster {
             return Err(Error::Schema("append: delta schema does not match the cluster's".into()));
         }
         let shard_count = tree.shard_count();
-        let field_count = self.schema.fields().len();
-        let mut deltas = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            let sub = shard_table(delta, s, shard_count)?;
-            deltas.push(if sub.is_empty() {
-                None
-            } else {
-                let columns: Vec<&[Value]> = (0..field_count).map(|i| sub.column(i)).collect();
-                Some(TableDelta::from_columns(self.schema.clone(), &columns)?)
-            });
-        }
+        let deltas = (0..shard_count)
+            .map(|s| shard_delta(delta, s, shard_count))
+            .collect::<pd_common::Result<Vec<_>>>()?;
         // From here on a failure may have touched some shards and not
         // others.
         match tree.append(deltas, self.epoch + 1) {
@@ -553,7 +541,6 @@ impl Cluster {
             hedge_micros,
             epoch: self.epoch,
             chaos: self.config.chaos.draw(qid, tree.node_names(), shard_count),
-            chunk_pruning: self.config.chunk_pruning,
         };
 
         let fan_out_started = Instant::now();
@@ -639,6 +626,7 @@ fn needs_rebuild() -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pd_common::Value;
     use pd_core::{query, DataStore};
     use pd_data::{generate_logs, LogsSpec};
 

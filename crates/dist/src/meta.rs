@@ -147,6 +147,21 @@ impl ShardMeta {
         }
     }
 
+    /// [`ShardMeta::summarize`] over the same rows held as columns (schema
+    /// field order) — how a leaf holds them.
+    pub(crate) fn summarize_columns(
+        shard: u64,
+        schema: &Schema,
+        columns: &[&[Value]],
+    ) -> ShardMeta {
+        let mut meta = ShardMeta::summarize(shard, schema, &[]);
+        for (summary, column) in meta.columns.iter_mut().zip(columns) {
+            column.iter().for_each(|value| summary.observe(value));
+        }
+        meta.rows = columns.first().map_or(0, |column| column.len()) as u64;
+        meta
+    }
+
     /// Attach per-chunk zone maps: the store's partitioning says which of
     /// the *original* rows landed in which chunk (and in what order), so
     /// the chunk summaries describe exactly the rows each chunk scan would
@@ -388,9 +403,9 @@ pub fn may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
     chunk_verdicts(restriction, meta).iter().any(|a| *a != ChunkActivity::Skip)
 }
 
-/// The shard-granular layers only (zone map + Bloom) — what a parent uses
-/// when chunk-granular pruning is disabled.
-pub fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
+/// The shard-granular layers only (zone map + Bloom): [`may_match`]'s first
+/// step.
+fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
     if meta.rows == 0 {
         return false;
     }
@@ -767,6 +782,7 @@ mod tests {
         // Without blooms: min/max spans the probes, so everything is maybe.
         assert!(may_match(&restriction("term = 'term-0a'"), &meta));
         let cols = transposed(&rows);
+        assert_eq!(ShardMeta::summarize_columns(0, &schema, &as_slices(&cols)), meta);
         meta.build_blooms(&schema, &as_slices(&cols));
         assert_eq!(meta.blooms.len(), 1);
         // Present values always probe true (no false negatives) ...

@@ -23,14 +23,14 @@ use pd_common::{Error, Result, RpcError, Value};
 use pd_core::{
     execute_partial_seeded, scheduler, BuildOptions, DataStore, ExecContext, ResultCache,
 };
-use pd_data::Table;
+use pd_encoding::TableDelta;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a node is told when it is assigned its role — the non-data half of
-/// a `Load` / `Attach` message.
-#[derive(Debug, Clone)]
+/// a `Load` / `Attach` message, and the same bytes in both.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Tree-wide name (`l0p`, `m1_0`, ...): what chaos directives target.
     pub name: String,
@@ -89,26 +89,32 @@ impl Node {
         }
     }
 
-    /// Import `table` as shard `shard`'s leaf. `meta` is the row-level
-    /// summary of exactly these rows ([`ShardMeta::summarize`]) when the
-    /// caller needs one kept; its chunk-granular layers are finished here,
-    /// from the *built* store — its partitioning says which rows each chunk
-    /// scan visits, which is what every query-time verdict must hold for.
+    /// Build shard `shard`'s leaf from its rows as coded columns — how they
+    /// arrive whether a frame or the driver's own split brought them. With
+    /// `keep_summary` the leaf also keeps a [`ShardMeta`] of exactly these
+    /// rows, made here and nowhere else: the row-level layer from the
+    /// values, the chunk-granular layers from the *built* store — its
+    /// partitioning says which rows each chunk scan visits, which is what
+    /// every query-time verdict must hold for.
     pub fn leaf(
         shard: u64,
-        table: &Table,
+        delta: TableDelta,
         build: &BuildOptions,
-        mut meta: Option<ShardMeta>,
+        keep_summary: bool,
         spec: NodeSpec,
     ) -> Result<Node> {
-        let store = DataStore::build(table, build)?;
-        if let Some(meta) = &mut meta {
+        delta.validate()?;
+        // The store consumes the codes; the summary reads the values.
+        let values = keep_summary.then(|| delta.materialized_columns());
+        let store = DataStore::from_coded(delta, build)?;
+        let meta = values.map(|values| {
+            let columns: Vec<&[Value]> = values.iter().map(Vec::as_slice).collect();
+            let mut meta = ShardMeta::summarize_columns(shard, store.schema(), &columns);
             meta.chunks = store.chunk_count() as u64;
-            let columns: Vec<&[Value]> =
-                (0..table.schema().fields().len()).map(|i| table.column(i)).collect();
-            meta.summarize_chunks(table.schema(), &columns, store.partitioning());
-            meta.build_blooms(table.schema(), &columns);
-        }
+            meta.summarize_chunks(store.schema(), &columns, store.partitioning());
+            meta.build_blooms(store.schema(), &columns);
+            meta
+        });
         let ctx = ExecContext {
             threads: spec.threads,
             result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
@@ -292,7 +298,7 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
     let seeds = leaf
         .meta
         .as_ref()
-        .filter(|meta| request.chunk_pruning && !meta.chunk_metas.is_empty())
+        .filter(|meta| !meta.chunk_metas.is_empty())
         .map(|meta| meta::chunk_verdicts(&request.query.restriction, meta));
     let (partial, stats) =
         execute_partial_seeded(&leaf.store, &request.query, &leaf.ctx, seeds.as_deref())?;
@@ -317,8 +323,7 @@ mod tests {
     use super::*;
     use crate::meta::{chunk_verdicts, may_match, MAX_DISTINCT};
     use pd_common::rng::Rng;
-    use pd_common::{DataType, Row, Schema};
-    use pd_encoding::TableDelta;
+    use pd_common::{DataType, Schema};
     use pd_sql::{parse_query, Restriction};
 
     fn restriction(where_sql: &str) -> Restriction {
@@ -335,9 +340,12 @@ mod tests {
                 ns.map(Value::Int).collect(),
             ]
         };
-        let table = Table::from_columns(schema.clone(), rows(0..90)).unwrap();
+        let coded = |batch: Vec<Vec<Value>>| {
+            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
+            TableDelta::from_columns(schema.clone(), &slices).unwrap()
+        };
         let spec = NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 };
-        let leaf = Node::leaf(0, &table, &BuildOptions::basic(), None, spec).unwrap();
+        let leaf = Node::leaf(0, coded(rows(0..90)), &BuildOptions::basic(), false, spec).unwrap();
         let ask = |sql: &str, epoch: u64| {
             let request = QueryRequest {
                 query: pd_sql::analyze(&parse_query(sql).unwrap()).unwrap(),
@@ -345,15 +353,11 @@ mod tests {
                 hedge_micros: 0,
                 epoch,
                 chaos: Vec::new(),
-                chunk_pruning: true,
             };
             leaf.query(&request, Duration::ZERO).map(|answer| answer.stats)
         };
         let append = |ns: std::ops::Range<i64>, epoch: u64| {
-            let batch = rows(ns);
-            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
-            let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
-            leaf.append(&AppendRequest { shard: 0, delta, epoch }).unwrap()
+            leaf.append(&AppendRequest { shard: 0, delta: coded(rows(ns)), epoch }).unwrap()
         };
         // An integer for every row so far; a string once `n` reaches 1000.
         let by_size = "SELECT COUNT(*) as c FROM t GROUP BY if(n >= 1000, 'big', 0)";
@@ -408,19 +412,15 @@ mod tests {
                 (0..count).map(|_| Value::Int(rng.range_i64_inclusive(0, 5_000))).collect(),
             ]
         }
+        let coded = |batch: &[Vec<Value>]| {
+            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
+            TableDelta::from_columns(schema.clone(), &slices).unwrap()
+        };
         let base = columns(&mut rng, &mut next_term, 400, MAX_DISTINCT - 8);
-        let table = Table::from_columns(schema.clone(), base).unwrap();
-        let base: Vec<Row> = table.iter_rows().collect();
         let mut build = BuildOptions::production(&["k"]);
         build.partition.as_mut().unwrap().max_chunk_rows = MAX_CHUNK_ROWS;
-        let leaf = Node::leaf(
-            0,
-            &table,
-            &build,
-            Some(ShardMeta::summarize(0, &schema, &base)),
-            NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 },
-        )
-        .unwrap();
+        let spec = NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 };
+        let leaf = Node::leaf(0, coded(&base), &build, true, spec).unwrap();
         let mut parents = leaf.meta().unwrap();
         assert!(parents.column("term").unwrap().values.is_some(), "under the cap at load");
         assert!(parents.column("n").unwrap().values.is_none(), "degraded at load");
@@ -429,9 +429,7 @@ mod tests {
             let count = rng.range_usize(1, 3 * MAX_CHUNK_ROWS + 1);
             let fresh_terms = rng.range_usize(0, 3).min(count);
             let batch = columns(&mut rng, &mut next_term, count, fresh_terms);
-            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
-            let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
-            let append = AppendRequest { shard: 0, delta, epoch: 2 + step };
+            let append = AppendRequest { shard: 0, delta: coded(&batch), epoch: 2 + step };
             let receipt = leaf.append(&append).unwrap();
             assert_eq!(receipt.new_chunk_rows.len(), count.div_ceil(MAX_CHUNK_ROWS), "step {step}");
             parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();

@@ -30,7 +30,7 @@ use crate::rpc::{
     Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
-use pd_common::{fx_hash64, Error, Result};
+use pd_common::{fx_hash64, Error, Result, Value};
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use std::path::{Path, PathBuf};
@@ -219,13 +219,18 @@ impl Tree {
     /// Split `table` into contiguous row ranges (not round-robin: that
     /// preserves the "implicit clustering" of appended log records the
     /// paper's partitioning benefits from) and build the tree at `epoch`:
-    /// one leaf (pair) per shard — sub-tables are produced one at a time
-    /// and dropped once imported or shipped — then merge levels, bottom-up,
-    /// until one fits the fanout; that top level is the frontier. The one
-    /// place [`ClusterConfig::transport`] matters.
+    /// one leaf (pair) per shard — each shard's rows are dictionary-coded
+    /// once (`shard_delta`), one shard at a time, and that one value is
+    /// handed to a local leaf or put in a `Load` frame — then merge levels,
+    /// bottom-up, until one fits the fanout; that top level is the
+    /// frontier. The one place [`ClusterConfig::transport`] matters.
     pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
         let shard_count = config.shards.clamp(1, table.len().max(1));
         let fanout = config.tree.fanout.max(2);
+        let coded = |shard: usize| {
+            shard_delta(table, shard, shard_count)?
+                .ok_or_else(|| Error::Data("cannot build a tree over a table with no rows".into()))
+        };
         let (frontier, nodes) = match &config.transport {
             Transport::InProcess => {
                 let mut leaves = Vec::with_capacity(shard_count);
@@ -236,9 +241,9 @@ impl Tree {
                     // dictionaries find anyway.
                     leaves.push(Arc::new(Node::leaf(
                         shard as u64,
-                        &shard_table(table, shard, shard_count)?,
+                        coded(shard)?,
                         &config.build,
-                        None,
+                        false,
                         node_spec(config, leaf_primary(shard as u64), epoch),
                     )?));
                 }
@@ -261,14 +266,20 @@ impl Tree {
                 let mut workers = Workers::new(rpc)?;
                 let mut level = Vec::with_capacity(shard_count);
                 for shard in 0..shard_count {
-                    let sub = shard_table(table, shard, shard_count)?;
-                    level.push(workers.load_leaf(shard, sub, config, epoch)?);
+                    level.push(workers.load_leaf(shard, coded(shard)?, config, epoch)?);
                 }
                 // Each shard's summary moves up with its spec — into the
                 // `Attach` of the parent that prunes with it, and on into
                 // the frontier's handles; the driver keeps no other copy.
                 let top = stack_levels(level, fanout, |height, i, group| {
-                    workers.attach_mixer(height, i, group, config.shard_cache, epoch)
+                    // Socket children are other processes: the fan-out
+                    // writes to each and then reads each on one thread, so
+                    // a merge server has no width to choose.
+                    let spec = NodeSpec {
+                        threads: 1,
+                        ..node_spec(config, format!("m{height}_{i}"), epoch)
+                    };
+                    workers.attach_mixer(group, spec)
                 })?;
                 let compress = workers.compress;
                 let frontier = top.into_iter().map(|spec| ChildHandle::new(spec, compress));
@@ -373,16 +384,22 @@ fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> NodeSpec {
 
 /// Shard `s`'s contiguous slice of `table` under an `shard_count`-way split
 /// — the *same* row assignment for both transports and for appended
-/// deltas, so neither can ever re-partition the data.
-pub(crate) fn shard_table(table: &Table, s: usize, shard_count: usize) -> Result<Table> {
+/// batches, so neither can ever re-partition the data — as column slices,
+/// dictionary-coded once: the one form in which rows reach a leaf. `None`
+/// when the slice holds no row.
+pub(crate) fn shard_delta(
+    table: &Table,
+    s: usize,
+    shard_count: usize,
+) -> Result<Option<TableDelta>> {
     let n = table.len();
-    let lo = n * s / shard_count;
-    let hi = n * (s + 1) / shard_count;
-    let mut sub = Table::new(table.schema().clone());
-    for r in lo..hi {
-        sub.push_row(table.row(r))?;
+    let rows = n * s / shard_count..n * (s + 1) / shard_count;
+    if rows.is_empty() {
+        return Ok(None);
     }
-    Ok(sub)
+    let columns: Vec<&[Value]> =
+        (0..table.schema().len()).map(|i| &table.column(i)[rows.clone()]).collect();
+    TableDelta::from_columns(table.schema().clone(), &columns).map(Some)
 }
 
 impl Workers {
@@ -414,21 +431,16 @@ impl Workers {
     fn load_leaf(
         &mut self,
         shard: usize,
-        table: Table,
+        delta: TableDelta,
         config: &ClusterConfig,
         epoch: u64,
     ) -> Result<ChildSpec> {
         let mut load = Request::Load(Box::new(LoadRequest {
             shard: shard as u64,
-            schema: table.schema().clone(),
-            rows: table.iter_rows().collect(),
+            delta,
             build: config.build.clone(),
-            threads: config.threads as u64,
-            cache_entries: config.shard_cache as u64,
-            epoch,
-            name: leaf_primary(shard as u64),
+            spec: node_spec(config, leaf_primary(shard as u64), epoch),
         }));
-        drop(table);
         let (primary, ack) = self.spawn_worker(&leaf_primary(shard as u64), &load)?;
         let meta = match ack {
             Response::Loaded(meta) => *meta,
@@ -436,9 +448,9 @@ impl Workers {
         };
         let replica = if config.replication {
             // Same shard bytes, its own name — retagged in place so the
-            // shipped rows are not cloned per replica.
+            // shipped columns are not cloned per replica.
             if let Request::Load(l) = &mut load {
-                l.name = format!("l{shard}r");
+                l.spec.name = format!("l{shard}r");
             }
             let (replica, ack) = self.spawn_worker(&format!("l{shard}r"), &load)?;
             if !matches!(ack, Response::Loaded(_)) {
@@ -459,27 +471,14 @@ impl Workers {
         Ok(spec)
     }
 
-    /// Spawn merge server `i` of level `height` over `children`. Each
-    /// node's spec accumulates the shard summaries beneath it, so pruning
+    /// Spawn the merge server `spec` names over `children`. Each node's
+    /// child spec accumulates the shard summaries beneath it, so pruning
     /// works at any depth.
-    fn attach_mixer(
-        &mut self,
-        height: u64,
-        i: usize,
-        children: Vec<ChildSpec>,
-        cache_entries: usize,
-        epoch: u64,
-    ) -> Result<ChildSpec> {
+    fn attach_mixer(&mut self, children: Vec<ChildSpec>, spec: NodeSpec) -> Result<ChildSpec> {
         let metas: Vec<ShardMeta> =
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
-        let name = format!("m{height}_{i}");
-        let attach = Request::Attach(AttachRequest {
-            children,
-            compress: self.compress,
-            cache_entries: cache_entries as u64,
-            epoch,
-            name: name.clone(),
-        });
+        let name = spec.name.clone();
+        let attach = Request::Attach(AttachRequest { children, compress: self.compress, spec });
         let (worker, ack) = self.spawn_worker(&name, &attach)?;
         expect_ok(ack, "attach")?;
         self.mixers.push(Mixer { worker, shards: metas.iter().map(|m| m.shard).collect() });

@@ -16,8 +16,9 @@
 
 use crate::chaos::ChaosDirective;
 use crate::meta::ShardMeta;
+use crate::node::NodeSpec;
 use pd_common::wire::{Decode, Encode, Reader};
-use pd_common::{Error, Result, Row, RpcError, Schema};
+use pd_common::{Error, Result, RpcError};
 use pd_core::{BuildOptions, PartialResult, ScanStats};
 use pd_encoding::TableDelta;
 use pd_sql::AnalyzedQuery;
@@ -83,9 +84,11 @@ impl Decode for Addr {
 pub enum Request {
     /// Liveness / startup handshake. Answered inline, never queued.
     Ping,
-    /// Become a leaf: import the shipped rows into a [`pd_core::DataStore`].
-    /// Acknowledged with [`Response::Loaded`] — the shard's metadata
-    /// summary, which parents use to pre-skip.
+    /// Become a leaf: build a [`pd_core::DataStore`] from the shipped coded
+    /// columns — the shard's rows in the form an [`Request::Append`] ships
+    /// later ones, decoded and validated by the same code. Acknowledged
+    /// with [`Response::Loaded`] — the shard's metadata summary, which
+    /// parents use to pre-skip.
     Load(Box<LoadRequest>),
     /// Become a merge server owning a subtree.
     Attach(AttachRequest),
@@ -107,24 +110,15 @@ pub enum Request {
     Shutdown,
 }
 
-/// Everything a worker needs to become shard `shard`'s server.
+/// Everything a worker needs to become shard `shard`'s server: the
+/// shard's rows, dictionary-coded once by the driver, and the recipe to
+/// build the store from them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadRequest {
     pub shard: u64,
-    pub schema: Schema,
-    pub rows: Vec<Row>,
+    pub delta: TableDelta,
     pub build: BuildOptions,
-    /// Worker thread count for chunk scans (0 = auto).
-    pub threads: u64,
-    /// Capacity (signatures) of the leaf's own result cache; 0 disables.
-    pub cache_entries: u64,
-    /// Rebuild epoch of the shipped data. Queries carrying a different
-    /// epoch drop the worker's node cache (its cached partials) before
-    /// executing.
-    pub epoch: u64,
-    /// This node's tree-wide name (`l0p`, `l0r`, ...) — the key chaos
-    /// directives target, and the label failures report.
-    pub name: String,
+    pub spec: NodeSpec,
 }
 
 /// A streaming append for one leaf shard: the self-contained delta batch
@@ -182,15 +176,7 @@ pub struct AttachRequest {
     /// children (and advertises compressed replies) — the per-connection
     /// negotiation travels down the tree with the wiring.
     pub compress: bool,
-    /// Capacity (signatures) of this merge server's own cache of folded
-    /// subtree partials; 0 disables.
-    pub cache_entries: u64,
-    /// Rebuild epoch of the subtree's data (same contract as
-    /// [`LoadRequest::epoch`]).
-    pub epoch: u64,
-    /// This merge server's tree-wide name (`m1_0`, ...), same contract as
-    /// [`LoadRequest::name`].
-    pub name: String,
+    pub spec: NodeSpec,
 }
 
 /// One child of a tree node — a leaf shard (with its replica, the §4
@@ -248,12 +234,6 @@ pub struct QueryRequest {
     /// reads the edge-applied ones naming its children, a worker the
     /// worker-applied ones naming itself.
     pub chaos: Vec<ChaosDirective>,
-    /// Whether parents may use the chunk-granular metadata layers
-    /// ([`crate::meta::chunk_verdicts`]) to prune edges and leaves may
-    /// seed their scans with the same verdicts. Off, pruning falls back
-    /// to the shard-granular zone map + blooms only — results are
-    /// identical either way; only the work moves.
-    pub chunk_pruning: bool,
 }
 
 /// Per-shard observation, reported up the tree: how long the subquery took
@@ -337,21 +317,15 @@ impl Encode for Request {
             Request::Load(load) => {
                 out.push(REQ_LOAD);
                 load.shard.encode(out);
-                load.schema.encode(out);
-                load.rows.encode(out);
+                load.delta.encode(out);
                 load.build.encode(out);
-                load.threads.encode(out);
-                load.cache_entries.encode(out);
-                load.epoch.encode(out);
-                load.name.encode(out);
+                load.spec.encode(out);
             }
             Request::Attach(attach) => {
                 out.push(REQ_ATTACH);
                 attach.children.encode(out);
                 attach.compress.encode(out);
-                attach.cache_entries.encode(out);
-                attach.epoch.encode(out);
-                attach.name.encode(out);
+                attach.spec.encode(out);
             }
             Request::Query(query) => query.encode(out),
             Request::Append(append) => append.encode(out),
@@ -371,20 +345,14 @@ impl Decode for Request {
             REQ_PING => Request::Ping,
             REQ_LOAD => Request::Load(Box::new(LoadRequest {
                 shard: r.u64()?,
-                schema: Schema::decode(r)?,
-                rows: Vec::<Row>::decode(r)?,
+                delta: TableDelta::decode(r)?,
                 build: BuildOptions::decode(r)?,
-                threads: r.u64()?,
-                cache_entries: r.u64()?,
-                epoch: r.u64()?,
-                name: String::decode(r)?,
+                spec: NodeSpec::decode(r)?,
             })),
             REQ_ATTACH => Request::Attach(AttachRequest {
                 children: Vec::decode(r)?,
                 compress: bool::decode(r)?,
-                cache_entries: r.u64()?,
-                epoch: r.u64()?,
-                name: String::decode(r)?,
+                spec: NodeSpec::decode(r)?,
             }),
             REQ_QUERY => Request::Query(Box::new(QueryRequest {
                 query: AnalyzedQuery::decode(r)?,
@@ -392,7 +360,6 @@ impl Decode for Request {
                 hedge_micros: r.u64()?,
                 epoch: r.u64()?,
                 chaos: Vec::decode(r)?,
-                chunk_pruning: bool::decode(r)?,
             })),
             REQ_APPEND => Request::Append(Box::new(AppendRequest {
                 shard: r.u64()?,
@@ -420,7 +387,6 @@ impl Encode for QueryRequest {
         self.hedge_micros.encode(out);
         self.epoch.encode(out);
         self.chaos.encode(out);
-        self.chunk_pruning.encode(out);
     }
 }
 
@@ -432,6 +398,26 @@ impl Encode for AppendRequest {
         self.shard.encode(out);
         self.delta.encode(out);
         self.epoch.encode(out);
+    }
+}
+
+impl Encode for NodeSpec {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.name.encode(out);
+        self.cache_entries.encode(out);
+        self.epoch.encode(out);
+        self.threads.encode(out);
+    }
+}
+
+impl Decode for NodeSpec {
+    fn decode(r: &mut Reader<'_>) -> Result<NodeSpec> {
+        Ok(NodeSpec {
+            name: String::decode(r)?,
+            cache_entries: usize::decode(r)?,
+            epoch: r.u64()?,
+            threads: usize::decode(r)?,
+        })
     }
 }
 
@@ -601,7 +587,7 @@ mod tests {
     use super::testkit::{analyzed, sample_meta};
     use super::*;
     use pd_common::wire;
-    use pd_common::{DataType, Value};
+    use pd_common::{DataType, Schema, Value};
 
     #[test]
     fn requests_round_trip() {
@@ -617,13 +603,9 @@ mod tests {
             Request::Ping,
             Request::Load(Box::new(LoadRequest {
                 shard: 3,
-                schema: Schema::of(&[("k", DataType::Str)]),
-                rows: vec![Row(vec![pd_common::Value::from("x")])],
+                delta: delta.clone(),
                 build: BuildOptions::production(&["k"]),
-                threads: 2,
-                cache_entries: 64,
-                epoch: 3,
-                name: "l3p".into(),
+                spec: NodeSpec { name: "l3p".into(), cache_entries: 64, epoch: 3, threads: 2 },
             })),
             Request::Attach(AttachRequest {
                 children: vec![
@@ -639,9 +621,7 @@ mod tests {
                     },
                 ],
                 compress: true,
-                cache_entries: 32,
-                epoch: 7,
-                name: "m1_0".into(),
+                spec: NodeSpec { name: "m1_0".into(), cache_entries: 32, epoch: 7, threads: 1 },
             }),
             Request::Query(Box::new(QueryRequest {
                 query: analyzed("SELECT COUNT(*) FROM t WHERE k IN ('a','b')"),
@@ -658,7 +638,6 @@ mod tests {
                         fault: crate::chaos::ChaosFault::Delay(Duration::from_millis(3)),
                     },
                 ],
-                chunk_pruning: true,
             })),
             Request::Append(Box::new(AppendRequest { shard: 2, delta: delta.clone(), epoch: 9 })),
             Request::Absorb(Box::new(AbsorbRequest {

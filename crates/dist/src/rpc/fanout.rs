@@ -282,15 +282,14 @@ mod tests {
             },
             false,
         );
-        let request = |sql: &str, chunk_pruning: bool| QueryRequest {
+        let request = |sql: &str| QueryRequest {
             query: analyzed(sql),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
             epoch: 1,
             chaos: Vec::new(),
-            chunk_pruning,
         };
-        let absent = request("SELECT COUNT(*) FROM t WHERE k = 'absent'", false);
+        let absent = request("SELECT COUNT(*) FROM t WHERE k = 'absent'");
         let answer = fan_out(std::slice::from_ref(&handle), &absent).unwrap();
         assert_eq!(answer.stats.subtrees_pruned, 1);
         assert_eq!(answer.stats.rows_total, rows);
@@ -300,7 +299,7 @@ mod tests {
         assert!(answer.partial.is_empty());
         // A restriction that *may* match must reach for the socket — and
         // fail, because nothing listens there.
-        let present = request("SELECT COUNT(*) FROM t WHERE k = 'x'", true);
+        let present = request("SELECT COUNT(*) FROM t WHERE k = 'x'");
         let err = fan_out(std::slice::from_ref(&handle), &present).unwrap_err();
         assert!(
             matches!(err, Error::Rpc(RpcError::ConnRefused(_))),

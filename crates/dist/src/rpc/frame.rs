@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame's payload (decompressed or raw). A
 /// shard's partial result for an interactive group-by is kilobytes; a
-/// shard *load* (rows + recipe) is megabytes. A length beyond this is
+/// shard *load* (coded columns + recipe) is megabytes. A length beyond this is
 /// corruption, not data.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
@@ -487,8 +487,10 @@ pub(super) fn read_frame_deadline<T: Decode>(
 mod tests {
     use super::super::{LoadRequest, Request, Response};
     use super::*;
-    use pd_common::{DataType, Row, Schema, Value};
+    use crate::node::NodeSpec;
+    use pd_common::{DataType, Schema, Value};
     use pd_core::BuildOptions;
+    use pd_encoding::TableDelta;
 
     #[test]
     fn addrs_parse_and_render() {
@@ -537,19 +539,15 @@ mod tests {
 
     #[test]
     fn large_frames_compress_and_round_trip() {
-        // A Load full of repetitive rows: compressible, and big enough to
-        // clear the threshold.
+        // A Load of one repeated value: compressible codes, and enough of
+        // them to clear the threshold.
         let schema = Schema::of(&[("k", DataType::Str)]);
-        let rows: Vec<Row> = (0..500).map(|_| Row(vec![Value::from("constant")])).collect();
+        let column = vec![Value::from("constant"); 2_000];
         let request = Request::Load(Box::new(LoadRequest {
             shard: 0,
-            schema,
-            rows,
+            delta: TableDelta::from_columns(schema, &[&column]).unwrap(),
             build: BuildOptions::basic(),
-            threads: 1,
-            cache_entries: 0,
-            epoch: 1,
-            name: "l0p".into(),
+            spec: NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 },
         }));
         let raw = encode_frame(&request, false).unwrap();
         let compressed = encode_frame(&request, true).unwrap();

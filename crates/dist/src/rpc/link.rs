@@ -206,10 +206,10 @@ impl ChildHandle {
     /// child proves no row can match, synthesize the empty answer locally
     /// — full skip accounting, one `subtrees_pruned` for the edge that
     /// never carried the query, a zero-latency report per shard — and
-    /// spend no hop at all. A chunk-granular proof additionally annotates
-    /// the chunks as [`ScanStats::chunks_pruned_remote`] (*where* the proof
-    /// happened, outside the skip/cache/scan balance).
-    fn pruned_answer(&self, count_chunks: bool) -> SubtreeAnswer {
+    /// spend no hop at all. The chunks are additionally annotated as
+    /// [`ScanStats::chunks_pruned_remote`] (*where* the proof happened,
+    /// outside the skip/cache/scan balance).
+    fn pruned_answer(&self) -> SubtreeAnswer {
         let mut answer = SubtreeAnswer::empty();
         answer.stats.subtrees_pruned = 1;
         for meta in &self.metas {
@@ -217,9 +217,7 @@ impl ChildHandle {
             answer.stats.rows_skipped += meta.rows;
             answer.stats.chunks_total += meta.chunks as usize;
             answer.stats.chunks_skipped += meta.chunks as usize;
-            if count_chunks {
-                answer.stats.chunks_pruned_remote += meta.chunks as usize;
-            }
+            answer.stats.chunks_pruned_remote += meta.chunks as usize;
             answer.reports.push(ShardReport {
                 shard: meta.shard,
                 latency: Duration::ZERO,
@@ -240,19 +238,13 @@ impl ChildHandle {
         // The prune precedes the failover logic deliberately: an answer
         // that never needs the server treats an unreachable primary as a
         // non-event (no failover recorded, and no replica missed).
+        // The full layered check: shard zone map → blooms → how many chunks
+        // survive. Zero live chunks prune the edge even when the shard
+        // envelope cannot.
         let dead = !self.metas.is_empty()
-            && self.metas.iter().all(|m| {
-                if request.chunk_pruning {
-                    // Full layered check: shard zone map → blooms → how
-                    // many chunks survive. Zero live chunks prune the
-                    // edge even when the shard envelope cannot.
-                    !meta::may_match(&request.query.restriction, m)
-                } else {
-                    !meta::shard_may_match(&request.query.restriction, m)
-                }
-            });
+            && self.metas.iter().all(|m| !meta::may_match(&request.query.restriction, m));
         if dead {
-            return InFlight::Pruned(self.pruned_answer(request.chunk_pruning));
+            return InFlight::Pruned(self.pruned_answer());
         }
         let mut primary = self.primary.hold();
         let replica = self.replica.as_ref().map(Link::hold);

@@ -2,7 +2,7 @@
 //! in-thread stand-in for a leaf worker.
 
 use super::*;
-use pd_common::{DataType, Value};
+use pd_common::{DataType, Row, Schema, Value};
 use pd_sql::{analyze, parse_query};
 use std::time::Duration;
 
@@ -69,6 +69,5 @@ pub(super) fn count_all(hedge_micros: u64) -> QueryRequest {
         hedge_micros,
         epoch: 1,
         chaos: Vec::new(),
-        chunk_pruning: true,
     }
 }

@@ -9,12 +9,13 @@
 //! business — the same code an in-memory tree runs; this module is only
 //! what is genuinely a process's: argv, sockets, the turnstile in front of
 //! the node, and wire sabotage. The driver assigns the role after startup — a
-//! [`Request::Load`] makes the process a leaf (it summarizes the shipped
-//! rows into a [`ShardMeta`], imports them, and acks with the summary so
-//! parents can pre-skip the shard), a [`Request::Attach`] a merge server
-//! over the listed children. Each assignment *replaces* the node outright
-//! — a repurposed worker can never answer from a shadowed store, a stale
-//! child list or the previous role's cache. Data then changes in place: a
+//! [`Request::Load`] makes the process a leaf (it builds the store from the
+//! shipped coded columns, summarizes them into a [`crate::meta::ShardMeta`]
+//! and acks with the summary so parents can pre-skip the shard), a
+//! [`Request::Attach`] a merge server over the listed children. Each
+//! assignment *replaces* the node outright — a repurposed worker can never
+//! answer from a shadowed store, a stale child list or the previous role's
+//! cache. Data then changes in place: a
 //! [`Request::Append`] streams rows into an existing leaf, which acks a
 //! receipt, and a [`Request::Absorb`] lets a merge server apply that same
 //! append to its copies of the summaries — neither replaces anything, and
@@ -49,15 +50,13 @@
 //! exit it.
 
 use crate::chaos::ChaosFault;
-use crate::meta::ShardMeta;
-use crate::node::{Node, NodeSpec};
+use crate::node::Node;
 use crate::rpc::{
-    encode_frame, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener, Request,
-    Response, Stream,
+    encode_frame, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener, LoadRequest,
+    Request, Response, Stream,
 };
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result};
-use pd_data::Table;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar};
@@ -270,22 +269,11 @@ fn handle(
 ) -> Result<Response> {
     match request {
         Request::Load(load) => {
-            let load = *load;
-            // The worker's own account of its data — value sets and
-            // extremes from the exact rows it serves — is what makes
-            // parent-side pruning sound.
-            let meta = ShardMeta::summarize(load.shard, &load.schema, &load.rows);
-            let mut table = Table::new(load.schema);
-            for row in load.rows {
-                table.push_row(row)?;
-            }
-            let spec = NodeSpec {
-                name: load.name,
-                cache_entries: load.cache_entries as usize,
-                epoch: load.epoch,
-                threads: load.threads as usize,
-            };
-            let node = Node::leaf(load.shard, &table, &load.build, Some(meta), spec)?;
+            let LoadRequest { shard, delta, build, spec } = *load;
+            // The leaf's own account of its data — value sets and extremes
+            // from the exact rows it serves — is what makes parent-side
+            // pruning sound.
+            let node = Node::leaf(shard, delta, &build, true, spec)?;
             let meta = node
                 .meta()
                 .ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
@@ -296,16 +284,7 @@ fn handle(
             let compress = attach.compress;
             let children =
                 attach.children.into_iter().map(|c| ChildHandle::new(c, compress)).collect();
-            let spec = NodeSpec {
-                name: attach.name,
-                cache_entries: attach.cache_entries as usize,
-                epoch: attach.epoch,
-                // Socket children are other processes: the fan-out writes
-                // to each and then reads each on the thread that got here,
-                // so there is no width to choose.
-                threads: 1,
-            };
-            *served = Some(Node::mixer(children, spec));
+            *served = Some(Node::mixer(children, attach.spec));
             Ok(Response::Ok)
         }
         Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),

@@ -8,6 +8,7 @@ use pd_common::rng::Rng;
 use pd_common::{DataType, Row, RpcError, Schema, Value};
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, PartialResult, ScanStats};
 use pd_data::Table;
+use pd_dist::node::NodeSpec;
 use pd_dist::rpc::{
     encode_frame, read_frame, read_frame_negotiated, AbsorbRequest, AppendReceipt, AppendRequest,
     AppliedDelta, LoadRequest, QueryRequest, Request, Response, ShardReport, SubtreeAnswer,
@@ -16,18 +17,6 @@ use pd_dist::{ChaosDirective, ChaosFault};
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query};
 use std::time::Duration;
-
-fn random_value(rng: &mut Rng) -> Value {
-    match rng.range_usize(0, 4) {
-        0 => Value::Null,
-        1 => Value::Int(rng.next_u64() as i64),
-        2 => Value::Float(f64::from_bits(rng.next_u64())), // NaN payloads included
-        _ => {
-            let len = rng.range_usize(0, 12);
-            Value::Str((0..len).map(|_| (b'a' + rng.range_u64(0, 26) as u8) as char).collect())
-        }
-    }
-}
 
 /// A real partial result to embed in answers: every kind of state column,
 /// float slots that are still exact pairs beside ones a NaN or an overflow
@@ -52,23 +41,55 @@ fn real_partial() -> PartialResult {
     execute_partial(&store, &analyzed, &ctx).unwrap().0
 }
 
-/// A random (valid) dictionary delta: typed columns, no nulls — the
-/// codec's own strictness tests cover invalid shapes.
+/// Random (valid) coded columns: typed, no nulls, floats with NaN payloads
+/// and both zeros among them.
 fn random_delta(rng: &mut Rng) -> TableDelta {
     let rows = rng.range_usize(1, 40);
-    let schema = Schema::of(&[("k", DataType::Str), ("v", DataType::Int)]);
+    let schema = Schema::of(&[("k", DataType::Str), ("v", DataType::Int), ("x", DataType::Float)]);
     let keys: Vec<Value> =
         (0..rows).map(|_| Value::from(format!("k{}", rng.range_u64(0, 12)))).collect();
     let vals: Vec<Value> = (0..rows).map(|_| Value::Int(rng.next_u64() as i64)).collect();
-    TableDelta::from_columns(schema, &[&keys, &vals]).unwrap()
+    let floats: Vec<Value> = (0..rows)
+        .map(|_| match rng.range_usize(0, 4) {
+            0 => Value::Float(0.0),
+            1 => Value::Float(-0.0),
+            _ => Value::Float(f64::from_bits(rng.next_u64())),
+        })
+        .collect();
+    TableDelta::from_columns(schema, &[&keys, &vals, &floats]).unwrap()
+}
+
+/// The two requests that carry rows, around the same `delta`.
+fn append_of(rng: &mut Rng, delta: TableDelta) -> Request {
+    Request::Append(Box::new(AppendRequest {
+        shard: rng.next_u64() % 64,
+        delta,
+        epoch: rng.next_u64(),
+    }))
+}
+
+fn load_of(rng: &mut Rng, delta: TableDelta) -> Request {
+    Request::Load(Box::new(LoadRequest {
+        shard: rng.next_u64() % 64,
+        delta,
+        build: BuildOptions::basic(),
+        spec: NodeSpec {
+            name: format!("l{}p", rng.next_u64() % 64),
+            cache_entries: rng.range_usize(0, 256),
+            epoch: rng.next_u64(),
+            threads: rng.range_usize(0, 4),
+        },
+    }))
 }
 
 fn random_append(rng: &mut Rng) -> Request {
-    Request::Append(Box::new(AppendRequest {
-        shard: rng.next_u64() % 64,
-        delta: random_delta(rng),
-        epoch: rng.next_u64(),
-    }))
+    let delta = random_delta(rng);
+    append_of(rng, delta)
+}
+
+fn random_load(rng: &mut Rng) -> Request {
+    let delta = random_delta(rng);
+    load_of(rng, delta)
 }
 
 /// The receipt a leaf would ack `rows` appended rows with — or, one time
@@ -100,21 +121,7 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
     match case % 6 {
         5 => random_absorb(rng),
         4 => random_append(rng),
-        0 => {
-            let rows = (0..rng.range_usize(0, 40))
-                .map(|_| Row(vec![random_value(rng), random_value(rng)]))
-                .collect();
-            Request::Load(Box::new(LoadRequest {
-                shard: rng.next_u64() % 64,
-                schema: Schema::of(&[("a", DataType::Str), ("b", DataType::Float)]),
-                rows,
-                build: BuildOptions::basic(),
-                threads: rng.next_u64() % 4,
-                cache_entries: rng.next_u64() % 256,
-                epoch: rng.next_u64(),
-                name: format!("l{}p", rng.next_u64() % 64),
-            }))
-        }
+        0 => random_load(rng),
         1 => {
             let sqls = [
                 "SELECT k, COUNT(*) c FROM t WHERE k IN ('a','b') GROUP BY k",
@@ -140,7 +147,6 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 hedge_micros: rng.next_u64() % 1_000_000,
                 epoch: rng.next_u64(),
                 chaos,
-                chunk_pruning: rng.next_u64().is_multiple_of(2),
             }))
         }
         2 => Request::Shutdown,
@@ -236,16 +242,75 @@ fn truncated_frames_error_and_never_panic() {
             }
         }
     }
-    // Append and absorb frames carry nested dictionary payloads with their
-    // own length prefixes — every truncation point must still error, never
-    // decode.
+    // Load, append and absorb frames carry nested dictionary payloads with
+    // their own length prefixes — every truncation point must still error,
+    // never decode.
     for case in 0..12 {
-        let request = if case % 3 == 2 { random_absorb(&mut rng) } else { random_append(&mut rng) };
+        let request = match case % 3 {
+            0 => random_load(&mut rng),
+            1 => random_append(&mut rng),
+            _ => random_absorb(&mut rng),
+        };
         for compress in [false, true] {
             let frame = encode_frame(&request, compress).unwrap();
             for cut in 0..frame.len() {
                 if let Ok(Some(_)) = read_frame::<Request>(&mut frame[..cut].as_ref()) {
                     panic!("append case {case} cut={cut}: truncated frame decoded");
+                }
+            }
+        }
+    }
+}
+
+/// Rows cross the wire one way. A `Load` and an `Append` around the same
+/// coded columns contain the byte-identical delta section — one codec — and
+/// a delta forged in any of the ways a consumer would index out of bounds
+/// by is refused by both, at decode, before a store or a summary sees it.
+#[test]
+fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
+    use pd_common::wire::to_bytes;
+    let mut rng = Rng::seed_from_u64(0xf4a3_0005);
+    // Both payloads lead with their tag and the shard number.
+    const DELTA_AT: usize = 1 + 8;
+    for case in 0..24 {
+        let delta = random_delta(&mut rng);
+        let section = to_bytes(&delta);
+        let in_both = |delta: &TableDelta, rng: &mut Rng| {
+            [load_of(rng, delta.clone()), append_of(rng, delta.clone())]
+        };
+        for request in in_both(&delta, &mut rng) {
+            let payload = to_bytes(&request);
+            assert_eq!(payload[DELTA_AT..DELTA_AT + section.len()], section[..], "case {case}");
+        }
+
+        let last = delta.columns.len() - 1;
+        let mut bad_code = delta.clone();
+        bad_code.columns[last].codes[0] = bad_code.columns[last].dict.len();
+        let mut short = delta.clone();
+        short.columns[0].codes.pop();
+        let mut renamed = delta.clone();
+        renamed.columns[1].name = "other".into();
+        let mut rowless = delta.clone();
+        rowless.rows = 0;
+        rowless.columns.iter_mut().for_each(|column| column.codes.clear());
+        let mut tailed = delta.clone();
+        tailed.columns[0].dict.extend(&[Value::from("a value no batch holds")]).unwrap();
+        assert!(!tailed.columns[0].dict.is_value_ordered());
+        let forgeries = [
+            ("code", bad_code),
+            ("length", short),
+            ("name", renamed),
+            ("no rows", rowless),
+            ("tailed dictionary", tailed),
+        ];
+        for (what, forged) in &forgeries {
+            for request in in_both(forged, &mut rng) {
+                for compress in [false, true] {
+                    let frame = encode_frame(&request, compress).unwrap();
+                    assert!(
+                        read_frame::<Request>(&mut frame.as_slice()).is_err(),
+                        "case {case}: a delta forged in its {what} decoded"
+                    );
                 }
             }
         }

@@ -324,8 +324,10 @@ fn epoch_bump_drops_a_worker_cache() {
     // epochs. The cache serves repeats within an epoch and is dropped the
     // moment the epoch moves — the per-node form of rebuild invalidation.
     use pd_data::{generate_logs, LogsSpec};
+    use pd_dist::node::NodeSpec;
     use pd_dist::rpc::{Addr, LoadRequest, QueryRequest, Request, Response, RpcClient};
     use pd_dist::ReapGuard;
+    use pd_encoding::TableDelta;
     use pd_sql::{analyze, parse_query};
 
     let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
@@ -339,15 +341,12 @@ fn epoch_bump_drops_a_worker_cache() {
     let table = generate_logs(&LogsSpec::scaled(400));
     let mut client = RpcClient::new(addr, false);
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    let columns: Vec<&[Value]> = (0..table.schema().len()).map(|i| table.column(i)).collect();
     let load = Request::Load(Box::new(LoadRequest {
         shard: 0,
-        schema: table.schema().clone(),
-        rows: table.iter_rows().collect(),
+        delta: TableDelta::from_columns(table.schema().clone(), &columns).unwrap(),
         build: BuildOptions::basic(),
-        threads: 1,
-        cache_entries: 8,
-        epoch: 5,
-        name: "l0p".into(),
+        spec: NodeSpec { name: "l0p".into(), cache_entries: 8, epoch: 5, threads: 1 },
     }));
     assert!(matches!(client.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
 
@@ -361,7 +360,6 @@ fn epoch_bump_drops_a_worker_cache() {
             hedge_micros: 0,
             epoch,
             chaos: Vec::new(),
-            chunk_pruning: true,
         }));
         match client.call(&request, Duration::from_secs(30)).unwrap() {
             Response::Answer(answer) => answer,

@@ -7,7 +7,9 @@
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore};
 use pd_data::{generate_logs, LogsSpec, Table};
+use pd_dist::node::NodeSpec;
 use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
+use pd_encoding::TableDelta;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -65,17 +67,19 @@ fn raw_worker(tag: &str) -> (pd_dist::ReapGuard, pd_dist::rpc::Addr, PathBuf) {
     (worker, pd_dist::rpc::Addr::Unix(socket), dir)
 }
 
+/// `table`'s rows as the coded columns a `Load` or an `Append` ships.
+fn coded(table: &Table) -> TableDelta {
+    let columns: Vec<&[Value]> = (0..table.schema().len()).map(|i| table.column(i)).collect();
+    TableDelta::from_columns(table.schema().clone(), &columns).unwrap()
+}
+
 /// The `Load` that makes a raw worker shard 0's uncached leaf over `table`.
 fn leaf_load(table: &Table, build: BuildOptions) -> pd_dist::rpc::Request {
     pd_dist::rpc::Request::Load(Box::new(pd_dist::rpc::LoadRequest {
         shard: 0,
-        schema: table.schema().clone(),
-        rows: table.iter_rows().collect(),
+        delta: coded(table),
         build,
-        threads: 1,
-        cache_entries: 0,
-        epoch: 1,
-        name: "l0p".into(),
+        spec: NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 },
     }))
 }
 
@@ -250,9 +254,11 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
     // rows, so chunk boundaries align to value runs and every chunk of
     // the value-partitioned store carries a tight value-space min/max —
     // the shipped zone maps prove the gap query empty chunk by chunk.
-    // With chunk pruning on, the whole tree prunes at the root with
+    // The whole socket tree prunes at the root with
     // `chunks_pruned_remote` annotating every chunk beneath the dead
-    // edges; off, the same query must scan every row.
+    // edges; its twin — the same shards in one address space, whose
+    // leaves keep no summary and find rows by their chunk dictionaries
+    // alone — must scan every row.
     let all: Vec<String> = (0..30)
         .map(|i| format!("v{i:04}"))
         .chain((1000..1030).map(|i| format!("v{i:04}")))
@@ -271,7 +277,7 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
     let dead_sql = "SELECT COUNT(*) c FROM t WHERE v > 'v0029' AND v < 'v1000'";
     let half_sql = "SELECT COUNT(*) c FROM t WHERE v < 'v1000'";
 
-    let cluster_with = |chunk_pruning: bool| {
+    let cluster_over = |transport: Transport| {
         Cluster::build(
             &table,
             &ClusterConfig {
@@ -279,15 +285,14 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
                 replication: false,
                 build: build.clone(),
                 tree: TreeShape { fanout: 2 },
-                transport: rpc(Duration::from_secs(30)),
-                chunk_pruning,
+                transport,
                 ..Default::default()
             },
         )
         .unwrap()
     };
-    let on = cluster_with(true);
-    let off = cluster_with(false);
+    let on = cluster_over(rpc(Duration::from_secs(30)));
+    let off = cluster_over(Transport::InProcess);
 
     // The provably-empty query: chunk verdicts prune every edge remotely.
     let (expect, _) = query(&store, dead_sql).unwrap();
@@ -308,14 +313,14 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
         "the remote annotation stays outside the skip/cache/scan balance"
     );
 
-    // The same query with chunk pruning off: the shard envelope straddles
-    // the gap and the trie dictionaries cannot rank the bounds, so every
-    // row scans — to the same bit-identical (empty) result.
+    // The same query without summaries: the trie dictionaries cannot rank
+    // the bounds, so every row scans — to the same bit-identical (empty)
+    // result.
     let scanned = off.query(dead_sql).unwrap();
     assert_eq!(scanned.result, expect);
     assert_eq!(scanned.stats.subtrees_pruned, 0, "{:?}", scanned.stats);
     assert_eq!(scanned.stats.chunks_pruned_remote, 0);
-    assert!(scanned.stats.rows_scanned > 0, "shard-only pruning must fall back to scanning");
+    assert_eq!(scanned.stats.rows_scanned, 2_400, "chunk dictionaries alone must scan");
 
     // The half-dead query: no edge dies (every shard keeps live low-region
     // chunks), but the shipped verdicts seed each leaf's scan — the
@@ -371,7 +376,6 @@ fn queue_delays_are_measured_not_modeled() {
             hedge_micros: 0,
             epoch: 1,
             chaos,
-            chunk_pruning: true,
         }))
     };
     let ask = |addr: Addr, query: &Request| -> (Duration, Duration) {
@@ -491,13 +495,9 @@ fn role_reassignment_replaces_the_previous_role() {
         let table = generate_logs(&LogsSpec::scaled(rows));
         Request::Load(Box::new(LoadRequest {
             shard,
-            schema: table.schema().clone(),
-            rows: table.iter_rows().collect(),
+            delta: coded(&table),
             build: BuildOptions::basic(),
-            threads: 1,
-            cache_entries: 8,
-            epoch: 1,
-            name: format!("l{shard}p"),
+            spec: NodeSpec { name: format!("l{shard}p"), cache_entries: 8, epoch: 1, threads: 1 },
         }))
     };
     let mut c1 = RpcClient::new(addr1, false);
@@ -521,7 +521,6 @@ fn role_reassignment_replaces_the_previous_role() {
         hedge_micros: 0,
         epoch: 1,
         chaos: Vec::new(),
-        chunk_pruning: true,
     }));
     let ask = |client: &mut RpcClient| match client.call(&query, Duration::from_secs(30)).unwrap() {
         Response::Answer(answer) => answer,
@@ -536,9 +535,7 @@ fn role_reassignment_replaces_the_previous_role() {
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 7, primary: addr2, replica: None, meta: meta2 }],
         compress: false,
-        cache_entries: 8,
-        epoch: 1,
-        name: "m1_0".into(),
+        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
     });
     assert_eq!(c1.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
     let as_mixer = ask(&mut c1);
@@ -813,7 +810,6 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
         hedge_micros: 0,
         epoch: 1,
         chaos: Vec::new(),
-        chunk_pruning: true,
     }));
     let frame = encode_frame(&query, false).unwrap();
     let (head, tail) = frame.split_at(frame.len() / 2);
@@ -834,6 +830,36 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
     stalled.write_all(tail).unwrap();
     let late: Response = read_frame(&mut stalled).unwrap().unwrap();
     assert!(matches!(late, Response::Answer(_)), "{late:?}");
+
+    drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_forged_load_is_nakked_and_the_worker_takes_the_next_one() {
+    // A `Load` is decoded by the codec an `Append` goes through: coded
+    // columns that would index past their dictionary never reach a store —
+    // the worker NAKs the frame and drops the connection, and stays fit to
+    // be loaded.
+    use pd_dist::rpc::{Request, Response, RpcClient};
+
+    let (worker, addr, dir) = raw_worker("forged-load");
+    let table = generate_logs(&LogsSpec::scaled(200));
+    let mut forged = leaf_load(&table, BuildOptions::basic());
+    if let Request::Load(load) = &mut forged {
+        let column = &mut load.delta.columns[0];
+        column.codes[7] = column.dict.len();
+    }
+    let mut client = RpcClient::new(addr.clone(), true);
+    client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    let nak = client.call(&forged, Duration::from_secs(30)).unwrap();
+    assert!(matches!(&nak, Response::Malformed(why) if why.contains("out of range")), "{nak:?}");
+
+    let mut client = RpcClient::new(addr, true);
+    client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    let load = leaf_load(&table, BuildOptions::basic());
+    let ack = client.call(&load, Duration::from_secs(60)).unwrap();
+    assert!(matches!(&ack, Response::Loaded(meta) if meta.rows == 200), "{ack:?}");
 
     drop(worker);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,19 +1,17 @@
-//! Self-contained columnar deltas for streaming appends.
+//! Coded columns: the one form in which rows enter a store.
 //!
-//! The paper's freshness story (§4 punts on it) needs new rows to reach
-//! every shard **without** reshipping the tables already resident there.
-//! The unit shipped is a [`TableDelta`]: per column, a freshly built
-//! *sorted* dictionary over only the delta's distinct values plus one
-//! dictionary code per delta row. The receiver resolves each delta value
-//! against its own resident [`GlobalDict`] via [`GlobalDict::extend`] —
-//! values already known keep their id, genuinely new values get appended
-//! tail ids — so codes encoded before the append never change and group
-//! folds over old and new chunks stay bit-identical.
-//!
-//! A [`DictDelta`] describes what one such resolution appended (the
-//! receiver-side counterpart), which is what shard-metadata maintenance
-//! consumes to refresh zone maps and Bloom filters for the new values
-//! only.
+//! The paper's import (§2.3) is "build the global dictionary, then code
+//! the rows". A [`TableDelta`] is that, done once by whoever holds the
+//! rows: per column, a freshly built *sorted* dictionary over the batch's
+//! distinct values plus one dictionary code per row. A shard's first rows
+//! and every later batch travel in it, self-contained — the sender needs no
+//! knowledge of the receiver. A new store is built from one as it stands
+//! (the dictionaries become the store's); a resident store resolves each
+//! delta-dictionary entry against its own [`GlobalDict`] via
+//! [`GlobalDict::extend`] — values already known keep their id, genuinely
+//! new values get appended tail ids — so codes encoded before an append
+//! never change and group folds over old and new chunks stay
+//! bit-identical, without reshipping what is already resident.
 //!
 //! Wire strictness mirrors the rest of the codec surface: decoding
 //! re-validates everything a consumer indexes by (schema agreement, code
@@ -155,22 +153,6 @@ impl TableDelta {
     }
 }
 
-/// What resolving one column of a [`TableDelta`] appended to a resident
-/// dictionary: the dictionary length before the append plus the values
-/// appended, in id order (`appended[i]` received id `base_len + i`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DictDelta {
-    pub base_len: u32,
-    pub appended: Vec<Value>,
-}
-
-impl DictDelta {
-    /// Did this append introduce any new dictionary entries?
-    pub fn is_empty(&self) -> bool {
-        self.appended.is_empty()
-    }
-}
-
 // --- wire codecs ------------------------------------------------------------
 
 impl Encode for ColumnDelta {
@@ -208,19 +190,6 @@ impl Decode for TableDelta {
         };
         delta.validate()?;
         Ok(delta)
-    }
-}
-
-impl Encode for DictDelta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.base_len.encode(out);
-        self.appended.encode(out);
-    }
-}
-
-impl Decode for DictDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<DictDelta> {
-        Ok(DictDelta { base_len: u32::decode(r)?, appended: Vec::<Value>::decode(r)? })
     }
 }
 
@@ -275,9 +244,6 @@ mod tests {
         let delta = sample();
         let back: TableDelta = from_bytes(&to_bytes(&delta)).unwrap();
         assert_eq!(back, delta);
-        let dd = DictDelta { base_len: 7, appended: vec![Value::Int(9), Value::from("x")] };
-        let back: DictDelta = from_bytes(&to_bytes(&dd)).unwrap();
-        assert_eq!(back, dd);
     }
 
     #[test]

@@ -188,9 +188,17 @@ impl HeapSize for IntDict {
 }
 
 /// Sorted (by total order) array of distinct floats.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FloatDict {
     values: Box<[f64]>,
+}
+
+/// Entries are the same when their bits are — the identity the dictionary
+/// sorts and dedups by — so one holding a NaN equals its own copy.
+impl PartialEq for FloatDict {
+    fn eq(&self, other: &Self) -> bool {
+        self.values.iter().map(|v| v.to_bits()).eq(other.values.iter().map(|v| v.to_bits()))
+    }
 }
 
 impl FloatDict {

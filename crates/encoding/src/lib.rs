@@ -35,7 +35,7 @@ pub mod trie;
 
 pub use bloom::BloomFilter;
 pub use chunk_dict::ChunkDict;
-pub use delta::{ColumnDelta, DictDelta, TableDelta};
+pub use delta::{ColumnDelta, TableDelta};
 pub use dict::{build_dict, FloatDict, GlobalDict, IntDict, SortedStrDict, StrDict, TailedDict};
 pub use elements::{CodesView, Elements, ElementsMode};
 pub use packed::PackedInts;

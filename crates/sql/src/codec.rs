@@ -1,11 +1,12 @@
-//! Wire codecs for expressions, restrictions and analyzed queries.
+//! Wire codecs for expressions and analyzed queries.
 //!
 //! Queries cross the §4 process boundary fully *decoded*: the driver
 //! parses and analyzes once, and the [`AnalyzedQuery`] — group-by keys,
-//! aggregates, output mapping, restriction tree — travels as bytes. No
-//! worker re-parses SQL on any hop, and merge servers read the
-//! [`Restriction`] directly to prune subtrees whose shard metadata cannot
-//! match.
+//! aggregates, output mapping, filter — travels as bytes. No worker
+//! re-parses SQL on any hop. The [`Restriction`] merge servers prune by is
+//! a pure function of the filter, so it is not shipped: decoding derives it
+//! the way `analyze` does, and a frame cannot carry a restriction that
+//! disagrees with its own filter.
 //!
 //! Expressions are recursive, and the wire contract says corrupt bytes
 //! must yield `Err`, never a crash: a hand-crafted frame of nested unary
@@ -20,7 +21,7 @@ use crate::restriction::Restriction;
 use pd_common::wire::{Decode, Encode, Reader};
 use pd_common::{Error, Result, Value};
 
-/// Maximum nesting for decoded expression / restriction trees.
+/// Maximum nesting for decoded expression trees.
 pub const MAX_DEPTH: usize = 256;
 
 fn depth_guard(depth: usize) -> Result<()> {
@@ -179,87 +180,12 @@ fn decode_expr_vec(r: &mut Reader<'_>, depth: usize) -> Result<Vec<Expr>> {
     Ok(out)
 }
 
-const RESTR_TRUE: u8 = 0;
-const RESTR_AND: u8 = 1;
-const RESTR_OR: u8 = 2;
-const RESTR_IN: u8 = 3;
-const RESTR_RANGE: u8 = 4;
-const RESTR_OPAQUE: u8 = 5;
-
-impl Encode for Restriction {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Restriction::True => out.push(RESTR_TRUE),
-            Restriction::And(children) => {
-                out.push(RESTR_AND);
-                children.encode(out);
-            }
-            Restriction::Or(children) => {
-                out.push(RESTR_OR);
-                children.encode(out);
-            }
-            Restriction::In { field, values, negated } => {
-                out.push(RESTR_IN);
-                field.encode(out);
-                values.encode(out);
-                negated.encode(out);
-            }
-            Restriction::Range { field, min, max } => {
-                out.push(RESTR_RANGE);
-                field.encode(out);
-                min.encode(out);
-                max.encode(out);
-            }
-            Restriction::Opaque => out.push(RESTR_OPAQUE),
-        }
-    }
-}
-
-impl Decode for Restriction {
-    fn decode(r: &mut Reader<'_>) -> Result<Restriction> {
-        decode_restriction(r, 0)
-    }
-}
-
-fn decode_restriction(r: &mut Reader<'_>, depth: usize) -> Result<Restriction> {
-    depth_guard(depth)?;
-    Ok(match r.u8()? {
-        RESTR_TRUE => Restriction::True,
-        RESTR_AND => Restriction::And(decode_restriction_vec(r, depth + 1)?),
-        RESTR_OR => Restriction::Or(decode_restriction_vec(r, depth + 1)?),
-        RESTR_IN => {
-            let field = decode_expr(r, depth + 1)?;
-            let values = Vec::<Value>::decode(r)?;
-            let negated = bool::decode(r)?;
-            Restriction::In { field, values, negated }
-        }
-        RESTR_RANGE => {
-            let field = decode_expr(r, depth + 1)?;
-            let min = Option::<(Value, bool)>::decode(r)?;
-            let max = Option::<(Value, bool)>::decode(r)?;
-            Restriction::Range { field, min, max }
-        }
-        RESTR_OPAQUE => Restriction::Opaque,
-        other => return Err(Error::Data(format!("wire: invalid restriction tag {other}"))),
-    })
-}
-
-fn decode_restriction_vec(r: &mut Reader<'_>, depth: usize) -> Result<Vec<Restriction>> {
-    let len = r.u64()?;
-    let len = r.check_len(len, 1)?;
-    let mut out = Vec::with_capacity(len.min(r.remaining() / std::mem::size_of::<Restriction>()));
-    for _ in 0..len {
-        out.push(decode_restriction(r, depth)?);
-    }
-    Ok(out)
-}
-
 // --- analyzed queries -------------------------------------------------------
 //
-// The §4 tree ships the *analyzed* query — keys, aggregates, restriction,
+// The §4 tree ships the *analyzed* query — keys, aggregates, filter,
 // output mapping — instead of SQL text: workers execute it directly (no
-// re-parse on every hop) and merge servers read the restriction to prune
-// subtrees whose shards cannot match.
+// re-parse on every hop) and merge servers read the restriction its filter
+// implies to prune subtrees whose shards cannot match.
 
 impl Encode for AggFunc {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -336,7 +262,6 @@ impl Encode for AnalyzedQuery {
         self.aggs.encode(out);
         self.output.encode(out);
         self.filter.encode(out);
-        self.restriction.encode(out);
         self.having.encode(out);
         self.order_by.encode(out);
         self.limit.encode(out);
@@ -345,13 +270,18 @@ impl Encode for AnalyzedQuery {
 
 impl Decode for AnalyzedQuery {
     fn decode(r: &mut Reader<'_>) -> Result<AnalyzedQuery> {
+        let table = Option::<String>::decode(r)?;
+        let keys = Vec::<Expr>::decode(r)?;
+        let aggs = Vec::<AggExpr>::decode(r)?;
+        let output = Vec::<(String, OutputCol)>::decode(r)?;
+        let filter = Option::<Expr>::decode(r)?;
         Ok(AnalyzedQuery {
-            table: Option::<String>::decode(r)?,
-            keys: Vec::<Expr>::decode(r)?,
-            aggs: Vec::<AggExpr>::decode(r)?,
-            output: Vec::<(String, OutputCol)>::decode(r)?,
-            filter: Option::<Expr>::decode(r)?,
-            restriction: Restriction::decode(r)?,
+            table,
+            keys,
+            aggs,
+            output,
+            restriction: filter.as_ref().map_or(Restriction::True, Restriction::from_expr),
+            filter,
             having: Option::<Expr>::decode(r)?,
             order_by: Vec::<(usize, bool)>::decode(r)?,
             limit: Option::<usize>::decode(r)?,
@@ -392,37 +322,24 @@ mod tests {
     }
 
     #[test]
-    fn restrictions_round_trip() {
-        let restriction = Restriction::And(vec![
-            Restriction::In {
-                field: Expr::column("country"),
-                values: vec![Value::from("DE")],
-                negated: false,
-            },
-            Restriction::Or(vec![
-                Restriction::Range {
-                    field: Expr::column("latency"),
-                    min: Some((Value::Float(10.0), true)),
-                    max: None,
-                },
-                Restriction::Opaque,
-            ]),
-            Restriction::True,
-        ]);
-        let back: Restriction = from_bytes(&to_bytes(&restriction)).unwrap();
-        assert_eq!(back, restriction);
-    }
-
-    #[test]
-    fn normalized_where_clauses_round_trip() {
+    fn the_restriction_is_derived_from_the_filter_not_shipped() {
         for sql in [
             "SELECT k, COUNT(*) c FROM t WHERE k IN ('a','b') AND n > 3 GROUP BY k",
             "SELECT k, COUNT(*) c FROM t WHERE NOT (k = 'x' OR n != 0) GROUP BY k",
+            "SELECT COUNT(*) FROM t",
         ] {
-            let parsed = crate::parse_query(sql).unwrap();
-            let analyzed = crate::analyze(&parsed).unwrap();
-            let back: Restriction = from_bytes(&to_bytes(&analyzed.restriction)).unwrap();
-            assert_eq!(back, analyzed.restriction, "{sql}");
+            let analyzed = crate::analyze(&crate::parse_query(sql).unwrap()).unwrap();
+            // A query whose halves disagree in memory cannot put that on
+            // the wire: the receiver prunes by what the filter implies.
+            let mut tampered = analyzed.clone();
+            tampered.restriction = Restriction::In {
+                field: Expr::column("k"),
+                values: vec![Value::from("nowhere")],
+                negated: false,
+            };
+            assert_eq!(to_bytes(&tampered), to_bytes(&analyzed), "{sql}");
+            let back: AnalyzedQuery = from_bytes(&to_bytes(&tampered)).unwrap();
+            assert_eq!(back, analyzed, "{sql}");
         }
     }
 

@@ -939,19 +939,18 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
     }
 }
 
-/// The pruning axis: chunk-granular pruning (per-chunk zone maps, Bloom
+/// The pruning axis: pruning by shard summaries (per-chunk zone maps, Bloom
 /// filters and virtual-field partial evaluation shipped in the Load acks)
-/// is pure work-avoidance — switching it off may only move scans around,
-/// never change a row. Every matrix query runs cold and warm, with the
-/// layered pruner on and off, over the in-process tree and a real
-/// process-split tree (unix sockets and compressed TCP), and every result
-/// must be **bit-identical** (floats included) to the sequential
-/// single-store answer. The matrix includes `date(timestamp)` drill-downs
+/// is pure work-avoidance — it may only move scans around, never change a
+/// row. Every matrix query runs cold and warm over the in-process tree
+/// (whose leaves keep no summary) and a real process-split tree (unix
+/// sockets and compressed TCP), and every result must be **bit-identical**
+/// (floats included) to the sequential single-store answer. The matrix includes `date(timestamp)` drill-downs
 /// (the §5.1 virtual-field path) and gap restrictions the shard envelope
 /// cannot refute, so both the prune-the-edge and the seed-the-leaf paths
 /// are exercised against the reference.
 #[test]
-fn chunk_pruning_axis_is_bit_identical_on_and_off() {
+fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
     use powerdrill::data::{generate_logs, LogsSpec};
     use powerdrill::dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
     use std::time::Duration;
@@ -992,52 +991,48 @@ fn chunk_pruning_axis_is_bit_identical_on_and_off() {
             compress,
         })
     };
-    for chunk_pruning in [true, false] {
-        let transports = [
-            ("local", Transport::InProcess),
-            ("unix", rpc(WorkerAddr::Unix, false)),
-            ("tcp+z", rpc(WorkerAddr::loopback(), true)),
-        ];
-        for (transport_name, transport) in transports {
-            let label = format!("pruning={chunk_pruning} edges={transport_name}");
-            let cluster = Cluster::build(
-                &table,
-                &ClusterConfig {
-                    shards: 3,
-                    replication: false,
-                    shard_cache: 64,
-                    tree: TreeShape { fanout: 2 },
-                    build: build.clone(),
-                    transport,
-                    chunk_pruning,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            for pass in 0..2 {
-                for (sql, want) in queries.iter().zip(&expected) {
-                    let outcome = cluster.query(sql).unwrap();
-                    assert_eq!(outcome.result, *want, "{label} pass={pass}: {sql}");
+    let transports = [
+        ("local", Transport::InProcess),
+        ("unix", rpc(WorkerAddr::Unix, false)),
+        ("tcp+z", rpc(WorkerAddr::loopback(), true)),
+    ];
+    for (label, transport) in transports {
+        let cluster = Cluster::build(
+            &table,
+            &ClusterConfig {
+                shards: 3,
+                replication: false,
+                shard_cache: 64,
+                tree: TreeShape { fanout: 2 },
+                build: build.clone(),
+                transport,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for pass in 0..2 {
+            for (sql, want) in queries.iter().zip(&expected) {
+                let outcome = cluster.query(sql).unwrap();
+                assert_eq!(outcome.result, *want, "{label} pass={pass}: {sql}");
+                assert_eq!(
+                    outcome.stats.rows_skipped
+                        + outcome.stats.rows_cached
+                        + outcome.stats.rows_scanned,
+                    outcome.stats.rows_total,
+                    "row accounting must balance: {label} pass={pass}: {sql}"
+                );
+                assert_eq!(
+                    outcome.stats.chunks_skipped
+                        + outcome.stats.chunks_cached
+                        + outcome.stats.chunks_scanned,
+                    outcome.stats.chunks_total,
+                    "chunk accounting must balance: {label} pass={pass}: {sql}"
+                );
+                if label == "local" {
                     assert_eq!(
-                        outcome.stats.rows_skipped
-                            + outcome.stats.rows_cached
-                            + outcome.stats.rows_scanned,
-                        outcome.stats.rows_total,
-                        "row accounting must balance: {label} pass={pass}: {sql}"
+                        outcome.stats.chunks_pruned_remote, 0,
+                        "the counter is the summaries' alone, and a local leaf keeps none: {sql}"
                     );
-                    assert_eq!(
-                        outcome.stats.chunks_skipped
-                            + outcome.stats.chunks_cached
-                            + outcome.stats.chunks_scanned,
-                        outcome.stats.chunks_total,
-                        "chunk accounting must balance: {label} pass={pass}: {sql}"
-                    );
-                    if !chunk_pruning {
-                        assert_eq!(
-                            outcome.stats.chunks_pruned_remote, 0,
-                            "{label}: the counter is the layered pruner's alone: {sql}"
-                        );
-                    }
                 }
             }
         }
