@@ -17,15 +17,15 @@ subcommands:
   table4          Table 4  — step-wise summary
   trie            §3 text  — trie dictionary sizes
   reorder         §3 text  — row reordering compression factors
-  codecs          §5       — Zippy / LZF / deflate / huffman / RLE comparison
+  codecs          §5       — Zippy vs pd_bench::codecs (LZF / deflate / huffman / RLE)
   count_distinct  §5       — KMV sketch accuracy & speed
   cache           §5       — LRU vs 2Q vs ARC under scan pollution
   production      §6       — skipped/cached/scanned + disk-free fractions
   figure5         Figure 5 — latency vs bytes loaded from disk
   distributed     §4       — shard scaling, replication, tree depth
   partitioning    §2.2     — chunk threshold ablation
-  elements        §3       — element encoding ablation
-  subdicts        §5       — sub-dictionaries + Bloom filters
+  elements        §3       — element encodings vs exact bit-width packing
+  subdicts        §5       — sub-dictionaries + Bloom filters (pd_bench::subdict)
   all             everything above
 
 rows default to $PD_ROWS or 500000.";

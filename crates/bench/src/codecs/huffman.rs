@@ -4,17 +4,16 @@
 //! The paper found the extra Huffman stage bought "a perhaps surprising gain
 //! of additional 20–30%" in ratio "but came with the expected cost of being
 //! up to an order of magnitude slower". [`HuffmanCodec`] is the pure entropy
-//! coder; [`DeflateCodec`] composes LZ77 ([`crate::lz`]) with it, mirroring
+//! coder; [`DeflateCodec`] composes LZ77 ([`pd_compress::lz`]) with it, mirroring
 //! the structure of DEFLATE/ZLIB.
 //!
 //! Frame layout: `varint(uncompressed_len)`, 256 code-length bytes, then the
 //! MSB-first bitstream. Decoding consumes exactly `uncompressed_len`
 //! symbols, so no explicit bit count is stored.
 
-use crate::lz::LzCodec;
-use crate::varint;
-use crate::Codec;
 use pd_common::{Error, Result};
+use pd_compress::lz::LzCodec;
+use pd_compress::{varint, Codec};
 use std::collections::BinaryHeap;
 
 /// Longest admissible code. Depth grows at most logarithmically in the

@@ -4,7 +4,7 @@
 //! The paper's production system replaced Zippy with an LZO variant that
 //! gave *"an about 10% better compression ratio and was up to twice as fast
 //! when decompressing"*. This codec chases the same trade-offs relative to
-//! [`crate::lz`]:
+//! [`pd_compress::lz`]:
 //!
 //! - **decode speed** — copy tokens carry a fixed-width 2-byte distance, so
 //!   the hot decode loop never parses varints;
@@ -18,9 +18,8 @@
 //! payloads. `c >= 0xa0`: a *long* copy of `(c - 0xa0) + 4` bytes
 //! (4..=99) with a fixed 2-byte little-endian distance (window 64 KiB).
 
-use crate::varint;
-use crate::Codec;
 use pd_common::{Error, Result};
+use pd_compress::{varint, Codec};
 
 const MIN_MATCH: usize = 4;
 const MAX_SHORT_MATCH: usize = 3 + (0x9f - 0x20); // 130
@@ -214,7 +213,7 @@ mod tests {
         let input: Vec<u8> =
             (0..120_000u32).flat_map(|i| ((i / 37 % 900) as u16).to_le_bytes()).collect();
         let lzf = round_trip(&input);
-        let zippy = crate::lz::LzCodec.compress(&input);
+        let zippy = pd_compress::lz::LzCodec.compress(&input);
         assert!(
             lzf.len() <= zippy.len() + zippy.len() / 10,
             "lzf {} vs zippy {}",

@@ -3,14 +3,10 @@
 //! The paper's row-reordering section (§3, Figures 2–4) motivates reordering
 //! with "the basic compression algorithm run-length encoding (RLE) which
 //! replaces consecutive identical values with a counter and the value
-//! itself". This module provides that codec; the reorder experiment measures
-//! its output size with and without the lexicographic reordering, and
-//! [`rle_cost_u32`] computes the Figure 3 "number of counters" metric
-//! directly.
+//! itself". This module provides that codec for the §5 comparison.
 
-use crate::varint;
-use crate::Codec;
 use pd_common::{Error, Result};
+use pd_compress::{varint, Codec};
 
 /// Run-length codec over bytes.
 ///
@@ -96,16 +92,6 @@ fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
     }
 }
 
-/// The simplified RLE cost of Figure 3: the number of `(counter, value)`
-/// pairs needed to encode `values` — i.e. one plus the number of positions
-/// where the value changes. An empty slice costs 0.
-pub fn rle_cost_u32(values: &[u32]) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    1 + values.windows(2).filter(|w| w[0] != w[1]).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,18 +143,5 @@ mod tests {
             let _ = RleCodec.decompress(&c[..cut]);
         }
         assert!(RleCodec.decompress(&[]).is_err());
-    }
-
-    #[test]
-    fn figure3_cost_metric() {
-        assert_eq!(rle_cost_u32(&[]), 0);
-        assert_eq!(rle_cost_u32(&[5]), 1);
-        assert_eq!(rle_cost_u32(&[0, 0, 0, 1, 1, 1]), 2);
-        assert_eq!(rle_cost_u32(&[0, 1, 0, 1]), 4);
-        // Sorting minimizes the cost: the reordering insight of §3.
-        let mut v = vec![0u32, 1, 0, 1, 0, 1];
-        let unsorted = rle_cost_u32(&v);
-        v.sort_unstable();
-        assert!(rle_cost_u32(&v) < unsorted);
     }
 }

@@ -7,13 +7,17 @@
 //! are plain binaries over [`harness::Bench`] — run them with
 //! `cargo bench -p pd-bench`. [`residency`] is the one model kept for an
 //! experiment: the §3/§5 two-layer payload cache and its eviction policies,
-//! replayed against from outside the engine.
+//! replayed against from outside the engine. [`codecs`] and [`subdict`] are
+//! what the paper's §5 evaluates and the engine does not run: the codecs
+//! Zippy is compared with, and the sub-dictionary split.
 
 #![forbid(unsafe_code)]
 
+pub mod codecs;
 pub mod experiments;
 pub mod harness;
 pub mod residency;
+pub mod subdict;
 
 pub use harness::{
     fmt_duration, json_line, logs_table, mb, measure, measure_n, measure_stats, quick,

@@ -14,8 +14,8 @@
 //! so the store can account for how many dictionary bytes a query pulled
 //! from disk (feeding the Figure 5 experiment).
 
-use crate::bloom::BloomFilter;
 use pd_common::{FxHashSet, HeapSize};
+use pd_encoding::BloomFilter;
 
 /// Tuning knobs for [`SubDictIndex::build`].
 #[derive(Debug, Clone, Copy)]

@@ -1,34 +1,25 @@
-//! From-scratch compression codecs for the PowerDrill reproduction.
+//! The engine's one compression codec, from scratch.
 //!
 //! The paper relies on "Google's own high speed compression algorithm Zippy"
-//! (externally Snappy) for its second, compressed in-memory layer (§3), and
-//! additionally evaluates ZLIB (± Huffman coding) and an LZO variant (§5,
-//! "Other Compression Algorithms"). None of those implementations are
-//! third-party-crate dependencies here — this crate implements the same
-//! algorithmic families from scratch:
+//! (externally Snappy) wherever bytes are worth shrinking (§3, "Generic
+//! Compression Algorithm"); here that is every RPC frame past a size
+//! threshold. No third-party crate is involved:
 //!
 //! - [`lz`] — byte-oriented LZ77 with a hash-table match finder and varint
 //!   framing; plays the role of **Zippy/Snappy** (fast, no entropy stage).
-//! - [`lzf`] — an LZF-format variant with a compact fixed-width token
-//!   encoding tuned for decompression speed; plays the role of the **LZO
-//!   variant** the paper chose for production.
-//! - [`huffman`] — canonical Huffman coding; composed with [`lz`] it forms
-//!   the **ZLIB-with-Huffman** ("deflate-like") reference point that buys
-//!   extra ratio at a large speed cost.
-//! - [`rle`] — byte run-length encoding, the didactic baseline of the
-//!   paper's row-reordering discussion (Figures 2–4).
-//! - [`varint`] — LEB128 variable-length integers used by all the framings
-//!   and by the record-io format.
+//! - [`varint`] — LEB128 variable-length integers used by that framing, by
+//!   the dictionary and element encodings and by the record-io format.
 //!
-//! All codecs share the [`Codec`] trait and are self-framing: the compressed
-//! buffer alone is sufficient to decompress.
+//! A codec implements the [`Codec`] trait and is self-framing: the
+//! compressed buffer alone is sufficient to decompress. The codecs the
+//! paper only *evaluates* against Zippy (§5, "Other Compression
+//! Algorithms": ZLIB ± entropy stage, an LZO variant, run lengths)
+//! implement the same trait in `pd_bench::codecs`, beside the experiment
+//! that is their one caller.
 
 #![forbid(unsafe_code)]
 
-pub mod huffman;
 pub mod lz;
-pub mod lzf;
-pub mod rle;
 pub mod varint;
 
 use pd_common::Result;
@@ -48,130 +39,24 @@ pub trait Codec: Send + Sync {
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>>;
 }
 
-/// The codecs available to the store, mirroring §3 + §5 of the paper.
+/// The codec the engine selects (`pd_dist::rpc`'s `frame_codec`, its one
+/// use on the served path). One variant: nothing chooses between codecs.
+/// It is still an enum only because the benchmark's mirror
+/// (`clickbench/src/layers.rs`) pins `CodecKind::Zippy.codec()`; ROADMAP
+/// item 1(a) deletes it with that mirror, and the callers name
+/// [`lz::LzCodec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecKind {
-    /// No compression; identity codec.
-    None,
-    /// Byte run-length encoding.
-    Rle,
     /// LZ77, Snappy-style: the paper's "Zippy".
     #[default]
     Zippy,
-    /// Fast-decode LZF-style variant: the paper's "LZO variant".
-    Lzf,
-    /// LZ77 + canonical Huffman: the paper's "ZLIB with Huffman".
-    Deflate,
-    /// Pure canonical Huffman (entropy stage only).
-    Huffman,
 }
 
 impl CodecKind {
-    /// All kinds, in the order the codec-comparison experiment reports them.
-    pub const ALL: [CodecKind; 6] = [
-        CodecKind::None,
-        CodecKind::Rle,
-        CodecKind::Zippy,
-        CodecKind::Lzf,
-        CodecKind::Deflate,
-        CodecKind::Huffman,
-    ];
-
     /// The shared codec instance for this kind.
     pub fn codec(self) -> &'static dyn Codec {
         match self {
-            CodecKind::None => &NoneCodec,
-            CodecKind::Rle => &rle::RleCodec,
             CodecKind::Zippy => &lz::LzCodec,
-            CodecKind::Lzf => &lzf::LzfCodec,
-            CodecKind::Deflate => &huffman::DeflateCodec,
-            CodecKind::Huffman => &huffman::HuffmanCodec,
         }
-    }
-}
-
-/// Identity codec (used when the compressed layer is disabled).
-pub struct NoneCodec;
-
-impl Codec for NoneCodec {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        input.to_vec()
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        Ok(input.to_vec())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_inputs() -> Vec<Vec<u8>> {
-        vec![
-            vec![],
-            b"a".to_vec(),
-            b"hello world hello world hello world".to_vec(),
-            vec![0u8; 10_000],
-            (0..=255u8).cycle().take(4096).collect(),
-            b"abcabcabcabcabcabcabcabcabcxyz".to_vec(),
-        ]
-    }
-
-    #[test]
-    fn all_codecs_round_trip_samples() {
-        for kind in CodecKind::ALL {
-            let codec = kind.codec();
-            for input in sample_inputs() {
-                let compressed = codec.compress(&input);
-                let output = codec.decompress(&compressed).unwrap_or_else(|e| {
-                    panic!("{} failed on len {}: {e}", codec.name(), input.len())
-                });
-                assert_eq!(output, input, "codec {}", codec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn repetitive_data_compresses_well() {
-        let input: Vec<u8> =
-            b"country=US;country=US;country=DE;".iter().cycle().take(64 * 1024).copied().collect();
-        for kind in [CodecKind::Zippy, CodecKind::Lzf, CodecKind::Deflate] {
-            let compressed = kind.codec().compress(&input);
-            assert!(
-                compressed.len() < input.len() / 4,
-                "{}: {} vs {}",
-                kind.codec().name(),
-                compressed.len(),
-                input.len()
-            );
-        }
-        // RLE only sees byte-level runs; give it run-shaped data.
-        let runs: Vec<u8> = (0..64u8).flat_map(|v| std::iter::repeat_n(v, 1024)).collect();
-        let compressed = CodecKind::Rle.codec().compress(&runs);
-        assert!(compressed.len() < runs.len() / 4, "rle: {}", compressed.len());
-    }
-
-    #[test]
-    fn deflate_beats_zippy_on_text() {
-        // The paper: Huffman gives a 20–30% additional gain over the
-        // LZ-only codecs on typical column data.
-        let input: Vec<u8> = (0..40_000u64)
-            .flat_map(|i| format!("table_{}_2011-12-{:02};", i % 700, i % 28 + 1).into_bytes())
-            .collect();
-        let zippy = CodecKind::Zippy.codec().compress(&input).len();
-        let deflate = CodecKind::Deflate.codec().compress(&input).len();
-        assert!(deflate < zippy, "deflate {deflate} not smaller than zippy {zippy}");
-    }
-
-    #[test]
-    fn codec_names_are_distinct() {
-        let names: std::collections::HashSet<&str> =
-            CodecKind::ALL.iter().map(|k| k.codec().name()).collect();
-        assert_eq!(names.len(), CodecKind::ALL.len());
     }
 }

@@ -8,7 +8,6 @@
 use crate::options::BuildOptions;
 use crate::partition::Partitioning;
 use pd_common::{DataType, FxHashMap, HeapSize, Result, Value};
-use pd_compress::Codec;
 use pd_encoding::{build_dict, ChunkDict, Elements, GlobalDict};
 
 /// Per-chunk storage: chunk dictionary + elements.
@@ -41,7 +40,8 @@ impl ColumnChunk {
         self.elements.codes()
     }
 
-    /// Serialized payload (chunk dict + elements) for the compressed layer.
+    /// Serialized payload (chunk dict + elements): what a compressed layer
+    /// would hold, and what the Table 3–4 regenerators measure.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.dict.to_bytes();
         let elems = self.elements.to_bytes();
@@ -166,21 +166,6 @@ impl StoredColumn {
     /// Total memory footprint (the per-column number behind Tables 1–4).
     pub fn total_bytes(&self) -> usize {
         self.dict_bytes() + self.chunk_dict_bytes() + self.elements_bytes()
-    }
-
-    /// Compressed size of the column under `codec`: global dictionary plus
-    /// each chunk payload compressed independently (chunk granularity is
-    /// what the two-layer cache moves around).
-    pub fn compressed_bytes(&self, codec: &dyn Codec) -> usize {
-        let dict = codec.compress(&self.dict.to_bytes()).len();
-        let chunks: usize = self.chunks.iter().map(|c| codec.compress(&c.to_bytes()).len()).sum();
-        dict + chunks
-    }
-
-    /// Compressed size of elements + chunk dictionaries only (the §3
-    /// reordering experiment reports this subset).
-    pub fn compressed_chunk_bytes(&self, codec: &dyn Codec) -> usize {
-        self.chunks.iter().map(|c| codec.compress(&c.to_bytes()).len()).sum()
     }
 
     /// Resolve a set of literal values to the global-ids of the entries
@@ -334,22 +319,6 @@ mod tests {
         for i in (0..vals.len()).step_by(97) {
             assert_eq!(trie.value_at(0, i), sorted.value_at(0, i));
         }
-    }
-
-    #[test]
-    fn compressed_bytes_are_smaller_for_partitioned_data() {
-        use pd_compress::CodecKind;
-        // Sorted duplicated data compresses extremely well.
-        let vals: Vec<Value> = (0..5000).map(|i| Value::from(format!("v{:02}", i / 500))).collect();
-        let p = Partitioning::single_chunk(vals.len());
-        let col = StoredColumn::build(
-            &vals,
-            &p,
-            &BuildOptions::optcols(PartitionSpec::new(&[], 1_000_000)),
-        )
-        .unwrap();
-        let zippy = CodecKind::Zippy.codec();
-        assert!(col.compressed_bytes(zippy) < col.total_bytes());
     }
 
     #[test]

@@ -444,7 +444,8 @@ mod tests {
                 .iter()
                 .map(|ch| {
                     let ids: Vec<u32> = ch.elements.iter().collect();
-                    pd_compress::rle::rle_cost_u32(&ids)
+                    // Figure 3's cost: one (counter, value) pair per run.
+                    1 + ids.windows(2).filter(|w| w[0] != w[1]).count()
                 })
                 .sum()
         };

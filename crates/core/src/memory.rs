@@ -3,12 +3,12 @@
 //! §2.5: *"for Dremel and our own data-structures this reflects only the
 //! columns present in the individual queries"*. A [`MemoryReport`] breaks a
 //! set of columns down the way §3 discusses them: global dictionaries,
-//! chunk dictionaries, and elements, plus the compressed sizes under a
-//! codec (Tables 3–4's "Zippy" rows).
+//! chunk dictionaries, and elements. (Tables 3–4's "Zippy" rows measure a
+//! layer the engine does not have; `pd-bench` computes them from the
+//! columns' serialized bytes.)
 
 use crate::datastore::DataStore;
 use pd_common::{HeapSize, Result};
-use pd_compress::CodecKind;
 use pd_sql::{analyze, parse_query, Expr};
 
 /// Memory breakdown of one column.
@@ -94,31 +94,6 @@ pub fn report_for_query(store: &DataStore, sql: &str) -> Result<MemoryReport> {
     Ok(report)
 }
 
-/// Compressed total (bytes) for the columns touched by `sql` under `codec`.
-pub fn compressed_for_query(store: &DataStore, sql: &str, codec: CodecKind) -> Result<usize> {
-    let mut total = 0;
-    for expr in query_columns(sql)? {
-        let col = store.column_for_expr(&expr)?;
-        total += col.compressed_bytes(codec.codec());
-    }
-    Ok(total)
-}
-
-/// Compressed size of elements + chunk dictionaries only (the §3 reorder
-/// experiment's metric).
-pub fn compressed_chunks_for_query(
-    store: &DataStore,
-    sql: &str,
-    codec: CodecKind,
-) -> Result<usize> {
-    let mut total = 0;
-    for expr in query_columns(sql)? {
-        let col = store.column_for_expr(&expr)?;
-        total += col.compressed_chunk_bytes(codec.codec());
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,23 +165,5 @@ mod tests {
             trie.dict_bytes(),
             sorted.dict_bytes()
         );
-    }
-
-    #[test]
-    fn compression_reduces_reported_bytes() {
-        let s = store(&BuildOptions::basic());
-        let uncompressed = report_for_query(&s, Q3).unwrap().total();
-        let compressed = compressed_for_query(&s, Q3, CodecKind::Zippy).unwrap();
-        assert!(compressed < uncompressed, "{compressed} vs {uncompressed}");
-    }
-
-    #[test]
-    fn reorder_improves_compressed_chunks() {
-        let spec = PartitionSpec::new(&["country", "table_name"], 500);
-        let plain = store(&BuildOptions::optdicts(spec.clone()));
-        let reordered = store(&BuildOptions::reordered(spec));
-        let a = compressed_chunks_for_query(&plain, Q3, CodecKind::Zippy).unwrap();
-        let b = compressed_chunks_for_query(&reordered, Q3, CodecKind::Zippy).unwrap();
-        assert!(b < a, "reorder must improve compression: {b} vs {a}");
     }
 }

@@ -39,9 +39,9 @@ pub enum ChunkActivity {
 impl ChunkActivity {
     /// Conjunction of two *sound* verdicts over the same chunk: any proof
     /// of emptiness wins, Full survives only when both sides prove it.
-    /// Public because remote metadata verdicts (computed by a parent from
-    /// a shard's zone maps) compose with the local dictionary verdicts
-    /// through exactly this lattice.
+    /// Public, like [`ChunkActivity::or`], because remote metadata verdicts
+    /// (computed by a parent from a shard's zone maps) compose with the
+    /// local dictionary verdicts through exactly this lattice.
     pub fn and(self, other: ChunkActivity) -> ChunkActivity {
         use ChunkActivity::*;
         match (self, other) {
@@ -51,7 +51,10 @@ impl ChunkActivity {
         }
     }
 
-    fn or(self, other: ChunkActivity) -> ChunkActivity {
+    /// Disjunction of two sound verdicts: any proof of full activity wins,
+    /// Skip survives only when both sides prove it (so `Skip` is the fold's
+    /// identity).
+    pub fn or(self, other: ChunkActivity) -> ChunkActivity {
         use ChunkActivity::*;
         match (self, other) {
             (Full, _) | (_, Full) => Full,

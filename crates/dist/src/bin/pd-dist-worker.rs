@@ -1,4 +1,5 @@
-//! One node of the §4 computation tree: `pd-dist-worker --socket <path>`.
+//! One node of the §4 computation tree: `pd-dist-worker --listen
+//! <unix:path|tcp:host:port>`.
 //! See [`pd_dist::worker`] for the protocol and roles.
 
 fn main() {

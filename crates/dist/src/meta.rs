@@ -454,21 +454,10 @@ fn activity_of(
             .iter()
             .map(|r| activity_of(r, columns, blooms))
             .fold(ChunkActivity::Full, ChunkActivity::and),
-        Restriction::Or(children) => {
-            let mut verdict: Option<ChunkActivity> = None;
-            for child in children {
-                let a = activity_of(child, columns, blooms);
-                verdict = Some(match verdict {
-                    None => a,
-                    Some(v) => match (v, a) {
-                        (ChunkActivity::Full, _) | (_, ChunkActivity::Full) => ChunkActivity::Full,
-                        (ChunkActivity::Skip, ChunkActivity::Skip) => ChunkActivity::Skip,
-                        _ => ChunkActivity::Partial,
-                    },
-                });
-            }
-            verdict.unwrap_or(ChunkActivity::Partial)
-        }
+        Restriction::Or(children) => children
+            .iter()
+            .map(|r| activity_of(r, columns, blooms))
+            .fold(ChunkActivity::Skip, ChunkActivity::or),
         Restriction::In { field, values, negated } => {
             let Some(column) = resolved_column(field, columns) else {
                 return ChunkActivity::Partial;

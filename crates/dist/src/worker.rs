@@ -71,8 +71,6 @@ pub fn worker_main() -> i32 {
     let mut announce = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            // `--socket <path>` is the legacy unix-only spelling.
-            "--socket" => listen = args.next().map(|p| format!("unix:{p}")),
             "--listen" => listen = args.next(),
             "--announce" => announce = args.next(),
             other => {

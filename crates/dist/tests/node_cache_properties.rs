@@ -332,11 +332,14 @@ fn epoch_bump_drops_a_worker_cache() {
 
     let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("w.sock");
+    let addr = Addr::Unix(dir.join("w.sock"));
     let worker = ReapGuard::new(
-        std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
+        std::process::Command::new(worker_bin())
+            .arg("--listen")
+            .arg(addr.to_string())
+            .spawn()
+            .unwrap(),
     );
-    let addr = Addr::Unix(socket);
 
     let table = generate_logs(&LogsSpec::scaled(400));
     let mut client = RpcClient::new(addr, false);

@@ -60,11 +60,15 @@ const QUERIES: [&str; 3] = [
 fn raw_worker(tag: &str) -> (pd_dist::ReapGuard, pd_dist::rpc::Addr, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pd-{tag}-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("w.sock");
+    let addr = pd_dist::rpc::Addr::Unix(dir.join("w.sock"));
     let worker = pd_dist::ReapGuard::new(
-        std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
+        std::process::Command::new(worker_bin())
+            .arg("--listen")
+            .arg(addr.to_string())
+            .spawn()
+            .unwrap(),
     );
-    (worker, pd_dist::rpc::Addr::Unix(socket), dir)
+    (worker, addr, dir)
 }
 
 /// `table`'s rows as the coded columns a `Load` or an `Append` ships.
@@ -482,11 +486,15 @@ fn role_reassignment_replaces_the_previous_role() {
     let dir = std::env::temp_dir().join(format!("pd-role-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let spawn = |name: &str| -> (ReapGuard, Addr) {
-        let socket = dir.join(format!("{name}.sock"));
+        let addr = Addr::Unix(dir.join(format!("{name}.sock")));
         let guard = ReapGuard::new(
-            std::process::Command::new(worker_bin()).arg("--socket").arg(&socket).spawn().unwrap(),
+            std::process::Command::new(worker_bin())
+                .arg("--listen")
+                .arg(addr.to_string())
+                .spawn()
+                .unwrap(),
         );
-        (guard, Addr::Unix(socket))
+        (guard, addr)
     };
     let (w1, addr1) = spawn("w1");
     let (w2, addr2) = spawn("w2");

@@ -11,10 +11,10 @@
 //!    **elements** ([`Elements`]), stored with 0 bits (one distinct value),
 //!    a bit-set (two values), or 1/2/4 bytes per id depending on `n`.
 //!
-//! On top of that sit the §3/§5 optimizations: the hand-crafted 4-bit
-//! [`trie`] encoding for string dictionaries, [`bloom`] filters and
-//! [`subdict`] splitting so that queries touching few chunks load few
-//! dictionary bytes, and [`packed`] bit-packing used by ablation benches.
+//! On top of that sit the §3/§5 optimizations a store is built from: the
+//! hand-crafted 4-bit [`trie`] encoding for string dictionaries and
+//! [`bloom`] filters that prove a value absent. (§5's sub-dictionary split
+//! is evaluated, never served: it lives with its experiment in `pd-bench`.)
 //!
 //! Streaming appends relax exactly one invariant: a dictionary grown in
 //! place ([`dict::TailedDict`], shipped as a [`delta::TableDelta`]) keeps
@@ -29,8 +29,6 @@ pub mod chunk_dict;
 pub mod delta;
 pub mod dict;
 pub mod elements;
-pub mod packed;
-pub mod subdict;
 pub mod trie;
 
 pub use bloom::BloomFilter;
@@ -38,6 +36,4 @@ pub use chunk_dict::ChunkDict;
 pub use delta::{ColumnDelta, TableDelta};
 pub use dict::{build_dict, FloatDict, GlobalDict, IntDict, SortedStrDict, StrDict, TailedDict};
 pub use elements::{CodesView, Elements, ElementsMode};
-pub use packed::PackedInts;
-pub use subdict::{SubDictIndex, SubDictLayout};
 pub use trie::TrieDict;

@@ -3,7 +3,7 @@
 
 use pd_common::rng::Rng;
 use pd_common::Value;
-use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, PackedInts, TrieDict};
+use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, TrieDict};
 
 /// The double indirection must reconstruct the original column exactly:
 /// dict(ids[row]) == values[row] (§2.3's "synchronously iterating").
@@ -137,19 +137,6 @@ fn chunk_dict_membership() {
         );
         let back = ChunkDict::from_bytes(&dict.to_bytes()).unwrap();
         assert_eq!(back, dict, "case {case}");
-    }
-}
-
-#[test]
-fn packed_ints_round_trip() {
-    let mut rng = Rng::seed_from_u64(0xd1c7_0006);
-    for _ in 0..64 {
-        let width_cap = 1u64 << rng.range_u64(1, 33);
-        let values: Vec<u32> =
-            (0..rng.range_usize(0, 500)).map(|_| rng.range_u64(0, width_cap) as u32).collect();
-        let p: PackedInts = values.iter().copied().collect();
-        let back: Vec<u32> = p.iter().collect();
-        assert_eq!(back, values);
     }
 }
 

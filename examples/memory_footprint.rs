@@ -1,12 +1,13 @@
-//! The §3 optimization ladder, live: build the same dataset six ways and
-//! print the per-query memory footprints (the shape of Table 4).
+//! The §3 optimization ladder, live: build the same dataset five ways and
+//! print the per-query memory footprints (the shape of Table 4's
+//! uncompressed rows; its Zippy rows size a compressed layer the engine
+//! does not hold — `experiments table4` in `pd-bench` prints those).
 //!
 //! ```bash
 //! cargo run --release --example memory_footprint
 //! ```
 
-use powerdrill::compress::CodecKind;
-use powerdrill::core::memory::{compressed_for_query, report_for_query};
+use powerdrill::core::memory::report_for_query;
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::{BuildOptions, DataStore, PartitionSpec};
 
@@ -34,7 +35,6 @@ fn main() -> powerdrill::Result<()> {
         "\n{:<10} {:>10} {:>10} {:>10}   (uncompressed MB per query)",
         "Variant", "Q1", "Q2", "Q3"
     );
-    let mut stores = Vec::new();
     for (name, options) in &variants {
         let store = DataStore::build(&table, options)?;
         let sizes: Vec<f64> = queries
@@ -44,20 +44,6 @@ fn main() -> powerdrill::Result<()> {
             })
             .collect::<Result<_, _>>()?;
         println!("{:<10} {:>10.3} {:>10.3} {:>10.3}", name, sizes[0], sizes[1], sizes[2]);
-        stores.push((name, store));
     }
-
-    // The "Zippy" row of Table 4: compressed sizes of the best layout.
-    let (_, best) = stores.last().expect("variants built");
-    let compressed: Vec<f64> = queries
-        .iter()
-        .map(|(_, sql)| {
-            Ok::<f64, powerdrill::Error>(mb(compressed_for_query(best, sql, CodecKind::Zippy)?))
-        })
-        .collect::<Result<_, _>>()?;
-    println!(
-        "{:<10} {:>10.3} {:>10.3} {:>10.3}   (Reorder layout, Zippy-compressed)",
-        "Zippy", compressed[0], compressed[1], compressed[2]
-    );
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! One node of the §4 computation tree: `pd-worker --socket <path>` —
+//! One node of the §4 computation tree: `pd-worker --listen <unix:path|tcp:host:port>` —
 //! the same server as `pd-dist`'s `pd-dist-worker` binary.
 //!
 //! This thin wrapper exists in the root package (under a distinct target

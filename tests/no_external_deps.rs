@@ -28,3 +28,21 @@ fn cargo_lock_lists_only_workspace_packages() {
         );
     }
 }
+
+/// The engine's dependency graph holds what a query runs: `pd-core` no
+/// longer measures with a codec, and no engine crate reaches into the
+/// experiments (`pd-bench`) or the straw men and oracle (`pd-baselines`).
+#[test]
+fn engine_manifests_name_no_comparison_code() {
+    let names_dep = |krate: &str, dep: &str| {
+        let path = format!("{}/crates/{krate}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
+        let manifest = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        manifest.lines().any(|line| line.trim_start().starts_with(dep))
+    };
+    assert!(!names_dep("core", "pd-compress"), "pd-core depends on pd-compress again");
+    for krate in ["common", "compress", "encoding", "sql", "core", "dist"] {
+        for dep in ["pd-bench", "pd-baselines"] {
+            assert!(!names_dep(krate, dep), "engine crate pd-{krate} depends on {dep}");
+        }
+    }
+}
