@@ -14,7 +14,11 @@
 //!    up the tree is dominated by `FloatSum` superaccumulator limbs,
 //!    which are mostly zero, so the ratio must come out ≥ 2× (asserted —
 //!    the bench-smoke CI job turns a regression into a red build);
-//! 5. **replication tax** — a warm unix query over a replicated tree ÷ the
+//! 5. **root hit** — the warm repeat of a chart the root's cache holds, on
+//!    a unix tree ÷ on an in-process tree of the same shape: it crosses no
+//!    edge, so the socket must not show (asserted ≤ 2×, with exactly one
+//!    node — the root — reporting the hit);
+//! 6. **replication tax** — a warm unix query over a replicated tree ÷ the
 //!    same tree unreplicated. A healthy pair's primary answers inside the
 //!    hedge window, so the replica is never contacted and no thread is
 //!    spawned: the pair may cost a timed wait per leaf, not a wake-up
@@ -159,13 +163,17 @@ fn main() {
          show what per-frame compression costs (CPU) and saves (bytes moved)."
     );
 
-    // Worker-side result caches: a warm drill-down over RPC answers from
-    // the frontier nodes' own caches — at 8 shards and fanout 4 those are
-    // two merge servers, so the 8 leaf partials (the FloatSum-heavy
-    // payloads measured above) never cross a socket at all. The
-    // bytes-not-shipped figure uses a *measured* representative leaf
-    // partial: the same query executed over one shard's worth of rows.
+    // The root's result cache: a warm drill-down answers from the root — a
+    // node in the driver on every transport — so at 8 shards and fanout 4
+    // neither merge server is asked, the 8 leaf partials (the FloatSum-heavy
+    // payloads measured above) never cross a socket, and the repeat costs
+    // what it costs on an in-process tree of the same shape (asserted
+    // ≤ 2×, batches sampled alternately: a root that forgets pays a hop
+    // and reads 5× or more). The bytes-not-shipped figure uses a
+    // *measured* representative leaf partial: the same query executed
+    // over one shard's worth of rows.
     if worker_available {
+        const BATCH: usize = 50;
         let shards = 8usize;
         let leaf_rows = {
             let mut sub = pd_data::Table::new(table.schema().clone());
@@ -181,35 +189,51 @@ fn main() {
             execute_partial(&leaf_store, &warm_analyzed, &ctx).expect("leaf partial");
         let leaf_partial_bytes = wire::to_bytes(&leaf_partial).len();
 
-        let config = ClusterConfig {
-            shards,
-            replication: false,
-            shard_cache: 1024,
-            threads: 1,
-            tree: TreeShape { fanout: 4 },
-            build: build.clone(),
-            transport: rpc(WorkerAddr::Unix, false),
-            ..Default::default()
+        let tree = |transport: Transport| {
+            let config = ClusterConfig {
+                shards,
+                replication: false,
+                shard_cache: 1024,
+                threads: 1,
+                tree: TreeShape { fanout: 4 },
+                build: build.clone(),
+                transport,
+                ..Default::default()
+            };
+            Cluster::build(&table, &config).expect("cached cluster")
         };
-        let cluster = Cluster::build(&table, &config).expect("cached cluster");
+        let (unix, local) = (tree(rpc(WorkerAddr::Unix, false)), tree(Transport::InProcess));
         let cold = pd_bench::measure(|| {
-            black_box(cluster.query(sql).expect("cold query"));
+            black_box(unix.query(sql).expect("cold query"));
         });
-        let warm_outcome = cluster.query(sql).expect("warm query");
+        local.query(sql).expect("cold query");
+        let warm_outcome = unix.query(sql).expect("warm query");
         let hits = warm_outcome.worker_cache_hits();
-        assert!(hits > 0, "a repeated query over rpc must report worker-cache hits, got {hits}");
+        assert_eq!(hits, 1, "a repeated query must stop at the root's cache, on any transport");
+        assert_eq!(local.query(sql).expect("warm query").worker_cache_hits(), 1);
         let covered = warm_outcome.stats.rows_cached == warm_outcome.stats.rows_total;
         let bytes_not_shipped = shards * leaf_partial_bytes;
-        let warm_stats = measure_stats(5, || {
-            black_box(cluster.query(sql).expect("warm query"));
-        });
+        let batch = |cluster: &Cluster| {
+            for _ in 0..BATCH {
+                black_box(cluster.query(sql).expect("warm query"));
+            }
+        };
+        let (mut unix_samples, mut local_samples) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            unix_samples.push(measure(|| batch(&unix)));
+            local_samples.push(measure(|| batch(&local)));
+        }
+        let (warm_stats, local_stats) = (stats(unix_samples), stats(local_samples));
+        let ratio = warm_stats.min.as_secs_f64() / local_stats.min.as_secs_f64();
         println!(
-            "\n=== warm rpc with worker-side caches (8 shards, fanout 4) ===\n\
-             cold {} -> warm {} | {hits} frontier cache hits per warm query \
-             (all rows cached: {covered}); ~{bytes_not_shipped} bytes of leaf \
-             partials not shipped ({} bytes per measured leaf partial x {shards} edges)",
+            "\n=== warm rpc with the root's cache (8 shards, fanout 4, best of 5 batches of \
+             {BATCH}) ===\n\
+             cold {} -> warm {} per query ({ratio:.2}x the in-process tree's {}) | {hits} root \
+             cache hit per warm query (all rows cached: {covered}); ~{bytes_not_shipped} bytes \
+             of leaf partials not shipped ({} bytes per measured leaf partial x {shards} edges)",
             fmt_duration(cold),
-            fmt_duration(warm_stats.min),
+            fmt_duration(warm_stats.min / BATCH as u32),
+            fmt_duration(local_stats.min / BATCH as u32),
             leaf_partial_bytes,
         );
         json_line(
@@ -217,10 +241,20 @@ fn main() {
             "warm_cached_rpc",
             warm_stats,
             &[
-                ("worker_cache_hits", hits.to_string()),
+                ("batch", BATCH.to_string()),
+                ("root_cache_hits", hits.to_string()),
+                ("in_process_min_ns", local_stats.min.as_nanos().to_string()),
+                ("unix_over_in_process", format!("{ratio:.3}")),
                 ("leaf_partial_bytes", leaf_partial_bytes.to_string()),
                 ("bytes_not_shipped", bytes_not_shipped.to_string()),
             ],
+        );
+        assert!(
+            ratio <= 2.0,
+            "a chart the root remembers crosses no edge: unix {} vs in-process {} per batch \
+             ({ratio:.2}x)",
+            fmt_duration(warm_stats.min),
+            fmt_duration(local_stats.min),
         );
     }
 
@@ -344,10 +378,6 @@ fn main() {
             plain_samples.push(measure(|| batch(&plain)));
             replicated_samples.push(measure(|| batch(&replicated)));
         }
-        let stats = |mut samples: Vec<Duration>| {
-            samples.sort_unstable();
-            pd_bench::Stats { min: samples[0], median: samples[samples.len() / 2] }
-        };
         let (plain_stats, replicated_stats) = (stats(plain_samples), stats(replicated_samples));
         let per_query = |stats: pd_bench::Stats| stats.min / BATCH as u32;
         let tax = replicated_stats.min.as_secs_f64() / plain_stats.min.as_secs_f64();
@@ -432,6 +462,12 @@ fn main() {
             ],
         );
     }
+}
+
+/// Best and median of alternately taken batch samples.
+fn stats(mut samples: Vec<Duration>) -> pd_bench::Stats {
+    samples.sort_unstable();
+    pd_bench::Stats { min: samples[0], median: samples[samples.len() / 2] }
 }
 
 fn rpc(addr: WorkerAddr, compress: bool) -> Transport {

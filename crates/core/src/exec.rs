@@ -72,8 +72,9 @@ use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, Result, Row, Value};
 use pd_encoding::GlobalDict;
 use pd_sql::{
-    analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, Expr, OutputCol, RowContext,
+    analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext,
 };
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -663,14 +664,10 @@ impl Plan {
         let skip =
             SkipAnalysis::prepare_seeded(store, &analyzed.restriction, seeds.map(|s| s.to_vec()))?;
 
-        let signature: Arc<str> = format!(
-            "{}|keys:{}|aggs:{}|m:{}",
-            analyzed.table.as_deref().unwrap_or(""),
-            analyzed.keys.iter().map(Expr::canonical).collect::<Vec<_>>().join(","),
-            analyzed.aggs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
-            ctx.sketch_m(),
-        )
-        .into();
+        let mut signature = String::with_capacity(128);
+        analyzed.write_group_shape(&mut signature);
+        write!(signature, "|m:{}", ctx.sketch_m()).expect("a String takes every write");
+        let signature: Arc<str> = signature.into();
         let touched = touched.len();
         Ok(Plan { key_cols, slots, aggs, filter, skip, signature, touched })
     }

@@ -27,6 +27,7 @@
 use crate::count_distinct::KmvSketch;
 use pd_common::{Error, FloatSum, FxHashMap, HeapSize, Result, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// What a group table's cells are: global-ids or values.
 pub(crate) trait Cell: Ord + Clone + HeapSize {}
@@ -457,8 +458,10 @@ impl<K: Cell> GroupTable<K> {
     /// Add `other`'s groups to this table's. Both list theirs in strictly
     /// ascending key order, and so does the result: one two-way walk finds
     /// the groups they share, the rest are appended — an ordered run behind
-    /// an ordered run, which the sort merges in a pass.
-    fn merge_ordered(&mut self, other: GroupTable<K>) {
+    /// an ordered run, which the sort merges in a pass. A table nobody else
+    /// holds gives its new keys away; one that is shared has them cloned,
+    /// and only them.
+    fn merge_ordered(&mut self, other: Arc<GroupTable<K>>) {
         let held = self.len;
         let (mut at, mut new) = (0, held);
         let map: Vec<u32> = (0..other.len)
@@ -478,11 +481,23 @@ impl<K: Cell> GroupTable<K> {
                 (if ord.is_eq() { at } else { new - 1 }) as u32
             })
             .collect();
-        for (own, theirs) in self.keys.iter_mut().zip(other.keys) {
-            let fresh = theirs.into_iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
-            own.extend(fresh.map(|(cell, _)| cell));
+        let order = |_, a: &K, b: &K| a.cmp(b);
+        match Arc::try_unwrap(other) {
+            Ok(other) => {
+                for (own, theirs) in self.keys.iter_mut().zip(other.keys) {
+                    let new = theirs.into_iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
+                    own.extend(new.map(|(cell, _)| cell));
+                }
+                self.absorb(&other.slots, &map, order);
+            }
+            Err(other) => {
+                for (own, theirs) in self.keys.iter_mut().zip(&other.keys) {
+                    let new = theirs.iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
+                    own.extend(new.map(|(cell, _)| cell.clone()));
+                }
+                self.absorb(&other.slots, &map, order);
+            }
         }
-        self.absorb(&other.slots, &map, |_, a, b| a.cmp(b));
         if self.len > held {
             self.sort_keys();
         }
@@ -515,9 +530,15 @@ pub enum AggState {
 /// bit-identical however its rows were grouped into chunks, threads,
 /// shards or subtrees. Equality is column equality (floats by bits in
 /// keys, by exact sum in float slots).
+///
+/// The table is shared: a clone is a reference to the same columns, which
+/// is how a node cache keeps an answer and hands it up again without
+/// copying it. Readers ([`crate::finalize`], the wire encoder) never notice;
+/// [`PartialResult::merge`] writes to a copy of its own unless it is the
+/// only holder.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialResult {
-    table: GroupTable<Value>,
+    table: Arc<GroupTable<Value>>,
     aggs: Vec<AggRef>,
 }
 
@@ -526,7 +547,7 @@ impl PartialResult {
     /// query whose aggregates read the slots `aggs`.
     pub(crate) fn new(table: GroupTable<Value>, aggs: Vec<AggRef>) -> PartialResult {
         debug_assert!(table.is_sorted());
-        PartialResult { table, aggs }
+        PartialResult { table: Arc::new(table), aggs }
     }
 
     /// The partial of groups given row-wise, each `(key, one state per
@@ -583,7 +604,7 @@ impl PartialResult {
                 }
             }
         }
-        Ok(PartialResult { table: GroupTable { len, keys, slots }, aggs })
+        Ok(PartialResult { table: Arc::new(GroupTable { len, keys, slots }), aggs })
     }
 
     /// The partial of decoded columns, every invariant checked: columns of
@@ -618,7 +639,7 @@ impl PartialResult {
         if !aggs.iter().all(fits) {
             return Err(corrupt("names a slot it does not have"));
         }
-        Ok(PartialResult { table, aggs })
+        Ok(PartialResult { table: Arc::new(table), aggs })
     }
 
     /// What the wire carries: group count, key columns, slots, aggregates.
@@ -652,19 +673,20 @@ impl PartialResult {
     /// Merge another partial of the same query into this one: an ordered
     /// two-way merge of columns. A partial of no columns
     /// ([`PartialResult::default`]) is the identity; partials of different
-    /// shapes do not merge.
+    /// shapes do not merge. Copy-on-write: clones of either side made
+    /// before the merge keep what they held.
     pub fn merge(&mut self, other: PartialResult) -> Result<()> {
         let shape = |p: &PartialResult| {
             let kinds: Vec<SlotKind> = p.table.slots.iter().map(Column::kind).collect();
             (p.table.keys.len(), kinds, p.aggs.clone())
         };
-        if other.table == GroupTable::default() {
+        if *other.table == GroupTable::default() {
             return Ok(());
         }
-        if self.table == GroupTable::default() {
+        if *self.table == GroupTable::default() {
             *self = other;
         } else if shape(self) == shape(&other) {
-            self.table.merge_ordered(other.table);
+            Arc::make_mut(&mut self.table).merge_ordered(other.table);
         } else {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
@@ -972,6 +994,32 @@ mod tests {
         let other_shape =
             PartialResult::from_states([(vec![Value::from("a")], vec![AggState::SumInt(1)])]);
         assert!(merged.merge(other_shape.unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_clone_shares_its_table_until_one_of_them_merges() {
+        let mut original = counted(&[("a", 1), ("m", 2)]);
+        let clone = original.clone();
+        assert!(Arc::ptr_eq(&original.table, &clone.table), "a clone copies no column");
+        // Adopting a partial into the empty one shares it too.
+        let mut adopted = PartialResult::default();
+        adopted.merge(clone.clone()).unwrap();
+        assert!(Arc::ptr_eq(&adopted.table, &clone.table));
+
+        // A merge writes to a table of the receiver's own, and reads a
+        // shared argument without consuming it.
+        let argument = counted(&[("a", 4), ("z", 1)]);
+        original.merge(argument.clone()).unwrap();
+        assert!(!Arc::ptr_eq(&original.table, &clone.table));
+        assert_eq!(original, counted(&[("a", 5), ("m", 2), ("z", 1)]));
+        assert_eq!(clone, counted(&[("a", 1), ("m", 2)]));
+        assert_eq!(adopted, clone);
+        assert_eq!(argument, counted(&[("a", 4), ("z", 1)]));
+        // The sole holder of a table merges into it where it is.
+        let own = Arc::as_ptr(&original.table);
+        original.merge(argument).unwrap();
+        assert_eq!(Arc::as_ptr(&original.table), own);
+        assert_eq!(original, counted(&[("a", 9), ("m", 2), ("z", 2)]));
     }
 
     #[test]

@@ -96,6 +96,38 @@ fn partition_invariants() {
     }
 }
 
+/// A random partial of up to 11 groups (none is [`PartialResult::default`])
+/// with `key_width` key columns, its first-column keys drawn from
+/// `k{first_key}..k{first_key + 8}`: every kind of state, floats that no
+/// pair of doubles holds.
+fn random_partial(rng: &mut Rng, key_width: usize, first_key: usize) -> PartialResult {
+    let floats = [0.5, -0.0, 1e308, -1e308, 1e-300, f64::INFINITY, f64::NAN, 3.25];
+    let mut groups = std::collections::BTreeMap::new();
+    for _ in 0..rng.range_usize(0, 12) {
+        let key: Vec<Value> = (0..key_width)
+            .map(|i| match i {
+                0 => Value::from(format!("k{:02}", first_key + rng.range_usize(0, 8))),
+                _ => Value::Int(rng.range_i64_inclusive(0, 2)),
+            })
+            .collect();
+        let v = rng.range_i64_inclusive(-100, 100);
+        let x = *rng.pick(&floats);
+        groups.insert(
+            key,
+            vec![
+                AggState::Count(1),
+                AggState::SumInt(v),
+                AggState::SumFloat(Box::new(FloatSum::from(x))),
+                AggState::Min(rng.chance(0.8).then_some(Value::Int(v))),
+                AggState::Max(Some(Value::Float(x))),
+                AggState::Avg { sum: Box::new(FloatSum::from(v as f64 * 0.1)), count: 1 },
+                AggState::Distinct(KmvSketch::from_parts(4, [rng.next_u64() % 16])),
+            ],
+        );
+    }
+    PartialResult::from_states(groups).unwrap()
+}
+
 /// `PartialResult::merge` is associative and commutative, keeps the groups
 /// in strict key order and has `Default` as its identity (the property the
 /// §4 computation tree — and a pruned edge's empty answer — rely on), over
@@ -105,37 +137,10 @@ fn partition_invariants() {
 #[test]
 fn partial_results_merge_associatively_and_commutatively_in_key_order() {
     let mut rng = Rng::seed_from_u64(0xc04e_0003);
-    let floats = [0.5, -0.0, 1e308, -1e308, 1e-300, f64::INFINITY, f64::NAN, 3.25];
     for case in 0..64 {
         let key_width = rng.range_usize(0, 3);
-        let part = |rng: &mut Rng| {
-            let mut groups = std::collections::BTreeMap::new();
-            for _ in 0..rng.range_usize(0, 12) {
-                let key: Vec<Value> = (0..key_width)
-                    .map(|i| match i {
-                        0 => Value::from(format!("k{}", rng.range_usize(0, 8))),
-                        _ => Value::Int(rng.range_i64_inclusive(0, 2)),
-                    })
-                    .collect();
-                let v = rng.range_i64_inclusive(-100, 100);
-                let x = *rng.pick(&floats);
-                groups.insert(
-                    key,
-                    vec![
-                        AggState::Count(1),
-                        AggState::SumInt(v),
-                        AggState::SumFloat(Box::new(FloatSum::from(x))),
-                        AggState::Min(rng.chance(0.8).then_some(Value::Int(v))),
-                        AggState::Max(Some(Value::Float(x))),
-                        AggState::Avg { sum: Box::new(FloatSum::from(v as f64 * 0.1)), count: 1 },
-                        AggState::Distinct(KmvSketch::from_parts(4, [rng.next_u64() % 16])),
-                    ],
-                );
-            }
-            PartialResult::from_states(groups).unwrap()
-        };
         let parts: Vec<PartialResult> =
-            (0..rng.range_usize(2, 7)).map(|_| part(&mut rng)).collect();
+            (0..rng.range_usize(2, 7)).map(|_| random_partial(&mut rng, key_width, 0)).collect();
         let fold = |parts: &mut dyn Iterator<Item = &PartialResult>| {
             let mut acc = PartialResult::default();
             parts.for_each(|p| acc.merge(p.clone()).unwrap());
@@ -159,6 +164,44 @@ fn partial_results_merge_associatively_and_commutatively_in_key_order() {
         // The decoder verifies strict key order (and every column length).
         let back: PartialResult = from_bytes(&to_bytes(&flat)).unwrap();
         assert_eq!(back, flat, "case {case}: ordered");
+    }
+}
+
+/// A partial shares its table with its clones — a node cache keeps one and
+/// hands out others — so a merge must write to a table of its own: every
+/// clone made before a merge stays what it was, bit for bit, on either side
+/// of it; and whether the argument is shared (its new keys are cloned) or
+/// uniquely held (they move) the merged table is the same. Parts include
+/// the empty partial and ones whose keys all sort behind the receiver's.
+#[test]
+fn merging_leaves_every_earlier_clone_of_a_shared_table_as_it_was() {
+    let mut rng = Rng::seed_from_u64(0xc04e_0007);
+    for case in 0..64 {
+        let key_width = rng.range_usize(0, 3);
+        let tail = if rng.chance(0.3) { 8 } else { 0 };
+        let a = random_partial(&mut rng, key_width, 0);
+        let b = random_partial(&mut rng, key_width, tail);
+        let c_first = rng.range_usize(0, 2) * tail;
+        let c = random_partial(&mut rng, key_width, c_first);
+        let before = [to_bytes(&a), to_bytes(&b), to_bytes(&c)];
+
+        // Everything shared: `a`, `b` and `c` stay held here.
+        let mut shared = a.clone();
+        shared.merge(b.clone()).unwrap();
+        let early = shared.clone();
+        let early_bytes = to_bytes(&early);
+        shared.merge(c.clone()).unwrap();
+        assert_eq!([to_bytes(&a), to_bytes(&b), to_bytes(&c)], before, "case {case}: the parts");
+        assert_eq!(to_bytes(&early), early_bytes, "case {case}: a clone between two merges");
+
+        // Nothing shared: the same parts, decoded afresh, merged by value.
+        let own = |bytes: &[u8]| from_bytes::<PartialResult>(bytes).unwrap();
+        let mut unique = own(&before[0]);
+        unique.merge(own(&before[1])).unwrap();
+        assert_eq!(to_bytes(&unique), early_bytes, "case {case}: shared == unique, one merge");
+        unique.merge(own(&before[2])).unwrap();
+        assert_eq!(unique, shared, "case {case}");
+        assert_eq!(to_bytes(&unique), to_bytes(&shared), "case {case}: shared == unique");
     }
 }
 

@@ -5,9 +5,11 @@
 //! sending the query to all machines, each machine executing it on its
 //! part of the data, and then merging the results."* — [`Cluster::build`]
 //! splits the table into contiguous shards and builds a tree of
-//! [`crate::node::Node`]s over them; [`Cluster::query`] parses once, fans
-//! the analyzed query out to the tree's frontier, folds the partials in
-//! fixed order and finalizes. Every aggregation state merges associatively
+//! [`crate::node::Node`]s over them; [`Cluster::query`] parses once, hands
+//! the analyzed query to the tree's root — a node like the others, held
+//! here: it answers a signature it remembers without crossing an edge,
+//! and otherwise fans out and folds the partials in fixed order — and
+//! finalizes its answer. Every aggregation state merges associatively
 //! (float sums are exact superaccumulators), so the result is bit-identical
 //! to the single-store engine at any shard count, tree depth, thread count
 //! or cache configuration. Where the nodes live is the [`Transport`]; the
@@ -29,7 +31,7 @@
 
 use crate::chaos::ChaosModel;
 use crate::process::{shard_delta, Tree, WorkerAddr};
-use crate::rpc::QueryRequest;
+use crate::rpc::{QueryRequest, ShardReport};
 use pd_common::sync::Mutex;
 use pd_common::{Error, RpcError, Schema};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
@@ -162,10 +164,11 @@ pub struct ClusterConfig {
     /// Worker threads for each leaf's chunk scan and each in-memory
     /// fan-out (0 = `EXEC_THREADS` / available parallelism).
     pub threads: usize,
-    /// Capacity (entries) of **every tree node's own result cache** — leaf
-    /// and merge server alike, on either transport; 0 disables them. A
-    /// warm drill-down answers from the nearest node that remembers the
-    /// signature, with zero child hops below it.
+    /// Capacity (entries) of **every tree node's own result cache** — leaf,
+    /// merge server and the root in the driver alike, on either transport;
+    /// 0 disables them. A warm drill-down answers from the nearest node
+    /// that remembers the signature, with zero child hops below it: a
+    /// chart the root remembers costs no hop, no frame and no merge.
     pub shard_cache: usize,
     /// Where the tree's nodes live: in the driver's address space or one
     /// worker process each.
@@ -272,7 +275,8 @@ pub struct QueryOutcome {
     pub latency: Duration,
     /// Per shard: the subquery as its parent saw it — wall clock around
     /// the hop, transport, queueing and failover included (zero for a
-    /// shard beneath a pruned edge or a merge node's cache hit).
+    /// shard beneath a pruned edge or a cache hit of a node above its
+    /// leaf — a merge server's, or the root's: then all are zero).
     pub subquery_latencies: Vec<Duration>,
     /// Shards whose primary failed and whose replica computed the answer.
     pub failovers: Vec<usize>,
@@ -280,8 +284,8 @@ pub struct QueryOutcome {
     /// against its replica process (whichever answer arrived first won).
     pub hedges: Vec<usize>,
     /// Shards whose contribution came out of a node's result cache — the
-    /// leaf's own or a merge server's above it — without reaching the
-    /// shard's store.
+    /// leaf's own, a merge server's above it, or the root's (then every
+    /// shard counts) — without reaching the shard's store.
     pub shard_cache_hits: usize,
     /// Per shard: time the subquery spent queued inside worker processes
     /// (leaf + every merge server above it); an in-memory edge has no
@@ -290,9 +294,10 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Tree nodes (leaves or merge servers) that answered this query from
-    /// their own result cache, aggregated up the tree. One merge-server
-    /// hit covers every shard beneath it, so this is at most
+    /// Tree nodes (leaves, merge servers or the root) that answered this
+    /// query from their own result cache, aggregated up the tree. One
+    /// merge-server hit covers every shard beneath it and a root hit is
+    /// the only one there is, so this is at most
     /// [`QueryOutcome::shard_cache_hits`]. Derived from the aggregated
     /// [`ScanStats`], the single source of truth the nodes report into.
     pub fn worker_cache_hits(&self) -> usize {
@@ -504,17 +509,19 @@ impl Cluster {
             .collect()
     }
 
-    /// `(hits, misses)` so far, summed over the node result caches the
-    /// driver can reach in its own address space (`(0, 0)` for a tree of
-    /// worker processes, whose caches live in the workers).
+    /// `(hits, misses)` so far, summed over the node result caches in the
+    /// driver's address space: the root's, plus every node's beneath it in
+    /// an in-process tree (the caches of worker processes count where they
+    /// live).
     pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.tree.as_ref().map_or((0, 0), Tree::cache_stats)
+        self.tree.as_ref().map_or((0, 0), |tree| tree.root().cache_stats())
     }
 
     /// Run `sql` over every shard — concurrently — and merge the partial
-    /// results in fixed order. The driver is the root of the tree: it
-    /// fans out to the frontier (leaves or merge servers), folds the
-    /// answers associatively and finalizes. This query's faults are drawn
+    /// results in fixed order. The driver holds the root of the tree: it
+    /// answers from its cache, or fans out to its children (leaves or
+    /// merge servers) and folds their answers associatively; the driver
+    /// finalizes what it hands up. This query's faults are drawn
     /// *here*, once ([`ChaosModel::draw`]); the directives travel down with
     /// the query, so a parent told its leaf primary is unreachable goes to
     /// the replica through the same failover code a deadline expiry
@@ -575,14 +582,19 @@ impl Cluster {
         }
         failovers.sort_unstable();
         hedges.sort_unstable();
-        {
+        // An answer out of the root's cache crossed no edge: its reports
+        // are synthesized — cache-flagged, no latency, no queue — and say
+        // nothing about the workers. Fed to the estimates, a run of
+        // repeated charts would fill the ring with zeros and switch the
+        // saturation halving off.
+        let synthesized = |r: &ShardReport| r.cache_hit && r.latency.is_zero() && r.queue.is_zero();
+        if !answer.reports.iter().all(synthesized) {
             let mut observed = self.observed_queue.lock();
             for (slot, queued) in observed.iter_mut().zip(&queue_delays) {
                 slot.0 += *queued;
                 slot.1 += 1;
             }
-        }
-        {
+            drop(observed);
             // Feed the adaptive hedge / saturation estimates, stamped so
             // `queue_p95` can expire them.
             let now = Instant::now();
@@ -848,6 +860,30 @@ mod tests {
         // than that cannot beat the deadline anyway.
         cluster.recent_queue.lock().extend(vec![(Instant::now(), Duration::from_secs(10)); 64]);
         assert_eq!(cluster.hedge_delay(Duration::from_secs(1)), Duration::from_millis(500));
+    }
+
+    #[test]
+    fn answers_out_of_the_roots_cache_leave_the_queue_estimates_alone() {
+        let (_, cluster) = logs_cluster(4, false);
+        let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 5";
+        // A saturated ring, then one miss: its four reports crossed an edge
+        // and are samples like any other.
+        cluster
+            .recent_queue
+            .lock()
+            .extend(vec![(Instant::now(), Duration::from_millis(400)); RECENT_QUEUE_CAP - 40]);
+        assert_eq!(cluster.query(sql).unwrap().worker_cache_hits(), 0);
+        let after_the_miss = (cluster.queue_p95(), cluster.recent_queue.lock().len());
+        assert_eq!(after_the_miss, (Some(Duration::from_millis(400)), RECENT_QUEUE_CAP - 36));
+        let observed = cluster.observed_queue.lock().clone();
+        // 64 repeats × 4 synthesized zero-queue reports would displace the
+        // whole ring and read "nobody is waiting".
+        for _ in 0..64 {
+            let hit = cluster.query(sql).unwrap();
+            assert_eq!((hit.worker_cache_hits(), hit.shard_cache_hits), (1, 4));
+        }
+        assert_eq!((cluster.queue_p95(), cluster.recent_queue.lock().len()), after_the_miss);
+        assert_eq!(*cluster.observed_queue.lock(), observed);
     }
 
     #[test]

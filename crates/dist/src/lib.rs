@@ -14,7 +14,7 @@
 //! |-----------------------------------|---------------------------------------|
 //! | X data partitions on leaf servers | leaf [`Node`]s: independent [`pd_core::DataStore`]s over contiguous row ranges, built in the driver's address space ([`Transport::InProcess`]) or imported by spawned worker processes ([`Transport::Rpc`]) |
 //! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message — encoded once, written to every socket child, the replies then read in child order, all on the calling thread ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]), optionally compressed (`pd-compress`, negotiated per connection) — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
-//! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) is the root |
+//! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
 //! | "take the answer arriving first" replication | every leaf has a replica link; an unreachable ([`ChaosFault::Unreachable`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
 //! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]); [`ChaosModel`] delays make processes straggle on purpose |
 //! | reuse of previously computed answers | [`shard_cache`]: **every tree node** holds a [`shard_cache::WorkerCache`] of its own partials keyed by the normalized query signature, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |

@@ -7,10 +7,14 @@
 //! **mixer** owns children ([`ChildHandle`]s — each a socket to a worker
 //! process or a reference to another `Node`), fans the query out and folds
 //! their partials. Both own a [`WorkerCache`] keyed by the normalized query
-//! signature and an epoch that invalidates it. A `pd-dist-worker` process
-//! holds one `Node` behind its FIFO turnstile ([`crate::worker`]); a
-//! [`crate::Transport::InProcess`] cluster holds a whole tree of them.
-//! [`Node::query`] is the only query path either has.
+//! signature and an epoch that invalidates it; an entry shares its table
+//! with the answers it came from and serves, so remembering copies
+//! nothing. A `pd-dist-worker` process holds one `Node` behind its FIFO
+//! turnstile ([`crate::worker`]); a [`crate::Transport::InProcess`] cluster
+//! holds a whole tree of them; and the driver of either holds the root — a
+//! mixer over the top level ([`crate::process::Tree`]), which is why a
+//! chart asked before costs no hop at all. [`Node::query`] is the only
+//! query path any of them has.
 
 use crate::meta::{self, ShardMeta};
 use crate::rpc::{
@@ -193,8 +197,8 @@ impl Node {
         let signature = self.cache.as_ref().map(|_| query_signature(&request.query, self.sketch_m));
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
             if let Some(entry) = cache.get(signature) {
-                // The nearest-cache answer: identical partial, zero child
-                // hops, every row beneath accounted as cached.
+                // The nearest-cache answer: the cached table itself, zero
+                // child hops, every row beneath accounted as cached.
                 return Ok(entry.to_answer(queued));
             }
         }

@@ -2,13 +2,14 @@
 //!
 //! [`Tree::build`] turns a table into the paper's §4 topology: one leaf
 //! per shard, plus one merge server per `fanout` children whenever a level
-//! exceeds the [`crate::TreeShape`] fanout. The driver itself is the root:
-//! it queries the frontier (the top-most level), folds the answers with
-//! the merge every other level uses, and finalizes. Every node is a
-//! [`Node`]; where it lives is the tree's only variable — in the driver's
-//! address space, reached by reference, or ([`Transport::Rpc`]) one
-//! `pd-dist-worker` OS process per node (two per shard under replication),
-//! reached over sockets.
+//! exceeds the [`crate::TreeShape`] fanout. The driver holds the root: a
+//! mixer [`Node`] over the top-most level, with the result cache, the
+//! epoch rule and the fold every other mixer has — a chart it remembers
+//! crosses no edge — whose answer the cluster finalizes. Every node is a
+//! [`Node`]; where the ones beneath the root live is the tree's only
+//! variable — in the driver's address space, reached by reference, or
+//! ([`Transport::Rpc`]) one `pd-dist-worker` OS process per node (two per
+//! shard under replication), reached over sockets.
 //!
 //! Workers listen on Unix sockets in a private temp directory
 //! ([`WorkerAddr::Unix`]) or on ephemeral TCP ports ([`WorkerAddr::Tcp`],
@@ -25,9 +26,9 @@ use crate::cluster::{ClusterConfig, RpcConfig, Transport};
 use crate::meta::ShardMeta;
 use crate::node::{Node, NodeSpec};
 use crate::rpc::{
-    absorb_into, backoff_sleep, encode_frame, fan_out, AbsorbRequest, Addr, AppendReceipt,
-    AppendRequest, AppliedDelta, AttachRequest, ChildHandle, ChildSpec, LoadRequest, QueryRequest,
-    Request, Response, RpcClient, SubtreeAnswer, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
+    backoff_sleep, encode_frame, AbsorbRequest, Addr, AppendReceipt, AppendRequest, AppliedDelta,
+    AttachRequest, ChildHandle, ChildSpec, LoadRequest, QueryRequest, Request, Response, RpcClient,
+    SubtreeAnswer, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
 use pd_common::{fx_hash64, Error, Result, Value};
@@ -128,22 +129,23 @@ pub fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf> {
     ))
 }
 
-/// A live computation tree as its driver (the root) holds it: the frontier
-/// to query, and the leaves to append to.
+/// A live computation tree as its driver holds it: the root to query, and
+/// the leaves to append to.
 pub struct Tree {
-    /// The top tree level, queried (and failed over) by the driver root.
-    /// Wired once, at build: an append updates the handles' shard
-    /// summaries in place and leaves their connections alone.
-    frontier: Vec<ChildHandle>,
+    /// The mixer over the top tree level, in the driver on both
+    /// transports. Its children are wired once, at build: an append
+    /// updates their shard summaries in place and leaves their connections
+    /// alone.
+    root: Node,
     nodes: Placement,
     config: ClusterConfig,
 }
 
-/// Where the nodes beneath the frontier live — the one thing the two
+/// Where the nodes beneath the root live — the one thing the two
 /// transports differ in.
 enum Placement {
     /// Leaves in shard order; the mixers above them are owned by the
-    /// frontier's handles.
+    /// handles of the level above.
     Local(Vec<Arc<Node>>),
     Workers(Workers),
 }
@@ -222,8 +224,8 @@ impl Tree {
     /// one leaf (pair) per shard — each shard's rows are dictionary-coded
     /// once (`shard_delta`), one shard at a time, and that one value is
     /// handed to a local leaf or put in a `Load` frame — then merge levels,
-    /// bottom-up, until one fits the fanout; that top level is the
-    /// frontier. The one place [`ClusterConfig::transport`] matters.
+    /// bottom-up, until one fits the fanout; the root mixes that top
+    /// level. The one place [`ClusterConfig::transport`] matters.
     pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
         let shard_count = config.shards.clamp(1, table.len().max(1));
         let fanout = config.tree.fanout.max(2);
@@ -231,7 +233,7 @@ impl Tree {
             shard_delta(table, shard, shard_count)?
                 .ok_or_else(|| Error::Data("cannot build a tree over a table with no rows".into()))
         };
-        let (frontier, nodes) = match &config.transport {
+        let (children, nodes) = match &config.transport {
             Transport::InProcess => {
                 let mut leaves = Vec::with_capacity(shard_count);
                 for shard in 0..shard_count {
@@ -254,11 +256,11 @@ impl Tree {
                         ChildHandle::local(Arc::clone(leaf), Some(shard as u64), config.replication)
                     })
                     .collect();
-                let frontier = stack_levels(level, fanout, |height, i, group| {
+                let children = stack_levels(level, fanout, |height, i, group| {
                     let spec = node_spec(config, format!("m{height}_{i}"), epoch);
                     Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
                 })?;
-                (frontier, Placement::Local(leaves))
+                (children, Placement::Local(leaves))
             }
             Transport::Rpc(rpc) => {
                 // Dropping `workers` on an early return reaps what was
@@ -270,7 +272,7 @@ impl Tree {
                 }
                 // Each shard's summary moves up with its spec — into the
                 // `Attach` of the parent that prunes with it, and on into
-                // the frontier's handles; the driver keeps no other copy.
+                // the root's handles; the driver keeps no other copy.
                 let top = stack_levels(level, fanout, |height, i, group| {
                     // Socket children are other processes: the fan-out
                     // writes to each and then reads each on one thread, so
@@ -282,11 +284,12 @@ impl Tree {
                     workers.attach_mixer(group, spec)
                 })?;
                 let compress = workers.compress;
-                let frontier = top.into_iter().map(|spec| ChildHandle::new(spec, compress));
-                (frontier.collect(), Placement::Workers(workers))
+                let children = top.into_iter().map(|spec| ChildHandle::new(spec, compress));
+                (children.collect(), Placement::Workers(workers))
             }
         };
-        Ok(Tree { frontier, nodes, config: config.clone() })
+        let root = Node::mixer(children, node_spec(config, "root".into(), epoch));
+        Ok(Tree { root, nodes, config: config.clone() })
     }
 
     pub fn shard_count(&self) -> usize {
@@ -324,13 +327,9 @@ impl Tree {
         }
     }
 
-    /// Summed `(hits, misses)` of the node result caches reachable in this
-    /// address space.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.frontier
-            .iter()
-            .map(ChildHandle::cache_stats)
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    /// The root: the one node of every tree that lives in the driver.
+    pub fn root(&self) -> &Node {
+        &self.root
     }
 
     /// Stream new rows into the live tree. `deltas[shard]` is that shard's
@@ -339,11 +338,13 @@ impl Tree {
     /// Each delta reaches every copy of the shard (a process tree's primary
     /// *and* replica — or failover would travel back in time); each leaf
     /// acks a receipt, and every parent that prunes by the shard's summary
-    /// — merge servers and this root — absorbs the same delta into its own
-    /// copy ([`crate::meta::ShardMeta::absorb_append`]). Nothing is
-    /// re-wired and no connection is dropped: a local mixer holds no
-    /// summaries and invalidates by the epoch in its next query. Returns
-    /// the bytes of every request frame the append caused.
+    /// — merge servers and the root, by the one [`Node::absorb`] — absorbs
+    /// the same delta into its own copy
+    /// ([`crate::meta::ShardMeta::absorb_append`]). Nothing is re-wired and
+    /// no connection is dropped: a local mixer, the root of a local tree
+    /// included, holds no summaries and invalidates by the epoch in its
+    /// next query. Returns the bytes of every request frame the append
+    /// caused.
     pub fn append(&mut self, deltas: Vec<Option<TableDelta>>, epoch: u64) -> Result<u64> {
         let appends = deltas.into_iter().enumerate().filter_map(|(shard, delta)| {
             Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
@@ -355,9 +356,7 @@ impl Tree {
                 }
                 Ok(0)
             }
-            Placement::Workers(workers) => {
-                workers.append(appends.collect(), epoch, &mut self.frontier)
-            }
+            Placement::Workers(workers) => workers.append(appends.collect(), epoch, &mut self.root),
         }
     }
 
@@ -370,10 +369,10 @@ impl Tree {
         self.workers().map_or(&[], |w| &w.names)
     }
 
-    /// Run one query through the tree: fan out to the frontier, fold in
-    /// frontier order.
+    /// Run one query through the tree, from its root — which nothing
+    /// queues for.
     pub fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
-        fan_out(&self.frontier, request)
+        self.root.query(request, Duration::ZERO)
     }
 }
 
@@ -493,18 +492,13 @@ impl Workers {
     /// 1. Every shard's delta — encoded once — goes to its primary and its
     ///    replica; each acks a receipt (a pair's must agree).
     /// 2. Every merge server gets the deltas and receipts of the shards
-    ///    beneath it, plus the epoch; while they absorb, the driver absorbs
-    ///    the same into `frontier`, its own copies of the summaries.
+    ///    beneath it, plus the epoch; while they absorb, `root` — the one
+    ///    mixer that is not behind a wire — absorbs them all.
     ///
     /// Returns the bytes of every frame written. An error may leave an ack
     /// unread on a control connection: the cluster drops the tree on any
     /// failed append, and the `Shutdown` that follows does not mind.
-    fn append(
-        &mut self,
-        appends: Vec<AppendRequest>,
-        epoch: u64,
-        frontier: &mut [ChildHandle],
-    ) -> Result<u64> {
+    fn append(&mut self, appends: Vec<AppendRequest>, epoch: u64, root: &mut Node) -> Result<u64> {
         let deadline = Instant::now() + LOAD_TIMEOUT;
         let shipped_before = self.bytes_shipped;
         for append in &appends {
@@ -546,7 +540,7 @@ impl Workers {
             self.bytes_shipped += frame.len() as u64;
             absorbing.push(mixer.worker);
         }
-        absorb_into(frontier, &applied)?;
+        root.absorb(&AbsorbRequest { applied, epoch })?;
         for worker in absorbing {
             expect_ok(self.control[worker].1.recv(deadline)?, "absorb")?;
         }

@@ -225,8 +225,8 @@ pub struct QueryRequest {
     pub hedge_micros: u64,
     /// The driver's current rebuild epoch. A node holding a node cache
     /// (cached partials) from an older epoch drops it before answering —
-    /// the distributed form of the root cache's rebuild invalidation. A
-    /// leaf's chunk results are not the epoch's to drop: they describe
+    /// the root in the driver by the same rule as a worker. A leaf's
+    /// chunk results are not the epoch's to drop: they describe
     /// chunks, and an epoch bump that keeps the store keeps its chunks.
     pub epoch: u64,
     /// This query's faults, drawn once at the root from the seeded

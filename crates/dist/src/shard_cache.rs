@@ -7,9 +7,10 @@
 //! fully-active chunk *inside* one shard; [`WorkerCache`] is the
 //! distributed counterpart, keyed by the normalized [`query_signature`]:
 //! every [`crate::node::Node`] owns one — a leaf caches its shard's
-//! [`pd_core::PartialResult`], a merge server the *folded subtree* partial
-//! — so a warm drill-down answers from the topmost cache that has the
-//! signature, with **zero child hops** below it. Invalidation is the
+//! [`pd_core::PartialResult`], a merge server the *folded subtree* partial,
+//! the root in the driver the whole tree's — so a warm drill-down answers
+//! from the topmost cache that has the signature, with **zero child hops**
+//! below it; a chart the root remembers crosses no edge at all. Invalidation is the
 //! rebuild epoch carried by every `Load`/`Attach`/`Append`/`Query`
 //! ([`crate::rpc`]): a node drops its cache the moment it sees the epoch
 //! advance.
@@ -25,7 +26,9 @@
 //!   sketches union), so serving a cached partial is bit-identical to
 //!   rescanning the shard (or re-folding the subtree). Capacity eviction
 //!   can therefore change [`pd_core::ScanStats`], never results. An entry
-//!   is captured and served by copying columns, not per-group records.
+//!   shares its table with the answer it was captured from and with every
+//!   answer it serves ([`pd_core::PartialResult`] is copy-on-write): a put
+//!   and a hit copy no column.
 //!
 //! Admission/eviction reuses [`pd_core::BoundedCache`], the chunk-result
 //! cache's cost-aware machinery: a node scores an entry by `bytes × cells
@@ -36,7 +39,8 @@
 
 use crate::rpc::{ShardReport, SubtreeAnswer};
 use pd_core::{cost_score, BoundedCache, PartialResult, ScanStats};
-use pd_sql::{AnalyzedQuery, Expr};
+use pd_sql::AnalyzedQuery;
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,14 +48,14 @@ use std::time::Duration;
 /// affects the *partial* (table, keys, aggregates, row restriction, sketch
 /// size) and nothing that only affects finalization.
 pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
-    format!(
-        "{}|keys:{}|aggs:{}|where:{}|m:{}",
-        analyzed.table.as_deref().unwrap_or(""),
-        analyzed.keys.iter().map(Expr::canonical).collect::<Vec<_>>().join(","),
-        analyzed.aggs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
-        analyzed.filter.as_ref().map(Expr::canonical).unwrap_or_default(),
-        sketch_m,
-    )
+    let mut signature = String::with_capacity(128);
+    analyzed.write_group_shape(&mut signature);
+    signature.push_str("|where:");
+    if let Some(filter) = &analyzed.filter {
+        write!(signature, "{filter}").expect("a String takes every write");
+    }
+    write!(signature, "|m:{sketch_m}").expect("a String takes every write");
+    signature
 }
 
 /// One tree node's cached answer for a signature: the partial it would
@@ -69,7 +73,7 @@ pub struct CachedSubtree {
 }
 
 impl CachedSubtree {
-    /// Capture a freshly computed answer for reuse.
+    /// Capture a freshly computed answer for reuse, sharing its table.
     pub fn capture(answer: &SubtreeAnswer) -> CachedSubtree {
         CachedSubtree {
             partial: answer.partial.clone(),
@@ -79,8 +83,8 @@ impl CachedSubtree {
         }
     }
 
-    /// The answer a cache hit sends up the tree: the identical partial,
-    /// stats that account every row beneath this node as served from a
+    /// The answer a cache hit sends up the tree: the identical partial
+    /// (the cached table itself, shared), stats that account every row beneath this node as served from a
     /// cached result (one `worker_cache_hits` for the node that stopped
     /// the query), and a zero-latency, cache-flagged report per shard.
     /// `queued` is this node's own measured queue delay, which applies to
@@ -116,7 +120,7 @@ impl CachedSubtree {
 /// [`query_signature`] alone — the node *is* its subtree, so no shard
 /// index is needed.
 pub struct WorkerCache {
-    entries: BoundedCache<String, Arc<CachedSubtree>>,
+    entries: BoundedCache<Arc<str>, Arc<CachedSubtree>>,
 }
 
 impl WorkerCache {
@@ -134,7 +138,7 @@ impl WorkerCache {
     /// answers that are cheapest to regenerate.
     pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>, cells: u64) {
         let cost = cost_score(entry.partial.approx_bytes(), cells);
-        self.entries.put(signature.to_owned(), entry, cost);
+        self.entries.put(signature.into(), entry, cost);
     }
 
     /// Drop everything — the epoch-advance reaction: cached partials

@@ -1,18 +1,19 @@
 //! Seeded property tests for the result cache every tree node owns —
-//! leaf or merge server, reached over an in-memory edge or a socket. The
-//! node code is the same either way, so each property runs over both edge
-//! kinds through identical assertions:
+//! leaf, merge server or the root in the driver, its children reached over
+//! in-memory edges or sockets. The node code is the same either way, so
+//! each property runs over both edge kinds through identical assertions:
 //!
-//! 1. re-issuing an identical query answers from the caches nearest the
-//!    root and returns bit-identical results;
+//! 1. re-issuing an identical query answers from the cache nearest the
+//!    root — the root's own — and returns bit-identical results, with
+//!    every server beneath it unreachable too;
 //! 2. a rebuild or an append (the epoch bump) invalidates every node's
-//!    cache — no stale partials, ever — while an append, which rewrites no
-//!    chunk, leaves the leaves' chunk results standing: the first query
-//!    after it scans the new chunks only;
+//!    cache, the root's included — no stale partials, ever — while an
+//!    append, which rewrites no chunk, leaves the leaves' chunk results
+//!    standing: the first query after it scans the new chunks only;
 //! 3. capacity eviction can change `ScanStats`, never results;
 //! 4. what the caches hold is a function of the query sequence: a replayed
-//!    session reproduces every outcome (in-memory edges only — a worker
-//!    process reports no `(hits, misses)`).
+//!    session reproduces every outcome (in-memory edges only — of a socket
+//!    tree's `(hits, misses)` the driver sees the root's alone).
 //!
 //! Plus the epoch rule straight at the wire protocol, and one property of
 //! the whole local tree: random shapes with appends interleaved between
@@ -22,7 +23,11 @@ use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore, PartitionSpec, ScanStats};
 use pd_data::Table;
-use pd_dist::{Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape};
+use pd_dist::chaos::leaf_primary;
+use pd_dist::{
+    ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, QueryOutcome, RpcConfig,
+    Transport, TreeShape,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -104,15 +109,6 @@ fn cluster(
     .unwrap()
 }
 
-/// Width of the tree's frontier (the level the driver root queries).
-fn frontier_width(shards: usize, fanout: usize) -> usize {
-    let mut width = shards.max(1);
-    while width > fanout {
-        width = width.div_ceil(fanout);
-    }
-    width
-}
-
 fn assert_balanced(outcome: &QueryOutcome, label: &str) {
     assert_eq!(
         outcome.stats.rows_skipped + outcome.stats.rows_cached + outcome.stats.rows_scanned,
@@ -136,37 +132,66 @@ fn identical_queries_hit_the_nearest_caches() {
             let cold = cluster.query(&sql).unwrap();
             assert_eq!(cold.shard_cache_hits, 0, "{label}: first execution computes");
             assert_eq!(cold.worker_cache_hits(), 0, "{label}");
-            let mut node_hits = 0;
             for repeat in 0..3 {
                 let warm = cluster.query(&sql).unwrap();
                 assert_eq!(warm.result, cold.result, "{label} repeat {repeat}: bit-identical");
-                assert_eq!(warm.stats.rows_scanned, 0, "{label}: zero scans on a warm pass");
                 assert_eq!(warm.stats.cells_scanned, 0, "{label}: cached partials touch nothing");
                 assert_balanced(&warm, &label);
-                if warm.stats.subtrees_pruned == 0 {
-                    // Nothing pruned: the frontier's caches answer, and
-                    // their hits cover every shard.
-                    assert_eq!(warm.shard_cache_hits, shards, "{label} repeat {repeat}");
-                    assert_eq!(warm.worker_cache_hits(), frontier_width(shards, fanout));
-                    assert_eq!(warm.stats.rows_cached, warm.stats.rows_total, "{label}");
-                }
-                node_hits += warm.worker_cache_hits() as u64;
+                // The root remembers, whatever was pruned beneath it: one
+                // hit, and it covers every shard.
+                assert_eq!(warm.shard_cache_hits, shards, "{label} repeat {repeat}");
+                assert_eq!(warm.worker_cache_hits(), 1, "{label} repeat {repeat}");
+                assert_eq!(warm.stats.rows_cached, warm.stats.rows_total, "{label}");
             }
             // Presentation-only variations share the cached partials: the
             // signature excludes ORDER BY / LIMIT / HAVING.
             let limited = cluster.query(&sql.replace("LIMIT 10", "LIMIT 1")).unwrap();
-            assert_eq!(limited.stats.rows_scanned, 0, "{label}: LIMIT does not change the partial");
+            assert_eq!(
+                limited.worker_cache_hits(),
+                1,
+                "{label}: LIMIT does not change the partial"
+            );
             assert!(limited.result.rows.len() <= 1);
-            node_hits += limited.worker_cache_hits() as u64;
-            // The driver can count the hits of caches in its own address
-            // space; a worker's cache reports through the outcome only.
+            // The driver counts the caches in its own address space: the
+            // root's, and on in-memory edges every node's beneath it.
             let (hits, misses) = cluster.shard_cache_stats();
+            assert_eq!(hits, 4, "{label}: every hit was the root's");
             if kind == "local" {
-                assert_eq!(hits, node_hits, "{label}: every hit is some node's");
-                assert!(misses >= shards as u64, "{label}: the cold pass missed at every leaf");
+                assert!(misses > shards as u64, "{label}: the cold pass missed at every node");
             } else {
-                assert_eq!((hits, misses), (0, 0), "{label}");
+                assert_eq!(misses, 1, "{label}: the cold pass, at the root");
             }
+        }
+    }
+}
+
+/// A root hit needs no server: once the root remembers a chart, every
+/// leaf beneath it can be unreachable — on either edge kind the fault is
+/// read above the link — and the repeat still answers, while a chart
+/// nobody remembers fails typed.
+#[test]
+fn what_the_root_remembers_needs_no_server() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e06);
+        let table = random_table(&mut rng, 160);
+        for fanout in [2usize, 16] {
+            let label = format!("{kind} fanout {fanout}");
+            let mut cluster = cluster(&table, 4, fanout, 64, &transport);
+            let sql = "SELECT k, COUNT(*) as c, SUM(x) as s FROM data GROUP BY k ORDER BY c DESC";
+            let warm = cluster.query(sql).unwrap();
+            let cut = |shard: u64| ChaosDirective {
+                node: leaf_primary(shard),
+                fault: ChaosFault::Unreachable,
+            };
+            cluster
+                .set_chaos(ChaosModel { always: (0..4).map(cut).collect(), ..Default::default() });
+            let repeat = cluster.query(sql).unwrap();
+            assert_eq!(repeat.result, warm.result, "{label}: bit-identical");
+            assert_eq!(repeat.worker_cache_hits(), 1, "{label}");
+            assert_eq!(repeat.stats.rows_cached, repeat.stats.rows_total, "{label}");
+            assert!(repeat.failovers.is_empty() && repeat.hedges.is_empty(), "{label}");
+            let err = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g").unwrap_err();
+            assert!(matches!(err, pd_common::Error::Rpc(_)), "{label}: typed, not a hang: {err}");
         }
     }
 }
@@ -185,14 +210,15 @@ fn rebuild_and_append_invalidate_every_node_cache() {
             let label = format!("{kind} case {case} fanout {fanout}");
             let mut cluster = cluster(&before, 3, fanout, 64, &transport);
             let old = cluster.query(sql).unwrap();
-            assert_eq!(cluster.query(sql).unwrap().shard_cache_hits, 3, "{label}: warm");
+            let warm = cluster.query(sql).unwrap();
+            assert_eq!((warm.shard_cache_hits, warm.worker_cache_hits()), (3, 1), "{label}: warm");
             assert_eq!(cluster.epoch(), 1);
 
             cluster.rebuild(&after).unwrap();
             assert_eq!(cluster.epoch(), 2, "{label}: rebuild bumps the epoch");
             let fresh = cluster.query(sql).unwrap();
             assert_eq!(fresh.shard_cache_hits, 0, "{label}: rebuild must invalidate");
-            assert_eq!(fresh.worker_cache_hits(), 0, "{label}");
+            assert_eq!(fresh.worker_cache_hits(), 0, "{label}: the root forgot too");
             assert_eq!(fresh.stats.chunks_cached, 0, "{label}: rebuilt leaves start cold");
             assert_eq!(fresh.stats.rows_total, 97, "{label}: stats reflect the new table");
             let store = DataStore::build(&after, &BuildOptions::basic()).unwrap();
@@ -204,7 +230,7 @@ fn rebuild_and_append_invalidate_every_node_cache() {
             assert_eq!(cluster.epoch(), 3, "{label}: append bumps the epoch");
             let appended = cluster.query(sql).unwrap();
             assert_eq!(appended.shard_cache_hits, 0, "{label}: append must invalidate");
-            assert_eq!(appended.worker_cache_hits(), 0, "{label}");
+            assert_eq!(appended.worker_cache_hits(), 0, "{label}: the root forgot too");
             // No node cache answered, yet only the appended chunks were
             // read: the old ones fold from the leaves' chunk results.
             assert!(appended.stats.chunks_cached > 0, "{label}: chunk results outlive the epoch");
@@ -215,6 +241,7 @@ fn rebuild_and_append_invalidate_every_node_cache() {
             let rewarm = cluster.query(sql).unwrap();
             assert_eq!(rewarm.result, appended.result, "{label}");
             assert_eq!(rewarm.shard_cache_hits, 3, "{label}: the new epoch caches afresh");
+            assert_eq!(rewarm.worker_cache_hits(), 1, "{label}: at the root");
         }
     }
 }

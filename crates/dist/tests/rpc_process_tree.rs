@@ -709,7 +709,8 @@ fn a_half_applied_append_refuses_queries_until_rebuild() {
     let sql = "SELECT COUNT(*) FROM logs";
     cluster.query(sql).unwrap();
     cluster.set_chaos(pinned("l1p", pd_dist::ChaosFault::Kill));
-    cluster.query(sql).unwrap_err();
+    // (A chart the root has not answered yet: `sql` would stop there.)
+    cluster.query(QUERIES[0]).unwrap_err();
     cluster.set_chaos(pd_dist::ChaosModel::default());
 
     let epoch = cluster.epoch();
@@ -979,6 +980,41 @@ fn parents_prune_by_live_summaries_after_twenty_appends() {
     let nowhere = cluster.query("SELECT COUNT(*) FROM logs WHERE country = 'QQ'").unwrap();
     assert_eq!(nowhere.stats.subtrees_pruned, 2, "both frontier edges prune at the root");
     assert_eq!(nowhere.stats.rows_skipped, 1_400, "by summaries that count the appended rows");
+}
+
+/// A root hit needs no server: with both merge servers really dead — each
+/// killed by the first query that reached it — a chart the root remembers
+/// still answers, bit for bit, and one it does not fails typed.
+#[test]
+fn what_the_root_remembers_outlives_every_merge_server() {
+    use pd_common::{Error, RpcError};
+    let table = generate_logs(&LogsSpec::scaled(800));
+    let mut cluster = Cluster::build(&table, &four_leaves_two_mixers(false, worker_bin())).unwrap();
+    let warm = cluster.query(QUERIES[0]).unwrap();
+    assert_eq!(warm.worker_cache_hits(), 0);
+
+    let kill = |node: &str| pd_dist::ChaosDirective {
+        node: node.into(),
+        fault: pd_dist::ChaosFault::Kill,
+    };
+    cluster.set_chaos(pd_dist::ChaosModel {
+        always: vec![kill("m1_0"), kill("m1_1")],
+        ..Default::default()
+    });
+    let err = cluster.query(QUERIES[1]).unwrap_err();
+    assert!(matches!(err, Error::Rpc(RpcError::PeerGone(_))), "killed mid-query: {err}");
+    cluster.set_chaos(pd_dist::ChaosModel::default());
+
+    let repeat = cluster.query(QUERIES[0]).unwrap();
+    assert_eq!(repeat.result, warm.result);
+    assert_eq!((repeat.worker_cache_hits(), repeat.shard_cache_hits), (1, 4));
+    assert_eq!(repeat.stats.rows_cached, repeat.stats.rows_total);
+    assert!(repeat.failovers.is_empty() && repeat.hedges.is_empty());
+    let err = cluster.query(QUERIES[2]).unwrap_err();
+    assert!(
+        matches!(err, Error::Rpc(RpcError::PeerGone(_) | RpcError::ConnRefused(_))),
+        "nobody is left to ask: {err}"
+    );
 }
 
 /// Every socket open in a process whose `argv[0]` is `bin`, as

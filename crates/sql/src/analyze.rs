@@ -10,6 +10,7 @@
 use crate::ast::*;
 use crate::restriction::Restriction;
 use pd_common::{Error, Result};
+use std::fmt::Write;
 
 /// Where an output column comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +48,24 @@ impl AnalyzedQuery {
     /// Names of the output columns, in order.
     pub fn output_names(&self) -> Vec<String> {
         self.output.iter().map(|(n, _)| n.clone()).collect()
+    }
+
+    /// Append `table|keys:k1,k2|aggs:a1,a2` — what the query groups by and
+    /// accumulates, in canonical text — to `out`: the part every
+    /// result-cache signature starts with (a leaf's chunk results, a tree
+    /// node's partials), written into the caller's one buffer.
+    pub fn write_group_shape(&self, out: &mut String) {
+        fn joined<T: std::fmt::Display>(out: &mut String, items: &[T]) {
+            for (i, item) in items.iter().enumerate() {
+                let comma = if i > 0 { "," } else { "" };
+                write!(out, "{comma}{item}").expect("a String takes every write");
+            }
+        }
+        out.push_str(self.table.as_deref().unwrap_or(""));
+        out.push_str("|keys:");
+        joined(out, &self.keys);
+        out.push_str("|aggs:");
+        joined(out, &self.aggs);
     }
 }
 

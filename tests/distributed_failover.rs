@@ -255,7 +255,10 @@ fn budget_expiry_without_replication_fails_the_query() {
     .unwrap();
     cluster.query(QUERIES[0]).unwrap(); // healthy first
     cluster.set_chaos(straggling("l0p", Duration::from_secs(20)));
-    let err = cluster.query(QUERIES[0]).unwrap_err().to_string();
+    // What the root remembers needs no server, so the straggler is met by a
+    // query it has not answered yet.
+    assert!(cluster.query(QUERIES[0]).is_ok(), "a remembered answer outlives a slow leaf");
+    let err = cluster.query(QUERIES[1]).unwrap_err().to_string();
     assert!(
         err.contains("shard 0") && err.contains("replication"),
         "the error names the expired shard: {err}"
@@ -297,7 +300,9 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
         always: vec![ChaosDirective { node: "m1_0".into(), fault: ChaosFault::Kill }],
         ..Default::default()
     });
-    let err = cluster.query(sql).unwrap_err();
+    // The root remembers `sql` and would not ask: the kill is met by a
+    // query that has to cross the edge.
+    let err = cluster.query(QUERIES[1]).unwrap_err();
     assert!(
         matches!(err, Error::Rpc(RpcError::PeerGone(_) | RpcError::ConnRefused(_))),
         "a merge server dying mid-query is a typed fault, not a hang or a string: {err}"

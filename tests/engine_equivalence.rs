@@ -807,13 +807,12 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
                             ));
                         }
                         if cache > 0 && pass == 1 {
-                            // The unrestricted first query prunes nothing,
-                            // so its warm hits are exactly the cache layer
-                            // closest to the root — the frontier nodes —
-                            // and they cover every shard.
+                            // A warm query stops at the cache layer closest
+                            // to the root — the root itself, in the driver
+                            // on every edge kind: one hit, covering every
+                            // shard.
                             let outcome = cluster.query(MATRIX_QUERIES[0]).unwrap();
-                            let frontier = frontier_width(shards, fanout);
-                            assert_eq!(outcome.worker_cache_hits(), frontier, "{label}");
+                            assert_eq!(outcome.worker_cache_hits(), 1, "{label}");
                             assert_eq!(outcome.shard_cache_hits, shards, "{label}");
                         }
                     }
@@ -1037,17 +1036,6 @@ fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
             }
         }
     }
-}
-
-/// Width of the process tree's frontier (the level the driver root
-/// queries): leaves while they fit the fanout, else the top merge level.
-fn frontier_width(shards: usize, fanout: usize) -> usize {
-    let fanout = fanout.max(2);
-    let mut width = shards.max(1);
-    while width > fanout {
-        width = width.div_ceil(fanout);
-    }
-    width
 }
 
 /// The same bit-identity, via the seeded random query generator: sharded
