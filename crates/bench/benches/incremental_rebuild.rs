@@ -37,9 +37,15 @@
 //! asserted): on that unix tree, a 20-chart unrestricted click that follows
 //! a warm one and an 80-row append scans, over its 20 queries, at most
 //! 80 × 20 rows and finds at least 20 × the pre-append rows cached. The
-//! append dropped every node cache, so each chart reaches the leaves — and
-//! there folds the chunk results the warm click left, scanning the new
-//! chunks only: what an append costs its readers is what it changed.
+//! root was told of the append and remembers every chart, so each is
+//! brought forward from the appended rows alone: what an append costs its
+//! readers is what it changed.
+//!
+//! A fourth prices remembering (`append_remembered`, asserted): after each
+//! of three more appends the same click — all 20 charts root hits, no
+//! shard asked — costs less than that click under signatures nobody has
+//! asked before, which must reach the leaves (an in-run ratio,
+//! `remembered_over_new`).
 //!
 //! Like `rpc_tree`, the worker binary is resolved via the library's own
 //! lookup; without it the bench prints a note and exits cleanly instead of
@@ -185,13 +191,15 @@ fn append_tax() {
     const APPENDS_PER_BATCH: usize = 8;
     const APPEND_ROWS: usize = 80;
     let appends = BATCHES * APPENDS_PER_BATCH;
-    // One delta more than the tax takes: `append_rescan`'s.
-    let full = logs_table(rows + (appends + 1) * APPEND_ROWS);
+    // More deltas than the tax takes: `append_rescan`'s, and one per round
+    // of `append_remembered`.
+    let extra = 1 + REMEMBERED_ROUNDS;
+    let full = logs_table(rows + (appends + extra) * APPEND_ROWS);
     let slice = |lo: usize, hi: usize| full.select_rows(&(lo..hi).collect::<Vec<_>>());
-    let mut deltas: Vec<Table> = (0..=appends)
+    let mut deltas: Vec<Table> = (0..appends + extra)
         .map(|i| slice(rows + i * APPEND_ROWS, rows + (i + 1) * APPEND_ROWS))
         .collect();
-    let rescan_delta = deltas.pop().expect("one more than the tax takes");
+    let later_deltas = deltas.split_off(appends);
 
     let mut build = BuildOptions::production(&["country", "table_name"]);
     if let Some(spec) = &mut build.partition {
@@ -254,7 +262,8 @@ fn append_tax() {
         fmt_duration(local_append),
     );
 
-    append_rescan(&mut unix, &rescan_delta);
+    append_rescan(&mut unix, &later_deltas[0]);
+    append_remembered(&mut unix, &later_deltas[1..]);
 }
 
 /// The drill dashboard a click refreshes: 20 unrestricted charts over four
@@ -289,6 +298,16 @@ fn dashboard() -> Vec<String> {
         format!("SELECT {dim} as k, {aggs} FROM logs GROUP BY {dim} ORDER BY {order} LIMIT 10")
     });
     grouped.chain(global.iter().map(|aggs| format!("SELECT {aggs} FROM logs"))).collect()
+}
+
+/// [`dashboard`] under a restriction every row passes: the same charts,
+/// the same work at the leaves, other signatures.
+fn dashboard_where(always: &str) -> Vec<String> {
+    let restrict = |sql: String| match sql.split_once(" GROUP BY ") {
+        Some((select, rest)) => format!("{select} WHERE {always} GROUP BY {rest}"),
+        None => format!("{sql} WHERE {always}"),
+    };
+    dashboard().into_iter().map(restrict).collect()
 }
 
 /// Assert what a click rescans after an append, in rows: one warm click,
@@ -332,5 +351,62 @@ fn append_rescan(unix: &mut Cluster, delta: &Table) {
         "every chunk written before the append must answer from a cache: {cached} rows cached, \
          {before_rows} resident before the append, {} charts",
         charts.len(),
+    );
+}
+
+const REMEMBERED_ROUNDS: usize = 3;
+
+/// Price what the root remembers through appends: per round one append,
+/// then the dashboard it has answered before (every chart a root hit,
+/// brought forward, no shard asked — asserted) and the same dashboard
+/// under a restriction nobody has asked before (every signature new). The
+/// remembered click must be the cheaper one.
+fn append_remembered(unix: &mut Cluster, deltas: &[Table]) {
+    let charts = dashboard();
+    let mut root_hits = 0;
+    let (mut remembered, mut new) = (Duration::ZERO, Duration::ZERO);
+    for (round, delta) in deltas.iter().enumerate() {
+        unix.append(delta).expect("append");
+        remembered += measure(|| {
+            for sql in &charts {
+                let outcome = unix.query(sql).expect("remembered chart");
+                assert_eq!(outcome.worker_cache_hits(), 1, "the root remembers {sql}");
+                assert!(
+                    outcome.subquery_latencies.iter().all(Duration::is_zero),
+                    "a remembered chart asks no shard: {sql}"
+                );
+                root_hits += 1;
+            }
+        });
+        // No row is from there, which every chunk dictionary proves: the
+        // leaves fold the chunk results the unrestricted charts left.
+        let unasked = dashboard_where(&format!("country NOT IN ('nowhere {round}')"));
+        new += measure(|| {
+            for sql in &unasked {
+                black_box(unix.query(sql).expect("new chart"));
+            }
+        });
+    }
+    let ratio = remembered.as_secs_f64() / new.as_secs_f64().max(1e-9);
+    println!(
+        "=== append remembered ({} rounds of an append and two 20-chart clicks) ===\n\
+         remembered : {} per click, {root_hits} root hits\n\
+         new charts : {} per click\n\
+         -> {ratio:.2}x",
+        deltas.len(),
+        fmt_duration(remembered / deltas.len() as u32),
+        fmt_duration(new / deltas.len() as u32),
+    );
+    json_line(
+        "incremental_rebuild",
+        "append_remembered",
+        Stats { min: remembered, median: remembered },
+        &[("root_hits", root_hits.to_string()), ("remembered_over_new", format!("{ratio:.3}"))],
+    );
+    assert!(
+        remembered < new,
+        "a click the root remembers must cost less than one it has to ask the tree for: {} vs {}",
+        fmt_duration(remembered),
+        fmt_duration(new),
     );
 }

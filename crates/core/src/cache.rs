@@ -131,6 +131,11 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         self.len() == 0
     }
 
+    /// Every resident value, in no particular order; counts as no lookup.
+    pub fn values(&self) -> Vec<V> {
+        self.inner.lock().entries.values().map(|e| e.value.clone()).collect()
+    }
+
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock();

@@ -205,7 +205,8 @@ pub struct Cluster {
     schema: Schema,
     config: ClusterConfig,
     /// Monotonically increasing rebuild epoch, carried by every message to
-    /// a node; a node that sees it advance drops its result cache.
+    /// a node; a node that meets one it was not told of drops its result
+    /// cache.
     epoch: u64,
     /// Per-query sequence number: the deterministic axis of every fault
     /// draw (draws depend on (seed, query, node), never on scheduling).
@@ -362,9 +363,15 @@ impl Cluster {
     /// shards and then all merge servers at work at once. Nothing is
     /// respawned, re-wired or re-dialed.
     ///
-    /// The epoch bumps as a rebuild's would, so every cache layer
-    /// invalidates by the same rule — but only once every shard has
-    /// applied its slice. Requires `&mut self`: no query can observe a
+    /// The epoch bumps as a rebuild's would — but only once every shard has
+    /// applied its slice — and no stale partial ever answers: a leaf drops
+    /// its node cache as it applies its slice (its chunk results stay), a
+    /// node that was not told drops its cache by the epoch, and the nodes
+    /// that are told — the root and every merge server process, by
+    /// [`crate::node::Node::absorb`] — keep what they remember and bring
+    /// it up to date from the appended rows when it is next asked for. So
+    /// a chart the root has answered before is still a root hit after an
+    /// append. Requires `&mut self`: no query can observe a
     /// half-applied append. A delta whose schema is not the cluster's is
     /// rejected before anything changes. An error *after* the first shard
     /// was touched leaves shards (or a primary and its replica) at
@@ -483,7 +490,8 @@ impl Cluster {
 
     /// The current rebuild epoch (starts at 1; every successful
     /// [`Cluster::rebuild`] and [`Cluster::append`] bumps it). Carried by
-    /// every message to a node so it can invalidate.
+    /// every message to a node: one that was not told how the data reached
+    /// this epoch invalidates.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -720,9 +728,14 @@ mod tests {
         let rows: Vec<usize> = (0..100).collect();
         cluster.append(&table.select_rows(&rows)).unwrap();
         assert_eq!(cluster.epoch(), epoch_before + 1, "append advances the rebuild epoch");
+        // The root remembers the chart, and was told what arrived: the
+        // stale partial never answers as it stands — it is brought forward.
         let warm = cluster.query(sql).unwrap();
-        assert_eq!(warm.shard_cache_hits, 0, "cached pre-append partials must not answer");
         assert_ne!(warm.result, cold.result, "the appended rows change the counts");
+        let all: Vec<usize> = (0..table.len()).chain(rows).collect();
+        let store = DataStore::build(&table.select_rows(&all), &BuildOptions::basic()).unwrap();
+        assert_eq!(warm.result, query(&store, sql).unwrap().0, "stale partials never answer");
+        assert_eq!((warm.shard_cache_hits, warm.stats.rows_total), (4, 2_100));
     }
 
     #[test]

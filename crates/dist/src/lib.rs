@@ -33,8 +33,9 @@
 //!   per-query fault draw, append/rebuild under the epoch, and the
 //!   [`Transport`] switch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
-//!   fold), its result cache and epoch, `Node::query` / `Node::append` /
-//!   `Node::absorb`;
+//!   fold), its result cache, epoch and — on a mixer that absorbs
+//!   appends — the tail that keeps the cache answerable, `Node::query` /
+//!   `Node::append` / `Node::absorb`;
 //! - [`rpc`] — the wire protocol's messages and codecs, and in its
 //!   children the framing and deadline I/O, the client connection, the
 //!   edges ([`rpc::Link`], in-memory or socket) and the shared fan-out /

@@ -7,9 +7,12 @@
 //! **mixer** owns children ([`ChildHandle`]s — each a socket to a worker
 //! process or a reference to another `Node`), fans the query out and folds
 //! their partials. Both own a [`WorkerCache`] keyed by the normalized query
-//! signature and an epoch that invalidates it; an entry shares its table
-//! with the answers it came from and serves, so remembering copies
-//! nothing. A `pd-dist-worker` process holds one `Node` behind its FIFO
+//! signature and an epoch that names the data it describes; an entry shares
+//! its table with the answers it came from and serves, so remembering
+//! copies nothing. A mixer told of an append ([`Node::absorb`]) keeps what
+//! it remembers and brings it up to date from the rows that arrived since
+//! (its tail); a node that meets an epoch it was not told of forgets. A
+//! `pd-dist-worker` process holds one `Node` behind its FIFO
 //! turnstile ([`crate::worker`]); a [`crate::Transport::InProcess`] cluster
 //! holds a whole tree of them; and the driver of either holds the root — a
 //! mixer over the top level ([`crate::process::Tree`]), which is why a
@@ -18,16 +21,18 @@
 
 use crate::meta::{self, ShardMeta};
 use crate::rpc::{
-    absorb_into, fan_out, AbsorbRequest, AppendReceipt, AppendRequest, ChildHandle, QueryRequest,
-    ShardReport, SubtreeAnswer,
+    absorb_into, fan_out, AbsorbRequest, AppendReceipt, AppendRequest, AppliedDelta, ChildHandle,
+    QueryRequest, ShardReport, SubtreeAnswer,
 };
-use crate::shard_cache::{query_signature, CachedSubtree, WorkerCache};
+use crate::shard_cache::{query_signature, CachedSubtree, TailMark, WorkerCache};
 use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError, Value};
 use pd_core::{
-    execute_partial_seeded, scheduler, BuildOptions, DataStore, ExecContext, ResultCache,
+    execute_partial_seeded, scheduler, BuildOptions, ChunkActivity, DataStore, ExecContext,
+    PartialResult, ResultCache, ScanStats,
 };
 use pd_encoding::TableDelta;
+use pd_sql::AnalyzedQuery;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,13 +72,80 @@ enum Role {
     Mixer(Vec<ChildHandle>),
 }
 
+/// The rows that arrived beneath a mixer since its cache last started
+/// empty, as a store of their own: what a remembered partial lacks is the
+/// answer over the tail chunks past its [`TailMark`], and every state
+/// column merges exactly, so scanning those and merging brings it up to
+/// date bit for bit — without a hop. Built by the calls a leaf makes
+/// ([`DataStore::from_coded`], then [`DataStore::append_delta`]), one
+/// chunk per absorbed delta, unpartitioned: the recipe the leaves were
+/// built by never reaches a merge server, and answers do not depend on it.
+struct Tail {
+    store: DataStore,
+    ctx: ExecContext,
+    /// Everything in `store`: what an entry stamped now records.
+    mark: TailMark,
+}
+
+impl Tail {
+    /// `query` over the rows past `from` alone: their partial, and stats
+    /// that count them and nothing else.
+    fn scan_past(
+        &self,
+        from: TailMark,
+        query: &AnalyzedQuery,
+    ) -> Result<(PartialResult, ScanStats)> {
+        let seeds = vec![ChunkActivity::Skip; from.chunks];
+        let (partial, mut stats) =
+            execute_partial_seeded(&self.store, query, &self.ctx, Some(&seeds))?;
+        // The seeded chunks came back counted as skipped: they are the
+        // rows the entry already holds, not rows of this scan.
+        stats.chunks_skipped -= from.chunks;
+        stats.rows_skipped -= from.rows;
+        stats.rows_total -= from.rows;
+        stats.chunks_total = self.mark.leaf_chunks - from.leaf_chunks;
+        Ok((partial, stats))
+    }
+}
+
+/// A tail is dropped, and the cache with it, once it holds more bytes than
+/// the tables the cache keeps alive — the node's memory at most doubles —
+/// but never below this: a dashboard of small charts is worth bringing
+/// forward too, and a tail this size is not what a node runs out of.
+const TAIL_FLOOR_BYTES: usize = 1 << 20;
+
+/// What a node scans with: its width and a chunk-result cache of its own.
+fn scan_context(threads: usize) -> ExecContext {
+    ExecContext {
+        threads,
+        result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
+        ..Default::default()
+    }
+}
+
+/// Append `delta` to `store`, keeping the chunk results `ctx` holds: old
+/// chunks are immutable and their ids stable. They are cleared only if the
+/// store had to drop a virtual field, whose rebuild renumbers its ids.
+fn append_rows(store: &mut DataStore, ctx: &ExecContext, delta: &TableDelta) -> Result<()> {
+    let old_virtuals = store.virtual_names();
+    store.append_delta(delta)?;
+    if let (Some(results), true) = (&ctx.result_cache, store.virtual_names() != old_virtuals) {
+        results.clear();
+    }
+    Ok(())
+}
+
 /// A tree node: leaf server or mixer.
 pub struct Node {
     name: String,
     cache: Option<WorkerCache>,
-    /// Epoch of the data the cache describes; a query or append carrying
-    /// another one drops the cache first.
+    /// Epoch of the data the cache describes — with the tail's rows, on a
+    /// mixer that absorbed appends; a query carrying another one drops
+    /// both first.
     epoch: AtomicU64,
+    /// A mixer's absorbed rows ([`Tail`]); `None` until the first absorb,
+    /// after every [`Node::invalidate`], and on a node without a cache.
+    tail: RwLock<Option<Tail>>,
     threads: usize,
     /// The sketch size this node's partials are computed at — part of its
     /// cache signature (a mixer folds whatever its leaves used: 0).
@@ -87,6 +159,7 @@ impl Node {
             name: spec.name,
             cache: (spec.cache_entries > 0).then(|| WorkerCache::new(spec.cache_entries)),
             epoch: AtomicU64::new(spec.epoch),
+            tail: RwLock::new(None),
             threads: if spec.threads == 0 { scheduler::default_threads() } else { spec.threads },
             sketch_m,
             role,
@@ -119,12 +192,7 @@ impl Node {
             meta.build_blooms(store.schema(), &columns);
             meta
         });
-        let ctx = ExecContext {
-            threads: spec.threads,
-            result_cache: Some(Arc::new(ResultCache::new(1 << 14))),
-            ..Default::default()
-        };
-        let leaf = Leaf { shard, store, ctx, meta };
+        let leaf = Leaf { shard, store, ctx: scan_context(spec.threads), meta };
         Ok(Node::new(spec, leaf.ctx.sketch_m(), Role::Leaf(Box::new(RwLock::new(leaf)))))
     }
 
@@ -165,12 +233,14 @@ impl Node {
         (hits, misses)
     }
 
-    /// Drop every cached partial (they describe the data before `epoch`)
-    /// and adopt `epoch`.
+    /// Drop every cached partial and the tail that could bring them forward
+    /// — this node was not told how the data reached `epoch`, or the tail
+    /// outgrew what it serves — and adopt `epoch`.
     fn invalidate(&self, epoch: u64) {
         if let Some(cache) = &self.cache {
             cache.invalidate();
         }
+        *self.tail.write() = None;
         self.epoch.store(epoch, Ordering::SeqCst);
     }
 
@@ -189,19 +259,42 @@ impl Node {
                 self.name
             ))));
         }
-        // (Freshly built trees get their epoch at construction, so this is
-        // the guarantee for any node that outlives a rebuild or append.)
+        // A node told of every append ([`Node::absorb`]) is at the request's
+        // epoch already; one at another epoch was not told what changed.
+        // (Freshly built trees get their epoch at construction.)
         if self.epoch.load(Ordering::SeqCst) != request.epoch {
             self.invalidate(request.epoch);
         }
         let signature = self.cache.as_ref().map(|_| query_signature(&request.query, self.sketch_m));
+        // Where the tail stands now: what a fresh entry will contain, and
+        // what a remembered one may lack. No absorb runs beside a query.
+        let tail = self.tail.read();
+        let now = tail.as_ref().map_or(TailMark::default(), |tail| tail.mark);
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
             if let Some(entry) = cache.get(signature) {
                 // The nearest-cache answer: the cached table itself, zero
                 // child hops, every row beneath accounted as cached.
-                return Ok(entry.to_answer(queued));
+                let Some(tail) = tail.as_ref().filter(|_| entry.at() != now) else {
+                    return Ok(entry.to_answer(queued));
+                };
+                // Remembered, but rows arrived since: scan those alone and
+                // merge. Still no hop, and the old rows are still cached;
+                // the new ones count as their scan found them. A scan that
+                // fails (a delta left a virtual field two-typed) leaves
+                // the miss path to report it.
+                let brought = tail
+                    .scan_past(entry.at(), &request.query)
+                    .and_then(|(fresh, scan)| Ok((entry.brought_forward(fresh, now)?, scan)));
+                if let Ok((forward, scan)) = brought {
+                    let mut answer = entry.to_answer(queued);
+                    answer.partial = forward.partial.clone();
+                    answer.stats += &scan;
+                    cache.put(signature, Arc::new(forward));
+                    return Ok(answer);
+                }
             }
         }
+        drop(tail);
         let answer = match &self.role {
             Role::Leaf(leaf) => execute_leaf(&leaf.read(), request, queued)?,
             Role::Mixer(children) => {
@@ -223,8 +316,7 @@ impl Node {
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
             // Admission is cost-aware: the cells scanned beneath this node
             // are what a future miss would scan again.
-            let cells = answer.stats.cells_scanned;
-            cache.put(signature, Arc::new(CachedSubtree::capture(&answer)), cells);
+            cache.put(signature, Arc::new(CachedSubtree::capture(&answer, now)));
         }
         Ok(answer)
     }
@@ -253,9 +345,8 @@ impl Node {
             )));
         }
         let old_chunks = leaf.store.chunk_count();
-        let old_virtuals = leaf.store.virtual_names();
-        leaf.store.append_delta(&append.delta)?;
         let Leaf { store, ctx, meta, .. } = &mut *leaf;
+        append_rows(store, ctx, &append.delta)?;
         let receipt = AppendReceipt {
             new_chunk_rows: (old_chunks..store.chunk_count())
                 .map(|c| store.chunk_rows(c) as u64)
@@ -267,17 +358,21 @@ impl Node {
             // re-summarize scan of the resident data.
             meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
         }
-        if let (Some(results), true) = (&ctx.result_cache, store.virtual_names() != old_virtuals) {
-            results.clear();
-        }
         drop(leaf);
         self.invalidate(append.epoch);
         Ok(receipt)
     }
 
-    /// Absorb appends the leaves beneath this merge server applied: bring
-    /// the children's shard summaries up to date in place, drop the cached
-    /// partials that describe the pre-append data and adopt the epoch. The
+    /// Absorb appends the leaves beneath this merge server applied (none,
+    /// when the append fell elsewhere in the tree): bring the children's
+    /// shard summaries up to date in place, append the same deltas to the
+    /// tail and adopt the epoch. What the node remembers is kept — an
+    /// append leaves a remembered partial short, not wrong, and
+    /// [`Node::query`] brings it forward from the tail. Cache and tail are
+    /// dropped instead, as an epoch the node was not told of drops them,
+    /// when it missed an earlier epoch, when it remembers nothing, or when
+    /// the tail holds more bytes than the tables it serves (and than a
+    /// 1 MiB floor). The
     /// children's links are left alone — an append costs the tree no
     /// connection.
     pub fn absorb(&mut self, absorb: &AbsorbRequest) -> Result<()> {
@@ -288,9 +383,46 @@ impl Node {
             )));
         };
         absorb_into(children, &absorb.applied)?;
-        self.invalidate(absorb.epoch);
-        Ok(())
+        let told = self.epoch.load(Ordering::SeqCst) + 1 == absorb.epoch;
+        let kept = match &self.cache {
+            Some(cache) if told && !cache.is_empty() => {
+                grow_tail(&mut self.tail.write(), &absorb.applied, self.threads)
+                    .map(|tail_bytes| tail_bytes <= cache.table_bytes().max(TAIL_FLOOR_BYTES))
+            }
+            _ => Ok(false),
+        };
+        if matches!(kept, Ok(true)) {
+            self.epoch.store(absorb.epoch, Ordering::SeqCst);
+        } else {
+            self.invalidate(absorb.epoch);
+        }
+        kept.map(|_| ())
     }
+}
+
+/// Append `applied`'s rows to `tail`, starting it with the first; returns
+/// the bytes it now holds. After an `Err` the tail is not to be used.
+fn grow_tail(tail: &mut Option<Tail>, applied: &[AppliedDelta], threads: usize) -> Result<usize> {
+    // A delta without rows makes no chunk, and a store cannot start empty.
+    for one in applied.iter().filter(|one| one.delta.rows > 0) {
+        let tail = match tail {
+            Some(tail) => {
+                append_rows(&mut tail.store, &tail.ctx, &one.delta)?;
+                tail
+            }
+            None => tail.insert(Tail {
+                store: DataStore::from_coded(one.delta.clone(), &BuildOptions::basic())?,
+                ctx: scan_context(threads),
+                mark: TailMark::default(),
+            }),
+        };
+        tail.mark = TailMark {
+            chunks: tail.store.chunk_count(),
+            rows: tail.mark.rows + one.delta.rows,
+            leaf_chunks: tail.mark.leaf_chunks + one.receipt.new_chunk_rows.len(),
+        };
+    }
+    Ok(tail.as_ref().map_or(0, |tail| tail.store.total_bytes()))
 }
 
 fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
@@ -329,58 +461,168 @@ mod tests {
     use pd_common::rng::Rng;
     use pd_common::{DataType, Schema};
     use pd_sql::{parse_query, Restriction};
+    use std::sync::Arc;
 
     fn restriction(where_sql: &str) -> Restriction {
         let q = parse_query(&format!("SELECT COUNT(*) FROM t WHERE {where_sql}")).unwrap();
         Restriction::from_expr(&q.where_clause.unwrap())
     }
 
+    /// `(k, n)` rows for every `n` of `ns`, coded as a delta: `k` cycles
+    /// through three values.
+    fn kn_schema() -> Schema {
+        Schema::of(&[("k", DataType::Str), ("n", DataType::Int)])
+    }
+
+    fn kn_delta(ns: std::ops::Range<i64>) -> TableDelta {
+        let k: Vec<Value> =
+            ns.clone().map(|n| Value::from(["a", "b", "c"][n as usize % 3])).collect();
+        let n: Vec<Value> = ns.map(Value::Int).collect();
+        TableDelta::from_columns(kn_schema(), &[&k, &n]).unwrap()
+    }
+
+    fn request(sql: &str, epoch: u64) -> QueryRequest {
+        QueryRequest {
+            query: pd_sql::analyze(&parse_query(sql).unwrap()).unwrap(),
+            budget: Duration::from_secs(30),
+            hedge_micros: 0,
+            epoch,
+            chaos: Vec::new(),
+        }
+    }
+
+    fn spec(name: &str, cache_entries: usize) -> NodeSpec {
+        NodeSpec { name: name.into(), cache_entries, epoch: 1, threads: 1 }
+    }
+
+    /// A root over one in-memory leaf holding `kn_delta(0..rows)`, and the
+    /// leaf: the smallest tree that absorbs.
+    fn root_over_a_leaf(rows: i64, cache_entries: usize) -> (Node, Arc<Node>) {
+        let build = BuildOptions::basic();
+        let leaf = Node::leaf(0, kn_delta(0..rows), &build, false, spec("l0p", 4)).unwrap();
+        let leaf = Arc::new(leaf);
+        let child = ChildHandle::local(Arc::clone(&leaf), Some(0), false);
+        (Node::mixer(vec![child], spec("root", cache_entries)), leaf)
+    }
+
+    /// One `Cluster::append` on that tree: the leaf applies, the root
+    /// absorbs the receipt.
+    fn append_beneath(root: &mut Node, leaf: &Node, delta: TableDelta, epoch: u64) {
+        let append = AppendRequest { shard: 0, delta, epoch };
+        let receipt = leaf.append(&append).unwrap();
+        let applied = vec![AppliedDelta { shard: 0, delta: append.delta, receipt }];
+        root.absorb(&AbsorbRequest { applied, epoch }).unwrap();
+    }
+
+    // An integer for every row below 1000; a string once `n` reaches it.
+    const BY_SIZE: &str = "SELECT COUNT(*) as c FROM t GROUP BY if(n >= 1000, 'big', 0)";
+    const BY_K: &str = "SELECT k, COUNT(*) as c FROM t GROUP BY k";
+
     #[test]
     fn an_append_keeps_the_chunk_results_unless_it_drops_a_virtual_field() {
-        let schema = Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]);
-        let rows = |ns: std::ops::Range<i64>| -> Vec<Vec<Value>> {
-            vec![
-                ns.clone().map(|n| Value::from(["a", "b", "c"][n as usize % 3])).collect(),
-                ns.map(Value::Int).collect(),
-            ]
-        };
-        let coded = |batch: Vec<Vec<Value>>| {
-            let slices: Vec<&[Value]> = batch.iter().map(Vec::as_slice).collect();
-            TableDelta::from_columns(schema.clone(), &slices).unwrap()
-        };
-        let spec = NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 };
-        let leaf = Node::leaf(0, coded(rows(0..90)), &BuildOptions::basic(), false, spec).unwrap();
+        let leaf =
+            Node::leaf(0, kn_delta(0..90), &BuildOptions::basic(), false, spec("l0p", 4)).unwrap();
         let ask = |sql: &str, epoch: u64| {
-            let request = QueryRequest {
-                query: pd_sql::analyze(&parse_query(sql).unwrap()).unwrap(),
-                budget: Duration::from_secs(30),
-                hedge_micros: 0,
-                epoch,
-                chaos: Vec::new(),
-            };
-            leaf.query(&request, Duration::ZERO).map(|answer| answer.stats)
+            leaf.query(&request(sql, epoch), Duration::ZERO).map(|answer| answer.stats)
         };
         let append = |ns: std::ops::Range<i64>, epoch: u64| {
-            leaf.append(&AppendRequest { shard: 0, delta: coded(rows(ns)), epoch }).unwrap()
+            leaf.append(&AppendRequest { shard: 0, delta: kn_delta(ns), epoch }).unwrap()
         };
-        // An integer for every row so far; a string once `n` reaches 1000.
-        let by_size = "SELECT COUNT(*) as c FROM t GROUP BY if(n >= 1000, 'big', 0)";
-        let by_k = "SELECT k, COUNT(*) as c FROM t GROUP BY k";
-        ask(by_size, 1).unwrap();
-        assert_eq!(ask(by_k, 1).unwrap().rows_scanned, 90);
+        ask(BY_SIZE, 1).unwrap();
+        assert_eq!(ask(BY_K, 1).unwrap().rows_scanned, 90);
 
-        // The field is extended: the old chunk's result is still good.
+        // The field is extended: the old chunk's result is still good. (A
+        // leaf is told of an append by applying it, and keeps no tail: its
+        // node cache goes, its chunk results bring the rest.)
         append(90..100, 2);
-        let kept = ask(by_k, 2).unwrap();
+        let kept = ask(BY_K, 2).unwrap();
         assert_eq!((kept.chunks_cached, kept.rows_scanned, kept.worker_cache_hits), (1, 10, 0));
-        ask(by_size, 2).unwrap();
+        ask(BY_SIZE, 2).unwrap();
 
         // The field cannot hold 'big' and is dropped: whatever was cached
         // under its old ids goes, and so does everything else.
         append(1_000..1_010, 3);
-        let cleared = ask(by_k, 3).unwrap();
+        let cleared = ask(BY_K, 3).unwrap();
         assert_eq!((cleared.chunks_cached, cleared.rows_scanned), (0, 110));
-        assert!(ask(by_size, 3).is_err(), "the field is now of two types");
+        assert!(ask(BY_SIZE, 3).is_err(), "the field is now of two types");
+    }
+
+    #[test]
+    fn a_virtual_field_an_append_leaves_two_typed_fails_as_a_miss_would() {
+        let (mut root, leaf) = root_over_a_leaf(90, 4);
+        // The same tree without a root cache: every answer is the miss path's.
+        let (mut bare, bare_leaf) = root_over_a_leaf(90, 0);
+        let ask =
+            |node: &Node, sql: &str, epoch: u64| node.query(&request(sql, epoch), Duration::ZERO);
+        ask(&root, BY_SIZE, 1).unwrap();
+        ask(&root, BY_K, 1).unwrap();
+
+        // Integers still: both charts are brought forward, the tail
+        // materializing the field over its own rows.
+        append_beneath(&mut root, &leaf, kn_delta(90..100), 2);
+        append_beneath(&mut bare, &bare_leaf, kn_delta(90..100), 2);
+        let forward = ask(&root, BY_SIZE, 2).unwrap();
+        assert_eq!((forward.stats.worker_cache_hits, forward.stats.rows_scanned), (1, 10));
+        assert_eq!(forward.partial, ask(&bare, BY_SIZE, 2).unwrap().partial);
+
+        // 'big' arrives: the tail's field cannot hold it either. The
+        // remembered chart fails with the error the leaf reports, while one
+        // that does not name the field is still brought forward.
+        append_beneath(&mut root, &leaf, kn_delta(1_000..1_010), 3);
+        append_beneath(&mut bare, &bare_leaf, kn_delta(1_000..1_010), 3);
+        let missed = ask(&bare, BY_SIZE, 3).unwrap_err();
+        assert_eq!(ask(&root, BY_SIZE, 3).unwrap_err().to_string(), missed.to_string());
+        let by_k = ask(&root, BY_K, 3).unwrap();
+        assert_eq!((by_k.stats.worker_cache_hits, by_k.stats.rows_total), (1, 110));
+        assert_eq!(by_k.partial, ask(&bare, BY_K, 3).unwrap().partial);
+    }
+
+    #[test]
+    fn a_tail_past_its_bound_goes_with_the_cache_it_served() {
+        let (mut root, leaf) = root_over_a_leaf(100, 4);
+        let tail_bytes = |root: &Node| root.tail.read().as_ref().map(|t| t.store.total_bytes());
+        let cached = |root: &Node| root.cache.as_ref().unwrap().len();
+        let ask =
+            |root: &Node, epoch: u64| root.query(&request(BY_K, epoch), Duration::ZERO).unwrap();
+        ask(&root, 1);
+        // One small chart is remembered, so the bound is the floor. The
+        // batch repeats 100 rows: bytes grow with rows, dictionaries do not.
+        const BATCH: u64 = 25_000;
+        let k: Vec<Value> =
+            (0..BATCH).map(|i| Value::from(["a", "b", "c"][i as usize % 3])).collect();
+        let n: Vec<Value> = (0..BATCH).map(|i| Value::Int(i as i64 % 100)).collect();
+        let batch = TableDelta::from_columns(kn_schema(), &[&k, &n]).unwrap();
+        let (mut rows, mut epoch, mut drops, mut peak) = (100u64, 1u64, 0, 0);
+        while drops < 2 {
+            epoch += 1;
+            append_beneath(&mut root, &leaf, batch.clone(), epoch);
+            rows += BATCH;
+            match tail_bytes(&root) {
+                Some(bytes) => {
+                    assert!(bytes <= TAIL_FLOOR_BYTES, "a kept tail is within its bound: {bytes}");
+                    peak = bytes.max(peak);
+                    let forward = ask(&root, epoch);
+                    assert_eq!(forward.stats.worker_cache_hits, 1, "brought forward @ {rows}");
+                    assert_eq!(forward.stats.rows_scanned, BATCH);
+                }
+                None => {
+                    drops += 1;
+                    assert_eq!(cached(&root), 0, "the cache went with the tail @ {rows}");
+                    // Nothing is remembered: the next answer is a miss, and
+                    // a correct one — the leaf holds every row.
+                    let miss = ask(&root, epoch);
+                    assert_eq!((miss.stats.worker_cache_hits, miss.stats.rows_total), (0, rows));
+                    assert_eq!(cached(&root), 1);
+                    assert!(tail_bytes(&root).is_none(), "a tail starts with the next append");
+                }
+            }
+            assert!(epoch < 100, "the tail never reached its bound: {peak} bytes");
+        }
+        assert!(peak > TAIL_FLOOR_BYTES / 2, "the bound was approached from below: {peak}");
+        // And a node that remembers nothing keeps no tail at all.
+        let (mut forgetful, leaf) = root_over_a_leaf(100, 0);
+        append_beneath(&mut forgetful, &leaf, kn_delta(100..200), 2);
+        assert!(tail_bytes(&forgetful).is_none());
     }
 
     #[test]

@@ -334,26 +334,33 @@ impl Tree {
 
     /// Stream new rows into the live tree. `deltas[shard]` is that shard's
     /// dictionary-delta table (`None` = unchanged: nothing is applied; the
-    /// epoch rule makes its nodes drop their caches at their next query).
+    /// epoch rule makes its leaf drop its node cache at its next query).
     /// Each delta reaches every copy of the shard (a process tree's primary
     /// *and* replica — or failover would travel back in time); each leaf
-    /// acks a receipt, and every parent that prunes by the shard's summary
-    /// — merge servers and the root, by the one [`Node::absorb`] — absorbs
-    /// the same delta into its own copy
-    /// ([`crate::meta::ShardMeta::absorb_append`]). Nothing is re-wired and
-    /// no connection is dropped: a local mixer, the root of a local tree
-    /// included, holds no summaries and invalidates by the epoch in its
-    /// next query. Returns the bytes of every request frame the append
-    /// caused.
+    /// acks a receipt, and the parents — every merge server process, and
+    /// the root on either placement — absorb the same deltas by the one
+    /// [`Node::absorb`]: into their copies of the shard summaries
+    /// ([`crate::meta::ShardMeta::absorb_append`]; in-memory edges hold
+    /// none) and into the tail that keeps what they remember answerable.
+    /// Nothing is re-wired and no connection is dropped. A local mid-level
+    /// mixer is not told: it drops its cache by the epoch in its next
+    /// query. Returns the bytes of every request frame the append caused.
     pub fn append(&mut self, deltas: Vec<Option<TableDelta>>, epoch: u64) -> Result<u64> {
         let appends = deltas.into_iter().enumerate().filter_map(|(shard, delta)| {
             Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
         });
         match &mut self.nodes {
             Placement::Local(leaves) => {
+                let mut applied = Vec::new();
                 for append in appends {
-                    leaves[append.shard as usize].append(&append)?;
+                    let receipt = leaves[append.shard as usize].append(&append)?;
+                    applied.push(AppliedDelta {
+                        shard: append.shard,
+                        delta: append.delta,
+                        receipt,
+                    });
                 }
+                self.root.absorb(&AbsorbRequest { applied, epoch })?;
                 Ok(0)
             }
             Placement::Workers(workers) => workers.append(appends.collect(), epoch, &mut self.root),
@@ -492,8 +499,10 @@ impl Workers {
     /// 1. Every shard's delta — encoded once — goes to its primary and its
     ///    replica; each acks a receipt (a pair's must agree).
     /// 2. Every merge server gets the deltas and receipts of the shards
-    ///    beneath it, plus the epoch; while they absorb, `root` — the one
-    ///    mixer that is not behind a wire — absorbs them all.
+    ///    beneath it — none, if the append fell elsewhere: it still hears
+    ///    of the epoch, and so forgets nothing — plus the epoch; while
+    ///    they absorb, `root` — the one mixer that is not behind a wire —
+    ///    absorbs them all.
     ///
     /// Returns the bytes of every frame written. An error may leave an ack
     /// unread on a control connection: the cluster drops the tree on any
@@ -525,24 +534,17 @@ impl Workers {
             applied.push(AppliedDelta { shard, delta, receipt });
         }
 
-        let mut absorbing = Vec::with_capacity(self.mixers.len());
         for mixer in &self.mixers {
             let beneath: Vec<AppliedDelta> =
                 applied.iter().filter(|a| mixer.shards.contains(&a.shard)).cloned().collect();
-            if beneath.is_empty() {
-                // Nothing it prunes by changed; the epoch in its next
-                // query drops its cache.
-                continue;
-            }
             let absorb = Request::Absorb(Box::new(AbsorbRequest { applied: beneath, epoch }));
             let frame = encode_frame(&absorb, self.compress)?;
             self.control[mixer.worker].1.send(&frame, deadline)?;
             self.bytes_shipped += frame.len() as u64;
-            absorbing.push(mixer.worker);
         }
         root.absorb(&AbsorbRequest { applied, epoch })?;
-        for worker in absorbing {
-            expect_ok(self.control[worker].1.recv(deadline)?, "absorb")?;
+        for mixer in &self.mixers {
+            expect_ok(self.control[mixer.worker].1.recv(deadline)?, "absorb")?;
         }
         Ok(self.bytes_shipped - shipped_before)
     }

@@ -100,9 +100,11 @@ pub enum Request {
     Append(Box<AppendRequest>),
     /// Absorb appends the leaves beneath a merge server applied: bring its
     /// copies of their summaries up to date in place
-    /// ([`ShardMeta::absorb_append`]), drop its node cache and adopt the
-    /// epoch. Its child connections are not touched. Acknowledged with
-    /// [`Response::Ok`].
+    /// ([`ShardMeta::absorb_append`]), append the deltas to the tail that
+    /// keeps its node cache answerable, and adopt the epoch. Sent to every
+    /// merge server, with no deltas to one nothing was appended beneath:
+    /// told of the epoch, it forgets nothing. Its child connections are
+    /// not touched. Acknowledged with [`Response::Ok`].
     Absorb(Box<AbsorbRequest>),
     /// Execute / fan out one query.
     Query(Box<QueryRequest>),
@@ -131,9 +133,11 @@ pub struct LoadRequest {
 pub struct AppendRequest {
     pub shard: u64,
     pub delta: TableDelta,
-    /// The epoch this append establishes; the worker adopts it and drops
-    /// its node cache under the usual epoch rule. The leaf's chunk results
-    /// stay: an append rewrites no chunk and renumbers no id.
+    /// The epoch this append establishes; the leaf adopts it and drops its
+    /// node cache — its answer did change. Its chunk results stay: an
+    /// append rewrites no chunk and renumbers no id. (A parent told of the
+    /// same append by [`AbsorbRequest`] keeps its node cache too, and
+    /// brings it forward from the deltas.)
     pub epoch: u64,
 }
 
@@ -162,9 +166,11 @@ pub struct AppliedDelta {
 /// establish.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbsorbRequest {
-    /// One entry per shard beneath the node whose data changed.
+    /// One entry per shard beneath the node whose data changed; none when
+    /// the append fell elsewhere in the tree.
     pub applied: Vec<AppliedDelta>,
-    /// Same contract as [`AppendRequest::epoch`].
+    /// The epoch the append establishes — the one after the node's own, or
+    /// it missed an append and drops what it remembers.
     pub epoch: u64,
 }
 
@@ -224,8 +230,9 @@ pub struct QueryRequest {
     /// hedging (sequential primary-then-replica failover).
     pub hedge_micros: u64,
     /// The driver's current rebuild epoch. A node holding a node cache
-    /// (cached partials) from an older epoch drops it before answering —
-    /// the root in the driver by the same rule as a worker. A leaf's
+    /// (cached partials) from another epoch — it was not told what changed
+    /// since — drops it before answering, the root in the driver by the
+    /// same rule as a worker. A leaf's
     /// chunk results are not the epoch's to drop: they describe
     /// chunks, and an epoch bump that keeps the store keeps its chunks.
     pub epoch: u64,

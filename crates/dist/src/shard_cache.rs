@@ -10,10 +10,16 @@
 //! [`pd_core::PartialResult`], a merge server the *folded subtree* partial,
 //! the root in the driver the whole tree's — so a warm drill-down answers
 //! from the topmost cache that has the signature, with **zero child hops**
-//! below it; a chart the root remembers crosses no edge at all. Invalidation is the
-//! rebuild epoch carried by every `Load`/`Attach`/`Append`/`Query`
-//! ([`crate::rpc`]): a node drops its cache the moment it sees the epoch
-//! advance.
+//! below it; a chart the root remembers crosses no edge at all. The rebuild
+//! epoch carried by every `Load`/`Attach`/`Append`/`Absorb`/`Query`
+//! ([`crate::rpc`]) names the data an entry describes: a node drops its
+//! cache the moment it meets an epoch it was not told of. A mixer that *is*
+//! told of an append ([`crate::node::Node::absorb`]) keeps its entries:
+//! each records how much of the node's tail — the rows appended beneath it
+//! since — its table contains ([`TailMark`]), and one that is behind is
+//! brought forward at its next probe by scanning the missing rows and
+//! merging ([`CachedSubtree::brought_forward`]). The second property below
+//! is what makes that the recomputed answer, bit for bit.
 //!
 //! Two properties make the cache safe:
 //!
@@ -38,6 +44,7 @@
 //! same queries arrive in the same order.
 
 use crate::rpc::{ShardReport, SubtreeAnswer};
+use pd_common::Result;
 use pd_core::{cost_score, BoundedCache, PartialResult, ScanStats};
 use pd_sql::AnalyzedQuery;
 use std::fmt::Write;
@@ -58,6 +65,20 @@ pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
     signature
 }
 
+/// How far a mixer's tail — the rows appended beneath it since its cache
+/// last started empty ([`crate::node::Node::absorb`]) — had grown at some
+/// moment. Every entry records the mark its table is complete up to; a
+/// node that never absorbed stands at the default, and so do its entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TailMark {
+    /// Chunks of the tail's own store: where a scan for the rest starts.
+    pub chunks: usize,
+    /// Rows and chunks as the leaves' receipts counted them: what the
+    /// subtree's totals grow by.
+    pub rows: u64,
+    pub leaf_chunks: usize,
+}
+
 /// One tree node's cached answer for a signature: the partial it would
 /// recompute, plus the subtree shape needed to synthesize hit-side stats
 /// and per-shard reports without touching any child.
@@ -65,22 +86,56 @@ pub struct CachedSubtree {
     /// The node's mergeable group states — a leaf's shard partial or a
     /// merge server's folded subtree partial.
     pub partial: PartialResult,
-    /// Subtree shape at computation time.
+    /// Subtree shape the partial covers.
     rows_total: u64,
     chunks_total: usize,
     /// Every shard beneath this node, for hit-side report synthesis.
     shards: Vec<u64>,
+    /// How much of the node's tail the partial already contains.
+    at: TailMark,
+    /// What the entry was admitted by: its table's bytes then, and the
+    /// cells scanned beneath the node to compute it.
+    bytes: usize,
+    cells: u64,
 }
 
 impl CachedSubtree {
     /// Capture a freshly computed answer for reuse, sharing its table.
-    pub fn capture(answer: &SubtreeAnswer) -> CachedSubtree {
+    /// `at`: where the node's tail stood when the answer was asked for.
+    pub fn capture(answer: &SubtreeAnswer, at: TailMark) -> CachedSubtree {
         CachedSubtree {
             partial: answer.partial.clone(),
             rows_total: answer.stats.rows_total,
             chunks_total: answer.stats.chunks_total,
             shards: answer.reports.iter().map(|r| r.shard).collect(),
+            at,
+            bytes: answer.partial.approx_bytes(),
+            cells: answer.stats.cells_scanned,
         }
+    }
+
+    pub fn at(&self) -> TailMark {
+        self.at
+    }
+
+    /// This entry with `fresh` — the partial over the tail rows between
+    /// its mark and `now` — merged in: complete up to `now`, under the
+    /// score it was admitted with. The merge is copy-on-write: answers
+    /// this entry already served keep the table they were handed.
+    pub fn brought_forward(&self, fresh: PartialResult, now: TailMark) -> Result<CachedSubtree> {
+        let mut partial = self.partial.clone();
+        if !fresh.is_empty() {
+            partial.merge(fresh)?;
+        }
+        Ok(CachedSubtree {
+            partial,
+            rows_total: self.rows_total + (now.rows - self.at.rows),
+            chunks_total: self.chunks_total + (now.leaf_chunks - self.at.leaf_chunks),
+            shards: self.shards.clone(),
+            at: now,
+            bytes: self.bytes,
+            cells: self.cells,
+        })
     }
 
     /// The answer a cache hit sends up the tree: the identical partial
@@ -133,18 +188,26 @@ impl WorkerCache {
         self.entries.get(signature)
     }
 
-    /// Admit an answer that took scanning `cells` cells to compute, scored
-    /// `partial bytes × cells`: capacity pressure evicts the subtree
-    /// answers that are cheapest to regenerate.
-    pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>, cells: u64) {
-        let cost = cost_score(entry.partial.approx_bytes(), cells);
+    /// Admit an entry, scored `partial bytes × cells scanned to compute
+    /// it`: capacity pressure evicts the subtree answers that are cheapest
+    /// to regenerate. An entry brought forward replaces the one it came
+    /// from under the same score.
+    pub fn put(&self, signature: &str, entry: Arc<CachedSubtree>) {
+        let cost = cost_score(entry.bytes, entry.cells);
         self.entries.put(signature.into(), entry, cost);
     }
 
-    /// Drop everything — the epoch-advance reaction: cached partials
-    /// refer to the previous build of the data.
+    /// Drop everything: the node was not told how the data changed (the
+    /// epoch moved without an absorb), or its tail outgrew
+    /// [`WorkerCache::table_bytes`].
     pub fn invalidate(&self) {
         self.entries.clear();
+    }
+
+    /// Bytes of the tables the resident entries keep alive, as each was
+    /// admitted — what a node's tail is worth keeping for.
+    pub fn table_bytes(&self) -> usize {
+        self.entries.values().iter().map(|entry| entry.bytes).sum()
     }
 
     /// `(hits, misses)` so far.
@@ -249,7 +312,7 @@ mod tests {
                 },
             ],
         };
-        let cached = CachedSubtree::capture(&computed);
+        let cached = CachedSubtree::capture(&computed, TailMark::default());
         let hit = cached.to_answer(Duration::from_micros(123));
         assert_eq!(hit.partial, computed.partial);
         assert_eq!(hit.stats.rows_total, 600);
@@ -274,7 +337,7 @@ mod tests {
             stats: ScanStats::default(),
             reports: Vec::new(),
         };
-        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer)), 1);
+        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer, TailMark::default())));
         assert!(cache.get("sig-a").is_some());
         assert!(cache.get("sig-b").is_none());
         assert_eq!(cache.stats(), (1, 1));

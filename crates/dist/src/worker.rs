@@ -18,8 +18,8 @@
 //! cache. Data then changes in place: a
 //! [`Request::Append`] streams rows into an existing leaf, which acks a
 //! receipt, and a [`Request::Absorb`] lets a merge server apply that same
-//! append to its copies of the summaries — neither replaces anything, and
-//! no connection is dropped.
+//! append to its copies of the summaries and to what its cache remembers —
+//! neither replaces anything, and no connection is dropped.
 //!
 //! **Compression mirror.** The worker has no compression config of its
 //! own: it compresses a response exactly when the request frame advertised

@@ -6,10 +6,12 @@
 //! 1. re-issuing an identical query answers from the cache nearest the
 //!    root — the root's own — and returns bit-identical results, with
 //!    every server beneath it unreachable too;
-//! 2. a rebuild or an append (the epoch bump) invalidates every node's
-//!    cache, the root's included — no stale partials, ever — while an
-//!    append, which rewrites no chunk, leaves the leaves' chunk results
-//!    standing: the first query after it scans the new chunks only;
+//! 2. a rebuild invalidates every node's cache, the root's included — no
+//!    stale partials, ever — while an append leaves what a told node
+//!    remembers short, not wrong: the root (and every merge server
+//!    process) brings a remembered chart up to date from the rows that
+//!    arrived since, still without a hop, and a node that was not told
+//!    drops its cache by the epoch as before;
 //! 3. capacity eviction can change `ScanStats`, never results;
 //! 4. what the caches hold is a function of the query sequence: a replayed
 //!    session reproduces every outcome (in-memory edges only — of a socket
@@ -197,7 +199,7 @@ fn what_the_root_remembers_needs_no_server() {
 }
 
 #[test]
-fn rebuild_and_append_invalidate_every_node_cache() {
+fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
     for (kind, transport) in edge_kinds() {
         let mut rng = Rng::seed_from_u64(0x05ca_1e02);
         for case in 0..4 {
@@ -228,20 +230,28 @@ fn rebuild_and_append_invalidate_every_node_cache() {
 
             cluster.append(&extra).unwrap();
             assert_eq!(cluster.epoch(), 3, "{label}: append bumps the epoch");
+            // The root was told what arrived: the chart it remembers is
+            // still a root hit, brought up to date from those rows alone.
             let appended = cluster.query(sql).unwrap();
-            assert_eq!(appended.shard_cache_hits, 0, "{label}: append must invalidate");
-            assert_eq!(appended.worker_cache_hits(), 0, "{label}: the root forgot too");
-            // No node cache answered, yet only the appended chunks were
-            // read: the old ones fold from the leaves' chunk results.
-            assert!(appended.stats.chunks_cached > 0, "{label}: chunk results outlive the epoch");
-            assert_eq!(appended.stats.rows_scanned, 30, "{label}: the new chunks' rows only");
+            assert_eq!(appended.shard_cache_hits, 3, "{label}: no shard was asked");
+            assert_eq!(appended.worker_cache_hits(), 1, "{label}: the root remembers");
+            assert!(appended.stats.rows_scanned <= 30, "{label}: the new rows at most");
             assert_balanced(&appended, &label);
             assert_eq!(appended.stats.rows_total, 127, "{label}");
+            let mut all = after.clone();
+            (0..extra.len()).for_each(|row| all.push_row(extra.row(row)).unwrap());
+            let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+            assert_eq!(appended.result, query(&store, sql).unwrap().0, "{label}: never stale");
             assert_ne!(appended.result, fresh.result, "{label}: the appended rows count");
             let rewarm = cluster.query(sql).unwrap();
             assert_eq!(rewarm.result, appended.result, "{label}");
-            assert_eq!(rewarm.shard_cache_hits, 3, "{label}: the new epoch caches afresh");
+            assert_eq!(rewarm.stats.rows_cached, 127, "{label}: brought forward once");
             assert_eq!(rewarm.worker_cache_hits(), 1, "{label}: at the root");
+            // A chart nobody remembers still finds the leaves' chunk
+            // results: an append rewrites no chunk.
+            let other = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g").unwrap();
+            assert_eq!(other.worker_cache_hits(), 0, "{label}");
+            assert_eq!(other.stats.rows_total, 127, "{label}");
         }
     }
 }
@@ -345,57 +355,80 @@ fn cache_outcomes_are_a_function_of_the_query_sequence() {
     }
 }
 
-#[test]
-fn epoch_bump_drops_a_worker_cache() {
-    // Straight at the protocol: one leaf worker, queried with explicit
-    // epochs. The cache serves repeats within an epoch and is dropped the
-    // moment the epoch moves — the per-node form of rebuild invalidation.
-    use pd_data::{generate_logs, LogsSpec};
-    use pd_dist::node::NodeSpec;
-    use pd_dist::rpc::{Addr, LoadRequest, QueryRequest, Request, Response, RpcClient};
-    use pd_dist::ReapGuard;
-    use pd_encoding::TableDelta;
-    use pd_sql::{analyze, parse_query};
-
-    let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let addr = Addr::Unix(dir.join("w.sock"));
-    let worker = ReapGuard::new(
+/// A worker process listening on a unix socket in `dir`, and a connection
+/// to it. The guard reaps it.
+fn spawn_worker(
+    dir: &std::path::Path,
+    name: &str,
+) -> (pd_dist::ReapGuard, pd_dist::rpc::RpcClient, pd_dist::rpc::Addr) {
+    let addr = pd_dist::rpc::Addr::Unix(dir.join(format!("{name}.sock")));
+    let worker = pd_dist::ReapGuard::new(
         std::process::Command::new(worker_bin())
             .arg("--listen")
             .arg(addr.to_string())
             .spawn()
             .unwrap(),
     );
-
-    let table = generate_logs(&LogsSpec::scaled(400));
-    let mut client = RpcClient::new(addr, false);
+    let mut client = pd_dist::rpc::RpcClient::new(addr.clone(), false);
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
+    (worker, client, addr)
+}
+
+/// `table`'s rows as the coded columns a `Load` or an `Append` carries.
+fn coded(table: &Table) -> pd_encoding::TableDelta {
     let columns: Vec<&[Value]> = (0..table.schema().len()).map(|i| table.column(i)).collect();
+    pd_encoding::TableDelta::from_columns(table.schema().clone(), &columns).unwrap()
+}
+
+/// `Load` 400 rows of the logs table into `client`'s worker as shard 0 at
+/// `epoch`; returns the summary it acks.
+fn load_logs_leaf(client: &mut pd_dist::rpc::RpcClient, epoch: u64) -> pd_dist::ShardMeta {
+    use pd_data::{generate_logs, LogsSpec};
+    use pd_dist::node::NodeSpec;
+    use pd_dist::rpc::{LoadRequest, Request, Response};
+
     let load = Request::Load(Box::new(LoadRequest {
         shard: 0,
-        delta: TableDelta::from_columns(table.schema().clone(), &columns).unwrap(),
+        delta: coded(&generate_logs(&LogsSpec::scaled(400))),
         build: BuildOptions::basic(),
-        spec: NodeSpec { name: "l0p".into(), cache_entries: 8, epoch: 5, threads: 1 },
+        spec: NodeSpec { name: "l0p".into(), cache_entries: 8, epoch, threads: 1 },
     }));
-    assert!(matches!(client.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
+    match client.call(&load, Duration::from_secs(60)).unwrap() {
+        Response::Loaded(meta) => *meta,
+        other => panic!("expected the load ack, got {other:?}"),
+    }
+}
 
-    let analyzed =
-        analyze(&parse_query("SELECT country, COUNT(*) c FROM logs GROUP BY country").unwrap())
-            .unwrap();
-    let mut ask = |epoch: u64| {
-        let request = Request::Query(Box::new(QueryRequest {
-            query: analyzed.clone(),
-            budget: Duration::from_secs(30),
-            hedge_micros: 0,
-            epoch,
-            chaos: Vec::new(),
-        }));
-        match client.call(&request, Duration::from_secs(30)).unwrap() {
+/// `SELECT country, COUNT(*) ... GROUP BY country` as a request at `epoch`.
+fn by_country(epoch: u64) -> pd_dist::rpc::Request {
+    use pd_sql::{analyze, parse_query};
+    let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country";
+    pd_dist::rpc::Request::Query(Box::new(pd_dist::rpc::QueryRequest {
+        query: analyze(&parse_query(sql).unwrap()).unwrap(),
+        budget: Duration::from_secs(30),
+        hedge_micros: 0,
+        epoch,
+        chaos: Vec::new(),
+    }))
+}
+
+#[test]
+fn epoch_bump_drops_a_worker_cache() {
+    // Straight at the protocol: one leaf worker, queried with explicit
+    // epochs. The cache serves repeats within an epoch and is dropped the
+    // moment the epoch moves without the node having been told why — the
+    // per-node form of rebuild invalidation.
+    use pd_dist::rpc::Response;
+
+    let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (worker, mut client, _) = spawn_worker(&dir, "w");
+    load_logs_leaf(&mut client, 5);
+    let mut ask =
+        |epoch: u64| match client.call(&by_country(epoch), Duration::from_secs(30)).unwrap() {
             Response::Answer(answer) => answer,
             other => panic!("expected an answer, got {other:?}"),
-        }
-    };
+        };
 
     let cold = ask(5);
     assert!(!cold.reports[0].cache_hit);
@@ -418,6 +451,49 @@ fn epoch_bump_drops_a_worker_cache() {
     assert!(warm_again.reports[0].cache_hit, "the new epoch caches afresh");
 
     drop(worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_absorb_without_deltas_keeps_a_merge_servers_memory() {
+    // A merge server over one leaf, at the protocol. Told of an epoch under
+    // which nothing beneath it changed (an `Absorb` with no deltas), it
+    // adopts the epoch and forgets nothing: the chart it remembers answers
+    // with its only child dead. An epoch it was *not* told of still drops
+    // the chart — it has to ask that child, and says so.
+    use pd_dist::node::NodeSpec;
+    use pd_dist::rpc::{AbsorbRequest, AttachRequest, ChildSpec, Request, Response};
+
+    let dir = std::env::temp_dir().join(format!("pd-absorb-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (leaf, mut leaf_client, leaf_addr) = spawn_worker(&dir, "leaf");
+    let meta = load_logs_leaf(&mut leaf_client, 1);
+    let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
+    let attach = Request::Attach(AttachRequest {
+        children: vec![ChildSpec::Leaf { shard: 0, primary: leaf_addr, replica: None, meta }],
+        compress: false,
+        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
+    });
+    assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
+    let mut call = |request: &Request| client.call(request, Duration::from_secs(30)).unwrap();
+
+    let Response::Answer(cold) = call(&by_country(1)) else { panic!("expected an answer") };
+    assert_eq!(cold.stats.worker_cache_hits, 0, "the first execution asks the leaf");
+
+    let absorb = Request::Absorb(Box::new(AbsorbRequest { applied: Vec::new(), epoch: 2 }));
+    assert_eq!(call(&absorb), Response::Ok);
+    drop(leaf);
+    let Response::Answer(told) = call(&by_country(2)) else { panic!("expected an answer") };
+    assert_eq!(told.stats.worker_cache_hits, 1, "told of epoch 2, the server kept the chart");
+    assert!(told.reports[0].cache_hit, "and needed no child for it");
+    assert_eq!(told.partial, cold.partial);
+
+    match call(&by_country(3)) {
+        Response::Fault(_) | Response::Err(_) => {}
+        other => panic!("not told of epoch 3, the server must ask its dead child: {other:?}"),
+    }
+
+    drop(mixer);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -482,6 +558,177 @@ fn local_trees_with_interleaved_appends_match_a_single_store() {
             let appended = cluster.append(&table.select_rows(&rows)).unwrap();
             assert_eq!(appended.rows, batch as u64);
             served += batch;
+        }
+    }
+}
+
+/// One row appended to a 4-shard, fanout-2 socket tree falls into the last
+/// shard's slice alone: one `Append`, one `Absorb` that carries it (to the
+/// merge server above shards 2–3) and one that carries nothing (to the
+/// other, which only learns the epoch and so keeps what it remembers) —
+/// counted by the bytes the append reports. Every later answer is the
+/// single store's.
+#[test]
+fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
+    use pd_dist::rpc::{
+        encode_frame, AbsorbRequest, AppendReceipt, AppendRequest, AppliedDelta, Request,
+    };
+
+    let mut rng = Rng::seed_from_u64(0x05ca_1e07);
+    let base = random_table(&mut rng, 200);
+    let row = random_table(&mut rng, 1);
+    let (_, socket) = edge_kinds().into_iter().nth(1).unwrap();
+    let mut cluster = cluster(&base, 4, 2, 64, &socket);
+    let queries: Vec<String> = (0..6).map(|_| random_query(&mut rng)).collect();
+    for sql in &queries[..4] {
+        cluster.query(sql).unwrap();
+    }
+
+    let shipped = cluster.append(&row).unwrap().bytes_shipped;
+    let delta = coded(&row);
+    let compress = RpcConfig::default().compress;
+    let frame_len = |request: &Request| encode_frame(request, compress).unwrap().len() as u64;
+    let append = AppendRequest { shard: 3, delta: delta.clone(), epoch: 2 };
+    let receipt = AppendReceipt { new_chunk_rows: vec![1] };
+    let absorb = |applied| Request::Absorb(Box::new(AbsorbRequest { applied, epoch: 2 }));
+    assert_eq!(
+        shipped,
+        frame_len(&Request::Append(Box::new(append)))
+            + frame_len(&absorb(vec![AppliedDelta { shard: 3, delta, receipt }]))
+            + frame_len(&absorb(Vec::new())),
+        "one append, one absorb with the delta, one without"
+    );
+
+    let mut all = base.clone();
+    all.push_row(row.row(0)).unwrap();
+    let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+    for (at, sql) in queries.iter().chain(&queries).enumerate() {
+        let outcome = cluster.query(sql).unwrap();
+        assert_eq!(outcome.result, query(&store, sql).unwrap().0, "query {at}: {sql}");
+        assert_eq!(outcome.stats.rows_total, 201, "query {at}");
+        assert_balanced(&outcome, sql);
+        if at < 4 {
+            assert_eq!(outcome.worker_cache_hits(), 1, "query {at}: the root remembered {sql}");
+        }
+    }
+}
+
+/// Rows like [`random_table`]'s plus a `timestamp`, drifting with `round`:
+/// later rounds bring `g`s and days no earlier row has, and `k`s and `n`s
+/// that sort before every resident value — so appended dictionaries grow
+/// at both ends and `date(timestamp)` keeps meeting new days.
+fn drifting_rows(rng: &mut Rng, rows: usize, round: usize) -> Table {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("g", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("timestamp", DataType::Int),
+    ]);
+    let mut table = Table::new(schema);
+    for _ in 0..rows {
+        let fresh = round > 0 && rng.range_usize(0, 4) == 0;
+        let k = match (fresh, round % 3) {
+            (true, 0) => format!("a{:03}", 999 - round),
+            _ => ["red", "green", "blue", "grey"][rng.range_usize(0, 4)].to_owned(),
+        };
+        let g = if fresh { 10 + round } else { rng.range_usize(0, 10) };
+        let n = if fresh { -100 - round as i64 } else { rng.range_i64_inclusive(-40, 40) };
+        let day = if fresh { round as i64 } else { rng.range_i64_inclusive(0, 2) };
+        table
+            .push_row(Row(vec![
+                Value::from(k),
+                Value::from(format!("g{g:02}")),
+                Value::Int(n),
+                Value::Float(rng.range_i64_inclusive(-8, 8) as f64 * 0.25),
+                Value::Int(1_700_000_000 + day * 86_400 + rng.range_i64_inclusive(0, 86_399)),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// Charts over the drifting columns that [`random_query`] never draws:
+/// every aggregate (`COUNT(DISTINCT)`, float `SUM` / `AVG` included), a
+/// virtual field as key, and HAVING / ORDER BY / LIMIT variants of one
+/// signature.
+fn drifting_query(rng: &mut Rng) -> String {
+    let shape = *rng.pick(&[
+        "SELECT date(timestamp) as d, COUNT(*) as c, SUM(x) as s FROM data GROUP BY date(timestamp)",
+        "SELECT g, COUNT(*) as c, COUNT(DISTINCT n) as u, AVG(x) as a FROM data GROUP BY g",
+        "SELECT k, COUNT(*) as c, MIN(n) as mn, MAX(x) as mx FROM data WHERE n < 5 GROUP BY k",
+        "SELECT k, g, COUNT(*) as c, SUM(n) as s, AVG(n) as a FROM data GROUP BY k, g",
+        "SELECT COUNT(*) as c, COUNT(DISTINCT g) as u, SUM(x) as s FROM data",
+    ]);
+    let presentation =
+        *rng.pick(&["", " ORDER BY c DESC LIMIT 3", " HAVING c > 2 ORDER BY c", " LIMIT 1"]);
+    format!("{shape}{presentation}")
+}
+
+/// What a told node remembers stays right through any run of appends:
+/// on both edge kinds and both tree depths, with node caches roomy or so
+/// tight that the root and the merge servers remember different charts,
+/// 44 rounds of {an append of random size — often a single row, or fewer
+/// rows than shards — with drifting values; a mix of new charts and
+/// re-asked ones}. Every answer — a miss, a plain hit, an entry brought
+/// forward over one append or over thirty — is the single store's over
+/// the rows so far, and accounts for exactly those rows.
+#[test]
+fn remembered_charts_are_brought_forward_through_any_run_of_appends() {
+    // (Miri spawns no process, and interprets: in-memory edges, few rounds.)
+    const ROUNDS: usize = if cfg!(miri) { 5 } else { 44 };
+    // Asked in round 0 and then left alone until this round.
+    const SLEEPS_UNTIL: usize = ROUNDS * 7 / 10;
+    for (kind, transport) in edge_kinds().into_iter().take(if cfg!(miri) { 1 } else { 2 }) {
+        for (fanout, cache) in [(2, 256), (16, 256), (2, 6)] {
+            let mut rng = Rng::seed_from_u64(0x05ca_1e08 ^ fanout as u64);
+            let mut all = drifting_rows(&mut rng, 150, 0);
+            let mut cluster = cluster(&all, 4, fanout, cache, &transport);
+            let sleeper = "SELECT g, COUNT(*) as c, SUM(x) as s, MIN(n) as mn FROM data GROUP BY g";
+            let steady = "SELECT k, COUNT(*) as c, AVG(x) as a FROM data GROUP BY k ORDER BY k";
+            let mut asked: Vec<String> = Vec::new();
+            let mut forwarded = 0;
+            for round in 0..ROUNDS {
+                let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+                let mut batch: Vec<String> = (0..5)
+                    .map(|_| match rng.range_usize(0, 5) {
+                        0 => random_query(&mut rng),
+                        1 => drifting_query(&mut rng),
+                        _ if asked.is_empty() => drifting_query(&mut rng),
+                        _ => rng.pick(&asked).clone(),
+                    })
+                    .collect();
+                batch.push(steady.to_owned());
+                if round == 0 || round >= SLEEPS_UNTIL {
+                    batch.push(sleeper.to_owned());
+                }
+                for sql in batch {
+                    let label = format!(
+                        "{kind} fanout {fanout} cache {cache} round {round} @ {} rows: {sql}",
+                        all.len()
+                    );
+                    let outcome = cluster.query(&sql).unwrap();
+                    assert_eq!(outcome.result, query(&store, &sql).unwrap().0, "{label}");
+                    assert_eq!(outcome.stats.rows_total, all.len() as u64, "{label}");
+                    assert_balanced(&outcome, &label);
+                    let remembered = round > 0 && (sql == steady || sql == sleeper);
+                    if remembered && cache == 256 {
+                        assert_eq!(outcome.worker_cache_hits(), 1, "{label}: a root hit");
+                        assert_eq!(outcome.shard_cache_hits, 4, "{label}");
+                    }
+                    let hit = outcome.worker_cache_hits() > 0;
+                    forwarded += usize::from(hit && outcome.stats.rows_cached < all.len() as u64);
+                    asked.push(sql);
+                }
+                let rows = *rng.pick(&[1, 1, 2, 3, 7, 20, 45]);
+                let extra = drifting_rows(&mut rng, rows, round + 1);
+                assert_eq!(cluster.append(&extra).unwrap().rows, rows as u64);
+                (0..rows).for_each(|row| all.push_row(extra.row(row)).unwrap());
+            }
+            assert!(
+                forwarded > ROUNDS,
+                "{kind} fanout {fanout} cache {cache}: only {forwarded} answers were brought forward"
+            );
         }
     }
 }
