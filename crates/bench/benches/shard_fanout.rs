@@ -11,9 +11,10 @@
 //! 3. **Drill-down replay** — the §6 workload with the cache on vs off,
 //!    reporting total latency and the hit count.
 
+use pd_bench::workload::{DrillDownWorkload, WorkloadSpec};
 use pd_bench::{fmt_duration, json_line, logs_table, measure_stats, TablePrinter};
 use pd_core::{scheduler, BuildOptions};
-use pd_dist::{Cluster, ClusterConfig, DrillDownWorkload, WorkloadSpec};
+use pd_dist::{Cluster, ClusterConfig};
 use std::hint::black_box;
 use std::time::Duration;
 

@@ -7,6 +7,9 @@
 use crate::harness::{logs_table, mb, measure_n, TablePrinter};
 use crate::residency::{touch_scan, AccessCost, CachePolicy, TieredCache};
 use crate::subdict::{SubDictIndex, SubDictLayout};
+use crate::workload::{
+    run_production, DrillDownWorkload, ProductionReport, QueryRecord, WorkloadSpec,
+};
 use pd_baselines::{Backend, CsvBackend, DremelBackend, IoModel, RecordIoBackend};
 use pd_common::Result;
 use pd_compress::lz::LzCodec;
@@ -14,10 +17,7 @@ use pd_compress::Codec;
 use pd_core::memory::{query_columns, report_for_query};
 use pd_core::{query, BuildOptions, DataStore, ExecContext, PartitionSpec, StoredColumn};
 use pd_data::Table;
-use pd_dist::{
-    run_production, ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, RpcConfig, Transport,
-    TreeShape, WorkloadSpec,
-};
+use pd_dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport, TreeShape};
 use pd_encoding::{Elements, ElementsMode};
 use pd_sql::{analyze, parse_query};
 use std::time::Duration;
@@ -457,7 +457,7 @@ pub fn production(rows: usize) {
     println!(
         "avg measured per-query latency: {avg_latency:?}   (paper: under 2 seconds per query)"
     );
-    let scan_free: Vec<&pd_dist::workload::QueryRecord> =
+    let scan_free: Vec<&QueryRecord> =
         report.queries.iter().filter(|q| q.stats.rows_scanned == 0).collect();
     if !scan_free.is_empty() {
         let avg: Duration =
@@ -484,7 +484,7 @@ pub fn figure5(rows: usize) {
     figure5_print(&report);
 }
 
-fn figure5_print(report: &pd_dist::workload::ProductionReport) {
+fn figure5_print(report: &ProductionReport) {
     println!("\nFigure 5: avg measured latency by cells scanned (log2 buckets)");
     let buckets = report.figure5_buckets();
     let max_latency =

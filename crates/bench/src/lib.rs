@@ -9,7 +9,9 @@
 //! experiment: the §3/§5 two-layer payload cache and its eviction policies,
 //! replayed against from outside the engine. [`codecs`] and [`subdict`] are
 //! what the paper's §5 evaluates and the engine does not run: the codecs
-//! Zippy is compared with, and the sub-dictionary split.
+//! Zippy is compared with, and the sub-dictionary split. [`workload`] is the
+//! §6 traffic the experiments drive a cluster with: drill-down click
+//! streams and their replay.
 
 #![forbid(unsafe_code)]
 
@@ -18,6 +20,7 @@ pub mod experiments;
 pub mod harness;
 pub mod residency;
 pub mod subdict;
+pub mod workload;
 
 pub use harness::{
     fmt_duration, json_line, logs_table, mb, measure, measure_n, measure_stats, quick,

@@ -8,15 +8,12 @@
 //! precisely the access pattern that lets chunk dictionaries skip and the
 //! chunk-result cache hit.
 
-use crate::cluster::Cluster;
 use pd_common::rng::Rng;
-use pd_common::{DataType, Value};
-use pd_core::{BuildOptions, DataStore, QueryResult, ScanStats};
+use pd_common::{DataType, Result, Value};
+use pd_core::ScanStats;
 use pd_data::Table;
-use std::sync::RwLock;
+use pd_dist::Cluster;
 use std::time::Duration;
-
-pub use pd_common::Result;
 
 /// Workload generation parameters.
 #[derive(Debug, Clone)]
@@ -156,7 +153,7 @@ impl DrillDownWorkload {
 pub struct QueryRecord {
     pub sql: String,
     pub stats: ScanStats,
-    /// Measured end-to-end wall time ([`crate::QueryOutcome::latency`]).
+    /// Measured end-to-end wall time ([`pd_dist::QueryOutcome::latency`]).
     pub latency: Duration,
     /// Shards served from a tree node's result cache.
     pub shard_cache_hits: usize,
@@ -228,114 +225,6 @@ impl ProductionReport {
     }
 }
 
-/// What the append-while-serving replay observed.
-#[derive(Debug, Clone)]
-pub struct AppendServeReport {
-    /// Queries answered while ingest was (potentially) in flight.
-    pub queries: usize,
-    /// Rows streamed in across all append batches.
-    pub appended_rows: u64,
-    /// `matched_by_epoch[e]` = concurrent answers bit-identical to the
-    /// snapshot after `e` batches (a result identical across several
-    /// epochs counts toward the earliest). Sums to `queries`.
-    pub matched_by_epoch: Vec<usize>,
-}
-
-/// Replay drill-down queries **while ingesting**: query threads read the
-/// cluster as an appender streams `batches` in via [`Cluster::append`].
-///
-/// The §6 equivalence matrix, under concurrent ingest: every answer a
-/// query thread receives must be bit-identical to **some** consistent
-/// snapshot epoch — a single-store engine built over the base table plus
-/// the first `e` batches, for some `e` — and the final answers must match
-/// the final epoch. A torn read (one shard answering pre-append, another
-/// post-append) matches *no* snapshot and fails the replay. Appends take
-/// the write lock, queries the read lock, so the lock discipline under
-/// test is exactly the one `append(&mut self)` / `query(&self)` enforce
-/// at compile time for single-threaded callers.
-pub fn run_append_while_serving(
-    cluster: &RwLock<Cluster>,
-    base: &Table,
-    batches: &[Table],
-    sqls: &[String],
-    query_threads: usize,
-    rounds: usize,
-) -> Result<AppendServeReport> {
-    // Reference snapshots: the already-trusted single-store engine over
-    // each consistent prefix (after 0, 1, ..., all batches).
-    let mut prefix = base.clone();
-    let mut snapshots = Vec::with_capacity(batches.len() + 1);
-    snapshots.push(DataStore::build(&prefix, &BuildOptions::basic())?);
-    for batch in batches {
-        for row in batch.iter_rows() {
-            prefix.push_row(row)?;
-        }
-        snapshots.push(DataStore::build(&prefix, &BuildOptions::basic())?);
-    }
-    let expected: Vec<Vec<QueryResult>> = snapshots
-        .iter()
-        .map(|store| sqls.iter().map(|sql| pd_core::query(store, sql).map(|(r, _)| r)).collect())
-        .collect::<Result<_>>()?;
-
-    let appended_rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let mut matched_by_epoch = vec![0usize; expected.len()];
-    let mut queries = 0usize;
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::with_capacity(query_threads);
-        for _ in 0..query_threads {
-            let expected = &expected;
-            handles.push(scope.spawn(move || -> Result<Vec<usize>> {
-                let mut counts = vec![0usize; expected.len()];
-                for _ in 0..rounds {
-                    for (qi, sql) in sqls.iter().enumerate() {
-                        let result = {
-                            let guard = cluster.read().expect("a replay thread panicked mid-query");
-                            guard.query(sql)?.result
-                        };
-                        let Some(epoch) = expected.iter().position(|per_sql| per_sql[qi] == result)
-                        else {
-                            return Err(pd_common::Error::Data(format!(
-                                "torn read: an answer to `{sql}` matches no consistent \
-                                 snapshot epoch"
-                            )));
-                        };
-                        counts[epoch] += 1;
-                    }
-                }
-                Ok(counts)
-            }));
-        }
-        // Ingest on this thread, concurrently with the queriers: yield
-        // between batches so reads interleave with epochs 0..batches.
-        for batch in batches {
-            std::thread::sleep(Duration::from_millis(2));
-            cluster.write().expect("a replay thread panicked mid-query").append(batch)?;
-        }
-        for handle in handles {
-            let counts = handle.join().expect("query thread panicked")?;
-            for (slot, count) in matched_by_epoch.iter_mut().zip(&counts) {
-                *slot += count;
-                queries += count;
-            }
-        }
-        Ok(())
-    })?;
-
-    // Quiesced, every batch absorbed: answers must now match the *final*
-    // epoch exactly — "some snapshot" is only for in-flight reads.
-    let final_epoch = expected.len() - 1;
-    let guard = cluster.read().expect("a replay thread panicked mid-query");
-    for (qi, sql) in sqls.iter().enumerate() {
-        let result = guard.query(sql)?.result;
-        if result != expected[final_epoch][qi] {
-            return Err(pd_common::Error::Data(format!(
-                "after the last append, `{sql}` still answers from an old epoch"
-            )));
-        }
-    }
-    Ok(AppendServeReport { queries, appended_rows, matched_by_epoch })
-}
-
 /// Replay `workload` against `cluster`, recording per-query statistics.
 pub fn run_production(cluster: &Cluster, workload: &DrillDownWorkload) -> Result<ProductionReport> {
     let mut report = ProductionReport::default();
@@ -356,9 +245,9 @@ pub fn run_production(cluster: &Cluster, workload: &DrillDownWorkload) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
     use pd_core::BuildOptions;
     use pd_data::{generate_logs, LogsSpec};
+    use pd_dist::ClusterConfig;
 
     #[test]
     fn workload_generation_is_deterministic() {
@@ -401,48 +290,6 @@ mod tests {
         let total = report.skipped_percent() + report.cached_percent() + report.scanned_percent();
         assert!((total - 100.0).abs() < 1e-6, "shares sum to 100: {total}");
         assert!(!report.figure5_buckets().is_empty());
-    }
-
-    #[test]
-    fn append_while_serving_matches_a_consistent_epoch() {
-        // Concurrent ingest + drill-down: three batches stream in while
-        // two query threads hammer the cluster. Every answer must be
-        // bit-identical to some consistent snapshot, and the post-ingest
-        // answers must match the final epoch.
-        let table = generate_logs(&LogsSpec::scaled(3_000));
-        let slice = |lo: usize, hi: usize| {
-            let rows: Vec<usize> = (lo..hi).collect();
-            table.select_rows(&rows)
-        };
-        let base = slice(0, 2_400);
-        let batches: Vec<Table> =
-            (0..3).map(|b| slice(2_400 + b * 200, 2_400 + (b + 1) * 200)).collect();
-        let mut build = BuildOptions::production(&["country", "table_name"]);
-        if let Some(spec) = &mut build.partition {
-            spec.max_chunk_rows = 200;
-        }
-        let cluster = RwLock::new(
-            Cluster::build(&base, &ClusterConfig { shards: 3, build, ..Default::default() })
-                .unwrap(),
-        );
-        let sqls: Vec<String> = [
-            "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 10",
-            "SELECT country, SUM(latency) s FROM logs GROUP BY country ORDER BY s DESC LIMIT 5",
-            "SELECT COUNT(*) c, MIN(user) lo, MAX(user) hi FROM logs",
-            "SELECT table_name, COUNT(*) c FROM logs WHERE country = 'DE' \
-             GROUP BY table_name ORDER BY c DESC LIMIT 10",
-        ]
-        .map(String::from)
-        .into_iter()
-        .collect();
-        let report = run_append_while_serving(&cluster, &base, &batches, &sqls, 2, 12).unwrap();
-        assert_eq!(report.queries, 2 * 12 * sqls.len());
-        assert_eq!(report.appended_rows, 600);
-        assert_eq!(report.matched_by_epoch.len(), 4);
-        assert_eq!(report.matched_by_epoch.iter().sum::<usize>(), report.queries);
-        // The epoch rule held the whole way: the cluster ends at base
-        // epoch 1 plus one bump per batch.
-        assert_eq!(cluster.read().unwrap().epoch(), 1 + batches.len() as u64);
     }
 
     #[test]

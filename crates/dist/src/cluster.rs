@@ -29,17 +29,20 @@
 //! workers (the limit halves while the observed queue p95 sits above the
 //! saturation threshold).
 
-use crate::chaos::ChaosModel;
-use crate::process::{shard_delta, Tree, WorkerAddr};
-use crate::rpc::{QueryRequest, ShardReport};
+use crate::chaos::{leaf_primary, ChaosModel};
+use crate::node::{Node, NodeSpec};
+use crate::process::{WorkerAddr, Workers};
+use crate::rpc::{ChildHandle, QueryRequest, ShardReport};
 use pd_common::sync::Mutex;
-use pd_common::{Error, RpcError, Schema};
+use pd_common::{Error, Result, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
+use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Where the computation tree's nodes live.
@@ -197,10 +200,15 @@ impl Default for ClusterConfig {
 /// The §4 single-datacenter model: X shards + a computation tree, driven
 /// from its root.
 pub struct Cluster {
-    /// The live tree. `None` once an append or rebuild failed part-way:
-    /// the shards may hold different data, so nothing is served until
+    /// The root: a mixer over the top tree level, in the driver on both
+    /// transports. `None` once an append or rebuild failed part-way: the
+    /// shards may hold different data, so nothing is served until
     /// [`Cluster::rebuild`] succeeds.
-    tree: Option<Tree>,
+    root: Option<Node>,
+    /// The processes beneath the root of a [`Transport::Rpc`] tree.
+    workers: Option<Workers>,
+    /// How many contiguous shards the rows are split into.
+    shard_count: usize,
     /// Schema of the data the tree serves; appends must match it.
     schema: Schema,
     config: ClusterConfig,
@@ -307,14 +315,18 @@ impl QueryOutcome {
 }
 
 impl Cluster {
-    /// Split `table` into shards and build the tree over them
-    /// ([`Tree::build`]).
-    pub fn build(table: &Table, config: &ClusterConfig) -> pd_common::Result<Cluster> {
+    /// Split `table` into contiguous shards and build the tree over them:
+    /// the leaves, the merge levels [`ClusterConfig::tree`] asks for, and
+    /// the root the driver holds — every node in this address space, or
+    /// each beneath the root in a worker process of its own
+    /// ([`ClusterConfig::transport`]).
+    pub fn build(table: &Table, config: &ClusterConfig) -> Result<Cluster> {
         let epoch = 1u64;
-        let tree = Tree::build(table, config, epoch)?;
-        let shard_count = tree.shard_count();
+        let (root, workers, shard_count) = build_tree(table, config, epoch)?;
         Ok(Cluster {
-            tree: Some(tree),
+            root: Some(root),
+            workers,
+            shard_count,
             schema: table.schema().clone(),
             config: config.clone(),
             epoch,
@@ -333,13 +345,14 @@ impl Cluster {
     /// row is re-imported even if only a fraction changed; for append-only
     /// growth prefer [`Cluster::append`], which bumps the same epoch but
     /// ships only the new rows.
-    pub fn rebuild(&mut self, table: &Table) -> pd_common::Result<()> {
+    pub fn rebuild(&mut self, table: &Table) -> Result<()> {
         // Drop (and kill) the old tree before building its successor.
-        self.tree = None;
-        self.tree = Some(Tree::build(table, &self.config, self.epoch + 1)?);
+        (self.root, self.workers) = (None, None);
+        let (root, workers, shard_count) = build_tree(table, &self.config, self.epoch + 1)?;
+        (self.root, self.workers, self.shard_count) = (Some(root), workers, shard_count);
         self.epoch += 1;
         self.schema = table.schema().clone();
-        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); self.shard_count()];
+        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); shard_count];
         // A fresh tree starts with nobody waiting at its workers: stale
         // saturation / hedge estimates from the old processes would shed
         // or hedge against load that no longer exists.
@@ -349,48 +362,48 @@ impl Cluster {
 
     /// Stream `delta`'s rows into the live cluster — the incremental
     /// alternative to [`Cluster::rebuild`]. The delta is split across
-    /// shards by the import's contiguous-range rule, coded per shard as the
-    /// self-contained columns a shard's first rows arrived in
-    /// ([`pd_encoding::TableDelta`]:
-    /// the receiver resolves it against its resident dictionaries,
-    /// appending only genuinely new values, so **every existing global id
-    /// stays stable** and folded partials across old and new chunks stay
-    /// bit-identical) and applied in place by every leaf
-    /// ([`crate::node::Node::append`]), which acks a receipt. Every parent
-    /// that prunes by a shard's summary then absorbs the same delta into
-    /// its own copy ([`crate::meta::ShardMeta::absorb_append`]) — over
-    /// sockets that is two round trips whatever the tree's size, all
-    /// shards and then all merge servers at work at once. Nothing is
-    /// respawned, re-wired or re-dialed.
+    /// shards by the import's contiguous-range rule and coded per shard as
+    /// self-contained columns ([`pd_encoding::TableDelta`]: the receiver
+    /// resolves it against its resident dictionaries, so **every existing
+    /// global id stays stable** and folded partials stay bit-identical).
+    /// Every leaf applies its slice in place ([`Node::append`]: its node
+    /// cache goes, its chunk results stay) and acks a receipt; every mixer
+    /// above it, the root included, absorbs the same delta
+    /// ([`Node::absorb`]) into its copy of the shard summary and into the
+    /// tail that brings what it remembers up to date — so a chart the root
+    /// answered before is still a root hit. Over sockets that is two round
+    /// trips whatever the tree's size; in process, a walk of the root's
+    /// in-memory edges (`Node::append_beneath`). Nothing is respawned,
+    /// re-wired or re-dialed.
     ///
-    /// The epoch bumps as a rebuild's would — but only once every shard has
-    /// applied its slice — and no stale partial ever answers: a leaf drops
-    /// its node cache as it applies its slice (its chunk results stay), a
-    /// node that was not told drops its cache by the epoch, and the nodes
-    /// that are told — the root and every merge server process, by
-    /// [`crate::node::Node::absorb`] — keep what they remember and bring
-    /// it up to date from the appended rows when it is next asked for. So
-    /// a chart the root has answered before is still a root hit after an
-    /// append. Requires `&mut self`: no query can observe a
-    /// half-applied append. A delta whose schema is not the cluster's is
-    /// rejected before anything changes. An error *after* the first shard
+    /// The epoch bumps once every shard has applied its slice. Requires
+    /// `&mut self`: no query can observe a half-applied append. A delta
+    /// whose schema is not the cluster's is rejected, and one without rows
+    /// ignored, before anything changes. An error *after* the first shard
     /// was touched leaves shards (or a primary and its replica) at
     /// different data: the tree is dropped, and [`Cluster::query`] refuses
     /// to serve until [`Cluster::rebuild`] succeeds.
-    pub fn append(&mut self, delta: &Table) -> pd_common::Result<AppendOutcome> {
-        let tree = self.tree.as_mut().ok_or_else(needs_rebuild)?;
+    pub fn append(&mut self, delta: &Table) -> Result<AppendOutcome> {
+        let root = self.root.as_mut().ok_or_else(needs_rebuild)?;
         if delta.schema() != &self.schema {
             return Err(Error::Schema("append: delta schema does not match the cluster's".into()));
         }
-        let shard_count = tree.shard_count();
-        let deltas = (0..shard_count)
-            .map(|s| shard_delta(delta, s, shard_count))
-            .collect::<pd_common::Result<Vec<_>>>()?;
+        if delta.is_empty() {
+            return Ok(AppendOutcome { rows: 0, bytes_shipped: 0 });
+        }
+        let mut deltas = (0..self.shard_count)
+            .map(|s| shard_delta(delta, s, self.shard_count))
+            .collect::<Result<Vec<_>>>()?;
         // From here on a failure may have touched some shards and not
         // others.
-        match tree.append(deltas, self.epoch + 1) {
+        let epoch = self.epoch + 1;
+        let shipped = match &mut self.workers {
+            Some(workers) => workers.append(deltas, epoch, root),
+            None => root.append_beneath(&mut deltas, epoch).map(|_| 0),
+        };
+        match shipped {
             Ok(bytes_shipped) => {
-                self.epoch += 1;
+                self.epoch = epoch;
                 // Unlike a rebuild, worker processes (and whoever waits
                 // at them) survive, so the observed queue / saturation
                 // estimates still describe the live cluster — they are
@@ -398,7 +411,7 @@ impl Cluster {
                 Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped })
             }
             Err(e) => {
-                self.tree = None;
+                (self.root, self.workers) = (None, None);
                 Err(e)
             }
         }
@@ -406,9 +419,10 @@ impl Cluster {
 
     /// Cumulative serialized bytes of data-bearing requests (`Load`,
     /// `Append` and `Absorb` frames) shipped to worker processes since the
-    /// tree was last (re)built; 0 when no node is behind a wire.
+    /// tree was last (re)built; 0 when no node is behind a wire. Wiring
+    /// (`Attach`) and queries are not data.
     pub fn shipped_bytes(&self) -> u64 {
-        self.tree.as_ref().map_or(0, Tree::shipped_bytes)
+        self.workers.as_ref().map_or(0, |workers| workers.bytes_shipped)
     }
 
     /// Swap the fault injection model. Draws depend only on `(seed, query
@@ -428,7 +442,7 @@ impl Cluster {
     /// finalize). While workers look saturated the effective limit halves:
     /// shedding is cheapest *before* the fan-out, and saturation means the
     /// queries already admitted are about to get slower.
-    fn admit(&self) -> pd_common::Result<AdmitPermit<'_>> {
+    fn admit(&self) -> Result<AdmitPermit<'_>> {
         let max = self.config.admission.max_in_flight;
         if max == 0 {
             return Ok(AdmitPermit { in_flight: None });
@@ -497,7 +511,7 @@ impl Cluster {
     }
 
     pub fn shard_count(&self) -> usize {
-        self.tree.as_ref().map_or(0, Tree::shard_count)
+        self.shard_count
     }
 
     /// Mean measured queue delay per shard, reported up the tree by the
@@ -522,7 +536,7 @@ impl Cluster {
     /// an in-process tree (the caches of worker processes count where they
     /// live).
     pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.tree.as_ref().map_or((0, 0), |tree| tree.root().cache_stats())
+        self.root.as_ref().map_or((0, 0), Node::cache_stats)
     }
 
     /// Run `sql` over every shard — concurrently — and merge the partial
@@ -534,32 +548,40 @@ impl Cluster {
     /// the query, so a parent told its leaf primary is unreachable goes to
     /// the replica through the same failover code a deadline expiry
     /// triggers.
-    pub fn query(&self, sql: &str) -> pd_common::Result<QueryOutcome> {
+    pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
         let _permit = self.admit()?;
-        let tree = self.tree.as_ref().ok_or_else(needs_rebuild)?;
+        let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
         let analyzed = analyze(&parse_query(sql)?)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
-        let shard_count = tree.shard_count();
-
+        let shard_count = self.shard_count;
+        let budget = match &self.config.transport {
+            Transport::InProcess => RpcConfig::default().budget,
+            Transport::Rpc(rpc) => rpc.budget,
+        };
         // Hedge delay from the observed queue tail; zero disables racing
         // entirely when there are no replica processes to race.
-        let hedge_micros = if tree.hedges() {
-            u64::try_from(self.hedge_delay(tree.budget()).as_micros()).unwrap_or(u64::MAX)
+        let hedge_micros = if self.config.replication && self.workers.is_some() {
+            u64::try_from(self.hedge_delay(budget).as_micros()).unwrap_or(u64::MAX)
         } else {
             0
         };
+        // Worker-applied faults target processes: a local node must never
+        // be able to exit the driver. (Edge-applied faults target leaf
+        // primaries, which the shard count names.)
+        let processes = self.workers.as_ref().map_or(&[][..], |workers| &workers.names);
         let request = QueryRequest {
             query: analyzed,
-            budget: tree.budget(),
+            budget,
             hedge_micros,
             epoch: self.epoch,
-            chaos: self.config.chaos.draw(qid, tree.node_names(), shard_count),
+            chaos: self.config.chaos.draw(qid, processes, shard_count),
         };
 
         let fan_out_started = Instant::now();
-        let answer = tree.query(&request)?;
+        // The root — which nothing queues for.
+        let answer = root.query(&request, Duration::ZERO)?;
         // The whole fan-out: leaf hops *and* every merge-node fold and
         // root-hop transport above them — time the per-shard reports
         // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.
@@ -574,9 +596,7 @@ impl Cluster {
         for report in &answer.reports {
             let s = report.shard as usize;
             if s >= shard_count {
-                return Err(pd_common::Error::Data(format!(
-                    "rpc: worker reported unknown shard {s}"
-                )));
+                return Err(Error::Data(format!("rpc: worker reported unknown shard {s}")));
             }
             subquery_latencies[s] = report.latency;
             queue_delays[s] = report.queue;
@@ -641,6 +661,114 @@ fn needs_rebuild() -> Error {
          call Cluster::rebuild"
             .into(),
     )
+}
+
+/// Split `table` into contiguous row ranges (not round-robin: that
+/// preserves the "implicit clustering" of appended log records the paper's
+/// partitioning benefits from) and build the tree over them at `epoch`: one
+/// leaf (pair) per shard — each shard's rows dictionary-coded once
+/// ([`shard_delta`]) and handed to a local leaf or put in a `Load` frame —
+/// then merge levels, bottom-up, until one fits the fanout. Returns the
+/// root that mixes that top level, the worker processes beneath it, and the
+/// shard count. Where [`ClusterConfig::transport`] is read.
+fn build_tree(
+    table: &Table,
+    config: &ClusterConfig,
+    epoch: u64,
+) -> Result<(Node, Option<Workers>, usize)> {
+    let shard_count = config.shards.clamp(1, table.len().max(1));
+    let fanout = config.tree.fanout.max(2);
+    let coded = |shard: u64| {
+        shard_delta(table, shard as usize, shard_count)?
+            .ok_or_else(|| Error::Data("cannot build a tree over a table with no rows".into()))
+    };
+    let (children, workers) = match &config.transport {
+        Transport::InProcess => {
+            let mut level = Vec::with_capacity(shard_count);
+            for shard in 0..shard_count as u64 {
+                // A local leaf keeps no shard summary: summarizing is three
+                // more passes over the rows, and no edge in this address
+                // space needs a proof the leaf's own chunk dictionaries
+                // find anyway.
+                let spec = node_spec(config, leaf_primary(shard), epoch);
+                let leaf = Node::leaf(shard, coded(shard)?, &config.build, false, spec)?;
+                level.push(ChildHandle::local(Arc::new(leaf), Some(shard), config.replication));
+            }
+            let top = stack_levels(level, fanout, |height, i, group| {
+                let spec = node_spec(config, format!("m{height}_{i}"), epoch);
+                Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
+            })?;
+            (top, None)
+        }
+        Transport::Rpc(rpc) => {
+            // Dropping `workers` on an early return reaps what was spawned
+            // so far.
+            let mut workers = Workers::new(rpc)?;
+            let mut level = Vec::with_capacity(shard_count);
+            for shard in 0..shard_count as u64 {
+                level.push(workers.load_leaf(shard, coded(shard)?, config, epoch)?);
+            }
+            // Each shard's summary moves up with its spec — into the
+            // `Attach` of the parent that prunes with it, and on into the
+            // root's handles; the driver keeps no other copy.
+            let top = stack_levels(level, fanout, |height, i, group| {
+                // Socket children are other processes: the fan-out writes
+                // to each and then reads each on one thread, so a merge
+                // server has no width to choose.
+                let spec =
+                    NodeSpec { threads: 1, ..node_spec(config, format!("m{height}_{i}"), epoch) };
+                workers.attach_mixer(group, spec)
+            })?;
+            let compress = workers.compress;
+            let top = top.into_iter().map(|spec| ChildHandle::new(spec, compress)).collect();
+            (top, Some(workers))
+        }
+    };
+    let root = Node::mixer(children, node_spec(config, "root".into(), epoch));
+    Ok((root, workers, shard_count))
+}
+
+/// Group `level` into subtrees of `fanout` children, one `mixer` each, until
+/// one level fits the fanout; returns that top level. `mixer` gets the
+/// level's height (≥ 1), the group's index in it, and the group.
+fn stack_levels<C>(
+    mut level: Vec<C>,
+    fanout: usize,
+    mut mixer: impl FnMut(u64, usize, Vec<C>) -> Result<C>,
+) -> Result<Vec<C>> {
+    let mut height = 1u64;
+    while level.len() > fanout {
+        let mut next = Vec::with_capacity(level.len().div_ceil(fanout));
+        let mut rest = level.into_iter().peekable();
+        while rest.peek().is_some() {
+            let group: Vec<C> = rest.by_ref().take(fanout).collect();
+            next.push(mixer(height, next.len(), group)?);
+        }
+        level = next;
+        height += 1;
+    }
+    Ok(level)
+}
+
+/// What every node of a tree built from `config` is told besides its name.
+pub(crate) fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> NodeSpec {
+    NodeSpec { name, cache_entries: config.shard_cache, epoch, threads: config.threads }
+}
+
+/// Shard `s`'s contiguous slice of `table` under an `shard_count`-way split
+/// — the *same* row assignment for both transports and for appended
+/// batches, so neither can ever re-partition the data — as column slices,
+/// dictionary-coded once: the one form in which rows reach a leaf. `None`
+/// when the slice holds no row.
+fn shard_delta(table: &Table, s: usize, shard_count: usize) -> Result<Option<TableDelta>> {
+    let n = table.len();
+    let rows = n * s / shard_count..n * (s + 1) / shard_count;
+    if rows.is_empty() {
+        return Ok(None);
+    }
+    let columns: Vec<&[Value]> =
+        (0..table.schema().len()).map(|i| &table.column(i)[rows.clone()]).collect();
+    TableDelta::from_columns(table.schema().clone(), &columns).map(Some)
 }
 
 #[cfg(test)]

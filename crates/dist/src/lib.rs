@@ -1,4 +1,4 @@
-//! The distributed layer (§4) and the production workload replay (§6).
+//! The distributed layer (§4).
 //!
 //! PowerDrill parallelizes a query over many machines by splitting the data
 //! into shards, running the *same* group-by plan on every shard, and
@@ -29,9 +29,10 @@
 //!
 //! Modules:
 //!
-//! - [`cluster`] — the driver: shard split, admission control, the
-//!   per-query fault draw, append/rebuild under the epoch, and the
-//!   [`Transport`] switch;
+//! - [`cluster`] — the driver: it holds the root [`Node`] and, over
+//!   sockets, the worker processes; shard split, the [`Transport`] switch,
+//!   admission control, the per-query fault draw, append/rebuild under the
+//!   epoch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
 //!   fold), its result cache, epoch and — on a mixer that absorbs
 //!   appends — the tail that keeps the cache answerable, `Node::query` /
@@ -41,20 +42,16 @@
 //!   edges ([`rpc::Link`], in-memory or socket) and the shared fan-out /
 //!   failover / hedged-racing logic above them, with typed
 //!   [`pd_common::RpcError`] faults;
-//! - [`process`] — the tree as its driver holds it ([`Tree`]): building
-//!   leaves and merge levels out of local nodes or spawned worker
-//!   processes, the two round trips of an append, teardown on drop;
+//! - [`process`] — the worker processes of a socket tree: spawning them as
+//!   leaves (`Load`) and merge servers (`Attach`), the two round trips of
+//!   an append, reaping on drop;
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
 //!   sockets, the FIFO turnstile with its measured waits, chaos wire
 //!   sabotage;
 //! - [`chaos`] — the one seeded fault injector: edge-applied
 //!   unreachability on either edge kind, worker-applied wire sabotage;
 //! - [`meta`] — shard summaries and the layered pruning evaluator;
-//! - [`shard_cache`] — the per-node result cache and its signature;
-//! - [`workload`] — drill-down click streams shaped like the §6 production
-//!   traffic, and [`run_production`] to replay them and report the
-//!   skipped / cached / scanned split and Figure 5's latency against
-//!   cells scanned.
+//! - [`shard_cache`] — the per-node result cache and its signature.
 
 #![forbid(unsafe_code)]
 
@@ -66,7 +63,6 @@ pub mod process;
 pub mod rpc;
 pub mod shard_cache;
 pub mod worker;
-pub mod workload;
 
 pub use chaos::{ChaosDirective, ChaosFault, ChaosModel};
 pub use cluster::{
@@ -75,9 +71,5 @@ pub use cluster::{
 };
 pub use meta::{ColumnMeta, ShardMeta};
 pub use node::Node;
-pub use process::{ReapGuard, Tree, WorkerAddr};
+pub use process::{ReapGuard, WorkerAddr};
 pub use shard_cache::{query_signature, CachedSubtree, WorkerCache};
-pub use workload::{
-    run_append_while_serving, run_production, AppendServeReport, Click, DrillDownWorkload,
-    ProductionReport, WorkloadSpec,
-};

@@ -9,15 +9,15 @@
 //! their partials. Both own a [`WorkerCache`] keyed by the normalized query
 //! signature and an epoch that names the data it describes; an entry shares
 //! its table with the answers it came from and serves, so remembering
-//! copies nothing. A mixer told of an append ([`Node::absorb`]) keeps what
-//! it remembers and brings it up to date from the rows that arrived since
-//! (its tail); a node that meets an epoch it was not told of forgets. A
-//! `pd-dist-worker` process holds one `Node` behind its FIFO
+//! copies nothing. Every mixer is told of an append ([`Node::absorb`]),
+//! keeps what it remembers and brings it up to date from the rows that
+//! arrived since (its tail); a node that meets an epoch it was not told of
+//! forgets. A `pd-dist-worker` process holds one `Node` behind its FIFO
 //! turnstile ([`crate::worker`]); a [`crate::Transport::InProcess`] cluster
 //! holds a whole tree of them; and the driver of either holds the root — a
-//! mixer over the top level ([`crate::process::Tree`]), which is why a
-//! chart asked before costs no hop at all. [`Node::query`] is the only
-//! query path any of them has.
+//! mixer over the top level ([`crate::Cluster`]), which is why a chart
+//! asked before costs no hop at all. [`Node::query`] is the only query
+//! path any of them has.
 
 use crate::meta::{self, ShardMeta};
 use crate::rpc::{
@@ -398,6 +398,45 @@ impl Node {
         }
         kept.map(|_| ())
     }
+
+    /// An append through in-memory edges: every leaf beneath this mixer
+    /// applies its shard's delta, taken out of `deltas` ([`Node::append`];
+    /// a shard without one is left alone), every mixer beneath absorbs what
+    /// was applied beneath it, and this one absorbs all of it
+    /// ([`Node::absorb`]) — the messages a socket tree's append sends, as
+    /// calls. A child mixer is reached by `Arc::get_mut`: its parent's
+    /// handle holds the only reference. Returns what was applied.
+    pub(crate) fn append_beneath(
+        &mut self,
+        deltas: &mut [Option<TableDelta>],
+        epoch: u64,
+    ) -> Result<Vec<AppliedDelta>> {
+        let Role::Mixer(children) = &mut self.role else {
+            return Err(Error::Internal(format!("append: {} has no children", self.name)));
+        };
+        let mut applied = Vec::new();
+        for child in children.iter_mut() {
+            let beneath =
+                |what: &str| Error::Internal(format!("append: {what} beneath {}", self.name));
+            match child.local_mut().ok_or_else(|| beneath("a socket edge"))? {
+                (Some(shard), leaf) => {
+                    let Some(delta) = deltas.get_mut(shard as usize).and_then(Option::take) else {
+                        continue;
+                    };
+                    let append = AppendRequest { shard, delta, epoch };
+                    let receipt = leaf.append(&append)?;
+                    applied.push(AppliedDelta { shard, delta: append.delta, receipt });
+                }
+                (None, mixer) => {
+                    let mixer = Arc::get_mut(mixer).ok_or_else(|| beneath("a shared mixer"))?;
+                    applied.extend(mixer.append_beneath(deltas, epoch)?);
+                }
+            }
+        }
+        let absorb = AbsorbRequest { applied, epoch };
+        self.absorb(&absorb)?;
+        Ok(absorb.applied)
+    }
 }
 
 /// Append `applied`'s rows to `tail`, starting it with the first; returns
@@ -495,23 +534,19 @@ mod tests {
         NodeSpec { name: name.into(), cache_entries, epoch: 1, threads: 1 }
     }
 
-    /// A root over one in-memory leaf holding `kn_delta(0..rows)`, and the
-    /// leaf: the smallest tree that absorbs.
-    fn root_over_a_leaf(rows: i64, cache_entries: usize) -> (Node, Arc<Node>) {
+    /// A root over one in-memory leaf holding `kn_delta(0..rows)`: the
+    /// smallest tree that absorbs.
+    fn root_over_a_leaf(rows: i64, cache_entries: usize) -> Node {
         let build = BuildOptions::basic();
         let leaf = Node::leaf(0, kn_delta(0..rows), &build, false, spec("l0p", 4)).unwrap();
-        let leaf = Arc::new(leaf);
-        let child = ChildHandle::local(Arc::clone(&leaf), Some(0), false);
-        (Node::mixer(vec![child], spec("root", cache_entries)), leaf)
+        let child = ChildHandle::local(Arc::new(leaf), Some(0), false);
+        Node::mixer(vec![child], spec("root", cache_entries))
     }
 
     /// One `Cluster::append` on that tree: the leaf applies, the root
     /// absorbs the receipt.
-    fn append_beneath(root: &mut Node, leaf: &Node, delta: TableDelta, epoch: u64) {
-        let append = AppendRequest { shard: 0, delta, epoch };
-        let receipt = leaf.append(&append).unwrap();
-        let applied = vec![AppliedDelta { shard: 0, delta: append.delta, receipt }];
-        root.absorb(&AbsorbRequest { applied, epoch }).unwrap();
+    fn append_beneath(root: &mut Node, delta: TableDelta, epoch: u64) {
+        assert_eq!(root.append_beneath(&mut [Some(delta)], epoch).unwrap().len(), 1);
     }
 
     // An integer for every row below 1000; a string once `n` reaches it.
@@ -549,9 +584,9 @@ mod tests {
 
     #[test]
     fn a_virtual_field_an_append_leaves_two_typed_fails_as_a_miss_would() {
-        let (mut root, leaf) = root_over_a_leaf(90, 4);
+        let mut root = root_over_a_leaf(90, 4);
         // The same tree without a root cache: every answer is the miss path's.
-        let (mut bare, bare_leaf) = root_over_a_leaf(90, 0);
+        let mut bare = root_over_a_leaf(90, 0);
         let ask =
             |node: &Node, sql: &str, epoch: u64| node.query(&request(sql, epoch), Duration::ZERO);
         ask(&root, BY_SIZE, 1).unwrap();
@@ -559,8 +594,8 @@ mod tests {
 
         // Integers still: both charts are brought forward, the tail
         // materializing the field over its own rows.
-        append_beneath(&mut root, &leaf, kn_delta(90..100), 2);
-        append_beneath(&mut bare, &bare_leaf, kn_delta(90..100), 2);
+        append_beneath(&mut root, kn_delta(90..100), 2);
+        append_beneath(&mut bare, kn_delta(90..100), 2);
         let forward = ask(&root, BY_SIZE, 2).unwrap();
         assert_eq!((forward.stats.worker_cache_hits, forward.stats.rows_scanned), (1, 10));
         assert_eq!(forward.partial, ask(&bare, BY_SIZE, 2).unwrap().partial);
@@ -568,8 +603,8 @@ mod tests {
         // 'big' arrives: the tail's field cannot hold it either. The
         // remembered chart fails with the error the leaf reports, while one
         // that does not name the field is still brought forward.
-        append_beneath(&mut root, &leaf, kn_delta(1_000..1_010), 3);
-        append_beneath(&mut bare, &bare_leaf, kn_delta(1_000..1_010), 3);
+        append_beneath(&mut root, kn_delta(1_000..1_010), 3);
+        append_beneath(&mut bare, kn_delta(1_000..1_010), 3);
         let missed = ask(&bare, BY_SIZE, 3).unwrap_err();
         assert_eq!(ask(&root, BY_SIZE, 3).unwrap_err().to_string(), missed.to_string());
         let by_k = ask(&root, BY_K, 3).unwrap();
@@ -579,7 +614,7 @@ mod tests {
 
     #[test]
     fn a_tail_past_its_bound_goes_with_the_cache_it_served() {
-        let (mut root, leaf) = root_over_a_leaf(100, 4);
+        let mut root = root_over_a_leaf(100, 4);
         let tail_bytes = |root: &Node| root.tail.read().as_ref().map(|t| t.store.total_bytes());
         let cached = |root: &Node| root.cache.as_ref().unwrap().len();
         let ask =
@@ -595,7 +630,7 @@ mod tests {
         let (mut rows, mut epoch, mut drops, mut peak) = (100u64, 1u64, 0, 0);
         while drops < 2 {
             epoch += 1;
-            append_beneath(&mut root, &leaf, batch.clone(), epoch);
+            append_beneath(&mut root, batch.clone(), epoch);
             rows += BATCH;
             match tail_bytes(&root) {
                 Some(bytes) => {
@@ -620,9 +655,44 @@ mod tests {
         }
         assert!(peak > TAIL_FLOOR_BYTES / 2, "the bound was approached from below: {peak}");
         // And a node that remembers nothing keeps no tail at all.
-        let (mut forgetful, leaf) = root_over_a_leaf(100, 0);
-        append_beneath(&mut forgetful, &leaf, kn_delta(100..200), 2);
+        let mut forgetful = root_over_a_leaf(100, 0);
+        append_beneath(&mut forgetful, kn_delta(100..200), 2);
         assert!(tail_bytes(&forgetful).is_none());
+    }
+
+    /// Every in-process mixer is told of an append. Four leaves, two mixers
+    /// that remember a chart, a root that remembers nothing: a one-row
+    /// append to the last shard is brought forward by that shard's mixer
+    /// over its one-row tail, and the other mixer, told with no deltas,
+    /// keeps the chart as it stands.
+    #[test]
+    fn an_append_beneath_tells_every_in_process_mixer() {
+        let leaf = |shard: u64| {
+            let rows = kn_delta(shard as i64 * 25..(shard as i64 + 1) * 25);
+            let spec = spec(&format!("l{shard}p"), 8);
+            let leaf = Node::leaf(shard, rows, &BuildOptions::basic(), false, spec).unwrap();
+            ChildHandle::local(Arc::new(leaf), Some(shard), false)
+        };
+        let mixer = |name: &str, shards: [u64; 2]| {
+            let mixer = Node::mixer(shards.map(leaf).into(), spec(name, 8));
+            ChildHandle::local(Arc::new(mixer), None, false)
+        };
+        let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
+        let mut root = Node::mixer(children, spec("root", 0));
+        const A: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM t GROUP BY k";
+        let cold = root.query(&request(A, 1), Duration::ZERO).unwrap();
+        assert_eq!((cold.stats.worker_cache_hits, cold.stats.rows_scanned), (0, 100));
+
+        let applied = root.append_beneath(&mut [None, None, None, Some(kn_delta(100..101))], 2);
+        assert_eq!(applied.unwrap().len(), 1, "the row lands on the last shard only");
+        let warm = root.query(&request(A, 2), Duration::ZERO).unwrap();
+        let shard_hits = warm.reports.iter().filter(|report| report.cache_hit).count();
+        assert_eq!(warm.stats.worker_cache_hits, 2, "both mixers remembered A");
+        assert_eq!((shard_hits, warm.stats.rows_scanned), (4, 1), "and asked no leaf");
+        let store = DataStore::from_coded(kn_delta(0..101), &BuildOptions::basic()).unwrap();
+        let query = request(A, 2).query;
+        let want = pd_core::query(&store, A).unwrap().0;
+        assert_eq!(pd_core::finalize(&query, warm.partial).unwrap(), want);
     }
 
     #[test]

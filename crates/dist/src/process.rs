@@ -1,15 +1,8 @@
-//! The computation tree as its driver holds it.
-//!
-//! [`Tree::build`] turns a table into the paper's §4 topology: one leaf
-//! per shard, plus one merge server per `fanout` children whenever a level
-//! exceeds the [`crate::TreeShape`] fanout. The driver holds the root: a
-//! mixer [`Node`] over the top-most level, with the result cache, the
-//! epoch rule and the fold every other mixer has — a chart it remembers
-//! crosses no edge — whose answer the cluster finalizes. Every node is a
-//! [`Node`]; where the ones beneath the root live is the tree's only
-//! variable — in the driver's address space, reached by reference, or
-//! ([`Transport::Rpc`]) one `pd-dist-worker` OS process per node (two per
-//! shard under replication), reached over sockets.
+//! The worker processes of a [`crate::Transport::Rpc`] tree: one
+//! `pd-dist-worker` OS process per node beneath the driver's root (two per
+//! shard under replication). A process becomes a leaf by a `Load` and a
+//! merge server by an `Attach`; the driver keeps a control connection to
+//! each, over which an append travels in two round trips.
 //!
 //! Workers listen on Unix sockets in a private temp directory
 //! ([`WorkerAddr::Unix`]) or on ephemeral TCP ports ([`WorkerAddr::Tcp`],
@@ -22,22 +15,20 @@
 //! orphan processes.
 
 use crate::chaos::leaf_primary;
-use crate::cluster::{ClusterConfig, RpcConfig, Transport};
+use crate::cluster::{node_spec, ClusterConfig, RpcConfig};
 use crate::meta::ShardMeta;
 use crate::node::{Node, NodeSpec};
 use crate::rpc::{
     backoff_sleep, encode_frame, AbsorbRequest, Addr, AppendReceipt, AppendRequest, AppliedDelta,
-    AttachRequest, ChildHandle, ChildSpec, LoadRequest, QueryRequest, Request, Response, RpcClient,
-    SubtreeAnswer, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
+    AttachRequest, ChildSpec, LoadRequest, Request, Response, RpcClient, BACKOFF_CAP, LOAD_TIMEOUT,
+    STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
-use pd_common::{fx_hash64, Error, Result, Value};
-use pd_data::Table;
+use pd_common::{fx_hash64, Error, Result};
 use pd_encoding::TableDelta;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which socket shape spawned workers listen on.
@@ -129,35 +120,14 @@ pub fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf> {
     ))
 }
 
-/// A live computation tree as its driver holds it: the root to query, and
-/// the leaves to append to.
-pub struct Tree {
-    /// The mixer over the top tree level, in the driver on both
-    /// transports. Its children are wired once, at build: an append
-    /// updates their shard summaries in place and leaves their connections
-    /// alone.
-    root: Node,
-    nodes: Placement,
-    config: ClusterConfig,
-}
-
-/// Where the nodes beneath the root live — the one thing the two
-/// transports differ in.
-enum Placement {
-    /// Leaves in shard order; the mixers above them are owned by the
-    /// handles of the level above.
-    Local(Vec<Arc<Node>>),
-    Workers(Workers),
-}
-
 /// The worker processes of a process-split tree.
-struct Workers {
+pub(crate) struct Workers {
     worker_bin: PathBuf,
     /// Socket shape workers listen on.
     addr: WorkerAddr,
     /// Compress RPC frames (negotiated per connection, applied down the
     /// whole tree).
-    compress: bool,
+    pub(crate) compress: bool,
     dir: PathBuf,
     processes: Vec<ReapGuard>,
     /// One control connection per worker, in spawn order, kept from its
@@ -167,7 +137,7 @@ struct Workers {
     control: Vec<(Addr, RpcClient)>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
-    names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// Each shard's leaf processes, in shard order: where appends go.
     leaves: Vec<LeafPair>,
     /// Every merge server, and the shards beneath it: who absorbs which
@@ -176,7 +146,7 @@ struct Workers {
     /// Cumulative serialized bytes of the frames that moved data: `Load`,
     /// `Append` and `Absorb` — the cost an incremental append is measured
     /// against a respawn by.
-    bytes_shipped: u64,
+    pub(crate) bytes_shipped: u64,
 }
 
 /// A shard's processes, as indexes into [`Workers::control`].
@@ -195,221 +165,8 @@ struct Mixer {
 
 static TREE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Group `level` into subtrees of `fanout` children, one `mixer` each, until
-/// one level fits the fanout; returns that top level. `mixer` gets the
-/// level's height (≥ 1), the group's index in it, and the group.
-fn stack_levels<C>(
-    mut level: Vec<C>,
-    fanout: usize,
-    mut mixer: impl FnMut(u64, usize, Vec<C>) -> Result<C>,
-) -> Result<Vec<C>> {
-    let mut height = 1u64;
-    while level.len() > fanout {
-        let mut next = Vec::with_capacity(level.len().div_ceil(fanout));
-        let mut rest = level.into_iter().peekable();
-        while rest.peek().is_some() {
-            let group: Vec<C> = rest.by_ref().take(fanout).collect();
-            next.push(mixer(height, next.len(), group)?);
-        }
-        level = next;
-        height += 1;
-    }
-    Ok(level)
-}
-
-impl Tree {
-    /// Split `table` into contiguous row ranges (not round-robin: that
-    /// preserves the "implicit clustering" of appended log records the
-    /// paper's partitioning benefits from) and build the tree at `epoch`:
-    /// one leaf (pair) per shard — each shard's rows are dictionary-coded
-    /// once (`shard_delta`), one shard at a time, and that one value is
-    /// handed to a local leaf or put in a `Load` frame — then merge levels,
-    /// bottom-up, until one fits the fanout; the root mixes that top
-    /// level. The one place [`ClusterConfig::transport`] matters.
-    pub fn build(table: &Table, config: &ClusterConfig, epoch: u64) -> Result<Tree> {
-        let shard_count = config.shards.clamp(1, table.len().max(1));
-        let fanout = config.tree.fanout.max(2);
-        let coded = |shard: usize| {
-            shard_delta(table, shard, shard_count)?
-                .ok_or_else(|| Error::Data("cannot build a tree over a table with no rows".into()))
-        };
-        let (children, nodes) = match &config.transport {
-            Transport::InProcess => {
-                let mut leaves = Vec::with_capacity(shard_count);
-                for shard in 0..shard_count {
-                    // A local leaf keeps no shard summary: summarizing is
-                    // three more passes over the rows, and no edge in this
-                    // address space needs a proof the leaf's own chunk
-                    // dictionaries find anyway.
-                    leaves.push(Arc::new(Node::leaf(
-                        shard as u64,
-                        coded(shard)?,
-                        &config.build,
-                        false,
-                        node_spec(config, leaf_primary(shard as u64), epoch),
-                    )?));
-                }
-                let level = leaves
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, leaf)| {
-                        ChildHandle::local(Arc::clone(leaf), Some(shard as u64), config.replication)
-                    })
-                    .collect();
-                let children = stack_levels(level, fanout, |height, i, group| {
-                    let spec = node_spec(config, format!("m{height}_{i}"), epoch);
-                    Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
-                })?;
-                (children, Placement::Local(leaves))
-            }
-            Transport::Rpc(rpc) => {
-                // Dropping `workers` on an early return reaps what was
-                // spawned so far.
-                let mut workers = Workers::new(rpc)?;
-                let mut level = Vec::with_capacity(shard_count);
-                for shard in 0..shard_count {
-                    level.push(workers.load_leaf(shard, coded(shard)?, config, epoch)?);
-                }
-                // Each shard's summary moves up with its spec — into the
-                // `Attach` of the parent that prunes with it, and on into
-                // the root's handles; the driver keeps no other copy.
-                let top = stack_levels(level, fanout, |height, i, group| {
-                    // Socket children are other processes: the fan-out
-                    // writes to each and then reads each on one thread, so
-                    // a merge server has no width to choose.
-                    let spec = NodeSpec {
-                        threads: 1,
-                        ..node_spec(config, format!("m{height}_{i}"), epoch)
-                    };
-                    workers.attach_mixer(group, spec)
-                })?;
-                let compress = workers.compress;
-                let children = top.into_iter().map(|spec| ChildHandle::new(spec, compress));
-                (children.collect(), Placement::Workers(workers))
-            }
-        };
-        let root = Node::mixer(children, node_spec(config, "root".into(), epoch));
-        Ok(Tree { root, nodes, config: config.clone() })
-    }
-
-    pub fn shard_count(&self) -> usize {
-        match &self.nodes {
-            Placement::Local(leaves) => leaves.len(),
-            Placement::Workers(workers) => workers.leaves.len(),
-        }
-    }
-
-    fn workers(&self) -> Option<&Workers> {
-        match &self.nodes {
-            Placement::Local(_) => None,
-            Placement::Workers(workers) => Some(workers),
-        }
-    }
-
-    /// Cumulative serialized bytes of the request frames that moved data
-    /// into the tree since it was built — every `Load`, every `Append`
-    /// (once per copy of its shard) and every `Absorb`; 0 when no node is
-    /// behind a wire. Wiring (`Attach`) and queries are not data.
-    pub fn shipped_bytes(&self) -> u64 {
-        self.workers().map_or(0, |w| w.bytes_shipped)
-    }
-
-    /// Whether leaf primaries have replica *processes* worth racing.
-    pub fn hedges(&self) -> bool {
-        self.config.replication && self.workers().is_some()
-    }
-
-    /// The end-to-end budget of one query through this tree.
-    pub fn budget(&self) -> Duration {
-        match &self.config.transport {
-            Transport::InProcess => RpcConfig::default().budget,
-            Transport::Rpc(rpc) => rpc.budget,
-        }
-    }
-
-    /// The root: the one node of every tree that lives in the driver.
-    pub fn root(&self) -> &Node {
-        &self.root
-    }
-
-    /// Stream new rows into the live tree. `deltas[shard]` is that shard's
-    /// dictionary-delta table (`None` = unchanged: nothing is applied; the
-    /// epoch rule makes its leaf drop its node cache at its next query).
-    /// Each delta reaches every copy of the shard (a process tree's primary
-    /// *and* replica — or failover would travel back in time); each leaf
-    /// acks a receipt, and the parents — every merge server process, and
-    /// the root on either placement — absorb the same deltas by the one
-    /// [`Node::absorb`]: into their copies of the shard summaries
-    /// ([`crate::meta::ShardMeta::absorb_append`]; in-memory edges hold
-    /// none) and into the tail that keeps what they remember answerable.
-    /// Nothing is re-wired and no connection is dropped. A local mid-level
-    /// mixer is not told: it drops its cache by the epoch in its next
-    /// query. Returns the bytes of every request frame the append caused.
-    pub fn append(&mut self, deltas: Vec<Option<TableDelta>>, epoch: u64) -> Result<u64> {
-        let appends = deltas.into_iter().enumerate().filter_map(|(shard, delta)| {
-            Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
-        });
-        match &mut self.nodes {
-            Placement::Local(leaves) => {
-                let mut applied = Vec::new();
-                for append in appends {
-                    let receipt = leaves[append.shard as usize].append(&append)?;
-                    applied.push(AppliedDelta {
-                        shard: append.shard,
-                        delta: append.delta,
-                        receipt,
-                    });
-                }
-                self.root.absorb(&AbsorbRequest { applied, epoch })?;
-                Ok(0)
-            }
-            Placement::Workers(workers) => workers.append(appends.collect(), epoch, &mut self.root),
-        }
-    }
-
-    /// Every worker process's node name, in spawn order — the targets a
-    /// [`crate::ChaosModel`] draws worker-applied faults over. Empty for a
-    /// local tree: those are wire sabotage, and a local node must never be
-    /// able to exit the driver. (Edge-applied faults target leaf primaries,
-    /// which the shard count names.)
-    pub fn node_names(&self) -> &[String] {
-        self.workers().map_or(&[], |w| &w.names)
-    }
-
-    /// Run one query through the tree, from its root — which nothing
-    /// queues for.
-    pub fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
-        self.root.query(request, Duration::ZERO)
-    }
-}
-
-/// What every node of a tree built from `config` is told besides its name.
-fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> NodeSpec {
-    NodeSpec { name, cache_entries: config.shard_cache, epoch, threads: config.threads }
-}
-
-/// Shard `s`'s contiguous slice of `table` under an `shard_count`-way split
-/// — the *same* row assignment for both transports and for appended
-/// batches, so neither can ever re-partition the data — as column slices,
-/// dictionary-coded once: the one form in which rows reach a leaf. `None`
-/// when the slice holds no row.
-pub(crate) fn shard_delta(
-    table: &Table,
-    s: usize,
-    shard_count: usize,
-) -> Result<Option<TableDelta>> {
-    let n = table.len();
-    let rows = n * s / shard_count..n * (s + 1) / shard_count;
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    let columns: Vec<&[Value]> =
-        (0..table.schema().len()).map(|i| &table.column(i)[rows.clone()]).collect();
-    TableDelta::from_columns(table.schema().clone(), &columns).map(Some)
-}
-
 impl Workers {
-    fn new(rpc: &RpcConfig) -> Result<Workers> {
+    pub(crate) fn new(rpc: &RpcConfig) -> Result<Workers> {
         let dir = std::env::temp_dir().join(format!(
             "pd-tree-{}-{}",
             std::process::id(),
@@ -434,20 +191,20 @@ impl Workers {
     /// carries the shard's metadata summary, which every parent up the
     /// tree uses to prune non-matching subtrees; it leaves here inside the
     /// returned spec.
-    fn load_leaf(
+    pub(crate) fn load_leaf(
         &mut self,
-        shard: usize,
+        shard: u64,
         delta: TableDelta,
         config: &ClusterConfig,
         epoch: u64,
     ) -> Result<ChildSpec> {
         let mut load = Request::Load(Box::new(LoadRequest {
-            shard: shard as u64,
+            shard,
             delta,
             build: config.build.clone(),
-            spec: node_spec(config, leaf_primary(shard as u64), epoch),
+            spec: node_spec(config, leaf_primary(shard), epoch),
         }));
-        let (primary, ack) = self.spawn_worker(&leaf_primary(shard as u64), &load)?;
+        let (primary, ack) = self.spawn_worker(&leaf_primary(shard), &load)?;
         let meta = match ack {
             Response::Loaded(meta) => *meta,
             other => return Err(refusal(other, "load")),
@@ -466,21 +223,19 @@ impl Workers {
         } else {
             None
         };
-        let addr = |worker: usize| self.control[worker].0.clone();
-        let spec = ChildSpec::Leaf {
-            shard: shard as u64,
-            primary: addr(primary),
-            replica: replica.map(addr),
-            meta,
-        };
         self.leaves.push(LeafPair { primary, replica });
-        Ok(spec)
+        let addr = |worker: usize| self.control[worker].0.clone();
+        Ok(ChildSpec::Leaf { shard, primary: addr(primary), replica: replica.map(addr), meta })
     }
 
     /// Spawn the merge server `spec` names over `children`. Each node's
     /// child spec accumulates the shard summaries beneath it, so pruning
     /// works at any depth.
-    fn attach_mixer(&mut self, children: Vec<ChildSpec>, spec: NodeSpec) -> Result<ChildSpec> {
+    pub(crate) fn attach_mixer(
+        &mut self,
+        children: Vec<ChildSpec>,
+        spec: NodeSpec,
+    ) -> Result<ChildSpec> {
         let metas: Vec<ShardMeta> =
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
         let name = spec.name.clone();
@@ -491,10 +246,10 @@ impl Workers {
         Ok(ChildSpec::Node { addr: self.control[worker].0.clone(), metas })
     }
 
-    /// The wire phase of an append, two round trips whatever the tree's
-    /// size, each in the shape of a query fan-out: write to everyone, then
-    /// read from everyone, so all shards — and then all merge servers —
-    /// work at once.
+    /// An append over the wire, two round trips whatever the tree's size,
+    /// each in the shape of a query fan-out: write to everyone, then read
+    /// from everyone, so all shards — and then all merge servers — work at
+    /// once. `deltas[shard]` is that shard's rows (`None`: it has none).
     ///
     /// 1. Every shard's delta — encoded once — goes to its primary and its
     ///    replica; each acks a receipt (a pair's must agree).
@@ -507,7 +262,17 @@ impl Workers {
     /// Returns the bytes of every frame written. An error may leave an ack
     /// unread on a control connection: the cluster drops the tree on any
     /// failed append, and the `Shutdown` that follows does not mind.
-    fn append(&mut self, appends: Vec<AppendRequest>, epoch: u64, root: &mut Node) -> Result<u64> {
+    pub(crate) fn append(
+        &mut self,
+        deltas: Vec<Option<TableDelta>>,
+        epoch: u64,
+        root: &mut Node,
+    ) -> Result<u64> {
+        let appends: Vec<AppendRequest> = (deltas.into_iter().enumerate())
+            .filter_map(|(shard, delta)| {
+                Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
+            })
+            .collect();
         let deadline = Instant::now() + LOAD_TIMEOUT;
         let shipped_before = self.bytes_shipped;
         for append in &appends {

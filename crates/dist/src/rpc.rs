@@ -54,7 +54,7 @@ impl Encode for Addr {
             Addr::Unix(path) => {
                 out.push(0);
                 // Addrs only originate from `Addr::parse` (UTF-8 by
-                // construction) and `ProcessTree`'s temp-dir + ASCII-name
+                // construction) and the spawner's temp-dir + ASCII-name
                 // paths, so the lossy conversion is the identity; a
                 // hand-built non-UTF-8 path would mangle here rather than
                 // error, which the parse-only construction rule prevents.

@@ -193,6 +193,15 @@ impl ChildHandle {
         }
     }
 
+    /// The node behind an in-memory edge, with its shard when it is a leaf;
+    /// `None` behind a socket.
+    pub(crate) fn local_mut(&mut self) -> Option<(Option<u64>, &mut Arc<Node>)> {
+        match &mut self.primary {
+            Link::Local(node) => Some((self.shard, node)),
+            Link::Socket(_) => None,
+        }
+    }
+
     /// `(hits, misses)` of the result caches beneath this edge that live in
     /// this address space (`(0, 0)` behind a socket).
     pub fn cache_stats(&self) -> (u64, u64) {

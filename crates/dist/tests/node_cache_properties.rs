@@ -10,8 +10,8 @@
 //!    stale partials, ever — while an append leaves what a told node
 //!    remembers short, not wrong: the root (and every merge server
 //!    process) brings a remembered chart up to date from the rows that
-//!    arrived since, still without a hop, and a node that was not told
-//!    drops its cache by the epoch as before;
+//!    arrived since, still without a hop — on either edge kind every mixer
+//!    is told; a leaf drops its node cache as it applies its slice;
 //! 3. capacity eviction can change `ScanStats`, never results;
 //! 4. what the caches hold is a function of the query sequence: a replayed
 //!    session reproduces every outcome (in-memory edges only — of a socket
@@ -610,6 +610,26 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
         if at < 4 {
             assert_eq!(outcome.worker_cache_hits(), 1, "query {at}: the root remembered {sql}");
         }
+    }
+}
+
+/// An append without rows changes nothing, on either edge kind: no epoch,
+/// no frame, nothing forgotten — the next repeat is a root hit.
+#[test]
+fn an_append_without_rows_changes_nothing() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e09);
+        let table = random_table(&mut rng, 120);
+        let mut cluster = cluster(&table, 4, 2, 64, &transport);
+        let sql = "SELECT k, COUNT(*) as c, SUM(n) as s FROM data GROUP BY k";
+        let before = cluster.query(sql).unwrap();
+        let (epoch, shipped) = (cluster.epoch(), cluster.shipped_bytes());
+        let outcome = cluster.append(&Table::new(table.schema().clone())).unwrap();
+        assert_eq!((outcome.rows, outcome.bytes_shipped), (0, 0), "{kind}");
+        assert_eq!((cluster.epoch(), cluster.shipped_bytes()), (epoch, shipped), "{kind}");
+        let repeat = cluster.query(sql).unwrap();
+        assert_eq!(repeat.result, before.result, "{kind}");
+        assert_eq!((repeat.worker_cache_hits(), repeat.shard_cache_hits), (1, 4), "{kind}");
     }
 }
 

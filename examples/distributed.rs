@@ -8,9 +8,7 @@
 
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::process::resolve_worker_bin;
-use powerdrill::dist::{
-    ChaosModel, Cluster, ClusterConfig, DrillDownWorkload, RpcConfig, Transport, WorkloadSpec,
-};
+use powerdrill::dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport};
 use powerdrill::sql::{distributed_plan, parse_query};
 use powerdrill::BuildOptions;
 use std::time::Duration;
@@ -46,17 +44,20 @@ fn main() -> powerdrill::Result<()> {
         outcome.subquery_latencies.iter().min().unwrap(),
     );
 
-    // A click's worth of drill-down queries, like the production workload.
-    let workload = DrillDownWorkload::generate(
-        &table,
-        &WorkloadSpec { clicks: 3, queries_per_click: 5, ..Default::default() },
-    )?;
-    println!("\nreplaying {} queries from 3 UI clicks ...", workload.query_count());
+    // One UI click after drilling into a country, like the production
+    // workload: every chart refreshes under the restriction except the one
+    // of the drilled dimension itself.
+    let click = [
+        "SELECT table_name, COUNT(*) as c FROM logs WHERE country = 'DE' GROUP BY table_name ORDER BY c DESC LIMIT 10",
+        "SELECT country, COUNT(*) as c, SUM(latency) as s FROM logs GROUP BY country ORDER BY c DESC LIMIT 10",
+        "SELECT user, COUNT(*) as c, MIN(latency) as mn, MAX(latency) as mx FROM logs WHERE country = 'DE' GROUP BY user ORDER BY c DESC LIMIT 10",
+        "SELECT date(timestamp) as d, COUNT(*) as c FROM logs WHERE country = 'DE' GROUP BY date(timestamp) ORDER BY c DESC LIMIT 10",
+        "SELECT country, SUM(latency) as s FROM logs GROUP BY country ORDER BY s DESC LIMIT 5",
+    ];
+    println!("\nreplaying the {} queries of one UI click ...", click.len());
     let mut total = powerdrill::ScanStats::default();
-    for click in &workload.clicks {
-        for q in &click.queries {
-            total += &cluster.query(q)?.stats;
-        }
+    for q in click {
+        total += &cluster.query(q)?.stats;
     }
     println!(
         "rows: {:5.2}% skipped, {:5.2}% cached, {:5.2}% scanned",

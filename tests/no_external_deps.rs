@@ -46,3 +46,16 @@ fn engine_manifests_name_no_comparison_code() {
         }
     }
 }
+
+/// `pd-dist` holds what a cluster runs: the drill-down click generator and
+/// its replay live with the experiments that drive them (`pd-bench`).
+#[test]
+fn pd_dist_holds_no_workload() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/dist/src/lib.rs");
+    let lib = std::fs::read_to_string(path).expect("read pd-dist's lib.rs");
+    let code: Vec<&str> = lib.lines().filter(|line| !line.trim_start().starts_with("//")).collect();
+    assert!(!code.iter().any(|line| line.contains("mod workload")), "pd-dist declares `workload`");
+    for name in ["DrillDownWorkload", "run_production"] {
+        assert!(!code.iter().any(|line| line.contains(name)), "pd-dist re-exports {name}");
+    }
+}
