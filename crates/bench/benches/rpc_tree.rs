@@ -34,7 +34,7 @@
 use pd_bench::{fmt_duration, json_line, logs_table, measure, measure_stats, TablePrinter};
 use pd_common::wire;
 use pd_compress::CodecKind;
-use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext};
+use pd_core::{execute_partial, query, BuildOptions, DataStore, ExecContext};
 use pd_dist::{
     ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
     TreeShape, WorkerAddr,
@@ -258,16 +258,16 @@ fn main() {
         );
     }
 
-    // Chunk-granular pruning on the wire: a lexicographic `table_name`
+    // Chunk-granular pruning at every edge: a lexicographic `table_name`
     // window that neither the leaf-local skip analysis (trie dictionaries
     // cannot rank range bounds — every chunk reads Opaque and scans) nor
     // the shard envelope (the distinct set degrades past the cap and the
-    // min/max straddles the window) can refute. Only the shipped per-chunk
-    // value-space zone maps prune here, so the socket tree — measured over
-    // compressed TCP, the multi-host transport — must scan strictly fewer
-    // rows than its twin, the same shards in one address space, whose
-    // leaves keep no summary and find rows by their chunk dictionaries
-    // alone, for a bit-identical result.
+    // min/max straddles the window) can refute. Only the per-chunk
+    // value-space zone maps every leaf keeps prune here. The socket tree —
+    // measured over compressed TCP, the multi-host transport — and the same
+    // shards in one address space prune and scan alike, and both scan
+    // strictly fewer rows than one store of the same recipe, which finds
+    // rows by its chunk dictionaries alone, for a bit-identical result.
     if worker_available {
         // Mid-envelope window over the `logs.<team>.<dataset>_<k>` names:
         // maps/revenue teams, with ads..youtube neighbours on both sides.
@@ -297,37 +297,43 @@ fn main() {
             .expect("drill-down cluster")
         };
         let layered = cluster_over(rpc(WorkerAddr::loopback(), true));
-        let unsummarized = cluster_over(Transport::InProcess);
+        let local = cluster_over(Transport::InProcess);
+        let single_store = DataStore::build(&table, &drill_build).expect("single store");
+        let (want, single) = query(&single_store, drill).expect("single-store drill-down");
         let layered_outcome = layered.query(drill).expect("layered drill-down");
-        let twin_outcome = unsummarized.query(drill).expect("unsummarized drill-down");
+        let local_outcome = local.query(drill).expect("in-process drill-down");
+        let work = |stats: &pd_core::ScanStats| {
+            (stats.subtrees_pruned, stats.chunks_pruned_remote, stats.rows_scanned)
+        };
+        for outcome in [&layered_outcome, &local_outcome] {
+            assert_eq!(outcome.result, want, "pruning may only move work, never change a row");
+            assert!(
+                outcome.stats.rows_scanned < single.rows_scanned,
+                "chunk zone maps must cut the drill-down scan below what chunk dictionaries \
+                 alone scan: {} vs {} rows scanned",
+                outcome.stats.rows_scanned,
+                single.rows_scanned,
+            );
+        }
         assert_eq!(
-            layered_outcome.result, twin_outcome.result,
-            "pruning may only move work, never change a row"
-        );
-        assert!(
-            layered_outcome.stats.rows_scanned < twin_outcome.stats.rows_scanned,
-            "chunk zone maps must cut the drill-down scan below what chunk \
-             dictionaries alone scan: {} vs {} rows scanned",
-            layered_outcome.stats.rows_scanned,
-            twin_outcome.stats.rows_scanned,
+            work(&layered_outcome.stats),
+            work(&local_outcome.stats),
+            "an in-memory edge prunes and seeds as a socket edge does"
         );
         let frames_not_sent = layered_outcome.stats.subtrees_pruned;
         let layered_stats = measure_stats(5, || {
             black_box(layered.query(drill).expect("layered drill-down"));
         });
-        let twin_stats = measure_stats(5, || {
-            black_box(unsummarized.query(drill).expect("unsummarized drill-down"));
-        });
         println!(
             "\n=== chunk-pruned drill-down (4 shards, tcp+z; table_name in ['logs.m','logs.s')) ===\n\
              layered {} ({} of {} rows scanned, {} chunks pruned remotely, \
-             {frames_not_sent} frames not sent) vs unsummarized in-process {} ({} rows scanned)",
+             {frames_not_sent} frames not sent; the in-process tree alike) vs one store {} \
+             rows scanned",
             fmt_duration(layered_stats.min),
             layered_outcome.stats.rows_scanned,
             layered_outcome.stats.rows_total,
             layered_outcome.stats.chunks_pruned_remote,
-            fmt_duration(twin_stats.min),
-            twin_outcome.stats.rows_scanned,
+            single.rows_scanned,
         );
         json_line(
             "rpc_tree",
@@ -335,12 +341,11 @@ fn main() {
             layered_stats,
             &[
                 ("rows_scanned", layered_outcome.stats.rows_scanned.to_string()),
-                ("rows_scanned_unsummarized", twin_outcome.stats.rows_scanned.to_string()),
+                ("rows_scanned_single_store", single.rows_scanned.to_string()),
                 ("chunks_pruned_remote", layered_outcome.stats.chunks_pruned_remote.to_string()),
                 ("frames_not_sent", frames_not_sent.to_string()),
             ],
         );
-        json_line("rpc_tree", "unsummarized_drilldown", twin_stats, &[]);
     }
 
     // What a healthy replica costs: the same 4-leaf unix tree with and

@@ -60,9 +60,10 @@ pub enum Transport {
     /// compressed frames. A worker that exhausts the query's
     /// [`RpcConfig::budget`] fails over exactly like an unreachable one
     /// ([`crate::ChaosFault::Unreachable`]). A shard reaches its worker as
-    /// the coded columns an append ships ([`pd_encoding::TableDelta`]);
-    /// workers summarize them at load, so any tree node pre-skips subtrees
-    /// whose shard metadata cannot match
+    /// the coded columns an append ships ([`pd_encoding::TableDelta`]), and
+    /// the worker's `Loaded` ack carries the leaf's summary to the parent
+    /// that prunes by it — as an in-memory edge carries its leaf's, so
+    /// either tree pre-skips the same subtrees
     /// ([`pd_core::ScanStats::subtrees_pruned`]).
     Rpc(RpcConfig),
 }
@@ -686,12 +687,10 @@ fn build_tree(
         Transport::InProcess => {
             let mut level = Vec::with_capacity(shard_count);
             for shard in 0..shard_count as u64 {
-                // A local leaf keeps no shard summary: summarizing is three
-                // more passes over the rows, and no edge in this address
-                // space needs a proof the leaf's own chunk dictionaries
-                // find anyway.
+                // The edge takes the summary the leaf read off its
+                // dictionaries, as a socket parent takes the `Loaded` ack.
                 let spec = node_spec(config, leaf_primary(shard), epoch);
-                let leaf = Node::leaf(shard, coded(shard)?, &config.build, false, spec)?;
+                let (leaf, _) = Node::leaf(shard, coded(shard)?, &config.build, spec)?;
                 level.push(ChildHandle::local(Arc::new(leaf), Some(shard), config.replication));
             }
             let top = stack_levels(level, fanout, |height, i, group| {

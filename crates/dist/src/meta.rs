@@ -14,12 +14,23 @@
 //!    [`MAX_DISTINCT`], equality probes can still prove absence;
 //! 3. **Per-chunk zone maps** ([`ChunkMeta`]) — min/max plus a small
 //!    distinct set per chunk, so a parent can compute how much of a child
-//!    is live, prune the edge when *zero* chunks survive, and ship the
-//!    verdicts down so the leaf scan skips without re-deriving them;
+//!    is live and prune the edge when *zero* chunks survive; the leaf
+//!    derives the same verdicts from its own copy of the summary (equal to
+//!    the parent's by the absorb rule) and seeds its scan with them;
 //! 4. **Virtual fields** (§5.1 partial evaluation) — a restriction over
 //!    `date(timestamp)` evaluates the expression over a column's complete
 //!    value set, so computed fields prune instead of falling to
 //!    `Opaque`-is-maybe.
+//!
+//! **How a summary is made:** read off dictionaries (§2.3), never rows. A
+//! value-ordered global dictionary is its column's distinct set in order —
+//! up to [`MAX_DISTINCT`] entries are the set, the first and last the
+//! extremes, and a degraded column's bloom hashes the entries; a chunk
+//! dictionary is the ids its chunk's rows hold. A leaf reads the store it
+//! just built; every copy absorbs an append off the delta's dictionaries
+//! and codes ([`ShardMeta::absorb_append`]). The value-taking constructors
+//! ([`ShardMeta::summarize`] & co.) make the same summary from rows, one
+//! observation per cell: the reference the dictionary path is tested by.
 //!
 //! Soundness contract: every layer may err only towards `true` ("maybe").
 //! A `false` from [`may_match`] / a `Skip` from [`chunk_verdicts`] is a
@@ -33,9 +44,9 @@
 //! applies per row.
 
 use pd_common::wire::{Decode, Encode, Reader};
-use pd_common::{DataType, Error, Result, Row, Schema, Value};
-use pd_core::{ChunkActivity, Partitioning};
-use pd_encoding::{BloomFilter, TableDelta};
+use pd_common::{DataType, Error, Field, Result, Row, Schema, Value};
+use pd_core::{ChunkActivity, DataStore, Partitioning};
+use pd_encoding::{BloomFilter, GlobalDict, TableDelta};
 use pd_sql::{eval_expr, values_compare, values_equal, Expr, Restriction};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -100,6 +111,17 @@ impl ColumnBloom {
         }
     }
 
+    /// `field`'s filter over `values`, sized for `keys` keys — the rows
+    /// they came from, whether each value arrives once or once per row: an
+    /// insert is idempotent, so the bits are the same.
+    fn over<'a>(field: &Field, keys: usize, values: impl IntoIterator<Item = &'a Value>) -> Self {
+        let filter = BloomFilter::new(keys, BLOOM_BITS_PER_KEY);
+        let mut bloom =
+            ColumnBloom { name: field.name.clone(), data_type: field.data_type, filter };
+        values.into_iter().for_each(|v| bloom.insert(v));
+        bloom
+    }
+
     fn insert(&mut self, v: &Value) {
         match v {
             Value::Str(s) => self.filter.insert(s.as_str()),
@@ -127,9 +149,10 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    /// Summarize `rows` (the exact rows a leaf imports). `chunks` and the
-    /// chunk/bloom layers are filled in after the store build (see
-    /// [`ShardMeta::summarize_chunks`] / [`ShardMeta::build_blooms`]).
+    /// Summarize `rows` value by value: the reference for what a leaf reads
+    /// off its dictionaries. `chunks` and the chunk/bloom layers are filled
+    /// in after the store build (see [`ShardMeta::summarize_chunks`] /
+    /// [`ShardMeta::build_blooms`]).
     pub fn summarize(shard: u64, schema: &Schema, rows: &[Row]) -> ShardMeta {
         let mut columns = empty_columns(schema);
         for row in rows {
@@ -147,19 +170,34 @@ impl ShardMeta {
         }
     }
 
-    /// [`ShardMeta::summarize`] over the same rows held as columns (schema
-    /// field order) — how a leaf holds them.
-    pub(crate) fn summarize_columns(
-        shard: u64,
-        schema: &Schema,
-        columns: &[&[Value]],
-    ) -> ShardMeta {
-        let mut meta = ShardMeta::summarize(shard, schema, &[]);
-        for (summary, column) in meta.columns.iter_mut().zip(columns) {
-            column.iter().for_each(|value| summary.observe(value));
+    /// Shard `shard`'s summary, read off the dictionaries of `store` as
+    /// [`DataStore::from_coded`] just built it (every global dictionary
+    /// value-ordered): what [`ShardMeta::summarize`] & co. make of its rows.
+    pub(crate) fn of_store(shard: u64, store: &DataStore) -> Result<ShardMeta> {
+        let rows = store.n_rows();
+        let chunk = |c| ChunkMeta { rows: store.chunk_rows(c) as u64, columns: Vec::new() };
+        let mut meta = ShardMeta {
+            shard,
+            rows: rows as u64,
+            chunks: store.chunk_count() as u64,
+            columns: Vec::new(),
+            chunk_metas: (0..store.chunk_count()).map(chunk).collect(),
+            blooms: Vec::new(),
+        };
+        for field in store.schema().fields() {
+            let column = store.column(&field.name)?;
+            debug_assert!(column.dict.is_value_ordered(), "a fresh store's ids are ranks");
+            let entries: Vec<u32> = (0..column.dict.len()).collect();
+            meta.columns.push(zone_map(&field.name, &column.dict, &entries, MAX_DISTINCT));
+            for (chunk, stored) in meta.chunk_metas.iter_mut().zip(&column.chunks) {
+                let ids = stored.dict.global_ids();
+                chunk.columns.push(zone_map(&field.name, &column.dict, ids, MAX_CHUNK_DISTINCT));
+            }
+            if entries.len() > MAX_DISTINCT {
+                meta.blooms.push(ColumnBloom::over(field, rows, &column.dict.values_of(&entries)));
+            }
         }
-        meta.rows = columns.first().map_or(0, |column| column.len()) as u64;
-        meta
+        Ok(meta)
     }
 
     /// Attach per-chunk zone maps: the store's partitioning says which of
@@ -189,19 +227,10 @@ impl ShardMeta {
         self.blooms = schema
             .fields()
             .iter()
-            .enumerate()
-            .filter(|(idx, _)| self.columns[*idx].values.is_none())
-            .map(|(idx, field)| {
-                let mut bloom = ColumnBloom {
-                    name: field.name.clone(),
-                    data_type: field.data_type,
-                    filter: BloomFilter::new(columns[idx].len(), BLOOM_BITS_PER_KEY),
-                };
-                for v in columns[idx] {
-                    bloom.insert(v);
-                }
-                bloom
-            })
+            .zip(columns)
+            .zip(&self.columns)
+            .filter(|(_, summary)| summary.values.is_none())
+            .map(|((field, column), _)| ColumnBloom::over(field, column.len(), *column))
             .collect();
     }
 
@@ -214,13 +243,18 @@ impl ShardMeta {
     /// it: `new_chunk_rows` are the row counts of the chunks the store cut
     /// `delta`'s rows into. Everyone who holds this shard's summary — the
     /// leaf, each merge server above it, the driver — runs this on their
-    /// own copy with the same two inputs; [`ShardMeta::absorb_delta`] is
-    /// deterministic in them (the blooms too: same values, same hashes), so
-    /// the copies stay equal without the summary ever travelling.
+    /// own copy with the same two inputs, and it is deterministic in them
+    /// (the blooms too: same values, same hashes), so the copies stay equal
+    /// without the summary ever travelling.
+    ///
+    /// Read off the delta's dictionaries and codes — a column observes its
+    /// dictionary's entries, a new chunk's zone map is the distinct codes
+    /// its rows hold: what [`ShardMeta::absorb_delta`] makes of the rows.
     ///
     /// Both inputs may have crossed a wire: a receipt or delta that does
     /// not fit this summary is an `Err` that changes nothing.
     pub fn absorb_append(&mut self, delta: &TableDelta, new_chunk_rows: &[u64]) -> Result<()> {
+        delta.validate()?;
         let same_columns = self.columns.len() == delta.columns.len()
             && self
                 .columns
@@ -240,81 +274,113 @@ impl ShardMeta {
                 delta.rows
             )));
         }
-        // Each count is at most the delta's row count — a `Vec`'s length.
-        let chunk_lens: Vec<usize> = new_chunk_rows.iter().map(|&rows| rows as usize).collect();
-        let columns = delta.materialized_columns();
-        let slices: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
-        self.absorb_delta(&delta.schema, &slices, &chunk_lens);
+        let chunk = |&rows| ChunkMeta { rows, columns: Vec::new() };
+        let mut chunks: Vec<ChunkMeta> = new_chunk_rows.iter().map(chunk).collect();
+        let fields = delta.schema.fields().iter().zip(&delta.columns);
+        for (summary, (field, coded)) in self.columns.iter_mut().zip(fields) {
+            // A delta's dictionary is value-ordered: its codes are ranks.
+            let entries: Vec<u32> = (0..coded.dict.len()).collect();
+            let values = coded.dict.values_of(&entries);
+            observe_all(summary, &mut self.blooms, field, coded.codes.len(), &values);
+            let mut codes = coded.codes.iter().copied();
+            for chunk in &mut chunks {
+                // Each count is at most the delta's row count, a `Vec`'s length.
+                let mut ids: Vec<u32> = codes.by_ref().take(chunk.rows as usize).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                chunk.columns.push(zone_map(&field.name, &coded.dict, &ids, MAX_CHUNK_DISTINCT));
+            }
+        }
+        self.push_chunks(chunks);
         Ok(())
     }
 
-    /// Absorb an applied streaming delta: fold the delta's values into the
-    /// shard zone map, append one [`ChunkMeta`] per fresh chunk, and keep
-    /// the Bloom layer complete. `columns` are the delta values in schema
-    /// field order (arrival order within each column); `new_chunk_rows`
-    /// are the row counts of the chunks the store just appended.
-    ///
-    /// Soundness at the cap transition: when a column's distinct set
-    /// degrades past [`MAX_DISTINCT`] *during* this append, both the
-    /// pre-append set and the delta values are still in hand, so the fresh
-    /// filter is built exactly — no value ever enters the shard without
-    /// entering its bloom. Columns already degraded at load keep their
-    /// existing filter and gain the delta's values.
+    /// Absorb an applied streaming delta from its rows — the reference for
+    /// [`ShardMeta::absorb_append`]: fold the delta's values into the shard
+    /// zone map, append one [`ChunkMeta`] per fresh chunk, and keep the
+    /// Bloom layer complete. `columns` are the delta values in schema field
+    /// order (arrival order within each column); `new_chunk_rows` are the
+    /// row counts of the chunks the store just appended.
     pub fn absorb_delta(
         &mut self,
         schema: &Schema,
         columns: &[&[Value]],
         new_chunk_rows: &[usize],
     ) {
-        let delta_rows: usize = new_chunk_rows.iter().sum();
-        for (idx, (field, column)) in schema.fields().iter().zip(columns).enumerate() {
-            let pre_values = self.columns[idx].values.clone();
-            for v in *column {
-                self.columns[idx].observe(v);
-            }
-            if let (Some(pre), None) = (&pre_values, &self.columns[idx].values) {
-                // Cap transition: build the filter from the complete
-                // distinct set (pre-append ∪ delta), exactly.
-                let mut bloom = ColumnBloom {
-                    name: field.name.clone(),
-                    data_type: field.data_type,
-                    filter: BloomFilter::new(pre.len() + column.len(), BLOOM_BITS_PER_KEY),
-                };
-                for v in pre.iter().chain(*column) {
-                    bloom.insert(v);
-                }
-                self.blooms.retain(|b| b.name != field.name);
-                self.blooms.push(bloom);
-            } else if let Some(bloom) = self.blooms.iter_mut().find(|b| b.name == field.name) {
-                for v in *column {
-                    bloom.insert(v);
-                }
-            }
+        for ((summary, field), column) in self.columns.iter_mut().zip(schema.fields()).zip(columns)
+        {
+            observe_all(summary, &mut self.blooms, field, column.len(), column);
         }
-
-        // The chunk layer stays aligned with the store's chunk order only
-        // when it was complete before the append ("empty until the leaf
-        // attaches them" means absent, not complete); an incomplete layer
-        // is dropped (shard-granular pruning stays sound) rather than left
-        // with misindexed verdicts.
-        if !self.chunk_metas.is_empty() && self.chunk_metas.len() as u64 == self.chunks {
-            let mut at = 0usize;
-            for &len in new_chunk_rows {
-                let mut metas = empty_columns(schema);
-                for (meta, column) in metas.iter_mut().zip(columns) {
-                    for v in &column[at..at + len] {
-                        meta.observe_capped(v, MAX_CHUNK_DISTINCT);
-                    }
+        let mut at = 0usize;
+        let chunks = new_chunk_rows.iter().map(|&len| {
+            let mut metas = empty_columns(schema);
+            for (meta, column) in metas.iter_mut().zip(columns) {
+                for v in &column[at..at + len] {
+                    meta.observe_capped(v, MAX_CHUNK_DISTINCT);
                 }
-                at += len;
-                self.chunk_metas.push(ChunkMeta { rows: len as u64, columns: metas });
             }
+            at += len;
+            ChunkMeta { rows: len as u64, columns: metas }
+        });
+        self.push_chunks(chunks.collect());
+    }
+
+    /// Account for the chunks an append cut, their zone maps in `chunks`.
+    /// The chunk layer stays aligned with the store's chunk order only
+    /// when it was complete before the append; an incomplete layer is
+    /// dropped (shard-granular pruning stays sound) rather than left with
+    /// misindexed verdicts.
+    fn push_chunks(&mut self, chunks: Vec<ChunkMeta>) {
+        self.rows += chunks.iter().map(|chunk| chunk.rows).sum::<u64>();
+        let complete = !self.chunk_metas.is_empty() && self.chunk_metas.len() as u64 == self.chunks;
+        self.chunks += chunks.len() as u64;
+        if complete {
+            self.chunk_metas.extend(chunks);
         } else {
             self.chunk_metas.clear();
         }
+    }
+}
 
-        self.rows += delta_rows as u64;
-        self.chunks += new_chunk_rows.len() as u64;
+/// Fold `added` — the values of `rows` new rows — into `field`'s shard zone
+/// map `summary`, keeping its bloom complete.
+///
+/// Soundness at the cap transition: when the set degrades past
+/// [`MAX_DISTINCT`] *during* this append, both the pre-append set and the
+/// new values are still in hand, so the fresh filter is built exactly — no
+/// value ever enters the shard without entering its bloom. A column
+/// degraded before keeps its filter and gains the new values.
+fn observe_all(
+    summary: &mut ColumnMeta,
+    blooms: &mut Vec<ColumnBloom>,
+    field: &Field,
+    rows: usize,
+    added: &[Value],
+) {
+    let pre = summary.values.clone();
+    added.iter().for_each(|v| summary.observe(v));
+    match (pre, &summary.values) {
+        (Some(pre), None) => {
+            blooms.retain(|b| b.name != field.name);
+            blooms.push(ColumnBloom::over(field, pre.len() + rows, pre.iter().chain(added)));
+        }
+        _ => {
+            if let Some(bloom) = blooms.iter_mut().find(|b| b.name == field.name) {
+                added.iter().for_each(|v| bloom.insert(v));
+            }
+        }
+    }
+}
+
+/// The zone map of rows whose distinct values are `dict`'s entries at
+/// `ids` — ascending ids of a value-ordered dictionary, so ascending values:
+/// the set when at most `cap` of them, the extremes first and last.
+fn zone_map(name: &str, dict: &GlobalDict, ids: &[u32], cap: usize) -> ColumnMeta {
+    ColumnMeta {
+        name: name.to_owned(),
+        values: (ids.len() <= cap).then(|| dict.values_of(ids)),
+        min: ids.first().map(|&id| dict.value(id)),
+        max: ids.last().map(|&id| dict.value(id)),
     }
 }
 
@@ -339,8 +405,7 @@ impl ColumnMeta {
     fn observe_capped(&mut self, value: &Value, cap: usize) {
         if let Some(values) = &mut self.values {
             // Sorted insert (by the same comparator pruning uses), so the
-            // per-row dedup is a binary search rather than a linear scan —
-            // this runs once per cell of every shipped shard.
+            // dedup is a binary search rather than a linear scan.
             if let Err(at) = values.binary_search_by(|m| values_compare(m, value)) {
                 if values.len() >= cap {
                     self.values = None;
@@ -350,11 +415,7 @@ impl ColumnMeta {
             }
         }
         let wider = |bound: &mut Option<Value>, keep: Ordering| {
-            let replace = match bound {
-                None => true,
-                Some(b) => values_compare(value, b) == keep,
-            };
-            if replace {
+            if bound.as_ref().is_none_or(|b| values_compare(value, b) == keep) {
                 *bound = Some(value.clone());
             }
         };
@@ -394,22 +455,15 @@ impl ColumnMeta {
 /// `true`: opaque predicates, unknown columns and unresolvable virtual
 /// fields are all "maybe".
 pub fn may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
-    if !shard_may_match(restriction, meta) {
-        return false;
-    }
-    if meta.chunk_metas.is_empty() {
-        return true;
-    }
-    chunk_verdicts(restriction, meta).iter().any(|a| *a != ChunkActivity::Skip)
+    shard_may_match(restriction, meta)
+        && (meta.chunk_metas.is_empty()
+            || chunk_verdicts(restriction, meta).iter().any(|a| *a != ChunkActivity::Skip))
 }
 
 /// The shard-granular layers only (zone map + Bloom): [`may_match`]'s first
 /// step.
 fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
-    if meta.rows == 0 {
-        return false;
-    }
-    activity_of(restriction, &meta.columns, &meta.blooms) != ChunkActivity::Skip
+    meta.rows > 0 && activity_of(restriction, &meta.columns, &meta.blooms) != ChunkActivity::Skip
 }
 
 /// Chunk-granular verdicts from the metadata alone, one per entry of
@@ -417,18 +471,13 @@ fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
 /// actual chunks, so parents can count provably-dead chunks and leaves can
 /// seed their scan's [`pd_core::skip::SkipAnalysis`] with them.
 pub fn chunk_verdicts(restriction: &Restriction, meta: &ShardMeta) -> Vec<ChunkActivity> {
-    meta.chunk_metas
-        .iter()
-        .map(|chunk| {
-            if chunk.rows == 0 {
-                ChunkActivity::Skip
-            } else {
-                // Shard-wide blooms stay sound per chunk: a value absent
-                // from the shard is absent from every chunk of it.
-                activity_of(restriction, &chunk.columns, &meta.blooms)
-            }
-        })
-        .collect()
+    // Shard-wide blooms stay sound per chunk: a value absent from the shard
+    // is absent from every chunk of it.
+    let verdict = |chunk: &ChunkMeta| match chunk.rows {
+        0 => ChunkActivity::Skip,
+        _ => activity_of(restriction, &chunk.columns, &meta.blooms),
+    };
+    meta.chunk_metas.iter().map(verdict).collect()
 }
 
 /// Evaluate `restriction` against one zone map (a shard's or a chunk's)
@@ -509,42 +558,19 @@ fn activity_of(
                 return ChunkActivity::Skip; // no rows at all
             };
             // Range comparisons in the row filter are purely
-            // `values_compare`, so interval reasoning here is exact.
-            let (any_above_lo, all_above_lo) = match min {
-                None => (true, true),
-                Some((v, inclusive)) => {
-                    let any = match values_compare(cmax, v) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => *inclusive,
-                        Ordering::Less => false,
-                    };
-                    let all = match values_compare(cmin, v) {
-                        Ordering::Greater => true,
-                        Ordering::Equal => *inclusive,
-                        Ordering::Less => false,
-                    };
-                    (any, all)
-                }
+            // `values_compare`, so interval reasoning here is exact: does
+            // `x` lie on the `side` of `bound` the range keeps?
+            let keeps = |x: &Value, bound: &Option<(Value, bool)>, side: Ordering| {
+                bound.as_ref().is_none_or(|(v, inclusive)| match values_compare(x, v) {
+                    Ordering::Equal => *inclusive,
+                    order => order == side,
+                })
             };
-            let (any_below_hi, all_below_hi) = match max {
-                None => (true, true),
-                Some((v, inclusive)) => {
-                    let any = match values_compare(cmin, v) {
-                        Ordering::Less => true,
-                        Ordering::Equal => *inclusive,
-                        Ordering::Greater => false,
-                    };
-                    let all = match values_compare(cmax, v) {
-                        Ordering::Less => true,
-                        Ordering::Equal => *inclusive,
-                        Ordering::Greater => false,
-                    };
-                    (any, all)
-                }
-            };
-            if !any_above_lo || !any_below_hi {
+            let any = keeps(cmax, min, Ordering::Greater) && keeps(cmin, max, Ordering::Less);
+            let all = keeps(cmin, min, Ordering::Greater) && keeps(cmax, max, Ordering::Less);
+            if !any {
                 ChunkActivity::Skip
-            } else if all_above_lo && all_below_hi {
+            } else if all {
                 ChunkActivity::Full
             } else {
                 ChunkActivity::Partial
@@ -771,7 +797,6 @@ mod tests {
         // Without blooms: min/max spans the probes, so everything is maybe.
         assert!(may_match(&restriction("term = 'term-0a'"), &meta));
         let cols = transposed(&rows);
-        assert_eq!(ShardMeta::summarize_columns(0, &schema, &as_slices(&cols)), meta);
         meta.build_blooms(&schema, &as_slices(&cols));
         assert_eq!(meta.blooms.len(), 1);
         // Present values always probe true (no false negatives) ...

@@ -26,7 +26,7 @@ use crate::rpc::{
 };
 use crate::shard_cache::{query_signature, CachedSubtree, TailMark, WorkerCache};
 use pd_common::sync::RwLock;
-use pd_common::{Error, Result, RpcError, Value};
+use pd_common::{Error, Result, RpcError};
 use pd_core::{
     execute_partial_seeded, scheduler, BuildOptions, ChunkActivity, DataStore, ExecContext,
     PartialResult, ResultCache, ScanStats,
@@ -58,11 +58,10 @@ struct Leaf {
     shard: u64,
     store: DataStore,
     ctx: ExecContext,
-    /// The shard's summary, when one was built (a worker's `Loaded` ack
-    /// needs one, and it seeds the scans). Without one every edge answers
-    /// "maybe" and scans go unseeded — same rows, found by the chunk
-    /// dictionaries alone.
-    meta: Option<ShardMeta>,
+    /// The shard's summary, read off the store's dictionaries when it was
+    /// built and brought up to date by every append: the copy the parent
+    /// edge prunes by is equal to it, and it seeds this leaf's scans.
+    meta: ShardMeta,
 }
 
 enum Role {
@@ -167,33 +166,23 @@ impl Node {
     }
 
     /// Build shard `shard`'s leaf from its rows as coded columns — how they
-    /// arrive whether a frame or the driver's own split brought them. With
-    /// `keep_summary` the leaf also keeps a [`ShardMeta`] of exactly these
-    /// rows, made here and nowhere else: the row-level layer from the
-    /// values, the chunk-granular layers from the *built* store — its
-    /// partitioning says which rows each chunk scan visits, which is what
-    /// every query-time verdict must hold for.
+    /// arrive whether a frame or the driver's own split brought them. Every
+    /// leaf keeps a [`ShardMeta`] of exactly these rows, made here and
+    /// nowhere else: read off the dictionaries of the *built* store — its
+    /// chunk dictionaries say which values each chunk scan visits, which is
+    /// what every query-time verdict must hold for. Returned beside the
+    /// node, as a worker's `Loaded` ack carries it.
     pub fn leaf(
         shard: u64,
         delta: TableDelta,
         build: &BuildOptions,
-        keep_summary: bool,
         spec: NodeSpec,
-    ) -> Result<Node> {
-        delta.validate()?;
-        // The store consumes the codes; the summary reads the values.
-        let values = keep_summary.then(|| delta.materialized_columns());
+    ) -> Result<(Node, ShardMeta)> {
         let store = DataStore::from_coded(delta, build)?;
-        let meta = values.map(|values| {
-            let columns: Vec<&[Value]> = values.iter().map(Vec::as_slice).collect();
-            let mut meta = ShardMeta::summarize_columns(shard, store.schema(), &columns);
-            meta.chunks = store.chunk_count() as u64;
-            meta.summarize_chunks(store.schema(), &columns, store.partitioning());
-            meta.build_blooms(store.schema(), &columns);
-            meta
-        });
-        let leaf = Leaf { shard, store, ctx: scan_context(spec.threads), meta };
-        Ok(Node::new(spec, leaf.ctx.sketch_m(), Role::Leaf(Box::new(RwLock::new(leaf)))))
+        let meta = ShardMeta::of_store(shard, &store)?;
+        let leaf = Leaf { shard, store, ctx: scan_context(spec.threads), meta: meta.clone() };
+        let node = Node::new(spec, leaf.ctx.sketch_m(), Role::Leaf(Box::new(RwLock::new(leaf))));
+        Ok((node, meta))
     }
 
     /// A merge server over `children`.
@@ -210,12 +199,13 @@ impl Node {
         self.threads
     }
 
-    /// A leaf's current shard summary (`None` for mixers and for leaves
-    /// built without one).
-    pub fn meta(&self) -> Option<ShardMeta> {
+    /// The current summaries of the shards beneath this node: a leaf's own,
+    /// or the copies a mixer's edges hold — what an edge to this node
+    /// prunes by.
+    pub fn metas(&self) -> Vec<ShardMeta> {
         match &self.role {
-            Role::Leaf(leaf) => leaf.read().meta.clone(),
-            Role::Mixer(_) => None,
+            Role::Leaf(leaf) => vec![leaf.read().meta.clone()],
+            Role::Mixer(children) => children.iter().flat_map(|c| c.metas.clone()).collect(),
         }
     }
 
@@ -352,12 +342,10 @@ impl Node {
                 .map(|c| store.chunk_rows(c) as u64)
                 .collect(),
         };
-        if let Some(meta) = meta {
-            // The new chunks' zone maps and the column blooms absorb
-            // exactly the delta rows, so pruning stays sound without a
-            // re-summarize scan of the resident data.
-            meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
-        }
+        // The new chunks' zone maps and the column blooms absorb exactly
+        // the delta rows, so pruning stays sound without a re-summarize
+        // scan of the resident data.
+        meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
         drop(leaf);
         self.invalidate(append.epoch);
         Ok(receipt)
@@ -470,13 +458,9 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
     // by: chunks the zone maps prove dead are skipped without consulting
     // the dictionaries, and the sound-verdict lattice composes the rest
     // with the local analysis (`seed.and(local)` — never less precise).
-    let seeds = leaf
-        .meta
-        .as_ref()
-        .filter(|meta| !meta.chunk_metas.is_empty())
-        .map(|meta| meta::chunk_verdicts(&request.query.restriction, meta));
+    let seeds = meta::chunk_verdicts(&request.query.restriction, &leaf.meta);
     let (partial, stats) =
-        execute_partial_seeded(&leaf.store, &request.query, &leaf.ctx, seeds.as_deref())?;
+        execute_partial_seeded(&leaf.store, &request.query, &leaf.ctx, Some(&seeds))?;
     Ok(SubtreeAnswer {
         partial,
         stats,
@@ -498,7 +482,7 @@ mod tests {
     use super::*;
     use crate::meta::{chunk_verdicts, may_match, MAX_DISTINCT};
     use pd_common::rng::Rng;
-    use pd_common::{DataType, Schema};
+    use pd_common::{DataType, Schema, Value};
     use pd_sql::{parse_query, Restriction};
     use std::sync::Arc;
 
@@ -538,7 +522,7 @@ mod tests {
     /// smallest tree that absorbs.
     fn root_over_a_leaf(rows: i64, cache_entries: usize) -> Node {
         let build = BuildOptions::basic();
-        let leaf = Node::leaf(0, kn_delta(0..rows), &build, false, spec("l0p", 4)).unwrap();
+        let (leaf, _) = Node::leaf(0, kn_delta(0..rows), &build, spec("l0p", 4)).unwrap();
         let child = ChildHandle::local(Arc::new(leaf), Some(0), false);
         Node::mixer(vec![child], spec("root", cache_entries))
     }
@@ -555,8 +539,8 @@ mod tests {
 
     #[test]
     fn an_append_keeps_the_chunk_results_unless_it_drops_a_virtual_field() {
-        let leaf =
-            Node::leaf(0, kn_delta(0..90), &BuildOptions::basic(), false, spec("l0p", 4)).unwrap();
+        let (leaf, _) =
+            Node::leaf(0, kn_delta(0..90), &BuildOptions::basic(), spec("l0p", 4)).unwrap();
         let ask = |sql: &str, epoch: u64| {
             leaf.query(&request(sql, epoch), Duration::ZERO).map(|answer| answer.stats)
         };
@@ -670,7 +654,7 @@ mod tests {
         let leaf = |shard: u64| {
             let rows = kn_delta(shard as i64 * 25..(shard as i64 + 1) * 25);
             let spec = spec(&format!("l{shard}p"), 8);
-            let leaf = Node::leaf(shard, rows, &BuildOptions::basic(), false, spec).unwrap();
+            let (leaf, _) = Node::leaf(shard, rows, &BuildOptions::basic(), spec).unwrap();
             ChildHandle::local(Arc::new(leaf), Some(shard), false)
         };
         let mixer = |name: &str, shards: [u64; 2]| {
@@ -736,8 +720,7 @@ mod tests {
         let mut build = BuildOptions::production(&["k"]);
         build.partition.as_mut().unwrap().max_chunk_rows = MAX_CHUNK_ROWS;
         let spec = NodeSpec { name: "l0p".into(), cache_entries: 4, epoch: 1, threads: 1 };
-        let leaf = Node::leaf(0, coded(&base), &build, true, spec).unwrap();
-        let mut parents = leaf.meta().unwrap();
+        let (leaf, mut parents) = Node::leaf(0, coded(&base), &build, spec).unwrap();
         assert!(parents.column("term").unwrap().values.is_some(), "under the cap at load");
         assert!(parents.column("n").unwrap().values.is_none(), "degraded at load");
 
@@ -750,7 +733,7 @@ mod tests {
             assert_eq!(receipt.new_chunk_rows.len(), count.div_ceil(MAX_CHUNK_ROWS), "step {step}");
             parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();
 
-            let leafs = leaf.meta().unwrap();
+            let [leafs] = leaf.metas().try_into().unwrap();
             assert_eq!(parents, leafs, "step {step}: the copies diverged");
             for _ in 0..12 {
                 let where_sql = match rng.range_usize(0, 4) {

@@ -244,13 +244,9 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
 /// ([`crate::meta::ShardMeta::absorb_append`]), so every copy of a summary
 /// in the tree stays equal to the leaf's without one ever being shipped.
 /// The links are not touched: an append costs a parent no connection.
-/// In-memory children keep no summaries (their edges are never pruned):
-/// there is nothing to bring up to date. Over sockets a shard no edge
-/// summarizes is an error — the sender's tree is not this one.
+/// Every edge carries its summaries, in memory or over a socket, so a shard
+/// no edge summarizes is an error — the sender's tree is not this one.
 pub fn absorb_into(children: &mut [ChildHandle], applied: &[AppliedDelta]) -> Result<()> {
-    if matches!(children.first().map(|c| &c.primary), Some(Link::Local(_))) {
-        return Ok(());
-    }
     for one in applied {
         let meta = children
             .iter_mut()

@@ -139,9 +139,9 @@ pub struct ChildHandle {
     /// `None`: a deeper merge node.
     shard: Option<u64>,
     /// Every shard summary beneath this edge, kept equal to the leaves'
-    /// own through appends by [`absorb_into`](super::absorb_into). Empty
-    /// means *unknown* (a local leaf keeps none): the edge is never pruned.
-    pub(super) metas: Vec<ShardMeta>,
+    /// own through appends by [`absorb_into`](super::absorb_into) — on
+    /// either kind of link.
+    pub(crate) metas: Vec<ShardMeta>,
     pub(super) primary: Link,
     replica: Option<Link>,
 }
@@ -180,14 +180,16 @@ impl ChildHandle {
         }
     }
 
-    /// A child in this address space. `shard` marks a leaf; a `replicated`
-    /// leaf's replica link is a second reference to the same node — one
-    /// address space holds one copy of the bytes — so an unreachable
-    /// primary fails over through the same code a socket pair uses.
+    /// A child in this address space, carrying the summaries beneath it
+    /// ([`Node::metas`]) as a socket edge carries its leaves' `Loaded` acks.
+    /// `shard` marks a leaf; a `replicated` leaf's replica link is a second
+    /// reference to the same node — one address space holds one copy of the
+    /// bytes — so an unreachable primary fails over through the same code a
+    /// socket pair uses.
     pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
         ChildHandle {
             shard,
-            metas: Vec::new(),
+            metas: node.metas(),
             replica: (replicated && shard.is_some()).then(|| Link::Local(Arc::clone(&node))),
             primary: Link::Local(node),
         }
@@ -249,7 +251,8 @@ impl ChildHandle {
         // non-event (no failover recorded, and no replica missed).
         // The full layered check: shard zone map → blooms → how many chunks
         // survive. Zero live chunks prune the edge even when the shard
-        // envelope cannot.
+        // envelope cannot. (An edge naming no shard is not proven dead:
+        // `all` over nothing is vacuously true.)
         let dead = !self.metas.is_empty()
             && self.metas.iter().all(|m| !meta::may_match(&request.query.restriction, m));
         if dead {

@@ -10,8 +10,8 @@
 //! what is genuinely a process's: argv, sockets, the turnstile in front of
 //! the node, and wire sabotage. The driver assigns the role after startup — a
 //! [`Request::Load`] makes the process a leaf (it builds the store from the
-//! shipped coded columns, summarizes them into a [`crate::meta::ShardMeta`]
-//! and acks with the summary so parents can pre-skip the shard), a
+//! shipped coded columns and acks with the [`crate::meta::ShardMeta`] every
+//! leaf reads off its dictionaries, which the parent prunes by), a
 //! [`Request::Attach`] a merge server over the listed children. Each
 //! assignment *replaces* the node outright — a repurposed worker can never
 //! answer from a shadowed store, a stale child list or the previous role's
@@ -269,12 +269,9 @@ fn handle(
         Request::Load(load) => {
             let LoadRequest { shard, delta, build, spec } = *load;
             // The leaf's own account of its data — value sets and extremes
-            // from the exact rows it serves — is what makes parent-side
+            // of the exact rows it serves — is what makes parent-side
             // pruning sound.
-            let node = Node::leaf(shard, delta, &build, true, spec)?;
-            let meta = node
-                .meta()
-                .ok_or_else(|| Error::Internal("a worker leaf keeps its summary".into()))?;
+            let (node, meta) = Node::leaf(shard, delta, &build, spec)?;
             *served = Some(node);
             Ok(Response::Loaded(Box::new(meta)))
         }

@@ -17,6 +17,10 @@
 //!    session reproduces every outcome (in-memory edges only — of a socket
 //!    tree's `(hits, misses)` the driver sees the root's alone).
 //!
+//! Every leaf keeps its shard summary and every edge prunes by it, so the
+//! properties run over both edge kinds also do the same *work*, answer by
+//! answer: the same rows scanned and the same edges pruned.
+//!
 //! Plus the epoch rule straight at the wire protocol, and one property of
 //! the whole local tree: random shapes with appends interleaved between
 //! queries always answer like a single store over the same prefix.
@@ -111,6 +115,22 @@ fn cluster(
     .unwrap()
 }
 
+/// What an answer cost: rows scanned and edges pruned.
+fn work(outcome: &QueryOutcome) -> (u64, usize) {
+    (outcome.stats.rows_scanned, outcome.stats.subtrees_pruned)
+}
+
+/// Every edge kind's answers cost what the first kind's did, one by one.
+fn assert_same_work(observed: &[(&str, Vec<(u64, usize)>)]) {
+    let (first, reference) = &observed[0];
+    for (kind, costs) in &observed[1..] {
+        assert_eq!(costs.len(), reference.len(), "{kind} vs {first}: answers asked");
+        for (at, (got, want)) in costs.iter().zip(reference).enumerate() {
+            assert_eq!(got, want, "{kind} vs {first}, answer {at}: (rows scanned, pruned)");
+        }
+    }
+}
+
 fn assert_balanced(outcome: &QueryOutcome, label: &str) {
     assert_eq!(
         outcome.stats.rows_skipped + outcome.stats.rows_cached + outcome.stats.rows_scanned,
@@ -121,7 +141,9 @@ fn assert_balanced(outcome: &QueryOutcome, label: &str) {
 
 #[test]
 fn identical_queries_hit_the_nearest_caches() {
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
         let mut rng = Rng::seed_from_u64(0x05ca_1e01);
         for case in 0..8 {
             let rows = rng.range_usize(40, 200);
@@ -132,10 +154,12 @@ fn identical_queries_hit_the_nearest_caches() {
             let sql = random_query(&mut rng);
             let label = format!("{kind} case {case} (shards {shards}, fanout {fanout}): {sql}");
             let cold = cluster.query(&sql).unwrap();
+            costs.push(work(&cold));
             assert_eq!(cold.shard_cache_hits, 0, "{label}: first execution computes");
             assert_eq!(cold.worker_cache_hits(), 0, "{label}");
             for repeat in 0..3 {
                 let warm = cluster.query(&sql).unwrap();
+                costs.push(work(&warm));
                 assert_eq!(warm.result, cold.result, "{label} repeat {repeat}: bit-identical");
                 assert_eq!(warm.stats.cells_scanned, 0, "{label}: cached partials touch nothing");
                 assert_balanced(&warm, &label);
@@ -164,7 +188,9 @@ fn identical_queries_hit_the_nearest_caches() {
                 assert_eq!(misses, 1, "{label}: the cold pass, at the root");
             }
         }
+        observed.push((kind, costs));
     }
+    assert_same_work(&observed);
 }
 
 /// A root hit needs no server: once the root remembers a chart, every
@@ -173,7 +199,9 @@ fn identical_queries_hit_the_nearest_caches() {
 /// nobody remembers fails typed.
 #[test]
 fn what_the_root_remembers_needs_no_server() {
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
         let mut rng = Rng::seed_from_u64(0x05ca_1e06);
         let table = random_table(&mut rng, 160);
         for fanout in [2usize, 16] {
@@ -188,6 +216,7 @@ fn what_the_root_remembers_needs_no_server() {
             cluster
                 .set_chaos(ChaosModel { always: (0..4).map(cut).collect(), ..Default::default() });
             let repeat = cluster.query(sql).unwrap();
+            costs.extend([work(&warm), work(&repeat)]);
             assert_eq!(repeat.result, warm.result, "{label}: bit-identical");
             assert_eq!(repeat.worker_cache_hits(), 1, "{label}");
             assert_eq!(repeat.stats.rows_cached, repeat.stats.rows_total, "{label}");
@@ -195,12 +224,16 @@ fn what_the_root_remembers_needs_no_server() {
             let err = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g").unwrap_err();
             assert!(matches!(err, pd_common::Error::Rpc(_)), "{label}: typed, not a hang: {err}");
         }
+        observed.push((kind, costs));
     }
+    assert_same_work(&observed);
 }
 
 #[test]
 fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
         let mut rng = Rng::seed_from_u64(0x05ca_1e02);
         for case in 0..4 {
             let before = random_table(&mut rng, 120);
@@ -252,13 +285,18 @@ fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
             let other = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g").unwrap();
             assert_eq!(other.worker_cache_hits(), 0, "{label}");
             assert_eq!(other.stats.rows_total, 127, "{label}");
+            costs.extend([&old, &warm, &fresh, &appended, &rewarm, &other].map(work));
         }
+        observed.push((kind, costs));
     }
+    assert_same_work(&observed);
 }
 
 #[test]
 fn capacity_eviction_changes_stats_never_results() {
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
         let mut rng = Rng::seed_from_u64(0x05ca_1e03);
         for case in 0..3 {
             let table = random_table(&mut rng, 150);
@@ -292,6 +330,7 @@ fn capacity_eviction_changes_stats_never_results() {
                 starved_hits += b.shard_cache_hits;
                 for outcome in [&a, &b, &c] {
                     assert_balanced(outcome, &label);
+                    costs.push(work(outcome));
                 }
             }
             assert!(roomy_hits > 0, "{kind} case {case}: the roomy caches must see repeats");
@@ -302,7 +341,9 @@ fn capacity_eviction_changes_stats_never_results() {
             );
             assert_eq!(none.shard_cache_stats(), (0, 0));
         }
+        observed.push((kind, costs));
     }
+    assert_same_work(&observed);
 }
 
 #[test]
@@ -617,6 +658,7 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
 /// no frame, nothing forgotten — the next repeat is a root hit.
 #[test]
 fn an_append_without_rows_changes_nothing() {
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
         let mut rng = Rng::seed_from_u64(0x05ca_1e09);
         let table = random_table(&mut rng, 120);
@@ -630,7 +672,9 @@ fn an_append_without_rows_changes_nothing() {
         let repeat = cluster.query(sql).unwrap();
         assert_eq!(repeat.result, before.result, "{kind}");
         assert_eq!((repeat.worker_cache_hits(), repeat.shard_cache_hits), (1, 4), "{kind}");
+        observed.push((kind, vec![work(&before), work(&repeat)]));
     }
+    assert_same_work(&observed);
 }
 
 /// Rows like [`random_table`]'s plus a `timestamp`, drifting with `round`:
@@ -699,7 +743,9 @@ fn remembered_charts_are_brought_forward_through_any_run_of_appends() {
     const ROUNDS: usize = if cfg!(miri) { 5 } else { 44 };
     // Asked in round 0 and then left alone until this round.
     const SLEEPS_UNTIL: usize = ROUNDS * 7 / 10;
+    let mut observed = Vec::new();
     for (kind, transport) in edge_kinds().into_iter().take(if cfg!(miri) { 1 } else { 2 }) {
+        let mut costs = Vec::new();
         for (fanout, cache) in [(2, 256), (16, 256), (2, 6)] {
             let mut rng = Rng::seed_from_u64(0x05ca_1e08 ^ fanout as u64);
             let mut all = drifting_rows(&mut rng, 150, 0);
@@ -731,6 +777,7 @@ fn remembered_charts_are_brought_forward_through_any_run_of_appends() {
                     assert_eq!(outcome.result, query(&store, &sql).unwrap().0, "{label}");
                     assert_eq!(outcome.stats.rows_total, all.len() as u64, "{label}");
                     assert_balanced(&outcome, &label);
+                    costs.push(work(&outcome));
                     let remembered = round > 0 && (sql == steady || sql == sleeper);
                     if remembered && cache == 256 {
                         assert_eq!(outcome.worker_cache_hits(), 1, "{label}: a root hit");
@@ -750,5 +797,7 @@ fn remembered_charts_are_brought_forward_through_any_run_of_appends() {
                 "{kind} fanout {fanout} cache {cache}: only {forwarded} answers were brought forward"
             );
         }
+        observed.push((kind, costs));
     }
+    assert_same_work(&observed);
 }

@@ -258,11 +258,10 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
     // rows, so chunk boundaries align to value runs and every chunk of
     // the value-partitioned store carries a tight value-space min/max —
     // the shipped zone maps prove the gap query empty chunk by chunk.
-    // The whole socket tree prunes at the root with
-    // `chunks_pruned_remote` annotating every chunk beneath the dead
-    // edges; its twin — the same shards in one address space, whose
-    // leaves keep no summary and find rows by their chunk dictionaries
-    // alone — must scan every row.
+    // Every leaf keeps that summary and every edge prunes by it, so the
+    // socket tree and the same shards in one address space prune and scan
+    // alike; the baseline is one store of the same recipe, which has only
+    // its chunk dictionaries and must scan every row.
     let all: Vec<String> = (0..30)
         .map(|i| format!("v{i:04}"))
         .chain((1000..1030).map(|i| format!("v{i:04}")))
@@ -295,58 +294,55 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
         )
         .unwrap()
     };
-    let on = cluster_over(rpc(Duration::from_secs(30)));
-    let off = cluster_over(Transport::InProcess);
-
-    // The provably-empty query: chunk verdicts prune every edge remotely.
-    let (expect, _) = query(&store, dead_sql).unwrap();
-    let pruned = on.query(dead_sql).unwrap();
-    assert_eq!(pruned.result, expect);
-    assert!(pruned.stats.subtrees_pruned > 0, "dead edges must prune: {:?}", pruned.stats);
-    assert_eq!(pruned.stats.rows_scanned, 0, "no frame carries a provably-empty query");
-    assert_eq!(pruned.stats.rows_skipped, pruned.stats.rows_total);
-    assert!(pruned.stats.chunks_pruned_remote > 0);
-    assert_eq!(
-        pruned.stats.chunks_pruned_remote, pruned.stats.chunks_total,
-        "every chunk beneath the pruned edges is annotated: {:?}",
-        pruned.stats
-    );
-    assert_eq!(
-        pruned.stats.chunks_skipped + pruned.stats.chunks_cached + pruned.stats.chunks_scanned,
-        pruned.stats.chunks_total,
-        "the remote annotation stays outside the skip/cache/scan balance"
-    );
-
-    // The same query without summaries: the trie dictionaries cannot rank
-    // the bounds, so every row scans — to the same bit-identical (empty)
-    // result.
-    let scanned = off.query(dead_sql).unwrap();
-    assert_eq!(scanned.result, expect);
-    assert_eq!(scanned.stats.subtrees_pruned, 0, "{:?}", scanned.stats);
-    assert_eq!(scanned.stats.chunks_pruned_remote, 0);
-    assert_eq!(scanned.stats.rows_scanned, 2_400, "chunk dictionaries alone must scan");
-
+    let trees = [
+        ("socket", cluster_over(rpc(Duration::from_secs(30)))),
+        ("local", cluster_over(Transport::InProcess)),
+    ];
+    // Per query, per tree: edges pruned, chunks pruned remotely, rows scanned
+    // and the chunks beneath.
+    let mut work = Vec::new();
+    for sql in [dead_sql, half_sql] {
+        let (expect, single) = query(&store, sql).unwrap();
+        let per_tree = trees.each_ref().map(|(kind, tree)| {
+            let outcome = tree.query(sql).unwrap();
+            let stats = &outcome.stats;
+            assert_eq!(outcome.result, expect, "{kind}: {sql}");
+            assert_eq!(
+                stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+                stats.rows_total,
+                "{kind}: pruned edges and seeded skips land in the ordinary accounting: {sql}"
+            );
+            assert_eq!(
+                stats.chunks_skipped + stats.chunks_cached + stats.chunks_scanned,
+                stats.chunks_total,
+                "{kind}: the remote annotation stays outside the skip/cache/scan balance: {sql}"
+            );
+            assert!(
+                stats.rows_scanned < single.rows_scanned,
+                "{kind}: zone maps must cut the scan below what chunk dictionaries alone \
+                 scan: {} vs {} rows, {sql}",
+                stats.rows_scanned,
+                single.rows_scanned
+            );
+            (
+                stats.subtrees_pruned,
+                stats.chunks_pruned_remote,
+                stats.rows_scanned,
+                stats.chunks_total,
+            )
+        });
+        assert_eq!(per_tree[0], per_tree[1], "an edge is an edge: {sql}");
+        work.push(per_tree[0]);
+    }
+    // The provably-empty query: chunk verdicts prune every edge, no frame
+    // carries it, and every chunk beneath the dead edges is annotated.
+    let (pruned, remote, scanned, chunks) = work[0];
+    assert!(pruned > 0, "dead edges must prune");
+    assert_eq!((scanned, remote), (0, chunks));
     // The half-dead query: no edge dies (every shard keeps live low-region
-    // chunks), but the shipped verdicts seed each leaf's scan — the
-    // high-region chunks skip without the leaf re-deriving anything, so
-    // strictly fewer rows are scanned for a bit-identical result.
-    let (expect, _) = query(&store, half_sql).unwrap();
-    let seeded = on.query(half_sql).unwrap();
-    let unseeded = off.query(half_sql).unwrap();
-    assert_eq!(seeded.result, expect);
-    assert_eq!(unseeded.result, expect);
-    assert_eq!(seeded.stats.subtrees_pruned, 0);
-    assert!(
-        seeded.stats.rows_scanned < unseeded.stats.rows_scanned,
-        "seeded chunk verdicts must cut the scan: {} vs {}",
-        seeded.stats.rows_scanned,
-        unseeded.stats.rows_scanned
-    );
-    assert_eq!(
-        seeded.stats.rows_skipped + seeded.stats.rows_cached + seeded.stats.rows_scanned,
-        seeded.stats.rows_total,
-        "seeded skips land in the ordinary accounting"
-    );
+    // chunks), but the verdicts seed each leaf's scan — the high-region
+    // chunks skip, so fewer rows scan than the single store's.
+    assert_eq!(work[1].0, 0);
 }
 
 #[test]

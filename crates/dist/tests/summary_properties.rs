@@ -1,0 +1,197 @@
+//! Every leaf reads its shard summary off its dictionaries, and every holder
+//! of a copy absorbs an append off the delta's dictionaries and codes. The
+//! value-taking constructors — `summarize`, `summarize_chunks`,
+//! `build_blooms` and `absorb_delta` — make the same summary from rows, one
+//! observation per cell. This property holds the two paths equal,
+//! `assert_eq!` with blooms bit for bit, over generated tables: string
+//! columns under sorted and trie dictionaries, integers at both ends of
+//! their range, floats with both zeros, NaN payloads and infinities, value
+//! counts on both sides of the chunk cap (16) and the shard cap (48), and
+//! chunks of 1, 50 and 2 000 rows under the basic and production recipes.
+//!
+//! 1. `Node::leaf`'s summary equals the row path's over the same rows;
+//! 2. after every append of a run, the leaf's own summary and a parent's
+//!    copy brought up to date by `absorb_append` both equal the row path's
+//!    `absorb_delta`.
+
+use pd_common::rng::Rng;
+use pd_common::{DataType, Row, Schema, Value};
+use pd_core::{BuildOptions, DataStore, PartitionSpec};
+use pd_dist::meta::{ShardMeta, MAX_CHUNK_DISTINCT, MAX_DISTINCT};
+use pd_dist::node::{Node, NodeSpec};
+use pd_dist::rpc::AppendRequest;
+use pd_encoding::TableDelta;
+
+/// Distinct values a column starts with: both sides of each cap.
+const DISTINCT: [usize; 7] = [1, 2, 16, 17, 48, 49, 300];
+
+fn schema() -> Schema {
+    Schema::of(&[
+        ("k", DataType::Str),
+        ("s", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+    ])
+}
+
+/// The recipes a leaf is built by: one chunk, or chunks of at most 1, 50
+/// and 2 000 rows with sorted (basic) or trie (production) dictionaries.
+fn recipes() -> Vec<(String, BuildOptions)> {
+    let mut recipes = vec![("basic".to_owned(), BuildOptions::basic())];
+    for max in [1, 50, 2_000] {
+        let spec = PartitionSpec::new(&["k", "s"], max);
+        recipes.push((format!("basic, chunks ≤ {max}"), BuildOptions::chunked(spec.clone())));
+        recipes.push((format!("production, chunks ≤ {max}"), BuildOptions::reordered(spec)));
+    }
+    recipes
+}
+
+/// `len` distinct values of `data_type`, the awkward ones first: the empty
+/// string and shared prefixes; the extreme integers; both zeros, three NaN
+/// payloads and both infinities.
+fn pool(data_type: DataType, len: usize) -> Vec<Value> {
+    let odd_floats = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0000),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    (0..len)
+        .map(|i| match data_type {
+            DataType::Str if i == 0 => Value::from(""),
+            DataType::Str => Value::from(format!("{}{i}", ["a", "ab", "b", "é/"][i % 4])),
+            DataType::Int => Value::Int(match i {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => i as i64 * 7 - 500,
+            }),
+            DataType::Float => {
+                Value::Float(odd_floats.get(i).copied().unwrap_or(i as f64 * 0.5 - 40.0))
+            }
+        })
+        .collect()
+}
+
+/// `rows` rows as columns, each column drawn from the first `distinct[c]`
+/// values of its pool.
+fn columns(
+    rng: &mut Rng,
+    pools: &[Vec<Value>],
+    distinct: &[usize],
+    rows: usize,
+) -> Vec<Vec<Value>> {
+    pools
+        .iter()
+        .zip(distinct)
+        .map(|(pool, &distinct)| {
+            (0..rows).map(|_| pool[rng.range_usize(0, distinct)].clone()).collect()
+        })
+        .collect()
+}
+
+fn spec() -> NodeSpec {
+    NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 }
+}
+
+fn slices(columns: &[Vec<Value>]) -> Vec<&[Value]> {
+    columns.iter().map(Vec::as_slice).collect()
+}
+
+fn coded(columns: &[Vec<Value>]) -> TableDelta {
+    TableDelta::from_columns(schema(), &slices(columns)).unwrap()
+}
+
+/// The row path: one observation per cell, over the chunks the same
+/// recipe cuts.
+fn row_summary(columns: &[Vec<Value>], build: &BuildOptions) -> ShardMeta {
+    let store = DataStore::from_coded(coded(columns), build).unwrap();
+    let rows: Vec<Row> = (0..store.n_rows())
+        .map(|r| Row(columns.iter().map(|column| column[r].clone()).collect()))
+        .collect();
+    let mut meta = ShardMeta::summarize(0, &schema(), &rows);
+    meta.chunks = store.chunk_count() as u64;
+    meta.summarize_chunks(&schema(), &slices(columns), store.partitioning());
+    meta.build_blooms(&schema(), &slices(columns));
+    meta
+}
+
+/// How often the generated summaries stood exactly at, or just past, a cap.
+#[derive(Default)]
+struct Coverage {
+    shard_at_cap: usize,
+    shard_past_cap: usize,
+    chunk_at_cap: usize,
+    chunk_past_cap: usize,
+    degraded_by_an_append: usize,
+}
+
+impl Coverage {
+    fn count(&mut self, meta: &ShardMeta) {
+        let len = |column: &pd_dist::meta::ColumnMeta| column.values.as_ref().map(Vec::len);
+        for column in &meta.columns {
+            self.shard_at_cap += usize::from(len(column) == Some(MAX_DISTINCT));
+            self.shard_past_cap += usize::from(len(column).is_none());
+        }
+        for column in meta.chunk_metas.iter().flat_map(|chunk| &chunk.columns) {
+            self.chunk_at_cap += usize::from(len(column) == Some(MAX_CHUNK_DISTINCT));
+            self.chunk_past_cap += usize::from(len(column).is_none());
+        }
+    }
+}
+
+#[test]
+fn a_summary_read_off_the_dictionaries_is_the_one_made_from_the_rows() {
+    let mut rng = Rng::seed_from_u64(0x5a11_d1c7);
+    let mut coverage = Coverage::default();
+    let types = schema().fields().iter().map(|field| field.data_type).collect::<Vec<_>>();
+    for (recipe, build) in recipes() {
+        for case in 0..4 {
+            // Appends draw from 20 values more than the base holds, so
+            // value sets grow, and cross their caps, mid-run.
+            let distinct: Vec<usize> = types.iter().map(|_| *rng.pick(&DISTINCT)).collect();
+            let pools: Vec<Vec<Value>> =
+                types.iter().zip(&distinct).map(|(&t, &d)| pool(t, d + 20)).collect();
+            let rows = *rng.pick(&[1, 30, 250, 900]);
+            let label = format!("{recipe}, case {case}: {rows} rows, distinct {distinct:?}");
+            let mut all = columns(&mut rng, &pools, &distinct, rows);
+            let (leaf, mut parents) = Node::leaf(0, coded(&all), &build, spec()).unwrap();
+            let mut rows_say = row_summary(&all, &build);
+            assert_eq!(parents, rows_say, "{label}: at load");
+            coverage.count(&rows_say);
+
+            let grown: Vec<usize> = pools.iter().map(Vec::len).collect();
+            for step in 0..5u64 {
+                let size = *rng.pick(&[1, 2, 17, 60, 130]);
+                let batch = columns(&mut rng, &pools, &grown, size);
+                let delta = coded(&batch);
+                let append = AppendRequest { shard: 0, delta, epoch: 2 + step };
+                let receipt = leaf.append(&append).unwrap();
+                parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();
+                let degraded_before =
+                    rows_say.columns.iter().filter(|c| c.values.is_none()).count();
+                let chunk_rows: Vec<usize> =
+                    receipt.new_chunk_rows.iter().map(|&rows| rows as usize).collect();
+                rows_say.absorb_delta(&schema(), &slices(&batch), &chunk_rows);
+                let degraded = rows_say.columns.iter().filter(|c| c.values.is_none()).count();
+                coverage.degraded_by_an_append += degraded - degraded_before;
+                assert_eq!(parents, rows_say, "{label}, append {step}: the parent's copy");
+                assert_eq!(leaf.metas(), [rows_say.clone()], "{label}, append {step}: the leaf's");
+                for (column, new) in all.iter_mut().zip(batch) {
+                    column.extend(new);
+                }
+            }
+            coverage.count(&rows_say);
+            // The run is a store's worth of rows in the end: what a rebuild
+            // reads off its dictionaries is the row path's too.
+            let (_, rebuilt) = Node::leaf(0, coded(&all), &build, spec()).unwrap();
+            assert_eq!(rebuilt, row_summary(&all, &build), "{label}: rebuilt");
+        }
+    }
+    // The caps were met from both sides, and crossed by appends.
+    assert!(coverage.shard_at_cap > 0 && coverage.shard_past_cap > 0);
+    assert!(coverage.chunk_at_cap > 0 && coverage.chunk_past_cap > 0);
+    assert!(coverage.degraded_by_an_append > 0);
+}

@@ -41,11 +41,6 @@ impl ColumnDelta {
         let (dict, codes) = build_dict(values, false)?;
         Ok(ColumnDelta { name: name.to_owned(), dict, codes })
     }
-
-    /// Materialize the column back into row values (arrival order).
-    pub fn values(&self) -> Vec<Value> {
-        self.codes.iter().map(|&c| self.dict.value(c)).collect()
-    }
 }
 
 /// A batch of appended rows in columnar form, self-contained: the sender
@@ -145,12 +140,6 @@ impl TableDelta {
         }
         Ok(())
     }
-
-    /// Materialize every column back into row values (arrival order), in
-    /// schema field order.
-    pub fn materialized_columns(&self) -> Vec<Vec<Value>> {
-        self.columns.iter().map(ColumnDelta::values).collect()
-    }
 }
 
 // --- wire codecs ------------------------------------------------------------
@@ -220,7 +209,10 @@ mod tests {
         assert_eq!(delta.columns[0].dict.len(), 3, "BR, DE, SG");
         assert!(delta.columns.iter().all(|c| c.dict.is_value_ordered()));
         // Materialization inverts the encoding exactly.
-        let cols = delta.materialized_columns();
+        let values = |c: &ColumnDelta| -> Vec<Value> {
+            c.codes.iter().map(|&code| c.dict.value(code)).collect()
+        };
+        let cols: Vec<Vec<Value>> = delta.columns.iter().map(values).collect();
         assert_eq!(cols[0][0], Value::from("SG"));
         assert_eq!(cols[1][1], Value::Int(120));
         assert_eq!(cols[2][1], Value::Float(-0.0));

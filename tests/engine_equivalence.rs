@@ -695,9 +695,9 @@ fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
 /// proves the epoch invalidation: after `Cluster::rebuild` with different
 /// data, every answer is the new data's, cold then warm again.
 ///
-/// Across edge kinds the cache observations must agree too: wherever no
-/// edge was pruned (only workers keep the shard summaries pruning needs),
-/// `shard_cache_hits` and `worker_cache_hits()` are equal for every
+/// Across edge kinds the work must agree too: every leaf keeps its shard
+/// summary and every edge prunes by it, so `shard_cache_hits`,
+/// `worker_cache_hits()` and `subtrees_pruned` are equal for every
 /// (shards, fanout, cache, pass, query).
 ///
 /// Exact `assert_eq!`, floats included: group keys, float sums
@@ -843,17 +843,15 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
                 let (reference_kind, reference) = &observed[0];
                 for (kind, hits) in &observed[1..] {
                     for (i, (got, want)) in hits.iter().zip(reference).enumerate() {
-                        if got.2 == 0 && want.2 == 0 {
-                            assert_eq!(
-                                (got.0, got.1),
-                                (want.0, want.1),
-                                "shards={shards} fanout={fanout} cache={cache}: {kind} and \
-                                 {reference_kind} edges must report the same cache hits \
-                                 (pass {}, query {})",
-                                i / MATRIX_QUERIES.len(),
-                                i % MATRIX_QUERIES.len()
-                            );
-                        }
+                        assert_eq!(
+                            got,
+                            want,
+                            "shards={shards} fanout={fanout} cache={cache}: {kind} and \
+                             {reference_kind} edges must report the same hits and prunes \
+                             (pass {}, query {})",
+                            i / MATRIX_QUERIES.len(),
+                            i % MATRIX_QUERIES.len()
+                        );
                     }
                 }
             }
@@ -866,10 +864,9 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
 /// every query — must be the same event on an in-memory tree and on a tree
 /// of worker processes behind unix sockets: identical rows, the same
 /// `failovers`, balanced skipped + cached + scanned accounting — at either
-/// tree depth, cold and then warm from the node caches. (`failovers` is
-/// compared wherever neither tree pruned an edge: only workers keep the
-/// shard summaries pruning needs, and a pruned edge needs no server, so it
-/// records no failover.)
+/// tree depth, cold and then warm from the node caches — and the same
+/// work: both trees prune the same edges (a pruned edge needs no server,
+/// so it records no failover) and scan the same rows.
 ///
 /// [`ChaosModel`]: powerdrill::dist::ChaosModel
 #[test]
@@ -905,7 +902,6 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
             Cluster::build(&table, &config).unwrap()
         };
         let trees = [("local", tree(Transport::InProcess)), ("unix", tree(unix.clone()))];
-        let mut compared = 0;
         for pass in 0..2 {
             for sql in MATRIX_QUERIES {
                 let (want, _) = powerdrill::query(&store, sql).unwrap();
@@ -922,10 +918,11 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
                     assert!(outcome.hedges.is_empty(), "a cut edge is not raced: {label}");
                     outcome
                 });
-                if local.stats.subtrees_pruned == 0 && unix.stats.subtrees_pruned == 0 {
-                    assert_eq!(local.failovers, unix.failovers, "fanout={fanout} {pass}: {sql}");
-                    compared += 1;
-                }
+                let work = |outcome: &powerdrill::dist::QueryOutcome| {
+                    let stats = &outcome.stats;
+                    (outcome.failovers.clone(), stats.subtrees_pruned, stats.rows_scanned)
+                };
+                assert_eq!(work(&local), work(&unix), "fanout={fanout} {pass}: {sql}");
                 if pass == 0 && sql == MATRIX_QUERIES[0] {
                     // Unrestricted and cold: nothing is pruned, no cache
                     // answers, the replica serves shard 1.
@@ -934,17 +931,19 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
                 }
             }
         }
-        assert!(compared >= MATRIX_QUERIES.len(), "too few unpruned queries: {compared}");
     }
 }
 
 /// The pruning axis: pruning by shard summaries (per-chunk zone maps, Bloom
 /// filters and virtual-field partial evaluation shipped in the Load acks)
 /// is pure work-avoidance — it may only move scans around, never change a
-/// row. Every matrix query runs cold and warm over the in-process tree
-/// (whose leaves keep no summary) and a real process-split tree (unix
-/// sockets and compressed TCP), and every result must be **bit-identical**
-/// (floats included) to the sequential single-store answer. The matrix includes `date(timestamp)` drill-downs
+/// row. Every matrix query runs cold and warm over the in-process tree and
+/// a real process-split tree (unix sockets and compressed TCP), and every
+/// result must be **bit-identical** (floats included) to the sequential
+/// single-store answer — and every edge kind must prune the same edges,
+/// annotate the same chunks and scan the same rows: an in-memory edge
+/// carries its leaves' summaries as a socket edge does. The matrix
+/// includes `date(timestamp)` drill-downs
 /// (the §5.1 virtual-field path) and gap restrictions the shard envelope
 /// cannot refute, so both the prune-the-edge and the seed-the-leaf paths
 /// are exercised against the reference.
@@ -995,6 +994,9 @@ fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
         ("unix", rpc(WorkerAddr::Unix, false)),
         ("tcp+z", rpc(WorkerAddr::loopback(), true)),
     ];
+    // Per edge kind, per (pass, query): (edges pruned, chunks pruned
+    // remotely, rows scanned).
+    let mut observed = Vec::new();
     for (label, transport) in transports {
         let cluster = Cluster::build(
             &table,
@@ -1009,6 +1011,7 @@ fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
             },
         )
         .unwrap();
+        let mut work = Vec::new();
         for pass in 0..2 {
             for (sql, want) in queries.iter().zip(&expected) {
                 let outcome = cluster.query(sql).unwrap();
@@ -1027,13 +1030,23 @@ fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
                     outcome.stats.chunks_total,
                     "chunk accounting must balance: {label} pass={pass}: {sql}"
                 );
-                if label == "local" {
-                    assert_eq!(
-                        outcome.stats.chunks_pruned_remote, 0,
-                        "the counter is the summaries' alone, and a local leaf keeps none: {sql}"
-                    );
-                }
+                let stats = &outcome.stats;
+                work.push((stats.subtrees_pruned, stats.chunks_pruned_remote, stats.rows_scanned));
             }
+        }
+        observed.push((label, work));
+    }
+    let (reference_label, reference) = &observed[0];
+    assert!(reference.iter().any(|work| work.1 > 0), "some query prunes chunks remotely");
+    for (label, work) in &observed[1..] {
+        for (i, (got, want)) in work.iter().zip(reference).enumerate() {
+            let sql = queries[i % queries.len()];
+            assert_eq!(
+                got,
+                want,
+                "{label} vs {reference_label} (pass {}): {sql}",
+                i / queries.len()
+            );
         }
     }
 }
