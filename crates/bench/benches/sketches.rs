@@ -20,6 +20,28 @@ fn main() {
             black_box(sketch.estimate());
         });
     }
+    // What a scan does instead of offering rows: a chunk's hashes become a
+    // sketch by one sort (a chunk of `BuildOptions::production`'s 50 000
+    // rows, every hash distinct), and a fold or a tree level merges two
+    // saturated sketches as sorted runs (100 merges, each of a fresh clone).
+    const CHUNK: usize = 50_000;
+    for m in [1024usize, 4096, 16384] {
+        bench.case_throughput(&format!("from_parts_chunk_m{m}"), CHUNK as u64, || {
+            black_box(KmvSketch::from_parts(m, hashes[..CHUNK].iter().copied()).estimate());
+        });
+    }
+    for m in [1024usize, 4096, 16384] {
+        let a = KmvSketch::from_parts(m, hashes.iter().copied().step_by(2));
+        let b = KmvSketch::from_parts(m, hashes.iter().copied().skip(1).step_by(3));
+        assert_eq!((a.len(), b.len()), (m, m), "both sides saturated");
+        bench.case_throughput(&format!("merge_saturated_m{m}"), 100 * 2 * m as u64, || {
+            for _ in 0..100 {
+                let mut merged = a.clone();
+                merged.merge(&b);
+                black_box(merged.estimate());
+            }
+        });
+    }
     bench.case_throughput("exact_hashset", N, || {
         let set: pd_common::FxHashSet<u64> = hashes.iter().copied().collect();
         black_box(set.len());

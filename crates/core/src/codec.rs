@@ -49,11 +49,10 @@ impl Decode for KmvSketch {
         let m = usize::decode(r)?;
         let len = r.u64()?;
         let len = r.check_len(len, 8)?;
-        let mut sketch = KmvSketch::new(m);
-        for _ in 0..len {
-            sketch.offer(r.u64()?);
-        }
-        Ok(sketch)
+        // One sort, not an insert per hash: a forged list in descending
+        // order must not cost len² moves.
+        let hashes = (0..len).map(|_| r.u64()).collect::<Result<Vec<u64>>>()?;
+        Ok(KmvSketch::from_parts(m, hashes))
     }
 }
 

@@ -526,7 +526,7 @@ pub enum AggState {
 /// Every column merges associatively and commutatively — counts and
 /// integer sums add (wrapping), a float slot is exact whether it is a
 /// double-double pair or a [`FloatSum`] superaccumulator, MIN / MAX keep
-/// the extreme [`Value`], sketches union — so a query's result is
+/// the extreme [`Value`], sketches merge as sorted runs — so a query's result is
 /// bit-identical however its rows were grouped into chunks, threads,
 /// shards or subtrees. Equality is column equality (floats by bits in
 /// keys, by exact sum in float slots).

@@ -25,7 +25,10 @@
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the group indices with a per-slot
 //!   tight loop, translating codes to values only once per distinct
-//!   chunk-dictionary entry.
+//!   chunk-dictionary entry. `COUNT(DISTINCT …)` first finds the distinct
+//!   (group, code) pairs of the passing rows, then hashes once per code
+//!   that occurs (one ordered `values_of` walk), not once per
+//!   chunk-dictionary entry, and builds each group's sketch by one sort.
 //!
 //! Each kernel dispatches on [`CodesView`] once per chunk and then runs a
 //! monomorphized loop, so the element representation (const / bit-set / u8
@@ -858,13 +861,31 @@ pub(crate) fn accumulate(
         }
         SlotKind::Distinct { m } => {
             let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
-            // Hash each distinct value once per chunk.
-            let hashes: Vec<u64> =
-                chunk.dict.iter().map(|gid| fx_hash64(&col.dict.value(gid))).collect();
-            let mut sketches = vec![KmvSketch::new(m); group_count];
-            for_each_member(chunk.codes(), group_of_row, |g, code| {
-                sketches[g].offer(hashes[code as usize])
-            });
+            // The distinct (group, code) pairs of the passing rows as
+            // ascending `g·n + code`: a sort of every row's pair.
+            let n = chunk.dict.len() as usize;
+            let mut pairs: Vec<usize> = Vec::with_capacity(group_of_row.len());
+            for_each_member(chunk.codes(), group_of_row, |g, c| pairs.push(g * n + c as usize));
+            pairs.sort_unstable();
+            pairs.dedup();
+            // Hash the value of each code some pair holds, once: chunk-ids
+            // order like global ids, so one ordered dictionary walk.
+            let mut held = vec![false; n];
+            pairs.iter().for_each(|&p| held[p % n] = true);
+            let held: Vec<u32> = (0..n as u32).filter(|&c| held[c as usize]).collect();
+            let gids: Vec<u32> = held.iter().map(|&c| chunk.dict.global_id_of(c)).collect();
+            let mut hash = vec![0u64; n];
+            for (&c, value) in held.iter().zip(col.dict.values_of(&gids)) {
+                hash[c as usize] = fx_hash64(&value);
+            }
+            let mut rest = &pairs[..];
+            let sketches = (0..group_count)
+                .map(|g| {
+                    let (of_g, after) = rest.split_at(rest.partition_point(|&p| p < (g + 1) * n));
+                    rest = after;
+                    KmvSketch::from_parts(m, of_g.iter().map(|&p| hash[p - g * n]))
+                })
+                .collect();
             Column::Distinct { m, sketches }
         }
     }

@@ -14,7 +14,9 @@
 //!    returns `Err` (or a different valid value, for flips that land in
 //!    payload bytes) — never a panic, never an absurd allocation; ragged
 //!    columns, unsorted or duplicate keys, unknown tags and lengths beyond
-//!    the frame are typed `Error::Data`.
+//!    the frame are typed `Error::Data`; a sketch's hash list in any order,
+//!    with repeats, longer than its `m`, decodes to the sketch offering it
+//!    gives.
 
 use pd_common::rng::Rng;
 use pd_common::wire::{from_bytes, to_bytes};
@@ -280,6 +282,31 @@ fn malformed_tables_are_typed_errors() {
         let outcome = forged(edit);
         assert!(matches!(outcome, Err(Error::Data(_))), "{what}: {outcome:?}");
     }
+
+    // A sketch's hash list unsorted, duplicated and longer than its `m` is
+    // no error: it decodes to the sketch offering that list gives. A long
+    // descending list decodes too, by one sort (an insert per hash would
+    // move len² / 2 hashes).
+    let group = |sketch| (vec![Value::Int(1)], vec![AggState::Distinct(sketch)]);
+    let decoded = |m: usize, list: &[u64]| {
+        let sketch = KmvSketch::from_parts(m, [1, 2, 3]);
+        let honest = to_bytes(&sketch);
+        let mut bytes = to_bytes(&PartialResult::from_states([group(sketch)]).unwrap());
+        let at = bytes.windows(honest.len()).position(|w| w == honest).unwrap();
+        let head = [m as u64, list.len() as u64];
+        bytes.splice(at..at + honest.len(), head.iter().chain(list).flat_map(to_bytes));
+        from_bytes::<PartialResult>(&bytes).unwrap()
+    };
+    let offered = |m: usize, list: &[u64]| {
+        let mut sketch = KmvSketch::new(m);
+        list.iter().for_each(|&h| sketch.offer(h));
+        PartialResult::from_states([group(sketch)]).unwrap()
+    };
+    let list = [9u64, 4, 4, 7, 1, 9, 2, 30];
+    assert_eq!(decoded(3, &list), offered(3, &list), "a forged hash list");
+    let descending: Vec<u64> = (0..200_000).rev().collect();
+    let ascending: Vec<u64> = (0..200_000).collect();
+    assert_eq!(decoded(1 << 20, &descending), offered(1 << 20, &ascending), "a descending list");
 }
 
 #[test]

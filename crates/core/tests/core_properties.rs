@@ -10,7 +10,8 @@ use pd_common::{DataType, FloatSum, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
-    finalize, AggState, BuildOptions, DataStore, KmvSketch, PartialResult, PartitionSpec,
+    execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext, KmvSketch,
+    PartialResult, PartitionSpec,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
@@ -344,6 +345,126 @@ fn sketch_merge_order_irrelevant() {
             assert_eq!(ab.estimate(), all.len() as f64);
         }
     }
+}
+
+/// COUNT(DISTINCT …) against an oracle that is not the engine: for every
+/// group, the sketch `execute_partial` returns equals the one offering each
+/// passing row's `fx_hash64(value)` into `KmvSketch::new(m)` makes — at
+/// `m` 1, 3, 64 and 4 096 (saturated and not), over a Str argument under
+/// sorted and trie dictionaries, an Int argument and a Float one holding
+/// -0.0, 0.0 and NaN, by 0, 1 and 2 keys, on unmasked chunks and masked
+/// ones, with groups × chunk-dictionary entries (the range of the kernel's
+/// packed `g·n + code` pairs) from a few to past 65 536, and on a store an
+/// append tailed.
+#[test]
+fn distinct_sketches_equal_offering_every_passing_rows_hash() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("w", DataType::Int),
+        ("s", DataType::Str),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+    ]);
+    const ROWS: usize = 4_400;
+    // Rows from `ROWS` on hold `s`, `i` and `f` values the base does not.
+    let row = |r: usize| {
+        let fresh = r / ROWS;
+        vec![
+            Value::from(["red", "green", "blue", "grey", "teal"][r % 5]),
+            Value::Int((r * 7_919 % 613) as i64),
+            Value::from(format!("s{:04}", r * 31 % 997 + fresh * 1_000)),
+            // Distinct on every row: 4 099 is invertible mod the prime 5 003.
+            Value::Int((r * 4_099 % 5_003) as i64),
+            Value::Float(match r % 4 {
+                0 => [-0.0, 0.0, f64::NAN][r / 4 % 3],
+                _ => (r % 1_500) as f64 * 0.5 + fresh as f64 * 1e4,
+            }),
+        ]
+    };
+    let columns = |rows: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+        (0..5).map(|c| rows.clone().map(|r| row(r).swap_remove(c)).collect()).collect()
+    };
+    let table = Table::from_columns(schema.clone(), columns(0..ROWS)).unwrap();
+    let tail = columns(ROWS..ROWS + 300);
+    let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
+    let delta = TableDelta::from_columns(schema, &slices).unwrap();
+
+    let spec = PartitionSpec::new(&["k"], 2_000);
+    let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
+    let trie = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
+    let mut tailed = DataStore::build(&table, &BuildOptions::optdicts(spec)).unwrap();
+    tailed.append_delta(&delta).unwrap();
+
+    // Unmasked, a chunk's groups are its key's chunk-ids: `GROUP BY k` over
+    // `s` packs several groups' pairs into at most 65 536 somewhere, and
+    // `GROUP BY w` over `s` needs more somewhere.
+    let chunks = 0..sorted.chunk_count();
+    let entries = |name: &str, c: usize| sorted.column(name).unwrap().chunks[c].dict.len() as usize;
+    let cells = |key: &str, c: usize| entries(key, c) * entries("s", c);
+    assert!(chunks.clone().any(|c| entries("k", c) > 1 && cells("k", c) <= 1 << 16));
+    assert!(chunks.clone().any(|c| cells("w", c) > 1 << 16));
+
+    let offered = |m: usize, hashes: &[u64]| {
+        let mut sketch = KmvSketch::new(m);
+        hashes.iter().for_each(|&h| sketch.offer(h));
+        sketch
+    };
+    let ms = [1, 3, 64, 4_096];
+    // Per `m`: was some group's sketch below `m`, was some group's full?
+    let mut fill = [[false; 2]; 4];
+    for (label, store) in [("sorted", &sorted), ("trie", &trie), ("tailed", &tailed)] {
+        for keys in ["", "k", "w", "k, w"] {
+            for arg in ["s", "i", "f"] {
+                // Unmasked; masked on every chunk; and two filters whose
+                // `k` conjunct skips or fully admits whole chunks.
+                for filter in ["", "w < 300", "k != 'red' AND i > 2000", "k != 'red'"] {
+                    let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
+                    let where_sql =
+                        if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
+                    let group_by =
+                        if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+                    let sql =
+                        format!("SELECT {select}COUNT(DISTINCT {arg}) FROM t{where_sql}{group_by}");
+                    let parsed = parse_query(&sql).unwrap();
+                    let key_names: Vec<&str> = keys.split(", ").filter(|k| !k.is_empty()).collect();
+
+                    // The oracle: each passing row's hash, per group.
+                    let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<u64>> =
+                        Default::default();
+                    for chunk in 0..store.chunk_count() {
+                        for row in 0..store.chunk_rows(chunk) {
+                            let ctx = StoreRow { store, chunk, row };
+                            if let Some(filter) = &parsed.where_clause {
+                                if !truthy(&eval_expr(filter, &ctx).unwrap()) {
+                                    continue;
+                                }
+                            }
+                            let key = key_names.iter().map(|k| ctx.column(k).unwrap()).collect();
+                            let value = ctx.column(arg).unwrap();
+                            groups.entry(key).or_default().push(pd_common::fx_hash64(&value));
+                        }
+                    }
+                    assert!(!groups.is_empty(), "{sql}: some row passes");
+
+                    let analyzed = analyze(&parsed).unwrap();
+                    for (mi, &m) in ms.iter().enumerate() {
+                        let ctx = ExecContext { sketch_m: m, ..Default::default() };
+                        let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
+                        let want =
+                            PartialResult::from_states(groups.iter().map(|(key, hashes)| {
+                                let sketch = offered(m, hashes);
+                                fill[mi][(sketch.len() == m) as usize] = true;
+                                (key.clone(), vec![AggState::Distinct(sketch)])
+                            }))
+                            .unwrap();
+                        assert_eq!(got, want, "{label} m={m}: {sql}");
+                    }
+                }
+            }
+        }
+    }
+    // A group holds a row, so only its sketch at m = 1 is never short.
+    assert_eq!(fill, [[false, true], [true; 2], [true; 2], [true; 2]], "saturated and not");
 }
 
 /// Rows enter a store one way, as coded columns: the store a table builds

@@ -451,13 +451,13 @@ impl ColumnMeta {
 /// Can any row of the shard satisfy `restriction`? The full layered check:
 /// shard zone map, then Bloom probes for equality restrictions on degraded
 /// columns, then — when the chunk layer is present — the per-chunk
-/// verdicts, pruning the shard when *zero* chunks survive. Errs towards
-/// `true`: opaque predicates, unknown columns and unresolvable virtual
-/// fields are all "maybe".
+/// verdicts, pruning the shard when *zero* chunks survive (evaluated up to
+/// the first that does). Errs towards `true`: opaque predicates, unknown
+/// columns and unresolvable virtual fields are all "maybe".
 pub fn may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
     shard_may_match(restriction, meta)
         && (meta.chunk_metas.is_empty()
-            || chunk_verdicts(restriction, meta).iter().any(|a| *a != ChunkActivity::Skip))
+            || verdicts(restriction, meta).any(|a| a != ChunkActivity::Skip))
 }
 
 /// The shard-granular layers only (zone map + Bloom): [`may_match`]'s first
@@ -471,13 +471,20 @@ fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
 /// actual chunks, so parents can count provably-dead chunks and leaves can
 /// seed their scan's [`pd_core::skip::SkipAnalysis`] with them.
 pub fn chunk_verdicts(restriction: &Restriction, meta: &ShardMeta) -> Vec<ChunkActivity> {
+    verdicts(restriction, meta).collect()
+}
+
+/// [`chunk_verdicts`], evaluated as they are asked for.
+fn verdicts<'a>(
+    restriction: &'a Restriction,
+    meta: &'a ShardMeta,
+) -> impl Iterator<Item = ChunkActivity> + 'a {
     // Shard-wide blooms stay sound per chunk: a value absent from the shard
     // is absent from every chunk of it.
-    let verdict = |chunk: &ChunkMeta| match chunk.rows {
+    meta.chunk_metas.iter().map(|chunk| match chunk.rows {
         0 => ChunkActivity::Skip,
         _ => activity_of(restriction, &chunk.columns, &meta.blooms),
-    };
-    meta.chunk_metas.iter().map(verdict).collect()
+    })
 }
 
 /// Evaluate `restriction` against one zone map (a shard's or a chunk's)
