@@ -1,16 +1,31 @@
 //! The §2.4 inner-loop claim: `counts[elements[row]]++` over a dense array
 //! vs a generic hash-table group-by (what "more generic implementations"
-//! pay).
+//! pay). Then the ordered group tables through the public API, on the paths
+//! no gated workload of the repo's benchmark reaches or isolates: a
+//! one-key fold over 20 chunks (the counts array), an ungrouped one (the
+//! pairwise merges of chunk tables), a two-key grouping wider than the
+//! dense limit (the sort of packed key codes), and the merge of two
+//! string-keyed partials, shared and uniquely held.
 
-use pd_bench::Bench;
-use pd_common::FxHashMap;
+use pd_bench::{logs_table, rows_from_env_or, Bench};
+use pd_common::wire::{from_bytes, to_bytes};
+use pd_common::{FxHashMap, Value};
+use pd_core::{execute, AggState, BuildOptions, DataStore, ExecContext, PartialResult};
 use pd_encoding::{Elements, ElementsMode};
+use pd_sql::{analyze, parse_query};
 use std::hint::black_box;
 
 const ROWS: usize = 1_000_000;
 
 fn ids(distinct: u32) -> Vec<u32> {
     (0..ROWS).map(|i| (i as u32).wrapping_mul(2_654_435_761) % distinct).collect()
+}
+
+/// A partial of one count column over the string keys `k{i}`, `i` in
+/// `keys`.
+fn counted(keys: impl Iterator<Item = usize>) -> PartialResult {
+    let group = |i: usize| (vec![Value::from(format!("k{i:06}"))], vec![AggState::Count(1)]);
+    PartialResult::from_states(keys.map(group)).expect("distinct keys")
 }
 
 fn main() {
@@ -42,4 +57,58 @@ fn main() {
             black_box(counts);
         });
     }
+
+    // The benchmark's store: 40 000 log rows in 2 000-row chunks.
+    let rows = rows_from_env_or(40_000);
+    let mut build = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut build.partition {
+        spec.max_chunk_rows = rows / 20;
+    }
+    let store = DataStore::build(&logs_table(rows), &build).expect("build");
+    let chunks = store.chunk_count();
+    let entries = |name: &str, c: usize| store.column(name).unwrap().chunks[c].dict.len() as usize;
+    let wide = (0..chunks).any(|c| entries("latency", c) * entries("timestamp", c) > 1 << 16);
+    assert!(wide, "a chunk's latency × timestamp product passes the dense limit");
+    let ctx = ExecContext { threads: 1, ..Default::default() };
+    let key = store.column("table_name").unwrap().dict.len();
+    for (name, sql) in [
+        (
+            format!("fold_one_key/{key}_ids_{chunks}_chunks"),
+            "SELECT table_name, COUNT(*) c, SUM(latency) s FROM logs GROUP BY table_name \
+             ORDER BY c DESC LIMIT 10",
+        ),
+        (
+            format!("fold_ungrouped/{chunks}_chunks"),
+            "SELECT COUNT(*), SUM(latency), MIN(latency), MAX(latency) FROM logs",
+        ),
+        (
+            format!("fold_two_keys_sparse/{chunks}_chunks"),
+            "SELECT latency, timestamp, COUNT(*) c FROM logs GROUP BY latency, timestamp \
+             ORDER BY c DESC LIMIT 10",
+        ),
+    ] {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        bench.case_throughput(&name, rows as u64, || {
+            black_box(execute(&store, &analyzed, &ctx).unwrap());
+        });
+    }
+
+    // 3 000 + 3 000 string keys, half of them shared.
+    let (a, b) = (counted((0..3_000).map(|i| 2 * i)), counted(1_500..4_500));
+    bench.case("merge_3000_3000_half_shared/shared", || {
+        let mut merged = a.clone();
+        merged.merge(b.clone()).unwrap();
+        black_box(merged);
+    });
+    // Uniquely held sides, decoded afresh outside the clock: a pair for the
+    // warm-up and one per sample.
+    let unique = |p: &PartialResult| from_bytes::<PartialResult>(&to_bytes(p)).unwrap();
+    let mut pairs: Vec<_> = (0..=10).map(|_| (unique(&a), unique(&b))).collect();
+    let mut merged = Vec::new();
+    bench.case("merge_3000_3000_half_shared/unique", || {
+        let (mut own, other) = pairs.pop().expect("a pair per sample");
+        own.merge(other).unwrap();
+        merged.push(own);
+    });
+    black_box(merged);
 }

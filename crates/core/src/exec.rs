@@ -18,10 +18,10 @@
 //! — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
 //! `LIMIT` let through. [`execute_partial`] serves the distributed layer
 //! (§4), whose shards share no dictionary and so must merge by value: it
-//! puts the groups in key order and translates each key and MIN/MAX column
-//! once, by one ordered dictionary walk
-//! ([`pd_encoding::GlobalDict::values_of`]) — the same table, its cells
-//! now values, is the [`PartialResult`]. Partials merge up the tree as
+//! translates each key and MIN/MAX column once, by one ordered dictionary
+//! walk ([`pd_encoding::GlobalDict::values_of`]) — the same table, its
+//! cells now values and its groups in key order as the fold left them, is
+//! the [`PartialResult`]. Partials merge up the tree as
 //! sorted runs of columns, and [`finalize`] ranks the root's table as it
 //! arrives. Both rankings are one routine, generic over what a cell is, so
 //! `execute(q) == finalize(q, execute_partial(q))` row for row.
@@ -74,6 +74,7 @@ use pd_encoding::GlobalDict;
 use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext,
 };
+use std::cmp::Ordering;
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
@@ -571,11 +572,7 @@ impl<'a> Fold<'a> {
                 table
             }
         };
-        let cells = IdKeys(self.plan);
-        self.groups.absorb(&table, |s, a, b| match cells.value_ordered(CellsOf::Slot(s)) {
-            true => a.cmp(b),
-            false => cells.value(CellsOf::Slot(s), a).cmp(&cells.value(CellsOf::Slot(s), b)),
-        });
+        self.groups.absorb(table, self.plan.cell_order());
     }
 }
 
@@ -740,29 +737,34 @@ impl Plan {
             let (c, filtered) = tasks[i];
             folder.absorb(c, store.chunk_rows(c) as u64, filtered, ready);
         }
-        Ok((folder.groups.finish(), folder.stats))
+        let groups = folder.groups.finish(self.cell_order());
+        debug_assert!(groups.is_sorted(), "the fold lists its groups in id order");
+        Ok((groups, folder.stats))
+    }
+
+    /// The value order of slot `s`'s MIN/MAX cells: their ids' while the
+    /// argument's dictionary is sorted, their values' once it is tailed.
+    fn cell_order(&self) -> impl Fn(usize, &u32, &u32) -> Ordering + '_ {
+        let cells = IdKeys(self);
+        move |s, a, b| match cells.value_ordered(CellsOf::Slot(s)) {
+            true => a.cmp(b),
+            false => cells.value(CellsOf::Slot(s), a).cmp(&cells.value(CellsOf::Slot(s), b)),
+        }
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
     /// does not share this store's dictionaries (a tree parent merging
-    /// shards): the groups in ascending key order, each column of ids
-    /// translated by one ordered dictionary walk ([`ids_to_values`]), not
-    /// one lookup per group. Dictionaries are bijections, so distinct id
-    /// tuples stay distinct keys.
-    ///
-    /// While every key dictionary is sorted the order is found on the ids
-    /// (a one-key direct fold lists them ascending already); once one is
-    /// tailed the translated keys are sorted by value — which the sorted
-    /// base began, so the sort has a short tail to place.
-    fn value_keyed(&self, mut groups: GroupTable<u32>) -> PartialResult {
+    /// shards): each column of ids translated by one ordered dictionary
+    /// walk ([`ids_to_values`]), not one lookup per group; dictionaries are
+    /// bijections, so distinct id tuples stay distinct keys. The fold's id
+    /// order is key order while every key dictionary is sorted; once one is
+    /// tailed, the keys are sorted by value — which the sorted base began,
+    /// so the sort has a short tail to place.
+    fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
         let cells = IdKeys(self);
-        let ordered_ids = self.key_cols.iter().all(|col| col.dict.is_value_ordered());
-        if ordered_ids {
-            groups.sort_keys();
-        }
         let mut table = groups.map_cells(|of, ids| ids_to_values(cells.dict(of), &ids));
-        if !ordered_ids {
-            table.sort_keys();
+        if !self.key_cols.iter().all(|col| col.dict.is_value_ordered()) {
+            table = table.sort_keys();
         }
         PartialResult::new(table, self.aggs.clone())
     }

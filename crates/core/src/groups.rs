@@ -9,9 +9,10 @@
 //! being position `g` of every column.
 //!
 //! Inside a store a cell (`K`) is a `u32` global-id: a chunk kernel fills a
-//! chunk-local table; that table is the chunk-result cache's payload;
-//! [`GroupFold`] adds chunk tables into the store's table column by
-//! column; the executor's ranking reads columns. Where stores meet, a cell
+//! chunk-local table, its groups born in ascending id order; that table is
+//! the chunk-result cache's payload; [`GroupFold`] folds chunk tables into
+//! the store's table, in the same order; the executor's ranking reads
+//! columns. Where stores meet, a cell
 //! is a [`Value`]: a [`PartialResult`] is the same table, every key and
 //! MIN/MAX column translated once, its groups in **strictly ascending key
 //! order** (key tuples compared column by column in [`Value`]'s total
@@ -25,7 +26,7 @@
 //! query share.
 
 use crate::count_distinct::KmvSketch;
-use pd_common::{Error, FloatSum, FxHashMap, HeapSize, Result, Value};
+use pd_common::{Error, FloatSum, HeapSize, Result, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -115,16 +116,6 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    fn grow(&mut self, len: usize) {
-        match self {
-            Column::Count(v) => v.resize(len, 0),
-            Column::SumInt(v) => v.resize(len, 0),
-            Column::SumFloat(sums) => sums.grow(len),
-            Column::Extreme { best, .. } => best.resize(len, None),
-            Column::Distinct { m, sketches } => sketches.resize(len, KmvSketch::new(*m)),
-        }
-    }
-
     /// Add `from`'s group `j` into group `map[j]`. `order` is the value
     /// order of this slot's MIN/MAX cells.
     fn absorb(&mut self, from: &Column<K>, map: &[u32], order: impl Fn(&K, &K) -> Ordering) {
@@ -153,18 +144,23 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    /// Group `i` becomes the old group `order[i]`.
-    fn reorder(&mut self, order: &[u32]) {
+    /// Group `j` moved to group `to[j]` of `len` (or dropped, if that is
+    /// past the end); the groups nothing moves to are empty.
+    fn spread(self, to: &[u32], len: usize) -> Column<K> {
         match self {
-            Column::Count(v) => permute(v, order),
-            Column::SumInt(v) => permute(v, order),
-            Column::SumFloat(FloatColumn { hi, lo, exact }) => {
-                permute(hi, order);
-                permute(lo, order);
-                permute(exact, order);
+            Column::Count(v) => Column::Count(spread(v, to, len, 0)),
+            Column::SumInt(v) => Column::SumInt(spread(v, to, len, 0)),
+            Column::SumFloat(FloatColumn { hi, lo, exact }) => Column::SumFloat(FloatColumn {
+                hi: spread(hi, to, len, 0.0),
+                lo: spread(lo, to, len, 0.0),
+                exact: spread(exact, to, len, None),
+            }),
+            Column::Extreme { is_min, best } => {
+                Column::Extreme { is_min, best: spread(best, to, len, None) }
             }
-            Column::Extreme { best, .. } => permute(best, order),
-            Column::Distinct { sketches, .. } => permute(sketches, order),
+            Column::Distinct { m, sketches } => {
+                Column::Distinct { m, sketches: spread(sketches, to, len, KmvSketch::new(m)) }
+            }
         }
     }
 
@@ -181,10 +177,40 @@ impl<K: Cell> Column<K> {
     }
 }
 
-/// `v` with element `i` moved from position `order[i]` (a permutation).
-fn permute<T>(v: &mut Vec<T>, order: &[u32]) {
-    let mut old: Vec<Option<T>> = std::mem::take(v).into_iter().map(Some).collect();
-    v.extend(order.iter().map(|&g| old[g as usize].take().expect("`order` is a permutation")));
+/// `len` cells, `v`'s cell `j` at position `to[j]` if that is one of them,
+/// and `empty` where no cell goes.
+fn spread<T: Clone>(v: Vec<T>, to: &[u32], len: usize, empty: T) -> Vec<T> {
+    let mut spread = vec![empty; len];
+    for (cell, &at) in v.into_iter().zip(to) {
+        if let Some(slot) = spread.get_mut(at as usize) {
+            *slot = cell;
+        }
+    }
+    spread
+}
+
+/// The cells of two key columns, one per position `0..len`: `a`'s cell `i`
+/// at `to_a[i]` and `b`'s cell `j` at `to_b[j]`, `a`'s where both have one.
+/// `own` turns a `b` cell into an `a` cell, and sees only those it keeps.
+fn interleave<A, B>(
+    len: u32,
+    a: Vec<A>,
+    to_a: &[u32],
+    b: impl IntoIterator<Item = B>,
+    to_b: &[u32],
+    own: impl Fn(B) -> A,
+) -> Vec<A> {
+    let mut a = to_a.iter().zip(a).peekable();
+    let mut b = to_b.iter().zip(b).peekable();
+    (0..len)
+        .map(|at| {
+            let theirs = b.next_if(|&(&to, _)| to == at);
+            match a.next_if(|&(&to, _)| to == at) {
+                Some((_, cell)) => cell,
+                None => own(theirs.expect("every group is on one side").1),
+            }
+        })
+        .collect()
 }
 
 /// A float-sum column: a double-double `(hi, lo)` per group, with an exact
@@ -226,12 +252,6 @@ impl FloatColumn {
     pub(crate) fn new(len: usize, exact: bool) -> FloatColumn {
         let hi = if exact { f64::NAN } else { 0.0 };
         FloatColumn { hi: vec![hi; len], lo: vec![0.0; len], exact: vec![None; len] }
-    }
-
-    fn grow(&mut self, len: usize) {
-        self.hi.resize(len, 0.0);
-        self.lo.resize(len, 0.0);
-        self.exact.resize(len, None);
     }
 
     #[inline(always)]
@@ -408,17 +428,15 @@ impl<K: Cell> GroupTable<K> {
     }
 
     /// Add the slots of another table of this shape, whose group `j` is
-    /// this table's group `map[j]`; a group past the end is new.
-    /// `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
+    /// this table's group `map[j]`. `order(s, a, b)` is the value order of
+    /// slot `s`'s MIN/MAX cells.
     fn absorb(
         &mut self,
         slots: &[Column<K>],
         map: &[u32],
         order: impl Fn(usize, &K, &K) -> Ordering,
     ) {
-        self.len = map.iter().fold(self.len, |len, &to| len.max(to as usize + 1));
         for (s, (to, from)) in self.slots.iter_mut().zip(slots).enumerate() {
-            to.grow(self.len);
             to.absorb(from, map, |a, b| order(s, a, b));
         }
     }
@@ -433,75 +451,87 @@ impl<K: Cell> GroupTable<K> {
     }
 
     /// Are the groups in strictly ascending key order?
-    fn is_sorted(&self) -> bool {
+    pub(crate) fn is_sorted(&self) -> bool {
         (1..self.len).all(|g| self.cmp_keys(g - 1, self, g).is_lt())
     }
 
-    /// Group `i` becomes the old group `order[i]` (a permutation of the
-    /// groups).
-    pub(crate) fn reorder(&mut self, order: &[u32]) {
-        if order.iter().zip(0..).all(|(&g, i)| g == i) {
-            return;
-        }
-        self.keys.iter_mut().for_each(|cells| permute(cells, order));
-        self.slots.iter_mut().for_each(|slot| slot.reorder(order));
+    /// The groups moved, group `j` to group `to[j]` of `len`, which are
+    /// keyed `keys`; the groups nothing moves to have empty states.
+    fn spread(self, to: &[u32], len: usize, keys: Vec<Vec<K>>) -> GroupTable<K> {
+        let slots = self.slots.into_iter().map(|column| column.spread(to, len)).collect();
+        GroupTable::new(len, keys, slots)
     }
 
-    /// List the groups in ascending key order. The sort is stable and
-    /// adaptive: keys in order already, or two ordered runs, cost a pass.
-    pub(crate) fn sort_keys(&mut self) {
+    /// The groups in ascending key order: for keys translated from a
+    /// dictionary an append has tailed, whose ids do not order like their
+    /// values. The sort is stable and adaptive: keys that the sorted base
+    /// put in order cost a pass.
+    pub(crate) fn sort_keys(self) -> GroupTable<K> {
         let mut order: Vec<u32> = (0..self.len as u32).collect();
-        order.sort_by(|&a, &b| self.cmp_keys(a as usize, self, b as usize));
-        self.reorder(&order);
-    }
-
-    /// Add `other`'s groups to this table's. Both list theirs in strictly
-    /// ascending key order, and so does the result: one two-way walk finds
-    /// the groups they share, the rest are appended — an ordered run behind
-    /// an ordered run, which the sort merges in a pass. A table nobody else
-    /// holds gives its new keys away; one that is shared has them cloned,
-    /// and only them.
-    fn merge_ordered(&mut self, other: Arc<GroupTable<K>>) {
-        let held = self.len;
-        let (mut at, mut new) = (0, held);
-        let map: Vec<u32> = (0..other.len)
-            .map(|j| {
-                let ord = loop {
-                    if at == held {
-                        break Ordering::Greater;
-                    }
-                    match self.cmp_keys(at, &other, j) {
-                        Ordering::Less => at += 1,
-                        ord => break ord,
-                    }
-                };
-                if ord.is_ne() {
-                    new += 1;
-                }
-                (if ord.is_eq() { at } else { new - 1 }) as u32
-            })
+        order.sort_by(|&a, &b| self.cmp_keys(a as usize, &self, b as usize));
+        let mut to = vec![0; self.len];
+        (0..).zip(&order).for_each(|(at, &g)| to[g as usize] = at);
+        let keys = (self.keys.iter())
+            .map(|cells| order.iter().map(|&g| cells[g as usize].clone()).collect())
             .collect();
-        let order = |_, a: &K, b: &K| a.cmp(b);
-        match Arc::try_unwrap(other) {
-            Ok(other) => {
-                for (own, theirs) in self.keys.iter_mut().zip(other.keys) {
-                    let new = theirs.into_iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
-                    own.extend(new.map(|(cell, _)| cell));
-                }
-                self.absorb(&other.slots, &map, order);
-            }
-            Err(other) => {
-                for (own, theirs) in self.keys.iter_mut().zip(&other.keys) {
-                    let new = theirs.iter().zip(&map).filter(|&(_, &to)| to as usize >= held);
-                    own.extend(new.map(|(cell, _)| cell.clone()));
-                }
-                self.absorb(&other.slots, &map, order);
-            }
-        }
-        if self.len > held {
-            self.sort_keys();
-        }
+        let len = self.len;
+        self.spread(&to, len, keys)
     }
+}
+
+/// Add `other`'s groups to `table`'s. Both list theirs in strictly
+/// ascending key order, and so does the result: one walk over both key
+/// columns emits every group once, in order, and maps each side's groups to
+/// the result's. `table`'s states move to their groups, and `other`'s are
+/// added through [`GroupTable::absorb`]; when every group of `other` is one
+/// of `table`'s, they are added in place. A table nobody else holds gives
+/// its cells away; a shared one has them cloned — a shared `other` only its
+/// new keys. `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
+pub(crate) fn merge_tables<K: Cell>(
+    table: &mut Arc<GroupTable<K>>,
+    mut other: Arc<GroupTable<K>>,
+    order: impl Fn(usize, &K, &K) -> Ordering,
+) {
+    if other.len == 0 {
+        return;
+    }
+    let (a, b) = (&**table, &*other);
+    let (mut to_a, mut to_b) = (Vec::with_capacity(a.len), Vec::with_capacity(b.len));
+    let (mut i, mut j, mut len) = (0, 0, 0u32);
+    while i < a.len || j < b.len {
+        let ord = match (i < a.len, j < b.len) {
+            (true, true) => a.cmp_keys(i, b, j),
+            (true, false) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        if ord.is_le() {
+            to_a.push(len);
+            i += 1;
+        }
+        if ord.is_ge() {
+            to_b.push(len);
+            j += 1;
+        }
+        len += 1;
+    }
+    let own = Arc::make_mut(table);
+    if len as usize == own.len {
+        return own.absorb(&other.slots, &to_b, order);
+    }
+    let mut own = std::mem::take(own);
+    let own_keys = std::mem::take(&mut own.keys).into_iter();
+    let (to_a, to_b) = (&to_a[..], &to_b[..]);
+    let keys = match Arc::get_mut(&mut other) {
+        Some(theirs) => (own_keys.zip(std::mem::take(&mut theirs.keys)))
+            .map(|(a, b)| interleave(len, a, to_a, b, to_b, |cell| cell))
+            .collect(),
+        None => (own_keys.zip(&other.keys))
+            .map(|(a, b)| interleave(len, a, to_a, b, to_b, K::clone))
+            .collect(),
+    };
+    let merged = Arc::make_mut(table);
+    *merged = own.spread(to_a, len as usize, keys);
+    merged.absorb(&other.slots, to_b, order);
 }
 
 /// One aggregate's state for one group, given row-wise: the input of
@@ -670,8 +700,8 @@ impl PartialResult {
         Ok((&self.table, &self.aggs))
     }
 
-    /// Merge another partial of the same query into this one: an ordered
-    /// two-way merge of columns. A partial of no columns
+    /// Merge another partial of the same query into this one: one linear
+    /// walk over both key columns (`merge_tables`). A partial of no columns
     /// ([`PartialResult::default`]) is the identity; partials of different
     /// shapes do not merge. Copy-on-write: clones of either side made
     /// before the merge keep what they held.
@@ -686,7 +716,7 @@ impl PartialResult {
         if *self.table == GroupTable::default() {
             *self = other;
         } else if shape(self) == shape(&other) {
-            Arc::make_mut(&mut self.table).merge_ordered(other.table);
+            merge_tables(&mut self.table, other.table, |_, a, b| a.cmp(b));
         } else {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
@@ -721,27 +751,29 @@ impl Column<Value> {
     }
 }
 
-/// The chunk-ordered fold of chunk tables into one store-wide table.
+/// The chunk-ordered fold of chunk tables into one store-wide table, all
+/// in ascending id order.
 ///
-/// Per chunk, every chunk group is mapped to its table slot once — through
-/// a global-id-indexed array when there is one key whose dictionary is
-/// proportionate to the scanned volume (the paper's counts-array), through
-/// a hash index of key tuples otherwise, so a selective query over a store
-/// with an enormous dictionary never allocates `dict.len()` slots for a
-/// handful of groups — and then each slot column adds its chunk column
-/// through that map.
+/// One key whose dictionary is proportionate to the scanned volume folds
+/// the paper's way: the table is a counts array over every id of the
+/// dictionary, each chunk's columns add into it at their groups' ids, and
+/// the ids no chunk showed are dropped at the end. Any other grouping — no
+/// key, several, or a dictionary that dwarfs the scan, where a selective
+/// query must not allocate a slot per id for a handful of groups — merges
+/// the chunk tables pairwise ([`merge_tables`]) in a balanced order: a
+/// merge sort's run stack of tables of 1, 2, 4, … chunks, so a group is
+/// merged O(log k) times over k chunks and O(log k) tables are live.
 pub(crate) struct GroupFold {
-    /// The groups folded so far.
+    /// The counts array; for merges, the table that folding no chunk gives.
     table: GroupTable<u32>,
-    index: SlotIndex,
-    /// The current chunk's groups as table slots.
-    map: Vec<u32>,
+    by: FoldBy,
 }
 
-enum SlotIndex {
-    /// `slot_of[gid]`, `u32::MAX` for an id no chunk has shown.
-    ById(Vec<u32>),
-    ByKey(FxHashMap<Box<[u32]>, u32>),
+enum FoldBy {
+    /// Per id, whether a chunk showed it.
+    ById(Vec<bool>),
+    /// Tables merged from `n` chunks each, `n` halving up the stack.
+    Runs(Vec<(Arc<GroupTable<u32>>, usize)>),
 }
 
 impl GroupFold {
@@ -753,60 +785,62 @@ impl GroupFold {
         kinds: impl Iterator<Item = SlotKind>,
         direct: Option<usize>,
     ) -> GroupFold {
-        let index = match direct {
-            Some(dict_len) => SlotIndex::ById(vec![u32::MAX; dict_len]),
-            None => SlotIndex::ByKey(FxHashMap::default()),
-        };
         let slots = kinds.map(Column::new).collect();
-        let table = GroupTable::new(0, vec![Vec::new(); n_keys], slots);
-        GroupFold { table, index, map: Vec::new() }
+        let empty = GroupTable::new(0, vec![Vec::new(); n_keys], slots);
+        match direct {
+            Some(ids) => GroupFold {
+                table: empty.spread(&[], ids, vec![(0..ids as u32).collect()]),
+                by: FoldBy::ById(vec![false; ids]),
+            },
+            None => GroupFold { table: empty, by: FoldBy::Runs(Vec::new()) },
+        }
     }
 
     /// Add one chunk's table. `order(s, a, b)` is the value order of slot
     /// `s`'s MIN/MAX cells.
     pub(crate) fn absorb(
         &mut self,
-        chunk: &GroupTable<u32>,
+        chunk: Arc<GroupTable<u32>>,
         order: impl Fn(usize, &u32, &u32) -> Ordering,
     ) {
-        let (table, map) = (&mut self.table, &mut self.map);
-        map.clear();
-        match &mut self.index {
-            SlotIndex::ById(slot_of) => map.extend(chunk.keys[0].iter().map(|&gid| {
-                let slot = &mut slot_of[gid as usize];
-                if *slot == u32::MAX {
-                    *slot = table.keys[0].len() as u32;
-                    table.keys[0].push(gid);
+        debug_assert!(chunk.is_sorted(), "a chunk table lists its groups in id order");
+        match &mut self.by {
+            FoldBy::ById(shown) => {
+                chunk.keys[0].iter().for_each(|&gid| shown[gid as usize] = true);
+                self.table.absorb(&chunk.slots, &chunk.keys[0], order);
+            }
+            FoldBy::Runs(runs) => {
+                let (mut run, mut chunks) = (chunk, 1);
+                while runs.last().is_some_and(|&(_, n)| n == chunks) {
+                    let (mut earlier, n) = runs.pop().expect("a run is on the stack");
+                    merge_tables(&mut earlier, run, &order);
+                    (run, chunks) = (earlier, chunks + n);
                 }
-                *slot
-            })),
-            SlotIndex::ByKey(slot_of) => {
-                let mut key = vec![0u32; chunk.keys.len()];
-                map.extend((0..chunk.len).map(|j| {
-                    key.iter_mut().zip(&chunk.keys).for_each(|(k, col)| *k = col[j]);
-                    if let Some(&slot) = slot_of.get(&key[..]) {
-                        return slot;
-                    }
-                    let slot = slot_of.len() as u32;
-                    slot_of.insert(key.clone().into_boxed_slice(), slot);
-                    table.keys.iter_mut().zip(&key).for_each(|(col, &k)| col.push(k));
-                    slot
-                }));
+                runs.push((run, chunks));
             }
         }
-        table.absorb(&chunk.slots, map, order);
     }
 
-    /// The folded table. A global-id index lists its groups in ascending
-    /// id order — the value order of a sorted dictionary, so a consumer
-    /// that needs the keys ordered finds them so.
-    pub(crate) fn finish(self) -> GroupTable<u32> {
-        let mut table = self.table;
-        if let SlotIndex::ById(slot_of) = self.index {
-            let order: Vec<u32> = slot_of.into_iter().filter(|&slot| slot != u32::MAX).collect();
-            table.reorder(&order);
+    /// The folded table.
+    pub(crate) fn finish(self, order: impl Fn(usize, &u32, &u32) -> Ordering) -> GroupTable<u32> {
+        match self.by {
+            FoldBy::ById(shown) => {
+                let ids = (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id);
+                let ids: Vec<u32> = ids.collect();
+                let mut to = vec![u32::MAX; shown.len()];
+                (0..).zip(&ids).for_each(|(at, &id)| to[id as usize] = at);
+                self.table.spread(&to, ids.len(), vec![ids])
+            }
+            FoldBy::Runs(runs) => {
+                let mut runs = runs.into_iter().rev().map(|(run, _)| run);
+                let Some(mut folded) = runs.next() else { return self.table };
+                for mut earlier in runs {
+                    merge_tables(&mut earlier, folded, &order);
+                    folded = earlier;
+                }
+                Arc::unwrap_or_clone(folded)
+            }
         }
-        table
     }
 }
 
@@ -889,26 +923,30 @@ mod tests {
     }
 
     #[test]
-    fn fold_maps_chunk_groups_to_slots_in_both_indexes() {
+    fn both_fold_paths_list_ascending_ids_with_the_same_sums() {
         let chunk = |gids: &[u32], counts: &[u64]| {
-            GroupTable::new(gids.len(), vec![gids.to_vec()], vec![Column::Count(counts.to_vec())])
+            let counts = vec![Column::Count(counts.to_vec())];
+            Arc::new(GroupTable::new(gids.len(), vec![gids.to_vec()], counts))
         };
+        let order = |_: usize, a: &u32, b: &u32| a.cmp(b);
         for direct in [Some(10), None] {
-            let mut fold = GroupFold::new(1, [SlotKind::Count].into_iter(), direct);
-            fold.absorb(&chunk(&[], &[]), |_, a, b| a.cmp(b));
-            fold.absorb(&chunk(&[7, 2], &[1, 2]), |_, a, b| a.cmp(b));
-            fold.absorb(&chunk(&[2, 9, 7], &[10, 20, 30]), |_, a, b| a.cmp(b));
-            // First-seen order under the hash index, ascending ids under
-            // the direct one.
-            let table = fold.finish();
-            let (ids, want) = match direct {
-                Some(_) => ([2, 7, 9], [12, 31, 20]),
-                None => ([7, 2, 9], [31, 12, 20]),
-            };
-            assert_eq!(table.key(0), ids);
+            let fold = || GroupFold::new(1, [SlotKind::Count].into_iter(), direct);
+            let empty = fold().finish(order);
+            assert_eq!((empty.len(), empty.keys.len()), (0, 1), "no chunk: no group, one key");
+            // The ids show up first-seen as 7, 2, 9; five chunks leave
+            // runs of four and one on the merge path's stack.
+            let mut fold = fold();
+            for (gids, counts) in
+                [(&[][..], &[][..]), (&[7], &[1]), (&[2, 7, 9], &[10, 30, 20]), (&[2, 9], &[2, 1])]
+            {
+                fold.absorb(chunk(gids, counts), order);
+            }
+            fold.absorb(chunk(&[9], &[5]), order);
+            let table = fold.finish(order);
+            assert_eq!(table.key(0), [2, 7, 9], "{direct:?}");
             let counts =
                 (0..3).map(|g| table.cell(AggRef { slot: 0, count: None }, g, &|_, _| Value::Null));
-            assert_eq!(counts.collect::<Vec<_>>(), want.map(Value::Int));
+            assert_eq!(counts.collect::<Vec<_>>(), [12, 31, 26].map(Value::Int), "{direct:?}");
         }
     }
 

@@ -20,8 +20,10 @@
 //!   into a single flat array index — no per-row group map, no `Value`
 //!   allocation.
 //! - [`group_codes`] computes the per-row group index for the general case
-//!   (dense mixed-radix when the key-dictionary product is small, a hash
-//!   table of code tuples otherwise) and every group's keys.
+//!   and every group's keys, the groups numbered in ascending key order
+//!   (the mixed-radix numbers of the key codes that occur: counted off a
+//!   flat array when the key-dictionary product is small, sorted as packed
+//!   `u64`s otherwise), so a chunk table is born ordered.
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the group indices with a per-slot
 //!   tight loop, translating codes to values only once per distinct
@@ -40,7 +42,7 @@ use crate::datastore::DataStore;
 use crate::exec::SlotPlan;
 use crate::groups::{Column, FloatColumn, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
-use pd_common::{fx_hash64, BitVec, Error, FxHashMap, Result, Value};
+use pd_common::{fx_hash64, BitVec, Error, Result, Value};
 use pd_encoding::CodesView;
 use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
 use std::cell::OnceCell;
@@ -48,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-chunk dense-grouping limit: products of key-dictionary sizes up to
-/// this use a flat array; larger products fall back to a hash map.
+/// this use a flat array; larger products sort the rows' packed codes.
 pub(crate) const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
 /// Which kernels a scan runs. Both are asserted bit-identical — the switch
@@ -602,20 +604,25 @@ pub(crate) struct GroupIndex {
     pub group_of_row: Vec<u32>,
     /// How many groups there are; some row is in each.
     pub group_count: usize,
-    /// Per key column, the global-id each group has there.
+    /// Per key column, the global-id each group has there, the groups in
+    /// strictly ascending key order.
     pub keys: Vec<Vec<u32>>,
 }
 
-/// Compute group indices for `key_chunks` over `rows` rows.
+/// Compute group indices for `key_chunks` over `rows` rows, numbering the
+/// groups in ascending key-tuple order. Chunk-ids order like global ids, so
+/// this is ascending global-id-tuple order.
 ///
-/// `dense_capacity` is the checked product of the key-dictionary sizes if
-/// it fits [`DENSE_GROUP_LIMIT`] — the caller computes it once per chunk.
-/// With it, a row's group is the mixed-radix number of its key codes
-/// (most-significant key first), renumbered in first-seen order when a mask
-/// or a second key can leave numbers unused: unmasked, one key's codes are
-/// the groups as they stand (every chunk-id occurs in its chunk) and zero
-/// keys make one group. Without it, groups are numbered by a hash table of
-/// code tuples.
+/// A row's key codes packed into a `u64` as a mixed-radix number over
+/// `sizes` (most significant key first) order like its key tuple, and the
+/// groups are the ranks of the passing rows' numbers. `dense_capacity` is
+/// the checked product of the key-dictionary sizes if it fits
+/// [`DENSE_GROUP_LIMIT`] (the caller computes it once per chunk): then the
+/// ranks are counted off a flat array — unmasked, one key's codes are the
+/// groups as they stand (every chunk-id occurs in its chunk) and zero keys
+/// make one group. Otherwise they are found by a sort, and where the product
+/// would overflow a `u64`, the prefix packed so far is replaced by its rank
+/// before the next key is packed: ranks are below 2³², so the packing fits.
 pub(crate) fn group_codes(
     key_chunks: &[&ColumnChunk],
     sizes: &[usize],
@@ -623,63 +630,65 @@ pub(crate) fn group_codes(
     mask: Option<&BitVec>,
     dense_capacity: Option<usize>,
 ) -> GroupIndex {
-    match dense_capacity {
-        Some(capacity) => {
-            let mut group_of_row = match key_chunks.len() {
-                0 => match mask {
-                    None => vec![0u32; rows],
-                    Some(m) => (0..rows).map(|r| if m.get(r) { 0 } else { u32::MAX }).collect(),
-                },
-                1 => dense_one(key_chunks[0].codes(), rows, mask),
-                2 => dense_two(key_chunks[0].codes(), key_chunks[1].codes(), sizes[1], rows, mask),
-                _ => dense_many(key_chunks, sizes, rows, mask),
-            };
-            let mut numbers: Vec<u32> = Vec::new();
-            if mask.is_some() || key_chunks.len() > 1 {
-                let mut group_of = vec![u32::MAX; capacity];
-                for g in group_of_row.iter_mut().filter(|g| **g != u32::MAX) {
-                    let group = &mut group_of[*g as usize];
-                    if *group == u32::MAX {
-                        *group = numbers.len() as u32;
-                        numbers.push(*g);
-                    }
-                    *g = *group;
-                }
-            } else {
-                numbers.extend(0..capacity as u32);
-            }
-            let keys = dense_keys(&numbers, key_chunks, sizes);
-            GroupIndex { group_of_row, group_count: numbers.len(), keys }
-        }
-        None => {
-            let mut map: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
-            let mut keys: Vec<Vec<u32>> = vec![Vec::new(); key_chunks.len()];
-            let mut key_buf: Vec<u32> = vec![0; key_chunks.len()];
-            let mut group_of_row: Vec<u32> = vec![u32::MAX; rows];
-            for (row, slot) in group_of_row.iter_mut().enumerate() {
-                if let Some(m) = mask {
-                    if !m.get(row) {
-                        continue;
-                    }
-                }
-                for (k, ch) in key_buf.iter_mut().zip(key_chunks) {
-                    *k = ch.elements.get(row);
-                }
-                *slot = match map.get(&key_buf[..]) {
-                    Some(&idx) => idx,
-                    None => {
-                        let next = map.len() as u32;
-                        map.insert(key_buf.clone().into_boxed_slice(), next);
-                        for ((col, ch), &k) in keys.iter_mut().zip(key_chunks).zip(&key_buf) {
-                            col.push(ch.dict.global_id_of(k));
-                        }
-                        next
-                    }
-                };
-            }
-            GroupIndex { group_of_row, group_count: map.len(), keys }
-        }
+    if let (None, Some(capacity), [] | [_]) = (mask, dense_capacity, key_chunks) {
+        let group_of_row = match key_chunks {
+            [key] => with_codes!(key.codes(), |get| (0..rows).map(get).collect()),
+            _ => vec![0; rows],
+        };
+        let keys = key_chunks.iter().map(|ch| ch.dict.global_ids().to_vec()).collect();
+        return GroupIndex { group_of_row, group_count: capacity, keys };
     }
+    let passing: Vec<usize> = match mask {
+        Some(m) => m.iter_ones().collect(),
+        None => (0..rows).collect(),
+    };
+    let mut packed = vec![0u64; passing.len()];
+    // Every packed value is below `radix`.
+    let mut radix = 1u64;
+    for (ch, &n) in key_chunks.iter().zip(sizes) {
+        let n = n as u64;
+        if radix.checked_mul(n).is_none() {
+            radix = rank(&mut packed, None);
+        }
+        radix *= n;
+        with_codes!(ch.codes(), |get| {
+            for (p, &row) in packed.iter_mut().zip(&passing) {
+                *p = *p * n + u64::from(get(row));
+            }
+        });
+    }
+    let group_count = rank(&mut packed, dense_capacity) as usize;
+    let mut group_of_row = vec![u32::MAX; rows];
+    // A row of each group, to read its keys off.
+    let mut member = vec![0; group_count];
+    for (&g, &row) in packed.iter().zip(&passing) {
+        group_of_row[row] = g as u32;
+        member[g as usize] = row;
+    }
+    let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.global_id_at(r)).collect());
+    GroupIndex { group_of_row, group_count, keys: keys.collect() }
+}
+
+/// Replace each value by its rank among the distinct values, which are
+/// below `capacity` if one is given; return how many there are.
+fn rank(packed: &mut [u64], capacity: Option<usize>) -> u64 {
+    let Some(capacity) = capacity else {
+        let mut distinct = packed.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for p in packed.iter_mut() {
+            *p = distinct.partition_point(|&d| d < *p) as u64;
+        }
+        return distinct.len() as u64;
+    };
+    let mut rank_of = vec![u32::MAX; capacity];
+    packed.iter().for_each(|&p| rank_of[p as usize] = 0);
+    let mut ranks = 0;
+    for rank in rank_of.iter_mut().filter(|rank| **rank != u32::MAX) {
+        (*rank, ranks) = (ranks, ranks + 1);
+    }
+    packed.iter_mut().for_each(|p| *p = u64::from(rank_of[*p as usize]));
+    u64::from(ranks)
 }
 
 /// Per key column, the global-ids of the mixed-radix group `numbers` over
@@ -698,52 +707,6 @@ pub(crate) fn dense_keys(
             numbers.iter().map(gid).collect()
         })
         .collect()
-}
-
-fn dense_one(view: CodesView<'_>, rows: usize, mask: Option<&BitVec>) -> Vec<u32> {
-    with_codes!(view, |get| match mask {
-        None => (0..rows).map(get).collect(),
-        Some(m) => (0..rows).map(|r| if m.get(r) { get(r) } else { u32::MAX }).collect(),
-    })
-}
-
-fn dense_two(
-    a: CodesView<'_>,
-    b: CodesView<'_>,
-    nb: usize,
-    rows: usize,
-    mask: Option<&BitVec>,
-) -> Vec<u32> {
-    let nb = nb.max(1) as u32;
-    with_codes!(a, |get_a| with_codes!(b, |get_b| {
-        let fused = |r: usize| get_a(r) * nb + get_b(r);
-        match mask {
-            None => (0..rows).map(fused).collect(),
-            Some(m) => (0..rows).map(|r| if m.get(r) { fused(r) } else { u32::MAX }).collect(),
-        }
-    }))
-}
-
-fn dense_many(
-    key_chunks: &[&ColumnChunk],
-    sizes: &[usize],
-    rows: usize,
-    mask: Option<&BitVec>,
-) -> Vec<u32> {
-    let mut group_of_row: Vec<u32> = vec![u32::MAX; rows];
-    for (row, slot) in group_of_row.iter_mut().enumerate() {
-        if let Some(m) = mask {
-            if !m.get(row) {
-                continue;
-            }
-        }
-        let mut idx = 0usize;
-        for (ch, n) in key_chunks.iter().zip(sizes) {
-            idx = idx * (*n).max(1) + ch.elements.get(row) as usize;
-        }
-        *slot = idx as u32;
-    }
-    group_of_row
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,20 +1184,86 @@ mod tests {
         assert_eq!(counts, naive);
     }
 
+    /// `group_codes` against a `BTreeMap` of the passing rows' key tuples,
+    /// over random chunks of 0–3 keys: dense unmasked and masked, sparse,
+    /// and sparse with radices 2⁴⁰ times the dictionary sizes, so that two
+    /// keys already overflow a `u64` and the packing must rank its prefix
+    /// first. The groups are the distinct tuples in strictly ascending
+    /// order, every passing row's group holds that row's tuple, and a
+    /// filtered row stays `u32::MAX`.
     #[test]
-    fn dense_group_codes_fuse_and_mask() {
-        let a: Vec<u32> = (0..50).map(|i| i % 2).collect();
-        let b: Vec<u32> = (0..50).map(|i| i % 5).collect();
-        let ea = elements(&a, 2);
-        let eb = elements(&b, 5);
-        let mask: BitVec = (0..50).map(|i| i != 7).collect();
-        let fused = dense_two(ea.codes(), eb.codes(), 5, 50, Some(&mask));
-        for i in 0..50 {
-            if i == 7 {
-                assert_eq!(fused[i], u32::MAX);
-            } else {
-                assert_eq!(fused[i], a[i] * 5 + b[i]);
+    fn group_codes_number_the_passing_key_tuples_in_ascending_order() {
+        use pd_encoding::ChunkDict;
+        use std::collections::BTreeMap;
+        let mut rng = Rng::seed_from_u64(0x5eed_0036);
+        // Dense unmasked, dense masked, sparse, overflowing.
+        let mut reached = [false; 4];
+        for case in 0..600 {
+            let rows = rng.range_usize(1, 300);
+            let mode = *rng.pick(&[ElementsMode::Basic, ElementsMode::Optimized]);
+            // Each key's chunk as a store builds it: the sorted distinct
+            // global-ids of its rows, and per row its chunk-id.
+            let chunks: Vec<ColumnChunk> = (0..rng.range_usize(0, 4))
+                .map(|_| {
+                    let domain = rng.range_u64(1, 40);
+                    let gids: Vec<u32> =
+                        (0..rows).map(|_| (rng.range_u64(0, domain) * 3 + 1) as u32).collect();
+                    let mut dict = gids.clone();
+                    dict.sort_unstable();
+                    dict.dedup();
+                    let codes: Vec<u32> =
+                        gids.iter().map(|g| dict.binary_search(g).unwrap() as u32).collect();
+                    let elements = Elements::encode(&codes, dict.len() as u32, mode);
+                    ColumnChunk { dict: ChunkDict::from_sorted(dict).unwrap(), elements }
+                })
+                .collect();
+            let key_chunks: Vec<&ColumnChunk> = chunks.iter().collect();
+            let mut sizes: Vec<usize> = chunks.iter().map(|ch| ch.dict.len() as usize).collect();
+            let mask: Option<BitVec> =
+                rng.chance(0.5).then(|| (0..rows).map(|_| rng.chance(0.6)).collect());
+            let dense = match rng.range_usize(0, 3) {
+                0 => Some(sizes.iter().product::<usize>()),
+                1 => None,
+                _ => {
+                    sizes.iter_mut().for_each(|n| *n <<= 40);
+                    None
+                }
+            };
+            let overflows =
+                sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
+            reached[match (dense, overflows) {
+                (Some(_), _) => mask.is_some() as usize,
+                (None, false) => 2,
+                (None, true) => 3,
+            }] = true;
+
+            let passes = |row: usize| mask.as_ref().is_none_or(|m| m.get(row));
+            let tuple =
+                |row: usize| -> Vec<u32> { chunks.iter().map(|ch| ch.global_id_at(row)).collect() };
+            let mut want: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+            (0..rows).filter(|&r| passes(r)).for_each(|r| *want.entry(tuple(r)).or_default() += 1);
+
+            let index = group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense);
+            let label =
+                format!("case {case}: {} keys, sizes {sizes:?}, dense {dense:?}", chunks.len());
+            assert!(index.keys.iter().all(|col| col.len() == index.group_count), "{label}");
+            let groups: Vec<Vec<u32>> = (0..index.group_count)
+                .map(|g| index.keys.iter().map(|col| col[g]).collect())
+                .collect();
+            assert!(groups.windows(2).all(|pair| pair[0] < pair[1]), "{label}: ascending");
+            assert_eq!(groups, want.keys().cloned().collect::<Vec<_>>(), "{label}");
+            let mut members = vec![0; index.group_count];
+            for (row, &g) in index.group_of_row.iter().enumerate() {
+                match passes(row) {
+                    true => assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}"),
+                    false => assert_eq!(g, u32::MAX, "{label}: filtered row {row}"),
+                }
+                if g != u32::MAX {
+                    members[g as usize] += 1;
+                }
             }
+            assert_eq!(members, want.values().copied().collect::<Vec<_>>(), "{label}");
         }
+        assert_eq!(reached, [true; 4], "every path");
     }
 }

@@ -2,7 +2,7 @@
 //! oracle on every supported query shape, under every build variant of the
 //! §3 ladder, with and without the §6 result cache.
 
-use pd_common::{Row, Value};
+use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{
     execute, execute_partial, finalize, query, BuildOptions, DataStore, ExecContext, KernelConfig,
     PartitionSpec, ResultCache,
@@ -159,7 +159,11 @@ fn rows_eq(a: &[Row], b: &[Row]) -> bool {
 }
 
 fn all_variants() -> Vec<(&'static str, BuildOptions)> {
-    let spec = PartitionSpec::new(&["country", "table_name"], 300);
+    variants(PartitionSpec::new(&["country", "table_name"], 300))
+}
+
+/// The §3 ladder, every partitioned rung on `spec`.
+fn variants(spec: PartitionSpec) -> Vec<(&'static str, BuildOptions)> {
     vec![
         ("basic", BuildOptions::basic()),
         ("chunks", BuildOptions::chunked(spec.clone())),
@@ -262,11 +266,89 @@ fn multi_key_group_by_matches_oracle() {
     let stores = build_all(&table);
     for sql in [
         "SELECT country, user, COUNT(*) c FROM data GROUP BY country, user ORDER BY c DESC LIMIT 20",
-        // High-cardinality pair exercises the hash grouping path.
+        // The widest pair of the logs: still at most 1 500 × 10 chunk
+        // groups, inside the dense limit.
         "SELECT table_name, user, COUNT(*) c FROM data GROUP BY table_name, user ORDER BY c DESC LIMIT 20",
         "SELECT country, date(timestamp) d, COUNT(*), SUM(latency) FROM data GROUP BY country, d ORDER BY country ASC LIMIT 30",
     ] {
         check(&table, &stores, sql);
+    }
+
+    // Keys whose chunk-dictionary sizes multiply past what the dense path
+    // takes (2^16), and past a `u64`, where the sparse path ranks a prefix
+    // of the keys before packing the next. Every row's keys are a function
+    // of `k`, so each group holds several rows, which `n` and `x` tell
+    // apart.
+    let schema = Schema::of(&[
+        ("country", DataType::Str),
+        ("table_name", DataType::Str),
+        ("a", DataType::Str),
+        ("b", DataType::Int),
+        ("c", DataType::Str),
+        ("d", DataType::Int),
+        ("e", DataType::Float),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+    ]);
+    let keyed = |rows: usize, distinct: usize, chunk_rows: usize| {
+        let mut table = Table::new(schema.clone());
+        for r in 0..rows {
+            let k = r % distinct;
+            table
+                .push_row(Row(vec![
+                    Value::from(["DE", "US"][r / chunk_rows % 2]),
+                    Value::from(["t0", "t1"][r / (2 * chunk_rows) % 2]),
+                    Value::from(format!("a{k:05}")),
+                    // Multipliers prime to `distinct`: bijections of `k`.
+                    Value::Int((k * 97 % distinct) as i64),
+                    Value::from(format!("c{:05}", k * 4_099 % distinct)),
+                    Value::Int((k * 1_009 % distinct) as i64 - 4_000),
+                    Value::Float(k as f64 * 0.5 + 0.25),
+                    Value::Int((r * 7 % 50) as i64),
+                    Value::Float((r % 13) as f64 * 0.25),
+                ]))
+                .unwrap();
+        }
+        table
+    };
+    let product = |store: &DataStore, keys: &[&str], c: usize| -> u128 {
+        keys.iter().map(|k| store.column(k).unwrap().chunks[c].dict.len() as u128).product()
+    };
+    let aggs = "COUNT(*) cnt, SUM(n), SUM(x), AVG(x), MIN(n), MAX(x), MIN(table_name), \
+                COUNT(DISTINCT n)";
+    let filters =
+        ["", " WHERE n > 20", " WHERE country = 'DE'", " WHERE n > 20 AND country = 'US'"];
+
+    // Two keys over 280 values each, in chunks of 300 rows: 78 400 > 2^16.
+    let pair = keyed(1_200, 280, 300);
+    let stores = build_all(&pair);
+    for (name, store) in &stores {
+        let chunks = 0..store.chunk_count();
+        assert!(chunks.into_iter().any(|c| product(store, &["a", "b"], c) > 1 << 16), "{name}");
+    }
+    for filter in filters {
+        for select in ["COUNT(*) cnt", aggs] {
+            let sql =
+                format!("SELECT a, b, {select} FROM data{filter} GROUP BY a, b ORDER BY a, b");
+            check(&pair, &stores, &sql);
+        }
+    }
+
+    // Five keys over 8 400 values each in one chunk: 8 400^5 > u64::MAX.
+    let five = keyed(16_800, 8_400, 1);
+    let spec = PartitionSpec::new(&["country", "table_name"], five.len());
+    let stores: Vec<_> = (variants(spec).into_iter())
+        .map(|(name, opt)| (name, DataStore::build(&five, &opt).unwrap()))
+        .collect();
+    for (name, store) in &stores {
+        assert_eq!(store.chunk_count(), 1, "{name}");
+        assert!(product(store, &["a", "b", "c", "d", "e"], 0) > u128::from(u64::MAX), "{name}");
+    }
+    for filter in filters {
+        let sql = format!(
+            "SELECT a, b, c, d, e, {aggs} FROM data{filter} GROUP BY a, b, c, d, e ORDER BY cnt DESC, a ASC"
+        );
+        check(&five, &stores, &sql);
     }
 }
 

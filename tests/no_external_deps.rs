@@ -59,3 +59,24 @@ fn pd_dist_holds_no_workload() {
         assert!(!code.iter().any(|line| line.contains(name)), "pd-dist re-exports {name}");
     }
 }
+
+/// `pd-core` groups by order: a chunk's groups are its key tuples in
+/// ascending order, and tables merge as sorted runs, so no map is keyed on
+/// a tuple of key codes.
+#[test]
+fn pd_core_groups_by_order_not_by_hash() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src");
+    let mut sources = 0;
+    for entry in std::fs::read_dir(dir).expect("list pd-core's sources") {
+        let path = entry.expect("read a directory entry").path();
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        sources += 1;
+        let source = std::fs::read_to_string(&path).expect("read a pd-core source");
+        let mut code = source.lines().filter(|line| !line.trim_start().starts_with("//"));
+        let keyed = code.find(|line| line.contains("FxHashMap<Box<[u32]>"));
+        assert_eq!(keyed, None, "{} keys a map on code tuples", path.display());
+    }
+    assert!(sources > 10, "pd-core's sources were found");
+}
