@@ -23,8 +23,8 @@
 //!    `execute` (groups ranked on dictionary ids, ten trie lookups) beats
 //!    `finalize(execute_partial(..))` on the same store (every group
 //!    ordered, translated and ranked as values — what a tree's leaf and
-//!    root do between them), same rows — strictly; the two times are
-//!    *reported* side by side (`top10_rank_on_ids` /
+//!    root do between them), same rows — by at least 1.5×; the two times
+//!    are *reported* side by side (`top10_rank_on_ids` /
 //!    `top10_rank_on_values`), so the record shows what the store's
 //!    boundary costs;
 //! 6. the `COUNT(*)`-only counts-array kernels (one key, and two keys
@@ -32,6 +32,11 @@
 //!    row, then one loop per aggregate slot, which is what the
 //!    materializing configuration runs for the same query — strictly, now
 //!    that neither allocates per group.
+//!
+//! Two cases are reported and not asserted: `bottom10_rank_on_values`
+//! (claim 5's chart ordered `c ASC`, where thousands of groups tie on their
+//! count) and `masked_groupby_5pct` (a grouped `COUNT` and `SUM` under a
+//! restriction that passes a twentieth of every chunk's rows).
 
 use pd_bench::{logs_table, measure_stats, rows_from_env_or, Bench};
 use pd_core::{
@@ -205,6 +210,18 @@ fn main() {
              {ids_time:?} vs {opaque_time:?}"
         );
     }
+    // Reported only: a drill-sized restriction — a twentieth of the time
+    // range, so every chunk is masked — under a grouped COUNT and SUM, which
+    // the counts-array kernels do not take: what a masked chunk's general
+    // path costs.
+    let window = format!("timestamp >= {lo} AND timestamp < {}", lo + (hi - lo) / 20);
+    let sql = format!(
+        "SELECT country, COUNT(*) c, SUM(latency) s FROM data WHERE {window} GROUP BY country"
+    );
+    let selective = analyze(&parse_query(&sql).unwrap()).unwrap();
+    timed("masked_groupby_5pct", || {
+        black_box(execute(&store, &selective, &ctx(KernelConfig::default())).unwrap());
+    });
 
     // 5. Late materialization: the paper's own click shape (`GROUP BY
     // <string> ORDER BY c DESC LIMIT 10`) over the trie-encoded
@@ -228,7 +245,14 @@ fn main() {
         black_box(execute(&store, &top10, &serial).unwrap());
     });
     assert!(
-        on_ids < on_values,
-        "ranking on ids must beat translating every group: {on_ids:?} vs {on_values:?}"
+        on_ids * 3 <= on_values * 2,
+        "ranking on ids must beat translating every group 1.5x: {on_ids:?} vs {on_values:?}"
     );
+    // Reported only: the bottom ten of the same key, where thousands of
+    // groups tie on their count and the tie-break decides who survives.
+    let bottom10 = analyze(&parse_query(&sql.replace("DESC", "ASC")).unwrap()).unwrap();
+    timed("bottom10_rank_on_values", || {
+        let (partial, _) = execute_partial(&store, &bottom10, &serial).unwrap();
+        black_box(finalize(&bottom10, partial).unwrap());
+    });
 }

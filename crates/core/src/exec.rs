@@ -75,6 +75,7 @@ use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext,
 };
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
@@ -321,9 +322,17 @@ fn ids_to_values(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// ORDER BY read are finalized for every group; key cells are compared as
 /// stored wherever that is the value order ([`KeyCells::value_ordered`])
 /// and become values for every group only if HAVING names the key or the
-/// stored order is not the values'. A [`Row`] is built — keys looked up,
-/// remaining aggregates finalized — for the groups that survive LIMIT, so
-/// a top-10 over thousands of groups names ten of them.
+/// stored order is not the values'. With one key compared as stored, the
+/// key cells are not read at all: the table lists its groups in strictly
+/// ascending key order, so two groups' positions order like their keys.
+///
+/// A LIMIT of k is kept in a binary heap of at most k positions, the last
+/// of them on top: each group that passes HAVING is compared with the top
+/// once and enters only if it comes before it, so n groups cost O(n log k)
+/// compares, and the ≤ k survivors are sorted at the end (with no more than
+/// k groups, or no LIMIT, that sort is all there is). A [`Row`] is
+/// built — keys looked up, remaining aggregates finalized — for those
+/// survivors only, so a top-10 over thousands of groups names ten of them.
 ///
 /// The order is total: the ORDER BY keys, ties broken by the whole row,
 /// cell by cell — the output never depends on group-table order, and it is
@@ -405,7 +414,16 @@ fn rank<C: Cell>(
             }
         }
     };
+    // One key compared as stored compares positions. The fold and
+    // `PartialResult::new` leave their groups in key order, and
+    // `PartialResult::from_columns` refuses a decoded partial that is not
+    // ("unsorted or duplicate keys"), so no frame can reach this unsorted.
+    let by_position = analyzed.keys.len() == 1 && key_values[0].is_none();
+    if by_position {
+        debug_assert!(groups.is_sorted(), "a ranked table lists its groups in key order");
+    }
     let cmp_cell = |a: usize, b: usize, idx: usize| match source(idx) {
+        OutputCol::Key(_) if by_position => a.cmp(&b),
         OutputCol::Key(i) => match &key_values[i] {
             Some(values) => values[a].cmp(&values[b]),
             None => groups.key(i)[a].cmp(&groups.key(i)[b]),
@@ -415,16 +433,6 @@ fn rank<C: Cell>(
             None => agg_cell(i, a).cmp(&agg_cell(i, b)),
         },
     };
-
-    let mut kept: Vec<usize> = Vec::with_capacity(groups.len());
-    for g in 0..groups.len() {
-        if passes(&|idx| cell(g, idx))? {
-            kept.push(g);
-        }
-    }
-
-    // With a LIMIT, first select the groups that survive it and sort only
-    // those.
     let order = |a: &usize, b: &usize| {
         for &(idx, desc) in &analyzed.order_by {
             let ord = cmp_cell(*a, *b, idx);
@@ -438,28 +446,47 @@ fn rank<C: Cell>(
             .find(|ord| ord.is_ne())
             .unwrap_or(std::cmp::Ordering::Equal)
     };
-    if let Some(limit) = analyzed.limit {
-        if limit < kept.len() {
-            if limit > 0 {
-                kept.select_nth_unstable_by(limit - 1, order);
+
+    // The first LIMIT groups HAVING passes are kept as they come. If more
+    // follow, the kept ones become a heap with the last on top, and each
+    // later group enters only by displacing it.
+    let limit = analyzed.limit.unwrap_or(usize::MAX);
+    let mut passing = (0..groups.len())
+        .filter_map(|g| passes(&|idx| cell(g, idx)).map(|pass| pass.then_some(g)).transpose())
+        .peekable();
+    let mut kept = Vec::with_capacity(limit.min(groups.len()));
+    for g in passing.by_ref().take(limit) {
+        kept.push(Ranked(g?, &order));
+    }
+    if passing.peek().is_some() {
+        let mut heap = BinaryHeap::from(kept);
+        for g in passing {
+            let g = Ranked(g?, &order);
+            if let Some(mut last) = heap.peek_mut() {
+                if g < *last {
+                    *last = g;
+                }
             }
-            kept.truncate(limit);
         }
+        kept = heap.into_vec();
     }
     // Groups that compare equal are equal in every output column: unstable
     // is exact.
-    kept.sort_unstable_by(order);
+    kept.sort_unstable();
 
     // Only now do the survivors become rows, output column by column.
     let cells: Vec<Vec<Value>> = (0..columns.len())
         .map(|idx| match source(idx) {
             OutputCol::Key(i) => match &key_values[i] {
-                Some(values) => kept.iter().map(|&g| values[g].clone()).collect(),
-                None => domain.values(CellsOf::Key(i), kept.iter().map(|&g| &groups.key(i)[g])),
+                Some(values) => kept.iter().map(|&Ranked(g, _)| values[g].clone()).collect(),
+                None => {
+                    let keys = kept.iter().map(|&Ranked(g, _)| &groups.key(i)[g]);
+                    domain.values(CellsOf::Key(i), keys)
+                }
             },
             OutputCol::Agg(i) => match &agg_cells[i] {
-                Some(cells) => kept.iter().map(|&g| cells[g].clone()).collect(),
-                None => kept.iter().map(|&g| agg_cell(i, g)).collect(),
+                Some(cells) => kept.iter().map(|&Ranked(g, _)| cells[g].clone()).collect(),
+                None => kept.iter().map(|&Ranked(g, _)| agg_cell(i, g)).collect(),
             },
         })
         .collect();
@@ -469,6 +496,30 @@ fn rank<C: Cell>(
         .collect();
     Ok(QueryResult { columns, rows })
 }
+
+/// A group position ordered by the ranking's `order`, so that a max-heap of
+/// them has the last group kept on top.
+struct Ranked<'a, F>(usize, &'a F);
+
+impl<F: Fn(&usize, &usize) -> Ordering> Ord for Ranked<'_, F> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.1)(&self.0, &other.0)
+    }
+}
+
+impl<F: Fn(&usize, &usize) -> Ordering> PartialOrd for Ranked<'_, F> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<F: Fn(&usize, &usize) -> Ordering> PartialEq for Ranked<'_, F> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<F: Fn(&usize, &usize) -> Ordering> Eq for Ranked<'_, F> {}
 
 /// HAVING's view of one output row: the columns it names, resolved to
 /// output positions once per query, read through `cell`.
@@ -833,10 +884,10 @@ impl Plan {
             }
         }
 
-        // Pass A: group index per row (u32::MAX = filtered out).
+        // Pass A: the group of every row, or of every row a mask passes.
         let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
 
-        // What pass B may assume about `group_of_row`: on the unmasked
+        // What pass B may assume about the index: on the unmasked
         // dense path with zero keys every row is group 0, and with one key
         // a row's group is exactly its key code — both let run-aware
         // kernels consume `Elements` runs instead of rows.
@@ -847,9 +898,7 @@ impl Plan {
         };
 
         // Pass B: per-slot tight loops.
-        let accumulate = |slot: &SlotPlan| {
-            kernels::accumulate(slot, c, index.group_count, &index.group_of_row, shape, fast)
-        };
+        let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index, shape, fast);
         let slots = self.slots.iter().map(accumulate).collect();
         Ok(GroupTable::new(index.group_count, index.keys, slots))
     }

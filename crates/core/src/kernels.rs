@@ -19,14 +19,17 @@
 //!   `counts[elements[row]]++` loop, for one key and for two keys fused
 //!   into a single flat array index — no per-row group map, no `Value`
 //!   allocation.
-//! - [`group_codes`] computes the per-row group index for the general case
-//!   and every group's keys, the groups numbered in ascending key order
-//!   (the mixed-radix numbers of the key codes that occur: counted off a
-//!   flat array when the key-dictionary product is small, sorted as packed
-//!   `u64`s otherwise), so a chunk table is born ordered.
+//! - [`group_codes`] computes the [`GroupIndex`] of the general case — a
+//!   group per row of an unmasked chunk; a masked chunk's passing rows and
+//!   a group per passing row, so a row the mask dropped is never visited
+//!   again — and every group's keys, the groups numbered in ascending key
+//!   order (the mixed-radix numbers of the key codes that occur: counted
+//!   off a flat array when the key-dictionary product is small, sorted as
+//!   packed `u64`s otherwise), so a chunk table is born ordered.
 //! - [`accumulate`] fills one aggregate slot's column
-//!   ([`crate::groups::Column`]) over the group indices with a per-slot
-//!   tight loop, translating codes to values only once per distinct
+//!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
+//!   per-slot tight loop (a `COUNT` is a histogram of the groups),
+//!   translating codes to values only once per distinct
 //!   chunk-dictionary entry. `COUNT(DISTINCT …)` first finds the distinct
 //!   (group, code) pairs of the passing rows, then hashes once per code
 //!   that occurs (one ordered `values_of` walk), not once per
@@ -79,15 +82,15 @@ impl KernelConfig {
     }
 }
 
-/// What the caller knows about `group_of_row`'s structure, letting pass B
-/// consume runs instead of rows when groups are derivable from codes.
+/// What the caller knows about a [`GroupIndex`]'s structure, letting pass
+/// B consume runs instead of rows when groups are derivable from codes.
 #[derive(Clone, Copy)]
 pub(crate) enum GroupShape<'a> {
     /// No keys, no mask: every row belongs to group 0.
     AllRows,
     /// One dense key, no mask: a row's group *is* its key code.
     KeyCodes(CodesView<'a>),
-    /// No exploitable structure: use `group_of_row` per row.
+    /// No exploitable structure: read the index row by row.
     General,
 }
 
@@ -598,10 +601,15 @@ pub(crate) fn count_fused(
 // Group-index computation (pass A of the general path)
 // ---------------------------------------------------------------------------
 
-/// The groups of one chunk: every row's group and every group's keys.
+/// The groups of one chunk: the rows they hold, each such row's group and
+/// every group's keys. A masked chunk's index lists only its passing rows,
+/// so pass B costs what the filter lets through, not the chunk's size.
 pub(crate) struct GroupIndex {
-    /// Per row, its group; `u32::MAX` marks a filtered row.
-    pub group_of_row: Vec<u32>,
+    /// A masked chunk's passing rows, ascending; `None`: every row, in
+    /// order.
+    pub rows: Option<Vec<usize>>,
+    /// Per row listed (or, `rows` being `None`, per row), its group.
+    pub groups: Vec<u32>,
     /// How many groups there are; some row is in each.
     pub group_count: usize,
     /// Per key column, the global-id each group has there, the groups in
@@ -609,9 +617,10 @@ pub(crate) struct GroupIndex {
     pub keys: Vec<Vec<u32>>,
 }
 
-/// Compute group indices for `key_chunks` over `rows` rows, numbering the
-/// groups in ascending key-tuple order. Chunk-ids order like global ids, so
-/// this is ascending global-id-tuple order.
+/// Compute the group index of `key_chunks` over `rows` rows, of which
+/// `mask` (if any) passes some, numbering the groups in ascending key-tuple
+/// order. Chunk-ids order like global ids, so this is ascending
+/// global-id-tuple order.
 ///
 /// A row's key codes packed into a `u64` as a mixed-radix number over
 /// `sizes` (most significant key first) order like its key tuple, and the
@@ -631,12 +640,12 @@ pub(crate) fn group_codes(
     dense_capacity: Option<usize>,
 ) -> GroupIndex {
     if let (None, Some(capacity), [] | [_]) = (mask, dense_capacity, key_chunks) {
-        let group_of_row = match key_chunks {
+        let groups = match key_chunks {
             [key] => with_codes!(key.codes(), |get| (0..rows).map(get).collect()),
             _ => vec![0; rows],
         };
         let keys = key_chunks.iter().map(|ch| ch.dict.global_ids().to_vec()).collect();
-        return GroupIndex { group_of_row, group_count: capacity, keys };
+        return GroupIndex { rows: None, groups, group_count: capacity, keys };
     }
     let passing: Vec<usize> = match mask {
         Some(m) => m.iter_ones().collect(),
@@ -658,15 +667,16 @@ pub(crate) fn group_codes(
         });
     }
     let group_count = rank(&mut packed, dense_capacity) as usize;
-    let mut group_of_row = vec![u32::MAX; rows];
+    let mut groups = Vec::with_capacity(passing.len());
     // A row of each group, to read its keys off.
     let mut member = vec![0; group_count];
     for (&g, &row) in packed.iter().zip(&passing) {
-        group_of_row[row] = g as u32;
+        groups.push(g as u32);
         member[g as usize] = row;
     }
     let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.global_id_at(r)).collect());
-    GroupIndex { group_of_row, group_count, keys: keys.collect() }
+    let rows = mask.is_some().then_some(passing);
+    GroupIndex { rows, groups, group_count, keys: keys.collect() }
 }
 
 /// Replace each value by its rank among the distinct values, which are
@@ -714,10 +724,10 @@ pub(crate) fn dense_keys(
 // ---------------------------------------------------------------------------
 
 /// One aggregate slot's column over a chunk: the pass-B loop for `slot`
-/// over `group_of_row`, translating codes to values only once per distinct
-/// chunk-dictionary entry.
+/// over the rows of `index`, translating codes to values only once per
+/// distinct chunk-dictionary entry.
 ///
-/// `shape` describes structure the caller proved about `group_of_row` (see
+/// `shape` describes structure the caller proved about `index` (see
 /// [`GroupShape`]; the materializing baseline passes `General`). Float sums
 /// are exact in every path ([`FloatColumn`]) — the fold across chunks,
 /// threads and shards can then add them in any grouping and still produce
@@ -726,28 +736,23 @@ pub(crate) fn dense_keys(
 pub(crate) fn accumulate(
     slot: &SlotPlan,
     c: usize,
-    group_count: usize,
-    group_of_row: &[u32],
+    index: &GroupIndex,
     shape: GroupShape<'_>,
     fast: bool,
 ) -> Column<u32> {
     let arg = slot.col.as_ref().map(|col| (col, &col.chunks[c]));
+    let group_count = index.group_count;
     match slot.kind {
         SlotKind::Count => {
             let mut counts = vec![0u64; group_count];
             match shape {
                 // No mask: every row counts, straight off the runs.
-                GroupShape::AllRows => counts[0] = group_of_row.len() as u64,
+                GroupShape::AllRows => counts[0] = index.groups.len() as u64,
                 GroupShape::KeyCodes(keys) => {
                     keys.for_each_run(|code, n| counts[code as usize] += n as u64)
                 }
-                GroupShape::General => {
-                    for &g in group_of_row {
-                        if g != u32::MAX {
-                            counts[g as usize] += 1;
-                        }
-                    }
-                }
+                // A histogram of the listed rows' groups.
+                GroupShape::General => index.groups.iter().for_each(|&g| counts[g as usize] += 1),
             }
             Column::Count(counts)
         }
@@ -772,7 +777,7 @@ pub(crate) fn accumulate(
                     joint_runs(keys, chunk.codes(), |kc, ac, n| add(kc as usize, ac, n))
                 }
                 GroupShape::General => {
-                    for_each_member(chunk.codes(), group_of_row, |g, code| add(g, code, 1))
+                    for_each_member(chunk.codes(), index, |g, code| add(g, code, 1))
                 }
             }
             Column::SumInt(sums)
@@ -790,7 +795,7 @@ pub(crate) fn accumulate(
                         .codes()
                         .for_each_run(|code, n| sum.add_repeated(table[code as usize], n as u64));
                 }
-                _ => for_each_member(chunk.codes(), group_of_row, |g, code| {
+                _ => for_each_member(chunk.codes(), index, |g, code| {
                     sums.add(g, table[code as usize])
                 }),
             }
@@ -813,7 +818,7 @@ pub(crate) fn accumulate(
             };
             // Extreme chunk-id per group, `u32::MAX` before the first row.
             let mut best = vec![u32::MAX; group_count];
-            for_each_member(chunk.codes(), group_of_row, |g, id| {
+            for_each_member(chunk.codes(), index, |g, id| {
                 let held = best[g];
                 if held == u32::MAX || if is_min { less(id, held) } else { less(held, id) } {
                     best[g] = id;
@@ -827,8 +832,8 @@ pub(crate) fn accumulate(
             // The distinct (group, code) pairs of the passing rows as
             // ascending `g·n + code`: a sort of every row's pair.
             let n = chunk.dict.len() as usize;
-            let mut pairs: Vec<usize> = Vec::with_capacity(group_of_row.len());
-            for_each_member(chunk.codes(), group_of_row, |g, c| pairs.push(g * n + c as usize));
+            let mut pairs: Vec<usize> = Vec::with_capacity(index.groups.len());
+            for_each_member(chunk.codes(), index, |g, c| pairs.push(g * n + c as usize));
             pairs.sort_unstable();
             pairs.dedup();
             // Hash the value of each code some pair holds, once: chunk-ids
@@ -854,12 +859,18 @@ pub(crate) fn accumulate(
     }
 }
 
-/// `f(group, code)` for every row of a chunk the mask let through.
+/// `f(group, code)` for every row of `index`: a masked chunk's passing rows
+/// only, by their list — no row the mask dropped is visited — or every row.
 #[inline(always)]
-fn for_each_member(codes: CodesView<'_>, group_of_row: &[u32], mut f: impl FnMut(usize, u32)) {
-    with_codes!(codes, |get| {
-        for (row, &g) in group_of_row.iter().enumerate() {
-            if g != u32::MAX {
+fn for_each_member(codes: CodesView<'_>, index: &GroupIndex, mut f: impl FnMut(usize, u32)) {
+    with_codes!(codes, |get| match &index.rows {
+        Some(rows) => {
+            for (&row, &g) in rows.iter().zip(&index.groups) {
+                f(g as usize, get(row));
+            }
+        }
+        None => {
+            for (row, &g) in index.groups.iter().enumerate() {
                 f(g as usize, get(row));
             }
         }
@@ -1189,8 +1200,8 @@ mod tests {
     /// and sparse with radices 2⁴⁰ times the dictionary sizes, so that two
     /// keys already overflow a `u64` and the packing must rank its prefix
     /// first. The groups are the distinct tuples in strictly ascending
-    /// order, every passing row's group holds that row's tuple, and a
-    /// filtered row stays `u32::MAX`.
+    /// order, a masked index lists exactly the passing rows (an unmasked
+    /// one every row), and every listed row's group holds that row's tuple.
     #[test]
     fn group_codes_number_the_passing_key_tuples_in_ascending_order() {
         use pd_encoding::ChunkDict;
@@ -1252,15 +1263,15 @@ mod tests {
                 .collect();
             assert!(groups.windows(2).all(|pair| pair[0] < pair[1]), "{label}: ascending");
             assert_eq!(groups, want.keys().cloned().collect::<Vec<_>>(), "{label}");
+            let passing: Vec<usize> = (0..rows).filter(|&r| passes(r)).collect();
+            let listed = index.rows.clone().unwrap_or_else(|| (0..rows).collect());
+            assert_eq!(index.rows.is_some(), mask.is_some(), "{label}: rows listed iff masked");
+            assert_eq!(listed, passing, "{label}: the passing rows, ascending");
+            assert_eq!(index.groups.len(), listed.len(), "{label}: one group per row listed");
             let mut members = vec![0; index.group_count];
-            for (row, &g) in index.group_of_row.iter().enumerate() {
-                match passes(row) {
-                    true => assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}"),
-                    false => assert_eq!(g, u32::MAX, "{label}: filtered row {row}"),
-                }
-                if g != u32::MAX {
-                    members[g as usize] += 1;
-                }
+            for (&row, &g) in listed.iter().zip(&index.groups) {
+                assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}");
+                members[g as usize] += 1;
             }
             assert_eq!(members, want.values().copied().collect::<Vec<_>>(), "{label}");
         }

@@ -10,12 +10,12 @@ use pd_common::{DataType, FloatSum, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
-    execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext, KmvSketch,
+    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext, KmvSketch,
     PartialResult, PartitionSpec,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{analyze, eval_expr, parse_query, truthy, Restriction, RowContext};
+use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext};
 
 /// Row context over a store's reconstructed cell values.
 struct StoreRow<'a> {
@@ -206,9 +206,43 @@ fn merging_leaves_every_earlier_clone_of_a_shared_table_as_it_was() {
     }
 }
 
+/// `answer` ranks `full` as the definition says — every row sorted as a
+/// whole, then stably by the ORDER BY keys — and under LIMIT 0, 1, 7, 10,
+/// 44, 45, 59, 60, 61, n − 1, n and n + 1 (n rows unlimited) keeps exactly
+/// that order's prefix.
+fn assert_limits_keep_a_full_sorts_prefix(full: &str, answer: impl Fn(&AnalyzedQuery) -> Vec<Row>) {
+    let analyzed = analyze(&parse_query(full).unwrap()).unwrap();
+    let unlimited = answer(&analyzed);
+    let mut want = unlimited.clone();
+    want.sort();
+    want.sort_by(|a, b| {
+        (analyzed.order_by.iter())
+            .map(|&(idx, desc)| {
+                let ord = a.0[idx].cmp(&b.0[idx]);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    assert_eq!(unlimited, want, "{full}");
+    let n = want.len();
+    for limit in [0, 1, 7, 10, 44, 45, 59, 60, 61, n.saturating_sub(1), n, n + 1] {
+        let limited = analyze(&parse_query(&format!("{full} LIMIT {limit}")).unwrap()).unwrap();
+        assert_eq!(answer(&limited), want[..limit.min(n)], "{full} LIMIT {limit}");
+    }
+}
+
 /// Many groups share an ORDER BY key, so which of them survive the LIMIT
 /// is decided by the whole-row tie-break — the selection must agree with
-/// sorting everything, row for row.
+/// sorting everything, row for row: over a partial given row-wise, and
+/// through `execute` on built stores (which must equal
+/// `finalize(execute_partial)`) with one key of ≥ 2 000 groups that tie on
+/// their counts by the thousand, top-k and bottom-k, two keys, a key HAVING
+/// reads, and a key dictionary an append has tailed.
 #[test]
 fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
     let partial = PartialResult::from_states((0..60u64).map(|i| {
@@ -223,32 +257,68 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
             let full = format!(
                 "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k{having} ORDER BY {order}"
             );
-            let analyzed = analyze(&parse_query(&full).unwrap()).unwrap();
-            // The definition: base order by whole row, then a stable sort
-            // on the ORDER BY keys.
-            let unlimited = finalize(&analyzed, partial.clone()).unwrap().rows;
-            let mut want = unlimited.clone();
-            want.sort();
-            want.sort_by(|a, b| {
-                (analyzed.order_by.iter())
-                    .map(|&(idx, desc)| {
-                        let ord = a.0[idx].cmp(&b.0[idx]);
-                        if desc {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    })
-                    .find(|ord| ord.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
+            assert_limits_keep_a_full_sorts_prefix(&full, |analyzed| {
+                finalize(analyzed, partial.clone()).unwrap().rows
             });
-            assert_eq!(unlimited, want, "{full}");
-            for limit in [0usize, 1, 7, 10, 44, 45, 59, 60, 61] {
-                let limited =
-                    analyze(&parse_query(&format!("{full} LIMIT {limit}")).unwrap()).unwrap();
-                let got = finalize(&limited, partial.clone()).unwrap().rows;
-                assert_eq!(got, want[..limit.min(want.len())], "{full} LIMIT {limit}");
-            }
+        }
+    }
+
+    // 2 400 keys of two or three rows each, and seven hot ones.
+    let schema = Schema::of(&[("k", DataType::Str), ("w", DataType::Int), ("n", DataType::Int)]);
+    let row = |r: usize, key: String| {
+        vec![Value::from(key), Value::Int((r % 3) as i64), Value::Int((r * 13 % 17) as i64)]
+    };
+    let columns = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
+        (0..3).map(|c| rows.iter().map(|row| row[c].clone()).collect()).collect()
+    };
+    let base = (0..6_000).map(|r| {
+        let k = if r % 40 == 0 { r / 40 % 7 } else { r * 2_657 % 2_400 };
+        row(r, format!("k{k:04}"))
+    });
+    let table = Table::from_columns(schema.clone(), columns(base.collect())).unwrap();
+    // New keys before every old one and between old ones, and old keys.
+    let tail = (0..300).map(|r| {
+        let key = match r % 3 {
+            0 => format!("a{r:03}"),
+            1 => format!("k{:04}x", r * 7 % 2_400),
+            _ => format!("k{:04}", r * 11 % 2_400),
+        };
+        row(r, key)
+    });
+    let tail = columns(tail.collect());
+    let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
+    let delta = TableDelta::from_columns(schema, &slices).unwrap();
+    let spec = PartitionSpec::new(&["k"], 1_000);
+    let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
+    let trie = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
+    let mut tailed = DataStore::build(&table, &BuildOptions::optcols(spec)).unwrap();
+    tailed.append_delta(&delta).unwrap();
+    assert!(!tailed.column("k").unwrap().dict.is_value_ordered(), "the append tailed `k`");
+
+    let queries = [
+        "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k ORDER BY c DESC",
+        "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k ORDER BY c ASC",
+        "SELECT COUNT(*) c, k FROM t GROUP BY k ORDER BY c ASC",
+        "SELECT k, COUNT(*) c FROM t GROUP BY k ORDER BY k DESC",
+        "SELECT k, SUM(n) s FROM t GROUP BY k HAVING s > 20 ORDER BY s DESC",
+        "SELECT k, COUNT(*) c FROM t GROUP BY k HAVING k < 'k1200' ORDER BY c ASC",
+        "SELECT w, k, COUNT(*) c FROM t GROUP BY k, w ORDER BY c DESC",
+        "SELECT k, w, COUNT(*) c FROM t GROUP BY k, w ORDER BY w ASC",
+        "SELECT w, COUNT(*) c FROM t GROUP BY w ORDER BY c ASC",
+    ];
+    for (label, store) in [("sorted", &sorted), ("trie", &trie), ("tailed", &tailed)] {
+        let by_key = analyze(&parse_query(queries[0]).unwrap()).unwrap();
+        let (groups, _) = execute_partial(store, &by_key, &ExecContext::default()).unwrap();
+        assert!(groups.len() >= 2_000, "{label}: {} groups", groups.len());
+        for sql in queries {
+            assert_limits_keep_a_full_sorts_prefix(sql, |analyzed| {
+                let ctx = ExecContext::default();
+                let (partial, _) = execute_partial(store, analyzed, &ctx).unwrap();
+                let on_values = finalize(analyzed, partial).unwrap();
+                let on_ids = execute(store, analyzed, &ctx).unwrap().0;
+                assert_eq!(on_ids, on_values, "{label}: {sql}");
+                on_ids.rows
+            });
         }
     }
 }

@@ -352,6 +352,80 @@ fn multi_key_group_by_matches_oracle() {
     }
 }
 
+/// A masked chunk's kernels walk only the rows its mask passes: masks that
+/// pass exactly one row of a chunk, none of it, all but one, and about
+/// 2 % of every chunk, under 0, 1 and 2 keys and every aggregate kind.
+#[test]
+fn selective_masks_match_oracle() {
+    // `r` numbers the rows and `g` is `r mod 50`.
+    let schema = Schema::of(&[
+        ("country", DataType::Str),
+        ("table_name", DataType::Str),
+        ("user", DataType::Str),
+        ("latency", DataType::Float),
+        ("n", DataType::Int),
+        ("r", DataType::Int),
+        ("g", DataType::Int),
+    ]);
+    let rows = 3_000usize;
+    let column = |cell: &dyn Fn(usize) -> Value| (0..rows).map(cell).collect::<Vec<_>>();
+    let n = |r: usize| (r * 13 % 101) as i64 - 50;
+    let table = Table::from_columns(
+        schema,
+        vec![
+            column(&|r| Value::from(["DE", "US", "FR", "JP", "BR", "IN"][r * 5 % 6])),
+            column(&|r| Value::from(format!("t{:02}", r * 7 % 40))),
+            column(&|r| Value::from(format!("u{:02}", r * 11 % 12))),
+            column(&|r| Value::Float((r % 97) as f64 * 0.5)),
+            column(&|r| Value::Int(n(r))),
+            column(&|r| Value::Int(r as i64)),
+            column(&|r| Value::Int((r % 50) as i64)),
+        ],
+    )
+    .unwrap();
+    let stores = build_all(&table);
+    // One row of a chunk, none of it, all but one, 2 % of every chunk.
+    let filters = [
+        "r = 777".to_owned(),
+        format!("r = 777 AND n != {}", n(777)),
+        "r != 777".to_owned(),
+        "g = 7".to_owned(),
+    ];
+
+    // Row 777's chunk holds more rows than it, and the first two filters
+    // scan that chunk alone: its mask passes one row, then none.
+    for (name, store) in &stores {
+        let r = store.column("r").unwrap();
+        let (c, _) = (0..store.chunk_count())
+            .flat_map(|c| (0..store.chunk_rows(c)).map(move |row| (c, row)))
+            .find(|&(c, row)| r.value_at(c, row) == Value::Int(777))
+            .unwrap();
+        assert!(store.chunk_rows(c) > 1, "{name}");
+        for filter in &filters[..2] {
+            let sql = format!("SELECT COUNT(*), SUM(n) FROM data WHERE {filter}");
+            let (_, stats) = query(store, &sql).unwrap();
+            assert_eq!(stats.chunks_scanned, 1, "{name}: {filter}");
+            assert_eq!(stats.rows_scanned, store.chunk_rows(c) as u64, "{name}: {filter}");
+        }
+    }
+
+    let aggs = "COUNT(*) cnt, SUM(n), SUM(latency), AVG(latency), MIN(n), MAX(latency), \
+                MIN(table_name), MAX(user), COUNT(DISTINCT n)";
+    for keys in ["", "country", "country, user"] {
+        for select in ["COUNT(*) cnt", aggs] {
+            for filter in &filters {
+                let sql = match keys {
+                    "" => format!("SELECT {select} FROM data WHERE {filter}"),
+                    _ => {
+                        format!("SELECT {keys}, {select} FROM data WHERE {filter} GROUP BY {keys}")
+                    }
+                };
+                check(&table, &stores, &sql);
+            }
+        }
+    }
+}
+
 #[test]
 fn having_matches_oracle() {
     let table = generate_logs(&LogsSpec::scaled(1_500));
