@@ -20,14 +20,16 @@ pub struct Surface {
 
 /// The surfaces named by the contract. `wire.rs` and the two codec files are
 /// decode-or-encode throughout, so the whole file is held to the standard;
-/// `groups.rs` (the two constructors that check decoded columns against the
-/// group table's invariants)/`delta.rs`/`bloom.rs`/`rpc.rs` (and its
+/// `sortkey.rs` (the check every decoded key cell passes), `groups.rs` (the
+/// constructors that check decoded columns against the group table's
+/// invariants)/`delta.rs`/`bloom.rs`/`rpc.rs` (and its
 /// `frame.rs`/`fanout.rs`)/`meta.rs` mix decode paths with
 /// construction-time code, so only the read-side functions are in scope —
 /// among them the two that apply a wire-borne append to a shard summary
 /// (`absorb_into`, `absorb_append`).
 pub const DECODE_SURFACES: &[Surface] = &[
     Surface { path: "crates/common/src/wire.rs", fns: None },
+    Surface { path: "crates/common/src/sortkey.rs", fns: Some(&["check"]) },
     Surface { path: "crates/core/src/codec.rs", fns: None },
     Surface { path: "crates/core/src/groups.rs", fns: Some(&["from_columns", "from_parts"]) },
     Surface { path: "crates/sql/src/codec.rs", fns: None },

@@ -18,6 +18,7 @@ pub const RULE: &str = "wire-drift";
 /// Files whose constants and codec impls define the wire format.
 pub const CODEC_FILES: &[&str] = &[
     "crates/common/src/wire.rs",
+    "crates/common/src/sortkey.rs",
     "crates/core/src/codec.rs",
     "crates/sql/src/codec.rs",
     "crates/encoding/src/delta.rs",

@@ -5,12 +5,22 @@
 //! one-key fold over 20 chunks (the counts array), an ungrouped one (the
 //! pairwise merges of chunk tables), a two-key grouping wider than the
 //! dense limit (the sort of packed key codes), and the merge of two
-//! string-keyed partials, shared and uniquely held.
+//! string-keyed partials, shared and uniquely held. Last, a `table_name`
+//! chart's three steps in a tree, reported side by side and not asserted:
+//! a leaf's `execute_partial` (every name leaves its dictionary as a sort
+//! key) against one store's `execute` (`partial_string_keys`), the merge of
+//! two shards' shared partials (`merge_shared_string_partials`), and the
+//! root's `finalize` over every group, top and bottom ten
+//! (`finalize_<n>_groups`).
 
 use pd_bench::{logs_table, rows_from_env_or, Bench};
 use pd_common::wire::{from_bytes, to_bytes};
 use pd_common::{FxHashMap, Value};
-use pd_core::{execute, AggState, BuildOptions, DataStore, ExecContext, PartialResult};
+use pd_core::{
+    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext,
+    PartialResult,
+};
+use pd_data::Table;
 use pd_encoding::{Elements, ElementsMode};
 use pd_sql::{analyze, parse_query};
 use std::hint::black_box;
@@ -111,4 +121,35 @@ fn main() {
         merged.push(own);
     });
     black_box(merged);
+
+    // A `table_name` chart as a tree answers it.
+    let chart =
+        "SELECT table_name, COUNT(*) c FROM logs GROUP BY table_name ORDER BY c DESC LIMIT 10";
+    let top = analyze(&parse_query(chart).unwrap()).unwrap();
+    bench.case_throughput("partial_string_keys/execute_partial", rows as u64, || {
+        black_box(execute_partial(&store, &top, &ctx).unwrap());
+    });
+    bench.case_throughput("partial_string_keys/execute", rows as u64, || {
+        black_box(execute(&store, &top, &ctx).unwrap());
+    });
+    // Two shards of the rows, alternating: their partials share most names.
+    let table = logs_table(rows);
+    let mut shards = [Table::new(table.schema().clone()), Table::new(table.schema().clone())];
+    (0..table.len()).for_each(|i| shards[i % 2].push_row(table.row(i)).unwrap());
+    let [a, b] = shards.map(|shard| {
+        let store = DataStore::build(&shard, &build).expect("build");
+        execute_partial(&store, &top, &ctx).unwrap().0
+    });
+    bench.case(&format!("merge_shared_string_partials/{}+{}_keys", a.len(), b.len()), || {
+        let mut merged = a.clone();
+        merged.merge(b.clone()).unwrap();
+        black_box(merged);
+    });
+    let (partial, _) = execute_partial(&store, &top, &ctx).unwrap();
+    let bottom = analyze(&parse_query(&chart.replace("DESC", "ASC")).unwrap()).unwrap();
+    for (order, query) in [("c_desc", &top), ("c_asc", &bottom)] {
+        bench.case(&format!("finalize_{}_groups/{order}", partial.len()), || {
+            black_box(finalize(query, partial.clone()).unwrap());
+        });
+    }
 }

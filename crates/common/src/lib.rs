@@ -20,6 +20,8 @@
 //! - [`sync`] — poison-free `Mutex` / `RwLock` wrappers over `std::sync`,
 //! - [`rng`] — a small seedable xoshiro256++ PRNG for generators and load
 //!   models (the workspace carries no external dependencies),
+//! - [`sortkey`] — one `memcmp`-ordered byte string per [`Value`], the
+//!   cells of a group table's key columns where stores meet,
 //! - [`wire`] — the dependency-free binary wire format ([`wire::Encode`] /
 //!   [`wire::Decode`]) that carries partial results, queries and control
 //!   messages across the §4 process boundary bit-identically.
@@ -34,6 +36,7 @@ pub mod mem;
 pub mod rng;
 pub mod row;
 pub mod schema;
+pub mod sortkey;
 pub mod sync;
 pub mod value;
 pub mod wire;

@@ -65,7 +65,10 @@ use std::time::Duration;
 /// analyzed query ships its filter only (the restriction is derived from
 /// it on decode); and a query loses version 4's switch — chunk-granular
 /// pruning is simply what parents and leaves do.
-pub const FRAME_VERSION: u8 = 9;
+/// Version 10: a partial's key column travels as it is held — one buffer
+/// of sort keys (`crate::sortkey`) and each cell's end offset — instead of
+/// one tagged `Value` per cell.
+pub const FRAME_VERSION: u8 = 10;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

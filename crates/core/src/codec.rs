@@ -7,10 +7,14 @@
 //! *bit-identically*, because the distributed equivalence suite asserts
 //! exact equality (floats included) between the process-split tree and the
 //! single-store engine. A partial travels as the columns of its group
-//! table (`crate::groups`), groups in their ascending key order, so equal
-//! tables are equal bytes and `encode(decode(b)) == b`:
+//! table (`crate::groups`), as they are held, groups in their ascending key
+//! order, so equal tables are equal bytes and `encode(decode(b)) == b`:
 //!
-//! - key columns are [`Value`]s, whose floats travel as raw IEEE bits;
+//! - a key column is its one buffer of sort keys ([`pd_common::sortkey`]:
+//!   a tag, then a string's UTF-8 bytes or a number's order-preserving
+//!   bits) and each cell's end offset — no front coding, which would need a
+//!   bounded decode of a prefix that expands past the frame;
+//! - MIN/MAX cells are [`Value`]s, whose floats travel as raw IEEE bits;
 //! - a float-sum slot travels as its 16-byte double-double pair, and as
 //!   its [`pd_common::FloatSum`] superaccumulator (fixed 34-limb array,
 //!   verbatim, see `pd_common::fsum`) only once tainted;
@@ -18,17 +22,19 @@
 //!   merge above the wire equals a merge below it.
 //!
 //! Nothing read is trusted: a column's length is checked against the
-//! bytes that remain before anything is allocated for it, and the
-//! constructors of `crate::groups` hold the columns to the group count,
-//! the keys to their strict order and the aggregates to slots that exist —
-//! a typed [`Error::Data`], never a panic.
+//! bytes that remain before anything is allocated for it (a key column's
+//! buffer is one allocation of its declared length), and the constructors
+//! of `crate::groups` hold every key cell to a tag, its width and UTF-8,
+//! the ends to the buffer, the columns to the group count, the keys to
+//! their strict order (compared as bytes) and the aggregates to slots that
+//! exist — a typed [`Error::Data`], never a panic.
 //!
 //! [`BuildOptions`] is codable too: the driver ships each worker its shard
 //! rows *and* the import recipe, so a worker builds exactly the store the
 //! in-process cluster would have built.
 
 use crate::count_distinct::KmvSketch;
-use crate::groups::{AggRef, Column, FloatColumn, PartialResult};
+use crate::groups::{AggRef, Column, FloatColumn, KeyBytes, PartialResult};
 use crate::options::{BuildOptions, DictMode, PartitionSpec};
 use crate::stats::ScanStats;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -111,6 +117,27 @@ impl Decode for Column<Value> {
             COLUMN_DISTINCT => Column::Distinct { m: usize::decode(r)?, sketches: Vec::decode(r)? },
             other => return Err(Error::Data(format!("wire: invalid state-column tag {other}"))),
         })
+    }
+}
+
+/// A key column as it is held: its buffer, then where each cell ends.
+impl Encode for KeyBytes {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (bytes, ends) = self.parts();
+        (bytes.len() as u64).encode(out);
+        out.extend_from_slice(bytes);
+        ends.encode(out);
+    }
+}
+
+/// One allocation of the buffer's declared length, once the bytes that
+/// remain hold it; `KeyBytes::from_parts` checks the ends and every cell.
+impl Decode for KeyBytes {
+    fn decode(r: &mut Reader<'_>) -> Result<KeyBytes> {
+        let len = r.u64()?;
+        let len = r.check_len(len, 1)?;
+        let bytes = r.take(len)?.to_vec();
+        KeyBytes::from_parts(bytes, Vec::decode(r)?)
     }
 }
 
@@ -251,7 +278,10 @@ mod tests {
         sums.add(1, f64::NAN);
         PartialResult::from_columns(
             2,
-            vec![vec![Value::from("x"), Value::from("x")], vec![Value::Int(3), Value::Int(4)]],
+            vec![
+                [Value::from("x"), Value::from("x")].iter().collect(),
+                [Value::Int(3), Value::Int(4)].iter().collect(),
+            ],
             vec![
                 Column::Count(vec![2, 5]),
                 Column::SumInt(vec![i64::MIN, -1]),
@@ -280,7 +310,7 @@ mod tests {
 
     #[test]
     fn columns_that_break_the_table_are_rejected() {
-        let keys = |cells: [i64; 2]| vec![cells.map(Value::Int).to_vec()];
+        let keys = |cells: [i64; 2]| vec![cells.map(Value::Int).iter().collect()];
         let counts = || vec![Column::Count(vec![1, 2])];
         let reads = |agg: AggRef| vec![agg];
         assert!(PartialResult::from_columns(2, keys([1, 2]), counts(), reads(slot(0))).is_ok());

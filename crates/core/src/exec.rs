@@ -18,13 +18,16 @@
 //! — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
 //! `LIMIT` let through. [`execute_partial`] serves the distributed layer
 //! (§4), whose shards share no dictionary and so must merge by value: it
-//! translates each key and MIN/MAX column once, by one ordered dictionary
-//! walk ([`pd_encoding::GlobalDict::values_of`]) — the same table, its
-//! cells now values and its groups in key order as the fold left them, is
-//! the [`PartialResult`]. Partials merge up the tree as
-//! sorted runs of columns, and [`finalize`] ranks the root's table as it
-//! arrives. Both rankings are one routine, generic over what a cell is, so
-//! `execute(q) == finalize(q, execute_partial(q))` row for row.
+//! writes each key column once as sort keys (`pd_common::sortkey`), by one
+//! ordered dictionary walk that makes no [`Value`]
+//! ([`pd_encoding::GlobalDict::for_each_key`]), and translates each MIN/MAX
+//! column to values — the same table, in the value domain and its groups
+//! in key order as the fold left them, is the [`PartialResult`]. Partials
+//! merge up the tree as sorted runs of columns, comparing and copying key
+//! bytes, and [`finalize`] ranks the root's table as it arrives: off the
+//! state columns and key bytes as stored, decoding keys only for the rows
+//! it returns. Both rankings are one routine, generic over what a cell is,
+//! so `execute(q) == finalize(q, execute_partial(q))` row for row.
 //!
 //! Because every chunk is immutable and per-chunk group states are
 //! mergeable (the same property §4 uses to aggregate across machines),
@@ -63,7 +66,7 @@ use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
 use crate::groups::{
-    AggRef, Cell, CellsOf, Column, GroupFold, GroupTable, PartialResult, SlotKind,
+    AggRef, Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind,
 };
 use crate::kernels::{self, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT};
 use crate::scheduler;
@@ -228,33 +231,43 @@ pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<Quer
 
 /// What [`rank`] needs to know about a group table's cells of type `C`:
 /// its key cells and the cells of its MIN/MAX columns.
-trait KeyCells<C> {
-    /// Does `C`'s own order on these cells equal [`Value::cmp`] on the
-    /// values they stand for?
-    fn value_ordered(&self, of: CellsOf) -> bool;
+trait KeyCells<C: Cell> {
+    /// Does the key column's order as stored ([`Keys::cmp_cells`]) equal
+    /// [`Value::cmp`] on the values its cells stand for?
+    fn value_ordered(&self, key: usize) -> bool;
 
-    /// The value `cell` stands for.
-    fn value(&self, of: CellsOf, cell: &C) -> Value;
+    /// The value MIN/MAX cell `cell` of slot `slot` stands for.
+    fn extreme(&self, slot: usize, cell: &C) -> Value;
 
-    /// `cells` as values, one per cell, in their order.
-    fn values<'a>(&self, of: CellsOf, cells: impl Iterator<Item = &'a C>) -> Vec<Value>
-    where
-        C: 'a,
-    {
-        cells.map(|cell| self.value(of, cell)).collect()
-    }
+    /// The values of key column `i`'s cells `groups`, in that order.
+    fn key_values(
+        &self,
+        i: usize,
+        cells: &C::Keys,
+        groups: impl Iterator<Item = usize>,
+    ) -> Vec<Value>;
 }
 
-/// Cells that are values already (a merged [`PartialResult`]).
+/// Cells of a merged [`PartialResult`]: sort keys, which order as their
+/// values do, and MIN/MAX cells that are values already.
 struct ValueKeys;
 
 impl KeyCells<Value> for ValueKeys {
-    fn value_ordered(&self, _: CellsOf) -> bool {
+    fn value_ordered(&self, _: usize) -> bool {
         true
     }
 
-    fn value(&self, _: CellsOf, cell: &Value) -> Value {
+    fn extreme(&self, _: usize, cell: &Value) -> Value {
         cell.clone()
+    }
+
+    fn key_values(
+        &self,
+        _: usize,
+        cells: &KeyBytes,
+        groups: impl Iterator<Item = usize>,
+    ) -> Vec<Value> {
+        groups.map(|g| cells.value(g)).collect()
     }
 }
 
@@ -264,53 +277,62 @@ impl KeyCells<Value> for ValueKeys {
 struct IdKeys<'a>(&'a Plan);
 
 impl IdKeys<'_> {
-    fn dict(&self, of: CellsOf) -> &GlobalDict {
-        match of {
-            CellsOf::Key(i) => &self.0.key_cols[i].dict,
-            CellsOf::Slot(s) => {
-                &self.0.slots[s].col.as_ref().expect("MIN/MAX has an argument").dict
-            }
-        }
+    /// The dictionary of key column `i`.
+    fn key_dict(&self, i: usize) -> &GlobalDict {
+        &self.0.key_cols[i].dict
+    }
+
+    /// The dictionary of slot `s`'s MIN/MAX argument.
+    fn slot_dict(&self, s: usize) -> &GlobalDict {
+        &self.0.slots[s].col.as_ref().expect("MIN/MAX has an argument").dict
     }
 }
 
 impl KeyCells<u32> for IdKeys<'_> {
-    fn value_ordered(&self, of: CellsOf) -> bool {
-        self.dict(of).is_value_ordered()
+    fn value_ordered(&self, key: usize) -> bool {
+        self.key_dict(key).is_value_ordered()
     }
 
-    fn value(&self, of: CellsOf, id: &u32) -> Value {
-        self.dict(of).value(*id)
+    fn extreme(&self, slot: usize, id: &u32) -> Value {
+        self.slot_dict(slot).value(*id)
     }
 
-    fn values<'a>(&self, of: CellsOf, cells: impl Iterator<Item = &'a u32>) -> Vec<Value> {
-        ids_to_values(self.dict(of), &cells.copied().collect::<Vec<u32>>())
+    fn key_values(
+        &self,
+        i: usize,
+        cells: &Vec<u32>,
+        groups: impl Iterator<Item = usize>,
+    ) -> Vec<Value> {
+        values_of(self.key_dict(i), &groups.map(|g| cells[g]).collect::<Vec<u32>>())
     }
 }
 
-/// The values of `ids` (any order, repeats allowed), one per id: one
+/// The sort keys of `ids` (any order, repeats allowed), one per id: one
 /// ordered dictionary walk over the distinct ids
-/// ([`pd_encoding::GlobalDict::values_of`]) instead of a lookup per id —
-/// for a trie, the difference between one DFS and a root-to-leaf walk per
-/// group.
-fn ids_to_values(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
-    // Positions ordered by id: each packed behind its id, sorted as integers.
-    let mut by_id: Vec<u64> = (0u64..).zip(ids).map(|(at, &id)| u64::from(id) << 32 | at).collect();
-    by_id.sort_unstable();
-    let mut distinct: Vec<u32> = by_id.iter().map(|packed| (packed >> 32) as u32).collect();
-    distinct.dedup();
-    let mut looked_up = dict.values_of(&distinct).into_iter();
-    let mut values = vec![Value::Null; ids.len()];
-    let mut previous: Option<usize> = None;
-    for packed in by_id {
-        let at = packed as u32 as usize;
-        values[at] = match previous {
-            Some(p) if ids[p] == ids[at] => values[p].clone(),
-            _ => looked_up.next().expect("one value per distinct id"),
-        };
-        previous = Some(at);
+/// ([`GlobalDict::for_each_key`]) instead of a lookup per id — for a trie,
+/// the difference between one DFS and a root-to-leaf walk per group — and
+/// no [`Value`] made. Strictly ascending ids (one key over a sorted
+/// dictionary) are the walk's own order: it writes the column directly.
+fn keys_of(dict: &GlobalDict, ids: &[u32]) -> KeyBytes {
+    if ids.windows(2).all(|pair| pair[0] < pair[1]) {
+        // Room for short keys; longer ones grow the buffer.
+        let mut keys = KeyBytes::with_capacity(ids.len(), 16 * ids.len());
+        dict.for_each_key(ids, |key| keys.push(key));
+        return keys;
     }
-    values
+    let mut distinct = ids.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let walked = keys_of(dict, &distinct);
+    let at = |id: &u32| distinct.binary_search(id).expect("every id is walked") as u32;
+    walked.gather(&ids.iter().map(at).collect::<Vec<u32>>())
+}
+
+/// The values of `ids` (any order, repeats allowed), one per id: their
+/// sort keys ([`keys_of`]) decoded.
+fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
+    let keys = keys_of(dict, ids);
+    (0..ids.len()).map(|g| keys.value(g)).collect()
 }
 
 /// HAVING / ORDER BY / LIMIT over a group table, whatever domain its
@@ -318,21 +340,23 @@ fn ids_to_values(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// and [`finalize`] (values — the root of a tree, whose shards do not
 /// share dictionaries). `aggs[i]` names the slots aggregate `i` reads.
 ///
-/// Groups are ranked *by position*. Only the aggregate cells HAVING or
-/// ORDER BY read are finalized for every group; key cells are compared as
-/// stored wherever that is the value order ([`KeyCells::value_ordered`])
-/// and become values for every group only if HAVING names the key or the
-/// stored order is not the values'. With one key compared as stored, the
-/// key cells are not read at all: the table lists its groups in strictly
-/// ascending key order, so two groups' positions order like their keys.
+/// Groups are ranked *by position*, off the columns as they are stored.
+/// An aggregate is compared by its order key, read off its state column
+/// ([`GroupTable::order_key`]: counts and sums as numbers, no [`Value`] per
+/// group); only the cells HAVING reads, and a MIN/MAX the ORDER BY reads,
+/// are finalized for every group. Key cells are compared as stored — ids
+/// of a sorted dictionary, sort keys as bytes — wherever that is the value
+/// order ([`KeyCells::value_ordered`]), and become values for every group
+/// only if HAVING names the key or the stored order is not the values'.
+/// With one key compared as stored, the key cells are not read at all: the
+/// table lists its groups in strictly ascending key order, so two groups'
+/// positions order like their keys — and a chart ordered by that key or by
+/// one aggregate ranks integer pairs ([`pair_order`]).
 ///
-/// A LIMIT of k is kept in a binary heap of at most k positions, the last
-/// of them on top: each group that passes HAVING is compared with the top
-/// once and enters only if it comes before it, so n groups cost O(n log k)
-/// compares, and the ≤ k survivors are sorted at the end (with no more than
-/// k groups, or no LIMIT, that sort is all there is). A [`Row`] is
-/// built — keys looked up, remaining aggregates finalized — for those
-/// survivors only, so a top-10 over thousands of groups names ten of them.
+/// A LIMIT of k keeps at most k groups in a heap ([`first`]), so n groups
+/// cost O(n log k) compares. A [`Row`] is built — keys looked up,
+/// remaining aggregates finalized — for the survivors only, so a top-10
+/// over thousands of groups names ten of them.
 ///
 /// The order is total: the ORDER BY keys, ties broken by the whole row,
 /// cell by cell — the output never depends on group-table order, and it is
@@ -385,23 +409,25 @@ fn rank<C: Cell>(
     }
 
     // Columns the ranking reads for every group, finalized / looked up
-    // once: the aggregates HAVING or ORDER BY name; the keys HAVING names
-    // or whose cells do not order like their values.
-    let extreme = |s: usize, cell: &C| domain.value(CellsOf::Slot(s), cell);
+    // once: the aggregates HAVING names and the MIN/MAX (no order key) ORDER
+    // BY names; the keys HAVING names or whose cells do not order like their
+    // values.
+    let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
     let agg_cell = |i: usize, g: usize| groups.cell(aggs[i], g, &extreme);
+    let order_key = |i: usize, g: usize| groups.order_key(aggs[i], g);
     let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
             let src = OutputCol::Agg(i);
             let ordered_by = analyzed.order_by.iter().any(|&(idx, _)| source(idx) == src);
-            (ordered_by || having_reads(src))
+            (having_reads(src) || ordered_by && order_key(i, 0).is_none())
                 .then(|| (0..groups.len()).map(|g| agg_cell(i, g)).collect())
         })
         .collect();
     let key_values: Vec<Option<Vec<Value>>> = (0..analyzed.keys.len())
         .map(|i| {
-            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(CellsOf::Key(i)))
-                .then(|| domain.values(CellsOf::Key(i), groups.key(i).iter()))
+            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(i))
+                .then(|| domain.key_values(i, groups.key(i), 0..groups.len()))
         })
         .collect();
     let cell = |g: usize, idx: usize| -> Value {
@@ -426,67 +452,57 @@ fn rank<C: Cell>(
         OutputCol::Key(_) if by_position => a.cmp(&b),
         OutputCol::Key(i) => match &key_values[i] {
             Some(values) => values[a].cmp(&values[b]),
-            None => groups.key(i)[a].cmp(&groups.key(i)[b]),
+            None => groups.key(i).cmp_cells(a, groups.key(i), b),
         },
         OutputCol::Agg(i) => match &agg_cells[i] {
             Some(cells) => cells[a].cmp(&cells[b]),
-            None => agg_cell(i, a).cmp(&agg_cell(i, b)),
+            None => match (order_key(i, a), order_key(i, b)) {
+                (Some(x), Some(y)) => x.cmp(&y),
+                _ => agg_cell(i, a).cmp(&agg_cell(i, b)),
+            },
         },
     };
-    let order = |a: &usize, b: &usize| {
-        for &(idx, desc) in &analyzed.order_by {
-            let ord = cmp_cell(*a, *b, idx);
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        (0..columns.len())
-            .map(|idx| cmp_cell(*a, *b, idx))
-            .find(|ord| ord.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
+    // The order: the ORDER BY columns, then the whole row, cell by cell.
+    let compared = || {
+        let row = (0..columns.len()).map(|idx| (idx, false));
+        analyzed.order_by.iter().copied().chain(row)
     };
-
-    // The first LIMIT groups HAVING passes are kept as they come. If more
-    // follow, the kept ones become a heap with the last on top, and each
-    // later group enters only by displacing it.
+    let order = |a: &usize, b: &usize| {
+        compared()
+            .map(|(idx, desc)| if desc { cmp_cell(*b, *a, idx) } else { cmp_cell(*a, *b, idx) })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    };
     let limit = analyzed.limit.unwrap_or(usize::MAX);
-    let mut passing = (0..groups.len())
-        .filter_map(|g| passes(&|idx| cell(g, idx)).map(|pass| pass.then_some(g)).transpose())
-        .peekable();
-    let mut kept = Vec::with_capacity(limit.min(groups.len()));
-    for g in passing.by_ref().take(limit) {
-        kept.push(Ranked(g?, &order));
-    }
-    if passing.peek().is_some() {
-        let mut heap = BinaryHeap::from(kept);
-        for g in passing {
-            let g = Ranked(g?, &order);
-            if let Some(mut last) = heap.peek_mut() {
-                if g < *last {
-                    *last = g;
-                }
-            }
+    let passing = (0..groups.len())
+        .filter_map(|g| passes(&|idx| cell(g, idx)).map(|pass| pass.then_some(g)).transpose());
+    let kept: Vec<usize> = match pair_order(compared(), source, by_position, |i| order_key(i, 0)) {
+        // A group's rank is an integer pair: one aggregate's order key and
+        // the group's position, each reversed where it sorts descending.
+        Some(PairOrder { agg, key_desc }) => {
+            let flip = |desc: bool, word: u128| if desc { !word } else { word };
+            let word = |g: usize| {
+                agg.map_or(0, |(i, desc)| flip(desc, order_key(i, g).expect("an order key")))
+            };
+            let pairs = passing.map(|g| g.map(|g| (word(g), flip(key_desc, g as u128))));
+            first(pairs, limit)?.into_iter().map(|(_, at)| flip(key_desc, at) as usize).collect()
         }
-        kept = heap.into_vec();
-    }
-    // Groups that compare equal are equal in every output column: unstable
-    // is exact.
-    kept.sort_unstable();
+        None => {
+            let ranked = passing.map(|g| g.map(|g| Ranked(g, &order)));
+            first(ranked, limit)?.into_iter().map(|Ranked(g, _)| g).collect()
+        }
+    };
 
     // Only now do the survivors become rows, output column by column.
     let cells: Vec<Vec<Value>> = (0..columns.len())
         .map(|idx| match source(idx) {
             OutputCol::Key(i) => match &key_values[i] {
-                Some(values) => kept.iter().map(|&Ranked(g, _)| values[g].clone()).collect(),
-                None => {
-                    let keys = kept.iter().map(|&Ranked(g, _)| &groups.key(i)[g]);
-                    domain.values(CellsOf::Key(i), keys)
-                }
+                Some(values) => kept.iter().map(|&g| values[g].clone()).collect(),
+                None => domain.key_values(i, groups.key(i), kept.iter().copied()),
             },
             OutputCol::Agg(i) => match &agg_cells[i] {
-                Some(cells) => kept.iter().map(|&Ranked(g, _)| cells[g].clone()).collect(),
-                None => kept.iter().map(|&Ranked(g, _)| agg_cell(i, g)).collect(),
+                Some(cells) => kept.iter().map(|&g| cells[g].clone()).collect(),
+                None => kept.iter().map(|&g| agg_cell(i, g)).collect(),
             },
         })
         .collect();
@@ -495,6 +511,69 @@ fn rank<C: Cell>(
         .map(|_| Row(cells.iter_mut().map(|col| col.next().expect("one cell per row")).collect()))
         .collect();
     Ok(QueryResult { columns, rows })
+}
+
+/// The first `limit` of `items` in order. The first `limit` are kept as
+/// they come; if more follow, the kept ones become a heap with the last on
+/// top, and each later item is compared with the top once and enters only
+/// by displacing it — O(n log k) compares for n items, no sorted insert.
+/// The ≤ k survivors are sorted at the end; with no more than k items, that
+/// sort is all there is.
+fn first<T: Ord>(items: impl Iterator<Item = Result<T>>, limit: usize) -> Result<Vec<T>> {
+    let mut items = items.peekable();
+    let mut kept = Vec::with_capacity(limit.min(items.size_hint().1.unwrap_or(0)));
+    for item in items.by_ref().take(limit) {
+        kept.push(item?);
+    }
+    if items.peek().is_some() {
+        let mut heap = BinaryHeap::from(kept);
+        for item in items {
+            let item = item?;
+            if let Some(mut last) = heap.peek_mut() {
+                if item < *last {
+                    *last = item;
+                }
+            }
+        }
+        kept = heap.into_vec();
+    }
+    // Items that compare equal are equal in every output column: unstable
+    // is exact.
+    kept.sort_unstable();
+    Ok(kept)
+}
+
+/// A total order that is an integer pair per group: at most one aggregate
+/// (and whether it sorts descending), then the group's position (and
+/// whether it sorts descending).
+struct PairOrder {
+    agg: Option<(usize, bool)>,
+    key_desc: bool,
+}
+
+/// The order's comparisons `compared` as a [`PairOrder`], if they come to
+/// one: up to the first that names the key (compared by position, so no two
+/// groups tie there), every one names one aggregate that has order keys
+/// (`keyed`: not a MIN/MAX) — a repeat of it ties wherever the first
+/// compare did. Ending without the key is a pair too: groups tied on every
+/// output column are equal rows, and position only picks among them. This
+/// is every chart `SELECT k, … GROUP BY k ORDER BY <aggregate or k>`.
+fn pair_order(
+    compared: impl Iterator<Item = (usize, bool)>,
+    source: impl Fn(usize) -> OutputCol,
+    by_position: bool,
+    keyed: impl Fn(usize) -> Option<u128>,
+) -> Option<PairOrder> {
+    let mut agg: Option<(usize, bool)> = None;
+    for (idx, desc) in compared {
+        match source(idx) {
+            OutputCol::Key(_) => return by_position.then_some(PairOrder { agg, key_desc: desc }),
+            OutputCol::Agg(i) if agg.is_some_and(|(first, _)| first == i) => {}
+            OutputCol::Agg(i) if agg.is_none() && keyed(i).is_some() => agg = Some((i, desc)),
+            OutputCol::Agg(_) => return None,
+        }
+    }
+    Some(PairOrder { agg, key_desc: false })
 }
 
 /// A group position ordered by the ranking's `order`, so that a max-heap of
@@ -797,23 +876,27 @@ impl Plan {
     /// argument's dictionary is sorted, their values' once it is tailed.
     fn cell_order(&self) -> impl Fn(usize, &u32, &u32) -> Ordering + '_ {
         let cells = IdKeys(self);
-        move |s, a, b| match cells.value_ordered(CellsOf::Slot(s)) {
+        move |s, a, b| match cells.slot_dict(s).is_value_ordered() {
             true => a.cmp(b),
-            false => cells.value(CellsOf::Slot(s), a).cmp(&cells.value(CellsOf::Slot(s), b)),
+            false => cells.extreme(s, a).cmp(&cells.extreme(s, b)),
         }
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
     /// does not share this store's dictionaries (a tree parent merging
-    /// shards): each column of ids translated by one ordered dictionary
-    /// walk ([`ids_to_values`]), not one lookup per group; dictionaries are
+    /// shards): each key column of ids written as sort keys, and each
+    /// MIN/MAX column translated to values, by one ordered dictionary walk
+    /// ([`keys_of`]), not one lookup per group; dictionaries are
     /// bijections, so distinct id tuples stay distinct keys. The fold's id
     /// order is key order while every key dictionary is sorted; once one is
     /// tailed, the keys are sorted by value — which the sorted base began,
     /// so the sort has a short tail to place.
     fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
         let cells = IdKeys(self);
-        let mut table = groups.map_cells(|of, ids| ids_to_values(cells.dict(of), &ids));
+        let mut table = groups.into_values(
+            |i, ids| keys_of(cells.key_dict(i), ids),
+            |s, ids| values_of(cells.slot_dict(s), &ids),
+        );
         if !self.key_cols.iter().all(|col| col.dict.is_value_ordered()) {
             table = table.sort_keys();
         }

@@ -8,31 +8,210 @@
 //! expression and one typed **state column** per aggregate slot, group `g`
 //! being position `g` of every column.
 //!
-//! Inside a store a cell (`K`) is a `u32` global-id: a chunk kernel fills a
-//! chunk-local table, its groups born in ascending id order; that table is
-//! the chunk-result cache's payload; [`GroupFold`] folds chunk tables into
-//! the store's table, in the same order; the executor's ranking reads
-//! columns. Where stores meet, a cell
-//! is a [`Value`]: a [`PartialResult`] is the same table, every key and
-//! MIN/MAX column translated once, its groups in **strictly ascending key
-//! order** (key tuples compared column by column in [`Value`]'s total
-//! order). The order is what makes the tree cheap: two partials merge like
-//! sorted runs ([`PartialResult::merge`] — nothing is hashed), equality is
-//! column equality, the wire form is deterministic, and the root ranks the
-//! columns as they arrive.
+//! Inside a store (the *id domain*) a cell (`K`) is a `u32` global-id and a
+//! key column a `Vec<u32>`: a chunk kernel fills a chunk-local table, its
+//! groups born in ascending id order; that table is the chunk-result
+//! cache's payload; [`GroupFold`] folds chunk tables into the store's
+//! table, in the same order; the executor's ranking reads columns. Where
+//! stores meet (the *value domain*) a cell is a [`Value`]: a
+//! [`PartialResult`] is the same table, every key column one byte buffer
+//! ([`KeyBytes`]) of sort keys ([`pd_common::sortkey`], which `memcmp`
+//! orders as [`Value::cmp`] orders the values), written by one ordered
+//! dictionary walk, and every MIN/MAX column translated to values once. Its
+//! groups are in **strictly ascending key order** (key tuples compared
+//! column by column). The order is what makes the tree cheap: two partials
+//! merge like sorted runs ([`PartialResult::merge`] — nothing is hashed,
+//! keys are compared as byte slices and copied as bytes), equality is
+//! column equality, the wire form is the columns as they are held, and the
+//! root ranks the columns as they arrive, making a [`Value`] only for a
+//! row it returns.
 //!
 //! `AVG` is not a column: the plan lowers it to a float-sum slot and a
 //! count slot ([`AggRef::count`]), which `SUM(x)` / `COUNT(*)` of the same
 //! query share.
 
 use crate::count_distinct::KmvSketch;
-use pd_common::{Error, FloatSum, HeapSize, Result, Value};
+use pd_common::{sortkey, Error, FloatSum, HeapSize, Result, Value};
 use std::cmp::Ordering;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-/// What a group table's cells are: global-ids or values.
-pub(crate) trait Cell: Ord + Clone + HeapSize {}
-impl<T: Ord + Clone + HeapSize> Cell for T {}
+/// What a group table's cells are — global-ids in a store, values where
+/// stores meet — and how that domain holds a key column of them.
+pub(crate) trait Cell: Clone + HeapSize {
+    type Keys: Keys;
+}
+
+impl Cell for u32 {
+    type Keys = Vec<u32>;
+}
+
+impl Cell for Value {
+    type Keys = KeyBytes;
+}
+
+/// A key column: global-ids in a store, sort keys where stores meet.
+pub(crate) trait Keys: Clone + Debug + Default + PartialEq {
+    fn len(&self) -> usize;
+
+    /// The order of cell `a` and `other`'s cell `b` as stored: ids, or
+    /// the values' order for sort keys.
+    fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering;
+
+    /// The cells at `order`, in that order.
+    fn gather(&self, order: &[u32]) -> Self;
+
+    /// The cells of two columns at positions `0..len`: `a`'s cell `i` at
+    /// `to_a[i]` and `b`'s cell `j` at `to_b[j]`, `a`'s where both have one.
+    fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self;
+
+    /// The bytes the cells take, for cache admission.
+    fn bytes(&self) -> usize;
+}
+
+impl Keys for Vec<u32> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering {
+        self[a].cmp(&other[b])
+    }
+
+    fn gather(&self, order: &[u32]) -> Self {
+        order.iter().map(|&g| self[g as usize]).collect()
+    }
+
+    fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self {
+        let mut cells = Vec::with_capacity(len as usize);
+        interleave(len, to_a, to_b, |from_a, k| cells.push(if from_a { a[k] } else { b[k] }));
+        cells
+    }
+
+    fn bytes(&self) -> usize {
+        self.len() * size_of::<u32>()
+    }
+}
+
+/// A key column where stores meet: the sort key ([`pd_common::sortkey`])
+/// of every cell, laid end to end in one buffer, and where each ends.
+/// Comparing two cells' bytes compares their values, so a merge compares
+/// slices and copies bytes, and a copy of the column is two buffer copies;
+/// a cell becomes a [`Value`] only when it is read as one
+/// ([`KeyBytes::value`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct KeyBytes {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl KeyBytes {
+    /// A column with room for `cells` cells of `bytes` bytes in all.
+    pub(crate) fn with_capacity(cells: usize, bytes: usize) -> KeyBytes {
+        KeyBytes { bytes: Vec::with_capacity(bytes), ends: Vec::with_capacity(cells) }
+    }
+
+    /// Append a cell given as its sort key.
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.end_cell();
+    }
+
+    fn push_value(&mut self, value: &Value) {
+        sortkey::encode(value, &mut self.bytes);
+        self.end_cell();
+    }
+
+    fn end_cell(&mut self) {
+        let end = u32::try_from(self.bytes.len()).expect("a key column holds under 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Cell `g`'s sort key.
+    pub(crate) fn get(&self, g: usize) -> &[u8] {
+        let start = g.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.bytes[start as usize..self.ends[g] as usize]
+    }
+
+    /// Cell `g` as a value.
+    pub(crate) fn value(&self, g: usize) -> Value {
+        sortkey::decode(self.get(g))
+    }
+
+    /// The column as it crosses the wire: the buffer and the cells' ends.
+    pub(crate) fn parts(&self) -> (&Vec<u8>, &Vec<u32>) {
+        (&self.bytes, &self.ends)
+    }
+
+    /// A column from its decoded [`KeyBytes::parts`], every cell checked:
+    /// ends that ascend within the buffer and reach its end, and cells
+    /// [`sortkey::check`] accepts.
+    pub(crate) fn from_parts(bytes: Vec<u8>, ends: Vec<u32>) -> Result<KeyBytes> {
+        let mut start = 0;
+        for &end in &ends {
+            let cell = bytes.get(start..end as usize).ok_or_else(|| {
+                Error::Data("wire: key column ends descend or pass its bytes".into())
+            })?;
+            sortkey::check(cell)?;
+            start = end as usize;
+        }
+        if start != bytes.len() {
+            return Err(Error::Data("wire: key column has bytes past its last cell".into()));
+        }
+        Ok(KeyBytes { bytes, ends })
+    }
+}
+
+impl<'a> FromIterator<&'a Value> for KeyBytes {
+    fn from_iter<I: IntoIterator<Item = &'a Value>>(values: I) -> KeyBytes {
+        let mut keys = KeyBytes::default();
+        values.into_iter().for_each(|value| keys.push_value(value));
+        keys
+    }
+}
+
+impl Keys for KeyBytes {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering {
+        self.get(a).cmp(other.get(b))
+    }
+
+    fn gather(&self, order: &[u32]) -> Self {
+        // Exact for a permutation, the mean cell's size otherwise.
+        let bytes = self.bytes.len() * order.len() / self.len().max(1);
+        let mut cells = KeyBytes::with_capacity(order.len(), bytes);
+        order.iter().for_each(|&g| cells.push(self.get(g as usize)));
+        cells
+    }
+
+    fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self {
+        let mut cells = KeyBytes::with_capacity(len as usize, a.bytes.len() + b.bytes.len());
+        interleave(len, to_a, to_b, |from_a, k| {
+            cells.push(if from_a { a.get(k) } else { b.get(k) })
+        });
+        cells
+    }
+
+    fn bytes(&self) -> usize {
+        self.bytes.len() + self.ends.len() * size_of::<u32>()
+    }
+}
+
+/// Where each position `0..len` of two merged columns takes its cell from:
+/// `put(true, i)` for `a`'s cell `i` (`to_a[i]` is the position; `a`'s
+/// where both have one), `put(false, j)` for `b`'s cell `j`.
+fn interleave(len: u32, to_a: &[u32], to_b: &[u32], mut put: impl FnMut(bool, usize)) {
+    let (mut i, mut j) = (0, 0);
+    for at in 0..len {
+        let (ours, theirs) = (to_a.get(i) == Some(&at), to_b.get(j) == Some(&at));
+        put(ours, if ours { i } else { j });
+        i += usize::from(ours);
+        j += usize::from(theirs);
+    }
+}
 
 /// What one aggregate slot accumulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +230,6 @@ pub(crate) enum SlotKind {
 pub(crate) struct AggRef {
     pub(crate) slot: usize,
     pub(crate) count: Option<usize>,
-}
-
-/// Which cells a domain question is about: key column `i`, or the MIN/MAX
-/// cells of aggregate slot `s` (cells of the slot's argument column).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CellsOf {
-    Key(usize),
-    Slot(usize),
 }
 
 /// The value of a MIN/MAX cell of a slot.
@@ -187,30 +358,6 @@ fn spread<T: Clone>(v: Vec<T>, to: &[u32], len: usize, empty: T) -> Vec<T> {
         }
     }
     spread
-}
-
-/// The cells of two key columns, one per position `0..len`: `a`'s cell `i`
-/// at `to_a[i]` and `b`'s cell `j` at `to_b[j]`, `a`'s where both have one.
-/// `own` turns a `b` cell into an `a` cell, and sees only those it keeps.
-fn interleave<A, B>(
-    len: u32,
-    a: Vec<A>,
-    to_a: &[u32],
-    b: impl IntoIterator<Item = B>,
-    to_b: &[u32],
-    own: impl Fn(B) -> A,
-) -> Vec<A> {
-    let mut a = to_a.iter().zip(a).peekable();
-    let mut b = to_b.iter().zip(b).peekable();
-    (0..len)
-        .map(|at| {
-            let theirs = b.next_if(|&(&to, _)| to == at);
-            match a.next_if(|&(&to, _)| to == at) {
-                Some((_, cell)) => cell,
-                None => own(theirs.expect("every group is on one side").1),
-            }
-        })
-        .collect()
 }
 
 /// A float-sum column: a double-double `(hi, lo)` per group, with an exact
@@ -342,17 +489,17 @@ fn pair_sum(hi: f64, lo: f64) -> FloatSum {
     sum
 }
 
-/// Grouped aggregation states, struct-of-arrays: group `g` is `keys[i][g]`
-/// for every key column and position `g` of every slot.
+/// Grouped aggregation states, struct-of-arrays: group `g` is cell `g` of
+/// every key column and position `g` of every slot.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GroupTable<K> {
+pub(crate) struct GroupTable<K: Cell> {
     len: usize,
-    keys: Vec<Vec<K>>,
+    keys: Vec<K::Keys>,
     slots: Vec<Column<K>>,
 }
 
 /// No groups, no columns.
-impl<K> Default for GroupTable<K> {
+impl<K: Cell> Default for GroupTable<K> {
     fn default() -> GroupTable<K> {
         GroupTable { len: 0, keys: Vec::new(), slots: Vec::new() }
     }
@@ -360,7 +507,7 @@ impl<K> Default for GroupTable<K> {
 
 impl<K: Cell> GroupTable<K> {
     /// `len` groups given column by column.
-    pub(crate) fn new(len: usize, keys: Vec<Vec<K>>, slots: Vec<Column<K>>) -> GroupTable<K> {
+    pub(crate) fn new(len: usize, keys: Vec<K::Keys>, slots: Vec<Column<K>>) -> GroupTable<K> {
         debug_assert!(keys.iter().all(|col| col.len() == len));
         GroupTable { len, keys, slots }
     }
@@ -370,23 +517,22 @@ impl<K: Cell> GroupTable<K> {
     }
 
     /// Key column `i`.
-    pub(crate) fn key(&self, i: usize) -> &[K] {
+    pub(crate) fn key(&self, i: usize) -> &K::Keys {
         &self.keys[i]
     }
 
     /// Approximate in-memory footprint, for cost-aware cache admission.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let keys = self.keys.iter().flatten().map(HeapSize::total_bytes).sum::<usize>();
+        let keys = self.keys.iter().map(Keys::bytes).sum::<usize>();
         keys + self.slots.iter().map(Column::approx_bytes).sum::<usize>()
     }
 
     /// `agg`'s output cell for group `g`.
     pub(crate) fn cell(&self, agg: AggRef, g: usize, extreme: &Extreme<'_, K>) -> Value {
         match (&self.slots[agg.slot], agg.count.map(|count| &self.slots[count])) {
-            (Column::SumFloat(sums), Some(Column::Count(n))) => match n[g] {
-                0 => Value::Null,
-                n => Value::Float(sums.value(g) / n as f64),
-            },
+            (Column::SumFloat(sums), Some(Column::Count(n))) => {
+                average(sums, n, g).map_or(Value::Null, Value::Float)
+            }
             (_, Some(_)) => unreachable!("AVG reads a float-sum slot and a count slot"),
             (Column::Count(n), None) => Value::Int(n[g] as i64),
             (Column::SumInt(sums), None) => Value::Int(sums[g]),
@@ -394,37 +540,31 @@ impl<K: Cell> GroupTable<K> {
             (Column::Extreme { best, .. }, None) => {
                 best[g].as_ref().map_or(Value::Null, |cell| extreme(agg.slot, cell))
             }
-            (Column::Distinct { sketches, .. }, None) => {
-                Value::Int(sketches[g].estimate().round() as i64)
-            }
+            (Column::Distinct { sketches, .. }, None) => Value::Int(estimate(&sketches[g])),
         }
     }
 
-    /// The same groups with every key and MIN/MAX cell translated,
-    /// a column at a time.
-    pub(crate) fn map_cells<V>(
-        self,
-        translate: impl Fn(CellsOf, Vec<K>) -> Vec<V>,
-    ) -> GroupTable<V> {
-        let keys = (self.keys.into_iter().enumerate())
-            .map(|(i, cells)| translate(CellsOf::Key(i), cells))
-            .collect();
-        let slots = (self.slots.into_iter().enumerate())
-            .map(|(s, column)| match column {
-                Column::Count(v) => Column::Count(v),
-                Column::SumInt(v) => Column::SumInt(v),
-                Column::SumFloat(f) => Column::SumFloat(f),
-                Column::Distinct { m, sketches } => Column::Distinct { m, sketches },
-                Column::Extreme { is_min, best } => {
-                    let present = best.iter().flatten().cloned().collect();
-                    let mut translated = translate(CellsOf::Slot(s), present).into_iter();
-                    let best =
-                        best.iter().map(|cell| cell.as_ref().and_then(|_| translated.next()));
-                    Column::Extreme { is_min, best: best.collect() }
-                }
-            })
-            .collect();
-        GroupTable { len: self.len, keys, slots }
+    /// `agg`'s output cell for group `g` as a number that orders as the
+    /// cells do ([`Value::cmp`] of what [`GroupTable::cell`] returns, for one
+    /// aggregate's cells), read off the state columns as they are stored:
+    /// counts, integer sums and sketches' rounded estimates as integers,
+    /// float sums and averages in `f64` total order (`pd_common::sortkey`'s
+    /// words), an average over no rows (`Null`) first. `None` for MIN/MAX,
+    /// whose cells only the caller can turn into values.
+    pub(crate) fn order_key(&self, agg: AggRef, g: usize) -> Option<u128> {
+        let word = match (&self.slots[agg.slot], agg.count.map(|count| &self.slots[count])) {
+            (Column::SumFloat(sums), Some(Column::Count(n))) => match average(sums, n, g) {
+                Some(x) => sortkey::float_word(x),
+                None => return Some(0),
+            },
+            (_, Some(_)) => unreachable!("AVG reads a float-sum slot and a count slot"),
+            (Column::Count(n), None) => sortkey::int_word(n[g] as i64),
+            (Column::SumInt(sums), None) => sortkey::int_word(sums[g]),
+            (Column::SumFloat(sums), None) => sortkey::float_word(sums.value(g)),
+            (Column::Distinct { sketches, .. }, None) => sortkey::int_word(estimate(&sketches[g])),
+            (Column::Extreme { .. }, None) => return None,
+        };
+        Some(u128::from(word) + 1)
     }
 
     /// Add the slots of another table of this shape, whose group `j` is
@@ -445,7 +585,7 @@ impl<K: Cell> GroupTable<K> {
     /// key tuples, column by column.
     fn cmp_keys(&self, a: usize, other: &GroupTable<K>, b: usize) -> Ordering {
         (self.keys.iter().zip(&other.keys))
-            .map(|(own, theirs)| own[a].cmp(&theirs[b]))
+            .map(|(own, theirs)| own.cmp_cells(a, theirs, b))
             .find(|ord| ord.is_ne())
             .unwrap_or(Ordering::Equal)
     }
@@ -457,7 +597,7 @@ impl<K: Cell> GroupTable<K> {
 
     /// The groups moved, group `j` to group `to[j]` of `len`, which are
     /// keyed `keys`; the groups nothing moves to have empty states.
-    fn spread(self, to: &[u32], len: usize, keys: Vec<Vec<K>>) -> GroupTable<K> {
+    fn spread(self, to: &[u32], len: usize, keys: Vec<K::Keys>) -> GroupTable<K> {
         let slots = self.slots.into_iter().map(|column| column.spread(to, len)).collect();
         GroupTable::new(len, keys, slots)
     }
@@ -471,11 +611,49 @@ impl<K: Cell> GroupTable<K> {
         order.sort_by(|&a, &b| self.cmp_keys(a as usize, &self, b as usize));
         let mut to = vec![0; self.len];
         (0..).zip(&order).for_each(|(at, &g)| to[g as usize] = at);
-        let keys = (self.keys.iter())
-            .map(|cells| order.iter().map(|&g| cells[g as usize].clone()).collect())
-            .collect();
+        let keys = self.keys.iter().map(|cells| cells.gather(&order)).collect();
         let len = self.len;
         self.spread(&to, len, keys)
+    }
+}
+
+/// An average's cell: the float sum over the count, `None` (`Null`) over
+/// no rows.
+fn average(sums: &FloatColumn, n: &[u64], g: usize) -> Option<f64> {
+    (n[g] > 0).then(|| sums.value(g) / n[g] as f64)
+}
+
+/// A sketch's cell: its estimate, rounded.
+fn estimate(sketch: &KmvSketch) -> i64 {
+    sketch.estimate().round() as i64
+}
+
+impl GroupTable<u32> {
+    /// The same groups in the value domain: key column `i` as the sort keys
+    /// `keys(i, ids)` of its ids, and slot `s`'s MIN/MAX cells as the values
+    /// `extremes(s, ids)` of the ids it holds.
+    pub(crate) fn into_values(
+        self,
+        keys: impl Fn(usize, &[u32]) -> KeyBytes,
+        extremes: impl Fn(usize, Vec<u32>) -> Vec<Value>,
+    ) -> GroupTable<Value> {
+        let keys = (self.keys.iter().enumerate()).map(|(i, ids)| keys(i, ids)).collect();
+        let slots = (self.slots.into_iter().enumerate())
+            .map(|(s, column)| match column {
+                Column::Count(v) => Column::Count(v),
+                Column::SumInt(v) => Column::SumInt(v),
+                Column::SumFloat(f) => Column::SumFloat(f),
+                Column::Distinct { m, sketches } => Column::Distinct { m, sketches },
+                Column::Extreme { is_min, best } => {
+                    let present = best.iter().flatten().copied().collect();
+                    let mut translated = extremes(s, present).into_iter();
+                    let best =
+                        best.iter().map(|cell| cell.as_ref().and_then(|_| translated.next()));
+                    Column::Extreme { is_min, best: best.collect() }
+                }
+            })
+            .collect();
+        GroupTable { len: self.len, keys, slots }
     }
 }
 
@@ -484,18 +662,19 @@ impl<K: Cell> GroupTable<K> {
 /// columns emits every group once, in order, and maps each side's groups to
 /// the result's. `table`'s states move to their groups, and `other`'s are
 /// added through [`GroupTable::absorb`]; when every group of `other` is one
-/// of `table`'s, they are added in place. A table nobody else holds gives
-/// its cells away; a shared one has them cloned — a shared `other` only its
-/// new keys. `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
+/// of `table`'s, they are added in place. `other` is only read, and so are
+/// the key columns: new groups make new columns, cell by cell from both
+/// sides. A `table` nobody else holds gives its states away; a shared one
+/// has them cloned. `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
 pub(crate) fn merge_tables<K: Cell>(
     table: &mut Arc<GroupTable<K>>,
-    mut other: Arc<GroupTable<K>>,
+    other: &GroupTable<K>,
     order: impl Fn(usize, &K, &K) -> Ordering,
 ) {
     if other.len == 0 {
         return;
     }
-    let (a, b) = (&**table, &*other);
+    let (a, b) = (&**table, other);
     let (mut to_a, mut to_b) = (Vec::with_capacity(a.len), Vec::with_capacity(b.len));
     let (mut i, mut j, mut len) = (0, 0, 0u32);
     while i < a.len || j < b.len {
@@ -514,24 +693,22 @@ pub(crate) fn merge_tables<K: Cell>(
         }
         len += 1;
     }
-    let own = Arc::make_mut(table);
-    if len as usize == own.len {
-        return own.absorb(&other.slots, &to_b, order);
+    if len as usize == a.len {
+        return Arc::make_mut(table).absorb(&other.slots, &to_b, order);
     }
-    let mut own = std::mem::take(own);
-    let own_keys = std::mem::take(&mut own.keys).into_iter();
-    let (to_a, to_b) = (&to_a[..], &to_b[..]);
-    let keys = match Arc::get_mut(&mut other) {
-        Some(theirs) => (own_keys.zip(std::mem::take(&mut theirs.keys)))
-            .map(|(a, b)| interleave(len, a, to_a, b, to_b, |cell| cell))
-            .collect(),
-        None => (own_keys.zip(&other.keys))
-            .map(|(a, b)| interleave(len, a, to_a, b, to_b, K::clone))
-            .collect(),
+    let keys = (a.keys.iter().zip(&b.keys))
+        .map(|(a, b)| K::Keys::interleave(len, a, &to_a, b, &to_b))
+        .collect();
+    let own = match Arc::get_mut(table) {
+        Some(own) => std::mem::take(own),
+        None => GroupTable { len: table.len, keys: Vec::new(), slots: table.slots.clone() },
     };
-    let merged = Arc::make_mut(table);
-    *merged = own.spread(to_a, len as usize, keys);
-    merged.absorb(&other.slots, to_b, order);
+    let mut merged = own.spread(&to_a, len as usize, keys);
+    merged.absorb(&other.slots, &to_b, order);
+    match Arc::get_mut(table) {
+        Some(own) => *own = merged,
+        None => *table = Arc::new(merged),
+    }
 }
 
 /// One aggregate's state for one group, given row-wise: the input of
@@ -550,16 +727,20 @@ pub enum AggState {
 }
 
 /// Mergeable per-group states, the §4 unit of tree aggregation: a group
-/// table of [`Value`] cells, its groups in strictly ascending key order,
-/// and per aggregate of its query the slots it reads.
+/// table in the value domain, its groups in strictly ascending key order,
+/// and per aggregate of its query the slots it reads. A key column is one
+/// buffer of sort keys ([`pd_common::sortkey`]): a string is in it as its
+/// bytes, and becomes a [`Value`] only if it is in the answer or `HAVING`
+/// reads it. The state columns are as the scan left them, MIN/MAX cells
+/// as values.
 ///
 /// Every column merges associatively and commutatively — counts and
 /// integer sums add (wrapping), a float slot is exact whether it is a
 /// double-double pair or a [`FloatSum`] superaccumulator, MIN / MAX keep
 /// the extreme [`Value`], sketches merge as sorted runs — so a query's result is
 /// bit-identical however its rows were grouped into chunks, threads,
-/// shards or subtrees. Equality is column equality (floats by bits in
-/// keys, by exact sum in float slots).
+/// shards or subtrees. Equality is column equality (keys by their bytes,
+/// which hold floats by bits; float slots by exact sum).
 ///
 /// The table is shared: a clone is a reference to the same columns, which
 /// is how a node cache keeps an answer and hands it up again without
@@ -596,7 +777,7 @@ impl PartialResult {
         let Some((first_key, first_states)) = groups.first() else {
             return Ok(PartialResult::default());
         };
-        let mut keys: Vec<Vec<Value>> = vec![Vec::with_capacity(groups.len()); first_key.len()];
+        let mut keys = vec![KeyBytes::default(); first_key.len()];
         let mut slots: Vec<Column<Value>> = Vec::new();
         let mut aggs: Vec<AggRef> = Vec::new();
         for state in first_states {
@@ -618,7 +799,7 @@ impl PartialResult {
             if key.len() != keys.len() || states.len() != aggs.len() {
                 return Err(malformed("differ in shape"));
             }
-            keys.iter_mut().zip(key).for_each(|(col, cell)| col.push(cell));
+            keys.iter_mut().zip(&key).for_each(|(col, cell)| col.push_value(cell));
             for (agg, state) in aggs.iter().zip(states) {
                 let (state, count) = match state {
                     AggState::Avg { sum, count } => (AggState::SumFloat(sum), Some(count)),
@@ -642,12 +823,12 @@ impl PartialResult {
     /// name slots of their kind.
     pub(crate) fn from_columns(
         len: u64,
-        keys: Vec<Vec<Value>>,
+        keys: Vec<KeyBytes>,
         slots: Vec<Column<Value>>,
         aggs: Vec<AggRef>,
     ) -> Result<PartialResult> {
         let corrupt = |what: &str| Error::Data(format!("wire: partial result {what}"));
-        let lens = keys.iter().map(Vec::len).chain(slots.iter().map(Column::len));
+        let lens = keys.iter().map(Keys::len).chain(slots.iter().map(Column::len));
         if lens.map(|n| n as u64).any(|n| n != len) {
             return Err(corrupt("has ragged columns"));
         }
@@ -674,7 +855,7 @@ impl PartialResult {
 
     /// What the wire carries: group count, key columns, slots, aggregates.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn columns(&self) -> (usize, &Vec<Vec<Value>>, &Vec<Column<Value>>, &Vec<AggRef>) {
+    pub(crate) fn columns(&self) -> (usize, &Vec<KeyBytes>, &Vec<Column<Value>>, &Vec<AggRef>) {
         (self.table.len, &self.table.keys, &self.table.slots, &self.aggs)
     }
 
@@ -716,7 +897,7 @@ impl PartialResult {
         if *self.table == GroupTable::default() {
             *self = other;
         } else if shape(self) == shape(&other) {
-            merge_tables(&mut self.table, other.table, |_, a, b| a.cmp(b));
+            merge_tables(&mut self.table, &other.table, |_, a, b| a.cmp(b));
         } else {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
@@ -813,7 +994,7 @@ impl GroupFold {
                 let (mut run, mut chunks) = (chunk, 1);
                 while runs.last().is_some_and(|&(_, n)| n == chunks) {
                     let (mut earlier, n) = runs.pop().expect("a run is on the stack");
-                    merge_tables(&mut earlier, run, &order);
+                    merge_tables(&mut earlier, &run, &order);
                     (run, chunks) = (earlier, chunks + n);
                 }
                 runs.push((run, chunks));
@@ -835,7 +1016,7 @@ impl GroupFold {
                 let mut runs = runs.into_iter().rev().map(|(run, _)| run);
                 let Some(mut folded) = runs.next() else { return self.table };
                 for mut earlier in runs {
-                    merge_tables(&mut earlier, folded, &order);
+                    merge_tables(&mut earlier, &folded, &order);
                     folded = earlier;
                 }
                 Arc::unwrap_or_clone(folded)
@@ -943,7 +1124,7 @@ mod tests {
             }
             fold.absorb(chunk(&[9], &[5]), order);
             let table = fold.finish(order);
-            assert_eq!(table.key(0), [2, 7, 9], "{direct:?}");
+            assert_eq!(*table.key(0), [2, 7, 9], "{direct:?}");
             let counts =
                 (0..3).map(|g| table.cell(AggRef { slot: 0, count: None }, g, &|_, _| Value::Null));
             assert_eq!(counts.collect::<Vec<_>>(), [12, 31, 26].map(Value::Int), "{direct:?}");
@@ -955,7 +1136,7 @@ mod tests {
         let table = &partial.table;
         (0..table.len)
             .map(|g| {
-                let key = table.keys.iter().map(|col| col[g].clone()).collect();
+                let key = table.keys.iter().map(|col| col.value(g)).collect();
                 let cell = |agg: &AggRef| table.cell(*agg, g, &|_, v: &Value| v.clone());
                 (key, partial.aggs.iter().map(cell).collect())
             })

@@ -32,8 +32,9 @@
 //!   translating codes to values only once per distinct
 //!   chunk-dictionary entry. `COUNT(DISTINCT …)` first finds the distinct
 //!   (group, code) pairs of the passing rows, then hashes once per code
-//!   that occurs (one ordered `values_of` walk), not once per
-//!   chunk-dictionary entry, and builds each group's sketch by one sort.
+//!   that occurs (one ordered dictionary walk, which hashes each value's
+//!   sort key and makes no [`Value`]), not once per chunk-dictionary
+//!   entry, and builds each group's sketch by one sort.
 //!
 //! Each kernel dispatches on [`CodesView`] once per chunk and then runs a
 //! monomorphized loop, so the element representation (const / bit-set / u8
@@ -45,7 +46,7 @@ use crate::datastore::DataStore;
 use crate::exec::SlotPlan;
 use crate::groups::{Column, FloatColumn, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
-use pd_common::{fx_hash64, BitVec, Error, Result, Value};
+use pd_common::{sortkey, BitVec, Error, Result, Value};
 use pd_encoding::CodesView;
 use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
 use std::cell::OnceCell;
@@ -837,15 +838,17 @@ pub(crate) fn accumulate(
             pairs.sort_unstable();
             pairs.dedup();
             // Hash the value of each code some pair holds, once: chunk-ids
-            // order like global ids, so one ordered dictionary walk.
+            // order like global ids, so one ordered dictionary walk, whose
+            // sort keys hash as their values do (`sortkey::hash`).
             let mut held = vec![false; n];
             pairs.iter().for_each(|&p| held[p % n] = true);
             let held: Vec<u32> = (0..n as u32).filter(|&c| held[c as usize]).collect();
             let gids: Vec<u32> = held.iter().map(|&c| chunk.dict.global_id_of(c)).collect();
             let mut hash = vec![0u64; n];
-            for (&c, value) in held.iter().zip(col.dict.values_of(&gids)) {
-                hash[c as usize] = fx_hash64(&value);
-            }
+            let mut codes = held.iter();
+            col.dict.for_each_key(&gids, |key| {
+                hash[*codes.next().expect("a key per code") as usize] = sortkey::hash(key)
+            });
             let mut rest = &pairs[..];
             let sketches = (0..group_count)
                 .map(|g| {

@@ -19,6 +19,7 @@
 //!    gives.
 
 use pd_common::rng::Rng;
+use pd_common::sortkey::TAG_STR;
 use pd_common::wire::{from_bytes, to_bytes};
 use pd_common::{DataType, Error, FloatSum, Row, Schema, Value};
 use pd_core::{
@@ -217,13 +218,14 @@ fn corrupt_frames_never_panic() {
     // Seeded fuzz over valid encodings: flip bytes anywhere in the frame.
     // The decode may legitimately succeed with a *different* value (a flip
     // in an f64's mantissa is just another float), but it must return —
-    // no panics, no unwinds, no huge allocations. A panic would abort the
-    // test process, so plain execution is the assertion.
+    // no panics, no unwinds, no huge allocations — and a refusal is a
+    // typed `Error::Data`. A panic would abort the test process, so plain
+    // execution is the assertion.
     let mut rng = Rng::seed_from_u64(0xc0de_c005);
     let mut decoded_ok = 0u32;
     let mut decode_err = 0u32;
     let generated: Vec<_> = (0..38).map(|_| random_partial(&mut rng)).collect();
-    for partial in generated.into_iter().chain(engine_partials()) {
+    for partial in generated.iter().cloned().chain(engine_partials()) {
         let bytes = to_bytes(&partial);
         for _ in 0..50 {
             let mut corrupt = bytes.clone();
@@ -234,24 +236,94 @@ fn corrupt_frames_never_panic() {
             }
             match from_bytes::<PartialResult>(&corrupt) {
                 Ok(_) => decoded_ok += 1,
-                Err(_) => decode_err += 1,
+                Err(Error::Data(_)) => decode_err += 1,
+                Err(other) => panic!("an untyped refusal: {other:?}"),
             }
         }
     }
     // Sanity: the fuzz actually exercised both outcomes.
     assert!(decode_err > 0, "bit flips that corrupt structure must error");
     assert_eq!(decoded_ok + decode_err, 2_000, "every corruption was decoded exactly once");
+
+    // Forged first key columns — every way `malformed_tables_are_typed_errors`
+    // breaks one by hand, on every generated and engine partial it fits.
+    let mut kinds = std::collections::BTreeSet::new();
+    for partial in generated.into_iter().chain(engine_partials()) {
+        let bytes = to_bytes(&partial);
+        for (what, corrupt) in forged_key_columns(&bytes) {
+            let outcome = from_bytes::<PartialResult>(&corrupt);
+            assert!(matches!(outcome, Err(Error::Data(_))), "{what}: {outcome:?}");
+            kinds.insert(what);
+        }
+    }
+    assert_eq!(kinds.len(), 9, "every forgery met a partial it fits: {kinds:?}");
+}
+
+/// The frame of a partial with its first key column broken, one way per
+/// entry: `[group count][key columns][buffer length][buffer][end count]
+/// [ends (u32)]…`. Empty when the partial has no key column or fewer than
+/// two groups.
+fn forged_key_columns(bytes: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (groups, keys) = (word(0), word(8));
+    if keys == 0 || groups < 2 {
+        return Vec::new();
+    }
+    let buffer = word(16);
+    let (cells, ends) = (24, 24 + buffer + 8);
+    let end =
+        |g: usize| u32::from_le_bytes(bytes[ends + 4 * g..ends + 4 * g + 4].try_into().unwrap());
+    let set_end = |b: &mut Vec<u8>, g: usize, to: u32| {
+        b[ends + 4 * g..ends + 4 * g + 4].copy_from_slice(&to.to_le_bytes())
+    };
+    let (first, second) = (end(0) as usize, end(1) as usize);
+    let edit = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = bytes.to_vec();
+        edit(&mut b);
+        b
+    };
+    let mut forged = vec![
+        ("ends that descend", edit(&|b| set_end(b, 1, first as u32 - 1))),
+        ("an end past the buffer", edit(&|b| set_end(b, groups - 1, buffer as u32 + 1))),
+        ("a last end short of the buffer", edit(&|b| set_end(b, groups - 1, buffer as u32 - 1))),
+        (
+            "a buffer longer than the bytes left",
+            edit(&|b| b[16..24].copy_from_slice(&(bytes.len() as u64).to_le_bytes())),
+        ),
+        ("a bad tag", edit(&|b| b[cells] = 4)),
+    ];
+    let widened = |byte: u8| {
+        edit(&|b| {
+            (0..groups).for_each(|g| set_end(b, g, end(g) + 1));
+            b.insert(cells + first, byte);
+            b[16..24].copy_from_slice(&(buffer as u64 + 1).to_le_bytes());
+        })
+    };
+    match bytes[cells] {
+        TAG_STR => forged.push(("invalid UTF-8", widened(0xff))),
+        _ => forged.push(("a Null, Int or Float cell a byte wider", widened(0))),
+    }
+    // With one key column, a repeated or swapped cell repeats or swaps a
+    // group's whole key.
+    if keys == 1 && second - first == first {
+        let swapped = edit(&|b| b[cells..cells + second].rotate_left(first));
+        forged.push(("equal keys", edit(&|b| b.copy_within(cells..cells + first, cells + first))));
+        forged.push(("descending keys", swapped));
+    }
+    forged
 }
 
 #[test]
 fn malformed_tables_are_typed_errors() {
     // Two groups, one key column, one count slot, byte by byte:
-    // [0] group count · [8] key columns · [16] cells in the column ·
-    // [24] Int 1 · [33] Int 2 · [42] slots · [50] kind · [51] counts in the
-    // column · [59] 10, 20 · [75] aggregates · [83] slot 0 · [91] no count.
+    // [0] group count · [8] key columns · [16] the key buffer's length ·
+    // [24] Int 1 · [33] Int 2 (a tag, then 8 bytes) · [42] cells in the
+    // column · [50] end 9 · [54] end 18 · [58] slots · [66] kind · [67]
+    // counts in the column · [75] 10, 20 · [91] aggregates · [99] slot 0 ·
+    // [107] no count.
     let group = |key: i64, n: u64| (vec![Value::Int(key)], vec![AggState::Count(n)]);
     let bytes = to_bytes(&PartialResult::from_states([group(1, 10), group(2, 20)]).unwrap());
-    assert_eq!(bytes.len(), 92);
+    assert_eq!(bytes.len(), 108);
     assert!(from_bytes::<PartialResult>(&bytes).is_ok());
     type Edit<'a> = &'a dyn Fn(&mut Vec<u8>);
     let forged = |edit: Edit<'_>| {
@@ -259,22 +331,49 @@ fn malformed_tables_are_typed_errors() {
         edit(&mut bytes);
         from_bytes::<PartialResult>(&bytes)
     };
-    let cases: [(&str, Edit<'_>); 8] = [
+    let end =
+        |b: &mut Vec<u8>, at: usize, end: u32| b[at..at + 4].copy_from_slice(&end.to_le_bytes());
+    let cases: [(&str, Edit<'_>); 16] = [
         ("more groups than cells", &|b| b[0] = 3),
         ("a key column one cell short", &|b| {
-            b[16] = 1;
+            b[42] = 1;
+            b.drain(54..58);
             b.drain(33..42);
+            b[16] = 9;
         }),
         ("unsorted keys", &|b| {
             let (first, second) = (b[24..33].to_vec(), b[33..42].to_vec());
             b.splice(24..42, second.into_iter().chain(first));
         }),
         ("duplicate keys", &|b| b.copy_within(24..33, 33)),
-        ("an unknown column kind", &|b| b[50] = 9),
-        ("a length beyond the remaining bytes", &|b| b[51..59].fill(0xff)),
-        ("an aggregate over a slot that is not there", &|b| b[83] = 1),
+        ("ends that descend", &|b| end(b, 54, 5)),
+        ("an end past the buffer", &|b| end(b, 54, 30)),
+        ("a last end that is not the buffer's length", &|b| {
+            b.insert(42, 0);
+            b[16] = 19;
+        }),
+        ("a buffer longer than the bytes left", &|b| b[16..24].fill(0xff)),
+        ("a bad tag", &|b| b[33] = 4),
+        ("an Int cell of 10 bytes", &|b| {
+            b.insert(33, 0);
+            b[16] = 19;
+            end(b, 51, 10);
+            end(b, 55, 19);
+        }),
+        ("a Float cell of 8 bytes", &|b| {
+            b[33] = 2;
+            b.remove(41);
+            b[16] = 17;
+            end(b, 53, 17);
+        }),
+        ("invalid UTF-8 in a Str cell", &|b| {
+            b.splice(24..42, [b"\x03aaaaaaa\xff", &b"\x03bbbbbbbb"[..]].concat());
+        }),
+        ("an unknown column kind", &|b| b[66] = 9),
+        ("a length beyond the remaining bytes", &|b| b[67..75].fill(0xff)),
+        ("an aggregate over a slot that is not there", &|b| b[99] = 1),
         ("an average over counts", &|b| {
-            b[91] = 1;
+            b[107] = 1;
             b.extend(0u64.to_le_bytes());
         }),
     ];
@@ -282,6 +381,11 @@ fn malformed_tables_are_typed_errors() {
         let outcome = forged(edit);
         assert!(matches!(outcome, Err(Error::Data(_))), "{what}: {outcome:?}");
     }
+    // The UTF-8 forgery is otherwise well formed: two Str keys, in order.
+    let ascii = forged(&|b| {
+        b.splice(24..42, [b"\x03aaaaaaa!", &b"\x03bbbbbbbb"[..]].concat());
+    });
+    assert!(ascii.is_ok(), "{ascii:?}");
 
     // A sketch's hash list unsorted, duplicated and longer than its `m` is
     // no error: it decodes to the sketch offering that list gives. A long

@@ -6,7 +6,7 @@
 
 use pd_common::rng::Rng;
 use pd_common::wire::{from_bytes, to_bytes};
-use pd_common::{DataType, FloatSum, Row, Schema, Value};
+use pd_common::{sortkey, DataType, FloatSum, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
@@ -171,8 +171,8 @@ fn partial_results_merge_associatively_and_commutatively_in_key_order() {
 /// A partial shares its table with its clones — a node cache keeps one and
 /// hands out others — so a merge must write to a table of its own: every
 /// clone made before a merge stays what it was, bit for bit, on either side
-/// of it; and whether the argument is shared (its new keys are cloned) or
-/// uniquely held (they move) the merged table is the same. Parts include
+/// of it; and whether the argument is shared or uniquely held the merged
+/// table is the same. Parts include
 /// the empty partial and ones whose keys all sort behind the receiver's.
 #[test]
 fn merging_leaves_every_earlier_clone_of_a_shared_table_as_it_was() {
@@ -203,6 +203,56 @@ fn merging_leaves_every_earlier_clone_of_a_shared_table_as_it_was() {
         unique.merge(own(&before[2])).unwrap();
         assert_eq!(unique, shared, "case {case}");
         assert_eq!(to_bytes(&unique), to_bytes(&shared), "case {case}: shared == unique");
+    }
+}
+
+/// A value of every kind a key cell can hold, edges first: ±0.0, NaNs with
+/// payloads and either sign, ±∞, `i64::MIN` / `i64::MAX`, the empty string,
+/// strings that are prefixes of one another, non-ASCII text.
+fn random_cell(rng: &mut Rng) -> Value {
+    let floats = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, -5e-324];
+    let nan = |bits: u64| Value::Float(f64::from_bits(bits));
+    let strings =
+        ["", "a", "ab", "abc", "b", "é", "éa", "日本", "日本語", "\0", "\u{7f}", "\u{80}"];
+    match rng.range_usize(0, 9) {
+        0 => Value::Null,
+        1 => Value::Int(*rng.pick(&[i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX])),
+        2 => Value::Int(rng.next_u64() as i64),
+        3 => Value::Float(*rng.pick(&floats)),
+        4 => nan(f64::NAN.to_bits() | rng.next_u64() >> 14 | (rng.next_u64() & 1) << 63),
+        5 => Value::Float(f64::from_bits(rng.next_u64())),
+        6 => Value::from(*rng.pick(&strings)),
+        _ => {
+            let len = rng.range_usize(0, 6);
+            Value::from((0..len).map(|_| *rng.pick(&strings)).collect::<String>())
+        }
+    }
+}
+
+/// Sort keys (`pd_common::sortkey`, the cells of a partial's key columns)
+/// order by `memcmp` exactly as [`Value::cmp`] orders their values — across
+/// types too — and decode to the value they were made from, floats bit for
+/// bit.
+#[test]
+fn sort_keys_order_and_decode_like_their_values() {
+    let mut rng = Rng::seed_from_u64(0xc04e_0009);
+    let key = |value: &Value| {
+        let mut key = Vec::new();
+        sortkey::encode(value, &mut key);
+        key
+    };
+    let bits = |value: &Value| match value {
+        Value::Float(x) => Some(x.to_bits()),
+        _ => None,
+    };
+    for case in 0..20_000 {
+        let (a, b) = (random_cell(&mut rng), random_cell(&mut rng));
+        let (ka, kb) = (key(&a), key(&b));
+        assert_eq!(ka.cmp(&kb), a.cmp(&b), "case {case}: {a:?} vs {b:?}");
+        for (value, key) in [(&a, &ka), (&b, &kb)] {
+            let back = sortkey::decode(key);
+            assert_eq!((&back, bits(&back)), (value, bits(value)), "case {case}");
+        }
     }
 }
 

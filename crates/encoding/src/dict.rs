@@ -11,7 +11,7 @@
 //! the compact 4-bit [`TrieDict`].
 
 use crate::trie::TrieDict;
-use pd_common::{DataType, Error, FxHashMap, HeapSize, Result, Value};
+use pd_common::{sortkey, DataType, Error, FxHashMap, HeapSize, Result, Value};
 use pd_compress::varint;
 
 /// Sorted array of distinct strings; rank = index.
@@ -91,13 +91,13 @@ impl StrDict {
         }
     }
 
-    /// The strings with ranks `ids` (strictly ascending): indexing for the
-    /// sorted array, one ordered walk for the trie
-    /// ([`TrieDict::values_of`]).
-    pub fn values_of(&self, ids: &[u32]) -> Vec<String> {
+    /// The UTF-8 bytes of the strings with ranks `ids` (strictly
+    /// ascending), handed to `f` in that order: indexing for the sorted
+    /// array, one ordered walk for the trie ([`TrieDict::for_each_of`]).
+    pub fn for_each_of(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
         match self {
-            StrDict::Sorted(d) => ids.iter().map(|&id| d.value(id).to_owned()).collect(),
-            StrDict::Trie(t) => t.values_of(ids),
+            StrDict::Sorted(d) => ids.iter().for_each(|&id| f(d.value(id).as_bytes())),
+            StrDict::Trie(t) => t.for_each_of(ids, f),
         }
     }
 
@@ -119,14 +119,15 @@ impl StrDict {
         }
     }
 
-    pub fn for_each(&self, mut f: impl FnMut(u32, &str)) {
+    /// Visit `(id, UTF-8 bytes)` for every entry in ascending order.
+    pub fn for_each(&self, mut f: impl FnMut(u32, &[u8])) {
         match self {
             StrDict::Sorted(d) => {
                 for (id, v) in d.iter().enumerate() {
-                    f(id as u32, v);
+                    f(id as u32, v.as_bytes());
                 }
             }
-            StrDict::Trie(t) => t.for_each(|id, v| f(id, v)),
+            StrDict::Trie(t) => t.for_each(f),
         }
     }
 }
@@ -397,23 +398,45 @@ impl GlobalDict {
 
     /// The values with ranks `ids` — strictly ascending, all below `len()`
     /// — in that order: what `ids.map(value)` returns, at the price of one
-    /// ordered pass over the dictionary instead of one lookup per id.
-    /// Array dictionaries index; a trie shares every prefix walk
-    /// ([`TrieDict::values_of`], which also panics on unsorted ids) — the
-    /// difference between translating a group table and walking the trie
-    /// once per group. Panics on an id out of bounds, like
-    /// [`GlobalDict::value`].
+    /// ordered pass over the dictionary ([`GlobalDict::for_each_key`])
+    /// instead of one lookup per id.
     pub fn values_of(&self, ids: &[u32]) -> Vec<Value> {
+        let mut values = Vec::with_capacity(ids.len());
+        self.for_each_key(ids, |key| values.push(sortkey::decode(key)));
+        values
+    }
+
+    /// The sort keys ([`pd_common::sortkey`]) of the values with ranks
+    /// `ids` — strictly ascending, all below `len()` — handed to `f` in that
+    /// order, by one ordered pass over the dictionary and with no [`Value`]
+    /// made. Array dictionaries index; a trie shares every prefix walk and
+    /// builds no string ([`TrieDict::for_each_of`], which also panics on
+    /// unsorted ids) — the difference between translating a group table
+    /// and walking the trie once per group. Panics on an id out of bounds,
+    /// like [`GlobalDict::value`].
+    pub fn for_each_key(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
+        self.keys_of(ids, &mut f)
+    }
+
+    fn keys_of(&self, ids: &[u32], f: &mut dyn FnMut(&[u8])) {
+        let mut key = Vec::new();
         match self {
-            GlobalDict::Int(d) => ids.iter().map(|&id| Value::Int(d.value(id))).collect(),
-            GlobalDict::Float(d) => ids.iter().map(|&id| Value::Float(d.value(id))).collect(),
-            GlobalDict::Str(d) => d.values_of(ids).into_iter().map(Value::Str).collect(),
+            GlobalDict::Int(d) => ids.iter().for_each(|&id| f(&sortkey::int(d.value(id)))),
+            GlobalDict::Float(d) => ids.iter().for_each(|&id| f(&sortkey::float(d.value(id)))),
+            GlobalDict::Str(d) => d.for_each_of(ids, |s| {
+                key.clear();
+                sortkey::push_str(s, &mut key);
+                f(&key);
+            }),
             GlobalDict::Tailed(t) => {
                 let base_len = t.base.len();
                 let (in_base, in_tail) = ids.split_at(ids.partition_point(|&id| id < base_len));
-                let mut values = t.base.values_of(in_base);
-                values.extend(in_tail.iter().map(|&id| t.tail[(id - base_len) as usize].clone()));
-                values
+                t.base.keys_of(in_base, f);
+                for &id in in_tail {
+                    key.clear();
+                    sortkey::encode(&t.tail[(id - base_len) as usize], &mut key);
+                    f(&key);
+                }
             }
         }
     }
@@ -594,7 +617,7 @@ impl GlobalDict {
                 varint::write_u64(&mut out, u64::from(d.len()));
                 d.for_each(|_, s| {
                     varint::write_u64(&mut out, s.len() as u64);
-                    out.extend_from_slice(s.as_bytes());
+                    out.extend_from_slice(s);
                 });
             }
             GlobalDict::Tailed(t) => {

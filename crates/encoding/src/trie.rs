@@ -154,15 +154,13 @@ impl TrieDict {
         assert!(id < self.len, "global-id {id} out of bounds (len {})", self.len);
         let mut target = id;
         let mut pos = 0usize;
-        let mut nibbles: Vec<u8> = Vec::with_capacity(32);
+        let mut path = Path::default();
         loop {
             let node = Node::parse(&self.bytes, pos);
-            for k in 0..node.label_len {
-                nibbles.push(node.label_nibble(k));
-            }
+            (0..node.label_len).for_each(|k| path.push(node.label_nibble(k)));
             if node.terminal {
                 if target == 0 {
-                    return nibbles_to_string(&nibbles);
+                    return utf8(path.bytes()).to_owned();
                 }
                 target -= 1;
             }
@@ -170,7 +168,7 @@ impl TrieDict {
             let mut descended = false;
             for (nib, size, terminals) in node.children() {
                 if target < terminals {
-                    nibbles.push(nib);
+                    path.push(nib);
                     pos = child_pos;
                     descended = true;
                     break;
@@ -182,68 +180,64 @@ impl TrieDict {
         }
     }
 
-    /// Visit `(id, value)` for every entry in ascending order.
+    /// Visit `(id, UTF-8 bytes)` for every entry in ascending order.
     ///
     /// A single DFS — much cheaper than `len()` independent
     /// [`TrieDict::value`] lookups when exporting or re-encoding the
-    /// dictionary.
-    pub fn for_each(&self, mut f: impl FnMut(u32, &str)) {
+    /// dictionary — that hands out the path it holds: no string is built.
+    pub fn for_each(&self, mut f: impl FnMut(u32, &[u8])) {
         if self.len == 0 {
             return;
         }
         let mut next_id = 0u32;
-        let mut prefix: Vec<u8> = Vec::with_capacity(32);
-        self.dfs(0, &mut prefix, &mut next_id, &mut f);
+        self.dfs(0, &mut Path::default(), &mut next_id, &mut f);
         debug_assert_eq!(next_id, self.len);
     }
 
-    fn dfs(
-        &self,
-        pos: usize,
-        prefix: &mut Vec<u8>,
-        next_id: &mut u32,
-        f: &mut impl FnMut(u32, &str),
-    ) {
+    fn dfs(&self, pos: usize, path: &mut Path, next_id: &mut u32, f: &mut impl FnMut(u32, &[u8])) {
         let node = Node::parse(&self.bytes, pos);
-        let label_start = prefix.len();
-        for k in 0..node.label_len {
-            prefix.push(node.label_nibble(k));
-        }
+        let label_start = path.nibbles;
+        (0..node.label_len).for_each(|k| path.push(node.label_nibble(k)));
         if node.terminal {
-            let s = nibbles_to_string(prefix);
-            f(*next_id, &s);
+            f(*next_id, path.bytes());
             *next_id += 1;
         }
         let mut child_pos = node.children_start;
         for (nib, size, _) in node.children() {
-            prefix.push(nib);
-            self.dfs(child_pos, prefix, next_id, f);
-            prefix.pop();
+            path.push(nib);
+            self.dfs(child_pos, path, next_id, f);
+            path.truncate(path.nibbles - 1);
             child_pos += size;
         }
-        prefix.truncate(label_start);
+        path.truncate(label_start);
     }
 
-    /// The strings with ranks `ids`, which must be strictly ascending and
-    /// below `len()` (panics otherwise), in that order.
+    /// The UTF-8 bytes of the strings with ranks `ids`, which must be
+    /// strictly ascending and below `len()` (panics otherwise), handed to
+    /// `f` in that order.
     ///
     /// One DFS that descends only into children whose rank interval holds
     /// a wanted id: every node on the way to some wanted string is parsed
     /// once and shared prefixes are walked once, where `ids.len()` calls
-    /// of [`TrieDict::value`] each restart at the root.
-    pub fn values_of(&self, ids: &[u32]) -> Vec<String> {
+    /// of [`TrieDict::value`] each restart at the root. No string is built:
+    /// `f` reads the path the walk holds.
+    pub fn for_each_of(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly ascending");
         if let Some(&last) = ids.last() {
             assert!(last < self.len, "global-id {last} out of bounds (len {})", self.len);
+            self.collect(0, 0, ids, &mut Path::default(), &mut f);
         }
+    }
+
+    /// The strings with ranks `ids` ([`TrieDict::for_each_of`]'s contract),
+    /// in that order.
+    pub fn values_of(&self, ids: &[u32]) -> Vec<String> {
         let mut out = Vec::with_capacity(ids.len());
-        if !ids.is_empty() {
-            self.collect(0, 0, ids, &mut Vec::with_capacity(64), &mut out);
-        }
+        self.for_each_of(ids, |s| out.push(utf8(s).to_owned()));
         out
     }
 
-    /// Push the strings of the subtree at `pos` whose ranks are `ids`
+    /// Hand `f` the strings of the subtree at `pos` whose ranks are `ids`
     /// (non-empty, ascending, all inside the subtree, whose first rank is
     /// `first`).
     fn collect(
@@ -251,18 +245,16 @@ impl TrieDict {
         pos: usize,
         first: u32,
         mut ids: &[u32],
-        prefix: &mut Vec<u8>,
-        out: &mut Vec<String>,
+        path: &mut Path,
+        f: &mut impl FnMut(&[u8]),
     ) {
         let node = Node::parse(&self.bytes, pos);
-        let label_start = prefix.len();
-        for k in 0..node.label_len {
-            prefix.push(node.label_nibble(k));
-        }
+        let label_start = path.nibbles;
+        (0..node.label_len).for_each(|k| path.push(node.label_nibble(k)));
         let mut rank = first;
         if node.terminal {
             if ids[0] == rank {
-                out.push(nibbles_to_string(prefix));
+                f(path.bytes());
                 ids = &ids[1..];
             }
             rank += 1;
@@ -275,15 +267,15 @@ impl TrieDict {
             let end = rank + terminals;
             let wanted = ids.partition_point(|&id| id < end);
             if wanted > 0 {
-                prefix.push(nib);
-                self.collect(child_pos, rank, &ids[..wanted], prefix, out);
-                prefix.pop();
+                path.push(nib);
+                self.collect(child_pos, rank, &ids[..wanted], path, f);
+                path.truncate(path.nibbles - 1);
                 ids = &ids[wanted..];
             }
             rank = end;
             child_pos += size;
         }
-        prefix.truncate(label_start);
+        path.truncate(label_start);
     }
 
     /// The raw encoded byte array (its length is the memory footprint the
@@ -299,10 +291,41 @@ impl HeapSize for TrieDict {
     }
 }
 
-fn nibbles_to_string(nibbles: &[u8]) -> String {
-    debug_assert!(nibbles.len().is_multiple_of(2), "string must end on a byte boundary");
-    let bytes: Vec<u8> = nibbles.chunks_exact(2).map(|p| p[0] << 4 | p[1]).collect();
-    String::from_utf8(bytes).expect("trie stores valid UTF-8")
+/// A stored string's bytes as the `str` they are.
+fn utf8(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("trie stores valid UTF-8")
+}
+
+/// The nibbles from the root to a node, packed two to a byte as the
+/// string's bytes are: at a terminal (an even count) they *are* its bytes.
+#[derive(Default)]
+struct Path {
+    packed: Vec<u8>,
+    nibbles: usize,
+}
+
+impl Path {
+    fn push(&mut self, nib: u8) {
+        match self.packed.last_mut() {
+            Some(low) if self.nibbles % 2 == 1 => *low |= nib,
+            _ => self.packed.push(nib << 4),
+        }
+        self.nibbles += 1;
+    }
+
+    /// Back to the first `nibbles` nibbles.
+    fn truncate(&mut self, nibbles: usize) {
+        self.packed.truncate(nibbles.div_ceil(2));
+        if let (Some(low), 1) = (self.packed.last_mut(), nibbles % 2) {
+            *low &= 0xf0;
+        }
+        self.nibbles = nibbles;
+    }
+
+    fn bytes(&self) -> &[u8] {
+        debug_assert!(self.nibbles.is_multiple_of(2), "a string ends on a byte boundary");
+        &self.packed
+    }
 }
 
 /// Parsed view of one encoded node.
@@ -311,9 +334,10 @@ struct Node<'a> {
     terminal: bool,
     label_len: usize,
     label_start: usize,
-    child_mask: u16,
-    /// Offset of the child metadata (varint pairs).
-    meta_start: usize,
+    /// `(branch_nibble, subtree_bytes, subtree_terminals)` of the first
+    /// `child_count` children, ascending: their metadata read once.
+    children: [(u8, usize, u32); 16],
+    child_count: usize,
     /// Offset of the first child's encoding.
     children_start: usize,
 }
@@ -327,19 +351,21 @@ impl<'a> Node<'a> {
         cursor += label_len.div_ceil(2);
         let child_mask = u16::from_le_bytes([bytes[cursor], bytes[cursor + 1]]);
         cursor += 2;
-        let meta_start = cursor;
-        // Skip the metadata varints to find where children begin.
-        for _ in 0..child_mask.count_ones() {
-            varint::read_u64(bytes, &mut cursor).expect("valid trie");
-            varint::read_u64(bytes, &mut cursor).expect("valid trie");
+        let mut children = [(0, 0, 0); 16];
+        let mut child_count = 0;
+        for nib in (0..16u8).filter(|n| child_mask & (1 << n) != 0) {
+            let size = varint::read_u64(bytes, &mut cursor).expect("valid trie") as usize;
+            let terminals = varint::read_u64(bytes, &mut cursor).expect("valid trie") as u32;
+            children[child_count] = (nib, size, terminals);
+            child_count += 1;
         }
         Node {
             bytes,
             terminal: flags & FLAG_TERMINAL != 0,
             label_len,
             label_start,
-            child_mask,
-            meta_start,
+            children,
+            child_count,
             children_start: cursor,
         }
     }
@@ -356,12 +382,7 @@ impl<'a> Node<'a> {
 
     /// Iterate `(branch_nibble, subtree_bytes, subtree_terminals)` ascending.
     fn children(&self) -> impl Iterator<Item = (u8, usize, u32)> + '_ {
-        let mut cursor = self.meta_start;
-        (0..16u8).filter(move |n| self.child_mask & (1 << n) != 0).map(move |n| {
-            let size = varint::read_u64(self.bytes, &mut cursor).expect("valid trie") as usize;
-            let terminals = varint::read_u64(self.bytes, &mut cursor).expect("valid trie") as u32;
-            (n, size, terminals)
-        })
+        self.children[..self.child_count].iter().copied()
     }
 }
 
@@ -541,7 +562,7 @@ mod tests {
         let mut seen = Vec::new();
         t.for_each(|id, s| {
             assert_eq!(id as usize, seen.len());
-            seen.push(s.to_owned());
+            seen.push(utf8(s).to_owned());
         });
         assert_eq!(seen, sorted);
     }
