@@ -7,7 +7,9 @@
 //!    process and re-ships the *entire* table as `Load` frames;
 //! 2. **delta append** — [`Cluster::append`] keeps the processes alive
 //!    and ships only the new rows (`Append` frames), bumping the epoch in
-//!    place.
+//!    place. It is the first append on a freshly built tree, so it also
+//!    dials the root's links to its children — the links a query uses, and
+//!    which the tree's first query would dial otherwise.
 //!
 //! Both kinds of frame carry rows the same way — coded columns, a sorted
 //! dictionary plus one code per row — so the byte comparison is like for
@@ -24,9 +26,11 @@
 //! A second, in-run ratio prices the process split itself: the same
 //! 80-row append on a 4-leaf + 2-merge-server unix tree and on the
 //! in-process tree over the same table (`append_tax_unix`, asserted). A
-//! leaf does the same work either way; what the ratio carries is the
-//! append's traffic — deltas out, receipts back, the parents' absorbs —
-//! so it stays small only while an append ships what it changes. (Read
+//! leaf does the same work either way, and so does every mixer: the append
+//! walks both trees alike (`Node::append`). What the ratio carries is that
+//! walk's traffic over sockets — deltas down the tree (root → merge
+//! servers → leaves), receipts back up, each hop a frame each way — so it
+//! stays small only while an append ships what it changes. (Read
 //! both sides, not only the ratio: a cheaper leaf append lowers the
 //! in-process side by its whole saving and the unix side by the same
 //! microseconds out of several hundred more, so the ratio *rises* when
@@ -175,9 +179,9 @@ fn main() {
 }
 
 /// The most a socket tree's append may cost in units of the in-process
-/// tree's. Measured on a 2-vCPU box: 3.5–4.0 with receipts and in-place
-/// absorbs; 29–37 when every append acked a whole shard summary and
-/// re-attached both merge servers.
+/// tree's. Measured on a 2-vCPU box at `BENCH_QUICK`: 1.8–2.1 with
+/// receipts and in-place absorbs; 29–37 when every append acked a whole
+/// shard summary and re-attached both merge servers.
 const APPEND_TAX_BOUND: f64 = 8.0;
 
 /// Time the same small appends on a 4-leaf + 2-merge-server unix tree and

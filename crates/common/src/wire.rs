@@ -68,7 +68,11 @@ use std::time::Duration;
 /// Version 10: a partial's key column travels as it is held — one buffer
 /// of sort keys (`crate::sortkey`) and each cell's end offset — instead of
 /// one tagged `Value` per cell.
-pub const FRAME_VERSION: u8 = 10;
+/// Version 11: an append walks the tree a query walks — one `Append` per
+/// edge carries the deltas of every shard beneath the receiver and is acked
+/// with every receipt beneath it plus the bytes written below; version 6's
+/// `Absorb` (request tag 7) is retired.
+pub const FRAME_VERSION: u8 = 11;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

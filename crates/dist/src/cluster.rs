@@ -32,7 +32,7 @@
 use crate::chaos::{leaf_primary, ChaosModel};
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
-use crate::rpc::{ChildHandle, QueryRequest, ShardReport};
+use crate::rpc::{AppendRequest, ChildHandle, QueryRequest, ShardReport};
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
@@ -266,11 +266,11 @@ impl Drop for AdmitPermit<'_> {
 pub struct AppendOutcome {
     /// Rows appended across all shards.
     pub rows: u64,
-    /// Serialized bytes of every request frame the append caused: each
-    /// shard's `Append` frame once per copy that took it (primary and
-    /// replica) plus each merge server's `Absorb` frame — everything the
-    /// append put on a wire except the few bytes of acks; 0 when no node
-    /// is behind a wire.
+    /// Serialized bytes of every request frame the append caused: the
+    /// `Append` each node wrote each child behind a socket — once per copy
+    /// of a leaf pair — with the deltas beneath it; everything the append
+    /// put on a wire except the few bytes of acks; 0 when no node is behind
+    /// a wire.
     pub bytes_shipped: u64,
 }
 
@@ -367,15 +367,13 @@ impl Cluster {
     /// self-contained columns ([`pd_encoding::TableDelta`]: the receiver
     /// resolves it against its resident dictionaries, so **every existing
     /// global id stays stable** and folded partials stay bit-identical).
-    /// Every leaf applies its slice in place ([`Node::append`]: its node
-    /// cache goes, its chunk results stay) and acks a receipt; every mixer
-    /// above it, the root included, absorbs the same delta
-    /// ([`Node::absorb`]) into its copy of the shard summary and into the
-    /// tail that brings what it remembers up to date — so a chart the root
-    /// answered before is still a root hit. Over sockets that is two round
-    /// trips whatever the tree's size; in process, a walk of the root's
-    /// in-memory edges (`Node::append_beneath`). Nothing is respawned,
-    /// re-wired or re-dialed.
+    /// The slices walk the tree from the root as a query does
+    /// ([`Node::append`], on either edge kind): every leaf applies its own
+    /// in place (its chunk results stay) and acks a receipt; every mixer
+    /// above it, the root included, absorbs the same delta into its copy of
+    /// the shard summary and into the tail that brings what it remembers up
+    /// to date — so a chart the root answered before is still a root hit.
+    /// Nothing is respawned, re-wired or re-dialed.
     ///
     /// The epoch bumps once every shard has applied its slice. Requires
     /// `&mut self`: no query can observe a half-applied append. A delta
@@ -385,31 +383,29 @@ impl Cluster {
     /// different data: the tree is dropped, and [`Cluster::query`] refuses
     /// to serve until [`Cluster::rebuild`] succeeds.
     pub fn append(&mut self, delta: &Table) -> Result<AppendOutcome> {
-        let root = self.root.as_mut().ok_or_else(needs_rebuild)?;
+        let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
         if delta.schema() != &self.schema {
             return Err(Error::Schema("append: delta schema does not match the cluster's".into()));
         }
         if delta.is_empty() {
             return Ok(AppendOutcome { rows: 0, bytes_shipped: 0 });
         }
-        let mut deltas = (0..self.shard_count)
-            .map(|s| shard_delta(delta, s, self.shard_count))
+        let deltas = (0..self.shard_count)
+            .map(|s| Ok(shard_delta(delta, s, self.shard_count)?.map(|rows| (s as u64, rows))))
+            .filter_map(Result::transpose)
             .collect::<Result<Vec<_>>>()?;
         // From here on a failure may have touched some shards and not
         // others.
         let epoch = self.epoch + 1;
-        let shipped = match &mut self.workers {
-            Some(workers) => workers.append(deltas, epoch, root),
-            None => root.append_beneath(&mut deltas, epoch).map(|_| 0),
-        };
-        match shipped {
-            Ok(bytes_shipped) => {
+        match root.append(&AppendRequest { epoch, deltas }) {
+            Ok(ack) => {
                 self.epoch = epoch;
-                // Unlike a rebuild, worker processes (and whoever waits
-                // at them) survive, so the observed queue / saturation
-                // estimates still describe the live cluster — they are
-                // kept.
-                Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped })
+                if let Some(workers) = &mut self.workers {
+                    workers.bytes_shipped += ack.bytes;
+                }
+                // Unlike a rebuild, worker processes (and whoever waits at
+                // them) survive: the queue / saturation estimates are kept.
+                Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped: ack.bytes })
             }
             Err(e) => {
                 (self.root, self.workers) = (None, None);
@@ -418,9 +414,9 @@ impl Cluster {
         }
     }
 
-    /// Cumulative serialized bytes of data-bearing requests (`Load`,
-    /// `Append` and `Absorb` frames) shipped to worker processes since the
-    /// tree was last (re)built; 0 when no node is behind a wire. Wiring
+    /// Cumulative serialized bytes of data-bearing requests (`Load` and
+    /// `Append` frames) shipped to worker processes since the tree was last
+    /// (re)built; 0 when no node is behind a wire. Wiring
     /// (`Attach`) and queries are not data.
     pub fn shipped_bytes(&self) -> u64 {
         self.workers.as_ref().map_or(0, |workers| workers.bytes_shipped)

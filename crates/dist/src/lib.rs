@@ -34,17 +34,15 @@
 //!   admission control, the per-query fault draw, append/rebuild under the
 //!   epoch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
-//!   fold), its result cache, epoch and — on a mixer that absorbs
-//!   appends — the tail that keeps the cache answerable, `Node::query` /
-//!   `Node::append` / `Node::absorb`;
+//!   fold), its result cache, epoch and — on a mixer — the tail that keeps
+//!   the cache answerable through appends; `Node::query` / `Node::append`;
 //! - [`rpc`] — the wire protocol's messages and codecs, and in its
 //!   children the framing and deadline I/O, the client connection, the
 //!   edges ([`rpc::Link`], in-memory or socket) and the shared fan-out /
 //!   failover / hedged-racing logic above them, with typed
 //!   [`pd_common::RpcError`] faults;
 //! - [`process`] — the worker processes of a socket tree: spawning them as
-//!   leaves (`Load`) and merge servers (`Attach`), the two round trips of
-//!   an append, reaping on drop;
+//!   leaves (`Load`) and merge servers (`Attach`), reaping on drop;
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
 //!   sockets, the FIFO turnstile with its measured waits, chaos wire
 //!   sabotage;

@@ -239,7 +239,7 @@ impl ShardMeta {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// Absorb an append its leaf applied, as the leaf's receipt describes
+    /// Take in an append its leaf applied, as the leaf's receipt describes
     /// it: `new_chunk_rows` are the row counts of the chunks the store cut
     /// `delta`'s rows into. Everyone who holds this shard's summary — the
     /// leaf, each merge server above it, the driver — runs this on their
@@ -295,7 +295,7 @@ impl ShardMeta {
         Ok(())
     }
 
-    /// Absorb an applied streaming delta from its rows — the reference for
+    /// Take in an applied streaming delta from its rows — the reference for
     /// [`ShardMeta::absorb_append`]: fold the delta's values into the shard
     /// zone map, append one [`ChunkMeta`] per fresh chunk, and keep the
     /// Bloom layer complete. `columns` are the delta values in schema field

@@ -9,20 +9,21 @@
 //! their partials. Both own a [`WorkerCache`] keyed by the normalized query
 //! signature and an epoch that names the data it describes; an entry shares
 //! its table with the answers it came from and serves, so remembering
-//! copies nothing. Every mixer is told of an append ([`Node::absorb`]),
-//! keeps what it remembers and brings it up to date from the rows that
-//! arrived since (its tail); a node that meets an epoch it was not told of
-//! forgets. A `pd-dist-worker` process holds one `Node` behind its FIFO
-//! turnstile ([`crate::worker`]); a [`crate::Transport::InProcess`] cluster
-//! holds a whole tree of them; and the driver of either holds the root — a
-//! mixer over the top level ([`crate::Cluster`]), which is why a chart
-//! asked before costs no hop at all. [`Node::query`] is the only query
-//! path any of them has.
+//! copies nothing. An append walks the tree a query walks ([`Node::append`]):
+//! every node is told of it, a mixer keeps what it remembers and brings it
+//! up to date from the rows that arrived since (its tail); a node that
+//! meets an epoch it was not told of forgets. A `pd-dist-worker` process
+//! holds one `Node` behind its FIFO turnstile ([`crate::worker`]); a
+//! [`crate::Transport::InProcess`] cluster holds a whole tree of them; and
+//! the driver of either holds the root — a mixer over the top level
+//! ([`crate::Cluster`]), which is why a chart asked before costs no hop at
+//! all. [`Node::query`] and [`Node::append`] are the only query and append
+//! paths any of them has.
 
 use crate::meta::{self, ShardMeta};
 use crate::rpc::{
-    absorb_into, fan_out, AbsorbRequest, AppendReceipt, AppendRequest, AppliedDelta, ChildHandle,
-    QueryRequest, ShardReport, SubtreeAnswer,
+    absorb_into, fan_out, AppendAck, AppendReceipt, AppendRequest, ChildHandle, QueryRequest,
+    ShardReport, SubtreeAnswer, LOAD_TIMEOUT,
 };
 use crate::shard_cache::{query_signature, CachedSubtree, TailMark, WorkerCache};
 use pd_common::sync::RwLock;
@@ -66,7 +67,8 @@ struct Leaf {
 
 enum Role {
     /// Behind a lock so [`Node::append`] can reach the store through the
-    /// shared references queries hold.
+    /// shared references queries hold (a mixer's summaries are behind
+    /// their edges' locks).
     Leaf(Box<RwLock<Leaf>>),
     Mixer(Vec<ChildHandle>),
 }
@@ -77,7 +79,7 @@ enum Role {
 /// column merges exactly, so scanning those and merging brings it up to
 /// date bit for bit — without a hop. Built by the calls a leaf makes
 /// ([`DataStore::from_coded`], then [`DataStore::append_delta`]), one
-/// chunk per absorbed delta, unpartitioned: the recipe the leaves were
+/// chunk per appended delta, unpartitioned: the recipe the leaves were
 /// built by never reaches a merge server, and answers do not depend on it.
 struct Tail {
     store: DataStore,
@@ -139,11 +141,12 @@ pub struct Node {
     name: String,
     cache: Option<WorkerCache>,
     /// Epoch of the data the cache describes — with the tail's rows, on a
-    /// mixer that absorbed appends; a query carrying another one drops
-    /// both first.
+    /// mixer told of appends; a query carrying another one drops both
+    /// first.
     epoch: AtomicU64,
-    /// A mixer's absorbed rows ([`Tail`]); `None` until the first absorb,
-    /// after every [`Node::invalidate`], and on a node without a cache.
+    /// A mixer's appended rows ([`Tail`]); `None` until the first append
+    /// it keeps its cache through, after every [`Node::invalidate`], and on
+    /// a node without a cache.
     tail: RwLock<Option<Tail>>,
     threads: usize,
     /// The sketch size this node's partials are computed at — part of its
@@ -205,7 +208,7 @@ impl Node {
     pub fn metas(&self) -> Vec<ShardMeta> {
         match &self.role {
             Role::Leaf(leaf) => vec![leaf.read().meta.clone()],
-            Role::Mixer(children) => children.iter().flat_map(|c| c.metas.clone()).collect(),
+            Role::Mixer(children) => children.iter().flat_map(|c| c.metas.read().clone()).collect(),
         }
     }
 
@@ -249,7 +252,7 @@ impl Node {
                 self.name
             ))));
         }
-        // A node told of every append ([`Node::absorb`]) is at the request's
+        // A node told of every append ([`Node::append`]) is at the request's
         // epoch already; one at another epoch was not told what changed.
         // (Freshly built trees get their epoch at construction.)
         if self.epoch.load(Ordering::SeqCst) != request.epoch {
@@ -257,7 +260,7 @@ impl Node {
         }
         let signature = self.cache.as_ref().map(|_| query_signature(&request.query, self.sketch_m));
         // Where the tail stands now: what a fresh entry will contain, and
-        // what a remembered one may lack. No absorb runs beside a query.
+        // what a remembered one may lack. No append runs beside a query.
         let tail = self.tail.read();
         let now = tail.as_ref().map_or(TailMark::default(), |tail| tail.mark);
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
@@ -311,145 +314,138 @@ impl Node {
         Ok(answer)
     }
 
-    /// Apply a streaming delta in place (leaf only): extend the store's
-    /// dictionaries (existing ids stay stable), encode the delta rows as
-    /// fresh chunks, absorb exactly those chunks into the shard summary,
-    /// drop this node's cached partials — the shard's answer did change —
-    /// and adopt the epoch the append establishes. The leaf's chunk-result
-    /// cache is kept: old chunks are immutable and their ids stable, so the
-    /// next query folds the cached tables and scans only the new chunks
-    /// (it is cleared only if the store had to drop a virtual field, whose
-    /// rebuild renumbers that field's ids). Returns the receipt — how the
-    /// store chunked the delta — with which every parent absorbs the same
-    /// delta into its own copy of the summary ([`Node::absorb`]); the
-    /// summary itself stays here.
-    pub fn append(&self, append: &AppendRequest) -> Result<AppendReceipt> {
-        let Role::Leaf(leaf) = &self.role else {
-            return Err(Error::Data(format!("Append sent to {}, which is not a leaf", self.name)));
+    /// Apply an append to the shards beneath this node — the one append
+    /// path, over the edges a query walks. A leaf applies its shard's delta
+    /// ([`Leaf::apply`]); a mixer writes each child the deltas beneath it,
+    /// grows its tail by the same rows while they apply, and absorbs their
+    /// receipts into its copies of the summaries ([`absorb_into`]). A shard
+    /// named twice or not beneath the node refuses the whole request before
+    /// anything is written or applied. Told in order (the epoch after its
+    /// own), a node keeps what it remembers — short, not wrong: [`Node::query`]
+    /// brings it forward from the tail — unless it is a leaf whose shard got
+    /// rows, or a mixer that remembers nothing or whose tail outgrew the
+    /// tables it serves (and a 1 MiB floor). Returns every receipt beneath
+    /// the node and the bytes written to get them.
+    pub fn append(&self, append: &AppendRequest) -> Result<AppendAck> {
+        let told = self.epoch.load(Ordering::SeqCst) + 1 == append.epoch;
+        let (ack, kept) = match &self.role {
+            Role::Leaf(leaf) => {
+                let receipts = leaf.write().apply(&self.name, &append.deltas)?;
+                let kept = told && receipts.is_empty();
+                (AppendAck { receipts, bytes: 0 }, kept)
+            }
+            Role::Mixer(children) => self.append_to(children, append, told)?,
         };
-        let mut leaf = leaf.write();
-        if append.shard != leaf.shard {
-            return Err(Error::Data(format!(
-                "Append for shard {} sent to leaf {}",
-                append.shard, leaf.shard
-            )));
+        if kept {
+            self.epoch.store(append.epoch, Ordering::SeqCst);
+        } else {
+            self.invalidate(append.epoch);
         }
-        let old_chunks = leaf.store.chunk_count();
-        let Leaf { store, ctx, meta, .. } = &mut *leaf;
-        append_rows(store, ctx, &append.delta)?;
+        Ok(ack)
+    }
+
+    /// A mixer's part of [`Node::append`]; returns whether it keeps its
+    /// cache beside the ack.
+    fn append_to(
+        &self,
+        children: &[ChildHandle],
+        append: &AppendRequest,
+        told: bool,
+    ) -> Result<(AppendAck, bool)> {
+        let name = &self.name;
+        // Per child, what it is written and the indexes of those deltas.
+        let mut requests =
+            vec![AppendRequest { epoch: append.epoch, deltas: Vec::new() }; children.len()];
+        let mut routes: Vec<Vec<usize>> = vec![Vec::new(); children.len()];
+        for (i, (shard, delta)) in append.deltas.iter().enumerate() {
+            let Some(child) = children.iter().position(|child| child.holds(*shard)) else {
+                return Err(Error::Data(format!("append: shard {shard} not beneath {name}")));
+            };
+            if requests[child].deltas.iter().any(|(other, _)| other == shard) {
+                return Err(Error::Data(format!("append: shard {shard} named twice")));
+            }
+            requests[child].deltas.push((*shard, delta.clone()));
+            routes[child].push(i);
+        }
+        let deadline = Instant::now() + LOAD_TIMEOUT;
+        let flights = (children.iter().zip(&requests))
+            .map(|(child, request)| child.begin_append(request, deadline))
+            .collect::<Result<Vec<_>>>()?;
+        let cache = self.cache.as_ref().filter(|cache| told && !cache.is_empty());
+        let kept = cache.is_some_and(|cache| {
+            let bound = cache.table_bytes().max(TAIL_FLOOR_BYTES);
+            self.grow_tail(&append.deltas).is_ok_and(|bytes| bytes <= bound)
+        });
+        let (mut receipts, mut bytes) = (vec![None; append.deltas.len()], 0);
+        for ((flight, request), route) in flights.into_iter().zip(&requests).zip(&routes) {
+            let ack = flight.finish(request, deadline)?;
+            bytes += ack.bytes;
+            for (&i, receipt) in route.iter().zip(ack.receipts) {
+                receipts[i] = Some(receipt);
+            }
+        }
+        let receipts: Vec<AppendReceipt> = (receipts.into_iter().collect::<Option<_>>())
+            .ok_or_else(|| Error::Data(format!("append: {name} missed a receipt")))?;
+        absorb_into(children, &append.deltas, &receipts)?;
+        if let (true, Some(tail)) = (kept, self.tail.write().as_mut()) {
+            tail.mark.leaf_chunks += receipts.iter().map(|r| r.new_chunk_rows.len()).sum::<usize>();
+        }
+        Ok((AppendAck { receipts, bytes }, kept))
+    }
+
+    /// Append `deltas`' rows to the tail, starting it with the first;
+    /// returns the bytes it now holds. The mark's leaf chunks wait for the
+    /// receipts. After an `Err` the tail is not to be used.
+    fn grow_tail(&self, deltas: &[(u64, TableDelta)]) -> Result<usize> {
+        let mut tail = self.tail.write();
+        // A delta without rows makes no chunk, and a store cannot start empty.
+        for (_, delta) in deltas.iter().filter(|(_, delta)| delta.rows > 0) {
+            let tail = match &mut *tail {
+                Some(tail) => {
+                    append_rows(&mut tail.store, &tail.ctx, delta)?;
+                    tail
+                }
+                None => tail.insert(Tail {
+                    store: DataStore::from_coded(delta.clone(), &BuildOptions::basic())?,
+                    ctx: scan_context(self.threads),
+                    mark: TailMark::default(),
+                }),
+            };
+            tail.mark.chunks = tail.store.chunk_count();
+            tail.mark.rows += delta.rows;
+        }
+        Ok(tail.as_ref().map_or(0, |tail| tail.store.total_bytes()))
+    }
+}
+
+impl Leaf {
+    /// Apply this leaf's delta in `deltas` (none: the append fell
+    /// elsewhere) in place: extend the store's dictionaries (existing ids
+    /// stay stable), encode the rows as fresh chunks — the chunk results of
+    /// the old ones stay good — and absorb exactly those into the summary.
+    /// Returns the receipt with which every parent absorbs the same delta.
+    fn apply(&mut self, name: &str, deltas: &[(u64, TableDelta)]) -> Result<Vec<AppendReceipt>> {
+        let delta = match deltas {
+            [] => return Ok(Vec::new()),
+            [(shard, delta)] if *shard == self.shard => delta,
+            _ => {
+                let shards: Vec<u64> = deltas.iter().map(|(shard, _)| *shard).collect();
+                return Err(Error::Data(format!("append: {name} handed shards {shards:?}")));
+            }
+        };
+        let old_chunks = self.store.chunk_count();
+        append_rows(&mut self.store, &self.ctx, delta)?;
         let receipt = AppendReceipt {
-            new_chunk_rows: (old_chunks..store.chunk_count())
-                .map(|c| store.chunk_rows(c) as u64)
+            new_chunk_rows: (old_chunks..self.store.chunk_count())
+                .map(|c| self.store.chunk_rows(c) as u64)
                 .collect(),
         };
         // The new chunks' zone maps and the column blooms absorb exactly
         // the delta rows, so pruning stays sound without a re-summarize
         // scan of the resident data.
-        meta.absorb_append(&append.delta, &receipt.new_chunk_rows)?;
-        drop(leaf);
-        self.invalidate(append.epoch);
-        Ok(receipt)
+        self.meta.absorb_append(delta, &receipt.new_chunk_rows)?;
+        Ok(vec![receipt])
     }
-
-    /// Absorb appends the leaves beneath this merge server applied (none,
-    /// when the append fell elsewhere in the tree): bring the children's
-    /// shard summaries up to date in place, append the same deltas to the
-    /// tail and adopt the epoch. What the node remembers is kept — an
-    /// append leaves a remembered partial short, not wrong, and
-    /// [`Node::query`] brings it forward from the tail. Cache and tail are
-    /// dropped instead, as an epoch the node was not told of drops them,
-    /// when it missed an earlier epoch, when it remembers nothing, or when
-    /// the tail holds more bytes than the tables it serves (and than a
-    /// 1 MiB floor). The
-    /// children's links are left alone — an append costs the tree no
-    /// connection.
-    pub fn absorb(&mut self, absorb: &AbsorbRequest) -> Result<()> {
-        let Role::Mixer(children) = &mut self.role else {
-            return Err(Error::Data(format!(
-                "Absorb sent to {}, which is not a merge server",
-                self.name
-            )));
-        };
-        absorb_into(children, &absorb.applied)?;
-        let told = self.epoch.load(Ordering::SeqCst) + 1 == absorb.epoch;
-        let kept = match &self.cache {
-            Some(cache) if told && !cache.is_empty() => {
-                grow_tail(&mut self.tail.write(), &absorb.applied, self.threads)
-                    .map(|tail_bytes| tail_bytes <= cache.table_bytes().max(TAIL_FLOOR_BYTES))
-            }
-            _ => Ok(false),
-        };
-        if matches!(kept, Ok(true)) {
-            self.epoch.store(absorb.epoch, Ordering::SeqCst);
-        } else {
-            self.invalidate(absorb.epoch);
-        }
-        kept.map(|_| ())
-    }
-
-    /// An append through in-memory edges: every leaf beneath this mixer
-    /// applies its shard's delta, taken out of `deltas` ([`Node::append`];
-    /// a shard without one is left alone), every mixer beneath absorbs what
-    /// was applied beneath it, and this one absorbs all of it
-    /// ([`Node::absorb`]) — the messages a socket tree's append sends, as
-    /// calls. A child mixer is reached by `Arc::get_mut`: its parent's
-    /// handle holds the only reference. Returns what was applied.
-    pub(crate) fn append_beneath(
-        &mut self,
-        deltas: &mut [Option<TableDelta>],
-        epoch: u64,
-    ) -> Result<Vec<AppliedDelta>> {
-        let Role::Mixer(children) = &mut self.role else {
-            return Err(Error::Internal(format!("append: {} has no children", self.name)));
-        };
-        let mut applied = Vec::new();
-        for child in children.iter_mut() {
-            let beneath =
-                |what: &str| Error::Internal(format!("append: {what} beneath {}", self.name));
-            match child.local_mut().ok_or_else(|| beneath("a socket edge"))? {
-                (Some(shard), leaf) => {
-                    let Some(delta) = deltas.get_mut(shard as usize).and_then(Option::take) else {
-                        continue;
-                    };
-                    let append = AppendRequest { shard, delta, epoch };
-                    let receipt = leaf.append(&append)?;
-                    applied.push(AppliedDelta { shard, delta: append.delta, receipt });
-                }
-                (None, mixer) => {
-                    let mixer = Arc::get_mut(mixer).ok_or_else(|| beneath("a shared mixer"))?;
-                    applied.extend(mixer.append_beneath(deltas, epoch)?);
-                }
-            }
-        }
-        let absorb = AbsorbRequest { applied, epoch };
-        self.absorb(&absorb)?;
-        Ok(absorb.applied)
-    }
-}
-
-/// Append `applied`'s rows to `tail`, starting it with the first; returns
-/// the bytes it now holds. After an `Err` the tail is not to be used.
-fn grow_tail(tail: &mut Option<Tail>, applied: &[AppliedDelta], threads: usize) -> Result<usize> {
-    // A delta without rows makes no chunk, and a store cannot start empty.
-    for one in applied.iter().filter(|one| one.delta.rows > 0) {
-        let tail = match tail {
-            Some(tail) => {
-                append_rows(&mut tail.store, &tail.ctx, &one.delta)?;
-                tail
-            }
-            None => tail.insert(Tail {
-                store: DataStore::from_coded(one.delta.clone(), &BuildOptions::basic())?,
-                ctx: scan_context(threads),
-                mark: TailMark::default(),
-            }),
-        };
-        tail.mark = TailMark {
-            chunks: tail.store.chunk_count(),
-            rows: tail.mark.rows + one.delta.rows,
-            leaf_chunks: tail.mark.leaf_chunks + one.receipt.new_chunk_rows.len(),
-        };
-    }
-    Ok(tail.as_ref().map_or(0, |tail| tail.store.total_bytes()))
 }
 
 fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
@@ -519,7 +515,7 @@ mod tests {
     }
 
     /// A root over one in-memory leaf holding `kn_delta(0..rows)`: the
-    /// smallest tree that absorbs.
+    /// smallest tree with a tail.
     fn root_over_a_leaf(rows: i64, cache_entries: usize) -> Node {
         let build = BuildOptions::basic();
         let (leaf, _) = Node::leaf(0, kn_delta(0..rows), &build, spec("l0p", 4)).unwrap();
@@ -527,10 +523,15 @@ mod tests {
         Node::mixer(vec![child], spec("root", cache_entries))
     }
 
+    /// An append of `delta` to shard 0 at `epoch`.
+    fn to_shard_0(delta: TableDelta, epoch: u64) -> AppendRequest {
+        AppendRequest { epoch, deltas: vec![(0, delta)] }
+    }
+
     /// One `Cluster::append` on that tree: the leaf applies, the root
     /// absorbs the receipt.
-    fn append_beneath(root: &mut Node, delta: TableDelta, epoch: u64) {
-        assert_eq!(root.append_beneath(&mut [Some(delta)], epoch).unwrap().len(), 1);
+    fn append(root: &Node, delta: TableDelta, epoch: u64) {
+        assert_eq!(root.append(&to_shard_0(delta, epoch)).unwrap().receipts.len(), 1);
     }
 
     // An integer for every row below 1000; a string once `n` reaches it.
@@ -545,7 +546,7 @@ mod tests {
             leaf.query(&request(sql, epoch), Duration::ZERO).map(|answer| answer.stats)
         };
         let append = |ns: std::ops::Range<i64>, epoch: u64| {
-            leaf.append(&AppendRequest { shard: 0, delta: kn_delta(ns), epoch }).unwrap()
+            leaf.append(&to_shard_0(kn_delta(ns), epoch)).unwrap()
         };
         ask(BY_SIZE, 1).unwrap();
         assert_eq!(ask(BY_K, 1).unwrap().rows_scanned, 90);
@@ -568,9 +569,9 @@ mod tests {
 
     #[test]
     fn a_virtual_field_an_append_leaves_two_typed_fails_as_a_miss_would() {
-        let mut root = root_over_a_leaf(90, 4);
+        let root = root_over_a_leaf(90, 4);
         // The same tree without a root cache: every answer is the miss path's.
-        let mut bare = root_over_a_leaf(90, 0);
+        let bare = root_over_a_leaf(90, 0);
         let ask =
             |node: &Node, sql: &str, epoch: u64| node.query(&request(sql, epoch), Duration::ZERO);
         ask(&root, BY_SIZE, 1).unwrap();
@@ -578,8 +579,8 @@ mod tests {
 
         // Integers still: both charts are brought forward, the tail
         // materializing the field over its own rows.
-        append_beneath(&mut root, kn_delta(90..100), 2);
-        append_beneath(&mut bare, kn_delta(90..100), 2);
+        append(&root, kn_delta(90..100), 2);
+        append(&bare, kn_delta(90..100), 2);
         let forward = ask(&root, BY_SIZE, 2).unwrap();
         assert_eq!((forward.stats.worker_cache_hits, forward.stats.rows_scanned), (1, 10));
         assert_eq!(forward.partial, ask(&bare, BY_SIZE, 2).unwrap().partial);
@@ -587,8 +588,8 @@ mod tests {
         // 'big' arrives: the tail's field cannot hold it either. The
         // remembered chart fails with the error the leaf reports, while one
         // that does not name the field is still brought forward.
-        append_beneath(&mut root, kn_delta(1_000..1_010), 3);
-        append_beneath(&mut bare, kn_delta(1_000..1_010), 3);
+        append(&root, kn_delta(1_000..1_010), 3);
+        append(&bare, kn_delta(1_000..1_010), 3);
         let missed = ask(&bare, BY_SIZE, 3).unwrap_err();
         assert_eq!(ask(&root, BY_SIZE, 3).unwrap_err().to_string(), missed.to_string());
         let by_k = ask(&root, BY_K, 3).unwrap();
@@ -598,7 +599,7 @@ mod tests {
 
     #[test]
     fn a_tail_past_its_bound_goes_with_the_cache_it_served() {
-        let mut root = root_over_a_leaf(100, 4);
+        let root = root_over_a_leaf(100, 4);
         let tail_bytes = |root: &Node| root.tail.read().as_ref().map(|t| t.store.total_bytes());
         let cached = |root: &Node| root.cache.as_ref().unwrap().len();
         let ask =
@@ -614,7 +615,7 @@ mod tests {
         let (mut rows, mut epoch, mut drops, mut peak) = (100u64, 1u64, 0, 0);
         while drops < 2 {
             epoch += 1;
-            append_beneath(&mut root, batch.clone(), epoch);
+            append(&root, batch.clone(), epoch);
             rows += BATCH;
             match tail_bytes(&root) {
                 Some(bytes) => {
@@ -639,10 +640,35 @@ mod tests {
         }
         assert!(peak > TAIL_FLOOR_BYTES / 2, "the bound was approached from below: {peak}");
         // And a node that remembers nothing keeps no tail at all.
-        let mut forgetful = root_over_a_leaf(100, 0);
-        append_beneath(&mut forgetful, kn_delta(100..200), 2);
+        let forgetful = root_over_a_leaf(100, 0);
+        append(&forgetful, kn_delta(100..200), 2);
         assert!(tail_bytes(&forgetful).is_none());
     }
+
+    /// Four leaves holding `kn_delta(0..100)` in quarters, two mixers over
+    /// them that remember 8 charts each, and a root remembering
+    /// `root_cache`: the root and the leaves.
+    fn two_level_tree(root_cache: usize) -> (Node, Vec<Arc<Node>>) {
+        let leaves: Vec<Arc<Node>> = (0..4u64)
+            .map(|shard| {
+                let rows = kn_delta(shard as i64 * 25..(shard as i64 + 1) * 25);
+                let spec = spec(&format!("l{shard}p"), 8);
+                Arc::new(Node::leaf(shard, rows, &BuildOptions::basic(), spec).unwrap().0)
+            })
+            .collect();
+        let mixer = |name: &str, shards: [u64; 2]| {
+            let children = shards
+                .map(|shard| {
+                    ChildHandle::local(Arc::clone(&leaves[shard as usize]), Some(shard), false)
+                })
+                .into();
+            ChildHandle::local(Arc::new(Node::mixer(children, spec(name, 8))), None, false)
+        };
+        let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
+        (Node::mixer(children, spec("root", root_cache)), leaves)
+    }
+
+    const A: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM t GROUP BY k";
 
     /// Every in-process mixer is told of an append. Four leaves, two mixers
     /// that remember a chart, a root that remembers nothing: a one-row
@@ -650,25 +676,14 @@ mod tests {
     /// over its one-row tail, and the other mixer, told with no deltas,
     /// keeps the chart as it stands.
     #[test]
-    fn an_append_beneath_tells_every_in_process_mixer() {
-        let leaf = |shard: u64| {
-            let rows = kn_delta(shard as i64 * 25..(shard as i64 + 1) * 25);
-            let spec = spec(&format!("l{shard}p"), 8);
-            let (leaf, _) = Node::leaf(shard, rows, &BuildOptions::basic(), spec).unwrap();
-            ChildHandle::local(Arc::new(leaf), Some(shard), false)
-        };
-        let mixer = |name: &str, shards: [u64; 2]| {
-            let mixer = Node::mixer(shards.map(leaf).into(), spec(name, 8));
-            ChildHandle::local(Arc::new(mixer), None, false)
-        };
-        let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
-        let mut root = Node::mixer(children, spec("root", 0));
-        const A: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM t GROUP BY k";
+    fn an_append_tells_every_in_process_mixer() {
+        let (root, _) = two_level_tree(0);
         let cold = root.query(&request(A, 1), Duration::ZERO).unwrap();
         assert_eq!((cold.stats.worker_cache_hits, cold.stats.rows_scanned), (0, 100));
 
-        let applied = root.append_beneath(&mut [None, None, None, Some(kn_delta(100..101))], 2);
-        assert_eq!(applied.unwrap().len(), 1, "the row lands on the last shard only");
+        let ack = root.append(&AppendRequest { epoch: 2, deltas: vec![(3, kn_delta(100..101))] });
+        let receipt = AppendReceipt { new_chunk_rows: vec![1] };
+        assert_eq!(ack.unwrap(), AppendAck { receipts: vec![receipt], bytes: 0 });
         let warm = root.query(&request(A, 2), Duration::ZERO).unwrap();
         let shard_hits = warm.reports.iter().filter(|report| report.cache_hit).count();
         assert_eq!(warm.stats.worker_cache_hits, 2, "both mixers remembered A");
@@ -677,6 +692,51 @@ mod tests {
         let query = request(A, 2).query;
         let want = pd_core::query(&store, A).unwrap().0;
         assert_eq!(pd_core::finalize(&query, warm.partial).unwrap(), want);
+    }
+
+    /// A misrouted append is refused whole, typed, before any frame is
+    /// written or any row applied: the same shard twice, a shard not beneath
+    /// the node, a leaf handed another shard's delta (or two). Every node's
+    /// epoch, cache, tail and summaries are as they were — the repeat is
+    /// still the root's hit, with no row brought forward — and the append
+    /// routed right then applies as the first of the epoch: in any shard
+    /// order, each receipt absorbed into the copy of its own shard.
+    #[test]
+    fn a_misrouted_append_is_refused_whole() {
+        let (root, leaves) = two_level_tree(8);
+        let cold = root.query(&request(A, 1), Duration::ZERO).unwrap();
+        let row = || kn_delta(100..101);
+        let (metas, leaf_metas) = (root.metas(), leaves[0].metas());
+        let refusals = [
+            (&root, vec![(3, row()), (3, row())], "shard 3 named twice"),
+            (&root, vec![(1, row()), (7, row())], "shard 7 not beneath root"),
+            (&*leaves[0], vec![(1, row())], "l0p handed shards [1]"),
+            (&*leaves[0], vec![(0, row()), (0, row())], "handed shards [0, 0]"),
+        ];
+        for (node, deltas, why) in refusals {
+            match node.append(&AppendRequest { epoch: 2, deltas }) {
+                Err(Error::Data(message)) => assert!(message.contains(why), "{message}"),
+                other => panic!("{why}: refused typed, got {other:?}"),
+            }
+            assert_eq!((root.metas(), leaves[0].metas()), (metas.clone(), leaf_metas.clone()));
+            let repeat = root.query(&request(A, 1), Duration::ZERO).unwrap();
+            assert_eq!(
+                (repeat.stats.worker_cache_hits, repeat.stats.rows_scanned),
+                (1, 0),
+                "{why}"
+            );
+            assert_eq!(repeat.partial, cold.partial, "{why}");
+            let leaf = leaves[0].query(&request(A, 1), Duration::ZERO).unwrap();
+            assert_eq!(leaf.stats.worker_cache_hits, 1, "{why}: the leaf remembers");
+        }
+        let deltas = vec![(3, kn_delta(100..102)), (0, kn_delta(102..103))];
+        let ack = root.append(&AppendRequest { epoch: 2, deltas }).unwrap();
+        let chunks: Vec<Vec<u64>> = ack.receipts.into_iter().map(|r| r.new_chunk_rows).collect();
+        assert_eq!(chunks, [vec![2], vec![1]], "one receipt per delta, in request order");
+        let copies: Vec<ShardMeta> = leaves.iter().flat_map(|leaf| leaf.metas()).collect();
+        assert_eq!(root.metas(), copies, "every copy absorbed its own shard's receipt");
+        let forward = root.query(&request(A, 2), Duration::ZERO).unwrap();
+        assert_eq!((forward.stats.worker_cache_hits, forward.stats.rows_scanned), (1, 3));
     }
 
     #[test]
@@ -728,10 +788,11 @@ mod tests {
             let count = rng.range_usize(1, 3 * MAX_CHUNK_ROWS + 1);
             let fresh_terms = rng.range_usize(0, 3).min(count);
             let batch = columns(&mut rng, &mut next_term, count, fresh_terms);
-            let append = AppendRequest { shard: 0, delta: coded(&batch), epoch: 2 + step };
-            let receipt = leaf.append(&append).unwrap();
+            let delta = coded(&batch);
+            let ack = leaf.append(&to_shard_0(delta.clone(), 2 + step)).unwrap();
+            let [receipt] = ack.receipts.try_into().unwrap();
             assert_eq!(receipt.new_chunk_rows.len(), count.div_ceil(MAX_CHUNK_ROWS), "step {step}");
-            parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();
+            parents.absorb_append(&delta, &receipt.new_chunk_rows).unwrap();
 
             let [leafs] = leaf.metas().try_into().unwrap();
             assert_eq!(parents, leafs, "step {step}: the copies diverged");

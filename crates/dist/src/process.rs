@@ -2,7 +2,8 @@
 //! `pd-dist-worker` OS process per node beneath the driver's root (two per
 //! shard under replication). A process becomes a leaf by a `Load` and a
 //! merge server by an `Attach`; the driver keeps a control connection to
-//! each, over which an append travels in two round trips.
+//! each for those and the final `Shutdown`. An append does not come here:
+//! it walks the tree's own edges from the root ([`crate::node::Node::append`]).
 //!
 //! Workers listen on Unix sockets in a private temp directory
 //! ([`WorkerAddr::Unix`]) or on ephemeral TCP ports ([`WorkerAddr::Tcp`],
@@ -17,11 +18,10 @@
 use crate::chaos::leaf_primary;
 use crate::cluster::{node_spec, ClusterConfig, RpcConfig};
 use crate::meta::ShardMeta;
-use crate::node::{Node, NodeSpec};
+use crate::node::NodeSpec;
 use crate::rpc::{
-    backoff_sleep, encode_frame, AbsorbRequest, Addr, AppendReceipt, AppendRequest, AppliedDelta,
-    AttachRequest, ChildSpec, LoadRequest, Request, Response, RpcClient, BACKOFF_CAP, LOAD_TIMEOUT,
-    STARTUP_TIMEOUT,
+    backoff_sleep, encode_frame, refusal, Addr, AttachRequest, ChildSpec, LoadRequest, Request,
+    Response, RpcClient, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
 };
 use pd_common::rng::Rng;
 use pd_common::{fx_hash64, Error, Result};
@@ -131,36 +131,17 @@ pub(crate) struct Workers {
     dir: PathBuf,
     processes: Vec<ReapGuard>,
     /// One control connection per worker, in spawn order, kept from its
-    /// spawn: role assignment, appends, absorbs and the final shutdown all
-    /// travel over it (a fresh connection each would be a connect here and
-    /// a new connection thread there, per request).
-    control: Vec<(Addr, RpcClient)>,
+    /// spawn: role assignment and the final shutdown travel over it (a
+    /// fresh connection each would be a connect here and a new connection
+    /// thread there, per request).
+    control: Vec<RpcClient>,
     /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
     /// order — the name space chaos directives target.
     pub(crate) names: Vec<String>,
-    /// Each shard's leaf processes, in shard order: where appends go.
-    leaves: Vec<LeafPair>,
-    /// Every merge server, and the shards beneath it: who absorbs which
-    /// append.
-    mixers: Vec<Mixer>,
-    /// Cumulative serialized bytes of the frames that moved data: `Load`,
-    /// `Append` and `Absorb` — the cost an incremental append is measured
-    /// against a respawn by.
+    /// Cumulative serialized bytes of the frames that moved data: every
+    /// `Load`, and every `Append` the tree's appends wrote — the cost an
+    /// incremental append is measured against a respawn by.
     pub(crate) bytes_shipped: u64,
-}
-
-/// A shard's processes, as indexes into [`Workers::control`].
-#[derive(Clone, Copy)]
-struct LeafPair {
-    primary: usize,
-    replica: Option<usize>,
-}
-
-/// A merge server's process (an index into [`Workers::control`]) and every
-/// shard in its subtree.
-struct Mixer {
-    worker: usize,
-    shards: Vec<u64>,
 }
 
 static TREE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -181,8 +162,6 @@ impl Workers {
             processes: Vec::new(),
             control: Vec::new(),
             names: Vec::new(),
-            leaves: Vec::new(),
-            mixers: Vec::new(),
             bytes_shipped: 0,
         })
     }
@@ -223,9 +202,7 @@ impl Workers {
         } else {
             None
         };
-        self.leaves.push(LeafPair { primary, replica });
-        let addr = |worker: usize| self.control[worker].0.clone();
-        Ok(ChildSpec::Leaf { shard, primary: addr(primary), replica: replica.map(addr), meta })
+        Ok(ChildSpec::Leaf { shard, primary, replica, meta })
     }
 
     /// Spawn the merge server `spec` names over `children`. Each node's
@@ -240,93 +217,15 @@ impl Workers {
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
         let name = spec.name.clone();
         let attach = Request::Attach(AttachRequest { children, compress: self.compress, spec });
-        let (worker, ack) = self.spawn_worker(&name, &attach)?;
+        let (addr, ack) = self.spawn_worker(&name, &attach)?;
         expect_ok(ack, "attach")?;
-        self.mixers.push(Mixer { worker, shards: metas.iter().map(|m| m.shard).collect() });
-        Ok(ChildSpec::Node { addr: self.control[worker].0.clone(), metas })
-    }
-
-    /// An append over the wire, two round trips whatever the tree's size,
-    /// each in the shape of a query fan-out: write to everyone, then read
-    /// from everyone, so all shards — and then all merge servers — work at
-    /// once. `deltas[shard]` is that shard's rows (`None`: it has none).
-    ///
-    /// 1. Every shard's delta — encoded once — goes to its primary and its
-    ///    replica; each acks a receipt (a pair's must agree).
-    /// 2. Every merge server gets the deltas and receipts of the shards
-    ///    beneath it — none, if the append fell elsewhere: it still hears
-    ///    of the epoch, and so forgets nothing — plus the epoch; while
-    ///    they absorb, `root` — the one mixer that is not behind a wire —
-    ///    absorbs them all.
-    ///
-    /// Returns the bytes of every frame written. An error may leave an ack
-    /// unread on a control connection: the cluster drops the tree on any
-    /// failed append, and the `Shutdown` that follows does not mind.
-    pub(crate) fn append(
-        &mut self,
-        deltas: Vec<Option<TableDelta>>,
-        epoch: u64,
-        root: &mut Node,
-    ) -> Result<u64> {
-        let appends: Vec<AppendRequest> = (deltas.into_iter().enumerate())
-            .filter_map(|(shard, delta)| {
-                Some(AppendRequest { shard: shard as u64, delta: delta?, epoch })
-            })
-            .collect();
-        let deadline = Instant::now() + LOAD_TIMEOUT;
-        let shipped_before = self.bytes_shipped;
-        for append in &appends {
-            let leaf = self.leaves.get(append.shard as usize).ok_or_else(|| {
-                Error::Internal(format!("append: no leaf holds shard {}", append.shard))
-            })?;
-            let frame = encode_frame(append, self.compress)?;
-            for worker in std::iter::once(leaf.primary).chain(leaf.replica) {
-                self.control[worker].1.send(&frame, deadline)?;
-                self.bytes_shipped += frame.len() as u64;
-            }
-        }
-        let mut applied = Vec::with_capacity(appends.len());
-        for AppendRequest { shard, delta, .. } in appends {
-            let LeafPair { primary, replica } = self.leaves[shard as usize];
-            let receipt = self.recv_receipt(primary, deadline)?;
-            if let Some(replica) = replica {
-                if self.recv_receipt(replica, deadline)? != receipt {
-                    return Err(Error::Data(format!(
-                        "shard {shard}: primary and replica chunked one append differently"
-                    )));
-                }
-            }
-            applied.push(AppliedDelta { shard, delta, receipt });
-        }
-
-        for mixer in &self.mixers {
-            let beneath: Vec<AppliedDelta> =
-                applied.iter().filter(|a| mixer.shards.contains(&a.shard)).cloned().collect();
-            let absorb = Request::Absorb(Box::new(AbsorbRequest { applied: beneath, epoch }));
-            let frame = encode_frame(&absorb, self.compress)?;
-            self.control[mixer.worker].1.send(&frame, deadline)?;
-            self.bytes_shipped += frame.len() as u64;
-        }
-        root.absorb(&AbsorbRequest { applied, epoch })?;
-        for mixer in &self.mixers {
-            expect_ok(self.control[mixer.worker].1.recv(deadline)?, "absorb")?;
-        }
-        Ok(self.bytes_shipped - shipped_before)
-    }
-
-    /// A leaf's ack of the `Append` it was last sent.
-    fn recv_receipt(&mut self, worker: usize, deadline: Instant) -> Result<AppendReceipt> {
-        match self.control[worker].1.recv(deadline)? {
-            Response::Appended(receipt) => Ok(receipt),
-            other => Err(refusal(other, "append")),
-        }
+        Ok(ChildSpec::Node { addr, metas })
     }
 
     /// Spawn one worker named `name`, wait for it to answer `Ping`, then
     /// send its role-assignment request (`Load` / `Attach`). Returns the
-    /// worker's index in [`Workers::control`] and its reply to the
-    /// assignment.
-    fn spawn_worker(&mut self, name: &str, role: &Request) -> Result<(usize, Response)> {
+    /// worker's address and its reply to the assignment.
+    fn spawn_worker(&mut self, name: &str, role: &Request) -> Result<(Addr, Response)> {
         // Decide the address story once: a unix worker listens where the
         // driver says; a tcp worker binds port 0 and reports back through
         // its announce file.
@@ -390,15 +289,15 @@ impl Workers {
             // against. (Attach frames are wiring, not data.)
             self.bytes_shipped += frame.len() as u64;
         }
-        self.control.push((addr, client));
-        Ok((self.control.len() - 1, reply))
+        self.control.push(client);
+        Ok((addr, reply))
     }
 }
 
 impl Drop for Workers {
     fn drop(&mut self) {
         // Polite first: a Shutdown request lets workers exit cleanly.
-        for (_, client) in &mut self.control {
+        for client in &mut self.control {
             let _ = client.call(&Request::Shutdown, Duration::from_millis(200));
         }
         // Then force: dropping the guards kills and reaps whatever is
@@ -448,20 +347,5 @@ fn expect_ok(response: Response, what: &str) -> Result<()> {
     match response {
         Response::Ok => Ok(()),
         other => Err(refusal(other, what)),
-    }
-}
-
-/// The error of a worker that answered a `what` request with anything but
-/// its ack.
-fn refusal(response: Response, what: &str) -> Error {
-    match response {
-        Response::Err(message) => Error::Data(format!("worker {what} failed: {message}")),
-        Response::Fault(fault) => Error::Rpc(fault),
-        Response::Malformed(message) => {
-            Error::Data(format!("worker rejected the {what} frame: {message}"))
-        }
-        Response::Ok | Response::Loaded(_) | Response::Appended(_) | Response::Answer(_) => {
-            Error::Data(format!("worker sent the wrong kind of reply to a {what} request"))
-        }
     }
 }

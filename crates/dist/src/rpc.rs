@@ -92,20 +92,10 @@ pub enum Request {
     Load(Box<LoadRequest>),
     /// Become a merge server owning a subtree.
     Attach(AttachRequest),
-    /// Apply a streaming delta in place (leaf only): extend the shard's
-    /// dictionaries (existing ids stay stable), encode the delta rows as
-    /// fresh chunks, absorb them into the leaf's own shard summary, and
-    /// adopt the new epoch — no respawn, no table reshipping. Acknowledged
-    /// with [`Response::Appended`]: a receipt, never the summary.
+    /// Apply the rows of the shards beneath the receiver in place
+    /// ([`crate::node::Node::append`]) — no respawn, no reshipping, no
+    /// connection touched. Acked with [`Response::Appended`].
     Append(Box<AppendRequest>),
-    /// Absorb appends the leaves beneath a merge server applied: bring its
-    /// copies of their summaries up to date in place
-    /// ([`ShardMeta::absorb_append`]), append the deltas to the tail that
-    /// keeps its node cache answerable, and adopt the epoch. Sent to every
-    /// merge server, with no deltas to one nothing was appended beneath:
-    /// told of the epoch, it forgets nothing. Its child connections are
-    /// not touched. Acknowledged with [`Response::Ok`].
-    Absorb(Box<AbsorbRequest>),
     /// Execute / fan out one query.
     Query(Box<QueryRequest>),
     /// Exit the worker process (acknowledged first).
@@ -123,28 +113,24 @@ pub struct LoadRequest {
     pub spec: NodeSpec,
 }
 
-/// A streaming append for one leaf shard: the self-contained delta batch
-/// plus the rebuild epoch it establishes. The delta carries its own
-/// per-column sorted dictionaries ([`pd_encoding::TableDelta`]), so the
-/// sender needs no knowledge of the shard's resident dictionaries;
-/// decoding re-validates every invariant, so a decoded request is safe to
-/// apply.
+/// An append as it reaches one node: the rows of the shards beneath it and
+/// the epoch they establish. Each delta carries its own per-column sorted
+/// dictionaries ([`pd_encoding::TableDelta`]), so no sender needs the
+/// shards' resident dictionaries; decoding re-validates every invariant, so
+/// a decoded request is safe to apply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendRequest {
-    pub shard: u64,
-    pub delta: TableDelta,
-    /// The epoch this append establishes; the leaf adopts it and drops its
-    /// node cache — its answer did change. Its chunk results stay: an
-    /// append rewrites no chunk and renumbers no id. (A parent told of the
-    /// same append by [`AbsorbRequest`] keeps its node cache too, and
-    /// brings it forward from the deltas.)
+    /// The epoch this append establishes — the one after the node's own,
+    /// or the node missed an append and drops what it remembers.
     pub epoch: u64,
+    /// `(shard, rows)` for each shard beneath the node that gets rows, at
+    /// most once; none when the append fell elsewhere in the tree.
+    pub deltas: Vec<(u64, TableDelta)>,
 }
 
-/// What a leaf acks an [`AppendRequest`] with: the one fact about the
-/// applied delta that a holder of the delta cannot derive from it — how the
-/// store cut the rows into chunks. With it, every holder of the shard's
-/// [`ShardMeta`] absorbs the delta exactly as the leaf did
+/// How a leaf's store cut one applied delta into chunks: the one fact about
+/// it that a holder of the delta cannot derive. With it, every holder of the
+/// shard's [`ShardMeta`] absorbs the delta exactly as the leaf did
 /// ([`ShardMeta::absorb_append`]), so no summary crosses a socket after the
 /// tree is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,25 +139,13 @@ pub struct AppendReceipt {
     pub new_chunk_rows: Vec<u64>,
 }
 
-/// One shard's applied append: the delta its leaf applied and the receipt
-/// the leaf acked it with.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AppliedDelta {
-    pub shard: u64,
-    pub delta: TableDelta,
-    pub receipt: AppendReceipt,
-}
-
-/// The appends applied beneath one merge server, and the epoch they
-/// establish.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AbsorbRequest {
-    /// One entry per shard beneath the node whose data changed; none when
-    /// the append fell elsewhere in the tree.
-    pub applied: Vec<AppliedDelta>,
-    /// The epoch the append establishes — the one after the node's own, or
-    /// it missed an append and drops what it remembers.
-    pub epoch: u64,
+/// What a node acks an [`AppendRequest`] with.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AppendAck {
+    /// One receipt per delta of the request, in its order.
+    pub receipts: Vec<AppendReceipt>,
+    /// Serialized bytes of the request frames written beneath the node.
+    pub bytes: u64,
 }
 
 /// The subtree a merge server owns.
@@ -282,13 +256,13 @@ impl SubtreeAnswer {
 /// Worker → parent messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Ack for `Ping` / `Attach` / `Absorb` / `Shutdown`.
+    /// Ack for `Ping` / `Attach` / `Shutdown`.
     Ok,
     /// Ack for `Load` — and for nothing else: the built shard's metadata
     /// summary (row/chunk totals, per-column value sets and extremes).
     Loaded(Box<ShardMeta>),
     /// Ack for `Append`.
-    Appended(AppendReceipt),
+    Appended(AppendAck),
     Answer(Box<SubtreeAnswer>),
     /// Application-level failure: the worker is alive and decoded the
     /// request, but executing it failed (plan error, missing role, ...).
@@ -306,6 +280,21 @@ pub enum Response {
     Fault(RpcError),
 }
 
+/// The error of a node that answered a `what` request with anything but
+/// its ack.
+pub(crate) fn refusal(response: Response, what: &str) -> Error {
+    match response {
+        Response::Err(message) => Error::Data(format!("worker {what} failed: {message}")),
+        Response::Fault(fault) => Error::Rpc(fault),
+        Response::Malformed(message) => {
+            Error::Data(format!("worker rejected the {what} frame: {message}"))
+        }
+        Response::Ok | Response::Loaded(_) | Response::Appended(_) | Response::Answer(_) => {
+            Error::Data(format!("worker sent the wrong kind of reply to a {what} request"))
+        }
+    }
+}
+
 // --- message codecs --------------------------------------------------------
 
 const REQ_PING: u8 = 0;
@@ -315,7 +304,8 @@ const REQ_QUERY: u8 = 3;
 // 4 was `Delay` (a stateful test knob) until frame version 7.
 const REQ_SHUTDOWN: u8 = 5;
 const REQ_APPEND: u8 = 6;
-const REQ_ABSORB: u8 = 7;
+// 7 was `Absorb` (an append's deltas and receipts, sent to every merge
+// server beside the leaves' `Append`s) until frame version 11.
 
 impl Encode for Request {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -336,11 +326,6 @@ impl Encode for Request {
             }
             Request::Query(query) => query.encode(out),
             Request::Append(append) => append.encode(out),
-            Request::Absorb(absorb) => {
-                out.push(REQ_ABSORB);
-                absorb.applied.encode(out);
-                absorb.epoch.encode(out);
-            }
             Request::Shutdown => out.push(REQ_SHUTDOWN),
         }
     }
@@ -369,13 +354,8 @@ impl Decode for Request {
                 chaos: Vec::decode(r)?,
             })),
             REQ_APPEND => Request::Append(Box::new(AppendRequest {
-                shard: r.u64()?,
-                delta: TableDelta::decode(r)?,
                 epoch: r.u64()?,
-            })),
-            REQ_ABSORB => Request::Absorb(Box::new(AbsorbRequest {
-                applied: Vec::decode(r)?,
-                epoch: r.u64()?,
+                deltas: Vec::decode(r)?,
             })),
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Data(format!("wire: invalid request tag {other}"))),
@@ -398,13 +378,12 @@ impl Encode for QueryRequest {
 }
 
 /// Encodes as the [`Request::Append`] that carries it (see
-/// [`QueryRequest`]'s `Encode`): the delta is not cloned to be sent.
+/// [`QueryRequest`]'s `Encode`): the deltas are not cloned to be sent.
 impl Encode for AppendRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(REQ_APPEND);
-        self.shard.encode(out);
-        self.delta.encode(out);
         self.epoch.encode(out);
+        self.deltas.encode(out);
     }
 }
 
@@ -437,24 +416,6 @@ impl Encode for AppendReceipt {
 impl Decode for AppendReceipt {
     fn decode(r: &mut Reader<'_>) -> Result<AppendReceipt> {
         Ok(AppendReceipt { new_chunk_rows: Vec::decode(r)? })
-    }
-}
-
-impl Encode for AppliedDelta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.shard.encode(out);
-        self.delta.encode(out);
-        self.receipt.encode(out);
-    }
-}
-
-impl Decode for AppliedDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<AppliedDelta> {
-        Ok(AppliedDelta {
-            shard: r.u64()?,
-            delta: TableDelta::decode(r)?,
-            receipt: AppendReceipt::decode(r)?,
-        })
     }
 }
 
@@ -550,9 +511,10 @@ impl Encode for Response {
                 out.push(RESP_LOADED);
                 meta.encode(out);
             }
-            Response::Appended(receipt) => {
+            Response::Appended(ack) => {
                 out.push(RESP_APPENDED);
-                receipt.encode(out);
+                ack.receipts.encode(out);
+                ack.bytes.encode(out);
             }
             Response::Answer(answer) => {
                 out.push(RESP_ANSWER);
@@ -579,7 +541,9 @@ impl Decode for Response {
         Ok(match r.u8()? {
             RESP_OK => Response::Ok,
             RESP_LOADED => Response::Loaded(Box::new(ShardMeta::decode(r)?)),
-            RESP_APPENDED => Response::Appended(AppendReceipt::decode(r)?),
+            RESP_APPENDED => {
+                Response::Appended(AppendAck { receipts: Vec::decode(r)?, bytes: r.u64()? })
+            }
             RESP_ANSWER => Response::Answer(Box::new(SubtreeAnswer::decode(r)?)),
             RESP_ERR => Response::Err(String::decode(r)?),
             RESP_MALFORMED => Response::Malformed(String::decode(r)?),
@@ -646,15 +610,12 @@ mod tests {
                     },
                 ],
             })),
-            Request::Append(Box::new(AppendRequest { shard: 2, delta: delta.clone(), epoch: 9 })),
-            Request::Absorb(Box::new(AbsorbRequest {
-                applied: vec![AppliedDelta {
-                    shard: 2,
-                    delta,
-                    receipt: AppendReceipt { new_chunk_rows: vec![2, 1] },
-                }],
+            Request::Append(Box::new(AppendRequest { epoch: 9, deltas: vec![(2, delta.clone())] })),
+            Request::Append(Box::new(AppendRequest {
                 epoch: 9,
+                deltas: vec![(0, delta.clone()), (3, delta)],
             })),
+            Request::Append(Box::new(AppendRequest { epoch: 10, deltas: Vec::new() })),
             Request::Shutdown,
         ];
         for request in requests {
@@ -669,9 +630,12 @@ mod tests {
             let back: Request = wire::from_bytes(&bytes).unwrap();
             assert_eq!(back, request);
         }
-        // Tag 4 carried the `Delay` knob until frame version 7.
-        let retired = wire::from_bytes::<Request>(&[4, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
-        assert!(retired.to_string().contains("invalid request tag 4"), "{retired}");
+        // Tag 4 carried the `Delay` knob until frame version 7, tag 7 a
+        // merge server's copy of an append until version 11.
+        for tag in [4u8, 7] {
+            let retired = wire::from_bytes::<Request>(&[tag, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+            assert!(retired.to_string().contains(&format!("invalid request tag {tag}")));
+        }
     }
 
     #[test]
@@ -696,7 +660,14 @@ mod tests {
         for response in [
             Response::Ok,
             Response::Loaded(Box::new(sample_meta())),
-            Response::Appended(AppendReceipt { new_chunk_rows: vec![150, 150, 7] }),
+            Response::Appended(AppendAck {
+                receipts: vec![
+                    AppendReceipt { new_chunk_rows: vec![150, 150, 7] },
+                    AppendReceipt { new_chunk_rows: vec![3] },
+                ],
+                bytes: 4_096,
+            }),
+            Response::Appended(AppendAck::default()),
             Response::Answer(Box::new(answer)),
             Response::Err("boom".into()),
             Response::Malformed("bad frame".into()),

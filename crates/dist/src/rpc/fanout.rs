@@ -21,9 +21,10 @@
 
 use super::client::RpcClient;
 use super::link::{Ask, ChildHandle, Held, InFlight, Link};
-use super::{AppliedDelta, QueryRequest, Response, SubtreeAnswer};
+use super::{AppendReceipt, QueryRequest, Response, SubtreeAnswer};
 use pd_common::{Error, Result, RpcError};
 use pd_core::scheduler;
+use pd_encoding::TableDelta;
 use std::time::{Duration, Instant};
 
 /// The §4 failover rule at one leaf: an unreachable or failed primary is
@@ -239,23 +240,28 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
     Ok(merged)
 }
 
-/// Bring the shard summaries beneath `children` up to date with appends
-/// their leaves applied — in place, by the absorb the leaf itself ran
+/// Bring the shard summaries beneath `children` up to date with the
+/// `deltas` their leaves applied and acked with `receipts` (one each, in
+/// order) — in place, by the absorb the leaf itself ran
 /// ([`crate::meta::ShardMeta::absorb_append`]), so every copy of a summary
 /// in the tree stays equal to the leaf's without one ever being shipped.
 /// The links are not touched: an append costs a parent no connection.
 /// Every edge carries its summaries, in memory or over a socket, so a shard
 /// no edge summarizes is an error — the sender's tree is not this one.
-pub fn absorb_into(children: &mut [ChildHandle], applied: &[AppliedDelta]) -> Result<()> {
-    for one in applied {
-        let meta = children
-            .iter_mut()
-            .flat_map(|child| child.metas.iter_mut())
-            .find(|meta| meta.shard == one.shard)
-            .ok_or_else(|| {
-                Error::Data(format!("absorb: no summary of shard {} beneath this node", one.shard))
-            })?;
-        meta.absorb_append(&one.delta, &one.receipt.new_chunk_rows)?;
+pub fn absorb_into(
+    children: &[ChildHandle],
+    deltas: &[(u64, TableDelta)],
+    receipts: &[AppendReceipt],
+) -> Result<()> {
+    for ((shard, delta), receipt) in deltas.iter().zip(receipts) {
+        let absorbed = children.iter().find_map(|child| {
+            let mut metas = child.metas.write();
+            let meta = metas.iter_mut().find(|meta| meta.shard == *shard)?;
+            Some(meta.absorb_append(delta, &receipt.new_chunk_rows))
+        });
+        absorbed.ok_or_else(|| {
+            Error::Data(format!("absorb: no summary of shard {shard} beneath this node"))
+        })??;
     }
     Ok(())
 }

@@ -5,7 +5,8 @@
 //! holding one. [`ChildHandle`] — metadata pre-skip, which copy is asked,
 //! report stamping — is written once above the link and runs unchanged over
 //! both kinds; a fan-out drives it in two phases, `begin` (prune, or put
-//! the query on the wire) and `finish` (the answer, failover included).
+//! the query on the wire) and `finish` (the answer, failover included). An
+//! append walks the same edges in the same two phases (`begin_append`).
 //!
 //! **Restriction-aware queries.** A query crosses an edge as the *decoded*
 //! [`pd_sql::AnalyzedQuery`] — restriction tree, group-by keys, aggregates
@@ -19,10 +20,14 @@
 use super::client::RpcClient;
 use super::fanout::{classify, settle, LeafOutcome};
 use super::frame::{encode_frame, Addr};
-use super::{ChildSpec, QueryRequest, ShardReport, SubtreeAnswer};
+use super::{
+    refusal, AppendAck, AppendRequest, ChildSpec, QueryRequest, Response, ShardReport,
+    SubtreeAnswer,
+};
 use crate::chaos::primary_unreachable;
 use crate::meta::{self, ShardMeta};
 use crate::node::Node;
+use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
@@ -140,8 +145,9 @@ pub struct ChildHandle {
     shard: Option<u64>,
     /// Every shard summary beneath this edge, kept equal to the leaves'
     /// own through appends by [`absorb_into`](super::absorb_into) — on
-    /// either kind of link.
-    pub(crate) metas: Vec<ShardMeta>,
+    /// either kind of link. Behind a lock so an append can reach them
+    /// through the shared references queries hold.
+    pub(crate) metas: RwLock<Vec<ShardMeta>>,
     pub(super) primary: Link,
     replica: Option<Link>,
 }
@@ -167,13 +173,13 @@ impl ChildHandle {
         match spec {
             ChildSpec::Leaf { shard, primary, replica, meta } => ChildHandle {
                 shard: Some(shard),
-                metas: vec![meta],
+                metas: RwLock::new(vec![meta]),
                 primary: Link::socket(primary, compress),
                 replica: replica.map(|addr| Link::socket(addr, compress)),
             },
             ChildSpec::Node { addr, metas, .. } => ChildHandle {
                 shard: None,
-                metas,
+                metas: RwLock::new(metas),
                 primary: Link::socket(addr, compress),
                 replica: None,
             },
@@ -189,19 +195,15 @@ impl ChildHandle {
     pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
         ChildHandle {
             shard,
-            metas: node.metas(),
+            metas: RwLock::new(node.metas()),
             replica: (replicated && shard.is_some()).then(|| Link::Local(Arc::clone(&node))),
             primary: Link::Local(node),
         }
     }
 
-    /// The node behind an in-memory edge, with its shard when it is a leaf;
-    /// `None` behind a socket.
-    pub(crate) fn local_mut(&mut self) -> Option<(Option<u64>, &mut Arc<Node>)> {
-        match &mut self.primary {
-            Link::Local(node) => Some((self.shard, node)),
-            Link::Socket(_) => None,
-        }
+    /// Whether `shard` is beneath this edge.
+    pub(crate) fn holds(&self, shard: u64) -> bool {
+        self.metas.read().iter().any(|meta| meta.shard == shard)
     }
 
     /// `(hits, misses)` of the result caches beneath this edge that live in
@@ -220,10 +222,10 @@ impl ChildHandle {
     /// spend no hop at all. The chunks are additionally annotated as
     /// [`ScanStats::chunks_pruned_remote`] (*where* the proof happened,
     /// outside the skip/cache/scan balance).
-    fn pruned_answer(&self) -> SubtreeAnswer {
+    fn pruned_answer(metas: &[ShardMeta]) -> SubtreeAnswer {
         let mut answer = SubtreeAnswer::empty();
         answer.stats.subtrees_pruned = 1;
-        for meta in &self.metas {
+        for meta in metas {
             answer.stats.rows_total += meta.rows;
             answer.stats.rows_skipped += meta.rows;
             answer.stats.chunks_total += meta.chunks as usize;
@@ -253,11 +255,13 @@ impl ChildHandle {
         // survive. Zero live chunks prune the edge even when the shard
         // envelope cannot. (An edge naming no shard is not proven dead:
         // `all` over nothing is vacuously true.)
-        let dead = !self.metas.is_empty()
-            && self.metas.iter().all(|m| !meta::may_match(&request.query.restriction, m));
-        if dead {
-            return InFlight::Pruned(self.pruned_answer());
+        let metas = self.metas.read();
+        if !metas.is_empty()
+            && metas.iter().all(|m| !meta::may_match(&request.query.restriction, m))
+        {
+            return InFlight::Pruned(ChildHandle::pruned_answer(&metas));
         }
+        drop(metas);
         let mut primary = self.primary.hold();
         let replica = self.replica.as_ref().map(Link::hold);
         // The one place an edge-applied fault is read — above the link, so
@@ -268,6 +272,63 @@ impl ChildHandle {
             primary.send(ask)
         };
         InFlight::Asked { shard: self.shard, primary, replica, sent }
+    }
+
+    /// Phase one of an append: take the child's copies (in [`Link::hold`]'s
+    /// order) and write `append` to each behind a socket, both of a pair.
+    /// An in-memory child is applied in phase two, once. A failed write
+    /// leaves acks unread: the driver drops a tree whose append failed.
+    pub(crate) fn begin_append(
+        &self,
+        append: &AppendRequest,
+        deadline: Instant,
+    ) -> Result<Appending<'_>> {
+        let mut copies = vec![self.primary.hold()];
+        if let Held::Socket(_) = copies[0] {
+            copies.extend(self.replica.as_ref().map(Link::hold));
+        }
+        let (mut frame, mut written) = (None, 0);
+        for copy in &mut copies {
+            if let Held::Socket(client) = copy {
+                let frame = match frame {
+                    Some(ref frame) => frame,
+                    None => frame.insert(encode_frame(append, client.compress)?),
+                };
+                client.send(frame, deadline)?;
+                written += frame.len() as u64;
+            }
+        }
+        Ok(Appending { copies, written })
+    }
+}
+
+/// A child an append was written to: its copies and the bytes written.
+pub(crate) struct Appending<'a> {
+    copies: Vec<Held<'a>>,
+    written: u64,
+}
+
+impl Appending<'_> {
+    /// Phase two of an append: the child's ack, its bytes added. An
+    /// in-memory child applies `append` here; a pair's acks must agree.
+    pub(crate) fn finish(self, append: &AppendRequest, deadline: Instant) -> Result<AppendAck> {
+        let mut acks = (self.copies.into_iter()).map(|copy| match copy {
+            Held::Socket(mut client) => match client.recv(deadline)? {
+                Response::Appended(ack) => Ok(ack),
+                other => Err(refusal(other, "append")),
+            },
+            Held::Local(node) => node.append(append),
+        });
+        let mut ack = acks.next().unwrap_or_else(|| Ok(AppendAck::default()))?;
+        for copy in acks {
+            if copy?.receipts != ack.receipts {
+                return Err(Error::Data(
+                    "append: a primary and its replica chunked it apart".into(),
+                ));
+            }
+        }
+        ack.bytes += self.written;
+        Ok(ack)
     }
 }
 

@@ -11,10 +11,10 @@
 //! the root in the driver the whole tree's — so a warm drill-down answers
 //! from the topmost cache that has the signature, with **zero child hops**
 //! below it; a chart the root remembers crosses no edge at all. The rebuild
-//! epoch carried by every `Load`/`Attach`/`Append`/`Absorb`/`Query`
-//! ([`crate::rpc`]) names the data an entry describes: a node drops its
-//! cache the moment it meets an epoch it was not told of. A mixer that *is*
-//! told of an append ([`crate::node::Node::absorb`]) keeps its entries:
+//! epoch carried by every `Load`/`Attach`/`Append`/`Query` ([`crate::rpc`])
+//! names the data an entry describes: a node drops its cache the moment it
+//! meets an epoch it was not told of. A mixer that *is* told of an append
+//! ([`crate::node::Node::append`]) keeps its entries:
 //! each records how much of the node's tail — the rows appended beneath it
 //! since — its table contains ([`TailMark`]), and one that is behind is
 //! brought forward at its next probe by scanning the missing rows and
@@ -66,9 +66,9 @@ pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
 }
 
 /// How far a mixer's tail — the rows appended beneath it since its cache
-/// last started empty ([`crate::node::Node::absorb`]) — had grown at some
+/// last started empty ([`crate::node::Node::append`]) — had grown at some
 /// moment. Every entry records the mark its table is complete up to; a
-/// node that never absorbed stands at the default, and so do its entries.
+/// node that never kept a tail stands at the default, and so do its entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailMark {
     /// Chunks of the tail's own store: where a scan for the rest starts.
@@ -198,7 +198,7 @@ impl WorkerCache {
     }
 
     /// Drop everything: the node was not told how the data changed (the
-    /// epoch moved without an absorb), or its tail outgrew
+    /// epoch moved without an append), or its tail outgrew
     /// [`WorkerCache::table_bytes`].
     pub fn invalidate(&self) {
         self.entries.clear();

@@ -15,11 +15,12 @@
 //! [`Request::Attach`] a merge server over the listed children. Each
 //! assignment *replaces* the node outright — a repurposed worker can never
 //! answer from a shadowed store, a stale child list or the previous role's
-//! cache. Data then changes in place: a
-//! [`Request::Append`] streams rows into an existing leaf, which acks a
-//! receipt, and a [`Request::Absorb`] lets a merge server apply that same
-//! append to its copies of the summaries and to what its cache remembers —
-//! neither replaces anything, and no connection is dropped.
+//! cache. Data then changes in place: a [`Request::Append`] streams rows
+//! into an existing leaf, which acks a receipt, or reaches a merge server,
+//! which forwards each child its part over the links queries use and
+//! absorbs their receipts into its copies of the summaries and into what
+//! its cache remembers ([`Node::append`]) — nothing is replaced, and no
+//! connection is dropped.
 //!
 //! **Compression mirror.** The worker has no compression config of its
 //! own: it compresses a response exactly when the request frame advertised
@@ -283,10 +284,6 @@ fn handle(
             Ok(Response::Ok)
         }
         Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),
-        Request::Absorb(absorb) => {
-            served.as_mut().ok_or_else(unassigned)?.absorb(&absorb)?;
-            Ok(Response::Ok)
-        }
         Request::Query(query) => {
             // Chaos first: injected faults must hit cache hits and budget
             // expiries too — the sabotage is the wire's, not the plan's.
@@ -304,11 +301,9 @@ fn handle(
 }
 
 fn assigned(served: &Option<Node>) -> Result<&Node> {
-    served.as_ref().ok_or_else(unassigned)
-}
-
-fn unassigned() -> Error {
-    Error::Data("worker has neither a store (Load) nor children (Attach)".into())
+    (served.as_ref()).ok_or_else(|| {
+        Error::Data("worker has neither a store (Load) nor children (Attach)".into())
+    })
 }
 
 #[cfg(test)]

@@ -5,13 +5,14 @@
 //! is an error to fail over from, not a crash.
 
 use pd_common::rng::Rng;
+use pd_common::wire::{from_bytes, to_bytes};
 use pd_common::{DataType, Row, RpcError, Schema, Value};
 use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, PartialResult, ScanStats};
 use pd_data::Table;
 use pd_dist::node::NodeSpec;
 use pd_dist::rpc::{
-    encode_frame, read_frame, read_frame_negotiated, AbsorbRequest, AppendReceipt, AppendRequest,
-    AppliedDelta, LoadRequest, QueryRequest, Request, Response, ShardReport, SubtreeAnswer,
+    encode_frame, read_frame, read_frame_negotiated, AppendAck, AppendReceipt, AppendRequest,
+    LoadRequest, QueryRequest, Request, Response, ShardReport, SubtreeAnswer,
 };
 use pd_dist::{ChaosDirective, ChaosFault};
 use pd_encoding::TableDelta;
@@ -59,17 +60,25 @@ fn random_delta(rng: &mut Rng) -> TableDelta {
     TableDelta::from_columns(schema, &[&keys, &vals, &floats]).unwrap()
 }
 
-/// The two requests that carry rows, around the same `delta`.
-fn append_of(rng: &mut Rng, delta: TableDelta) -> Request {
-    Request::Append(Box::new(AppendRequest {
-        shard: rng.next_u64() % 64,
-        delta,
-        epoch: rng.next_u64(),
-    }))
+/// The two requests that carry rows, around the same `delta`, each with
+/// where the delta's section starts in its payload. An append carries it
+/// for one shard among 0–2 other shards' rows (the codec does not care
+/// which shards, or whether one repeats: a node refuses that).
+fn append_of(rng: &mut Rng, delta: TableDelta) -> (Request, usize) {
+    let mut deltas: Vec<(u64, TableDelta)> =
+        (0..rng.range_usize(0, 3)).map(|_| (rng.next_u64() % 64, random_delta(rng))).collect();
+    let at = rng.range_usize(0, deltas.len() + 1);
+    // Tag, epoch, then the pairs before it — their count encoded as the
+    // whole list's is — then its shard.
+    let section_at = 1 + 8 + to_bytes(&deltas[..at].to_vec()).len() + 8;
+    deltas.insert(at, (rng.next_u64() % 64, delta));
+    let append = AppendRequest { epoch: rng.next_u64(), deltas };
+    (Request::Append(Box::new(append)), section_at)
 }
 
-fn load_of(rng: &mut Rng, delta: TableDelta) -> Request {
-    Request::Load(Box::new(LoadRequest {
+/// Both lead with their tag and the shard number.
+fn load_of(rng: &mut Rng, delta: TableDelta) -> (Request, usize) {
+    let load = Request::Load(Box::new(LoadRequest {
         shard: rng.next_u64() % 64,
         delta,
         build: BuildOptions::basic(),
@@ -79,17 +88,18 @@ fn load_of(rng: &mut Rng, delta: TableDelta) -> Request {
             epoch: rng.next_u64(),
             threads: rng.range_usize(0, 4),
         },
-    }))
+    }));
+    (load, 1 + 8)
 }
 
 fn random_append(rng: &mut Rng) -> Request {
     let delta = random_delta(rng);
-    append_of(rng, delta)
+    append_of(rng, delta).0
 }
 
 fn random_load(rng: &mut Rng) -> Request {
     let delta = random_delta(rng);
-    load_of(rng, delta)
+    load_of(rng, delta).0
 }
 
 /// The receipt a leaf would ack `rows` appended rows with — or, one time
@@ -104,22 +114,18 @@ fn random_receipt(rng: &mut Rng, rows: u64) -> AppendReceipt {
     AppendReceipt { new_chunk_rows }
 }
 
-/// What a merge server is told after an append: 0–3 shards' deltas with
-/// their receipts.
-fn random_absorb(rng: &mut Rng) -> Request {
-    let applied = (0..rng.range_usize(0, 4))
-        .map(|_| {
-            let delta = random_delta(rng);
-            let receipt = random_receipt(rng, delta.rows);
-            AppliedDelta { shard: rng.next_u64() % 64, delta, receipt }
-        })
-        .collect();
-    Request::Absorb(Box::new(AbsorbRequest { applied, epoch: rng.next_u64() }))
+/// What a node acks an append with: 0–3 receipts and the bytes written
+/// beneath it.
+fn random_ack(rng: &mut Rng) -> Response {
+    let receipts = (0..rng.range_usize(0, 4)).map(|_| {
+        let rows = rng.range_u64(0, 500);
+        random_receipt(rng, rows)
+    });
+    Response::Appended(AppendAck { receipts: receipts.collect(), bytes: rng.next_u64() })
 }
 
 fn random_request(rng: &mut Rng, case: usize) -> Request {
-    match case % 6 {
-        5 => random_absorb(rng),
+    match case % 5 {
         4 => random_append(rng),
         0 => random_load(rng),
         1 => {
@@ -156,10 +162,7 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
 
 fn random_response(rng: &mut Rng, partial: &PartialResult, case: usize) -> Response {
     match case % 5 {
-        4 => {
-            let rows = rng.range_u64(0, 500);
-            Response::Appended(random_receipt(rng, rows))
-        }
+        4 => random_ack(rng),
         0 => {
             let reports = (0..rng.range_usize(0, 6))
                 .map(|_| ShardReport {
@@ -242,14 +245,13 @@ fn truncated_frames_error_and_never_panic() {
             }
         }
     }
-    // Load, append and absorb frames carry nested dictionary payloads with
-    // their own length prefixes — every truncation point must still error,
-    // never decode.
+    // Load and append frames carry nested dictionary payloads with their
+    // own length prefixes — every truncation point must still error, never
+    // decode.
     for case in 0..12 {
-        let request = match case % 3 {
+        let request = match case % 2 {
             0 => random_load(&mut rng),
-            1 => random_append(&mut rng),
-            _ => random_absorb(&mut rng),
+            _ => random_append(&mut rng),
         };
         for compress in [false, true] {
             let frame = encode_frame(&request, compress).unwrap();
@@ -265,22 +267,20 @@ fn truncated_frames_error_and_never_panic() {
 /// Rows cross the wire one way. A `Load` and an `Append` around the same
 /// coded columns contain the byte-identical delta section — one codec — and
 /// a delta forged in any of the ways a consumer would index out of bounds
-/// by is refused by both, at decode, before a store or a summary sees it.
+/// by is refused by both, at decode, before a store or a summary sees it —
+/// wherever among an append's shards it sits.
 #[test]
 fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
-    use pd_common::wire::to_bytes;
     let mut rng = Rng::seed_from_u64(0xf4a3_0005);
-    // Both payloads lead with their tag and the shard number.
-    const DELTA_AT: usize = 1 + 8;
     for case in 0..24 {
         let delta = random_delta(&mut rng);
         let section = to_bytes(&delta);
         let in_both = |delta: &TableDelta, rng: &mut Rng| {
             [load_of(rng, delta.clone()), append_of(rng, delta.clone())]
         };
-        for request in in_both(&delta, &mut rng) {
+        for (request, at) in in_both(&delta, &mut rng) {
             let payload = to_bytes(&request);
-            assert_eq!(payload[DELTA_AT..DELTA_AT + section.len()], section[..], "case {case}");
+            assert_eq!(payload[at..at + section.len()], section[..], "case {case}");
         }
 
         let last = delta.columns.len() - 1;
@@ -304,7 +304,7 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
             ("tailed dictionary", tailed),
         ];
         for (what, forged) in &forgeries {
-            for request in in_both(forged, &mut rng) {
+            for (request, _) in in_both(forged, &mut rng) {
                 for compress in [false, true] {
                     let frame = encode_frame(&request, compress).unwrap();
                     assert!(
@@ -314,6 +314,27 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
                 }
             }
         }
+    }
+    // An append's list lengths are checked against the bytes left before
+    // anything is sized by them: a delta count, a receipt count, a receipt's
+    // chunk count claiming more than the frame holds.
+    let append = Request::Append(Box::new(AppendRequest {
+        epoch: 2,
+        deltas: vec![(0, random_delta(&mut rng))],
+    }));
+    let ack = Response::Appended(AppendAck {
+        receipts: vec![AppendReceipt { new_chunk_rows: vec![7, 3] }],
+        bytes: 9,
+    });
+    let forged = |mut payload: Vec<u8>, count_at: usize| {
+        payload[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        payload
+    };
+    // After the tag and the epoch; after the tag; after that count.
+    assert!(from_bytes::<Request>(&forged(to_bytes(&append), 1 + 8)).is_err());
+    for count_at in [1, 1 + 8] {
+        let decoded = from_bytes::<Response>(&forged(to_bytes(&ack), count_at));
+        assert!(decoded.is_err(), "a count forged at {count_at} decoded");
     }
 }
 

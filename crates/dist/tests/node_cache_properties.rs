@@ -422,8 +422,12 @@ fn coded(table: &Table) -> pd_encoding::TableDelta {
 }
 
 /// `Load` 400 rows of the logs table into `client`'s worker as shard 0 at
-/// `epoch`; returns the summary it acks.
-fn load_logs_leaf(client: &mut pd_dist::rpc::RpcClient, epoch: u64) -> pd_dist::ShardMeta {
+/// `epoch`, built by `build`; returns the summary it acks.
+fn load_logs_leaf(
+    client: &mut pd_dist::rpc::RpcClient,
+    epoch: u64,
+    build: &BuildOptions,
+) -> pd_dist::ShardMeta {
     use pd_data::{generate_logs, LogsSpec};
     use pd_dist::node::NodeSpec;
     use pd_dist::rpc::{LoadRequest, Request, Response};
@@ -431,7 +435,7 @@ fn load_logs_leaf(client: &mut pd_dist::rpc::RpcClient, epoch: u64) -> pd_dist::
     let load = Request::Load(Box::new(LoadRequest {
         shard: 0,
         delta: coded(&generate_logs(&LogsSpec::scaled(400))),
-        build: BuildOptions::basic(),
+        build: build.clone(),
         spec: NodeSpec { name: "l0p".into(), cache_entries: 8, epoch, threads: 1 },
     }));
     match client.call(&load, Duration::from_secs(60)).unwrap() {
@@ -464,7 +468,7 @@ fn epoch_bump_drops_a_worker_cache() {
     let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (worker, mut client, _) = spawn_worker(&dir, "w");
-    load_logs_leaf(&mut client, 5);
+    load_logs_leaf(&mut client, 5, &BuildOptions::basic());
     let mut ask =
         |epoch: u64| match client.call(&by_country(epoch), Duration::from_secs(30)).unwrap() {
             Response::Answer(answer) => answer,
@@ -496,19 +500,26 @@ fn epoch_bump_drops_a_worker_cache() {
 }
 
 #[test]
-fn an_absorb_without_deltas_keeps_a_merge_servers_memory() {
-    // A merge server over one leaf, at the protocol. Told of an epoch under
-    // which nothing beneath it changed (an `Absorb` with no deltas), it
-    // adopts the epoch and forgets nothing: the chart it remembers answers
-    // with its only child dead. An epoch it was *not* told of still drops
-    // the chart — it has to ask that child, and says so.
+fn an_append_without_deltas_keeps_a_nodes_memory() {
+    // A merge server over one leaf, at the protocol. An append routed wrong
+    // is refused whole by either. Told of an epoch under which nothing
+    // beneath it changed (an `Append` with no deltas), the merge server
+    // tells its leaf the same way — one frame — and both adopt the epoch
+    // and forget nothing: the leaf answers its chart from its cache, and the
+    // merge server answers its own with its only child dead. An epoch it was
+    // *not* told of still drops the chart — it has to ask that child, and
+    // says so.
+    use pd_data::{generate_logs, LogsSpec};
     use pd_dist::node::NodeSpec;
-    use pd_dist::rpc::{AbsorbRequest, AttachRequest, ChildSpec, Request, Response};
+    use pd_dist::rpc::{
+        encode_frame, AppendAck, AppendRequest, AttachRequest, ChildSpec, Request, Response,
+        RpcClient,
+    };
 
-    let dir = std::env::temp_dir().join(format!("pd-absorb-test-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pd-told-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (leaf, mut leaf_client, leaf_addr) = spawn_worker(&dir, "leaf");
-    let meta = load_logs_leaf(&mut leaf_client, 1);
+    let meta = load_logs_leaf(&mut leaf_client, 1, &BuildOptions::basic());
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 0, primary: leaf_addr, replica: None, meta }],
@@ -516,25 +527,83 @@ fn an_absorb_without_deltas_keeps_a_merge_servers_memory() {
         spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
-    let mut call = |request: &Request| client.call(request, Duration::from_secs(30)).unwrap();
+    let call = |client: &mut RpcClient, request: &Request| {
+        client.call(request, Duration::from_secs(30)).unwrap()
+    };
 
-    let Response::Answer(cold) = call(&by_country(1)) else { panic!("expected an answer") };
+    let Response::Answer(cold) = call(&mut client, &by_country(1)) else { panic!("an answer") };
     assert_eq!(cold.stats.worker_cache_hits, 0, "the first execution asks the leaf");
 
-    let absorb = Request::Absorb(Box::new(AbsorbRequest { applied: Vec::new(), epoch: 2 }));
-    assert_eq!(call(&absorb), Response::Ok);
+    let append = |epoch: u64, deltas| Request::Append(Box::new(AppendRequest { epoch, deltas }));
+    let rows = coded(&generate_logs(&LogsSpec::scaled(10)));
+    let misrouted = [
+        (&mut client, append(2, vec![(5, rows.clone())]), "shard 5 not beneath m1_0"),
+        (&mut leaf_client, append(2, vec![(1, rows)]), "l0p handed shards [1]"),
+    ];
+    for (client, request, why) in misrouted {
+        match call(client, &request) {
+            Response::Err(message) => assert!(message.contains(why), "{message}"),
+            other => panic!("{why}: refused, got {other:?}"),
+        }
+    }
+
+    let told = AppendRequest { epoch: 2, deltas: Vec::new() };
+    let written = encode_frame(&told, false).unwrap().len() as u64;
+    let ack = call(&mut client, &Request::Append(Box::new(told)));
+    assert_eq!(ack, Response::Appended(AppendAck { receipts: Vec::new(), bytes: written }));
+    let Response::Answer(kept) = call(&mut leaf_client, &by_country(2)) else { panic!("answer") };
+    assert_eq!(kept.stats.worker_cache_hits, 1, "told of epoch 2, the leaf kept the chart");
+    assert_eq!(kept.partial, cold.partial);
     drop(leaf);
-    let Response::Answer(told) = call(&by_country(2)) else { panic!("expected an answer") };
+    let Response::Answer(told) = call(&mut client, &by_country(2)) else { panic!("an answer") };
     assert_eq!(told.stats.worker_cache_hits, 1, "told of epoch 2, the server kept the chart");
     assert!(told.reports[0].cache_hit, "and needed no child for it");
     assert_eq!(told.partial, cold.partial);
 
-    match call(&by_country(3)) {
+    match call(&mut client, &by_country(3)) {
         Response::Fault(_) | Response::Err(_) => {}
         other => panic!("not told of epoch 3, the server must ask its dead child: {other:?}"),
     }
 
     drop(mixer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A leaf pair whose copies cut the same rows into different chunks — built
+/// by different recipes, as no tree is — cannot both be summarized by one
+/// receipt: the merge server above refuses the append, typed, instead of
+/// absorbing either copy's account.
+#[test]
+fn a_pair_that_chunks_an_append_apart_is_refused() {
+    use pd_data::{generate_logs, LogsSpec};
+    use pd_dist::node::NodeSpec;
+    use pd_dist::rpc::{AppendRequest, AttachRequest, ChildSpec, Request, Response};
+
+    let dir = std::env::temp_dir().join(format!("pd-pair-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (primary, mut primary_client, primary_addr) = spawn_worker(&dir, "primary");
+    let meta = load_logs_leaf(&mut primary_client, 1, &BuildOptions::basic());
+    let (replica, mut replica_client, replica_addr) = spawn_worker(&dir, "replica");
+    let mut four_row_chunks = BuildOptions::production(&["country"]);
+    four_row_chunks.partition.as_mut().unwrap().max_chunk_rows = 4;
+    load_logs_leaf(&mut replica_client, 1, &four_row_chunks);
+    let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
+    let pair =
+        ChildSpec::Leaf { shard: 0, primary: primary_addr, replica: Some(replica_addr), meta };
+    let attach = Request::Attach(AttachRequest {
+        children: vec![pair],
+        compress: false,
+        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
+    });
+    assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
+
+    let rows = coded(&generate_logs(&LogsSpec::scaled(10)));
+    let append = Request::Append(Box::new(AppendRequest { epoch: 2, deltas: vec![(0, rows)] }));
+    match client.call(&append, Duration::from_secs(30)).unwrap() {
+        Response::Err(message) => assert!(message.contains("chunked it apart"), "{message}"),
+        other => panic!("a pair whose receipts disagree is refused, got {other:?}"),
+    }
+    drop((primary, replica, mixer));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -604,16 +673,15 @@ fn local_trees_with_interleaved_appends_match_a_single_store() {
 }
 
 /// One row appended to a 4-shard, fanout-2 socket tree falls into the last
-/// shard's slice alone: one `Append`, one `Absorb` that carries it (to the
-/// merge server above shards 2–3) and one that carries nothing (to the
-/// other, which only learns the epoch and so keeps what it remembers) —
-/// counted by the bytes the append reports. Every later answer is the
-/// single store's.
+/// shard's slice alone. The append walks the tree: the row crosses the two
+/// edges down to shard 3, and every other node — the other merge server and
+/// the three other leaves — gets an `Append` without deltas, which only
+/// tells it the epoch, so it keeps what it remembers. The bytes the append
+/// reports are those frames, encoded here from the same requests. Every
+/// later answer is the single store's.
 #[test]
 fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
-    use pd_dist::rpc::{
-        encode_frame, AbsorbRequest, AppendReceipt, AppendRequest, AppliedDelta, Request,
-    };
+    use pd_dist::rpc::{encode_frame, AppendRequest};
 
     let mut rng = Rng::seed_from_u64(0x05ca_1e07);
     let base = random_table(&mut rng, 200);
@@ -626,18 +694,15 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
     }
 
     let shipped = cluster.append(&row).unwrap().bytes_shipped;
-    let delta = coded(&row);
     let compress = RpcConfig::default().compress;
-    let frame_len = |request: &Request| encode_frame(request, compress).unwrap().len() as u64;
-    let append = AppendRequest { shard: 3, delta: delta.clone(), epoch: 2 };
-    let receipt = AppendReceipt { new_chunk_rows: vec![1] };
-    let absorb = |applied| Request::Absorb(Box::new(AbsorbRequest { applied, epoch: 2 }));
+    let frame_len = |deltas| {
+        let append = AppendRequest { epoch: 2, deltas };
+        encode_frame(&append, compress).unwrap().len() as u64
+    };
     assert_eq!(
         shipped,
-        frame_len(&Request::Append(Box::new(append)))
-            + frame_len(&absorb(vec![AppliedDelta { shard: 3, delta, receipt }]))
-            + frame_len(&absorb(Vec::new())),
-        "one append, one absorb with the delta, one without"
+        2 * frame_len(vec![(3, coded(&row))]) + 4 * frame_len(Vec::new()),
+        "the row on the two edges above shard 3, the epoch alone on the four others"
     );
 
     let mut all = base.clone();

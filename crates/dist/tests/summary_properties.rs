@@ -167,9 +167,9 @@ fn a_summary_read_off_the_dictionaries_is_the_one_made_from_the_rows() {
                 let size = *rng.pick(&[1, 2, 17, 60, 130]);
                 let batch = columns(&mut rng, &pools, &grown, size);
                 let delta = coded(&batch);
-                let append = AppendRequest { shard: 0, delta, epoch: 2 + step };
-                let receipt = leaf.append(&append).unwrap();
-                parents.absorb_append(&append.delta, &receipt.new_chunk_rows).unwrap();
+                let append = AppendRequest { epoch: 2 + step, deltas: vec![(0, delta)] };
+                let [receipt] = leaf.append(&append).unwrap().receipts.try_into().unwrap();
+                parents.absorb_append(&append.deltas[0].1, &receipt.new_chunk_rows).unwrap();
                 let degraded_before =
                     rows_say.columns.iter().filter(|c| c.values.is_none()).count();
                 let chunk_rows: Vec<usize> =
