@@ -4,13 +4,14 @@
 //! every row flows through an expression interpreter and a generic hash
 //! table keyed by the group values ("more generic implementations which use
 //! hash-tables and can cope with multiple group-by fields", §2.5). The
-//! aggregation states and finalization are pd-core's, so a baseline and the
-//! column-store return identical rows for identical queries.
+//! aggregation states are laid out as the query lowers its aggregates to
+//! slots ([`AnalyzedQuery::slots`]) and finalized by pd-core, so a baseline
+//! and the column-store return identical rows for identical queries.
 
 use crate::io_model::IoModel;
 use pd_common::{Error, FloatSum, FxHashMap, Result, Row, Value};
 use pd_core::{finalize, AggState, KmvSketch, PartialResult, QueryResult};
-use pd_sql::{analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, RowContext};
+use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, RowContext, Slot, SlotClass};
 use std::time::{Duration, Instant};
 
 /// Effectively-exact sketch size for the baselines' COUNT DISTINCT: they
@@ -67,16 +68,13 @@ pub fn scan_execute(
         let states = match groups.get_mut(&key) {
             Some(s) => s,
             None => {
-                let fresh: Vec<AggState> = analyzed
-                    .aggs
-                    .iter()
-                    .map(|agg| empty_state(agg, schema))
-                    .collect::<Result<_>>()?;
+                let fresh: Vec<AggState> =
+                    analyzed.slots.iter().map(|slot| empty_state(slot, schema)).collect();
                 groups.entry(key).or_insert(fresh)
             }
         };
-        for (agg, state) in analyzed.aggs.iter().zip(states.iter_mut()) {
-            let arg = match &agg.arg {
+        for (slot, state) in analyzed.slots.iter().zip(states.iter_mut()) {
+            let arg = match &slot.arg {
                 Some(a) => Some(eval_expr(a, &ctx)?),
                 None => None,
             };
@@ -94,33 +92,26 @@ pub fn scan_execute(
     })
 }
 
-/// Build the empty aggregation state for one aggregate, typing SUM by the
-/// argument's schema type when it is a bare column (expressions default to
-/// float).
-fn empty_state(agg: &pd_sql::AggExpr, schema: &pd_common::Schema) -> Result<AggState> {
-    if agg.distinct {
-        return Ok(AggState::Distinct(KmvSketch::new(EXACT_DISTINCT_M)));
-    }
-    Ok(match agg.func {
-        AggFunc::Count => AggState::Count(0),
-        AggFunc::Sum => {
-            let is_int = agg
-                .arg
-                .as_ref()
+/// Build the empty state of one slot, typing a sum by the argument's
+/// schema type when it is a bare column (expressions default to float).
+fn empty_state(slot: &Slot, schema: &pd_common::Schema) -> AggState {
+    match slot.class {
+        SlotClass::Count => AggState::Count(0),
+        SlotClass::Sum => {
+            let is_int = (slot.arg.as_ref())
                 .and_then(|a| a.as_column())
                 .and_then(|name| schema.index_of(name))
-                .map(|i| schema.field(i).data_type == pd_common::DataType::Int)
-                .unwrap_or(false);
+                .is_some_and(|i| schema.field(i).data_type == pd_common::DataType::Int);
             if is_int {
                 AggState::SumInt(0)
             } else {
                 AggState::SumFloat(Box::new(FloatSum::new()))
             }
         }
-        AggFunc::Min => AggState::Min(None),
-        AggFunc::Max => AggState::Max(None),
-        AggFunc::Avg => AggState::Avg { sum: Box::new(FloatSum::new()), count: 0 },
-    })
+        SlotClass::Min => AggState::Min(None),
+        SlotClass::Max => AggState::Max(None),
+        SlotClass::Distinct => AggState::Distinct(KmvSketch::new(EXACT_DISTINCT_M)),
+    }
 }
 
 fn update_state(state: &mut AggState, arg: Option<&Value>) -> Result<()> {
@@ -130,7 +121,7 @@ fn update_state(state: &mut AggState, arg: Option<&Value>) -> Result<()> {
             let v = arg
                 .and_then(Value::as_int)
                 .ok_or_else(|| Error::Type("SUM expected an integer".into()))?;
-            *s = s.wrapping_add(v);
+            *s += i128::from(v);
         }
         AggState::SumFloat(s) => {
             s.add(arg.map(Value::numeric).unwrap_or(0.0));
@@ -146,10 +137,6 @@ fn update_state(state: &mut AggState, arg: Option<&Value>) -> Result<()> {
             if m.as_ref().is_none_or(|cur| v > cur) {
                 *m = Some(v.clone());
             }
-        }
-        AggState::Avg { sum, count } => {
-            sum.add(arg.map(Value::numeric).unwrap_or(0.0));
-            *count += 1;
         }
         AggState::Distinct(sketch) => {
             let v = arg.ok_or_else(|| Error::Internal("DISTINCT without argument".into()))?;
@@ -210,6 +197,28 @@ mod tests {
         let a = &rows[0].0;
         assert_eq!(a[2], Value::Int(12));
         assert_eq!(a[3], Value::Int(99));
+    }
+
+    /// At the `i64` extremes `SUM` wraps and `AVG` is the exact sum rounded
+    /// once: the oracle's slots give the store's answer, bit for bit.
+    #[test]
+    fn integer_sums_wrap_and_averages_are_exact_like_the_store() {
+        let mut t = sample();
+        for (k, v) in [("a", i64::MAX), ("a", i64::MAX), ("b", i64::MIN), ("b", i64::MIN)] {
+            t.push_row(Row(vec![Value::from(k), Value::Int(v)])).unwrap();
+        }
+        let sql = "SELECT k, SUM(v) s, AVG(v) a, COUNT(v) n FROM t GROUP BY k ORDER BY k ASC";
+        let analyzed = prepare(sql).unwrap();
+        let io = IoModel::default();
+        let oracle = scan_execute(t.schema(), t.iter_rows().map(Ok), &analyzed, 0, &io).unwrap();
+        let store = pd_core::DataStore::build(&t, &pd_core::BuildOptions::basic()).unwrap();
+        let engine = pd_core::execute(&store, &analyzed, &Default::default()).unwrap().0;
+        assert_eq!(oracle.result, engine);
+        // Group "a": 0 + 3 + … + 99 and two i64::MAX.
+        let exact = (0..100).step_by(3).sum::<i128>() + 2 * i128::from(i64::MAX);
+        let a = &oracle.result.rows[0].0;
+        assert_eq!(a[1], Value::Int(exact as i64), "SUM wraps");
+        assert_eq!(a[2], Value::Float(exact as f64 / 36.0), "AVG divides the exact sum");
     }
 
     #[test]

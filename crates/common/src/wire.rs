@@ -72,7 +72,10 @@ use std::time::Duration;
 /// edge carries the deltas of every shard beneath the receiver and is acked
 /// with every receipt beneath it plus the bytes written below; version 6's
 /// `Absorb` (request tag 7) is retired.
-pub const FRAME_VERSION: u8 = 11;
+/// Version 12: a partial result carries no aggregate list — the asking
+/// query maps its aggregates onto the slots — and an integer-sum slot
+/// travels as its exact 16-byte (`i128`) sum.
+pub const FRAME_VERSION: u8 = 12;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a
@@ -272,6 +275,19 @@ impl Encode for i64 {
 impl Decode for i64 {
     fn decode(r: &mut Reader<'_>) -> Result<i64> {
         Ok(r.u64()? as i64)
+    }
+}
+
+impl Encode for i128 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl Decode for i128 {
+    fn decode(r: &mut Reader<'_>) -> Result<i128> {
+        let low = r.u64()?;
+        Ok((i128::from(r.u64()? as i64) << 64) | i128::from(low))
     }
 }
 
@@ -587,6 +603,8 @@ mod tests {
         round_trip(u32::MAX);
         round_trip(u64::MAX);
         round_trip(i64::MIN);
+        round_trip(i128::MIN);
+        round_trip(i128::from(u64::MAX) - 3);
         round_trip(true);
         round_trip(String::from("héllo wörld"));
         round_trip(Duration::from_nanos(123_456_789));

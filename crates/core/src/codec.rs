@@ -15,6 +15,7 @@
 //!   bits) and each cell's end offset — no front coding, which would need a
 //!   bounded decode of a prefix that expands past the frame;
 //! - MIN/MAX cells are [`Value`]s, whose floats travel as raw IEEE bits;
+//! - an integer-sum slot travels as its exact 16-byte (`i128`) sum;
 //! - a float-sum slot travels as its 16-byte double-double pair, and as
 //!   its [`pd_common::FloatSum`] superaccumulator (fixed 34-limb array,
 //!   verbatim, see `pd_common::fsum`) only once tainted;
@@ -25,16 +26,17 @@
 //! bytes that remain before anything is allocated for it (a key column's
 //! buffer is one allocation of its declared length), and the constructors
 //! of `crate::groups` hold every key cell to a tag, its width and UTF-8,
-//! the ends to the buffer, the columns to the group count, the keys to
-//! their strict order (compared as bytes) and the aggregates to slots that
-//! exist — a typed [`Error::Data`], never a panic.
+//! the ends to the buffer, the columns to the group count and the keys to
+//! their strict order (compared as bytes) — a typed [`Error::Data`], never
+//! a panic. A partial carries no aggregate list: `crate::finalize` holds
+//! its slots to the asking query's, as `Error::Data` too.
 //!
 //! [`BuildOptions`] is codable too: the driver ships each worker its shard
 //! rows *and* the import recipe, so a worker builds exactly the store the
 //! in-process cluster would have built.
 
 use crate::count_distinct::KmvSketch;
-use crate::groups::{AggRef, Column, FloatColumn, KeyBytes, PartialResult};
+use crate::groups::{Column, FloatColumn, KeyBytes, PartialResult};
 use crate::options::{BuildOptions, DictMode, PartitionSpec};
 use crate::stats::ScanStats;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -141,29 +143,16 @@ impl Decode for KeyBytes {
     }
 }
 
-impl Encode for AggRef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.slot.encode(out);
-        self.count.encode(out);
-    }
-}
-
-impl Decode for AggRef {
-    fn decode(r: &mut Reader<'_>) -> Result<AggRef> {
-        Ok(AggRef { slot: usize::decode(r)?, count: Option::decode(r)? })
-    }
-}
-
 /// The group table, column by column: the group count, the key columns,
-/// the state columns, then which slots each aggregate reads. Groups travel
-/// in their ascending key order, so equal partials are equal bytes.
+/// the state columns. Which aggregates read which slots is the asking
+/// query's to say, so it does not travel. Groups travel in their ascending
+/// key order, so equal partials are equal bytes.
 impl Encode for PartialResult {
     fn encode(&self, out: &mut Vec<u8>) {
-        let (len, keys, slots, aggs) = self.columns();
+        let (len, keys, slots) = self.columns();
         (len as u64).encode(out);
         keys.encode(out);
         slots.encode(out);
-        aggs.encode(out);
     }
 }
 
@@ -173,8 +162,8 @@ impl Encode for PartialResult {
 impl Decode for PartialResult {
     fn decode(r: &mut Reader<'_>) -> Result<PartialResult> {
         let len = r.u64()?;
-        let (keys, slots) = (Vec::decode(r)?, Vec::decode(r)?);
-        PartialResult::from_columns(len, keys, slots, Vec::decode(r)?)
+        let keys = Vec::decode(r)?;
+        PartialResult::from_columns(len, keys, Vec::decode(r)?)
     }
 }
 
@@ -266,12 +255,8 @@ mod tests {
     use super::*;
     use pd_common::wire::{from_bytes, to_bytes};
 
-    /// Two keys, one slot of every kind (one float slot tainted), an AVG
-    /// over the float slot and the count.
-    fn slot(slot: usize) -> AggRef {
-        AggRef { slot, count: None }
-    }
-
+    /// Two keys, one slot of every kind (one float slot tainted, one integer
+    /// sum past `i64`).
     fn sample_partial() -> PartialResult {
         let mut sums = FloatColumn::new(2, false);
         sums.add(0, 0.1);
@@ -284,7 +269,7 @@ mod tests {
             ],
             vec![
                 Column::Count(vec![2, 5]),
-                Column::SumInt(vec![i64::MIN, -1]),
+                Column::SumInt(vec![i128::from(i64::MIN) * 3, -1]),
                 Column::SumFloat(sums),
                 Column::Extreme { is_min: true, best: vec![Some(Value::Float(-0.0)), None] },
                 Column::Extreme { is_min: false, best: vec![None, Some(Value::from("z"))] },
@@ -293,7 +278,6 @@ mod tests {
                     sketches: vec![KmvSketch::from_parts(16, [3, 1, 2]), KmvSketch::new(16)],
                 },
             ],
-            vec![slot(1), AggRef { slot: 2, count: Some(0) }, slot(5)],
         )
         .unwrap()
     }
@@ -312,20 +296,13 @@ mod tests {
     fn columns_that_break_the_table_are_rejected() {
         let keys = |cells: [i64; 2]| vec![cells.map(Value::Int).iter().collect()];
         let counts = || vec![Column::Count(vec![1, 2])];
-        let reads = |agg: AggRef| vec![agg];
-        assert!(PartialResult::from_columns(2, keys([1, 2]), counts(), reads(slot(0))).is_ok());
-        let avg = AggRef { slot: 0, count: Some(0) };
+        assert!(PartialResult::from_columns(2, keys([1, 2]), counts()).is_ok());
         for (what, broken) in [
-            ("ragged", PartialResult::from_columns(3, keys([1, 2]), counts(), reads(slot(0)))),
-            ("unsorted", PartialResult::from_columns(2, keys([2, 1]), counts(), reads(slot(0)))),
-            ("duplicate", PartialResult::from_columns(2, keys([1, 1]), counts(), reads(slot(0)))),
-            ("no keys", PartialResult::from_columns(2, Vec::new(), counts(), reads(slot(0)))),
-            ("no columns", PartialResult::from_columns(u64::MAX, Vec::new(), Vec::new(), vec![])),
-            (
-                "no such slot",
-                PartialResult::from_columns(2, keys([1, 2]), counts(), reads(slot(1))),
-            ),
-            ("avg of counts", PartialResult::from_columns(2, keys([1, 2]), counts(), reads(avg))),
+            ("ragged", PartialResult::from_columns(3, keys([1, 2]), counts())),
+            ("unsorted", PartialResult::from_columns(2, keys([2, 1]), counts())),
+            ("duplicate", PartialResult::from_columns(2, keys([1, 1]), counts())),
+            ("no keys", PartialResult::from_columns(2, Vec::new(), counts())),
+            ("no columns", PartialResult::from_columns(u64::MAX, Vec::new(), Vec::new())),
         ] {
             assert!(matches!(broken, Err(Error::Data(_))), "{what}: {broken:?}");
         }

@@ -65,9 +65,7 @@
 use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
-use crate::groups::{
-    AggRef, Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind,
-};
+use crate::groups::{Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind};
 use crate::kernels::{self, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
@@ -76,6 +74,7 @@ use pd_common::{BitVec, DataType, Error, Result, Row, Value};
 use pd_encoding::GlobalDict;
 use pd_sql::{
     analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext,
+    SlotClass,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -193,7 +192,7 @@ pub fn execute(
     let started = Instant::now();
     let plan = Plan::prepare_seeded(store, analyzed, ctx, None)?;
     let (groups, mut stats) = plan.run(store, ctx)?;
-    let result = rank(analyzed, &IdKeys(&plan), &groups, &plan.aggs)?;
+    let result = rank(analyzed, &IdKeys(&plan), &groups)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
 }
@@ -223,10 +222,13 @@ pub fn execute_partial_seeded(
     Ok((plan.value_keyed(groups), stats))
 }
 
-/// Apply HAVING / ORDER BY / LIMIT and project the output columns.
+/// Apply HAVING / ORDER BY / LIMIT and project the output columns. The
+/// query's aggregates read `partial`'s slots as the query lowers them
+/// ([`AnalyzedQuery::reads`]), so a partial remembered for one chart
+/// answers every chart of the same slots; one whose slots do not fit the
+/// query is [`Error::Data`].
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
-    let (groups, aggs) = partial.for_query(analyzed.keys.len(), analyzed.aggs.len())?;
-    rank(analyzed, &ValueKeys, groups, aggs)
+    rank(analyzed, &ValueKeys, partial.for_query(analyzed)?)
 }
 
 /// What [`rank`] needs to know about a group table's cells of type `C`:
@@ -338,7 +340,7 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// HAVING / ORDER BY / LIMIT over a group table, whatever domain its
 /// cells are in: the one ranking routine behind [`execute`] (global-ids)
 /// and [`finalize`] (values — the root of a tree, whose shards do not
-/// share dictionaries). `aggs[i]` names the slots aggregate `i` reads.
+/// share dictionaries). Aggregate `i` reads the slots `analyzed.reads[i]`.
 ///
 /// Groups are ranked *by position*, off the columns as they are stored.
 /// An aggregate is compared by its order key, read off its state column
@@ -365,7 +367,6 @@ fn rank<C: Cell>(
     analyzed: &AnalyzedQuery,
     domain: &impl KeyCells<C>,
     groups: &GroupTable<C>,
-    aggs: &[AggRef],
 ) -> Result<QueryResult> {
     let columns = analyzed.output_names();
     let source = |idx: usize| analyzed.output[idx].1;
@@ -413,8 +414,8 @@ fn rank<C: Cell>(
     // BY names; the keys HAVING names or whose cells do not order like their
     // values.
     let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
-    let agg_cell = |i: usize, g: usize| groups.cell(aggs[i], g, &extreme);
-    let order_key = |i: usize, g: usize| groups.order_key(aggs[i], g);
+    let agg_cell = |i: usize, g: usize| groups.cell(analyzed.reads[i], g, &extreme);
+    let order_key = |i: usize, g: usize| groups.order_key(analyzed.reads[i], g);
     let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
@@ -621,20 +622,18 @@ impl RowContext for OutputRow<'_> {
 /// One aggregate slot of a plan: what it accumulates, over which column.
 pub(crate) struct SlotPlan {
     pub(crate) kind: SlotKind,
-    /// Argument column (None for COUNT(*) / COUNT(x), which only counts).
+    /// Argument column (None for `count`, which only counts).
     pub(crate) col: Option<Arc<StoredColumn>>,
 }
 
 /// The prepared execution plan.
 struct Plan {
     key_cols: Vec<Arc<StoredColumn>>,
-    /// The aggregate slots a scan fills, each distinct (kind, column) once.
+    /// The slots a scan fills: the query's [`AnalyzedQuery::slots`], typed.
     slots: Vec<SlotPlan>,
-    /// Per aggregate of the query, the slots it reads.
-    aggs: Vec<AggRef>,
     filter: Option<FilterPlan>,
     skip: SkipAnalysis,
-    /// Result-cache signature (table + keys + aggs + sketch size).
+    /// Result-cache signature (table + keys + slots + sketch size).
     signature: Arc<str>,
     /// How many distinct columns a scan touches (for cell accounting).
     touched: usize,
@@ -727,22 +726,10 @@ impl Plan {
             key_cols.push(col);
         }
 
-        // Lower every aggregate to slots; aggregates that accumulate the
-        // same thing over the same column share one (AVG(x) is SUM(x) and
-        // COUNT(*), whether or not the query also asks for those).
-        let mut slots: Vec<SlotPlan> = Vec::new();
-        let mut slot = |kind: SlotKind, col: Option<&Arc<StoredColumn>>| -> usize {
-            let same = |s: &SlotPlan| {
-                s.kind == kind && s.col.as_ref().map(Arc::as_ptr) == col.map(Arc::as_ptr)
-            };
-            slots.iter().position(same).unwrap_or_else(|| {
-                slots.push(SlotPlan { kind, col: col.cloned() });
-                slots.len() - 1
-            })
-        };
-        let mut aggs = Vec::with_capacity(analyzed.aggs.len());
-        for agg in &analyzed.aggs {
-            let col = match &agg.arg {
+        // The query's slots, each typed by the column it reads.
+        let mut slots = Vec::with_capacity(analyzed.slots.len());
+        for slot in &analyzed.slots {
+            let col = match &slot.arg {
                 Some(arg) => {
                     let col = store.column_for_expr(arg)?;
                     touch(arg.canonical());
@@ -750,27 +737,26 @@ impl Plan {
                 }
                 None => None,
             };
-            let kind = match (agg.func, col.as_ref().map(|col| col.data_type())) {
-                (_, Some(_)) if agg.distinct => SlotKind::Distinct { m: ctx.sketch_m() },
-                // COUNT(x) counts rows (stores hold no NULLs).
-                (AggFunc::Count, _) => SlotKind::Count,
-                (AggFunc::Min, Some(_)) => SlotKind::Min,
-                (AggFunc::Max, Some(_)) => SlotKind::Max,
-                (AggFunc::Sum, Some(DataType::Int)) => SlotKind::SumInt,
-                (AggFunc::Sum | AggFunc::Avg, Some(DataType::Int | DataType::Float)) => {
-                    SlotKind::SumFloat
+            let kind = match (slot.class, col.as_ref().map(|col| col.data_type())) {
+                (SlotClass::Count, _) => SlotKind::Count,
+                (SlotClass::Sum, Some(DataType::Int)) => SlotKind::SumInt,
+                (SlotClass::Sum, Some(DataType::Float)) => SlotKind::SumFloat,
+                (SlotClass::Sum, _) => {
+                    return Err(Error::Type(format!("{slot} over a string column")))
                 }
-                (func, Some(DataType::Str)) => {
-                    return Err(Error::Type(format!("{} over a string column", func.name())))
-                }
-                (func, None) => {
-                    let message = format!("{}(*) is only valid for COUNT", func.name());
-                    return Err(Error::Internal(message));
-                }
+                (SlotClass::Min, _) => SlotKind::Min,
+                (SlotClass::Max, _) => SlotKind::Max,
+                (SlotClass::Distinct, _) => SlotKind::Distinct { m: ctx.sketch_m() },
             };
-            let state = slot(kind, col.as_ref().filter(|_| kind != SlotKind::Count));
-            let avg = agg.func == AggFunc::Avg && kind == SlotKind::SumFloat;
-            aggs.push(AggRef { slot: state, count: avg.then(|| slot(SlotKind::Count, None)) });
+            slots.push(SlotPlan { kind, col });
+        }
+        // `COUNT(x)` reads `count`, yet names a column: one that must
+        // exist, and that a scan touches.
+        let counted =
+            analyzed.aggs.iter().filter(|agg| agg.func == AggFunc::Count && !agg.distinct);
+        for arg in counted.filter_map(|agg| agg.arg.as_ref()) {
+            store.column_for_expr(arg)?;
+            touch(arg.canonical());
         }
 
         let filter = match &analyzed.filter {
@@ -796,7 +782,7 @@ impl Plan {
         write!(signature, "|m:{}", ctx.sketch_m()).expect("a String takes every write");
         let signature: Arc<str> = signature.into();
         let touched = touched.len();
-        Ok(Plan { key_cols, slots, aggs, filter, skip, signature, touched })
+        Ok(Plan { key_cols, slots, filter, skip, signature, touched })
     }
 
     /// Scan the active chunks (in parallel when `ctx.threads != 1`) and
@@ -900,7 +886,7 @@ impl Plan {
         if !self.key_cols.iter().all(|col| col.dict.is_value_ordered()) {
             table = table.sort_keys();
         }
-        PartialResult::new(table, self.aggs.clone())
+        PartialResult::new(table)
     }
 
     /// Group one chunk. `filtered` says whether the row filter applies

@@ -26,12 +26,16 @@
 //! root ranks the columns as they arrive, making a [`Value`] only for a
 //! row it returns.
 //!
-//! `AVG` is not a column: the plan lowers it to a float-sum slot and a
-//! count slot ([`AggRef::count`]), which `SUM(x)` / `COUNT(*)` of the same
-//! query share.
+//! A table holds *slots*, not aggregates: `pd_sql` lowers a query's
+//! aggregates to them ([`pd_sql::AnalyzedQuery::slots`]), and what a query
+//! reads off a table is decided when it is ranked ([`SlotRef`]). `AVG(x)`
+//! is no column of its own: it reads the `sum(x)` slot and the `count`
+//! slot, the same states a `SUM(x)` and a `COUNT(*)` read — so one table,
+//! remembered once, answers all three.
 
 use crate::count_distinct::KmvSketch;
 use pd_common::{sortkey, Error, FloatSum, HeapSize, Result, Value};
+use pd_sql::{AnalyzedQuery, SlotClass, SlotRef};
 use std::cmp::Ordering;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -213,7 +217,7 @@ fn interleave(len: u32, to_a: &[u32], to_b: &[u32], mut put: impl FnMut(bool, us
     }
 }
 
-/// What one aggregate slot accumulates.
+/// What one slot accumulates: its [`SlotClass`], typed by its argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SlotKind {
     Count,
@@ -224,12 +228,17 @@ pub(crate) enum SlotKind {
     Distinct { m: usize },
 }
 
-/// The slots a query's aggregate reads: its state in `slot`, and for `AVG`
-/// the count slot the float sum in `slot` is divided by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AggRef {
-    pub(crate) slot: usize,
-    pub(crate) count: Option<usize>,
+impl SlotKind {
+    /// The class of slot this kind of column holds.
+    fn class(self) -> SlotClass {
+        match self {
+            SlotKind::Count => SlotClass::Count,
+            SlotKind::SumInt | SlotKind::SumFloat => SlotClass::Sum,
+            SlotKind::Min => SlotClass::Min,
+            SlotKind::Max => SlotClass::Max,
+            SlotKind::Distinct { .. } => SlotClass::Distinct,
+        }
+    }
 }
 
 /// The value of a MIN/MAX cell of a slot.
@@ -239,7 +248,9 @@ pub(crate) type Extreme<'a, K> = dyn Fn(usize, &K) -> Value + 'a;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Column<K> {
     Count(Vec<u64>),
-    SumInt(Vec<i64>),
+    /// Exact sums of an integer column: `SUM` wraps them to `i64` as it
+    /// reads them, `AVG` rounds them once.
+    SumInt(Vec<i128>),
     SumFloat(FloatColumn),
     /// MIN (`is_min`) or MAX: the extreme cell so far, `None` before the
     /// first row.
@@ -295,6 +306,8 @@ impl<K: Cell> Column<K> {
             (Column::Count(to), Column::Count(from)) => {
                 slots.zip(from).for_each(|(t, n)| to[t] += n)
             }
+            // An `i128` holds 2^64 rows of `i64`s exactly; wrapping keeps a
+            // forged sum from panicking, and `SUM`'s low 64 bits right.
             (Column::SumInt(to), Column::SumInt(from)) => {
                 slots.zip(from).for_each(|(t, n)| to[t] = to[t].wrapping_add(*n))
             }
@@ -338,7 +351,7 @@ impl<K: Cell> Column<K> {
     fn approx_bytes(&self) -> usize {
         match self {
             Column::Count(v) => v.len() * 8,
-            Column::SumInt(v) => v.len() * 8,
+            Column::SumInt(v) => v.len() * 16,
             Column::SumFloat(sums) => {
                 sums.hi.len() * 24 + sums.exact.iter().flatten().count() * size_of::<FloatSum>()
             }
@@ -528,19 +541,18 @@ impl<K: Cell> GroupTable<K> {
     }
 
     /// `agg`'s output cell for group `g`.
-    pub(crate) fn cell(&self, agg: AggRef, g: usize, extreme: &Extreme<'_, K>) -> Value {
-        match (&self.slots[agg.slot], agg.count.map(|count| &self.slots[count])) {
-            (Column::SumFloat(sums), Some(Column::Count(n))) => {
-                average(sums, n, g).map_or(Value::Null, Value::Float)
-            }
-            (_, Some(_)) => unreachable!("AVG reads a float-sum slot and a count slot"),
-            (Column::Count(n), None) => Value::Int(n[g] as i64),
-            (Column::SumInt(sums), None) => Value::Int(sums[g]),
-            (Column::SumFloat(sums), None) => Value::Float(sums.value(g)),
-            (Column::Extreme { best, .. }, None) => {
+    pub(crate) fn cell(&self, agg: SlotRef, g: usize, extreme: &Extreme<'_, K>) -> Value {
+        if let Some(count) = agg.count {
+            return self.average(agg.slot, count, g).map_or(Value::Null, Value::Float);
+        }
+        match &self.slots[agg.slot] {
+            Column::Count(n) => Value::Int(n[g] as i64),
+            Column::SumInt(sums) => Value::Int(sums[g] as i64),
+            Column::SumFloat(sums) => Value::Float(sums.value(g)),
+            Column::Extreme { best, .. } => {
                 best[g].as_ref().map_or(Value::Null, |cell| extreme(agg.slot, cell))
             }
-            (Column::Distinct { sketches, .. }, None) => Value::Int(estimate(&sketches[g])),
+            Column::Distinct { sketches, .. } => Value::Int(estimate(&sketches[g])),
         }
     }
 
@@ -551,20 +563,31 @@ impl<K: Cell> GroupTable<K> {
     /// float sums and averages in `f64` total order (`pd_common::sortkey`'s
     /// words), an average over no rows (`Null`) first. `None` for MIN/MAX,
     /// whose cells only the caller can turn into values.
-    pub(crate) fn order_key(&self, agg: AggRef, g: usize) -> Option<u128> {
-        let word = match (&self.slots[agg.slot], agg.count.map(|count| &self.slots[count])) {
-            (Column::SumFloat(sums), Some(Column::Count(n))) => match average(sums, n, g) {
-                Some(x) => sortkey::float_word(x),
-                None => return Some(0),
-            },
-            (_, Some(_)) => unreachable!("AVG reads a float-sum slot and a count slot"),
-            (Column::Count(n), None) => sortkey::int_word(n[g] as i64),
-            (Column::SumInt(sums), None) => sortkey::int_word(sums[g]),
-            (Column::SumFloat(sums), None) => sortkey::float_word(sums.value(g)),
-            (Column::Distinct { sketches, .. }, None) => sortkey::int_word(estimate(&sketches[g])),
-            (Column::Extreme { .. }, None) => return None,
+    pub(crate) fn order_key(&self, agg: SlotRef, g: usize) -> Option<u128> {
+        if let Some(count) = agg.count {
+            let average = self.average(agg.slot, count, g);
+            return Some(average.map_or(0, |x| u128::from(sortkey::float_word(x)) + 1));
+        }
+        let word = match &self.slots[agg.slot] {
+            Column::Count(n) => sortkey::int_word(n[g] as i64),
+            Column::SumInt(sums) => sortkey::int_word(sums[g] as i64),
+            Column::SumFloat(sums) => sortkey::float_word(sums.value(g)),
+            Column::Distinct { sketches, .. } => sortkey::int_word(estimate(&sketches[g])),
+            Column::Extreme { .. } => return None,
         };
         Some(u128::from(word) + 1)
+    }
+
+    /// An average's cell: slot `sum`'s exact sum rounded once, over slot
+    /// `count`'s count; `None` (`Null`) over no rows.
+    fn average(&self, sum: usize, count: usize, g: usize) -> Option<f64> {
+        let sum = match &self.slots[sum] {
+            Column::SumInt(sums) => sums[g] as f64,
+            Column::SumFloat(sums) => sums.value(g),
+            _ => unreachable!("AVG reads a sum slot"),
+        };
+        let Column::Count(n) = &self.slots[count] else { unreachable!("AVG reads a count slot") };
+        (n[g] > 0).then(|| sum / n[g] as f64)
     }
 
     /// Add the slots of another table of this shape, whose group `j` is
@@ -615,12 +638,6 @@ impl<K: Cell> GroupTable<K> {
         let len = self.len;
         self.spread(&to, len, keys)
     }
-}
-
-/// An average's cell: the float sum over the count, `None` (`Null`) over
-/// no rows.
-fn average(sums: &FloatColumn, n: &[u64], g: usize) -> Option<f64> {
-    (n[g] > 0).then(|| sums.value(g) / n[g] as f64)
 }
 
 /// A sketch's cell: its estimate, rounded.
@@ -711,31 +728,32 @@ pub(crate) fn merge_tables<K: Cell>(
     }
 }
 
-/// One aggregate's state for one group, given row-wise: the input of
+/// One slot's state for one group, given row-wise: the input of
 /// [`PartialResult::from_states`], for producers that hold a group's
 /// states together — the row-at-a-time oracle and test generators. The
 /// engine never builds one; its states are positions in columns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
     Count(u64),
-    SumInt(i64),
+    /// The exact sum of an integer column.
+    SumInt(i128),
     SumFloat(Box<FloatSum>),
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg { sum: Box<FloatSum>, count: u64 },
     Distinct(KmvSketch),
 }
 
 /// Mergeable per-group states, the §4 unit of tree aggregation: a group
 /// table in the value domain, its groups in strictly ascending key order,
-/// and per aggregate of its query the slots it reads. A key column is one
-/// buffer of sort keys ([`pd_common::sortkey`]): a string is in it as its
-/// bytes, and becomes a [`Value`] only if it is in the answer or `HAVING`
-/// reads it. The state columns are as the scan left them, MIN/MAX cells
-/// as values.
+/// one state column per slot its query lowers to. Which aggregates read
+/// which slots is the asking query's to say ([`crate::finalize`]), so one
+/// partial answers every query of its slots. A key column is one buffer of
+/// sort keys ([`pd_common::sortkey`]): a string is in it as its bytes, and
+/// becomes a [`Value`] only if it is in the answer or `HAVING` reads it.
+/// The state columns are as the scan left them, MIN/MAX cells as values.
 ///
 /// Every column merges associatively and commutatively — counts and
-/// integer sums add (wrapping), a float slot is exact whether it is a
+/// integer sums add exactly, a float slot is exact whether it is a
 /// double-double pair or a [`FloatSum`] superaccumulator, MIN / MAX keep
 /// the extreme [`Value`], sketches merge as sorted runs — so a query's result is
 /// bit-identical however its rows were grouped into chunks, threads,
@@ -750,21 +768,18 @@ pub enum AggState {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialResult {
     table: Arc<GroupTable<Value>>,
-    aggs: Vec<AggRef>,
 }
 
 impl PartialResult {
-    /// `table`, whose groups are in strictly ascending key order, for a
-    /// query whose aggregates read the slots `aggs`.
-    pub(crate) fn new(table: GroupTable<Value>, aggs: Vec<AggRef>) -> PartialResult {
+    /// `table`, whose groups are in strictly ascending key order.
+    pub(crate) fn new(table: GroupTable<Value>) -> PartialResult {
         debug_assert!(table.is_sorted());
-        PartialResult { table: Arc::new(table), aggs }
+        PartialResult { table: Arc::new(table) }
     }
 
     /// The partial of groups given row-wise, each `(key, one state per
-    /// aggregate)`: the one consumer of [`AggState`]s. The first group
-    /// names the layout (`AVG` takes a sum slot and a count slot of its
-    /// own); a group of another layout, or a repeated key, is an error.
+    /// slot)`: the one consumer of [`AggState`]s. The first group names the
+    /// layout; a group of another layout, or a repeated key, is an error.
     pub fn from_states(
         groups: impl IntoIterator<Item = (Vec<Value>, Vec<AggState>)>,
     ) -> Result<PartialResult> {
@@ -778,54 +793,35 @@ impl PartialResult {
             return Ok(PartialResult::default());
         };
         let mut keys = vec![KeyBytes::default(); first_key.len()];
-        let mut slots: Vec<Column<Value>> = Vec::new();
-        let mut aggs: Vec<AggRef> = Vec::new();
-        for state in first_states {
-            let kind = match state {
-                AggState::Count(_) => SlotKind::Count,
-                AggState::SumInt(_) => SlotKind::SumInt,
-                AggState::SumFloat(_) | AggState::Avg { .. } => SlotKind::SumFloat,
-                AggState::Min(_) => SlotKind::Min,
-                AggState::Max(_) => SlotKind::Max,
-                AggState::Distinct(sketch) => SlotKind::Distinct { m: sketch.m() },
-            };
-            let avg = matches!(state, AggState::Avg { .. });
-            aggs.push(AggRef { slot: slots.len(), count: avg.then_some(slots.len() + 1) });
-            slots.push(Column::new(kind));
-            slots.extend(avg.then(|| Column::new(SlotKind::Count)));
-        }
+        let kind = |state: &AggState| match state {
+            AggState::Count(_) => SlotKind::Count,
+            AggState::SumInt(_) => SlotKind::SumInt,
+            AggState::SumFloat(_) => SlotKind::SumFloat,
+            AggState::Min(_) => SlotKind::Min,
+            AggState::Max(_) => SlotKind::Max,
+            AggState::Distinct(sketch) => SlotKind::Distinct { m: sketch.m() },
+        };
+        let mut slots: Vec<Column<Value>> =
+            first_states.iter().map(kind).map(Column::new).collect();
         let len = groups.len();
         for (key, states) in groups {
-            if key.len() != keys.len() || states.len() != aggs.len() {
+            if key.len() != keys.len() || states.len() != slots.len() {
                 return Err(malformed("differ in shape"));
             }
             keys.iter_mut().zip(&key).for_each(|(col, cell)| col.push_value(cell));
-            for (agg, state) in aggs.iter().zip(states) {
-                let (state, count) = match state {
-                    AggState::Avg { sum, count } => (AggState::SumFloat(sum), Some(count)),
-                    state => (state, None),
-                };
-                let counted = match (agg.count, count) {
-                    (Some(slot), Some(n)) => slots[slot].push(AggState::Count(n)),
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !(counted && slots[agg.slot].push(state)) {
-                    return Err(malformed("differ in kind"));
-                }
+            if !slots.iter_mut().zip(states).all(|(slot, state)| slot.push(state)) {
+                return Err(malformed("differ in kind"));
             }
         }
-        Ok(PartialResult { table: Arc::new(GroupTable { len, keys, slots }), aggs })
+        Ok(PartialResult { table: Arc::new(GroupTable { len, keys, slots }) })
     }
 
     /// The partial of decoded columns, every invariant checked: columns of
-    /// one length, groups in strictly ascending key order, aggregates that
-    /// name slots of their kind.
+    /// one length, groups in strictly ascending key order.
     pub(crate) fn from_columns(
         len: u64,
         keys: Vec<KeyBytes>,
         slots: Vec<Column<Value>>,
-        aggs: Vec<AggRef>,
     ) -> Result<PartialResult> {
         let corrupt = |what: &str| Error::Data(format!("wire: partial result {what}"));
         let lens = keys.iter().map(Keys::len).chain(slots.iter().map(Column::len));
@@ -840,23 +836,12 @@ impl PartialResult {
         if !table.is_sorted() {
             return Err(corrupt("has unsorted or duplicate keys"));
         }
-        let kind = |slot: usize| table.slots.get(slot).map(Column::kind);
-        let fits = |agg: &AggRef| match agg.count {
-            None => kind(agg.slot).is_some(),
-            Some(count) => {
-                kind(agg.slot) == Some(SlotKind::SumFloat) && kind(count) == Some(SlotKind::Count)
-            }
-        };
-        if !aggs.iter().all(fits) {
-            return Err(corrupt("names a slot it does not have"));
-        }
-        Ok(PartialResult { table: Arc::new(table), aggs })
+        Ok(PartialResult { table: Arc::new(table) })
     }
 
-    /// What the wire carries: group count, key columns, slots, aggregates.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn columns(&self) -> (usize, &Vec<KeyBytes>, &Vec<Column<Value>>, &Vec<AggRef>) {
-        (self.table.len, &self.table.keys, &self.table.slots, &self.aggs)
+    /// What the wire carries: group count, key columns, slots.
+    pub(crate) fn columns(&self) -> (usize, &Vec<KeyBytes>, &Vec<Column<Value>>) {
+        (self.table.len, &self.table.keys, &self.table.slots)
     }
 
     /// How many groups there are.
@@ -868,28 +853,32 @@ impl PartialResult {
         self.table.len == 0
     }
 
-    /// The table and its aggregates, for ranking as the answer of a query
-    /// with `n_keys` keys and `n_aggs` aggregates.
-    pub(crate) fn for_query(
-        &self,
-        n_keys: usize,
-        n_aggs: usize,
-    ) -> Result<(&GroupTable<Value>, &[AggRef])> {
-        if !self.is_empty() && (self.table.keys.len() != n_keys || self.aggs.len() != n_aggs) {
-            return Err(Error::Internal("partial result does not match its query".into()));
+    /// The table, for ranking as the answer of `analyzed`: one key column
+    /// per key and, slot by slot, a column of the class the query's
+    /// aggregates lower to — anything else (a partial decoded from a peer
+    /// that answered another query) is [`Error::Data`], before a cell is
+    /// read. A partial of no groups has nothing to read.
+    pub(crate) fn for_query(&self, analyzed: &AnalyzedQuery) -> Result<&GroupTable<Value>> {
+        let table = &*self.table;
+        let fits = table.keys.len() == analyzed.keys.len()
+            && table.slots.len() == analyzed.slots.len()
+            && (table.slots.iter().zip(&analyzed.slots))
+                .all(|(column, slot)| column.kind().class() == slot.class);
+        if !fits && !self.is_empty() {
+            return Err(Error::Data("partial result does not fit its query's slots".into()));
         }
-        Ok((&self.table, &self.aggs))
+        Ok(table)
     }
 
-    /// Merge another partial of the same query into this one: one linear
+    /// Merge another partial of the same slots into this one: one linear
     /// walk over both key columns (`merge_tables`). A partial of no columns
     /// ([`PartialResult::default`]) is the identity; partials of different
-    /// shapes do not merge. Copy-on-write: clones of either side made
-    /// before the merge keep what they held.
+    /// shapes — key count or slot kinds — do not merge. Copy-on-write:
+    /// clones of either side made before the merge keep what they held.
     pub fn merge(&mut self, other: PartialResult) -> Result<()> {
         let shape = |p: &PartialResult| {
             let kinds: Vec<SlotKind> = p.table.slots.iter().map(Column::kind).collect();
-            (p.table.keys.len(), kinds, p.aggs.clone())
+            (p.table.keys.len(), kinds)
         };
         if *other.table == GroupTable::default() {
             return Ok(());
@@ -1125,22 +1114,27 @@ mod tests {
             fold.absorb(chunk(&[9], &[5]), order);
             let table = fold.finish(order);
             assert_eq!(*table.key(0), [2, 7, 9], "{direct:?}");
-            let counts =
-                (0..3).map(|g| table.cell(AggRef { slot: 0, count: None }, g, &|_, _| Value::Null));
+            let counts = (0..3)
+                .map(|g| table.cell(SlotRef { slot: 0, count: None }, g, &|_, _| Value::Null));
             assert_eq!(counts.collect::<Vec<_>>(), [12, 31, 26].map(Value::Int), "{direct:?}");
         }
     }
 
-    /// A partial's groups as `(key, one finalized cell per aggregate)`.
-    fn rows(partial: &PartialResult) -> Vec<(Vec<Value>, Vec<Value>)> {
+    /// A partial's groups as `(key, the cell each of `reads` finalizes)`.
+    fn rows(partial: &PartialResult, reads: &[SlotRef]) -> Vec<(Vec<Value>, Vec<Value>)> {
         let table = &partial.table;
         (0..table.len)
             .map(|g| {
                 let key = table.keys.iter().map(|col| col.value(g)).collect();
-                let cell = |agg: &AggRef| table.cell(*agg, g, &|_, v: &Value| v.clone());
-                (key, partial.aggs.iter().map(cell).collect())
+                let cell = |agg: &SlotRef| table.cell(*agg, g, &|_, v: &Value| v.clone());
+                (key, reads.iter().map(cell).collect())
             })
             .collect()
+    }
+
+    /// Each slot read as it stands.
+    fn slot_reads(partial: &PartialResult) -> Vec<SlotRef> {
+        (0..partial.table.slots.len()).map(|slot| SlotRef { slot, count: None }).collect()
     }
 
     fn counted(groups: &[(&str, u64)]) -> PartialResult {
@@ -1155,12 +1149,11 @@ mod tests {
             (
                 vec![Value::Int(2)],
                 vec![
-                    AggState::Count(7),
-                    AggState::SumInt(-3),
-                    AggState::SumFloat(sum(2.5)),
+                    AggState::Count(4),
+                    AggState::SumInt(-3 + (1 << 64)),
+                    AggState::SumFloat(sum(10.0)),
                     AggState::Min(None),
                     AggState::Max(Some(Value::from("z"))),
-                    AggState::Avg { sum: sum(10.0), count: 4 },
                 ],
             ),
             (
@@ -1171,19 +1164,25 @@ mod tests {
                     AggState::SumFloat(Box::new(FloatSum::new())),
                     AggState::Min(Some(Value::Int(5))),
                     AggState::Max(None),
-                    AggState::Avg { sum: Box::new(FloatSum::new()), count: 0 },
                 ],
             ),
         ])
         .unwrap();
-        // Key order, not arrival order; AVG took two slots.
-        assert_eq!(partial.table.slots.len(), 7);
+        // Key order, not arrival order.
         let (int, float, null) = (Value::Int, Value::Float, Value::Null);
         let want = [
-            (vec![int(1)], vec![int(0), int(0), float(0.0), int(5), null.clone(), null.clone()]),
-            (vec![int(2)], vec![int(7), int(-3), float(2.5), null, Value::from("z"), float(2.5)]),
+            (vec![int(1)], vec![int(0), int(0), float(0.0), int(5), null.clone()]),
+            (vec![int(2)], vec![int(4), int(-3), float(10.0), null.clone(), Value::from("z")]),
         ];
-        assert_eq!(rows(&partial), want);
+        assert_eq!(rows(&partial, &slot_reads(&partial)), want);
+        // An average reads a sum slot over the count slot: an integer sum
+        // exactly, wrapped by no `SUM`, rounded once.
+        let averages = [SlotRef { slot: 1, count: Some(0) }, SlotRef { slot: 2, count: Some(0) }];
+        let want = [
+            (vec![int(1)], vec![null.clone(), null]),
+            (vec![int(2)], vec![float(((1u128 << 64) - 3) as f64 / 4.0), float(2.5)]),
+        ];
+        assert_eq!(rows(&partial, &averages), want);
     }
 
     #[test]
@@ -1246,7 +1245,7 @@ mod tests {
         let sketch = |hashes: &[u64]| AggState::Distinct(KmvSketch::from_parts(4, hashes.to_vec()));
         let states = |key: &str, x: f64, v: i64, hashes: &[u64]| {
             let states = vec![
-                AggState::Avg { sum: Box::new(FloatSum::from(x)), count: 1 },
+                AggState::SumFloat(Box::new(FloatSum::from(x))),
                 AggState::Min(Some(Value::Int(v))),
                 AggState::Max(Some(Value::Int(v))),
                 sketch(hashes),
@@ -1263,6 +1262,6 @@ mod tests {
             (vec![text("b"), int(1)], vec![Value::Float(0.25), int(7), int(7), int(1)]),
             (vec![text("c"), int(1)], vec![Value::Float(0.5), int(1), int(1), int(1)]),
         ];
-        assert_eq!(rows(&merged), want);
+        assert_eq!(rows(&merged, &slot_reads(&merged)), want);
     }
 }

@@ -766,11 +766,11 @@ pub(crate) fn accumulate(
                     other => unreachable!("typed as Int, got {other}"),
                 })
                 .collect();
-            let mut sums = vec![0i64; group_count];
-            // Wrapping addition is associative mod 2^64, so a run
-            // contributes `weight × n` bit-identically.
+            let mut sums = vec![0i128; group_count];
+            // Sums are exact, so a run contributes `weight × n` exactly.
             let mut add = |g: usize, code: u32, n: usize| {
-                sums[g] = sums[g].wrapping_add(table[code as usize].wrapping_mul(n as i64));
+                let run = i128::from(table[code as usize]) * n as i128;
+                sums[g] = sums[g].wrapping_add(run);
             };
             match shape {
                 GroupShape::AllRows => chunk.codes().for_each_run(|code, n| add(0, code, n)),

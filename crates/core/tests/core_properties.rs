@@ -117,11 +117,11 @@ fn random_partial(rng: &mut Rng, key_width: usize, first_key: usize) -> PartialR
             key,
             vec![
                 AggState::Count(1),
-                AggState::SumInt(v),
+                AggState::SumInt(i128::from(v) << 62),
                 AggState::SumFloat(Box::new(FloatSum::from(x))),
                 AggState::Min(rng.chance(0.8).then_some(Value::Int(v))),
                 AggState::Max(Some(Value::Float(x))),
-                AggState::Avg { sum: Box::new(FloatSum::from(v as f64 * 0.1)), count: 1 },
+                AggState::SumFloat(Box::new(FloatSum::from(v as f64 * 0.1))),
                 AggState::Distinct(KmvSketch::from_parts(4, [rng.next_u64() % 16])),
             ],
         );
@@ -298,7 +298,7 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
     let partial = PartialResult::from_states((0..60u64).map(|i| {
         (
             vec![Value::from(format!("k{:02}", i * 37 % 60))],
-            vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i64)],
+            vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i128)],
         )
     }))
     .unwrap();

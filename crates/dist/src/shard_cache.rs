@@ -25,7 +25,13 @@
 //!
 //! - partials are *pre-finalize* states ([`pd_core::PartialResult`]), so
 //!   the signature deliberately excludes `HAVING` / `ORDER BY` / `LIMIT` —
-//!   drill-down queries differing only in presentation share entries;
+//!   drill-down queries differing only in presentation share entries —
+//!   and names the *slots* a table holds, as `pd_sql` lowers the
+//!   aggregates (`|slots:count,sum(latency)`), not the aggregates as
+//!   written: a partial carries no aggregate list, the asking query maps
+//!   its aggregates onto the slots at finalize, so a `SUM(x)` chart and its
+//!   `AVG(x)` twin (beside a `COUNT(*)`), or `COUNT(x)` and `COUNT(*)`,
+//!   are one entry;
 //! - every state column of a partial merges associatively and
 //!   commutatively (counts add, a float slot is exact whether it is a
 //!   double-double pair or a superaccumulator, MIN/MAX keep the extreme,
@@ -52,8 +58,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Normalized cache signature of an analyzed query: everything that
-/// affects the *partial* (table, keys, aggregates, row restriction, sketch
-/// size) and nothing that only affects finalization.
+/// affects the *partial* (table, keys, the slots its aggregates lower to,
+/// row restriction, sketch size) and nothing that only affects
+/// finalization — which aggregates read those slots included.
 pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
     let mut signature = String::with_capacity(128);
     analyzed.write_group_shape(&mut signature);
@@ -243,11 +250,24 @@ mod tests {
                 "SELECT country, COUNT(*) c, SUM(latency) s FROM logs \
                  WHERE latency > 100 GROUP BY country"
             ),
-            "logs|keys:country|aggs:COUNT(*),SUM(latency)|where:(latency > 100)|m:4096"
+            "logs|keys:country|slots:count,sum(latency)|where:(latency > 100)|m:4096"
+        );
+        assert_eq!(signature("SELECT COUNT(*) FROM logs"), "logs|keys:|slots:count|where:|m:4096");
+        // The slots, not the aggregates as written: an AVG chart is its SUM
+        // twin's table, COUNT(x) counts rows, and the sketch size is named.
+        assert_eq!(
+            signature(
+                "SELECT country, AVG(latency) a FROM logs WHERE latency > 100 GROUP BY country"
+            ),
+            "logs|keys:country|slots:count,sum(latency)|where:(latency > 100)|m:4096"
         );
         assert_eq!(
-            signature("SELECT COUNT(*) FROM logs"),
-            "logs|keys:|aggs:COUNT(*)|where:|m:4096"
+            signature("SELECT COUNT(user) FROM logs"),
+            "logs|keys:|slots:count|where:|m:4096"
+        );
+        assert_eq!(
+            signature("SELECT MAX(latency), COUNT(DISTINCT user) u, MIN(latency) FROM logs"),
+            "logs|keys:|slots:min(latency),max(latency),distinct(user)|where:|m:4096"
         );
     }
 

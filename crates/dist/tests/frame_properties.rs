@@ -338,6 +338,58 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
     }
 }
 
+/// A partial carries no aggregate list: the asking query maps its
+/// aggregates onto the partial's slots. An answer that decodes cleanly but
+/// whose slots do not fit the query it answers — another query's table,
+/// say a `Count` column where the query's lowering wants a float sum — is
+/// a typed `Error::Data` at finalize and at a merge with a fitting
+/// sibling: no panic, and no answer. A partial of the same slots, spelled
+/// as other aggregates, does fit.
+#[test]
+fn a_partial_whose_slots_do_not_fit_its_query_is_a_typed_error() {
+    let schema = Schema::of(&[("k", DataType::Str), ("n", DataType::Int), ("x", DataType::Float)]);
+    let mut table = Table::new(schema);
+    for i in 0..40i64 {
+        let row = vec![Value::from(["a", "b", "c"][(i % 3) as usize]), Value::Int(i % 5)];
+        table.push_row(Row([row, vec![Value::Float(i as f64 * 0.5)]].concat())).unwrap();
+    }
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let analyzed = |sql: &str| analyze(&parse_query(sql).unwrap()).unwrap();
+    // What a peer answering `sql` sends, as the asker reads it.
+    let answer_to = |sql: &str| {
+        let ctx = ExecContext { threads: 1, ..Default::default() };
+        let (partial, stats) = execute_partial(&store, &analyzed(sql), &ctx).unwrap();
+        let answer = Response::Answer(Box::new(SubtreeAnswer { partial, stats, reports: vec![] }));
+        let frame = encode_frame(&answer, false).unwrap();
+        match read_frame::<Response>(&mut frame.as_slice()).unwrap().unwrap() {
+            Response::Answer(answer) => answer.partial,
+            other => panic!("an answer, got {other:?}"),
+        }
+    };
+    let by_k = |aggs: &str| format!("SELECT k, {aggs} FROM t GROUP BY k");
+    let twin = answer_to(&by_k("COUNT(*) c, SUM(x) s"));
+    let asked = analyzed(&by_k("AVG(x) a, COUNT(n) c"));
+    let store_answer = pd_core::execute(&store, &asked, &ExecContext::default()).unwrap().0;
+    assert_eq!(pd_core::finalize(&asked, twin).unwrap(), store_answer, "the same slots fit");
+
+    let misfits = [
+        ("SUM(x) s", by_k("COUNT(*) c"), "a count where a float sum is wanted"),
+        ("AVG(x) a", by_k("COUNT(*) c, MIN(x) m"), "a minimum where AVG's sum is wanted"),
+        ("MIN(x) m", by_k("MAX(x) m"), "a maximum where a minimum is wanted"),
+        ("COUNT(*) c", "SELECT k, n, COUNT(*) c FROM t GROUP BY k, n".into(), "a key too many"),
+        ("COUNT(*) c, SUM(n) s", by_k("COUNT(*) c"), "a slot too few"),
+        ("COUNT(DISTINCT n) d", by_k("SUM(n) s"), "a sum where a sketch is wanted"),
+    ];
+    for (asked, answered, what) in misfits {
+        let asked = analyzed(&by_k(asked));
+        let forged = answer_to(&answered);
+        let outcome = pd_core::finalize(&asked, forged.clone());
+        assert!(matches!(outcome, Err(pd_common::Error::Data(_))), "{what}: {outcome:?}");
+        let mut fitting = execute_partial(&store, &asked, &ExecContext::default()).unwrap().0;
+        assert!(fitting.merge(forged).is_err(), "{what}: merged into a fitting sibling");
+    }
+}
+
 #[test]
 fn bit_flips_never_panic_the_reader() {
     let mut rng = Rng::seed_from_u64(0xf4a3_0003);

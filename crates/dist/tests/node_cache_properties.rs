@@ -26,7 +26,7 @@
 //! queries always answer like a single store over the same prefix.
 
 use pd_common::rng::Rng;
-use pd_common::{DataType, Row, Schema, Value};
+use pd_common::{DataType, FloatSum, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore, PartitionSpec, ScanStats};
 use pd_data::Table;
 use pd_dist::chaos::leaf_primary;
@@ -186,6 +186,87 @@ fn identical_queries_hit_the_nearest_caches() {
                 assert!(misses > shards as u64, "{label}: the cold pass missed at every node");
             } else {
                 assert_eq!(misses, 1, "{label}: the cold pass, at the root");
+            }
+        }
+        observed.push((kind, costs));
+    }
+    assert_same_work(&observed);
+}
+
+/// The exact answer of `SELECT k, {cells} FROM data WHERE g != 'g05'
+/// GROUP BY k ORDER BY k` over `table`'s rows, computed row by row: counts,
+/// an integer sum wrapped to `i64` (`SUM(n)`), an integer average of the
+/// exact sum rounded once (`AVG(n)`), float sums and averages of exact sums.
+fn shared_slot_oracle(table: &Table, cells: &[&str]) -> Vec<Row> {
+    let mut groups: std::collections::BTreeMap<Value, (u64, i128, FloatSum)> = Default::default();
+    for row in (0..table.len()).map(|r| table.row(r)) {
+        if row.0[1] == Value::from("g05") {
+            continue;
+        }
+        let (Value::Int(n), Value::Float(x)) = (&row.0[2], &row.0[3]) else { panic!("{row:?}") };
+        let group = groups.entry(row.0[0].clone()).or_default();
+        group.0 += 1;
+        group.1 += i128::from(*n);
+        group.2.add(*x);
+    }
+    let cell = |&(count, n, ref x): &(u64, i128, FloatSum), what: &str| match what {
+        "COUNT(*)" | "COUNT(n)" => Value::Int(count as i64),
+        "SUM(n)" => Value::Int(n as i64),
+        "AVG(n)" => Value::Float(n as f64 / count as f64),
+        "SUM(x)" => Value::Float(x.value()),
+        "AVG(x)" => Value::Float(x.value() / count as f64),
+        other => panic!("no oracle for {other}"),
+    };
+    let row = |(k, group): (&Value, _)| {
+        Row(std::iter::once(k.clone()).chain(cells.iter().map(|what| cell(group, what))).collect())
+    };
+    groups.iter().map(row).collect()
+}
+
+/// A remembered table is named by the slots it holds: charts whose
+/// aggregates lower to the same slots share one entry. On both edge kinds,
+/// with the same keys and restriction, in both orders: a `SUM(x)` chart and
+/// its `AVG(x)` twin, the same over an `Int` column holding `i64::MIN` /
+/// `i64::MAX` (where `SUM` wraps and `AVG` is exact), and `COUNT(n)` after
+/// `COUNT(*)`. The second chart of each pair is a root hit that asks no
+/// shard, and every answer is the single store's and the row oracle's.
+#[test]
+fn charts_that_share_slots_share_one_root_entry() {
+    let mut rng = Rng::seed_from_u64(0x05ca_1e0a);
+    let mut table = random_table(&mut rng, 160);
+    for (k, n) in [("red", i64::MAX), ("red", i64::MAX), ("blue", i64::MIN), ("blue", -1)] {
+        let row = vec![Value::from(k), Value::from("g01"), Value::Int(n), Value::Float(0.75)];
+        table.push_row(Row(row)).unwrap();
+    }
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let chart = |cells: &[&str]| {
+        let select: Vec<String> =
+            (cells.iter().enumerate()).map(|(i, c)| format!("{c} as a{i}")).collect();
+        let select = select.join(", ");
+        format!("SELECT k, {select} FROM data WHERE g != 'g05' GROUP BY k ORDER BY k")
+    };
+    let twins: [[&[&str]; 2]; 3] = [
+        [&["COUNT(*)", "SUM(x)"], &["AVG(x)", "COUNT(*)"]],
+        [&["COUNT(*)", "SUM(n)"], &["COUNT(*)", "AVG(n)"]],
+        [&["COUNT(*)"], &["COUNT(n)"]],
+    ];
+    let mut observed = Vec::new();
+    for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
+        for [a, b] in twins {
+            for [first, second] in [[a, b], [b, a]] {
+                let cluster = cluster(&table, 4, 2, 64, &transport);
+                for (at, cells) in [first, second].into_iter().enumerate() {
+                    let sql = chart(cells);
+                    let label = format!("{kind}, {first:?} then {second:?}: {sql}");
+                    let outcome = cluster.query(&sql).unwrap();
+                    assert_eq!(outcome.result, query(&store, &sql).unwrap().0, "{label}");
+                    assert_eq!(outcome.result.rows, shared_slot_oracle(&table, cells), "{label}");
+                    assert_balanced(&outcome, &label);
+                    assert_eq!(outcome.worker_cache_hits(), at, "{label}: the twin is a root hit");
+                    assert_eq!(outcome.shard_cache_hits, 4 * at, "{label}: and asks no shard");
+                    costs.push(work(&outcome));
+                }
             }
         }
         observed.push((kind, costs));

@@ -4,13 +4,14 @@
 //! expressions, possibly materialized virtual fields) plus one or more
 //! aggregates. Analysis resolves aliases (the paper's Query 2 groups by the
 //! alias `date`), checks that non-aggregate select items appear in
-//! `GROUP BY`, maps `ORDER BY` onto output columns, and extracts the
-//! [`Restriction`] tree that drives chunk skipping.
+//! `GROUP BY`, maps `ORDER BY` onto output columns, extracts the
+//! [`Restriction`] tree that drives chunk skipping, and lowers the
+//! aggregates to the [`Slot`]s a group table holds for them.
 
 use crate::ast::*;
 use crate::restriction::Restriction;
 use pd_common::{Error, Result};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Where an output column comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +20,50 @@ pub enum OutputCol {
     Key(usize),
     /// `aggs[i]`.
     Agg(usize),
+}
+
+/// What a group-table slot accumulates. Slots order by class first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SlotClass {
+    Count,
+    Sum,
+    Min,
+    Max,
+    Distinct,
+}
+
+/// One state column of a group table, free of types: its class and, but
+/// for `count`, the expression it reads. Whichever aggregates read a slot,
+/// it holds the same states.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slot {
+    pub class: SlotClass,
+    pub arg: Option<Expr>,
+}
+
+/// `count`, `sum(x)`, `min(x)`, `max(x)` or `distinct(x)`.
+impl fmt::Display for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self.class {
+            SlotClass::Count => "count",
+            SlotClass::Sum => "sum",
+            SlotClass::Min => "min",
+            SlotClass::Max => "max",
+            SlotClass::Distinct => "distinct",
+        };
+        match &self.arg {
+            Some(arg) => write!(f, "{name}({arg})"),
+            None => f.write_str(name),
+        }
+    }
+}
+
+/// The slots one aggregate reads: its state, and for `AVG` the count the
+/// sum is divided by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRef {
+    pub slot: usize,
+    pub count: Option<usize>,
 }
 
 /// An analyzed, executable query.
@@ -31,6 +76,13 @@ pub struct AnalyzedQuery {
     pub keys: Vec<Expr>,
     /// Aggregates, in select-list order.
     pub aggs: Vec<AggExpr>,
+    /// The slots the aggregates lower to, each once, in canonical order:
+    /// what a group table for this query holds, and what names it in a
+    /// cache. Derived from `aggs` wherever a query is made (`analyze`, the
+    /// wire decoder).
+    pub slots: Vec<Slot>,
+    /// Per aggregate, the slots it reads.
+    pub reads: Vec<SlotRef>,
     /// Output columns: `(name, source)` in select-list order.
     pub output: Vec<(String, OutputCol)>,
     /// Full row-level filter (`WHERE`), if any.
@@ -50,12 +102,14 @@ impl AnalyzedQuery {
         self.output.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// Append `table|keys:k1,k2|aggs:a1,a2` — what the query groups by and
-    /// accumulates, in canonical text — to `out`: the part every
-    /// result-cache signature starts with (a leaf's chunk results, a tree
-    /// node's partials), written into the caller's one buffer.
+    /// Append `table|keys:k1,k2|slots:s1,s2` — what the query groups by and
+    /// the slots its table holds, in canonical text — to `out`: the part
+    /// every result-cache signature starts with (a leaf's chunk results, a
+    /// tree node's partials), written into the caller's one buffer. Charts
+    /// whose aggregates lower to the same slots (`SUM(x)` and `AVG(x)`
+    /// beside a `COUNT(*)`) name one remembered table.
     pub fn write_group_shape(&self, out: &mut String) {
-        fn joined<T: std::fmt::Display>(out: &mut String, items: &[T]) {
+        fn joined<T: fmt::Display>(out: &mut String, items: &[T]) {
             for (i, item) in items.iter().enumerate() {
                 let comma = if i > 0 { "," } else { "" };
                 write!(out, "{comma}{item}").expect("a String takes every write");
@@ -64,9 +118,47 @@ impl AnalyzedQuery {
         out.push_str(self.table.as_deref().unwrap_or(""));
         out.push_str("|keys:");
         joined(out, &self.keys);
-        out.push_str("|aggs:");
-        joined(out, &self.aggs);
+        out.push_str("|slots:");
+        joined(out, &self.slots);
     }
+}
+
+/// Lower aggregates to slots, the one place this is decided: `COUNT(*)`
+/// and `COUNT(x)` read `count` (stores hold no NULLs), `SUM(x)` reads
+/// `sum(x)`, `AVG(x)` reads `sum(x)` and `count`, `MIN` / `MAX` read
+/// `min(x)` / `max(x)` and `COUNT(DISTINCT x)` reads `distinct(x)`. Each
+/// slot is held once, and the slots are sorted by class, then by the
+/// argument's canonical text, so the table does not depend on how the
+/// select list spelled or ordered the aggregates.
+pub(crate) fn lower(aggs: &[AggExpr]) -> Result<(Vec<Slot>, Vec<SlotRef>)> {
+    let state = |agg: &AggExpr| -> Result<Slot> {
+        let class = match (agg.func, agg.distinct) {
+            (_, true) => SlotClass::Distinct,
+            (AggFunc::Count, false) => return Ok(Slot { class: SlotClass::Count, arg: None }),
+            (AggFunc::Sum | AggFunc::Avg, false) => SlotClass::Sum,
+            (AggFunc::Min, false) => SlotClass::Min,
+            (AggFunc::Max, false) => SlotClass::Max,
+        };
+        match &agg.arg {
+            Some(arg) => Ok(Slot { class, arg: Some(arg.clone()) }),
+            None => Err(Error::Internal(format!("{agg} is only valid for COUNT"))),
+        }
+    };
+    let states: Vec<Slot> = aggs.iter().map(state).collect::<Result<_>>()?;
+    let count = Slot { class: SlotClass::Count, arg: None };
+    let averaged = aggs.iter().any(|agg| agg.func == AggFunc::Avg);
+    let mut slots: Vec<Slot> =
+        states.iter().cloned().chain(averaged.then(|| count.clone())).collect();
+    slots.sort_by_cached_key(|slot| (slot.class, slot.arg.as_ref().map(Expr::canonical)));
+    slots.dedup();
+    let at = |slot: &Slot| slots.iter().position(|held| held == slot).expect("a state is a slot");
+    let reads = (aggs.iter().zip(&states))
+        .map(|(agg, state)| SlotRef {
+            slot: at(state),
+            count: (agg.func == AggFunc::Avg).then(|| at(&count)),
+        })
+        .collect();
+    Ok((slots, reads))
 }
 
 /// Analyze a parsed query.
@@ -143,11 +235,14 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
     };
 
     let restriction = query.where_clause.as_ref().map_or(Restriction::True, Restriction::from_expr);
+    let (slots, reads) = lower(&aggs)?;
 
     Ok(AnalyzedQuery {
         table,
         keys,
         aggs,
+        slots,
+        reads,
         output,
         filter: query.where_clause.clone(),
         restriction,
@@ -408,5 +503,18 @@ mod tests {
         );
         assert!(matches!(a.restriction, Restriction::In { ref values, .. } if values.len() == 2));
         assert!(a.filter.is_some());
+    }
+
+    #[test]
+    fn aggregates_lower_to_slots_in_canonical_order() {
+        let a = analyzed(
+            "SELECT MAX(x) hi, AVG(y), COUNT(DISTINCT k), SUM(x), MIN(x), COUNT(z), AVG(x) FROM t",
+        );
+        let slots: Vec<String> = a.slots.iter().map(Slot::to_string).collect();
+        assert_eq!(slots, ["count", "sum(x)", "sum(y)", "min(x)", "max(x)", "distinct(k)"]);
+        let read = |slot, count| SlotRef { slot, count };
+        let want = [read(4, None), read(2, Some(0)), read(5, None), read(1, None), read(3, None)];
+        assert_eq!(a.reads[..5], want);
+        assert_eq!(a.reads[5..], [read(0, None), read(1, Some(0))], "COUNT(z) counts rows");
     }
 }

@@ -4,9 +4,10 @@
 //! parses and analyzes once, and the [`AnalyzedQuery`] — group-by keys,
 //! aggregates, output mapping, filter — travels as bytes. No worker
 //! re-parses SQL on any hop. The [`Restriction`] merge servers prune by is
-//! a pure function of the filter, so it is not shipped: decoding derives it
-//! the way `analyze` does, and a frame cannot carry a restriction that
-//! disagrees with its own filter.
+//! a pure function of the filter, and the slots a table holds of the
+//! aggregates, so neither is shipped: decoding derives them the way
+//! `analyze` does, and a frame cannot carry either disagreeing with what it
+//! is derived from.
 //!
 //! Expressions are recursive, and the wire contract says corrupt bytes
 //! must yield `Err`, never a crash: a hand-crafted frame of nested unary
@@ -15,7 +16,7 @@
 //! therefore tracks an explicit depth and fails past [`MAX_DEPTH`] — far
 //! deeper than any query the parser itself would produce.
 
-use crate::analyze::{AnalyzedQuery, OutputCol};
+use crate::analyze::{lower, AnalyzedQuery, OutputCol};
 use crate::ast::{AggExpr, AggFunc, BinaryOp, Expr, UnaryOp};
 use crate::restriction::Restriction;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -273,12 +274,15 @@ impl Decode for AnalyzedQuery {
         let table = Option::<String>::decode(r)?;
         let keys = Vec::<Expr>::decode(r)?;
         let aggs = Vec::<AggExpr>::decode(r)?;
+        let (slots, reads) = lower(&aggs)?;
         let output = Vec::<(String, OutputCol)>::decode(r)?;
         let filter = Option::<Expr>::decode(r)?;
         Ok(AnalyzedQuery {
             table,
             keys,
             aggs,
+            slots,
+            reads,
             output,
             restriction: filter.as_ref().map_or(Restriction::True, Restriction::from_expr),
             filter,

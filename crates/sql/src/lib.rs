@@ -37,7 +37,7 @@ pub mod parser;
 pub mod restriction;
 pub mod rewrite;
 
-pub use analyze::{analyze, AnalyzedQuery, OutputCol};
+pub use analyze::{analyze, AnalyzedQuery, OutputCol, Slot, SlotClass, SlotRef};
 pub use ast::{
     AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem, TableRef, UnaryOp,
 };

@@ -1,6 +1,6 @@
 //! Pins the canonical renderings that the distributed cache key
 //! (`pd_dist::query_signature`) concatenates. Worker processes cache
-//! partial results under `Expr::canonical()` / `AggExpr` display strings,
+//! partial results under `Expr::canonical()` / `Slot` display strings,
 //! so these strings are a **wire format**: changing any of them silently
 //! invalidates every warm cache in a rolling deploy. If one of these
 //! assertions fails, you are changing the cache-key format — bump it
@@ -13,12 +13,12 @@ fn analyzed(sql: &str) -> AnalyzedQuery {
 }
 
 /// The exact fragments `query_signature` joins: canonical keys, displayed
-/// aggregates, canonical filter (empty when absent).
+/// slots, canonical filter (empty when absent).
 fn fragments(sql: &str) -> (String, String, String) {
     let q = analyzed(sql);
     (
         q.keys.iter().map(|k| k.canonical()).collect::<Vec<_>>().join(","),
-        q.aggs.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(","),
+        q.slots.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
         q.filter.as_ref().map(|f| f.canonical()).unwrap_or_default(),
     )
 }
@@ -34,14 +34,27 @@ fn key_expressions_render_canonically() {
 }
 
 #[test]
-fn aggregates_render_canonically() {
-    let (_, aggs, _) = fragments(
+fn slots_render_canonically() {
+    let (_, slots, _) = fragments(
         "SELECT COUNT(*) n, SUM(latency) s, MIN(user) lo, MAX(user) hi, AVG(latency) a, \
          COUNT(DISTINCT country) k FROM logs",
     );
+    assert_eq!(slots, "count,sum(latency),min(user),max(user),distinct(country)");
+
+    // Sorted by class, then by the argument's canonical text, whatever the
+    // select list's order; each slot once.
+    let (_, slots, _) = fragments(
+        "SELECT MAX(b), SUM(z), COUNT(DISTINCT date(timestamp)), SUM(a), MIN(b), SUM(z) z2 \
+         FROM logs",
+    );
+    assert_eq!(slots, "sum(a),sum(z),min(b),max(b),distinct(date(timestamp))");
+
+    // AVG(x) reads sum(x) and count; COUNT(x) reads count.
+    assert_eq!(fragments("SELECT AVG(latency) FROM logs").1, "count,sum(latency)");
+    assert_eq!(fragments("SELECT COUNT(latency) FROM logs").1, "count");
     assert_eq!(
-        aggs,
-        "COUNT(*),SUM(latency),MIN(user),MAX(user),AVG(latency),COUNT(DISTINCT country)"
+        fragments("SELECT COUNT(user), AVG(n), AVG(latency) FROM logs").1,
+        "count,sum(latency),sum(n)"
     );
 }
 
@@ -77,6 +90,16 @@ fn canonical_forms_ignore_presentation_but_not_semantics() {
         )
     );
 
+    // Charts whose aggregates lower to the same slots share one table.
+    let sum = fragments("SELECT country, COUNT(*) c, SUM(latency) s FROM logs GROUP BY country");
+    for twin in [
+        "SELECT country, AVG(latency) a FROM logs GROUP BY country",
+        "SELECT country, SUM(latency) s, COUNT(user) n FROM logs GROUP BY country",
+    ] {
+        assert_eq!(sum, fragments(twin), "{twin}");
+    }
+    assert_eq!(base, fragments("SELECT country, COUNT(user) n FROM logs GROUP BY country"));
+
     // But anything touching the partial computation must differ.
     for other in [
         "SELECT country, COUNT(*) c FROM logs WHERE country = 'DE' GROUP BY country",
@@ -96,7 +119,7 @@ fn canonical_text_reparses_to_the_same_canonical_text() {
          GROUP BY country",
         "SELECT date(timestamp) d, AVG(latency) a FROM logs GROUP BY d",
     ] {
-        let (keys, aggs, filter) = fragments(sql);
+        let (keys, slots, filter) = fragments(sql);
         let round = format!(
             "SELECT {}{}COUNT(*) c FROM logs{} GROUP BY {}",
             keys.replace(',', ", "),
@@ -107,6 +130,6 @@ fn canonical_text_reparses_to_the_same_canonical_text() {
         let (keys2, _, filter2) = fragments(&round);
         assert_eq!(keys, keys2, "{sql}");
         assert_eq!(filter, filter2, "{sql}");
-        let _ = aggs;
+        let _ = slots;
     }
 }
