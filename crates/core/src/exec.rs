@@ -619,6 +619,11 @@ impl RowContext for OutputRow<'_> {
     }
 }
 
+/// Is a flat array of `cells` entries proportionate to a scan of `rows` rows?
+pub(crate) fn proportionate(cells: u64, rows: u64) -> bool {
+    cells <= (4 * rows).max(1024)
+}
+
 /// One aggregate slot of a plan: what it accumulates, over which column.
 pub(crate) struct SlotPlan {
     pub(crate) kind: SlotKind,
@@ -669,7 +674,7 @@ impl<'a> Fold<'a> {
         // One key whose dictionary is proportionate to the scanned volume
         // is indexed by global-id.
         let direct = match &plan.key_cols[..] {
-            [col] if u64::from(col.dict.len()) <= (4 * active_rows).max(1024) => {
+            [col] if proportionate(u64::from(col.dict.len()), active_rows) => {
                 Some(col.dict.len() as usize)
             }
             _ => None,

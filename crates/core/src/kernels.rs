@@ -8,33 +8,33 @@
 //!   skip pass's resolver turned into global-ids (`IN`, `=`, ranges on
 //!   sorted dictionaries, over a column or a virtual field) costs two
 //!   `partition_point`s or a short merge on the chunk dictionary's sorted
-//!   global-ids, then one integer compare per row code, 64 rows per word;
-//!   leaves the resolver declines are tabulated once per chunk-dictionary
-//!   entry through `eval_expr` (the only place a filter materializes
-//!   values, and only for the columns such a leaf reads); `AND` / `OR` /
-//!   `NOT` combine whole masks word-wise, with subtrees that are constant
-//!   on the chunk folded away; only genuinely multi-column subtrees fall
-//!   back to per-row evaluation.
+//!   global-ids, then one integer compare per row code, 64 rows per word
+//!   (an `AND` of ranges on one column is one interval, one pass); leaves
+//!   the resolver declines are tabulated once per chunk-dictionary entry
+//!   through `eval_expr` (the only place a filter materializes values);
+//!   `AND` / `OR` / `NOT` combine whole masks word-wise, with subtrees that
+//!   are constant on the chunk folded away; only genuinely multi-column
+//!   subtrees fall back to per-row evaluation.
 //! - [`count_single`] / [`count_fused`] are the paper's
 //!   `counts[elements[row]]++` loop, for one key and for two keys fused
 //!   into a single flat array index — no per-row group map, no `Value`
 //!   allocation.
 //! - [`group_codes`] computes the [`GroupIndex`] of the general case — a
-//!   group per row of an unmasked chunk; a masked chunk's passing rows and
-//!   a group per passing row, so a row the mask dropped is never visited
-//!   again — and every group's keys, the groups numbered in ascending key
-//!   order (the mixed-radix numbers of the key codes that occur: counted
-//!   off a flat array when the key-dictionary product is small, sorted as
-//!   packed `u64`s otherwise), so a chunk table is born ordered.
+//!   masked chunk's passing rows (a row the mask dropped is never visited
+//!   again), a group per row listed and every group's keys, numbered in
+//!   ascending key order so a chunk table is born ordered: one key's codes
+//!   as they are (renumbered under a mask), more keys' mixed-radix numbers
+//!   counted off a flat array when the key-dictionary product is small,
+//!   sorted as packed `u64`s otherwise.
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
-//!   per-slot tight loop (a `COUNT` is a histogram of the groups),
-//!   translating codes to values only once per distinct
-//!   chunk-dictionary entry. `COUNT(DISTINCT …)` first finds the distinct
-//!   (group, code) pairs of the passing rows, then hashes once per code
-//!   that occurs (one ordered dictionary walk, which hashes each value's
-//!   sort key and makes no [`Value`]), not once per chunk-dictionary
-//!   entry, and builds each group's sketch by one sort.
+//!   per-slot tight loop: a `COUNT` is a histogram of the groups, a `SUM`
+//!   gathers a per-chunk-id table from the typed dictionary, a MIN/MAX is a
+//!   code minimum/maximum over a sorted one. `COUNT(DISTINCT …)` first
+//!   finds the distinct (group, code) pairs of the passing rows (a flat
+//!   presence array, or a sort), then hashes once per code that occurs
+//!   (one ordered dictionary walk over sort keys, no [`Value`] made), and
+//!   builds each group's sketch by one sort.
 //!
 //! Each kernel dispatches on [`CodesView`] once per chunk and then runs a
 //! monomorphized loop, so the element representation (const / bit-set / u8
@@ -43,11 +43,11 @@
 use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
-use crate::exec::SlotPlan;
+use crate::exec::{proportionate, SlotPlan};
 use crate::groups::{Column, FloatColumn, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{sortkey, BitVec, Error, Result, Value};
-use pd_encoding::CodesView;
+use pd_encoding::{CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,13 +211,28 @@ fn compile_pred(
 
 /// `l AND r` (`and`) or `l OR r` as one flat child list — `a AND b AND c`
 /// parses left-deep — with the per-row children last, so that every other
-/// child narrows the rows they are evaluated on.
+/// child narrows the rows they are evaluated on. Under `AND`, id ranges on
+/// one column intersect: a window (`ts >= a AND ts < b`) is one code pass.
 fn join(and: bool, sides: [Pred; 2]) -> Pred {
-    let mut children = Vec::new();
-    for side in sides {
-        match (and, side) {
-            (true, Pred::And(nested)) | (false, Pred::Or(nested)) => children.extend(nested),
-            (_, other) => children.push(other),
+    let mut children: Vec<Pred> = Vec::new();
+    let flat = sides.into_iter().flat_map(|side| match (and, side) {
+        (true, Pred::And(nested)) | (false, Pred::Or(nested)) => nested,
+        (_, other) => vec![other],
+    });
+    for child in flat {
+        let merged = and
+            && children.iter_mut().any(|held| match (held, &child) {
+                (
+                    Pred::Ids(ResolvedLeaf { col: a, ids: LeafIds::Range { lo, hi } }),
+                    Pred::Ids(ResolvedLeaf { col: b, ids: LeafIds::Range { lo: l, hi: h } }),
+                ) if Arc::ptr_eq(a, b) => {
+                    (*lo, *hi) = ((*lo).max(*l), (*hi).min(*h));
+                    true
+                }
+                _ => false,
+            });
+        if !merged {
+            children.push(child);
         }
     }
     children.sort_by_key(has_row_eval);
@@ -623,16 +638,15 @@ pub(crate) struct GroupIndex {
 /// order. Chunk-ids order like global ids, so this is ascending
 /// global-id-tuple order.
 ///
-/// A row's key codes packed into a `u64` as a mixed-radix number over
-/// `sizes` (most significant key first) order like its key tuple, and the
-/// groups are the ranks of the passing rows' numbers. `dense_capacity` is
-/// the checked product of the key-dictionary sizes if it fits
-/// [`DENSE_GROUP_LIMIT`] (the caller computes it once per chunk): then the
-/// ranks are counted off a flat array — unmasked, one key's codes are the
-/// groups as they stand (every chunk-id occurs in its chunk) and zero keys
-/// make one group. Otherwise they are found by a sort, and where the product
-/// would overflow a `u64`, the prefix packed so far is replaced by its rank
-/// before the next key is packed: ranks are below 2³², so the packing fits.
+/// `dense_capacity` is the checked product of the key-dictionary sizes if it
+/// fits [`DENSE_GROUP_LIMIT`] (the caller computes it once per chunk): then
+/// zero keys make one group, and one key's codes are the groups, renumbered
+/// by a table the size of the chunk dictionary if a mask may leave some
+/// unused. More keys pack a row's key codes into a `u64`, a mixed-radix
+/// number over `sizes` (most significant key first) that orders like its
+/// key tuple, and the groups are the numbers' ranks: counted off a flat
+/// array if dense, else found by a sort, where a prefix that would overflow
+/// a `u64` is replaced by its rank (below 2³²) before the next key is packed.
 pub(crate) fn group_codes(
     key_chunks: &[&ColumnChunk],
     sizes: &[usize],
@@ -640,18 +654,29 @@ pub(crate) fn group_codes(
     mask: Option<&BitVec>,
     dense_capacity: Option<usize>,
 ) -> GroupIndex {
-    if let (None, Some(capacity), [] | [_]) = (mask, dense_capacity, key_chunks) {
-        let groups = match key_chunks {
-            [key] => with_codes!(key.codes(), |get| (0..rows).map(get).collect()),
-            _ => vec![0; rows],
+    let listed: Option<Vec<usize>> = mask.map(|m| m.iter_ones().collect());
+    if let (Some(_), [] | [_]) = (dense_capacity, key_chunks) {
+        let Some(key) = key_chunks.first() else {
+            let groups = vec![0; listed.as_ref().map_or(rows, Vec::len)];
+            return GroupIndex { rows: listed, groups, group_count: 1, keys: Vec::new() };
         };
-        let keys = key_chunks.iter().map(|ch| ch.dict.global_ids().to_vec()).collect();
-        return GroupIndex { rows: None, groups, group_count: capacity, keys };
+        let mut groups: Vec<u32> = with_codes!(key.codes(), |get| match &listed {
+            Some(listed) => listed.iter().map(|&row| get(row)).collect(),
+            None => (0..rows).map(get).collect(),
+        });
+        let mut keys = key.dict.global_ids().to_vec();
+        if listed.is_some() {
+            // The codes that occur, numbered ascending.
+            let mut number = vec![0; keys.len()];
+            groups.iter().for_each(|&code| number[code as usize] = 1);
+            keys = (0..keys.len()).filter(|&c| number[c] == 1).map(|c| keys[c]).collect();
+            let mut held = 0;
+            number.iter_mut().for_each(|n| (*n, held) = (held, held + *n));
+            groups.iter_mut().for_each(|g| *g = number[*g as usize]);
+        }
+        return GroupIndex { rows: listed, groups, group_count: keys.len(), keys: vec![keys] };
     }
-    let passing: Vec<usize> = match mask {
-        Some(m) => m.iter_ones().collect(),
-        None => (0..rows).collect(),
-    };
+    let passing = listed.unwrap_or_else(|| (0..rows).collect());
     let mut packed = vec![0u64; passing.len()];
     // Every packed value is below `radix`.
     let mut radix = 1u64;
@@ -725,8 +750,8 @@ pub(crate) fn dense_keys(
 // ---------------------------------------------------------------------------
 
 /// One aggregate slot's column over a chunk: the pass-B loop for `slot`
-/// over the rows of `index`, translating codes to values only once per
-/// distinct chunk-dictionary entry.
+/// over the rows of `index`, a value read per chunk-dictionary entry off
+/// the typed dictionary (a tailed one's through [`Value`]s), if at all.
 ///
 /// `shape` describes structure the caller proved about `index` (see
 /// [`GroupShape`]; the materializing baseline passes `General`). Float sums
@@ -759,13 +784,10 @@ pub(crate) fn accumulate(
         }
         SlotKind::SumInt => {
             let (col, chunk) = arg.expect("SUM has an argument");
-            // Tabulate the numeric value per chunk-id once.
-            let table: Vec<i64> = (chunk.dict.iter())
-                .map(|gid| match col.dict.value(gid) {
-                    Value::Int(v) => v,
-                    other => unreachable!("typed as Int, got {other}"),
-                })
-                .collect();
+            let table: Vec<i64> = match &col.dict {
+                GlobalDict::Int(dict) => gather(chunk, dict.values()),
+                dict => chunk.dict.iter().map(|g| dict.value(g).as_int().unwrap_or(0)).collect(),
+            };
             let mut sums = vec![0i128; group_count];
             // Sums are exact, so a run contributes `weight × n` exactly.
             let mut add = |g: usize, code: u32, n: usize| {
@@ -805,38 +827,48 @@ pub(crate) fn accumulate(
         SlotKind::Min | SlotKind::Max => {
             let is_min = slot.kind == SlotKind::Min;
             let (col, chunk) = arg.expect("MIN/MAX has an argument");
-            // Sorted global dictionary: chunk-id order is value order, so
-            // extremes reduce to integer comparisons. A tailed dictionary
-            // appends ids out of value order; compare the chunk
-            // dictionary's values instead.
-            let values: Vec<Value> = match col.dict.is_value_ordered() {
-                true => Vec::new(),
-                false => chunk.dict.iter().map(|gid| col.dict.value(gid)).collect(),
-            };
-            let less = |a: u32, b: u32| match values.is_empty() {
-                true => a < b,
-                false => values[a as usize] < values[b as usize],
-            };
-            // Extreme chunk-id per group, `u32::MAX` before the first row.
-            let mut best = vec![u32::MAX; group_count];
-            for_each_member(chunk.codes(), index, |g, id| {
-                let held = best[g];
-                if held == u32::MAX || if is_min { less(id, held) } else { less(held, id) } {
-                    best[g] = id;
+            // Extreme chunk-id per group; every group holds a row. Sorted,
+            // chunk-id order is value order: an extreme is a code minimum (or
+            // maximum), with no key and no mask the first (or last) chunk-id.
+            let codes = chunk.codes();
+            let best = match (col.dict.is_value_ordered(), shape, is_min) {
+                (true, GroupShape::AllRows, true) => vec![0],
+                (true, GroupShape::AllRows, false) => vec![chunk.dict.len() - 1],
+                (true, _, true) => fold_codes(codes, index, u32::MAX, u32::min),
+                (true, _, false) => fold_codes(codes, index, 0, u32::max),
+                // A tailed dictionary: compare the chunk dictionary's values.
+                (false, ..) => {
+                    let values: Vec<Value> = chunk.dict.iter().map(|g| col.dict.value(g)).collect();
+                    fold_codes(codes, index, u32::MAX, |held, id| {
+                        let (a, b) = if is_min { (id, held) } else { (held, id) };
+                        let better = held == u32::MAX || values[a as usize] < values[b as usize];
+                        if better {
+                            id
+                        } else {
+                            held
+                        }
+                    })
                 }
-            });
-            let gid = |&cid: &u32| (cid != u32::MAX).then(|| chunk.dict.global_id_of(cid));
+            };
+            let gid = |&cid: &u32| Some(chunk.dict.global_id_of(cid));
             Column::Extreme { is_min, best: best.iter().map(gid).collect() }
         }
         SlotKind::Distinct { m } => {
             let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
-            // The distinct (group, code) pairs of the passing rows as
-            // ascending `g·n + code`: a sort of every row's pair.
-            let n = chunk.dict.len() as usize;
-            let mut pairs: Vec<usize> = Vec::with_capacity(index.groups.len());
-            for_each_member(chunk.codes(), index, |g, c| pairs.push(g * n + c as usize));
-            pairs.sort_unstable();
-            pairs.dedup();
+            // The distinct (group, code) pairs of the passing rows as ascending
+            // `g·n + code`: marked in a flat array, or sorted if that is big.
+            let (n, listed) = (chunk.dict.len() as usize, index.groups.len());
+            let pairs: Vec<usize> = if proportionate((group_count * n) as u64, listed as u64) {
+                let mut present = vec![false; group_count * n];
+                for_each_member(chunk.codes(), index, |g, c| present[g * n + c as usize] = true);
+                (0..present.len()).filter(|&p| present[p]).collect()
+            } else {
+                let mut pairs = Vec::with_capacity(listed);
+                for_each_member(chunk.codes(), index, |g, c| pairs.push(g * n + c as usize));
+                pairs.sort_unstable();
+                pairs.dedup();
+                pairs
+            };
             // Hash the value of each code some pair holds, once: chunk-ids
             // order like global ids, so one ordered dictionary walk, whose
             // sort keys hash as their values do (`sortkey::hash`).
@@ -860,6 +892,18 @@ pub(crate) fn accumulate(
             Column::Distinct { m, sketches }
         }
     }
+}
+
+/// Per group of `index`, `pick(held, code)` over its rows' codes from `seed`.
+fn fold_codes(
+    codes: CodesView<'_>,
+    index: &GroupIndex,
+    seed: u32,
+    pick: impl Fn(u32, u32) -> u32,
+) -> Vec<u32> {
+    let mut held = vec![seed; index.group_count];
+    for_each_member(codes, index, |g, code| held[g] = pick(held[g], code));
+    held
 }
 
 /// `f(group, code)` for every row of `index`: a masked chunk's passing rows
@@ -907,7 +951,16 @@ pub(crate) static FLOAT_TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 fn float_table(col: &StoredColumn, chunk: &ColumnChunk) -> Vec<f64> {
     FLOAT_TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
-    chunk.dict.iter().map(|gid| col.dict.value(gid).numeric()).collect()
+    match &col.dict {
+        GlobalDict::Float(dict) => gather(chunk, dict.values()),
+        dict => chunk.dict.iter().map(|gid| dict.value(gid).numeric()).collect(),
+    }
+}
+
+/// Per chunk-id, its global id's entry of a typed dictionary's `values`. A
+/// tailed dictionary has no such slice: its tables read [`Value`]s.
+fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T]) -> Vec<T> {
+    chunk.dict.global_ids().iter().map(|&gid| values[gid as usize]).collect()
 }
 
 #[cfg(test)]

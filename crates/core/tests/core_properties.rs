@@ -10,12 +10,14 @@ use pd_common::{sortkey, DataType, FloatSum, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
-    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext, KmvSketch,
-    PartialResult, PartitionSpec,
+    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext,
+    KernelConfig, KmvSketch, PartialResult, PartitionSpec,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext};
+use pd_sql::{
+    analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext, SlotClass,
+};
 
 /// Row context over a store's reconstructed cell values.
 struct StoreRow<'a> {
@@ -653,4 +655,191 @@ fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
     let mut forged = coded(&base);
     forged.columns[1].codes[3] = u32::MAX;
     assert!(DataStore::from_coded(forged, &BuildOptions::basic()).is_err());
+}
+
+/// The chunk kernels' cheap paths against the row oracle: per group, each
+/// slot's state is what the passing rows' values make — counts, exact sums,
+/// the least and greatest value, a sketch of every value's hash. Covered:
+/// id-range pairs on one column (overlapping, nested, disjoint, equal
+/// bounds, both bounds on one side, under `AND`, `OR` and `NOT`), on
+/// `date(ts)`, and across two columns, drawn at random besides; MIN/MAX by
+/// 0, 1 and 2 keys, unmasked and masked, over sorted dictionaries and
+/// tailed ones; COUNT DISTINCT with groups × chunk-dictionary entries under
+/// and over four times the rows listed; one-key masks that leave most of
+/// a chunk's key ids unused. Both kernel configurations.
+#[test]
+fn cheap_kernel_paths_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("j", DataType::Int),
+        ("t", DataType::Int),
+        ("ts", DataType::Int),
+        ("x", DataType::Float),
+        ("s", DataType::Str),
+        ("u", DataType::Str),
+        ("i", DataType::Int),
+    ]);
+    const ROWS: usize = 3_000;
+    const DAY0: i64 = 1_325_376_000; // 2012-01-01
+                                     // Rows from `ROWS` on hold `t`, `x`, `s` and `i` values below and above
+                                     // every base value, so an append tails those dictionaries out of order.
+    let row = |r: usize| {
+        let fresh = r >= ROWS;
+        let below = fresh && r.is_multiple_of(2);
+        vec![
+            Value::from(["red", "green", "blue", "grey"][r % 4]),
+            Value::Int((r * 5 % 7) as i64),
+            Value::Int(match (fresh, below) {
+                (false, _) => (r * 37 % 100) as i64,
+                (true, true) => -((r % 9) as i64) - 1,
+                (true, false) => 100 + (r % 9) as i64,
+            }),
+            Value::Int(DAY0 + (r * 977) as i64),
+            Value::Float(match (fresh, below, r % 5) {
+                (false, _, 0) => [-0.0, 0.0, f64::NAN][r / 5 % 3],
+                (false, _, _) => (r % 61) as f64 * 0.25,
+                (true, true, _) => -1e4 - r as f64,
+                (true, false, _) => 1e4 + r as f64,
+            }),
+            Value::from(match below {
+                true => format!("a{:03}", r % 50),
+                false => format!("s{:03}", r * 17 % 211 + fresh as usize * 500),
+            }),
+            Value::from(format!("u{}", r * 3 % 10)),
+            // Distinct on every base row: 4 099 is invertible mod 5 003.
+            Value::Int((r * 4_099 % 5_003) as i64 + fresh as i64 * 10_000),
+        ]
+    };
+    let columns = |rows: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+        (0..8).map(|c| rows.clone().map(|r| row(r).swap_remove(c)).collect()).collect()
+    };
+    let table = Table::from_columns(schema.clone(), columns(0..ROWS)).unwrap();
+    let tail = columns(ROWS..ROWS + 240);
+    let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
+    let delta = TableDelta::from_columns(schema, &slices).unwrap();
+    let options = BuildOptions::optcols(PartitionSpec::new(&["k"], 400));
+    let sorted = DataStore::build(&table, &options).unwrap();
+    let mut tailed = DataStore::build(&table, &options).unwrap();
+    tailed.append_delta(&delta).unwrap();
+    for col in ["t", "x", "s", "i"] {
+        assert!(sorted.column(col).unwrap().dict.is_value_ordered(), "{col}");
+        assert!(!tailed.column(col).unwrap().dict.is_value_ordered(), "{col}");
+    }
+    // COUNT(DISTINCT u) is dense everywhere; by `k, j`, COUNT(DISTINCT i)
+    // outgrows four times the rows of some unmasked chunk.
+    let entries = |name: &str, c: usize| sorted.column(name).unwrap().chunks[c].dict.len() as usize;
+    assert!((0..sorted.chunk_count())
+        .any(|c| entries("j", c) * entries("i", c) > (4 * sorted.chunk_rows(c)).max(1024)));
+
+    let day = |d: i64| format!("'2012-01-{d:02}'");
+    let mut filters: Vec<String> = [
+        "",
+        "t >= 20 AND t < 60",
+        "t > 10 AND t < 90 AND t >= 30 AND t <= 40",
+        "t < 20 AND t > 60",
+        "t >= 30 AND t <= 30",
+        "t >= 30 AND t < 30",
+        "t >= 25 AND t >= 70",
+        "t <= 80 AND t < 45 AND j != 3",
+        "t < 20 OR t > 60",
+        "NOT (t >= 20 AND t < 60)",
+        "t >= 20 AND i < 2500 AND t < 70 AND i >= 400",
+        "t < 10",
+        "k != 'red'",
+    ]
+    .map(str::to_owned)
+    .into();
+    filters.push(format!("date(ts) >= {} AND date(ts) < {}", day(5), day(12)));
+    filters.push(format!("ts >= {} AND t < 50 AND ts < {}", DAY0 + 400_000, DAY0 + 2_000_000));
+    // Random pairs and triples of bounds over one column or two.
+    let mut rng = Rng::seed_from_u64(0xc04e_0047);
+    for _ in 0..16 {
+        let conjuncts: Vec<String> = (0..rng.range_usize(2, 4))
+            .map(|_| {
+                let op = *rng.pick(&["<", "<=", ">", ">="]);
+                match rng.range_usize(0, 4) {
+                    0 | 1 => format!("t {op} {}", rng.range_i64_inclusive(-5, 105)),
+                    2 => format!("date(ts) {op} {}", day(rng.range_i64_inclusive(1, 31))),
+                    _ => format!("i {op} {}", rng.range_i64_inclusive(0, 5_100)),
+                }
+            })
+            .collect();
+        filters.push(conjuncts.join(" AND "));
+    }
+
+    let aggs = "COUNT(*), SUM(t), SUM(x), MIN(x), MAX(x), MIN(s), MAX(s), \
+                COUNT(DISTINCT u), COUNT(DISTINCT i)";
+    const M: usize = 4_096;
+    for (label, store) in [("sorted", &sorted), ("tailed", &tailed)] {
+        for keys in ["", "j", "s", "k, j"] {
+            for filter in &filters {
+                let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
+                let where_sql =
+                    if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
+                let group_by =
+                    if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+                let sql = format!("SELECT {select}{aggs} FROM t{where_sql}{group_by}");
+                let parsed = parse_query(&sql).unwrap();
+                let analyzed = analyze(&parsed).unwrap();
+                let key_names: Vec<&str> = keys.split(", ").filter(|k| !k.is_empty()).collect();
+
+                // The oracle: per group, per slot, the passing rows' values.
+                let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Vec<Value>>> =
+                    Default::default();
+                for chunk in 0..store.chunk_count() {
+                    for row in 0..store.chunk_rows(chunk) {
+                        let ctx = StoreRow { store, chunk, row };
+                        if let Some(filter) = &parsed.where_clause {
+                            if !truthy(&eval_expr(filter, &ctx).unwrap()) {
+                                continue;
+                            }
+                        }
+                        let key = key_names.iter().map(|k| ctx.column(k).unwrap()).collect();
+                        let cells = groups
+                            .entry(key)
+                            .or_insert_with(|| analyzed.slots.iter().map(|_| Vec::new()).collect());
+                        for (slot, cell) in analyzed.slots.iter().zip(cells) {
+                            let arg = slot.arg.as_ref().map(|arg| eval_expr(arg, &ctx).unwrap());
+                            cell.push(arg.unwrap_or(Value::Null));
+                        }
+                    }
+                }
+                let state = |class: SlotClass, values: &[Value]| match class {
+                    SlotClass::Count => AggState::Count(values.len() as u64),
+                    SlotClass::Sum => match values[0] {
+                        Value::Int(_) => AggState::SumInt(
+                            values.iter().map(|v| i128::from(v.as_int().unwrap())).sum(),
+                        ),
+                        _ => {
+                            let mut sum = FloatSum::new();
+                            values.iter().for_each(|v| sum.add(v.numeric()));
+                            AggState::SumFloat(Box::new(sum))
+                        }
+                    },
+                    SlotClass::Min => AggState::Min(values.iter().min().cloned()),
+                    SlotClass::Max => AggState::Max(values.iter().max().cloned()),
+                    SlotClass::Distinct => {
+                        let mut sketch = KmvSketch::new(M);
+                        values.iter().for_each(|v| sketch.offer(pd_common::fx_hash64(v)));
+                        AggState::Distinct(sketch)
+                    }
+                };
+                let want = PartialResult::from_states(groups.iter().map(|(key, cells)| {
+                    let states = analyzed.slots.iter().zip(cells);
+                    (key.clone(), states.map(|(slot, values)| state(slot.class, values)).collect())
+                }))
+                .unwrap();
+
+                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
+                    let ctx = ExecContext { sketch_m: M, kernels, ..Default::default() };
+                    let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
+                    if groups.is_empty() {
+                        assert!(got.is_empty(), "{label} {kernels:?}: {sql}");
+                    } else {
+                        assert_eq!(got, want, "{label} {kernels:?}: {sql}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -316,7 +316,7 @@ impl Node {
 
     /// Apply an append to the shards beneath this node — the one append
     /// path, over the edges a query walks. A leaf applies its shard's delta
-    /// ([`Leaf::apply`]); a mixer writes each child the deltas beneath it,
+    /// (`Leaf::apply`); a mixer writes each child the deltas beneath it,
     /// grows its tail by the same rows while they apply, and absorbs their
     /// receipts into its copies of the summaries ([`absorb_into`]). A shard
     /// named twice or not beneath the node refuses the whole request before

@@ -180,6 +180,11 @@ impl IntDict {
     pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
         self.values.iter().copied()
     }
+
+    /// Every value, indexed by id.
+    pub fn values(&self) -> &[i64] {
+        &self.values
+    }
 }
 
 impl HeapSize for IntDict {
@@ -234,6 +239,11 @@ impl FloatDict {
 
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.values.iter().copied()
+    }
+
+    /// Every value, indexed by id.
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 }
 

@@ -69,8 +69,8 @@ pub struct SlotRef {
 /// An analyzed, executable query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedQuery {
-    /// Source table (None when the query reads a `UNION ALL` of
-    /// sub-queries, as the distributed rewrite produces).
+    /// Source table. [`analyze`] refuses a subquery in FROM, so it names
+    /// one.
     pub table: Option<String>,
     /// Group-by key expressions (aliases resolved).
     pub keys: Vec<Expr>,
@@ -165,7 +165,9 @@ pub(crate) fn lower(aggs: &[AggExpr]) -> Result<(Vec<Slot>, Vec<SlotRef>)> {
 pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
     let table = match &query.from {
         TableRef::Table(name) => Some(name.clone()),
-        TableRef::UnionAll(_) => None,
+        // No engine reads the inner queries: answering the outer query over
+        // the whole table would be a wrong answer.
+        TableRef::UnionAll(_) => return Err(Error::Unsupported("a subquery in FROM".into())),
     };
 
     // Alias → scalar expression (aggregate aliases resolve to the aggregate
@@ -483,15 +485,18 @@ mod tests {
     }
 
     #[test]
-    fn union_all_from_has_no_table() {
-        let a = analyzed(
+    fn a_from_subquery_is_unsupported() {
+        for sql in [
             "SELECT a, SUM(x) FROM
                ((SELECT a, SUM(x) as x FROM S1 GROUP BY a)
                 UNION ALL
                 (SELECT a, SUM(x) as x FROM S2 GROUP BY a))
              GROUP BY a;",
-        );
-        assert_eq!(a.table, None);
+            "SELECT a, COUNT(*) FROM (SELECT a FROM t WHERE a = 1) GROUP BY a",
+        ] {
+            let err = analyze(&parse_query(sql).unwrap()).unwrap_err();
+            assert!(matches!(err, Error::Unsupported(_)), "{sql}: {err}");
+        }
     }
 
     #[test]

@@ -109,3 +109,41 @@ fn memory_ordering_matches_table1() {
     assert!(dremel_q1 < csv_q1 / 10, "dremel {dremel_q1} vs csv {csv_q1}");
     assert!(rio_q1 < csv_q1, "rec-io {rio_q1} vs csv {csv_q1}");
 }
+
+/// A subquery in FROM is refused, not answered: the store, a cluster over
+/// either edge kind and every baseline return an error for a query no
+/// engine can read the inner queries of, rather than answering the outer
+/// query over the whole table.
+#[test]
+fn a_from_subquery_is_an_error_on_every_engine() {
+    use powerdrill::dist::{RpcConfig, Transport};
+    let table = generate_logs(&LogsSpec::scaled(400));
+    let options = BuildOptions::production(&["country"]);
+    let pd = PowerDrill::import(&table, &options).unwrap();
+    let unix = Transport::Rpc(RpcConfig {
+        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
+        ..Default::default()
+    });
+    let clusters = [Transport::InProcess, unix].map(|transport| {
+        let config =
+            ClusterConfig { shards: 2, build: options.clone(), transport, ..Default::default() };
+        Cluster::build(&table, &config).unwrap()
+    });
+    let csv = CsvBackend::new(&table, IoModel::default()).unwrap();
+    let rio = RecordIoBackend::new(&table, IoModel::default()).unwrap();
+    let dremel = DremelBackend::new(&table, IoModel::default()).unwrap();
+    for sql in [
+        "SELECT country, COUNT(*) c FROM ((SELECT country FROM data WHERE country = 'DE') \
+         UNION ALL (SELECT country FROM data WHERE country = 'DE')) GROUP BY country",
+        "SELECT country, COUNT(*) c FROM (SELECT country FROM data) GROUP BY country",
+    ] {
+        assert!(pd.sql(sql).is_err(), "store: {sql}");
+        assert!(powerdrill::query(pd.store(), sql).is_err(), "pd_core::query: {sql}");
+        for cluster in &clusters {
+            assert!(cluster.query(sql).is_err(), "cluster: {sql}");
+        }
+        assert!(csv.execute(sql).is_err(), "CSV: {sql}");
+        assert!(rio.execute(sql).is_err(), "record-io: {sql}");
+        assert!(dremel.execute(sql).is_err(), "Dremel: {sql}");
+    }
+}
