@@ -146,13 +146,9 @@ fn update_state(state: &mut AggState, arg: Option<&Value>) -> Result<()> {
     Ok(())
 }
 
-/// Parse + analyze, rejecting queries no backend can serve.
+/// Parse + analyze.
 pub fn prepare(sql: &str) -> Result<AnalyzedQuery> {
-    let analyzed = analyze(&parse_query(sql)?)?;
-    if analyzed.table.is_none() {
-        return Err(Error::Unsupported("baselines execute single-table queries".into()));
-    }
-    Ok(analyzed)
+    analyze(&parse_query(sql)?)
 }
 
 #[cfg(test)]
@@ -235,10 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn union_queries_rejected() {
-        assert!(prepare(
-            "SELECT a, SUM(x) FROM ((SELECT a, SUM(x) x FROM s1 GROUP BY a) UNION ALL (SELECT a, SUM(x) x FROM s2 GROUP BY a)) GROUP BY a"
-        )
-        .is_err());
+    fn union_queries_fail_to_parse() {
+        let sql = "SELECT a, SUM(x) FROM ((SELECT a, SUM(x) x FROM s1 GROUP BY a) UNION ALL (SELECT a, SUM(x) x FROM s2 GROUP BY a)) GROUP BY a";
+        assert!(matches!(parse_query(sql), Err(Error::Unsupported(_))));
+        assert!(prepare(sql).is_err());
     }
 }

@@ -75,7 +75,9 @@ use std::time::Duration;
 /// Version 12: a partial result carries no aggregate list — the asking
 /// query maps its aggregates onto the slots — and an integer-sum slot
 /// travels as its exact 16-byte (`i128`) sum.
-pub const FRAME_VERSION: u8 = 12;
+/// Version 13: an analyzed query's table is a plain string, without the
+/// option tag it had while a `FROM` could hold a subquery.
+pub const FRAME_VERSION: u8 = 13;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

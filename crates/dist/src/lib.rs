@@ -14,6 +14,7 @@
 //! |-----------------------------------|---------------------------------------|
 //! | X data partitions on leaf servers | leaf [`Node`]s: independent [`pd_core::DataStore`]s over contiguous row ranges, built in the driver's address space ([`Transport::InProcess`]) or imported by spawned worker processes ([`Transport::Rpc`]) |
 //! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message — encoded once, written to every socket child, the replies then read in child order, all on the calling thread ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]), optionally compressed (`pd-compress`, negotiated per connection) — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
+//! | the query rewritten to leaf queries under a `UNION ALL`, "where" at the leaves, "having" at the root | no SQL is rewritten: [`pd_sql::analyze()`] lowers the aggregates to [`pd_sql::Slot`]s once; every leaf fills them under the filter, every mixer merges them, the root reads the aggregates off them and applies HAVING ([`pd_core::finalize`]) |
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
 //! | "take the answer arriving first" replication | every leaf has a replica link; an unreachable ([`ChaosFault::Unreachable`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
 //! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]); [`ChaosModel`] delays make processes straggle on purpose |

@@ -69,9 +69,8 @@ pub struct SlotRef {
 /// An analyzed, executable query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedQuery {
-    /// Source table. [`analyze`] refuses a subquery in FROM, so it names
-    /// one.
-    pub table: Option<String>,
+    /// Source table.
+    pub table: String,
     /// Group-by key expressions (aliases resolved).
     pub keys: Vec<Expr>,
     /// Aggregates, in select-list order.
@@ -115,7 +114,7 @@ impl AnalyzedQuery {
                 write!(out, "{comma}{item}").expect("a String takes every write");
             }
         }
-        out.push_str(self.table.as_deref().unwrap_or(""));
+        out.push_str(&self.table);
         out.push_str("|keys:");
         joined(out, &self.keys);
         out.push_str("|slots:");
@@ -163,13 +162,6 @@ pub(crate) fn lower(aggs: &[AggExpr]) -> Result<(Vec<Slot>, Vec<SlotRef>)> {
 
 /// Analyze a parsed query.
 pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
-    let table = match &query.from {
-        TableRef::Table(name) => Some(name.clone()),
-        // No engine reads the inner queries: answering the outer query over
-        // the whole table would be a wrong answer.
-        TableRef::UnionAll(_) => return Err(Error::Unsupported("a subquery in FROM".into())),
-    };
-
     // Alias → scalar expression (aggregate aliases resolve to the aggregate
     // itself, handled separately below).
     let scalar_alias = |name: &str| -> Option<&Expr> {
@@ -240,7 +232,7 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
     let (slots, reads) = lower(&aggs)?;
 
     Ok(AnalyzedQuery {
-        table,
+        table: query.from.clone(),
         keys,
         aggs,
         slots,
@@ -364,7 +356,7 @@ mod tests {
         let a = analyzed(
             "SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;",
         );
-        assert_eq!(a.table.as_deref(), Some("data"));
+        assert_eq!(a.table, "data");
         assert_eq!(a.keys, vec![Expr::column("country")]);
         assert_eq!(a.aggs, vec![AggExpr::count_star()]);
         assert_eq!(a.output[0], ("country".into(), OutputCol::Key(0)));
@@ -482,21 +474,6 @@ mod tests {
         let err =
             analyze(&parse_query("SELECT country, country FROM data GROUP BY country").unwrap());
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn a_from_subquery_is_unsupported() {
-        for sql in [
-            "SELECT a, SUM(x) FROM
-               ((SELECT a, SUM(x) as x FROM S1 GROUP BY a)
-                UNION ALL
-                (SELECT a, SUM(x) as x FROM S2 GROUP BY a))
-             GROUP BY a;",
-            "SELECT a, COUNT(*) FROM (SELECT a FROM t WHERE a = 1) GROUP BY a",
-        ] {
-            let err = analyze(&parse_query(sql).unwrap()).unwrap_err();
-            assert!(matches!(err, Error::Unsupported(_)), "{sql}: {err}");
-        }
     }
 
     #[test]

@@ -215,21 +215,12 @@ pub struct OrderKey {
     pub desc: bool,
 }
 
-/// The `FROM` clause.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TableRef {
-    /// A named table.
-    Table(String),
-    /// `(q1 UNION ALL q2 ...)` — the shape the §4 distributed rewrite
-    /// produces.
-    UnionAll(Vec<Query>),
-}
-
 /// A parsed query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub select: Vec<SelectItem>,
-    pub from: TableRef,
+    /// The table `FROM` names.
+    pub from: String,
     pub where_clause: Option<Expr>,
     pub group_by: Vec<Expr>,
     pub having: Option<Expr>,
@@ -311,24 +302,6 @@ impl fmt::Display for SelectItem {
             write!(f, " AS {alias}")?;
         }
         Ok(())
-    }
-}
-
-impl fmt::Display for TableRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TableRef::Table(name) => write!(f, "{name}"),
-            TableRef::UnionAll(queries) => {
-                write!(f, "(")?;
-                for (i, q) in queries.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " UNION ALL ")?;
-                    }
-                    write!(f, "({q})")?;
-                }
-                write!(f, ")")
-            }
-        }
     }
 }
 
@@ -436,7 +409,7 @@ mod tests {
                     alias: Some("c".into()),
                 },
             ],
-            from: TableRef::Table("data".into()),
+            from: "data".into(),
             where_clause: None,
             group_by: vec![Expr::column("country")],
             having: None,

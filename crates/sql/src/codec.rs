@@ -13,8 +13,8 @@
 //! must yield `Err`, never a crash: a hand-crafted frame of nested unary
 //! operators costs only two bytes per level, so an unbounded recursive
 //! decode could blow the stack long before running out of input. Decoding
-//! therefore tracks an explicit depth and fails past [`MAX_DEPTH`] — far
-//! deeper than any query the parser itself would produce.
+//! therefore tracks an explicit depth and fails past [`MAX_DEPTH`], the
+//! bound the parser holds too.
 
 use crate::analyze::{lower, AnalyzedQuery, OutputCol};
 use crate::ast::{AggExpr, AggFunc, BinaryOp, Expr, UnaryOp};
@@ -22,7 +22,8 @@ use crate::restriction::Restriction;
 use pd_common::wire::{Decode, Encode, Reader};
 use pd_common::{Error, Result, Value};
 
-/// Maximum nesting for decoded expression trees.
+/// Maximum nesting of an expression tree: the edges from its root down to
+/// its deepest node, parsed or decoded.
 pub const MAX_DEPTH: usize = 256;
 
 fn depth_guard(depth: usize) -> Result<()> {
@@ -271,7 +272,7 @@ impl Encode for AnalyzedQuery {
 
 impl Decode for AnalyzedQuery {
     fn decode(r: &mut Reader<'_>) -> Result<AnalyzedQuery> {
-        let table = Option::<String>::decode(r)?;
+        let table = String::decode(r)?;
         let keys = Vec::<Expr>::decode(r)?;
         let aggs = Vec::<AggExpr>::decode(r)?;
         let (slots, reads) = lower(&aggs)?;

@@ -11,7 +11,8 @@
 //!
 //! This crate provides the full front end for that subset:
 //!
-//! - [`lexer`] / [`parser`] — text → [`ast::Query`];
+//! - [`lexer`] / [`parser`] — text → [`ast::Query`], refusing an
+//!   expression nested deeper than [`codec::MAX_DEPTH`];
 //! - [`ast`] — expressions, aggregates, queries, with canonical SQL
 //!   rendering (`Display`), which doubles as the key for materialized
 //!   virtual fields (§5);
@@ -20,11 +21,13 @@
 //! - [`restriction`] — normalization of `WHERE` clauses into the
 //!   `AND / OR / NOT / IN / NOT IN / = / !=` fragment that drives chunk
 //!   skipping (§2.4, §5 "Complex Expressions");
-//! - [`analyze`](module@crate::analyze) — semantic analysis into an executable plan shape;
-//! - [`rewrite`] — the §4 two-level rewrite for distributed execution;
+//! - [`analyze`](module@crate::analyze) — semantic analysis into an
+//!   executable plan shape. Its lowering of aggregates to [`Slot`]s is the
+//!   §4 rewrite: the leaves fill the slots under `WHERE`, every parent
+//!   merges them (`PartialResult::merge`), the root applies `HAVING`;
 //! - [`codec`] — wire codecs ([`pd_common::wire`]) for expressions and
-//!   restrictions, with depth-bounded decoding so corrupt frames cannot
-//!   crash a merge server.
+//!   analyzed queries, with decoding bounded at the parser's depth so
+//!   corrupt frames cannot crash a merge server.
 
 #![forbid(unsafe_code)]
 
@@ -35,13 +38,9 @@ pub mod eval;
 pub mod lexer;
 pub mod parser;
 pub mod restriction;
-pub mod rewrite;
 
 pub use analyze::{analyze, AnalyzedQuery, OutputCol, Slot, SlotClass, SlotRef};
-pub use ast::{
-    AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem, TableRef, UnaryOp,
-};
+pub use ast::{AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem, UnaryOp};
 pub use eval::{eval_expr, truthy, values_compare, values_equal, RowContext};
 pub use parser::parse_query;
 pub use restriction::Restriction;
-pub use rewrite::{distributed_plan, DistributedPlan, MergeOp};

@@ -6,20 +6,29 @@
 //! query     := SELECT item (, item)* FROM table
 //!              [WHERE expr] [GROUP BY expr (, expr)*] [HAVING expr]
 //!              [ORDER BY order (, order)*] [LIMIT int] [;]
-//! table     := ident | '(' query (UNION ALL query)* ')'
+//! table     := ident
 //! item      := (aggregate | expr) [[AS] ident]
 //! aggregate := COUNT '(' '*' ')' | (COUNT|SUM|MIN|MAX|AVG) '(' [DISTINCT] expr ')'
 //! order     := expr [ASC|DESC]
 //! expr      := precedence-climbing over OR < AND < NOT < cmp/IN < +- < */ < unary
 //! ```
+//!
+//! A subquery in `FROM`, `UNION`, and an expression nested deeper than the
+//! wire decoder's [`MAX_DEPTH`] — as a tree (left-deep `a OR b OR …` chains
+//! included) or as parser recursion (parentheses included) — are refused
+//! as [`Error::Unsupported`]: every expression that parses crosses the wire.
 
 use crate::ast::*;
+use crate::codec::MAX_DEPTH;
 use crate::lexer::{tokenize, Token};
 use pd_common::{Error, Result, Value};
 
 /// Parse a single SQL statement.
 pub fn parse_query(input: &str) -> Result<Query> {
     let tokens = tokenize(input)?;
+    if tokens.iter().any(|t| t.is_kw("union")) {
+        return Err(Error::Unsupported("UNION".into()));
+    }
     let mut p = Parser { tokens, pos: 0 };
     let q = p.parse_query()?;
     p.eat_if(|t| matches!(t, Token::Semicolon));
@@ -32,6 +41,23 @@ pub fn parse_query(input: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+}
+
+/// An expression and its height: the edges from its root down to its
+/// deepest node, the nesting the wire decoder counts.
+type Parsed = (Expr, usize);
+
+/// `op` over `expr`, a level above it.
+fn unary(op: UnaryOp, (expr, height): Parsed) -> Result<Parsed> {
+    Ok((Expr::Unary { op, expr: Box::new(expr) }, bounded(height + 1)?))
+}
+
+/// `depth`, if it is within [`MAX_DEPTH`].
+fn bounded(depth: usize) -> Result<usize> {
+    if depth > MAX_DEPTH {
+        return Err(Error::Unsupported(format!("an expression nested deeper than {MAX_DEPTH}")));
+    }
+    Ok(depth)
 }
 
 const AGG_NAMES: [(&str, AggFunc); 5] = [
@@ -101,22 +127,28 @@ impl Parser {
             select.push(self.parse_select_item()?);
         }
         self.expect_kw("from")?;
-        let from = self.parse_table_ref()?;
-        let where_clause = if self.eat_kw("where") { Some(self.parse_expr(0)?) } else { None };
+        let from = match self.next()? {
+            Token::Ident(name) if !is_reserved(name) => name.clone(),
+            // No engine reads a subquery: answering the outer query over the
+            // whole table would be a wrong answer.
+            Token::LParen => return Err(Error::Unsupported("a subquery in FROM".into())),
+            other => return Err(Error::Parse(format!("expected table name, found {other:?}"))),
+        };
+        let where_clause = if self.eat_kw("where") { Some(self.expression()?) } else { None };
         let mut group_by = Vec::new();
         if self.eat_kw("group") {
             self.expect_kw("by")?;
-            group_by.push(self.parse_expr(0)?);
+            group_by.push(self.expression()?);
             while self.eat_if(|t| matches!(t, Token::Comma)) {
-                group_by.push(self.parse_expr(0)?);
+                group_by.push(self.expression()?);
             }
         }
-        let having = if self.eat_kw("having") { Some(self.parse_expr(0)?) } else { None };
+        let having = if self.eat_kw("having") { Some(self.expression()?) } else { None };
         let mut order_by = Vec::new();
         if self.eat_kw("order") {
             self.expect_kw("by")?;
             loop {
-                let expr = self.parse_expr(0)?;
+                let expr = self.expression()?;
                 let desc = if self.eat_kw("desc") {
                     true
                 } else {
@@ -144,38 +176,11 @@ impl Parser {
         Ok(Query { select, from, where_clause, group_by, having, order_by, limit })
     }
 
-    fn parse_table_ref(&mut self) -> Result<TableRef> {
-        if self.eat_if(|t| matches!(t, Token::LParen)) {
-            let mut queries = vec![self.parse_union_member()?];
-            while self.eat_kw("union") {
-                self.expect_kw("all")?;
-                queries.push(self.parse_union_member()?);
-            }
-            self.expect(Token::RParen)?;
-            return Ok(TableRef::UnionAll(queries));
-        }
-        match self.next()? {
-            Token::Ident(name) if !is_reserved(name) => Ok(TableRef::Table(name.clone())),
-            other => Err(Error::Parse(format!("expected table name, found {other:?}"))),
-        }
-    }
-
-    /// A member of a `UNION ALL` list: either `(query)` or a bare query.
-    fn parse_union_member(&mut self) -> Result<Query> {
-        if self.eat_if(|t| matches!(t, Token::LParen)) {
-            let q = self.parse_query()?;
-            self.expect(Token::RParen)?;
-            Ok(q)
-        } else {
-            self.parse_query()
-        }
-    }
-
     fn parse_select_item(&mut self) -> Result<SelectItem> {
         let expr = if let Some(agg) = self.try_parse_aggregate()? {
             SelectExpr::Aggregate(agg)
         } else {
-            SelectExpr::Scalar(self.parse_expr(0)?)
+            SelectExpr::Scalar(self.expression()?)
         };
         let alias = if self.eat_kw("as") {
             match self.next()? {
@@ -216,7 +221,7 @@ impl Parser {
             return Ok(Some(AggExpr::count_star()));
         }
         let distinct = self.eat_kw("distinct");
-        let arg = self.parse_expr(0)?;
+        let arg = self.expression()?;
         self.expect(Token::RParen)?;
         if distinct && func != AggFunc::Count {
             return Err(Error::Unsupported(format!("{}(DISTINCT ...)", func.name())));
@@ -224,65 +229,88 @@ impl Parser {
         Ok(Some(AggExpr { func, arg: Some(arg), distinct }))
     }
 
-    /// Precedence-climbing expression parser.
-    fn parse_expr(&mut self, min_prec: u8) -> Result<Expr> {
-        let mut lhs = self.parse_unary()?;
+    /// An expression that is a whole clause item, or an aggregate's argument.
+    fn expression(&mut self) -> Result<Expr> {
+        Ok(self.parse_expr(0, 0)?.0)
+    }
+
+    /// Precedence-climbing expression parser. `level` counts the calls
+    /// nested around this one. `IN`, `BETWEEN` and calls are parsed out of
+    /// line, so that each level of recursion costs little stack even
+    /// unoptimized.
+    fn parse_expr(&mut self, min_prec: u8, level: usize) -> Result<Parsed> {
+        let mut lhs = self.parse_unary(level)?;
         loop {
             // `[NOT] IN (...)` and `[NOT] BETWEEN a AND b` bind like
             // comparisons.
             let saved = self.pos;
             let negated = self.eat_kw("not");
-            if self.eat_kw("in") {
-                if BinaryOp::Eq.precedence() < min_prec {
-                    self.pos = saved;
-                    return Ok(lhs);
+            if BinaryOp::Eq.precedence() >= min_prec {
+                if self.eat_kw("in") {
+                    lhs = self.parse_in(lhs, negated, level)?;
+                    continue;
                 }
-                self.expect(Token::LParen)?;
-                let mut list = vec![self.parse_expr(0)?];
-                while self.eat_if(|t| matches!(t, Token::Comma)) {
-                    list.push(self.parse_expr(0)?);
+                if self.eat_kw("between") {
+                    lhs = self.parse_between(lhs, negated, level)?;
+                    continue;
                 }
-                self.expect(Token::RParen)?;
-                lhs = Expr::InList { expr: Box::new(lhs), list, negated };
-                continue;
-            }
-            if self.eat_kw("between") {
-                if BinaryOp::Eq.precedence() < min_prec {
-                    self.pos = saved;
-                    return Ok(lhs);
-                }
-                // Bounds parse above AND precedence so the separating AND
-                // is not swallowed.
-                let low = self.parse_expr(BinaryOp::Eq.precedence())?;
-                self.expect_kw("and")?;
-                let high = self.parse_expr(BinaryOp::Eq.precedence())?;
-                // Desugar: x BETWEEN a AND b == (x >= a AND x <= b).
-                let both = Expr::binary(
-                    BinaryOp::And,
-                    Expr::binary(BinaryOp::Ge, lhs.clone(), low),
-                    Expr::binary(BinaryOp::Le, lhs, high),
-                );
-                lhs = if negated {
-                    Expr::Unary { op: UnaryOp::Not, expr: Box::new(both) }
-                } else {
-                    both
-                };
-                continue;
             }
             if negated {
                 self.pos = saved;
                 return Ok(lhs);
             }
-
-            let Some(op) = self.peek_binary_op() else {
+            let Some(op) = self.peek_binary_op().filter(|op| op.precedence() >= min_prec) else {
                 return Ok(lhs);
             };
-            if op.precedence() < min_prec {
-                return Ok(lhs);
-            }
             self.pos += 1; // consume the operator token (AND/OR are single idents too)
-            let rhs = self.parse_expr(op.precedence() + 1)?;
-            lhs = Expr::binary(op, lhs, rhs);
+            let rhs = self.parse_expr(op.precedence() + 1, level + 1)?;
+            // A left-deep chain grows here, one level per operator, with
+            // no recursion: the height, not the level, bounds it.
+            let height = bounded(1 + lhs.1.max(rhs.1))?;
+            lhs = (Expr::binary(op, lhs.0, rhs.0), height);
+        }
+    }
+
+    /// The `(...)` of `expr [NOT] IN (...)`.
+    fn parse_in(&mut self, (expr, height): Parsed, negated: bool, level: usize) -> Result<Parsed> {
+        self.expect(Token::LParen)?;
+        let (list, list_height) = self.parse_list(level + 1)?;
+        self.expect(Token::RParen)?;
+        let height = bounded(1 + height.max(list_height))?;
+        Ok((Expr::InList { expr: Box::new(expr), list, negated }, height))
+    }
+
+    /// The `a AND b` of `x [NOT] BETWEEN a AND b`, desugared to
+    /// `[NOT] (x >= a AND x <= b)`: two levels above its operands, three
+    /// under `NOT`.
+    fn parse_between(&mut self, x: Parsed, negated: bool, level: usize) -> Result<Parsed> {
+        // Bounds parse above AND precedence so the separating AND is not
+        // swallowed.
+        let low = self.parse_expr(BinaryOp::Eq.precedence(), level + 1)?;
+        self.expect_kw("and")?;
+        let high = self.parse_expr(BinaryOp::Eq.precedence(), level + 1)?;
+        let height = bounded(x.1.max(low.1).max(high.1) + 2 + usize::from(negated))?;
+        let both = Expr::binary(
+            BinaryOp::And,
+            Expr::binary(BinaryOp::Ge, x.0.clone(), low.0),
+            Expr::binary(BinaryOp::Le, x.0, high.0),
+        );
+        let expr =
+            if negated { Expr::Unary { op: UnaryOp::Not, expr: Box::new(both) } } else { both };
+        Ok((expr, height))
+    }
+
+    /// `expr (, expr)*`, and the greatest height among them.
+    fn parse_list(&mut self, level: usize) -> Result<(Vec<Expr>, usize)> {
+        let mut list = Vec::new();
+        let mut height = 0;
+        loop {
+            let (expr, expr_height) = self.parse_expr(0, level)?;
+            list.push(expr);
+            height = height.max(expr_height);
+            if !self.eat_if(|t| matches!(t, Token::Comma)) {
+                return Ok((list, height));
+            }
         }
     }
 
@@ -304,56 +332,60 @@ impl Parser {
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self, level: usize) -> Result<Parsed> {
+        bounded(level)?;
         if self.eat_kw("not") {
             // NOT binds tighter than AND but looser than comparisons.
-            let inner = self.parse_expr(3)?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
+            return unary(UnaryOp::Not, self.parse_expr(3, level + 1)?);
         }
         if self.eat_if(|t| matches!(t, Token::Minus)) {
-            let inner = self.parse_unary()?;
             // Fold negation into numeric literals.
-            return Ok(match inner {
-                Expr::Literal(Value::Int(v)) => Expr::Literal(Value::Int(-v)),
-                Expr::Literal(Value::Float(v)) => Expr::Literal(Value::Float(-v)),
-                other => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(other) },
-            });
+            return match self.parse_unary(level + 1)? {
+                (Expr::Literal(Value::Int(v)), _) => Ok((Expr::Literal(Value::Int(-v)), 0)),
+                (Expr::Literal(Value::Float(v)), _) => Ok((Expr::Literal(Value::Float(-v)), 0)),
+                other => unary(UnaryOp::Neg, other),
+            };
         }
-        self.parse_primary()
+        self.parse_primary(level)
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
-        match self.next()?.clone() {
-            Token::Int(v) => Ok(Expr::Literal(Value::Int(v))),
-            Token::Float(v) => Ok(Expr::Literal(Value::Float(v))),
-            Token::Str(s) => Ok(Expr::Literal(Value::Str(s))),
+    fn parse_primary(&mut self, level: usize) -> Result<Parsed> {
+        let expr = match self.next()? {
+            Token::Int(v) => Expr::Literal(Value::Int(*v)),
+            Token::Float(v) => Expr::Literal(Value::Float(*v)),
+            Token::Str(s) => Expr::Literal(Value::Str(s.clone())),
             Token::LParen => {
-                let e = self.parse_expr(0)?;
+                let parsed = self.parse_expr(0, level + 1)?;
                 self.expect(Token::RParen)?;
-                Ok(e)
+                return Ok(parsed);
             }
             // `*` in primary position: the argument of `COUNT(*)` when it
             // appears in HAVING / ORDER BY expression context.
-            Token::Star => Ok(Expr::Column("*".into())),
-            Token::Ident(name) => {
-                if is_reserved(&name) {
-                    return Err(Error::Parse(format!("unexpected keyword `{name}`")));
-                }
-                if self.eat_if(|t| matches!(t, Token::LParen)) {
-                    let mut args = Vec::new();
-                    if !self.eat_if(|t| matches!(t, Token::RParen)) {
-                        args.push(self.parse_expr(0)?);
-                        while self.eat_if(|t| matches!(t, Token::Comma)) {
-                            args.push(self.parse_expr(0)?);
-                        }
-                        self.expect(Token::RParen)?;
-                    }
-                    return Ok(Expr::Call { name: name.to_lowercase(), args });
-                }
-                Ok(Expr::Column(name))
+            Token::Star => Expr::Column("*".into()),
+            Token::Ident(name) if is_reserved(name) => {
+                return Err(Error::Parse(format!("unexpected keyword `{name}`")))
             }
-            other => Err(Error::Parse(format!("unexpected token {other:?}"))),
+            Token::Ident(name) => {
+                let name = name.clone();
+                if self.eat_if(|t| matches!(t, Token::LParen)) {
+                    return self.parse_call(name, level);
+                }
+                Expr::Column(name)
+            }
+            other => return Err(Error::Parse(format!("unexpected token {other:?}"))),
+        };
+        Ok((expr, 0))
+    }
+
+    /// The arguments and `)` of a call to `name`.
+    fn parse_call(&mut self, name: String, level: usize) -> Result<Parsed> {
+        let name = name.to_lowercase();
+        if self.eat_if(|t| matches!(t, Token::RParen)) {
+            return Ok((Expr::Call { name, args: Vec::new() }, 0));
         }
+        let (args, height) = self.parse_list(level + 1)?;
+        self.expect(Token::RParen)?;
+        Ok((Expr::Call { name, args }, bounded(height + 1)?))
     }
 }
 
@@ -375,7 +407,7 @@ mod tests {
         .unwrap();
         assert_eq!(q.select.len(), 2);
         assert_eq!(q.select[1].alias.as_deref(), Some("c"));
-        assert!(matches!(q.from, TableRef::Table(ref t) if t == "data"));
+        assert_eq!(q.from, "data");
         assert!(matches!(q.where_clause, Some(Expr::InList { .. })));
         assert_eq!(q.group_by, vec![Expr::column("search_string")]);
         assert_eq!(q.order_by.len(), 1);
@@ -411,31 +443,22 @@ mod tests {
         assert_eq!(q3.limit, Some(10));
     }
 
+    /// The paper writes its §4 rewrite as SQL over a `UNION ALL` of shard
+    /// subqueries; the engine runs that rewrite on slots, and no engine
+    /// reads a subquery, so the text is refused before analysis.
     #[test]
-    fn parses_section4_distributed_rewrite_shape() {
-        let q = parse_query(
+    fn a_from_subquery_or_a_union_is_unsupported() {
+        for sql in [
             "SELECT a, SUM(x) FROM
-               (SELECT a, SUM(x) as x FROM S1 GROUP BY a)
-               UNION ALL
-               (SELECT a, SUM(x) as x FROM S2 GROUP BY a)
+               ((SELECT a, SUM(x) as x FROM S1 GROUP BY a)
+                UNION ALL
+                (SELECT a, SUM(x) as x FROM S2 GROUP BY a))
              GROUP BY a;",
-        );
-        // The paper writes `FROM (q1) UNION ALL (q2)`; we accept it with the
-        // outer parens around the whole union too.
-        let q = match q {
-            Ok(q) => q,
-            Err(_) => parse_query(
-                "SELECT a, SUM(x) FROM
-                   ((SELECT a, SUM(x) as x FROM S1 GROUP BY a)
-                    UNION ALL
-                    (SELECT a, SUM(x) as x FROM S2 GROUP BY a))
-                 GROUP BY a;",
-            )
-            .unwrap(),
-        };
-        match &q.from {
-            TableRef::UnionAll(members) => assert_eq!(members.len(), 2),
-            other => panic!("expected UNION ALL, got {other:?}"),
+            "SELECT a, COUNT(*) FROM (SELECT a FROM t WHERE a = 1) GROUP BY a",
+            "SELECT a, COUNT(*) FROM t GROUP BY a UNION ALL SELECT a, COUNT(*) FROM u GROUP BY a",
+        ] {
+            let err = parse_query(sql).unwrap_err();
+            assert!(matches!(err, Error::Unsupported(_)), "{sql}: {err}");
         }
     }
 

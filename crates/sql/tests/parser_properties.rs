@@ -1,12 +1,16 @@
-//! Randomized property: rendering any generated query to canonical SQL and
-//! re-parsing it yields the identical AST (display ∘ parse = id on the
-//! canonical form). Driven by a seeded PRNG so failures reproduce exactly.
+//! Randomized properties of the parser: rendering any generated query to
+//! canonical SQL and re-parsing it yields the identical AST (display ∘
+//! parse = id on the canonical form); what the subset lacks is refused; and
+//! an expression parses exactly when it nests no deeper than the wire
+//! carries. Driven by a seeded PRNG so failures reproduce exactly.
 
 use pd_common::rng::Rng;
-use pd_common::Value;
+use pd_common::wire::{from_bytes, to_bytes};
+use pd_common::{Error, Value};
+use pd_sql::codec::MAX_DEPTH;
 use pd_sql::{
-    parse_query, AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem,
-    TableRef, UnaryOp,
+    analyze, parse_query, AggExpr, AggFunc, AnalyzedQuery, BinaryOp, Expr, OrderKey, Query,
+    SelectExpr, SelectItem, UnaryOp,
 };
 
 const RESERVED: [&str; 26] = [
@@ -121,7 +125,7 @@ fn random_query(rng: &mut Rng) -> Query {
     };
     Query {
         select,
-        from: TableRef::Table("data".into()),
+        from: "data".into(),
         where_clause,
         group_by: keys,
         having: None,
@@ -173,5 +177,88 @@ fn parser_never_panics() {
             })
             .collect();
         let _ = parse_query(&input);
+    }
+}
+
+/// A subquery in FROM — the paper's §4 `UNION ALL` of shard queries
+/// included — and a `UNION` of two queries are refused, not parsed: no
+/// engine reads them.
+#[test]
+fn subqueries_and_unions_are_unsupported() {
+    let mut rng = Rng::seed_from_u64(0x5a1_0004);
+    for _ in 0..64 {
+        let q = random_query(&mut rng);
+        for sql in [
+            format!("SELECT COUNT(*) FROM ({q})"),
+            format!("SELECT COUNT(*) c FROM (({q}) UNION ALL ({q})) ORDER BY c"),
+            format!("{q} UNION {q}"),
+            format!("{q} UNION ALL {q}"),
+        ] {
+            match parse_query(&sql) {
+                Err(Error::Unsupported(_)) => {}
+                other => panic!("expected an unsupported-feature error, got {other:?}\nsql: {sql}"),
+            }
+        }
+    }
+}
+
+/// `c` under `depth` wrappers, each one level of the tree and of the
+/// parser's recursion: `NOT`, a call, and the list of an `IN`.
+fn wrapped(rng: &mut Rng, depth: usize) -> String {
+    let mut text = String::from("c");
+    for _ in 0..depth {
+        text = match rng.range_usize(0, 3) {
+            0 => format!("NOT {text}"),
+            1 => format!("f({text})"),
+            _ => format!("c IN ({text})"),
+        };
+    }
+    text
+}
+
+/// `depth` levels of nesting, written each way the grammar nests. All but
+/// the parentheses (which nest the parser, not the tree) build a tree
+/// exactly `depth` deep; the left-deep `OR` chain does it without nesting
+/// the parser.
+fn nested(rng: &mut Rng, shape: usize, depth: usize) -> String {
+    match shape {
+        0 => format!("{}c", "NOT ".repeat(depth)),
+        1 => format!("{}c", "- ".repeat(depth)),
+        2 => format!("{}c{}", "f(".repeat(depth), ")".repeat(depth)),
+        3 => format!("{}c{}", "c IN (".repeat(depth), ")".repeat(depth)),
+        4 => format!("{}c{}", "(".repeat(depth), ")".repeat(depth)),
+        5 => (0..=depth).map(|i| format!("c{i}")).collect::<Vec<_>>().join(" OR "),
+        _ => wrapped(rng, depth),
+    }
+}
+
+/// The parser and the wire decoder hold one bound: an expression nested
+/// [`MAX_DEPTH`] deep parses, analyzes and crosses the wire; one level
+/// more is refused at parse time, as a typed error, whichever way it nests
+/// and in whichever clause.
+#[test]
+fn nesting_parses_up_to_the_wire_bound_and_no_further() {
+    let mut rng = Rng::seed_from_u64(0x5a1_0005);
+    for shape in 0..12 {
+        let deepest = nested(&mut rng, shape, MAX_DEPTH);
+        let sql = format!("SELECT COUNT(*) FROM t WHERE {deepest}");
+        let analyzed = parse_query(&sql)
+            .and_then(|q| analyze(&q))
+            .unwrap_or_else(|e| panic!("shape {shape} at {MAX_DEPTH}: {e}"));
+        let back: AnalyzedQuery = from_bytes(&to_bytes(&analyzed))
+            .unwrap_or_else(|e| panic!("shape {shape} at {MAX_DEPTH} on the wire: {e}"));
+        assert!(back == analyzed, "shape {shape}: the wire changed the query");
+
+        let deeper = nested(&mut rng, shape, MAX_DEPTH + 1);
+        for sql in [
+            format!("SELECT COUNT(*) FROM t WHERE {deeper}"),
+            format!("SELECT {deeper} k, COUNT(*) FROM t GROUP BY {deeper}"),
+            format!("SELECT MIN({deeper}) FROM t"),
+        ] {
+            match parse_query(&sql) {
+                Err(Error::Unsupported(msg)) => assert!(msg.contains("nested"), "{msg}"),
+                other => panic!("shape {shape} at {}: got {other:?}", MAX_DEPTH + 1),
+            }
+        }
     }
 }

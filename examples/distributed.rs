@@ -8,9 +8,9 @@
 
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::process::resolve_worker_bin;
-use powerdrill::dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport};
-use powerdrill::sql::{distributed_plan, parse_query};
-use powerdrill::BuildOptions;
+use powerdrill::dist::{query_signature, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport};
+use powerdrill::sql::{analyze, parse_query};
+use powerdrill::{BuildOptions, ExecContext};
 use std::time::Duration;
 
 fn main() -> powerdrill::Result<()> {
@@ -27,13 +27,25 @@ fn main() -> powerdrill::Result<()> {
         &ClusterConfig { shards: 8, build: build.clone(), ..Default::default() },
     )?;
 
-    // Show the paper's §4 SQL rewrite for a query.
+    // The paper's §4 rewrite, as the tree runs it: each aggregate lowers to
+    // slots every leaf fills under WHERE and every parent merges; the root
+    // reads the aggregates off them, then applies HAVING, ORDER BY and
+    // LIMIT. The signature names a merged table in every node's cache.
     let sql =
         "SELECT country, SUM(latency) as s FROM logs GROUP BY country ORDER BY s DESC LIMIT 5";
-    let plan = distributed_plan(&parse_query(sql)?)?;
-    println!("\noriginal     : {sql}");
-    println!("leaf query   : {}", plan.leaf);
-    println!("two-level    : {}", plan.two_level_sql(2));
+    let twin = "SELECT country, AVG(latency) as a, COUNT(*) as c FROM logs GROUP BY country";
+    for chart in [sql, twin] {
+        let analyzed = analyze(&parse_query(chart)?)?;
+        let slots: Vec<String> = analyzed.slots.iter().map(|slot| slot.to_string()).collect();
+        println!("\noriginal     : {chart}");
+        println!("leaf slots   : {}", slots.join(", "));
+        for (agg, read) in analyzed.aggs.iter().zip(&analyzed.reads) {
+            let count = read.count.map(|at| format!(" / {}", slots[at])).unwrap_or_default();
+            println!("root reads   : {agg} = {}{count}", slots[read.slot]);
+        }
+        let signature = query_signature(&analyzed, ExecContext::default().sketch_m());
+        println!("signature    : {signature}");
+    }
 
     let outcome = cluster.query(sql)?;
     println!("\n{}", outcome.result.render());

@@ -8,6 +8,7 @@ use powerdrill::data::csv::{read_csv, write_csv};
 use powerdrill::data::recordio::{read_recordio, write_recordio};
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::{Cluster, ClusterConfig};
+use powerdrill::sql::codec::MAX_DEPTH;
 use powerdrill::{BuildOptions, PowerDrill, QueryResult, Value};
 use std::io::BufReader;
 
@@ -110,40 +111,109 @@ fn memory_ordering_matches_table1() {
     assert!(rio_q1 < csv_q1, "rec-io {rio_q1} vs csv {csv_q1}");
 }
 
+/// One small table behind every engine: the store, a cluster over either
+/// edge kind (the socket one spawns worker processes) and the three
+/// baselines.
+struct Engines {
+    pd: PowerDrill,
+    clusters: [Cluster; 2],
+    csv: CsvBackend,
+    rio: RecordIoBackend,
+    dremel: DremelBackend,
+}
+
+impl Engines {
+    fn new() -> Engines {
+        use powerdrill::dist::{RpcConfig, Transport};
+        let table = generate_logs(&LogsSpec::scaled(400));
+        let options = BuildOptions::production(&["country"]);
+        let unix = Transport::Rpc(RpcConfig {
+            worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
+            ..Default::default()
+        });
+        let clusters = [Transport::InProcess, unix].map(|transport| {
+            let config = ClusterConfig {
+                shards: 2,
+                build: options.clone(),
+                transport,
+                ..Default::default()
+            };
+            Cluster::build(&table, &config).unwrap()
+        });
+        Engines {
+            pd: PowerDrill::import(&table, &options).unwrap(),
+            clusters,
+            csv: CsvBackend::new(&table, IoModel::default()).unwrap(),
+            rio: RecordIoBackend::new(&table, IoModel::default()).unwrap(),
+            dremel: DremelBackend::new(&table, IoModel::default()).unwrap(),
+        }
+    }
+
+    /// Each engine's name and answer to `sql`.
+    fn answers(&self, sql: &str) -> Vec<(&'static str, powerdrill::Result<QueryResult>)> {
+        vec![
+            ("store", self.pd.sql(sql).map(|(result, _)| result)),
+            ("pd_core::query", powerdrill::query(self.pd.store(), sql).map(|(result, _)| result)),
+            ("in-process tree", self.clusters[0].query(sql).map(|outcome| outcome.result)),
+            ("unix tree", self.clusters[1].query(sql).map(|outcome| outcome.result)),
+            ("CSV", self.csv.execute(sql).map(|run| run.result)),
+            ("record-io", self.rio.execute(sql).map(|run| run.result)),
+            ("Dremel", self.dremel.execute(sql).map(|run| run.result)),
+        ]
+    }
+
+    fn assert_refused(&self, sql: &str) {
+        for (engine, answer) in self.answers(sql) {
+            assert!(answer.is_err(), "{engine} answered {} bytes of SQL", sql.len());
+        }
+    }
+}
+
 /// A subquery in FROM is refused, not answered: the store, a cluster over
 /// either edge kind and every baseline return an error for a query no
 /// engine can read the inner queries of, rather than answering the outer
 /// query over the whole table.
 #[test]
 fn a_from_subquery_is_an_error_on_every_engine() {
-    use powerdrill::dist::{RpcConfig, Transport};
-    let table = generate_logs(&LogsSpec::scaled(400));
-    let options = BuildOptions::production(&["country"]);
-    let pd = PowerDrill::import(&table, &options).unwrap();
-    let unix = Transport::Rpc(RpcConfig {
-        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
-        ..Default::default()
-    });
-    let clusters = [Transport::InProcess, unix].map(|transport| {
-        let config =
-            ClusterConfig { shards: 2, build: options.clone(), transport, ..Default::default() };
-        Cluster::build(&table, &config).unwrap()
-    });
-    let csv = CsvBackend::new(&table, IoModel::default()).unwrap();
-    let rio = RecordIoBackend::new(&table, IoModel::default()).unwrap();
-    let dremel = DremelBackend::new(&table, IoModel::default()).unwrap();
+    let engines = Engines::new();
     for sql in [
         "SELECT country, COUNT(*) c FROM ((SELECT country FROM data WHERE country = 'DE') \
          UNION ALL (SELECT country FROM data WHERE country = 'DE')) GROUP BY country",
         "SELECT country, COUNT(*) c FROM (SELECT country FROM data) GROUP BY country",
     ] {
-        assert!(pd.sql(sql).is_err(), "store: {sql}");
-        assert!(powerdrill::query(pd.store(), sql).is_err(), "pd_core::query: {sql}");
-        for cluster in &clusters {
-            assert!(cluster.query(sql).is_err(), "cluster: {sql}");
-        }
-        assert!(csv.execute(sql).is_err(), "CSV: {sql}");
-        assert!(rio.execute(sql).is_err(), "record-io: {sql}");
-        assert!(dremel.execute(sql).is_err(), "Dremel: {sql}");
+        engines.assert_refused(sql);
+    }
+}
+
+/// Every engine takes an expression as deep as the wire carries, and
+/// answers it alike; one level deeper is an error on every engine — the
+/// socket tree's included, which used to fail only when a worker decoded
+/// it —, and no text, however deep, takes the process down.
+#[test]
+fn nesting_past_the_wire_bound_is_an_error_on_every_engine() {
+    let engines = Engines::new();
+    let chain = |terms: usize| {
+        (0..terms).map(|i| format!("latency = {i}")).collect::<Vec<_>>().join(" OR ")
+    };
+    let count = |filter: &str| {
+        format!("SELECT country, COUNT(*) c FROM data WHERE {filter} GROUP BY country")
+    };
+    let deepest = count(&chain(MAX_DEPTH));
+    let answers = engines.answers(&deepest);
+    let store = answers[0].1.as_ref().unwrap();
+    assert!(!store.rows.is_empty());
+    for (engine, answer) in &answers {
+        let answer = answer.as_ref().unwrap_or_else(|e| panic!("{engine}: {e}"));
+        assert!(approx_eq(store, answer), "store vs {engine}");
+    }
+    for sql in [
+        count(&chain(MAX_DEPTH + 1)),
+        count(&chain(300)),
+        count(&chain(30_000)),
+        count(&format!("{}latency > 100", "NOT ".repeat(257))),
+        count(&format!("{}latency > 100", "NOT ".repeat(300))),
+        count(&format!("{}latency = 1{}", "(".repeat(10_000), ")".repeat(10_000))),
+    ] {
+        engines.assert_refused(&sql);
     }
 }
