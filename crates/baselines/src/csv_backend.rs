@@ -35,14 +35,14 @@ impl Backend for CsvBackend {
     }
 
     fn execute(&self, sql: &str) -> Result<BackendRun> {
-        let analyzed = prepare(sql)?;
+        let plan = prepare(sql)?;
         // Row formats must parse everything: materialize via the CSV
         // reader, then stream rows through the scan executor.
         let table = read_csv(&mut BufReader::new(&self.bytes[..]), &self.schema)?;
         scan_execute(
             &self.schema,
             table.iter_rows().map(Ok),
-            &analyzed,
+            &plan,
             self.bytes.len() as u64,
             &self.io,
         )

@@ -10,7 +10,7 @@
 //! block by block and aggregates through the generic hash-table executor.
 
 use crate::io_model::IoModel;
-use crate::scan::{prepare, scan_execute, BackendRun};
+use crate::scan::{prepare, scan_execute, BackendRun, Plan};
 use crate::Backend;
 use pd_common::{DataType, Error, Result, Row, Schema, Value};
 use pd_compress::{varint, CodecKind};
@@ -54,12 +54,9 @@ impl DremelBackend {
         Ok(DremelBackend { schema: table.schema().clone(), columns, io, codec })
     }
 
-    /// Indices of the base columns `sql` touches.
-    fn touched_columns(&self, sql: &str) -> Result<Vec<usize>> {
-        let mut names = Vec::new();
-        for expr in pd_core::memory::query_columns(sql)? {
-            expr.referenced_columns(&mut names);
-        }
+    /// Indices of the base columns `plan` touches.
+    fn touched_columns(&self, plan: &Plan) -> Result<Vec<usize>> {
+        let names = plan.base_columns();
         let mut idxs: Vec<usize> =
             names.iter().map(|n| self.schema.resolve(n)).collect::<Result<_>>()?;
         idxs.sort_unstable();
@@ -96,8 +93,8 @@ impl Backend for DremelBackend {
     }
 
     fn execute(&self, sql: &str) -> Result<BackendRun> {
-        let analyzed = prepare(sql)?;
-        let touched = self.touched_columns(sql)?;
+        let plan = prepare(sql)?;
+        let touched = self.touched_columns(&plan)?;
         let bytes: u64 = touched
             .iter()
             .map(|&i| self.columns[i].blocks.iter().map(Vec::len).sum::<usize>() as u64)
@@ -116,14 +113,14 @@ impl Backend for DremelBackend {
                 .map(|c| c.as_ref().map_or(Value::Null, |col| col[r].clone()))
                 .collect()))
         });
-        scan_execute(&self.schema, row_iter, &analyzed, bytes, &self.io)
+        scan_execute(&self.schema, row_iter, &plan, bytes, &self.io)
     }
 
     fn storage_bytes(&self, sql: &str) -> Result<usize> {
         // "for Dremel [...] this reflects only the columns present in the
         // individual queries" (§2.5).
         Ok(self
-            .touched_columns(sql)?
+            .touched_columns(&prepare(sql)?)?
             .iter()
             .map(|&i| self.columns[i].blocks.iter().map(Vec::len).sum::<usize>())
             .sum())

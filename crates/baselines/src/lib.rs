@@ -13,10 +13,12 @@
 //!   dictionary group-by).
 //!
 //! All three share [`scan::scan_execute`], a deliberately "traditional"
-//! row-at-a-time evaluator (expression interpreter + hash-table grouping) —
-//! reusing pd-core's aggregation states and finalization so results are
-//! bit-identical with the column-store and any difference in the benches is
-//! pure execution strategy.
+//! row-at-a-time evaluator (expression interpreter + hash-table grouping).
+//! It is also the row oracle the equivalence suites check the column-store
+//! against, so it answers from the parsed query alone: it shares no
+//! analysis, aggregation state, lowering or ranking with pd-core, only its
+//! `QueryResult` type. Engine and baselines must agree bit for bit, so any
+//! difference in the benches is pure execution strategy.
 //!
 //! [`io_model`] converts bytes streamed into modeled disk time (the paper
 //! assumes "a streaming rate of at least 100 MB/second").

@@ -30,10 +30,10 @@ impl Backend for RecordIoBackend {
     }
 
     fn execute(&self, sql: &str) -> Result<BackendRun> {
-        let analyzed = prepare(sql)?;
+        let plan = prepare(sql)?;
         let mut reader = RecordIoReader::new(&self.bytes)?;
         let rows = std::iter::from_fn(move || reader.next_record().transpose());
-        scan_execute(&self.schema, rows, &analyzed, self.bytes.len() as u64, &self.io)
+        scan_execute(&self.schema, rows, &plan, self.bytes.len() as u64, &self.io)
     }
 
     fn storage_bytes(&self, _sql: &str) -> Result<usize> {

@@ -15,10 +15,9 @@
 
 use pd_bench::{logs_table, rows_from_env_or, Bench};
 use pd_common::wire::{from_bytes, to_bytes};
-use pd_common::{FxHashMap, Value};
+use pd_common::{DataType, FxHashMap, Row, Schema, Value};
 use pd_core::{
-    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext,
-    PartialResult,
+    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, PartialResult,
 };
 use pd_data::Table;
 use pd_encoding::{Elements, ElementsMode};
@@ -32,10 +31,14 @@ fn ids(distinct: u32) -> Vec<u32> {
 }
 
 /// A partial of one count column over the string keys `k{i}`, `i` in
-/// `keys`.
+/// `keys`: a store's answer, one row per key.
 fn counted(keys: impl Iterator<Item = usize>) -> PartialResult {
-    let group = |i: usize| (vec![Value::from(format!("k{i:06}"))], vec![AggState::Count(1)]);
-    PartialResult::from_states(keys.map(group)).expect("distinct keys")
+    let mut table = Table::new(Schema::of(&[("k", DataType::Str)]));
+    keys.for_each(|i| table.push_row(Row(vec![Value::from(format!("k{i:06}"))])).expect("a row"));
+    let store = DataStore::build(&table, &BuildOptions::basic()).expect("build");
+    let sql = "SELECT k, COUNT(*) c FROM t GROUP BY k";
+    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+    execute_partial(&store, &analyzed, &ExecContext::default()).expect("a partial").0
 }
 
 fn main() {

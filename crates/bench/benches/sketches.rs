@@ -13,14 +13,10 @@ fn main() {
     let bench = Bench::new("count_distinct").samples(5);
     for m in [1024usize, 4096, 16384] {
         bench.case_throughput(&format!("kmv_m{m}"), N, || {
-            let mut sketch = KmvSketch::new(m);
-            for &h in &hashes {
-                sketch.offer(h);
-            }
-            black_box(sketch.estimate());
+            black_box(KmvSketch::from_parts(m, hashes.iter().copied()).estimate());
         });
     }
-    // What a scan does instead of offering rows: a chunk's hashes become a
+    // What a scan does per chunk: the chunk's hashes become a
     // sketch by one sort (a chunk of `BuildOptions::production`'s 50 000
     // rows, every hash distinct), and a fold or a tree level merges two
     // saturated sketches as sorted runs (100 merges, each of a fresh clone).

@@ -14,9 +14,7 @@
 //! scan builds a group's sketch from a chunk's hashes (one per distinct
 //! value), and the wire decoder from a frame's hash list, by sort, dedup
 //! and truncate ([`KmvSketch::from_parts`]); folds and tree levels merge
-//! sketches as sorted runs ([`KmvSketch::merge`]); [`KmvSketch::offer`]
-//! serves row-at-a-time callers (an insert memmoves the larger hashes, so
-//! it is not for long lists in any order).
+//! sketches as sorted runs ([`KmvSketch::merge`]).
 //! [`HeapSize`] still counts a tree set's 24 B per hash, not a vector's 8,
 //! so cache admission scores stay where they were.
 
@@ -38,19 +36,6 @@ impl KmvSketch {
 
     pub fn m(&self) -> usize {
         self.m
-    }
-
-    /// Offer one hash value: rejected in O(1) when the sketch is full and
-    /// `hash` is not below its largest, else inserted at its rank.
-    #[inline]
-    pub fn offer(&mut self, hash: u64) {
-        if self.smallest.len() == self.m && hash >= self.smallest[self.m - 1] {
-            return;
-        }
-        if let Err(at) = self.smallest.binary_search(&hash) {
-            self.smallest.insert(at, hash);
-            self.smallest.truncate(self.m);
-        }
     }
 
     /// Number of hashes currently held.
@@ -131,6 +116,22 @@ impl HeapSize for KmvSketch {
 mod tests {
     use super::*;
     use pd_common::fx_hash64;
+
+    impl KmvSketch {
+        /// Offer one hash value: rejected in O(1) when the sketch is full
+        /// and `hash` is not below its largest, else inserted at its rank —
+        /// the row-at-a-time definition [`KmvSketch::from_parts`] and
+        /// [`KmvSketch::merge`] are held to.
+        fn offer(&mut self, hash: u64) {
+            if self.smallest.len() == self.m && hash >= self.smallest[self.m - 1] {
+                return;
+            }
+            if let Err(at) = self.smallest.binary_search(&hash) {
+                self.smallest.insert(at, hash);
+                self.smallest.truncate(self.m);
+            }
+        }
+    }
 
     fn sketch_of(values: impl Iterator<Item = u64>, m: usize) -> KmvSketch {
         let mut s = KmvSketch::new(m);

@@ -118,15 +118,6 @@ impl KeyBytes {
     /// Append a cell given as its sort key.
     pub(crate) fn push(&mut self, key: &[u8]) {
         self.bytes.extend_from_slice(key);
-        self.end_cell();
-    }
-
-    fn push_value(&mut self, value: &Value) {
-        sortkey::encode(value, &mut self.bytes);
-        self.end_cell();
-    }
-
-    fn end_cell(&mut self) {
         let end = u32::try_from(self.bytes.len()).expect("a key column holds under 4 GiB");
         self.ends.push(end);
     }
@@ -163,14 +154,6 @@ impl KeyBytes {
             return Err(Error::Data("wire: key column has bytes past its last cell".into()));
         }
         Ok(KeyBytes { bytes, ends })
-    }
-}
-
-impl<'a> FromIterator<&'a Value> for KeyBytes {
-    fn from_iter<I: IntoIterator<Item = &'a Value>>(values: I) -> KeyBytes {
-        let mut keys = KeyBytes::default();
-        values.into_iter().for_each(|value| keys.push_value(value));
-        keys
     }
 }
 
@@ -728,21 +711,6 @@ pub(crate) fn merge_tables<K: Cell>(
     }
 }
 
-/// One slot's state for one group, given row-wise: the input of
-/// [`PartialResult::from_states`], for producers that hold a group's
-/// states together — the row-at-a-time oracle and test generators. The
-/// engine never builds one; its states are positions in columns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    Count(u64),
-    /// The exact sum of an integer column.
-    SumInt(i128),
-    SumFloat(Box<FloatSum>),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Distinct(KmvSketch),
-}
-
 /// Mergeable per-group states, the §4 unit of tree aggregation: a group
 /// table in the value domain, its groups in strictly ascending key order,
 /// one state column per slot its query lowers to. Which aggregates read
@@ -775,45 +743,6 @@ impl PartialResult {
     pub(crate) fn new(table: GroupTable<Value>) -> PartialResult {
         debug_assert!(table.is_sorted());
         PartialResult { table: Arc::new(table) }
-    }
-
-    /// The partial of groups given row-wise, each `(key, one state per
-    /// slot)`: the one consumer of [`AggState`]s. The first group names the
-    /// layout; a group of another layout, or a repeated key, is an error.
-    pub fn from_states(
-        groups: impl IntoIterator<Item = (Vec<Value>, Vec<AggState>)>,
-    ) -> Result<PartialResult> {
-        let malformed = |what: &str| Error::Internal(format!("group states {what}"));
-        let mut groups: Vec<_> = groups.into_iter().collect();
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        if groups.windows(2).any(|pair| pair[0].0 == pair[1].0) {
-            return Err(malformed("repeat a key"));
-        }
-        let Some((first_key, first_states)) = groups.first() else {
-            return Ok(PartialResult::default());
-        };
-        let mut keys = vec![KeyBytes::default(); first_key.len()];
-        let kind = |state: &AggState| match state {
-            AggState::Count(_) => SlotKind::Count,
-            AggState::SumInt(_) => SlotKind::SumInt,
-            AggState::SumFloat(_) => SlotKind::SumFloat,
-            AggState::Min(_) => SlotKind::Min,
-            AggState::Max(_) => SlotKind::Max,
-            AggState::Distinct(sketch) => SlotKind::Distinct { m: sketch.m() },
-        };
-        let mut slots: Vec<Column<Value>> =
-            first_states.iter().map(kind).map(Column::new).collect();
-        let len = groups.len();
-        for (key, states) in groups {
-            if key.len() != keys.len() || states.len() != slots.len() {
-                return Err(malformed("differ in shape"));
-            }
-            keys.iter_mut().zip(&key).for_each(|(col, cell)| col.push_value(cell));
-            if !slots.iter_mut().zip(states).all(|(slot, state)| slot.push(state)) {
-                return Err(malformed("differ in kind"));
-            }
-        }
-        Ok(PartialResult { table: Arc::new(GroupTable { len, keys, slots }) })
     }
 
     /// The partial of decoded columns, every invariant checked: columns of
@@ -897,27 +826,6 @@ impl PartialResult {
     /// (bytes × cells scanned).
     pub fn approx_bytes(&self) -> usize {
         self.table.approx_bytes()
-    }
-}
-
-impl Column<Value> {
-    /// Append one more group's state; `false` if it is of another kind.
-    /// A float sum given as a state is exact from the start.
-    fn push(&mut self, state: AggState) -> bool {
-        match (self, state) {
-            (Column::Count(counts), AggState::Count(n)) => counts.push(n),
-            (Column::SumInt(sums), AggState::SumInt(n)) => sums.push(n),
-            (Column::SumFloat(sums), AggState::SumFloat(sum)) => {
-                sums.hi.push(f64::NAN);
-                sums.lo.push(0.0);
-                sums.exact.push(Some(sum));
-            }
-            (Column::Extreme { is_min: true, best }, AggState::Min(v))
-            | (Column::Extreme { is_min: false, best }, AggState::Max(v)) => best.push(v),
-            (Column::Distinct { sketches, .. }, AggState::Distinct(s)) => sketches.push(s),
-            _ => return false,
-        }
-        true
     }
 }
 
@@ -1017,6 +925,21 @@ impl GroupFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A column of values, for tests that build tables by hand (here and
+    /// in the codec's).
+    impl<'a> FromIterator<&'a Value> for KeyBytes {
+        fn from_iter<I: IntoIterator<Item = &'a Value>>(values: I) -> KeyBytes {
+            let mut keys = KeyBytes::default();
+            let mut key = Vec::new();
+            for value in values {
+                key.clear();
+                sortkey::encode(value, &mut key);
+                keys.push(&key);
+            }
+            keys
+        }
+    }
 
     /// Per-row accumulation into the column and into exact accumulators.
     fn summed(rows: &[(usize, f64)], groups: usize) -> (FloatColumn, Vec<FloatSum>) {
@@ -1137,38 +1060,32 @@ mod tests {
         (0..partial.table.slots.len()).map(|slot| SlotRef { slot, count: None }).collect()
     }
 
+    /// The partial of groups given in ascending key order: each key
+    /// column's cells, and the slots' columns.
+    fn partial(keys: &[&[Value]], slots: Vec<Column<Value>>) -> PartialResult {
+        let columns = keys.iter().map(|cells| cells.iter().collect()).collect();
+        PartialResult::new(GroupTable::new(keys[0].len(), columns, slots))
+    }
+
     fn counted(groups: &[(&str, u64)]) -> PartialResult {
-        let group = |&(key, n): &(&str, u64)| (vec![Value::from(key)], vec![AggState::Count(n)]);
-        PartialResult::from_states(groups.iter().map(group)).unwrap()
+        let keys: Vec<Value> = groups.iter().map(|&(key, _)| Value::from(key)).collect();
+        partial(&[&keys], vec![Column::Count(groups.iter().map(|&(_, n)| n).collect())])
     }
 
     #[test]
-    fn states_become_columns_and_finalize_to_their_cells() {
-        let sum = |x: f64| Box::new(FloatSum::from(x));
-        let partial = PartialResult::from_states([
-            (
-                vec![Value::Int(2)],
-                vec![
-                    AggState::Count(4),
-                    AggState::SumInt(-3 + (1 << 64)),
-                    AggState::SumFloat(sum(10.0)),
-                    AggState::Min(None),
-                    AggState::Max(Some(Value::from("z"))),
-                ],
-            ),
-            (
-                vec![Value::Int(1)],
-                vec![
-                    AggState::Count(0),
-                    AggState::SumInt(0),
-                    AggState::SumFloat(Box::new(FloatSum::new())),
-                    AggState::Min(Some(Value::Int(5))),
-                    AggState::Max(None),
-                ],
-            ),
-        ])
-        .unwrap();
-        // Key order, not arrival order.
+    fn columns_finalize_to_their_cells() {
+        let mut sums = FloatColumn::new(2, true);
+        sums.exact_mut(1).add(10.0);
+        let partial = partial(
+            &[&[Value::Int(1), Value::Int(2)]],
+            vec![
+                Column::Count(vec![0, 4]),
+                Column::SumInt(vec![0, -3 + (1 << 64)]),
+                Column::SumFloat(sums),
+                Column::Extreme { is_min: true, best: vec![Some(Value::Int(5)), None] },
+                Column::Extreme { is_min: false, best: vec![None, Some(Value::from("z"))] },
+            ],
+        );
         let (int, float, null) = (Value::Int, Value::Float, Value::Null);
         let want = [
             (vec![int(1)], vec![int(0), int(0), float(0.0), int(5), null.clone()]),
@@ -1186,18 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_states_are_errors() {
-        let group = |key: i64, state: AggState| (vec![Value::Int(key)], vec![state]);
-        let repeated = [group(1, AggState::Count(1)), group(1, AggState::Count(2))];
-        assert!(PartialResult::from_states(repeated).is_err());
-        let mixed = [group(1, AggState::Count(1)), group(2, AggState::SumInt(2))];
-        assert!(PartialResult::from_states(mixed).is_err());
-        let ragged = [group(1, AggState::Count(1)), (vec![], vec![AggState::Count(2)])];
-        assert!(PartialResult::from_states(ragged).is_err());
-        assert_eq!(PartialResult::from_states([]).unwrap(), PartialResult::default());
-    }
-
-    #[test]
     fn merge_is_an_ordered_union_with_the_empty_partial_as_identity() {
         let mut merged = PartialResult::default();
         merged.merge(counted(&[("m", 2), ("x", 1)])).unwrap();
@@ -1209,9 +1114,8 @@ mod tests {
         merged.merge(counted(&[("n", 1)])).unwrap();
         assert_eq!(merged, counted(&[("a", 5), ("m", 2), ("n", 8), ("x", 4), ("z", 9)]));
 
-        let other_shape =
-            PartialResult::from_states([(vec![Value::from("a")], vec![AggState::SumInt(1)])]);
-        assert!(merged.merge(other_shape.unwrap()).is_err());
+        let other_shape = partial(&[&[Value::from("a")]], vec![Column::SumInt(vec![1])]);
+        assert!(merged.merge(other_shape).is_err());
     }
 
     #[test]
@@ -1242,20 +1146,24 @@ mod tests {
 
     #[test]
     fn merged_columns_keep_every_kind_of_state() {
-        let sketch = |hashes: &[u64]| AggState::Distinct(KmvSketch::from_parts(4, hashes.to_vec()));
-        let states = |key: &str, x: f64, v: i64, hashes: &[u64]| {
-            let states = vec![
-                AggState::SumFloat(Box::new(FloatSum::from(x))),
-                AggState::Min(Some(Value::Int(v))),
-                AggState::Max(Some(Value::Int(v))),
-                sketch(hashes),
+        // Per group: key, float summed, integer extreme, hashes.
+        let table = |groups: [(&str, f64, i64, &[u64]); 2]| {
+            let names: Vec<Value> = groups.iter().map(|g| Value::from(g.0)).collect();
+            let parities: Vec<Value> = groups.iter().map(|g| Value::Int(g.2 % 2)).collect();
+            let mut sums = FloatColumn::new(2, false);
+            (0..2).for_each(|g| sums.add(g, groups[g].1));
+            let best = || groups.iter().map(|g| Some(Value::Int(g.2))).collect();
+            let sketches = groups.iter().map(|g| KmvSketch::from_parts(4, g.3.to_vec()));
+            let slots = vec![
+                Column::SumFloat(sums),
+                Column::Extreme { is_min: true, best: best() },
+                Column::Extreme { is_min: false, best: best() },
+                Column::Distinct { m: 4, sketches: sketches.collect() },
             ];
-            (vec![Value::from(key), Value::Int(v % 2)], states)
+            partial(&[&names, &parities], slots)
         };
-        let left = [states("a", 1e308, 4, &[1, 2]), states("c", 0.5, 1, &[9])];
-        let right = [states("a", 1e308, 2, &[2, 3]), states("b", 0.25, 7, &[5])];
-        let mut merged = PartialResult::from_states(left).unwrap();
-        merged.merge(PartialResult::from_states(right).unwrap()).unwrap();
+        let mut merged = table([("a", 1e308, 4, &[1, 2]), ("c", 0.5, 1, &[9])]);
+        merged.merge(table([("a", 1e308, 2, &[2, 3]), ("b", 0.25, 7, &[5])])).unwrap();
         let (int, text) = (Value::Int, Value::from);
         let want = [
             (vec![text("a"), int(0)], vec![Value::Float(f64::INFINITY), int(2), int(4), int(3)]),

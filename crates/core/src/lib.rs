@@ -67,7 +67,7 @@ pub use datastore::DataStore;
 pub use exec::{
     execute, execute_partial, execute_partial_seeded, finalize, query, ExecContext, QueryResult,
 };
-pub use groups::{AggState, PartialResult};
+pub use groups::PartialResult;
 pub use memory::{report_for_query, ColumnMemory, MemoryReport};
 pub use options::{BuildOptions, DictMode, PartitionSpec};
 pub use partition::Partitioning;

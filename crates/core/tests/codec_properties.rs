@@ -2,11 +2,11 @@
 //! boundary:
 //!
 //! 1. **Round trip**: `decode(encode(x)) == x` *bit-identically* for
-//!    [`PartialResult`] / [`FloatSum`] over seeded-PRNG-generated
-//!    aggregates — including NaN (with odd payloads), ±0.0 and subnormal
-//!    floats, partials of no groups and empty (global-aggregation) keys —
-//!    and over partials the engine built (float slots still pairs beside
-//!    tainted ones). Equality is exact: `Value` compares floats with
+//!    [`PartialResult`] / [`FloatSum`] over the partials of seeded-PRNG-
+//!    generated stores and queries — NaN (with odd payloads), ±0.0 and
+//!    subnormal floats in keys, sums and extremes, partials of no groups
+//!    and empty (global-aggregation) keys, float slots still pairs beside
+//!    tainted ones. Equality is exact: `Value` compares floats with
 //!    `total_cmp` and `FloatSum` compares raw limbs, so a single flipped
 //!    bit fails. The round trip is byte-stable too: `encode(decode(b)) ==
 //!    b`.
@@ -15,19 +15,16 @@
 //!    payload bytes) — never a panic, never an absurd allocation; ragged
 //!    columns, unsorted or duplicate keys, unknown tags and lengths beyond
 //!    the frame are typed `Error::Data`; a sketch's hash list in any order,
-//!    with repeats, longer than its `m`, decodes to the sketch offering it
-//!    gives.
+//!    with repeats, longer than its `m`, decodes to the sketch
+//!    `KmvSketch::from_parts` makes of it.
 
 use pd_common::rng::Rng;
 use pd_common::sortkey::TAG_STR;
 use pd_common::wire::{from_bytes, to_bytes};
-use pd_common::{DataType, Error, FloatSum, Row, Schema, Value};
-use pd_core::{
-    execute_partial, AggState, BuildOptions, DataStore, ExecContext, KmvSketch, PartialResult,
-};
+use pd_common::{fx_hash64, DataType, Error, FloatSum, Row, Schema, Value};
+use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, KmvSketch, PartialResult};
 use pd_data::Table;
 use pd_sql::{analyze, parse_query};
-use std::collections::BTreeMap;
 
 /// Floats that stress every encoding edge: NaNs with payloads, signed
 /// zeros, subnormals, the extremes, and ordinary values.
@@ -46,12 +43,12 @@ fn random_float(rng: &mut Rng) -> f64 {
     }
 }
 
-fn random_value(rng: &mut Rng) -> Value {
-    match rng.range_usize(0, 4) {
-        0 => Value::Null,
-        1 => Value::Int(rng.range_i64_inclusive(i64::MIN / 2, i64::MAX / 2)),
-        2 => Value::Float(random_float(rng)),
-        _ => {
+/// A value of column type `of`.
+fn random_value(rng: &mut Rng, of: DataType) -> Value {
+    match of {
+        DataType::Int => Value::Int(rng.range_i64_inclusive(i64::MIN / 2, i64::MAX / 2)),
+        DataType::Float => Value::Float(random_float(rng)),
+        DataType::Str => {
             let len = rng.range_usize(0, 12);
             Value::Str((0..len).map(|_| char::from(rng.range_usize(32, 127) as u8)).collect())
         }
@@ -66,51 +63,65 @@ fn random_float_sum(rng: &mut Rng) -> FloatSum {
     sum
 }
 
-/// What every group of one partial has in common: how many key cells, and
-/// per slot its kind and (for a sketch) its size.
+const TYPES: [DataType; 3] = [DataType::Int, DataType::Float, DataType::Str];
+
+/// What the partials of one query have in common: its key columns' types,
+/// its aggregates and its sketch size.
 struct Shape {
-    key_width: usize,
-    slots: Vec<(usize, usize)>,
+    keys: Vec<DataType>,
+    aggs: Vec<String>,
+    m: usize,
 }
 
+/// Up to two keys of any type, one to four aggregates of any kind: COUNT,
+/// an integer and a float SUM, MIN / MAX and COUNT DISTINCT of any type.
 fn random_shape(rng: &mut Rng) -> Shape {
-    let slots = (0..rng.range_usize(1, 5)).map(|_| (rng.range_usize(0, 6), rng.range_usize(1, 64)));
-    let slots = slots.collect();
-    Shape { key_width: rng.range_usize(0, 3), slots }
+    let keys = (0..rng.range_usize(0, 3)).map(|_| *rng.pick(&TYPES)).collect();
+    let column = |rng: &mut Rng| *rng.pick(&["i", "x", "s"]);
+    let aggs = (0..rng.range_usize(1, 5))
+        .map(|_| match rng.range_usize(0, 6) {
+            0 => "COUNT(*)".to_owned(),
+            1 => "SUM(i)".to_owned(),
+            2 => "SUM(x)".to_owned(),
+            3 => format!("MIN({})", column(rng)),
+            4 => format!("MAX({})", column(rng)),
+            _ => format!("COUNT(DISTINCT {})", column(rng)),
+        })
+        .collect();
+    Shape { keys, aggs, m: rng.range_usize(1, 64) }
 }
 
-fn random_agg_state(rng: &mut Rng, (kind, m): (usize, usize)) -> AggState {
-    match kind {
-        0 => AggState::Count(rng.next_u64() >> 2),
-        1 => AggState::SumInt(
-            i128::from(rng.next_u64() as i64) * rng.range_i64_inclusive(1, 3) as i128,
-        ),
-        2 => AggState::SumFloat(Box::new(random_float_sum(rng))),
-        3 => AggState::Min(if rng.chance(0.2) { None } else { Some(random_value(rng)) }),
-        4 => AggState::Max(if rng.chance(0.2) { None } else { Some(random_value(rng)) }),
-        _ => AggState::Distinct(KmvSketch::from_parts(
-            m,
-            (0..rng.range_usize(0, 100)).map(|_| rng.next_u64()),
-        )),
-    }
-}
-
-/// A random partial of `shape`, built row-wise the way the oracle builds
-/// one. No groups at all and the one group of an empty (global) key are
-/// both in-distribution; some keys come from a domain small enough that two
-/// partials of one shape share groups.
+/// The partial of `shape`'s query over a random store. No groups at all
+/// and the one group of an empty (global) key are both in-distribution;
+/// some keys come from a domain small enough that groups hold several rows
+/// and two partials of one shape share groups.
 fn random_partial_of(rng: &mut Rng, shape: &Shape) -> PartialResult {
+    let keys: Vec<String> = (0..shape.keys.len()).map(|i| format!("k{i}")).collect();
+    let mut fields: Vec<(&str, DataType)> =
+        keys.iter().map(String::as_str).zip(shape.keys.iter().copied()).collect();
+    fields.extend([("i", DataType::Int), ("x", DataType::Float), ("s", DataType::Str)]);
+    let mut table = Table::new(Schema::of(&fields));
     let groups = if rng.chance(0.1) { 0 } else { rng.range_usize(1, 30) };
-    let mut rows: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-    for _ in 0..groups {
-        let cell = |rng: &mut Rng| match rng.chance(0.5) {
-            true => Value::Int(rng.range_i64_inclusive(0, 6)),
-            false => random_value(rng),
-        };
-        let key = (0..shape.key_width).map(|_| cell(rng)).collect();
-        rows.insert(key, shape.slots.iter().map(|&slot| random_agg_state(rng, slot)).collect());
+    for _ in 0..groups.max(1) {
+        let cells = fields.iter().enumerate().map(|(i, &(_, of))| match of {
+            DataType::Int if i < keys.len() && rng.chance(0.5) => {
+                Value::Int(rng.range_i64_inclusive(0, 6))
+            }
+            _ => random_value(rng, of),
+        });
+        let row = Row(cells.collect());
+        table.push_row(row).unwrap();
     }
-    PartialResult::from_states(rows).unwrap()
+    let aggs = (shape.aggs.iter().enumerate()).map(|(i, agg)| format!("{agg} a{i}"));
+    let select: Vec<String> = keys.iter().cloned().chain(aggs).collect();
+    let filter = if groups == 0 { " WHERE i > i" } else { "" };
+    let group_by =
+        if keys.is_empty() { String::new() } else { format!(" GROUP BY {}", keys.join(", ")) };
+    let sql = format!("SELECT {} FROM t{filter}{group_by}", select.join(", "));
+    let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let ctx = ExecContext { sketch_m: shape.m, ..Default::default() };
+    execute_partial(&store, &analyzed, &ctx).unwrap().0
 }
 
 fn random_partial(rng: &mut Rng) -> PartialResult {
@@ -311,6 +322,20 @@ fn forged_key_columns(bytes: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
     forged
 }
 
+/// The partial of `SELECT k, {agg} FROM t GROUP BY k` at sketch size `m`
+/// over a store of `rows` rows of each `(k, rows)`.
+fn keyed_partial(agg: &str, m: usize, groups: &[(i64, usize)]) -> PartialResult {
+    let mut table = Table::new(Schema::of(&[("k", DataType::Int)]));
+    for &(k, rows) in groups {
+        (0..rows).for_each(|_| table.push_row(Row(vec![Value::Int(k)])).unwrap());
+    }
+    let sql = format!("SELECT k, {agg} FROM t GROUP BY k");
+    let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let ctx = ExecContext { sketch_m: m, ..Default::default() };
+    execute_partial(&store, &analyzed, &ctx).unwrap().0
+}
+
 #[test]
 fn malformed_tables_are_typed_errors() {
     // Two groups, one key column, one count slot, byte by byte:
@@ -319,8 +344,7 @@ fn malformed_tables_are_typed_errors() {
     // column · [50] end 9 · [54] end 18 · [58] slots · [66] kind · [67]
     // counts in the column · [75] 10, 20. No aggregate list: which slots a
     // query reads is the query's to say.
-    let group = |key: i64, n: u64| (vec![Value::Int(key)], vec![AggState::Count(n)]);
-    let bytes = to_bytes(&PartialResult::from_states([group(1, 10), group(2, 20)]).unwrap());
+    let bytes = to_bytes(&keyed_partial("COUNT(*)", 1 << 10, &[(1, 10), (2, 20)]));
     assert_eq!(bytes.len(), 91);
     assert!(from_bytes::<PartialResult>(&bytes).is_ok());
     type Edit<'a> = &'a dyn Fn(&mut Vec<u8>);
@@ -381,29 +405,31 @@ fn malformed_tables_are_typed_errors() {
     assert!(ascii.is_ok(), "{ascii:?}");
 
     // A sketch's hash list unsorted, duplicated and longer than its `m` is
-    // no error: it decodes to the sketch offering that list gives. A long
-    // descending list decodes too, by one sort (an insert per hash would
-    // move len² / 2 hashes).
-    let group = |sketch| (vec![Value::Int(1)], vec![AggState::Distinct(sketch)]);
-    let decoded = |m: usize, list: &[u64]| {
-        let sketch = KmvSketch::from_parts(m, [1, 2, 3]);
-        let honest = to_bytes(&sketch);
-        let mut bytes = to_bytes(&PartialResult::from_states([group(sketch)]).unwrap());
+    // no error: it decodes to the sketch `from_parts` makes of that list
+    // (which is the one offering it hash by hash keeps). A long descending
+    // list decodes too, by one sort (an insert per hash would move len² / 2
+    // hashes). A one-group partial carries the list in place of its
+    // sketch of the key `1`.
+    let with_hashes = |m: usize, hashes: Vec<u8>| {
+        let mut bytes = to_bytes(&keyed_partial("COUNT(DISTINCT k)", m, &[(1, 1)]));
+        let honest = to_bytes(&KmvSketch::from_parts(m, [fx_hash64(&Value::Int(1))]));
         let at = bytes.windows(honest.len()).position(|w| w == honest).unwrap();
-        let head = [m as u64, list.len() as u64];
-        bytes.splice(at..at + honest.len(), head.iter().chain(list).flat_map(to_bytes));
+        bytes.splice(at..at + honest.len(), hashes);
         from_bytes::<PartialResult>(&bytes).unwrap()
     };
-    let offered = |m: usize, list: &[u64]| {
-        let mut sketch = KmvSketch::new(m);
-        list.iter().for_each(|&h| sketch.offer(h));
-        PartialResult::from_states([group(sketch)]).unwrap()
+    let decoded = |m: usize, list: &[u64]| {
+        let head = [m as u64, list.len() as u64];
+        with_hashes(m, head.iter().chain(list).flat_map(to_bytes).collect())
+    };
+    let made = |m: usize, list: &[u64]| {
+        with_hashes(m, to_bytes(&KmvSketch::from_parts(m, list.iter().copied())))
     };
     let list = [9u64, 4, 4, 7, 1, 9, 2, 30];
-    assert_eq!(decoded(3, &list), offered(3, &list), "a forged hash list");
+    assert_eq!(decoded(3, &list), made(3, &list), "a forged hash list");
+    assert_eq!(made(3, &list), made(3, &[1, 2, 4]));
     let descending: Vec<u64> = (0..200_000).rev().collect();
     let ascending: Vec<u64> = (0..200_000).collect();
-    assert_eq!(decoded(1 << 20, &descending), offered(1 << 20, &ascending), "a descending list");
+    assert_eq!(decoded(1 << 20, &descending), made(1 << 20, &ascending), "a descending list");
 }
 
 #[test]

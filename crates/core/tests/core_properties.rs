@@ -6,18 +6,16 @@
 
 use pd_common::rng::Rng;
 use pd_common::wire::{from_bytes, to_bytes};
-use pd_common::{sortkey, DataType, FloatSum, Row, Schema, Value};
+use pd_common::{fx_hash64, sortkey, DataType, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
-    execute, execute_partial, finalize, AggState, BuildOptions, DataStore, ExecContext,
-    KernelConfig, KmvSketch, PartialResult, PartitionSpec,
+    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KmvSketch,
+    PartialResult, PartitionSpec,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{
-    analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext, SlotClass,
-};
+use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext};
 
 /// Row context over a store's reconstructed cell values.
 struct StoreRow<'a> {
@@ -99,44 +97,51 @@ fn partition_invariants() {
     }
 }
 
-/// A random partial of up to 11 groups (none is [`PartialResult::default`])
-/// with `key_width` key columns, its first-column keys drawn from
-/// `k{first_key}..k{first_key + 8}`: every kind of state, floats that no
-/// pair of doubles holds.
+/// A random partial of up to 11 groups with `key_width` key columns, its
+/// first-column keys drawn from `k{first_key}..k{first_key + 8}`, as a
+/// store of as many rows answers it: every kind of state, integer sums past
+/// `i64`, floats that no pair of doubles holds. A store holds a row, so
+/// none passes the filter of a partial of no groups.
 fn random_partial(rng: &mut Rng, key_width: usize, first_key: usize) -> PartialResult {
     let floats = [0.5, -0.0, 1e308, -1e308, 1e-300, f64::INFINITY, f64::NAN, 3.25];
-    let mut groups = std::collections::BTreeMap::new();
-    for _ in 0..rng.range_usize(0, 12) {
-        let key: Vec<Value> = (0..key_width)
-            .map(|i| match i {
-                0 => Value::from(format!("k{:02}", first_key + rng.range_usize(0, 8))),
-                _ => Value::Int(rng.range_i64_inclusive(0, 2)),
-            })
-            .collect();
-        let v = rng.range_i64_inclusive(-100, 100);
-        let x = *rng.pick(&floats);
-        groups.insert(
-            key,
-            vec![
-                AggState::Count(1),
-                AggState::SumInt(i128::from(v) << 62),
-                AggState::SumFloat(Box::new(FloatSum::from(x))),
-                AggState::Min(rng.chance(0.8).then_some(Value::Int(v))),
-                AggState::Max(Some(Value::Float(x))),
-                AggState::SumFloat(Box::new(FloatSum::from(v as f64 * 0.1))),
-                AggState::Distinct(KmvSketch::from_parts(4, [rng.next_u64() % 16])),
-            ],
-        );
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("w", DataType::Int),
+        ("v", DataType::Int),
+        ("x", DataType::Float),
+    ]);
+    let mut table = Table::new(schema);
+    let groups = rng.range_usize(0, 12);
+    for _ in 0..groups.max(1) {
+        let row = vec![
+            Value::from(format!("k{:02}", first_key + rng.range_usize(0, 8))),
+            Value::Int(rng.range_i64_inclusive(0, 2)),
+            Value::Int(rng.range_i64_inclusive(-100, 100) << 56),
+            Value::Float(*rng.pick(&floats)),
+        ];
+        table.push_row(Row(row)).unwrap();
     }
-    PartialResult::from_states(groups).unwrap()
+    let keys = ["k", "w"][..key_width].join(", ");
+    let (select, group_by) = match key_width {
+        0 => (String::new(), String::new()),
+        _ => (format!("{keys}, "), format!(" GROUP BY {keys}")),
+    };
+    let filter = if groups == 0 { " WHERE w > 2" } else { "" };
+    let sql = format!(
+        "SELECT {select}COUNT(*), SUM(v), SUM(x), MIN(v), MAX(x), SUM(v * 0.1), \
+         COUNT(DISTINCT v) FROM t{filter}{group_by}"
+    );
+    let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let ctx = ExecContext { sketch_m: 4, ..Default::default() };
+    execute_partial(&store, &analyzed, &ctx).unwrap().0
 }
 
 /// `PartialResult::merge` is associative and commutative, keeps the groups
 /// in strict key order and has `Default` as its identity (the property the
 /// §4 computation tree — and a pruned edge's empty answer — rely on), over
-/// tables built row-wise by `from_states`: every kind of state, floats
-/// that no pair of doubles holds, keys that some parts share and others do
-/// not.
+/// the partials of small random stores: every kind of state, floats that
+/// no pair of doubles holds, keys that some parts share and others do not.
 #[test]
 fn partial_results_merge_associatively_and_commutatively_in_key_order() {
     let mut rng = Rng::seed_from_u64(0xc04e_0003);
@@ -290,22 +295,29 @@ fn assert_limits_keep_a_full_sorts_prefix(full: &str, answer: impl Fn(&AnalyzedQ
 
 /// Many groups share an ORDER BY key, so which of them survive the LIMIT
 /// is decided by the whole-row tie-break — the selection must agree with
-/// sorting everything, row for row: over a partial given row-wise, and
+/// sorting everything, row for row: over one small store's partial, and
 /// through `execute` on built stores (which must equal
 /// `finalize(execute_partial)`) with one key of ≥ 2 000 groups that tie on
 /// their counts by the thousand, top-k and bottom-k, two keys, a key HAVING
 /// reads, and a key dictionary an append has tailed.
 #[test]
 fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
-    let partial = PartialResult::from_states((0..60u64).map(|i| {
-        (
-            vec![Value::from(format!("k{:02}", i * 37 % 60))],
-            vec![AggState::Count(i % 4), AggState::SumInt((i % 3) as i128)],
-        )
-    }))
-    .unwrap();
+    // 60 keys of 1 to 4 rows: counts and sums tie by the dozen.
+    let small = Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]);
+    let mut small = Table::new(small);
+    for i in 0..60i64 {
+        for r in 0..=i % 4 {
+            let n = if r == 0 { i % 3 } else { 0 };
+            let key = Value::from(format!("k{:02}", i * 37 % 60));
+            small.push_row(Row(vec![key, Value::Int(n)])).unwrap();
+        }
+    }
+    let store = DataStore::build(&small, &BuildOptions::basic()).unwrap();
+    let sql = "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k";
+    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+    let partial = execute_partial(&store, &analyzed, &ExecContext::default()).unwrap().0;
     for order in ["c DESC", "c ASC", "c DESC, s ASC", "s DESC, k DESC", "k ASC"] {
-        for having in ["", " HAVING c > 0"] {
+        for having in ["", " HAVING c > 1"] {
             let full = format!(
                 "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k{having} ORDER BY {order}"
             );
@@ -450,14 +462,8 @@ fn sketch_merge_order_irrelevant() {
         all.sort_unstable();
         all.dedup();
         let split = rng.range_usize(0, all.len() + 1);
-        let mut a = KmvSketch::new(64);
-        let mut b = KmvSketch::new(64);
-        for &v in &all[..split] {
-            a.offer(pd_common::fx_hash64(&v));
-        }
-        for &v in &all[split..] {
-            b.offer(pd_common::fx_hash64(&v));
-        }
+        let a = KmvSketch::from_parts(64, all[..split].iter().map(fx_hash64));
+        let b = KmvSketch::from_parts(64, all[split..].iter().map(fx_hash64));
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -469,17 +475,17 @@ fn sketch_merge_order_irrelevant() {
     }
 }
 
-/// COUNT(DISTINCT …) against an oracle that is not the engine: for every
-/// group, the sketch `execute_partial` returns equals the one offering each
-/// passing row's `fx_hash64(value)` into `KmvSketch::new(m)` makes — at
-/// `m` 1, 3, 64 and 4 096 (saturated and not), over a Str argument under
-/// sorted and trie dictionaries, an Int argument and a Float one holding
-/// -0.0, 0.0 and NaN, by 0, 1 and 2 keys, on unmasked chunks and masked
-/// ones, with groups × chunk-dictionary entries (the range of the kernel's
-/// packed `g·n + code` pairs) from a few to past 65 536, and on a store an
-/// append tailed.
+/// COUNT(DISTINCT …) under a filter: for every group, the sketch
+/// `execute_partial` returns is the one the same grouping makes, unfiltered,
+/// over a store of only the rows the filter passes (one chunk, no mask),
+/// bit for bit — at `m` 1, 3, 64 and 4 096 (saturated and not), over a Str
+/// argument under sorted and trie dictionaries, an Int argument and a Float
+/// one holding -0.0, 0.0 and NaN, by 0, 1 and 2 keys, on unmasked chunks and
+/// masked ones, with groups × chunk-dictionary entries (the range of the
+/// kernel's packed `g·n + code` pairs) from a few to past 65 536, and on a
+/// store an append tailed.
 #[test]
-fn distinct_sketches_equal_offering_every_passing_rows_hash() {
+fn distinct_sketches_equal_those_of_a_store_of_the_passing_rows() {
     let schema = Schema::of(&[
         ("k", DataType::Str),
         ("w", DataType::Int),
@@ -509,7 +515,7 @@ fn distinct_sketches_equal_offering_every_passing_rows_hash() {
     let table = Table::from_columns(schema.clone(), columns(0..ROWS)).unwrap();
     let tail = columns(ROWS..ROWS + 300);
     let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
-    let delta = TableDelta::from_columns(schema, &slices).unwrap();
+    let delta = TableDelta::from_columns(schema.clone(), &slices).unwrap();
 
     let spec = PartitionSpec::new(&["k"], 2_000);
     let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
@@ -526,60 +532,65 @@ fn distinct_sketches_equal_offering_every_passing_rows_hash() {
     assert!(chunks.clone().any(|c| entries("k", c) > 1 && cells("k", c) <= 1 << 16));
     assert!(chunks.clone().any(|c| cells("w", c) > 1 << 16));
 
-    let offered = |m: usize, hashes: &[u64]| {
-        let mut sketch = KmvSketch::new(m);
-        hashes.iter().for_each(|&h| sketch.offer(h));
-        sketch
-    };
     let ms = [1, 3, 64, 4_096];
     // Per `m`: was some group's sketch below `m`, was some group's full?
     let mut fill = [[false; 2]; 4];
+    let names = ["k", "w", "s", "i", "f"];
     for (label, store) in [("sorted", &sorted), ("trie", &trie), ("tailed", &tailed)] {
-        for keys in ["", "k", "w", "k, w"] {
-            for arg in ["s", "i", "f"] {
-                // Unmasked; masked on every chunk; and two filters whose
-                // `k` conjunct skips or fully admits whole chunks.
-                for filter in ["", "w < 300", "k != 'red' AND i > 2000", "k != 'red'"] {
-                    let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
-                    let where_sql =
-                        if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
-                    let group_by =
-                        if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
-                    let sql =
-                        format!("SELECT {select}COUNT(DISTINCT {arg}) FROM t{where_sql}{group_by}");
-                    let parsed = parse_query(&sql).unwrap();
-                    let key_names: Vec<&str> = keys.split(", ").filter(|k| !k.is_empty()).collect();
-
-                    // The oracle: each passing row's hash, per group.
-                    let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<u64>> =
-                        Default::default();
-                    for chunk in 0..store.chunk_count() {
-                        for row in 0..store.chunk_rows(chunk) {
-                            let ctx = StoreRow { store, chunk, row };
-                            if let Some(filter) = &parsed.where_clause {
-                                if !truthy(&eval_expr(filter, &ctx).unwrap()) {
-                                    continue;
-                                }
-                            }
-                            let key = key_names.iter().map(|k| ctx.column(k).unwrap()).collect();
-                            let value = ctx.column(arg).unwrap();
-                            groups.entry(key).or_default().push(pd_common::fx_hash64(&value));
+        // Unmasked; masked on every chunk; and two filters whose `k`
+        // conjunct skips or fully admits whole chunks.
+        for filter in ["", "w < 300", "k != 'red' AND i > 2000", "k != 'red'"] {
+            let where_sql =
+                if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
+            let mut passing = Table::new(schema.clone());
+            for chunk in 0..store.chunk_count() {
+                for row in 0..store.chunk_rows(chunk) {
+                    let ctx = StoreRow { store, chunk, row };
+                    let parsed = parse_query(&format!("SELECT COUNT(*) FROM t{where_sql}"));
+                    if let Some(filter) = &parsed.unwrap().where_clause {
+                        if !truthy(&eval_expr(filter, &ctx).unwrap()) {
+                            continue;
                         }
                     }
-                    assert!(!groups.is_empty(), "{sql}: some row passes");
+                    let row = names.iter().map(|name| ctx.column(name).unwrap()).collect();
+                    passing.push_row(Row(row)).unwrap();
+                }
+            }
+            assert!(!passing.is_empty(), "{filter}: some row passes");
+            let passing_store = DataStore::build(&passing, &BuildOptions::basic()).unwrap();
 
-                    let analyzed = analyze(&parsed).unwrap();
+            for keys in ["", "k", "w", "k, w"] {
+                let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
+                let group_by =
+                    if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+                let key_at: Vec<usize> = (keys.split(", ").filter(|k| !k.is_empty()))
+                    .map(|k| names.iter().position(|name| *name == k).unwrap())
+                    .collect();
+                for arg in ["s", "i", "f"] {
+                    let grouping = format!("SELECT {select}COUNT(DISTINCT {arg}) FROM t");
+                    let sql = format!("{grouping}{where_sql}{group_by}");
+                    let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+                    let unfiltered = format!("{grouping}{group_by}");
+                    let unfiltered = analyze(&parse_query(&unfiltered).unwrap()).unwrap();
+
+                    // Each group's distinct hashes, to see which sketches fill.
+                    let at = names.iter().position(|name| *name == arg).unwrap();
+                    let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<u64>> =
+                        Default::default();
+                    for row in passing.iter_rows() {
+                        let key = key_at.iter().map(|&k| row.0[k].clone()).collect();
+                        groups.entry(key).or_default().push(fx_hash64(&row.0[at]));
+                    }
                     for (mi, &m) in ms.iter().enumerate() {
                         let ctx = ExecContext { sketch_m: m, ..Default::default() };
                         let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
-                        let want =
-                            PartialResult::from_states(groups.iter().map(|(key, hashes)| {
-                                let sketch = offered(m, hashes);
-                                fill[mi][(sketch.len() == m) as usize] = true;
-                                (key.clone(), vec![AggState::Distinct(sketch)])
-                            }))
-                            .unwrap();
+                        let want = execute_partial(&passing_store, &unfiltered, &ctx).unwrap().0;
                         assert_eq!(got, want, "{label} m={m}: {sql}");
+                        for hashes in groups.values_mut() {
+                            hashes.sort_unstable();
+                            hashes.dedup();
+                            fill[mi][(hashes.len() >= m) as usize] = true;
+                        }
                     }
                 }
             }
@@ -655,191 +666,4 @@ fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
     let mut forged = coded(&base);
     forged.columns[1].codes[3] = u32::MAX;
     assert!(DataStore::from_coded(forged, &BuildOptions::basic()).is_err());
-}
-
-/// The chunk kernels' cheap paths against the row oracle: per group, each
-/// slot's state is what the passing rows' values make — counts, exact sums,
-/// the least and greatest value, a sketch of every value's hash. Covered:
-/// id-range pairs on one column (overlapping, nested, disjoint, equal
-/// bounds, both bounds on one side, under `AND`, `OR` and `NOT`), on
-/// `date(ts)`, and across two columns, drawn at random besides; MIN/MAX by
-/// 0, 1 and 2 keys, unmasked and masked, over sorted dictionaries and
-/// tailed ones; COUNT DISTINCT with groups × chunk-dictionary entries under
-/// and over four times the rows listed; one-key masks that leave most of
-/// a chunk's key ids unused. Both kernel configurations.
-#[test]
-fn cheap_kernel_paths_match_the_row_oracle() {
-    let schema = Schema::of(&[
-        ("k", DataType::Str),
-        ("j", DataType::Int),
-        ("t", DataType::Int),
-        ("ts", DataType::Int),
-        ("x", DataType::Float),
-        ("s", DataType::Str),
-        ("u", DataType::Str),
-        ("i", DataType::Int),
-    ]);
-    const ROWS: usize = 3_000;
-    const DAY0: i64 = 1_325_376_000; // 2012-01-01
-                                     // Rows from `ROWS` on hold `t`, `x`, `s` and `i` values below and above
-                                     // every base value, so an append tails those dictionaries out of order.
-    let row = |r: usize| {
-        let fresh = r >= ROWS;
-        let below = fresh && r.is_multiple_of(2);
-        vec![
-            Value::from(["red", "green", "blue", "grey"][r % 4]),
-            Value::Int((r * 5 % 7) as i64),
-            Value::Int(match (fresh, below) {
-                (false, _) => (r * 37 % 100) as i64,
-                (true, true) => -((r % 9) as i64) - 1,
-                (true, false) => 100 + (r % 9) as i64,
-            }),
-            Value::Int(DAY0 + (r * 977) as i64),
-            Value::Float(match (fresh, below, r % 5) {
-                (false, _, 0) => [-0.0, 0.0, f64::NAN][r / 5 % 3],
-                (false, _, _) => (r % 61) as f64 * 0.25,
-                (true, true, _) => -1e4 - r as f64,
-                (true, false, _) => 1e4 + r as f64,
-            }),
-            Value::from(match below {
-                true => format!("a{:03}", r % 50),
-                false => format!("s{:03}", r * 17 % 211 + fresh as usize * 500),
-            }),
-            Value::from(format!("u{}", r * 3 % 10)),
-            // Distinct on every base row: 4 099 is invertible mod 5 003.
-            Value::Int((r * 4_099 % 5_003) as i64 + fresh as i64 * 10_000),
-        ]
-    };
-    let columns = |rows: std::ops::Range<usize>| -> Vec<Vec<Value>> {
-        (0..8).map(|c| rows.clone().map(|r| row(r).swap_remove(c)).collect()).collect()
-    };
-    let table = Table::from_columns(schema.clone(), columns(0..ROWS)).unwrap();
-    let tail = columns(ROWS..ROWS + 240);
-    let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
-    let delta = TableDelta::from_columns(schema, &slices).unwrap();
-    let options = BuildOptions::optcols(PartitionSpec::new(&["k"], 400));
-    let sorted = DataStore::build(&table, &options).unwrap();
-    let mut tailed = DataStore::build(&table, &options).unwrap();
-    tailed.append_delta(&delta).unwrap();
-    for col in ["t", "x", "s", "i"] {
-        assert!(sorted.column(col).unwrap().dict.is_value_ordered(), "{col}");
-        assert!(!tailed.column(col).unwrap().dict.is_value_ordered(), "{col}");
-    }
-    // COUNT(DISTINCT u) is dense everywhere; by `k, j`, COUNT(DISTINCT i)
-    // outgrows four times the rows of some unmasked chunk.
-    let entries = |name: &str, c: usize| sorted.column(name).unwrap().chunks[c].dict.len() as usize;
-    assert!((0..sorted.chunk_count())
-        .any(|c| entries("j", c) * entries("i", c) > (4 * sorted.chunk_rows(c)).max(1024)));
-
-    let day = |d: i64| format!("'2012-01-{d:02}'");
-    let mut filters: Vec<String> = [
-        "",
-        "t >= 20 AND t < 60",
-        "t > 10 AND t < 90 AND t >= 30 AND t <= 40",
-        "t < 20 AND t > 60",
-        "t >= 30 AND t <= 30",
-        "t >= 30 AND t < 30",
-        "t >= 25 AND t >= 70",
-        "t <= 80 AND t < 45 AND j != 3",
-        "t < 20 OR t > 60",
-        "NOT (t >= 20 AND t < 60)",
-        "t >= 20 AND i < 2500 AND t < 70 AND i >= 400",
-        "t < 10",
-        "k != 'red'",
-    ]
-    .map(str::to_owned)
-    .into();
-    filters.push(format!("date(ts) >= {} AND date(ts) < {}", day(5), day(12)));
-    filters.push(format!("ts >= {} AND t < 50 AND ts < {}", DAY0 + 400_000, DAY0 + 2_000_000));
-    // Random pairs and triples of bounds over one column or two.
-    let mut rng = Rng::seed_from_u64(0xc04e_0047);
-    for _ in 0..16 {
-        let conjuncts: Vec<String> = (0..rng.range_usize(2, 4))
-            .map(|_| {
-                let op = *rng.pick(&["<", "<=", ">", ">="]);
-                match rng.range_usize(0, 4) {
-                    0 | 1 => format!("t {op} {}", rng.range_i64_inclusive(-5, 105)),
-                    2 => format!("date(ts) {op} {}", day(rng.range_i64_inclusive(1, 31))),
-                    _ => format!("i {op} {}", rng.range_i64_inclusive(0, 5_100)),
-                }
-            })
-            .collect();
-        filters.push(conjuncts.join(" AND "));
-    }
-
-    let aggs = "COUNT(*), SUM(t), SUM(x), MIN(x), MAX(x), MIN(s), MAX(s), \
-                COUNT(DISTINCT u), COUNT(DISTINCT i)";
-    const M: usize = 4_096;
-    for (label, store) in [("sorted", &sorted), ("tailed", &tailed)] {
-        for keys in ["", "j", "s", "k, j"] {
-            for filter in &filters {
-                let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
-                let where_sql =
-                    if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
-                let group_by =
-                    if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
-                let sql = format!("SELECT {select}{aggs} FROM t{where_sql}{group_by}");
-                let parsed = parse_query(&sql).unwrap();
-                let analyzed = analyze(&parsed).unwrap();
-                let key_names: Vec<&str> = keys.split(", ").filter(|k| !k.is_empty()).collect();
-
-                // The oracle: per group, per slot, the passing rows' values.
-                let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Vec<Value>>> =
-                    Default::default();
-                for chunk in 0..store.chunk_count() {
-                    for row in 0..store.chunk_rows(chunk) {
-                        let ctx = StoreRow { store, chunk, row };
-                        if let Some(filter) = &parsed.where_clause {
-                            if !truthy(&eval_expr(filter, &ctx).unwrap()) {
-                                continue;
-                            }
-                        }
-                        let key = key_names.iter().map(|k| ctx.column(k).unwrap()).collect();
-                        let cells = groups
-                            .entry(key)
-                            .or_insert_with(|| analyzed.slots.iter().map(|_| Vec::new()).collect());
-                        for (slot, cell) in analyzed.slots.iter().zip(cells) {
-                            let arg = slot.arg.as_ref().map(|arg| eval_expr(arg, &ctx).unwrap());
-                            cell.push(arg.unwrap_or(Value::Null));
-                        }
-                    }
-                }
-                let state = |class: SlotClass, values: &[Value]| match class {
-                    SlotClass::Count => AggState::Count(values.len() as u64),
-                    SlotClass::Sum => match values[0] {
-                        Value::Int(_) => AggState::SumInt(
-                            values.iter().map(|v| i128::from(v.as_int().unwrap())).sum(),
-                        ),
-                        _ => {
-                            let mut sum = FloatSum::new();
-                            values.iter().for_each(|v| sum.add(v.numeric()));
-                            AggState::SumFloat(Box::new(sum))
-                        }
-                    },
-                    SlotClass::Min => AggState::Min(values.iter().min().cloned()),
-                    SlotClass::Max => AggState::Max(values.iter().max().cloned()),
-                    SlotClass::Distinct => {
-                        let mut sketch = KmvSketch::new(M);
-                        values.iter().for_each(|v| sketch.offer(pd_common::fx_hash64(v)));
-                        AggState::Distinct(sketch)
-                    }
-                };
-                let want = PartialResult::from_states(groups.iter().map(|(key, cells)| {
-                    let states = analyzed.slots.iter().zip(cells);
-                    (key.clone(), states.map(|(slot, values)| state(slot.class, values)).collect())
-                }))
-                .unwrap();
-
-                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
-                    let ctx = ExecContext { sketch_m: M, kernels, ..Default::default() };
-                    let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
-                    if groups.is_empty() {
-                        assert!(got.is_empty(), "{label} {kernels:?}: {sql}");
-                    } else {
-                        assert_eq!(got, want, "{label} {kernels:?}: {sql}");
-                    }
-                }
-            }
-        }
-    }
 }

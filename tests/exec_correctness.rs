@@ -1,161 +1,24 @@
-//! Executor correctness: the store must agree with a naive row-by-row
-//! oracle on every supported query shape, under every build variant of the
-//! §3 ladder, with and without the §6 result cache.
+//! Executor correctness: the store must agree with the row oracle
+//! (`pd_baselines::scan`, which shares no aggregation, lowering or ranking
+//! with the engine) on every supported query shape, under every build
+//! variant of the §3 ladder and both kernel configurations, with and
+//! without the §6 result cache — row for row, floats bit for bit.
 
+use pd_baselines::scan;
+use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{
     execute, execute_partial, finalize, query, BuildOptions, DataStore, ExecContext, KernelConfig,
-    PartitionSpec, ResultCache,
+    PartitionSpec, QueryResult, ResultCache,
 };
 use pd_data::{generate_logs, LogsSpec, Table};
-use pd_sql::{analyze, eval_expr, parse_query, truthy, AggFunc, OutputCol, RowContext};
-use std::collections::HashMap;
+use pd_encoding::TableDelta;
+use pd_sql::{analyze, parse_query};
 use std::sync::Arc;
 
-/// Naive reference implementation evaluating the query over table rows.
-fn oracle(table: &Table, sql: &str) -> Vec<Row> {
-    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-
-    struct Ctx<'a> {
-        table: &'a Table,
-        row: usize,
-    }
-    impl RowContext for Ctx<'_> {
-        fn column(&self, name: &str) -> pd_common::Result<Value> {
-            let idx = self.table.schema().resolve(name)?;
-            Ok(self.table.column(idx)[self.row].clone())
-        }
-    }
-
-    #[derive(Default)]
-    struct OracleAgg {
-        count: u64,
-        sum: f64,
-        sum_int: i64,
-        min: Option<Value>,
-        max: Option<Value>,
-        distinct: std::collections::BTreeSet<Value>,
-    }
-
-    let mut groups: HashMap<Vec<Value>, Vec<OracleAgg>> = HashMap::new();
-    for r in 0..table.len() {
-        let ctx = Ctx { table, row: r };
-        if let Some(filter) = &analyzed.filter {
-            if !truthy(&eval_expr(filter, &ctx).unwrap()) {
-                continue;
-            }
-        }
-        let key: Vec<Value> = analyzed.keys.iter().map(|k| eval_expr(k, &ctx).unwrap()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| analyzed.aggs.iter().map(|_| OracleAgg::default()).collect());
-        for (agg, state) in analyzed.aggs.iter().zip(states.iter_mut()) {
-            let arg = agg.arg.as_ref().map(|a| eval_expr(a, &ctx).unwrap());
-            state.count += 1;
-            if let Some(v) = &arg {
-                state.sum += v.numeric();
-                if let Value::Int(i) = v {
-                    state.sum_int += i;
-                }
-                if state.min.as_ref().is_none_or(|m| v < m) {
-                    state.min = Some(v.clone());
-                }
-                if state.max.as_ref().is_none_or(|m| v > m) {
-                    state.max = Some(v.clone());
-                }
-                state.distinct.insert(v.clone());
-            }
-        }
-    }
-
-    let mut rows: Vec<Row> = Vec::new();
-    if groups.is_empty() && analyzed.keys.is_empty() {
-        let row: Vec<Value> = analyzed
-            .output
-            .iter()
-            .map(|(_, src)| match src {
-                OutputCol::Key(_) => Value::Null,
-                OutputCol::Agg(i) => match analyzed.aggs[*i].func {
-                    AggFunc::Count => Value::Int(0),
-                    _ => Value::Null,
-                },
-            })
-            .collect();
-        rows.push(Row(row));
-    }
-    for (key, states) in &groups {
-        let row: Vec<Value> = analyzed
-            .output
-            .iter()
-            .map(|(_, src)| match src {
-                OutputCol::Key(i) => key[*i].clone(),
-                OutputCol::Agg(i) => {
-                    let agg = &analyzed.aggs[*i];
-                    let s = &states[*i];
-                    if agg.distinct {
-                        return Value::Int(s.distinct.len() as i64);
-                    }
-                    match agg.func {
-                        AggFunc::Count => Value::Int(s.count as i64),
-                        AggFunc::Sum => {
-                            // Type follows the argument column.
-                            let is_int = matches!(s.min, Some(Value::Int(_)));
-                            if is_int {
-                                Value::Int(s.sum_int)
-                            } else {
-                                Value::Float(s.sum)
-                            }
-                        }
-                        AggFunc::Min => s.min.clone().unwrap_or(Value::Null),
-                        AggFunc::Max => s.max.clone().unwrap_or(Value::Null),
-                        AggFunc::Avg => Value::Float(s.sum / s.count as f64),
-                    }
-                }
-            })
-            .collect();
-        rows.push(Row(row));
-    }
-
-    // Same finalization as the engine: HAVING, base sort, ORDER BY, LIMIT.
-    let names = analyzed.output_names();
-    if let Some(having) = &analyzed.having {
-        rows.retain(|row| {
-            let pairs: Vec<(&str, Value)> =
-                names.iter().map(String::as_str).zip(row.values().iter().cloned()).collect();
-            truthy(&eval_expr(having, &pairs[..]).unwrap())
-        });
-    }
-    rows.sort();
-    if !analyzed.order_by.is_empty() {
-        rows.sort_by(|a, b| {
-            for &(idx, desc) in &analyzed.order_by {
-                let ord = a.0[idx].cmp(&b.0[idx]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(limit) = analyzed.limit {
-        rows.truncate(limit);
-    }
-    rows
-}
-
-fn float_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-6 * (1.0 + x.abs().max(y.abs())),
-        _ => a == b,
-    }
-}
-
-fn rows_eq(a: &[Row], b: &[Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ra, rb)| {
-            ra.0.len() == rb.0.len() && ra.0.iter().zip(&rb.0).all(|(x, y)| float_eq(x, y))
-        })
+/// The row oracle's answer.
+fn oracle(table: &Table, sql: &str) -> QueryResult {
+    scan::query(table, sql).unwrap_or_else(|e| panic!("oracle: {sql}: {e}"))
 }
 
 fn all_variants() -> Vec<(&'static str, BuildOptions)> {
@@ -175,20 +38,24 @@ fn variants(spec: PartitionSpec) -> Vec<(&'static str, BuildOptions)> {
 
 fn check(table: &Table, stores: &[(&str, DataStore)], sql: &str) {
     let expected = oracle(table, sql);
+    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
     for (name, store) in stores {
-        let (result, stats) = query(store, sql).unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
-        assert!(
-            rows_eq(&result.rows, &expected),
-            "variant {name} disagrees with oracle on {sql}\n got: {:?}\nwant: {:?}\nstats: {}",
-            result.rows,
-            expected,
-            stats.summary()
-        );
-        assert_eq!(
-            stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
-            stats.rows_total,
-            "row accounting must balance for {name}: {sql}"
-        );
+        for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
+            let ctx = ExecContext { kernels, ..Default::default() };
+            let (result, stats) = execute(store, &analyzed, &ctx)
+                .unwrap_or_else(|e| panic!("{name} {kernels:?}: {sql}: {e}"));
+            assert_eq!(
+                result,
+                expected,
+                "variant {name} {kernels:?} disagrees with the oracle on {sql}\nstats: {}",
+                stats.summary()
+            );
+            assert_eq!(
+                stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+                stats.rows_total,
+                "row accounting must balance for {name}: {sql}"
+            );
+        }
     }
 }
 
@@ -426,6 +293,24 @@ fn selective_masks_match_oracle() {
     }
 }
 
+/// At the `i64` extremes `SUM` wraps and `AVG` is the exact sum rounded
+/// once, in the store as in the oracle.
+#[test]
+fn integer_sums_wrap_and_averages_are_exact_like_the_oracle() {
+    let schema = Schema::of(&[("k", DataType::Str), ("v", DataType::Int)]);
+    let mut table = Table::new(schema);
+    let extremes = [("a", i64::MAX), ("a", i64::MAX), ("b", i64::MIN), ("b", i64::MIN)];
+    let small = (0..100).map(|i| (["a", "b", "c"][i % 3], i as i64));
+    for (k, v) in small.chain(extremes) {
+        table.push_row(Row(vec![Value::from(k), Value::Int(v)])).unwrap();
+    }
+    let sql = "SELECT k, SUM(v) s, AVG(v) a, COUNT(v) n FROM data GROUP BY k ORDER BY k ASC";
+    let stores: Vec<_> = (variants(PartitionSpec::new(&["k"], 30)).into_iter())
+        .map(|(name, opt)| (name, DataStore::build(&table, &opt).unwrap()))
+        .collect();
+    check(&table, &stores, sql);
+}
+
 #[test]
 fn having_matches_oracle() {
     let table = generate_logs(&LogsSpec::scaled(1_500));
@@ -444,7 +329,6 @@ fn single_key_count_beyond_dense_limit_is_exact() {
     // (2^16): the single-key COUNT(*) fast path must still run its flat
     // counts array (the limit only gates multi-key products) and return
     // exact counts.
-    use pd_common::{DataType, Row, Schema, Value};
     let distinct = 70_000i64;
     let schema = Schema::of(&[("id", DataType::Int)]);
     let mut t = pd_data::Table::new(schema);
@@ -474,8 +358,7 @@ fn count_distinct_is_exact_below_sketch_size() {
         "SELECT country, COUNT(DISTINCT user) FROM data GROUP BY country ORDER BY country ASC";
     // With m larger than any group's distinct count the sketch is exact.
     let (result, _) = query(&store, sql).unwrap();
-    let expected = oracle(&table, sql);
-    assert!(rows_eq(&result.rows, &expected), "got {:?} want {:?}", result.rows, expected);
+    assert_eq!(result, oracle(&table, sql));
 }
 
 #[test]
@@ -486,7 +369,7 @@ fn count_distinct_is_close_above_sketch_size() {
         analyze(&parse_query("SELECT COUNT(DISTINCT table_name) FROM data").unwrap()).unwrap();
     let ctx = ExecContext { sketch_m: 256, ..Default::default() };
     let (result, _) = execute(&store, &analyzed, &ctx).unwrap();
-    let exact = oracle(&table, "SELECT COUNT(DISTINCT table_name) FROM data")[0].0[0]
+    let exact = oracle(&table, "SELECT COUNT(DISTINCT table_name) FROM data").rows[0].0[0]
         .as_int()
         .unwrap() as f64;
     let est = result.rows[0].0[0].as_int().unwrap() as f64;
@@ -515,7 +398,7 @@ fn result_cache_preserves_results_and_hits() {
     assert!(stats2.rows_cached > 0, "second run hits the chunk-result cache");
     assert_eq!(stats2.rows_scanned + stats2.rows_cached + stats2.rows_skipped, stats2.rows_total);
     // And the result still matches the oracle.
-    assert!(rows_eq(&second.rows, &oracle(&table, sql)));
+    assert_eq!(second, oracle(&table, sql));
 }
 
 /// The drill dashboard of the repo's benchmark: 20 charts over four
@@ -715,4 +598,142 @@ fn render_produces_readable_table() {
     let text = result.render();
     assert!(text.contains("country"));
     assert!(text.lines().count() >= 4);
+}
+
+/// The chunk kernels' cheap paths against the row oracle: the finalized
+/// rows of each query's partial are the oracle's — counts, exact sums, the
+/// least and greatest value, exact distinct counts (every group holds
+/// fewer distinct values than the sketch keeps). Covered:
+/// id-range pairs on one column (overlapping, nested, disjoint, equal
+/// bounds, both bounds on one side, under `AND`, `OR` and `NOT`), on
+/// `date(ts)`, and across two columns, drawn at random besides; MIN/MAX by
+/// 0, 1 and 2 keys, unmasked and masked, over sorted dictionaries and
+/// tailed ones; COUNT DISTINCT with groups × chunk-dictionary entries under
+/// and over four times the rows listed; one-key masks that leave most of
+/// a chunk's key ids unused. Both kernel configurations.
+#[test]
+fn cheap_kernel_paths_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("j", DataType::Int),
+        ("t", DataType::Int),
+        ("ts", DataType::Int),
+        ("x", DataType::Float),
+        ("s", DataType::Str),
+        ("u", DataType::Str),
+        ("i", DataType::Int),
+    ]);
+    const ROWS: usize = 3_000;
+    const DAY0: i64 = 1_325_376_000; // 2012-01-01
+                                     // Rows from `ROWS` on hold `t`, `x`, `s` and `i` values below and above
+                                     // every base value, so an append tails those dictionaries out of order.
+    let row = |r: usize| {
+        let fresh = r >= ROWS;
+        let below = fresh && r.is_multiple_of(2);
+        vec![
+            Value::from(["red", "green", "blue", "grey"][r % 4]),
+            Value::Int((r * 5 % 7) as i64),
+            Value::Int(match (fresh, below) {
+                (false, _) => (r * 37 % 100) as i64,
+                (true, true) => -((r % 9) as i64) - 1,
+                (true, false) => 100 + (r % 9) as i64,
+            }),
+            Value::Int(DAY0 + (r * 977) as i64),
+            Value::Float(match (fresh, below, r % 5) {
+                (false, _, 0) => [-0.0, 0.0, f64::NAN][r / 5 % 3],
+                (false, _, _) => (r % 61) as f64 * 0.25,
+                (true, true, _) => -1e4 - r as f64,
+                (true, false, _) => 1e4 + r as f64,
+            }),
+            Value::from(match below {
+                true => format!("a{:03}", r % 50),
+                false => format!("s{:03}", r * 17 % 211 + fresh as usize * 500),
+            }),
+            Value::from(format!("u{}", r * 3 % 10)),
+            // Distinct on every base row: 4 099 is invertible mod 5 003.
+            Value::Int((r * 4_099 % 5_003) as i64 + fresh as i64 * 10_000),
+        ]
+    };
+    let columns = |rows: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+        (0..8).map(|c| rows.clone().map(|r| row(r).swap_remove(c)).collect()).collect()
+    };
+    let table = Table::from_columns(schema.clone(), columns(0..ROWS)).unwrap();
+    let all = Table::from_columns(schema.clone(), columns(0..ROWS + 240)).unwrap();
+    let tail = columns(ROWS..ROWS + 240);
+    let slices: Vec<&[Value]> = tail.iter().map(Vec::as_slice).collect();
+    let delta = TableDelta::from_columns(schema, &slices).unwrap();
+    let options = BuildOptions::optcols(PartitionSpec::new(&["k"], 400));
+    let sorted = DataStore::build(&table, &options).unwrap();
+    let mut tailed = DataStore::build(&table, &options).unwrap();
+    tailed.append_delta(&delta).unwrap();
+    for col in ["t", "x", "s", "i"] {
+        assert!(sorted.column(col).unwrap().dict.is_value_ordered(), "{col}");
+        assert!(!tailed.column(col).unwrap().dict.is_value_ordered(), "{col}");
+    }
+    // COUNT(DISTINCT u) is dense everywhere; by `k, j`, COUNT(DISTINCT i)
+    // outgrows four times the rows of some unmasked chunk.
+    let entries = |name: &str, c: usize| sorted.column(name).unwrap().chunks[c].dict.len() as usize;
+    assert!((0..sorted.chunk_count())
+        .any(|c| entries("j", c) * entries("i", c) > (4 * sorted.chunk_rows(c)).max(1024)));
+
+    let day = |d: i64| format!("'2012-01-{d:02}'");
+    let mut filters: Vec<String> = [
+        "",
+        "t >= 20 AND t < 60",
+        "t > 10 AND t < 90 AND t >= 30 AND t <= 40",
+        "t < 20 AND t > 60",
+        "t >= 30 AND t <= 30",
+        "t >= 30 AND t < 30",
+        "t >= 25 AND t >= 70",
+        "t <= 80 AND t < 45 AND j != 3",
+        "t < 20 OR t > 60",
+        "NOT (t >= 20 AND t < 60)",
+        "t >= 20 AND i < 2500 AND t < 70 AND i >= 400",
+        "t < 10",
+        "k != 'red'",
+    ]
+    .map(str::to_owned)
+    .into();
+    filters.push(format!("date(ts) >= {} AND date(ts) < {}", day(5), day(12)));
+    filters.push(format!("ts >= {} AND t < 50 AND ts < {}", DAY0 + 400_000, DAY0 + 2_000_000));
+    // Random pairs and triples of bounds over one column or two.
+    let mut rng = Rng::seed_from_u64(0xc04e_0047);
+    for _ in 0..16 {
+        let conjuncts: Vec<String> = (0..rng.range_usize(2, 4))
+            .map(|_| {
+                let op = *rng.pick(&["<", "<=", ">", ">="]);
+                match rng.range_usize(0, 4) {
+                    0 | 1 => format!("t {op} {}", rng.range_i64_inclusive(-5, 105)),
+                    2 => format!("date(ts) {op} {}", day(rng.range_i64_inclusive(1, 31))),
+                    _ => format!("i {op} {}", rng.range_i64_inclusive(0, 5_100)),
+                }
+            })
+            .collect();
+        filters.push(conjuncts.join(" AND "));
+    }
+
+    let aggs = "COUNT(*), SUM(t), SUM(x), MIN(x), MAX(x), MIN(s), MAX(s), \
+                COUNT(DISTINCT u), COUNT(DISTINCT i)";
+    const M: usize = 4_096;
+    for (label, store, rows) in [("sorted", &sorted, &table), ("tailed", &tailed, &all)] {
+        for keys in ["", "j", "s", "k, j"] {
+            for filter in &filters {
+                let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
+                let where_sql =
+                    if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
+                let group_by =
+                    if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+                let sql = format!("SELECT {select}{aggs} FROM t{where_sql}{group_by}");
+                let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
+
+                let want = oracle(rows, &sql);
+                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
+                    let ctx = ExecContext { sketch_m: M, kernels, ..Default::default() };
+                    let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
+                    let got = finalize(&analyzed, got).unwrap();
+                    assert_eq!(got, want, "{label} {kernels:?}: {sql}");
+                }
+            }
+        }
+    }
 }

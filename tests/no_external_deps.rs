@@ -80,3 +80,45 @@ fn pd_core_groups_by_order_not_by_hash() {
     }
     assert!(sources > 10, "pd-core's sources were found");
 }
+
+/// The row oracle (`pd_baselines::scan`, and the baselines around it) is
+/// blind to the engine it checks: outside comments, no baseline source
+/// names the engine's analysis, aggregation states or finalization, and
+/// pd-core exports no row-wise state type for it to fill.
+#[test]
+fn the_row_oracle_names_no_engine_aggregation() {
+    let forbidden = [
+        "finalize",
+        "AggState",
+        "from_states",
+        "analyze",
+        "AnalyzedQuery",
+        "Slot",
+        "SlotClass",
+        "OutputCol",
+    ];
+    let words = |line: &str| -> Vec<String> {
+        let code = line.split("//").next().unwrap_or_default();
+        code.split(|c: char| !(c.is_alphanumeric() || c == '_')).map(str::to_owned).collect()
+    };
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/baselines/src");
+    let mut sources = 0;
+    for entry in std::fs::read_dir(dir).expect("list pd-baselines' sources") {
+        let path = entry.expect("read a directory entry").path();
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        sources += 1;
+        let source = std::fs::read_to_string(&path).expect("read a pd-baselines source");
+        for (n, line) in source.lines().enumerate() {
+            let named = words(line).into_iter().find(|word| forbidden.contains(&word.as_str()));
+            assert_eq!(named, None, "{}:{} names the engine: {line}", path.display(), n + 1);
+        }
+    }
+    assert!(sources >= 6, "pd-baselines' sources were found");
+
+    let lib = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src/lib.rs");
+    let lib = std::fs::read_to_string(lib).expect("read pd-core's lib.rs");
+    assert!(lib.contains("pub use groups::PartialResult"), "pd-core's exports were found");
+    assert!(!lib.lines().any(|line| words(line).contains(&"AggState".to_owned())), "AggState");
+}
