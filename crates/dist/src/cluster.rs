@@ -262,10 +262,13 @@ impl Drop for AdmitPermit<'_> {
 }
 
 /// What one [`Cluster::append`] shipped and applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// Rows appended across all shards.
     pub rows: u64,
+    /// The shards written, in the order of the batch's pieces: piece `i`,
+    /// the `i`-th contiguous range of the batch, went to `shards[i]`.
+    pub shards: Vec<u64>,
     /// Serialized bytes of every request frame the append caused: the
     /// `Append` each node wrote each child behind a socket — once per copy
     /// of a leaf pair — with the deltas beneath it; everything the append
@@ -362,37 +365,49 @@ impl Cluster {
     }
 
     /// Stream `delta`'s rows into the live cluster — the incremental
-    /// alternative to [`Cluster::rebuild`]. The delta is split across
-    /// shards by the import's contiguous-range rule and coded per shard as
-    /// self-contained columns ([`pd_encoding::TableDelta`]: the receiver
-    /// resolves it against its resident dictionaries, so **every existing
-    /// global id stays stable** and folded partials stay bit-identical).
-    /// The slices walk the tree from the root as a query does
-    /// ([`Node::append`], on either edge kind): every leaf applies its own
-    /// in place (its chunk results stay) and acks a receipt; every mixer
-    /// above it, the root included, absorbs the same delta into its copy of
-    /// the shard summary and into the tail that brings what it remembers up
-    /// to date — so a chart the root answered before is still a root hit.
-    /// Nothing is respawned, re-wired or re-dialed.
+    /// alternative to [`Cluster::rebuild`]. The batch lands where a chunk
+    /// would (§2: chunks are large so per-chunk work amortizes): it is cut
+    /// into `min(shards, ⌈rows / max_chunk_rows⌉)` contiguous pieces (one
+    /// for an unpartitioned build), and each piece goes whole to a
+    /// different shard — those holding the fewest rows, ties to the lowest
+    /// shard id ([`AppendOutcome::shards`]), read off the summaries the
+    /// root's edges hold, so both transports and both copies of a leaf
+    /// pair agree. A piece is coded as self-contained columns
+    /// ([`pd_encoding::TableDelta`]: the receiver resolves it against its
+    /// resident dictionaries, so **every existing global id stays stable**
+    /// and folded partials stay bit-identical, whichever shard holds a
+    /// row). The pieces walk the tree from the root as a query does
+    /// ([`Node::append`], on either edge kind): a leaf that gets one
+    /// applies it in place (its chunk results stay) and acks a receipt;
+    /// every mixer above it, the root included, absorbs the same delta
+    /// into its copy of the shard summary and into the tail that brings
+    /// what it remembers up to date — so a chart the root answered before
+    /// is still a root hit. Every other node hears only the new epoch and
+    /// keeps its cache. Nothing is respawned, re-wired or re-dialed.
     ///
-    /// The epoch bumps once every shard has applied its slice. Requires
-    /// `&mut self`: no query can observe a half-applied append. A delta
-    /// whose schema is not the cluster's is rejected, and one without rows
-    /// ignored, before anything changes. An error *after* the first shard
-    /// was touched leaves shards (or a primary and its replica) at
-    /// different data: the tree is dropped, and [`Cluster::query`] refuses
-    /// to serve until [`Cluster::rebuild`] succeeds.
+    /// The epoch bumps once every piece is applied. Requires `&mut self`:
+    /// no query can observe a half-applied append. A delta whose schema is
+    /// not the cluster's is rejected, and one without rows ignored, before
+    /// anything changes. An error *after* the first shard was touched
+    /// leaves shards (or a primary and its replica) at different data: the
+    /// tree is dropped, and [`Cluster::query`] refuses to serve until
+    /// [`Cluster::rebuild`] succeeds.
     pub fn append(&mut self, delta: &Table) -> Result<AppendOutcome> {
         let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
         if delta.schema() != &self.schema {
             return Err(Error::Schema("append: delta schema does not match the cluster's".into()));
         }
         if delta.is_empty() {
-            return Ok(AppendOutcome { rows: 0, bytes_shipped: 0 });
+            return Ok(AppendOutcome { rows: 0, shards: Vec::new(), bytes_shipped: 0 });
         }
-        let deltas = (0..self.shard_count)
-            .map(|s| Ok(shard_delta(delta, s, self.shard_count)?.map(|rows| (s as u64, rows))))
-            .filter_map(Result::transpose)
+        let max_chunk_rows =
+            self.config.build.partition.as_ref().map_or(usize::MAX, |spec| spec.max_chunk_rows);
+        let pieces = delta.len().div_ceil(max_chunk_rows.max(1)).min(self.shard_count);
+        let mut loads = root.shard_rows();
+        loads.sort_unstable_by_key(|&(shard, rows)| (rows, shard));
+        let shards: Vec<u64> = loads.iter().take(pieces).map(|&(shard, _)| shard).collect();
+        let deltas = (shards.iter().enumerate())
+            .map(|(i, &shard)| Ok((shard, contiguous_piece(delta, i, pieces)?)))
             .collect::<Result<Vec<_>>>()?;
         // From here on a failure may have touched some shards and not
         // others.
@@ -405,7 +420,7 @@ impl Cluster {
                 }
                 // Unlike a rebuild, worker processes (and whoever waits at
                 // them) survive: the queue / saturation estimates are kept.
-                Ok(AppendOutcome { rows: delta.len() as u64, bytes_shipped: ack.bytes })
+                Ok(AppendOutcome { rows: delta.len() as u64, shards, bytes_shipped: ack.bytes })
             }
             Err(e) => {
                 (self.root, self.workers) = (None, None);
@@ -660,25 +675,27 @@ fn needs_rebuild() -> Error {
     )
 }
 
-/// Split `table` into contiguous row ranges (not round-robin: that
-/// preserves the "implicit clustering" of appended log records the paper's
-/// partitioning benefits from) and build the tree over them at `epoch`: one
-/// leaf (pair) per shard — each shard's rows dictionary-coded once
-/// ([`shard_delta`]) and handed to a local leaf or put in a `Load` frame —
-/// then merge levels, bottom-up, until one fits the fanout. Returns the
-/// root that mixes that top level, the worker processes beneath it, and the
-/// shard count. Where [`ClusterConfig::transport`] is read.
+/// Split `table` into one contiguous row range per shard (not round-robin:
+/// that preserves the "implicit clustering" of log records the paper's
+/// partitioning benefits from, §2.2 — an append keeps it too, landing each
+/// of its pieces whole on one shard) and build the tree over them at
+/// `epoch`: one leaf (pair) per shard — each shard's rows
+/// dictionary-coded once ([`contiguous_piece`]) and handed to a local leaf
+/// or put in a `Load` frame — then merge levels, bottom-up, until one fits
+/// the fanout. Returns the root that mixes that top level, the worker
+/// processes beneath it, and the shard count. Where
+/// [`ClusterConfig::transport`] is read.
 fn build_tree(
     table: &Table,
     config: &ClusterConfig,
     epoch: u64,
 ) -> Result<(Node, Option<Workers>, usize)> {
-    let shard_count = config.shards.clamp(1, table.len().max(1));
+    if table.is_empty() {
+        return Err(Error::Data("cannot build a tree over a table with no rows".into()));
+    }
+    let shard_count = config.shards.clamp(1, table.len());
     let fanout = config.tree.fanout.max(2);
-    let coded = |shard: u64| {
-        shard_delta(table, shard as usize, shard_count)?
-            .ok_or_else(|| Error::Data("cannot build a tree over a table with no rows".into()))
-    };
+    let coded = |shard: u64| contiguous_piece(table, shard as usize, shard_count);
     let (children, workers) = match &config.transport {
         Transport::InProcess => {
             let mut level = Vec::with_capacity(shard_count);
@@ -750,20 +767,16 @@ pub(crate) fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> Nod
     NodeSpec { name, cache_entries: config.shard_cache, epoch, threads: config.threads }
 }
 
-/// Shard `s`'s contiguous slice of `table` under an `shard_count`-way split
-/// — the *same* row assignment for both transports and for appended
-/// batches, so neither can ever re-partition the data — as column slices,
-/// dictionary-coded once: the one form in which rows reach a leaf. `None`
-/// when the slice holds no row.
-fn shard_delta(table: &Table, s: usize, shard_count: usize) -> Result<Option<TableDelta>> {
+/// Piece `i` of `table` cut into `pieces` contiguous row ranges of near
+/// equal size — a build's shard `i` of `pieces` shards, or an append's
+/// piece `i` — as column slices, dictionary-coded once: the one form in
+/// which rows reach a leaf. Never empty while `pieces` ≤ the row count.
+fn contiguous_piece(table: &Table, i: usize, pieces: usize) -> Result<TableDelta> {
     let n = table.len();
-    let rows = n * s / shard_count..n * (s + 1) / shard_count;
-    if rows.is_empty() {
-        return Ok(None);
-    }
+    let rows = n * i / pieces..n * (i + 1) / pieces;
     let columns: Vec<&[Value]> =
-        (0..table.schema().len()).map(|i| &table.column(i)[rows.clone()]).collect();
-    TableDelta::from_columns(table.schema().clone(), &columns).map(Some)
+        (0..table.schema().len()).map(|c| &table.column(c)[rows.clone()]).collect();
+    TableDelta::from_columns(table.schema().clone(), &columns)
 }
 
 #[cfg(test)]

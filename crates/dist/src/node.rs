@@ -212,6 +212,24 @@ impl Node {
         }
     }
 
+    /// `(shard, rows)` of every shard beneath this node, read in place off
+    /// the summaries [`Node::metas`] copies: what an append is routed by.
+    pub(crate) fn shard_rows(&self) -> Vec<(u64, u64)> {
+        let mut rows = Vec::new();
+        match &self.role {
+            Role::Leaf(leaf) => {
+                let leaf = leaf.read();
+                rows.push((leaf.shard, leaf.meta.rows));
+            }
+            Role::Mixer(children) => {
+                for child in children {
+                    rows.extend(child.metas.read().iter().map(|meta| (meta.shard, meta.rows)));
+                }
+            }
+        }
+        rows
+    }
+
     /// Summed `(hits, misses)` of this node's result cache and of every
     /// node beneath it that is reachable in this address space.
     pub fn cache_stats(&self) -> (u64, u64) {

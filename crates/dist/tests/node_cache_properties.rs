@@ -11,7 +11,7 @@
 //!    remembers short, not wrong: the root (and every merge server
 //!    process) brings a remembered chart up to date from the rows that
 //!    arrived since, still without a hop — on either edge kind every mixer
-//!    is told; a leaf drops its node cache as it applies its slice;
+//!    is told; a leaf drops its node cache as it applies its piece;
 //! 3. capacity eviction can change `ScanStats`, never results;
 //! 4. what the caches hold is a function of the query sequence: a replayed
 //!    session reproduces every outcome (in-memory edges only — of a socket
@@ -787,13 +787,90 @@ fn local_trees_with_interleaved_appends_match_a_single_store() {
     }
 }
 
-/// One row appended to a 4-shard, fanout-2 socket tree falls into the last
-/// shard's slice alone. The append walks the tree: the row crosses the two
-/// edges down to shard 3, and every other node — the other merge server and
-/// the three other leaves — gets an `Append` without deltas, which only
-/// tells it the epoch, so it keeps what it remembers. The bytes the append
-/// reports are those frames, encoded here from the same requests. Every
-/// later answer is the single store's.
+/// An append lands where a chunk would, on both edge kinds: random trees of
+/// 1–5 shards, partitioned at a random chunk size (or not at all), get
+/// batches of 1 row to three chunks. Against the test's own row model of
+/// every shard, each batch is cut into `min(shards, ⌈rows / chunk⌉)`
+/// contiguous pieces (one when unpartitioned) that go to the least-loaded
+/// shards, ties to the lowest id; the shards never drift further apart
+/// than the largest piece so far (or one row); and every answer is the
+/// single store's over the rows so far.
+#[test]
+fn a_batch_goes_whole_to_the_least_loaded_shards() {
+    for (kind, transport) in edge_kinds() {
+        let mut rng = Rng::seed_from_u64(0x05ca_1e0a);
+        for case in 0..6 {
+            let shards = rng.range_usize(1, 6);
+            let chunk = rng.range_usize(3, 12);
+            let partitioned = rng.chance(0.75);
+            let mut build = BuildOptions::basic();
+            if partitioned {
+                build = BuildOptions::production(&["k", "g"]);
+                build.partition.as_mut().unwrap().max_chunk_rows = chunk;
+            }
+            let base_rows = rng.range_usize(shards, 60);
+            let mut all = random_table(&mut rng, base_rows);
+            let mut cluster = Cluster::build(
+                &all,
+                &ClusterConfig {
+                    shards,
+                    shard_cache: 16,
+                    build,
+                    tree: TreeShape { fanout: 2 },
+                    transport: transport.clone(),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let n = all.len();
+            let mut loads: Vec<usize> =
+                (0..shards).map(|s| n * (s + 1) / shards - n * s / shards).collect();
+            let mut largest_piece = 0;
+            for step in 0..8 {
+                let label = format!(
+                    "{kind} case {case} ({shards} shards, chunk {chunk}, partitioned \
+                     {partitioned}) step {step}"
+                );
+                let rows = rng.range_usize(1, 3 * chunk + 1);
+                let pieces = if partitioned { rows.div_ceil(chunk).min(shards) } else { 1 };
+                let mut order: Vec<usize> = (0..shards).collect();
+                order.sort_by_key(|&s| (loads[s], s));
+                let want: Vec<u64> = order[..pieces].iter().map(|&s| s as u64).collect();
+                for (i, &s) in order[..pieces].iter().enumerate() {
+                    let piece = rows * (i + 1) / pieces - rows * i / pieces;
+                    loads[s] += piece;
+                    largest_piece = largest_piece.max(piece);
+                }
+                let batch = random_table(&mut rng, rows);
+                let appended = cluster.append(&batch).unwrap();
+                assert_eq!(appended.rows, rows as u64, "{label}");
+                assert_eq!(appended.shards, want, "{label}: the least-loaded shards, in order");
+                let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
+                assert!(spread <= largest_piece.max(1), "{label}: loads {loads:?}");
+                (0..rows).for_each(|row| all.push_row(batch.row(row)).unwrap());
+                let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+                for _ in 0..2 {
+                    let sql = random_query(&mut rng);
+                    if refused(&cluster, &store, &sql) {
+                        continue;
+                    }
+                    let outcome = cluster.query(&sql).unwrap();
+                    assert_eq!(outcome.result, query(&store, &sql).unwrap().0, "{label}: {sql}");
+                    assert_eq!(outcome.stats.rows_total, all.len() as u64, "{label}: {sql}");
+                    assert_balanced(&outcome, &label);
+                }
+            }
+        }
+    }
+}
+
+/// One row appended to a 4-shard, fanout-2 socket tree goes to shard 0,
+/// the lowest of four equally loaded shards. The append walks the tree: the
+/// row crosses the two edges down to shard 0, and every other node — the
+/// other merge server and the three other leaves — gets an `Append`
+/// without deltas, which only tells it the epoch, so it keeps what it
+/// remembers. The bytes the append reports are those frames, encoded here
+/// from the same requests. Every later answer is the single store's.
 #[test]
 fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
     use pd_dist::rpc::{encode_frame, AppendRequest};
@@ -811,7 +888,9 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
         }
     }
 
-    let shipped = cluster.append(&row).unwrap().bytes_shipped;
+    let appended = cluster.append(&row).unwrap();
+    assert_eq!(appended.shards, [0], "the lowest of four equal shards");
+    let shipped = appended.bytes_shipped;
     let compress = RpcConfig::default().compress;
     let frame_len = |deltas| {
         let append = AppendRequest { epoch: 2, deltas };
@@ -819,8 +898,8 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
     };
     assert_eq!(
         shipped,
-        2 * frame_len(vec![(3, coded(&row))]) + 4 * frame_len(Vec::new()),
-        "the row on the two edges above shard 3, the epoch alone on the four others"
+        2 * frame_len(vec![(0, coded(&row))]) + 4 * frame_len(Vec::new()),
+        "the row on the two edges above shard 0, the epoch alone on the four others"
     );
 
     let mut all = base.clone();

@@ -573,18 +573,39 @@ impl GlobalDict {
     /// values are appended to the tail in first-seen order and receive the
     /// next ids. Existing ids are **never** renumbered — the code
     /// stability property dictionary-delta shipping relies on. Every value
-    /// must match the dictionary's type exactly; `Null` is rejected.
+    /// must match the dictionary's type exactly; `Null` is rejected before
+    /// anything changes.
+    ///
+    /// O(k log n + t) for k values, a base of n and a tail of t: each value
+    /// is looked up in the base, and the misses are matched against the
+    /// tail in one pass — a tail grows with every append, and a lookup per
+    /// miss would make a long ingest quadratic in it.
     pub fn extend(&mut self, values: &[Value]) -> Result<Vec<u32>> {
         let dtype = self.data_type();
-        let mut ids = Vec::with_capacity(values.len());
-        for v in values {
-            if v.data_type() != Some(dtype) {
-                return Err(type_mismatch(dtype, v));
-            }
-            if let Some(id) = self.id_of(v) {
-                ids.push(id);
-                continue;
-            }
+        if let Some(v) = values.iter().find(|v| v.data_type() != Some(dtype)) {
+            return Err(type_mismatch(dtype, v));
+        }
+        let base = match &*self {
+            GlobalDict::Tailed(t) => &t.base,
+            sorted => sorted,
+        };
+        let base_len = base.len();
+        // A base id, or the slot of a value the base misses: one slot per
+        // distinct miss, in first-seen order.
+        let mut misses: Vec<&Value> = Vec::new();
+        let mut slot_of: FxHashMap<&Value, usize> = FxHashMap::default();
+        let found: Vec<std::result::Result<u32, usize>> = (values.iter())
+            .map(|v| {
+                base.id_of(v).ok_or_else(|| {
+                    *slot_of.entry(v).or_insert_with(|| {
+                        misses.push(v);
+                        misses.len() - 1
+                    })
+                })
+            })
+            .collect();
+        let mut resolved = vec![None; misses.len()];
+        if !misses.is_empty() {
             // First genuinely new value: wrap the sorted dictionary in a
             // tail in place (ids `[0, len)` keep their meaning).
             if !matches!(self, GlobalDict::Tailed(_)) {
@@ -593,11 +614,22 @@ impl GlobalDict {
                 *self = GlobalDict::Tailed(TailedDict { base: Box::new(base), tail: Vec::new() });
             }
             let GlobalDict::Tailed(t) = self else { unreachable!("just wrapped") };
-            let id = t.base.len() + t.tail.len() as u32;
-            t.tail.push(v.clone());
-            ids.push(id);
+            for (position, value) in t.tail.iter().enumerate() {
+                if let Some(&slot) = slot_of.get(value) {
+                    resolved[slot] = Some(base_len + position as u32);
+                }
+            }
+            for (id, value) in resolved.iter_mut().zip(misses) {
+                if id.is_none() {
+                    *id = Some(base_len + t.tail.len() as u32);
+                    t.tail.push(value.clone());
+                }
+            }
         }
-        Ok(ids)
+        Ok(found
+            .into_iter()
+            .map(|f| f.unwrap_or_else(|slot| resolved[slot].expect("resolved")))
+            .collect())
     }
 
     /// Serialize the dictionary contents for the compressed layer:

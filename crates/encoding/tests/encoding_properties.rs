@@ -2,8 +2,8 @@
 //! driven by a seeded PRNG so failures reproduce exactly.
 
 use pd_common::rng::Rng;
-use pd_common::Value;
-use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, TrieDict};
+use pd_common::{DataType, Value};
+use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, GlobalDict, TrieDict};
 
 /// The double indirection must reconstruct the original column exactly:
 /// dict(ids[row]) == values[row] (§2.3's "synchronously iterating").
@@ -251,6 +251,60 @@ fn id_order_is_value_order_when_value_ordered() {
         }
     }
     assert!(tailed_out_of_order > 48, "tails must break id order: {tailed_out_of_order}");
+}
+
+/// `extend` hands out the ids a value-by-value model does: a value the
+/// dictionary holds — in its base or its tail — keeps its id, a new one
+/// gets the next id once, however often one call repeats it, and the
+/// dictionary afterwards holds exactly the model's values in id order.
+/// Runs over every flavour, tailed and not, through several extends.
+#[test]
+fn extend_assigns_the_ids_a_value_by_value_model_does() {
+    let mut rng = Rng::seed_from_u64(0xd1c7_0009);
+    let mut tail_hits = 0;
+    for case in 0..32 {
+        for (name, mut dict) in random_dicts(&mut rng) {
+            let mut model: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
+            for round in 0..3 {
+                let values: Vec<Value> = (0..rng.range_usize(0, 60))
+                    .map(|_| match rng.range_usize(0, 3) {
+                        // One the dictionary holds, base or tail, or a
+                        // fresh one of its type (repeats likely).
+                        0 => model[rng.range_usize(0, model.len())].clone(),
+                        _ => match dict.data_type() {
+                            DataType::Int => Value::Int(rng.range_i64_inclusive(-900, 900)),
+                            DataType::Float => match rng.range_usize(0, 8) {
+                                0 => Value::Float(-0.0),
+                                1 => Value::Float(f64::NAN),
+                                _ => Value::Float(rng.range_i64_inclusive(-600, 600) as f64 / 4.0),
+                            },
+                            DataType::Str => Value::from(format!("v{}", rng.range_usize(0, 90))),
+                        },
+                    })
+                    .collect();
+                let base_len = match &dict {
+                    GlobalDict::Tailed(t) => t.base().len(),
+                    sorted => sorted.len(),
+                } as usize;
+                let held_before = model.len();
+                let want: Vec<u32> = (values.iter())
+                    .map(|v| {
+                        let id = model.iter().position(|m| m == v).unwrap_or_else(|| {
+                            model.push(v.clone());
+                            model.len() - 1
+                        });
+                        tail_hits += usize::from((base_len..held_before).contains(&id));
+                        id as u32
+                    })
+                    .collect();
+                let got = dict.extend(&values).unwrap();
+                assert_eq!(got, want, "case {case} {name} round {round}: {values:?}");
+                let held: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
+                assert_eq!(held, model, "case {case} {name} round {round}");
+            }
+        }
+    }
+    assert!(tail_hits > 1_000, "values the tail held must be asked: {tail_hits}");
 }
 
 /// The trie rejects what it cannot answer in one ordered walk.
