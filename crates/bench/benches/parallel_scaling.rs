@@ -7,26 +7,21 @@
 //! group-by-heavy queries should approach linear scaling until the merge
 //! and finalize phases dominate.
 
-use pd_bench::experiments::{paper_partition, QUERIES};
+use pd_bench::experiments::{paper_partition, reordered_store, QUERIES};
 use pd_bench::{fmt_duration, json_line, logs_table, measure_n, measure_stats, Bench};
-use pd_core::{execute, BuildOptions, DataStore, ExecContext};
+use pd_core::{execute, ExecContext};
 use pd_sql::{analyze, parse_query};
 use std::hint::black_box;
 
 fn main() {
     let rows = pd_bench::rows_from_env_or(500_000);
     let table = logs_table(rows);
-    let mut options = BuildOptions::reordered(paper_partition(rows));
-    if let Some(spec) = &mut options.partition {
-        // Enough chunks that 8 workers stay busy.
-        spec.max_chunk_rows = (rows / 64).clamp(500, 50_000);
-    }
-    let store = DataStore::build(&table, &options).expect("store");
-    println!(
-        "dataset: {rows} rows in {} chunks (threshold {})",
-        store.chunk_count(),
-        options.partition.as_ref().map_or(0, |s| s.max_chunk_rows)
-    );
+    let mut spec = paper_partition(rows);
+    // Enough chunks that 8 workers stay busy.
+    spec.max_chunk_rows = (rows / 64).clamp(500, 50_000);
+    let threshold = spec.max_chunk_rows;
+    let store = reordered_store(&table, spec);
+    println!("dataset: {rows} rows in {} chunks (threshold {threshold})", store.chunk_count());
     let cores = pd_core::scheduler::available_threads();
     println!("detected core count: {cores}");
     let check_speedups = cores > 1;

@@ -39,6 +39,14 @@ pub fn paper_partition(rows: usize) -> PartitionSpec {
     PartitionSpec::new(&["country", "table_name"], threshold)
 }
 
+/// §3's "Reorder" rung: the table sorted by the partition fields (the
+/// order of their dictionary ids), imported with OptDicts.
+pub fn reordered_store(table: &Table, spec: PartitionSpec) -> DataStore {
+    let fields: Vec<&str> = spec.fields.iter().map(String::as_str).collect();
+    let sorted = table.sorted_by(&fields).expect("the partition fields are columns");
+    DataStore::build(&sorted, &BuildOptions::optdicts(spec)).expect("store")
+}
+
 /// Zippy-compressed bytes of a column's chunk payloads (chunk dictionary +
 /// elements), each chunk compressed on its own — chunk granularity is what
 /// §3's two-layer cache would move around.
@@ -226,7 +234,7 @@ pub fn table4(rows: usize) {
         .collect();
     printer.row(&["Zippy", &z[0], &z[1], &z[2]]);
 
-    let reordered = DataStore::build(&table, &BuildOptions::reordered(spec)).expect("store");
+    let reordered = reordered_store(&table, spec);
     let r: Vec<String> = QUERIES
         .iter()
         .map(|(_, sql)| format!("{:.2}", mb(zippy_for_query(&reordered, sql).expect("zip"))))
@@ -269,7 +277,7 @@ pub fn reorder(rows: usize) {
     let table = logs_table(rows);
     let spec = paper_partition(rows);
     let plain = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).expect("store");
-    let sorted = DataStore::build(&table, &BuildOptions::reordered(spec)).expect("store");
+    let sorted = reordered_store(&table, spec);
     let printer =
         TablePrinter::new(&["query", "plain KB", "reordered KB", "factor"], &[6, 12, 13, 7]);
     for (name, sql) in QUERIES {
@@ -360,8 +368,7 @@ pub fn cache(rows: usize) {
     println!("paper: one-time scans invalidate LRU; production uses an ARC/2Q-like policy\n");
 
     let table = logs_table(rows);
-    let store =
-        DataStore::build(&table, &BuildOptions::reordered(paper_partition(rows))).expect("store");
+    let store = reordered_store(&table, paper_partition(rows));
     // Budget ~12% of the hot columns so eviction pressure is real.
     let hot_bytes = report_for_query(&store, Q1).expect("r").total()
         + report_for_query(&store, Q3).expect("r").total();
@@ -631,7 +638,7 @@ pub fn partitioning(rows: usize) {
     for divisor in [20usize, 60, 200, 600] {
         let threshold = (rows / divisor).max(50);
         let spec = PartitionSpec::new(&["country", "table_name"], threshold);
-        let store = DataStore::build(&table, &BuildOptions::reordered(spec)).expect("store");
+        let store = reordered_store(&table, spec);
         let (_, stats) = query(&store, selective).expect("query");
         let q1 = report_for_query(&store, Q1).expect("report").total();
         let q3 = report_for_query(&store, Q3).expect("report").total();
@@ -786,8 +793,12 @@ mod tests {
     use super::*;
     use pd_data::{generate_logs, LogsSpec};
 
+    fn table() -> Table {
+        generate_logs(&LogsSpec::scaled(4_000))
+    }
+
     fn store(options: &BuildOptions) -> DataStore {
-        DataStore::build(&generate_logs(&LogsSpec::scaled(4_000)), options).unwrap()
+        DataStore::build(&table(), options).unwrap()
     }
 
     #[test]
@@ -802,7 +813,7 @@ mod tests {
     fn reorder_improves_compressed_chunks() {
         let spec = PartitionSpec::new(&["country", "table_name"], 500);
         let plain = store(&BuildOptions::optdicts(spec.clone()));
-        let reordered = store(&BuildOptions::reordered(spec));
+        let reordered = reordered_store(&table(), spec);
         let a = zippy_chunks_for_query(&plain, Q3).unwrap();
         let b = zippy_chunks_for_query(&reordered, Q3).unwrap();
         assert!(b < a, "reorder must improve compression: {b} vs {a}");

@@ -77,7 +77,9 @@ use std::time::Duration;
 /// travels as its exact 16-byte (`i128`) sum.
 /// Version 13: an analyzed query's table is a plain string, without the
 /// option tag it had while a `FROM` could hold a subquery.
-pub const FRAME_VERSION: u8 = 13;
+/// Version 14: `BuildOptions` loses its row-reordering flag; a table that
+/// wants §3's clustered rows is sorted before its import.
+pub const FRAME_VERSION: u8 = 14;
 
 /// The frame payload is compressed (`pd-compress`, Zippy family). The
 /// receiver decompresses before decoding; the flag is per frame, so a

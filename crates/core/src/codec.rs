@@ -229,7 +229,6 @@ impl Encode for BuildOptions {
             DictMode::Sorted => 0,
             DictMode::Trie => 1,
         });
-        self.reorder.encode(out);
     }
 }
 
@@ -246,7 +245,7 @@ impl Decode for BuildOptions {
             1 => DictMode::Trie,
             other => return Err(Error::Data(format!("wire: invalid dict-mode tag {other}"))),
         };
-        Ok(BuildOptions { partition, elements, dicts, reorder: bool::decode(r)? })
+        Ok(BuildOptions { partition, elements, dicts })
     }
 }
 

@@ -5,10 +5,10 @@
 //! (`value_at`), which is how Figure 1's
 //! `dict(ch0.dict(ch0.elems[3]))` lookup chain appears in code.
 
-use crate::options::BuildOptions;
+use crate::options::{BuildOptions, DictMode};
 use crate::partition::Partitioning;
 use pd_common::{DataType, FxHashMap, HeapSize, Result, Value};
-use pd_encoding::{build_dict, ChunkDict, Elements, GlobalDict};
+use pd_encoding::{ChunkDict, Elements, GlobalDict};
 
 /// Per-chunk storage: chunk dictionary + elements.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,32 +64,26 @@ pub struct StoredColumn {
 }
 
 impl StoredColumn {
-    /// Encode `values` (already permuted into the final row order) against
-    /// `partitioning`'s chunk boundaries.
-    pub fn build(
-        values: &[Value],
-        partitioning: &Partitioning,
-        options: &BuildOptions,
-    ) -> Result<StoredColumn> {
-        let use_trie = options.dicts == crate::options::DictMode::Trie;
-        let (dict, global_ids) = build_dict(values, use_trie)?;
-        Ok(StoredColumn::from_global_ids(dict, &global_ids, partitioning, options))
-    }
-
-    /// Encode from a dictionary and one global-id per row (already permuted
-    /// into the final row order) — what every base column of an import is
-    /// built from.
+    /// Encode from a sorted dictionary and one global-id per row, in stored
+    /// order, against `partitioning`'s chunk boundaries — what every base
+    /// column of an import and every virtual field is built from. A string
+    /// dictionary becomes a trie here when the options ask for one.
     pub fn from_global_ids(
         dict: GlobalDict,
         global_ids: &[u32],
         partitioning: &Partitioning,
         options: &BuildOptions,
-    ) -> StoredColumn {
+    ) -> Result<StoredColumn> {
+        let dict = if options.dicts == DictMode::Trie && dict.data_type() == DataType::Str {
+            dict.optimize()?
+        } else {
+            dict
+        };
         let chunk_lens: Vec<usize> =
             (0..partitioning.chunk_count()).map(|c| partitioning.chunk_range(c).len()).collect();
         let mut column = StoredColumn { dict, chunks: Vec::with_capacity(chunk_lens.len()) };
         column.append_chunks(global_ids, &chunk_lens, options);
-        column
+        Ok(column)
     }
 
     /// Append pre-resolved global-ids as fresh chunks of the given row
@@ -203,6 +197,13 @@ impl HeapSize for StoredColumn {
 mod tests {
     use super::*;
     use crate::options::PartitionSpec;
+    use pd_encoding::build_dict;
+
+    /// Code `values` (in stored order) and encode them as one column.
+    fn build(values: &[Value], p: &Partitioning, options: &BuildOptions) -> StoredColumn {
+        let (dict, global_ids) = build_dict(values).unwrap();
+        StoredColumn::from_global_ids(dict, &global_ids, p, options).unwrap()
+    }
 
     fn values(strs: &[&str]) -> Vec<Value> {
         strs.iter().map(|s| Value::from(*s)).collect()
@@ -234,7 +235,7 @@ mod tests {
     #[test]
     fn figure1_layout_reconstructs() {
         let (vals, p) = figure1_column();
-        let col = StoredColumn::build(&vals, &p, &BuildOptions::basic()).unwrap();
+        let col = build(&vals, &p, &BuildOptions::basic());
         assert_eq!(col.chunks.len(), 3);
         for c in 0..3 {
             let range = p.chunk_range(c);
@@ -249,7 +250,7 @@ mod tests {
     #[test]
     fn global_ids_of_drops_absent_values() {
         let (vals, p) = figure1_column();
-        let col = StoredColumn::build(&vals, &p, &BuildOptions::basic()).unwrap();
+        let col = build(&vals, &p, &BuildOptions::basic());
         let ids = col
             .global_ids_of(&[
                 Value::from("la redoute"),
@@ -265,12 +266,12 @@ mod tests {
     fn global_ids_of_follows_sql_equality_across_numeric_types() {
         let p = Partitioning::single_chunk(3);
         let floats = [Value::Float(-0.0), Value::Float(0.0), Value::Float(2.0)];
-        let col = StoredColumn::build(&floats, &p, &BuildOptions::basic()).unwrap();
+        let col = build(&floats, &p, &BuildOptions::basic());
         // Integer zero equals both float zeros; other integers name one entry.
         assert_eq!(col.global_ids_of(&[Value::Int(0)]), Some(vec![0, 1]));
         assert_eq!(col.global_ids_of(&[Value::Int(2), Value::Float(0.0)]), Some(vec![1, 2]));
         let ints = [Value::Int(0), Value::Int(5), Value::Int(i64::MAX)];
-        let col = StoredColumn::build(&ints, &p, &BuildOptions::basic()).unwrap();
+        let col = build(&ints, &p, &BuildOptions::basic());
         assert_eq!(col.global_ids_of(&[Value::Float(5.0), Value::Float(5.5)]), Some(vec![1]));
         // Not "absent": several integers may equal a float this large.
         assert_eq!(col.global_ids_of(&[Value::Int(5), Value::Float(1e30)]), None);
@@ -285,15 +286,10 @@ mod tests {
         vals.extend(values(&["DE"; 100]));
         let p = Partitioning { row_order: (0..200).collect(), chunk_starts: vec![0, 100, 200] };
 
-        let basic = StoredColumn::build(&vals, &p, &BuildOptions::basic()).unwrap();
+        let basic = build(&vals, &p, &BuildOptions::basic());
         assert_eq!(basic.elements_bytes(), 200 * 4);
 
-        let opt = StoredColumn::build(
-            &vals,
-            &p,
-            &BuildOptions::optcols(PartitionSpec::new(&["country"], 100)),
-        )
-        .unwrap();
+        let opt = build(&vals, &p, &BuildOptions::optcols(PartitionSpec::new(&["country"], 100)));
         assert_eq!(opt.elements_bytes(), 0, "both chunks are single-valued");
         assert_eq!(opt.chunks[0].elements.repr_name(), "const");
     }
@@ -307,8 +303,8 @@ mod tests {
             .collect();
         let p = Partitioning::single_chunk(vals.len());
         let spec = PartitionSpec::new(&[], 1_000_000);
-        let sorted = StoredColumn::build(&vals, &p, &BuildOptions::optcols(spec.clone())).unwrap();
-        let trie = StoredColumn::build(&vals, &p, &BuildOptions::optdicts(spec)).unwrap();
+        let sorted = build(&vals, &p, &BuildOptions::optcols(spec.clone()));
+        let trie = build(&vals, &p, &BuildOptions::optdicts(spec));
         assert!(
             trie.dict_bytes() < sorted.dict_bytes() / 2,
             "trie {} vs sorted {}",
@@ -325,7 +321,7 @@ mod tests {
     fn numeric_columns_round_trip() {
         let vals: Vec<Value> = (0..500).map(|i| Value::Int((i % 37) * 1000)).collect();
         let p = Partitioning { row_order: (0..500).collect(), chunk_starts: vec![0, 250, 500] };
-        let col = StoredColumn::build(&vals, &p, &BuildOptions::default()).unwrap();
+        let col = build(&vals, &p, &BuildOptions::default());
         assert_eq!(col.data_type(), DataType::Int);
         for c in 0..2 {
             for (i, global_row) in p.chunk_range(c).clone().enumerate() {

@@ -1,13 +1,14 @@
 //! The import pipeline and column registry.
 //!
-//! The §2.2–2.3 import is four steps over dictionary codes: code every
+//! The §2.2–2.3 import is three steps over dictionary codes: code every
 //! column once (a sorted dictionary plus one code per row — a
 //! [`TableDelta`], made by [`DataStore::build`] from a table or by whoever
 //! shipped the rows), run the composite range partitioner over the
-//! partition fields' codes, optionally reorder rows lexicographically
-//! within chunks (§3), then encode every column against the resulting
-//! chunk boundaries. [`DataStore::from_coded`] is the last three; an
-//! append ([`DataStore::append_delta`]) takes the same coded columns.
+//! partition fields' codes, then encode every column against the resulting
+//! chunk boundaries. [`DataStore::from_coded`] is the last two; an append
+//! ([`DataStore::append_delta`]) takes the same coded columns. Rows keep
+//! their input order within a chunk: §3's lexicographic reordering is a
+//! sort of the table before its import ([`Table::sorted_by`]).
 //!
 //! §5 "Complex Expressions" lives here too: [`DataStore::column_for_expr`]
 //! materializes arbitrary scalar expressions as *virtual fields* — stored
@@ -20,7 +21,7 @@ use crate::column::StoredColumn;
 use crate::options::BuildOptions;
 use crate::partition::{partition, Partitioning};
 use pd_common::sync::RwLock;
-use pd_common::{DataType, Error, HeapSize, Result, Schema, Value};
+use pd_common::{Error, HeapSize, Result, Schema, Value};
 use pd_data::Table;
 use pd_encoding::{build_dict, CodesView, ColumnDelta, GlobalDict, TableDelta};
 use pd_sql::{eval_expr, Expr, RowContext};
@@ -71,34 +72,18 @@ impl DataStore {
             }
         }
         let max_rows = options.partition.as_ref().map_or(usize::MAX, |s| s.max_chunk_rows);
-        let mut partitioning = if keys.is_empty() {
+        let partitioning = if keys.is_empty() {
             Partitioning::single_chunk(n_rows)
         } else {
             partition(&keys, n_rows, max_rows)
         };
 
-        // 2. Optional §3 reorder: lexicographic by the partition field ids
-        //    within each chunk (stable on the original row index).
-        if options.reorder && !keys.is_empty() {
-            for c in 0..partitioning.chunk_count() {
-                let range = partitioning.chunk_range(c);
-                partitioning.row_order[range].sort_by_key(|&r| {
-                    let mut key: Vec<u32> = keys.iter().map(|col| col[r as usize]).collect();
-                    key.push(r); // stable tie-break
-                    key
-                });
-            }
-        }
-
-        // 3. Encode every column in the final row order.
-        let use_trie = options.dicts == crate::options::DictMode::Trie;
+        // 2. Encode every column in the partitioning's row order.
         let mut stored = BTreeMap::new();
         for ColumnDelta { name, dict, codes } in columns {
             let permuted: Vec<u32> =
                 partitioning.row_order.iter().map(|&r| codes[r as usize]).collect();
-            let dict =
-                if use_trie && dict.data_type() == DataType::Str { dict.optimize()? } else { dict };
-            let column = StoredColumn::from_global_ids(dict, &permuted, &partitioning, options);
+            let column = StoredColumn::from_global_ids(dict, &permuted, &partitioning, options)?;
             stored.insert(name, Arc::new(column));
         }
 
@@ -251,8 +236,8 @@ impl DataStore {
         Ok(guard.entry(key).or_insert(field).column.clone())
     }
 
-    /// Evaluate `expr` for every row (in stored order) and encode the
-    /// result as a column.
+    /// Evaluate `expr` for every row (in stored order), code the values
+    /// and encode them as a base column's codes are encoded.
     fn materialize(&self, expr: &Expr) -> Result<StoredColumn> {
         if self.n_rows == 0 {
             return Err(Error::Data("cannot materialize expressions over an empty store".into()));
@@ -278,7 +263,8 @@ impl DataStore {
                 .collect();
             eval_run(expr, &sources, self.chunk_rows(c), &mut values)?;
         }
-        StoredColumn::build(&values, &self.partitioning, &self.options)
+        let (dict, codes) = build_dict(&values)?;
+        StoredColumn::from_global_ids(dict, &codes, &self.partitioning, &self.options)
     }
 
     /// Memory footprint of the named columns/virtual fields (Tables 1–4
@@ -318,7 +304,7 @@ impl VirtualField {
         let mut values = Vec::with_capacity(delta.rows as usize);
         eval_run(&self.expr, &sources, delta.rows as usize, &mut values).ok()?;
         // Mixed types and nulls are refused by the coding itself.
-        let (dict, codes) = build_dict(&values, false).ok()?;
+        let (dict, codes) = build_dict(&values).ok()?;
         (dict.data_type() == self.column.data_type()).then_some((dict, codes))
     }
 }
@@ -384,7 +370,7 @@ mod tests {
     }
 
     fn production_options() -> BuildOptions {
-        BuildOptions::reordered(PartitionSpec::new(&["country", "table_name"], 500))
+        BuildOptions::optdicts(PartitionSpec::new(&["country", "table_name"], 500))
     }
 
     #[test]
@@ -434,10 +420,11 @@ mod tests {
 
     #[test]
     fn reorder_improves_rle_runs() {
-        let spec = PartitionSpec::new(&["country", "table_name"], 500);
+        let fields = ["country", "table_name"];
+        let options = BuildOptions::optdicts(PartitionSpec::new(&fields, 500));
         let table = generate_logs(&LogsSpec::scaled(3_000));
-        let plain = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
-        let sorted = DataStore::build(&table, &BuildOptions::reordered(spec)).unwrap();
+        let plain = DataStore::build(&table, &options).unwrap();
+        let sorted = DataStore::build(&table.sorted_by(&fields).unwrap(), &options).unwrap();
         let runs = |store: &DataStore| -> usize {
             let col = store.column("table_name").unwrap();
             col.chunks

@@ -1118,12 +1118,13 @@ mod tests {
     #[test]
     fn filter_masks_equal_the_per_row_evaluator_on_every_code_representation() {
         let table = mask_table();
+        let sorted = table.sorted_by(&["s"]).unwrap();
         let spec = PartitionSpec::new(&["s"], 450);
         let stores = [
             ("basic", DataStore::build(&table, &BuildOptions::basic()).unwrap()),
             ("optcols", DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap()),
             // Trie dictionaries: string ranges take the value fallback.
-            ("reordered", DataStore::build(&table, &BuildOptions::reordered(spec)).unwrap()),
+            ("sorted", DataStore::build(&sorted, &BuildOptions::optdicts(spec)).unwrap()),
         ];
         let mut reprs = BTreeSet::new();
         for (_, store) in &stores {
@@ -1182,7 +1183,9 @@ mod tests {
     fn only_declined_leaves_materialize_values() {
         let table = mask_table();
         let spec = PartitionSpec::new(&["s"], 450);
-        let store = DataStore::build(&table, &BuildOptions::reordered(spec)).unwrap();
+        let store =
+            DataStore::build(&table.sorted_by(&["s"]).unwrap(), &BuildOptions::optdicts(spec))
+                .unwrap();
         let cols = |sql: &str| -> Vec<String> {
             let plan = FilterPlan::compile(&store, &parse_filter(sql)).unwrap();
             plan.value_cols.into_iter().map(|(name, _)| name).collect()

@@ -1,16 +1,17 @@
 //! The PowerDrill column-store — the paper's core contribution.
 //!
-//! The store imports a [`pd_data::Table`] once (partitioning, reordering and
+//! The store imports a [`pd_data::Table`] once (partitioning and
 //! dictionary-encoding it, §2.2–2.3) and then answers group-by SQL queries
 //! by skipping inactive chunks (§2.4) and running tight counts-array loops
-//! over the active ones. The §3 "key optimizations" are all build options
-//! ([`BuildOptions`]), so the evaluation ladder (Basic → Chunks → OptCols →
-//! OptDicts → Zippy → Reorder) is expressible as six configurations of the
-//! same store.
+//! over the active ones. The §3 "key optimizations" that change the layout
+//! are build options ([`BuildOptions`]: Basic → Chunks → OptCols →
+//! OptDicts); the ladder's last two rungs are not: Zippy is a measurement
+//! over any build, and Reorder is sorted input + OptDicts (a table sorted
+//! by its partition fields, [`pd_data::Table::sorted_by`], then imported).
 //!
 //! Modules:
 //!
-//! - [`options`] — build configuration (one constructor per paper variant);
+//! - [`options`] — build configuration (one constructor per layout rung);
 //! - [`partition`] — composite range partitioning, heaviest-chunk-first;
 //! - [`column`](module@crate::column) — a stored column: global dict + per-chunk (chunk dict,
 //!   elements);

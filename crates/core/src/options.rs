@@ -1,8 +1,11 @@
 //! Build configuration: the §3 optimization ladder as options.
 //!
-//! Each of the paper's successive variants (Table 4) is a named
-//! constructor, so experiments can build the same dataset six ways and
-//! diff the memory reports.
+//! Each of the paper's layouts (Table 4) is a named constructor, so
+//! experiments can build the same dataset four ways and diff the memory
+//! reports. The ladder's last two rungs are not layouts: "Zippy" is a
+//! measurement over any build, and "Reorder" is sorted input + OptDicts —
+//! a table sorted by its partition fields ([`pd_data::Table::sorted_by`])
+//! built with [`BuildOptions::optdicts`].
 
 use pd_encoding::ElementsMode;
 
@@ -43,26 +46,18 @@ pub struct BuildOptions {
     pub elements: ElementsMode,
     /// String dictionary representation.
     pub dicts: DictMode,
-    /// Lexicographic row reordering by the partition field order (§3
-    /// "Reordering Rows"). Ignored without a partition spec.
-    pub reorder: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions::reordered(PartitionSpec { fields: Vec::new(), max_chunk_rows: 50_000 })
+        BuildOptions::optdicts(PartitionSpec { fields: Vec::new(), max_chunk_rows: 50_000 })
     }
 }
 
 impl BuildOptions {
     /// "Basic" (§2.3): one chunk, 32-bit elements, sorted-array dicts.
     pub fn basic() -> Self {
-        BuildOptions {
-            partition: None,
-            elements: ElementsMode::Basic,
-            dicts: DictMode::Sorted,
-            reorder: false,
-        }
+        BuildOptions { partition: None, elements: ElementsMode::Basic, dicts: DictMode::Sorted }
     }
 
     /// "Chunks" (§3): partitioned, otherwise basic.
@@ -80,17 +75,10 @@ impl BuildOptions {
         BuildOptions { dicts: DictMode::Trie, ..BuildOptions::optcols(spec) }
     }
 
-    /// "Reorder" (§3): + lexicographic row reordering (the Zippy step of
-    /// the ladder is a measurement over any of these builds, not a distinct
-    /// layout).
-    pub fn reordered(spec: PartitionSpec) -> Self {
-        BuildOptions { reorder: true, ..BuildOptions::optdicts(spec) }
-    }
-
     /// The production-style default for a dataset with the given natural
-    /// key fields.
+    /// key fields: OptDicts at the paper's 50'000-row threshold.
     pub fn production(fields: &[&str]) -> Self {
-        BuildOptions::reordered(PartitionSpec::new(fields, 50_000))
+        BuildOptions::optdicts(PartitionSpec::new(fields, 50_000))
     }
 }
 
@@ -113,12 +101,9 @@ mod tests {
         assert_eq!(optcols.elements, ElementsMode::Optimized);
         assert_eq!(optcols.dicts, DictMode::Sorted);
 
-        let optdicts = BuildOptions::optdicts(spec.clone());
+        let optdicts = BuildOptions::optdicts(spec);
         assert_eq!(optdicts.dicts, DictMode::Trie);
-        assert!(!optdicts.reorder);
-
-        let reorder = BuildOptions::reordered(spec);
-        assert!(reorder.reorder);
+        assert_eq!(optdicts.elements, ElementsMode::Optimized);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! rank-order isomorphic to the values (§2.3 dictionaries are sorted), so a
 //! range split on ids is a range split on values.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// The result of partitioning: a row permutation and chunk boundaries.
@@ -96,21 +96,22 @@ pub fn partition(key_columns: &[&[u32]], n_rows: usize, max_chunk_rows: usize) -
         }
     }
 
-    // Restore the original (import) row order within each chunk; the §3
-    // lexicographic reorder is a separate, optional step applied later.
+    // Restore the original (import) row order within each chunk.
     for chunk in &mut chunks {
         chunk.sort_unstable();
     }
     // Deterministic chunk order: by the lexicographically smallest key
-    // tuple occurring in the chunk.
+    // tuple occurring in the chunk. Rows are compared in place, so no key
+    // tuple is collected.
+    let compare = |a: &u32, b: &u32| {
+        let mut fields = key_columns.iter().map(|col| col[*a as usize].cmp(&col[*b as usize]));
+        fields.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    };
+    let smallest: Vec<u32> = (chunks.iter())
+        .map(|rows| *rows.iter().min_by(|a, b| compare(a, b)).expect("chunks are non-empty"))
+        .collect();
     let mut order: Vec<usize> = (0..chunks.len()).collect();
-    order.sort_by_cached_key(|&c| {
-        chunks[c]
-            .iter()
-            .map(|&r| key_columns.iter().map(|col| col[r as usize]).collect::<Vec<u32>>())
-            .min()
-            .expect("chunks are non-empty")
-    });
+    order.sort_by(|&a, &b| compare(&smallest[a], &smallest[b]));
 
     let mut row_order = Vec::with_capacity(n_rows);
     let mut chunk_starts = Vec::with_capacity(chunks.len() + 1);

@@ -407,8 +407,9 @@ fn skipping_is_sound() {
                 ]))
                 .unwrap();
         }
+        let sorted = table.sorted_by(&["k", "g"]).unwrap();
         let store =
-            DataStore::build(&table, &BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)))
+            DataStore::build(&sorted, &BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 8)))
                 .unwrap();
 
         let v1 = rng.range_u64(0, 12);
@@ -636,8 +637,7 @@ fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
         ("basic", BuildOptions::basic()),
         ("chunked", BuildOptions::chunked(spec.clone())),
         ("optcols", BuildOptions::optcols(spec.clone())),
-        ("optdicts", BuildOptions::optdicts(spec.clone())),
-        ("reordered", BuildOptions::reordered(spec)),
+        ("optdicts", BuildOptions::optdicts(spec)),
         ("production", production),
     ];
     let assert_same = |a: &DataStore, b: &DataStore, what: &str| {

@@ -9,6 +9,7 @@
 #[cfg(test)]
 use pd_common::DataType;
 use pd_common::{Error, HeapSize, Result, Row, Schema, Value};
+use std::cmp::Ordering;
 
 /// A schema-validated, column-major table.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +116,22 @@ impl Table {
         Table { schema: self.schema.clone(), columns, rows: indices.len() }
     }
 
+    /// The rows ordered by `fields`, compared in turn by `Value` order —
+    /// the order of a sorted dictionary's ids — with ties kept in input
+    /// order: §3's lexicographic row reordering, done before an import.
+    pub fn sorted_by(&self, fields: &[&str]) -> Result<Table> {
+        let keys: Vec<&[Value]> =
+            fields.iter().map(|name| self.column_by_name(name)).collect::<Result<_>>()?;
+        let mut order: Vec<usize> = (0..self.rows).collect();
+        order.sort_by(|&a, &b| {
+            keys.iter()
+                .map(|key| key[a].cmp(&key[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        Ok(self.select_rows(&order))
+    }
+
     /// Split into `n` quasi-equal horizontal slices (used by sharding).
     pub fn split(&self, n: usize) -> Vec<Table> {
         let n = n.max(1);
@@ -204,6 +221,29 @@ mod tests {
         assert_eq!(picked.len(), 2);
         assert_eq!(picked.row(0).get(0), &Value::Int(3));
         assert_eq!(picked.row(1).get(0), &Value::Int(1));
+    }
+
+    #[test]
+    fn sorted_by_orders_lexicographically_and_keeps_ties_in_input_order() {
+        let mut t = Table::new(schema());
+        for (ts, name, lat) in [(4, "b", 0.5), (1, "a", 1.5), (3, "b", 0.5), (2, "a", -0.5)] {
+            t.push_row(Row(vec![Value::Int(ts), Value::from(name), Value::Float(lat)])).unwrap();
+        }
+        let ts = |t: &Table| -> Vec<Value> { t.column(0).to_vec() };
+        // `name` ties between rows 1, 3 and rows 0, 2: input order holds.
+        assert_eq!(ts(&t.sorted_by(&["name"]).unwrap()), [1, 2, 4, 3].map(Value::Int));
+        assert_eq!(ts(&t.sorted_by(&["lat", "name"]).unwrap()), [2, 4, 3, 1].map(Value::Int));
+        assert_eq!(ts(&t.sorted_by(&["name", "ts"]).unwrap()), [1, 2, 3, 4].map(Value::Int));
+        // No field: every row ties, the table is unchanged.
+        assert_eq!(t.sorted_by(&[]).unwrap(), t);
+        let sorted = t.sorted_by(&["name"]).unwrap();
+        assert_eq!(sorted.len(), 4);
+        assert_eq!(sorted.row(0), t.row(1), "whole rows move");
+    }
+
+    #[test]
+    fn sorted_by_an_unknown_field_is_an_error() {
+        assert!(sample().sorted_by(&["name", "nope"]).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn recipes() -> Vec<(String, BuildOptions)> {
     for max in [1, 50, 2_000] {
         let spec = PartitionSpec::new(&["k", "s"], max);
         recipes.push((format!("basic, chunks ≤ {max}"), BuildOptions::chunked(spec.clone())));
-        recipes.push((format!("production, chunks ≤ {max}"), BuildOptions::reordered(spec)));
+        recipes.push((format!("production, chunks ≤ {max}"), BuildOptions::optdicts(spec)));
     }
     recipes
 }

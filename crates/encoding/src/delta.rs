@@ -38,7 +38,7 @@ impl ColumnDelta {
     /// Build from raw row values (arrival order). Rejects empty input,
     /// nulls and mixed types, like [`build_dict`].
     pub fn from_values(name: &str, values: &[Value]) -> Result<ColumnDelta> {
-        let (dict, codes) = build_dict(values, false)?;
+        let (dict, codes) = build_dict(values)?;
         Ok(ColumnDelta { name: name.to_owned(), dict, codes })
     }
 }

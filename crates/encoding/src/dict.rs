@@ -791,13 +791,14 @@ impl HeapSize for GlobalDict {
     }
 }
 
-/// Build a global dictionary from a raw column and map every row to its
-/// global-id.
+/// Build a sorted global dictionary from a raw column and map every row to
+/// its global-id.
 ///
-/// This is the first half of the import pipeline of §2.3. All values must
-/// share one type; `Null` is rejected (the stores in the paper operate on
+/// This is the first half of the import pipeline of §2.3; a trie is made
+/// from the result by [`GlobalDict::optimize`]. All values must share one
+/// type; `Null` is rejected (the stores in the paper operate on
 /// denormalized, fully populated log tables).
-pub fn build_dict(values: &[Value], use_trie: bool) -> Result<(GlobalDict, Vec<u32>)> {
+pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
     let first = values
         .first()
         .ok_or_else(|| Error::Data("cannot build a dictionary from an empty column".into()))?;
@@ -875,13 +876,7 @@ pub fn build_dict(values: &[Value], use_trie: bool) -> Result<(GlobalDict, Vec<u
             }
             let ids = order.iter().map(|slot| rank_of_slot[*slot as usize]).collect();
             let sorted: Vec<Box<str>> = distinct.iter().map(|(s, _)| (*s).into()).collect();
-            let dict = if use_trie {
-                let refs: Vec<&str> = distinct.iter().map(|(s, _)| *s).collect();
-                StrDict::Trie(TrieDict::from_sorted(&refs)?)
-            } else {
-                StrDict::Sorted(SortedStrDict::from_sorted(sorted)?)
-            };
-            Ok((GlobalDict::Str(dict), ids))
+            Ok((GlobalDict::Str(StrDict::Sorted(SortedStrDict::from_sorted(sorted)?)), ids))
         }
     }
 }
@@ -900,7 +895,7 @@ mod tests {
     #[test]
     fn int_dict_round_trip() {
         let values: Vec<Value> = [5i64, 3, 5, 8, 3, 3, -1].into_iter().map(Value::Int).collect();
-        let (dict, ids) = build_dict(&values, false).unwrap();
+        let (dict, ids) = build_dict(&values).unwrap();
         assert_eq!(dict.len(), 4); // -1, 3, 5, 8
         for (v, id) in values.iter().zip(&ids) {
             assert_eq!(&dict.value(*id), v);
@@ -915,8 +910,8 @@ mod tests {
             .iter()
             .map(|s| Value::from(*s))
             .collect();
-        for use_trie in [false, true] {
-            let (dict, ids) = build_dict(&values, use_trie).unwrap();
+        let (sorted, ids) = build_dict(&values).unwrap();
+        for (use_trie, dict) in [(false, sorted.clone()), (true, sorted.optimize().unwrap())] {
             assert_eq!(dict.len(), 3);
             for (v, id) in values.iter().zip(&ids) {
                 assert_eq!(&dict.value(*id), v, "trie={use_trie}");
@@ -931,7 +926,7 @@ mod tests {
     fn float_dict_handles_total_order() {
         let values: Vec<Value> =
             [1.5f64, -0.0, 0.0, 1.5, f64::NAN].into_iter().map(Value::Float).collect();
-        let (dict, ids) = build_dict(&values, false).unwrap();
+        let (dict, ids) = build_dict(&values).unwrap();
         assert_eq!(dict.len(), 4); // -0.0, 0.0, 1.5, NaN
         for (v, id) in values.iter().zip(&ids) {
             assert_eq!(&dict.value(*id), v);
@@ -940,28 +935,27 @@ mod tests {
 
     #[test]
     fn nulls_and_mixed_types_rejected() {
-        assert!(build_dict(&[Value::Null], false).is_err());
-        assert!(build_dict(&[Value::Int(1), Value::from("x")], false).is_err());
-        assert!(build_dict(&[], false).is_err());
+        assert!(build_dict(&[Value::Null]).is_err());
+        assert!(build_dict(&[Value::Int(1), Value::from("x")]).is_err());
+        assert!(build_dict(&[]).is_err());
     }
 
     #[test]
     fn id_of_type_mismatch_is_none() {
-        let (dict, _) = build_dict(&[Value::Int(1), Value::Int(2)], false).unwrap();
+        let (dict, _) = build_dict(&[Value::Int(1), Value::Int(2)]).unwrap();
         assert_eq!(dict.id_of(&Value::from("1")), None);
     }
 
     #[test]
     fn float_dict_accepts_int_literals() {
-        let (dict, _) = build_dict(&[Value::Float(4.0), Value::Float(5.5)], false).unwrap();
+        let (dict, _) = build_dict(&[Value::Float(4.0), Value::Float(5.5)]).unwrap();
         assert_eq!(dict.id_of(&Value::Int(4)), Some(0));
         assert_eq!(dict.lower_bound(&Value::Int(5)), Some(1));
     }
 
     #[test]
     fn lower_bound_semantics() {
-        let (dict, _) =
-            build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)], false).unwrap();
+        let (dict, _) = build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)]).unwrap();
         assert_eq!(dict.lower_bound(&Value::Int(5)), Some(0));
         assert_eq!(dict.lower_bound(&Value::Int(20)), Some(1));
         assert_eq!(dict.lower_bound(&Value::Int(25)), Some(2));
@@ -970,12 +964,12 @@ mod tests {
 
     #[test]
     fn optimize_converts_strings_only() {
-        let (s, _) = build_dict(&[Value::from("b"), Value::from("a")], false).unwrap();
+        let (s, _) = build_dict(&[Value::from("b"), Value::from("a")]).unwrap();
         let opt = s.optimize().unwrap();
         assert!(matches!(opt, GlobalDict::Str(StrDict::Trie(_))));
         assert_eq!(opt.value(0), Value::from("a"));
 
-        let (i, _) = build_dict(&[Value::Int(1)], false).unwrap();
+        let (i, _) = build_dict(&[Value::Int(1)]).unwrap();
         assert_eq!(i.optimize().unwrap(), i);
     }
 
@@ -987,7 +981,7 @@ mod tests {
             ["x", "abc", "", "zz"].iter().map(|&v| Value::from(v)).collect(),
         ];
         for values in cases {
-            let (dict, _) = build_dict(&values, false).unwrap();
+            let (dict, _) = build_dict(&values).unwrap();
             let bytes = dict.to_bytes();
             let back = GlobalDict::from_bytes(&bytes).unwrap();
             assert_eq!(back.len(), dict.len());
@@ -1000,7 +994,7 @@ mod tests {
     #[test]
     fn trie_serialization_round_trips_via_sorted_form() {
         let values: Vec<Value> = ["ga", "de", "fr", "de"].iter().map(|&v| Value::from(v)).collect();
-        let (dict, _) = build_dict(&values, true).unwrap();
+        let dict = build_dict(&values).unwrap().0.optimize().unwrap();
         let back = GlobalDict::from_bytes(&dict.to_bytes()).unwrap();
         for id in 0..dict.len() {
             assert_eq!(back.value(id), dict.value(id));
@@ -1017,8 +1011,7 @@ mod tests {
     #[test]
     fn range_ids_semantics() {
         let (dict, _) =
-            build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30), Value::Int(40)], false)
-                .unwrap();
+            build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30), Value::Int(40)]).unwrap();
         let r = |min: Option<(i64, bool)>, max: Option<(i64, bool)>| {
             dict.range_ids(
                 min.map(|(v, i)| (Value::Int(v), i)).as_ref(),
@@ -1043,8 +1036,7 @@ mod tests {
 
     #[test]
     fn range_ids_float_bounds_on_int_dict() {
-        let (dict, _) =
-            build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)], false).unwrap();
+        let (dict, _) = build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)]).unwrap();
         // x > 19.5 -> first int >= 20 (exclusive flag irrelevant: 19.5 not present)
         let r = dict.range_ids(Some(&(Value::Float(19.5), false)), None);
         assert_eq!(r, Some((1, 3)));
@@ -1060,7 +1052,7 @@ mod tests {
     fn float_literals_never_saturate_into_int_dictionaries() {
         let big = 1i64 << 53;
         let (mut dict, _) =
-            build_dict(&[Value::Int(0), Value::Int(big + 1), Value::Int(i64::MAX)], false).unwrap();
+            build_dict(&[Value::Int(0), Value::Int(big + 1), Value::Int(i64::MAX)]).unwrap();
         for tailed in [false, true] {
             // `1e30 as i64` is i64::MAX and `NaN as i64` is 0: neither may
             // find those entries.
@@ -1084,7 +1076,7 @@ mod tests {
             assert_eq!(dict.id_of(&Value::Float(7.0)), Some(3));
         }
         // Same-type and Int-against-Float literals always resolve.
-        let (floats, _) = build_dict(&[Value::Float(-0.0), Value::Float(f64::NAN)], false).unwrap();
+        let (floats, _) = build_dict(&[Value::Float(-0.0), Value::Float(f64::NAN)]).unwrap();
         assert!(floats.resolves_exactly(&Value::Float(f64::NAN)));
         assert!(floats.resolves_exactly(&Value::Int(i64::MAX)));
         assert!(dict.resolves_exactly(&Value::Int(i64::MAX)));
@@ -1093,17 +1085,16 @@ mod tests {
 
     #[test]
     fn range_ids_unsupported_on_tries() {
-        let (dict, _) = build_dict(&[Value::from("a"), Value::from("b")], true).unwrap();
+        let (sorted, _) = build_dict(&[Value::from("a"), Value::from("b")]).unwrap();
+        let dict = sorted.optimize().unwrap();
         assert_eq!(dict.range_ids(Some(&(Value::from("a"), true)), None), None);
         // Sorted string dictionaries support ranges.
-        let (sorted, _) = build_dict(&[Value::from("a"), Value::from("b")], false).unwrap();
         assert_eq!(sorted.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
     }
 
     #[test]
     fn extend_keeps_existing_ids_and_appends_new_ones() {
-        let (mut dict, _) =
-            build_dict(&[Value::Int(10), Value::Int(30), Value::Int(20)], false).unwrap();
+        let (mut dict, _) = build_dict(&[Value::Int(10), Value::Int(30), Value::Int(20)]).unwrap();
         assert!(dict.is_value_ordered());
         let before: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
         // Mix of present and new values, with a duplicate new value.
@@ -1126,11 +1117,11 @@ mod tests {
 
     #[test]
     fn extend_validates_types_and_handles_floats_by_bits() {
-        let (mut ints, _) = build_dict(&[Value::Int(1)], false).unwrap();
+        let (mut ints, _) = build_dict(&[Value::Int(1)]).unwrap();
         assert!(ints.extend(&[Value::from("x")]).is_err());
         assert!(ints.extend(&[Value::Null]).is_err());
 
-        let (mut floats, _) = build_dict(&[Value::Float(1.0)], false).unwrap();
+        let (mut floats, _) = build_dict(&[Value::Float(1.0)]).unwrap();
         let ids = floats.extend(&[Value::Float(-0.0), Value::Float(0.0)]).unwrap();
         assert_eq!(ids, vec![1, 2], "signed zeros are distinct values");
         assert_eq!(floats.id_of(&Value::Float(-0.0)), Some(1));
@@ -1140,8 +1131,7 @@ mod tests {
 
     #[test]
     fn tailed_dict_errs_toward_maybe_on_ranges() {
-        let (mut dict, _) =
-            build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)], false).unwrap();
+        let (mut dict, _) = build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)]).unwrap();
         dict.extend(&[Value::Int(15)]).unwrap();
         assert_eq!(dict.lower_bound(&Value::Int(15)), None);
         assert_eq!(dict.range_ids(Some(&(Value::Int(15), true)), None), None);
@@ -1166,7 +1156,7 @@ mod tests {
             ),
         ];
         for (base, tail) in cases {
-            let (mut dict, _) = build_dict(&base, false).unwrap();
+            let (mut dict, _) = build_dict(&base).unwrap();
             dict.extend(&tail).unwrap();
             let back = GlobalDict::from_bytes(&dict.to_bytes()).unwrap();
             assert_eq!(back.len(), dict.len());
@@ -1179,7 +1169,7 @@ mod tests {
 
     #[test]
     fn tailed_from_bytes_rejects_malformed_inputs() {
-        let (mut dict, _) = build_dict(&[Value::Int(1), Value::Int(2)], false).unwrap();
+        let (mut dict, _) = build_dict(&[Value::Int(1), Value::Int(2)]).unwrap();
         dict.extend(&[Value::Int(9)]).unwrap();
         let bytes = dict.to_bytes();
         // Truncations at every cut error, never panic.
@@ -1210,7 +1200,8 @@ mod tests {
 
     #[test]
     fn trie_base_extends_in_place() {
-        let (mut dict, _) = build_dict(&[Value::from("de"), Value::from("fr")], true).unwrap();
+        let mut dict =
+            build_dict(&[Value::from("de"), Value::from("fr")]).unwrap().0.optimize().unwrap();
         let ids = dict.extend(&[Value::from("sg"), Value::from("de")]).unwrap();
         assert_eq!(ids, vec![2, 0]);
         assert_eq!(dict.value(2), Value::from("sg"));
@@ -1238,9 +1229,8 @@ mod tests {
                 ))
             })
             .collect();
-        let (sorted, ids_a) = build_dict(&values, false).unwrap();
-        let (trie, ids_b) = build_dict(&values, true).unwrap();
-        assert_eq!(ids_a, ids_b);
+        let (sorted, _) = build_dict(&values).unwrap();
+        let trie = sorted.optimize().unwrap();
         assert_eq!(sorted.len(), trie.len());
         for id in (0..sorted.len()).step_by(97) {
             assert_eq!(sorted.value(id), trie.value(id));

@@ -22,7 +22,8 @@ fn dict_ids_reconstruct_column() {
                 Value::from(s)
             })
             .collect();
-        let (dict, ids) = build_dict(&values, use_trie).unwrap();
+        let (dict, ids) = build_dict(&values).unwrap();
+        let dict = if use_trie { dict.optimize().unwrap() } else { dict };
         assert_eq!(ids.len(), values.len(), "case {case}");
         for (v, &id) in values.iter().zip(&ids) {
             assert_eq!(&dict.value(id), v, "case {case}");
@@ -41,7 +42,7 @@ fn int_dict_reconstructs_column() {
     for _ in 0..64 {
         let n = rng.range_usize(1, 300);
         let col: Vec<Value> = (0..n).map(|_| Value::Int(rng.next_u64() as i64)).collect();
-        let (dict, ids) = build_dict(&col, false).unwrap();
+        let (dict, ids) = build_dict(&col).unwrap();
         for (v, &id) in col.iter().zip(&ids) {
             assert_eq!(&dict.value(id), v);
         }
@@ -176,10 +177,10 @@ fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, pd_encoding::GlobalDict)> {
             .collect()
     };
     let mut dicts = vec![
-        ("sorted", build_dict(&strings(rng, n, "t"), false).unwrap().0),
-        ("trie", build_dict(&strings(rng, n, "t"), true).unwrap().0),
-        ("int", build_dict(&ints(rng, n, 0), false).unwrap().0),
-        ("float", build_dict(&floats(rng, n, 0.5), false).unwrap().0),
+        ("sorted", build_dict(&strings(rng, n, "t")).unwrap().0),
+        ("trie", build_dict(&strings(rng, n, "t")).unwrap().0.optimize().unwrap()),
+        ("int", build_dict(&ints(rng, n, 0)).unwrap().0),
+        ("float", build_dict(&floats(rng, n, 0.5)).unwrap().0),
     ];
     // The same four again, tailed by values an append would bring.
     let m = rng.range_usize(1, 40);

@@ -7,12 +7,9 @@ use powerdrill::data::{generate_searches, SearchesSpec};
 use powerdrill::{BuildOptions, PartitionSpec, PowerDrill, Value};
 
 fn pd() -> PowerDrill {
-    let table = generate_searches(&SearchesSpec::scaled(30_000));
-    PowerDrill::import(
-        &table,
-        &BuildOptions::reordered(PartitionSpec::new(&["country", "search_string"], 1_000)),
-    )
-    .unwrap()
+    let fields = ["country", "search_string"];
+    let table = generate_searches(&SearchesSpec::scaled(30_000)).sorted_by(&fields).unwrap();
+    PowerDrill::import(&table, &BuildOptions::optdicts(PartitionSpec::new(&fields, 1_000))).unwrap()
 }
 
 #[test]

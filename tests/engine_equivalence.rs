@@ -130,12 +130,13 @@ fn store_matches_baseline_on_random_queries() {
         let baseline = CsvBackend::new(&table, IoModel::default()).unwrap();
         let expected = baseline.execute(&sql).unwrap().result;
 
-        for options in [
-            BuildOptions::basic(),
-            BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 16)),
-            BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 16)),
+        let sorted = table.sorted_by(&["k", "g"]).unwrap();
+        for (table, options) in [
+            (&table, BuildOptions::basic()),
+            (&table, BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 16))),
+            (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 16))),
         ] {
-            let pd = PowerDrill::import(&table, &options).unwrap();
+            let pd = PowerDrill::import(table, &options).unwrap();
             let (got, stats) = pd.sql(&sql).unwrap();
             assert_eq!(got, expected, "case {case} options {options:?}\nsql {sql}");
             assert_eq!(
@@ -162,8 +163,9 @@ fn skipping_never_changes_results() {
             "SELECT k, COUNT(*) as c FROM data WHERE g = 'g{g:02}' GROUP BY k ORDER BY c DESC"
         );
         let plain = PowerDrill::import(&table, &BuildOptions::basic()).unwrap();
+        let sorted = table.sorted_by(&["g"]).unwrap();
         let partitioned =
-            PowerDrill::import(&table, &BuildOptions::reordered(PartitionSpec::new(&["g"], 8)))
+            PowerDrill::import(&sorted, &BuildOptions::optdicts(PartitionSpec::new(&["g"], 8)))
                 .unwrap();
         let (a, _) = plain.sql(&sql).unwrap();
         let (b, _) = partitioned.sql(&sql).unwrap();
@@ -286,8 +288,9 @@ fn parallel_execution_matches_across_build_variants() {
         if refused(&table, &sql) {
             continue;
         }
+        let sorted = table.sorted_by(&["k", "g"]).unwrap();
         let store =
-            DataStore::build(&table, &BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)))
+            DataStore::build(&sorted, &BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 8)))
                 .unwrap();
         let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
         let (want, _) =
@@ -502,12 +505,13 @@ fn ranking_on_ids_equals_ranking_on_values_for_random_queries() {
             rng.range_usize(0, 6)
         );
         let keyed = if sql.contains("GROUP BY k, g") { keyed } else { sql.clone() };
-        for options in [
-            BuildOptions::basic(),
-            BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 16)),
-            BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)),
+        let sorted = table.sorted_by(&["k", "g"]).unwrap();
+        for (table, options) in [
+            (&table, BuildOptions::basic()),
+            (&table, BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 16))),
+            (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 8))),
         ] {
-            let store = DataStore::build(&table, &options).unwrap();
+            let store = DataStore::build(table, &options).unwrap();
             assert_late_equals_early(&store, &sql, &format!("case {case} {options:?}"));
             assert_late_equals_early(&store, &keyed, &format!("case {case} {options:?}"));
         }
@@ -542,16 +546,17 @@ fn kernel_fast_paths_are_bit_identical_to_materializing() {
         ])
         .collect();
 
-    // Production build (reordered: long runs) and basic build (one chunk,
-    // unsorted codes) — the fast paths must win or fall back correctly on
-    // both.
+    // Production build over sorted rows (long runs) and basic build (one
+    // chunk, unsorted codes) — the fast paths must win or fall back
+    // correctly on both.
     let table = generate_logs(&LogsSpec::scaled(3_000));
+    let sorted = table.sorted_by(&["country", "table_name"]).unwrap();
     let mut production = BuildOptions::production(&["country", "table_name"]);
     if let Some(spec) = &mut production.partition {
         spec.max_chunk_rows = 150;
     }
-    for options in [production, BuildOptions::basic()] {
-        let store = DataStore::build(&table, &options).unwrap();
+    for (table, options) in [(&sorted, production), (&table, BuildOptions::basic())] {
+        let store = DataStore::build(table, &options).unwrap();
         for sql in &queries {
             let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
             let reference = ExecContext {
@@ -1094,18 +1099,19 @@ fn distributed_random_queries_match_single_store_bitwise() {
         if refused(&table, &sql) {
             continue;
         }
+        let sorted = table.sorted_by(&["k", "g"]).unwrap();
         let store =
-            DataStore::build(&table, &BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)))
+            DataStore::build(&sorted, &BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 8)))
                 .unwrap();
         let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
         let (want, _) =
             execute(&store, &analyzed, &ExecContext { threads: 1, ..Default::default() }).unwrap();
         let shards = [1, 3, 5][case % 3];
         let cluster = Cluster::build(
-            &table,
+            &sorted,
             &ClusterConfig {
                 shards,
-                build: BuildOptions::reordered(PartitionSpec::new(&["k", "g"], 8)),
+                build: BuildOptions::optdicts(PartitionSpec::new(&["k", "g"], 8)),
                 ..Default::default()
             },
         )

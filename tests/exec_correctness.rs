@@ -21,19 +21,21 @@ fn oracle(table: &Table, sql: &str) -> QueryResult {
     scan::query(table, sql).unwrap_or_else(|e| panic!("oracle: {sql}: {e}"))
 }
 
-fn all_variants() -> Vec<(&'static str, BuildOptions)> {
-    variants(PartitionSpec::new(&["country", "table_name"], 300))
-}
-
-/// The §3 ladder, every partitioned rung on `spec`.
-fn variants(spec: PartitionSpec) -> Vec<(&'static str, BuildOptions)> {
-    vec![
-        ("basic", BuildOptions::basic()),
-        ("chunks", BuildOptions::chunked(spec.clone())),
-        ("optcols", BuildOptions::optcols(spec.clone())),
-        ("optdicts", BuildOptions::optdicts(spec.clone())),
-        ("reorder", BuildOptions::reordered(spec)),
+/// The §3 ladder, every partitioned rung on `spec`; the last rung is
+/// OptDicts over the table sorted by the partition fields.
+fn variants(table: &Table, spec: PartitionSpec) -> Vec<(&'static str, DataStore)> {
+    let fields: Vec<&str> = spec.fields.iter().map(String::as_str).collect();
+    let sorted = table.sorted_by(&fields).unwrap();
+    [
+        ("basic", table, BuildOptions::basic()),
+        ("chunks", table, BuildOptions::chunked(spec.clone())),
+        ("optcols", table, BuildOptions::optcols(spec.clone())),
+        ("optdicts", table, BuildOptions::optdicts(spec.clone())),
+        ("reorder", &sorted, BuildOptions::optdicts(spec)),
     ]
+    .into_iter()
+    .map(|(name, table, options)| (name, DataStore::build(table, &options).unwrap()))
+    .collect()
 }
 
 fn check(table: &Table, stores: &[(&str, DataStore)], sql: &str) {
@@ -60,10 +62,7 @@ fn check(table: &Table, stores: &[(&str, DataStore)], sql: &str) {
 }
 
 fn build_all(table: &Table) -> Vec<(&'static str, DataStore)> {
-    all_variants()
-        .into_iter()
-        .map(|(name, opt)| (name, DataStore::build(table, &opt).unwrap()))
-        .collect()
+    variants(table, PartitionSpec::new(&["country", "table_name"], 300))
 }
 
 #[test]
@@ -204,9 +203,7 @@ fn multi_key_group_by_matches_oracle() {
     // Five keys over 8 400 values each in one chunk: 8 400^5 > u64::MAX.
     let five = keyed(16_800, 8_400, 1);
     let spec = PartitionSpec::new(&["country", "table_name"], five.len());
-    let stores: Vec<_> = (variants(spec).into_iter())
-        .map(|(name, opt)| (name, DataStore::build(&five, &opt).unwrap()))
-        .collect();
+    let stores = variants(&five, spec);
     for (name, store) in &stores {
         assert_eq!(store.chunk_count(), 1, "{name}");
         assert!(product(store, &["a", "b", "c", "d", "e"], 0) > u128::from(u64::MAX), "{name}");
@@ -305,9 +302,7 @@ fn integer_sums_wrap_and_averages_are_exact_like_the_oracle() {
         table.push_row(Row(vec![Value::from(k), Value::Int(v)])).unwrap();
     }
     let sql = "SELECT k, SUM(v) s, AVG(v) a, COUNT(v) n FROM data GROUP BY k ORDER BY k ASC";
-    let stores: Vec<_> = (variants(PartitionSpec::new(&["k"], 30)).into_iter())
-        .map(|(name, opt)| (name, DataStore::build(&table, &opt).unwrap()))
-        .collect();
+    let stores = variants(&table, PartitionSpec::new(&["k"], 30));
     check(&table, &stores, sql);
 }
 
@@ -382,7 +377,7 @@ fn result_cache_preserves_results_and_hits() {
     let table = generate_logs(&LogsSpec::scaled(2_000));
     let store = DataStore::build(
         &table,
-        &BuildOptions::reordered(PartitionSpec::new(&["country", "table_name"], 300)),
+        &BuildOptions::optdicts(PartitionSpec::new(&["country", "table_name"], 300)),
     )
     .unwrap();
     let sql = "SELECT country, COUNT(*) as c FROM data WHERE country IN ('US','DE') GROUP BY country ORDER BY c DESC";
@@ -460,8 +455,10 @@ fn kept_caches_across_appends_match_a_rebuild() {
         .map(|i| *if i % 2 == 0 { oldest.next() } else { newest.next() }.unwrap())
         .collect();
 
-    let options = BuildOptions::reordered(PartitionSpec::new(&["country", "table_name"], 250));
-    let mut store = DataStore::build(&table.select_rows(&served), &options).unwrap();
+    let fields = ["country", "table_name"];
+    let options = BuildOptions::optdicts(PartitionSpec::new(&fields, 250));
+    let sorted = |rows: &[usize]| table.select_rows(rows).sorted_by(&fields).unwrap();
+    let mut store = DataStore::build(&sorted(&served), &options).unwrap();
     let contexts: Vec<(KernelConfig, bool, ExecContext)> =
         [KernelConfig::Compressed, KernelConfig::materializing()]
             .into_iter()
@@ -507,7 +504,7 @@ fn kept_caches_across_appends_match_a_rebuild() {
         let delta = pd_encoding::TableDelta::from_columns(delta.schema().clone(), &columns);
         store.append_delta(&delta.unwrap()).unwrap();
         served.extend(rows);
-        let rebuilt = DataStore::build(&table.select_rows(&served), &options).unwrap();
+        let rebuilt = DataStore::build(&sorted(&served), &options).unwrap();
 
         for (i, sql) in queries.iter().enumerate() {
             let (want, _) = answer(&rebuilt, sql, false, &ExecContext::default());
@@ -542,7 +539,7 @@ fn skipping_statistics_reflect_selectivity() {
     let table = generate_logs(&LogsSpec::scaled(4_000));
     let store = DataStore::build(
         &table,
-        &BuildOptions::reordered(PartitionSpec::new(&["country", "table_name"], 200)),
+        &BuildOptions::optdicts(PartitionSpec::new(&["country", "table_name"], 200)),
     )
     .unwrap();
     // A single-country restriction must skip most chunks.
