@@ -262,3 +262,124 @@ fn nesting_parses_up_to_the_wire_bound_and_no_further() {
         }
     }
 }
+
+/// Edge statements of the grammar and what the parser makes of each: the
+/// query's canonical text, or the kind of error. Mixed-case keywords,
+/// unreserved words as names and aliases, the operator spellings,
+/// comments, escapes in both quote kinds, number shapes, bare aliases,
+/// `NOT IN` / `BETWEEN`, `UNION` anywhere, and what may trail a query.
+const PINNED: &[(&str, &str)] = &[
+    ("SeLeCt country, CoUnT(*) As c FrOm data WhErE latency > 5 GrOuP bY country HaViNg c > 1 OrDeR bY c DeSc LiMiT 5", "SELECT country, COUNT(*) AS c FROM data WHERE (latency > 5) GROUP BY country HAVING (c > 1) ORDER BY c DESC LIMIT 5"),
+    ("select country, count(*) as c from data group by country order by c desc limit 10;", "SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10"),
+    ("SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;", "SELECT country, COUNT(*) AS c FROM data GROUP BY country ORDER BY c DESC LIMIT 10"),
+    ("SELECT table_name as k, COUNT(*) as c FROM logs WHERE country = 'US' GROUP BY table_name ORDER BY c ASC LIMIT 10", r#"SELECT table_name AS k, COUNT(*) AS c FROM logs WHERE (country = "US") GROUP BY table_name ORDER BY c ASC LIMIT 10"#),
+    ("SELECT asc, COUNT(*) desc FROM t GROUP BY asc ORDER BY desc DESC", "SELECT asc, COUNT(*) AS desc FROM t GROUP BY asc ORDER BY desc DESC"),
+    ("SELECT desc, COUNT(*) AS asc FROM t GROUP BY desc ORDER BY asc ASC", "SELECT desc, COUNT(*) AS asc FROM t GROUP BY desc ORDER BY asc ASC"),
+    ("SELECT count, SUM(x) AS sum FROM t GROUP BY count ORDER BY sum", "SELECT count, SUM(x) AS sum FROM t GROUP BY count ORDER BY sum ASC"),
+    ("SELECT COUNT(*) count, MIN(x) min, MAX(x) max, AVG(x) avg FROM t", "SELECT COUNT(*) AS count, MIN(x) AS min, MAX(x) AS max, AVG(x) AS avg FROM t"),
+    ("SELECT sum, min, max, avg, COUNT(*) FROM t GROUP BY sum, min, max, avg", "SELECT sum, min, max, avg, COUNT(*) FROM t GROUP BY sum, min, max, avg"),
+    ("SELECT distinct, COUNT(*) FROM t GROUP BY distinct", "SELECT distinct, COUNT(*) FROM t GROUP BY distinct"),
+    ("SELECT COUNT(DISTINCT distinct) FROM t", "SELECT COUNT(DISTINCT distinct) FROM t"),
+    ("SELECT COUNT(DISTINCT *) FROM t", "SELECT COUNT(DISTINCT *) FROM t"),
+    ("SELECT date, COUNT(*) AS date2 FROM t GROUP BY date", "SELECT date, COUNT(*) AS date2 FROM t GROUP BY date"),
+    ("SELECT date(timestamp) as date, COUNT(*), SUM(latency) FROM data GROUP BY date ORDER BY date ASC LIMIT 10;", "SELECT date(timestamp) AS date, COUNT(*), SUM(latency) FROM data GROUP BY date ORDER BY date ASC LIMIT 10"),
+    ("SELECT true, false, COUNT(*) FROM t GROUP BY true, false", "SELECT true, false, COUNT(*) FROM t GROUP BY true, false"),
+    ("SELECT COUNT(*) FROM t WHERE true = 1 OR false != 0", "SELECT COUNT(*) FROM t WHERE ((true = 1) OR (false != 0))"),
+    ("SELECT Count, COUNT(*) FROM t GROUP BY Count", "SELECT Count, COUNT(*) FROM t GROUP BY Count"),
+    ("SELECT COUNT (*) FROM t", "SELECT COUNT(*) FROM t"),
+    ("SELECT count (x) FROM t", "SELECT COUNT(x) FROM t"),
+    ("SELECT COUNT FROM t", "SELECT COUNT FROM t"),
+    ("SELECT COUNT(*) FROM t WHERE sum(x) > 1", "SELECT COUNT(*) FROM t WHERE (sum(x) > 1)"),
+    ("SELECT COUNT(*) FROM t WHERE DATE(ts) = '2012-01-01'", r#"SELECT COUNT(*) FROM t WHERE (date(ts) = "2012-01-01")"#),
+    ("SELECT COUNT(*) AS from FROM t", "Parse"),
+    ("SELECT COUNT(*) FROM select", "Parse"),
+    ("SELECT COUNT(*) all FROM t", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE between = 1", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE selector = 1 AND fromage = 2 AND order_id = 3 AND byte = 4 AND distinctly = 5 AND notable = 6 AND inner = 7", "SELECT COUNT(*) FROM t WHERE (((((((selector = 1) AND (fromage = 2)) AND (order_id = 3)) AND (byte = 4)) AND (distinctly = 5)) AND (notable = 6)) AND (inner = 7))"),
+    ("SELECT COUNT(*) FROM logs.powerdrill.queries", "SELECT COUNT(*) FROM logs.powerdrill.queries"),
+    ("SELECT COUNT(*) FROM t WHERE a == 1 AND b <> 2 AND c != 3", "SELECT COUNT(*) FROM t WHERE (((a = 1) AND (b != 2)) AND (c != 3))"),
+    ("SELECT COUNT(*) FROM t WHERE a = = 1", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE a === 1", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE a ! 1", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE a <= 1 AND b >= 2 AND c < 3 AND d > 4", "SELECT COUNT(*) FROM t WHERE ((((a <= 1) AND (b >= 2)) AND (c < 3)) AND (d > 4))"),
+    ("SELECT COUNT(*) FROM t WHERE a < > 1", "Parse"),
+    ("SELECT COUNT(*) -- the count\nFROM t -- trailing", "SELECT COUNT(*) FROM t"),
+    ("SELECT COUNT(*) FROM t -- no newline at the end", "SELECT COUNT(*) FROM t"),
+    ("SELECT COUNT(*) FROM t WHERE x - -1 = 0", "SELECT COUNT(*) FROM t WHERE ((x - -1) = 0)"),
+    ("SELECT COUNT(*) FROM t WHERE x--1 = 0", "SELECT COUNT(*) FROM t WHERE x"),
+    ("SELECT COUNT(*) FROM t WHERE x = 1 --", "SELECT COUNT(*) FROM t WHERE (x = 1)"),
+    ("-- only a comment\nSELECT COUNT(*) FROM t WHERE s = 'it\\'s'", r#"SELECT COUNT(*) FROM t WHERE (s = "it's")"#),
+    (r#"SELECT COUNT(*) FROM t WHERE s = "say \"hi\"""#, r#"SELECT COUNT(*) FROM t WHERE (s = "say \"hi\"")"#),
+    (r#"SELECT COUNT(*) FROM t WHERE s = 'tab\there\nnew\rcr'"#, "SELECT COUNT(*) FROM t WHERE (s = \"tab\there\nnew\rcr\")"),
+    (r#"SELECT COUNT(*) FROM t WHERE s = "back\\slash" OR s = 'q\"q'"#, r#"SELECT COUNT(*) FROM t WHERE ((s = "back\\slash") OR (s = "q\"q"))"#),
+    (r#"SELECT COUNT(*) FROM t WHERE s = 'he said "x"' OR s = "it's""#, r#"SELECT COUNT(*) FROM t WHERE ((s = "he said \"x\"") OR (s = "it's"))"#),
+    (r#"SELECT COUNT(*) FROM t WHERE s = '\ü' OR s = "karnevalskostüme""#, r#"SELECT COUNT(*) FROM t WHERE ((s = "ü") OR (s = "karnevalskostüme"))"#),
+    (r#"SELECT COUNT(*) FROM t WHERE s = '' OR s = """#, r#"SELECT COUNT(*) FROM t WHERE ((s = "") OR (s = ""))"#),
+    ("SELECT COUNT(*) FROM t WHERE s = 'unterminated", "Parse"),
+    (r#"SELECT COUNT(*) FROM t WHERE s = 'dangling\"#, "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE s = 'select from union'", r#"SELECT COUNT(*) FROM t WHERE (s = "select from union")"#),
+    ("SELECT COUNT(*) FROM t WHERE x = 1e5", "SELECT COUNT(*) FROM t WHERE (x = 100000.0)"),
+    ("SELECT COUNT(*) FROM t WHERE x = 1.", "SELECT COUNT(*) FROM t WHERE (x = 1.0)"),
+    ("SELECT COUNT(*) FROM t WHERE x = .5", "SELECT COUNT(*) FROM t WHERE (x = 0.5)"),
+    ("SELECT COUNT(*) FROM t WHERE x = 2.5E-2 OR x = 1e+3 OR x = 4.25", "SELECT COUNT(*) FROM t WHERE (((x = 0.025) OR (x = 1000.0)) OR (x = 4.25))"),
+    ("SELECT COUNT(*) FROM t WHERE x = 9223372036854775807", "SELECT COUNT(*) FROM t WHERE (x = 9223372036854775807)"),
+    ("SELECT COUNT(*) FROM t WHERE x = 9223372036854775808", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = -9223372036854775808", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = -5 OR y = -2.5 OR z = - 3", "SELECT COUNT(*) FROM t WHERE (((x = -5) OR (y = -2.5)) OR (z = -3))"),
+    ("SELECT COUNT(*) FROM t WHERE x = 1e", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = 1.5.2", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = .", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = 1e5e5", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE x = 007", "SELECT COUNT(*) FROM t WHERE (x = 7)"),
+    ("SELECT COUNT(*) FROM t WHERE x = 3abc", "Parse"),
+    ("SELECT COUNT(*) c FROM t", "SELECT COUNT(*) AS c FROM t"),
+    ("SELECT country k, COUNT(*) n FROM t GROUP BY country", "SELECT country AS k, COUNT(*) AS n FROM t GROUP BY country"),
+    (r#"SELECT COUNT(*) FROM t WHERE country NOT IN ('US', 'DE') AND x IN (1, 2.5, "s")"#, r#"SELECT COUNT(*) FROM t WHERE ((country NOT IN ("US", "DE")) AND (x IN (1, 2.5, "s")))"#),
+    ("SELECT COUNT(*) FROM t WHERE country not in ('US')", r#"SELECT COUNT(*) FROM t WHERE (country NOT IN ("US"))"#),
+    ("SELECT COUNT(*) FROM t WHERE x BETWEEN 3 AND 7 AND y = 1", "SELECT COUNT(*) FROM t WHERE (((x >= 3) AND (x <= 7)) AND (y = 1))"),
+    ("SELECT COUNT(*) FROM t WHERE x NOT BETWEEN 3 AND 7", "SELECT COUNT(*) FROM t WHERE (NOT (((x >= 3) AND (x <= 7))))"),
+    ("SELECT COUNT(*) FROM t WHERE NOT NOT a = 1", "SELECT COUNT(*) FROM t WHERE (NOT ((NOT ((a = 1)))))"),
+    ("SELECT COUNT(*) FROM t WHERE x IN ()", "Parse"),
+    ("SELECT COUNT(*) FROM t WHERE a NOT = 1", "Parse"),
+    ("SELECT union FROM t", "Unsupported"),
+    ("SELECT a FROM t WHERE x = 1 UNION SELECT a FROM u", "Unsupported"),
+    ("SELECT a FROM t UnIoN ALL SELECT a FROM u", "Unsupported"),
+    ("SELECT COUNT(*) FROM t WHERE union_id = 1", "SELECT COUNT(*) FROM t WHERE (union_id = 1)"),
+    ("SELECT COUNT(*) FROM t @ union", "Parse"),
+    ("SELECT COUNT(*) FROM t GROUP BY union", "Unsupported"),
+    ("SELECT COUNT(*) FROM (SELECT a FROM t)", "Unsupported"),
+    ("SELECT COUNT(*) FROM t;", "SELECT COUNT(*) FROM t"),
+    ("SELECT COUNT(*) FROM t ;", "SELECT COUNT(*) FROM t"),
+    ("SELECT COUNT(*) FROM t;;", "Parse"),
+    ("SELECT COUNT(*) FROM t; garbage", "Parse"),
+    ("SELECT COUNT(*) FROM t LIMIT 5 5", "Parse"),
+    ("SELECT COUNT(*) FROM t extra", "Parse"),
+    ("SELECT COUNT(*) FROM t LIMIT -1", "Parse"),
+    ("SELECT COUNT(*) FROM t LIMIT 2.5", "Parse"),
+    ("SELECT COUNT(*) FROM t ORDER BY c ASC DESC", "Parse"),
+    ("SELECT SUM(DISTINCT x) FROM t", "Unsupported"),
+    ("SELECT COUNT(*) FROM t GROUP a", "Parse"),
+    ("SELECT", "Parse"),
+    ("SELECT COUNT(*) FROM", "Parse"),
+    ("SELECT ü FROM t", "Parse"),
+    ("\tSELECT\tCOUNT(*)\tFROM\tt\tWHERE\ta\t=\t1", "SELECT COUNT(*) FROM t WHERE (a = 1)"),
+    ("SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a ASC, COUNT(*) DESC", "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a ASC, count(*) DESC"),
+    ("SELECT f() , g(a, b) , COUNT(*) FROM t GROUP BY f(), g(a, b)", "SELECT f(), g(a, b), COUNT(*) FROM t GROUP BY f(), g(a, b)"),
+    ("SELECT COUNT(*) FROM t WHERE a + b * c / d - e = 7 OR NOT x = 1 AND y = 2", "SELECT COUNT(*) FROM t WHERE ((((a + ((b * c) / d)) - e) = 7) OR ((NOT ((x = 1))) AND (y = 2)))"),
+    ("SELECT COUNT(*) FROM t HAVING COUNT(*) > 1", "SELECT COUNT(*) FROM t HAVING (count(*) > 1)"),
+    ("SELECT _a, COUNT(*) FROM t GROUP BY _a", "SELECT _a, COUNT(*) FROM t GROUP BY _a"),
+    ("SELECT a.b, COUNT(*) FROM t GROUP BY a.b", "SELECT a.b, COUNT(*) FROM t GROUP BY a.b"),
+];
+
+#[test]
+fn edge_statements_parse_as_pinned() {
+    for (sql, want) in PINNED {
+        let got = match parse_query(sql) {
+            Ok(q) => q.to_string(),
+            Err(Error::Parse(_)) => "Parse".into(),
+            Err(Error::Unsupported(_)) => "Unsupported".into(),
+            Err(other) => panic!("{sql}: unexpected error kind {other:?}"),
+        };
+        assert_eq!(got, *want, "sql: {sql}");
+    }
+}
