@@ -19,7 +19,7 @@ use pd_core::{query, BuildOptions, DataStore, ExecContext, PartitionSpec, Stored
 use pd_data::Table;
 use pd_dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport, TreeShape};
 use pd_encoding::{Elements, ElementsMode};
-use pd_sql::{analyze, parse_query};
+use pd_sql::plan;
 use std::time::Duration;
 
 pub const Q1: &str =
@@ -336,7 +336,7 @@ pub fn count_distinct(rows: usize) {
     let table = logs_table(rows);
     let store = DataStore::build(&table, &BuildOptions::basic()).expect("store");
     let sql = "SELECT COUNT(DISTINCT table_name) FROM data";
-    let analyzed = analyze(&parse_query(sql).expect("parse")).expect("analyze");
+    let analyzed = plan(sql).expect("plan");
 
     // Exact via a saturated sketch.
     let exact_ctx = ExecContext { sketch_m: 1 << 22, ..Default::default() };

@@ -26,7 +26,7 @@ use pd_common::{FxHashMap, HeapSize, Result};
 use pd_core::memory::query_columns;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::DataStore;
-use pd_sql::{analyze, parse_query};
+use pd_sql::plan;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -336,7 +336,7 @@ impl OrderedKeys {
 /// A chunk the skip analysis proves inactive is not touched. This is the
 /// scan of a store with no chunk-result cache: every active chunk is read.
 pub fn touch_scan(cache: &TieredCache, store: &DataStore, sql: &str) -> Result<AccessCost> {
-    let analyzed = analyze(&parse_query(sql)?)?;
+    let analyzed = plan(sql)?;
     let mut columns = Vec::new();
     for expr in query_columns(sql)? {
         columns.push((Arc::<str>::from(expr.canonical()), store.column_for_expr(&expr)?));

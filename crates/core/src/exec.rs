@@ -72,10 +72,7 @@ use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, Result, Row, Value};
 use pd_encoding::GlobalDict;
-use pd_sql::{
-    analyze, eval_expr, parse_query, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext,
-    SlotClass,
-};
+use pd_sql::{eval_expr, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext, SlotClass};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Write;
@@ -173,9 +170,7 @@ impl QueryResult {
 
 /// Parse, analyze and execute a SQL string against a store.
 pub fn query(store: &DataStore, sql: &str) -> Result<(QueryResult, ScanStats)> {
-    let parsed = parse_query(sql)?;
-    let analyzed = analyze(&parsed)?;
-    execute(store, &analyzed, &ExecContext::default())
+    execute(store, &pd_sql::plan(sql)?, &ExecContext::default())
 }
 
 /// Execute an analyzed query.

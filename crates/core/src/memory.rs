@@ -9,7 +9,7 @@
 
 use crate::datastore::DataStore;
 use pd_common::{HeapSize, Result};
-use pd_sql::{analyze, parse_query, Expr};
+use pd_sql::{plan, Expr};
 
 /// Memory breakdown of one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl MemoryReport {
 /// Columns (as expressions) touched by a SQL query: group keys, aggregate
 /// arguments, filter fields.
 pub fn query_columns(sql: &str) -> Result<Vec<Expr>> {
-    let analyzed = analyze(&parse_query(sql)?)?;
+    let analyzed = plan(sql)?;
     let mut exprs: Vec<Expr> = Vec::new();
     let mut push = |e: &Expr| {
         if !exprs.contains(e) {

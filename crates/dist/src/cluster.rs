@@ -38,7 +38,7 @@ use pd_common::{Error, Result, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::{analyze, parse_query};
+use pd_sql::plan;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -565,7 +565,7 @@ impl Cluster {
         // not even the parse.
         let _permit = self.admit()?;
         let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
-        let analyzed = analyze(&parse_query(sql)?)?;
+        let analyzed = plan(sql)?;
         let qid = self.queries.fetch_add(1, Ordering::Relaxed);
         let shard_count = self.shard_count;
         let budget = match &self.config.transport {

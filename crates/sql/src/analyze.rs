@@ -9,6 +9,8 @@
 //! aggregates to the [`Slot`]s a group table holds for them.
 
 use crate::ast::*;
+use crate::lexer::Keyword;
+use crate::parser::parse_query;
 use crate::restriction::Restriction;
 use pd_common::{Error, Result};
 use std::fmt::{self, Write};
@@ -130,75 +132,84 @@ impl AnalyzedQuery {
 /// argument's canonical text, so the table does not depend on how the
 /// select list spelled or ordered the aggregates.
 pub(crate) fn lower(aggs: &[AggExpr]) -> Result<(Vec<Slot>, Vec<SlotRef>)> {
-    let state = |agg: &AggExpr| -> Result<Slot> {
+    /// A slot as its class and the argument it reads, borrowed from `agg`.
+    fn state(agg: &AggExpr) -> Result<(SlotClass, Option<&Expr>)> {
         let class = match (agg.func, agg.distinct) {
             (_, true) => SlotClass::Distinct,
-            (AggFunc::Count, false) => return Ok(Slot { class: SlotClass::Count, arg: None }),
+            (AggFunc::Count, false) => return Ok((SlotClass::Count, None)),
             (AggFunc::Sum | AggFunc::Avg, false) => SlotClass::Sum,
             (AggFunc::Min, false) => SlotClass::Min,
             (AggFunc::Max, false) => SlotClass::Max,
         };
         match &agg.arg {
-            Some(arg) => Ok(Slot { class, arg: Some(arg.clone()) }),
+            Some(arg) => Ok((class, Some(arg))),
             None => Err(Error::Internal(format!("{agg} is only valid for COUNT"))),
         }
-    };
-    let states: Vec<Slot> = aggs.iter().map(state).collect::<Result<_>>()?;
-    let count = Slot { class: SlotClass::Count, arg: None };
+    }
+    let count = (SlotClass::Count, None);
     let averaged = aggs.iter().any(|agg| agg.func == AggFunc::Avg);
-    let mut slots: Vec<Slot> =
-        states.iter().cloned().chain(averaged.then(|| count.clone())).collect();
-    slots.sort_by_cached_key(|slot| (slot.class, slot.arg.as_ref().map(Expr::canonical)));
-    slots.dedup();
-    let at = |slot: &Slot| slots.iter().position(|held| held == slot).expect("a state is a slot");
-    let reads = (aggs.iter().zip(&states))
-        .map(|(agg, state)| SlotRef {
-            slot: at(state),
-            count: (agg.func == AggFunc::Avg).then(|| at(&count)),
+    let mut held: Vec<(SlotClass, Option<&Expr>)> =
+        aggs.iter().map(state).chain(averaged.then_some(Ok(count))).collect::<Result<_>>()?;
+    let text = |arg: Option<&Expr>| arg.map(Expr::canonical);
+    held.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| text(a.1).cmp(&text(b.1))));
+    held.dedup();
+    let at = |slot| held.iter().position(|h| *h == slot).expect("a state is a slot");
+    let reads = (aggs.iter())
+        .map(|agg| {
+            let count = (agg.func == AggFunc::Avg).then(|| at(count));
+            Ok(SlotRef { slot: at(state(agg)?), count })
         })
-        .collect();
+        .collect::<Result<_>>()?;
+    let slots = held.iter().map(|&(class, arg)| Slot { class, arg: arg.cloned() }).collect();
     Ok((slots, reads))
 }
 
-/// Analyze a parsed query.
+/// Parse and analyze SQL text. The analysis takes the parsed query over:
+/// what the plan keeps (table, filter, keys, aggregates, names) moves out
+/// of it.
+pub fn plan(sql: &str) -> Result<AnalyzedQuery> {
+    analyze_owned(parse_query(sql)?)
+}
+
+/// Analyze a parsed query the caller keeps: the analysis runs on a clone.
 pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
-    // Alias → scalar expression (aggregate aliases resolve to the aggregate
-    // itself, handled separately below).
-    let scalar_alias = |name: &str| -> Option<&Expr> {
-        query.select.iter().find_map(|item| match (&item.alias, &item.expr) {
-            (Some(a), SelectExpr::Scalar(e)) if a == name => Some(e),
-            _ => None,
-        })
-    };
+    analyze_owned(query.clone())
+}
+
+fn analyze_owned(query: Query) -> Result<AnalyzedQuery> {
+    let Query { select, from, where_clause, group_by, having, order_by, limit } = query;
 
     // Resolve GROUP BY entries: a bare column that names an alias means the
     // aliased expression (paper Query 2: `GROUP BY date`).
-    let mut keys: Vec<Expr> = Vec::with_capacity(query.group_by.len());
-    for g in &query.group_by {
-        let resolved = match g.as_column() {
-            Some(name) => scalar_alias(name).cloned().unwrap_or_else(|| g.clone()),
-            None => g.clone(),
-        };
-        if !keys.contains(&resolved) {
-            keys.push(resolved);
+    let mut keys: Vec<Expr> = Vec::with_capacity(group_by.len());
+    for g in group_by {
+        let alias = g.as_column().and_then(|name| {
+            select.iter().find_map(|item| match (&item.alias, &item.expr) {
+                (Some(a), SelectExpr::Scalar(e)) if a == name => Some(e),
+                _ => None,
+            })
+        });
+        let key = alias.cloned().unwrap_or(g);
+        if !keys.contains(&key) {
+            keys.push(key);
         }
     }
 
     // Select list → outputs.
     let mut aggs: Vec<AggExpr> = Vec::new();
-    let mut output: Vec<(String, OutputCol)> = Vec::with_capacity(query.select.len());
-    for item in &query.select {
-        let name = item.output_name();
+    let mut output: Vec<(String, OutputCol)> = Vec::with_capacity(select.len());
+    for mut item in select {
+        let name = item.alias.take().unwrap_or_else(|| item.output_name());
         if output.iter().any(|(n, _)| *n == name) {
             return Err(Error::Schema(format!("duplicate output column `{name}`")));
         }
-        match &item.expr {
+        match item.expr {
             SelectExpr::Aggregate(a) => {
-                aggs.push(a.clone());
+                aggs.push(a);
                 output.push((name, OutputCol::Agg(aggs.len() - 1)));
             }
             SelectExpr::Scalar(e) => {
-                let idx = keys.iter().position(|k| k == e).ok_or_else(|| {
+                let idx = keys.iter().position(|k| *k == e).ok_or_else(|| {
                     Error::Schema(format!(
                         "select expression `{e}` must appear in GROUP BY (keys: {})",
                         keys.iter().map(|k| k.to_string()).collect::<Vec<_>>().join(", ")
@@ -215,72 +226,60 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery> {
         ));
     }
 
-    // ORDER BY → output column indices.
-    let mut order_by = Vec::with_capacity(query.order_by.len());
-    for key in &query.order_by {
-        let idx = resolve_output(&key.expr, query, &output)?;
-        order_by.push((idx, key.desc));
-    }
-
-    // HAVING → expression over output column names.
-    let having = match &query.having {
-        None => None,
-        Some(h) => Some(rewrite_having(h, query, &output)?),
-    };
-
-    let restriction = query.where_clause.as_ref().map_or(Restriction::True, Restriction::from_expr);
+    let restriction = where_clause.as_ref().map_or(Restriction::True, Restriction::from_expr);
     let (slots, reads) = lower(&aggs)?;
-
-    Ok(AnalyzedQuery {
-        table: query.from.clone(),
+    let mut analyzed = AnalyzedQuery {
+        table: from,
         keys,
         aggs,
         slots,
         reads,
         output,
-        filter: query.where_clause.clone(),
+        filter: where_clause,
         restriction,
-        having,
-        order_by,
-        limit: query.limit,
-    })
+        having: None,
+        order_by: Vec::new(),
+        limit,
+    };
+    // ORDER BY → output column indices; HAVING → an expression over output
+    // column names.
+    analyzed.order_by = (order_by.iter())
+        .map(|key| Ok((resolve_output(&key.expr, &analyzed)?, key.desc)))
+        .collect::<Result<_>>()?;
+    analyzed.having = having.map(|h| rewrite_having(&h, &analyzed)).transpose()?;
+    Ok(analyzed)
 }
 
 /// Find the output column an ORDER BY / HAVING expression refers to: by
-/// alias, by structural match with a select item, or by matching an
-/// aggregate call like `count(*)`.
-fn resolve_output(expr: &Expr, query: &Query, output: &[(String, OutputCol)]) -> Result<usize> {
+/// alias, by structural match with a group key or an aggregate (an
+/// aggregate call like `count(*)`), each in select-list order.
+fn resolve_output(expr: &Expr, analyzed: &AnalyzedQuery) -> Result<usize> {
+    let output = &analyzed.output;
     // 1. Alias or output-name match.
     if let Some(name) = expr.as_column() {
         if let Some(idx) = output.iter().position(|(n, _)| n == name) {
             return Ok(idx);
         }
     }
-    // 2. Structural match against select expressions.
-    for (idx, item) in query.select.iter().enumerate() {
-        let matches = match &item.expr {
-            SelectExpr::Scalar(e) => e == expr,
-            SelectExpr::Aggregate(a) => expr_matches_agg(expr, a),
-        };
-        if matches {
-            return Ok(idx);
-        }
-    }
-    Err(Error::Schema(format!(
-        "ORDER BY / HAVING expression `{expr}` does not match any output column"
-    )))
+    // 2. Structural match against the select list's expressions.
+    (output.iter())
+        .position(|&(_, col)| match col {
+            OutputCol::Key(k) => analyzed.keys[k] == *expr,
+            OutputCol::Agg(a) => expr_matches_agg(expr, &analyzed.aggs[a]),
+        })
+        .ok_or_else(|| {
+            Error::Schema(format!(
+                "ORDER BY / HAVING expression `{expr}` does not match any output column"
+            ))
+        })
 }
 
-/// The aggregate a call expression's (lower-cased) function name denotes.
+/// The aggregate a call expression's function name denotes.
 fn agg_func(name: &str) -> Option<AggFunc> {
-    Some(match name {
-        "count" => AggFunc::Count,
-        "sum" => AggFunc::Sum,
-        "min" => AggFunc::Min,
-        "max" => AggFunc::Max,
-        "avg" => AggFunc::Avg,
-        _ => return None,
-    })
+    match Keyword::of(name)? {
+        Keyword::Agg(func) => Some(func),
+        _ => None,
+    }
 }
 
 /// Does `count(*)`-style call expression denote aggregate `a`?
@@ -304,9 +303,9 @@ fn expr_matches_agg(expr: &Expr, a: &AggExpr) -> bool {
 /// that is no select item is rejected here — the executor finalizes only
 /// what the select list names, so it could only fail on it after the scan
 /// (and, on a tree, after every leaf has scanned and shipped).
-fn rewrite_having(expr: &Expr, query: &Query, output: &[(String, OutputCol)]) -> Result<Expr> {
-    if let Ok(idx) = resolve_output(expr, query, output) {
-        return Ok(Expr::Column(output[idx].0.clone()));
+fn rewrite_having(expr: &Expr, analyzed: &AnalyzedQuery) -> Result<Expr> {
+    if let Ok(idx) = resolve_output(expr, analyzed) {
+        return Ok(Expr::Column(analyzed.output[idx].0.clone()));
     }
     Ok(match expr {
         Expr::Literal(_) => expr.clone(),
@@ -324,19 +323,19 @@ fn rewrite_having(expr: &Expr, query: &Query, output: &[(String, OutputCol)]) ->
         }
         Expr::Call { name, args } => Expr::Call {
             name: name.clone(),
-            args: args.iter().map(|a| rewrite_having(a, query, output)).collect::<Result<_>>()?,
+            args: args.iter().map(|a| rewrite_having(a, analyzed)).collect::<Result<_>>()?,
         },
         Expr::Unary { op, expr: inner } => {
-            Expr::Unary { op: *op, expr: Box::new(rewrite_having(inner, query, output)?) }
+            Expr::Unary { op: *op, expr: Box::new(rewrite_having(inner, analyzed)?) }
         }
         Expr::Binary { op, lhs, rhs } => Expr::Binary {
             op: *op,
-            lhs: Box::new(rewrite_having(lhs, query, output)?),
-            rhs: Box::new(rewrite_having(rhs, query, output)?),
+            lhs: Box::new(rewrite_having(lhs, analyzed)?),
+            rhs: Box::new(rewrite_having(rhs, analyzed)?),
         },
         Expr::InList { expr: inner, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_having(inner, query, output)?),
-            list: list.iter().map(|e| rewrite_having(e, query, output)).collect::<Result<_>>()?,
+            expr: Box::new(rewrite_having(inner, analyzed)?),
+            list: list.iter().map(|e| rewrite_having(e, analyzed)).collect::<Result<_>>()?,
             negated: *negated,
         },
     })

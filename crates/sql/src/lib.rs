@@ -11,8 +11,9 @@
 //!
 //! This crate provides the full front end for that subset:
 //!
-//! - [`lexer`] / [`parser`] — text → [`ast::Query`], refusing an
-//!   expression nested deeper than [`codec::MAX_DEPTH`];
+//! - [`parser`] — text → [`ast::Query`] in one pass over tokens that
+//!   borrow the text (its private lexer decides each keyword once),
+//!   refusing an expression nested deeper than [`codec::MAX_DEPTH`];
 //! - [`ast`] — expressions, aggregates, queries, with canonical SQL
 //!   rendering (`Display`), which doubles as the key for materialized
 //!   virtual fields (§5);
@@ -22,7 +23,8 @@
 //!   `AND / OR / NOT / IN / NOT IN / = / !=` fragment that drives chunk
 //!   skipping (§2.4, §5 "Complex Expressions");
 //! - [`analyze`](module@crate::analyze) — semantic analysis into an
-//!   executable plan shape. Its lowering of aggregates to [`Slot`]s is the
+//!   executable plan shape; [`plan`] parses and analyzes SQL text, handing
+//!   the query over. Its lowering of aggregates to [`Slot`]s is the
 //!   §4 rewrite: the leaves fill the slots under `WHERE`, every parent
 //!   merges them (`PartialResult::merge`), the root applies `HAVING`;
 //! - [`codec`] — wire codecs ([`pd_common::wire`]) for expressions and
@@ -35,11 +37,11 @@ pub mod analyze;
 pub mod ast;
 pub mod codec;
 pub mod eval;
-pub mod lexer;
+mod lexer;
 pub mod parser;
 pub mod restriction;
 
-pub use analyze::{analyze, AnalyzedQuery, OutputCol, Slot, SlotClass, SlotRef};
+pub use analyze::{analyze, plan, AnalyzedQuery, OutputCol, Slot, SlotClass, SlotRef};
 pub use ast::{AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem, UnaryOp};
 pub use eval::{eval_expr, truthy, values_compare, values_equal, RowContext};
 pub use parser::parse_query;

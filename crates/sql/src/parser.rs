@@ -20,26 +20,26 @@
 
 use crate::ast::*;
 use crate::codec::MAX_DEPTH;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{tokenize, unescape, Keyword, Token};
 use pd_common::{Error, Result, Value};
 
 /// Parse a single SQL statement.
 pub fn parse_query(input: &str) -> Result<Query> {
     let tokens = tokenize(input)?;
-    if tokens.iter().any(|t| t.is_kw("union")) {
+    if tokens.iter().any(|t| t.is(Keyword::Union)) {
         return Err(Error::Unsupported("UNION".into()));
     }
     let mut p = Parser { tokens, pos: 0 };
     let q = p.parse_query()?;
-    p.eat_if(|t| matches!(t, Token::Semicolon));
+    p.eat_if(|t| t == Token::Semicolon);
     if p.pos != p.tokens.len() {
         return Err(Error::Parse(format!("trailing tokens after query: {:?}", p.peek())));
     }
     Ok(q)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
@@ -60,51 +60,39 @@ fn bounded(depth: usize) -> Result<usize> {
     Ok(depth)
 }
 
-const AGG_NAMES: [(&str, AggFunc); 5] = [
-    ("count", AggFunc::Count),
-    ("sum", AggFunc::Sum),
-    ("min", AggFunc::Min),
-    ("max", AggFunc::Max),
-    ("avg", AggFunc::Avg),
-];
+/// The name a word spells, unless it is a reserved word.
+fn name(token: Token<'_>) -> Option<&str> {
+    match token {
+        Token::Word(word, kw) if !kw.is_some_and(Keyword::is_reserved) => Some(word),
+        _ => None,
+    }
+}
 
-/// Reserved words that terminate an expression / cannot be aliases.
-const RESERVED: [&str; 16] = [
-    "select", "from", "where", "group", "by", "having", "order", "limit", "as", "and", "or", "not",
-    "in", "union", "all", "between",
-];
-
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Result<&Token> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .ok_or_else(|| Error::Parse("unexpected end of query".into()))?;
+    fn next(&mut self) -> Result<Token<'a>> {
+        let t = self.peek().ok_or_else(|| Error::Parse("unexpected end of query".into()))?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.is_kw(kw)) {
-            self.pos += 1;
-            return true;
-        }
-        false
+    fn eat_kw(&mut self, kw: Keyword) -> bool {
+        self.eat_if(|t| t.is(kw))
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    fn expect_kw(&mut self, kw: Keyword) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(Error::Parse(format!("expected `{}`, found {:?}", kw.to_uppercase(), self.peek())))
+            let kw = format!("{kw:?}").to_uppercase();
+            Err(Error::Parse(format!("expected `{kw}`, found {:?}", self.peek())))
         }
     }
 
-    fn eat_if(&mut self, pred: impl Fn(&Token) -> bool) -> bool {
+    fn eat_if(&mut self, pred: impl Fn(Token<'a>) -> bool) -> bool {
         if self.peek().is_some_and(pred) {
             self.pos += 1;
             return true;
@@ -112,8 +100,8 @@ impl Parser {
         false
     }
 
-    fn expect(&mut self, token: Token) -> Result<()> {
-        if self.eat_if(|t| *t == token) {
+    fn expect(&mut self, token: Token<'a>) -> Result<()> {
+        if self.eat_if(|t| t == token) {
             Ok(())
         } else {
             Err(Error::Parse(format!("expected {token:?}, found {:?}", self.peek())))
@@ -121,49 +109,40 @@ impl Parser {
     }
 
     fn parse_query(&mut self) -> Result<Query> {
-        self.expect_kw("select")?;
-        let mut select = vec![self.parse_select_item()?];
-        while self.eat_if(|t| matches!(t, Token::Comma)) {
-            select.push(self.parse_select_item()?);
-        }
-        self.expect_kw("from")?;
+        self.expect_kw(Keyword::Select)?;
+        let select = self.list(Self::parse_select_item)?;
+        self.expect_kw(Keyword::From)?;
         let from = match self.next()? {
-            Token::Ident(name) if !is_reserved(name) => name.clone(),
             // No engine reads a subquery: answering the outer query over the
             // whole table would be a wrong answer.
             Token::LParen => return Err(Error::Unsupported("a subquery in FROM".into())),
-            other => return Err(Error::Parse(format!("expected table name, found {other:?}"))),
+            other => name(other)
+                .ok_or_else(|| Error::Parse(format!("expected table name, found {other:?}")))?
+                .to_owned(),
         };
-        let where_clause = if self.eat_kw("where") { Some(self.expression()?) } else { None };
+        let where_clause =
+            if self.eat_kw(Keyword::Where) { Some(self.expression()?) } else { None };
         let mut group_by = Vec::new();
-        if self.eat_kw("group") {
-            self.expect_kw("by")?;
-            group_by.push(self.expression()?);
-            while self.eat_if(|t| matches!(t, Token::Comma)) {
-                group_by.push(self.expression()?);
-            }
+        if self.eat_kw(Keyword::Group) {
+            self.expect_kw(Keyword::By)?;
+            group_by = self.list(Self::expression)?;
         }
-        let having = if self.eat_kw("having") { Some(self.expression()?) } else { None };
+        let having = if self.eat_kw(Keyword::Having) { Some(self.expression()?) } else { None };
         let mut order_by = Vec::new();
-        if self.eat_kw("order") {
-            self.expect_kw("by")?;
-            loop {
-                let expr = self.expression()?;
-                let desc = if self.eat_kw("desc") {
-                    true
-                } else {
-                    self.eat_kw("asc");
-                    false
-                };
-                order_by.push(OrderKey { expr, desc });
-                if !self.eat_if(|t| matches!(t, Token::Comma)) {
-                    break;
+        if self.eat_kw(Keyword::Order) {
+            self.expect_kw(Keyword::By)?;
+            order_by = self.list(|p| {
+                let expr = p.expression()?;
+                let desc = p.eat_kw(Keyword::Desc);
+                if !desc {
+                    p.eat_kw(Keyword::Asc);
                 }
-            }
+                Ok(OrderKey { expr, desc })
+            })?;
         }
-        let limit = if self.eat_kw("limit") {
+        let limit = if self.eat_kw(Keyword::Limit) {
             match self.next()? {
-                Token::Int(n) if *n >= 0 => Some(*n as usize),
+                Token::Int(n) if n >= 0 => Some(n as usize),
                 other => {
                     return Err(Error::Parse(format!(
                         "LIMIT expects a non-negative integer, found {other:?}"
@@ -182,20 +161,15 @@ impl Parser {
         } else {
             SelectExpr::Scalar(self.expression()?)
         };
-        let alias = if self.eat_kw("as") {
-            match self.next()? {
-                Token::Ident(a) if !is_reserved(a) => Some(a.clone()),
-                other => return Err(Error::Parse(format!("expected alias, found {other:?}"))),
-            }
-        } else if let Some(Token::Ident(a)) = self.peek() {
+        let alias = if self.eat_kw(Keyword::As) {
+            let token = self.next()?;
+            let alias = name(token)
+                .ok_or_else(|| Error::Parse(format!("expected alias, found {token:?}")))?;
+            Some(alias.to_owned())
+        } else if let Some(alias) = self.peek().and_then(name) {
             // Bare alias: `COUNT(*) c`.
-            if !is_reserved(a) {
-                let a = a.clone();
-                self.pos += 1;
-                Some(a)
-            } else {
-                None
-            }
+            self.pos += 1;
+            Some(alias.to_owned())
         } else {
             None
         };
@@ -204,23 +178,18 @@ impl Parser {
 
     /// If the next tokens form an aggregate call, consume and return it.
     fn try_parse_aggregate(&mut self) -> Result<Option<AggExpr>> {
-        let Some(Token::Ident(name)) = self.peek() else {
-            return Ok(None);
-        };
-        let Some((_, func)) =
-            AGG_NAMES.iter().find(|(kw, _)| name.eq_ignore_ascii_case(kw)).copied()
-        else {
+        let Some(Token::Word(_, Some(Keyword::Agg(func)))) = self.peek() else {
             return Ok(None);
         };
         if self.tokens.get(self.pos + 1) != Some(&Token::LParen) {
             return Ok(None);
         }
         self.pos += 2; // name + (
-        if func == AggFunc::Count && self.eat_if(|t| matches!(t, Token::Star)) {
+        if func == AggFunc::Count && self.eat_if(|t| t == Token::Star) {
             self.expect(Token::RParen)?;
             return Ok(Some(AggExpr::count_star()));
         }
-        let distinct = self.eat_kw("distinct");
+        let distinct = self.eat_kw(Keyword::Distinct);
         let arg = self.expression()?;
         self.expect(Token::RParen)?;
         if distinct && func != AggFunc::Count {
@@ -244,13 +213,13 @@ impl Parser {
             // `[NOT] IN (...)` and `[NOT] BETWEEN a AND b` bind like
             // comparisons.
             let saved = self.pos;
-            let negated = self.eat_kw("not");
+            let negated = self.eat_kw(Keyword::Not);
             if BinaryOp::Eq.precedence() >= min_prec {
-                if self.eat_kw("in") {
+                if self.eat_kw(Keyword::In) {
                     lhs = self.parse_in(lhs, negated, level)?;
                     continue;
                 }
-                if self.eat_kw("between") {
+                if self.eat_kw(Keyword::Between) {
                     lhs = self.parse_between(lhs, negated, level)?;
                     continue;
                 }
@@ -287,7 +256,7 @@ impl Parser {
         // Bounds parse above AND precedence so the separating AND is not
         // swallowed.
         let low = self.parse_expr(BinaryOp::Eq.precedence(), level + 1)?;
-        self.expect_kw("and")?;
+        self.expect_kw(Keyword::And)?;
         let high = self.parse_expr(BinaryOp::Eq.precedence(), level + 1)?;
         let height = bounded(x.1.max(low.1).max(high.1) + 2 + usize::from(negated))?;
         let both = Expr::binary(
@@ -308,8 +277,19 @@ impl Parser {
             let (expr, expr_height) = self.parse_expr(0, level)?;
             list.push(expr);
             height = height.max(expr_height);
-            if !self.eat_if(|t| matches!(t, Token::Comma)) {
+            if !self.eat_if(|t| t == Token::Comma) {
                 return Ok((list, height));
+            }
+        }
+    }
+
+    /// `item (, item)*`.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        loop {
+            items.push(item(self)?);
+            if !self.eat_if(|t| t == Token::Comma) {
+                return Ok(items);
             }
         }
     }
@@ -326,19 +306,19 @@ impl Parser {
             Token::Le => Some(BinaryOp::Le),
             Token::Gt => Some(BinaryOp::Gt),
             Token::Ge => Some(BinaryOp::Ge),
-            t if t.is_kw("and") => Some(BinaryOp::And),
-            t if t.is_kw("or") => Some(BinaryOp::Or),
+            Token::Word(_, Some(Keyword::And)) => Some(BinaryOp::And),
+            Token::Word(_, Some(Keyword::Or)) => Some(BinaryOp::Or),
             _ => None,
         }
     }
 
     fn parse_unary(&mut self, level: usize) -> Result<Parsed> {
         bounded(level)?;
-        if self.eat_kw("not") {
+        if self.eat_kw(Keyword::Not) {
             // NOT binds tighter than AND but looser than comparisons.
             return unary(UnaryOp::Not, self.parse_expr(3, level + 1)?);
         }
-        if self.eat_if(|t| matches!(t, Token::Minus)) {
+        if self.eat_if(|t| t == Token::Minus) {
             // Fold negation into numeric literals.
             return match self.parse_unary(level + 1)? {
                 (Expr::Literal(Value::Int(v)), _) => Ok((Expr::Literal(Value::Int(-v)), 0)),
@@ -351,9 +331,9 @@ impl Parser {
 
     fn parse_primary(&mut self, level: usize) -> Result<Parsed> {
         let expr = match self.next()? {
-            Token::Int(v) => Expr::Literal(Value::Int(*v)),
-            Token::Float(v) => Expr::Literal(Value::Float(*v)),
-            Token::Str(s) => Expr::Literal(Value::Str(s.clone())),
+            Token::Int(v) => Expr::Literal(Value::Int(v)),
+            Token::Float(v) => Expr::Literal(Value::Float(v)),
+            Token::Str(body) => Expr::Literal(Value::Str(unescape(body))),
             Token::LParen => {
                 let parsed = self.parse_expr(0, level + 1)?;
                 self.expect(Token::RParen)?;
@@ -362,15 +342,14 @@ impl Parser {
             // `*` in primary position: the argument of `COUNT(*)` when it
             // appears in HAVING / ORDER BY expression context.
             Token::Star => Expr::Column("*".into()),
-            Token::Ident(name) if is_reserved(name) => {
-                return Err(Error::Parse(format!("unexpected keyword `{name}`")))
+            Token::Word(word, Some(kw)) if kw.is_reserved() => {
+                return Err(Error::Parse(format!("unexpected keyword `{word}`")))
             }
-            Token::Ident(name) => {
-                let name = name.clone();
-                if self.eat_if(|t| matches!(t, Token::LParen)) {
-                    return self.parse_call(name, level);
+            Token::Word(word, _) => {
+                if self.eat_if(|t| t == Token::LParen) {
+                    return self.parse_call(word, level);
                 }
-                Expr::Column(name)
+                Expr::Column(word.to_owned())
             }
             other => return Err(Error::Parse(format!("unexpected token {other:?}"))),
         };
@@ -378,19 +357,15 @@ impl Parser {
     }
 
     /// The arguments and `)` of a call to `name`.
-    fn parse_call(&mut self, name: String, level: usize) -> Result<Parsed> {
-        let name = name.to_lowercase();
-        if self.eat_if(|t| matches!(t, Token::RParen)) {
+    fn parse_call(&mut self, name: &str, level: usize) -> Result<Parsed> {
+        let name = name.to_ascii_lowercase();
+        if self.eat_if(|t| t == Token::RParen) {
             return Ok((Expr::Call { name, args: Vec::new() }, 0));
         }
         let (args, height) = self.parse_list(level + 1)?;
         self.expect(Token::RParen)?;
         Ok((Expr::Call { name, args }, bounded(height + 1)?))
     }
-}
-
-fn is_reserved(word: &str) -> bool {
-    RESERVED.iter().any(|r| word.eq_ignore_ascii_case(r))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use powerdrill::core::{execute, ExecContext};
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::sql::{analyze, parse_query};
+use powerdrill::sql::plan;
 use powerdrill::{BuildOptions, DataStore};
 
 fn main() -> powerdrill::Result<()> {
@@ -21,7 +21,7 @@ fn main() -> powerdrill::Result<()> {
     // The paper's own example query.
     let sql = "SELECT country, COUNT(DISTINCT table_name) as tables, COUNT(*) as queries \
                FROM logs GROUP BY country ORDER BY queries DESC LIMIT 8";
-    let analyzed = analyze(&parse_query(sql)?)?;
+    let analyzed = plan(sql)?;
 
     // Exact reference (a saturated sketch is exact).
     let exact_ctx = ExecContext { sketch_m: 1 << 22, ..Default::default() };

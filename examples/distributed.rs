@@ -9,7 +9,7 @@
 use powerdrill::data::{generate_logs, LogsSpec};
 use powerdrill::dist::process::resolve_worker_bin;
 use powerdrill::dist::{query_signature, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport};
-use powerdrill::sql::{analyze, parse_query};
+use powerdrill::sql::plan;
 use powerdrill::{BuildOptions, ExecContext};
 use std::time::Duration;
 
@@ -35,7 +35,7 @@ fn main() -> powerdrill::Result<()> {
         "SELECT country, SUM(latency) as s FROM logs GROUP BY country ORDER BY s DESC LIMIT 5";
     let twin = "SELECT country, AVG(latency) as a, COUNT(*) as c FROM logs GROUP BY country";
     for chart in [sql, twin] {
-        let analyzed = analyze(&parse_query(chart)?)?;
+        let analyzed = plan(chart)?;
         let slots: Vec<String> = analyzed.slots.iter().map(|slot| slot.to_string()).collect();
         println!("\noriginal     : {chart}");
         println!("leaf slots   : {}", slots.join(", "));

@@ -68,7 +68,7 @@
 //!
 //! let table = generate_logs(&LogsSpec::scaled(5_000));
 //! let store = DataStore::build(&table, &BuildOptions::production(&["country"])).unwrap();
-//! let q = sql::analyze(&sql::parse_query("SELECT country, COUNT(*) c FROM logs GROUP BY country").unwrap()).unwrap();
+//! let q = sql::plan("SELECT country, COUNT(*) c FROM logs GROUP BY country").unwrap();
 //! let sequential = ExecContext { threads: 1, ..Default::default() };
 //! let parallel = ExecContext { threads: 8, ..Default::default() };
 //! let (a, _) = execute(&store, &q, &sequential).unwrap();
@@ -130,9 +130,7 @@ impl PowerDrill {
 
     /// Run a SQL query. Any table name in `FROM` refers to this dataset.
     pub fn sql(&self, sql: &str) -> Result<(QueryResult, ScanStats)> {
-        let parsed = pd_sql::parse_query(sql)?;
-        let analyzed = pd_sql::analyze(&parsed)?;
-        pd_core::execute(&self.store, &analyzed, &self.ctx)
+        pd_core::execute(&self.store, &pd_sql::plan(sql)?, &self.ctx)
     }
 
     /// The underlying store.
