@@ -249,15 +249,6 @@ fn quote_str(s: &str) -> String {
     out
 }
 
-/// `items`, separated by `, `.
-fn comma_list<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
-    for (i, item) in items.iter().enumerate() {
-        let comma = if i > 0 { ", " } else { "" };
-        write!(f, "{comma}{item}")?;
-    }
-    Ok(())
-}
-
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -266,7 +257,12 @@ impl fmt::Display for Expr {
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Call { name, args } => {
                 write!(f, "{name}(")?;
-                comma_list(f, args)?;
+                for (i, a) in args.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "{a}")?;
+                }
                 write!(f, ")")
             }
             // Self-parenthesized so unary nodes stay unambiguous inside
@@ -278,7 +274,12 @@ impl fmt::Display for Expr {
                 // Outer parentheses keep the canonical text unambiguous
                 // when an IN expression nests inside arithmetic.
                 write!(f, "({expr} {}IN (", if *negated { "NOT " } else { "" })?;
-                comma_list(f, list)?;
+                for (i, v) in list.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "{v}")?;
+                }
                 write!(f, "))")
             }
         }
@@ -307,14 +308,24 @@ impl fmt::Display for SelectItem {
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT ")?;
-        comma_list(f, &self.select)?;
+        for (i, item) in self.select.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{item}")?;
+        }
         write!(f, " FROM {}", self.from)?;
         if let Some(w) = &self.where_clause {
             write!(f, " WHERE {w}")?;
         }
         if !self.group_by.is_empty() {
             write!(f, " GROUP BY ")?;
-            comma_list(f, &self.group_by)?;
+            for (i, g) in self.group_by.iter().enumerate() {
+                if i > 0 {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{g}")?;
+            }
         }
         if let Some(h) = &self.having {
             write!(f, " HAVING {h}")?;
