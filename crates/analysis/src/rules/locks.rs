@@ -33,7 +33,6 @@ const BLOCKING_CALLS: &[&str] = &[
     "connect_by",
     "write_frame",
     "read_frame",
-    "read_frame_negotiated",
     "read_frame_deadline",
     "write_all_deadline",
     "accept",

@@ -4,7 +4,9 @@
 //! reader" dynamically; this rule makes the same contract lexical: inside the
 //! decode surfaces listed below, `unwrap()`, `expect(…)`, `panic!`-family
 //! macros, `assert!`-family macros and `[…]` indexing are all findings unless
-//! the code sits in a `#[cfg(test)]` region or carries an inline allow.
+//! the code sits in a `#[cfg(test)]` region or carries an inline allow. A
+//! surface that names a function its file does not define is a finding too:
+//! such a name guards nothing.
 
 use crate::lexer::{Kind, SourceFile};
 use crate::Finding;
@@ -38,15 +40,7 @@ pub const DECODE_SURFACES: &[Surface] = &[
     Surface { path: "crates/dist/src/rpc.rs", fns: Some(&["decode"]) },
     Surface {
         path: "crates/dist/src/rpc/frame.rs",
-        fns: Some(&[
-            "parse",
-            "decode_body",
-            "read_frame",
-            "read_frame_negotiated",
-            "read_frame_deadline",
-            "read_some",
-            "read_more",
-        ]),
+        fns: Some(&["parse", "read_frame", "read_frame_deadline", "read_some", "read_more"]),
     },
     Surface { path: "crates/dist/src/rpc/fanout.rs", fns: Some(&["absorb_into"]) },
     Surface { path: "crates/dist/src/meta.rs", fns: Some(&["decode", "absorb_append"]) },
@@ -72,7 +66,16 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
 
 /// Exposed separately so fixtures can exercise the fn-scoped mode directly.
 pub fn check_surface(file: &SourceFile, fns: Option<&[&str]>) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    let missing =
+        fns.unwrap_or_default().iter().filter(|name| !file.fns.iter().any(|f| f == *name));
+    let mut findings: Vec<Finding> = missing
+        .map(|name| Finding {
+            rule: RULE,
+            file: file.rel_path.clone(),
+            line: 1,
+            message: format!("decode surface `{name}` names no function this file defines"),
+        })
+        .collect();
     let toks = &file.tokens;
     for (i, tok) in toks.iter().enumerate() {
         if tok.in_test {

@@ -56,6 +56,21 @@ fn decode_panic_respects_fn_scoped_surfaces() {
 }
 
 #[test]
+fn decode_panic_flags_a_surface_naming_a_missing_function() {
+    // A declared name the file does not define guards nothing.
+    let src = "fn decode(b: &[u8]) -> u8 { b.len() as u8 }\n";
+    let findings = panics::check_surface(&parse(WIRE, src), Some(&["decode", "gone"]));
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("`gone`"), "{}", findings[0].message);
+    // The real table: frame.rs without `read_more` is a finding.
+    let frame = "crates/dist/src/rpc/frame.rs";
+    let src = "fn parse() {}\nfn read_frame() {}\nfn read_frame_deadline() {}\nfn read_some() {}\n";
+    let findings = panics::check(&parse(frame, src));
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("`read_more`"), "{}", findings[0].message);
+}
+
+#[test]
 fn decode_panic_honors_inline_allow() {
     let src = "fn decode(b: &[u8]) -> u8 {\n    // pd-analysis: allow(decode-panic) -- bounds checked by caller\n    b[0]\n}\n";
     assert!(panics::check(&parse(WIRE, src)).is_empty());

@@ -89,7 +89,6 @@ fn main() {
             worker_bin: None,
             budget: Duration::from_secs(60),
             addr: WorkerAddr::Unix,
-            compress: false,
         }),
         ..Default::default()
     };

@@ -1,6 +1,6 @@
 //! The cost of the real §4 process split: in-process shard fan-out vs the
 //! RPC computation tree (spawned `pd-dist-worker` leaves + merge servers)
-//! over Unix sockets and loopback TCP, with frame compression on and off.
+//! over Unix sockets and loopback TCP.
 //!
 //! Numbers per shard count and transport:
 //!
@@ -9,11 +9,8 @@
 //! 2. **cold query** — first execution over each transport;
 //! 3. **warm query** — steady state, where the RPC gap isolates the wire:
 //!    serialization + framing + socket hops + worker queueing;
-//! 4. **wire bytes** — the serialized size of one shard's partial result
-//!    raw vs compressed (`pd-compress` Zippy): the §4 payload that flows
-//!    up the tree is dominated by `FloatSum` superaccumulator limbs,
-//!    which are mostly zero, so the ratio must come out ≥ 2× (asserted —
-//!    the bench-smoke CI job turns a regression into a red build);
+//! 4. **wire bytes** — the serialized size of one shard's partial result,
+//!    the §4 payload that flows up the tree (frames are never compressed);
 //! 5. **root hit** — the warm repeat of a chart the root's cache holds, on
 //!    a unix tree ÷ on an in-process tree of the same shape: it crosses no
 //!    edge, so the socket must not show (asserted ≤ 2×, with exactly one
@@ -33,7 +30,6 @@
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure, measure_stats, TablePrinter};
 use pd_common::wire;
-use pd_compress::CodecKind;
 use pd_core::{execute_partial, query, BuildOptions, DataStore, ExecContext};
 use pd_dist::{
     ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
@@ -58,7 +54,7 @@ fn main() {
 
     // One shard's partial on the wire: what every tree edge carries (an
     // unfiltered two-aggregate group-by, so every group key, count and
-    // float-sum superaccumulator is present), raw and compressed.
+    // float-sum superaccumulator is present).
     let store = DataStore::build(&table, &build).expect("store");
     let unfiltered = "SELECT country, COUNT(*) as c, SUM(latency) as s FROM logs GROUP BY country";
     let analyzed =
@@ -66,37 +62,10 @@ fn main() {
     let ctx = ExecContext { threads: 1, ..Default::default() };
     let (partial, _) = execute_partial(&store, &analyzed, &ctx).expect("partial");
     let wire_bytes = wire::to_bytes(&partial);
-    let codec = CodecKind::Zippy.codec();
-    let compress_stats = measure_stats(5, || {
-        black_box(codec.compress(&wire_bytes));
-    });
-    let compressed = codec.compress(&wire_bytes);
-    assert_eq!(codec.decompress(&compressed).expect("round trip"), wire_bytes);
-    let ratio = wire_bytes.len() as f64 / compressed.len().max(1) as f64;
     println!(
-        "dataset: {rows} rows; one shard's {}-group partial on the wire: {} bytes raw, \
-         {} bytes compressed ({ratio:.1}x, compressed in {})",
+        "dataset: {rows} rows; one shard's {}-group partial on the wire: {} bytes",
         partial.len(),
         wire_bytes.len(),
-        compressed.len(),
-        fmt_duration(compress_stats.median),
-    );
-    json_line(
-        "rpc_tree",
-        "partial_compression",
-        compress_stats,
-        &[
-            ("bytes", wire_bytes.len().to_string()),
-            ("compressed_bytes", compressed.len().to_string()),
-            ("ratio", format!("{ratio:.3}")),
-        ],
-    );
-    assert!(
-        ratio >= 2.0,
-        "FloatSum-limb-dominated partials must compress ≥2x, got {ratio:.2}x \
-         ({} -> {} bytes)",
-        wire_bytes.len(),
-        compressed.len()
     );
 
     let worker_available = pd_dist::process::resolve_worker_bin(None).is_ok();
@@ -109,10 +78,8 @@ fn main() {
 
     let transports: Vec<(&str, Transport)> = vec![
         ("in-process", Transport::InProcess),
-        ("unix", rpc(WorkerAddr::Unix, false)),
-        ("unix+z", rpc(WorkerAddr::Unix, true)),
-        ("tcp", rpc(WorkerAddr::loopback(), false)),
-        ("tcp+z", rpc(WorkerAddr::loopback(), true)),
+        ("unix", rpc(WorkerAddr::Unix)),
+        ("tcp", rpc(WorkerAddr::loopback())),
     ];
     let shard_counts: &[usize] = if pd_bench::quick() { &[1, 4] } else { &[1, 4, 8] };
 
@@ -159,8 +126,7 @@ fn main() {
     }
     println!(
         "\nThe warm-query gap between the transports is the RPC boundary itself: \
-         serialization, framing, socket hops and worker queueing; the +z columns \
-         show what per-frame compression costs (CPU) and saves (bytes moved)."
+         serialization, framing, socket hops and worker queueing."
     );
 
     // The root's result cache: a warm drill-down answers from the root — a
@@ -202,7 +168,7 @@ fn main() {
             };
             Cluster::build(&table, &config).expect("cached cluster")
         };
-        let (unix, local) = (tree(rpc(WorkerAddr::Unix, false)), tree(Transport::InProcess));
+        let (unix, local) = (tree(rpc(WorkerAddr::Unix)), tree(Transport::InProcess));
         let cold = pd_bench::measure(|| {
             black_box(unix.query(sql).expect("cold query"));
         });
@@ -264,7 +230,7 @@ fn main() {
     // the shard envelope (the distinct set degrades past the cap and the
     // min/max straddles the window) can refute. Only the per-chunk
     // value-space zone maps every leaf keeps prune here. The socket tree —
-    // measured over compressed TCP, the multi-host transport — and the same
+    // measured over loopback TCP, the multi-host transport — and the same
     // shards in one address space prune and scan alike, and both scan
     // strictly fewer rows than one store of the same recipe, which finds
     // rows by its chunk dictionaries alone, for a bit-identical result.
@@ -296,7 +262,7 @@ fn main() {
             )
             .expect("drill-down cluster")
         };
-        let layered = cluster_over(rpc(WorkerAddr::loopback(), true));
+        let layered = cluster_over(rpc(WorkerAddr::loopback()));
         let local = cluster_over(Transport::InProcess);
         let single_store = DataStore::build(&table, &drill_build).expect("single store");
         let (want, single) = query(&single_store, drill).expect("single-store drill-down");
@@ -325,7 +291,7 @@ fn main() {
             black_box(layered.query(drill).expect("layered drill-down"));
         });
         println!(
-            "\n=== chunk-pruned drill-down (4 shards, tcp+z; table_name in ['logs.m','logs.s')) ===\n\
+            "\n=== chunk-pruned drill-down (4 shards, tcp; table_name in ['logs.m','logs.s')) ===\n\
              layered {} ({} of {} rows scanned, {} chunks pruned remotely, \
              {frames_not_sent} frames not sent; the in-process tree alike) vs one store {} \
              rows scanned",
@@ -363,7 +329,7 @@ fn main() {
                 threads: 1,
                 tree: TreeShape { fanout: 4 },
                 build: build.clone(),
-                transport: rpc(WorkerAddr::Unix, false),
+                transport: rpc(WorkerAddr::Unix),
                 ..Default::default()
             };
             let cluster = Cluster::build(&table, &config).expect("replication-tax cluster");
@@ -425,7 +391,7 @@ fn main() {
             threads: 1,
             tree: TreeShape { fanout: 4 },
             build: build.clone(),
-            transport: rpc(WorkerAddr::Unix, false),
+            transport: rpc(WorkerAddr::Unix),
             ..Default::default()
         };
         let mut cluster = Cluster::build(&table, &config).expect("hedged cluster");
@@ -475,6 +441,6 @@ fn stats(mut samples: Vec<Duration>) -> pd_bench::Stats {
     pd_bench::Stats { min: samples[0], median: samples[samples.len() / 2] }
 }
 
-fn rpc(addr: WorkerAddr, compress: bool) -> Transport {
-    Transport::Rpc(RpcConfig { worker_bin: None, budget: Duration::from_secs(60), addr, compress })
+fn rpc(addr: WorkerAddr) -> Transport {
+    Transport::Rpc(RpcConfig { worker_bin: None, budget: Duration::from_secs(60), addr })
 }

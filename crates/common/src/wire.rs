@@ -79,58 +79,43 @@ use std::time::Duration;
 /// option tag it had while a `FROM` could hold a subquery.
 /// Version 14: `BuildOptions` loses its row-reordering flag; a table that
 /// wants §3's clustered rows is sorted before its import.
-pub const FRAME_VERSION: u8 = 14;
+/// Version 15: frames are never compressed — the header loses its flags
+/// byte, and an `Attach` its compression field.
+pub const FRAME_VERSION: u8 = 15;
 
-/// The frame payload is compressed (`pd-compress`, Zippy family). The
-/// receiver decompresses before decoding; the flag is per frame, so a
-/// connection can mix compressed and raw frames freely.
-pub const FRAME_FLAG_COMPRESSED: u8 = 0b0000_0001;
-
-/// The sender accepts compressed frames in return. This is the
-/// per-connection negotiation: a peer only compresses its replies to
-/// senders that advertised the bit, so an old or compression-less client
-/// never receives bytes it cannot decode.
-pub const FRAME_FLAG_COMPRESS_OK: u8 = 0b0000_0010;
-
-const FRAME_FLAGS_KNOWN: u8 = FRAME_FLAG_COMPRESSED | FRAME_FLAG_COMPRESS_OK;
-
-/// The fixed 6-byte prelude of every RPC frame:
-/// `[version u8][flags u8][payload length u32 le]`.
+/// The fixed 5-byte prelude of every RPC frame:
+/// `[version u8][payload length u32 le]`.
 ///
-/// Framing (length cap, reading, compression wiring) lives with the RPC
-/// layer; this header only fixes the byte layout, so both sides of any
-/// transport — and the property fuzzers — agree on it.
+/// Framing (length cap, reading) lives with the RPC layer; this header
+/// only fixes the byte layout, so both sides of any transport — and the
+/// property fuzzers — agree on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    pub flags: u8,
-    /// Payload bytes on the wire (post-compression when the flag is set).
+    /// Payload bytes on the wire.
     pub len: u32,
 }
 
 impl FrameHeader {
-    pub const BYTES: usize = 6;
+    pub const BYTES: usize = 5;
 
     /// Serialize with the current [`FRAME_VERSION`].
     pub fn to_bytes(self) -> [u8; Self::BYTES] {
         let [l0, l1, l2, l3] = self.len.to_le_bytes();
-        [FRAME_VERSION, self.flags, l0, l1, l2, l3]
+        [FRAME_VERSION, l0, l1, l2, l3]
     }
 
-    /// Parse and validate: wrong version or unknown flag bits are framing
-    /// errors (the stream cannot be trusted past them). A version skew is
-    /// the *typed* [`RpcError::VersionMismatch`], so retry policies can
-    /// refuse to retry it without string matching.
+    /// Parse and validate: a wrong version is a framing error (the stream
+    /// cannot be trusted past it), and the *typed*
+    /// [`RpcError::VersionMismatch`], so retry policies can refuse to
+    /// retry it without string matching.
     pub fn parse(bytes: [u8; Self::BYTES]) -> Result<FrameHeader> {
-        let [version, flags, l0, l1, l2, l3] = bytes;
+        let [version, l0, l1, l2, l3] = bytes;
         if version != FRAME_VERSION {
             return Err(Error::Rpc(RpcError::VersionMismatch(format!(
                 "wire: frame version {version} (this build speaks {FRAME_VERSION})"
             ))));
         }
-        if flags & !FRAME_FLAGS_KNOWN != 0 {
-            return Err(Error::Data(format!("wire: unknown frame flags {flags:#04x}")));
-        }
-        Ok(FrameHeader { flags, len: u32::from_le_bytes([l0, l1, l2, l3]) })
+        Ok(FrameHeader { len: u32::from_le_bytes([l0, l1, l2, l3]) })
     }
 }
 
@@ -578,20 +563,14 @@ mod tests {
 
     #[test]
     fn frame_headers_round_trip_and_validate() {
-        for flags in [0u8, FRAME_FLAG_COMPRESSED, FRAME_FLAG_COMPRESS_OK, FRAME_FLAGS_KNOWN] {
-            for len in [0u32, 1, 7_800, u32::MAX] {
-                let header = FrameHeader { flags, len };
-                assert_eq!(FrameHeader::parse(header.to_bytes()).unwrap(), header);
-            }
+        for len in [0u32, 1, 7_800, u32::MAX] {
+            let header = FrameHeader { len };
+            assert_eq!(FrameHeader::parse(header.to_bytes()).unwrap(), header);
         }
         // Wrong version: the *typed* mismatch, never retried.
-        let mut bytes = FrameHeader { flags: 0, len: 4 }.to_bytes();
+        let mut bytes = FrameHeader { len: 4 }.to_bytes();
         bytes[0] = FRAME_VERSION + 1;
         assert!(matches!(FrameHeader::parse(bytes), Err(Error::Rpc(RpcError::VersionMismatch(_)))));
-        // Unknown flag bit.
-        let mut bytes = FrameHeader { flags: 0, len: 4 }.to_bytes();
-        bytes[1] = 0x80;
-        assert!(FrameHeader::parse(bytes).is_err());
     }
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {

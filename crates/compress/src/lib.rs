@@ -1,9 +1,11 @@
-//! The engine's one compression codec, from scratch.
+//! The paper's compression codec, from scratch.
 //!
 //! The paper relies on "Google's own high speed compression algorithm Zippy"
 //! (externally Snappy) wherever bytes are worth shrinking (§3, "Generic
-//! Compression Algorithm"); here that is every RPC frame past a size
-//! threshold. No third-party crate is involved:
+//! Compression Algorithm"); here the experiments measure it on the store's
+//! bytes (Table 3's ladder, the Dremel-like baseline). The engine sends
+//! nothing through it: RPC frames travel raw. No third-party crate is
+//! involved:
 //!
 //! - [`lz`] — byte-oriented LZ77 with a hash-table match finder and varint
 //!   framing; plays the role of **Zippy/Snappy** (fast, no entropy stage).
@@ -39,9 +41,8 @@ pub trait Codec: Send + Sync {
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>>;
 }
 
-/// The codec the engine selects (`pd_dist::rpc`'s `frame_codec`, its one
-/// use on the served path). One variant: nothing chooses between codecs.
-/// It is still an enum only because the benchmark's mirror
+/// The paper's codec, by kind. One variant: nothing chooses between
+/// codecs, and no engine crate calls it. It is still an enum only because the benchmark's mirror
 /// (`clickbench/src/layers.rs`) pins `CodecKind::Zippy.codec()`; ROADMAP
 /// item 1(a) deletes it with that mirror, and the callers name
 /// [`lz::LzCodec`].

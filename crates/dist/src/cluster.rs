@@ -56,8 +56,8 @@ pub enum Transport {
     /// The paper's real topology: one `pd-dist-worker` OS process per
     /// shard replica plus spawned merge servers, talking the
     /// [`crate::rpc`] protocol over Unix sockets ([`WorkerAddr::Unix`])
-    /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), with optionally
-    /// compressed frames. A worker that exhausts the query's
+    /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), in raw frames
+    /// ([`crate::rpc::encode_frame`]). A worker that exhausts the query's
     /// [`RpcConfig::budget`] fails over exactly like an unreachable one
     /// ([`crate::ChaosFault::Unreachable`]). A shard reaches its worker as
     /// the coded columns an append ships ([`pd_encoding::TableDelta`]), and
@@ -84,19 +84,11 @@ pub struct RpcConfig {
     /// Socket shape the workers listen on: `Unix` (single box) or
     /// `Tcp { host }` with one ephemeral port per worker.
     pub addr: WorkerAddr,
-    /// Compress RPC frames with `pd-compress` (negotiated per connection;
-    /// serialized partials are FloatSum-limb-heavy and shrink several-fold).
-    pub compress: bool,
 }
 
 impl Default for RpcConfig {
     fn default() -> Self {
-        RpcConfig {
-            worker_bin: None,
-            budget: Duration::from_secs(30),
-            addr: WorkerAddr::Unix,
-            compress: true,
-        }
+        RpcConfig { worker_bin: None, budget: Duration::from_secs(30), addr: WorkerAddr::Unix }
     }
 }
 
@@ -731,8 +723,7 @@ fn build_tree(
                     NodeSpec { threads: 1, ..node_spec(config, format!("m{height}_{i}"), epoch) };
                 workers.attach_mixer(group, spec)
             })?;
-            let compress = workers.compress;
-            let top = top.into_iter().map(|spec| ChildHandle::new(spec, compress)).collect();
+            let top = top.into_iter().map(ChildHandle::new).collect();
             (top, Some(workers))
         }
     };

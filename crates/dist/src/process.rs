@@ -125,9 +125,6 @@ pub(crate) struct Workers {
     worker_bin: PathBuf,
     /// Socket shape workers listen on.
     addr: WorkerAddr,
-    /// Compress RPC frames (negotiated per connection, applied down the
-    /// whole tree).
-    pub(crate) compress: bool,
     dir: PathBuf,
     processes: Vec<ReapGuard>,
     /// One control connection per worker, in spawn order, kept from its
@@ -157,7 +154,6 @@ impl Workers {
         Ok(Workers {
             worker_bin: resolve_worker_bin(rpc.worker_bin.as_deref())?,
             addr: rpc.addr.clone(),
-            compress: rpc.compress,
             dir,
             processes: Vec::new(),
             control: Vec::new(),
@@ -216,7 +212,7 @@ impl Workers {
         let metas: Vec<ShardMeta> =
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
         let name = spec.name.clone();
-        let attach = Request::Attach(AttachRequest { children, compress: self.compress, spec });
+        let attach = Request::Attach(AttachRequest { children, spec });
         let (addr, ack) = self.spawn_worker(&name, &attach)?;
         expect_ok(ack, "attach")?;
         Ok(ChildSpec::Node { addr, metas })
@@ -279,10 +275,10 @@ impl Workers {
         };
         self.names.push(name.to_string());
         self.processes.push(guard);
-        let mut client = RpcClient::new(addr.clone(), self.compress);
+        let mut client = RpcClient::new(addr.clone());
         client.connect_with_retry(STARTUP_TIMEOUT)?;
         expect_ok(client.call(&Request::Ping, STARTUP_TIMEOUT)?, "ping")?;
-        let frame = encode_frame(role, self.compress)?;
+        let frame = encode_frame(role, false)?;
         let reply = client.call_frame(&frame, Instant::now() + LOAD_TIMEOUT)?;
         if matches!(role, Request::Load(_)) {
             // Data-bearing shipping cost: what an append path is compared

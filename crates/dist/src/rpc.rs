@@ -1,7 +1,7 @@
 //! The RPC boundary of the §4 computation tree: the messages that cross a
 //! tree edge and their codecs. The machinery around them lives in this
 //! module's children and is re-exported here: `frame` (endpoints, framing,
-//! compression, deadline-bound socket I/O), `client` ([`RpcClient`],
+//! deadline-bound socket I/O), `client` ([`RpcClient`],
 //! [`CancelToken`]), `link` ([`Link`], [`ChildHandle`]: how any node
 //! reaches a child) and `fanout` ([`fan_out`]: ask, settle, fold).
 //!
@@ -35,10 +35,7 @@ mod testkit;
 pub(crate) use client::{backoff_sleep, BACKOFF_CAP};
 pub use client::{CancelToken, RpcClient};
 pub use fanout::{absorb_into, fan_out};
-pub use frame::{
-    encode_frame, read_frame, read_frame_negotiated, write_frame, Addr, Listener, Stream,
-    MAX_FRAME_BYTES,
-};
+pub use frame::{encode_frame, read_frame, write_frame, Addr, Listener, Stream, MAX_FRAME_BYTES};
 pub use link::{ChildHandle, Link};
 
 /// How long a parent waits for a freshly spawned worker to bind its
@@ -152,10 +149,6 @@ pub struct AppendAck {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttachRequest {
     pub children: Vec<ChildSpec>,
-    /// Whether this merge server compresses the frames *it* sends to its
-    /// children (and advertises compressed replies) — the per-connection
-    /// negotiation travels down the tree with the wiring.
-    pub compress: bool,
     pub spec: NodeSpec,
 }
 
@@ -321,7 +314,6 @@ impl Encode for Request {
             Request::Attach(attach) => {
                 out.push(REQ_ATTACH);
                 attach.children.encode(out);
-                attach.compress.encode(out);
                 attach.spec.encode(out);
             }
             Request::Query(query) => query.encode(out),
@@ -343,7 +335,6 @@ impl Decode for Request {
             })),
             REQ_ATTACH => Request::Attach(AttachRequest {
                 children: Vec::decode(r)?,
-                compress: bool::decode(r)?,
                 spec: NodeSpec::decode(r)?,
             }),
             REQ_QUERY => Request::Query(Box::new(QueryRequest {
@@ -591,7 +582,6 @@ mod tests {
                         metas: vec![sample_meta(), sample_meta()],
                     },
                 ],
-                compress: true,
                 spec: NodeSpec { name: "m1_0".into(), cache_entries: 32, epoch: 7, threads: 1 },
             }),
             Request::Query(Box::new(QueryRequest {

@@ -55,9 +55,6 @@ impl CancelToken {
 pub struct RpcClient {
     addr: Addr,
     stream: Option<Stream>,
-    /// Negotiated mode: compress outgoing payloads and advertise that
-    /// compressed replies are welcome.
-    pub(super) compress: bool,
     /// A second handle on the live stream, shared with [`CancelToken`]s.
     cancel_slot: Arc<pd_common::sync::Mutex<Option<Stream>>>,
     /// Seeded jitter for connect backoff — keyed off the address so two
@@ -67,12 +64,11 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    pub fn new(addr: Addr, compress: bool) -> RpcClient {
+    pub fn new(addr: Addr) -> RpcClient {
         let jitter = Rng::seed_from_u64(fx_hash64(&addr.to_string()));
         RpcClient {
             addr,
             stream: None,
-            compress,
             cancel_slot: Arc::new(pd_common::sync::Mutex::new(None)),
             jitter,
         }
@@ -180,7 +176,7 @@ impl RpcClient {
     /// `send`, `recv`.
     pub fn call(&mut self, request: &Request, timeout: Duration) -> Result<Response> {
         let deadline = Instant::now() + timeout.max(Duration::from_millis(1));
-        self.call_frame(&encode_frame(request, self.compress)?, deadline)
+        self.call_frame(&encode_frame(request, false)?, deadline)
     }
 
     /// Connect within the call deadline. Only a refused connect is
@@ -229,9 +225,9 @@ mod tests {
         let go_rx = pd_common::sync::Mutex::new(go_rx);
         let (addr, server) = fake_leaf(1, move |stream, _| {
             go_rx.lock().recv().unwrap();
-            write_frame(stream, &marked_answer(7), false).unwrap();
+            write_frame(stream, &marked_answer(7)).unwrap();
         });
-        let mut client = RpcClient::new(addr, false);
+        let mut client = RpcClient::new(addr);
         let deadline = Instant::now() + Duration::from_secs(10);
         let frame = encode_frame(&Request::Query(Box::new(count_all(0))), false).unwrap();
         client.send(&frame, deadline).unwrap();
@@ -258,7 +254,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(10));
             }
         });
-        let mut client = RpcClient::new(addr, false);
+        let mut client = RpcClient::new(addr);
         let budget = Duration::from_millis(150);
         let started = Instant::now();
         let err = client.call(&Request::Query(Box::new(count_all(0))), budget).unwrap_err();

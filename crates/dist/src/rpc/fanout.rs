@@ -61,7 +61,7 @@ pub(super) fn settle(
                 // The hedge fires: the primary is still out there.
                 Ok(None) => {
                     let deadline = ask.deadline;
-                    let frame = ask.frame(replica.compress)?;
+                    let frame = ask.frame()?;
                     let (answer, by_replica) = race(primary, replica, frame, deadline, shard)?;
                     return Ok((answer, by_replica, true));
                 }
@@ -279,15 +279,12 @@ mod tests {
         // metadata pre-skip can answer, proving no connection is made.
         let meta = sample_meta();
         let rows = meta.rows;
-        let handle = ChildHandle::new(
-            ChildSpec::Leaf {
-                shard: 3,
-                primary: Addr::Unix("/nonexistent/prune.sock".into()),
-                replica: None,
-                meta,
-            },
-            false,
-        );
+        let handle = ChildHandle::new(ChildSpec::Leaf {
+            shard: 3,
+            primary: Addr::Unix("/nonexistent/prune.sock".into()),
+            replica: None,
+            meta,
+        });
         let request = |sql: &str| QueryRequest {
             query: analyzed(sql),
             budget: Duration::from_millis(50),
@@ -326,16 +323,18 @@ mod tests {
                 let shut = matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_));
                 cancelled_tx.lock().send(shut).unwrap();
             } else {
-                write_frame(stream, &marked_answer(1), false).unwrap();
+                write_frame(stream, &marked_answer(1)).unwrap();
             }
         });
         let (replica, replica_server) = fake_leaf(1, |stream, _| {
-            write_frame(stream, &marked_answer(2), false).unwrap();
+            write_frame(stream, &marked_answer(2)).unwrap();
         });
-        let pair = [ChildHandle::new(
-            ChildSpec::Leaf { shard: 0, primary, replica: Some(replica), meta: sample_meta() },
-            false,
-        )];
+        let pair = [ChildHandle::new(ChildSpec::Leaf {
+            shard: 0,
+            primary,
+            replica: Some(replica),
+            meta: sample_meta(),
+        })];
         let request = count_all(30_000);
         let spawns = || HEDGE_SPAWNS.with(std::cell::Cell::get);
         assert_eq!(spawns(), 0);

@@ -9,60 +9,36 @@
 //! wire inside tree-wiring messages, so a merge server can parent children
 //! on a different transport than its own.
 //!
-//! **Framing.** Every frame is `[FrameHeader][payload]` — the 6-byte
-//! versioned header of [`pd_common::wire::FrameHeader`] (version, flags,
-//! payload length, capped at [`MAX_FRAME_BYTES`]) followed by the
-//! dependency-free [`pd_common::wire`] encoding, so a partial result
-//! arriving at a merge server is bit-identical to the one the leaf
-//! computed.
-//!
-//! **Compression.** Serialized partials are dominated by `FloatSum`
-//! superaccumulator limbs, which are mostly zero — the Zippy-family codec
-//! from `pd-compress` shrinks them several-fold. Compression is negotiated
-//! per connection with header flags: a sender in compressed mode marks its
-//! frames [`wire::FRAME_FLAG_COMPRESS_OK`] ("you may compress replies to
-//! me") and compresses its own payloads (flag
-//! [`wire::FRAME_FLAG_COMPRESSED`]) whenever that actually saves bytes;
-//! the receiver decompresses flag-driven, so either side may stay raw.
+//! **Framing.** Every frame is `[FrameHeader][payload]` — the 5-byte
+//! versioned header of [`pd_common::wire::FrameHeader`] (version, payload
+//! length, capped at [`MAX_FRAME_BYTES`]) followed by the dependency-free
+//! [`pd_common::wire`] encoding, raw: a partial result arriving at a merge
+//! server is bit-identical to the one the leaf computed. Nothing is
+//! compressed — the median query frame fits one segment, and what would
+//! compress (a shard's `Load`, an `Append`) crosses a unix socket, where
+//! bytes are cheaper than codec time.
 //!
 //! **Corruption.** Both sides decode frames with [`pd_common::wire`]'s
-//! checked readers; compressed payloads additionally pass the codec's own
-//! validation. Truncated or corrupt frames produce a typed
+//! checked readers. Truncated or corrupt frames produce a typed
 //! `RpcError::Decode`, which the failover path treats exactly like a
 //! timeout — the other copy is asked.
 
 use pd_common::wire::{self, Decode, Encode, FrameHeader};
 use pd_common::{Error, Result, RpcError};
-use pd_compress::{Codec, CodecKind};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Upper bound on a single frame's payload (decompressed or raw). A
-/// shard's partial result for an interactive group-by is kilobytes; a
-/// shard *load* (coded columns + recipe) is megabytes. A length beyond this is
-/// corruption, not data.
+/// Upper bound on a single frame's payload. A shard's partial result for an
+/// interactive group-by is kilobytes; a shard *load* (coded columns +
+/// recipe) is megabytes. A length beyond this is corruption, not data.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
-
-/// Payloads below this never compress: one TCP segment's payload (an
-/// ethernet MTU less IP and TCP headers, with room for options). A frame
-/// that fits one segment — or one `write` on a unix socket — travels no
-/// faster for being smaller, so compressing it buys nothing on the wire
-/// and costs both ends codec time on every edge (a 908 B partial: 6.6 µs
-/// to compress, 1.2 µs to inflate). Compression pays when it saves
-/// packets.
-const MIN_COMPRESS_BYTES: usize = 1400;
 
 /// How much the first `read` of a reply asks for: a typical partial and
 /// its header arrive in one syscall.
 const FIRST_READ_BYTES: usize = 4096;
-
-/// The wire codec used for compressed frames (the paper's "Zippy").
-fn frame_codec() -> &'static dyn Codec {
-    CodecKind::Zippy.codec()
-}
 
 // --- addresses --------------------------------------------------------------
 
@@ -240,86 +216,31 @@ impl Listener {
 
 // --- framing ---------------------------------------------------------------
 
-/// Encode one frame into bytes: header + (possibly compressed) payload.
-/// `compress` is the sender's negotiated mode — it both advertises
-/// compressed replies (`FRAME_FLAG_COMPRESS_OK`) and compresses this
-/// payload when that saves bytes.
-pub fn encode_frame<T: Encode>(message: &T, compress: bool) -> Result<Vec<u8>> {
+/// Encode one frame into bytes: header + payload. `_compress` is ignored:
+/// every frame is raw. The parameter stays only so that callers written
+/// when frames could be compressed still build.
+pub fn encode_frame<T: Encode>(message: &T, _compress: bool) -> Result<Vec<u8>> {
     let payload = wire::to_bytes(message);
-    // The cap applies to the *decompressed* payload (the receiver enforces
-    // the same bound after inflation), so an oversized message fails fast
-    // here instead of after shipping a compressed frame the peer must NAK.
-    if payload.len() > MAX_FRAME_BYTES as usize {
-        return Err(Error::Data(format!("rpc: frame of {} bytes exceeds cap", payload.len())));
-    }
-    let mut flags = 0u8;
-    let body = if compress {
-        flags |= wire::FRAME_FLAG_COMPRESS_OK;
-        if payload.len() >= MIN_COMPRESS_BYTES {
-            let compressed = frame_codec().compress(&payload);
-            if compressed.len() < payload.len() {
-                flags |= wire::FRAME_FLAG_COMPRESSED;
-                compressed
-            } else {
-                payload
-            }
-        } else {
-            payload
-        }
-    } else {
-        payload
-    };
-    let len = u32::try_from(body.len())
-        .map_err(|_| Error::Internal("rpc: frame body exceeds the checked payload size".into()))?;
-    let mut out = Vec::with_capacity(FrameHeader::BYTES + body.len());
-    out.extend_from_slice(&FrameHeader { flags, len }.to_bytes());
-    out.extend_from_slice(&body);
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| Error::Data(format!("rpc: frame of {} bytes exceeds cap", payload.len())))?;
+    let mut out = Vec::with_capacity(FrameHeader::BYTES + payload.len());
+    out.extend_from_slice(&FrameHeader { len }.to_bytes());
+    out.extend_from_slice(&payload);
     Ok(out)
 }
 
-/// Decode a frame body (bytes after the header) according to its flags.
-fn decode_body<T: Decode>(flags: u8, body: &[u8]) -> Result<T> {
-    if flags & wire::FRAME_FLAG_COMPRESSED != 0 {
-        // The Zippy frame leads with `varint(uncompressed_len)` and its
-        // decoder never produces (much) more than that claim, so
-        // validating the claim *before* inflation bounds the allocation a
-        // hostile or corrupt frame can drive — the corruption contract is
-        // `Err`, never an OOM abort.
-        let mut pos = 0;
-        let claimed = pd_compress::varint::read_u64(body, &mut pos)
-            .map_err(|e| Error::Data(format!("rpc: corrupt compressed frame: {e}")))?;
-        if claimed > MAX_FRAME_BYTES as u64 {
-            return Err(Error::Data(format!(
-                "rpc: compressed frame claims {claimed} bytes (cap {MAX_FRAME_BYTES})"
-            )));
-        }
-        let payload = frame_codec()
-            .decompress(body)
-            .map_err(|e| Error::Data(format!("rpc: corrupt compressed frame: {e}")))?;
-        if payload.len() > MAX_FRAME_BYTES as usize {
-            return Err(Error::Data(format!(
-                "rpc: compressed frame inflates to {} bytes (cap {MAX_FRAME_BYTES})",
-                payload.len()
-            )));
-        }
-        wire::from_bytes(&payload)
-    } else {
-        wire::from_bytes(body)
-    }
-}
-
 /// Write one frame.
-pub fn write_frame<T: Encode>(stream: &mut impl Write, message: &T, compress: bool) -> Result<()> {
-    let frame = encode_frame(message, compress)?;
+pub fn write_frame<T: Encode>(stream: &mut impl Write, message: &T) -> Result<()> {
+    let frame = encode_frame(message, false)?;
     stream.write_all(&frame)?;
     stream.flush()?;
     Ok(())
 }
 
-/// Read one frame plus its negotiation: `Ok(None)` on clean EOF (peer
-/// closed between frames); otherwise the message and whether the sender
-/// advertised that compressed replies are welcome.
-pub fn read_frame_negotiated<T: Decode>(stream: &mut impl Read) -> Result<Option<(T, bool)>> {
+/// Read one frame: `Ok(None)` on clean EOF (peer closed between frames).
+pub fn read_frame<T: Decode>(stream: &mut impl Read) -> Result<Option<T>> {
     let mut header_bytes = [0u8; FrameHeader::BYTES];
     match stream.read_exact(&mut header_bytes) {
         Ok(()) => {}
@@ -332,13 +253,7 @@ pub fn read_frame_negotiated<T: Decode>(stream: &mut impl Read) -> Result<Option
     }
     let mut body = vec![0u8; header.len as usize];
     stream.read_exact(&mut body)?;
-    let accepts_compressed = header.flags & wire::FRAME_FLAG_COMPRESS_OK != 0;
-    decode_body(header.flags, &body).map(|message| Some((message, accepts_compressed)))
-}
-
-/// Read one frame, ignoring the negotiation bit.
-pub fn read_frame<T: Decode>(stream: &mut impl Read) -> Result<Option<T>> {
-    Ok(read_frame_negotiated(stream)?.map(|(message, _)| message))
+    wire::from_bytes(&body).map(Some)
 }
 
 /// Classify an I/O failure into the [`RpcError`] taxonomy so retry and
@@ -480,17 +395,13 @@ pub(super) fn read_frame_deadline<T: Decode>(
     while have < body.len() {
         have += read_more(stream, body.get_mut(have..).ok_or_else(cursor)?, deadline)?;
     }
-    decode_body(header.flags, &body).map(Some).map_err(typed_decode)
+    wire::from_bytes(&body).map(Some).map_err(typed_decode)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{LoadRequest, Request, Response};
+    use super::super::{Request, Response};
     use super::*;
-    use crate::node::NodeSpec;
-    use pd_common::{DataType, Schema, Value};
-    use pd_core::BuildOptions;
-    use pd_encoding::TableDelta;
 
     #[test]
     fn addrs_parse_and_render() {
@@ -510,12 +421,10 @@ mod tests {
     fn frames_round_trip_over_a_socket_pair() {
         let (a, b) = UnixStream::pair().unwrap();
         let (mut a, mut b) = (Stream::Unix(a), Stream::Unix(b));
-        write_frame(&mut a, &Request::Ping, false).unwrap();
-        write_frame(&mut a, &Request::Shutdown, true).unwrap();
+        write_frame(&mut a, &Request::Ping).unwrap();
+        write_frame(&mut a, &Request::Shutdown).unwrap();
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), Some(Request::Ping));
-        let (second, accepts) = read_frame_negotiated::<Request>(&mut b).unwrap().unwrap();
-        assert_eq!(second, Request::Shutdown);
-        assert!(accepts, "compress-mode senders advertise compressed replies");
+        assert_eq!(read_frame::<Request>(&mut b).unwrap(), Some(Request::Shutdown));
         drop(a);
         assert_eq!(read_frame::<Request>(&mut b).unwrap(), None, "clean EOF");
     }
@@ -526,49 +435,21 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let mut stream = listener.accept().unwrap();
-            let (request, accepts) =
-                read_frame_negotiated::<Request>(&mut stream).unwrap().unwrap();
-            write_frame(&mut stream, &Response::Ok, accepts).unwrap();
+            let request = read_frame::<Request>(&mut stream).unwrap().unwrap();
+            write_frame(&mut stream, &Response::Ok).unwrap();
             request
         });
         let mut stream = addr.connect().unwrap();
-        write_frame(&mut stream, &Request::Ping, true).unwrap();
+        write_frame(&mut stream, &Request::Ping).unwrap();
         assert_eq!(read_frame::<Response>(&mut stream).unwrap(), Some(Response::Ok));
         assert_eq!(server.join().unwrap(), Request::Ping);
-    }
-
-    #[test]
-    fn large_frames_compress_and_round_trip() {
-        // A Load of one repeated value: compressible codes, and enough of
-        // them to clear the threshold.
-        let schema = Schema::of(&[("k", DataType::Str)]);
-        let column = vec![Value::from("constant"); 2_000];
-        let request = Request::Load(Box::new(LoadRequest {
-            shard: 0,
-            delta: TableDelta::from_columns(schema, &[&column]).unwrap(),
-            build: BuildOptions::basic(),
-            spec: NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 },
-        }));
-        let raw = encode_frame(&request, false).unwrap();
-        let compressed = encode_frame(&request, true).unwrap();
-        assert!(
-            compressed.len() * 2 < raw.len(),
-            "repetitive load must shrink ≥2×: {} vs {}",
-            compressed.len(),
-            raw.len()
-        );
-        for frame in [raw, compressed] {
-            let (back, _) =
-                read_frame_negotiated::<Request>(&mut frame.as_slice()).unwrap().unwrap();
-            assert_eq!(back, request);
-        }
     }
 
     #[test]
     fn corrupt_frame_lengths_are_rejected() {
         let (a, b) = UnixStream::pair().unwrap();
         let (mut a, mut b) = (Stream::Unix(a), Stream::Unix(b));
-        let mut bogus = FrameHeader { flags: 0, len: u32::MAX }.to_bytes().to_vec();
+        let mut bogus = FrameHeader { len: u32::MAX }.to_bytes().to_vec();
         bogus.extend_from_slice(&[0; 16]);
         a.write_all(&bogus).unwrap();
         assert!(read_frame::<Request>(&mut b).is_err());

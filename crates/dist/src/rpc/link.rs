@@ -52,8 +52,8 @@ pub(super) enum Held<'a> {
 }
 
 impl Link {
-    fn socket(addr: Addr, compress: bool) -> Link {
-        Link::Socket(pd_common::sync::Mutex::new(RpcClient::new(addr, compress)))
+    fn socket(addr: Addr) -> Link {
+        Link::Socket(pd_common::sync::Mutex::new(RpcClient::new(addr)))
     }
 
     /// Take this copy for the span of one query. A socket's guard is held
@@ -78,8 +78,7 @@ impl Held<'_> {
         match self {
             Held::Socket(client) => {
                 let deadline = ask.deadline;
-                let compress = client.compress;
-                client.send(ask.frame(compress)?, deadline)
+                client.send(ask.frame()?, deadline)
             }
             Held::Local(_) => Ok(()),
         }
@@ -112,8 +111,8 @@ pub(super) struct Ask<'a> {
     /// whole query's. A merge node below inherits what remains of it — it
     /// decrements and forwards it, so no height scaling is needed.
     pub(super) deadline: Instant,
-    /// The `Request::Query` frame, encoded (and, when worth it, compressed)
-    /// by the first socket link that sends it and reused by every other.
+    /// The `Request::Query` frame, encoded by the first socket link that
+    /// sends it and reused by every other.
     frame: Option<Vec<u8>>,
 }
 
@@ -124,13 +123,11 @@ impl<'a> Ask<'a> {
         Ask { request, started, deadline, frame: None }
     }
 
-    /// The encoded frame. `compress` is the sending connection's mode: one
-    /// node's connections all share it, and a frame says in its own header
-    /// how it is packed, so the first sender's choice serves every other.
-    pub(super) fn frame(&mut self, compress: bool) -> Result<&[u8]> {
+    /// The encoded frame, encoded on first use.
+    pub(super) fn frame(&mut self) -> Result<&[u8]> {
         let frame = match self.frame.take() {
             Some(frame) => frame,
-            None => encode_frame(self.request, compress)?,
+            None => encode_frame(self.request, false)?,
         };
         Ok(self.frame.insert(frame))
     }
@@ -169,18 +166,18 @@ pub(super) enum InFlight<'a> {
 
 impl ChildHandle {
     /// A child in a worker process (clients connect lazily).
-    pub fn new(spec: ChildSpec, compress: bool) -> ChildHandle {
+    pub fn new(spec: ChildSpec) -> ChildHandle {
         match spec {
             ChildSpec::Leaf { shard, primary, replica, meta } => ChildHandle {
                 shard: Some(shard),
                 metas: RwLock::new(vec![meta]),
-                primary: Link::socket(primary, compress),
-                replica: replica.map(|addr| Link::socket(addr, compress)),
+                primary: Link::socket(primary),
+                replica: replica.map(Link::socket),
             },
             ChildSpec::Node { addr, metas, .. } => ChildHandle {
                 shard: None,
                 metas: RwLock::new(metas),
-                primary: Link::socket(addr, compress),
+                primary: Link::socket(addr),
                 replica: None,
             },
         }
@@ -284,18 +281,15 @@ impl ChildHandle {
         deadline: Instant,
     ) -> Result<Appending<'_>> {
         let mut copies = vec![self.primary.hold()];
+        let mut written = 0;
         if let Held::Socket(_) = copies[0] {
             copies.extend(self.replica.as_ref().map(Link::hold));
-        }
-        let (mut frame, mut written) = (None, 0);
-        for copy in &mut copies {
-            if let Held::Socket(client) = copy {
-                let frame = match frame {
-                    Some(ref frame) => frame,
-                    None => frame.insert(encode_frame(append, client.compress)?),
-                };
-                client.send(frame, deadline)?;
-                written += frame.len() as u64;
+            let frame = encode_frame(append, false)?;
+            for copy in &mut copies {
+                if let Held::Socket(client) = copy {
+                    client.send(&frame, deadline)?;
+                    written += frame.len() as u64;
+                }
             }
         }
         Ok(Appending { copies, written })

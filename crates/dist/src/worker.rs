@@ -22,11 +22,6 @@
 //! its cache remembers ([`Node::append`]) — nothing is replaced, and no
 //! connection is dropped.
 //!
-//! **Compression mirror.** The worker has no compression config of its
-//! own: it compresses a response exactly when the request frame advertised
-//! `FRAME_FLAG_COMPRESS_OK`, and (as a merge server) compresses frames to
-//! its children when the `Attach` said to.
-//!
 //! **Measured queue delays.** Connections are accepted and read on their
 //! own threads, and a connection thread that has read a *complete* request
 //! runs it itself — no executor thread, no hand-off. What keeps the
@@ -53,8 +48,8 @@
 use crate::chaos::ChaosFault;
 use crate::node::Node;
 use crate::rpc::{
-    encode_frame, read_frame_negotiated, write_frame, Addr, ChildHandle, Listener, LoadRequest,
-    Request, Response, Stream,
+    encode_frame, read_frame, write_frame, Addr, ChildHandle, Listener, LoadRequest, Request,
+    Response, Stream,
 };
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result};
@@ -186,30 +181,29 @@ pub fn serve(addr: &Addr, announce: Option<&Path>) -> Result<()> {
 /// Read frames off one connection until EOF and serve them: each complete
 /// request passes the turnstile and runs on this thread. `Ping` answers
 /// inline (the startup handshake must not wait behind a long import);
-/// `Shutdown` acks and exits the process. Responses are compressed exactly
-/// when the request frame advertised that compressed replies are welcome.
+/// `Shutdown` acks and exits the process.
 fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
     loop {
-        let (request, compress_reply) = match read_frame_negotiated::<Request>(&mut stream) {
-            Ok(Some(negotiated)) => negotiated,
+        let request = match read_frame::<Request>(&mut stream) {
+            Ok(Some(request)) => request,
             Ok(None) => return, // peer closed
             Err(e) => {
                 // Corrupt frame: NAK and drop the connection — framing is
                 // unrecoverable once desynchronized, and the `Malformed`
                 // tag tells a leaf's parent to fail over (fresh bytes to
                 // the replica) rather than abort the query.
-                let _ = write_frame(&mut stream, &Response::Malformed(e.to_string()), false);
+                let _ = write_frame(&mut stream, &Response::Malformed(e.to_string()));
                 return;
             }
         };
         match request {
             Request::Ping => {
-                if write_frame(&mut stream, &Response::Ok, compress_reply).is_err() {
+                if write_frame(&mut stream, &Response::Ok).is_err() {
                     return;
                 }
             }
             Request::Shutdown => {
-                let _ = write_frame(&mut stream, &Response::Ok, compress_reply);
+                let _ = write_frame(&mut stream, &Response::Ok);
                 std::process::exit(0);
             }
             request => {
@@ -237,7 +231,7 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                     // Half the real reply, then gone — the parent's decode
                     // sees truncated bytes.
                     Some(ChaosFault::Torn) => {
-                        if let Ok(frame) = encode_frame(&response, compress_reply) {
+                        if let Ok(frame) = encode_frame(&response, false) {
                             let _ = stream.write_all(&frame[..frame.len() / 2]);
                             let _ = stream.flush();
                         }
@@ -247,7 +241,7 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                     // `Unreachable` is applied by the parent, at the edge.
                     Some(ChaosFault::Kill | ChaosFault::Unreachable) | None => {}
                 }
-                if write_frame(&mut stream, &response, compress_reply).is_err() {
+                if write_frame(&mut stream, &response).is_err() {
                     // Peer gave up (budget expiry or a hedge loss): drop
                     // the connection; the answer is stale by definition.
                     return;
@@ -277,9 +271,7 @@ fn handle(
             Ok(Response::Loaded(Box::new(meta)))
         }
         Request::Attach(attach) => {
-            let compress = attach.compress;
-            let children =
-                attach.children.into_iter().map(|c| ChildHandle::new(c, compress)).collect();
+            let children = attach.children.into_iter().map(ChildHandle::new).collect();
             *served = Some(Node::mixer(children, attach.spec));
             Ok(Response::Ok)
         }

@@ -1,8 +1,7 @@
-//! Randomized properties of the compressed RPC frame path, mirroring
-//! `pd-core`'s `codec_properties.rs`: every frame must round-trip
-//! bit-identically with compression off *and* on, and no amount of
-//! truncation or bit-flipping may ever panic the reader — a corrupt peer
-//! is an error to fail over from, not a crash.
+//! Randomized properties of the RPC frame path, mirroring `pd-core`'s
+//! `codec_properties.rs`: every frame must round-trip bit-identically, and
+//! no amount of truncation or bit-flipping may ever panic the reader — a
+//! corrupt peer is an error to fail over from, not a crash.
 
 use pd_common::rng::Rng;
 use pd_common::wire::{from_bytes, to_bytes};
@@ -11,8 +10,8 @@ use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, PartialResu
 use pd_data::Table;
 use pd_dist::node::NodeSpec;
 use pd_dist::rpc::{
-    encode_frame, read_frame, read_frame_negotiated, AppendAck, AppendReceipt, AppendRequest,
-    LoadRequest, QueryRequest, Request, Response, ShardReport, SubtreeAnswer,
+    encode_frame, read_frame, AppendAck, AppendReceipt, AppendRequest, LoadRequest, QueryRequest,
+    Request, Response, ShardReport, SubtreeAnswer,
 };
 use pd_dist::{ChaosDirective, ChaosFault};
 use pd_encoding::TableDelta;
@@ -204,26 +203,22 @@ fn random_response(rng: &mut Rng, partial: &PartialResult, case: usize) -> Respo
 }
 
 #[test]
-fn frames_round_trip_bit_identically_compressed_and_raw() {
+fn frames_round_trip_bit_identically() {
     let mut rng = Rng::seed_from_u64(0xf4a3_0001);
     let partial = real_partial();
     for case in 0..48 {
         let request = random_request(&mut rng, case);
         let response = random_response(&mut rng, &partial, case);
-        for compress in [false, true] {
-            let frame = encode_frame(&request, compress).unwrap();
-            let (back, accepts) =
-                read_frame_negotiated::<Request>(&mut frame.as_slice()).unwrap().unwrap();
-            assert_eq!(back, request, "case {case} compress={compress}");
-            assert_eq!(accepts, compress, "the negotiation bit mirrors the sender's mode");
+        let frame = encode_frame(&request, false).unwrap();
+        let back: Request = read_frame(&mut frame.as_slice()).unwrap().unwrap();
+        assert_eq!(back, request, "case {case}");
 
-            let frame = encode_frame(&response, compress).unwrap();
-            let back: Response = read_frame(&mut frame.as_slice()).unwrap().unwrap();
-            assert_eq!(back, response, "case {case} compress={compress}");
-            // Byte-stable: a partial travels as its columns, groups in key
-            // order, so what was read encodes to the frame it came in.
-            assert_eq!(encode_frame(&back, compress).unwrap(), frame, "case {case}");
-        }
+        let frame = encode_frame(&response, false).unwrap();
+        let back: Response = read_frame(&mut frame.as_slice()).unwrap().unwrap();
+        assert_eq!(back, response, "case {case}");
+        // Byte-stable: a partial travels as its columns, groups in key
+        // order, so what was read encodes to the frame it came in.
+        assert_eq!(encode_frame(&back, false).unwrap(), frame, "case {case}");
     }
 }
 
@@ -233,15 +228,13 @@ fn truncated_frames_error_and_never_panic() {
     let partial = real_partial();
     for case in 0..16 {
         let response = random_response(&mut rng, &partial, case);
-        for compress in [false, true] {
-            let frame = encode_frame(&response, compress).unwrap();
-            for cut in 0..frame.len() {
-                // Any outcome but a decoded message (or a panic) is fine:
-                // a partial header reads as clean EOF, everything else is
-                // a hard error for the failover path.
-                if let Ok(Some(_)) = read_frame::<Response>(&mut frame[..cut].as_ref()) {
-                    panic!("case {case} cut={cut}: truncated frame decoded");
-                }
+        let frame = encode_frame(&response, false).unwrap();
+        for cut in 0..frame.len() {
+            // Any outcome but a decoded message (or a panic) is fine: a
+            // partial header reads as clean EOF, everything else is a hard
+            // error for the failover path.
+            if let Ok(Some(_)) = read_frame::<Response>(&mut frame[..cut].as_ref()) {
+                panic!("case {case} cut={cut}: truncated frame decoded");
             }
         }
     }
@@ -253,12 +246,10 @@ fn truncated_frames_error_and_never_panic() {
             0 => random_load(&mut rng),
             _ => random_append(&mut rng),
         };
-        for compress in [false, true] {
-            let frame = encode_frame(&request, compress).unwrap();
-            for cut in 0..frame.len() {
-                if let Ok(Some(_)) = read_frame::<Request>(&mut frame[..cut].as_ref()) {
-                    panic!("append case {case} cut={cut}: truncated frame decoded");
-                }
+        let frame = encode_frame(&request, false).unwrap();
+        for cut in 0..frame.len() {
+            if let Ok(Some(_)) = read_frame::<Request>(&mut frame[..cut].as_ref()) {
+                panic!("append case {case} cut={cut}: truncated frame decoded");
             }
         }
     }
@@ -305,13 +296,11 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
         ];
         for (what, forged) in &forgeries {
             for (request, _) in in_both(forged, &mut rng) {
-                for compress in [false, true] {
-                    let frame = encode_frame(&request, compress).unwrap();
-                    assert!(
-                        read_frame::<Request>(&mut frame.as_slice()).is_err(),
-                        "case {case}: a delta forged in its {what} decoded"
-                    );
-                }
+                let frame = encode_frame(&request, false).unwrap();
+                assert!(
+                    read_frame::<Request>(&mut frame.as_slice()).is_err(),
+                    "case {case}: a delta forged in its {what} decoded"
+                );
             }
         }
     }
@@ -397,44 +386,25 @@ fn bit_flips_never_panic_the_reader() {
     for case in 0..24 {
         let request = random_request(&mut rng, case);
         let response = random_response(&mut rng, &partial, case);
-        for compress in [false, true] {
-            for frame in [
-                encode_frame(&request, compress).unwrap(),
-                encode_frame(&response, compress).unwrap(),
-            ] {
-                for _ in 0..32 {
-                    let mut corrupt = frame.clone();
-                    let flips = rng.range_usize(1, 4);
-                    for _ in 0..flips {
-                        let byte = rng.range_usize(0, corrupt.len());
-                        let bit = rng.range_u64(0, 8) as u8;
-                        corrupt[byte] ^= 1 << bit;
-                    }
-                    // Any Result is acceptable — the reader must neither
-                    // panic nor over-allocate (length caps are validated
-                    // before any allocation happens).
-                    let _ = read_frame::<Request>(&mut corrupt.as_slice());
-                    let _ = read_frame::<Response>(&mut corrupt.as_slice());
+        for frame in
+            [encode_frame(&request, false).unwrap(), encode_frame(&response, false).unwrap()]
+        {
+            for _ in 0..32 {
+                let mut corrupt = frame.clone();
+                let flips = rng.range_usize(1, 4);
+                for _ in 0..flips {
+                    let byte = rng.range_usize(0, corrupt.len());
+                    let bit = rng.range_u64(0, 8) as u8;
+                    corrupt[byte] ^= 1 << bit;
                 }
+                // Any Result is acceptable — the reader must neither panic
+                // nor over-allocate (length caps are validated before any
+                // allocation happens).
+                let _ = read_frame::<Request>(&mut corrupt.as_slice());
+                let _ = read_frame::<Response>(&mut corrupt.as_slice());
             }
         }
     }
-}
-
-#[test]
-fn decompression_bombs_are_rejected_before_inflation() {
-    // A compressed frame whose Zippy prelude claims an absurd
-    // uncompressed length must be rejected up front — the corruption
-    // contract is Err, never a multi-gigabyte allocation.
-    use pd_common::wire::{FrameHeader, FRAME_FLAG_COMPRESSED};
-    let mut body = Vec::new();
-    pd_compress::varint::write_u64(&mut body, 1 << 40); // claims 1 TiB
-    body.extend_from_slice(&[[0x80u8, 0x01]; 8].concat()); // overlapping copy ops
-    let mut frame =
-        FrameHeader { flags: FRAME_FLAG_COMPRESSED, len: body.len() as u32 }.to_bytes().to_vec();
-    frame.extend_from_slice(&body);
-    let err = read_frame::<Response>(&mut frame.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("claims"), "{err}");
 }
 
 #[test]
@@ -457,7 +427,7 @@ fn garbage_bytes_never_panic_the_reader() {
 // untyped error) here would take down the whole merge server instead of one
 // child connection.
 
-use pd_common::wire::{FrameHeader, FRAME_FLAG_COMPRESSED, FRAME_VERSION};
+use pd_common::wire::{FrameHeader, FRAME_VERSION};
 use pd_common::Error;
 use pd_dist::rpc::{Addr, Listener, RpcClient};
 use std::io::Write;
@@ -474,7 +444,7 @@ fn with_rogue_server(
         let mut stream = listener.accept().unwrap();
         serve(&mut stream);
     });
-    let mut client = RpcClient::new(addr, false);
+    let mut client = RpcClient::new(addr);
     client.connect_with_retry(Duration::from_secs(2)).unwrap();
     check(&mut client);
     server.join().unwrap();
@@ -494,28 +464,7 @@ fn corrupt_response_body_is_a_typed_decode_error() {
     with_rogue_server(
         |stream| {
             let body = [0xEEu8; 32];
-            let mut frame = FrameHeader { flags: 0, len: body.len() as u32 }.to_bytes().to_vec();
-            frame.extend_from_slice(&body);
-            stream.write_all(&frame).unwrap();
-            stream.flush().unwrap();
-        },
-        |client| {
-            let fault = expect_rpc_fault(client);
-            assert!(matches!(fault, RpcError::Decode(_)), "got {fault:?}");
-        },
-    );
-}
-
-#[test]
-fn corrupt_compressed_body_is_a_typed_decode_error() {
-    // The compressed path inflates before decoding — corruption inside the
-    // Zippy payload must come out just as typed as a raw-body decode failure.
-    with_rogue_server(
-        |stream| {
-            let body = [0xA5u8; 24];
-            let mut frame = FrameHeader { flags: FRAME_FLAG_COMPRESSED, len: body.len() as u32 }
-                .to_bytes()
-                .to_vec();
+            let mut frame = FrameHeader { len: body.len() as u32 }.to_bytes().to_vec();
             frame.extend_from_slice(&body);
             stream.write_all(&frame).unwrap();
             stream.flush().unwrap();
@@ -533,7 +482,7 @@ fn torn_frame_then_close_is_a_typed_peer_gone() {
     // the deadline reader must report the vanished peer, typed.
     with_rogue_server(
         |stream| {
-            let mut frame = FrameHeader { flags: 0, len: 64 }.to_bytes().to_vec();
+            let mut frame = FrameHeader { len: 64 }.to_bytes().to_vec();
             frame.extend_from_slice(&[0u8; 32]);
             stream.write_all(&frame).unwrap();
             stream.flush().unwrap();
@@ -551,7 +500,7 @@ fn version_skew_is_a_typed_version_mismatch() {
     with_rogue_server(
         |stream| {
             // Hand-craft a header from a different protocol generation.
-            let bad = [FRAME_VERSION.wrapping_add(1), 0, 4, 0, 0, 0];
+            let bad = [FRAME_VERSION.wrapping_add(1), 4, 0, 0, 0];
             stream.write_all(&bad).unwrap();
             stream.write_all(&[0u8; 4]).unwrap();
             stream.flush().unwrap();
@@ -559,22 +508,6 @@ fn version_skew_is_a_typed_version_mismatch() {
         |client| {
             let fault = expect_rpc_fault(client);
             assert!(matches!(fault, RpcError::VersionMismatch(_)), "got {fault:?}");
-        },
-    );
-}
-
-#[test]
-fn unknown_header_flags_are_a_typed_decode_error() {
-    with_rogue_server(
-        |stream| {
-            let bad = [FRAME_VERSION, 0xFE, 4, 0, 0, 0];
-            stream.write_all(&bad).unwrap();
-            stream.write_all(&[0u8; 4]).unwrap();
-            stream.flush().unwrap();
-        },
-        |client| {
-            let fault = expect_rpc_fault(client);
-            assert!(matches!(fault, RpcError::Decode(_)), "got {fault:?}");
         },
     );
 }

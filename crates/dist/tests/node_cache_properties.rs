@@ -522,7 +522,7 @@ fn spawn_worker(
             .spawn()
             .unwrap(),
     );
-    let mut client = pd_dist::rpc::RpcClient::new(addr.clone(), false);
+    let mut client = pd_dist::rpc::RpcClient::new(addr.clone());
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
     (worker, client, addr)
 }
@@ -635,7 +635,6 @@ fn an_append_without_deltas_keeps_a_nodes_memory() {
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 0, primary: leaf_addr, replica: None, meta }],
-        compress: false,
         spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
@@ -704,7 +703,6 @@ fn a_pair_that_chunks_an_append_apart_is_refused() {
         ChildSpec::Leaf { shard: 0, primary: primary_addr, replica: Some(replica_addr), meta };
     let attach = Request::Attach(AttachRequest {
         children: vec![pair],
-        compress: false,
         spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
@@ -864,6 +862,12 @@ fn a_batch_goes_whole_to_the_least_loaded_shards() {
     }
 }
 
+/// The bytes of the epoch-2 `Append` frame carrying `deltas`.
+fn append_frame_len(deltas: Vec<(u64, pd_encoding::TableDelta)>) -> u64 {
+    let append = pd_dist::rpc::AppendRequest { epoch: 2, deltas };
+    pd_dist::rpc::encode_frame(&append, false).unwrap().len() as u64
+}
+
 /// One row appended to a 4-shard, fanout-2 socket tree goes to shard 0,
 /// the lowest of four equally loaded shards. The append walks the tree: the
 /// row crosses the two edges down to shard 0, and every other node — the
@@ -873,8 +877,6 @@ fn a_batch_goes_whole_to_the_least_loaded_shards() {
 /// from the same requests. Every later answer is the single store's.
 #[test]
 fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
-    use pd_dist::rpc::{encode_frame, AppendRequest};
-
     let mut rng = Rng::seed_from_u64(0x05ca_1e07);
     let base = random_table(&mut rng, 200);
     let row = random_table(&mut rng, 1);
@@ -890,15 +892,9 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
 
     let appended = cluster.append(&row).unwrap();
     assert_eq!(appended.shards, [0], "the lowest of four equal shards");
-    let shipped = appended.bytes_shipped;
-    let compress = RpcConfig::default().compress;
-    let frame_len = |deltas| {
-        let append = AppendRequest { epoch: 2, deltas };
-        encode_frame(&append, compress).unwrap().len() as u64
-    };
     assert_eq!(
-        shipped,
-        2 * frame_len(vec![(0, coded(&row))]) + 4 * frame_len(Vec::new()),
+        appended.bytes_shipped,
+        2 * append_frame_len(vec![(0, coded(&row))]) + 4 * append_frame_len(Vec::new()),
         "the row on the two edges above shard 0, the epoch alone on the four others"
     );
 
@@ -917,6 +913,40 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
             assert_eq!(outcome.worker_cache_hits(), 1, "query {at}: the root remembered {sql}");
         }
     }
+}
+
+/// A replicated pair is written twice: one row appended to a 2-shard
+/// socket tree of leaf pairs under the root ships the row's frame to both
+/// copies of shard 0 and the epoch-only frame to both copies of shard 1,
+/// and the bytes the append reports count every one of those writes.
+#[test]
+fn a_replicated_append_counts_both_copies_bytes() {
+    let mut rng = Rng::seed_from_u64(0x05ca_1e0a);
+    let base = random_table(&mut rng, 120);
+    let row = random_table(&mut rng, 1);
+    let (_, socket) = edge_kinds().into_iter().nth(1).unwrap();
+    let config = ClusterConfig {
+        shards: 2,
+        replication: true,
+        build: BuildOptions::basic(),
+        tree: TreeShape { fanout: 2 },
+        transport: socket,
+        ..Default::default()
+    };
+    let mut cluster = Cluster::build(&base, &config).unwrap();
+    let appended = cluster.append(&row).unwrap();
+    assert_eq!(appended.shards, [0], "the lower of two equal shards");
+    assert_eq!(
+        appended.bytes_shipped,
+        2 * append_frame_len(vec![(0, coded(&row))]) + 2 * append_frame_len(Vec::new()),
+        "the row to both copies of shard 0, the epoch alone to both of shard 1"
+    );
+
+    let mut all = base.clone();
+    all.push_row(row.row(0)).unwrap();
+    let store = DataStore::build(&all, &BuildOptions::basic()).unwrap();
+    let sql = "SELECT k, COUNT(*) as c, SUM(n) as s FROM data GROUP BY k";
+    assert_eq!(cluster.query(sql).unwrap().result, query(&store, sql).unwrap().0);
 }
 
 /// An append without rows changes nothing, on either edge kind: no epoch,

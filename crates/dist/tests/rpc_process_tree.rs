@@ -1,8 +1,7 @@
 //! End-to-end tests of the process-split computation tree: real
 //! `pd-dist-worker` processes behind the RPC boundary, driven through
 //! [`Cluster`] with [`Transport::Rpc`] — over Unix sockets and loopback
-//! TCP, with and without frame compression, and with restriction-aware
-//! subtree pruning.
+//! TCP, and with restriction-aware subtree pruning.
 
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore};
@@ -18,7 +17,7 @@ fn worker_bin() -> PathBuf {
 }
 
 fn rpc(budget: Duration) -> Transport {
-    // Library defaults otherwise: unix sockets, compression on.
+    // Library defaults otherwise: unix sockets.
     Transport::Rpc(RpcConfig { worker_bin: Some(worker_bin()), budget, ..Default::default() })
 }
 
@@ -30,12 +29,11 @@ fn pinned(node: &str, fault: pd_dist::ChaosFault) -> pd_dist::ChaosModel {
     }
 }
 
-fn rpc_with(addr: WorkerAddr, compress: bool) -> Transport {
+fn rpc_with(addr: WorkerAddr) -> Transport {
     Transport::Rpc(RpcConfig {
         worker_bin: Some(worker_bin()),
         budget: Duration::from_secs(30),
         addr,
-        compress,
     })
 }
 
@@ -155,29 +153,26 @@ fn merge_servers_fold_subtrees_identically() {
 #[test]
 fn tcp_loopback_tree_matches_unix_sockets() {
     // The same tree — merge servers included — over loopback TCP with
-    // ephemeral announced ports, compressed and raw, must produce rows
-    // bit-identical to the unix-socket tree and the single store.
+    // ephemeral announced ports must produce rows bit-identical to the
+    // unix-socket tree and the single store.
     let table = generate_logs(&LogsSpec::scaled(800));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
-    for compress in [false, true] {
-        let cluster = Cluster::build(
-            &table,
-            &ClusterConfig {
-                shards: 3,
-                replication: false,
-                build: build.clone(),
-                tree: TreeShape { fanout: 2 },
-                transport: rpc_with(WorkerAddr::loopback(), compress),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for sql in QUERIES {
-            let (expect, _) = query(&store, sql).unwrap();
-            let outcome = cluster.query(sql).unwrap();
-            assert_eq!(outcome.result, expect, "compress={compress}: {sql}");
-        }
+    let cluster = Cluster::build(
+        &table,
+        &ClusterConfig {
+            shards: 3,
+            replication: false,
+            build,
+            tree: TreeShape { fanout: 2 },
+            transport: rpc_with(WorkerAddr::loopback()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for sql in QUERIES {
+        let (expect, _) = query(&store, sql).unwrap();
+        assert_eq!(cluster.query(sql).unwrap().result, expect, "{sql}");
     }
 }
 
@@ -363,7 +358,7 @@ fn queue_delays_are_measured_not_modeled() {
 
     let (worker, addr, dir) = raw_worker("queue");
     let table = generate_logs(&LogsSpec::scaled(200));
-    let mut setup = RpcClient::new(addr.clone(), false);
+    let mut setup = RpcClient::new(addr.clone());
     setup.connect_with_retry(Duration::from_secs(30)).unwrap();
     let load = leaf_load(&table, BuildOptions::basic());
     assert!(matches!(setup.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
@@ -380,7 +375,7 @@ fn queue_delays_are_measured_not_modeled() {
     };
     let ask = |addr: Addr, query: &Request| -> (Duration, Duration) {
         let started = std::time::Instant::now();
-        let mut client = RpcClient::new(addr, false);
+        let mut client = RpcClient::new(addr);
         match client.call(query, Duration::from_secs(60)).unwrap() {
             Response::Answer(answer) => (answer.reports[0].queue, started.elapsed()),
             other => panic!("expected an answer, got {other:?}"),
@@ -421,7 +416,7 @@ fn queue_delays_are_measured_not_modeled() {
     let heavy = leaf_load(&big, BuildOptions::production(&["country", "table_name"]));
     let queued = std::thread::scope(|scope| {
         let loader = scope.spawn(|| {
-            let mut client = RpcClient::new(addr.clone(), false);
+            let mut client = RpcClient::new(addr.clone());
             assert!(matches!(
                 client.call(&heavy, Duration::from_secs(120)).unwrap(),
                 Response::Loaded(_)
@@ -504,9 +499,9 @@ fn role_reassignment_replaces_the_previous_role() {
             spec: NodeSpec { name: format!("l{shard}p"), cache_entries: 8, epoch: 1, threads: 1 },
         }))
     };
-    let mut c1 = RpcClient::new(addr1, false);
+    let mut c1 = RpcClient::new(addr1);
     c1.connect_with_retry(Duration::from_secs(30)).unwrap();
-    let mut c2 = RpcClient::new(addr2.clone(), false);
+    let mut c2 = RpcClient::new(addr2.clone());
     c2.connect_with_retry(Duration::from_secs(30)).unwrap();
 
     // w2: a 200-row leaf for shard 7. w1: first a 100-row leaf for shard 0.
@@ -538,7 +533,6 @@ fn role_reassignment_replaces_the_previous_role() {
     // from the subtree, not the shadowed 100-row leaf.
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 7, primary: addr2, replica: None, meta: meta2 }],
-        compress: false,
         spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
     });
     assert_eq!(c1.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
@@ -610,7 +604,7 @@ fn concurrent_tcp_announces_do_not_collide() {
     let b = wait_for(announce(2));
     assert_ne!(a, b, "two workers must announce two distinct addresses");
     for addr in [a, b] {
-        let mut client = RpcClient::new(addr, false);
+        let mut client = RpcClient::new(addr);
         client.connect_with_retry(Duration::from_secs(30)).unwrap();
         assert_eq!(client.call(&Request::Ping, Duration::from_secs(10)).unwrap(), Response::Ok);
     }
@@ -754,7 +748,7 @@ fn rebuild_respawns_the_tree_with_new_data() {
 fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     // The parent writes to both leaves, then reads them in child order.
     // Shard 0's primary answers late (a pinned chaos delay); shard 1 meanwhile
-    // has a reply far larger than a socket buffer (uncompressed, ≥ 1 MiB:
+    // has a reply far larger than a socket buffer (≥ 1 MiB:
     // 5 000 distinct keys of 220 bytes each) and sits in `write` until the
     // parent gets to it. Nothing may deadlock, and the fold must come out
     // as over a single store.
@@ -784,7 +778,7 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
             replication: false,
             build,
             shard_cache: 0,
-            transport: rpc_with(WorkerAddr::Unix, false),
+            transport: rpc_with(WorkerAddr::Unix),
             chaos: pinned("l0p", pd_dist::ChaosFault::Delay(delay)),
             ..Default::default()
         },
@@ -810,7 +804,7 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
     use std::io::Write;
 
     let (worker, addr, dir) = raw_worker("ticket");
-    let mut client = RpcClient::new(addr.clone(), false);
+    let mut client = RpcClient::new(addr.clone());
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
     let load = leaf_load(&generate_logs(&LogsSpec::scaled(200)), BuildOptions::basic());
     assert!(matches!(client.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
@@ -861,12 +855,12 @@ fn a_forged_load_is_nakked_and_the_worker_takes_the_next_one() {
         let column = &mut load.delta.columns[0];
         column.codes[7] = column.dict.len();
     }
-    let mut client = RpcClient::new(addr.clone(), true);
+    let mut client = RpcClient::new(addr.clone());
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
     let nak = client.call(&forged, Duration::from_secs(30)).unwrap();
     assert!(matches!(&nak, Response::Malformed(why) if why.contains("out of range")), "{nak:?}");
 
-    let mut client = RpcClient::new(addr, true);
+    let mut client = RpcClient::new(addr);
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
     let load = leaf_load(&table, BuildOptions::basic());
     let ack = client.call(&load, Duration::from_secs(60)).unwrap();

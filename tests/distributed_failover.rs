@@ -149,9 +149,8 @@ fn seeded_failures_are_reproducible_and_correct() {
 // ---------------------------------------------------------------------------
 
 fn rpc_transport(budget: std::time::Duration) -> powerdrill::dist::Transport {
-    // Default transport settings beyond the budget: unix sockets,
-    // compression on — so the failover machinery is exercised with
-    // compressed frames in play.
+    // Default transport settings beyond the budget: unix sockets, the
+    // transport the failover machinery meets in a single-box tree.
     powerdrill::dist::Transport::Rpc(powerdrill::dist::RpcConfig {
         worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
         budget,

@@ -718,13 +718,13 @@ fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
 
 /// The edge-kind axis: a tree node reaches its children over in-memory
 /// edges (`local`: every node in this address space) or over sockets to
-/// spawned `pd-dist-worker` processes (Unix, loopback TCP, TCP with
-/// compressed frames). The node code is the same, so **every assertion is
-/// the same** for all four: results bit-identical to the single store,
-/// skipped + cached + scanned = total, one latency and one queue delay per
-/// shard, and warm passes served entirely from the nodes' result caches.
+/// spawned `pd-dist-worker` processes (Unix, loopback TCP). The node code
+/// is the same, so **every assertion is the same** for all three: results
+/// bit-identical to the single store, skipped + cached + scanned = total,
+/// one latency and one queue delay per shard, and warm passes served
+/// entirely from the nodes' result caches.
 /// Matrix: {shards 1/2/4} × {tree depth ≤1 / 2 (fanout 16 / 2)} ×
-/// {local, unix, tcp, tcp+z} × {result caching off / on}, each with a cold
+/// {local, unix, tcp} × {result caching off / on}, each with a cold
 /// and a warm pass, and at 4 shards a **rebuild-then-requery** pass that
 /// proves the epoch invalidation: after `Cluster::rebuild` with different
 /// data, every answer is the new data's, cold then warm again.
@@ -735,12 +735,11 @@ fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
 /// (shards, fanout, cache, pass, query).
 ///
 /// Exact `assert_eq!`, floats included: group keys, float sums
-/// (superaccumulator limbs) and sketches cross the wire bit-identically
-/// (compression round-trips losslessly by construction), every merge
-/// level folds associatively, and cached partials are the very states a
-/// recomputation would produce — so neither the process split, the socket
-/// shape, the wire codec nor any cache may change *anything* about any
-/// result row.
+/// (superaccumulator limbs) and sketches cross the wire bit-identically,
+/// every merge level folds associatively, and cached partials are the very
+/// states a recomputation would produce — so neither the process split, the
+/// socket shape, the wire codec nor any cache may change *anything* about
+/// any result row.
 #[test]
 fn edge_kind_axis_is_bit_identical_and_caches_alike() {
     use powerdrill::data::{generate_logs, LogsSpec};
@@ -768,12 +767,11 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
     let rebuilt_expected = expect_for(&rebuilt_table, &MATRIX_QUERIES[..3]);
 
     let worker_bin = std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"));
-    let rpc = |addr: WorkerAddr, compress: bool| {
+    let rpc = |addr: WorkerAddr| {
         Transport::Rpc(RpcConfig {
             worker_bin: Some(worker_bin.clone()),
             budget: Duration::from_secs(30),
             addr,
-            compress,
         })
     };
     for shards in [1usize, 2, 4] {
@@ -784,9 +782,8 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
             for cache in [0usize, 128] {
                 let edge_kinds = [
                     ("local", Transport::InProcess),
-                    ("unix", rpc(WorkerAddr::Unix, false)),
-                    ("tcp", rpc(WorkerAddr::loopback(), false)),
-                    ("tcp+z", rpc(WorkerAddr::loopback(), true)),
+                    ("unix", rpc(WorkerAddr::Unix)),
+                    ("tcp", rpc(WorkerAddr::loopback())),
                 ];
                 // Per edge kind, per (pass, query): (shard hits, node hits,
                 // edges pruned).
@@ -972,7 +969,7 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
 /// filters and virtual-field partial evaluation shipped in the Load acks)
 /// is pure work-avoidance — it may only move scans around, never change a
 /// row. Every matrix query runs cold and warm over the in-process tree and
-/// a real process-split tree (unix sockets and compressed TCP), and every
+/// a real process-split tree (unix sockets and loopback TCP), and every
 /// result must be **bit-identical** (floats included) to the sequential
 /// single-store answer — and every edge kind must prune the same edges,
 /// annotate the same chunks and scan the same rows: an in-memory edge
@@ -1015,18 +1012,17 @@ fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
         .collect();
 
     let worker_bin = std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"));
-    let rpc = |addr: WorkerAddr, compress: bool| {
+    let rpc = |addr: WorkerAddr| {
         Transport::Rpc(RpcConfig {
             worker_bin: Some(worker_bin.clone()),
             budget: Duration::from_secs(30),
             addr,
-            compress,
         })
     };
     let transports = [
         ("local", Transport::InProcess),
-        ("unix", rpc(WorkerAddr::Unix, false)),
-        ("tcp+z", rpc(WorkerAddr::loopback(), true)),
+        ("unix", rpc(WorkerAddr::Unix)),
+        ("tcp", rpc(WorkerAddr::loopback())),
     ];
     // Per edge kind, per (pass, query): (edges pruned, chunks pruned
     // remotely, rows scanned).

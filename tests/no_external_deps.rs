@@ -30,8 +30,9 @@ fn cargo_lock_lists_only_workspace_packages() {
 }
 
 /// The engine's dependency graph holds what a query runs: `pd-core` no
-/// longer measures with a codec, and no engine crate reaches into the
-/// experiments (`pd-bench`) or the straw men and oracle (`pd-baselines`).
+/// longer measures with a codec, `pd-dist` sends no compressed frame, and
+/// no engine crate reaches into the experiments (`pd-bench`) or the straw
+/// men and oracle (`pd-baselines`).
 #[test]
 fn engine_manifests_name_no_comparison_code() {
     let names_dep = |krate: &str, dep: &str| {
@@ -40,6 +41,7 @@ fn engine_manifests_name_no_comparison_code() {
         manifest.lines().any(|line| line.trim_start().starts_with(dep))
     };
     assert!(!names_dep("core", "pd-compress"), "pd-core depends on pd-compress again");
+    assert!(!names_dep("dist", "pd-compress"), "pd-dist depends on pd-compress again");
     for krate in ["common", "compress", "encoding", "sql", "core", "dist"] {
         for dep in ["pd-bench", "pd-baselines"] {
             assert!(!names_dep(krate, dep), "engine crate pd-{krate} depends on {dep}");
