@@ -106,29 +106,6 @@ fn assert_all_configs_match(table: &Table, options: &BuildOptions, sqls: &[Strin
 }
 
 #[test]
-fn fast_paths_match_materializing_for_every_representation() {
-    let mut rng = Rng::seed_from_u64(0xae41_0001);
-    // Key cardinalities chosen to land on const (1), bitset (2), u8 codes
-    // (≤256) and u16 codes (>256) chunk dictionaries.
-    for key_card in [1usize, 2, 60, 300] {
-        for case in 0..6 {
-            let rows = rng.range_usize(1, 500);
-            let specials = case % 2 == 0;
-            let table = random_table(&mut rng, key_card, rows, specials);
-            let sqls = queries(&mut rng);
-            let sorted = table.sorted_by(&["k"]).unwrap();
-            for (table, options) in [
-                (&table, BuildOptions::basic()),
-                (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k"], 8))),
-            ] {
-                let label = format!("key_card={key_card} case={case} rows={rows} {options:?}");
-                assert_all_configs_match(table, &options, &sqls, &label);
-            }
-        }
-    }
-}
-
-#[test]
 fn fast_paths_match_materializing_on_u32_codes() {
     // > 65536 distinct values in one chunk forces u32 codes. The wide
     // column is the *aggregate argument* (distinct ints and floats), so

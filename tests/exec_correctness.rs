@@ -734,3 +734,114 @@ fn cheap_kernel_paths_match_the_row_oracle() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Sums that round, on every `Elements` representation
+// ---------------------------------------------------------------------------
+
+/// Adversarial float palette: the values whose sums distinguish an exact
+/// accumulator from a naive one (and a bit-exact fold from an approximate
+/// one).
+const SPECIALS: [f64; 10] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324, // smallest positive subnormal
+    -5e-324,
+    f64::MIN_POSITIVE, // smallest positive normal
+    1e308,             // large: two of these overflow f64
+    -1e308,
+];
+
+fn random_float(rng: &mut Rng, specials: bool) -> f64 {
+    if specials && rng.chance(0.25) {
+        return SPECIALS[rng.range_usize(0, SPECIALS.len())];
+    }
+    // A wide but finite spread, signed, with exact-decimal cases mixed in:
+    // the middle draw's sums round, so a double-double slot that drops a
+    // bit of its pair shows.
+    match rng.range_usize(0, 3) {
+        0 => rng.range_i64_inclusive(-1_000, 1_000) as f64 * 0.25,
+        1 => (rng.next_f64() - 0.5) * 1e6,
+        _ => rng.next_f64() * 1e-3,
+    }
+}
+
+/// A random table whose `k` column is built to land on the requested
+/// dictionary cardinality (and therefore `Elements` representation once
+/// encoded): 1 → const, 2 → bitset, ≤256 → u8 codes, ≤65536 → u16, else
+/// u32.
+fn random_float_table(rng: &mut Rng, key_card: usize, rows: usize, specials: bool) -> Table {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("r", DataType::Int),
+    ]);
+    let mut table = Table::new(schema);
+    for _ in 0..rows {
+        table
+            .push_row(Row(vec![
+                Value::from(format!("k{:05}", rng.range_usize(0, key_card))),
+                Value::Int(rng.range_i64_inclusive(i64::MIN / 4, i64::MAX / 4)),
+                Value::Float(random_float(rng, specials)),
+                Value::Int(rng.range_i64_inclusive(0, 99)),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+fn float_queries(rng: &mut Rng) -> Vec<String> {
+    // A random mask: the `r` column is uniform 0..100, so the threshold is
+    // a random selectivity — including empty and all-pass masks.
+    let t = rng.range_i64_inclusive(-5, 105);
+    vec![
+        "SELECT k, COUNT(*) c, SUM(n) s, SUM(x) f, AVG(x) a FROM data GROUP BY k".into(),
+        "SELECT COUNT(*) c, SUM(n) s, SUM(x) f, AVG(x) a FROM data".into(),
+        format!("SELECT k, COUNT(*) c, SUM(x) f FROM data WHERE r < {t} GROUP BY k"),
+        format!("SELECT COUNT(*) c, SUM(x) f, AVG(x) a FROM data WHERE r < {t}"),
+    ]
+}
+
+/// `table`'s store under `options` answers every query of `sqls` as the
+/// row oracle does, floats bit for bit.
+fn assert_matches_oracle(table: &Table, options: &BuildOptions, sqls: &[String], label: &str) {
+    let store = DataStore::build(table, options).unwrap();
+    let ctx = ExecContext { threads: 1, ..Default::default() };
+    for sql in sqls {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        let (got, _) = execute(&store, &analyzed, &ctx).unwrap();
+        assert_eq!(got, oracle(table, sql), "{label}: {sql}");
+    }
+}
+
+/// Float sums whose every add may round, NaN, ±inf, ±0.0 and subnormals,
+/// over key columns on the const, bit-set, u8 and u16 representations,
+/// unmasked and under random masks, on an unsorted one-chunk build and on
+/// a sorted, partitioned one: the kernels' double-double slots must
+/// finalize to the oracle's correctly rounded sums.
+#[test]
+fn float_sums_match_the_row_oracle_on_every_representation() {
+    let mut rng = Rng::seed_from_u64(0xae41_0001);
+    // Key cardinalities chosen to land on const (1), bitset (2), u8 codes
+    // (≤256) and u16 codes (>256) chunk dictionaries.
+    for key_card in [1usize, 2, 60, 300] {
+        for case in 0..6 {
+            let rows = rng.range_usize(1, 500);
+            let specials = case % 2 == 0;
+            let table = random_float_table(&mut rng, key_card, rows, specials);
+            let sqls = float_queries(&mut rng);
+            let sorted = table.sorted_by(&["k"]).unwrap();
+            for (table, options) in [
+                (&table, BuildOptions::basic()),
+                (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k"], 8))),
+            ] {
+                let label = format!("key_card={key_card} case={case} rows={rows} {options:?}");
+                assert_matches_oracle(table, &options, &sqls, &label);
+            }
+        }
+    }
+}
