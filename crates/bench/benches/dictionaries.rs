@@ -81,7 +81,7 @@ fn main() {
         let elements = Elements::encode(&ids, distinct, ElementsMode::Optimized);
         bench.case_throughput(elements.repr_name(), ROWS as u64, || {
             let mut sum = 0u64;
-            elements.for_each(|id| sum += u64::from(id));
+            elements.iter().for_each(|id| sum += u64::from(id));
             black_box(sum);
         });
     }

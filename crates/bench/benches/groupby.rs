@@ -50,13 +50,13 @@ fn main() {
 
         bench.case_throughput(&format!("counts_array/{distinct}"), ROWS as u64, || {
             let mut counts = vec![0u64; distinct as usize];
-            elements.for_each(|id| counts[id as usize] += 1);
+            elements.iter().for_each(|id| counts[id as usize] += 1);
             black_box(counts);
         });
 
         bench.case_throughput(&format!("hash_table/{distinct}"), ROWS as u64, || {
             let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-            elements.for_each(|id| *counts.entry(id).or_insert(0) += 1);
+            elements.iter().for_each(|id| *counts.entry(id).or_insert(0) += 1);
             black_box(counts);
         });
 

@@ -1,40 +1,32 @@
-//! Compressed-domain kernel speed: the raw-speed claims behind
-//! `KernelConfig`, asserted — not just printed — so a regression that
-//! makes a "fast path" slower than the materializing baseline fails the
-//! bench run itself.
+//! Kernel speed: the raw-speed claims of the chunk kernels, asserted —
+//! not just printed — so a regression fails the bench run itself.
 //!
-//! Six claims:
+//! Three claims:
 //!
-//! 1. run-aware counting over run-heavy codes (`for_each_run`) beats the
-//!    row-at-a-time loop (`for_each`) — strictly;
-//! 2. the double-double float group-by beats the materializing kernel
-//!    end-to-end on a high-cardinality float `SUM`/`AVG` — strictly (16
-//!    bytes per group against an exact accumulator per group);
-//! 3. the dictionary→f64 table is built once per (column, chunk) and
+//! 1. the dictionary→f64 table is built once per (column, chunk) and
 //!    *not* once per aggregate — `SUM(x) + AVG(x)` share one float-sum
 //!    slot, so they cost exactly `chunk_count` builds (asserted via
 //!    `pd_core::float_table_builds`);
-//! 4. a row mask built from the restriction's resolved dictionary ids
+//! 2. a row mask built from the restriction's resolved dictionary ids
 //!    beats the same predicate written so that only the expression
 //!    evaluator can answer it (one `Value` and one `eval_expr` per
 //!    chunk-dictionary entry) — by at least 5×, for a `timestamp` window
 //!    and for a `date(timestamp)` equality on its virtual field;
-//! 5. a top-10 over a string key with thousands of groups through
+//! 3. a top-10 over a string key with thousands of groups through
 //!    `execute` (groups ranked on dictionary ids, ten trie lookups) beats
 //!    `finalize(execute_partial(..))` on the same store (every group
 //!    ordered, translated and ranked as values — what a tree's leaf and
 //!    root do between them), same rows — by at least 1.5×; the two times
 //!    are *reported* side by side (`top10_rank_on_ids` /
 //!    `top10_rank_on_values`), so the record shows what the store's
-//!    boundary costs;
-//! 6. the `COUNT(*)`-only counts-array kernels (one key, and two keys
-//!    fused into one flat index) beat the general path — a group index per
-//!    row, then one loop per aggregate slot, which is what the
-//!    materializing configuration runs for the same query — strictly, now
-//!    that neither allocates per group.
+//!    boundary costs.
 //!
-//! Five cases are reported and not asserted: `bottom10_rank_on_values`
-//! (claim 5's chart ordered `c ASC`, where thousands of groups tie on their
+//! Eight cases are reported and not asserted: `float_groupby_dense` (a
+//! high-cardinality float `SUM`/`AVG`, double-double slots),
+//! `count_one_key_counts_array` and `count_two_keys_counts_array` (the
+//! `COUNT(*)`-only counts-array kernels, one key and two keys fused into
+//! one flat index), `bottom10_rank_on_values`
+//! (claim 3's chart ordered `c ASC`, where thousands of groups tie on their
 //! count), `masked_groupby_5pct` (a grouped `COUNT` and `SUM` under a
 //! restriction that passes a twentieth of every chunk's rows),
 //! `window_two_bounds` (the same chart under both bounds of a `timestamp`
@@ -43,22 +35,11 @@
 //! `distinct_low_cardinality` (`COUNT(DISTINCT user)` by `country`, pairs
 //! marked in a flat array).
 
-use pd_bench::{logs_table, measure_stats, rows_from_env_or, Bench};
-use pd_core::{
-    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KernelConfig,
-};
-use pd_encoding::{Elements, ElementsMode};
+use pd_bench::{logs_table, measure_stats, rows_from_env_or};
+use pd_core::{execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext};
 use pd_sql::{analyze, parse_query};
 use std::hint::black_box;
 use std::time::Duration;
-
-const ROWS: usize = 1_000_000;
-
-/// Run-heavy codes, the reordered-store profile: runs of ~64 equal codes,
-/// 1000 distinct values (u16 representation).
-fn run_heavy_ids(distinct: u32, run: usize) -> Vec<u32> {
-    (0..ROWS).map(|i| ((i / run) as u32).wrapping_mul(2_654_435_761) % distinct).collect()
-}
 
 /// Time `run` over 10 samples, record the case, return the fastest sample.
 fn timed(name: &str, run: impl FnMut()) -> Duration {
@@ -69,105 +50,43 @@ fn timed(name: &str, run: impl FnMut()) -> Duration {
 }
 
 fn main() {
-    let bench = Bench::new("kernel_compressed").samples(10);
+    println!("\n=== bench: kernel_compressed ===");
 
-    // 1. Run-aware count vs row-at-a-time count on the same storage.
-    let distinct = 1_000u32;
-    for run in [64usize, 8] {
-        let elements =
-            Elements::encode(&run_heavy_ids(distinct, run), distinct, ElementsMode::Optimized);
-        let row_wise =
-            bench.case_throughput(&format!("count_rowwise/run{run}"), ROWS as u64, || {
-                let mut counts = vec![0u64; distinct as usize];
-                elements.for_each(|id| counts[id as usize] += 1);
-                black_box(counts);
-            });
-        let run_aware = bench.case_throughput(&format!("count_runs/run{run}"), ROWS as u64, || {
-            let mut counts = vec![0u64; distinct as usize];
-            elements.for_each_run(|id, n| counts[id as usize] += n as u64);
-            black_box(counts);
-        });
-        // The strict claim is for run-heavy data (the reordered-store
-        // profile the fast path targets); the short-run case is recorded
-        // to show the crossover, not asserted — run discovery there costs
-        // about what it saves.
-        if run == 64 {
-            assert!(
-                run_aware < row_wise,
-                "run-aware count must beat the row loop on run-{run} data: \
-                 {run_aware:?} vs {row_wise:?}"
-            );
-        }
-    }
-
-    // 2..3. End-to-end: a high-cardinality float group-by, double-double
-    // slots vs fully materializing, same store, single thread.
+    // 1. A high-cardinality float group-by, single thread: one float
+    // table per chunk however many aggregates read it.
     let rows = rows_from_env_or(200_000);
-    // The reordered-store profile the fast paths target: rows sorted by the
-    // partition fields, so codes come in runs.
+    // The §3 Reorder rung: rows sorted by the partition fields, then an
+    // OptDicts import.
     let table = logs_table(rows).sorted_by(&["user", "country"]).unwrap();
     let store = DataStore::build(&table, &BuildOptions::production(&["user", "country"])).unwrap();
     let chunks = store.chunk_count() as u64;
     let sql = "SELECT user, SUM(latency) s, AVG(latency) a FROM data GROUP BY user";
     let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-    let ctx = |kernels: KernelConfig| ExecContext { threads: 1, kernels, ..Default::default() };
+    let serial = ExecContext { threads: 1, ..Default::default() };
 
     let builds_before = pd_core::float_table_builds();
-    execute(&store, &analyzed, &ctx(KernelConfig::default())).unwrap();
+    execute(&store, &analyzed, &serial).unwrap();
     let builds = pd_core::float_table_builds() - builds_before;
     assert_eq!(
         builds, chunks,
         "SUM(x)+AVG(x) must build one float table per chunk, not one per aggregate"
     );
 
-    let grouped = |name: &str, kernels: KernelConfig| {
-        timed(name, || {
-            black_box(execute(&store, &analyzed, &ctx(kernels)).unwrap());
-        })
-    };
-    let materializing = grouped("float_groupby_materializing", KernelConfig::materializing());
-    let dense = grouped("float_groupby_dense", KernelConfig::default());
-    assert!(
-        dense < materializing,
-        "double-double group-by must beat the materializing kernel: \
-         {dense:?} vs {materializing:?}"
-    );
+    timed("float_groupby_dense", || {
+        black_box(execute(&store, &analyzed, &serial).unwrap());
+    });
 
-    // 6. COUNT(*) only: the counts-array kernels vs the general path over
-    // the same chunks, for one key and for two.
+    // Reported only: COUNT(*) alone, the counts-array kernels, for one
+    // key and for two.
     for (name, keys) in [("count_one_key", "country"), ("count_two_keys", "country, user")] {
         let sql = format!("SELECT {keys}, COUNT(*) c FROM data GROUP BY {keys}");
         let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
-        let [general, counts_array] = [
-            (format!("{name}_general"), KernelConfig::materializing()),
-            (format!("{name}_counts_array"), KernelConfig::default()),
-        ]
-        .map(|(case, kernels)| {
-            timed(&case, || {
-                black_box(execute(&store, &analyzed, &ctx(kernels)).unwrap());
-            })
-        });
-        assert!(
-            counts_array < general,
-            "the counts-array kernel must beat the general path on `{sql}`: \
-             {counts_array:?} vs {general:?}"
-        );
-    }
-
-    // Run-aware end-to-end too, on the shape it targets: a global float
-    // aggregate folds whole runs into the exact accumulator.
-    let global =
-        analyze(&parse_query("SELECT COUNT(*) c, SUM(latency) s FROM data").unwrap()).unwrap();
-    for (name, kernels) in [
-        ("global_sum_materializing", KernelConfig::materializing()),
-        ("global_sum_runs", KernelConfig::default()),
-    ] {
-        timed(name, || {
-            black_box(execute(&store, &global, &ctx(kernels)).unwrap());
+        timed(&format!("{name}_counts_array"), || {
+            black_box(execute(&store, &analyzed, &serial).unwrap());
         });
     }
 
-    // 4. Masks in the code domain vs the value domain, same store, same
+    // 2. Masks in the code domain vs the value domain, same store, same
     // rows selected. The opaque spellings keep the column on both sides of
     // the comparison, or inside a call: `expr op literal` would not do —
     // the restriction normalizer makes `timestamp + 0` a virtual field and
@@ -181,15 +100,13 @@ fn main() {
     let day = {
         let first_day =
             parse_query("SELECT date(timestamp) d FROM data GROUP BY d ORDER BY d ASC LIMIT 1");
-        let (result, _) =
-            execute(&store, &analyze(&first_day.unwrap()).unwrap(), &ctx(KernelConfig::default()))
-                .unwrap();
+        let (result, _) = execute(&store, &analyze(&first_day.unwrap()).unwrap(), &serial).unwrap();
         result.rows[0].0[0].render().into_owned()
     };
     let masked = |name: &str, predicate: &str| {
         let sql = format!("SELECT COUNT(*) c FROM data WHERE {predicate}");
         let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
-        let run = || execute(&store, &analyzed, &ctx(KernelConfig::default())).unwrap().0;
+        let run = || execute(&store, &analyzed, &serial).unwrap().0;
         let answer = run(); // also materializes the virtual field, once
         let fastest = timed(name, || {
             black_box(run());
@@ -227,7 +144,7 @@ fn main() {
     );
     let selective = analyze(&parse_query(&sql).unwrap()).unwrap();
     timed("masked_groupby_5pct", || {
-        black_box(execute(&store, &selective, &ctx(KernelConfig::default())).unwrap());
+        black_box(execute(&store, &selective, &serial).unwrap());
     });
     // Reported only: what the cold dashboard's charts cost their kernels.
     for (name, sql) in [
@@ -246,11 +163,11 @@ fn main() {
     ] {
         let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
         timed(name, || {
-            black_box(execute(&store, &analyzed, &ctx(KernelConfig::default())).unwrap());
+            black_box(execute(&store, &analyzed, &serial).unwrap());
         });
     }
 
-    // 5. Late materialization: the paper's own click shape (`GROUP BY
+    // 3. Late materialization: the paper's own click shape (`GROUP BY
     // <string> ORDER BY c DESC LIMIT 10`) over the trie-encoded
     // `table_name` column, ranked on ids vs on values. The ratio is
     // groups ÷ rows scanned, so the store has one size in every mode.
@@ -259,7 +176,6 @@ fn main() {
     let sql =
         "SELECT table_name, COUNT(*) c FROM data GROUP BY table_name ORDER BY c DESC LIMIT 10";
     let top10 = analyze(&parse_query(sql).unwrap()).unwrap();
-    let serial = ctx(KernelConfig::default());
     let (partial, _) = execute_partial(&store, &top10, &serial).unwrap();
     assert!(partial.len() >= 2_000, "a high-cardinality key: {}", partial.len());
     let (late, _) = execute(&store, &top10, &serial).unwrap();

@@ -704,7 +704,7 @@ pub fn subdicts(rows: usize) {
     let mut freq = vec![0u64; col.dict.len() as usize];
     for chunk in &col.chunks {
         let mut counts = vec![0u64; chunk.dict.len() as usize];
-        chunk.elements.for_each(|id| counts[id as usize] += 1);
+        chunk.elements.iter().for_each(|id| counts[id as usize] += 1);
         for (cid, n) in counts.iter().enumerate() {
             freq[chunk.dict.global_id_of(cid as u32) as usize] += n;
         }

@@ -89,45 +89,6 @@ impl FloatSum {
         }
     }
 
-    /// Add `x` exactly, `n` times — the run-aware form of [`FloatSum::add`].
-    ///
-    /// The accumulator is an exact two's-complement integer, so `n`
-    /// repeated additions of `±mant · 2^(off − 1074)` equal one addition of
-    /// `±(mant · n) · 2^(off − 1074)`: the resulting state (limbs and
-    /// flags) is bit-identical to calling `add(x)` `n` times, at the cost
-    /// of one 53×64-bit multiply. The ≤117-bit product still fits the 78
-    /// guard bits of headroom for any `n ≤ 2^63` rows.
-    pub fn add_repeated(&mut self, x: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if n == 1 || !x.is_finite() || x == 0.0 {
-            // Flags are idempotent ORs: once is as good as n times.
-            self.add(x);
-            return;
-        }
-        let bits = x.to_bits();
-        let exp = ((bits >> 52) & 0x7ff) as usize;
-        let frac = bits & ((1u64 << 52) - 1);
-        let (mant, off) = if exp == 0 { (frac, 0) } else { (frac | (1u64 << 52), exp - 1) };
-        let prod = mant as u128 * n as u128;
-        let limb = off / 64;
-        let sh = off % 64;
-        // Shift the ≤117-bit product left by `sh` across three words.
-        let (p_lo, p_hi) = (prod as u64, (prod >> 64) as u64);
-        let w0 = p_lo << sh;
-        let (w1, w2) = if sh == 0 {
-            (p_hi, 0)
-        } else {
-            ((p_hi << sh) | (p_lo >> (64 - sh)), p_hi >> (64 - sh))
-        };
-        if x > 0.0 {
-            self.add_words(limb, [w0, w1, w2]);
-        } else {
-            self.sub_words(limb, [w0, w1, w2]);
-        }
-    }
-
     /// Merge another accumulator in (exact; order never matters).
     pub fn merge(&mut self, other: &FloatSum) {
         let mut carry = 0u64;
@@ -230,44 +191,6 @@ impl FloatSum {
             let (v, c) = self.limbs[idx].overflowing_add(1);
             self.limbs[idx] = v;
             carry = c;
-            idx += 1;
-        }
-    }
-
-    /// Add a three-word magnitude starting at `limb` (for run products).
-    fn add_words(&mut self, limb: usize, words: [u64; 3]) {
-        let mut carry = false;
-        let mut idx = limb;
-        for &w in &words {
-            let (v, c1) = self.limbs[idx].overflowing_add(w);
-            let (v, c2) = v.overflowing_add(carry as u64);
-            self.limbs[idx] = v;
-            carry = c1 | c2;
-            idx += 1;
-        }
-        while carry && idx < LIMBS {
-            let (v, c) = self.limbs[idx].overflowing_add(1);
-            self.limbs[idx] = v;
-            carry = c;
-            idx += 1;
-        }
-    }
-
-    /// Subtract a three-word magnitude starting at `limb`.
-    fn sub_words(&mut self, limb: usize, words: [u64; 3]) {
-        let mut borrow = false;
-        let mut idx = limb;
-        for &w in &words {
-            let (v, b1) = self.limbs[idx].overflowing_sub(w);
-            let (v, b2) = v.overflowing_sub(borrow as u64);
-            self.limbs[idx] = v;
-            borrow = b1 | b2;
-            idx += 1;
-        }
-        while borrow && idx < LIMBS {
-            let (v, b) = self.limbs[idx].overflowing_sub(1);
-            self.limbs[idx] = v;
-            borrow = b;
             idx += 1;
         }
     }
@@ -493,62 +416,6 @@ mod tests {
         assert_eq!(sum_of(&[f64::INFINITY, -1e308]), f64::INFINITY);
         assert_eq!(sum_of(&[f64::NEG_INFINITY, 1e308]), f64::NEG_INFINITY);
         assert!(sum_of(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
-    }
-
-    #[test]
-    fn add_repeated_is_bit_identical_to_n_adds() {
-        let specials = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            0.1,
-            -1e-300,
-            5e-324,
-            -5e-324,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            f64::MIN_POSITIVE / 2.0, // subnormal
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        for &x in &specials {
-            for n in [0u64, 1, 2, 3, 63, 64, 1000] {
-                let mut repeated = FloatSum::new();
-                repeated.add_repeated(x, n);
-                let mut looped = FloatSum::new();
-                for _ in 0..n {
-                    looped.add(x);
-                }
-                assert_eq!(repeated, looped, "x={x:e} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn add_repeated_random_values_and_counts() {
-        let mut rng = Rng::seed_from_u64(0xadd5);
-        let mut acc = FloatSum::new();
-        let mut reference = FloatSum::new();
-        for _ in 0..200 {
-            let x = f64::from_bits(rng.next_u64());
-            let n = rng.range_usize(0, 300) as u64;
-            acc.add_repeated(x, n);
-            for _ in 0..n {
-                reference.add(x);
-            }
-        }
-        assert_eq!(acc, reference);
-    }
-
-    #[test]
-    fn add_repeated_huge_count_stays_in_headroom() {
-        // 2^40 copies of f64::MAX: far beyond f64 range, still exact.
-        let mut s = FloatSum::new();
-        s.add_repeated(f64::MAX, 1 << 40);
-        s.add_repeated(-f64::MAX, (1 << 40) - 1);
-        assert_eq!(s.value(), f64::MAX);
     }
 
     #[test]

@@ -257,7 +257,7 @@ mod tests {
     /// Two keys, one slot of every kind (one float slot tainted, one integer
     /// sum past `i64`).
     fn sample_partial() -> PartialResult {
-        let mut sums = FloatColumn::new(2, false);
+        let mut sums = FloatColumn::new(2);
         sums.add(0, 0.1);
         sums.add(1, f64::NAN);
         PartialResult::from_columns(
@@ -305,12 +305,13 @@ mod tests {
         ] {
             assert!(matches!(broken, Err(Error::Data(_))), "{what}: {broken:?}");
         }
-        // An exact sum sits on a tainted slot, one (possibly none) per pair.
+        // An exact sum sits on every tainted slot and on no other.
         let sum = || Some(Box::new(pd_common::FloatSum::from(1.0)));
         let nan = f64::NAN;
         assert!(FloatColumn::from_parts(vec![0.5, nan], vec![0.0; 2], vec![None, sum()]).is_ok());
         for (hi, lo, exact) in [
             (vec![0.5, nan], vec![0.0; 2], vec![sum(), None]),
+            (vec![0.5, nan], vec![0.0; 2], vec![None, None]),
             (vec![nan, nan], vec![0.0; 2], vec![sum()]),
             (vec![nan, nan], vec![0.0; 3], vec![None, None]),
         ] {

@@ -4,8 +4,8 @@
 //! `counts[elements[row]]++`" over a dense array sized by the chunk
 //! dictionary, after which per-chunk results are folded into one group
 //! table keyed by **global-ids**. The per-chunk loops live in
-//! `crate::kernels` (crate-private; its [`crate::KernelConfig`] switch is
-//! re-exported) and operate on raw dictionary codes; the table — columns of
+//! `crate::kernels` (crate-private) and operate on raw dictionary codes,
+//! one set of kernels for every chunk; the table — columns of
 //! ids and typed aggregate states, the same shape from a chunk kernel
 //! through the chunk-result cache and the fold to the ranking — is
 //! `crate::groups`; this module owns planning, the chunk schedule and the
@@ -66,7 +66,7 @@ use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
 use crate::groups::{Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind};
-use crate::kernels::{self, FilterPlan, GroupShape, KernelConfig, Mask, DENSE_GROUP_LIMIT};
+use crate::kernels::{self, FilterPlan, Mask, DENSE_GROUP_LIMIT};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
@@ -90,9 +90,6 @@ pub struct ExecContext {
     pub threads: usize,
     /// Chunk-result cache for fully active chunks (§6).
     pub result_cache: Option<Arc<ResultCache>>,
-    /// Which kernels scan a chunk (the fast paths by default; both
-    /// settings are bit-identical, see [`KernelConfig`]).
-    pub kernels: KernelConfig,
 }
 
 impl ExecContext {
@@ -833,9 +830,8 @@ impl Plan {
         // break-even of a hand-off, and with one worker, the fold streams
         // chunk by chunk (one table live at a time, like the sequential
         // seed); the parallel path buffers tables until the ordered fold.
-        let scan = |i: usize| {
-            self.chunk_table(store, ctx, tasks[i].0, tasks[i].1).map(ChunkScan::Computed)
-        };
+        let scan =
+            |i: usize| self.chunk_table(store, tasks[i].0, tasks[i].1).map(ChunkScan::Computed);
         let active_rows = tasks.iter().map(|&(c, _)| store.chunk_rows(c) as u64).sum();
         let mut folder = Fold::new(self, ctx, active_rows, stats);
         let threads = ctx.effective_threads();
@@ -889,15 +885,11 @@ impl Plan {
         PartialResult::new(table)
     }
 
-    /// Group one chunk. `filtered` says whether the row filter applies
-    /// (fully active chunks skip it by definition).
-    fn chunk_table(
-        &self,
-        store: &DataStore,
-        ctx: &ExecContext,
-        c: usize,
-        filtered: bool,
-    ) -> Result<GroupTable<u32>> {
+    /// Group one chunk: `COUNT(*)` alone by one or two keys in a counts
+    /// array, anything else by a group index and one loop per slot.
+    /// `filtered` says whether the row filter applies (fully active chunks
+    /// skip it by definition).
+    fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
         let rows = store.chunk_rows(c);
         let key_chunks: Vec<_> = self.key_cols.iter().map(|col| &col.chunks[c]).collect();
         let sizes: Vec<usize> =
@@ -912,27 +904,25 @@ impl Plan {
                     let slots = self.slots.iter().map(|slot| Column::new(slot.kind)).collect();
                     return Ok(GroupTable::new(0, vec![Vec::new(); key_chunks.len()], slots));
                 }
-                // Every row survives: scan unmasked, so the run-aware
-                // paths apply.
+                // Every row survives: scan unmasked.
                 Mask::All => None,
                 Mask::Rows(bits) => Some(bits),
             },
             _ => None,
         };
 
-        let fast = ctx.kernels == KernelConfig::Compressed;
         let dense_capacity: Option<usize> = sizes.iter().try_fold(1usize, |acc, &n| {
             let prod = acc.checked_mul(n)?;
             (prod <= DENSE_GROUP_LIMIT).then_some(prod)
         });
 
-        // Fast paths: the paper's counts-array loop on raw codes — one or
-        // two keys, COUNT(*) only, flat arrays, no per-row group index. A
+        // `COUNT(*)` alone: the paper's counts-array loop on raw codes — one
+        // or two keys, flat arrays, no per-row group index. A
         // single key never needs the dense limit: its counts array is
         // bounded by the chunk-dictionary size, which is at most the
         // chunk's row count (the limit exists to stop *products* of
         // key-dictionary sizes from exploding).
-        if let (true, [SlotPlan { kind: SlotKind::Count, .. }]) = (fast, &self.slots[..]) {
+        if let [SlotPlan { kind: SlotKind::Count, .. }] = &self.slots[..] {
             let counts = match (&key_chunks[..], dense_capacity) {
                 ([key], _) => Some(kernels::count_single(key.codes(), sizes[0], mask.as_ref())),
                 ([a, b], Some(capacity)) => Some(kernels::count_fused(
@@ -956,18 +946,8 @@ impl Plan {
         // Pass A: the group of every row, or of every row a mask passes.
         let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
 
-        // What pass B may assume about the index: on the unmasked
-        // dense path with zero keys every row is group 0, and with one key
-        // a row's group is exactly its key code — both let run-aware
-        // kernels consume `Elements` runs instead of rows.
-        let shape = match (fast && mask.is_none() && dense_capacity.is_some(), &key_chunks[..]) {
-            (true, []) => GroupShape::AllRows,
-            (true, [key]) => GroupShape::KeyCodes(key.codes()),
-            _ => GroupShape::General,
-        };
-
         // Pass B: per-slot tight loops.
-        let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index, shape, fast);
+        let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index);
         let slots = self.slots.iter().map(accumulate).collect();
         Ok(GroupTable::new(index.group_count, index.keys, slots))
     }

@@ -253,7 +253,7 @@ impl<K: Cell> Column<K> {
         match kind {
             SlotKind::Count => Column::Count(Vec::new()),
             SlotKind::SumInt => Column::SumInt(Vec::new()),
-            SlotKind::SumFloat => Column::SumFloat(FloatColumn::new(0, false)),
+            SlotKind::SumFloat => Column::SumFloat(FloatColumn::new(0)),
             SlotKind::Min => Column::Extreme { is_min: true, best: Vec::new() },
             SlotKind::Max => Column::Extreme { is_min: false, best: Vec::new() },
             SlotKind::Distinct { m } => Column::Distinct { m, sketches: Vec::new() },
@@ -368,7 +368,7 @@ fn spread<T: Clone>(v: Vec<T>, to: &[u32], len: usize, empty: T) -> Vec<T> {
 /// seeded from the last exact pair, and takes this and every later add
 /// there. The taint bit is `hi == NaN` (an untainted `hi` is finite, and a
 /// NaN makes every later residual NaN, so the hot loop needs no second
-/// branch); a tainted slot without an exact accumulator has seen no row.
+/// branch); a slot has an exact accumulator iff it is tainted.
 #[derive(Debug, Clone)]
 pub(crate) struct FloatColumn {
     hi: Vec<f64>,
@@ -390,11 +390,9 @@ fn two_sum(a: f64, b: f64) -> (f64, f64) {
 }
 
 impl FloatColumn {
-    /// `len` empty slots: pairs, or (`exact`, the materializing
-    /// baseline) exact accumulators from the first add.
-    pub(crate) fn new(len: usize, exact: bool) -> FloatColumn {
-        let hi = if exact { f64::NAN } else { 0.0 };
-        FloatColumn { hi: vec![hi; len], lo: vec![0.0; len], exact: vec![None; len] }
+    /// `len` empty slots, each an untainted pair.
+    pub(crate) fn new(len: usize) -> FloatColumn {
+        FloatColumn { hi: vec![0.0; len], lo: vec![0.0; len], exact: vec![None; len] }
     }
 
     #[inline(always)]
@@ -429,7 +427,6 @@ impl FloatColumn {
     fn value(&self, g: usize) -> f64 {
         match &self.exact[g] {
             Some(sum) => sum.value(),
-            None if self.hi[g].is_nan() => 0.0,
             // pd-analysis: allow(float-exactness) -- rounds the exact pair once; nothing is accumulated
             None => self.hi[g] + self.lo[g],
         }
@@ -440,7 +437,6 @@ impl FloatColumn {
             let to = to as usize;
             match &from.exact[j] {
                 Some(sum) => self.exact_mut(to).merge(sum),
-                None if from.hi[j].is_nan() => {}
                 None => {
                     self.add(to, from.hi[j]);
                     self.add(to, from.lo[j]);
@@ -456,9 +452,9 @@ impl FloatColumn {
     }
 
     /// A column from its decoded [`FloatColumn::parts`]: one length, and
-    /// an exact accumulator only on a tainted slot.
+    /// an exact accumulator exactly on a tainted slot.
     pub(crate) fn from_parts(hi: Vec<f64>, lo: Vec<f64>, exact: ExactSums) -> Result<FloatColumn> {
-        let tainted = |(sum, hi): (&Option<_>, &f64)| sum.is_none() || hi.is_nan();
+        let tainted = |(sum, hi): (&Option<_>, &f64)| sum.is_some() == hi.is_nan();
         if hi.len() != lo.len() || hi.len() != exact.len() || !exact.iter().zip(&hi).all(tainted) {
             return Err(Error::Data("wire: float-sum column is inconsistent".into()));
         }
@@ -474,14 +470,10 @@ impl PartialEq for FloatColumn {
     }
 }
 
-/// The exact accumulator of an untainted pair (zero for a tainted slot
-/// that has seen no row).
+/// The exact accumulator of an untainted pair.
 fn pair_sum(hi: f64, lo: f64) -> FloatSum {
-    let mut sum = FloatSum::new();
-    if !hi.is_nan() {
-        sum.add(hi);
-        sum.add(lo);
-    }
+    let mut sum = FloatSum::from(hi);
+    sum.add(lo);
     sum
 }
 
@@ -943,7 +935,7 @@ mod tests {
 
     /// Per-row accumulation into the column and into exact accumulators.
     fn summed(rows: &[(usize, f64)], groups: usize) -> (FloatColumn, Vec<FloatSum>) {
-        let mut column = FloatColumn::new(groups, false);
+        let mut column = FloatColumn::new(groups);
         let mut reference = vec![FloatSum::new(); groups];
         for &(g, x) in rows {
             column.add(g, x);
@@ -993,7 +985,7 @@ mod tests {
             assert_eq!(column.value(g).to_bits(), want.value().to_bits(), "group {g}");
         }
         // Absorbing keeps every slot exact, whichever side is tainted.
-        let mut folded = FloatColumn::new(2, false);
+        let mut folded = FloatColumn::new(2);
         folded.absorb(&column, &[0, 1, 0, 1, 0, 1]);
         folded.absorb(&column, &[1, 0, 1, 0, 1, 0]);
         let mut want = FloatSum::new();
@@ -1002,15 +994,16 @@ mod tests {
     }
 
     #[test]
-    fn all_exact_slots_accumulate_like_float_sums() {
-        let mut column = FloatColumn::new(3, true);
+    fn tainted_slots_accumulate_like_float_sums() {
+        let mut column = FloatColumn::new(3);
+        (0..3).for_each(|g| _ = column.exact_mut(g));
         column.add(0, 0.1);
         column.add(0, 0.2);
-        column.exact_mut(1).add_repeated(0.1, 7);
+        (0..7).for_each(|_| column.add(1, 0.1));
         let mut a = FloatSum::from(0.1);
         a.add(0.2);
         let mut b = FloatSum::new();
-        b.add_repeated(0.1, 7);
+        (0..7).for_each(|_| b.add(0.1));
         assert_eq!([column.sum(0), column.sum(1), column.sum(2)], [a, b, FloatSum::new()]);
         assert_eq!(column.value(2), 0.0);
     }
@@ -1074,7 +1067,8 @@ mod tests {
 
     #[test]
     fn columns_finalize_to_their_cells() {
-        let mut sums = FloatColumn::new(2, true);
+        let mut sums = FloatColumn::new(2);
+        sums.exact_mut(0);
         sums.exact_mut(1).add(10.0);
         let partial = partial(
             &[&[Value::Int(1), Value::Int(2)]],
@@ -1150,7 +1144,7 @@ mod tests {
         let table = |groups: [(&str, f64, i64, &[u64]); 2]| {
             let names: Vec<Value> = groups.iter().map(|g| Value::from(g.0)).collect();
             let parities: Vec<Value> = groups.iter().map(|g| Value::Int(g.2 % 2)).collect();
-            let mut sums = FloatColumn::new(2, false);
+            let mut sums = FloatColumn::new(2);
             (0..2).for_each(|g| sums.add(g, groups[g].1));
             let best = || groups.iter().map(|g| Some(Value::Int(g.2))).collect();
             let sketches = groups.iter().map(|g| KmvSketch::from_parts(4, g.3.to_vec()));

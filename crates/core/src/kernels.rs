@@ -57,44 +57,6 @@ use std::sync::Arc;
 /// this use a flat array; larger products sort the rows' packed codes.
 pub(crate) const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
-/// Which kernels a scan runs. Both are asserted bit-identical — the switch
-/// exists so equivalence tests and benches can pin either side, not because
-/// results differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelConfig {
-    /// The compressed-domain fast paths: the `COUNT(*)`-only counts-array
-    /// kernels, count/sum kernels that consume `Elements` runs (a run of
-    /// length `n` with code `c` contributes `n × weight(c)` without
-    /// touching per-row codes), and float sums in a per-group
-    /// double-double (16 bytes/slot, exact — see
-    /// `crate::groups::FloatColumn`).
-    #[default]
-    Compressed,
-    /// The materializing baseline, the test oracle: every query takes the
-    /// general group-index path, one add per row, float sums in one exact
-    /// accumulator per group.
-    Materializing,
-}
-
-impl KernelConfig {
-    /// The materializing baseline: every fast path off.
-    pub fn materializing() -> Self {
-        KernelConfig::Materializing
-    }
-}
-
-/// What the caller knows about a [`GroupIndex`]'s structure, letting pass
-/// B consume runs instead of rows when groups are derivable from codes.
-#[derive(Clone, Copy)]
-pub(crate) enum GroupShape<'a> {
-    /// No keys, no mask: every row belongs to group 0.
-    AllRows,
-    /// One dense key, no mask: a row's group *is* its key code.
-    KeyCodes(CodesView<'a>),
-    /// No exploitable structure: read the index row by row.
-    General,
-}
-
 /// Dispatch once on the representation, monomorphize the loop body.
 macro_rules! with_codes {
     ($view:expr, |$get:ident| $body:expr) => {
@@ -245,7 +207,7 @@ fn join(and: bool, sides: [Pred; 2]) -> Pred {
 
 /// The rows of one chunk that satisfy the filter. The two constant shapes
 /// are what lets the caller short-circuit: no kernel runs over `Empty`, and
-/// `All` runs the kernels unmasked (run-aware paths included).
+/// `All` runs the kernels unmasked.
 pub(crate) enum Mask {
     Empty,
     All,
@@ -558,26 +520,25 @@ pub(crate) fn count_single(
     mask: Option<&BitVec>,
 ) -> Vec<u64> {
     let rows = view.len();
-    match mask {
-        None => match view {
-            // Degenerate representations count in O(1) / O(words).
-            CodesView::Const { len } => vec![len as u64],
-            CodesView::Bits(bits) => {
-                let ones = bits.count_ones() as u64;
-                vec![rows as u64 - ones, ones]
-            }
-            _ => {
-                // Compressed-domain form: one add per run, not per row.
-                let mut counts = vec![0u64; distinct];
-                view.for_each_run(|code, n| counts[code as usize] += n as u64);
-                counts
-            }
-        },
-        Some(mask) => {
+    match (mask, view) {
+        // Degenerate representations count in O(1) / O(words).
+        (None, CodesView::Const { len }) => vec![len as u64],
+        (None, CodesView::Bits(bits)) => {
+            let ones = bits.count_ones() as u64;
+            vec![rows as u64 - ones, ones]
+        }
+        _ => {
             let mut counts = vec![0u64; distinct.max(1)];
-            with_codes!(view, |get| {
-                for row in mask.iter_ones() {
-                    counts[get(row) as usize] += 1;
+            with_codes!(view, |get| match mask {
+                None => {
+                    for row in 0..rows {
+                        counts[get(row) as usize] += 1;
+                    }
+                }
+                Some(mask) => {
+                    for row in mask.iter_ones() {
+                        counts[get(row) as usize] += 1;
+                    }
                 }
             });
             counts
@@ -753,33 +714,17 @@ pub(crate) fn dense_keys(
 /// over the rows of `index`, a value read per chunk-dictionary entry off
 /// the typed dictionary (a tailed one's through [`Value`]s), if at all.
 ///
-/// `shape` describes structure the caller proved about `index` (see
-/// [`GroupShape`]; the materializing baseline passes `General`). Float sums
-/// are exact in every path ([`FloatColumn`]) — the fold across chunks,
+/// Float sums are exact ([`FloatColumn`]) — the fold across chunks,
 /// threads and shards can then add them in any grouping and still produce
-/// bit-identical results; `fast` picks the double-double slots over one
-/// exact accumulator per slot.
-pub(crate) fn accumulate(
-    slot: &SlotPlan,
-    c: usize,
-    index: &GroupIndex,
-    shape: GroupShape<'_>,
-    fast: bool,
-) -> Column<u32> {
+/// bit-identical results.
+pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Column<u32> {
     let arg = slot.col.as_ref().map(|col| (col, &col.chunks[c]));
     let group_count = index.group_count;
     match slot.kind {
         SlotKind::Count => {
+            // A histogram of the listed rows' groups.
             let mut counts = vec![0u64; group_count];
-            match shape {
-                // No mask: every row counts, straight off the runs.
-                GroupShape::AllRows => counts[0] = index.groups.len() as u64,
-                GroupShape::KeyCodes(keys) => {
-                    keys.for_each_run(|code, n| counts[code as usize] += n as u64)
-                }
-                // A histogram of the listed rows' groups.
-                GroupShape::General => index.groups.iter().for_each(|&g| counts[g as usize] += 1),
-            }
+            index.groups.iter().for_each(|&g| counts[g as usize] += 1);
             Column::Count(counts)
         }
         SlotKind::SumInt => {
@@ -789,39 +734,16 @@ pub(crate) fn accumulate(
                 dict => chunk.dict.iter().map(|g| dict.value(g).as_int().unwrap_or(0)).collect(),
             };
             let mut sums = vec![0i128; group_count];
-            // Sums are exact, so a run contributes `weight × n` exactly.
-            let mut add = |g: usize, code: u32, n: usize| {
-                let run = i128::from(table[code as usize]) * n as i128;
-                sums[g] = sums[g].wrapping_add(run);
-            };
-            match shape {
-                GroupShape::AllRows => chunk.codes().for_each_run(|code, n| add(0, code, n)),
-                GroupShape::KeyCodes(keys) => {
-                    joint_runs(keys, chunk.codes(), |kc, ac, n| add(kc as usize, ac, n))
-                }
-                GroupShape::General => {
-                    for_each_member(chunk.codes(), index, |g, code| add(g, code, 1))
-                }
-            }
+            for_each_member(chunk.codes(), index, |g, code| {
+                sums[g] = sums[g].wrapping_add(i128::from(table[code as usize]))
+            });
             Column::SumInt(sums)
         }
         SlotKind::SumFloat => {
             let (col, chunk) = arg.expect("SUM has an argument");
             let table = float_table(col, chunk);
-            let mut sums = FloatColumn::new(group_count, !fast);
-            match shape {
-                // A single global sum folds whole runs into its exact
-                // accumulator (`FloatSum::add_repeated`): no row is read.
-                GroupShape::AllRows => {
-                    let sum = sums.exact_mut(0);
-                    chunk
-                        .codes()
-                        .for_each_run(|code, n| sum.add_repeated(table[code as usize], n as u64));
-                }
-                _ => for_each_member(chunk.codes(), index, |g, code| {
-                    sums.add(g, table[code as usize])
-                }),
-            }
+            let mut sums = FloatColumn::new(group_count);
+            for_each_member(chunk.codes(), index, |g, code| sums.add(g, table[code as usize]));
             Column::SumFloat(sums)
         }
         SlotKind::Min | SlotKind::Max => {
@@ -831,9 +753,10 @@ pub(crate) fn accumulate(
             // chunk-id order is value order: an extreme is a code minimum (or
             // maximum), with no key and no mask the first (or last) chunk-id.
             let codes = chunk.codes();
-            let best = match (col.dict.is_value_ordered(), shape, is_min) {
-                (true, GroupShape::AllRows, true) => vec![0],
-                (true, GroupShape::AllRows, false) => vec![chunk.dict.len() - 1],
+            let whole_chunk = index.keys.is_empty() && index.rows.is_none();
+            let best = match (col.dict.is_value_ordered(), whole_chunk, is_min) {
+                (true, true, true) => vec![0],
+                (true, true, false) => vec![chunk.dict.len() - 1],
                 (true, _, true) => fold_codes(codes, index, u32::MAX, u32::min),
                 (true, _, false) => fold_codes(codes, index, 0, u32::max),
                 // A tailed dictionary: compare the chunk dictionary's values.
@@ -922,26 +845,6 @@ fn for_each_member(codes: CodesView<'_>, index: &GroupIndex, mut f: impl FnMut(u
             }
         }
     })
-}
-
-/// Visit maximal runs over which *both* the key code and the argument code
-/// are constant: `f(key_code, arg_code, run_len)`. Sorted or clustered
-/// chunks make these runs long; the worst case is one compare pair per row.
-fn joint_runs(keys: CodesView<'_>, args: CodesView<'_>, mut f: impl FnMut(u32, u32, usize)) {
-    let rows = keys.len();
-    debug_assert_eq!(rows, args.len());
-    with_codes!(keys, |get_k| with_codes!(args, |get_a| {
-        let mut i = 0;
-        while i < rows {
-            let (kc, ac) = (get_k(i), get_a(i));
-            let mut j = i + 1;
-            while j < rows && get_k(j) == kc && get_a(j) == ac {
-                j += 1;
-            }
-            f(kc, ac, j - i);
-            i = j;
-        }
-    }));
 }
 
 /// Process-wide count of dictionary→f64 tables built (diagnostics: the
@@ -1224,20 +1127,6 @@ mod tests {
             }
         }
         assert_eq!(counts, naive);
-    }
-
-    #[test]
-    fn joint_runs_cover_every_row_pairwise() {
-        let keys: Vec<u32> = (0..400).map(|i| i / 40).collect();
-        let args: Vec<u32> = (0..400).map(|i| i / 10 % 5).collect();
-        let ek = elements(&keys, 10);
-        let ea = elements(&args, 5);
-        let mut rebuilt: Vec<(u32, u32)> = Vec::new();
-        joint_runs(ek.codes(), ea.codes(), |kc, ac, n| {
-            rebuilt.extend(std::iter::repeat_n((kc, ac), n));
-        });
-        let expect: Vec<(u32, u32)> = keys.iter().copied().zip(args.iter().copied()).collect();
-        assert_eq!(rebuilt, expect);
     }
 
     #[test]

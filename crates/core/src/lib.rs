@@ -53,7 +53,6 @@ pub mod skip;
 pub mod stats;
 
 pub use cache::{cost_score, BoundedCache, ResultCache};
-pub use kernels::KernelConfig;
 
 /// Dictionary→f64 translation tables built since process start (a
 /// monotone, process-wide counter). The kernel bench asserts the

@@ -1,48 +1,24 @@
-//! Seeded property test for the compressed-domain kernel fast paths: for
-//! random tables whose key columns land on **every** `Elements`
-//! representation (const / bitset / u8 / u16 / u32 codes), random masks
-//! and float columns seeded with the adversarial values (NaN, ±0.0, ±inf,
-//! subnormals), the run-aware and double-double kernels must return results
-//! **bit-identical** to the fully materializing kernels — `assert_eq!` on
+//! Properties of the group table the chunk kernels fill: the fold is
+//! insensitive to the order and grouping in which chunk tables arrive, the
+//! id-domain ranking equals the value-domain one, and shared aggregate
+//! slots finalize like unshared ones — `assert_eq!` on
 //! [`pd_core::QueryResult`], whose float comparison is `total_cmp` (so a
-//! flipped NaN payload or a `-0.0` vs `+0.0` would fail, not pass).
-//!
-//! Second half: properties of the group table those kernels fill — the
-//! fold is insensitive to the order and grouping in which chunk tables
-//! arrive, the id-domain ranking equals the value-domain one, and shared
-//! aggregate slots finalize like unshared ones.
+//! flipped NaN payload or a `-0.0` vs `+0.0` would fail, not pass). What
+//! the kernels compute is checked against the row oracle in the root
+//! crate's `exec_correctness`.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{
-    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KernelConfig,
-    PartitionSpec, QueryResult,
+    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, PartitionSpec,
+    QueryResult,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query, AnalyzedQuery};
 
-/// Adversarial float palette: the values whose sums distinguish an exact
-/// accumulator from a naive one (and a bit-exact fold from an approximate
-/// one).
-const SPECIALS: [f64; 10] = [
-    f64::NAN,
-    f64::INFINITY,
-    f64::NEG_INFINITY,
-    0.0,
-    -0.0,
-    5e-324, // smallest positive subnormal
-    -5e-324,
-    f64::MIN_POSITIVE, // smallest positive normal
-    1e308,             // large: two of these overflow f64
-    -1e308,
-];
-
-fn random_float(rng: &mut Rng, specials: bool) -> f64 {
-    if specials && rng.chance(0.25) {
-        return SPECIALS[rng.range_usize(0, SPECIALS.len())];
-    }
-    // A wide but finite spread, signed, with exact-decimal cases mixed in.
+/// A wide but finite spread, signed, with exact-decimal cases mixed in.
+fn random_float(rng: &mut Rng) -> f64 {
     match rng.range_usize(0, 3) {
         0 => rng.range_i64_inclusive(-1_000, 1_000) as f64 * 0.25,
         1 => (rng.next_f64() - 0.5) * 1e6,
@@ -50,133 +26,10 @@ fn random_float(rng: &mut Rng, specials: bool) -> f64 {
     }
 }
 
-/// A random table whose `k` column is built to land on the requested
-/// dictionary cardinality (and therefore `Elements` representation once
-/// encoded): 1 → const, 2 → bitset, ≤256 → u8 codes, ≤65536 → u16, else
-/// u32.
-fn random_table(rng: &mut Rng, key_card: usize, rows: usize, specials: bool) -> Table {
-    let schema = Schema::of(&[
-        ("k", DataType::Str),
-        ("n", DataType::Int),
-        ("x", DataType::Float),
-        ("r", DataType::Int),
-    ]);
-    let mut table = Table::new(schema);
-    for _ in 0..rows {
-        table
-            .push_row(Row(vec![
-                Value::from(format!("k{:05}", rng.range_usize(0, key_card))),
-                Value::Int(rng.range_i64_inclusive(i64::MIN / 4, i64::MAX / 4)),
-                Value::Float(random_float(rng, specials)),
-                Value::Int(rng.range_i64_inclusive(0, 99)),
-            ]))
-            .unwrap();
-    }
-    table
-}
-
-fn queries(rng: &mut Rng) -> Vec<String> {
-    // A random mask: the `r` column is uniform 0..100, so the threshold is
-    // a random selectivity — including empty and all-pass masks.
-    let t = rng.range_i64_inclusive(-5, 105);
-    vec![
-        // Unmasked single-key group-by: the key-run / double-double shapes.
-        "SELECT k, COUNT(*) c, SUM(n) s, SUM(x) f, AVG(x) a FROM data GROUP BY k".into(),
-        // Global aggregates: the whole-chunk run shape.
-        "SELECT COUNT(*) c, SUM(n) s, SUM(x) f, AVG(x) a FROM data".into(),
-        // Masked variants: every fast path must fall back bit-identically.
-        format!("SELECT k, COUNT(*) c, SUM(x) f FROM data WHERE r < {t} GROUP BY k"),
-        format!("SELECT COUNT(*) c, SUM(x) f, AVG(x) a FROM data WHERE r < {t}"),
-    ]
-}
-
-fn run(store: &DataStore, analyzed: &AnalyzedQuery, kernels: KernelConfig) -> QueryResult {
-    let ctx = ExecContext { threads: 1, kernels, ..Default::default() };
+fn run(store: &DataStore, analyzed: &AnalyzedQuery) -> QueryResult {
+    let ctx = ExecContext { threads: 1, ..Default::default() };
     execute(store, analyzed, &ctx).unwrap().0
 }
-
-fn assert_all_configs_match(table: &Table, options: &BuildOptions, sqls: &[String], label: &str) {
-    let store = DataStore::build(table, options).unwrap();
-    for sql in sqls {
-        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-        let want = run(&store, &analyzed, KernelConfig::materializing());
-        let got = run(&store, &analyzed, KernelConfig::default());
-        assert_eq!(got, want, "{label}: {sql}");
-    }
-}
-
-#[test]
-fn fast_paths_match_materializing_on_u32_codes() {
-    // > 65536 distinct values in one chunk forces u32 codes. The wide
-    // column is the *aggregate argument* (distinct ints and floats), so
-    // the output stays one group per `k` while the scanned representation
-    // is the widest one.
-    let mut rng = Rng::seed_from_u64(0xae41_0002);
-    let rows = 70_000;
-    let schema = Schema::of(&[
-        ("k", DataType::Str),
-        ("n", DataType::Int),
-        ("x", DataType::Float),
-        ("r", DataType::Int),
-    ]);
-    let mut table = Table::new(schema);
-    for i in 0..rows {
-        table
-            .push_row(Row(vec![
-                Value::from(["red", "green", "blue"][rng.range_usize(0, 3)]),
-                Value::Int(i as i64 * 1_000_003), // all distinct
-                Value::Float(if rng.chance(0.001) {
-                    SPECIALS[rng.range_usize(0, SPECIALS.len())]
-                } else {
-                    i as f64 * 1.000_000_1 // essentially all distinct
-                }),
-                Value::Int(rng.range_i64_inclusive(0, 99)),
-            ]))
-            .unwrap();
-    }
-    let sqls = queries(&mut rng);
-    assert_all_configs_match(&table, &BuildOptions::basic(), &sqls, "u32-arg");
-}
-
-#[test]
-fn sums_of_specials_alone_stay_bit_identical() {
-    // Degenerate columns made *only* of adversarial values: every group's
-    // sum is NaN/inf/±0.0-sensitive, so any fast path that mishandled a
-    // special would flip a bit here.
-    let mut rng = Rng::seed_from_u64(0xae41_0003);
-    for _ in 0..8 {
-        let rows = rng.range_usize(1, 200);
-        let schema = Schema::of(&[
-            ("k", DataType::Str),
-            ("n", DataType::Int),
-            ("x", DataType::Float),
-            ("r", DataType::Int),
-        ]);
-        let mut table = Table::new(schema);
-        for _ in 0..rows {
-            table
-                .push_row(Row(vec![
-                    Value::from(["a", "b"][rng.range_usize(0, 2)]),
-                    Value::Int(rng.range_i64_inclusive(-3, 3)),
-                    Value::Float(SPECIALS[rng.range_usize(0, SPECIALS.len())]),
-                    Value::Int(rng.range_i64_inclusive(0, 99)),
-                ]))
-                .unwrap();
-        }
-        let sqls = queries(&mut rng);
-        let sorted = table.sorted_by(&["k"]).unwrap();
-        for (table, options) in [
-            (&table, BuildOptions::basic()),
-            (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k"], 4))),
-        ] {
-            assert_all_configs_match(table, &options, &sqls, "specials-only");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Group-table properties
-// ---------------------------------------------------------------------------
 
 /// Three key columns of small cardinality, an int and a string measure,
 /// and a float measure one row in five of which taints a double-double:
@@ -196,7 +49,7 @@ fn grouped_table(rng: &mut Rng, rows: usize) -> Table {
     ]);
     let mut table = Table::new(schema);
     for _ in 0..rows {
-        let x = if rng.chance(0.2) { *rng.pick(&TAINTING) } else { random_float(rng, false) };
+        let x = if rng.chance(0.2) { *rng.pick(&TAINTING) } else { random_float(rng) };
         table
             .push_row(Row(vec![
                 Value::from(format!("k{}", rng.range_usize(0, 7))),
@@ -252,14 +105,14 @@ fn store_of_batches(table: &Table, batches: &[Vec<usize>]) -> DataStore {
 }
 
 #[test]
-fn folds_of_chunk_tables_in_any_order_and_grouping_equal_the_materializing_result() {
+fn folds_of_chunk_tables_in_any_order_and_grouping_equal_the_one_build_result() {
     let mut rng = Rng::seed_from_u64(0xae41_0004);
     for case in 0..4 {
         let rows = rng.range_usize(200, 500);
         let table = grouped_table(&mut rng, rows);
         let sqls = grouped_queries(&mut rng);
 
-        // The reference: one build, sorted dictionaries, materializing.
+        // The reference: one build, sorted dictionaries.
         let chunked = BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 60));
         let reference = DataStore::build(&table, &chunked).unwrap();
         assert!(reference.chunk_count() > 3);
@@ -292,16 +145,14 @@ fn folds_of_chunk_tables_in_any_order_and_grouping_equal_the_materializing_resul
 
         for sql in &sqls {
             let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-            let want = run(&stores[0].1, &analyzed, KernelConfig::materializing());
+            let want = run(&stores[0].1, &analyzed);
             for (name, store) in &stores {
-                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
-                    let label = format!("case {case}, {name}, {kernels:?}: {sql}");
-                    assert_eq!(run(store, &analyzed, kernels), want, "{label}");
-                    // The value-keyed form of the same table, ranked as values.
-                    let ctx = ExecContext { threads: 1, kernels, ..Default::default() };
-                    let (partial, _) = execute_partial(store, &analyzed, &ctx).unwrap();
-                    assert_eq!(finalize(&analyzed, partial).unwrap(), want, "{label}");
-                }
+                let label = format!("case {case}, {name}: {sql}");
+                assert_eq!(run(store, &analyzed), want, "{label}");
+                // The value-keyed form of the same table, ranked as values.
+                let ctx = ExecContext { threads: 1, ..Default::default() };
+                let (partial, _) = execute_partial(store, &analyzed, &ctx).unwrap();
+                assert_eq!(finalize(&analyzed, partial).unwrap(), want, "{label}");
             }
         }
     }
@@ -317,7 +168,7 @@ fn shared_slots_finalize_to_the_cells_of_unshared_ones() {
         let cells = |aggs: &str| {
             let sql = format!("SELECT k, {aggs} FROM data{filter} GROUP BY k ORDER BY k ASC");
             let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
-            run(&store, &analyzed, KernelConfig::default()).rows
+            run(&store, &analyzed).rows
         };
         // One query whose SUM, AVG and COUNT share two slots ...
         let shared = cells("SUM(x) sx, AVG(x) ax, COUNT(*) c, AVG(n) an, COUNT(n) cn");

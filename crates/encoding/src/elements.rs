@@ -95,8 +95,7 @@ impl Elements {
     ///
     /// The group-by kernels dispatch on this view once per chunk and then
     /// run a monomorphized inner loop over the raw codes, instead of paying
-    /// a representation match per row ([`Elements::get`]) or a closure call
-    /// per row ([`Elements::for_each`]).
+    /// a representation match per row ([`Elements::get`]).
     #[inline]
     pub fn codes(&self) -> CodesView<'_> {
         match self {
@@ -106,27 +105,6 @@ impl Elements {
             Elements::U16(v) => CodesView::U16(v),
             Elements::U32(v) => CodesView::U32(v),
         }
-    }
-
-    /// Visit every chunk-id via a monomorphized closure; this is the
-    /// group-by inner loop (`counts[elements[row]] += 1` in §2.4), so it
-    /// avoids a per-row enum dispatch.
-    #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(u32)) {
-        match self {
-            Elements::Const { len } => (0..*len).for_each(|_| f(0)),
-            Elements::Bits(b) => b.iter().for_each(|bit| f(bit as u32)),
-            Elements::U8(v) => v.iter().for_each(|&id| f(id as u32)),
-            Elements::U16(v) => v.iter().for_each(|&id| f(id as u32)),
-            Elements::U32(v) => v.iter().for_each(|&id| f(id)),
-        }
-    }
-
-    /// Visit maximal runs of equal chunk-ids in row order: `f(code, len)`.
-    /// See [`CodesView::for_each_run`].
-    #[inline]
-    pub fn for_each_run(&self, f: impl FnMut(u32, usize)) {
-        self.codes().for_each_run(f)
     }
 
     /// Serialize for the compressed storage layer. Layout:
@@ -287,84 +265,6 @@ impl CodesView<'_> {
             CodesView::U32(v) => v[row],
         }
     }
-
-    /// Visit maximal runs of equal codes in row order: `f(code, run_len)`.
-    ///
-    /// This is the compressed-domain entry point of §5.2 ("working on
-    /// dictionaries"): a kernel that only needs `weight(code) × run length`
-    /// can skip the per-row decode entirely. The §3 ladder has no explicit
-    /// RLE representation, so runs are discovered from the existing storage
-    /// — O(1) for `Const`, word-at-a-time for `Bits` (an all-zero or
-    /// all-one word extends the current run by 64 rows in one compare), and
-    /// a linear equality scan for the byte-packed forms. Sorted or
-    /// partition-clustered chunks yield long runs; the worst case degrades
-    /// to one compare per row.
-    ///
-    /// Runs are maximal and contiguous: consecutive calls never repeat a
-    /// code, lengths are nonzero and sum to `len()`.
-    pub fn for_each_run(&self, mut f: impl FnMut(u32, usize)) {
-        match self {
-            CodesView::Const { len } => {
-                if *len > 0 {
-                    f(0, *len);
-                }
-            }
-            CodesView::Bits(b) => bit_runs(b, &mut f),
-            CodesView::U8(v) => slice_runs(v, &mut f),
-            CodesView::U16(v) => slice_runs(v, &mut f),
-            CodesView::U32(v) => slice_runs(v, &mut f),
-        }
-    }
-}
-
-/// Maximal-run scan over a slice of codes, monomorphized per width.
-fn slice_runs<T: PartialEq + Copy + Into<u32>>(v: &[T], f: &mut impl FnMut(u32, usize)) {
-    let mut i = 0;
-    while i < v.len() {
-        let code = v[i];
-        let mut j = i + 1;
-        while j < v.len() && v[j] == code {
-            j += 1;
-        }
-        f(code.into(), j - i);
-        i = j;
-    }
-}
-
-/// Maximal-run scan over a bit-set, one compare per 64 rows on uniform
-/// words and one shift per row only inside mixed words.
-fn bit_runs(b: &BitVec, f: &mut impl FnMut(u32, usize)) {
-    let len = b.len();
-    if len == 0 {
-        return;
-    }
-    let mut cur = b.get(0) as u32;
-    let mut run = 0usize;
-    for (wi, &w) in b.words().iter().enumerate() {
-        let base = wi * 64;
-        let n = (len - base).min(64);
-        // Tail bits beyond `len` are zero, so mask the expectation too.
-        let ones = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-        if (w & ones) == 0 && cur == 0 {
-            run += n;
-            continue;
-        }
-        if (w & ones) == ones && cur == 1 {
-            run += n;
-            continue;
-        }
-        for bit in 0..n {
-            let v = ((w >> bit) & 1) as u32;
-            if v == cur {
-                run += 1;
-            } else {
-                f(cur, run);
-                cur = v;
-                run = 1;
-            }
-        }
-    }
-    f(cur, run);
 }
 
 /// Iterator over chunk-ids.
@@ -434,63 +334,7 @@ mod tests {
             }
             let collected: Vec<u32> = e.iter().collect();
             assert_eq!(collected, ids);
-            let mut via_for_each = Vec::new();
-            e.for_each(|id| via_for_each.push(id));
-            assert_eq!(via_for_each, ids);
         }
-    }
-
-    /// Reference implementation: runs derived from the per-row iterator.
-    fn naive_runs(e: &Elements) -> Vec<(u32, usize)> {
-        let mut runs: Vec<(u32, usize)> = Vec::new();
-        for id in e.iter() {
-            match runs.last_mut() {
-                Some((code, len)) if *code == id => *len += 1,
-                _ => runs.push((id, 1)),
-            }
-        }
-        runs
-    }
-
-    #[test]
-    fn for_each_run_matches_naive_runs_across_reprs() {
-        for distinct in [1u32, 2, 5, 300, 70_000] {
-            // Lengths straddling word boundaries exercise the bit-set scan.
-            for len in [0usize, 1, 63, 64, 65, 128, 500] {
-                let ids = ids_with_distinct(distinct, len);
-                let e = Elements::encode(&ids, distinct, ElementsMode::Optimized);
-                let mut got = Vec::new();
-                e.for_each_run(|code, n| got.push((code, n)));
-                assert_eq!(got, naive_runs(&e), "distinct={distinct} len={len}");
-                assert_eq!(got.iter().map(|&(_, n)| n).sum::<usize>(), len);
-                assert!(got.iter().all(|&(_, n)| n > 0));
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_run_collapses_sorted_data() {
-        // 10 runs of 100 identical ids each.
-        let ids: Vec<u32> = (0..1000).map(|i| i / 100).collect();
-        for mode in [ElementsMode::Optimized, ElementsMode::Basic] {
-            let e = Elements::encode(&ids, 10, mode);
-            let mut runs = Vec::new();
-            e.for_each_run(|code, n| runs.push((code, n)));
-            assert_eq!(runs, (0..10).map(|c| (c, 100)).collect::<Vec<_>>(), "{}", e.repr_name());
-        }
-    }
-
-    #[test]
-    fn for_each_run_bitset_uniform_words() {
-        // 200 zeros, 200 ones, then alternation over a word boundary.
-        let mut ids = vec![0u32; 200];
-        ids.extend(std::iter::repeat_n(1u32, 200));
-        ids.extend((0..100).map(|i| i % 2));
-        let e = Elements::encode(&ids, 2, ElementsMode::Optimized);
-        assert_eq!(e.repr_name(), "bitset");
-        let mut got = Vec::new();
-        e.for_each_run(|code, n| got.push((code, n)));
-        assert_eq!(got, naive_runs(&e));
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub use pd_sql as sql;
 
 pub use pd_common::{DataType, Error, Result, Row, Schema, Value};
 pub use pd_core::{
-    query, BuildOptions, DataStore, ExecContext, KernelConfig, PartitionSpec, QueryResult,
-    ResultCache, ScanStats,
+    query, BuildOptions, DataStore, ExecContext, PartitionSpec, QueryResult, ResultCache, ScanStats,
 };
 pub use pd_data::Table;
 pub use pd_dist::{Cluster, ClusterConfig};

@@ -1,15 +1,15 @@
 //! Executor correctness: the store must agree with the row oracle
 //! (`pd_baselines::scan`, which shares no aggregation, lowering or ranking
 //! with the engine) on every supported query shape, under every build
-//! variant of the §3 ladder and both kernel configurations, with and
+//! variant of the §3 ladder, on every `Elements` representation, with and
 //! without the §6 result cache — row for row, floats bit for bit.
 
 use pd_baselines::scan;
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{
-    execute, execute_partial, finalize, query, BuildOptions, DataStore, ExecContext, KernelConfig,
-    PartitionSpec, QueryResult, ResultCache,
+    execute, execute_partial, finalize, query, BuildOptions, DataStore, ExecContext, PartitionSpec,
+    QueryResult, ResultCache,
 };
 use pd_data::{generate_logs, LogsSpec, Table};
 use pd_encoding::TableDelta;
@@ -42,22 +42,19 @@ fn check(table: &Table, stores: &[(&str, DataStore)], sql: &str) {
     let expected = oracle(table, sql);
     let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
     for (name, store) in stores {
-        for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
-            let ctx = ExecContext { kernels, ..Default::default() };
-            let (result, stats) = execute(store, &analyzed, &ctx)
-                .unwrap_or_else(|e| panic!("{name} {kernels:?}: {sql}: {e}"));
-            assert_eq!(
-                result,
-                expected,
-                "variant {name} {kernels:?} disagrees with the oracle on {sql}\nstats: {}",
-                stats.summary()
-            );
-            assert_eq!(
-                stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
-                stats.rows_total,
-                "row accounting must balance for {name}: {sql}"
-            );
-        }
+        let (result, stats) = execute(store, &analyzed, &ExecContext::default())
+            .unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
+        assert_eq!(
+            result,
+            expected,
+            "variant {name} disagrees with the oracle on {sql}\nstats: {}",
+            stats.summary()
+        );
+        assert_eq!(
+            stats.rows_skipped + stats.rows_cached + stats.rows_scanned,
+            stats.rows_total,
+            "row accounting must balance for {name}: {sql}"
+        );
     }
 }
 
@@ -436,9 +433,9 @@ fn drill_charts(where_clause: &str) -> Vec<String> {
 
 #[test]
 fn kept_caches_across_appends_match_a_rebuild() {
-    // One store takes 20 appends in place; four contexts — {fast, oracle
-    // kernels} × {execute, finalize ∘ execute_partial} — each keep one
-    // chunk-result cache across all of them, never cleared. After every
+    // One store takes 20 appends in place; two contexts — execute, and
+    // finalize ∘ execute_partial — each keep one chunk-result cache across
+    // all of them, never cleared. After every
     // append each must answer like a cacheless context on a store rebuilt
     // from the same rows, bit for bit.
     let table = generate_logs(&LogsSpec::scaled(3_000));
@@ -459,19 +456,12 @@ fn kept_caches_across_appends_match_a_rebuild() {
     let options = BuildOptions::optdicts(PartitionSpec::new(&fields, 250));
     let sorted = |rows: &[usize]| table.select_rows(rows).sorted_by(&fields).unwrap();
     let mut store = DataStore::build(&sorted(&served), &options).unwrap();
-    let contexts: Vec<(KernelConfig, bool, ExecContext)> =
-        [KernelConfig::Compressed, KernelConfig::materializing()]
-            .into_iter()
-            .flat_map(|kernels| [(kernels, false), (kernels, true)])
-            .map(|(kernels, via_partial)| {
-                let result_cache = Some(Arc::new(ResultCache::new(1 << 14)));
-                (
-                    kernels,
-                    via_partial,
-                    ExecContext { threads: 1, result_cache, kernels, ..Default::default() },
-                )
-            })
-            .collect();
+    let contexts: Vec<(bool, ExecContext)> = [false, true]
+        .map(|via_partial| {
+            let result_cache = Some(Arc::new(ResultCache::new(1 << 14)));
+            (via_partial, ExecContext { threads: 1, result_cache, ..Default::default() })
+        })
+        .into();
     let answer = |store: &DataStore, sql: &str, via_partial: bool, ctx: &ExecContext| {
         let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
         if via_partial {
@@ -491,7 +481,7 @@ fn kept_caches_across_appends_match_a_rebuild() {
         queries.extend(drill_charts(restriction).into_iter().step_by(3));
     }
     // Warm every cache before the first append.
-    for (_, via_partial, ctx) in &contexts {
+    for (via_partial, ctx) in &contexts {
         for sql in &queries {
             answer(&store, sql, *via_partial, ctx);
         }
@@ -508,8 +498,8 @@ fn kept_caches_across_appends_match_a_rebuild() {
 
         for (i, sql) in queries.iter().enumerate() {
             let (want, _) = answer(&rebuilt, sql, false, &ExecContext::default());
-            for (kernels, via_partial, ctx) in &contexts {
-                let label = format!("round {round}, {kernels:?}, via partial {via_partial}: {sql}");
+            for (via_partial, ctx) in &contexts {
+                let label = format!("round {round}, via partial {via_partial}: {sql}");
                 let (got, stats) = answer(&store, sql, *via_partial, ctx);
                 assert_eq!(got, want, "{label}");
                 assert_eq!(
@@ -607,7 +597,7 @@ fn render_produces_readable_table() {
 /// 0, 1 and 2 keys, unmasked and masked, over sorted dictionaries and
 /// tailed ones; COUNT DISTINCT with groups × chunk-dictionary entries under
 /// and over four times the rows listed; one-key masks that leave most of
-/// a chunk's key ids unused. Both kernel configurations.
+/// a chunk's key ids unused.
 #[test]
 fn cheap_kernel_paths_match_the_row_oracle() {
     let schema = Schema::of(&[
@@ -723,13 +713,10 @@ fn cheap_kernel_paths_match_the_row_oracle() {
                 let sql = format!("SELECT {select}{aggs} FROM t{where_sql}{group_by}");
                 let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
 
-                let want = oracle(rows, &sql);
-                for kernels in [KernelConfig::default(), KernelConfig::materializing()] {
-                    let ctx = ExecContext { sketch_m: M, kernels, ..Default::default() };
-                    let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
-                    let got = finalize(&analyzed, got).unwrap();
-                    assert_eq!(got, want, "{label} {kernels:?}: {sql}");
-                }
+                let ctx = ExecContext { sketch_m: M, ..Default::default() };
+                let got = execute_partial(store, &analyzed, &ctx).unwrap().0;
+                let got = finalize(&analyzed, got).unwrap();
+                assert_eq!(got, oracle(rows, &sql), "{label}: {sql}");
             }
         }
     }
@@ -842,6 +829,75 @@ fn float_sums_match_the_row_oracle_on_every_representation() {
                 let label = format!("key_card={key_card} case={case} rows={rows} {options:?}");
                 assert_matches_oracle(table, &options, &sqls, &label);
             }
+        }
+    }
+}
+
+#[test]
+fn u32_codes_match_the_row_oracle() {
+    // > 65536 distinct values in one chunk forces u32 codes. The wide
+    // column is the *aggregate argument* (distinct ints and floats), so
+    // the output stays one group per `k` while the scanned representation
+    // is the widest one.
+    let mut rng = Rng::seed_from_u64(0xae41_0002);
+    let rows = 70_000;
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("r", DataType::Int),
+    ]);
+    let mut table = Table::new(schema);
+    for i in 0..rows {
+        table
+            .push_row(Row(vec![
+                Value::from(["red", "green", "blue"][rng.range_usize(0, 3)]),
+                Value::Int(i as i64 * 1_000_003), // all distinct
+                Value::Float(if rng.chance(0.001) {
+                    SPECIALS[rng.range_usize(0, SPECIALS.len())]
+                } else {
+                    i as f64 * 1.000_000_1 // essentially all distinct
+                }),
+                Value::Int(rng.range_i64_inclusive(0, 99)),
+            ]))
+            .unwrap();
+    }
+    let sqls = float_queries(&mut rng);
+    assert_matches_oracle(&table, &BuildOptions::basic(), &sqls, "u32-arg");
+}
+
+#[test]
+fn sums_of_specials_alone_match_the_row_oracle() {
+    // Degenerate columns made *only* of adversarial values: every group's
+    // sum is NaN/inf/±0.0-sensitive, so a kernel that mishandled a
+    // special would flip a bit here.
+    let mut rng = Rng::seed_from_u64(0xae41_0003);
+    for _ in 0..8 {
+        let rows = rng.range_usize(1, 200);
+        let schema = Schema::of(&[
+            ("k", DataType::Str),
+            ("n", DataType::Int),
+            ("x", DataType::Float),
+            ("r", DataType::Int),
+        ]);
+        let mut table = Table::new(schema);
+        for _ in 0..rows {
+            table
+                .push_row(Row(vec![
+                    Value::from(["a", "b"][rng.range_usize(0, 2)]),
+                    Value::Int(rng.range_i64_inclusive(-3, 3)),
+                    Value::Float(SPECIALS[rng.range_usize(0, SPECIALS.len())]),
+                    Value::Int(rng.range_i64_inclusive(0, 99)),
+                ]))
+                .unwrap();
+        }
+        let sqls = float_queries(&mut rng);
+        let sorted = table.sorted_by(&["k"]).unwrap();
+        for (table, options) in [
+            (&table, BuildOptions::basic()),
+            (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k"], 4))),
+        ] {
+            assert_matches_oracle(table, &options, &sqls, "specials-only");
         }
     }
 }
