@@ -36,9 +36,12 @@
 //!   (one ordered dictionary walk over sort keys, no [`Value`] made), and
 //!   builds each group's sketch by one sort.
 //!
-//! Each kernel dispatches on [`CodesView`] once per chunk and then runs a
-//! monomorphized loop, so the element representation (const / bit-set / u8
-//! / u16 / u32) costs no per-row branch.
+//! A chunk runs one set of kernels: the counts-array loops when its query
+//! is `COUNT(*)` alone by one or two keys, else [`group_codes`] and one
+//! [`accumulate`] per slot. Each kernel dispatches on [`CodesView`] once
+//! per chunk and then runs a monomorphized loop, one read per row, so the
+//! element representation (const / bit-set / u8 / u16 / u32) costs no
+//! per-row branch.
 
 use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;

@@ -318,7 +318,7 @@ fn having_matches_oracle() {
 #[test]
 fn single_key_count_beyond_dense_limit_is_exact() {
     // A single chunk whose key dictionary exceeds the dense-group limit
-    // (2^16): the single-key COUNT(*) fast path must still run its flat
+    // (2^16): the single-key COUNT(*) kernel must still run its flat
     // counts array (the limit only gates multi-key products) and return
     // exact counts.
     let distinct = 70_000i64;
