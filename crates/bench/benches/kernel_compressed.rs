@@ -25,9 +25,9 @@
 //! high-cardinality float `SUM`/`AVG`, double-double slots),
 //! `count_one_key_counts_array` and `count_two_keys_counts_array` (the
 //! `COUNT(*)`-only counts-array kernels, one key and two keys fused into
-//! one flat index), `bottom10_rank_on_values`
-//! (claim 3's chart ordered `c ASC`, where thousands of groups tie on their
-//! count), `masked_groupby_5pct` (a grouped `COUNT` and `SUM` under a
+//! one flat index), `bottom10_rank_on_values` (claim 3's chart ordered
+//! `c ASC`, where thousands of groups tie on their count),
+//! `masked_groupby_5pct` (a grouped `COUNT` and `SUM` under a
 //! restriction that passes a twentieth of every chunk's rows),
 //! `window_two_bounds` (the same chart under both bounds of a `timestamp`
 //! window, one id interval), `minmax_global` (an unrestricted `MIN` and

@@ -917,11 +917,11 @@ impl Plan {
         });
 
         // `COUNT(*)` alone: the paper's counts-array loop on raw codes — one
-        // or two keys, flat arrays, no per-row group index. A
-        // single key never needs the dense limit: its counts array is
-        // bounded by the chunk-dictionary size, which is at most the
-        // chunk's row count (the limit exists to stop *products* of
-        // key-dictionary sizes from exploding).
+        // or two keys, flat arrays, no per-row group index. A single key
+        // never needs the dense limit: its counts array is bounded by the
+        // chunk-dictionary size, which is at most the chunk's row count (the
+        // limit exists to stop *products* of key-dictionary sizes from
+        // exploding).
         if let [SlotPlan { kind: SlotKind::Count, .. }] = &self.slots[..] {
             let counts = match (&key_chunks[..], dense_capacity) {
                 ([key], _) => Some(kernels::count_single(key.codes(), sizes[0], mask.as_ref())),

@@ -996,7 +996,9 @@ mod tests {
     #[test]
     fn tainted_slots_accumulate_like_float_sums() {
         let mut column = FloatColumn::new(3);
-        (0..3).for_each(|g| _ = column.exact_mut(g));
+        for g in 0..3 {
+            column.exact_mut(g);
+        }
         column.add(0, 0.1);
         column.add(0, 0.2);
         (0..7).for_each(|_| column.add(1, 0.1));
