@@ -24,7 +24,6 @@ pub const CODEC_FILES: &[&str] = &[
     "crates/encoding/src/delta.rs",
     "crates/encoding/src/bloom.rs",
     "crates/dist/src/rpc.rs",
-    "crates/dist/src/chaos.rs",
     "crates/dist/src/meta.rs",
 ];
 

@@ -23,7 +23,9 @@
 //! - **grouping** by key values, and per group and aggregate: `COUNT` of
 //!   rows; `SUM` typed by its argument's values — integers add exactly in
 //!   an `i128` and wrap to `i64`, floats add in one `FloatSum` rounded
-//!   once, a string (or a mix) is an error; `MIN` / `MAX` by `Value` order;
+//!   once, a string (or a mix) is an error — and a `SUM` or `AVG` of a
+//!   string column is refused by the column's type before any row is read,
+//!   as the engine refuses it when it plans; `MIN` / `MAX` by `Value` order;
 //!   `COUNT(DISTINCT x)` as the size of an exact set; `AVG` as the exact
 //!   sum rounded once, over the count;
 //! - **the answer**: a keyless query over no rows is one row (`COUNT` 0,
@@ -32,7 +34,7 @@
 //!   whole row cell by cell; `LIMIT` keeps a prefix.
 
 use crate::io_model::IoModel;
-use pd_common::{Error, FloatSum, FxHashMap, Result, Row, Schema, Value};
+use pd_common::{DataType, Error, FloatSum, FxHashMap, Result, Row, Schema, Value};
 use pd_core::QueryResult;
 use pd_data::Table;
 use pd_sql::{
@@ -324,6 +326,12 @@ fn answer(
     schema: &Schema,
     rows: impl Iterator<Item = Result<Row>>,
 ) -> Result<QueryResult> {
+    for agg in plan.aggs.iter().filter(|agg| matches!(agg.func, AggFunc::Sum | AggFunc::Avg)) {
+        let column = agg.arg.as_ref().and_then(Expr::as_column).and_then(|c| schema.index_of(c));
+        if column.is_some_and(|c| schema.field(c).data_type == DataType::Str) {
+            return Err(Error::Type(format!("{} over a string column", agg.func.name())));
+        }
+    }
     let fresh = || plan.aggs.iter().map(Acc::new).collect::<Vec<_>>();
     let mut groups: FxHashMap<Vec<Value>, Vec<Acc>> = FxHashMap::default();
     for row in rows {

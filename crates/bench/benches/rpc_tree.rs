@@ -19,22 +19,27 @@
 //!    same tree unreplicated. A healthy pair's primary answers inside the
 //!    hedge window, so the replica is never contacted and no thread is
 //!    spawned: the pair may cost a timed wait per leaf, not a wake-up
-//!    (asserted ≤ 1.5×).
+//!    (asserted ≤ 1.5×);
+//! 7. **hedged straggler** — shard 0's primary answers 800 ms late, every
+//!    query (the fault relay in front of it:
+//!    `crates/dist/tests/support/relay.rs`): the replica wins the race long
+//!    before (asserted).
 //!
 //! The worker binary is resolved like the library does (explicit env /
-//! sibling of the executable); when it is not built the RPC columns are
-//! skipped with a note instead of failing — `cargo bench` does not build
-//! other crates' bin targets. Worker processes sit in `ReapGuard`s inside
+//! sibling of the executable), the relay (`pd-dist-relay`) as a sibling of
+//! the executable; when one is not built its columns are skipped with a
+//! note instead of failing — `cargo bench` does not build other crates'
+//! bin targets. Worker processes sit in `ReapGuard`s inside
 //! the cluster's `ProcessTree`, so a panicking measurement reaps its
 //! children on unwind instead of leaking them into later suites.
+
+#[path = "../../dist/tests/support/faults.rs"]
+mod faults;
 
 use pd_bench::{fmt_duration, json_line, logs_table, measure, measure_stats, TablePrinter};
 use pd_common::wire;
 use pd_core::{execute_partial, query, BuildOptions, DataStore, ExecContext};
-use pd_dist::{
-    ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
-    TreeShape, WorkerAddr,
-};
+use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -382,57 +387,71 @@ fn main() {
     // replica answers the race and end-to-end latency stays well under the
     // injected straggle — the old per-hop-deadline design would have
     // waited the whole deadline out instead.
-    if worker_available {
-        let straggle = Duration::from_millis(800);
-        let config = ClusterConfig {
-            shards: 2,
-            replication: true,
-            shard_cache: 0,
-            threads: 1,
-            tree: TreeShape { fanout: 4 },
-            build: build.clone(),
-            transport: rpc(WorkerAddr::Unix),
-            ..Default::default()
-        };
-        let mut cluster = Cluster::build(&table, &config).expect("hedged cluster");
-        // One healthy query first: the hedge delay then derives from the
-        // *measured* queue-delay tail instead of the cold-start fallback.
-        cluster.query(sql).expect("healthy warm-up");
-        cluster.set_chaos(ChaosModel {
-            always: vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(straggle) }],
-            ..Default::default()
-        });
-        let outcome = cluster.query(sql).expect("hedged query");
-        assert!(
-            outcome.hedges.contains(&0),
-            "the straggling primary must be recorded as hedged: {:?}",
-            outcome.hedges
-        );
-        let hedged_stats = measure_stats(3, || {
-            black_box(cluster.query(sql).expect("hedged query"));
-        });
-        assert!(
-            hedged_stats.median < straggle,
-            "hedged latency must beat the injected straggler delay: {} vs {}",
-            fmt_duration(hedged_stats.median),
-            fmt_duration(straggle),
-        );
-        println!(
-            "\n=== hedged straggler (2 shards, replicated; shard 0's primary sleeps {}) ===\n\
-             hedged query {} — the replica answers long before the straggler would",
-            fmt_duration(straggle),
-            fmt_duration(hedged_stats.median),
-        );
-        json_line(
-            "rpc_tree",
-            "hedged_straggler",
-            hedged_stats,
-            &[
-                ("straggle_ms", straggle.as_millis().to_string()),
-                ("hedged_shards", outcome.hedges.len().to_string()),
-            ],
-        );
+    match faults::built_relay() {
+        None => println!("NOTE: pd-dist-relay binary not found (build it); skipping the straggler"),
+        Some(relay) => hedged_straggler(&relay, &table, &build, sql),
     }
+}
+
+/// Case 7: the replica races a straggling primary process.
+fn hedged_straggler(
+    relay: &std::path::Path,
+    table: &pd_data::Table,
+    build: &BuildOptions,
+    sql: &str,
+) {
+    use faults::{Fault, Plan, Relays};
+    let straggle = Duration::from_millis(800);
+    let relays = Relays::new(relay, &Plan::default());
+    let config = ClusterConfig {
+        shards: 2,
+        replication: true,
+        shard_cache: 0,
+        threads: 1,
+        tree: TreeShape { fanout: 4 },
+        build: build.clone(),
+        transport: Transport::Rpc(RpcConfig {
+            worker_bin: Some(relays.launcher()),
+            budget: Duration::from_secs(60),
+            addr: WorkerAddr::Unix,
+        }),
+        ..Default::default()
+    };
+    let cluster = Cluster::build(table, &config).expect("hedged cluster");
+    // One healthy query first: the hedge delay then derives from the
+    // *measured* queue-delay tail instead of the cold-start fallback.
+    cluster.query(sql).expect("healthy warm-up");
+    relays.set(&Plan::pinned("l0p", Fault::Delay(straggle)));
+    let outcome = cluster.query(sql).expect("hedged query");
+    assert!(
+        outcome.hedges.contains(&0),
+        "the straggling primary must be recorded as hedged: {:?}",
+        outcome.hedges
+    );
+    let hedged_stats = measure_stats(3, || {
+        black_box(cluster.query(sql).expect("hedged query"));
+    });
+    assert!(
+        hedged_stats.median < straggle,
+        "hedged latency must beat the injected straggler delay: {} vs {}",
+        fmt_duration(hedged_stats.median),
+        fmt_duration(straggle),
+    );
+    println!(
+        "\n=== hedged straggler (2 shards, replicated; shard 0's primary sleeps {}) ===\n\
+         hedged query {} — the replica answers long before the straggler would",
+        fmt_duration(straggle),
+        fmt_duration(hedged_stats.median),
+    );
+    json_line(
+        "rpc_tree",
+        "hedged_straggler",
+        hedged_stats,
+        &[
+            ("straggle_ms", straggle.as_millis().to_string()),
+            ("hedged_shards", outcome.hedges.len().to_string()),
+        ],
+    );
 }
 
 /// Best and median of alternately taken batch samples.

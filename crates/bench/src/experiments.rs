@@ -17,10 +17,14 @@ use pd_compress::Codec;
 use pd_core::memory::{query_columns, report_for_query};
 use pd_core::{query, BuildOptions, DataStore, ExecContext, PartitionSpec, StoredColumn};
 use pd_data::Table;
-use pd_dist::{ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport, TreeShape};
+use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape};
 use pd_encoding::{Elements, ElementsMode};
 use pd_sql::plan;
 use std::time::Duration;
+
+/// Fault plans and the relay that applies them, shared with pd-dist's tests.
+#[path = "../../dist/tests/support/faults.rs"]
+mod faults;
 
 pub const Q1: &str =
     "SELECT country, COUNT(*) as c FROM data GROUP BY country ORDER BY c DESC LIMIT 10;";
@@ -534,18 +538,19 @@ pub fn distributed(rows: usize) {
     }
 
     // Stragglers are real here: a tree of worker processes in which every
-    // process answers late with probability 0.1 (a seeded chaos delay of
-    // 30–150 ms, the paper's "blocked by a disk read of another process").
-    // With replicas, a primary that outlives the hedge delay is raced
-    // against its replica and the first answer wins.
+    // process answers late with probability 0.1 (a seeded delay of
+    // 30–150 ms, the paper's "blocked by a disk read of another process",
+    // from the fault relay in front of each worker). With replicas, a
+    // primary that outlives the hedge delay is raced against its replica
+    // and the first answer wins. The relay draws per (seed, epoch, node,
+    // query), so each ask is a query of its own: it differs in its LIMIT.
     println!(
         "\nreplication under heavy load fluctuation (worker processes, warm caches, measured):"
     );
-    match pd_dist::process::resolve_worker_bin(None) {
-        Err(_) => println!(
-            "NOTE: pd-dist-worker binary not found (build it or set PD_DIST_WORKER_BIN); skipped"
-        ),
-        Ok(worker_bin) => {
+    let nth = |i: usize| format!("{} LIMIT {}", sql.trim_end_matches(" LIMIT 10"), 10 + i);
+    match faults::built_relay() {
+        None => println!("NOTE: pd-dist-relay binary not found (build it); skipped"),
+        Some(relay) => {
             let printer =
                 TablePrinter::new(&["replication", "p50 latency", "p95 latency"], &[11, 14, 14]);
             for replication in [false, true] {
@@ -553,12 +558,15 @@ pub fn distributed(rows: usize) {
                 if let Some(spec) = &mut build.partition {
                     spec.max_chunk_rows = (rows / 8 / 60).clamp(200, 50_000);
                 }
-                let stragglers = ChaosModel {
-                    seed: 3,
-                    delay_probability: 0.1,
-                    delay_range: (Duration::from_millis(30), Duration::from_millis(150)),
-                    ..Default::default()
-                };
+                let relays = faults::Relays::new(
+                    &relay,
+                    &faults::Plan {
+                        seed: 3,
+                        delay: 0.1,
+                        delay_range: (Duration::from_millis(30), Duration::from_millis(150)),
+                        ..Default::default()
+                    },
+                );
                 let cluster = Cluster::build(
                     &table,
                     &ClusterConfig {
@@ -566,20 +574,19 @@ pub fn distributed(rows: usize) {
                         replication,
                         build,
                         shard_cache: 0, // every query reaches every leaf
-                        chaos: stragglers,
                         transport: Transport::Rpc(RpcConfig {
-                            worker_bin: Some(worker_bin.clone()),
+                            worker_bin: Some(relays.launcher()),
                             ..Default::default()
                         }),
                         ..Default::default()
                     },
                 )
                 .expect("cluster");
-                for _ in 0..3 {
-                    cluster.query(sql).expect("warmup");
+                for i in 0..3 {
+                    cluster.query(&nth(40 + i)).expect("warmup");
                 }
                 let mut latencies: Vec<Duration> =
-                    (0..40).map(|_| cluster.query(sql).expect("query").latency).collect();
+                    (0..40).map(|i| cluster.query(&nth(i)).expect("query").latency).collect();
                 latencies.sort();
                 let p50 = latencies[latencies.len() / 2];
                 let p95 = latencies[latencies.len() * 95 / 100];

@@ -38,7 +38,7 @@ use std::time::Duration;
 /// Version byte of the RPC frame header. Bumped whenever the frame layout
 /// *or* the protocol-message encodings change shape; peers reject frames
 /// from a different version instead of mis-framing the stream. Version 3:
-/// deadline budgets + hedge delay + chaos directives + node names in the
+/// deadline budgets + hedge delay + fault directives + node names in the
 /// protocol messages, typed `Fault` responses, hedged flags in reports.
 /// Version 4: chunk-granular shard metadata (per-chunk zone maps +
 /// per-column Bloom filters) in `Load`/`Attach`, a per-query switch for
@@ -53,7 +53,7 @@ use std::time::Duration;
 /// Version 7: everything on the wire is measured or acted on — `ScanStats`
 /// loses its two modeled byte counters and `Load` its residency budget;
 /// faults travel as one directive list (`QueryRequest` loses its kill
-/// list, `ChaosFault` gains `Unreachable`) and request tag 4 (`Delay`) is
+/// list, the fault enum gains `Unreachable`) and request tag 4 (`Delay`) is
 /// retired. Version 8: a partial result travels as the columns of its
 /// group table, groups in ascending key order (no per-group state
 /// records; a float-sum slot is a 16-byte pair, its 34-limb accumulator
@@ -81,7 +81,10 @@ use std::time::Duration;
 /// wants §3's clustered rows is sorted before its import.
 /// Version 15: frames are never compressed — the header loses its flags
 /// byte, and an `Attach` its compression field.
-pub const FRAME_VERSION: u8 = 15;
+/// Version 16: a query carries no fault directives — `QueryRequest` loses
+/// version 3's list and its codec; faults come from a relay in front of a
+/// worker, outside the protocol.
+pub const FRAME_VERSION: u8 = 16;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

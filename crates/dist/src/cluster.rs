@@ -17,19 +17,16 @@
 //! are the same either way, and every number in a [`QueryOutcome`] is
 //! measured.
 //!
-//! What the driver adds around the tree: it draws each query's faults from
-//! the seeded [`ChaosModel`] (an unreachable primary's replica answers, or
-//! the query fails when replication is off); one [`RpcConfig::budget`] is
-//! spent end to end
-//! (an exhausted budget is a typed [`pd_common::RpcError::Deadline`], not
-//! a hang); slow primary *processes* are hedged after a delay derived from
-//! the observed queue-delay p95 ([`QueryOutcome::hedges`]); and
+//! What the driver adds around the tree: one [`RpcConfig::budget`] is
+//! spent end to end (an exhausted budget is a typed
+//! [`pd_common::RpcError::Deadline`], not a hang); slow primary
+//! *processes* are hedged after a delay derived from the observed
+//! queue-delay p95 ([`QueryOutcome::hedges`]); and
 //! [`AdmissionConfig`] sheds excess load with a typed
 //! [`pd_common::RpcError::Overloaded`] *before* it can pile onto saturated
 //! workers (the limit halves while the observed queue p95 sits above the
 //! saturation threshold).
 
-use crate::chaos::{leaf_primary, ChaosModel};
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
 use crate::rpc::{AppendRequest, ChildHandle, QueryRequest, ShardReport};
@@ -58,9 +55,9 @@ pub enum Transport {
     /// [`crate::rpc`] protocol over Unix sockets ([`WorkerAddr::Unix`])
     /// or loopback/multi-host TCP ([`WorkerAddr::Tcp`]), in raw frames
     /// ([`crate::rpc::encode_frame`]). A worker that exhausts the query's
-    /// [`RpcConfig::budget`] fails over exactly like an unreachable one
-    /// ([`crate::ChaosFault::Unreachable`]). A shard reaches its worker as
-    /// the coded columns an append ships ([`pd_encoding::TableDelta`]), and
+    /// [`RpcConfig::budget`] fails over exactly like a dead one. A shard
+    /// reaches its worker as the coded columns an append ships
+    /// ([`pd_encoding::TableDelta`]), and
     /// the worker's `Loaded` ack carries the leaf's summary to the parent
     /// that prunes by it — as an in-memory edge carries its leaf's, so
     /// either tree pre-skips the same subtrees
@@ -146,15 +143,15 @@ impl Default for AdmissionConfig {
 pub struct ClusterConfig {
     /// Number of data shards (the paper's X partitions).
     pub shards: usize,
-    /// Give every leaf a replica: a primary that is unreachable, faulted
-    /// or (as a process) straggling is answered by its replica instead
-    /// (§4's straggler mitigation).
+    /// Give every leaf of a [`Transport::Rpc`] tree a replica *process*:
+    /// a primary process that fails or straggles is answered by its
+    /// replica instead (§4's straggler mitigation). A tree in the driver's
+    /// address space holds one copy of each leaf, whatever this says. The
+    /// tests meet failed and slow primaries through a fault relay in front
+    /// of each worker, spawned as [`RpcConfig::worker_bin`].
     pub replication: bool,
     /// Import options for each shard's store.
     pub build: BuildOptions,
-    /// Fault injection: seeded or pinned faults, drawn per query. The
-    /// inactive default injects nothing.
-    pub chaos: ChaosModel,
     /// Computation-tree shape: how many children a merge server owns.
     pub tree: TreeShape,
     /// Worker threads for each leaf's chunk scan and each in-memory
@@ -180,7 +177,6 @@ impl Default for ClusterConfig {
             shards: 4,
             replication: true,
             build: BuildOptions::default(),
-            chaos: ChaosModel::default(),
             tree: TreeShape::default(),
             threads: 0,
             shard_cache: 1024,
@@ -209,9 +205,6 @@ pub struct Cluster {
     /// a node; a node that meets one it was not told of drops its result
     /// cache.
     epoch: u64,
-    /// Per-query sequence number: the deterministic axis of every fault
-    /// draw (draws depend on (seed, query, node), never on scheduling).
-    queries: AtomicU64,
     /// Per-shard `(total queue delay, samples)` as the nodes measured it.
     observed_queue: Mutex<Vec<(Duration, u64)>>,
     /// The most recent queue-delay samples (capped ring of
@@ -326,7 +319,6 @@ impl Cluster {
             schema: table.schema().clone(),
             config: config.clone(),
             epoch,
-            queries: AtomicU64::new(0),
             observed_queue: Mutex::new(vec![(Duration::ZERO, 0); shard_count]),
             recent_queue: Mutex::new(VecDeque::with_capacity(RECENT_QUEUE_CAP)),
             in_flight: AtomicU64::new(0),
@@ -427,13 +419,6 @@ impl Cluster {
     /// (`Attach`) and queries are not data.
     pub fn shipped_bytes(&self) -> u64 {
         self.workers.as_ref().map_or(0, |workers| workers.bytes_shipped)
-    }
-
-    /// Swap the fault injection model. Draws depend only on `(seed, query
-    /// id, node name)`, so setting the same model on a fresh cluster
-    /// replays the same faults against the same queries.
-    pub fn set_chaos(&mut self, chaos: ChaosModel) {
-        self.config.chaos = chaos;
     }
 
     /// Queries shed by admission control so far.
@@ -547,18 +532,13 @@ impl Cluster {
     /// results in fixed order. The driver holds the root of the tree: it
     /// answers from its cache, or fans out to its children (leaves or
     /// merge servers) and folds their answers associatively; the driver
-    /// finalizes what it hands up. This query's faults are drawn
-    /// *here*, once ([`ChaosModel::draw`]); the directives travel down with
-    /// the query, so a parent told its leaf primary is unreachable goes to
-    /// the replica through the same failover code a deadline expiry
-    /// triggers.
+    /// finalizes what it hands up.
     pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
         // not even the parse.
         let _permit = self.admit()?;
         let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
         let analyzed = plan(sql)?;
-        let qid = self.queries.fetch_add(1, Ordering::Relaxed);
         let shard_count = self.shard_count;
         let budget = match &self.config.transport {
             Transport::InProcess => RpcConfig::default().budget,
@@ -571,17 +551,7 @@ impl Cluster {
         } else {
             0
         };
-        // Worker-applied faults target processes: a local node must never
-        // be able to exit the driver. (Edge-applied faults target leaf
-        // primaries, which the shard count names.)
-        let processes = self.workers.as_ref().map_or(&[][..], |workers| &workers.names);
-        let request = QueryRequest {
-            query: analyzed,
-            budget,
-            hedge_micros,
-            epoch: self.epoch,
-            chaos: self.config.chaos.draw(qid, processes, shard_count),
-        };
+        let request = QueryRequest { query: analyzed, budget, hedge_micros, epoch: self.epoch };
 
         let fan_out_started = Instant::now();
         // The root — which nothing queues for.
@@ -694,13 +664,13 @@ fn build_tree(
             for shard in 0..shard_count as u64 {
                 // The edge takes the summary the leaf read off its
                 // dictionaries, as a socket parent takes the `Loaded` ack.
-                let spec = node_spec(config, leaf_primary(shard), epoch);
+                let spec = node_spec(config, format!("l{shard}p"), epoch);
                 let (leaf, _) = Node::leaf(shard, coded(shard)?, &config.build, spec)?;
-                level.push(ChildHandle::local(Arc::new(leaf), Some(shard), config.replication));
+                level.push(ChildHandle::local(Arc::new(leaf), Some(shard)));
             }
             let top = stack_levels(level, fanout, |height, i, group| {
                 let spec = node_spec(config, format!("m{height}_{i}"), epoch);
-                Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None, false))
+                Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None))
             })?;
             (top, None)
         }

@@ -16,8 +16,8 @@
 //! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message — encoded once, written to every socket child, the replies then read in child order, all on the calling thread ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]) in raw frames — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
 //! | the query rewritten to leaf queries under a `UNION ALL`, "where" at the leaves, "having" at the root | no SQL is rewritten: [`pd_sql::analyze()`] lowers the aggregates to [`pd_sql::Slot`]s once; every leaf fills them under the filter, every mixer merges them, the root reads the aggregates off them and applies HAVING ([`pd_core::finalize`]) |
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
-//! | "take the answer arriving first" replication | every leaf has a replica link; an unreachable ([`ChaosFault::Unreachable`]) or faulted primary fails over to it ([`QueryOutcome::failovers`]). Replica *processes* are **raced**: a primary that has not answered within the hedge delay (derived from observed queue delays) is raced against its replica in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end |
-//! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]); [`ChaosModel`] delays make processes straggle on purpose |
+//! | "take the answer arriving first" replication | under [`ClusterConfig::replication`] every shard of a socket tree is served by two worker processes, a primary and a replica: a primary that fails (refused, dead, reset, torn, out of budget) fails over to its replica ([`QueryOutcome::failovers`]), and one that has not answered within the hedge delay (derived from observed queue delays) is **raced** against it in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end. A tree in the driver's address space holds one copy of each leaf |
+//! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`], [`Cluster::observed_queue_delays`]) |
 //! | reuse of previously computed answers | [`shard_cache`]: **every tree node** holds a [`shard_cache::WorkerCache`] of its own partials keyed by the normalized query signature, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
 //!
 //! Partial results, restrictions, group-by keys and float superaccumulator
@@ -32,8 +32,7 @@
 //!
 //! - [`cluster`] — the driver: it holds the root [`Node`] and, over
 //!   sockets, the worker processes; shard split, the [`Transport`] switch,
-//!   admission control, the per-query fault draw, append/rebuild under the
-//!   epoch;
+//!   admission control, append/rebuild under the epoch;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
 //!   fold), its result cache, epoch and — on a mixer — the tail that keeps
 //!   the cache answerable through appends; `Node::query` / `Node::append`;
@@ -45,16 +44,18 @@
 //! - [`process`] — the worker processes of a socket tree: spawning them as
 //!   leaves (`Load`) and merge servers (`Attach`), reaping on drop;
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
-//!   sockets, the FIFO turnstile with its measured waits, chaos wire
-//!   sabotage;
-//! - [`chaos`] — the one seeded fault injector: edge-applied
-//!   unreachability on either edge kind, worker-applied wire sabotage;
+//!   sockets, the FIFO turnstile with its measured waits;
 //! - [`meta`] — shard summaries and the layered pruning evaluator;
 //! - [`shard_cache`] — the per-node result cache and its signature.
+//!
+//! No fault is injected in here. The tests meet dead, reset, torn and slow
+//! peers on genuine sockets: a relay in front of each worker
+//! (`tests/support/relay.rs`, spawned as the cluster's
+//! [`RpcConfig::worker_bin`]) refuses, kills, resets, tears or delays the
+//! queries a seeded plan names.
 
 #![forbid(unsafe_code)]
 
-pub mod chaos;
 pub mod cluster;
 pub mod meta;
 pub mod node;
@@ -63,7 +64,6 @@ pub mod rpc;
 pub mod shard_cache;
 pub mod worker;
 
-pub use chaos::{ChaosDirective, ChaosFault, ChaosModel};
 pub use cluster::{
     AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport,
     TreeShape,

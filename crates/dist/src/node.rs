@@ -42,7 +42,10 @@ use std::time::{Duration, Instant};
 /// a `Load` / `Attach` message, and the same bytes in both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
-    /// Tree-wide name (`l0p`, `m1_0`, ...): what chaos directives target.
+    /// Tree-wide name (`l0p`, `l0r`, `m1_0`, ...), for messages. It is also
+    /// what a test's fault relay in front of a worker process reads off the
+    /// relayed `Load` / `Attach` to pick this node's faults: none are
+    /// injected in the engine.
     pub name: String,
     /// Capacity (signatures) of the node's result cache; 0 disables it.
     pub cache_entries: usize,
@@ -191,10 +194,6 @@ impl Node {
     /// A merge server over `children`.
     pub fn mixer(children: Vec<ChildHandle>, spec: NodeSpec) -> Node {
         Node::new(spec, 0, Role::Mixer(children))
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Resolved width of this node's parallel work (see [`NodeSpec::threads`]).
@@ -524,7 +523,6 @@ mod tests {
             budget: Duration::from_secs(30),
             hedge_micros: 0,
             epoch,
-            chaos: Vec::new(),
         }
     }
 
@@ -537,7 +535,7 @@ mod tests {
     fn root_over_a_leaf(rows: i64, cache_entries: usize) -> Node {
         let build = BuildOptions::basic();
         let (leaf, _) = Node::leaf(0, kn_delta(0..rows), &build, spec("l0p", 4)).unwrap();
-        let child = ChildHandle::local(Arc::new(leaf), Some(0), false);
+        let child = ChildHandle::local(Arc::new(leaf), Some(0));
         Node::mixer(vec![child], spec("root", cache_entries))
     }
 
@@ -676,11 +674,9 @@ mod tests {
             .collect();
         let mixer = |name: &str, shards: [u64; 2]| {
             let children = shards
-                .map(|shard| {
-                    ChildHandle::local(Arc::clone(&leaves[shard as usize]), Some(shard), false)
-                })
+                .map(|shard| ChildHandle::local(Arc::clone(&leaves[shard as usize]), Some(shard)))
                 .into();
-            ChildHandle::local(Arc::new(Node::mixer(children, spec(name, 8))), None, false)
+            ChildHandle::local(Arc::new(Node::mixer(children, spec(name, 8))), None)
         };
         let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
         (Node::mixer(children, spec("root", root_cache)), leaves)

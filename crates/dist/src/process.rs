@@ -15,7 +15,6 @@
 //! outlive its cluster, and a red test must not poison later suites with
 //! orphan processes.
 
-use crate::chaos::leaf_primary;
 use crate::cluster::{node_spec, ClusterConfig, RpcConfig};
 use crate::meta::ShardMeta;
 use crate::node::NodeSpec;
@@ -132,9 +131,6 @@ pub(crate) struct Workers {
     /// fresh connection each would be a connect here and a new connection
     /// thread there, per request).
     control: Vec<RpcClient>,
-    /// Every tree node's name (`l0p`, `l0r`, `m1_0`, ...), in spawn
-    /// order — the name space chaos directives target.
-    pub(crate) names: Vec<String>,
     /// Cumulative serialized bytes of the frames that moved data: every
     /// `Load`, and every `Append` the tree's appends wrote — the cost an
     /// incremental append is measured against a respawn by.
@@ -157,7 +153,6 @@ impl Workers {
             dir,
             processes: Vec::new(),
             control: Vec::new(),
-            names: Vec::new(),
             bytes_shipped: 0,
         })
     }
@@ -177,9 +172,9 @@ impl Workers {
             shard,
             delta,
             build: config.build.clone(),
-            spec: node_spec(config, leaf_primary(shard), epoch),
+            spec: node_spec(config, format!("l{shard}p"), epoch),
         }));
-        let (primary, ack) = self.spawn_worker(&leaf_primary(shard), &load)?;
+        let (primary, ack) = self.spawn_worker(&format!("l{shard}p"), &load)?;
         let meta = match ack {
             Response::Loaded(meta) => *meta,
             other => return Err(refusal(other, "load")),
@@ -273,7 +268,6 @@ impl Workers {
                 wait_for_announce(announce, &mut guard)?
             }
         };
-        self.names.push(name.to_string());
         self.processes.push(guard);
         let mut client = RpcClient::new(addr.clone());
         client.connect_with_retry(STARTUP_TIMEOUT)?;

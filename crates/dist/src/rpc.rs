@@ -14,7 +14,6 @@
 //! over every write and read of a fan-out, so a stalled or trickling peer
 //! expires on time either way.
 
-use crate::chaos::ChaosDirective;
 use crate::meta::ShardMeta;
 use crate::node::NodeSpec;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -203,11 +202,6 @@ pub struct QueryRequest {
     /// chunk results are not the epoch's to drop: they describe
     /// chunks, and an epoch bump that keeps the store keeps its chunks.
     pub epoch: u64,
-    /// This query's faults, drawn once at the root from the seeded
-    /// [`crate::ChaosModel`] and forwarded whole down the tree: a parent
-    /// reads the edge-applied ones naming its children, a worker the
-    /// worker-applied ones naming itself.
-    pub chaos: Vec<ChaosDirective>,
 }
 
 /// Per-shard observation, reported up the tree: how long the subquery took
@@ -342,7 +336,6 @@ impl Decode for Request {
                 budget: Duration::decode(r)?,
                 hedge_micros: r.u64()?,
                 epoch: r.u64()?,
-                chaos: Vec::decode(r)?,
             })),
             REQ_APPEND => Request::Append(Box::new(AppendRequest {
                 epoch: r.u64()?,
@@ -356,7 +349,7 @@ impl Decode for Request {
 
 /// Encodes as the [`Request::Query`] that carries it: a sender holding a
 /// reference frames it as it is, without building — cloning the analyzed
-/// query and the directives into — a `Request` first.
+/// query into — a `Request` first.
 impl Encode for QueryRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(REQ_QUERY);
@@ -364,7 +357,6 @@ impl Encode for QueryRequest {
         self.budget.encode(out);
         self.hedge_micros.encode(out);
         self.epoch.encode(out);
-        self.chaos.encode(out);
     }
 }
 
@@ -589,16 +581,6 @@ mod tests {
                 budget: Duration::from_millis(250),
                 hedge_micros: 1500,
                 epoch: 7,
-                chaos: vec![
-                    crate::chaos::ChaosDirective {
-                        node: "l1p".into(),
-                        fault: crate::chaos::ChaosFault::Unreachable,
-                    },
-                    crate::chaos::ChaosDirective {
-                        node: "m1_0".into(),
-                        fault: crate::chaos::ChaosFault::Delay(Duration::from_millis(3)),
-                    },
-                ],
             })),
             Request::Append(Box::new(AppendRequest { epoch: 9, deltas: vec![(2, delta.clone())] })),
             Request::Append(Box::new(AppendRequest {

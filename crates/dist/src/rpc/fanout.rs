@@ -27,12 +27,13 @@ use pd_core::scheduler;
 use pd_encoding::TableDelta;
 use std::time::{Duration, Instant};
 
-/// The §4 failover rule at one leaf: an unreachable or failed primary is
-/// replaced by its replica, one copy after the other, the replica living
-/// on whatever budget remains; over sockets a merely *slow* primary is
-/// raced by it ([`race`]). Without a replica any transport failure is fatal for the
-/// query; an *application* error from a live node always is. Returns
-/// `(answer, answered by the replica, hedged)`.
+/// The §4 failover rule at one leaf: a failed primary — refused, dead,
+/// reset, torn, out of budget — is replaced by its replica, one copy after
+/// the other, the replica living on whatever budget remains; a merely
+/// *slow* primary is raced by it ([`race`]). Without a replica any
+/// transport failure is fatal for the query; an *application* error from a
+/// live node always is. Returns `(answer, answered by the replica,
+/// hedged)`.
 pub(super) fn settle(
     shard: u64,
     mut primary: Held<'_>,
@@ -41,9 +42,7 @@ pub(super) fn settle(
     ask: &mut Ask<'_>,
 ) -> Result<(SubtreeAnswer, bool, bool)> {
     let first = match (&mut primary, &mut replica, &sent) {
-        // Only socket pairs hedge: there a straggler costs one hedge delay
-        // instead of its whole budget. An in-memory replica is the same
-        // node — nothing to race.
+        // A straggler costs one hedge delay instead of its whole budget.
         (Held::Socket(primary), Some(Held::Socket(replica)), Ok(()))
             if ask.request.hedge_micros > 0 =>
         {
@@ -290,7 +289,6 @@ mod tests {
             budget: Duration::from_millis(50),
             hedge_micros: 0,
             epoch: 1,
-            chaos: Vec::new(),
         };
         let absent = request("SELECT COUNT(*) FROM t WHERE k = 'absent'");
         let answer = fan_out(std::slice::from_ref(&handle), &absent).unwrap();

@@ -24,11 +24,10 @@ use super::{
     refusal, AppendAck, AppendRequest, ChildSpec, QueryRequest, Response, ShardReport,
     SubtreeAnswer,
 };
-use crate::chaos::primary_unreachable;
 use crate::meta::{self, ShardMeta};
 use crate::node::Node;
 use pd_common::sync::RwLock;
-use pd_common::{Error, Result, RpcError};
+use pd_common::{Error, Result};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -158,8 +157,7 @@ pub(super) enum InFlight<'a> {
         shard: Option<u64>,
         primary: Held<'a>,
         replica: Option<Held<'a>>,
-        /// How putting the query on the primary's wire went. An
-        /// unreachable primary is never contacted: its send "fails" so.
+        /// How putting the query on the primary's wire went.
         sent: Result<()>,
     },
 }
@@ -185,16 +183,14 @@ impl ChildHandle {
 
     /// A child in this address space, carrying the summaries beneath it
     /// ([`Node::metas`]) as a socket edge carries its leaves' `Loaded` acks.
-    /// `shard` marks a leaf; a `replicated` leaf's replica link is a second
-    /// reference to the same node — one address space holds one copy of the
-    /// bytes — so an unreachable primary fails over through the same code a
-    /// socket pair uses.
-    pub fn local(node: Arc<Node>, shard: Option<u64>, replicated: bool) -> ChildHandle {
+    /// `shard` marks a leaf. One address space holds one copy of a leaf: a
+    /// replica is another process.
+    pub fn local(node: Arc<Node>, shard: Option<u64>) -> ChildHandle {
         ChildHandle {
             shard,
             metas: RwLock::new(node.metas()),
-            replica: (replicated && shard.is_some()).then(|| Link::Local(Arc::clone(&node))),
             primary: Link::Local(node),
+            replica: None,
         }
     }
 
@@ -246,8 +242,8 @@ impl ChildHandle {
     pub(super) fn begin<'a>(&'a self, ask: &mut Ask<'_>) -> InFlight<'a> {
         let request = ask.request;
         // The prune precedes the failover logic deliberately: an answer
-        // that never needs the server treats an unreachable primary as a
-        // non-event (no failover recorded, and no replica missed).
+        // that never needs the server treats a dead primary as a non-event
+        // (no failover recorded, and no replica missed).
         // The full layered check: shard zone map → blooms → how many chunks
         // survive. Zero live chunks prune the edge even when the shard
         // envelope cannot. (An edge naming no shard is not proven dead:
@@ -261,13 +257,7 @@ impl ChildHandle {
         drop(metas);
         let mut primary = self.primary.hold();
         let replica = self.replica.as_ref().map(Link::hold);
-        // The one place an edge-applied fault is read — above the link, so
-        // it cuts an in-memory edge exactly as it cuts a socket.
-        let sent = if self.shard.is_some_and(|shard| primary_unreachable(&request.chaos, shard)) {
-            Err(Error::Rpc(RpcError::PeerGone("primary unreachable (injected)".into())))
-        } else {
-            primary.send(ask)
-        };
+        let sent = primary.send(ask);
         InFlight::Asked { shard: self.shard, primary, replica, sent }
     }
 

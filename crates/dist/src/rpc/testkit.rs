@@ -68,6 +68,5 @@ pub(super) fn count_all(hedge_micros: u64) -> QueryRequest {
         budget: Duration::from_secs(10),
         hedge_micros,
         epoch: 1,
-        chaos: Vec::new(),
     }
 }

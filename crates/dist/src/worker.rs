@@ -7,8 +7,8 @@
 //! the worker write its resolved address there (atomically, via rename) so
 //! the spawner can find it. What the node *does* is [`crate::node`]'s
 //! business — the same code an in-memory tree runs; this module is only
-//! what is genuinely a process's: argv, sockets, the turnstile in front of
-//! the node, and wire sabotage. The driver assigns the role after startup — a
+//! what is genuinely a process's: argv, sockets and the turnstile in front
+//! of the node. The driver assigns the role after startup — a
 //! [`Request::Load`] makes the process a leaf (it builds the store from the
 //! shipped coded columns and acks with the [`crate::meta::ShardMeta`] every
 //! leaf reads off its dictionaries, which the parent prunes by), a
@@ -34,26 +34,16 @@
 //! [`Node::query`], which charges it against the query's budget and
 //! reports it up the tree.
 //!
-//! **Chaos.** The worker-applied fault a query carries for this node (at
-//! most one: [`crate::chaos`]) is matched against the node's name *around*
-//! the call into the node — the only place one is read: a `Kill` exits the
-//! process before any reply byte, `Reset` / `Torn` wreck the reply on the
-//! connection thread, and a `Delay` sleeps there too, deliberately
-//! *outside* the turnstile — after the ticket is given back and before the
-//! reply: service time of that query alone, never queue delay of the
-//! requests behind it. The node itself never sees
-//! them — which is why a node running inside the driver cannot be made to
-//! exit it.
+//! A worker injects no fault: a test that needs a dead, reset, torn or
+//! slow peer puts a relay in front of the worker (`tests/support/relay.rs`
+//! runs [`serve`] behind one).
 
-use crate::chaos::ChaosFault;
 use crate::node::Node;
 use crate::rpc::{
-    encode_frame, read_frame, write_frame, Addr, ChildHandle, Listener, LoadRequest, Request,
-    Response, Stream,
+    read_frame, write_frame, Addr, ChildHandle, Listener, LoadRequest, Request, Response, Stream,
 };
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -207,9 +197,8 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                 std::process::exit(0);
             }
             request => {
-                let mut fault = None;
                 let response = turnstile
-                    .pass(|served, queued| handle(served, request, queued, &mut fault))
+                    .pass(|served, queued| handle(served, request, queued))
                     .unwrap_or_else(|e| match e {
                         // Typed robustness failures cross the wire as
                         // `Fault` so the parent's policy can dispatch on
@@ -217,30 +206,6 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
                         Error::Rpc(fault) => Response::Fault(fault),
                         e => Response::Err(e.to_string()),
                     });
-                // Sabotage happens here, once the ticket is given back: the
-                // node stays correct, only this query's reply is wrecked.
-                match fault {
-                    // This query's answer is late from the caller's point
-                    // of view (the budget-expiry suite's "slow worker"),
-                    // but the turn has already passed on — the sleep is
-                    // this connection's alone.
-                    Some(ChaosFault::Delay(lag)) => std::thread::sleep(lag),
-                    // Vanish without a reply — the parent sees the
-                    // connection die mid-conversation.
-                    Some(ChaosFault::Reset) => return,
-                    // Half the real reply, then gone — the parent's decode
-                    // sees truncated bytes.
-                    Some(ChaosFault::Torn) => {
-                        if let Ok(frame) = encode_frame(&response, false) {
-                            let _ = stream.write_all(&frame[..frame.len() / 2]);
-                            let _ = stream.flush();
-                        }
-                        return;
-                    }
-                    // A `Kill` exited before any reply existed; an
-                    // `Unreachable` is applied by the parent, at the edge.
-                    Some(ChaosFault::Kill | ChaosFault::Unreachable) | None => {}
-                }
                 if write_frame(&mut stream, &response).is_err() {
                     // Peer gave up (budget expiry or a hedge loss): drop
                     // the connection; the answer is stale by definition.
@@ -251,15 +216,8 @@ fn connection_loop(mut stream: Stream, turnstile: &Turnstile) {
     }
 }
 
-/// Serve one request on the node. `fault` comes back holding the
-/// worker-applied chaos fault a query carries for this node — the only place
-/// one is read; the caller applies it to the reply.
-fn handle(
-    served: &mut Option<Node>,
-    request: Request,
-    queued: Duration,
-    fault: &mut Option<ChaosFault>,
-) -> Result<Response> {
+/// Serve one request on the node.
+fn handle(served: &mut Option<Node>, request: Request, queued: Duration) -> Result<Response> {
     match request {
         Request::Load(load) => {
             let LoadRequest { shard, delta, build, spec } = *load;
@@ -277,14 +235,6 @@ fn handle(
         }
         Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),
         Request::Query(query) => {
-            // Chaos first: injected faults must hit cache hits and budget
-            // expiries too — the sabotage is the wire's, not the plan's.
-            let name = served.as_ref().map_or("", Node::name);
-            *fault = query.chaos.iter().find(|d| d.node == name).map(|d| d.fault);
-            if *fault == Some(ChaosFault::Kill) {
-                // A mid-query crash: no reply byte ever leaves.
-                std::process::exit(9);
-            }
             Ok(Response::Answer(Box::new(assigned(served)?.query(&query, queued)?)))
         }
         // Answered inline; neither passes the turnstile.

@@ -13,7 +13,6 @@ use pd_dist::rpc::{
     encode_frame, read_frame, AppendAck, AppendReceipt, AppendRequest, LoadRequest, QueryRequest,
     Request, Response, ShardReport, SubtreeAnswer,
 };
-use pd_dist::{ChaosDirective, ChaosFault};
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query};
 use std::time::Duration;
@@ -134,24 +133,11 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 "SELECT k, AVG(x) a FROM t GROUP BY k HAVING a > 0 ORDER BY a DESC LIMIT 3",
             ];
             let sql = sqls[rng.range_usize(0, sqls.len())];
-            let chaos = (0..rng.range_usize(0, 4))
-                .map(|_| ChaosDirective {
-                    node: format!("m{}_{}", rng.next_u64() % 4, rng.next_u64() % 8),
-                    fault: match rng.range_usize(0, 5) {
-                        0 => ChaosFault::Kill,
-                        1 => ChaosFault::Reset,
-                        2 => ChaosFault::Torn,
-                        3 => ChaosFault::Unreachable,
-                        _ => ChaosFault::Delay(Duration::from_micros(rng.next_u64() % 1_000_000)),
-                    },
-                })
-                .collect();
             Request::Query(Box::new(QueryRequest {
                 query: analyze(&parse_query(sql).unwrap()).unwrap(),
                 budget: Duration::from_nanos(rng.next_u64() % 1_000_000_000),
                 hedge_micros: rng.next_u64() % 1_000_000,
                 epoch: rng.next_u64(),
-                chaos,
             }))
         }
         2 => Request::Shutdown,

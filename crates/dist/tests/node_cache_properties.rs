@@ -5,7 +5,7 @@
 //!
 //! 1. re-issuing an identical query answers from the cache nearest the
 //!    root — the root's own — and returns bit-identical results, with
-//!    every server beneath it unreachable too;
+//!    every leaf process beneath it refusing queries too;
 //! 2. a rebuild invalidates every node's cache, the root's included — no
 //!    stale partials, ever — while an append leaves what a told node
 //!    remembers short, not wrong: the root (and every merge server
@@ -29,13 +29,12 @@ use pd_common::rng::Rng;
 use pd_common::{DataType, FloatSum, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore, PartitionSpec, ScanStats};
 use pd_data::Table;
-use pd_dist::chaos::leaf_primary;
-use pd_dist::{
-    ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, QueryOutcome, RpcConfig,
-    Transport, TreeShape,
-};
+use pd_dist::{Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape};
 use std::path::PathBuf;
 use std::time::Duration;
+
+#[path = "support/faults.rs"]
+mod faults;
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pd-dist-worker"))
@@ -297,35 +296,47 @@ fn charts_that_share_slots_share_one_root_entry() {
 }
 
 /// A root hit needs no server: once the root remembers a chart, every
-/// leaf beneath it can be unreachable — on either edge kind the fault is
-/// read above the link — and the repeat still answers, while a chart
-/// nobody remembers fails typed.
+/// leaf process beneath it can refuse queries (the fault relay in front of
+/// each) and the repeat still answers, while a chart nobody remembers
+/// fails typed. The root's memory is the same on both edge kinds: an
+/// in-memory tree, whose leaves cannot be cut off, does the same work
+/// answer by answer.
 #[test]
 fn what_the_root_remembers_needs_no_server() {
+    use faults::{Plan, Relays};
+    let relays =
+        Relays::new(std::path::Path::new(env!("CARGO_BIN_EXE_pd-dist-relay")), &Plan::default());
+    let relayed = Transport::Rpc(RpcConfig {
+        worker_bin: Some(relays.launcher()),
+        budget: Duration::from_secs(30),
+        ..Default::default()
+    });
     let mut observed = Vec::new();
-    for (kind, transport) in edge_kinds() {
+    for (kind, transport) in [("local", Transport::InProcess), ("socket", relayed)] {
         let mut costs = Vec::new();
         let mut rng = Rng::seed_from_u64(0x05ca_1e06);
         let table = random_table(&mut rng, 160);
         for fanout in [2usize, 16] {
             let label = format!("{kind} fanout {fanout}");
-            let mut cluster = cluster(&table, 4, fanout, 64, &transport);
+            relays.set(&Plan::default());
+            let cluster = cluster(&table, 4, fanout, 64, &transport);
             let sql = "SELECT k, COUNT(*) as c, SUM(x) as s FROM data GROUP BY k ORDER BY c DESC";
             let warm = cluster.query(sql).unwrap();
-            let cut = |shard: u64| ChaosDirective {
-                node: leaf_primary(shard),
-                fault: ChaosFault::Unreachable,
-            };
-            cluster
-                .set_chaos(ChaosModel { always: (0..4).map(cut).collect(), ..Default::default() });
+            relays.set(&Plan::refusing(&[0, 1, 2, 3]));
             let repeat = cluster.query(sql).unwrap();
             costs.extend([work(&warm), work(&repeat)]);
             assert_eq!(repeat.result, warm.result, "{label}: bit-identical");
             assert_eq!(repeat.worker_cache_hits(), 1, "{label}");
             assert_eq!(repeat.stats.rows_cached, repeat.stats.rows_total, "{label}");
             assert!(repeat.failovers.is_empty() && repeat.hedges.is_empty(), "{label}");
-            let err = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g").unwrap_err();
-            assert!(matches!(err, pd_common::Error::Rpc(_)), "{label}: typed, not a hang: {err}");
+            if kind == "socket" {
+                let new = cluster.query("SELECT g, COUNT(*) as c FROM data GROUP BY g");
+                let err = new.unwrap_err();
+                assert!(
+                    matches!(err, pd_common::Error::Rpc(_)),
+                    "{label}: typed, not a hang: {err}"
+                );
+            }
         }
         observed.push((kind, costs));
     }
@@ -565,7 +576,6 @@ fn by_country(epoch: u64) -> pd_dist::rpc::Request {
         budget: Duration::from_secs(30),
         hedge_micros: 0,
         epoch,
-        chaos: Vec::new(),
     }))
 }
 

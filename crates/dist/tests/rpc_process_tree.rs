@@ -1,19 +1,30 @@
 //! End-to-end tests of the process-split computation tree: real
 //! `pd-dist-worker` processes behind the RPC boundary, driven through
 //! [`Cluster`] with [`Transport::Rpc`] — over Unix sockets and loopback
-//! TCP, and with restriction-aware subtree pruning.
+//! TCP, and with restriction-aware subtree pruning. A test that needs a
+//! refused, dead or slow peer spawns its workers behind the fault relay
+//! (`support/relay.rs`).
 
+#[path = "support/faults.rs"]
+mod faults;
+
+use faults::{Fault, Plan, Relays};
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::{query, BuildOptions, DataStore};
 use pd_data::{generate_logs, LogsSpec, Table};
 use pd_dist::node::NodeSpec;
 use pd_dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 use pd_encoding::TableDelta;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_pd-dist-worker"))
+}
+
+/// Relays running `plan`, spawned in place of workers.
+fn relays(plan: &Plan) -> Relays {
+    Relays::new(Path::new(env!("CARGO_BIN_EXE_pd-dist-relay")), plan)
 }
 
 fn rpc(budget: Duration) -> Transport {
@@ -21,12 +32,10 @@ fn rpc(budget: Duration) -> Transport {
     Transport::Rpc(RpcConfig { worker_bin: Some(worker_bin()), budget, ..Default::default() })
 }
 
-/// A model that applies `fault` to `node` on every query.
-fn pinned(node: &str, fault: pd_dist::ChaosFault) -> pd_dist::ChaosModel {
-    pd_dist::ChaosModel {
-        always: vec![pd_dist::ChaosDirective { node: node.into(), fault }],
-        ..Default::default()
-    }
+/// Unix sockets to `relays`.
+fn relayed(relays: &Relays, budget: Duration) -> Transport {
+    let worker_bin = Some(relays.launcher());
+    Transport::Rpc(RpcConfig { worker_bin, budget, ..Default::default() })
 }
 
 fn rpc_with(addr: WorkerAddr) -> Transport {
@@ -51,20 +60,16 @@ const QUERIES: [&str; 3] = [
     "SELECT COUNT(*) FROM logs WHERE country = 'DE'",
 ];
 
-/// A bare worker process on a unix socket in a temp directory of its own,
-/// no role assigned. It sits in a [`pd_dist::ReapGuard`]: a panicking
+/// A bare `bin` worker process on a unix socket in a temp directory of its
+/// own, no role assigned. It sits in a [`pd_dist::ReapGuard`]: a panicking
 /// assertion kills and reaps it on unwind instead of leaking it into
 /// later suites. The caller removes the directory.
-fn raw_worker(tag: &str) -> (pd_dist::ReapGuard, pd_dist::rpc::Addr, PathBuf) {
+fn raw_worker(tag: &str, bin: &Path) -> (pd_dist::ReapGuard, pd_dist::rpc::Addr, PathBuf) {
     let dir = std::env::temp_dir().join(format!("pd-{tag}-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let addr = pd_dist::rpc::Addr::Unix(dir.join("w.sock"));
     let worker = pd_dist::ReapGuard::new(
-        std::process::Command::new(worker_bin())
-            .arg("--listen")
-            .arg(addr.to_string())
-            .spawn()
-            .unwrap(),
+        std::process::Command::new(bin).arg("--listen").arg(addr.to_string()).spawn().unwrap(),
     );
     (worker, addr, dir)
 }
@@ -348,31 +353,28 @@ fn queue_delays_are_measured_not_modeled() {
     // 1. a query that arrives while the worker's one turn is taken by
     //    *real* work (here: a heavy shard import) reports a queue delay
     //    reflecting that genuine service time;
-    // 2. an injected chaos `Delay` is service time of the delayed query
-    //    alone — the caller sees a late answer, but requests queued behind
-    //    it do NOT report inflated queue delays, because the sleep happens
-    //    after the turn is given back.
+    // 2. a relay's delay is service time of the delayed query alone — the
+    //    caller sees a late answer, but requests queued behind it do NOT
+    //    report inflated queue delays, because the relay sleeps after the
+    //    worker has answered.
     use pd_dist::rpc::{Addr, QueryRequest, Request, Response, RpcClient};
-    use pd_dist::{ChaosDirective, ChaosFault};
     use pd_sql::{analyze, parse_query};
 
-    let (worker, addr, dir) = raw_worker("queue");
+    let delay = Duration::from_millis(250);
+    let relays = relays(&Plan::pinned("l0p", Fault::Delay(delay)));
+    let (worker, addr, dir) = raw_worker("queue", &relays.launcher());
     let table = generate_logs(&LogsSpec::scaled(200));
     let mut setup = RpcClient::new(addr.clone());
     setup.connect_with_retry(Duration::from_secs(30)).unwrap();
     let load = leaf_load(&table, BuildOptions::basic());
     assert!(matches!(setup.call(&load, Duration::from_secs(60)).unwrap(), Response::Loaded(_)));
 
-    let analyzed = analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap();
-    let query = |chaos: Vec<ChaosDirective>| {
-        Request::Query(Box::new(QueryRequest {
-            query: analyzed.clone(),
-            budget: Duration::from_secs(30),
-            hedge_micros: 0,
-            epoch: 1,
-            chaos,
-        }))
-    };
+    let query = Request::Query(Box::new(QueryRequest {
+        query: analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
+        budget: Duration::from_secs(30),
+        hedge_micros: 0,
+        epoch: 1,
+    }));
     let ask = |addr: Addr, query: &Request| -> (Duration, Duration) {
         let started = std::time::Instant::now();
         let mut client = RpcClient::new(addr);
@@ -382,14 +384,11 @@ fn queue_delays_are_measured_not_modeled() {
         }
     };
 
-    // Claim 2 first (the store is still small): with a 250 ms artificial
-    // delay, two concurrent queries each answer late, yet neither reports
-    // the other's sleep as queueing.
-    let delay = Duration::from_millis(250);
-    let delayed =
-        query(vec![ChaosDirective { node: "l0p".into(), fault: ChaosFault::Delay(delay) }]);
+    // Claim 2 first (the store is still small): with a 250 ms relay delay,
+    // two concurrent queries each answer late, yet neither reports the
+    // other's sleep as queueing.
     let observed: Vec<(Duration, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| ask(addr.clone(), &delayed))).collect();
+        let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| ask(addr.clone(), &query))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (queue, elapsed) in &observed {
@@ -411,7 +410,8 @@ fn queue_delays_are_measured_not_modeled() {
     // the worker's queue must *measure* that wait. (Probes before the
     // import has even arrived see an idle worker — hence the polling,
     // not a single staggered shot.)
-    let prompt = query(Vec::new());
+    relays.set(&Plan::default());
+    let prompt = &query;
     let big = generate_logs(&LogsSpec::scaled(30_000));
     let heavy = leaf_load(&big, BuildOptions::production(&["country", "table_name"]));
     let queued = std::thread::scope(|scope| {
@@ -424,7 +424,7 @@ fn queue_delays_are_measured_not_modeled() {
         });
         let mut best = Duration::ZERO;
         for _ in 0..2_000 {
-            let (queue, _) = ask(addr.clone(), &prompt);
+            let (queue, _) = ask(addr.clone(), prompt);
             best = best.max(queue);
             if best >= Duration::from_millis(5) {
                 break;
@@ -519,7 +519,6 @@ fn role_reassignment_replaces_the_previous_role() {
         budget: Duration::from_secs(30),
         hedge_micros: 0,
         epoch: 1,
-        chaos: Vec::new(),
     }));
     let ask = |client: &mut RpcClient| match client.call(&query, Duration::from_secs(30)).unwrap() {
         Response::Answer(answer) => answer,
@@ -625,6 +624,10 @@ fn append_streams_deltas_into_the_live_tree() {
         let rows: Vec<usize> = (lo..hi).collect();
         table.select_rows(&rows)
     };
+    // Shard 0's primary refuses every query — cut off, not killed: it must
+    // still take the appends. Each answer below must come from its
+    // replica, which therefore must have absorbed the appends too.
+    let relays = relays(&Plan::pinned("l0p", Fault::Refuse));
     let mut cluster = Cluster::build(
         &slice(0, 1_000),
         &ClusterConfig {
@@ -632,12 +635,7 @@ fn append_streams_deltas_into_the_live_tree() {
             replication: true,
             build: build_options(),
             tree: TreeShape { fanout: 2 },
-            transport: rpc(Duration::from_secs(30)),
-            // Shard 0's primary is unreachable for every query — cut off,
-            // not killed: it must still take the appends. Each answer
-            // below must come from its replica, which therefore must have
-            // absorbed the appends too.
-            chaos: pinned("l0p", pd_dist::ChaosFault::Unreachable),
+            transport: relayed(&relays, Duration::from_secs(30)),
             ..Default::default()
         },
     )
@@ -682,7 +680,7 @@ fn append_streams_deltas_into_the_live_tree() {
 
 #[test]
 fn a_half_applied_append_refuses_queries_until_rebuild() {
-    // Shard 1's only process dies (a chaos kill fires on the next query),
+    // Shard 1's only process dies (its relay exits on the next query),
     // then an append arrives: shard 0 applies its slice, shard 1 cannot.
     // The shards now hold different data, so the cluster must stop serving
     // — a typed refusal naming the way out — until a rebuild succeeds.
@@ -691,23 +689,24 @@ fn a_half_applied_append_refuses_queries_until_rebuild() {
         let rows: Vec<usize> = (lo..hi).collect();
         table.select_rows(&rows)
     };
+    let relays = relays(&Plan::default());
     let mut cluster = Cluster::build(
         &slice(0, 500),
         &ClusterConfig {
             shards: 2,
             replication: false,
             build: build_options(),
-            transport: rpc(Duration::from_secs(5)),
+            transport: relayed(&relays, Duration::from_secs(5)),
             ..Default::default()
         },
     )
     .unwrap();
     let sql = "SELECT COUNT(*) FROM logs";
     cluster.query(sql).unwrap();
-    cluster.set_chaos(pinned("l1p", pd_dist::ChaosFault::Kill));
+    relays.set(&Plan::pinned("l1p", Fault::Kill));
     // (A chart the root has not answered yet: `sql` would stop there.)
     cluster.query(QUERIES[0]).unwrap_err();
-    cluster.set_chaos(pd_dist::ChaosModel::default());
+    relays.set(&Plan::default());
 
     let epoch = cluster.epoch();
     cluster.append(&slice(500, 600)).unwrap_err();
@@ -747,7 +746,7 @@ fn rebuild_respawns_the_tree_with_new_data() {
 #[test]
 fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     // The parent writes to both leaves, then reads them in child order.
-    // Shard 0's primary answers late (a pinned chaos delay); shard 1 meanwhile
+    // Shard 0's primary answers late (its relay sleeps); shard 1 meanwhile
     // has a reply far larger than a socket buffer (≥ 1 MiB:
     // 5 000 distinct keys of 220 bytes each) and sits in `write` until the
     // parent gets to it. Nothing may deadlock, and the fold must come out
@@ -771,6 +770,7 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
     assert!(reply_bytes >= 1 << 20, "shard 1's reply must dwarf a socket buffer: {reply_bytes}");
 
     let delay = Duration::from_millis(200);
+    let relays = relays(&Plan::pinned("l0p", Fault::Delay(delay)));
     let cluster = Cluster::build(
         &table,
         &ClusterConfig {
@@ -778,8 +778,7 @@ fn a_slow_child_and_a_huge_sibling_reply_neither_deadlock_nor_reorder() {
             replication: false,
             build,
             shard_cache: 0,
-            transport: rpc_with(WorkerAddr::Unix),
-            chaos: pinned("l0p", pd_dist::ChaosFault::Delay(delay)),
+            transport: relayed(&relays, Duration::from_secs(30)),
             ..Default::default()
         },
     )
@@ -803,7 +802,7 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
     use pd_dist::rpc::{encode_frame, read_frame, QueryRequest, Request, Response, RpcClient};
     use std::io::Write;
 
-    let (worker, addr, dir) = raw_worker("ticket");
+    let (worker, addr, dir) = raw_worker("ticket", &worker_bin());
     let mut client = RpcClient::new(addr.clone());
     client.connect_with_retry(Duration::from_secs(30)).unwrap();
     let load = leaf_load(&generate_logs(&LogsSpec::scaled(200)), BuildOptions::basic());
@@ -814,7 +813,6 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
         budget: Duration::from_secs(30),
         hedge_micros: 0,
         epoch: 1,
-        chaos: Vec::new(),
     }));
     let frame = encode_frame(&query, false).unwrap();
     let (head, tail) = frame.split_at(frame.len() / 2);
@@ -848,7 +846,7 @@ fn a_forged_load_is_nakked_and_the_worker_takes_the_next_one() {
     // be loaded.
     use pd_dist::rpc::{Request, Response, RpcClient};
 
-    let (worker, addr, dir) = raw_worker("forged-load");
+    let (worker, addr, dir) = raw_worker("forged-load", &worker_bin());
     let table = generate_logs(&LogsSpec::scaled(200));
     let mut forged = leaf_load(&table, BuildOptions::basic());
     if let Request::Load(load) = &mut forged {
@@ -985,21 +983,17 @@ fn parents_prune_by_live_summaries_after_twenty_appends() {
 fn what_the_root_remembers_outlives_every_merge_server() {
     use pd_common::{Error, RpcError};
     let table = generate_logs(&LogsSpec::scaled(800));
-    let mut cluster = Cluster::build(&table, &four_leaves_two_mixers(false, worker_bin())).unwrap();
+    let relays = relays(&Plan::default());
+    let cluster =
+        Cluster::build(&table, &four_leaves_two_mixers(false, relays.launcher())).unwrap();
     let warm = cluster.query(QUERIES[0]).unwrap();
     assert_eq!(warm.worker_cache_hits(), 0);
 
-    let kill = |node: &str| pd_dist::ChaosDirective {
-        node: node.into(),
-        fault: pd_dist::ChaosFault::Kill,
-    };
-    cluster.set_chaos(pd_dist::ChaosModel {
-        always: vec![kill("m1_0"), kill("m1_1")],
-        ..Default::default()
-    });
+    let kill = |node: &str| (node.to_string(), Fault::Kill);
+    relays.set(&Plan { pins: vec![kill("m1_0"), kill("m1_1")], ..Plan::default() });
     let err = cluster.query(QUERIES[1]).unwrap_err();
     assert!(matches!(err, Error::Rpc(RpcError::PeerGone(_))), "killed mid-query: {err}");
-    cluster.set_chaos(pd_dist::ChaosModel::default());
+    relays.set(&Plan::default());
 
     let repeat = cluster.query(QUERIES[0]).unwrap();
     assert_eq!(repeat.result, warm.result);

@@ -2,13 +2,16 @@
 //! the primary/replica scheme riding out stragglers.
 //!
 //! ```bash
-//! cargo build --release -p pd-dist --bin pd-dist-worker   # for the straggler part
+//! cargo build --release --bin pd-relay   # for the straggler part
 //! cargo run --release --example distributed
 //! ```
 
+#[path = "../crates/dist/tests/support/faults.rs"]
+mod faults;
+
+use faults::{Plan, Relays};
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::process::resolve_worker_bin;
-use powerdrill::dist::{query_signature, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport};
+use powerdrill::dist::{query_signature, Cluster, ClusterConfig, RpcConfig, Transport};
 use powerdrill::sql::plan;
 use powerdrill::{BuildOptions, ExecContext};
 use std::time::Duration;
@@ -80,22 +83,26 @@ fn main() -> powerdrill::Result<()> {
     drop(cluster);
 
     // §4's stragglers, for real: a tree of worker processes in which every
-    // process answers late with probability 0.15 (a seeded chaos delay of
-    // 40–120 ms). Without replicas the slowest shard sets the latency; with
-    // them, a primary that outlives the hedge delay is raced against its
-    // replica and the first answer wins.
-    let Ok(worker_bin) = resolve_worker_bin(None) else {
-        println!("\nNOTE: pd-dist-worker binary not found (build it or set PD_DIST_WORKER_BIN); skipping the straggler part");
+    // process answers late with probability 0.15 (a seeded delay of
+    // 40–120 ms from the fault relay in front of each worker). Without
+    // replicas the slowest shard sets the latency; with them, a primary
+    // that outlives the hedge delay is raced against its replica and the
+    // first answer wins. The relay draws per (seed, epoch, node, query),
+    // so each of the 40 asks is a query of its own: it differs in its LIMIT.
+    let Some(relay) = faults::built_relay() else {
+        println!("\nNOTE: pd-relay binary not found (build it); skipping the straggler part");
         return Ok(());
     };
     println!("\nstragglers in a 4-shard tree of worker processes (measured, 40 queries each):");
-    let stragglers = ChaosModel {
+    let stragglers = Plan {
         seed: 1,
-        delay_probability: 0.15,
+        delay: 0.15,
         delay_range: (Duration::from_millis(40), Duration::from_millis(120)),
         ..Default::default()
     };
+    let nth = |i: usize| format!("{} LIMIT {}", sql.trim_end_matches(" LIMIT 5"), 5 + i);
     for replication in [false, true] {
+        let relays = Relays::new(&relay, &stragglers);
         let cluster = Cluster::build(
             &table,
             &ClusterConfig {
@@ -103,9 +110,8 @@ fn main() -> powerdrill::Result<()> {
                 replication,
                 build: build.clone(),
                 shard_cache: 0, // every query does its work
-                chaos: stragglers.clone(),
                 transport: Transport::Rpc(RpcConfig {
-                    worker_bin: Some(worker_bin.clone()),
+                    worker_bin: Some(relays.launcher()),
                     ..Default::default()
                 }),
                 ..Default::default()
@@ -113,8 +119,8 @@ fn main() -> powerdrill::Result<()> {
         )?;
         let mut latencies = Vec::with_capacity(40);
         let mut hedged = 0;
-        for _ in 0..40 {
-            let outcome = cluster.query(sql)?;
+        for i in 0..40 {
+            let outcome = cluster.query(&nth(i))?;
             hedged += outcome.hedges.len();
             latencies.push(outcome.latency);
         }

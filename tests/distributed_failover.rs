@@ -1,13 +1,21 @@
-//! Failure-injection tests for the §4 serving tree: a shard primary that
-//! is unreachable mid-fan-out must fail over to its replication peer with
-//! the *same* result (the replica holds the same partition), record the
-//! failover in the outcome, and — because faults are drawn from seeded
-//! per-(query, node) streams — reproduce exactly across runs.
+//! Failure-injection tests for the §4 serving tree of worker processes:
+//! a shard primary that refuses queries mid-fan-out must fail over to its
+//! replica process with the *same* result (the replica holds the same
+//! partition), record the failover in the outcome, and — because faults
+//! are drawn from seeded per-(epoch, node, query) streams — reproduce
+//! exactly across runs. Every fault comes from the relay in front of each
+//! worker (`crates/dist/tests/support/relay.rs`, built here as
+//! `pd-relay`), on genuine sockets.
 
+#[path = "../crates/dist/tests/support/faults.rs"]
+mod faults;
+
+use faults::{Fault, Plan, Relays};
 use powerdrill::data::{generate_logs, LogsSpec};
-use powerdrill::dist::chaos::leaf_primary;
-use powerdrill::dist::{ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig};
+use powerdrill::dist::{Cluster, ClusterConfig, RpcConfig, Transport};
 use powerdrill::{BuildOptions, DataStore};
+use std::path::Path;
+use std::time::Duration;
 
 const QUERIES: [&str; 4] = [
     "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 10",
@@ -24,28 +32,30 @@ fn build_options() -> BuildOptions {
     build
 }
 
-/// The primaries of `shards`, unreachable on every query.
-fn unreachable(shards: &[usize]) -> ChaosModel {
-    let cut = |&shard: &usize| ChaosDirective {
-        node: leaf_primary(shard as u64),
-        fault: ChaosFault::Unreachable,
-    };
-    ChaosModel { always: shards.iter().map(cut).collect(), ..Default::default() }
+/// Relays running `plan`, for one cluster.
+fn relays(plan: &Plan) -> Relays {
+    Relays::new(Path::new(env!("CARGO_BIN_EXE_pd-relay")), plan)
 }
 
-/// `node` answers every query this late.
-fn straggling(node: &str, delay: std::time::Duration) -> ChaosModel {
-    let slow = ChaosDirective { node: node.into(), fault: ChaosFault::Delay(delay) };
-    ChaosModel { always: vec![slow], ..Default::default() }
+/// Unix sockets to `relays`, with a whole query's `budget`.
+fn relayed(relays: &Relays, budget: Duration) -> Transport {
+    let worker_bin = Some(relays.launcher());
+    Transport::Rpc(RpcConfig { worker_bin, budget, ..Default::default() })
 }
 
-fn cluster_with(chaos: ChaosModel, replication: bool, shards: usize) -> Cluster {
+/// A cluster of `shards` behind relays running `plan`; the relays go with
+/// it.
+fn cluster_with(plan: &Plan, replication: bool, shards: usize) -> (Cluster, Relays) {
     let table = generate_logs(&LogsSpec::scaled(1_200));
-    Cluster::build(
-        &table,
-        &ClusterConfig { shards, replication, chaos, build: build_options(), ..Default::default() },
-    )
-    .unwrap()
+    let relays = relays(plan);
+    let config = ClusterConfig {
+        shards,
+        replication,
+        build: build_options(),
+        transport: relayed(&relays, Duration::from_secs(30)),
+        ..Default::default()
+    };
+    (Cluster::build(&table, &config).unwrap(), relays)
 }
 
 #[test]
@@ -53,26 +63,28 @@ fn unreachable_primary_fails_over_with_identical_results() {
     let table = generate_logs(&LogsSpec::scaled(1_200));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
-    for cut in [vec![1usize], vec![0, 2], vec![0, 1, 2, 3]] {
+    for cut in [vec![1u64], vec![0, 2], vec![0, 1, 2, 3]] {
+        let relays = relays(&Plan::refusing(&cut));
         let cluster = Cluster::build(
             &table,
             &ClusterConfig {
                 shards: 4,
                 replication: true,
-                chaos: unreachable(&cut),
                 shard_cache: 0,
                 build: build.clone(),
+                transport: relayed(&relays, Duration::from_secs(30)),
                 ..Default::default()
             },
         )
         .unwrap();
+        let cut: Vec<usize> = cut.iter().map(|&shard| shard as usize).collect();
         for sql in QUERIES {
             let (expect, _) = powerdrill::query(&store, sql).unwrap();
             let outcome = cluster.query(sql).unwrap();
             assert_eq!(outcome.result, expect, "cut={cut:?}: {sql}");
             assert_eq!(
                 outcome.failovers, cut,
-                "every unreachable primary must be recorded as a failover: {sql}"
+                "every refusing primary must be recorded as a failover: {sql}"
             );
             assert_eq!(
                 outcome.stats.rows_skipped + outcome.stats.rows_cached + outcome.stats.rows_scanned,
@@ -85,8 +97,8 @@ fn unreachable_primary_fails_over_with_identical_results() {
 
 #[test]
 fn failure_without_replication_fails_the_query() {
-    let cluster = cluster_with(
-        unreachable(&[2]),
+    let (cluster, _relays) = cluster_with(
+        &Plan::refusing(&[2]),
         false, // no replica to fall back to
         4,
     );
@@ -96,10 +108,10 @@ fn failure_without_replication_fails_the_query() {
         message.contains("shard 2") && message.contains("replication"),
         "the error names the failed shard: {message}"
     );
-    // A query untouched by failures... does not exist: the directive is
+    // A query untouched by failures... does not exist: the refusal is
     // pinned to every query, so every query dies. Dropping it restores
     // service.
-    let healthy = cluster_with(ChaosModel::default(), false, 4);
+    let (healthy, _relays) = cluster_with(&Plan::default(), false, 4);
     assert!(healthy.query(QUERIES[0]).is_ok());
 }
 
@@ -109,18 +121,15 @@ fn seeded_failures_are_reproducible_and_correct() {
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
     let run = || -> Vec<Vec<usize>> {
+        let relays = relays(&Plan { refuse: 0.4, seed: 0xdead, ..Plan::default() });
         let cluster = Cluster::build(
             &table,
             &ClusterConfig {
                 shards: 4,
                 replication: true,
-                chaos: ChaosModel {
-                    unreachable_probability: 0.4,
-                    seed: 0xdead,
-                    ..Default::default()
-                },
                 shard_cache: 0,
                 build: build.clone(),
+                transport: relayed(&relays, Duration::from_secs(30)),
                 ..Default::default()
             },
         )
@@ -139,35 +148,27 @@ fn seeded_failures_are_reproducible_and_correct() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "equal seeds and query sequences must fail over identically");
-    let total: usize = a.iter().map(Vec::len).sum();
-    assert!(total > 0, "probability 0.4 over 80 subqueries must inject failures");
-    assert!(total < 80, "...but not cut everything");
+    // A draw is keyed by (seed, epoch, node, query): every round re-asks
+    // the same queries at one epoch, so it fails over as the first did.
+    let rounds: Vec<&[Vec<usize>]> = a.chunks(QUERIES.len()).collect();
+    assert!(rounds.iter().all(|round| *round == rounds[0]), "{a:?}");
+    let total: usize = rounds[0].iter().map(Vec::len).sum();
+    assert!(total > 0, "probability 0.4 over 16 (query, primary) draws must inject failures");
+    assert!(total < 16, "...but not cut everything");
 }
 
 // ---------------------------------------------------------------------------
-// Deadline-expiry failover across the real process split
+// Deadline-expiry failover
 // ---------------------------------------------------------------------------
-
-fn rpc_transport(budget: std::time::Duration) -> powerdrill::dist::Transport {
-    // Default transport settings beyond the budget: unix sockets, the
-    // transport the failover machinery meets in a single-box tree.
-    powerdrill::dist::Transport::Rpc(powerdrill::dist::RpcConfig {
-        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
-        budget,
-        ..Default::default()
-    })
-}
 
 /// A worker process that sleeps far past the hedge delay must produce the
-/// **identical** `QueryOutcome` rows as an unreachable primary of the same
+/// **identical** `QueryOutcome` rows as a refusing primary of the same
 /// shard — the hedged replica race answers from the replica process, which
 /// holds the same partition. Unlike the old per-hop deadline (which waited
 /// the *full* deadline before failing over), the hedge answers early: the
 /// straggler's recorded latency stays well under the query budget.
 #[test]
 fn straggling_primary_is_hedged_identically_to_an_unreachable_one() {
-    use std::time::Duration;
-
     let table = generate_logs(&LogsSpec::scaled(800));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
@@ -181,24 +182,25 @@ fn straggling_primary_is_hedged_identically_to_an_unreachable_one() {
     // fanout 16: the driver parents the leaves; fanout 2: an intermediate
     // merge server does — the failover must work at both levels.
     for fanout in [16usize, 2] {
-        let cluster_config = |chaos: ChaosModel| ClusterConfig {
+        let cluster_config = |relays: &Relays| ClusterConfig {
             shards: 3,
             replication: true,
-            chaos,
             build: build.clone(),
             tree: powerdrill::dist::TreeShape { fanout },
-            transport: rpc_transport(budget),
+            transport: relayed(relays, budget),
             ..Default::default()
         };
 
-        // Baseline: the primary is known to be gone — its parent never
-        // contacts it.
-        let cut = Cluster::build(&table, &cluster_config(unreachable(&[slow_shard]))).unwrap();
+        // Baseline: the primary is known to be gone — it refuses every
+        // query the moment it arrives.
+        let refusing = relays(&Plan::refusing(&[slow_shard as u64]));
+        let cut = Cluster::build(&table, &cluster_config(&refusing)).unwrap();
 
         // The real thing: every edge is up, but shard 1's primary
-        // *process* sleeps far past the hedge delay.
-        let slow = straggling(&leaf_primary(slow_shard as u64), Duration::from_secs(20));
-        let delayed = Cluster::build(&table, &cluster_config(slow)).unwrap();
+        // *process* answers far past the hedge delay.
+        let slow = Fault::Delay(Duration::from_secs(20));
+        let straggling = relays(&Plan::pinned(&format!("l{slow_shard}p"), slow));
+        let delayed = Cluster::build(&table, &cluster_config(&straggling)).unwrap();
 
         for sql in &QUERIES[..2] {
             let (expect, _) = powerdrill::query(&store, sql).unwrap();
@@ -223,7 +225,7 @@ fn straggling_primary_is_hedged_identically_to_an_unreachable_one() {
             );
             assert!(
                 !from_cut.hedges.contains(&slow_shard),
-                "fanout={fanout}: a known-dead primary is failed over directly, not raced: {sql}"
+                "fanout={fanout}: a refusing primary is failed over directly, not raced: {sql}"
             );
             assert!(
                 from_hedge.subquery_latencies[slow_shard] < budget,
@@ -238,22 +240,21 @@ fn straggling_primary_is_hedged_identically_to_an_unreachable_one() {
 /// Without a replica process, an exhausted budget is fatal — and says so.
 #[test]
 fn budget_expiry_without_replication_fails_the_query() {
-    use std::time::Duration;
-
     let table = generate_logs(&LogsSpec::scaled(400));
-    let mut cluster = Cluster::build(
+    let relays = relays(&Plan::default());
+    let cluster = Cluster::build(
         &table,
         &ClusterConfig {
             shards: 2,
             replication: false,
             build: build_options(),
-            transport: rpc_transport(Duration::from_millis(500)),
+            transport: relayed(&relays, Duration::from_millis(500)),
             ..Default::default()
         },
     )
     .unwrap();
     cluster.query(QUERIES[0]).unwrap(); // healthy first
-    cluster.set_chaos(straggling("l0p", Duration::from_secs(20)));
+    relays.set(&Plan::pinned("l0p", Fault::Delay(Duration::from_secs(20))));
     // What the root remembers needs no server, so the straggler is met by a
     // query it has not answered yet.
     assert!(cluster.query(QUERIES[0]).is_ok(), "a remembered answer outlives a slow leaf");
@@ -272,13 +273,13 @@ fn budget_expiry_without_replication_fails_the_query() {
 fn merge_server_kill_mid_query_is_a_clean_typed_error() {
     use powerdrill::common::RpcError;
     use powerdrill::Error;
-    use std::time::Duration;
 
     let table = generate_logs(&LogsSpec::scaled(600));
     let build = build_options();
     let store = DataStore::build(&table, &build).unwrap();
     // 3 shards at fanout 2: mixer m1_0 folds leaves 0 and 1, m1_1 owns
     // leaf 2 — killing m1_0 severs a whole subtree below the root.
+    let relays = relays(&Plan::default());
     let mut cluster = Cluster::build(
         &table,
         &ClusterConfig {
@@ -286,7 +287,7 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
             replication: true,
             build,
             tree: powerdrill::dist::TreeShape { fanout: 2 },
-            transport: rpc_transport(Duration::from_secs(10)),
+            transport: relayed(&relays, Duration::from_secs(10)),
             ..Default::default()
         },
     )
@@ -295,10 +296,7 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
     let (expect, _) = powerdrill::query(&store, sql).unwrap();
     assert_eq!(cluster.query(sql).unwrap().result, expect, "healthy tree first");
 
-    cluster.set_chaos(ChaosModel {
-        always: vec![ChaosDirective { node: "m1_0".into(), fault: ChaosFault::Kill }],
-        ..Default::default()
-    });
+    relays.set(&Plan::pinned("m1_0", Fault::Kill));
     // The root remembers `sql` and would not ask: the kill is met by a
     // query that has to cross the edge.
     let err = cluster.query(QUERIES[1]).unwrap_err();
@@ -307,9 +305,9 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
         "a merge server dying mid-query is a typed fault, not a hang or a string: {err}"
     );
 
-    // Recovery: clear the chaos, respawn the tree, and the exact rows —
+    // Recovery: clear the plan, respawn the tree, and the exact rows —
     // with balanced row accounting — come back.
-    cluster.set_chaos(ChaosModel::default());
+    relays.set(&Plan::default());
     cluster.rebuild(&table).unwrap();
     let outcome = cluster.query(sql).unwrap();
     assert_eq!(outcome.result, expect, "the respawned tree serves exact rows again");
@@ -322,9 +320,9 @@ fn merge_server_kill_mid_query_is_a_clean_typed_error() {
 
 #[test]
 fn failover_and_shard_cache_compose() {
-    // A cached shard partial needs no server at all, so an unreachable
-    // primary behind a cache hit is a non-event; a miss fails over as usual.
-    let cluster = cluster_with(unreachable(&[0]), true, 3);
+    // A cached shard partial needs no server at all, so a refusing primary
+    // behind a cache hit is a non-event; a miss fails over as usual.
+    let (cluster, _relays) = cluster_with(&Plan::refusing(&[0]), true, 3);
     let sql = QUERIES[0];
     let cold = cluster.query(sql).unwrap();
     assert_eq!(cold.failovers, vec![0]);

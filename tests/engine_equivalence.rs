@@ -5,6 +5,9 @@
 //! execution must return *bit-identical* results to sequential execution
 //! at every thread count.
 
+#[path = "../crates/dist/tests/support/faults.rs"]
+mod faults;
+
 use powerdrill::baselines::{Backend, CsvBackend, IoModel};
 use powerdrill::common::rng::Rng;
 use powerdrill::core::{execute, execute_partial, finalize};
@@ -879,23 +882,20 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
     }
 }
 
-/// The fault axis of the edge kinds: an edge-applied fault is read above
-/// the link, so the same [`ChaosModel`] — shard 1's primary unreachable on
-/// every query — must be the same event on an in-memory tree and on a tree
-/// of worker processes behind unix sockets: identical rows, the same
+/// The fault axis of the edge kinds: shard 1's primary process refuses
+/// every query (the fault relay in front of each worker,
+/// `crates/dist/tests/support/relay.rs`), and that must be the same event
+/// over unix sockets and over loopback TCP: identical rows, the same
 /// `failovers`, balanced skipped + cached + scanned accounting — at either
 /// tree depth, cold and then warm from the node caches — and the same
-/// work: both trees prune the same edges (a pruned edge needs no server,
-/// so it records no failover) and scan the same rows.
-///
-/// [`ChaosModel`]: powerdrill::dist::ChaosModel
+/// work as a healthy tree in one address space: the cut primary changes
+/// who answers, not which edges are pruned (a pruned edge needs no
+/// server, so it records no failover) or which rows are scanned.
 #[test]
 fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
+    use faults::{Plan, Relays};
     use powerdrill::data::{generate_logs, LogsSpec};
-    use powerdrill::dist::{
-        ChaosDirective, ChaosFault, ChaosModel, Cluster, ClusterConfig, RpcConfig, Transport,
-        TreeShape,
-    };
+    use powerdrill::dist::{Cluster, ClusterConfig, RpcConfig, Transport, TreeShape, WorkerAddr};
 
     let table = generate_logs(&LogsSpec::scaled(1_200));
     let mut build = BuildOptions::production(&["country", "table_name"]);
@@ -903,17 +903,20 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
         spec.max_chunk_rows = 150;
     }
     let store = DataStore::build(&table, &build).unwrap();
-    let unix = Transport::Rpc(RpcConfig {
-        worker_bin: Some(std::path::PathBuf::from(env!("CARGO_BIN_EXE_pd-worker"))),
-        ..Default::default()
-    });
+    let relays =
+        Relays::new(std::path::Path::new(env!("CARGO_BIN_EXE_pd-relay")), &Plan::refusing(&[1]));
+    let relayed = |addr: WorkerAddr| {
+        Transport::Rpc(RpcConfig {
+            worker_bin: Some(relays.launcher()),
+            addr,
+            ..Default::default()
+        })
+    };
     for fanout in [16usize, 2] {
         let tree = |transport: Transport| {
-            let cut = ChaosDirective { node: "l1p".into(), fault: ChaosFault::Unreachable };
             let config = ClusterConfig {
                 shards: 4,
                 replication: true,
-                chaos: ChaosModel { always: vec![cut], ..Default::default() },
                 tree: TreeShape { fanout },
                 build: build.clone(),
                 transport,
@@ -921,11 +924,15 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
             };
             Cluster::build(&table, &config).unwrap()
         };
-        let trees = [("local", tree(Transport::InProcess)), ("unix", tree(unix.clone()))];
+        let trees = [
+            ("local", tree(Transport::InProcess)),
+            ("unix", tree(relayed(WorkerAddr::Unix))),
+            ("tcp", tree(relayed(WorkerAddr::loopback()))),
+        ];
         for pass in 0..2 {
             for sql in MATRIX_QUERIES {
                 let (want, _) = powerdrill::query(&store, sql).unwrap();
-                let [local, unix] = trees.each_ref().map(|(kind, cluster)| {
+                let [local, unix, tcp] = trees.each_ref().map(|(kind, cluster)| {
                     let label = format!("fanout={fanout} edges={kind} pass={pass}: {sql}");
                     let outcome = cluster.query(sql).unwrap();
                     assert_eq!(outcome.result, want, "{label}");
@@ -935,18 +942,19 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
                         stats.rows_total,
                         "row accounting must balance: {label}"
                     );
-                    assert!(outcome.hedges.is_empty(), "a cut edge is not raced: {label}");
+                    assert!(outcome.hedges.is_empty(), "a refused query is not raced: {label}");
                     outcome
                 });
                 let work = |outcome: &powerdrill::dist::QueryOutcome| {
-                    let stats = &outcome.stats;
-                    (outcome.failovers.clone(), stats.subtrees_pruned, stats.rows_scanned)
+                    (outcome.stats.subtrees_pruned, outcome.stats.rows_scanned)
                 };
                 assert_eq!(work(&local), work(&unix), "fanout={fanout} {pass}: {sql}");
+                assert_eq!(work(&tcp), work(&unix), "fanout={fanout} {pass}: {sql}");
+                assert_eq!(tcp.failovers, unix.failovers, "fanout={fanout} {pass}: {sql}");
+                assert!(local.failovers.is_empty(), "fanout={fanout} {pass}: {sql}");
                 if pass == 0 && sql == MATRIX_QUERIES[0] {
                     // Unrestricted and cold: nothing is pruned, no cache
                     // answers, the replica serves shard 1.
-                    assert_eq!(local.failovers, vec![1], "fanout={fanout}");
                     assert_eq!(unix.failovers, vec![1], "fanout={fanout}");
                 }
             }

@@ -573,6 +573,31 @@ fn errors_are_reported_not_panicked() {
     assert!(query(&store, "totally not sql").is_err());
 }
 
+/// A `SUM` or `AVG` of a string column is refused by the column's type —
+/// by the row oracle as by the engine, which refuses it when it plans —
+/// whether or not a row reaches it: the first two restrictions match no
+/// row, so no value is ever summed.
+#[test]
+fn a_sum_over_a_string_column_is_refused_even_when_no_row_matches() {
+    let table = generate_logs(&LogsSpec::scaled(200));
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    for sql in [
+        "SELECT SUM(country) s FROM data WHERE country = 'nowhere'",
+        "SELECT table_name, AVG(user) a FROM data WHERE latency < -1.0 GROUP BY table_name",
+        "SELECT SUM(country) s FROM data",
+    ] {
+        let refused = scan::query(&table, sql).unwrap_err();
+        assert!(matches!(refused, pd_common::Error::Type(_)), "oracle: {sql}: {refused}");
+        let refused = query(&store, sql).unwrap_err();
+        assert!(matches!(refused, pd_common::Error::Type(_)), "store: {sql}: {refused}");
+    }
+    // Over a numeric column the same empty restriction is an answer: NULL.
+    let sql = "SELECT SUM(latency) s FROM data WHERE country = 'nowhere'";
+    let answer = oracle(&table, sql);
+    assert_eq!(answer.rows, vec![Row(vec![Value::Null])]);
+    assert_eq!(query(&store, sql).unwrap().0, answer);
+}
+
 #[test]
 fn render_produces_readable_table() {
     let table = generate_logs(&LogsSpec::scaled(300));

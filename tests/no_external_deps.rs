@@ -124,3 +124,58 @@ fn the_row_oracle_names_no_engine_aggregation() {
     assert!(lib.contains("pub use groups::PartialResult"), "pd-core's exports were found");
     assert!(!lib.lines().any(|line| words(line).contains(&"AggState".to_owned())), "AggState");
 }
+
+/// Every `.rs` file under `dir`, depth first.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("read a directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Faults come from outside the engine — a relay in front of a worker
+/// process, in the tests' support code: no engine source names chaos, and
+/// `pd-dist` ends its process only where a worker is told to shut down and
+/// in the worker binary's `main`.
+#[test]
+fn the_engine_injects_no_fault() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for krate in ["common", "encoding", "sql", "core", "dist"] {
+        let mut sources = Vec::new();
+        rust_sources(&root.join("crates").join(krate).join("src"), &mut sources);
+        assert!(!sources.is_empty(), "pd-{krate}'s sources were found");
+        for path in sources {
+            let source = std::fs::read_to_string(&path).expect("read an engine source");
+            assert!(!source.to_lowercase().contains("chaos"), "{} names chaos", path.display());
+        }
+    }
+
+    let dist = root.join("crates/dist/src");
+    let mut sources = Vec::new();
+    rust_sources(&dist, &mut sources);
+    let mut exits = Vec::new();
+    for path in sources {
+        let source = std::fs::read_to_string(&path).expect("read a pd-dist source");
+        let lines: Vec<&str> = source.lines().collect();
+        for (n, line) in lines.iter().enumerate() {
+            if !line.split("//").next().unwrap_or_default().contains("process::exit") {
+                continue;
+            }
+            let file = path.strip_prefix(&dist).unwrap().to_string_lossy().into_owned();
+            let arm =
+                lines[n.saturating_sub(3)..n].iter().any(|l| l.contains("Request::Shutdown =>"));
+            match file.as_str() {
+                "bin/pd-dist-worker.rs" => {}
+                "worker.rs" if arm => {}
+                _ => panic!("crates/dist/src/{file}:{} ends the process: {line}", n + 1),
+            }
+            exits.push(file);
+        }
+    }
+    exits.sort();
+    assert_eq!(exits, ["bin/pd-dist-worker.rs", "worker.rs"], "the two exits were found");
+}
