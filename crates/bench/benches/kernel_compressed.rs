@@ -1,7 +1,7 @@
 //! Kernel speed: the raw-speed claims of the chunk kernels, asserted —
 //! not just printed — so a regression fails the bench run itself.
 //!
-//! Three claims:
+//! Four claims:
 //!
 //! 1. the dictionary→f64 table is built once per (column, chunk) and
 //!    *not* once per aggregate — `SUM(x) + AVG(x)` share one float-sum
@@ -19,14 +19,23 @@
 //!    root do between them), same rows — by at least 1.5×; the two times
 //!    are *reported* side by side (`top10_rank_on_ids` /
 //!    `top10_rank_on_values`), so the record shows what the store's
-//!    boundary costs.
+//!    boundary costs;
+//! 4. no kernel waits on one counter: on §3's sorted store, where equal
+//!    codes sit side by side, each of five cases costs at most 1.25× what
+//!    it costs on the same table unsorted — `float_groupby_dense` (a float
+//!    `SUM`/`AVG` by `user`, double-double slots),
+//!    `count_one_key_counts_array` and `count_two_keys_counts_array` (the
+//!    `COUNT(*)`-only counts-array kernels, one key and two keys fused into
+//!    one flat index), `sum_keyless` (a keyless float `SUM`, register
+//!    lanes) and `sum_one_group` (`country, SUM(latency)` on scan_cold's
+//!    layout — `country, table_name` partitions of 2 000 rows — whose
+//!    chunks mostly hold one country). Each case is timed on both stores
+//!    in alternation and reported twice, the unsorted side as
+//!    `<case>_unsorted`.
 //!
-//! Eight cases are reported and not asserted: `float_groupby_dense` (a
-//! high-cardinality float `SUM`/`AVG`, double-double slots),
-//! `count_one_key_counts_array` and `count_two_keys_counts_array` (the
-//! `COUNT(*)`-only counts-array kernels, one key and two keys fused into
-//! one flat index), `bottom10_rank_on_values` (claim 3's chart ordered
-//! `c ASC`, where thousands of groups tie on their count),
+//! Six cases are reported and not asserted: `bottom10_rank_on_values`
+//! (claim 3's chart ordered `c ASC`, where thousands of groups tie on
+//! their count),
 //! `masked_groupby_5pct` (a grouped `COUNT` and `SUM` under a
 //! restriction that passes a twentieth of every chunk's rows),
 //! `window_two_bounds` (the same chart under both bounds of a `timestamp`
@@ -40,6 +49,36 @@ use pd_core::{execute, execute_partial, finalize, BuildOptions, DataStore, ExecC
 use pd_sql::{analyze, parse_query};
 use std::hint::black_box;
 use std::time::Duration;
+
+/// How much dearer a case may be on the sorted store than on the same
+/// table unsorted (claim 4).
+const SORTED_BOUND: f64 = 1.25;
+
+/// Time `sorted` and `unsorted` in alternation, 10 samples each, record
+/// both cases (`<name>` and `<name>_unsorted`), return the fastest samples.
+/// Alternating keeps a phase of the machine from landing on one side.
+fn alternated(
+    name: &str,
+    mut sorted: impl FnMut(),
+    mut unsorted: impl FnMut(),
+) -> (Duration, Duration) {
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    sorted();
+    unsorted();
+    for _ in 0..10 {
+        a.push(pd_bench::measure(&mut sorted));
+        b.push(pd_bench::measure(&mut unsorted));
+    }
+    let mut fastest = Vec::new();
+    for (case, mut samples) in [(name.to_owned(), a), (format!("{name}_unsorted"), b)] {
+        samples.sort_unstable();
+        let stats = pd_bench::Stats { min: samples[0], median: samples[samples.len() / 2] };
+        pd_bench::json_line("kernel_compressed", &case, stats, &[]);
+        println!("{case:<42} {:>12}", pd_bench::fmt_duration(stats.min));
+        fastest.push(stats.min);
+    }
+    (fastest[0], fastest[1])
+}
 
 /// Time `run` over 10 samples, record the case, return the fastest sample.
 fn timed(name: &str, run: impl FnMut()) -> Duration {
@@ -72,18 +111,62 @@ fn main() {
         "SUM(x)+AVG(x) must build one float table per chunk, not one per aggregate"
     );
 
-    timed("float_groupby_dense", || {
-        black_box(execute(&store, &analyzed, &serial).unwrap());
-    });
-
-    // Reported only: COUNT(*) alone, the counts-array kernels, for one
-    // key and for two.
-    for (name, keys) in [("count_one_key", "country"), ("count_two_keys", "country, user")] {
-        let sql = format!("SELECT {keys}, COUNT(*) c FROM data GROUP BY {keys}");
-        let analyzed = analyze(&parse_query(&sql).unwrap()).unwrap();
-        timed(&format!("{name}_counts_array"), || {
-            black_box(execute(&store, &analyzed, &serial).unwrap());
-        });
+    // 4. Row order: the same table unsorted, each case timed on both stores
+    // in alternation. The scan_cold layout (partitioned on `country,
+    // table_name` in 2 000-row chunks) puts one country in most chunks, so
+    // its `country` chart is one group per chunk.
+    let unsorted = logs_table(rows);
+    let production = BuildOptions::production(&["user", "country"]);
+    let unsorted_store = DataStore::build(&unsorted, &production).unwrap();
+    let mut scan_cold = BuildOptions::production(&["country", "table_name"]);
+    if let Some(spec) = &mut scan_cold.partition {
+        spec.max_chunk_rows = 2_000;
+    }
+    let one_group_sorted =
+        DataStore::build(&unsorted.sorted_by(&["country", "table_name"]).unwrap(), &scan_cold)
+            .unwrap();
+    let one_group_unsorted = DataStore::build(&unsorted, &scan_cold).unwrap();
+    for (name, sql, sorted, unsorted) in [
+        ("float_groupby_dense", sql, &store, &unsorted_store),
+        (
+            "count_one_key_counts_array",
+            "SELECT country, COUNT(*) c FROM data GROUP BY country",
+            &store,
+            &unsorted_store,
+        ),
+        (
+            "count_two_keys_counts_array",
+            "SELECT country, user, COUNT(*) c FROM data GROUP BY country, user",
+            &store,
+            &unsorted_store,
+        ),
+        ("sum_keyless", "SELECT SUM(latency) s FROM data", &store, &unsorted_store),
+        (
+            "sum_one_group",
+            "SELECT country, SUM(latency) s FROM data GROUP BY country",
+            &one_group_sorted,
+            &one_group_unsorted,
+        ),
+    ] {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        let answer = |store: &DataStore| execute(store, &analyzed, &serial).unwrap().0;
+        assert_eq!(answer(sorted), answer(unsorted), "row order changes no answer: {sql}");
+        let (on_sorted, on_unsorted) = alternated(
+            name,
+            || {
+                black_box(answer(sorted));
+            },
+            || {
+                black_box(answer(unsorted));
+            },
+        );
+        let ratio = on_sorted.as_secs_f64() / on_unsorted.as_secs_f64();
+        println!("{:<42} {ratio:>11.2}x", format!("{name} sorted/unsorted"));
+        assert!(
+            ratio <= SORTED_BOUND,
+            "{name}: the sorted store may cost at most {SORTED_BOUND}x the unsorted one: \
+             {on_sorted:?} vs {on_unsorted:?}"
+        );
     }
 
     // 2. Masks in the code domain vs the value domain, same store, same

@@ -886,7 +886,9 @@ impl Plan {
     }
 
     /// Group one chunk: `COUNT(*)` alone by one or two keys in a counts
-    /// array, anything else by a group index and one loop per slot.
+    /// array, anything else by a group index and one loop per slot — one
+    /// group (no key, or one entry in every key's chunk dictionary) listing
+    /// no group per row.
     /// `filtered` says whether the row filter applies (fully active chunks
     /// skip it by definition).
     fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
@@ -921,9 +923,10 @@ impl Plan {
         // never needs the dense limit: its counts array is bounded by the
         // chunk-dictionary size, which is at most the chunk's row count (the
         // limit exists to stop *products* of key-dictionary sizes from
-        // exploding).
+        // exploding). A chunk of one group counts its rows below instead.
         if let [SlotPlan { kind: SlotKind::Count, .. }] = &self.slots[..] {
             let counts = match (&key_chunks[..], dense_capacity) {
+                (_, Some(1)) => None,
                 ([key], _) => Some(kernels::count_single(key.codes(), sizes[0], mask.as_ref())),
                 ([a, b], Some(capacity)) => Some(kernels::count_fused(
                     a.codes(),

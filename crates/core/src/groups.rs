@@ -32,6 +32,13 @@
 //! is no column of its own: it reads the `sum(x)` slot and the `count`
 //! slot, the same states a `SUM(x)` and a `COUNT(*)` read — so one table,
 //! remembered once, answers all three.
+//!
+//! A float-sum slot is exact however its rows were split up. A chunk
+//! kernel deals one group's rows out to a few lanes, each a slot's
+//! double-double pair held by value in a register
+//! ([`FloatColumn::add_to_lane`]), and merges them into one slot
+//! ([`FloatColumn::of_lanes`]) by the merge that folds chunk tables: the
+//! slot holds the exact sum a single slot fed row by row would hold.
 
 use crate::count_distinct::KmvSketch;
 use pd_common::{sortkey, Error, FloatSum, HeapSize, Result, Value};
@@ -432,6 +439,33 @@ impl FloatColumn {
         }
     }
 
+    /// [`FloatColumn::add`] on a lane: a pair held by value — in
+    /// registers, while a loop deals its rows out to a few of them — and its
+    /// exact accumulator once tainted.
+    #[inline(always)]
+    pub(crate) fn add_to_lane(lane: Pair, x: f64, exact: &mut Option<Box<FloatSum>>) -> Pair {
+        let (s1, e1) = two_sum(lane.0, x);
+        let (s2, e2) = two_sum(lane.1, e1);
+        if e2 != 0.0 {
+            taint(exact, lane, x);
+            return (f64::NAN, lane.1);
+        }
+        (s1, s2)
+    }
+
+    /// One slot holding the sum of `lanes` ([`FloatColumn::add_to_lane`]),
+    /// merged as chunk tables merge: the sum a single slot would hold.
+    pub(crate) fn of_lanes<const N: usize>(
+        lanes: [Pair; N],
+        exact: [Option<Box<FloatSum>>; N],
+    ) -> FloatColumn {
+        let (hi, lo) = lanes.into_iter().unzip();
+        let lanes = FloatColumn { hi, lo, exact: exact.into() };
+        let mut sum = FloatColumn::new(1);
+        sum.absorb(&lanes, &[0; N]);
+        sum
+    }
+
     fn absorb(&mut self, from: &FloatColumn, map: &[u32]) {
         for (j, &to) in map.iter().enumerate() {
             let to = to as usize;
@@ -468,6 +502,17 @@ impl PartialEq for FloatColumn {
     fn eq(&self, other: &FloatColumn) -> bool {
         self.hi.len() == other.hi.len() && (0..self.hi.len()).all(|g| self.sum(g) == other.sum(g))
     }
+}
+
+/// A double-double `(hi, lo)`: one [`FloatColumn`] slot, held by value.
+pub(crate) type Pair = (f64, f64);
+
+/// Add `x` to a lane's exact accumulator: the one it has, or one seeded
+/// from its last exact pair.
+#[cold]
+#[inline(never)]
+fn taint(exact: &mut Option<Box<FloatSum>>, (hi, lo): Pair, x: f64) {
+    exact.get_or_insert_with(|| Box::new(pair_sum(hi, lo))).add(x);
 }
 
 /// The exact accumulator of an untainted pair.

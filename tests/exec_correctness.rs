@@ -926,3 +926,73 @@ fn sums_of_specials_alone_match_the_row_oracle() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// One group's lanes
+// ---------------------------------------------------------------------------
+
+/// A chunk of one group deals its rows out to a few independent lanes
+/// (sums, extremes) and merges them once at the end; the row oracle must
+/// not see the lanes. Keyless charts and charts by a key that is constant
+/// on every chunk of a sorted build partitioned by it, over chunks of 1–9
+/// rows so that every lane remainder occurs; each table holds one value
+/// that taints the double-double pair of its lane — NaN, ±∞ or ±2⁶⁰ beside
+/// values down to 2⁻⁶⁰ — at rows of every residue modulo four across the
+/// cases, so that one lane taints while its neighbours stay pairs;
+/// unmasked and under random masks, on the basic build (one chunk) and on
+/// the sorted, partitioned one.
+#[test]
+fn lane_sums_and_extremes_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("x", DataType::Float),
+        ("n", DataType::Int),
+        ("r", DataType::Int),
+    ]);
+    let tainting = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2f64.powi(60), -(2f64.powi(60))];
+    let mut rng = Rng::seed_from_u64(0x1a4e_0062);
+    for case in 0..160 {
+        // Blocks of one key value each, 1–9 rows long: the partitioned
+        // build cuts each into chunks of its own.
+        let blocks: Vec<usize> =
+            (0..rng.range_usize(1, 5)).map(|_| rng.range_usize(1, 10)).collect();
+        // The tainting row: `case` modulo four places it on every lane in
+        // turn, counted from the start of its block.
+        let block = rng.range_usize(0, blocks.len());
+        let start: usize = blocks[..block].iter().sum();
+        let offset = (case % 4).min(blocks[block] - 1);
+        let special = (start + offset, tainting[rng.range_usize(0, tainting.len())]);
+        let mut table = Table::new(schema.clone());
+        let keys = blocks.iter().enumerate().flat_map(|(b, &len)| std::iter::repeat_n(b, len));
+        for (row, b) in keys.enumerate() {
+            let x = match (row == special.0, rng.range_usize(0, 3)) {
+                (true, _) => special.1,
+                (false, 0) => rng.range_i64_inclusive(-999, 999) as f64 * 2f64.powi(-60),
+                (false, _) => random_float(&mut rng, false),
+            };
+            table
+                .push_row(Row(vec![
+                    Value::from(format!("k{b}")),
+                    Value::Float(x),
+                    Value::Int(rng.range_i64_inclusive(i64::MIN / 16, i64::MAX / 16)),
+                    Value::Int(rng.range_i64_inclusive(0, 99)),
+                ]))
+                .unwrap();
+        }
+        let aggs = "COUNT(*) c, SUM(x) s, AVG(x) a, SUM(n) sn, MIN(x) lo, MAX(x) hi, MIN(n) ln, \
+                    MAX(n) hn";
+        let t = rng.range_i64_inclusive(-5, 105);
+        let sqls = [
+            format!("SELECT {aggs} FROM data"),
+            format!("SELECT {aggs} FROM data WHERE r < {t}"),
+            format!("SELECT k, {aggs} FROM data GROUP BY k"),
+            format!("SELECT k, {aggs} FROM data WHERE r < {t} GROUP BY k"),
+        ];
+        let partitioned = BuildOptions::optdicts(PartitionSpec::new(&["k"], 9));
+        for options in [BuildOptions::basic(), partitioned] {
+            let label =
+                format!("case {case}: blocks {blocks:?}, {} at row {}", special.1, special.0);
+            assert_matches_oracle(&table, &options, &sqls, &label);
+        }
+    }
+}
