@@ -159,23 +159,23 @@ pub fn cost_score(bytes: usize, cells: u64) -> u64 {
 /// keyed by (query signature, chunk).
 ///
 /// A payload is the chunk kernel's own group table (`crate::groups`) of
-/// **global-ids**: the fold adds a cached table exactly as it adds a
-/// computed one, and ids become [`pd_common::Value`]s only for the rows a
-/// query returns, so a hit costs no dictionary lookup at all.
+/// **chunk-ids**: the fold translates a cached table through the chunk
+/// dictionaries exactly as it does a computed one, and ids become
+/// [`pd_common::Value`]s only for the rows a query returns.
 ///
 /// # Lifetime
 ///
-/// An entry is a function of the rows of its chunk and of the ids the
-/// dictionaries of the signature's columns give their values — nothing
-/// else (no restriction is in the key: only fully-active chunks are
-/// cached). It therefore outlives any change that leaves both alone, and
-/// [`crate::DataStore::append_delta`] does: delta rows land in fresh
-/// chunks, dictionaries only grow at the tail, materialized virtual fields
-/// are extended the same way. A change that rewrites chunk *c* must drop
-/// chunk *c*'s entries; one that renumbers a column's dictionary (a
-/// re-sort; a virtual field dropped and rebuilt) must drop every entry
-/// whose signature names that column. Nothing finer than [`Self::clear`]
-/// exists yet, because nothing rewrites a chunk yet.
+/// An entry is a function of the rows of its chunk alone: a chunk-id is
+/// the rank of its value among the chunk's values, whatever the global
+/// dictionary around them holds (no restriction is in the key either: only
+/// fully-active chunks are cached). It therefore outlives any change that
+/// leaves the chunk's rows alone, and [`crate::DataStore::append_delta`]
+/// does: delta rows land in fresh chunks, and the merge that renumbers
+/// global-ids rewrites chunk dictionaries, never a chunk-id; a virtual
+/// field dropped and rebuilt gives every chunk the chunk-ids it had. A
+/// change that rewrites chunk *c* must drop chunk *c*'s entries; nothing
+/// finer than [`Self::clear`] exists yet, because nothing rewrites a chunk
+/// yet.
 pub struct ResultCache {
     entries: BoundedCache<(Arc<str>, u32), Arc<GroupTable<u32>>>,
 }
@@ -209,8 +209,8 @@ impl ResultCache {
     }
 
     /// Drop every cached chunk result: for a holder whose store changed in
-    /// a way entries do not survive (see *Lifetime* above) — an append that
-    /// had to drop a virtual field, a cache about to serve another store.
+    /// a way entries do not survive (see *Lifetime* above) — a cache about
+    /// to serve another store.
     pub fn clear(&self) {
         self.entries.clear();
     }

@@ -86,16 +86,30 @@ impl StoredColumn {
         Ok(column)
     }
 
-    /// Append pre-resolved global-ids as fresh chunks of the given row
-    /// counts. Existing chunks are untouched — this is the store side of an
-    /// in-place delta append, where `global_ids` came from
-    /// [`GlobalDict::extend`] and existing ids are guaranteed stable.
-    pub fn append_chunks(
+    /// Append a batch of coded rows — `dict`, a dictionary of this column's
+    /// type over the batch's values, and a code into it per row — as fresh
+    /// chunks of `chunk_lens` rows. `dict` is merged into the column's
+    /// sorted dictionary ([`GlobalDict::merge`]); if that moved old ids, the
+    /// old chunk dictionaries are renumbered through the merge's map, and
+    /// their element arrays, which hold chunk-ids, are untouched.
+    pub(crate) fn append_coded(
         &mut self,
-        global_ids: &[u32],
+        dict: &GlobalDict,
+        codes: &[u32],
         chunk_lens: &[usize],
         options: &BuildOptions,
-    ) {
+    ) -> Result<()> {
+        let merged = self.dict.merge(dict)?;
+        if let Some(map) = &merged.renumbered {
+            self.chunks.iter_mut().for_each(|chunk| chunk.dict.renumber(map));
+        }
+        let global_ids: Vec<u32> = codes.iter().map(|&code| merged.ids[code as usize]).collect();
+        self.append_chunks(&global_ids, chunk_lens, options);
+        Ok(())
+    }
+
+    /// Encode global-ids as fresh chunks of the given row counts.
+    fn append_chunks(&mut self, global_ids: &[u32], chunk_lens: &[usize], options: &BuildOptions) {
         debug_assert_eq!(global_ids.len(), chunk_lens.iter().sum::<usize>());
         let mut at = 0usize;
         for &len in chunk_lens {

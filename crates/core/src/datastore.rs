@@ -15,7 +15,8 @@
 //! exactly like base columns (same chunk boundaries, same dictionary
 //! machinery), keyed by the expression's canonical text, computed once and
 //! reused by later queries. An append extends them in place, like base
-//! columns, by evaluating the expression over the delta rows only.
+//! columns, by evaluating the expression over the delta rows only, and
+//! merges the values into their sorted dictionary as a base column's are.
 
 use crate::column::StoredColumn;
 use crate::options::BuildOptions;
@@ -99,22 +100,24 @@ impl DataStore {
 
     /// Apply a delta batch in place (§4 freshness without a re-import).
     ///
-    /// Each column's global dictionary grows via [`pd_encoding::GlobalDict::extend`]
-    /// over the delta dictionary's *entries* — every existing id stays
-    /// stable, genuinely new values get appended tail ids in the delta
-    /// dictionary's (value) order, and no value is looked up once per row —
-    /// and the delta rows are encoded as *fresh chunks* in
-    /// arrival order (bounded by the build threshold); existing chunks and
-    /// their element arrays are untouched, so results folded across old and
-    /// new chunks are bit-identical to a full re-import of the concatenated
-    /// data. Materialized virtual fields grow the same way: the expression
-    /// is evaluated over the delta rows only, its dictionary extended, the
-    /// same fresh chunks appended — so anything keyed on a chunk and holding
-    /// global-ids (the chunk-result cache) stays valid for every old chunk.
-    /// A field that cannot be extended (the expression fails on a delta
-    /// row, or yields a value its dictionary cannot hold) is dropped
-    /// instead and rebuilt on next access, *with new ids*:
-    /// [`DataStore::virtual_names`] differing across the call says so.
+    /// Each column's delta dictionary is merged into its global dictionary
+    /// ([`pd_encoding::GlobalDict::merge`], entry by entry, never row by
+    /// row), which stays sorted: every global dictionary is the one a build
+    /// of all the rows would make, so a value range stays an id range
+    /// (§2.3). Where the merge moves old ids, only the column's chunk
+    /// dictionaries are renumbered, through its monotone old → new map;
+    /// element arrays hold chunk-ids and are untouched (§2's double
+    /// dictionary). The delta rows are encoded as *fresh chunks* in arrival
+    /// order (bounded by the build threshold), so results folded across old
+    /// and new chunks are bit-identical to a full re-import of the
+    /// concatenated data. Materialized virtual fields grow the same way: the
+    /// expression is evaluated over the delta rows only, its values merged
+    /// into the field's dictionary, the same fresh chunks appended. A chunk's
+    /// chunk-ids depend on its own rows alone, so anything keyed on a chunk
+    /// and holding chunk-ids (the chunk-result cache) stays valid for every
+    /// old chunk. A field that cannot be extended (the expression fails on a
+    /// delta row, or yields a value its dictionary cannot hold) is dropped
+    /// instead and rebuilt on next access.
     ///
     /// All or nothing: every check, and every virtual field's evaluation,
     /// happens before the first column is touched, so an `Err` leaves the
@@ -143,12 +146,10 @@ impl DataStore {
         }
         let options = &self.options;
         let append = |column: &mut Arc<StoredColumn>, dict: &GlobalDict, codes: &[u32]| {
-            let column = Arc::make_mut(column);
             // A validated delta of the store's schema holds each base
             // column's type; a staged field's type was checked.
-            let ids = column.dict.extend(&entries(dict)).expect("the dictionary's type");
-            let global_ids: Vec<u32> = codes.iter().map(|&code| ids[code as usize]).collect();
-            column.append_chunks(&global_ids, &chunk_lens, options);
+            (Arc::make_mut(column).append_coded(dict, codes, &chunk_lens, options))
+                .expect("the dictionary's type")
         };
 
         for (field, coded) in self.schema.fields().iter().zip(&delta.columns) {
@@ -520,13 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn append_delta_keeps_ids_stable_and_rows_in_arrival_order() {
+    fn append_delta_ids_are_ranks_and_rows_stay_in_arrival_order() {
         let table = generate_logs(&LogsSpec::scaled(2_000));
         let options = production_options();
         let base = table.select_rows(&(0..1_500).collect::<Vec<_>>());
         let mut store = DataStore::build(&base, &options).unwrap();
-        let before = store.column("country").unwrap();
-        let base_dict_lens = dict_lens(&store, &[]);
+        let before: Vec<_> =
+            store.column_names().iter().map(|n| store.column(n).unwrap()).collect();
         let old_chunks = store.chunk_count();
 
         // Materialize two virtual fields, then append: both are extended in
@@ -542,28 +543,24 @@ mod tests {
         assert_eq!(store.n_rows(), 2_000);
         assert_eq!(store.virtual_names(), ["date(timestamp)", "hour(timestamp)"]);
         let virtuals: Vec<_> = exprs.iter().map(|e| store.column_for_expr(e).unwrap()).collect();
-        assert!(virtuals[1].dict.len() > virtuals_before[1].dict.len(), "new dates get tail ids");
-        for (now, was) in virtuals.iter().zip(&virtuals_before) {
-            for id in 0..was.dict.len() {
-                assert_eq!(now.dict.value(id), was.dict.value(id), "virtual id {id} moved");
-            }
-        }
+        assert!(virtuals[1].dict.len() > virtuals_before[1].dict.len(), "new dates are merged in");
 
-        // Existing ids are untouched: the old dictionary is a prefix.
-        let after = store.column("country").unwrap();
-        for id in 0..before.dict.len() {
-            assert_eq!(after.dict.value(id), before.dict.value(id), "id {id} moved");
+        // Every dictionary holds its old values and the new ones, sorted:
+        // an id is a value's rank. Where a new value sorts before an old
+        // one, that old value's id moved up — which this delta does to
+        // some column.
+        let after = store.column_names().into_iter().map(|n| store.column(&n).unwrap());
+        let mut moved = 0;
+        for (was, now) in before.iter().chain(&virtuals_before).zip(after.chain(virtuals.clone())) {
+            let values: Vec<Value> = (0..now.dict.len()).map(|id| now.dict.value(id)).collect();
+            assert!(values.windows(2).all(|pair| pair[0] < pair[1]), "ids are ranks");
+            let old: Vec<u32> = (0..was.dict.len())
+                .map(|id| now.dict.id_of(&was.dict.value(id)).expect("an old value stays"))
+                .collect();
+            assert!(old.iter().zip(0..).all(|(&now, was)| now >= was), "ids only move up");
+            moved += usize::from(old.iter().zip(0..).any(|(&now, was)| now != was));
         }
-        // New values are resolved per delta-dictionary entry: their tail ids
-        // follow the delta dictionary's (value) order, not the rows'.
-        let mut longest_tail = 0;
-        for (name, was) in store.column_names().iter().zip(&base_dict_lens) {
-            let dict = &store.column(name).unwrap().dict;
-            let tail: Vec<Value> = (*was..dict.len()).map(|id| dict.value(id)).collect();
-            assert!(tail.windows(2).all(|pair| pair[0] < pair[1]), "{name}: {tail:?}");
-            longest_tail = longest_tail.max(tail.len());
-        }
-        assert!(longest_tail > 1, "some column must have tailed more than one value");
+        assert!(moved > 1, "the append must renumber old ids of some columns: {moved}");
 
         // Appended rows live in fresh chunks, in arrival order.
         let p = store.partitioning();

@@ -2,7 +2,8 @@
 //!
 //! Per active chunk, group-by evaluation "boils down to executing
 //! `counts[elements[row]]++`" over a dense array sized by the chunk
-//! dictionary, after which per-chunk results are folded into one group
+//! dictionary into a table of **chunk-ids**, after which per-chunk results
+//! are translated through the chunk dictionaries and folded into one group
 //! table keyed by **global-ids**. The per-chunk loops live in
 //! `crate::kernels` (crate-private) and operate on raw dictionary codes,
 //! one set of kernels for every chunk; the table — columns of
@@ -14,8 +15,8 @@
 //! The group table leaves the id domain as late as its consumer allows
 //! (§2.4 groups on ids; the trie dictionary of §3 is affordable because
 //! id→value is needed only for the rows a query returns). [`execute`]
-//! ranks it as it is — ids of a sorted dictionary order like their values
-//! — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
+//! ranks it as it is — every dictionary is sorted, so ids order like their
+//! values — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
 //! `LIMIT` let through. [`execute_partial`] serves the distributed layer
 //! (§4), whose shards share no dictionary and so must merge by value: it
 //! writes each key column once as sort keys (`pd_common::sortkey`), by one
@@ -49,8 +50,8 @@
 //! leaf. Per `Partial` chunk those ids become chunk-ids through the chunk
 //! dictionary and the packed [`pd_common::BitVec`] mask is integer
 //! compares over the row codes, 64 rows per word — no value is
-//! materialized. Only leaves the resolver declines (a range on a tailed or
-//! trie dictionary, calls such as `contains(..)`) tabulate over the chunk
+//! materialized. Only leaves the resolver declines (a range on a trie
+//! dictionary, calls such as `contains(..)`) tabulate over the chunk
 //! dictionary's values (one evaluation per distinct value), and only
 //! genuinely multi-column subtrees evaluate per row. A conjunct that holds
 //! for a whole chunk drops out of that chunk's `AND`; an all-false mask
@@ -226,10 +227,6 @@ pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<Quer
 /// What [`rank`] needs to know about a group table's cells of type `C`:
 /// its key cells and the cells of its MIN/MAX columns.
 trait KeyCells<C: Cell> {
-    /// Does the key column's order as stored ([`Keys::cmp_cells`]) equal
-    /// [`Value::cmp`] on the values its cells stand for?
-    fn value_ordered(&self, key: usize) -> bool;
-
     /// The value MIN/MAX cell `cell` of slot `slot` stands for.
     fn extreme(&self, slot: usize, cell: &C) -> Value;
 
@@ -247,10 +244,6 @@ trait KeyCells<C: Cell> {
 struct ValueKeys;
 
 impl KeyCells<Value> for ValueKeys {
-    fn value_ordered(&self, _: usize) -> bool {
-        true
-    }
-
     fn extreme(&self, _: usize, cell: &Value) -> Value {
         cell.clone()
     }
@@ -266,8 +259,7 @@ impl KeyCells<Value> for ValueKeys {
 }
 
 /// Cells that are global-ids into the dictionaries of a plan's key and
-/// MIN/MAX argument columns. Ids order like their values while a
-/// dictionary is sorted; one an append has tailed is compared by value.
+/// MIN/MAX argument columns, which are sorted: ids order like their values.
 struct IdKeys<'a>(&'a Plan);
 
 impl IdKeys<'_> {
@@ -283,10 +275,6 @@ impl IdKeys<'_> {
 }
 
 impl KeyCells<u32> for IdKeys<'_> {
-    fn value_ordered(&self, key: usize) -> bool {
-        self.key_dict(key).is_value_ordered()
-    }
-
     fn extreme(&self, slot: usize, id: &u32) -> Value {
         self.slot_dict(slot).value(*id)
     }
@@ -339,9 +327,8 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// ([`GroupTable::order_key`]: counts and sums as numbers, no [`Value`] per
 /// group); only the cells HAVING reads, and a MIN/MAX the ORDER BY reads,
 /// are finalized for every group. Key cells are compared as stored — ids
-/// of a sorted dictionary, sort keys as bytes — wherever that is the value
-/// order ([`KeyCells::value_ordered`]), and become values for every group
-/// only if HAVING names the key or the stored order is not the values'.
+/// of a sorted dictionary, sort keys as bytes — and become values for every
+/// group only if HAVING names the key.
 /// With one key compared as stored, the key cells are not read at all: the
 /// table lists its groups in strictly ascending key order, so two groups'
 /// positions order like their keys — and a chart ordered by that key or by
@@ -403,8 +390,7 @@ fn rank<C: Cell>(
 
     // Columns the ranking reads for every group, finalized / looked up
     // once: the aggregates HAVING names and the MIN/MAX (no order key) ORDER
-    // BY names; the keys HAVING names or whose cells do not order like their
-    // values.
+    // BY names; the keys HAVING names.
     let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
     let agg_cell = |i: usize, g: usize| groups.cell(analyzed.reads[i], g, &extreme);
     let order_key = |i: usize, g: usize| groups.order_key(analyzed.reads[i], g);
@@ -419,7 +405,7 @@ fn rank<C: Cell>(
         .collect();
     let key_values: Vec<Option<Vec<Value>>> = (0..analyzed.keys.len())
         .map(|i| {
-            (having_reads(OutputCol::Key(i)) || !domain.value_ordered(i))
+            having_reads(OutputCol::Key(i))
                 .then(|| domain.key_values(i, groups.key(i), 0..groups.len()))
         })
         .collect();
@@ -636,8 +622,8 @@ struct Plan {
     touched: usize,
 }
 
-/// One scanned chunk's contribution: a cache hit, or a table a worker
-/// computed.
+/// One scanned chunk's contribution, a table of chunk-ids: a cache hit, or
+/// a table a worker computed.
 ///
 /// Workers never mutate shared state: a computed table is handed back for
 /// the driver to admit into the cache (and account) in deterministic chunk
@@ -651,12 +637,18 @@ enum ChunkScan {
 ///
 /// Owns every shared-state mutation (cache admission, statistics), keeping
 /// them deterministic under any worker scheduling; the groups accumulate in
-/// a [`GroupFold`], cached and computed tables alike.
+/// a [`GroupFold`], cached and computed tables alike, each read from
+/// chunk-ids to global-ids through its chunk dictionaries ([`chunk_ids`]).
 struct Fold<'a> {
     plan: &'a Plan,
     cache: Option<&'a ResultCache>,
     stats: ScanStats,
     groups: GroupFold,
+}
+
+/// The global-ids of `col`'s chunk `c`, indexed by chunk-id.
+fn chunk_ids(col: &StoredColumn, c: usize) -> &[u32] {
+    col.chunks[c].dict.global_ids()
 }
 
 impl<'a> Fold<'a> {
@@ -698,7 +690,12 @@ impl<'a> Fold<'a> {
                 table
             }
         };
-        self.groups.absorb(table, self.plan.cell_order());
+        let plan = self.plan;
+        self.groups.absorb(
+            table,
+            |i| chunk_ids(&plan.key_cols[i], c),
+            |s| chunk_ids(plan.slots[s].col.as_ref().expect("MIN/MAX has an argument"), c),
+        );
     }
 }
 
@@ -849,46 +846,30 @@ impl Plan {
             let (c, filtered) = tasks[i];
             folder.absorb(c, store.chunk_rows(c) as u64, filtered, ready);
         }
-        let groups = folder.groups.finish(self.cell_order());
+        let groups = folder.groups.finish();
         debug_assert!(groups.is_sorted(), "the fold lists its groups in id order");
         Ok((groups, folder.stats))
-    }
-
-    /// The value order of slot `s`'s MIN/MAX cells: their ids' while the
-    /// argument's dictionary is sorted, their values' once it is tailed.
-    fn cell_order(&self) -> impl Fn(usize, &u32, &u32) -> Ordering + '_ {
-        let cells = IdKeys(self);
-        move |s, a, b| match cells.slot_dict(s).is_value_ordered() {
-            true => a.cmp(b),
-            false => cells.extreme(s, a).cmp(&cells.extreme(s, b)),
-        }
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
     /// does not share this store's dictionaries (a tree parent merging
     /// shards): each key column of ids written as sort keys, and each
     /// MIN/MAX column translated to values, by one ordered dictionary walk
-    /// ([`keys_of`]), not one lookup per group; dictionaries are
-    /// bijections, so distinct id tuples stay distinct keys. The fold's id
-    /// order is key order while every key dictionary is sorted; once one is
-    /// tailed, the keys are sorted by value — which the sorted base began,
-    /// so the sort has a short tail to place.
+    /// ([`keys_of`]), not one lookup per group; dictionaries are sorted
+    /// bijections, so distinct id tuples stay distinct keys, in the fold's
+    /// order.
     fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
         let cells = IdKeys(self);
-        let mut table = groups.into_values(
+        PartialResult::new(groups.into_values(
             |i, ids| keys_of(cells.key_dict(i), ids),
             |s, ids| values_of(cells.slot_dict(s), &ids),
-        );
-        if !self.key_cols.iter().all(|col| col.dict.is_value_ordered()) {
-            table = table.sort_keys();
-        }
-        PartialResult::new(table)
+        ))
     }
 
-    /// Group one chunk: `COUNT(*)` alone by one or two keys in a counts
-    /// array, anything else by a group index and one loop per slot — one
-    /// group (no key, or one entry in every key's chunk dictionary) listing
-    /// no group per row.
+    /// Group one chunk into a table of chunk-ids: `COUNT(*)` alone by one or
+    /// two keys in a counts array, anything else by a group index and one
+    /// loop per slot — one group (no key, or one entry in every key's chunk
+    /// dictionary) listing no group per row.
     /// `filtered` says whether the row filter applies (fully active chunks
     /// skip it by definition).
     fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
@@ -941,7 +922,7 @@ impl Plan {
                 let counted: Vec<u32> =
                     (0..counts.len() as u32).filter(|&g| counts[g as usize] > 0).collect();
                 counts.retain(|&n| n > 0);
-                let keys = kernels::dense_keys(&counted, &key_chunks, &sizes);
+                let keys = kernels::dense_keys(&counted, &sizes);
                 return Ok(GroupTable::new(counted.len(), keys, vec![Column::Count(counts)]));
             }
         }

@@ -8,11 +8,15 @@
 //! expression and one typed **state column** per aggregate slot, group `g`
 //! being position `g` of every column.
 //!
-//! Inside a store (the *id domain*) a cell (`K`) is a `u32` global-id and a
-//! key column a `Vec<u32>`: a chunk kernel fills a chunk-local table, its
-//! groups born in ascending id order; that table is the chunk-result
-//! cache's payload; [`GroupFold`] folds chunk tables into the store's
-//! table, in the same order; the executor's ranking reads columns. Where
+//! Inside a store (the *id domain*) a cell (`K`) is a `u32` id and a key
+//! column a `Vec<u32>`: a chunk kernel fills a chunk-local table of
+//! chunk-ids, its groups born in ascending id order; that table is the
+//! chunk-result cache's payload, a function of the chunk's rows alone;
+//! [`GroupFold`] folds chunk tables into the store's table of global-ids,
+//! reading each cell through its chunk dictionary, in the same order; the
+//! executor's ranking reads columns.
+//! Every dictionary is sorted, so in both domains a cell orders as the
+//! value it stands for, and a MIN/MAX keeps the least or greatest cell. Where
 //! stores meet (the *value domain*) a cell is a [`Value`]: a
 //! [`PartialResult`] is the same table, every key column one byte buffer
 //! ([`KeyBytes`]) of sort keys ([`pd_common::sortkey`], which `memcmp`
@@ -47,9 +51,10 @@ use std::cmp::Ordering;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-/// What a group table's cells are — global-ids in a store, values where
-/// stores meet — and how that domain holds a key column of them.
-pub(crate) trait Cell: Clone + HeapSize {
+/// What a group table's cells are — ids in a store, values where stores
+/// meet — and how that domain holds a key column of them. Cells order as
+/// the values they stand for.
+pub(crate) trait Cell: Clone + HeapSize + Ord {
     type Keys: Keys;
 }
 
@@ -69,9 +74,6 @@ pub(crate) trait Keys: Clone + Debug + Default + PartialEq {
     /// the values' order for sort keys.
     fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering;
 
-    /// The cells at `order`, in that order.
-    fn gather(&self, order: &[u32]) -> Self;
-
     /// The cells of two columns at positions `0..len`: `a`'s cell `i` at
     /// `to_a[i]` and `b`'s cell `j` at `to_b[j]`, `a`'s where both have one.
     fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self;
@@ -87,10 +89,6 @@ impl Keys for Vec<u32> {
 
     fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering {
         self[a].cmp(&other[b])
-    }
-
-    fn gather(&self, order: &[u32]) -> Self {
-        order.iter().map(|&g| self[g as usize]).collect()
     }
 
     fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self {
@@ -162,6 +160,15 @@ impl KeyBytes {
         }
         Ok(KeyBytes { bytes, ends })
     }
+
+    /// The cells at `order`, in that order.
+    pub(crate) fn gather(&self, order: &[u32]) -> KeyBytes {
+        // Exact for a permutation, the mean cell's size otherwise.
+        let bytes = self.bytes.len() * order.len() / self.len().max(1);
+        let mut cells = KeyBytes::with_capacity(order.len(), bytes);
+        order.iter().for_each(|&g| cells.push(self.get(g as usize)));
+        cells
+    }
 }
 
 impl Keys for KeyBytes {
@@ -171,14 +178,6 @@ impl Keys for KeyBytes {
 
     fn cmp_cells(&self, a: usize, other: &Self, b: usize) -> Ordering {
         self.get(a).cmp(other.get(b))
-    }
-
-    fn gather(&self, order: &[u32]) -> Self {
-        // Exact for a permutation, the mean cell's size otherwise.
-        let bytes = self.bytes.len() * order.len() / self.len().max(1);
-        let mut cells = KeyBytes::with_capacity(order.len(), bytes);
-        order.iter().for_each(|&g| cells.push(self.get(g as usize)));
-        cells
     }
 
     fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self {
@@ -288,9 +287,9 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    /// Add `from`'s group `j` into group `map[j]`. `order` is the value
-    /// order of this slot's MIN/MAX cells.
-    fn absorb(&mut self, from: &Column<K>, map: &[u32], order: impl Fn(&K, &K) -> Ordering) {
+    /// Add `from`'s group `j` into group `map[j]`, each of `from`'s MIN/MAX
+    /// cells read as `cell` of it.
+    fn absorb(&mut self, from: &Column<K>, map: &[u32], cell: impl Fn(&K) -> K) {
         let slots = map.iter().map(|&to| to as usize);
         match (self, from) {
             (Column::Count(to), Column::Count(from)) => {
@@ -304,10 +303,10 @@ impl<K: Cell> Column<K> {
             (Column::SumFloat(to), Column::SumFloat(from)) => to.absorb(from, map),
             (Column::Extreme { is_min, best: to }, Column::Extreme { best: from, .. }) => {
                 let worse = if *is_min { Ordering::Greater } else { Ordering::Less };
-                for (t, cell) in slots.zip(from) {
-                    let Some(cell) = cell else { continue };
-                    if to[t].as_ref().is_none_or(|held| order(held, cell) == worse) {
-                        to[t] = Some(cell.clone());
+                for (t, from) in slots.zip(from) {
+                    let Some(from) = from.as_ref().map(&cell) else { continue };
+                    if to[t].as_ref().is_none_or(|held| held.cmp(&from) == worse) {
+                        to[t] = Some(from);
                     }
                 }
             }
@@ -611,16 +610,11 @@ impl<K: Cell> GroupTable<K> {
     }
 
     /// Add the slots of another table of this shape, whose group `j` is
-    /// this table's group `map[j]`. `order(s, a, b)` is the value order of
-    /// slot `s`'s MIN/MAX cells.
-    fn absorb(
-        &mut self,
-        slots: &[Column<K>],
-        map: &[u32],
-        order: impl Fn(usize, &K, &K) -> Ordering,
-    ) {
+    /// this table's group `map[j]` and whose slot `s` holds MIN/MAX cell
+    /// `c` as `cell(s, c)`.
+    fn absorb(&mut self, slots: &[Column<K>], map: &[u32], cell: impl Fn(usize, &K) -> K) {
         for (s, (to, from)) in self.slots.iter_mut().zip(slots).enumerate() {
-            to.absorb(from, map, |a, b| order(s, a, b));
+            to.absorb(from, map, |c| cell(s, c));
         }
     }
 
@@ -644,20 +638,6 @@ impl<K: Cell> GroupTable<K> {
         let slots = self.slots.into_iter().map(|column| column.spread(to, len)).collect();
         GroupTable::new(len, keys, slots)
     }
-
-    /// The groups in ascending key order: for keys translated from a
-    /// dictionary an append has tailed, whose ids do not order like their
-    /// values. The sort is stable and adaptive: keys that the sorted base
-    /// put in order cost a pass.
-    pub(crate) fn sort_keys(self) -> GroupTable<K> {
-        let mut order: Vec<u32> = (0..self.len as u32).collect();
-        order.sort_by(|&a, &b| self.cmp_keys(a as usize, &self, b as usize));
-        let mut to = vec![0; self.len];
-        (0..).zip(&order).for_each(|(at, &g)| to[g as usize] = at);
-        let keys = self.keys.iter().map(|cells| cells.gather(&order)).collect();
-        let len = self.len;
-        self.spread(&to, len, keys)
-    }
 }
 
 /// A sketch's cell: its estimate, rounded.
@@ -666,6 +646,29 @@ fn estimate(sketch: &KmvSketch) -> i64 {
 }
 
 impl GroupTable<u32> {
+    /// A chunk's table of chunk-ids — as a chunk kernel makes it and the
+    /// chunk-result cache keeps it — in global-ids: key column `i`'s cells
+    /// through `keys(i)` and slot `s`'s MIN/MAX cells through `extremes(s)`,
+    /// each the chunk dictionary's global-ids. Chunk dictionaries are
+    /// sorted, so the groups stay in key order.
+    fn into_global<'a>(
+        mut self,
+        keys: impl Fn(usize) -> &'a [u32],
+        extremes: impl Fn(usize) -> &'a [u32],
+    ) -> GroupTable<u32> {
+        for (i, cells) in self.keys.iter_mut().enumerate() {
+            let ids = keys(i);
+            cells.iter_mut().for_each(|cell| *cell = ids[*cell as usize]);
+        }
+        for (s, column) in self.slots.iter_mut().enumerate() {
+            if let Column::Extreme { best, .. } = column {
+                let ids = extremes(s);
+                best.iter_mut().flatten().for_each(|cell| *cell = ids[*cell as usize]);
+            }
+        }
+        self
+    }
+
     /// The same groups in the value domain: key column `i` as the sort keys
     /// `keys(i, ids)` of its ids, and slot `s`'s MIN/MAX cells as the values
     /// `extremes(s, ids)` of the ids it holds.
@@ -702,12 +705,8 @@ impl GroupTable<u32> {
 /// of `table`'s, they are added in place. `other` is only read, and so are
 /// the key columns: new groups make new columns, cell by cell from both
 /// sides. A `table` nobody else holds gives its states away; a shared one
-/// has them cloned. `order(s, a, b)` is the value order of slot `s`'s MIN/MAX cells.
-pub(crate) fn merge_tables<K: Cell>(
-    table: &mut Arc<GroupTable<K>>,
-    other: &GroupTable<K>,
-    order: impl Fn(usize, &K, &K) -> Ordering,
-) {
+/// has them cloned.
+pub(crate) fn merge_tables<K: Cell>(table: &mut Arc<GroupTable<K>>, other: &GroupTable<K>) {
     if other.len == 0 {
         return;
     }
@@ -731,7 +730,7 @@ pub(crate) fn merge_tables<K: Cell>(
         len += 1;
     }
     if len as usize == a.len {
-        return Arc::make_mut(table).absorb(&other.slots, &to_b, order);
+        return Arc::make_mut(table).absorb(&other.slots, &to_b, |_, cell| cell.clone());
     }
     let keys = (a.keys.iter().zip(&b.keys))
         .map(|(a, b)| K::Keys::interleave(len, a, &to_a, b, &to_b))
@@ -741,7 +740,7 @@ pub(crate) fn merge_tables<K: Cell>(
         None => GroupTable { len: table.len, keys: Vec::new(), slots: table.slots.clone() },
     };
     let mut merged = own.spread(&to_a, len as usize, keys);
-    merged.absorb(&other.slots, &to_b, order);
+    merged.absorb(&other.slots, &to_b, |_, cell| cell.clone());
     match Arc::get_mut(table) {
         Some(own) => *own = merged,
         None => *table = Arc::new(merged),
@@ -852,7 +851,7 @@ impl PartialResult {
         if *self.table == GroupTable::default() {
             *self = other;
         } else if shape(self) == shape(&other) {
-            merge_tables(&mut self.table, &other.table, |_, a, b| a.cmp(b));
+            merge_tables(&mut self.table, &other.table);
         } else {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
@@ -911,24 +910,31 @@ impl GroupFold {
         }
     }
 
-    /// Add one chunk's table. `order(s, a, b)` is the value order of slot
-    /// `s`'s MIN/MAX cells.
-    pub(crate) fn absorb(
+    /// Add one chunk's table of chunk-ids, whose key column `i` and slot
+    /// `s`'s MIN/MAX cells index `keys(i)` and `extremes(s)`: the chunk
+    /// dictionaries' global-ids. Counted by id, the table is read where it
+    /// lies — a cached one is not copied; merged, it is translated
+    /// ([`GroupTable::into_global`]), copied first if another holds it.
+    pub(crate) fn absorb<'a>(
         &mut self,
         chunk: Arc<GroupTable<u32>>,
-        order: impl Fn(usize, &u32, &u32) -> Ordering,
+        keys: impl Fn(usize) -> &'a [u32],
+        extremes: impl Fn(usize) -> &'a [u32],
     ) {
         debug_assert!(chunk.is_sorted(), "a chunk table lists its groups in id order");
         match &mut self.by {
             FoldBy::ById(shown) => {
-                chunk.keys[0].iter().for_each(|&gid| shown[gid as usize] = true);
-                self.table.absorb(&chunk.slots, &chunk.keys[0], order);
+                let ids = keys(0);
+                let map: Vec<u32> = chunk.keys[0].iter().map(|&c| ids[c as usize]).collect();
+                map.iter().for_each(|&gid| shown[gid as usize] = true);
+                self.table.absorb(&chunk.slots, &map, |s, &c| extremes(s)[c as usize]);
             }
             FoldBy::Runs(runs) => {
-                let (mut run, mut chunks) = (chunk, 1);
+                let chunk = Arc::unwrap_or_clone(chunk).into_global(keys, extremes);
+                let (mut run, mut chunks) = (Arc::new(chunk), 1);
                 while runs.last().is_some_and(|&(_, n)| n == chunks) {
                     let (mut earlier, n) = runs.pop().expect("a run is on the stack");
-                    merge_tables(&mut earlier, &run, &order);
+                    merge_tables(&mut earlier, &run);
                     (run, chunks) = (earlier, chunks + n);
                 }
                 runs.push((run, chunks));
@@ -937,7 +943,7 @@ impl GroupFold {
     }
 
     /// The folded table.
-    pub(crate) fn finish(self, order: impl Fn(usize, &u32, &u32) -> Ordering) -> GroupTable<u32> {
+    pub(crate) fn finish(self) -> GroupTable<u32> {
         match self.by {
             FoldBy::ById(shown) => {
                 let ids = (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id);
@@ -950,7 +956,7 @@ impl GroupFold {
                 let mut runs = runs.into_iter().rev().map(|(run, _)| run);
                 let Some(mut folded) = runs.next() else { return self.table };
                 for mut earlier in runs {
-                    merge_tables(&mut earlier, &folded, &order);
+                    merge_tables(&mut earlier, &folded);
                     folded = earlier;
                 }
                 Arc::unwrap_or_clone(folded)
@@ -1061,10 +1067,11 @@ mod tests {
             let counts = vec![Column::Count(counts.to_vec())];
             Arc::new(GroupTable::new(gids.len(), vec![gids.to_vec()], counts))
         };
-        let order = |_: usize, a: &u32, b: &u32| a.cmp(b);
+        // Chunk-ids that are global-ids: every chunk dictionary holds 0..10.
+        let ids: Vec<u32> = (0..10).collect();
         for direct in [Some(10), None] {
             let fold = || GroupFold::new(1, [SlotKind::Count].into_iter(), direct);
-            let empty = fold().finish(order);
+            let empty = fold().finish();
             assert_eq!((empty.len(), empty.keys.len()), (0, 1), "no chunk: no group, one key");
             // The ids show up first-seen as 7, 2, 9; five chunks leave
             // runs of four and one on the merge path's stack.
@@ -1072,10 +1079,10 @@ mod tests {
             for (gids, counts) in
                 [(&[][..], &[][..]), (&[7], &[1]), (&[2, 7, 9], &[10, 30, 20]), (&[2, 9], &[2, 1])]
             {
-                fold.absorb(chunk(gids, counts), order);
+                fold.absorb(chunk(gids, counts), |_| &ids, |_| &ids);
             }
-            fold.absorb(chunk(&[9], &[5]), order);
-            let table = fold.finish(order);
+            fold.absorb(chunk(&[9], &[5]), |_| &ids, |_| &ids);
+            let table = fold.finish();
             assert_eq!(*table.key(0), [2, 7, 9], "{direct:?}");
             let counts = (0..3)
                 .map(|g| table.cell(SlotRef { slot: 0, count: None }, g, &|_, _| Value::Null));

@@ -713,7 +713,7 @@ pub(crate) struct GroupIndex<'a> {
     pub members: Members<'a>,
     /// How many groups there are; some row is in each.
     pub group_count: usize,
-    /// Per key column, the global-id each group has there, the groups in
+    /// Per key column, the chunk-id each group has there, the groups in
     /// strictly ascending key order.
     pub keys: Vec<Vec<u32>>,
 }
@@ -757,7 +757,7 @@ pub(crate) fn group_codes<'a>(
     dense_capacity: Option<usize>,
 ) -> GroupIndex<'a> {
     if sizes.iter().all(|&n| n == 1) {
-        let keys = key_chunks.iter().map(|ch| vec![ch.dict.global_id_of(0)]).collect();
+        let keys = vec![vec![0]; key_chunks.len()];
         return GroupIndex { members: Members::One(Rows::of(rows, mask)), group_count: 1, keys };
     }
     let listed: Option<Vec<usize>> = mask.map(|m| m.iter_ones().collect());
@@ -766,7 +766,7 @@ pub(crate) fn group_codes<'a>(
             Some(listed) => listed.iter().map(|&row| get(row)).collect(),
             None => (0..rows).map(get).collect(),
         });
-        let mut keys = key.dict.global_ids().to_vec();
+        let mut keys: Vec<u32> = (0..key.dict.len()).collect();
         if listed.is_some() {
             // The codes that occur, numbered ascending.
             let mut number = vec![0; keys.len()];
@@ -803,7 +803,7 @@ pub(crate) fn group_codes<'a>(
         groups.push(g as u32);
         member[g as usize] = row;
     }
-    let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.global_id_at(r)).collect());
+    let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.elements.get(r)).collect());
     let members = Members::Each { rows: mask.is_some().then_some(passing), groups };
     GroupIndex { members, group_count, keys: keys.collect() }
 }
@@ -830,18 +830,14 @@ fn rank(packed: &mut [u64], capacity: Option<usize>) -> u64 {
     u64::from(ranks)
 }
 
-/// Per key column, the global-ids of the mixed-radix group `numbers` over
+/// Per key column, the chunk-ids of the mixed-radix group `numbers` over
 /// the chunk-dictionary `sizes` (most-significant key first): each digit
 /// is a chunk-id. The digits come off least significant first, one
 /// division per key but the first — none for one key.
-pub(crate) fn dense_keys(
-    numbers: &[u32],
-    key_chunks: &[&ColumnChunk],
-    sizes: &[usize],
-) -> Vec<Vec<u32>> {
+pub(crate) fn dense_keys(numbers: &[u32], sizes: &[usize]) -> Vec<Vec<u32>> {
     let mut rest = numbers.to_vec();
-    let mut keys = vec![Vec::new(); key_chunks.len()];
-    for (i, (ch, &n)) in key_chunks.iter().zip(sizes).enumerate().rev() {
+    let mut keys = vec![Vec::new(); sizes.len()];
+    for (i, &n) in sizes.iter().enumerate().rev() {
         let n = n as u32;
         let digit = |g: &mut u32| {
             if i == 0 {
@@ -851,7 +847,7 @@ pub(crate) fn dense_keys(
             *g /= n;
             digit
         };
-        keys[i] = rest.iter_mut().map(|g| ch.dict.global_id_of(digit(g))).collect();
+        keys[i] = rest.iter_mut().map(digit).collect();
     }
     keys
 }
@@ -862,7 +858,7 @@ pub(crate) fn dense_keys(
 
 /// One aggregate slot's column over a chunk: the pass-B loop for `slot`
 /// over the rows of `index`, a value read per chunk-dictionary entry off
-/// the typed dictionary (a tailed one's through [`Value`]s), if at all. No
+/// the typed dictionary, if at all; MIN/MAX cells are chunk-ids. No
 /// loop adds a row into the slot the row before it added into: one group's
 /// `COUNT` is the rows' count, its sums and extremes run in [`LANES`]
 /// register lanes, and a small counts or extremes array splits.
@@ -882,10 +878,8 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
         }),
         SlotKind::SumInt => {
             let (col, chunk) = arg.expect("SUM has an argument");
-            let table: Vec<i64> = match &col.dict {
-                GlobalDict::Int(dict) => gather(chunk, dict.values()),
-                dict => chunk.dict.iter().map(|g| dict.value(g).as_int().unwrap_or(0)).collect(),
-            };
+            let GlobalDict::Int(dict) = &col.dict else { unreachable!("an integer SUM") };
+            let table = gather(chunk, dict.values());
             let add = |sum: i128, code: u32| sum.wrapping_add(i128::from(table[code as usize]));
             Column::SumInt(match &index.members {
                 Members::One(rows) => {
@@ -926,34 +920,20 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
         }
         SlotKind::Min | SlotKind::Max => {
             let is_min = slot.kind == SlotKind::Min;
-            let (col, chunk) = arg.expect("MIN/MAX has an argument");
-            // Extreme chunk-id per group; every group holds a row. Sorted,
-            // chunk-id order is value order: an extreme is a code minimum (or
+            let (_, chunk) = arg.expect("MIN/MAX has an argument");
+            // Extreme chunk-id per group; every group holds a row. Chunk-id
+            // order is value order: an extreme is a code minimum (or
             // maximum), for one group of every row the first (or last)
             // chunk-id.
             let codes = chunk.codes();
             let whole_chunk = matches!(index.members, Members::One(Rows::All(_)));
-            let best = match (col.dict.is_value_ordered(), whole_chunk, is_min) {
-                (true, true, true) => vec![0],
-                (true, true, false) => vec![chunk.dict.len() - 1],
-                (true, _, true) => fold_codes(codes, index, u32::MAX, u32::min),
-                (true, _, false) => fold_codes(codes, index, 0, u32::max),
-                // A tailed dictionary: compare the chunk dictionary's values.
-                (false, ..) => {
-                    let values: Vec<Value> = chunk.dict.iter().map(|g| col.dict.value(g)).collect();
-                    fold_codes(codes, index, u32::MAX, |held, id| {
-                        let (a, b) = if is_min { (id, held) } else { (held, id) };
-                        let better = held == u32::MAX || values[a as usize] < values[b as usize];
-                        if better {
-                            id
-                        } else {
-                            held
-                        }
-                    })
-                }
+            let best = match (whole_chunk, is_min) {
+                (true, true) => vec![0],
+                (true, false) => vec![chunk.dict.len() - 1],
+                (false, true) => fold_codes(codes, index, u32::MAX, u32::min),
+                (false, false) => fold_codes(codes, index, 0, u32::max),
             };
-            let gid = |&cid: &u32| Some(chunk.dict.global_id_of(cid));
-            Column::Extreme { is_min, best: best.iter().map(gid).collect() }
+            Column::Extreme { is_min, best: best.into_iter().map(Some).collect() }
         }
         SlotKind::Distinct { m } => {
             let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
@@ -1082,14 +1062,11 @@ pub(crate) static FLOAT_TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 fn float_table(col: &StoredColumn, chunk: &ColumnChunk) -> Vec<f64> {
     FLOAT_TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
-    match &col.dict {
-        GlobalDict::Float(dict) => gather(chunk, dict.values()),
-        dict => chunk.dict.iter().map(|gid| dict.value(gid).numeric()).collect(),
-    }
+    let GlobalDict::Float(dict) = &col.dict else { unreachable!("a float SUM") };
+    gather(chunk, dict.values())
 }
 
-/// Per chunk-id, its global id's entry of a typed dictionary's `values`. A
-/// tailed dictionary has no such slice: its tables read [`Value`]s.
+/// Per chunk-id, its global id's entry of a typed dictionary's `values`.
 fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T]) -> Vec<T> {
     chunk.dict.global_ids().iter().map(|&gid| values[gid as usize]).collect()
 }
@@ -1428,7 +1405,7 @@ mod tests {
 
             let passes = |row: usize| mask.as_ref().is_none_or(|m| m.get(row));
             let tuple =
-                |row: usize| -> Vec<u32> { chunks.iter().map(|ch| ch.global_id_at(row)).collect() };
+                |row: usize| -> Vec<u32> { chunks.iter().map(|ch| ch.elements.get(row)).collect() };
             let mut want: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
             (0..rows).filter(|&r| passes(r)).for_each(|r| *want.entry(tuple(r)).or_default() += 1);
 

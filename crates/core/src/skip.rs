@@ -94,8 +94,8 @@ pub(crate) enum LeafIds {
 /// skip chunks through the expression's own chunk dictionaries).
 ///
 /// `None` — for anything that is not an `In` / `Range` leaf, and for a leaf
-/// the dictionary cannot answer *exactly*: a range on a trie or tailed
-/// dictionary, a bound of another type, a float literal no integer stands
+/// the dictionary cannot answer *exactly*: a range on a trie dictionary, a
+/// bound of another type, a float literal no integer stands
 /// for (`GlobalDict::resolves_exactly`). The skip pass then scans
 /// ("maybe") and the mask falls back to evaluating values.
 pub(crate) fn resolve_leaf(store: &DataStore, leaf: &Restriction) -> Result<Option<ResolvedLeaf>> {

@@ -11,11 +11,18 @@ use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
     execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KmvSketch,
-    PartialResult, PartitionSpec,
+    PartialResult, PartitionSpec, StoredColumn,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext};
+
+/// Did the appends that made `after` move an id `before`'s dictionary had?
+/// Merges only ever move ids up, so one moved iff an old id now holds
+/// another value.
+fn renumbered(before: &StoredColumn, after: &StoredColumn) -> bool {
+    (0..before.dict.len()).any(|id| after.dict.value(id) != before.dict.value(id))
+}
 
 /// Row context over a store's reconstructed cell values.
 struct StoreRow<'a> {
@@ -241,7 +248,7 @@ fn random_cell(rng: &mut Rng) -> Value {
 /// types too — and decode to the value they were made from, floats bit for
 /// bit.
 #[test]
-fn sort_keys_order_and_decode_like_their_values() {
+fn sortkeys_order_and_decode_like_their_values() {
     let mut rng = Rng::seed_from_u64(0xc04e_0009);
     let key = |value: &Value| {
         let mut key = Vec::new();
@@ -299,7 +306,7 @@ fn assert_limits_keep_a_full_sorts_prefix(full: &str, answer: impl Fn(&AnalyzedQ
 /// through `execute` on built stores (which must equal
 /// `finalize(execute_partial)`) with one key of ≥ 2 000 groups that tie on
 /// their counts by the thousand, top-k and bottom-k, two keys, a key HAVING
-/// reads, and a key dictionary an append has tailed.
+/// reads, and a key dictionary whose old ids an append renumbered.
 #[test]
 fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
     // 60 keys of 1 to 4 rows: counts and sums tie by the dozen.
@@ -356,8 +363,9 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
     let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
     let trie = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
     let mut tailed = DataStore::build(&table, &BuildOptions::optcols(spec)).unwrap();
+    let before = tailed.column("k").unwrap();
     tailed.append_delta(&delta).unwrap();
-    assert!(!tailed.column("k").unwrap().dict.is_value_ordered(), "the append tailed `k`");
+    assert!(renumbered(&before, &tailed.column("k").unwrap()), "the append renumbered `k`");
 
     let queries = [
         "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k ORDER BY c DESC",
@@ -484,7 +492,7 @@ fn sketch_merge_order_irrelevant() {
 /// one holding -0.0, 0.0 and NaN, by 0, 1 and 2 keys, on unmasked chunks and
 /// masked ones, with groups × chunk-dictionary entries (the range of the
 /// kernel's packed `g·n + code` pairs) from a few to past 65 536, and on a
-/// store an append tailed.
+/// store after an append.
 #[test]
 fn distinct_sketches_equal_those_of_a_store_of_the_passing_rows() {
     let schema = Schema::of(&[
@@ -666,4 +674,81 @@ fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
     let mut forged = coded(&base);
     forged.columns[1].codes[3] = u32::MAX;
     assert!(DataStore::from_coded(forged, &BuildOptions::basic()).is_err());
+}
+
+/// An append keeps every dictionary sorted: after a seeded run of appends
+/// whose new values fall before, among and after the old ones — in an Int,
+/// a Float and a Str column, on sorted and trie builds, and in a virtual
+/// field — every global dictionary is, bit for bit, the one a build of the
+/// same rows makes, and every old chunk still reads the values it held.
+#[test]
+fn appends_keep_every_dictionary_the_one_a_build_makes() {
+    let mut rng = Rng::seed_from_u64(0xc04e_0007);
+    let schema = Schema::of(&[("s", DataType::Str), ("i", DataType::Int), ("f", DataType::Float)]);
+    // Per row a side: 0 below the base's values, 1 among them, 2 above.
+    let batch = |rng: &mut Rng, rows: usize, sides: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+        let mut columns = vec![Vec::new(); 3];
+        for _ in 0..rows {
+            let side = rng.range_usize(sides.start, sides.end);
+            let among = rng.range_i64_inclusive(0, 90);
+            columns[0].push(Value::from(format!("{}{among:02}", ["a", "m", "z"][side])));
+            columns[1].push(Value::Int([-1_000, 0, 1_000][side] + among));
+            columns[2].push(Value::Float(match rng.range_usize(0, 8) {
+                0 => [-0.0, 0.0, f64::NAN][side],
+                _ => [-1e6, 0.0, 1e6][side] + among as f64 * 0.5,
+            }));
+        }
+        columns
+    };
+    let coded = |columns: &[Vec<Value>]| {
+        let slices: Vec<&[Value]> = columns.iter().map(Vec::as_slice).collect();
+        TableDelta::from_columns(schema.clone(), &slices).unwrap()
+    };
+    let base = batch(&mut rng, 700, 1..2);
+    let batches: Vec<_> = (0..6)
+        .map(|_| {
+            let rows = rng.range_usize(1, 120);
+            batch(&mut rng, rows, 0..3)
+        })
+        .collect();
+    let virtual_field = &parse_query("SELECT COUNT(*) FROM t GROUP BY i * 2").unwrap().group_by[0];
+
+    let spec = PartitionSpec::new(&["s"], 80);
+    for options in [BuildOptions::optcols(spec.clone()), BuildOptions::optdicts(spec)] {
+        let table = Table::from_columns(schema.clone(), base.clone()).unwrap();
+        let mut store = DataStore::build(&table, &options).unwrap();
+        let old_chunks = store.chunk_count();
+        store.column_for_expr(virtual_field).unwrap();
+        let cells = |store: &DataStore| -> Vec<Value> {
+            let mut columns: Vec<_> =
+                store.column_names().iter().map(|n| store.column(n).unwrap()).collect();
+            columns.push(store.column_for_expr(virtual_field).unwrap());
+            let rows = |c| (0..store.chunk_rows(c)).map(move |r| (c, r));
+            let at = (0..old_chunks).flat_map(rows);
+            at.flat_map(|(c, r)| columns.iter().map(move |col| col.value_at(c, r))).collect()
+        };
+        let before = cells(&store);
+        let (mut all, mut moved) = (base.clone(), 0);
+        for columns in &batches {
+            let was = ["s", "i", "f"].map(|n| store.column(n).unwrap());
+            store.append_delta(&coded(columns)).unwrap();
+            let now = ["s", "i", "f"].map(|n| store.column(n).unwrap());
+            moved += was.iter().zip(&now).filter(|(was, now)| renumbered(was, now)).count();
+            all.iter_mut().zip(columns).for_each(|(all, new)| all.extend(new.iter().cloned()));
+
+            let rebuilt = Table::from_columns(schema.clone(), all.clone()).unwrap();
+            let rebuilt = DataStore::build(&rebuilt, &options).unwrap();
+            let label = format!("{:?}, {} rows", options.dicts, store.n_rows());
+            for name in ["s", "i", "f"] {
+                let (got, want) = (store.column(name).unwrap(), rebuilt.column(name).unwrap());
+                assert_eq!(got.dict, want.dict, "{label}: `{name}`");
+            }
+            let (got, want) =
+                (store.column_for_expr(virtual_field), rebuilt.column_for_expr(virtual_field));
+            assert_eq!(got.unwrap().dict, want.unwrap().dict, "{label}: `i * 2`");
+            assert_eq!(store.virtual_names(), ["(i * 2)"], "{label}: the field was extended");
+            assert!(cells(&store) == before, "{label}: an old chunk reads another value");
+        }
+        assert!(moved > 6, "{:?}: appends must move old ids: {moved}", options.dicts);
+    }
 }

@@ -127,18 +127,6 @@ fn scan_context(threads: usize) -> ExecContext {
     }
 }
 
-/// Append `delta` to `store`, keeping the chunk results `ctx` holds: old
-/// chunks are immutable and their ids stable. They are cleared only if the
-/// store had to drop a virtual field, whose rebuild renumbers its ids.
-fn append_rows(store: &mut DataStore, ctx: &ExecContext, delta: &TableDelta) -> Result<()> {
-    let old_virtuals = store.virtual_names();
-    store.append_delta(delta)?;
-    if let (Some(results), true) = (&ctx.result_cache, store.virtual_names() != old_virtuals) {
-        results.clear();
-    }
-    Ok(())
-}
-
 /// A tree node: leaf server or mixer.
 pub struct Node {
     name: String,
@@ -419,7 +407,7 @@ impl Node {
         for (_, delta) in deltas.iter().filter(|(_, delta)| delta.rows > 0) {
             let tail = match &mut *tail {
                 Some(tail) => {
-                    append_rows(&mut tail.store, &tail.ctx, delta)?;
+                    tail.store.append_delta(delta)?;
                     tail
                 }
                 None => tail.insert(Tail {
@@ -437,9 +425,10 @@ impl Node {
 
 impl Leaf {
     /// Apply this leaf's delta in `deltas` (none: the append fell
-    /// elsewhere) in place: extend the store's dictionaries (existing ids
-    /// stay stable), encode the rows as fresh chunks — the chunk results of
-    /// the old ones stay good — and absorb exactly those into the summary.
+    /// elsewhere) in place: merge the rows' values into the store's sorted
+    /// dictionaries, encode the rows as fresh chunks — the chunk results of
+    /// the old ones, held in chunk-ids, stay good — and absorb exactly those
+    /// into the summary.
     /// Returns the receipt with which every parent absorbs the same delta.
     fn apply(&mut self, name: &str, deltas: &[(u64, TableDelta)]) -> Result<Vec<AppendReceipt>> {
         let delta = match deltas {
@@ -451,7 +440,7 @@ impl Leaf {
             }
         };
         let old_chunks = self.store.chunk_count();
-        append_rows(&mut self.store, &self.ctx, delta)?;
+        self.store.append_delta(delta)?;
         let receipt = AppendReceipt {
             new_chunk_rows: (old_chunks..self.store.chunk_count())
                 .map(|c| self.store.chunk_rows(c) as u64)
@@ -555,7 +544,7 @@ mod tests {
     const BY_K: &str = "SELECT k, COUNT(*) as c FROM t GROUP BY k";
 
     #[test]
-    fn an_append_keeps_the_chunk_results_unless_it_drops_a_virtual_field() {
+    fn an_append_keeps_the_chunk_results_even_when_it_drops_a_virtual_field() {
         let (leaf, _) =
             Node::leaf(0, kn_delta(0..90), &BuildOptions::basic(), spec("l0p", 4)).unwrap();
         let ask = |sql: &str, epoch: u64| {
@@ -575,11 +564,11 @@ mod tests {
         assert_eq!((kept.chunks_cached, kept.rows_scanned, kept.worker_cache_hits), (1, 10, 0));
         ask(BY_SIZE, 2).unwrap();
 
-        // The field cannot hold 'big' and is dropped: whatever was cached
-        // under its old ids goes, and so does everything else.
+        // The field cannot hold 'big' and is dropped; cached chunk results
+        // hold chunk-ids, a function of their chunk's rows, and stay.
         append(1_000..1_010, 3);
-        let cleared = ask(BY_K, 3).unwrap();
-        assert_eq!((cleared.chunks_cached, cleared.rows_scanned), (0, 110));
+        let kept = ask(BY_K, 3).unwrap();
+        assert_eq!((kept.chunks_cached, kept.rows_scanned), (2, 10));
         assert!(ask(BY_SIZE, 3).is_err(), "the field is now of two types");
     }
 

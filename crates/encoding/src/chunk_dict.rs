@@ -112,6 +112,14 @@ impl ChunkDict {
         &self.global_ids
     }
 
+    /// Renumber every global-id through `map` (old id → new id). The map
+    /// a dictionary merge makes is monotone, so the ids stay sorted and
+    /// every chunk-id keeps its value.
+    pub fn renumber(&mut self, map: &[u32]) {
+        self.global_ids.iter_mut().for_each(|id| *id = map[*id as usize]);
+        debug_assert!(self.global_ids.windows(2).all(|pair| pair[0] < pair[1]));
+    }
+
     /// Serialize as delta varints (dense ascending ids compress to ~1
     /// byte each).
     pub fn to_bytes(&self) -> Vec<u8> {

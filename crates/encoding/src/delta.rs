@@ -6,12 +6,10 @@
 //! distinct values plus one dictionary code per row. A shard's first rows
 //! and every later batch travel in it, self-contained — the sender needs no
 //! knowledge of the receiver. A new store is built from one as it stands
-//! (the dictionaries become the store's); a resident store resolves each
-//! delta-dictionary entry against its own [`GlobalDict`] via
-//! [`GlobalDict::extend`] — values already known keep their id, genuinely
-//! new values get appended tail ids — so codes encoded before an append
-//! never change and group folds over old and new chunks stay
-//! bit-identical, without reshipping what is already resident.
+//! (the dictionaries become the store's); a resident store merges each
+//! delta dictionary into its own sorted [`GlobalDict`]
+//! ([`GlobalDict::merge`]), one entry at a time and not one row at a time,
+//! without reshipping what is already resident.
 //!
 //! Wire strictness mirrors the rest of the codec surface: decoding
 //! re-validates everything a consumer indexes by (schema agreement, code
@@ -114,14 +112,6 @@ impl TableDelta {
                     field.data_type
                 )));
             }
-            // Delta dictionaries are freshly built and sorted; a tailed
-            // dictionary here would smuggle in unvalidated id order.
-            if !column.dict.is_value_ordered() {
-                return Err(Error::Data(format!(
-                    "delta: column `{}` carries a tailed dictionary",
-                    column.name
-                )));
-            }
             if column.codes.len() as u64 != self.rows {
                 return Err(Error::Data(format!(
                     "delta: column `{}` has {} codes for {} rows",
@@ -207,7 +197,6 @@ mod tests {
         let delta = sample();
         assert_eq!(delta.rows, 4);
         assert_eq!(delta.columns[0].dict.len(), 3, "BR, DE, SG");
-        assert!(delta.columns.iter().all(|c| c.dict.is_value_ordered()));
         // Materialization inverts the encoding exactly.
         let values = |c: &ColumnDelta| -> Vec<Value> {
             c.codes.iter().map(|&code| c.dict.value(code)).collect()

@@ -13,6 +13,8 @@
 use crate::trie::TrieDict;
 use pd_common::{sortkey, DataType, Error, FxHashMap, HeapSize, Result, Value};
 use pd_compress::varint;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// Sorted array of distinct strings; rank = index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,6 +118,21 @@ impl StrDict {
                 Ok(StrDict::Trie(TrieDict::from_sorted(&refs)?))
             }
             StrDict::Trie(t) => Ok(StrDict::Trie(t.clone())),
+        }
+    }
+
+    /// The sorted-array form: the array itself, or a trie's strings in rank
+    /// order.
+    fn to_sorted(&self) -> Cow<'_, SortedStrDict> {
+        match self {
+            StrDict::Sorted(d) => Cow::Borrowed(d),
+            StrDict::Trie(t) => {
+                let mut values = Vec::with_capacity(t.len() as usize);
+                t.for_each(|_, s| {
+                    values.push(std::str::from_utf8(s).expect("a trie holds strings").into())
+                });
+                Cow::Owned(SortedStrDict { values: values.into_boxed_slice() })
+            }
         }
     }
 
@@ -253,93 +270,6 @@ impl HeapSize for FloatDict {
     }
 }
 
-/// A dictionary grown in place by appends: a sorted `base` (ids
-/// `[0, base.len())`, id order = value order) plus a `tail` of
-/// later-arriving values in *append* order (ids `[base.len(), len())`).
-///
-/// This is the structure that makes dictionary-delta shipping sound:
-/// every id the base ever handed out keeps meaning the same value, so
-/// chunk codes encoded before an append never need rewriting and group
-/// folds over old and new chunks merge bit-identically. The price is that
-/// id order no longer equals value order — rank-based range reasoning
-/// ([`GlobalDict::lower_bound`] / [`GlobalDict::range_ids`]) answers
-/// `None` ("maybe") and callers fall back to row-level evaluation.
-///
-/// Fields are private: the only ways to obtain a tailed dictionary are
-/// [`GlobalDict::extend`] (which validates types and never duplicates a
-/// value) and [`GlobalDict::from_bytes`] (which re-validates both).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailedDict {
-    base: Box<GlobalDict>,
-    tail: Vec<Value>,
-}
-
-impl TailedDict {
-    pub fn len(&self) -> u32 {
-        self.base.len() + self.tail.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The sorted dictionary the appends grew from.
-    pub fn base(&self) -> &GlobalDict {
-        &self.base
-    }
-
-    /// Appended values in id order (`tail()[i]` has id `base().len() + i`).
-    pub fn tail(&self) -> &[Value] {
-        &self.tail
-    }
-
-    pub fn value(&self, id: u32) -> Value {
-        if id < self.base.len() {
-            self.base.value(id)
-        } else {
-            self.tail[(id - self.base.len()) as usize].clone()
-        }
-    }
-
-    /// Position of `value` within the tail, under the same equality each
-    /// typed dictionary's `id_of` uses (exact for ints and strings, bit
-    /// pattern for floats, numeric coercion across Int/Float).
-    fn tail_position(&self, value: &Value) -> Option<usize> {
-        match (self.base.data_type(), value) {
-            (DataType::Int, Value::Int(x)) => self.tail_int(*x),
-            (DataType::Int, Value::Float(f)) => float_as_int(*f).and_then(|x| self.tail_int(x)),
-            (DataType::Float, Value::Float(f)) => self.tail_float(*f),
-            (DataType::Float, Value::Int(x)) => self.tail_float(*x as f64),
-            (DataType::Str, Value::Str(s)) => {
-                self.tail.iter().position(|t| matches!(t, Value::Str(v) if v == s))
-            }
-            _ => None,
-        }
-    }
-
-    fn tail_int(&self, x: i64) -> Option<usize> {
-        self.tail.iter().position(|t| matches!(t, Value::Int(v) if *v == x))
-    }
-
-    fn tail_float(&self, x: f64) -> Option<usize> {
-        self.tail.iter().position(|t| matches!(t, Value::Float(v) if v.to_bits() == x.to_bits()))
-    }
-
-    pub fn id_of(&self, value: &Value) -> Option<u32> {
-        self.base
-            .id_of(value)
-            .or_else(|| self.tail_position(value).map(|i| self.base.len() + i as u32))
-    }
-}
-
-impl HeapSize for TailedDict {
-    fn heap_bytes(&self) -> usize {
-        self.base.heap_bytes()
-            + self.tail.len() * std::mem::size_of::<Value>()
-            + self.tail.iter().map(HeapSize::heap_bytes).sum::<usize>()
-    }
-}
-
 /// 2^53: below it every integer is its own `f64`; from it on neighbouring
 /// `i64`s round to one float, so the row filter (which compares the
 /// integer side `as f64`) and an exact integer lookup stop agreeing.
@@ -358,9 +288,6 @@ pub enum GlobalDict {
     Int(IntDict),
     Float(FloatDict),
     Str(StrDict),
-    /// A sorted dictionary extended in place by appends (id order no
-    /// longer equals value order; see [`TailedDict`]).
-    Tailed(TailedDict),
 }
 
 impl GlobalDict {
@@ -369,7 +296,6 @@ impl GlobalDict {
             GlobalDict::Int(_) => DataType::Int,
             GlobalDict::Float(_) => DataType::Float,
             GlobalDict::Str(_) => DataType::Str,
-            GlobalDict::Tailed(t) => t.base.data_type(),
         }
     }
 
@@ -379,17 +305,7 @@ impl GlobalDict {
             GlobalDict::Int(d) => d.len(),
             GlobalDict::Float(d) => d.len(),
             GlobalDict::Str(d) => d.len(),
-            GlobalDict::Tailed(t) => t.len(),
         }
-    }
-
-    /// Does id order equal value order? True for every freshly built
-    /// dictionary (they are sorted); false once appends grew a tail.
-    /// Consumers that use integer-id comparisons as a proxy for value
-    /// comparisons (range pruning, id-domain MIN/MAX) must check this and
-    /// fall back to comparing values.
-    pub fn is_value_ordered(&self) -> bool {
-        !matches!(self, GlobalDict::Tailed(_))
     }
 
     pub fn is_empty(&self) -> bool {
@@ -402,7 +318,6 @@ impl GlobalDict {
             GlobalDict::Int(d) => Value::Int(d.value(id)),
             GlobalDict::Float(d) => Value::Float(d.value(id)),
             GlobalDict::Str(d) => Value::Str(d.value(id)),
-            GlobalDict::Tailed(t) => t.value(id),
         }
     }
 
@@ -438,16 +353,6 @@ impl GlobalDict {
                 sortkey::push_str(s, &mut key);
                 f(&key);
             }),
-            GlobalDict::Tailed(t) => {
-                let base_len = t.base.len();
-                let (in_base, in_tail) = ids.split_at(ids.partition_point(|&id| id < base_len));
-                t.base.keys_of(in_base, f);
-                for &id in in_tail {
-                    key.clear();
-                    sortkey::encode(&t.tail[(id - base_len) as usize], &mut key);
-                    f(&key);
-                }
-            }
         }
     }
 
@@ -478,7 +383,6 @@ impl GlobalDict {
             (GlobalDict::Float(d), Value::Float(v)) => d.id_of(*v),
             (GlobalDict::Float(d), Value::Int(v)) => d.id_of(*v as f64),
             (GlobalDict::Str(d), Value::Str(v)) => d.id_of(v),
-            (GlobalDict::Tailed(t), v) => t.id_of(v),
             _ => None,
         }
     }
@@ -502,9 +406,6 @@ impl GlobalDict {
                 // store keeps range-restricted fields in sorted form.
                 StrDict::Trie(_) => None,
             },
-            // Appended tails break the id-order-equals-value-order
-            // property ranks rely on; err towards "maybe".
-            (GlobalDict::Tailed(_), _) => None,
             _ => None,
         }
     }
@@ -518,10 +419,8 @@ impl GlobalDict {
     /// min/max "small materialized aggregates" technique the paper cites).
     ///
     /// Bounds are `(value, inclusive)`. Returns `None` when the dictionary
-    /// cannot rank the bound (trie string dictionaries, tailed
-    /// dictionaries, type mismatches). The fully unbounded range stays
-    /// `Some((0, len))` even for tailed dictionaries: every id matches
-    /// regardless of order.
+    /// cannot rank the bound (trie string dictionaries, type mismatches).
+    /// The fully unbounded range is `Some((0, len))` on every dictionary.
     pub fn range_ids(
         &self,
         min: Option<&(Value, bool)>,
@@ -553,83 +452,66 @@ impl GlobalDict {
     }
 
     /// Re-encode string dictionaries as tries ("OptDicts", §3). Numeric
-    /// dictionaries are untouched. A tailed dictionary optimizes its base
-    /// (trie ids are rank order, so every id keeps its value).
+    /// dictionaries are untouched.
     pub fn optimize(&self) -> Result<GlobalDict> {
         match self {
             GlobalDict::Str(d) => Ok(GlobalDict::Str(d.to_trie()?)),
-            GlobalDict::Tailed(t) => Ok(GlobalDict::Tailed(TailedDict {
-                base: Box::new(t.base.optimize()?),
-                tail: t.tail.clone(),
-            })),
             other => Ok(other.clone()),
         }
     }
 
-    /// Append `values` in place, returning each input's global id.
+    /// Merge the entries of `batch` — a dictionary of this one's type, over
+    /// a batch of appended rows — into this one, which stays sorted: the
+    /// dictionary a build of the old rows and the batch's rows together
+    /// would make, in the same flavour (a trie stays a trie).
     ///
-    /// Values already present keep their existing id (including numeric
-    /// Int/Float coercion, matching [`GlobalDict::id_of`]); genuinely new
-    /// values are appended to the tail in first-seen order and receive the
-    /// next ids. Existing ids are **never** renumbered — the code
-    /// stability property dictionary-delta shipping relies on. Every value
-    /// must match the dictionary's type exactly; `Null` is rejected before
-    /// anything changes.
+    /// Each batch entry is ranked by a binary search, and only if one is new
+    /// is the dictionary rebuilt, in one pass over both: O(k log n) for a
+    /// batch of k entries the dictionary holds, O(n + k log n) otherwise. A
+    /// trie cannot rank a value it lacks, so it looks its batch up, and is
+    /// decoded, merged and built again only for a new string.
     ///
-    /// O(k log n + t) for k values, a base of n and a tail of t: each value
-    /// is looked up in the base, and the misses are matched against the
-    /// tail in one pass — a tail grows with every append, and a lookup per
-    /// miss would make a long ingest quadratic in it.
-    pub fn extend(&mut self, values: &[Value]) -> Result<Vec<u32>> {
-        let dtype = self.data_type();
-        if let Some(v) = values.iter().find(|v| v.data_type() != Some(dtype)) {
-            return Err(type_mismatch(dtype, v));
-        }
-        let base = match &*self {
-            GlobalDict::Tailed(t) => &t.base,
-            sorted => sorted,
-        };
-        let base_len = base.len();
-        // A base id, or the slot of a value the base misses: one slot per
-        // distinct miss, in first-seen order.
-        let mut misses: Vec<&Value> = Vec::new();
-        let mut slot_of: FxHashMap<&Value, usize> = FxHashMap::default();
-        let found: Vec<std::result::Result<u32, usize>> = (values.iter())
-            .map(|v| {
-                base.id_of(v).ok_or_else(|| {
-                    *slot_of.entry(v).or_insert_with(|| {
-                        misses.push(v);
-                        misses.len() - 1
-                    })
-                })
-            })
-            .collect();
-        let mut resolved = vec![None; misses.len()];
-        if !misses.is_empty() {
-            // First genuinely new value: wrap the sorted dictionary in a
-            // tail in place (ids `[0, len)` keep their meaning).
-            if !matches!(self, GlobalDict::Tailed(_)) {
-                let placeholder = GlobalDict::Int(IntDict::from_sorted(Vec::new())?);
-                let base = std::mem::replace(self, placeholder);
-                *self = GlobalDict::Tailed(TailedDict { base: Box::new(base), tail: Vec::new() });
+    /// Returns the batch entries' ids and, if any old entry moved, the
+    /// monotone map of old ids to new ones ([`Merged`]).
+    pub fn merge(&mut self, batch: &GlobalDict) -> Result<Merged> {
+        match (self, batch) {
+            (GlobalDict::Int(old), GlobalDict::Int(new)) => {
+                Ok(merge_sorted(&mut old.values, &new.values, Ord::cmp))
             }
-            let GlobalDict::Tailed(t) = self else { unreachable!("just wrapped") };
-            for (position, value) in t.tail.iter().enumerate() {
-                if let Some(&slot) = slot_of.get(value) {
-                    resolved[slot] = Some(base_len + position as u32);
+            (GlobalDict::Float(old), GlobalDict::Float(new)) => {
+                Ok(merge_sorted(&mut old.values, &new.values, f64::total_cmp))
+            }
+            (GlobalDict::Str(StrDict::Sorted(old)), GlobalDict::Str(new)) => {
+                Ok(merge_sorted(&mut old.values, &new.to_sorted().values, Ord::cmp))
+            }
+            (GlobalDict::Str(old), GlobalDict::Str(new)) => {
+                let StrDict::Trie(trie) = old else { unreachable!("a sorted array merged above") };
+                let new = new.to_sorted();
+                let new: Vec<&str> = new.iter().collect();
+                let ids = new.iter().map(|s| trie.id_of(s)).collect();
+                if let Some(ids) = ids {
+                    return Ok(Merged { ids, renumbered: None });
                 }
+                // Decoded into one buffer, merged as slices of it.
+                let (mut bytes, mut ends) =
+                    (String::new(), Vec::with_capacity(trie.len() as usize));
+                trie.for_each(|_, s| {
+                    bytes.push_str(std::str::from_utf8(s).expect("a trie holds strings"));
+                    ends.push(bytes.len());
+                });
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                let mut strings: Box<[&str]> =
+                    starts.zip(&ends).map(|(start, &end)| &bytes[start..end]).collect();
+                let merged = merge_sorted(&mut strings, &new, Ord::cmp);
+                *old = StrDict::Trie(TrieDict::from_sorted(&strings)?);
+                Ok(merged)
             }
-            for (id, value) in resolved.iter_mut().zip(misses) {
-                if id.is_none() {
-                    *id = Some(base_len + t.tail.len() as u32);
-                    t.tail.push(value.clone());
-                }
-            }
+            (old, new) => Err(Error::Type(format!(
+                "cannot merge a {} dictionary into a {} one",
+                new.data_type(),
+                old.data_type()
+            ))),
         }
-        Ok(found
-            .into_iter()
-            .map(|f| f.unwrap_or_else(|slot| resolved[slot].expect("resolved")))
-            .collect())
     }
 
     /// Serialize the dictionary contents for the compressed layer:
@@ -661,27 +543,6 @@ impl GlobalDict {
                     varint::write_u64(&mut out, s.len() as u64);
                     out.extend_from_slice(s);
                 });
-            }
-            GlobalDict::Tailed(t) => {
-                // Length-prefixed base bytes, then the tail values in id
-                // order, typed like the base.
-                out.push(3);
-                let base = t.base.to_bytes();
-                varint::write_u64(&mut out, base.len() as u64);
-                out.extend_from_slice(&base);
-                varint::write_u64(&mut out, t.tail.len() as u64);
-                for v in &t.tail {
-                    match v {
-                        Value::Int(x) => varint::write_i64(&mut out, *x),
-                        Value::Float(f) => out.extend_from_slice(&f.to_le_bytes()),
-                        Value::Str(s) => {
-                            varint::write_u64(&mut out, s.len() as u64);
-                            out.extend_from_slice(s.as_bytes());
-                        }
-                        // extend() and from_bytes() both reject nulls.
-                        Value::Null => unreachable!("tailed dictionaries hold no nulls"),
-                    }
-                }
             }
         }
         out
@@ -728,53 +589,6 @@ impl GlobalDict {
                 }
                 Ok(GlobalDict::Str(StrDict::Sorted(SortedStrDict::from_sorted(values)?)))
             }
-            3 => {
-                // `len` is the byte length of the serialized base here.
-                let raw = bytes
-                    .get(pos..pos.saturating_add(len))
-                    .ok_or_else(|| Error::Data("dict: truncated tailed base".into()))?;
-                pos += len;
-                let base = GlobalDict::from_bytes(raw)?;
-                if matches!(base, GlobalDict::Tailed(_)) {
-                    return Err(Error::Data("dict: nested tailed dictionary".into()));
-                }
-                let dtype = base.data_type();
-                let tail_len = varint::read_u64(bytes, &mut pos)? as usize;
-                if tail_len == 0 {
-                    return Err(Error::Data("dict: tailed dictionary with empty tail".into()));
-                }
-                let mut tailed = TailedDict {
-                    base: Box::new(base),
-                    tail: Vec::with_capacity(tail_len.min(1 << 20)),
-                };
-                for _ in 0..tail_len {
-                    let v = match dtype {
-                        DataType::Int => Value::Int(varint::read_i64(bytes, &mut pos)?),
-                        DataType::Float => {
-                            let raw = bytes
-                                .get(pos..pos + 8)
-                                .ok_or_else(|| Error::Data("dict: truncated float".into()))?;
-                            pos += 8;
-                            Value::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
-                        }
-                        DataType::Str => {
-                            let n = varint::read_u64(bytes, &mut pos)? as usize;
-                            let raw = bytes
-                                .get(pos..pos.saturating_add(n))
-                                .ok_or_else(|| Error::Data("dict: truncated string".into()))?;
-                            pos += n;
-                            let s = std::str::from_utf8(raw)
-                                .map_err(|_| Error::Data("dict: invalid UTF-8".into()))?;
-                            Value::Str(s.to_owned())
-                        }
-                    };
-                    if tailed.id_of(&v).is_some() {
-                        return Err(Error::Data("dict: duplicate value in tail".into()));
-                    }
-                    tailed.tail.push(v);
-                }
-                Ok(GlobalDict::Tailed(tailed))
-            }
             t => Err(Error::Data(format!("dict: unknown tag {t}"))),
         }
     }
@@ -786,9 +600,62 @@ impl HeapSize for GlobalDict {
             GlobalDict::Int(d) => d.heap_bytes(),
             GlobalDict::Float(d) => d.heap_bytes(),
             GlobalDict::Str(d) => d.heap_bytes(),
-            GlobalDict::Tailed(t) => t.heap_bytes(),
         }
     }
+}
+
+/// What [`GlobalDict::merge`] did to a dictionary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Merged {
+    /// Per entry of the merged batch, its id in the merged dictionary.
+    pub ids: Vec<u32>,
+    /// Per old id, its new id — strictly ascending, so a sorted list of
+    /// old ids maps to a sorted list of new ones. `None` when no old id
+    /// moved: every new value sorts after the last old one, or there is
+    /// none.
+    pub renumbered: Option<Vec<u32>>,
+}
+
+/// Merge `new` into `old`, both strictly ascending under `cmp`: `old`
+/// becomes their union, in order. A value of `new` is placed by a binary
+/// search over `old`, and `old` is rebuilt in one pass only if some value
+/// is not in it.
+fn merge_sorted<T: Clone>(
+    old: &mut Box<[T]>,
+    new: &[T],
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Merged {
+    // Per new value absent from `old`, the old position it goes before.
+    let mut inserts: Vec<(usize, &T)> = Vec::new();
+    let ids = (new.iter())
+        .map(|v| {
+            let at = old.partition_point(|o| cmp(o, v).is_lt());
+            let id = (at + inserts.len()) as u32;
+            if old.get(at).is_none_or(|o| cmp(o, v).is_ne()) {
+                inserts.push((at, v));
+            }
+            id
+        })
+        .collect();
+    let Some(&(first, _)) = inserts.first() else { return Merged { ids, renumbered: None } };
+    let len = old.len();
+    let moved = first < len;
+    let mut renumbered = Vec::with_capacity(if moved { len } else { 0 });
+    let mut merged = Vec::with_capacity(len + inserts.len());
+    let mut kept = std::mem::take(old).into_vec().into_iter();
+    let mut placed = 0;
+    for (at, v) in inserts.iter().map(|&(at, v)| (at, Some(v))).chain([(len, None)]) {
+        for value in kept.by_ref().take(at - placed) {
+            if moved {
+                renumbered.push(merged.len() as u32);
+            }
+            merged.push(value);
+        }
+        placed = at;
+        merged.extend(v.cloned());
+    }
+    *old = merged.into_boxed_slice();
+    Merged { ids, renumbered: moved.then_some(renumbered) }
 }
 
 /// Build a sorted global dictionary from a raw column and map every row to
@@ -1006,6 +873,8 @@ mod tests {
         assert!(GlobalDict::from_bytes(&[]).is_err());
         assert!(GlobalDict::from_bytes(&[7]).is_err());
         assert!(GlobalDict::from_bytes(&[2, 1, 200]).is_err());
+        // Tag 3 once carried a dictionary grown by appends; none is made.
+        assert!(GlobalDict::from_bytes(&[3, 0]).is_err());
     }
 
     #[test]
@@ -1051,30 +920,26 @@ mod tests {
     #[test]
     fn float_literals_never_saturate_into_int_dictionaries() {
         let big = 1i64 << 53;
-        let (mut dict, _) =
+        let (dict, _) =
             build_dict(&[Value::Int(0), Value::Int(big + 1), Value::Int(i64::MAX)]).unwrap();
-        for tailed in [false, true] {
-            // `1e30 as i64` is i64::MAX and `NaN as i64` is 0: neither may
-            // find those entries.
-            assert_eq!(dict.id_of(&Value::Float(1e30)), None, "tailed={tailed}");
-            assert_eq!(dict.id_of(&Value::Float(f64::NAN)), None, "tailed={tailed}");
-            assert_eq!(dict.id_of(&Value::Float(f64::INFINITY)), None, "tailed={tailed}");
-            // From 2^53 on the filter's `as f64` comparison and an integer
-            // lookup disagree (2^53 + 1 rounds to 2^53): not resolvable.
-            for v in [big as f64, -(big as f64), 1e30, f64::NAN, f64::NEG_INFINITY, -0.0] {
-                let v = Value::Float(v);
-                assert!(!dict.resolves_exactly(&v), "{v} tailed={tailed}");
-                assert_eq!(dict.lower_bound(&v), None, "{v} tailed={tailed}");
-                assert_eq!(dict.range_ids(Some(&(v.clone(), true)), None), None, "{v}");
-                assert_eq!(dict.range_ids(None, Some(&(v.clone(), false))), None, "{v}");
-            }
-            for v in [0.0, -0.5, 19.5, (big - 1) as f64] {
-                assert!(dict.resolves_exactly(&Value::Float(v)), "{v} tailed={tailed}");
-            }
-            assert_eq!(dict.id_of(&Value::Float(0.0)), Some(0));
-            dict.extend(&[Value::Int(7)]).unwrap();
-            assert_eq!(dict.id_of(&Value::Float(7.0)), Some(3));
+        // `1e30 as i64` is i64::MAX and `NaN as i64` is 0: neither may find
+        // those entries.
+        assert_eq!(dict.id_of(&Value::Float(1e30)), None);
+        assert_eq!(dict.id_of(&Value::Float(f64::NAN)), None);
+        assert_eq!(dict.id_of(&Value::Float(f64::INFINITY)), None);
+        // From 2^53 on the filter's `as f64` comparison and an integer
+        // lookup disagree (2^53 + 1 rounds to 2^53): not resolvable.
+        for v in [big as f64, -(big as f64), 1e30, f64::NAN, f64::NEG_INFINITY, -0.0] {
+            let v = Value::Float(v);
+            assert!(!dict.resolves_exactly(&v), "{v}");
+            assert_eq!(dict.lower_bound(&v), None, "{v}");
+            assert_eq!(dict.range_ids(Some(&(v.clone(), true)), None), None, "{v}");
+            assert_eq!(dict.range_ids(None, Some(&(v.clone(), false))), None, "{v}");
         }
+        for v in [0.0, -0.5, 19.5, (big - 1) as f64] {
+            assert!(dict.resolves_exactly(&Value::Float(v)), "{v}");
+        }
+        assert_eq!(dict.id_of(&Value::Float(0.0)), Some(0));
         // Same-type and Int-against-Float literals always resolve.
         let (floats, _) = build_dict(&[Value::Float(-0.0), Value::Float(f64::NAN)]).unwrap();
         assert!(floats.resolves_exactly(&Value::Float(f64::NAN)));
@@ -1092,129 +957,71 @@ mod tests {
         assert_eq!(sorted.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
     }
 
-    #[test]
-    fn extend_keeps_existing_ids_and_appends_new_ones() {
-        let (mut dict, _) = build_dict(&[Value::Int(10), Value::Int(30), Value::Int(20)]).unwrap();
-        assert!(dict.is_value_ordered());
-        let before: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
-        // Mix of present and new values, with a duplicate new value.
-        let ids =
-            dict.extend(&[Value::Int(20), Value::Int(5), Value::Int(30), Value::Int(5)]).unwrap();
-        assert_eq!(ids, vec![1, 3, 2, 3], "present keep ids; new get the next id once");
-        assert!(!dict.is_value_ordered());
-        assert_eq!(dict.len(), 4);
-        // Every pre-existing id still means the same value.
-        for (id, v) in before.iter().enumerate() {
-            assert_eq!(&dict.value(id as u32), v);
-        }
-        assert_eq!(dict.value(3), Value::Int(5));
-        assert_eq!(dict.id_of(&Value::Int(5)), Some(3));
-        // A second extend keeps growing the same tail.
-        let ids = dict.extend(&[Value::Int(7), Value::Int(5)]).unwrap();
-        assert_eq!(ids, vec![4, 3]);
-        assert_eq!(dict.len(), 5);
+    fn ints(values: &[i64]) -> GlobalDict {
+        build_dict(&values.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>()).unwrap().0
+    }
+
+    fn all_values(dict: &GlobalDict) -> Vec<Value> {
+        (0..dict.len()).map(|id| dict.value(id)).collect()
     }
 
     #[test]
-    fn extend_validates_types_and_handles_floats_by_bits() {
-        let (mut ints, _) = build_dict(&[Value::Int(1)]).unwrap();
-        assert!(ints.extend(&[Value::from("x")]).is_err());
-        assert!(ints.extend(&[Value::Null]).is_err());
+    fn merge_sorts_new_values_in_and_maps_every_old_id() {
+        let mut dict = ints(&[10, 30, 20]);
+        // Present and new values; the batch's dictionary is sorted.
+        let merged = dict.merge(&ints(&[20, 5, 30, 5])).unwrap();
+        assert_eq!(merged.ids, [0, 2, 3], "5 is new, 20 and 30 are held");
+        assert_eq!(merged.renumbered.as_deref(), Some(&[1, 2, 3][..]), "10, 20, 30 moved up");
+        assert_eq!(all_values(&dict), all_values(&ints(&[5, 10, 20, 30])));
+        let merged = dict.merge(&ints(&[7, 40])).unwrap();
+        assert_eq!(merged.ids, [1, 5]);
+        assert_eq!(merged.renumbered.as_deref(), Some(&[0, 2, 3, 4][..]));
+        // Nothing new, or new values past the last: no old id moves.
+        let merged = dict.merge(&ints(&[5, 40])).unwrap();
+        assert_eq!((merged.ids, merged.renumbered), (vec![0, 5], None));
+        let merged = dict.merge(&ints(&[40, 41, 50])).unwrap();
+        assert_eq!((merged.ids, merged.renumbered), (vec![5, 6, 7], None));
+        assert_eq!(dict, ints(&[5, 7, 10, 20, 30, 40, 41, 50]));
+    }
+
+    #[test]
+    fn merge_refuses_other_types_and_tells_floats_by_bits() {
+        let mut dict = ints(&[1]);
+        assert!(dict.merge(&build_dict(&[Value::from("x")]).unwrap().0).is_err());
+        assert_eq!(dict, ints(&[1]), "a refused merge changes nothing");
 
         let (mut floats, _) = build_dict(&[Value::Float(1.0)]).unwrap();
-        let ids = floats.extend(&[Value::Float(-0.0), Value::Float(0.0)]).unwrap();
-        assert_eq!(ids, vec![1, 2], "signed zeros are distinct values");
-        assert_eq!(floats.id_of(&Value::Float(-0.0)), Some(1));
-        // Numeric coercion still matches the base, like id_of.
-        assert_eq!(floats.id_of(&Value::Int(1)), Some(0));
+        let (zeros, _) = build_dict(&[Value::Float(0.0), Value::Float(-0.0)]).unwrap();
+        let merged = floats.merge(&zeros).unwrap();
+        assert_eq!(merged.ids, [0, 1], "signed zeros are distinct values");
+        assert_eq!(merged.renumbered.as_deref(), Some(&[2][..]));
+        assert_eq!(floats.id_of(&Value::Float(-0.0)), Some(0));
+        // Numeric coercion still finds entries, like it does in a build.
+        assert_eq!(floats.id_of(&Value::Int(1)), Some(2));
     }
 
     #[test]
-    fn tailed_dict_errs_toward_maybe_on_ranges() {
-        let (mut dict, _) = build_dict(&[Value::Int(10), Value::Int(20), Value::Int(30)]).unwrap();
-        dict.extend(&[Value::Int(15)]).unwrap();
-        assert_eq!(dict.lower_bound(&Value::Int(15)), None);
-        assert_eq!(dict.range_ids(Some(&(Value::Int(15), true)), None), None);
-        // The fully unbounded range is exact regardless of id order.
-        assert_eq!(dict.range_ids(None, None), Some((0, 4)));
+    fn a_merged_dictionary_ranks_ranges() {
+        let mut dict = ints(&[10, 20, 30]);
+        dict.merge(&ints(&[15])).unwrap();
+        assert_eq!(dict.lower_bound(&Value::Int(15)), Some(1));
+        assert_eq!(dict.range_ids(Some(&(Value::Int(15), true)), None), Some((1, 4)));
+        assert_eq!(dict.range_ids(Some(&(Value::Int(15), false)), None), Some((2, 4)));
     }
 
     #[test]
-    fn tailed_serialization_round_trips_all_types() {
-        let cases: Vec<(Vec<Value>, Vec<Value>)> = vec![
-            (
-                [1i64, 5, -9].iter().map(|&v| Value::Int(v)).collect(),
-                [100i64, -100].iter().map(|&v| Value::Int(v)).collect(),
-            ),
-            (
-                [0.25f64, -1.0].iter().map(|&v| Value::Float(v)).collect(),
-                [f64::NAN, -0.0, 7.5].iter().map(|&v| Value::Float(v)).collect(),
-            ),
-            (
-                ["b", "x"].iter().map(|&v| Value::from(v)).collect(),
-                ["a", "zz", ""].iter().map(|&v| Value::from(v)).collect(),
-            ),
-        ];
-        for (base, tail) in cases {
-            let (mut dict, _) = build_dict(&base).unwrap();
-            dict.extend(&tail).unwrap();
-            let back = GlobalDict::from_bytes(&dict.to_bytes()).unwrap();
-            assert_eq!(back.len(), dict.len());
-            assert!(!back.is_value_ordered());
-            for id in 0..dict.len() {
-                assert_eq!(back.value(id), dict.value(id));
-            }
-        }
-    }
-
-    #[test]
-    fn tailed_from_bytes_rejects_malformed_inputs() {
-        let (mut dict, _) = build_dict(&[Value::Int(1), Value::Int(2)]).unwrap();
-        dict.extend(&[Value::Int(9)]).unwrap();
-        let bytes = dict.to_bytes();
-        // Truncations at every cut error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(GlobalDict::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // A tail value duplicating the base is rejected.
-        let mut dup = GlobalDict::from_bytes(&bytes).unwrap();
-        if let GlobalDict::Tailed(t) = &mut dup {
-            t.tail[0] = Value::Int(2);
-        }
-        assert!(GlobalDict::from_bytes(&dup.to_bytes()).is_err(), "duplicate tail value");
-        // An empty tail is rejected (a sorted dict must stay tag 0/1/2).
-        let base_bytes = GlobalDict::Int(IntDict::from_sorted(vec![1, 2]).unwrap()).to_bytes();
-        let mut empty_tail = vec![3u8];
-        pd_compress::varint::write_u64(&mut empty_tail, base_bytes.len() as u64);
-        empty_tail.extend_from_slice(&base_bytes);
-        pd_compress::varint::write_u64(&mut empty_tail, 0);
-        assert!(GlobalDict::from_bytes(&empty_tail).is_err(), "empty tail");
-        // A nested tailed base is rejected.
-        let mut nested = vec![3u8];
-        pd_compress::varint::write_u64(&mut nested, bytes.len() as u64);
-        nested.extend_from_slice(&bytes);
-        pd_compress::varint::write_u64(&mut nested, 1);
-        pd_compress::varint::write_i64(&mut nested, 42);
-        assert!(GlobalDict::from_bytes(&nested).is_err(), "nested tailed base");
-    }
-
-    #[test]
-    fn trie_base_extends_in_place() {
-        let mut dict =
-            build_dict(&[Value::from("de"), Value::from("fr")]).unwrap().0.optimize().unwrap();
-        let ids = dict.extend(&[Value::from("sg"), Value::from("de")]).unwrap();
-        assert_eq!(ids, vec![2, 0]);
-        assert_eq!(dict.value(2), Value::from("sg"));
-        // Round trip through bytes (trie base serializes via its sorted form).
-        let back = GlobalDict::from_bytes(&dict.to_bytes()).unwrap();
-        for id in 0..dict.len() {
-            assert_eq!(back.value(id), dict.value(id));
-        }
-        // optimize() keeps every id's meaning.
-        let opt = dict.optimize().unwrap();
-        for id in 0..dict.len() {
-            assert_eq!(opt.value(id), dict.value(id));
-        }
+    fn a_trie_merges_into_a_trie() {
+        let strs = |v: &[&str]| build_dict(&v.iter().map(|&s| Value::from(s)).collect::<Vec<_>>());
+        let mut dict = strs(&["de", "fr"]).unwrap().0.optimize().unwrap();
+        let merged = dict.merge(&strs(&["sg", "de"]).unwrap().0).unwrap();
+        assert_eq!((merged.ids, merged.renumbered), (vec![0, 2], None));
+        let merged = dict.merge(&strs(&["at"]).unwrap().0.optimize().unwrap()).unwrap();
+        assert_eq!((merged.ids, merged.renumbered), (vec![0], Some(vec![1, 2, 3])));
+        assert!(matches!(dict, GlobalDict::Str(StrDict::Trie(_))));
+        assert_eq!(dict, strs(&["at", "de", "fr", "sg"]).unwrap().0.optimize().unwrap());
+        // Strings it holds are looked up, not merged.
+        let merged = dict.merge(&strs(&["fr", "at"]).unwrap().0).unwrap();
+        assert_eq!((merged.ids, merged.renumbered), (vec![0, 2], None));
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! [`bloom`] filters that prove a value absent. (§5's sub-dictionary split
 //! is evaluated, never served: it lives with its experiment in `pd-bench`.)
 //!
-//! Streaming appends relax exactly one invariant: a dictionary grown in
-//! place ([`dict::TailedDict`], shipped as a [`delta::TableDelta`]) keeps
-//! every existing id stable but is no longer fully sorted — rank-based
-//! range reasoning then answers "maybe" instead of a proof. See the crate
-//! README for the representation ladder and the code stability rules.
+//! Streaming appends keep every dictionary sorted: a batch arrives as a
+//! [`delta::TableDelta`] and [`GlobalDict::merge`] merges its values in,
+//! returning the monotone map of old ids to new ones. Element arrays hold
+//! chunk-ids, so that map rewrites chunk dictionaries only. See the crate
+//! README for the representation ladder.
 
 #![forbid(unsafe_code)]
 
@@ -34,6 +34,6 @@ pub mod trie;
 pub use bloom::BloomFilter;
 pub use chunk_dict::ChunkDict;
 pub use delta::{ColumnDelta, TableDelta};
-pub use dict::{build_dict, FloatDict, GlobalDict, IntDict, SortedStrDict, StrDict, TailedDict};
+pub use dict::{build_dict, FloatDict, GlobalDict, IntDict, Merged, SortedStrDict, StrDict};
 pub use elements::{CodesView, Elements, ElementsMode};
 pub use trie::TrieDict;

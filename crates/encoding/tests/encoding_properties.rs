@@ -141,61 +141,90 @@ fn chunk_dict_membership() {
     }
 }
 
-/// A random dictionary of each flavour — `Sorted`, `Trie`, `Int`, `Float`,
-/// and each of them `Tailed` by an extend with unseen values.
-fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, pd_encoding::GlobalDict)> {
+/// A random dictionary of each flavour — `Sorted`, `Trie`, `Int`, `Float`
+/// — and each of them again with a batch of an append merged in.
+fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, GlobalDict)> {
     let n = rng.range_usize(1, 160);
-    let strings = |rng: &mut Rng, n: usize, tag: &str| -> Vec<Value> {
-        (0..n)
-            .map(|_| {
-                // Shared prefixes, prefix chains and the empty string: the
-                // shapes a path-compressed trie treats differently.
-                let depth = rng.range_usize(0, 4);
-                let mut s = String::new();
-                for _ in 0..depth {
-                    let parts = ["logs.", "ads.", "a", "ab", "日本", "team_07."];
-                    s.push_str(parts[rng.range_usize(0, parts.len())]);
-                }
-                if rng.chance(0.8) {
-                    s.push_str(&format!("{tag}{}", rng.range_usize(0, 40)));
-                }
-                Value::from(s)
-            })
-            .collect()
-    };
-    let ints = |rng: &mut Rng, n: usize, lo: i64| -> Vec<Value> {
-        (0..n).map(|_| Value::Int(lo + rng.range_i64_inclusive(-500, 500))).collect()
-    };
-    let floats = |rng: &mut Rng, n: usize, scale: f64| -> Vec<Value> {
-        (0..n)
-            .map(|_| match rng.range_usize(0, 12) {
-                0 => Value::Float(-0.0),
-                1 => Value::Float(f64::NAN),
-                2 => Value::Float(f64::NEG_INFINITY),
-                _ => Value::Float(rng.range_i64_inclusive(-300, 300) as f64 * scale),
-            })
-            .collect()
-    };
     let mut dicts = vec![
         ("sorted", build_dict(&strings(rng, n, "t")).unwrap().0),
         ("trie", build_dict(&strings(rng, n, "t")).unwrap().0.optimize().unwrap()),
         ("int", build_dict(&ints(rng, n, 0)).unwrap().0),
         ("float", build_dict(&floats(rng, n, 0.5)).unwrap().0),
     ];
-    // The same four again, tailed by values an append would bring.
+    // The same four again, merged with values an append would bring.
     let m = rng.range_usize(1, 40);
     let appended = [
-        ("tailed sorted", strings(rng, m, "new")),
-        ("tailed trie", strings(rng, m, "new")),
-        ("tailed int", ints(rng, m, -300)),
-        ("tailed float", floats(rng, m, 0.25)),
+        ("merged sorted", strings(rng, m, "new")),
+        ("merged trie", strings(rng, m, "new")),
+        ("merged int", ints(rng, m, -300)),
+        ("merged float", floats(rng, m, 0.25)),
     ];
     for (base, (name, new_values)) in appended.into_iter().enumerate() {
         let mut dict = dicts[base].1.clone();
-        dict.extend(&new_values).unwrap();
+        dict.merge(&build_dict(&new_values).unwrap().0).unwrap();
         dicts.push((name, dict));
     }
     dicts
+}
+
+/// `n` strings: shared prefixes, prefix chains and the empty string — the
+/// shapes a path-compressed trie treats differently — mostly ending in
+/// `tag` and a number.
+fn strings(rng: &mut Rng, n: usize, tag: &str) -> Vec<Value> {
+    (0..n)
+        .map(|_| {
+            let depth = rng.range_usize(0, 4);
+            let mut s = String::new();
+            for _ in 0..depth {
+                let parts = ["logs.", "ads.", "a", "ab", "日本", "team_07."];
+                s.push_str(parts[rng.range_usize(0, parts.len())]);
+            }
+            if rng.chance(0.8) {
+                s.push_str(&format!("{tag}{}", rng.range_usize(0, 40)));
+            }
+            Value::from(s)
+        })
+        .collect()
+}
+
+/// `n` integers within 500 of `lo`.
+fn ints(rng: &mut Rng, n: usize, lo: i64) -> Vec<Value> {
+    (0..n).map(|_| Value::Int(lo + rng.range_i64_inclusive(-500, 500))).collect()
+}
+
+/// `n` floats, multiples of `scale` and the specials -0.0, NaN and -inf.
+fn floats(rng: &mut Rng, n: usize, scale: f64) -> Vec<Value> {
+    (0..n)
+        .map(|_| match rng.range_usize(0, 12) {
+            0 => Value::Float(-0.0),
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(rng.range_i64_inclusive(-300, 300) as f64 * scale),
+        })
+        .collect()
+}
+
+/// A batch of `dict`'s type as an append brings it: values `dict` holds
+/// (from `held`) and, but in a third of the batches, new ones — in a third
+/// only above them, else below, among and above them.
+fn batch(rng: &mut Rng, dict: &GlobalDict, held: &[Value]) -> Vec<Value> {
+    let sides = [(0, 0), (2, 3), (0, 3)][rng.range_usize(0, 3)];
+    let fresh = |rng: &mut Rng| match (dict.data_type(), rng.range_usize(sides.0, sides.1)) {
+        (DataType::Int, side) => ints(rng, 1, [-3_000, 0, 3_000][side]).remove(0),
+        (DataType::Float, side) => floats(rng, 1, [-7.0, 0.125, 7.0][side]).remove(0),
+        (DataType::Str, side) => {
+            let tag = ["", "m", "\u{ffff}"][side];
+            let s = strings(rng, 1, "x").remove(0);
+            Value::from(format!("{tag}{}", s.as_str().unwrap()))
+        }
+    };
+    (0..rng.range_usize(1, 50))
+        .map(|_| match rng.range_usize(0, 3) {
+            0 => held[rng.range_usize(0, held.len())].clone(),
+            _ if sides.0 == sides.1 => held[rng.range_usize(0, held.len())].clone(),
+            _ => fresh(rng),
+        })
+        .collect()
 }
 
 /// Sorted id subsets of `0..len`: empty, singletons (first, last, random),
@@ -229,83 +258,71 @@ fn values_of_equals_value_per_id() {
     }
 }
 
-/// Id order is `Value::cmp` order whenever the dictionary says so — what
-/// lets a consumer rank groups on ids and look up only the winners — and
-/// a dictionary says so unless an append has tailed it, which does break
-/// the order (a tail that happens to continue its base in order is still
-/// reported unordered: the flag errs toward comparing values).
+/// Id order is `Value::cmp` order after any run of merges — what lets a
+/// consumer rank groups and ranges on ids and look up only the winners:
+/// every dictionary, merged with batches whose new values fall below,
+/// among and above its own, is bit for bit the dictionary a build of all
+/// its values makes, in its own flavour (a trie stays a trie).
 #[test]
-fn id_order_is_value_order_when_value_ordered() {
+fn id_order_is_value_order_after_any_run_of_merges() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0008);
-    let mut tailed_out_of_order = 0;
+    let mut moved = 0;
     for case in 0..48 {
-        for (name, dict) in random_dicts(&mut rng) {
-            let values = dict.values_of(&(0..dict.len()).collect::<Vec<u32>>());
-            let sorted = values.windows(2).all(|pair| pair[0] < pair[1]);
-            let tailed = matches!(dict, pd_encoding::GlobalDict::Tailed(_));
-            assert_eq!(dict.is_value_ordered(), !tailed, "case {case} {name}");
-            if dict.is_value_ordered() {
-                assert!(sorted, "case {case} {name}: ids must order like their values");
-            } else if !sorted {
-                tailed_out_of_order += 1;
+        for (name, mut dict) in random_dicts(&mut rng) {
+            let mut held: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
+            for round in 0..3 {
+                let values = batch(&mut rng, &dict, &held);
+                moved += usize::from(
+                    dict.merge(&build_dict(&values).unwrap().0).unwrap().renumbered.is_some(),
+                );
+                held.extend(values);
+                let built = build_dict(&held).unwrap().0;
+                let built = match dict {
+                    GlobalDict::Str(pd_encoding::StrDict::Trie(_)) => built.optimize().unwrap(),
+                    _ => built,
+                };
+                assert_eq!(dict, built, "case {case} {name} round {round}");
+                let values = dict.values_of(&(0..dict.len()).collect::<Vec<u32>>());
+                assert!(values.windows(2).all(|pair| pair[0] < pair[1]), "case {case} {name}");
             }
         }
     }
-    assert!(tailed_out_of_order > 48, "tails must break id order: {tailed_out_of_order}");
+    assert!(moved > 500, "merges must move old ids: {moved}");
 }
 
-/// `extend` hands out the ids a value-by-value model does: a value the
-/// dictionary holds — in its base or its tail — keeps its id, a new one
-/// gets the next id once, however often one call repeats it, and the
-/// dictionary afterwards holds exactly the model's values in id order.
-/// Runs over every flavour, tailed and not, through several extends.
+/// A merge hands out the ids a sorted model does: each batch entry's id is
+/// its rank among the old and new values, and the map of old ids to new
+/// ones sends every old value to its new rank — strictly ascending, and
+/// absent exactly when no old id moves.
 #[test]
-fn extend_assigns_the_ids_a_value_by_value_model_does() {
+fn merge_assigns_the_ids_a_sorted_model_does() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0009);
-    let mut tail_hits = 0;
+    let mut identities = 0;
     for case in 0..32 {
         for (name, mut dict) in random_dicts(&mut rng) {
-            let mut model: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
             for round in 0..3 {
-                let values: Vec<Value> = (0..rng.range_usize(0, 60))
-                    .map(|_| match rng.range_usize(0, 3) {
-                        // One the dictionary holds, base or tail, or a
-                        // fresh one of its type (repeats likely).
-                        0 => model[rng.range_usize(0, model.len())].clone(),
-                        _ => match dict.data_type() {
-                            DataType::Int => Value::Int(rng.range_i64_inclusive(-900, 900)),
-                            DataType::Float => match rng.range_usize(0, 8) {
-                                0 => Value::Float(-0.0),
-                                1 => Value::Float(f64::NAN),
-                                _ => Value::Float(rng.range_i64_inclusive(-600, 600) as f64 / 4.0),
-                            },
-                            DataType::Str => Value::from(format!("v{}", rng.range_usize(0, 90))),
-                        },
-                    })
-                    .collect();
-                let base_len = match &dict {
-                    GlobalDict::Tailed(t) => t.base().len(),
-                    sorted => sorted.len(),
-                } as usize;
-                let held_before = model.len();
-                let want: Vec<u32> = (values.iter())
-                    .map(|v| {
-                        let id = model.iter().position(|m| m == v).unwrap_or_else(|| {
-                            model.push(v.clone());
-                            model.len() - 1
-                        });
-                        tail_hits += usize::from((base_len..held_before).contains(&id));
-                        id as u32
-                    })
-                    .collect();
-                let got = dict.extend(&values).unwrap();
-                assert_eq!(got, want, "case {case} {name} round {round}: {values:?}");
-                let held: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
-                assert_eq!(held, model, "case {case} {name} round {round}");
+                let label = format!("case {case} {name} round {round}");
+                let old: Vec<Value> = (0..dict.len()).map(|id| dict.value(id)).collect();
+                let (entries, _) = build_dict(&batch(&mut rng, &dict, &old)).unwrap();
+                let merged = dict.merge(&entries).unwrap();
+                let rank = |v: &Value| dict.id_of(v).expect("a merged value is held");
+                let want: Vec<u32> = (0..entries.len()).map(|e| rank(&entries.value(e))).collect();
+                assert_eq!(merged.ids, want, "{label}");
+                let want: Vec<u32> = old.iter().map(rank).collect();
+                match merged.renumbered {
+                    Some(map) => {
+                        assert_eq!(map, want, "{label}");
+                        assert!(map.iter().zip(0..).any(|(&to, from)| to != from), "{label}");
+                    }
+                    None => {
+                        assert!(want.iter().zip(0..).all(|(&to, from)| to == from), "{label}");
+                        identities += 1;
+                    }
+                }
             }
         }
     }
-    assert!(tail_hits > 1_000, "values the tail held must be asked: {tail_hits}");
+    assert!(identities > 100, "batches must also leave every old id: {identities}");
 }
 
 /// The trie rejects what it cannot answer in one ordered walk.
