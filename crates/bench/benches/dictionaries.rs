@@ -7,7 +7,7 @@
 //! by at least 3× — what a leaf pays to ship a value-keyed group table.
 
 use pd_bench::Bench;
-use pd_encoding::{Elements, ElementsMode, SortedStrDict, TrieDict};
+use pd_encoding::{Elements, ElementsMode, Sorted, TrieDict};
 use std::hint::black_box;
 
 fn names(n: usize) -> Vec<String> {
@@ -30,15 +30,16 @@ fn names(n: usize) -> Vec<String> {
 fn main() {
     let values = names(120_000);
     let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-    let sorted = SortedStrDict::from_sorted(values.iter().map(|s| s.as_str().into()).collect())
-        .expect("sorted dict");
+    let sorted: Sorted<Box<str>> =
+        Sorted::from_sorted(values.iter().map(|s| s.as_str().into()).collect())
+            .expect("sorted dict");
     let trie = TrieDict::from_sorted(&refs).expect("trie");
     let probes: Vec<&str> = refs.iter().step_by(7).copied().collect();
 
     let bench = Bench::new("dictionaries").samples(10);
     bench.case_throughput("id_of/sorted_array", probes.len() as u64, || {
         for p in &probes {
-            black_box(sorted.id_of(p));
+            black_box(sorted.id_of_by(|v| (**v).cmp(p)));
         }
     });
     bench.case_throughput("id_of/trie", probes.len() as u64, || {

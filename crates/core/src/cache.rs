@@ -47,7 +47,6 @@ struct BoundedInner<K, V> {
     capacity: usize,
     hits: u64,
     misses: u64,
-    rejected: u64,
 }
 
 impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
@@ -61,7 +60,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
                 capacity: capacity.max(1),
                 hits: 0,
                 misses: 0,
-                rejected: 0,
             }),
         }
     }
@@ -104,7 +102,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         while inner.entries.len() >= inner.capacity {
             let (&(vcost, vstamp), _) = inner.by_score.iter().next().expect("index matches map");
             if cost < vcost {
-                inner.rejected += 1;
                 return;
             }
             let victim = inner.by_score.remove(&(vcost, vstamp)).expect("victim is present");
@@ -140,12 +137,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.hits, inner.misses)
-    }
-
-    /// Inserts refused because the incoming cost was below every
-    /// resident's at capacity.
-    pub fn rejected(&self) -> u64 {
-        self.inner.lock().rejected
     }
 }
 
@@ -276,7 +267,7 @@ mod tests {
         cache.put(1, 10, cost_score(100, 50));
         cache.put(2, 20, cost_score(10, 50));
         cache.put(3, 30, cost_score(1, 1)); // cheaper than every resident
-        assert_eq!((cache.get(&3), cache.rejected()), (None, 1));
+        assert_eq!(cache.get(&3), None);
         cache.put(4, 40, cost_score(10, 60)); // evicts key 2, the cheapest
         assert_eq!((cache.get(&2), cache.get(&1), cache.get(&4)), (None, Some(10), Some(40)));
     }

@@ -30,7 +30,7 @@ impl ColumnChunk {
     /// Global-id of the value in `row` (chunk-relative).
     #[inline]
     pub fn global_id_at(&self, row: usize) -> u32 {
-        self.dict.global_id_of(self.elements.get(row))
+        self.dict.values()[self.elements.get(row) as usize]
     }
 
     /// Borrowed view of this chunk's raw element codes — what the group-by

@@ -257,7 +257,7 @@ impl DataStore {
                 .map(|(name, col)| {
                     let chunk = &col.chunks[c];
                     let values = (0..chunk.dict.len())
-                        .map(|cid| col.dict.value(chunk.dict.global_id_of(cid)))
+                        .map(|cid| col.dict.value(chunk.dict.values()[cid as usize]))
                         .collect();
                     SourceRun { name, values, codes: chunk.codes() }
                 })

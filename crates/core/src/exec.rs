@@ -646,11 +646,6 @@ struct Fold<'a> {
     groups: GroupFold,
 }
 
-/// The global-ids of `col`'s chunk `c`, indexed by chunk-id.
-fn chunk_ids(col: &StoredColumn, c: usize) -> &[u32] {
-    col.chunks[c].dict.global_ids()
-}
-
 impl<'a> Fold<'a> {
     /// A fold of chunks holding `active_rows` rows in all, continuing
     /// `stats`.
@@ -693,8 +688,10 @@ impl<'a> Fold<'a> {
         let plan = self.plan;
         self.groups.absorb(
             table,
-            |i| chunk_ids(&plan.key_cols[i], c),
-            |s| chunk_ids(plan.slots[s].col.as_ref().expect("MIN/MAX has an argument"), c),
+            |i| plan.key_cols[i].chunks[c].dict.values(),
+            |s| {
+                plan.slots[s].col.as_ref().expect("MIN/MAX has an argument").chunks[c].dict.values()
+            },
         );
     }
 }

@@ -269,7 +269,7 @@ impl ChunkCx<'_> {
     fn values(&self, col: usize) -> &[Value] {
         self.values[col].get_or_init(|| {
             let column = &self.plan.value_cols[col].1;
-            column.chunks[self.chunk].dict.iter().map(|gid| column.dict.value(gid)).collect()
+            column.dict.values_of(column.chunks[self.chunk].dict.values())
         })
     }
 
@@ -407,7 +407,7 @@ fn has_row_eval(pred: &Pred) -> bool {
 /// its code is one of them. No value is looked at.
 fn ids_mask(leaf: &ResolvedLeaf, chunk: usize) -> Mask {
     let ch = &leaf.col.chunks[chunk];
-    let gids = ch.dict.global_ids();
+    let gids = ch.dict.values();
     match &leaf.ids {
         LeafIds::Range { lo, hi } => {
             let a = gids.partition_point(|g| g < lo);
@@ -420,9 +420,7 @@ fn ids_mask(leaf: &ResolvedLeaf, chunk: usize) -> Mask {
             // merge of the two sorted lists otherwise.
             let mut hits: Vec<usize> = Vec::new();
             if ids.len() * 8 < gids.len() {
-                hits.extend(
-                    ids.iter().filter_map(|id| ch.dict.chunk_id_of(*id)).map(|c| c as usize),
-                );
+                hits.extend(ids.iter().filter_map(|id| ch.dict.id_of(id)).map(|c| c as usize));
             } else {
                 let mut wanted = ids.iter().peekable();
                 for (cid, gid) in gids.iter().enumerate() {
@@ -957,7 +955,7 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             let mut held = vec![false; n];
             pairs.iter().for_each(|&p| held[p % n] = true);
             let held: Vec<u32> = (0..n as u32).filter(|&c| held[c as usize]).collect();
-            let gids: Vec<u32> = held.iter().map(|&c| chunk.dict.global_id_of(c)).collect();
+            let gids: Vec<u32> = held.iter().map(|&c| chunk.dict.values()[c as usize]).collect();
             let mut hash = vec![0u64; n];
             let mut codes = held.iter();
             col.dict.for_each_key(&gids, |key| {
@@ -1068,7 +1066,7 @@ fn float_table(col: &StoredColumn, chunk: &ColumnChunk) -> Vec<f64> {
 
 /// Per chunk-id, its global id's entry of a typed dictionary's `values`.
 fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T]) -> Vec<T> {
-    chunk.dict.global_ids().iter().map(|&gid| values[gid as usize]).collect()
+    chunk.dict.values().iter().map(|&gid| values[gid as usize]).collect()
 }
 
 #[cfg(test)]

@@ -121,7 +121,7 @@ impl ResolvedLeaf {
         let dict = &self.col.chunks[c].dict;
         match &self.ids {
             LeafIds::Range { lo, hi } => {
-                let (Some(cmin), Some(cmax)) = (dict.min_global_id(), dict.max_global_id()) else {
+                let (&[cmin, ..], &[.., cmax]) = (dict.values(), dict.values()) else {
                     return ChunkActivity::Skip; // empty chunk
                 };
                 if *lo >= *hi || cmax < *lo || cmin >= *hi {
@@ -214,6 +214,9 @@ impl SkipAnalysis {
 fn resolve(store: &DataStore, restriction: &Restriction) -> Result<ResolvedNode> {
     Ok(match restriction {
         Restriction::True => ResolvedNode::True,
+        // An empty AND/OR errs toward maybe, as the edge verdicts do: `any`
+        // over no child would prove every chunk empty.
+        Restriction::And(c) | Restriction::Or(c) if c.is_empty() => ResolvedNode::Opaque,
         Restriction::Opaque => ResolvedNode::Opaque,
         Restriction::And(children) => {
             ResolvedNode::And(children.iter().map(|r| resolve(store, r)).collect::<Result<_>>()?)
@@ -464,6 +467,22 @@ mod tests {
             SkipAnalysis::prepare_seeded(&s, &r, Some(vec![ChunkActivity::Skip])).unwrap();
         let last = s.chunk_count() - 1;
         assert_eq!(analysis.activity(last), plain.activity(last));
+    }
+
+    #[test]
+    fn empty_and_or_err_toward_maybe() {
+        // `any` over no child is vacuously false: an empty OR once proved
+        // every chunk empty, and a COUNT(*) under it answered 0.
+        let s = store();
+        for r in [Restriction::Or(vec![]), Restriction::And(vec![])] {
+            let analysis = SkipAnalysis::prepare(&s, &r).unwrap();
+            assert!(analysis.all(s.chunk_count()).iter().all(|v| *v == ChunkActivity::Partial));
+            let mut analyzed = pd_sql::plan("SELECT COUNT(*) FROM t").unwrap();
+            analyzed.restriction = r;
+            let (result, _) =
+                crate::exec::execute(&s, &analyzed, &crate::ExecContext::default()).unwrap();
+            assert_eq!(result.rows[0].0[0], Value::Int(s.n_rows() as i64));
+        }
     }
 
     #[test]

@@ -205,8 +205,6 @@ pub struct Cluster {
     /// a node; a node that meets one it was not told of drops its result
     /// cache.
     epoch: u64,
-    /// Per-shard `(total queue delay, samples)` as the nodes measured it.
-    observed_queue: Mutex<Vec<(Duration, u64)>>,
     /// The most recent queue-delay samples (capped ring of
     /// `(when observed, delay)`), feeding two adaptive policies: the hedge
     /// delay (p95-derived — hedge as soon as a primary looks slower than
@@ -319,7 +317,6 @@ impl Cluster {
             schema: table.schema().clone(),
             config: config.clone(),
             epoch,
-            observed_queue: Mutex::new(vec![(Duration::ZERO, 0); shard_count]),
             recent_queue: Mutex::new(VecDeque::with_capacity(RECENT_QUEUE_CAP)),
             in_flight: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
@@ -340,7 +337,6 @@ impl Cluster {
         (self.root, self.workers, self.shard_count) = (Some(root), workers, shard_count);
         self.epoch += 1;
         self.schema = table.schema().clone();
-        *self.observed_queue.lock() = vec![(Duration::ZERO, 0); shard_count];
         // A fresh tree starts with nobody waiting at its workers: stale
         // saturation / hedge estimates from the old processes would shed
         // or hedge against load that no longer exists.
@@ -503,23 +499,6 @@ impl Cluster {
         self.shard_count
     }
 
-    /// Mean measured queue delay per shard, reported up the tree by the
-    /// nodes themselves (all zeros before any query, and for shards behind
-    /// in-memory edges, which have no queue).
-    pub fn observed_queue_delays(&self) -> Vec<Duration> {
-        self.observed_queue
-            .lock()
-            .iter()
-            .map(|&(total, samples)| {
-                if samples == 0 {
-                    Duration::ZERO
-                } else {
-                    total / u32::try_from(samples).unwrap_or(u32::MAX)
-                }
-            })
-            .collect()
-    }
-
     /// `(hits, misses)` so far, summed over the node result caches in the
     /// driver's address space: the root's, plus every node's beneath it in
     /// an in-process tree (the caches of worker processes count where they
@@ -591,12 +570,6 @@ impl Cluster {
         // saturation halving off.
         let synthesized = |r: &ShardReport| r.cache_hit && r.latency.is_zero() && r.queue.is_zero();
         if !answer.reports.iter().all(synthesized) {
-            let mut observed = self.observed_queue.lock();
-            for (slot, queued) in observed.iter_mut().zip(&queue_delays) {
-                slot.0 += *queued;
-                slot.1 += 1;
-            }
-            drop(observed);
             // Feed the adaptive hedge / saturation estimates, stamped so
             // `queue_p95` can expire them.
             let now = Instant::now();
@@ -985,7 +958,6 @@ mod tests {
         assert_eq!(cluster.query(sql).unwrap().worker_cache_hits(), 0);
         let after_the_miss = (cluster.queue_p95(), cluster.recent_queue.lock().len());
         assert_eq!(after_the_miss, (Some(Duration::from_millis(400)), RECENT_QUEUE_CAP - 36));
-        let observed = cluster.observed_queue.lock().clone();
         // 64 repeats × 4 synthesized zero-queue reports would displace the
         // whole ring and read "nobody is waiting".
         for _ in 0..64 {
@@ -993,7 +965,6 @@ mod tests {
             assert_eq!((hit.worker_cache_hits(), hit.shard_cache_hits), (1, 4));
         }
         assert_eq!((cluster.queue_p95(), cluster.recent_queue.lock().len()), after_the_miss);
-        assert_eq!(*cluster.observed_queue.lock(), observed);
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl ShardMeta {
             let entries: Vec<u32> = (0..column.dict.len()).collect();
             meta.columns.push(zone_map(&field.name, &column.dict, &entries, MAX_DISTINCT));
             for (chunk, stored) in meta.chunk_metas.iter_mut().zip(&column.chunks) {
-                let ids = stored.dict.global_ids();
+                let ids = stored.dict.values();
                 chunk.columns.push(zone_map(&field.name, &column.dict, ids, MAX_CHUNK_DISTINCT));
             }
             if entries.len() > MAX_DISTINCT {

@@ -1,71 +1,44 @@
 //! Chunk dictionaries: the second indirection of §2.3.
 //!
 //! Per chunk, the global-ids occurring in that chunk are stored sorted; the
-//! *chunk-id* of a value is its index in this array. The sortedness gives
-//! the two operations chunk skipping needs: `chunk_id_of(global_id)` (binary
-//! search) and the reverse `global_id_of(chunk_id)` (array access), plus
-//! cheap set-intersection tests against the global-ids of a restriction.
+//! *chunk-id* of a value is its index in this array. That is the array a
+//! global dictionary is, over global-ids: a chunk dictionary is a
+//! [`Sorted<u32>`], whose `id_of(&global_id)` (binary search) and
+//! `values()[chunk_id]` (array access) translate between the two id spaces.
+//! What is specific to chunks lives here: the set tests chunk skipping runs
+//! against a restriction's global-ids, the renumbering an append's merge
+//! makes, and a compact serialization.
 
-use pd_common::{Error, HeapSize, Result};
+use crate::dict::Sorted;
+use pd_common::{Error, Result};
 use pd_compress::varint;
+use std::cmp::Ordering;
 
-/// Sorted global-ids present in one chunk; chunk-id = index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkDict {
-    global_ids: Box<[u32]>,
-}
+/// Sorted global-ids present in one chunk; chunk-id = index. Its `len` is
+/// the chunk's distinct count (the `n` of §2.3; group-by count arrays are
+/// sized by it).
+pub type ChunkDict = Sorted<u32>;
 
 impl ChunkDict {
-    /// Build from the sorted, deduplicated global-ids of a chunk.
-    pub fn from_sorted(global_ids: Vec<u32>) -> Result<Self> {
-        for pair in global_ids.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(Error::Data("chunk dictionary must be sorted and unique".into()));
-            }
-        }
-        Ok(ChunkDict { global_ids: global_ids.into_boxed_slice() })
-    }
-
-    /// Number of distinct values in the chunk (the `n` of §2.3; group-by
-    /// count arrays are sized by this).
-    pub fn len(&self) -> u32 {
-        self.global_ids.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.global_ids.is_empty()
-    }
-
-    /// Chunk-id of `global_id`, if the value occurs in this chunk.
-    #[inline]
-    pub fn chunk_id_of(&self, global_id: u32) -> Option<u32> {
-        self.global_ids.binary_search(&global_id).ok().map(|i| i as u32)
-    }
-
-    /// Global-id for a chunk-id. Panics if out of range.
-    #[inline]
-    pub fn global_id_of(&self, chunk_id: u32) -> u32 {
-        self.global_ids[chunk_id as usize]
-    }
-
     /// Does any of `sorted_global_ids` occur in this chunk? This is the
     /// §2.4 skipping test for `IN` restrictions; both sides sorted makes it
     /// a merge scan.
     pub fn contains_any(&self, sorted_global_ids: &[u32]) -> bool {
-        if self.global_ids.is_empty() || sorted_global_ids.is_empty() {
+        let ids = self.values();
+        if ids.is_empty() || sorted_global_ids.is_empty() {
             return false;
         }
         // Galloping merge: whichever side is much smaller drives binary
         // searches into the other.
-        if sorted_global_ids.len() * 8 < self.global_ids.len() {
-            return sorted_global_ids.iter().any(|id| self.chunk_id_of(*id).is_some());
+        if sorted_global_ids.len() * 8 < ids.len() {
+            return sorted_global_ids.iter().any(|id| self.id_of(id).is_some());
         }
         let (mut i, mut j) = (0usize, 0usize);
-        while i < self.global_ids.len() && j < sorted_global_ids.len() {
-            match self.global_ids[i].cmp(&sorted_global_ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
+        while i < ids.len() && j < sorted_global_ids.len() {
+            match ids[i].cmp(&sorted_global_ids[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => return true,
             }
         }
         false
@@ -77,12 +50,12 @@ impl ChunkDict {
     /// cache results for chunks which are fully active").
     pub fn subset_of(&self, sorted_global_ids: &[u32]) -> bool {
         let mut j = 0usize;
-        'outer: for &id in self.global_ids.iter() {
+        'outer: for &id in self.values() {
             while j < sorted_global_ids.len() {
                 match sorted_global_ids[j].cmp(&id) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
+                    Ordering::Less => j += 1,
+                    Ordering::Equal => continue 'outer,
+                    Ordering::Greater => return false,
                 }
             }
             return false;
@@ -90,43 +63,21 @@ impl ChunkDict {
         true
     }
 
-    /// Smallest global-id in the chunk, if non-empty.
-    pub fn min_global_id(&self) -> Option<u32> {
-        self.global_ids.first().copied()
-    }
-
-    /// Largest global-id in the chunk, if non-empty.
-    pub fn max_global_id(&self) -> Option<u32> {
-        self.global_ids.last().copied()
-    }
-
-    /// Iterate global-ids ascending (chunk-id order).
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.global_ids.iter().copied()
-    }
-
-    /// The sorted global-ids, indexed by chunk-id. Row masks turn a
-    /// global-id interval into a chunk-id interval with two
-    /// `partition_point`s over this slice.
-    pub fn global_ids(&self) -> &[u32] {
-        &self.global_ids
-    }
-
     /// Renumber every global-id through `map` (old id → new id). The map
     /// a dictionary merge makes is monotone, so the ids stay sorted and
     /// every chunk-id keeps its value.
     pub fn renumber(&mut self, map: &[u32]) {
-        self.global_ids.iter_mut().for_each(|id| *id = map[*id as usize]);
-        debug_assert!(self.global_ids.windows(2).all(|pair| pair[0] < pair[1]));
+        self.values.iter_mut().for_each(|id| *id = map[*id as usize]);
+        debug_assert!(self.values.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     /// Serialize as delta varints (dense ascending ids compress to ~1
     /// byte each).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.global_ids.len() + 8);
-        varint::write_u64(&mut out, self.global_ids.len() as u64);
+        let mut out = Vec::with_capacity(self.values().len() + 8);
+        varint::write_u64(&mut out, self.values().len() as u64);
         let mut prev = 0u32;
-        for &id in self.global_ids.iter() {
+        for &id in self.values() {
             varint::write_u64(&mut out, u64::from(id - prev));
             prev = id;
         }
@@ -154,12 +105,6 @@ impl ChunkDict {
     }
 }
 
-impl HeapSize for ChunkDict {
-    fn heap_bytes(&self) -> usize {
-        self.global_ids.len() * 4
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,11 +118,11 @@ mod tests {
         // Figure 1: chunk 0 holds global-ids {1, 2, 4, 5, 12}.
         let d = dict(&[1, 2, 4, 5, 12]);
         assert_eq!(d.len(), 5);
-        assert_eq!(d.chunk_id_of(4), Some(2));
-        assert_eq!(d.chunk_id_of(9), None); // "la redoute" not in chunk 0
-        assert_eq!(d.global_id_of(3), 5);
-        assert_eq!(d.min_global_id(), Some(1));
-        assert_eq!(d.max_global_id(), Some(12));
+        assert_eq!(d.id_of(&4), Some(2));
+        assert_eq!(d.id_of(&9), None); // "la redoute" not in chunk 0
+        assert_eq!(d.values()[3], 5);
+        assert_eq!(d.values().first(), Some(&1));
+        assert_eq!(d.values().last(), Some(&12));
     }
 
     #[test]

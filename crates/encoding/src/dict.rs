@@ -1,5 +1,11 @@
-//! Global dictionaries: all distinct values of a column, sorted, addressed
-//! by integer rank (*global-id*) — §2.3 of the paper.
+//! Dictionaries: all distinct values of a column, sorted, addressed by
+//! integer rank (*global-id*) — §2.3 of the paper.
+//!
+//! Both halves of §2.3's double dictionary are one structure, [`Sorted`]: a
+//! boxed slice of strictly ascending entries whose index is the id. A
+//! global dictionary is a `Sorted` of values (global-id → value); a chunk
+//! dictionary ([`crate::ChunkDict`]) is a `Sorted<u32>` of global-ids
+//! (chunk-id → global-id).
 //!
 //! Lookups go both ways: `value(global_id)` when materializing query
 //! results (e.g. the top-10 strings after a group-by) and `id_of(value)`
@@ -7,7 +13,7 @@
 //! skipping.
 //!
 //! String dictionaries come in two flavours, mirroring the paper's §3
-//! optimization step: a "canonical" sorted array with binary search, and
+//! optimization step: the canonical sorted array with binary search, and
 //! the compact 4-bit [`TrieDict`].
 
 use crate::trie::TrieDict;
@@ -16,21 +22,89 @@ use pd_compress::varint;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-/// Sorted array of distinct strings; rank = index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortedStrDict {
-    values: Box<[Box<str>]>,
+/// What a [`Sorted`] holds: how two entries order, and what heap one owns.
+pub trait Entry {
+    fn order(&self, other: &Self) -> Ordering;
+
+    /// Heap bytes the entry owns beyond its own size.
+    fn heap(&self) -> usize {
+        0
+    }
 }
 
-impl SortedStrDict {
-    /// Build from sorted, unique strings.
-    pub fn from_sorted(values: Vec<Box<str>>) -> Result<Self> {
-        for pair in values.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(Error::Data("dictionary input must be sorted and unique".into()));
-            }
+impl Entry for i64 {
+    fn order(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+impl Entry for u32 {
+    fn order(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// Total order: every bit pattern is its own entry (`-0.0` before `0.0`,
+/// NaN last), so a dictionary holding a NaN equals its own copy.
+impl Entry for f64 {
+    fn order(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl Entry for Box<str> {
+    fn order(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+
+    fn heap(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Entry for &str {
+    fn order(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// Strictly ascending distinct entries; an entry's id is its index.
+#[derive(Debug, Clone)]
+pub struct Sorted<T> {
+    pub(crate) values: Box<[T]>,
+}
+
+/// Entries equal when they order equal: for floats, when their bits do.
+impl<T: Entry> PartialEq for Sorted<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values.len() == other.values.len()
+            && self.values.iter().zip(other.values.iter()).all(|(a, b)| a.order(b).is_eq())
+    }
+}
+
+impl<T: Entry> Eq for Sorted<T> {}
+
+impl<T: Entry> Sorted<T> {
+    /// Build from strictly ascending entries.
+    pub fn from_sorted(values: Vec<T>) -> Result<Self> {
+        if values.windows(2).any(|pair| pair[0].order(&pair[1]).is_ge()) {
+            return Err(Error::Data("dictionary input must be sorted and unique".into()));
         }
-        Ok(SortedStrDict { values: values.into_boxed_slice() })
+        Ok(Sorted { values: values.into_boxed_slice() })
+    }
+
+    /// The distinct entries of `raw`, and each entry's id: sort, dedup,
+    /// then rank every entry by a binary search.
+    pub fn ranked(raw: &[T]) -> (Self, Vec<u32>)
+    where
+        T: Clone,
+    {
+        let mut distinct = raw.to_vec();
+        distinct.sort_unstable_by(T::order);
+        distinct.dedup_by(|a, b| a.order(b).is_eq());
+        let sorted = Sorted { values: distinct.into_boxed_slice() };
+        let ids = raw.iter().map(|v| sorted.id_of(v).expect("value was inserted")).collect();
+        (sorted, ids)
     }
 
     pub fn len(&self) -> u32 {
@@ -41,28 +115,82 @@ impl SortedStrDict {
         self.values.is_empty()
     }
 
-    pub fn value(&self, id: u32) -> &str {
+    /// The entry with id `id`. Panics if out of range.
+    pub fn value(&self, id: u32) -> &T {
         &self.values[id as usize]
     }
 
-    pub fn id_of(&self, value: &str) -> Option<u32> {
-        self.values.binary_search_by(|v| v.as_ref().cmp(value)).ok().map(|i| i as u32)
+    /// Every entry, indexed by id.
+    pub fn values(&self) -> &[T] {
+        &self.values
     }
 
-    /// Rank of the first entry `>= value`.
-    pub fn lower_bound(&self, value: &str) -> u32 {
-        self.values.partition_point(|v| v.as_ref() < value) as u32
+    /// Id of `probe`, if present.
+    pub fn id_of(&self, probe: &T) -> Option<u32> {
+        self.id_of_by(|v| v.order(probe))
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.values.iter().map(AsRef::as_ref)
+    /// Id of the entry `cmp` finds equal, if any; `cmp` orders an entry
+    /// against the probe.
+    pub fn id_of_by(&self, cmp: impl FnMut(&T) -> Ordering) -> Option<u32> {
+        self.values.binary_search_by(cmp).ok().map(|i| i as u32)
+    }
+
+    /// Id of the first entry `>= probe`.
+    pub fn lower_bound(&self, probe: &T) -> u32 {
+        self.lower_bound_by(|v| v.order(probe))
+    }
+
+    /// Id of the first entry `cmp` does not order below the probe.
+    pub fn lower_bound_by(&self, mut cmp: impl FnMut(&T) -> Ordering) -> u32 {
+        self.values.partition_point(|v| cmp(v).is_lt()) as u32
+    }
+
+    /// Merge `batch` into this array, which becomes their union, in order.
+    /// A batch entry is placed by a binary search, and the array is rebuilt
+    /// in one pass only if some entry is not in it.
+    pub fn merge(&mut self, batch: &Sorted<T>) -> Merged
+    where
+        T: Clone,
+    {
+        // Per batch entry absent from `self`, the old position it goes before.
+        let mut inserts: Vec<(usize, &T)> = Vec::new();
+        let ids = (batch.values.iter())
+            .map(|v| {
+                let at = self.lower_bound(v) as usize;
+                let id = (at + inserts.len()) as u32;
+                if self.values.get(at).is_none_or(|o| o.order(v).is_ne()) {
+                    inserts.push((at, v));
+                }
+                id
+            })
+            .collect();
+        let Some(&(first, _)) = inserts.first() else { return Merged { ids, renumbered: None } };
+        let len = self.values.len();
+        let moved = first < len;
+        let mut renumbered = Vec::with_capacity(if moved { len } else { 0 });
+        let mut merged = Vec::with_capacity(len + inserts.len());
+        let mut kept = std::mem::take(&mut self.values).into_vec().into_iter();
+        let mut placed = 0;
+        for (at, v) in inserts.iter().map(|&(at, v)| (at, Some(v))).chain([(len, None)]) {
+            for value in kept.by_ref().take(at - placed) {
+                if moved {
+                    renumbered.push(merged.len() as u32);
+                }
+                merged.push(value);
+            }
+            placed = at;
+            merged.extend(v.cloned());
+        }
+        self.values = merged.into_boxed_slice();
+        Merged { ids, renumbered: moved.then_some(renumbered) }
     }
 }
 
-impl HeapSize for SortedStrDict {
+impl<T: Entry> HeapSize for Sorted<T> {
     fn heap_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<Box<str>>()
-            + self.values.iter().map(|s| s.len()).sum::<usize>()
+        self.values.len() * std::mem::size_of::<T>()
+            + self.values.iter().map(Entry::heap).sum::<usize>()
     }
 }
 
@@ -70,7 +198,7 @@ impl HeapSize for SortedStrDict {
 /// §3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrDict {
-    Sorted(SortedStrDict),
+    Sorted(Sorted<Box<str>>),
     Trie(TrieDict),
 }
 
@@ -88,7 +216,7 @@ impl StrDict {
 
     pub fn value(&self, id: u32) -> String {
         match self {
-            StrDict::Sorted(d) => d.value(id).to_owned(),
+            StrDict::Sorted(d) => String::from(&**d.value(id)),
             StrDict::Trie(t) => t.value(id),
         }
     }
@@ -105,7 +233,7 @@ impl StrDict {
 
     pub fn id_of(&self, value: &str) -> Option<u32> {
         match self {
-            StrDict::Sorted(d) => d.id_of(value),
+            StrDict::Sorted(d) => d.id_of_by(|v| (**v).cmp(value)),
             StrDict::Trie(t) => t.id_of(value),
         }
     }
@@ -113,17 +241,14 @@ impl StrDict {
     /// Re-encode as a trie (no-op if already one).
     pub fn to_trie(&self) -> Result<StrDict> {
         match self {
-            StrDict::Sorted(d) => {
-                let refs: Vec<&str> = d.iter().collect();
-                Ok(StrDict::Trie(TrieDict::from_sorted(&refs)?))
-            }
+            StrDict::Sorted(d) => Ok(StrDict::Trie(TrieDict::from_sorted(&str_refs(d).values)?)),
             StrDict::Trie(t) => Ok(StrDict::Trie(t.clone())),
         }
     }
 
     /// The sorted-array form: the array itself, or a trie's strings in rank
     /// order.
-    fn to_sorted(&self) -> Cow<'_, SortedStrDict> {
+    fn to_sorted(&self) -> Cow<'_, Sorted<Box<str>>> {
         match self {
             StrDict::Sorted(d) => Cow::Borrowed(d),
             StrDict::Trie(t) => {
@@ -131,7 +256,7 @@ impl StrDict {
                 t.for_each(|_, s| {
                     values.push(std::str::from_utf8(s).expect("a trie holds strings").into())
                 });
-                Cow::Owned(SortedStrDict { values: values.into_boxed_slice() })
+                Cow::Owned(Sorted { values: values.into_boxed_slice() })
             }
         }
     }
@@ -140,13 +265,16 @@ impl StrDict {
     pub fn for_each(&self, mut f: impl FnMut(u32, &[u8])) {
         match self {
             StrDict::Sorted(d) => {
-                for (id, v) in d.iter().enumerate() {
-                    f(id as u32, v.as_bytes());
-                }
+                d.values().iter().enumerate().for_each(|(id, v)| f(id as u32, v.as_bytes()))
             }
             StrDict::Trie(t) => t.for_each(f),
         }
     }
+}
+
+/// The same strings, borrowed.
+fn str_refs(d: &Sorted<Box<str>>) -> Sorted<&str> {
+    Sorted { values: d.values.iter().map(AsRef::as_ref).collect() }
 }
 
 impl HeapSize for StrDict {
@@ -155,118 +283,6 @@ impl HeapSize for StrDict {
             StrDict::Sorted(d) => d.heap_bytes(),
             StrDict::Trie(t) => t.heap_bytes(),
         }
-    }
-}
-
-/// Sorted array of distinct integers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntDict {
-    values: Box<[i64]>,
-}
-
-impl IntDict {
-    pub fn from_sorted(values: Vec<i64>) -> Result<Self> {
-        for pair in values.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(Error::Data("dictionary input must be sorted and unique".into()));
-            }
-        }
-        Ok(IntDict { values: values.into_boxed_slice() })
-    }
-
-    pub fn len(&self) -> u32 {
-        self.values.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    pub fn value(&self, id: u32) -> i64 {
-        self.values[id as usize]
-    }
-
-    pub fn id_of(&self, value: i64) -> Option<u32> {
-        self.values.binary_search(&value).ok().map(|i| i as u32)
-    }
-
-    pub fn lower_bound(&self, value: i64) -> u32 {
-        self.values.partition_point(|&v| v < value) as u32
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        self.values.iter().copied()
-    }
-
-    /// Every value, indexed by id.
-    pub fn values(&self) -> &[i64] {
-        &self.values
-    }
-}
-
-impl HeapSize for IntDict {
-    fn heap_bytes(&self) -> usize {
-        self.values.len() * 8
-    }
-}
-
-/// Sorted (by total order) array of distinct floats.
-#[derive(Debug, Clone)]
-pub struct FloatDict {
-    values: Box<[f64]>,
-}
-
-/// Entries are the same when their bits are — the identity the dictionary
-/// sorts and dedups by — so one holding a NaN equals its own copy.
-impl PartialEq for FloatDict {
-    fn eq(&self, other: &Self) -> bool {
-        self.values.iter().map(|v| v.to_bits()).eq(other.values.iter().map(|v| v.to_bits()))
-    }
-}
-
-impl FloatDict {
-    pub fn from_sorted(values: Vec<f64>) -> Result<Self> {
-        for pair in values.windows(2) {
-            if pair[0].total_cmp(&pair[1]) != std::cmp::Ordering::Less {
-                return Err(Error::Data("dictionary input must be sorted and unique".into()));
-            }
-        }
-        Ok(FloatDict { values: values.into_boxed_slice() })
-    }
-
-    pub fn len(&self) -> u32 {
-        self.values.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    pub fn value(&self, id: u32) -> f64 {
-        self.values[id as usize]
-    }
-
-    pub fn id_of(&self, value: f64) -> Option<u32> {
-        self.values.binary_search_by(|v| v.total_cmp(&value)).ok().map(|i| i as u32)
-    }
-
-    pub fn lower_bound(&self, value: f64) -> u32 {
-        self.values.partition_point(|v| v.total_cmp(&value) == std::cmp::Ordering::Less) as u32
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
-    }
-
-    /// Every value, indexed by id.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl HeapSize for FloatDict {
-    fn heap_bytes(&self) -> usize {
-        self.values.len() * 8
     }
 }
 
@@ -285,8 +301,8 @@ fn float_as_int(v: f64) -> Option<i64> {
 /// A typed global dictionary.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GlobalDict {
-    Int(IntDict),
-    Float(FloatDict),
+    Int(Sorted<i64>),
+    Float(Sorted<f64>),
     Str(StrDict),
 }
 
@@ -315,8 +331,8 @@ impl GlobalDict {
     /// The value with rank `id`.
     pub fn value(&self, id: u32) -> Value {
         match self {
-            GlobalDict::Int(d) => Value::Int(d.value(id)),
-            GlobalDict::Float(d) => Value::Float(d.value(id)),
+            GlobalDict::Int(d) => Value::Int(*d.value(id)),
+            GlobalDict::Float(d) => Value::Float(*d.value(id)),
             GlobalDict::Str(d) => Value::Str(d.value(id)),
         }
     }
@@ -346,8 +362,8 @@ impl GlobalDict {
     fn keys_of(&self, ids: &[u32], f: &mut dyn FnMut(&[u8])) {
         let mut key = Vec::new();
         match self {
-            GlobalDict::Int(d) => ids.iter().for_each(|&id| f(&sortkey::int(d.value(id)))),
-            GlobalDict::Float(d) => ids.iter().for_each(|&id| f(&sortkey::float(d.value(id)))),
+            GlobalDict::Int(d) => ids.iter().for_each(|&id| f(&sortkey::int(*d.value(id)))),
+            GlobalDict::Float(d) => ids.iter().for_each(|&id| f(&sortkey::float(*d.value(id)))),
             GlobalDict::Str(d) => d.for_each_of(ids, |s| {
                 key.clear();
                 sortkey::push_str(s, &mut key);
@@ -378,10 +394,10 @@ impl GlobalDict {
     /// float no integer entry can equal (`1e30`, NaN).
     pub fn id_of(&self, value: &Value) -> Option<u32> {
         match (self, value) {
-            (GlobalDict::Int(d), Value::Int(v)) => d.id_of(*v),
-            (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.id_of(x)),
-            (GlobalDict::Float(d), Value::Float(v)) => d.id_of(*v),
-            (GlobalDict::Float(d), Value::Int(v)) => d.id_of(*v as f64),
+            (GlobalDict::Int(d), Value::Int(v)) => d.id_of(v),
+            (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.id_of(&x)),
+            (GlobalDict::Float(d), Value::Float(v)) => d.id_of(v),
+            (GlobalDict::Float(d), Value::Int(v)) => d.id_of(&(*v as f64)),
             (GlobalDict::Str(d), Value::Str(v)) => d.id_of(v),
             _ => None,
         }
@@ -393,15 +409,15 @@ impl GlobalDict {
     /// ([`GlobalDict::resolves_exactly`]).
     pub fn lower_bound(&self, value: &Value) -> Option<u32> {
         match (self, value) {
-            (GlobalDict::Int(d), Value::Int(v)) => Some(d.lower_bound(*v)),
+            (GlobalDict::Int(d), Value::Int(v)) => Some(d.lower_bound(v)),
             (GlobalDict::Int(d), Value::Float(v)) => {
                 // First integer >= the float bound.
-                self.resolves_exactly(value).then(|| d.lower_bound(v.ceil() as i64))
+                self.resolves_exactly(value).then(|| d.lower_bound(&(v.ceil() as i64)))
             }
-            (GlobalDict::Float(d), Value::Float(v)) => Some(d.lower_bound(*v)),
-            (GlobalDict::Float(d), Value::Int(v)) => Some(d.lower_bound(*v as f64)),
+            (GlobalDict::Float(d), Value::Float(v)) => Some(d.lower_bound(v)),
+            (GlobalDict::Float(d), Value::Int(v)) => Some(d.lower_bound(&(*v as f64))),
             (GlobalDict::Str(d), Value::Str(v)) => match d {
-                StrDict::Sorted(s) => Some(s.lower_bound(v)),
+                StrDict::Sorted(s) => Some(s.lower_bound_by(|e| (**e).cmp(v))),
                 // Tries do not support rank-of-absent-value cheaply; the
                 // store keeps range-restricted fields in sorted form.
                 StrDict::Trie(_) => None,
@@ -475,20 +491,16 @@ impl GlobalDict {
     /// monotone map of old ids to new ones ([`Merged`]).
     pub fn merge(&mut self, batch: &GlobalDict) -> Result<Merged> {
         match (self, batch) {
-            (GlobalDict::Int(old), GlobalDict::Int(new)) => {
-                Ok(merge_sorted(&mut old.values, &new.values, Ord::cmp))
-            }
-            (GlobalDict::Float(old), GlobalDict::Float(new)) => {
-                Ok(merge_sorted(&mut old.values, &new.values, f64::total_cmp))
-            }
+            (GlobalDict::Int(old), GlobalDict::Int(new)) => Ok(old.merge(new)),
+            (GlobalDict::Float(old), GlobalDict::Float(new)) => Ok(old.merge(new)),
             (GlobalDict::Str(StrDict::Sorted(old)), GlobalDict::Str(new)) => {
-                Ok(merge_sorted(&mut old.values, &new.to_sorted().values, Ord::cmp))
+                Ok(old.merge(&new.to_sorted()))
             }
             (GlobalDict::Str(old), GlobalDict::Str(new)) => {
                 let StrDict::Trie(trie) = old else { unreachable!("a sorted array merged above") };
                 let new = new.to_sorted();
-                let new: Vec<&str> = new.iter().collect();
-                let ids = new.iter().map(|s| trie.id_of(s)).collect();
+                let new = str_refs(&new);
+                let ids = new.values().iter().map(|s| trie.id_of(s)).collect();
                 if let Some(ids) = ids {
                     return Ok(Merged { ids, renumbered: None });
                 }
@@ -500,10 +512,11 @@ impl GlobalDict {
                     ends.push(bytes.len());
                 });
                 let starts = std::iter::once(0).chain(ends.iter().copied());
-                let mut strings: Box<[&str]> =
-                    starts.zip(&ends).map(|(start, &end)| &bytes[start..end]).collect();
-                let merged = merge_sorted(&mut strings, &new, Ord::cmp);
-                *old = StrDict::Trie(TrieDict::from_sorted(&strings)?);
+                let mut strings = Sorted {
+                    values: starts.zip(&ends).map(|(start, &end)| &bytes[start..end]).collect(),
+                };
+                let merged = strings.merge(&new);
+                *old = StrDict::Trie(TrieDict::from_sorted(strings.values())?);
                 Ok(merged)
             }
             (old, new) => Err(Error::Type(format!(
@@ -524,7 +537,7 @@ impl GlobalDict {
                 out.push(0);
                 varint::write_u64(&mut out, u64::from(d.len()));
                 let mut prev = 0i64;
-                for v in d.iter() {
+                for &v in d.values() {
                     varint::write_i64(&mut out, v.wrapping_sub(prev));
                     prev = v;
                 }
@@ -532,7 +545,7 @@ impl GlobalDict {
             GlobalDict::Float(d) => {
                 out.push(1);
                 varint::write_u64(&mut out, u64::from(d.len()));
-                for v in d.iter() {
+                for v in d.values() {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
             }
@@ -562,7 +575,7 @@ impl GlobalDict {
                     prev = prev.wrapping_add(varint::read_i64(bytes, &mut pos)?);
                     values.push(prev);
                 }
-                Ok(GlobalDict::Int(IntDict::from_sorted(values)?))
+                Ok(GlobalDict::Int(Sorted::from_sorted(values)?))
             }
             1 => {
                 let mut values = Vec::with_capacity(len.min(1 << 20));
@@ -573,7 +586,7 @@ impl GlobalDict {
                     values.push(f64::from_le_bytes(raw.try_into().expect("8 bytes")));
                     pos += 8;
                 }
-                Ok(GlobalDict::Float(FloatDict::from_sorted(values)?))
+                Ok(GlobalDict::Float(Sorted::from_sorted(values)?))
             }
             2 => {
                 let mut values = Vec::with_capacity(len.min(1 << 20));
@@ -587,7 +600,7 @@ impl GlobalDict {
                     values.push(s.into());
                     pos += n;
                 }
-                Ok(GlobalDict::Str(StrDict::Sorted(SortedStrDict::from_sorted(values)?)))
+                Ok(GlobalDict::Str(StrDict::Sorted(Sorted::from_sorted(values)?)))
             }
             t => Err(Error::Data(format!("dict: unknown tag {t}"))),
         }
@@ -616,48 +629,6 @@ pub struct Merged {
     pub renumbered: Option<Vec<u32>>,
 }
 
-/// Merge `new` into `old`, both strictly ascending under `cmp`: `old`
-/// becomes their union, in order. A value of `new` is placed by a binary
-/// search over `old`, and `old` is rebuilt in one pass only if some value
-/// is not in it.
-fn merge_sorted<T: Clone>(
-    old: &mut Box<[T]>,
-    new: &[T],
-    cmp: impl Fn(&T, &T) -> Ordering,
-) -> Merged {
-    // Per new value absent from `old`, the old position it goes before.
-    let mut inserts: Vec<(usize, &T)> = Vec::new();
-    let ids = (new.iter())
-        .map(|v| {
-            let at = old.partition_point(|o| cmp(o, v).is_lt());
-            let id = (at + inserts.len()) as u32;
-            if old.get(at).is_none_or(|o| cmp(o, v).is_ne()) {
-                inserts.push((at, v));
-            }
-            id
-        })
-        .collect();
-    let Some(&(first, _)) = inserts.first() else { return Merged { ids, renumbered: None } };
-    let len = old.len();
-    let moved = first < len;
-    let mut renumbered = Vec::with_capacity(if moved { len } else { 0 });
-    let mut merged = Vec::with_capacity(len + inserts.len());
-    let mut kept = std::mem::take(old).into_vec().into_iter();
-    let mut placed = 0;
-    for (at, v) in inserts.iter().map(|&(at, v)| (at, Some(v))).chain([(len, None)]) {
-        for value in kept.by_ref().take(at - placed) {
-            if moved {
-                renumbered.push(merged.len() as u32);
-            }
-            merged.push(value);
-        }
-        placed = at;
-        merged.extend(v.cloned());
-    }
-    *old = merged.into_boxed_slice();
-    Merged { ids, renumbered: moved.then_some(renumbered) }
-}
-
 /// Build a sorted global dictionary from a raw column and map every row to
 /// its global-id.
 ///
@@ -675,47 +646,13 @@ pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
 
     match dtype {
         DataType::Int => {
-            let mut distinct: Vec<i64> = Vec::new();
-            let mut raw: Vec<i64> = Vec::with_capacity(values.len());
-            for v in values {
-                match v {
-                    Value::Int(x) => {
-                        raw.push(*x);
-                        distinct.push(*x);
-                    }
-                    other => return Err(type_mismatch(dtype, other)),
-                }
-            }
-            distinct.sort_unstable();
-            distinct.dedup();
-            let ids = raw
-                .iter()
-                .map(|x| distinct.binary_search(x).expect("value was inserted") as u32)
-                .collect();
-            Ok((GlobalDict::Int(IntDict::from_sorted(distinct)?), ids))
+            let (dict, ids) = Sorted::ranked(&typed(values, dtype, Value::as_int)?);
+            Ok((GlobalDict::Int(dict), ids))
         }
         DataType::Float => {
-            let mut distinct: Vec<f64> = Vec::new();
-            let mut raw: Vec<f64> = Vec::with_capacity(values.len());
-            for v in values {
-                match v {
-                    Value::Float(x) => {
-                        raw.push(*x);
-                        distinct.push(*x);
-                    }
-                    other => return Err(type_mismatch(dtype, other)),
-                }
-            }
-            distinct.sort_unstable_by(|a, b| a.total_cmp(b));
-            distinct.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            let ids = raw
-                .iter()
-                .map(|x| {
-                    distinct.binary_search_by(|v| v.total_cmp(x)).expect("value was inserted")
-                        as u32
-                })
-                .collect();
-            Ok((GlobalDict::Float(FloatDict::from_sorted(distinct)?), ids))
+            let float = |v: &Value| if let Value::Float(x) = v { Some(*x) } else { None };
+            let (dict, ids) = Sorted::ranked(&typed(values, dtype, float)?);
+            Ok((GlobalDict::Float(dict), ids))
         }
         DataType::Str => {
             // Hash-map interning first, then rank assignment: avoids a
@@ -743,9 +680,19 @@ pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
             }
             let ids = order.iter().map(|slot| rank_of_slot[*slot as usize]).collect();
             let sorted: Vec<Box<str>> = distinct.iter().map(|(s, _)| (*s).into()).collect();
-            Ok((GlobalDict::Str(StrDict::Sorted(SortedStrDict::from_sorted(sorted)?)), ids))
+            Ok((GlobalDict::Str(StrDict::Sorted(Sorted::from_sorted(sorted)?)), ids))
         }
     }
+}
+
+/// Every value of a column, unwrapped by `get`; the first it refuses is a
+/// type mismatch.
+fn typed<T>(
+    values: &[Value],
+    dtype: DataType,
+    get: impl Fn(&Value) -> Option<T>,
+) -> Result<Vec<T>> {
+    values.iter().map(|v| get(v).ok_or_else(|| type_mismatch(dtype, v))).collect()
 }
 
 fn type_mismatch(expected: DataType, got: &Value) -> Error {

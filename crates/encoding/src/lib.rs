@@ -4,9 +4,10 @@
 //! A stored column is represented doubly indirectly:
 //!
 //! 1. a **global dictionary** ([`GlobalDict`]) holds every distinct value of
-//!    the column, sorted, addressable by integer rank (*global-id*);
-//! 2. per chunk, a **chunk dictionary** ([`ChunkDict`]) maps the global-ids
-//!    occurring in that chunk to dense *chunk-ids* `0..n`;
+//!    the column in one sorted array ([`Sorted`]: an entry's index is its
+//!    integer rank, the *global-id*), or in a trie;
+//! 2. per chunk, a **chunk dictionary** ([`ChunkDict`]) is the same array
+//!    over global-ids, a `Sorted<u32>`: an id's index is its *chunk-id*;
 //! 3. the actual cell values are an array of chunk-ids per chunk — the
 //!    **elements** ([`Elements`]), stored with 0 bits (one distinct value),
 //!    a bit-set (two values), or 1/2/4 bytes per id depending on `n`.
@@ -34,6 +35,6 @@ pub mod trie;
 pub use bloom::BloomFilter;
 pub use chunk_dict::ChunkDict;
 pub use delta::{ColumnDelta, TableDelta};
-pub use dict::{build_dict, FloatDict, GlobalDict, IntDict, Merged, SortedStrDict, StrDict};
+pub use dict::{build_dict, Entry, GlobalDict, Merged, Sorted, StrDict};
 pub use elements::{CodesView, Elements, ElementsMode};
 pub use trie::TrieDict;

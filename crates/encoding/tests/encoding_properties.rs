@@ -126,7 +126,7 @@ fn chunk_dict_membership() {
             })
             .collect();
         for &p in &probes {
-            assert_eq!(dict.chunk_id_of(p).is_some(), set.contains(&p), "case {case}");
+            assert_eq!(dict.id_of(&p).is_some(), set.contains(&p), "case {case}");
         }
         let mut sorted_probes = probes.clone();
         sorted_probes.sort_unstable();

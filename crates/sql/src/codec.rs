@@ -3,9 +3,11 @@
 //! Queries cross the §4 process boundary fully *decoded*: the driver
 //! parses and analyzes once, and the [`AnalyzedQuery`] — group-by keys,
 //! aggregates, output mapping, filter — travels as bytes. No worker
-//! re-parses SQL on any hop. The [`Restriction`] merge servers prune by is
-//! a pure function of the filter, and the slots a table holds of the
-//! aggregates, so neither is shipped: decoding derives them the way
+//! re-parses SQL on any hop: text frames are smaller, but planning a query
+//! costs a worker more than decoding it, and a tree ships text slower (the
+//! measurement is ROADMAP item 7's). The [`Restriction`] merge servers
+//! prune by is a pure function of the filter, and the slots a table holds
+//! of the aggregates, so neither is shipped: decoding derives them the way
 //! `analyze` does, and a frame cannot carry either disagreeing with what it
 //! is derived from.
 //!
