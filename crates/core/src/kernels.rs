@@ -269,7 +269,8 @@ impl ChunkCx<'_> {
     fn values(&self, col: usize) -> &[Value] {
         self.values[col].get_or_init(|| {
             let column = &self.plan.value_cols[col].1;
-            column.dict.values_of(column.chunks[self.chunk].dict.values())
+            let ids = column.chunks[self.chunk].dict.values();
+            ids.iter().map(|&gid| column.dict.value(gid)).collect()
         })
     }
 

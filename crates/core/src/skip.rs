@@ -216,7 +216,9 @@ fn resolve(store: &DataStore, restriction: &Restriction) -> Result<ResolvedNode>
         Restriction::True => ResolvedNode::True,
         // An empty AND/OR errs toward maybe, as the edge verdicts do: `any`
         // over no child would prove every chunk empty.
-        Restriction::And(c) | Restriction::Or(c) if c.is_empty() => ResolvedNode::Opaque,
+        Restriction::And(children) | Restriction::Or(children) if children.is_empty() => {
+            ResolvedNode::Opaque
+        }
         Restriction::Opaque => ResolvedNode::Opaque,
         Restriction::And(children) => {
             ResolvedNode::And(children.iter().map(|r| resolve(store, r)).collect::<Result<_>>()?)
