@@ -13,7 +13,7 @@
 //! skipping.
 //!
 //! String dictionaries come in two flavours, mirroring the paper's §3
-//! optimization step: the canonical sorted array with binary search, and
+//! optimization step: a "canonical" sorted array with binary search, and
 //! the compact 4-bit [`TrieDict`].
 
 use crate::trie::TrieDict;
