@@ -39,7 +39,7 @@ fn main() {
     let bench = Bench::new("dictionaries").samples(10);
     bench.case_throughput("id_of/sorted_array", probes.len() as u64, || {
         for p in &probes {
-            black_box(sorted.id_of_by(|v| (**v).cmp(p)));
+            black_box(sorted.rank_by(|v| (**v).cmp(p)).ok());
         }
     });
     bench.case_throughput("id_of/trie", probes.len() as u64, || {

@@ -50,8 +50,8 @@
 //! leaf. Per `Partial` chunk those ids become chunk-ids through the chunk
 //! dictionary and the packed [`pd_common::BitVec`] mask is integer
 //! compares over the row codes, 64 rows per word — no value is
-//! materialized. Only leaves the resolver declines (a range on a trie
-//! dictionary, calls such as `contains(..)`) tabulate over the chunk
+//! materialized. Only leaves the resolver declines (a float literal no
+//! integer stands for, calls such as `contains(..)`) tabulate over the chunk
 //! dictionary's values (one evaluation per distinct value), and only
 //! genuinely multi-column subtrees evaluate per row. A conjunct that holds
 //! for a whole chunk drops out of that chunk's `AND`; an all-false mask
@@ -183,8 +183,8 @@ pub fn execute(
     ctx: &ExecContext,
 ) -> Result<(QueryResult, ScanStats)> {
     let started = Instant::now();
-    let plan = Plan::prepare_seeded(store, analyzed, ctx, None)?;
-    let (groups, mut stats) = plan.run(store, ctx)?;
+    let plan = Plan::prepare(store, analyzed, ctx)?;
+    let (groups, mut stats) = plan.run(store, ctx, 0)?;
     let result = rank(analyzed, &IdKeys(&plan), &groups)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
@@ -196,22 +196,20 @@ pub fn execute_partial(
     analyzed: &AnalyzedQuery,
     ctx: &ExecContext,
 ) -> Result<(PartialResult, ScanStats)> {
-    execute_partial_seeded(store, analyzed, ctx, None)
+    execute_partial_from(store, analyzed, ctx, 0)
 }
 
-/// [`execute_partial`], seeding the chunk-skip analysis with verdicts a
-/// metadata layer already proved (a tree parent's zone maps / Bloom
-/// filters): seeded `Skip` chunks are skipped without re-deriving the
-/// proof from chunk dictionaries. Seeds must be sound for exactly
-/// `analyzed.restriction`; the result is bit-identical either way.
-pub fn execute_partial_seeded(
+/// [`execute_partial`] over the chunks from `first_chunk` on alone — the
+/// rows appended past a mark whose answer is held elsewhere. The stats
+/// count those chunks and nothing else.
+pub fn execute_partial_from(
     store: &DataStore,
     analyzed: &AnalyzedQuery,
     ctx: &ExecContext,
-    seeds: Option<&[ChunkActivity]>,
+    first_chunk: usize,
 ) -> Result<(PartialResult, ScanStats)> {
-    let plan = Plan::prepare_seeded(store, analyzed, ctx, seeds)?;
-    let (groups, stats) = plan.run(store, ctx)?;
+    let plan = Plan::prepare(store, analyzed, ctx)?;
+    let (groups, stats) = plan.run(store, ctx, first_chunk)?;
     Ok((plan.value_keyed(groups), stats))
 }
 
@@ -697,12 +695,7 @@ impl<'a> Fold<'a> {
 }
 
 impl Plan {
-    fn prepare_seeded(
-        store: &DataStore,
-        analyzed: &AnalyzedQuery,
-        ctx: &ExecContext,
-        seeds: Option<&[ChunkActivity]>,
-    ) -> Result<Plan> {
+    fn prepare(store: &DataStore, analyzed: &AnalyzedQuery, ctx: &ExecContext) -> Result<Plan> {
         let mut touched: Vec<String> = Vec::new();
         let mut touch = |name: String| {
             if !touched.contains(&name) {
@@ -765,8 +758,7 @@ impl Plan {
             }
         };
 
-        let skip =
-            SkipAnalysis::prepare_seeded(store, &analyzed.restriction, seeds.map(|s| s.to_vec()))?;
+        let skip = SkipAnalysis::prepare(store, &analyzed.restriction)?;
 
         let mut signature = String::with_capacity(128);
         analyzed.write_group_shape(&mut signature);
@@ -776,22 +768,25 @@ impl Plan {
         Ok(Plan { key_cols, slots, filter, skip, signature, touched })
     }
 
-    /// Scan the active chunks (in parallel when `ctx.threads != 1`) and
-    /// fold their group tables in chunk order. The table comes back keyed
-    /// by global-ids: [`execute`] ranks it as it is, and only
-    /// [`Plan::value_keyed`] pays for values.
-    fn run(&self, store: &DataStore, ctx: &ExecContext) -> Result<(GroupTable<u32>, ScanStats)> {
-        let mut stats = ScanStats {
-            chunks_total: store.chunk_count(),
-            rows_total: store.n_rows() as u64,
-            ..Default::default()
-        };
+    /// Scan the active chunks from `first` on (in parallel when
+    /// `ctx.threads != 1`) and fold their group tables in chunk order. The
+    /// table comes back keyed by global-ids: [`execute`] ranks it as it is,
+    /// and only [`Plan::value_keyed`] pays for values.
+    fn run(
+        &self,
+        store: &DataStore,
+        ctx: &ExecContext,
+        first: usize,
+    ) -> Result<(GroupTable<u32>, ScanStats)> {
+        let chunks = first..store.chunk_count();
+        let mut stats = ScanStats { chunks_total: chunks.len(), ..Default::default() };
 
         // Classify every chunk up front — the skip analysis is a pure
         // dictionary computation, so it stays on the driver thread.
         let mut tasks: Vec<(usize, bool)> = Vec::new();
-        for c in 0..store.chunk_count() {
+        for c in chunks {
             let rows = store.chunk_rows(c) as u64;
+            stats.rows_total += rows;
             if rows == 0 {
                 continue;
             }

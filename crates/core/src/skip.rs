@@ -18,6 +18,12 @@
 //! value. Both go through `resolve_leaf`. A verdict may err toward
 //! `Partial`; a mask may not err at all, so the resolver answers only where
 //! id semantics equal the row filter's bit for bit and declines otherwise.
+//!
+//! This is the one judge of a store's chunks: a scan consults nothing but
+//! the store's own dictionaries. A tree parent judges a child's chunks too,
+//! by the value-domain summary it holds (`pd_dist::meta`), to prune an edge
+//! before a hop; that summary is read off these very dictionaries, so it
+//! proves no Skip the dictionaries do not, and the leaf does not consult it.
 
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
@@ -39,9 +45,9 @@ pub enum ChunkActivity {
 impl ChunkActivity {
     /// Conjunction of two *sound* verdicts over the same chunk: any proof
     /// of emptiness wins, Full survives only when both sides prove it.
-    /// Public, like [`ChunkActivity::or`], because remote metadata verdicts
-    /// (computed by a parent from a shard's zone maps) compose with the
-    /// local dictionary verdicts through exactly this lattice.
+    /// Public, like [`ChunkActivity::or`], because the edge evaluator of the
+    /// distributed layer folds its zone-map verdicts (a parent judging a
+    /// child's chunks by value) through exactly this lattice.
     pub fn and(self, other: ChunkActivity) -> ChunkActivity {
         use ChunkActivity::*;
         match (self, other) {
@@ -94,10 +100,10 @@ pub(crate) enum LeafIds {
 /// skip chunks through the expression's own chunk dictionaries).
 ///
 /// `None` — for anything that is not an `In` / `Range` leaf, and for a leaf
-/// the dictionary cannot answer *exactly*: a range on a trie dictionary, a
-/// bound of another type, a float literal no integer stands
-/// for (`GlobalDict::resolves_exactly`). The skip pass then scans
-/// ("maybe") and the mask falls back to evaluating values.
+/// the dictionary cannot answer *exactly*: a float literal no integer
+/// stands for (`GlobalDict::resolves_exactly`). The skip pass then scans
+/// ("maybe") and the mask falls back to evaluating values. Every
+/// dictionary flavour ranks a range bound of its type, a trie too.
 pub(crate) fn resolve_leaf(store: &DataStore, leaf: &Restriction) -> Result<Option<ResolvedLeaf>> {
     Ok(match leaf {
         Restriction::In { field, values, negated } => {
@@ -162,46 +168,21 @@ enum ResolvedNode {
     Opaque,
 }
 
-/// The per-query skipping context: the resolved restriction, plus any
-/// verdicts a metadata layer already proved.
+/// The per-query skipping context: the restriction with every leaf
+/// resolved against the store's dictionaries.
 pub struct SkipAnalysis {
     resolved: ResolvedNode,
-    /// Externally supplied verdicts (one per chunk), typically computed by
-    /// a tree parent from shard metadata and shipped down with the query.
-    /// Each seed must be *sound* for the same restriction: a `Skip` seed is
-    /// a proof and short-circuits the local evaluation entirely; other
-    /// seeds compose with the local verdict through [`ChunkActivity::and`].
-    seeds: Option<Vec<ChunkActivity>>,
 }
 
 impl SkipAnalysis {
     /// Resolve `restriction` against `store`, materializing any virtual
     /// fields it references.
     pub fn prepare(store: &DataStore, restriction: &Restriction) -> Result<SkipAnalysis> {
-        SkipAnalysis::prepare_seeded(store, restriction, None)
+        Ok(SkipAnalysis { resolved: resolve(store, restriction)? })
     }
 
-    /// [`SkipAnalysis::prepare`], with pre-computed chunk verdicts from a
-    /// metadata layer. Seeds beyond the store's chunk count are ignored;
-    /// missing seeds fall back to pure local evaluation.
-    pub fn prepare_seeded(
-        store: &DataStore,
-        restriction: &Restriction,
-        seeds: Option<Vec<ChunkActivity>>,
-    ) -> Result<SkipAnalysis> {
-        Ok(SkipAnalysis { resolved: resolve(store, restriction)?, seeds })
-    }
-
-    /// Verdict for chunk `c`.
+    /// Verdict for chunk `c`, from its chunk dictionaries alone.
     pub fn activity(&self, c: usize) -> ChunkActivity {
-        if let Some(seed) = self.seeds.as_ref().and_then(|s| s.get(c)) {
-            // A Skip seed is already a proof — the whole point of seeding
-            // is that the scan need not re-derive it from dictionaries.
-            if *seed == ChunkActivity::Skip {
-                return ChunkActivity::Skip;
-            }
-            return seed.and(evaluate(&self.resolved, c));
-        }
         evaluate(&self.resolved, c)
     }
 
@@ -379,6 +360,25 @@ mod tests {
     }
 
     #[test]
+    fn string_ranges_skip_alike_on_tries_and_sorted_arrays() {
+        // A string range resolves to an id range on a trie as on a sorted
+        // array: its bounds, present or not, rank by one descent.
+        let schema = Schema::of(&[("s", DataType::Str)]);
+        let mut t = Table::new(schema);
+        for i in 0..400i64 {
+            t.push_row(Row(vec![Value::from(format!("s{:03}", i / 4))])).unwrap();
+        }
+        let spec = PartitionSpec::new(&["s"], 40);
+        let sorted = DataStore::build(&t, &BuildOptions::optcols(spec.clone())).unwrap();
+        let trie = DataStore::build(&t, &BuildOptions::optdicts(spec)).unwrap();
+        for where_sql in ["s >= 's050'", "s < 's0255'", "s > 's02' AND s <= 's071'", "s > 't'"] {
+            let v = verdicts(&sorted, where_sql);
+            assert!(v.contains(&ChunkActivity::Skip), "{where_sql}: {v:?}");
+            assert_eq!(verdicts(&trie, where_sql), v, "{where_sql}");
+        }
+    }
+
+    #[test]
     fn float_ranges_against_int_columns() {
         let schema = Schema::of(&[("n", DataType::Int)]);
         let mut t = Table::new(schema);
@@ -441,34 +441,6 @@ mod tests {
         assert_eq!(n, Value::Int(12));
         assert_eq!(verdicts.iter().filter(|v| **v == ChunkActivity::Skip).count(), 2);
         assert_eq!(verdicts.iter().filter(|v| **v == ChunkActivity::Full).count(), 3);
-    }
-
-    #[test]
-    fn seeds_short_circuit_and_compose_soundly() {
-        let s = store();
-        let q = parse_query("SELECT COUNT(*) FROM t WHERE latency > 100").unwrap();
-        let r = Restriction::from_expr(&q.where_clause.unwrap());
-        // Locally the trie-free store resolves this range, but pretend a
-        // parent proved chunk 0 dead and knew nothing about the rest.
-        let mut seeds = vec![ChunkActivity::Partial; s.chunk_count()];
-        seeds[0] = ChunkActivity::Skip;
-        let analysis = SkipAnalysis::prepare_seeded(&s, &r, Some(seeds)).unwrap();
-        assert_eq!(analysis.activity(0), ChunkActivity::Skip, "Skip seeds are decisive");
-        let plain = SkipAnalysis::prepare(&s, &r).unwrap();
-        for c in 1..s.chunk_count() {
-            // Partial seeds never upgrade the local verdict: `and` keeps
-            // the scan at least as careful as the unseeded analysis.
-            assert_eq!(
-                analysis.activity(c),
-                plain.activity(c).and(ChunkActivity::Partial),
-                "chunk {c}"
-            );
-        }
-        // Short seed vectors leave the tail on the local verdict.
-        let analysis =
-            SkipAnalysis::prepare_seeded(&s, &r, Some(vec![ChunkActivity::Skip])).unwrap();
-        let last = s.chunk_count() - 1;
-        assert_eq!(analysis.activity(last), plain.activity(last));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! all. [`Node::query`] and [`Node::append`] are the only query and append
 //! paths any of them has.
 
-use crate::meta::{self, ShardMeta};
+use crate::meta::ShardMeta;
 use crate::rpc::{
     absorb_into, fan_out, AppendAck, AppendReceipt, AppendRequest, ChildHandle, QueryRequest,
     ShardReport, SubtreeAnswer, LOAD_TIMEOUT,
@@ -29,7 +29,7 @@ use crate::shard_cache::{query_signature, CachedSubtree, TailMark, WorkerCache};
 use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError};
 use pd_core::{
-    execute_partial_seeded, scheduler, BuildOptions, ChunkActivity, DataStore, ExecContext,
+    execute_partial, execute_partial_from, scheduler, BuildOptions, DataStore, ExecContext,
     PartialResult, ResultCache, ScanStats,
 };
 use pd_encoding::TableDelta;
@@ -64,7 +64,9 @@ struct Leaf {
     ctx: ExecContext,
     /// The shard's summary, read off the store's dictionaries when it was
     /// built and brought up to date by every append: the copy the parent
-    /// edge prunes by is equal to it, and it seeds this leaf's scans.
+    /// edge prunes by is equal to it. The leaf hands it out ([`Node::metas`])
+    /// and routes appends by its row count; its own scans judge chunks by
+    /// the dictionaries the summary was read off.
     meta: ShardMeta,
 }
 
@@ -99,14 +101,8 @@ impl Tail {
         from: TailMark,
         query: &AnalyzedQuery,
     ) -> Result<(PartialResult, ScanStats)> {
-        let seeds = vec![ChunkActivity::Skip; from.chunks];
         let (partial, mut stats) =
-            execute_partial_seeded(&self.store, query, &self.ctx, Some(&seeds))?;
-        // The seeded chunks came back counted as skipped: they are the
-        // rows the entry already holds, not rows of this scan.
-        stats.chunks_skipped -= from.chunks;
-        stats.rows_skipped -= from.rows;
-        stats.rows_total -= from.rows;
+            execute_partial_from(&self.store, query, &self.ctx, from.chunks)?;
         stats.chunks_total = self.mark.leaf_chunks - from.leaf_chunks;
         Ok((partial, stats))
     }
@@ -456,13 +452,10 @@ impl Leaf {
 
 fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
     let started = Instant::now();
-    // Seed the scan with the metadata verdicts the parent already pruned
-    // by: chunks the zone maps prove dead are skipped without consulting
-    // the dictionaries, and the sound-verdict lattice composes the rest
-    // with the local analysis (`seed.and(local)` — never less precise).
-    let seeds = meta::chunk_verdicts(&request.query.restriction, &leaf.meta);
-    let (partial, stats) =
-        execute_partial_seeded(&leaf.store, &request.query, &leaf.ctx, Some(&seeds))?;
+    // The store's chunk dictionaries judge its chunks: the summary the
+    // parent pruned this edge by was read off them, and proves no Skip
+    // they do not.
+    let (partial, stats) = execute_partial(&leaf.store, &request.query, &leaf.ctx)?;
     Ok(SubtreeAnswer {
         partial,
         stats,

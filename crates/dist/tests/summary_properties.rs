@@ -12,15 +12,20 @@
 //! 1. `Node::leaf`'s summary equals the row path's over the same rows;
 //! 2. after every append of a run, the leaf's own summary and a parent's
 //!    copy brought up to date by `absorb_append` both equal the row path's
-//!    `absorb_delta`.
+//!    `absorb_delta`;
+//! 3. a store's own skip analysis, over its chunk dictionaries, proves
+//!    every Skip its summary proves: a leaf judges its chunks by its
+//!    dictionaries alone, and loses no Skip by it.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
+use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{BuildOptions, DataStore, PartitionSpec};
-use pd_dist::meta::{ShardMeta, MAX_CHUNK_DISTINCT, MAX_DISTINCT};
+use pd_dist::meta::{chunk_verdicts, ShardMeta, MAX_CHUNK_DISTINCT, MAX_DISTINCT};
 use pd_dist::node::{Node, NodeSpec};
 use pd_dist::rpc::AppendRequest;
 use pd_encoding::TableDelta;
+use pd_sql::{eval_expr, BinaryOp, Expr, Restriction};
 
 /// Distinct values a column starts with: both sides of each cap.
 const DISTINCT: [usize; 7] = [1, 2, 16, 17, 48, 49, 300];
@@ -194,4 +199,129 @@ fn a_summary_read_off_the_dictionaries_is_the_one_made_from_the_rows() {
     assert!(coverage.shard_at_cap > 0 && coverage.shard_past_cap > 0);
     assert!(coverage.chunk_at_cap > 0 && coverage.chunk_past_cap > 0);
     assert!(coverage.degraded_by_an_append > 0);
+}
+
+/// The fields a restriction names: the four columns and a date-like
+/// virtual field over `n` (hours since the epoch, so a few values share a
+/// day and days cross chunks).
+fn fields() -> Vec<Expr> {
+    let hours = Expr::binary(BinaryOp::Mul, Expr::column("n"), Expr::literal(Value::Int(3_600)));
+    let mut fields: Vec<Expr> = ["k", "s", "n", "x"].into_iter().map(Expr::column).collect();
+    fields.push(Expr::call("date", vec![hours]));
+    fields
+}
+
+/// A literal for `fields()[f]`: mostly of the field's own values — some of
+/// them in no row, as the pools hold more than the rows draw —, sometimes
+/// one of another column's type.
+fn literal(rng: &mut Rng, pools: &[Vec<Value>], f: usize) -> Value {
+    let field = &fields()[f];
+    let own = f.min(3);
+    let pool = &pools[if rng.chance(0.85) { own } else { rng.range_usize(0, pools.len()) }];
+    let v = rng.pick(pool).clone();
+    match (f, &v) {
+        (4, Value::Int(_)) if rng.chance(0.8) => eval_expr(field, [("n", v)].as_slice()).unwrap(),
+        _ => v,
+    }
+}
+
+/// A random restriction of `IN` / `NOT IN` / range leaves over `fields()`,
+/// under `AND` / `OR`, `depth` levels deep at most.
+fn restriction(rng: &mut Rng, pools: &[Vec<Value>], depth: usize) -> Restriction {
+    if depth > 0 && rng.chance(0.35) {
+        let children = (0..rng.range_usize(2, 4)).map(|_| restriction(rng, pools, depth - 1));
+        let children = children.collect();
+        return if rng.chance(0.5) {
+            Restriction::And(children)
+        } else {
+            Restriction::Or(children)
+        };
+    }
+    let f = rng.range_usize(0, fields().len());
+    let field = fields().swap_remove(f);
+    if rng.chance(0.5) {
+        let values = (0..rng.range_usize(1, 4)).map(|_| literal(rng, pools, f)).collect();
+        return Restriction::In { field, values, negated: rng.chance(0.4) };
+    }
+    let mut bound = || rng.chance(0.75).then(|| (literal(rng, pools, f), rng.chance(0.5)));
+    let (min, max) = (bound(), bound());
+    Restriction::Range { field, min, max }
+}
+
+/// Does `store` resolve every literal of `r` exactly
+/// (`GlobalDict::resolves_exactly`)? One that does not — a float no integer
+/// stands for — is "maybe" to the store by design.
+fn resolves_exactly(store: &DataStore, r: &Restriction) -> bool {
+    let exact = |field: &Expr, values: Vec<&Value>| {
+        let column = store.column_for_expr(field).unwrap();
+        values.into_iter().all(|v| column.dict.resolves_exactly(v))
+    };
+    match r {
+        Restriction::And(children) | Restriction::Or(children) => {
+            children.iter().all(|child| resolves_exactly(store, child))
+        }
+        Restriction::In { field, values, .. } => exact(field, values.iter().collect()),
+        Restriction::Range { field, min, max } => {
+            exact(field, min.iter().chain(max).map(|(v, _)| v).collect())
+        }
+        Restriction::True | Restriction::Opaque => true,
+    }
+}
+
+/// The `(chunk, restriction)` pairs where `meta` proves a Skip that
+/// `store`'s own analysis does not, and how many Skips `meta` proved.
+fn skips_only_the_summary_proves(
+    store: &DataStore,
+    meta: &ShardMeta,
+    restrictions: &[Restriction],
+) -> (Vec<(usize, String)>, usize) {
+    assert_eq!(meta.chunk_metas.len(), store.chunk_count());
+    let (mut missed, mut proved) = (Vec::new(), 0);
+    for r in restrictions.iter().filter(|r| resolves_exactly(store, r)) {
+        let local = SkipAnalysis::prepare(store, r).unwrap().all(store.chunk_count());
+        for (c, summary) in chunk_verdicts(r, meta).into_iter().enumerate() {
+            proved += usize::from(summary == ChunkActivity::Skip);
+            if summary == ChunkActivity::Skip && local[c] != ChunkActivity::Skip {
+                missed.push((c, format!("{r:?}: {:?}", local[c])));
+            }
+        }
+    }
+    (missed, proved)
+}
+
+#[test]
+fn a_store_proves_every_skip_its_summary_proves() {
+    let mut rng = Rng::seed_from_u64(0x5c1f_0001);
+    let types = schema().fields().iter().map(|field| field.data_type).collect::<Vec<_>>();
+    let mut proved = 0;
+    for (recipe, build) in recipes() {
+        for case in 0..3 {
+            let distinct: Vec<usize> = types.iter().map(|_| *rng.pick(&DISTINCT)).collect();
+            let pools: Vec<Vec<Value>> =
+                types.iter().zip(&distinct).map(|(&t, &d)| pool(t, d + 20)).collect();
+            let rows = *rng.pick(&[1, 30, 250, 900]);
+            let label = format!("{recipe}, case {case}: {rows} rows, distinct {distinct:?}");
+            let all = columns(&mut rng, &pools, &distinct, rows);
+            let mut store = DataStore::from_coded(coded(&all), &build).unwrap();
+            let (leaf, _) = Node::leaf(0, coded(&all), &build, spec()).unwrap();
+            let grown: Vec<usize> = pools.iter().map(Vec::len).collect();
+            for step in 0..4u64 {
+                if step > 0 {
+                    let size = *rng.pick(&[1, 17, 60, 130]);
+                    let batch = columns(&mut rng, &pools, &grown, size);
+                    store.append_delta(&coded(&batch)).unwrap();
+                    let append =
+                        AppendRequest { epoch: 1 + step, deltas: vec![(0, coded(&batch))] };
+                    leaf.append(&append).unwrap();
+                }
+                let [meta] = leaf.metas().try_into().unwrap();
+                let restrictions: Vec<Restriction> =
+                    (0..60).map(|_| restriction(&mut rng, &pools, 2)).collect();
+                let (missed, skips) = skips_only_the_summary_proves(&store, &meta, &restrictions);
+                assert!(missed.is_empty(), "{label}, append {step}: {missed:#?}");
+                proved += skips;
+            }
+        }
+    }
+    assert!(proved > 0, "the summaries proved no Skip to check");
 }

@@ -127,23 +127,20 @@ impl<T: Entry> Sorted<T> {
 
     /// Id of `probe`, if present.
     pub fn id_of(&self, probe: &T) -> Option<u32> {
-        self.id_of_by(|v| v.order(probe))
+        self.rank_by(|v| v.order(probe)).ok()
     }
 
-    /// Id of the entry `cmp` finds equal, if any; `cmp` orders an entry
-    /// against the probe.
-    pub fn id_of_by(&self, cmp: impl FnMut(&T) -> Ordering) -> Option<u32> {
-        self.values.binary_search_by(cmp).ok().map(|i| i as u32)
+    /// Where the probe `cmp` orders entries against stands, with
+    /// [`slice::binary_search`]'s contract: `Ok(id)` of its entry, or
+    /// `Err(id)` of the first entry above it.
+    pub fn rank_by(&self, cmp: impl FnMut(&T) -> Ordering) -> std::result::Result<u32, u32> {
+        let at = self.values.binary_search_by(cmp);
+        at.map(|i| i as u32).map_err(|i| i as u32)
     }
 
     /// Id of the first entry `>= probe`.
     pub fn lower_bound(&self, probe: &T) -> u32 {
-        self.lower_bound_by(|v| v.order(probe))
-    }
-
-    /// Id of the first entry `cmp` does not order below the probe.
-    pub fn lower_bound_by(&self, mut cmp: impl FnMut(&T) -> Ordering) -> u32 {
-        self.values.partition_point(|v| cmp(v).is_lt()) as u32
+        self.rank_by(|v| v.order(probe)).unwrap_or_else(std::convert::identity)
     }
 
     /// Merge `batch` into this array, which becomes their union, in order.
@@ -231,10 +228,13 @@ impl StrDict {
         }
     }
 
-    pub fn id_of(&self, value: &str) -> Option<u32> {
+    /// Where `value` stands among the entries, with
+    /// [`slice::binary_search`]'s contract: a binary search of the array, one
+    /// descent of the trie ([`TrieDict::rank`]).
+    pub fn rank(&self, value: &str) -> std::result::Result<u32, u32> {
         match self {
-            StrDict::Sorted(d) => d.id_of_by(|v| (**v).cmp(value)),
-            StrDict::Trie(t) => t.id_of(value),
+            StrDict::Sorted(d) => d.rank_by(|v| (**v).cmp(value)),
+            StrDict::Trie(t) => t.rank(value),
         }
     }
 
@@ -398,15 +398,17 @@ impl GlobalDict {
             (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.id_of(&x)),
             (GlobalDict::Float(d), Value::Float(v)) => d.id_of(v),
             (GlobalDict::Float(d), Value::Int(v)) => d.id_of(&(*v as f64)),
-            (GlobalDict::Str(d), Value::Str(v)) => d.id_of(v),
+            (GlobalDict::Str(d), Value::Str(v)) => d.rank(v).ok(),
             _ => None,
         }
     }
 
     /// Rank of the first dictionary entry `>= value` (used by range
-    /// restrictions). A type mismatch yields `None`, as does a float bound
-    /// an integer dictionary cannot rank exactly
-    /// ([`GlobalDict::resolves_exactly`]).
+    /// restrictions), in the order the row filter compares by
+    /// (`values_compare`: numbers across Int and Float by value, any other
+    /// pair of types by [`Value`]'s order of kinds — NULL, numbers, strings).
+    /// `None` only for a float bound an integer dictionary cannot rank
+    /// exactly ([`GlobalDict::resolves_exactly`]).
     pub fn lower_bound(&self, value: &Value) -> Option<u32> {
         match (self, value) {
             (GlobalDict::Int(d), Value::Int(v)) => Some(d.lower_bound(v)),
@@ -416,13 +418,13 @@ impl GlobalDict {
             }
             (GlobalDict::Float(d), Value::Float(v)) => Some(d.lower_bound(v)),
             (GlobalDict::Float(d), Value::Int(v)) => Some(d.lower_bound(&(*v as f64))),
-            (GlobalDict::Str(d), Value::Str(v)) => match d {
-                StrDict::Sorted(s) => Some(s.lower_bound_by(|e| (**e).cmp(v))),
-                // Tries do not support rank-of-absent-value cheaply; the
-                // store keeps range-restricted fields in sorted form.
-                StrDict::Trie(_) => None,
-            },
-            _ => None,
+            (GlobalDict::Str(d), Value::Str(v)) => {
+                Some(d.rank(v).unwrap_or_else(std::convert::identity))
+            }
+            // A string bound is above every number, and a number or NULL
+            // below every string; NULL is below every number too.
+            (GlobalDict::Int(_) | GlobalDict::Float(_), Value::Str(_)) => Some(self.len()),
+            _ => Some(0),
         }
     }
 
@@ -434,36 +436,24 @@ impl GlobalDict {
     /// what lets chunk min/max ids answer range predicates (subsuming the
     /// min/max "small materialized aggregates" technique the paper cites).
     ///
-    /// Bounds are `(value, inclusive)`. Returns `None` when the dictionary
-    /// cannot rank the bound (trie string dictionaries, type mismatches).
-    /// The fully unbounded range is `Some((0, len))` on every dictionary.
+    /// Bounds are `(value, inclusive)`, ranked by [`GlobalDict::lower_bound`]
+    /// — a trie ranks a string it lacks by one descent ([`TrieDict::rank`]).
+    /// Returns `None` only when an integer dictionary cannot rank a float
+    /// bound exactly ([`GlobalDict::resolves_exactly`]). The fully unbounded
+    /// range is `Some((0, len))` on every dictionary.
     pub fn range_ids(
         &self,
         min: Option<&(Value, bool)>,
         max: Option<&(Value, bool)>,
     ) -> Option<(u32, u32)> {
-        let lo = match min {
-            None => 0,
-            Some((v, inclusive)) => {
-                let base = self.lower_bound(v)?;
-                if !inclusive && self.id_of(v) == Some(base) {
-                    base + 1
-                } else {
-                    base
-                }
-            }
+        // Where a bound cuts the ids: past an entry equal to it when an
+        // upper bound keeps it or a lower bound drops it.
+        let cut = |(v, inclusive): &(Value, bool), upper: bool| {
+            let base = self.lower_bound(v)?;
+            Some(base + u32::from(*inclusive == upper && self.id_of(v) == Some(base)))
         };
-        let hi = match max {
-            None => self.len(),
-            Some((v, inclusive)) => {
-                let base = self.lower_bound(v)?;
-                if *inclusive && self.id_of(v) == Some(base) {
-                    base + 1
-                } else {
-                    base
-                }
-            }
-        };
+        let lo = min.map_or(Some(0), |bound| cut(bound, false))?;
+        let hi = max.map_or(Some(self.len()), |bound| cut(bound, true))?;
         Some((lo, hi.max(lo)))
     }
 
@@ -484,8 +474,8 @@ impl GlobalDict {
     /// Each batch entry is ranked by a binary search, and only if one is new
     /// is the dictionary rebuilt, in one pass over both: O(k log n) for a
     /// batch of k entries the dictionary holds, O(n + k log n) otherwise. A
-    /// trie cannot rank a value it lacks, so it looks its batch up, and is
-    /// decoded, merged and built again only for a new string.
+    /// trie looks its batch up, and is decoded, merged and built again only
+    /// for a new string.
     ///
     /// Returns the batch entries' ids and, if any old entry moved, the
     /// monotone map of old ids to new ones ([`Merged`]).
@@ -774,6 +764,13 @@ mod tests {
         assert_eq!(dict.lower_bound(&Value::Int(20)), Some(1));
         assert_eq!(dict.lower_bound(&Value::Int(25)), Some(2));
         assert_eq!(dict.lower_bound(&Value::Int(99)), Some(3));
+        // Another kind of bound orders as the row filter orders it: strings
+        // above every number, numbers above NULL.
+        assert_eq!(dict.lower_bound(&Value::from("5")), Some(3));
+        assert_eq!(dict.lower_bound(&Value::Null), Some(0));
+        let (strings, _) = build_dict(&[Value::from("a"), Value::from("b")]).unwrap();
+        assert_eq!(strings.lower_bound(&Value::Int(i64::MAX)), Some(0));
+        assert_eq!(strings.range_ids(None, Some(&(Value::Float(1e300), true))), Some((0, 0)));
     }
 
     #[test]
@@ -896,12 +893,17 @@ mod tests {
     }
 
     #[test]
-    fn range_ids_unsupported_on_tries() {
+    fn range_ids_on_tries_rank_absent_bounds() {
         let (sorted, _) = build_dict(&[Value::from("a"), Value::from("b")]).unwrap();
-        let dict = sorted.optimize().unwrap();
-        assert_eq!(dict.range_ids(Some(&(Value::from("a"), true)), None), None);
-        // Sorted string dictionaries support ranges.
-        assert_eq!(sorted.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
+        let trie = sorted.optimize().unwrap();
+        for dict in [&sorted, &trie] {
+            assert_eq!(dict.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
+            assert_eq!(dict.range_ids(Some(&(Value::from("a"), false)), None), Some((1, 2)));
+            // Absent bounds: below, between and above the entries.
+            assert_eq!(dict.range_ids(Some(&(Value::from(""), false)), None), Some((0, 2)));
+            assert_eq!(dict.range_ids(None, Some(&(Value::from("aa"), true))), Some((0, 1)));
+            assert_eq!(dict.range_ids(Some(&(Value::from("c"), true)), None), Some((2, 2)));
+        }
     }
 
     fn ints(values: &[i64]) -> GlobalDict {

@@ -11,9 +11,10 @@
 //! *nibbles* (4-bit halves, high first) of the UTF-8 bytes in one contiguous
 //! byte array. It supports both lookup directions the paper requires:
 //!
-//! - string → global-id ([`TrieDict::id_of`]): descend by nibble, summing
-//!   the terminal counts of skipped earlier siblings — the rank falls out of
-//!   the walk;
+//! - string → global-id ([`TrieDict::rank`], and [`TrieDict::id_of`] over
+//!   it): descend by nibble, summing the terminal counts of skipped earlier
+//!   siblings — the rank falls out of the walk, for a string the trie lacks
+//!   too (its insertion point);
 //! - global-id → string ([`TrieDict::value`]): descend by comparing the
 //!   remaining rank against per-child terminal counts (≤ 16 operations per
 //!   node, exactly the trade the paper describes).
@@ -33,6 +34,7 @@
 
 use pd_common::{Error, HeapSize, Result};
 use pd_compress::varint;
+use std::cmp::Ordering;
 
 /// A read-only string dictionary encoded as a 4-bit trie in one byte array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,41 +112,56 @@ impl TrieDict {
 
     /// Rank (global-id) of `value`, if present.
     pub fn id_of(&self, value: &str) -> Option<u32> {
+        self.rank(value).ok()
+    }
+
+    /// Where `probe` stands among the stored strings, with
+    /// [`slice::binary_search`]'s contract: `Ok(rank)` if it is stored,
+    /// `Err(rank)` of the first string above it if not.
+    ///
+    /// Nibbles order as the UTF-8 bytes they halve, and UTF-8 bytes as the
+    /// strings, so one descent answers: along the way it counts the strings
+    /// below the probe — a terminal it passes (a prefix of the probe) and
+    /// the subtrees of earlier siblings — and where the probe leaves the
+    /// trie, a label the probe runs above counts its whole subtree too.
+    pub fn rank(&self, probe: &str) -> std::result::Result<u32, u32> {
         if self.len == 0 {
-            return None;
+            return Err(0);
         }
-        let target = value.as_bytes();
+        let target = probe.as_bytes();
         let target_nibs = nibble_len(target);
         let mut pos = 0usize;
         let mut i = 0usize; // nibbles of `target` consumed
         let mut rank = 0u32;
+        let mut subtree = self.len; // strings beneath `pos`
         loop {
             let node = Node::parse(&self.bytes, pos);
-            // Match the path-compressed label.
+            // Match the path-compressed label; a probe that ends inside it
+            // (`None`) is a prefix of, so below, every string of the subtree.
             for k in 0..node.label_len {
-                if i >= target_nibs || nibble(target, i) != node.label_nibble(k) {
-                    return None;
+                let probe = (i < target_nibs).then(|| nibble(target, i));
+                match probe.cmp(&Some(node.label_nibble(k))) {
+                    Ordering::Less => return Err(rank),
+                    Ordering::Greater => return Err(rank + subtree),
+                    Ordering::Equal => i += 1,
                 }
-                i += 1;
             }
             if i == target_nibs {
-                return node.terminal.then_some(rank);
+                return node.terminal.then_some(rank).ok_or(rank);
             }
-            if node.terminal {
-                rank += 1;
-            }
+            rank += u32::from(node.terminal); // a prefix of the probe
             let branch = nibble(target, i);
             let mut child_pos = node.children_start;
             let mut found = None;
             for (nib, size, terminals) in node.children() {
-                if nib == branch {
-                    found = Some(child_pos);
+                if nib >= branch {
+                    found = (nib == branch).then_some((child_pos, terminals));
                     break;
                 }
                 rank += terminals;
                 child_pos += size;
             }
-            pos = found?;
+            (pos, subtree) = found.ok_or(rank)?;
             i += 1;
         }
     }

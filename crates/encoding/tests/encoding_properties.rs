@@ -49,18 +49,22 @@ fn int_dict_reconstructs_column() {
     }
 }
 
-/// Trie and sorted array are two encodings of the same mapping.
+/// Trie and sorted array are two encodings of the same mapping: ids both
+/// ways, the rank of any probe — a stored string or one the trie lacks —
+/// and the id range of any value range.
 #[test]
 fn trie_is_equivalent_to_sorted_array() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0003);
+    // Multi-byte characters among ASCII ones: their UTF-8 bytes sort
+    // above every ASCII byte, and share lead bytes with each other.
+    let alphabet = ['a', 'b', 'c', 'z', 'é', 'ü', '日'];
     for case in 0..64 {
         let n = rng.range_usize(1, 100);
-        let mut raw: Vec<String> = (0..n)
-            .map(|_| {
-                let len = rng.range_usize(0, 10);
-                (0..len).map(|_| (b'a' + rng.range_u64(0, 26) as u8) as char).collect()
-            })
-            .collect();
+        let word = |rng: &mut Rng, max: usize| -> String {
+            let len = rng.range_usize(0, max);
+            (0..len).map(|_| *rng.pick(&alphabet)).collect()
+        };
+        let mut raw: Vec<String> = (0..n).map(|_| word(&mut rng, 10)).collect();
         raw.sort_unstable();
         raw.dedup();
         let sorted: Vec<&str> = raw.iter().map(String::as_str).collect();
@@ -70,11 +74,44 @@ fn trie_is_equivalent_to_sorted_array() {
             assert_eq!(trie.id_of(s), Some(rank as u32), "case {case}");
             assert_eq!(trie.value(rank as u32), *s, "case {case}");
         }
-        // Probes for absent values return None.
-        for s in ["zzzz-absent", "", "a-"] {
-            if !raw.iter().any(|r| r == s) {
-                assert_eq!(trie.id_of(s), None, "case {case} probe {s:?}");
+        // Probes, mostly absent: prefixes and extensions of entries, their
+        // neighbours a character up or down, the empty string, words of
+        // their own.
+        let mut probes: Vec<String> = vec![String::new(), "zzzz-absent".into(), "a-".into()];
+        for s in &sorted {
+            let chars: Vec<char> = s.chars().collect();
+            let cut = rng.range_usize(0, chars.len() + 1);
+            probes.push(chars[..cut].iter().collect());
+            probes.push(format!("{s}{}", rng.pick(&alphabet)));
+            for step in [-1i32, 1] {
+                let mut near = chars.clone();
+                if let Some(last) = near.last_mut() {
+                    *last =
+                        char::from_u32((*last as u32).saturating_add_signed(step)).unwrap_or(*last);
+                }
+                probes.push(near.into_iter().collect());
             }
+            probes.push(word(&mut rng, 6));
+        }
+        for probe in &probes {
+            let expect = sorted.binary_search(&probe.as_str()).map(|i| i as u32);
+            assert_eq!(trie.rank(probe), expect.map_err(|i| i as u32), "case {case} {probe:?}");
+            assert_eq!(trie.id_of(probe), expect.ok(), "case {case} {probe:?}");
+        }
+        // Value ranges resolve to the same id range on both flavours.
+        let values: Vec<Value> = sorted.iter().map(|s| Value::from(*s)).collect();
+        let (array, _) = build_dict(&values).unwrap();
+        let tried = array.optimize().unwrap();
+        for _ in 0..32 {
+            let mut bound = || {
+                rng.chance(0.8).then(|| (Value::from(rng.pick(&probes).as_str()), rng.chance(0.5)))
+            };
+            let (min, max) = (bound(), bound());
+            assert_eq!(
+                tried.range_ids(min.as_ref(), max.as_ref()),
+                array.range_ids(min.as_ref(), max.as_ref()),
+                "case {case}: {min:?} .. {max:?}"
+            );
         }
     }
 }

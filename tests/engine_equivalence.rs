@@ -313,10 +313,10 @@ fn parallel_execution_matches_across_build_variants() {
     }
 }
 
-/// Where the dictionary cannot rank a bound — a trie string dictionary —
-/// the mask falls back to evaluating values, and must stay exact, as must
-/// the id ranges of a dictionary an append renumbered: every range query
-/// equals the
+/// A range resolves to an id range on every dictionary — a trie string
+/// dictionary ranks a bound it lacks by one descent — and must stay exact
+/// there, as must the id ranges of a dictionary an append renumbered: every
+/// range query equals the
 /// `BuildOptions::basic()` store of the same rows (one chunk, sorted
 /// dictionaries: every range there resolves to ids), before the append and
 /// after it.
@@ -980,8 +980,8 @@ fn unreachable_primary_is_the_same_fault_over_both_edge_kinds() {
 /// carries its leaves' summaries as a socket edge does. The matrix
 /// includes `date(timestamp)` drill-downs
 /// (the §5.1 virtual-field path) and gap restrictions the shard envelope
-/// cannot refute, so both the prune-the-edge and the seed-the-leaf paths
-/// are exercised against the reference.
+/// cannot refute, so both the prune-the-edge path and the leaves' own
+/// chunk skipping beneath a live edge are exercised against the reference.
 #[test]
 fn pruning_by_summaries_is_bit_identical_on_every_edge_kind() {
     use powerdrill::data::{generate_logs, LogsSpec};
