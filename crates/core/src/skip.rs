@@ -23,7 +23,8 @@
 //! the store's own dictionaries. A tree parent judges a child's chunks too,
 //! by the value-domain summary it holds (`pd_dist::meta`), to prune an edge
 //! before a hop; that summary is read off these very dictionaries, so it
-//! proves no Skip the dictionaries do not, and the leaf does not consult it.
+//! proves no Skip they do not wherever a literal resolves exactly
+//! (`GlobalDict::resolves_exactly`), and the leaf does not consult it.
 
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;

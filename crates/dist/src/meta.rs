@@ -14,10 +14,8 @@
 //!    [`MAX_DISTINCT`], equality probes can still prove absence;
 //! 3. **Per-chunk zone maps** ([`ChunkMeta`]) — min/max plus a small
 //!    distinct set per chunk, so a parent can compute how much of a child
-//!    is live and prune the edge when *zero* chunks survive. The leaf
-//!    beneath a live edge does not consult them: its chunk dictionaries,
-//!    which they were read off, prove every Skip they prove
-//!    (`pd_core::skip` is the chunk evaluator, this module the edge's);
+//!    is live and prune the edge when *zero* chunks survive (beneath a live
+//!    edge the leaf's chunk dictionaries, which they were read off, judge);
 //! 4. **Virtual fields** (§5.1 partial evaluation) — a restriction over
 //!    `date(timestamp)` evaluates the expression over a column's complete
 //!    value set, so computed fields prune instead of falling to
@@ -468,9 +466,8 @@ fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
 
 /// Chunk-granular verdicts from the metadata alone, one per entry of
 /// `meta.chunk_metas` (chunk order). Each verdict is sound for the leaf's
-/// actual chunks, so a parent can count provably-dead chunks before a hop;
-/// the leaf's scan judges its chunks by its dictionaries instead
-/// ([`pd_core::skip::SkipAnalysis`]), which prove every Skip these do.
+/// actual chunks, so a parent can count provably-dead chunks before a hop
+/// (a leaf's scan judges by its dictionaries: [`pd_core::skip`]).
 pub fn chunk_verdicts(restriction: &Restriction, meta: &ShardMeta) -> Vec<ChunkActivity> {
     verdicts(restriction, meta).collect()
 }

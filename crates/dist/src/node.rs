@@ -64,9 +64,8 @@ struct Leaf {
     ctx: ExecContext,
     /// The shard's summary, read off the store's dictionaries when it was
     /// built and brought up to date by every append: the copy the parent
-    /// edge prunes by is equal to it. The leaf hands it out ([`Node::metas`])
-    /// and routes appends by its row count; its own scans judge chunks by
-    /// the dictionaries the summary was read off.
+    /// edge prunes by is equal to it. The leaf's scans judge chunks by the
+    /// dictionaries it was read off.
     meta: ShardMeta,
 }
 
@@ -454,7 +453,7 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
     let started = Instant::now();
     // The store's chunk dictionaries judge its chunks: the summary the
     // parent pruned this edge by was read off them, and proves no Skip
-    // they do not.
+    // they do not wherever a literal resolves exactly.
     let (partial, stats) = execute_partial(&leaf.store, &request.query, &leaf.ctx)?;
     Ok(SubtreeAnswer {
         partial,
