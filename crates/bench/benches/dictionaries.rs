@@ -1,13 +1,14 @@
 //! Dictionary lookups (§3 "Optimize Global-Dictionaries"): sorted array vs
-//! the 4-bit trie, in both directions, plus element access across
+//! front-coded blocks, in both directions, plus element access across
 //! representations.
 //!
 //! One claim is asserted, as an in-run ratio: translating *every* id of a
-//! trie with one ordered walk (`values_of`) beats a `value()` call per id
-//! by at least 3× — what a leaf pays to ship a value-keyed group table.
+//! front-coded dictionary with one ordered walk (`values_of`) beats a
+//! `value()` call per id by at least 3× — what a leaf pays to ship a
+//! value-keyed group table.
 
 use pd_bench::Bench;
-use pd_encoding::{Elements, ElementsMode, Sorted, TrieDict};
+use pd_encoding::{Elements, ElementsMode, FrontCoded, Sorted};
 use std::hint::black_box;
 
 fn names(n: usize) -> Vec<String> {
@@ -29,12 +30,11 @@ fn names(n: usize) -> Vec<String> {
 
 fn main() {
     let values = names(120_000);
-    let refs: Vec<&str> = values.iter().map(String::as_str).collect();
     let sorted: Sorted<Box<str>> =
         Sorted::from_sorted(values.iter().map(|s| s.as_str().into()).collect())
             .expect("sorted dict");
-    let trie = TrieDict::from_sorted(&refs).expect("trie");
-    let probes: Vec<&str> = refs.iter().step_by(7).copied().collect();
+    let front_coded = FrontCoded::from_sorted(&values).expect("front coding");
+    let probes: Vec<&str> = values.iter().step_by(7).map(String::as_str).collect();
 
     let bench = Bench::new("dictionaries").samples(10);
     bench.case_throughput("id_of/sorted_array", probes.len() as u64, || {
@@ -42,9 +42,9 @@ fn main() {
             black_box(sorted.rank_by(|v| (**v).cmp(p)).ok());
         }
     });
-    bench.case_throughput("id_of/trie", probes.len() as u64, || {
+    bench.case_throughput("id_of/front_coded", probes.len() as u64, || {
         for p in &probes {
-            black_box(trie.id_of(p));
+            black_box(front_coded.id_of(p));
         }
     });
 
@@ -54,21 +54,22 @@ fn main() {
             black_box(sorted.value(id));
         }
     });
-    bench.case_throughput("value/trie", ids.len() as u64, || {
+    bench.case_throughput("value/front_coded", ids.len() as u64, || {
         for &id in &ids {
-            black_box(trie.value(id));
+            black_box(front_coded.value(id));
         }
     });
 
-    // Every id: a root-to-leaf walk each, or one DFS sharing every prefix.
-    let all: Vec<u32> = (0..trie.len()).collect();
-    let per_id = bench.case_throughput("value_all/trie_per_id", all.len() as u64, || {
-        black_box(all.iter().map(|&id| trie.value(id)).collect::<Vec<String>>());
+    // Every id: a block decoded up to it each, or each block decoded once.
+    let all: Vec<u32> = (0..front_coded.len()).collect();
+    let per_id = bench.case_throughput("value_all/front_coded_per_id", all.len() as u64, || {
+        black_box(all.iter().map(|&id| front_coded.value(id)).collect::<Vec<String>>());
     });
-    let one_walk = bench.case_throughput("value_all/trie_values_of", all.len() as u64, || {
-        black_box(trie.values_of(&all));
-    });
-    assert_eq!(trie.values_of(&all), values, "the walk returns the dictionary");
+    let one_walk =
+        bench.case_throughput("value_all/front_coded_values_of", all.len() as u64, || {
+            black_box(front_coded.values_of(&all));
+        });
+    assert_eq!(front_coded.values_of(&all), values, "the walk returns the dictionary");
     assert!(
         one_walk * 3 <= per_id,
         "one ordered walk must beat a walk per id 3x: {one_walk:?} vs {per_id:?}"

@@ -13,7 +13,7 @@
 //!    chunk-dictionary entry) — by at least 5×, for a `timestamp` window
 //!    and for a `date(timestamp)` equality on its virtual field;
 //! 3. a top-10 over a string key with thousands of groups through
-//!    `execute` (groups ranked on dictionary ids, ten trie lookups) beats
+//!    `execute` (groups ranked on dictionary ids, ten dictionary lookups) beats
 //!    `finalize(execute_partial(..))` on the same store (every group
 //!    ordered, translated and ranked as values — what a tree's leaf and
 //!    root do between them), same rows — by at least 1.5×; the two times
@@ -251,7 +251,7 @@ fn main() {
     }
 
     // 3. Late materialization: the paper's own click shape (`GROUP BY
-    // <string> ORDER BY c DESC LIMIT 10`) over the trie-encoded
+    // <string> ORDER BY c DESC LIMIT 10`) over the front-coded
     // `table_name` column, ranked on ids vs on values. The ratio is
     // groups ÷ rows scanned, so the store has one size in every mode.
     let store =

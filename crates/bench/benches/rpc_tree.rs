@@ -229,16 +229,17 @@ fn main() {
         );
     }
 
-    // Chunk-granular pruning at every edge: a lexicographic `table_name`
-    // window the shard envelope (the distinct set degrades past the cap
-    // and the min/max straddles the window) cannot refute. The per-chunk
-    // value-space zone maps every leaf keeps prune edges here, before a
-    // hop; beneath a live edge the leaf's chunk dictionaries skip the same
-    // chunks (a trie ranks the window's bounds). The socket tree —
-    // measured over loopback TCP, the multi-host transport — and the same
-    // shards in one address space prune and scan alike, and both skip
-    // chunks, as one store of the same recipe does by its chunk
-    // dictionaries alone, for a bit-identical result.
+    // Edge pruning on a drill-down: a lexicographic `table_name` window
+    // over a table sorted by `table_name`, so each shard (a contiguous piece
+    // of the rows) holds one stretch of names and the shards outside the
+    // window are refuted by their summaries before a hop: their edges are
+    // pruned, with every chunk beneath them. Beneath a live edge the leaf's
+    // chunk dictionaries skip the chunks outside the window (the
+    // dictionary ranks its bounds). The socket tree — measured over
+    // loopback TCP, the multi-host transport — and the same shards in one
+    // address space prune and scan alike, and both skip chunks, as one
+    // store of the same rows and recipe does by its chunk dictionaries
+    // alone, for a bit-identical result.
     if worker_available {
         // Mid-envelope window over the `logs.<team>.<dataset>_<k>` names:
         // maps/revenue teams, with ads..youtube neighbours on both sides.
@@ -251,9 +252,10 @@ fn main() {
         if let Some(spec) = &mut drill_build.partition {
             spec.max_chunk_rows = (rows / 64).clamp(500, 50_000);
         }
+        let by_name = table.sorted_by(&["table_name"]).expect("sort by table_name");
         let cluster_over = |transport: Transport| {
             Cluster::build(
-                &table,
+                &by_name,
                 &ClusterConfig {
                     shards: 4,
                     replication: false,
@@ -269,7 +271,7 @@ fn main() {
         };
         let layered = cluster_over(rpc(WorkerAddr::loopback()));
         let local = cluster_over(Transport::InProcess);
-        let single_store = DataStore::build(&table, &drill_build).expect("single store");
+        let single_store = DataStore::build(&by_name, &drill_build).expect("single store");
         let (want, single) = query(&single_store, drill).expect("single-store drill-down");
         let layered_outcome = layered.query(drill).expect("layered drill-down");
         let local_outcome = local.query(drill).expect("in-process drill-down");
@@ -286,6 +288,12 @@ fn main() {
                 "the window skips chunks in a tree and in one store: {} and {} rows scanned",
                 outcome.stats.rows_scanned,
                 single.rows_scanned,
+            );
+            assert!(
+                outcome.stats.subtrees_pruned >= 1 && outcome.stats.chunks_pruned_remote > 0,
+                "shards outside the window are pruned at their edges: {} subtrees, {} chunks",
+                outcome.stats.subtrees_pruned,
+                outcome.stats.chunks_pruned_remote,
             );
         }
         assert_eq!(

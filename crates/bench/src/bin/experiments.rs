@@ -15,7 +15,7 @@ subcommands:
   table2          Table 2  — optimized element encodings
   table3          Table 3  — Zippy on each encoding
   table4          Table 4  — step-wise summary
-  trie            §3 text  — trie dictionary sizes
+  trie            §3 text  — front-coded (OptDicts) dictionary sizes
   reorder         §3 text  — row reordering compression factors
   codecs          §5       — Zippy vs pd_bench::codecs (LZF / deflate / huffman / RLE)
   count_distinct  §5       — KMV sketch accuracy & speed

@@ -84,7 +84,9 @@ use std::time::Duration;
 /// Version 16: a query carries no fault directives — `QueryRequest` loses
 /// version 3's list and its codec; faults come from a relay in front of a
 /// worker, outside the protocol.
-pub const FRAME_VERSION: u8 = 16;
+/// Version 17: `BuildOptions`' dictionary mode 1 names front-coded string
+/// dictionaries, not tries.
+pub const FRAME_VERSION: u8 = 17;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

@@ -227,7 +227,7 @@ impl Encode for BuildOptions {
         });
         out.push(match self.dicts {
             DictMode::Sorted => 0,
-            DictMode::Trie => 1,
+            DictMode::FrontCoded => 1,
         });
     }
 }
@@ -242,7 +242,7 @@ impl Decode for BuildOptions {
         };
         let dicts = match r.u8()? {
             0 => DictMode::Sorted,
-            1 => DictMode::Trie,
+            1 => DictMode::FrontCoded,
             other => return Err(Error::Data(format!("wire: invalid dict-mode tag {other}"))),
         };
         Ok(BuildOptions { partition, elements, dicts })

@@ -67,14 +67,14 @@ impl StoredColumn {
     /// Encode from a sorted dictionary and one global-id per row, in stored
     /// order, against `partitioning`'s chunk boundaries — what every base
     /// column of an import and every virtual field is built from. A string
-    /// dictionary becomes a trie here when the options ask for one.
+    /// dictionary is front-coded here when the options ask for it.
     pub fn from_global_ids(
         dict: GlobalDict,
         global_ids: &[u32],
         partitioning: &Partitioning,
         options: &BuildOptions,
     ) -> Result<StoredColumn> {
-        let dict = if options.dicts == DictMode::Trie && dict.data_type() == DataType::Str {
+        let dict = if options.dicts == DictMode::FrontCoded && dict.data_type() == DataType::Str {
             dict.optimize()?
         } else {
             dict
@@ -309,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn trie_dicts_shrink_string_columns() {
+    fn front_coded_dicts_shrink_string_columns() {
         let vals: Vec<Value> = (0..2000)
             .map(|i| {
                 Value::from(format!("logs.ads.queries_{:03}.2011-11-{:02}", i % 40, i % 28 + 1))
@@ -318,16 +318,16 @@ mod tests {
         let p = Partitioning::single_chunk(vals.len());
         let spec = PartitionSpec::new(&[], 1_000_000);
         let sorted = build(&vals, &p, &BuildOptions::optcols(spec.clone()));
-        let trie = build(&vals, &p, &BuildOptions::optdicts(spec));
+        let front_coded = build(&vals, &p, &BuildOptions::optdicts(spec));
         assert!(
-            trie.dict_bytes() < sorted.dict_bytes() / 2,
-            "trie {} vs sorted {}",
-            trie.dict_bytes(),
+            front_coded.dict_bytes() < sorted.dict_bytes() / 2,
+            "front-coded {} vs sorted {}",
+            front_coded.dict_bytes(),
             sorted.dict_bytes()
         );
         // Same logical mapping.
         for i in (0..vals.len()).step_by(97) {
-            assert_eq!(trie.value_at(0, i), sorted.value_at(0, i));
+            assert_eq!(front_coded.value_at(0, i), sorted.value_at(0, i));
         }
     }
 

@@ -13,7 +13,7 @@
 //! ranking.
 //!
 //! The group table leaves the id domain as late as its consumer allows
-//! (§2.4 groups on ids; the trie dictionary of §3 is affordable because
+//! (§2.4 groups on ids; the compressed dictionary of §3 is affordable because
 //! id→value is needed only for the rows a query returns). [`execute`]
 //! ranks it as it is — every dictionary is sorted, so ids order like their
 //! values — and looks up the dictionaries for the rows `HAVING` / `ORDER BY` /
@@ -289,8 +289,8 @@ impl KeyCells<u32> for IdKeys<'_> {
 
 /// The sort keys of `ids` (any order, repeats allowed), one per id: one
 /// ordered dictionary walk over the distinct ids
-/// ([`GlobalDict::for_each_key`]) instead of a lookup per id — for a trie,
-/// the difference between one DFS and a root-to-leaf walk per group — and
+/// ([`GlobalDict::for_each_key`]) instead of a lookup per id — for front
+/// coding, each block decoded once, not once per group — and
 /// no [`Value`] made. Strictly ascending ids (one key over a sorted
 /// dictionary) are the walk's own order: it writes the column directly.
 fn keys_of(dict: &GlobalDict, ids: &[u32]) -> KeyBytes {

@@ -1230,7 +1230,7 @@ mod tests {
         let stores = [
             ("basic", DataStore::build(&table, &BuildOptions::basic()).unwrap()),
             ("optcols", DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap()),
-            // Trie dictionaries: string ranges rank their bounds by a descent.
+            // Front-coded dictionaries: string ranges rank their bounds in a block.
             ("sorted", DataStore::build(&sorted, &BuildOptions::optdicts(spec)).unwrap()),
         ];
         let mut reprs = BTreeSet::new();
@@ -1298,8 +1298,8 @@ mod tests {
             plan.value_cols.into_iter().map(|(name, _)| name).collect()
         };
         assert!(cols("n >= 3 AND n < 90 AND date(ts) = '2012-01-02' AND s != 's03'").is_empty());
-        // A string range on a trie dictionary is an id leaf too: the trie
-        // ranks its bound.
+        // A string range on a front-coded dictionary is an id leaf too: the
+        // dictionary ranks its bound.
         assert!(cols("s >= 's05' AND n > 3").is_empty());
         // A call is declined; the id leaf beside it still reads nothing.
         assert_eq!(cols("n > 3 AND (contains(s, '1') OR n > x)"), ["s", "n", "x"]);

@@ -155,14 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn trie_shrinks_q3_dict() {
+    fn front_coding_shrinks_q3_dict() {
         let spec = PartitionSpec::new(&["country", "table_name"], 500);
         let sorted = report_for_query(&store(&BuildOptions::optcols(spec.clone())), Q3).unwrap();
-        let trie = report_for_query(&store(&BuildOptions::optdicts(spec)), Q3).unwrap();
+        let front_coded = report_for_query(&store(&BuildOptions::optdicts(spec)), Q3).unwrap();
         assert!(
-            trie.dict_bytes() < sorted.dict_bytes() / 2,
-            "trie {} vs sorted {}",
-            trie.dict_bytes(),
+            front_coded.dict_bytes() < sorted.dict_bytes() / 2,
+            "front-coded {} vs sorted {}",
+            front_coded.dict_bytes(),
             sorted.dict_bytes()
         );
     }

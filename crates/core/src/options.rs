@@ -2,10 +2,10 @@
 //!
 //! Each of the paper's layouts (Table 4) is a named constructor, so
 //! experiments can build the same dataset four ways and diff the memory
-//! reports. The ladder's last two rungs are not layouts: "Zippy" is a
-//! measurement over any build, and "Reorder" is sorted input + OptDicts —
-//! a table sorted by its partition fields ([`pd_data::Table::sorted_by`])
-//! built with [`BuildOptions::optdicts`].
+//! reports; OptDicts front-codes the string dictionaries. The last two
+//! rungs are not layouts: "Zippy" is a measurement over any build, and
+//! "Reorder" is sorted input + OptDicts — a table sorted by its partition
+//! fields ([`pd_data::Table::sorted_by`]) built with [`BuildOptions::optdicts`].
 
 use pd_encoding::ElementsMode;
 
@@ -15,8 +15,8 @@ pub enum DictMode {
     /// Sorted array + binary search (the "canonical" §2.3 layout).
     #[default]
     Sorted,
-    /// Hand-crafted 4-bit trie ("OptDicts", §3).
-    Trie,
+    /// Front-coded blocks of the sorted strings ("OptDicts", §3).
+    FrontCoded,
 }
 
 /// Composite range partitioning configuration (§2.2).
@@ -70,9 +70,9 @@ impl BuildOptions {
         BuildOptions { elements: ElementsMode::Optimized, ..BuildOptions::chunked(spec) }
     }
 
-    /// "OptDicts" (§3): + trie string dictionaries.
+    /// "OptDicts" (§3): + front-coded string dictionaries.
     pub fn optdicts(spec: PartitionSpec) -> Self {
-        BuildOptions { dicts: DictMode::Trie, ..BuildOptions::optcols(spec) }
+        BuildOptions { dicts: DictMode::FrontCoded, ..BuildOptions::optcols(spec) }
     }
 
     /// The production-style default for a dataset with the given natural
@@ -102,7 +102,7 @@ mod tests {
         assert_eq!(optcols.dicts, DictMode::Sorted);
 
         let optdicts = BuildOptions::optdicts(spec);
-        assert_eq!(optdicts.dicts, DictMode::Trie);
+        assert_eq!(optdicts.dicts, DictMode::FrontCoded);
         assert_eq!(optdicts.elements, ElementsMode::Optimized);
     }
 

@@ -104,7 +104,7 @@ pub(crate) enum LeafIds {
 /// the dictionary cannot answer *exactly*: a float literal no integer
 /// stands for (`GlobalDict::resolves_exactly`). The skip pass then scans
 /// ("maybe") and the mask falls back to evaluating values. Every
-/// dictionary flavour ranks a range bound of its type, a trie too.
+/// dictionary flavour ranks a range bound of its type, front coding too.
 pub(crate) fn resolve_leaf(store: &DataStore, leaf: &Restriction) -> Result<Option<ResolvedLeaf>> {
     Ok(match leaf {
         Restriction::In { field, values, negated } => {
@@ -361,9 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn string_ranges_skip_alike_on_tries_and_sorted_arrays() {
-        // A string range resolves to an id range on a trie as on a sorted
-        // array: its bounds, present or not, rank by one descent.
+    fn string_ranges_skip_alike_on_front_coding_and_sorted_arrays() {
+        // A string range resolves to an id range on front coding as on a
+        // sorted array: its bounds, present or not, rank in one block.
         let schema = Schema::of(&[("s", DataType::Str)]);
         let mut t = Table::new(schema);
         for i in 0..400i64 {
@@ -371,11 +371,11 @@ mod tests {
         }
         let spec = PartitionSpec::new(&["s"], 40);
         let sorted = DataStore::build(&t, &BuildOptions::optcols(spec.clone())).unwrap();
-        let trie = DataStore::build(&t, &BuildOptions::optdicts(spec)).unwrap();
+        let front_coded = DataStore::build(&t, &BuildOptions::optdicts(spec)).unwrap();
         for where_sql in ["s >= 's050'", "s < 's0255'", "s > 's02' AND s <= 's071'", "s > 't'"] {
             let v = verdicts(&sorted, where_sql);
             assert!(v.contains(&ChunkActivity::Skip), "{where_sql}: {v:?}");
-            assert_eq!(verdicts(&trie, where_sql), v, "{where_sql}");
+            assert_eq!(verdicts(&front_coded, where_sql), v, "{where_sql}");
         }
     }
 

@@ -361,7 +361,7 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
     let delta = TableDelta::from_columns(schema, &slices).unwrap();
     let spec = PartitionSpec::new(&["k"], 1_000);
     let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
-    let trie = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
+    let front_coded = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
     let mut tailed = DataStore::build(&table, &BuildOptions::optcols(spec)).unwrap();
     let before = tailed.column("k").unwrap();
     tailed.append_delta(&delta).unwrap();
@@ -378,7 +378,8 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
         "SELECT k, w, COUNT(*) c FROM t GROUP BY k, w ORDER BY w ASC",
         "SELECT w, COUNT(*) c FROM t GROUP BY w ORDER BY c ASC",
     ];
-    for (label, store) in [("sorted", &sorted), ("trie", &trie), ("tailed", &tailed)] {
+    for (label, store) in [("sorted", &sorted), ("front coded", &front_coded), ("tailed", &tailed)]
+    {
         let by_key = analyze(&parse_query(queries[0]).unwrap()).unwrap();
         let (groups, _) = execute_partial(store, &by_key, &ExecContext::default()).unwrap();
         assert!(groups.len() >= 2_000, "{label}: {} groups", groups.len());
@@ -488,7 +489,7 @@ fn sketch_merge_order_irrelevant() {
 /// `execute_partial` returns is the one the same grouping makes, unfiltered,
 /// over a store of only the rows the filter passes (one chunk, no mask),
 /// bit for bit — at `m` 1, 3, 64 and 4 096 (saturated and not), over a Str
-/// argument under sorted and trie dictionaries, an Int argument and a Float
+/// argument under sorted and front-coded dictionaries, an Int argument and a Float
 /// one holding -0.0, 0.0 and NaN, by 0, 1 and 2 keys, on unmasked chunks and
 /// masked ones, with groups × chunk-dictionary entries (the range of the
 /// kernel's packed `g·n + code` pairs) from a few to past 65 536, and on a
@@ -528,7 +529,7 @@ fn distinct_sketches_equal_those_of_a_store_of_the_passing_rows() {
 
     let spec = PartitionSpec::new(&["k"], 2_000);
     let sorted = DataStore::build(&table, &BuildOptions::optcols(spec.clone())).unwrap();
-    let trie = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
+    let front_coded = DataStore::build(&table, &BuildOptions::optdicts(spec.clone())).unwrap();
     let mut tailed = DataStore::build(&table, &BuildOptions::optdicts(spec)).unwrap();
     tailed.append_delta(&delta).unwrap();
 
@@ -545,7 +546,8 @@ fn distinct_sketches_equal_those_of_a_store_of_the_passing_rows() {
     // Per `m`: was some group's sketch below `m`, was some group's full?
     let mut fill = [[false; 2]; 4];
     let names = ["k", "w", "s", "i", "f"];
-    for (label, store) in [("sorted", &sorted), ("trie", &trie), ("tailed", &tailed)] {
+    for (label, store) in [("sorted", &sorted), ("front coded", &front_coded), ("tailed", &tailed)]
+    {
         // Unmasked; masked on every chunk; and two filters whose `k`
         // conjunct skips or fully admits whole chunks.
         for filter in ["", "w < 300", "k != 'red' AND i > 2000", "k != 'red'"] {
@@ -678,7 +680,7 @@ fn a_store_built_from_coded_columns_is_the_store_built_from_the_table() {
 
 /// An append keeps every dictionary sorted: after a seeded run of appends
 /// whose new values fall before, among and after the old ones — in an Int,
-/// a Float and a Str column, on sorted and trie builds, and in a virtual
+/// a Float and a Str column, on sorted and front-coded builds, and in a virtual
 /// field — every global dictionary is, bit for bit, the one a build of the
 /// same rows makes, and every old chunk still reads the values it held.
 #[test]

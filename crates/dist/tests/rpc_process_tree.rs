@@ -258,7 +258,7 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
     // chunk. Every leaf keeps that summary and every edge prunes by it, so
     // the socket tree and the same shards in one address space prune and
     // scan alike. The column is a *string* under a production
-    // (trie-dictionary) build; a trie ranks the range bounds, so beneath a
+    // (front-coded) build, which ranks the range bounds, so beneath a
     // live edge the leaf's chunk dictionaries skip what one store of the
     // same recipe skips: the tree scans exactly that store's rows.
     let all: Vec<String> = (0..30)

@@ -4,7 +4,7 @@
 //! `build_blooms` and `absorb_delta` — make the same summary from rows, one
 //! observation per cell. This property holds the two paths equal,
 //! `assert_eq!` with blooms bit for bit, over generated tables: string
-//! columns under sorted and trie dictionaries, integers at both ends of
+//! columns under sorted and front-coded dictionaries, integers at both ends of
 //! their range, floats with both zeros, NaN payloads and infinities, value
 //! counts on both sides of the chunk cap (16) and the shard cap (48), and
 //! chunks of 1, 50 and 2 000 rows under the basic and production recipes.
@@ -40,7 +40,7 @@ fn schema() -> Schema {
 }
 
 /// The recipes a leaf is built by: one chunk, or chunks of at most 1, 50
-/// and 2 000 rows with sorted (basic) or trie (production) dictionaries.
+/// and 2 000 rows with sorted (basic) or front-coded (production) dictionaries.
 fn recipes() -> Vec<(String, BuildOptions)> {
     let mut recipes = vec![("basic".to_owned(), BuildOptions::basic())];
     for max in [1, 50, 2_000] {

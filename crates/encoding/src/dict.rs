@@ -14,9 +14,9 @@
 //!
 //! String dictionaries come in two flavours, mirroring the paper's §3
 //! optimization step: a "canonical" sorted array with binary search, and
-//! the compact 4-bit [`TrieDict`].
+//! the same strings front-coded in blocks ([`FrontCoded`]).
 
-use crate::trie::TrieDict;
+use crate::front::FrontCoded;
 use pd_common::{sortkey, DataType, Error, FxHashMap, HeapSize, Result, Value};
 use pd_compress::varint;
 use std::borrow::Cow;
@@ -59,12 +59,6 @@ impl Entry for Box<str> {
 
     fn heap(&self) -> usize {
         self.len()
-    }
-}
-
-impl Entry for &str {
-    fn order(&self, other: &Self) -> Ordering {
-        self.cmp(other)
     }
 }
 
@@ -191,19 +185,19 @@ impl<T: Entry> HeapSize for Sorted<T> {
     }
 }
 
-/// String dictionary: sorted array ("canonical", §2.3) or trie ("OptDicts",
-/// §3).
+/// String dictionary: sorted array ("canonical", §2.3) or front-coded
+/// blocks ("OptDicts", §3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrDict {
     Sorted(Sorted<Box<str>>),
-    Trie(TrieDict),
+    FrontCoded(FrontCoded),
 }
 
 impl StrDict {
     pub fn len(&self) -> u32 {
         match self {
             StrDict::Sorted(d) => d.len(),
-            StrDict::Trie(t) => t.len(),
+            StrDict::FrontCoded(d) => d.len(),
         }
     }
 
@@ -214,47 +208,40 @@ impl StrDict {
     pub fn value(&self, id: u32) -> String {
         match self {
             StrDict::Sorted(d) => String::from(&**d.value(id)),
-            StrDict::Trie(t) => t.value(id),
+            StrDict::FrontCoded(d) => d.value(id),
         }
     }
 
     /// The UTF-8 bytes of the strings with ranks `ids` (strictly
     /// ascending), handed to `f` in that order: indexing for the sorted
-    /// array, one ordered walk for the trie ([`TrieDict::for_each_of`]).
+    /// array, one ordered pass for front coding
+    /// ([`FrontCoded::for_each_of`]).
     pub fn for_each_of(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
         match self {
             StrDict::Sorted(d) => ids.iter().for_each(|&id| f(d.value(id).as_bytes())),
-            StrDict::Trie(t) => t.for_each_of(ids, f),
+            StrDict::FrontCoded(d) => d.for_each_of(ids, f),
         }
     }
 
     /// Where `value` stands among the entries, with
-    /// [`slice::binary_search`]'s contract: a binary search of the array, one
-    /// descent of the trie ([`TrieDict::rank`]).
+    /// [`slice::binary_search`]'s contract: a binary search of the array, or
+    /// of the block heads and then one block ([`FrontCoded::rank`]).
     pub fn rank(&self, value: &str) -> std::result::Result<u32, u32> {
         match self {
             StrDict::Sorted(d) => d.rank_by(|v| (**v).cmp(value)),
-            StrDict::Trie(t) => t.rank(value),
+            StrDict::FrontCoded(d) => d.rank(value),
         }
     }
 
-    /// Re-encode as a trie (no-op if already one).
-    pub fn to_trie(&self) -> Result<StrDict> {
-        match self {
-            StrDict::Sorted(d) => Ok(StrDict::Trie(TrieDict::from_sorted(&str_refs(d).values)?)),
-            StrDict::Trie(t) => Ok(StrDict::Trie(t.clone())),
-        }
-    }
-
-    /// The sorted-array form: the array itself, or a trie's strings in rank
-    /// order.
+    /// The sorted-array form: the array itself, or the front-coded strings
+    /// in rank order.
     fn to_sorted(&self) -> Cow<'_, Sorted<Box<str>>> {
         match self {
             StrDict::Sorted(d) => Cow::Borrowed(d),
-            StrDict::Trie(t) => {
-                let mut values = Vec::with_capacity(t.len() as usize);
-                t.for_each(|_, s| {
-                    values.push(std::str::from_utf8(s).expect("a trie holds strings").into())
+            StrDict::FrontCoded(d) => {
+                let mut values = Vec::with_capacity(d.len() as usize);
+                d.for_each(|_, s| {
+                    values.push(std::str::from_utf8(s).expect("a dictionary holds strings").into())
                 });
                 Cow::Owned(Sorted { values: values.into_boxed_slice() })
             }
@@ -267,21 +254,16 @@ impl StrDict {
             StrDict::Sorted(d) => {
                 d.values().iter().enumerate().for_each(|(id, v)| f(id as u32, v.as_bytes()))
             }
-            StrDict::Trie(t) => t.for_each(f),
+            StrDict::FrontCoded(d) => d.for_each(f),
         }
     }
-}
-
-/// The same strings, borrowed.
-fn str_refs(d: &Sorted<Box<str>>) -> Sorted<&str> {
-    Sorted { values: d.values.iter().map(AsRef::as_ref).collect() }
 }
 
 impl HeapSize for StrDict {
     fn heap_bytes(&self) -> usize {
         match self {
             StrDict::Sorted(d) => d.heap_bytes(),
-            StrDict::Trie(t) => t.heap_bytes(),
+            StrDict::FrontCoded(d) => d.heap_bytes(),
         }
     }
 }
@@ -350,11 +332,11 @@ impl GlobalDict {
     /// The sort keys ([`pd_common::sortkey`]) of the values with ranks
     /// `ids` — strictly ascending, all below `len()` — handed to `f` in that
     /// order, by one ordered pass over the dictionary and with no [`Value`]
-    /// made. Array dictionaries index; a trie shares every prefix walk and
-    /// builds no string ([`TrieDict::for_each_of`], which also panics on
-    /// unsorted ids) — the difference between translating a group table
-    /// and walking the trie once per group. Panics on an id out of bounds,
-    /// like [`GlobalDict::value`].
+    /// made. Array dictionaries index; front coding decodes each block once
+    /// and builds no string ([`FrontCoded::for_each_of`], which also panics
+    /// on unsorted ids) — the difference between translating a group table
+    /// and decoding a block per group. Panics on an id out of bounds, like
+    /// [`GlobalDict::value`].
     pub fn for_each_key(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
         self.keys_of(ids, &mut f)
     }
@@ -437,7 +419,8 @@ impl GlobalDict {
     /// min/max "small materialized aggregates" technique the paper cites).
     ///
     /// Bounds are `(value, inclusive)`, ranked by [`GlobalDict::lower_bound`]
-    /// — a trie ranks a string it lacks by one descent ([`TrieDict::rank`]).
+    /// — front coding ranks a string it lacks as the array does
+    /// ([`FrontCoded::rank`]).
     /// Returns `None` only when an integer dictionary cannot rank a float
     /// bound exactly ([`GlobalDict::resolves_exactly`]). The fully unbounded
     /// range is `Some((0, len))` on every dictionary.
@@ -457,11 +440,13 @@ impl GlobalDict {
         Some((lo, hi.max(lo)))
     }
 
-    /// Re-encode string dictionaries as tries ("OptDicts", §3). Numeric
-    /// dictionaries are untouched.
+    /// Front-code string dictionaries ("OptDicts", §3). Numeric
+    /// dictionaries, and front-coded ones, are untouched.
     pub fn optimize(&self) -> Result<GlobalDict> {
         match self {
-            GlobalDict::Str(d) => Ok(GlobalDict::Str(d.to_trie()?)),
+            GlobalDict::Str(StrDict::Sorted(d)) => {
+                Ok(GlobalDict::Str(StrDict::FrontCoded(FrontCoded::from_sorted(d.values())?)))
+            }
             other => Ok(other.clone()),
         }
     }
@@ -469,13 +454,12 @@ impl GlobalDict {
     /// Merge the entries of `batch` — a dictionary of this one's type, over
     /// a batch of appended rows — into this one, which stays sorted: the
     /// dictionary a build of the old rows and the batch's rows together
-    /// would make, in the same flavour (a trie stays a trie).
+    /// would make, in the same flavour (front coding stays front-coded).
     ///
-    /// Each batch entry is ranked by a binary search, and only if one is new
-    /// is the dictionary rebuilt, in one pass over both: O(k log n) for a
-    /// batch of k entries the dictionary holds, O(n + k log n) otherwise. A
-    /// trie looks its batch up, and is decoded, merged and built again only
-    /// for a new string.
+    /// Each batch entry is ranked, and only if one is new is the dictionary
+    /// rewritten, in one pass over both: O(k log n) for a batch of k entries
+    /// the dictionary holds, O(n + k log n) otherwise
+    /// ([`Sorted::merge`], [`FrontCoded::merge`]).
     ///
     /// Returns the batch entries' ids and, if any old entry moved, the
     /// monotone map of old ids to new ones ([`Merged`]).
@@ -486,28 +470,8 @@ impl GlobalDict {
             (GlobalDict::Str(StrDict::Sorted(old)), GlobalDict::Str(new)) => {
                 Ok(old.merge(&new.to_sorted()))
             }
-            (GlobalDict::Str(old), GlobalDict::Str(new)) => {
-                let StrDict::Trie(trie) = old else { unreachable!("a sorted array merged above") };
-                let new = new.to_sorted();
-                let new = str_refs(&new);
-                let ids = new.values().iter().map(|s| trie.id_of(s)).collect();
-                if let Some(ids) = ids {
-                    return Ok(Merged { ids, renumbered: None });
-                }
-                // Decoded into one buffer, merged as slices of it.
-                let (mut bytes, mut ends) =
-                    (String::new(), Vec::with_capacity(trie.len() as usize));
-                trie.for_each(|_, s| {
-                    bytes.push_str(std::str::from_utf8(s).expect("a trie holds strings"));
-                    ends.push(bytes.len());
-                });
-                let starts = std::iter::once(0).chain(ends.iter().copied());
-                let mut strings = Sorted {
-                    values: starts.zip(&ends).map(|(start, &end)| &bytes[start..end]).collect(),
-                };
-                let merged = strings.merge(&new);
-                *old = StrDict::Trie(TrieDict::from_sorted(strings.values())?);
-                Ok(merged)
+            (GlobalDict::Str(StrDict::FrontCoded(old)), GlobalDict::Str(new)) => {
+                Ok(old.merge(new.to_sorted().values()))
             }
             (old, new) => Err(Error::Type(format!(
                 "cannot merge a {} dictionary into a {} one",
@@ -552,7 +516,7 @@ impl GlobalDict {
     }
 
     /// Inverse of [`GlobalDict::to_bytes`]. String dictionaries come back in
-    /// sorted-array form; call [`GlobalDict::optimize`] to restore a trie.
+    /// sorted-array form; call [`GlobalDict::optimize`] to front-code them.
     pub fn from_bytes(bytes: &[u8]) -> Result<GlobalDict> {
         let tag = *bytes.first().ok_or_else(|| Error::Data("dict: empty buffer".into()))?;
         let mut pos = 1;
@@ -622,8 +586,8 @@ pub struct Merged {
 /// Build a sorted global dictionary from a raw column and map every row to
 /// its global-id.
 ///
-/// This is the first half of the import pipeline of §2.3; a trie is made
-/// from the result by [`GlobalDict::optimize`]. All values must share one
+/// This is the first half of the import pipeline of §2.3; front coding is
+/// made from the result by [`GlobalDict::optimize`]. All values must share one
 /// type; `Null` is rejected (the stores in the paper operate on
 /// denormalized, fully populated log tables).
 pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
@@ -715,10 +679,10 @@ mod tests {
             .map(|s| Value::from(*s))
             .collect();
         let (sorted, ids) = build_dict(&values).unwrap();
-        for (use_trie, dict) in [(false, sorted.clone()), (true, sorted.optimize().unwrap())] {
+        for (front_coded, dict) in [(false, sorted.clone()), (true, sorted.optimize().unwrap())] {
             assert_eq!(dict.len(), 3);
             for (v, id) in values.iter().zip(&ids) {
-                assert_eq!(&dict.value(*id), v, "trie={use_trie}");
+                assert_eq!(&dict.value(*id), v, "front_coded={front_coded}");
             }
             // Sorted ranks: amazon=0, cheap flights=1, ebay=2.
             assert_eq!(dict.id_of(&Value::from("amazon")), Some(0));
@@ -777,7 +741,7 @@ mod tests {
     fn optimize_converts_strings_only() {
         let (s, _) = build_dict(&[Value::from("b"), Value::from("a")]).unwrap();
         let opt = s.optimize().unwrap();
-        assert!(matches!(opt, GlobalDict::Str(StrDict::Trie(_))));
+        assert!(matches!(opt, GlobalDict::Str(StrDict::FrontCoded(_))));
         assert_eq!(opt.value(0), Value::from("a"));
 
         let (i, _) = build_dict(&[Value::Int(1)]).unwrap();
@@ -803,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn trie_serialization_round_trips_via_sorted_form() {
+    fn front_coded_serialization_round_trips_via_sorted_form() {
         let values: Vec<Value> = ["ga", "de", "fr", "de"].iter().map(|&v| Value::from(v)).collect();
         let dict = build_dict(&values).unwrap().0.optimize().unwrap();
         let back = GlobalDict::from_bytes(&dict.to_bytes()).unwrap();
@@ -893,10 +857,10 @@ mod tests {
     }
 
     #[test]
-    fn range_ids_on_tries_rank_absent_bounds() {
+    fn range_ids_on_front_coding_rank_absent_bounds() {
         let (sorted, _) = build_dict(&[Value::from("a"), Value::from("b")]).unwrap();
-        let trie = sorted.optimize().unwrap();
-        for dict in [&sorted, &trie] {
+        let front_coded = sorted.optimize().unwrap();
+        for dict in [&sorted, &front_coded] {
             assert_eq!(dict.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
             assert_eq!(dict.range_ids(Some(&(Value::from("a"), false)), None), Some((1, 2)));
             // Absent bounds: below, between and above the entries.
@@ -959,14 +923,14 @@ mod tests {
     }
 
     #[test]
-    fn a_trie_merges_into_a_trie() {
+    fn front_coding_merges_into_front_coding() {
         let strs = |v: &[&str]| build_dict(&v.iter().map(|&s| Value::from(s)).collect::<Vec<_>>());
         let mut dict = strs(&["de", "fr"]).unwrap().0.optimize().unwrap();
         let merged = dict.merge(&strs(&["sg", "de"]).unwrap().0).unwrap();
         assert_eq!((merged.ids, merged.renumbered), (vec![0, 2], None));
         let merged = dict.merge(&strs(&["at"]).unwrap().0.optimize().unwrap()).unwrap();
         assert_eq!((merged.ids, merged.renumbered), (vec![0], Some(vec![1, 2, 3])));
-        assert!(matches!(dict, GlobalDict::Str(StrDict::Trie(_))));
+        assert!(matches!(dict, GlobalDict::Str(StrDict::FrontCoded(_))));
         assert_eq!(dict, strs(&["at", "de", "fr", "sg"]).unwrap().0.optimize().unwrap());
         // Strings it holds are looked up, not merged.
         let merged = dict.merge(&strs(&["fr", "at"]).unwrap().0).unwrap();
@@ -974,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn trie_and_sorted_agree_on_large_dict() {
+    fn front_coded_and_sorted_agree_on_large_dict() {
         let values: Vec<Value> = (0..3000)
             .map(|i| {
                 Value::from(format!(
@@ -986,13 +950,13 @@ mod tests {
             })
             .collect();
         let (sorted, _) = build_dict(&values).unwrap();
-        let trie = sorted.optimize().unwrap();
-        assert_eq!(sorted.len(), trie.len());
+        let front_coded = sorted.optimize().unwrap();
+        assert_eq!(sorted.len(), front_coded.len());
         for id in (0..sorted.len()).step_by(97) {
-            assert_eq!(sorted.value(id), trie.value(id));
+            assert_eq!(sorted.value(id), front_coded.value(id));
         }
         for v in values.iter().step_by(131) {
-            assert_eq!(sorted.id_of(v), trie.id_of(v));
+            assert_eq!(sorted.id_of(v), front_coded.id_of(v));
         }
     }
 }

@@ -1,9 +1,12 @@
-//! Randomized properties for the dictionary / element / trie invariants,
+//! Randomized properties for the dictionary / element / front-coding invariants,
 //! driven by a seeded PRNG so failures reproduce exactly.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Value};
-use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, GlobalDict, TrieDict};
+use pd_encoding::front::B;
+use pd_encoding::{
+    build_dict, ChunkDict, Elements, ElementsMode, FrontCoded, GlobalDict, Sorted, StrDict,
+};
 
 /// The double indirection must reconstruct the original column exactly:
 /// dict(ids[row]) == values[row] (§2.3's "synchronously iterating").
@@ -11,7 +14,7 @@ use pd_encoding::{build_dict, ChunkDict, Elements, ElementsMode, GlobalDict, Tri
 fn dict_ids_reconstruct_column() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0001);
     for case in 0..64 {
-        let use_trie = rng.chance(0.5);
+        let front_coded = rng.chance(0.5);
         let n = rng.range_usize(1, 200);
         let values: Vec<Value> = (0..n)
             .map(|_| {
@@ -23,7 +26,7 @@ fn dict_ids_reconstruct_column() {
             })
             .collect();
         let (dict, ids) = build_dict(&values).unwrap();
-        let dict = if use_trie { dict.optimize().unwrap() } else { dict };
+        let dict = if front_coded { dict.optimize().unwrap() } else { dict };
         assert_eq!(ids.len(), values.len(), "case {case}");
         for (v, &id) in values.iter().zip(&ids) {
             assert_eq!(&dict.value(id), v, "case {case}");
@@ -49,30 +52,35 @@ fn int_dict_reconstructs_column() {
     }
 }
 
-/// Trie and sorted array are two encodings of the same mapping: ids both
-/// ways, the rank of any probe — a stored string or one the trie lacks —
-/// and the id range of any value range.
+/// Front coding and the sorted array are two encodings of the same
+/// mapping: ids both ways, the rank of any probe — a stored string or one
+/// the dictionary lacks —, ordered lookups of any id subset, the id range of
+/// any value range, and a merge, which hands out the array's ids and writes
+/// the bytes a build of the merged strings writes. Sizes cross block
+/// boundaries: one entry, and `k·B - 1`, `k·B` and `k·B + 1` entries.
 #[test]
-fn trie_is_equivalent_to_sorted_array() {
+fn front_coding_is_equivalent_to_sorted_array() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0003);
     // Multi-byte characters among ASCII ones: their UTF-8 bytes sort
     // above every ASCII byte, and share lead bytes with each other.
     let alphabet = ['a', 'b', 'c', 'z', 'é', 'ü', '日'];
-    for case in 0..64 {
-        let n = rng.range_usize(1, 100);
-        let word = |rng: &mut Rng, max: usize| -> String {
-            let len = rng.range_usize(0, max);
-            (0..len).map(|_| *rng.pick(&alphabet)).collect()
-        };
-        let mut raw: Vec<String> = (0..n).map(|_| word(&mut rng, 10)).collect();
-        raw.sort_unstable();
-        raw.dedup();
+    let word = |rng: &mut Rng, max: usize| -> String {
+        let len = rng.range_usize(0, max);
+        (0..len).map(|_| *rng.pick(&alphabet)).collect()
+    };
+    for case in 0..96 {
+        let k = rng.range_usize(1, 13);
+        let n = [1, k * B as usize - 1, k * B as usize, k * B as usize + 1][case % 4];
+        let mut raw = std::collections::BTreeSet::new();
+        while raw.len() < n {
+            raw.insert(word(&mut rng, 10));
+        }
         let sorted: Vec<&str> = raw.iter().map(String::as_str).collect();
-        let trie = TrieDict::from_sorted(&sorted).unwrap();
-        assert_eq!(trie.len() as usize, sorted.len(), "case {case}");
+        let dict = FrontCoded::from_sorted(&sorted).unwrap();
+        assert_eq!(dict.len() as usize, n, "case {case}");
         for (rank, s) in sorted.iter().enumerate() {
-            assert_eq!(trie.id_of(s), Some(rank as u32), "case {case}");
-            assert_eq!(trie.value(rank as u32), *s, "case {case}");
+            assert_eq!(dict.id_of(s), Some(rank as u32), "case {case}");
+            assert_eq!(dict.value(rank as u32), *s, "case {case}");
         }
         // Probes, mostly absent: prefixes and extensions of entries, their
         // neighbours a character up or down, the empty string, words of
@@ -95,24 +103,48 @@ fn trie_is_equivalent_to_sorted_array() {
         }
         for probe in &probes {
             let expect = sorted.binary_search(&probe.as_str()).map(|i| i as u32);
-            assert_eq!(trie.rank(probe), expect.map_err(|i| i as u32), "case {case} {probe:?}");
-            assert_eq!(trie.id_of(probe), expect.ok(), "case {case} {probe:?}");
+            assert_eq!(dict.rank(probe), expect.map_err(|i| i as u32), "case {case} {probe:?}");
+            assert_eq!(dict.id_of(probe), expect.ok(), "case {case} {probe:?}");
+        }
+        // Ordered lookups decode what indexing the array reads.
+        for ids in id_subsets(&mut rng, dict.len()) {
+            let mut got = Vec::new();
+            dict.for_each_of(&ids, |s| got.push(String::from_utf8(s.to_vec()).unwrap()));
+            let want: Vec<&str> = ids.iter().map(|&id| sorted[id as usize]).collect();
+            assert_eq!(got, want, "case {case}: ids {ids:?}");
         }
         // Value ranges resolve to the same id range on both flavours.
         let values: Vec<Value> = sorted.iter().map(|s| Value::from(*s)).collect();
         let (array, _) = build_dict(&values).unwrap();
-        let tried = array.optimize().unwrap();
+        let front_coded = array.optimize().unwrap();
         for _ in 0..32 {
             let mut bound = || {
                 rng.chance(0.8).then(|| (Value::from(rng.pick(&probes).as_str()), rng.chance(0.5)))
             };
             let (min, max) = (bound(), bound());
             assert_eq!(
-                tried.range_ids(min.as_ref(), max.as_ref()),
+                front_coded.range_ids(min.as_ref(), max.as_ref()),
                 array.range_ids(min.as_ref(), max.as_ref()),
                 "case {case}: {min:?} .. {max:?}"
             );
         }
+        // A merge of held and new words: the array's ids and map, and the
+        // bytes a build of the union writes.
+        let mut batch: Vec<String> = (0..rng.range_usize(1, 40))
+            .map(|_| match rng.chance(0.3) {
+                true => rng.pick(&sorted).to_string(),
+                false => word(&mut rng, 10),
+            })
+            .collect();
+        batch.sort_unstable();
+        batch.dedup();
+        let boxed =
+            |v: &[&str]| Sorted::<Box<str>>::from_sorted(v.iter().map(|&s| s.into()).collect());
+        let (mut merged, mut model) = (dict.clone(), boxed(&sorted).unwrap());
+        let batch_refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+        let outcome = merged.merge(&batch);
+        assert_eq!(outcome, model.merge(&boxed(&batch_refs).unwrap()), "case {case}");
+        assert_eq!(merged, FrontCoded::from_sorted(model.values()).unwrap(), "case {case}");
     }
 }
 
@@ -178,13 +210,13 @@ fn chunk_dict_membership() {
     }
 }
 
-/// A random dictionary of each flavour — `Sorted`, `Trie`, `Int`, `Float`
+/// A random dictionary of each flavour — `Sorted`, `FrontCoded`, `Int`, `Float`
 /// — and each of them again with a batch of an append merged in.
 fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, GlobalDict)> {
     let n = rng.range_usize(1, 160);
     let mut dicts = vec![
         ("sorted", build_dict(&strings(rng, n, "t")).unwrap().0),
-        ("trie", build_dict(&strings(rng, n, "t")).unwrap().0.optimize().unwrap()),
+        ("front coded", build_dict(&strings(rng, n, "t")).unwrap().0.optimize().unwrap()),
         ("int", build_dict(&ints(rng, n, 0)).unwrap().0),
         ("float", build_dict(&floats(rng, n, 0.5)).unwrap().0),
     ];
@@ -192,7 +224,7 @@ fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, GlobalDict)> {
     let m = rng.range_usize(1, 40);
     let appended = [
         ("merged sorted", strings(rng, m, "new")),
-        ("merged trie", strings(rng, m, "new")),
+        ("merged front coded", strings(rng, m, "new")),
         ("merged int", ints(rng, m, -300)),
         ("merged float", floats(rng, m, 0.25)),
     ];
@@ -205,7 +237,7 @@ fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, GlobalDict)> {
 }
 
 /// `n` strings: shared prefixes, prefix chains and the empty string — the
-/// shapes a path-compressed trie treats differently — mostly ending in
+/// shapes front coding shares differently — mostly ending in
 /// `tag` and a number.
 fn strings(rng: &mut Rng, n: usize, tag: &str) -> Vec<Value> {
     (0..n)
@@ -299,7 +331,7 @@ fn values_of_equals_value_per_id() {
 /// consumer rank groups and ranges on ids and look up only the winners:
 /// every dictionary, merged with batches whose new values fall below,
 /// among and above its own, is bit for bit the dictionary a build of all
-/// its values makes, in its own flavour (a trie stays a trie).
+/// its values makes, in its own flavour (front coding stays front-coded).
 #[test]
 fn id_order_is_value_order_after_any_run_of_merges() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0008);
@@ -315,7 +347,7 @@ fn id_order_is_value_order_after_any_run_of_merges() {
                 held.extend(values);
                 let built = build_dict(&held).unwrap().0;
                 let built = match dict {
-                    GlobalDict::Str(pd_encoding::StrDict::Trie(_)) => built.optimize().unwrap(),
+                    GlobalDict::Str(StrDict::FrontCoded(_)) => built.optimize().unwrap(),
                     _ => built,
                 };
                 assert_eq!(dict, built, "case {case} {name} round {round}");
@@ -362,9 +394,9 @@ fn merge_assigns_the_ids_a_sorted_model_does() {
     assert!(identities > 100, "batches must also leave every old id: {identities}");
 }
 
-/// The trie rejects what it cannot answer in one ordered walk.
+/// Front coding rejects what it cannot answer in one ordered pass.
 #[test]
 #[should_panic(expected = "strictly ascending")]
-fn trie_values_of_rejects_unsorted_ids() {
-    TrieDict::from_sorted(&["a", "b", "c"]).unwrap().values_of(&[2, 1]);
+fn front_coded_values_of_rejects_unsorted_ids() {
+    FrontCoded::from_sorted(&["a", "b", "c"]).unwrap().values_of(&[2, 1]);
 }

@@ -313,8 +313,8 @@ fn parallel_execution_matches_across_build_variants() {
     }
 }
 
-/// A range resolves to an id range on every dictionary — a trie string
-/// dictionary ranks a bound it lacks by one descent — and must stay exact
+/// A range resolves to an id range on every dictionary — a front-coded
+/// string dictionary ranks a bound it lacks in one block — and must stay exact
 /// there, as must the id ranges of a dictionary an append renumbered: every
 /// range query equals the
 /// `BuildOptions::basic()` store of the same rows (one chunk, sorted
@@ -351,7 +351,7 @@ fn range_fallbacks_equal_the_basic_store() {
     };
 
     let mut store = DataStore::build(&head, &production).unwrap();
-    agree(&store, &head, "trie build");
+    agree(&store, &head, "front-coded build");
     let before = store.column("latency").unwrap();
     let columns: Vec<&[Value]> = (0..tail.schema().len()).map(|i| tail.column(i)).collect();
     store
@@ -467,11 +467,11 @@ fn ranking_on_ids_equals_ranking_on_values() {
         }
     };
 
-    // Sorted-array dictionaries, then the production build's tries.
+    // Sorted-array dictionaries, then the production build's front coding.
     check(&DataStore::build(&head, &BuildOptions::basic()).unwrap(), "basic");
     let mut store = DataStore::build(&head, &production).unwrap();
     let before = ["table_name", "latency"].map(|c| store.column(c).unwrap());
-    check(&store, "trie build");
+    check(&store, "front-coded build");
 
     // After an append that renumbered the key dictionaries' old ids, ids
     // still order like values and the ranking compares ids.
