@@ -861,7 +861,8 @@ impl Plan {
     /// Group one chunk into a table of chunk-ids: `COUNT(*)` alone by one or
     /// two keys in a counts array, anything else by a group index and one
     /// loop per slot — one group (no key, or one entry in every key's chunk
-    /// dictionary) listing no group per row.
+    /// dictionary), and one dense key's codes where enough rows pass,
+    /// listing no group per row.
     /// `filtered` says whether the row filter applies (fully active chunks
     /// skip it by definition).
     fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
@@ -919,13 +920,15 @@ impl Plan {
             }
         }
 
-        // Pass A: the group of every row, or of every row a mask passes.
+        // Pass A: which rows are in which group — for one dense key, its
+        // codes as they are.
         let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
 
-        // Pass B: per-slot tight loops.
+        // Pass B: per-slot tight loops, then the groups no row is in
+        // dropped.
         let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index);
         let slots = self.slots.iter().map(accumulate).collect();
-        Ok(GroupTable::new(index.group_count, index.keys, slots))
+        Ok(index.table(slots))
     }
 }
 

@@ -319,7 +319,7 @@ impl<K: Cell> Column<K> {
 
     /// Group `j` moved to group `to[j]` of `len` (or dropped, if that is
     /// past the end); the groups nothing moves to are empty.
-    fn spread(self, to: &[u32], len: usize) -> Column<K> {
+    pub(crate) fn spread(self, to: &[u32], len: usize) -> Column<K> {
         match self {
             Column::Count(v) => Column::Count(spread(v, to, len, 0)),
             Column::SumInt(v) => Column::SumInt(spread(v, to, len, 0)),

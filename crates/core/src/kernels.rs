@@ -19,15 +19,22 @@
 //!   `counts[elements[row]]++` loop, for one key and for two keys fused
 //!   into a single flat array index — no per-row group map, no `Value`
 //!   allocation.
-//! - [`group_codes`] computes the [`GroupIndex`] of the general case — a
-//!   masked chunk's passing rows (a row the mask dropped is never visited
-//!   again), a group per row listed and every group's keys, numbered in
-//!   ascending key order so a chunk table is born ordered: one key's codes
-//!   as they are (renumbered under a mask), more keys' mixed-radix numbers
-//!   counted off a flat array when the key-dictionary product is small,
-//!   sorted as packed `u64`s otherwise. A chunk of **one group** — no key,
-//!   or one entry in every key's chunk dictionary — lists no group per
-//!   row ([`Members::One`]): its rows are the chunk's, or its mask's.
+//! - [`group_codes`] computes the [`GroupIndex`] of the general case: which
+//!   rows are in which group, and every group's keys, numbered in
+//!   ascending key order so a chunk table is born ordered. One dense key's
+//!   **codes are its groups** ([`Members::Codes`]): pass B walks the
+//!   chunk's rows, or its mask's set bits word by word, and reads a row's
+//!   group off the key — no row list, no group per row, no renumbering —
+//!   and [`GroupIndex::table`] drops the codes a mask left unused. That
+//!   path is taken when the rows that pass are at least as many as the
+//!   chunk dictionary's entries (always, unmasked); a mask that passes
+//!   fewer lists its rows and numbers the codes they hold, which is
+//!   cheaper there. That, and more keys, list a group per row (a masked
+//!   chunk's passing rows only): the keys' mixed-radix numbers counted off
+//!   a flat array when the key-dictionary product is small, sorted as
+//!   packed `u64`s otherwise. A chunk of **one group** — no key, or one
+//!   entry in every key's chunk dictionary — lists no group per row
+//!   ([`Members::One`]): its rows are the chunk's, or its mask's.
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
 //!   per-slot tight loop: a `COUNT` is a histogram of the groups, a `SUM`
@@ -62,7 +69,7 @@ use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
 use crate::exec::{proportionate, SlotPlan};
-use crate::groups::{Column, FloatColumn, SlotKind};
+use crate::groups::{Column, FloatColumn, GroupTable, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{sortkey, BitVec, Error, Result, Value};
 use pd_encoding::{CodesView, GlobalDict};
@@ -75,28 +82,30 @@ use std::sync::Arc;
 /// this use a flat array; larger products sort the rows' packed codes.
 pub(crate) const DENSE_GROUP_LIMIT: usize = 1 << 16;
 
-/// Dispatch once on the representation, monomorphize the loop body.
+/// Dispatch once on the representation, monomorphize the loop body. The
+/// accessor holds the codes by value (`move`), so a loop in a function it
+/// is handed to reads them from registers, not through this frame.
 macro_rules! with_codes {
     ($view:expr, |$get:ident| $body:expr) => {
         match $view {
             CodesView::Const { .. } => {
-                let $get = |_row: usize| 0u32;
+                let $get = move |_row: usize| 0u32;
                 $body
             }
             CodesView::Bits(bits) => {
-                let $get = |row: usize| bits.get(row) as u32;
+                let $get = move |row: usize| bits.get(row) as u32;
                 $body
             }
             CodesView::U8(v) => {
-                let $get = |row: usize| v[row] as u32;
+                let $get = move |row: usize| v[row] as u32;
                 $body
             }
             CodesView::U16(v) => {
-                let $get = |row: usize| v[row] as u32;
+                let $get = move |row: usize| v[row] as u32;
                 $body
             }
             CodesView::U32(v) => {
-                let $get = |row: usize| v[row];
+                let $get = move |row: usize| v[row];
                 $body
             }
         }
@@ -705,12 +714,15 @@ pub(crate) fn count_fused(
 // ---------------------------------------------------------------------------
 
 /// The groups of one chunk: the rows they hold, each such row's group and
-/// every group's keys. A masked chunk's index lists only its passing rows,
-/// so pass B costs what the filter lets through, not the chunk's size.
+/// every group's keys. A masked chunk's index visits only its passing
+/// rows, so pass B costs what the filter lets through, not the chunk's
+/// size.
 pub(crate) struct GroupIndex<'a> {
     /// Which rows are in which group.
     pub members: Members<'a>,
-    /// How many groups there are; some row is in each.
+    /// How many groups pass B fills. Some row is in each, but for the
+    /// codes a mask leaves unused under [`Members::Codes`], which
+    /// [`GroupIndex::table`] drops.
     pub group_count: usize,
     /// Per key column, the chunk-id each group has there, the groups in
     /// strictly ascending key order.
@@ -722,6 +734,9 @@ pub(crate) enum Members<'a> {
     /// One group holds the rows: there is no key, or every key's chunk
     /// dictionary has one entry. No group is listed per row.
     One(Rows<'a>),
+    /// One key's chunk codes are the groups: a row's group is its code,
+    /// read off `key` as a loop walks `rows`. No group is listed per row.
+    Codes { rows: Rows<'a>, key: CodesView<'a> },
     /// A group per row.
     Each {
         /// A masked chunk's passing rows, ascending; `None`: every row, in
@@ -740,16 +755,17 @@ pub(crate) enum Members<'a> {
 /// Keys whose chunk dictionaries all have one entry (`sizes` all 1), and no
 /// key, make [`Members::One`]. Else `dense_capacity` is the checked product
 /// of the key-dictionary sizes if it fits [`DENSE_GROUP_LIMIT`] (the caller
-/// computes it once per chunk): then one key's codes are the groups,
-/// renumbered by a table the size of the chunk dictionary if a mask may
-/// leave some unused. More keys pack a row's key codes into a `u64`, a
+/// computes it once per chunk). Then one key's codes are the groups
+/// ([`Members::Codes`]) if at least as many rows pass as its chunk
+/// dictionary has entries, which every unmasked chunk's do. Otherwise the
+/// rows are listed, and a row's key codes are packed into a `u64`, a
 /// mixed-radix number over `sizes` (most significant key first) that
-/// orders like its key tuple, and the groups are the numbers' ranks:
-/// counted off a flat array if dense, else found by a sort, where a prefix
-/// that would overflow a `u64` is replaced by its rank (below 2³²) before
-/// the next key is packed.
+/// orders like its key tuple; the groups are the numbers' ranks: counted
+/// off a flat array if dense (for one key, a table the size of its chunk
+/// dictionary), else found by a sort, where a prefix that would overflow a
+/// `u64` is replaced by its rank (below 2³²) before the next key is packed.
 pub(crate) fn group_codes<'a>(
-    key_chunks: &[&ColumnChunk],
+    key_chunks: &[&'a ColumnChunk],
     sizes: &[usize],
     rows: usize,
     mask: Option<&'a BitVec>,
@@ -759,26 +775,17 @@ pub(crate) fn group_codes<'a>(
         let keys = vec![vec![0]; key_chunks.len()];
         return GroupIndex { members: Members::One(Rows::of(rows, mask)), group_count: 1, keys };
     }
-    let listed: Option<Vec<usize>> = mask.map(|m| m.iter_ones().collect());
     if let (Some(_), [key]) = (dense_capacity, key_chunks) {
-        let mut groups: Vec<u32> = with_codes!(key.codes(), |get| match &listed {
-            Some(listed) => listed.iter().map(|&row| get(row)).collect(),
-            None => (0..rows).map(get).collect(),
-        });
-        let mut keys: Vec<u32> = (0..key.dict.len()).collect();
-        if listed.is_some() {
-            // The codes that occur, numbered ascending.
-            let mut number = vec![0; keys.len()];
-            groups.iter().for_each(|&code| number[code as usize] = 1);
-            keys = (0..keys.len()).filter(|&c| number[c] == 1).map(|c| keys[c]).collect();
-            let mut held = 0;
-            number.iter_mut().for_each(|n| (*n, held) = (held, held + *n));
-            groups.iter_mut().for_each(|g| *g = number[*g as usize]);
+        let (n, visited) = (key.dict.len() as usize, Rows::of(rows, mask));
+        if n <= visited.count() {
+            let members = Members::Codes { rows: visited, key: key.codes() };
+            return GroupIndex { members, group_count: n, keys: vec![(0..n as u32).collect()] };
         }
-        let members = Members::Each { rows: listed, groups };
-        return GroupIndex { members, group_count: keys.len(), keys: vec![keys] };
     }
-    let passing = listed.unwrap_or_else(|| (0..rows).collect());
+    let passing: Vec<usize> = match mask {
+        Some(mask) => mask.iter_ones().collect(),
+        None => (0..rows).collect(),
+    };
     let mut packed = vec![0u64; passing.len()];
     // Every packed value is below `radix`.
     let mut radix = 1u64;
@@ -805,6 +812,49 @@ pub(crate) fn group_codes<'a>(
     let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.elements.get(r)).collect());
     let members = Members::Each { rows: mask.is_some().then_some(passing), groups };
     GroupIndex { members, group_count, keys: keys.collect() }
+}
+
+impl GroupIndex<'_> {
+    /// The chunk table of these groups, given the columns pass B filled
+    /// over them: every group holds some row, in ascending key order. Under
+    /// a mask, [`Members::Codes`] fills a group for every code, so the
+    /// codes no passing row holds are dropped here — read off a `COUNT`
+    /// column's zeros if the slots have one, else found by one presence
+    /// pass over the passing rows.
+    pub(crate) fn table(self, slots: Vec<Column<u32>>) -> GroupTable<u32> {
+        let Members::Codes { rows: Rows::Passing(mask), key } = self.members else {
+            return GroupTable::new(self.group_count, self.keys, slots);
+        };
+        let counts = slots.iter().find_map(|slot| match slot {
+            Column::Count(counts) => Some(counts),
+            _ => None,
+        });
+        // Per code, 1 if a passing row holds it.
+        let mut to: Vec<u32> = match counts {
+            Some(counts) => counts.iter().map(|&n| u32::from(n > 0)).collect(),
+            None => {
+                let mut held = vec![0; self.group_count];
+                with_codes!(key, |get| {
+                    Rows::Passing(mask).in_lanes(|_, row| held[get(row) as usize] = 1)
+                });
+                held
+            }
+        };
+        let mut keys = self.keys;
+        keys[0].retain(|&code| to[code as usize] == 1);
+        let held = keys[0].len();
+        if held == self.group_count {
+            return GroupTable::new(held, keys, slots);
+        }
+        // A held code's group moves to its rank among them, any other past
+        // the end, where spreading drops it.
+        let mut next = 0;
+        for at in &mut to {
+            (*at, next) = if *at == 1 { (next, next + 1) } else { (u32::MAX, next) };
+        }
+        let slots = slots.into_iter().map(|column| column.spread(&to, held)).collect();
+        GroupTable::new(held, keys, slots)
+    }
 }
 
 /// Replace each value by its rank among the distinct values, which are
@@ -871,6 +921,9 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
     match slot.kind {
         SlotKind::Count => Column::Count(match &index.members {
             Members::One(rows) => vec![rows.count() as u64],
+            Members::Codes { rows, key } => with_codes!(*key, |group| {
+                histogram(group_count, *rows, move |row| group(row) as usize)
+            }),
             Members::Each { groups, .. } => {
                 histogram(group_count, Rows::All(groups.len()), |i| groups[i] as usize)
             }
@@ -879,7 +932,10 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             let (col, chunk) = arg.expect("SUM has an argument");
             let GlobalDict::Int(dict) = &col.dict else { unreachable!("an integer SUM") };
             let table = gather(chunk, dict.values());
-            let add = |sum: i128, code: u32| sum.wrapping_add(i128::from(table[code as usize]));
+            // A slice, so that `add` is `Copy`.
+            let table = &table[..];
+            let add =
+                move |sum: i128, code: u32| sum.wrapping_add(i128::from(table[code as usize]));
             Column::SumInt(match &index.members {
                 Members::One(rows) => {
                     let lanes = with_codes!(chunk.codes(), |get| {
@@ -887,10 +943,11 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                     });
                     vec![lanes.into_iter().fold(0, i128::wrapping_add)]
                 }
-                Members::Each { .. } => {
-                    let mut sums = vec![0i128; group_count];
-                    for_each_member(chunk.codes(), index, |g, code| sums[g] = add(sums[g], code));
-                    sums
+                Members::Codes { .. } | Members::Each { .. } => {
+                    let sums = vec![0i128; group_count];
+                    fold_members(chunk.codes(), index, sums, move |sums, g, code| {
+                        sums[g] = add(sums[g], code)
+                    })
                 }
             })
         }
@@ -908,12 +965,11 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                     });
                     FloatColumn::of_lanes(lanes, exact)
                 }
-                Members::Each { .. } => {
-                    let mut sums = FloatColumn::new(group_count);
-                    for_each_member(chunk.codes(), index, |g, code| {
+                Members::Codes { .. } | Members::Each { .. } => {
+                    let sums = FloatColumn::new(group_count);
+                    fold_members(chunk.codes(), index, sums, move |sums, g, code| {
                         sums.add(g, table[code as usize])
-                    });
-                    sums
+                    })
                 }
             })
         }
@@ -940,12 +996,16 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             // `g·n + code`: marked in a flat array, or sorted if that is big.
             let (n, listed) = (chunk.dict.len() as usize, index.members.count());
             let pairs: Vec<usize> = if proportionate((group_count * n) as u64, listed as u64) {
-                let mut present = vec![false; group_count * n];
-                for_each_member(chunk.codes(), index, |g, c| present[g * n + c as usize] = true);
+                let present = vec![false; group_count * n];
+                let present = fold_members(chunk.codes(), index, present, move |present, g, c| {
+                    present[g * n + c as usize] = true
+                });
                 (0..present.len()).filter(|&p| present[p]).collect()
             } else {
-                let mut pairs = Vec::with_capacity(listed);
-                for_each_member(chunk.codes(), index, |g, c| pairs.push(g * n + c as usize));
+                let pairs = Vec::with_capacity(listed);
+                let mut pairs = fold_members(chunk.codes(), index, pairs, move |pairs, g, c| {
+                    pairs.push(g * n + c as usize)
+                });
                 pairs.sort_unstable();
                 pairs.dedup();
                 pairs
@@ -995,7 +1055,7 @@ impl Members<'_> {
     /// How many rows the groups hold.
     fn count(&self) -> usize {
         match self {
-            Members::One(rows) => rows.count(),
+            Members::One(rows) | Members::Codes { rows, .. } => rows.count(),
             Members::Each { groups, .. } => groups.len(),
         }
     }
@@ -1017,6 +1077,10 @@ fn fold_codes(
             let lanes = fold_lanes(*rows, seed, |_, held, row| pick(held, get(row)));
             vec![lanes.into_iter().fold(seed, merge)]
         }
+        Members::Codes { rows, key } => with_codes!(*key, |group| {
+            let add = |held, row| pick(held, get(row));
+            fold_cells(index.group_count, *rows, seed, |row| group(row) as usize, add, merge)
+        }),
         Members::Each { rows, groups } => {
             let listed = Rows::All(groups.len());
             let group = |i: usize| groups[i] as usize;
@@ -1034,24 +1098,58 @@ fn fold_codes(
     })
 }
 
-/// `f(group, code)` for every row of `index`: a masked chunk's passing rows
-/// only, by their list or their mask — no row the mask dropped is visited —
-/// or every row.
+/// `add(state, group, code)` for every row of `index`, from `state`: a
+/// masked chunk's passing rows only, by their list or their mask — no row
+/// the mask dropped is visited — or every row. `add` is `Copy`, its
+/// captures held by value, so that [`fold_coded`]'s loops keep them in
+/// registers as they keep `state`.
 #[inline(always)]
-fn for_each_member(codes: CodesView<'_>, index: &GroupIndex, mut f: impl FnMut(usize, u32)) {
+fn fold_members<S>(
+    codes: CodesView<'_>,
+    index: &GroupIndex,
+    mut state: S,
+    add: impl Fn(&mut S, usize, u32) + Copy,
+) -> S {
     with_codes!(codes, |get| match &index.members {
-        Members::One(rows) => rows.in_lanes(|_, row| f(0, get(row))),
+        Members::One(rows) => rows.in_lanes(|_, row| add(&mut state, 0, get(row))),
+        Members::Codes { rows, key } => return fold_coded(codes, *rows, *key, state, add),
         Members::Each { rows: Some(rows), groups } => {
             for (&row, &g) in rows.iter().zip(groups) {
-                f(g as usize, get(row));
+                add(&mut state, g as usize, get(row));
             }
         }
         Members::Each { rows: None, groups } => {
             for (row, &g) in groups.iter().enumerate() {
-                f(g as usize, get(row));
+                add(&mut state, g as usize, get(row));
             }
         }
-    })
+    });
+    state
+}
+
+/// [`fold_members`] where one key's codes are the groups, each row's read
+/// off `key`: one [`fold_rows`] per pair of code representations, out of
+/// [`fold_members`]' line so that its other loops compile as they would
+/// alone.
+#[inline(never)]
+fn fold_coded<S>(
+    codes: CodesView<'_>,
+    rows: Rows<'_>,
+    key: CodesView<'_>,
+    state: S,
+    add: impl Fn(&mut S, usize, u32) + Copy,
+) -> S {
+    with_codes!(codes, |get| with_codes!(key, |group| {
+        fold_rows(rows, state, move |state, row| add(state, group(row) as usize, get(row)))
+    }))
+}
+
+/// `add(state, row)` for every row of `rows`, from `state`. A function of
+/// its own per closure, small enough that every closure in it inlines.
+#[inline(never)]
+fn fold_rows<S>(rows: Rows<'_>, mut state: S, add: impl Fn(&mut S, usize)) -> S {
+    rows.in_lanes(|_, row| add(&mut state, row));
+    state
 }
 
 /// Process-wide count of dictionary→f64 tables built (diagnostics: the
@@ -1350,19 +1448,26 @@ mod tests {
 
     /// `group_codes` against a `BTreeMap` of the passing rows' key tuples,
     /// over random chunks of 0–3 keys: one group (no key, or one entry in
-    /// every key's dictionary), dense unmasked and masked, sparse, and
-    /// sparse with radices 2⁴⁰ times the dictionary sizes, so that two keys
-    /// already overflow a `u64` and the packing must rank its prefix
-    /// first. The groups are the distinct tuples in strictly ascending
-    /// order, a masked index lists exactly the passing rows (an unmasked
-    /// one every row), and every listed row's group holds that row's tuple.
+    /// every key's dictionary), one key's codes unmasked and under a mask
+    /// that passes at least as many rows as the key has codes, one key
+    /// listed under a mask that passes fewer, more keys dense unmasked and
+    /// masked, sparse, and sparse with radices 2⁴⁰ times the dictionary
+    /// sizes, so that two keys already overflow a `u64` and the packing
+    /// must rank its prefix first. The groups ascend strictly, the index
+    /// visits exactly the passing rows in ascending order (a listed one
+    /// lists them, an unmasked one every row), every row's group holds
+    /// that row's tuple and every group holds its rows. The chunk table
+    /// ([`GroupIndex::table`]) is the distinct tuples in ascending order,
+    /// each with its rows' count, whether it reads the unused codes off a
+    /// `COUNT` column or finds them itself.
     #[test]
     fn group_codes_number_the_passing_key_tuples_in_ascending_order() {
         use pd_encoding::ChunkDict;
         use std::collections::BTreeMap;
         let mut rng = Rng::seed_from_u64(0x5eed_0036);
-        // Dense unmasked, dense masked, sparse, overflowing, one group.
-        let mut reached = [false; 5];
+        // One key's codes unmasked, under a mask, one key listed, more keys
+        // dense unmasked, dense masked, sparse, overflowing, one group.
+        let mut reached = [false; 8];
         for case in 0..600 {
             let rows = rng.range_usize(1, 300);
             let mode = *rng.pick(&[ElementsMode::Basic, ElementsMode::Optimized]);
@@ -1396,12 +1501,6 @@ mod tests {
             };
             let overflows =
                 sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
-            reached[match (dense, overflows) {
-                _ if sizes.iter().all(|&n| n == 1) => 4,
-                (Some(_), _) => mask.is_some() as usize,
-                (None, false) => 2,
-                (None, true) => 3,
-            }] = true;
 
             let passes = |row: usize| mask.as_ref().is_none_or(|m| m.get(row));
             let tuple =
@@ -1417,33 +1516,77 @@ mod tests {
                 .map(|g| index.keys.iter().map(|col| col[g]).collect())
                 .collect();
             assert!(groups.windows(2).all(|pair| pair[0] < pair[1]), "{label}: ascending");
-            assert_eq!(groups, want.keys().cloned().collect::<Vec<_>>(), "{label}");
             let passing: Vec<usize> = (0..rows).filter(|&r| passes(r)).collect();
+            let of_rows = |rows: &Rows| -> Vec<usize> {
+                match rows {
+                    Rows::All(n) => (0..*n).collect(),
+                    Rows::Passing(bits) => bits.iter_ones().collect(),
+                }
+            };
             let (listed, row_groups): (Vec<usize>, Vec<u32>) = match &index.members {
                 Members::One(one) => {
-                    let listed: Vec<usize> = match one {
-                        Rows::All(n) => (0..*n).collect(),
-                        Rows::Passing(bits) => bits.iter_ones().collect(),
-                    };
                     assert_eq!(index.group_count, 1, "{label}: one group");
+                    reached[7] = true;
+                    let listed = of_rows(one);
                     let groups = vec![0; listed.len()];
+                    (listed, groups)
+                }
+                Members::Codes { rows: visited, key } => {
+                    let [ch] = &chunks[..] else { panic!("{label}: codes of one key") };
+                    assert!(dense.is_some(), "{label}: a dense key");
+                    assert_eq!(index.group_count, ch.dict.len() as usize, "{label}: every code");
+                    assert!(index.group_count <= passing.len(), "{label}: rows enough");
+                    reached[mask.is_some() as usize] = true;
+                    let listed = of_rows(visited);
+                    let groups = with_codes!(*key, |get| listed.iter().map(|&r| get(r)).collect());
                     (listed, groups)
                 }
                 Members::Each { rows: listed, groups } => {
                     assert!(sizes.iter().any(|&n| n != 1), "{label}: more than one group");
                     assert_eq!(listed.is_some(), mask.is_some(), "{label}: listed iff masked");
+                    reached[match (dense, overflows) {
+                        (Some(_), _) if chunks.len() == 1 => {
+                            assert!(want.len() < chunks[0].dict.len() as usize, "{label}");
+                            assert!(passing.len() < chunks[0].dict.len() as usize, "{label}");
+                            2
+                        }
+                        (Some(_), _) => 3 + mask.is_some() as usize,
+                        (None, false) => 5,
+                        (None, true) => 6,
+                    }] = true;
                     (listed.clone().unwrap_or_else(|| (0..rows).collect()), groups.clone())
                 }
             };
             assert_eq!(listed, passing, "{label}: the passing rows, ascending");
-            assert_eq!(row_groups.len(), listed.len(), "{label}: one group per row listed");
+            assert_eq!(row_groups.len(), listed.len(), "{label}: one group per row visited");
             let mut members = vec![0; index.group_count];
             for (&row, &g) in listed.iter().zip(&row_groups) {
                 assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}");
                 members[g as usize] += 1;
             }
-            assert_eq!(members, want.values().copied().collect::<Vec<_>>(), "{label}");
+            // Only a masked chunk's codes may hold groups of no row.
+            let held: Vec<(Vec<u32>, usize)> =
+                groups.into_iter().zip(members.iter().copied()).filter(|&(_, n)| n > 0).collect();
+            if !matches!(index.members, Members::Codes { rows: Rows::Passing(_), .. }) {
+                assert_eq!(held.len(), index.group_count, "{label}: some row in every group");
+            }
+            assert_eq!(held, want.clone().into_iter().collect::<Vec<_>>(), "{label}");
+
+            // The table: the held groups, each with its count; an even case
+            // hands it a `COUNT` column, an odd one no slot.
+            let counted = case % 2 == 0;
+            let slots = match counted {
+                true => vec![Column::Count(members.iter().map(|&n| n as u64).collect())],
+                false => Vec::new(),
+            };
+            let table = index.table(slots);
+            let keys = (0..chunks.len()).map(|i| want.keys().map(|t| t[i]).collect()).collect();
+            let slots = match counted {
+                true => vec![Column::Count(want.values().map(|&n| n as u64).collect())],
+                false => Vec::new(),
+            };
+            assert_eq!(table, GroupTable::new(want.len(), keys, slots), "{label}: the table");
         }
-        assert_eq!(reached, [true; 5], "every path");
+        assert_eq!(reached, [true; 8], "every path");
     }
 }

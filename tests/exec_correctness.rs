@@ -14,6 +14,7 @@ use pd_core::{
 use pd_data::{generate_logs, LogsSpec, Table};
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, parse_query};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Did the appends that made `after` move an id `before`'s dictionary had?
@@ -1004,4 +1005,118 @@ fn lane_sums_and_extremes_match_the_row_oracle() {
             assert_matches_oracle(&table, &options, &sqls, &label);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// One key's codes under a mask
+// ---------------------------------------------------------------------------
+
+/// One dense key's chunk codes are its groups where at least as many rows
+/// pass a chunk's mask as the key's chunk dictionary has entries; where
+/// fewer pass, the passing rows are listed. Either way a code the mask
+/// leaves unused is no group. One-key charts of every slot kind — COUNT,
+/// integer and float SUM, MIN, MAX and COUNT DISTINCT, each alone (a
+/// presence pass finds the unused codes) and all together (the COUNT
+/// column shows them) — under masks that pass none, one, all but one or
+/// every code, on both sides of that rule. The filter `k IN (..) AND
+/// r < t`, `r` numbering a code's rows, passes `t` rows of each code it
+/// names; one code is held by more rows than there are codes. Keys of 2,
+/// 3–12 and 257–299 codes, on two one-chunk builds (`u32` codes, and the
+/// smallest representation), whose side of the rule each case knows, and
+/// on one cut into chunks by `r`.
+#[test]
+fn one_key_codes_under_masks_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("r", DataType::Int),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("s", DataType::Str),
+    ]);
+    let charts = [
+        "COUNT(*) c",
+        "COUNT(*) c, MIN(n) mn",
+        "SUM(n) sn",
+        "SUM(x) sx, AVG(x) a",
+        "MIN(s) ms, MIN(x) mx",
+        "MAX(x) mx, MAX(n) mn",
+        "COUNT(DISTINCT s) d",
+        "COUNT(*) c, SUM(n) sn, SUM(x) sx, MIN(n) mn, MAX(s) ms, COUNT(DISTINCT n) d",
+    ];
+    let mut rng = Rng::seed_from_u64(0xc0de_0068);
+    // (codes passing: 0 none, 1 one, 2 all but one, 3 every; codes side).
+    let mut reached = BTreeSet::new();
+    for case in 0..96 {
+        let codes = match case / 6 % 8 {
+            0 => 2,
+            7 => rng.range_usize(257, 300),
+            _ => rng.range_usize(3, 13),
+        };
+        // 1–3 rows a code, and more than `codes` for one of them.
+        let mut held: Vec<usize> = (0..codes).map(|_| rng.range_usize(1, 4)).collect();
+        let big = rng.range_usize(0, codes);
+        held[big] = codes + rng.range_usize(0, 3);
+        // The shapes: none; one, listed and as codes; all but one, listed
+        // and as codes; every code, one row each.
+        let other = (big + rng.range_usize(1, codes)) % codes;
+        let every: Vec<usize> = (0..codes).collect();
+        let but = |c: usize| every.iter().copied().filter(|&d| d != c).collect::<Vec<_>>();
+        let (named, t) = match case % 6 {
+            0 => (every.clone(), 0),
+            1 => (vec![other], 1),
+            2 => (vec![big], codes + 3),
+            3 => (but(rng.range_usize(0, codes)), 1),
+            4 => (but(other), codes + 3),
+            _ => (every.clone(), 1),
+        };
+
+        // The rows, in random order: `(code, r)`.
+        let mut rows: Vec<(usize, usize)> =
+            held.iter().enumerate().flat_map(|(c, &n)| (0..n).map(move |r| (c, r))).collect();
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.range_usize(0, i + 1));
+        }
+        let mut table = Table::new(schema.clone());
+        for &(c, r) in &rows {
+            table
+                .push_row(Row(vec![
+                    Value::from(format!("k{c:03}")),
+                    Value::Int(r as i64),
+                    Value::Int(rng.range_i64_inclusive(-1_000, 1_000)),
+                    Value::Float(random_float(&mut rng, true)),
+                    Value::from(format!("s{}", rng.range_usize(0, 5))),
+                ]))
+                .unwrap();
+        }
+        let passing = rows.iter().filter(|&&(c, r)| named.contains(&c) && r < t);
+        let passing_rows = passing.clone().count();
+        let passing_codes: BTreeSet<usize> = passing.map(|&(c, _)| c).collect();
+        let shape = match passing_codes.len() {
+            0 => 0,
+            1 => 1,
+            n if n + 1 == codes => 2,
+            _ => 3,
+        };
+        reached.insert((shape, passing_rows >= codes));
+
+        let names: Vec<String> = named.iter().map(|c| format!("'k{c:03}'")).collect();
+        let filter = format!("k IN ({}) AND r < {t}", names.join(", "));
+        let sqls: Vec<String> = charts
+            .iter()
+            .map(|aggs| format!("SELECT k, {aggs} FROM data WHERE {filter} GROUP BY k"))
+            .collect();
+        let whole = PartitionSpec::new(&["k"], rows.len());
+        let by_r = PartitionSpec::new(&["r"], codes.max(4));
+        for options in
+            [BuildOptions::basic(), BuildOptions::optdicts(whole), BuildOptions::optdicts(by_r)]
+        {
+            let label = format!(
+                "case {case}: {codes} codes, {} named, {passing_rows} rows pass, {options:?}",
+                named.len()
+            );
+            assert_matches_oracle(&table, &options, &sqls, &label);
+        }
+    }
+    let sides = [(0, false), (1, false), (1, true), (2, false), (2, true), (3, true)];
+    assert_eq!(reached, BTreeSet::from(sides), "every shape on each side it has");
 }
