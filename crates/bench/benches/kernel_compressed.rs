@@ -23,19 +23,20 @@
 //! 4. no kernel waits on one counter: on §3's sorted store, where equal
 //!    codes sit side by side, each of five cases costs at most 1.25× what
 //!    it costs on the same table unsorted — `float_groupby_dense` (a float
-//!    `SUM`/`AVG` by `user`, double-double slots),
-//!    `count_one_key_counts_array` and `count_two_keys_counts_array` (the
-//!    `COUNT(*)`-only counts-array kernels, one key and two keys fused into
-//!    one flat index), `sum_keyless` (a keyless float `SUM`, register
+//!    `SUM`/`AVG` by `user`, double-double slots), `count_one_key` and
+//!    `count_two_keys` (`COUNT(*)` alone by `country`, whose codes are its
+//!    groups, and by `country, user`, whose mixed-radix numbers are),
+//!    `sum_keyless` (a keyless float `SUM`, register
 //!    lanes) and `sum_one_group` (`country, SUM(latency)` on scan_cold's
 //!    layout — `country, table_name` partitions of 2 000 rows — whose
 //!    chunks mostly hold one country). Each case is timed on both stores
 //!    in alternation and reported twice, the unsorted side as
 //!    `<case>_unsorted`.
 //!
-//! Seven cases are reported and not asserted: `bottom10_rank_on_values`
+//! Eight cases are reported and not asserted: `bottom10_rank_on_values`
 //! (claim 3's chart ordered `c ASC`, where thousands of groups tie on
-//! their count),
+//! their count), `groupby_two_keys_sum` (`COUNT(*)` and `SUM(latency)` by
+//! `country, user`: two keys' numbers under more than one slot),
 //! `masked_groupby_5pct` (a grouped `COUNT` and `SUM` by `country` under a
 //! restriction that passes a twentieth of every chunk's rows: as many
 //! rows pass as the key has codes, so its codes are the groups),
@@ -133,13 +134,13 @@ fn main() {
     for (name, sql, sorted, unsorted) in [
         ("float_groupby_dense", sql, &store, &unsorted_store),
         (
-            "count_one_key_counts_array",
+            "count_one_key",
             "SELECT country, COUNT(*) c FROM data GROUP BY country",
             &store,
             &unsorted_store,
         ),
         (
-            "count_two_keys_counts_array",
+            "count_two_keys",
             "SELECT country, user, COUNT(*) c FROM data GROUP BY country, user",
             &store,
             &unsorted_store,
@@ -222,9 +223,8 @@ fn main() {
         );
     }
     // Reported only: a drill-sized restriction — a twentieth of the time
-    // range, so every chunk is masked — under a grouped COUNT and SUM, which
-    // the counts-array kernels do not take: what a masked chunk's general
-    // path costs.
+    // range, so every chunk is masked — under a grouped COUNT and SUM: what
+    // a masked chunk's kernels cost.
     let window = format!("timestamp >= {lo} AND timestamp < {}", lo + (hi - lo) / 20);
     let sql = format!(
         "SELECT country, COUNT(*) c, SUM(latency) s FROM data WHERE {window} GROUP BY country"
@@ -241,8 +241,14 @@ fn main() {
     timed("masked_groupby_5pct_table_name", || {
         black_box(execute(&store, &listed, &serial).unwrap());
     });
-    // Reported only: what the cold dashboard's charts cost their kernels.
+    // Reported only: what the cold dashboard's charts cost their kernels,
+    // and two keys' numbers under two slots.
     for (name, sql) in [
+        (
+            "groupby_two_keys_sum",
+            "SELECT country, user, COUNT(*) c, SUM(latency) s FROM data GROUP BY country, user"
+                .to_owned(),
+        ),
         (
             "window_two_bounds",
             format!(

@@ -858,11 +858,10 @@ impl Plan {
         ))
     }
 
-    /// Group one chunk into a table of chunk-ids: `COUNT(*)` alone by one or
-    /// two keys in a counts array, anything else by a group index and one
-    /// loop per slot — one group (no key, or one entry in every key's chunk
-    /// dictionary), and one dense key's codes where enough rows pass,
-    /// listing no group per row.
+    /// Group one chunk into a table of chunk-ids: the row filter's mask, a
+    /// group index and one loop per slot, whatever the query's shape. One
+    /// group (no key, or one entry in every key's chunk dictionary), and
+    /// dense keys' numbers where enough rows pass, list no group per row.
     /// `filtered` says whether the row filter applies (fully active chunks
     /// skip it by definition).
     fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
@@ -892,36 +891,8 @@ impl Plan {
             (prod <= DENSE_GROUP_LIMIT).then_some(prod)
         });
 
-        // `COUNT(*)` alone: the paper's counts-array loop on raw codes — one
-        // or two keys, flat arrays, no per-row group index. A single key
-        // never needs the dense limit: its counts array is bounded by the
-        // chunk-dictionary size, which is at most the chunk's row count (the
-        // limit exists to stop *products* of key-dictionary sizes from
-        // exploding). A chunk of one group counts its rows below instead.
-        if let [SlotPlan { kind: SlotKind::Count, .. }] = &self.slots[..] {
-            let counts = match (&key_chunks[..], dense_capacity) {
-                (_, Some(1)) => None,
-                ([key], _) => Some(kernels::count_single(key.codes(), sizes[0], mask.as_ref())),
-                ([a, b], Some(capacity)) => Some(kernels::count_fused(
-                    a.codes(),
-                    b.codes(),
-                    sizes[1],
-                    capacity,
-                    mask.as_ref(),
-                )),
-                _ => None,
-            };
-            if let Some(mut counts) = counts {
-                let counted: Vec<u32> =
-                    (0..counts.len() as u32).filter(|&g| counts[g as usize] > 0).collect();
-                counts.retain(|&n| n > 0);
-                let keys = kernels::dense_keys(&counted, &sizes);
-                return Ok(GroupTable::new(counted.len(), keys, vec![Column::Count(counts)]));
-            }
-        }
-
-        // Pass A: which rows are in which group — for one dense key, its
-        // codes as they are.
+        // Pass A: which rows are in which group — for dense keys, their
+        // numbers.
         let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
 
         // Pass B: per-slot tight loops, then the groups no row is in

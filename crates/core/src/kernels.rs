@@ -15,25 +15,21 @@
 //!   `AND` / `OR` / `NOT` combine whole masks word-wise, with subtrees that
 //!   are constant on the chunk folded away; only genuinely multi-column
 //!   subtrees fall back to per-row evaluation.
-//! - [`count_single`] / [`count_fused`] are the paper's
-//!   `counts[elements[row]]++` loop, for one key and for two keys fused
-//!   into a single flat array index — no per-row group map, no `Value`
-//!   allocation.
-//! - [`group_codes`] computes the [`GroupIndex`] of the general case: which
-//!   rows are in which group, and every group's keys, numbered in
-//!   ascending key order so a chunk table is born ordered. One dense key's
-//!   **codes are its groups** ([`Members::Codes`]): pass B walks the
-//!   chunk's rows, or its mask's set bits word by word, and reads a row's
-//!   group off the key — no row list, no group per row, no renumbering —
-//!   and [`GroupIndex::table`] drops the codes a mask left unused. That
-//!   path is taken when the rows that pass are at least as many as the
-//!   chunk dictionary's entries (always, unmasked); a mask that passes
-//!   fewer lists its rows and numbers the codes they hold, which is
-//!   cheaper there. That, and more keys, list a group per row (a masked
-//!   chunk's passing rows only): the keys' mixed-radix numbers counted off
-//!   a flat array when the key-dictionary product is small, sorted as
-//!   packed `u64`s otherwise. A chunk of **one group** — no key, or one
-//!   entry in every key's chunk dictionary — lists no group per row
+//! - [`group_codes`] computes a chunk's [`GroupIndex`]: which rows are in
+//!   which group, and every group's keys, numbered in ascending key order
+//!   so a chunk table is born ordered. Dense keys' **numbers are their
+//!   groups** ([`Members::Codes`]) — the paper's `counts[elements[row]]++`:
+//!   one key's codes as they are, more keys' mixed-radix numbers written
+//!   one key at a time into one array. Pass B walks the chunk's rows, or
+//!   its mask's set bits word by word, and reads a row's group off its
+//!   number — no row list, no renumbering — and [`GroupIndex::table`]
+//!   drops the numbers no passing row holds. That path is taken when the
+//!   product of the keys' chunk-dictionary sizes is dense and no larger
+//!   than the rows that pass (always, for one key unmasked); otherwise the
+//!   passing rows are listed with a group each: their packed mixed-radix
+//!   numbers ranked off a flat array when the product is small, sorted as
+//!   `u64`s otherwise. A chunk of **one group** — no key, or one entry in
+//!   every key's chunk dictionary — lists no group per row
 //!   ([`Members::One`]): its rows are the chunk's, or its mask's.
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
@@ -58,12 +54,13 @@
 //! exact merge that folds chunk tables, so every answer is bit for bit the
 //! one a single slot gives. The loops are the same for every row order.
 //!
-//! A chunk runs one set of kernels: the counts-array loops when its query
-//! is `COUNT(*)` alone by one or two keys and it holds more than one group,
-//! else [`group_codes`] and one [`accumulate`] per slot. Each kernel
-//! dispatches on [`CodesView`] once per chunk and then runs a
-//! monomorphized loop, one read per row, so the element representation
-//! (const / bit-set / u8 / u16 / u32) costs no per-row branch.
+//! A chunk runs one set of kernels, whatever its query's shape: its mask,
+//! [`group_codes`], one [`accumulate`] per slot, [`GroupIndex::table`].
+//! `COUNT(*)` alone is a histogram of the groups like any `COUNT` (a
+//! two-valued key's, unmasked, a popcount). Each kernel dispatches on
+//! [`CodesView`] once per chunk and then runs a monomorphized loop, one
+//! read per row, so the element representation (const / bit-set / u8 /
+//! u16 / u32) costs no per-row branch.
 
 use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
@@ -672,45 +669,7 @@ fn copies<T: Copy, const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Count kernels — the paper's `counts[elements[row]]++`
-// ---------------------------------------------------------------------------
-
-/// Single-key `COUNT(*)`: one pass over the codes into a flat array.
-pub(crate) fn count_single(
-    view: CodesView<'_>,
-    distinct: usize,
-    mask: Option<&BitVec>,
-) -> Vec<u64> {
-    let rows = view.len();
-    match (mask, view) {
-        // Two codes count in O(words).
-        (None, CodesView::Bits(bits)) => {
-            let ones = bits.count_ones() as u64;
-            vec![rows as u64 - ones, ones]
-        }
-        _ => with_codes!(view, |get| {
-            histogram(distinct.max(1), Rows::of(rows, mask), |row| get(row) as usize)
-        }),
-    }
-}
-
-/// Two-key fused `COUNT(*)`: `counts[code_a * nb + code_b]++` over a flat
-/// array of size `na * nb` (callers guarantee the product is dense-sized).
-pub(crate) fn count_fused(
-    a: CodesView<'_>,
-    b: CodesView<'_>,
-    nb: usize,
-    capacity: usize,
-    mask: Option<&BitVec>,
-) -> Vec<u64> {
-    let rows = Rows::of(a.len(), mask);
-    with_codes!(a, |get_a| with_codes!(b, |get_b| {
-        histogram(capacity.max(1), rows, |row| get_a(row) as usize * nb + get_b(row) as usize)
-    }))
-}
-
-// ---------------------------------------------------------------------------
-// Group-index computation (pass A of the general path)
+// Group-index computation (pass A)
 // ---------------------------------------------------------------------------
 
 /// The groups of one chunk: the rows they hold, each such row's group and
@@ -721,11 +680,12 @@ pub(crate) struct GroupIndex<'a> {
     /// Which rows are in which group.
     pub members: Members<'a>,
     /// How many groups pass B fills. Some row is in each, but for the
-    /// codes a mask leaves unused under [`Members::Codes`], which
+    /// numbers no passing row holds under [`Members::Codes`], which
     /// [`GroupIndex::table`] drops.
     pub group_count: usize,
     /// Per key column, the chunk-id each group has there, the groups in
-    /// strictly ascending key order.
+    /// strictly ascending key order; none under [`Members::Codes`], whose
+    /// table reads them off the numbers held.
     pub keys: Vec<Vec<u32>>,
 }
 
@@ -734,9 +694,11 @@ pub(crate) enum Members<'a> {
     /// One group holds the rows: there is no key, or every key's chunk
     /// dictionary has one entry. No group is listed per row.
     One(Rows<'a>),
-    /// One key's chunk codes are the groups: a row's group is its code,
-    /// read off `key` as a loop walks `rows`. No group is listed per row.
-    Codes { rows: Rows<'a>, key: CodesView<'a> },
+    /// The keys' numbers are the groups: a row's group is its mixed-radix
+    /// number over the chunk-dictionary `sizes` (most significant key
+    /// first), read off `key` as a loop walks `rows`. No group is listed
+    /// per row.
+    Codes { rows: Rows<'a>, key: Numbers<'a>, sizes: &'a [usize] },
     /// A group per row.
     Each {
         /// A masked chunk's passing rows, ascending; `None`: every row, in
@@ -747,6 +709,24 @@ pub(crate) enum Members<'a> {
     },
 }
 
+/// Every row's number under [`Members::Codes`].
+pub(crate) enum Numbers<'a> {
+    /// One key's chunk codes, as they are.
+    Key(CodesView<'a>),
+    /// More keys' numbers, one per row of the chunk, written one key at a
+    /// time.
+    Mixed(Vec<u32>),
+}
+
+impl Numbers<'_> {
+    fn view(&self) -> CodesView<'_> {
+        match self {
+            Numbers::Key(codes) => *codes,
+            Numbers::Mixed(numbers) => CodesView::U32(numbers),
+        }
+    }
+}
+
 /// Compute the group index of `key_chunks` over `rows` rows, of which
 /// `mask` (if any) passes some, numbering the groups in ascending key-tuple
 /// order. Chunk-ids order like global ids, so this is ascending
@@ -755,18 +735,17 @@ pub(crate) enum Members<'a> {
 /// Keys whose chunk dictionaries all have one entry (`sizes` all 1), and no
 /// key, make [`Members::One`]. Else `dense_capacity` is the checked product
 /// of the key-dictionary sizes if it fits [`DENSE_GROUP_LIMIT`] (the caller
-/// computes it once per chunk). Then one key's codes are the groups
-/// ([`Members::Codes`]) if at least as many rows pass as its chunk
-/// dictionary has entries, which every unmasked chunk's do. Otherwise the
-/// rows are listed, and a row's key codes are packed into a `u64`, a
-/// mixed-radix number over `sizes` (most significant key first) that
-/// orders like its key tuple; the groups are the numbers' ranks: counted
-/// off a flat array if dense (for one key, a table the size of its chunk
-/// dictionary), else found by a sort, where a prefix that would overflow a
-/// `u64` is replaced by its rank (below 2³²) before the next key is packed.
+/// computes it once per chunk). Then the keys' mixed-radix numbers are the
+/// groups ([`Members::Codes`]) if no fewer rows pass than that product,
+/// which every unmasked chunk's do for one key. Otherwise the rows are
+/// listed, and a row's key codes are packed into a `u64`, its mixed-radix
+/// number, which orders like its key tuple; the groups are the numbers'
+/// ranks: counted off a flat array if dense, else found by a sort, where a
+/// prefix that would overflow a `u64` is replaced by its rank (below 2³²)
+/// before the next key is packed.
 pub(crate) fn group_codes<'a>(
     key_chunks: &[&'a ColumnChunk],
-    sizes: &[usize],
+    sizes: &'a [usize],
     rows: usize,
     mask: Option<&'a BitVec>,
     dense_capacity: Option<usize>,
@@ -775,12 +754,23 @@ pub(crate) fn group_codes<'a>(
         let keys = vec![vec![0]; key_chunks.len()];
         return GroupIndex { members: Members::One(Rows::of(rows, mask)), group_count: 1, keys };
     }
-    if let (Some(_), [key]) = (dense_capacity, key_chunks) {
-        let (n, visited) = (key.dict.len() as usize, Rows::of(rows, mask));
-        if n <= visited.count() {
-            let members = Members::Codes { rows: visited, key: key.codes() };
-            return GroupIndex { members, group_count: n, keys: vec![(0..n as u32).collect()] };
-        }
+    let visited = Rows::of(rows, mask);
+    if let Some(product) = dense_capacity.filter(|&product| product <= visited.count()) {
+        let key = match key_chunks {
+            [key] => Numbers::Key(key.codes()),
+            _ => {
+                let mut numbers = vec![0u32; rows];
+                for (ch, &n) in key_chunks.iter().zip(sizes) {
+                    let n = n as u32;
+                    with_codes!(ch.codes(), |get| {
+                        numbers.iter_mut().enumerate().for_each(|(row, g)| *g = *g * n + get(row))
+                    });
+                }
+                Numbers::Mixed(numbers)
+            }
+        };
+        let members = Members::Codes { rows: visited, key, sizes };
+        return GroupIndex { members, group_count: product, keys: Vec::new() };
     }
     let passing: Vec<usize> = match mask {
         Some(mask) => mask.iter_ones().collect(),
@@ -816,44 +806,49 @@ pub(crate) fn group_codes<'a>(
 
 impl GroupIndex<'_> {
     /// The chunk table of these groups, given the columns pass B filled
-    /// over them: every group holds some row, in ascending key order. Under
-    /// a mask, [`Members::Codes`] fills a group for every code, so the
-    /// codes no passing row holds are dropped here — read off a `COUNT`
-    /// column's zeros if the slots have one, else found by one presence
-    /// pass over the passing rows.
+    /// over them: every group holds some row, in ascending key order.
+    /// [`Members::Codes`] fills a group for every number, so the numbers no
+    /// passing row holds are dropped here — read off a `COUNT` column's
+    /// zeros if the slots have one, else found by one presence pass over
+    /// the passing rows; an unmasked chunk's codes of one key are all held —
+    /// and the keys are the digits of those held.
     pub(crate) fn table(self, slots: Vec<Column<u32>>) -> GroupTable<u32> {
-        let Members::Codes { rows: Rows::Passing(mask), key } = self.members else {
+        let Members::Codes { rows, key, sizes } = self.members else {
             return GroupTable::new(self.group_count, self.keys, slots);
         };
         let counts = slots.iter().find_map(|slot| match slot {
             Column::Count(counts) => Some(counts),
             _ => None,
         });
-        // Per code, 1 if a passing row holds it.
-        let mut to: Vec<u32> = match counts {
-            Some(counts) => counts.iter().map(|&n| u32::from(n > 0)).collect(),
-            None => {
-                let mut held = vec![0; self.group_count];
-                with_codes!(key, |get| {
-                    Rows::Passing(mask).in_lanes(|_, row| held[get(row) as usize] = 1)
+        let n = self.group_count;
+        // Per number, 1 if a passing row holds it.
+        let mut to: Vec<u32> = match (rows, &key, counts) {
+            (Rows::All(_), Numbers::Key(_), _) => {
+                return GroupTable::new(n, dense_keys((0..n as u32).collect(), sizes), slots);
+            }
+            (_, _, Some(counts)) => counts.iter().map(|&n| u32::from(n > 0)).collect(),
+            _ => {
+                let mut held = vec![0; n];
+                with_codes!(key.view(), |get| {
+                    rows.in_lanes(|_, row| held[get(row) as usize] = 1)
                 });
                 held
             }
         };
-        let mut keys = self.keys;
-        keys[0].retain(|&code| to[code as usize] == 1);
-        let held = keys[0].len();
-        if held == self.group_count {
-            return GroupTable::new(held, keys, slots);
+        let mut held: Vec<u32> = (0..n as u32).collect();
+        held.retain(|&g| to[g as usize] == 1);
+        let len = held.len();
+        if len == n {
+            return GroupTable::new(len, dense_keys(held, sizes), slots);
         }
-        // A held code's group moves to its rank among them, any other past
-        // the end, where spreading drops it.
+        // A held number's group moves to its rank among them, any other
+        // past the end, where spreading drops it.
         let mut next = 0;
         for at in &mut to {
             (*at, next) = if *at == 1 { (next, next + 1) } else { (u32::MAX, next) };
         }
-        let slots = slots.into_iter().map(|column| column.spread(&to, held)).collect();
-        GroupTable::new(held, keys, slots)
+        let slots = slots.into_iter().map(|column| column.spread(&to, len)).collect();
+        GroupTable::new(len, dense_keys(held, sizes), slots)
     }
 }
 
@@ -882,22 +877,16 @@ fn rank(packed: &mut [u64], capacity: Option<usize>) -> u64 {
 /// Per key column, the chunk-ids of the mixed-radix group `numbers` over
 /// the chunk-dictionary `sizes` (most-significant key first): each digit
 /// is a chunk-id. The digits come off least significant first, one
-/// division per key but the first — none for one key.
-pub(crate) fn dense_keys(numbers: &[u32], sizes: &[usize]) -> Vec<Vec<u32>> {
-    let mut rest = numbers.to_vec();
+/// division per key but the first; the first key's are what is left —
+/// for one key, the numbers themselves.
+fn dense_keys(mut numbers: Vec<u32>, sizes: &[usize]) -> Vec<Vec<u32>> {
     let mut keys = vec![Vec::new(); sizes.len()];
-    for (i, &n) in sizes.iter().enumerate().rev() {
+    for (i, &n) in sizes.iter().enumerate().skip(1).rev() {
         let n = n as u32;
-        let digit = |g: &mut u32| {
-            if i == 0 {
-                return *g;
-            }
-            let digit = *g % n;
-            *g /= n;
-            digit
-        };
-        keys[i] = rest.iter_mut().map(digit).collect();
+        // Each number gives its last digit and keeps the rest.
+        keys[i] = numbers.iter_mut().map(|g| std::mem::replace(g, *g / n) % n).collect();
     }
+    keys[0] = numbers;
     keys
 }
 
@@ -921,7 +910,14 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
     match slot.kind {
         SlotKind::Count => Column::Count(match &index.members {
             Members::One(rows) => vec![rows.count() as u64],
-            Members::Codes { rows, key } => with_codes!(*key, |group| {
+            // Two codes count in O(words).
+            Members::Codes {
+                rows: Rows::All(n), key: Numbers::Key(CodesView::Bits(bits)), ..
+            } => {
+                let ones = bits.count_ones() as u64;
+                vec![*n as u64 - ones, ones]
+            }
+            Members::Codes { rows, key, .. } => with_codes!(key.view(), |group| {
                 histogram(group_count, *rows, move |row| group(row) as usize)
             }),
             Members::Each { groups, .. } => {
@@ -1077,7 +1073,7 @@ fn fold_codes(
             let lanes = fold_lanes(*rows, seed, |_, held, row| pick(held, get(row)));
             vec![lanes.into_iter().fold(seed, merge)]
         }
-        Members::Codes { rows, key } => with_codes!(*key, |group| {
+        Members::Codes { rows, key, .. } => with_codes!(key.view(), |group| {
             let add = |held, row| pick(held, get(row));
             fold_cells(index.group_count, *rows, seed, |row| group(row) as usize, add, merge)
         }),
@@ -1112,7 +1108,8 @@ fn fold_members<S>(
 ) -> S {
     with_codes!(codes, |get| match &index.members {
         Members::One(rows) => rows.in_lanes(|_, row| add(&mut state, 0, get(row))),
-        Members::Codes { rows, key } => return fold_coded(codes, *rows, *key, state, add),
+        Members::Codes { rows, key, .. } =>
+            return fold_coded(codes, *rows, key.view(), state, add),
         Members::Each { rows: Some(rows), groups } => {
             for (&row, &g) in rows.iter().zip(groups) {
                 add(&mut state, g as usize, get(row));
@@ -1127,8 +1124,8 @@ fn fold_members<S>(
     state
 }
 
-/// [`fold_members`] where one key's codes are the groups, each row's read
-/// off `key`: one [`fold_rows`] per pair of code representations, out of
+/// [`fold_members`] where the keys' numbers are the groups, each row's
+/// read off `key`: one [`fold_rows`] per pair of code representations, out of
 /// [`fold_members`]' line so that its other loops compile as they would
 /// alone.
 #[inline(never)]
@@ -1172,10 +1169,6 @@ fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T]) -> Vec<T> {
 mod tests {
     use super::*;
     use pd_encoding::{Elements, ElementsMode};
-
-    fn elements(ids: &[u32], distinct: u32) -> Elements {
-        Elements::encode(ids, distinct, ElementsMode::Optimized)
-    }
 
     // -- Filter masks: searched against the row-at-a-time evaluator -------
 
@@ -1403,91 +1396,169 @@ mod tests {
         assert_eq!(cols("n > 3 AND (contains(s, '1') OR n > x)"), ["s", "n", "x"]);
     }
 
-    #[test]
-    fn count_single_matches_naive_for_every_repr() {
-        for distinct in [1u32, 2, 5, 300, 70_000] {
-            let ids: Vec<u32> = (0..500).map(|i| (i * 7 + 3) % distinct).collect();
-            let e = elements(&ids, distinct);
-            let mut naive = vec![0u64; distinct as usize];
-            for &id in &ids {
-                naive[id as usize] += 1;
+    /// A key's chunk as a store builds it from its rows' global-ids: the
+    /// sorted distinct ids, and per row its chunk-id.
+    fn key_chunk(gids: &[u32], mode: ElementsMode) -> ColumnChunk {
+        let mut dict = gids.to_vec();
+        dict.sort_unstable();
+        dict.dedup();
+        let codes: Vec<u32> = gids.iter().map(|g| dict.binary_search(g).unwrap() as u32).collect();
+        let elements = Elements::encode(&codes, dict.len() as u32, mode);
+        ColumnChunk { dict: pd_encoding::ChunkDict::from_sorted(dict).unwrap(), elements }
+    }
+
+    /// Check [`group_codes`] on one chunk's keys against a `BTreeMap` of the
+    /// passing rows' key tuples, and return the path it took: one key's
+    /// codes unmasked (0) or masked (1), one key listed (2), more keys'
+    /// numbers unmasked (3) or masked (4), more keys listed dense (5),
+    /// sparse (6) or overflowing (7), one group (8).
+    ///
+    /// The groups ascend strictly, the index visits exactly the passing
+    /// rows in ascending order (a listed one lists them, an unmasked one
+    /// every row), every row's group holds that row's tuple and every group
+    /// but a number holds its rows; a `COUNT` slot ([`accumulate`]) counts
+    /// them. The chunk table ([`GroupIndex::table`]) is the distinct tuples
+    /// in ascending order — some row in every group —, each with its rows'
+    /// count, whether it reads the unused numbers off that `COUNT` column
+    /// (`counted`) or finds them itself.
+    fn check_group_codes(
+        chunks: &[ColumnChunk],
+        sizes: &[usize],
+        rows: usize,
+        mask: Option<&BitVec>,
+        dense: Option<usize>,
+        counted: bool,
+        label: &str,
+    ) -> usize {
+        use std::collections::BTreeMap;
+        let passing: Vec<usize> = (0..rows).filter(|&r| mask.is_none_or(|m| m.get(r))).collect();
+        let tuple =
+            |row: usize| -> Vec<u32> { chunks.iter().map(|ch| ch.elements.get(row)).collect() };
+        let mut want: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+        passing.iter().for_each(|&r| *want.entry(tuple(r)).or_default() += 1);
+        let overflows =
+            sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
+
+        let key_chunks: Vec<&ColumnChunk> = chunks.iter().collect();
+        let index = group_codes(&key_chunks, sizes, rows, mask, dense);
+        // Per group, its key tuple: a number's digits, most significant
+        // key first, where the numbers are the groups.
+        let groups: Vec<Vec<u32>> = (0..index.group_count)
+            .map(|g| match &index.members {
+                Members::Codes { .. } => {
+                    let mut rest = g;
+                    let mut digits: Vec<u32> = (sizes.iter().rev())
+                        .map(|&n| {
+                            let digit = rest % n;
+                            rest /= n;
+                            digit as u32
+                        })
+                        .collect();
+                    digits.reverse();
+                    digits
+                }
+                _ => index.keys.iter().map(|col| col[g]).collect(),
+            })
+            .collect();
+        assert!(groups.windows(2).all(|pair| pair[0] < pair[1]), "{label}: ascending");
+        let of_rows = |rows: &Rows| -> Vec<usize> {
+            match rows {
+                Rows::All(n) => (0..*n).collect(),
+                Rows::Passing(bits) => bits.iter_ones().collect(),
             }
-            let counts = count_single(e.codes(), distinct as usize, None);
-            assert_eq!(counts, naive, "distinct={distinct}");
-        }
-    }
-
-    #[test]
-    fn count_single_respects_mask() {
-        let ids: Vec<u32> = (0..100).map(|i| i % 4).collect();
-        let e = elements(&ids, 4);
-        let mask: BitVec = (0..100).map(|i| i % 2 == 0).collect();
-        let counts = count_single(e.codes(), 4, Some(&mask));
-        let mut naive = vec![0u64; 4];
-        for (i, &id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                naive[id as usize] += 1;
+        };
+        let (path, listed, row_groups): (usize, Vec<usize>, Vec<u32>) = match &index.members {
+            Members::One(one) => {
+                assert_eq!(index.group_count, 1, "{label}: one group");
+                let listed = of_rows(one);
+                let groups = vec![0; listed.len()];
+                (8, listed, groups)
             }
+            Members::Codes { rows: visited, key, sizes: numbered } => {
+                assert_eq!(*numbered, sizes, "{label}");
+                assert_eq!(Some(index.group_count), dense, "{label}: every number of the product");
+                assert!(index.group_count <= passing.len(), "{label}: rows enough");
+                assert!(index.keys.is_empty(), "{label}: keys are the numbers' digits");
+                let listed = of_rows(visited);
+                let groups =
+                    with_codes!(key.view(), |get| listed.iter().map(|&r| get(r)).collect());
+                let first = if chunks.len() == 1 { 0 } else { 3 };
+                (first + mask.is_some() as usize, listed, groups)
+            }
+            Members::Each { rows: listed, groups } => {
+                assert!(index.keys.iter().all(|col| col.len() == index.group_count), "{label}");
+                assert!(sizes.iter().any(|&n| n != 1), "{label}: more than one group");
+                assert_eq!(listed.is_some(), mask.is_some(), "{label}: listed iff masked");
+                let path = match (dense, overflows) {
+                    (Some(product), _) => {
+                        assert!(passing.len() < product, "{label}: fewer rows than numbers");
+                        if chunks.len() == 1 {
+                            2
+                        } else {
+                            5
+                        }
+                    }
+                    (None, false) => 6,
+                    (None, true) => 7,
+                };
+                (path, listed.clone().unwrap_or_else(|| (0..rows).collect()), groups.clone())
+            }
+        };
+        assert_eq!(listed, passing, "{label}: the passing rows, ascending");
+        assert_eq!(row_groups.len(), listed.len(), "{label}: one group per row visited");
+        let mut members = vec![0u64; index.group_count];
+        for (&row, &g) in listed.iter().zip(&row_groups) {
+            assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}");
+            members[g as usize] += 1;
         }
-        assert_eq!(counts, naive);
+        // Only numbers may be groups of no row.
+        let held: Vec<(Vec<u32>, u64)> =
+            groups.into_iter().zip(members.iter().copied()).filter(|&(_, n)| n > 0).collect();
+        if !matches!(index.members, Members::Codes { .. }) {
+            assert_eq!(held.len(), index.group_count, "{label}: some row in every group");
+        }
+        assert_eq!(held, want.clone().into_iter().collect::<Vec<_>>(), "{label}");
+
+        let slots = match counted {
+            true => {
+                let count = accumulate(&SlotPlan { kind: SlotKind::Count, col: None }, 0, &index);
+                assert_eq!(count, Column::Count(members), "{label}: the counts");
+                vec![count]
+            }
+            false => Vec::new(),
+        };
+        let table = index.table(slots);
+        let keys = (0..chunks.len()).map(|i| want.keys().map(|t| t[i]).collect()).collect();
+        let slots = match counted {
+            true => vec![Column::Count(want.values().copied().collect())],
+            false => Vec::new(),
+        };
+        assert_eq!(table, GroupTable::new(want.len(), keys, slots), "{label}: the table");
+        path
     }
 
-    #[test]
-    fn count_fused_equals_pairwise_naive() {
-        let a: Vec<u32> = (0..300).map(|i| i % 3).collect();
-        let b: Vec<u32> = (0..300).map(|i| (i * 11) % 7).collect();
-        let ea = elements(&a, 3);
-        let eb = elements(&b, 7);
-        let counts = count_fused(ea.codes(), eb.codes(), 7, 21, None);
-        let mut naive = vec![0u64; 21];
-        for i in 0..300 {
-            naive[(a[i] * 7 + b[i]) as usize] += 1;
-        }
-        assert_eq!(counts, naive);
-    }
-
-    /// `group_codes` against a `BTreeMap` of the passing rows' key tuples,
-    /// over random chunks of 0–3 keys: one group (no key, or one entry in
-    /// every key's dictionary), one key's codes unmasked and under a mask
-    /// that passes at least as many rows as the key has codes, one key
-    /// listed under a mask that passes fewer, more keys dense unmasked and
-    /// masked, sparse, and sparse with radices 2⁴⁰ times the dictionary
-    /// sizes, so that two keys already overflow a `u64` and the packing
-    /// must rank its prefix first. The groups ascend strictly, the index
-    /// visits exactly the passing rows in ascending order (a listed one
-    /// lists them, an unmasked one every row), every row's group holds
-    /// that row's tuple and every group holds its rows. The chunk table
-    /// ([`GroupIndex::table`]) is the distinct tuples in ascending order,
-    /// each with its rows' count, whether it reads the unused codes off a
-    /// `COUNT` column or finds them itself.
+    /// [`check_group_codes`] over random chunks of 0–3 keys — dense,
+    /// sparse, and sparse with radices 2⁴⁰ times the dictionary sizes, so
+    /// that two keys already overflow a `u64` and the packing must rank its
+    /// prefix first; unmasked and under random masks —, then over one key
+    /// in every code representation (const, bits, u8, u16, and u32 at
+    /// 70 000 codes) and two keys of 3 × 7, each unmasked and under a half
+    /// mask. Every path is taken.
     #[test]
     fn group_codes_number_the_passing_key_tuples_in_ascending_order() {
-        use pd_encoding::ChunkDict;
-        use std::collections::BTreeMap;
         let mut rng = Rng::seed_from_u64(0x5eed_0036);
-        // One key's codes unmasked, under a mask, one key listed, more keys
-        // dense unmasked, dense masked, sparse, overflowing, one group.
-        let mut reached = [false; 8];
+        let mut reached = [false; 9];
         for case in 0..600 {
             let rows = rng.range_usize(1, 300);
             let mode = *rng.pick(&[ElementsMode::Basic, ElementsMode::Optimized]);
-            // Each key's chunk as a store builds it: the sorted distinct
-            // global-ids of its rows, and per row its chunk-id.
             let chunks: Vec<ColumnChunk> = (0..rng.range_usize(0, 4))
                 .map(|_| {
                     let domain = rng.range_u64(1, 40);
                     let gids: Vec<u32> =
                         (0..rows).map(|_| (rng.range_u64(0, domain) * 3 + 1) as u32).collect();
-                    let mut dict = gids.clone();
-                    dict.sort_unstable();
-                    dict.dedup();
-                    let codes: Vec<u32> =
-                        gids.iter().map(|g| dict.binary_search(g).unwrap() as u32).collect();
-                    let elements = Elements::encode(&codes, dict.len() as u32, mode);
-                    ColumnChunk { dict: ChunkDict::from_sorted(dict).unwrap(), elements }
+                    key_chunk(&gids, mode)
                 })
                 .collect();
-            let key_chunks: Vec<&ColumnChunk> = chunks.iter().collect();
             let mut sizes: Vec<usize> = chunks.iter().map(|ch| ch.dict.len() as usize).collect();
             let mask: Option<BitVec> =
                 rng.chance(0.5).then(|| (0..rows).map(|_| rng.chance(0.6)).collect());
@@ -1499,94 +1570,38 @@ mod tests {
                     None
                 }
             };
-            let overflows =
-                sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
-
-            let passes = |row: usize| mask.as_ref().is_none_or(|m| m.get(row));
-            let tuple =
-                |row: usize| -> Vec<u32> { chunks.iter().map(|ch| ch.elements.get(row)).collect() };
-            let mut want: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
-            (0..rows).filter(|&r| passes(r)).for_each(|r| *want.entry(tuple(r)).or_default() += 1);
-
-            let index = group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense);
             let label =
                 format!("case {case}: {} keys, sizes {sizes:?}, dense {dense:?}", chunks.len());
-            assert!(index.keys.iter().all(|col| col.len() == index.group_count), "{label}");
-            let groups: Vec<Vec<u32>> = (0..index.group_count)
-                .map(|g| index.keys.iter().map(|col| col[g]).collect())
-                .collect();
-            assert!(groups.windows(2).all(|pair| pair[0] < pair[1]), "{label}: ascending");
-            let passing: Vec<usize> = (0..rows).filter(|&r| passes(r)).collect();
-            let of_rows = |rows: &Rows| -> Vec<usize> {
-                match rows {
-                    Rows::All(n) => (0..*n).collect(),
-                    Rows::Passing(bits) => bits.iter_ones().collect(),
-                }
-            };
-            let (listed, row_groups): (Vec<usize>, Vec<u32>) = match &index.members {
-                Members::One(one) => {
-                    assert_eq!(index.group_count, 1, "{label}: one group");
-                    reached[7] = true;
-                    let listed = of_rows(one);
-                    let groups = vec![0; listed.len()];
-                    (listed, groups)
-                }
-                Members::Codes { rows: visited, key } => {
-                    let [ch] = &chunks[..] else { panic!("{label}: codes of one key") };
-                    assert!(dense.is_some(), "{label}: a dense key");
-                    assert_eq!(index.group_count, ch.dict.len() as usize, "{label}: every code");
-                    assert!(index.group_count <= passing.len(), "{label}: rows enough");
-                    reached[mask.is_some() as usize] = true;
-                    let listed = of_rows(visited);
-                    let groups = with_codes!(*key, |get| listed.iter().map(|&r| get(r)).collect());
-                    (listed, groups)
-                }
-                Members::Each { rows: listed, groups } => {
-                    assert!(sizes.iter().any(|&n| n != 1), "{label}: more than one group");
-                    assert_eq!(listed.is_some(), mask.is_some(), "{label}: listed iff masked");
-                    reached[match (dense, overflows) {
-                        (Some(_), _) if chunks.len() == 1 => {
-                            assert!(want.len() < chunks[0].dict.len() as usize, "{label}");
-                            assert!(passing.len() < chunks[0].dict.len() as usize, "{label}");
-                            2
-                        }
-                        (Some(_), _) => 3 + mask.is_some() as usize,
-                        (None, false) => 5,
-                        (None, true) => 6,
-                    }] = true;
-                    (listed.clone().unwrap_or_else(|| (0..rows).collect()), groups.clone())
-                }
-            };
-            assert_eq!(listed, passing, "{label}: the passing rows, ascending");
-            assert_eq!(row_groups.len(), listed.len(), "{label}: one group per row visited");
-            let mut members = vec![0; index.group_count];
-            for (&row, &g) in listed.iter().zip(&row_groups) {
-                assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}");
-                members[g as usize] += 1;
-            }
-            // Only a masked chunk's codes may hold groups of no row.
-            let held: Vec<(Vec<u32>, usize)> =
-                groups.into_iter().zip(members.iter().copied()).filter(|&(_, n)| n > 0).collect();
-            if !matches!(index.members, Members::Codes { rows: Rows::Passing(_), .. }) {
-                assert_eq!(held.len(), index.group_count, "{label}: some row in every group");
-            }
-            assert_eq!(held, want.clone().into_iter().collect::<Vec<_>>(), "{label}");
-
-            // The table: the held groups, each with its count; an even case
-            // hands it a `COUNT` column, an odd one no slot.
             let counted = case % 2 == 0;
-            let slots = match counted {
-                true => vec![Column::Count(members.iter().map(|&n| n as u64).collect())],
-                false => Vec::new(),
-            };
-            let table = index.table(slots);
-            let keys = (0..chunks.len()).map(|i| want.keys().map(|t| t[i]).collect()).collect();
-            let slots = match counted {
-                true => vec![Column::Count(want.values().map(|&n| n as u64).collect())],
-                false => Vec::new(),
-            };
-            assert_eq!(table, GroupTable::new(want.len(), keys, slots), "{label}: the table");
+            reached
+                [check_group_codes(&chunks, &sizes, rows, mask.as_ref(), dense, counted, &label)] =
+                true;
         }
-        assert_eq!(reached, [true; 8], "every path");
+
+        let cases = [1u32, 2, 5, 300, 70_000].map(|distinct| {
+            let rows = (distinct as usize).max(500);
+            let gids: Vec<u32> = (0..rows as u32).map(|i| (i * 11 + 3) % distinct).collect();
+            (rows, vec![key_chunk(&gids, ElementsMode::Optimized)])
+        });
+        let reprs: Vec<_> =
+            cases.iter().map(|(_, chunks)| chunks[0].elements.repr_name()).collect();
+        assert_eq!(reprs, ["const", "bitset", "u8", "u16", "u32"], "every representation");
+        let a: Vec<u32> = (0..300).map(|i| i % 3).collect();
+        let b: Vec<u32> = (0..300).map(|i| i * 11 % 7).collect();
+        let two = (300, [a, b].map(|gids| key_chunk(&gids, ElementsMode::Optimized)).into());
+        for (rows, chunks) in cases.into_iter().chain([two]) {
+            let sizes: Vec<usize> = chunks.iter().map(|ch| ch.dict.len() as usize).collect();
+            let product = sizes.iter().product::<usize>();
+            let dense = (product <= DENSE_GROUP_LIMIT).then_some(product);
+            let half: BitVec = (0..rows).map(|i| i % 2 == 0).collect();
+            for (mask, counted) in
+                [(None, true), (None, false), (Some(&half), true), (Some(&half), false)]
+            {
+                let label = format!("sizes {sizes:?}, masked {}", mask.is_some());
+                reached[check_group_codes(&chunks, &sizes, rows, mask, dense, counted, &label)] =
+                    true;
+            }
+        }
+        assert_eq!(reached, [true; 9], "every path");
     }
 }

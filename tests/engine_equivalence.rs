@@ -533,8 +533,8 @@ fn ranking_on_ids_equals_ranking_on_values_for_random_queries() {
 // ---------------------------------------------------------------------------
 
 /// The chunk kernels against the row oracle at one thread and at eight:
-/// the counts-array loops (`COUNT(*)` by one key or two), the general
-/// path's group index and per-slot loops, the double-double float slots
+/// `COUNT(*)` alone by one key or two, the group index and per-slot
+/// loops, the double-double float slots
 /// and the keyless MIN/MAX shortcut answer as `pd_baselines::scan` does,
 /// and both thread counts scan the same rows and cells. Global aggregates
 /// (no `GROUP BY`), single-key dense group-bys, masks and multi-key

@@ -326,9 +326,8 @@ fn having_matches_oracle() {
 #[test]
 fn single_key_count_beyond_dense_limit_is_exact() {
     // A single chunk whose key dictionary exceeds the dense-group limit
-    // (2^16): the single-key COUNT(*) kernel must still run its flat
-    // counts array (the limit only gates multi-key products) and return
-    // exact counts.
+    // (2^16): its codes are not its groups, the rows' codes are ranked by
+    // a sort, and the counts must still be exact.
     let distinct = 70_000i64;
     let schema = Schema::of(&[("id", DataType::Int)]);
     let mut t = pd_data::Table::new(schema);
@@ -1119,4 +1118,92 @@ fn one_key_codes_under_masks_match_the_row_oracle() {
     }
     let sides = [(0, false), (1, false), (1, true), (2, false), (2, true), (3, true)];
     assert_eq!(reached, BTreeSet::from(sides), "every shape on each side it has");
+}
+
+// ---------------------------------------------------------------------------
+// More keys' numbers
+// ---------------------------------------------------------------------------
+
+/// Dense keys' mixed-radix numbers are a chunk's groups where no fewer rows
+/// pass as the product of the keys' chunk-dictionary sizes; where fewer
+/// pass, the passing rows are listed and their numbers ranked. Either way
+/// a number no passing row holds is no group. Two- and three-key charts of
+/// every slot kind — COUNT, integer and float SUM, MIN, MAX and COUNT
+/// DISTINCT, each alone (a presence pass finds the unused numbers) and all
+/// together (the COUNT column shows them) —, unmasked and under `r < t`,
+/// `r` numbering the rows. Each row draws its keys at random from 2–5
+/// values, so that some tuples are missing. On two one-chunk builds (`u32`
+/// codes, and the smallest representation), whose side of the rule each
+/// case knows, and on one cut into chunks by `r`.
+#[test]
+fn more_keys_numbers_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("a", DataType::Str),
+        ("b", DataType::Int),
+        ("c", DataType::Str),
+        ("r", DataType::Int),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("s", DataType::Str),
+    ]);
+    let charts = [
+        "COUNT(*) k",
+        "SUM(n) sn",
+        "SUM(x) sx, AVG(x) av",
+        "MIN(n) mn, MAX(s) ms",
+        "MAX(x) mx, MIN(s) ls",
+        "COUNT(DISTINCT s) d",
+        "COUNT(*) k, SUM(n) sn, SUM(x) sx, MIN(x) mn, MAX(n) mx, COUNT(DISTINCT n) d",
+    ];
+    let mut rng = Rng::seed_from_u64(0x6e75_0070);
+    // (keys, numbered: as many rows pass as the product).
+    let mut reached = BTreeSet::new();
+    for case in 0..60 {
+        let rows = rng.range_usize(4, 70);
+        let values = [(); 3].map(|_| rng.range_usize(2, 6));
+        let mut tuples = Vec::new();
+        let mut table = Table::new(schema.clone());
+        for r in 0..rows {
+            let tuple = values.map(|n| rng.range_usize(0, n));
+            table
+                .push_row(Row(vec![
+                    Value::from(format!("a{}", tuple[0])),
+                    Value::Int(tuple[1] as i64 * 7 - 10),
+                    Value::from(format!("c{}", tuple[2])),
+                    Value::Int(r as i64),
+                    Value::Int(rng.range_i64_inclusive(-1_000, 1_000)),
+                    Value::Float(random_float(&mut rng, true)),
+                    Value::from(format!("s{}", rng.range_usize(0, 4))),
+                ]))
+                .unwrap();
+            tuples.push(tuple);
+        }
+        let t = rng.range_usize(1, rows + 1);
+        let mut sqls = Vec::new();
+        for keys in ["a, b", "a, b, c"] {
+            let width = keys.split(", ").count();
+            // The keys' dictionary sizes in a one-chunk build.
+            let sizes = (0..width).map(|k| tuples.iter().map(|t| t[k]).collect::<BTreeSet<_>>());
+            let product: usize = sizes.map(|held| held.len()).product();
+            for (filter, passing) in [(String::new(), rows), (format!(" WHERE r < {t}"), t)] {
+                if product > 1 {
+                    reached.insert((width, passing >= product));
+                }
+                sqls.extend(charts.iter().map(|aggs| {
+                    format!("SELECT {keys}, {aggs} FROM data{filter} GROUP BY {keys}")
+                }));
+            }
+        }
+        let whole = PartitionSpec::new(&["a"], rows);
+        let by_r = PartitionSpec::new(&["r"], rng.range_usize(4, 20));
+        for options in
+            [BuildOptions::basic(), BuildOptions::optdicts(whole), BuildOptions::optdicts(by_r)]
+        {
+            let label =
+                format!("case {case}: {rows} rows of {values:?} values, r < {t}, {options:?}");
+            assert_matches_oracle(&table, &options, &sqls, &label);
+        }
+    }
+    let sides = [(2, false), (2, true), (3, false), (3, true)];
+    assert_eq!(reached, BTreeSet::from(sides), "both sides of the rule for two and three keys");
 }
