@@ -23,7 +23,8 @@
 //! 4. no kernel waits on one counter: on §3's sorted store, where equal
 //!    codes sit side by side, each of five cases costs at most 1.25× what
 //!    it costs on the same table unsorted — `float_groupby_dense` (a float
-//!    `SUM`/`AVG` by `user`, double-double slots), `count_one_key` and
+//!    `SUM`/`AVG` by `user`: `latency`, whole milliseconds, is on one
+//!    binary grid, so plain adds), `count_one_key` and
 //!    `count_two_keys` (`COUNT(*)` alone by `country`, whose codes are its
 //!    groups, and by `country, user`, whose mixed-radix numbers are),
 //!    `sum_keyless` (a keyless float `SUM`, register
@@ -31,15 +32,24 @@
 //!    layout — `country, table_name` partitions of 2 000 rows — whose
 //!    chunks mostly hold one country). Each case is timed on both stores
 //!    in alternation and reported twice, the unsorted side as
-//!    `<case>_unsorted`.
+//!    `<case>_unsorted`. Two more are timed so and reported, not asserted:
+//!    `float_groupby_dense_off_grid` and `sum_keyless_off_grid`, the same
+//!    charts over `latency + 0.1`, which is on no grid the rows admit, so
+//!    double-double slots: what an exact sum costs where plain adds are
+//!    not exact.
 //!
-//! Eight cases are reported and not asserted: `bottom10_rank_on_values`
+//! Every claim is evaluated and every case printed before the run fails,
+//! naming each claim that did not hold.
+//!
+//! Nine cases are reported and not asserted: `bottom10_rank_on_values`
 //! (claim 3's chart ordered `c ASC`, where thousands of groups tie on
 //! their count), `groupby_two_keys_sum` (`COUNT(*)` and `SUM(latency)` by
 //! `country, user`: two keys' numbers under more than one slot),
 //! `masked_groupby_5pct` (a grouped `COUNT` and `SUM` by `country` under a
 //! restriction that passes a twentieth of every chunk's rows: as many
 //! rows pass as the key has codes, so its codes are the groups),
+//! `masked_count_two_keys` (`COUNT(*)` by `country, user` under the same
+//! restriction: two keys' numbers, written for the passing rows only),
 //! `masked_groupby_5pct_table_name` (the same chart by `table_name`, whose
 //! chunk dictionaries have more entries than that: the passing rows are
 //! listed),
@@ -93,8 +103,24 @@ fn timed(name: &str, run: impl FnMut()) -> Duration {
     stats.min
 }
 
+/// The claims that did not hold, each named: the run fails with all of
+/// them once its whole record is printed.
+#[derive(Default)]
+struct Claims(Vec<String>);
+
+impl Claims {
+    fn check(&mut self, holds: bool, claim: impl FnOnce() -> String) {
+        if !holds {
+            let claim = claim();
+            println!("CLAIM NOT MET: {claim}");
+            self.0.push(claim);
+        }
+    }
+}
+
 fn main() {
     println!("\n=== bench: kernel_compressed ===");
+    let mut claims = Claims::default();
 
     // 1. A high-cardinality float group-by, single thread: one float
     // table per chunk however many aggregates read it.
@@ -111,10 +137,12 @@ fn main() {
     let builds_before = pd_core::float_table_builds();
     execute(&store, &analyzed, &serial).unwrap();
     let builds = pd_core::float_table_builds() - builds_before;
-    assert_eq!(
-        builds, chunks,
-        "SUM(x)+AVG(x) must build one float table per chunk, not one per aggregate"
-    );
+    claims.check(builds == chunks, || {
+        format!(
+            "SUM(x)+AVG(x) must build one float table per chunk, not one per aggregate: \
+             {builds} builds, {chunks} chunks"
+        )
+    });
 
     // 4. Row order: the same table unsorted, each case timed on both stores
     // in alternation. The scan_cold layout (partitioned on `country,
@@ -131,26 +159,40 @@ fn main() {
         DataStore::build(&unsorted.sorted_by(&["country", "table_name"]).unwrap(), &scan_cold)
             .unwrap();
     let one_group_unsorted = DataStore::build(&unsorted, &scan_cold).unwrap();
-    for (name, sql, sorted, unsorted) in [
-        ("float_groupby_dense", sql, &store, &unsorted_store),
+    let off_grid =
+        "SELECT user, SUM(latency + 0.1) s, AVG(latency + 0.1) a FROM data GROUP BY user";
+    // (case, chart, sorted store, unsorted store, asserted)
+    for (name, sql, sorted, unsorted, asserted) in [
+        ("float_groupby_dense", sql, &store, &unsorted_store, true),
+        ("float_groupby_dense_off_grid", off_grid, &store, &unsorted_store, false),
         (
             "count_one_key",
             "SELECT country, COUNT(*) c FROM data GROUP BY country",
             &store,
             &unsorted_store,
+            true,
         ),
         (
             "count_two_keys",
             "SELECT country, user, COUNT(*) c FROM data GROUP BY country, user",
             &store,
             &unsorted_store,
+            true,
         ),
-        ("sum_keyless", "SELECT SUM(latency) s FROM data", &store, &unsorted_store),
+        ("sum_keyless", "SELECT SUM(latency) s FROM data", &store, &unsorted_store, true),
+        (
+            "sum_keyless_off_grid",
+            "SELECT SUM(latency + 0.1) s FROM data",
+            &store,
+            &unsorted_store,
+            false,
+        ),
         (
             "sum_one_group",
             "SELECT country, SUM(latency) s FROM data GROUP BY country",
             &one_group_sorted,
             &one_group_unsorted,
+            true,
         ),
     ] {
         let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
@@ -167,11 +209,12 @@ fn main() {
         );
         let ratio = on_sorted.as_secs_f64() / on_unsorted.as_secs_f64();
         println!("{:<42} {ratio:>11.2}x", format!("{name} sorted/unsorted"));
-        assert!(
-            ratio <= SORTED_BOUND,
-            "{name}: the sorted store may cost at most {SORTED_BOUND}x the unsorted one: \
-             {on_sorted:?} vs {on_unsorted:?}"
-        );
+        claims.check(!asserted || ratio <= SORTED_BOUND, || {
+            format!(
+                "{name}: the sorted store may cost at most {SORTED_BOUND}x the unsorted one: \
+                 {on_sorted:?} vs {on_unsorted:?} ({ratio:.2}x)"
+            )
+        });
     }
 
     // 2. Masks in the code domain vs the value domain, same store, same
@@ -216,11 +259,12 @@ fn main() {
         let (ids_answer, ids_time) = masked(&format!("{name}_ids"), &ids);
         let (opaque_answer, opaque_time) = masked(&format!("{name}_opaque"), &opaque);
         assert_eq!(ids_answer, opaque_answer, "both spellings select the same rows: {ids}");
-        assert!(
-            ids_time * 5 <= opaque_time,
-            "an id-domain mask must beat value tabulation 5x on `{ids}`: \
-             {ids_time:?} vs {opaque_time:?}"
-        );
+        claims.check(ids_time * 5 <= opaque_time, || {
+            format!(
+                "an id-domain mask must beat value tabulation 5x on `{ids}`: \
+                 {ids_time:?} vs {opaque_time:?}"
+            )
+        });
     }
     // Reported only: a drill-sized restriction — a twentieth of the time
     // range, so every chunk is masked — under a grouped COUNT and SUM: what
@@ -240,6 +284,12 @@ fn main() {
     let listed = analyze(&parse_query(&sql).unwrap()).unwrap();
     timed("masked_groupby_5pct_table_name", || {
         black_box(execute(&store, &listed, &serial).unwrap());
+    });
+    let sql =
+        format!("SELECT country, user, COUNT(*) c FROM data WHERE {window} GROUP BY country, user");
+    let two_keys = analyze(&parse_query(&sql).unwrap()).unwrap();
+    timed("masked_count_two_keys", || {
+        black_box(execute(&store, &two_keys, &serial).unwrap());
     });
     // Reported only: what the cold dashboard's charts cost their kernels,
     // and two keys' numbers under two slots.
@@ -288,10 +338,11 @@ fn main() {
     let on_ids = timed("top10_rank_on_ids", || {
         black_box(execute(&store, &top10, &serial).unwrap());
     });
-    assert!(
-        on_ids * 3 <= on_values * 2,
-        "ranking on ids must beat translating every group 1.5x: {on_ids:?} vs {on_values:?}"
-    );
+    claims.check(on_ids * 3 <= on_values * 2, || {
+        format!(
+            "ranking on ids must beat translating every group 1.5x: {on_ids:?} vs {on_values:?}"
+        )
+    });
     // Reported only: the bottom ten of the same key, where thousands of
     // groups tie on their count and the tie-break decides who survives.
     let bottom10 = analyze(&parse_query(&sql.replace("DESC", "ASC")).unwrap()).unwrap();
@@ -299,4 +350,11 @@ fn main() {
         let (partial, _) = execute_partial(&store, &bottom10, &serial).unwrap();
         black_box(finalize(&bottom10, partial).unwrap());
     });
+
+    assert!(
+        claims.0.is_empty(),
+        "{} claim(s) did not hold:\n{}",
+        claims.0.len(),
+        claims.0.join("\n")
+    );
 }

@@ -19,6 +19,14 @@
 //! additions without overflow. Non-finite inputs are tracked in flags with
 //! the IEEE semantics of a running sum (any NaN poisons; +∞ and −∞
 //! together yield NaN), which are order-independent as well.
+//!
+//! Most float columns never need it. A column whose finite values are all
+//! multiples of one power of two 2^e — its [`Grid`] — and whose rows ×
+//! max|x| stay within 2^(e+53) has every partial sum, in any order, on that
+//! grid and within 53 bits of it: exactly representable, so plain `+`
+//! ([`grid_add`]) is already exact there (the fixed-point view behind
+//! Neal's superaccumulators, arXiv:1505.05571). Whole milliseconds stored
+//! as floats are such a column.
 
 /// Number of 64-bit limbs in the accumulator.
 pub const LIMBS: usize = 34;
@@ -239,6 +247,92 @@ impl crate::wire::Decode for FloatSum {
     }
 }
 
+/// The binary grid of a set of `f64`s: the exponent `e` of the lowest set
+/// bit over its finite nonzero values, so that every one of them is a
+/// multiple of 2^e. Non-finite values are not on any grid; a column keeps
+/// them at its dictionary's ends, where [`Grid::sums_exactly`]'s caller
+/// sees them. A grid only coarsens as values join it (`e` falls).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grid {
+    /// `e`; [`Grid::EMPTY`]'s is above every exponent a value can have.
+    low: i16,
+}
+
+impl Grid {
+    /// The grid of no value, or of zeros only.
+    pub const EMPTY: Grid = Grid { low: i16::MAX };
+
+    /// The grid of `values`' finite values.
+    pub fn of(values: &[f64]) -> Grid {
+        values.iter().fold(Grid::EMPTY, |grid, &x| grid.join(Grid::at(x)))
+    }
+
+    /// The grid of `x` alone: empty for a zero or a non-finite value.
+    fn at(x: f64) -> Grid {
+        match odd_and_exponent(x) {
+            Some((_, t)) => Grid { low: t as i16 },
+            None => Grid::EMPTY,
+        }
+    }
+
+    /// The grid both grids' values lie on.
+    pub fn join(self, other: Grid) -> Grid {
+        Grid { low: self.low.min(other.low) }
+    }
+
+    /// `e`, if a nonzero value is on the grid.
+    pub fn exponent(self) -> Option<i32> {
+        (self != Grid::EMPTY).then_some(i32::from(self.low))
+    }
+
+    /// Whether plain `+` ([`grid_add`]) sums exactly, in any order and any
+    /// grouping, any `rows` values of this grid none of whose magnitudes
+    /// passes `max_abs`: whether rows × `max_abs` ≤ 2^(e+53) and 2^(e+53) ≤
+    /// 2^1023. Every partial sum is then a multiple of 2^e of magnitude at
+    /// most 2^(e+53), which is finite and has at most 53 significant bits.
+    /// O(1), exact (integer arithmetic: no product rounds or overflows);
+    /// false for a non-finite `max_abs` or one the grid does not hold.
+    pub fn sums_exactly(self, rows: u64, max_abs: f64) -> bool {
+        if max_abs == 0.0 {
+            // Zeros only: every sum is +0.0 from a +0.0 start.
+            return true;
+        }
+        let (Some(e), Some((odd, t))) = (self.exponent(), odd_and_exponent(max_abs)) else {
+            return false;
+        };
+        // max_abs = odd · 2^t = m · 2^e, and m ≤ 2^53 needs t − e ≤ 53.
+        if e > 1023 - 53 || t < e || t - e > 53 {
+            return false;
+        }
+        let m = u128::from(odd) << (t - e);
+        u128::from(rows).checked_mul(m).is_some_and(|product| product <= 1 << 53)
+    }
+}
+
+/// `a + b`, which is exact where both are sums of values of one [`Grid`]
+/// that admits their rows ([`Grid::sums_exactly`]): the exact sum is then
+/// representable, and IEEE addition returns a representable exact sum
+/// unrounded. From a `+0.0` start no such sum is ever `-0.0`, as only
+/// `-0.0 + -0.0` is, so sums taken in any order agree bit for bit.
+#[inline(always)]
+pub fn grid_add(a: f64, b: f64) -> f64 {
+    a + b
+}
+
+/// A finite nonzero `x` as `(odd, t)`: |x| = odd · 2^t with `odd` odd.
+fn odd_and_exponent(x: f64) -> Option<(u64, i32)> {
+    if !x.is_finite() || x == 0.0 {
+        return None;
+    }
+    let bits = x.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32;
+    let frac = bits & ((1u64 << 52) - 1);
+    // |x| = mant · 2^q with the mantissa's bit 0 at 2^q.
+    let (mant, q) = if exp == 0 { (frac, -1074) } else { (frac | (1u64 << 52), exp - 1075) };
+    let zeros = mant.trailing_zeros();
+    Some((mant >> zeros, q + zeros as i32))
+}
+
 /// 2^e as an exact `f64`, for e in the representable range [-1074, 1023].
 fn pow2(e: i64) -> f64 {
     debug_assert!((-1074..=1023).contains(&e));
@@ -416,6 +510,84 @@ mod tests {
         assert_eq!(sum_of(&[f64::INFINITY, -1e308]), f64::INFINITY);
         assert_eq!(sum_of(&[f64::NEG_INFINITY, 1e308]), f64::NEG_INFINITY);
         assert!(sum_of(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+    }
+
+    #[test]
+    fn grids_are_the_lowest_set_bit_over_finite_values() {
+        assert_eq!(Grid::of(&[]), Grid::EMPTY);
+        // All zeros, either sign: no grid, and any number of rows sums
+        // exactly (to +0.0).
+        assert_eq!(Grid::of(&[0.0, -0.0, 0.0]), Grid::EMPTY);
+        assert!(Grid::EMPTY.sums_exactly(u64::MAX, 0.0));
+        assert!(!Grid::EMPTY.sums_exactly(1, 1.0), "a value the grid does not hold");
+        // -0.0 beside other values changes nothing; signs do not count.
+        assert_eq!(Grid::of(&[-0.0, 3.0, -12.0]).exponent(), Some(0));
+        assert_eq!(Grid::of(&[1.5, 0.25, 1024.0]).exponent(), Some(-2));
+        assert_eq!(Grid::of(&[0.1]).exponent(), Some(-55), "0.1's last set mantissa bit");
+        // Non-finite values are on no grid: the dictionary's ends show them.
+        assert_eq!(Grid::of(&[f64::NAN, f64::INFINITY, 8.0]).exponent(), Some(3));
+        assert!(!Grid::of(&[8.0]).sums_exactly(1, f64::INFINITY));
+        assert!(!Grid::of(&[8.0]).sums_exactly(1, f64::NAN));
+        // Subnormals: the smallest one is 2^-1074.
+        let tiny = f64::from_bits(1);
+        assert_eq!(Grid::of(&[tiny]).exponent(), Some(-1074));
+        assert_eq!(Grid::of(&[3.0 * tiny, 1.0]).exponent(), Some(-1074));
+        assert_eq!(Grid::of(&[f64::MIN_POSITIVE]).exponent(), Some(-1022));
+        assert_eq!(Grid::of(&[1.0]).join(Grid::of(&[0.5])), Grid::of(&[0.5, 1.0]));
+    }
+
+    #[test]
+    fn grid_sums_are_exact_up_to_the_bound_and_not_past_it() {
+        let two = |e: i64| pow2(e);
+        // Integers, max 2^20: 2^33 rows reach 2^53 exactly; one more passes it.
+        let ints = Grid::of(&[1.0, two(20)]);
+        assert!(ints.sums_exactly(1 << 33, two(20)));
+        assert!(!ints.sums_exactly((1 << 33) + 1, two(20)));
+        // One binade past it: the same rows of values up to 2^21.
+        assert!(!Grid::of(&[1.0, two(21)]).sums_exactly(1 << 33, two(21)));
+        // An odd max on a grid of 2^-4: rows × 3 · 2^-4 ≤ 2^49.
+        let sixteenths = Grid::of(&[two(-4), 3.0 * two(-4)]);
+        assert!(sixteenths.sums_exactly(1 << 53, two(-4)));
+        assert!(!sixteenths.sums_exactly(1 << 53, 3.0 * two(-4)));
+        assert!(sixteenths.sums_exactly((1 << 53) / 3, 3.0 * two(-4)));
+        assert!(!sixteenths.sums_exactly((1 << 53) / 3 + 1, 3.0 * two(-4)));
+        // Subnormal multiples: 2^-1074 · 2^53 is still exact.
+        let tiny = f64::from_bits(1);
+        assert!(Grid::of(&[tiny]).sums_exactly(1 << 53, tiny));
+        assert!(!Grid::of(&[tiny]).sums_exactly((1 << 53) + 1, tiny));
+        // A product that overflows: f64 would round rows × max to ∞, and a
+        // u128 would wrap; neither is admitted.
+        assert!((1e300 * 1e10f64).is_infinite());
+        assert!(!Grid::of(&[1.0, 1e300]).sums_exactly(10_000_000_000, 1e300));
+        assert!(!Grid::of(&[1.0, two(53)]).sums_exactly(u64::MAX, two(53)));
+        assert!(Grid::of(&[1.0, two(53)]).sums_exactly(1, two(53)));
+        // A grid so coarse that 2^(e+53) is past 2^1023: one row of f64::MAX
+        // would fit, but two overflow.
+        assert!(!Grid::of(&[f64::MAX]).sums_exactly(2, f64::MAX));
+        assert!(Grid::of(&[two(970)]).sums_exactly(1 << 53, two(970)));
+        assert!(!Grid::of(&[two(971)]).sums_exactly(1, two(971)));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 10k+ iterations: minutes under the interpreter
+    fn grid_adds_equal_exact_sums_in_every_order() {
+        let mut rng = Rng::seed_from_u64(0xf8u64);
+        for _ in 0..200 {
+            let e = rng.range_i64_inclusive(-1074, 900);
+            let n = rng.range_usize(1, 60);
+            let values: Vec<f64> = (0..n)
+                .map(|_| rng.range_i64_inclusive(-(1 << 40), 1 << 40) as f64 * pow2(e))
+                .collect();
+            let max_abs = values.iter().fold(0f64, |m, x| m.max(x.abs()));
+            if !Grid::of(&values).sums_exactly(n as u64, max_abs) {
+                continue;
+            }
+            let mut forward = 0.0;
+            values.iter().for_each(|&x| forward = grid_add(forward, x));
+            let backward = values.iter().rev().fold(0.0, |s, &x| grid_add(s, x));
+            assert_eq!(forward.to_bits(), sum_of(&values).to_bits(), "e={e}");
+            assert_eq!(backward.to_bits(), forward.to_bits(), "e={e}");
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   evaluation (Tables 1–4) is all about,
 //! - [`FloatSum`] — exact, order-independent `f64` summation (a Kulisch
 //!   superaccumulator), which makes float `SUM`/`AVG` bit-identical no
-//!   matter how rows are chunked, threaded or sharded,
+//!   matter how rows are chunked, threaded or sharded, and [`Grid`], the
+//!   test that lets plain `+` be that exact sum for a column on one binary
+//!   grid,
 //! - [`sync`] — poison-free `Mutex` / `RwLock` wrappers over `std::sync`,
 //! - [`rng`] — a small seedable xoshiro256++ PRNG for generators and load
 //!   models (the workspace carries no external dependencies),
@@ -43,7 +45,7 @@ pub mod wire;
 
 pub use bitvec::BitVec;
 pub use error::{Error, Result, RpcError};
-pub use fsum::FloatSum;
+pub use fsum::{FloatSum, Grid};
 pub use hash::{fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use mem::HeapSize;
 pub use row::Row;

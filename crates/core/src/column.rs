@@ -7,7 +7,7 @@
 
 use crate::options::{BuildOptions, DictMode};
 use crate::partition::Partitioning;
-use pd_common::{DataType, FxHashMap, HeapSize, Result, Value};
+use pd_common::{DataType, FxHashMap, Grid, HeapSize, Result, Value};
 use pd_encoding::{ChunkDict, Elements, GlobalDict};
 
 /// Per-chunk storage: chunk dictionary + elements.
@@ -61,6 +61,9 @@ impl HeapSize for ColumnChunk {
 pub struct StoredColumn {
     pub dict: GlobalDict,
     pub chunks: Vec<ColumnChunk>,
+    /// A float column's [`Grid`], its dictionary's: kept beside it as the
+    /// dictionary grows, never serialized. Empty for other types.
+    grid: Grid,
 }
 
 impl StoredColumn {
@@ -81,7 +84,8 @@ impl StoredColumn {
         };
         let chunk_lens: Vec<usize> =
             (0..partitioning.chunk_count()).map(|c| partitioning.chunk_range(c).len()).collect();
-        let mut column = StoredColumn { dict, chunks: Vec::with_capacity(chunk_lens.len()) };
+        let grid = grid_of(&dict);
+        let mut column = StoredColumn { dict, chunks: Vec::with_capacity(chunk_lens.len()), grid };
         column.append_chunks(global_ids, &chunk_lens, options);
         Ok(column)
     }
@@ -105,6 +109,7 @@ impl StoredColumn {
         }
         let global_ids: Vec<u32> = codes.iter().map(|&code| merged.ids[code as usize]).collect();
         self.append_chunks(&global_ids, chunk_lens, options);
+        self.grid = self.grid.join(grid_of(dict));
         Ok(())
     }
 
@@ -139,6 +144,23 @@ impl StoredColumn {
 
     pub fn data_type(&self) -> DataType {
         self.dict.data_type()
+    }
+
+    /// Whether plain `+` sums any `rows` of this float column's values
+    /// exactly ([`Grid::sums_exactly`]), read in O(1) off its grid and its
+    /// dictionary's two ends: the dictionary is in `total_cmp` order, which
+    /// puts a NaN or an infinity, if it has one, at an end, and the larger
+    /// magnitude of the two finite ends is the column's max|x|. False for a
+    /// column of another type.
+    pub fn sums_exactly(&self, rows: u64) -> bool {
+        let GlobalDict::Float(dict) = &self.dict else { return false };
+        match (dict.values().first(), dict.values().last()) {
+            (Some(first), Some(last)) if first.is_finite() && last.is_finite() => {
+                self.grid.sums_exactly(rows, first.abs().max(last.abs()))
+            }
+            (None, None) => true,
+            _ => false,
+        }
     }
 
     /// Total rows across chunks.
@@ -198,6 +220,14 @@ impl StoredColumn {
         ids.sort_unstable();
         ids.dedup();
         Some(ids)
+    }
+}
+
+/// A float dictionary's grid; the empty grid for any other.
+fn grid_of(dict: &GlobalDict) -> Grid {
+    match dict {
+        GlobalDict::Float(dict) => Grid::of(dict.values()),
+        _ => Grid::EMPTY,
     }
 }
 

@@ -605,6 +605,10 @@ pub(crate) struct SlotPlan {
     pub(crate) kind: SlotKind,
     /// Argument column (None for `count`, which only counts).
     pub(crate) col: Option<Arc<StoredColumn>>,
+    /// A float sum whose column is on one grid that admits every row of the
+    /// store ([`StoredColumn::sums_exactly`]): plain adds sum it exactly,
+    /// in the chunk kernels and in the fold.
+    pub(crate) grid: bool,
 }
 
 /// The prepared execution plan.
@@ -656,8 +660,9 @@ impl<'a> Fold<'a> {
             }
             _ => None,
         };
-        let groups =
-            GroupFold::new(plan.key_cols.len(), plan.slots.iter().map(|slot| slot.kind), direct);
+        let kinds = plan.slots.iter().map(|slot| slot.kind);
+        let grid = plan.slots.iter().map(|slot| slot.grid).collect();
+        let groups = GroupFold::new(plan.key_cols.len(), kinds, grid, direct);
         Fold { plan, cache: ctx.result_cache.as_deref(), stats, groups }
     }
 
@@ -732,7 +737,13 @@ impl Plan {
                 (SlotClass::Max, _) => SlotKind::Max,
                 (SlotClass::Distinct, _) => SlotKind::Distinct { m: ctx.sketch_m() },
             };
-            slots.push(SlotPlan { kind, col });
+            // A cached chunk table was summed over rows this store still
+            // holds, so on the grid now, whichever path summed it left the
+            // exact sum in `hi` and zero in `lo`: plain adds to it are exact.
+            let rows = store.n_rows() as u64;
+            let grid =
+                kind == SlotKind::SumFloat && col.as_ref().is_some_and(|c| c.sums_exactly(rows));
+            slots.push(SlotPlan { kind, col, grid });
         }
         // `COUNT(x)` reads `count`, yet names a column: one that must
         // exist, and that a scan touches.

@@ -42,10 +42,13 @@
 //! double-double pair held by value in a register
 //! ([`FloatColumn::add_to_lane`]), and merges them into one slot
 //! ([`FloatColumn::of_lanes`]) by the merge that folds chunk tables: the
-//! slot holds the exact sum a single slot fed row by row would hold.
+//! slot holds the exact sum a single slot fed row by row would hold. A
+//! column on one binary grid that admits the store's rows
+//! ([`fsum::Grid`]) is summed by plain adds instead, in the lanes and in
+//! [`GroupFold`]: every partial sum is exact there, so the slot is the same.
 
 use crate::count_distinct::KmvSketch;
-use pd_common::{sortkey, Error, FloatSum, HeapSize, Result, Value};
+use pd_common::{fsum, sortkey, Error, FloatSum, HeapSize, Result, Value};
 use pd_sql::{AnalyzedQuery, SlotClass, SlotRef};
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -288,8 +291,9 @@ impl<K: Cell> Column<K> {
     }
 
     /// Add `from`'s group `j` into group `map[j]`, each of `from`'s MIN/MAX
-    /// cells read as `cell` of it.
-    fn absorb(&mut self, from: &Column<K>, map: &[u32], cell: impl Fn(&K) -> K) {
+    /// cells read as `cell` of it; float sums on one grid (`grid`) by
+    /// plain adds.
+    fn absorb(&mut self, from: &Column<K>, map: &[u32], cell: impl Fn(&K) -> K, grid: bool) {
         let slots = map.iter().map(|&to| to as usize);
         match (self, from) {
             (Column::Count(to), Column::Count(from)) => {
@@ -300,6 +304,7 @@ impl<K: Cell> Column<K> {
             (Column::SumInt(to), Column::SumInt(from)) => {
                 slots.zip(from).for_each(|(t, n)| to[t] = to[t].wrapping_add(*n))
             }
+            (Column::SumFloat(to), Column::SumFloat(from)) if grid => to.absorb_on_grid(from, map),
             (Column::SumFloat(to), Column::SumFloat(from)) => to.absorb(from, map),
             (Column::Extreme { is_min, best: to }, Column::Extreme { best: from, .. }) => {
                 let worse = if *is_min { Ordering::Greater } else { Ordering::Less };
@@ -363,7 +368,8 @@ fn spread<T: Clone>(v: Vec<T>, to: &[u32], len: usize, empty: T) -> Vec<T> {
 }
 
 /// A float-sum column: a double-double `(hi, lo)` per group, with an exact
-/// [`FloatSum`] only for the groups the pair cannot hold.
+/// [`FloatSum`] only for the groups the pair cannot hold — or, for a column
+/// on one binary grid ([`fsum::Grid`]), its sums in `hi` by plain adds.
 ///
 /// A slot is **always exact**. While its pair is untainted, `hi + lo` *is*
 /// the sum of everything added: each add is two branchless Knuth
@@ -375,6 +381,12 @@ fn spread<T: Clone>(v: Vec<T>, to: &[u32], len: usize, empty: T) -> Vec<T> {
 /// there. The taint bit is `hi == NaN` (an untainted `hi` is finite, and a
 /// NaN makes every later residual NaN, so the hot loop needs no second
 /// branch); a slot has an exact accumulator iff it is tainted.
+///
+/// On a grid that admits the store's rows every partial sum is exact, so a
+/// kernel adds with [`fsum::grid_add`] ([`FloatColumn::on_grid`]) and the
+/// fold adds one chunk's `hi` per group ([`FloatColumn::absorb_on_grid`]).
+/// That is the column the pair path makes on such data — `hi` the sum, `lo`
+/// zero, no slot tainted —, so a table is the same whichever path made it.
 #[derive(Debug, Clone)]
 pub(crate) struct FloatColumn {
     hi: Vec<f64>,
@@ -399,6 +411,13 @@ impl FloatColumn {
     /// `len` empty slots, each an untainted pair.
     pub(crate) fn new(len: usize) -> FloatColumn {
         FloatColumn { hi: vec![0.0; len], lo: vec![0.0; len], exact: vec![None; len] }
+    }
+
+    /// The column of exact `sums` summed on one grid: each an untainted
+    /// pair whose `lo` is zero.
+    pub(crate) fn on_grid(sums: Vec<f64>) -> FloatColumn {
+        let len = sums.len();
+        FloatColumn { hi: sums, lo: vec![0.0; len], exact: vec![None; len] }
     }
 
     #[inline(always)]
@@ -463,6 +482,16 @@ impl FloatColumn {
         let mut sum = FloatColumn::new(1);
         sum.absorb(&lanes, &[0; N]);
         sum
+    }
+
+    /// [`FloatColumn::absorb`] for two columns summed on one grid that
+    /// admits all their rows: one plain add per group, which is exact.
+    fn absorb_on_grid(&mut self, from: &FloatColumn, map: &[u32]) {
+        for (j, &to) in map.iter().enumerate() {
+            debug_assert!(from.exact[j].is_none() && from.lo[j] == 0.0, "a sum on the grid");
+            let to = to as usize;
+            self.hi[to] = fsum::grid_add(self.hi[to], from.hi[j]);
+        }
     }
 
     fn absorb(&mut self, from: &FloatColumn, map: &[u32]) {
@@ -611,10 +640,17 @@ impl<K: Cell> GroupTable<K> {
 
     /// Add the slots of another table of this shape, whose group `j` is
     /// this table's group `map[j]` and whose slot `s` holds MIN/MAX cell
-    /// `c` as `cell(s, c)`.
-    fn absorb(&mut self, slots: &[Column<K>], map: &[u32], cell: impl Fn(usize, &K) -> K) {
+    /// `c` as `cell(s, c)`; slot `s` is a float sum on one grid if
+    /// `grid[s]` is set.
+    fn absorb(
+        &mut self,
+        slots: &[Column<K>],
+        map: &[u32],
+        cell: impl Fn(usize, &K) -> K,
+        grid: &[bool],
+    ) {
         for (s, (to, from)) in self.slots.iter_mut().zip(slots).enumerate() {
-            to.absorb(from, map, |c| cell(s, c));
+            to.absorb(from, map, |c| cell(s, c), grid.get(s) == Some(&true));
         }
     }
 
@@ -705,8 +741,13 @@ impl GroupTable<u32> {
 /// of `table`'s, they are added in place. `other` is only read, and so are
 /// the key columns: new groups make new columns, cell by cell from both
 /// sides. A `table` nobody else holds gives its states away; a shared one
-/// has them cloned.
-pub(crate) fn merge_tables<K: Cell>(table: &mut Arc<GroupTable<K>>, other: &GroupTable<K>) {
+/// has them cloned. Slot `s` is a float sum on one grid if `grid[s]` is set
+/// (none is, past `grid`'s end).
+pub(crate) fn merge_tables<K: Cell>(
+    table: &mut Arc<GroupTable<K>>,
+    other: &GroupTable<K>,
+    grid: &[bool],
+) {
     if other.len == 0 {
         return;
     }
@@ -730,7 +771,7 @@ pub(crate) fn merge_tables<K: Cell>(table: &mut Arc<GroupTable<K>>, other: &Grou
         len += 1;
     }
     if len as usize == a.len {
-        return Arc::make_mut(table).absorb(&other.slots, &to_b, |_, cell| cell.clone());
+        return Arc::make_mut(table).absorb(&other.slots, &to_b, |_, cell| cell.clone(), grid);
     }
     let keys = (a.keys.iter().zip(&b.keys))
         .map(|(a, b)| K::Keys::interleave(len, a, &to_a, b, &to_b))
@@ -740,7 +781,7 @@ pub(crate) fn merge_tables<K: Cell>(table: &mut Arc<GroupTable<K>>, other: &Grou
         None => GroupTable { len: table.len, keys: Vec::new(), slots: table.slots.clone() },
     };
     let mut merged = own.spread(&to_a, len as usize, keys);
-    merged.absorb(&other.slots, &to_b, |_, cell| cell.clone());
+    merged.absorb(&other.slots, &to_b, |_, cell| cell.clone(), grid);
     match Arc::get_mut(table) {
         Some(own) => *own = merged,
         None => *table = Arc::new(merged),
@@ -851,7 +892,7 @@ impl PartialResult {
         if *self.table == GroupTable::default() {
             *self = other;
         } else if shape(self) == shape(&other) {
-            merge_tables(&mut self.table, &other.table);
+            merge_tables(&mut self.table, &other.table, &[]);
         } else {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
@@ -876,11 +917,15 @@ impl PartialResult {
 /// query must not allocate a slot per id for a handful of groups — merges
 /// the chunk tables pairwise ([`merge_tables`]) in a balanced order: a
 /// merge sort's run stack of tables of 1, 2, 4, … chunks, so a group is
-/// merged O(log k) times over k chunks and O(log k) tables are live.
+/// merged O(log k) times over k chunks and O(log k) tables are live. Either
+/// way a float sum on one grid adds one chunk's sum per group by one plain
+/// add, any other by two double-double adds.
 pub(crate) struct GroupFold {
     /// The counts array; for merges, the table that folding no chunk gives.
     table: GroupTable<u32>,
     by: FoldBy,
+    /// Per slot, whether it is a float sum on one grid, added by plain adds.
+    grid: Vec<bool>,
 }
 
 enum FoldBy {
@@ -891,12 +936,14 @@ enum FoldBy {
 }
 
 impl GroupFold {
-    /// An empty table of `n_keys` key columns and `kinds` slots.
+    /// An empty table of `n_keys` key columns and `kinds` slots, of which
+    /// those `grid` marks are float sums on one grid ([`fsum::Grid`]).
     /// `direct`: index the one key by global-id, over a dictionary of that
     /// many entries.
     pub(crate) fn new(
         n_keys: usize,
         kinds: impl Iterator<Item = SlotKind>,
+        grid: Vec<bool>,
         direct: Option<usize>,
     ) -> GroupFold {
         let slots = kinds.map(Column::new).collect();
@@ -905,8 +952,9 @@ impl GroupFold {
             Some(ids) => GroupFold {
                 table: empty.spread(&[], ids, vec![(0..ids as u32).collect()]),
                 by: FoldBy::ById(vec![false; ids]),
+                grid,
             },
-            None => GroupFold { table: empty, by: FoldBy::Runs(Vec::new()) },
+            None => GroupFold { table: empty, by: FoldBy::Runs(Vec::new()), grid },
         }
     }
 
@@ -927,14 +975,14 @@ impl GroupFold {
                 let ids = keys(0);
                 let map: Vec<u32> = chunk.keys[0].iter().map(|&c| ids[c as usize]).collect();
                 map.iter().for_each(|&gid| shown[gid as usize] = true);
-                self.table.absorb(&chunk.slots, &map, |s, &c| extremes(s)[c as usize]);
+                self.table.absorb(&chunk.slots, &map, |s, &c| extremes(s)[c as usize], &self.grid);
             }
             FoldBy::Runs(runs) => {
                 let chunk = Arc::unwrap_or_clone(chunk).into_global(keys, extremes);
                 let (mut run, mut chunks) = (Arc::new(chunk), 1);
                 while runs.last().is_some_and(|&(_, n)| n == chunks) {
                     let (mut earlier, n) = runs.pop().expect("a run is on the stack");
-                    merge_tables(&mut earlier, &run);
+                    merge_tables(&mut earlier, &run, &self.grid);
                     (run, chunks) = (earlier, chunks + n);
                 }
                 runs.push((run, chunks));
@@ -956,7 +1004,7 @@ impl GroupFold {
                 let mut runs = runs.into_iter().rev().map(|(run, _)| run);
                 let Some(mut folded) = runs.next() else { return self.table };
                 for mut earlier in runs {
-                    merge_tables(&mut earlier, &folded);
+                    merge_tables(&mut earlier, &folded, &self.grid);
                     folded = earlier;
                 }
                 Arc::unwrap_or_clone(folded)
@@ -1070,7 +1118,7 @@ mod tests {
         // Chunk-ids that are global-ids: every chunk dictionary holds 0..10.
         let ids: Vec<u32> = (0..10).collect();
         for direct in [Some(10), None] {
-            let fold = || GroupFold::new(1, [SlotKind::Count].into_iter(), direct);
+            let fold = || GroupFold::new(1, [SlotKind::Count].into_iter(), vec![false], direct);
             let empty = fold().finish();
             assert_eq!((empty.len(), empty.keys.len()), (0, 1), "no chunk: no group, one key");
             // The ids show up first-seen as 7, 2, 9; five chunks leave

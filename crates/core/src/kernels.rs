@@ -35,7 +35,11 @@
 //!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
 //!   per-slot tight loop: a `COUNT` is a histogram of the groups, a `SUM`
 //!   gathers a per-chunk-id table from the typed dictionary, a MIN/MAX is a
-//!   code minimum/maximum over a sorted one. `COUNT(DISTINCT …)` first
+//!   code minimum/maximum over a sorted one. A float `SUM` whose column is
+//!   on one binary grid that admits the store's rows
+//!   ([`pd_common::Grid`]) adds with plain `+` in the loops `COUNT` and
+//!   MIN/MAX use, exact there; any other is a double-double pair per
+//!   group ([`FloatColumn`]). `COUNT(DISTINCT …)` first
 //!   finds the distinct (group, code) pairs of the passing rows (a flat
 //!   presence array, or a sort), then hashes once per code that occurs
 //!   (one ordered dictionary walk over sort keys, no [`Value`] made), and
@@ -47,12 +51,14 @@
 //! latency of a load → add → store chain. So one group's `COUNT` is the
 //! mask's popcount or the chunk's length, its sums and MIN/MAX run in
 //! [`LANES`] register lanes that the rows are dealt out to ([`fold_lanes`]:
-//! `i128` sums, double-double pairs, codes), and a counts array or MIN/MAX
-//! code array of at most [`SPLIT_MAX`] entries is written as [`LANES`]
-//! copies ([`fold_cells`]); lanes and copies merge once per
-//! chunk, past the lanes no row reached. A float lane merges through the
-//! exact merge that folds chunk tables, so every answer is bit for bit the
-//! one a single slot gives. The loops are the same for every row order.
+//! `i128` sums, doubles on a grid, double-double pairs, codes), and a
+//! counts array, MIN/MAX code array or grid sums array of at most
+//! [`SPLIT_MAX`] entries is written as [`LANES`] copies ([`fold_cells`]);
+//! lanes and copies merge once per chunk, past the lanes no row reached. A
+//! double-double lane merges through the exact merge that folds chunk
+//! tables, a grid lane by a plain add that the grid makes exact, so every
+//! answer is bit for bit the one a single slot gives. The loops are the
+//! same for every row order.
 //!
 //! A chunk runs one set of kernels, whatever its query's shape: its mask,
 //! [`group_codes`], one [`accumulate`] per slot, [`GroupIndex::table`].
@@ -68,7 +74,7 @@ use crate::datastore::DataStore;
 use crate::exec::{proportionate, SlotPlan};
 use crate::groups::{Column, FloatColumn, GroupTable, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
-use pd_common::{sortkey, BitVec, Error, Result, Value};
+use pd_common::{fsum, sortkey, BitVec, Error, Result, Value};
 use pd_encoding::{CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
 use std::cell::OnceCell;
@@ -759,11 +765,19 @@ pub(crate) fn group_codes<'a>(
         let key = match key_chunks {
             [key] => Numbers::Key(key.codes()),
             _ => {
+                // A masked chunk's passing rows only, walked by the mask's
+                // set bits; the numbers of the rows it drops are never read.
                 let mut numbers = vec![0u32; rows];
                 for (ch, &n) in key_chunks.iter().zip(sizes) {
                     let n = n as u32;
-                    with_codes!(ch.codes(), |get| {
-                        numbers.iter_mut().enumerate().for_each(|(row, g)| *g = *g * n + get(row))
+                    with_codes!(ch.codes(), |get| match visited {
+                        Rows::All(_) => numbers
+                            .iter_mut()
+                            .enumerate()
+                            .for_each(|(row, g)| *g = *g * n + get(row)),
+                        Rows::Passing(_) => {
+                            visited.in_lanes(|_, row| numbers[row] = numbers[row] * n + get(row))
+                        }
                     });
                 }
                 Numbers::Mixed(numbers)
@@ -903,7 +917,8 @@ fn dense_keys(mut numbers: Vec<u32>, sizes: &[usize]) -> Vec<Vec<u32>> {
 ///
 /// Float sums are exact ([`FloatColumn`]) — the fold across chunks,
 /// threads and shards can then add them in any grouping and still produce
-/// bit-identical results.
+/// bit-identical results: on a grid by plain adds, which the grid makes
+/// exact ([`SlotPlan::grid`]), otherwise as double-double pairs.
 pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Column<u32> {
     let arg = slot.col.as_ref().map(|col| (col, &col.chunks[c]));
     let group_count = index.group_count;
@@ -951,6 +966,11 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             let (col, chunk) = arg.expect("SUM has an argument");
             let table = &float_table(col, chunk)[..];
             Column::SumFloat(match &index.members {
+                // Every partial sum is exact: `COUNT`'s loops with a plain add.
+                _ if slot.grid => {
+                    let add = move |sum, code: u32| fsum::grid_add(sum, table[code as usize]);
+                    FloatColumn::on_grid(fold_codes(chunk.codes(), index, 0.0, add, fsum::grid_add))
+                }
                 Members::One(rows) => {
                     let mut exact = [const { None }; LANES];
                     let lanes = with_codes!(chunk.codes(), |get| {
@@ -981,8 +1001,8 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             let best = match (whole_chunk, is_min) {
                 (true, true) => vec![0],
                 (true, false) => vec![chunk.dict.len() - 1],
-                (false, true) => fold_codes(codes, index, u32::MAX, u32::min),
-                (false, false) => fold_codes(codes, index, 0, u32::max),
+                (false, true) => fold_codes(codes, index, u32::MAX, u32::min, u32::min),
+                (false, false) => fold_codes(codes, index, 0, u32::max, u32::max),
             };
             Column::Extreme { is_min, best: best.into_iter().map(Some).collect() }
         }
@@ -1057,24 +1077,24 @@ impl Members<'_> {
     }
 }
 
-/// Per group of `index`, `pick(held, code)` over its rows' codes from
+/// Per group of `index`, `add(held, code)` over its rows' codes from
 /// `seed`: one group's in [`LANES`] register lanes, more groups' through
-/// [`fold_cells`]. Lanes and copies merge past those no row reached, which
-/// still hold `seed`.
-fn fold_codes(
+/// [`fold_cells`]. Lanes and copies `merge` once, past those no row reached,
+/// which still hold `seed`: `merge(held, seed)` must be `held`.
+fn fold_codes<T: Copy>(
     codes: CodesView<'_>,
     index: &GroupIndex,
-    seed: u32,
-    pick: impl Fn(u32, u32) -> u32,
-) -> Vec<u32> {
-    let merge = |held: u32, other: u32| if other == seed { held } else { pick(held, other) };
+    seed: T,
+    add: impl Fn(T, u32) -> T,
+    merge: impl Fn(T, T) -> T,
+) -> Vec<T> {
     with_codes!(codes, |get| match &index.members {
         Members::One(rows) => {
-            let lanes = fold_lanes(*rows, seed, |_, held, row| pick(held, get(row)));
+            let lanes = fold_lanes(*rows, seed, |_, held, row| add(held, get(row)));
             vec![lanes.into_iter().fold(seed, merge)]
         }
         Members::Codes { rows, key, .. } => with_codes!(key.view(), |group| {
-            let add = |held, row| pick(held, get(row));
+            let add = |held, row| add(held, get(row));
             fold_cells(index.group_count, *rows, seed, |row| group(row) as usize, add, merge)
         }),
         Members::Each { rows, groups } => {
@@ -1082,11 +1102,11 @@ fn fold_codes(
             let group = |i: usize| groups[i] as usize;
             match rows {
                 Some(rows) => {
-                    let add = |held, i: usize| pick(held, get(rows[i]));
+                    let add = |held, i: usize| add(held, get(rows[i]));
                     fold_cells(index.group_count, listed, seed, group, add, merge)
                 }
                 None => {
-                    let add = |held, row| pick(held, get(row));
+                    let add = |held, row| add(held, get(row));
                     fold_cells(index.group_count, listed, seed, group, add, merge)
                 }
             }
@@ -1521,7 +1541,11 @@ mod tests {
 
         let slots = match counted {
             true => {
-                let count = accumulate(&SlotPlan { kind: SlotKind::Count, col: None }, 0, &index);
+                let count = accumulate(
+                    &SlotPlan { kind: SlotKind::Count, col: None, grid: false },
+                    0,
+                    &index,
+                );
                 assert_eq!(count, Column::Count(members), "{label}: the counts");
                 vec![count]
             }

@@ -42,9 +42,11 @@
 //! count — `0` (the default) reads `EXEC_THREADS` or uses the machine's
 //! available parallelism, `1` forces sequential execution — and results
 //! are **bit-identical** at every setting: per-chunk partials are folded
-//! in chunk order and float sums use an exact superaccumulator
-//! ([`common::FloatSum`]), so even `SUM`/`AVG` over floats do not depend
-//! on how rows were chunked, threaded or sharded. A hand-off has a price
+//! in chunk order and float sums are exact — plain adds for a column on
+//! one binary grid that admits its rows ([`common::Grid`]), a double-double
+//! pair backed by a superaccumulator ([`common::FloatSum`]) otherwise —,
+//! so even `SUM`/`AVG` over floats do not depend on how rows were chunked,
+//! threaded or sharded. A hand-off has a price
 //! (waking a sleeping worker: tens of microseconds, and unevenly so), and
 //! only a scan that will repay it pays it: a store's scan goes to the pool
 //! when at least 32 768 rows miss the chunk-result cache, and stays on the
@@ -56,11 +58,14 @@
 //! (`pd_core::kernels`): `WHERE` clauses become packed bit-vector masks
 //! once per chunk — built from the restriction's resolved dictionary ids
 //! by integer compares over the row codes wherever the skip pass could
-//! resolve the leaf, from values only where it could not — single-key
-//! `COUNT(*)` stays the paper's literal
-//! `counts[elements[row]]++` over raw codes (folded through the chunk
-//! dictionary without materializing per-group values), and two-key
-//! group-bys fuse into one flat array index.
+//! resolve the leaf, from values only where it could not. Every chunk
+//! then runs one set of kernels, whatever its query's shape: its mask,
+//! `group_codes` (dense keys' codes, or more keys' mixed-radix numbers,
+//! are their groups — the paper's literal `counts[elements[row]]++` over
+//! raw codes —, and otherwise the passing rows are listed with a group
+//! each), one `accumulate` loop per aggregate slot, and
+//! `GroupIndex::table`, folded through the chunk dictionaries without
+//! materializing per-group values.
 //!
 //! ```
 //! use powerdrill::{core::execute, sql, BuildOptions, DataStore, ExecContext};

@@ -790,11 +790,80 @@ fn random_float(rng: &mut Rng, specials: bool) -> f64 {
     }
 }
 
+/// A float column on one binary grid, drawn so that its store sums it with
+/// plain adds — or, `past` its bound, one binade too wide for that.
+#[derive(Debug, Clone, Copy)]
+enum OnGrid {
+    /// Integers (`k` = 0) or multiples of 2^-k, and ±0.0.
+    Multiples(i32),
+    /// Multiples of the smallest subnormal, 2^-1074, and ±0.0.
+    Subnormal,
+    /// 256 rows of multiples of 2^e up to 2^(e+45), so that rows × max sits
+    /// at exactly 2^(e+53), most of them odd multiples near the max, so
+    /// that a plain sum past 53 bits rounds; `past`: up to 2^(e+46), one
+    /// binade past the bound.
+    AtBound { e: i32, past: bool },
+}
+
+impl OnGrid {
+    /// How many rows a table of this kind has.
+    fn rows(self, rng: &mut Rng) -> usize {
+        match self {
+            OnGrid::AtBound { .. } => 256,
+            _ => rng.range_usize(1, 500),
+        }
+    }
+
+    /// The value of `row`.
+    fn value(self, rng: &mut Rng, row: usize) -> f64 {
+        let small = |rng: &mut Rng| rng.range_i64_inclusive(-1_000, 1_000) as f64;
+        let zero = |rng: &mut Rng| *rng.pick(&[0.0, -0.0]);
+        match self {
+            OnGrid::Multiples(_) if rng.chance(0.1) => zero(rng),
+            OnGrid::Multiples(k) => small(rng) * exact_pow2(-k),
+            OnGrid::Subnormal if rng.chance(0.1) => zero(rng),
+            OnGrid::Subnormal => small(rng) * f64::from_bits(1),
+            OnGrid::AtBound { e, past } => {
+                let unit = exact_pow2(e);
+                let max = exact_pow2(e + 45 + i32::from(past));
+                match (row, rng.range_usize(0, 10)) {
+                    // The grid's finest value, and its max.
+                    (0, _) => unit,
+                    (1, _) => max,
+                    (_, 0..=5) => max - unit,
+                    (_, 6 | 7) => max,
+                    (_, 8) => small(rng) * unit,
+                    _ => -max,
+                }
+            }
+        }
+    }
+}
+
+/// 2^e for any exponent a finite `f64` has, subnormal ones too.
+fn exact_pow2(e: i32) -> f64 {
+    if e >= -1022 {
+        2f64.powi(e)
+    } else {
+        f64::from_bits(1 << (e + 1074))
+    }
+}
+
 /// A random table whose `k` column is built to land on the requested
 /// dictionary cardinality (and therefore `Elements` representation once
 /// encoded): 1 → const, 2 → bitset, ≤256 → u8 codes, ≤65536 → u16, else
 /// u32.
 fn random_float_table(rng: &mut Rng, key_card: usize, rows: usize, specials: bool) -> Table {
+    float_table(rng, key_card, rows, |rng, _| random_float(rng, specials))
+}
+
+/// [`random_float_table`] with `x(rng, row)` as row `row`'s float.
+fn float_table(
+    rng: &mut Rng,
+    key_card: usize,
+    rows: usize,
+    mut x: impl FnMut(&mut Rng, usize) -> f64,
+) -> Table {
     let schema = Schema::of(&[
         ("k", DataType::Str),
         ("n", DataType::Int),
@@ -802,12 +871,12 @@ fn random_float_table(rng: &mut Rng, key_card: usize, rows: usize, specials: boo
         ("r", DataType::Int),
     ]);
     let mut table = Table::new(schema);
-    for _ in 0..rows {
+    for row in 0..rows {
         table
             .push_row(Row(vec![
                 Value::from(format!("k{:05}", rng.range_usize(0, key_card))),
                 Value::Int(rng.range_i64_inclusive(i64::MIN / 4, i64::MAX / 4)),
-                Value::Float(random_float(rng, specials)),
+                Value::Float(x(rng, row)),
                 Value::Int(rng.range_i64_inclusive(0, 99)),
             ]))
             .unwrap();
@@ -828,22 +897,38 @@ fn float_queries(rng: &mut Rng) -> Vec<String> {
 }
 
 /// `table`'s store under `options` answers every query of `sqls` as the
-/// row oracle does, floats bit for bit.
+/// row oracle does, floats bit for bit, at 1 and 2 threads (a scan of
+/// 32 768 rows or more runs on both).
 fn assert_matches_oracle(table: &Table, options: &BuildOptions, sqls: &[String], label: &str) {
     let store = DataStore::build(table, options).unwrap();
-    let ctx = ExecContext { threads: 1, ..Default::default() };
     for sql in sqls {
         let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
-        let (got, _) = execute(&store, &analyzed, &ctx).unwrap();
-        assert_eq!(got, oracle(table, sql), "{label}: {sql}");
+        let want = oracle(table, sql);
+        for threads in [1, 2] {
+            let (got, _) =
+                execute(&store, &analyzed, &ExecContext { threads, ..Default::default() }).unwrap();
+            assert_eq!(got, want, "{label}, {threads} threads: {sql}");
+        }
     }
+}
+
+/// Does `table`'s store under `options` sum its float column `x` with
+/// plain adds?
+fn on_grid(table: &Table, options: &BuildOptions) -> bool {
+    let store = DataStore::build(table, options).unwrap();
+    store.column("x").unwrap().sums_exactly(store.n_rows() as u64)
 }
 
 /// Float sums whose every add may round, NaN, ±inf, ±0.0 and subnormals,
 /// over key columns on the const, bit-set, u8 and u16 representations,
 /// unmasked and under random masks, on an unsorted one-chunk build and on
 /// a sorted, partitioned one: the kernels' double-double slots must
-/// finalize to the oracle's correctly rounded sums.
+/// finalize to the oracle's correctly rounded sums. Then the same over
+/// columns on one binary grid ([`OnGrid`]), which the kernels and the fold
+/// sum with plain adds — integers, multiples of 2^-k, ±0.0 and subnormal
+/// multiples, and rows × max at exactly the grid's bound —, and over one
+/// binade past that bound, which they sum as pairs; and one grid table of
+/// 40 000 rows, which two threads scan.
 #[test]
 fn float_sums_match_the_row_oracle_on_every_representation() {
     let mut rng = Rng::seed_from_u64(0xae41_0001);
@@ -864,7 +949,35 @@ fn float_sums_match_the_row_oracle_on_every_representation() {
                 assert_matches_oracle(table, &options, &sqls, &label);
             }
         }
+        let e = *rng.pick(&[0, -7, -1074, 900]);
+        for grid in [
+            OnGrid::Multiples(0),
+            OnGrid::Multiples(3),
+            OnGrid::Multiples(60),
+            OnGrid::Subnormal,
+            OnGrid::AtBound { e, past: false },
+            OnGrid::AtBound { e, past: true },
+        ] {
+            let rows = grid.rows(&mut rng);
+            let table = float_table(&mut rng, key_card, rows, |rng, row| grid.value(rng, row));
+            let sqls = float_queries(&mut rng);
+            let sorted = table.sorted_by(&["k"]).unwrap();
+            for (table, options) in [
+                (&table, BuildOptions::basic()),
+                (&sorted, BuildOptions::optdicts(PartitionSpec::new(&["k"], 8))),
+            ] {
+                let label = format!("key_card={key_card} {grid:?} rows={rows} {options:?}");
+                let past = matches!(grid, OnGrid::AtBound { past: true, .. });
+                assert_eq!(on_grid(table, &options), !past, "{label}: the path the case is for");
+                assert_matches_oracle(table, &options, &sqls, &label);
+            }
+        }
     }
+    let grid = OnGrid::Multiples(2);
+    let table = float_table(&mut rng, 60, 40_000, |rng, row| grid.value(rng, row));
+    let options = BuildOptions::optdicts(PartitionSpec::new(&["k"], 2_000));
+    assert!(on_grid(&table, &options));
+    assert_matches_oracle(&table, &options, &float_queries(&mut rng), "40 000 rows on a grid");
 }
 
 #[test]
@@ -949,7 +1062,8 @@ fn sums_of_specials_alone_match_the_row_oracle() {
 /// values down to 2⁻⁶⁰ — at rows of every residue modulo four across the
 /// cases, so that one lane taints while its neighbours stay pairs;
 /// unmasked and under random masks, on the basic build (one chunk) and on
-/// the sorted, partitioned one.
+/// the sorted, partitioned one. Each case's blocks also hold a column on
+/// one binary grid ([`OnGrid`]), whose lanes add plainly.
 #[test]
 fn lane_sums_and_extremes_match_the_row_oracle() {
     let schema = Schema::of(&[
@@ -972,6 +1086,8 @@ fn lane_sums_and_extremes_match_the_row_oracle() {
         let offset = (case % 4).min(blocks[block] - 1);
         let special = (start + offset, tainting[rng.range_usize(0, tainting.len())]);
         let mut table = Table::new(schema.clone());
+        let mut grid_table = Table::new(schema.clone());
+        let grid = OnGrid::Multiples(*rng.pick(&[0, 4, 60]));
         let keys = blocks.iter().enumerate().flat_map(|(b, &len)| std::iter::repeat_n(b, len));
         for (row, b) in keys.enumerate() {
             let x = match (row == special.0, rng.range_usize(0, 3)) {
@@ -979,14 +1095,16 @@ fn lane_sums_and_extremes_match_the_row_oracle() {
                 (false, 0) => rng.range_i64_inclusive(-999, 999) as f64 * 2f64.powi(-60),
                 (false, _) => random_float(&mut rng, false),
             };
-            table
-                .push_row(Row(vec![
-                    Value::from(format!("k{b}")),
-                    Value::Float(x),
-                    Value::Int(rng.range_i64_inclusive(i64::MIN / 16, i64::MAX / 16)),
-                    Value::Int(rng.range_i64_inclusive(0, 99)),
-                ]))
-                .unwrap();
+            for (table, x) in [(&mut table, x), (&mut grid_table, grid.value(&mut rng, row))] {
+                table
+                    .push_row(Row(vec![
+                        Value::from(format!("k{b}")),
+                        Value::Float(x),
+                        Value::Int(rng.range_i64_inclusive(i64::MIN / 16, i64::MAX / 16)),
+                        Value::Int(rng.range_i64_inclusive(0, 99)),
+                    ]))
+                    .unwrap();
+            }
         }
         let aggs = "COUNT(*) c, SUM(x) s, AVG(x) a, SUM(n) sn, MIN(x) lo, MAX(x) hi, MIN(n) ln, \
                     MAX(n) hn";
@@ -1002,7 +1120,74 @@ fn lane_sums_and_extremes_match_the_row_oracle() {
             let label =
                 format!("case {case}: blocks {blocks:?}, {} at row {}", special.1, special.0);
             assert_matches_oracle(&table, &options, &sqls, &label);
+            let label = format!("case {case}: blocks {blocks:?}, {grid:?}");
+            assert!(on_grid(&grid_table, &options), "{label}");
+            assert_matches_oracle(&grid_table, &options, &sqls, &label);
         }
+    }
+}
+
+/// A store on one binary grid takes two batches off it — one holding a
+/// `0.1`, the next an infinity — while two contexts (execute, and finalize
+/// ∘ execute_partial) each keep one chunk-result cache: its float sums
+/// leave plain adds for pairs, and cached tables summed on the grid meet
+/// tables summed as pairs in the fold. Before and after each append, every
+/// answer is a cacheless rebuild's from the same rows, and the row
+/// oracle's, bit for bit.
+#[test]
+fn appends_off_the_grid_match_a_rebuild() {
+    let mut rng = Rng::seed_from_u64(0x961d_0072);
+    let grid = OnGrid::Multiples(3);
+    let mut served = float_table(&mut rng, 40, 3_000, |rng, row| grid.value(rng, row));
+    let options = BuildOptions::optdicts(PartitionSpec::new(&["k"], 250));
+    let mut store = DataStore::build(&served, &options).unwrap();
+    let contexts: Vec<(bool, ExecContext)> = [false, true]
+        .map(|via_partial| {
+            let result_cache = Some(Arc::new(ResultCache::new(1 << 14)));
+            (via_partial, ExecContext { threads: 1, result_cache, ..Default::default() })
+        })
+        .into();
+    let answer = |store: &DataStore, sql: &str, via_partial: bool, ctx: &ExecContext| {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        if via_partial {
+            let (partial, stats) = execute_partial(store, &analyzed, ctx).unwrap();
+            (finalize(&analyzed, partial).unwrap(), stats)
+        } else {
+            execute(store, &analyzed, ctx).unwrap()
+        }
+    };
+    let mut sqls = float_queries(&mut rng);
+    sqls.push("SELECT k, SUM(x) f FROM data GROUP BY k ORDER BY f DESC LIMIT 5".into());
+    sqls.push("SELECT SUM(x) f, AVG(x) a FROM data WHERE k IN ('k00003', 'k00017')".into());
+    // The first two charts are unrestricted: their old chunks answer from
+    // the cache.
+    let check = |store: &DataStore, served: &Table, cached: u64, label: &str| {
+        let rebuilt = DataStore::build(served, &options).unwrap();
+        for (i, sql) in sqls.iter().enumerate() {
+            let (want, _) = answer(&rebuilt, sql, false, &ExecContext::default());
+            assert_eq!(want, oracle(served, sql), "{label}: the rebuild: {sql}");
+            for (via_partial, ctx) in &contexts {
+                let (got, stats) = answer(store, sql, *via_partial, ctx);
+                assert_eq!(got, want, "{label}, via partial {via_partial}: {sql}");
+                assert!(i >= 2 || stats.rows_cached >= cached, "{label}: {}", stats.summary());
+            }
+        }
+    };
+    assert!(on_grid(&served, &options));
+    check(&store, &served, 0, "on the grid");
+    for off_grid in [0.1, f64::INFINITY] {
+        let at = rng.range_usize(0, 80);
+        let batch = float_table(&mut rng, 40, 80, |rng, row| match row == at {
+            true => off_grid,
+            false => grid.value(rng, row),
+        });
+        let columns: Vec<&[Value]> = (0..batch.schema().len()).map(|i| batch.column(i)).collect();
+        let delta = TableDelta::from_columns(batch.schema().clone(), &columns).unwrap();
+        let cached = store.n_rows() as u64;
+        store.append_delta(&delta).unwrap();
+        batch.iter_rows().for_each(|row| served.push_row(row).unwrap());
+        assert!(!store.column("x").unwrap().sums_exactly(store.n_rows() as u64));
+        check(&store, &served, cached, &format!("after {off_grid}"));
     }
 }
 
