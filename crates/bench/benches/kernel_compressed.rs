@@ -10,8 +10,10 @@
 //! 2. a row mask built from the restriction's resolved dictionary ids
 //!    beats the same predicate written so that only the expression
 //!    evaluator can answer it (one `Value` and one `eval_expr` per
-//!    chunk-dictionary entry) — by at least 5×, for a `timestamp` window
-//!    and for a `date(timestamp)` equality on its virtual field;
+//!    chunk-dictionary entry: what the evaluator costs a leaf of one
+//!    column, whose chunk codes are its numbers) — by at least 5×, for a
+//!    `timestamp` window and for a `date(timestamp)` equality on its
+//!    virtual field;
 //! 3. a top-10 over a string key with thousands of groups through
 //!    `execute` (groups ranked on dictionary ids, ten dictionary lookups) beats
 //!    `finalize(execute_partial(..))` on the same store (every group

@@ -178,6 +178,11 @@ impl StoredColumn {
         self.dict.value(self.chunks[chunk].global_id_at(row))
     }
 
+    /// Chunk `chunk`'s dictionary as values, by chunk-id.
+    pub(crate) fn chunk_values(&self, chunk: usize) -> Vec<Value> {
+        self.chunks[chunk].dict.values().iter().map(|&gid| self.dict.value(gid)).collect()
+    }
+
     /// Memory of the global dictionary alone.
     pub fn dict_bytes(&self) -> usize {
         self.dict.heap_bytes()

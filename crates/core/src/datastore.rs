@@ -14,18 +14,20 @@
 //! materializes arbitrary scalar expressions as *virtual fields* — stored
 //! exactly like base columns (same chunk boundaries, same dictionary
 //! machinery), keyed by the expression's canonical text, computed once and
-//! reused by later queries. An append extends them in place, like base
-//! columns, by evaluating the expression over the delta rows only, and
-//! merges the values into their sorted dictionary as a base column's are.
+//! reused by later queries. A field is evaluated once per distinct input
+//! tuple, through `group_codes` (`kernels::eval_tuples`): per chunk at
+//! first access, and over an append's delta rows only, whose values merge
+//! into the field's sorted dictionary as a base column's do.
 
 use crate::column::StoredColumn;
+use crate::kernels::{self, SourceRun};
 use crate::options::BuildOptions;
 use crate::partition::{partition, Partitioning};
 use pd_common::sync::RwLock;
 use pd_common::{Error, HeapSize, Result, Schema, Value};
 use pd_data::Table;
 use pd_encoding::{build_dict, CodesView, ColumnDelta, GlobalDict, TableDelta};
-use pd_sql::{eval_expr, Expr, RowContext};
+use pd_sql::Expr;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -111,8 +113,10 @@ impl DataStore {
     /// order (bounded by the build threshold), so results folded across old
     /// and new chunks are bit-identical to a full re-import of the
     /// concatenated data. Materialized virtual fields grow the same way: the
-    /// expression is evaluated over the delta rows only, its values merged
-    /// into the field's dictionary, the same fresh chunks appended. A chunk's
+    /// expression is evaluated over the delta rows only, once per distinct
+    /// input tuple through `group_codes` (`kernels::eval_tuples`), its
+    /// values merged into the field's dictionary, the same fresh chunks
+    /// appended. A chunk's
     /// chunk-ids depend on its own rows alone, so anything keyed on a chunk
     /// and holding chunk-ids (the chunk-result cache) stays valid for every
     /// old chunk. A field that cannot be extended (the expression fails on a
@@ -237,34 +241,32 @@ impl DataStore {
         Ok(guard.entry(key).or_insert(field).column.clone())
     }
 
-    /// Evaluate `expr` for every row (in stored order), code the values
-    /// and encode them as a base column's codes are encoded.
+    /// Evaluate `expr` over every chunk, once per input tuple its rows hold
+    /// (`kernels::eval_tuples`), code the values and encode them as a
+    /// base column's codes are encoded.
     fn materialize(&self, expr: &Expr) -> Result<StoredColumn> {
         if self.n_rows == 0 {
             return Err(Error::Data("cannot materialize expressions over an empty store".into()));
         }
         let mut referenced = Vec::new();
         expr.referenced_columns(&mut referenced);
-        let mut source_cols = Vec::with_capacity(referenced.len());
-        for name in &referenced {
-            source_cols.push((name.as_str(), self.column(name)?));
-        }
+        let columns =
+            referenced.iter().map(|name| self.column(name)).collect::<Result<Vec<_>>>()?;
 
-        let mut values = Vec::with_capacity(self.n_rows);
+        let (mut values, mut at) = (Vec::new(), Vec::with_capacity(self.n_rows));
         for c in 0..self.chunk_count() {
-            let sources: Vec<SourceRun<'_>> = source_cols
-                .iter()
-                .map(|(name, col)| {
-                    let chunk = &col.chunks[c];
-                    let values = (0..chunk.dict.len())
-                        .map(|cid| col.dict.value(chunk.dict.values()[cid as usize]))
-                        .collect();
-                    SourceRun { name, values, codes: chunk.codes() }
+            let chunk_values: Vec<Vec<Value>> =
+                columns.iter().map(|col| col.chunk_values(c)).collect();
+            let sources: Vec<SourceRun<'_>> = (referenced.iter().zip(&columns).zip(&chunk_values))
+                .map(|((name, col), values)| SourceRun {
+                    name,
+                    values,
+                    codes: col.chunks[c].codes(),
                 })
                 .collect();
-            eval_run(expr, &sources, self.chunk_rows(c), &mut values)?;
+            kernels::eval_rows(expr, &sources, self.chunk_rows(c), true, &mut values, &mut at)?;
         }
-        let (dict, codes) = build_dict(&values)?;
+        let (dict, codes) = coded(&values, &at)?;
         StoredColumn::from_global_ids(dict, &codes, &self.partitioning, &self.options)
     }
 
@@ -294,66 +296,33 @@ impl VirtualField {
     fn coded_delta(&self, delta: &TableDelta) -> Option<(GlobalDict, Vec<u32>)> {
         let mut referenced = Vec::new();
         self.expr.referenced_columns(&mut referenced);
-        let sources: Vec<SourceRun<'_>> = referenced
-            .iter()
-            .map(|name| {
-                let column = delta.columns.iter().find(|column| column.name == *name)?;
-                let codes = CodesView::U32(&column.codes);
-                Some(SourceRun { name, values: entries(&column.dict), codes })
-            })
+        let columns: Vec<&ColumnDelta> = (referenced.iter())
+            .map(|name| delta.columns.iter().find(|column| column.name == *name))
             .collect::<Option<_>>()?;
-        let mut values = Vec::with_capacity(delta.rows as usize);
-        eval_run(&self.expr, &sources, delta.rows as usize, &mut values).ok()?;
+        let entries: Vec<Vec<Value>> = (columns.iter())
+            .map(|column| (0..column.dict.len()).map(|id| column.dict.value(id)).collect())
+            .collect();
+        let sources: Vec<SourceRun<'_>> = (referenced.iter().zip(&columns).zip(&entries))
+            .map(|((name, column), values)| SourceRun {
+                name,
+                values,
+                codes: CodesView::U32(&column.codes),
+            })
+            .collect();
+        let (mut values, mut at) = (Vec::new(), Vec::with_capacity(delta.rows as usize));
+        let rows = delta.rows as usize;
+        kernels::eval_rows(&self.expr, &sources, rows, false, &mut values, &mut at).ok()?;
         // Mixed types and nulls are refused by the coding itself.
-        let (dict, codes) = build_dict(&values).ok()?;
+        let (dict, codes) = coded(&values, &at).ok()?;
         (dict.data_type() == self.column.data_type()).then_some((dict, codes))
     }
 }
 
-/// Every value of `dict`, in id order.
-fn entries(dict: &GlobalDict) -> Vec<Value> {
-    (0..dict.len()).map(|id| dict.value(id)).collect()
-}
-
-/// One column an expression reads, over a run of rows: the run's distinct
-/// values and, per row, a code into them. A stored chunk (chunk dictionary
-/// and elements) and a delta column (delta dictionary and codes) both have
-/// this shape, so one evaluator serves a first materialization and an
-/// append.
-struct SourceRun<'a> {
-    name: &'a str,
-    values: Vec<Value>,
-    codes: CodesView<'a>,
-}
-
-/// Evaluate `expr` for each of the `rows` rows of `sources`, in order,
-/// onto `out`: a dense array lookup per referenced column per row.
-fn eval_run(
-    expr: &Expr,
-    sources: &[SourceRun<'_>],
-    rows: usize,
-    out: &mut Vec<Value>,
-) -> Result<()> {
-    for row in 0..rows {
-        out.push(eval_expr(expr, &RunRow { sources, row })?);
-    }
-    Ok(())
-}
-
-struct RunRow<'a> {
-    sources: &'a [SourceRun<'a>],
-    row: usize,
-}
-
-impl RowContext for RunRow<'_> {
-    fn column(&self, name: &str) -> Result<Value> {
-        let source = self
-            .sources
-            .iter()
-            .find(|source| source.name == name)
-            .ok_or_else(|| Error::Schema(format!("unknown column `{name}`")))?;
-        Ok(source.values[source.codes.get(self.row) as usize].clone())
-    }
+/// The sorted dictionary of `values` and, per row, the code of its value,
+/// `values[at[row]]`.
+fn coded(values: &[Value], at: &[u32]) -> Result<(GlobalDict, Vec<u32>)> {
+    let (dict, ids) = build_dict(values)?;
+    Ok((dict, at.iter().map(|&i| ids[i as usize]).collect()))
 }
 
 #[cfg(test)]
@@ -362,7 +331,7 @@ mod tests {
     use crate::options::PartitionSpec;
     use pd_common::DataType;
     use pd_data::{generate_logs, LogsSpec};
-    use pd_sql::parse_query;
+    use pd_sql::{eval_expr, parse_query};
 
     fn small_store(options: &BuildOptions) -> (Table, DataStore) {
         let table = generate_logs(&LogsSpec::scaled(3_000));

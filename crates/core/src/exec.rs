@@ -51,9 +51,11 @@
 //! dictionary and the packed [`pd_common::BitVec`] mask is integer
 //! compares over the row codes, 64 rows per word — no value is
 //! materialized. Only leaves the resolver declines (a float literal no
-//! integer stands for, calls such as `contains(..)`) tabulate over the chunk
-//! dictionary's values (one evaluation per distinct value), and only
-//! genuinely multi-column subtrees evaluate per row. A conjunct that holds
+//! integer stands for, calls such as `contains(..)`, a comparison of two
+//! columns) are evaluated, once per distinct input tuple, through
+//! `group_codes` (one evaluation per chunk-dictionary entry for a leaf of
+//! one column; a leaf of more sees only the rows its cheaper siblings
+//! left). A conjunct that holds
 //! for a whole chunk drops out of that chunk's `AND`; an all-false mask
 //! yields the empty payload without running a kernel; an all-true mask
 //! runs the kernels unmasked.
@@ -67,7 +69,7 @@ use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
 use crate::groups::{Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind};
-use crate::kernels::{self, FilterPlan, Mask, DENSE_GROUP_LIMIT};
+use crate::kernels::{self, FilterPlan, Mask};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
@@ -877,9 +879,9 @@ impl Plan {
     /// skip it by definition).
     fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
         let rows = store.chunk_rows(c);
-        let key_chunks: Vec<_> = self.key_cols.iter().map(|col| &col.chunks[c]).collect();
+        let codes: Vec<_> = self.key_cols.iter().map(|col| col.chunks[c].codes()).collect();
         let sizes: Vec<usize> =
-            key_chunks.iter().map(|ch| (ch.dict.len() as usize).max(1)).collect();
+            self.key_cols.iter().map(|col| (col.chunks[c].dict.len() as usize).max(1)).collect();
 
         // Tabulate the row filter into a packed mask once per chunk; the
         // kernels below consume the mask instead of evaluating per row.
@@ -888,7 +890,7 @@ impl Plan {
                 // No row survives: the chunk contributes no group.
                 Mask::Empty => {
                     let slots = self.slots.iter().map(|slot| Column::new(slot.kind)).collect();
-                    return Ok(GroupTable::new(0, vec![Vec::new(); key_chunks.len()], slots));
+                    return Ok(GroupTable::new(0, vec![Vec::new(); codes.len()], slots));
                 }
                 // Every row survives: scan unmasked.
                 Mask::All => None,
@@ -897,20 +899,16 @@ impl Plan {
             _ => None,
         };
 
-        let dense_capacity: Option<usize> = sizes.iter().try_fold(1usize, |acc, &n| {
-            let prod = acc.checked_mul(n)?;
-            (prod <= DENSE_GROUP_LIMIT).then_some(prod)
-        });
-
         // Pass A: which rows are in which group — for dense keys, their
         // numbers.
-        let index = kernels::group_codes(&key_chunks, &sizes, rows, mask.as_ref(), dense_capacity);
+        let dense = kernels::dense_capacity(&sizes);
+        let index = kernels::group_codes(&codes, &sizes, rows, mask.as_ref(), dense);
 
         // Pass B: per-slot tight loops, then the groups no row is in
         // dropped.
         let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index);
         let slots = self.slots.iter().map(accumulate).collect();
-        Ok(index.table(slots))
+        Ok(index.table(&sizes, slots))
     }
 }
 

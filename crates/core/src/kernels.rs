@@ -9,12 +9,12 @@
 //!   sorted dictionaries, over a column or a virtual field) costs two
 //!   `partition_point`s or a short merge on the chunk dictionary's sorted
 //!   global-ids, then one integer compare per row code, 64 rows per word
-//!   (an `AND` of ranges on one column is one interval, one pass); leaves
-//!   the resolver declines are tabulated once per chunk-dictionary entry
-//!   through `eval_expr` (the only place a filter materializes values);
-//!   `AND` / `OR` / `NOT` combine whole masks word-wise, with subtrees that
-//!   are constant on the chunk folded away; only genuinely multi-column
-//!   subtrees fall back to per-row evaluation.
+//!   (an `AND` of ranges on one column is one interval, one pass); a leaf
+//!   the resolver declines, of any number of columns, is evaluated once per
+//!   distinct input tuple, through [`group_codes`] ([`eval_tuples`], the
+//!   only place a filter materializes values), and its truth table over
+//!   those numbers is the mask; `AND` / `OR` / `NOT` combine whole masks
+//!   word-wise, with subtrees that are constant on the chunk folded away.
 //! - [`group_codes`] computes a chunk's [`GroupIndex`]: which rows are in
 //!   which group, and every group's keys, numbered in ascending key order
 //!   so a chunk table is born ordered. Dense keys' **numbers are their
@@ -74,9 +74,9 @@ use crate::datastore::DataStore;
 use crate::exec::{proportionate, SlotPlan};
 use crate::groups::{Column, FloatColumn, GroupTable, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
-use pd_common::{fsum, sortkey, BitVec, Error, Result, Value};
+use pd_common::{fsum, sortkey, BitVec, Result, Value};
 use pd_encoding::{CodesView, GlobalDict};
-use pd_sql::{eval_expr, truthy, Expr, Restriction, RowContext};
+use pd_sql::{eval_expr, truthy, Expr, Restriction};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,8 +124,8 @@ macro_rules! with_codes {
 pub(crate) struct FilterPlan {
     root: Pred,
     /// Base columns read by the leaves the resolver declined
-    /// ([`Pred::Table`], [`Pred::RowEval`]), by name — the only columns
-    /// whose chunk-dictionary values a mask ever materializes.
+    /// ([`Pred::Table`]), by name — the only columns whose
+    /// chunk-dictionary values a mask ever materializes.
     value_cols: Vec<(String, Arc<StoredColumn>)>,
 }
 
@@ -137,14 +137,14 @@ enum Pred {
     /// A restriction leaf in the id domain: per chunk, integer work on the
     /// chunk dictionary's sorted global-ids and the row codes.
     Ids(ResolvedLeaf),
-    /// A single-column leaf the resolver declined: a truth table over
-    /// `value_cols[col]`'s chunk-dictionary values, one `eval_expr` each.
+    /// A leaf the resolver declined: a truth table over the numbers of the
+    /// tuples of `value_cols[cols]` ([`eval_tuples`]). A leaf of one column
+    /// tabulates its whole chunk dictionary; one of more sees only the
+    /// rows in its scope.
     Table {
-        col: usize,
+        cols: Vec<usize>,
         expr: Expr,
     },
-    /// Multi-column subtree: evaluate per row.
-    RowEval(Expr),
 }
 
 impl FilterPlan {
@@ -179,9 +179,9 @@ fn compile_pred(
             }
             let mut names = Vec::new();
             leaf.referenced_columns(&mut names);
-            let mut slots = Vec::with_capacity(names.len());
+            let mut cols = Vec::with_capacity(names.len());
             for name in &names {
-                slots.push(match value_cols.iter().position(|(n, _)| n == name) {
+                cols.push(match value_cols.iter().position(|(n, _)| n == name) {
                     Some(slot) => slot,
                     None => {
                         value_cols.push((name.clone(), store.column(name)?));
@@ -189,22 +189,21 @@ fn compile_pred(
                     }
                 });
             }
-            match slots[..] {
-                [] => {
-                    let no_columns: &[(&str, Value)] = &[];
-                    Pred::Const(truthy(&eval_expr(leaf, no_columns)?))
-                }
-                [col] => Pred::Table { col, expr: leaf.clone() },
-                _ => Pred::RowEval(leaf.clone()),
+            if cols.is_empty() {
+                let no_columns: &[(&str, Value)] = &[];
+                Pred::Const(truthy(&eval_expr(leaf, no_columns)?))
+            } else {
+                Pred::Table { cols, expr: leaf.clone() }
             }
         }
     })
 }
 
 /// `l AND r` (`and`) or `l OR r` as one flat child list — `a AND b AND c`
-/// parses left-deep — with the per-row children last, so that every other
-/// child narrows the rows they are evaluated on. Under `AND`, id ranges on
-/// one column intersect: a window (`ts >= a AND ts < b`) is one code pass.
+/// parses left-deep — with the [`scoped`] children last, so that every
+/// other child narrows the rows they are evaluated on. Under `AND`, id
+/// ranges on one column intersect: a window (`ts >= a AND ts < b`) is one
+/// code pass.
 fn join(and: bool, sides: [Pred; 2]) -> Pred {
     let mut children: Vec<Pred> = Vec::new();
     let flat = sides.into_iter().flat_map(|side| match (and, side) {
@@ -227,7 +226,7 @@ fn join(and: bool, sides: [Pred; 2]) -> Pred {
             children.push(child);
         }
     }
-    children.sort_by_key(has_row_eval);
+    children.sort_by_key(scoped);
     if and {
         Pred::And(children)
     } else {
@@ -279,19 +278,15 @@ struct ChunkCx<'a> {
 
 impl ChunkCx<'_> {
     fn values(&self, col: usize) -> &[Value] {
-        self.values[col].get_or_init(|| {
-            let column = &self.plan.value_cols[col].1;
-            let ids = column.chunks[self.chunk].dict.values();
-            ids.iter().map(|&gid| column.dict.value(gid)).collect()
-        })
+        self.values[col].get_or_init(|| self.plan.value_cols[col].1.chunk_values(self.chunk))
     }
 
     /// Evaluate `pred` into a mask.
     ///
     /// `scope` is the set of rows whose bits the caller will actually use
     /// (`None`: all of them): an `AND` passes its accumulated mask down so
-    /// expensive `RowEval` subtrees run only on rows that survived the
-    /// cheaper siblings (the per-row short-circuit of a row-at-a-time
+    /// [`scoped`] subtrees evaluate only the tuples of rows that survived
+    /// the cheaper siblings (the per-row short-circuit of a row-at-a-time
     /// evaluator, recovered in mask form). The result describes the rows in
     /// `scope` only — `All` means all of *those*, and other bits of `Rows`
     /// are unspecified; every scope provider intersects the child result
@@ -300,17 +295,33 @@ impl ChunkCx<'_> {
         Ok(match pred {
             Pred::Const(b) => Mask::constant(*b),
             Pred::Ids(leaf) => ids_mask(leaf, self.chunk),
-            Pred::Table { col, expr } => {
-                let (name, column) = &self.plan.value_cols[*col];
-                let table: Vec<bool> = self
-                    .values(*col)
-                    .iter()
-                    .map(|v| {
-                        let ctx: &[(&str, Value)] = &[(name.as_str(), v.clone())];
-                        Ok(truthy(&eval_expr(expr, ctx)?))
+            Pred::Table { cols, expr } => {
+                let sources: Vec<SourceRun<'_>> = (cols.iter())
+                    .map(|&col| {
+                        let (name, column) = &self.plan.value_cols[col];
+                        let codes = column.chunks[self.chunk].codes();
+                        SourceRun { name, values: self.values(col), codes }
                     })
-                    .collect::<Result<_>>()?;
-                table_mask(column.chunks[self.chunk].codes(), &table)
+                    .collect();
+                let scope = scope.filter(|_| cols.len() > 1);
+                let (index, values) = eval_tuples(expr, &sources, self.rows, scope, true)?;
+                // Per number, whether a row in scope holds it and passes.
+                let table: Vec<bool> =
+                    values.iter().map(|v| v.as_ref().is_some_and(truthy)).collect();
+                match (index.numbers(), &index.members) {
+                    _ if !table.contains(&true) => Mask::Empty,
+                    _ if values.iter().flatten().all(truthy) => Mask::All,
+                    (Some(numbers), _) => code_mask(numbers, |g| table[g as usize]),
+                    (None, Members::Each { rows: Some(listed), groups }) => {
+                        let mut bits = BitVec::filled(self.rows, false);
+                        listed
+                            .iter()
+                            .zip(groups)
+                            .for_each(|(&r, &g)| bits.set(r, table[g as usize]));
+                        Mask::Rows(bits)
+                    }
+                    (None, _) => unreachable!("one group under a mask is constant"),
+                }
             }
             Pred::And(children) => {
                 // Rows of the scope that satisfied every child so far
@@ -345,7 +356,7 @@ impl ChunkCx<'_> {
                     None => *acc = Some(rows),
                 };
                 for c in children {
-                    if !has_row_eval(c) {
+                    if !scoped(c) {
                         match self.mask(c, scope)? {
                             Mask::Empty => {}
                             Mask::All => return Ok(Mask::All),
@@ -353,8 +364,8 @@ impl ChunkCx<'_> {
                         }
                         continue;
                     }
-                    // Per-row disjuncts (ordered last) only evaluate rows
-                    // no earlier sibling already satisfied (and that are in
+                    // Scoped disjuncts (ordered last) only evaluate rows no
+                    // earlier sibling already satisfied (and that are in
                     // scope) — the other half of the per-row short-circuit.
                     let mut remaining = match scope {
                         Some(s) => s.clone(),
@@ -387,31 +398,18 @@ impl ChunkCx<'_> {
                     Mask::Rows(bits)
                 }
             },
-            Pred::RowEval(expr) => {
-                let mut bits = BitVec::filled(self.rows, false);
-                let mut test = |row: usize| -> Result<()> {
-                    if truthy(&eval_expr(expr, &FilterRowContext { cx: self, row })?) {
-                        bits.set(row, true);
-                    }
-                    Ok(())
-                };
-                match scope {
-                    None => (0..self.rows).try_for_each(&mut test)?,
-                    Some(s) => s.iter_ones().try_for_each(&mut test)?,
-                }
-                Mask::Rows(bits)
-            }
         })
     }
 }
 
-/// Does this subtree contain a per-row evaluation leaf?
-fn has_row_eval(pred: &Pred) -> bool {
+/// Does this subtree hold a leaf of more than one column, which evaluates
+/// only the tuples of the rows in its scope?
+fn scoped(pred: &Pred) -> bool {
     match pred {
-        Pred::Const(_) | Pred::Ids(_) | Pred::Table { .. } => false,
-        Pred::And(children) | Pred::Or(children) => children.iter().any(has_row_eval),
-        Pred::Not(inner) => has_row_eval(inner),
-        Pred::RowEval(_) => true,
+        Pred::Const(_) | Pred::Ids(_) => false,
+        Pred::Table { cols, .. } => cols.len() > 1,
+        Pred::And(children) | Pred::Or(children) => children.iter().any(scoped),
+        Pred::Not(inner) => scoped(inner),
     }
 }
 
@@ -455,7 +453,8 @@ fn ids_mask(leaf: &ResolvedLeaf, chunk: usize) -> Mask {
                 for cid in hits {
                     table[cid] = !*negated;
                 }
-                table_mask(ch.codes(), &table)
+                // Not constant: the held ids are not all the entries.
+                code_mask(ch.codes(), |code| table[code as usize])
             }
         }
     }
@@ -474,17 +473,6 @@ fn interval_mask(codes: CodesView<'_>, n: usize, a: usize, b: usize, negated: bo
     }
     let (a, width) = (a as u32, (b - a) as u32);
     code_mask(codes, |code| (code.wrapping_sub(a) < width) != negated)
-}
-
-/// Rows whose code's `table` entry is set.
-fn table_mask(codes: CodesView<'_>, table: &[bool]) -> Mask {
-    if !table.contains(&true) {
-        return Mask::Empty;
-    }
-    if !table.contains(&false) {
-        return Mask::All;
-    }
-    code_mask(codes, |code| table[code as usize])
 }
 
 /// Tabulate `keep(code)` over a chunk's codes, one 64-row word at a time.
@@ -517,24 +505,6 @@ fn code_mask(codes: CodesView<'_>, keep: impl Fn(u32) -> bool) -> Mask {
         CodesView::U8(v) => pack(v, keep),
         CodesView::U16(v) => pack(v, keep),
         CodesView::U32(v) => pack(v, keep),
-    }
-}
-
-/// Row context for multi-column filter subtrees.
-struct FilterRowContext<'a> {
-    cx: &'a ChunkCx<'a>,
-    row: usize,
-}
-
-impl RowContext for FilterRowContext<'_> {
-    fn column(&self, name: &str) -> Result<Value> {
-        let cols = &self.cx.plan.value_cols;
-        let idx = cols
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| Error::Schema(format!("unknown column `{name}`")))?;
-        let code = cols[idx].1.chunks[self.cx.chunk].elements.get(self.row);
-        Ok(self.cx.values(idx)[code as usize].clone())
     }
 }
 
@@ -701,10 +671,10 @@ pub(crate) enum Members<'a> {
     /// dictionary has one entry. No group is listed per row.
     One(Rows<'a>),
     /// The keys' numbers are the groups: a row's group is its mixed-radix
-    /// number over the chunk-dictionary `sizes` (most significant key
+    /// number over the chunk-dictionary sizes (most significant key
     /// first), read off `key` as a loop walks `rows`. No group is listed
     /// per row.
-    Codes { rows: Rows<'a>, key: Numbers<'a>, sizes: &'a [usize] },
+    Codes { rows: Rows<'a>, key: Numbers<'a> },
     /// A group per row.
     Each {
         /// A masked chunk's passing rows, ascending; `None`: every row, in
@@ -733,44 +703,45 @@ impl Numbers<'_> {
     }
 }
 
-/// Compute the group index of `key_chunks` over `rows` rows, of which
+/// Compute the group index of the keys' codes over `rows` rows, of which
 /// `mask` (if any) passes some, numbering the groups in ascending key-tuple
 /// order. Chunk-ids order like global ids, so this is ascending
 /// global-id-tuple order.
 ///
 /// Keys whose chunk dictionaries all have one entry (`sizes` all 1), and no
 /// key, make [`Members::One`]. Else `dense_capacity` is the checked product
-/// of the key-dictionary sizes if it fits [`DENSE_GROUP_LIMIT`] (the caller
-/// computes it once per chunk). Then the keys' mixed-radix numbers are the
-/// groups ([`Members::Codes`]) if no fewer rows pass than that product,
-/// which every unmasked chunk's do for one key. Otherwise the rows are
+/// of the key-dictionary sizes if it fits [`DENSE_GROUP_LIMIT`] (the
+/// caller's [`dense_capacity`], once per chunk). Then the keys' mixed-radix
+/// numbers are the groups ([`Members::Codes`]) if no fewer rows pass than
+/// that product, which every unmasked chunk's do for one key (a chunk
+/// dictionary holds no more entries than its rows). Otherwise the rows are
 /// listed, and a row's key codes are packed into a `u64`, its mixed-radix
 /// number, which orders like its key tuple; the groups are the numbers'
 /// ranks: counted off a flat array if dense, else found by a sort, where a
 /// prefix that would overflow a `u64` is replaced by its rank (below 2³²)
 /// before the next key is packed.
 pub(crate) fn group_codes<'a>(
-    key_chunks: &[&'a ColumnChunk],
-    sizes: &'a [usize],
+    codes: &[CodesView<'a>],
+    sizes: &[usize],
     rows: usize,
     mask: Option<&'a BitVec>,
     dense_capacity: Option<usize>,
 ) -> GroupIndex<'a> {
     if sizes.iter().all(|&n| n == 1) {
-        let keys = vec![vec![0]; key_chunks.len()];
+        let keys = vec![vec![0]; codes.len()];
         return GroupIndex { members: Members::One(Rows::of(rows, mask)), group_count: 1, keys };
     }
     let visited = Rows::of(rows, mask);
     if let Some(product) = dense_capacity.filter(|&product| product <= visited.count()) {
-        let key = match key_chunks {
-            [key] => Numbers::Key(key.codes()),
+        let key = match codes {
+            [key] => Numbers::Key(*key),
             _ => {
                 // A masked chunk's passing rows only, walked by the mask's
                 // set bits; the numbers of the rows it drops are never read.
                 let mut numbers = vec![0u32; rows];
-                for (ch, &n) in key_chunks.iter().zip(sizes) {
+                for (&key, &n) in codes.iter().zip(sizes) {
                     let n = n as u32;
-                    with_codes!(ch.codes(), |get| match visited {
+                    with_codes!(key, |get| match visited {
                         Rows::All(_) => numbers
                             .iter_mut()
                             .enumerate()
@@ -783,7 +754,7 @@ pub(crate) fn group_codes<'a>(
                 Numbers::Mixed(numbers)
             }
         };
-        let members = Members::Codes { rows: visited, key, sizes };
+        let members = Members::Codes { rows: visited, key };
         return GroupIndex { members, group_count: product, keys: Vec::new() };
     }
     let passing: Vec<usize> = match mask {
@@ -793,13 +764,13 @@ pub(crate) fn group_codes<'a>(
     let mut packed = vec![0u64; passing.len()];
     // Every packed value is below `radix`.
     let mut radix = 1u64;
-    for (ch, &n) in key_chunks.iter().zip(sizes) {
+    for (&key, &n) in codes.iter().zip(sizes) {
         let n = n as u64;
         if radix.checked_mul(n).is_none() {
             radix = rank(&mut packed, None);
         }
         radix *= n;
-        with_codes!(ch.codes(), |get| {
+        with_codes!(key, |get| {
             for (p, &row) in packed.iter_mut().zip(&passing) {
                 *p = *p * n + u64::from(get(row));
             }
@@ -813,21 +784,33 @@ pub(crate) fn group_codes<'a>(
         groups.push(g as u32);
         member[g as usize] = row;
     }
-    let keys = key_chunks.iter().map(|ch| member.iter().map(|&r| ch.elements.get(r)).collect());
+    let keys = codes.iter().map(|key| member.iter().map(|&r| key.get(r)).collect());
     let members = Members::Each { rows: mask.is_some().then_some(passing), groups };
     GroupIndex { members, group_count, keys: keys.collect() }
 }
 
 impl GroupIndex<'_> {
-    /// The chunk table of these groups, given the columns pass B filled
-    /// over them: every group holds some row, in ascending key order.
-    /// [`Members::Codes`] fills a group for every number, so the numbers no
-    /// passing row holds are dropped here — read off a `COUNT` column's
-    /// zeros if the slots have one, else found by one presence pass over
-    /// the passing rows; an unmasked chunk's codes of one key are all held —
-    /// and the keys are the digits of those held.
-    pub(crate) fn table(self, slots: Vec<Column<u32>>) -> GroupTable<u32> {
-        let Members::Codes { rows, key, sizes } = self.members else {
+    /// Every row's group, where the index reads one off each row of the
+    /// chunk (a row a mask drops reads any); `None` where it lists rows.
+    fn numbers(&self) -> Option<CodesView<'_>> {
+        match &self.members {
+            Members::One(Rows::All(len)) => Some(CodesView::Const { len: *len }),
+            Members::Codes { key, .. } => Some(key.view()),
+            Members::Each { rows: None, groups } => Some(CodesView::U32(groups)),
+            Members::One(Rows::Passing(_)) | Members::Each { rows: Some(_), .. } => None,
+        }
+    }
+
+    /// The chunk table of these groups, given the keys' chunk-dictionary
+    /// `sizes` and the columns pass B filled over them: every group holds
+    /// some row, in ascending key order. [`Members::Codes`] fills a group
+    /// for every number, so the numbers no passing row holds are dropped
+    /// here — read off a `COUNT` column's zeros if the slots have one, else
+    /// found by one presence pass over the passing rows; an unmasked
+    /// chunk's codes of one key are all held — and the keys are the digits
+    /// of those held.
+    pub(crate) fn table(self, sizes: &[usize], slots: Vec<Column<u32>>) -> GroupTable<u32> {
+        let Members::Codes { rows, key } = self.members else {
             return GroupTable::new(self.group_count, self.keys, slots);
         };
         let counts = slots.iter().find_map(|slot| match slot {
@@ -841,13 +824,7 @@ impl GroupIndex<'_> {
                 return GroupTable::new(n, dense_keys((0..n as u32).collect(), sizes), slots);
             }
             (_, _, Some(counts)) => counts.iter().map(|&n| u32::from(n > 0)).collect(),
-            _ => {
-                let mut held = vec![0; n];
-                with_codes!(key.view(), |get| {
-                    rows.in_lanes(|_, row| held[get(row) as usize] = 1)
-                });
-                held
-            }
+            _ => presence(rows, &key, n),
         };
         let mut held: Vec<u32> = (0..n as u32).collect();
         held.retain(|&g| to[g as usize] == 1);
@@ -864,6 +841,22 @@ impl GroupIndex<'_> {
         let slots = slots.into_iter().map(|column| column.spread(&to, len)).collect();
         GroupTable::new(len, dense_keys(held, sizes), slots)
     }
+}
+
+/// Per number below `n`, 1 if one of `rows` holds it under `key`.
+fn presence(rows: Rows<'_>, key: &Numbers<'_>, n: usize) -> Vec<u32> {
+    let mut held = vec![0; n];
+    with_codes!(key.view(), |get| rows.in_lanes(|_, row| held[get(row) as usize] = 1));
+    held
+}
+
+/// The product of the keys' chunk-dictionary `sizes` if it fits
+/// [`DENSE_GROUP_LIMIT`]: how many numbers [`group_codes`] may give dense
+/// keys.
+pub(crate) fn dense_capacity(sizes: &[usize]) -> Option<usize> {
+    sizes.iter().try_fold(1usize, |product, &n| {
+        product.checked_mul(n).filter(|&product| product <= DENSE_GROUP_LIMIT)
+    })
 }
 
 /// Replace each value by its rank among the distinct values, which are
@@ -902,6 +895,96 @@ fn dense_keys(mut numbers: Vec<u32>, sizes: &[usize]) -> Vec<Vec<u32>> {
     }
     keys[0] = numbers;
     keys
+}
+
+// ---------------------------------------------------------------------------
+// Expressions over rows: once per distinct input tuple
+// ---------------------------------------------------------------------------
+
+/// One column an expression reads over a run of rows (a chunk, or an
+/// append's delta): the run's distinct values, and per row a code into them.
+pub(crate) struct SourceRun<'a> {
+    pub name: &'a str,
+    pub values: &'a [Value],
+    pub codes: CodesView<'a>,
+}
+
+/// Evaluate `expr` over the `rows` rows of `sources` that `scope` passes
+/// (`None`: all; a scope passes some row): the rows are numbered by their
+/// tuple of codes ([`group_codes`], the sources being its keys), and
+/// `eval_expr` runs once per tuple some row in scope holds, in ascending
+/// order — a function of a run's columns is a function of their codes
+/// (§2's double dictionary). Returns the numbering and, per number, the
+/// value on its tuple (`None` where no row in scope holds it).
+/// `every_code_held`: every code below a source's value count occurs in
+/// some row (a chunk's do; a delta's need not), so one source's codes,
+/// unscoped, are evaluated without a pass over the rows.
+pub(crate) fn eval_tuples<'a>(
+    expr: &Expr,
+    sources: &[SourceRun<'a>],
+    rows: usize,
+    scope: Option<&'a BitVec>,
+    every_code_held: bool,
+) -> Result<(GroupIndex<'a>, Vec<Option<Value>>)> {
+    let sizes: Vec<usize> = sources.iter().map(|source| source.values.len().max(1)).collect();
+    let codes: Vec<CodesView<'a>> = sources.iter().map(|source| source.codes).collect();
+    // One source's codes are dense numbers, however many: its values are
+    // as many.
+    let dense = if let [size] = sizes[..] { Some(size) } else { dense_capacity(&sizes) };
+    let index = group_codes(&codes, &sizes, rows, scope, dense);
+    let n = index.group_count;
+    let held: Vec<u32> = match &index.members {
+        Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } if every_code_held => {
+            (0..n as u32).collect()
+        }
+        Members::Codes { rows, key } => {
+            let marks = presence(*rows, key, n);
+            (0..n as u32).filter(|&g| marks[g as usize] == 1).collect()
+        }
+        Members::One(_) | Members::Each { .. } => (0..n as u32).collect(),
+    };
+    // Per source, the code of each held number's tuple there.
+    let digits;
+    let keys = match &index.members {
+        Members::Codes { .. } => {
+            digits = dense_keys(held.clone(), &sizes);
+            &digits
+        }
+        _ => &index.keys,
+    };
+    let mut values = vec![None; n];
+    let mut tuple: Vec<(&str, Value)> = sources.iter().map(|s| (s.name, Value::Null)).collect();
+    for (at, &number) in held.iter().enumerate() {
+        for ((cell, source), codes) in tuple.iter_mut().zip(sources).zip(keys) {
+            cell.1 = source.values[codes[at] as usize].clone();
+        }
+        values[number as usize] = Some(eval_expr(expr, &tuple[..])?);
+    }
+    Ok((index, values))
+}
+
+/// [`eval_tuples`] over every row of a run: its values go onto `values`,
+/// and per row, in order, the position of the row's value there onto `at`.
+pub(crate) fn eval_rows(
+    expr: &Expr,
+    sources: &[SourceRun<'_>],
+    rows: usize,
+    every_code_held: bool,
+    values: &mut Vec<Value>,
+    at: &mut Vec<u32>,
+) -> Result<()> {
+    let (index, tuples) = eval_tuples(expr, sources, rows, None, every_code_held)?;
+    let position: Vec<u32> = (tuples.into_iter())
+        .map(|value| {
+            value.map_or(u32::MAX, |value| {
+                values.push(value);
+                values.len() as u32 - 1
+            })
+        })
+        .collect();
+    let numbers = index.numbers().expect("an unmasked index numbers every row");
+    with_codes!(numbers, |get| at.extend((0..rows).map(|row| position[get(row) as usize])));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1196,7 +1279,7 @@ mod tests {
     use pd_common::rng::Rng;
     use pd_common::{DataType, Row, Schema};
     use pd_data::Table;
-    use pd_sql::{parse_query, BinaryOp};
+    use pd_sql::{parse_query, BinaryOp, RowContext};
     use std::collections::BTreeSet;
 
     const MASK_ROWS: usize = 900;
@@ -1357,6 +1440,23 @@ mod tests {
             ["bitset", "const", "u16", "u32", "u8"],
             "the table must exercise every representation"
         );
+        // Per chunk, the two-column leaves land on every side of
+        // `group_codes`' rule: `contains(s, two)`'s numbers are no more
+        // than the rows (the numbers are the groups), `n > x`'s are more
+        // (listed, ranked off a flat array), and the field `n + ts`'s pass
+        // `DENSE_GROUP_LIMIT` (listed, sorted).
+        for (name, store) in &stores {
+            for c in 0..store.chunk_count() {
+                let rows = store.chunk_rows(c);
+                let numbers = |cols: [&str; 2]| -> usize {
+                    let size = |col: &str| store.column(col).unwrap().chunks[c].dict.len();
+                    cols.map(size).iter().product::<u32>() as usize
+                };
+                assert!(numbers(["s", "two"]) <= rows, "{name} chunk {c}: numbered");
+                assert!((rows + 1..=DENSE_GROUP_LIMIT).contains(&numbers(["n", "x"])), "{name}");
+                assert!(numbers(["n", "ts"]) > DENSE_GROUP_LIMIT, "{name} chunk {c}: sorted");
+            }
+        }
 
         let mut rng = Rng::seed_from_u64(0x5eed_0016);
         for case in 0..400 {
@@ -1416,6 +1516,27 @@ mod tests {
         assert_eq!(cols("n > 3 AND (contains(s, '1') OR n > x)"), ["s", "n", "x"]);
     }
 
+    /// A declined leaf of two columns under `AND` is evaluated on the
+    /// tuples of the rows its siblings leave, and on no other: here those
+    /// of `n <= 0`, whose `if` yields `n`. A tuple of a row with `n > 0`
+    /// would add `'a'` to a float and fail. (Both sides of its `>` read a
+    /// column, so no resolver takes it, and no virtual field is made.)
+    #[test]
+    fn a_scoped_leaf_evaluates_only_the_tuples_its_scope_holds() {
+        let store = DataStore::build(&mask_table(), &BuildOptions::basic()).unwrap();
+        let leaf = "if(n > 0, 'a', n) + x > n";
+        let row: &[(&str, Value)] = &[("n", Value::Int(1)), ("x", Value::Float(0.5))];
+        assert!(eval_expr(&parse_filter(leaf), row).is_err(), "{leaf} fails where n > 0");
+        let filter = parse_filter(&format!("n <= 0 AND {leaf}"));
+        let plan = FilterPlan::compile(&store, &filter).unwrap();
+        let Pred::And(children) = &plan.root else { panic!("an AND") };
+        assert!(
+            matches!(&children[..], [Pred::Ids(_), Pred::Table { cols, .. }] if cols.len() == 2)
+        );
+        assert_masks_match_reference(&store, &filter, &filter.to_string());
+        assert!(store.virtual_names().is_empty());
+    }
+
     /// A key's chunk as a store builds it from its rows' global-ids: the
     /// sorted distinct ids, and per row its chunk-id.
     fn key_chunk(gids: &[u32], mode: ElementsMode) -> ColumnChunk {
@@ -1459,8 +1580,8 @@ mod tests {
         let overflows =
             sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
 
-        let key_chunks: Vec<&ColumnChunk> = chunks.iter().collect();
-        let index = group_codes(&key_chunks, sizes, rows, mask, dense);
+        let codes: Vec<CodesView<'_>> = chunks.iter().map(ColumnChunk::codes).collect();
+        let index = group_codes(&codes, sizes, rows, mask, dense);
         // Per group, its key tuple: a number's digits, most significant
         // key first, where the numbers are the groups.
         let groups: Vec<Vec<u32>> = (0..index.group_count)
@@ -1494,8 +1615,7 @@ mod tests {
                 let groups = vec![0; listed.len()];
                 (8, listed, groups)
             }
-            Members::Codes { rows: visited, key, sizes: numbered } => {
-                assert_eq!(*numbered, sizes, "{label}");
+            Members::Codes { rows: visited, key } => {
                 assert_eq!(Some(index.group_count), dense, "{label}: every number of the product");
                 assert!(index.group_count <= passing.len(), "{label}: rows enough");
                 assert!(index.keys.is_empty(), "{label}: keys are the numbers' digits");
@@ -1551,7 +1671,7 @@ mod tests {
             }
             false => Vec::new(),
         };
-        let table = index.table(slots);
+        let table = index.table(sizes, slots);
         let keys = (0..chunks.len()).map(|i| want.keys().map(|t| t[i]).collect()).collect();
         let slots = match counted {
             true => vec![Column::Count(want.values().copied().collect())],

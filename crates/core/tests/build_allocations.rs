@@ -9,6 +9,7 @@ use pd_common::Value;
 use pd_core::{BuildOptions, DataStore, PartitionSpec};
 use pd_data::{generate_logs, LogsSpec};
 use pd_encoding::TableDelta;
+use pd_sql::parse_query;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,6 +85,37 @@ fn an_import_allocates_per_chunk_not_per_row() {
     assert!(
         allocations < rows as u64 / 5,
         "{allocations} allocations to import {rows} rows in {} chunks",
+        store.chunk_count()
+    );
+}
+
+#[test]
+fn a_virtual_field_allocates_per_distinct_input_not_per_row() {
+    let rows = 40_000;
+    let table = generate_logs(&LogsSpec::scaled(rows));
+    let columns: Vec<&[Value]> = (0..table.schema().len()).map(|i| table.column(i)).collect();
+    let coded = TableDelta::from_columns(table.schema().clone(), &columns).unwrap();
+    let mut options = BuildOptions::production(&["country", "table_name"]);
+    options.partition = Some(PartitionSpec::new(&["country", "table_name"], 400));
+    let store = DataStore::from_coded(coded, &options).unwrap();
+    assert_eq!(store.chunk_count(), 107);
+
+    let field = |expr: &str| {
+        parse_query(&format!("SELECT COUNT(*) FROM t GROUP BY {expr}")).unwrap().group_by.remove(0)
+    };
+    let (lower, date) = (field("lower(country)"), field("date(timestamp)"));
+    let (column, allocations) = counted(|| store.column_for_expr(&lower).unwrap());
+    // Every timestamp is distinct, so a day costs about what its rows do:
+    // reported, not bounded.
+    let (_, per_timestamp) = counted(|| store.column_for_expr(&date).unwrap());
+    println!("lower(country): {allocations} allocations, date(timestamp): {per_timestamp}");
+    assert_eq!(column.len(), rows);
+    // Per chunk, an evaluation per country its rows hold and a handful of
+    // arrays; one allocation per row anywhere would pass the bound by
+    // itself.
+    assert!(
+        allocations < rows as u64 / 5,
+        "{allocations} allocations to materialize lower(country) over {rows} rows in {} chunks",
         store.chunk_count()
     );
 }

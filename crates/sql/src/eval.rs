@@ -1,9 +1,11 @@
 //! Scalar expression evaluation.
 //!
-//! Used in three places: materializing virtual fields at import time (§5),
-//! row-level filtering of `WHERE` clauses that survive chunk skipping
-//! (§2.4), and the row-wise baseline backends that the paper's Table 1
-//! compares against.
+//! The engine calls it once per distinct input tuple of a run of rows (a
+//! chunk, or an append's delta), numbered by their codes: to materialize
+//! and extend virtual fields (§5) and to filter by the `WHERE` leaves that
+//! chunk-ids cannot answer (§2.4). It also evaluates `HAVING` over result
+//! rows, and every row of the row-wise baseline backends that the paper's
+//! Table 1 compares against.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use pd_common::{Error, Result, Value};

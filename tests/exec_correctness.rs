@@ -99,9 +99,9 @@ fn filters_match_oracle() {
         "SELECT country, COUNT(*) c FROM data WHERE date(timestamp) IN ('2011-10-01','2011-10-02') GROUP BY country",
         "SELECT country, SUM(latency) s FROM data WHERE user != 'user_00003' GROUP BY country ORDER BY s DESC LIMIT 4",
         "SELECT country, COUNT(*) c FROM data WHERE latency BETWEEN 100.0 AND 400.0 GROUP BY country ORDER BY c DESC",
-        // Multi-column subtrees hit the per-row RowEval path of the mask
-        // compiler — alone (full-chunk evaluation) and under an AND whose
-        // cheap sibling narrows the evaluation scope.
+        // Two-column leaves are evaluated once per tuple of codes — alone
+        // (the whole chunk's tuples) and under an AND whose cheap sibling
+        // narrows the evaluation scope.
         "SELECT country, COUNT(*) c FROM data WHERE latency > timestamp - 1317427000 GROUP BY country ORDER BY c DESC",
         "SELECT country, COUNT(*) c FROM data WHERE country = 'US' AND latency > timestamp - 1317427000 GROUP BY country",
         "SELECT country, COUNT(*) c FROM data WHERE NOT (latency > timestamp - 1317427000) AND country != 'DE' GROUP BY country ORDER BY c DESC LIMIT 5",
@@ -1391,4 +1391,130 @@ fn more_keys_numbers_match_the_row_oracle() {
     }
     let sides = [(2, false), (2, true), (3, false), (3, true)];
     assert_eq!(reached, BTreeSet::from(sides), "both sides of the rule for two and three keys");
+}
+
+// ---------------------------------------------------------------------------
+// Virtual fields of two columns
+// ---------------------------------------------------------------------------
+
+/// An expression of two columns is evaluated once per distinct pair of
+/// codes a run's rows hold, wherever it is used: as a GROUP BY key
+/// (`j + t`, alone and beside a base key), a SUM argument (`t * j`,
+/// `i - t`), a field a range resolves on (`t + j > 60`) and a declined
+/// filter leaf (`t > j * 9`, alone, under `AND` and under `OR`). The
+/// one-chunk build numbers `j + t`'s 7 × 100 pairs (fewer than its rows)
+/// and sorts `i - t`'s (past the dense limit); the one cut by `k, i` into
+/// chunks of at most 100 rows ranks both (more pairs than a chunk's
+/// rows). On both builds as built, and as an append that brings new `t`
+/// values below and above every old one extended their fields, at 1 and
+/// 2 threads, every answer is the row oracle's; the extended fields are a
+/// rebuild's, bit for bit.
+#[test]
+fn two_column_virtual_fields_match_the_row_oracle() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("j", DataType::Int),
+        ("t", DataType::Int),
+        ("i", DataType::Int),
+    ]);
+    const ROWS: usize = 36_000;
+    let row = |r: usize| {
+        let t = match (r >= ROWS, r % 2) {
+            (false, _) => (r * 37 % 100) as i64,
+            (true, 0) => -((r % 9) as i64) - 1,
+            (true, _) => 100 + (r % 9) as i64,
+        };
+        vec![
+            Value::from(["red", "green", "blue", "grey"][r % 4]),
+            Value::Int((r * 5 % 7) as i64),
+            Value::Int(t),
+            Value::Int((r * 4_099 % 5_003) as i64),
+        ]
+    };
+    let table_of = |rows: std::ops::Range<usize>| {
+        let columns = (0..4).map(|c| rows.clone().map(|r| row(r).swap_remove(c)).collect());
+        Table::from_columns(schema.clone(), columns.collect()).unwrap()
+    };
+    let (base, all, tail) =
+        (table_of(0..ROWS), table_of(0..ROWS + 400), table_of(ROWS..ROWS + 400));
+    let columns: Vec<&[Value]> = (0..4).map(|i| tail.column(i)).collect();
+    let delta = TableDelta::from_columns(schema.clone(), &columns).unwrap();
+
+    let mut sqls = Vec::new();
+    for keys in ["", "j + t", "k, j + t"] {
+        for filter in
+            ["", "t + j > 60", "t > j * 9", "k = 'red' AND t > j * 9", "t < 20 OR t > j * 9"]
+        {
+            let select = if keys.is_empty() { String::new() } else { format!("{keys}, ") };
+            let where_sql =
+                if filter.is_empty() { String::new() } else { format!(" WHERE {filter}") };
+            let group_by =
+                if keys.is_empty() { String::new() } else { format!(" GROUP BY {keys}") };
+            sqls.push(format!(
+                "SELECT {select}COUNT(*), SUM(t * j), SUM(i - t), MAX(j + t) FROM t{where_sql}{group_by}"
+            ));
+        }
+    }
+    let answer = |store: &DataStore, sql: &str, threads: usize| {
+        let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+        execute(store, &analyzed, &ExecContext { threads, ..Default::default() }).unwrap().0
+    };
+    let fields = ["j + t", "t * j", "i - t", "t + j"];
+    // The oracle's answers, on the rows as built and with the append's.
+    let wants: Vec<[QueryResult; 2]> =
+        sqls.iter().map(|sql| [oracle(&base, sql), oracle(&all, sql)]).collect();
+    for options in
+        [BuildOptions::basic(), BuildOptions::optdicts(PartitionSpec::new(&["k", "i"], 100))]
+    {
+        let chunked = options.partition.is_some();
+        let label = if chunked { "chunked" } else { "one chunk" };
+        let mut store = DataStore::build(&base, &options).unwrap();
+        // Per chunk, how many pairs of codes of `a` and `b` there may be,
+        // beside its rows.
+        let pairs = |a: &str, b: &str| -> Vec<(usize, usize)> {
+            let chunks = 0..store.chunk_count();
+            let size = |col: &str, c: usize| store.column(col).unwrap().chunks[c].dict.len();
+            chunks.map(|c| ((size(a, c) * size(b, c)) as usize, store.chunk_rows(c))).collect()
+        };
+        const DENSE: usize = 1 << 16;
+        let ranked = |(pairs, rows): (usize, usize)| rows < pairs && pairs <= DENSE;
+        if chunked {
+            assert!(pairs("j", "t").into_iter().all(ranked), "{label}: j + t is ranked");
+            assert!(pairs("i", "t").into_iter().all(ranked), "{label}: i - t is ranked");
+        } else {
+            assert!(pairs("j", "t").into_iter().all(|(n, rows)| n <= rows), "{label}: numbered");
+            assert!(pairs("i", "t").into_iter().all(|(n, _)| n > DENSE), "{label}: sorted");
+        }
+        for (at, served) in ["built", "tailed"].into_iter().enumerate() {
+            if served == "tailed" {
+                store.append_delta(&delta).unwrap();
+                let names = ["(i - t)", "(j + t)", "(t * j)", "(t + j)"];
+                assert_eq!(store.virtual_names(), names, "{label}: every field extended");
+            }
+            for (sql, want) in sqls.iter().zip(&wants) {
+                for threads in [1, 2] {
+                    assert_eq!(
+                        answer(&store, sql, threads),
+                        want[at],
+                        "{label}, {served}, {threads}: {sql}"
+                    );
+                }
+            }
+        }
+        let rebuilt = DataStore::build(&all, &options).unwrap();
+        for sql in &sqls {
+            assert_eq!(answer(&store, sql, 1), answer(&rebuilt, sql, 1), "{label}: {sql}");
+        }
+        for field in fields {
+            let expr = &parse_query(&format!("SELECT COUNT(*) FROM t GROUP BY {field}"))
+                .unwrap()
+                .group_by[0];
+            let (extended, fresh) =
+                (store.column_for_expr(expr).unwrap(), rebuilt.column_for_expr(expr).unwrap());
+            let values = |col: &StoredColumn| {
+                (0..col.dict.len()).map(|id| col.dict.value(id)).collect::<Vec<_>>()
+            };
+            assert_eq!(values(&extended), values(&fresh), "{label}: {field}'s dictionary");
+        }
+    }
 }
