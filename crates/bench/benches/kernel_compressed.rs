@@ -53,8 +53,8 @@
 //! `masked_count_two_keys` (`COUNT(*)` by `country, user` under the same
 //! restriction: two keys' numbers, written for the passing rows only),
 //! `masked_groupby_5pct_table_name` (the same chart by `table_name`, whose
-//! chunk dictionaries have more entries than that: the passing rows are
-//! listed),
+//! chunk dictionaries have more entries than that: the passing rows' codes
+//! are ranked, and a row's rank is its group),
 //! `window_two_bounds` (the same chart under both bounds of a `timestamp`
 //! window, one id interval), `minmax_global` (an unrestricted `MIN` and
 //! `MAX`, each chunk's first and last dictionary entry) and
@@ -283,9 +283,9 @@ fn main() {
         "SELECT table_name, COUNT(*) c, SUM(latency) s FROM data WHERE {window} \
          GROUP BY table_name"
     );
-    let listed = analyze(&parse_query(&sql).unwrap()).unwrap();
+    let ranked = analyze(&parse_query(&sql).unwrap()).unwrap();
     timed("masked_groupby_5pct_table_name", || {
-        black_box(execute(&store, &listed, &serial).unwrap());
+        black_box(execute(&store, &ranked, &serial).unwrap());
     });
     let sql =
         format!("SELECT country, user, COUNT(*) c FROM data WHERE {window} GROUP BY country, user");

@@ -17,20 +17,20 @@
 //!   word-wise, with subtrees that are constant on the chunk folded away.
 //! - [`group_codes`] computes a chunk's [`GroupIndex`]: which rows are in
 //!   which group, and every group's keys, numbered in ascending key order
-//!   so a chunk table is born ordered. Dense keys' **numbers are their
-//!   groups** ([`Members::Codes`]) — the paper's `counts[elements[row]]++`:
-//!   one key's codes as they are, more keys' mixed-radix numbers written
-//!   one key at a time into one array. Pass B walks the chunk's rows, or
-//!   its mask's set bits word by word, and reads a row's group off its
-//!   number — no row list, no renumbering — and [`GroupIndex::table`]
-//!   drops the numbers no passing row holds. That path is taken when the
-//!   product of the keys' chunk-dictionary sizes is dense and no larger
-//!   than the rows that pass (always, for one key unmasked); otherwise the
-//!   passing rows are listed with a group each: their packed mixed-radix
-//!   numbers ranked off a flat array when the product is small, sorted as
-//!   `u64`s otherwise. A chunk of **one group** — no key, or one entry in
-//!   every key's chunk dictionary — lists no group per row
-//!   ([`Members::One`]): its rows are the chunk's, or its mask's.
+//!   so a chunk table is born ordered. **A row's group is a number**
+//!   ([`Members::Codes`]) — the paper's `counts[elements[row]]++`. Dense
+//!   keys' numbers are their digits: one key's codes as they are, more
+//!   keys' mixed-radix numbers written one key at a time into one array;
+//!   that path is taken when the product of the keys' chunk-dictionary
+//!   sizes is dense and no larger than the rows that pass (always, for one
+//!   key unmasked), and [`GroupIndex::table`] drops the numbers no passing
+//!   row holds. Otherwise each passing row's packed mixed-radix number is
+//!   ranked — off a flat array when the product is small, by a sort
+//!   otherwise — and the rank is written at the row, the ranks' keys kept
+//!   beside them. Pass B walks the chunk's rows, or its mask's set bits
+//!   word by word, and reads a row's group off its number. A chunk of
+//!   **one group** — no key, or one entry in every key's chunk dictionary
+//!   — reads no number per row ([`Members::One`]).
 //! - [`accumulate`] fills one aggregate slot's column
 //!   ([`crate::groups::Column`]) over the index's (row, group) pairs with a
 //!   per-slot tight loop: a `COUNT` is a histogram of the groups, a `SUM`
@@ -308,19 +308,12 @@ impl ChunkCx<'_> {
                 // Per number, whether a row in scope holds it and passes.
                 let table: Vec<bool> =
                     values.iter().map(|v| v.as_ref().is_some_and(truthy)).collect();
-                match (index.numbers(), &index.members) {
-                    _ if !table.contains(&true) => Mask::Empty,
-                    _ if values.iter().flatten().all(truthy) => Mask::All,
-                    (Some(numbers), _) => code_mask(numbers, |g| table[g as usize]),
-                    (None, Members::Each { rows: Some(listed), groups }) => {
-                        let mut bits = BitVec::filled(self.rows, false);
-                        listed
-                            .iter()
-                            .zip(groups)
-                            .for_each(|(&r, &g)| bits.set(r, table[g as usize]));
-                        Mask::Rows(bits)
-                    }
-                    (None, _) => unreachable!("one group under a mask is constant"),
+                if !table.contains(&true) {
+                    Mask::Empty
+                } else if values.iter().flatten().all(truthy) {
+                    Mask::All
+                } else {
+                    code_mask(index.numbers(), |g| table[g as usize])
                 }
             }
             Pred::And(children) => {
@@ -656,11 +649,11 @@ pub(crate) struct GroupIndex<'a> {
     /// Which rows are in which group.
     pub members: Members<'a>,
     /// How many groups pass B fills. Some row is in each, but for the
-    /// numbers no passing row holds under [`Members::Codes`], which
-    /// [`GroupIndex::table`] drops.
+    /// digit numbers no passing row holds ([`Numbers::Key`],
+    /// [`Numbers::Mixed`]), which [`GroupIndex::table`] drops.
     pub group_count: usize,
     /// Per key column, the chunk-id each group has there, the groups in
-    /// strictly ascending key order; none under [`Members::Codes`], whose
+    /// strictly ascending key order; none under digit numbers, whose
     /// table reads them off the numbers held.
     pub keys: Vec<Vec<u32>>,
 }
@@ -668,37 +661,31 @@ pub(crate) struct GroupIndex<'a> {
 /// Which rows of a chunk are in which group.
 pub(crate) enum Members<'a> {
     /// One group holds the rows: there is no key, or every key's chunk
-    /// dictionary has one entry. No group is listed per row.
+    /// dictionary has one entry. No group is read per row.
     One(Rows<'a>),
-    /// The keys' numbers are the groups: a row's group is its mixed-radix
-    /// number over the chunk-dictionary sizes (most significant key
-    /// first), read off `key` as a loop walks `rows`. No group is listed
-    /// per row.
+    /// A row's group is its number, read off `key` as a loop walks `rows`.
     Codes { rows: Rows<'a>, key: Numbers<'a> },
-    /// A group per row.
-    Each {
-        /// A masked chunk's passing rows, ascending; `None`: every row, in
-        /// order.
-        rows: Option<Vec<usize>>,
-        /// Per row listed (or, `rows` being `None`, per row), its group.
-        groups: Vec<u32>,
-    },
 }
 
-/// Every row's number under [`Members::Codes`].
+/// Every row's number under [`Members::Codes`] (a row a mask drops holds
+/// any).
 pub(crate) enum Numbers<'a> {
     /// One key's chunk codes, as they are.
     Key(CodesView<'a>),
-    /// More keys' numbers, one per row of the chunk, written one key at a
-    /// time.
+    /// More keys' mixed-radix numbers over the chunk-dictionary sizes (most
+    /// significant key first), one per row of the chunk, written one key
+    /// at a time.
     Mixed(Vec<u32>),
+    /// Per row of the chunk, the rank of its key tuple among those the
+    /// visited rows hold; [`GroupIndex::keys`] holds each rank's keys.
+    Ranks(Vec<u32>),
 }
 
 impl Numbers<'_> {
     fn view(&self) -> CodesView<'_> {
         match self {
             Numbers::Key(codes) => *codes,
-            Numbers::Mixed(numbers) => CodesView::U32(numbers),
+            Numbers::Mixed(numbers) | Numbers::Ranks(numbers) => CodesView::U32(numbers),
         }
     }
 }
@@ -712,14 +699,13 @@ impl Numbers<'_> {
 /// key, make [`Members::One`]. Else `dense_capacity` is the checked product
 /// of the key-dictionary sizes if it fits [`DENSE_GROUP_LIMIT`] (the
 /// caller's [`dense_capacity`], once per chunk). Then the keys' mixed-radix
-/// numbers are the groups ([`Members::Codes`]) if no fewer rows pass than
-/// that product, which every unmasked chunk's do for one key (a chunk
-/// dictionary holds no more entries than its rows). Otherwise the rows are
-/// listed, and a row's key codes are packed into a `u64`, its mixed-radix
-/// number, which orders like its key tuple; the groups are the numbers'
-/// ranks: counted off a flat array if dense, else found by a sort, where a
-/// prefix that would overflow a `u64` is replaced by its rank (below 2³²)
-/// before the next key is packed.
+/// numbers are the groups if no fewer rows pass than that product, which
+/// every unmasked chunk's do for one key (a chunk dictionary holds no more
+/// entries than its rows). Otherwise a passing row's key codes are packed
+/// into a `u64`, its mixed-radix number, which orders like its key tuple,
+/// and its group is that number's rank: counted off a flat array if dense,
+/// else found by a sort, where a prefix that would overflow a `u64` is
+/// replaced by its rank (below 2³²) before the next key is packed.
 pub(crate) fn group_codes<'a>(
     codes: &[CodesView<'a>],
     sizes: &[usize],
@@ -727,11 +713,11 @@ pub(crate) fn group_codes<'a>(
     mask: Option<&'a BitVec>,
     dense_capacity: Option<usize>,
 ) -> GroupIndex<'a> {
+    let visited = Rows::of(rows, mask);
     if sizes.iter().all(|&n| n == 1) {
         let keys = vec![vec![0]; codes.len()];
-        return GroupIndex { members: Members::One(Rows::of(rows, mask)), group_count: 1, keys };
+        return GroupIndex { members: Members::One(visited), group_count: 1, keys };
     }
-    let visited = Rows::of(rows, mask);
     if let Some(product) = dense_capacity.filter(|&product| product <= visited.count()) {
         let key = match codes {
             [key] => Numbers::Key(*key),
@@ -757,12 +743,9 @@ pub(crate) fn group_codes<'a>(
         let members = Members::Codes { rows: visited, key };
         return GroupIndex { members, group_count: product, keys: Vec::new() };
     }
-    let passing: Vec<usize> = match mask {
-        Some(mask) => mask.iter_ones().collect(),
-        None => (0..rows).collect(),
-    };
-    let mut packed = vec![0u64; passing.len()];
-    // Every packed value is below `radix`.
+    // The passing rows' packed tuples, ascending by row; every one is below
+    // `radix`.
+    let mut packed = vec![0u64; visited.count()];
     let mut radix = 1u64;
     for (&key, &n) in codes.iter().zip(sizes) {
         let n = n as u64;
@@ -770,76 +753,91 @@ pub(crate) fn group_codes<'a>(
             radix = rank(&mut packed, None);
         }
         radix *= n;
-        with_codes!(key, |get| {
-            for (p, &row) in packed.iter_mut().zip(&passing) {
-                *p = *p * n + u64::from(get(row));
-            }
-        });
+        let mut at = 0;
+        with_codes!(key, |get| visited.in_lanes(|_, row| {
+            packed[at] = packed[at] * n + u64::from(get(row));
+            at += 1;
+        }));
     }
     let group_count = rank(&mut packed, dense_capacity) as usize;
-    let mut groups = Vec::with_capacity(passing.len());
-    // A row of each group, to read its keys off.
-    let mut member = vec![0; group_count];
-    for (&g, &row) in packed.iter().zip(&passing) {
-        groups.push(g as u32);
-        member[g as usize] = row;
-    }
+    // Each passing row's rank at its row, and a row of each group to read
+    // its keys off.
+    let (mut ranks, mut member, mut at) = (vec![0u32; rows], vec![0; group_count], 0);
+    visited.in_lanes(|_, row| {
+        ranks[row] = packed[at] as u32;
+        member[packed[at] as usize] = row;
+        at += 1;
+    });
     let keys = codes.iter().map(|key| member.iter().map(|&r| key.get(r)).collect());
-    let members = Members::Each { rows: mask.is_some().then_some(passing), groups };
+    let members = Members::Codes { rows: visited, key: Numbers::Ranks(ranks) };
     GroupIndex { members, group_count, keys: keys.collect() }
 }
 
 impl GroupIndex<'_> {
-    /// Every row's group, where the index reads one off each row of the
-    /// chunk (a row a mask drops reads any); `None` where it lists rows.
-    fn numbers(&self) -> Option<CodesView<'_>> {
+    /// Every row's group (a row a mask drops reads any).
+    fn numbers(&self) -> CodesView<'_> {
         match &self.members {
-            Members::One(Rows::All(len)) => Some(CodesView::Const { len: *len }),
-            Members::Codes { key, .. } => Some(key.view()),
-            Members::Each { rows: None, groups } => Some(CodesView::U32(groups)),
-            Members::One(Rows::Passing(_)) | Members::Each { rows: Some(_), .. } => None,
+            Members::One(Rows::All(len)) => CodesView::Const { len: *len },
+            Members::One(Rows::Passing(mask)) => CodesView::Const { len: mask.len() },
+            Members::Codes { key, .. } => key.view(),
         }
+    }
+
+    /// Which numbers some visited row holds — per number 1 if one does, or
+    /// `None` if every number is held — and per key column the chunk-id
+    /// each held number has there, ascending. One group and ranks are all
+    /// held and carry their keys (taken out of the index). Digit numbers
+    /// are held where `counts` (a `COUNT` column over them) is not zero,
+    /// else where one presence pass over the visited rows finds them; one
+    /// key's codes over every row are all held if `every_code_held` (a
+    /// chunk's are, a delta's need not be). Their keys are their digits.
+    fn held(
+        &mut self,
+        sizes: &[usize],
+        counts: Option<&[u64]>,
+        every_code_held: bool,
+    ) -> (Option<Vec<u32>>, Vec<Vec<u32>>) {
+        let n = self.group_count;
+        let marks = match &self.members {
+            Members::One(_) | Members::Codes { key: Numbers::Ranks(_), .. } => {
+                return (None, std::mem::take(&mut self.keys));
+            }
+            Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } if every_code_held => None,
+            Members::Codes { rows, key } => Some(match counts {
+                Some(counts) => counts.iter().map(|&c| u32::from(c > 0)).collect(),
+                None => presence(*rows, key, n),
+            }),
+        };
+        let marks = marks.filter(|marks| marks.contains(&0));
+        let mut held: Vec<u32> = (0..n as u32).collect();
+        if let Some(marks) = &marks {
+            held.retain(|&g| marks[g as usize] == 1);
+        }
+        (marks, dense_keys(held, sizes))
     }
 
     /// The chunk table of these groups, given the keys' chunk-dictionary
     /// `sizes` and the columns pass B filled over them: every group holds
-    /// some row, in ascending key order. [`Members::Codes`] fills a group
-    /// for every number, so the numbers no passing row holds are dropped
-    /// here — read off a `COUNT` column's zeros if the slots have one, else
-    /// found by one presence pass over the passing rows; an unmasked
-    /// chunk's codes of one key are all held — and the keys are the digits
-    /// of those held.
-    pub(crate) fn table(self, sizes: &[usize], slots: Vec<Column<u32>>) -> GroupTable<u32> {
-        let Members::Codes { rows, key } = self.members else {
-            return GroupTable::new(self.group_count, self.keys, slots);
-        };
+    /// some row, in ascending key order. The numbers no passing row holds
+    /// ([`GroupIndex::held`], read off a `COUNT` column's zeros if the
+    /// slots have one) are dropped here.
+    pub(crate) fn table(mut self, sizes: &[usize], slots: Vec<Column<u32>>) -> GroupTable<u32> {
         let counts = slots.iter().find_map(|slot| match slot {
-            Column::Count(counts) => Some(counts),
+            Column::Count(counts) => Some(&counts[..]),
             _ => None,
         });
-        let n = self.group_count;
-        // Per number, 1 if a passing row holds it.
-        let mut to: Vec<u32> = match (rows, &key, counts) {
-            (Rows::All(_), Numbers::Key(_), _) => {
-                return GroupTable::new(n, dense_keys((0..n as u32).collect(), sizes), slots);
-            }
-            (_, _, Some(counts)) => counts.iter().map(|&n| u32::from(n > 0)).collect(),
-            _ => presence(rows, &key, n),
+        let (marks, keys) = self.held(sizes, counts, true);
+        let Some(mut to) = marks else {
+            return GroupTable::new(self.group_count, keys, slots);
         };
-        let mut held: Vec<u32> = (0..n as u32).collect();
-        held.retain(|&g| to[g as usize] == 1);
-        let len = held.len();
-        if len == n {
-            return GroupTable::new(len, dense_keys(held, sizes), slots);
-        }
         // A held number's group moves to its rank among them, any other
         // past the end, where spreading drops it.
         let mut next = 0;
         for at in &mut to {
             (*at, next) = if *at == 1 { (next, next + 1) } else { (u32::MAX, next) };
         }
-        let slots = slots.into_iter().map(|column| column.spread(&to, len)).collect();
-        GroupTable::new(len, dense_keys(held, sizes), slots)
+        let slots = slots.into_iter().map(|column| column.spread(&to, next as usize)).collect();
+        GroupTable::new(next as usize, keys, slots)
     }
 }
 
@@ -931,31 +929,14 @@ pub(crate) fn eval_tuples<'a>(
     // One source's codes are dense numbers, however many: its values are
     // as many.
     let dense = if let [size] = sizes[..] { Some(size) } else { dense_capacity(&sizes) };
-    let index = group_codes(&codes, &sizes, rows, scope, dense);
-    let n = index.group_count;
-    let held: Vec<u32> = match &index.members {
-        Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } if every_code_held => {
-            (0..n as u32).collect()
-        }
-        Members::Codes { rows, key } => {
-            let marks = presence(*rows, key, n);
-            (0..n as u32).filter(|&g| marks[g as usize] == 1).collect()
-        }
-        Members::One(_) | Members::Each { .. } => (0..n as u32).collect(),
-    };
-    // Per source, the code of each held number's tuple there.
-    let digits;
-    let keys = match &index.members {
-        Members::Codes { .. } => {
-            digits = dense_keys(held.clone(), &sizes);
-            &digits
-        }
-        _ => &index.keys,
-    };
-    let mut values = vec![None; n];
+    let mut index = group_codes(&codes, &sizes, rows, scope, dense);
+    let (marks, keys) = index.held(&sizes, None, every_code_held);
+    let n = index.group_count as u32;
+    let held = (0..n).filter(|&g| marks.as_ref().is_none_or(|m| m[g as usize] == 1));
+    let mut values = vec![None; n as usize];
     let mut tuple: Vec<(&str, Value)> = sources.iter().map(|s| (s.name, Value::Null)).collect();
-    for (at, &number) in held.iter().enumerate() {
-        for ((cell, source), codes) in tuple.iter_mut().zip(sources).zip(keys) {
+    for (at, number) in held.enumerate() {
+        for ((cell, source), codes) in tuple.iter_mut().zip(sources).zip(&keys) {
             cell.1 = source.values[codes[at] as usize].clone();
         }
         values[number as usize] = Some(eval_expr(expr, &tuple[..])?);
@@ -982,8 +963,7 @@ pub(crate) fn eval_rows(
             })
         })
         .collect();
-    let numbers = index.numbers().expect("an unmasked index numbers every row");
-    with_codes!(numbers, |get| at.extend((0..rows).map(|row| position[get(row) as usize])));
+    with_codes!(index.numbers(), |get| at.extend((0..rows).map(|row| position[get(row) as usize])));
     Ok(())
 }
 
@@ -1015,12 +995,9 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                 let ones = bits.count_ones() as u64;
                 vec![*n as u64 - ones, ones]
             }
-            Members::Codes { rows, key, .. } => with_codes!(key.view(), |group| {
+            Members::Codes { rows, key } => with_codes!(key.view(), |group| {
                 histogram(group_count, *rows, move |row| group(row) as usize)
             }),
-            Members::Each { groups, .. } => {
-                histogram(group_count, Rows::All(groups.len()), |i| groups[i] as usize)
-            }
         }),
         SlotKind::SumInt => {
             let (col, chunk) = arg.expect("SUM has an argument");
@@ -1037,7 +1014,7 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                     });
                     vec![lanes.into_iter().fold(0, i128::wrapping_add)]
                 }
-                Members::Codes { .. } | Members::Each { .. } => {
+                Members::Codes { .. } => {
                     let sums = vec![0i128; group_count];
                     fold_members(chunk.codes(), index, sums, move |sums, g, code| {
                         sums[g] = add(sums[g], code)
@@ -1064,7 +1041,7 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                     });
                     FloatColumn::of_lanes(lanes, exact)
                 }
-                Members::Codes { .. } | Members::Each { .. } => {
+                Members::Codes { .. } => {
                     let sums = FloatColumn::new(group_count);
                     fold_members(chunk.codes(), index, sums, move |sums, g, code| {
                         sums.add(g, table[code as usize])
@@ -1093,15 +1070,15 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
             let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
             // The distinct (group, code) pairs of the passing rows as ascending
             // `g·n + code`: marked in a flat array, or sorted if that is big.
-            let (n, listed) = (chunk.dict.len() as usize, index.members.count());
-            let pairs: Vec<usize> = if proportionate((group_count * n) as u64, listed as u64) {
+            let (n, visited) = (chunk.dict.len() as usize, index.members.rows().count());
+            let pairs: Vec<usize> = if proportionate((group_count * n) as u64, visited as u64) {
                 let present = vec![false; group_count * n];
                 let present = fold_members(chunk.codes(), index, present, move |present, g, c| {
                     present[g * n + c as usize] = true
                 });
                 (0..present.len()).filter(|&p| present[p]).collect()
             } else {
-                let pairs = Vec::with_capacity(listed);
+                let pairs = Vec::with_capacity(visited);
                 let mut pairs = fold_members(chunk.codes(), index, pairs, move |pairs, g, c| {
                     pairs.push(g * n + c as usize)
                 });
@@ -1150,12 +1127,11 @@ fn fold_lanes<T: Copy>(
     lanes
 }
 
-impl Members<'_> {
-    /// How many rows the groups hold.
-    fn count(&self) -> usize {
+impl<'a> Members<'a> {
+    /// The rows the groups hold.
+    fn rows(&self) -> Rows<'a> {
         match self {
-            Members::One(rows) | Members::Codes { rows, .. } => rows.count(),
-            Members::Each { groups, .. } => groups.len(),
+            Members::One(rows) | Members::Codes { rows, .. } => *rows,
         }
     }
 }
@@ -1176,71 +1152,29 @@ fn fold_codes<T: Copy>(
             let lanes = fold_lanes(*rows, seed, |_, held, row| add(held, get(row)));
             vec![lanes.into_iter().fold(seed, merge)]
         }
-        Members::Codes { rows, key, .. } => with_codes!(key.view(), |group| {
+        Members::Codes { rows, key } => with_codes!(key.view(), |group| {
             let add = |held, row| add(held, get(row));
             fold_cells(index.group_count, *rows, seed, |row| group(row) as usize, add, merge)
         }),
-        Members::Each { rows, groups } => {
-            let listed = Rows::All(groups.len());
-            let group = |i: usize| groups[i] as usize;
-            match rows {
-                Some(rows) => {
-                    let add = |held, i: usize| add(held, get(rows[i]));
-                    fold_cells(index.group_count, listed, seed, group, add, merge)
-                }
-                None => {
-                    let add = |held, row| add(held, get(row));
-                    fold_cells(index.group_count, listed, seed, group, add, merge)
-                }
-            }
-        }
     })
 }
 
 /// `add(state, group, code)` for every row of `index`, from `state`: a
-/// masked chunk's passing rows only, by their list or their mask — no row
-/// the mask dropped is visited — or every row. `add` is `Copy`, its
-/// captures held by value, so that [`fold_coded`]'s loops keep them in
-/// registers as they keep `state`.
-#[inline(always)]
+/// masked chunk's passing rows only, walked by the mask's set bits, or
+/// every row; a row's group is read off its number. `add` is `Copy`, its
+/// captures held by value, so that the loops keep them in registers as they
+/// keep `state`: one [`fold_rows`] per pair of code representations.
+#[inline(never)]
 fn fold_members<S>(
     codes: CodesView<'_>,
     index: &GroupIndex,
-    mut state: S,
-    add: impl Fn(&mut S, usize, u32) + Copy,
-) -> S {
-    with_codes!(codes, |get| match &index.members {
-        Members::One(rows) => rows.in_lanes(|_, row| add(&mut state, 0, get(row))),
-        Members::Codes { rows, key, .. } =>
-            return fold_coded(codes, *rows, key.view(), state, add),
-        Members::Each { rows: Some(rows), groups } => {
-            for (&row, &g) in rows.iter().zip(groups) {
-                add(&mut state, g as usize, get(row));
-            }
-        }
-        Members::Each { rows: None, groups } => {
-            for (row, &g) in groups.iter().enumerate() {
-                add(&mut state, g as usize, get(row));
-            }
-        }
-    });
-    state
-}
-
-/// [`fold_members`] where the keys' numbers are the groups, each row's
-/// read off `key`: one [`fold_rows`] per pair of code representations, out of
-/// [`fold_members`]' line so that its other loops compile as they would
-/// alone.
-#[inline(never)]
-fn fold_coded<S>(
-    codes: CodesView<'_>,
-    rows: Rows<'_>,
-    key: CodesView<'_>,
     state: S,
     add: impl Fn(&mut S, usize, u32) + Copy,
 ) -> S {
-    with_codes!(codes, |get| with_codes!(key, |group| {
-        fold_rows(rows, state, move |state, row| add(state, group(row) as usize, get(row)))
+    with_codes!(codes, |get| with_codes!(index.numbers(), |group| {
+        fold_rows(index.members.rows(), state, move |state, row| {
+            add(state, group(row) as usize, get(row))
+        })
     }))
 }
 
@@ -1537,6 +1471,23 @@ mod tests {
         assert!(store.virtual_names().is_empty());
     }
 
+    /// A range leaf on a virtual field that fails to materialize — here on
+    /// the rows with `n > 0`, where its `if` yields `'a'` — is declined, not
+    /// an error: the mask evaluates it scoped, on the tuples of the rows
+    /// `n <= 0` leaves, and no field is made. A column the store lacks is
+    /// still an error.
+    #[test]
+    fn a_leaf_whose_field_fails_to_materialize_is_evaluated_scoped() {
+        let store = DataStore::build(&mask_table(), &BuildOptions::basic()).unwrap();
+        let filter = parse_filter("n <= 0 AND if(n > 0, 'a', n) + x > 0");
+        let plan = FilterPlan::compile(&store, &filter).unwrap();
+        let Pred::And(children) = &plan.root else { panic!("an AND") };
+        assert!(matches!(&children[..], [Pred::Ids(_), Pred::Table { .. }]));
+        assert_masks_match_reference(&store, &filter, &filter.to_string());
+        assert!(store.virtual_names().is_empty());
+        assert!(FilterPlan::compile(&store, &parse_filter("date(nosuch) = 'x'")).is_err());
+    }
+
     /// A key's chunk as a store builds it from its rows' global-ids: the
     /// sorted distinct ids, and per row its chunk-id.
     fn key_chunk(gids: &[u32], mode: ElementsMode) -> ColumnChunk {
@@ -1550,14 +1501,14 @@ mod tests {
 
     /// Check [`group_codes`] on one chunk's keys against a `BTreeMap` of the
     /// passing rows' key tuples, and return the path it took: one key's
-    /// codes unmasked (0) or masked (1), one key listed (2), more keys'
-    /// numbers unmasked (3) or masked (4), more keys listed dense (5),
+    /// codes unmasked (0) or masked (1), one key ranked (2), more keys'
+    /// numbers unmasked (3) or masked (4), more keys ranked dense (5),
     /// sparse (6) or overflowing (7), one group (8).
     ///
     /// The groups ascend strictly, the index visits exactly the passing
-    /// rows in ascending order (a listed one lists them, an unmasked one
+    /// rows in ascending order (a masked one by its mask, an unmasked one
     /// every row), every row's group holds that row's tuple and every group
-    /// but a number holds its rows; a `COUNT` slot ([`accumulate`]) counts
+    /// but a digit number holds its rows; a `COUNT` slot ([`accumulate`]) counts
     /// them. The chunk table ([`GroupIndex::table`]) is the distinct tuples
     /// in ascending order — some row in every group —, each with its rows'
     /// count, whether it reads the unused numbers off that `COUNT` column
@@ -1583,10 +1534,14 @@ mod tests {
         let codes: Vec<CodesView<'_>> = chunks.iter().map(ColumnChunk::codes).collect();
         let index = group_codes(&codes, sizes, rows, mask, dense);
         // Per group, its key tuple: a number's digits, most significant
-        // key first, where the numbers are the groups.
+        // key first, where the numbers are the groups' digits.
+        let digits = matches!(
+            &index.members,
+            Members::Codes { key: Numbers::Key(_) | Numbers::Mixed(_), .. }
+        );
         let groups: Vec<Vec<u32>> = (0..index.group_count)
-            .map(|g| match &index.members {
-                Members::Codes { .. } => {
+            .map(|g| match digits {
+                true => {
                     let mut rest = g;
                     let mut digits: Vec<u32> = (sizes.iter().rev())
                         .map(|&n| {
@@ -1616,32 +1571,34 @@ mod tests {
                 (8, listed, groups)
             }
             Members::Codes { rows: visited, key } => {
-                assert_eq!(Some(index.group_count), dense, "{label}: every number of the product");
-                assert!(index.group_count <= passing.len(), "{label}: rows enough");
-                assert!(index.keys.is_empty(), "{label}: keys are the numbers' digits");
+                let masked = matches!(visited, Rows::Passing(_));
+                assert_eq!(masked, mask.is_some(), "{label}: a mask's rows iff masked");
                 let listed = of_rows(visited);
                 let groups =
                     with_codes!(key.view(), |get| listed.iter().map(|&r| get(r)).collect());
-                let first = if chunks.len() == 1 { 0 } else { 3 };
-                (first + mask.is_some() as usize, listed, groups)
-            }
-            Members::Each { rows: listed, groups } => {
-                assert!(index.keys.iter().all(|col| col.len() == index.group_count), "{label}");
-                assert!(sizes.iter().any(|&n| n != 1), "{label}: more than one group");
-                assert_eq!(listed.is_some(), mask.is_some(), "{label}: listed iff masked");
-                let path = match (dense, overflows) {
-                    (Some(product), _) => {
-                        assert!(passing.len() < product, "{label}: fewer rows than numbers");
-                        if chunks.len() == 1 {
-                            2
-                        } else {
-                            5
+                let path = if digits {
+                    assert_eq!(Some(index.group_count), dense, "{label}: every number");
+                    assert!(index.group_count <= passing.len(), "{label}: rows enough");
+                    assert!(index.keys.is_empty(), "{label}: keys are the numbers' digits");
+                    let first = if chunks.len() == 1 { 0 } else { 3 };
+                    first + mask.is_some() as usize
+                } else {
+                    assert!(index.keys.iter().all(|col| col.len() == index.group_count), "{label}");
+                    assert!(sizes.iter().any(|&n| n != 1), "{label}: more than one group");
+                    match (dense, overflows) {
+                        (Some(product), _) => {
+                            assert!(passing.len() < product, "{label}: fewer rows than numbers");
+                            if chunks.len() == 1 {
+                                2
+                            } else {
+                                5
+                            }
                         }
+                        (None, false) => 6,
+                        (None, true) => 7,
                     }
-                    (None, false) => 6,
-                    (None, true) => 7,
                 };
-                (path, listed.clone().unwrap_or_else(|| (0..rows).collect()), groups.clone())
+                (path, listed, groups)
             }
         };
         assert_eq!(listed, passing, "{label}: the passing rows, ascending");
@@ -1651,10 +1608,10 @@ mod tests {
             assert_eq!(groups[g as usize], tuple(row), "{label}: row {row}");
             members[g as usize] += 1;
         }
-        // Only numbers may be groups of no row.
+        // Only digit numbers may be groups of no row.
         let held: Vec<(Vec<u32>, u64)> =
             groups.into_iter().zip(members.iter().copied()).filter(|&(_, n)| n > 0).collect();
-        if !matches!(index.members, Members::Codes { .. }) {
+        if !digits {
             assert_eq!(held.len(), index.group_count, "{label}: some row in every group");
         }
         assert_eq!(held, want.clone().into_iter().collect::<Vec<_>>(), "{label}");

@@ -29,7 +29,7 @@
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
 use pd_common::Result;
-use pd_sql::Restriction;
+use pd_sql::{Expr, Restriction};
 use std::sync::Arc;
 
 /// Three-valued chunk verdict.
@@ -100,24 +100,31 @@ pub(crate) enum LeafIds {
 /// field it names if need be (§5: restrictions on materialized expressions
 /// skip chunks through the expression's own chunk dictionaries).
 ///
-/// `None` — for anything that is not an `In` / `Range` leaf, and for a leaf
+/// `None` — for anything that is not an `In` / `Range` leaf, for a leaf
+/// whose virtual field fails to materialize (the mask then evaluates the
+/// leaf over the rows its scope leaves, which may not fail), and for a leaf
 /// the dictionary cannot answer *exactly*: a float literal no integer
 /// stands for (`GlobalDict::resolves_exactly`). The skip pass then scans
 /// ("maybe") and the mask falls back to evaluating values. Every
-/// dictionary flavour ranks a range bound of its type, front coding too.
+/// dictionary flavour ranks a range bound of its type, front coding too. A
+/// column the store lacks is an error.
 pub(crate) fn resolve_leaf(store: &DataStore, leaf: &Restriction) -> Result<Option<ResolvedLeaf>> {
+    let column = |field: &Expr| -> Result<Option<Arc<StoredColumn>>> {
+        let mut names = Vec::new();
+        field.referenced_columns(&mut names);
+        names.iter().try_for_each(|name| store.column(name).map(drop))?;
+        Ok(store.column_for_expr(field).ok())
+    };
     Ok(match leaf {
-        Restriction::In { field, values, negated } => {
-            let col = store.column_for_expr(field)?;
+        Restriction::In { field, values, negated } => column(field)?.and_then(|col| {
             col.global_ids_of(values)
                 .map(|ids| ResolvedLeaf { col, ids: LeafIds::In { ids, negated: *negated } })
-        }
-        Restriction::Range { field, min, max } => {
-            let col = store.column_for_expr(field)?;
+        }),
+        Restriction::Range { field, min, max } => column(field)?.and_then(|col| {
             col.dict
                 .range_ids(min.as_ref(), max.as_ref())
                 .map(|(lo, hi)| ResolvedLeaf { col, ids: LeafIds::Range { lo, hi } })
-        }
+        }),
         _ => None,
     })
 }

@@ -105,10 +105,15 @@ fn a_virtual_field_allocates_per_distinct_input_not_per_row() {
     };
     let (lower, date) = (field("lower(country)"), field("date(timestamp)"));
     let (column, allocations) = counted(|| store.column_for_expr(&lower).unwrap());
-    // Every timestamp is distinct, so a day costs about what its rows do:
-    // reported, not bounded.
     let (_, per_timestamp) = counted(|| store.column_for_expr(&date).unwrap());
     println!("lower(country): {allocations} allocations, date(timestamp): {per_timestamp}");
+    // Every timestamp is distinct, so `date` runs once per row, and each
+    // run makes its day's `String` and nothing else: 41 746 in all. A list
+    // of arguments per call would add a row's worth.
+    assert!(
+        per_timestamp < rows as u64 * 5 / 4,
+        "{per_timestamp} allocations to materialize date(timestamp) over {rows} rows"
+    );
     assert_eq!(column.len(), rows);
     // Per chunk, an evaluation per country its rows hold and a handful of
     // arrays; one allocation per row anywhere would pass the bound by

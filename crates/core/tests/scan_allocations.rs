@@ -1,6 +1,7 @@
 //! What a scan allocates: a one-key chart, masked or not, costs its chunks
 //! and their dictionaries, not the rows its mask passes; a chart of more
-//! keys adds a number per row scanned.
+//! keys, or one whose passing rows' tuples are ranked, adds a number per
+//! row scanned.
 //!
 //! A counting global allocator (std only) counts the allocation calls and
 //! the bytes asked for on the thread that asks, so the test harness's other
@@ -191,4 +192,38 @@ fn count_alone_and_two_key_charts_allocate_per_chunk() {
         assert!(calls <= most_calls, "{calls} allocations, at most {most_calls}: {sql}");
         assert!(bytes <= most_bytes, "{bytes} bytes, at most {most_bytes}: {sql}");
     }
+}
+
+/// A masked one-key chart whose key's chunk dictionaries outnumber the rows
+/// that pass in most chunks: `table_name` under `user = 'user_00002'`.
+/// There the passing rows' codes are ranked, and each chunk row holds a
+/// `u32` number, its tuple's rank; the rest is per chunk, per passing row
+/// (its packed tuple) and per entry of the key's chunk dictionaries (a flat
+/// ranking array, a group's key and state).
+#[test]
+fn a_ranked_chart_allocates_a_number_per_chunk_row() {
+    let (_, store) = production_store();
+    let sql = "SELECT table_name AS k, COUNT(*) AS c, SUM(latency) AS s FROM logs WHERE user = 'user_00002' GROUP BY table_name ORDER BY s DESC LIMIT 10";
+    let (key, user) = (store.column("table_name").unwrap(), store.column("user").unwrap());
+    let (mut passing, mut ranked) = (0, 0);
+    for c in 0..store.chunk_count() {
+        let held = |r: &usize| user.value_at(c, *r).as_str() == Some("user_00002");
+        let n = (0..store.chunk_rows(c)).filter(held).count();
+        ranked += usize::from(n < key.chunks[c].dict.len() as usize);
+        passing += n as u64;
+    }
+    assert!(ranked >= 15, "{ranked} chunks of 30 pass fewer rows than they hold keys");
+    let analyzed = analyze(&parse_query(sql).unwrap()).unwrap();
+    let Charged { calls, bytes, rows, chunks } = charge(&store, sql);
+    let keys = entries(&store, analyzed.keys.iter());
+    let summed = entries(&store, analyzed.slots.iter().filter_map(|slot| slot.arg.as_ref()));
+    let most_calls = 100 + 20 * chunks;
+    let most_bytes = 16 * 1024 + 1024 * chunks + 40 * keys + 8 * summed + 8 * passing + 4 * rows;
+    println!(
+        "{sql}\n  {calls} allocations (at most {most_calls}), {bytes} bytes (at most \
+         {most_bytes}); {chunks} chunks ({ranked} ranked), {rows} rows, {passing} passing, \
+         {keys} key and {summed} summed dictionary entries"
+    );
+    assert!(calls <= most_calls, "{calls} allocations, at most {most_calls}: {sql}");
+    assert!(bytes <= most_bytes, "{bytes} bytes, at most {most_bytes}: {sql}");
 }

@@ -9,6 +9,7 @@
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use pd_common::{Error, Result, Value};
+use std::fmt::Write;
 
 /// Resolves column references while evaluating an expression.
 pub trait RowContext {
@@ -46,6 +47,15 @@ pub fn eval_expr<C: RowContext + ?Sized>(expr: &Expr, row: &C) -> Result<Value> 
     match expr {
         Expr::Column(name) => row.column(name),
         Expr::Literal(v) => Ok(v.clone()),
+        // Up to three arguments are held on the stack: a call evaluated per
+        // row or per tuple allocates no list.
+        Expr::Call { name, args } if args.len() <= 3 => {
+            let mut values = [Value::Null, Value::Null, Value::Null];
+            for (value, arg) in values.iter_mut().zip(args) {
+                *value = eval_expr(arg, row)?;
+            }
+            eval_function(name, &values[..args.len()])
+        }
         Expr::Call { name, args } => {
             let values: Vec<Value> =
                 args.iter().map(|a| eval_expr(a, row)).collect::<Result<_>>()?;
@@ -167,7 +177,10 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
             arity(1)?;
             let ts = int_arg(name, &args[0])?;
             let (y, m, d) = civil_from_days(ts.div_euclid(86_400));
-            Ok(Value::Str(format!("{y:04}-{m:02}-{d:02}")))
+            // Sized up front: `format!` grows its string twice on the way.
+            let mut day = String::with_capacity(10);
+            write!(day, "{y:04}-{m:02}-{d:02}").expect("a String takes any text");
+            Ok(Value::Str(day))
         }
         "hour" => {
             arity(1)?;

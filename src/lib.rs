@@ -60,10 +60,10 @@
 //! by integer compares over the row codes wherever the skip pass could
 //! resolve the leaf, from values only where it could not. Every chunk
 //! then runs one set of kernels, whatever its query's shape: its mask,
-//! `group_codes` (dense keys' codes, or more keys' mixed-radix numbers,
-//! are their groups — the paper's literal `counts[elements[row]]++` over
-//! raw codes —, and otherwise the passing rows are listed with a group
-//! each), one `accumulate` loop per aggregate slot, and
+//! `group_codes` (a number per row is its group — the paper's literal
+//! `counts[elements[row]]++` over raw codes: dense keys' codes or
+//! mixed-radix numbers, and otherwise the rank of the row's key tuple
+//! among the passing rows'), one `accumulate` loop per aggregate slot, and
 //! `GroupIndex::table`, folded through the chunk dictionaries without
 //! materializing per-group values.
 //!

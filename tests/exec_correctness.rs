@@ -630,7 +630,7 @@ fn render_produces_readable_table() {
 /// `date(ts)`, and across two columns, drawn at random besides; MIN/MAX by
 /// 0, 1 and 2 keys, unmasked and masked, over dictionaries as built and
 /// as an append renumbered them; COUNT DISTINCT with groups × chunk-dictionary entries under
-/// and over four times the rows listed; one-key masks that leave most of
+/// and over four times the rows visited; one-key masks that leave most of
 /// a chunk's key ids unused.
 #[test]
 fn cheap_kernel_paths_match_the_row_oracle() {
@@ -1311,15 +1311,15 @@ fn one_key_codes_under_masks_match_the_row_oracle() {
 
 /// Dense keys' mixed-radix numbers are a chunk's groups where no fewer rows
 /// pass as the product of the keys' chunk-dictionary sizes; where fewer
-/// pass, the passing rows are listed and their numbers ranked. Either way
-/// a number no passing row holds is no group. Two- and three-key charts of
-/// every slot kind — COUNT, integer and float SUM, MIN, MAX and COUNT
-/// DISTINCT, each alone (a presence pass finds the unused numbers) and all
-/// together (the COUNT column shows them) —, unmasked and under `r < t`,
-/// `r` numbering the rows. Each row draws its keys at random from 2–5
-/// values, so that some tuples are missing. On two one-chunk builds (`u32`
-/// codes, and the smallest representation), whose side of the rule each
-/// case knows, and on one cut into chunks by `r`.
+/// pass, the passing rows' numbers are ranked and a row's rank is its
+/// group. Either way a number no passing row holds is no group. Two- and
+/// three-key charts of every slot kind — COUNT, integer and float SUM,
+/// MIN, MAX and COUNT DISTINCT, each alone (a presence pass finds the
+/// unused numbers) and all together (the COUNT column shows them) —,
+/// unmasked and under `r < t`, `r` numbering the rows. Each row draws its
+/// keys at random from 2–5 values, so that some tuples are missing. On two
+/// one-chunk builds (`u32` codes, and the smallest representation), whose
+/// side of the rule each case knows, and on one cut into chunks by `r`.
 #[test]
 fn more_keys_numbers_match_the_row_oracle() {
     let schema = Schema::of(&[
