@@ -38,6 +38,11 @@ impl BitVec {
         v
     }
 
+    /// The backing words, given up for another vector to be packed into.
+    pub fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+
     pub fn with_capacity(bits: usize) -> Self {
         BitVec { words: Vec::with_capacity(bits.div_ceil(64)), len: 0 }
     }

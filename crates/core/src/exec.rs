@@ -37,9 +37,16 @@
 //! it, and a [`crate::scheduler`] worker pool scans them on
 //! [`ExecContext::threads`] threads — when the rows to scan are enough to
 //! repay waking a worker; a smaller scan stays on the calling thread.
-//! Per-chunk results are folded sequentially in chunk order either way, so
-//! parallel execution returns bit-identical results to sequential
-//! execution — float summation order, group contents and chunk-skipping
+//! Where the query folds by id — one key over a proportionate dictionary,
+//! or none — a chunk the cache will not keep makes no table: its slot
+//! loops write into scratch the scanning thread keeps across its chunks,
+//! and its columns add straight into that thread's own fold, at the global
+//! ids of its groups; the driver adds the workers' folds. Every other
+//! chunk's table comes back to the driver, which admits it into the cache
+//! and folds it in chunk order. Every slot merges exactly — counts and
+//! integer sums add, float sums are exact, extremes and sketches merge in
+//! any order — so parallel execution returns bit-identical results to
+//! sequential execution: group contents, sums and chunk-skipping
 //! statistics do not depend on the thread count.
 //!
 //! Row filtering stays in the **code domain**. The `WHERE` tree is compiled
@@ -69,12 +76,12 @@ use crate::cache::ResultCache;
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
 use crate::groups::{Cell, Column, GroupFold, GroupTable, KeyBytes, Keys, PartialResult, SlotKind};
-use crate::kernels::{self, FilterPlan, Mask};
+use crate::kernels::{self, FilterPlan, IndexScratch, Mask, Tables};
 use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, Result, Row, Value};
-use pd_encoding::GlobalDict;
+use pd_encoding::{CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext, SlotClass};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -117,11 +124,14 @@ impl ExecContext {
 }
 
 /// A scan is fanned out across the worker pool when at least this many
-/// rows miss the chunk-result cache. At the ~10 ns a row·query costs, this
-/// many rows are a third of a millisecond, and halving that repays a
-/// wake-up (30–300 µs on a small VM, depending on the minute); a few
-/// thousand rows do not, and whether they nearly do changes from run to
-/// run — which is what a benchmark then measures instead of the engine.
+/// rows miss the chunk-result cache. A row·query costs 3.3–6.3 ns (traced
+/// `core.exec.scan_ns_per_row` on clickbench's four workloads, one run
+/// each on a 2-vCPU VM) and a scanned chunk 0.1–0.6 µs besides (one key or
+/// none, 10 to 310 chunks of 40 000 rows, one thread), so this many rows
+/// are 0.1–0.2 ms of scanning, and halving that can repay a wake-up
+/// (30–300 µs on a small VM, depending on the minute); a few thousand rows
+/// do not, and whether they nearly do changes from run to run — which is
+/// what a benchmark then measures instead of the engine.
 const PARALLEL_SCAN_MIN_ROWS: usize = 32_768;
 
 /// A finished query result.
@@ -626,15 +636,41 @@ struct Plan {
     touched: usize,
 }
 
-/// One scanned chunk's contribution, a table of chunk-ids: a cache hit, or
-/// a table a worker computed.
+/// One scanned chunk's contribution: a cache hit, a table of chunk-ids a
+/// worker computed, or neither — the chunk went straight into a fold by id.
 ///
 /// Workers never mutate shared state: a computed table is handed back for
 /// the driver to admit into the cache (and account) in deterministic chunk
-/// order.
+/// order, and a worker's own fold by id holds no chunk the cache keeps.
 enum ChunkScan {
     Cached(Arc<GroupTable<u32>>),
     Computed(GroupTable<u32>),
+    Folded,
+}
+
+/// What one thread keeps across the chunks it scans: the kernels' scratch
+/// and, once it scans a chunk that folds straight into a fold by id, that
+/// fold.
+#[derive(Default)]
+struct Worker<'a> {
+    scratch: Scratch<'a>,
+    groups: Option<GroupFold>,
+}
+
+/// The buffers a chunk's kernels write, kept across the chunks a thread
+/// scans — the keys' codes and sizes, the mask's words, the group index's
+/// arrays, the slot columns and their tables —, so that a chunk folded by
+/// id allocates nothing its rows or groups size.
+#[derive(Default)]
+struct Scratch<'a> {
+    codes: Vec<CodesView<'a>>,
+    sizes: Vec<usize>,
+    words: Vec<u64>,
+    index: IndexScratch,
+    /// Per slot, the column its loop wrote for the last chunk folded by id,
+    /// whose buffers the next chunk's loop writes.
+    columns: Vec<Column<u32>>,
+    tables: Tables,
 }
 
 /// The driver-side, chunk-ordered fold of chunk tables.
@@ -642,7 +678,8 @@ enum ChunkScan {
 /// Owns every shared-state mutation (cache admission, statistics), keeping
 /// them deterministic under any worker scheduling; the groups accumulate in
 /// a [`GroupFold`], cached and computed tables alike, each read from
-/// chunk-ids to global-ids through its chunk dictionaries ([`chunk_ids`]).
+/// chunk-ids to global-ids through its chunk dictionaries, and so do the
+/// workers' folds by id.
 struct Fold<'a> {
     plan: &'a Plan,
     cache: Option<&'a ResultCache>,
@@ -651,20 +688,14 @@ struct Fold<'a> {
 }
 
 impl<'a> Fold<'a> {
-    /// A fold of chunks holding `active_rows` rows in all, continuing
-    /// `stats`.
-    fn new(plan: &'a Plan, ctx: &'a ExecContext, active_rows: u64, stats: ScanStats) -> Fold<'a> {
-        // One key whose dictionary is proportionate to the scanned volume
-        // is indexed by global-id.
-        let direct = match &plan.key_cols[..] {
-            [col] if proportionate(u64::from(col.dict.len()), active_rows) => {
-                Some(col.dict.len() as usize)
-            }
-            _ => None,
-        };
-        let kinds = plan.slots.iter().map(|slot| slot.kind);
-        let grid = plan.slots.iter().map(|slot| slot.grid).collect();
-        let groups = GroupFold::new(plan.key_cols.len(), kinds, grid, direct);
+    /// A fold continuing `stats`, by id over `by_id` ids if set.
+    fn new(
+        plan: &'a Plan,
+        ctx: &'a ExecContext,
+        by_id: Option<usize>,
+        stats: ScanStats,
+    ) -> Fold<'a> {
+        let groups = plan.group_fold(by_id);
         Fold { plan, cache: ctx.result_cache.as_deref(), stats, groups }
     }
 
@@ -678,11 +709,12 @@ impl<'a> Fold<'a> {
                 self.stats.rows_cached += rows;
                 hit
             }
-            ChunkScan::Computed(table) => {
+            ChunkScan::Computed(_) | ChunkScan::Folded => {
                 let cells = rows * self.plan.touched as u64;
                 self.stats.chunks_scanned += 1;
                 self.stats.rows_scanned += rows;
                 self.stats.cells_scanned += cells;
+                let ChunkScan::Computed(table) = scan else { return };
                 let table = Arc::new(table);
                 if let (Some(rc), false) = (self.cache, filtered) {
                     rc.put(&self.plan.signature, c as u32, table.clone(), cells);
@@ -694,9 +726,7 @@ impl<'a> Fold<'a> {
         self.groups.absorb(
             table,
             |i| plan.key_cols[i].chunks[c].dict.values(),
-            |s| {
-                plan.slots[s].col.as_ref().expect("MIN/MAX has an argument").chunks[c].dict.values()
-            },
+            plan.extreme_ids(c),
         );
     }
 }
@@ -824,36 +854,74 @@ impl Plan {
         let misses: Vec<usize> = (0..tasks.len()).filter(|&i| scans[i].is_none()).collect();
         let miss_rows: usize = misses.iter().map(|&i| store.chunk_rows(tasks[i].0)).sum();
 
-        // Morsel-driven scan: workers pull chunk tasks off a shared queue,
-        // each producing that chunk's group table. Workers only compute;
-        // every mutation — cache admission, statistics — happens in the
-        // fold on the driver in chunk order, so cache eviction state stays
-        // deterministic regardless of worker scheduling. Below the
-        // break-even of a hand-off, and with one worker, the fold streams
-        // chunk by chunk (one table live at a time, like the sequential
-        // seed); the parallel path buffers tables until the ordered fold.
-        let scan =
-            |i: usize| self.chunk_table(store, tasks[i].0, tasks[i].1).map(ChunkScan::Computed);
+        // Morsel-driven scan: workers pull chunk tasks off a shared queue.
+        // One key over a proportionate dictionary, or none, folds by id: a
+        // chunk the cache will not keep goes straight into the fold of the
+        // thread that scans it, and the workers' folds add up on the driver
+        // (every slot adds exactly, so in any order). Any other chunk comes
+        // back as its table; every mutation — cache admission, statistics —
+        // happens in the fold on the driver in chunk order, so cache
+        // eviction state stays deterministic regardless of worker
+        // scheduling. Below the break-even of a hand-off, and with one
+        // worker, the fold streams chunk by chunk on the driver.
         let active_rows = tasks.iter().map(|&(c, _)| store.chunk_rows(c) as u64).sum();
-        let mut folder = Fold::new(self, ctx, active_rows, stats);
+        let by_id = match &self.key_cols[..] {
+            [] => Some(1),
+            [col] if proportionate(u64::from(col.dict.len()), active_rows) => {
+                Some(col.dict.len() as usize)
+            }
+            _ => None,
+        };
+        let folds = |filtered: bool| by_id.is_some() && (ctx.result_cache.is_none() || filtered);
+        let mut folder = Fold::new(self, ctx, by_id, stats);
         let threads = ctx.effective_threads();
         if threads > 1 && misses.len() > 1 && miss_rows >= PARALLEL_SCAN_MIN_ROWS {
-            let computed = scheduler::run_tasks(threads, misses.len(), |j| scan(misses[j]))?;
-            for (i, table) in misses.iter().zip(computed) {
-                scans[*i] = Some(table);
+            let (computed, workers) =
+                scheduler::run_tasks_with(threads, misses.len(), Worker::default, |worker, j| {
+                    let (c, filtered) = tasks[misses[j]];
+                    let Worker { scratch, groups } = worker;
+                    let into = folds(filtered)
+                        .then(|| groups.get_or_insert_with(|| self.group_fold(by_id)));
+                    self.scan(store, c, filtered, scratch, into)
+                })?;
+            for (i, scan) in misses.iter().zip(computed) {
+                scans[*i] = Some(scan);
             }
+            workers
+                .into_iter()
+                .filter_map(|worker| worker.groups)
+                .for_each(|groups| folder.groups.add_fold(groups));
         }
+        let mut scratch = Scratch::default();
         for (i, ready) in scans.into_iter().enumerate() {
+            let (c, filtered) = tasks[i];
             let ready = match ready {
                 Some(ready) => ready,
-                None => scan(i)?,
+                None => {
+                    let into = folds(filtered).then_some(&mut folder.groups);
+                    self.scan(store, c, filtered, &mut scratch, into)?
+                }
             };
-            let (c, filtered) = tasks[i];
             folder.absorb(c, store.chunk_rows(c) as u64, filtered, ready);
         }
         let groups = folder.groups.finish();
         debug_assert!(groups.is_sorted(), "the fold lists its groups in id order");
         Ok((groups, folder.stats))
+    }
+
+    /// An empty fold of this plan's groups, by id over `by_id` ids if set.
+    fn group_fold(&self, by_id: Option<usize>) -> GroupFold {
+        let kinds = self.slots.iter().map(|slot| slot.kind);
+        let grid = self.slots.iter().map(|slot| slot.grid).collect();
+        GroupFold::new(self.key_cols.len(), kinds, grid, by_id)
+    }
+
+    /// Per MIN/MAX slot, the global-ids of its argument's chunk-ids in
+    /// chunk `c`.
+    fn extreme_ids<'p>(&'p self, c: usize) -> impl Fn(usize) -> &'p [u32] + 'p {
+        move |s| {
+            self.slots[s].col.as_ref().expect("MIN/MAX has an argument").chunks[c].dict.values()
+        }
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
@@ -871,26 +939,39 @@ impl Plan {
         ))
     }
 
-    /// Group one chunk into a table of chunk-ids: the row filter's mask, a
-    /// group index and one loop per slot, whatever the query's shape. One
-    /// group (no key, or one entry in every key's chunk dictionary), and
-    /// dense keys' numbers where enough rows pass, list no group per row.
-    /// `filtered` says whether the row filter applies (fully active chunks
-    /// skip it by definition).
-    fn chunk_table(&self, store: &DataStore, c: usize, filtered: bool) -> Result<GroupTable<u32>> {
+    /// Scan chunk `c` in `scratch`: the row filter's mask, a group index
+    /// and one loop per slot, whatever the query's shape. Then either add
+    /// the slot columns straight `into` a fold by id, at the global ids of
+    /// the groups some row is in, or make the chunk's table of chunk-ids.
+    /// One group (no key, or one entry in every key's chunk dictionary),
+    /// and dense keys' numbers where enough rows pass, list no group per
+    /// row. `filtered` says whether the row filter applies (fully active
+    /// chunks skip it by definition).
+    fn scan<'a>(
+        &'a self,
+        store: &DataStore,
+        c: usize,
+        filtered: bool,
+        scratch: &mut Scratch<'a>,
+        into: Option<&mut GroupFold>,
+    ) -> Result<ChunkScan> {
         let rows = store.chunk_rows(c);
-        let codes: Vec<_> = self.key_cols.iter().map(|col| col.chunks[c].codes()).collect();
-        let sizes: Vec<usize> =
-            self.key_cols.iter().map(|col| (col.chunks[c].dict.len() as usize).max(1)).collect();
+        let Scratch { codes, sizes, words, index: spare, columns, tables } = scratch;
+        codes.clear();
+        codes.extend(self.key_cols.iter().map(|col| col.chunks[c].codes()));
+        sizes.clear();
+        sizes.extend(self.key_cols.iter().map(|col| (col.chunks[c].dict.len() as usize).max(1)));
 
         // Tabulate the row filter into a packed mask once per chunk; the
         // kernels below consume the mask instead of evaluating per row.
         let mask: Option<BitVec> = match (filtered, &self.filter) {
-            (true, Some(plan)) => match kernels::filter_mask(plan, c, rows)? {
+            (true, Some(plan)) => match kernels::filter_mask(plan, c, rows, words)? {
                 // No row survives: the chunk contributes no group.
+                Mask::Empty if into.is_some() => return Ok(ChunkScan::Folded),
                 Mask::Empty => {
                     let slots = self.slots.iter().map(|slot| Column::new(slot.kind)).collect();
-                    return Ok(GroupTable::new(0, vec![Vec::new(); codes.len()], slots));
+                    let keys = vec![Vec::new(); codes.len()];
+                    return Ok(ChunkScan::Computed(GroupTable::new(0, keys, slots)));
                 }
                 // Every row survives: scan unmasked.
                 Mask::All => None,
@@ -901,14 +982,33 @@ impl Plan {
 
         // Pass A: which rows are in which group — for dense keys, their
         // numbers.
-        let dense = kernels::dense_capacity(&sizes);
-        let index = kernels::group_codes(&codes, &sizes, rows, mask.as_ref(), dense);
+        let dense = kernels::dense_capacity(sizes);
+        let index = kernels::group_codes(codes, sizes, rows, mask.as_ref(), dense, spare);
 
-        // Pass B: per-slot tight loops, then the groups no row is in
-        // dropped.
-        let accumulate = |slot: &SlotPlan| kernels::accumulate(slot, c, &index);
-        let slots = self.slots.iter().map(accumulate).collect();
-        Ok(index.table(&sizes, slots))
+        // Pass B: per-slot tight loops, into the last chunk's columns.
+        if columns.len() != self.slots.len() {
+            *columns = self.slots.iter().map(|slot| Column::new(slot.kind)).collect();
+        }
+        for (slot, column) in self.slots.iter().zip(columns.iter_mut()) {
+            let spare = std::mem::replace(column, Column::new(slot.kind));
+            *column = kernels::accumulate(slot, c, &index, spare, tables);
+        }
+        let scan = match into {
+            Some(groups) => {
+                let ids = self.key_cols.first().map(|col| col.chunks[c].dict.values());
+                let extremes = self.extreme_ids(c);
+                let map = index.global_ids(columns, ids, spare);
+                groups.add(columns, map, |s, &cell| extremes(s)[cell as usize]);
+                index.recycle(spare);
+                ChunkScan::Folded
+            }
+            // The groups no row is in dropped.
+            None => ChunkScan::Computed(index.table(sizes, std::mem::take(columns), spare)),
+        };
+        if let Some(bits) = mask {
+            *words = bits.into_words();
+        }
+        Ok(scan)
     }
 }
 

@@ -290,33 +290,31 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    /// Add `from`'s group `j` into group `map[j]`, each of `from`'s MIN/MAX
-    /// cells read as `cell` of it; float sums on one grid (`grid`) by
-    /// plain adds.
+    /// Add `from`'s group `j` into group `map[j]` — none where that is
+    /// `u32::MAX` —, each of `from`'s MIN/MAX cells read as `cell` of it;
+    /// float sums on one grid (`grid`) by plain adds.
     fn absorb(&mut self, from: &Column<K>, map: &[u32], cell: impl Fn(&K) -> K, grid: bool) {
-        let slots = map.iter().map(|&to| to as usize);
+        let slots = mapped(map);
         match (self, from) {
-            (Column::Count(to), Column::Count(from)) => {
-                slots.zip(from).for_each(|(t, n)| to[t] += n)
-            }
+            (Column::Count(to), Column::Count(from)) => slots.for_each(|(j, t)| to[t] += from[j]),
             // An `i128` holds 2^64 rows of `i64`s exactly; wrapping keeps a
             // forged sum from panicking, and `SUM`'s low 64 bits right.
             (Column::SumInt(to), Column::SumInt(from)) => {
-                slots.zip(from).for_each(|(t, n)| to[t] = to[t].wrapping_add(*n))
+                slots.for_each(|(j, t)| to[t] = to[t].wrapping_add(from[j]))
             }
             (Column::SumFloat(to), Column::SumFloat(from)) if grid => to.absorb_on_grid(from, map),
             (Column::SumFloat(to), Column::SumFloat(from)) => to.absorb(from, map),
             (Column::Extreme { is_min, best: to }, Column::Extreme { best: from, .. }) => {
                 let worse = if *is_min { Ordering::Greater } else { Ordering::Less };
-                for (t, from) in slots.zip(from) {
-                    let Some(from) = from.as_ref().map(&cell) else { continue };
+                for (j, t) in slots {
+                    let Some(from) = from[j].as_ref().map(&cell) else { continue };
                     if to[t].as_ref().is_none_or(|held| held.cmp(&from) == worse) {
                         to[t] = Some(from);
                     }
                 }
             }
             (Column::Distinct { sketches: to, .. }, Column::Distinct { sketches: from, .. }) => {
-                slots.zip(from).for_each(|(t, sketch)| to[t].merge(sketch))
+                slots.for_each(|(j, t)| to[t].merge(&from[j]))
             }
             _ => unreachable!("tables of one plan have the same slot kinds"),
         }
@@ -353,6 +351,12 @@ impl<K: Cell> Column<K> {
             Column::Distinct { sketches, .. } => sketches.iter().map(HeapSize::total_bytes).sum(),
         }
     }
+}
+
+/// The `(j, map[j])` of a map's groups that go somewhere: `map[j]` is not
+/// `u32::MAX`.
+fn mapped(map: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (map.iter().enumerate()).filter(|&(_, &to)| to != u32::MAX).map(|(j, &to)| (j, to as usize))
 }
 
 /// `len` cells, `v`'s cell `j` at position `to[j]` if that is one of them,
@@ -413,11 +417,25 @@ impl FloatColumn {
         FloatColumn { hi: vec![0.0; len], lo: vec![0.0; len], exact: vec![None; len] }
     }
 
-    /// The column of exact `sums` summed on one grid: each an untainted
-    /// pair whose `lo` is zero.
-    pub(crate) fn on_grid(sums: Vec<f64>) -> FloatColumn {
-        let len = sums.len();
-        FloatColumn { hi: sums, lo: vec![0.0; len], exact: vec![None; len] }
+    /// `len` empty slots in this column's buffers.
+    pub(crate) fn reset(self, len: usize) -> FloatColumn {
+        self.on_grid(|mut hi| {
+            hi.clear();
+            hi.resize(len, 0.0);
+            hi
+        })
+    }
+
+    /// The exact sums that `fill` writes into this column's `hi` buffer,
+    /// summed on one grid: each an untainted pair whose `lo` is zero.
+    pub(crate) fn on_grid(mut self, fill: impl FnOnce(Vec<f64>) -> Vec<f64>) -> FloatColumn {
+        self.hi = fill(std::mem::take(&mut self.hi));
+        let len = self.hi.len();
+        self.lo.clear();
+        self.lo.resize(len, 0.0);
+        self.exact.clear();
+        self.exact.resize_with(len, || None);
+        self
     }
 
     #[inline(always)]
@@ -472,37 +490,43 @@ impl FloatColumn {
     }
 
     /// One slot holding the sum of `lanes` ([`FloatColumn::add_to_lane`]),
-    /// merged as chunk tables merge: the sum a single slot would hold.
+    /// merged as chunk tables merge: the sum a single slot would hold. In
+    /// `spare`'s buffers.
     pub(crate) fn of_lanes<const N: usize>(
         lanes: [Pair; N],
         exact: [Option<Box<FloatSum>>; N],
+        spare: FloatColumn,
     ) -> FloatColumn {
-        let (hi, lo) = lanes.into_iter().unzip();
-        let lanes = FloatColumn { hi, lo, exact: exact.into() };
-        let mut sum = FloatColumn::new(1);
-        sum.absorb(&lanes, &[0; N]);
+        let mut sum = spare.reset(1);
+        for ((hi, lo), exact) in lanes.into_iter().zip(exact) {
+            sum.absorb_one(0, (hi, lo), exact.as_deref());
+        }
         sum
     }
 
     /// [`FloatColumn::absorb`] for two columns summed on one grid that
     /// admits all their rows: one plain add per group, which is exact.
     fn absorb_on_grid(&mut self, from: &FloatColumn, map: &[u32]) {
-        for (j, &to) in map.iter().enumerate() {
+        for (j, to) in mapped(map) {
             debug_assert!(from.exact[j].is_none() && from.lo[j] == 0.0, "a sum on the grid");
-            let to = to as usize;
             self.hi[to] = fsum::grid_add(self.hi[to], from.hi[j]);
         }
     }
 
     fn absorb(&mut self, from: &FloatColumn, map: &[u32]) {
-        for (j, &to) in map.iter().enumerate() {
-            let to = to as usize;
-            match &from.exact[j] {
-                Some(sum) => self.exact_mut(to).merge(sum),
-                None => {
-                    self.add(to, from.hi[j]);
-                    self.add(to, from.lo[j]);
-                }
+        for (j, to) in mapped(map) {
+            self.absorb_one(to, (from.hi[j], from.lo[j]), from.exact[j].as_deref());
+        }
+    }
+
+    /// Add a slot — its pair, or its exact accumulator once tainted — to
+    /// slot `to`.
+    fn absorb_one(&mut self, to: usize, (hi, lo): Pair, exact: Option<&FloatSum>) {
+        match exact {
+            Some(sum) => self.exact_mut(to).merge(sum),
+            None => {
+                self.add(to, hi);
+                self.add(to, lo);
             }
         }
     }
@@ -906,20 +930,24 @@ impl PartialResult {
     }
 }
 
-/// The chunk-ordered fold of chunk tables into one store-wide table, all
-/// in ascending id order.
+/// The fold of chunk tables into one store-wide table, all in ascending
+/// id order.
 ///
 /// One key whose dictionary is proportionate to the scanned volume folds
-/// the paper's way: the table is a counts array over every id of the
-/// dictionary, each chunk's columns add into it at their groups' ids, and
-/// the ids no chunk showed are dropped at the end. Any other grouping — no
-/// key, several, or a dictionary that dwarfs the scan, where a selective
-/// query must not allocate a slot per id for a handful of groups — merges
-/// the chunk tables pairwise ([`merge_tables`]) in a balanced order: a
-/// merge sort's run stack of tables of 1, 2, 4, … chunks, so a group is
-/// merged O(log k) times over k chunks and O(log k) tables are live. Either
-/// way a float sum on one grid adds one chunk's sum per group by one plain
-/// add, any other by two double-double adds.
+/// the paper's way, and so does no key, as one id: the table is a counts
+/// array over every id of the dictionary, each chunk's columns add into it
+/// at their groups' ids — a chunk table's, or a chunk's slot columns
+/// straight from its loops ([`GroupFold::add`]) —, and the ids no chunk
+/// showed are dropped at the end. Every slot adds exactly, so such folds
+/// of any chunks add up ([`GroupFold::add_fold`]) to the same table in any
+/// order. Any other grouping — several keys, or a dictionary that dwarfs
+/// the scan, where a selective query must not allocate a slot per id for a
+/// handful of groups — merges the chunk tables pairwise ([`merge_tables`])
+/// in chunk order and balanced: a merge sort's run stack of tables of 1,
+/// 2, 4, … chunks, so a group is merged O(log k) times over k chunks and
+/// O(log k) tables are live. Either way a float sum on one grid adds one
+/// chunk's sum per group by one plain add, any other by two double-double
+/// adds.
 pub(crate) struct GroupFold {
     /// The counts array; for merges, the table that folding no chunk gives.
     table: GroupTable<u32>,
@@ -929,8 +957,9 @@ pub(crate) struct GroupFold {
 }
 
 enum FoldBy {
-    /// Per id, whether a chunk showed it.
-    ById(Vec<bool>),
+    /// Per id, whether a chunk showed it; `keyed`: the ids are the one
+    /// key's, else there is no key and one id.
+    ById { shown: Vec<bool>, keyed: bool },
     /// Tables merged from `n` chunks each, `n` halving up the stack.
     Runs(Vec<(Arc<GroupTable<u32>>, usize)>),
 }
@@ -938,20 +967,20 @@ enum FoldBy {
 impl GroupFold {
     /// An empty table of `n_keys` key columns and `kinds` slots, of which
     /// those `grid` marks are float sums on one grid ([`fsum::Grid`]).
-    /// `direct`: index the one key by global-id, over a dictionary of that
-    /// many entries.
+    /// `by_id`: add by id, over that many ids — the one key's dictionary,
+    /// or one id for no key.
     pub(crate) fn new(
         n_keys: usize,
         kinds: impl Iterator<Item = SlotKind>,
         grid: Vec<bool>,
-        direct: Option<usize>,
+        by_id: Option<usize>,
     ) -> GroupFold {
         let slots = kinds.map(Column::new).collect();
         let empty = GroupTable::new(0, vec![Vec::new(); n_keys], slots);
-        match direct {
+        match by_id {
             Some(ids) => GroupFold {
-                table: empty.spread(&[], ids, vec![(0..ids as u32).collect()]),
-                by: FoldBy::ById(vec![false; ids]),
+                table: empty.spread(&[], ids, Vec::new()),
+                by: FoldBy::ById { shown: vec![false; ids], keyed: n_keys == 1 },
                 grid,
             },
             None => GroupFold { table: empty, by: FoldBy::Runs(Vec::new()), grid },
@@ -960,7 +989,7 @@ impl GroupFold {
 
     /// Add one chunk's table of chunk-ids, whose key column `i` and slot
     /// `s`'s MIN/MAX cells index `keys(i)` and `extremes(s)`: the chunk
-    /// dictionaries' global-ids. Counted by id, the table is read where it
+    /// dictionaries' global-ids. Added by id, the table is read where it
     /// lies — a cached one is not copied; merged, it is translated
     /// ([`GroupTable::into_global`]), copied first if another holds it.
     pub(crate) fn absorb<'a>(
@@ -971,11 +1000,15 @@ impl GroupFold {
     ) {
         debug_assert!(chunk.is_sorted(), "a chunk table lists its groups in id order");
         match &mut self.by {
-            FoldBy::ById(shown) => {
-                let ids = keys(0);
-                let map: Vec<u32> = chunk.keys[0].iter().map(|&c| ids[c as usize]).collect();
-                map.iter().for_each(|&gid| shown[gid as usize] = true);
-                self.table.absorb(&chunk.slots, &map, |s, &c| extremes(s)[c as usize], &self.grid);
+            FoldBy::ById { .. } => {
+                let map: Vec<u32> = match chunk.keys.first() {
+                    Some(cells) => {
+                        let ids = keys(0);
+                        cells.iter().map(|&c| ids[c as usize]).collect()
+                    }
+                    None => vec![0; chunk.len],
+                };
+                self.add(&chunk.slots, &map, |s, &c| extremes(s)[c as usize]);
             }
             FoldBy::Runs(runs) => {
                 let chunk = Arc::unwrap_or_clone(chunk).into_global(keys, extremes);
@@ -990,15 +1023,40 @@ impl GroupFold {
         }
     }
 
+    /// Add slot columns of groups to a fold by id: group `j` at id `map[j]`
+    /// (none where that is `u32::MAX`), slot `s`'s MIN/MAX cell `c` as
+    /// `cell(s, c)`.
+    pub(crate) fn add(
+        &mut self,
+        slots: &[Column<u32>],
+        map: &[u32],
+        cell: impl Fn(usize, &u32) -> u32,
+    ) {
+        let FoldBy::ById { shown, .. } = &mut self.by else {
+            unreachable!("only a fold by id adds columns")
+        };
+        mapped(map).for_each(|(_, id)| shown[id] = true);
+        self.table.absorb(slots, map, cell, &self.grid);
+    }
+
+    /// Add another fold by id of the same query's chunks.
+    pub(crate) fn add_fold(&mut self, other: GroupFold) {
+        let FoldBy::ById { shown, .. } = &other.by else { unreachable!("only folds by id add up") };
+        let map: Vec<u32> =
+            (0..).zip(shown).map(|(id, &at)| if at { id } else { u32::MAX }).collect();
+        self.add(&other.table.slots, &map, |_, &id| id);
+    }
+
     /// The folded table.
     pub(crate) fn finish(self) -> GroupTable<u32> {
         match self.by {
-            FoldBy::ById(shown) => {
+            FoldBy::ById { shown, keyed } => {
                 let ids = (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id);
                 let ids: Vec<u32> = ids.collect();
                 let mut to = vec![u32::MAX; shown.len()];
                 (0..).zip(&ids).for_each(|(at, &id)| to[id as usize] = at);
-                self.table.spread(&to, ids.len(), vec![ids])
+                let len = ids.len();
+                self.table.spread(&to, len, if keyed { vec![ids] } else { Vec::new() })
             }
             FoldBy::Runs(runs) => {
                 let mut runs = runs.into_iter().rev().map(|(run, _)| run);

@@ -8,13 +8,16 @@
 //!   skip pass's resolver turned into global-ids (`IN`, `=`, ranges on
 //!   sorted dictionaries, over a column or a virtual field) costs two
 //!   `partition_point`s or a short merge on the chunk dictionary's sorted
-//!   global-ids, then one integer compare per row code, 64 rows per word
-//!   (an `AND` of ranges on one column is one interval, one pass); a leaf
-//!   the resolver declines, of any number of columns, is evaluated once per
-//!   distinct input tuple, through [`group_codes`] ([`eval_tuples`], the
-//!   only place a filter materializes values), and its truth table over
-//!   those numbers is the mask; `AND` / `OR` / `NOT` combine whole masks
-//!   word-wise, with subtrees that are constant on the chunk folded away.
+//!   global-ids, then one integer compare per row code, in the width the
+//!   codes are stored in, into a byte of 0 or 1; each 8 bytes become 8
+//!   mask bits by one multiply, so no shift is carried from row to row and
+//!   the compares vectorize (an `AND` of ranges on one column is one
+//!   interval, one pass); a leaf the resolver declines, of any number of
+//!   columns, is evaluated once per distinct input tuple, through
+//!   [`group_codes`] ([`eval_tuples`], the only place a filter
+//!   materializes values), and its truth table over those numbers is the
+//!   mask; `AND` / `OR` / `NOT` combine whole masks word-wise, with
+//!   subtrees that are constant on the chunk folded away.
 //! - [`group_codes`] computes a chunk's [`GroupIndex`]: which rows are in
 //!   which group, and every group's keys, numbered in ascending key order
 //!   so a chunk table is born ordered. **A row's group is a number**
@@ -61,9 +64,15 @@
 //! same for every row order.
 //!
 //! A chunk runs one set of kernels, whatever its query's shape: its mask,
-//! [`group_codes`], one [`accumulate`] per slot, [`GroupIndex::table`].
-//! `COUNT(*)` alone is a histogram of the groups like any `COUNT` (a
-//! two-valued key's, unmasked, a popcount). Each kernel dispatches on
+//! [`group_codes`], one [`accumulate`] per slot, then [`GroupIndex::table`]
+//! — or, where the query folds by id and no cache keeps the chunk's table,
+//! [`GroupIndex::global_ids`], at which the slot columns add straight into
+//! the fold. Every buffer those steps write ([`IndexScratch`], [`Tables`],
+//! a slot's column, the mask's words) is scratch that the thread scanning
+//! the chunk keeps across its chunks, so such a chunk costs its rows and
+//! groups and allocates nothing they size. `COUNT(*)` alone is a histogram
+//! of the groups like any `COUNT` (a two-valued key's, unmasked, a
+//! popcount). Each kernel dispatches on
 //! [`CodesView`] once per chunk and then runs a monomorphized loop, one
 //! read per row, so the element representation (const / bit-set / u8 /
 //! u16 / u32) costs no per-row branch.
@@ -77,7 +86,7 @@ use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{fsum, sortkey, BitVec, Result, Value};
 use pd_encoding::{CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, Expr, Restriction};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -254,13 +263,25 @@ impl Mask {
     }
 }
 
-/// Evaluate `plan` over chunk `chunk` (`rows` rows).
-pub(crate) fn filter_mask(plan: &FilterPlan, chunk: usize, rows: usize) -> Result<Mask> {
+/// Evaluate `plan` over chunk `chunk` (`rows` rows). The first leaf packed
+/// packs into `words`' capacity; a constant mask gives its words back.
+pub(crate) fn filter_mask(
+    plan: &FilterPlan,
+    chunk: usize,
+    rows: usize,
+    words: &mut Vec<u64>,
+) -> Result<Mask> {
     let values = plan.value_cols.iter().map(|_| OnceCell::new()).collect();
-    let cx = ChunkCx { plan, chunk, rows, values };
-    Ok(match cx.mask(&plan.root, None)? {
-        Mask::Rows(bits) if bits.none() => Mask::Empty,
-        Mask::Rows(bits) if bits.all() => Mask::All,
+    let spare = Cell::new(std::mem::take(words));
+    let cx = ChunkCx { plan, chunk, rows, values, spare };
+    let mask = cx.mask(&plan.root, None)?;
+    *words = cx.spare.take();
+    Ok(match mask {
+        Mask::Rows(bits) if bits.none() || bits.all() => {
+            let all = bits.all();
+            *words = bits.into_words();
+            Mask::constant(all)
+        }
         mask => mask,
     })
 }
@@ -274,11 +295,21 @@ struct ChunkCx<'a> {
     /// values — built on first use, so a chunk whose id-domain conjuncts
     /// already decided it never calls `dict.value()`.
     values: Vec<OnceCell<Vec<Value>>>,
+    /// Spare words for the first mask packed.
+    spare: Cell<Vec<u64>>,
 }
 
 impl ChunkCx<'_> {
     fn values(&self, col: usize) -> &[Value] {
         self.values[col].get_or_init(|| self.plan.value_cols[col].1.chunk_values(self.chunk))
+    }
+
+    /// `pack(words)` with the spare words, which a mask packed takes.
+    fn packed(&self, pack: impl FnOnce(&mut Vec<u64>) -> Mask) -> Mask {
+        let mut words = self.spare.take();
+        let mask = pack(&mut words);
+        self.spare.set(words);
+        mask
     }
 
     /// Evaluate `pred` into a mask.
@@ -294,7 +325,7 @@ impl ChunkCx<'_> {
     fn mask(&self, pred: &Pred, scope: Option<&BitVec>) -> Result<Mask> {
         Ok(match pred {
             Pred::Const(b) => Mask::constant(*b),
-            Pred::Ids(leaf) => ids_mask(leaf, self.chunk),
+            Pred::Ids(leaf) => self.packed(|words| ids_mask(leaf, self.chunk, words)),
             Pred::Table { cols, expr } => {
                 let sources: Vec<SourceRun<'_>> = (cols.iter())
                     .map(|&col| {
@@ -313,7 +344,7 @@ impl ChunkCx<'_> {
                 } else if values.iter().flatten().all(truthy) {
                     Mask::All
                 } else {
-                    code_mask(index.numbers(), |g| table[g as usize])
+                    self.packed(|words| code_mask(index.numbers(), words, |g| table[g as usize]))
                 }
             }
             Pred::And(children) => {
@@ -409,53 +440,61 @@ fn scoped(pred: &Pred) -> bool {
 /// An id-domain leaf on one chunk: the resolved global-ids become chunk-ids
 /// through the chunk dictionary's sorted global-ids, and a row matches iff
 /// its code is one of them. No value is looked at.
-fn ids_mask(leaf: &ResolvedLeaf, chunk: usize) -> Mask {
+fn ids_mask(leaf: &ResolvedLeaf, chunk: usize, words: &mut Vec<u64>) -> Mask {
     let ch = &leaf.col.chunks[chunk];
     let gids = ch.dict.values();
     match &leaf.ids {
         LeafIds::Range { lo, hi } => {
             let a = gids.partition_point(|g| g < lo);
             let b = gids.partition_point(|g| g < hi).max(a);
-            interval_mask(ch.codes(), gids.len(), a, b, false)
+            interval_mask(ch.codes(), gids.len(), a, b, false, words)
         }
         LeafIds::In { ids, negated } => {
             // Chunk-ids of the resolved ids this chunk holds, ascending:
             // binary searches when the id set is much the smaller side, a
             // merge of the two sorted lists otherwise.
-            let mut hits: Vec<usize> = Vec::new();
-            if ids.len() * 8 < gids.len() {
-                hits.extend(ids.iter().filter_map(|id| ch.dict.id_of(id)).map(|c| c as usize));
-            } else {
-                let mut wanted = ids.iter().peekable();
-                for (cid, gid) in gids.iter().enumerate() {
-                    while wanted.next_if(|id| *id < gid).is_some() {}
-                    if wanted.peek() == Some(&gid) {
-                        hits.push(cid);
+            let hits = |hit: &mut dyn FnMut(usize)| {
+                if ids.len() * 8 < gids.len() {
+                    ids.iter().filter_map(|id| ch.dict.id_of(id)).for_each(|c| hit(c as usize));
+                } else {
+                    let mut wanted = ids.iter().peekable();
+                    for (cid, gid) in gids.iter().enumerate() {
+                        while wanted.next_if(|id| *id < gid).is_some() {}
+                        if wanted.peek() == Some(&gid) {
+                            hit(cid);
+                        }
                     }
                 }
-            }
-            let Some((&first, &last)) = hits.first().zip(hits.last()) else {
-                return Mask::constant(*negated);
             };
-            if last - first + 1 == hits.len() {
+            let (mut first, mut last, mut held) = (usize::MAX, 0, 0);
+            hits(&mut |cid| (first, last, held) = (first.min(cid), last.max(cid), held + 1));
+            if held == 0 {
+                Mask::constant(*negated)
+            } else if last - first + 1 == held {
                 // One id, or neighbours in this chunk: `code == cid` is the
                 // one-wide interval.
-                interval_mask(ch.codes(), gids.len(), first, last + 1, *negated)
+                interval_mask(ch.codes(), gids.len(), first, last + 1, *negated, words)
             } else {
                 let mut table = vec![*negated; gids.len()];
-                for cid in hits {
-                    table[cid] = !*negated;
-                }
+                hits(&mut |cid| table[cid] = !*negated);
                 // Not constant: the held ids are not all the entries.
-                code_mask(ch.codes(), |code| table[code as usize])
+                code_mask(ch.codes(), words, |code| table[code as usize])
             }
         }
     }
 }
 
 /// Rows whose code lies in the chunk-id interval `[a, b)` of a chunk
-/// dictionary with `n` entries — or, `negated`, outside it.
-fn interval_mask(codes: CodesView<'_>, n: usize, a: usize, b: usize, negated: bool) -> Mask {
+/// dictionary with `n` entries — or, `negated`, outside it — compared in
+/// the width the codes are stored in.
+fn interval_mask(
+    codes: CodesView<'_>,
+    n: usize,
+    a: usize,
+    b: usize,
+    negated: bool,
+    words: &mut Vec<u64>,
+) -> Mask {
     // Every chunk-id occurs in some row, so the mask is constant exactly
     // when the interval is empty or covers the dictionary.
     if a == b {
@@ -464,23 +503,24 @@ fn interval_mask(codes: CodesView<'_>, n: usize, a: usize, b: usize, negated: bo
     if a == 0 && b == n {
         return Mask::constant(!negated);
     }
-    let (a, width) = (a as u32, (b - a) as u32);
-    code_mask(codes, |code| (code.wrapping_sub(a) < width) != negated)
+    let (lo, width) = (a as u32, (b - a) as u32);
+    // `u8` and `u16` codes compare as they are stored where every chunk-id
+    // fits them, and so do `a` and `b - a < n`.
+    match codes {
+        CodesView::U8(v) if n <= 1 << 8 => {
+            let (lo, width) = (lo as u8, width as u8);
+            pack(v, words, |code| (code.wrapping_sub(lo) < width) != negated)
+        }
+        CodesView::U16(v) if n <= 1 << 16 => {
+            let (lo, width) = (lo as u16, width as u16);
+            pack(v, words, |code| (code.wrapping_sub(lo) < width) != negated)
+        }
+        _ => code_mask(codes, words, |code| (code.wrapping_sub(lo) < width) != negated),
+    }
 }
 
-/// Tabulate `keep(code)` over a chunk's codes, one 64-row word at a time.
-fn code_mask(codes: CodesView<'_>, keep: impl Fn(u32) -> bool) -> Mask {
-    fn pack<T: Copy + Into<u32>>(codes: &[T], keep: impl Fn(u32) -> bool) -> Mask {
-        let words = codes
-            .chunks(64)
-            .map(|rows| {
-                rows.iter()
-                    .enumerate()
-                    .fold(0u64, |word, (i, &code)| word | (keep(code.into()) as u64) << i)
-            })
-            .collect();
-        Mask::Rows(BitVec::from_words(words, codes.len()))
-    }
+/// Tabulate `keep(code)` over a chunk's codes into the spare `words`.
+fn code_mask(codes: CodesView<'_>, words: &mut Vec<u64>, keep: impl Fn(u32) -> bool) -> Mask {
     match codes {
         CodesView::Const { .. } => Mask::constant(keep(0)),
         // Two codes: the mask is the bit-set itself, its complement, or
@@ -488,17 +528,51 @@ fn code_mask(codes: CodesView<'_>, keep: impl Fn(u32) -> bool) -> Mask {
         CodesView::Bits(bits) => match (keep(0), keep(1)) {
             (false, false) => Mask::Empty,
             (true, true) => Mask::All,
-            (false, true) => Mask::Rows(bits.clone()),
-            (true, false) => {
-                let mut flipped = bits.clone();
-                flipped.negate();
-                Mask::Rows(flipped)
+            (kept, _) => {
+                let mut copy = std::mem::take(words);
+                copy.clear();
+                copy.extend_from_slice(bits.words());
+                let mut copy = BitVec::from_words(copy, bits.len());
+                if kept {
+                    copy.negate();
+                }
+                Mask::Rows(copy)
             }
         },
-        CodesView::U8(v) => pack(v, keep),
-        CodesView::U16(v) => pack(v, keep),
-        CodesView::U32(v) => pack(v, keep),
+        CodesView::U8(v) => pack(v, words, |code| keep(code.into())),
+        CodesView::U16(v) => pack(v, words, |code| keep(code.into())),
+        CodesView::U32(v) => pack(v, words, keep),
     }
+}
+
+/// `keep(code)` over `codes`, packed 64 rows per word into the spare
+/// `words`: each 64-row block is compared into bytes of 0 or 1, and each 8
+/// of them become 8 bits by one multiply — no shift carried from row to
+/// row, so the compares vectorize. The bytes past a short last block are
+/// cleared, so the last word's bits past the rows are zero.
+fn pack_words<T: Copy>(codes: &[T], words: &mut Vec<u64>, keep: impl Fn(T) -> bool) -> Vec<u64> {
+    let mut words = std::mem::take(words);
+    words.clear();
+    let mut bytes = [0u8; 64];
+    for block in codes.chunks(64) {
+        if block.len() < 64 {
+            bytes = [0; 64];
+        }
+        for (byte, &code) in bytes.iter_mut().zip(block) {
+            *byte = u8::from(keep(code));
+        }
+        let eights = bytes.chunks_exact(8).map(|eight| {
+            let eight = u64::from_le_bytes(eight.try_into().expect("8 bytes"));
+            eight.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+        words.push(eights.enumerate().fold(0, |word, (i, bits)| word | bits << (8 * i)));
+    }
+    words
+}
+
+/// [`pack_words`] as a mask of `codes.len()` rows.
+fn pack<T: Copy>(codes: &[T], words: &mut Vec<u64>, keep: impl Fn(T) -> bool) -> Mask {
+    Mask::Rows(BitVec::from_words(pack_words(codes, words, keep), codes.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -586,18 +660,24 @@ fn in_lanes(n: usize, mut body: impl FnMut(usize, usize)) {
 }
 
 /// Per counter below `size` (at least 1), how many of `rows` name it
-/// (`counter(row)`).
+/// (`counter(row)`), in `cells`' buffer.
 #[inline(always)]
-fn histogram(size: usize, rows: Rows<'_>, counter: impl Fn(usize) -> usize) -> Vec<u64> {
-    fold_cells(size, rows, 0, counter, |n, _| n + 1, |n, m| n + m)
+fn histogram(
+    cells: Vec<u64>,
+    size: usize,
+    rows: Rows<'_>,
+    counter: impl Fn(usize) -> usize,
+) -> Vec<u64> {
+    fold_cells(cells, size, rows, 0, counter, |n, _| n + 1, |n, m| n + m)
 }
 
 /// Per cell below `size` (at least 1), `add(held, row)` over the rows of
-/// `rows` that name it (`cell(row)`), from `seed`: in [`LANES`] copies of
-/// the array, merged once at the end by `merge`, when `size` is at most
-/// [`SPLIT_MAX`], else in one array.
+/// `rows` that name it (`cell(row)`), from `seed`, in `cells`' buffer: in
+/// [`LANES`] copies of the array, merged once at the end by `merge`, when
+/// `size` is at most [`SPLIT_MAX`], else in one array.
 #[inline(always)]
 fn fold_cells<T: Copy>(
+    cells: Vec<T>,
     size: usize,
     rows: Rows<'_>,
     seed: T,
@@ -606,9 +686,9 @@ fn fold_cells<T: Copy>(
     merge: impl Fn(T, T) -> T,
 ) -> Vec<T> {
     if size <= SPLIT_MAX {
-        copies::<T, LANES>(size, rows, seed, cell, add, merge)
+        copies::<T, LANES>(cells, size, rows, seed, cell, add, merge)
     } else {
-        copies::<T, 1>(size, rows, seed, cell, add, merge)
+        copies::<T, 1>(cells, size, rows, seed, cell, add, merge)
     }
 }
 
@@ -617,6 +697,7 @@ fn fold_cells<T: Copy>(
 /// closure in it inlines.
 #[inline(never)]
 fn copies<T: Copy, const N: usize>(
+    mut cells: Vec<T>,
     size: usize,
     rows: Rows<'_>,
     seed: T,
@@ -624,7 +705,8 @@ fn copies<T: Copy, const N: usize>(
     add: impl Fn(T, usize) -> T,
     merge: impl Fn(T, T) -> T,
 ) -> Vec<T> {
-    let mut cells = vec![seed; size * N];
+    cells.clear();
+    cells.resize(size * N, seed);
     rows.in_lanes(|lane, row| {
         let at = lane % N * size + cell(row);
         cells[at] = add(cells[at], row);
@@ -653,8 +735,8 @@ pub(crate) struct GroupIndex<'a> {
     /// [`Numbers::Mixed`]), which [`GroupIndex::table`] drops.
     pub group_count: usize,
     /// Per key column, the chunk-id each group has there, the groups in
-    /// strictly ascending key order; none under digit numbers, whose
-    /// table reads them off the numbers held.
+    /// strictly ascending key order, for one group and for ranks; none
+    /// under digit numbers, whose keys are the numbers' digits.
     pub keys: Vec<Vec<u32>>,
 }
 
@@ -667,8 +749,9 @@ pub(crate) enum Members<'a> {
     Codes { rows: Rows<'a>, key: Numbers<'a> },
 }
 
-/// Every row's number under [`Members::Codes`] (a row a mask drops holds
-/// any).
+/// Every row's number under [`Members::Codes`]. A row a mask drops holds
+/// 0, which every index numbers: a declined leaf's mask, a truth table over
+/// the numbers, reads every row's.
 pub(crate) enum Numbers<'a> {
     /// One key's chunk codes, as they are.
     Key(CodesView<'a>),
@@ -690,10 +773,31 @@ impl Numbers<'_> {
     }
 }
 
+/// The arrays [`group_codes`] and the steps after it write, kept across
+/// the chunks one thread scans ([`GroupIndex::recycle`] gives an index's
+/// back): each is cleared or written in full before it is read.
+#[derive(Default)]
+pub(crate) struct IndexScratch {
+    /// Per row, its number: more keys' digits, or a rank.
+    numbers: Vec<u32>,
+    /// The passing rows' packed key tuples.
+    packed: Vec<u64>,
+    /// Per packed tuple below a dense product, its rank.
+    rank_of: Vec<u32>,
+    /// Per rank, a row that holds it.
+    member: Vec<usize>,
+    /// Per key column, the chunk-id of each group: one group's, or ranks'.
+    keys: Vec<Vec<u32>>,
+    /// Per number, 1 if a visited row holds it.
+    marks: Vec<u32>,
+    /// Per number, the global id it adds into ([`GroupIndex::global_ids`]).
+    map: Vec<u32>,
+}
+
 /// Compute the group index of the keys' codes over `rows` rows, of which
 /// `mask` (if any) passes some, numbering the groups in ascending key-tuple
-/// order. Chunk-ids order like global ids, so this is ascending
-/// global-id-tuple order.
+/// order, in `spare`'s arrays. Chunk-ids order like global ids, so this is
+/// ascending global-id-tuple order.
 ///
 /// Keys whose chunk dictionaries all have one entry (`sizes` all 1), and no
 /// key, make [`Members::One`]. Else `dense_capacity` is the checked product
@@ -712,20 +816,35 @@ pub(crate) fn group_codes<'a>(
     rows: usize,
     mask: Option<&'a BitVec>,
     dense_capacity: Option<usize>,
+    spare: &mut IndexScratch,
 ) -> GroupIndex<'a> {
     let visited = Rows::of(rows, mask);
+    let mut keys = || {
+        let mut keys = std::mem::take(&mut spare.keys);
+        keys.resize_with(codes.len(), Vec::new);
+        keys.iter_mut().for_each(Vec::clear);
+        keys
+    };
     if sizes.iter().all(|&n| n == 1) {
-        let keys = vec![vec![0]; codes.len()];
+        let mut keys = keys();
+        keys.iter_mut().for_each(|cells| cells.push(0));
         return GroupIndex { members: Members::One(visited), group_count: 1, keys };
     }
     if let Some(product) = dense_capacity.filter(|&product| product <= visited.count()) {
         let key = match codes {
             [key] => Numbers::Key(*key),
             _ => {
-                // A masked chunk's passing rows only, walked by the mask's
-                // set bits; the numbers of the rows it drops are never read.
-                let mut numbers = vec![0u32; rows];
-                for (&key, &n) in codes.iter().zip(sizes) {
+                // An unmasked chunk's rows take the first key's digits as
+                // they are; a masked chunk's passing rows only, walked by
+                // the mask's set bits, over zeros.
+                let mut numbers = std::mem::take(&mut spare.numbers);
+                numbers.clear();
+                match visited {
+                    Rows::All(_) => with_codes!(codes[0], |get| numbers.extend((0..rows).map(get))),
+                    Rows::Passing(_) => numbers.resize(rows, 0),
+                }
+                let skipped = usize::from(mask.is_none());
+                for (&key, &n) in codes.iter().zip(sizes).skip(skipped) {
                     let n = n as u32;
                     with_codes!(key, |get| match visited {
                         Rows::All(_) => numbers
@@ -745,12 +864,14 @@ pub(crate) fn group_codes<'a>(
     }
     // The passing rows' packed tuples, ascending by row; every one is below
     // `radix`.
-    let mut packed = vec![0u64; visited.count()];
+    let packed = &mut spare.packed;
+    packed.clear();
+    packed.resize(visited.count(), 0);
     let mut radix = 1u64;
     for (&key, &n) in codes.iter().zip(sizes) {
         let n = n as u64;
         if radix.checked_mul(n).is_none() {
-            radix = rank(&mut packed, None);
+            radix = rank(packed, None, &mut spare.rank_of);
         }
         radix *= n;
         let mut at = 0;
@@ -759,22 +880,29 @@ pub(crate) fn group_codes<'a>(
             at += 1;
         }));
     }
-    let group_count = rank(&mut packed, dense_capacity) as usize;
+    let group_count = rank(packed, dense_capacity, &mut spare.rank_of) as usize;
     // Each passing row's rank at its row, and a row of each group to read
     // its keys off.
-    let (mut ranks, mut member, mut at) = (vec![0u32; rows], vec![0; group_count], 0);
+    let (mut ranks, member, mut at) = (std::mem::take(&mut spare.numbers), &mut spare.member, 0);
+    ranks.clear();
+    ranks.resize(rows, 0);
+    member.clear();
+    member.resize(group_count, 0);
     visited.in_lanes(|_, row| {
         ranks[row] = packed[at] as u32;
         member[packed[at] as usize] = row;
         at += 1;
     });
-    let keys = codes.iter().map(|key| member.iter().map(|&r| key.get(r)).collect());
+    let mut keys = keys();
+    for (cells, key) in keys.iter_mut().zip(codes) {
+        cells.extend(member.iter().map(|&r| key.get(r)));
+    }
     let members = Members::Codes { rows: visited, key: Numbers::Ranks(ranks) };
-    GroupIndex { members, group_count, keys: keys.collect() }
+    GroupIndex { members, group_count, keys }
 }
 
 impl GroupIndex<'_> {
-    /// Every row's group (a row a mask drops reads any).
+    /// Every row's group (a row a mask drops reads 0).
     fn numbers(&self) -> CodesView<'_> {
         match &self.members {
             Members::One(Rows::All(len)) => CodesView::Const { len: *len },
@@ -783,69 +911,121 @@ impl GroupIndex<'_> {
         }
     }
 
-    /// Which numbers some visited row holds — per number 1 if one does, or
-    /// `None` if every number is held — and per key column the chunk-id
-    /// each held number has there, ascending. One group and ranks are all
-    /// held and carry their keys (taken out of the index). Digit numbers
-    /// are held where `counts` (a `COUNT` column over them) is not zero,
-    /// else where one presence pass over the visited rows finds them; one
-    /// key's codes over every row are all held if `every_code_held` (a
-    /// chunk's are, a delta's need not be). Their keys are their digits.
+    /// Whether some number is held by no visited row, and if so, per
+    /// number in `marks`, 1 if one is. One group and ranks are all held;
+    /// one key's codes over every row are too if `every_code_held` (a
+    /// chunk's are, a delta's need not be). Other digit numbers are held
+    /// where `counts` (a `COUNT` column over them) is not zero, else where
+    /// one presence pass over the visited rows finds them.
+    fn mark(&self, counts: Option<&[u64]>, every_code_held: bool, marks: &mut Vec<u32>) -> bool {
+        let (rows, key) = match &self.members {
+            Members::One(_) | Members::Codes { key: Numbers::Ranks(_), .. } => return false,
+            Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } if every_code_held => {
+                return false
+            }
+            Members::Codes { rows, key } => (*rows, key),
+        };
+        marks.clear();
+        match counts {
+            Some(counts) => marks.extend(counts.iter().map(|&c| u32::from(c > 0))),
+            None => {
+                marks.resize(self.group_count, 0);
+                with_codes!(key.view(), |get| rows.in_lanes(|_, row| marks[get(row) as usize] = 1));
+            }
+        }
+        marks.contains(&0)
+    }
+
+    /// Per key column the chunk-id each held number has there, ascending,
+    /// and whether some number is not held — then `marks` says which are
+    /// ([`GroupIndex::mark`]). One group and ranks carry their keys (taken
+    /// out of the index); digit numbers' keys are their digits.
     fn held(
         &mut self,
         sizes: &[usize],
         counts: Option<&[u64]>,
         every_code_held: bool,
-    ) -> (Option<Vec<u32>>, Vec<Vec<u32>>) {
-        let n = self.group_count;
-        let marks = match &self.members {
-            Members::One(_) | Members::Codes { key: Numbers::Ranks(_), .. } => {
-                return (None, std::mem::take(&mut self.keys));
-            }
-            Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } if every_code_held => None,
-            Members::Codes { rows, key } => Some(match counts {
-                Some(counts) => counts.iter().map(|&c| u32::from(c > 0)).collect(),
-                None => presence(*rows, key, n),
-            }),
-        };
-        let marks = marks.filter(|marks| marks.contains(&0));
-        let mut held: Vec<u32> = (0..n as u32).collect();
-        if let Some(marks) = &marks {
-            held.retain(|&g| marks[g as usize] == 1);
+        marks: &mut Vec<u32>,
+    ) -> (bool, Vec<Vec<u32>>) {
+        let partial = self.mark(counts, every_code_held, marks);
+        if let Members::One(_) | Members::Codes { key: Numbers::Ranks(_), .. } = self.members {
+            return (false, std::mem::take(&mut self.keys));
         }
-        (marks, dense_keys(held, sizes))
+        let held = (0..self.group_count as u32).filter(|&g| !partial || marks[g as usize] == 1);
+        (partial, dense_keys(held.collect(), sizes))
     }
 
     /// The chunk table of these groups, given the keys' chunk-dictionary
     /// `sizes` and the columns pass B filled over them: every group holds
     /// some row, in ascending key order. The numbers no passing row holds
-    /// ([`GroupIndex::held`], read off a `COUNT` column's zeros if the
-    /// slots have one) are dropped here.
-    pub(crate) fn table(mut self, sizes: &[usize], slots: Vec<Column<u32>>) -> GroupTable<u32> {
-        let counts = slots.iter().find_map(|slot| match slot {
-            Column::Count(counts) => Some(&counts[..]),
-            _ => None,
-        });
-        let (marks, keys) = self.held(sizes, counts, true);
-        let Some(mut to) = marks else {
-            return GroupTable::new(self.group_count, keys, slots);
-        };
+    /// ([`GroupIndex::mark`], read off a `COUNT` column's zeros if the
+    /// slots have one) are dropped here. The index's arrays go back to
+    /// `spare`.
+    pub(crate) fn table(
+        mut self,
+        sizes: &[usize],
+        slots: Vec<Column<u32>>,
+        spare: &mut IndexScratch,
+    ) -> GroupTable<u32> {
+        let (partial, keys) = self.held(sizes, count_column(&slots), true, &mut spare.marks);
+        let group_count = self.group_count;
+        self.recycle(spare);
+        if !partial {
+            return GroupTable::new(group_count, keys, slots);
+        }
         // A held number's group moves to its rank among them, any other
         // past the end, where spreading drops it.
-        let mut next = 0;
-        for at in &mut to {
+        let (to, mut next) = (&mut spare.marks, 0);
+        for at in to.iter_mut() {
             (*at, next) = if *at == 1 { (next, next + 1) } else { (u32::MAX, next) };
         }
-        let slots = slots.into_iter().map(|column| column.spread(&to, next as usize)).collect();
+        let slots = slots.into_iter().map(|column| column.spread(to, next as usize)).collect();
         GroupTable::new(next as usize, keys, slots)
+    }
+
+    /// Per number, the global id that its one key's chunk-id has in `ids`
+    /// (the chunk dictionary's global-ids; no key: id 0), or `u32::MAX`
+    /// where no visited row holds the number — read off the `COUNT` column
+    /// of the `slots` pass B filled if there is one ([`GroupIndex::mark`]).
+    /// Written into `spare`'s map: a fold by id adds the slots there.
+    pub(crate) fn global_ids<'s>(
+        &self,
+        slots: &[Column<u32>],
+        ids: Option<&[u32]>,
+        spare: &'s mut IndexScratch,
+    ) -> &'s [u32] {
+        let partial = self.mark(count_column(slots), true, &mut spare.marks);
+        let (marks, map) = (&spare.marks, &mut spare.map);
+        map.clear();
+        map.extend((0..self.group_count).map(|g| {
+            if partial && marks[g] == 0 {
+                return u32::MAX;
+            }
+            let chunk_id = self.keys.first().map_or(g as u32, |cells| cells[g]);
+            ids.map_or(chunk_id, |ids| ids[chunk_id as usize])
+        }));
+        map
+    }
+
+    /// Give the index's arrays back to `spare` for the next chunk.
+    pub(crate) fn recycle(self, spare: &mut IndexScratch) {
+        if let Members::Codes { key: Numbers::Mixed(numbers) | Numbers::Ranks(numbers), .. } =
+            self.members
+        {
+            spare.numbers = numbers;
+        }
+        if !self.keys.is_empty() {
+            spare.keys = self.keys;
+        }
     }
 }
 
-/// Per number below `n`, 1 if one of `rows` holds it under `key`.
-fn presence(rows: Rows<'_>, key: &Numbers<'_>, n: usize) -> Vec<u32> {
-    let mut held = vec![0; n];
-    with_codes!(key.view(), |get| rows.in_lanes(|_, row| held[get(row) as usize] = 1));
-    held
+/// The first `COUNT` column of `slots`.
+fn count_column(slots: &[Column<u32>]) -> Option<&[u64]> {
+    slots.iter().find_map(|slot| match slot {
+        Column::Count(counts) => Some(&counts[..]),
+        _ => None,
+    })
 }
 
 /// The product of the keys' chunk-dictionary `sizes` if it fits
@@ -858,8 +1038,9 @@ pub(crate) fn dense_capacity(sizes: &[usize]) -> Option<usize> {
 }
 
 /// Replace each value by its rank among the distinct values, which are
-/// below `capacity` if one is given; return how many there are.
-fn rank(packed: &mut [u64], capacity: Option<usize>) -> u64 {
+/// below `capacity` if one is given (ranked off `rank_of`, a flat array
+/// that long); return how many there are.
+fn rank(packed: &mut [u64], capacity: Option<usize>, rank_of: &mut Vec<u32>) -> u64 {
     let Some(capacity) = capacity else {
         let mut distinct = packed.to_vec();
         distinct.sort_unstable();
@@ -869,7 +1050,8 @@ fn rank(packed: &mut [u64], capacity: Option<usize>) -> u64 {
         }
         return distinct.len() as u64;
     };
-    let mut rank_of = vec![u32::MAX; capacity];
+    rank_of.clear();
+    rank_of.resize(capacity, u32::MAX);
     packed.iter().for_each(|&p| rank_of[p as usize] = 0);
     let mut ranks = 0;
     for rank in rank_of.iter_mut().filter(|rank| **rank != u32::MAX) {
@@ -929,10 +1111,11 @@ pub(crate) fn eval_tuples<'a>(
     // One source's codes are dense numbers, however many: its values are
     // as many.
     let dense = if let [size] = sizes[..] { Some(size) } else { dense_capacity(&sizes) };
-    let mut index = group_codes(&codes, &sizes, rows, scope, dense);
-    let (marks, keys) = index.held(&sizes, None, every_code_held);
+    let mut spare = IndexScratch::default();
+    let mut index = group_codes(&codes, &sizes, rows, scope, dense, &mut spare);
+    let (partial, keys) = index.held(&sizes, None, every_code_held, &mut spare.marks);
     let n = index.group_count as u32;
-    let held = (0..n).filter(|&g| marks.as_ref().is_none_or(|m| m[g as usize] == 1));
+    let held = (0..n).filter(|&g| !partial || spare.marks[g as usize] == 1);
     let mut values = vec![None; n as usize];
     let mut tuple: Vec<(&str, Value)> = sources.iter().map(|s| (s.name, Value::Null)).collect();
     for (at, number) in held.enumerate() {
@@ -971,9 +1154,21 @@ pub(crate) fn eval_rows(
 // Aggregate slots (pass B)
 // ---------------------------------------------------------------------------
 
+/// The per-chunk-id tables the slot loops read or write besides their
+/// columns, kept across the chunks one thread scans: a `SUM`'s dictionary
+/// values, a MIN/MAX's extreme codes.
+#[derive(Default)]
+pub(crate) struct Tables {
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    codes: Vec<u32>,
+}
+
 /// One aggregate slot's column over a chunk: the pass-B loop for `slot`
 /// over the rows of `index`, a value read per chunk-dictionary entry off
-/// the typed dictionary, if at all; MIN/MAX cells are chunk-ids. No
+/// the typed dictionary, if at all; MIN/MAX cells are chunk-ids. The
+/// column is written into `spare`'s buffers (a column of the slot's kind,
+/// or any other for none), and its per-chunk-id tables into `tables`. No
 /// loop adds a row into the slot the row before it added into: one group's
 /// `COUNT` is the rows' count, its sums and extremes run in [`LANES`]
 /// register lanes, and a small counts or extremes array splits.
@@ -982,40 +1177,65 @@ pub(crate) fn eval_rows(
 /// threads and shards can then add them in any grouping and still produce
 /// bit-identical results: on a grid by plain adds, which the grid makes
 /// exact ([`SlotPlan::grid`]), otherwise as double-double pairs.
-pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Column<u32> {
+pub(crate) fn accumulate(
+    slot: &SlotPlan,
+    c: usize,
+    index: &GroupIndex,
+    spare: Column<u32>,
+    tables: &mut Tables,
+) -> Column<u32> {
     let arg = slot.col.as_ref().map(|col| (col, &col.chunks[c]));
     let group_count = index.group_count;
     match slot.kind {
-        SlotKind::Count => Column::Count(match &index.members {
-            Members::One(rows) => vec![rows.count() as u64],
-            // Two codes count in O(words).
-            Members::Codes {
-                rows: Rows::All(n), key: Numbers::Key(CodesView::Bits(bits)), ..
-            } => {
-                let ones = bits.count_ones() as u64;
-                vec![*n as u64 - ones, ones]
-            }
-            Members::Codes { rows, key } => with_codes!(key.view(), |group| {
-                histogram(group_count, *rows, move |row| group(row) as usize)
-            }),
-        }),
+        SlotKind::Count => {
+            let mut counts = match spare {
+                Column::Count(counts) => counts,
+                _ => Vec::new(),
+            };
+            counts.clear();
+            Column::Count(match &index.members {
+                Members::One(rows) => {
+                    counts.push(rows.count() as u64);
+                    counts
+                }
+                // Two codes count in O(words).
+                Members::Codes {
+                    rows: Rows::All(n),
+                    key: Numbers::Key(CodesView::Bits(bits)),
+                    ..
+                } => {
+                    let ones = bits.count_ones() as u64;
+                    counts.extend([*n as u64 - ones, ones]);
+                    counts
+                }
+                Members::Codes { rows, key } => with_codes!(key.view(), |group| {
+                    histogram(counts, group_count, *rows, move |row| group(row) as usize)
+                }),
+            })
+        }
         SlotKind::SumInt => {
             let (col, chunk) = arg.expect("SUM has an argument");
             let GlobalDict::Int(dict) = &col.dict else { unreachable!("an integer SUM") };
-            let table = gather(chunk, dict.values());
+            gather(chunk, dict.values(), &mut tables.ints);
             // A slice, so that `add` is `Copy`.
-            let table = &table[..];
+            let table = &tables.ints[..];
             let add =
                 move |sum: i128, code: u32| sum.wrapping_add(i128::from(table[code as usize]));
+            let mut sums = match spare {
+                Column::SumInt(sums) => sums,
+                _ => Vec::new(),
+            };
+            sums.clear();
             Column::SumInt(match &index.members {
                 Members::One(rows) => {
                     let lanes = with_codes!(chunk.codes(), |get| {
                         fold_lanes(*rows, 0, |_, sum, row| add(sum, get(row)))
                     });
-                    vec![lanes.into_iter().fold(0, i128::wrapping_add)]
+                    sums.push(lanes.into_iter().fold(0, i128::wrapping_add));
+                    sums
                 }
                 Members::Codes { .. } => {
-                    let sums = vec![0i128; group_count];
+                    sums.resize(group_count, 0);
                     fold_members(chunk.codes(), index, sums, move |sums, g, code| {
                         sums[g] = add(sums[g], code)
                     })
@@ -1024,12 +1244,18 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
         }
         SlotKind::SumFloat => {
             let (col, chunk) = arg.expect("SUM has an argument");
-            let table = &float_table(col, chunk)[..];
+            float_table(col, chunk, &mut tables.floats);
+            let table = &tables.floats[..];
+            let spare = match spare {
+                Column::SumFloat(sums) => sums,
+                _ => FloatColumn::new(0),
+            };
             Column::SumFloat(match &index.members {
                 // Every partial sum is exact: `COUNT`'s loops with a plain add.
                 _ if slot.grid => {
                     let add = move |sum, code: u32| fsum::grid_add(sum, table[code as usize]);
-                    FloatColumn::on_grid(fold_codes(chunk.codes(), index, 0.0, add, fsum::grid_add))
+                    let codes = chunk.codes();
+                    spare.on_grid(|sums| fold_codes(sums, codes, index, 0.0, add, fsum::grid_add))
                 }
                 Members::One(rows) => {
                     let mut exact = [const { None }; LANES];
@@ -1039,10 +1265,10 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
                             FloatColumn::add_to_lane(sum, x, &mut exact[lane])
                         })
                     });
-                    FloatColumn::of_lanes(lanes, exact)
+                    FloatColumn::of_lanes(lanes, exact, spare)
                 }
                 Members::Codes { .. } => {
-                    let sums = FloatColumn::new(group_count);
+                    let sums = spare.reset(group_count);
                     fold_members(chunk.codes(), index, sums, move |sums, g, code| {
                         sums.add(g, table[code as usize])
                     })
@@ -1052,19 +1278,27 @@ pub(crate) fn accumulate(slot: &SlotPlan, c: usize, index: &GroupIndex) -> Colum
         SlotKind::Min | SlotKind::Max => {
             let is_min = slot.kind == SlotKind::Min;
             let (_, chunk) = arg.expect("MIN/MAX has an argument");
+            let mut best = match spare {
+                Column::Extreme { best, .. } => best,
+                _ => Vec::new(),
+            };
+            best.clear();
             // Extreme chunk-id per group; every group holds a row. Chunk-id
             // order is value order: an extreme is a code minimum (or
             // maximum), for one group of every row the first (or last)
             // chunk-id.
-            let codes = chunk.codes();
-            let whole_chunk = matches!(index.members, Members::One(Rows::All(_)));
-            let best = match (whole_chunk, is_min) {
-                (true, true) => vec![0],
-                (true, false) => vec![chunk.dict.len() - 1],
-                (false, true) => fold_codes(codes, index, u32::MAX, u32::min, u32::min),
-                (false, false) => fold_codes(codes, index, 0, u32::max, u32::max),
-            };
-            Column::Extreme { is_min, best: best.into_iter().map(Some).collect() }
+            if let Members::One(Rows::All(_)) = index.members {
+                best.push(Some(if is_min { 0 } else { chunk.dict.len() - 1 }));
+            } else {
+                let (codes, cells) = (chunk.codes(), std::mem::take(&mut tables.codes));
+                let extremes = match is_min {
+                    true => fold_codes(cells, codes, index, u32::MAX, u32::min, u32::min),
+                    false => fold_codes(cells, codes, index, 0, u32::max, u32::max),
+                };
+                best.extend(extremes.iter().copied().map(Some));
+                tables.codes = extremes;
+            }
+            Column::Extreme { is_min, best }
         }
         SlotKind::Distinct { m } => {
             let (col, chunk) = arg.expect("COUNT DISTINCT has an argument");
@@ -1137,10 +1371,12 @@ impl<'a> Members<'a> {
 }
 
 /// Per group of `index`, `add(held, code)` over its rows' codes from
-/// `seed`: one group's in [`LANES`] register lanes, more groups' through
-/// [`fold_cells`]. Lanes and copies `merge` once, past those no row reached,
-/// which still hold `seed`: `merge(held, seed)` must be `held`.
+/// `seed`, in `cells`' buffer: one group's in [`LANES`] register lanes,
+/// more groups' through [`fold_cells`]. Lanes and copies `merge` once, past
+/// those no row reached, which still hold `seed`: `merge(held, seed)` must
+/// be `held`.
 fn fold_codes<T: Copy>(
+    mut cells: Vec<T>,
     codes: CodesView<'_>,
     index: &GroupIndex,
     seed: T,
@@ -1150,11 +1386,13 @@ fn fold_codes<T: Copy>(
     with_codes!(codes, |get| match &index.members {
         Members::One(rows) => {
             let lanes = fold_lanes(*rows, seed, |_, held, row| add(held, get(row)));
-            vec![lanes.into_iter().fold(seed, merge)]
+            cells.clear();
+            cells.push(lanes.into_iter().fold(seed, merge));
+            cells
         }
         Members::Codes { rows, key } => with_codes!(key.view(), |group| {
-            let add = |held, row| add(held, get(row));
-            fold_cells(index.group_count, *rows, seed, |row| group(row) as usize, add, merge)
+            let (add, size) = (|held, row| add(held, get(row)), index.group_count);
+            fold_cells(cells, size, *rows, seed, |row| group(row) as usize, add, merge)
         }),
     })
 }
@@ -1191,15 +1429,18 @@ fn fold_rows<S>(rows: Rows<'_>, mut state: S, add: impl Fn(&mut S, usize)) -> S 
 /// aggregate count).
 pub(crate) static FLOAT_TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-fn float_table(col: &StoredColumn, chunk: &ColumnChunk) -> Vec<f64> {
+/// A float `SUM`'s dictionary values per chunk-id, into `table`.
+fn float_table(col: &StoredColumn, chunk: &ColumnChunk, table: &mut Vec<f64>) {
     FLOAT_TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
     let GlobalDict::Float(dict) = &col.dict else { unreachable!("a float SUM") };
-    gather(chunk, dict.values())
+    gather(chunk, dict.values(), table);
 }
 
-/// Per chunk-id, its global id's entry of a typed dictionary's `values`.
-fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T]) -> Vec<T> {
-    chunk.dict.values().iter().map(|&gid| values[gid as usize]).collect()
+/// Per chunk-id, its global id's entry of a typed dictionary's `values`,
+/// into `table`.
+fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T], table: &mut Vec<T>) {
+    table.clear();
+    table.extend(chunk.dict.values().iter().map(|&gid| values[gid as usize]));
 }
 
 #[cfg(test)]
@@ -1337,7 +1578,7 @@ mod tests {
         for chunk in 0..store.chunk_count() {
             let rows = store.chunk_rows(chunk);
             let want = reference_mask(store, filter, chunk);
-            let got: Vec<bool> = match filter_mask(&plan, chunk, rows).unwrap() {
+            let got: Vec<bool> = match filter_mask(&plan, chunk, rows, &mut Vec::new()).unwrap() {
                 Mask::Empty => vec![false; rows],
                 Mask::All => vec![true; rows],
                 Mask::Rows(bits) => {
@@ -1377,8 +1618,8 @@ mod tests {
         // Per chunk, the two-column leaves land on every side of
         // `group_codes`' rule: `contains(s, two)`'s numbers are no more
         // than the rows (the numbers are the groups), `n > x`'s are more
-        // (listed, ranked off a flat array), and the field `n + ts`'s pass
-        // `DENSE_GROUP_LIMIT` (listed, sorted).
+        // (the tuples ranked off a flat array), and the field `n + ts`'s
+        // pass `DENSE_GROUP_LIMIT` (the tuples ranked by a sort).
         for (name, store) in &stores {
             for c in 0..store.chunk_count() {
                 let rows = store.chunk_rows(c);
@@ -1488,6 +1729,99 @@ mod tests {
         assert!(FilterPlan::compile(&store, &parse_filter("date(nosuch) = 'x'")).is_err());
     }
 
+    /// A mask as one bool per row.
+    fn mask_rows(mask: Mask, rows: usize) -> Vec<bool> {
+        match mask {
+            Mask::Empty => vec![false; rows],
+            Mask::All => vec![true; rows],
+            Mask::Rows(bits) => {
+                assert_eq!(bits.len(), rows);
+                assert!(clean_tail(bits.words(), rows), "a mask's last word ends in zeros");
+                bits.iter().collect()
+            }
+        }
+    }
+
+    /// Whether the bits of the last of `words` past `rows` rows are zero.
+    fn clean_tail(words: &[u64], rows: usize) -> bool {
+        rows.is_multiple_of(64) || words.last().is_some_and(|&w| w >> (rows % 64) == 0)
+    }
+
+    /// [`code_mask`] and [`interval_mask`] against the per-row predicate,
+    /// bit for bit, over every code representation at every length from 1
+    /// to 300 (every residue mod 8 and mod 64): intervals empty, full,
+    /// one-wide and random, each also negated, and random keep tables. One
+    /// spare word buffer serves every mask, as a scan's scratch does, and
+    /// the packer's own words end in zero bits past the rows.
+    #[test]
+    fn packed_masks_equal_the_per_row_predicate_at_every_length() {
+        let mut rng = Rng::seed_from_u64(0x5eed_0075);
+        let mut words = vec![u64::MAX; 3];
+        for rows in 1..=300 {
+            // Per representation: the dictionary size, the codes below it.
+            let sizes = [
+                1,
+                2,
+                rng.range_usize(3, 257),
+                rng.range_usize(257, 2_000),
+                rng.range_usize(1, 5_000),
+            ];
+            let codes: Vec<Vec<u32>> = (sizes.iter())
+                .map(|&n| {
+                    // Runs of one code beside scattered ones.
+                    let run = rng.range_usize(0, n) as u32;
+                    (0..rows)
+                        .map(|_| if rng.chance(0.3) { run } else { rng.range_usize(0, n) as u32 })
+                        .collect()
+                })
+                .collect();
+            let bits: BitVec = codes[1].iter().map(|&c| c == 1).collect();
+            let narrow: Vec<u8> = codes[2].iter().map(|&c| c as u8).collect();
+            let wide: Vec<u16> = codes[3].iter().map(|&c| c as u16).collect();
+            let views = [
+                CodesView::Const { len: rows },
+                CodesView::Bits(&bits),
+                CodesView::U8(&narrow),
+                CodesView::U16(&wide),
+                CodesView::U32(&codes[4]),
+            ];
+            for ((view, &n), codes) in views.into_iter().zip(&sizes).zip(&codes) {
+                assert_eq!(view.len(), rows);
+                let label = |what: &str| format!("{rows} rows of {n} codes: {what}");
+                let (a, b) = (rng.range_usize(0, n + 1), rng.range_usize(0, n + 1));
+                let one = rng.range_usize(0, n);
+                let intervals = [(0, 0), (n, n), (0, n), (one, one + 1), (a.min(b), a.max(b))];
+                for (a, b) in intervals {
+                    for negated in [false, true] {
+                        let got =
+                            mask_rows(interval_mask(view, n, a, b, negated, &mut words), rows);
+                        let want: Vec<bool> = (codes.iter())
+                            .map(|&c| (a as u32..b as u32).contains(&c) != negated)
+                            .collect();
+                        assert_eq!(got, want, "{}", label(&format!("[{a}, {b}), {negated}")));
+                    }
+                }
+                let table: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
+                let keep = |code: u32| table[code as usize];
+                let got = mask_rows(code_mask(view, &mut words, keep), rows);
+                let want: Vec<bool> = codes.iter().map(|&c| keep(c)).collect();
+                assert_eq!(got, want, "{}", label("a keep table"));
+                let packed = match view {
+                    CodesView::U8(v) => pack_words(v, &mut words, |c| keep(c.into())),
+                    CodesView::U16(v) => pack_words(v, &mut words, |c| keep(c.into())),
+                    CodesView::U32(v) => pack_words(v, &mut words, keep),
+                    _ => continue,
+                };
+                assert_eq!(packed.len(), rows.div_ceil(64), "{}", label("one word per 64 rows"));
+                assert!(clean_tail(&packed, rows), "{}", label("the last word's tail is zero"));
+                let got: Vec<bool> =
+                    (0..rows).map(|r| packed[r / 64] >> (r % 64) & 1 == 1).collect();
+                assert_eq!(got, want, "{}", label("the packer's words"));
+                words = packed;
+            }
+        }
+    }
+
     /// A key's chunk as a store builds it from its rows' global-ids: the
     /// sorted distinct ids, and per row its chunk-id.
     fn key_chunk(gids: &[u32], mode: ElementsMode) -> ColumnChunk {
@@ -1532,7 +1866,8 @@ mod tests {
             sizes.iter().try_fold(1u64, |product, &n| product.checked_mul(n as u64)).is_none();
 
         let codes: Vec<CodesView<'_>> = chunks.iter().map(ColumnChunk::codes).collect();
-        let index = group_codes(&codes, sizes, rows, mask, dense);
+        let mut spare = IndexScratch::default();
+        let index = group_codes(&codes, sizes, rows, mask, dense, &mut spare);
         // Per group, its key tuple: a number's digits, most significant
         // key first, where the numbers are the groups' digits.
         let digits = matches!(
@@ -1622,13 +1957,15 @@ mod tests {
                     &SlotPlan { kind: SlotKind::Count, col: None, grid: false },
                     0,
                     &index,
+                    Column::Count(Vec::new()),
+                    &mut Tables::default(),
                 );
                 assert_eq!(count, Column::Count(members), "{label}: the counts");
                 vec![count]
             }
             false => Vec::new(),
         };
-        let table = index.table(sizes, slots);
+        let table = index.table(sizes, slots, &mut spare);
         let keys = (0..chunks.len()).map(|i| want.keys().map(|t| t[i]).collect()).collect();
         let slots = match counted {
             true => vec![Column::Count(want.values().copied().collect())],

@@ -155,7 +155,7 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> pd_common::Result<T> + Sync,
     {
-        self.fan_out(threads, n_tasks, run, true)
+        self.fan_out(threads, n_tasks, || (), |_, i| run(i), true).map(|(results, _)| results)
     }
 
     /// [`WorkerPool::run_tasks`] without the wake-up: the helper jobs are
@@ -174,23 +174,33 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> pd_common::Result<T> + Sync,
     {
-        self.fan_out(threads, n_tasks, run, false)
+        self.fan_out(threads, n_tasks, || (), |_, i| run(i), false).map(|(results, _)| results)
     }
 
-    fn fan_out<T, F>(
+    /// The fan-out behind every entry point: each thread that claims a
+    /// task makes one state with `init` and runs every task it claims with
+    /// it; the results come back in task order, and the states, one per
+    /// thread that ran a task, in no particular order.
+    fn fan_out<S, T, I, F>(
         &self,
         threads: usize,
         n_tasks: usize,
+        init: I,
         run: F,
         wake: bool,
-    ) -> pd_common::Result<Vec<T>>
+    ) -> pd_common::Result<(Vec<T>, Vec<S>)>
     where
+        S: Send,
         T: Send,
-        F: Fn(usize) -> pd_common::Result<T> + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> pd_common::Result<T> + Sync,
     {
         let threads = threads.max(1).min(n_tasks.max(1));
         if threads <= 1 || n_tasks <= 1 {
-            return (0..n_tasks).map(&run).collect();
+            let mut state = None;
+            let results = (0..n_tasks).map(|i| run(state.get_or_insert_with(&init), i));
+            let results = results.collect::<pd_common::Result<_>>()?;
+            return Ok((results, state.into_iter().collect()));
         }
 
         let helpers = threads - 1;
@@ -199,11 +209,12 @@ impl WorkerPool {
             // workers, and until then the process may stay single-threaded.
             self.ensure_workers(helpers);
         }
-        let group: TaskGroup<T> = TaskGroup {
+        let group: TaskGroup<S, T> = TaskGroup {
             cursor: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             n_tasks,
             results: Mutex::new(Vec::new()),
+            states: Mutex::new(Vec::new()),
             error: Mutex::new(None),
             panic: Mutex::new(None),
             remaining: Mutex::new(helpers),
@@ -214,12 +225,12 @@ impl WorkerPool {
         {
             let mut queue = self.shared.queue.lock();
             for _ in 0..helpers {
-                let g: &TaskGroup<T> = &group;
-                let r: &F = &run;
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || helper_job(g, r));
+                let g: &TaskGroup<S, T> = &group;
+                let (i, r): (&I, &F) = (&init, &run);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || helper_job(g, i, r));
                 // SAFETY: the transmute only erases the closure's lifetime
                 // (`Box<dyn FnOnce + Send + '_>` -> `'static`); the vtable and
-                // layout are unchanged. The borrows of `group` and `run` it
+                // layout are unchanged. The borrows of `group`, `init` and `run` it
                 // captures live on this stack frame, and this function cannot
                 // return before every queued helper job has finished or been
                 // dropped unrun: the wait loops below block until
@@ -241,7 +252,7 @@ impl WorkerPool {
         // latch below always gets to run before any unwind escapes (the
         // queued helper jobs borrow from this stack frame).
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.work(&run);
+            group.work(&init, &run);
         })) {
             group.record_panic(payload);
         }
@@ -305,10 +316,12 @@ impl WorkerPool {
         for (i, t) in group.results.lock().drain(..) {
             slots[i] = Some(t);
         }
-        Ok(slots
+        let results = slots
             .into_iter()
             .map(|s| s.expect("every task index was claimed exactly once"))
-            .collect())
+            .collect();
+        let states = std::mem::take(&mut *group.states.lock());
+        Ok((results, states))
     }
 }
 
@@ -379,12 +392,14 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Shared state of one `run_tasks` fan-out.
-struct TaskGroup<T> {
+/// Shared state of one fan-out.
+struct TaskGroup<S, T> {
     cursor: AtomicUsize,
     failed: AtomicBool,
     n_tasks: usize,
     results: Mutex<Vec<(usize, T)>>,
+    /// The state of each thread that ran a task.
+    states: Mutex<Vec<S>>,
     error: Mutex<Option<pd_common::Error>>,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Helper jobs not yet finished; guarded by a mutex so the submitter
@@ -393,13 +408,16 @@ struct TaskGroup<T> {
     done: Condvar,
 }
 
-impl<T: Send> TaskGroup<T> {
-    /// Claim and run tasks until the cursor (or the group) is exhausted.
-    fn work<F>(&self, run: &F)
+impl<S: Send, T: Send> TaskGroup<S, T> {
+    /// Claim and run tasks until the cursor (or the group) is exhausted,
+    /// with a state made on the first claim.
+    fn work<I, F>(&self, init: &I, run: &F)
     where
-        F: Fn(usize) -> pd_common::Result<T> + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> pd_common::Result<T> + Sync,
     {
         let mut local: Vec<(usize, T)> = Vec::new();
+        let mut state = None;
         loop {
             if self.failed.load(Ordering::Relaxed) {
                 break;
@@ -408,7 +426,7 @@ impl<T: Send> TaskGroup<T> {
             if i >= self.n_tasks {
                 break;
             }
-            match run(i) {
+            match run(state.get_or_insert_with(init), i) {
                 Ok(t) => local.push((i, t)),
                 Err(e) => {
                     self.failed.store(true, Ordering::Relaxed);
@@ -423,6 +441,9 @@ impl<T: Send> TaskGroup<T> {
         if !local.is_empty() {
             self.results.lock().extend(local);
         }
+        if let Some(state) = state {
+            self.states.lock().push(state);
+        }
     }
 
     fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
@@ -434,13 +455,15 @@ impl<T: Send> TaskGroup<T> {
     }
 }
 
-fn helper_job<T, F>(group: &TaskGroup<T>, run: &F)
+fn helper_job<S, T, I, F>(group: &TaskGroup<S, T>, init: &I, run: &F)
 where
+    S: Send,
     T: Send,
-    F: Fn(usize) -> pd_common::Result<T> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> pd_common::Result<T> + Sync,
 {
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        group.work(run);
+        group.work(init, run);
     })) {
         group.record_panic(payload);
     }
@@ -457,6 +480,26 @@ where
     F: Fn(usize) -> pd_common::Result<T> + Sync,
 {
     WorkerPool::global().run_tasks(threads, n_tasks, run)
+}
+
+/// [`run_tasks`] with a state per thread: each thread that claims a task
+/// makes one with `init` and hands it to every task it runs, so work can
+/// accumulate per thread rather than per task. Returns the results in task
+/// order and the states, one per thread that ran a task, in no particular
+/// order.
+pub fn run_tasks_with<S, T, I, F>(
+    threads: usize,
+    n_tasks: usize,
+    init: I,
+    run: F,
+) -> pd_common::Result<(Vec<T>, Vec<S>)>
+where
+    S: Send,
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> pd_common::Result<T> + Sync,
+{
+    WorkerPool::global().fan_out(threads, n_tasks, init, run, true)
 }
 
 /// [`run_tasks`] without waking the pool (see [`WorkerPool::offer_tasks`]).

@@ -41,15 +41,18 @@
 //! shard fan-out). The [`ExecContext::threads`] knob controls the worker
 //! count — `0` (the default) reads `EXEC_THREADS` or uses the machine's
 //! available parallelism, `1` forces sequential execution — and results
-//! are **bit-identical** at every setting: per-chunk partials are folded
-//! in chunk order and float sums are exact — plain adds for a column on
-//! one binary grid that admits its rows ([`common::Grid`]), a double-double
-//! pair backed by a superaccumulator ([`common::FloatSum`]) otherwise —,
-//! so even `SUM`/`AVG` over floats do not depend on how rows were chunked,
-//! threaded or sharded. A hand-off has a price
-//! (waking a sleeping worker: tens of microseconds, and unevenly so), and
+//! are **bit-identical** at every setting: a chunk's partial merges
+//! exactly in any order (each worker folds the chunks it scans into a fold
+//! of its own, and the driver adds those up) and float sums are exact —
+//! plain adds for a column on one binary grid that admits its rows
+//! ([`common::Grid`]), a double-double pair backed by a superaccumulator
+//! ([`common::FloatSum`]) otherwise —, so even `SUM`/`AVG` over floats do
+//! not depend on how rows were chunked, threaded or sharded. A hand-off
+//! has a price (waking a sleeping worker: tens of microseconds, and
+//! unevenly so), and
 //! only a scan that will repay it pays it: a store's scan goes to the pool
-//! when at least 32 768 rows miss the chunk-result cache, and stays on the
+//! when at least 32 768 rows miss the chunk-result cache (0.1–0.2 ms of
+//! scanning, at 3.3–6.3 ns a row and 0.1–0.6 µs a chunk), and stays on the
 //! calling thread below that; an in-process [`Cluster`] only *offers* its
 //! subtrees to the pool, and such a scan beneath is what wakes a worker
 //! to take the offer up — a query answered from caches wakes nobody.

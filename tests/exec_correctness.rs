@@ -1197,8 +1197,8 @@ fn appends_off_the_grid_match_a_rebuild() {
 
 /// One dense key's chunk codes are its groups where at least as many rows
 /// pass a chunk's mask as the key's chunk dictionary has entries; where
-/// fewer pass, the passing rows are listed. Either way a code the mask
-/// leaves unused is no group. One-key charts of every slot kind — COUNT,
+/// fewer pass, the passing rows' codes are ranked. Either way a code the
+/// mask leaves unused is no group. One-key charts of every slot kind — COUNT,
 /// integer and float SUM, MIN, MAX and COUNT DISTINCT, each alone (a
 /// presence pass finds the unused codes) and all together (the COUNT
 /// column shows them) — under masks that pass none, one, all but one or
@@ -1240,7 +1240,7 @@ fn one_key_codes_under_masks_match_the_row_oracle() {
         let mut held: Vec<usize> = (0..codes).map(|_| rng.range_usize(1, 4)).collect();
         let big = rng.range_usize(0, codes);
         held[big] = codes + rng.range_usize(0, 3);
-        // The shapes: none; one, listed and as codes; all but one, listed
+        // The shapes: none; one, ranked and as codes; all but one, ranked
         // and as codes; every code, one row each.
         let other = (big + rng.range_usize(1, codes)) % codes;
         let every: Vec<usize> = (0..codes).collect();
