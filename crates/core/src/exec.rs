@@ -40,14 +40,14 @@
 //! Where the query folds by id — one key over a proportionate dictionary,
 //! or none — a chunk the cache will not keep makes no table: its slot
 //! loops write into scratch the scanning thread keeps across its chunks,
-//! and its columns add straight into that thread's own fold, at the global
-//! ids of its groups; the driver adds the workers' folds. Every other
-//! chunk's table comes back to the driver, which admits it into the cache
-//! and folds it in chunk order. Every slot merges exactly — counts and
-//! integer sums add, float sums are exact, extremes and sketches merge in
-//! any order — so parallel execution returns bit-identical results to
-//! sequential execution: group contents, sums and chunk-skipping
-//! statistics do not depend on the thread count.
+//! and its columns add straight into that thread's own fold, one walk per
+//! slot, at the global ids of its groups; the driver adds the workers'
+//! folds. Every other chunk's table comes back to the driver, which admits
+//! it into the cache and folds it in chunk order. Every slot merges
+//! exactly — counts and integer sums add, float sums are exact, extremes
+//! and sketches merge in any order — so parallel execution returns
+//! bit-identical results to sequential execution: group contents, sums and
+//! chunk-skipping statistics do not depend on the thread count.
 //!
 //! Row filtering stays in the **code domain**. The `WHERE` tree is compiled
 //! once per query: every leaf the restriction normalizer turns into `IN` or
@@ -83,6 +83,7 @@ use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, Result, Row, Value};
 use pd_encoding::{CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext, SlotClass};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Write;
@@ -333,16 +334,16 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// share dictionaries). Aggregate `i` reads the slots `analyzed.reads[i]`.
 ///
 /// Groups are ranked *by position*, off the columns as they are stored.
-/// An aggregate is compared by its order key, read off its state column
-/// ([`GroupTable::order_key`]: counts and sums as numbers, no [`Value`] per
-/// group); only the cells HAVING reads, and a MIN/MAX the ORDER BY reads,
-/// are finalized for every group. Key cells are compared as stored — ids
-/// of a sorted dictionary, sort keys as bytes — and become values for every
-/// group only if HAVING names the key.
-/// With one key compared as stored, the key cells are not read at all: the
-/// table lists its groups in strictly ascending key order, so two groups'
-/// positions order like their keys — and a chart ordered by that key or by
-/// one aggregate ranks integer pairs ([`pair_order`]).
+/// An aggregate is compared by its order keys, read off its state column in
+/// one typed pass when first compared ([`GroupTable::order_keys`]: counts
+/// and sums as numbers, no [`Value`] per group); only the cells HAVING
+/// reads, and a MIN/MAX the ORDER BY reads, are finalized for every group.
+/// Key cells are compared as stored — ids of a sorted dictionary, sort keys
+/// as bytes — and become values for every group only if HAVING names the
+/// key. With one key compared as stored, the key cells are not read at all:
+/// the table lists its groups in strictly ascending key order, so two
+/// groups' positions order like their keys — and a chart ordered by that
+/// key or by one aggregate ranks plain integer pairs ([`pair_order`]).
 ///
 /// A LIMIT of k keeps at most k groups in a heap ([`first`]), so n groups
 /// cost O(n log k) compares. A [`Row`] is built — keys looked up,
@@ -400,16 +401,18 @@ fn rank<C: Cell>(
 
     // Columns the ranking reads for every group, finalized / looked up
     // once: the aggregates HAVING names and the MIN/MAX (no order key) ORDER
-    // BY names; the keys HAVING names.
+    // BY names; the keys HAVING names. An aggregate's order keys are read
+    // off its column in one pass, the first time a compare needs them.
     let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
     let agg_cell = |i: usize, g: usize| groups.cell(analyzed.reads[i], g, &extreme);
-    let order_key = |i: usize, g: usize| groups.order_key(analyzed.reads[i], g);
+    let words: Vec<OnceCell<_>> = analyzed.aggs.iter().map(|_| OnceCell::new()).collect();
+    let order_keys = |i: usize| words[i].get_or_init(|| groups.order_keys(analyzed.reads[i]));
     let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
             let src = OutputCol::Agg(i);
             let ordered_by = analyzed.order_by.iter().any(|&(idx, _)| source(idx) == src);
-            (having_reads(src) || ordered_by && order_key(i, 0).is_none())
+            (having_reads(src) || ordered_by && order_keys(i).is_none())
                 .then(|| (0..groups.len()).map(|g| agg_cell(i, g)).collect())
         })
         .collect();
@@ -445,9 +448,9 @@ fn rank<C: Cell>(
         },
         OutputCol::Agg(i) => match &agg_cells[i] {
             Some(cells) => cells[a].cmp(&cells[b]),
-            None => match (order_key(i, a), order_key(i, b)) {
-                (Some(x), Some(y)) => x.cmp(&y),
-                _ => agg_cell(i, a).cmp(&agg_cell(i, b)),
+            None => match order_keys(i) {
+                Some(words) => words[a].cmp(&words[b]),
+                None => agg_cell(i, a).cmp(&agg_cell(i, b)),
             },
         },
     };
@@ -463,23 +466,26 @@ fn rank<C: Cell>(
             .unwrap_or(Ordering::Equal)
     };
     let limit = analyzed.limit.unwrap_or(usize::MAX);
-    let passing = (0..groups.len())
-        .filter_map(|g| passes(&|idx| cell(g, idx)).map(|pass| pass.then_some(g)).transpose());
-    let kept: Vec<usize> = match pair_order(compared(), source, by_position, |i| order_key(i, 0)) {
+    // HAVING is decided for every group first: the selection cannot fail.
+    let verdicts: Option<Vec<bool>> = (analyzed.having.as_ref())
+        .map(|_| (0..groups.len()).map(|g| passes(&|idx| cell(g, idx))).collect())
+        .transpose()?;
+    let passing = (0..groups.len()).filter(|&g| verdicts.as_ref().is_none_or(|pass| pass[g]));
+    let keyed = |i| order_keys(i).is_some();
+    let kept: Vec<usize> = match pair_order(compared(), source, by_position, keyed) {
         // A group's rank is an integer pair: one aggregate's order key and
         // the group's position, each reversed where it sorts descending.
         Some(PairOrder { agg, key_desc }) => {
             let flip = |desc: bool, word: u128| if desc { !word } else { word };
-            let word = |g: usize| {
-                agg.map_or(0, |(i, desc)| flip(desc, order_key(i, g).expect("an order key")))
-            };
-            let pairs = passing.map(|g| g.map(|g| (word(g), flip(key_desc, g as u128))));
-            first(pairs, limit)?.into_iter().map(|(_, at)| flip(key_desc, at) as usize).collect()
+            let words = agg.map(|(i, desc)| (order_keys(i).as_deref().expect("order keys"), desc));
+            let word = |g: usize| words.map_or(0, |(words, desc)| flip(desc, words[g]));
+            let pairs = passing.map(|g| (word(g), flip(key_desc, g as u128)));
+            first(pairs, limit).into_iter().map(|(_, at)| flip(key_desc, at) as usize).collect()
         }
-        None => {
-            let ranked = passing.map(|g| g.map(|g| Ranked(g, &order)));
-            first(ranked, limit)?.into_iter().map(|Ranked(g, _)| g).collect()
-        }
+        None => first(passing.map(|g| Ranked(g, &order)), limit)
+            .into_iter()
+            .map(|Ranked(g, _)| g)
+            .collect(),
     };
 
     // Only now do the survivors become rows, output column by column.
@@ -508,16 +514,13 @@ fn rank<C: Cell>(
 /// by displacing it — O(n log k) compares for n items, no sorted insert.
 /// The ≤ k survivors are sorted at the end; with no more than k items, that
 /// sort is all there is.
-fn first<T: Ord>(items: impl Iterator<Item = Result<T>>, limit: usize) -> Result<Vec<T>> {
+fn first<T: Ord>(items: impl Iterator<Item = T>, limit: usize) -> Vec<T> {
     let mut items = items.peekable();
     let mut kept = Vec::with_capacity(limit.min(items.size_hint().1.unwrap_or(0)));
-    for item in items.by_ref().take(limit) {
-        kept.push(item?);
-    }
+    kept.extend(items.by_ref().take(limit));
     if items.peek().is_some() {
         let mut heap = BinaryHeap::from(kept);
         for item in items {
-            let item = item?;
             if let Some(mut last) = heap.peek_mut() {
                 if item < *last {
                     *last = item;
@@ -529,7 +532,7 @@ fn first<T: Ord>(items: impl Iterator<Item = Result<T>>, limit: usize) -> Result
     // Items that compare equal are equal in every output column: unstable
     // is exact.
     kept.sort_unstable();
-    Ok(kept)
+    kept
 }
 
 /// A total order that is an integer pair per group: at most one aggregate
@@ -551,14 +554,14 @@ fn pair_order(
     compared: impl Iterator<Item = (usize, bool)>,
     source: impl Fn(usize) -> OutputCol,
     by_position: bool,
-    keyed: impl Fn(usize) -> Option<u128>,
+    keyed: impl Fn(usize) -> bool,
 ) -> Option<PairOrder> {
     let mut agg: Option<(usize, bool)> = None;
     for (idx, desc) in compared {
         match source(idx) {
             OutputCol::Key(_) => return by_position.then_some(PairOrder { agg, key_desc: desc }),
             OutputCol::Agg(i) if agg.is_some_and(|(first, _)| first == i) => {}
-            OutputCol::Agg(i) if agg.is_none() && keyed(i).is_some() => agg = Some((i, desc)),
+            OutputCol::Agg(i) if agg.is_none() && keyed(i) => agg = Some((i, desc)),
             OutputCol::Agg(_) => return None,
         }
     }
@@ -887,10 +890,10 @@ impl Plan {
             for (i, scan) in misses.iter().zip(computed) {
                 scans[*i] = Some(scan);
             }
-            workers
-                .into_iter()
-                .filter_map(|worker| worker.groups)
-                .for_each(|groups| folder.groups.add_fold(groups));
+            // Nothing is folded yet: the first worker's fold becomes the driver's.
+            let mut folds = workers.into_iter().filter_map(|worker| worker.groups);
+            folder.groups = folds.next().unwrap_or(folder.groups);
+            folds.for_each(|groups| folder.groups.add_fold(groups));
         }
         let mut scratch = Scratch::default();
         for (i, ready) in scans.into_iter().enumerate() {
@@ -997,9 +1000,7 @@ impl Plan {
             Some(groups) => {
                 let ids = self.key_cols.first().map(|col| col.chunks[c].dict.values());
                 let extremes = self.extreme_ids(c);
-                let map = index.global_ids(columns, ids, spare);
-                groups.add(columns, map, |s, &cell| extremes(s)[cell as usize]);
-                index.recycle(spare);
+                index.fold_into(groups, columns, ids, |s, &cell| extremes(s)[cell as usize], spare);
                 ChunkScan::Folded
             }
             // The groups no row is in dropped.

@@ -290,11 +290,16 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    /// Add `from`'s group `j` into group `map[j]` — none where that is
-    /// `u32::MAX` —, each of `from`'s MIN/MAX cells read as `cell` of it;
-    /// float sums on one grid (`grid`) by plain adds.
-    fn absorb(&mut self, from: &Column<K>, map: &[u32], cell: impl Fn(&K) -> K, grid: bool) {
-        let slots = mapped(map);
+    /// Add `from`'s group `j` into group `at(j)`, if any, in one walk, each
+    /// MIN/MAX cell read as `cell` of it; float sums on one grid by plain adds.
+    fn absorb(
+        &mut self,
+        from: &Column<K>,
+        mut at: impl FnMut(usize) -> Option<usize>,
+        cell: impl Fn(&K) -> K,
+        grid: bool,
+    ) {
+        let slots = (0..from.len()).filter_map(|j| at(j).map(|t| (j, t)));
         match (self, from) {
             (Column::Count(to), Column::Count(from)) => slots.for_each(|(j, t)| to[t] += from[j]),
             // An `i128` holds 2^64 rows of `i64`s exactly; wrapping keeps a
@@ -302,8 +307,12 @@ impl<K: Cell> Column<K> {
             (Column::SumInt(to), Column::SumInt(from)) => {
                 slots.for_each(|(j, t)| to[t] = to[t].wrapping_add(from[j]))
             }
-            (Column::SumFloat(to), Column::SumFloat(from)) if grid => to.absorb_on_grid(from, map),
-            (Column::SumFloat(to), Column::SumFloat(from)) => to.absorb(from, map),
+            (Column::SumFloat(to), Column::SumFloat(from)) if grid => {
+                slots.for_each(|(j, t)| to.absorb_on_grid(t, from, j))
+            }
+            (Column::SumFloat(to), Column::SumFloat(from)) => slots.for_each(|(j, t)| {
+                to.absorb_one(t, (from.hi[j], from.lo[j]), from.exact[j].as_deref())
+            }),
             (Column::Extreme { is_min, best: to }, Column::Extreme { best: from, .. }) => {
                 let worse = if *is_min { Ordering::Greater } else { Ordering::Less };
                 for (j, t) in slots {
@@ -320,9 +329,24 @@ impl<K: Cell> Column<K> {
         }
     }
 
+    /// Keep the groups `held` says, in order, in this column's buffers.
+    pub(crate) fn compact(&mut self, held: impl Fn(usize) -> bool) {
+        match self {
+            Column::Count(v) => compact(v, held),
+            Column::SumInt(v) => compact(v, held),
+            Column::SumFloat(FloatColumn { hi, lo, exact }) => {
+                compact(hi, &held);
+                compact(lo, &held);
+                compact(exact, held);
+            }
+            Column::Extreme { best, .. } => compact(best, held),
+            Column::Distinct { sketches, .. } => compact(sketches, held),
+        }
+    }
+
     /// Group `j` moved to group `to[j]` of `len` (or dropped, if that is
     /// past the end); the groups nothing moves to are empty.
-    pub(crate) fn spread(self, to: &[u32], len: usize) -> Column<K> {
+    fn spread(self, to: &[u32], len: usize) -> Column<K> {
         match self {
             Column::Count(v) => Column::Count(spread(v, to, len, 0)),
             Column::SumInt(v) => Column::SumInt(spread(v, to, len, 0)),
@@ -353,10 +377,10 @@ impl<K: Cell> Column<K> {
     }
 }
 
-/// The `(j, map[j])` of a map's groups that go somewhere: `map[j]` is not
-/// `u32::MAX`.
-fn mapped(map: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    (map.iter().enumerate()).filter(|&(_, &to)| to != u32::MAX).map(|(j, &to)| (j, to as usize))
+/// Keep the cells of `v` that `held` says, by position, in order.
+fn compact<T>(v: &mut Vec<T>, held: impl Fn(usize) -> bool) {
+    let mut at = 0..;
+    v.retain(|_| at.next().is_some_and(&held));
 }
 
 /// `len` cells, `v`'s cell `j` at position `to[j]` if that is one of them,
@@ -504,19 +528,11 @@ impl FloatColumn {
         sum
     }
 
-    /// [`FloatColumn::absorb`] for two columns summed on one grid that
-    /// admits all their rows: one plain add per group, which is exact.
-    fn absorb_on_grid(&mut self, from: &FloatColumn, map: &[u32]) {
-        for (j, to) in mapped(map) {
-            debug_assert!(from.exact[j].is_none() && from.lo[j] == 0.0, "a sum on the grid");
-            self.hi[to] = fsum::grid_add(self.hi[to], from.hi[j]);
-        }
-    }
-
-    fn absorb(&mut self, from: &FloatColumn, map: &[u32]) {
-        for (j, to) in mapped(map) {
-            self.absorb_one(to, (from.hi[j], from.lo[j]), from.exact[j].as_deref());
-        }
+    /// Add `from`'s slot `j` to slot `to` of a column summed on one grid
+    /// that admits the rows of both: one plain add, which is exact.
+    fn absorb_on_grid(&mut self, to: usize, from: &FloatColumn, j: usize) {
+        debug_assert!(from.exact[j].is_none() && from.lo[j] == 0.0, "a sum on the grid");
+        self.hi[to] = fsum::grid_add(self.hi[to], from.hi[j]);
     }
 
     /// Add a slot — its pair, or its exact accumulator once tainted — to
@@ -628,26 +644,32 @@ impl<K: Cell> GroupTable<K> {
         }
     }
 
-    /// `agg`'s output cell for group `g` as a number that orders as the
-    /// cells do ([`Value::cmp`] of what [`GroupTable::cell`] returns, for one
-    /// aggregate's cells), read off the state columns as they are stored:
-    /// counts, integer sums and sketches' rounded estimates as integers,
-    /// float sums and averages in `f64` total order (`pd_common::sortkey`'s
-    /// words), an average over no rows (`Null`) first. `None` for MIN/MAX,
-    /// whose cells only the caller can turn into values.
-    pub(crate) fn order_key(&self, agg: SlotRef, g: usize) -> Option<u128> {
+    /// Per group, `agg`'s output cell as a number that orders as the cells
+    /// do ([`Value::cmp`] of [`GroupTable::cell`]'s), in one typed pass over
+    /// the state columns as stored: counts, integer sums and sketches'
+    /// rounded estimates as integers, float sums and averages in `f64` total
+    /// order (`pd_common::sortkey`'s words), an average over no rows
+    /// (`Null`) first. `None` for MIN/MAX, whose values only the caller has.
+    pub(crate) fn order_keys(&self, agg: SlotRef) -> Option<Vec<u128>> {
+        let word = |word: u64| u128::from(word) + 1;
+        let (int, float) = (|v: i64| word(sortkey::int_word(v)), |x| word(sortkey::float_word(x)));
         if let Some(count) = agg.count {
-            let average = self.average(agg.slot, count, g);
-            return Some(average.map_or(0, |x| u128::from(sortkey::float_word(x)) + 1));
+            let Column::Count(n) = &self.slots[count] else { unreachable!("AVG reads a count") };
+            let n = n.iter().enumerate();
+            let average = |sum, n| mean(sum, n).map_or(0, float);
+            return Some(match &self.slots[agg.slot] {
+                Column::SumInt(sums) => n.map(|(g, &n)| average(sums[g] as f64, n)).collect(),
+                Column::SumFloat(sums) => n.map(|(g, &n)| average(sums.value(g), n)).collect(),
+                _ => unreachable!("AVG reads a sum slot"),
+            });
         }
-        let word = match &self.slots[agg.slot] {
-            Column::Count(n) => sortkey::int_word(n[g] as i64),
-            Column::SumInt(sums) => sortkey::int_word(sums[g] as i64),
-            Column::SumFloat(sums) => sortkey::float_word(sums.value(g)),
-            Column::Distinct { sketches, .. } => sortkey::int_word(estimate(&sketches[g])),
+        Some(match &self.slots[agg.slot] {
+            Column::Count(n) => n.iter().map(|&n| int(n as i64)).collect(),
+            Column::SumInt(sums) => sums.iter().map(|&s| int(s as i64)).collect(),
+            Column::SumFloat(sums) => (0..self.len).map(|g| float(sums.value(g))).collect(),
+            Column::Distinct { sketches: s, .. } => s.iter().map(|s| int(estimate(s))).collect(),
             Column::Extreme { .. } => return None,
-        };
-        Some(u128::from(word) + 1)
+        })
     }
 
     /// An average's cell: slot `sum`'s exact sum rounded once, over slot
@@ -659,22 +681,15 @@ impl<K: Cell> GroupTable<K> {
             _ => unreachable!("AVG reads a sum slot"),
         };
         let Column::Count(n) = &self.slots[count] else { unreachable!("AVG reads a count slot") };
-        (n[g] > 0).then(|| sum / n[g] as f64)
+        mean(sum, n[g])
     }
 
     /// Add the slots of another table of this shape, whose group `j` is
-    /// this table's group `map[j]` and whose slot `s` holds MIN/MAX cell
-    /// `c` as `cell(s, c)`; slot `s` is a float sum on one grid if
+    /// this table's group `map[j]`; slot `s` is a float sum on one grid if
     /// `grid[s]` is set.
-    fn absorb(
-        &mut self,
-        slots: &[Column<K>],
-        map: &[u32],
-        cell: impl Fn(usize, &K) -> K,
-        grid: &[bool],
-    ) {
+    fn absorb(&mut self, slots: &[Column<K>], map: &[u32], grid: &[bool]) {
         for (s, (to, from)) in self.slots.iter_mut().zip(slots).enumerate() {
-            to.absorb(from, map, |c| cell(s, c), grid.get(s) == Some(&true));
+            to.absorb(from, |j| Some(map[j] as usize), K::clone, grid.get(s) == Some(&true));
         }
     }
 
@@ -691,13 +706,11 @@ impl<K: Cell> GroupTable<K> {
     pub(crate) fn is_sorted(&self) -> bool {
         (1..self.len).all(|g| self.cmp_keys(g - 1, self, g).is_lt())
     }
+}
 
-    /// The groups moved, group `j` to group `to[j]` of `len`, which are
-    /// keyed `keys`; the groups nothing moves to have empty states.
-    fn spread(self, to: &[u32], len: usize, keys: Vec<K::Keys>) -> GroupTable<K> {
-        let slots = self.slots.into_iter().map(|column| column.spread(to, len)).collect();
-        GroupTable::new(len, keys, slots)
-    }
+/// The mean of `n` rows that sum to `sum`; `None` (`Null`) over no rows.
+fn mean(sum: f64, n: u64) -> Option<f64> {
+    (n > 0).then(|| sum / n as f64)
 }
 
 /// A sketch's cell: its estimate, rounded.
@@ -795,7 +808,7 @@ pub(crate) fn merge_tables<K: Cell>(
         len += 1;
     }
     if len as usize == a.len {
-        return Arc::make_mut(table).absorb(&other.slots, &to_b, |_, cell| cell.clone(), grid);
+        return Arc::make_mut(table).absorb(&other.slots, &to_b, grid);
     }
     let keys = (a.keys.iter().zip(&b.keys))
         .map(|(a, b)| K::Keys::interleave(len, a, &to_a, b, &to_b))
@@ -804,8 +817,9 @@ pub(crate) fn merge_tables<K: Cell>(
         Some(own) => std::mem::take(own),
         None => GroupTable { len: table.len, keys: Vec::new(), slots: table.slots.clone() },
     };
-    let mut merged = own.spread(&to_a, len as usize, keys);
-    merged.absorb(&other.slots, &to_b, |_, cell| cell.clone(), grid);
+    let slots = own.slots.into_iter().map(|column| column.spread(&to_a, len as usize)).collect();
+    let mut merged = GroupTable::new(len as usize, keys, slots);
+    merged.absorb(&other.slots, &to_b, grid);
     match Arc::get_mut(table) {
         Some(own) => *own = merged,
         None => *table = Arc::new(merged),
@@ -935,19 +949,19 @@ impl PartialResult {
 ///
 /// One key whose dictionary is proportionate to the scanned volume folds
 /// the paper's way, and so does no key, as one id: the table is a counts
-/// array over every id of the dictionary, each chunk's columns add into it
-/// at their groups' ids — a chunk table's, or a chunk's slot columns
-/// straight from its loops ([`GroupFold::add`]) —, and the ids no chunk
-/// showed are dropped at the end. Every slot adds exactly, so such folds
-/// of any chunks add up ([`GroupFold::add_fold`]) to the same table in any
-/// order. Any other grouping — several keys, or a dictionary that dwarfs
-/// the scan, where a selective query must not allocate a slot per id for a
-/// handful of groups — merges the chunk tables pairwise ([`merge_tables`])
-/// in chunk order and balanced: a merge sort's run stack of tables of 1,
-/// 2, 4, … chunks, so a group is merged O(log k) times over k chunks and
-/// O(log k) tables are live. Either way a float sum on one grid adds one
-/// chunk's sum per group by one plain add, any other by two double-double
-/// adds.
+/// array over every id of the dictionary; a chunk table, a chunk's slot
+/// columns or another such fold adds into it by one walk per slot, each
+/// group at its id ([`GroupFold::add`]), and the table is handed over
+/// compacted in place to the ids shown. Every slot adds exactly, so such
+/// folds of any chunks add up ([`GroupFold::add_fold`]) to the same table
+/// in any order. Any other grouping — several keys, or a dictionary that
+/// dwarfs the scan, where a selective query must not allocate a slot per id
+/// for a handful of groups — merges the chunk tables pairwise
+/// ([`merge_tables`]) in chunk order and balanced: a merge sort's run stack
+/// of tables of 1, 2, 4, … chunks, so a group is merged O(log k) times over
+/// k chunks and O(log k) tables are live. Either way a float sum on one
+/// grid adds one chunk's sum per group by one plain add, any other by two
+/// double-double adds.
 pub(crate) struct GroupFold {
     /// The counts array; for merges, the table that folding no chunk gives.
     table: GroupTable<u32>,
@@ -975,16 +989,13 @@ impl GroupFold {
         grid: Vec<bool>,
         by_id: Option<usize>,
     ) -> GroupFold {
-        let slots = kinds.map(Column::new).collect();
-        let empty = GroupTable::new(0, vec![Vec::new(); n_keys], slots);
-        match by_id {
-            Some(ids) => GroupFold {
-                table: empty.spread(&[], ids, Vec::new()),
-                by: FoldBy::ById { shown: vec![false; ids], keyed: n_keys == 1 },
-                grid,
-            },
-            None => GroupFold { table: empty, by: FoldBy::Runs(Vec::new()), grid },
-        }
+        let slots = kinds.map(|kind| Column::new(kind).spread(&[], by_id.unwrap_or(0)));
+        let table = GroupTable::new(0, vec![Vec::new(); n_keys], slots.collect());
+        let by = match by_id {
+            Some(ids) => FoldBy::ById { shown: vec![false; ids], keyed: n_keys == 1 },
+            None => FoldBy::Runs(Vec::new()),
+        };
+        GroupFold { table, by, grid }
     }
 
     /// Add one chunk's table of chunk-ids, whose key column `i` and slot
@@ -1001,14 +1012,15 @@ impl GroupFold {
         debug_assert!(chunk.is_sorted(), "a chunk table lists its groups in id order");
         match &mut self.by {
             FoldBy::ById { .. } => {
-                let map: Vec<u32> = match chunk.keys.first() {
+                let cell = |s: usize, &c: &u32| extremes(s)[c as usize];
+                match chunk.keys.first() {
                     Some(cells) => {
                         let ids = keys(0);
-                        cells.iter().map(|&c| ids[c as usize]).collect()
+                        let at = |j: usize| Some(ids[cells[j] as usize] as usize);
+                        self.add(chunk.len, &chunk.slots, at, cell)
                     }
-                    None => vec![0; chunk.len],
-                };
-                self.add(&chunk.slots, &map, |s, &c| extremes(s)[c as usize]);
+                    None => self.add(chunk.len, &chunk.slots, |_| Some(0), cell),
+                }
             }
             FoldBy::Runs(runs) => {
                 let chunk = Arc::unwrap_or_clone(chunk).into_global(keys, extremes);
@@ -1023,40 +1035,53 @@ impl GroupFold {
         }
     }
 
-    /// Add slot columns of groups to a fold by id: group `j` at id `map[j]`
-    /// (none where that is `u32::MAX`), slot `s`'s MIN/MAX cell `c` as
-    /// `cell(s, c)`.
+    /// Add `len` groups' slot columns to a fold by id, one walk per slot:
+    /// group `j` at id `at(j)`, none where that is `None` (a number no row
+    /// holds), slot `s`'s MIN/MAX cell `c` as `cell(s, c)`. The first slot's
+    /// walk marks the ids it adds at as shown.
     pub(crate) fn add(
         &mut self,
+        len: usize,
         slots: &[Column<u32>],
-        map: &[u32],
+        at: impl Fn(usize) -> Option<usize>,
         cell: impl Fn(usize, &u32) -> u32,
     ) {
         let FoldBy::ById { shown, .. } = &mut self.by else {
             unreachable!("only a fold by id adds columns")
         };
-        mapped(map).for_each(|(_, id)| shown[id] = true);
-        self.table.absorb(slots, map, cell, &self.grid);
+        let show = |j| at(j).inspect(|&id| shown[id] = true);
+        let grid = &self.grid;
+        let mut columns = self.table.slots.iter_mut().zip(slots).enumerate();
+        match columns.next() {
+            Some((s, (to, from))) => to.absorb(from, show, |c| cell(s, c), grid[s]),
+            None => (0..len).filter_map(show).for_each(drop),
+        }
+        for (s, (to, from)) in columns {
+            to.absorb(from, &at, |c| cell(s, c), grid[s]);
+        }
     }
 
-    /// Add another fold by id of the same query's chunks.
+    /// Add another fold by id of the same query's chunks: the ids it
+    /// showed, where they are.
     pub(crate) fn add_fold(&mut self, other: GroupFold) {
         let FoldBy::ById { shown, .. } = &other.by else { unreachable!("only folds by id add up") };
-        let map: Vec<u32> =
-            (0..).zip(shown).map(|(id, &at)| if at { id } else { u32::MAX }).collect();
-        self.add(&other.table.slots, &map, |_, &id| id);
+        let at = |id: usize| shown[id].then_some(id);
+        self.add(shown.len(), &other.table.slots, at, |_, &id| id);
     }
 
-    /// The folded table.
+    /// The folded table; by id, the fold's own columns, compacted in place
+    /// unless every id was shown.
     pub(crate) fn finish(self) -> GroupTable<u32> {
         match self.by {
             FoldBy::ById { shown, keyed } => {
-                let ids = (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id);
-                let ids: Vec<u32> = ids.collect();
-                let mut to = vec![u32::MAX; shown.len()];
-                (0..).zip(&ids).for_each(|(at, &id)| to[id as usize] = at);
-                let len = ids.len();
-                self.table.spread(&to, len, if keyed { vec![ids] } else { Vec::new() })
+                let mut slots = self.table.slots;
+                let ids: Vec<u32> = if shown.contains(&false) {
+                    slots.iter_mut().for_each(|column| column.compact(|id| shown[id]));
+                    (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id).collect()
+                } else {
+                    (0..shown.len() as u32).collect()
+                };
+                GroupTable::new(ids.len(), if keyed { vec![ids] } else { Vec::new() }, slots)
             }
             FoldBy::Runs(runs) => {
                 let mut runs = runs.into_iter().rev().map(|(run, _)| run);
@@ -1142,9 +1167,11 @@ mod tests {
             assert_eq!(column.value(g).to_bits(), want.value().to_bits(), "group {g}");
         }
         // Absorbing keeps every slot exact, whichever side is tainted.
-        let mut folded = FloatColumn::new(2);
-        folded.absorb(&column, &[0, 1, 0, 1, 0, 1]);
-        folded.absorb(&column, &[1, 0, 1, 0, 1, 0]);
+        let (mut folded, column) =
+            (Column::SumFloat(FloatColumn::new(2)), Column::SumFloat(column));
+        folded.absorb(&column, |j| Some(j % 2), u32::clone, false);
+        folded.absorb(&column, |j| Some(1 - j % 2), u32::clone, false);
+        let Column::SumFloat(folded) = folded else { unreachable!("a float-sum column") };
         let mut want = FloatSum::new();
         reference.iter().for_each(|sum| want.merge(sum));
         assert_eq!([folded.sum(0), folded.sum(1)], [want.clone(), want]);

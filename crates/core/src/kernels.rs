@@ -66,22 +66,22 @@
 //! A chunk runs one set of kernels, whatever its query's shape: its mask,
 //! [`group_codes`], one [`accumulate`] per slot, then [`GroupIndex::table`]
 //! — or, where the query folds by id and no cache keeps the chunk's table,
-//! [`GroupIndex::global_ids`], at which the slot columns add straight into
-//! the fold. Every buffer those steps write ([`IndexScratch`], [`Tables`],
-//! a slot's column, the mask's words) is scratch that the thread scanning
-//! the chunk keeps across its chunks, so such a chunk costs its rows and
-//! groups and allocates nothing they size. `COUNT(*)` alone is a histogram
-//! of the groups like any `COUNT` (a two-valued key's, unmasked, a
-//! popcount). Each kernel dispatches on
-//! [`CodesView`] once per chunk and then runs a monomorphized loop, one
-//! read per row, so the element representation (const / bit-set / u8 /
-//! u16 / u32) costs no per-row branch.
+//! [`GroupIndex::fold_into`], which adds the slot columns straight into the
+//! fold, one walk per slot, each group at its global id. Every buffer those
+//! steps write ([`IndexScratch`], [`Tables`], a slot's column, the mask's
+//! words) is scratch that the thread scanning the chunk keeps across its
+//! chunks, so such a chunk costs its rows and groups and allocates nothing
+//! they size. `COUNT(*)` alone is a histogram of the groups like any
+//! `COUNT` (a two-valued key's, unmasked, a popcount). Each kernel
+//! dispatches on [`CodesView`] once per chunk and then runs a
+//! monomorphized loop, one read per row, so the element representation
+//! (const / bit-set / u8 / u16 / u32) costs no per-row branch.
 
 use crate::column::{ColumnChunk, StoredColumn};
 use crate::count_distinct::KmvSketch;
 use crate::datastore::DataStore;
 use crate::exec::{proportionate, SlotPlan};
-use crate::groups::{Column, FloatColumn, GroupTable, SlotKind};
+use crate::groups::{Column, FloatColumn, GroupFold, GroupTable, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{fsum, sortkey, BitVec, Result, Value};
 use pd_encoding::{CodesView, GlobalDict};
@@ -790,8 +790,6 @@ pub(crate) struct IndexScratch {
     keys: Vec<Vec<u32>>,
     /// Per number, 1 if a visited row holds it.
     marks: Vec<u32>,
-    /// Per number, the global id it adds into ([`GroupIndex::global_ids`]).
-    map: Vec<u32>,
 }
 
 /// Compute the group index of the keys' codes over `rows` rows, of which
@@ -959,56 +957,63 @@ impl GroupIndex<'_> {
     /// `sizes` and the columns pass B filled over them: every group holds
     /// some row, in ascending key order. The numbers no passing row holds
     /// ([`GroupIndex::mark`], read off a `COUNT` column's zeros if the
-    /// slots have one) are dropped here. The index's arrays go back to
-    /// `spare`.
+    /// slots have one) are dropped here, the columns compacted in place.
+    /// The index's arrays go back to `spare`.
     pub(crate) fn table(
         mut self,
         sizes: &[usize],
-        slots: Vec<Column<u32>>,
+        mut slots: Vec<Column<u32>>,
         spare: &mut IndexScratch,
     ) -> GroupTable<u32> {
         let (partial, keys) = self.held(sizes, count_column(&slots), true, &mut spare.marks);
-        let group_count = self.group_count;
+        let len = keys.first().map_or(self.group_count, Vec::len);
         self.recycle(spare);
-        if !partial {
-            return GroupTable::new(group_count, keys, slots);
+        if partial {
+            let marks = &spare.marks;
+            slots.iter_mut().for_each(|column| column.compact(|g| marks[g] == 1));
         }
-        // A held number's group moves to its rank among them, any other
-        // past the end, where spreading drops it.
-        let (to, mut next) = (&mut spare.marks, 0);
-        for at in to.iter_mut() {
-            (*at, next) = if *at == 1 { (next, next + 1) } else { (u32::MAX, next) };
-        }
-        let slots = slots.into_iter().map(|column| column.spread(to, next as usize)).collect();
-        GroupTable::new(next as usize, keys, slots)
+        GroupTable::new(len, keys, slots)
     }
 
-    /// Per number, the global id that its one key's chunk-id has in `ids`
-    /// (the chunk dictionary's global-ids; no key: id 0), or `u32::MAX`
-    /// where no visited row holds the number — read off the `COUNT` column
-    /// of the `slots` pass B filled if there is one ([`GroupIndex::mark`]).
-    /// Written into `spare`'s map: a fold by id adds the slots there.
-    pub(crate) fn global_ids<'s>(
-        &self,
+    /// Add the `slots` pass B filled to a fold by id, one walk per slot,
+    /// each group at its key's chunk-id's global id in `ids` (no key: id 0).
+    /// One group, ranks and an unmasked chunk's codes are all held; a masked
+    /// chunk's code is where its `COUNT` is not zero, or without one where
+    /// it is marked ([`GroupIndex::mark`]), tested as the walk reaches it.
+    pub(crate) fn fold_into(
+        self,
+        fold: &mut GroupFold,
         slots: &[Column<u32>],
         ids: Option<&[u32]>,
-        spare: &'s mut IndexScratch,
-    ) -> &'s [u32] {
-        let partial = self.mark(count_column(slots), true, &mut spare.marks);
-        let (marks, map) = (&spare.marks, &mut spare.map);
-        map.clear();
-        map.extend((0..self.group_count).map(|g| {
-            if partial && marks[g] == 0 {
-                return u32::MAX;
+        cell: impl Fn(usize, &u32) -> u32,
+        spare: &mut IndexScratch,
+    ) {
+        let ids = ids.unwrap_or(&[0]);
+        let (len, id) = (self.group_count, |code: usize| ids[code] as usize);
+        match &self.members {
+            Members::One(_) => fold.add(len, slots, |_| Some(id(0)), cell),
+            Members::Codes { key: Numbers::Ranks(_), .. } => {
+                let codes = &self.keys[0];
+                fold.add(len, slots, |g| Some(id(codes[g] as usize)), cell)
             }
-            let chunk_id = self.keys.first().map_or(g as u32, |cells| cells[g]);
-            ids.map_or(chunk_id, |ids| ids[chunk_id as usize])
-        }));
-        map
+            Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } => {
+                fold.add(len, slots, |code| Some(id(code)), cell)
+            }
+            Members::Codes { key: Numbers::Key(_), .. } => match count_column(slots) {
+                Some(n) => fold.add(len, slots, |code| (n[code] > 0).then(|| id(code)), cell),
+                None => {
+                    self.mark(None, true, &mut spare.marks);
+                    let marks = &spare.marks;
+                    fold.add(len, slots, |code| (marks[code] == 1).then(|| id(code)), cell)
+                }
+            },
+            _ => unreachable!("a fold by id has one key or none"),
+        }
+        self.recycle(spare);
     }
 
     /// Give the index's arrays back to `spare` for the next chunk.
-    pub(crate) fn recycle(self, spare: &mut IndexScratch) {
+    fn recycle(self, spare: &mut IndexScratch) {
         if let Members::Codes { key: Numbers::Mixed(numbers) | Numbers::Ranks(numbers), .. } =
             self.members
         {

@@ -11,11 +11,12 @@ use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
     execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KmvSketch,
-    PartialResult, PartitionSpec, StoredColumn,
+    PartialResult, PartitionSpec, ResultCache, StoredColumn,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use pd_sql::{analyze, eval_expr, parse_query, truthy, AnalyzedQuery, Restriction, RowContext};
+use std::sync::Arc;
 
 /// Did the appends that made `after` move an id `before`'s dictionary had?
 /// Merges only ever move ids up, so one moved iff an old id now holds
@@ -392,6 +393,95 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
                 assert_eq!(on_ids, on_values, "{label}: {sql}");
                 on_ids.rows
             });
+        }
+    }
+}
+
+/// Every order an aggregate's order keys can give ranks as a full sort
+/// does, at every LIMIT from 0 to n + 1, and `execute` (ids) equals
+/// `finalize(execute_partial)` (values) at each: `ORDER BY` an `AVG` either
+/// way, a float `SUM` over negative values whose groups tie, a `COUNT
+/// (DISTINCT …)`, and a `WHERE` that leaves some of the key's ids unseen —
+/// with and without a `COUNT` column to say which numbers a masked chunk
+/// holds, and MIN/MAX beside them —, so that the fold compacts its table.
+/// Each chart runs without a cache and with one, whose second run folds the
+/// cached chunk tables.
+#[test]
+fn ranking_on_order_keys_keeps_a_full_sorts_prefix_at_every_limit() {
+    let schema = Schema::of(&[
+        ("k", DataType::Str),
+        ("f", DataType::Float),
+        ("n", DataType::Int),
+        ("u", DataType::Str),
+    ]);
+    // 90 keys over 1 800 rows; few distinct floats, so sums and averages
+    // tie, and negative ones.
+    let floats = [-2.5, -1.0, -0.25, 0.0, 0.5, 1.25, 3.0];
+    let mut rng = Rng::seed_from_u64(0x7a4e_0036);
+    let mut table = Table::new(schema);
+    for _ in 0..1_800 {
+        let row = vec![
+            Value::from(format!("k{:02}", rng.range_u64(0, 90))),
+            Value::Float(floats[rng.range_usize(0, floats.len())]),
+            Value::Int(rng.range_i64_inclusive(0, 9)),
+            Value::from(format!("u{}", rng.range_u64(0, 12))),
+        ];
+        table.push_row(Row(row)).unwrap();
+    }
+    let options = BuildOptions::optcols(PartitionSpec::new(&["u"], 300));
+    let store = DataStore::build(&table, &options).unwrap();
+    let ids = store.column("k").unwrap().dict.len() as usize;
+    let charts = [
+        ("SELECT k, AVG(f) a, COUNT(*) c FROM t GROUP BY k ORDER BY a ASC", false),
+        ("SELECT k, AVG(f) a, COUNT(*) c FROM t GROUP BY k ORDER BY a DESC", false),
+        ("SELECT k, AVG(n) a FROM t GROUP BY k ORDER BY a DESC", false),
+        ("SELECT k, SUM(f) s FROM t GROUP BY k ORDER BY s ASC", false),
+        ("SELECT SUM(f) s, k FROM t GROUP BY k ORDER BY s DESC", false),
+        ("SELECT k, COUNT(DISTINCT u) d FROM t GROUP BY k ORDER BY d DESC", false),
+        ("SELECT k, COUNT(DISTINCT n) d, SUM(f) s FROM t GROUP BY k ORDER BY d ASC", false),
+        ("SELECT k, SUM(f) s, MAX(n) m FROM t WHERE k < 'k40' AND n >= 2 GROUP BY k ORDER BY s ASC", true),
+        ("SELECT k, COUNT(*) c, AVG(f) a FROM t WHERE k >= 'k30' AND n > 0 GROUP BY k ORDER BY a DESC", true),
+        ("SELECT k, MIN(f) m, SUM(n) s FROM t WHERE n = 3 GROUP BY k ORDER BY s DESC", true),
+        ("SELECT k, COUNT(DISTINCT u) d FROM t WHERE n < 1 GROUP BY k ORDER BY d ASC", true),
+    ];
+    for cache in [false, true] {
+        let ctx = ExecContext {
+            threads: 1,
+            result_cache: cache.then(|| Arc::new(ResultCache::new(1 << 20))),
+            ..Default::default()
+        };
+        for (full, unseen) in charts {
+            let answer = |analyzed: &AnalyzedQuery| {
+                let on_ids = execute(&store, analyzed, &ctx).unwrap().0;
+                let partial = execute_partial(&store, analyzed, &ctx).unwrap().0;
+                assert_eq!(on_ids, finalize(analyzed, partial).unwrap(), "{full}");
+                on_ids.rows
+            };
+            let analyzed = analyze(&parse_query(full).unwrap()).unwrap();
+            let unlimited = answer(&analyzed);
+            let n = unlimited.len();
+            assert_eq!(n < ids, unseen, "{full}: {n} groups of {ids} ids");
+            let mut want = unlimited.clone();
+            want.sort();
+            want.sort_by(|a, b| {
+                (analyzed.order_by.iter())
+                    .map(|&(idx, desc)| {
+                        let ord = a.0[idx].cmp(&b.0[idx]);
+                        if desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            assert_eq!(unlimited, want, "{full}");
+            for limit in 0..=n + 1 {
+                let sql = format!("{full} LIMIT {limit}");
+                let limited = analyze(&parse_query(&sql).unwrap()).unwrap();
+                assert_eq!(answer(&limited), want[..limit.min(n)], "{sql} (cache: {cache})");
+            }
         }
     }
 }

@@ -213,8 +213,8 @@ impl ChildHandle {
     /// — full skip accounting, one `subtrees_pruned` for the edge that
     /// never carried the query, a zero-latency report per shard — and
     /// spend no hop at all. The chunks are additionally annotated as
-    /// [`ScanStats::chunks_pruned_remote`] (*where* the proof happened,
-    /// outside the skip/cache/scan balance).
+    /// [`ScanStats::chunks_pruned_remote`](pd_core::ScanStats::chunks_pruned_remote)
+    /// (*where* the proof happened, outside the skip/cache/scan balance).
     fn pruned_answer(metas: &[ShardMeta]) -> SubtreeAnswer {
         let mut answer = SubtreeAnswer::empty();
         answer.stats.subtrees_pruned = 1;
