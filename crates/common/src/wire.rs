@@ -86,7 +86,9 @@ use std::time::Duration;
 /// worker, outside the protocol.
 /// Version 17: `BuildOptions`' dictionary mode 1 names front-coded string
 /// dictionaries, not tries.
-pub const FRAME_VERSION: u8 = 17;
+/// Version 18: a partial result names the slot each state column holds,
+/// so a node cache's table answers every chart whose slots it holds.
+pub const FRAME_VERSION: u8 = 18;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

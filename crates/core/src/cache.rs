@@ -65,23 +65,21 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
     }
 
     /// Look `key` up by any borrowed form of `K` (e.g. `&str` for `String`
-    /// keys), so lookup paths need not allocate a throwaway owned key.
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    /// keys), so lookup paths need not allocate a throwaway owned key,
+    /// counting a hit only if its entry `fits` the asker: the entry, if
+    /// any, and whether it was a hit.
+    pub fn get<Q>(&self, key: &Q, fits: impl FnOnce(&V) -> bool) -> Option<(V, bool)>
     where
         K: std::borrow::Borrow<Q>,
         Q: std::hash::Hash + Eq + ?Sized,
     {
         let mut inner = self.inner.lock();
-        match inner.entries.get(key).map(|e| e.value.clone()) {
-            Some(hit) => {
-                inner.hits += 1;
-                Some(hit)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let found = inner.entries.get(key).map(|e| (e.value.clone(), fits(&e.value)));
+        match found {
+            Some((_, true)) => inner.hits += 1,
+            _ => inner.misses += 1,
         }
+        found
     }
 
     /// Insert with an admission cost: at capacity the incoming entry must
@@ -178,7 +176,7 @@ impl ResultCache {
     }
 
     pub(crate) fn get(&self, signature: &Arc<str>, chunk: u32) -> Option<Arc<GroupTable<u32>>> {
-        self.entries.get(&(signature.clone(), chunk))
+        self.entries.get(&(signature.clone(), chunk), |_| true).map(|(table, _)| table)
     }
 
     /// Admit a chunk's table, scored by its bytes × the `cells` its scan
@@ -241,10 +239,10 @@ mod tests {
     fn bounded_cache_clear_invalidates_but_keeps_counters() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(4);
         cache.put(1, 10, 0);
-        assert_eq!(cache.get(&1), Some(10));
+        assert_eq!(cache.get(&1, |_| true), Some((10, true)));
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.get(&1), None);
+        assert_eq!(cache.get(&1, |_| true), None);
         assert_eq!(cache.stats(), (1, 1), "counters accumulate across clears");
     }
 
@@ -256,9 +254,9 @@ mod tests {
         cache.put(2, 20, 0);
         cache.put(3, 30, 0); // evicts key 1 only
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&1), None);
-        assert_eq!(cache.get(&2), Some(20));
-        assert_eq!(cache.get(&3), Some(30));
+        assert_eq!(cache.get(&1, |_| true), None);
+        assert_eq!(cache.get(&2, |_| true), Some((20, true)));
+        assert_eq!(cache.get(&3, |_| true), Some((30, true)));
     }
 
     #[test]
@@ -267,8 +265,9 @@ mod tests {
         cache.put(1, 10, cost_score(100, 50));
         cache.put(2, 20, cost_score(10, 50));
         cache.put(3, 30, cost_score(1, 1)); // cheaper than every resident
-        assert_eq!(cache.get(&3), None);
+        let get = |key| cache.get(&key, |_| true).map(|(value, _)| value);
+        assert_eq!(get(3), None);
         cache.put(4, 40, cost_score(10, 60)); // evicts key 2, the cheapest
-        assert_eq!((cache.get(&2), cache.get(&1), cache.get(&4)), (None, Some(10), Some(40)));
+        assert_eq!((get(2), get(1), get(4)), (None, Some(10), Some(40)));
     }
 }

@@ -144,14 +144,17 @@ impl Decode for KeyBytes {
 }
 
 /// The group table, column by column: the group count, the key columns,
-/// the state columns. Which aggregates read which slots is the asking
-/// query's to say, so it does not travel. Groups travel in their ascending
-/// key order, so equal partials are equal bytes.
+/// the slot each state column holds, the state columns. Which aggregates
+/// read which slots is the asking query's to say, so it does not travel.
+/// Groups travel in their ascending key order, so equal partials are equal
+/// bytes.
 impl Encode for PartialResult {
     fn encode(&self, out: &mut Vec<u8>) {
-        let (len, keys, slots) = self.columns();
+        let (len, keys, names, slots) = self.columns();
         (len as u64).encode(out);
         keys.encode(out);
+        (names.len() as u64).encode(out);
+        names.iter().for_each(|slot| slot.encode(out));
         slots.encode(out);
     }
 }
@@ -162,8 +165,8 @@ impl Encode for PartialResult {
 impl Decode for PartialResult {
     fn decode(r: &mut Reader<'_>) -> Result<PartialResult> {
         let len = r.u64()?;
-        let keys = Vec::decode(r)?;
-        PartialResult::from_columns(len, keys, Vec::decode(r)?)
+        let (keys, names) = (Vec::decode(r)?, Vec::decode(r)?);
+        PartialResult::from_columns(len, keys, names, Vec::decode(r)?)
     }
 }
 
@@ -253,6 +256,7 @@ impl Decode for BuildOptions {
 mod tests {
     use super::*;
     use pd_common::wire::{from_bytes, to_bytes};
+    use pd_sql::Slot;
 
     /// Two keys, one slot of every kind (one float slot tainted, one integer
     /// sum past `i64`).
@@ -266,6 +270,7 @@ mod tests {
                 [Value::from("x"), Value::from("x")].iter().collect(),
                 [Value::Int(3), Value::Int(4)].iter().collect(),
             ],
+            slots("count, SUM(n), SUM(x), MIN(x), MAX(s), COUNT(DISTINCT u)"),
             vec![
                 Column::Count(vec![2, 5]),
                 Column::SumInt(vec![i128::from(i64::MIN) * 3, -1]),
@@ -279,6 +284,11 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// The slots `aggs` lower to, in canonical order.
+    fn slots(aggs: &str) -> Vec<Slot> {
+        pd_sql::plan(&format!("SELECT {} FROM t", aggs.replace("count", "COUNT(*)"))).unwrap().slots
     }
 
     #[test]
@@ -295,13 +305,16 @@ mod tests {
     fn columns_that_break_the_table_are_rejected() {
         let keys = |cells: [i64; 2]| vec![cells.map(Value::Int).iter().collect()];
         let counts = || vec![Column::Count(vec![1, 2])];
-        assert!(PartialResult::from_columns(2, keys([1, 2]), counts()).is_ok());
+        let table = |len, keys, names| PartialResult::from_columns(len, keys, names, counts());
+        assert!(table(2, keys([1, 2]), slots("count")).is_ok());
         for (what, broken) in [
-            ("ragged", PartialResult::from_columns(3, keys([1, 2]), counts())),
-            ("unsorted", PartialResult::from_columns(2, keys([2, 1]), counts())),
-            ("duplicate", PartialResult::from_columns(2, keys([1, 1]), counts())),
-            ("no keys", PartialResult::from_columns(2, Vec::new(), counts())),
-            ("no columns", PartialResult::from_columns(u64::MAX, Vec::new(), Vec::new())),
+            ("ragged", table(3, keys([1, 2]), slots("count"))),
+            ("unsorted", table(2, keys([2, 1]), slots("count"))),
+            ("duplicate", table(2, keys([1, 1]), slots("count"))),
+            ("no keys", table(2, Vec::new(), slots("count"))),
+            ("another slot's class", table(2, keys([1, 2]), slots("SUM(n)"))),
+            ("a slot too many", table(2, keys([1, 2]), slots("count, SUM(n)"))),
+            ("no columns", PartialResult::from_columns(u64::MAX, vec![], vec![], vec![])),
         ] {
             assert!(matches!(broken, Err(Error::Data(_))), "{what}: {broken:?}");
         }

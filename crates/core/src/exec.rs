@@ -66,11 +66,6 @@
 //! for a whole chunk drops out of that chunk's `AND`; an all-false mask
 //! yields the empty payload without running a kernel; an all-true mask
 //! runs the kernels unmasked.
-//!
-//! [`execute_partial`] returns mergeable group states — the building block
-//! the distributed layer (§4) combines up its computation tree —
-//! and [`finalize`] applies `HAVING` / `ORDER BY` / `LIMIT` at the root,
-//! building rows only for the groups that survive them.
 
 use crate::cache::ResultCache;
 use crate::column::StoredColumn;
@@ -198,7 +193,7 @@ pub fn execute(
     let started = Instant::now();
     let plan = Plan::prepare(store, analyzed, ctx)?;
     let (groups, mut stats) = plan.run(store, ctx, 0)?;
-    let result = rank(analyzed, &IdKeys(&plan), &groups)?;
+    let result = rank(analyzed, &analyzed.reads, &IdKeys(&plan), &groups)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
 }
@@ -223,16 +218,18 @@ pub fn execute_partial_from(
 ) -> Result<(PartialResult, ScanStats)> {
     let plan = Plan::prepare(store, analyzed, ctx)?;
     let (groups, stats) = plan.run(store, ctx, first_chunk)?;
-    Ok((plan.value_keyed(groups), stats))
+    Ok((plan.value_keyed(groups, &analyzed.slots), stats))
 }
 
 /// Apply HAVING / ORDER BY / LIMIT and project the output columns. The
-/// query's aggregates read `partial`'s slots as the query lowers them
-/// ([`AnalyzedQuery::reads`]), so a partial remembered for one chart
-/// answers every chart of the same slots; one whose slots do not fit the
-/// query is [`Error::Data`].
+/// query's aggregates read the slots it lowers them to
+/// ([`AnalyzedQuery::reads`]), each found among `partial`'s by name and
+/// read in place, so a partial remembered for one chart answers every
+/// chart of its keys whose slots it holds; one without a slot the query
+/// reads is [`Error::Data`].
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
-    rank(analyzed, &ValueKeys, partial.for_query(analyzed)?)
+    let (groups, reads) = partial.for_query(analyzed)?;
+    rank(analyzed, &reads, &ValueKeys, groups)
 }
 
 /// What [`rank`] needs to know about a group table's cells of type `C`:
@@ -331,7 +328,7 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// HAVING / ORDER BY / LIMIT over a group table, whatever domain its
 /// cells are in: the one ranking routine behind [`execute`] (global-ids)
 /// and [`finalize`] (values — the root of a tree, whose shards do not
-/// share dictionaries). Aggregate `i` reads the slots `analyzed.reads[i]`.
+/// share dictionaries). Aggregate `i` reads the slots `reads[i]`.
 ///
 /// Groups are ranked *by position*, off the columns as they are stored.
 /// An aggregate is compared by its order keys, read off its state column in
@@ -355,6 +352,7 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// the same order in both domains.
 fn rank<C: Cell>(
     analyzed: &AnalyzedQuery,
+    reads: &[pd_sql::SlotRef],
     domain: &impl KeyCells<C>,
     groups: &GroupTable<C>,
 ) -> Result<QueryResult> {
@@ -404,9 +402,9 @@ fn rank<C: Cell>(
     // BY names; the keys HAVING names. An aggregate's order keys are read
     // off its column in one pass, the first time a compare needs them.
     let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
-    let agg_cell = |i: usize, g: usize| groups.cell(analyzed.reads[i], g, &extreme);
+    let agg_cell = |i: usize, g: usize| groups.cell(reads[i], g, &extreme);
     let words: Vec<OnceCell<_>> = analyzed.aggs.iter().map(|_| OnceCell::new()).collect();
-    let order_keys = |i: usize| words[i].get_or_init(|| groups.order_keys(analyzed.reads[i]));
+    let order_keys = |i: usize| words[i].get_or_init(|| groups.order_keys(reads[i]));
     let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
@@ -934,12 +932,13 @@ impl Plan {
     /// ([`keys_of`]), not one lookup per group; dictionaries are sorted
     /// bijections, so distinct id tuples stay distinct keys, in the fold's
     /// order.
-    fn value_keyed(&self, groups: GroupTable<u32>) -> PartialResult {
+    fn value_keyed(&self, groups: GroupTable<u32>, slots: &[pd_sql::Slot]) -> PartialResult {
         let cells = IdKeys(self);
-        PartialResult::new(groups.into_values(
+        let groups = groups.into_values(
             |i, ids| keys_of(cells.key_dict(i), ids),
             |s, ids| values_of(cells.slot_dict(s), &ids),
-        ))
+        );
+        PartialResult::new(groups, slots)
     }
 
     /// Scan chunk `c` in `scratch`: the row filter's mask, a group index

@@ -49,7 +49,7 @@
 
 use crate::count_distinct::KmvSketch;
 use pd_common::{fsum, sortkey, Error, FloatSum, HeapSize, Result, Value};
-use pd_sql::{AnalyzedQuery, SlotClass, SlotRef};
+use pd_sql::{AnalyzedQuery, Slot, SlotClass, SlotRef};
 use std::cmp::Ordering;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -329,14 +329,15 @@ impl<K: Cell> Column<K> {
         }
     }
 
-    /// Keep the groups `held` says, in order, in this column's buffers.
-    pub(crate) fn compact(&mut self, held: impl Fn(usize) -> bool) {
+    /// Keep the groups `held` lists (ascending) in this column's buffers,
+    /// in order.
+    pub(crate) fn compact(&mut self, held: impl Iterator<Item = usize> + Clone) {
         match self {
             Column::Count(v) => compact(v, held),
             Column::SumInt(v) => compact(v, held),
             Column::SumFloat(FloatColumn { hi, lo, exact }) => {
-                compact(hi, &held);
-                compact(lo, &held);
+                compact(hi, held.clone());
+                compact(lo, held.clone());
                 compact(exact, held);
             }
             Column::Extreme { best, .. } => compact(best, held),
@@ -377,10 +378,15 @@ impl<K: Cell> Column<K> {
     }
 }
 
-/// Keep the cells of `v` that `held` says, by position, in order.
-fn compact<T>(v: &mut Vec<T>, held: impl Fn(usize) -> bool) {
-    let mut at = 0..;
-    v.retain(|_| at.next().is_some_and(&held));
+/// Keep the cells of `v` at the positions `held` lists (ascending), in
+/// order, in place: each cell kept is moved once, and no other is read.
+fn compact<T>(v: &mut Vec<T>, held: impl Iterator<Item = usize>) {
+    let mut len = 0;
+    for (to, from) in held.enumerate() {
+        v.swap(to, from);
+        len = to + 1;
+    }
+    v.truncate(len);
 }
 
 /// `len` cells, `v`'s cell `j` at position `to[j]` if that is one of them,
@@ -828,10 +834,10 @@ pub(crate) fn merge_tables<K: Cell>(
 
 /// Mergeable per-group states, the §4 unit of tree aggregation: a group
 /// table in the value domain, its groups in strictly ascending key order,
-/// one state column per slot its query lowers to. Which aggregates read
-/// which slots is the asking query's to say ([`crate::finalize`]), so one
-/// partial answers every query of its slots. A key column is one buffer of
-/// sort keys ([`pd_common::sortkey`]): a string is in it as its bytes, and
+/// one state column per [`Slot`] it holds, named by it. Which aggregates
+/// read which slots is the asking query's to say ([`crate::finalize`] finds
+/// its slots by name), so one partial answers every query of its keys and
+/// restriction whose slots it holds. A key column is one buffer of sort keys ([`pd_common::sortkey`]): a string is in it as its bytes, and
 /// becomes a [`Value`] only if it is in the answer or `HAVING` reads it.
 /// The state columns are as the scan left them, MIN/MAX cells as values.
 ///
@@ -851,26 +857,35 @@ pub(crate) fn merge_tables<K: Cell>(
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialResult {
     table: Arc<GroupTable<Value>>,
+    /// What each state column holds, in column order.
+    slots: Arc<[Slot]>,
 }
 
 impl PartialResult {
-    /// `table`, whose groups are in strictly ascending key order.
-    pub(crate) fn new(table: GroupTable<Value>) -> PartialResult {
+    /// `table`, whose groups are in strictly ascending key order and whose
+    /// state columns hold `slots`.
+    pub(crate) fn new(table: GroupTable<Value>, slots: &[Slot]) -> PartialResult {
         debug_assert!(table.is_sorted());
-        PartialResult { table: Arc::new(table) }
+        PartialResult { table: Arc::new(table), slots: slots.into() }
     }
 
     /// The partial of decoded columns, every invariant checked: columns of
-    /// one length, groups in strictly ascending key order.
+    /// one length, each of its slot's class, groups in strictly ascending
+    /// key order.
     pub(crate) fn from_columns(
         len: u64,
         keys: Vec<KeyBytes>,
+        names: Vec<Slot>,
         slots: Vec<Column<Value>>,
     ) -> Result<PartialResult> {
         let corrupt = |what: &str| Error::Data(format!("wire: partial result {what}"));
         let lens = keys.iter().map(Keys::len).chain(slots.iter().map(Column::len));
         if lens.map(|n| n as u64).any(|n| n != len) {
             return Err(corrupt("has ragged columns"));
+        }
+        let classes = slots.iter().map(|column| column.kind().class());
+        if names.len() != slots.len() || !classes.eq(names.iter().map(|slot| slot.class)) {
+            return Err(corrupt("names its columns as other slots"));
         }
         // Columns of `len` cells were decoded, or there is none: then only
         // the order check stands between `len` and a loop that long, and it
@@ -880,12 +895,17 @@ impl PartialResult {
         if !table.is_sorted() {
             return Err(corrupt("has unsorted or duplicate keys"));
         }
-        Ok(PartialResult { table: Arc::new(table) })
+        Ok(PartialResult { table: Arc::new(table), slots: names.into() })
     }
 
-    /// What the wire carries: group count, key columns, slots.
-    pub(crate) fn columns(&self) -> (usize, &Vec<KeyBytes>, &Vec<Column<Value>>) {
-        (self.table.len, &self.table.keys, &self.table.slots)
+    /// What the wire carries: group count, key columns, slot names, slots.
+    pub(crate) fn columns(&self) -> (usize, &Vec<KeyBytes>, &[Slot], &Vec<Column<Value>>) {
+        (self.table.len, &self.table.keys, &self.slots, &self.table.slots)
+    }
+
+    /// The slots this partial holds, in column order.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
     }
 
     /// How many groups there are.
@@ -897,32 +917,54 @@ impl PartialResult {
         self.table.len == 0
     }
 
-    /// The table, for ranking as the answer of `analyzed`: one key column
-    /// per key and, slot by slot, a column of the class the query's
-    /// aggregates lower to — anything else (a partial decoded from a peer
-    /// that answered another query) is [`Error::Data`], before a cell is
-    /// read. A partial of no groups has nothing to read.
-    pub(crate) fn for_query(&self, analyzed: &AnalyzedQuery) -> Result<&GroupTable<Value>> {
-        let table = &*self.table;
-        let fits = table.keys.len() == analyzed.keys.len()
-            && table.slots.len() == analyzed.slots.len()
-            && (table.slots.iter().zip(&analyzed.slots))
-                .all(|(column, slot)| column.kind().class() == slot.class);
-        if !fits && !self.is_empty() {
-            return Err(Error::Data("partial result does not fit its query's slots".into()));
+    /// Where each of `slots` is among this partial's columns, found by
+    /// name; a slot it does not hold is [`Error::Data`].
+    fn find(&self, slots: &[Slot]) -> Result<Vec<usize>> {
+        let at = |slot| self.slots.iter().position(|held| held == slot);
+        let missing = || Error::Data("partial result does not hold its query's slots".into());
+        slots.iter().map(|slot| at(slot).ok_or_else(missing)).collect()
+    }
+
+    /// The table, for ranking as the answer of `q`, and where each of its
+    /// aggregates reads it ([`PartialResult::find`]): a table of more slots
+    /// answers in place. One of other keys or slots (from a peer that
+    /// answered another query) is [`Error::Data`] before a cell is read; a
+    /// partial of no groups has nothing to read.
+    pub(crate) fn for_query(
+        &self,
+        q: &AnalyzedQuery,
+    ) -> Result<(&GroupTable<Value>, Vec<SlotRef>)> {
+        if self.is_empty() {
+            return Ok((&self.table, q.reads.clone()));
         }
-        Ok(table)
+        if self.table.keys.len() != q.keys.len() {
+            return Err(Error::Data("partial result has other keys than its query".into()));
+        }
+        let at = self.find(&q.slots)?;
+        let read = |r: &SlotRef| SlotRef { slot: at[r.slot], count: r.count.map(|c| at[c]) };
+        Ok((&self.table, q.reads.iter().map(read).collect()))
+    }
+
+    /// This partial's `slots` alone, in that order: itself, shared, if it
+    /// holds just those (or nothing), else a table of those columns copied.
+    pub fn project(&self, slots: &[Slot]) -> Result<PartialResult> {
+        if *self.slots == *slots || *self.table == GroupTable::default() {
+            return Ok(self.clone());
+        }
+        let columns = self.find(slots)?.into_iter().map(|at| self.table.slots[at].clone());
+        let table = GroupTable::new(self.table.len, self.table.keys.clone(), columns.collect());
+        Ok(PartialResult { table: Arc::new(table), slots: slots.into() })
     }
 
     /// Merge another partial of the same slots into this one: one linear
     /// walk over both key columns (`merge_tables`). A partial of no columns
     /// ([`PartialResult::default`]) is the identity; partials of different
-    /// shapes — key count or slot kinds — do not merge. Copy-on-write:
+    /// shapes — key count, slots or slot kinds — do not merge. Copy-on-write:
     /// clones of either side made before the merge keep what they held.
     pub fn merge(&mut self, other: PartialResult) -> Result<()> {
         let shape = |p: &PartialResult| {
             let kinds: Vec<SlotKind> = p.table.slots.iter().map(Column::kind).collect();
-            (p.table.keys.len(), kinds)
+            (p.table.keys.len(), kinds, p.slots.clone())
         };
         if *other.table == GroupTable::default() {
             return Ok(());
@@ -1075,12 +1117,12 @@ impl GroupFold {
         match self.by {
             FoldBy::ById { shown, keyed } => {
                 let mut slots = self.table.slots;
-                let ids: Vec<u32> = if shown.contains(&false) {
-                    slots.iter_mut().for_each(|column| column.compact(|id| shown[id]));
-                    (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id).collect()
-                } else {
-                    (0..shown.len() as u32).collect()
-                };
+                let ids: Vec<u32> =
+                    (0..).zip(&shown).filter(|(_, &shown)| shown).map(|(id, _)| id).collect();
+                if ids.len() < shown.len() {
+                    let held = ids.iter().map(|&id| id as usize);
+                    slots.iter_mut().for_each(|column| column.compact(held.clone()));
+                }
                 GroupTable::new(ids.len(), if keyed { vec![ids] } else { Vec::new() }, slots)
             }
             FoldBy::Runs(runs) => {
@@ -1099,6 +1141,7 @@ impl GroupFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pd_sql::Expr;
 
     /// A column of values, for tests that build tables by hand (here and
     /// in the codec's).
@@ -1241,10 +1284,16 @@ mod tests {
     }
 
     /// The partial of groups given in ascending key order: each key
-    /// column's cells, and the slots' columns.
+    /// column's cells, and the slots' columns, slot `s` of a class with an
+    /// argument reading column `c{s}`.
     fn partial(keys: &[&[Value]], slots: Vec<Column<Value>>) -> PartialResult {
         let columns = keys.iter().map(|cells| cells.iter().collect()).collect();
-        PartialResult::new(GroupTable::new(keys[0].len(), columns, slots))
+        let name = |(s, column): (usize, &Column<Value>)| {
+            let class = column.kind().class();
+            Slot { class, arg: (class != SlotClass::Count).then(|| Expr::column(format!("c{s}"))) }
+        };
+        let names: Vec<Slot> = slots.iter().enumerate().map(name).collect();
+        PartialResult::new(GroupTable::new(keys[0].len(), columns, slots), &names)
     }
 
     fn counted(groups: &[(&str, u64)]) -> PartialResult {

@@ -966,11 +966,11 @@ impl GroupIndex<'_> {
         spare: &mut IndexScratch,
     ) -> GroupTable<u32> {
         let (partial, keys) = self.held(sizes, count_column(&slots), true, &mut spare.marks);
-        let len = keys.first().map_or(self.group_count, Vec::len);
+        let (len, numbers) = (keys.first().map_or(self.group_count, Vec::len), self.group_count);
         self.recycle(spare);
         if partial {
-            let marks = &spare.marks;
-            slots.iter_mut().for_each(|column| column.compact(|g| marks[g] == 1));
+            let held = (0..numbers).filter(|&g| spare.marks[g] == 1);
+            slots.iter_mut().for_each(|column| column.compact(held.clone()));
         }
         GroupTable::new(len, keys, slots)
     }

@@ -341,11 +341,12 @@ fn malformed_tables_are_typed_errors() {
     // Two groups, one key column, one count slot, byte by byte:
     // [0] group count · [8] key columns · [16] the key buffer's length ·
     // [24] Int 1 · [33] Int 2 (a tag, then 8 bytes) · [42] cells in the
-    // column · [50] end 9 · [54] end 18 · [58] slots · [66] kind · [67]
-    // counts in the column · [75] 10, 20. No aggregate list: which slots a
-    // query reads is the query's to say.
+    // column · [50] end 9 · [54] end 18 · [58] slot names · [66] `count`'s
+    // class · [67] its argument (none) · [68] slots · [76] kind · [77] counts
+    // in the column · [85] 10, 20. No aggregate list: which slots a query
+    // reads is the query's to say, and it finds them by name.
     let bytes = to_bytes(&keyed_partial("COUNT(*)", 1 << 10, &[(1, 10), (2, 20)]));
-    assert_eq!(bytes.len(), 91);
+    assert_eq!(bytes.len(), 101);
     assert!(from_bytes::<PartialResult>(&bytes).is_ok());
     type Edit<'a> = &'a dyn Fn(&mut Vec<u8>);
     let forged = |edit: Edit<'_>| {
@@ -355,7 +356,7 @@ fn malformed_tables_are_typed_errors() {
     };
     let end =
         |b: &mut Vec<u8>, at: usize, end: u32| b[at..at + 4].copy_from_slice(&end.to_le_bytes());
-    let cases: [(&str, Edit<'_>); 14] = [
+    let cases: [(&str, Edit<'_>); 17] = [
         ("more groups than cells", &|b| b[0] = 3),
         ("a key column one cell short", &|b| {
             b[42] = 1;
@@ -391,8 +392,14 @@ fn malformed_tables_are_typed_errors() {
         ("invalid UTF-8 in a Str cell", &|b| {
             b.splice(24..42, [b"\x03aaaaaaa\xff", &b"\x03bbbbbbbb"[..]].concat());
         }),
-        ("an unknown column kind", &|b| b[66] = 9),
-        ("a length beyond the remaining bytes", &|b| b[67..75].fill(0xff)),
+        ("an unknown slot class", &|b| b[66] = 9),
+        ("a sum named without its argument", &|b| b[66] = 1),
+        ("a column named as a slot of another class", &|b| {
+            b[66] = 1;
+            b.splice(67..68, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, b'k']);
+        }),
+        ("an unknown column kind", &|b| b[76] = 9),
+        ("a length beyond the remaining bytes", &|b| b[77..85].fill(0xff)),
     ];
     for (what, edit) in cases {
         let outcome = forged(edit);

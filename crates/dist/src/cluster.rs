@@ -534,7 +534,7 @@ impl Cluster {
 
         let fan_out_started = Instant::now();
         // The root — which nothing queues for.
-        let answer = root.query(&request, Duration::ZERO)?;
+        let answer = root.query_root(&request)?;
         // The whole fan-out: leaf hops *and* every merge-node fold and
         // root-hop transport above them — time the per-shard reports
         // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.

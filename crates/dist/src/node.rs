@@ -33,7 +33,7 @@ use pd_core::{
     PartialResult, ResultCache, ScanStats,
 };
 use pd_encoding::TableDelta;
-use pd_sql::AnalyzedQuery;
+use pd_sql::{AnalyzedQuery, Slot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -238,10 +238,35 @@ impl Node {
     }
 
     /// Answer one query: execute it (leaf) or fan it out and fold (mixer),
-    /// unless this node's cache already holds the partial. `queued` is how
-    /// long the request waited before reaching this call — for its turn in
-    /// a worker process; zero over an in-memory edge.
+    /// unless this node's cache already holds the partial — a table of the
+    /// query's keys and restriction that holds its slots, perhaps among
+    /// others. `queued` is how long the request waited before reaching this
+    /// call — for its turn in a worker process; zero over an in-memory edge.
     pub fn query(&self, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
+        self.answer(request, queued, Vec::new())
+    }
+
+    /// The root's [`Node::query`] ([`crate::Cluster::query`]): a miss also
+    /// computes the slots the query's key set was asked for under its
+    /// previous restriction ([`WorkerCache::predict`]), so the next charts
+    /// of the click find them.
+    pub fn query_root(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
+        let Some(cache) = &self.cache else { return self.query(request, Duration::ZERO) };
+        let mut keys = String::with_capacity(64);
+        request.query.write_key_shape(&mut keys);
+        let predicted = cache.predict(&keys, &request.query);
+        let answer = self.answer(request, Duration::ZERO, predicted)?;
+        cache.asked(&keys, &request.query);
+        Ok(answer)
+    }
+
+    /// [`Node::query`], a miss computing the `wider` slots as well.
+    fn answer(
+        &self,
+        request: &QueryRequest,
+        queued: Duration,
+        mut wider: Vec<Slot>,
+    ) -> Result<SubtreeAnswer> {
         // The budget is the whole query's: decrement it by our own queue
         // delay, and fail typed and *immediately* once it is spent —
         // children are never asked to run a query nobody is waiting for.
@@ -264,32 +289,71 @@ impl Node {
         let tail = self.tail.read();
         let now = tail.as_ref().map_or(TailMark::default(), |tail| tail.mark);
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
-            if let Some(entry) = cache.get(signature) {
+            if let Some((entry, holds)) = cache.get(signature, &request.query.slots) {
                 // The nearest-cache answer: the cached table itself, zero
                 // child hops, every row beneath accounted as cached.
-                let Some(tail) = tail.as_ref().filter(|_| entry.at() != now) else {
-                    return Ok(entry.to_answer(queued));
-                };
-                // Remembered, but rows arrived since: scan those alone and
-                // merge. Still no hop, and the old rows are still cached;
-                // the new ones count as their scan found them. A scan that
-                // fails (a delta left a virtual field two-typed) leaves
-                // the miss path to report it.
-                let brought = tail
-                    .scan_past(entry.at(), &request.query)
-                    .and_then(|(fresh, scan)| Ok((entry.brought_forward(fresh, now)?, scan)));
-                if let Ok((forward, scan)) = brought {
-                    let mut answer = entry.to_answer(queued);
-                    answer.partial = forward.partial.clone();
-                    answer.stats += &scan;
-                    cache.put(signature, Arc::new(forward));
-                    return Ok(answer);
+                match tail.as_ref().filter(|_| entry.at() != now) {
+                    None if holds => return Ok(entry.to_answer(queued)),
+                    // Remembered, but rows arrived since: scan those alone
+                    // over the entry's slots and merge. Still no hop, and
+                    // the old rows are still cached; the new ones count as
+                    // their scan found them. A scan that fails (a delta
+                    // left a virtual field two-typed) leaves the miss path
+                    // to report it.
+                    Some(tail) if holds => {
+                        let query = request.query.widened(entry.partial.slots());
+                        let brought =
+                            (tail.scan_past(entry.at(), &query)).and_then(|(fresh, scan)| {
+                                Ok((entry.brought_forward(fresh, now)?, scan))
+                            });
+                        if let Ok((forward, scan)) = brought {
+                            let mut answer = entry.to_answer(queued);
+                            answer.partial = forward.partial.clone();
+                            answer.stats += &scan;
+                            cache.put(signature, Arc::new(forward));
+                            return Ok(answer);
+                        }
+                    }
+                    _ => {}
                 }
+                // A miss computes the entry's slots too: the table that
+                // replaces it only grows.
+                wider.extend_from_slice(entry.partial.slots());
             }
         }
         drop(tail);
-        let answer = match &self.role {
-            Role::Leaf(leaf) => execute_leaf(&leaf.read(), request, queued)?,
+        let asked = &request.query;
+        let answer = if wider.iter().all(|slot| asked.slots.contains(slot)) {
+            self.compute(request, queued, budget)?
+        } else {
+            let wide = QueryRequest { query: asked.widened(&wider), ..request.clone() };
+            match self.compute(&wide, queued, budget) {
+                // A slot other charts asked for may fail where the query's
+                // own do not (a virtual field an append left two-typed):
+                // then the query is asked alone, and answers as it would.
+                Err(Error::Rpc(fault)) => return Err(Error::Rpc(fault)),
+                Err(_) => self.compute(request, queued, budget)?,
+                Ok(answer) => answer,
+            }
+        };
+        if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
+            // Admission is cost-aware: the cells scanned beneath this node
+            // are what a future miss would scan again.
+            cache.put(signature, Arc::new(CachedSubtree::capture(&answer, now)));
+        }
+        Ok(answer)
+    }
+
+    /// Execute `request` (leaf) or fan it out and fold (mixer), asking
+    /// children with what is left of the `budget`.
+    fn compute(
+        &self,
+        request: &QueryRequest,
+        queued: Duration,
+        budget: Duration,
+    ) -> Result<SubtreeAnswer> {
+        match &self.role {
+            Role::Leaf(leaf) => execute_leaf(&leaf.read(), request, queued),
             Role::Mixer(children) => {
                 let forwarded;
                 let request = if queued.is_zero() {
@@ -303,15 +367,9 @@ impl Node {
                     // This node's own queueing delays every shard beneath.
                     report.queue += queued;
                 }
-                answer
+                Ok(answer)
             }
-        };
-        if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
-            // Admission is cost-aware: the cells scanned beneath this node
-            // are what a future miss would scan again.
-            cache.put(signature, Arc::new(CachedSubtree::capture(&answer, now)));
         }
-        Ok(answer)
     }
 
     /// Apply an append to the shards beneath this node — the one append

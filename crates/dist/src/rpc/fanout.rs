@@ -232,7 +232,8 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
         let answer = answer?;
-        merged.partial.merge(answer.partial)?;
+        // A child may answer out of a table of more slots than asked.
+        merged.partial.merge(answer.partial.project(&request.query.slots)?)?;
         merged.stats += &answer.stats;
         merged.reports.extend(answer.reports);
     }

@@ -5,15 +5,30 @@
 //! the one being filtered re-issues a query the tree has answered before.
 //! The chunk-result cache (§6, [`pd_core::ResultCache`]) exploits this per
 //! fully-active chunk *inside* one shard; [`WorkerCache`] is the
-//! distributed counterpart, keyed by the normalized [`query_signature`]:
-//! every [`crate::node::Node`] owns one — a leaf caches its shard's
+//! distributed counterpart, keyed by the normalized [`query_signature`] —
+//! table, keys, restriction and sketch size, *not* the slots: every
+//! [`crate::node::Node`] owns one — a leaf caches its shard's
 //! [`pd_core::PartialResult`], a merge server the *folded subtree* partial,
 //! the root in the driver the whole tree's — so a warm drill-down answers
 //! from the topmost cache that has the signature, with **zero child hops**
-//! below it; a chart the root remembers crosses no edge at all. The rebuild
-//! epoch carried by every `Load`/`Attach`/`Append`/`Query` ([`crate::rpc`])
-//! names the data an entry describes: a node drops its cache the moment it
-//! meets an epoch it was not told of. A mixer that *is* told of an append
+//! below it; a chart the root remembers crosses no edge at all.
+//!
+//! One entry per chart group: a partial names the slot each of its columns
+//! holds, so an entry is a hit for every query whose slots it holds (a
+//! *subset hit*: semantic caching, Dar et al., VLDB 1996); the asking
+//! query's aggregates find their slots among the entry's by name at
+//! finalize, in place. A query asking for a slot the entry lacks is a miss
+//! that computes the **union** — its slots and the entry's — so an entry
+//! only grows, and a parent takes the slots it asked for out of a child's
+//! wider answer. At the root the cache also **remembers, per key set**,
+//! the slots asked since that key set's restriction last changed
+//! ([`WorkerCache::predict`]): a mouse click redraws a dashboard of charts
+//! under one new restriction, so a root miss asks for what the key set was
+//! asked under the previous one as well, and its other charts are hits.
+//!
+//! The rebuild epoch carried by every `Load`/`Attach`/`Append`/`Query`
+//! ([`crate::rpc`]) names the data an entry describes: a node drops its
+//! cache the moment it meets an epoch it was not told of. A mixer that *is* told of an append
 //! ([`crate::node::Node::append`]) keeps its entries:
 //! each records how much of the node's tail — the rows appended beneath it
 //! since — its table contains ([`TailMark`]), and one that is behind is
@@ -26,12 +41,10 @@
 //! - partials are *pre-finalize* states ([`pd_core::PartialResult`]), so
 //!   the signature deliberately excludes `HAVING` / `ORDER BY` / `LIMIT` —
 //!   drill-down queries differing only in presentation share entries —
-//!   and names the *slots* a table holds, as `pd_sql` lowers the
-//!   aggregates (`|slots:count,sum(latency)`), not the aggregates as
-//!   written: a partial carries no aggregate list, the asking query maps
-//!   its aggregates onto the slots at finalize, so a `SUM(x)` chart and its
-//!   `AVG(x)` twin (beside a `COUNT(*)`), or `COUNT(x)` and `COUNT(*)`,
-//!   are one entry;
+//!   and no slot: a partial carries no aggregate list, the asking query
+//!   maps its aggregates onto the slots it holds at finalize, so a
+//!   `SUM(x)` chart and its `AVG(x)` twin (beside a `COUNT(*)`),
+//!   `COUNT(x)` and `COUNT(*)`, or a chart of fewer slots, read one entry;
 //! - every state column of a partial merges associatively and
 //!   commutatively (counts add, a float slot is exact whether it is a
 //!   double-double pair or a superaccumulator, MIN/MAX keep the extreme,
@@ -50,20 +63,23 @@
 //! same queries arrive in the same order.
 
 use crate::rpc::{ShardReport, SubtreeAnswer};
+use pd_common::sync::Mutex;
 use pd_common::Result;
 use pd_core::{cost_score, BoundedCache, PartialResult, ScanStats};
-use pd_sql::AnalyzedQuery;
+use pd_sql::{AnalyzedQuery, Expr, Slot};
+use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Normalized cache signature of an analyzed query: everything that
-/// affects the *partial* (table, keys, the slots its aggregates lower to,
-/// row restriction, sketch size) and nothing that only affects
-/// finalization — which aggregates read those slots included.
+/// Normalized cache signature of an analyzed query: what names the table
+/// its partial is a part of (table, keys, row restriction, sketch size),
+/// and nothing that only affects finalization or which columns of that
+/// table it reads — its slots included: an entry records the slots it
+/// holds, and answers every query asking for some of them.
 pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
     let mut signature = String::with_capacity(128);
-    analyzed.write_group_shape(&mut signature);
+    analyzed.write_key_shape(&mut signature);
     signature.push_str("|where:");
     if let Some(filter) = &analyzed.filter {
         write!(signature, "{filter}").expect("a String takes every write");
@@ -125,6 +141,11 @@ impl CachedSubtree {
         self.at
     }
 
+    /// Whether the entry's table holds every one of `slots`.
+    pub fn holds(&self, slots: &[Slot]) -> bool {
+        slots.iter().all(|slot| self.partial.slots().contains(slot))
+    }
+
     /// This entry with `fresh` — the partial over the tail rows between
     /// its mark and `now` — merged in: complete up to `now`, under the
     /// score it was admitted with. The merge is copy-on-write: answers
@@ -178,21 +199,76 @@ impl CachedSubtree {
     }
 }
 
-/// A tree node's own result cache (leaf or merge server), keyed by
-/// [`query_signature`] alone — the node *is* its subtree, so no shard
+/// A tree node's own result cache (leaf, merge server or the root), keyed
+/// by [`query_signature`] alone — the node *is* its subtree, so no shard
 /// index is needed.
 pub struct WorkerCache {
     entries: BoundedCache<Arc<str>, Arc<CachedSubtree>>,
+    /// At the root, per key set ([`AnalyzedQuery::write_key_shape`]): what
+    /// it was asked for lately ([`WorkerCache::predict`]). Dropped with the
+    /// entries.
+    asked: Mutex<HashMap<String, Asked>>,
+    capacity: usize,
+}
+
+/// The slots a dashboard asks of one key set: those asked since its
+/// restriction last changed, and those asked under the one before.
+#[derive(Default)]
+struct Asked {
+    filter: Option<Expr>,
+    now: Vec<Slot>,
+    before: Vec<Slot>,
+}
+
+impl Asked {
+    /// Asked under `filter` from now on: if that is another restriction,
+    /// what was asked so far is what was asked before.
+    fn under(&mut self, filter: &Option<Expr>) -> &mut Asked {
+        if self.filter != *filter {
+            self.before = std::mem::take(&mut self.now);
+            self.filter.clone_from(filter);
+        }
+        self
+    }
 }
 
 impl WorkerCache {
     /// Cache at most `capacity` signatures.
     pub fn new(capacity: usize) -> WorkerCache {
-        WorkerCache { entries: BoundedCache::new(capacity) }
+        WorkerCache { entries: BoundedCache::new(capacity), asked: Mutex::default(), capacity }
     }
 
-    pub fn get(&self, signature: &str) -> Option<Arc<CachedSubtree>> {
-        self.entries.get(signature)
+    /// The entry `signature` names, if any, and whether it holds every one
+    /// of `slots` — a hit; else a miss, counted as one, whose computed
+    /// table is to hold the entry's slots too.
+    pub fn get(&self, signature: &str, slots: &[Slot]) -> Option<(Arc<CachedSubtree>, bool)> {
+        self.entries.get(signature, |entry| entry.holds(slots))
+    }
+
+    /// At the root: the slots a miss of `query` asks for beside its own —
+    /// those its key set was asked for under its previous restriction. A
+    /// click redraws a dashboard under one restriction, so the charts of
+    /// one key set ask again what they asked under the last, and one table
+    /// computed for all of them answers the rest. A key set is remembered
+    /// only once asked with success ([`WorkerCache::asked`]); at most as
+    /// many key sets as the cache holds entries are.
+    pub fn predict(&self, keys: &str, query: &AnalyzedQuery) -> Vec<Slot> {
+        let mut asked = self.asked.lock();
+        asked.get_mut(keys).map_or(Vec::new(), |asked| asked.under(&query.filter).before.clone())
+    }
+
+    /// At the root: `query`, of key set `keys`, was answered.
+    pub fn asked(&self, keys: &str, query: &AnalyzedQuery) {
+        let mut asked = self.asked.lock();
+        if !asked.contains_key(keys) && asked.len() >= self.capacity {
+            asked.clear();
+        }
+        let asked = asked.entry(keys.to_owned()).or_default().under(&query.filter);
+        for slot in &query.slots {
+            if !asked.now.contains(slot) {
+                asked.now.push(slot.clone());
+            }
+        }
     }
 
     /// Admit an entry, scored `partial bytes × cells scanned to compute
@@ -209,6 +285,7 @@ impl WorkerCache {
     /// [`WorkerCache::table_bytes`].
     pub fn invalidate(&self) {
         self.entries.clear();
+        self.asked.lock().clear();
     }
 
     /// Bytes of the tables the resident entries keep alive, as each was
@@ -242,7 +319,7 @@ mod tests {
 
     #[test]
     fn signature_format_is_pinned() {
-        // This exact string is the cache key shipped between processes —
+        // This exact string is the cache key of every node's table —
         // `crates/sql/tests/signature_stability.rs` pins the fragments, this
         // pins the assembly. Changing it cold-starts every worker cache.
         assert_eq!(
@@ -250,24 +327,20 @@ mod tests {
                 "SELECT country, COUNT(*) c, SUM(latency) s FROM logs \
                  WHERE latency > 100 GROUP BY country"
             ),
-            "logs|keys:country|slots:count,sum(latency)|where:(latency > 100)|m:4096"
+            "logs|keys:country|where:(latency > 100)|m:4096"
         );
-        assert_eq!(signature("SELECT COUNT(*) FROM logs"), "logs|keys:|slots:count|where:|m:4096");
-        // The slots, not the aggregates as written: an AVG chart is its SUM
-        // twin's table, COUNT(x) counts rows, and the sketch size is named.
-        assert_eq!(
-            signature(
-                "SELECT country, AVG(latency) a FROM logs WHERE latency > 100 GROUP BY country"
-            ),
-            "logs|keys:country|slots:count,sum(latency)|where:(latency > 100)|m:4096"
-        );
-        assert_eq!(
-            signature("SELECT COUNT(user) FROM logs"),
-            "logs|keys:|slots:count|where:|m:4096"
-        );
+        assert_eq!(signature("SELECT COUNT(*) FROM logs"), "logs|keys:|where:|m:4096");
+        // No slots: every chart of the keys and restriction names one
+        // table, whatever it aggregates; the sketch size is named.
+        for other in [
+            "SELECT country, AVG(latency) a FROM logs WHERE latency > 100 GROUP BY country",
+            "SELECT country, MAX(user) FROM logs WHERE latency > 100 GROUP BY country",
+        ] {
+            assert_eq!(signature(other), "logs|keys:country|where:(latency > 100)|m:4096");
+        }
         assert_eq!(
             signature("SELECT MAX(latency), COUNT(DISTINCT user) u, MIN(latency) FROM logs"),
-            "logs|keys:|slots:min(latency),max(latency),distinct(user)|where:|m:4096"
+            "logs|keys:|where:|m:4096"
         );
     }
 
@@ -294,7 +367,7 @@ mod tests {
         for other in [
             "SELECT country, COUNT(*) c FROM logs WHERE country = 'DE' GROUP BY country",
             "SELECT table_name, COUNT(*) c FROM logs GROUP BY table_name",
-            "SELECT country, COUNT(*) c, SUM(timestamp) s FROM logs GROUP BY country",
+            "SELECT country, user, COUNT(*) c FROM logs GROUP BY country, user",
         ] {
             assert_ne!(base, signature(other), "{other}");
         }
@@ -358,11 +431,65 @@ mod tests {
             reports: Vec::new(),
         };
         cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer, TailMark::default())));
-        assert!(cache.get("sig-a").is_some());
-        assert!(cache.get("sig-b").is_none());
+        assert!(cache.get("sig-a", &[]).is_some_and(|(_, hit)| hit));
+        assert!(cache.get("sig-b", &[]).is_none());
         assert_eq!(cache.stats(), (1, 1));
         cache.invalidate();
-        assert!(cache.get("sig-a").is_none());
+        assert!(cache.get("sig-a", &[]).is_none());
         assert!(cache.is_empty());
+    }
+
+    /// An entry answers the charts whose slots it holds; one asking for a
+    /// slot it lacks finds it, and is counted a miss.
+    #[test]
+    fn an_entry_is_a_hit_for_the_slots_it_holds() {
+        let ctx = pd_core::ExecContext::default();
+        let store = pd_core::DataStore::build(
+            &pd_data::gen::generate_logs(&pd_data::gen::LogsSpec::scaled(200)),
+            &pd_core::BuildOptions::basic(),
+        )
+        .unwrap();
+        let analyzed = |sql: &str| analyze(&parse_query(sql).unwrap()).unwrap();
+        let wide = analyzed("SELECT country, AVG(latency), MAX(user) FROM logs GROUP BY country");
+        let (partial, stats) = pd_core::execute_partial(&store, &wide, &ctx).unwrap();
+        let answer = SubtreeAnswer { partial, stats, reports: Vec::new() };
+        let cache = WorkerCache::new(8);
+        cache.put("sig", Arc::new(CachedSubtree::capture(&answer, TailMark::default())));
+        for (sql, hit) in [
+            ("SELECT country, SUM(latency) FROM logs GROUP BY country", true),
+            ("SELECT country, MAX(user), COUNT(*) FROM logs GROUP BY country", true),
+            ("SELECT country, MIN(user) FROM logs GROUP BY country", false),
+            ("SELECT country, COUNT(DISTINCT user) FROM logs GROUP BY country", false),
+        ] {
+            let (entry, held) = cache.get("sig", &analyzed(sql).slots).unwrap();
+            assert_eq!(held, hit, "{sql}");
+            assert_eq!(entry.partial.slots(), wide.slots, "{sql}: the entry is as it was");
+        }
+        assert_eq!(cache.stats(), (2, 2));
+    }
+
+    /// What the root remembers of a key set: the slots asked under its
+    /// current restriction, and, once that changes, under the one before.
+    #[test]
+    fn the_root_predicts_what_the_last_restriction_asked() {
+        let cache = WorkerCache::new(2);
+        let analyzed = |sql: &str| analyze(&parse_query(sql).unwrap()).unwrap();
+        let slots = |sql: &str| analyzed(sql).slots;
+        let (a, b) = (
+            "SELECT country, COUNT(*) FROM logs WHERE latency > 1 GROUP BY country",
+            "SELECT country, MAX(user) FROM logs WHERE latency > 1 GROUP BY country",
+        );
+        let next = "SELECT country, SUM(latency) FROM logs WHERE latency > 2 GROUP BY country";
+        assert!(cache.predict("k", &analyzed(a)).is_empty(), "nothing asked yet");
+        cache.asked("k", &analyzed(a));
+        cache.asked("k", &analyzed(b));
+        assert!(cache.predict("k", &analyzed(b)).is_empty(), "one restriction so far");
+        let union = [slots(a), slots(b)].concat();
+        assert_eq!(cache.predict("k", &analyzed(next)), union, "the restriction moved");
+        cache.asked("k", &analyzed(next));
+        assert_eq!(cache.predict("k", &analyzed(next)), union, "and stays put");
+        assert!(cache.predict("other", &analyzed(a)).is_empty(), "per key set");
+        cache.invalidate();
+        assert!(cache.predict("k", &analyzed(a)).is_empty(), "dropped with the entries");
     }
 }

@@ -343,6 +343,150 @@ fn what_the_root_remembers_needs_no_server() {
     assert_same_work(&observed);
 }
 
+/// A remembered table answers every chart of its keys and restriction
+/// whose slots it holds, and a server is not needed for that either: after
+/// a wider chart, a narrower one under the same WHERE is a root hit with
+/// every leaf process refusing queries. In the other order the wider chart
+/// misses, once, and leaves one entry holding the union: both charts are
+/// then root hits with no server. The same on both edge kinds, answer by
+/// answer.
+#[test]
+fn a_narrower_chart_is_a_root_hit_that_needs_no_server() {
+    use faults::{Plan, Relays};
+    let relays =
+        Relays::new(std::path::Path::new(env!("CARGO_BIN_EXE_pd-dist-relay")), &Plan::default());
+    let relayed = Transport::Rpc(RpcConfig {
+        worker_bin: Some(relays.launcher()),
+        budget: Duration::from_secs(30),
+        ..Default::default()
+    });
+    let mut rng = Rng::seed_from_u64(0x05ca_1e0b);
+    let table = random_table(&mut rng, 160);
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let wide = "SELECT k, AVG(x) a, MIN(n) lo, COUNT(DISTINCT g) d FROM data WHERE n > -20 \
+                GROUP BY k ORDER BY k";
+    let narrow = "SELECT k, SUM(x) s, COUNT(*) c FROM data WHERE n > -20 GROUP BY k ORDER BY s";
+    let mut observed = Vec::new();
+    for (kind, transport) in [("local", Transport::InProcess), ("socket", relayed)] {
+        let mut costs = Vec::new();
+        for (first, second) in [(wide, narrow), (narrow, wide)] {
+            let label = format!("{kind}, {first} then {second}");
+            relays.set(&Plan::default());
+            let cluster = cluster(&table, 4, 2, 64, &transport);
+            let ask = |sql: &str| {
+                let outcome = cluster.query(sql).unwrap();
+                assert_eq!(outcome.result, query(&store, sql).unwrap().0, "{label}: {sql}");
+                assert_balanced(&outcome, &label);
+                outcome
+            };
+            let root_hit = |outcome: &QueryOutcome| {
+                (outcome.worker_cache_hits(), outcome.shard_cache_hits) == (1, 4)
+            };
+            let cold = ask(first);
+            let then = ask(second);
+            costs.extend([work(&cold), work(&then)]);
+            assert!(!root_hit(&cold), "{label}: the first chart computes");
+            assert_eq!(root_hit(&then), first == wide, "{label}: a hit only for fewer slots");
+            relays.set(&Plan::refusing(&[0, 1, 2, 3]));
+            for sql in [narrow, wide] {
+                let repeat = ask(sql);
+                costs.push(work(&repeat));
+                assert!(root_hit(&repeat), "{label}: {sql} needs no server");
+                assert_eq!(repeat.stats.rows_cached, repeat.stats.rows_total, "{label}");
+            }
+            if kind == "socket" {
+                // The driver sees the root's cache alone: one miss per table.
+                let misses = if first == wide { 1 } else { 2 };
+                assert_eq!(cluster.shard_cache_stats(), (4 - misses, misses), "{label}");
+            }
+        }
+        observed.push((kind, costs));
+    }
+    assert_same_work(&observed);
+}
+
+/// A click redraws a dashboard under one restriction (paper §6): random
+/// charts over a few key sets whose slot sets overlap and nest, with
+/// AVG/SUM twins, MIN/MAX and COUNT(DISTINCT), asked click after click under
+/// a drawn WHERE, on both edge kinds. Every answer is the single store's,
+/// bit for bit. The root remembers what each key set was asked under the
+/// last restriction, so from the second click on it misses exactly once per
+/// (keys, restriction) pair it has not met before, however the charts of
+/// that key set split its slots.
+#[test]
+fn a_dashboard_misses_once_per_key_set_and_restriction() {
+    const CELLS: [&str; 12] = [
+        "COUNT(*)",
+        "COUNT(n)",
+        "SUM(n)",
+        "AVG(n)",
+        "SUM(x)",
+        "AVG(x)",
+        "MIN(n)",
+        "MAX(n)",
+        "MIN(x)",
+        "MAX(g)",
+        "COUNT(DISTINCT g)",
+        "COUNT(DISTINCT n)",
+    ];
+    let mut observed = Vec::new();
+    for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
+        let mut rng = Rng::seed_from_u64(0x05ca_1e0c);
+        for case in 0..3 {
+            let rows = rng.range_usize(120, 320);
+            let table = random_table(&mut rng, rows);
+            let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+            let fanout = *rng.pick(&[2usize, 16]);
+            let cluster = cluster(&table, 4, fanout, 256, &transport);
+            // A dashboard: charts of two or three key sets, each of one to
+            // four cells, so a key set's charts share some slots and not others.
+            let key_sets = &["k", "g", "k, g"][..rng.range_usize(2, 4)];
+            let charts: Vec<(&str, Vec<&str>)> = (0..rng.range_usize(4, 9))
+                .map(|_| {
+                    let cells = (0..rng.range_usize(1, 5)).map(|_| *rng.pick(&CELLS)).collect();
+                    (*rng.pick(key_sets), cells)
+                })
+                .collect();
+            let mut met: Vec<(&str, String)> = Vec::new();
+            for click in 0..5 {
+                let restriction = match rng.range_usize(0, 4) {
+                    0 => String::new(),
+                    1 => format!(" WHERE k = '{}'", rng.pick(&["red", "green", "blue"])),
+                    2 => format!(" WHERE g <= 'g{:02}'", rng.range_usize(0, 10)),
+                    _ => format!(" WHERE n > {}", rng.range_i64_inclusive(-40, 40)),
+                };
+                let (mut misses, mut new_pairs) = (0, 0);
+                for (keys, cells) in &charts {
+                    let select: Vec<String> =
+                        (cells.iter().enumerate()).map(|(i, c)| format!("{c} as a{i}")).collect();
+                    let sql = format!(
+                        "SELECT {keys}, {} FROM data{restriction} GROUP BY {keys}",
+                        select.join(", ")
+                    );
+                    let label = format!("{kind} case {case} click {click}: {sql}");
+                    let outcome = cluster.query(&sql).unwrap();
+                    assert_eq!(outcome.result, query(&store, &sql).unwrap().0, "{label}");
+                    assert_balanced(&outcome, &label);
+                    costs.push(work(&outcome));
+                    let root_hit =
+                        outcome.worker_cache_hits() == 1 && outcome.shard_cache_hits == 4;
+                    misses += usize::from(!root_hit);
+                    if !met.contains(&(keys, restriction.clone())) {
+                        met.push((keys, restriction.clone()));
+                        new_pairs += 1;
+                    }
+                }
+                if click > 0 {
+                    assert_eq!(misses, new_pairs, "{kind} case {case} click {click}: root misses");
+                }
+            }
+        }
+        observed.push((kind, costs));
+    }
+    assert_same_work(&observed);
+}
+
 #[test]
 fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
     let mut observed = Vec::new();
@@ -470,8 +614,9 @@ fn cache_outcomes_are_a_function_of_the_query_sequence() {
     // miss and every eviction, whatever the thread count.
     let mut rng = Rng::seed_from_u64(0x05ca_1e05);
     let table = random_table(&mut rng, 600);
-    // A drill-down: 60 queries over 40 signatures, repeats included, through
-    // 16-entry node caches — more signatures than any node can hold.
+    // A drill-down: 60 queries over 14 tables (keys and restriction),
+    // repeats included, through 8-entry node caches — more tables than any
+    // node can hold.
     let pool: Vec<String> = (0..40).map(|_| random_query(&mut rng)).collect();
     let session: Vec<&String> = (0..60).map(|_| rng.pick(&pool)).collect();
     let oracle = DataStore::build(&table, &BuildOptions::basic()).unwrap();
@@ -481,7 +626,7 @@ fn cache_outcomes_are_a_function_of_the_query_sequence() {
             &ClusterConfig {
                 shards: 4,
                 replication: false,
-                shard_cache: 16,
+                shard_cache: 8,
                 threads,
                 build: BuildOptions::optcols(PartitionSpec::new(&["k", "g"], 25)),
                 tree: TreeShape { fanout: 2 },

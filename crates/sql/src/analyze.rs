@@ -60,6 +60,21 @@ impl fmt::Display for Slot {
     }
 }
 
+impl Slot {
+    /// An aggregate that reads this slot alone: `COUNT(*)`, `SUM(x)`,
+    /// `MIN(x)`, `MAX(x)` or `COUNT(DISTINCT x)`.
+    fn aggregate(&self) -> AggExpr {
+        let (func, distinct) = match self.class {
+            SlotClass::Count => (AggFunc::Count, false),
+            SlotClass::Sum => (AggFunc::Sum, false),
+            SlotClass::Min => (AggFunc::Min, false),
+            SlotClass::Max => (AggFunc::Max, false),
+            SlotClass::Distinct => (AggFunc::Count, true),
+        };
+        AggExpr { func, arg: self.arg.clone(), distinct }
+    }
+}
+
 /// The slots one aggregate reads: its state, and for `AVG` the count the
 /// sum is divided by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,24 +118,48 @@ impl AnalyzedQuery {
         self.output.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// Append `table|keys:k1,k2|slots:s1,s2` — what the query groups by and
-    /// the slots its table holds, in canonical text — to `out`: the part
-    /// every result-cache signature starts with (a leaf's chunk results, a
-    /// tree node's partials), written into the caller's one buffer. Charts
-    /// whose aggregates lower to the same slots (`SUM(x)` and `AVG(x)`
-    /// beside a `COUNT(*)`) name one remembered table.
-    pub fn write_group_shape(&self, out: &mut String) {
-        fn joined<T: fmt::Display>(out: &mut String, items: &[T]) {
-            for (i, item) in items.iter().enumerate() {
-                let comma = if i > 0 { "," } else { "" };
-                write!(out, "{comma}{item}").expect("a String takes every write");
-            }
-        }
+    /// Append `table|keys:k1,k2` — what the query groups, in canonical text
+    /// — to `out`: the part every tree node's cache signature starts with.
+    /// A node's remembered table answers every chart of its keys and
+    /// restriction whose slots it holds.
+    pub fn write_key_shape(&self, out: &mut String) {
         out.push_str(&self.table);
         out.push_str("|keys:");
         joined(out, &self.keys);
+    }
+
+    /// Append `table|keys:k1,k2|slots:s1,s2` — what the query groups by and
+    /// the slots its table holds, in canonical text — to `out`: the part a
+    /// leaf's chunk-result signatures start with, written into the caller's
+    /// one buffer. Charts whose aggregates lower to the same slots (`SUM(x)`
+    /// and `AVG(x)` beside a `COUNT(*)`) name one remembered chunk table.
+    pub fn write_group_shape(&self, out: &mut String) {
+        self.write_key_shape(out);
         out.push_str("|slots:");
         joined(out, &self.slots);
+    }
+
+    /// This query asking for `extra` slots as well, each through an
+    /// aggregate no output column reads: what a tree node asks beneath it
+    /// to compute one table for several charts of these keys and this
+    /// restriction. Its own answer reads the slots it read before.
+    pub fn widened(&self, extra: &[Slot]) -> AnalyzedQuery {
+        let mut wide = self.clone();
+        for slot in extra {
+            if !wide.slots.contains(slot) {
+                wide.aggs.push(slot.aggregate());
+                wide.slots.push(slot.clone());
+            }
+        }
+        (wide.slots, wide.reads) = lower(&wide.aggs).expect("a slot's aggregate lowers to it");
+        wide
+    }
+}
+
+fn joined<T: fmt::Display>(out: &mut String, items: &[T]) {
+    for (i, item) in items.iter().enumerate() {
+        let comma = if i > 0 { "," } else { "" };
+        write!(out, "{comma}{item}").expect("a String takes every write");
     }
 }
 
@@ -497,5 +536,17 @@ mod tests {
         let want = [read(4, None), read(2, Some(0)), read(5, None), read(1, None), read(3, None)];
         assert_eq!(a.reads[..5], want);
         assert_eq!(a.reads[5..], [read(0, None), read(1, Some(0))], "COUNT(z) counts rows");
+    }
+
+    #[test]
+    fn a_widened_query_holds_the_union_and_reads_what_it_read() {
+        let a = analyzed("SELECT k, AVG(x) a FROM t WHERE k > 'b' GROUP BY k");
+        let b = analyzed("SELECT MAX(y), COUNT(DISTINCT k), SUM(x) FROM t");
+        let wide = a.widened(&b.slots);
+        let slots: Vec<String> = wide.slots.iter().map(Slot::to_string).collect();
+        assert_eq!(slots, ["count", "sum(x)", "max(y)", "distinct(k)"]);
+        assert_eq!(wide.reads[0], SlotRef { slot: 1, count: Some(0) }, "AVG(x) as before");
+        assert_eq!((wide.output, wide.filter), (a.output.clone(), a.filter.clone()));
+        assert_eq!(a.widened(&a.slots), a, "nothing to add: the same query");
     }
 }

@@ -18,7 +18,7 @@
 //! therefore tracks an explicit depth and fails past [`MAX_DEPTH`], the
 //! bound the parser holds too.
 
-use crate::analyze::{lower, AnalyzedQuery, OutputCol};
+use crate::analyze::{lower, AnalyzedQuery, OutputCol, Slot, SlotClass};
 use crate::ast::{AggExpr, AggFunc, BinaryOp, Expr, UnaryOp};
 use crate::restriction::Restriction;
 use pd_common::wire::{Decode, Encode, Reader};
@@ -231,6 +231,31 @@ impl Decode for AggExpr {
             arg: Option::<Expr>::decode(r)?,
             distinct: bool::decode(r)?,
         })
+    }
+}
+
+/// A slot as its class tag and argument: what names a partial's state
+/// column on the wire, for the asking query to find it by.
+impl Encode for Slot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.class as u8);
+        self.arg.encode(out);
+    }
+}
+
+/// A class without its argument shape (`count` takes none, every other
+/// class one) is refused.
+impl Decode for Slot {
+    fn decode(r: &mut Reader<'_>) -> Result<Slot> {
+        use SlotClass::*;
+        let tag = r.u8()?;
+        let class = [Count, Sum, Min, Max, Distinct].into_iter().find(|c| *c as u8 == tag);
+        let class = class.ok_or_else(|| Error::Data(format!("wire: invalid slot tag {tag}")))?;
+        let arg = Option::<Expr>::decode(r)?;
+        if arg.is_some() == (class == Count) {
+            return Err(Error::Data(format!("wire: slot {class:?} with argument {arg:?}")));
+        }
+        Ok(Slot { class, arg })
     }
 }
 

@@ -33,7 +33,8 @@ fn main() -> powerdrill::Result<()> {
     // The paper's §4 rewrite, as the tree runs it: each aggregate lowers to
     // slots every leaf fills under WHERE and every parent merges; the root
     // reads the aggregates off them, then applies HAVING, ORDER BY and
-    // LIMIT. The signature names a merged table in every node's cache.
+    // LIMIT. The signature names a merged table in every node's cache by
+    // its keys and restriction: it answers every chart whose slots it holds.
     let sql =
         "SELECT country, SUM(latency) as s FROM logs GROUP BY country ORDER BY s DESC LIMIT 5";
     let twin = "SELECT country, AVG(latency) as a, COUNT(*) as c FROM logs GROUP BY country";
