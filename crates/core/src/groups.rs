@@ -903,11 +903,6 @@ impl PartialResult {
         (self.table.len, &self.table.keys, &self.slots, &self.table.slots)
     }
 
-    /// The slots this partial holds, in column order.
-    pub fn slots(&self) -> &[Slot] {
-        &self.slots
-    }
-
     /// How many groups there are.
     pub fn len(&self) -> usize {
         self.table.len

@@ -301,7 +301,7 @@ impl Node {
                     // left a virtual field two-typed) leaves the miss path
                     // to report it.
                     Some(tail) if holds => {
-                        let query = request.query.widened(entry.partial.slots());
+                        let query = request.query.widened(entry.slots());
                         let brought =
                             (tail.scan_past(entry.at(), &query)).and_then(|(fresh, scan)| {
                                 Ok((entry.brought_forward(fresh, now)?, scan))
@@ -318,13 +318,13 @@ impl Node {
                 }
                 // A miss computes the entry's slots too: the table that
                 // replaces it only grows.
-                wider.extend_from_slice(entry.partial.slots());
+                wider.extend_from_slice(entry.slots());
             }
         }
         drop(tail);
         let asked = &request.query;
-        let answer = if wider.iter().all(|slot| asked.slots.contains(slot)) {
-            self.compute(request, queued, budget)?
+        let (answer, slots) = if wider.iter().all(|slot| asked.slots.contains(slot)) {
+            (self.compute(request, queued, budget)?, asked.slots.clone())
         } else {
             let wide = QueryRequest { query: asked.widened(&wider), ..request.clone() };
             match self.compute(&wide, queued, budget) {
@@ -332,14 +332,14 @@ impl Node {
                 // own do not (a virtual field an append left two-typed):
                 // then the query is asked alone, and answers as it would.
                 Err(Error::Rpc(fault)) => return Err(Error::Rpc(fault)),
-                Err(_) => self.compute(request, queued, budget)?,
-                Ok(answer) => answer,
+                Err(_) => (self.compute(request, queued, budget)?, asked.slots.clone()),
+                Ok(answer) => (answer, wide.query.slots),
             }
         };
         if let (Some(cache), Some(signature)) = (&self.cache, &signature) {
             // Admission is cost-aware: the cells scanned beneath this node
             // are what a future miss would scan again.
-            cache.put(signature, Arc::new(CachedSubtree::capture(&answer, now)));
+            cache.put(signature, Arc::new(CachedSubtree::capture(&answer, slots, now)));
         }
         Ok(answer)
     }
@@ -650,6 +650,28 @@ mod tests {
         let by_k = ask(&root, BY_K, 3).unwrap();
         assert_eq!((by_k.stats.worker_cache_hits, by_k.stats.rows_total), (1, 110));
         assert_eq!(by_k.partial, ask(&bare, BY_K, 3).unwrap().partial);
+    }
+
+    /// A slot remembered for other charts that an append leaves failing (a
+    /// sum over a field now of two types) fails no chart that does not read
+    /// it: the miss that would compute it beside the chart's own slots
+    /// fails, and the chart is asked alone — it answers as it would on a
+    /// tree that remembers nothing.
+    #[test]
+    fn a_remembered_slot_that_fails_fails_no_other_chart() {
+        const SUMMED: &str = "SELECT k, SUM(if(n >= 1000, 'big', n)) as s FROM t GROUP BY k";
+        const MAXED: &str = "SELECT k, MAX(n) as m FROM t GROUP BY k";
+        let root = root_over_a_leaf(90, 4);
+        let bare = root_over_a_leaf(90, 0);
+        let ask =
+            |node: &Node, sql: &str, epoch: u64| node.query(&request(sql, epoch), Duration::ZERO);
+        ask(&root, SUMMED, 1).unwrap();
+        append(&root, kn_delta(1_000..1_010), 2);
+        append(&bare, kn_delta(1_000..1_010), 2);
+        let missed = ask(&bare, SUMMED, 2).unwrap_err();
+        assert_eq!(ask(&root, SUMMED, 2).unwrap_err().to_string(), missed.to_string());
+        let maxed = ask(&root, MAXED, 2).unwrap();
+        assert_eq!(maxed.partial, ask(&bare, MAXED, 2).unwrap().partial, "the chart alone");
     }
 
     #[test]

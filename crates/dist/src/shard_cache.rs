@@ -109,6 +109,9 @@ pub struct CachedSubtree {
     /// The node's mergeable group states — a leaf's shard partial or a
     /// merge server's folded subtree partial.
     pub partial: PartialResult,
+    /// The slots it was computed for: what it answers. (A partial of no
+    /// groups beneath edges that were all pruned holds no column at all.)
+    slots: Vec<Slot>,
     /// Subtree shape the partial covers.
     rows_total: u64,
     chunks_total: usize,
@@ -123,11 +126,13 @@ pub struct CachedSubtree {
 }
 
 impl CachedSubtree {
-    /// Capture a freshly computed answer for reuse, sharing its table.
-    /// `at`: where the node's tail stood when the answer was asked for.
-    pub fn capture(answer: &SubtreeAnswer, at: TailMark) -> CachedSubtree {
+    /// Capture a freshly computed answer for `slots` for reuse, sharing
+    /// its table. `at`: where the node's tail stood when the answer was
+    /// asked for.
+    pub fn capture(answer: &SubtreeAnswer, slots: Vec<Slot>, at: TailMark) -> CachedSubtree {
         CachedSubtree {
             partial: answer.partial.clone(),
+            slots,
             rows_total: answer.stats.rows_total,
             chunks_total: answer.stats.chunks_total,
             shards: answer.reports.iter().map(|r| r.shard).collect(),
@@ -141,9 +146,14 @@ impl CachedSubtree {
         self.at
     }
 
-    /// Whether the entry's table holds every one of `slots`.
+    /// The slots the entry answers.
+    pub fn slots(&self) -> &[Slot] {
+        &self.slots
+    }
+
+    /// Whether the entry answers every one of `slots`.
     pub fn holds(&self, slots: &[Slot]) -> bool {
-        slots.iter().all(|slot| self.partial.slots().contains(slot))
+        slots.iter().all(|slot| self.slots.contains(slot))
     }
 
     /// This entry with `fresh` — the partial over the tail rows between
@@ -157,6 +167,7 @@ impl CachedSubtree {
         }
         Ok(CachedSubtree {
             partial,
+            slots: self.slots.clone(),
             rows_total: self.rows_total + (now.rows - self.at.rows),
             chunks_total: self.chunks_total + (now.leaf_chunks - self.at.leaf_chunks),
             shards: self.shards.clone(),
@@ -405,7 +416,7 @@ mod tests {
                 },
             ],
         };
-        let cached = CachedSubtree::capture(&computed, TailMark::default());
+        let cached = CachedSubtree::capture(&computed, Vec::new(), TailMark::default());
         let hit = cached.to_answer(Duration::from_micros(123));
         assert_eq!(hit.partial, computed.partial);
         assert_eq!(hit.stats.rows_total, 600);
@@ -430,7 +441,8 @@ mod tests {
             stats: ScanStats::default(),
             reports: Vec::new(),
         };
-        cache.put("sig-a", Arc::new(CachedSubtree::capture(&answer, TailMark::default())));
+        let entry = CachedSubtree::capture(&answer, Vec::new(), TailMark::default());
+        cache.put("sig-a", Arc::new(entry));
         assert!(cache.get("sig-a", &[]).is_some_and(|(_, hit)| hit));
         assert!(cache.get("sig-b", &[]).is_none());
         assert_eq!(cache.stats(), (1, 1));
@@ -454,7 +466,8 @@ mod tests {
         let (partial, stats) = pd_core::execute_partial(&store, &wide, &ctx).unwrap();
         let answer = SubtreeAnswer { partial, stats, reports: Vec::new() };
         let cache = WorkerCache::new(8);
-        cache.put("sig", Arc::new(CachedSubtree::capture(&answer, TailMark::default())));
+        let entry = CachedSubtree::capture(&answer, wide.slots.clone(), TailMark::default());
+        cache.put("sig", Arc::new(entry));
         for (sql, hit) in [
             ("SELECT country, SUM(latency) FROM logs GROUP BY country", true),
             ("SELECT country, MAX(user), COUNT(*) FROM logs GROUP BY country", true),
@@ -463,7 +476,7 @@ mod tests {
         ] {
             let (entry, held) = cache.get("sig", &analyzed(sql).slots).unwrap();
             assert_eq!(held, hit, "{sql}");
-            assert_eq!(entry.partial.slots(), wide.slots, "{sql}: the entry is as it was");
+            assert_eq!(entry.slots(), wide.slots, "{sql}: the entry is as it was");
         }
         assert_eq!(cache.stats(), (2, 2));
     }

@@ -450,10 +450,12 @@ fn a_dashboard_misses_once_per_key_set_and_restriction() {
                 .collect();
             let mut met: Vec<(&str, String)> = Vec::new();
             for click in 0..5 {
-                let restriction = match rng.range_usize(0, 4) {
+                let restriction = match rng.range_usize(0, 5) {
                     0 => String::new(),
-                    1 => format!(" WHERE k = '{}'", rng.pick(&["red", "green", "blue"])),
-                    2 => format!(" WHERE g <= 'g{:02}'", rng.range_usize(0, 10)),
+                    // Every edge pruned: a table of no column answers too.
+                    1 => " WHERE k = 'none'".to_owned(),
+                    2 => format!(" WHERE k = '{}'", rng.pick(&["red", "green", "blue"])),
+                    3 => format!(" WHERE g <= 'g{:02}'", rng.range_usize(0, 10)),
                     _ => format!(" WHERE n > {}", rng.range_i64_inclusive(-40, 40)),
                 };
                 let (mut misses, mut new_pairs) = (0, 0);
