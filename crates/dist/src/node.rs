@@ -250,7 +250,7 @@ impl Node {
     /// computes the slots the query's key set was asked for under its
     /// previous restriction ([`WorkerCache::predict`]), so the next charts
     /// of the click find them.
-    pub fn query_root(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
+    pub(crate) fn query_root(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
         let Some(cache) = &self.cache else { return self.query(request, Duration::ZERO) };
         let mut keys = String::with_capacity(64);
         request.query.write_key_shape(&mut keys);
