@@ -837,7 +837,8 @@ pub(crate) fn merge_tables<K: Cell>(
 /// one state column per [`Slot`] it holds, named by it. Which aggregates
 /// read which slots is the asking query's to say ([`crate::finalize`] finds
 /// its slots by name), so one partial answers every query of its keys and
-/// restriction whose slots it holds. A key column is one buffer of sort keys ([`pd_common::sortkey`]): a string is in it as its bytes, and
+/// restriction whose slots it holds. A key column is one buffer of sort
+/// keys ([`pd_common::sortkey`]): a string is in it as its bytes, and
 /// becomes a [`Value`] only if it is in the answer or `HAVING` reads it.
 /// The state columns are as the scan left them, MIN/MAX cells as values.
 ///
