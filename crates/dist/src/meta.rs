@@ -19,7 +19,10 @@
 //! 4. **Virtual fields** (§5.1 partial evaluation) — a restriction over
 //!    `date(timestamp)` evaluates the expression over a column's complete
 //!    value set, so computed fields prune instead of falling to
-//!    `Opaque`-is-maybe.
+//!    `Opaque`-is-maybe; past the cap, a call pd-sql declares
+//!    non-decreasing over a bare Int column (`date`, `year`) is bounded by
+//!    its value at the column's two extremes, so a dated drill-down prunes
+//!    shards and chunks whose time range lies elsewhere.
 //!
 //! **How a summary is made:** read off dictionaries (§2.3), never rows. A
 //! value-ordered global dictionary is its column's distinct set in order —
@@ -40,13 +43,17 @@
 //! [`values_equal`] / [`values_compare`] — the exact semantics `WHERE`
 //! evaluation uses (numeric across Int/Float, total order otherwise) — and
 //! virtual fields go through the same [`pd_sql::eval_expr`] the filter
-//! applies per row.
+//! applies per row. A virtual field bounded by its column's extremes is
+//! sound only where pd-sql declares the bound
+//! ([`pd_sql::non_decreasing_bounds`]): both ends integers that evaluate
+//! without an error, and for `date` both in years 0000–9999, where the
+//! text of a day orders as the day does; anything else stays "maybe".
 
 use pd_common::wire::{Decode, Encode, Reader};
 use pd_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pd_core::{ChunkActivity, DataStore, Partitioning};
 use pd_encoding::{BloomFilter, GlobalDict, TableDelta};
-use pd_sql::{eval_expr, values_compare, values_equal, Expr, Restriction};
+use pd_sql::{eval_expr, non_decreasing_bounds, values_compare, values_equal, Expr, Restriction};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -585,12 +592,19 @@ fn activity_of(
 }
 
 /// Resolve a restriction's field expression against a zone map: a bare
-/// column looks up directly; any other expression is the §5.1 partial
-/// evaluation — when it references exactly one column whose complete
-/// distinct set survived, evaluating it over that set yields the complete
-/// distinct set *of the expression*, through exactly the
-/// [`pd_sql::eval_expr`] the row filter would apply. Any evaluation error
-/// or missing precondition resolves to `None` ("maybe").
+/// column looks up directly; any other expression that references exactly
+/// one column is the §5.1 partial evaluation, in one of two ways:
+///
+/// - the column's complete distinct set survived: evaluating the expression
+///   over that set yields the complete distinct set *of the expression*,
+///   through exactly the [`pd_sql::eval_expr`] the row filter would apply;
+/// - the set degraded to its extremes: an expression pd-sql declares
+///   non-decreasing in a bare Int column ([`pd_sql::non_decreasing_bounds`]:
+///   `date`, `year`) takes its extremes at the column's, so its zone map is
+///   the function at the two ends, no set.
+///
+/// Any evaluation error or missing precondition resolves to `None`
+/// ("maybe").
 fn resolved_column<'a>(field: &Expr, columns: &'a [ColumnMeta]) -> Option<Cow<'a, ColumnMeta>> {
     if let Some(name) = field.as_column() {
         return columns.iter().find(|c| c.name == name).map(Cow::Borrowed);
@@ -599,9 +613,18 @@ fn resolved_column<'a>(field: &Expr, columns: &'a [ColumnMeta]) -> Option<Cow<'a
     field.referenced_columns(&mut names);
     let [name] = names.as_slice() else { return None };
     let source = columns.iter().find(|c| c.name == *name)?;
-    let values = source.values.as_ref()?;
+    // The derived zone map is read only for its set and extremes.
+    let Some(values) = &source.values else {
+        let (min, max) = non_decreasing_bounds(field, source.min.as_ref()?, source.max.as_ref()?)?;
+        return Some(Cow::Owned(ColumnMeta {
+            name: String::new(),
+            values: None,
+            min: Some(min),
+            max: Some(max),
+        }));
+    };
     let mut derived =
-        ColumnMeta { name: field.canonical(), values: Some(Vec::new()), min: None, max: None };
+        ColumnMeta { name: String::new(), values: Some(Vec::new()), min: None, max: None };
     for v in values {
         let row = [(name.as_str(), v.clone())];
         let out = eval_expr(field, row.as_slice()).ok()?;
@@ -882,11 +905,12 @@ mod tests {
         assert!(may_match(&restriction("date(timestamp) >= '1970-01-01'"), &meta));
         // Arithmetic expressions derive the same way.
         assert!(!may_match(&restriction("timestamp * 2 > 400000"), &meta));
-        // A degraded source set cannot derive: maybe.
+        // A degraded source set cannot derive a set: a call that may
+        // decrease is maybe (the extremes are the next test's).
         let many: Vec<Row> = (0..100i64).map(|i| Row(vec![Value::Int(i * 86_400)])).collect();
         let degraded = ShardMeta::summarize(0, &schema, &many);
         assert_eq!(degraded.column("timestamp").unwrap().values, None);
-        assert!(may_match(&restriction("date(timestamp) IN ('2012-01-01')"), &degraded));
+        assert!(may_match(&restriction("hour(timestamp) IN (5)"), &degraded));
         // Evaluation errors resolve to maybe, never a panic or a prune.
         assert!(may_match(&restriction("nosuchfn(timestamp) IN (1)"), &meta));
         // Multi-column expressions stay opaque.
@@ -894,6 +918,52 @@ mod tests {
         let ab: Vec<Row> = (0..5i64).map(|i| Row(vec![Value::Int(i), Value::Int(i)])).collect();
         let meta_ab = ShardMeta::summarize(0, &two, &ab);
         assert!(may_match(&restriction("a + b > 100"), &meta_ab));
+    }
+
+    #[test]
+    fn virtual_fields_prune_through_the_extremes_of_a_degraded_column() {
+        // 100 hourly timestamps from 2012-02-27 00:00 to 2012-03-02 03:00:
+        // past the distinct cap, so the zone map holds the extremes only,
+        // and `date` and `year`, which never decrease, take theirs there.
+        let schema = Schema::of(&[("timestamp", DataType::Int)]);
+        let hourly = |i: i64| Value::Int(1_330_300_800 + i * 3_600);
+        let rows: Vec<Row> = (0..100).map(|i| Row(vec![hourly(i)])).collect();
+        let meta = ShardMeta::summarize(0, &schema, &rows);
+        assert_eq!(meta.column("timestamp").unwrap().values, None, "set must have degraded");
+        let prunes = |meta: &ShardMeta, where_sql: &str| !may_match(&restriction(where_sql), meta);
+        assert!(prunes(&meta, "date(timestamp) = '2012-03-10'"));
+        assert!(!prunes(&meta, "date(timestamp) = '2012-02-29'"));
+        assert!(prunes(&meta, "date(timestamp) IN ('2012-01-01', '2012-03-10')"));
+        assert!(!prunes(&meta, "date(timestamp) IN ('2012-01-01', '2012-03-01')"));
+        assert!(prunes(&meta, "date(timestamp) >= '2012-03-03'"));
+        assert!(!prunes(&meta, "date(timestamp) >= '2012-03-02'"));
+        assert!(prunes(&meta, "date(timestamp) < '2012-02-27'"));
+        assert!(prunes(&meta, "year(timestamp) = 2011"));
+        assert!(!prunes(&meta, "year(timestamp) IN (2012)"));
+        // A call that may decrease stays maybe, though no row is in July:
+        // its ends bound nothing between them.
+        assert!(!prunes(&meta, "month(timestamp) = 7"));
+        // So does a float at an end, or a null.
+        let floats = Schema::of(&[("timestamp", DataType::Float)]);
+        let float_rows: Vec<Row> = (0..100)
+            .map(|i| Row(vec![Value::Float(1_330_300_800.0 + i as f64 * 3_600.0)]))
+            .collect();
+        let float_meta = ShardMeta::summarize(0, &floats, &float_rows);
+        assert!(!prunes(&float_meta, "date(timestamp) = '2012-03-10'"));
+        let with = |extra: Value| {
+            let mut rows = rows.clone();
+            rows.push(Row(vec![extra]));
+            ShardMeta::summarize(0, &schema, &rows)
+        };
+        assert!(!prunes(&with(Value::Null), "date(timestamp) = '2012-03-10'"));
+        assert!(!prunes(&with(Value::Null), "year(timestamp) = 2011"));
+        // An end outside years 0000-9999 leaves `date` maybe (its text no
+        // longer orders as its day does), not `year`.
+        for outside in [253_402_300_800, -62_167_219_201] {
+            let meta = with(Value::Int(outside));
+            assert!(!prunes(&meta, "date(timestamp) = '2012-03-10'"), "{outside}");
+            assert!(prunes(&meta, "year(timestamp) > 10000"), "{outside}");
+        }
     }
 
     #[test]

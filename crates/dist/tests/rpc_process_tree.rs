@@ -351,6 +351,103 @@ fn chunk_granular_pruning_kills_edges_the_shard_envelope_cannot() {
 }
 
 #[test]
+fn a_dated_drill_down_asks_only_the_shard_that_holds_its_day() {
+    // Log timestamps rise with row order and a build cuts contiguous row
+    // ranges, so each of 4 shards holds about 23 of the 92 days, in every
+    // chunk of it (chunks are cut by country and table name). Every
+    // timestamp is distinct, far past the distinct caps: a parent knows
+    // each zone map's extremes only, and `date(timestamp)`, which never
+    // decreases, is bounded by the day of each end. A day inside one shard
+    // is refuted beneath every other edge, on both edge kinds.
+    let table = generate_logs(&LogsSpec::scaled(2_000));
+    let build = build_options();
+    let pieces: Vec<Table> = (0..4)
+        .map(|i| table.select_rows(&(2_000 * i / 4..2_000 * (i + 1) / 4).collect::<Vec<_>>()))
+        .collect();
+    let mut chunks: Vec<usize> =
+        pieces.iter().map(|piece| DataStore::build(piece, &build).unwrap().chunk_count()).collect();
+    let mut rows: Vec<u64> = pieces.iter().map(|piece| piece.len() as u64).collect();
+    // The day of each shard's middle row.
+    let timestamps = table.column_by_name("timestamp").unwrap();
+    let day_of = |ts: &Value| {
+        let date = pd_sql::Expr::call("date", vec![pd_sql::Expr::column("ts")]);
+        pd_sql::eval_expr(&date, [("ts", ts.clone())].as_slice()).unwrap()
+    };
+    let days: Vec<Value> = (0..4).map(|i| day_of(&timestamps[2_000 * (2 * i + 1) / 8])).collect();
+    let sql = |day: &Value| {
+        format!(
+            "SELECT country, COUNT(*) c, SUM(latency) s FROM logs WHERE date(timestamp) = '{}' \
+             GROUP BY country ORDER BY country",
+            day.as_str().unwrap()
+        )
+    };
+    // No node remembers a chart, so each query after the append reaches
+    // the edges again.
+    let cluster_over = |transport: Transport| {
+        let config = ClusterConfig {
+            shards: 4,
+            replication: false,
+            build: build.clone(),
+            tree: TreeShape { fanout: 2 },
+            shard_cache: 0,
+            transport,
+            ..Default::default()
+        };
+        Cluster::build(&table, &config).unwrap()
+    };
+    let mut trees = [
+        ("socket", cluster_over(rpc(Duration::from_secs(30)))),
+        ("local", cluster_over(Transport::InProcess)),
+    ];
+    // Every query names a day one shard holds: the other three edges are
+    // refuted, and every row and chunk beneath them is skipped there.
+    let check =
+        |trees: &[(&str, Cluster); 2], store: &DataStore, chunks: &[usize], rows: &[u64]| {
+            for (t, day) in days.iter().enumerate() {
+                let sql = sql(day);
+                let (expect, _) = query(store, &sql).unwrap();
+                let per_tree = trees.each_ref().map(|(kind, tree)| {
+                    let outcome = tree.query(&sql).unwrap();
+                    let stats = &outcome.stats;
+                    assert_eq!(outcome.result, expect, "{kind}: {sql}");
+                    assert_eq!(stats.subtrees_pruned, 2, "{kind}: a mixer and a leaf: {sql}");
+                    assert_eq!(
+                        stats.chunks_pruned_remote,
+                        stats.chunks_total - chunks[t],
+                        "{kind}: every chunk but shard {t}'s is pruned at an edge: {sql}"
+                    );
+                    assert_eq!(stats.chunks_total, chunks.iter().sum::<usize>(), "{kind}: {sql}");
+                    assert!(stats.rows_skipped >= stats.rows_total - rows[t], "{kind}: {sql}");
+                    (stats.rows_skipped, stats.rows_scanned)
+                });
+                assert_eq!(per_tree[0], per_tree[1], "an edge is an edge: {sql}");
+            }
+        };
+    check(&trees, &DataStore::build(&table, &build).unwrap(), &chunks, &rows);
+
+    // 20 rows forty days past the window: one chunk, on the least-loaded
+    // shard (the lowest id on a tie). Its summary's timestamp envelope now
+    // spans the later shards' days, so only the new chunk's own zone map
+    // keeps their queries off that edge.
+    let ts = table.schema().resolve("timestamp").unwrap();
+    let mut late = Table::new(table.schema().clone());
+    for mut row in table.select_rows(&(1_980..2_000).collect::<Vec<_>>()).iter_rows() {
+        row.0[ts] = Value::Int(row.0[ts].as_int().unwrap() + 40 * 86_400);
+        late.push_row(row).unwrap();
+    }
+    let landed: Vec<Vec<u64>> =
+        trees.each_mut().map(|(_, tree)| tree.append(&late).unwrap().shards).into();
+    assert_eq!(landed[0], landed[1], "both trees put the batch on one shard");
+    let [shard] = landed[0][..] else { panic!("one chunk's rows go to one shard: {landed:?}") };
+    assert!(shard < 3, "a later shard's day lies inside shard {shard}'s envelope");
+    chunks[shard as usize] += 1;
+    rows[shard as usize] += late.len() as u64;
+    let mut all = table.clone();
+    late.iter_rows().for_each(|row| all.push_row(row).unwrap());
+    check(&trees, &DataStore::build(&all, &build).unwrap(), &chunks, &rows);
+}
+
+#[test]
 fn queue_delays_are_measured_not_modeled() {
     // One worker process, requests racing over *separate connections*. Two
     // claims, both only observation can make:

@@ -15,17 +15,21 @@
 //!    `absorb_delta`;
 //! 3. a store's own skip analysis, over its chunk dictionaries, proves
 //!    every Skip its summary proves: a leaf judges its chunks by its
-//!    dictionaries alone, and loses no Skip by it.
+//!    dictionaries alone, and loses no Skip by it;
+//! 4. and every Skip a summary proves, and every edge [`may_match`] refutes,
+//!    is true of the rows: none of them satisfies the restriction under
+//!    [`pd_sql::eval_expr`], the row filter's evaluator — including a
+//!    virtual field bounded by its column's extremes.
 
 use pd_common::rng::Rng;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{BuildOptions, DataStore, PartitionSpec};
-use pd_dist::meta::{chunk_verdicts, ShardMeta, MAX_CHUNK_DISTINCT, MAX_DISTINCT};
+use pd_dist::meta::{chunk_verdicts, may_match, ShardMeta, MAX_CHUNK_DISTINCT, MAX_DISTINCT};
 use pd_dist::node::{Node, NodeSpec};
 use pd_dist::rpc::AppendRequest;
 use pd_encoding::TableDelta;
-use pd_sql::{eval_expr, BinaryOp, Expr, Restriction};
+use pd_sql::{eval_expr, truthy, BinaryOp, Expr, Restriction};
 
 /// Distinct values a column starts with: both sides of each cap.
 const DISTINCT: [usize; 7] = [1, 2, 16, 17, 48, 49, 300];
@@ -52,8 +56,9 @@ fn recipes() -> Vec<(String, BuildOptions)> {
 }
 
 /// `len` distinct values of `data_type`, the awkward ones first: the empty
-/// string and shared prefixes; the extreme integers; both zeros, three NaN
-/// payloads and both infinities.
+/// string and shared prefixes; the extreme integers, then the first second
+/// past four-digit years and the last before them (the ends of `date`'s
+/// text order); both zeros, three NaN payloads and both infinities.
 fn pool(data_type: DataType, len: usize) -> Vec<Value> {
     let odd_floats = [
         -0.0,
@@ -71,6 +76,8 @@ fn pool(data_type: DataType, len: usize) -> Vec<Value> {
             DataType::Int => Value::Int(match i {
                 0 => i64::MIN,
                 1 => i64::MAX,
+                2 => 253_402_300_800,
+                3 => -62_167_219_201,
                 _ => i as i64 * 7 - 500,
             }),
             DataType::Float => {
@@ -201,28 +208,104 @@ fn a_summary_read_off_the_dictionaries_is_the_one_made_from_the_rows() {
     assert!(coverage.degraded_by_an_append > 0);
 }
 
-/// The fields a restriction names: the four columns and a date-like
-/// virtual field over `n` (hours since the epoch, so a few values share a
-/// day and days cross chunks).
+/// The fields a restriction names: the four columns and virtual fields over
+/// `n` — a date-like one (hours since the epoch, so a few values share a
+/// day and days cross chunks), and `date`, `year` and `month` of `n`
+/// itself, whose zone map degrades to its extremes past the caps.
 fn fields() -> Vec<Expr> {
     let hours = Expr::binary(BinaryOp::Mul, Expr::column("n"), Expr::literal(Value::Int(3_600)));
     let mut fields: Vec<Expr> = ["k", "s", "n", "x"].into_iter().map(Expr::column).collect();
     fields.push(Expr::call("date", vec![hours]));
+    for name in ["date", "year", "month"] {
+        fields.push(Expr::call(name, vec![Expr::column("n")]));
+    }
     fields
 }
 
 /// A literal for `fields()[f]`: mostly of the field's own values — some of
 /// them in no row, as the pools hold more than the rows draw —, sometimes
-/// one of another column's type.
+/// one of another column's type. A virtual field's own values are its
+/// function of `n`'s.
 fn literal(rng: &mut Rng, pools: &[Vec<Value>], f: usize) -> Value {
     let field = &fields()[f];
-    let own = f.min(3);
+    let own = if f < 4 { f } else { 2 };
     let pool = &pools[if rng.chance(0.85) { own } else { rng.range_usize(0, pools.len()) }];
     let v = rng.pick(pool).clone();
-    match (f, &v) {
-        (4, Value::Int(_)) if rng.chance(0.8) => eval_expr(field, [("n", v)].as_slice()).unwrap(),
+    match &v {
+        Value::Int(_) if f >= 4 && rng.chance(0.8) => {
+            eval_expr(field, [("n", v)].as_slice()).unwrap()
+        }
         _ => v,
     }
+}
+
+/// `r` as the `WHERE` expression it normalizes: what the row filter
+/// evaluates.
+fn as_expr(r: &Restriction) -> Expr {
+    let yes = || Expr::literal(Value::Int(1));
+    let join = |children: &[Restriction], op| {
+        children.iter().map(as_expr).reduce(|a, b| Expr::binary(op, a, b)).unwrap_or_else(yes)
+    };
+    let bound =
+        |field: &Expr, bound: &Option<(Value, bool)>, [inclusive, strict]: [BinaryOp; 2]| {
+            bound.as_ref().map(|(v, closed)| {
+                let op = if *closed { inclusive } else { strict };
+                Expr::binary(op, field.clone(), Expr::literal(v.clone()))
+            })
+        };
+    match r {
+        Restriction::True | Restriction::Opaque => yes(),
+        Restriction::And(children) => join(children, BinaryOp::And),
+        Restriction::Or(children) => join(children, BinaryOp::Or),
+        Restriction::In { field, values, negated } => Expr::InList {
+            expr: Box::new(field.clone()),
+            list: values.iter().cloned().map(Expr::literal).collect(),
+            negated: *negated,
+        },
+        Restriction::Range { field, min, max } => {
+            let low = bound(field, min, [BinaryOp::Ge, BinaryOp::Gt]);
+            let high = bound(field, max, [BinaryOp::Le, BinaryOp::Lt]);
+            let sides = low.into_iter().chain(high);
+            sides.reduce(|a, b| Expr::binary(BinaryOp::And, a, b)).unwrap_or_else(yes)
+        }
+    }
+}
+
+/// Does the row filter keep, or fail on, any of `rows` (original row
+/// numbers into `columns`) under `r`?
+fn keeps_any(r: &Restriction, columns: &[Vec<Value>], rows: &[u32]) -> bool {
+    let filter = as_expr(r);
+    let names = ["k", "s", "n", "x"];
+    rows.iter().any(|&row| {
+        let cells: Vec<(&str, Value)> =
+            names.iter().zip(columns).map(|(&name, c)| (name, c[row as usize].clone())).collect();
+        eval_expr(&filter, cells.as_slice()).ok().is_none_or(|v| truthy(&v))
+    })
+}
+
+/// The proofs of `meta` that the rows of `store` (`columns`, in arrival
+/// order) contradict: a chunk it skips, or the shard it refutes, that holds
+/// a row `r` keeps.
+fn proofs_the_rows_contradict(
+    store: &DataStore,
+    meta: &ShardMeta,
+    columns: &[Vec<Value>],
+    restrictions: &[Restriction],
+) -> Vec<String> {
+    let part = store.partitioning();
+    let mut wrong = Vec::new();
+    for r in restrictions {
+        if !may_match(r, meta) && keeps_any(r, columns, &part.row_order) {
+            wrong.push(format!("{r:?}: the shard is refuted"));
+        }
+        for (c, verdict) in chunk_verdicts(r, meta).into_iter().enumerate() {
+            let rows = &part.row_order[part.chunk_range(c)];
+            if verdict == ChunkActivity::Skip && keeps_any(r, columns, rows) {
+                wrong.push(format!("{r:?}: chunk {c} is skipped"));
+            }
+        }
+    }
+    wrong
 }
 
 /// A random restriction of `IN` / `NOT IN` / range leaves over `fields()`,
@@ -301,7 +384,7 @@ fn a_store_proves_every_skip_its_summary_proves() {
                 types.iter().zip(&distinct).map(|(&t, &d)| pool(t, d + 20)).collect();
             let rows = *rng.pick(&[1, 30, 250, 900]);
             let label = format!("{recipe}, case {case}: {rows} rows, distinct {distinct:?}");
-            let all = columns(&mut rng, &pools, &distinct, rows);
+            let mut all = columns(&mut rng, &pools, &distinct, rows);
             let mut store = DataStore::from_coded(coded(&all), &build).unwrap();
             let (leaf, _) = Node::leaf(0, coded(&all), &build, spec()).unwrap();
             let grown: Vec<usize> = pools.iter().map(Vec::len).collect();
@@ -313,12 +396,17 @@ fn a_store_proves_every_skip_its_summary_proves() {
                     let append =
                         AppendRequest { epoch: 1 + step, deltas: vec![(0, coded(&batch))] };
                     leaf.append(&append).unwrap();
+                    for (column, new) in all.iter_mut().zip(batch) {
+                        column.extend(new);
+                    }
                 }
                 let [meta] = leaf.metas().try_into().unwrap();
                 let restrictions: Vec<Restriction> =
                     (0..60).map(|_| restriction(&mut rng, &pools, 2)).collect();
                 let (missed, skips) = skips_only_the_summary_proves(&store, &meta, &restrictions);
                 assert!(missed.is_empty(), "{label}, append {step}: {missed:#?}");
+                let wrong = proofs_the_rows_contradict(&store, &meta, &all, &restrictions);
+                assert!(wrong.is_empty(), "{label}, append {step}: {wrong:#?}");
                 proved += skips;
             }
         }

@@ -6,6 +6,11 @@
 //! chunk-ids cannot answer (§2.4). It also evaluates `HAVING` over result
 //! rows, and every row of the row-wise baseline backends that the paper's
 //! Table 1 compares against.
+//!
+//! Beside the functions it declares which of them never decrease as their
+//! argument grows ([`non_decreasing_bounds`]: `date` and `year`), so that
+//! a parent in the tree bounds `date(timestamp)` by the two ends of the
+//! `timestamp` zone map it holds, without the column's values.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use pd_common::{Error, Result, Value};
@@ -237,6 +242,32 @@ fn eval_function(name: &str, args: &[Value]) -> Result<Value> {
     }
 }
 
+/// The extremes of `field` over rows whose one column lies between `min`
+/// and `max` — the column's zone map — when `field` is a call that never
+/// decreases as that column grows: `date` and `year` of a bare column. Sound
+/// only as declared here, so `None` ("no bound known") unless both ends are
+/// integers that evaluate without an error and, for `date`, fall in years
+/// 0000–9999, where the text of a day orders as the day does (`-001-…` and
+/// `10000-…` do not). A null or a float at an end is `None`.
+pub fn non_decreasing_bounds(field: &Expr, min: &Value, max: &Value) -> Option<(Value, Value)> {
+    let Expr::Call { name, args } = field else { return None };
+    let ([Expr::Column(_)], Value::Int(lo), Value::Int(hi)) = (args.as_slice(), min, max) else {
+        return None;
+    };
+    // 0000-01-01T00:00:00Z up to 10000-01-01T00:00:00Z.
+    let four_digit_years = -62_167_219_200i64..253_402_300_800;
+    let sound = match name.as_str() {
+        "date" => four_digit_years.contains(lo) && four_digit_years.contains(hi),
+        "year" => true,
+        _ => false,
+    };
+    if !sound {
+        return None;
+    }
+    let at = |ts: i64| eval_function(name, &[Value::Int(ts)]).ok();
+    Some((at(*lo)?, at(*hi)?))
+}
+
 fn int_arg(name: &str, v: &Value) -> Result<i64> {
     match v {
         Value::Int(x) => Ok(*x),
@@ -359,6 +390,34 @@ mod tests {
         let row: &[(&str, Value)] = &[];
         let q = parse_query("SELECT a FROM t WHERE missing = 1").unwrap();
         assert!(eval_expr(&q.where_clause.unwrap(), row).is_err());
+    }
+
+    #[test]
+    fn date_and_year_bound_a_column_by_its_ends() {
+        let call = |name: &str| Expr::call(name, vec![Expr::column("ts")]);
+        let bounds = |field: &Expr, lo: Value, hi: Value| non_decreasing_bounds(field, &lo, &hi);
+        let (first, last) = (-62_167_219_200, 253_402_300_799);
+        assert_eq!(
+            bounds(&call("date"), Value::Int(first), Value::Int(last)),
+            Some((Value::from("0000-01-01"), Value::from("9999-12-31")))
+        );
+        // One second past either end of four-digit years.
+        assert_eq!(bounds(&call("date"), Value::Int(first - 1), Value::Int(0)), None);
+        assert_eq!(bounds(&call("date"), Value::Int(0), Value::Int(last + 1)), None);
+        // `year` never decreases over every integer.
+        assert_eq!(
+            bounds(&call("year"), Value::Int(i64::MIN), Value::Int(0)),
+            Some((eval_function("year", &[Value::Int(i64::MIN)]).unwrap(), Value::Int(1970)))
+        );
+        // Only integers at both ends, only a bare column, only `date` and
+        // `year`.
+        assert_eq!(bounds(&call("date"), Value::Null, Value::Int(0)), None);
+        assert_eq!(bounds(&call("date"), Value::Int(0), Value::Float(1.0)), None);
+        let scaled = Expr::binary(BinaryOp::Mul, Expr::column("ts"), Expr::literal(Value::Int(2)));
+        assert_eq!(bounds(&Expr::call("date", vec![scaled]), Value::Int(0), Value::Int(1)), None);
+        for name in ["month", "day", "hour", "lower"] {
+            assert_eq!(bounds(&call(name), Value::Int(0), Value::Int(1)), None, "{name}");
+        }
     }
 
     #[test]

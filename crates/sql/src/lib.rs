@@ -18,7 +18,8 @@
 //!   rendering (`Display`), which doubles as the key for materialized
 //!   virtual fields (§5);
 //! - [`eval`] — scalar expression evaluation over row contexts, including
-//!   the scalar functions (`date(...)`, etc.) the paper's Query 2 uses;
+//!   the scalar functions (`date(...)`, etc.) the paper's Query 2 uses,
+//!   and which of them never decrease ([`non_decreasing_bounds`]);
 //! - [`restriction`] — normalization of `WHERE` clauses into the
 //!   `AND / OR / NOT / IN / NOT IN / = / !=` fragment that drives chunk
 //!   skipping (§2.4, §5 "Complex Expressions");
@@ -43,6 +44,8 @@ pub mod restriction;
 
 pub use analyze::{analyze, plan, AnalyzedQuery, OutputCol, Slot, SlotClass, SlotRef};
 pub use ast::{AggExpr, AggFunc, BinaryOp, Expr, OrderKey, Query, SelectExpr, SelectItem, UnaryOp};
-pub use eval::{eval_expr, truthy, values_compare, values_equal, RowContext};
+pub use eval::{
+    eval_expr, non_decreasing_bounds, truthy, values_compare, values_equal, RowContext,
+};
 pub use parser::parse_query;
 pub use restriction::Restriction;
