@@ -6,10 +6,10 @@
 //! 1. **full rebuild** — [`Cluster::rebuild`] respawns every worker
 //!    process and re-ships the *entire* table as `Load` frames;
 //! 2. **delta append** — [`Cluster::append`] keeps the processes alive
-//!    and ships only the new rows (`Append` frames), bumping the epoch in
-//!    place. It is the first append on a freshly built tree, so it also
-//!    dials the root's links to its children — the links a query uses, and
-//!    which the tree's first query would dial otherwise.
+//!    and ships only the new rows (`Append` frames), in place. It is the
+//!    first append on a freshly built tree, so it also dials the root's
+//!    links to its children — the links a query uses, and which the tree's
+//!    first query would dial otherwise.
 //!
 //! Both kinds of frame carry rows the same way — coded columns, a sorted
 //! dictionary plus one code per row — so the byte comparison is like for
@@ -41,7 +41,7 @@
 //! asserted): on that unix tree, a 20-chart unrestricted click that follows
 //! a warm one and an 80-row append scans, over its 20 queries, at most
 //! 80 × 20 rows and finds at least 20 × the pre-append rows cached. The
-//! root was told of the append and remembers every chart, so each is
+//! root applied the append and remembers every chart, so each is
 //! brought forward from the appended rows alone: what an append costs its
 //! readers is what it changed.
 //!

@@ -547,8 +547,8 @@ pub fn distributed(rows: usize) {
     // 30–150 ms, the paper's "blocked by a disk read of another process",
     // from the fault relay in front of each worker). With replicas, a
     // primary that outlives the hedge delay is raced against its replica
-    // and the first answer wins. The relay draws per (seed, epoch, node,
-    // query), so each ask is a query of its own: it differs in its LIMIT.
+    // and the first answer wins. The relay draws per (seed, node, query),
+    // so each ask is a query of its own: it differs in its LIMIT.
     println!(
         "\nreplication under heavy load fluctuation (worker processes, warm caches, measured):"
     );

@@ -88,7 +88,10 @@ use std::time::Duration;
 /// dictionaries, not tries.
 /// Version 18: a partial result names the slot each state column holds,
 /// so a node cache's table answers every chart whose slots it holds.
-pub const FRAME_VERSION: u8 = 18;
+/// Version 19: the root is the one node that remembers, so nothing beneath
+/// it is told a data version — a node spec loses its cache size and epoch,
+/// and a query and an append their epoch.
+pub const FRAME_VERSION: u8 = 19;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

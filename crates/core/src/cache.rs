@@ -2,7 +2,7 @@
 //!
 //! §6: *"additionally to skipping over inactive chunks, we also cache
 //! results for chunks which are fully active"* — [`ResultCache`], built on
-//! [`BoundedCache`], which the distributed layer's node caches share.
+//! [`BoundedCache`], which the distributed layer's root cache shares.
 //!
 //! The paper's other caches — §3's two in-memory layers (uncompressed and
 //! compressed) and §5's ARC/2Q eviction between them — manage the residency

@@ -851,7 +851,7 @@ pub(crate) fn merge_tables<K: Cell>(
 /// which hold floats by bits; float slots by exact sum).
 ///
 /// The table is shared: a clone is a reference to the same columns, which
-/// is how a node cache keeps an answer and hands it up again without
+/// is how the root's cache keeps an answer and hands it up again without
 /// copying it. Readers ([`crate::finalize`], the wire encoder) never notice;
 /// [`PartialResult::merge`] writes to a copy of its own unless it is the
 /// only holder.
@@ -939,17 +939,6 @@ impl PartialResult {
         let at = self.find(&q.slots)?;
         let read = |r: &SlotRef| SlotRef { slot: at[r.slot], count: r.count.map(|c| at[c]) };
         Ok((&self.table, q.reads.iter().map(read).collect()))
-    }
-
-    /// This partial's `slots` alone, in that order: itself, shared, if it
-    /// holds just those (or nothing), else a table of those columns copied.
-    pub fn project(&self, slots: &[Slot]) -> Result<PartialResult> {
-        if *self.slots == *slots || *self.table == GroupTable::default() {
-            return Ok(self.clone());
-        }
-        let columns = self.find(slots)?.into_iter().map(|at| self.table.slots[at].clone());
-        let table = GroupTable::new(self.table.len, self.table.keys.clone(), columns.collect());
-        Ok(PartialResult { table: Arc::new(table), slots: slots.into() })
     }
 
     /// Merge another partial of the same slots into this one: one linear

@@ -42,11 +42,11 @@ pub struct ScanStats {
     /// remotely, before any frame was sent.
     pub chunks_pruned_remote: usize,
 
-    /// Computation-tree nodes (leaf servers or merge servers) that
-    /// answered from their own result cache instead of scanning /
-    /// fanning out. A merge-server hit counts once even though it covers
-    /// every shard beneath it — the counter records *nodes* that stopped
-    /// the query, not rows (those land in `rows_cached`).
+    /// Computation-tree nodes that answered from their own result cache
+    /// instead of scanning / fanning out — in a distributed tree the root,
+    /// the one node that remembers. A hit counts once even though it
+    /// covers every shard beneath it — the counter records *nodes* that
+    /// stopped the query, not rows (those land in `rows_cached`).
     pub worker_cache_hits: usize,
 
     /// Cells touched: scanned rows × columns accessed by the query (the

@@ -6,16 +6,16 @@
 //! part of the data, and then merging the results."* — [`Cluster::build`]
 //! splits the table into contiguous shards and builds a tree of
 //! [`crate::node::Node`]s over them; [`Cluster::query`] parses once, hands
-//! the analyzed query to the tree's root — a node like the others, held
-//! here: it answers a signature it remembers without crossing an edge,
-//! and otherwise fans out and folds the partials in fixed order — and
-//! finalizes its answer. Every aggregation state merges associatively
-//! (float sums are exact superaccumulators), so the result is bit-identical
-//! to the single-store engine at any shard count, tree depth, thread count
-//! or cache configuration. Where the nodes live is the [`Transport`]; the
-//! node code, the pruning, the caches, the failover rule and this driver
-//! are the same either way, and every number in a [`QueryOutcome`] is
-//! measured.
+//! the analyzed query to the tree's root, held here — it answers a
+//! signature it remembers without crossing an edge (the tree's one memory,
+//! [`crate::shard_cache`]), and otherwise fans out and folds the partials
+//! in fixed order — and finalizes its answer. Every aggregation state
+//! merges associatively (float sums are exact superaccumulators), so the
+//! result is bit-identical to the single-store engine at any shard count,
+//! tree depth, thread count or cache configuration. Where the nodes live is
+//! the [`Transport`]; the node code, the pruning, the root's cache, the
+//! failover rule and this driver are the same either way, and every number
+//! in a [`QueryOutcome`] is measured.
 //!
 //! What the driver adds around the tree: one [`RpcConfig::budget`] is
 //! spent end to end (an exhausted budget is a typed
@@ -30,6 +30,7 @@
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
 use crate::rpc::{AppendRequest, ChildHandle, QueryRequest, ShardReport};
+use crate::shard_cache::Root;
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
@@ -157,10 +158,8 @@ pub struct ClusterConfig {
     /// Worker threads for each leaf's chunk scan and each in-memory
     /// fan-out (0 = `EXEC_THREADS` / available parallelism).
     pub threads: usize,
-    /// Capacity (entries) of **every tree node's own result cache** — leaf,
-    /// merge server and the root in the driver alike, on either transport;
-    /// 0 disables them. A warm drill-down answers from the nearest node
-    /// that remembers the signature, with zero child hops below it: a
+    /// Capacity (entries) of the root's result cache, in the driver on
+    /// either transport — the one node that remembers; 0 disables it. A
     /// chart the root remembers costs no hop, no frame and no merge.
     pub shard_cache: usize,
     /// Where the tree's nodes live: in the driver's address space or one
@@ -189,11 +188,11 @@ impl Default for ClusterConfig {
 /// The §4 single-datacenter model: X shards + a computation tree, driven
 /// from its root.
 pub struct Cluster {
-    /// The root: a mixer over the top tree level, in the driver on both
-    /// transports. `None` once an append or rebuild failed part-way: the
-    /// shards may hold different data, so nothing is served until
-    /// [`Cluster::rebuild`] succeeds.
-    root: Option<Node>,
+    /// The root: a mixer over the top tree level and the tree's result
+    /// cache, in the driver on both transports. `None` once an append or
+    /// rebuild failed part-way: the shards may hold different data, so
+    /// nothing is served until [`Cluster::rebuild`] succeeds.
+    root: Option<Root>,
     /// The processes beneath the root of a [`Transport::Rpc`] tree.
     workers: Option<Workers>,
     /// How many contiguous shards the rows are split into.
@@ -201,9 +200,8 @@ pub struct Cluster {
     /// Schema of the data the tree serves; appends must match it.
     schema: Schema,
     config: ClusterConfig,
-    /// Monotonically increasing rebuild epoch, carried by every message to
-    /// a node; a node that meets one it was not told of drops its result
-    /// cache.
+    /// Monotonically increasing epoch: the driver's own count of the
+    /// builds and appends its data went through. It crosses no wire.
     epoch: u64,
     /// The most recent queue-delay samples (capped ring of
     /// `(when observed, delay)`), feeding two adaptive policies: the hedge
@@ -271,17 +269,16 @@ pub struct QueryOutcome {
     pub latency: Duration,
     /// Per shard: the subquery as its parent saw it — wall clock around
     /// the hop, transport, queueing and failover included (zero for a
-    /// shard beneath a pruned edge or a cache hit of a node above its
-    /// leaf — a merge server's, or the root's: then all are zero).
+    /// shard beneath a pruned edge, and for all on a root cache hit).
     pub subquery_latencies: Vec<Duration>,
     /// Shards whose primary failed and whose replica computed the answer.
     pub failovers: Vec<usize>,
     /// Shards whose primary process outlived the hedge delay and was raced
     /// against its replica process (whichever answer arrived first won).
     pub hedges: Vec<usize>,
-    /// Shards whose contribution came out of a node's result cache — the
-    /// leaf's own, a merge server's above it, or the root's (then every
-    /// shard counts) — without reaching the shard's store.
+    /// Shards whose contribution came out of the root's result cache
+    /// without reaching the shard's store: every shard on a root hit, none
+    /// otherwise.
     pub shard_cache_hits: usize,
     /// Per shard: time the subquery spent queued inside worker processes
     /// (leaf + every merge server above it); an in-memory edge has no
@@ -290,10 +287,8 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Tree nodes (leaves, merge servers or the root) that answered this
-    /// query from their own result cache, aggregated up the tree. One
-    /// merge-server hit covers every shard beneath it and a root hit is
-    /// the only one there is, so this is at most
+    /// 1 when the root answered this query from its result cache, else 0:
+    /// a root hit covers every shard, so this is at most
     /// [`QueryOutcome::shard_cache_hits`]. Derived from the aggregated
     /// [`ScanStats`], the single source of truth the nodes report into.
     pub fn worker_cache_hits(&self) -> usize {
@@ -308,15 +303,14 @@ impl Cluster {
     /// each beneath the root in a worker process of its own
     /// ([`ClusterConfig::transport`]).
     pub fn build(table: &Table, config: &ClusterConfig) -> Result<Cluster> {
-        let epoch = 1u64;
-        let (root, workers, shard_count) = build_tree(table, config, epoch)?;
+        let (root, workers, shard_count) = build_tree(table, config)?;
         Ok(Cluster {
             root: Some(root),
             workers,
             shard_count,
             schema: table.schema().clone(),
             config: config.clone(),
-            epoch,
+            epoch: 1,
             recent_queue: Mutex::new(VecDeque::with_capacity(RECENT_QUEUE_CAP)),
             in_flight: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
@@ -324,16 +318,16 @@ impl Cluster {
     }
 
     /// Re-import every shard from `table` (the §5 "table rebuild": new
-    /// data, a fresh tree — worker processes are respawned) under a bumped
-    /// epoch, so no node can ever serve a partial cached against the old
-    /// stores. Also the way back from a failed [`Cluster::append`]. Every
-    /// row is re-imported even if only a fraction changed; for append-only
-    /// growth prefer [`Cluster::append`], which bumps the same epoch but
-    /// ships only the new rows.
+    /// data, a fresh tree — worker processes are respawned — under a fresh
+    /// root, which remembers nothing, so no partial cached against the old
+    /// stores is ever served) and bump the epoch. Also the way back from a
+    /// failed [`Cluster::append`]. Every row is re-imported even if only a
+    /// fraction changed; for append-only growth prefer [`Cluster::append`],
+    /// which bumps the same epoch but ships only the new rows.
     pub fn rebuild(&mut self, table: &Table) -> Result<()> {
         // Drop (and kill) the old tree before building its successor.
         (self.root, self.workers) = (None, None);
-        let (root, workers, shard_count) = build_tree(table, &self.config, self.epoch + 1)?;
+        let (root, workers, shard_count) = build_tree(table, &self.config)?;
         (self.root, self.workers, self.shard_count) = (Some(root), workers, shard_count);
         self.epoch += 1;
         self.schema = table.schema().clone();
@@ -360,10 +354,10 @@ impl Cluster {
     /// ([`Node::append`], on either edge kind): a leaf that gets one
     /// applies it in place (its chunk results stay) and acks a receipt;
     /// every mixer above it, the root included, absorbs the same delta
-    /// into its copy of the shard summary and into the tail that brings
-    /// what it remembers up to date — so a chart the root answered before
-    /// is still a root hit. Every other node hears only the new epoch and
-    /// keeps its cache. Nothing is respawned, re-wired or re-dialed.
+    /// into its copy of the shard summary, and the root into the tail that
+    /// brings what it remembers up to date — so a chart the root answered
+    /// before is still a root hit. No other node is written. Nothing is
+    /// respawned, re-wired or re-dialed.
     ///
     /// The epoch bumps once every piece is applied. Requires `&mut self`:
     /// no query can observe a half-applied append. A delta whose schema is
@@ -391,10 +385,9 @@ impl Cluster {
             .collect::<Result<Vec<_>>>()?;
         // From here on a failure may have touched some shards and not
         // others.
-        let epoch = self.epoch + 1;
-        match root.append(&AppendRequest { epoch, deltas }) {
+        match root.append(&AppendRequest { deltas }) {
             Ok(ack) => {
-                self.epoch = epoch;
+                self.epoch += 1;
                 if let Some(workers) = &mut self.workers {
                     workers.bytes_shipped += ack.bytes;
                 }
@@ -487,10 +480,9 @@ impl Cluster {
         base.clamp(Duration::from_millis(25), (budget / 2).max(Duration::from_millis(25)))
     }
 
-    /// The current rebuild epoch (starts at 1; every successful
-    /// [`Cluster::rebuild`] and [`Cluster::append`] bumps it). Carried by
-    /// every message to a node: one that was not told how the data reached
-    /// this epoch invalidates.
+    /// The current epoch (starts at 1; every successful
+    /// [`Cluster::rebuild`] and [`Cluster::append`] bumps it): a count the
+    /// driver keeps for its callers, sent to no node.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -499,12 +491,10 @@ impl Cluster {
         self.shard_count
     }
 
-    /// `(hits, misses)` so far, summed over the node result caches in the
-    /// driver's address space: the root's, plus every node's beneath it in
-    /// an in-process tree (the caches of worker processes count where they
-    /// live).
+    /// `(hits, misses)` of the root's result cache so far — the only one
+    /// the tree has — on either transport.
     pub fn shard_cache_stats(&self) -> (u64, u64) {
-        self.root.as_ref().map_or((0, 0), Node::cache_stats)
+        self.root.as_ref().map_or((0, 0), Root::cache_stats)
     }
 
     /// Run `sql` over every shard — concurrently — and merge the partial
@@ -530,11 +520,11 @@ impl Cluster {
         } else {
             0
         };
-        let request = QueryRequest { query: analyzed, budget, hedge_micros, epoch: self.epoch };
+        let request = QueryRequest { query: analyzed, budget, hedge_micros };
 
         let fan_out_started = Instant::now();
         // The root — which nothing queues for.
-        let answer = root.query_root(&request)?;
+        let answer = root.query(&request)?;
         // The whole fan-out: leaf hops *and* every merge-node fold and
         // root-hop transport above them — time the per-shard reports
         // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.
@@ -613,18 +603,14 @@ fn needs_rebuild() -> Error {
 /// Split `table` into one contiguous row range per shard (not round-robin:
 /// that preserves the "implicit clustering" of log records the paper's
 /// partitioning benefits from, §2.2 — an append keeps it too, landing each
-/// of its pieces whole on one shard) and build the tree over them at
-/// `epoch`: one leaf (pair) per shard — each shard's rows
+/// of its pieces whole on one shard) and build the tree over them: one
+/// leaf (pair) per shard — each shard's rows
 /// dictionary-coded once ([`contiguous_piece`]) and handed to a local leaf
 /// or put in a `Load` frame — then merge levels, bottom-up, until one fits
 /// the fanout. Returns the root that mixes that top level, the worker
 /// processes beneath it, and the shard count. Where
 /// [`ClusterConfig::transport`] is read.
-fn build_tree(
-    table: &Table,
-    config: &ClusterConfig,
-    epoch: u64,
-) -> Result<(Node, Option<Workers>, usize)> {
+fn build_tree(table: &Table, config: &ClusterConfig) -> Result<(Root, Option<Workers>, usize)> {
     if table.is_empty() {
         return Err(Error::Data("cannot build a tree over a table with no rows".into()));
     }
@@ -637,12 +623,12 @@ fn build_tree(
             for shard in 0..shard_count as u64 {
                 // The edge takes the summary the leaf read off its
                 // dictionaries, as a socket parent takes the `Loaded` ack.
-                let spec = node_spec(config, format!("l{shard}p"), epoch);
+                let spec = node_spec(config, format!("l{shard}p"));
                 let (leaf, _) = Node::leaf(shard, coded(shard)?, &config.build, spec)?;
                 level.push(ChildHandle::local(Arc::new(leaf), Some(shard)));
             }
             let top = stack_levels(level, fanout, |height, i, group| {
-                let spec = node_spec(config, format!("m{height}_{i}"), epoch);
+                let spec = node_spec(config, format!("m{height}_{i}"));
                 Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None))
             })?;
             (top, None)
@@ -653,7 +639,7 @@ fn build_tree(
             let mut workers = Workers::new(rpc)?;
             let mut level = Vec::with_capacity(shard_count);
             for shard in 0..shard_count as u64 {
-                level.push(workers.load_leaf(shard, coded(shard)?, config, epoch)?);
+                level.push(workers.load_leaf(shard, coded(shard)?, config)?);
             }
             // Each shard's summary moves up with its spec — into the
             // `Attach` of the parent that prunes with it, and on into the
@@ -662,16 +648,15 @@ fn build_tree(
                 // Socket children are other processes: the fan-out writes
                 // to each and then reads each on one thread, so a merge
                 // server has no width to choose.
-                let spec =
-                    NodeSpec { threads: 1, ..node_spec(config, format!("m{height}_{i}"), epoch) };
+                let spec = NodeSpec { threads: 1, ..node_spec(config, format!("m{height}_{i}")) };
                 workers.attach_mixer(group, spec)
             })?;
             let top = top.into_iter().map(ChildHandle::new).collect();
             (top, Some(workers))
         }
     };
-    let root = Node::mixer(children, node_spec(config, "root".into(), epoch));
-    Ok((root, workers, shard_count))
+    let root = Node::mixer(children, node_spec(config, "root".into()));
+    Ok((Root::new(root, config.shard_cache), workers, shard_count))
 }
 
 /// Group `level` into subtrees of `fanout` children, one `mixer` each, until
@@ -697,8 +682,8 @@ fn stack_levels<C>(
 }
 
 /// What every node of a tree built from `config` is told besides its name.
-pub(crate) fn node_spec(config: &ClusterConfig, name: String, epoch: u64) -> NodeSpec {
-    NodeSpec { name, cache_entries: config.shard_cache, epoch, threads: config.threads }
+pub(crate) fn node_spec(config: &ClusterConfig, name: String) -> NodeSpec {
+    NodeSpec { name, threads: config.threads }
 }
 
 /// Piece `i` of `table` cut into `pieces` contiguous row ranges of near
@@ -789,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn append_bumps_the_epoch_and_invalidates_the_shard_cache() {
+    fn append_bumps_the_epoch_and_the_root_brings_its_cache_forward() {
         let (table, mut cluster) = logs_cluster(4, true);
         let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country ORDER BY c DESC LIMIT 5";
         let cold = cluster.query(sql).unwrap();

@@ -18,7 +18,7 @@
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
 //! | "take the answer arriving first" replication | under [`ClusterConfig::replication`] every shard of a socket tree is served by two worker processes, a primary and a replica: a primary that fails (refused, dead, reset, torn, out of budget) fails over to its replica ([`QueryOutcome::failovers`]), and one that has not answered within the hedge delay (derived from observed queue delays) is **raced** against it in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end. A tree in the driver's address space holds one copy of each leaf |
 //! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`]), which also feed the hedge delay's ring of recent samples |
-//! | reuse of previously computed answers | [`shard_cache`]: **every tree node** holds a [`shard_cache::WorkerCache`] of its own partials keyed by the normalized query signature — keys and restriction, so one table answers every chart whose slots it holds —, invalidated by the rebuild **epoch** every message carries — hits are reported up as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
+//! | reuse of previously computed answers | [`shard_cache`]: every query enters at the root, so **the root alone** remembers partials, keyed by the normalized query signature ([`query_signature`]) — keys and restriction, so one table answers every chart whose slots it holds —, brought forward through appends by a tail of the appended rows and dropped with the tree on a rebuild; no node beneath it remembers an answer. A hit is reported as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
 //!
 //! Partial results, restrictions, group-by keys and float superaccumulator
 //! states cross the process boundary in the dependency-free
@@ -30,12 +30,11 @@
 //!
 //! Modules:
 //!
-//! - [`cluster`] — the driver: it holds the root [`Node`] and, over
-//!   sockets, the worker processes; shard split, the [`Transport`] switch,
-//!   admission control, append/rebuild under the epoch;
+//! - [`cluster`] — the driver: it holds the root and, over sockets, the
+//!   worker processes; shard split, the [`Transport`] switch, admission
+//!   control, append/rebuild;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
-//!   fold), its result cache, epoch and — on a mixer — the tail that keeps
-//!   the cache answerable through appends; `Node::query` / `Node::append`;
+//!   fold); `Node::query` / `Node::append`;
 //! - [`rpc`] — the wire protocol's messages and codecs, and in its
 //!   children the framing and deadline I/O, the client connection, the
 //!   edges ([`rpc::Link`], in-memory or socket) and the shared fan-out /
@@ -46,7 +45,8 @@
 //! - [`worker`] — the `pd-dist-worker` process around one node: argv,
 //!   sockets, the FIFO turnstile with its measured waits;
 //! - [`meta`] — shard summaries and the layered pruning evaluator;
-//! - [`shard_cache`] — the per-node result cache and its signature.
+//! - [`shard_cache`] — the root's result cache, its signature, and the tail
+//!   that keeps it answerable through appends.
 //!
 //! No fault is injected in here. The tests meet dead, reset, torn and slow
 //! peers on genuine sockets: a relay in front of each worker
@@ -71,4 +71,4 @@ pub use cluster::{
 pub use meta::{ColumnMeta, ShardMeta};
 pub use node::Node;
 pub use process::{ReapGuard, WorkerAddr};
-pub use shard_cache::{query_signature, CachedSubtree, WorkerCache};
+pub use shard_cache::query_signature;

@@ -166,13 +166,12 @@ impl Workers {
         shard: u64,
         delta: TableDelta,
         config: &ClusterConfig,
-        epoch: u64,
     ) -> Result<ChildSpec> {
         let mut load = Request::Load(Box::new(LoadRequest {
             shard,
             delta,
             build: config.build.clone(),
-            spec: node_spec(config, format!("l{shard}p"), epoch),
+            spec: node_spec(config, format!("l{shard}p")),
         }));
         let (primary, ack) = self.spawn_worker(&format!("l{shard}p"), &load)?;
         let meta = match ack {

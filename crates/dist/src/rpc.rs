@@ -29,7 +29,7 @@ mod fanout;
 mod frame;
 mod link;
 #[cfg(test)]
-mod testkit;
+pub(crate) mod testkit;
 
 pub(crate) use client::{backoff_sleep, BACKOFF_CAP};
 pub use client::{CancelToken, RpcClient};
@@ -109,18 +109,15 @@ pub struct LoadRequest {
     pub spec: NodeSpec,
 }
 
-/// An append as it reaches one node: the rows of the shards beneath it and
-/// the epoch they establish. Each delta carries its own per-column sorted
-/// dictionaries ([`pd_encoding::TableDelta`]), so no sender needs the
-/// shards' resident dictionaries; decoding re-validates every invariant, so
-/// a decoded request is safe to apply.
+/// An append as it reaches one node: the rows of the shards beneath it.
+/// Each delta carries its own per-column sorted dictionaries
+/// ([`pd_encoding::TableDelta`]), so no sender needs the shards' resident
+/// dictionaries; decoding re-validates every invariant, so a decoded
+/// request is safe to apply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendRequest {
-    /// The epoch this append establishes — the one after the node's own,
-    /// or the node missed an append and drops what it remembers.
-    pub epoch: u64,
     /// `(shard, rows)` for each shard beneath the node that gets rows, at
-    /// most once; none when the append fell elsewhere in the tree.
+    /// most once. A parent writes no child beneath which no rows land.
     pub deltas: Vec<(u64, TableDelta)>,
 }
 
@@ -195,13 +192,6 @@ pub struct QueryRequest {
     /// primary before racing the replica in parallel. `0` disables
     /// hedging (sequential primary-then-replica failover).
     pub hedge_micros: u64,
-    /// The driver's current rebuild epoch. A node holding a node cache
-    /// (cached partials) from another epoch — it was not told what changed
-    /// since — drops it before answering, the root in the driver by the
-    /// same rule as a worker. A leaf's
-    /// chunk results are not the epoch's to drop: they describe
-    /// chunks, and an epoch bump that keeps the store keeps its chunks.
-    pub epoch: u64,
 }
 
 /// Per-shard observation, reported up the tree: how long the subquery took
@@ -209,9 +199,8 @@ pub struct QueryRequest {
 /// and queueing), the time the request spent queued in worker processes,
 /// whether the shard's answer came from the replica (`failover`), whether
 /// the replica was raced because the primary outlasted the hedge delay
-/// (`hedged`), and whether the shard's contribution was served from a
-/// worker's result cache (its own, or a merge server's above it) without
-/// reaching the shard.
+/// (`hedged`), and whether the shard's contribution was served from the
+/// root's result cache without reaching the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
     pub shard: u64,
@@ -335,12 +324,8 @@ impl Decode for Request {
                 query: AnalyzedQuery::decode(r)?,
                 budget: Duration::decode(r)?,
                 hedge_micros: r.u64()?,
-                epoch: r.u64()?,
             })),
-            REQ_APPEND => Request::Append(Box::new(AppendRequest {
-                epoch: r.u64()?,
-                deltas: Vec::decode(r)?,
-            })),
+            REQ_APPEND => Request::Append(Box::new(AppendRequest { deltas: Vec::decode(r)? })),
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(Error::Data(format!("wire: invalid request tag {other}"))),
         })
@@ -356,7 +341,6 @@ impl Encode for QueryRequest {
         self.query.encode(out);
         self.budget.encode(out);
         self.hedge_micros.encode(out);
-        self.epoch.encode(out);
     }
 }
 
@@ -365,7 +349,6 @@ impl Encode for QueryRequest {
 impl Encode for AppendRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(REQ_APPEND);
-        self.epoch.encode(out);
         self.deltas.encode(out);
     }
 }
@@ -373,20 +356,13 @@ impl Encode for AppendRequest {
 impl Encode for NodeSpec {
     fn encode(&self, out: &mut Vec<u8>) {
         self.name.encode(out);
-        self.cache_entries.encode(out);
-        self.epoch.encode(out);
         self.threads.encode(out);
     }
 }
 
 impl Decode for NodeSpec {
     fn decode(r: &mut Reader<'_>) -> Result<NodeSpec> {
-        Ok(NodeSpec {
-            name: String::decode(r)?,
-            cache_entries: usize::decode(r)?,
-            epoch: r.u64()?,
-            threads: usize::decode(r)?,
-        })
+        Ok(NodeSpec { name: String::decode(r)?, threads: usize::decode(r)? })
     }
 }
 
@@ -559,7 +535,7 @@ mod tests {
                 shard: 3,
                 delta: delta.clone(),
                 build: BuildOptions::production(&["k"]),
-                spec: NodeSpec { name: "l3p".into(), cache_entries: 64, epoch: 3, threads: 2 },
+                spec: NodeSpec { name: "l3p".into(), threads: 2 },
             })),
             Request::Attach(AttachRequest {
                 children: vec![
@@ -574,20 +550,18 @@ mod tests {
                         metas: vec![sample_meta(), sample_meta()],
                     },
                 ],
-                spec: NodeSpec { name: "m1_0".into(), cache_entries: 32, epoch: 7, threads: 1 },
+                spec: NodeSpec { name: "m1_0".into(), threads: 1 },
             }),
             Request::Query(Box::new(QueryRequest {
                 query: analyzed("SELECT COUNT(*) FROM t WHERE k IN ('a','b')"),
                 budget: Duration::from_millis(250),
                 hedge_micros: 1500,
-                epoch: 7,
             })),
-            Request::Append(Box::new(AppendRequest { epoch: 9, deltas: vec![(2, delta.clone())] })),
+            Request::Append(Box::new(AppendRequest { deltas: vec![(2, delta.clone())] })),
             Request::Append(Box::new(AppendRequest {
-                epoch: 9,
                 deltas: vec![(0, delta.clone()), (3, delta)],
             })),
-            Request::Append(Box::new(AppendRequest { epoch: 10, deltas: Vec::new() })),
+            Request::Append(Box::new(AppendRequest { deltas: Vec::new() })),
             Request::Shutdown,
         ];
         for request in requests {

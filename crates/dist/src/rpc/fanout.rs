@@ -14,10 +14,9 @@
 //! expires is the replica asked *in parallel*, on the one thread a fan-out
 //! may spawn — first answer wins, the loser's socket is shut down via
 //! [`CancelToken`](super::CancelToken). A straggling primary therefore
-//! costs one hedge delay, not its whole budget, and every hedge doubles as
-//! replica cache warming. Transport faults let the other copy win, while
-//! application errors from a live worker propagate — deterministic, so a
-//! replica would only repeat them.
+//! costs one hedge delay, not its whole budget. Transport faults let the
+//! other copy win, while application errors from a live worker propagate —
+//! deterministic, so a replica would only repeat them.
 
 use super::client::RpcClient;
 use super::link::{Ask, ChildHandle, Held, InFlight, Link};
@@ -212,9 +211,9 @@ fn retag(e: Error, message: String) -> Error {
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
     let answers: Vec<Result<SubtreeAnswer>> = match children.first().map(|c| &c.primary) {
         Some(Link::Local(node)) => {
-            // Offered, not announced: a child may answer from its cache in
-            // microseconds; a leaf scan that finds rows to scan wakes the
-            // pool, and the woken worker takes the outermost offer.
+            // Offered, not announced: a child may answer from its chunk
+            // results in microseconds; a leaf scan that finds rows to scan
+            // wakes the pool, and the woken worker takes the outermost offer.
             scheduler::offer_tasks(node.threads(), children.len(), |i| {
                 let mut ask = Ask::new(request);
                 Ok(children[i].begin(&mut ask).finish(&mut ask))
@@ -232,8 +231,7 @@ pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<Subtr
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
         let answer = answer?;
-        // A child may answer out of a table of more slots than asked.
-        merged.partial.merge(answer.partial.project(&request.query.slots)?)?;
+        merged.partial.merge(answer.partial)?;
         merged.stats += &answer.stats;
         merged.reports.extend(answer.reports);
     }
@@ -289,7 +287,6 @@ mod tests {
             query: analyzed(sql),
             budget: Duration::from_millis(50),
             hedge_micros: 0,
-            epoch: 1,
         };
         let absent = request("SELECT COUNT(*) FROM t WHERE k = 'absent'");
         let answer = fan_out(std::slice::from_ref(&handle), &absent).unwrap();

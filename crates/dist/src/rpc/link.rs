@@ -199,15 +199,6 @@ impl ChildHandle {
         self.metas.read().iter().any(|meta| meta.shard == shard)
     }
 
-    /// `(hits, misses)` of the result caches beneath this edge that live in
-    /// this address space (`(0, 0)` behind a socket).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match &self.primary {
-            Link::Local(node) => node.cache_stats(),
-            Link::Socket(_) => (0, 0),
-        }
-    }
-
     /// The restriction pre-skip: when the shard metadata beneath this
     /// child proves no row can match, synthesize the empty answer locally
     /// — full skip accounting, one `subtrees_pruned` for the edge that
@@ -262,9 +253,10 @@ impl ChildHandle {
     }
 
     /// Phase one of an append: take the child's copies (in [`Link::hold`]'s
-    /// order) and write `append` to each behind a socket, both of a pair.
-    /// An in-memory child is applied in phase two, once. A failed write
-    /// leaves acks unread: the driver drops a tree whose append failed.
+    /// order) and write `append` — the rows beneath this edge — to each
+    /// behind a socket, both of a pair. An in-memory child is applied in
+    /// phase two, once. A failed write leaves acks unread: the driver drops
+    /// a tree whose append failed.
     pub(crate) fn begin_append(
         &self,
         append: &AppendRequest,
@@ -338,10 +330,7 @@ impl InFlight<'_> {
         let elapsed = ask.started.elapsed();
         for report in &mut answer.reports {
             report.latency = elapsed;
-            // A cached partial needed no server, so whichever copy held it
-            // records no failover — the same rule a merge node's cache hit
-            // and a pruned edge already follow.
-            report.failover = failover && !report.cache_hit;
+            report.failover = failover;
             report.hedged = hedged;
         }
         Ok(answer)

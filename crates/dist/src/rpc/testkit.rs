@@ -1,12 +1,41 @@
-//! Shared fixtures of the rpc unit tests: a query, a shard summary, and an
-//! in-thread stand-in for a leaf worker.
+//! Shared fixtures of the crate's unit tests: a query, a shard summary, an
+//! in-thread stand-in for a leaf worker, and the small `(k, n)` table the
+//! node and root tests build trees over.
 
 use super::*;
 use pd_common::{DataType, Row, Schema, Value};
 use pd_sql::{analyze, parse_query};
 use std::time::Duration;
 
-pub(super) fn analyzed(sql: &str) -> AnalyzedQuery {
+/// `(k, n)`: a string and an integer.
+pub(crate) fn kn_schema() -> Schema {
+    Schema::of(&[("k", DataType::Str), ("n", DataType::Int)])
+}
+
+/// `(k, n)` rows for every `n` of `ns`, coded as a delta: `k` cycles
+/// through three values.
+pub(crate) fn kn_delta(ns: std::ops::Range<i64>) -> TableDelta {
+    let k: Vec<Value> = ns.clone().map(|n| Value::from(["a", "b", "c"][n as usize % 3])).collect();
+    let n: Vec<Value> = ns.map(Value::Int).collect();
+    TableDelta::from_columns(kn_schema(), &[&k, &n]).unwrap()
+}
+
+/// `sql` as a query request with a roomy budget and no hedging.
+pub(crate) fn request(sql: &str) -> QueryRequest {
+    QueryRequest { query: analyzed(sql), budget: Duration::from_secs(30), hedge_micros: 0 }
+}
+
+/// A node named `name` of width one.
+pub(crate) fn spec(name: &str) -> NodeSpec {
+    NodeSpec { name: name.into(), threads: 1 }
+}
+
+/// An append of `delta` to shard 0.
+pub(crate) fn to_shard_0(delta: TableDelta) -> AppendRequest {
+    AppendRequest { deltas: vec![(0, delta)] }
+}
+
+pub(crate) fn analyzed(sql: &str) -> AnalyzedQuery {
     analyze(&parse_query(sql).unwrap()).unwrap()
 }
 
@@ -67,6 +96,5 @@ pub(super) fn count_all(hedge_micros: u64) -> QueryRequest {
         query: analyzed("SELECT COUNT(*) FROM t"),
         budget: Duration::from_secs(10),
         hedge_micros,
-        epoch: 1,
     }
 }

@@ -14,13 +14,13 @@
 //! leaf reads off its dictionaries, which the parent prunes by), a
 //! [`Request::Attach`] a merge server over the listed children. Each
 //! assignment *replaces* the node outright — a repurposed worker can never
-//! answer from a shadowed store, a stale child list or the previous role's
-//! cache. Data then changes in place: a [`Request::Append`] streams rows
-//! into an existing leaf, which acks a receipt, or reaches a merge server,
-//! which forwards each child its part over the links queries use and
-//! absorbs their receipts into its copies of the summaries and into what
-//! its cache remembers ([`Node::append`]) — nothing is replaced, and no
-//! connection is dropped.
+//! answer from a shadowed store or a stale child list. A worker remembers
+//! no answer: the root in the driver does ([`crate::shard_cache`]). Data
+//! then changes in place: a [`Request::Append`] streams rows into an
+//! existing leaf, which acks a receipt, or reaches a merge server, which
+//! forwards the children beneath which rows land their part over the links
+//! queries use and absorbs their receipts into its copies of the summaries
+//! ([`Node::append`]) — nothing is replaced, and no connection is dropped.
 //!
 //! **Measured queue delays.** Connections are accepted and read on their
 //! own threads, and a connection thread that has read a *complete* request

@@ -13,9 +13,9 @@
 //!    what the bit-identity check catches: a dropped subtree would change
 //!    the aggregate values).
 //!
-//! Fault draws depend only on `(seed, epoch, node name, the query)`, so
-//! every scenario is reproducible by seed — a failing seed is a repro
-//! command, not a flake.
+//! Fault draws depend only on `(seed, node name, the query)`, so every
+//! scenario is reproducible by seed — a failing seed is a repro command,
+//! not a flake.
 
 #[path = "support/faults.rs"]
 mod faults;
@@ -52,11 +52,11 @@ fn chaos_plan(seed: u64) -> Plan {
     }
 }
 
-/// 5 seeds × 5 rounds × 4 queries = 100 injected scenarios. The tree is
-/// respawned between rounds (`rebuild`, which also moves the epoch the
-/// draws are keyed by) so killed processes come back — within a round,
-/// later queries also exercise the "peer already dead" paths (bounded
-/// connect retries, failover to the surviving replica).
+/// 5 seeds × 5 rounds × 4 queries = 100 injected scenarios. Each round
+/// draws under a seed of its own, and the tree is respawned between rounds
+/// (`rebuild`) so killed processes come back — within a round, later
+/// queries also exercise the "peer already dead" paths (bounded connect
+/// retries, failover to the surviving replica).
 #[test]
 fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
     let table = generate_logs(&LogsSpec::scaled(600));
@@ -90,8 +90,8 @@ fn every_injected_fault_yields_identical_rows_or_a_typed_error() {
 
     let (mut scenarios, mut clean, mut faulted) = (0u32, 0u32, 0u32);
     for seed in [0x0c4a_0001u64, 0x0c4a_0002, 0x0c4a_0003, 0x0c4a_0004, 0x0c4a_0005] {
-        relays.set(&chaos_plan(seed));
-        for round in 0..5 {
+        for round in 0..5u64 {
+            relays.set(&chaos_plan(seed ^ (round << 32)));
             for (sql, expect) in QUERIES.iter().zip(&expected) {
                 scenarios += 1;
                 match cluster.query(sql) {
@@ -153,7 +153,8 @@ fn chaos_outcomes_are_reproducible_by_seed() {
         // Kills only: resets/torn frames hit *connections*, whose exact
         // interleaving with reply writes is timing-dependent — process
         // death is the outcome that must be exactly seed-stable.
-        let relays = Relays::new(relay_bin(), &Plan { seed, kill: 0.25, ..Plan::default() });
+        let plan = |round: u64| Plan { seed: seed ^ (round << 32), kill: 0.25, ..Plan::default() };
+        let relays = Relays::new(relay_bin(), &plan(0));
         let mut cluster = Cluster::build(
             &table,
             &ClusterConfig {
@@ -171,7 +172,9 @@ fn chaos_outcomes_are_reproducible_by_seed() {
         )
         .unwrap();
         let mut outcomes = Vec::new();
-        for _ in 0..4 {
+        for round in 0..4 {
+            // A seed per round, so every round draws anew.
+            relays.set(&plan(round));
             for sql in [
                 "SELECT COUNT(*) FROM logs",
                 "SELECT country, COUNT(*) c FROM logs GROUP BY country",
@@ -240,8 +243,8 @@ fn each_fault_kind_fails_over_to_the_replica_or_fails_typed() {
 }
 
 /// A plan survives its text form, and its draws are a function of (seed,
-/// epoch, node, query): equal keys draw equal faults, a refusal is drawn
-/// for leaf primaries only, and a pin overrides the seed.
+/// node, query): equal keys draw equal faults, a refusal is drawn for leaf
+/// primaries only, and a pin overrides the seed.
 #[test]
 fn plans_round_trip_as_text_and_draw_by_key() {
     use faults::Fault;
@@ -252,13 +255,12 @@ fn plans_round_trip_as_text_and_draw_by_key() {
     assert!(Plan::parse("seed x").is_err() && Plan::parse("pin l0p nap").is_err());
 
     let nodes = ["l0p", "l0r", "l1p", "l1r", "m1_1"];
-    let draws = |plan: &Plan, epoch: u64| -> Vec<Option<Fault>> {
-        (0..50u64).flat_map(|query| nodes.map(|node| plan.draw(epoch, node, query))).collect()
+    let draws = |plan: &Plan| -> Vec<Option<Fault>> {
+        (0..50u64).flat_map(|query| nodes.map(|node| plan.draw(node, query))).collect()
     };
-    let once = draws(&plan, 1);
-    assert_eq!(once, draws(&plan, 1), "equal keys draw equal faults");
-    assert_ne!(once, draws(&plan, 2), "another epoch draws anew");
-    assert_ne!(once, draws(&Plan { seed: 7, ..plan.clone() }, 1), "another seed draws anew");
+    let once = draws(&plan);
+    assert_eq!(once, draws(&plan), "equal keys draw equal faults");
+    assert_ne!(once, draws(&Plan { seed: 7, ..plan.clone() }), "another seed draws anew");
     let drawn = once.iter().flatten().count();
     assert!(drawn > 0 && drawn < once.len(), "{drawn} of {}", once.len());
     for (at, fault) in once.iter().enumerate() {
@@ -267,6 +269,6 @@ fn plans_round_trip_as_text_and_draw_by_key() {
         }
     }
     assert!(once.contains(&Some(Fault::Refuse)), "these probabilities refuse somewhere");
-    assert_eq!(plan.draw(1, "m1_0", 0), Some(Fault::Kill));
-    assert_eq!(Plan::default().draw(1, "l0p", 0), None);
+    assert_eq!(plan.draw("m1_0", 0), Some(Fault::Kill));
+    assert_eq!(Plan::default().draw("l0p", 0), None);
 }

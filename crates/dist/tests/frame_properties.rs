@@ -66,11 +66,11 @@ fn append_of(rng: &mut Rng, delta: TableDelta) -> (Request, usize) {
     let mut deltas: Vec<(u64, TableDelta)> =
         (0..rng.range_usize(0, 3)).map(|_| (rng.next_u64() % 64, random_delta(rng))).collect();
     let at = rng.range_usize(0, deltas.len() + 1);
-    // Tag, epoch, then the pairs before it — their count encoded as the
-    // whole list's is — then its shard.
-    let section_at = 1 + 8 + to_bytes(&deltas[..at].to_vec()).len() + 8;
+    // Tag, then the pairs before it — their count encoded as the whole
+    // list's is — then its shard.
+    let section_at = 1 + to_bytes(&deltas[..at].to_vec()).len() + 8;
     deltas.insert(at, (rng.next_u64() % 64, delta));
-    let append = AppendRequest { epoch: rng.next_u64(), deltas };
+    let append = AppendRequest { deltas };
     (Request::Append(Box::new(append)), section_at)
 }
 
@@ -82,8 +82,6 @@ fn load_of(rng: &mut Rng, delta: TableDelta) -> (Request, usize) {
         build: BuildOptions::basic(),
         spec: NodeSpec {
             name: format!("l{}p", rng.next_u64() % 64),
-            cache_entries: rng.range_usize(0, 256),
-            epoch: rng.next_u64(),
             threads: rng.range_usize(0, 4),
         },
     }));
@@ -137,7 +135,6 @@ fn random_request(rng: &mut Rng, case: usize) -> Request {
                 query: analyze(&parse_query(sql).unwrap()).unwrap(),
                 budget: Duration::from_nanos(rng.next_u64() % 1_000_000_000),
                 hedge_micros: rng.next_u64() % 1_000_000,
-                epoch: rng.next_u64(),
             }))
         }
         2 => Request::Shutdown,
@@ -304,10 +301,8 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
     // An append's list lengths are checked against the bytes left before
     // anything is sized by them: a delta count, a receipt count, a receipt's
     // chunk count claiming more than the frame holds.
-    let append = Request::Append(Box::new(AppendRequest {
-        epoch: 2,
-        deltas: vec![(0, random_delta(&mut rng))],
-    }));
+    let append =
+        Request::Append(Box::new(AppendRequest { deltas: vec![(0, random_delta(&mut rng))] }));
     let ack = Response::Appended(AppendAck {
         receipts: vec![AppendReceipt { new_chunk_rows: vec![7, 3] }],
         bytes: 9,
@@ -316,8 +311,8 @@ fn a_load_and_an_append_ship_one_delta_codec_and_refuse_the_same_forgeries() {
         payload[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         payload
     };
-    // After the tag and the epoch; after the tag; after that count.
-    assert!(from_bytes::<Request>(&forged(to_bytes(&append), 1 + 8)).is_err());
+    // After the tag; after the tag; after that count.
+    assert!(from_bytes::<Request>(&forged(to_bytes(&append), 1)).is_err());
     for count_at in [1, 1 + 8] {
         let decoded = from_bytes::<Response>(&forged(to_bytes(&ack), count_at));
         assert!(decoded.is_err(), "a count forged at {count_at} decoded");

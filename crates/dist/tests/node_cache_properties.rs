@@ -1,27 +1,24 @@
-//! Seeded property tests for the result cache every tree node owns —
-//! leaf, merge server or the root in the driver, its children reached over
-//! in-memory edges or sockets. The node code is the same either way, so
-//! each property runs over both edge kinds through identical assertions:
+//! Seeded property tests for the result cache of the tree's root, in the
+//! driver, its children reached over in-memory edges or sockets — the one
+//! node that remembers. The node code is the same either way, so each
+//! property runs over both edge kinds through identical assertions:
 //!
-//! 1. re-issuing an identical query answers from the cache nearest the
-//!    root — the root's own — and returns bit-identical results, with
-//!    every leaf process beneath it refusing queries too;
-//! 2. a rebuild invalidates every node's cache, the root's included — no
-//!    stale partials, ever — while an append leaves what a told node
-//!    remembers short, not wrong: the root (and every merge server
-//!    process) brings a remembered chart up to date from the rows that
-//!    arrived since, still without a hop — on either edge kind every mixer
-//!    is told; a leaf drops its node cache as it applies its piece;
+//! 1. re-issuing an identical query answers from the root's cache and
+//!    returns bit-identical results, with every leaf process beneath it
+//!    refusing queries too;
+//! 2. a rebuild forgets what the root remembered — no stale partials, ever
+//!    — while an append leaves it short, not wrong: the root brings a
+//!    remembered chart up to date from the rows that arrived since, still
+//!    without a hop;
 //! 3. capacity eviction can change `ScanStats`, never results;
-//! 4. what the caches hold is a function of the query sequence: a replayed
-//!    session reproduces every outcome (in-memory edges only — of a socket
-//!    tree's `(hits, misses)` the driver sees the root's alone).
+//! 4. what the cache holds is a function of the query sequence: a replayed
+//!    session reproduces every outcome.
 //!
 //! Every leaf keeps its shard summary and every edge prunes by it, so the
 //! properties run over both edge kinds also do the same *work*, answer by
 //! answer: the same rows scanned and the same edges pruned.
 //!
-//! Plus the epoch rule straight at the wire protocol, and one property of
+//! Plus misrouted appends straight at the wire protocol, and one property of
 //! the whole local tree: random shapes with appends interleaved between
 //! queries always answer like a single store over the same prefix.
 
@@ -157,7 +154,7 @@ fn assert_balanced(outcome: &QueryOutcome, label: &str) {
 }
 
 #[test]
-fn identical_queries_hit_the_nearest_caches() {
+fn identical_queries_hit_the_roots_cache() {
     let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
         let mut costs = Vec::new();
@@ -199,15 +196,9 @@ fn identical_queries_hit_the_nearest_caches() {
                 "{label}: LIMIT does not change the partial"
             );
             assert!(limited.result.rows.len() <= 1);
-            // The driver counts the caches in its own address space: the
-            // root's, and on in-memory edges every node's beneath it.
-            let (hits, misses) = cluster.shard_cache_stats();
-            assert_eq!(hits, 4, "{label}: every hit was the root's");
-            if kind == "local" {
-                assert!(misses > shards as u64, "{label}: the cold pass missed at every node");
-            } else {
-                assert_eq!(misses, 1, "{label}: the cold pass, at the root");
-            }
+            // The root's cache is the only one: every hit was its, and the
+            // cold pass its one miss.
+            assert_eq!(cluster.shard_cache_stats(), (4, 1), "{label}");
         }
         observed.push((kind, costs));
     }
@@ -490,7 +481,7 @@ fn a_dashboard_misses_once_per_key_set_and_restriction() {
 }
 
 #[test]
-fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
+fn a_rebuild_forgets_and_an_append_brings_the_roots_cache_forward() {
     let mut observed = Vec::new();
     for (kind, transport) in edge_kinds() {
         let mut costs = Vec::new();
@@ -523,7 +514,7 @@ fn a_rebuild_invalidates_every_node_cache_and_an_append_brings_it_forward() {
 
             cluster.append(&extra).unwrap();
             assert_eq!(cluster.epoch(), 3, "{label}: append bumps the epoch");
-            // The root was told what arrived: the chart it remembers is
+            // The root applied what arrived: the chart it remembers is
             // still a root hit, brought up to date from those rows alone.
             let appended = cluster.query(sql).unwrap();
             assert_eq!(appended.shard_cache_hits, 3, "{label}: no shard was asked");
@@ -691,11 +682,10 @@ fn coded(table: &Table) -> pd_encoding::TableDelta {
     pd_encoding::TableDelta::from_columns(table.schema().clone(), &columns).unwrap()
 }
 
-/// `Load` 400 rows of the logs table into `client`'s worker as shard 0 at
-/// `epoch`, built by `build`; returns the summary it acks.
+/// `Load` 400 rows of the logs table into `client`'s worker as shard 0,
+/// built by `build`; returns the summary it acks.
 fn load_logs_leaf(
     client: &mut pd_dist::rpc::RpcClient,
-    epoch: u64,
     build: &BuildOptions,
 ) -> pd_dist::ShardMeta {
     use pd_data::{generate_logs, LogsSpec};
@@ -706,7 +696,7 @@ fn load_logs_leaf(
         shard: 0,
         delta: coded(&generate_logs(&LogsSpec::scaled(400))),
         build: build.clone(),
-        spec: NodeSpec { name: "l0p".into(), cache_entries: 8, epoch, threads: 1 },
+        spec: NodeSpec { name: "l0p".into(), threads: 1 },
     }));
     match client.call(&load, Duration::from_secs(60)).unwrap() {
         Response::Loaded(meta) => *meta,
@@ -714,126 +704,39 @@ fn load_logs_leaf(
     }
 }
 
-/// `SELECT country, COUNT(*) ... GROUP BY country` as a request at `epoch`.
-fn by_country(epoch: u64) -> pd_dist::rpc::Request {
-    use pd_sql::{analyze, parse_query};
-    let sql = "SELECT country, COUNT(*) c FROM logs GROUP BY country";
-    pd_dist::rpc::Request::Query(Box::new(pd_dist::rpc::QueryRequest {
-        query: analyze(&parse_query(sql).unwrap()).unwrap(),
-        budget: Duration::from_secs(30),
-        hedge_micros: 0,
-        epoch,
-    }))
-}
-
 #[test]
-fn epoch_bump_drops_a_worker_cache() {
-    // Straight at the protocol: one leaf worker, queried with explicit
-    // epochs. The cache serves repeats within an epoch and is dropped the
-    // moment the epoch moves without the node having been told why — the
-    // per-node form of rebuild invalidation.
-    use pd_dist::rpc::Response;
-
-    let dir = std::env::temp_dir().join(format!("pd-epoch-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let (worker, mut client, _) = spawn_worker(&dir, "w");
-    load_logs_leaf(&mut client, 5, &BuildOptions::basic());
-    let mut ask =
-        |epoch: u64| match client.call(&by_country(epoch), Duration::from_secs(30)).unwrap() {
-            Response::Answer(answer) => answer,
-            other => panic!("expected an answer, got {other:?}"),
-        };
-
-    let cold = ask(5);
-    assert!(!cold.reports[0].cache_hit);
-    assert_eq!(cold.stats.worker_cache_hits, 0);
-
-    let warm = ask(5);
-    assert!(warm.reports[0].cache_hit, "same epoch, same signature: a hit");
-    assert_eq!(warm.stats.worker_cache_hits, 1);
-    assert_eq!(warm.partial, cold.partial, "the cached partial is bit-identical");
-    assert_eq!(warm.stats.rows_cached, warm.stats.rows_total);
-
-    let after_bump = ask(6);
-    assert!(
-        !after_bump.reports[0].cache_hit,
-        "an advanced epoch must drop the cache before answering"
-    );
-    assert_eq!(after_bump.partial, cold.partial, "same data, so same recomputed partial");
-
-    let warm_again = ask(6);
-    assert!(warm_again.reports[0].cache_hit, "the new epoch caches afresh");
-
-    drop(worker);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn an_append_without_deltas_keeps_a_nodes_memory() {
-    // A merge server over one leaf, at the protocol. An append routed wrong
-    // is refused whole by either. Told of an epoch under which nothing
-    // beneath it changed (an `Append` with no deltas), the merge server
-    // tells its leaf the same way — one frame — and both adopt the epoch
-    // and forget nothing: the leaf answers its chart from its cache, and the
-    // merge server answers its own with its only child dead. An epoch it was
-    // *not* told of still drops the chart — it has to ask that child, and
-    // says so.
+fn a_misrouted_append_is_refused_at_the_protocol() {
+    // A merge server over one leaf, at the protocol: an append naming a
+    // shard not beneath the server, and one handing the leaf another
+    // shard's rows, are each refused whole, typed.
     use pd_data::{generate_logs, LogsSpec};
     use pd_dist::node::NodeSpec;
-    use pd_dist::rpc::{
-        encode_frame, AppendAck, AppendRequest, AttachRequest, ChildSpec, Request, Response,
-        RpcClient,
-    };
+    use pd_dist::rpc::{AppendRequest, AttachRequest, ChildSpec, Request, Response};
 
-    let dir = std::env::temp_dir().join(format!("pd-told-test-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pd-misrouted-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (leaf, mut leaf_client, leaf_addr) = spawn_worker(&dir, "leaf");
-    let meta = load_logs_leaf(&mut leaf_client, 1, &BuildOptions::basic());
+    let meta = load_logs_leaf(&mut leaf_client, &BuildOptions::basic());
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 0, primary: leaf_addr, replica: None, meta }],
-        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
+        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
-    let call = |client: &mut RpcClient, request: &Request| {
-        client.call(request, Duration::from_secs(30)).unwrap()
-    };
 
-    let Response::Answer(cold) = call(&mut client, &by_country(1)) else { panic!("an answer") };
-    assert_eq!(cold.stats.worker_cache_hits, 0, "the first execution asks the leaf");
-
-    let append = |epoch: u64, deltas| Request::Append(Box::new(AppendRequest { epoch, deltas }));
+    let append = |deltas| Request::Append(Box::new(AppendRequest { deltas }));
     let rows = coded(&generate_logs(&LogsSpec::scaled(10)));
     let misrouted = [
-        (&mut client, append(2, vec![(5, rows.clone())]), "shard 5 not beneath m1_0"),
-        (&mut leaf_client, append(2, vec![(1, rows)]), "l0p handed shards [1]"),
+        (&mut client, append(vec![(5, rows.clone())]), "shard 5 not beneath m1_0"),
+        (&mut leaf_client, append(vec![(1, rows)]), "l0p handed shards [1]"),
     ];
     for (client, request, why) in misrouted {
-        match call(client, &request) {
+        match client.call(&request, Duration::from_secs(30)).unwrap() {
             Response::Err(message) => assert!(message.contains(why), "{message}"),
             other => panic!("{why}: refused, got {other:?}"),
         }
     }
-
-    let told = AppendRequest { epoch: 2, deltas: Vec::new() };
-    let written = encode_frame(&told, false).unwrap().len() as u64;
-    let ack = call(&mut client, &Request::Append(Box::new(told)));
-    assert_eq!(ack, Response::Appended(AppendAck { receipts: Vec::new(), bytes: written }));
-    let Response::Answer(kept) = call(&mut leaf_client, &by_country(2)) else { panic!("answer") };
-    assert_eq!(kept.stats.worker_cache_hits, 1, "told of epoch 2, the leaf kept the chart");
-    assert_eq!(kept.partial, cold.partial);
-    drop(leaf);
-    let Response::Answer(told) = call(&mut client, &by_country(2)) else { panic!("an answer") };
-    assert_eq!(told.stats.worker_cache_hits, 1, "told of epoch 2, the server kept the chart");
-    assert!(told.reports[0].cache_hit, "and needed no child for it");
-    assert_eq!(told.partial, cold.partial);
-
-    match call(&mut client, &by_country(3)) {
-        Response::Fault(_) | Response::Err(_) => {}
-        other => panic!("not told of epoch 3, the server must ask its dead child: {other:?}"),
-    }
-
-    drop(mixer);
+    drop((leaf, mixer));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -850,22 +753,22 @@ fn a_pair_that_chunks_an_append_apart_is_refused() {
     let dir = std::env::temp_dir().join(format!("pd-pair-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (primary, mut primary_client, primary_addr) = spawn_worker(&dir, "primary");
-    let meta = load_logs_leaf(&mut primary_client, 1, &BuildOptions::basic());
+    let meta = load_logs_leaf(&mut primary_client, &BuildOptions::basic());
     let (replica, mut replica_client, replica_addr) = spawn_worker(&dir, "replica");
     let mut four_row_chunks = BuildOptions::production(&["country"]);
     four_row_chunks.partition.as_mut().unwrap().max_chunk_rows = 4;
-    load_logs_leaf(&mut replica_client, 1, &four_row_chunks);
+    load_logs_leaf(&mut replica_client, &four_row_chunks);
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let pair =
         ChildSpec::Leaf { shard: 0, primary: primary_addr, replica: Some(replica_addr), meta };
     let attach = Request::Attach(AttachRequest {
         children: vec![pair],
-        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
+        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
 
     let rows = coded(&generate_logs(&LogsSpec::scaled(10)));
-    let append = Request::Append(Box::new(AppendRequest { epoch: 2, deltas: vec![(0, rows)] }));
+    let append = Request::Append(Box::new(AppendRequest { deltas: vec![(0, rows)] }));
     match client.call(&append, Duration::from_secs(30)).unwrap() {
         Response::Err(message) => assert!(message.contains("chunked it apart"), "{message}"),
         other => panic!("a pair whose receipts disagree is refused, got {other:?}"),
@@ -1019,21 +922,21 @@ fn a_batch_goes_whole_to_the_least_loaded_shards() {
     }
 }
 
-/// The bytes of the epoch-2 `Append` frame carrying `deltas`.
+/// The bytes of the `Append` frame carrying `deltas`.
 fn append_frame_len(deltas: Vec<(u64, pd_encoding::TableDelta)>) -> u64 {
-    let append = pd_dist::rpc::AppendRequest { epoch: 2, deltas };
+    let append = pd_dist::rpc::AppendRequest { deltas };
     pd_dist::rpc::encode_frame(&append, false).unwrap().len() as u64
 }
 
 /// One row appended to a 4-shard, fanout-2 socket tree goes to shard 0,
 /// the lowest of four equally loaded shards. The append walks the tree: the
-/// row crosses the two edges down to shard 0, and every other node — the
-/// other merge server and the three other leaves — gets an `Append`
-/// without deltas, which only tells it the epoch, so it keeps what it
-/// remembers. The bytes the append reports are those frames, encoded here
-/// from the same requests. Every later answer is the single store's.
+/// row crosses the two edges down to shard 0, and no other node — the
+/// other merge server or the three other leaves — is written at all. The
+/// bytes the append reports are those two frames, encoded here from the
+/// same requests. Every later answer is the single store's, and every chart
+/// asked before is still the root's.
 #[test]
-fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
+fn a_one_row_append_writes_only_the_edges_above_its_shard() {
     let mut rng = Rng::seed_from_u64(0x05ca_1e07);
     let base = random_table(&mut rng, 200);
     let row = random_table(&mut rng, 1);
@@ -1051,8 +954,8 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
     assert_eq!(appended.shards, [0], "the lowest of four equal shards");
     assert_eq!(
         appended.bytes_shipped,
-        2 * append_frame_len(vec![(0, coded(&row))]) + 4 * append_frame_len(Vec::new()),
-        "the row on the two edges above shard 0, the epoch alone on the four others"
+        2 * append_frame_len(vec![(0, coded(&row))]),
+        "the row on the two edges above shard 0, nothing on the four others"
     );
 
     let mut all = base.clone();
@@ -1074,8 +977,8 @@ fn a_one_row_append_tells_every_merge_server_and_ships_one_delta() {
 
 /// A replicated pair is written twice: one row appended to a 2-shard
 /// socket tree of leaf pairs under the root ships the row's frame to both
-/// copies of shard 0 and the epoch-only frame to both copies of shard 1,
-/// and the bytes the append reports count every one of those writes.
+/// copies of shard 0 and nothing to shard 1, and the bytes the append
+/// reports count both writes.
 #[test]
 fn a_replicated_append_counts_both_copies_bytes() {
     let mut rng = Rng::seed_from_u64(0x05ca_1e0a);
@@ -1095,8 +998,8 @@ fn a_replicated_append_counts_both_copies_bytes() {
     assert_eq!(appended.shards, [0], "the lower of two equal shards");
     assert_eq!(
         appended.bytes_shipped,
-        2 * append_frame_len(vec![(0, coded(&row))]) + 2 * append_frame_len(Vec::new()),
-        "the row to both copies of shard 0, the epoch alone to both of shard 1"
+        2 * append_frame_len(vec![(0, coded(&row))]),
+        "the row to both copies of shard 0, nothing to shard 1"
     );
 
     let mut all = base.clone();
@@ -1181,9 +1084,9 @@ fn drifting_query(rng: &mut Rng) -> String {
     format!("{shape}{presentation}")
 }
 
-/// What a told node remembers stays right through any run of appends:
-/// on both edge kinds and both tree depths, with node caches roomy or so
-/// tight that the root and the merge servers remember different charts,
+/// What the root remembers stays right through any run of appends: on
+/// both edge kinds and both tree depths, with the root's cache roomy or so
+/// tight that it keeps evicting,
 /// 44 rounds of {an append of random size — often a single row, or fewer
 /// rows than shards — with drifting values; a mix of new charts and
 /// re-asked ones}. Every answer — a miss, a plain hit, an entry brought

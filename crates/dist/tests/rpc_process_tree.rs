@@ -86,7 +86,7 @@ fn leaf_load(table: &Table, build: BuildOptions) -> pd_dist::rpc::Request {
         shard: 0,
         delta: coded(table),
         build,
-        spec: NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 },
+        spec: NodeSpec { name: "l0p".into(), threads: 1 },
     }))
 }
 
@@ -381,7 +381,7 @@ fn a_dated_drill_down_asks_only_the_shard_that_holds_its_day() {
             day.as_str().unwrap()
         )
     };
-    // No node remembers a chart, so each query after the append reaches
+    // The root remembers no chart, so each query after the append reaches
     // the edges again.
     let cluster_over = |transport: Transport| {
         let config = ClusterConfig {
@@ -475,7 +475,6 @@ fn queue_delays_are_measured_not_modeled() {
         query: analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
         budget: Duration::from_secs(30),
         hedge_micros: 0,
-        epoch: 1,
     }));
     let ask = |addr: Addr, query: &Request| -> (Duration, Duration) {
         let started = std::time::Instant::now();
@@ -597,7 +596,7 @@ fn role_reassignment_replaces_the_previous_role() {
             shard,
             delta: coded(&table),
             build: BuildOptions::basic(),
-            spec: NodeSpec { name: format!("l{shard}p"), cache_entries: 8, epoch: 1, threads: 1 },
+            spec: NodeSpec { name: format!("l{shard}p"), threads: 1 },
         }))
     };
     let mut c1 = RpcClient::new(addr1);
@@ -619,7 +618,6 @@ fn role_reassignment_replaces_the_previous_role() {
         query: analyze(&parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
         budget: Duration::from_secs(30),
         hedge_micros: 0,
-        epoch: 1,
     }));
     let ask = |client: &mut RpcClient| match client.call(&query, Duration::from_secs(30)).unwrap() {
         Response::Answer(answer) => answer,
@@ -633,7 +631,7 @@ fn role_reassignment_replaces_the_previous_role() {
     // from the subtree, not the shadowed 100-row leaf.
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 7, primary: addr2, replica: None, meta: meta2 }],
-        spec: NodeSpec { name: "m1_0".into(), cache_entries: 8, epoch: 1, threads: 1 },
+        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
     });
     assert_eq!(c1.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
     let as_mixer = ask(&mut c1);
@@ -782,10 +780,11 @@ fn append_streams_deltas_into_the_live_tree() {
 #[test]
 fn a_half_applied_append_refuses_queries_until_rebuild() {
     // Shard 1's only process dies (its relay exits on the next query),
-    // then an append arrives: shard 0 applies its slice, shard 1 cannot.
-    // The shards now hold different data, so the cluster must stop serving
-    // — a typed refusal naming the way out — until a rebuild succeeds.
-    let table = generate_logs(&LogsSpec::scaled(600));
+    // then an append of two pieces arrives, one for each shard: shard 0
+    // applies its piece, shard 1 cannot. The shards now hold different
+    // data, so the cluster must stop serving — a typed refusal naming the
+    // way out — until a rebuild succeeds.
+    let table = generate_logs(&LogsSpec::scaled(700));
     let slice = |lo: usize, hi: usize| {
         let rows: Vec<usize> = (lo..hi).collect();
         table.select_rows(&rows)
@@ -809,15 +808,16 @@ fn a_half_applied_append_refuses_queries_until_rebuild() {
     cluster.query(QUERIES[0]).unwrap_err();
     relays.set(&Plan::default());
 
+    // 200 rows over 150-row chunks: two pieces, so both shards are written.
     let epoch = cluster.epoch();
-    cluster.append(&slice(500, 600)).unwrap_err();
+    cluster.append(&slice(500, 700)).unwrap_err();
     assert_eq!(cluster.epoch(), epoch, "a failed append establishes no epoch");
     let refused = cluster.query(sql).unwrap_err().to_string();
     assert!(refused.contains("rebuild"), "the refusal names the way out: {refused}");
-    assert!(cluster.append(&slice(500, 600)).is_err(), "nor does it take more appends");
+    assert!(cluster.append(&slice(500, 700)).is_err(), "nor does it take more appends");
 
-    cluster.rebuild(&slice(0, 600)).unwrap();
-    let store = DataStore::build(&slice(0, 600), &BuildOptions::basic()).unwrap();
+    cluster.rebuild(&slice(0, 700)).unwrap();
+    let store = DataStore::build(&slice(0, 700), &BuildOptions::basic()).unwrap();
     assert_eq!(cluster.query(sql).unwrap().result, query(&store, sql).unwrap().0);
 }
 
@@ -913,7 +913,6 @@ fn a_connection_stalled_mid_frame_holds_no_ticket() {
         query: pd_sql::analyze(&pd_sql::parse_query("SELECT COUNT(*) FROM logs").unwrap()).unwrap(),
         budget: Duration::from_secs(30),
         hedge_micros: 0,
-        epoch: 1,
     }));
     let frame = encode_frame(&query, false).unwrap();
     let (head, tail) = frame.split_at(frame.len() / 2);

@@ -105,7 +105,7 @@ fn columns(
 }
 
 fn spec() -> NodeSpec {
-    NodeSpec { name: "l0p".into(), cache_entries: 0, epoch: 1, threads: 1 }
+    NodeSpec { name: "l0p".into(), threads: 1 }
 }
 
 fn slices(columns: &[Vec<Value>]) -> Vec<&[Value]> {
@@ -179,7 +179,7 @@ fn a_summary_read_off_the_dictionaries_is_the_one_made_from_the_rows() {
                 let size = *rng.pick(&[1, 2, 17, 60, 130]);
                 let batch = columns(&mut rng, &pools, &grown, size);
                 let delta = coded(&batch);
-                let append = AppendRequest { epoch: 2 + step, deltas: vec![(0, delta)] };
+                let append = AppendRequest { deltas: vec![(0, delta)] };
                 let [receipt] = leaf.append(&append).unwrap().receipts.try_into().unwrap();
                 parents.absorb_append(&append.deltas[0].1, &receipt.new_chunk_rows).unwrap();
                 let degraded_before =
@@ -393,8 +393,7 @@ fn a_store_proves_every_skip_its_summary_proves() {
                     let size = *rng.pick(&[1, 17, 60, 130]);
                     let batch = columns(&mut rng, &pools, &grown, size);
                     store.append_delta(&coded(&batch)).unwrap();
-                    let append =
-                        AppendRequest { epoch: 1 + step, deltas: vec![(0, coded(&batch))] };
+                    let append = AppendRequest { deltas: vec![(0, coded(&batch))] };
                     leaf.append(&append).unwrap();
                     for (column, new) in all.iter_mut().zip(batch) {
                         column.extend(new);

@@ -17,10 +17,10 @@
 //!
 //! Every relay re-reads its plan per query, so rewriting the file changes
 //! the faults of a running tree. A node with a pin gets no seeded draw;
-//! every other node draws from a stream keyed by (seed, epoch, node, the
-//! query's analyzed plan) — not by the frame bytes, whose budget shrinks
-//! per hop — so one seed injects the same faults into the same queries of
-//! a fresh tree. A seeded refusal goes to leaf primaries only (`l<n>p`):
+//! every other node draws from a stream keyed by (seed, node, the query's
+//! analyzed plan) — not by the frame bytes, whose budget shrinks per hop —
+//! so one seed injects the same faults into the same queries of a fresh
+//! tree. A seeded refusal goes to leaf primaries only (`l<n>p`):
 //! the §4 failover case, which a replica answers. Of several seeded faults
 //! the severest wins, in the order above.
 
@@ -134,13 +134,12 @@ impl Plan {
         Ok(plan)
     }
 
-    /// The fault for the query keyed `query` at `epoch` as it reaches
-    /// `node`, if any.
-    pub fn draw(&self, epoch: u64, node: &str, query: u64) -> Option<Fault> {
+    /// The fault for the query keyed `query` as it reaches `node`, if any.
+    pub fn draw(&self, node: &str, query: u64) -> Option<Fault> {
         if let Some((_, fault)) = self.pins.iter().find(|(pinned, _)| pinned == node) {
             return Some(*fault);
         }
-        let mut mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(epoch);
+        let mut mix = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9).wrapping_add(pd_common::fx_hash64(node));
         mix = mix.wrapping_mul(0x94D0_49BB_1331_11EB).wrapping_add(query);
         let mut rng = Rng::seed_from_u64(mix);

@@ -118,7 +118,7 @@ fn relay(mut downstream: Stream, inner: &Addr, plan: &Path, name: &Mutex<String>
                 // A missing or unreadable plan injects nothing.
                 let plan = std::fs::read_to_string(plan).ok().and_then(|t| Plan::parse(&t).ok());
                 let key = pd_common::fx_hash64(&wire::to_bytes(&query.query));
-                plan.and_then(|plan| plan.draw(query.epoch, &name(), key))
+                plan.and_then(|plan| plan.draw(&name(), key))
             }
             _ => None,
         };

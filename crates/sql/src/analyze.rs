@@ -119,9 +119,9 @@ impl AnalyzedQuery {
     }
 
     /// Append `table|keys:k1,k2` — what the query groups, in canonical text
-    /// — to `out`: the part every tree node's cache signature starts with.
-    /// A node's remembered table answers every chart of its keys and
-    /// restriction whose slots it holds.
+    /// — to `out`: the part the root's cache signature starts with. A
+    /// remembered table answers every chart of its keys and restriction
+    /// whose slots it holds.
     pub fn write_key_shape(&self, out: &mut String) {
         out.push_str(&self.table);
         out.push_str("|keys:");
@@ -140,7 +140,7 @@ impl AnalyzedQuery {
     }
 
     /// This query asking for `extra` slots as well, each through an
-    /// aggregate no output column reads: what a tree node asks beneath it
+    /// aggregate no output column reads: what the root asks the tree for
     /// to compute one table for several charts of these keys and this
     /// restriction. Its own answer reads the slots it read before.
     pub fn widened(&self, extra: &[Slot]) -> AnalyzedQuery {

@@ -88,8 +88,8 @@ fn main() -> powerdrill::Result<()> {
     // 40–120 ms from the fault relay in front of each worker). Without
     // replicas the slowest shard sets the latency; with them, a primary
     // that outlives the hedge delay is raced against its replica and the
-    // first answer wins. The relay draws per (seed, epoch, node, query),
-    // so each of the 40 asks is a query of its own: it differs in its LIMIT.
+    // first answer wins. The relay draws per (seed, node, query), so each
+    // of the 40 asks is a query of its own: it differs in its LIMIT.
     let Some(relay) = faults::built_relay() else {
         println!("\nNOTE: pd-relay binary not found (build it); skipping the straggler part");
         return Ok(());

@@ -2,7 +2,7 @@
 //! a shard primary that refuses queries mid-fan-out must fail over to its
 //! replica process with the *same* result (the replica holds the same
 //! partition), record the failover in the outcome, and — because faults
-//! are drawn from seeded per-(epoch, node, query) streams — reproduce
+//! are drawn from seeded per-(node, query) streams — reproduce
 //! exactly across runs. Every fault comes from the relay in front of each
 //! worker (`crates/dist/tests/support/relay.rs`, built here as
 //! `pd-relay`), on genuine sockets.
@@ -148,8 +148,8 @@ fn seeded_failures_are_reproducible_and_correct() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "equal seeds and query sequences must fail over identically");
-    // A draw is keyed by (seed, epoch, node, query): every round re-asks
-    // the same queries at one epoch, so it fails over as the first did.
+    // A draw is keyed by (seed, node, query): every round re-asks the
+    // same queries, so it fails over as the first did.
     let rounds: Vec<&[Vec<usize>]> = a.chunks(QUERIES.len()).collect();
     assert!(rounds.iter().all(|round| *round == rounds[0]), "{a:?}");
     let total: usize = rounds[0].iter().map(Vec::len).sum();

@@ -721,11 +721,11 @@ fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
 /// is the same, so **every assertion is the same** for all three: results
 /// bit-identical to the single store, skipped + cached + scanned = total,
 /// one latency and one queue delay per shard, and warm passes served
-/// entirely from the nodes' result caches.
+/// entirely from the root's result cache.
 /// Matrix: {shards 1/2/4} × {tree depth ≤1 / 2 (fanout 16 / 2)} ×
 /// {local, unix, tcp} × {result caching off / on}, each with a cold
 /// and a warm pass, and at 4 shards a **rebuild-then-requery** pass that
-/// proves the epoch invalidation: after `Cluster::rebuild` with different
+/// proves a rebuild forgets: after `Cluster::rebuild` with different
 /// data, every answer is the new data's, cold then warm again.
 ///
 /// Across edge kinds the work must agree too: every leaf keeps its shard
@@ -848,8 +848,8 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
                     }
                     observed.push((kind, hits));
                     if shards == 4 {
-                        // Rebuild-then-requery: the epoch bump (and the
-                        // fresh tree) must retire every cached partial —
+                        // Rebuild-then-requery: the fresh tree (and its
+                        // fresh root) must retire every cached partial —
                         // the answers are the new data's, cold and then
                         // warm again.
                         cluster.rebuild(&rebuilt_table).unwrap();
