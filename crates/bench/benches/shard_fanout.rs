@@ -3,9 +3,11 @@
 //! Three measurements:
 //!
 //! 1. **Fan-out scaling** — one drill-down query at 1/2/4/8 shards ×
-//!    1/2/4 fan-out threads. On multi-core hardware the concurrent fan-out
-//!    should track the shard count until the merge dominates; on one core
-//!    it measures the (small) scheduling overhead of the shared pool.
+//!    1/2/4 threads. The fan-out asks its shards one after another on the
+//!    calling thread, so the thread axis is each leaf's chunk-scan width:
+//!    it can only pay where a shard's rows left to scan reach the scan's
+//!    hand-off threshold (`PARALLEL_SCAN_MIN_ROWS`, 32 768), and on one
+//!    core it measures the (small) overhead of the shared pool.
 //! 2. **Shard-cache hits** — the same query cold vs warm: the warm path
 //!    serves every shard partial from the root's cache.
 //! 3. **Drill-down replay** — the §6 workload with the cache on vs off,
@@ -29,7 +31,7 @@ fn main() {
     println!("dataset: {rows} rows; detected core count: {cores}");
     if cores == 1 {
         println!(
-            "WARNING: available_parallelism() == 1 — fan-out concurrency cannot speed \
+            "WARNING: available_parallelism() == 1 — scan threads cannot speed \
              anything up here; re-measure on multi-core hardware"
         );
     }

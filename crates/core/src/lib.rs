@@ -29,9 +29,9 @@
 //! - [`scheduler`] — the persistent morsel-driven worker pool that scans
 //!   active chunks in parallel ([`ExecContext::threads`], default =
 //!   `EXEC_THREADS` or available parallelism) with results folded
-//!   deterministically in task order; the same pool serves the distributed
-//!   layer's shard fan-out (waiting submitters help drain the queue, so
-//!   nested fan-outs cannot deadlock);
+//!   deterministically in task order; the chunk scan is its only caller
+//!   (the distributed layer's fan-out asks its children in order on the
+//!   calling thread);
 //! - [`count_distinct`] — the §5 m-smallest-hashes sketch;
 //! - [`cache`] — the chunk-result cache and its cost-aware bounded map (§6);
 //! - [`stats`] — scan accounting (skipped / cached / scanned, cells);
@@ -71,6 +71,5 @@ pub use groups::PartialResult;
 pub use memory::{report_for_query, ColumnMemory, MemoryReport};
 pub use options::{BuildOptions, DictMode, PartitionSpec};
 pub use partition::Partitioning;
-pub use scheduler::WorkerPool;
 pub use skip::ChunkActivity;
 pub use stats::ScanStats;

@@ -11,26 +11,20 @@
 //! final fold is deterministic — parallel execution is bit-identical to
 //! sequential execution regardless of thread count.
 //!
-//! The pool is spawned once and reused by every query (and by the
-//! distributed layer's shard fan-out), eliminating the per-query thread
-//! spawn cost (~50 µs with `std::thread::scope`) that dominates µs-scale
-//! cached queries. Waiting submitters *help*: while a fan-out waits for
-//! its straggler tasks it drains other queued jobs, so nested fan-outs
-//! (tree levels on the outside, chunks on the inside) cannot deadlock a
-//! fixed-size pool. And a submitter never waits on helpers that have not
-//! started: once its tasks are all claimed it takes those jobs back out of
-//! the queue.
+//! The pool is spawned once and reused by every query, eliminating the
+//! per-query thread spawn cost (~50 µs with `std::thread::scope`) that
+//! dominates µs-scale cached queries. Its one caller is the chunk scan
+//! ([`run_tasks_with`]), whose tasks scan chunks and submit nothing, so
+//! no fan-out nests in another. A submitter never waits on helpers that
+//! have not started: once its tasks are all claimed it takes those jobs
+//! back out of the queue, then sleeps until the started ones finish.
 //!
 //! Waking a sleeping worker is the dear part of a hand-off (a futex
 //! round trip each way, tens of microseconds on a small VM, and how long
-//! it takes varies from one call to the next), so only a fan-out that
-//! *knows* its work is worth one pays it: [`run_tasks`] wakes the pool,
-//! [`offer_tasks`] only queues its helper jobs. A fan-out of unknown cost —
-//! a mixer over in-memory children, any of which may answer from its cache
-//! in microseconds — offers; the leaf scan beneath it that finds rows to
-//! scan wakes, and the woken worker takes the *front* of the queue, which
-//! is the outermost offer: the coarsest split of the query. A query that
-//! is answered from caches never wakes anyone.
+//! it takes varies from one call to the next), so the chunk scan hands
+//! off only when enough rows miss its cache to repay one
+//! (`PARALLEL_SCAN_MIN_ROWS` in `exec.rs`); a tree's fan-out asks its
+//! children in order on the calling thread and never reaches the pool.
 
 use pd_common::sync::Mutex;
 use std::collections::VecDeque;
@@ -78,19 +72,13 @@ struct PoolShared {
     shutdown: AtomicBool,
 }
 
-impl PoolShared {
-    fn pop(&self) -> Option<Job> {
-        self.queue.lock().pop_front().map(|(_, job)| job)
-    }
-}
-
 /// A persistent pool of worker threads executing queued jobs.
 ///
-/// Submission is *scoped*: [`WorkerPool::run_tasks`] queues helper jobs
+/// Submission is *scoped*: [`WorkerPool::fan_out`] queues helper jobs
 /// that borrow from the caller's stack and does not return until all of
 /// them have completed, so the borrows stay valid — the classic scoped
 /// thread-pool contract, amortizing thread spawns across queries.
-pub struct WorkerPool {
+struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -98,7 +86,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Create a pool with `initial` pre-spawned workers; the pool grows on
     /// demand when a fan-out requests more helpers than exist.
-    pub fn new(initial: usize) -> WorkerPool {
+    fn new(initial: usize) -> WorkerPool {
         let pool = WorkerPool {
             shared: Arc::new(PoolShared {
                 queue: Mutex::new(VecDeque::new()),
@@ -112,14 +100,9 @@ impl WorkerPool {
     }
 
     /// The process-wide shared pool (lazily created, never torn down).
-    pub fn global() -> &'static WorkerPool {
+    fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| WorkerPool::new(0))
-    }
-
-    /// Number of worker threads currently alive.
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().len()
     }
 
     /// Grow the pool to at least `n` workers.
@@ -135,59 +118,17 @@ impl WorkerPool {
         }
     }
 
-    /// Run `n_tasks` tasks on up to `threads` workers (the calling thread
-    /// participates), returning the results in task order. Sleeping
-    /// workers are woken for the helper jobs.
-    ///
-    /// `run` is invoked exactly once per task index. Errors short-circuit:
-    /// the first failing task's error is returned and the remaining queue
-    /// is abandoned (workers drain out at the next poll). Panics in `run`
-    /// propagate to the caller after all helpers have stopped. With
-    /// `threads <= 1` (or a single task) everything runs inline on the
-    /// caller's thread — no queueing, identical code path.
-    pub fn run_tasks<T, F>(
-        &self,
-        threads: usize,
-        n_tasks: usize,
-        run: F,
-    ) -> pd_common::Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> pd_common::Result<T> + Sync,
-    {
-        self.fan_out(threads, n_tasks, || (), |_, i| run(i), true).map(|(results, _)| results)
-    }
-
-    /// [`WorkerPool::run_tasks`] without the wake-up: the helper jobs are
-    /// queued for whichever worker is, or is later, awake — a nested
-    /// `run_tasks` wakes the pool, and the front of the queue is the
-    /// outermost offer. If none comes, the caller runs every task itself
-    /// and takes the jobs back. For fan-outs that cannot tell beforehand
-    /// whether their tasks are worth a hand-off.
-    pub fn offer_tasks<T, F>(
-        &self,
-        threads: usize,
-        n_tasks: usize,
-        run: F,
-    ) -> pd_common::Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> pd_common::Result<T> + Sync,
-    {
-        self.fan_out(threads, n_tasks, || (), |_, i| run(i), false).map(|(results, _)| results)
-    }
-
-    /// The fan-out behind every entry point: each thread that claims a
+    /// The fan-out behind [`run_tasks_with`]: each thread that claims a
     /// task makes one state with `init` and runs every task it claims with
     /// it; the results come back in task order, and the states, one per
-    /// thread that ran a task, in no particular order.
+    /// thread that ran a task, in no particular order. Sleeping workers
+    /// are woken for the helper jobs.
     fn fan_out<S, T, I, F>(
         &self,
         threads: usize,
         n_tasks: usize,
         init: I,
         run: F,
-        wake: bool,
     ) -> pd_common::Result<(Vec<T>, Vec<S>)>
     where
         S: Send,
@@ -204,11 +145,7 @@ impl WorkerPool {
         }
 
         let helpers = threads - 1;
-        if wake {
-            // An offer spawns nobody: whoever wakes the pool brings the
-            // workers, and until then the process may stay single-threaded.
-            self.ensure_workers(helpers);
-        }
+        self.ensure_workers(helpers);
         let group: TaskGroup<S, T> = TaskGroup {
             cursor: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
@@ -233,7 +170,7 @@ impl WorkerPool {
                 // layout are unchanged. The borrows of `group`, `init` and `run` it
                 // captures live on this stack frame, and this function cannot
                 // return before every queued helper job has finished or been
-                // dropped unrun: the wait loops below block until
+                // dropped unrun: the wait below blocks until
                 // `group.remaining == 0`, `helper_job` decrements `remaining`
                 // only after its last use of those borrows, and the reclaim
                 // step decrements it only for jobs it removed from the queue
@@ -244,9 +181,7 @@ impl WorkerPool {
                 queue.push_back((tag, job));
             }
         }
-        if wake {
-            self.shared.available.notify_all();
-        }
+        self.shared.available.notify_all();
 
         // The caller is the first worker; its panics are caught so the
         // latch below always gets to run before any unwind escapes (the
@@ -261,9 +196,8 @@ impl WorkerPool {
         // sitting in the queue could only count itself off. Take those back
         // rather than wait for some worker to get around to popping them —
         // that wait stalls this fan-out behind whatever the workers are
-        // busy with, and under nested fan-outs it is how a worker ends up
-        // stealing a sibling's whole subtree while its own work sits
-        // unclaimed.
+        // busy with, and a submitter that waits only on started helpers
+        // cannot deadlock the fixed-size pool, however its tasks nest.
         let reclaimed = {
             let mut queue = self.shared.queue.lock();
             let queued = queue.len();
@@ -272,39 +206,12 @@ impl WorkerPool {
         };
         *group.remaining.lock() -= reclaimed;
 
-        // Wait for the helpers that did start. A submitter running *on a pool worker*
-        // (a nested fan-out) must keep draining queued jobs while it
-        // waits — every blocked worker doubling as a worker is what makes
-        // the fixed-size pool deadlock-free. An external submitter (a
-        // query's driver thread) just sleeps: what it waits for is running
-        // on a worker, and workers never sleep on groups, so those jobs
-        // always make progress — and the driver never gets stuck inside
-        // some other query's long-running job.
-        if IS_POOL_WORKER.with(std::cell::Cell::get) {
-            loop {
-                if *group.remaining.lock() == 0 {
-                    break;
-                }
-                match self.shared.pop() {
-                    Some(job) => run_stolen(job),
-                    None => {
-                        let remaining = group.remaining.lock();
-                        if *remaining == 0 {
-                            break;
-                        }
-                        let _ = group
-                            .done
-                            .wait_timeout(remaining, Duration::from_micros(200))
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
-        } else {
-            let mut remaining = group.remaining.lock();
-            while *remaining > 0 {
-                remaining = group.done.wait(remaining).unwrap_or_else(|e| e.into_inner());
-            }
+        // Sleep until the helpers that did start have finished.
+        let mut remaining = group.remaining.lock();
+        while *remaining > 0 {
+            remaining = group.done.wait(remaining).unwrap_or_else(|e| e.into_inner());
         }
+        drop(remaining);
 
         if let Some(payload) = group.panic.lock().take() {
             std::panic::resume_unwind(payload);
@@ -342,39 +249,14 @@ impl Drop for WorkerPool {
     }
 }
 
-thread_local! {
-    /// Set for the lifetime of a pool worker thread: such threads must
-    /// never sleep while waiting for a fan-out (they steal queued jobs
-    /// instead), or nested fan-outs could deadlock the fixed-size pool.
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-
-    /// Monotone per-thread total of time spent executing *stolen* jobs —
-    /// work this thread drained from the queue while waiting for its own
-    /// fan-out. Callers timing their own work with wall clocks subtract
-    /// the delta (see [`stolen_time`]), so a task's measured latency is
-    /// not inflated by whole foreign subqueries it happened to help with.
-    static STOLEN_TIME: std::cell::Cell<Duration> = const { std::cell::Cell::new(Duration::ZERO) };
-}
-
-/// This thread's cumulative stolen-job time. Snapshot before and after a
-/// timed region and subtract the delta from the wall-clock measurement.
+/// Time this thread spent running other fan-outs' jobs while it waited
+/// for its own: none, since a waiting submitter only sleeps. Kept at zero
+/// for readers that subtract it from their wall clocks.
 pub fn stolen_time() -> Duration {
-    STOLEN_TIME.with(std::cell::Cell::get)
-}
-
-/// Run a stolen job, charging its wall time to [`STOLEN_TIME`] exactly
-/// once: nested steals inside the job already charged themselves, so the
-/// cell is *set* to `before + wall` rather than incremented (wall time
-/// subsumes the nested additions).
-fn run_stolen(job: Job) {
-    let before = STOLEN_TIME.with(std::cell::Cell::get);
-    let started = std::time::Instant::now();
-    job();
-    STOLEN_TIME.with(|cell| cell.set(before + started.elapsed()));
+    Duration::ZERO
 }
 
 fn worker_loop(shared: &PoolShared) {
-    IS_POOL_WORKER.with(|flag| flag.set(true));
     loop {
         let job = {
             let mut queue = shared.queue.lock();
@@ -472,21 +354,19 @@ where
     group.done.notify_all();
 }
 
-/// Run `n_tasks` tasks on the process-wide pool, returning the results in
-/// task order (see [`WorkerPool::run_tasks`]).
-pub fn run_tasks<T, F>(threads: usize, n_tasks: usize, run: F) -> pd_common::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> pd_common::Result<T> + Sync,
-{
-    WorkerPool::global().run_tasks(threads, n_tasks, run)
-}
-
-/// [`run_tasks`] with a state per thread: each thread that claims a task
-/// makes one with `init` and hands it to every task it runs, so work can
-/// accumulate per thread rather than per task. Returns the results in task
-/// order and the states, one per thread that ran a task, in no particular
-/// order.
+/// Run `n_tasks` tasks on up to `threads` workers of the process-wide pool
+/// (the calling thread participates), with a state per thread: each thread
+/// that claims a task makes one with `init` and hands it to every task it
+/// runs, so work can accumulate per thread rather than per task. Returns
+/// the results in task order and the states, one per thread that ran a
+/// task, in no particular order.
+///
+/// `run` is invoked exactly once per task index. Errors short-circuit:
+/// the first failing task's error is returned and the remaining queue
+/// is abandoned (workers drain out at the next poll). Panics in `run`
+/// propagate to the caller after all helpers have stopped. With
+/// `threads <= 1` (or a single task) everything runs inline on the
+/// caller's thread — no queueing, identical code path.
 pub fn run_tasks_with<S, T, I, F>(
     threads: usize,
     n_tasks: usize,
@@ -499,16 +379,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> pd_common::Result<T> + Sync,
 {
-    WorkerPool::global().fan_out(threads, n_tasks, init, run, true)
-}
-
-/// [`run_tasks`] without waking the pool (see [`WorkerPool::offer_tasks`]).
-pub fn offer_tasks<T, F>(threads: usize, n_tasks: usize, run: F) -> pd_common::Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> pd_common::Result<T> + Sync,
-{
-    WorkerPool::global().offer_tasks(threads, n_tasks, run)
+    WorkerPool::global().fan_out(threads, n_tasks, init, run)
 }
 
 #[cfg(test)]
@@ -516,6 +387,36 @@ mod tests {
     use super::*;
     use pd_common::Error;
     use std::sync::atomic::AtomicUsize;
+
+    impl WorkerPool {
+        /// [`WorkerPool::fan_out`] without per-thread states.
+        fn run_tasks<T, F>(
+            &self,
+            threads: usize,
+            n_tasks: usize,
+            run: F,
+        ) -> pd_common::Result<Vec<T>>
+        where
+            T: Send,
+            F: Fn(usize) -> pd_common::Result<T> + Sync,
+        {
+            self.fan_out(threads, n_tasks, || (), |_, i| run(i)).map(|(results, _)| results)
+        }
+
+        /// Number of worker threads currently alive.
+        fn worker_count(&self) -> usize {
+            self.workers.lock().len()
+        }
+    }
+
+    /// [`WorkerPool::run_tasks`] on the process-wide pool.
+    fn run_tasks<T, F>(threads: usize, n_tasks: usize, run: F) -> pd_common::Result<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> pd_common::Result<T> + Sync,
+    {
+        WorkerPool::global().run_tasks(threads, n_tasks, run)
+    }
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -566,38 +467,6 @@ mod tests {
                 started.elapsed()
             );
         });
-    }
-
-    #[test]
-    fn an_offer_alone_spawns_and_wakes_nobody() {
-        let pool = WorkerPool::new(0);
-        let me = std::thread::current().id();
-        let ran_on = pool.offer_tasks(4, 16, |_| Ok(std::thread::current().id())).unwrap();
-        assert!(ran_on.iter().all(|id| *id == me), "nobody else was there to run a task");
-        assert_eq!(pool.worker_count(), 0, "an offer spawns no worker");
-        assert!(pool.shared.queue.lock().is_empty(), "the offer was not taken back");
-    }
-
-    #[test]
-    fn a_nested_wake_hands_the_outermost_offer_to_the_worker() {
-        // Two outer tasks are offered; each wakes the pool from inside. The
-        // worker takes the front of the queue — the outer offer — so both
-        // outer tasks are in flight at once (each waits to see the other).
-        let pool = WorkerPool::new(0);
-        let in_flight = AtomicUsize::new(0);
-        let out = pool
-            .offer_tasks(2, 2, |outer| {
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                let inner = pool.run_tasks(2, 2, |i| Ok(outer * 10 + i))?;
-                let started = std::time::Instant::now();
-                while in_flight.load(Ordering::SeqCst) < 2 {
-                    assert!(started.elapsed() < Duration::from_secs(10), "nobody took the offer");
-                    std::thread::yield_now();
-                }
-                Ok(inner)
-            })
-            .unwrap();
-        assert_eq!(out, vec![vec![0, 1], vec![10, 11]]);
     }
 
     #[test]

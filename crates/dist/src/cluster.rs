@@ -47,8 +47,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Transport {
     /// Every node is built inside the driver's address space and reached
-    /// by reference: no frame, no serialization, no queue. Leaves scan and
-    /// mixers fan out as tasks on the shared worker pool.
+    /// by reference: no frame, no serialization, no queue. A mixer asks its
+    /// children in order on the calling thread; a leaf's scan may hand
+    /// chunks to the shared worker pool.
     #[default]
     InProcess,
     /// The paper's real topology: one `pd-dist-worker` OS process per
@@ -155,8 +156,9 @@ pub struct ClusterConfig {
     pub build: BuildOptions,
     /// Computation-tree shape: how many children a merge server owns.
     pub tree: TreeShape,
-    /// Worker threads for each leaf's chunk scan and each in-memory
-    /// fan-out (0 = `EXEC_THREADS` / available parallelism).
+    /// Worker threads for each leaf's chunk scan (0 = `EXEC_THREADS` /
+    /// available parallelism). A fan-out has no width: it asks its
+    /// children in order on the calling thread.
     pub threads: usize,
     /// Capacity (entries) of the root's result cache, in the driver on
     /// either transport — the one node that remembers; 0 disables it. A
@@ -645,18 +647,14 @@ fn build_tree(table: &Table, config: &ClusterConfig) -> Result<(Root, Option<Wor
             // `Attach` of the parent that prunes with it, and on into the
             // root's handles; the driver keeps no other copy.
             let top = stack_levels(level, fanout, |height, i, group| {
-                // Socket children are other processes: the fan-out writes
-                // to each and then reads each on one thread, so a merge
-                // server has no width to choose.
-                let spec = NodeSpec { threads: 1, ..node_spec(config, format!("m{height}_{i}")) };
-                workers.attach_mixer(group, spec)
+                workers.attach_mixer(group, node_spec(config, format!("m{height}_{i}")))
             })?;
             let top = top.into_iter().map(ChildHandle::new).collect();
             (top, Some(workers))
         }
     };
     let root = Node::mixer(children, node_spec(config, "root".into()));
-    Ok((Root::new(root, config.shard_cache), workers, shard_count))
+    Ok((Root::new(root, config.shard_cache, config.threads), workers, shard_count))
 }
 
 /// Group `level` into subtrees of `fanout` children, one `mixer` each, until
@@ -837,6 +835,22 @@ mod tests {
         assert_eq!((cluster.epoch(), count(&cluster)), (4, 1_200));
         // Repeating a query does not advance the epoch.
         assert_eq!((cluster.epoch(), count(&cluster)), (4, 1_200));
+    }
+
+    #[test]
+    fn in_memory_leaves_are_stamped_from_the_fan_outs_one_start() {
+        // One flat fan-out asks its leaves in shard order on one clock, so
+        // each leaf's latency includes every earlier sibling's.
+        let table = generate_logs(&LogsSpec::scaled(2_000));
+        let config = ClusterConfig { shards: 4, shard_cache: 0, ..Default::default() };
+        let cluster = Cluster::build(&table, &config).unwrap();
+        for limit in 1..=20 {
+            let sql =
+                format!("SELECT country, COUNT(*) c FROM logs GROUP BY country LIMIT {limit}");
+            let latencies = cluster.query(&sql).unwrap().subquery_latencies;
+            assert_eq!(latencies.len(), 4);
+            assert!(latencies.is_sorted(), "query {limit}: {latencies:?}");
+        }
     }
 
     #[test]

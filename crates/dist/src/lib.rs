@@ -13,7 +13,7 @@
 //! | paper §4                          | here                                  |
 //! |-----------------------------------|---------------------------------------|
 //! | X data partitions on leaf servers | leaf [`Node`]s: independent [`pd_core::DataStore`]s over contiguous row ranges, built in the driver's address space ([`Transport::InProcess`]) or imported by spawned worker processes ([`Transport::Rpc`]) |
-//! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: one task per in-memory child on the shared [`pd_core::scheduler`] pool, or one framed message — encoded once, written to every socket child, the replies then read in child order, all on the calling thread ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]) in raw frames — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
+//! | the query sent to all machines, executed concurrently | [`rpc::fan_out`]: every child asked in child order, then every answer taken in child order, all on the calling thread — an in-memory child computes its answer when taken; a socket child gets one framed message, encoded once ([`rpc`]) — over Unix sockets *or* TCP ([`WorkerAddr`]) in raw frames — either way carrying the decoded [`pd_sql::AnalyzedQuery`], no SQL re-parse on any hop |
 //! | the query rewritten to leaf queries under a `UNION ALL`, "where" at the leaves, "having" at the root | no SQL is rewritten: [`pd_sql::analyze()`] lowers the aggregates to [`pd_sql::Slot`]s once; every leaf fills them under the filter, every mixer merges them, the root reads the aggregates off them and applies HAVING ([`pd_core::finalize`]) |
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
 //! | "take the answer arriving first" replication | under [`ClusterConfig::replication`] every shard of a socket tree is served by two worker processes, a primary and a replica: a primary that fails (refused, dead, reset, torn, out of budget) fails over to its replica ([`QueryOutcome::failovers`]), and one that has not answered within the hedge delay (derived from observed queue delays) is **raced** against it in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end. A tree in the driver's address space holds one copy of each leaf |

@@ -6,7 +6,9 @@
 //! [`pd_core::DataStore`] and executes the shipped query over it; a
 //! **mixer** owns children ([`ChildHandle`]s — each a socket to a worker
 //! process or a reference to another `Node`), fans the query out and folds
-//! their partials. An append walks the tree a query walks
+//! their partials — asking them in child order on the calling thread,
+//! whichever their links, so only a leaf's chunk scan wakes the worker
+//! pool. An append walks the tree a query walks
 //! ([`Node::append`]): a leaf applies its rows in place, a mixer writes
 //! each child the rows beneath it and absorbs their receipts. A node
 //! remembers no answer: every query enters the tree at its root, in the
@@ -26,7 +28,7 @@ use crate::rpc::{
 };
 use pd_common::sync::RwLock;
 use pd_common::{Error, Result, RpcError};
-use pd_core::{execute_partial, scheduler, BuildOptions, DataStore, ExecContext, ResultCache};
+use pd_core::{execute_partial, BuildOptions, DataStore, ExecContext, ResultCache};
 use pd_encoding::TableDelta;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,9 +42,8 @@ pub struct NodeSpec {
     /// relayed `Load` / `Attach` to pick this node's faults: none are
     /// injected in the engine.
     pub name: String,
-    /// Width of this node's parallel work — a leaf's chunk scan, a mixer's
-    /// fan-out over in-memory children (0 = auto). A fan-out over socket
-    /// children has no width: it runs on the calling thread.
+    /// Width of a leaf's chunk scan (0 = auto). A mixer has no width: its
+    /// fan-out asks its children in order on the calling thread.
     pub threads: usize,
 }
 
@@ -78,16 +79,10 @@ pub(crate) fn scan_context(threads: usize) -> ExecContext {
 /// A tree node: leaf server or mixer.
 pub struct Node {
     name: String,
-    threads: usize,
     role: Role,
 }
 
 impl Node {
-    fn new(spec: NodeSpec, role: Role) -> Node {
-        let threads = if spec.threads == 0 { scheduler::default_threads() } else { spec.threads };
-        Node { name: spec.name, threads, role }
-    }
-
     /// Build shard `shard`'s leaf from its rows as coded columns — how they
     /// arrive whether a frame or the driver's own split brought them. Every
     /// leaf keeps a [`ShardMeta`] of exactly these rows, made here and
@@ -104,17 +99,12 @@ impl Node {
         let store = DataStore::from_coded(delta, build)?;
         let meta = ShardMeta::of_store(shard, &store)?;
         let leaf = Leaf { shard, store, ctx: scan_context(spec.threads), meta: meta.clone() };
-        Ok((Node::new(spec, Role::Leaf(Box::new(RwLock::new(leaf)))), meta))
+        Ok((Node { name: spec.name, role: Role::Leaf(Box::new(RwLock::new(leaf))) }, meta))
     }
 
     /// A merge server over `children`.
     pub fn mixer(children: Vec<ChildHandle>, spec: NodeSpec) -> Node {
-        Node::new(spec, Role::Mixer(children))
-    }
-
-    /// Resolved width of this node's parallel work (see [`NodeSpec::threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
+        Node { name: spec.name, role: Role::Mixer(children) }
     }
 
     /// The current summaries of the shards beneath this node: a leaf's own,
@@ -359,7 +349,7 @@ mod tests {
             ChildHandle::local(Arc::new(Node::mixer(children, spec(name))), None)
         };
         let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
-        (Root::new(Node::mixer(children, spec("root")), 8), leaves)
+        (Root::new(Node::mixer(children, spec("root")), 8, 1), leaves)
     }
 
     const A: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM t GROUP BY k";

@@ -19,10 +19,9 @@
 //! deterministic, so a replica would only repeat them.
 
 use super::client::RpcClient;
-use super::link::{Ask, ChildHandle, Held, InFlight, Link};
+use super::link::{Ask, ChildHandle, Held, InFlight};
 use super::{AppendReceipt, QueryRequest, Response, SubtreeAnswer};
 use pd_common::{Error, Result, RpcError};
-use pd_core::scheduler;
 use pd_encoding::TableDelta;
 use std::time::{Duration, Instant};
 
@@ -196,38 +195,24 @@ fn retag(e: Error, message: String) -> Error {
     }
 }
 
-/// Fan a query out to every child concurrently and fold the answers in
-/// fixed child order — every level uses this same associative merge, so
-/// the tree shape cannot change the result. In-memory children run as
-/// tasks on the shared [`pd_core::scheduler`] pool — the pool their chunk
-/// scans nest on, where a waiting fan-out helps drain the queue — because
-/// a per-query thread spawn would cost more than a warm hop does. Socket
-/// children are other processes and run in parallel by themselves: the
-/// calling thread writes the one encoded frame to each in child order,
-/// then reads the replies in child order against the one deadline. No
-/// thread is spawned and none is woken on the healthy path; a reply
-/// larger than a socket buffer simply waits in its sender's `write` until
-/// its turn to be read.
+/// Fan a query out to every child and fold the answers in fixed child
+/// order — every level uses this same associative merge, so the tree shape
+/// cannot change the result. One path for both kinds of link, on the
+/// calling thread: `begin` asks every child in child order — a socket
+/// child gets the one encoded frame and starts computing, since it is
+/// another process and runs in parallel by itself —, then `finish` takes
+/// each child's answer in child order against the one deadline; an
+/// in-memory child computes its answer there. No thread is spawned and
+/// none is woken on the healthy path; a reply larger than a socket buffer
+/// simply waits in its sender's `write` until its turn to be read. Every
+/// leaf's report is stamped from the fan-out's one start.
 pub fn fan_out(children: &[ChildHandle], request: &QueryRequest) -> Result<SubtreeAnswer> {
-    let answers: Vec<Result<SubtreeAnswer>> = match children.first().map(|c| &c.primary) {
-        Some(Link::Local(node)) => {
-            // Offered, not announced: a child may answer from its chunk
-            // results in microseconds; a leaf scan that finds rows to scan
-            // wakes the pool, and the woken worker takes the outermost offer.
-            scheduler::offer_tasks(node.threads(), children.len(), |i| {
-                let mut ask = Ask::new(request);
-                Ok(children[i].begin(&mut ask).finish(&mut ask))
-            })?
-        }
-        _ => {
-            let mut ask = Ask::new(request);
-            let flights: Vec<InFlight<'_>> =
-                children.iter().map(|child| child.begin(&mut ask)).collect();
-            // Every reply is read even after one failed: a connection left
-            // with a reply in flight would have to be dropped.
-            flights.into_iter().map(|flight| flight.finish(&mut ask)).collect()
-        }
-    };
+    let mut ask = Ask::new(request);
+    let flights: Vec<InFlight<'_>> = children.iter().map(|child| child.begin(&mut ask)).collect();
+    // Every reply is read even after one failed: a connection left with a
+    // reply in flight would have to be dropped.
+    let answers: Vec<Result<SubtreeAnswer>> =
+        flights.into_iter().map(|flight| flight.finish(&mut ask)).collect();
     let mut merged = SubtreeAnswer::empty();
     for answer in answers {
         let answer = answer?;

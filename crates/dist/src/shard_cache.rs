@@ -310,18 +310,22 @@ pub(crate) struct Root {
     /// `None` until the first append the cache is kept through, and after
     /// every [`Root::forget`].
     tail: RwLock<Option<Tail>>,
+    /// Width of the tail's scan (0 = auto), like a leaf's.
+    threads: usize,
 }
 
 impl Root {
     /// The root over `node` — a mixer — remembering at most
-    /// `cache_entries` signatures (0: none).
-    pub(crate) fn new(node: Node, cache_entries: usize) -> Root {
+    /// `cache_entries` signatures (0: none), scanning its tail `threads`
+    /// wide.
+    pub(crate) fn new(node: Node, cache_entries: usize, threads: usize) -> Root {
         Root {
             node,
             cache: (cache_entries > 0).then(|| WorkerCache::new(cache_entries)),
             asked: Mutex::default(),
             capacity: cache_entries,
             tail: RwLock::new(None),
+            threads,
         }
     }
 
@@ -482,7 +486,7 @@ impl Root {
                 }
                 None => tail.insert(Tail {
                     store: DataStore::from_coded(delta.clone(), &BuildOptions::basic())?,
-                    ctx: scan_context(self.node.threads()),
+                    ctx: scan_context(self.threads),
                     mark: TailMark::default(),
                 }),
             };
@@ -517,7 +521,7 @@ mod tests {
         let build = BuildOptions::basic();
         let (leaf, _) = Node::leaf(0, kn_delta(0..rows), &build, spec("l0p")).unwrap();
         let child = ChildHandle::local(Arc::new(leaf), Some(0));
-        Root::new(Node::mixer(vec![child], spec("root")), cache_entries)
+        Root::new(Node::mixer(vec![child], spec("root")), cache_entries, 1)
     }
 
     /// One `Cluster::append` on that tree: the leaf applies, the root

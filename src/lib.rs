@@ -37,8 +37,9 @@
 //! Queries run **morsel-parallel across chunks**: the paper's per-chunk
 //! independence (immutable chunks, mergeable group states — the same
 //! property §4 exploits across machines) is exploited across cores by a
-//! persistent worker pool shared by every query (and by [`Cluster`]'s
-//! shard fan-out). The [`ExecContext::threads`] knob controls the worker
+//! persistent worker pool shared by every query's chunk scan, its one
+//! caller ([`Cluster`]'s fan-out asks its children in order on the calling
+//! thread). The [`ExecContext::threads`] knob controls the worker
 //! count — `0` (the default) reads `EXEC_THREADS` or uses the machine's
 //! available parallelism, `1` forces sequential execution — and results
 //! are **bit-identical** at every setting: a chunk's partial merges
@@ -53,9 +54,7 @@
 //! only a scan that will repay it pays it: a store's scan goes to the pool
 //! when at least 32 768 rows miss the chunk-result cache (0.1–0.2 ms of
 //! scanning, at 3.3–6.3 ns a row and 0.1–0.6 µs a chunk), and stays on the
-//! calling thread below that; an in-process [`Cluster`] only *offers* its
-//! subtrees to the pool, and such a scan beneath is what wakes a worker
-//! to take the offer up — a query answered from caches wakes nobody.
+//! calling thread below that — a query answered from caches wakes nobody.
 //!
 //! The per-chunk inner loops are dictionary-code kernels
 //! (`pd_core::kernels`): `WHERE` clauses become packed bit-vector masks

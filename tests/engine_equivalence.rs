@@ -663,11 +663,11 @@ fn distributed_matrix_is_bit_identical_to_single_store() {
     }
 }
 
-/// Shards large enough that their scans wake the worker pool: a mixer only
-/// *offers* its in-memory children to the pool, and it is a leaf scan above
-/// the fan-out break-even that wakes a worker, which then takes the
-/// outermost offer. Whoever ends up running which subtree, cold (scanned)
-/// and warm (cached) answers equal the single store's, bit for bit.
+/// Shards large enough that their scans wake the worker pool: a mixer asks
+/// its in-memory children in order on the calling thread, and a leaf scan
+/// above the hand-off break-even splits its chunks across the pool.
+/// Whichever thread scans which chunk, cold (scanned) and warm (cached)
+/// answers equal the single store's, bit for bit.
 #[test]
 fn local_trees_with_scans_worth_a_hand_off_match_a_single_store() {
     use powerdrill::data::{generate_logs, LogsSpec};
