@@ -91,7 +91,9 @@ use std::time::Duration;
 /// Version 19: the root is the one node that remembers, so nothing beneath
 /// it is told a data version — a node spec loses its cache size and epoch,
 /// and a query and an append their epoch.
-pub const FRAME_VERSION: u8 = 19;
+/// Version 20: a shard report loses its cache flag — a root hit asks no
+/// shard, and nothing beneath the root answers from a cache of answers.
+pub const FRAME_VERSION: u8 = 20;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

@@ -2,7 +2,8 @@
 //!
 //! §6: *"additionally to skipping over inactive chunks, we also cache
 //! results for chunks which are fully active"* — [`ResultCache`], built on
-//! [`BoundedCache`], which the distributed layer's root cache shares.
+//! [`BoundedCache`], which the distributed layer's root cache shares. Both
+//! drop their oldest entry when full.
 //!
 //! The paper's other caches — §3's two in-memory layers (uncompressed and
 //! compressed) and §5's ARC/2Q eviction between them — manage the residency
@@ -14,36 +15,25 @@
 use crate::groups::GroupTable;
 use pd_common::sync::Mutex;
 use pd_common::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A thread-safe, capacity-bounded map with cost-aware admission and
-/// hit/miss accounting — the shared bookkeeping behind the §6 chunk-result
-/// cache and the distributed layer's shard/worker caches. Eviction only
-/// ever drops entries, so a capacity bound can change *what is cached*,
-/// never *what a query returns*.
+/// A thread-safe, capacity-bounded map with hit/miss accounting — the
+/// shared bookkeeping behind the §6 chunk-result cache and the distributed
+/// layer's root cache. Eviction only ever drops entries, so a capacity
+/// bound can change *what is cached*, never *what a query returns*.
 ///
-/// Admission at capacity compares the incoming entry's cost (bytes ×
-/// cells scanned to produce it, see [`cost_score`]) with the cheapest
-/// resident's: cheaper entries are rejected, costlier ones evict the
-/// cheapest resident; among equal costs the victim is the oldest entry. A
-/// cost is a function of the query and the data, never of a clock, so what
-/// a cache holds is a function of the query sequence.
+/// At capacity a new key evicts the entry admitted first. A lookup moves
+/// nothing and a re-put keeps its entry's place, so what a cache holds is a
+/// function of the sequence of puts, never of a clock.
 pub struct BoundedCache<K, V> {
     inner: Mutex<BoundedInner<K, V>>,
 }
 
-struct BoundedEntry<V> {
-    value: V,
-    cost: u64,
-    stamp: u64,
-}
-
 struct BoundedInner<K, V> {
-    entries: FxHashMap<K, BoundedEntry<V>>,
-    /// Victim index ordered by (cost, stamp): cheapest first, FIFO among
-    /// equal costs — O(log n) victim selection.
-    by_score: std::collections::BTreeMap<(u64, u64), K>,
-    next_stamp: u64,
+    entries: FxHashMap<K, V>,
+    /// Every key of `entries`, oldest admission first: the next victim.
+    order: VecDeque<K>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -55,8 +45,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         BoundedCache {
             inner: Mutex::new(BoundedInner {
                 entries: FxHashMap::default(),
-                by_score: std::collections::BTreeMap::new(),
-                next_stamp: 0,
+                order: VecDeque::new(),
                 capacity: capacity.max(1),
                 hits: 0,
                 misses: 0,
@@ -74,7 +63,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         Q: std::hash::Hash + Eq + ?Sized,
     {
         let mut inner = self.inner.lock();
-        let found = inner.entries.get(key).map(|e| (e.value.clone(), fits(&e.value)));
+        let found = inner.entries.get(key).map(|value| (value.clone(), fits(value)));
         match found {
             Some((_, true)) => inner.hits += 1,
             _ => inner.misses += 1,
@@ -82,40 +71,27 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         found
     }
 
-    /// Insert with an admission cost: at capacity the incoming entry must
-    /// cost at least as much as the cheapest resident, which it evicts.
-    pub fn put(&self, key: K, value: V, cost: u64) {
+    /// Insert `value` under `key`: a key already held takes the new value
+    /// in its old place; a new one evicts the oldest entry at capacity.
+    pub fn put(&self, key: K, value: V) {
         let mut inner = self.inner.lock();
-        if let Some((old_cost, stamp)) = inner.entries.get(&key).map(|e| (e.cost, e.stamp)) {
-            // Same key: replace in place, keeping the insertion stamp.
-            if old_cost != cost {
-                inner.by_score.remove(&(old_cost, stamp));
-                inner.by_score.insert((cost, stamp), key.clone());
-            }
-            let e = inner.entries.get_mut(&key).expect("entry is present");
-            e.value = value;
-            e.cost = cost;
+        if let Some(held) = inner.entries.get_mut(&key) {
+            *held = value;
             return;
         }
-        while inner.entries.len() >= inner.capacity {
-            let (&(vcost, vstamp), _) = inner.by_score.iter().next().expect("index matches map");
-            if cost < vcost {
-                return;
-            }
-            let victim = inner.by_score.remove(&(vcost, vstamp)).expect("victim is present");
+        if inner.entries.len() >= inner.capacity {
+            let victim = inner.order.pop_front().expect("order lists every entry");
             inner.entries.remove(&victim);
         }
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        inner.by_score.insert((cost, stamp), key.clone());
-        inner.entries.insert(key, BoundedEntry { value, cost, stamp });
+        inner.order.push_back(key.clone());
+        inner.entries.insert(key, value);
     }
 
     /// Drop every entry (hit/miss counters keep accumulating).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
-        inner.by_score.clear();
+        inner.order.clear();
     }
 
     pub fn len(&self) -> usize {
@@ -126,22 +102,11 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> BoundedCache<K, V> {
         self.len() == 0
     }
 
-    /// Every resident value, in no particular order; counts as no lookup.
-    pub fn values(&self) -> Vec<V> {
-        self.inner.lock().entries.values().map(|e| e.value.clone()).collect()
-    }
-
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.hits, inner.misses)
     }
-}
-
-/// The cost-aware admission score: approximate entry bytes × the cells a
-/// scan reads to recompute it. Saturating, and never 0.
-pub fn cost_score(bytes: usize, cells: u64) -> u64 {
-    (bytes as u64).max(1).saturating_mul(cells.max(1))
 }
 
 /// The §6 chunk-result cache: the group tables of fully-active chunks,
@@ -179,17 +144,9 @@ impl ResultCache {
         self.entries.get(&(signature.clone(), chunk), |_| true).map(|(table, _)| table)
     }
 
-    /// Admit a chunk's table, scored by its bytes × the `cells` its scan
-    /// read.
-    pub(crate) fn put(
-        &self,
-        signature: &Arc<str>,
-        chunk: u32,
-        groups: Arc<GroupTable<u32>>,
-        cells: u64,
-    ) {
-        let cost = cost_score(groups.approx_bytes(), cells);
-        self.entries.put((signature.clone(), chunk), groups, cost);
+    /// Admit a chunk's table.
+    pub(crate) fn put(&self, signature: &Arc<str>, chunk: u32, groups: Arc<GroupTable<u32>>) {
+        self.entries.put((signature.clone(), chunk), groups);
     }
 
     /// `(hits, misses)` so far.
@@ -217,10 +174,10 @@ mod tests {
     fn result_cache_round_trip_and_bound() {
         let rc = ResultCache::new(2);
         let sig: Arc<str> = "sig".into();
-        rc.put(&sig, 0, empty_table(), 1);
-        rc.put(&sig, 1, empty_table(), 1);
+        rc.put(&sig, 0, empty_table());
+        rc.put(&sig, 1, empty_table());
         assert!(rc.get(&sig, 0).is_some());
-        rc.put(&sig, 2, empty_table(), 1); // evicts chunk 0 (oldest of equal cost)
+        rc.put(&sig, 2, empty_table()); // evicts chunk 0, the oldest
         assert!(rc.get(&sig, 0).is_none());
         assert!(rc.get(&sig, 2).is_some());
         assert_eq!(rc.stats(), (2, 1));
@@ -229,7 +186,7 @@ mod tests {
     #[test]
     fn distinct_signatures_do_not_collide() {
         let rc = ResultCache::new(8);
-        rc.put(&"q1".into(), 0, empty_table(), 1);
+        rc.put(&"q1".into(), 0, empty_table());
         // Equal text is the same key, whichever allocation holds it.
         assert!(rc.get(&"q1".into(), 0).is_some());
         assert!(rc.get(&"q2".into(), 0).is_none());
@@ -238,7 +195,7 @@ mod tests {
     #[test]
     fn bounded_cache_clear_invalidates_but_keeps_counters() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(4);
-        cache.put(1, 10, 0);
+        cache.put(1, 10);
         assert_eq!(cache.get(&1, |_| true), Some((10, true)));
         cache.clear();
         assert!(cache.is_empty());
@@ -249,10 +206,10 @@ mod tests {
     #[test]
     fn bounded_cache_put_is_idempotent_per_key() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
-        cache.put(1, 10, 0);
-        cache.put(1, 11, 0); // replaces value, no duplicate slot
-        cache.put(2, 20, 0);
-        cache.put(3, 30, 0); // evicts key 1 only
+        cache.put(1, 10);
+        cache.put(1, 11); // replaces value, no duplicate slot
+        cache.put(2, 20);
+        cache.put(3, 30); // evicts key 1 only
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1, |_| true), None);
         assert_eq!(cache.get(&2, |_| true), Some((20, true)));
@@ -260,14 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn admission_rejects_the_cheaper_and_evicts_the_cheapest() {
+    fn at_capacity_the_first_admitted_goes_and_a_re_put_keeps_its_place() {
         let cache: BoundedCache<u32, u32> = BoundedCache::new(2);
-        cache.put(1, 10, cost_score(100, 50));
-        cache.put(2, 20, cost_score(10, 50));
-        cache.put(3, 30, cost_score(1, 1)); // cheaper than every resident
+        cache.put(1, 10);
+        cache.put(2, 20);
         let get = |key| cache.get(&key, |_| true).map(|(value, _)| value);
-        assert_eq!(get(3), None);
-        cache.put(4, 40, cost_score(10, 60)); // evicts key 2, the cheapest
-        assert_eq!((get(2), get(1), get(4)), (None, Some(10), Some(40)));
+        assert_eq!(get(1), Some(10)); // a lookup moves nothing
+        cache.put(1, 11); // nor does a re-put
+        cache.put(3, 30); // evicts key 1, the first admitted
+        assert_eq!((get(1), get(2), get(3)), (None, Some(20), Some(30)));
+        cache.put(4, 40); // then key 2
+        assert_eq!((get(2), get(3), get(4)), (None, Some(30), Some(40)));
     }
 }

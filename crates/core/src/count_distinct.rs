@@ -15,10 +15,6 @@
 //! value), and the wire decoder from a frame's hash list, by sort, dedup
 //! and truncate ([`KmvSketch::from_parts`]); folds and tree levels merge
 //! sketches as sorted runs ([`KmvSketch::merge`]).
-//! [`HeapSize`] still counts a tree set's 24 B per hash, not a vector's 8,
-//! so cache admission scores stay where they were.
-
-use pd_common::HeapSize;
 
 /// A K-Minimum-Values sketch over 64-bit hashes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,13 +98,6 @@ impl KmvSketch {
         smallest.truncate(m);
         smallest.shrink_to_fit();
         KmvSketch { m, smallest }
-    }
-}
-
-impl HeapSize for KmvSketch {
-    fn heap_bytes(&self) -> usize {
-        // Kept at a tree set's 24 B per hash (see the module doc).
-        self.smallest.len() * (8 + 16)
     }
 }
 

@@ -718,7 +718,7 @@ impl<'a> Fold<'a> {
                 let ChunkScan::Computed(table) = scan else { return };
                 let table = Arc::new(table);
                 if let (Some(rc), false) = (self.cache, filtered) {
-                    rc.put(&self.plan.signature, c as u32, table.clone(), cells);
+                    rc.put(&self.plan.signature, c as u32, table.clone());
                 }
                 table
             }

@@ -48,7 +48,7 @@
 //! [`GroupFold`]: every partial sum is exact there, so the slot is the same.
 
 use crate::count_distinct::KmvSketch;
-use pd_common::{fsum, sortkey, Error, FloatSum, HeapSize, Result, Value};
+use pd_common::{fsum, sortkey, Error, FloatSum, Result, Value};
 use pd_sql::{AnalyzedQuery, Slot, SlotClass, SlotRef};
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -57,7 +57,7 @@ use std::sync::Arc;
 /// What a group table's cells are — ids in a store, values where stores
 /// meet — and how that domain holds a key column of them. Cells order as
 /// the values they stand for.
-pub(crate) trait Cell: Clone + HeapSize + Ord {
+pub(crate) trait Cell: Clone + Ord {
     type Keys: Keys;
 }
 
@@ -80,9 +80,6 @@ pub(crate) trait Keys: Clone + Debug + Default + PartialEq {
     /// The cells of two columns at positions `0..len`: `a`'s cell `i` at
     /// `to_a[i]` and `b`'s cell `j` at `to_b[j]`, `a`'s where both have one.
     fn interleave(len: u32, a: &Self, to_a: &[u32], b: &Self, to_b: &[u32]) -> Self;
-
-    /// The bytes the cells take, for cache admission.
-    fn bytes(&self) -> usize;
 }
 
 impl Keys for Vec<u32> {
@@ -98,10 +95,6 @@ impl Keys for Vec<u32> {
         let mut cells = Vec::with_capacity(len as usize);
         interleave(len, to_a, to_b, |from_a, k| cells.push(if from_a { a[k] } else { b[k] }));
         cells
-    }
-
-    fn bytes(&self) -> usize {
-        self.len() * size_of::<u32>()
     }
 }
 
@@ -189,10 +182,6 @@ impl Keys for KeyBytes {
             cells.push(if from_a { a.get(k) } else { b.get(k) })
         });
         cells
-    }
-
-    fn bytes(&self) -> usize {
-        self.bytes.len() + self.ends.len() * size_of::<u32>()
     }
 }
 
@@ -362,18 +351,6 @@ impl<K: Cell> Column<K> {
             Column::Distinct { m, sketches } => {
                 Column::Distinct { m, sketches: spread(sketches, to, len, KmvSketch::new(m)) }
             }
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            Column::Count(v) => v.len() * 8,
-            Column::SumInt(v) => v.len() * 16,
-            Column::SumFloat(sums) => {
-                sums.hi.len() * 24 + sums.exact.iter().flatten().count() * size_of::<FloatSum>()
-            }
-            Column::Extreme { best, .. } => best.iter().map(HeapSize::total_bytes).sum(),
-            Column::Distinct { sketches, .. } => sketches.iter().map(HeapSize::total_bytes).sum(),
         }
     }
 }
@@ -626,12 +603,6 @@ impl<K: Cell> GroupTable<K> {
     /// Key column `i`.
     pub(crate) fn key(&self, i: usize) -> &K::Keys {
         &self.keys[i]
-    }
-
-    /// Approximate in-memory footprint, for cost-aware cache admission.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let keys = self.keys.iter().map(Keys::bytes).sum::<usize>();
-        keys + self.slots.iter().map(Column::approx_bytes).sum::<usize>()
     }
 
     /// `agg`'s output cell for group `g`.
@@ -962,12 +933,6 @@ impl PartialResult {
             return Err(Error::Internal("cannot merge partial results of different shapes".into()));
         }
         Ok(())
-    }
-
-    /// Approximate in-memory footprint, for cost-aware cache admission
-    /// (bytes × cells scanned).
-    pub fn approx_bytes(&self) -> usize {
-        self.table.approx_bytes()
     }
 }
 

@@ -33,7 +33,7 @@
 //!   (the distributed layer's fan-out asks its children in order on the
 //!   calling thread);
 //! - [`count_distinct`] — the §5 m-smallest-hashes sketch;
-//! - [`cache`] — the chunk-result cache and its cost-aware bounded map (§6);
+//! - [`cache`] — the chunk-result cache and its oldest-first bounded map (§6);
 //! - [`stats`] — scan accounting (skipped / cached / scanned, cells);
 //! - [`memory`] — the per-query memory reports behind Tables 1–4.
 
@@ -52,7 +52,7 @@ pub mod scheduler;
 pub mod skip;
 pub mod stats;
 
-pub use cache::{cost_score, BoundedCache, ResultCache};
+pub use cache::{BoundedCache, ResultCache};
 
 /// Dictionary→f64 translation tables built since process start (a
 /// monotone, process-wide counter). The kernel bench asserts the

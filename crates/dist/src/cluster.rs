@@ -29,7 +29,7 @@
 
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
-use crate::rpc::{AppendRequest, ChildHandle, QueryRequest, ShardReport};
+use crate::rpc::{AppendRequest, ChildHandle, QueryRequest};
 use crate::shard_cache::Root;
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result, RpcError, Schema, Value};
@@ -537,7 +537,6 @@ impl Cluster {
         let mut queue_delays = vec![Duration::ZERO; shard_count];
         let mut failovers = Vec::new();
         let mut hedges = Vec::new();
-        let mut shard_cache_hits = 0;
         for report in &answer.reports {
             let s = report.shard as usize;
             if s >= shard_count {
@@ -551,26 +550,22 @@ impl Cluster {
             if report.hedged {
                 hedges.push(s);
             }
-            shard_cache_hits += usize::from(report.cache_hit);
         }
         failovers.sort_unstable();
         hedges.sort_unstable();
-        // An answer out of the root's cache crossed no edge: its reports
-        // are synthesized — cache-flagged, no latency, no queue — and say
-        // nothing about the workers. Fed to the estimates, a run of
-        // repeated charts would fill the ring with zeros and switch the
-        // saturation halving off.
-        let synthesized = |r: &ShardReport| r.cache_hit && r.latency.is_zero() && r.queue.is_zero();
-        if !answer.reports.iter().all(synthesized) {
-            // Feed the adaptive hedge / saturation estimates, stamped so
-            // `queue_p95` can expire them.
+        // An answer out of the root's cache asked no shard, so it reports
+        // none and feeds the estimates nothing; a miss reports every shard
+        // (a pruned edge reports its shards too), each a sample stamped so
+        // `queue_p95` can expire it.
+        let shard_cache_hits = if answer.stats.worker_cache_hits > 0 { shard_count } else { 0 };
+        if !answer.reports.is_empty() {
             let now = Instant::now();
             let mut recent = self.recent_queue.lock();
-            for queued in &queue_delays {
+            for report in &answer.reports {
                 if recent.len() == RECENT_QUEUE_CAP {
                     recent.pop_front();
                 }
-                recent.push_back((now, *queued));
+                recent.push_back((now, report.queue));
             }
         }
 
@@ -957,8 +952,8 @@ mod tests {
         assert_eq!(cluster.query(sql).unwrap().worker_cache_hits(), 0);
         let after_the_miss = (cluster.queue_p95(), cluster.recent_queue.lock().len());
         assert_eq!(after_the_miss, (Some(Duration::from_millis(400)), RECENT_QUEUE_CAP - 36));
-        // 64 repeats × 4 synthesized zero-queue reports would displace the
-        // whole ring and read "nobody is waiting".
+        // 64 repeats × 4 zero-queue samples would displace the whole ring
+        // and read "nobody is waiting"; a hit reports no shard.
         for _ in 0..64 {
             let hit = cluster.query(sql).unwrap();
             assert_eq!((hit.worker_cache_hits(), hit.shard_cache_hits), (1, 4));

@@ -117,6 +117,14 @@ impl Node {
         }
     }
 
+    /// `(hits, misses)` of a leaf's chunk-result cache: a scan of an
+    /// unrestricted query moves them, so a leaf asked nothing keeps them.
+    #[cfg(test)]
+    pub(crate) fn chunk_lookups(&self) -> (u64, u64) {
+        let Role::Leaf(leaf) = &self.role else { panic!("{} is a mixer", self.name) };
+        leaf.read().ctx.result_cache.as_ref().map_or((0, 0), |cache| cache.stats())
+    }
+
     /// `(shard, rows)` of every shard beneath this node, read in place off
     /// the summaries [`Node::metas`] copies: what an append is routed by.
     pub(crate) fn shard_rows(&self) -> Vec<(u64, u64)> {
@@ -360,17 +368,19 @@ mod tests {
     /// the same rows.
     #[test]
     fn the_root_brings_a_chart_forward_over_a_one_row_append_and_asks_no_leaf() {
-        let (root, _) = two_level_tree();
+        let (root, leaves) = two_level_tree();
         let cold = root.query(&request(A)).unwrap();
         assert_eq!((cold.stats.worker_cache_hits, cold.stats.rows_scanned), (0, 100));
+        let lookups: Vec<_> = leaves.iter().map(|leaf| leaf.chunk_lookups()).collect();
 
         let ack = root.append(&AppendRequest { deltas: vec![(3, kn_delta(100..101))] });
         let receipt = AppendReceipt { new_chunk_rows: vec![1] };
         assert_eq!(ack.unwrap(), AppendAck { receipts: vec![receipt], bytes: 0 });
         let warm = root.query(&request(A)).unwrap();
-        let shard_hits = warm.reports.iter().filter(|report| report.cache_hit).count();
         assert_eq!(warm.stats.worker_cache_hits, 1, "the root remembered A");
-        assert_eq!((shard_hits, warm.stats.rows_scanned), (4, 1), "and asked no leaf");
+        assert_eq!((warm.reports.len(), warm.stats.rows_scanned), (0, 1), "and no shard reports");
+        let after: Vec<_> = leaves.iter().map(|leaf| leaf.chunk_lookups()).collect();
+        assert_eq!(after, lookups, "no leaf was asked");
         let store = DataStore::from_coded(kn_delta(0..101), &BuildOptions::basic()).unwrap();
         let want = pd_core::query(&store, A).unwrap().0;
         assert_eq!(pd_core::finalize(&request(A).query, warm.partial).unwrap(), want);

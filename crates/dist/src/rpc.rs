@@ -197,10 +197,9 @@ pub struct QueryRequest {
 /// Per-shard observation, reported up the tree: how long the subquery took
 /// as measured by the shard's *parent* (wall clock, including transport
 /// and queueing), the time the request spent queued in worker processes,
-/// whether the shard's answer came from the replica (`failover`), whether
-/// the replica was raced because the primary outlasted the hedge delay
-/// (`hedged`), and whether the shard's contribution was served from the
-/// root's result cache without reaching the shard.
+/// whether the shard's answer came from the replica (`failover`), and
+/// whether the replica was raced because the primary outlasted the hedge
+/// delay (`hedged`). A root hit asks no shard and reports none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
     pub shard: u64,
@@ -208,6 +207,7 @@ pub struct ShardReport {
     pub queue: Duration,
     pub failover: bool,
     pub hedged: bool,
+    /// Not on the wire, never set by the engine: always `false`.
     pub cache_hit: bool,
 }
 
@@ -419,7 +419,6 @@ impl Encode for ShardReport {
         self.queue.encode(out);
         self.failover.encode(out);
         self.hedged.encode(out);
-        self.cache_hit.encode(out);
     }
 }
 
@@ -431,7 +430,7 @@ impl Decode for ShardReport {
             queue: Duration::decode(r)?,
             failover: bool::decode(r)?,
             hedged: bool::decode(r)?,
-            cache_hit: bool::decode(r)?,
+            cache_hit: false,
         })
     }
 }
@@ -600,7 +599,7 @@ mod tests {
                 queue: Duration::from_micros(3),
                 failover: true,
                 hedged: true,
-                cache_hit: true,
+                cache_hit: false,
             }],
         };
         for response in [

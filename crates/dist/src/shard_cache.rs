@@ -53,20 +53,17 @@
 //!   ([`pd_core::PartialResult`] is copy-on-write): a put and a hit copy
 //!   no column.
 //!
-//! Admission/eviction reuses [`pd_core::BoundedCache`], the chunk-result
-//! cache's cost-aware machinery: the root scores an entry by `bytes × cells
-//! scanned beneath it` ([`pd_core::cost_score`]), so a full cache keeps the
-//! partials that are most expensive to regenerate — and, the score being a
-//! function of the query and the data, holds the same entries whenever the
-//! same queries arrive in the same order.
+//! The entries live in a [`pd_core::BoundedCache`], the chunk-result
+//! cache's map: a full cache drops the entry it admitted first, so it holds
+//! the same entries whenever the same queries arrive in the same order.
 
 use crate::node::{scan_context, Node};
-use crate::rpc::{AppendAck, AppendRequest, QueryRequest, ShardReport, SubtreeAnswer};
+use crate::rpc::{AppendAck, AppendRequest, QueryRequest, SubtreeAnswer};
 use pd_common::sync::{Mutex, RwLock};
 use pd_common::{Error, Result};
 use pd_core::{
-    cost_score, execute_partial_from, BoundedCache, BuildOptions, DataStore, ExecContext,
-    PartialResult, ScanStats,
+    execute_partial_from, BoundedCache, BuildOptions, DataStore, ExecContext, PartialResult,
+    ScanStats,
 };
 use pd_encoding::TableDelta;
 use pd_sql::{AnalyzedQuery, Expr, Slot};
@@ -106,8 +103,7 @@ struct TailMark {
 }
 
 /// The root's cached answer for a signature: the partial it would
-/// recompute, plus the tree's shape needed to synthesize hit-side stats
-/// and per-shard reports without touching any child.
+/// recompute, plus the tree's shape its hit-side stats count.
 struct CachedSubtree {
     /// The whole tree's mergeable group states.
     partial: PartialResult,
@@ -117,14 +113,8 @@ struct CachedSubtree {
     /// Shape the partial covers.
     rows_total: u64,
     chunks_total: usize,
-    /// Every shard beneath the root, for hit-side report synthesis.
-    shards: Vec<u64>,
     /// How much of the root's tail the partial already contains.
     at: TailMark,
-    /// What the entry was admitted by: its table's bytes then, and the
-    /// cells scanned beneath the root to compute it.
-    bytes: usize,
-    cells: u64,
 }
 
 impl CachedSubtree {
@@ -136,10 +126,7 @@ impl CachedSubtree {
             slots,
             rows_total: answer.stats.rows_total,
             chunks_total: answer.stats.chunks_total,
-            shards: answer.reports.iter().map(|r| r.shard).collect(),
             at,
-            bytes: answer.partial.approx_bytes(),
-            cells: answer.stats.cells_scanned,
         }
     }
 
@@ -149,9 +136,9 @@ impl CachedSubtree {
     }
 
     /// This entry with `fresh` — the partial over the tail rows between
-    /// its mark and `now` — merged in: complete up to `now`, under the
-    /// score it was admitted with. The merge is copy-on-write: answers
-    /// this entry already served keep the table they were handed.
+    /// its mark and `now` — merged in: complete up to `now`. The merge is
+    /// copy-on-write: answers this entry already served keep the table
+    /// they were handed.
     fn brought_forward(&self, fresh: PartialResult, now: TailMark) -> Result<CachedSubtree> {
         let mut partial = self.partial.clone();
         if !fresh.is_empty() {
@@ -162,17 +149,14 @@ impl CachedSubtree {
             slots: self.slots.clone(),
             rows_total: self.rows_total + (now.rows - self.at.rows),
             chunks_total: self.chunks_total + (now.leaf_chunks - self.at.leaf_chunks),
-            shards: self.shards.clone(),
             at: now,
-            bytes: self.bytes,
-            cells: self.cells,
         })
     }
 
     /// The answer a cache hit hands the driver: the identical partial (the
     /// cached table itself, shared), stats that account every row as served
-    /// from a cached result (one `worker_cache_hits`), and a zero-latency,
-    /// zero-queue, cache-flagged report per shard.
+    /// from a cached result (one `worker_cache_hits`), and no report: no
+    /// shard was asked.
     fn to_answer(&self) -> SubtreeAnswer {
         SubtreeAnswer {
             partial: self.partial.clone(),
@@ -184,54 +168,8 @@ impl CachedSubtree {
                 worker_cache_hits: 1,
                 ..Default::default()
             },
-            reports: self
-                .shards
-                .iter()
-                .map(|&shard| ShardReport {
-                    shard,
-                    latency: Duration::ZERO,
-                    queue: Duration::ZERO,
-                    failover: false,
-                    hedged: false,
-                    cache_hit: true,
-                })
-                .collect(),
+            reports: Vec::new(),
         }
-    }
-}
-
-/// The root's entries, keyed by [`query_signature`] alone — the root *is*
-/// the tree, so no shard index is needed.
-struct WorkerCache {
-    entries: BoundedCache<Arc<str>, Arc<CachedSubtree>>,
-}
-
-impl WorkerCache {
-    /// Cache at most `capacity` signatures.
-    fn new(capacity: usize) -> WorkerCache {
-        WorkerCache { entries: BoundedCache::new(capacity) }
-    }
-
-    /// The entry `signature` names, if any, and whether it holds every one
-    /// of `slots` — a hit; else a miss, counted as one, whose computed
-    /// table is to hold the entry's slots too.
-    fn get(&self, signature: &str, slots: &[Slot]) -> Option<(Arc<CachedSubtree>, bool)> {
-        self.entries.get(signature, |entry| entry.holds(slots))
-    }
-
-    /// Admit an entry, scored `partial bytes × cells scanned to compute
-    /// it`: capacity pressure evicts the answers that are cheapest to
-    /// regenerate. An entry brought forward replaces the one it came from
-    /// under the same score.
-    fn put(&self, signature: &str, entry: Arc<CachedSubtree>) {
-        let cost = cost_score(entry.bytes, entry.cells);
-        self.entries.put(signature.into(), entry, cost);
-    }
-
-    /// Bytes of the tables the resident entries keep alive, as each was
-    /// admitted — what the tail is worth keeping for.
-    fn table_bytes(&self) -> usize {
-        self.entries.values().iter().map(|entry| entry.bytes).sum()
     }
 }
 
@@ -287,11 +225,8 @@ impl Tail {
 }
 
 /// The tail is dropped, and the cache with it, once it holds more bytes
-/// than the tables the cache keeps alive — the root's memory at most
-/// doubles — but never below this: a dashboard of small charts is worth
-/// bringing forward too, and a tail this size costs the driver little
-/// memory.
-const TAIL_FLOOR_BYTES: usize = 1 << 20;
+/// than this: a tail this size costs the driver little memory.
+const TAIL_BOUND_BYTES: usize = 1 << 20;
 
 /// The root of the tree, in the driver on both transports: the mixer over
 /// the top level, and the tree's one memory — its entries, what each key
@@ -299,9 +234,11 @@ const TAIL_FLOOR_BYTES: usize = 1 << 20;
 /// through appends.
 pub(crate) struct Root {
     node: Node,
-    /// `None` when the root remembers nothing (`ClusterConfig::shard_cache`
-    /// 0): then it keeps no tail either.
-    cache: Option<WorkerCache>,
+    /// Its entries, keyed by [`query_signature`] alone — the root *is* the
+    /// tree, so no shard index is needed. `None` when the root remembers
+    /// nothing (`ClusterConfig::shard_cache` 0): then it keeps no tail
+    /// either.
+    cache: Option<BoundedCache<Arc<str>, Arc<CachedSubtree>>>,
     /// Per key set ([`AnalyzedQuery::write_key_shape`]): what it was asked
     /// for lately ([`Root::predict`]). Dropped with the entries; at most
     /// `capacity` key sets, as many as the cache holds entries.
@@ -321,7 +258,7 @@ impl Root {
     pub(crate) fn new(node: Node, cache_entries: usize, threads: usize) -> Root {
         Root {
             node,
-            cache: (cache_entries > 0).then(|| WorkerCache::new(cache_entries)),
+            cache: (cache_entries > 0).then(|| BoundedCache::new(cache_entries)),
             asked: Mutex::default(),
             capacity: cache_entries,
             tail: RwLock::new(None),
@@ -341,7 +278,7 @@ impl Root {
 
     /// `(hits, misses)` of the cache so far.
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        self.cache.as_ref().map_or((0, 0), |cache| cache.entries.stats())
+        self.cache.as_ref().map_or((0, 0), BoundedCache::stats)
     }
 
     /// Answer one query from what the root remembers — a table of the
@@ -363,7 +300,7 @@ impl Root {
     /// [`Root::query`], a miss computing the `wider` slots as well.
     fn answer(
         &self,
-        cache: &WorkerCache,
+        cache: &BoundedCache<Arc<str>, Arc<CachedSubtree>>,
         request: &QueryRequest,
         mut wider: Vec<Slot>,
     ) -> Result<SubtreeAnswer> {
@@ -373,7 +310,10 @@ impl Root {
         // what a remembered one may lack. No append runs beside a query.
         let tail = self.tail.read();
         let now = tail.as_ref().map_or(TailMark::default(), |tail| tail.mark);
-        if let Some((entry, holds)) = cache.get(&signature, &request.query.slots) {
+        // An entry holding every slot asked is a hit; one lacking some is
+        // a miss, counted as one, whose computed table holds its slots too.
+        let slots = &request.query.slots;
+        if let Some((entry, holds)) = cache.get(signature.as_str(), |entry| entry.holds(slots)) {
             // The root's answer: the cached table itself, no hop, every row
             // accounted as cached.
             match tail.as_ref().filter(|_| entry.at != now) {
@@ -391,7 +331,7 @@ impl Root {
                         let mut answer = entry.to_answer();
                         answer.partial = forward.partial.clone();
                         answer.stats += &scan;
-                        cache.put(&signature, Arc::new(forward));
+                        cache.put(signature.as_str().into(), Arc::new(forward));
                         return Ok(answer);
                     }
                 }
@@ -417,9 +357,7 @@ impl Root {
                 Ok(answer) => (answer, wide.query.slots),
             }
         };
-        // Admission is cost-aware: the cells scanned beneath the root are
-        // what a future miss would scan again.
-        cache.put(&signature, Arc::new(CachedSubtree::capture(&answer, slots, now)));
+        cache.put(signature.into(), Arc::new(CachedSubtree::capture(&answer, slots, now)));
         Ok(answer)
     }
 
@@ -453,15 +391,12 @@ impl Root {
     /// root remembers — short, not wrong: [`Root::query`] brings it forward
     /// from the tail, which grows by the same rows while the children
     /// apply. The root forgets instead when it remembers nothing, or when
-    /// the tail outgrows the tables it serves (and a 1 MiB floor). A request
-    /// the tree refuses whole changes nothing here either.
+    /// the tail outgrows its bound. A request the tree refuses whole
+    /// changes nothing here either.
     pub(crate) fn append(&self, append: &AppendRequest) -> Result<AppendAck> {
-        let cache = self.cache.as_ref().filter(|cache| !cache.entries.is_empty());
+        let remembers = self.cache.as_ref().is_some_and(|cache| !cache.is_empty());
         let (ack, kept) = self.node.append_while(append, || {
-            cache.is_some_and(|cache| {
-                let bound = cache.table_bytes().max(TAIL_FLOOR_BYTES);
-                self.grow_tail(&append.deltas).is_ok_and(|bytes| bytes <= bound)
-            })
+            remembers && self.grow_tail(&append.deltas).is_ok_and(|b| b <= TAIL_BOUND_BYTES)
         })?;
         if !kept {
             self.forget();
@@ -500,7 +435,7 @@ impl Root {
     /// entries forward.
     fn forget(&self) {
         if let Some(cache) = &self.cache {
-            cache.entries.clear();
+            cache.clear();
         }
         self.asked.lock().clear();
         *self.tail.write() = None;
@@ -594,68 +529,40 @@ mod tests {
         }
     }
 
+    /// A hit hands the driver the remembered table and nothing else: no
+    /// leaf is asked, so no shard reports, and every row counts as cached.
     #[test]
-    fn cached_subtrees_synthesize_all_cached_answers() {
-        let computed = SubtreeAnswer {
-            partial: PartialResult::default(),
-            stats: ScanStats {
-                chunks_total: 6,
-                chunks_scanned: 4,
-                chunks_skipped: 2,
-                rows_total: 600,
-                rows_scanned: 400,
-                rows_skipped: 200,
-                ..Default::default()
-            },
-            reports: vec![
-                ShardReport {
-                    shard: 2,
-                    latency: Duration::from_micros(50),
-                    queue: Duration::from_micros(9),
-                    failover: true,
-                    hedged: true,
-                    cache_hit: false,
-                },
-                ShardReport {
-                    shard: 5,
-                    latency: Duration::from_micros(70),
-                    queue: Duration::ZERO,
-                    failover: false,
-                    hedged: false,
-                    cache_hit: false,
-                },
-            ],
-        };
-        let cached = CachedSubtree::capture(&computed, Vec::new(), TailMark::default());
-        let hit = cached.to_answer();
-        assert_eq!(hit.partial, computed.partial);
-        assert_eq!(hit.stats.rows_total, 600);
-        assert_eq!(hit.stats.rows_cached, 600);
-        assert_eq!(hit.stats.rows_scanned, 0);
-        assert_eq!(hit.stats.chunks_cached, 6);
-        assert_eq!(hit.stats.worker_cache_hits, 1, "the root stopped the query");
-        let shards: Vec<u64> = hit.reports.iter().map(|r| r.shard).collect();
-        assert_eq!(shards, vec![2, 5], "every shard beneath still reports");
-        for report in &hit.reports {
-            assert!(report.cache_hit);
-            assert!(!report.failover, "a hit never touches any replica");
-            assert_eq!((report.latency, report.queue), (Duration::ZERO, Duration::ZERO));
-        }
+    fn a_hit_has_no_report_and_asks_no_leaf() {
+        let build = BuildOptions::basic();
+        let leaf = Arc::new(Node::leaf(0, kn_delta(0..100), &build, spec("l0p")).unwrap().0);
+        let child = ChildHandle::local(Arc::clone(&leaf), Some(0));
+        let root = Root::new(Node::mixer(vec![child], spec("root")), 4, 1);
+        let miss = root.query(&request(BY_K)).unwrap();
+        assert_eq!((miss.stats.worker_cache_hits, miss.reports.len()), (0, 1));
+        let lookups = leaf.chunk_lookups();
+        let hit = root.query(&request(BY_K)).unwrap();
+        assert_eq!(leaf.chunk_lookups(), lookups, "no leaf was asked");
+        assert!(hit.reports.is_empty(), "and no shard reports");
+        assert_eq!(hit.partial, miss.partial);
+        let stats = hit.stats;
+        assert_eq!((stats.worker_cache_hits, stats.rows_cached, stats.rows_scanned), (1, 100, 0));
+        assert_eq!(stats.chunks_cached, miss.stats.chunks_total);
     }
 
     #[test]
-    fn worker_cache_is_signature_keyed() {
-        let cache = WorkerCache::new(8);
+    fn the_roots_cache_is_signature_keyed() {
+        let cache: BoundedCache<Arc<str>, _> = BoundedCache::new(8);
         let answer = SubtreeAnswer {
             partial: PartialResult::default(),
             stats: ScanStats::default(),
             reports: Vec::new(),
         };
         let entry = CachedSubtree::capture(&answer, Vec::new(), TailMark::default());
-        cache.put("sig-a", Arc::new(entry));
-        assert!(cache.get("sig-a", &[]).is_some_and(|(_, hit)| hit));
-        assert!(cache.get("sig-b", &[]).is_none());
-        assert_eq!(cache.entries.stats(), (1, 1));
+        cache.put("sig-a".into(), Arc::new(entry));
+        let holds = |entry: &Arc<CachedSubtree>| entry.holds(&[]);
+        assert!(cache.get("sig-a", holds).is_some_and(|(_, hit)| hit));
+        assert!(cache.get("sig-b", holds).is_none());
+        assert_eq!(cache.stats(), (1, 1));
     }
 
     /// An entry answers the charts whose slots it holds; one asking for a
@@ -672,20 +579,21 @@ mod tests {
         let wide = analyzed("SELECT country, AVG(latency), MAX(user) FROM logs GROUP BY country");
         let (partial, stats) = pd_core::execute_partial(&store, &wide, &ctx).unwrap();
         let answer = SubtreeAnswer { partial, stats, reports: Vec::new() };
-        let cache = WorkerCache::new(8);
+        let cache: BoundedCache<Arc<str>, _> = BoundedCache::new(8);
         let entry = CachedSubtree::capture(&answer, wide.slots.clone(), TailMark::default());
-        cache.put("sig", Arc::new(entry));
+        cache.put("sig".into(), Arc::new(entry));
         for (sql, hit) in [
             ("SELECT country, SUM(latency) FROM logs GROUP BY country", true),
             ("SELECT country, MAX(user), COUNT(*) FROM logs GROUP BY country", true),
             ("SELECT country, MIN(user) FROM logs GROUP BY country", false),
             ("SELECT country, COUNT(DISTINCT user) FROM logs GROUP BY country", false),
         ] {
-            let (entry, held) = cache.get("sig", &analyzed(sql).slots).unwrap();
+            let slots = analyzed(sql).slots;
+            let (entry, held) = cache.get("sig", |entry| entry.holds(&slots)).unwrap();
             assert_eq!(held, hit, "{sql}");
             assert_eq!(entry.slots, wide.slots, "{sql}: the entry is as it was");
         }
-        assert_eq!(cache.entries.stats(), (2, 2));
+        assert_eq!(cache.stats(), (2, 2));
     }
 
     /// What the root remembers of a key set: the slots asked under its
@@ -767,11 +675,11 @@ mod tests {
     fn a_tail_past_its_bound_goes_with_the_cache_it_served() {
         let root = root_over_a_leaf(100, 4);
         let tail_bytes = |root: &Root| root.tail.read().as_ref().map(|t| t.store.total_bytes());
-        let cached = |root: &Root| root.cache.as_ref().unwrap().entries.len();
+        let cached = |root: &Root| root.cache.as_ref().unwrap().len();
         let ask = |root: &Root| root.query(&request(BY_K)).unwrap();
         ask(&root);
-        // One small chart is remembered, so the bound is the floor. The
-        // batch repeats 100 rows: bytes grow with rows, dictionaries do not.
+        // The batch repeats 100 rows: bytes grow with rows, dictionaries do
+        // not.
         const BATCH: u64 = 25_000;
         let k: Vec<Value> =
             (0..BATCH).map(|i| Value::from(["a", "b", "c"][i as usize % 3])).collect();
@@ -784,7 +692,7 @@ mod tests {
             rows += BATCH;
             match tail_bytes(&root) {
                 Some(bytes) => {
-                    assert!(bytes <= TAIL_FLOOR_BYTES, "a kept tail is within its bound: {bytes}");
+                    assert!(bytes <= TAIL_BOUND_BYTES, "a kept tail is within its bound: {bytes}");
                     peak = bytes.max(peak);
                     let forward = ask(&root);
                     assert_eq!(forward.stats.worker_cache_hits, 1, "brought forward @ {rows}");
@@ -803,7 +711,7 @@ mod tests {
             }
             assert!(appends < 100, "the tail never reached its bound: {peak} bytes");
         }
-        assert!(peak > TAIL_FLOOR_BYTES / 2, "the bound was approached from below: {peak}");
+        assert!(peak > TAIL_BOUND_BYTES / 2, "the bound was approached from below: {peak}");
         // And a root that remembers nothing keeps no tail at all.
         let forgetful = root_over_a_leaf(100, 0);
         append(&forgetful, kn_delta(100..200));

@@ -153,7 +153,7 @@ fn random_response(rng: &mut Rng, partial: &PartialResult, case: usize) -> Respo
                     queue: Duration::from_nanos(rng.next_u64() % 1_000_000),
                     failover: rng.next_u64().is_multiple_of(2),
                     hedged: rng.next_u64().is_multiple_of(5),
-                    cache_hit: rng.next_u64().is_multiple_of(3),
+                    cache_hit: false,
                 })
                 .collect();
             Response::Answer(Box::new(SubtreeAnswer {

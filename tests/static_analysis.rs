@@ -1,6 +1,6 @@
 //! Plain `cargo test` coverage for the pd-analysis pass: the workspace must
 //! be clean under all five rule classes, and the wire fingerprint must stay
-//! pinned to the committed golden at `FRAME_VERSION` 19. The CI `analysis`
+//! pinned to the committed golden at `FRAME_VERSION` 20. The CI `analysis`
 //! job runs the same pass as a binary; this wrapper makes a local
 //! `cargo test` catch the same regressions without extra steps.
 
@@ -25,25 +25,25 @@ fn workspace_is_clean_under_pd_analysis() {
 
 /// The golden wire-fingerprint test (the wire-drift rule's `cargo test`
 /// face): every request/response tag and codec layout is pinned to
-/// `FRAME_VERSION` 19. If this fails you changed the wire format — that is
+/// `FRAME_VERSION` 20. If this fails you changed the wire format — that is
 /// only legal together with a version bump.
 #[test]
-fn wire_fingerprint_is_pinned_to_frame_version_19() {
+fn wire_fingerprint_is_pinned_to_frame_version_20() {
     let root = workspace_root();
     let live = pd_analysis::compute_fingerprint(root).expect("codec files lex");
     let golden = pd_analysis::load_baseline(root).expect("committed golden exists");
 
     assert_eq!(
         golden.frame_version,
-        Some(19),
-        "the committed golden records FRAME_VERSION {:?}, expected 19 — if you bumped the \
+        Some(20),
+        "the committed golden records FRAME_VERSION {:?}, expected 20 — if you bumped the \
          version on purpose, update this test's pin alongside the golden",
         golden.frame_version
     );
     assert_eq!(
         live.frame_version,
-        Some(19),
-        "crates/common/src/wire.rs declares FRAME_VERSION {:?}, expected 19 — a version bump \
+        Some(20),
+        "crates/common/src/wire.rs declares FRAME_VERSION {:?}, expected 20 — a version bump \
          must ship with a re-blessed golden (`cargo run -p pd-analysis -- --bless`) and an \
          updated pin here",
         live.frame_version
