@@ -5,8 +5,8 @@
 //! sending the query to all machines, each machine executing it on its
 //! part of the data, and then merging the results."* — [`Cluster::build`]
 //! splits the table into contiguous shards and builds a tree of
-//! [`crate::node::Node`]s over them; [`Cluster::query`] parses once, hands
-//! the analyzed query to the tree's root, held here — it answers a
+//! [`crate::node::Node`]s over them; [`Cluster::query`] hands the SQL text
+//! to the tree's root, held here — it plans each text once, answers a
 //! signature it remembers without crossing an edge (the tree's one memory,
 //! [`crate::shard_cache`]), and otherwise fans out and folds the partials
 //! in fixed order — and finalizes its answer. Every aggregation state
@@ -29,14 +29,13 @@
 
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
-use crate::rpc::{AppendRequest, ChildHandle, QueryRequest};
+use crate::rpc::{AppendRequest, ChildHandle};
 use crate::shard_cache::Root;
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result, RpcError, Schema, Value};
 use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
-use pd_sql::plan;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,8 +160,9 @@ pub struct ClusterConfig {
     /// children in order on the calling thread.
     pub threads: usize,
     /// Capacity (entries) of the root's result cache, in the driver on
-    /// either transport — the one node that remembers; 0 disables it. A
-    /// chart the root remembers costs no hop, no frame and no merge.
+    /// either transport — the one node that remembers —, and (SQL texts)
+    /// of its plans; 0 disables both. A chart the root remembers costs no
+    /// hop, no frame and no merge, and a repeated text no plan.
     pub shard_cache: usize,
     /// Where the tree's nodes live: in the driver's address space or one
     /// worker process each.
@@ -506,10 +506,10 @@ impl Cluster {
     /// finalizes what it hands up.
     pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
         // Admission first: a shed query must cost nothing downstream —
-        // not even the parse.
+        // not even the plan.
         let _permit = self.admit()?;
         let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
-        let analyzed = plan(sql)?;
+        let planned = root.plan(sql)?;
         let shard_count = self.shard_count;
         let budget = match &self.config.transport {
             Transport::InProcess => RpcConfig::default().budget,
@@ -522,11 +522,10 @@ impl Cluster {
         } else {
             0
         };
-        let request = QueryRequest { query: analyzed, budget, hedge_micros };
 
         let fan_out_started = Instant::now();
         // The root — which nothing queues for.
-        let answer = root.query(&request)?;
+        let answer = root.query(&planned, budget, hedge_micros)?;
         // The whole fan-out: leaf hops *and* every merge-node fold and
         // root-hop transport above them — time the per-shard reports
         // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.
@@ -571,7 +570,7 @@ impl Cluster {
 
         let finalize_started = Instant::now();
         let mut stats = answer.stats;
-        let result = finalize(&request.query, answer.partial)?;
+        let result = finalize(&planned.query, answer.partial)?;
         let latency = fan_out_elapsed + finalize_started.elapsed();
         stats.elapsed = latency;
 

@@ -18,7 +18,7 @@
 //! | partial results merged up the tree | mixer [`Node`]s: each owns a [`TreeShape`]-fanout subtree, folds child partials with the same associative merge, reports per-shard observations up, and **prunes subtrees whose [`ShardMeta`] cannot match the restriction** before spending a hop ([`pd_core::ScanStats::subtrees_pruned`]); the driver ([`Cluster`]) holds the root, a mixer like the rest: a chart its cache remembers crosses no edge |
 //! | "take the answer arriving first" replication | under [`ClusterConfig::replication`] every shard of a socket tree is served by two worker processes, a primary and a replica: a primary that fails (refused, dead, reset, torn, out of budget) fails over to its replica ([`QueryOutcome::failovers`]), and one that has not answered within the hedge delay (derived from observed queue delays) is **raced** against it in parallel, first answer wins, the loser is cancelled ([`QueryOutcome::hedges`]); every query spends one [`RpcConfig::budget`] end to end. A tree in the driver's address space holds one copy of each leaf |
 //! | servers being "temporarily slow" | **measured**: a worker process serves one request at a time, in arrival order, and reports the real wait for that turn up the tree ([`QueryOutcome::queue_delays`]), which also feed the hedge delay's ring of recent samples |
-//! | reuse of previously computed answers | [`shard_cache`]: every query enters at the root, so **the root alone** remembers partials, keyed by the normalized query signature ([`query_signature`]) — keys and restriction, so one table answers every chart whose slots it holds —, brought forward through appends by a tail of the appended rows and dropped with the tree on a rebuild; no node beneath it remembers an answer. A hit is reported as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
+//! | reuse of previously computed answers | [`shard_cache`]: every query enters at the root, so **the root alone** remembers partials, keyed by the normalized query signature ([`query_signature`]) — keys and restriction, so one table answers every chart whose slots it holds —, brought forward through appends by a tail of the appended rows and dropped with the tree on a rebuild, and the plan of each SQL text, so a repeated chart is not parsed again; no node beneath it remembers an answer. A hit is reported as [`pd_core::ScanStats::worker_cache_hits`] / [`QueryOutcome::worker_cache_hits`], and per shard as [`QueryOutcome::shard_cache_hits`] |
 //!
 //! Partial results, restrictions, group-by keys and float superaccumulator
 //! states cross the process boundary in the dependency-free

@@ -299,7 +299,7 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
 mod tests {
     use super::*;
     use crate::meta::{chunk_verdicts, may_match, MAX_DISTINCT};
-    use crate::rpc::testkit::{kn_delta, request, spec, to_shard_0};
+    use crate::rpc::testkit::{ask, kn_delta, request, spec, to_shard_0};
     use crate::shard_cache::Root;
     use pd_common::rng::Rng;
     use pd_common::{DataType, Schema, Value};
@@ -369,14 +369,14 @@ mod tests {
     #[test]
     fn the_root_brings_a_chart_forward_over_a_one_row_append_and_asks_no_leaf() {
         let (root, leaves) = two_level_tree();
-        let cold = root.query(&request(A)).unwrap();
+        let cold = ask(&root, A).unwrap();
         assert_eq!((cold.stats.worker_cache_hits, cold.stats.rows_scanned), (0, 100));
         let lookups: Vec<_> = leaves.iter().map(|leaf| leaf.chunk_lookups()).collect();
 
         let ack = root.append(&AppendRequest { deltas: vec![(3, kn_delta(100..101))] });
         let receipt = AppendReceipt { new_chunk_rows: vec![1] };
         assert_eq!(ack.unwrap(), AppendAck { receipts: vec![receipt], bytes: 0 });
-        let warm = root.query(&request(A)).unwrap();
+        let warm = ask(&root, A).unwrap();
         assert_eq!(warm.stats.worker_cache_hits, 1, "the root remembered A");
         assert_eq!((warm.reports.len(), warm.stats.rows_scanned), (0, 1), "and no shard reports");
         let after: Vec<_> = leaves.iter().map(|leaf| leaf.chunk_lookups()).collect();
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn a_misrouted_append_is_refused_whole() {
         let (root, leaves) = two_level_tree();
-        let cold = root.query(&request(A)).unwrap();
+        let cold = ask(&root, A).unwrap();
         let row = || kn_delta(100..101);
         let (metas, leaf_metas) = (root.node().metas(), leaves[0].metas());
         // `true`: to the root; `false`: to leaf 0.
@@ -415,7 +415,7 @@ mod tests {
             }
             let now = (root.node().metas(), leaves[0].metas());
             assert_eq!(now, (metas.clone(), leaf_metas.clone()), "{why}");
-            let repeat = root.query(&request(A)).unwrap();
+            let repeat = ask(&root, A).unwrap();
             let work = (repeat.stats.worker_cache_hits, repeat.stats.rows_scanned);
             assert_eq!(work, (1, 0), "{why}");
             assert_eq!(repeat.partial, cold.partial, "{why}");
@@ -426,7 +426,7 @@ mod tests {
         assert_eq!(chunks, [vec![2], vec![1]], "one receipt per delta, in request order");
         let copies: Vec<ShardMeta> = leaves.iter().flat_map(|leaf| leaf.metas()).collect();
         assert_eq!(root.node().metas(), copies, "every copy absorbed its own shard's receipt");
-        let forward = root.query(&request(A)).unwrap();
+        let forward = ask(&root, A).unwrap();
         assert_eq!((forward.stats.worker_cache_hits, forward.stats.rows_scanned), (1, 3));
     }
 

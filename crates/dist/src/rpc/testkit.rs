@@ -25,6 +25,12 @@ pub(crate) fn request(sql: &str) -> QueryRequest {
     QueryRequest { query: analyzed(sql), budget: Duration::from_secs(30), hedge_micros: 0 }
 }
 
+/// `sql` asked of `root` as the driver asks it: planned by the root, with
+/// a roomy budget and no hedging.
+pub(crate) fn ask(root: &crate::shard_cache::Root, sql: &str) -> Result<SubtreeAnswer> {
+    root.query(&*root.plan(sql)?, Duration::from_secs(30), 0)
+}
+
 /// A node named `name` of width one.
 pub(crate) fn spec(name: &str) -> NodeSpec {
     NodeSpec { name: name.into(), threads: 1 }

@@ -26,6 +26,17 @@
 //! the key set was asked under the previous one as well, and its other
 //! charts are hits.
 //!
+//! The root **plans each SQL text once**: it remembers, per text, the
+//! analyzed query and its signature, written in one walk with the key set
+//! as its prefix (a `Planned`), as many texts as it keeps entries, the
+//! oldest first out. [`pd_sql::plan`] is a function of the text alone, so
+//! a remembered plan is the plan; texts that differ in presentation or an
+//! alias share a signature, never a plan. A repeated chart therefore costs
+//! two probes and the finalize of the remembered table — no parse, no
+//! signature, no request: only a miss clones its plan into the
+//! [`QueryRequest`] it sends, so the wire is as before. A text that fails
+//! to plan is not remembered.
+//!
 //! An append walks the tree from the root ([`crate::node::Node::append`]),
 //! and the root keeps what it remembers: each entry records how much of
 //! the root's tail — the rows appended since its cache last started empty
@@ -79,13 +90,46 @@ use std::time::Duration;
 /// holds, and answers every query asking for some of them.
 pub fn query_signature(analyzed: &AnalyzedQuery, sketch_m: usize) -> String {
     let mut signature = String::with_capacity(128);
-    analyzed.write_key_shape(&mut signature);
-    signature.push_str("|where:");
-    if let Some(filter) = &analyzed.filter {
-        write!(signature, "{filter}").expect("a String takes every write");
-    }
-    write!(signature, "|m:{sketch_m}").expect("a String takes every write");
+    write_signature(analyzed, sketch_m, &mut signature);
     signature
+}
+
+/// Write [`query_signature`] into `out` in one walk; returns where its key
+/// shape ([`AnalyzedQuery::write_key_shape`]) ends.
+fn write_signature(analyzed: &AnalyzedQuery, sketch_m: usize, out: &mut String) -> usize {
+    analyzed.write_key_shape(out);
+    let keys = out.len();
+    out.push_str("|where:");
+    if let Some(filter) = &analyzed.filter {
+        write!(out, "{filter}").expect("a String takes every write");
+    }
+    write!(out, "|m:{sketch_m}").expect("a String takes every write");
+    keys
+}
+
+/// SQL text as the root plans it: the analyzed query, and its signature
+/// with the key shape as its prefix — what a hit probes by and what the
+/// root remembers per key set, written once per text.
+pub(crate) struct Planned {
+    pub(crate) query: AnalyzedQuery,
+    /// [`query_signature`] at sketch size 0: a root folds whatever sketch
+    /// size its leaves used.
+    signature: Arc<str>,
+    /// Length of the key-shape prefix of `signature`.
+    keys: usize,
+}
+
+impl Planned {
+    fn new(query: AnalyzedQuery) -> Planned {
+        let mut signature = String::with_capacity(128);
+        let keys = write_signature(&query, 0, &mut signature);
+        Planned { query, signature: signature.into(), keys }
+    }
+
+    /// The query's key set: `table|keys:…`.
+    fn keys(&self) -> &str {
+        &self.signature[..self.keys]
+    }
 }
 
 /// How far the root's tail — the rows appended since its cache last
@@ -230,15 +274,19 @@ const TAIL_BOUND_BYTES: usize = 1 << 20;
 
 /// The root of the tree, in the driver on both transports: the mixer over
 /// the top level, and the tree's one memory — its entries, what each key
-/// set was asked lately, and the tail that keeps the entries answerable
-/// through appends.
+/// set was asked lately, the tail that keeps the entries answerable
+/// through appends, and the plan of every SQL text it was asked lately.
 pub(crate) struct Root {
     node: Node,
     /// Its entries, keyed by [`query_signature`] alone — the root *is* the
     /// tree, so no shard index is needed. `None` when the root remembers
     /// nothing (`ClusterConfig::shard_cache` 0): then it keeps no tail
-    /// either.
+    /// either, and no plan.
     cache: Option<BoundedCache<Arc<str>, Arc<CachedSubtree>>>,
+    /// Per SQL text, its plan ([`Root::plan`]): as many texts as the cache
+    /// holds entries, oldest first out. A plan is a function of the text
+    /// alone, so it outlives appends and [`Root::forget`].
+    plans: Option<BoundedCache<Arc<str>, Arc<Planned>>>,
     /// Per key set ([`AnalyzedQuery::write_key_shape`]): what it was asked
     /// for lately ([`Root::predict`]). Dropped with the entries; at most
     /// `capacity` key sets, as many as the cache holds entries.
@@ -253,12 +301,13 @@ pub(crate) struct Root {
 
 impl Root {
     /// The root over `node` — a mixer — remembering at most
-    /// `cache_entries` signatures (0: none), scanning its tail `threads`
-    /// wide.
+    /// `cache_entries` signatures and as many plans (0: none), scanning its
+    /// tail `threads` wide.
     pub(crate) fn new(node: Node, cache_entries: usize, threads: usize) -> Root {
         Root {
             node,
             cache: (cache_entries > 0).then(|| BoundedCache::new(cache_entries)),
+            plans: (cache_entries > 0).then(|| BoundedCache::new(cache_entries)),
             asked: Mutex::default(),
             capacity: cache_entries,
             tail: RwLock::new(None),
@@ -281,39 +330,61 @@ impl Root {
         self.cache.as_ref().map_or((0, 0), BoundedCache::stats)
     }
 
-    /// Answer one query from what the root remembers — a table of the
-    /// query's keys and restriction that holds its slots, perhaps among
-    /// others — or else by asking the tree ([`Node::query`]), also for the
-    /// slots the query's key set was asked for under its previous
-    /// restriction ([`Root::predict`]), so the next charts of the click
-    /// find them.
-    pub(crate) fn query(&self, request: &QueryRequest) -> Result<SubtreeAnswer> {
-        let Some(cache) = &self.cache else { return self.node.query(request, Duration::ZERO) };
-        let mut keys = String::with_capacity(64);
-        request.query.write_key_shape(&mut keys);
-        let predicted = self.predict(&keys, &request.query);
-        let answer = self.answer(cache, request, predicted)?;
-        self.asked(&keys, &request.query);
+    /// `sql`'s plan ([`pd_sql::plan`]) and signature: remembered, if the
+    /// root was asked the text lately, or else worked out and remembered.
+    /// A text that fails to plan is not: it fails again, alike, when asked
+    /// again.
+    pub(crate) fn plan(&self, sql: &str) -> Result<Arc<Planned>> {
+        if let Some((planned, _)) = self.plans.as_ref().and_then(|plans| plans.get(sql, |_| true)) {
+            return Ok(planned);
+        }
+        let planned = Arc::new(Planned::new(pd_sql::plan(sql)?));
+        if let Some(plans) = &self.plans {
+            plans.put(sql.into(), Arc::clone(&planned));
+        }
+        Ok(planned)
+    }
+
+    /// Answer one planned query ([`Root::plan`]) from what the root
+    /// remembers — a table of the query's keys and restriction that holds
+    /// its slots, perhaps among others — or else by asking the tree
+    /// ([`Node::query`]) within `budget`, hedging after `hedge_micros`,
+    /// also for the slots the query's key set was asked for under its
+    /// previous restriction ([`Root::predict`]), so the next charts of the
+    /// click find them. Only a miss builds the request it sends.
+    pub(crate) fn query(
+        &self,
+        planned: &Planned,
+        budget: Duration,
+        hedge_micros: u64,
+    ) -> Result<SubtreeAnswer> {
+        let Some(cache) = &self.cache else {
+            let request = QueryRequest { query: planned.query.clone(), budget, hedge_micros };
+            return self.node.query(&request, Duration::ZERO);
+        };
+        let answer = self.answer(cache, planned, budget, hedge_micros)?;
+        self.asked(planned.keys(), &planned.query);
         Ok(answer)
     }
 
-    /// [`Root::query`], a miss computing the `wider` slots as well.
+    /// [`Root::query`] with the cache.
     fn answer(
         &self,
         cache: &BoundedCache<Arc<str>, Arc<CachedSubtree>>,
-        request: &QueryRequest,
-        mut wider: Vec<Slot>,
+        planned: &Planned,
+        budget: Duration,
+        hedge_micros: u64,
     ) -> Result<SubtreeAnswer> {
-        // A root folds whatever sketch size its leaves used: 0.
-        let signature = query_signature(&request.query, 0);
+        let signature = &planned.signature;
+        let asked = &planned.query;
         // Where the tail stands now: what a fresh entry will contain, and
         // what a remembered one may lack. No append runs beside a query.
         let tail = self.tail.read();
         let now = tail.as_ref().map_or(TailMark::default(), |tail| tail.mark);
         // An entry holding every slot asked is a hit; one lacking some is
         // a miss, counted as one, whose computed table holds its slots too.
-        let slots = &request.query.slots;
-        if let Some((entry, holds)) = cache.get(signature.as_str(), |entry| entry.holds(slots)) {
+        let mut held = Vec::new();
+        if let Some((entry, holds)) = cache.get(&**signature, |entry| entry.holds(&asked.slots)) {
             // The root's answer: the cached table itself, no hop, every row
             // accounted as cached.
             match tail.as_ref().filter(|_| entry.at != now) {
@@ -324,14 +395,14 @@ impl Root {
                 // found them. A scan that fails (a delta left a virtual
                 // field two-typed) leaves the miss path to report it.
                 Some(tail) if holds => {
-                    let query = request.query.widened(&entry.slots);
+                    let query = asked.widened(&entry.slots);
                     let brought = (tail.scan_past(entry.at, &query))
                         .and_then(|(fresh, scan)| Ok((entry.brought_forward(fresh, now)?, scan)));
                     if let Ok((forward, scan)) = brought {
                         let mut answer = entry.to_answer();
                         answer.partial = forward.partial.clone();
                         answer.stats += &scan;
-                        cache.put(signature.as_str().into(), Arc::new(forward));
+                        cache.put(Arc::clone(signature), Arc::new(forward));
                         return Ok(answer);
                     }
                 }
@@ -339,25 +410,27 @@ impl Root {
             }
             // A miss computes the entry's slots too: the table that
             // replaces it only grows.
-            wider.extend_from_slice(&entry.slots);
+            held.extend_from_slice(&entry.slots);
         }
         drop(tail);
-        let asked = &request.query;
+        let mut wider = self.predict(planned.keys(), asked);
+        wider.append(&mut held);
+        let request = |query| QueryRequest { query, budget, hedge_micros };
         let ask = |request: &QueryRequest| self.node.query(request, Duration::ZERO);
         let (answer, slots) = if wider.iter().all(|slot| asked.slots.contains(slot)) {
-            (ask(request)?, asked.slots.clone())
+            (ask(&request(asked.clone()))?, asked.slots.clone())
         } else {
-            let wide = QueryRequest { query: asked.widened(&wider), ..request.clone() };
+            let wide = request(asked.widened(&wider));
             match ask(&wide) {
                 // A slot other charts asked for may fail where the query's
                 // own do not (a virtual field an append left two-typed):
                 // then the query is asked alone, and answers as it would.
                 Err(Error::Rpc(fault)) => return Err(Error::Rpc(fault)),
-                Err(_) => (ask(request)?, asked.slots.clone()),
+                Err(_) => (ask(&request(asked.clone()))?, asked.slots.clone()),
                 Ok(answer) => (answer, wide.query.slots),
             }
         };
-        cache.put(signature.into(), Arc::new(CachedSubtree::capture(&answer, slots, now)));
+        cache.put(Arc::clone(signature), Arc::new(CachedSubtree::capture(&answer, slots, now)));
         Ok(answer)
     }
 
@@ -376,10 +449,13 @@ impl Root {
     /// `query`, of key set `keys`, was answered.
     fn asked(&self, keys: &str, query: &AnalyzedQuery) {
         let mut asked = self.asked.lock();
-        if !asked.contains_key(keys) && asked.len() >= self.capacity {
-            asked.clear();
+        if !asked.contains_key(keys) {
+            if asked.len() >= self.capacity {
+                asked.clear();
+            }
+            asked.insert(keys.to_owned(), Asked::default());
         }
-        let asked = asked.entry(keys.to_owned()).or_default().under(&query.filter);
+        let asked = asked.get_mut(keys).expect("inserted above").under(&query.filter);
         for slot in &query.slots {
             if !asked.now.contains(slot) {
                 asked.now.push(slot.clone());
@@ -445,7 +521,7 @@ impl Root {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::testkit::{kn_delta, kn_schema, request, spec, to_shard_0};
+    use crate::rpc::testkit::{ask, kn_delta, kn_schema, spec, to_shard_0};
     use crate::rpc::ChildHandle;
     use pd_common::Value;
     use pd_sql::{analyze, parse_query};
@@ -537,10 +613,10 @@ mod tests {
         let leaf = Arc::new(Node::leaf(0, kn_delta(0..100), &build, spec("l0p")).unwrap().0);
         let child = ChildHandle::local(Arc::clone(&leaf), Some(0));
         let root = Root::new(Node::mixer(vec![child], spec("root")), 4, 1);
-        let miss = root.query(&request(BY_K)).unwrap();
+        let miss = ask(&root, BY_K).unwrap();
         assert_eq!((miss.stats.worker_cache_hits, miss.reports.len()), (0, 1));
         let lookups = leaf.chunk_lookups();
-        let hit = root.query(&request(BY_K)).unwrap();
+        let hit = ask(&root, BY_K).unwrap();
         assert_eq!(leaf.chunk_lookups(), lookups, "no leaf was asked");
         assert!(hit.reports.is_empty(), "and no shard reports");
         assert_eq!(hit.partial, miss.partial);
@@ -626,7 +702,6 @@ mod tests {
         let root = root_over_a_leaf(90, 4);
         // The same tree without a root cache: every answer is the miss path's.
         let bare = root_over_a_leaf(90, 0);
-        let ask = |root: &Root, sql: &str| root.query(&request(sql));
         ask(&root, BY_SIZE).unwrap();
         ask(&root, BY_K).unwrap();
 
@@ -661,7 +736,6 @@ mod tests {
         const MAXED: &str = "SELECT k, MAX(n) as m FROM t GROUP BY k";
         let root = root_over_a_leaf(90, 4);
         let bare = root_over_a_leaf(90, 0);
-        let ask = |root: &Root, sql: &str| root.query(&request(sql));
         ask(&root, SUMMED).unwrap();
         append(&root, kn_delta(1_000..1_010));
         append(&bare, kn_delta(1_000..1_010));
@@ -676,8 +750,8 @@ mod tests {
         let root = root_over_a_leaf(100, 4);
         let tail_bytes = |root: &Root| root.tail.read().as_ref().map(|t| t.store.total_bytes());
         let cached = |root: &Root| root.cache.as_ref().unwrap().len();
-        let ask = |root: &Root| root.query(&request(BY_K)).unwrap();
-        ask(&root);
+        let ask_k = |root: &Root| ask(root, BY_K).unwrap();
+        ask_k(&root);
         // The batch repeats 100 rows: bytes grow with rows, dictionaries do
         // not.
         const BATCH: u64 = 25_000;
@@ -694,7 +768,7 @@ mod tests {
                 Some(bytes) => {
                     assert!(bytes <= TAIL_BOUND_BYTES, "a kept tail is within its bound: {bytes}");
                     peak = bytes.max(peak);
-                    let forward = ask(&root);
+                    let forward = ask_k(&root);
                     assert_eq!(forward.stats.worker_cache_hits, 1, "brought forward @ {rows}");
                     assert_eq!(forward.stats.rows_scanned, BATCH);
                 }
@@ -703,7 +777,7 @@ mod tests {
                     assert_eq!(cached(&root), 0, "the cache went with the tail @ {rows}");
                     // Nothing is remembered: the next answer is a miss, and
                     // a correct one — the leaf holds every row.
-                    let miss = ask(&root);
+                    let miss = ask_k(&root);
                     assert_eq!((miss.stats.worker_cache_hits, miss.stats.rows_total), (0, rows));
                     assert_eq!(cached(&root), 1);
                     assert!(tail_bytes(&root).is_none(), "a tail starts with the next append");

@@ -480,6 +480,46 @@ fn a_dashboard_misses_once_per_key_set_and_restriction() {
     assert_same_work(&observed);
 }
 
+/// The root plans each SQL text once and remembers the plan by its text.
+/// Texts that differ only in ORDER BY, LIMIT, HAVING or an alias name one
+/// signature, so one remembered table answers all of them, but each keeps
+/// its own plan: asked twice each, interleaved, every text answers as a
+/// fresh tree that remembers nothing does — and the texts answer
+/// differently, so a plan served to the wrong text would show. The plans
+/// are the root's alone, so one edge kind shows it.
+#[test]
+fn texts_of_one_signature_answer_as_a_tree_that_remembers_nothing() {
+    const BASE: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM data WHERE n > -30 GROUP BY k";
+    let texts = [
+        BASE.to_owned(),
+        format!("{BASE} ORDER BY c DESC"),
+        format!("{BASE} ORDER BY s ASC"),
+        format!("{BASE} ORDER BY s DESC LIMIT 2"),
+        format!("{BASE} ORDER BY s DESC LIMIT 3"),
+        format!("{BASE} HAVING c > 62 ORDER BY k"),
+        BASE.replace("as s", "as total"),
+        BASE.replace("SELECT k,", "SELECT k as colour,"),
+    ];
+    let mut rng = Rng::seed_from_u64(0x05ca_1e0d);
+    let table = random_table(&mut rng, 300);
+    let remembering = cluster(&table, 3, 2, 256, &Transport::InProcess);
+    let order = (0..texts.len()).chain((0..texts.len()).rev());
+    let mut answers: Vec<Option<QueryOutcome>> = vec![None; texts.len()];
+    for (step, at) in order.enumerate() {
+        let sql = &texts[at];
+        let fresh = cluster(&table, 3, 2, 0, &Transport::InProcess).query(sql).unwrap();
+        let outcome = remembering.query(sql).unwrap();
+        assert_eq!(outcome.result, fresh.result, "step {step}: {sql}");
+        assert_eq!(outcome.worker_cache_hits(), usize::from(step > 0), "step {step}: one table");
+        answers[at].get_or_insert(outcome);
+    }
+    let results: Vec<_> = answers.into_iter().map(|answer| answer.unwrap().result).collect();
+    for (at, result) in results.iter().enumerate() {
+        let twin = results[..at].iter().position(|other| other == result);
+        assert_eq!(twin, None, "{} answers as {}", texts[at], texts[twin.unwrap_or(0)]);
+    }
+}
+
 #[test]
 fn a_rebuild_forgets_and_an_append_brings_the_roots_cache_forward() {
     let mut observed = Vec::new();
@@ -602,14 +642,14 @@ fn capacity_eviction_changes_stats_never_results() {
 
 #[test]
 fn cache_outcomes_are_a_function_of_the_query_sequence() {
-    // Admission scores an entry by bytes × cells scanned — no clock — so a
+    // A full cache drops the entry it admitted first — no clock — so a
     // replay of one session on a fresh tree must reproduce every hit, every
     // miss and every eviction, whatever the thread count.
     let mut rng = Rng::seed_from_u64(0x05ca_1e05);
     let table = random_table(&mut rng, 600);
     // A drill-down: 60 queries over 14 tables (keys and restriction),
-    // repeats included, through 8-entry node caches — more tables than any
-    // node can hold.
+    // repeats included, through an 8-entry root cache — more tables than it
+    // can hold.
     let pool: Vec<String> = (0..40).map(|_| random_query(&mut rng)).collect();
     let session: Vec<&String> = (0..60).map(|_| rng.pick(&pool)).collect();
     let oracle = DataStore::build(&table, &BuildOptions::basic()).unwrap();

@@ -641,7 +641,8 @@ fn role_reassignment_replaces_the_previous_role() {
     );
     assert_eq!(as_mixer.reports.len(), 1);
     assert_eq!(as_mixer.reports[0].shard, 7, "the report names the child's shard");
-    assert!(!as_mixer.reports[0].cache_hit, "the old leaf-role cache must be gone");
+    let work = (as_mixer.stats.worker_cache_hits, as_mixer.stats.rows_scanned);
+    assert_eq!(work, (0, 200), "the old leaf role remembers nothing: every row is scanned");
 
     // And back: a fresh `Load` must retire the child wiring again.
     assert!(matches!(
@@ -651,7 +652,8 @@ fn role_reassignment_replaces_the_previous_role() {
     let as_leaf_again = ask(&mut c1);
     assert_eq!(as_leaf_again.stats.rows_total, 150, "re-loaded leaf serves its own new store");
     assert_eq!(as_leaf_again.reports[0].shard, 3);
-    assert!(!as_leaf_again.reports[0].cache_hit, "the mixer-role cache must be gone");
+    let work = (as_leaf_again.stats.worker_cache_hits, as_leaf_again.stats.rows_scanned);
+    assert_eq!(work, (0, 150), "the mixer role remembers nothing: every row is scanned");
 
     drop(w1);
     drop(w2);
