@@ -93,7 +93,9 @@ use std::time::Duration;
 /// and a query and an append their epoch.
 /// Version 20: a shard report loses its cache flag — a root hit asks no
 /// shard, and nothing beneath the root answers from a cache of answers.
-pub const FRAME_VERSION: u8 = 20;
+/// Version 21: a merge server's `Attach` names it and no scan width — a
+/// mixer scans nothing.
+pub const FRAME_VERSION: u8 = 21;
 
 /// The fixed 5-byte prelude of every RPC frame:
 /// `[version u8][payload length u32 le]`.

@@ -193,7 +193,7 @@ pub fn execute(
     let started = Instant::now();
     let plan = Plan::prepare(store, analyzed, ctx)?;
     let (groups, mut stats) = plan.run(store, ctx, 0)?;
-    let result = rank(analyzed, &analyzed.reads, &IdKeys(&plan), &groups)?;
+    let result = rank(analyzed, &analyzed.reads, &IdKeys(&plan), &groups, &mut None)?;
     stats.elapsed = started.elapsed();
     Ok((result, stats))
 }
@@ -228,8 +228,23 @@ pub fn execute_partial_from(
 /// chart of its keys whose slots it holds; one without a slot the query
 /// reads is [`Error::Data`].
 pub fn finalize(analyzed: &AnalyzedQuery, partial: PartialResult) -> Result<QueryResult> {
+    finalize_kept(analyzed, partial, &mut None)
+}
+
+/// [`finalize`], remembering which groups it returned. With `kept` `None`
+/// it ranks `partial` and leaves there the positions of the groups it
+/// returned, in output order. With the positions an earlier call of the
+/// same query over the same table left, it ranks nothing — no HAVING, no
+/// order words, no selection — and builds those ≤ LIMIT rows alone. The
+/// caller vouches for "the same": positions read against another table
+/// name other groups.
+pub fn finalize_kept(
+    analyzed: &AnalyzedQuery,
+    partial: PartialResult,
+    kept: &mut Option<Vec<u32>>,
+) -> Result<QueryResult> {
     let (groups, reads) = partial.for_query(analyzed)?;
-    rank(analyzed, &reads, &ValueKeys, groups)
+    rank(analyzed, &reads, &ValueKeys, groups, kept)
 }
 
 /// What [`rank`] needs to know about a group table's cells of type `C`:
@@ -330,58 +345,21 @@ fn values_of(dict: &GlobalDict, ids: &[u32]) -> Vec<Value> {
 /// and [`finalize`] (values — the root of a tree, whose shards do not
 /// share dictionaries). Aggregate `i` reads the slots `reads[i]`.
 ///
-/// Groups are ranked *by position*, off the columns as they are stored.
-/// An aggregate is compared by its order keys, read off its state column in
-/// one typed pass when first compared ([`GroupTable::order_keys`]: counts
-/// and sums as numbers, no [`Value`] per group); only the cells HAVING
-/// reads, and a MIN/MAX the ORDER BY reads, are finalized for every group.
-/// Key cells are compared as stored — ids of a sorted dictionary, sort keys
-/// as bytes — and become values for every group only if HAVING names the
-/// key. With one key compared as stored, the key cells are not read at all:
-/// the table lists its groups in strictly ascending key order, so two
-/// groups' positions order like their keys — and a chart ordered by that
-/// key or by one aggregate ranks plain integer pairs ([`pair_order`]).
-///
-/// A LIMIT of k keeps at most k groups in a heap ([`first`]), so n groups
-/// cost O(n log k) compares. A [`Row`] is built — keys looked up,
-/// remaining aggregates finalized — for the survivors only, so a top-10
-/// over thousands of groups names ten of them.
-///
-/// The order is total: the ORDER BY keys, ties broken by the whole row,
-/// cell by cell — the output never depends on group-table order, and it is
-/// the same order in both domains.
+/// The groups returned are [`select`]ed, unless `kept` already names them
+/// ([`finalize_kept`]); then `kept` holds their positions. A [`Row`] is
+/// built — keys looked up, aggregates finalized — for those groups only,
+/// so a top-10 over thousands of groups names ten of them.
 fn rank<C: Cell>(
     analyzed: &AnalyzedQuery,
     reads: &[pd_sql::SlotRef],
     domain: &impl KeyCells<C>,
     groups: &GroupTable<C>,
+    kept: &mut Option<Vec<u32>>,
 ) -> Result<QueryResult> {
     let columns = analyzed.output_names();
     let source = |idx: usize| analyzed.output[idx].1;
-
-    // HAVING names output columns; resolve them to positions once.
-    let mut having_refs: Vec<(String, usize)> = Vec::new();
-    if let Some(having) = &analyzed.having {
-        let mut names = Vec::new();
-        having.referenced_columns(&mut names);
-        for name in names {
-            let idx = columns
-                .iter()
-                .position(|c| *c == name)
-                .ok_or_else(|| Error::Schema(format!("unknown output column `{name}`")))?;
-            having_refs.push((name, idx));
-        }
-    }
-    let passes = |cell: &dyn Fn(usize) -> Value| -> Result<bool> {
-        match &analyzed.having {
-            Some(having) => {
-                Ok(truthy(&eval_expr(having, &OutputRow { refs: &having_refs, cell })?))
-            }
-            None => Ok(true),
-        }
-    };
-
     if groups.len() == 0 {
+        let having = Having::of(analyzed, &columns)?;
         if !analyzed.keys.is_empty() {
             return Ok(QueryResult { columns, rows: Vec::new() });
         }
@@ -393,9 +371,93 @@ fn rank<C: Cell>(
                 OutputCol::Agg(_) => Value::Null,
             })
             .collect();
-        let keep = passes(&|idx| row[idx].clone())? && analyzed.limit != Some(0);
+        let keep = having.passes(&|idx| row[idx].clone())? && analyzed.limit != Some(0);
         return Ok(QueryResult { columns, rows: if keep { vec![Row(row)] } else { Vec::new() } });
     }
+    let kept = match kept {
+        Some(kept) => kept,
+        None => kept.insert(select(analyzed, reads, domain, groups, &columns)?),
+    };
+
+    // Only now do the survivors become rows, output column by column.
+    let extreme = |s: usize, cell: &C| domain.extreme(s, cell);
+    let at = || kept.iter().map(|&g| g as usize);
+    let cells: Vec<Vec<Value>> = (0..columns.len())
+        .map(|idx| match source(idx) {
+            OutputCol::Key(i) => domain.key_values(i, groups.key(i), at()),
+            OutputCol::Agg(i) => at().map(|g| groups.cell(reads[i], g, &extreme)).collect(),
+        })
+        .collect();
+    let mut cells: Vec<_> = cells.into_iter().map(Vec::into_iter).collect();
+    let rows = (0..kept.len())
+        .map(|_| Row(cells.iter_mut().map(|col| col.next().expect("one cell per row")).collect()))
+        .collect();
+    Ok(QueryResult { columns, rows })
+}
+
+/// A query's HAVING, its output column names resolved to positions once.
+struct Having<'a> {
+    expr: Option<&'a pd_sql::Expr>,
+    refs: Vec<(String, usize)>,
+}
+
+impl<'a> Having<'a> {
+    fn of(analyzed: &'a AnalyzedQuery, columns: &[String]) -> Result<Having<'a>> {
+        let mut refs = Vec::new();
+        if let Some(having) = &analyzed.having {
+            let mut names = Vec::new();
+            having.referenced_columns(&mut names);
+            for name in names {
+                let idx = columns
+                    .iter()
+                    .position(|c| *c == name)
+                    .ok_or_else(|| Error::Schema(format!("unknown output column `{name}`")))?;
+                refs.push((name, idx));
+            }
+        }
+        Ok(Having { expr: analyzed.having.as_ref(), refs })
+    }
+
+    /// Whether the row whose output column `idx` is `cell(idx)` passes.
+    fn passes(&self, cell: &dyn Fn(usize) -> Value) -> Result<bool> {
+        match self.expr {
+            Some(having) => Ok(truthy(&eval_expr(having, &OutputRow { refs: &self.refs, cell })?)),
+            None => Ok(true),
+        }
+    }
+}
+
+/// The positions of the groups HAVING / ORDER BY / LIMIT keep, in output
+/// order, of a table of at least one group.
+///
+/// Groups are ranked *by position*, off the columns as they are stored.
+/// An aggregate is compared by its order keys, read off its state column in
+/// one typed pass when first compared ([`GroupTable::order_keys`]: counts
+/// and sums as numbers, no [`Value`] per group); only the cells HAVING
+/// reads, and a MIN/MAX the ORDER BY reads, are finalized for every group.
+/// Key cells are compared as stored — ids of a sorted dictionary, sort keys
+/// as bytes — and become values for every group only if HAVING names the
+/// key. With one key compared as stored, the key cells are not read at all:
+/// the table lists its groups in strictly ascending key order, so two
+/// groups' positions order like their keys — and a chart ordered by that
+/// key or by one aggregate ranks plain integer pairs ([`pair_order`]),
+/// selected by their first word ([`first_by_word`]).
+///
+/// A LIMIT of k keeps at most k groups in a heap ([`first`]), so n groups
+/// cost O(n log k) compares.
+///
+/// The order is total: the ORDER BY keys, ties broken by the whole row,
+/// cell by cell — the output never depends on group-table order, and it is
+/// the same order in both domains.
+fn select<C: Cell>(
+    analyzed: &AnalyzedQuery,
+    reads: &[pd_sql::SlotRef],
+    domain: &impl KeyCells<C>,
+    groups: &GroupTable<C>,
+    columns: &[String],
+) -> Result<Vec<u32>> {
+    let source = |idx: usize| analyzed.output[idx].1;
+    let having = Having::of(analyzed, columns)?;
 
     // Columns the ranking reads for every group, finalized / looked up
     // once: the aggregates HAVING names and the MIN/MAX (no order key) ORDER
@@ -405,7 +467,7 @@ fn rank<C: Cell>(
     let agg_cell = |i: usize, g: usize| groups.cell(reads[i], g, &extreme);
     let words: Vec<OnceCell<_>> = analyzed.aggs.iter().map(|_| OnceCell::new()).collect();
     let order_keys = |i: usize| words[i].get_or_init(|| groups.order_keys(reads[i]));
-    let having_reads = |src: OutputCol| having_refs.iter().any(|&(_, idx)| source(idx) == src);
+    let having_reads = |src: OutputCol| having.refs.iter().any(|&(_, idx)| source(idx) == src);
     let agg_cells: Vec<Option<Vec<Value>>> = (0..analyzed.aggs.len())
         .map(|i| {
             let src = OutputCol::Agg(i);
@@ -466,44 +528,26 @@ fn rank<C: Cell>(
     let limit = analyzed.limit.unwrap_or(usize::MAX);
     // HAVING is decided for every group first: the selection cannot fail.
     let verdicts: Option<Vec<bool>> = (analyzed.having.as_ref())
-        .map(|_| (0..groups.len()).map(|g| passes(&|idx| cell(g, idx))).collect())
+        .map(|_| (0..groups.len()).map(|g| having.passes(&|idx| cell(g, idx))).collect())
         .transpose()?;
     let passing = (0..groups.len()).filter(|&g| verdicts.as_ref().is_none_or(|pass| pass[g]));
     let keyed = |i| order_keys(i).is_some();
-    let kept: Vec<usize> = match pair_order(compared(), source, by_position, keyed) {
+    Ok(match pair_order(compared(), source, by_position, keyed) {
         // A group's rank is an integer pair: one aggregate's order key and
         // the group's position, each reversed where it sorts descending.
         Some(PairOrder { agg, key_desc }) => {
             let flip = |desc: bool, word: u128| if desc { !word } else { word };
             let words = agg.map(|(i, desc)| (order_keys(i).as_deref().expect("order keys"), desc));
             let word = |g: usize| words.map_or(0, |(words, desc)| flip(desc, words[g]));
-            let pairs = passing.map(|g| (word(g), flip(key_desc, g as u128)));
-            first(pairs, limit).into_iter().map(|(_, at)| flip(key_desc, at) as usize).collect()
+            let at = |g: usize| flip(key_desc, g as u128);
+            let pairs = first_by_word(passing, word, at, limit).into_iter();
+            pairs.map(|(_, at)| flip(key_desc, at) as u32).collect()
         }
         None => first(passing.map(|g| Ranked(g, &order)), limit)
             .into_iter()
-            .map(|Ranked(g, _)| g)
+            .map(|Ranked(g, _)| g as u32)
             .collect(),
-    };
-
-    // Only now do the survivors become rows, output column by column.
-    let cells: Vec<Vec<Value>> = (0..columns.len())
-        .map(|idx| match source(idx) {
-            OutputCol::Key(i) => match &key_values[i] {
-                Some(values) => kept.iter().map(|&g| values[g].clone()).collect(),
-                None => domain.key_values(i, groups.key(i), kept.iter().copied()),
-            },
-            OutputCol::Agg(i) => match &agg_cells[i] {
-                Some(cells) => kept.iter().map(|&g| cells[g].clone()).collect(),
-                None => kept.iter().map(|&g| agg_cell(i, g)).collect(),
-            },
-        })
-        .collect();
-    let mut cells: Vec<_> = cells.into_iter().map(Vec::into_iter).collect();
-    let rows = (0..kept.len())
-        .map(|_| Row(cells.iter_mut().map(|col| col.next().expect("one cell per row")).collect()))
-        .collect();
-    Ok(QueryResult { columns, rows })
+    })
 }
 
 /// The first `limit` of `items` in order. The first `limit` are kept as
@@ -529,6 +573,42 @@ fn first<T: Ord>(items: impl Iterator<Item = T>, limit: usize) -> Vec<T> {
     }
     // Items that compare equal are equal in every output column: unstable
     // is exact.
+    kept.sort_unstable();
+    kept
+}
+
+/// [`first`] of the pairs `(word(g), at(g))` of `groups`, in one pass over
+/// their words: once `limit` pairs are kept, a group whose word is above the
+/// last kept pair's cannot enter and is passed over on that one compare;
+/// only a smaller or equal word makes its pair and meets the heap's top.
+fn first_by_word(
+    groups: impl Iterator<Item = usize>,
+    word: impl Fn(usize) -> u128,
+    at: impl Fn(usize) -> u128,
+    limit: usize,
+) -> Vec<(u128, u128)> {
+    let mut groups = groups.peekable();
+    let mut kept = Vec::with_capacity(limit.min(groups.size_hint().1.unwrap_or(0)));
+    kept.extend(groups.by_ref().take(limit).map(|g| (word(g), at(g))));
+    if limit > 0 && groups.peek().is_some() {
+        let mut heap = BinaryHeap::from(kept);
+        let mut threshold = heap.peek().expect("limit > 0").0;
+        for g in groups {
+            let word = word(g);
+            if word > threshold {
+                continue;
+            }
+            let pair = (word, at(g));
+            let mut last = heap.peek_mut().expect("limit > 0");
+            if pair < *last {
+                *last = pair;
+                drop(last);
+                threshold = heap.peek().expect("limit > 0").0;
+            }
+        }
+        kept = heap.into_vec();
+    }
+    // Equal pairs are the same group: unstable is exact.
     kept.sort_unstable();
     kept
 }

@@ -65,7 +65,8 @@ pub use column::{ColumnChunk, StoredColumn};
 pub use count_distinct::KmvSketch;
 pub use datastore::DataStore;
 pub use exec::{
-    execute, execute_partial, execute_partial_from, finalize, query, ExecContext, QueryResult,
+    execute, execute_partial, execute_partial_from, finalize, finalize_kept, query, ExecContext,
+    QueryResult,
 };
 pub use groups::PartialResult;
 pub use memory::{report_for_query, ColumnMemory, MemoryReport};

@@ -10,8 +10,8 @@ use pd_common::{fx_hash64, sortkey, DataType, Row, Schema, Value};
 use pd_core::partition::partition;
 use pd_core::skip::{ChunkActivity, SkipAnalysis};
 use pd_core::{
-    execute, execute_partial, finalize, BuildOptions, DataStore, ExecContext, KmvSketch,
-    PartialResult, PartitionSpec, ResultCache, StoredColumn,
+    execute, execute_partial, finalize, finalize_kept, BuildOptions, DataStore, ExecContext,
+    KmvSketch, PartialResult, PartitionSpec, ResultCache, StoredColumn,
 };
 use pd_data::Table;
 use pd_encoding::TableDelta;
@@ -394,6 +394,39 @@ fn finalize_limit_keeps_exactly_the_rows_a_full_sort_would() {
                 on_ids.rows
             });
         }
+    }
+}
+
+/// `finalize_kept` ranks once: with no positions it answers as `finalize`
+/// does and leaves the returned groups' positions, in output order; handed
+/// those back over the same table it answers alike, and handed others it
+/// builds their rows without ranking — HAVING, ORDER BY and LIMIT are not
+/// applied again.
+#[test]
+fn finalize_kept_ranks_once_and_builds_the_rows_it_kept() {
+    let schema = Schema::of(&[("k", DataType::Str), ("n", DataType::Int)]);
+    let mut table = Table::new(schema);
+    for i in 0..40i64 {
+        let key = Value::from(format!("k{:02}", i * 7 % 12));
+        table.push_row(Row(vec![key, Value::Int(i % 5)])).unwrap();
+    }
+    let store = DataStore::build(&table, &BuildOptions::basic()).unwrap();
+    let base = "SELECT k, COUNT(*) c, SUM(n) s FROM t GROUP BY k";
+    let plan = |sql: &str| analyze(&parse_query(sql).unwrap()).unwrap();
+    let partial = execute_partial(&store, &plan(base), &ExecContext::default()).unwrap().0;
+    for presentation in
+        ["", " ORDER BY c DESC LIMIT 3", " HAVING s > 6 ORDER BY s", " ORDER BY k DESC LIMIT 0"]
+    {
+        let sql = format!("{base}{presentation}");
+        let analyzed = plan(&sql);
+        let mut kept = None;
+        let ranked = finalize_kept(&analyzed, partial.clone(), &mut kept).unwrap();
+        assert_eq!(ranked, finalize(&analyzed, partial.clone()).unwrap(), "{sql}");
+        assert_eq!(kept.as_ref().map(Vec::len), Some(ranked.rows.len()), "{sql}");
+        assert_eq!(finalize_kept(&analyzed, partial.clone(), &mut kept).unwrap(), ranked, "{sql}");
+        let mut first = Some(vec![0]);
+        let row = finalize_kept(&analyzed, partial.clone(), &mut first).unwrap().rows;
+        assert_eq!(row[0].0[0], Value::from("k00"), "{sql}: the first group, unranked");
     }
 }
 

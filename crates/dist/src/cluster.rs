@@ -33,7 +33,7 @@ use crate::rpc::{AppendRequest, ChildHandle};
 use crate::shard_cache::Root;
 use pd_common::sync::Mutex;
 use pd_common::{Error, Result, RpcError, Schema, Value};
-use pd_core::{finalize, BuildOptions, QueryResult, ScanStats};
+use pd_core::{BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use std::collections::VecDeque;
@@ -160,9 +160,10 @@ pub struct ClusterConfig {
     /// children in order on the calling thread.
     pub threads: usize,
     /// Capacity (entries) of the root's result cache, in the driver on
-    /// either transport — the one node that remembers —, and (SQL texts)
-    /// of its plans; 0 disables both. A chart the root remembers costs no
-    /// hop, no frame and no merge, and a repeated text no plan.
+    /// either transport — the one node that remembers —, and, four SQL
+    /// texts per entry, of its plans; 0 disables both. A chart the root
+    /// remembers costs no hop, no frame and no merge, and a repeated text
+    /// no plan and no ranking.
     pub shard_cache: usize,
     /// Where the tree's nodes live: in the driver's address space or one
     /// worker process each.
@@ -525,7 +526,7 @@ impl Cluster {
 
         let fan_out_started = Instant::now();
         // The root — which nothing queues for.
-        let answer = root.query(&planned, budget, hedge_micros)?;
+        let (answer, hit) = root.query(&planned, budget, hedge_micros)?;
         // The whole fan-out: leaf hops *and* every merge-node fold and
         // root-hop transport above them — time the per-shard reports
         // (stamped by each leaf's immediate parent) cannot see at depth ≥ 2.
@@ -570,7 +571,7 @@ impl Cluster {
 
         let finalize_started = Instant::now();
         let mut stats = answer.stats;
-        let result = finalize(&planned.query, answer.partial)?;
+        let result = planned.finalize(answer.partial, hit.as_ref())?;
         let latency = fan_out_elapsed + finalize_started.elapsed();
         stats.elapsed = latency;
 
@@ -624,8 +625,8 @@ fn build_tree(table: &Table, config: &ClusterConfig) -> Result<(Root, Option<Wor
                 level.push(ChildHandle::local(Arc::new(leaf), Some(shard)));
             }
             let top = stack_levels(level, fanout, |height, i, group| {
-                let spec = node_spec(config, format!("m{height}_{i}"));
-                Ok(ChildHandle::local(Arc::new(Node::mixer(group, spec)), None))
+                let name = format!("m{height}_{i}");
+                Ok(ChildHandle::local(Arc::new(Node::mixer(group, name)), None))
             })?;
             (top, None)
         }
@@ -641,13 +642,13 @@ fn build_tree(table: &Table, config: &ClusterConfig) -> Result<(Root, Option<Wor
             // `Attach` of the parent that prunes with it, and on into the
             // root's handles; the driver keeps no other copy.
             let top = stack_levels(level, fanout, |height, i, group| {
-                workers.attach_mixer(group, node_spec(config, format!("m{height}_{i}")))
+                workers.attach_mixer(group, format!("m{height}_{i}"))
             })?;
             let top = top.into_iter().map(ChildHandle::new).collect();
             (top, Some(workers))
         }
     };
-    let root = Node::mixer(children, node_spec(config, "root".into()));
+    let root = Node::mixer(children, "root".into());
     Ok((Root::new(root, config.shard_cache, config.threads), workers, shard_count))
 }
 
@@ -673,7 +674,7 @@ fn stack_levels<C>(
     Ok(level)
 }
 
-/// What every node of a tree built from `config` is told besides its name.
+/// The spec of leaf `name` of a tree built from `config`.
 pub(crate) fn node_spec(config: &ClusterConfig, name: String) -> NodeSpec {
     NodeSpec { name, threads: config.threads }
 }

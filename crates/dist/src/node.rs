@@ -33,17 +33,16 @@ use pd_encoding::TableDelta;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What a node is told when it is assigned its role — the non-data half of
-/// a `Load` / `Attach` message, and the same bytes in both.
+/// What a leaf is told besides its rows and their recipe — the non-data
+/// half of a `Load` message. A merge server is told its name alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
-    /// Tree-wide name (`l0p`, `l0r`, `m1_0`, ...), for messages. It is also
-    /// what a test's fault relay in front of a worker process reads off the
-    /// relayed `Load` / `Attach` to pick this node's faults: none are
-    /// injected in the engine.
+    /// Tree-wide name (`l0p`, `l0r`, ...), for messages. It is also what a
+    /// test's fault relay in front of a worker process reads off the relayed
+    /// `Load` (a merge server's, off its `Attach`) to pick the node's
+    /// faults: none are injected in the engine.
     pub name: String,
-    /// Width of a leaf's chunk scan (0 = auto). A mixer has no width: its
-    /// fan-out asks its children in order on the calling thread.
+    /// Width of the leaf's chunk scan (0 = auto).
     pub threads: usize,
 }
 
@@ -102,9 +101,9 @@ impl Node {
         Ok((Node { name: spec.name, role: Role::Leaf(Box::new(RwLock::new(leaf))) }, meta))
     }
 
-    /// A merge server over `children`.
-    pub fn mixer(children: Vec<ChildHandle>, spec: NodeSpec) -> Node {
-        Node { name: spec.name, role: Role::Mixer(children) }
+    /// A merge server named `name` over `children`.
+    pub fn mixer(children: Vec<ChildHandle>, name: String) -> Node {
+        Node { name, role: Role::Mixer(children) }
     }
 
     /// The current summaries of the shards beneath this node: a leaf's own,
@@ -354,10 +353,10 @@ mod tests {
             let children = shards
                 .map(|shard| ChildHandle::local(Arc::clone(&leaves[shard as usize]), Some(shard)))
                 .into();
-            ChildHandle::local(Arc::new(Node::mixer(children, spec(name))), None)
+            ChildHandle::local(Arc::new(Node::mixer(children, name.into())), None)
         };
         let children = vec![mixer("m1_0", [0, 1]), mixer("m1_1", [2, 3])];
-        (Root::new(Node::mixer(children, spec("root")), 8, 1), leaves)
+        (Root::new(Node::mixer(children, "root".into()), 8, 1), leaves)
     }
 
     const A: &str = "SELECT k, COUNT(*) as c, SUM(n) as s FROM t GROUP BY k";

@@ -17,7 +17,6 @@
 
 use crate::cluster::{node_spec, ClusterConfig, RpcConfig};
 use crate::meta::ShardMeta;
-use crate::node::NodeSpec;
 use crate::rpc::{
     backoff_sleep, encode_frame, refusal, Addr, AttachRequest, ChildSpec, LoadRequest, Request,
     Response, RpcClient, BACKOFF_CAP, LOAD_TIMEOUT, STARTUP_TIMEOUT,
@@ -195,18 +194,17 @@ impl Workers {
         Ok(ChildSpec::Leaf { shard, primary, replica, meta })
     }
 
-    /// Spawn the merge server `spec` names over `children`. Each node's
-    /// child spec accumulates the shard summaries beneath it, so pruning
-    /// works at any depth.
+    /// Spawn the merge server `name` over `children`. Each node's child
+    /// spec accumulates the shard summaries beneath it, so pruning works at
+    /// any depth.
     pub(crate) fn attach_mixer(
         &mut self,
         children: Vec<ChildSpec>,
-        spec: NodeSpec,
+        name: String,
     ) -> Result<ChildSpec> {
         let metas: Vec<ShardMeta> =
             children.iter().flat_map(|c| c.metas().iter().cloned()).collect();
-        let name = spec.name.clone();
-        let attach = Request::Attach(AttachRequest { children, spec });
+        let attach = Request::Attach(AttachRequest { children, name: name.clone() });
         let (addr, ack) = self.spawn_worker(&name, &attach)?;
         expect_ok(ack, "attach")?;
         Ok(ChildSpec::Node { addr, metas })

@@ -141,11 +141,12 @@ pub struct AppendAck {
     pub bytes: u64,
 }
 
-/// The subtree a merge server owns.
+/// The subtree a merge server owns, and the server's name (a mixer has no
+/// width: its fan-out asks its children in order on the calling thread).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttachRequest {
     pub children: Vec<ChildSpec>,
-    pub spec: NodeSpec,
+    pub name: String,
 }
 
 /// One child of a tree node — a leaf shard (with its replica, the §4
@@ -297,7 +298,7 @@ impl Encode for Request {
             Request::Attach(attach) => {
                 out.push(REQ_ATTACH);
                 attach.children.encode(out);
-                attach.spec.encode(out);
+                attach.name.encode(out);
             }
             Request::Query(query) => query.encode(out),
             Request::Append(append) => append.encode(out),
@@ -318,7 +319,7 @@ impl Decode for Request {
             })),
             REQ_ATTACH => Request::Attach(AttachRequest {
                 children: Vec::decode(r)?,
-                spec: NodeSpec::decode(r)?,
+                name: String::decode(r)?,
             }),
             REQ_QUERY => Request::Query(Box::new(QueryRequest {
                 query: AnalyzedQuery::decode(r)?,
@@ -549,7 +550,7 @@ mod tests {
                         metas: vec![sample_meta(), sample_meta()],
                     },
                 ],
-                spec: NodeSpec { name: "m1_0".into(), threads: 1 },
+                name: "m1_0".into(),
             }),
             Request::Query(Box::new(QueryRequest {
                 query: analyzed("SELECT COUNT(*) FROM t WHERE k IN ('a','b')"),

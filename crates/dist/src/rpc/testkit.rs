@@ -28,7 +28,7 @@ pub(crate) fn request(sql: &str) -> QueryRequest {
 /// `sql` asked of `root` as the driver asks it: planned by the root, with
 /// a roomy budget and no hedging.
 pub(crate) fn ask(root: &crate::shard_cache::Root, sql: &str) -> Result<SubtreeAnswer> {
-    root.query(&*root.plan(sql)?, Duration::from_secs(30), 0)
+    Ok(root.query(&*root.plan(sql)?, Duration::from_secs(30), 0)?.0)
 }
 
 /// A node named `name` of width one.

@@ -28,14 +28,21 @@
 //!
 //! The root **plans each SQL text once**: it remembers, per text, the
 //! analyzed query and its signature, written in one walk with the key set
-//! as its prefix (a `Planned`), as many texts as it keeps entries, the
-//! oldest first out. [`pd_sql::plan`] is a function of the text alone, so
-//! a remembered plan is the plan; texts that differ in presentation or an
-//! alias share a signature, never a plan. A repeated chart therefore costs
-//! two probes and the finalize of the remembered table — no parse, no
-//! signature, no request: only a miss clones its plan into the
-//! [`QueryRequest`] it sends, so the wire is as before. A text that fails
-//! to plan is not remembered.
+//! as its prefix (a `Planned`), four times as many texts as it keeps
+//! entries, the oldest first out. [`pd_sql::plan`] is a function of the
+//! text alone, so a remembered plan is the plan; texts that differ in
+//! presentation or an alias share a signature, never a plan. Only a miss
+//! clones its plan into the [`QueryRequest`] it sends, so the wire is as
+//! before. A text that fails to plan is not remembered.
+//!
+//! A text also remembers **the groups it returned** the last time a hit
+//! answered it, and the entry that hit read: asked again while that entry
+//! stands, it ranks nothing ([`pd_core::finalize_kept`]). A repeated chart
+//! therefore costs two probes and its ≤ LIMIT rows — no parse, no
+//! signature, no request, no HAVING, no order word. The entry is held as a
+//! `Weak`, compared by allocation: an entry brought forward, widened by a
+//! miss, evicted or forgotten is another allocation (the `Weak` keeps the
+//! old one's from being reused), so the text ranks again against it.
 //!
 //! An append walks the tree from the root ([`crate::node::Node::append`]),
 //! and the root keeps what it remembers: each entry records how much of
@@ -73,14 +80,14 @@ use crate::rpc::{AppendAck, AppendRequest, QueryRequest, SubtreeAnswer};
 use pd_common::sync::{Mutex, RwLock};
 use pd_common::{Error, Result};
 use pd_core::{
-    execute_partial_from, BoundedCache, BuildOptions, DataStore, ExecContext, PartialResult,
-    ScanStats,
+    execute_partial_from, finalize, finalize_kept, BoundedCache, BuildOptions, DataStore,
+    ExecContext, PartialResult, QueryResult, ScanStats,
 };
 use pd_encoding::TableDelta;
 use pd_sql::{AnalyzedQuery, Expr, Slot};
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Normalized cache signature of an analyzed query: what names the table
@@ -117,18 +124,48 @@ pub(crate) struct Planned {
     signature: Arc<str>,
     /// Length of the key-shape prefix of `signature`.
     keys: usize,
+    /// What the text's last finalize of a hit returned: held by one query
+    /// of the text at a time while it builds its rows.
+    kept: Mutex<Kept>,
+}
+
+/// The groups a text's finalize returned ([`pd_core::finalize_kept`]) and
+/// the entry whose table it ranked. The `Weak` keeps that entry's memory
+/// from being reused while it is held, so an entry at the same address is
+/// that entry.
+#[derive(Default)]
+struct Kept {
+    from: Weak<CachedSubtree>,
+    groups: Option<Vec<u32>>,
 }
 
 impl Planned {
     fn new(query: AnalyzedQuery) -> Planned {
         let mut signature = String::with_capacity(128);
         let keys = write_signature(&query, 0, &mut signature);
-        Planned { query, signature: signature.into(), keys }
+        Planned { query, signature: signature.into(), keys, kept: Mutex::default() }
     }
 
     /// The query's key set: `table|keys:…`.
     fn keys(&self) -> &str {
         &self.signature[..self.keys]
+    }
+
+    /// This text's rows of `partial`: ranked, unless `partial` is the table
+    /// of `from` — the entry a hit read ([`Root::query`]) — and the text's
+    /// last finalize of a hit ranked that entry; then they are the groups
+    /// it returned. A hit's groups are kept for its entry.
+    pub(crate) fn finalize(
+        &self,
+        partial: PartialResult,
+        from: Option<&Arc<CachedSubtree>>,
+    ) -> Result<QueryResult> {
+        let Some(entry) = from else { return finalize(&self.query, partial) };
+        let mut kept = self.kept.lock();
+        if !std::ptr::eq(kept.from.as_ptr(), Arc::as_ptr(entry)) {
+            *kept = Kept { from: Arc::downgrade(entry), groups: None };
+        }
+        finalize_kept(&self.query, partial, &mut kept.groups)
     }
 }
 
@@ -148,7 +185,7 @@ struct TailMark {
 
 /// The root's cached answer for a signature: the partial it would
 /// recompute, plus the tree's shape its hit-side stats count.
-struct CachedSubtree {
+pub(crate) struct CachedSubtree {
     /// The whole tree's mergeable group states.
     partial: PartialResult,
     /// The slots it was computed for: what it answers. (A partial of no
@@ -272,6 +309,14 @@ impl Tail {
 /// than this: a tail this size costs the driver little memory.
 const TAIL_BOUND_BYTES: usize = 1 << 20;
 
+/// Texts the root plans per entry it keeps. A dashboard asks one table in
+/// several texts — other aggregates, orders, limits — so a memo of one text
+/// per entry re-plans what the root still answers: the seed-1 drill session
+/// asks 1 922 distinct texts of 491 tables (3.9 per table), and a memo of
+/// 1 024 texts found 2 841 of 4 900 per pass where one that keeps them all
+/// finds 2 927.
+const PLANS_PER_ENTRY: usize = 4;
+
 /// The root of the tree, in the driver on both transports: the mixer over
 /// the top level, and the tree's one memory — its entries, what each key
 /// set was asked lately, the tail that keeps the entries answerable
@@ -283,9 +328,9 @@ pub(crate) struct Root {
     /// nothing (`ClusterConfig::shard_cache` 0): then it keeps no tail
     /// either, and no plan.
     cache: Option<BoundedCache<Arc<str>, Arc<CachedSubtree>>>,
-    /// Per SQL text, its plan ([`Root::plan`]): as many texts as the cache
-    /// holds entries, oldest first out. A plan is a function of the text
-    /// alone, so it outlives appends and [`Root::forget`].
+    /// Per SQL text, its plan ([`Root::plan`]): [`PLANS_PER_ENTRY`] texts
+    /// per entry the cache holds, oldest first out. A plan is a function of
+    /// the text alone, so it outlives appends and [`Root::forget`].
     plans: Option<BoundedCache<Arc<str>, Arc<Planned>>>,
     /// Per key set ([`AnalyzedQuery::write_key_shape`]): what it was asked
     /// for lately ([`Root::predict`]). Dropped with the entries; at most
@@ -301,13 +346,13 @@ pub(crate) struct Root {
 
 impl Root {
     /// The root over `node` — a mixer — remembering at most
-    /// `cache_entries` signatures and as many plans (0: none), scanning its
-    /// tail `threads` wide.
+    /// `cache_entries` signatures and [`PLANS_PER_ENTRY`] plans per
+    /// signature (0: none), scanning its tail `threads` wide.
     pub(crate) fn new(node: Node, cache_entries: usize, threads: usize) -> Root {
         Root {
             node,
             cache: (cache_entries > 0).then(|| BoundedCache::new(cache_entries)),
-            plans: (cache_entries > 0).then(|| BoundedCache::new(cache_entries)),
+            plans: (cache_entries > 0).then(|| BoundedCache::new(PLANS_PER_ENTRY * cache_entries)),
             asked: Mutex::default(),
             capacity: cache_entries,
             tail: RwLock::new(None),
@@ -351,16 +396,17 @@ impl Root {
     /// ([`Node::query`]) within `budget`, hedging after `hedge_micros`,
     /// also for the slots the query's key set was asked for under its
     /// previous restriction ([`Root::predict`]), so the next charts of the
-    /// click find them. Only a miss builds the request it sends.
+    /// click find them. Only a miss builds the request it sends. Beside the
+    /// answer, the entry a hit handed as it stands ([`Planned::finalize`]).
     pub(crate) fn query(
         &self,
         planned: &Planned,
         budget: Duration,
         hedge_micros: u64,
-    ) -> Result<SubtreeAnswer> {
+    ) -> Result<(SubtreeAnswer, Option<Arc<CachedSubtree>>)> {
         let Some(cache) = &self.cache else {
             let request = QueryRequest { query: planned.query.clone(), budget, hedge_micros };
-            return self.node.query(&request, Duration::ZERO);
+            return Ok((self.node.query(&request, Duration::ZERO)?, None));
         };
         let answer = self.answer(cache, planned, budget, hedge_micros)?;
         self.asked(planned.keys(), &planned.query);
@@ -374,7 +420,7 @@ impl Root {
         planned: &Planned,
         budget: Duration,
         hedge_micros: u64,
-    ) -> Result<SubtreeAnswer> {
+    ) -> Result<(SubtreeAnswer, Option<Arc<CachedSubtree>>)> {
         let signature = &planned.signature;
         let asked = &planned.query;
         // Where the tail stands now: what a fresh entry will contain, and
@@ -388,7 +434,7 @@ impl Root {
             // The root's answer: the cached table itself, no hop, every row
             // accounted as cached.
             match tail.as_ref().filter(|_| entry.at != now) {
-                None if holds => return Ok(entry.to_answer()),
+                None if holds => return Ok((entry.to_answer(), Some(entry))),
                 // Remembered, but rows arrived since: scan those alone over
                 // the entry's slots and merge. Still no hop, and the old
                 // rows are still cached; the new ones count as their scan
@@ -403,7 +449,7 @@ impl Root {
                         answer.partial = forward.partial.clone();
                         answer.stats += &scan;
                         cache.put(Arc::clone(signature), Arc::new(forward));
-                        return Ok(answer);
+                        return Ok((answer, None));
                     }
                 }
                 _ => {}
@@ -431,7 +477,7 @@ impl Root {
             }
         };
         cache.put(Arc::clone(signature), Arc::new(CachedSubtree::capture(&answer, slots, now)));
-        Ok(answer)
+        Ok((answer, None))
     }
 
     /// The slots a miss of `query` asks for beside its own — those its key
@@ -532,7 +578,7 @@ mod tests {
         let build = BuildOptions::basic();
         let (leaf, _) = Node::leaf(0, kn_delta(0..rows), &build, spec("l0p")).unwrap();
         let child = ChildHandle::local(Arc::new(leaf), Some(0));
-        Root::new(Node::mixer(vec![child], spec("root")), cache_entries, 1)
+        Root::new(Node::mixer(vec![child], "root".into()), cache_entries, 1)
     }
 
     /// One `Cluster::append` on that tree: the leaf applies, the root
@@ -612,7 +658,7 @@ mod tests {
         let build = BuildOptions::basic();
         let leaf = Arc::new(Node::leaf(0, kn_delta(0..100), &build, spec("l0p")).unwrap().0);
         let child = ChildHandle::local(Arc::clone(&leaf), Some(0));
-        let root = Root::new(Node::mixer(vec![child], spec("root")), 4, 1);
+        let root = Root::new(Node::mixer(vec![child], "root".into()), 4, 1);
         let miss = ask(&root, BY_K).unwrap();
         assert_eq!((miss.stats.worker_cache_hits, miss.reports.len()), (0, 1));
         let lookups = leaf.chunk_lookups();
@@ -670,6 +716,21 @@ mod tests {
             assert_eq!(entry.slots, wide.slots, "{sql}: the entry is as it was");
         }
         assert_eq!(cache.stats(), (2, 2));
+    }
+
+    /// A root of N entries keeps the plans of 4N texts, the oldest first
+    /// out.
+    #[test]
+    fn a_root_of_n_entries_keeps_four_texts_per_entry() {
+        let root = root_over_a_leaf(10, 2);
+        let text = |i: usize| format!("SELECT k, COUNT(*) as c FROM t GROUP BY k LIMIT {i}");
+        let planned: Vec<_> = (0..8).map(|i| root.plan(&text(i)).unwrap()).collect();
+        for (i, plan) in planned.iter().enumerate() {
+            assert!(Arc::ptr_eq(plan, &root.plan(&text(i)).unwrap()), "text {i} is kept");
+        }
+        root.plan(&text(8)).unwrap();
+        assert!(Arc::ptr_eq(&planned[1], &root.plan(&text(1)).unwrap()), "the rest stay");
+        assert!(!Arc::ptr_eq(&planned[0], &root.plan(&text(0)).unwrap()), "the oldest went");
     }
 
     /// What the root remembers of a key set: the slots asked under its

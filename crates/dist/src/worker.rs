@@ -230,7 +230,7 @@ fn handle(served: &mut Option<Node>, request: Request, queued: Duration) -> Resu
         }
         Request::Attach(attach) => {
             let children = attach.children.into_iter().map(ChildHandle::new).collect();
-            *served = Some(Node::mixer(children, attach.spec));
+            *served = Some(Node::mixer(children, attach.name));
             Ok(Response::Ok)
         }
         Request::Append(append) => Ok(Response::Appended(assigned(served)?.append(&append)?)),

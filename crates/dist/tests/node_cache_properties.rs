@@ -520,6 +520,93 @@ fn texts_of_one_signature_answer_as_a_tree_that_remembers_nothing() {
     }
 }
 
+/// A text asked again answers as a tree that remembers nothing does,
+/// whatever became of the table its last hit ranked: still standing (the
+/// text's groups are kept, and two threads repeat it at once), replaced by
+/// a miss that widens it, brought forward over an 80-row append whose keys
+/// sort before every resident one, or evicted from an 8-entry root — for
+/// HAVING, LIMIT and `ORDER BY k` texts, on both edge kinds.
+#[test]
+fn a_text_asked_again_answers_as_a_tree_that_remembers_nothing() {
+    let texts = [
+        "SELECT k, COUNT(*) as c, SUM(n) as s FROM data GROUP BY k ORDER BY c DESC LIMIT 2",
+        "SELECT k, COUNT(*) as c, SUM(n) as s FROM data GROUP BY k HAVING c > 70 ORDER BY s",
+        "SELECT k, COUNT(*) as c FROM data GROUP BY k ORDER BY k DESC LIMIT 3",
+        "SELECT k, SUM(n) as s FROM data GROUP BY k",
+        "SELECT g, COUNT(*) as c FROM data GROUP BY g ORDER BY c DESC, g DESC LIMIT 4",
+        "SELECT g, COUNT(*) as c FROM data GROUP BY g HAVING c > 28 ORDER BY g LIMIT 5",
+    ];
+    const WIDENS: &str = "SELECT k, MAX(n) as m FROM data GROUP BY k";
+    let mut observed = Vec::new();
+    for (kind, transport) in edge_kinds() {
+        let mut costs = Vec::new();
+        let mut rng = Rng::seed_from_u64(0x05ca_1e09);
+        let table = random_table(&mut rng, 300);
+        let mut remembering = cluster(&table, 3, 2, 8, &transport);
+        let mut bare = cluster(&table, 3, 2, 0, &transport);
+        // Asks every text twice, in order, and checks each answer against
+        // the bare tree's; returns how many were root hits.
+        let mut ask_all = |tree: &Cluster, bare: &Cluster, step: &str| {
+            let mut hits = 0;
+            for round in 0..2 {
+                for sql in texts {
+                    let label = format!("{kind} {step} round {round}: {sql}");
+                    let outcome = tree.query(sql).unwrap();
+                    assert_eq!(outcome.result, bare.query(sql).unwrap().result, "{label}");
+                    assert_balanced(&outcome, &label);
+                    costs.push(work(&outcome));
+                    hits += outcome.worker_cache_hits();
+                }
+            }
+            hits
+        };
+        // Two charts' tables: each text's first ask misses or ranks a hit,
+        // and its second is a repeat.
+        assert_eq!(ask_all(&remembering, &bare, "fresh"), 2 * texts.len() - 2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for sql in texts {
+                        let repeat = remembering.query(sql).unwrap();
+                        assert_eq!(repeat.worker_cache_hits(), 1, "{kind} concurrent: {sql}");
+                        assert_eq!(repeat.result, bare.query(sql).unwrap().result, "{kind}: {sql}");
+                    }
+                });
+            }
+        });
+
+        // A slot the `k` table lacks: a miss that replaces it.
+        assert_eq!(remembering.query(WIDENS).unwrap().worker_cache_hits(), 0, "{kind}");
+        assert_eq!(ask_all(&remembering, &bare, "widened"), 2 * texts.len());
+
+        // 80 rows, half of them of a `k` and `g`s no resident row has: every
+        // `k` group moves up a position.
+        let mut extra = Table::new(table.schema().clone());
+        for i in 0..80i64 {
+            extra
+                .push_row(Row(vec![
+                    Value::from(["amber", "red"][i as usize % 2]),
+                    Value::from(format!("g{:02}", 8 + i % 4)),
+                    Value::Int(i - 40),
+                    Value::Float(0.5),
+                ]))
+                .unwrap();
+        }
+        remembering.append(&extra).unwrap();
+        bare.append(&extra).unwrap();
+        assert_eq!(ask_all(&remembering, &bare, "appended"), 2 * texts.len());
+
+        // Eight more tables through an 8-entry root: both are evicted.
+        for n in 0..8 {
+            let other = format!("SELECT k, COUNT(*) as c FROM data WHERE n > {n} GROUP BY k");
+            assert_eq!(remembering.query(&other).unwrap().worker_cache_hits(), 0, "{kind}");
+        }
+        assert_eq!(ask_all(&remembering, &bare, "evicted"), 2 * texts.len() - 2);
+        observed.push((kind, costs));
+    }
+    assert_same_work(&observed);
+}
+
 #[test]
 fn a_rebuild_forgets_and_an_append_brings_the_roots_cache_forward() {
     let mut observed = Vec::new();
@@ -750,7 +837,6 @@ fn a_misrouted_append_is_refused_at_the_protocol() {
     // shard not beneath the server, and one handing the leaf another
     // shard's rows, are each refused whole, typed.
     use pd_data::{generate_logs, LogsSpec};
-    use pd_dist::node::NodeSpec;
     use pd_dist::rpc::{AppendRequest, AttachRequest, ChildSpec, Request, Response};
 
     let dir = std::env::temp_dir().join(format!("pd-misrouted-test-{}", std::process::id()));
@@ -760,7 +846,7 @@ fn a_misrouted_append_is_refused_at_the_protocol() {
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 0, primary: leaf_addr, replica: None, meta }],
-        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
+        name: "m1_0".into(),
     });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
 
@@ -787,7 +873,6 @@ fn a_misrouted_append_is_refused_at_the_protocol() {
 #[test]
 fn a_pair_that_chunks_an_append_apart_is_refused() {
     use pd_data::{generate_logs, LogsSpec};
-    use pd_dist::node::NodeSpec;
     use pd_dist::rpc::{AppendRequest, AttachRequest, ChildSpec, Request, Response};
 
     let dir = std::env::temp_dir().join(format!("pd-pair-test-{}", std::process::id()));
@@ -801,10 +886,7 @@ fn a_pair_that_chunks_an_append_apart_is_refused() {
     let (mixer, mut client, _) = spawn_worker(&dir, "mixer");
     let pair =
         ChildSpec::Leaf { shard: 0, primary: primary_addr, replica: Some(replica_addr), meta };
-    let attach = Request::Attach(AttachRequest {
-        children: vec![pair],
-        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
-    });
+    let attach = Request::Attach(AttachRequest { children: vec![pair], name: "m1_0".into() });
     assert_eq!(client.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
 
     let rows = coded(&generate_logs(&LogsSpec::scaled(10)));

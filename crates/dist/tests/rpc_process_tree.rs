@@ -631,7 +631,7 @@ fn role_reassignment_replaces_the_previous_role() {
     // from the subtree, not the shadowed 100-row leaf.
     let attach = Request::Attach(AttachRequest {
         children: vec![ChildSpec::Leaf { shard: 7, primary: addr2, replica: None, meta: meta2 }],
-        spec: NodeSpec { name: "m1_0".into(), threads: 1 },
+        name: "m1_0".into(),
     });
     assert_eq!(c1.call(&attach, Duration::from_secs(30)).unwrap(), Response::Ok);
     let as_mixer = ask(&mut c1);

@@ -111,7 +111,7 @@ fn relay(mut downstream: Stream, inner: &Addr, plan: &Path, name: &Mutex<String>
                 None
             }
             Ok(Request::Attach(attach)) => {
-                *name() = attach.spec.name.clone();
+                *name() = attach.name.clone();
                 None
             }
             Ok(Request::Query(query)) => {

@@ -1,9 +1,10 @@
 //! What a click the root remembers allocates: a chart the root's cache
 //! holds costs a probe of the root's plans, a cache probe and the finalize
 //! of the remembered table — no parse, no scan, no hop, no report per
-//! shard —, a text asked for the first time costs its plan besides, and a
-//! chart brought forward over an appended batch costs a scan of that
-//! batch besides.
+//! shard —, and a text asked again while that table stands costs the rows
+//! it returns alone: its groups are the ones its last hit kept. A text
+//! asked for the first time costs its plan besides, and a chart brought
+//! forward over an appended batch costs a scan of that batch besides.
 //!
 //! A counting global allocator (std only) counts the allocation calls on
 //! the thread that asks, so the test harness's other threads do not
@@ -95,15 +96,23 @@ fn remembering_cluster() -> (Cluster, pd_data::Table) {
 
 /// A repeated text is a root hit that scans no row, plans nothing and
 /// allocates a bounded handful: the narrow chart's 25 rows and the wide
-/// chart's ~3 000 are what finalize makes of the remembered table.
+/// chart's ~3 000 are what finalize makes of the remembered table. The
+/// first hit ranks the table; asked again, the text ranks nothing and
+/// allocates less.
 #[test]
 fn a_root_hit_allocates_its_probes_and_finalize_alone() {
     let (cluster, _) = remembering_cluster();
-    for (sql, bound) in [(NARROW, NARROW_HIT), (WIDE, WIDE_HIT)] {
-        let (hit, calls) = counted(&cluster, sql);
-        let hit = hit.unwrap();
-        assert_eq!((hit.worker_cache_hits(), hit.stats.rows_scanned), (1, 0), "{sql}");
-        assert!(calls <= bound, "{sql}: a root hit made {calls} allocation calls (bound {bound})");
+    for (sql, ranked, kept) in [(NARROW, NARROW_HIT, NARROW_REPEAT), (WIDE, WIDE_HIT, WIDE_REPEAT)]
+    {
+        let mut before = u64::MAX;
+        for (ask, bound) in [("a root hit", ranked), ("its repeat", kept)] {
+            let (hit, calls) = counted(&cluster, sql);
+            let hit = hit.unwrap();
+            assert_eq!((hit.worker_cache_hits(), hit.stats.rows_scanned), (1, 0), "{sql}");
+            assert!(calls <= bound, "{sql}: {ask} made {calls} allocation calls (bound {bound})");
+            assert!(calls < before, "{sql}: {ask} made {calls} allocation calls, not fewer");
+            before = calls;
+        }
     }
 }
 
@@ -121,6 +130,24 @@ fn a_new_text_of_a_remembered_table_allocates_its_plan_besides() {
     let (repeat, calls) = counted(&cluster, COUNTS);
     assert_eq!(repeat.unwrap().result, first.result);
     assert!(calls <= NARROW_HIT, "its repeat: {calls} allocation calls (bound {NARROW_HIT})");
+}
+
+/// A text asked again while the root holds the table its last hit read
+/// ranks nothing: the repeat costs the probes and the k rows it returns —
+/// the groups the first hit returned were kept for that table.
+#[test]
+fn a_repeated_text_allocates_its_probes_and_rows_alone() {
+    let (cluster, _) = remembering_cluster();
+    const TOP: &str = "SELECT country, COUNT(*) c, SUM(latency) s FROM logs GROUP BY country \
+                       ORDER BY c DESC LIMIT 10";
+    let (first, _) = counted(&cluster, TOP);
+    let first = first.unwrap();
+    assert_eq!((first.worker_cache_hits(), first.result.rows.len()), (1, 10));
+    let (repeat, calls) = counted(&cluster, TOP);
+    let repeat = repeat.unwrap();
+    assert_eq!((repeat.worker_cache_hits(), repeat.stats.rows_scanned), (1, 0));
+    assert_eq!(repeat.result, first.result);
+    assert!(calls <= REPEAT, "a repeated text: {calls} allocation calls (bound {REPEAT})");
 }
 
 /// A text that fails to plan fails alike whenever it is asked, and the
@@ -153,11 +180,15 @@ fn a_chart_brought_forward_allocates_a_scan_of_the_batch() {
 }
 
 // The bounds: the counts this layout makes — 69 for the narrow hit, 5 893
-// for the wide (about two per returned row of 2 937), 85 for a new text's
-// hit (its plan, 17 calls, and the plan remembered) and 147 brought
-// forward — and a slack of a few percent for what a toolchain's
-// collections may do differently.
+// for the wide (about two per returned row of 2 937), 64 and 5 888 for
+// their repeats, 34 for a repeated top 10, 85 for a new text's hit (its
+// plan, 17 calls, and the plan remembered) and 147 brought forward — and a
+// slack of a few percent for what a toolchain's collections may do
+// differently.
 const NARROW_HIT: u64 = 74;
 const WIDE_HIT: u64 = 6_030;
+const NARROW_REPEAT: u64 = 67;
+const WIDE_REPEAT: u64 = 6_000;
+const REPEAT: u64 = 36;
 const NEW_TEXT: u64 = 91;
 const FORWARD: u64 = 157;
