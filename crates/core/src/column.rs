@@ -70,18 +70,15 @@ impl StoredColumn {
     /// Encode from a sorted dictionary and one global-id per row, in stored
     /// order, against `partitioning`'s chunk boundaries — what every base
     /// column of an import and every virtual field is built from. A string
-    /// dictionary is front-coded here when the options ask for it.
+    /// dictionary is front-coded, and an integer one packed, here when the
+    /// options ask for it.
     pub fn from_global_ids(
         dict: GlobalDict,
         global_ids: &[u32],
         partitioning: &Partitioning,
         options: &BuildOptions,
     ) -> Result<StoredColumn> {
-        let dict = if options.dicts == DictMode::FrontCoded && dict.data_type() == DataType::Str {
-            dict.optimize()?
-        } else {
-            dict
-        };
+        let dict = if options.dicts == DictMode::FrontCoded { dict.optimize()? } else { dict };
         let chunk_lens: Vec<usize> =
             (0..partitioning.chunk_count()).map(|c| partitioning.chunk_range(c).len()).collect();
         let grid = grid_of(&dict);

@@ -1221,7 +1221,7 @@ pub(crate) fn accumulate(
         SlotKind::SumInt => {
             let (col, chunk) = arg.expect("SUM has an argument");
             let GlobalDict::Int(dict) = &col.dict else { unreachable!("an integer SUM") };
-            gather(chunk, dict.values(), &mut tables.ints);
+            gather(chunk, |gid| dict.value(gid), &mut tables.ints);
             // A slice, so that `add` is `Copy`.
             let table = &tables.ints[..];
             let add =
@@ -1438,14 +1438,14 @@ pub(crate) static FLOAT_TABLE_BUILDS: AtomicU64 = AtomicU64::new(0);
 fn float_table(col: &StoredColumn, chunk: &ColumnChunk, table: &mut Vec<f64>) {
     FLOAT_TABLE_BUILDS.fetch_add(1, Ordering::Relaxed);
     let GlobalDict::Float(dict) = &col.dict else { unreachable!("a float SUM") };
-    gather(chunk, dict.values(), table);
+    gather(chunk, |gid| *dict.value(gid), table);
 }
 
-/// Per chunk-id, its global id's entry of a typed dictionary's `values`,
+/// Per chunk-id, its global id's entry of a typed dictionary (`value`),
 /// into `table`.
-fn gather<T: Copy>(chunk: &ColumnChunk, values: &[T], table: &mut Vec<T>) {
+fn gather<T>(chunk: &ColumnChunk, value: impl Fn(u32) -> T, table: &mut Vec<T>) {
     table.clear();
-    table.extend(chunk.dict.values().iter().map(|&gid| values[gid as usize]));
+    table.extend(chunk.dict.values().iter().map(|&gid| value(gid)));
 }
 
 #[cfg(test)]

@@ -2,20 +2,23 @@
 //!
 //! Each of the paper's layouts (Table 4) is a named constructor, so
 //! experiments can build the same dataset four ways and diff the memory
-//! reports; OptDicts front-codes the string dictionaries. The last two
-//! rungs are not layouts: "Zippy" is a measurement over any build, and
-//! "Reorder" is sorted input + OptDicts — a table sorted by its partition
-//! fields ([`pd_data::Table::sorted_by`]) built with [`BuildOptions::optdicts`].
+//! reports; OptDicts front-codes the string dictionaries and packs the
+//! integer ones. The last two rungs are not layouts: "Zippy" is a
+//! measurement over any build, and "Reorder" is sorted input + OptDicts —
+//! a table sorted by its partition fields ([`pd_data::Table::sorted_by`])
+//! built with [`BuildOptions::optdicts`].
 
 use pd_encoding::ElementsMode;
 
-/// How string global-dictionaries are stored.
+/// How string and integer global-dictionaries are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DictMode {
     /// Sorted array + binary search (the "canonical" §2.3 layout).
     #[default]
     Sorted,
-    /// Front-coded blocks of the sorted strings ("OptDicts", §3).
+    /// Front-coded blocks of the sorted strings, and the sorted integers
+    /// as fixed-width offsets from their minimum ("OptDicts", §3). Float
+    /// dictionaries stay arrays.
     FrontCoded,
 }
 
@@ -44,7 +47,7 @@ pub struct BuildOptions {
     pub partition: Option<PartitionSpec>,
     /// Element array encoding.
     pub elements: ElementsMode,
-    /// String dictionary representation.
+    /// String and integer dictionary representation.
     pub dicts: DictMode,
 }
 
@@ -70,7 +73,8 @@ impl BuildOptions {
         BuildOptions { elements: ElementsMode::Optimized, ..BuildOptions::chunked(spec) }
     }
 
-    /// "OptDicts" (§3): + front-coded string dictionaries.
+    /// "OptDicts" (§3): + front-coded string and packed integer
+    /// dictionaries.
     pub fn optdicts(spec: PartitionSpec) -> Self {
         BuildOptions { dicts: DictMode::FrontCoded, ..BuildOptions::optcols(spec) }
     }

@@ -12,11 +12,14 @@
 //! when translating literals in `WHERE` clauses into global-ids for chunk
 //! skipping.
 //!
-//! String dictionaries come in two flavours, mirroring the paper's §3
-//! optimization step: a "canonical" sorted array with binary search, and
-//! the same strings front-coded in blocks ([`FrontCoded`]).
+//! String and integer dictionaries come in two flavours, mirroring the
+//! paper's §3 optimization step: a "canonical" sorted array with binary
+//! search, and the same entries compressed — strings front-coded in blocks
+//! ([`FrontCoded`]), integers packed as fixed-width offsets from their
+//! minimum ([`Packed`]).
 
 use crate::front::FrontCoded;
+use crate::packed::Packed;
 use pd_common::{sortkey, DataType, Error, FxHashMap, HeapSize, Result, Value};
 use pd_compress::varint;
 use std::borrow::Cow;
@@ -138,8 +141,9 @@ impl<T: Entry> Sorted<T> {
     }
 
     /// Merge `batch` into this array, which becomes their union, in order.
-    /// A batch entry is placed by a binary search, and the array is rebuilt
-    /// in one pass only if some entry is not in it.
+    /// A batch entry is placed by a binary search. New entries that all
+    /// sort past the last one are appended to the array, and no id moves;
+    /// others rebuild it in one pass.
     pub fn merge(&mut self, batch: &Sorted<T>) -> Merged
     where
         T: Clone,
@@ -158,23 +162,27 @@ impl<T: Entry> Sorted<T> {
             .collect();
         let Some(&(first, _)) = inserts.first() else { return Merged { ids, renumbered: None } };
         let len = self.values.len();
-        let moved = first < len;
-        let mut renumbered = Vec::with_capacity(if moved { len } else { 0 });
+        let mut kept = std::mem::take(&mut self.values).into_vec();
+        if first == len {
+            kept.reserve_exact(inserts.len());
+            kept.extend(inserts.into_iter().map(|(_, v)| v.clone()));
+            self.values = kept.into_boxed_slice();
+            return Merged { ids, renumbered: None };
+        }
+        let mut renumbered = Vec::with_capacity(len);
         let mut merged = Vec::with_capacity(len + inserts.len());
-        let mut kept = std::mem::take(&mut self.values).into_vec().into_iter();
+        let mut kept = kept.into_iter();
         let mut placed = 0;
         for (at, v) in inserts.iter().map(|&(at, v)| (at, Some(v))).chain([(len, None)]) {
             for value in kept.by_ref().take(at - placed) {
-                if moved {
-                    renumbered.push(merged.len() as u32);
-                }
+                renumbered.push(merged.len() as u32);
                 merged.push(value);
             }
             placed = at;
             merged.extend(v.cloned());
         }
         self.values = merged.into_boxed_slice();
-        Merged { ids, renumbered: moved.then_some(renumbered) }
+        Merged { ids, renumbered: Some(renumbered) }
     }
 }
 
@@ -268,6 +276,71 @@ impl HeapSize for StrDict {
     }
 }
 
+/// Integer dictionary: sorted array ("canonical", §2.3) or offsets from the
+/// minimum packed to one width ("OptDicts", §3).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IntDict {
+    Sorted(Sorted<i64>),
+    Packed(Packed),
+}
+
+impl IntDict {
+    pub fn len(&self) -> u32 {
+        match self {
+            IntDict::Sorted(d) => d.len(),
+            IntDict::Packed(d) => d.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entry with id `id`, in O(1): an index, or one load of its
+    /// packed offset ([`Packed::value`]). Panics if out of range.
+    #[inline]
+    pub fn value(&self, id: u32) -> i64 {
+        match self {
+            IntDict::Sorted(d) => *d.value(id),
+            IntDict::Packed(d) => d.value(id),
+        }
+    }
+
+    /// Where `probe` stands among the entries, with
+    /// [`slice::binary_search`]'s contract.
+    pub fn rank(&self, probe: i64) -> std::result::Result<u32, u32> {
+        match self {
+            IntDict::Sorted(d) => d.rank_by(|v| v.cmp(&probe)),
+            IntDict::Packed(d) => d.rank(probe),
+        }
+    }
+
+    /// The sorted-array form: the array itself, or the packed entries
+    /// unpacked.
+    fn to_sorted(&self) -> Cow<'_, Sorted<i64>> {
+        match self {
+            IntDict::Sorted(d) => Cow::Borrowed(d),
+            IntDict::Packed(d) => Cow::Owned(Sorted { values: d.iter().collect() }),
+        }
+    }
+
+    fn merge(&mut self, batch: &IntDict) -> Merged {
+        match self {
+            IntDict::Sorted(old) => old.merge(&batch.to_sorted()),
+            IntDict::Packed(old) => old.merge(&batch.to_sorted()),
+        }
+    }
+}
+
+impl HeapSize for IntDict {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            IntDict::Sorted(d) => d.heap_bytes(),
+            IntDict::Packed(d) => d.heap_bytes(),
+        }
+    }
+}
+
 /// 2^53: below it every integer is its own `f64`; from it on neighbouring
 /// `i64`s round to one float, so the row filter (which compares the
 /// integer side `as f64`) and an exact integer lookup stop agreeing.
@@ -283,7 +356,7 @@ fn float_as_int(v: f64) -> Option<i64> {
 /// A typed global dictionary.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GlobalDict {
-    Int(Sorted<i64>),
+    Int(IntDict),
     Float(Sorted<f64>),
     Str(StrDict),
 }
@@ -313,7 +386,7 @@ impl GlobalDict {
     /// The value with rank `id`.
     pub fn value(&self, id: u32) -> Value {
         match self {
-            GlobalDict::Int(d) => Value::Int(*d.value(id)),
+            GlobalDict::Int(d) => Value::Int(d.value(id)),
             GlobalDict::Float(d) => Value::Float(*d.value(id)),
             GlobalDict::Str(d) => Value::Str(d.value(id)),
         }
@@ -332,10 +405,11 @@ impl GlobalDict {
     /// The sort keys ([`pd_common::sortkey`]) of the values with ranks
     /// `ids` — strictly ascending, all below `len()` — handed to `f` in that
     /// order, by one ordered pass over the dictionary and with no [`Value`]
-    /// made. Array dictionaries index; front coding decodes each block once
-    /// and builds no string ([`FrontCoded::for_each_of`], which also panics
-    /// on unsorted ids) — the difference between translating a group table
-    /// and decoding a block per group. Panics on an id out of bounds, like
+    /// made. Array dictionaries index, packed integers load an offset each;
+    /// front coding decodes each block once and builds no string
+    /// ([`FrontCoded::for_each_of`], which also panics on unsorted ids) —
+    /// the difference between translating a group table and decoding a
+    /// block per group. Panics on an id out of bounds, like
     /// [`GlobalDict::value`].
     pub fn for_each_key(&self, ids: &[u32], mut f: impl FnMut(&[u8])) {
         self.keys_of(ids, &mut f)
@@ -344,7 +418,7 @@ impl GlobalDict {
     fn keys_of(&self, ids: &[u32], f: &mut dyn FnMut(&[u8])) {
         let mut key = Vec::new();
         match self {
-            GlobalDict::Int(d) => ids.iter().for_each(|&id| f(&sortkey::int(*d.value(id)))),
+            GlobalDict::Int(d) => ids.iter().for_each(|&id| f(&sortkey::int(d.value(id)))),
             GlobalDict::Float(d) => ids.iter().for_each(|&id| f(&sortkey::float(*d.value(id)))),
             GlobalDict::Str(d) => d.for_each_of(ids, |s| {
                 key.clear();
@@ -376,8 +450,8 @@ impl GlobalDict {
     /// float no integer entry can equal (`1e30`, NaN).
     pub fn id_of(&self, value: &Value) -> Option<u32> {
         match (self, value) {
-            (GlobalDict::Int(d), Value::Int(v)) => d.id_of(v),
-            (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.id_of(&x)),
+            (GlobalDict::Int(d), Value::Int(v)) => d.rank(*v).ok(),
+            (GlobalDict::Int(d), Value::Float(v)) => float_as_int(*v).and_then(|x| d.rank(x).ok()),
             (GlobalDict::Float(d), Value::Float(v)) => d.id_of(v),
             (GlobalDict::Float(d), Value::Int(v)) => d.id_of(&(*v as f64)),
             (GlobalDict::Str(d), Value::Str(v)) => d.rank(v).ok(),
@@ -393,16 +467,14 @@ impl GlobalDict {
     /// exactly ([`GlobalDict::resolves_exactly`]).
     pub fn lower_bound(&self, value: &Value) -> Option<u32> {
         match (self, value) {
-            (GlobalDict::Int(d), Value::Int(v)) => Some(d.lower_bound(v)),
+            (GlobalDict::Int(d), Value::Int(v)) => Some(at_or_above(d.rank(*v))),
             (GlobalDict::Int(d), Value::Float(v)) => {
                 // First integer >= the float bound.
-                self.resolves_exactly(value).then(|| d.lower_bound(&(v.ceil() as i64)))
+                self.resolves_exactly(value).then(|| at_or_above(d.rank(v.ceil() as i64)))
             }
             (GlobalDict::Float(d), Value::Float(v)) => Some(d.lower_bound(v)),
             (GlobalDict::Float(d), Value::Int(v)) => Some(d.lower_bound(&(*v as f64))),
-            (GlobalDict::Str(d), Value::Str(v)) => {
-                Some(d.rank(v).unwrap_or_else(std::convert::identity))
-            }
+            (GlobalDict::Str(d), Value::Str(v)) => Some(at_or_above(d.rank(v))),
             // A string bound is above every number, and a number or NULL
             // below every string; NULL is below every number too.
             (GlobalDict::Int(_) | GlobalDict::Float(_), Value::Str(_)) => Some(self.len()),
@@ -440,26 +512,33 @@ impl GlobalDict {
         Some((lo, hi.max(lo)))
     }
 
-    /// Front-code string dictionaries ("OptDicts", §3). Numeric
-    /// dictionaries, and front-coded ones, are untouched.
-    pub fn optimize(&self) -> Result<GlobalDict> {
-        match self {
+    /// Compress a sorted-array dictionary ("OptDicts", §3): front-code
+    /// strings, pack integers. Floats, and compressed dictionaries, come
+    /// back as they are.
+    pub fn optimize(self) -> Result<GlobalDict> {
+        Ok(match self {
             GlobalDict::Str(StrDict::Sorted(d)) => {
-                Ok(GlobalDict::Str(StrDict::FrontCoded(FrontCoded::from_sorted(d.values())?)))
+                GlobalDict::Str(StrDict::FrontCoded(FrontCoded::from_sorted(d.values())?))
             }
-            other => Ok(other.clone()),
-        }
+            GlobalDict::Int(IntDict::Sorted(d)) => {
+                GlobalDict::Int(IntDict::Packed(Packed::from_sorted(d.values())?))
+            }
+            other => other,
+        })
     }
 
     /// Merge the entries of `batch` — a dictionary of this one's type, over
     /// a batch of appended rows — into this one, which stays sorted: the
     /// dictionary a build of the old rows and the batch's rows together
-    /// would make, in the same flavour (front coding stays front-coded).
+    /// would make, in the same flavour (front coding stays front-coded,
+    /// packing stays packed).
     ///
     /// Each batch entry is ranked, and only if one is new is the dictionary
     /// rewritten, in one pass over both: O(k log n) for a batch of k entries
     /// the dictionary holds, O(n + k log n) otherwise
-    /// ([`Sorted::merge`], [`FrontCoded::merge`]).
+    /// ([`Sorted::merge`], [`FrontCoded::merge`], [`Packed::merge`]). An
+    /// integer dictionary whose new entries all sort past its last one
+    /// grows at its end instead, in O(k log n) and one reallocation.
     ///
     /// Returns the batch entries' ids and, if any old entry moved, the
     /// monotone map of old ids to new ones ([`Merged`]).
@@ -491,7 +570,8 @@ impl GlobalDict {
                 out.push(0);
                 varint::write_u64(&mut out, u64::from(d.len()));
                 let mut prev = 0i64;
-                for &v in d.values() {
+                for id in 0..d.len() {
+                    let v = d.value(id);
                     varint::write_i64(&mut out, v.wrapping_sub(prev));
                     prev = v;
                 }
@@ -515,8 +595,9 @@ impl GlobalDict {
         out
     }
 
-    /// Inverse of [`GlobalDict::to_bytes`]. String dictionaries come back in
-    /// sorted-array form; call [`GlobalDict::optimize`] to front-code them.
+    /// Inverse of [`GlobalDict::to_bytes`]. String and integer dictionaries
+    /// come back in sorted-array form; call [`GlobalDict::optimize`] to
+    /// compress them.
     pub fn from_bytes(bytes: &[u8]) -> Result<GlobalDict> {
         let tag = *bytes.first().ok_or_else(|| Error::Data("dict: empty buffer".into()))?;
         let mut pos = 1;
@@ -529,7 +610,7 @@ impl GlobalDict {
                     prev = prev.wrapping_add(varint::read_i64(bytes, &mut pos)?);
                     values.push(prev);
                 }
-                Ok(GlobalDict::Int(Sorted::from_sorted(values)?))
+                Ok(GlobalDict::Int(IntDict::Sorted(Sorted::from_sorted(values)?)))
             }
             1 => {
                 let mut values = Vec::with_capacity(len.min(1 << 20));
@@ -571,6 +652,11 @@ impl HeapSize for GlobalDict {
     }
 }
 
+/// The id of the first entry at or above a probe, from a rank.
+fn at_or_above(rank: std::result::Result<u32, u32>) -> u32 {
+    rank.unwrap_or_else(std::convert::identity)
+}
+
 /// What [`GlobalDict::merge`] did to a dictionary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Merged {
@@ -586,8 +672,8 @@ pub struct Merged {
 /// Build a sorted global dictionary from a raw column and map every row to
 /// its global-id.
 ///
-/// This is the first half of the import pipeline of §2.3; front coding is
-/// made from the result by [`GlobalDict::optimize`]. All values must share one
+/// This is the first half of the import pipeline of §2.3; front coding and
+/// packing are made from the result by [`GlobalDict::optimize`]. All values must share one
 /// type; `Null` is rejected (the stores in the paper operate on
 /// denormalized, fully populated log tables).
 pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
@@ -601,7 +687,7 @@ pub fn build_dict(values: &[Value]) -> Result<(GlobalDict, Vec<u32>)> {
     match dtype {
         DataType::Int => {
             let (dict, ids) = Sorted::ranked(&typed(values, dtype, Value::as_int)?);
-            Ok((GlobalDict::Int(dict), ids))
+            Ok((GlobalDict::Int(IntDict::Sorted(dict)), ids))
         }
         DataType::Float => {
             let float = |v: &Value| if let Value::Float(x) = v { Some(*x) } else { None };
@@ -738,14 +824,20 @@ mod tests {
     }
 
     #[test]
-    fn optimize_converts_strings_only() {
+    fn optimize_compresses_strings_and_integers() {
         let (s, _) = build_dict(&[Value::from("b"), Value::from("a")]).unwrap();
         let opt = s.optimize().unwrap();
         assert!(matches!(opt, GlobalDict::Str(StrDict::FrontCoded(_))));
         assert_eq!(opt.value(0), Value::from("a"));
 
-        let (i, _) = build_dict(&[Value::Int(1)]).unwrap();
-        assert_eq!(i.optimize().unwrap(), i);
+        let (i, _) = build_dict(&[Value::Int(7), Value::Int(-1)]).unwrap();
+        let opt = i.optimize().unwrap();
+        assert!(matches!(opt, GlobalDict::Int(IntDict::Packed(_))));
+        assert_eq!((opt.value(0), opt.value(1)), (Value::Int(-1), Value::Int(7)));
+        assert_eq!(opt.clone().optimize().unwrap(), opt, "packing is done once");
+
+        let (f, _) = build_dict(&[Value::Float(1.0)]).unwrap();
+        assert_eq!(f.clone().optimize().unwrap(), f);
     }
 
     #[test]
@@ -859,7 +951,7 @@ mod tests {
     #[test]
     fn range_ids_on_front_coding_rank_absent_bounds() {
         let (sorted, _) = build_dict(&[Value::from("a"), Value::from("b")]).unwrap();
-        let front_coded = sorted.optimize().unwrap();
+        let front_coded = sorted.clone().optimize().unwrap();
         for dict in [&sorted, &front_coded] {
             assert_eq!(dict.range_ids(Some(&(Value::from("b"), true)), None), Some((1, 2)));
             assert_eq!(dict.range_ids(Some(&(Value::from("a"), false)), None), Some((1, 2)));
@@ -950,7 +1042,7 @@ mod tests {
             })
             .collect();
         let (sorted, _) = build_dict(&values).unwrap();
-        let front_coded = sorted.optimize().unwrap();
+        let front_coded = sorted.clone().optimize().unwrap();
         assert_eq!(sorted.len(), front_coded.len());
         for id in (0..sorted.len()).step_by(97) {
             assert_eq!(sorted.value(id), front_coded.value(id));

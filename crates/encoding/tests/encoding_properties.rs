@@ -5,7 +5,7 @@ use pd_common::rng::Rng;
 use pd_common::{DataType, Value};
 use pd_encoding::front::B;
 use pd_encoding::{
-    build_dict, ChunkDict, Elements, ElementsMode, FrontCoded, GlobalDict, Sorted, StrDict,
+    build_dict, ChunkDict, Elements, ElementsMode, FrontCoded, GlobalDict, IntDict, Sorted, StrDict,
 };
 
 /// The double indirection must reconstruct the original column exactly:
@@ -116,7 +116,7 @@ fn front_coding_is_equivalent_to_sorted_array() {
         // Value ranges resolve to the same id range on both flavours.
         let values: Vec<Value> = sorted.iter().map(|s| Value::from(*s)).collect();
         let (array, _) = build_dict(&values).unwrap();
-        let front_coded = array.optimize().unwrap();
+        let front_coded = array.clone().optimize().unwrap();
         for _ in 0..32 {
             let mut bound = || {
                 rng.chance(0.8).then(|| (Value::from(rng.pick(&probes).as_str()), rng.chance(0.5)))
@@ -146,6 +146,132 @@ fn front_coding_is_equivalent_to_sorted_array() {
         assert_eq!(outcome, model.merge(&boxed(&batch_refs).unwrap()), "case {case}");
         assert_eq!(merged, FrontCoded::from_sorted(model.values()).unwrap(), "case {case}");
     }
+}
+
+/// Packing and the sorted array are two encodings of the same integers:
+/// every [`GlobalDict`] operation answers alike on both — the length, ids
+/// both ways, the rank of any probe (held, absent, either end of `i64`, a
+/// float), ordered lookups of any id subset, the id range of any value
+/// range and the serialized bytes, which read back as the array — and
+/// packing never takes more heap. Each round merges a batch into both:
+/// the same ids and map, and the packing of the merged array. Entry sets:
+/// one value, negatives, timestamps (a narrow range far from zero), a
+/// random width, and `i64::MIN` with `i64::MAX` (a 64-bit width); batches
+/// add entries below, among and past the entries, and past the width.
+#[test]
+fn packing_is_equivalent_to_sorted_array() {
+    let mut rng = Rng::seed_from_u64(0xd1c7_000a);
+    let (mut in_place, mut repacked) = (0, 0);
+    for case in 0..120 {
+        let values = int_shape(&mut rng, case % 5);
+        let mut array = build_dict(&values).unwrap().0;
+        let mut packed = array.clone().optimize().unwrap();
+        for round in 0..4 {
+            let label = format!("case {case} round {round}");
+            assert_answers_alike(&mut rng, &array, &packed, &label);
+            let (len, width) = (packed.len(), packed_width(&packed));
+            let entries = build_dict(&int_batch(&mut rng, &array, round)).unwrap().0;
+            let merged = packed.merge(&entries).unwrap();
+            assert_eq!(merged, array.merge(&entries).unwrap(), "{label}");
+            assert_eq!(packed, array.clone().optimize().unwrap(), "{label}");
+            match (packed.len() > len, merged.renumbered, packed_width(&packed) == width) {
+                (true, None, true) => in_place += 1,
+                (true, ..) => repacked += 1,
+                (false, ..) => {}
+            }
+        }
+    }
+    assert!(in_place > 60 && repacked > 60, "in place {in_place}, repacked {repacked}");
+}
+
+/// Integers of one of five shapes: one value, negatives, timestamps, a
+/// random width from a random base, both ends of `i64` among others.
+fn int_shape(rng: &mut Rng, shape: usize) -> Vec<Value> {
+    let n = rng.range_usize(2, 120);
+    let ints: Vec<i64> = match shape {
+        0 => vec![*rng.pick(&[i64::MIN, -1, 0, 1_300_000_000, i64::MAX]); n],
+        1 => (0..n).map(|_| rng.range_i64_inclusive(-1_000_000, -1)).collect(),
+        2 => (0..n).map(|_| 1_293_840_000 + rng.range_i64_inclusive(0, 7_948_565)).collect(),
+        3 => {
+            let width = rng.range_u64(1, 64) as u32;
+            let base = rng.next_u64() as i64;
+            (0..n).map(|_| base.wrapping_add((rng.next_u64() >> (64 - width)) as i64)).collect()
+        }
+        _ => {
+            [i64::MIN, i64::MAX].into_iter().chain((2..n).map(|_| rng.next_u64() as i64)).collect()
+        }
+    };
+    ints.into_iter().map(Value::Int).collect()
+}
+
+/// A batch for round `round` of [`packing_is_equivalent_to_sorted_array`]:
+/// entries past the last within a few steps (round 0), held and absent
+/// ones among the entries (1), below the first (2), and all of those with
+/// entries far past the last (3).
+fn int_batch(rng: &mut Rng, dict: &GlobalDict, round: usize) -> Vec<Value> {
+    let int = |id: u32| dict.value(id).as_int().unwrap();
+    let (first, last) = (int(0), int(dict.len() - 1));
+    (0..rng.range_usize(1, 12))
+        .map(|_| match (round, rng.range_usize(0, 4)) {
+            (0, _) | (3, 0) => last.saturating_add(rng.range_i64_inclusive(1, 40)),
+            (1, 0) => int(rng.range_u64(0, u64::from(dict.len())) as u32),
+            (1, _) | (3, 1) => {
+                let (lo, hi) = (first as i128, last as i128);
+                (lo + (rng.next_u64() as i128).rem_euclid(hi - lo + 1)) as i64
+            }
+            (2, _) | (3, 2) => first.saturating_sub(rng.range_i64_inclusive(1, 1 << 40)),
+            _ => last.saturating_add(rng.range_i64_inclusive(1 << 30, 1 << 50)),
+        })
+        .map(Value::Int)
+        .collect()
+}
+
+/// The width of a packed integer dictionary; 0 for any other.
+fn packed_width(dict: &GlobalDict) -> u32 {
+    match dict {
+        GlobalDict::Int(IntDict::Packed(packed)) => packed.width(),
+        _ => 0,
+    }
+}
+
+/// `packed` answers every question as `array` does.
+fn assert_answers_alike(rng: &mut Rng, array: &GlobalDict, packed: &GlobalDict, label: &str) {
+    use pd_common::HeapSize;
+    assert!(matches!(packed, GlobalDict::Int(IntDict::Packed(_))), "{label}");
+    assert_eq!(packed.len(), array.len(), "{label}");
+    for id in 0..array.len() {
+        assert_eq!(packed.value(id), array.value(id), "{label}: id {id}");
+    }
+    let mut probes = vec![Value::Int(i64::MIN), Value::Int(i64::MAX), Value::Int(0)];
+    for id in 0..array.len() {
+        let v = array.value(id).as_int().unwrap();
+        probes.extend([v, v.saturating_sub(1), v.saturating_add(1)].map(Value::Int));
+        probes.extend([v as f64, v as f64 + 0.5, -(v as f64)].map(Value::Float));
+    }
+    probes.extend([1e30, f64::NAN, -0.0, f64::NEG_INFINITY].map(Value::Float));
+    for probe in &probes {
+        assert_eq!(packed.id_of(probe), array.id_of(probe), "{label}: {probe:?}");
+        assert_eq!(packed.lower_bound(probe), array.lower_bound(probe), "{label}: {probe:?}");
+    }
+    for _ in 0..16 {
+        let mut bound = || rng.chance(0.8).then(|| (rng.pick(&probes).clone(), rng.chance(0.5)));
+        let (min, max) = (bound(), bound());
+        let (got, want) = (
+            packed.range_ids(min.as_ref(), max.as_ref()),
+            array.range_ids(min.as_ref(), max.as_ref()),
+        );
+        assert_eq!(got, want, "{label}: {min:?} .. {max:?}");
+    }
+    for ids in id_subsets(rng, array.len()) {
+        assert_eq!(packed.values_of(&ids), array.values_of(&ids), "{label}: ids {ids:?}");
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        packed.for_each_key(&ids, |key| got.push(key.to_vec()));
+        array.for_each_key(&ids, |key| want.push(key.to_vec()));
+        assert_eq!(got, want, "{label}: ids {ids:?}");
+    }
+    assert_eq!(packed.to_bytes(), array.to_bytes(), "{label}");
+    assert_eq!(&GlobalDict::from_bytes(&packed.to_bytes()).unwrap(), array, "{label}");
+    assert!(packed.heap_bytes() <= array.heap_bytes(), "{label}");
 }
 
 /// Elements encodings are lossless for every representation the ladder can
@@ -210,22 +336,25 @@ fn chunk_dict_membership() {
     }
 }
 
-/// A random dictionary of each flavour — `Sorted`, `FrontCoded`, `Int`, `Float`
-/// — and each of them again with a batch of an append merged in.
+/// A random dictionary of each flavour — `Sorted`, `FrontCoded`, `Int`,
+/// `Packed`, `Float` — and each of them again with a batch of an append
+/// merged in.
 fn random_dicts(rng: &mut Rng) -> Vec<(&'static str, GlobalDict)> {
     let n = rng.range_usize(1, 160);
     let mut dicts = vec![
         ("sorted", build_dict(&strings(rng, n, "t")).unwrap().0),
         ("front coded", build_dict(&strings(rng, n, "t")).unwrap().0.optimize().unwrap()),
         ("int", build_dict(&ints(rng, n, 0)).unwrap().0),
+        ("packed", build_dict(&ints(rng, n, 0)).unwrap().0.optimize().unwrap()),
         ("float", build_dict(&floats(rng, n, 0.5)).unwrap().0),
     ];
-    // The same four again, merged with values an append would bring.
+    // The same five again, merged with values an append would bring.
     let m = rng.range_usize(1, 40);
     let appended = [
         ("merged sorted", strings(rng, m, "new")),
         ("merged front coded", strings(rng, m, "new")),
         ("merged int", ints(rng, m, -300)),
+        ("merged packed", ints(rng, m, 400)),
         ("merged float", floats(rng, m, 0.25)),
     ];
     for (base, (name, new_values)) in appended.into_iter().enumerate() {
@@ -331,7 +460,8 @@ fn values_of_equals_value_per_id() {
 /// consumer rank groups and ranges on ids and look up only the winners:
 /// every dictionary, merged with batches whose new values fall below,
 /// among and above its own, is bit for bit the dictionary a build of all
-/// its values makes, in its own flavour (front coding stays front-coded).
+/// its values makes, in its own flavour (front coding stays front-coded,
+/// packing stays packed).
 #[test]
 fn id_order_is_value_order_after_any_run_of_merges() {
     let mut rng = Rng::seed_from_u64(0xd1c7_0008);
@@ -347,7 +477,8 @@ fn id_order_is_value_order_after_any_run_of_merges() {
                 held.extend(values);
                 let built = build_dict(&held).unwrap().0;
                 let built = match dict {
-                    GlobalDict::Str(StrDict::FrontCoded(_)) => built.optimize().unwrap(),
+                    GlobalDict::Str(StrDict::FrontCoded(_))
+                    | GlobalDict::Int(IntDict::Packed(_)) => built.optimize().unwrap(),
                     _ => built,
                 };
                 assert_eq!(dict, built, "case {case} {name} round {round}");
