@@ -151,7 +151,7 @@ fn main() {
         for chunk in &col.chunks {
             let mut counts: FxHashMap<pd_common::Value, u64> = FxHashMap::default();
             for row in 0..chunk.len() {
-                let v = col.dict.value(chunk.dict.values()[chunk.elements.get(row) as usize]);
+                let v = col.dict.value(chunk.dict.get(chunk.elements.get(row)));
                 *counts.entry(v).or_insert(0) += 1;
             }
             black_box(&counts);

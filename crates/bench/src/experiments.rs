@@ -718,10 +718,11 @@ pub fn subdicts(rows: usize) {
         let mut counts = vec![0u64; chunk.dict.len() as usize];
         chunk.elements.iter().for_each(|id| counts[id as usize] += 1);
         for (cid, n) in counts.iter().enumerate() {
-            freq[chunk.dict.values()[cid] as usize] += n;
+            freq[chunk.dict.get(cid as u32) as usize] += n;
         }
     }
-    let chunk_ids: Vec<Vec<u32>> = col.chunks.iter().map(|c| c.dict.values().to_vec()).collect();
+    let chunk_ids: Vec<Vec<u32>> =
+        col.chunks.iter().map(|c| c.dict.ids().iter().collect()).collect();
     let byte_size = |g: u32| col.dict.value(g).render().len() + 8;
     let index = SubDictIndex::build(&chunk_ids, &freq, byte_size, SubDictLayout::default());
     let full_dict: usize = (0..col.dict.len()).map(byte_size).sum();
@@ -741,7 +742,7 @@ pub fn subdicts(rows: usize) {
             .chunks
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.dict.id_of(&g).is_some())
+            .filter(|(_, c)| c.dict.id_of(g).is_some())
             .map(|(i, _)| i as u32)
             .collect();
         active_total += active.len();

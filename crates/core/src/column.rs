@@ -30,7 +30,7 @@ impl ColumnChunk {
     /// Global-id of the value in `row` (chunk-relative).
     #[inline]
     pub fn global_id_at(&self, row: usize) -> u32 {
-        self.dict.values()[self.elements.get(row) as usize]
+        self.dict.get(self.elements.get(row))
     }
 
     /// Borrowed view of this chunk's raw element codes — what the group-by
@@ -133,7 +133,7 @@ impl StoredColumn {
             let chunk_ids: Vec<u32> = slice.iter().map(|gid| lookup[gid]).collect();
 
             let elements = Elements::encode(&chunk_ids, distinct.len() as u32, options.elements);
-            let dict = ChunkDict::from_sorted(distinct)
+            let dict = ChunkDict::from_sorted(distinct, options.elements)
                 .expect("sorted+deduped ids are a valid chunk dictionary");
             self.chunks.push(ColumnChunk { dict, elements });
         }
@@ -177,7 +177,7 @@ impl StoredColumn {
 
     /// Chunk `chunk`'s dictionary as values, by chunk-id.
     pub(crate) fn chunk_values(&self, chunk: usize) -> Vec<Value> {
-        self.chunks[chunk].dict.values().iter().map(|&gid| self.dict.value(gid)).collect()
+        self.chunks[chunk].dict.ids().iter().map(|gid| self.dict.value(gid)).collect()
     }
 
     /// Memory of the global dictionary alone.

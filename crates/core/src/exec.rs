@@ -76,7 +76,7 @@ use crate::scheduler;
 use crate::skip::{ChunkActivity, SkipAnalysis};
 use crate::stats::ScanStats;
 use pd_common::{BitVec, DataType, Error, Result, Row, Value};
-use pd_encoding::{CodesView, GlobalDict};
+use pd_encoding::{ChunkIds, CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, AggFunc, AnalyzedQuery, OutputCol, RowContext, SlotClass};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -804,11 +804,7 @@ impl<'a> Fold<'a> {
             }
         };
         let plan = self.plan;
-        self.groups.absorb(
-            table,
-            |i| plan.key_cols[i].chunks[c].dict.values(),
-            plan.extreme_ids(c),
-        );
+        self.groups.absorb(table, |i| plan.key_cols[i].chunks[c].dict.ids(), plan.extreme_ids(c));
     }
 }
 
@@ -999,10 +995,8 @@ impl Plan {
 
     /// Per MIN/MAX slot, the global-ids of its argument's chunk-ids in
     /// chunk `c`.
-    fn extreme_ids<'p>(&'p self, c: usize) -> impl Fn(usize) -> &'p [u32] + 'p {
-        move |s| {
-            self.slots[s].col.as_ref().expect("MIN/MAX has an argument").chunks[c].dict.values()
-        }
+    fn extreme_ids<'p>(&'p self, c: usize) -> impl Fn(usize) -> ChunkIds<'p> + 'p {
+        move |s| self.slots[s].col.as_ref().expect("MIN/MAX has an argument").chunks[c].dict.ids()
     }
 
     /// The value-keyed form of a folded group table, for a consumer that
@@ -1077,9 +1071,9 @@ impl Plan {
         }
         let scan = match into {
             Some(groups) => {
-                let ids = self.key_cols.first().map(|col| col.chunks[c].dict.values());
+                let ids = self.key_cols.first().map(|col| col.chunks[c].dict.ids());
                 let extremes = self.extreme_ids(c);
-                index.fold_into(groups, columns, ids, |s, &cell| extremes(s)[cell as usize], spare);
+                index.fold_into(groups, columns, ids, |s, &cell| extremes(s).get(cell), spare);
                 ChunkScan::Folded
             }
             // The groups no row is in dropped.

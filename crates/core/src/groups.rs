@@ -49,6 +49,7 @@
 
 use crate::count_distinct::KmvSketch;
 use pd_common::{fsum, sortkey, Error, FloatSum, Result, Value};
+use pd_encoding::{with_ids, ChunkIds};
 use pd_sql::{AnalyzedQuery, Slot, SlotClass, SlotRef};
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -703,17 +704,16 @@ impl GroupTable<u32> {
     /// sorted, so the groups stay in key order.
     fn into_global<'a>(
         mut self,
-        keys: impl Fn(usize) -> &'a [u32],
-        extremes: impl Fn(usize) -> &'a [u32],
+        keys: impl Fn(usize) -> ChunkIds<'a>,
+        extremes: impl Fn(usize) -> ChunkIds<'a>,
     ) -> GroupTable<u32> {
         for (i, cells) in self.keys.iter_mut().enumerate() {
-            let ids = keys(i);
-            cells.iter_mut().for_each(|cell| *cell = ids[*cell as usize]);
+            with_ids!(keys(i), |id| cells.iter_mut().for_each(|cell| *cell = id(*cell as usize)));
         }
         for (s, column) in self.slots.iter_mut().enumerate() {
             if let Column::Extreme { best, .. } = column {
                 let ids = extremes(s);
-                best.iter_mut().flatten().for_each(|cell| *cell = ids[*cell as usize]);
+                best.iter_mut().flatten().for_each(|cell| *cell = ids.get(*cell));
             }
         }
         self
@@ -998,19 +998,18 @@ impl GroupFold {
     pub(crate) fn absorb<'a>(
         &mut self,
         chunk: Arc<GroupTable<u32>>,
-        keys: impl Fn(usize) -> &'a [u32],
-        extremes: impl Fn(usize) -> &'a [u32],
+        keys: impl Fn(usize) -> ChunkIds<'a>,
+        extremes: impl Fn(usize) -> ChunkIds<'a>,
     ) {
         debug_assert!(chunk.is_sorted(), "a chunk table lists its groups in id order");
         match &mut self.by {
             FoldBy::ById { .. } => {
-                let cell = |s: usize, &c: &u32| extremes(s)[c as usize];
+                let cell = |s: usize, &c: &u32| extremes(s).get(c);
                 match chunk.keys.first() {
-                    Some(cells) => {
-                        let ids = keys(0);
-                        let at = |j: usize| Some(ids[cells[j] as usize] as usize);
+                    Some(cells) => with_ids!(keys(0), |id| {
+                        let at = |j: usize| Some(id(cells[j] as usize) as usize);
                         self.add(chunk.len, &chunk.slots, at, cell)
-                    }
+                    }),
                     None => self.add(chunk.len, &chunk.slots, |_| Some(0), cell),
                 }
             }
@@ -1205,9 +1204,9 @@ mod tests {
             for (gids, counts) in
                 [(&[][..], &[][..]), (&[7], &[1]), (&[2, 7, 9], &[10, 30, 20]), (&[2, 9], &[2, 1])]
             {
-                fold.absorb(chunk(gids, counts), |_| &ids, |_| &ids);
+                fold.absorb(chunk(gids, counts), |_| ChunkIds::U32(&ids), |_| ChunkIds::U32(&ids));
             }
-            fold.absorb(chunk(&[9], &[5]), |_| &ids, |_| &ids);
+            fold.absorb(chunk(&[9], &[5]), |_| ChunkIds::U32(&ids), |_| ChunkIds::U32(&ids));
             let table = fold.finish();
             assert_eq!(*table.key(0), [2, 7, 9], "{direct:?}");
             let counts = (0..3)

@@ -84,9 +84,10 @@ use crate::exec::{proportionate, SlotPlan};
 use crate::groups::{Column, FloatColumn, GroupFold, GroupTable, SlotKind};
 use crate::skip::{self, LeafIds, ResolvedLeaf};
 use pd_common::{fsum, sortkey, BitVec, Result, Value};
-use pd_encoding::{CodesView, GlobalDict};
+use pd_encoding::{with_ids, ChunkIds, CodesView, GlobalDict};
 use pd_sql::{eval_expr, truthy, Expr, Restriction};
 use std::cell::{Cell, OnceCell};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -442,29 +443,20 @@ fn scoped(pred: &Pred) -> bool {
 /// its code is one of them. No value is looked at.
 fn ids_mask(leaf: &ResolvedLeaf, chunk: usize, words: &mut Vec<u64>) -> Mask {
     let ch = &leaf.col.chunks[chunk];
-    let gids = ch.dict.values();
+    let n = ch.dict.len() as usize;
     match &leaf.ids {
         LeafIds::Range { lo, hi } => {
-            let a = gids.partition_point(|g| g < lo);
-            let b = gids.partition_point(|g| g < hi).max(a);
-            interval_mask(ch.codes(), gids.len(), a, b, false, words)
+            let a = ch.dict.lower_bound(*lo) as usize;
+            let b = (ch.dict.lower_bound(*hi) as usize).max(a);
+            interval_mask(ch.codes(), n, a, b, false, words)
         }
         LeafIds::In { ids, negated } => {
-            // Chunk-ids of the resolved ids this chunk holds, ascending:
-            // binary searches when the id set is much the smaller side, a
-            // merge of the two sorted lists otherwise.
+            // Chunk-ids of the resolved ids this chunk holds, ascending.
             let hits = |hit: &mut dyn FnMut(usize)| {
-                if ids.len() * 8 < gids.len() {
-                    ids.iter().filter_map(|id| ch.dict.id_of(id)).for_each(|c| hit(c as usize));
-                } else {
-                    let mut wanted = ids.iter().peekable();
-                    for (cid, gid) in gids.iter().enumerate() {
-                        while wanted.next_if(|id| *id < gid).is_some() {}
-                        if wanted.peek() == Some(&gid) {
-                            hit(cid);
-                        }
-                    }
-                }
+                let _ = ch.dict.for_each_held(ids, |cid| {
+                    hit(cid as usize);
+                    ControlFlow::Continue(())
+                });
             };
             let (mut first, mut last, mut held) = (usize::MAX, 0, 0);
             hits(&mut |cid| (first, last, held) = (first.min(cid), last.max(cid), held + 1));
@@ -473,9 +465,9 @@ fn ids_mask(leaf: &ResolvedLeaf, chunk: usize, words: &mut Vec<u64>) -> Mask {
             } else if last - first + 1 == held {
                 // One id, or neighbours in this chunk: `code == cid` is the
                 // one-wide interval.
-                interval_mask(ch.codes(), gids.len(), first, last + 1, *negated, words)
+                interval_mask(ch.codes(), n, first, last + 1, *negated, words)
             } else {
-                let mut table = vec![*negated; gids.len()];
+                let mut table = vec![*negated; n];
                 hits(&mut |cid| table[cid] = !*negated);
                 // Not constant: the held ids are not all the entries.
                 code_mask(ch.codes(), words, |code| table[code as usize])
@@ -984,31 +976,33 @@ impl GroupIndex<'_> {
         self,
         fold: &mut GroupFold,
         slots: &[Column<u32>],
-        ids: Option<&[u32]>,
+        ids: Option<ChunkIds<'_>>,
         cell: impl Fn(usize, &u32) -> u32,
         spare: &mut IndexScratch,
     ) {
-        let ids = ids.unwrap_or(&[0]);
-        let (len, id) = (self.group_count, |code: usize| ids[code] as usize);
-        match &self.members {
-            Members::One(_) => fold.add(len, slots, |_| Some(id(0)), cell),
-            Members::Codes { key: Numbers::Ranks(_), .. } => {
-                let codes = &self.keys[0];
-                fold.add(len, slots, |g| Some(id(codes[g] as usize)), cell)
-            }
-            Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } => {
-                fold.add(len, slots, |code| Some(id(code)), cell)
-            }
-            Members::Codes { key: Numbers::Key(_), .. } => match count_column(slots) {
-                Some(n) => fold.add(len, slots, |code| (n[code] > 0).then(|| id(code)), cell),
-                None => {
-                    self.mark(None, true, &mut spare.marks);
-                    let marks = &spare.marks;
-                    fold.add(len, slots, |code| (marks[code] == 1).then(|| id(code)), cell)
+        let len = self.group_count;
+        with_ids!(ids.unwrap_or(ChunkIds::U32(&[0])), |gid| {
+            let id = |code: usize| gid(code) as usize;
+            match &self.members {
+                Members::One(_) => fold.add(len, slots, |_| Some(id(0)), cell),
+                Members::Codes { key: Numbers::Ranks(_), .. } => {
+                    let codes = &self.keys[0];
+                    fold.add(len, slots, |g| Some(id(codes[g] as usize)), cell)
                 }
-            },
-            _ => unreachable!("a fold by id has one key or none"),
-        }
+                Members::Codes { rows: Rows::All(_), key: Numbers::Key(_) } => {
+                    fold.add(len, slots, |code| Some(id(code)), cell)
+                }
+                Members::Codes { key: Numbers::Key(_), .. } => match count_column(slots) {
+                    Some(n) => fold.add(len, slots, |code| (n[code] > 0).then(|| id(code)), cell),
+                    None => {
+                        self.mark(None, true, &mut spare.marks);
+                        let marks = &spare.marks;
+                        fold.add(len, slots, |code| (marks[code] == 1).then(|| id(code)), cell)
+                    }
+                },
+                _ => unreachable!("a fold by id has one key or none"),
+            }
+        });
         self.recycle(spare);
     }
 
@@ -1331,7 +1325,8 @@ pub(crate) fn accumulate(
             let mut held = vec![false; n];
             pairs.iter().for_each(|&p| held[p % n] = true);
             let held: Vec<u32> = (0..n as u32).filter(|&c| held[c as usize]).collect();
-            let gids: Vec<u32> = held.iter().map(|&c| chunk.dict.values()[c as usize]).collect();
+            let gids: Vec<u32> =
+                with_ids!(chunk.dict.ids(), |id| held.iter().map(|&c| id(c as usize)).collect());
             let mut hash = vec![0u64; n];
             let mut codes = held.iter();
             col.dict.for_each_key(&gids, |key| {
@@ -1445,7 +1440,12 @@ fn float_table(col: &StoredColumn, chunk: &ColumnChunk, table: &mut Vec<f64>) {
 /// into `table`.
 fn gather<T>(chunk: &ColumnChunk, value: impl Fn(u32) -> T, table: &mut Vec<T>) {
     table.clear();
-    table.extend(chunk.dict.values().iter().map(|&gid| value(gid)));
+    // One walk over the stored offsets, as wide as they are.
+    match chunk.dict.ids() {
+        ChunkIds::U8(first, v) => table.extend(v.iter().map(|&o| value(first + u32::from(o)))),
+        ChunkIds::U16(first, v) => table.extend(v.iter().map(|&o| value(first + u32::from(o)))),
+        ChunkIds::U32(ids) => table.extend(ids.iter().map(|&gid| value(gid))),
+    }
 }
 
 #[cfg(test)]
@@ -1835,7 +1835,7 @@ mod tests {
         dict.dedup();
         let codes: Vec<u32> = gids.iter().map(|g| dict.binary_search(g).unwrap() as u32).collect();
         let elements = Elements::encode(&codes, dict.len() as u32, mode);
-        ColumnChunk { dict: pd_encoding::ChunkDict::from_sorted(dict).unwrap(), elements }
+        ColumnChunk { dict: pd_encoding::ChunkDict::from_sorted(dict, mode).unwrap(), elements }
     }
 
     /// Check [`group_codes`] on one chunk's keys against a `BTreeMap` of the

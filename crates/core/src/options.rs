@@ -68,7 +68,8 @@ impl BuildOptions {
         BuildOptions { partition: Some(spec), ..BuildOptions::basic() }
     }
 
-    /// "OptCols" (§3): + adaptive element encodings.
+    /// "OptCols" (§3): + adaptive element encodings, and chunk
+    /// dictionaries as offsets from their first id in 1, 2 or 4 bytes.
     pub fn optcols(spec: PartitionSpec) -> Self {
         BuildOptions { elements: ElementsMode::Optimized, ..BuildOptions::chunked(spec) }
     }

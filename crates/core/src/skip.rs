@@ -135,7 +135,7 @@ impl ResolvedLeaf {
         let dict = &self.col.chunks[c].dict;
         match &self.ids {
             LeafIds::Range { lo, hi } => {
-                let (&[cmin, ..], &[.., cmax]) = (dict.values(), dict.values()) else {
+                let Some((cmin, cmax)) = dict.bounds() else {
                     return ChunkActivity::Skip; // empty chunk
                 };
                 if *lo >= *hi || cmax < *lo || cmin >= *hi {

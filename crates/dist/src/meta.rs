@@ -193,9 +193,10 @@ impl ShardMeta {
         for field in store.schema().fields() {
             let column = store.column(&field.name)?;
             let entries: Vec<u32> = (0..column.dict.len()).collect();
-            meta.columns.push(zone_map(&field.name, &column.dict, &entries, MAX_DISTINCT));
+            let all = 0..column.dict.len();
+            meta.columns.push(zone_map(&field.name, &column.dict, all, MAX_DISTINCT));
             for (chunk, stored) in meta.chunk_metas.iter_mut().zip(&column.chunks) {
-                let ids = stored.dict.values();
+                let ids = stored.dict.ids().iter();
                 chunk.columns.push(zone_map(&field.name, &column.dict, ids, MAX_CHUNK_DISTINCT));
             }
             if entries.len() > MAX_DISTINCT {
@@ -293,7 +294,8 @@ impl ShardMeta {
                 let mut ids: Vec<u32> = codes.by_ref().take(chunk.rows as usize).collect();
                 ids.sort_unstable();
                 ids.dedup();
-                chunk.columns.push(zone_map(&field.name, &coded.dict, &ids, MAX_CHUNK_DISTINCT));
+                let ids = ids.iter().copied();
+                chunk.columns.push(zone_map(&field.name, &coded.dict, ids, MAX_CHUNK_DISTINCT));
             }
         }
         self.push_chunks(chunks);
@@ -380,12 +382,15 @@ fn observe_all(
 /// The zone map of rows whose distinct values are `dict`'s entries at
 /// `ids` — ascending ids of a value-ordered dictionary, so ascending values:
 /// the set when at most `cap` of them, the extremes first and last.
-fn zone_map(name: &str, dict: &GlobalDict, ids: &[u32], cap: usize) -> ColumnMeta {
+fn zone_map<I>(name: &str, dict: &GlobalDict, mut ids: I, cap: usize) -> ColumnMeta
+where
+    I: DoubleEndedIterator<Item = u32> + ExactSizeIterator + Clone,
+{
     ColumnMeta {
         name: name.to_owned(),
-        values: (ids.len() <= cap).then(|| dict.values_of(ids)),
-        min: ids.first().map(|&id| dict.value(id)),
-        max: ids.last().map(|&id| dict.value(id)),
+        values: (ids.len() <= cap).then(|| dict.values_of(&ids.clone().collect::<Vec<_>>())),
+        min: ids.clone().next().map(|id| dict.value(id)),
+        max: ids.next_back().map(|id| dict.value(id)),
     }
 }
 

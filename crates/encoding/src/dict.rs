@@ -1,11 +1,10 @@
 //! Dictionaries: all distinct values of a column, sorted, addressed by
 //! integer rank (*global-id*) — §2.3 of the paper.
 //!
-//! Both halves of §2.3's double dictionary are one structure, [`Sorted`]: a
-//! boxed slice of strictly ascending entries whose index is the id. A
-//! global dictionary is a `Sorted` of values (global-id → value); a chunk
-//! dictionary ([`crate::ChunkDict`]) is a `Sorted<u32>` of global-ids
-//! (chunk-id → global-id).
+//! A global dictionary is a [`Sorted`]: a boxed slice of strictly ascending
+//! entries whose index is the id (global-id → value). A chunk dictionary
+//! ([`crate::ChunkDict`]) is the same idea over global-ids (chunk-id →
+//! global-id), stored as offsets from its first id where OptCols asks.
 //!
 //! Lookups go both ways: `value(global_id)` when materializing query
 //! results (e.g. the top-10 strings after a group-by) and `id_of(value)`

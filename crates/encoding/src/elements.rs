@@ -8,7 +8,8 @@
 //!
 //! [`ElementsMode::Basic`] forces the flat 32-bit representation the paper's
 //! "Basic" configuration uses; [`ElementsMode::Optimized`] applies the
-//! ladder above.
+//! ladder above — and its 1/2/4-byte rungs to chunk dictionaries too, by
+//! the range of their global-ids ([`crate::ChunkDict`]).
 
 use pd_common::{BitVec, Error, HeapSize, Result};
 use pd_compress::varint;
@@ -18,7 +19,8 @@ use pd_compress::varint;
 pub enum ElementsMode {
     /// Always 32 bits per chunk-id ("Basic" in the paper's tables).
     Basic,
-    /// Adaptive 0-bit / bit-set / u8 / u16 / u32 ("OptCols").
+    /// Adaptive 0-bit / bit-set / u8 / u16 / u32, and chunk dictionaries
+    /// as 1/2/4-byte offsets from their first id ("OptCols").
     #[default]
     Optimized,
 }

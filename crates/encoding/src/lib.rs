@@ -8,7 +8,9 @@
 //!    integer rank, the *global-id*), or compressed — strings front-coded
 //!    in blocks, integers packed as offsets from their minimum;
 //! 2. per chunk, a **chunk dictionary** ([`ChunkDict`]) is the same array
-//!    over global-ids, a `Sorted<u32>`: an id's index is its *chunk-id*;
+//!    over global-ids: an id's index is its *chunk-id*; OptCols stores the
+//!    ids as 1- or 2-byte offsets from the chunk's first where their range
+//!    fits;
 //! 3. the actual cell values are an array of chunk-ids per chunk — the
 //!    **elements** ([`Elements`]), stored with 0 bits (one distinct value),
 //!    a bit-set (two values), or 1/2/4 bytes per id depending on `n`.
@@ -36,7 +38,7 @@ pub mod front;
 pub mod packed;
 
 pub use bloom::BloomFilter;
-pub use chunk_dict::ChunkDict;
+pub use chunk_dict::{ChunkDict, ChunkIds};
 pub use delta::{ColumnDelta, TableDelta};
 pub use dict::{build_dict, Entry, GlobalDict, IntDict, Merged, Sorted, StrDict};
 pub use elements::{CodesView, Elements, ElementsMode};

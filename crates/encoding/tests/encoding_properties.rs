@@ -300,40 +300,175 @@ fn elements_encodings_are_lossless() {
     }
 }
 
-/// Chunk dictionary membership agrees with a naive set check.
+/// A chunk dictionary answers as the `Sorted<u32>` of its ids does, stored
+/// either way (Basic: 4 bytes an id; OptCols: offsets from the first id in
+/// the width the range takes): `len`, `get`, `id_of`, `lower_bound`,
+/// `contains_any`, `subset_of`, and the delta-varint bytes, the same for
+/// every width, which decode to the same dictionary. OptCols never takes
+/// more than 4 bytes an id. Renumbered through a random strictly increasing
+/// map — one that keeps the width, one that forces a widening, one that
+/// lands the last id on `u32::MAX` — it equals the dictionary the mapped
+/// ids build. Ranges at 0, 255/256 and 65 535/65 536, the empty and
+/// one-entry dictionaries, and ids at `u32::MAX`.
 #[test]
-fn chunk_dict_membership() {
+fn chunk_dict_is_equivalent_to_sorted_array() {
+    use pd_common::HeapSize;
     let mut rng = Rng::seed_from_u64(0xd1c7_0005);
-    for case in 0..64 {
-        let mut ids: Vec<u32> =
-            (0..rng.range_usize(0, 200)).map(|_| rng.next_u64() as u32).collect();
+    let (mut in_place, mut widened) = (0, 0);
+    for case in 0..360 {
+        let ids = chunk_ids(&mut rng, case);
+        let model = Sorted::from_sorted(ids.clone()).unwrap();
+        let basic = ChunkDict::from_sorted(ids.clone(), ElementsMode::Basic).unwrap();
+        let opt = ChunkDict::from_sorted(ids.clone(), ElementsMode::Optimized).unwrap();
+        assert_eq!(basic.heap_bytes(), 4 * ids.len(), "case {case}");
+        assert!(opt.heap_bytes() <= 4 * ids.len(), "case {case}");
+        for (mode, dict) in [(ElementsMode::Basic, &basic), (ElementsMode::Optimized, &opt)] {
+            let label = format!("case {case} {mode:?}");
+            assert_chunk_dict_answers_alike(&mut rng, &model, dict, &label);
+            assert_eq!(dict.to_bytes(), delta_varints(&ids), "{label}");
+            assert_eq!(&ChunkDict::from_bytes(&dict.to_bytes(), mode).unwrap(), dict, "{label}");
+        }
+        // Renumbering needs a map over every id below the last.
+        if ids.last().is_none_or(|&last| last >= 1 << 17) {
+            continue;
+        }
+        let map = monotone_map(&mut rng, ids.last().map_or(0, |&last| last as usize + 1), case);
+        let mapped: Vec<u32> = ids.iter().map(|&id| map[id as usize]).collect();
+        for (mode, dict) in [(ElementsMode::Basic, &basic), (ElementsMode::Optimized, &opt)] {
+            let mut dict = dict.clone();
+            dict.renumber(&map);
+            let fresh = ChunkDict::from_sorted(mapped.clone(), mode).unwrap();
+            assert_eq!(dict, fresh, "case {case} {mode:?}: renumbered");
+            let model = Sorted::from_sorted(mapped.clone()).unwrap();
+            assert_chunk_dict_answers_alike(&mut rng, &model, &dict, &format!("case {case}"));
+        }
+        if ids.len() > 1 {
+            match ChunkDict::from_sorted(mapped, ElementsMode::Optimized).unwrap().heap_bytes() {
+                bytes if bytes == opt.heap_bytes() => in_place += 1,
+                _ => widened += 1,
+            }
+        }
+    }
+    assert!(in_place > 40 && widened > 40, "in place {in_place}, widened {widened}");
+}
+
+/// Sorted, distinct ids of one of six shapes: none, one (maybe
+/// `u32::MAX`), a range of exactly 255 or 256, of exactly 65 535 or
+/// 65 536, a small dense run, or ids anywhere up to `u32::MAX`. Every
+/// other case starts the ids low enough to renumber.
+fn chunk_ids(rng: &mut Rng, case: usize) -> Vec<u32> {
+    let low = case.is_multiple_of(2);
+    let span = |rng: &mut Rng, range: u32| {
+        let first = if low { rng.range_u64(0, 1 << 16) as u32 } else { u32::MAX - range };
+        let mut ids: Vec<u32> = (0..rng.range_usize(0, 300))
+            .map(|_| first + rng.range_u64(0, u64::from(range) + 1) as u32)
+            .chain([first, first + range])
+            .collect();
         ids.sort_unstable();
         ids.dedup();
-        let dict = ChunkDict::from_sorted(ids.clone()).unwrap();
-        let set: std::collections::HashSet<u32> = ids.iter().copied().collect();
-        let probes: Vec<u32> = (0..rng.range_usize(0, 50))
-            .map(|_| {
-                if rng.chance(0.5) && !ids.is_empty() {
-                    ids[rng.range_usize(0, ids.len())] // present value
-                } else {
-                    rng.next_u64() as u32
-                }
-            })
-            .collect();
-        for &p in &probes {
-            assert_eq!(dict.id_of(&p).is_some(), set.contains(&p), "case {case}");
+        ids
+    };
+    match (case / 2) % 6 {
+        0 => Vec::new(),
+        1 => vec![if low { rng.range_u64(0, 1000) as u32 } else { u32::MAX }],
+        2 => {
+            let range = *rng.pick(&[255, 256]);
+            span(rng, range)
         }
-        let mut sorted_probes = probes.clone();
-        sorted_probes.sort_unstable();
-        sorted_probes.dedup();
-        assert_eq!(
-            dict.contains_any(&sorted_probes),
-            sorted_probes.iter().any(|p| set.contains(p)),
-            "case {case}"
-        );
-        let back = ChunkDict::from_bytes(&dict.to_bytes()).unwrap();
-        assert_eq!(back, dict, "case {case}");
+        3 => {
+            let range = *rng.pick(&[65_535, 65_536]);
+            span(rng, range)
+        }
+        4 => {
+            let range = rng.range_u64(1, 200) as u32;
+            span(rng, range)
+        }
+        _ => {
+            let mut ids: Vec<u32> = (0..rng.range_usize(1, 300))
+                .map(|_| if low { rng.range_u64(0, 1 << 17) as u32 } else { rng.next_u64() as u32 })
+                .chain((!low).then_some(u32::MAX))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        }
     }
+}
+
+/// A strictly increasing map over `len` ids: steps of one (a width kept),
+/// gaps that force a widening, or either shifted so that the last id maps
+/// to `u32::MAX`.
+fn monotone_map(rng: &mut Rng, len: usize, case: usize) -> Vec<u32> {
+    let wide = case % 4 < 2;
+    let mut next = rng.range_u64(0, 1 << 16) as u32;
+    let mut map: Vec<u32> = (0..len)
+        .map(|_| {
+            let gap = match wide && rng.chance(0.02) {
+                true => rng.range_u64(200, 70_000) as u32,
+                false => rng.range_u64(0, 2) as u32,
+            };
+            next += 1 + gap;
+            next
+        })
+        .collect();
+    if case.is_multiple_of(3) {
+        let shift = u32::MAX - map.last().copied().unwrap_or(0);
+        map.iter_mut().for_each(|id| *id += shift);
+    }
+    map
+}
+
+/// The chunk dictionary's serialized form: `varint(len)` then each id's
+/// varint delta from the one before (the first from 0).
+fn delta_varints(ids: &[u32]) -> Vec<u8> {
+    let deltas = ids.iter().scan(0, |prev, &id| Some(u64::from(id - std::mem::replace(prev, id))));
+    let mut out = Vec::new();
+    for mut v in std::iter::once(ids.len() as u64).chain(deltas) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    out
+}
+
+/// `dict` answers every question as `model`, the sorted array of its ids,
+/// does: each id, and probes at, between and beyond the ids.
+fn assert_chunk_dict_answers_alike(
+    rng: &mut Rng,
+    model: &Sorted<u32>,
+    dict: &ChunkDict,
+    label: &str,
+) {
+    let ids = model.values();
+    assert_eq!(dict.len(), model.len(), "{label}");
+    assert_eq!(dict.ids().len(), ids.len(), "{label}");
+    for (cid, &id) in ids.iter().enumerate() {
+        assert_eq!(dict.get(cid as u32), id, "{label}");
+        assert_eq!(dict.ids().get(cid as u32), id, "{label}");
+    }
+    let mut probes: Vec<u32> = vec![0, 1, u32::MAX - 1, u32::MAX];
+    for _ in 0..12 {
+        let near = ids.get(rng.range_usize(0, ids.len().max(1))).copied().unwrap_or(0);
+        probes.extend([near, near.wrapping_sub(1), near.wrapping_add(1), rng.next_u64() as u32]);
+    }
+    for &p in &probes {
+        assert_eq!(dict.id_of(p), model.id_of(&p), "{label} id_of({p})");
+        assert_eq!(dict.lower_bound(p), model.lower_bound(&p), "{label} lower_bound({p})");
+    }
+    // Sets as a restriction resolves them: held and absent ids, few or many.
+    for _ in 0..6 {
+        let keep = rng.next_f64();
+        let mut set: Vec<u32> = ids.iter().copied().filter(|_| rng.next_f64() < keep).collect();
+        set.extend(probes.iter().copied().filter(|_| rng.chance(0.2)));
+        set.sort_unstable();
+        set.dedup();
+        let held = |id: &u32| set.binary_search(id).is_ok();
+        assert_eq!(dict.contains_any(&set), ids.iter().any(held), "{label} contains_any");
+        assert_eq!(dict.subset_of(&set), ids.iter().all(held), "{label} subset_of");
+    }
+    assert!(dict.subset_of(ids), "{label}");
 }
 
 /// A random dictionary of each flavour — `Sorted`, `FrontCoded`, `Int`,

@@ -13,19 +13,23 @@ const ROWS: usize = 40_000;
 /// bytes per row, each the measured count rounded up to the hundredth —
 /// what a part may cost at most. The `timestamp` dictionary is distinct on
 /// almost every row; packed to the 23 bits its 92-day range takes, it
-/// costs 2.87 B/row where its `i64` array cost 7.99.
+/// costs 2.87 B/row where its `i64` array cost 7.99. Its chunk dictionaries
+/// hold ~2 000 ids a chunk spread over fewer than 65 536, so each id is a
+/// 2-byte offset from the chunk's first: 2.00 B/row where `u32` ids cost
+/// 4.00.
 const PINNED: [(&str, [f64; 3]); 5] = [
     ("country", [0.01, 0.01, 0.04]),
-    ("latency", [1.13, 1.98, 1.78]),
-    ("table_name", [0.43, 0.84, 1.23]),
-    ("timestamp", [2.88, 4.00, 2.00]),
-    ("user", [0.01, 0.03, 1.00]),
+    ("latency", [1.13, 0.99, 1.78]),
+    ("table_name", [0.43, 0.42, 1.23]),
+    ("timestamp", [2.88, 2.00, 2.00]),
+    ("user", [0.01, 0.01, 1.00]),
 ];
 
-/// The store's bytes per row as measured (17.309; 22.427 while integer
-/// dictionaries were `i64` arrays), and how far above it a change may go
-/// before it fails here: 0.05 B/row, under a third of a percent.
-const STORE_BYTES_PER_ROW: f64 = 17.31;
+/// The store's bytes per row as measured (13.870; 17.309 while chunk
+/// dictionaries held `u32` ids, 22.427 while integer dictionaries were
+/// `i64` arrays too), and how far above it a change may go before it fails
+/// here: 0.05 B/row, under half a percent.
+const STORE_BYTES_PER_ROW: f64 = 13.87;
 const SLACK: f64 = 0.05;
 
 fn store() -> DataStore {
@@ -52,8 +56,11 @@ fn production_bytes_per_row_are_pinned_per_column() {
             assert!(got <= pinned, "{name} {part}: {got:.4} B/row, pinned at {pinned}");
         }
     }
-    let timestamp = per_row(store.column("timestamp").unwrap().dict_bytes());
-    assert!(timestamp <= 3.0, "the timestamp dictionary: {timestamp:.4} B/row");
+    let timestamp = store.column("timestamp").unwrap();
+    let dict = per_row(timestamp.dict_bytes());
+    assert!(dict <= 3.0, "the timestamp dictionary: {dict:.4} B/row");
+    let chunk_dicts = per_row(timestamp.chunk_dict_bytes());
+    assert!(chunk_dicts <= 2.01, "the timestamp chunk dictionaries: {chunk_dicts:.4} B/row");
     let total = per_row(store.total_bytes());
     assert!(
         total <= STORE_BYTES_PER_ROW + SLACK,

@@ -72,7 +72,7 @@ fn dictionary_lookup_chain_of_figure1() {
     assert_eq!(col.value_at(0, 3), Value::from("ebay"));
     let chunk0 = &col.chunks[0];
     let chunk_id = chunk0.elements.get(3);
-    let global_id = chunk0.dict.values()[chunk_id as usize];
+    let global_id = chunk0.dict.get(chunk_id);
     assert_eq!(col.dict.value(global_id), Value::from("ebay"));
     // Chunk 0 holds 4 distinct values; the global dictionary 10.
     assert_eq!(chunk0.dict.len(), 4);
