@@ -90,7 +90,6 @@ fn main() {
             budget: Duration::from_secs(60),
             addr: WorkerAddr::Unix,
         }),
-        ..Default::default()
     };
 
     // ~1% of the table arrives as new rows.

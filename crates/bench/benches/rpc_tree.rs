@@ -106,7 +106,6 @@ fn main() {
                 tree: TreeShape { fanout: 4 },
                 build: build.clone(),
                 transport: transport.clone(),
-                ..Default::default()
             };
             let mut cluster = None;
             let build_time = pd_bench::measure(|| {
@@ -169,7 +168,6 @@ fn main() {
                 tree: TreeShape { fanout: 4 },
                 build: build.clone(),
                 transport,
-                ..Default::default()
             };
             Cluster::build(&table, &config).expect("cached cluster")
         };
@@ -264,7 +262,6 @@ fn main() {
                     tree: TreeShape { fanout: 4 },
                     build: drill_build.clone(),
                     transport,
-                    ..Default::default()
                 },
             )
             .expect("drill-down cluster")
@@ -345,7 +342,6 @@ fn main() {
                 tree: TreeShape { fanout: 4 },
                 build: build.clone(),
                 transport: rpc(WorkerAddr::Unix),
-                ..Default::default()
             };
             let cluster = Cluster::build(&table, &config).expect("replication-tax cluster");
             cluster.query(sql).expect("warm-up");
@@ -425,7 +421,6 @@ fn hedged_straggler(
             budget: Duration::from_secs(60),
             addr: WorkerAddr::Unix,
         }),
-        ..Default::default()
     };
     let cluster = Cluster::build(table, &config).expect("hedged cluster");
     // One healthy query first: the hedge delay then derives from the

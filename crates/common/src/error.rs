@@ -19,7 +19,7 @@ pub enum Error {
     Unsupported(String),
     /// Internal invariant violation — a bug in this library.
     Internal(String),
-    /// Typed RPC failure — retry / hedge / shed policy dispatches on
+    /// Typed RPC failure — retry / hedge / failover policy dispatches on
     /// the variant, never on message text.
     Rpc(RpcError),
 }
@@ -27,8 +27,8 @@ pub enum Error {
 /// The RPC failure taxonomy of the distributed tree. Every variant is a
 /// *decision input*: `Deadline` and `PeerGone` are hedge/failover
 /// triggers, `ConnRefused` is the only retryable connect error,
-/// `Decode`/`VersionMismatch` poison the connection without retry, and
-/// `Overloaded` is the admission-control shed signal surfaced to callers.
+/// and `Decode`/`VersionMismatch` poison the connection without retry.
+/// Tag 5 is unassigned: a frame carrying it fails to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
     /// The per-query time budget ran out (locally or at a peer).
@@ -42,8 +42,6 @@ pub enum RpcError {
     VersionMismatch(String),
     /// The peer vanished mid-conversation (reset, EOF, broken pipe).
     PeerGone(String),
-    /// Admission control shed this query before any fan-out.
-    Overloaded(String),
 }
 
 impl RpcError {
@@ -55,7 +53,6 @@ impl RpcError {
             RpcError::Decode(_) => 2,
             RpcError::VersionMismatch(_) => 3,
             RpcError::PeerGone(_) => 4,
-            RpcError::Overloaded(_) => 5,
         }
     }
 
@@ -66,8 +63,7 @@ impl RpcError {
             | RpcError::ConnRefused(m)
             | RpcError::Decode(m)
             | RpcError::VersionMismatch(m)
-            | RpcError::PeerGone(m)
-            | RpcError::Overloaded(m) => m,
+            | RpcError::PeerGone(m) => m,
         }
     }
 
@@ -79,7 +75,6 @@ impl RpcError {
             2 => RpcError::Decode(message),
             3 => RpcError::VersionMismatch(message),
             4 => RpcError::PeerGone(message),
-            5 => RpcError::Overloaded(message),
             _ => return None,
         })
     }
@@ -99,7 +94,6 @@ impl fmt::Display for RpcError {
             RpcError::Decode(m) => write!(f, "decode: {m}"),
             RpcError::VersionMismatch(m) => write!(f, "version mismatch: {m}"),
             RpcError::PeerGone(m) => write!(f, "peer gone: {m}"),
-            RpcError::Overloaded(m) => write!(f, "overloaded: {m}"),
         }
     }
 }
@@ -171,12 +165,12 @@ mod tests {
             RpcError::Decode("c".into()),
             RpcError::VersionMismatch("d".into()),
             RpcError::PeerGone("e".into()),
-            RpcError::Overloaded("f".into()),
         ];
         for e in all {
             let back = RpcError::from_tag(e.tag(), e.message().to_string()).unwrap();
             assert_eq!(back, e);
         }
+        assert!(RpcError::from_tag(5, String::new()).is_none());
         assert!(RpcError::from_tag(250, String::new()).is_none());
         assert!(RpcError::ConnRefused(String::new()).retryable_connect());
         assert!(!RpcError::Deadline(String::new()).retryable_connect());

@@ -82,12 +82,6 @@ impl<K: HeapSize, V: HeapSize, S> HeapSize for std::collections::HashMap<K, V, S
     }
 }
 
-/// Pretty-print a byte count the way the paper's tables do (MB with two
-/// decimals).
-pub fn fmt_mb(bytes: usize) -> String {
-    format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,11 +118,5 @@ mod tests {
         assert_eq!(None::<String>.heap_bytes(), 0);
         assert_eq!(Some("abc".to_owned()).heap_bytes(), 3);
         assert_eq!(("ab".to_owned(), 1u8).heap_bytes(), 2);
-    }
-
-    #[test]
-    fn fmt_mb_matches_paper_style() {
-        assert_eq!(fmt_mb(573 * 1024 * 1024 + 300 * 1024), "573.29");
-        assert_eq!(fmt_mb(0), "0.00");
     }
 }

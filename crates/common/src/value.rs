@@ -58,10 +58,6 @@ impl Value {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),

@@ -694,7 +694,6 @@ mod tests {
             RpcError::Decode("torn frame".into()),
             RpcError::VersionMismatch("peer speaks 2".into()),
             RpcError::PeerGone("reset by peer".into()),
-            RpcError::Overloaded("8 in flight".into()),
         ] {
             round_trip(e);
         }

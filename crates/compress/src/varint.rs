@@ -66,12 +66,6 @@ pub fn read_i64(input: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(unzigzag(read_u64(input, pos)?))
 }
 
-/// Number of bytes `value` occupies as a varint.
-#[inline]
-pub fn len_u64(value: u64) -> usize {
-    (64 - value.leading_zeros()).div_ceil(7).max(1) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +75,6 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_u64(&mut buf, v);
-            assert_eq!(buf.len(), len_u64(v));
             let mut pos = 0;
             assert_eq!(read_u64(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());

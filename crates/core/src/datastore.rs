@@ -270,17 +270,6 @@ impl DataStore {
         StoredColumn::from_global_ids(dict, &codes, &self.partitioning, &self.options)
     }
 
-    /// Memory footprint of the named columns/virtual fields (Tables 1–4
-    /// report per-query memory: "only the columns present in the individual
-    /// queries").
-    pub fn memory_of(&self, exprs: &[&Expr]) -> Result<usize> {
-        let mut total = 0;
-        for e in exprs {
-            total += self.column_for_expr(e)?.heap_bytes();
-        }
-        Ok(total)
-    }
-
     /// All stored bytes (base + virtual columns).
     pub fn total_bytes(&self) -> usize {
         self.columns.values().map(|c| c.heap_bytes()).sum::<usize>()
@@ -628,17 +617,5 @@ mod tests {
         assert!(store.column_for_expr(&exprs[0]).is_err());
         let hours = store.column_for_expr(&exprs[1]).unwrap();
         assert_eq!(hours.chunks.len(), store.chunk_count());
-    }
-
-    #[test]
-    fn memory_of_reports_only_requested_columns() {
-        let (_, store) = small_store(&production_options());
-        let country = Expr::column("country");
-        let table_name = Expr::column("table_name");
-        let just_country = store.memory_of(&[&country]).unwrap();
-        let both = store.memory_of(&[&country, &table_name]).unwrap();
-        assert!(just_country > 0);
-        assert!(both > just_country);
-        assert!(store.total_bytes() > both);
     }
 }

@@ -138,10 +138,6 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
     /// Render as an aligned text table (for examples and the experiment
     /// binaries).
     pub fn render(&self) -> String {
@@ -1096,8 +1092,6 @@ mod tests {
             columns: vec!["a".into(), "b".into()],
             rows: vec![Row(vec![Value::Int(1), Value::from("x")])],
         };
-        assert_eq!(r.column_index("b"), Some(1));
-        assert_eq!(r.column_index("zz"), None);
         let text = r.render();
         assert!(text.contains('a') && text.contains('x'));
     }

@@ -19,26 +19,22 @@
 //!
 //! What the driver adds around the tree: one [`RpcConfig::budget`] is
 //! spent end to end (an exhausted budget is a typed
-//! [`pd_common::RpcError::Deadline`], not a hang); slow primary
+//! [`pd_common::RpcError::Deadline`], not a hang), and slow primary
 //! *processes* are hedged after a delay derived from the observed
-//! queue-delay p95 ([`QueryOutcome::hedges`]); and
-//! [`AdmissionConfig`] sheds excess load with a typed
-//! [`pd_common::RpcError::Overloaded`] *before* it can pile onto saturated
-//! workers (the limit halves while the observed queue p95 sits above the
-//! saturation threshold).
+//! queue-delay p95 ([`QueryOutcome::hedges`]). Like §4's root, it admits
+//! every query: nothing is shed.
 
 use crate::node::{Node, NodeSpec};
 use crate::process::{WorkerAddr, Workers};
 use crate::rpc::{AppendRequest, ChildHandle};
 use crate::shard_cache::Root;
 use pd_common::sync::Mutex;
-use pd_common::{Error, Result, RpcError, Schema, Value};
+use pd_common::{Error, Result, Schema, Value};
 use pd_core::{BuildOptions, QueryResult, ScanStats};
 use pd_data::Table;
 use pd_encoding::TableDelta;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -118,27 +114,6 @@ impl TreeShape {
     }
 }
 
-/// Admission control at the driver: bound how many queries run at once
-/// instead of letting excess load pile onto saturated workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Maximum concurrently admitted queries; `0` disables admission
-    /// control entirely (the default — single-caller tests and benches
-    /// never shed).
-    pub max_in_flight: usize,
-    /// Saturation threshold: while the p95 of recently observed worker
-    /// queue delays is at or above this, the effective in-flight limit is
-    /// halved — the cluster sheds *harder* exactly when the workers are
-    /// already behind.
-    pub saturation_queue: Duration,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig { max_in_flight: 0, saturation_queue: Duration::from_millis(250) }
-    }
-}
-
 /// Cluster construction options.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -168,9 +143,6 @@ pub struct ClusterConfig {
     /// Where the tree's nodes live: in the driver's address space or one
     /// worker process each.
     pub transport: Transport,
-    /// Driver-side admission control: shed queries beyond the in-flight
-    /// budget with a typed [`pd_common::RpcError::Overloaded`].
-    pub admission: AdmissionConfig,
 }
 
 impl Default for ClusterConfig {
@@ -183,7 +155,6 @@ impl Default for ClusterConfig {
             threads: 0,
             shard_cache: 1024,
             transport: Transport::InProcess,
-            admission: AdmissionConfig::default(),
         }
     }
 }
@@ -207,43 +178,23 @@ pub struct Cluster {
     /// builds and appends its data went through. It crosses no wire.
     epoch: u64,
     /// The most recent queue-delay samples (capped ring of
-    /// `(when observed, delay)`), feeding two adaptive policies: the hedge
-    /// delay (p95-derived — hedge as soon as a primary looks slower than
-    /// the cluster's recent tail) and the admission saturation check.
-    /// Samples older than [`RECENT_QUEUE_TTL`] are expired on read: a
-    /// queue spike must stop shedding once the workers have drained, even
-    /// if no fresh sample has displaced it from the ring.
+    /// `(when observed, delay)`), feeding the hedge delay (p95-derived —
+    /// hedge as soon as a primary looks slower than the cluster's recent
+    /// tail). Samples older than [`RECENT_QUEUE_TTL`] are expired on read:
+    /// a queue spike must stop stretching the hedge delay once the workers
+    /// have drained, even if no fresh sample has displaced it from the
+    /// ring.
     recent_queue: Mutex<VecDeque<(Instant, Duration)>>,
-    /// Queries currently admitted (only tracked when admission control is
-    /// on).
-    in_flight: AtomicU64,
-    /// Queries shed by admission control since construction.
-    sheds: AtomicU64,
 }
 
-/// How many queue-delay samples feed the hedge / saturation estimates.
+/// How many queue-delay samples feed the hedge delay's estimate.
 const RECENT_QUEUE_CAP: usize = 256;
 
 /// How long a queue-delay sample stays relevant. A burst that filled the
 /// ring with 400ms delays describes the cluster *then*; ten seconds later
-/// those processes have long drained and the estimates must forget them
-/// rather than keep halving admission against a load that no longer
-/// exists.
+/// those processes have long drained and the estimate must forget them
+/// rather than keep hedging late against a load that no longer exists.
 const RECENT_QUEUE_TTL: Duration = Duration::from_secs(10);
-
-/// RAII permit for one admitted query; dropping it frees the slot.
-#[derive(Debug)]
-struct AdmitPermit<'a> {
-    in_flight: Option<&'a AtomicU64>,
-}
-
-impl Drop for AdmitPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(in_flight) = self.in_flight {
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
 
 /// What one [`Cluster::append`] shipped and applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,8 +266,6 @@ impl Cluster {
             config: config.clone(),
             epoch: 1,
             recent_queue: Mutex::new(VecDeque::with_capacity(RECENT_QUEUE_CAP)),
-            in_flight: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
         })
     }
 
@@ -334,9 +283,9 @@ impl Cluster {
         (self.root, self.workers, self.shard_count) = (Some(root), workers, shard_count);
         self.epoch += 1;
         self.schema = table.schema().clone();
-        // A fresh tree starts with nobody waiting at its workers: stale
-        // saturation / hedge estimates from the old processes would shed
-        // or hedge against load that no longer exists.
+        // A fresh tree starts with nobody waiting at its workers: a stale
+        // hedge estimate from the old processes would hedge against load
+        // that no longer exists.
         self.recent_queue.lock().clear();
         Ok(())
     }
@@ -395,7 +344,7 @@ impl Cluster {
                     workers.bytes_shipped += ack.bytes;
                 }
                 // Unlike a rebuild, worker processes (and whoever waits at
-                // them) survive: the queue / saturation estimates are kept.
+                // them) survive: the queue estimate is kept.
                 Ok(AppendOutcome { rows: delta.len() as u64, shards, bytes_shipped: ack.bytes })
             }
             Err(e) => {
@@ -413,47 +362,22 @@ impl Cluster {
         self.workers.as_ref().map_or(0, |workers| workers.bytes_shipped)
     }
 
-    /// Queries shed by admission control so far.
+    /// Always 0: the driver admits every query. A shim kept for
+    /// clickbench, which adds it to its retry count.
     pub fn shed_count(&self) -> u64 {
-        self.sheds.load(Ordering::SeqCst)
-    }
-
-    /// Admit one query or shed it. The permit holds an in-flight slot
-    /// until dropped (i.e. for the whole query, including merge and
-    /// finalize). While workers look saturated the effective limit halves:
-    /// shedding is cheapest *before* the fan-out, and saturation means the
-    /// queries already admitted are about to get slower.
-    fn admit(&self) -> Result<AdmitPermit<'_>> {
-        let max = self.config.admission.max_in_flight;
-        if max == 0 {
-            return Ok(AdmitPermit { in_flight: None });
-        }
-        let saturated =
-            self.queue_p95().is_some_and(|p95| p95 >= self.config.admission.saturation_queue);
-        let limit = if saturated { (max / 2).max(1) } else { max } as u64;
-        let previous = self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if previous >= limit {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            self.sheds.fetch_add(1, Ordering::SeqCst);
-            let detail = if saturated { " (halved: workers saturated)" } else { "" };
-            return Err(Error::Rpc(RpcError::Overloaded(format!(
-                "cluster: {previous} queries in flight, limit {limit}{detail}"
-            ))));
-        }
-        Ok(AdmitPermit { in_flight: Some(&self.in_flight) })
+        0
     }
 
     /// p95 of the recent queue-delay samples; `None` before any query has
     /// reported (or after every sample has aged past [`RECENT_QUEUE_TTL`]
-    /// — an idle cluster is a cold cluster, not a saturated one).
+    /// — an idle cluster is a cold cluster, not a busy one).
     ///
     /// Percentile rank: with fewer than 20 samples a nearest-rank "p95"
     /// *is* the sample max — one outlier would then drive the hedge delay
-    /// (8×p95) and the saturation check, so small rings conservatively
-    /// report the median instead. At ≥ 20 samples the ceiling nearest-rank
-    /// index `⌈0.95 n⌉ − 1` is used (the floor form `⌊0.95 n⌋` also
-    /// degenerates to the max for every n < 20 and overshoots the rank by
-    /// one thereafter).
+    /// (8×p95), so small rings conservatively report the median instead.
+    /// At ≥ 20 samples the ceiling nearest-rank index `⌈0.95 n⌉ − 1` is
+    /// used (the floor form `⌊0.95 n⌋` also degenerates to the max for
+    /// every n < 20 and overshoots the rank by one thereafter).
     fn queue_p95(&self) -> Option<Duration> {
         let mut recent = self.recent_queue.lock();
         let now = Instant::now();
@@ -506,9 +430,6 @@ impl Cluster {
     /// merge servers) and folds their answers associatively; the driver
     /// finalizes what it hands up.
     pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
-        // Admission first: a shed query must cost nothing downstream —
-        // not even the plan.
-        let _permit = self.admit()?;
         let root = self.root.as_ref().ok_or_else(needs_rebuild)?;
         let planned = root.plan(sql)?;
         let shard_count = self.shard_count;
@@ -887,42 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_sheds_beyond_the_in_flight_budget() {
-        let table = generate_logs(&LogsSpec::scaled(200));
-        let cluster = Cluster::build(
-            &table,
-            &ClusterConfig {
-                shards: 2,
-                admission: AdmissionConfig { max_in_flight: 2, ..Default::default() },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let first = cluster.admit().unwrap();
-        let _second = cluster.admit().unwrap();
-        let shed = cluster.admit().unwrap_err();
-        assert!(matches!(shed, Error::Rpc(RpcError::Overloaded(_))), "typed shed: {shed}");
-        assert_eq!(cluster.shed_count(), 1);
-        // Dropping a permit frees its slot.
-        drop(first);
-        let _third = cluster.admit().unwrap();
-        // Saturation halves the limit: with the observed queue p95 past
-        // the threshold, max 2 becomes 1 — the second slot is gone even
-        // though it is nominally free.
-        {
-            let now = Instant::now();
-            let mut recent = cluster.recent_queue.lock();
-            for _ in 0..32 {
-                recent.push_back((now, Duration::from_millis(400)));
-            }
-        }
-        let shed = cluster.admit().unwrap_err();
-        assert!(matches!(shed, Error::Rpc(RpcError::Overloaded(_))), "typed shed: {shed}");
-        assert!(shed.to_string().contains("saturated"), "{shed}");
-        assert_eq!(cluster.shed_count(), 2);
-    }
-
-    #[test]
     fn hedge_delay_tracks_the_observed_queue_tail() {
         let table = generate_logs(&LogsSpec::scaled(200));
         let cluster =
@@ -962,21 +847,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_queue_samples_expire_and_sheds_stop() {
+    fn stale_queue_samples_expire_and_the_hedge_delay_goes_cold() {
         let table = generate_logs(&LogsSpec::scaled(200));
-        let cluster = Cluster::build(
-            &table,
-            &ClusterConfig {
-                shards: 2,
-                admission: AdmissionConfig { max_in_flight: 2, ..Default::default() },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cluster =
+            Cluster::build(&table, &ClusterConfig { shards: 2, ..Default::default() }).unwrap();
         // A queue spike that ended long ago: every sample predates the
         // TTL. Before samples carried timestamps this ring kept reporting
         // a 400 ms "current" p95 forever (nothing displaced it), so the
-        // halved limit outlived the spike indefinitely.
+        // stretched hedge delay outlived the spike indefinitely.
         let stale = Instant::now()
             .checked_sub(RECENT_QUEUE_TTL + Duration::from_secs(1))
             .expect("process uptime exceeds the sample TTL");
@@ -987,11 +865,7 @@ mod tests {
             }
         }
         assert_eq!(cluster.queue_p95(), None, "expired samples must not report a p95");
-        // Both nominal slots admit again — the limit is no longer halved.
-        let _first = cluster.admit().unwrap();
-        let _second = cluster.admit().unwrap();
-        assert_eq!(cluster.shed_count(), 0, "sheds must stop once the spike has aged out");
-        // The hedge delay falls back to its cold estimate too.
+        // The hedge delay falls back to its cold estimate.
         let budget = Duration::from_secs(30);
         assert_eq!(cluster.hedge_delay(budget), budget / 8);
         assert!(cluster.recent_queue.lock().is_empty(), "expiry prunes the ring in place");

@@ -31,8 +31,8 @@
 //! Modules:
 //!
 //! - [`cluster`] — the driver: it holds the root and, over sockets, the
-//!   worker processes; shard split, the [`Transport`] switch, admission
-//!   control, append/rebuild;
+//!   worker processes; shard split, the [`Transport`] switch,
+//!   append/rebuild;
 //! - [`node`] — the tree node: leaf (store + scan) or mixer (children +
 //!   fold); `Node::query` / `Node::append`;
 //! - [`rpc`] — the wire protocol's messages and codecs, and in its
@@ -65,8 +65,7 @@ pub mod shard_cache;
 pub mod worker;
 
 pub use cluster::{
-    AdmissionConfig, AppendOutcome, Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport,
-    TreeShape,
+    AppendOutcome, Cluster, ClusterConfig, QueryOutcome, RpcConfig, Transport, TreeShape,
 };
 pub use meta::{ColumnMeta, ShardMeta};
 pub use node::Node;

@@ -618,7 +618,6 @@ mod tests {
             Response::Err("boom".into()),
             Response::Malformed("bad frame".into()),
             Response::Fault(RpcError::Deadline("budget spent in queue".into())),
-            Response::Fault(RpcError::Overloaded("shed".into())),
         ] {
             let back: Response = wire::from_bytes(&wire::to_bytes(&response)).unwrap();
             assert_eq!(back, response);

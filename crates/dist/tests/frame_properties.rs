@@ -172,13 +172,12 @@ fn random_response(rng: &mut Rng, partial: &PartialResult, case: usize) -> Respo
         1 => Response::Err(format!("error {}", rng.next_u64())),
         2 => {
             let message = format!("fault {}", rng.next_u64());
-            Response::Fault(match rng.range_usize(0, 6) {
+            Response::Fault(match rng.range_usize(0, 5) {
                 0 => RpcError::Deadline(message),
                 1 => RpcError::ConnRefused(message),
                 2 => RpcError::Decode(message),
                 3 => RpcError::VersionMismatch(message),
-                4 => RpcError::PeerGone(message),
-                _ => RpcError::Overloaded(message),
+                _ => RpcError::PeerGone(message),
             })
         }
         _ => Response::Ok,

@@ -61,12 +61,6 @@ impl BloomFilter {
     pub fn bit_count(&self) -> u64 {
         self.bits
     }
-
-    /// Fraction of set bits — a quick saturation diagnostic.
-    pub fn fill_ratio(&self) -> f64 {
-        let ones: u64 = self.words.iter().map(|w| u64::from(w.count_ones())).sum();
-        ones as f64 / self.bits as f64
-    }
 }
 
 impl HeapSize for BloomFilter {
@@ -153,18 +147,6 @@ mod tests {
     fn empty_filter_contains_nothing() {
         let f = BloomFilter::new(100, 10);
         assert!(!f.may_contain(&1u64));
-        assert_eq!(f.fill_ratio(), 0.0);
-    }
-
-    #[test]
-    fn fill_ratio_reflects_inserts() {
-        let mut f = BloomFilter::new(64, 8);
-        let before = f.fill_ratio();
-        for i in 0..64u64 {
-            f.insert(&i);
-        }
-        assert!(f.fill_ratio() > before);
-        assert!(f.fill_ratio() < 1.0);
     }
 
     #[test]

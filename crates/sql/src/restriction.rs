@@ -46,42 +46,6 @@ impl Restriction {
     pub fn from_expr(expr: &Expr) -> Restriction {
         build(expr, false)
     }
-
-    /// All distinct field expressions used in `IN` restrictions — the
-    /// columns whose chunk dictionaries the skipping pass will consult.
-    pub fn skip_fields(&self) -> Vec<&Expr> {
-        let mut out: Vec<&Expr> = Vec::new();
-        self.collect_fields(&mut out);
-        out
-    }
-
-    fn collect_fields<'a>(&'a self, out: &mut Vec<&'a Expr>) {
-        match self {
-            Restriction::And(children) | Restriction::Or(children) => {
-                for c in children {
-                    c.collect_fields(out);
-                }
-            }
-            Restriction::In { field, .. } | Restriction::Range { field, .. } => {
-                if !out.contains(&field) {
-                    out.push(field);
-                }
-            }
-            Restriction::True | Restriction::Opaque => {}
-        }
-    }
-
-    /// Can the skipping machinery gain anything from this restriction?
-    pub fn is_discriminative(&self) -> bool {
-        match self {
-            Restriction::In { .. } | Restriction::Range { .. } => true,
-            Restriction::And(c) => c.iter().any(Restriction::is_discriminative),
-            // An OR helps only if *every* branch is discriminative (one
-            // opaque branch forces a scan of everything).
-            Restriction::Or(c) => !c.is_empty() && c.iter().all(Restriction::is_discriminative),
-            Restriction::True | Restriction::Opaque => false,
-        }
-    }
 }
 
 /// Recursive normalization carrying a negation flag (De Morgan push-down).
@@ -322,24 +286,6 @@ mod tests {
         }
         // Column-to-column comparisons stay opaque.
         assert_eq!(restriction_of("latency > timestamp"), Restriction::Opaque);
-    }
-
-    #[test]
-    fn discriminative_detection() {
-        assert!(restriction_of("a = 1").is_discriminative());
-        assert!(restriction_of("a = 1 AND contains(b, 'x')").is_discriminative());
-        assert!(restriction_of("latency > 5").is_discriminative());
-        assert!(!restriction_of("contains(b, 'x')").is_discriminative());
-        // One opaque OR branch ruins skipping.
-        assert!(!restriction_of("a = 1 OR contains(b, 'x')").is_discriminative());
-        assert!(restriction_of("a = 1 OR b = 2").is_discriminative());
-    }
-
-    #[test]
-    fn skip_fields_deduplicate() {
-        let r = restriction_of("a = 1 AND a = 2 AND b IN (3)");
-        let fields: Vec<String> = r.skip_fields().iter().map(|f| f.canonical()).collect();
-        assert_eq!(fields, vec!["a".to_owned(), "b".to_owned()]);
     }
 
     #[test]

@@ -798,7 +798,6 @@ fn edge_kind_axis_is_bit_identical_and_caches_alike() {
                         tree: TreeShape { fanout },
                         build: build.clone(),
                         transport,
-                        ..Default::default()
                     };
                     let mut cluster = Cluster::build(&table, &config).unwrap();
                     assert_eq!(cluster.shard_count(), shards, "{label}");

@@ -2,7 +2,8 @@
 //! be clean under all five rule classes, and the wire fingerprint must stay
 //! pinned to the committed golden at `FRAME_VERSION` 21. The CI `analysis`
 //! job runs the same pass as a binary; this wrapper makes a local
-//! `cargo test` catch the same regressions without extra steps.
+//! `cargo test` catch the same regressions without extra steps. Beside
+//! them, the size bounds of `dist/src` and `core/src` are counted here.
 
 use std::path::Path;
 
@@ -82,4 +83,69 @@ fn wire_fingerprint_is_pinned_to_frame_version_21() {
             "expected wire tag `{name} = {value}` missing or renumbered (looked for `{line}`)"
         );
     }
+}
+
+/// The non-test lines of every `.rs` file under `dir`, by two measures:
+/// the lines outside `#[cfg(test)] mod … { … }` blocks (a block ends at the
+/// first `}` at its `mod` line's indentation, as rustfmt lays it out), and
+/// each file's lines up to its first `#[cfg(test)]`.
+fn non_test_lines(dir: &Path) -> (usize, usize) {
+    let (mut outside, mut to_first) = (0, 0);
+    for entry in std::fs::read_dir(dir).expect("source directory lists") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            let (o, f) = non_test_lines(&path);
+            (outside, to_first) = (outside + o, to_first + f);
+            continue;
+        }
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("source file reads");
+        let lines: Vec<&str> = text.lines().collect();
+        to_first +=
+            lines.iter().take_while(|line| !line.trim().starts_with("#[cfg(test)]")).count();
+        let indent = |line: &str| line.len() - line.trim_start().len();
+        let mut i = 0;
+        while i < lines.len() {
+            let opens_test_module = lines[i].trim() == "#[cfg(test)]"
+                && lines.get(i + 1).is_some_and(|next| {
+                    next.trim_start().starts_with("mod ") && next.ends_with(" {")
+                });
+            if opens_test_module {
+                let depth = indent(lines[i + 1]);
+                let close = (i + 2..lines.len())
+                    .find(|&j| lines[j].trim() == "}" && indent(lines[j]) == depth);
+                i = close.expect("a test module closes") + 1;
+            } else {
+                outside += 1;
+                i += 1;
+            }
+        }
+    }
+    (outside, to_first)
+}
+
+/// The size bounds: `dist/src` ≤ 5 200 non-test lines counted outside test
+/// modules, and `core/src` ≤ 6 000 counted to each file's first
+/// `#[cfg(test)]`. Both counts are printed, so a change reads its line
+/// counts here (`-- --nocapture`).
+#[test]
+fn engine_crates_stay_inside_their_size_bounds() {
+    let crates = workspace_root().join("crates");
+    let (dist, dist_to_first) = non_test_lines(&crates.join("dist/src"));
+    let (core_outside, core) = non_test_lines(&crates.join("core/src"));
+    println!(
+        "dist/src: {dist} non-test lines outside test modules, \
+         {dist_to_first} to each file's first #[cfg(test)]"
+    );
+    println!(
+        "core/src: {core} non-test lines to each file's first #[cfg(test)], \
+         {core_outside} outside test modules"
+    );
+    assert!(dist <= 5_200, "dist/src: {dist} non-test lines outside test modules, bound 5 200");
+    assert!(
+        core <= 6_000,
+        "core/src: {core} non-test lines to the first #[cfg(test)], bound 6 000"
+    );
 }
