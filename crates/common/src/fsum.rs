@@ -172,16 +172,10 @@ impl FloatSum {
         !self.nan && !self.pos_inf && !self.neg_inf && self.limbs.iter().all(|&l| l == 0)
     }
 
-    /// The raw accumulator state: `(limbs, nan, pos_inf, neg_inf)`. The
-    /// limb array *is* the exact sum (two's complement, little endian), so
-    /// shipping it over the wire preserves the sum bit-identically.
-    pub fn raw_parts(&self) -> (&[u64; LIMBS], bool, bool, bool) {
-        (&self.limbs, self.nan, self.pos_inf, self.neg_inf)
-    }
-
-    /// Rebuild an accumulator from [`FloatSum::raw_parts`] output. Every
-    /// limb/flag combination is a valid accumulator state, so decoding
-    /// cannot produce an inconsistent sum.
+    /// Rebuild an accumulator from its raw state: the limb array *is* the
+    /// exact sum (two's complement, little endian), and every limb/flag
+    /// combination is a valid state, so decoding cannot produce an
+    /// inconsistent sum.
     pub fn from_raw_parts(limbs: [u64; LIMBS], nan: bool, pos_inf: bool, neg_inf: bool) -> Self {
         FloatSum { limbs, nan, pos_inf, neg_inf }
     }

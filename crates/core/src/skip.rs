@@ -20,11 +20,11 @@
 //! id semantics equal the row filter's bit for bit and declines otherwise.
 //!
 //! This is the one judge of a store's chunks: a scan consults nothing but
-//! the store's own dictionaries. A tree parent judges a child's chunks too,
-//! by the value-domain summary it holds (`pd_dist::meta`), to prune an edge
-//! before a hop; that summary is read off these very dictionaries, so it
-//! proves no Skip they do not wherever a literal resolves exactly
-//! (`GlobalDict::resolves_exactly`), and the leaf does not consult it.
+//! the store's own dictionaries, and only a scan reads `Full`. A tree parent
+//! asks the value-domain summary it holds (`pd_dist::meta`) only whether a
+//! child's chunk may match, to prune an edge before a hop; read off these
+//! very dictionaries, it proves no Skip they do not wherever a literal
+//! resolves exactly (`GlobalDict::resolves_exactly`); no leaf consults it.
 
 use crate::column::StoredColumn;
 use crate::datastore::DataStore;
@@ -46,10 +46,7 @@ pub enum ChunkActivity {
 impl ChunkActivity {
     /// Conjunction of two *sound* verdicts over the same chunk: any proof
     /// of emptiness wins, Full survives only when both sides prove it.
-    /// Public, like [`ChunkActivity::or`], because the edge evaluator of the
-    /// distributed layer folds its zone-map verdicts (a parent judging a
-    /// child's chunks by value) through exactly this lattice.
-    pub fn and(self, other: ChunkActivity) -> ChunkActivity {
+    fn and(self, other: ChunkActivity) -> ChunkActivity {
         use ChunkActivity::*;
         match (self, other) {
             (Skip, _) | (_, Skip) => Skip,
@@ -61,7 +58,7 @@ impl ChunkActivity {
     /// Disjunction of two sound verdicts: any proof of full activity wins,
     /// Skip survives only when both sides prove it (so `Skip` is the fold's
     /// identity).
-    pub fn or(self, other: ChunkActivity) -> ChunkActivity {
+    fn or(self, other: ChunkActivity) -> ChunkActivity {
         use ChunkActivity::*;
         match (self, other) {
             (Full, _) | (_, Full) => Full,

@@ -54,48 +54,10 @@ pub fn write_recordio(table: &Table) -> Vec<u8> {
 
 /// Deserialize record-io bytes.
 pub fn read_recordio(bytes: &[u8]) -> Result<Table> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(Error::Data("recordio: bad magic".into()));
-    }
-
-    let mut pos = MAGIC.len();
-    let field_count = varint::read_u64(bytes, &mut pos)? as usize;
-    if field_count > 10_000 {
-        return Err(Error::Data("recordio: implausible field count".into()));
-    }
-    let mut fields = Vec::with_capacity(field_count);
-    for _ in 0..field_count {
-        let name_len = varint::read_u64(bytes, &mut pos)? as usize;
-        let raw = bytes
-            .get(pos..pos + name_len)
-            .ok_or_else(|| Error::Data("recordio: truncated field name".into()))?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| Error::Data("recordio: field name not UTF-8".into()))?
-            .to_owned();
-        pos += name_len;
-        let tag =
-            *bytes.get(pos).ok_or_else(|| Error::Data("recordio: truncated type tag".into()))?;
-        pos += 1;
-        fields.push(pd_common::Field::new(name, tag_type(tag)?));
-    }
-    let schema = Schema::new(fields)?;
-    let row_count = varint::read_u64(bytes, &mut pos)? as usize;
-
-    let mut table = Table::new(schema.clone());
-    for _ in 0..row_count {
-        let record_len = varint::read_u64(bytes, &mut pos)? as usize;
-        let end = pos
-            .checked_add(record_len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| Error::Data("recordio: truncated record".into()))?;
-        let mut values = Vec::with_capacity(schema.len());
-        for f in schema.fields() {
-            values.push(decode_value(bytes, &mut pos, f.data_type, end)?);
-        }
-        if pos != end {
-            return Err(Error::Data("recordio: record length mismatch".into()));
-        }
-        table.push_row(Row(values))?;
+    let mut reader = RecordIoReader::new(bytes)?;
+    let mut table = Table::new(reader.schema().clone());
+    while let Some(row) = reader.next_record()? {
+        table.push_row(row)?;
     }
     Ok(table)
 }

@@ -460,119 +460,74 @@ impl ColumnMeta {
 
 /// Can any row of the shard satisfy `restriction`? The full layered check:
 /// shard zone map, then Bloom probes for equality restrictions on degraded
-/// columns, then — when the chunk layer is present — the per-chunk
-/// verdicts, pruning the shard when *zero* chunks survive (evaluated up to
-/// the first that does). Errs towards `true`: opaque predicates, unknown
+/// columns, then — when the chunk layer is present — the chunk zone maps,
+/// pruning the shard when *zero* chunks may hold a match (evaluated up to
+/// the first that may). Errs towards `true`: opaque predicates, unknown
 /// columns and unresolvable virtual fields are all "maybe".
 pub fn may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
     shard_may_match(restriction, meta)
-        && (meta.chunk_metas.is_empty()
-            || verdicts(restriction, meta).any(|a| a != ChunkActivity::Skip))
+        && (meta.chunk_metas.is_empty() || chunks_may_hold(restriction, meta).any(|live| live))
 }
 
 /// The shard-granular layers only (zone map + Bloom): [`may_match`]'s first
 /// step.
 fn shard_may_match(restriction: &Restriction, meta: &ShardMeta) -> bool {
-    meta.rows > 0 && activity_of(restriction, &meta.columns, &meta.blooms) != ChunkActivity::Skip
+    meta.rows > 0 && may_hold(restriction, &meta.columns, &meta.blooms)
 }
 
 /// Chunk-granular verdicts from the metadata alone, one per entry of
-/// `meta.chunk_metas` (chunk order). Each verdict is sound for the leaf's
-/// actual chunks, so a parent can count provably-dead chunks before a hop
-/// (a leaf's scan judges by its dictionaries: [`pd_core::skip`]).
+/// `meta.chunk_metas` (chunk order): `Skip` where the summary proves the
+/// chunk empty, `Partial` everywhere else — an edge proves only emptiness
+/// (a leaf's scan judges its chunks by its dictionaries: [`pd_core::skip`]).
+/// It serves clickbench's mirror, which counts the `Skip`s.
 pub fn chunk_verdicts(restriction: &Restriction, meta: &ShardMeta) -> Vec<ChunkActivity> {
-    verdicts(restriction, meta).collect()
+    let verdict = |live| if live { ChunkActivity::Partial } else { ChunkActivity::Skip };
+    chunks_may_hold(restriction, meta).map(verdict).collect()
 }
 
-/// [`chunk_verdicts`], evaluated as they are asked for.
-fn verdicts<'a>(
+/// Whether each chunk of `meta.chunk_metas` may hold a match, evaluated as
+/// asked for.
+fn chunks_may_hold<'a>(
     restriction: &'a Restriction,
     meta: &'a ShardMeta,
-) -> impl Iterator<Item = ChunkActivity> + 'a {
+) -> impl Iterator<Item = bool> + 'a {
     // Shard-wide blooms stay sound per chunk: a value absent from the shard
     // is absent from every chunk of it.
-    meta.chunk_metas.iter().map(|chunk| match chunk.rows {
-        0 => ChunkActivity::Skip,
-        _ => activity_of(restriction, &chunk.columns, &meta.blooms),
-    })
+    (meta.chunk_metas.iter())
+        .map(|chunk| chunk.rows > 0 && may_hold(restriction, &chunk.columns, &meta.blooms))
 }
 
-/// Evaluate `restriction` against one zone map (a shard's or a chunk's)
-/// into the three-valued verdict. `Skip` and `Full` are proofs; anything
-/// uncertain is `Partial`.
-fn activity_of(
-    restriction: &Restriction,
-    columns: &[ColumnMeta],
-    blooms: &[ColumnBloom],
-) -> ChunkActivity {
+/// Could a row summarized by one zone map (a shard's or a chunk's) satisfy
+/// `restriction`? `false` is a proof of emptiness; anything uncertain is
+/// `true`.
+fn may_hold(restriction: &Restriction, columns: &[ColumnMeta], blooms: &[ColumnBloom]) -> bool {
     match restriction {
-        Restriction::True => ChunkActivity::Full,
-        Restriction::Opaque => ChunkActivity::Partial,
+        Restriction::True | Restriction::Opaque => true,
         // Degenerate conjunctions/disjunctions err towards maybe: `all`
         // over zero children is vacuously true and `any` vacuously false,
         // and the latter once turned a vacuous restriction into a silent
         // wrong-answer prune. No parser produces them today; if a future
         // normalizer does, "maybe" costs a scan, never a result bit.
-        Restriction::And(children) | Restriction::Or(children) if children.is_empty() => {
-            ChunkActivity::Partial
-        }
-        Restriction::And(children) => children
-            .iter()
-            .map(|r| activity_of(r, columns, blooms))
-            .fold(ChunkActivity::Full, ChunkActivity::and),
-        Restriction::Or(children) => children
-            .iter()
-            .map(|r| activity_of(r, columns, blooms))
-            .fold(ChunkActivity::Skip, ChunkActivity::or),
+        Restriction::And(children) | Restriction::Or(children) if children.is_empty() => true,
+        Restriction::And(children) => children.iter().all(|r| may_hold(r, columns, blooms)),
+        Restriction::Or(children) => children.iter().any(|r| may_hold(r, columns, blooms)),
         Restriction::In { field, values, negated } => {
-            let Some(column) = resolved_column(field, columns) else {
-                return ChunkActivity::Partial;
-            };
+            let Some(column) = resolved_column(field, columns) else { return true };
+            if *negated {
+                // NOT IN is refuted only by the complete value set, every
+                // present value listed.
+                let listed = |m: &Value| values.iter().any(|v| values_equal(m, v));
+                return !column.values.as_ref().is_some_and(|present| present.iter().all(listed));
+            }
             // Bloom probes apply only to bare columns: the filters hash
             // *base* column values, never derived virtual-field outputs.
             let bloom = field.as_column().and_then(|name| blooms.iter().find(|b| b.name == name));
-            if !negated {
-                let live = values
-                    .iter()
-                    .any(|v| column.may_contain(v) && bloom.is_none_or(|b| b.may_contain(v)));
-                if !live {
-                    return ChunkActivity::Skip;
-                }
-                // With the complete set, "every present value hits the
-                // list" upgrades to a proof of full activity.
-                match &column.values {
-                    Some(present)
-                        if present.iter().all(|m| values.iter().any(|v| values_equal(m, v))) =>
-                    {
-                        ChunkActivity::Full
-                    }
-                    _ => ChunkActivity::Partial,
-                }
-            } else {
-                // NOT IN can only be decided with the complete value set:
-                // all present values listed → no row survives; none listed
-                // → every row survives.
-                match &column.values {
-                    Some(present) => {
-                        let listed = |m: &Value| values.iter().any(|v| values_equal(m, v));
-                        if present.iter().all(listed) {
-                            ChunkActivity::Skip
-                        } else if !present.iter().any(listed) {
-                            ChunkActivity::Full
-                        } else {
-                            ChunkActivity::Partial
-                        }
-                    }
-                    None => ChunkActivity::Partial,
-                }
-            }
+            values.iter().any(|v| column.may_contain(v) && bloom.is_none_or(|b| b.may_contain(v)))
         }
         Restriction::Range { field, min, max } => {
-            let Some(column) = resolved_column(field, columns) else {
-                return ChunkActivity::Partial;
-            };
+            let Some(column) = resolved_column(field, columns) else { return true };
             let (Some(cmin), Some(cmax)) = (&column.min, &column.max) else {
-                return ChunkActivity::Skip; // no rows at all
+                return false; // no rows at all
             };
             // Range comparisons in the row filter are purely
             // `values_compare`, so interval reasoning here is exact: does
@@ -583,15 +538,7 @@ fn activity_of(
                     order => order == side,
                 })
             };
-            let any = keeps(cmax, min, Ordering::Greater) && keeps(cmin, max, Ordering::Less);
-            let all = keeps(cmin, min, Ordering::Greater) && keeps(cmax, max, Ordering::Less);
-            if !any {
-                ChunkActivity::Skip
-            } else if all {
-                ChunkActivity::Full
-            } else {
-                ChunkActivity::Partial
-            }
+            keeps(cmax, min, Ordering::Greater) && keeps(cmin, max, Ordering::Less)
         }
     }
 }
@@ -884,9 +831,6 @@ mod tests {
         assert_ne!(verdicts[0], ChunkActivity::Skip);
         assert_eq!(verdicts[1], ChunkActivity::Skip);
         assert!(may_match(&low, &meta));
-        // Fully-covered chunks are recognized as such.
-        let all = restriction("v >= 0");
-        assert!(chunk_verdicts(&all, &meta).iter().all(|a| *a == ChunkActivity::Full));
     }
 
     #[test]

@@ -273,7 +273,6 @@ impl Leaf {
 }
 
 fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result<SubtreeAnswer> {
-    let started = Instant::now();
     // The store's chunk dictionaries judge its chunks: the summary the
     // parent pruned this edge by was read off them, and proves no Skip
     // they do not wherever a literal resolves exactly.
@@ -283,9 +282,8 @@ fn execute_leaf(leaf: &Leaf, request: &QueryRequest, queued: Duration) -> Result
         stats,
         reports: vec![ShardReport {
             shard: leaf.shard,
-            // The parent overwrites latency with its own wall-clock
-            // observation; the compute time is the fallback.
-            latency: started.elapsed(),
+            // The parent stamps the latency it measured.
+            latency: Duration::ZERO,
             queue: queued,
             failover: false,
             hedged: false,

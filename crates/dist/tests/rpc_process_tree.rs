@@ -461,6 +461,7 @@ fn queue_delays_are_measured_not_modeled() {
     //    worker has answered.
     use pd_dist::rpc::{Addr, QueryRequest, Request, Response, RpcClient};
     use pd_sql::{analyze, parse_query};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     let delay = Duration::from_millis(250);
     let relays = relays(&Plan::pinned("l0p", Fault::Delay(delay)));
@@ -504,33 +505,34 @@ fn queue_delays_are_measured_not_modeled() {
         );
     }
 
-    // Claim 1: a heavy re-import (tens of thousands of rows through the
-    // full production build pipeline) holds the worker's turn for a long
-    // stretch of real service time. Probe queries are fired continuously
-    // while it ships and runs: whichever probe lands behind the import in
-    // the worker's queue must *measure* that wait. (Probes before the
-    // import has even arrived see an idle worker — hence the polling,
-    // not a single staggered shot.)
+    // Claim 1: a heavy re-import (100 000 rows through the full production
+    // build pipeline: 14-28 ms of service in a release build on 2 vCPUs,
+    // 0.65 s in debug) holds the worker's turn for a long stretch of real
+    // service time. Probes start only once the import's frame is written,
+    // and go one after another with no pause until one measures a wait: a
+    // probe that lands while the worker still reads the frame finds it
+    // idle, and the first behind the import's ticket waits out its service
+    // time, less one probe's round trip.
     relays.set(&Plan::default());
     let prompt = &query;
-    let big = generate_logs(&LogsSpec::scaled(30_000));
+    let big = generate_logs(&LogsSpec::scaled(100_000));
     let heavy = leaf_load(&big, BuildOptions::production(&["country", "table_name"]));
+    let frame = pd_dist::rpc::encode_frame(&heavy, false).unwrap();
+    let written = AtomicBool::new(false);
     let queued = std::thread::scope(|scope| {
         let loader = scope.spawn(|| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
             let mut client = RpcClient::new(addr.clone());
-            assert!(matches!(
-                client.call(&heavy, Duration::from_secs(120)).unwrap(),
-                Response::Loaded(_)
-            ));
+            client.send(&frame, deadline).unwrap();
+            written.store(true, Ordering::Release);
+            assert!(matches!(client.recv(deadline).unwrap(), Response::Loaded(_)));
         });
+        while !written.load(Ordering::Acquire) && !loader.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut best = Duration::ZERO;
-        for _ in 0..2_000 {
-            let (queue, _) = ask(addr.clone(), prompt);
-            best = best.max(queue);
-            if best >= Duration::from_millis(5) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        while best < Duration::from_millis(5) && !loader.is_finished() {
+            best = best.max(ask(addr.clone(), prompt).0);
         }
         loader.join().unwrap();
         best
